@@ -5,7 +5,12 @@
 //	go test -run '^$' -bench=. ./... | go run ./cmd/benchjson -out BENCH_smoke.json
 //
 // Non-benchmark lines (package headers, PASS/ok trailers) are ignored, so
-// the raw `go test` stream can be piped in unfiltered.
+// the raw `go test` stream can be piped in unfiltered. A benchmark that
+// appears more than once in the input (a pinned benchmark re-measured and
+// appended to a full pass) is written once, with its last measurement. The
+// document's context records nproc, GOMAXPROCS and the Go version of the
+// machine that wrote it, since ns/op from boxes that differ in those do not
+// compare.
 //
 // With -baseline the document is compared against a previous one. By
 // default the comparison is informational; adding -threshold and -pin turns
@@ -26,6 +31,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -41,7 +47,8 @@ type Result struct {
 }
 
 // Document is the file layout: context lines go test printed (goos, goarch,
-// pkg, cpu) followed by the measurements.
+// pkg, cpu) plus the writer's nproc, gomaxprocs and go version, followed by
+// the measurements, one per benchmark name.
 type Document struct {
 	Context map[string]string `json:"context,omitempty"`
 	Results []Result          `json:"results"`
@@ -71,6 +78,7 @@ func main() {
 	if len(doc.Results) == 0 {
 		log.Fatal("benchjson: no benchmark lines found in input")
 	}
+	stampEnvironment(doc)
 
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -203,9 +211,21 @@ func compareBaseline(doc *Document, path string, threshold float64, pins []strin
 	return regressions
 }
 
+// stampEnvironment records what the benchmark text does not say about the
+// machine: go test prints the CPU model but not how many of them the run
+// could use, nor the toolchain.
+func stampEnvironment(doc *Document) {
+	doc.Context["nproc"] = strconv.Itoa(runtime.NumCPU())
+	doc.Context["gomaxprocs"] = strconv.Itoa(runtime.GOMAXPROCS(0))
+	doc.Context["go"] = runtime.Version()
+}
+
 // parse scans go test output for benchmark result lines and context headers.
+// A name measured more than once keeps its first position and its last
+// measurement.
 func parse(r io.Reader) (*Document, error) {
 	doc := &Document{Context: map[string]string{}, Results: nil}
+	index := map[string]int{}
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for scanner.Scan() {
@@ -223,9 +243,15 @@ func parse(r io.Reader) (*Document, error) {
 			continue
 		}
 		res, ok := parseBenchLine(line)
-		if ok {
-			doc.Results = append(doc.Results, res)
+		if !ok {
+			continue
 		}
+		if i, seen := index[res.Name]; seen {
+			doc.Results[i] = res
+			continue
+		}
+		index[res.Name] = len(doc.Results)
+		doc.Results = append(doc.Results, res)
 	}
 	return doc, scanner.Err()
 }

@@ -4,9 +4,58 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// TestParseKeepsLastMeasurementPerName pins the write-time de-duplication: a
+// pinned benchmark re-measured and appended after a full pass (make
+// bench-baseline) yields one entry, in its first position, with the later
+// numbers.
+func TestParseKeepsLastMeasurementPerName(t *testing.T) {
+	doc, err := parse(strings.NewReader(`goos: linux
+pkg: dssp/internal/ps
+BenchmarkA-2   	      10	      5000 ns/op	     128 B/op
+BenchmarkB-2   	      10	       700 ns/op
+PASS
+pkg: dssp/internal/ps
+BenchmarkA-2   	    2000	      4000 ns/op
+ok  	dssp/internal/ps	1.0s
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != 2 || doc.Results[0].Name != "BenchmarkA-2" || doc.Results[1].Name != "BenchmarkB-2" {
+		t.Fatalf("results = %+v, want BenchmarkA-2 then BenchmarkB-2", doc.Results)
+	}
+	a := doc.Results[0]
+	if a.Iterations != 2000 || a.Metrics["ns/op"] != 4000 {
+		t.Fatalf("BenchmarkA-2 = %+v, want the later measurement (2000 iterations, 4000 ns/op)", a)
+	}
+	if _, stale := a.Metrics["B/op"]; stale {
+		t.Fatalf("BenchmarkA-2 kept a metric of the superseded measurement: %+v", a)
+	}
+}
+
+// TestStampEnvironmentRecordsTheMachine pins the context keys later
+// comparisons read before trusting a ratio.
+func TestStampEnvironmentRecordsTheMachine(t *testing.T) {
+	doc := &Document{Context: map[string]string{"goos": "linux"}}
+	stampEnvironment(doc)
+	want := map[string]string{
+		"goos":       "linux",
+		"nproc":      strconv.Itoa(runtime.NumCPU()),
+		"gomaxprocs": strconv.Itoa(runtime.GOMAXPROCS(0)),
+		"go":         runtime.Version(),
+	}
+	for k, v := range want {
+		if doc.Context[k] != v {
+			t.Errorf("context[%q] = %q, want %q", k, doc.Context[k], v)
+		}
+	}
+}
 
 // writeBaseline stores a baseline document with the given ns/op values.
 func writeBaseline(t *testing.T, ns map[string]float64) string {

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,16 +9,42 @@ import (
 )
 
 // benchGrads builds a gradient set shaped like a small CNN's parameters
-// (matching the layer structure internal/ps benchmarks against).
-func benchGrads(rng *rand.Rand) []*tensor.Tensor {
+// (matching the layer structure internal/ps benchmarks against), drawn at the
+// given standard deviation.
+func benchGrads(rng *rand.Rand, scale float64) []*tensor.Tensor {
 	shapes := [][]int{
 		{256, 256}, {256}, {128, 256}, {128}, {64, 128}, {64}, {32, 64}, {32},
 	}
 	out := make([]*tensor.Tensor, len(shapes))
 	for i, s := range shapes {
-		out[i] = randTensor(rng, 0.1, s...)
+		out[i] = randTensor(rng, scale, s...)
 	}
 	return out
+}
+
+// benchScales are the magnitudes every codec benchmark runs at: 0.1 is
+// weights and early-training gradients; 1e-5 and 1e-7 are what a converged
+// model pushes — the fp16 subnormal range, where a converter with a
+// magnitude-dependent slow path shows it.
+var benchScales = []float64{0.1, 1e-5, 1e-7}
+
+// benchName is the sub-benchmark name of a codec at a magnitude. The 0.1
+// case keeps the bare codec name it has always had in the BENCH_*.json record.
+func benchName(cfg Config, scale float64) string {
+	if scale == 0.1 {
+		return cfg.String()
+	}
+	return fmt.Sprintf("%s/scale=%g", cfg, scale)
+}
+
+// reportPerValue adds ns/value (and allocs/op, whatever -benchmem says) to a
+// benchmark whose iteration handles ts once.
+func reportPerValue(b *testing.B, ts []*tensor.Tensor) {
+	values := 0
+	for _, t := range ts {
+		values += t.Size()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(values), "ns/value")
 }
 
 func denseBytes(ts []*tensor.Tensor) int {
@@ -45,60 +72,78 @@ func BenchmarkCompress(b *testing.B) {
 		{Codec: TopK, TopK: 0.1},
 		{Codec: TopK, TopK: 0.01},
 	} {
-		b.Run(cfg.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			grads := benchGrads(rng)
-			c, err := NewCompressor(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var packed []Packed
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				packed = c.Compress(grads)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(packedBytes(packed)), "wire-B/op")
-			b.ReportMetric(float64(denseBytes(grads))/float64(packedBytes(packed)), "x-reduction")
-		})
+		for _, scale := range benchScales {
+			b.Run(benchName(cfg, scale), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				grads := benchGrads(rng, scale)
+				c, err := NewCompressor(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var packed []Packed
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					packed = c.Compress(grads)
+				}
+				b.StopTimer()
+				reportPerValue(b, grads)
+				b.ReportMetric(float64(packedBytes(packed)), "wire-B/op")
+				b.ReportMetric(float64(denseBytes(grads))/float64(packedBytes(packed)), "x-reduction")
+			})
+		}
 	}
 }
 
-// BenchmarkDecompress measures the server-side decode per codec.
+// BenchmarkDecompress measures the server-side decode per codec, into the
+// per-session scratch the server reuses.
 func BenchmarkDecompress(b *testing.B) {
 	for _, cfg := range []Config{
 		{Codec: FP16},
 		{Codec: Int8},
 		{Codec: TopK, TopK: 0.1},
 	} {
-		b.Run(cfg.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			c, err := NewCompressor(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			packed := c.Compress(benchGrads(rng))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecompressAll(packed); err != nil {
+		for _, scale := range benchScales {
+			b.Run(benchName(cfg, scale), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				c, err := NewCompressor(cfg)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				grads := benchGrads(rng, scale)
+				packed := c.Compress(grads)
+				var scratch []*tensor.Tensor
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if scratch, err = DecompressAllReuse(packed, scratch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				reportPerValue(b, grads)
+			})
+		}
 	}
 }
 
 // BenchmarkPackPullPath measures the stateless weight packing the server
-// performs per pull (before the per-shard cache amortizes it).
+// performs per shard update, into the recycled buffers the store hands it.
 func BenchmarkPackPullPath(b *testing.B) {
 	for _, cfg := range []Config{{Codec: FP16}, {Codec: Int8}} {
-		b.Run(cfg.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			weights := benchGrads(rng)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Pack(weights, cfg)
-			}
-		})
+		for _, scale := range benchScales {
+			b.Run(benchName(cfg, scale), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				weights := benchGrads(rng, scale)
+				var packed []Packed
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					packed = PackInto(packed, weights, cfg)
+				}
+				b.StopTimer()
+				reportPerValue(b, weights)
+			})
+		}
 	}
 }

@@ -23,6 +23,7 @@ package compress
 
 import (
 	"fmt"
+	"math"
 
 	"dssp/internal/tensor"
 )
@@ -182,6 +183,9 @@ func schemeFor(codec string) uint8 {
 type Compressor struct {
 	cfg      Config
 	residual []*tensor.Tensor
+	// out and the value codecs' payload buffers are recycled by every
+	// Compress, so their steady state allocates nothing.
+	out []Packed
 }
 
 // NewCompressor returns a compressor for the given (lossy) configuration.
@@ -199,42 +203,70 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 // Config returns the configuration the compressor encodes with.
 func (c *Compressor) Config() Config { return c.cfg }
 
+// negZero starts every residual: −0 is the additive identity of IEEE floats
+// (−0 + g == g bit for bit, where +0 + −0 would lose the sign), so a fresh
+// residual needs no first-push special case.
+var negZero = float32(math.Copysign(0, -1))
+
 // Compress encodes one gradient push. Error feedback: each tensor's residual
 // r accumulates the incoming gradient (r += g), the codec encodes r, and
-// whatever the encoding could not represent stays in r for the next push.
-// The caller's tensors are never mutated and may be reused.
+// whatever the encoding could not represent stays in r for the next push —
+// one fused pass per tensor for the value codecs. The caller's tensors are
+// never mutated and may be reused.
+//
+// The returned slice and its payloads belong to the compressor and are
+// overwritten by the next Compress: a transport that serializes inside Send
+// may be handed them directly, anything that keeps a reference (the
+// in-process channel transport) needs ClonePacked.
 func (c *Compressor) Compress(grads []*tensor.Tensor) []Packed {
 	if len(c.residual) < len(grads) {
 		grown := make([]*tensor.Tensor, len(grads))
 		copy(grown, c.residual)
 		c.residual = grown
 	}
-	out := make([]Packed, len(grads))
+	c.out = resizePacked(c.out, len(grads))
+	out := c.out
 	for i, g := range grads {
 		r := c.residual[i]
 		if r == nil || !r.SameShape(g) {
-			r = g.Clone()
+			r = tensor.Full(negZero, g.Shape()...)
 			c.residual[i] = r
-		} else {
-			r.Add(g)
 		}
-		out[i] = packResidual(r, c.cfg)
+		switch c.cfg.Codec {
+		case FP16:
+			packF16Feedback(&out[i], r, g)
+		case Int8:
+			packQ8Feedback(&out[i], r, g)
+		case TopK:
+			out[i] = packTopK(r.Add(g), c.cfg.TopK)
+		default:
+			panic(fmt.Sprintf("compress: Compress with codec %q", c.cfg.Codec))
+		}
 	}
 	return out
 }
 
-// packResidual encodes r and subtracts the decoded values from it in place,
-// leaving r holding exactly what the encoding discarded.
-func packResidual(r *tensor.Tensor, cfg Config) Packed {
-	switch cfg.Codec {
-	case FP16:
-		return packF16(r, true)
-	case Int8:
-		return packQ8(r, true)
-	case TopK:
-		return packTopK(r, cfg.TopK)
+// resizePacked returns ps with length n, keeping the Packed values (and the
+// buffers they hold) it already has.
+func resizePacked(ps []Packed, n int) []Packed {
+	if cap(ps) < n {
+		grown := make([]Packed, n)
+		copy(grown, ps[:cap(ps)])
+		return grown
 	}
-	panic(fmt.Sprintf("compress: packResidual with codec %q", cfg.Codec))
+	return ps[:n]
+}
+
+// ClonePacked returns a deep copy of ps whose payloads alias nothing, for
+// handing a Compress or PackInto result to a holder that outlives the next
+// call. Shapes are shared: no pack function mutates one in place.
+func ClonePacked(ps []Packed) []Packed {
+	out := make([]Packed, len(ps))
+	for i, p := range ps {
+		out[i] = p
+		out[i].Payload = append([]byte(nil), p.Payload...)
+	}
+	return out
 }
 
 // Pack compresses tensors without error feedback — the stateless form used
@@ -243,18 +275,25 @@ func packResidual(r *tensor.Tensor, cfg Config) Packed {
 // on the store's shared copy-on-write snapshots. Only the value codecs are
 // supported (Config.Validate enforces this for pull compression).
 func Pack(ts []*tensor.Tensor, cfg Config) []Packed {
-	out := make([]Packed, len(ts))
+	return PackInto(nil, ts, cfg)
+}
+
+// PackInto is Pack recycling dst's Packed values — payload buffers and
+// shapes — where they fit; it returns the (possibly re-allocated) dst. The
+// caller must own dst outright: nothing may still be reading its payloads.
+func PackInto(dst []Packed, ts []*tensor.Tensor, cfg Config) []Packed {
+	dst = resizePacked(dst, len(ts))
 	for i, t := range ts {
 		switch cfg.Codec {
 		case FP16:
-			out[i] = packF16(t, false)
+			packF16(&dst[i], t)
 		case Int8:
-			out[i] = packQ8(t, false)
+			packQ8(&dst[i], t)
 		default:
 			panic(fmt.Sprintf("compress: Pack with codec %q", cfg.Codec))
 		}
 	}
-	return out
+	return dst
 }
 
 // Decompress reconstructs the dense tensor a Packed payload encodes.
@@ -312,12 +351,13 @@ func DecompressReuse(p Packed, dst *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	switch p.Scheme {
 	case SchemeF16:
-		return dst, unpackF16(p, dst)
+		decodeF16(dst.Data(), p.Payload)
 	case SchemeQ8:
-		return dst, unpackQ8(p, dst)
+		decodeQ8(dst.Data(), p.Payload, p.Scale)
 	default:
 		return dst, unpackTopK(p, dst)
 	}
+	return dst, nil
 }
 
 // DecompressAll reconstructs a full tensor list, the inverse of

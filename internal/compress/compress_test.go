@@ -73,11 +73,11 @@ func TestF16ExhaustiveRoundTrip(t *testing.T) {
 	// float32 represents all halves exactly and the conversion rounds to
 	// nearest, so the round trip is the identity.
 	for h := 0; h < 1<<16; h++ {
-		f := f16ToF32(uint16(h))
+		f := halfTable()[h]
 		if math.IsNaN(float64(f)) {
 			continue
 		}
-		if back := f32ToF16(f); back != uint16(h) {
+		if back := uint16(floatToHalf(math.Float32bits(f))); back != uint16(h) {
 			t.Fatalf("half %#04x → %g → %#04x", h, f, back)
 		}
 	}
@@ -87,7 +87,7 @@ func TestF16ConversionErrorBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100000; i++ {
 		v := float32((rng.Float64()*2 - 1) * math.Pow(10, rng.Float64()*8-4))
-		got := f16ToF32(f32ToF16(v))
+		got := halfTable()[uint16(floatToHalf(math.Float32bits(v)))]
 		// Relative error ≤ 2^-11 for normal halves, plus the subnormal
 		// absolute quantum 2^-25.
 		bound := math.Abs(float64(v))/2048 + math.Pow(2, -25)
@@ -107,8 +107,7 @@ func TestInt8RoundTripErrorBound(t *testing.T) {
 				maxAbs = a
 			}
 		}
-		p := packQ8(orig.Clone(), false)
-		dec, err := Decompress(p)
+		dec, err := Decompress(Pack([]*tensor.Tensor{orig}, Config{Codec: Int8})[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,8 +123,7 @@ func TestInt8RoundTripErrorBound(t *testing.T) {
 }
 
 func TestInt8AllZeroTensor(t *testing.T) {
-	p := packQ8(tensor.New(4, 4), false)
-	dec, err := Decompress(p)
+	dec, err := Decompress(Pack([]*tensor.Tensor{tensor.New(4, 4)}, Config{Codec: Int8})[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,144 +1,61 @@
 package compress
 
-import (
-	"encoding/binary"
-	"math"
+import "dssp/internal/tensor"
 
-	"dssp/internal/tensor"
-)
+// The value codecs' tensor-level glue over the slice kernels in kernels.go.
+// Every pack function writes into the Packed it is handed, reusing its
+// payload buffer and shape when they fit, so callers that keep their Packed
+// values between calls (Compressor, PackInto) allocate nothing in the steady
+// state.
 
-// packF16 encodes t as IEEE 754 half-precision values, 2 bytes each. With
-// residual set, t is an error-feedback buffer and the rounding error of every
-// value is written back into it; otherwise t is read-only.
-func packF16(t *tensor.Tensor, residual bool) Packed {
-	data := t.Data()
-	payload := make([]byte, 2*len(data))
-	for i, v := range data {
-		h := f32ToF16(v)
-		binary.LittleEndian.PutUint16(payload[2*i:], h)
-		if residual {
-			data[i] = v - f16ToF32(h)
-		}
+// sizePacked prepares p to carry an n-byte payload of t under scheme,
+// recycling p's payload buffer and shape slice when they fit.
+func sizePacked(p *Packed, scheme uint8, t *tensor.Tensor, n int) {
+	p.Scheme, p.Scale = scheme, 0
+	if !t.ShapeEquals(p.Shape) {
+		p.Shape = t.Shape()
 	}
-	return Packed{Scheme: SchemeF16, Shape: t.Shape(), Payload: payload}
+	if cap(p.Payload) < n {
+		p.Payload = make([]byte, n)
+	}
+	p.Payload = p.Payload[:n]
 }
 
-// unpackF16 decodes a SchemeF16 payload into t. DecompressReuse — the only
-// caller — has already validated the payload length against t's shape.
-func unpackF16(p Packed, t *tensor.Tensor) error {
-	data := t.Data()
-	for i := range data {
-		data[i] = f16ToF32(binary.LittleEndian.Uint16(p.Payload[2*i:]))
-	}
-	return nil
+// packF16 encodes t as IEEE 754 half-precision values, 2 bytes each; t is
+// read-only.
+func packF16(p *Packed, t *tensor.Tensor) {
+	sizePacked(p, SchemeF16, t, 2*t.Size())
+	encodeF16(p.Payload, t.Data())
+}
+
+// packF16Feedback folds g into the error-feedback buffer r, encodes the sum,
+// and leaves the rounding error of every value in r.
+func packF16Feedback(p *Packed, r, g *tensor.Tensor) {
+	sizePacked(p, SchemeF16, r, 2*r.Size())
+	encodeF16Feedback(p.Payload, r.Data(), g.Data())
 }
 
 // packQ8 encodes t with uniform 8-bit quantization: scale = maxAbs/127,
-// q = round(v/scale) in [-127, 127], 1 byte per value. With residual set the
-// quantization error of every value is written back into t.
-func packQ8(t *tensor.Tensor, residual bool) Packed {
-	data := t.Data()
-	var maxAbs float32
-	for _, v := range data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	payload := make([]byte, len(data))
-	scale := maxAbs / 127
-	if scale == 0 {
+// q = round-to-even(v/scale) in [-127, 127], 1 byte per value; t is
+// read-only.
+func packQ8(p *Packed, t *tensor.Tensor) {
+	sizePacked(p, SchemeQ8, t, t.Size())
+	if p.Scale = maxAbs(t.Data()) / 127; p.Scale == 0 {
 		// All-zero tensor (or maxAbs underflowed): send zeros verbatim.
-		if residual {
-			t.Zero()
-		}
-		return Packed{Scheme: SchemeQ8, Shape: t.Shape(), Payload: payload}
+		clear(p.Payload)
+		return
 	}
-	for i, v := range data {
-		q := int32(math.RoundToEven(float64(v / scale)))
-		if q > 127 {
-			q = 127
-		} else if q < -127 {
-			q = -127
-		}
-		payload[i] = byte(int8(q))
-		if residual {
-			data[i] = v - float32(q)*scale
-		}
-	}
-	return Packed{Scheme: SchemeQ8, Shape: t.Shape(), Scale: scale, Payload: payload}
+	encodeQ8(p.Payload, t.Data(), p.Scale)
 }
 
-// unpackQ8 decodes a SchemeQ8 payload into t. DecompressReuse — the only
-// caller — has already validated the payload length against t's shape.
-func unpackQ8(p Packed, t *tensor.Tensor) error {
-	data := t.Data()
-	for i := range data {
-		data[i] = float32(int8(p.Payload[i])) * p.Scale
+// packQ8Feedback folds g into the error-feedback buffer r, quantizes the sum
+// like packQ8, and leaves the quantization error of every value in r.
+func packQ8Feedback(p *Packed, r, g *tensor.Tensor) {
+	sizePacked(p, SchemeQ8, r, r.Size())
+	if p.Scale = addMaxAbs(r.Data(), g.Data()) / 127; p.Scale == 0 {
+		clear(p.Payload)
+		r.Zero()
+		return
 	}
-	return nil
-}
-
-// f32ToF16 converts a float32 to IEEE 754 binary16 with round-to-nearest-even,
-// mapping overflow to infinity and values below the smallest subnormal half
-// to signed zero.
-func f32ToF16(f float32) uint16 {
-	b := math.Float32bits(f)
-	sign := uint16(b>>16) & 0x8000
-	exp := int32(b>>23) & 0xff
-	mant := b & 0x7fffff
-	if exp == 0xff { // Inf or NaN
-		if mant != 0 {
-			return sign | 0x7e00
-		}
-		return sign | 0x7c00
-	}
-	e := exp - 127 + 15
-	if e >= 0x1f { // overflow → Inf
-		return sign | 0x7c00
-	}
-	if e <= 0 { // half subnormal (or zero)
-		if e < -10 {
-			return sign
-		}
-		mant |= 0x800000 // make the implicit leading bit explicit
-		shift := uint32(14 - e)
-		m := (mant + (1 << (shift - 1)) - 1 + ((mant >> shift) & 1)) >> shift
-		return sign | uint16(m)
-	}
-	m := mant + 0xfff + ((mant >> 13) & 1)
-	if m&0x800000 != 0 { // mantissa rounding carried into the exponent
-		m = 0
-		e++
-		if e >= 0x1f {
-			return sign | 0x7c00
-		}
-	}
-	return sign | uint16(e)<<10 | uint16(m>>13)
-}
-
-// f16ToF32 converts an IEEE 754 binary16 value to float32 (exact).
-func f16ToF32(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h>>10) & 0x1f
-	mant := uint32(h & 0x3ff)
-	switch {
-	case exp == 0:
-		if mant == 0 {
-			return math.Float32frombits(sign)
-		}
-		// Subnormal half: renormalize into a float32 exponent.
-		e := uint32(113)
-		for mant&0x400 == 0 {
-			mant <<= 1
-			e--
-		}
-		return math.Float32frombits(sign | e<<23 | (mant&0x3ff)<<13)
-	case exp == 0x1f:
-		return math.Float32frombits(sign | 0xff<<23 | mant<<13)
-	}
-	return math.Float32frombits(sign | (exp+112)<<23 | mant<<13)
+	encodeQ8Feedback(p.Payload, r.Data(), p.Scale)
 }

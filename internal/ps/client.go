@@ -207,9 +207,10 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 // satisfies from its cache, so a pull when nothing moved transfers almost
 // nothing.
 //
-// The returned slice (not the tensors) is reused by the next Pull, and with
-// delta pulls the tensors themselves may be returned again by later Pulls —
-// callers must treat both as read-only and copy what they keep. Every
+// The returned slice is reused by the next Pull. With delta pulls the
+// tensors themselves may be returned again by later Pulls, and with a pull
+// codec the next Pull decodes into them in place — callers must treat both
+// as read-only, valid until the next Pull, and copy what they keep. Every
 // existing caller adopts the weights into its own replica immediately
 // (Network.SetParams copies).
 func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
@@ -320,8 +321,13 @@ func (c *Client) cacheComplete() bool {
 }
 
 // chunkTensors extracts the tensors of one Weights chunk: from the delta
-// cache for a payload-free Unchanged chunk, or by decoding the payload —
-// updating the cache when delta pulls are on — otherwise.
+// cache for a payload-free Unchanged chunk, or by decoding the payload
+// otherwise. A packed chunk decodes in place into the tensors the shard's
+// previous packed chunk produced, so compressed pulls allocate nothing in the
+// steady state; that is within Pull's contract, because the only tensors
+// rewritten are the ones this very chunk supersedes. The cache keeps a
+// decoded chunk when delta pulls are on (an Unchanged reply needs it) or
+// when it is packed (the next decode reuses it).
 func (c *Client) chunkTensors(msg transport.Message, shards int) ([]*tensor.Tensor, error) {
 	if msg.Unchanged {
 		if msg.Shard < 0 || msg.Shard >= len(c.shardCache) || c.shardCache[msg.Shard] == nil {
@@ -330,25 +336,27 @@ func (c *Client) chunkTensors(msg transport.Message, shards int) ([]*tensor.Tens
 		}
 		return c.shardCache[msg.Shard], nil
 	}
-	ts, err := c.decodeWeights(msg)
-	if err != nil {
-		return nil, err
+	packed := msg.Codec != "" || len(msg.Packed) > 0
+	if msg.Shard < 0 || msg.Shard >= shards || !(c.deltaOn || packed) {
+		return c.decodeWeights(msg, nil)
 	}
-	if c.deltaOn && msg.Shard >= 0 && msg.Shard < shards {
-		if len(c.shardCache) != shards {
-			c.shardCache = make([][]*tensor.Tensor, shards)
-			c.shardVersions = make([]int64, shards)
-		}
-		c.shardCache[msg.Shard] = ts
-		c.shardVersions[msg.Shard] = msg.ShardVersion
+	if len(c.shardCache) != shards {
+		c.shardCache = make([][]*tensor.Tensor, shards)
+		c.shardVersions = make([]int64, shards)
 	}
-	return ts, nil
+	ts, err := c.decodeWeights(msg, c.shardCache[msg.Shard])
+	// On error the in-place decode may have stopped half way: drop the entry
+	// rather than leave a torn copy under the old version.
+	c.shardCache[msg.Shard] = ts
+	c.shardVersions[msg.Shard] = msg.ShardVersion
+	return ts, err
 }
 
-// decodeWeights extracts the tensors of one Weights message, decompressing
-// packed chunks when the server compresses the pull path, and accounts the
-// pulled bytes.
-func (c *Client) decodeWeights(msg transport.Message) ([]*tensor.Tensor, error) {
+// decodeWeights extracts the tensors of one Weights message and accounts the
+// pulled bytes. Packed chunks are unpacked straight from the message's
+// payload (the connection's read buffer, on TCP) into prev's tensors where
+// the shapes still match.
+func (c *Client) decodeWeights(msg transport.Message, prev []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if msg.Codec != "" || len(msg.Packed) > 0 {
 		if msg.Codec != c.cfg.Codec {
 			return nil, fmt.Errorf("ps: worker %d received %s-compressed weights but negotiated %s",
@@ -357,7 +365,7 @@ func (c *Client) decodeWeights(msg transport.Message) ([]*tensor.Tensor, error) 
 		for _, p := range msg.Packed {
 			c.pulledBytes += int64(p.WireSize())
 		}
-		return compress.DecompressAll(msg.Packed)
+		return compress.DecompressAllReuse(msg.Packed, prev)
 	}
 	c.pulledBytes += wireTensorBytes(msg.Tensors)
 	if msg.PayloadOwned() {
@@ -409,7 +417,7 @@ func (c *Client) PushAsync(grads []*tensor.Tensor, baseVersion int64, iteration 
 	}
 	if c.comp != nil {
 		msg.Codec = c.cfg.Codec
-		msg.Packed = c.comp.Compress(grads)
+		msg.Packed = sendablePacked(c.conn, c.comp.Compress(grads))
 		for _, p := range msg.Packed {
 			c.pushedBytes += int64(p.WireSize())
 		}
@@ -497,6 +505,22 @@ func (c *Client) recv() (transport.Message, error) {
 		return transport.Message{}, fmt.Errorf("ps: server error: %s", msg.Error)
 	}
 	return msg, nil
+}
+
+// sendablePacked returns what a Message sent on conn may carry of a
+// Compressor's result, which the compressor overwrites on its next Compress:
+// the buffers themselves for a transport that serializes inside Send
+// (transport.SerializingSender), a detached copy for one that passes
+// references (the in-process channel transport), whose receiver may
+// still be reading when the sender compresses again. A worker's own pushes
+// are lock-step — the OK that allows the next Compress follows the decode —
+// but a relay's trunk pushes pipeline, and one rule for every sender is
+// easier to keep than two.
+func sendablePacked(conn transport.Conn, packed []compress.Packed) []compress.Packed {
+	if _, serializes := conn.(transport.SerializingSender); serializes {
+		return packed
+	}
+	return compress.ClonePacked(packed)
 }
 
 // wireTensorBytes approximates the wire payload of dense tensors: 4 bytes

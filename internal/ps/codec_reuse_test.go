@@ -1,0 +1,272 @@
+package ps
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"dssp/internal/compress"
+	"dssp/internal/core"
+	"dssp/internal/optimizer"
+	"dssp/internal/tensor"
+	"dssp/internal/transport"
+)
+
+// TestCodecBufferReuseSurvivesPoisoning drives the four recycled buffers of
+// the fp16 push/pull path — the compressor's payloads, the server's decode
+// scratch, the store's packed-cache generations and the client's in-place
+// pull decode — from concurrent workers over the TCP and the channel
+// transport. Every push carries a different value and every buffer is
+// overwritten by the next one as soon as the protocol allows, so a buffer
+// reused while a reader still held it shows up as a wrong final sum, a torn
+// (non-uniform) pulled shard, or, under -race, the racing accesses
+// themselves.
+func TestCodecBufferReuseSurvivesPoisoning(t *testing.T) {
+	cfg := compress.Config{Codec: compress.FP16, Pull: true}
+	for _, tc := range []struct {
+		name string
+		tcp  bool
+	}{{"tcp", true}, {"channel", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			initial := []*tensor.Tensor{tensor.New(16, 4), tensor.New(33), tensor.New(7, 3), tensor.New(130)}
+			st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			const workers, rounds = 4, 50
+			srv, err := NewServer(ServerConfig{
+				Workers: workers,
+				Policy:  core.MustNewASP(workers),
+				Store:   st,
+				Options: Options{Compression: cfg},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Stop()
+
+			var dial func() (transport.Conn, error)
+			if tc.tcp {
+				l, err := transport.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				go func() { _ = srv.Serve(l) }()
+				dial = func() (transport.Conn, error) { return transport.Dial(l.Addr()) }
+			} else {
+				l := transport.NewChanListener()
+				defer l.Close()
+				go func() { _ = srv.Serve(l) }()
+				dial = l.Dial
+			}
+
+			// Values are small integers: exact in fp16 (no residual), and
+			// their float32 sums are exact, so the final weights are known to
+			// the bit.
+			value := func(w, r int) float32 { return float32(1 + (w*rounds+r)%9) }
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					conn, err := dial()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					c, err := NewClientCompressed(conn, w, cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer c.Close()
+					c.SetDeltaPull(w%2 == 0)
+					if err := c.Register(); err != nil {
+						t.Error(err)
+						return
+					}
+					grads := make([]*tensor.Tensor, len(initial))
+					for i, p := range initial {
+						grads[i] = tensor.New(p.Shape()...)
+					}
+					last := make([]float32, len(initial))
+					for r := 0; r < rounds; r++ {
+						params, version, err := c.Pull()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i, p := range params {
+							v := p.Data()[0]
+							for _, x := range p.Data() {
+								if x != v {
+									t.Errorf("worker %d round %d: pulled tensor %d is torn (%v and %v)", w, r, i, v, x)
+									return
+								}
+							}
+							// lr 1 over positive gradients: weights only fall.
+							if v > last[i] {
+								t.Errorf("worker %d round %d: tensor %d went back from %v to %v", w, r, i, last[i], v)
+								return
+							}
+							last[i] = v
+						}
+						for _, g := range grads {
+							g.Fill(value(w, r))
+						}
+						if err := c.PushAndWait(grads, version, r); err != nil {
+							t.Error(err)
+							return
+						}
+						// The push is decoded; the caller's buffers are free.
+						for _, g := range grads {
+							g.Fill(1e6)
+						}
+					}
+					if err := c.Done(); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if !st.WaitApplied(workers*rounds, nil) {
+				t.Fatal("store closed before the pushes were applied")
+			}
+
+			var want float32
+			for w := 0; w < workers; w++ {
+				for r := 0; r < rounds; r++ {
+					want -= value(w, r)
+				}
+			}
+			params, version := st.Snapshot()
+			if version != workers*rounds {
+				t.Fatalf("final version %d, want %d", version, workers*rounds)
+			}
+			for i, p := range params {
+				for j, v := range p.Data() {
+					if v != want {
+						t.Fatalf("param %d[%d] = %v, want %v — a reused codec buffer reached an optimizer step", i, j, v, want)
+					}
+				}
+			}
+			if tc.tcp {
+				// Serializing sessions pin packed generations only until the
+				// send returns, so fills must have recycled retired buffers.
+				for i, sh := range st.shards {
+					sh.packedMu.Lock()
+					pinned := sh.packed.refs.Load()
+					escaped := sh.packed.escaped.Load()
+					sh.packedMu.Unlock()
+					if pinned != 0 || escaped {
+						t.Errorf("shard %d: packed cache left pinned (refs %d, escaped %v) after every reply was sent", i, pinned, escaped)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAcquirePackedDeltaRecyclesOnlyReleasedBuffers pins the packed-cache
+// ownership rule directly: a fill may rewrite a retired generation's payload
+// buffers only once its pin is released, and never one that PackShardDelta
+// handed out for keeps.
+func TestAcquirePackedDeltaRecyclesOnlyReleasedBuffers(t *testing.T) {
+	st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(64)}, optimizer.NewSGD(1.0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := compress.Config{Codec: compress.FP16}
+	into := func(dst []compress.Packed, ps []*tensor.Tensor) []compress.Packed {
+		return compress.PackInto(dst, ps, cfg)
+	}
+	step := func() {
+		t.Helper()
+		if _, err := st.Apply([]*tensor.Tensor{tensor.Full(1, 64)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := func(ps []compress.Packed) *byte { return &ps[0].Payload[0] }
+
+	held, pin, _, _, _, _ := st.AcquirePackedDelta(0, -1, into)
+	heldBuf, heldBytes := buf(held), string(held[0].Payload)
+	step()
+	second, pin2, _, _, _, _ := st.AcquirePackedDelta(0, -1, into)
+	if buf(second) == heldBuf {
+		t.Fatal("a fill rewrote a packed generation that was still pinned")
+	}
+	pin2.release()
+	step()
+	third, pin3, _, _, _, _ := st.AcquirePackedDelta(0, -1, into)
+	if buf(third) == heldBuf || string(held[0].Payload) != heldBytes {
+		t.Fatal("a fill rewrote a packed generation that was still pinned")
+	}
+	pin3.release()
+	pin.release()
+	step()
+	fourth, pin4, _, _, _, _ := st.AcquirePackedDelta(0, -1, into)
+	if b := buf(fourth); b != heldBuf && b != buf(second) {
+		t.Fatal("a fill allocated although released generations were retired")
+	}
+	pin4.release()
+
+	// An unbounded reader escapes the generation it is handed for good.
+	kept, _, _, _, _ := st.PackShardDelta(0, -1, func(ps []*tensor.Tensor) []compress.Packed { return compress.Pack(ps, cfg) })
+	keptBuf, keptBytes := buf(kept), string(kept[0].Payload)
+	for i := 0; i < 2*retiredGens+2; i++ {
+		step()
+		next, p, _, _, _, _ := st.AcquirePackedDelta(0, -1, into)
+		if buf(next) == keptBuf {
+			t.Fatal("a fill rewrote a packed generation an unbounded reader holds")
+		}
+		p.release()
+	}
+	if string(kept[0].Payload) != keptBytes {
+		t.Fatal("an unbounded reader's packed form changed under it")
+	}
+}
+
+// TestClientPullDecodeAllocatesNothing pins the worker end of a compressed
+// pull: a packed chunk decodes in place into the tensors the shard's
+// previous chunk produced, for delta-pulling and plain sessions alike.
+func TestClientPullDecodeAllocatesNothing(t *testing.T) {
+	cfg := compress.Config{Codec: compress.FP16, Pull: true}
+	rng := rand.New(rand.NewSource(1))
+	params := []*tensor.Tensor{tensor.New(64, 32).RandNormal(rng, 0, 0.1), tensor.New(64).RandNormal(rng, 0, 0.1)}
+	msg := transport.Message{
+		Type: transport.MsgWeights, Codec: cfg.Codec, Packed: compress.Pack(params, cfg),
+		Shard: 1, Shards: 2, Total: 4, Base: 2,
+	}
+	for _, delta := range []bool{false, true} {
+		conn, peer := transport.Pipe()
+		c, err := NewClientCompressed(conn, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.deltaOn = delta
+		first, err := c.chunkTensors(msg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			again, err := c.chunkTensors(msg, 2)
+			if err != nil || again[0] != first[0] {
+				t.Fatalf("second decode did not reuse the first one's tensors (err %v)", err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("delta=%v: a steady-state packed chunk decode allocates %v times", delta, allocs)
+		}
+		if !first[0].ApproxEqual(params[0], 1e-3) {
+			t.Errorf("delta=%v: in-place decode lost the weights", delta)
+		}
+		conn.Close()
+		peer.Close()
+	}
+}

@@ -3,6 +3,7 @@ package ps
 import (
 	"sync/atomic"
 
+	"dssp/internal/compress"
 	"dssp/internal/tensor"
 )
 
@@ -38,18 +39,51 @@ import (
 // decrement synchronizes with the applier's load), and overwriting them
 // cannot race any reader.
 type paramGen struct {
-	params  []*tensor.Tensor
+	params []*tensor.Tensor
+	genPin
+}
+
+// genPin is the reader bookkeeping of one recyclable generation of buffers —
+// a paramGen's tensors or a packedGen's payloads: bounded readers count
+// themselves in refs, unbounded readers set escaped, and the owner rewrites
+// the buffers only once the generation is retired and quiescent.
+type genPin struct {
 	refs    atomic.Int64
 	escaped atomic.Bool
 }
 
+// release drops one bounded-reader reference. It must be called exactly once
+// per acquisition, after the last read of the generation's buffers; on a nil
+// pin (a message that pins nothing) it is a no-op.
+func (p *genPin) release() {
+	if p != nil {
+		p.refs.Add(-1)
+	}
+}
+
+// quiescent reports that no reader holds the generation or ever will, given
+// that it is retired (no longer handed out).
+func (p *genPin) quiescent() bool { return !p.escaped.Load() && p.refs.Load() == 0 }
+
 // release drops one bounded-reader reference taken by shard.acquire (or
-// Store.AcquireShardDelta). Must be called exactly once per acquisition,
-// after the last read of the generation's tensors.
+// Store.AcquireShardDelta); releasing a nil generation is a no-op.
 func (g *paramGen) release() {
 	if g != nil {
-		g.refs.Add(-1)
+		g.genPin.release()
 	}
+}
+
+// packedGen is one generation of a shard's compressed-pull cache: the packed
+// form of shard version `version`, in payload buffers that the next fill
+// rewrites once every pull reply carrying them has been serialized. The
+// reuse argument is paramGen's with packedMu in the place of sh.mu: a pin is
+// only taken while the generation is the shard's current one, under
+// packedMu; the fill that supersedes it retires it under the same lock; so a
+// retired generation that is quiescent has no reader left.
+type packedGen struct {
+	packed  []compress.Packed
+	version int64
+	genPin
 }
 
 // acquire returns the shard's current generation and version with a
@@ -88,7 +122,7 @@ const retiredGens = 2
 // Only the shard's applier calls it (single goroutine), under sh.mu.
 func (sh *shard) takeGen(m *storeMetrics) *paramGen {
 	for i, g := range sh.retired {
-		if !g.escaped.Load() && g.refs.Load() == 0 {
+		if g.quiescent() {
 			sh.retired = append(sh.retired[:i], sh.retired[i+1:]...)
 			sh.reuses.Add(1)
 			if m != nil {

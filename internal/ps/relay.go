@@ -829,7 +829,10 @@ func (r *Relay) flushLocked(reason string) {
 	var bytes int64
 	if r.comp != nil {
 		msg.Codec = r.compression.Codec
-		msg.Packed = r.comp.Compress(p.sum)
+		// Trunk pushes pipeline, so only a transport that serializes inside
+		// Send (below, under r.mu) is done with the compressor's buffers
+		// before the next flush overwrites them.
+		msg.Packed = sendablePacked(r.trunk, r.comp.Compress(p.sum))
 		for _, pk := range msg.Packed {
 			bytes += int64(pk.WireSize())
 		}

@@ -855,7 +855,7 @@ func (s *Server) enqueueOut(worker int, msg transport.Message) {
 // enqueueOutRef is enqueueOut for payloads pinning a store generation: ref
 // travels with the message and is released by the writer after the send, or
 // here when the worker has no live session.
-func (s *Server) enqueueOutRef(worker int, msg transport.Message, ref *paramGen) {
+func (s *Server) enqueueOutRef(worker int, msg transport.Message, ref *genPin) {
 	sess := s.sessions.get(worker)
 	if sess == nil {
 		ref.release()
@@ -873,7 +873,7 @@ func (s *Server) enqueueSession(sess *session, msg transport.Message) {
 
 // enqueueSessionRef is enqueueSession with a generation reference attached;
 // dropping the message (session gone, server stopped) releases it.
-func (s *Server) enqueueSessionRef(sess *session, msg transport.Message, ref *paramGen) {
+func (s *Server) enqueueSessionRef(sess *session, msg transport.Message, ref *genPin) {
 	select {
 	case sess.outbox <- outMsg{msg: msg, ref: ref}:
 	case <-sess.gone:
@@ -1333,13 +1333,21 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 			Shards: shards,
 			Total:  total,
 		}
-		// ref pins the store generation an uncompressed chunk aliases until
-		// the writer has serialized it; nil for every other chunk kind.
-		var ref *paramGen
+		// ref pins the store buffers a full chunk aliases — a parameter
+		// generation, or a packed-cache generation — until the writer has
+		// serialized it; nil for every chunk that pins nothing.
+		var ref *genPin
 		if compressPull {
-			packed, base, version, shardV, unchanged := st.PackShardDelta(i, haveV, s.packShard)
-			msg.Base = base
-			msg.Version = version
+			var packed []compress.Packed
+			var shardV int64
+			var unchanged bool
+			if sess.serializes {
+				// As for uncompressed chunks below: pinned until the writer's
+				// send returns, so the next cache fill can recycle the buffers.
+				packed, ref, msg.Base, msg.Version, shardV, unchanged = st.AcquirePackedDelta(i, haveV, s.packShardInto)
+			} else {
+				packed, msg.Base, msg.Version, shardV, unchanged = st.PackShardDelta(i, haveV, s.packShard)
+			}
 			if sess.deltaPull {
 				// ShardVersion is a v2 wire field scoped to negotiated
 				// sessions (PROTOCOL.md §5a): stamping it on every reply
@@ -1371,7 +1379,7 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 				s.sm.chunksUnchanged.Inc()
 			} else {
 				msg.Tensors = transport.ToWireOwned(params)
-				ref = gen
+				ref = &gen.genPin
 				s.sm.chunksFull.Inc()
 			}
 		} else {
@@ -1398,6 +1406,12 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 // on the pull path).
 func (s *Server) packShard(params []*tensor.Tensor) []compress.Packed {
 	return compress.Pack(params, s.compression)
+}
+
+// packShardInto is packShard for Store.AcquirePackedDelta: it packs into the
+// retired buffers the store recycles.
+func (s *Server) packShardInto(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed {
+	return compress.PackInto(dst, params, s.compression)
 }
 
 // handleDone records a worker's completion.

@@ -56,14 +56,14 @@ type session struct {
 }
 
 // outMsg is one queued outbound message, plus — when the payload aliases a
-// store generation's tensors — the bounded-reader reference pinning that
-// generation. The writer releases ref once the transport has serialized the
+// store generation's tensors or packed-cache buffers — the bounded-reader
+// reference pinning that generation. The writer releases ref once the transport has serialized the
 // message; every path that drops the message instead releases it on the
 // spot. ref is nil for control messages and for payloads that do not alias
 // store buffers.
 type outMsg struct {
 	msg transport.Message
-	ref *paramGen
+	ref *genPin
 }
 
 // end marks the session over, releasing its writer and any blocked enqueue.

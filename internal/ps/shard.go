@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dssp/internal/compress"
 	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
@@ -73,12 +72,13 @@ type shard struct {
 	sumBuf []*tensor.Tensor
 
 	// packed caches the compressed form of the published snapshot for the
-	// compressed pull path; packedVersion is the shard version it encodes.
-	// Guarded by packedMu, separate from mu so a cache fill never blocks
-	// gradient application or uncompressed readers.
+	// compressed pull path; packedRetired holds the superseded forms whose
+	// buffers the next fill recycles once their readers are done (bounded by
+	// retiredGens, like retired). Guarded by packedMu, separate from mu so a
+	// cache fill never blocks gradient application or uncompressed readers.
 	packedMu      sync.Mutex
-	packed        []compress.Packed
-	packedVersion int64
+	packed        *packedGen
+	packedRetired []*packedGen
 }
 
 // enqueue appends one push's gradient slice to the shard's apply queue with

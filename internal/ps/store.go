@@ -628,30 +628,77 @@ func (s *Store) PackShard(i int, pack func([]*tensor.Tensor) []compress.Packed) 
 // additionally returns the shard version the served packed form encodes,
 // and — when have matches it — reports the shard unchanged with a nil
 // packed slice. Pass a negative have to always receive the packed form.
+//
+// The returned slice may be kept for as long as the caller likes, which
+// retires its buffers from reuse for good; AcquirePackedDelta is the bounded
+// form for readers that can say when they are done.
 func (s *Store) PackShardDelta(i int, have int64, pack func([]*tensor.Tensor) []compress.Packed) (packed []compress.Packed, base int, version, shardVersion int64, unchanged bool) {
 	version = s.version.Load()
-	base = s.ranges[i].Start
-	sh := s.shards[i]
+	packed, _, shardVersion, unchanged = s.shards[i].packedDelta(have, false, func(_ []compress.Packed, params []*tensor.Tensor) []compress.Packed {
+		return pack(params)
+	})
+	return packed, s.ranges[i].Start, version, shardVersion, unchanged
+}
+
+// AcquirePackedDelta is PackShardDelta for bounded readers, the compressed
+// twin of AcquireShardDelta: packed is valid until release is called on the
+// returned pin — exactly once, after the message carrying it has been
+// serialized — and the cache fill that supersedes it may then rewrite its
+// buffers, so steady-state compressed pulls allocate nothing. pack receives
+// the retired form to recycle (nil when none is free) and returns the new
+// one; compress.PackInto has that shape. An unchanged shard returns a nil
+// pin.
+func (s *Store) AcquirePackedDelta(i int, have int64, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin, base int, version, shardVersion int64, unchanged bool) {
+	version = s.version.Load()
+	packed, pin, shardVersion, unchanged = s.shards[i].packedDelta(have, true, pack)
+	return packed, pin, s.ranges[i].Start, version, shardVersion, unchanged
+}
+
+// packedDelta serves the shard's packed cache, filling it first when a newer
+// snapshot than the cached one is published: it returns the packed form and
+// the shard version it encodes, or reports that version equal to have. Unless
+// unchanged, the generation served is pinned (bounded; the pin is returned)
+// or marked escaped.
+func (sh *shard) packedDelta(have int64, bounded bool, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin, shardVersion int64, unchanged bool) {
 	// The pack read is bounded — the compressed form never aliases the
 	// parameter buffers — so it holds a reference instead of escaping the
 	// generation, keeping the buffers eligible for applier reuse.
 	g, local := sh.acquire()
+	defer g.release()
 	sh.packedMu.Lock()
-	if sh.packed == nil || sh.packedVersion < local {
-		sh.packed = pack(g.params)
-		sh.packedVersion = local
+	defer sh.packedMu.Unlock()
+	if sh.packed == nil || sh.packed.version < local {
+		next := &packedGen{}
+		for i, old := range sh.packedRetired {
+			if old.quiescent() {
+				sh.packedRetired = append(sh.packedRetired[:i], sh.packedRetired[i+1:]...)
+				next = old
+				break
+			}
+		}
+		next.packed, next.version = pack(next.packed, g.params), local
+		if sh.packed != nil {
+			sh.packedRetired = append(sh.packedRetired, sh.packed)
+			if len(sh.packedRetired) > retiredGens {
+				sh.packedRetired = append(sh.packedRetired[:0], sh.packedRetired[1:]...)
+			}
+		}
+		sh.packed = next
 	}
 	// When another goroutine cached an even newer snapshot between our view
 	// and the lock, serve that one: pulls always get the freshest published
 	// state available. The reported shard version names the snapshot
 	// actually served, so delta gating and the payload can never disagree.
-	packed, shardVersion = sh.packed, sh.packedVersion
-	sh.packedMu.Unlock()
-	g.release()
-	if have >= 0 && have == shardVersion {
-		return nil, base, version, shardVersion, true
+	pg := sh.packed
+	if have >= 0 && have == pg.version {
+		return nil, nil, pg.version, true
 	}
-	return packed, base, version, shardVersion, false
+	if !bounded {
+		pg.escaped.Store(true)
+		return pg.packed, nil, pg.version, false
+	}
+	pg.refs.Add(1)
+	return pg.packed, &pg.genPin, pg.version, false
 }
 
 // Version returns the number of updates applied so far.

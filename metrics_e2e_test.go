@@ -260,14 +260,18 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 	}
 }
 
-// TestWorkerMetricsEndpoint checks the worker-side admin endpoint exposes
-// the worker and transport series for a short TCP run.
+// TestWorkerMetricsEndpoint scrapes a worker's own admin endpoint in the
+// middle of its run. The run is BSP over two workers and the second worker
+// only starts after the scrape, so the scraped worker is parked at the first
+// barrier — registered, one push on the wire, endpoint open — for as long as
+// the test needs: it can neither finish and close the endpoint early nor be
+// caught before it has registered.
 func TestWorkerMetricsEndpoint(t *testing.T) {
 	dataset := DatasetConfig{Examples: 64, Classes: 2, ImageSize: 8, Noise: 0.4, Seed: 13}
 	server, err := Serve(ServerConfig{
 		Addr:         "127.0.0.1:0",
-		Workers:      1,
-		Sync:         Sync{Paradigm: ASP},
+		Workers:      2,
+		Sync:         Sync{Paradigm: BSP},
 		Model:        ModelSmallMLP,
 		Dataset:      dataset,
 		LearningRate: 0.1,
@@ -278,23 +282,19 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	}
 	defer server.Stop()
 
-	done := make(chan error, 1)
+	done := make(chan error, 2)
 	addrs := make(chan string, 1)
-	go func() {
-		_, err := RunWorker(WorkerConfig{
-			ServerAddr:  server.Addr(),
-			WorkerID:    0,
-			Workers:     1,
-			Model:       ModelSmallMLP,
-			Dataset:     dataset,
-			BatchSize:   8,
-			Epochs:      3,
-			Seed:        5,
-			MetricsAddr: "127.0.0.1:0",
-			OnAdminAddr: func(addr string) { addrs <- addr },
-		})
+	run := func(cfg WorkerConfig) {
+		cfg.ServerAddr, cfg.Workers = server.Addr(), 2
+		cfg.Model, cfg.Dataset, cfg.BatchSize, cfg.Epochs, cfg.Seed = ModelSmallMLP, dataset, 8, 3, 5
+		_, err := RunWorker(cfg)
 		done <- err
-	}()
+	}
+	go run(WorkerConfig{
+		WorkerID:    0,
+		MetricsAddr: "127.0.0.1:0",
+		OnAdminAddr: func(addr string) { addrs <- addr },
+	})
 
 	var addr string
 	select {
@@ -304,34 +304,34 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker admin endpoint never came up")
 	}
-	// Scrape while the worker trains; series exist from registration even
-	// if the first iteration has not finished.
-	mid := scrape(t, addr)
-	for _, series := range []string{
+	// Poll until the worker has registered and pushed: from then on it waits
+	// at the barrier for worker 1, and every series below is exposed.
+	want := []string{
 		"dssp_worker_pull_seconds_count",
 		"dssp_worker_push_rtt_seconds_count",
 		"dssp_worker_iterations_total",
-	} {
+	}
+	var mid map[string]float64
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		mid = scrape(t, addr)
+		if mid[`dssp_transport_frames_total{dir="sent",type="Push"}`] >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never reached its first barrier; last scrape: %v", keys(mid))
+		}
+	}
+	for _, series := range want {
 		if _, ok := mid[series]; !ok {
 			t.Errorf("worker series %q missing from /metrics", series)
 		}
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
 
-	// After the run the endpoint is closed with the worker, so assert on
-	// the last scrape we could take; the transport must have metered the
-	// worker's pushes.
-	found := false
-	for series := range mid {
-		if strings.HasPrefix(series, "dssp_transport_frames_total{") {
-			found = true
-			break
+	go run(WorkerConfig{WorkerID: 1})
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Errorf("no transport series on the worker endpoint: %v", keys(mid))
 	}
 }
 

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e proto-bench fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
+.PHONY: all build test race portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e proto-bench fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
 
 all: build
 
@@ -15,6 +15,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The portable kernel path (internal/tensor's Go loops, bound where there is
+# no AVX2+FMA) on every run, not only on machines without AVX2: the purego tag
+# tests it here, and an arm64 cross-build compiles and vets what a non-amd64
+# target gets. purego is for this step, not a tuning knob.
+portable:
+	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
@@ -160,4 +169,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt-check vet race bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke proto-bench
+ci: build fmt-check vet race portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke proto-bench

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dssp/internal/tensor"
@@ -9,7 +10,8 @@ import (
 
 // ReLU is the rectified linear activation applied element-wise.
 type ReLU struct {
-	mask []bool
+	mask    []bool
+	out, dx *tensor.Tensor // layer-owned buffers (scratch.go)
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -17,38 +19,48 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	data := out.Data()
-	if train {
-		if cap(r.mask) < len(data) {
-			r.mask = make([]bool, len(data))
-		}
-		r.mask = r.mask[:len(data)]
-	}
-	for i, v := range data {
-		if v < 0 {
-			data[i] = 0
-			if train {
-				r.mask[i] = false
+	if !train {
+		out := x.Clone()
+		data := out.Data()
+		for i, v := range data {
+			if v < 0 {
+				data[i] = 0
 			}
-		} else if train {
-			r.mask[i] = true
 		}
+		return out
+	}
+	out := scratchLike(&r.out, x)
+	// Activation signs are close to a coin flip, so a branch per element
+	// mispredicts half the time; select through the bit pattern instead
+	// (-keep is all ones or zero), which gives the branch's result exactly.
+	xd := x.Data()
+	r.mask = resized(r.mask, len(xd))
+	data, mask := out.Data()[:len(xd)], r.mask
+	for i, v := range xd {
+		var keep uint32
+		if !(v < 0) {
+			keep = 1
+		}
+		data[i] = math.Float32frombits(math.Float32bits(v) & -keep)
+		mask[i] = keep != 0
 	}
 	return out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	data := out.Data()
-	if len(r.mask) != len(data) {
+	out := scratchLike(&r.dx, grad)
+	gd := grad.Data()
+	if len(r.mask) != len(gd) {
 		panic("nn: ReLU.Backward called without a matching Forward(train=true)")
 	}
-	for i := range data {
-		if !r.mask[i] {
-			data[i] = 0
+	data, mask := out.Data()[:len(gd)], r.mask
+	for i, g := range gd {
+		var keep uint32
+		if mask[i] {
+			keep = 1
 		}
+		data[i] = math.Float32frombits(math.Float32bits(g) & -keep)
 	}
 	return out
 }
@@ -66,6 +78,7 @@ func (r *ReLU) Name() string { return "ReLU" }
 // layers can follow convolutional stages.
 type Flatten struct {
 	lastShape []int
+	out, dx   *tensor.Tensor // layer-owned buffers (scratch.go)
 }
 
 // NewFlatten returns a flatten layer.
@@ -73,11 +86,16 @@ func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		f.lastShape = x.Shape()
-	}
 	batch := x.Dim(0)
-	return x.Reshape(batch, x.Size()/batch)
+	if train {
+		f.lastShape = f.lastShape[:0]
+		for i := 0; i < x.Dims(); i++ {
+			f.lastShape = append(f.lastShape, x.Dim(i))
+		}
+	}
+	out := output(train, &f.out, batch, x.Size()/batch)
+	copy(out.Data(), x.Data())
+	return out
 }
 
 // Backward implements Layer.
@@ -85,7 +103,12 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if f.lastShape == nil {
 		panic("nn: Flatten.Backward called before Forward(train=true)")
 	}
-	return grad.Reshape(f.lastShape...)
+	dx := scratch(&f.dx, f.lastShape...)
+	if dx.Size() != grad.Size() {
+		panic(fmt.Sprintf("nn: Flatten got gradient shape %v for input shape %v", grad.Shape(), f.lastShape))
+	}
+	copy(dx.Data(), grad.Data())
+	return dx
 }
 
 // Params implements Layer.
@@ -100,9 +123,10 @@ func (f *Flatten) Name() string { return "Flatten" }
 // Dropout zeroes a random fraction of activations during training and
 // rescales the rest, as used between the fully connected layers of AlexNet.
 type Dropout struct {
-	rate float64
-	rng  *rand.Rand
-	mask []float32
+	rate    float64
+	rng     *rand.Rand
+	mask    []float32
+	out, dx *tensor.Tensor // layer-owned buffers (scratch.go)
 }
 
 // NewDropout returns a dropout layer that drops activations with probability
@@ -116,15 +140,16 @@ func NewDropout(rng *rand.Rand, rate float64) *Dropout {
 
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.rate == 0 {
+	if !train {
 		return x.Clone()
 	}
-	out := x.Clone()
+	out := scratchLike(&d.out, x)
 	data := out.Data()
-	if cap(d.mask) < len(data) {
-		d.mask = make([]float32, len(data))
+	copy(data, x.Data())
+	if d.rate == 0 {
+		return out
 	}
-	d.mask = d.mask[:len(data)]
+	d.mask = resized(d.mask, len(data))
 	keep := float32(1.0 / (1.0 - d.rate))
 	for i := range data {
 		if d.rng.Float64() < d.rate {
@@ -140,8 +165,9 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
+	out := scratchLike(&d.dx, grad)
 	data := out.Data()
+	copy(data, grad.Data())
 	if len(d.mask) != len(data) {
 		// Dropout was a no-op during forward (rate 0); pass gradient through.
 		return out

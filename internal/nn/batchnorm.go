@@ -29,6 +29,8 @@ type BatchNorm struct {
 	lastXHat  []float32
 	lastMean  []float64
 	lastVar   []float64
+
+	out, dx *tensor.Tensor // layer-owned buffers (scratch.go)
 }
 
 // NewBatchNorm returns a batch normalization layer over the given number of
@@ -59,7 +61,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	area := h * w
 	n := float64(batch * area)
-	out := tensor.New(batch, ch, h, w)
+	out := output(train, &bn.out, batch, ch, h, w)
 	xd := x.Data()
 	od := out.Data()
 	gamma := bn.gamma.Data()
@@ -67,9 +69,11 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	if train {
 		bn.lastInput = x
-		bn.lastMean = make([]float64, ch)
-		bn.lastVar = make([]float64, ch)
-		bn.lastXHat = make([]float32, len(xd))
+		if len(bn.lastMean) != ch {
+			bn.lastMean = make([]float64, ch)
+			bn.lastVar = make([]float64, ch)
+		}
+		bn.lastXHat = resized(bn.lastXHat, len(xd))
 	}
 
 	for c := 0; c < ch; c++ {
@@ -122,7 +126,7 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	batch, ch, h, w := bn.lastInput.Dim(0), bn.lastInput.Dim(1), bn.lastInput.Dim(2), bn.lastInput.Dim(3)
 	area := h * w
 	n := float64(batch * area)
-	dx := tensor.New(batch, ch, h, w)
+	dx := scratch(&bn.dx, batch, ch, h, w)
 	dxd := dx.Data()
 	gd := grad.Data()
 	gamma := bn.gamma.Data()

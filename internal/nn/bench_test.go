@@ -38,6 +38,22 @@ func BenchmarkResNet8Iteration(b *testing.B) {
 	}
 }
 
+// BenchmarkResNet8IterationBatch8 is the same model at the end-to-end
+// benchmark's flat-compute shape (batch 8, 32×32): conv products up to
+// 16×144×1024 per image, which the 2×16×16 input above never reaches.
+func BenchmarkResNet8IterationBatch8(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	net := ResNetCIFAR(rng, 8, 10)
+	x := tensor.New(8, 3, 32, 32).RandNormal(rng, 0, 1)
+	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ZeroGrads()
+		net.Loss(x, labels, true)
+		net.Backward()
+	}
+}
+
 // BenchmarkSmallMLPIteration measures the cheapest model used in the
 // end-to-end protocol tests.
 func BenchmarkSmallMLPIteration(b *testing.B) {

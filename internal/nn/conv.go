@@ -21,8 +21,16 @@ type Conv2D struct {
 	gradW  *tensor.Tensor
 	gradB  *tensor.Tensor
 
-	lastInput *tensor.Tensor
-	lastCols  []*tensor.Tensor // one im2col matrix per batch item
+	// Input geometry of the last training forward pass; inBatch 0 before it.
+	inBatch, inH, inW int
+
+	// Layer-owned buffers (scratch.go). cols is the training pass's patch
+	// matrices, one (inC*k*k, plane) block per batch item, written by Forward
+	// and read by Backward. col is one such block: the patch matrix of an
+	// evaluation forward pass, and dcol during Backward.
+	cols, col, out, dx *tensor.Tensor
+	// Matrix headers re-pointed at one batch item of a buffer at a time.
+	colMat, outMat, gradMat *tensor.Tensor
 }
 
 // NewConv2D returns a convolution layer with He-initialized weights.
@@ -46,61 +54,95 @@ func (c *Conv2D) outSize(in int) int {
 	return (in+2*c.pad-c.kernel)/c.stride + 1
 }
 
-// im2col builds the (inC*k*k, outH*outW) patch matrix for one image of shape
-// (inC, h, w) stored in img (flattened).
-func (c *Conv2D) im2col(img []float32, h, w int) *tensor.Tensor {
+// span returns the half-open range of output positions o, out of [0,out),
+// whose input position o*stride+kOff-pad falls inside [0,in): everything
+// outside it reads padding.
+func (c *Conv2D) span(kOff, in, out int) (lo, hi int) {
+	last := in - 1 + c.pad - kOff // o*stride <= last
+	if last < 0 {
+		return 0, 0
+	}
+	if first := c.pad - kOff; first > 0 { // o*stride >= first
+		lo = (first + c.stride - 1) / c.stride
+	}
+	hi = min(last/c.stride+1, out)
+	if lo >= hi {
+		return 0, 0
+	}
+	return lo, hi
+}
+
+// im2col writes the (inC*k*k, outH*outW) patch matrix of one image of shape
+// (inC, h, w) into col, every element of it: each matrix row is a run of
+// image-row segments, copied whole, with zeros where the window hangs over
+// the padding.
+func (c *Conv2D) im2col(col, img []float32, h, w int) {
 	outH, outW := c.outSize(h), c.outSize(w)
-	k := c.kernel
-	col := tensor.New(c.inC*k*k, outH*outW)
-	data := col.Data()
+	k, stride := c.kernel, c.stride
+	plane := outH * outW
 	for ch := 0; ch < c.inC; ch++ {
-		chBase := ch * h * w
+		chImg := img[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < k; ky++ {
+			oy0, oy1 := c.span(ky, h, outH)
 			for kx := 0; kx < k; kx++ {
-				rowIdx := (ch*k+ky)*k + kx
-				rowBase := rowIdx * outH * outW
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*c.stride + ky - c.pad
-					if iy < 0 || iy >= h {
+				ox0, ox1 := c.span(kx, w, outW)
+				row := col[((ch*k+ky)*k+kx)*plane:][:plane]
+				if ox0 == ox1 {
+					clear(row)
+					continue
+				}
+				clear(row[:oy0*outW])
+				clear(row[oy1*outW:])
+				for oy := oy0; oy < oy1; oy++ {
+					dst := row[oy*outW : (oy+1)*outW]
+					src := chImg[(oy*stride+ky-c.pad)*w:][:w]
+					clear(dst[:ox0])
+					clear(dst[ox1:])
+					ix := ox0*stride + kx - c.pad
+					if stride == 1 {
+						copy(dst[ox0:ox1], src[ix:])
 						continue
 					}
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*c.stride + kx - c.pad
-						if ix < 0 || ix >= w {
-							continue
-						}
-						data[rowBase+oy*outW+ox] = img[chBase+iy*w+ix]
+					for ox := ox0; ox < ox1; ox++ {
+						dst[ox] = src[ix]
+						ix += stride
 					}
 				}
 			}
 		}
 	}
-	return col
 }
 
 // col2im scatters the gradient of a patch matrix back onto an image gradient
-// of shape (inC, h, w).
-func (c *Conv2D) col2im(col *tensor.Tensor, h, w int, dst []float32) {
+// of shape (inC, h, w), adding segment by segment in im2col's order.
+func (c *Conv2D) col2im(col []float32, h, w int, img []float32) {
 	outH, outW := c.outSize(h), c.outSize(w)
-	k := c.kernel
-	data := col.Data()
+	k, stride := c.kernel, c.stride
+	plane := outH * outW
 	for ch := 0; ch < c.inC; ch++ {
-		chBase := ch * h * w
+		chImg := img[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < k; ky++ {
+			oy0, oy1 := c.span(ky, h, outH)
 			for kx := 0; kx < k; kx++ {
-				rowIdx := (ch*k+ky)*k + kx
-				rowBase := rowIdx * outH * outW
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*c.stride + ky - c.pad
-					if iy < 0 || iy >= h {
+				ox0, ox1 := c.span(kx, w, outW)
+				if ox0 == ox1 {
+					continue
+				}
+				row := col[((ch*k+ky)*k+kx)*plane:][:plane]
+				for oy := oy0; oy < oy1; oy++ {
+					src := row[oy*outW+ox0 : oy*outW+ox1]
+					dst := chImg[(oy*stride+ky-c.pad)*w:][:w]
+					ix := ox0*stride + kx - c.pad
+					if stride == 1 {
+						dst = dst[ix : ix+len(src)]
+						for i, v := range src {
+							dst[i] += v
+						}
 						continue
 					}
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*c.stride + kx - c.pad
-						if ix < 0 || ix >= w {
-							continue
-						}
-						dst[chBase+iy*w+ix] += data[rowBase+oy*outW+ox]
+					for _, v := range src {
+						dst[ix] += v
+						ix += stride
 					}
 				}
 			}
@@ -115,32 +157,35 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	batch, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := c.outSize(h), c.outSize(w)
-	out := tensor.New(batch, c.outC, outH, outW)
+	plane := outH * outW
+	patch := c.inC * c.kernel * c.kernel
+	out := output(train, &c.out, batch, c.outC, outH, outW)
 
+	// One patch matrix per batch item while training, where Backward needs
+	// them all; one reused across the batch otherwise.
+	var colData []float32
+	colStep := 0
 	if train {
-		c.lastInput = x
-		c.lastCols = make([]*tensor.Tensor, batch)
+		c.inBatch, c.inH, c.inW = batch, h, w
+		colData = scratch(&c.cols, batch, patch, plane).Data()
+		colStep = patch * plane
+	} else {
+		colData = scratch(&c.col, patch, plane).Data()
 	}
 	xData := x.Data()
 	outData := out.Data()
 	bias := c.bias.Data()
 	imgSize := c.inC * h * w
-	outImgSize := c.outC * outH * outW
+	outImgSize := c.outC * plane
 	for b := 0; b < batch; b++ {
-		col := c.im2col(xData[b*imgSize:(b+1)*imgSize], h, w)
-		if train {
-			c.lastCols[b] = col
-		}
-		prod := tensor.MatMul(c.weight, col) // (outC, outH*outW)
-		pd := prod.Data()
+		col := colData[b*colStep:][:patch*plane]
+		c.im2col(col, xData[b*imgSize:(b+1)*imgSize], h, w)
 		dst := outData[b*outImgSize : (b+1)*outImgSize]
-		plane := outH * outW
-		for oc := 0; oc < c.outC; oc++ {
-			bval := bias[oc]
-			row := pd[oc*plane : (oc+1)*plane]
-			drow := dst[oc*plane : (oc+1)*plane]
+		tensor.MatMulInto(view2D(&c.outMat, dst, c.outC, plane), c.weight, view2D(&c.colMat, col, patch, plane))
+		for oc, bval := range bias {
+			row := dst[oc*plane : (oc+1)*plane]
 			for i := range row {
-				drow[i] = row[i] + bval
+				row[i] += bval
 			}
 		}
 	}
@@ -149,28 +194,31 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.lastInput == nil {
+	if c.inBatch == 0 {
 		panic("nn: Conv2D.Backward called before Forward(train=true)")
 	}
-	batch, h, w := c.lastInput.Dim(0), c.lastInput.Dim(2), c.lastInput.Dim(3)
-	outH, outW := c.outSize(h), c.outSize(w)
-	plane := outH * outW
-	dx := tensor.New(batch, c.inC, h, w)
-	dxData := dx.Data()
-	gradData := grad.Data()
-	gb := c.gradB.Data()
+	batch, h, w := c.inBatch, c.inH, c.inW
+	plane := c.outSize(h) * c.outSize(w)
+	patch := c.inC * c.kernel * c.kernel
 	imgSize := c.inC * h * w
 	outImgSize := c.outC * plane
-	// dcol is overwritten per batch item by MatMulTransAInto: one scratch
-	// matrix for the whole backward pass instead of one allocation per image.
-	dcol := tensor.New(c.inC*c.kernel*c.kernel, plane)
+	if grad.Size() != batch*outImgSize {
+		panic(fmt.Sprintf("nn: %s got gradient shape %v for a (%d,%d,%d,%d) input", c.Name(), grad.Shape(), batch, c.inC, h, w))
+	}
+	dx := scratch(&c.dx, batch, c.inC, h, w)
+	dx.Zero() // col2im accumulates
+	dxData := dx.Data()
+	gradData := grad.Data()
+	colData := c.cols.Data()
+	gb := c.gradB.Data()
+	dcol := scratch(&c.col, patch, plane)
 	for b := 0; b < batch; b++ {
-		// The gradient slice is only read, so alias it instead of copying.
-		gradMat := tensor.FromSliceOwned(gradData[b*outImgSize:(b+1)*outImgSize], c.outC, plane)
+		// The gradient and patch slices are only read, so alias them.
+		gm := gradData[b*outImgSize : (b+1)*outImgSize]
+		gradMat := view2D(&c.gradMat, gm, c.outC, plane)
 		// dW += grad · colᵀ, accumulated in place.
-		tensor.MatMulTransBAcc(c.gradW, gradMat, c.lastCols[b])
+		tensor.MatMulTransBAcc(c.gradW, gradMat, view2D(&c.colMat, colData[b*patch*plane:(b+1)*patch*plane], patch, plane))
 		// db += per-channel sums
-		gm := gradMat.Data()
 		for oc := 0; oc < c.outC; oc++ {
 			var s float32
 			for _, v := range gm[oc*plane : (oc+1)*plane] {
@@ -180,7 +228,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		// dcol = Wᵀ · grad, then scatter back to the input gradient.
 		tensor.MatMulTransAInto(dcol, c.weight, gradMat)
-		c.col2im(dcol, h, w, dxData[b*imgSize:(b+1)*imgSize])
+		c.col2im(dcol.Data(), h, w, dxData[b*imgSize:(b+1)*imgSize])
 	}
 	return dx
 }

@@ -20,6 +20,7 @@ type Dense struct {
 	gradB  *tensor.Tensor
 
 	lastInput *tensor.Tensor
+	y, dx     *tensor.Tensor // layer-owned buffers (scratch.go)
 }
 
 // NewDense returns a dense layer with Xavier-initialized weights.
@@ -44,8 +45,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		d.lastInput = x
 	}
-	out := tensor.MatMul(x, d.weight)
-	batch := out.Dim(0)
+	batch := x.Dim(0)
+	out := tensor.MatMulInto(output(train, &d.y, batch, d.out), x, d.weight)
 	data := out.Data()
 	bias := d.bias.Data()
 	for b := 0; b < batch; b++ {
@@ -73,7 +74,7 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			gb[j] += row[j]
 		}
 	}
-	return tensor.MatMulTransB(grad, d.weight)
+	return tensor.MatMulTransBInto(scratch(&d.dx, batch, d.in), grad, d.weight)
 }
 
 // Params implements Layer.

@@ -11,8 +11,9 @@ import (
 // cross-entropy loss over integer class labels, the standard objective for
 // the image-classification tasks in the paper.
 type SoftmaxCrossEntropy struct {
-	lastProbs  *tensor.Tensor
+	lastProbs  *tensor.Tensor // layer-owned, reused while the shape repeats (scratch.go)
 	lastLabels []int
+	grad       *tensor.Tensor // likewise
 }
 
 // NewSoftmaxCrossEntropy returns a fresh loss head.
@@ -28,7 +29,7 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 	if len(labels) != batch {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), batch))
 	}
-	probs := tensor.New(batch, classes)
+	probs := scratch(&l.lastProbs, batch, classes)
 	ld := logits.Data()
 	pd := probs.Data()
 	var total float64
@@ -60,7 +61,6 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 		}
 		total += -math.Log(p)
 	}
-	l.lastProbs = probs
 	l.lastLabels = append(l.lastLabels[:0], labels...)
 	return total / float64(batch)
 }
@@ -72,8 +72,9 @@ func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 		panic("nn: loss Backward called before Forward")
 	}
 	batch, classes := l.lastProbs.Dim(0), l.lastProbs.Dim(1)
-	grad := l.lastProbs.Clone()
+	grad := scratchLike(&l.grad, l.lastProbs)
 	gd := grad.Data()
+	copy(gd, l.lastProbs.Data())
 	inv := float32(1.0 / float64(batch))
 	for b := 0; b < batch; b++ {
 		row := gd[b*classes : (b+1)*classes]

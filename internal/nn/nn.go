@@ -17,10 +17,22 @@ import (
 )
 
 // Layer is one differentiable stage of a network.
+//
+// A layer, and so a Network, belongs to one goroutine at a time, for
+// evaluation as much as for training: layers keep per-pass state and reuse
+// their own buffers (scratch.go). Whoever evaluates while others train holds a
+// replica of its own, as Server.Evaluate and the trainer's evaluator do.
+//
+// The tensors a training pass returns — Forward with train=true, and
+// Backward — are owned by the layer and valid until its next training
+// Forward or Backward respectively; a caller that keeps one longer clones it.
+// Inputs are only read, except that a layer may add into a gradient or
+// activation it was just handed by the layer that produced it.
 type Layer interface {
 	// Forward computes the layer output for input x. When train is false the
 	// layer must behave deterministically (e.g. dropout disabled, batch norm
-	// using running statistics).
+	// using running statistics), returns a tensor the caller owns, and leaves
+	// the state of a training pass in flight untouched.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 
 	// Backward receives the gradient of the loss with respect to the layer
@@ -46,13 +58,22 @@ type Network struct {
 	layers []Layer
 	loss   *SoftmaxCrossEntropy
 	rng    *rand.Rand
+
+	// Every layer's Params and Grads, gathered once: layers never replace
+	// their parameter tensors, only their contents.
+	params, grads []*tensor.Tensor
 }
 
 // NewNetwork builds a network from the given layers. The random source is
 // used by layers that need randomness at run time (dropout); parameter
 // initialization happens when the individual layers are constructed.
 func NewNetwork(rng *rand.Rand, layers ...Layer) *Network {
-	return &Network{layers: layers, loss: NewSoftmaxCrossEntropy(), rng: rng}
+	n := &Network{layers: layers, loss: NewSoftmaxCrossEntropy(), rng: rng}
+	for _, l := range layers {
+		n.params = append(n.params, l.Params()...)
+		n.grads = append(n.grads, l.Grads()...)
+	}
+	return n
 }
 
 // Layers returns the network's layers in order.
@@ -92,20 +113,12 @@ func (n *Network) Backward() {
 // Params returns every trainable parameter tensor of the network, in a
 // stable order (layer by layer).
 func (n *Network) Params() []*tensor.Tensor {
-	var out []*tensor.Tensor
-	for _, l := range n.layers {
-		out = append(out, l.Params()...)
-	}
-	return out
+	return n.params[:len(n.params):len(n.params)]
 }
 
 // Grads returns every gradient tensor, aligned with Params.
 func (n *Network) Grads() []*tensor.Tensor {
-	var out []*tensor.Tensor
-	for _, l := range n.layers {
-		out = append(out, l.Grads()...)
-	}
-	return out
+	return n.grads[:len(n.grads):len(n.grads)]
 }
 
 // ZeroGrads resets all accumulated gradients to zero.

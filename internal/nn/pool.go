@@ -11,8 +11,9 @@ import (
 type MaxPool2D struct {
 	window int
 
-	lastShape []int
+	lastShape [4]int // input shape of the last training forward pass
 	argmax    []int
+	out, dx   *tensor.Tensor // layer-owned buffers (scratch.go)
 }
 
 // NewMaxPool2D returns a max pooling layer with the given window size.
@@ -30,10 +31,10 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	batch, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	outH, outW := h/p.window, w/p.window
-	out := tensor.New(batch, ch, outH, outW)
+	out := output(train, &p.out, batch, ch, outH, outW)
 	if train {
-		p.lastShape = x.Shape()
-		p.argmax = make([]int, out.Size())
+		p.lastShape = [4]int{batch, ch, h, w}
+		p.argmax = resized(p.argmax, out.Size())
 	}
 	xd := x.Data()
 	od := out.Data()
@@ -68,10 +69,11 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if p.lastShape == nil {
+	if p.argmax == nil {
 		panic("nn: MaxPool2D.Backward called before Forward(train=true)")
 	}
-	dx := tensor.New(p.lastShape...)
+	dx := scratch(&p.dx, p.lastShape[:]...)
+	dx.Zero() // only the argmax positions are written below
 	dxd := dx.Data()
 	gd := grad.Data()
 	for i, src := range p.argmax {
@@ -92,7 +94,8 @@ func (p *MaxPool2D) Name() string { return fmt.Sprintf("MaxPool2D(%d)", p.window
 // GlobalAvgPool averages each channel over its spatial extent, producing a
 // (batch, channels) tensor. It is the head used by the CIFAR ResNets.
 type GlobalAvgPool struct {
-	lastShape []int
+	lastShape [4]int         // input shape of the last training forward pass; zero before it
+	out, dx   *tensor.Tensor // layer-owned buffers (scratch.go)
 }
 
 // NewGlobalAvgPool returns a global average pooling layer.
@@ -105,9 +108,9 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	batch, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if train {
-		p.lastShape = x.Shape()
+		p.lastShape = [4]int{batch, ch, h, w}
 	}
-	out := tensor.New(batch, ch)
+	out := output(train, &p.out, batch, ch)
 	xd := x.Data()
 	od := out.Data()
 	area := float32(h * w)
@@ -126,11 +129,11 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if p.lastShape == nil {
+	if p.lastShape[0] == 0 {
 		panic("nn: GlobalAvgPool.Backward called before Forward(train=true)")
 	}
 	batch, ch, h, w := p.lastShape[0], p.lastShape[1], p.lastShape[2], p.lastShape[3]
-	dx := tensor.New(p.lastShape...)
+	dx := scratch(&p.dx, p.lastShape[:]...)
 	dxd := dx.Data()
 	gd := grad.Data()
 	area := float32(h * w)

@@ -49,12 +49,10 @@ func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	main = b.conv2.Forward(main, train)
 	main = b.bn2.Forward(main, train)
 
-	var shortcut *tensor.Tensor
+	shortcut := x
 	if b.projConv != nil {
 		shortcut = b.projConv.Forward(x, train)
 		shortcut = b.projBN.Forward(shortcut, train)
-	} else {
-		shortcut = x.Clone()
 	}
 	main.Add(shortcut)
 	return b.relu2.Forward(main, train)
@@ -72,12 +70,10 @@ func (b *ResidualBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dxMain := b.conv1.Backward(g)
 
 	// Shortcut path.
-	var dxShort *tensor.Tensor
+	dxShort := grad
 	if b.projConv != nil {
 		s := b.projBN.Backward(grad)
 		dxShort = b.projConv.Backward(s)
-	} else {
-		dxShort = grad.Clone()
 	}
 	return dxMain.Add(dxShort)
 }

@@ -9,19 +9,42 @@ import "fmt"
 // pool by output-row blocks (pool.go); small matrices stay serial, so layer
 // shapes that fit in cache never pay fan-out overhead.
 //
-// Numerics: MatMul and MatMulTransA accumulate four inner-dimension terms
-// per pass, which reassociates the k-sum relative to a scalar i-k-j loop —
-// results are deterministic for a given shape but differ from the scalar
-// reference by rounding (tolerance-bounded, see matmul_test.go).
-// MatMulTransB keeps the scalar loop's per-output accumulation order and is
-// bit-identical to it. Gradients and activations are dense, so the kernels
-// carry no zero-skip branches: on real workloads such branches are pure
-// mispredict overhead in the innermost loop.
+// The two innermost loops sit behind one seam, the function values fma4Rows
+// and dot4 below: bound to AVX2+FMA assembly (kernels_amd64.s) on CPUs that
+// have it, to the Go loops mm4Rows and mmDot4 everywhere else (other
+// architectures, older CPUs, -tags purego). Blocking, row splitting and every
+// exported signature are the same on both paths.
+//
+// Numerics: all three products accumulate several inner-dimension terms per
+// pass, which reassociates the k-sum relative to a scalar i-k-j loop, and the
+// assembly fuses each multiply-add into one rounding — results are
+// deterministic for a given shape on a given kernel path but differ from the
+// scalar reference by rounding (tolerance-bounded, see matmul_test.go). On
+// the Go path MatMulTransB keeps the scalar loop's per-output accumulation
+// order and is bit-identical to it; on the assembly path it is
+// tolerance-bounded like the other two. Gradients and activations are dense,
+// so the kernels carry no zero-skip branches: on real workloads such branches
+// are pure mispredict overhead in the innermost loop.
+
+// fma4Rows adds a0·b0 + a1·b1 + a2·b2 + a3·b3 into ob, and dot4 returns the
+// dot products of a against b0..b3. Callers pass b0..b3 sliced to exactly
+// the first operand's length: the assembly forms trust it. Rebound once, at
+// package init, when the CPU probe passes; asmKernels records that for the
+// tests.
+var (
+	fma4Rows   = mm4Rows
+	dot4       = mmDot4
+	asmKernels bool
+)
 
 // mmParallelMinFlops is the size threshold (in multiply-add flops, counted
 // as 2·m·k·n) below which a product stays on the calling goroutine. Small
 // matmuls are latency-bound: the pool's wakeup cost would exceed the work.
-// It is a variable so tests can force the parallel path on small shapes.
+// The value stands for about half a millisecond of work, which is what it
+// takes to amortize a wake-up, at the rate of the bound kernels: 1<<21 for
+// the Go loops (≈5 Gflop/s); the assembly's init raises it with the kernel
+// rate (kernels_amd64.go). Tests lower it to force the parallel path on small
+// shapes.
 var mmParallelMinFlops int64 = 1 << 21
 
 // SetMatMulParallelMinFlops adjusts the flop threshold below which matrix
@@ -36,22 +59,53 @@ func SetMatMulParallelMinFlops(flops int64) int64 {
 }
 
 // mmGrainFlops is the minimum work per parallel chunk: enough that a chunk's
-// compute dominates its scheduling cost.
-const mmGrainFlops = 1 << 18
+// compute dominates its scheduling cost. An eighth of mmParallelMinFlops, and
+// rebound with it.
+var mmGrainFlops int64 = 1 << 18
 
 // mmBlockJ is the column-block width: four unrolled operand rows of a block
 // plus the output row block stay resident in L1 across the inner-dimension
 // sweep.
 const mmBlockJ = 512
 
-// mmParallel runs rows over [0, m), fanning row blocks across the shared
-// worker pool when the product is large enough to amortize the fan-out.
-func mmParallel(m, k, n int, rows func(i0, i1 int)) {
-	flops := 2 * int64(m) * int64(k) * int64(n)
-	if flops < mmParallelMinFlops || m == 1 {
-		rows(0, m)
+// mmKind selects the row kernel of a product.
+type mmKind uint8
+
+const (
+	mmPlain  mmKind = iota // a(m,k) × b(k,n)
+	mmTransA               // aᵀ × b for a stored (k,m)
+	mmTransB               // a × bᵀ for b stored (n,k)
+)
+
+// mmRowRange computes output rows [i0,i1) of the product kind names.
+func mmRowRange(kind mmKind, a, b, out []float32, m, k, n, i0, i1 int, acc bool) {
+	switch kind {
+	case mmPlain:
+		mmRows(a, b, out, k, n, i0, i1, acc)
+	case mmTransA:
+		mmTransARows(a, b, out, k, m, n, i0, i1, acc)
+	case mmTransB:
+		mmTransBRows(a, b, out, k, n, i0, i1, acc)
+	}
+}
+
+// mmRun computes an (m,n) product into out: on the calling goroutine when it
+// is too small to amortize a fan-out, otherwise split by output-row blocks
+// across the shared worker pool. The closure the pool needs is built on the
+// parallel branch only, so a serial product allocates nothing.
+func mmRun(kind mmKind, a, b, out []float32, m, k, n int, acc bool) {
+	if 2*int64(m)*int64(k)*int64(n) < mmParallelMinFlops || m == 1 {
+		mmRowRange(kind, a, b, out, m, k, n, 0, m, acc)
 		return
 	}
+	mmParallel(m, k, n, func(i0, i1 int) {
+		mmRowRange(kind, a, b, out, m, k, n, i0, i1, acc)
+	})
+}
+
+// mmParallel fans rows [0, m) across the shared worker pool in blocks of at
+// least mmGrainFlops.
+func mmParallel(m, k, n int, rows func(i0, i1 int)) {
 	grain := 1
 	if perRow := 2 * int64(k) * int64(n); perRow > 0 && perRow < mmGrainFlops {
 		grain = int(mmGrainFlops / perRow)
@@ -66,9 +120,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	out := New(m, n)
 	// A fresh tensor is already zero, so the kernel can accumulate straight
 	// into it and skip the clear pass.
-	mmParallel(m, k, n, func(i0, i1 int) {
-		mmRows(a.data, b.data, out.data, k, n, i0, i1, true)
-	})
+	mmRun(mmPlain, a.data, b.data, out.data, m, k, n, true)
 	return out
 }
 
@@ -78,9 +130,7 @@ func MatMul(a, b *Tensor) *Tensor {
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := mmShapes("MatMulInto", a, b, false)
 	mmCheckDst("MatMulInto", dst, m, n)
-	mmParallel(m, k, n, func(i0, i1 int) {
-		mmRows(a.data, b.data, dst.data, k, n, i0, i1, false)
-	})
+	mmRun(mmPlain, a.data, b.data, dst.data, m, k, n, false)
 	return dst
 }
 
@@ -90,9 +140,7 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 func MatMulTransA(a, b *Tensor) *Tensor {
 	m, k, n := mmShapes("MatMulTransA", a, b, true)
 	out := New(m, n)
-	mmParallel(m, k, n, func(i0, i1 int) {
-		mmTransARows(a.data, b.data, out.data, k, m, n, i0, i1, true)
-	})
+	mmRun(mmTransA, a.data, b.data, out.data, m, k, n, true)
 	return out
 }
 
@@ -101,9 +149,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := mmShapes("MatMulTransAInto", a, b, true)
 	mmCheckDst("MatMulTransAInto", dst, m, n)
-	mmParallel(m, k, n, func(i0, i1 int) {
-		mmTransARows(a.data, b.data, dst.data, k, m, n, i0, i1, false)
-	})
+	mmRun(mmTransA, a.data, b.data, dst.data, m, k, n, false)
 	return dst
 }
 
@@ -113,9 +159,7 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 func MatMulTransAAcc(dst, a, b *Tensor) *Tensor {
 	m, k, n := mmShapes("MatMulTransAAcc", a, b, true)
 	mmCheckDst("MatMulTransAAcc", dst, m, n)
-	mmParallel(m, k, n, func(i0, i1 int) {
-		mmTransARows(a.data, b.data, dst.data, k, m, n, i0, i1, true)
-	})
+	mmRun(mmTransA, a.data, b.data, dst.data, m, k, n, true)
 	return dst
 }
 
@@ -124,10 +168,17 @@ func MatMulTransAAcc(dst, a, b *Tensor) *Tensor {
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, k, n := mmShapesTransB("MatMulTransB", a, b)
 	out := New(m, n)
-	mmParallel(m, k, n, func(i0, i1 int) {
-		mmTransBRows(a.data, b.data, out.data, k, n, i0, i1, false)
-	})
+	mmRun(mmTransB, a.data, b.data, out.data, m, k, n, false)
 	return out
+}
+
+// MatMulTransBInto computes a×bᵀ into dst (overwriting it) and returns dst.
+// dst must have shape (m,n) for b of shape (n,k) and must not alias a or b.
+func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
+	m, k, n := mmShapesTransB("MatMulTransBInto", a, b)
+	mmCheckDst("MatMulTransBInto", dst, m, n)
+	mmRun(mmTransB, a.data, b.data, dst.data, m, k, n, false)
+	return dst
 }
 
 // MatMulTransBAcc accumulates a×bᵀ into dst (dst += a×bᵀ) and returns dst.
@@ -135,9 +186,7 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 func MatMulTransBAcc(dst, a, b *Tensor) *Tensor {
 	m, k, n := mmShapesTransB("MatMulTransBAcc", a, b)
 	mmCheckDst("MatMulTransBAcc", dst, m, n)
-	mmParallel(m, k, n, func(i0, i1 int) {
-		mmTransBRows(a.data, b.data, dst.data, k, n, i0, i1, true)
-	})
+	mmRun(mmTransB, a.data, b.data, dst.data, m, k, n, true)
 	return dst
 }
 
@@ -179,9 +228,8 @@ func mmCheckDst(op string, dst *Tensor, m, n int) {
 	}
 }
 
-// mm4Rows adds a0·b0 + a1·b1 + a2·b2 + a3·b3 into ob. The reslices pin
-// every operand to len(ob) so the compiler drops all bounds checks from the
-// multiply-add loop.
+// mm4Rows is the portable fma4Rows. The reslices pin every operand to
+// len(ob) so the compiler drops all bounds checks from the multiply-add loop.
 func mm4Rows(ob, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	b0 = b0[:len(ob)]
 	b1 = b1[:len(ob)]
@@ -196,9 +244,10 @@ func mm4Rows(ob, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 // accumulate into out; otherwise each column block is cleared first. Four
 // b-rows are streamed per pass over a column block, so the block of out
 // stays in L1 while each element of b is read exactly once per output row.
-// The 4-way form runs at the scalar floating-point ceiling (two FP ops per
-// multiply-add with all bounds checks eliminated); wider row/column tiles
-// were measured slower here because their extra live coefficients spill.
+// The Go form of the 4-row step runs at the scalar floating-point ceiling
+// (two FP ops per multiply-add with all bounds checks eliminated); wider
+// row/column tiles were measured slower there because their extra live
+// coefficients spill.
 func mmRows(a, b, out []float32, k, n, i0, i1 int, acc bool) {
 	for i := i0; i < i1; i++ {
 		arow := a[i*k : i*k+k]
@@ -217,8 +266,9 @@ func mmRows(a, b, out []float32, k, n, i0, i1 int, acc bool) {
 			w := je - jb
 			kk := 0
 			for ; kk+4 <= k; kk += 4 {
-				mm4Rows(ob,
-					b[kk*n+jb:], b[(kk+1)*n+jb:], b[(kk+2)*n+jb:], b[(kk+3)*n+jb:],
+				r := kk*n + jb
+				fma4Rows(ob,
+					b[r:r+w], b[r+n:r+n+w], b[r+2*n:r+2*n+w], b[r+3*n:r+3*n+w],
 					arow[kk], arow[kk+1], arow[kk+2], arow[kk+3])
 			}
 			for ; kk < k; kk++ {
@@ -248,8 +298,9 @@ func mmTransARows(a, b, out []float32, k, m, n, i0, i1 int, acc bool) {
 			w := je - jb
 			kk := 0
 			for ; kk+4 <= k; kk += 4 {
-				mm4Rows(ob,
-					b[kk*n+jb:], b[(kk+1)*n+jb:], b[(kk+2)*n+jb:], b[(kk+3)*n+jb:],
+				r := kk*n + jb
+				fma4Rows(ob,
+					b[r:r+w], b[r+n:r+n+w], b[r+2*n:r+2*n+w], b[r+3*n:r+3*n+w],
 					a[kk*m+i], a[(kk+1)*m+i], a[(kk+2)*m+i], a[(kk+3)*m+i])
 			}
 			for ; kk < k; kk++ {
@@ -259,10 +310,10 @@ func mmTransARows(a, b, out []float32, k, m, n, i0, i1 int, acc bool) {
 	}
 }
 
-// mmDot4 returns the four dot products of arow against b0..b3. The
-// reslices pin every operand to len(arow) so the compiler drops all bounds
-// checks; the four accumulator chains are independent and overlap in the
-// pipeline. Each chain keeps the scalar loop's accumulation order.
+// mmDot4 is the portable dot4. The reslices pin every operand to len(arow)
+// so the compiler drops all bounds checks; the four accumulator chains are
+// independent and overlap in the pipeline. Each chain keeps the scalar
+// loop's accumulation order.
 func mmDot4(arow, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	b0 = b0[:len(arow)]
 	b1 = b1[:len(arow)]
@@ -281,16 +332,17 @@ func mmDot4(arow, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 // (n,k): each output element is a dot product of two contiguous rows. Four
 // output columns are computed per pass with independent accumulators, so
 // the row of a is read once per four outputs and the four dot-product
-// chains overlap. Per-output accumulation order matches the scalar loop
-// exactly (no reassociation).
+// chains overlap. With the Go dot4 the per-output accumulation order matches
+// the scalar loop exactly; the vector dot4 sums eight lanes apart.
 func mmTransBRows(a, b, out []float32, k, n, i0, i1 int, acc bool) {
 	for i := i0; i < i1; i++ {
 		arow := a[i*k : i*k+k : i*k+k]
 		orow := out[i*n : i*n+n]
 		j := 0
 		for ; j+4 <= n; j += 4 {
-			s0, s1, s2, s3 := mmDot4(arow,
-				b[j*k:], b[(j+1)*k:], b[(j+2)*k:], b[(j+3)*k:])
+			r := j * k
+			s0, s1, s2, s3 := dot4(arow,
+				b[r:r+k], b[r+k:r+2*k], b[r+2*k:r+3*k], b[r+3*k:r+4*k])
 			if acc {
 				orow[j] += s0
 				orow[j+1] += s1

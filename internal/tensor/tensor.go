@@ -65,6 +65,18 @@ func FromSliceOwned(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: s, data: data}
 }
 
+// Rebind points t at data, keeping its shape, and returns t; data must hold
+// exactly t.Size() elements and is aliased as by FromSliceOwned. A caller
+// that walks a large buffer in equal pieces (a batch, one image at a time)
+// re-points one header instead of allocating a view per piece.
+func (t *Tensor) Rebind(data []float32) *Tensor {
+	if len(data) != len(t.data) {
+		panic(fmt.Sprintf("tensor: Rebind got %d values for shape %v (%d elements)", len(data), t.shape, len(t.data)))
+	}
+	t.data = data
+	return t
+}
+
 // Full returns a tensor of the given shape with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)

@@ -51,8 +51,14 @@ bench-json:
 # BenchmarkCompress/fp16/scale=1e-05 is the fp16 error-feedback encode at
 # the magnitude a converged model pushes (fp16 subnormals): a converter with
 # a magnitude-dependent slow path is 2-4x slower there and trips the pin.
-BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkMatMul128|BenchmarkFusedStepMomentumBatch4|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|BenchmarkCompress/fp16/scale=1e-05
-BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkFusedStepMomentumBatch4,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05
+# BenchmarkTCPDensePushPull1MB is the dense wire path end to end (1 MB push +
+# 1 MB pull over loopback): a copy or a per-frame allocation coming back costs
+# it 20-50%.
+# BenchmarkMatMul128 runs as BenchmarkMatMul128/kernel=avx2 or /kernel=go,
+# whichever kernel the machine binds; the baseline holds both (bench-baseline
+# appends a -tags purego run) and the pin, a prefix, gates the one produced.
+BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkMatMul128|BenchmarkFusedStepMomentumBatch4|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|BenchmarkCompress/fp16/scale=1e-05|BenchmarkTCPDensePushPull1MB
+BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkFusedStepMomentumBatch4,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkTCPDensePushPull1MB
 BENCH_GATE_TIME = 1s
 # Packages holding the pinned benchmarks: the store pipeline, the raw
 # compute kernels (blocked matmul, fused optimizer step) it is built on, and
@@ -65,10 +71,13 @@ BENCH_GATE_PKGS = ./internal/ps/ ./internal/tensor/ ./internal/optimizer/ ./inte
 # numbers against informationally, not a precision measurement. The pinned
 # gate benchmarks are then re-measured at the gate's own benchtime and
 # appended — benchjson keeps the last entry per name, so the gated numbers
-# in the baseline are like-for-like with what bench-gate measures.
+# in the baseline are like-for-like with what bench-gate measures. The last
+# run records BenchmarkMatMul128 under the Go loops as well (kernel=go), so
+# the gate has a like-for-like number on a runner without AVX2.
 bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchtime=10x -benchmem ./... > bench-baseline.txt
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_PKGS) >> bench-baseline.txt
+	$(GO) test -tags purego -run '^$$' -bench 'BenchmarkMatMul128' -benchtime=$(BENCH_GATE_TIME) ./internal/tensor/ >> bench-baseline.txt
 	$(GO) run ./cmd/benchjson -in bench-baseline.txt -out BENCH_baseline.json
 
 # Pinned-benchmark regression gate: re-measure the allowlisted macro

@@ -34,6 +34,18 @@ func (p Packed) EncodedBinarySize() int {
 // AppendBinary appends p's stable binary encoding to dst and returns the
 // extended slice.
 func (p Packed) AppendBinary(dst []byte) ([]byte, error) {
+	dst, err := p.AppendBinaryHeader(dst)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, p.Payload...), nil
+}
+
+// AppendBinaryHeader appends everything of p's encoding that precedes the
+// payload bytes — through the payload length — so a writer that can gather
+// (the transport's vectored send) may put Payload on the wire from where it
+// lives instead of copying it behind the header.
+func (p Packed) AppendBinaryHeader(dst []byte) ([]byte, error) {
 	if len(p.Shape) > maxPackedDims {
 		return dst, fmt.Errorf("compress: packed tensor has rank %d, wire limit is %d", len(p.Shape), maxPackedDims)
 	}
@@ -47,8 +59,7 @@ func (p Packed) AppendBinary(dst []byte) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(p.Scale))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.Payload)))
-	return append(dst, p.Payload...), nil
+	return binary.LittleEndian.AppendUint32(dst, uint32(len(p.Payload))), nil
 }
 
 // DecodeBinary decodes one Packed tensor from the front of b, returning it

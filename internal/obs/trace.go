@@ -147,6 +147,13 @@ func (t *PushTracer) Released(ticket int64, now time.Time) {
 	tr, ok := t.pending[ticket]
 	if ok {
 		delete(t.pending, ticket)
+		if tr.AppliedAt.IsZero() {
+			// The appliers finished the ticket before the push handler got
+			// to Track it (the ticket only exists once the push is already
+			// queued), so no Applied call found the trace. It was applied no
+			// later than this release, which is gated on exactly that.
+			tr.AppliedAt = now
+		}
 		tr.ReleasedAt = now
 		t.commitLocked(*tr)
 	}

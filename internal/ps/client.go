@@ -37,14 +37,27 @@ type Client struct {
 	pushedBytes int64
 	pulledBytes int64
 
-	// pushWire holds the dense push path's reusable wire buffers: the model
-	// layout never changes between pushes, so the tensor headers and data
-	// slabs are recycled instead of reallocated per iteration. Safe because
-	// the protocol is lock-step — the OK that unblocks the next push is only
-	// sent after the server has fully decoded and applied the previous one.
+	// serializes reports that conn is a transport.SerializingSender: Send is
+	// done with whatever the message aliases when it returns, so a dense push
+	// goes out straight from the caller's gradient tensors.
+	serializes bool
+	// pushWire holds the dense push path's reusable wire tensors: the model
+	// layout never changes between pushes, so the headers are recycled
+	// instead of reallocated per iteration. On a serializing connection their
+	// data aliases the caller's gradients for the duration of Send; on a
+	// reference-passing one they carry private copies, recycled too — safe
+	// because the protocol is lock-step: the OK that unblocks the next push
+	// is only sent after the server has fully decoded and applied the
+	// previous one.
 	pushWire []transport.WireTensor
 	// pullParams is the chunk-reassembly buffer reused across Pulls.
 	pullParams []*tensor.Tensor
+	// pullHeld is, per server shard, the last dense Weights chunk whose
+	// tensors Pull handed out aliasing the chunk's leased receive buffer. The
+	// lease ends when the chunk superseding it has been decoded — "valid
+	// until the next Pull", with an Unchanged chunk extending it — and never
+	// earlier: the caller (or the delta cache) is still reading the tensors.
+	pullHeld []transport.Message
 
 	// wantDelta is the worker's request for version-gated delta pulls
 	// (SetDeltaPull, before Register); deltaOn is the negotiated outcome.
@@ -71,7 +84,14 @@ type Client struct {
 // NewClient wraps a connection for the given worker ID, speaking the
 // uncompressed protocol (identity codec).
 func NewClient(conn transport.Conn, worker int) *Client {
-	return &Client{conn: conn, worker: worker, cfg: compress.Config{}.Normalized()}
+	c := newClient(conn, worker)
+	c.cfg = compress.Config{}.Normalized()
+	return c
+}
+
+func newClient(conn transport.Conn, worker int) *Client {
+	_, serializes := conn.(transport.SerializingSender)
+	return &Client{conn: conn, worker: worker, serializes: serializes}
 }
 
 // NewClientCompressed wraps a connection with an explicit compression
@@ -82,7 +102,9 @@ func NewClientCompressed(conn transport.Conn, worker int, cfg compress.Config) (
 	if err := cfg.Validate(true); err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, worker: worker, cfg: cfg}, nil
+	c := newClient(conn, worker)
+	c.cfg = cfg
+	return c, nil
 }
 
 // Worker returns the worker ID this client represents.
@@ -207,12 +229,15 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 // satisfies from its cache, so a pull when nothing moved transfers almost
 // nothing.
 //
-// The returned slice is reused by the next Pull. With delta pulls the
-// tensors themselves may be returned again by later Pulls, and with a pull
-// codec the next Pull decodes into them in place — callers must treat both
-// as read-only, valid until the next Pull, and copy what they keep. Every
-// existing caller adopts the weights into its own replica immediately
-// (Network.SetParams copies).
+// The returned slice is reused by the next Pull, and the tensors are on
+// lease until then: over TCP a dense chunk's tensors alias the receive buffer
+// the chunk arrived in, which goes back to the connection once the next Pull
+// has decoded the chunk superseding it; with delta pulls the tensors
+// themselves may be returned again by later Pulls (an Unchanged chunk
+// extends the lease); and with a pull codec the next Pull decodes into them
+// in place. Callers must treat slice and tensors as read-only, valid until
+// the next Pull, and copy what they keep. Every existing caller adopts the
+// weights into its own replica immediately (Network.SetParams copies).
 func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
 	if c.metrics == nil {
 		return c.pull()
@@ -354,10 +379,12 @@ func (c *Client) chunkTensors(msg transport.Message, shards int) ([]*tensor.Tens
 
 // decodeWeights extracts the tensors of one Weights message and accounts the
 // pulled bytes. Packed chunks are unpacked straight from the message's
-// payload (the connection's read buffer, on TCP) into prev's tensors where
-// the shapes still match.
+// payload (its leased receive buffer, on TCP) into prev's tensors where the
+// shapes still match, and the buffer is handed back at once: nothing aliases
+// it after the decode.
 func (c *Client) decodeWeights(msg transport.Message, prev []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if msg.Codec != "" || len(msg.Packed) > 0 {
+		defer msg.Release()
 		if msg.Codec != c.cfg.Codec {
 			return nil, fmt.Errorf("ps: worker %d received %s-compressed weights but negotiated %s",
 				c.worker, msg.Codec, c.cfg)
@@ -370,18 +397,51 @@ func (c *Client) decodeWeights(msg transport.Message, prev []*tensor.Tensor) ([]
 	c.pulledBytes += wireTensorBytes(msg.Tensors)
 	if msg.PayloadOwned() {
 		// The message owns its wire buffer (TCP transports), so the weights
-		// can alias it instead of being copied — the zero-copy half of the
-		// binary protocol's pull path.
-		return transport.FromWireOwned(msg.Tensors)
+		// alias it instead of being copied — the zero-copy half of the
+		// binary protocol's pull path. This chunk supersedes the one held
+		// for its shard, whose lease ends here.
+		ts, err := transport.FromWireOwned(msg.Tensors)
+		if err != nil {
+			msg.Release()
+			return nil, err
+		}
+		c.holdChunk(msg)
+		return ts, nil
 	}
 	return transport.FromWire(msg.Tensors)
 }
+
+// holdChunk keeps msg — a dense chunk whose tensors were just handed out
+// aliasing its receive buffer — as its shard's held chunk and releases the
+// one it supersedes. A chunk naming no sane shard is not tracked: its buffer
+// is left to the garbage collector, which is always safe.
+func (c *Client) holdChunk(msg transport.Message) {
+	shards := msg.Shards
+	if shards < 1 {
+		shards = 1
+	}
+	if msg.Shard < 0 || msg.Shard >= shards || shards > maxHeldChunks {
+		return
+	}
+	for len(c.pullHeld) < shards {
+		c.pullHeld = append(c.pullHeld, transport.Message{})
+	}
+	c.pullHeld[msg.Shard].Release()
+	c.pullHeld[msg.Shard] = msg
+}
+
+// maxHeldChunks bounds pullHeld against a corrupt Shards field; no store has
+// anywhere near this many shards.
+const maxHeldChunks = 1 << 12
 
 // PushAndWait sends the worker's gradients (computed against baseVersion of
 // the global weights) and blocks until the server sends OK, i.e. until the
 // synchronization policy allows the worker to start its next iteration.
 // Under a lossy codec the gradients are compressed with error feedback; the
-// caller's tensors are never mutated.
+// caller's tensors are never mutated, and never read after the call returns
+// — on a serializing connection not even after the send inside it — so the
+// caller may push its live gradient buffers and overwrite them next
+// iteration.
 func (c *Client) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
 	if c.metrics == nil {
 		return c.pushAndWait(grads, baseVersion, iteration)
@@ -422,7 +482,12 @@ func (c *Client) PushAsync(grads []*tensor.Tensor, baseVersion int64, iteration 
 			c.pushedBytes += int64(p.WireSize())
 		}
 	} else {
-		c.pushWire = transport.ToWireInto(c.pushWire, grads)
+		if c.serializes {
+			// Send reads the gradients and is done with them: no copy.
+			c.pushWire = transport.ToWireOwnedInto(c.pushWire, grads)
+		} else {
+			c.pushWire = transport.ToWireInto(c.pushWire, grads)
+		}
 		msg.Tensors = c.pushWire
 		c.pushedBytes += wireTensorBytes(msg.Tensors)
 	}

@@ -1,0 +1,662 @@
+package ps
+
+import (
+	"fmt"
+	"math"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dssp/internal/core"
+	"dssp/internal/obs"
+	"dssp/internal/optimizer"
+	"dssp/internal/tensor"
+	"dssp/internal/transport"
+)
+
+// pusher is what the dense lease test drives: a flat or tree worker's Client
+// and a group worker's ClusterClient both fit.
+type pusher interface {
+	Pull() ([]*tensor.Tensor, int64, error)
+	PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error
+	Done() error
+	Close() error
+}
+
+// leaseTopology is a running server side for the dense lease test: connect
+// registers worker w against it, snapshot reads the global weights and their
+// version once the run is over.
+type leaseTopology struct {
+	connect  func(w int) (pusher, error)
+	snapshot func(t *testing.T, updates int64) ([]*tensor.Tensor, int64)
+}
+
+// endpoint starts serve on a fresh listener of the chosen transport and
+// returns the address and a dialer for it.
+func endpoint(t *testing.T, tcp bool, serve func(transport.Listener)) (addr string, dial func() (transport.Conn, error)) {
+	t.Helper()
+	if tcp {
+		l, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go serve(l)
+		return l.Addr(), func() (transport.Conn, error) { return transport.Dial(l.Addr()) }
+	}
+	l := transport.NewChanListener()
+	t.Cleanup(func() { l.Close() })
+	go serve(l)
+	return l.Addr(), l.Dial
+}
+
+// startLeaseTopology stands up topo ("flat", "group" or "tree") with its
+// servers on TCP or the channel transport; edgeTCP picks the transport of a
+// tree's relay-to-worker hop separately, so the mixed tree (socket upstream,
+// reference-passing children) is covered too.
+func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers int, initial []*tensor.Tensor) leaseTopology {
+	t.Helper()
+	opt := func() optimizer.Optimizer { return optimizer.NewSGD(1.0) }
+	waitSnapshot := func(st *Store) func(*testing.T, int64) ([]*tensor.Tensor, int64) {
+		return func(t *testing.T, updates int64) ([]*tensor.Tensor, int64) {
+			if !st.WaitApplied(updates, nil) {
+				t.Fatal("store closed before the pushes were applied")
+			}
+			return st.Snapshot()
+		}
+	}
+	switch topo {
+	case "flat", "tree":
+		st, err := NewStoreSharded(initial, opt(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(ServerConfig{Workers: workers, Policy: core.MustNewASP(workers), Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		_, dial := endpoint(t, tcp, func(l transport.Listener) { _ = srv.Serve(l) })
+		if topo == "tree" {
+			// One relay in front of every worker: child pushes fold into
+			// partials, pulls are served from the relay's upstream cache.
+			relay, err := NewRelay(RelayConfig{Parent: dial, Fanout: workers, Advertise: "relay"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(relay.Stop)
+			_, dial = endpoint(t, edgeTCP, func(l transport.Listener) { _ = relay.Serve(l) })
+		}
+		return leaseTopology{
+			connect: func(w int) (pusher, error) {
+				conn, err := dial()
+				if err != nil {
+					return nil, err
+				}
+				c := NewClient(conn, w)
+				c.SetDeltaPull(w%2 == 0)
+				if err := c.Register(); err != nil {
+					conn.Close()
+					return nil, err
+				}
+				return c, nil
+			},
+			snapshot: waitSnapshot(st),
+		}
+	case "group":
+		const servers = 2
+		sizes := make([]int, len(initial))
+		for i, p := range initial {
+			sizes[i] = p.Size()
+		}
+		assignments, globalShards, err := GroupLayout(sizes, 0, servers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		dialers := make(map[string]func() (transport.Conn, error))
+		dialAddr := func(addr string) (transport.Conn, error) {
+			mu.Lock()
+			dial := dialers[addr]
+			mu.Unlock()
+			if dial == nil {
+				return nil, fmt.Errorf("no server at %s", addr)
+			}
+			return dial()
+		}
+		serve := func(srv *Server) string {
+			t.Cleanup(srv.Stop)
+			addr, dial := endpoint(t, tcp, func(l transport.Listener) { _ = srv.Serve(l) })
+			mu.Lock()
+			dialers[addr] = dial
+			mu.Unlock()
+			return addr
+		}
+		coordStore, err := NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, opt(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := NewServer(ServerConfig{
+			Workers: workers, Policy: core.MustNewASP(workers), Store: coordStore,
+			Cluster: ClusterConfig{Coordinator: true, GlobalShards: globalShards, TotalTensors: len(initial)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coordAddr := serve(coord)
+		var stores []*Store
+		for i := 0; i < servers; i++ {
+			st, err := NewStoreRange(initial, opt(), globalShards, assignments[i].ShardLo, assignments[i].ShardHi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewServer(ServerConfig{Workers: workers, Policy: core.MustNewASP(workers), Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := serve(srv)
+			stores = append(stores, st)
+			conn, err := dialAddr(coordAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.Send(transport.Message{Type: transport.MsgServerAnnounce,
+				Servers: []transport.ServerEntry{assignments[i].Entry(addr)}}); err != nil {
+				t.Fatal(err)
+			}
+			if ack, err := conn.Recv(); err != nil || ack.Type != transport.MsgOK {
+				t.Fatalf("announce not acknowledged: %v %v", ack.Type, err)
+			}
+			conn.Close()
+		}
+		return leaseTopology{
+			connect: func(w int) (pusher, error) {
+				return NewClusterClient(dialAddr, coordAddr, w, ClusterClientConfig{DeltaPull: w%2 == 0})
+			},
+			snapshot: func(t *testing.T, updates int64) ([]*tensor.Tensor, int64) {
+				var all []*tensor.Tensor
+				for _, st := range stores {
+					if !st.WaitApplied(updates, nil) {
+						t.Fatal("data store closed before the fragments were applied")
+					}
+					params, v := st.Snapshot()
+					if v != updates {
+						t.Fatalf("data server at version %d, want %d", v, updates)
+					}
+					all = append(all, params...)
+				}
+				return all, updates
+			},
+		}
+	}
+	t.Fatalf("unknown topology %q", topo)
+	return leaseTopology{}
+}
+
+// poisonReleasedBodies makes every released receive buffer read as NaN until
+// the next frame overwrites it, for the test's duration.
+func poisonReleasedBodies(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var released atomic.Int64
+	nan := math.Float32bits(float32(math.NaN()))
+	restore := transport.SetReleaseHook(func(body []byte) {
+		released.Add(1)
+		for i := 0; i+4 <= len(body); i += 4 {
+			body[i], body[i+1], body[i+2], body[i+3] = byte(nan), byte(nan>>8), byte(nan>>16), byte(nan>>24)
+		}
+	})
+	t.Cleanup(restore)
+	return &released
+}
+
+// TestDenseBufferLeasesSurvivePoisoning is the dense twin of
+// TestCodecBufferReuseSurvivesPoisoning: it drives every buffer the dense
+// wire path shares between a sender and a reader — the gradient tensors the
+// client sends from and the worker overwrites as soon as its push returns,
+// the receive buffers the server applies pushes out of and the relay folds
+// them out of, the ones the client's pulled weights (and the relay's upstream
+// cache) alias until superseded, and the relay's recycled sum buffers — from
+// concurrent workers over TCP and the channel transport, on a flat server, a
+// server group and an aggregation tree. Released receive buffers are
+// poisoned with NaN the moment they are released, so a lease that ends while
+// a reader still holds the buffer shows up as a wrong final sum (the store
+// applied poison), a torn or NaN pulled tensor (the worker read poison), or,
+// under -race, the racing accesses themselves.
+//
+// Mutation-checked: releasing the push body right after EnqueueApply instead
+// of carrying it to the sequencer (dropping the hold-until-applied) fails
+// flat/tcp and group/tcp when done in handlePush and both TCP-rooted trees
+// when done in handleRelayPush; releasing a pulled chunk in decodeWeights
+// right after FromWireOwned instead of holding it (dropping the
+// hold-until-superseded) fails every TCP case. The relay's copy-for-channel-
+// children rule needs a stalled reader to break, which
+// TestRelayCopiesPullCacheForReferencePassingChildren supplies.
+func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
+	released := poisonReleasedBodies(t)
+	for _, tc := range []struct {
+		name         string
+		topo         string
+		tcp, edgeTCP bool
+	}{
+		{"flat/tcp", "flat", true, true},
+		{"flat/channel", "flat", false, false},
+		{"group/tcp", "group", true, true},
+		{"group/channel", "group", false, false},
+		{"tree/tcp", "tree", true, true},
+		{"tree/channel", "tree", false, false},
+		// Children that pass references behind a relay whose upstream leases:
+		// they must be served copies of the relay's pull cache.
+		{"tree/tcp-root-channel-children", "tree", true, false},
+	} {
+		{
+			topo, tcp := tc.topo, tc.tcp
+			t.Run(tc.name, func(t *testing.T) {
+				before := released.Load()
+				// Frames big enough to be leased (over 4 KB), with a slab that
+				// leaves by reference (over 16 KB) next to ones that go inline.
+				initial := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(2048)}
+				const workers, rounds = 4, 50
+				top := startLeaseTopology(t, topo, tcp, tc.edgeTCP, workers, initial)
+
+				// Small integers: their float32 sums are exact, so the final
+				// weights are known to the bit.
+				value := func(w, r int) float32 { return float32(1 + (w*rounds+r)%9) }
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						c, err := top.connect(w)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						defer c.Close()
+						grads := make([]*tensor.Tensor, len(initial))
+						for i, p := range initial {
+							grads[i] = tensor.New(p.Shape()...)
+						}
+						last := make([]float32, len(initial))
+						lastVersion := int64(0)
+						for r := 0; r < rounds; r++ {
+							params, version, err := c.Pull()
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if version < lastVersion {
+								t.Errorf("worker %d round %d: version went back from %d to %d", w, r, lastVersion, version)
+								return
+							}
+							lastVersion = version
+							for i, p := range params {
+								v := p.Data()[0]
+								for _, x := range p.Data() {
+									if x != v {
+										t.Errorf("worker %d round %d: pulled tensor %d is torn (%v and %v)", w, r, i, v, x)
+										return
+									}
+								}
+								// lr 1 over positive gradients: weights only fall.
+								if v > last[i] {
+									t.Errorf("worker %d round %d: tensor %d went back from %v to %v", w, r, i, last[i], v)
+									return
+								}
+								last[i] = v
+							}
+							for _, g := range grads {
+								g.Fill(value(w, r))
+							}
+							if err := c.PushAndWait(grads, version, r); err != nil {
+								t.Error(err)
+								return
+							}
+							// The push returned; the caller's buffers are free.
+							for _, g := range grads {
+								g.Fill(1e6)
+							}
+						}
+						if err := c.Done(); err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				wg.Wait()
+				if t.Failed() {
+					return
+				}
+
+				var want float32
+				for w := 0; w < workers; w++ {
+					for r := 0; r < rounds; r++ {
+						want -= value(w, r)
+					}
+				}
+				params, version := top.snapshot(t, workers*rounds)
+				if version != workers*rounds {
+					t.Fatalf("final version %d, want %d", version, workers*rounds)
+				}
+				for i, p := range params {
+					for j, v := range p.Data() {
+						if v != want {
+							t.Fatalf("param %d[%d] = %v, want %v — a recycled buffer reached an optimizer step", i, j, v, want)
+						}
+					}
+				}
+				// A tree folds pushes and shares pulls, so the count is loose:
+				// every round moves at least one leased frame per direction.
+				if n := released.Load() - before; tcp && n < 2*rounds {
+					t.Errorf("only %d receive buffers were released over %d rounds of pushes and pulls: leases are not ending", n, rounds)
+				} else if !tcp && n != 0 {
+					t.Errorf("the channel transport released %d leased buffers; it has none", n)
+				}
+			})
+		}
+	}
+}
+
+// countingProxy forwards one TCP connection to target, counting the bytes in
+// each direction: the raw on-wire truth the transport meters are held to.
+func countingProxy(t *testing.T, target string) (addr string, up, down *atomic.Int64) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	up, down = new(atomic.Int64), new(atomic.Int64)
+	go func() {
+		client, err := l.Accept()
+		if err != nil {
+			return
+		}
+		server, err := net.Dial("tcp", target)
+		if err != nil {
+			client.Close()
+			return
+		}
+		pipe := func(dst, src net.Conn, n *atomic.Int64) {
+			buf := make([]byte, 64<<10)
+			for {
+				k, err := src.Read(buf)
+				if k > 0 {
+					// Counted before forwarding, so a byte the far end has
+					// seen is always already in the count.
+					n.Add(int64(k))
+					if _, werr := dst.Write(buf[:k]); werr != nil {
+						return
+					}
+				}
+				if err != nil {
+					dst.Close()
+					return
+				}
+			}
+		}
+		go pipe(server, client, up)
+		pipe(client, server, down)
+	}()
+	return l.Addr().String(), up, down
+}
+
+// TestMeteringExactWithByReferenceSlabs holds the transport meters and
+// Client.Traffic to what they counted before slabs left by reference: over a
+// 1 MB dense push and the chunked pull that follows, dssp_transport_bytes_total
+// on both ends equals the bytes a proxy saw on the raw sockets, frame for
+// frame, and Traffic is the same payload formula as ever.
+func TestMeteringExactWithByReferenceSlabs(t *testing.T) {
+	model := []*tensor.Tensor{tensor.New(8192, 32), tensor.New(32), tensor.New(32, 8), tensor.New(8)}
+	st, err := NewStoreSharded(model, optimizer.NewSGD(0.001), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvReg, cliReg := obs.NewRegistry(), obs.NewRegistry()
+	srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st, Metrics: srvReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	l, err := transport.ListenWireMetered("127.0.0.1:0", transport.WireBinary, transport.NewMetrics(srvReg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() { _ = srv.Serve(l) }()
+	proxyAddr, up, down := countingProxy(t, l.Addr())
+	conn, err := transport.DialWireMetered(proxyAddr, transport.WireBinary, transport.NewMetrics(cliReg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(conn, 0)
+	defer c.Close()
+	if err := c.Register(); err != nil {
+		t.Fatal(err)
+	}
+	grads := make([]*tensor.Tensor, len(model))
+	var payload int64
+	for i, p := range model {
+		grads[i] = tensor.Full(0.5, p.Shape()...)
+		payload += int64(4*p.Size() + 4*p.Dims() + 8)
+	}
+	const rounds = 3
+	for r := 0; r < rounds; r++ {
+		if _, _, err := c.Pull(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PushAndWait(grads, int64(r), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := func(snap map[string]float64, dir string) int64 {
+		var n float64
+		for _, typ := range []string{"Register", "Registered", "Push", "OK", "Pull", "Weights"} {
+			n += snap[fmt.Sprintf(`dssp_transport_bytes_total{dir=%q,type=%q}`, dir, typ)]
+		}
+		return int64(n)
+	}
+	// The last exchange was a reply the client has fully read, so the wire is
+	// quiescent — but a sender meters a frame after its write returns, so the
+	// server's writer may still be about to count the final OK.
+	deadline := time.Now().Add(5 * time.Second)
+	for total(srvReg.Snapshot(), "sent") != down.Load() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	cli, server := cliReg.Snapshot(), srvReg.Snapshot()
+	if got, want := total(cli, "sent"), up.Load(); got != want {
+		t.Errorf("client metered %d bytes sent, the socket carried %d", got, want)
+	}
+	if got, want := total(server, "recv"), up.Load(); got != want {
+		t.Errorf("server metered %d bytes received, the socket carried %d", got, want)
+	}
+	if got, want := total(server, "sent"), down.Load(); got != want {
+		t.Errorf("server metered %d bytes sent, the socket carried %d", got, want)
+	}
+	if got, want := total(cli, "recv"), down.Load(); got != want {
+		t.Errorf("client metered %d bytes received, the socket carried %d", got, want)
+	}
+	if push := cli[`dssp_transport_bytes_total{dir="sent",type="Push"}`]; int64(push) < rounds*payload {
+		t.Errorf("Push frames metered at %v bytes, below their %d-byte payload: by-reference slabs are not counted", push, rounds*payload)
+	}
+	if pushed, pulled := c.Traffic(); pushed != rounds*payload || pulled != rounds*payload {
+		t.Errorf("Traffic reports %d pushed / %d pulled, want %d each", pushed, pulled, rounds*payload)
+	}
+}
+
+// startDenseTCP stands up a one-worker server holding the benchmark's wide
+// MLP (1 MB of weights in two store shards) on loopback TCP and returns a
+// registered client with matching gradients.
+func startDenseTCP(tb testing.TB) (*Client, []*tensor.Tensor) {
+	tb.Helper()
+	model := []*tensor.Tensor{tensor.New(8192, 32), tensor.New(32), tensor.New(32, 8), tensor.New(8)}
+	st, err := NewStoreSharded(model, optimizer.NewSGD(0.001), 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }()
+	tb.Cleanup(func() {
+		srv.Stop()
+		l.Close()
+	})
+	conn, err := transport.Dial(l.Addr())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := NewClient(conn, 0)
+	tb.Cleanup(func() { c.Close() })
+	if err := c.Register(); err != nil {
+		tb.Fatal(err)
+	}
+	grads := make([]*tensor.Tensor, len(model))
+	for i, p := range model {
+		grads[i] = tensor.Full(0.25, p.Shape()...)
+	}
+	return c, grads
+}
+
+// TestDensePushPullRoundTripAllocatesNoPayload is the allocation ceiling of
+// the dense wire path: once warm, a 1 MB push plus the 1 MB pull that follows
+// — client encode, server decode, apply, COW publication, chunked reply,
+// client decode, everything both processes' goroutines do — allocates less
+// than 64 KB in total, so no buffer that scales with the payload is allocated
+// anywhere, and only a bounded number of small objects (message headers, wire
+// tensor lists, tensor headers).
+func TestDensePushPullRoundTripAllocatesNoPayload(t *testing.T) {
+	c, grads := startDenseTCP(t)
+	round := func(i int) {
+		if err := c.PushAndWait(grads, int64(i), i); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Pull(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm-up fills the free lists, the store's generation pool and the
+	// connection buffers.
+	for i := 0; i < 8; i++ {
+		round(i)
+	}
+	const rounds = 50
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round(8 + i)
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerRound := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	objectsPerRound := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("steady-state 1 MB push + pull: %.0f B and %.1f objects allocated per round trip", bytesPerRound, objectsPerRound)
+	if bytesPerRound >= 64<<10 {
+		t.Errorf("a steady-state round trip allocates %.0f bytes: some payload-sized buffer (>= 64 KB) is still allocated per iteration", bytesPerRound)
+	}
+	if objectsPerRound > 120 {
+		t.Errorf("a steady-state round trip allocates %.1f objects, ceiling 120", objectsPerRound)
+	}
+}
+
+// BenchmarkTCPDensePushPull1MB is the flat-comm iteration without the model:
+// one worker pushing 1 MB of dense gradients and pulling 1 MB of weights over
+// loopback TCP. MB/s counts both directions' payload; B/op is where a
+// reintroduced per-frame allocation shows first.
+func BenchmarkTCPDensePushPull1MB(b *testing.B) {
+	c, grads := startDenseTCP(b)
+	var payload int64
+	for _, g := range grads {
+		payload += int64(4 * g.Size())
+	}
+	for i := 0; i < 4; i++ {
+		if err := c.PushAndWait(grads, int64(i), i); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := c.Pull(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(2 * payload)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.PushAndWait(grads, int64(i), i); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := c.Pull(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRelayCopiesPullCacheForReferencePassingChildren pins handleChildPull's
+// lease rule where the soak test above cannot reach it deterministically: a
+// relay whose upstream is a socket serves its pull cache to a child on the
+// channel transport, the child sits on the message without decoding it, and
+// the cache entry is superseded — its receive buffer released, poisoned —
+// by the next upstream pull. The child's message must still read the weights
+// it was sent.
+func TestRelayCopiesPullCacheForReferencePassingChildren(t *testing.T) {
+	poisonReleasedBodies(t)
+	initial := []*tensor.Tensor{tensor.Full(3, 4096)}
+	st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Workers: 2, Policy: core.MustNewASP(2), Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	_, dialRoot := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
+	relay, err := NewRelay(RelayConfig{Parent: dialRoot, Fanout: 2, Advertise: "relay"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(relay.Stop)
+	_, dialRelay := endpoint(t, false, func(l transport.Listener) { _ = relay.Serve(l) })
+
+	var conns [2]transport.Conn
+	var clients [2]*Client
+	for w := range conns {
+		if conns[w], err = dialRelay(); err != nil {
+			t.Fatal(err)
+		}
+		clients[w] = NewClient(conns[w], w)
+		defer clients[w].Close()
+		if err := clients[w].Register(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Child 0 pulls by hand and keeps the undecoded chunk.
+	if err := conns[0].Send(transport.Message{Type: transport.MsgPull, Worker: 0}); err != nil {
+		t.Fatal(err)
+	}
+	held, err := conns[0].Recv()
+	if err != nil || held.Type != transport.MsgWeights || len(held.Tensors) != 1 {
+		t.Fatalf("pull through the relay answered %v (%v)", held.Type, err)
+	}
+	// The root moves on; child 1's pull refreshes the relay's cache.
+	if _, err := st.Apply([]*tensor.Tensor{tensor.Full(1, 4096)}); err != nil {
+		t.Fatal(err)
+	}
+	params, _, err := clients[1].Pull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := params[0].Data()[0]; v != 2 {
+		t.Fatalf("child 1 pulled %v, want the updated weight 2", v)
+	}
+	for i, v := range held.Tensors[0].Data {
+		if v != 3 {
+			t.Fatalf("value %d of the chunk child 0 still holds reads %v, want 3: it aliased a receive buffer the relay has handed back", i, v)
+		}
+	}
+}

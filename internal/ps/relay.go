@@ -80,6 +80,13 @@ type Relay struct {
 	// is carried into the next, per hop, exactly as a worker's own
 	// compressor does per worker.
 	comp *compress.Compressor
+	// trunkSerializes and upLeases record what the two upstream connections
+	// are (transport.SerializingSender): a serializing trunk is done with a
+	// partial's sum buffers when Send returns, and a socket pull session
+	// hands its chunks' receive buffers back as they are superseded, so what
+	// aliases them must not outlive pullMu.
+	trunkSerializes bool
+	upLeases        bool
 
 	// up is the replica pull client; pullMu serializes child pulls through
 	// it (the client is single-goroutine by contract) and guards packCache.
@@ -93,14 +100,17 @@ type Relay struct {
 	reg *obs.Registry
 	rm  *relayMetrics
 
-	// mu guards children, pendingJoins and partial, and orders trunk flushes
-	// (the send happens under it, so forwarded partials leave in completion
-	// order).
+	// mu guards children, pendingJoins, partial and spareSum, and orders
+	// trunk flushes (the send happens under it, so forwarded partials leave
+	// in completion order).
 	mu           sync.Mutex
 	children     map[int]*relayChild
 	pendingJoins map[int]chan transport.Message
 	partial      *relayPartial
 	doneCount    int
+	// spareSum is the last flushed partial's sum buffers, kept for the next
+	// partial once nothing upstream can still be reading them.
+	spareSum []*tensor.Tensor
 
 	stopOnce sync.Once
 	stopped  chan struct{}
@@ -125,6 +135,9 @@ type relayChild struct {
 	conn      transport.Conn
 	deltaPull bool
 	finished  bool
+	// serializes reports that conn is a transport.SerializingSender (see
+	// handleChildPull for what a reference-passing child gets instead).
+	serializes bool
 
 	mu       sync.Mutex
 	lastSeen time.Time
@@ -279,18 +292,22 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		return nil, fmt.Errorf("ps: relay pull session: %w", err)
 	}
 
+	_, trunkSerializes := trunk.(transport.SerializingSender)
+	_, upLeases := upConn.(transport.SerializingSender)
 	r := &Relay{
-		cfg:           cfg,
-		clock:         clock,
-		flushInterval: flush,
-		trunk:         trunk,
-		trunkKey:      reply.Worker,
-		compression:   negotiated,
-		up:            up,
-		reg:           reg,
-		children:      make(map[int]*relayChild),
-		pendingJoins:  make(map[int]chan transport.Message),
-		stopped:       make(chan struct{}),
+		cfg:             cfg,
+		clock:           clock,
+		flushInterval:   flush,
+		trunk:           trunk,
+		trunkKey:        reply.Worker,
+		compression:     negotiated,
+		trunkSerializes: trunkSerializes,
+		upLeases:        upLeases,
+		up:              up,
+		reg:             reg,
+		children:        make(map[int]*relayChild),
+		pendingJoins:    make(map[int]chan transport.Message),
+		stopped:         make(chan struct{}),
 	}
 	if negotiated.Enabled() {
 		if r.comp, err = compress.NewCompressor(negotiated); err != nil {
@@ -639,11 +656,13 @@ func (r *Relay) joinChild(conn transport.Conn, msg transport.Message) *relayChil
 		_ = conn.Send(reply)
 		return nil
 	}
+	_, serializes := conn.(transport.SerializingSender)
 	ch := &relayChild{
-		worker:    w,
-		conn:      conn,
-		deltaPull: reply.DeltaPull,
-		lastSeen:  r.clock(),
+		worker:     w,
+		conn:       conn,
+		deltaPull:  reply.DeltaPull,
+		serializes: serializes,
+		lastSeen:   r.clock(),
 	}
 	r.mu.Lock()
 	old := r.children[w]
@@ -699,8 +718,11 @@ func (r *Relay) handleChildDone(ch *relayChild) {
 }
 
 // handleChildPush folds one child's gradients into the pending partial and
-// flushes when the window is complete.
+// flushes when the window is complete. The fold copies (or adds) every value
+// into the partial's own sum, so the push's receive buffer goes back to the
+// child's connection when the handler returns.
 func (r *Relay) handleChildPush(ch *relayChild, msg transport.Message) {
+	defer msg.Release()
 	grads, bytes, err := r.decodeChildPush(ch, msg)
 	if err != nil {
 		_ = ch.conn.Send(transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: err.Error()})
@@ -723,11 +745,16 @@ func (r *Relay) handleChildPush(ch *relayChild, msg transport.Message) {
 	}
 	p := r.partial
 	if p.sum == nil {
-		p.sum = make([]*tensor.Tensor, len(grads))
+		if sameLayout(r.spareSum, grads) {
+			p.sum, r.spareSum = r.spareSum, nil
+		} else {
+			p.sum = make([]*tensor.Tensor, len(grads))
+			for i, g := range grads {
+				p.sum[i] = tensor.New(g.Shape()...)
+			}
+		}
 		for i, g := range grads {
-			t := tensor.New(g.Shape()...)
-			copy(t.Data(), g.Data())
-			p.sum[i] = t
+			copy(p.sum[i].Data(), g.Data())
 		}
 	} else {
 		if len(grads) != len(p.sum) {
@@ -774,6 +801,7 @@ func (r *Relay) decodeChildPush(ch *relayChild, msg transport.Message) ([]*tenso
 			bytes += int64(p.WireSize())
 		}
 		grads, err := compress.DecompressAllReuse(msg.Packed, ch.decodeScratch)
+		msg.Release()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -788,6 +816,20 @@ func (r *Relay) decodeChildPush(ch *relayChild, msg transport.Message) ([]*tenso
 		grads, err := transport.FromWire(msg.Tensors)
 		return grads, wireTensorBytes(msg.Tensors), err
 	}
+}
+
+// sameLayout reports whether a holds one tensor of b's shape per tensor of b
+// (false for an empty a).
+func sameLayout(a, b []*tensor.Tensor) bool {
+	if len(a) == 0 || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].SameShape(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // completeLocked reports whether the pending partial holds a contribution
@@ -810,9 +852,11 @@ func (r *Relay) completeLocked() bool {
 // flushLocked forwards the pending partial upstream as one ×k-weighted push:
 // the summed gradients plus the per-child PushEntries the root's policy
 // layer replays. Callers hold r.mu — the send happens under it, so partials
-// leave in completion order. The sum buffers are freshly allocated per
-// partial and never touched after the send, so the payload may be in flight
-// (reference-passing transports) while the next partial accumulates.
+// leave in completion order. Once nothing upstream can still be reading the
+// sum buffers — the compressor has packed them, or a serializing trunk's Send
+// has returned — they become the next partial's (spareSum); on a
+// reference-passing trunk the dense payload may be in flight while the next
+// partial accumulates, so there every partial keeps its own.
 func (r *Relay) flushLocked(reason string) {
 	p := r.partial
 	r.partial = nil
@@ -858,6 +902,9 @@ func (r *Relay) flushLocked(reason string) {
 	if err := r.trunk.Send(msg); err != nil {
 		go r.fail(fmt.Errorf("ps: relay trunk: %w", err))
 	}
+	if r.comp != nil || r.trunkSerializes {
+		r.spareSum = p.sum
+	}
 }
 
 // handleChildPull refreshes the relay's upstream delta-pull cache and serves
@@ -866,9 +913,21 @@ func (r *Relay) flushLocked(reason string) {
 // The upstream refresh is itself delta-gated, so when nothing moved the hop
 // transfers almost nothing; when it did, the relay downloads each changed
 // shard once and fans it out to every pulling child.
+//
+// Lease rules: r.up.shardCache's tensors are on Client.Pull's lease — over a
+// socket they alias receive buffers that go back to the upstream connection
+// when the next r.up.Pull supersedes their chunk. Every use of them therefore
+// stays under pullMu, which that next Pull also needs: a serializing child
+// connection has copied the chunk to its socket by the time Send returns, so
+// it is served by reference; a reference-passing child could still be reading
+// after pullMu is gone, so behind a leasing upstream it gets a copy.
 func (r *Relay) handleChildPull(ch *relayChild, msg transport.Message) {
 	r.pullMu.Lock()
 	defer r.pullMu.Unlock()
+	toWire := transport.ToWireOwned
+	if r.upLeases && !ch.serializes {
+		toWire = transport.ToWire
+	}
 	params, version, err := r.up.Pull()
 	if err != nil {
 		_ = ch.conn.Send(transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: err.Error()})
@@ -890,7 +949,7 @@ func (r *Relay) handleChildPull(ch *relayChild, msg transport.Message) {
 			out.Codec = r.compression.Codec
 			out.Packed = compress.Pack(params, r.compression)
 		} else {
-			out.Tensors = transport.ToWireOwned(params)
+			out.Tensors = toWire(params)
 		}
 		_ = ch.conn.Send(out)
 		return
@@ -931,7 +990,7 @@ func (r *Relay) handleChildPull(ch *relayChild, msg transport.Message) {
 			out.Codec = r.compression.Codec
 			out.Packed = r.packCache[i].packed
 		} else {
-			out.Tensors = transport.ToWireOwned(ts)
+			out.Tensors = toWire(ts)
 		}
 		if ch.conn.Send(out) != nil {
 			return

@@ -911,7 +911,10 @@ type releaseTarget struct {
 // not apply an update). queueReleases resolves release to targets, the
 // sessions the decision accounted for; delivery goes to exactly those
 // sessions, never to a successor that registered while the batch waited on
-// its gate.
+// its gate. pushed is the push message whose receive buffer the enqueued
+// gradients alias: its lease ends once the gate has passed — the store has
+// applied the ticket and reads the buffer no more — and is left to the
+// garbage collector if the batch never gets that far (server stopped).
 type releaseBatch struct {
 	release []core.WorkerID // decision's worker IDs, as the policy emitted them
 	targets []releaseTarget // release resolved to sessions at decision time
@@ -925,6 +928,7 @@ type releaseBatch struct {
 	errTrunk   *session
 	errWorkers []int
 	ticket     int64
+	pushed     transport.Message
 	// queuedAt stamps the decision time for the release-lag histogram (how
 	// long the sequencer held the batch waiting on its apply gate); the zero
 	// value skips the observation.
@@ -949,6 +953,9 @@ func (s *Server) releaser() {
 			if !b.queuedAt.IsZero() {
 				s.sm.releaseLag.Observe(time.Since(b.queuedAt).Seconds())
 			}
+			// Before the OKs: the worker's next push then finds its
+			// connection's buffer free again.
+			b.pushed.Release()
 			s.sendReleases(b)
 			if b.ticket > 0 {
 				s.tracer.Released(b.ticket, time.Now())
@@ -1078,9 +1085,15 @@ func intsContain(xs []int, v int) bool {
 // matches the serial path exactly. The release decision is queued to the
 // sequencer gated on everything reserved so far, so no released worker can
 // outrun the application of the updates its release depends on.
+//
+// A dense push over TCP is applied straight out of the receive buffer msg
+// leases, so the lease travels with the ticket: the sequencer ends it when
+// the gate has passed. A push that never reaches the store — rejected,
+// dropped, failed, or void — releases it on the spot.
 func (s *Server) handlePush(sess *session, msg transport.Message) {
 	worker := sess.worker
 	if worker < 0 {
+		msg.Release()
 		s.enqueueSession(sess, transport.Message{
 			Type:  transport.MsgError,
 			Error: "replica sessions are read-only",
@@ -1120,6 +1133,7 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 			// lease eviction — the policy counts it out and releases any peers
 			// its absence unblocks, and the closed connection tells the worker.
 			s.tracer.Abandon(tr, "guard")
+			msg.Release()
 			s.leave(sess)
 			_ = sess.conn.Close()
 			return
@@ -1141,6 +1155,7 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 		// policy already counted the worker out, so the push is void.
 		s.policyMu.Unlock()
 		s.tracer.Abandon(tr, "superseded")
+		msg.Release()
 		return
 	}
 	decision := s.cfg.Policy.OnPush(core.WorkerID(worker), now)
@@ -1199,15 +1214,22 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 	if pushErr != nil {
 		errSess = sess
 	}
-	s.queueReleases(releaseBatch{
+	batch := releaseBatch{
 		release:  decision.Release,
 		gate:     s.cfg.Store.Reserved(),
 		errSess:  errSess,
 		err:      pushErr,
 		ticket:   ticket,
 		queuedAt: time.Now(),
-	})
+	}
+	if ticket > 0 {
+		batch.pushed = msg
+	}
+	s.queueReleases(batch)
 	s.policyMu.Unlock()
+	if ticket == 0 {
+		msg.Release()
+	}
 	s.sm.phasePolicy.Observe(time.Since(policyStart).Seconds())
 }
 
@@ -1257,9 +1279,11 @@ func (s *Server) CheckpointError() error {
 // The decode reuses per-session buffers wherever ownership allows: packed
 // payloads decompress into the session's gradient scratch (the lock-step
 // protocol guarantees the previous push's tensors are no longer needed),
-// and a dense push whose message owns its wire buffer is aliased rather
-// than copied. Store.Apply only reads gradients, so neither reuse can leak
-// into the published weights.
+// after which nothing aliases the message's receive buffer and its lease
+// ends; a dense push whose message owns its wire buffer is aliased rather
+// than copied, and the caller keeps the lease until the store is done.
+// Store.Apply only reads gradients, so neither reuse can leak into the
+// published weights.
 func (s *Server) decodePush(sess *session, msg transport.Message) ([]*tensor.Tensor, error) {
 	compressed := msg.Codec != "" || len(msg.Packed) > 0
 	switch {
@@ -1267,6 +1291,7 @@ func (s *Server) decodePush(sess *session, msg transport.Message) ([]*tensor.Ten
 		return nil, fmt.Errorf("push compressed with codec %q but server speaks %s", msg.Codec, s.compression)
 	case compressed:
 		grads, err := compress.DecompressAllReuse(msg.Packed, sess.decodeScratch)
+		msg.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -1286,7 +1311,8 @@ func (s *Server) decodePush(sess *session, msg transport.Message) ([]*tensor.Ten
 // server copies nothing — and goes onto the wire as soon as the shard's
 // reference is grabbed, so pulls from different workers, and a pull
 // overlapping an in-flight push on other shards, proceed concurrently. The
-// worker-side wire decode copies the data, keeping workers isolated.
+// worker's wire decode reads the bytes into a buffer of its own, keeping
+// workers isolated.
 //
 // With pull compression negotiated, each chunk instead carries the shard's
 // packed form from the store's per-shard cache: the quantization pass runs

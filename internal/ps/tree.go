@@ -292,10 +292,13 @@ func (s *Server) trunkGone(trunk *session) {
 // Unlike the lock-step worker path, trunk pushes pipeline — the relay may
 // flush partial n+1 before partial n's children are released — so the decode
 // never reuses session scratch: the previous payload may still be queued on
-// a shard applier.
+// a shard applier. Leased receive buffers pipeline for free: each partial
+// holds its own until the sequencer has seen its tickets applied
+// (releaseBatch.pushed), exactly as a worker's push does.
 func (s *Server) handleRelayPush(sess *session, msg transport.Message) {
 	entries := msg.PushEntries
 	if len(entries) == 0 {
+		msg.Release()
 		s.enqueueSession(sess, transport.Message{
 			Type:  transport.MsgError,
 			Error: "relay push carries no entries",
@@ -304,6 +307,7 @@ func (s *Server) handleRelayPush(sess *session, msg transport.Message) {
 	}
 	for _, e := range entries {
 		if e.Worker < 0 || e.Worker >= s.cfg.Workers {
+			msg.Release()
 			s.enqueueSession(sess, transport.Message{
 				Type:  transport.MsgError,
 				Error: fmt.Sprintf("relay push entry names worker %d outside [0,%d)", e.Worker, s.cfg.Workers),
@@ -320,6 +324,7 @@ func (s *Server) handleRelayPush(sess *session, msg transport.Message) {
 	s.policyMu.Lock()
 	if !s.sessions.current(sess) {
 		s.policyMu.Unlock()
+		msg.Release()
 		return
 	}
 	var release []core.WorkerID
@@ -378,7 +383,7 @@ func (s *Server) handleRelayPush(sess *session, msg transport.Message) {
 			}
 		}
 	}
-	s.queueReleases(releaseBatch{
+	batch := releaseBatch{
 		release:    release,
 		gate:       s.cfg.Store.Reserved(),
 		errTrunk:   errTrunk,
@@ -386,8 +391,15 @@ func (s *Server) handleRelayPush(sess *session, msg transport.Message) {
 		errWorkers: errWorkers,
 		ticket:     ticket,
 		queuedAt:   time.Now(),
-	})
+	}
+	if ticket > 0 {
+		batch.pushed = msg
+	}
+	s.queueReleases(batch)
 	s.policyMu.Unlock()
+	if ticket == 0 {
+		msg.Release()
+	}
 	s.sm.phasePolicy.Observe(time.Since(policyStart).Seconds())
 }
 
@@ -400,7 +412,9 @@ func (s *Server) decodeRelayPush(msg transport.Message) ([]*tensor.Tensor, error
 	case compressed && (!s.compression.Enabled() || msg.Codec != s.compression.Codec):
 		return nil, fmt.Errorf("push compressed with codec %q but server speaks %s", msg.Codec, s.compression)
 	case compressed:
-		return compress.DecompressAll(msg.Packed)
+		grads, err := compress.DecompressAll(msg.Packed)
+		msg.Release()
+		return grads, err
 	case s.compression.Enabled():
 		return nil, fmt.Errorf("uncompressed push but server speaks %s", s.compression)
 	case msg.PayloadOwned():

@@ -6,14 +6,25 @@ import (
 	"testing"
 )
 
+// BenchmarkMatMul128 names the bound kernel in its one sub-benchmark: the
+// assembly is 5x the Go loops, so a baseline recorded on an AVX2 machine would
+// fail the bench gate on a runner without it. BENCH_baseline.json holds an
+// entry for each name (make bench-baseline appends a -tags purego run) and
+// the gate compares whichever this machine produces.
 func BenchmarkMatMul128(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := New(128, 128).RandNormal(rng, 0, 1)
-	y := New(128, 128).RandNormal(rng, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+	kernel := "go"
+	if asmKernels {
+		kernel = "avx2"
 	}
+	b.Run("kernel="+kernel, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		x := New(128, 128).RandNormal(rng, 0, 1)
+		y := New(128, 128).RandNormal(rng, 0, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MatMul(x, y)
+		}
+	})
 }
 
 func BenchmarkMatMulTransA128(b *testing.B) {

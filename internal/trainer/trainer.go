@@ -414,13 +414,15 @@ func runWorker(cfg Config, connect func(workerID int) (trainClient, error), work
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		// Step 3: push the gradients and wait for the server's OK. A listed
-		// adversary corrupts the push first (and may lie about its base
-		// version); the tensors are this worker's own clone, so corruption
-		// never leaks into the replica.
-		grads := replica.CloneGrads()
+		// Step 3: push the gradients and wait for the server's OK — the
+		// replica's own tensors, which the client copies or serializes before
+		// PushAndWait returns. A listed adversary corrupts the push first
+		// (and may lie about its base version), on a private clone so the
+		// corruption never leaks into the replica.
+		grads := replica.Grads()
 		claimed := version
 		if adv.active() {
+			grads = replica.CloneGrads()
 			claimed = adv.corrupt(grads, version)
 		}
 		if err := client.PushAndWait(grads, claimed, it); err != nil {

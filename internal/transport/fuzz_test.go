@@ -11,10 +11,17 @@ import (
 
 // FuzzDecodeFrame drives the binary frame decoder with arbitrary bytes. The
 // contract under attack: any input either decodes into a message or returns
-// an error — never a panic — and the decoder must not allocate in proportion
-// to a forged length or count field (the seeds below include a frame that
-// declares a quarter-gigabyte body backed by a handful of bytes; the chunked
-// body reader and the count-versus-remaining-bytes guards keep that cheap).
+// an error — never a panic — and the decoder's allocation stays bounded by
+// the input actually present, not by a forged length or count field (the
+// seeds below include a frame that declares a quarter-gigabyte body backed by
+// a handful of bytes; the chunked body reader and the
+// count-versus-remaining-bytes guards keep that cheap). The bound for a body
+// read into a fresh buffer is two read chunks (2 MiB) or twice the bytes that
+// arrived plus one chunk, whichever is larger: bodies of up to two chunks are
+// allocated whole (TestReadBodyAllocationBounds pins both halves). A fuzz
+// input is one frame through a fresh reader, so the leased-buffer path — which
+// reads into a recycled buffer some earlier, real frame sized — never runs
+// here.
 //
 // Successfully decoded messages must additionally be canonical: re-encoding
 // a decode and decoding it again reproduces the same bytes, pinning

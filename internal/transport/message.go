@@ -6,9 +6,11 @@
 //
 // On TCP the default encoding is a versioned, length-delimited binary frame
 // protocol (wire.go; byte-level specification in docs/PROTOCOL.md) whose
-// tensor payloads travel as raw little-endian float32 slabs: encoding is a
-// header write plus copy, and decoding aliases the read buffer so a weights
-// chunk costs one allocation regardless of size. The legacy gob encoding
+// tensor payloads travel as raw little-endian float32 slabs: a large slab is
+// sent straight from the tensor's memory, and decoding aliases a receive
+// buffer leased to the message (Message.Release hands it back for the next
+// frame), so a weights chunk is copied once per direction in user space and
+// costs no allocation in the steady state. The legacy gob encoding
 // remains available behind transport.WireGob (the -wire flag on cmd/psserver
 // and cmd/psworker) for A/B comparison; both ends of a connection must speak
 // the same format, and a mismatch fails fast with an explicit error in the
@@ -251,18 +253,36 @@ type Message struct {
 
 	// ownedPayload marks a message whose Tensors data and Packed payloads
 	// are owned by the message alone — set by the TCP transports, whose
-	// decoders allocate (or alias a private read buffer) per message. The
-	// in-process channel transport passes messages by reference, where
-	// tensor data may still alias the sender's storage (e.g. the store's
-	// copy-on-write snapshots), so it leaves the flag unset and receivers
-	// must copy before mutating.
+	// decoders allocate (or alias a buffer leased to the message) per
+	// message. The in-process channel transport passes messages by
+	// reference, where tensor data may still alias the sender's storage
+	// (e.g. the store's copy-on-write snapshots), so it leaves the flag
+	// unset and receivers must copy before mutating.
 	ownedPayload bool
+	// lease is the pooled receive buffer the payload aliases, nil when the
+	// payload is the message's own allocation (control frames, gob, the
+	// channel transport). Copies of the message share it.
+	lease *bodyLease
 }
 
 // PayloadOwned reports whether the message exclusively owns its tensor data
-// and packed payloads. When true, FromWireOwned may wrap them without
-// copying; when false, use FromWire.
+// and packed payloads — until Release. When true, FromWireOwned may wrap
+// them without copying; when false, use FromWire.
 func (m *Message) PayloadOwned() bool { return m.ownedPayload }
+
+// Release ends the message's lease on the receive buffer its payload aliases,
+// handing the buffer back to the connection for a later frame: Tensors data,
+// Packed payloads and everything FromWireOwned wrapped around them must not
+// be read afterwards. It is idempotent across every copy of the message, a
+// no-op on a nil message and on one that holds no lease, and optional — a
+// message that is never released is garbage-collected with its buffer, which
+// costs the connection an allocation for a later frame and nothing else.
+func (m *Message) Release() {
+	if m == nil || m.lease == nil {
+		return
+	}
+	m.lease.release()
+}
 
 // copyPayloads deep-copies the payload sections that may alias a shared
 // decode buffer, detaching the message from it.
@@ -305,6 +325,26 @@ func ToWireOwned(ts []*tensor.Tensor) []WireTensor {
 	return out
 }
 
+// ToWireOwnedInto is ToWireOwned reusing dst's WireTensor headers, for
+// callers that send the same parameter layout over and over through a
+// SerializingSender (the client's dense push path): the wire tensors alias
+// the inputs' storage, which must stay unmodified until Send returns and may
+// be rewritten freely afterwards. The returned slice may alias dst.
+func ToWireOwnedInto(dst []WireTensor, ts []*tensor.Tensor) []WireTensor {
+	if cap(dst) < len(ts) {
+		dst = make([]WireTensor, len(ts))
+	}
+	dst = dst[:len(ts)]
+	for i, t := range ts {
+		shape := dst[i].Shape
+		if !t.ShapeEquals(shape) {
+			shape = t.Shape()
+		}
+		dst[i] = WireTensor{Shape: shape, Data: t.Data()}
+	}
+	return dst
+}
+
 // ToWireInto is ToWire reusing dst's WireTensor headers and data buffers
 // when shapes allow, for callers that send the same parameter layout over
 // and over (the client's dense push path). The returned slice may alias dst.
@@ -340,8 +380,9 @@ func FromWire(ws []WireTensor) ([]*tensor.Tensor, error) {
 
 // FromWireOwned converts serialized tensors into tensor values that alias
 // the wire data without copying. It is only valid on messages whose
-// PayloadOwned reports true, and transfers ownership: the message must not
-// be reused after the call.
+// PayloadOwned reports true. The tensors share the message's lease on its
+// receive buffer: they are valid until the message is released (for good,
+// when it never is), and whoever keeps them decides when that is.
 func FromWireOwned(ws []WireTensor) ([]*tensor.Tensor, error) {
 	return fromWire(ws, true)
 }
@@ -384,8 +425,9 @@ type BatchSender interface {
 // Send and SendBatch fully serialize the message payload before returning:
 // once the call returns, buffers the message aliases are never read again by
 // the transport or the peer, so the caller may recycle them. Both TCP
-// transports qualify — they encode into the socket (binary) or the write
-// buffer (gob) synchronously. The in-process channel transport does not: it
+// transports qualify — they hand the frame to the socket, payload slabs
+// included (binary), or encode it into the write buffer (gob), synchronously.
+// The in-process channel transport does not: it
 // hands the Message itself to the peer, which may hold the aliased tensors
 // indefinitely.
 type SerializingSender interface {

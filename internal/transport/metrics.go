@@ -23,6 +23,10 @@ type Metrics struct {
 	sentBytes, recvBytes   [MsgPromote + 1]*obs.Counter
 	otherSent, otherRecv   *obs.Counter // frames of unknown future types
 	batch                  *obs.Histogram
+	// bodyReuse and bodyAlloc count received payload frames by where their
+	// body went: a recycled leased buffer or a fresh allocation. Their ratio
+	// is the one source for "receive stopped allocating".
+	bodyReuse, bodyAlloc *obs.Counter
 }
 
 // NewMetrics registers the transport metric families on reg and returns a
@@ -36,6 +40,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m := &Metrics{
 		batch: reg.Histogram("dssp_transport_batch_size",
 			"Messages coalesced per batched send.", obs.SizeBuckets),
+		bodyReuse: reg.Counter("dssp_transport_recv_body_reuse_total",
+			"Received payload frames read into a recycled leased buffer."),
+		bodyAlloc: reg.Counter("dssp_transport_recv_body_alloc_total",
+			"Received payload frames read into a freshly allocated buffer."),
 	}
 	for t := MsgRegister; t <= MsgPromote; t++ {
 		m.sentFrames[t] = frames.With("sent", t.String())
@@ -72,6 +80,21 @@ func (m *Metrics) Received(t MessageType, n int) {
 	}
 	m.recvFrames[t].Inc()
 	m.recvBytes[t].Add(uint64(n))
+}
+
+// recvBody records where the binary wire read one frame's body (the
+// frameReader's body* constants); control frames in the shared scratch count
+// as neither reuse nor allocation.
+func (m *Metrics) recvBody(where int) {
+	if m == nil {
+		return
+	}
+	switch where {
+	case bodyReused:
+		m.bodyReuse.Inc()
+	case bodyAlloc:
+		m.bodyAlloc.Inc()
+	}
 }
 
 // Batch records one coalesced send of n messages.

@@ -24,6 +24,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"dssp/internal/compress"
@@ -58,17 +59,27 @@ const (
 	// what it allocates) against corrupt or hostile length fields.
 	maxFrameBody = 1 << 28
 
-	// bodyReadChunk is the allocation step while reading a body: the buffer
+	// bodyReadChunk is the allocation step while reading a body into a fresh
+	// buffer: a body of up to two chunks is allocated whole, a larger one
 	// grows as bytes actually arrive, so a forged multi-megabyte length
-	// header costs at most one chunk of memory, not the declared size.
+	// header costs at most two chunks of memory, not the declared size.
 	bodyReadChunk = 1 << 20
 
 	// smallBodyMax is the largest body decoded into the connection's
 	// reusable scratch buffer. Control messages (Register, OK, Pull,
 	// Heartbeat, ...) all fit, making the steady-state protocol chatter
-	// allocation-free; payload messages get a private buffer their tensors
-	// may alias.
+	// allocation-free; payload messages get a buffer of their own, leased
+	// from the connection's free list, that their tensors may alias until
+	// Message.Release hands it back.
 	smallBodyMax = 4 << 10
+
+	// maxFreeBodyBytes and maxFreeBodies cap what a connection's free list of
+	// released body buffers retains (summed capacity, and entries — the list
+	// is scanned linearly). The steady state needs one or two buffers of the
+	// connection's payload frame size; a frame larger than the cap is simply
+	// allocated and dropped again, as before leasing.
+	maxFreeBodyBytes = 8 << 20
+	maxFreeBodies    = 8
 
 	// maxTensorDims bounds the rank of a wire tensor. The models top out at
 	// 4 (conv weights); 8 leaves headroom without letting a corrupt rank
@@ -207,25 +218,95 @@ func bytesFloat32(b []byte, n int) []float32 {
 
 // --- Encoding ---------------------------------------------------------------
 
+// refSlabMin is the smallest payload slab (a tensor's float32 data, a packed
+// tensor's payload) a vectored send puts on the wire by reference. Below it
+// the copy into the frame buffer is cheaper than one more iovec entry, and a
+// small model's whole frame still leaves in the single Write it always did.
+const refSlabMin = 16 << 10
+
+// slabRef is one by-reference segment of an assembled frame: data belongs on
+// the wire between the inline bytes before off and those from off on.
+type slabRef struct {
+	off  int
+	data []byte
+}
+
+// frameRefs collects the slabs appendFrameRefs leaves out of the inline
+// buffer, in wire order. A nil *frameRefs inlines everything.
+type frameRefs struct {
+	// min is the smallest slab taken by reference.
+	min   int
+	list  []slabRef
+	bytes int // total length of list's data
+}
+
+// size is the number of bytes taken by reference so far (nil-safe).
+func (r *frameRefs) size() int {
+	if r == nil {
+		return 0
+	}
+	return r.bytes
+}
+
+// take records data as the next by-reference segment at dst's current end
+// and reports whether it did; on false the caller appends data inline. Only
+// little-endian hosts qualify: elsewhere float slabs need conversion.
+func (r *frameRefs) take(dst []byte, data []byte) bool {
+	if r == nil || !hostLittleEndian || len(data) < r.min {
+		return false
+	}
+	r.list = append(r.list, slabRef{off: len(dst), data: data})
+	r.bytes += len(data)
+	return true
+}
+
+// truncate drops the segments recorded after the first n (an abandoned
+// frame's) and their bytes.
+func (r *frameRefs) truncate(n int) {
+	if r == nil {
+		return
+	}
+	for i := n; i < len(r.list); i++ {
+		r.bytes -= len(r.list[i].data)
+		r.list[i] = slabRef{}
+	}
+	r.list = r.list[:n]
+}
+
 // appendFrame appends the complete frame for m (header + body) to dst and
 // returns the extended slice. It is the single source of truth for what goes
 // on the wire; Send and the tests both route through it.
 func appendFrame(dst []byte, m *Message) ([]byte, error) {
+	return appendFrameRefs(dst, m, nil)
+}
+
+// appendFrameRefs is appendFrame leaving the payload slabs refs accepts out
+// of dst: the frame on the wire is dst with every recorded slab spliced in at
+// its offset, byte for byte what appendFrame produces.
+func appendFrameRefs(dst []byte, m *Message, refs *frameRefs) ([]byte, error) {
 	if m.Type < 1 || m.Type > 255 {
 		return dst, fmt.Errorf("transport: message type %d outside the wire range [1,255]", m.Type)
 	}
 	start := len(dst)
+	refStart, refCount := refs.size(), 0
+	if refs != nil {
+		refCount = len(refs.list)
+	}
 	// Header placeholder; the length lands after the body is assembled.
 	dst = append(dst, wireMagic...)
 	dst = append(dst, frameVersion(m), byte(m.Type), 0, 0, 0, 0, 0, 0)
 
-	bodyStart := len(dst)
+	// The body's offset in the spliced stream: by-reference bytes count as
+	// if they sat in dst.
+	bodyStart := len(dst) + refStart
 	var err error
-	if dst, err = appendBody(dst, bodyStart, m); err != nil {
+	if dst, err = appendBody(dst, bodyStart, m, refs); err != nil {
+		refs.truncate(refCount)
 		return dst[:start], err
 	}
-	bodyLen := len(dst) - bodyStart
+	bodyLen := len(dst) + refs.size() - bodyStart
 	if bodyLen > maxFrameBody {
+		refs.truncate(refCount)
 		return dst[:start], fmt.Errorf("transport: %v frame body of %d bytes exceeds the %d-byte limit",
 			m.Type, bodyLen, maxFrameBody)
 	}
@@ -234,8 +315,8 @@ func appendFrame(dst []byte, m *Message) ([]byte, error) {
 }
 
 // appendBody appends m's tagged fields. bodyStart is the body's offset in
-// dst, the origin for slab alignment.
-func appendBody(dst []byte, bodyStart int, m *Message) ([]byte, error) {
+// the spliced stream (dst plus refs), the origin for slab alignment.
+func appendBody(dst []byte, bodyStart int, m *Message, refs *frameRefs) ([]byte, error) {
 	var err error
 	if dst, err = appendIntField(dst, tagWorker, m.Worker, "Worker"); err != nil {
 		return dst, err
@@ -285,12 +366,12 @@ func appendBody(dst []byte, bodyStart int, m *Message) ([]byte, error) {
 		dst = append(dst, m.Error...)
 	}
 	if len(m.Tensors) > 0 {
-		if dst, err = appendTensorSection(dst, bodyStart, m.Tensors); err != nil {
+		if dst, err = appendTensorSection(dst, bodyStart, m.Tensors, refs); err != nil {
 			return dst, err
 		}
 	}
 	if len(m.Packed) > 0 {
-		if dst, err = appendPackedSection(dst, m.Packed); err != nil {
+		if dst, err = appendPackedSection(dst, m.Packed, refs); err != nil {
 			return dst, err
 		}
 	}
@@ -393,8 +474,8 @@ func appendIntField(dst []byte, tag byte, v int, name string) ([]byte, error) {
 
 // appendTensorSection appends the dense-tensor section: a count followed by
 // each tensor's rank, dimensions, element count, alignment padding, and raw
-// float32 slab.
-func appendTensorSection(dst []byte, bodyStart int, ts []WireTensor) ([]byte, error) {
+// float32 slab — appended, or handed to refs when it takes the slab.
+func appendTensorSection(dst []byte, bodyStart int, ts []WireTensor, refs *frameRefs) ([]byte, error) {
 	dst = append(dst, tagTensors)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ts)))
 	for i, t := range ts {
@@ -418,11 +499,13 @@ func appendTensorSection(dst []byte, bodyStart int, ts []WireTensor) ([]byte, er
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 		// Pad so the slab starts 4-byte aligned relative to the body start,
 		// letting the decoder alias it as []float32 directly.
-		for (len(dst)-bodyStart)%4 != 0 {
+		for (len(dst)+refs.size()-bodyStart)%4 != 0 {
 			dst = append(dst, 0)
 		}
 		if hostLittleEndian {
-			dst = append(dst, float32Bytes(t.Data)...)
+			if slab := float32Bytes(t.Data); !refs.take(dst, slab) {
+				dst = append(dst, slab...)
+			}
 		} else {
 			for _, v := range t.Data {
 				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
@@ -433,14 +516,18 @@ func appendTensorSection(dst []byte, bodyStart int, ts []WireTensor) ([]byte, er
 }
 
 // appendPackedSection appends the compressed-tensor section; the per-tensor
-// layout is owned by compress.Packed.AppendBinary.
-func appendPackedSection(dst []byte, ps []compress.Packed) ([]byte, error) {
+// layout is owned by compress.Packed (AppendBinary is the header followed by
+// the payload, which refs may take).
+func appendPackedSection(dst []byte, ps []compress.Packed, refs *frameRefs) ([]byte, error) {
 	dst = append(dst, tagPacked)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ps)))
 	for i, p := range ps {
 		var err error
-		if dst, err = p.AppendBinary(dst); err != nil {
+		if dst, err = p.AppendBinaryHeader(dst); err != nil {
 			return dst, fmt.Errorf("transport: packed tensor %d: %w", i, err)
+		}
+		if !refs.take(dst, p.Payload) {
+			dst = append(dst, p.Payload...)
 		}
 	}
 	return dst, nil
@@ -448,30 +535,136 @@ func appendPackedSection(dst []byte, ps []compress.Packed) ([]byte, error) {
 
 // --- Decoding ---------------------------------------------------------------
 
+// bodyPool is a connection's free list of released body buffers. Buffers
+// leave it when readFrame leases one to a message and come back through
+// Message.Release, from whichever goroutine finished with the payload; one
+// that never comes back is garbage-collected with its message.
+type bodyPool struct {
+	mu     sync.Mutex
+	free   [][]byte
+	bytes  int // summed capacity of free
+	closed bool
+}
+
+// get removes and returns the smallest free buffer with room for n bytes,
+// emptied, or nil.
+func (p *bodyPool) get(n int) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	best := -1
+	for i, b := range p.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(p.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	buf := p.free[best]
+	last := len(p.free) - 1
+	p.free[best] = p.free[last]
+	p.free[last] = nil
+	p.free = p.free[:last]
+	p.bytes -= cap(buf)
+	return buf[:0]
+}
+
+// put returns a buffer to the free list, evicting the oldest entries to stay
+// under the caps; a buffer over the byte cap on its own, or one released
+// after the connection closed, is dropped.
+func (p *bodyPool) put(buf []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || cap(buf) > maxFreeBodyBytes {
+		return
+	}
+	for len(p.free) > 0 && (p.bytes+cap(buf) > maxFreeBodyBytes || len(p.free) >= maxFreeBodies) {
+		p.bytes -= cap(p.free[0])
+		copy(p.free, p.free[1:])
+		p.free[len(p.free)-1] = nil
+		p.free = p.free[:len(p.free)-1]
+	}
+	p.free = append(p.free, buf)
+	p.bytes += cap(buf)
+}
+
+// close drops the free list; later releases are dropped too.
+func (p *bodyPool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.free, p.bytes = nil, 0
+	p.mu.Unlock()
+}
+
+// bodyLease ties a decoded message to the pooled buffer its payload aliases.
+// Copies of the message share it, so whichever copy releases first wins and
+// the rest are no-ops.
+type bodyLease struct {
+	pool *bodyPool
+	buf  []byte
+	done atomic.Bool
+}
+
+// releaseHook, when set, sees every leased body at the moment it is
+// released, before the buffer can be leased again (SetReleaseHook).
+var releaseHook atomic.Pointer[func(body []byte)]
+
+// SetReleaseHook installs fn to observe each leased receive buffer at the
+// moment its message releases it, and returns a function restoring the
+// previous hook. It exists for tests that poison released buffers so that a
+// reader still holding one fails loudly; nothing outside tests calls it.
+func SetReleaseHook(fn func(body []byte)) (restore func()) {
+	prev := releaseHook.Swap(&fn)
+	return func() { releaseHook.Store(prev) }
+}
+
+func (l *bodyLease) release() {
+	if l.done.Swap(true) {
+		return
+	}
+	if h := releaseHook.Load(); h != nil && *h != nil {
+		(*h)(l.buf)
+	}
+	l.pool.put(l.buf)
+}
+
+// How readFrame obtained the last frame's body, for the receive-side reuse
+// metering (Metrics.recvBody).
+const (
+	bodyScratch = iota // control message decoded in the shared scratch
+	bodyReused         // payload frame read into a recycled leased buffer
+	bodyAlloc          // payload frame read into a fresh allocation
+)
+
 // frameReader holds the per-connection decode state reused across messages.
 type frameReader struct {
 	br *bufio.Reader
 	// scratch is the reusable buffer for small (control-message) bodies.
 	scratch []byte
+	// pool recycles the buffers of payload frames once their messages
+	// release them.
+	pool *bodyPool
 	// frames counts successfully started reads, distinguishing the very
 	// first frame (where a mismatch means a misconfigured peer, not
 	// corruption) from mid-stream failures.
 	frames int
 	// lastSize is the on-wire size (header + body) of the last frame
-	// readFrame decoded, for transport metering.
+	// readFrame decoded and lastBody where its body went, for transport
+	// metering.
 	lastSize int
+	lastBody int
 }
 
-// newFrameReader sizes the buffered reader for shard-chunk payloads: one
-// reader per connection, reused for every message, large enough that a
-// weights chunk streams through in big reads instead of per-message
-// allocations or tiny kernel round trips.
+// newFrameReader wraps a connection's buffered reader (binaryReadBuffer says
+// what it buffers and what it must not): one reader per connection, reused
+// for every message.
 func newFrameReader(r *bufio.Reader) *frameReader {
-	return &frameReader{br: r, scratch: make([]byte, 0, smallBodyMax)}
+	return &frameReader{br: r, scratch: make([]byte, 0, smallBodyMax), pool: &bodyPool{}}
 }
 
 // readFrame reads and decodes one frame. The returned message owns its
-// payload: tensor data may alias a buffer that belongs to the message alone.
+// payload: tensor data may alias a buffer that is the message's alone until
+// Message.Release hands it back to this reader's free list.
 func (fr *frameReader) readFrame() (Message, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
@@ -504,45 +697,64 @@ func (fr *frameReader) readFrame() (Message, error) {
 	bodyLen := int(declared)
 	fr.lastSize = headerSize + bodyLen
 
-	var body []byte
-	reused := false
 	if bodyLen <= smallBodyMax {
-		body = fr.scratch[:0]
-		reused = true
-	}
-	body, err := readBody(fr.br, body, bodyLen)
-	if err != nil {
-		return Message{}, err
-	}
-	if reused {
+		body, err := readBody(fr.br, fr.scratch[:0], bodyLen)
+		if err != nil {
+			return Message{}, err
+		}
 		fr.scratch = body[:0]
-	}
-
-	m, err := parseBody(typ, version, body)
-	if err != nil {
-		return Message{}, err
-	}
-	if reused {
+		fr.lastBody = bodyScratch
+		m, err := parseBody(typ, version, body)
+		if err != nil {
+			return Message{}, err
+		}
 		// The scratch buffer is reused by the next Recv, so any payload
 		// parsed out of it must be copied before the message escapes.
-		// Control messages carry no payload, so this path never runs in the
+		// Control messages carry no payload, so this never copies in the
 		// steady state.
 		m.copyPayloads()
+		m.ownedPayload = true
+		return m, nil
+	}
+
+	// A payload frame gets a leased buffer. A recycled one was sized by a
+	// frame that really arrived, so readBody fills it as it is; only when
+	// there is none does its guard against a forged length allocate.
+	pooled := fr.pool.get(bodyLen)
+	fr.lastBody = bodyAlloc
+	if pooled != nil {
+		fr.lastBody = bodyReused
+	}
+	body, err := readBody(fr.br, pooled, bodyLen)
+	if err != nil {
+		if pooled != nil {
+			fr.pool.put(pooled)
+		}
+		return Message{}, err
+	}
+	m, err := parseBody(typ, version, body)
+	if err != nil {
+		fr.pool.put(body)
+		return Message{}, err
 	}
 	m.ownedPayload = true
+	m.lease = &bodyLease{pool: fr.pool, buf: body}
 	return m, nil
 }
 
-// readBody reads exactly n bytes into (a possibly grown) dst. The buffer
-// grows in bounded chunks as data actually arrives, so a forged length field
-// cannot drive a huge up-front allocation.
+// readBody reads exactly n bytes into (a possibly grown) dst. A body of up to
+// two read chunks is allocated whole — growing it would allocate the first
+// chunk, then the full size, and copy one across, for a frame that is a
+// model's everyday weights chunk. A larger body grows in bounded chunks as
+// data actually arrives, so a forged length field cannot drive a huge
+// up-front allocation: at most two chunks, or twice what arrived plus one.
 func readBody(br *bufio.Reader, dst []byte, n int) ([]byte, error) {
 	if cap(dst) < n {
 		want := cap(dst)
 		if want < bodyReadChunk {
 			want = bodyReadChunk
 		}
-		if want > n {
+		if want > n || n <= 2*bodyReadChunk {
 			want = n
 		}
 		// Fresh buffer: allocations are at least pointer-aligned, keeping
@@ -930,11 +1142,14 @@ func mismatchHint(first bool) string {
 // --- The binary Conn --------------------------------------------------------
 
 // binaryConn is a Conn over a TCP socket speaking the versioned binary frame
-// protocol. Send assembles the frame into a reusable buffer and writes it
-// with a single syscall; Recv reuses a buffered reader sized for shard
-// chunks and a scratch buffer for control messages, so the steady-state
-// protocol allocates only the payload buffers that messages alias and own.
-// A mutex on each direction allows Send and Recv from different goroutines.
+// protocol. Send assembles headers, tags and small slabs into a reusable
+// buffer and writes the frame with a single syscall, gathering large payload
+// slabs straight from the memory they live in (writev); Recv reuses a small
+// buffered reader for headers and control frames, a scratch buffer for
+// control bodies and leased buffers for payload frames, so the steady-state
+// protocol copies a payload once per direction in user space — socket to
+// leased buffer — and allocates nothing that scales with it. A mutex on each
+// direction allows Send and Recv from different goroutines.
 type binaryConn struct {
 	conn net.Conn
 	// server marks the accepting side, which answers a first-frame wire
@@ -945,17 +1160,29 @@ type binaryConn struct {
 	// message type and direction.
 	meter *Metrics
 
+	// encBuf holds a send's inline bytes and refs the slabs going out by
+	// reference; vec is the reused backing array of the gather list built
+	// from the two, bufs the net.Buffers view WriteTo consumes, and sizes
+	// SendBatch's per-frame byte counts for the meter. All guarded by encMu.
 	encMu  sync.Mutex
 	encBuf []byte
+	refs   frameRefs
+	vec    [][]byte
+	bufs   net.Buffers
+	sizes  []int
 
 	decMu sync.Mutex
 	fr    *frameReader
 }
 
-// binaryReadBuffer sizes the per-connection read buffer: big enough that a
-// typical weights shard chunk arrives in few reads, small enough to be
-// irrelevant against the payloads themselves.
-const binaryReadBuffer = 256 << 10
+// binaryReadBuffer sizes the per-connection read buffer. It exists for the
+// small frames: a header, a run of OKs and heartbeats, a control reply behind
+// them all arrive in one read. A payload body must not pass through it —
+// whatever of the body the header's read already pulled in is copied out
+// again — and bufio reads straight into the destination once it is asked for
+// at least a buffer's worth, so the buffer is kept no larger than the frames
+// it is for: at 256 KB a quarter of every megabyte body was copied twice.
+const binaryReadBuffer = 16 << 10
 
 // maxRetainedEncBuf caps the encode buffer kept between sends: reuse makes
 // the steady state allocation-free, but an occasional outsized batch (a
@@ -977,31 +1204,34 @@ func newBinaryConn(c net.Conn, server bool) *binaryConn {
 	return &binaryConn{
 		conn:   c,
 		server: server,
+		refs:   frameRefs{min: refSlabMin},
 		fr:     newFrameReader(bufio.NewReaderSize(c, binaryReadBuffer)),
 	}
 }
 
-// Send implements Conn. The frame is assembled in a reusable buffer and
-// written with one Write call, so a sent message is never stranded in user
-// space and steady-state sends allocate nothing.
+// Send implements Conn. The frame's inline bytes are assembled in a reusable
+// buffer and the frame leaves in one write call (a writev when payload slabs
+// go by reference), so a sent message is never stranded in user space, the
+// memory it aliases is not read after Send returns, and steady-state sends
+// allocate nothing.
 func (c *binaryConn) Send(m Message) error {
 	c.encMu.Lock()
 	defer c.encMu.Unlock()
-	buf, err := appendFrame(c.encBuf[:0], &m)
+	buf, err := appendFrameRefs(c.encBuf[:0], &m, &c.refs)
 	if err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Type, err)
 	}
-	c.encBuf = retainEncBuf(buf)
-	if _, err := c.conn.Write(buf); err != nil {
+	size := len(buf) + c.refs.bytes
+	if err := c.writeLocked(buf); err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Type, err)
 	}
-	c.meter.Sent(m.Type, len(buf))
+	c.meter.Sent(m.Type, size)
 	return nil
 }
 
 // SendBatch implements BatchSender: every frame is assembled back to back in
-// the reusable buffer and the whole batch goes to the kernel in one Write,
-// so releasing a barrier's worth of queued messages costs one syscall
+// the reusable buffer and the whole batch goes to the kernel in one write
+// call, so releasing a barrier's worth of queued messages costs one syscall
 // instead of one per message.
 func (c *binaryConn) SendBatch(ms []Message) error {
 	if len(ms) == 0 {
@@ -1010,31 +1240,59 @@ func (c *binaryConn) SendBatch(ms []Message) error {
 	c.encMu.Lock()
 	defer c.encMu.Unlock()
 	buf := c.encBuf[:0]
+	c.sizes = c.sizes[:0]
 	var err error
-	var sizes []int
-	if c.meter != nil {
-		sizes = make([]int, len(ms))
-	}
 	for i := range ms {
-		before := len(buf)
-		if buf, err = appendFrame(buf, &ms[i]); err != nil {
+		before := len(buf) + c.refs.bytes
+		if buf, err = appendFrameRefs(buf, &ms[i], &c.refs); err != nil {
+			c.refs.truncate(0)
 			return fmt.Errorf("transport: send %v: %w", ms[i].Type, err)
 		}
-		if sizes != nil {
-			sizes[i] = len(buf) - before
-		}
+		c.sizes = append(c.sizes, len(buf)+c.refs.bytes-before)
 	}
-	c.encBuf = retainEncBuf(buf)
-	if _, err := c.conn.Write(buf); err != nil {
+	if err := c.writeLocked(buf); err != nil {
 		return fmt.Errorf("transport: send batch of %d: %w", len(ms), err)
 	}
 	if c.meter != nil {
 		for i := range ms {
-			c.meter.Sent(ms[i].Type, sizes[i])
+			c.meter.Sent(ms[i].Type, c.sizes[i])
 		}
 		c.meter.Batch(len(ms))
 	}
 	return nil
+}
+
+// writeLocked puts the assembled frames on the wire: buf alone in one Write
+// when nothing went by reference, otherwise buf's pieces and the recorded
+// slabs gathered in wire order — a single writev on a TCP socket, sequential
+// writes on any other net.Conn. Whatever the outcome the slabs are dropped
+// from the connection's state before it returns. Caller holds encMu.
+func (c *binaryConn) writeLocked(buf []byte) error {
+	c.encBuf = retainEncBuf(buf)
+	if len(c.refs.list) == 0 {
+		_, err := c.conn.Write(buf)
+		return err
+	}
+	vec := c.vec[:0]
+	prev := 0
+	for _, r := range c.refs.list {
+		if r.off > prev {
+			vec = append(vec, buf[prev:r.off])
+		}
+		vec = append(vec, r.data)
+		prev = r.off
+	}
+	if prev < len(buf) {
+		vec = append(vec, buf[prev:])
+	}
+	// WriteTo consumes c.bufs (a view of vec); vec keeps the backing array
+	// for the next send, its entries cleared so it pins no payload.
+	c.bufs = vec
+	_, err := c.bufs.WriteTo(c.conn)
+	clear(vec)
+	c.vec, c.bufs = vec[:0], nil
+	c.refs.truncate(0)
+	return err
 }
 
 // Recv implements Conn.
@@ -1068,6 +1326,7 @@ func (c *binaryConn) Recv() (Message, error) {
 		return Message{}, fmt.Errorf("transport: recv: %w", err)
 	}
 	c.meter.Received(m.Type, c.fr.lastSize)
+	c.meter.recvBody(c.fr.lastBody)
 	return m, nil
 }
 
@@ -1079,12 +1338,16 @@ func (c *binaryConn) sendLegacyError(text string) {
 	writeGobError(c.conn, text)
 }
 
-// Close implements Conn.
-func (c *binaryConn) Close() error { return c.conn.Close() }
+// Close implements Conn. Body buffers released after it are dropped rather
+// than pooled.
+func (c *binaryConn) Close() error {
+	c.fr.pool.close()
+	return c.conn.Close()
+}
 
 // SerializesOnSend marks the binary transport as a SerializingSender: Send
-// and SendBatch assemble the full frame and hand it to the kernel before
-// returning.
+// and SendBatch hand the full frame — inline bytes and by-reference slabs —
+// to the kernel before returning.
 func (c *binaryConn) SerializesOnSend() {}
 
 // isConnClosed reports whether err is a connection teardown rather than a

@@ -81,7 +81,7 @@ func TestBinaryFrameRoundTripAllFields(t *testing.T) {
 	if !got.PayloadOwned() {
 		t.Error("decoded message does not own its payload")
 	}
-	got.ownedPayload = false
+	got.ownedPayload, got.lease = false, nil
 	if !reflect.DeepEqual(sent, got) {
 		t.Fatalf("round trip changed the message:\nsent %+v\ngot  %+v", sent, got)
 	}

@@ -178,6 +178,8 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 		`dssp_transport_frames_total{dir="sent",type="OK"}`,
 		`dssp_transport_bytes_total{dir="recv",type="Push"}`,
 		"dssp_transport_batch_size_count",
+		"dssp_transport_recv_body_reuse_total",
+		"dssp_transport_recv_body_alloc_total",
 	}
 	for _, series := range catalog {
 		if _, ok := final[series]; !ok {

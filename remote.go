@@ -384,6 +384,27 @@ func (l *workerLink) close() {
 	_ = l.client.Close()
 }
 
+// pushGrads returns what a worker pushes after Backward: the replica's own
+// gradient tensors — the client sends them from where they are and is done
+// with them when the push returns, and the next iteration's ZeroGrads
+// overwrites them — or, for an adversarial worker (WorkerConfig.Adversary), a
+// private clone scaled by factor, so the corruption never reaches the
+// local replica. A factor of 0 or 1 is an honest worker.
+func pushGrads(replica *nn.Network, factor float64) []*tensor.Tensor {
+	if factor == 0 || factor == 1 {
+		return replica.Grads()
+	}
+	grads := replica.CloneGrads()
+	f := float32(factor)
+	for _, g := range grads {
+		d := g.Data()
+		for i := range d {
+			d[i] *= f
+		}
+	}
+	return grads
+}
+
 // RunWorker connects to a parameter server over TCP and runs the worker side
 // of Algorithm 1 until the configured number of epochs completes. With
 // Reconnect set it survives server restarts and transient network failures
@@ -445,7 +466,6 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	}
 
 	if cfg.Cluster {
-		adversarial := cfg.Adversary != 0 && cfg.Adversary != 1
 		iterate := func(replica *nn.Network) ([]*tensor.Tensor, float64) {
 			x, labels := iter.Next()
 			replica.ZeroGrads()
@@ -454,17 +474,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 			if cfg.Delay > 0 {
 				time.Sleep(cfg.Delay)
 			}
-			grads := replica.CloneGrads()
-			if adversarial {
-				f := float32(cfg.Adversary)
-				for _, g := range grads {
-					d := g.Data()
-					for i := range d {
-						d[i] *= f
-					}
-				}
-			}
-			return grads, loss
+			return pushGrads(replica, cfg.Adversary), loss
 		}
 		itersPerEpoch := (shard.Len() + base.BatchSize - 1) / base.BatchSize
 		return runClusterWorker(cfg, base, spec, iterate, itersPerEpoch*base.Epochs,
@@ -661,18 +671,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		if cfg.Delay > 0 {
 			time.Sleep(cfg.Delay)
 		}
-		grads := replica.CloneGrads()
-		if adversarial {
-			// Gradient-scaling poisoning: the clone is this worker's own, so
-			// the corruption never reaches the local replica.
-			f := float32(cfg.Adversary)
-			for _, g := range grads {
-				d := g.Data()
-				for i := range d {
-					d[i] *= f
-				}
-			}
-		}
+		grads := pushGrads(replica, cfg.Adversary)
 		if err := link.client.PushAndWait(grads, version, it); err != nil {
 			// The push (or the release it waits for) died with the
 			// connection; after rejoining, redo the iteration from a fresh

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e proto-bench fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
+.PHONY: all build test race portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
 
 all: build
 
@@ -103,15 +103,12 @@ bench-test:
 bench-e2e:
 	bash bench/run.sh -seed 1
 
-# Gob-vs-binary wire protocol comparison (encode/decode microbenchmarks and
-# the full TCP push+pull iteration under both formats). CI appends
-# proto-bench.txt to the bench-smoke artifact. Plain redirection rather than
-# tee, same reason as bench-json: make's sh has no pipefail, and a benchmark
-# failure must stop the recipe instead of emitting a partial file.
-proto-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkWire|BenchmarkCompressedTCPPushPull' -benchmem \
-		./internal/transport/ ./internal/ps/ > proto-bench.txt
-	@cat proto-bench.txt
+# Net size of the product, the number ROADMAP asks every PR to report:
+# non-blank, non-comment lines of non-test Go outside bench/ (block comments
+# are rare enough here that only // lines are discounted).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 \
+		| xargs -0 awk '/^[ \t]*$$/ {next} /^[ \t]*\/\// {next} {n++} END {print n}'
 
 # Run the fuzz corpus seeds as plain regression tests (no fuzzing engine):
 # exactly what CI executes so a decoder regression fails fast everywhere.
@@ -178,4 +175,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt-check vet race portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke proto-bench
+ci: build fmt-check vet loc race portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke

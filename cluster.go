@@ -2,15 +2,10 @@ package dssp
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"time"
 
-	"dssp/internal/compress"
-	"dssp/internal/core"
-	"dssp/internal/nn"
-	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/ps"
 	"dssp/internal/tensor"
@@ -76,14 +71,24 @@ type ClusterOptions struct {
 	ReplicateGrace time.Duration
 }
 
-// validate checks role-specific requirements.
-func (c ClusterOptions) validate() error {
+// validateCluster checks role-specific requirements — the one place a
+// server's group role is validated.
+func (cfg ServerConfig) validateCluster() error {
+	c := cfg.Cluster
 	switch c.Role {
 	case "":
 		return nil
 	case RoleCoordinator:
 		if c.Servers < 1 {
 			return fmt.Errorf("dssp: coordinator needs the group's data-server count (Servers)")
+		}
+		// A coordinator carries no weights: nothing for a guard to screen,
+		// nothing worth checkpointing. Say so rather than ignore the request.
+		if cfg.Guard.Enabled {
+			return fmt.Errorf("dssp: the anomaly guard screens gradient bytes and runs on data servers; disable it on the coordinator")
+		}
+		if cfg.Checkpoint.Dir != "" {
+			return fmt.Errorf("dssp: a coordinator holds no weights, only a placeholder clock; configure checkpoints on the data servers")
 		}
 		return nil
 	case RoleData, RoleBackup:
@@ -139,143 +144,42 @@ func (c ClusterOptions) assignment(layout []ps.ShardAssignment) (ps.ShardAssignm
 	return layout[c.Index], nil
 }
 
-// serveCluster is Serve's server-group path: it builds the role-appropriate
-// policy and store, starts the ps.Server, and runs the role's background
-// protocol (announce stream, replication) until Stop.
-func serveCluster(cfg ServerConfig) (*Server, error) {
-	if err := cfg.Cluster.validate(); err != nil {
-		return nil, err
-	}
-	cfg2 := TrainConfig{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
-		Sync: cfg.Sync, LearningRate: cfg.LearningRate, Seed: cfg.Seed}.withDefaults()
-	if cfg2.Workers <= 0 {
-		return nil, fmt.Errorf("dssp: server needs a positive worker count")
-	}
-	spec, err := cfg2.modelSpec()
+// asMember completes pcfg for this server's group role, resolving which slice
+// of the group layout it owns (none, for the coordinator).
+func (c ClusterOptions) asMember(pcfg ps.ServerConfig, initial []*tensor.Tensor, opt optimizer.Optimizer) (ps.ServerConfig, ps.ShardAssignment, error) {
+	layout, globalShards, err := ps.GroupLayout(ps.TensorSizes(initial), c.GlobalShards, c.Servers)
 	if err != nil {
-		return nil, err
+		return pcfg, ps.ShardAssignment{}, err
 	}
-	initial := spec.Build(rand.New(rand.NewSource(cfg2.Seed)))
-	sizes := make([]int, len(initial.Params()))
-	for i, p := range initial.Params() {
-		sizes[i] = p.Size()
-	}
-	layout, globalShards, err := ps.GroupLayout(sizes, cfg.Cluster.GlobalShards, cfg.Cluster.Servers)
-	if err != nil {
-		return nil, err
-	}
-
-	var store *ps.Store
-	var policy core.Policy
-	var clusterCfg ps.ClusterConfig
-	opts := cfg.Options.serverOptions()
-	var assigned ps.ShardAssignment
-	switch cfg.Cluster.Role {
-	case RoleCoordinator:
-		if cfg.Guard.Enabled {
-			return nil, fmt.Errorf("dssp: the anomaly guard screens gradient bytes and runs on data servers; disable it on the coordinator")
+	var own ps.ShardAssignment
+	var member *ps.ShardAssignment
+	if c.Role != RoleCoordinator {
+		if own, err = c.assignment(layout); err != nil {
+			return pcfg, own, err
 		}
-		if err := cfg2.Sync.Validate(cfg2.Workers); err != nil {
-			return nil, err
-		}
-		policyCfg := cfg2.Sync.policyConfig()
-		policyCfg.Workers = cfg2.Workers
-		if policy, err = core.NewPolicy(policyCfg); err != nil {
-			return nil, err
-		}
-		// The coordinator's store is a placeholder clock: one scalar, so the
-		// version bookkeeping the paradigm gates on exists without carrying
-		// any weights.
-		if store, err = ps.NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, optimizer.NewSGD(1), 1); err != nil {
-			return nil, err
-		}
-		clusterCfg = ps.ClusterConfig{Coordinator: true, GlobalShards: globalShards, TotalTensors: len(sizes)}
-		// Checkpointing a placeholder store would persist nothing useful.
-		opts.Checkpoint = ps.CheckpointConfig{}
-	case RoleData, RoleBackup:
-		if assigned, err = cfg.Cluster.assignment(layout); err != nil {
-			return nil, err
-		}
-		// Fragment OKs mean "applied locally": a local ASP policy releases
-		// every push immediately, the real paradigm runs at the coordinator.
-		policy = core.MustNewASP(cfg2.Workers)
-		store, err = ps.NewStoreRange(initial.Params(),
-			optimizer.NewSGDMomentum(cfg2.LearningRate, cfg.Momentum, cfg.WeightDecay),
-			globalShards, assigned.ShardLo, assigned.ShardHi)
-		if err != nil {
-			return nil, err
-		}
+		member = &own
 	}
-
-	restored := false
-	if cfg.Checkpoint.Dir != "" && cfg.Cluster.Role != RoleCoordinator && ps.CheckpointExists(cfg.Checkpoint.Dir) {
-		if err := store.RestoreCheckpointDir(cfg.Checkpoint.Dir); err != nil {
-			return nil, fmt.Errorf("dssp: restore checkpoint: %w", err)
-		}
-		restored = true
-	}
-	reg := obs.NewRegistry()
-	inner, err := ps.NewServer(ps.ServerConfig{
-		Workers:          cfg2.Workers,
-		Policy:           policy,
-		Store:            store,
-		Options:          opts,
-		DisableDeltaPull: cfg.DisableDeltaPull,
-		Metrics:          reg,
-		Trace:            obs.TraceConfig{Every: cfg.TraceEvery},
-		Cluster:          clusterCfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	listener, err := transport.ListenWireMetered(cfg.Addr, transport.WireFormat(cfg.Wire), transport.NewMetrics(reg))
-	if err != nil {
-		return nil, err
-	}
-	var admin *obs.AdminServer
-	if cfg.MetricsAddr != "" {
-		admin, err = obs.ServeAdmin(cfg.MetricsAddr, reg,
-			func() any { return inner.Status() }, inner.Traces)
-		if err != nil {
-			_ = listener.Close()
-			return nil, fmt.Errorf("dssp: metrics listener: %w", err)
-		}
-	}
-	go func() { _ = inner.Serve(listener) }()
-
-	s := &Server{
-		inner:    inner,
-		listener: listener,
-		store:    store,
-		spec:     spec,
-		cfg:      cfg2,
-		restored: restored,
-		admin:    admin,
-		role:     cfg.Cluster.Role,
-		wire:     cfg.Wire,
-		failed:   make(chan struct{}),
-		stopping: make(chan struct{}),
-	}
-	advertise := cfg.Cluster.Advertise
-	if advertise == "" {
-		advertise = listener.Addr()
-	}
-	switch cfg.Cluster.Role {
-	case RoleData:
-		s.bg.Add(1)
-		go s.announceLoop(cfg.Cluster, assigned.Entry(advertise), false)
-	case RoleBackup:
-		s.bg.Add(2)
-		go s.announceLoop(cfg.Cluster, assigned.Entry(advertise), true)
-		go s.replicateLoop(cfg.Cluster, assigned.Entry(advertise))
-	}
-	return s, nil
+	pcfg, err = pcfg.AsGroupMember(initial, opt, globalShards, member)
+	return pcfg, own, err
 }
 
-// clusterDial opens one wire connection for the server's background cluster
-// protocol.
-func (s *Server) clusterDial(addr string) (transport.Conn, error) {
-	return transport.DialWire(addr, transport.WireFormat(s.wire))
+// startClusterLoops starts a data or backup server's background protocol:
+// the announce stream that doubles as its liveness watch on the coordinator
+// and, for a backup, replication from its primary.
+func (s *Server) startClusterLoops(cluster ClusterOptions, entry transport.ServerEntry) {
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		// Losing the coordinator is fatal by design: this server cannot make
+		// progress decisions without it (DESIGN.md §10).
+		if err := ps.Announce(transport.Dial, cluster.Coordinator, entry, s.role == RoleBackup, s.stopping); err != nil {
+			s.fail(fmt.Errorf("dssp: %s server lost the coordinator at %s: %w", s.role, cluster.Coordinator, err))
+		}
+	}()
+	if s.role == RoleBackup {
+		s.bg.Add(1)
+		go s.replicateLoop(cluster, entry)
+	}
 }
 
 // fail records a fatal cluster condition and closes the Failed channel.
@@ -286,95 +190,6 @@ func (s *Server) fail(err error) {
 	})
 }
 
-// stoppingNow reports whether Stop has begun (failures during shutdown are
-// the shutdown, not a fault).
-func (s *Server) stoppingNow() bool {
-	select {
-	case <-s.stopping:
-		return true
-	default:
-		return false
-	}
-}
-
-// announceLoop registers this server's map entry with the coordinator and
-// then holds the connection open as a liveness channel. Losing the
-// coordinator is fatal by design — it is the single serialization point for
-// staleness decisions, and this server cannot make progress decisions
-// without it (DESIGN.md §10) — so the loop fails the server fast
-// instead of retrying forever.
-func (s *Server) announceLoop(cluster ClusterOptions, entry transport.ServerEntry, replica bool) {
-	defer s.bg.Done()
-	// The initial announce retries with backoff: the coordinator may simply
-	// not be up yet when an orchestrator starts the whole group at once. Once
-	// an announce has succeeded the coordinator was provably up, so any later
-	// connection loss means it died — fatal immediately, no backoff.
-	deadline := time.Now().Add(30 * time.Second)
-	backoff := 50 * time.Millisecond
-	for {
-		err := s.announceOnce(cluster.Coordinator, transport.MsgServerAnnounce, entry, replica)
-		if err == nil {
-			return // announceOnce blocked until connection loss after Stop began
-		}
-		if s.stoppingNow() {
-			return
-		}
-		_, fatal := err.(*ps.RemoteError)
-		if fatal || s.announced.Load() || time.Now().After(deadline) {
-			s.fail(fmt.Errorf("dssp: %s server lost the coordinator at %s: %w", s.role, cluster.Coordinator, err))
-			return
-		}
-		time.Sleep(backoff)
-		if backoff < time.Second {
-			backoff *= 2
-		}
-	}
-}
-
-// announceOnce performs one announce exchange and then parks on the
-// connection. It returns nil only when the connection died after Stop began;
-// any earlier death comes back as the error.
-func (s *Server) announceOnce(coordAddr string, typ transport.MessageType, entry transport.ServerEntry, replica bool) error {
-	conn, err := s.clusterDial(coordAddr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	// Tie the connection to Stop so shutdown unblocks the Recv below.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-s.stopping:
-			_ = conn.Close()
-		case <-done:
-		}
-	}()
-	if err := conn.Send(transport.Message{Type: typ, Servers: []transport.ServerEntry{entry}, Replica: replica}); err != nil {
-		return err
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		return err
-	}
-	if msg.Type == transport.MsgError {
-		return &ps.RemoteError{Msg: msg.Error}
-	}
-	if msg.Type != transport.MsgOK {
-		return fmt.Errorf("unexpected %v reply to announce", msg.Type)
-	}
-	s.announced.Store(true)
-	// Announced. Park until the coordinator (or Stop) closes the connection.
-	for {
-		if _, err := conn.Recv(); err != nil {
-			if s.stoppingNow() {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
 // replicateLoop is the backup role's replication driver: it streams the
 // primary's weights into the standby store and, when the primary stays dead
 // past the grace, asks the coordinator to promote this server's address into
@@ -383,7 +198,7 @@ func (s *Server) announceOnce(coordAddr string, typ transport.MessageType, entry
 func (s *Server) replicateLoop(cluster ClusterOptions, entry transport.ServerEntry) {
 	defer s.bg.Done()
 	err := ps.RunReplicator(ps.ReplicatorConfig{
-		Dial:     func() (transport.Conn, error) { return s.clusterDial(cluster.Primary) },
+		Dial:     func() (transport.Conn, error) { return transport.Dial(cluster.Primary) },
 		Store:    s.store,
 		Interval: cluster.ReplicateEvery,
 		Grace:    cluster.ReplicateGrace,
@@ -396,23 +211,14 @@ func (s *Server) replicateLoop(cluster ClusterOptions, entry transport.ServerEnt
 		s.fail(fmt.Errorf("dssp: backup replication: %w", err))
 		return
 	}
-	conn, err := s.clusterDial(cluster.Coordinator)
+	conn, err := transport.Dial(cluster.Coordinator)
 	if err != nil {
 		s.fail(fmt.Errorf("dssp: backup cannot reach the coordinator to request promotion: %w", err))
 		return
 	}
 	defer conn.Close()
-	if err := conn.Send(transport.Message{Type: transport.MsgPromote, Servers: []transport.ServerEntry{entry}}); err != nil {
+	if err := ps.SubmitEntry(conn, transport.MsgPromote, entry, false); err != nil {
 		s.fail(fmt.Errorf("dssp: promotion request: %w", err))
-		return
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		s.fail(fmt.Errorf("dssp: promotion request: %w", err))
-		return
-	}
-	if msg.Type != transport.MsgOK {
-		s.fail(fmt.Errorf("dssp: promotion rejected: %s", msg.Error))
 		return
 	}
 	s.promoted.Store(true)
@@ -447,104 +253,39 @@ func (s *Server) ClusterMap() ([]transport.ServerEntry, int64) { return s.inner.
 // clusterSnapshot assembles the group's full weight vector by reading every
 // data server through a read-only replica session — registration-free as far
 // as the paradigm is concerned, so evaluation never perturbs synchronization.
-// Returns the assembled tensors and the minimum data-server version.
-func clusterSnapshot(dial func(string) (transport.Conn, error), coordAddr string) ([]*tensor.Tensor, int64, error) {
-	m, err := ps.FetchClusterMap(dial, coordAddr)
+func clusterSnapshot(coordAddr string) ([]*tensor.Tensor, error) {
+	m, err := ps.FetchClusterMap(transport.Dial, coordAddr)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if len(m.Servers) == 0 {
-		return nil, 0, fmt.Errorf("dssp: cluster map is empty")
+		return nil, fmt.Errorf("dssp: cluster map is empty")
 	}
 	out := make([]*tensor.Tensor, m.Total)
-	version := int64(-1)
 	for _, e := range m.Servers {
-		conn, err := dial(e.Addr)
+		conn, err := transport.Dial(e.Addr)
 		if err != nil {
-			return nil, 0, fmt.Errorf("dssp: snapshot dial %s: %w", e.Addr, err)
+			return nil, fmt.Errorf("dssp: snapshot dial %s: %w", e.Addr, err)
 		}
-		// Codec auto so the snapshot reads compressed groups too.
-		client, err := ps.NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
+		client, err := ps.OpenReplica(conn, false)
 		if err != nil {
-			conn.Close()
-			return nil, 0, fmt.Errorf("dssp: snapshot client at %s: %w", e.Addr, err)
+			return nil, fmt.Errorf("dssp: snapshot session at %s: %w", e.Addr, err)
 		}
-		client.SetReplica(true)
-		if err := client.Register(); err != nil {
-			conn.Close()
-			return nil, 0, fmt.Errorf("dssp: snapshot register at %s: %w", e.Addr, err)
-		}
-		params, v, err := client.Pull()
+		params, _, err := client.Pull()
 		client.Close()
 		if err != nil {
-			return nil, 0, fmt.Errorf("dssp: snapshot pull from %s: %w", e.Addr, err)
+			return nil, fmt.Errorf("dssp: snapshot pull from %s: %w", e.Addr, err)
 		}
 		if e.TensorHi > len(out) || len(params) != e.TensorHi-e.TensorLo {
-			return nil, 0, fmt.Errorf("dssp: snapshot from %s carries %d tensors for range [%d, %d)",
+			return nil, fmt.Errorf("dssp: snapshot from %s carries %d tensors for range [%d, %d)",
 				e.Addr, len(params), e.TensorLo, e.TensorHi)
 		}
 		copy(out[e.TensorLo:e.TensorHi], params)
-		if version < 0 || v < version {
-			version = v
-		}
 	}
 	for i, p := range out {
 		if p == nil {
-			return nil, 0, fmt.Errorf("dssp: cluster map covers no owner for tensor %d", i)
+			return nil, fmt.Errorf("dssp: cluster map covers no owner for tensor %d", i)
 		}
 	}
-	return out, version, nil
-}
-
-// runClusterWorker is RunWorker's server-group path: the same training loop,
-// but pulls and pushes route through a ClusterClient — gradient fragments to
-// each shard owner, the synchronization push to the coordinator.
-func runClusterWorker(cfg WorkerConfig, base TrainConfig, spec nn.ModelSpec,
-	iterate func(replica *nn.Network) (grads []*tensor.Tensor, loss float64),
-	totalIters int, ccfg ps.ClusterClientConfig, meter *transport.Metrics) (*WorkerReport, error) {
-
-	dial := func(addr string) (transport.Conn, error) {
-		return transport.DialWireMetered(addr, transport.WireFormat(cfg.Wire), meter)
-	}
-	client, err := ps.NewClusterClient(dial, cfg.ServerAddr, cfg.WorkerID, ccfg)
-	if err != nil {
-		return nil, fmt.Errorf("dssp: worker %d connect: %w", cfg.WorkerID, err)
-	}
-	defer client.Close()
-	if cfg.HeartbeatInterval > 0 {
-		stop := client.StartHeartbeats(cfg.HeartbeatInterval)
-		defer stop()
-	}
-
-	replica := spec.Build(rand.New(rand.NewSource(base.Seed)))
-	report := &WorkerReport{}
-	start := time.Now()
-	for it := 0; it < totalIters; it++ {
-		if cfg.FailAfter > 0 && it == cfg.FailAfter-1 {
-			report.Crashed = true
-			report.Iterations = it
-			report.Duration = time.Since(start)
-			return report, nil
-		}
-		params, version, err := client.Pull()
-		if err != nil {
-			return nil, fmt.Errorf("dssp: worker %d pull: %w", cfg.WorkerID, err)
-		}
-		if err := replica.SetParams(params); err != nil {
-			return nil, err
-		}
-		grads, loss := iterate(replica)
-		report.FinalLoss = loss
-		if err := client.PushAndWait(grads, version, it); err != nil {
-			return nil, fmt.Errorf("dssp: worker %d push: %w", cfg.WorkerID, err)
-		}
-	}
-	if err := client.Done(); err != nil {
-		return nil, fmt.Errorf("dssp: worker %d done: %w", cfg.WorkerID, err)
-	}
-	report.Iterations = totalIters
-	report.Duration = time.Since(start)
-	report.PushedBytes, report.PulledBytes = client.Traffic()
-	report.Codec = client.Codec()
-	return report, nil
+	return out, nil
 }

@@ -3,6 +3,8 @@ package dssp_test
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -336,5 +338,45 @@ func TestClusterRejectsCrossModeClients(t *testing.T) {
 	// the coordinator instead of silently scoring a partial model.
 	if _, err := group.Data[0].Evaluate(); err == nil {
 		t.Fatal("data server evaluated a partial model")
+	}
+}
+
+// TestServeRefusesWhatItWouldIgnore: a coordinator holds no weights, so a
+// configured guard or checkpoint directory is a validation error naming the
+// reason rather than a silently dropped request; and a checkpoint directory
+// holding only the single-file format builds before PR 15 wrote fails Serve
+// instead of starting from scratch over it.
+func TestServeRefusesWhatItWouldIgnore(t *testing.T) {
+	coord := dssp.ServerConfig{
+		Addr:    "127.0.0.1:0",
+		Workers: 1,
+		Sync:    dssp.Sync{Paradigm: dssp.ASP},
+		Dataset: dssp.DatasetConfig{Examples: 32, Classes: 2, ImageSize: 8, Seed: 1},
+		Seed:    1,
+		Cluster: dssp.ClusterOptions{Role: dssp.RoleCoordinator, Servers: 2},
+	}
+	withCheckpoint, withGuard := coord, coord
+	withCheckpoint.Checkpoint.Dir = t.TempDir()
+	withGuard.Guard.Enabled = true
+	for want, cfg := range map[string]dssp.ServerConfig{"checkpoints on the data servers": withCheckpoint, "guard": withGuard} {
+		if s, err := dssp.Serve(cfg); err == nil {
+			s.Stop()
+			t.Errorf("coordinator accepted a configuration it would ignore (%s)", want)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("coordinator refusal %q does not mention %q", err, want)
+		}
+	}
+
+	legacy := coord
+	legacy.Cluster = dssp.ClusterOptions{}
+	legacy.Checkpoint.Dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(legacy.Checkpoint.Dir, "store.ckpt"), []byte("gob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := dssp.Serve(legacy); err == nil {
+		s.Stop()
+		t.Fatal("server started from scratch over a legacy single-file checkpoint")
+	} else if !strings.Contains(err.Error(), "legacy single-file checkpoint; no longer supported") {
+		t.Fatalf("legacy checkpoint refusal reads %q", err)
 	}
 }

@@ -8,11 +8,10 @@
 // flags) connect to it and train a shared model under the selected
 // synchronization paradigm.
 //
-// Wire format: -wire selects the TCP encoding — the versioned zero-copy
-// binary frame protocol (the default; docs/PROTOCOL.md specifies it byte by
-// byte) or the legacy gob stream. Workers must be started with the same
-// -wire setting; a mismatch is detected on the first frame and reported on
-// both sides instead of hanging.
+// Wire format: the TCP encoding is the versioned zero-copy binary frame
+// protocol (docs/PROTOCOL.md specifies it byte by byte). A peer that is not
+// speaking it, or speaks a version this build does not, is detected on the
+// first frame and reported instead of hanging.
 //
 // Gradient compression: -compress selects the gradient codec (none, fp16,
 // int8, topk), -topk its keep fraction, and -compress-pull additionally
@@ -72,7 +71,6 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":7070", "TCP listen address")
-		wire         = flag.String("wire", dssp.WireBinary, "TCP wire format: binary (versioned zero-copy frames, see docs/PROTOCOL.md) or gob (legacy); workers must match")
 		workers      = flag.Int("workers", 2, "number of workers expected to join")
 		paradigm     = flag.String("paradigm", "DSSP", "synchronization paradigm: BSP, ASP, SSP, DSSP, BoundedDelay, BackupBSP")
 		staleness    = flag.Int("staleness", 3, "staleness threshold (SSP) or lower bound sL (DSSP)")
@@ -132,7 +130,6 @@ func main() {
 			Advertise:         *advertise,
 			Parent:            *parent,
 			Fanout:            *fanout,
-			Wire:              *wire,
 			Compression:       relayCompress,
 			HeartbeatTimeout:  *hbTimeout,
 			HeartbeatInterval: *hbTimeout / 4,
@@ -165,7 +162,6 @@ func main() {
 
 	cfg := dssp.ServerConfig{
 		Addr:         *addr,
-		Wire:         *wire,
 		Workers:      *workers,
 		Model:        dssp.Model(*model),
 		LearningRate: *lr,
@@ -201,8 +197,8 @@ func runRelay(cfg dssp.RelayConfig) error {
 		return err
 	}
 	defer relay.Stop()
-	fmt.Printf("aggregation relay listening on %s (parent %s, fanout %d, wire %s)\n",
-		relay.Addr(), cfg.Parent, cfg.Fanout, cfg.Wire)
+	fmt.Printf("aggregation relay listening on %s (parent %s, fanout %d)\n",
+		relay.Addr(), cfg.Parent, cfg.Fanout)
 	if cfg.MetricsAddr != "" {
 		fmt.Printf("admin endpoint on http://%s (/metrics, /healthz, /debug/pprof)\n", relay.MetricsAddr())
 	}
@@ -239,8 +235,8 @@ func run(cfg dssp.ServerConfig, paradigm string, staleness, rng int, enforce boo
 	if cfg.Elastic {
 		mode = "elastic"
 	}
-	fmt.Printf("parameter server listening on %s (%s, %d workers, wire %s, codec %s, aggregator %s, %s)\n",
-		server.Addr(), sync.Describe(), cfg.Workers, cfg.Wire, cfg.Compression, cfg.Aggregator, mode)
+	fmt.Printf("parameter server listening on %s (%s, %d workers, codec %s, aggregator %s, %s)\n",
+		server.Addr(), sync.Describe(), cfg.Workers, cfg.Compression, cfg.Aggregator, mode)
 	switch cfg.Cluster.Role {
 	case dssp.RoleCoordinator:
 		fmt.Printf("cluster coordinator for %d data servers (global shards auto unless -global-shards set)\n", cfg.Cluster.Servers)

@@ -9,24 +9,21 @@
 //
 // Its flags mirror cmd/psserver's where the two sides must agree: -model,
 // -classes, -examples, -image-size and -seed describe the shared model and
-// dataset; -wire selects the TCP encoding (binary frames by default, gob as
-// the legacy escape hatch — it must match the server, and a mismatch fails
-// fast on the first frame); -compress/-topk/-compress-pull select the
-// gradient codec (the default "auto" adopts whatever the server speaks,
-// anything else must match the server or registration is rejected); -shards,
-// when set, asserts the server's parameter-store shard count and aborts on a
-// mismatch.
+// dataset; -compress/-topk/-compress-pull select the gradient codec (the
+// default "auto" adopts whatever the server speaks, anything else must match
+// the server or registration is rejected); -shards, when set, asserts the
+// server's parameter-store shard count and aborts on a mismatch.
 //
 // Delta pulls: -delta-pull (default on) requests version-gated delta pulls —
 // the worker echoes the per-shard versions it already holds and the server
 // re-sends only shards that changed (docs/PROTOCOL.md §5a). A server that
-// refuses (or predates the feature, over gob) downgrades the worker to full
-// pulls; against a pre-v2 binary server run with -delta-pull=false so the
-// worker speaks pure v1 frames.
+// refuses downgrades the worker to full pulls; against a pre-v2 server run
+// with -delta-pull=false so the worker speaks pure v1 frames.
 //
 // Fault tolerance: -reconnect redials and rejoins on any connection loss
-// (surviving parameter-server restarts), -heartbeat proves liveness to an
-// -elastic server, and -fail-after injects a crash for demos.
+// (surviving parameter-server restarts; with -cluster the route refuses the
+// rejoin, see below), -heartbeat proves liveness to an -elastic server, and
+// -fail-after injects a crash for demos.
 //
 // Server groups: -cluster makes -server the coordinator's address — the
 // worker fetches the cluster map at registration and routes gradient
@@ -60,7 +57,6 @@ func main() {
 		server       = flag.String("server", "127.0.0.1:7070", "parameter server address (the coordinator with -cluster)")
 		cluster      = flag.Bool("cluster", false, "join a server group: fetch the cluster map from the coordinator at -server and route gradient fragments to each shard owner")
 		tree         = flag.Bool("tree", false, "join through the aggregation tier: fetch the tree layout from the root at -server and push via the relay covering this worker (re-fetched on every reconnect)")
-		wire         = flag.String("wire", dssp.WireBinary, "TCP wire format: binary or gob (must match the server)")
 		id           = flag.Int("id", 0, "worker id in [0, workers)")
 		workers      = flag.Int("workers", 2, "total number of workers")
 		model        = flag.String("model", string(dssp.ModelSmallMLP), "model: small-mlp, small-cnn, alexnet-small, resnet-8 (must match the server)")
@@ -90,7 +86,6 @@ func main() {
 		ServerAddr: *server,
 		Cluster:    *cluster,
 		Tree:       *tree,
-		Wire:       *wire,
 		WorkerID:   *id,
 		Workers:    *workers,
 		Model:      dssp.Model(*model),

@@ -32,7 +32,7 @@ func benchGrads() []*tensor.Tensor {
 	return out
 }
 
-// benchImpl is one store implementation under benchmark: apply pushes one
+// benchImpl is the store under benchmark: apply pushes one
 // gradient set, servePull performs the work the server's pull handler does
 // for one worker (everything up to handing chunks to the outbox).
 type benchImpl struct {
@@ -40,77 +40,27 @@ type benchImpl struct {
 	servePull func() int
 }
 
-// globalLockStore replicates the pre-sharding parameter store — one exclusive
-// mutex over all tensors, every pull a full deep copy under that lock. It is
-// the baseline the sharded store's benchmarks are measured against.
-type globalLockStore struct {
-	mu      sync.Mutex
-	params  []*tensor.Tensor
-	opt     optimizer.Optimizer
-	version int64
-}
-
-func newGlobalLockStore(initial []*tensor.Tensor, opt optimizer.Optimizer) *globalLockStore {
-	params := make([]*tensor.Tensor, len(initial))
-	for i, p := range initial {
-		params[i] = p.Clone()
+// benchSharded builds the store under benchmark. servePull reproduces what
+// the server's pull handler does against it: grab per-shard copy-on-write
+// references and alias them onto the wire. It takes the sub-benchmark's own
+// *testing.B so that setup failures are reported on the goroutine they occur
+// on. The "sharded/" prefix in the benchmark names below dates from when a
+// global-lock store ran beside it; it stays because the bench-gate pins and
+// the committed baselines are keyed by it.
+func benchSharded(b *testing.B) benchImpl {
+	st, err := NewStoreSharded(benchModel(), optimizer.NewSGDMomentum(0.01, 0.9, 1e-4), 0)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return &globalLockStore{params: params, opt: opt}
-}
-
-func (g *globalLockStore) Apply(grads []*tensor.Tensor) (int64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.opt.Step(g.params, grads)
-	g.version++
-	return g.version, nil
-}
-
-func (g *globalLockStore) Snapshot() ([]*tensor.Tensor, int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*tensor.Tensor, len(g.params))
-	for i, p := range g.params {
-		out[i] = p.Clone()
-	}
-	return out, g.version
-}
-
-// benchStores returns the baseline and sharded stores side by side. Each
-// servePull reproduces what the server's pull handler did against that
-// store: the global-lock baseline deep-copied the whole model under its
-// mutex and copied it again into wire tensors; the sharded store grabs
-// per-shard copy-on-write references and aliases them onto the wire. The
-// constructors take the sub-benchmark's own *testing.B so that setup
-// failures are reported on the goroutine they occur on.
-func benchStores() map[string]func(b *testing.B) benchImpl {
-	return map[string]func(b *testing.B) benchImpl{
-		"global-lock": func(_ *testing.B) benchImpl {
-			st := newGlobalLockStore(benchModel(), optimizer.NewSGDMomentum(0.01, 0.9, 1e-4))
-			return benchImpl{
-				apply: st.Apply,
-				servePull: func() int {
-					params, _ := st.Snapshot()
-					return len(transport.ToWire(params))
-				},
+	return benchImpl{
+		apply: st.Apply,
+		servePull: func() int {
+			n := 0
+			for i := 0; i < st.Shards(); i++ {
+				params, _, _ := st.ViewShard(i)
+				n += len(transport.ToWireOwned(params))
 			}
-		},
-		"sharded": func(b *testing.B) benchImpl {
-			st, err := NewStoreSharded(benchModel(), optimizer.NewSGDMomentum(0.01, 0.9, 1e-4), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return benchImpl{
-				apply: st.Apply,
-				servePull: func() int {
-					n := 0
-					for i := 0; i < st.Shards(); i++ {
-						params, _, _ := st.ViewShard(i)
-						n += len(transport.ToWireOwned(params))
-					}
-					return n
-				},
-			}
+			return n
 		},
 	}
 }
@@ -139,22 +89,18 @@ func runConcurrent(b *testing.B, workers int, fn func(worker, i int)) {
 }
 
 // BenchmarkStoreConcurrentPull measures pull-serving throughput with 1, 4
-// and 16 workers pulling simultaneously, for the global-lock baseline and
-// the sharded store. The baseline serializes a full deep copy per pull under
-// one mutex; the sharded store serves copy-on-write shard references with
-// near-zero lock hold time and no copying.
+// and 16 workers pulling simultaneously: the store serves copy-on-write shard
+// references with near-zero lock hold time and no copying.
 func BenchmarkStoreConcurrentPull(b *testing.B) {
-	for name, mk := range benchStores() {
-		for _, workers := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				impl := mk(b)
-				runConcurrent(b, workers, func(_, _ int) {
-					if impl.servePull() == 0 {
-						b.Fail()
-					}
-				})
+	for _, workers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("sharded/workers=%d", workers), func(b *testing.B) {
+			impl := benchSharded(b)
+			runConcurrent(b, workers, func(_, _ int) {
+				if impl.servePull() == 0 {
+					b.Fail()
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -163,43 +109,39 @@ func BenchmarkStoreConcurrentPull(b *testing.B) {
 // of an asynchronous parameter server where pulls from many workers overlap
 // in-flight pushes.
 func BenchmarkStoreConcurrentPushPull(b *testing.B) {
-	for name, mk := range benchStores() {
-		for _, workers := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				impl := mk(b)
-				grads := make([][]*tensor.Tensor, workers)
-				for w := range grads {
-					grads[w] = benchGrads()
-				}
-				runConcurrent(b, workers, func(w, i int) {
-					if i%4 == 0 {
-						if _, err := impl.apply(grads[w]); err != nil {
-							b.Error(err)
-						}
-					} else {
-						impl.servePull()
+	for _, workers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("sharded/workers=%d", workers), func(b *testing.B) {
+			impl := benchSharded(b)
+			grads := make([][]*tensor.Tensor, workers)
+			for w := range grads {
+				grads[w] = benchGrads()
+			}
+			runConcurrent(b, workers, func(w, i int) {
+				if i%4 == 0 {
+					if _, err := impl.apply(grads[w]); err != nil {
+						b.Error(err)
 					}
-				})
+				} else {
+					impl.servePull()
+				}
 			})
-		}
+		})
 	}
 }
 
 // BenchmarkStoreApply measures applying one gradient-sized update to the
 // global weights (shard-parallel in the sharded store).
 func BenchmarkStoreApply(b *testing.B) {
-	for name, mk := range benchStores() {
-		b.Run(name, func(b *testing.B) {
-			impl := mk(b)
-			grads := benchGrads()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := impl.apply(grads); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("sharded", func(b *testing.B) {
+		impl := benchSharded(b)
+		grads := benchGrads()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := impl.apply(grads); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkServerConcurrentPull measures pull round trips through the full

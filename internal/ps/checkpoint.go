@@ -11,26 +11,19 @@ import (
 	"dssp/internal/tensor"
 )
 
-// Checkpoints come in two on-disk formats:
+// A checkpoint is a directory in the incremental manifest format
+// (manifest.ckpt + seg-*.ckpt), written by Checkpointer: each shard's tensors
+// and optimizer state live in a segment file stamped with the shard's
+// publication version, and a save rewrites only the segments of shards whose
+// version moved since the last save — the manifest re-references unchanged
+// segments. Periodic checkpoint cost therefore tracks how much of the model
+// actually changed, not how big it is.
 //
-//   - The legacy single-file format (store.ckpt): one gob blob holding every
-//     tensor, written by Store.SaveCheckpoint. Cost is proportional to model
-//     size on every save.
-//
-//   - The incremental manifest format (manifest.ckpt + seg-*.ckpt), written
-//     by Checkpointer: each shard's tensors and optimizer state live in a
-//     segment file stamped with the shard's publication version, and a save
-//     rewrites only the segments of shards whose version moved since the
-//     last save — the manifest re-references unchanged segments. Periodic
-//     checkpoint cost therefore tracks how much of the model actually
-//     changed, not how big it is.
-//
-// Crash safety is the same for both: every file is written to a temporary
-// name, fsynced, renamed into place, and the directory entry is fsynced —
-// the previous checkpoint stays intact and durable until the new one fully
-// is. For the manifest format the manifest rename is the commit point: new
-// segments are made durable before the manifest that references them, and
-// superseded segments are deleted only afterwards.
+// Crash safety: every file is written to a temporary name, fsynced, renamed
+// into place, and the directory entry is fsynced — the previous checkpoint
+// stays intact and durable until the new one fully is. The manifest rename is
+// the commit point: new segments are made durable before the manifest that
+// references them, and superseded segments are deleted only afterwards.
 
 // CheckpointConfig configures periodic store checkpoints on a server.
 type CheckpointConfig struct {
@@ -45,28 +38,29 @@ type CheckpointConfig struct {
 // Enabled reports whether the configuration asks for checkpoints at all.
 func (c CheckpointConfig) Enabled() bool { return c.Dir != "" }
 
-// CheckpointFile returns the legacy single-file checkpoint path used inside
-// dir.
-func CheckpointFile(dir string) string { return filepath.Join(dir, "store.ckpt") }
-
-// ManifestFile returns the incremental checkpoint manifest path used inside
-// dir. The manifest and the legacy file have distinct names, so a directory
-// can be identified without sniffing gob payloads.
+// ManifestFile returns the checkpoint manifest path used inside dir.
 func ManifestFile(dir string) string { return filepath.Join(dir, "manifest.ckpt") }
 
-// CheckpointExists reports whether dir holds a restorable checkpoint in
-// either format.
+// legacyCheckpointName is the single-file format builds before PR 15 could
+// still write. Nothing reads it any more; it is recognized only so that a
+// directory holding one is refused by name instead of silently ignored.
+const legacyCheckpointName = "store.ckpt"
+
+// CheckpointExists reports whether dir holds something a server must not
+// start from scratch over: a manifest, or a legacy single-file checkpoint
+// (which RestoreCheckpointDir then refuses).
 func CheckpointExists(dir string) bool {
-	if _, err := os.Stat(ManifestFile(dir)); err == nil {
-		return true
+	for _, path := range []string{ManifestFile(dir), filepath.Join(dir, legacyCheckpointName)} {
+		if _, err := os.Stat(path); err == nil {
+			return true
+		}
 	}
-	_, err := os.Stat(CheckpointFile(dir))
-	return err == nil
+	return false
 }
 
-// checkpointData is the serialized form of a store: the published weights,
-// the per-tensor optimizer state, the aggregate version, and the learning
-// rate in force. Tensors are stored flat by global index, so a checkpoint
+// checkpointData is a checkpoint assembled from its segments: the published
+// weights, the per-tensor optimizer state, the aggregate version, and the
+// learning rate in force. Tensors are flat by global index, so a checkpoint
 // restores into a store with any shard count.
 type checkpointData struct {
 	Version      int64
@@ -155,51 +149,6 @@ func syncDir(dir string) error {
 		return fmt.Errorf("ps: sync checkpoint dir: %w", err)
 	}
 	return nil
-}
-
-// SaveCheckpoint atomically and durably writes the store's current weights,
-// optimizer state and version to path in the legacy single-file format.
-// Concurrent Apply calls are safe; the snapshot is consistent per shard (the
-// same relaxation pulls live with).
-func (s *Store) SaveCheckpoint(path string) error {
-	ck := checkpointData{
-		Version: s.version.Load(),
-		Shapes:  s.shapes,
-		Params:  make([][]float32, len(s.shapes)),
-		State:   make([][]float32, len(s.shapes)),
-	}
-	s.protoMu.Lock()
-	ck.LearningRate = s.proto.LearningRate()
-	s.protoMu.Unlock()
-	gens := make([]*paramGen, len(s.shards))
-	for i, sh := range s.shards {
-		base := s.ranges[i].Start
-		g, _, state := sh.checkpointView()
-		gens[i] = g
-		for j, p := range g.params {
-			// Published tensors are immutable while the generation reference
-			// is held; the encode below reads them without copying.
-			ck.Params[base+j] = p.Data()
-		}
-		for j, v := range state {
-			ck.State[base+j] = v
-		}
-	}
-	defer func() {
-		for _, g := range gens {
-			g.release()
-		}
-	}()
-
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("ps: checkpoint dir: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&ck); err != nil {
-		return fmt.Errorf("ps: encode checkpoint: %w", err)
-	}
-	return writeFileDurable(path, buf.Bytes())
 }
 
 // checkpointView returns the shard's current generation (with a bounded
@@ -331,20 +280,26 @@ func (c *Checkpointer) gcSegments(live []manifestSegment) {
 	}
 }
 
-// RestoreCheckpointDir restores the store from dir, preferring the
-// incremental manifest format and falling back to the legacy single file.
+// RestoreCheckpointDir replaces the store's weights, optimizer state, version
+// and learning rate with the checkpoint in dir. The checkpoint's tensor shapes
+// must match the store's — it restores a run of the same model, not an
+// arbitrary one — but the shard count may differ from the saving server's.
+// Restore before serving traffic; it is not synchronized against concurrent
+// Apply.
 func (s *Store) RestoreCheckpointDir(dir string) error {
-	if _, err := os.Stat(ManifestFile(dir)); err == nil {
-		return s.restoreManifest(dir)
+	if _, err := os.Stat(ManifestFile(dir)); err != nil {
+		if _, lerr := os.Stat(filepath.Join(dir, legacyCheckpointName)); lerr == nil {
+			return fmt.Errorf("ps: %s holds a legacy single-file checkpoint; no longer supported (restore it with a build before PR 15, which rewrites it as a manifest on Stop)", dir)
+		}
+		return fmt.Errorf("ps: open checkpoint manifest: %w", err)
 	}
-	return s.RestoreCheckpoint(CheckpointFile(dir))
+	return s.restoreManifest(dir)
 }
 
 // restoreManifest loads an incremental checkpoint: the manifest names one
 // segment per saving-store shard; together the segments must cover every
-// tensor exactly once. The assembled state then goes through the same
-// validation and installation as a legacy checkpoint, so restore semantics —
-// including bit-identical weights and momentum — are format-independent.
+// tensor exactly once. The assembled state is validated against the store's
+// layout before anything is installed.
 func (s *Store) restoreManifest(dir string) error {
 	f, err := os.Open(ManifestFile(dir))
 	if err != nil {
@@ -412,25 +367,6 @@ func (s *Store) restoreManifest(dir string) error {
 	return s.installCheckpoint(&ck)
 }
 
-// RestoreCheckpoint replaces the store's weights, optimizer state, version
-// and learning rate with the contents of the legacy single-file checkpoint
-// at path. The checkpoint's tensor shapes must match the store's — it
-// restores a run of the same model, not an arbitrary one — but the shard
-// count may differ from the saving server's. Restore before serving traffic;
-// it is not synchronized against concurrent Apply.
-func (s *Store) RestoreCheckpoint(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("ps: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	var ck checkpointData
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
-		return fmt.Errorf("ps: decode checkpoint: %w", err)
-	}
-	return s.installCheckpoint(&ck)
-}
-
 // installCheckpoint validates assembled checkpoint state against the store's
 // layout and installs it: fresh generations per shard, optimizer state
 // loaded, versions re-based.
@@ -440,11 +376,6 @@ func (s *Store) installCheckpoint(ck *checkpointData) error {
 	}
 	if len(ck.Params) != len(s.shapes) || len(ck.Shapes) != len(s.shapes) {
 		return fmt.Errorf("ps: checkpoint has %d tensors, store has %d", len(ck.Params), len(s.shapes))
-	}
-	if ck.State == nil {
-		// A checkpoint without optimizer state (older writer) restores with
-		// none rather than crashing.
-		ck.State = make([][]float32, len(s.shapes))
 	}
 	if len(ck.State) != len(s.shapes) {
 		return fmt.Errorf("ps: checkpoint has state for %d tensors, store has %d", len(ck.State), len(s.shapes))

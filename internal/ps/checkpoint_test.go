@@ -1,10 +1,11 @@
 package ps
 
 import (
-	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dssp/internal/core"
@@ -64,106 +65,84 @@ func assertStoresEqual(t *testing.T, a, b *Store, context string) {
 	}
 }
 
-func TestCheckpointRoundTripIsBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	path := CheckpointFile(dir)
-
-	src := buildStore(t, 2, 5, 1)
-	if err := src.SaveCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	dst := buildStore(t, 2, 0, 1)
-	if err := dst.RestoreCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	assertStoresEqual(t, src, dst, "after restore")
-
-	// The restored optimizer state must match too: applying the same
-	// gradients to both stores keeps them bit-identical, which fails if
-	// momentum velocity was lost or zeroed.
-	rng1 := rand.New(rand.NewSource(42))
-	rng2 := rand.New(rand.NewSource(42))
-	for i := 0; i < 3; i++ {
-		if _, err := src.Apply(randomGrads(rng1, []int{3, 4}, []int{7})); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dst.Apply(randomGrads(rng2, []int{3, 4}, []int{7})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertStoresEqual(t, src, dst, "after post-restore updates")
-}
-
-func TestCheckpointRestoresAcrossShardCounts(t *testing.T) {
-	// A checkpoint written by a 1-shard server restores into a 2-shard store
-	// and vice versa: tensors are stored flat by global index.
-	dir := t.TempDir()
-	path := CheckpointFile(dir)
-	src := buildStore(t, 1, 4, 9)
-	if err := src.SaveCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	dst := buildStore(t, 2, 0, 9)
-	if err := dst.RestoreCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	assertStoresEqual(t, src, dst, "cross-shard restore")
-}
-
 func TestCheckpointRejectsMismatchedModel(t *testing.T) {
 	dir := t.TempDir()
-	path := CheckpointFile(dir)
 	src := buildStore(t, 1, 1, 3)
-	if err := src.SaveCheckpoint(path); err != nil {
+	if _, _, err := NewCheckpointer(src, dir).Save(false); err != nil {
 		t.Fatal(err)
 	}
 	other, err := NewStore([]*tensor.Tensor{tensor.New(5)}, optimizer.NewSGD(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.RestoreCheckpoint(path); err == nil {
+	if err := other.RestoreCheckpointDir(dir); err == nil {
 		t.Fatal("restore into a different model succeeded")
 	}
-}
-
-// TestRestoreCheckpointWithoutState: a checkpoint whose gob stream carries
-// no optimizer state (an older writer's struct) restores with none instead
-// of panicking on the missing slice.
-func TestRestoreCheckpointWithoutState(t *testing.T) {
-	type legacyCheckpoint struct {
-		Version      int64
-		LearningRate float64
-		Shapes       [][]int
-		Params       [][]float32
-	}
-	src := buildStore(t, 1, 2, 4)
-	params, version := src.Snapshot()
-	legacy := legacyCheckpoint{Version: version, LearningRate: 0.1}
-	for _, p := range params {
-		legacy.Shapes = append(legacy.Shapes, p.Shape())
-		legacy.Params = append(legacy.Params, p.Data())
-	}
-	path := filepath.Join(t.TempDir(), "legacy.ckpt")
-	f, err := os.Create(path)
+	// Same tensor count, different shapes: caught per tensor, before anything
+	// is installed.
+	reshaped, err := NewStore([]*tensor.Tensor{tensor.New(4, 3), tensor.New(7)}, optimizer.NewSGD(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(f).Encode(&legacy); err != nil {
+	if err := reshaped.RestoreCheckpointDir(dir); err == nil || !strings.Contains(err.Error(), "shape") {
+		t.Fatalf("restore into reshaped tensors returned %v, want a shape error", err)
+	}
+	if v := reshaped.Version(); v != 0 {
+		t.Fatalf("rejected restore moved the version to %d", v)
+	}
+}
+
+// TestRestoreCheckpointWithoutState: a checkpoint whose segments carry no
+// optimizer state (a stateless optimizer wrote it) restores into a store
+// whose optimizer keeps some, with none, instead of panicking on the missing
+// slices — and the store steps normally afterwards.
+func TestRestoreCheckpointWithoutState(t *testing.T) {
+	dir := t.TempDir()
+	src, err := NewStoreSharded([]*tensor.Tensor{tensor.New(3, 4), tensor.New(7)}, optimizer.NewSGD(0.1), 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 2; i++ {
+		if _, err := src.Apply(randomGrads(rng, []int{3, 4}, []int{7})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := NewCheckpointer(src, dir).Save(false); err != nil {
+		t.Fatal(err)
+	}
 	dst := buildStore(t, 1, 0, 4)
-	if err := dst.RestoreCheckpoint(path); err != nil {
+	if err := dst.RestoreCheckpointDir(dir); err != nil {
 		t.Fatalf("restore without state: %v", err)
 	}
 	assertStoresEqual(t, src, dst, "stateless restore")
+	if _, err := dst.Apply(randomGrads(rng, []int{3, 4}, []int{7})); err != nil {
+		t.Fatalf("apply after stateless restore: %v", err)
+	}
 }
 
+// TestRestoreMissingCheckpointFails: an empty directory is an error, and a
+// directory holding only the single-file format builds before PR 15 wrote is
+// refused by name — CheckpointExists says yes, so a server configured with it
+// fails to start instead of silently training from scratch over it.
 func TestRestoreMissingCheckpointFails(t *testing.T) {
 	st := buildStore(t, 1, 0, 1)
-	if err := st.RestoreCheckpoint(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
+	dir := t.TempDir()
+	if CheckpointExists(dir) {
+		t.Fatal("an empty directory reports a checkpoint")
+	}
+	if err := st.RestoreCheckpointDir(dir); err == nil {
 		t.Fatal("restoring a missing checkpoint succeeded")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "store.ckpt"), []byte("gob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !CheckpointExists(dir) {
+		t.Fatal("a legacy checkpoint directory reports no checkpoint: a server would start from scratch over it")
+	}
+	err := st.RestoreCheckpointDir(dir)
+	if err == nil || !strings.Contains(err.Error(), "legacy single-file checkpoint; no longer supported") {
+		t.Fatalf("restore from a legacy-only directory returned %v, want the explicit refusal", err)
 	}
 }
 
@@ -198,18 +177,20 @@ func TestIncrementalCheckpointRoundTrip(t *testing.T) {
 
 // TestIncrementalCheckpointRestoresAcrossShardCounts: segments are keyed by
 // global tensor index, so a manifest written by a 2-shard store restores
-// into a 1-shard one.
+// into a 1-shard one and vice versa.
 func TestIncrementalCheckpointRestoresAcrossShardCounts(t *testing.T) {
-	dir := t.TempDir()
-	src := buildStore(t, 2, 4, 17)
-	if _, _, err := NewCheckpointer(src, dir).Save(false); err != nil {
-		t.Fatal(err)
+	for _, shards := range [][2]int{{2, 1}, {1, 2}} {
+		dir := t.TempDir()
+		src := buildStore(t, shards[0], 4, 17)
+		if _, _, err := NewCheckpointer(src, dir).Save(false); err != nil {
+			t.Fatal(err)
+		}
+		dst := buildStore(t, shards[1], 0, 17)
+		if err := dst.RestoreCheckpointDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		assertStoresEqual(t, src, dst, fmt.Sprintf("%d-shard manifest into %d shards", shards[0], shards[1]))
 	}
-	dst := buildStore(t, 1, 0, 17)
-	if err := dst.RestoreCheckpointDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	assertStoresEqual(t, src, dst, "cross-shard manifest restore")
 }
 
 // TestIncrementalCheckpointSkipsCleanShards pins the incremental save's
@@ -219,7 +200,7 @@ func TestIncrementalCheckpointRestoresAcrossShardCounts(t *testing.T) {
 func TestIncrementalCheckpointSkipsCleanShards(t *testing.T) {
 	dir := t.TempDir()
 	// A realistically sized model, so "manifest only" versus "weights" is a
-	// meaningful byte ratio rather than two small gob blobs.
+	// meaningful byte ratio rather than two small blobs.
 	initial := []*tensor.Tensor{tensor.New(128, 64), tensor.New(96, 32)}
 	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.1, 0.9, 1e-4), 2)
 	if err != nil {
@@ -310,20 +291,6 @@ func TestIncrementalCheckpointGCsStaleSegments(t *testing.T) {
 	}
 	if len(segs) != 2 {
 		t.Fatalf("checkpoint dir holds %d segment files after 3 saves, want 2 (stale ones collected): %v", len(segs), segs)
-	}
-	if tmp, _ := filepath.Glob(filepath.Join(dir, ".ckpt-*")); len(tmp) != 0 {
-		t.Fatalf("temp files left behind: %v", tmp)
-	}
-}
-
-// TestSaveCheckpointLeavesNoTempFiles: the durable-write path (temp, fsync,
-// rename, directory fsync) must clean up after itself in the legacy format
-// too.
-func TestSaveCheckpointLeavesNoTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	st := buildStore(t, 1, 2, 41)
-	if err := st.SaveCheckpoint(CheckpointFile(dir)); err != nil {
-		t.Fatal(err)
 	}
 	if tmp, _ := filepath.Glob(filepath.Join(dir, ".ckpt-*")); len(tmp) != 0 {
 		t.Fatalf("temp files left behind: %v", tmp)

@@ -114,6 +114,10 @@ func (c *Client) Worker() int { return c.worker }
 // before Register, the negotiated one after.
 func (c *Client) Compression() compress.Config { return c.cfg }
 
+// Codec returns the gradient codec name: the requested one before Register,
+// the negotiated one after.
+func (c *Client) Codec() string { return c.cfg.Codec }
+
 // ServerShards returns the server's parameter-store shard count as reported
 // at registration (0 before Register).
 func (c *Client) ServerShards() int { return c.serverShards }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
+	"dssp/internal/core"
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
@@ -116,11 +118,7 @@ func NewStoreRange(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShar
 	if shardLo < 0 || shardHi <= shardLo || shardHi > globalShards {
 		return nil, fmt.Errorf("ps: shard range [%d, %d) outside [0, %d)", shardLo, shardHi, globalShards)
 	}
-	sizes := make([]int, len(initial))
-	for i, p := range initial {
-		sizes[i] = p.Size()
-	}
-	global := partitionBySize(sizes, globalShards)
+	global := partitionBySize(TensorSizes(initial), globalShards)
 	tLo, tHi := global[shardLo].Start, global[shardHi-1].End
 
 	local := initial[tLo:tHi]
@@ -217,6 +215,114 @@ type ClusterConfig struct {
 	// Coordinator is set.
 	GlobalShards int
 	TotalTensors int
+}
+
+// AsGroupMember completes cfg for one member of a server group — the one
+// place that knows what a role is made of (DESIGN.md §10). With own nil the
+// server is the coordinator: it keeps cfg.Policy, the real paradigm, over a
+// one-scalar placeholder store, so the version bookkeeping the paradigm gates
+// on exists without carrying any weights. Otherwise it is the data server (or
+// standby backup) owning shards [own.ShardLo, own.ShardHi) of initial, the
+// full model: a fragment's OK means "applied locally", so its policy is a
+// local ASP that releases every push at once while the paradigm runs at the
+// coordinator. globalShards is the normalized count GroupLayout returned.
+func (cfg ServerConfig) AsGroupMember(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShards int, own *ShardAssignment) (ServerConfig, error) {
+	var err error
+	if own == nil {
+		cfg.Store, err = NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, optimizer.NewSGD(1), 1)
+		cfg.Cluster = ClusterConfig{Coordinator: true, GlobalShards: globalShards, TotalTensors: len(initial)}
+		return cfg, err
+	}
+	asp, err := core.NewASP(cfg.Workers)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Policy = asp
+	cfg.Store, err = NewStoreRange(initial, opt, globalShards, own.ShardLo, own.ShardHi)
+	return cfg, err
+}
+
+// TensorSizes returns the element count of each tensor — GroupLayout's input.
+func TensorSizes(ts []*tensor.Tensor) []int {
+	sizes := make([]int, len(ts))
+	for i, t := range ts {
+		sizes[i] = t.Size()
+	}
+	return sizes
+}
+
+// SubmitEntry sends the coordinator one map entry on conn — typ is
+// MsgServerAnnounce (a backup's, with replica set, is acknowledged without
+// entering the map) or MsgPromote — and waits for the acknowledgement. An
+// explicit rejection comes back as *RemoteError.
+func SubmitEntry(conn transport.Conn, typ transport.MessageType, entry transport.ServerEntry, replica bool) error {
+	if err := conn.Send(transport.Message{Type: typ, Servers: []transport.ServerEntry{entry}, Replica: replica}); err != nil {
+		return err
+	}
+	msg, err := conn.Recv()
+	if err != nil {
+		return err
+	}
+	if msg.Type == transport.MsgError {
+		return &RemoteError{Msg: msg.Error}
+	}
+	if msg.Type != transport.MsgOK {
+		return fmt.Errorf("ps: unexpected %v reply to %v", msg.Type, typ)
+	}
+	return nil
+}
+
+// Announce registers a data server's (or, with replica set, a backup's) map
+// entry with the coordinator and then holds the connection open as the
+// server's liveness watch on it, until stop closes (nil) or the coordinator
+// is lost (the error). Losing the coordinator is fatal by design — it is the
+// single serialization point for staleness decisions (DESIGN.md §10) — so
+// only the first announce retries, with backoff for up to 30 s: an
+// orchestrator may start the whole group at once. An explicit rejection is
+// final at once, and once an announce has succeeded the coordinator was
+// provably up, so any later connection loss means it died.
+func Announce(dial func(addr string) (transport.Conn, error), coordAddr string, entry transport.ServerEntry, replica bool, stop <-chan struct{}) error {
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	announced := false
+	err := retry(30*time.Second, 50*time.Millisecond, 1600*time.Millisecond,
+		func(err error) bool { return announced || stopped() || isRemote(err) },
+		func() error {
+			conn, err := dial(coordAddr)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			// Tie the connection to stop so shutdown unblocks the Recvs below.
+			done := make(chan struct{})
+			defer close(done)
+			go func() {
+				select {
+				case <-stop:
+					_ = conn.Close()
+				case <-done:
+				}
+			}()
+			if err := SubmitEntry(conn, transport.MsgServerAnnounce, entry, replica); err != nil {
+				return err
+			}
+			announced = true
+			for {
+				if _, err := conn.Recv(); err != nil {
+					return err
+				}
+			}
+		})
+	if stopped() {
+		return nil
+	}
+	return err
 }
 
 // clusterState is the coordinator's live view of the group: the data-server

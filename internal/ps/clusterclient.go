@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -100,7 +99,7 @@ func NewClusterClient(dial func(addr string) (transport.Conn, error), coordAddr 
 		cfg.RecoverTimeout = 15 * time.Second
 	}
 	c := &ClusterClient{dial: dial, coordAddr: coordAddr, worker: worker, cfg: cfg}
-	m, err := c.waitForMap(time.Now().Add(cfg.MapTimeout))
+	m, err := c.waitForMap()
 	if err != nil {
 		return nil, err
 	}
@@ -212,32 +211,25 @@ func validateMap(m transport.Message) error {
 	return nil
 }
 
-// waitForMap fetches the map until it validates complete or the deadline
+// fetchMap is one map fetch that must come back complete.
+func (c *ClusterClient) fetchMap() (transport.Message, error) {
+	m, err := FetchClusterMap(c.dial, c.coordAddr)
+	if err == nil {
+		err = validateMap(m)
+	}
+	return m, err
+}
+
+// waitForMap fetches the map until it validates complete or MapTimeout
 // passes. Transport failures are retried (the coordinator may still be
 // starting); an explicit server rejection ("not a cluster coordinator") is
 // permanent and returned immediately.
-func (c *ClusterClient) waitForMap(deadline time.Time) (transport.Message, error) {
-	backoff := 5 * time.Millisecond
-	for {
-		m, err := FetchClusterMap(c.dial, c.coordAddr)
-		if err == nil {
-			err = validateMap(m)
-			if err == nil {
-				return m, nil
-			}
-		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			return transport.Message{}, err
-		}
-		if time.Now().After(deadline) {
-			return transport.Message{}, err
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 200*time.Millisecond {
-			backoff = 200 * time.Millisecond
-		}
-	}
+func (c *ClusterClient) waitForMap() (m transport.Message, err error) {
+	err = retry(c.cfg.MapTimeout, 5*time.Millisecond, 200*time.Millisecond, isRemote, func() (err error) {
+		m, err = c.fetchMap()
+		return err
+	})
+	return m, err
 }
 
 // openLink dials one data server and registers on it.
@@ -277,48 +269,31 @@ func closeLink(l *dataLink) {
 // the backup a promotion routed in — and registers a fresh session there.
 // cause is returned (wrapped) if the recover window closes first.
 func (c *ClusterClient) recover(i int, cause error) error {
-	old := c.links[i]
-	closeLink(old)
-	deadline := time.Now().Add(c.cfg.RecoverTimeout)
-	backoff := 5 * time.Millisecond
-	for {
-		m, err := FetchClusterMap(c.dial, c.coordAddr)
-		if err == nil {
-			err = validateMap(m)
+	old := c.links[i].entry
+	closeLink(c.links[i])
+	err := retry(c.cfg.RecoverTimeout, 5*time.Millisecond, 100*time.Millisecond, isRemote, func() error {
+		m, err := c.fetchMap()
+		if err != nil {
+			return err
 		}
-		if err == nil {
-			var entry *transport.ServerEntry
-			for j := range m.Servers {
-				if m.Servers[j].ShardLo == old.entry.ShardLo && m.Servers[j].ShardHi == old.entry.ShardHi {
-					entry = &m.Servers[j]
-					break
-				}
+		for _, e := range m.Servers {
+			if e.ShardLo != old.ShardLo || e.ShardHi != old.ShardHi {
+				continue
 			}
-			if entry == nil {
-				err = fmt.Errorf("ps: cluster map no longer lists shards [%d, %d)", old.entry.ShardLo, old.entry.ShardHi)
-			} else {
-				var link *dataLink
-				if link, err = c.openLink(*entry); err == nil {
-					c.adoptMapHeader(m)
-					c.links[i] = link
-					return nil
-				}
+			link, err := c.openLink(e)
+			if err == nil {
+				c.adoptMapHeader(m)
+				c.links[i] = link
 			}
+			return err
 		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			return fmt.Errorf("ps: data link for shards [%d, %d) unrecoverable: %w (after %v)",
-				old.entry.ShardLo, old.entry.ShardHi, err, cause)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ps: data link for shards [%d, %d) did not recover: %w (last: %v)",
-				old.entry.ShardLo, old.entry.ShardHi, cause, err)
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 100*time.Millisecond {
-			backoff = 100 * time.Millisecond
-		}
+		return fmt.Errorf("ps: cluster map no longer lists shards [%d, %d)", old.ShardLo, old.ShardHi)
+	})
+	if err != nil {
+		return fmt.Errorf("ps: data link for shards [%d, %d) did not recover: %w (cause: %v)",
+			old.ShardLo, old.ShardHi, err, cause)
 	}
+	return nil
 }
 
 // Pull assembles the global weights from every data server and returns them
@@ -487,7 +462,7 @@ func (c *ClusterClient) Codec() string {
 	if len(c.links) == 0 {
 		return ""
 	}
-	return c.links[0].client.Compression().Codec
+	return c.links[0].client.Codec()
 }
 
 // Close releases every connection.

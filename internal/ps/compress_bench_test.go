@@ -106,60 +106,57 @@ func BenchmarkPullLatencyByCodec(b *testing.B) {
 }
 
 // BenchmarkCompressedTCPPushPull measures the worker iteration over the real
-// TCP transport per wire format and codec: this is where the binary frame
-// protocol's smaller dense encoding and alias-the-buffer decode turn into
-// round-trip latency, and where smaller compressed payloads turn into fewer
-// encoded bytes and fewer syscalls. `make proto-bench` runs the gob-vs-binary
-// slice of this suite.
+// TCP transport per codec: where smaller compressed payloads turn into fewer
+// encoded bytes and fewer syscalls. The "binary/" name prefix dates from when
+// a gob encoding ran beside it; it stays so the committed baselines keep
+// their history.
 func BenchmarkCompressedTCPPushPull(b *testing.B) {
-	for _, wire := range []transport.WireFormat{transport.WireBinary, transport.WireGob} {
-		for _, cfg := range codecBenchConfigs() {
-			b.Run(string(wire)+"/"+cfg.String(), func(b *testing.B) {
-				st, err := NewStoreSharded(benchModel(), optimizer.NewSGD(0.01), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv, err := NewServer(ServerConfig{
-					Workers: 1,
-					Policy:  core.MustNewASP(1),
-					Store:   st,
-					Options: Options{Compression: cfg},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				listener, err := transport.ListenWire("127.0.0.1:0", wire)
-				if err != nil {
-					b.Fatal(err)
-				}
-				go func() { _ = srv.Serve(listener) }()
-				b.Cleanup(func() {
-					srv.Stop()
-					listener.Close()
-				})
-				conn, err := transport.DialWire(listener.Addr(), wire)
-				if err != nil {
-					b.Fatal(err)
-				}
-				client, err := NewClientCompressed(conn, 0, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { client.Close() })
-				if err := client.Register(); err != nil {
-					b.Fatal(err)
-				}
-				grads := benchGrads()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := client.PushAndWait(grads, int64(i), i); err != nil {
-						b.Fatal(err)
-					}
-					if _, _, err := client.Pull(); err != nil {
-						b.Fatal(err)
-					}
-				}
+	for _, cfg := range codecBenchConfigs() {
+		b.Run("binary/"+cfg.String(), func(b *testing.B) {
+			st, err := NewStoreSharded(benchModel(), optimizer.NewSGD(0.01), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv, err := NewServer(ServerConfig{
+				Workers: 1,
+				Policy:  core.MustNewASP(1),
+				Store:   st,
+				Options: Options{Compression: cfg},
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			listener, err := transport.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go func() { _ = srv.Serve(listener) }()
+			b.Cleanup(func() {
+				srv.Stop()
+				listener.Close()
+			})
+			conn, err := transport.Dial(listener.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			client, err := NewClientCompressed(conn, 0, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { client.Close() })
+			if err := client.Register(); err != nil {
+				b.Fatal(err)
+			}
+			grads := benchGrads()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := client.PushAndWait(grads, int64(i), i); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := client.Pull(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

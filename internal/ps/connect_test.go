@@ -1,0 +1,219 @@
+package ps
+
+import (
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"dssp/internal/core"
+	"dssp/internal/optimizer"
+	"dssp/internal/tensor"
+	"dssp/internal/transport"
+)
+
+// dialLog wraps a dialer and records every address dialed, which is how the
+// Connect tests tell where a route actually went.
+type dialLog struct {
+	dial func(addr string) (transport.Conn, error)
+	mu   sync.Mutex
+	seen []string
+}
+
+func (d *dialLog) Dial(addr string) (transport.Conn, error) {
+	d.mu.Lock()
+	d.seen = append(d.seen, addr)
+	d.mu.Unlock()
+	return d.dial(addr)
+}
+
+// take returns and clears the addresses dialed so far.
+func (d *dialLog) take() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := strings.Join(d.seen, " ")
+	d.seen = nil
+	return out
+}
+
+// pushOnce drives one iteration through c: proof the client is registered.
+func pushOnce(t *testing.T, c WorkerClient, grads []*tensor.Tensor, it int) {
+	t.Helper()
+	_, v, err := c.Pull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PushAndWait(grads, v, it); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConnectFlat: a flat route dials the server and registers; a rejoin
+// registers as one; a shard-count expectation the server does not meet fails
+// the connect and leaves no session behind.
+func TestConnectFlat(t *testing.T) {
+	const size = 5
+	st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(size), tensor.New(size)}, optimizer.NewSGD(0.1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newRelayHarness(t, core.MustNewASP(2), st, 0, 0, Options{Elastic: true})
+	log := &dialLog{dial: h.dial}
+	route := Route{Dial: log.Dial, Addr: h.rootListener.Addr(), Worker: 1, Shards: 2}
+	grads := append(testGrads(1, 0, size), testGrads(2, 0, size)...)
+
+	c, err := Connect(route, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.(*Client); !ok {
+		t.Fatalf("flat route returned a %T", c)
+	}
+	pushOnce(t, c, grads, 0)
+	c.Close()
+	if got := log.take(); got != route.Addr {
+		t.Fatalf("flat connect dialed %q, want the server once", got)
+	}
+
+	c, err = Connect(route, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pushOnce(t, c, grads, 1)
+	if h.server.Rejoins() != 1 {
+		t.Fatalf("server counted %d rejoins after a rejoin connect, want 1", h.server.Rejoins())
+	}
+
+	route.Worker, route.Shards = 0, 3
+	if _, err := Connect(route, false, 0); err == nil || !strings.Contains(err.Error(), "expects 3 parameter-store shards, server runs 2") {
+		t.Fatalf("shard expectation mismatch returned %v", err)
+	}
+}
+
+// TestConnectTree: a tree route fetches the layout from the root and dials
+// the covering relay; a worker no relay covers lands on the root; and after
+// the relay dies a rejoin re-fetches the layout and re-parents at the root.
+func TestConnectTree(t *testing.T) {
+	const size = 5
+	st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(size)}, optimizer.NewSGD(0.1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One fanout-2 relay under three workers: it covers 0 and 1, not 2.
+	h := newRelayHarness(t, core.MustNewASP(3), st, 1, 2, Options{Elastic: true})
+	root, relay := h.rootListener.Addr(), h.listeners[0].Addr()
+	log := &dialLog{dial: h.dial}
+	route := Route{Dial: log.Dial, Addr: root, Topology: Tree}
+
+	covered, err := Connect(route, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer covered.Close()
+	pushOnce(t, covered, testGrads(0, 0, size), 0)
+	if got := log.take(); got != root+" "+relay {
+		t.Fatalf("covered worker dialed %q, want layout fetch then relay", got)
+	}
+
+	route.Worker = 2
+	direct, err := Connect(route, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	pushOnce(t, direct, testGrads(2, 0, size), 0)
+	if got := log.take(); got != root+" "+root {
+		t.Fatalf("uncovered worker dialed %q, want layout fetch then root", got)
+	}
+
+	h.relays[0].Stop()
+	if _, _, err := covered.Pull(); err == nil {
+		t.Fatal("pull through a stopped relay succeeded")
+	}
+	// The root drops the dead relay from the layout when its trunk closes;
+	// Retry rides out the moment in between, re-fetching on every attempt.
+	route.Worker, route.Retry = 0, 5*time.Second
+	rejoined, err := Connect(route, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rejoined.Close()
+	pushOnce(t, rejoined, testGrads(0, 1, size), 1)
+	if got := log.take(); !strings.HasSuffix(got, root+" "+root) {
+		t.Fatalf("orphaned worker dialed %q, want it to end on a fresh layout fetch then root", got)
+	}
+}
+
+// TestConnectGroup: a group route is a ClusterClient; it refuses a rejoin
+// with ErrNoRejoin, and checks a shard expectation against the group-wide
+// count.
+func TestConnectGroup(t *testing.T) {
+	initial := seededModel(3)
+	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
+	route := Route{Dial: g.dial, Addr: g.coordAddr, Topology: Group, Shards: g.globalShards}
+
+	c, err := Connect(route, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, ok := c.(*ClusterClient); !ok {
+		t.Fatalf("group route returned a %T", c)
+	}
+	pushOnce(t, c, scheduledGrads(0, 0), 0)
+
+	if _, err := Connect(route, true, 1); !errors.Is(err, ErrNoRejoin) {
+		t.Fatalf("rejoin on a group route returned %v, want ErrNoRejoin", err)
+	}
+	route.Shards++
+	if _, err := Connect(route, false, 0); err == nil || !strings.Contains(err.Error(), "parameter-store shards") {
+		t.Fatalf("group shard expectation mismatch returned %v", err)
+	}
+}
+
+// TestRetry pins the one backoff loop: a permanent error returns at once, a
+// zero budget is one attempt, the budget bounds the retrying, and the backoff
+// is capped (uncapped doubling from 1 ms would fit at most 9 attempts into
+// 200 ms; capped at 2 ms there are about a hundred).
+func TestRetry(t *testing.T) {
+	transient, permanent := errors.New("transient"), errors.New("permanent")
+	isPermanent := func(err error) bool { return err == permanent }
+
+	calls := 0
+	err := retry(time.Minute, time.Millisecond, time.Second, isPermanent, func() error {
+		if calls++; calls == 3 {
+			return permanent
+		}
+		return transient
+	})
+	if err != permanent || calls != 3 {
+		t.Fatalf("permanent error: %d calls, err %v; want it returned on the 3rd", calls, err)
+	}
+
+	calls = 0
+	if err := retry(0, time.Millisecond, time.Second, isPermanent, func() error { calls++; return transient }); err != transient || calls != 1 {
+		t.Fatalf("zero budget: %d calls, err %v; want one attempt", calls, err)
+	}
+
+	calls = 0
+	start := time.Now()
+	err = retry(200*time.Millisecond, time.Millisecond, 2*time.Millisecond, isPermanent, func() error { calls++; return transient })
+	if elapsed := time.Since(start); err != transient || elapsed < 200*time.Millisecond || elapsed > 5*time.Second {
+		t.Fatalf("budget: returned %v after %v, want the last error once 200ms had passed", err, elapsed)
+	}
+	if calls <= 20 {
+		t.Fatalf("backoff cap: %d attempts in 200ms at a 2ms cap", calls)
+	}
+
+	calls = 0
+	if err := retry(time.Minute, time.Millisecond, time.Second, isPermanent, func() error {
+		if calls++; calls < 4 {
+			return transient
+		}
+		return nil
+	}); err != nil || calls != 4 {
+		t.Fatalf("success after transients: %d calls, err %v", calls, err)
+	}
+}

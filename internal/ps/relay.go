@@ -278,17 +278,11 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		_ = trunk.Close()
 		return nil, fmt.Errorf("ps: relay pull dial: %w", err)
 	}
-	up, err := NewClientCompressed(upConn, 0, negotiated)
+	// The pull session adopts the codec the trunk just negotiated with the
+	// same server.
+	up, err := OpenReplica(upConn, true)
 	if err != nil {
 		_ = trunk.Close()
-		_ = upConn.Close()
-		return nil, err
-	}
-	up.SetReplica(true)
-	up.SetDeltaPull(true)
-	if err := up.Register(); err != nil {
-		_ = trunk.Close()
-		_ = upConn.Close()
 		return nil, fmt.Errorf("ps: relay pull session: %w", err)
 	}
 

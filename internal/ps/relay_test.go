@@ -64,35 +64,24 @@ func newRelayHarness(t *testing.T, policy core.Policy, st *Store, relays, fanout
 	return h
 }
 
+// dial resolves an advertised address: a relay's listener, else the root.
+func (h *relayHarness) dial(addr string) (transport.Conn, error) {
+	for _, l := range h.listeners {
+		if l.Addr() == addr {
+			return l.Dial()
+		}
+	}
+	return h.rootListener.Dial()
+}
+
 // childClient registers worker w through the relay the layout assigns it.
 func (h *relayHarness) childClient(t *testing.T, w int) *Client {
 	t.Helper()
-	conn, err := h.rootListener.Dial()
+	c, err := Connect(Route{Dial: h.dial, Addr: h.rootListener.Addr(), Worker: w, Topology: Tree}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, err := FetchTreeLayout(conn)
-	conn.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := layout.Covering(w)
-	var dial func() (transport.Conn, error)
-	dial = h.rootListener.Dial
-	for i, l := range h.listeners {
-		if l.Addr() == addr {
-			dial = h.listeners[i].Dial
-		}
-	}
-	c, err := dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := NewClient(c, w)
-	if err := client.Register(); err != nil {
-		t.Fatal(err)
-	}
-	return client
+	return c.(*Client)
 }
 
 // testGrads returns a deterministic pseudo-random gradient for iteration it.

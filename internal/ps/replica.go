@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"dssp/internal/compress"
 	"dssp/internal/obs"
 	"dssp/internal/transport"
 )
@@ -76,28 +75,14 @@ func RunReplicator(cfg ReplicatorConfig, stop <-chan struct{}) error {
 			return nil
 		default:
 		}
+		// A replica session adopts the primary's codec, so the stream carries
+		// whatever precision the primary's workers see on their own pulls.
+		var client *Client
 		conn, err := cfg.Dial()
-		if err != nil {
-			if time.Since(lastContact) > grace {
-				return ErrPrimaryDead
-			}
-			if !sleepOrStop(interval, stop) {
-				return nil
-			}
-			continue
+		if err == nil {
+			client, err = OpenReplica(conn, true)
 		}
-		// Codec auto: a replica must be able to read any primary, including
-		// one speaking a compressed codec (the stream then carries whatever
-		// precision the primary's workers see on their own pulls).
-		client, err := NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
 		if err != nil {
-			_ = conn.Close()
-			return err
-		}
-		client.SetReplica(true)
-		client.SetDeltaPull(true)
-		if err := client.Register(); err != nil {
-			_ = conn.Close()
 			if time.Since(lastContact) > grace {
 				return ErrPrimaryDead
 			}

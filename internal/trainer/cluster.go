@@ -2,7 +2,6 @@ package trainer
 
 import (
 	"fmt"
-	"time"
 
 	"dssp/internal/core"
 	"dssp/internal/optimizer"
@@ -11,25 +10,15 @@ import (
 	"dssp/internal/transport"
 )
 
-// trainClient is the worker side of Algorithm 1 as the training loop sees
-// it: a single-server ps.Client and a server-group ps.ClusterClient both
-// satisfy it, so runWorker is one body for both topologies.
-type trainClient interface {
-	Pull() ([]*tensor.Tensor, int64, error)
-	PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error
-	Done() error
-	Close() error
-	Traffic() (pushed, pulled int64)
-	StartHeartbeats(interval time.Duration) (stop func())
-}
-
 // serving is one way of standing the parameter-server side up — a single
 // in-process server, or a coordinator plus ClusterServers data servers. The
 // run body (worker fan-out, evaluation loop, result accounting) is identical
 // either way; only these hooks differ.
 type serving struct {
-	// connect builds, registers and heartbeat-starts one worker's client.
-	connect func(workerID int) (trainClient, error)
+	// route is how a worker reaches the topology; ps.Connect turns it, with a
+	// worker id filled in, into a registered client. net is what it dials on.
+	route ps.Route
+	net   chanNet
 	// snapshot returns the assembled global weights and their version (the
 	// minimum applied version across data servers in cluster mode).
 	snapshot func() ([]*tensor.Tensor, int64)
@@ -41,9 +30,6 @@ type serving struct {
 	// single server, or the cluster coordinator. Result statistics
 	// (pushes, drops, staleness, waits, guard, metrics, traces) read from it.
 	policyServer *ps.Server
-	// dial opens a fresh connection to the policy server (set by
-	// buildStandalone; the tree topology builds relay trunks over it).
-	dial func() (transport.Conn, error)
 	// relays is the aggregation tier, when the topology has one.
 	relays []*ps.Relay
 	// stop tears the topology down in dependency order.
@@ -67,6 +53,33 @@ func buildServing(cfg Config, policy core.Policy, params []*tensor.Tensor) (*ser
 	return buildCluster(cfg, policy, params)
 }
 
+// chanNet is the channel-transport twin of TCP dialing: the topology's
+// in-process listeners, keyed by the address each advertises.
+type chanNet map[string]*transport.ChanListener
+
+// listen adds a listener to the net.
+func (n chanNet) listen() *transport.ChanListener {
+	l := transport.NewChanListener()
+	n[l.Addr()] = l
+	return l
+}
+
+// dial connects to the listener advertising addr.
+func (n chanNet) dial(addr string) (transport.Conn, error) {
+	l := n[addr]
+	if l == nil {
+		return nil, fmt.Errorf("trainer: no server at %s", addr)
+	}
+	return l.Dial()
+}
+
+// close closes every listener.
+func (n chanNet) close() {
+	for _, l := range n {
+		l.Close()
+	}
+}
+
 // buildStandalone is the classic topology: one server, one sharded store.
 func buildStandalone(cfg Config, policy core.Policy, params []*tensor.Tensor) (*serving, error) {
 	opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum, cfg.WeightDecay)
@@ -85,38 +98,33 @@ func buildStandalone(cfg Config, policy core.Policy, params []*tensor.Tensor) (*
 	if err != nil {
 		return nil, err
 	}
-	listener := transport.NewChanListener()
+	net := chanNet{}
+	listener := net.listen()
 	listener.SetMeter(transport.NewMetrics(server.Registry()))
 	go func() { _ = server.Serve(listener) }()
-	connect := func(workerID int) (trainClient, error) {
-		conn, err := listener.Dial()
-		if err != nil {
-			return nil, err
-		}
-		client, err := ps.NewClientCompressed(conn, workerID, cfg.Compression)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		client.SetDeltaPull(cfg.DeltaPull)
-		if err := client.Register(); err != nil {
-			client.Close()
-			return nil, err
-		}
-		return client, nil
-	}
 	return &serving{
-		connect:      connect,
+		route:        cfg.route(net, listener.Addr(), ps.Flat),
+		net:          net,
 		snapshot:     store.Snapshot,
 		version:      store.Version,
 		setLR:        store.SetLearningRate,
 		policyServer: server,
-		dial:         listener.Dial,
 		stop: func() {
 			server.Stop()
-			listener.Close()
+			net.close()
 		},
 	}, nil
+}
+
+// route is how cfg's workers reach a topology rooted at addr on net.
+func (cfg Config) route(net chanNet, addr string, topology ps.Topology) ps.Route {
+	return ps.Route{
+		Dial:        net.dial,
+		Addr:        addr,
+		Topology:    topology,
+		Compression: cfg.Compression,
+		DeltaPull:   cfg.DeltaPull,
+	}
 }
 
 // buildTree is the aggregation-tree topology (DESIGN.md §11): the classic
@@ -131,28 +139,17 @@ func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*servin
 	if err != nil {
 		return nil, err
 	}
-	rootDial := base.dial
 	rootStop := base.stop
-
-	relayCount := (cfg.Workers + cfg.Fanout - 1) / cfg.Fanout
-	var relays []*ps.Relay
-	var listeners []*transport.ChanListener
-	byAddr := make(map[string]*transport.ChanListener)
-	stopAll := func() {
-		for _, r := range relays {
+	base.stop = func() {
+		for _, r := range base.relays {
 			r.Stop()
-		}
-		for _, l := range listeners {
-			l.Close()
 		}
 		rootStop()
 	}
-	for i := 0; i < relayCount; i++ {
-		l := transport.NewChanListener()
-		listeners = append(listeners, l)
-		byAddr[l.Addr()] = l
+	for i := 0; i < (cfg.Workers+cfg.Fanout-1)/cfg.Fanout; i++ {
+		l := base.net.listen()
 		relay, err := ps.NewRelay(ps.RelayConfig{
-			Parent:            rootDial,
+			Parent:            func() (transport.Conn, error) { return base.net.dial(base.route.Addr) },
 			Fanout:            cfg.Fanout,
 			Advertise:         l.Addr(),
 			Compression:       cfg.Compression,
@@ -160,48 +157,13 @@ func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*servin
 			HeartbeatTimeout:  cfg.HeartbeatTimeout,
 		})
 		if err != nil {
-			stopAll()
+			base.stop()
 			return nil, fmt.Errorf("trainer: relay %d: %w", i, err)
 		}
-		relays = append(relays, relay)
-		go func(r *ps.Relay, l *transport.ChanListener) { _ = r.Serve(l) }(relay, l)
+		base.relays = append(base.relays, relay)
+		go func() { _ = relay.Serve(l) }()
 	}
-
-	connect := func(workerID int) (trainClient, error) {
-		layoutConn, err := rootDial()
-		if err != nil {
-			return nil, err
-		}
-		layout, err := ps.FetchTreeLayout(layoutConn)
-		layoutConn.Close()
-		if err != nil {
-			return nil, err
-		}
-		var conn transport.Conn
-		if addr := layout.Covering(workerID); addr != "" && byAddr[addr] != nil {
-			conn, err = byAddr[addr].Dial()
-		} else {
-			conn, err = rootDial()
-		}
-		if err != nil {
-			return nil, err
-		}
-		client, err := ps.NewClientCompressed(conn, workerID, cfg.Compression)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		client.SetDeltaPull(cfg.DeltaPull)
-		if err := client.Register(); err != nil {
-			client.Close()
-			return nil, err
-		}
-		return client, nil
-	}
-
-	base.connect = connect
-	base.relays = relays
-	base.stop = stopAll
+	base.route.Topology = ps.Tree
 	return base, nil
 }
 
@@ -209,103 +171,74 @@ func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*servin
 // each own a contiguous shard range of the model behind local ASP policies
 // (a fragment's OK means "applied"), and one coordinator runs the real
 // paradigm policy over metadata-only pushes — the single serialization point
-// conf_icdcs_ZhaoALC19's staleness bounds are defined against.
+// conf_icdcs_ZhaoALC19's staleness bounds are defined against. What each role
+// is made of is ps.ServerConfig.AsGroupMember's business.
 func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*serving, error) {
-	sizes := make([]int, len(params))
-	for i, p := range params {
-		sizes[i] = p.Size()
-	}
-	layout, globalShards, err := ps.GroupLayout(sizes, cfg.Shards, cfg.ClusterServers)
+	layout, globalShards, err := ps.GroupLayout(ps.TensorSizes(params), cfg.Shards, cfg.ClusterServers)
 	if err != nil {
 		return nil, fmt.Errorf("trainer: cluster layout: %w", err)
 	}
-
-	coordStore, err := ps.NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, optimizer.NewSGD(1), 1)
-	if err != nil {
-		return nil, err
-	}
-	coord, err := ps.NewServer(ps.ServerConfig{
-		Workers: cfg.Workers,
-		Policy:  policy,
-		Store:   coordStore,
-		Options: ps.Options{Elastic: cfg.Elastic, HeartbeatTimeout: cfg.HeartbeatTimeout},
-		Metrics: cfg.Metrics,
-		Trace:   cfg.Trace,
-		Cluster: ps.ClusterConfig{
-			Coordinator:  true,
-			GlobalShards: globalShards,
-			TotalTensors: len(params),
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// One in-process listener per server; the dial table keyed by advertised
-	// address is the channel-transport twin of TCP dialing.
-	listeners := make(map[string]*transport.ChanListener)
-	coordListener := transport.NewChanListener()
-	coordListener.SetMeter(transport.NewMetrics(coord.Registry()))
-	listeners[coordListener.Addr()] = coordListener
-	dial := func(addr string) (transport.Conn, error) {
-		l := listeners[addr]
-		if l == nil {
-			return nil, fmt.Errorf("trainer: no cluster server at %s", addr)
-		}
-		return l.Dial()
-	}
-	go func() { _ = coord.Serve(coordListener) }()
-
+	opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum, cfg.WeightDecay)
+	net := chanNet{}
 	var servers []*ps.Server
 	var stores []*ps.Store
-	var closers []*transport.ChanListener
 	stopAll := func() {
-		coord.Stop()
 		for _, s := range servers {
 			s.Stop()
 		}
-		coordListener.Close()
-		for _, l := range closers {
-			l.Close()
-		}
+		net.close()
 	}
-	// Data-server options: the byte-path knobs (compression, aggregation,
-	// guard) act where the gradients land. Checkpointing is deliberately
-	// dropped — per-range stores would race over one directory — and
-	// elasticity is the coordinator's call.
-	dataOpts := ps.Options{
-		Compression: cfg.Compression,
-		Aggregator:  cfg.Aggregator,
-		Guard:       cfg.Guard,
-	}
-	dataPolicy := func() core.Policy { return core.MustNewASP(cfg.Workers) }
-	for i := 0; i < cfg.ClusterServers; i++ {
-		a := layout[i]
-		opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum, cfg.WeightDecay)
-		st, err := ps.NewStoreRange(params, opt, globalShards, a.ShardLo, a.ShardHi)
+	// start stands one group member up on its own listener. Only the
+	// coordinator (own == nil) meters its transport: it is the policy server
+	// whose registry the run reports.
+	start := func(scfg ps.ServerConfig, own *ps.ShardAssignment) (string, error) {
+		scfg, err := scfg.AsGroupMember(params, opt, globalShards, own)
 		if err != nil {
-			stopAll()
-			return nil, err
+			return "", err
 		}
-		srv, err := ps.NewServer(ps.ServerConfig{
-			Workers: cfg.Workers,
-			Policy:  dataPolicy(),
-			Store:   st,
-			Options: dataOpts,
-		})
+		srv, err := ps.NewServer(scfg)
 		if err != nil {
-			stopAll()
-			return nil, err
+			return "", err
 		}
-		l := transport.NewChanListener()
-		listeners[l.Addr()] = l
-		closers = append(closers, l)
+		l := net.listen()
+		if own == nil {
+			l.SetMeter(transport.NewMetrics(srv.Registry()))
+		} else {
+			stores = append(stores, scfg.Store)
+		}
 		go func() { _ = srv.Serve(l) }()
 		servers = append(servers, srv)
-		stores = append(stores, st)
-		if err := announce(dial, coordListener.Addr(), a.Entry(l.Addr())); err != nil {
+		return l.Addr(), nil
+	}
+	coordAddr, err := start(ps.ServerConfig{
+		Workers: cfg.Workers,
+		Policy:  policy,
+		Options: ps.Options{Elastic: cfg.Elastic, HeartbeatTimeout: cfg.HeartbeatTimeout},
+		Metrics: cfg.Metrics,
+		Trace:   cfg.Trace,
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i := range layout {
+		// Data-server options: the byte-path knobs (compression, aggregation,
+		// guard) act where the gradients land. Checkpointing is deliberately
+		// dropped — per-range stores would race over one directory — and
+		// elasticity is the coordinator's call.
+		addr, err := start(ps.ServerConfig{
+			Workers: cfg.Workers,
+			Options: ps.Options{Compression: cfg.Compression, Aggregator: cfg.Aggregator, Guard: cfg.Guard},
+		}, &layout[i])
+		if err == nil {
+			var conn transport.Conn
+			if conn, err = net.dial(coordAddr); err == nil {
+				err = ps.SubmitEntry(conn, transport.MsgServerAnnounce, layout[i].Entry(addr), false)
+				conn.Close()
+			}
+		}
+		if err != nil {
 			stopAll()
-			return nil, err
+			return nil, fmt.Errorf("trainer: data server %d: %w", i, err)
 		}
 	}
 
@@ -330,14 +263,8 @@ func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*ser
 		}
 		return out, version
 	}
-	connect := func(workerID int) (trainClient, error) {
-		return ps.NewClusterClient(dial, coordListener.Addr(), workerID, ps.ClusterClientConfig{
-			Compression: cfg.Compression,
-			DeltaPull:   cfg.DeltaPull,
-		})
-	}
 	return &serving{
-		connect:  connect,
+		route:    cfg.route(net, coordAddr, ps.Group),
 		snapshot: snapshot,
 		version:  minVersion,
 		setLR: func(lr float64) {
@@ -345,31 +272,7 @@ func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*ser
 				st.SetLearningRate(lr)
 			}
 		},
-		policyServer: coord,
+		policyServer: servers[0],
 		stop:         stopAll,
 	}, nil
-}
-
-// announce registers one data server's map entry with the coordinator, the
-// same frame exchange the TCP layer performs.
-func announce(dial func(string) (transport.Conn, error), coordAddr string, entry transport.ServerEntry) error {
-	conn, err := dial(coordAddr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if err := conn.Send(transport.Message{
-		Type:    transport.MsgServerAnnounce,
-		Servers: []transport.ServerEntry{entry},
-	}); err != nil {
-		return err
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		return err
-	}
-	if msg.Type != transport.MsgOK {
-		return fmt.Errorf("trainer: cluster announce rejected: %s", msg.Error)
-	}
-	return nil
 }

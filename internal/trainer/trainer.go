@@ -243,20 +243,20 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(workerID int) {
 			defer wg.Done()
-			report, err := runWorker(cfg, srv.connect, workerID, totalIters)
+			report, err := runWorker(cfg, srv.route, workerID, totalIters)
 			if err != nil {
 				errCh <- fmt.Errorf("worker %d: %w", workerID, err)
 				return
 			}
-			if report.crashed {
+			if report.Crashed {
 				crashedMu.Lock()
 				crashed = append(crashed, workerID)
 				crashedMu.Unlock()
 			}
 			lossMu.Lock()
-			lastLoss = report.loss
-			pushedBytes += report.pushed
-			pulledBytes += report.pulled
+			lastLoss = report.Loss
+			pushedBytes += report.Pushed
+			pulledBytes += report.Pulled
 			lossMu.Unlock()
 		}(w)
 	}
@@ -341,111 +341,41 @@ poll:
 	return result, nil
 }
 
-// workerReport is what one worker goroutine hands back to Run.
-type workerReport struct {
-	loss    float64
-	pushed  int64
-	pulled  int64
-	crashed bool
-}
-
-// runWorker executes the worker side of Algorithm 1 for one worker. connect
-// hides the topology: it hands back a registered client against the single
-// server or the whole server group.
-func runWorker(cfg Config, connect func(workerID int) (trainClient, error), workerID, totalIters int) (workerReport, error) {
-	var report workerReport
-	client, err := connect(workerID)
-	if err != nil {
-		return report, err
-	}
-	defer client.Close()
-	if cfg.HeartbeatInterval > 0 {
-		stop := client.StartHeartbeats(cfg.HeartbeatInterval)
-		defer stop()
-	}
-
+// runWorker builds worker workerID's replica and data shard from cfg and runs
+// the worker loop over route — an in-process worker never reconnects.
+func runWorker(cfg Config, route ps.Route, workerID, totalIters int) (WorkerReport, error) {
 	shard, err := data.PartitionDataset(cfg.Train, workerID, cfg.Workers)
 	if err != nil {
-		return report, err
+		return WorkerReport{}, err
 	}
 	if shard.Len() == 0 {
 		shard = cfg.Train
 	}
 	iter, err := data.NewBatchIterator(shard, cfg.BatchSize, cfg.Seed+int64(workerID)*1009)
 	if err != nil {
-		return report, err
+		return WorkerReport{}, err
 	}
-	replica := cfg.Model.Build(rand.New(rand.NewSource(cfg.Seed)))
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(workerID)*7919))
-
-	var delay time.Duration
+	route.Worker = workerID
+	w := Worker{
+		Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
+			return ps.Connect(route, rejoin, lastVersion)
+		},
+		HeartbeatInterval: cfg.HeartbeatInterval,
+		Replica:           cfg.Model.Build(rand.New(rand.NewSource(cfg.Seed))),
+		Batches:           iter,
+		Augment:           cfg.Augment,
+		Rng:               rand.New(rand.NewSource(cfg.Seed + int64(workerID)*7919)),
+		Iterations:        totalIters,
+		Adversary:         cfg.Adversaries[workerID],
+		CrashAt:           NoCrash,
+	}
 	if workerID < len(cfg.WorkerDelay) {
-		delay = cfg.WorkerDelay[workerID]
+		w.Delay = cfg.WorkerDelay[workerID]
 	}
-
-	crashAt, crashes := cfg.CrashAt[workerID]
-	adv := cfg.Adversaries[workerID]
-
-	for it := 0; it < totalIters; it++ {
-		if crashes && it == crashAt {
-			// Injected fault: drop the connection abruptly — no Done, no
-			// Leave — exactly like a killed process. The server must notice
-			// through the dead connection and release this worker's peers.
-			report.crashed = true
-			return report, nil
-		}
-		// Step 1 of the iteration: pull the global weights and adopt them.
-		params, version, err := client.Pull()
-		if err != nil {
-			return adversaryExit(adv, report, err)
-		}
-		if err := replica.SetParams(params); err != nil {
-			return report, err
-		}
-		// Step 2: compute gradients on the next mini-batch.
-		x, labels := iter.Next()
-		if cfg.Augment != nil {
-			cfg.Augment.Apply(rng, x)
-		}
-		replica.ZeroGrads()
-		loss, _ := replica.Loss(x, labels, true)
-		replica.Backward()
-		report.loss = loss
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		// Step 3: push the gradients and wait for the server's OK — the
-		// replica's own tensors, which the client copies or serializes before
-		// PushAndWait returns. A listed adversary corrupts the push first
-		// (and may lie about its base version), on a private clone so the
-		// corruption never leaks into the replica.
-		grads := replica.Grads()
-		claimed := version
-		if adv.active() {
-			grads = replica.CloneGrads()
-			claimed = adv.corrupt(grads, version)
-		}
-		if err := client.PushAndWait(grads, claimed, it); err != nil {
-			return adversaryExit(adv, report, err)
-		}
+	if at, crashes := cfg.CrashAt[workerID]; crashes {
+		w.CrashAt = at
 	}
-	if err := client.Done(); err != nil {
-		return adversaryExit(adv, report, err)
-	}
-	report.pushed, report.pulled = client.Traffic()
-	return report, nil
-}
-
-// adversaryExit classifies a worker's client error: for a listed adversary a
-// dying connection is the expected fate — the guard evicts it and closes the
-// socket — so it is recorded as a crash, like CrashAt fault injection, and
-// the run continues without it. Honest workers keep failing the run loudly.
-func adversaryExit(adv Adversary, report workerReport, err error) (workerReport, error) {
-	if adv.active() {
-		report.crashed = true
-		return report, nil
-	}
-	return report, err
+	return RunWorker(w)
 }
 
 // max64 returns the larger of two int64 values.

@@ -1,0 +1,194 @@
+package trainer
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"time"
+
+	"dssp/internal/data"
+	"dssp/internal/nn"
+	"dssp/internal/ps"
+)
+
+// NoCrash is the Worker.CrashAt value of a worker that runs to completion.
+const NoCrash = -1
+
+// Worker is one worker's side of a run: how it reaches the parameter store
+// and what it computes there. Topology lives entirely in Connect; RunWorker
+// is the same loop on a flat server, a relay tree and a server group.
+type Worker struct {
+	// Connect returns a registered client. The first call passes
+	// (false, 0); after a lost connection, with Reconnect set, it is called
+	// with (true, the last store version the worker pulled). Returning
+	// ps.ErrNoRejoin refuses the rejoin: the run fails with the error that
+	// prompted it.
+	Connect func(rejoin bool, lastVersion int64) (ps.WorkerClient, error)
+	// Reconnect makes a transport error a reason to Connect again and redo
+	// the interrupted iteration, instead of the end of the run.
+	Reconnect bool
+	// HeartbeatInterval, when positive, sends liveness heartbeats on every
+	// client Connect returns.
+	HeartbeatInterval time.Duration
+	// Replica is the worker's model; Batches its data shard.
+	Replica *nn.Network
+	Batches *data.BatchIterator
+	// Augment, when set, distorts each batch using Rng.
+	Augment data.Augmenter
+	Rng     *rand.Rand
+	// Iterations is how many mini-batches the worker pushes before Done.
+	Iterations int
+	// Delay is slept after every backward pass, emulating a slower GPU.
+	Delay time.Duration
+	// Adversary corrupts what the worker pushes. An adversary whose run ends
+	// on a connection error — the guard evicted it and closed the socket, its
+	// expected fate — is reported as Crashed, not as an error.
+	Adversary Adversary
+	// CrashAt injects a fault: before starting this 0-based iteration the
+	// worker vanishes without a word — no Done, no Leave, like a killed
+	// process. NoCrash (any negative value) never does.
+	CrashAt int
+}
+
+// WorkerReport is what one worker's run came to.
+type WorkerReport struct {
+	// Iterations is the number of mini-batches whose push was released.
+	Iterations int
+	// Loss is the last mini-batch's training loss.
+	Loss float64
+	// Duration is the wall-clock time from the first registration to the end.
+	Duration time.Duration
+	// Pushed and Pulled are payload bytes summed over every client the
+	// worker used, Reconnects how many it used beyond the first, and Codec
+	// what the last one negotiated.
+	Pushed, Pulled int64
+	Reconnects     int
+	Codec          string
+	// Crashed reports a run ended by CrashAt or by an adversary's eviction.
+	Crashed bool
+}
+
+// RunWorker executes the worker side of Algorithm 1: pull the global weights,
+// adopt them, compute gradients on the next mini-batch, push them and wait
+// for the release; Done after the last one. A transport error mid-iteration
+// either ends the run or, with Reconnect, is followed by a rejoin and a redo
+// of the same iteration from a fresh pull, so the gradient matches the
+// weights it updates. The report is meaningful even alongside an error.
+func RunWorker(w Worker) (report WorkerReport, err error) {
+	var client ps.WorkerClient
+	var stopHeartbeats func()
+	lastVersion := int64(0)
+
+	// link connects and starts heartbeats; retire folds the client's traffic
+	// into the report before discarding it, so bytes moved before a reconnect
+	// are not lost. Close without Done is how a crash looks to the server.
+	link := func(rejoin bool) error {
+		c, err := w.Connect(rejoin, lastVersion)
+		if err != nil {
+			return err
+		}
+		client, stopHeartbeats = c, func() {}
+		if w.HeartbeatInterval > 0 {
+			stopHeartbeats = c.StartHeartbeats(w.HeartbeatInterval)
+		}
+		return nil
+	}
+	retire := func() {
+		if client == nil {
+			return
+		}
+		stopHeartbeats()
+		pushed, pulled := client.Traffic()
+		report.Pushed += pushed
+		report.Pulled += pulled
+		report.Codec = client.Codec()
+		_ = client.Close()
+		client = nil
+	}
+	if err := link(false); err != nil {
+		return report, fmt.Errorf("connect: %w", err)
+	}
+	start := time.Now()
+	// The deferred accounting writes the named result, after every return.
+	defer func() {
+		retire()
+		report.Duration = time.Since(start)
+	}()
+
+	// lost handles a transport error: nil means a fresh client is in place
+	// and the interrupted step should be redone.
+	lost := func(cause error) error {
+		if !w.Reconnect {
+			return cause
+		}
+		retire()
+		if err := link(true); errors.Is(err, ps.ErrNoRejoin) {
+			return cause
+		} else if err != nil {
+			return fmt.Errorf("reconnect: %w (after %v)", err, cause)
+		}
+		report.Reconnects++
+		return nil
+	}
+	// fail ends the run on err — as a crash when the worker is an adversary.
+	adversarial := w.Adversary.active()
+	fail := func(err error) (WorkerReport, error) {
+		if adversarial {
+			report.Crashed = true
+			return report, nil
+		}
+		return report, err
+	}
+
+	for report.Iterations < w.Iterations {
+		it := report.Iterations
+		if it == w.CrashAt {
+			report.Crashed = true
+			return report, nil
+		}
+		params, version, err := client.Pull()
+		if err == nil {
+			lastVersion = version
+			if err := w.Replica.SetParams(params); err != nil {
+				return report, err
+			}
+			x, labels := w.Batches.Next()
+			if w.Augment != nil {
+				w.Augment.Apply(w.Rng, x)
+			}
+			w.Replica.ZeroGrads()
+			report.Loss, _ = w.Replica.Loss(x, labels, true)
+			w.Replica.Backward()
+			if w.Delay > 0 {
+				time.Sleep(w.Delay)
+			}
+			// An honest worker pushes the replica's own gradient tensors: the
+			// client is done with them when the push returns, and the next
+			// ZeroGrads overwrites them. An adversary corrupts a private
+			// clone, so the corruption never leaks into the replica, and may
+			// lie about its base version.
+			grads, claimed := w.Replica.Grads(), version
+			if adversarial {
+				grads = w.Replica.CloneGrads()
+				claimed = w.Adversary.corrupt(grads, version)
+			}
+			err = client.PushAndWait(grads, claimed, it)
+		}
+		if err != nil {
+			if err = lost(err); err != nil {
+				return fail(err)
+			}
+			continue
+		}
+		report.Iterations++
+	}
+	for {
+		err := client.Done()
+		if err == nil {
+			return report, nil
+		}
+		if err = lost(err); err != nil {
+			return fail(err)
+		}
+	}
+}

@@ -2,45 +2,16 @@ package transport
 
 import (
 	"bufio"
+	"errors"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
 )
 
-// crossWirePair connects a client of one wire format to a server of another
-// and returns both conns.
-func crossWirePair(t *testing.T, serverWire, clientWire WireFormat) (server, client Conn) {
-	t.Helper()
-	l, err := ListenWire("127.0.0.1:0", serverWire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	client, err = DialWire(l.Addr(), clientWire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	select {
-	case server = <-accepted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("accept timed out")
-	}
-	t.Cleanup(func() { server.Close() })
-	return server, client
-}
-
-// recvWithin runs one Recv under a deadline: the point of the cross-format
-// handshake is that a mismatch resolves quickly instead of hanging either
+// recvWithin runs one Recv under a deadline: the point of the first-frame
+// checks is that a foreign peer resolves quickly instead of hanging either
 // side.
 func recvWithin(t *testing.T, c Conn, d time.Duration) (Message, error) {
 	t.Helper()
@@ -57,82 +28,79 @@ func recvWithin(t *testing.T, c Conn, d time.Duration) (Message, error) {
 	case r := <-ch:
 		return r.m, r.err
 	case <-time.After(d):
-		t.Fatal("Recv did not return; a wire mismatch is hanging the connection")
+		t.Fatal("Recv did not return; a foreign peer is hanging the connection")
 		return Message{}, nil
 	}
 }
 
-// TestGobClientAgainstBinaryServerFailsFast pins the misconfiguration the
-// -wire flag makes possible: a legacy gob worker dialing a binary server
-// must receive an explicit gob-encoded error naming the fix — not hang
-// waiting for a registration reply it cannot parse.
-func TestGobClientAgainstBinaryServerFailsFast(t *testing.T) {
-	server, client := crossWirePair(t, WireBinary, WireGob)
+// notDSSP is what a peer that is not speaking the protocol sends first: at
+// least a header's worth of bytes without the magic.
+const notDSSP = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
 
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := server.Recv()
-		serverErr <- err
-	}()
-	if err := client.Send(Message{Type: MsgRegister, Worker: 0}); err != nil {
+// TestNonDSSPBytesAgainstBinaryServer: bytes without the frame magic fail the
+// server's first Recv with exactly one ErrWireMismatch ("not a DSSP frame");
+// the server writes nothing back — the peer could not parse it — and closing
+// the connection, as every accept loop does on a Recv error, is what the peer
+// sees. Nothing hangs.
+func TestNonDSSPBytesAgainstBinaryServer(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	raw, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	server, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write([]byte(notDSSP)); err != nil {
 		t.Fatal(err)
 	}
 
-	reply, err := recvWithin(t, client, 5*time.Second)
-	if err != nil {
-		t.Fatalf("gob client should receive a decodable error message, got transport error %v", err)
+	_, err = recvWithin(t, server, 5*time.Second)
+	if !errors.Is(err, ErrWireMismatch) || !IsWireMismatch(err) || !strings.Contains(err.Error(), "not a DSSP frame") {
+		t.Fatalf("server Recv returned %v, want ErrWireMismatch naming a non-DSSP frame", err)
 	}
-	if reply.Type != MsgError || !strings.Contains(reply.Error, "binary wire protocol") {
-		t.Fatalf("gob client got %+v, want an Error naming the binary wire protocol", reply)
-	}
+	server.Close()
 
-	select {
-	case err := <-serverErr:
-		if err == nil {
-			t.Fatal("binary server decoded a gob stream successfully")
-		}
-		if !strings.Contains(err.Error(), "magic") {
-			t.Fatalf("server error %q does not identify the bad magic", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("binary server hung on the gob stream")
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := raw.Read(make([]byte, 64)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("peer read %d bytes, err %v; want a bare close", n, err)
 	}
 }
 
-// TestBinaryClientAgainstGobServerFailsFast pins the opposite direction: the
-// gob server sniffs the binary magic on its first message and answers with a
-// binary Error frame, so the binary worker's registration fails with a clear
-// message instead of hanging.
-func TestBinaryClientAgainstGobServerFailsFast(t *testing.T) {
-	server, client := crossWirePair(t, WireGob, WireBinary)
-
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := server.Recv()
-		serverErr <- err
-	}()
-	if err := client.Send(Message{Type: MsgRegister, Worker: 0}); err != nil {
+// TestBinaryClientAgainstNonDSSPServer is the other end: a client whose
+// first reply lacks the magic reports ErrWireMismatch — which reconnect loops
+// treat as permanent — instead of a generic parse error.
+func TestBinaryClientAgainstNonDSSPServer(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	reply, err := recvWithin(t, client, 5*time.Second)
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_, _ = c.Read(make([]byte, 64))
+		_, _ = c.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n"))
+	}()
+	client, err := Dial(l.Addr().String())
 	if err != nil {
-		t.Fatalf("binary client should receive a decodable error frame, got transport error %v", err)
+		t.Fatal(err)
 	}
-	if reply.Type != MsgError || !strings.Contains(reply.Error, "gob") {
-		t.Fatalf("binary client got %+v, want an Error naming the gob wire format", reply)
+	defer client.Close()
+	if err := client.Send(Message{Type: MsgRegister}); err != nil {
+		t.Fatal(err)
 	}
-
-	select {
-	case err := <-serverErr:
-		if err == nil {
-			t.Fatal("gob server decoded a binary frame successfully")
-		}
-		if !strings.Contains(err.Error(), "binary wire frame") {
-			t.Fatalf("server error %q does not identify the binary frame", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("gob server hung on the binary stream")
+	if _, err := recvWithin(t, client, 5*time.Second); !errors.Is(err, ErrWireMismatch) {
+		t.Fatalf("client Recv returned %v, want ErrWireMismatch", err)
 	}
 }
 
@@ -181,30 +149,6 @@ func TestFutureVersionClientRejectedExplicitly(t *testing.T) {
 	}
 }
 
-// TestSameWireFormatsStillTalk sanity-checks both homogeneous pairings so
-// the cross tests above fail for the right reason.
-func TestSameWireFormatsStillTalk(t *testing.T) {
-	for _, wire := range []WireFormat{WireBinary, WireGob} {
-		t.Run(string(wire), func(t *testing.T) {
-			server, client := crossWirePair(t, wire, wire)
-			if err := client.Send(Message{Type: MsgRegister, Worker: 5}); err != nil {
-				t.Fatal(err)
-			}
-			got, err := recvWithin(t, server, 5*time.Second)
-			if err != nil || got.Type != MsgRegister || got.Worker != 5 {
-				t.Fatalf("register arrived as %+v (err %v)", got, err)
-			}
-			if err := server.Send(Message{Type: MsgRegistered, Worker: 5, Version: 8}); err != nil {
-				t.Fatal(err)
-			}
-			reply, err := recvWithin(t, client, 5*time.Second)
-			if err != nil || reply.Type != MsgRegistered || reply.Version != 8 {
-				t.Fatalf("reply arrived as %+v (err %v)", reply, err)
-			}
-		})
-	}
-}
-
 // TestParseWireFormat pins the flag-level validation.
 func TestParseWireFormat(t *testing.T) {
 	if w, err := ParseWireFormat(""); err != nil || w != WireBinary {
@@ -212,5 +156,8 @@ func TestParseWireFormat(t *testing.T) {
 	}
 	if _, err := ParseWireFormat("protobuf"); err == nil {
 		t.Error("unknown wire format accepted")
+	}
+	if _, err := ParseWireFormat("gob"); err == nil || !strings.Contains(err.Error(), "removed in PR 15") {
+		t.Errorf("gob parsed with err %v, want an error naming its removal", err)
 	}
 }

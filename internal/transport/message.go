@@ -4,17 +4,15 @@
 // tests, examples and the single-process trainer) and a TCP transport (used
 // by cmd/psserver and cmd/psworker).
 //
-// On TCP the default encoding is a versioned, length-delimited binary frame
+// On TCP the encoding is a versioned, length-delimited binary frame
 // protocol (wire.go; byte-level specification in docs/PROTOCOL.md) whose
 // tensor payloads travel as raw little-endian float32 slabs: a large slab is
 // sent straight from the tensor's memory, and decoding aliases a receive
 // buffer leased to the message (Message.Release hands it back for the next
 // frame), so a weights chunk is copied once per direction in user space and
-// costs no allocation in the steady state. The legacy gob encoding
-// remains available behind transport.WireGob (the -wire flag on cmd/psserver
-// and cmd/psworker) for A/B comparison; both ends of a connection must speak
-// the same format, and a mismatch fails fast with an explicit error in the
-// peer's own format rather than hanging either side.
+// costs no allocation in the steady state. A peer that is not speaking the
+// protocol at all, or speaks a version this build does not, fails fast with
+// an explicit error rather than hanging either side.
 package transport
 
 import (
@@ -212,8 +210,7 @@ type Message struct {
 	// DeltaPull requests (on MsgRegister/MsgRejoin) or grants (on
 	// MsgRegistered) version-gated delta pulls. Binary wire tag 0x12
 	// (protocol v2); a v1 peer can neither request nor be granted it, which
-	// is what keeps v1 interop intact. Gob peers that predate the field
-	// ignore it, which downgrades to full pulls.
+	// is what keeps v1 interop intact.
 	DeltaPull bool
 	// Servers carries cluster-map entries: the full map on a MsgClusterMap
 	// reply, the announcer's single entry on MsgServerAnnounce and
@@ -411,9 +408,8 @@ func fromWire(ws []WireTensor, owned bool) ([]*tensor.Tensor, error) {
 }
 
 // BatchSender is an optional Conn extension for senders that can coalesce
-// several messages into one underlying write: the TCP transports implement
-// it by assembling every frame before touching the socket (binary) or
-// flushing the buffered writer once after the last encode (gob), so a
+// several messages into one underlying write: the TCP transport implements
+// it by assembling every frame before touching the socket, so a
 // barrier release fanning out to many queued messages costs one syscall
 // instead of one per message. SendBatch has Send's delivery and concurrency
 // semantics; an empty batch is a no-op.
@@ -424,10 +420,9 @@ type BatchSender interface {
 // SerializingSender is an optional Conn extension marking transports whose
 // Send and SendBatch fully serialize the message payload before returning:
 // once the call returns, buffers the message aliases are never read again by
-// the transport or the peer, so the caller may recycle them. Both TCP
-// transports qualify — they hand the frame to the socket, payload slabs
-// included (binary), or encode it into the write buffer (gob), synchronously.
-// The in-process channel transport does not: it
+// the transport or the peer, so the caller may recycle them. The TCP
+// transport qualifies — it hands the frame to the socket, payload slabs
+// included, synchronously. The in-process channel transport does not: it
 // hands the Message itself to the peer, which may hold the aliased tensors
 // indefinitely.
 type SerializingSender interface {

@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"io"
-
-	"dssp/internal/obs"
-)
+import "dssp/internal/obs"
 
 // Metrics meters a transport endpoint: frames and bytes by message type
 // and direction, and batch sizes for coalesced sends. Counters are
@@ -15,9 +11,8 @@ import (
 //
 // Directions are from the owning process's point of view: "sent" is what
 // this side wrote, "recv" what it read. The byte counts are exact frame
-// sizes on the binary wire and exact stream consumption on gob; the
-// in-process channel transport, which moves references rather than bytes,
-// reports approximate payload sizes.
+// sizes on TCP; the in-process channel transport, which moves references
+// rather than bytes, reports approximate payload sizes.
 type Metrics struct {
 	sentFrames, recvFrames [MsgPromote + 1]*obs.Counter
 	sentBytes, recvBytes   [MsgPromote + 1]*obs.Counter
@@ -117,29 +112,4 @@ func approxSize(m *Message) int {
 		n += len(m.Packed[i].Payload)
 	}
 	return n
-}
-
-// meterWriter tracks bytes written through it. Access is serialized by
-// the owning connection's direction mutex.
-type meterWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *meterWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// meterReader tracks bytes read through it, same discipline.
-type meterReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *meterReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -1,239 +1,59 @@
 package transport
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"net"
-	"sync"
 )
 
-// WireFormat selects the encoding spoken on a TCP connection. Both ends of a
-// connection must agree; the handshake cannot negotiate the format itself
-// because the very first frame is already encoded in it. A mismatch fails
-// fast with an explicit error on both sides (see docs/PROTOCOL.md §6).
+// WireFormat names the TCP encoding. There is one — the binary frame
+// protocol — and the type, WireBinary, ParseWireFormat and the wire argument
+// of ListenWire/DialWire/DialWireMetered below stay only because bench/
+// compiles against them; nothing selects a format any more.
 type WireFormat string
 
-const (
-	// WireBinary is the versioned zero-copy binary frame protocol
-	// (docs/PROTOCOL.md) — the default.
-	WireBinary WireFormat = "binary"
-	// WireGob is the legacy gob stream, kept as an escape hatch behind the
-	// -wire flag and for A/B benchmarks against the binary protocol.
-	WireGob WireFormat = "gob"
-)
+// WireBinary is the versioned zero-copy binary frame protocol
+// (docs/PROTOCOL.md).
+const WireBinary WireFormat = "binary"
 
-// ParseWireFormat validates a wire format name; "" selects WireBinary.
+// ParseWireFormat validates a wire format name; "" selects WireBinary. The
+// gob stream was removed in PR 15.
 func ParseWireFormat(s string) (WireFormat, error) {
 	switch WireFormat(s) {
-	case "":
+	case "", WireBinary:
 		return WireBinary, nil
-	case WireBinary, WireGob:
-		return WireFormat(s), nil
+	case "gob":
+		return "", fmt.Errorf("transport: the gob wire format was removed in PR 15; %q is the only one", WireBinary)
 	}
-	return "", fmt.Errorf("transport: unknown wire format %q (want %q or %q)", s, WireBinary, WireGob)
+	return "", fmt.Errorf("transport: unknown wire format %q (want %q)", s, WireBinary)
 }
 
-// tcpBufferSize sizes the gob transport's per-direction bufio buffers: large
-// enough that a typical message's many small gob writes coalesce into few
-// syscalls, small enough to be irrelevant against parameter-sized payloads.
-const tcpBufferSize = 64 << 10
-
-// tcpConn is a Conn over a TCP socket using gob encoding over buffered I/O:
-// gob emits many small writes per message, so the encoder writes into a
-// bufio.Writer that is flushed once per Send, and the decoder reads through
-// a bufio.Reader instead of hitting the kernel per field. A mutex on each
-// direction allows Send and Recv to be used from different goroutines.
-type tcpConn struct {
-	conn net.Conn
-	// server marks the accepting side, which answers a first-message wire
-	// mismatch in the binary format so a misconfigured binary worker fails
-	// fast instead of waiting forever for a reply it cannot parse.
-	server bool
-	// meter, when non-nil, counts frames and bytes per message type and
-	// direction. Gob has no frame header, so sizes are measured as exact
-	// stream consumption through the counting wrappers below.
-	meter *Metrics
-	cw    *meterWriter
-	cr    *meterReader
-
-	encMu sync.Mutex
-	bw    *bufio.Writer
-	enc   *gob.Encoder
-	decMu sync.Mutex
-	br    *bufio.Reader
-	dec   *gob.Decoder
-	recvs int
-}
-
-// newTCPConn wraps an established socket in the legacy gob framing.
-func newTCPConn(c net.Conn, server bool) *tcpConn {
-	cw := &meterWriter{w: c}
-	cr := &meterReader{r: c}
-	bw := bufio.NewWriterSize(cw, tcpBufferSize)
-	br := bufio.NewReaderSize(cr, tcpBufferSize)
-	return &tcpConn{
-		conn:   c,
-		server: server,
-		cw:     cw,
-		cr:     cr,
-		bw:     bw,
-		enc:    gob.NewEncoder(bw),
-		br:     br,
-		dec:    gob.NewDecoder(br),
-	}
-}
-
-// sentLocked reports bytes handed to the encoder so far (written plus
-// still buffered); caller holds encMu.
-func (c *tcpConn) sentLocked() int64 { return c.cw.n + int64(c.bw.Buffered()) }
-
-// recvLocked reports bytes the decoder consumed so far (read minus still
-// buffered); caller holds decMu.
-func (c *tcpConn) recvLocked() int64 { return c.cr.n - int64(c.br.Buffered()) }
-
-// Send implements Conn. The message is encoded into the write buffer and
-// flushed to the socket before Send returns, so a sent message is never
-// stranded in user space.
-func (c *tcpConn) Send(m Message) error {
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	before := c.sentLocked()
-	if err := c.enc.Encode(&m); err != nil {
-		return fmt.Errorf("transport: send %v: %w", m.Type, err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("transport: flush %v: %w", m.Type, err)
-	}
-	c.meter.Sent(m.Type, int(c.sentLocked()-before))
-	return nil
-}
-
-// SendBatch implements BatchSender: all messages are encoded into the write
-// buffer and flushed together, coalescing gob's many small writes across the
-// whole batch into as few syscalls as the buffer allows.
-func (c *tcpConn) SendBatch(ms []Message) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	for i := range ms {
-		before := c.sentLocked()
-		if err := c.enc.Encode(&ms[i]); err != nil {
-			return fmt.Errorf("transport: send %v: %w", ms[i].Type, err)
-		}
-		c.meter.Sent(ms[i].Type, int(c.sentLocked()-before))
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("transport: flush batch of %d: %w", len(ms), err)
-	}
-	c.meter.Batch(len(ms))
-	return nil
-}
-
-// Recv implements Conn. Before decoding the first message on the accepting
-// side, the stream is sniffed for the binary protocol's magic: a worker
-// speaking the binary wire gets an explicit binary Error frame back and this
-// side reports the mismatch, instead of both ends exchanging opaque gob
-// errors and retries.
-func (c *tcpConn) Recv() (Message, error) {
-	c.decMu.Lock()
-	defer c.decMu.Unlock()
-	first := c.recvs == 0
-	c.recvs++
-	if first && c.server {
-		// Peek one byte past the magic so the diagnostic names the version
-		// the peer actually sent (a binary frame is always longer than 5
-		// bytes, so this never blocks on a legitimate binary peer).
-		if hdr, err := c.br.Peek(len(wireMagic) + 1); err == nil && string(hdr[:len(wireMagic)]) == wireMagic {
-			c.sendBinaryError(fmt.Sprintf(
-				"%s: server speaks the legacy gob wire format; restart the worker with -wire gob (it sent a binary v%d frame)",
-				wireMismatchToken, hdr[len(wireMagic)]))
-			return Message{}, fmt.Errorf("transport: recv: %w: peer sent a binary wire frame to a gob server", ErrWireMismatch)
-		}
-	}
-	var m Message
-	before := c.recvLocked()
-	if err := c.dec.Decode(&m); err != nil {
-		if first {
-			return Message{}, fmt.Errorf("transport: recv: gob decode of the first message failed "+
-				"(the peer may be speaking the binary wire protocol; check -wire): %w", err)
-		}
-		return Message{}, fmt.Errorf("transport: recv: %w", err)
-	}
-	c.meter.Received(m.Type, int(c.recvLocked()-before))
-	// A gob-decoded message owns all of its freshly allocated payload.
-	m.ownedPayload = true
-	return m, nil
-}
-
-// sendBinaryError writes one binary-framed MsgError onto the socket,
-// best-effort.
-func (c *tcpConn) sendBinaryError(text string) {
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	writeBinaryError(c.conn, text)
-}
-
-// Close implements Conn.
-func (c *tcpConn) Close() error { return c.conn.Close() }
-
-// SerializesOnSend marks the gob transport as a SerializingSender: Send and
-// SendBatch encode the payload into the write buffer before returning.
-func (c *tcpConn) SerializesOnSend() {}
-
-// writeGobError best-effort writes a gob-encoded MsgError to w — the reply a
-// binary server sends a gob peer so its decoder produces a readable error.
-func writeGobError(w io.Writer, text string) {
-	bw := bufio.NewWriterSize(w, 1<<10)
-	if err := gob.NewEncoder(bw).Encode(&Message{Type: MsgError, Error: text}); err == nil {
-		_ = bw.Flush()
-	}
-}
-
-// writeBinaryError best-effort writes a binary-framed MsgError to w — the
-// reply a gob server sends a binary peer so its decoder produces a readable
-// error.
-func writeBinaryError(w io.Writer, text string) {
-	frame, err := appendFrame(nil, &Message{Type: MsgError, Error: text})
-	if err == nil {
-		_, _ = w.Write(frame)
-	}
-}
-
-// tcpListener adapts a net.Listener to the Listener interface, wrapping
-// accepted sockets in the configured wire format.
+// tcpListener adapts a net.Listener to the Listener interface.
 type tcpListener struct {
 	l     net.Listener
-	wire  WireFormat
 	meter *Metrics
 }
 
-// Listen starts a TCP listener on addr (e.g. ":7070" or "127.0.0.1:0")
-// speaking the default binary wire protocol.
+// Listen starts a TCP listener on addr (e.g. ":7070" or "127.0.0.1:0").
 func Listen(addr string) (Listener, error) {
-	return ListenWire(addr, WireBinary)
+	return ListenWireMetered(addr, WireBinary, nil)
 }
 
-// ListenWire starts a TCP listener speaking the given wire format.
+// ListenWire is Listen; the wire argument is a bench/ compatibility shim.
 func ListenWire(addr string, wire WireFormat) (Listener, error) {
 	return ListenWireMetered(addr, wire, nil)
 }
 
-// ListenWireMetered is ListenWire with transport metering: every accepted
+// ListenWireMetered is Listen with transport metering: every accepted
 // connection counts its frames and bytes into meter (nil disables).
 func ListenWireMetered(addr string, wire WireFormat, meter *Metrics) (Listener, error) {
-	wire, err := ParseWireFormat(string(wire))
-	if err != nil {
+	if _, err := ParseWireFormat(string(wire)); err != nil {
 		return nil, err
 	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return &tcpListener{l: l, wire: wire, meter: meter}, nil
+	return &tcpListener{l: l, meter: meter}, nil
 }
 
 // Accept implements Listener.
@@ -241,11 +61,6 @@ func (t *tcpListener) Accept() (Conn, error) {
 	c, err := t.l.Accept()
 	if err != nil {
 		return nil, fmt.Errorf("transport: accept: %w", err)
-	}
-	if t.wire == WireGob {
-		conn := newTCPConn(c, true)
-		conn.meter = t.meter
-		return conn, nil
 	}
 	conn := newBinaryConn(c, true)
 	conn.meter = t.meter
@@ -258,32 +73,25 @@ func (t *tcpListener) Close() error { return t.l.Close() }
 // Addr implements Listener.
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
-// Dial connects to a parameter server listening on addr over TCP, speaking
-// the default binary wire protocol.
+// Dial connects to a parameter server listening on addr over TCP.
 func Dial(addr string) (Conn, error) {
-	return DialWire(addr, WireBinary)
+	return DialWireMetered(addr, WireBinary, nil)
 }
 
-// DialWire connects to a parameter server with the given wire format.
+// DialWire is Dial; the wire argument is a bench/ compatibility shim.
 func DialWire(addr string, wire WireFormat) (Conn, error) {
 	return DialWireMetered(addr, wire, nil)
 }
 
-// DialWireMetered is DialWire with transport metering on the resulting
+// DialWireMetered is Dial with transport metering on the resulting
 // connection (nil disables).
 func DialWireMetered(addr string, wire WireFormat, meter *Metrics) (Conn, error) {
-	wire, err := ParseWireFormat(string(wire))
-	if err != nil {
+	if _, err := ParseWireFormat(string(wire)); err != nil {
 		return nil, err
 	}
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	if wire == WireGob {
-		conn := newTCPConn(c, false)
-		conn.meter = meter
-		return conn, nil
 	}
 	conn := newBinaryConn(c, false)
 	conn.meter = meter

@@ -168,16 +168,16 @@ var hostLittleEndian = func() bool {
 }()
 
 // wireMismatchToken appears in every mismatch error this package produces —
-// the local sentinels below and the cross-format Error replies a server
-// sends a misconfigured peer — so IsWireMismatch can recognize the
-// condition even after the text crossed the wire as a plain string.
+// the local sentinels below and the Error frame a server sends a peer at
+// another protocol version — so IsWireMismatch can recognize the condition
+// even after the text crossed the wire as a plain string.
 const wireMismatchToken = "wire protocol mismatch"
 
-// ErrWireMismatch tags decode failures that look like the peer speaking a
-// different wire format (bad frame magic), and ErrWireVersion those where
-// the peer speaks the binary protocol at an unsupported version. Callers
-// fail fast with actionable advice instead of a generic parse error — and
-// the server answers each in the format the peer can actually decode.
+// ErrWireMismatch tags a frame that does not start with the protocol's magic
+// — the peer is not speaking DSSP at all — and ErrWireVersion one where the
+// peer speaks the binary protocol at an unsupported version. Callers fail
+// fast instead of retrying; a server answers the second with a v1 Error
+// frame, which any version can decode.
 var (
 	ErrWireMismatch = errors.New("transport: " + wireMismatchToken)
 	ErrWireVersion  = errors.New("transport: " + wireMismatchToken + " (version)")
@@ -670,11 +670,9 @@ func (fr *frameReader) readFrame() (Message, error) {
 	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
 		return Message{}, err
 	}
-	first := fr.frames == 0
 	fr.frames++
 	if string(hdr[:4]) != wireMagic {
-		return Message{}, fmt.Errorf("%w: bad frame magic % x (want %q%s)", ErrWireMismatch, hdr[:4], wireMagic,
-			mismatchHint(first))
+		return Message{}, fmt.Errorf("%w: not a DSSP frame (magic % x, want %q)", ErrWireMismatch, hdr[:4], wireMagic)
 	}
 	version := hdr[4]
 	if version < wireVersionMin || version > wireVersion {
@@ -1130,15 +1128,6 @@ func parseServersSection(body []byte, off int) ([]ServerEntry, int, error) {
 	return entries, off, nil
 }
 
-// mismatchHint explains a first-frame magic mismatch: the peer is almost
-// certainly a gob-wire build, not a corrupted stream.
-func mismatchHint(first bool) string {
-	if first {
-		return "; the peer may be speaking the legacy gob wire format — run both sides with the same -wire setting"
-	}
-	return ""
-}
-
 // --- The binary Conn --------------------------------------------------------
 
 // binaryConn is a Conn over a TCP socket speaking the versioned binary frame
@@ -1152,9 +1141,9 @@ func mismatchHint(first bool) string {
 // direction allows Send and Recv from different goroutines.
 type binaryConn struct {
 	conn net.Conn
-	// server marks the accepting side, which answers a first-frame wire
-	// mismatch in the legacy format so a misconfigured gob worker fails
-	// fast instead of waiting forever for a reply it cannot parse.
+	// server marks the accepting side, which answers a first frame at an
+	// unsupported protocol version with a v1 Error frame so the peer fails
+	// fast instead of waiting forever for a registration reply.
 	server bool
 	// meter, when non-nil, counts frames and exact on-wire bytes per
 	// message type and direction.
@@ -1302,40 +1291,26 @@ func (c *binaryConn) Recv() (Message, error) {
 	first := c.fr.frames == 0
 	m, err := c.fr.readFrame()
 	if err != nil {
-		switch {
-		case c.server && first && errors.Is(err, ErrWireMismatch):
-			// Answer in the legacy format: a gob worker that dialed a
-			// binary server decodes this cleanly and reports it, instead of
-			// hanging on a registration reply that will never come.
-			c.sendLegacyError(fmt.Sprintf(
-				"server speaks the binary wire protocol v%d; restart the worker with a matching -wire setting (%v)",
-				wireVersion, err))
-		case c.server && first && errors.Is(err, ErrWireVersion):
+		if c.server && first && errors.Is(err, ErrWireVersion) {
 			// A binary peer at another version: answer with a v1 Error
 			// frame — the header layout is fixed across versions precisely
-			// so that a version-mismatch report stays decodable.
-			c.encMu.Lock()
-			writeBinaryError(c.conn, fmt.Sprintf(
-				"%s: server speaks binary wire protocol version %d; %v", wireMismatchToken, wireVersion, err))
-			c.encMu.Unlock()
+			// so that a version-mismatch report stays decodable. Best effort.
+			text := fmt.Sprintf("%s: server speaks binary wire protocol version %d; %v", wireMismatchToken, wireVersion, err)
+			if frame, ferr := appendFrame(nil, &Message{Type: MsgError, Error: text}); ferr == nil {
+				c.encMu.Lock()
+				_, _ = c.conn.Write(frame)
+				c.encMu.Unlock()
+			}
 		}
 		if first && isConnClosed(err) {
 			return Message{}, fmt.Errorf("transport: recv: connection closed before any frame arrived; "+
-				"the server may be speaking a different wire format (-wire): %w", err)
+				"the peer may not be a DSSP endpoint: %w", err)
 		}
 		return Message{}, fmt.Errorf("transport: recv: %w", err)
 	}
 	c.meter.Received(m.Type, c.fr.lastSize)
 	c.meter.recvBody(c.fr.lastBody)
 	return m, nil
-}
-
-// sendLegacyError writes one gob-encoded MsgError onto the socket,
-// best-effort.
-func (c *binaryConn) sendLegacyError(text string) {
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	writeGobError(c.conn, text)
 }
 
 // Close implements Conn. Body buffers released after it are dropped rather

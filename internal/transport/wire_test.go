@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -11,7 +9,7 @@ import (
 )
 
 // testGrads builds a deterministic multi-tensor gradient set large enough
-// that gob type descriptors are noise next to the payload.
+// that frame and field headers are noise next to the payload.
 func testGrads(seed int64) []*tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	shapes := [][]int{{128, 128}, {128}, {64, 128}, {64}}
@@ -27,24 +25,13 @@ func testGrads(seed int64) []*tensor.Tensor {
 	return out
 }
 
-// gobSize returns the number of bytes m occupies when gob-encoded on a fresh
-// stream (type descriptors included, as on a real connection's first push).
-func gobSize(t *testing.T, m Message) int {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Len()
-}
-
 // TestCompressedPushWireReduction pins the acceptance numbers of the codec
-// subsystem: against the identity codec's gob bytes, topk(0.1) pushes must
+// subsystem: against the identity codec's frame bytes, topk(0.1) pushes must
 // shrink the message at least 4×, int8 at least 2× (fp16 trails int8 but
 // must still beat dense).
 func TestCompressedPushWireReduction(t *testing.T) {
 	grads := testGrads(42)
-	dense := gobSize(t, Message{Type: MsgPush, Tensors: ToWire(grads)})
+	dense := len(encodeFrame(t, Message{Type: MsgPush, Tensors: ToWire(grads)}))
 
 	sizes := map[string]int{}
 	for _, cfg := range []compress.Config{
@@ -57,7 +44,7 @@ func TestCompressedPushWireReduction(t *testing.T) {
 			t.Fatal(err)
 		}
 		msg := Message{Type: MsgPush, Codec: cfg.Codec, Packed: comp.Compress(grads)}
-		sizes[cfg.Codec] = gobSize(t, msg)
+		sizes[cfg.Codec] = len(encodeFrame(t, msg))
 	}
 	t.Logf("push wire bytes: dense=%d fp16=%d int8=%d topk=%d",
 		dense, sizes[compress.FP16], sizes[compress.Int8], sizes[compress.TopK])

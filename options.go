@@ -9,34 +9,12 @@ import (
 
 // Adversary makes one worker Byzantine for robustness experiments: it still
 // computes honest gradients from its data shard, then corrupts what it tells
-// the server. The zero value is honest. An adversarial worker is expected to
-// be neutralized — its updates out-voted by a robust Aggregator, or the
-// worker evicted by the Guard — so its connection dying mid-run counts as a
-// crash, not an error.
-type Adversary struct {
-	// GradScale multiplies every pushed gradient (after sign flipping);
-	// 0 means 1. Large positive values model gradient-scaling poisoning,
-	// e.g. 10 or -10.
-	GradScale float64
-	// SignFlip negates every pushed gradient — ascent instead of descent.
-	SignFlip bool
-	// LieVersion claims an impossibly fresh base version on every push (a
-	// lying clock), defeating staleness accounting unless the Guard catches
-	// it.
-	LieVersion bool
-}
-
-// internalAdversaries converts the public adversary map into the trainer's.
-func internalAdversaries(m map[int]Adversary) map[int]trainer.Adversary {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[int]trainer.Adversary, len(m))
-	for w, a := range m {
-		out[w] = trainer.Adversary{GradScale: a.GradScale, SignFlip: a.SignFlip, LieVersion: a.LieVersion}
-	}
-	return out
-}
+// the server — scaled (GradScale), negated (SignFlip), or stamped with an
+// impossibly fresh base version (LieVersion). The zero value is honest. An
+// adversarial worker is expected to be neutralized — its updates out-voted by
+// a robust Aggregator, or the worker evicted by the Guard — so its connection
+// dying mid-run counts as a crash, not an error.
+type Adversary = trainer.Adversary
 
 // Aggregator names for Aggregator.Kind.
 const (

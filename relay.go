@@ -27,9 +27,6 @@ type RelayConfig struct {
 	Parent string
 	// Fanout is how many workers this relay covers.
 	Fanout int
-	// Wire selects the TCP wire format, WireBinary or WireGob; empty means
-	// WireBinary. It must match the parent's and the workers'.
-	Wire string
 	// Compression is the gradient codec spoken on both hops; the zero value
 	// adopts whatever the parent speaks. An explicit codec must match the
 	// parent's exactly.
@@ -93,13 +90,9 @@ func ServeRelay(cfg RelayConfig) (*RelayServer, error) {
 	if cfg.Parent == "" {
 		return nil, fmt.Errorf("dssp: relay needs a parent server address")
 	}
-	wire, err := transport.ParseWireFormat(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
 	reg := obs.NewRegistry()
 	meter := transport.NewMetrics(reg)
-	listener, err := transport.ListenWireMetered(cfg.Addr, wire, meter)
+	listener, err := transport.ListenWireMetered(cfg.Addr, transport.WireBinary, meter)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +106,9 @@ func ServeRelay(cfg RelayConfig) (*RelayServer, error) {
 		ccfg.Codec = compress.Auto
 	}
 	relay, err := ps.NewRelay(ps.RelayConfig{
-		Parent:            func() (transport.Conn, error) { return transport.DialWireMetered(cfg.Parent, wire, meter) },
+		Parent: func() (transport.Conn, error) {
+			return transport.DialWireMetered(cfg.Parent, transport.WireBinary, meter)
+		},
 		Fanout:            cfg.Fanout,
 		Advertise:         advertise,
 		Compression:       ccfg,

@@ -15,20 +15,8 @@ import (
 	"dssp/internal/optimizer"
 	"dssp/internal/ps"
 	"dssp/internal/tensor"
+	"dssp/internal/trainer"
 	"dssp/internal/transport"
-)
-
-// Wire format names accepted by ServerConfig.Wire and WorkerConfig.Wire
-// (the -wire flag on cmd/psserver and cmd/psworker). Both ends of a
-// connection must speak the same format; a mismatch fails fast at
-// registration with an explicit error instead of hanging either side.
-const (
-	// WireBinary is the versioned zero-copy binary frame protocol
-	// (docs/PROTOCOL.md) — the default.
-	WireBinary = string(transport.WireBinary)
-	// WireGob is the legacy gob encoding, kept as an escape hatch and for
-	// A/B benchmarking against the binary protocol.
-	WireGob = string(transport.WireGob)
 )
 
 // ServerConfig configures a stand-alone parameter server reachable over TCP
@@ -36,9 +24,6 @@ const (
 type ServerConfig struct {
 	// Addr is the TCP listen address, e.g. ":7070".
 	Addr string
-	// Wire selects the TCP wire format, WireBinary or WireGob; empty means
-	// WireBinary. Workers must be configured to match.
-	Wire string
 	// Workers is the number of workers expected to join.
 	Workers int
 	// Sync selects the synchronization paradigm.
@@ -91,16 +76,14 @@ type Server struct {
 	admin    *obs.AdminServer
 
 	// Cluster state (zero/idle on standalone servers).
-	role      string
-	wire      string
-	failed    chan struct{}
-	failOnce  sync.Once
-	failErr   error
-	stopping  chan struct{}
-	stopOnce  sync.Once
-	bg        sync.WaitGroup
-	promoted  atomic.Bool
-	announced atomic.Bool
+	role     string
+	failed   chan struct{}
+	failOnce sync.Once
+	failErr  error
+	stopping chan struct{}
+	stopOnce sync.Once
+	bg       sync.WaitGroup
+	promoted atomic.Bool
 }
 
 // Addr returns the address the server is listening on.
@@ -180,7 +163,7 @@ func (s *Server) Evaluate() (float64, error) {
 	case "":
 		params, _ = s.store.Snapshot()
 	case RoleCoordinator:
-		if params, _, err = clusterSnapshot(s.clusterDial, s.listener.Addr()); err != nil {
+		if params, err = clusterSnapshot(s.listener.Addr()); err != nil {
 			return 0, err
 		}
 	default:
@@ -196,11 +179,13 @@ func (s *Server) Evaluate() (float64, error) {
 // Serve starts a parameter server listening on cfg.Addr and returns
 // immediately; the server runs until Stop is called or all workers finish.
 // With cfg.Cluster.Role set it starts the corresponding member of a server
-// group instead (DESIGN.md §10).
+// group instead (DESIGN.md §10) and runs the role's background protocol
+// (announce stream, replication) until Stop.
 func Serve(cfg ServerConfig) (*Server, error) {
-	if cfg.Cluster.Role != "" {
-		return serveCluster(cfg)
+	if err := cfg.validateCluster(); err != nil {
+		return nil, err
 	}
+	role := cfg.Cluster.Role
 	cfg2 := TrainConfig{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
 		Sync: cfg.Sync, LearningRate: cfg.LearningRate, Seed: cfg.Seed}.withDefaults()
 	if cfg2.Workers <= 0 {
@@ -210,69 +195,84 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg2.Sync.Validate(cfg2.Workers); err != nil {
-		return nil, err
+	reg := obs.NewRegistry()
+	pcfg := ps.ServerConfig{
+		Workers:          cfg2.Workers,
+		Options:          cfg.Options.serverOptions(),
+		DisableDeltaPull: cfg.DisableDeltaPull,
+		Metrics:          reg,
+		Trace:            obs.TraceConfig{Every: cfg.TraceEvery},
 	}
-	policyCfg := cfg2.Sync.policyConfig()
-	policyCfg.Workers = cfg2.Workers
-	policy, err := core.NewPolicy(policyCfg)
-	if err != nil {
-		return nil, err
+	// The paradigm runs where workers synchronize: the standalone server or
+	// the group's coordinator.
+	if role == "" || role == RoleCoordinator {
+		if err := cfg2.Sync.Validate(cfg2.Workers); err != nil {
+			return nil, err
+		}
+		policyCfg := cfg2.Sync.policyConfig()
+		policyCfg.Workers = cfg2.Workers
+		if pcfg.Policy, err = core.NewPolicy(policyCfg); err != nil {
+			return nil, err
+		}
 	}
-	initial := spec.Build(rand.New(rand.NewSource(cfg2.Seed)))
-	store, err := ps.NewStoreSharded(initial.Params(),
-		optimizer.NewSGDMomentum(cfg2.LearningRate, cfg.Momentum, cfg.WeightDecay), cfg.Shards)
+	initial := spec.Build(rand.New(rand.NewSource(cfg2.Seed))).Params()
+	opt := optimizer.NewSGDMomentum(cfg2.LearningRate, cfg.Momentum, cfg.WeightDecay)
+	var assigned ps.ShardAssignment
+	if role == "" {
+		pcfg.Store, err = ps.NewStoreSharded(initial, opt, cfg.Shards)
+	} else {
+		pcfg, assigned, err = cfg.Cluster.asMember(pcfg, initial, opt)
+	}
 	if err != nil {
 		return nil, err
 	}
 	restored := false
 	if cfg.Checkpoint.Dir != "" && ps.CheckpointExists(cfg.Checkpoint.Dir) {
-		if err := store.RestoreCheckpointDir(cfg.Checkpoint.Dir); err != nil {
+		if err := pcfg.Store.RestoreCheckpointDir(cfg.Checkpoint.Dir); err != nil {
 			return nil, fmt.Errorf("dssp: restore checkpoint: %w", err)
 		}
 		restored = true
 	}
-	reg := obs.NewRegistry()
-	server, err := ps.NewServer(ps.ServerConfig{
-		Workers:          cfg2.Workers,
-		Policy:           policy,
-		Store:            store,
-		Options:          cfg.Options.serverOptions(),
-		DisableDeltaPull: cfg.DisableDeltaPull,
-		Metrics:          reg,
-		Trace:            obs.TraceConfig{Every: cfg.TraceEvery},
-	})
+	inner, err := ps.NewServer(pcfg)
 	if err != nil {
 		return nil, err
 	}
 	// Every accepted connection meters its frames and bytes into the same
 	// registry the server's counters live on.
-	listener, err := transport.ListenWireMetered(cfg.Addr, transport.WireFormat(cfg.Wire), transport.NewMetrics(reg))
+	listener, err := transport.ListenWireMetered(cfg.Addr, transport.WireBinary, transport.NewMetrics(reg))
 	if err != nil {
 		return nil, err
 	}
 	var admin *obs.AdminServer
 	if cfg.MetricsAddr != "" {
 		admin, err = obs.ServeAdmin(cfg.MetricsAddr, reg,
-			func() any { return server.Status() }, server.Traces)
+			func() any { return inner.Status() }, inner.Traces)
 		if err != nil {
 			_ = listener.Close()
 			return nil, fmt.Errorf("dssp: metrics listener: %w", err)
 		}
 	}
-	go func() { _ = server.Serve(listener) }()
-	return &Server{
-		inner:    server,
+	go func() { _ = inner.Serve(listener) }()
+	s := &Server{
+		inner:    inner,
 		listener: listener,
-		store:    store,
+		store:    pcfg.Store,
 		spec:     spec,
 		cfg:      cfg2,
 		restored: restored,
 		admin:    admin,
-		wire:     cfg.Wire,
+		role:     role,
 		failed:   make(chan struct{}),
 		stopping: make(chan struct{}),
-	}, nil
+	}
+	if role == RoleData || role == RoleBackup {
+		advertise := cfg.Cluster.Advertise
+		if advertise == "" {
+			advertise = listener.Addr()
+		}
+		s.startClusterLoops(cfg.Cluster, assigned.Entry(advertise))
+	}
+	return s, nil
 }
 
 // WorkerConfig configures one TCP worker process (used by cmd/psworker).
@@ -294,9 +294,6 @@ type WorkerConfig struct {
 	// how a worker orphaned by a dead relay re-parents. Mutually exclusive
 	// with Cluster.
 	Tree bool
-	// Wire selects the TCP wire format, WireBinary or WireGob; empty means
-	// WireBinary. It must match the server's.
-	Wire string
 	// WorkerID is this worker's index in [0, Workers).
 	WorkerID int
 	// Workers is the total number of workers (determines the data shard).
@@ -328,10 +325,13 @@ type WorkerConfig struct {
 	// transport error it redials the server (with backoff, for up to
 	// ReconnectTimeout), rejoins carrying the last store version it saw, and
 	// retries the interrupted iteration from a fresh pull. This is what lets
-	// a worker survive a parameter-server restart.
+	// a worker survive a parameter-server restart, and a Tree worker a relay
+	// death. A Cluster worker's route refuses the rejoin: its client already
+	// recovers dead data links itself, and a dead coordinator is final.
 	Reconnect bool
 	// ReconnectTimeout bounds each reconnection attempt sequence; 0 means
-	// the default 30s.
+	// the default 30s. With Cluster set it bounds a data link's recovery
+	// instead (0 = 15s).
 	ReconnectTimeout time.Duration
 	// FailAfter > 0 injects a fault for demos and tests: the worker drops
 	// its connection abruptly — no Done, no Leave, like a process kill —
@@ -366,49 +366,17 @@ type WorkerReport struct {
 	// Reconnects is how many times the worker redialed and rejoined after
 	// losing its connection.
 	Reconnects int
-	// Crashed reports that the run ended through FailAfter fault injection.
+	// Crashed reports that the run ended through FailAfter fault injection,
+	// or that an adversarial worker was evicted.
 	Crashed bool
 }
 
-// workerLink is one live connection to the server: the client plus the
-// heartbeat stopper tied to its lifetime.
-type workerLink struct {
-	client *ps.Client
-	stopHB func()
-}
-
-// close tears the link down without deregistering (an abrupt close is how a
-// crash looks to the server; a graceful end sends Done first).
-func (l *workerLink) close() {
-	l.stopHB()
-	_ = l.client.Close()
-}
-
-// pushGrads returns what a worker pushes after Backward: the replica's own
-// gradient tensors — the client sends them from where they are and is done
-// with them when the push returns, and the next iteration's ZeroGrads
-// overwrites them — or, for an adversarial worker (WorkerConfig.Adversary), a
-// private clone scaled by factor, so the corruption never reaches the
-// local replica. A factor of 0 or 1 is an honest worker.
-func pushGrads(replica *nn.Network, factor float64) []*tensor.Tensor {
-	if factor == 0 || factor == 1 {
-		return replica.Grads()
-	}
-	grads := replica.CloneGrads()
-	f := float32(factor)
-	for _, g := range grads {
-		d := g.Data()
-		for i := range d {
-			d[i] *= f
-		}
-	}
-	return grads
-}
-
 // RunWorker connects to a parameter server over TCP and runs the worker side
-// of Algorithm 1 until the configured number of epochs completes. With
-// Reconnect set it survives server restarts and transient network failures
-// by redialing and rejoining mid-run.
+// of Algorithm 1 until the configured number of epochs completes. How the
+// worker reaches the store — directly, through a relay, as a member of a
+// server group — is a property of the route it connects along; the loop is
+// trainer.RunWorker on all three. With Reconnect set it survives server
+// restarts and transient network failures by redialing and rejoining mid-run.
 func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	base := TrainConfig{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
 		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed}.withDefaults()
@@ -417,11 +385,6 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	}
 	if cfg.Tree && cfg.Cluster {
 		return nil, fmt.Errorf("dssp: Tree and Cluster are mutually exclusive")
-	}
-	// Validate the wire format up front: a typo must fail immediately, not
-	// spin inside the reconnect backoff loop.
-	if _, err := transport.ParseWireFormat(cfg.Wire); err != nil {
-		return nil, err
 	}
 	spec, err := base.modelSpec()
 	if err != nil {
@@ -440,15 +403,8 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		return nil, err
 	}
 
-	ccfg := cfg.Compression.internal()
-	if cfg.Compression.Codec == "" {
-		// Unset means "follow the server" for workers: a fleet started with
-		// default flags keeps working when the server turns compression on.
-		ccfg.Codec = compress.Auto
-	}
-
 	// Worker-side observability is opt-in via MetricsAddr: one registry
-	// spans reconnects (each new link instruments onto it), so the scraped
+	// spans reconnects (each new client instruments onto it), so the scraped
 	// series survive a server restart.
 	var reg *obs.Registry
 	var meter *transport.Metrics
@@ -465,239 +421,63 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		}
 	}
 
-	if cfg.Cluster {
-		iterate := func(replica *nn.Network) ([]*tensor.Tensor, float64) {
-			x, labels := iter.Next()
-			replica.ZeroGrads()
-			loss, _ := replica.Loss(x, labels, true)
-			replica.Backward()
-			if cfg.Delay > 0 {
-				time.Sleep(cfg.Delay)
-			}
-			return pushGrads(replica, cfg.Adversary), loss
-		}
-		itersPerEpoch := (shard.Len() + base.BatchSize - 1) / base.BatchSize
-		return runClusterWorker(cfg, base, spec, iterate, itersPerEpoch*base.Epochs,
-			ps.ClusterClientConfig{
-				Compression:    ccfg,
-				DeltaPull:      cfg.DeltaPull,
-				RecoverTimeout: cfg.ReconnectTimeout,
-			}, meter)
+	route := ps.Route{
+		Dial: func(addr string) (transport.Conn, error) {
+			return transport.DialWireMetered(addr, transport.WireBinary, meter)
+		},
+		Addr:        cfg.ServerAddr,
+		Worker:      cfg.WorkerID,
+		Compression: cfg.Compression.internal(),
+		DeltaPull:   cfg.DeltaPull,
+		Shards:      cfg.Shards,
+		Metrics:     reg,
 	}
-
-	// resolveAddr picks the endpoint to dial: the server itself, or — in
-	// tree mode — the relay the root's current layout assigns this worker.
-	// It re-fetches the layout on every call, so a reconnect after a relay
-	// death lands on the re-parented topology, not the dead address.
-	resolveAddr := func() (string, error) {
-		if !cfg.Tree {
-			return cfg.ServerAddr, nil
-		}
-		conn, err := transport.DialWireMetered(cfg.ServerAddr, transport.WireFormat(cfg.Wire), meter)
-		if err != nil {
-			return "", err
-		}
-		layout, err := ps.FetchTreeLayout(conn)
-		conn.Close()
-		if err != nil {
-			return "", err
-		}
-		if addr := layout.Covering(cfg.WorkerID); addr != "" {
-			return addr, nil
-		}
-		return cfg.ServerAddr, nil
+	if cfg.Compression.Codec == "" {
+		// Unset means "follow the server" for workers: a fleet started with
+		// default flags keeps working when the server turns compression on.
+		route.Compression.Codec = compress.Auto
 	}
-
-	// connect dials, registers (or rejoins) and starts heartbeats.
-	connect := func(rejoin bool, lastVersion int64) (*workerLink, error) {
-		addr, err := resolveAddr()
-		if err != nil {
-			return nil, err
-		}
-		conn, err := transport.DialWireMetered(addr, transport.WireFormat(cfg.Wire), meter)
-		if err != nil {
-			return nil, err
-		}
-		client, err := ps.NewClientCompressed(conn, cfg.WorkerID, ccfg)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		client.Instrument(reg)
-		client.SetDeltaPull(cfg.DeltaPull)
-		if rejoin {
-			err = client.Rejoin(lastVersion)
-		} else {
-			err = client.Register()
-		}
-		if err != nil {
-			client.Close()
-			return nil, err
-		}
-		if cfg.Shards > 0 && client.ServerShards() != cfg.Shards {
-			client.Close()
-			return nil, fmt.Errorf("dssp: worker %d expects %d parameter-store shards, server runs %d",
-				cfg.WorkerID, cfg.Shards, client.ServerShards())
-		}
-		stopHB := func() {}
-		if cfg.HeartbeatInterval > 0 {
-			stopHB = client.StartHeartbeats(cfg.HeartbeatInterval)
-		}
-		return &workerLink{client: client, stopHB: stopHB}, nil
+	switch {
+	case cfg.Cluster:
+		route.Topology, route.Retry = ps.Group, cfg.ReconnectTimeout
+	case cfg.Tree:
+		route.Topology = ps.Tree
 	}
-
-	// connectWithBackoff retries connect until ReconnectTimeout. With
-	// Reconnect set it also covers the first connection: a worker launched
-	// during the very server outage Reconnect exists to survive (a restart
-	// window, an orchestrator racing the server up) keeps dialing instead of
-	// failing on arrival.
-	connectWithBackoff := func(rejoin bool, lastVersion int64, cause error) (*workerLink, error) {
-		budget := cfg.ReconnectTimeout
-		if budget <= 0 {
-			budget = 30 * time.Second
-		}
-		deadline := time.Now().Add(budget)
-		backoff := 100 * time.Millisecond
-		for {
-			next, err := connect(rejoin, lastVersion)
-			if err == nil {
-				return next, nil
-			}
-			if transport.IsWireMismatch(err) {
-				// A wire-format or protocol-version mismatch is permanent
-				// for this configuration pair: retrying it would spam both
-				// sides for the whole backoff budget and then fail anyway.
-				return nil, fmt.Errorf("dssp: worker %d: %w", cfg.WorkerID, err)
-			}
-			if time.Now().After(deadline) {
-				if cause != nil {
-					return nil, fmt.Errorf("dssp: worker %d gave up reconnecting after %v (last error %v; cause %w)",
-						cfg.WorkerID, budget, err, cause)
-				}
-				return nil, fmt.Errorf("dssp: worker %d gave up connecting after %v: %w", cfg.WorkerID, budget, err)
-			}
-			time.Sleep(backoff)
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
+	// With Reconnect the patience also covers the first connection: a worker
+	// launched during the very server outage Reconnect exists to survive (a
+	// restart window, an orchestrator racing the server up) keeps dialing
+	// instead of failing on arrival.
+	if cfg.Reconnect && !cfg.Cluster {
+		if route.Retry = cfg.ReconnectTimeout; route.Retry <= 0 {
+			route.Retry = 30 * time.Second
 		}
 	}
 
-	report := &WorkerReport{}
-	lastVersion := int64(0)
-
-	var link *workerLink
-	if cfg.Reconnect {
-		link, err = connectWithBackoff(false, 0, nil)
-	} else {
-		link, err = connect(false, 0)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dssp: worker %d connect: %w", cfg.WorkerID, err)
-	}
-	// accountAndClose folds the link's traffic into the report before
-	// discarding it, so bytes moved before a reconnect are not lost. The
-	// link is nilled so the deferred cleanup never double-counts one that a
-	// failed reconnect already retired.
-	accountAndClose := func() {
-		if link == nil {
-			return
-		}
-		pushed, pulled := link.client.Traffic()
-		report.PushedBytes += pushed
-		report.PulledBytes += pulled
-		report.Codec = link.client.Compression().Codec
-		link.close()
-		link = nil
-	}
-	defer func() { accountAndClose() }()
-
-	// reconnect replaces a failed link, redialing with backoff and rejoining
-	// with the last seen version.
-	reconnect := func(cause error) error {
-		if !cfg.Reconnect {
-			return cause
-		}
-		accountAndClose()
-		next, err := connectWithBackoff(true, lastVersion, cause)
-		if err != nil {
-			return err
-		}
-		link = next
-		report.Reconnects++
-		return nil
-	}
-
-	replica := spec.Build(rand.New(rand.NewSource(base.Seed)))
 	itersPerEpoch := (shard.Len() + base.BatchSize - 1) / base.BatchSize
-	totalIters := itersPerEpoch * base.Epochs
-
-	start := time.Now()
-	lastLoss := 0.0
-	adversarial := cfg.Adversary != 0 && cfg.Adversary != 1
-	// crashReport finishes the run as a crash at iteration it — fault
-	// injection, or an adversarial worker whose connection the server's
-	// guard closed for good (its expected fate; not an error).
-	crashReport := func(it int) (*WorkerReport, error) {
-		report.Crashed = true
-		report.Iterations = it
-		report.FinalLoss = lastLoss
-		report.Duration = time.Since(start)
-		return report, nil
+	r, err := trainer.RunWorker(trainer.Worker{
+		Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
+			return ps.Connect(route, rejoin, lastVersion)
+		},
+		Reconnect:         cfg.Reconnect,
+		HeartbeatInterval: cfg.HeartbeatInterval,
+		Replica:           spec.Build(rand.New(rand.NewSource(base.Seed))),
+		Batches:           iter,
+		Iterations:        itersPerEpoch * base.Epochs,
+		Delay:             cfg.Delay,
+		Adversary:         Adversary{GradScale: cfg.Adversary},
+		CrashAt:           cfg.FailAfter - 1, // FailAfter is 1-based, 0 = never
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dssp: worker %d: %w", cfg.WorkerID, err)
 	}
-	for it := 0; it < totalIters; {
-		if cfg.FailAfter > 0 && it == cfg.FailAfter-1 {
-			// Injected fault: vanish without a word mid-run.
-			return crashReport(it)
-		}
-		params, version, err := link.client.Pull()
-		if err != nil {
-			if err = reconnect(err); err != nil {
-				if adversarial {
-					return crashReport(it)
-				}
-				return nil, err
-			}
-			continue
-		}
-		lastVersion = version
-		if err := replica.SetParams(params); err != nil {
-			return nil, err
-		}
-		x, labels := iter.Next()
-		replica.ZeroGrads()
-		lastLoss, _ = replica.Loss(x, labels, true)
-		replica.Backward()
-		if cfg.Delay > 0 {
-			time.Sleep(cfg.Delay)
-		}
-		grads := pushGrads(replica, cfg.Adversary)
-		if err := link.client.PushAndWait(grads, version, it); err != nil {
-			// The push (or the release it waits for) died with the
-			// connection; after rejoining, redo the iteration from a fresh
-			// pull so the gradient matches the weights it updates.
-			if err = reconnect(err); err != nil {
-				if adversarial {
-					return crashReport(it)
-				}
-				return nil, err
-			}
-			continue
-		}
-		it++
-	}
-	for {
-		if err := link.client.Done(); err == nil {
-			break
-		} else if err = reconnect(err); err != nil {
-			if adversarial {
-				return crashReport(totalIters)
-			}
-			return nil, err
-		}
-	}
-	report.Iterations = totalIters
-	report.FinalLoss = lastLoss
-	report.Duration = time.Since(start)
-	return report, nil
+	return &WorkerReport{
+		Iterations:  r.Iterations,
+		FinalLoss:   r.Loss,
+		Duration:    r.Duration,
+		Codec:       r.Codec,
+		PushedBytes: r.Pushed,
+		PulledBytes: r.Pulled,
+		Reconnects:  r.Reconnects,
+		Crashed:     r.Crashed,
+	}, nil
 }

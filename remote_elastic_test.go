@@ -1,7 +1,10 @@
 package dssp_test
 
 import (
+	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,26 +144,32 @@ func TestTCPWorkerCrashRejoinAndServerRestart(t *testing.T) {
 }
 
 // TestReconnectWorkerFailsFastOnWireMismatch pins that a Reconnect worker
-// treats a wire-format mismatch as permanent: the error surfaces in well
-// under the reconnect budget instead of being redialed for all of it.
+// treats a peer that is not speaking the protocol as permanent: against a
+// listener that answers its registration with garbage, the error surfaces in
+// well under the reconnect budget instead of being redialed for all of it.
 func TestReconnectWorkerFailsFastOnWireMismatch(t *testing.T) {
-	server, err := dssp.Serve(dssp.ServerConfig{
-		Addr:    "127.0.0.1:0",
-		Wire:    dssp.WireGob,
-		Workers: 1,
-		Sync:    dssp.Sync{Paradigm: dssp.ASP},
-		Dataset: dssp.DatasetConfig{Examples: 32, Classes: 2, ImageSize: 8, Seed: 1},
-		Seed:    1,
-	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer server.Stop()
+	defer l.Close()
+	var dials atomic.Int32
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			_, _ = c.Read(make([]byte, 256))
+			_, _ = c.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n"))
+			c.Close()
+		}
+	}()
 
 	start := time.Now()
 	_, err = dssp.RunWorker(dssp.WorkerConfig{
-		ServerAddr:       server.Addr(),
-		Wire:             dssp.WireBinary,
+		ServerAddr:       l.Addr().String(),
 		WorkerID:         0,
 		Workers:          1,
 		Dataset:          dssp.DatasetConfig{Examples: 32, Classes: 2, ImageSize: 8, Seed: 1},
@@ -171,10 +180,10 @@ func TestReconnectWorkerFailsFastOnWireMismatch(t *testing.T) {
 		ReconnectTimeout: 30 * time.Second,
 	})
 	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("binary worker registered against a gob server")
+	if err == nil || !strings.Contains(err.Error(), "not a DSSP frame") {
+		t.Fatalf("worker against a non-DSSP listener returned %v, want the wire-mismatch error", err)
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("wire mismatch took %v to surface under Reconnect; must fail fast, not retry", elapsed)
+	if elapsed > 5*time.Second || dials.Load() != 1 {
+		t.Fatalf("wire mismatch took %v and %d dials to surface under Reconnect; must fail fast, not retry", elapsed, dials.Load())
 	}
 }

@@ -331,7 +331,7 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 		Options:           cfg.Options.serverOptions(),
 		DeltaPull:         cfg.DeltaPull,
 		HeartbeatInterval: cfg.HeartbeatInterval,
-		Adversaries:       internalAdversaries(cfg.Adversaries),
+		Adversaries:       cfg.Adversaries,
 		Seed:              cfg.Seed,
 	})
 	if err != nil {

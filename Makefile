@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
+.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
 
 all: build
 
@@ -15,6 +15,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The buffer-lease rules (DESIGN.md §6: a pushed frame's receive buffer is
+# held until the sequencer has seen its tickets applied, released on the spot
+# by every push that never reaches the store; a relay's pull cache is copied
+# for reference-passing children) are concurrency properties: one green run
+# proves little, so the three poisoning tests run ten times under the race
+# detector, with the two tests that count the releases of a failed and of a
+# void push (a lease that is never ended poisons nothing; it leaks). Any
+# change to a site that ends a lease wants this green.
+lease-stress:
+	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestCodecBufferReuseSurvivesPoisoning|TestRelayCopiesPullCacheForReferencePassingChildren|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes' ./internal/ps/
 
 # The portable kernel path (internal/tensor's Go loops, bound where there is
 # no AVX2+FMA) on every run, not only on machines without AVX2: the purego tag
@@ -175,4 +186,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt-check vet loc race portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke
+ci: build fmt-check vet loc race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke

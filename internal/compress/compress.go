@@ -60,9 +60,11 @@ const (
 )
 
 // Config selects a codec and its parameters. The zero value means "none".
+// The public surface exposes it as dssp.Compression.
 type Config struct {
 	// Codec is one of None, FP16, Int8 or TopK ("" means None). Clients may
-	// also use Auto to adopt the server's configuration at registration.
+	// also use Auto to adopt the server's configuration at registration; on a
+	// worker's or relay's public config "" means Auto instead.
 	Codec string
 	// TopK is the fraction of entries per tensor kept by the topk codec,
 	// in (0, 1]; 0 selects DefaultTopK. Ignored by the other codecs.

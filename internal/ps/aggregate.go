@@ -49,13 +49,15 @@ const (
 // queued pushes into one optimizer step. The zero value is plain summation —
 // exactly the classic pipeline.
 type AggregatorConfig struct {
-	// Kind is AggSum (""), AggClipped, AggTrimmedMean or AggMedian.
+	// Kind is AggSum (""), AggClipped, AggTrimmedMean or AggMedian — at the
+	// public surface dssp.AggregateSum, AggregateClipped, AggregateTrimmedMean
+	// and AggregateMedian, where this type is dssp.Aggregator.
 	Kind string
 	// ClipNorm is the per-tensor L2 cap of the clipped aggregator; it must
 	// be positive for AggClipped and is ignored elsewhere.
 	ClipNorm float64
 	// Trim is the trimmed-mean per-side trim fraction in [0, 0.5); 0 selects
-	// DefaultTrim. Ignored by the other kinds.
+	// DefaultTrim (0.25). Ignored by the other kinds.
 	Trim float64
 	// Window is the aggregation window: how many pushes the appliers try to
 	// collect before taking a robust step. 0 lets the server pick — 1 for
@@ -65,10 +67,6 @@ type AggregatorConfig struct {
 	// SSP, DSSP) stay live; what the window buys is that concurrent pushes
 	// are aggregated robustly instead of summed.
 	Window int
-	// FlushInterval is the watchdog tick bounding how long a partial window
-	// may sit unpublished; 0 selects DefaultFlushInterval. Ignored when the
-	// effective window is 1.
-	FlushInterval time.Duration
 }
 
 // Windowed reports whether the configured kind aggregates over a multi-push
@@ -91,9 +89,6 @@ func (c AggregatorConfig) Normalized() AggregatorConfig {
 	}
 	if c.Kind != AggClipped {
 		c.ClipNorm = 0
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = DefaultFlushInterval
 	}
 	return c
 }

@@ -25,7 +25,10 @@ import (
 // the commit point: new segments are made durable before the manifest that
 // references them, and superseded segments are deleted only afterwards.
 
-// CheckpointConfig configures periodic store checkpoints on a server.
+// CheckpointConfig configures periodic store checkpoints on a server
+// (dssp.Checkpoint at the public surface): atomic files written every Every
+// applied updates, and on shutdown, so a restarted server resumes the run
+// where it stopped.
 type CheckpointConfig struct {
 	// Dir is the directory checkpoints are written to; empty disables
 	// checkpointing.

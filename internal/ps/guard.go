@@ -31,19 +31,19 @@ const (
 // exactly as if it were applied, so barrier paradigms never deadlock on a
 // rejected payload — and a worker accumulating MaxStrikes flags is evicted
 // through the session lease layer, exactly like a worker whose lease
-// expired.
+// expired. The public surface exposes it as dssp.Guard.
 type GuardConfig struct {
 	// Enabled turns the guard on. The zero value screens nothing.
 	Enabled bool
 	// NormFactor is the norm-outlier threshold relative to the trailing
-	// median push norm; 0 selects DefaultNormFactor. Negative disables the
-	// norm check (clock checks still run).
+	// median push norm; 0 selects DefaultNormFactor (8). Negative disables
+	// the norm check (clock checks still run).
 	NormFactor float64
 	// MaxStrikes is how many flagged pushes evict the worker; 0 selects
-	// DefaultMaxStrikes.
+	// DefaultMaxStrikes (3).
 	MaxStrikes int
 	// FloodSlack is how many pushes per pull a worker may make before being
-	// flagged for flooding; 0 selects core.DefaultFloodSlack.
+	// flagged for flooding; 0 selects core.DefaultFloodSlack (3).
 	FloodSlack int
 }
 

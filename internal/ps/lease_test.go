@@ -226,10 +226,11 @@ func poisonReleasedBodies(t *testing.T) *atomic.Int64 {
 // applied poison), a torn or NaN pulled tensor (the worker read poison), or,
 // under -race, the racing accesses themselves.
 //
-// Mutation-checked: releasing the push body right after EnqueueApply instead
-// of carrying it to the sequencer (dropping the hold-until-applied) fails
-// flat/tcp and group/tcp when done in handlePush and both TCP-rooted trees
-// when done in handleRelayPush; releasing a pulled chunk in decodeWeights
+// Mutation-checked: releasing the push body right after the enqueue in
+// handlePush instead of carrying it to the sequencer (dropping the
+// hold-until-applied) fails flat/tcp, group/tcp and both TCP-rooted trees —
+// one site now that a worker's push and a relay's partial share the path;
+// releasing a pulled chunk in decodeWeights
 // right after FromWireOwned instead of holding it (dropping the
 // hold-until-superseded) fails every TCP case. The relay's copy-for-channel-
 // children rule needs a stalled reader to break, which

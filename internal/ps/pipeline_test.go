@@ -320,22 +320,57 @@ func TestWaitAppliedCancelDeregistersWaiter(t *testing.T) {
 
 // TestStalenessObserveOffByOne pins the staleness formula — Observe(applied
 // - 1 - baseVersion), where applied is the push's assigned version — under
-// the serial path (each push applied before the next arrives). Worker 0
-// pushes against base 0 twice: the first lands at version 1 (staleness 0),
-// the second still claims base 0 but lands at version 2 (staleness 1).
+// the serial path (each push applied before the next arrives), for a worker
+// that owns its connection and for one whose pushes arrive as entries of a
+// relay's partial. Worker 0 pushes against base 0 twice: the first lands at
+// version 1 (staleness 0), the second still claims base 0 but lands at
+// version 2 (staleness 1). A routed push is traced like a direct one: the
+// relay harness samples every push, so each must leave one completed trace
+// carrying the child's worker id, base and staleness.
 func TestStalenessObserveOffByOne(t *testing.T) {
-	st := testStore(t, 4)
-	srv, clients := startTestServer(t, core.MustNewASP(1), st)
-	grad := []*tensor.Tensor{tensor.Full(0.1, 4)}
-	if err := clients[0].PushAndWait(grad, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := clients[0].PushAndWait(grad, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	values, counts := srv.Staleness().Buckets()
-	if len(values) != 2 || values[0] != 0 || values[1] != 1 || counts[0] != 1 || counts[1] != 1 {
-		t.Fatalf("staleness buckets %v/%v, want exactly one 0 and one 1", values, counts)
+	for _, carrier := range []string{"direct", "trunk"} {
+		t.Run(carrier, func(t *testing.T) {
+			st := testStore(t, 4)
+			var srv *Server
+			var client *Client
+			if carrier == "trunk" {
+				h := newRelayHarness(t, core.MustNewASP(1), st, 1, 1, Options{})
+				srv, client = h.server, h.childClient(t, 0)
+			} else {
+				var clients []*Client
+				srv, clients = startTestServer(t, core.MustNewASP(1), st)
+				client = clients[0]
+			}
+			grad := []*tensor.Tensor{tensor.Full(0.1, 4)}
+			if err := client.PushAndWait(grad, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := client.PushAndWait(grad, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			values, counts := srv.Staleness().Buckets()
+			if len(values) != 2 || values[0] != 0 || values[1] != 1 || counts[0] != 1 || counts[1] != 1 {
+				t.Fatalf("staleness buckets %v/%v, want exactly one 0 and one 1", values, counts)
+			}
+			if carrier != "trunk" {
+				return
+			}
+			// The sequencer completes a trace just after it sends the release.
+			deadline := time.Now().Add(2 * time.Second)
+			for srv.Status().TracesCompleted < 2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			traces := srv.Traces()
+			if len(traces) != 2 {
+				t.Fatalf("%d completed traces for 2 routed pushes: %+v", len(traces), traces)
+			}
+			for i, tr := range traces {
+				if tr.Worker != 0 || tr.Iteration != i || tr.Base != 0 || tr.Staleness != i ||
+					tr.Ticket != int64(i+1) || tr.Dropped != "" || tr.ReleasedAt.IsZero() {
+					t.Errorf("routed push %d traced as %+v", i, tr)
+				}
+			}
+		})
 	}
 }
 
@@ -390,153 +425,208 @@ func TestStalenessObserveOffByOneCoalesced(t *testing.T) {
 }
 
 // TestPushErrorStillReleasesPeers pins the error-release interaction through
-// the unified delivery helper: under BSP, a worker whose push fails to apply
+// the unified delivery helper: under BSP, a pusher whose push fails to apply
 // must receive the error (not an OK), while the peers its round released
 // still get their OKs — a single bad payload must not deadlock the barrier.
+// The carrier axis runs it for a worker's own push and for a relay's partial
+// standing for children {0,1}: every child the partial carried gets its own
+// error on the trunk, tagged with its worker id, and none gets an OK. Either
+// way the failed push's leased receive buffer goes back exactly once.
 func TestPushErrorStillReleasesPeers(t *testing.T) {
-	st := testStore(t, 4)
-	bsp, err := core.NewBSP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, clients := startTestServer(t, bsp, st)
-
-	// Worker 0 pushes a structurally valid message whose tensor count does
-	// not match the store: decode succeeds, EnqueueApply rejects, and the
-	// policy has already counted the push toward the barrier.
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- clients[0].PushAndWait([]*tensor.Tensor{tensor.New(4), tensor.New(2)}, 0, 0)
-	}()
-	okCh := make(chan error, 1)
-	go func() {
-		okCh <- clients[1].PushAndWait([]*tensor.Tensor{tensor.Full(0.1, 4)}, 0, 0)
-	}()
-
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Fatal("worker 0's bad push reported success")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker 0 never heard back about its bad push")
-	}
-	select {
-	case err := <-okCh:
-		if err != nil {
-			t.Fatalf("worker 1's good push failed: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker 1 deadlocked behind worker 0's bad push")
-	}
-	if st.Version() != 1 {
-		t.Fatalf("store version %d, want 1 (only the good push applied)", st.Version())
+	var released atomic.Int64
+	t.Cleanup(transport.SetReleaseHook(func([]byte) { released.Add(1) }))
+	for _, carrier := range []string{"direct", "trunk"} {
+		t.Run(carrier, func(t *testing.T) {
+			workers := map[string]int{"direct": 2, "trunk": 3}[carrier]
+			st := testStore(t, 4)
+			srv, err := NewServer(ServerConfig{Workers: workers, Policy: core.MustNewBSP(workers), Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Stop)
+			// Over TCP, so the pushed frame's receive buffer is leased.
+			_, dial := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
+			connect := func(w int) *Client {
+				conn, err := dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := NewClient(conn, w)
+				if err := c.Register(); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				return c
+			}
+			// The last worker pushes a good gradient first, so the bad push is
+			// the one that completes the barrier: the round's release and the
+			// failure are one decision.
+			okCh := make(chan error, 1)
+			good := connect(workers - 1)
+			go func() { okCh <- good.PushAndWait([]*tensor.Tensor{tensor.Full(0.1, 4)}, 0, 0) }()
+			deadline := time.Now().Add(5 * time.Second)
+			for srv.Pushes() < 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("server never counted the good push")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// A structurally valid payload whose tensor count does not match
+			// the store: decode succeeds, the enqueue rejects, and the policy
+			// has already counted the push toward the barrier. Over 4 KB, so
+			// the frame is big enough to be leased.
+			bad := []*tensor.Tensor{tensor.New(2048), tensor.New(2)}
+			before := released.Load()
+			// Each arm ends with a round trip on the pushing connection, which
+			// is served in order: by its reply the push handler has returned.
+			switch carrier {
+			case "direct":
+				c0 := connect(0)
+				if err := c0.PushAndWait(bad, 0, 0); err == nil {
+					t.Fatal("worker 0's bad push reported success")
+				}
+				if _, _, err := c0.Pull(); err != nil {
+					t.Fatalf("worker 0's pull after the error: %v", err)
+				}
+			case "trunk":
+				trunk := rawTrunk(t, dial, 0, 1)
+				err := trunk.Send(transport.Message{
+					Type:        transport.MsgPush,
+					PushEntries: []transport.PushEntry{{Worker: 0}, {Worker: 1}},
+					Tensors:     transport.ToWire(bad),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The sequencer queues a batch's OKs ahead of its errors, so an
+				// OK for either child would arrive first.
+				for w := 0; w < 2; w++ {
+					reply, err := trunk.Recv()
+					if err != nil || reply.Type != transport.MsgError || reply.Worker != w {
+						t.Fatalf("trunk reply %d is %+v (%v), want child %d's Error", w, reply, err, w)
+					}
+				}
+				if err := trunk.Send(transport.Message{Type: transport.MsgRegister, Worker: 0}); err != nil {
+					t.Fatal(err)
+				}
+				if ack, err := trunk.Recv(); err != nil || ack.Type != transport.MsgRegistered {
+					t.Fatalf("trunk's frame after the errors is %+v (%v), want the re-join's Registered", ack, err)
+				}
+			}
+			select {
+			case err := <-okCh:
+				if err != nil {
+					t.Fatalf("worker %d's good push failed: %v", workers-1, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("worker %d deadlocked behind the bad push", workers-1)
+			}
+			if st.Version() != 1 {
+				t.Fatalf("store version %d, want 1 (only the good push applied)", st.Version())
+			}
+			if n := released.Load() - before; n != 1 {
+				t.Fatalf("the failed push's receive buffer was released %d times, want exactly 1", n)
+			}
+		})
 	}
 }
 
 // TestStaleGatedReleaseNeverReachesSuccessorSession pins release delivery to
 // the sessions the decision accounted for: an OK that waits on its apply
-// gate while its worker leaves and rejoins must die with the old session,
+// gate while its worker leaves and rejoins must die with the old carrier,
 // never land on the successor — a rejoined worker has not pushed on its new
 // session, so a stale OK would surface as an out-of-turn message on its
 // next Pull. The applier is held inside the optimizer step so the
-// leave/rejoin deterministically happens while the release is gated.
+// leave/rejoin deterministically happens while the release is gated. The
+// carrier axis decides what the leaving worker 0 rode when it pushed: its own
+// connection, or a relay's trunk (it then re-parents to the root itself).
 func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
-	initial := []*tensor.Tensor{tensor.New(4)}
-	gate := newGateOpt(optimizer.NewSGD(1.0))
-	st, err := NewStoreSharded(initial, gate, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsp, err := core.NewBSP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{Workers: 2, Policy: bsp, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	listener := transport.NewChanListener()
-	go func() { _ = srv.Serve(listener) }()
-	t.Cleanup(func() {
-		srv.Stop()
-		listener.Close()
-	})
-	clients := make([]*Client, 2)
-	for w := range clients {
-		conn, err := listener.Dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[w] = NewClient(conn, w)
-		if err := clients[w].Register(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, carrier := range []string{"direct", "trunk"} {
+		t.Run(carrier, func(t *testing.T) {
+			initial := []*tensor.Tensor{tensor.New(4)}
+			gate := newGateOpt(optimizer.NewSGD(1.0))
+			st, err := NewStoreSharded(initial, gate, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			relays := map[string]int{"direct": 0, "trunk": 1}[carrier]
+			// A fanout-1 relay covers worker 0; worker 1 dials the root.
+			h := newRelayHarness(t, core.MustNewBSP(2), st, relays, 1, Options{})
+			srv := h.server
+			direct := func(w int) *Client {
+				conn, err := h.rootListener.Dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return NewClient(conn, w)
+			}
+			leaver, stayer := h.childClient(t, 0), direct(1)
+			if err := stayer.Register(); err != nil {
+				t.Fatal(err)
+			}
 
-	grad := []*tensor.Tensor{tensor.Full(0.1, 4)}
-	push := func(c *Client) chan error {
-		ch := make(chan error, 1)
-		go func() { ch <- c.PushAndWait(grad, 0, 0) }()
-		return ch
-	}
-	// Worker 0's push enters the gated optimizer step; worker 1's completes
-	// the barrier, queueing a release for both workers gated on both applies.
-	done0 := push(clients[0])
-	<-gate.entered
-	done1 := push(clients[1])
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Pushes() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("server never counted the second push")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			grad := []*tensor.Tensor{tensor.Full(0.1, 4)}
+			push := func(c *Client) chan error {
+				ch := make(chan error, 1)
+				go func() { ch <- c.PushAndWait(grad, 0, 0) }()
+				return ch
+			}
+			// Worker 1's push enters the gated optimizer step; worker 0's
+			// completes the barrier, queueing a release for both workers gated
+			// on both applies.
+			stayed := push(stayer)
+			<-gate.entered
+			left := push(leaver)
+			deadline := time.Now().Add(2 * time.Second)
+			for srv.Pushes() < 2 {
+				if time.Now().After(deadline) {
+					t.Fatal("server never counted the second push")
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	// With the release still gated, worker 1 leaves and rejoins on a fresh
-	// connection — the real reconnect flow.
-	if err := clients[1].Leave(); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(2 * time.Second)
-	for srv.Departures() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("server never processed the leave")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	conn, err := listener.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejoined := NewClient(conn, 1)
-	if err := rejoined.Rejoin(st.Version()); err != nil {
-		t.Fatal(err)
-	}
+			// With the release still gated, worker 0 leaves and rejoins on a
+			// fresh connection to the root — the real reconnect flow.
+			if err := leaver.Leave(); err != nil {
+				t.Fatal(err)
+			}
+			deadline = time.Now().Add(2 * time.Second)
+			for srv.Departures() < 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("server never processed the leave")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			rejoined := direct(0)
+			if err := rejoined.Rejoin(st.Version()); err != nil {
+				t.Fatal(err)
+			}
 
-	close(gate.resume)
-	select {
-	case err := <-done0:
-		if err != nil {
-			t.Fatalf("worker 0's barrier release never arrived: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker 0 still blocked after the gate opened")
-	}
-	// The rejoined session's first reply must be the pull's weights — with
-	// delivery keyed on worker IDs it would be worker 1's stale pre-departure
-	// OK instead.
-	params, version, err := rejoined.Pull()
-	if err != nil {
-		t.Fatalf("rejoined worker's first pull failed: %v", err)
-	}
-	if version != 2 || len(params) != 1 {
-		t.Fatalf("rejoined pull returned version %d with %d tensors, want version 2 with 1", version, len(params))
-	}
-	select {
-	case <-done1: // leave tore down the old connection; any outcome is fine
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker 1's abandoned push never unblocked")
+			close(gate.resume)
+			select {
+			case err := <-stayed:
+				if err != nil {
+					t.Fatalf("worker 1's barrier release never arrived: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("worker 1 still blocked after the gate opened")
+			}
+			// The rejoined session's first reply must be the pull's weights —
+			// with delivery keyed on worker IDs it would be worker 0's stale
+			// pre-departure OK instead.
+			params, version, err := rejoined.Pull()
+			if err != nil {
+				t.Fatalf("rejoined worker's first pull failed: %v", err)
+			}
+			if version != 2 || len(params) != 1 {
+				t.Fatalf("rejoined pull returned version %d with %d tensors, want version 2 with 1", version, len(params))
+			}
+			select {
+			case <-left: // leave tore down the old connection; any outcome is fine
+			case <-time.After(5 * time.Second):
+				t.Fatal("worker 0's abandoned push never unblocked")
+			}
+		})
 	}
 }
 

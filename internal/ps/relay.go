@@ -142,9 +142,8 @@ type relayChild struct {
 	mu       sync.Mutex
 	lastSeen time.Time
 
-	// decodeScratch reuses the child's decompression buffers across pushes —
-	// safe because the child protocol is lock-step and the decoded gradients
-	// are folded into the partial's own sum before the handler returns.
+	// decodeScratch is the child's decompression buffers, reused across its
+	// pushes (handleChildPush).
 	decodeScratch []*tensor.Tensor
 }
 
@@ -717,7 +716,10 @@ func (r *Relay) handleChildDone(ch *relayChild) {
 // child's connection when the handler returns.
 func (r *Relay) handleChildPush(ch *relayChild, msg transport.Message) {
 	defer msg.Release()
-	grads, bytes, err := r.decodeChildPush(ch, msg)
+	// The child's decompression scratch is reused across its pushes: it is
+	// lock-step, and the decoded values are folded into the partial's own
+	// buffers before the handler returns.
+	grads, bytes, err := decodePayload(msg, r.compression, &ch.decodeScratch)
 	if err != nil {
 		_ = ch.conn.Send(transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: err.Error()})
 		return
@@ -778,38 +780,6 @@ func (r *Relay) handleChildPush(ch *relayChild, msg transport.Message) {
 		r.flushLocked("full")
 	}
 	r.mu.Unlock()
-}
-
-// decodeChildPush converts a child push into gradient tensors, reusing the
-// child's decompression scratch (safe: lock-step per child, and the decoded
-// values are folded into the partial's own buffers before the handler
-// returns). It also reports the payload bytes, in Client.Traffic units.
-func (r *Relay) decodeChildPush(ch *relayChild, msg transport.Message) ([]*tensor.Tensor, int64, error) {
-	compressed := msg.Codec != "" || len(msg.Packed) > 0
-	switch {
-	case compressed && (!r.compression.Enabled() || msg.Codec != r.compression.Codec):
-		return nil, 0, fmt.Errorf("push compressed with codec %q but relay speaks %s", msg.Codec, r.compression)
-	case compressed:
-		var bytes int64
-		for _, p := range msg.Packed {
-			bytes += int64(p.WireSize())
-		}
-		grads, err := compress.DecompressAllReuse(msg.Packed, ch.decodeScratch)
-		msg.Release()
-		if err != nil {
-			return nil, 0, err
-		}
-		ch.decodeScratch = grads
-		return grads, bytes, nil
-	case r.compression.Enabled():
-		return nil, 0, fmt.Errorf("uncompressed push but relay speaks %s", r.compression)
-	case msg.PayloadOwned():
-		grads, err := transport.FromWireOwned(msg.Tensors)
-		return grads, wireTensorBytes(msg.Tensors), err
-	default:
-		grads, err := transport.FromWire(msg.Tensors)
-		return grads, wireTensorBytes(msg.Tensors), err
-	}
 }
 
 // sameLayout reports whether a holds one tensor of b's shape per tensor of b

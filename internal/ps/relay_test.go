@@ -3,10 +3,12 @@ package ps
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dssp/internal/core"
+	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
@@ -29,6 +31,8 @@ func newRelayHarness(t *testing.T, policy core.Policy, st *Store, relays, fanout
 		Policy:  policy,
 		Store:   st,
 		Options: opts,
+		// Every push traced, so tests can read routed pushes' lifecycles.
+		Trace: obs.TraceConfig{Every: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +86,34 @@ func (h *relayHarness) childClient(t *testing.T, w int) *Client {
 		t.Fatal(err)
 	}
 	return c.(*Client)
+}
+
+// rawTrunk registers a relay trunk by hand on a fresh connection and joins
+// children through it, for tests that speak the trunk's frames themselves.
+func rawTrunk(t *testing.T, dial func() (transport.Conn, error), children ...int) transport.Conn {
+	t.Helper()
+	conn, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	joins := []transport.Message{{
+		Type:    transport.MsgRegister,
+		Relay:   true,
+		Servers: []transport.ServerEntry{{Addr: "raw-trunk", ShardHi: len(children)}},
+	}}
+	for _, w := range children {
+		joins = append(joins, transport.Message{Type: transport.MsgRegister, Worker: w})
+	}
+	for _, join := range joins {
+		if err := conn.Send(join); err != nil {
+			t.Fatal(err)
+		}
+		if ack, err := conn.Recv(); err != nil || ack.Type != transport.MsgRegistered {
+			t.Fatalf("trunk registration %+v not acknowledged: %+v %v", join, ack, err)
+		}
+	}
+	return conn
 }
 
 // testGrads returns a deterministic pseudo-random gradient for iteration it.
@@ -354,5 +386,73 @@ func TestRelayDeathSweepsSubtree(t *testing.T) {
 	}
 	if err := c2.Done(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTrunkSpeaksOnlyForSlotsItRoutes pins the route check on everything a
+// trunk forwards, not only MsgLeave: once child 0 has re-parented to the root
+// itself, a partial entry and a Done still naming it on the old trunk are
+// void — the policy already counts worker 0 on its direct session, which has
+// pushed nothing and must not be handed an OK, a clock tick or a completion
+// for the stale forward.
+func TestTrunkSpeaksOnlyForSlotsItRoutes(t *testing.T) {
+	var released atomic.Int64
+	t.Cleanup(transport.SetReleaseHook(func([]byte) { released.Add(1) }))
+	st := testStore(t, 2048)
+	policy := core.MustNewASP(2)
+	srv, err := NewServer(ServerConfig{Workers: 2, Policy: policy, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	// Over TCP with a frame past 4 KB, so the void push holds a leased receive
+	// buffer it must give back.
+	_, dial := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
+	trunk := rawTrunk(t, dial, 0)
+	conn, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := NewClient(conn, 0)
+	if err := direct.Register(); err != nil { // deletes the trunk's route for slot 0
+		t.Fatal(err)
+	}
+	defer direct.Close()
+
+	before := released.Load()
+	for _, stale := range []transport.Message{
+		{
+			Type:        transport.MsgPush,
+			PushEntries: []transport.PushEntry{{Worker: 0}},
+			Tensors:     transport.ToWire([]*tensor.Tensor{tensor.Full(0.1, 2048)}),
+		},
+		{Type: transport.MsgDone, Worker: 0},
+		// The connection is served in order, so this join's acknowledgement
+		// means both stale forwards have been handled.
+		{Type: transport.MsgRegister, Worker: 1},
+	} {
+		if err := trunk.Send(stale); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ack, err := trunk.Recv(); err != nil || ack.Type != transport.MsgRegistered || ack.Worker != 1 {
+		t.Fatalf("trunk's next frame is %+v (%v), want child 1's Registered: nothing answers a void push", ack, err)
+	}
+	if n := released.Load() - before; n != 1 {
+		t.Errorf("the void push's receive buffer was released %d times, want exactly 1", n)
+	}
+	if c := policy.Clock(0); c != 0 {
+		t.Errorf("policy counted %d pushes for worker 0, want 0: the entry's carrier was not the trunk", c)
+	}
+	if srv.Pushes() != 0 || st.Version() != 0 {
+		t.Errorf("void push applied: %d pushes, store version %d", srv.Pushes(), st.Version())
+	}
+	if f := srv.Status().Finished; f != 0 {
+		t.Errorf("stale Done finished %d workers, want 0", f)
+	}
+	// The successor session's first reply must be its pull's weights — not an
+	// OK for a push it never made.
+	if _, v, err := direct.Pull(); err != nil || v != 0 {
+		t.Fatalf("direct worker 0's first pull: version %d, %v", v, err)
 	}
 }

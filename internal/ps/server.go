@@ -122,9 +122,9 @@ type Server struct {
 	finished map[int]bool
 	// routes maps worker slots joined through an aggregation relay to the
 	// trunk session carrying them: such workers have no session of their own,
-	// so presence checks (completion, window shrinking) and release delivery
-	// consult the route instead. A worker is either routed or directly
-	// sessioned, never both.
+	// so presence checks (completion, window shrinking), release delivery and
+	// the check that a frame speaks for a slot consult the route instead
+	// (carrier). A worker is either routed or directly sessioned, never both.
 	routes map[int]*session
 	// departedAt records when an unfinished worker's session last ended; a
 	// worker inside the rejoin grace window (one heartbeat timeout) is
@@ -163,9 +163,8 @@ type Server struct {
 	pushedAt  map[int]time.Time
 
 	// cluster is the coordinator's live group map; replicaSeq hands out the
-	// negative session keys replica (backup) registrations live under — and
-	// relay trunks, which multiplex many logical workers over one negative-key
-	// session; zeroGrad is the shared placeholder gradient a coordinator
+	// negative session keys the kinds that hold no worker slot (replicas,
+	// trunks) live under; zeroGrad is the shared placeholder gradient a coordinator
 	// applies for metadata-only pushes (appliers only read gradients, so
 	// sharing is safe).
 	cluster    clusterState
@@ -385,13 +384,6 @@ func (s *Server) Serve(l transport.Listener) error {
 	}
 }
 
-// HandleConn serves a single pre-established connection (used with the
-// in-process transport). It returns when the worker disconnects or the
-// server stops.
-func (s *Server) HandleConn(conn transport.Conn) {
-	s.handleConn(conn)
-}
-
 // Stop shuts the server down: every live session ends and its connection is
 // closed — a worker blocked on a release sees the failure immediately and
 // can reconnect to a successor server instead of hanging on a half-dead
@@ -470,7 +462,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 			return
 		}
 		if sess != nil {
-			if !s.sessions.current(sess) {
+			if s.sessions.get(sess.worker) != sess {
 				// The session was superseded by a new registration or evicted
 				// by the lease monitor while this request was in flight. Tell
 				// the worker to rejoin rather than leave it waiting on
@@ -485,14 +477,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 		}
 		switch msg.Type {
 		case transport.MsgRegister, transport.MsgRejoin:
-			if sess != nil && sess.relay {
-				// A registration arriving on an established trunk is a child
-				// worker joining through the relay, not a new session.
-				s.handleChildJoin(sess, msg)
-				continue
-			}
-			sess = s.handleRegister(conn, msg)
-			if sess == nil {
+			if sess = s.handleRegister(conn, sess, msg); sess == nil {
 				return
 			}
 
@@ -502,10 +487,6 @@ func (s *Server) handleConn(conn transport.Conn) {
 		case transport.MsgPush:
 			if sess == nil {
 				return
-			}
-			if sess.relay {
-				s.handleRelayPush(sess, msg)
-				continue
 			}
 			s.handlePush(sess, msg)
 
@@ -519,26 +500,12 @@ func (s *Server) handleConn(conn transport.Conn) {
 			if sess == nil {
 				return
 			}
-			if sess.relay {
-				// Forwarded on behalf of a routed child; the trunk itself never
-				// finishes — it ends by closing its connection.
-				if msg.Worker >= 0 && msg.Worker < s.cfg.Workers {
-					s.handleDone(msg.Worker)
-				}
-				continue
-			}
-			s.handleDone(sess.worker)
+			s.handleDone(sess, msg)
 
 		case transport.MsgLeave:
-			if sess != nil && sess.relay {
-				// A routed child departed; the trunk stays up for its siblings.
-				s.handleChildLeave(sess, msg.Worker)
-				continue
+			if sess == nil || s.handleLeave(sess, msg) {
+				return
 			}
-			if sess != nil {
-				s.leave(sess)
-			}
-			return
 
 		case transport.MsgClusterMap:
 			s.handleClusterMap(conn, msg)
@@ -564,65 +531,63 @@ func (s *Server) handleConn(conn transport.Conn) {
 	}
 }
 
-// handleRegister services MsgRegister and MsgRejoin: it negotiates the
-// codec, installs a session (superseding a stale one for the same slot),
-// notifies the policy of the join, and acknowledges with the store's current
-// version. It returns nil when the worker was rejected.
-func (s *Server) handleRegister(conn transport.Conn, msg transport.Message) *session {
-	worker := msg.Worker
-	if msg.Relay {
-		// An aggregation-relay trunk. Like a replica it lives under a private
-		// negative key outside the worker range; unlike one it multiplexes
-		// many logical workers (child joins, summed pushes, departures) over
-		// this single session. Reject configurations whose per-push machinery
-		// cannot attribute a pre-summed partial to individual workers.
-		if err := s.relayAdmissible(msg); err != nil {
-			_ = conn.Send(transport.Message{Type: transport.MsgError, Error: err.Error()})
-			return nil
+// handleRegister services MsgRegister and MsgRejoin. On a fresh connection it
+// creates the session the frame asks for — a worker's (admitted into its
+// slot), a replica's or a relay trunk's (installed under a private key) —
+// starts its writer and acknowledges with the store's current version; it
+// returns nil when the registration was rejected. On an established trunk the
+// frame is a child worker joining through the relay: the child is admitted
+// with the trunk as its carrier and the trunk session is returned unchanged.
+func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transport.Message) *session {
+	if sess != nil && sess.kind.multiplexes() {
+		reply, err := s.admit(msg.Worker, sess, msg)
+		if err != nil {
+			reply = transport.Message{Type: transport.MsgError, Worker: msg.Worker, Error: err.Error()}
 		}
-		worker = -1 - int(s.replicaSeq.Add(1)-1)
-	} else if msg.Replica {
-		// Replica (backup-replication) sessions live under negative keys so
-		// they can never collide with a worker slot, and stay invisible to the
-		// policy, the guard and completion accounting: a replica is a
-		// read-only observer, not a cohort member.
-		worker = -1 - int(s.replicaSeq.Add(1)-1)
-	} else if worker < 0 || worker >= s.cfg.Workers {
-		_ = conn.Send(transport.Message{
-			Type:  transport.MsgError,
-			Error: fmt.Sprintf("worker id %d out of range [0,%d)", worker, s.cfg.Workers),
-		})
+		s.enqueueSession(sess, reply)
+		return sess
+	}
+	reject := func(reason string) *session {
+		_ = conn.Send(transport.Message{Type: transport.MsgError, Error: reason})
 		return nil
+	}
+	kind := kindWorker
+	switch {
+	case msg.Relay:
+		kind = kindTrunk
+		// Reject configurations whose per-push machinery cannot attribute a
+		// pre-summed partial to individual workers.
+		if err := s.relayAdmissible(msg); err != nil {
+			return reject(err.Error())
+		}
+	case msg.Replica:
+		kind = kindReplica
 	}
 	if s.cfg.Cluster.Coordinator && !msg.Cluster {
 		// A classic worker pointed at the coordinator would train against the
 		// placeholder store — reject loudly instead of silently not learning.
-		_ = conn.Send(transport.Message{
-			Type:  transport.MsgError,
-			Error: "this server is a cluster coordinator; workers must register in cluster mode (fetch the cluster map)",
-		})
-		return nil
+		return reject("this server is a cluster coordinator; workers must register in cluster mode (fetch the cluster map)")
 	}
-	// Codec negotiation: the worker either adopts the server's
-	// configuration (compress.Auto) or must match it exactly —
-	// mixed-codec streams would silently corrupt staleness-critical
-	// state, so mismatches are rejected before any payload flows.
-	requested := compress.Config{Codec: msg.Codec, TopK: msg.CodecTopK, Pull: msg.CodecPull}.Normalized()
-	if requested.Codec != compress.Auto && !requested.Equal(s.compression) {
-		_ = conn.Send(transport.Message{
-			Type: transport.MsgError,
-			Error: fmt.Sprintf("compression mismatch: worker %d registered with codec %s, server speaks %s",
-				worker, requested, s.compression),
-		})
-		return nil
+	key := msg.Worker
+	if !kind.holdsSlot() {
+		key = -1 - int(s.replicaSeq.Add(1)-1)
 	}
-	rejoined := msg.Type == transport.MsgRejoin
-	sess, old := s.sessions.register(worker, conn, rejoined, s.clock())
+	sess = newSession(kind, key, conn, msg.Type == transport.MsgRejoin, s.clock())
 	// Delta-pull negotiation: granted whenever the worker asks and the
 	// server is not configured to refuse. Workers that never ask (v1 binary
-	// peers, old gob builds, -delta-pull=false) keep full pulls.
+	// peers, -delta-pull=false) keep full pulls.
 	sess.deltaPull = msg.DeltaPull && !s.cfg.DisableDeltaPull
-	sess.relay = msg.Relay
+	var reply transport.Message
+	var err error
+	if kind.holdsSlot() {
+		reply, err = s.admit(key, sess, msg)
+	} else if err = s.negotiate(key, msg); err == nil {
+		s.sessions.replace(key, sess)
+		reply = s.registered(key, msg)
+	}
+	if err != nil {
+		return reject(err.Error())
+	}
 	// Registration racing Stop: a worker that lands on a dying server (the
 	// listener stays open for the final checkpoint write) must be turned
 	// away, or it waits forever on a writer that exited with the server.
@@ -632,31 +597,10 @@ func (s *Server) handleRegister(conn transport.Conn, msg transport.Message) *ses
 	case <-s.stopped:
 		s.sessions.drop(sess)
 		sess.end()
-		_ = conn.Send(transport.Message{Type: transport.MsgError, Error: "server stopped; find its successor"})
-		return nil
+		return reject("server stopped; find its successor")
 	default:
 	}
-	if old != nil {
-		// The slot had a live session — a zombie connection or a worker that
-		// reconnected before its crash was detected. End it so its writer
-		// goroutine exits now rather than leaking until server stop, and
-		// close its connection so its reader unblocks; drop compares session
-		// identity, so the zombie's death cannot deregister the new session.
-		old.end()
-		_ = old.conn.Close()
-	}
-	if worker >= 0 {
-		s.mu.Lock()
-		s.joined[worker] = true
-		// A direct registration supersedes any relay route the slot held: the
-		// worker re-parented to the root itself. The old relay's eventual
-		// MsgLeave for this child is verified against the route and ignored.
-		delete(s.routes, worker)
-		s.mu.Unlock()
-		// A rejoin restores the slot to the pushing cohort; re-derive the window.
-		s.shrinkWindow()
-	}
-	if sess.relay {
+	if kind == kindTrunk {
 		// Publish the relay in the tree layout so workers (and re-parenting
 		// children of a dead sibling) can find it.
 		s.tree.add(sess, msg.Servers[0].Addr, msg.Servers[0].ShardHi, s.cfg.Workers)
@@ -666,20 +610,29 @@ func (s *Server) handleRegister(conn transport.Conn, msg transport.Message) *ses
 		defer s.wg.Done()
 		s.writer(sess)
 	}()
+	s.enqueueSession(sess, reply)
+	return sess
+}
 
-	if worker >= 0 {
-		now := s.clock()
-		s.policyMu.Lock()
-		if rejoined {
-			s.sm.rejoins.Inc()
-		}
-		decision := s.cfg.Policy.OnJoin(core.WorkerID(worker), now)
-		s.recordReleases(decision.Release, now)
-		s.queueReleases(releaseBatch{release: decision.Release, gate: s.cfg.Store.Reserved()})
-		s.policyMu.Unlock()
+// negotiate checks a registration's codec request against what the server
+// speaks: the peer either adopts the server's configuration (compress.Auto)
+// or must match it exactly — mixed-codec streams would silently corrupt
+// staleness-critical state, so mismatches are rejected before any payload
+// flows.
+func (s *Server) negotiate(worker int, msg transport.Message) error {
+	requested := compress.Config{Codec: msg.Codec, TopK: msg.CodecTopK, Pull: msg.CodecPull}.Normalized()
+	if requested.Codec != compress.Auto && !requested.Equal(s.compression) {
+		return fmt.Errorf("compression mismatch: worker %d registered with codec %s, server speaks %s",
+			worker, requested, s.compression)
 	}
+	return nil
+}
 
-	s.enqueueSession(sess, transport.Message{
+// registered builds the acknowledgement of registration msg for session key
+// or worker slot worker: the codec in force, the store's shape and version,
+// and the delta-pull grant.
+func (s *Server) registered(worker int, msg transport.Message) transport.Message {
+	return transport.Message{
 		Type:        transport.MsgRegistered,
 		Worker:      worker,
 		Version:     s.cfg.Store.Version(),
@@ -687,50 +640,158 @@ func (s *Server) handleRegister(conn transport.Conn, msg transport.Message) *ses
 		CodecTopK:   s.compression.TopK,
 		CodecPull:   s.compression.Pull,
 		StoreShards: s.cfg.Store.Shards(),
-		DeltaPull:   sess.deltaPull,
-	})
-	return sess
+		DeltaPull:   msg.DeltaPull && !s.cfg.DisableDeltaPull,
+	}
 }
 
-// leave deregisters a session (if it is still current) and tells the policy
-// the worker left, releasing any peers the departure unblocks. A worker that
-// disconnects after reporting Done is an orderly exit, not a departure worth
-// counting: the metric should distinguish churn from healthy runs.
+// admit enters worker slot into the cohort with carrier as the session its
+// traffic rides from now on — the registering worker's own new session, or
+// the trunk forwarding a child's registration (the child gets no session of
+// its own). Either way the slot's previous carrier is superseded: a live
+// session under the slot's key (a zombie connection, or a worker that
+// reconnected or re-parented before its old link died) is ended and its
+// connection closed, so its reader unblocks and its writer exits now rather
+// than at server stop — it is already out of the table, so its death cannot
+// count the worker out of the cohort it just re-entered — and a route through
+// another trunk is overwritten or, for a direct registration, deleted (that
+// relay's eventual MsgLeave for the child no longer speaks for the slot and is
+// ignored). The policy learns of the join, and the acknowledgement for the
+// carrier to deliver is returned.
+func (s *Server) admit(slot int, carrier *session, msg transport.Message) (transport.Message, error) {
+	if slot < 0 || slot >= s.cfg.Workers {
+		return transport.Message{}, fmt.Errorf("worker id %d out of range [0,%d)", slot, s.cfg.Workers)
+	}
+	if err := s.negotiate(slot, msg); err != nil {
+		return transport.Message{}, err
+	}
+	// One critical section, so completion and window accounting never see the
+	// slot between carriers.
+	s.mu.Lock()
+	s.joined[slot] = true
+	var old *session
+	if carrier.kind.holdsSlot() {
+		old = s.sessions.replace(slot, carrier)
+		delete(s.routes, slot)
+	} else {
+		old = s.sessions.replace(slot, nil)
+		s.routes[slot] = carrier
+		s.sm.treeChildJoins.Inc()
+	}
+	s.mu.Unlock()
+	if old != nil {
+		old.end()
+		_ = old.conn.Close()
+	}
+	// A rejoin restores the slot to the pushing cohort; re-derive the window.
+	s.shrinkWindow()
+
+	now := s.clock()
+	s.policyMu.Lock()
+	if msg.Type == transport.MsgRejoin {
+		s.sm.rejoins.Inc()
+	}
+	decision := s.cfg.Policy.OnJoin(core.WorkerID(slot), now)
+	s.queueReleases(releaseBatch{targets: s.resolve(nil, decision.Release, now), gate: s.cfg.Store.Reserved()})
+	s.policyMu.Unlock()
+	return s.registered(slot, msg), nil
+}
+
+// carrier returns the session worker slot w's traffic rides — the worker's
+// own, else the trunk routing it — or nil for a slot that is absent or out of
+// range (so a negative replica or trunk key never resolves to a carrier).
+func (s *Server) carrier(w int) *session {
+	if w < 0 || w >= s.cfg.Workers {
+		return nil
+	}
+	if sess := s.sessions.get(w); sess != nil {
+		return sess
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.routes[w]
+}
+
+// handleLeave services MsgLeave and reports whether the session ended with
+// it: a worker's or replica's own leave does; on a trunk the frame forwards
+// the departure of the one routed child it names, and the trunk stays up for
+// the siblings.
+func (s *Server) handleLeave(sess *session, msg transport.Message) (ended bool) {
+	if !sess.kind.multiplexes() {
+		s.leave(sess)
+		return true
+	}
+	if s.unroute(sess, msg.Worker) {
+		s.depart([]int{msg.Worker}, s.clock())
+	}
+	return false
+}
+
+// unroute ends trunk's carriage of slot w and reports whether it held it.
+// Check and removal are one step, which is what makes a stale forward
+// harmless: a child that already re-parented (directly or under another
+// relay) is no longer this trunk's to remove.
+func (s *Server) unroute(trunk *session, w int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.routes[w] != trunk {
+		return false
+	}
+	delete(s.routes, w)
+	s.sm.treeChildLeaves.Inc()
+	return true
+}
+
+// leave deregisters a session (if it is still current) and takes what it
+// carried out of the cohort: a worker's own slot, every child a dead trunk
+// routed (the layout drops the relay first, so a child that refetches it
+// immediately re-parents somewhere live), nothing for a replica, which never
+// entered policy or completion accounting.
 func (s *Server) leave(sess *session) {
 	if !s.sessions.drop(sess) {
 		return
 	}
 	sess.end()
-	if sess.relay {
-		// A dead trunk takes its routed children out of the cohort in one
-		// sweep; the layout drops the relay so re-parenting children land
-		// elsewhere.
-		s.trunkGone(sess)
-		return
+	var slots []int
+	switch sess.kind {
+	case kindWorker:
+		slots = []int{sess.worker}
+	case kindTrunk:
+		s.tree.remove(sess)
+		// Ascending, so the sweep's OnLeave order is deterministic.
+		for w := 0; w < s.cfg.Workers; w++ {
+			if s.unroute(sess, w) {
+				slots = append(slots, w)
+			}
+		}
 	}
-	if sess.worker < 0 {
-		// Replica sessions never entered policy or completion accounting, so
-		// their departure is invisible to both.
-		return
+	s.depart(slots, s.clock())
+}
+
+// depart takes slots, whose carrier just let go of them, out of the cohort:
+// each is told to the policy as a departure — releasing any peers it unblocks,
+// so barrier paradigms never deadlock on a crash — and enters the rejoin grace
+// window. A worker that disconnects after reporting Done is an orderly exit,
+// not a departure worth counting: the metric should distinguish churn from
+// healthy runs.
+func (s *Server) depart(slots []int, now time.Time) {
+	for _, w := range slots {
+		s.mu.Lock()
+		finished := s.finished[w]
+		if !finished {
+			s.departedAt[w] = now
+		}
+		s.mu.Unlock()
+		s.policyMu.Lock()
+		if !finished {
+			s.sm.departures.Inc()
+		}
+		decision := s.cfg.Policy.OnLeave(core.WorkerID(w), now)
+		delete(s.pushedAt, w)
+		// A departure can complete a barrier whose updates are still in the
+		// apply pipeline; its releases gate like any push's.
+		s.queueReleases(releaseBatch{targets: s.resolve(nil, decision.Release, now), gate: s.cfg.Store.Reserved()})
+		s.policyMu.Unlock()
 	}
-	now := s.clock()
-	s.mu.Lock()
-	finished := s.finished[sess.worker]
-	if !finished {
-		s.departedAt[sess.worker] = now
-	}
-	s.mu.Unlock()
-	s.policyMu.Lock()
-	if !finished {
-		s.sm.departures.Inc()
-	}
-	decision := s.cfg.Policy.OnLeave(core.WorkerID(sess.worker), now)
-	delete(s.pushedAt, sess.worker)
-	s.recordReleases(decision.Release, now)
-	// A departure can complete a barrier whose updates are still in the
-	// apply pipeline; its releases gate like any push's.
-	s.queueReleases(releaseBatch{release: decision.Release, gate: s.cfg.Store.Reserved()})
-	s.policyMu.Unlock()
 	s.shrinkWindow()
 	s.checkAllDone()
 }
@@ -846,24 +907,6 @@ func (s *Server) writer(sess *session) {
 	}
 }
 
-// enqueueOut places a message on a worker's current session outbox, dropping
-// it if the worker has no live session.
-func (s *Server) enqueueOut(worker int, msg transport.Message) {
-	s.enqueueOutRef(worker, msg, nil)
-}
-
-// enqueueOutRef is enqueueOut for payloads pinning a store generation: ref
-// travels with the message and is released by the writer after the send, or
-// here when the worker has no live session.
-func (s *Server) enqueueOutRef(worker int, msg transport.Message, ref *genPin) {
-	sess := s.sessions.get(worker)
-	if sess == nil {
-		ref.release()
-		return
-	}
-	s.enqueueSessionRef(sess, msg, ref)
-}
-
 // enqueueSession places a message on a specific session's outbox. It never
 // blocks indefinitely: a session that ends or a server that stops unblocks
 // the send.
@@ -883,52 +926,35 @@ func (s *Server) enqueueSessionRef(sess *session, msg transport.Message, ref *ge
 	}
 }
 
-// recordReleases records waiting-time metrics for released workers. Callers
-// hold policyMu.
-func (s *Server) recordReleases(release []core.WorkerID, now time.Time) {
-	for _, id := range release {
-		w := int(id)
-		if at, ok := s.pushedAt[w]; ok {
-			s.waits.Record(w, now.Sub(at))
-			delete(s.pushedAt, w)
-		}
-	}
-}
-
-// releaseTarget is one resolved release delivery: the session the OK rides —
-// the worker's own for a direct worker, its relay trunk for a routed one —
-// and the worker slot the OK names (the trunk demultiplexes by it).
+// releaseTarget is one resolved delivery: the session the reply rides — the
+// worker's own for a direct worker, its relay trunk for a routed one — and
+// the worker slot the reply names (the trunk demultiplexes by it).
 type releaseTarget struct {
 	sess   *session
 	worker int
 }
 
-// releaseBatch is one release decision queued for delivery: the workers to
-// send OK to, the pipeline depth (Store.Reserved) at decision time that must
-// be applied before any of them goes out, and — when the triggering push
-// failed — the session that gets an error instead of its OK. ticket is the
-// push's version for checkpoint-interval accounting (0 when the batch did
-// not apply an update). queueReleases resolves release to targets, the
-// sessions the decision accounted for; delivery goes to exactly those
-// sessions, never to a successor that registered while the batch waited on
-// its gate. pushed is the push message whose receive buffer the enqueued
-// gradients alias: its lease ends once the gate has passed — the store has
-// applied the ticket and reads the buffer no more — and is left to the
-// garbage collector if the batch never gets that far (server stopped).
+// releaseBatch is one release decision queued for delivery: the sessions to
+// send OK to (targets, resolved at decision time by resolve), the pipeline
+// depth (Store.Reserved) at decision time that must be applied before any of
+// them goes out, and — when the triggering push failed — the pushers that get
+// the error instead of their OK (errs: a worker's own session, or trunk +
+// child for every child whose gradients a failed partial lost). ticket is the
+// push's last version, for checkpoint-interval accounting and trace
+// completion, and tickets how many it was issued, (ticket-tickets, ticket];
+// both 0 when the batch did not apply an update. pushed is the push message
+// whose receive buffer the enqueued gradients alias: its lease ends once the
+// gate has passed — the store has applied the tickets and reads the buffer no
+// more — and is left to the garbage collector if the batch never gets that far
+// (server stopped).
 type releaseBatch struct {
-	release []core.WorkerID // decision's worker IDs, as the policy emitted them
-	targets []releaseTarget // release resolved to sessions at decision time
+	targets []releaseTarget
 	gate    int64
-	errSess *session // the session whose push failed; nil when none
+	errs    []releaseTarget
 	err     error
-	// errTrunk and errWorkers carry a failed relay partial's error fan-out:
-	// each listed worker gets a per-child MsgError on the trunk instead of an
-	// OK — the relay demultiplexes them to the children whose gradients were
-	// lost.
-	errTrunk   *session
-	errWorkers []int
-	ticket     int64
-	pushed     transport.Message
+	ticket  int64
+	tickets int64
+	pushed  transport.Message
 	// queuedAt stamps the decision time for the release-lag histogram (how
 	// long the sequencer held the batch waiting on its apply gate); the zero
 	// value skips the observation.
@@ -957,25 +983,20 @@ func (s *Server) releaser() {
 			// connection's buffer free again.
 			b.pushed.Release()
 			s.sendReleases(b)
-			if b.ticket > 0 {
-				s.tracer.Released(b.ticket, time.Now())
+			for t := b.ticket - b.tickets + 1; t <= b.ticket; t++ {
+				s.tracer.Released(t, time.Now())
 			}
-			if b.err != nil && b.errSess != nil {
-				// The erroring worker gets the error, not an OK that would
-				// let it train on as if the push had landed — on the session
-				// that pushed; a successor session never sees a stale error.
-				s.enqueueSession(b.errSess, transport.Message{Type: transport.MsgError, Error: b.err.Error()})
-			}
-			if b.err != nil && b.errTrunk != nil {
-				// A failed relay partial errors every child it carried, by
-				// worker, on the trunk that forwarded it.
-				for _, w := range b.errWorkers {
-					s.enqueueSession(b.errTrunk, transport.Message{
-						Type:   transport.MsgError,
-						Worker: w,
-						Error:  b.err.Error(),
-					})
+			for _, e := range b.errs {
+				// The erroring pusher gets the error, not an OK that would let
+				// it train on as if the push had landed — on the session that
+				// carried the push; a successor session never sees a stale
+				// error. Only a multiplexing session's replies name the child
+				// they are for.
+				msg := transport.Message{Type: transport.MsgError, Error: b.err.Error()}
+				if e.sess.kind.multiplexes() {
+					msg.Worker = e.worker
 				}
+				s.enqueueSession(e.sess, msg)
 			}
 			if b.ticket > 0 {
 				s.maybeCheckpoint(b.ticket)
@@ -1005,31 +1026,37 @@ func (s *Server) observerPump(bo core.BatchObserver, seen int64) {
 	}
 }
 
-// queueReleases resolves a release decision's workers to their current
-// sessions and hands the batch to the sequencer. Callers hold policyMu,
-// which is what keeps the queue in decision order and the gates monotone —
-// and what makes the resolution exact: membership hooks run under the same
-// lock, so the sessions captured here are precisely the ones the decision
-// accounted for. Pinning sessions now, instead of re-resolving worker IDs
-// at send time, means a worker that leaves and rejoins while the batch
-// waits on its apply gate can never receive a stale OK on its successor
-// session — enqueueSession drops messages for ended sessions. A full queue
-// blocks the caller, never the sequencer; batches that would deliver
+// resolve turns a release decision into deliveries, appended to targets: each
+// released worker's wait is recorded and the worker resolved to the session
+// carrying it now. Callers hold policyMu, which is what makes the resolution
+// exact: membership hooks run under the same lock, so the sessions captured
+// here are precisely the ones the decision accounted for. Pinning sessions
+// now, instead of re-resolving worker IDs at send time, means a worker that
+// leaves and rejoins while the batch waits on its apply gate can never
+// receive a stale OK on its successor session — enqueueSession drops messages
+// for ended sessions. A routed worker's OK travels on its trunk, tagged with
+// the worker it names, and the relay delivers it to the child.
+func (s *Server) resolve(targets []releaseTarget, release []core.WorkerID, now time.Time) []releaseTarget {
+	for _, id := range release {
+		w := int(id)
+		if at, ok := s.pushedAt[w]; ok {
+			s.waits.Record(w, now.Sub(at))
+			delete(s.pushedAt, w)
+		}
+		if sess := s.carrier(w); sess != nil {
+			targets = append(targets, releaseTarget{sess: sess, worker: w})
+		}
+	}
+	return targets
+}
+
+// queueReleases hands a batch to the sequencer. Callers hold policyMu, which
+// is what keeps the queue in decision order and the gates monotone. A full
+// queue blocks the caller, never the sequencer; batches that would deliver
 // nothing are dropped at the door.
 func (s *Server) queueReleases(b releaseBatch) {
-	if len(b.release) == 0 && b.err == nil && b.ticket == 0 {
+	if len(b.targets) == 0 && len(b.errs) == 0 && b.ticket == 0 {
 		return
-	}
-	for _, id := range b.release {
-		w := int(id)
-		if sess := s.sessions.get(w); sess != nil {
-			b.targets = append(b.targets, releaseTarget{sess: sess, worker: w})
-		} else if trunk := s.routeFor(w); trunk != nil {
-			// Relay-routed workers have no session; their OK travels on the
-			// trunk, tagged with the worker it names, and the relay delivers
-			// it to the child.
-			b.targets = append(b.targets, releaseTarget{sess: trunk, worker: w})
-		}
 	}
 	select {
 	case s.releases <- b:
@@ -1037,74 +1064,89 @@ func (s *Server) queueReleases(b releaseBatch) {
 	}
 }
 
-// routeFor returns the trunk session currently carrying a routed worker, or
-// nil for directly sessioned (or absent) workers.
-func (s *Server) routeFor(w int) *session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.routes[w]
-}
-
 // sendReleases delivers the batch's OK signals — the single implementation
 // of release delivery for push, join and leave decisions. The batch's error
-// carve-outs are honored: the direct session whose push failed, and the
-// children of a failed relay partial, must not receive an OK that would let
-// them train on as if the push had landed (the releaser sends them the error
-// instead).
+// carve-out is honored: a pusher whose gradients the failed push lost must
+// not receive an OK that would let it train on as if they had landed (the
+// releaser sends it the error instead). errs is at most relay-fanout long, so
+// a linear scan beats building a set.
 func (s *Server) sendReleases(b releaseBatch) {
+deliver:
 	for _, t := range b.targets {
-		if t.sess == b.errSess {
-			continue
-		}
-		if t.sess == b.errTrunk && intsContain(b.errWorkers, t.worker) {
-			continue
+		for _, e := range b.errs {
+			if e == t {
+				continue deliver
+			}
 		}
 		s.enqueueSession(t.sess, transport.Message{Type: transport.MsgOK, Worker: t.worker})
 		s.sm.releases.Inc()
 	}
 }
 
-// intsContain reports whether xs contains v (errWorkers is relay-fanout
-// sized, so a linear scan beats building a set).
-func intsContain(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// handlePush accepts a pushed gradient and queues the policy's release
-// decision. Decoding the wire tensors — including codec decompression —
-// happens outside policyMu so payload conversion from many workers overlaps.
-// Under the lock only the ordering-sensitive step runs: the policy decision,
-// the ticket assignment (Store.EnqueueApply hands the gradients to the
-// per-shard applier pipeline without waiting), and the staleness accounting,
-// which observes the ticket — the version the push lands at — and therefore
-// matches the serial path exactly. The release decision is queued to the
-// sequencer gated on everything reserved so far, so no released worker can
-// outrun the application of the updates its release depends on.
+// handlePush accepts a push and queues the policy's release decision. A push
+// stands for one logical push per entry: a worker's own is a partial of one,
+// a relay's forwarded partial carries the coordinate-wise sum of its entries'
+// gradients. The policy sees every entry individually (OnPush per entry, in
+// entry order, under one policyMu hold — indistinguishable from the workers
+// pushing back-to-back), and the store reserves one ticket per accepted entry
+// via the weighted enqueue, so the version advances by their count and
+// staleness is measured against each entry's own base version.
+//
+// Decoding the wire tensors — including codec decompression — happens outside
+// policyMu so payload conversion from many workers overlaps. Under the lock
+// only the ordering-sensitive step runs: the policy decisions, the ticket
+// assignment (the enqueue hands the gradients to the per-shard applier
+// pipeline without waiting), and the staleness accounting, which observes the
+// tickets — the versions the pushes land at — and therefore matches the
+// serial path exactly. The release decision is queued to the sequencer gated
+// on everything reserved so far, so no released worker can outrun the
+// application of the updates its release depends on.
+//
+// An entry whose slot no longer rides this session — the worker re-registered
+// elsewhere, or was evicted, while the payload was in flight — is void to the
+// policy, which already counted the worker out: no OnPush, no OK. A push with
+// no live entry is void as a whole. In a partial that still has live entries
+// a void entry's values are already in the sum, so it keeps its ticket (the
+// at-least-once DESIGN.md §11 documents).
 //
 // A dense push over TCP is applied straight out of the receive buffer msg
-// leases, so the lease travels with the ticket: the sequencer ends it when
+// leases, so the lease travels with the tickets: the sequencer ends it when
 // the gate has passed. A push that never reaches the store — rejected,
 // dropped, failed, or void — releases it on the spot.
 func (s *Server) handlePush(sess *session, msg transport.Message) {
-	worker := sess.worker
-	if worker < 0 {
+	reject := func(reason string) {
 		msg.Release()
-		s.enqueueSession(sess, transport.Message{
-			Type:  transport.MsgError,
-			Error: "replica sessions are read-only",
-		})
+		s.enqueueSession(sess, transport.Message{Type: transport.MsgError, Error: reason})
+	}
+	if !sess.kind.mayPush() {
+		reject("replica sessions are read-only")
 		return
 	}
-	baseVersion := msg.Version
-	tr := s.tracer.Sample(worker, msg.Iteration)
-	if tr != nil {
-		tr.Base = baseVersion
+	entries, scratch := sess.partial(msg)
+	if len(entries) == 0 {
+		reject("relay push carries no entries")
+		return
 	}
+	marks := sess.marks[:0]
+	for _, e := range entries {
+		if e.Worker < 0 || e.Worker >= s.cfg.Workers {
+			reject(fmt.Sprintf("push entry names worker %d outside [0,%d)", e.Worker, s.cfg.Workers))
+			return
+		}
+		tr := s.tracer.Sample(e.Worker, e.Iteration)
+		if tr != nil {
+			tr.Base = e.Version
+		}
+		marks = append(marks, entryMark{tr: tr})
+	}
+	sess.marks = marks
+	abandon := func(reason string) {
+		for i := range marks {
+			s.tracer.Abandon(marks[i].tr, reason)
+		}
+		msg.Release()
+	}
+
 	decodeStart := time.Now()
 	var grads []*tensor.Tensor
 	var decodeErr error
@@ -1115,33 +1157,36 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 		// exactly as on a classic server.
 		grads = s.zeroGrad
 	} else {
-		grads, decodeErr = s.decodePush(sess, msg)
+		grads, _, decodeErr = decodePayload(msg, s.compression, scratch)
 	}
 	s.sm.phaseDecode.Observe(time.Since(decodeStart).Seconds())
 
 	var guardDrop bool
 	if s.guard != nil {
+		// A guarded server admits no trunks (relayAdmissible), so the push is
+		// one worker's own and entries[0] is all of it.
 		guardStart := time.Now()
 		screened := grads
 		if decodeErr != nil {
 			screened = nil
 		}
-		verdict := s.guard.checkPush(worker, baseVersion, s.cfg.Store.Reserved(), screened)
+		verdict := s.guard.checkPush(entries[0].Worker, entries[0].Version, s.cfg.Store.Reserved(), screened)
 		s.sm.phaseGuard.Observe(time.Since(guardStart).Seconds())
 		if verdict.evict {
 			// Strikes exhausted: the worker departs through the same path as a
 			// lease eviction — the policy counts it out and releases any peers
 			// its absence unblocks, and the closed connection tells the worker.
-			s.tracer.Abandon(tr, "guard")
-			msg.Release()
+			abandon("guard")
 			s.leave(sess)
 			_ = sess.conn.Close()
 			return
 		}
 		guardDrop = verdict.drop
 	}
-	if tr != nil {
-		tr.ScreenedAt = time.Now()
+	for i := range marks {
+		if tr := marks[i].tr; tr != nil {
+			tr.ScreenedAt = time.Now()
+		}
 	}
 
 	now := s.clock()
@@ -1150,47 +1195,81 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 	// shrink — shows up in the histogram rather than hiding.
 	policyStart := time.Now()
 	s.policyMu.Lock()
-	if !s.sessions.current(sess) {
-		// The session was evicted while the payload was decoding; the
-		// policy already counted the worker out, so the push is void.
-		s.policyMu.Unlock()
-		s.tracer.Abandon(tr, "superseded")
-		msg.Release()
-		return
-	}
-	decision := s.cfg.Policy.OnPush(core.WorkerID(worker), now)
-
-	var pushErr error
-	var ticket int64
-	if decision.Drop || guardDrop {
+	var targets []releaseTarget
+	accepted, void := 0, 0
+	for i, e := range entries {
+		m := &marks[i]
+		if s.carrier(e.Worker) != sess {
+			m.void = true
+			void++
+			s.tracer.Abandon(m.tr, "superseded")
+			m.tr = nil
+			continue
+		}
+		decision := s.cfg.Policy.OnPush(core.WorkerID(e.Worker), now)
+		s.pushedAt[e.Worker] = now
+		targets = s.resolve(targets, decision.Release, now)
+		if !decision.Drop && !guardDrop {
+			accepted++
+			continue
+		}
 		// Policy-dropped (backup-worker baseline) or guard-rejected: the
 		// gradients never reach the store, but the policy has counted the
 		// push, so its releases still flow — a barrier paradigm must not
 		// deadlock on a rejected payload.
+		m.drop = true
 		if guardDrop {
 			s.sm.droppedGuard.Inc()
-			s.tracer.Abandon(tr, "guard")
+			s.tracer.Abandon(m.tr, "guard")
 		} else {
 			s.sm.droppedPolicy.Inc()
-			s.tracer.Abandon(tr, "policy")
+			s.tracer.Abandon(m.tr, "policy")
 		}
-		tr = nil
-	} else {
-		err := decodeErr
-		if err == nil {
-			ticket, err = s.cfg.Store.EnqueueApply(grads)
+		m.tr = nil
+	}
+	if void == len(entries) {
+		s.policyMu.Unlock()
+		abandon("superseded")
+		return
+	}
+
+	var pushErr error
+	var errs []releaseTarget
+	var ticket, tickets int64
+	if accepted > 0 {
+		tickets = int64(accepted + void)
+		if pushErr = decodeErr; pushErr == nil {
+			ticket, pushErr = s.cfg.Store.EnqueueApplyWeighted(grads, tickets)
 		}
-		if err != nil {
-			// The policy has already counted this push and may have decided
-			// to release other workers — their releases must still go out
-			// or a barrier paradigm deadlocks on a single bad payload. Only
-			// the pushing worker learns of the failure.
-			pushErr = err
-			s.tracer.Abandon(tr, "error")
-			tr = nil
-		} else {
+		if pushErr != nil {
+			tickets = 0
+		} else if sess.kind.multiplexes() {
+			s.sm.treePartials.Inc()
+			s.sm.treePartialSize.Observe(float64(tickets))
+		}
+		// The push's tickets are (ticket-tickets, ticket]; walk them in entry
+		// order so each logical push's staleness observes the version it
+		// landed at itself.
+		t := ticket - tickets
+		for i, e := range entries {
+			m := &marks[i]
+			if m.drop {
+				continue
+			}
+			if pushErr != nil {
+				// The policy has already counted this push and may have decided
+				// to release other workers — their releases must still go out
+				// or a barrier paradigm deadlocks on a single bad payload. Only
+				// the pusher learns of the failure.
+				if !m.void {
+					errs = append(errs, releaseTarget{sess: sess, worker: e.Worker})
+				}
+				s.tracer.Abandon(m.tr, "error")
+				continue
+			}
+			t++
 			s.sm.pushes.Inc()
-			stale := int(ticket - 1 - baseVersion)
+			stale := int(t - 1 - e.Version)
 			if stale < 0 && s.cfg.Cluster.Coordinator {
 				// Cluster workers report the min data-server version as their
 				// base; fragments apply before the metadata push lands, so the
@@ -1199,8 +1278,8 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 			}
 			s.staleness.Observe(stale)
 			s.sm.staleness.Observe(float64(stale))
-			if tr != nil {
-				tr.Ticket = ticket
+			if tr := m.tr; tr != nil {
+				tr.Ticket = t
 				tr.Staleness = stale
 				tr.EnqueuedAt = time.Now()
 				s.tracer.Track(tr)
@@ -1208,18 +1287,13 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 		}
 	}
 
-	s.pushedAt[worker] = now
-	s.recordReleases(decision.Release, now)
-	var errSess *session
-	if pushErr != nil {
-		errSess = sess
-	}
 	batch := releaseBatch{
-		release:  decision.Release,
+		targets:  targets,
 		gate:     s.cfg.Store.Reserved(),
-		errSess:  errSess,
+		errs:     errs,
 		err:      pushErr,
 		ticket:   ticket,
+		tickets:  tickets,
 		queuedAt: time.Now(),
 	}
 	if ticket > 0 {
@@ -1271,38 +1345,51 @@ func (s *Server) CheckpointError() error {
 	return s.ckptErr
 }
 
-// decodePush converts a push message's payload into gradient tensors,
-// decompressing packed payloads under the negotiated codec. A compressed
-// push arriving on an uncompressed server (or vice versa) is a protocol
-// violation — registration negotiates the codec — and fails the push.
+// decodePayload converts a push message's payload into gradient tensors,
+// decompressing packed payloads under speaks, the codec the hop negotiated,
+// and reports the payload's size in Client.Traffic units. A compressed push
+// arriving on an uncompressed hop (or vice versa) is a protocol violation —
+// registration negotiates the codec — and fails the push.
 //
-// The decode reuses per-session buffers wherever ownership allows: packed
-// payloads decompress into the session's gradient scratch (the lock-step
-// protocol guarantees the previous push's tensors are no longer needed),
-// after which nothing aliases the message's receive buffer and its lease
-// ends; a dense push whose message owns its wire buffer is aliased rather
-// than copied, and the caller keeps the lease until the store is done.
-// Store.Apply only reads gradients, so neither reuse can leak into the
-// published weights.
-func (s *Server) decodePush(sess *session, msg transport.Message) ([]*tensor.Tensor, error) {
+// The decode reuses buffers wherever ownership allows: packed payloads
+// decompress into *scratch when the caller supplies one (a lock-step sender's
+// previous tensors are no longer needed; a pipelining sender passes nil and
+// gets fresh ones, valid however many payloads are in flight), after which
+// nothing aliases the message's receive buffer and its lease ends; a dense
+// push whose message owns its wire buffer is aliased rather than copied, and
+// the caller keeps the lease until it is done reading. Consumers only read
+// gradients, so neither reuse can leak into published weights.
+func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*tensor.Tensor) ([]*tensor.Tensor, int64, error) {
 	compressed := msg.Codec != "" || len(msg.Packed) > 0
 	switch {
-	case compressed && (!s.compression.Enabled() || msg.Codec != s.compression.Codec):
-		return nil, fmt.Errorf("push compressed with codec %q but server speaks %s", msg.Codec, s.compression)
+	case compressed && (!speaks.Enabled() || msg.Codec != speaks.Codec):
+		return nil, 0, fmt.Errorf("push compressed with codec %q but this hop speaks %s", msg.Codec, speaks)
 	case compressed:
-		grads, err := compress.DecompressAllReuse(msg.Packed, sess.decodeScratch)
+		var bytes int64
+		for _, p := range msg.Packed {
+			bytes += int64(p.WireSize())
+		}
+		var reuse []*tensor.Tensor
+		if scratch != nil {
+			reuse = *scratch
+		}
+		grads, err := compress.DecompressAllReuse(msg.Packed, reuse)
 		msg.Release()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		sess.decodeScratch = grads
-		return grads, nil
-	case s.compression.Enabled():
-		return nil, fmt.Errorf("uncompressed push but server speaks %s", s.compression)
+		if scratch != nil {
+			*scratch = grads
+		}
+		return grads, bytes, nil
+	case speaks.Enabled():
+		return nil, 0, fmt.Errorf("uncompressed push but this hop speaks %s", speaks)
 	case msg.PayloadOwned():
-		return transport.FromWireOwned(msg.Tensors)
+		grads, err := transport.FromWireOwned(msg.Tensors)
+		return grads, wireTensorBytes(msg.Tensors), err
 	default:
-		return transport.FromWire(msg.Tensors)
+		grads, err := transport.FromWire(msg.Tensors)
+		return grads, wireTensorBytes(msg.Tensors), err
 	}
 }
 
@@ -1332,8 +1419,8 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 	s.sm.pulls.Inc()
 	pullStart := time.Now()
 	defer func() { s.sm.pullSeconds.Observe(time.Since(pullStart).Seconds()) }()
-	if s.guard != nil && worker >= 0 {
-		// Replica sessions sit outside the guard's per-slot clock accounting.
+	if s.guard != nil && sess.kind.holdsSlot() {
+		// Only slot holders are in the guard's per-slot clock accounting.
 		s.guard.observePull(worker)
 	}
 	st := s.cfg.Store
@@ -1423,7 +1510,7 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 				s.sm.chunksFull.Inc()
 			}
 		}
-		s.enqueueOutRef(worker, msg, ref)
+		s.enqueueSessionRef(sess, msg, ref)
 	}
 }
 
@@ -1440,8 +1527,20 @@ func (s *Server) packShardInto(dst []compress.Packed, params []*tensor.Tensor) [
 	return compress.PackInto(dst, params, s.compression)
 }
 
-// handleDone records a worker's completion.
-func (s *Server) handleDone(worker int) {
+// handleDone records the completion of the slot a Done frame on sess is
+// about — the session's own for a slot holder, the child the frame names for
+// a trunk — provided sess is that slot's carrier. A replica carries nothing,
+// and a trunk naming a slot it does not route (out of range, never joined
+// through it, since re-parented) speaks for nobody: stale and forged
+// forwards alike are ignored.
+func (s *Server) handleDone(sess *session, msg transport.Message) {
+	worker := msg.Worker
+	if sess.kind.holdsSlot() {
+		worker = sess.worker
+	}
+	if s.carrier(worker) != sess {
+		return
+	}
 	s.mu.Lock()
 	if !s.finished[worker] {
 		s.finished[worker] = true

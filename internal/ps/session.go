@@ -4,32 +4,62 @@ import (
 	"sync"
 	"time"
 
+	"dssp/internal/obs"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
 )
 
-// session is one live worker registration: the connection it arrived on, the
-// outbox its writer goroutine drains, and the lease state that keeps it
-// alive. A worker slot has at most one current session; re-registration
-// supersedes the previous session instead of silently overwriting its outbox
-// (which used to strand the old writer goroutine until server stop).
+// sessionKind says what a registered connection is to the cohort. Everything
+// the server does differently per kind is answered here, beside the type:
+//
+//	kind     holds slot  may push             pushes pipeline  Done/Leave speak for  death sweeps
+//	worker   its own     one entry: itself    no (lock-step)   itself                its slot
+//	replica  none        no (read-only)       —                nobody                nothing
+//	trunk    none        one entry per child  yes              the child they name   every child it routes
+//
+// A trunk (an aggregation relay's upstream session) and a replica (a backup's
+// read-only observer) live under private negative keys outside the worker
+// range, invisible to the policy, the guard and completion accounting; the
+// slots a trunk speaks for are the ones Server.routes maps to it.
+type sessionKind uint8
+
+const (
+	kindWorker sessionKind = iota
+	kindReplica
+	kindTrunk
+)
+
+// holdsSlot reports whether the session occupies worker slot session.worker.
+func (k sessionKind) holdsSlot() bool { return k == kindWorker }
+
+// mayPush reports whether the kind may send gradients at all.
+func (k sessionKind) mayPush() bool { return k != kindReplica }
+
+// multiplexes reports whether the session carries other workers' traffic:
+// its pushes are partials of several entries and pipeline (partial n+1 may
+// arrive while partial n still sits on the shard queues), its Done and Leave
+// frames name a routed child, and the replies it receives are tagged with the
+// child they are for.
+func (k sessionKind) multiplexes() bool { return k == kindTrunk }
+
+// session is one live registration: the connection it arrived on, the outbox
+// its writer goroutine drains, and the lease state that keeps it alive. A
+// session key has at most one current session; re-registration supersedes the
+// previous session instead of silently overwriting its outbox (which used to
+// strand the old writer goroutine until server stop).
 type session struct {
+	kind sessionKind
+	// worker is the session's key: the slot a worker holds, a private
+	// negative key for replicas and trunks.
 	worker int
 	conn   transport.Conn
 	// rejoined reports whether the session re-entered via MsgRejoin.
 	rejoined bool
 	// deltaPull reports that this session negotiated version-gated delta
 	// pulls at registration: its MsgPull requests may carry PullVersions and
-	// its weight chunks may come back Unchanged. Set before the session's
-	// writer starts, immutable afterwards.
+	// its weight chunks may come back Unchanged. Set before the session is
+	// installed, immutable afterwards.
 	deltaPull bool
-	// relay marks an aggregation-relay trunk (MsgRegister with Relay set):
-	// the session lives under a negative key like a replica's, but unlike a
-	// replica it multiplexes many logical workers — child joins, aggregated
-	// pushes and departures arrive on it tagged with the child's worker ID,
-	// and releases for routed workers are delivered through it. Set before
-	// the writer starts, immutable afterwards.
-	relay bool
 	// serializes reports that the connection is a transport.SerializingSender:
 	// payloads are fully encoded inside Send/SendBatch, so pull replies may
 	// pin store generations with a bounded reference (released by the writer
@@ -46,13 +76,55 @@ type session struct {
 	mu       sync.Mutex
 	lastSeen time.Time
 
-	// decodeScratch holds the gradient tensors a compressed push
-	// decompresses into, reused across pushes: the model layout is fixed
-	// for a session's lifetime, and the protocol is lock-step per worker,
-	// so the previous push's tensors are free again (decoded, applied,
-	// released) by the time the next push arrives on this session's
-	// connection goroutine. Only that goroutine touches the field.
+	// The fields below are push-handling scratch, touched only by the
+	// session's connection goroutine. decodeScratch holds the gradient tensors
+	// a compressed push decompresses into, reused across pushes: the model
+	// layout is fixed for a session's lifetime, and the protocol is lock-step
+	// per worker, so the previous push's tensors are free again (decoded,
+	// applied, released) by the time the next push arrives. self is the one
+	// entry a worker's own push stands for, marks the per-entry state of the
+	// push in hand — kept here so a push allocates neither.
 	decodeScratch []*tensor.Tensor
+	self          [1]transport.PushEntry
+	marks         []entryMark
+}
+
+// entryMark is what push handling learns about one entry of a push: its
+// sampled lifecycle trace (nil for most), and whether it was void (its slot
+// no longer rides this session) or dropped (by the policy or the guard).
+type entryMark struct {
+	tr         *obs.PushTrace
+	void, drop bool
+}
+
+// newSession builds a session for conn, not yet installed in the table.
+func newSession(kind sessionKind, key int, conn transport.Conn, rejoined bool, now time.Time) *session {
+	_, serializes := conn.(transport.SerializingSender)
+	return &session{
+		kind:       kind,
+		worker:     key,
+		conn:       conn,
+		rejoined:   rejoined,
+		serializes: serializes,
+		// Deep enough for a full multi-shard pull reply plus the releases
+		// landing behind it without blocking the sequencer.
+		outbox:   make(chan outMsg, 64),
+		gone:     make(chan struct{}),
+		lastSeen: now,
+	}
+}
+
+// partial reads a MsgPush on this session as the partial it is: the logical
+// pushes it stands for — a trunk's frame lists them, a worker's own push is a
+// partial of one — and the decompression scratch it may reuse: the session's
+// own for a lock-step worker, none for a trunk, whose previous partial may
+// still be queued on a shard applier.
+func (se *session) partial(msg transport.Message) ([]transport.PushEntry, *[]*tensor.Tensor) {
+	if se.kind.multiplexes() {
+		return msg.PushEntries, nil
+	}
+	se.self[0] = transport.PushEntry{Worker: se.worker, Version: msg.Version, Iteration: msg.Iteration}
+	return se.self[:], &se.decodeScratch
 }
 
 // outMsg is one queued outbound message, plus — when the payload aliases a
@@ -96,25 +168,19 @@ func newSessionTable() *sessionTable {
 	return &sessionTable{sessions: make(map[int]*session)}
 }
 
-// register installs a new session for the worker slot and returns it together
-// with the session it superseded (nil if none). The caller ends the old
-// session outside the table lock.
-func (t *sessionTable) register(worker int, conn transport.Conn, rejoined bool, now time.Time) (sess, old *session) {
+// replace makes sess the current session under key — or leaves the key with
+// none when sess is nil — and returns the session it superseded (nil if
+// none). The caller ends the old session outside the table lock.
+func (t *sessionTable) replace(key int, sess *session) (old *session) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, serializes := conn.(transport.SerializingSender)
-	sess = &session{
-		worker:     worker,
-		conn:       conn,
-		rejoined:   rejoined,
-		serializes: serializes,
-		outbox:     make(chan outMsg, 64),
-		gone:       make(chan struct{}),
-		lastSeen:   now,
+	old = t.sessions[key]
+	if sess == nil {
+		delete(t.sessions, key)
+	} else {
+		t.sessions[key] = sess
 	}
-	old = t.sessions[worker]
-	t.sessions[worker] = sess
-	return sess, old
+	return old
 }
 
 // drop removes sess if it is still the worker's current session and reports
@@ -135,13 +201,6 @@ func (t *sessionTable) get(worker int) *session {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.sessions[worker]
-}
-
-// current reports whether sess is still the worker's live session.
-func (t *sessionTable) current(sess *session) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sessions[sess.worker] == sess
 }
 
 // list returns a snapshot of all live sessions.

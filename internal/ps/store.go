@@ -389,12 +389,12 @@ func (s *Store) startAppliers() {
 }
 
 // watchdog force-publishes stalled partial aggregation windows: when a full
-// FlushInterval elapses with pushes reserved but the applied version not
+// DefaultFlushInterval elapses with pushes reserved but the applied version not
 // moving, it flushes. Worst-case added release latency is therefore two
 // ticks; steady-state full windows never wait for it.
 func (s *Store) watchdog(stop <-chan struct{}) {
 	defer s.applierWG.Done()
-	ticker := time.NewTicker(s.aggCfg.FlushInterval)
+	ticker := time.NewTicker(DefaultFlushInterval)
 	defer ticker.Stop()
 	last := int64(-1)
 	for {

@@ -37,55 +37,13 @@ const (
 // optimizer steps. The zero value is plain summation, bit-identical to the
 // classic pipeline; the robust kinds trade a little aggregation latency for
 // tolerance of Byzantine (poisoned) gradients.
-type Aggregator struct {
-	// Kind is AggregateSum (""), AggregateClipped, AggregateTrimmedMean or
-	// AggregateMedian.
-	Kind string
-	// ClipNorm is the per-tensor L2 cap for AggregateClipped; required
-	// positive for that kind, ignored elsewhere.
-	ClipNorm float64
-	// Trim is the per-side trim fraction in [0, 0.5) for
-	// AggregateTrimmedMean; 0 selects the default (0.25).
-	Trim float64
-	// Window is how many pushes the windowed kinds aggregate per step; 0
-	// lets the server pick (the worker count). Partial windows are
-	// force-published whenever a release waits on them, so per-push
-	// paradigms (ASP/SSP/DSSP) stay live.
-	Window int
-}
-
-// internal converts the public knob into the ps-layer configuration.
-func (a Aggregator) internal() ps.AggregatorConfig {
-	return ps.AggregatorConfig{Kind: a.Kind, ClipNorm: a.ClipNorm, Trim: a.Trim, Window: a.Window}
-}
-
-// String renders the configuration, e.g. "trimmed-mean(0.25)/w4".
-func (a Aggregator) String() string { return a.internal().String() }
+type Aggregator = ps.AggregatorConfig
 
 // Guard configures server-side anomaly screening: pushes with outlier
 // gradient norms, impossible version claims, or flood-like cadence are
 // dropped, and workers that keep offending are evicted from the run exactly
 // like workers whose lease expired. The zero value screens nothing.
-type Guard struct {
-	// Enabled turns the guard on.
-	Enabled bool
-	// NormFactor flags pushes whose gradient norm exceeds this multiple of
-	// the trailing median; 0 selects the default (8). Negative disables the
-	// norm check while keeping the clock checks.
-	NormFactor float64
-	// MaxStrikes is how many flagged pushes evict a worker; 0 selects the
-	// default (3).
-	MaxStrikes int
-	// FloodSlack is how many pushes per pull a worker may make before being
-	// flagged; 0 selects the default (3).
-	FloodSlack int
-}
-
-// internal converts the public knob into the ps-layer configuration.
-func (g Guard) internal() ps.GuardConfig {
-	return ps.GuardConfig{Enabled: g.Enabled, NormFactor: g.NormFactor,
-		MaxStrikes: g.MaxStrikes, FloodSlack: g.FloodSlack}
-}
+type Guard = ps.GuardConfig
 
 // Options is the serving surface shared by every way of standing up a
 // cluster — TrainConfig (in-process), ServerConfig and WorkerConfig (TCP) —
@@ -134,11 +92,11 @@ type Options struct {
 // server consumes — the one defaulting+validation funnel for every caller.
 func (o Options) serverOptions() ps.Options {
 	return ps.Options{
-		Compression:      o.Compression.internal(),
-		Aggregator:       o.Aggregator.internal(),
-		Guard:            o.Guard.internal(),
+		Compression:      o.Compression,
+		Aggregator:       o.Aggregator,
+		Guard:            o.Guard,
 		Elastic:          o.Elastic,
 		HeartbeatTimeout: o.HeartbeatTimeout,
-		Checkpoint:       o.Checkpoint.internal(),
+		Checkpoint:       o.Checkpoint,
 	}
 }

@@ -100,7 +100,7 @@ func ServeRelay(cfg RelayConfig) (*RelayServer, error) {
 	if advertise == "" {
 		advertise = listener.Addr()
 	}
-	ccfg := cfg.Compression.internal()
+	ccfg := cfg.Compression.Normalized()
 	if cfg.Compression.Codec == "" {
 		// Unset means "follow the parent", exactly as it does for workers.
 		ccfg.Codec = compress.Auto

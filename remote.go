@@ -427,7 +427,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		},
 		Addr:        cfg.ServerAddr,
 		Worker:      cfg.WorkerID,
-		Compression: cfg.Compression.internal(),
+		Compression: cfg.Compression.Normalized(),
 		DeltaPull:   cfg.DeltaPull,
 		Shards:      cfg.Shards,
 		Metrics:     reg,

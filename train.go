@@ -54,19 +54,11 @@ type DatasetConfig struct {
 // Compression selects the gradient codec spoken on the wire between workers
 // and the parameter server. Lossy codecs carry a per-worker error-feedback
 // residual, so training still converges; what they buy is bandwidth — see
-// the README's wire-protocol section for when to pick which.
-type Compression struct {
-	// Codec is CompressNone (the default), CompressFP16, CompressInt8 or
-	// CompressTopK. On WorkerConfig the empty string instead means "adopt
-	// whatever the server speaks" (CompressAuto).
-	Codec string
-	// TopK is the fraction of gradient entries the topk codec keeps per
-	// tensor, in (0, 1]; 0 selects the default 0.1.
-	TopK float64
-	// Pull additionally compresses the weights workers pull from the server
-	// (fp16 and int8 only — weights are state, not sparse updates).
-	Pull bool
-}
+// the README's wire-protocol section for when to pick which. Codec is
+// CompressNone (the default), CompressFP16, CompressInt8 or CompressTopK; on
+// WorkerConfig the empty string instead means "adopt whatever the server
+// speaks" (CompressAuto).
+type Compression = compress.Config
 
 // Codec names for Compression.Codec.
 const (
@@ -81,15 +73,6 @@ const (
 	// CompressTopK sends only the largest-magnitude gradient entries.
 	CompressTopK = compress.TopK
 )
-
-// internal converts the public knob into the codec subsystem's configuration.
-func (c Compression) internal() compress.Config {
-	return compress.Config{Codec: c.Codec, TopK: c.TopK, Pull: c.Pull}.Normalized()
-}
-
-// String renders the configuration with its effective parameters, e.g.
-// "topk(0.1)+pull".
-func (c Compression) String() string { return c.internal().String() }
 
 // TrainConfig configures a local distributed-training run.
 type TrainConfig struct {
@@ -133,18 +116,7 @@ type TrainConfig struct {
 // Checkpoint configures parameter-store snapshots: atomic files the server
 // writes every Every applied updates (and on shutdown) so a restarted server
 // resumes the run where it stopped.
-type Checkpoint struct {
-	// Dir is the checkpoint directory; empty disables checkpointing.
-	Dir string
-	// Every is the checkpoint interval in applied updates; 0 (with Dir set)
-	// checkpoints only on shutdown.
-	Every int
-}
-
-// internal converts the public knob into the ps-layer configuration.
-func (c Checkpoint) internal() ps.CheckpointConfig {
-	return ps.CheckpointConfig{Dir: c.Dir, Every: c.Every}
-}
+type Checkpoint = ps.CheckpointConfig
 
 // TrainResult reports the outcome of a local training run.
 type TrainResult struct {

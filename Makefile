@@ -23,9 +23,13 @@ race:
 # proves little, so the three poisoning tests run ten times under the race
 # detector, with the two tests that count the releases of a failed and of a
 # void push (a lease that is never ended poisons nothing; it leaks). Any
-# change to a site that ends a lease wants this green.
+# change to a site that ends a lease wants this green. The session layer the
+# root and the relay share (DESIGN.md §6) is as much a concurrency property:
+# the stale-release pin, the relay's watchdog and stalled-child tests, and the
+# relay-child arms of the session tests run the same ten times.
 lease-stress:
-	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestCodecBufferReuseSurvivesPoisoning|TestRelayCopiesPullCacheForReferencePassingChildren|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes' ./internal/ps/
+	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestCodecBufferReuseSurvivesPoisoning|TestRelayCopiesPullCacheForReferencePassingChildren|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK' ./internal/ps/
+	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
 
 # The portable kernel path (internal/tensor's Go loops, bound where there is
 # no AVX2+FMA) on every run, not only on machines without AVX2: the purego tag

@@ -45,7 +45,7 @@
 // cutting the root's ingress from O(workers) to O(workers/fanout) frames.
 // Workers join the tree with psworker -tree -server <root>; they learn
 // their relay from the root's layout and re-parent if it dies. A partial
-// stalled by a straggler is forwarded incomplete after -relay-flush.
+// stalled by a straggler is forwarded incomplete after 50ms.
 //
 // Observability: -metrics-addr starts an admin HTTP listener serving
 // Prometheus /metrics, /healthz, a /statusz JSON snapshot, and
@@ -104,7 +104,6 @@ func main() {
 		peers          = flag.String("peers", "", "coordinator address (data and backup roles)")
 		parent         = flag.String("parent", "", "root server address the relay forwards to (relay role)")
 		fanout         = flag.Int("fanout", 4, "workers this relay aggregates per forwarded push (relay role)")
-		flushInterval  = flag.Duration("relay-flush", 0, "how long a relay partial waits for straggling workers before forwarding incomplete (0 = default 50ms; relay role)")
 		clusterServers = flag.Int("cluster-servers", 0, "number of data servers in the group (all cluster roles)")
 		clusterIndex   = flag.Int("cluster-index", 0, "this server's slot in [0, cluster-servers) — which shard range it owns")
 		shardRange     = flag.String("shard-range", "", "owned shard range as lo:hi, overriding -cluster-index (must match a layout assignment)")
@@ -133,7 +132,6 @@ func main() {
 			Compression:       relayCompress,
 			HeartbeatTimeout:  *hbTimeout,
 			HeartbeatInterval: *hbTimeout / 4,
-			FlushInterval:     *flushInterval,
 			MetricsAddr:       *metricsAddr,
 		}); err != nil {
 			log.Fatalf("psserver: %v", err)

@@ -326,44 +326,14 @@ func Announce(dial func(addr string) (transport.Conn, error), coordAddr string, 
 }
 
 // clusterState is the coordinator's live view of the group: the data-server
-// entries the map serves, the version workers use to detect change, and the
-// parked announce connections (peers) Stop must close — they are not worker
-// sessions, so the session sweep never reaches them, yet each holds a data
-// server's liveness watch on this coordinator.
+// entries the map serves and the version workers use to detect change. (An
+// announcing data server parks on its connection as its liveness watch on this
+// coordinator; the session layer's stop sweep closes it with every other
+// connection.)
 type clusterState struct {
 	mu         sync.Mutex
 	entries    []transport.ServerEntry
 	mapVersion int64
-	peers      map[transport.Conn]struct{}
-}
-
-// trackPeer registers a parked cluster-peer connection for closure on Stop.
-func (s *Server) trackPeer(conn transport.Conn) {
-	s.cluster.mu.Lock()
-	if s.cluster.peers == nil {
-		s.cluster.peers = make(map[transport.Conn]struct{})
-	}
-	s.cluster.peers[conn] = struct{}{}
-	s.cluster.mu.Unlock()
-}
-
-// untrackPeer drops a peer connection that ended on its own.
-func (s *Server) untrackPeer(conn transport.Conn) {
-	s.cluster.mu.Lock()
-	delete(s.cluster.peers, conn)
-	s.cluster.mu.Unlock()
-}
-
-// closePeers closes every parked peer connection — the coordinator side of
-// the data servers' fail-fast: their liveness watch sees the close
-// immediately instead of waiting out a transport timeout.
-func (s *Server) closePeers() {
-	s.cluster.mu.Lock()
-	for conn := range s.cluster.peers {
-		_ = conn.Close()
-	}
-	s.cluster.peers = nil
-	s.cluster.mu.Unlock()
 }
 
 // handleClusterMap answers a worker's map request on its own connection —

@@ -597,7 +597,7 @@ func BenchmarkTCPDensePushPull1MB(b *testing.B) {
 	}
 }
 
-// TestRelayCopiesPullCacheForReferencePassingChildren pins handleChildPull's
+// TestRelayCopiesPullCacheForReferencePassingChildren pins Relay.handlePull's
 // lease rule where the soak test above cannot reach it deterministically: a
 // relay whose upstream is a socket serves its pull cache to a child on the
 // channel transport, the child sits on the message without decoding it, and

@@ -3,6 +3,7 @@ package ps
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -430,14 +431,18 @@ func TestStalenessObserveOffByOneCoalesced(t *testing.T) {
 // still get their OKs — a single bad payload must not deadlock the barrier.
 // The carrier axis runs it for a worker's own push and for a relay's partial
 // standing for children {0,1}: every child the partial carried gets its own
-// error on the trunk, tagged with its worker id, and none gets an OK. Either
-// way the failed push's leased receive buffer goes back exactly once.
+// error on the trunk, tagged with its worker id, and none gets an OK. The
+// relay-child arm puts a real relay in front of children {0,1} and has child
+// 1 push the right number of tensors in the wrong shape: the relay answers it
+// with one tagged error and folds nothing, child 0's partial leaves intact,
+// and child 1's departure completes the round. Every way the failed push's
+// leased receive buffer goes back exactly once.
 func TestPushErrorStillReleasesPeers(t *testing.T) {
 	var released atomic.Int64
 	t.Cleanup(transport.SetReleaseHook(func([]byte) { released.Add(1) }))
-	for _, carrier := range []string{"direct", "trunk"} {
+	for _, carrier := range []string{"direct", "trunk", "relay-child"} {
 		t.Run(carrier, func(t *testing.T) {
-			workers := map[string]int{"direct": 2, "trunk": 3}[carrier]
+			workers := map[string]int{"direct": 2, "trunk": 3, "relay-child": 3}[carrier]
 			st := testStore(t, 4)
 			srv, err := NewServer(ServerConfig{Workers: workers, Policy: core.MustNewBSP(workers), Store: st})
 			if err != nil {
@@ -446,7 +451,7 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 			t.Cleanup(srv.Stop)
 			// Over TCP, so the pushed frame's receive buffer is leased.
 			_, dial := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
-			connect := func(w int) *Client {
+			connectAt := func(dial func() (transport.Conn, error), w int) *Client {
 				conn, err := dial()
 				if err != nil {
 					t.Fatal(err)
@@ -458,6 +463,7 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 				t.Cleanup(func() { c.Close() })
 				return c
 			}
+			connect := func(w int) *Client { return connectAt(dial, w) }
 			// The last worker pushes a good gradient first, so the bad push is
 			// the one that completes the barrier: the round's release and the
 			// failure are one decision.
@@ -476,6 +482,7 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 			// has already counted the push toward the barrier. Over 4 KB, so
 			// the frame is big enough to be leased.
 			bad := []*tensor.Tensor{tensor.New(2048), tensor.New(2)}
+			applied := int64(1)
 			before := released.Load()
 			// Each arm ends with a round trip on the pushing connection, which
 			// is served in order: by its reply the push handler has returned.
@@ -512,6 +519,66 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 				if ack, err := trunk.Recv(); err != nil || ack.Type != transport.MsgRegistered {
 					t.Fatalf("trunk's frame after the errors is %+v (%v), want the re-join's Registered", ack, err)
 				}
+			case "relay-child":
+				relay, err := NewRelay(RelayConfig{Parent: dial, Fanout: 2, Advertise: "relay"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(relay.Stop)
+				_, dialRelay := endpoint(t, true, func(l transport.Listener) { _ = relay.Serve(l) })
+				// Child 0 pulls, which shows the relay the model's layout, and
+				// its good push opens the window child 1's is judged against.
+				c0 := connectAt(dialRelay, 0)
+				c1, err := dialRelay()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c1.Close()
+				exchange := func(req transport.Message) transport.Message {
+					t.Helper()
+					if err := c1.Send(req); err != nil {
+						t.Fatal(err)
+					}
+					reply, err := c1.Recv()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return reply
+				}
+				if ack := exchange(transport.Message{Type: transport.MsgRegister, Worker: 1}); ack.Type != transport.MsgRegistered {
+					t.Fatalf("child 1's registration answered %+v", ack)
+				}
+				if _, _, err := c0.Pull(); err != nil {
+					t.Fatal(err)
+				}
+				ok0 := make(chan error, 1)
+				go func() { ok0 <- c0.PushAndWait([]*tensor.Tensor{tensor.Full(0.1, 4)}, 0, 0) }()
+				for relay.Stats().ChildPushes < 1 {
+					if time.Now().After(deadline) {
+						t.Fatal("relay never counted child 0's push")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				// As many tensors as the model, so only the shape is wrong. The
+				// relay answers with one error naming child 1; the frame after it
+				// is the answer to the next request (a relay serves no maps).
+				reply := exchange(transport.Message{Type: transport.MsgPush, Worker: 1, Tensors: transport.ToWire(bad[:1])})
+				if reply.Type != transport.MsgError || reply.Worker != 1 {
+					t.Fatalf("child 1's misshapen push answered %+v, want an Error naming worker 1", reply)
+				}
+				if next := exchange(transport.Message{Type: transport.MsgClusterMap}); !strings.Contains(next.Error, "not the aggregation root") {
+					t.Fatalf("the frame after the error is %+v, want the map refusal: one reply per push", next)
+				}
+				if n := relay.Stats().ChildPushes; n != 1 {
+					t.Fatalf("relay folded %d pushes, want 1: the misshapen one folds nothing", n)
+				}
+				// Child 1 never pushed as far as the root knows; its departure
+				// completes the round for child 0 and the direct worker.
+				c1.Close()
+				if err := <-ok0; err != nil {
+					t.Fatalf("child 0's good push failed: %v", err)
+				}
+				applied = 2
 			}
 			select {
 			case err := <-okCh:
@@ -521,8 +588,8 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("worker %d deadlocked behind the bad push", workers-1)
 			}
-			if st.Version() != 1 {
-				t.Fatalf("store version %d, want 1 (only the good push applied)", st.Version())
+			if st.Version() != applied {
+				t.Fatalf("store version %d, want %d (only the good pushes applied)", st.Version(), applied)
 			}
 			if n := released.Load() - before; n != 1 {
 				t.Fatalf("the failed push's receive buffer was released %d times, want exactly 1", n)
@@ -539,9 +606,12 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 // next Pull. The applier is held inside the optimizer step so the
 // leave/rejoin deterministically happens while the release is gated. The
 // carrier axis decides what the leaving worker 0 rode when it pushed: its own
-// connection, or a relay's trunk (it then re-parents to the root itself).
+// connection, or a relay's trunk — it then re-parents to the root itself, or
+// rejoins through the same relay, where the trunk session its release is
+// pinned to outlives it and only the slot's admit epoch tells the tenures
+// apart.
 func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
-	for _, carrier := range []string{"direct", "trunk"} {
+	for _, carrier := range []string{"direct", "trunk", "trunk-same-relay"} {
 		t.Run(carrier, func(t *testing.T) {
 			initial := []*tensor.Tensor{tensor.New(4)}
 			gate := newGateOpt(optimizer.NewSGD(1.0))
@@ -549,7 +619,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			relays := map[string]int{"direct": 0, "trunk": 1}[carrier]
+			relays := map[string]int{"direct": 0, "trunk": 1, "trunk-same-relay": 1}[carrier]
 			// A fanout-1 relay covers worker 0; worker 1 dials the root.
 			h := newRelayHarness(t, core.MustNewBSP(2), st, relays, 1, Options{})
 			srv := h.server
@@ -586,7 +656,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 			}
 
 			// With the release still gated, worker 0 leaves and rejoins on a
-			// fresh connection to the root — the real reconnect flow.
+			// fresh connection — the real reconnect flow.
 			if err := leaver.Leave(); err != nil {
 				t.Fatal(err)
 			}
@@ -597,7 +667,15 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			rejoined := direct(0)
+			rejoinAt := h.rootListener
+			if carrier == "trunk-same-relay" {
+				rejoinAt = h.listeners[0]
+			}
+			conn, err := rejoinAt.Dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rejoined := NewClient(conn, 0)
 			if err := rejoined.Rejoin(st.Version()); err != nil {
 				t.Fatal(err)
 			}
@@ -610,6 +688,19 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("worker 1 still blocked after the gate opened")
+			}
+			if carrier == "trunk-same-relay" {
+				// The trunk delivers in order, so once the root's refusal of an
+				// out-of-range join has come back through the relay, anything
+				// the root queued on the trunk before it has been handed on.
+				conn, err := h.listeners[0].Dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				if err := NewClient(conn, 7).Register(); err == nil {
+					t.Fatal("the root admitted worker 7 of 2")
+				}
 			}
 			// The rejoined session's first reply must be the pull's weights —
 			// with delivery keyed on worker IDs it would be worker 0's stale

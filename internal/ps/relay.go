@@ -44,9 +44,6 @@ type RelayConfig struct {
 	// is evicted exactly as the root's lease monitor would. 0 disables child
 	// leases (connection death still evicts).
 	HeartbeatTimeout time.Duration
-	// FlushInterval bounds how long a partial waits for straggling children
-	// before forwarding incomplete; 0 selects DefaultRelayFlushInterval.
-	FlushInterval time.Duration
 	// Metrics is the registry the relay's instrumentation lives on; nil
 	// creates a private one.
 	Metrics *obs.Registry
@@ -56,7 +53,8 @@ type RelayConfig struct {
 
 // Relay is the aggregation-relay process. It speaks the ordinary worker
 // protocol downstream — children register, push, pull, heartbeat and leave
-// exactly as against a root server — and two upstream sessions: a trunk
+// exactly as against a root server, as worker sessions of the session layer
+// the root runs on (session.go) — and two upstream sessions: a trunk
 // (negative-key session multiplexing the children's control traffic and the
 // summed pushes) and a replica pull session feeding the delta-pull cache
 // child pulls are served from.
@@ -68,9 +66,10 @@ type RelayConfig struct {
 // forwarded push's PushEntries carry each child's worker ID, base version
 // and iteration, so the root's policy layer sees every logical push.
 type Relay struct {
-	cfg           RelayConfig
-	clock         func() time.Time
-	flushInterval time.Duration
+	// sessionLayer serves the children; the methods named by tier are what a
+	// relay does with their traffic.
+	sessionLayer
+	cfg RelayConfig
 
 	trunk       transport.Conn
 	trunkKey    int
@@ -100,11 +99,15 @@ type Relay struct {
 	reg *obs.Registry
 	rm  *relayMetrics
 
-	// mu guards children, pendingJoins, partial and spareSum, and orders
-	// trunk flushes (the send happens under it, so forwarded partials leave
-	// in completion order).
+	// layout is the upstream model's tensor shapes, learned from the first
+	// pull: what a window's first push is checked against, so no child's
+	// payload dictates the layout its siblings are judged by.
+	layout atomic.Pointer[[][]int]
+
+	// mu guards pendingJoins, partial, spareSum, doneCount and the children's
+	// session.finished, and orders trunk flushes (the send happens under it,
+	// so forwarded partials leave in completion order).
 	mu           sync.Mutex
-	children     map[int]*relayChild
 	pendingJoins map[int]chan transport.Message
 	partial      *relayPartial
 	doneCount    int
@@ -113,8 +116,6 @@ type Relay struct {
 	spareSum []*tensor.Tensor
 
 	stopOnce sync.Once
-	stopped  chan struct{}
-	wg       sync.WaitGroup
 
 	errMu sync.Mutex
 	err   error
@@ -127,36 +128,6 @@ type Relay struct {
 type packedShard struct {
 	version int64
 	packed  []compress.Packed
-}
-
-// relayChild is one live downstream worker session.
-type relayChild struct {
-	worker    int
-	conn      transport.Conn
-	deltaPull bool
-	finished  bool
-	// serializes reports that conn is a transport.SerializingSender (see
-	// handleChildPull for what a reference-passing child gets instead).
-	serializes bool
-
-	mu       sync.Mutex
-	lastSeen time.Time
-
-	// decodeScratch is the child's decompression buffers, reused across its
-	// pushes (handleChildPush).
-	decodeScratch []*tensor.Tensor
-}
-
-func (ch *relayChild) touch(now time.Time) {
-	ch.mu.Lock()
-	ch.lastSeen = now
-	ch.mu.Unlock()
-}
-
-func (ch *relayChild) seen() time.Time {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.lastSeen
 }
 
 // relayPartial is the in-progress sum: the window accumulating children's
@@ -184,11 +155,7 @@ type relayMetrics struct {
 func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 	reg.GaugeFunc("dssp_relay_children",
 		"Worker sessions currently registered on this relay.",
-		func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			return float64(len(r.children))
-		})
+		func() float64 { return float64(len(r.sessions.list())) })
 	flushes := reg.CounterVec("dssp_relay_flushes_total",
 		"Partials forwarded upstream, by flush reason.", "reason")
 	return &relayMetrics{
@@ -209,7 +176,7 @@ func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 
 // NewRelay dials the parent, registers the trunk (negotiating the codec) and
 // the replica pull session, and starts the relay's background loops. Serve
-// or HandleConn accept children afterwards.
+// accepts children afterwards.
 func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Parent == nil {
 		return nil, fmt.Errorf("ps: relay needs a parent dialer")
@@ -227,10 +194,6 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
-	}
-	flush := cfg.FlushInterval
-	if flush <= 0 {
-		flush = DefaultRelayFlushInterval
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -289,8 +252,6 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	_, upLeases := upConn.(transport.SerializingSender)
 	r := &Relay{
 		cfg:             cfg,
-		clock:           clock,
-		flushInterval:   flush,
 		trunk:           trunk,
 		trunkKey:        reply.Worker,
 		compression:     negotiated,
@@ -298,10 +259,11 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		upLeases:        upLeases,
 		up:              up,
 		reg:             reg,
-		children:        make(map[int]*relayChild),
 		pendingJoins:    make(map[int]chan transport.Message),
-		stopped:         make(chan struct{}),
 	}
+	r.bind(r, clock, map[transport.MessageType]func(transport.Conn, transport.Message){
+		transport.MsgClusterMap: refuseClusterMap,
+	})
 	if negotiated.Enabled() {
 		if r.comp, err = compress.NewCompressor(negotiated); err != nil {
 			_ = trunk.Close()
@@ -314,6 +276,10 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	r.wg.Add(2)
 	go func() { defer r.wg.Done(); r.trunkLoop() }()
 	go func() { defer r.wg.Done(); r.watchdogLoop() }()
+	if cfg.HeartbeatTimeout > 0 {
+		r.wg.Add(1)
+		go r.leaseMonitor(cfg.HeartbeatTimeout, nil)
+	}
 	if cfg.HeartbeatInterval > 0 {
 		stopUp := up.StartHeartbeats(cfg.HeartbeatInterval)
 		r.wg.Add(1)
@@ -337,50 +303,14 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	return r, nil
 }
 
-// Serve accepts child connections from the listener until Stop is called or
-// the listener fails. It blocks; run it in its own goroutine.
-func (r *Relay) Serve(l transport.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-r.stopped:
-				return nil
-			default:
-				return fmt.Errorf("ps: relay accept: %w", err)
-			}
-		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.handleConn(conn)
-		}()
-	}
-}
-
-// HandleConn serves a single pre-established child connection (in-process
-// transports). It returns when the child disconnects or the relay stops.
-func (r *Relay) HandleConn(conn transport.Conn) {
-	r.handleConn(conn)
-}
-
 // Stop shuts the relay down: upstream sessions and every child connection
 // close, so children immediately re-parent instead of hanging. Safe to call
 // multiple times.
 func (r *Relay) Stop() {
 	r.stopOnce.Do(func() {
-		close(r.stopped)
+		r.shutdown()
 		_ = r.trunk.Close()
 		_ = r.up.Close()
-		r.mu.Lock()
-		kids := make([]*relayChild, 0, len(r.children))
-		for _, ch := range r.children {
-			kids = append(kids, ch)
-		}
-		r.mu.Unlock()
-		for _, ch := range kids {
-			_ = ch.conn.Close()
-		}
 	})
 }
 
@@ -412,11 +342,8 @@ type RelayStats struct {
 
 // Stats snapshots the relay's live accounting.
 func (r *Relay) Stats() RelayStats {
-	r.mu.Lock()
-	children := len(r.children)
-	r.mu.Unlock()
 	return RelayStats{
-		Children:        children,
+		Children:        len(r.sessions.list()),
 		ChildPushes:     r.rm.childPushes.Value(),
 		IngressBytes:    r.ingressBytes.Load(),
 		ForwardedPushes: r.rm.forwarded.Value(),
@@ -431,15 +358,7 @@ func (r *Relay) Stats() RelayStats {
 func (r *Relay) runComplete() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.doneCount == 0 {
-		return false
-	}
-	for _, ch := range r.children {
-		if !ch.finished {
-			return false
-		}
-	}
-	return true
+	return r.doneCount > 0 && r.sessions.every(func(ch *session) bool { return ch.finished })
 }
 
 // fail records the first fatal error and stops the relay. Always called off
@@ -455,7 +374,9 @@ func (r *Relay) fail(err error) {
 
 // trunkLoop demultiplexes the trunk's downstream traffic: MsgRegistered and
 // per-worker MsgError replies to forwarded joins, and per-worker MsgOK /
-// MsgError releases to pushing children. A trunk receive error is fatal —
+// MsgError releases to pushing children, which ride the child session's
+// outbox — a child whose socket has stalled holds up its own writer, never
+// this loop and its siblings' releases. A trunk receive error is fatal —
 // children's connections close, and they re-parent via a fresh layout fetch.
 func (r *Relay) trunkLoop() {
 	for {
@@ -479,17 +400,11 @@ func (r *Relay) trunkLoop() {
 		case transport.MsgRegistered:
 			r.deliverJoin(msg)
 		case transport.MsgOK, transport.MsgError:
-			w := msg.Worker
-			r.mu.Lock()
-			join := r.pendingJoins[w]
-			ch := r.children[w]
-			r.mu.Unlock()
-			if msg.Type == transport.MsgError && join != nil {
-				r.deliverJoin(msg)
+			if msg.Type == transport.MsgError && r.deliverJoin(msg) {
 				continue
 			}
-			if ch != nil {
-				_ = ch.conn.Send(msg)
+			if ch := r.sessions.get(msg.Worker); ch != nil {
+				r.enqueueSession(ch, msg)
 			}
 		default:
 			// Forward-compatible: unknown trunk traffic is ignored.
@@ -497,133 +412,63 @@ func (r *Relay) trunkLoop() {
 	}
 }
 
-// deliverJoin hands a join reply to the child handler waiting on it.
-func (r *Relay) deliverJoin(msg transport.Message) {
+// deliverJoin hands a join reply to the child handler waiting on it and
+// reports whether one was.
+func (r *Relay) deliverJoin(msg transport.Message) bool {
 	r.mu.Lock()
 	join := r.pendingJoins[msg.Worker]
 	delete(r.pendingJoins, msg.Worker)
 	r.mu.Unlock()
-	if join != nil {
-		select {
-		case join <- msg:
-		default:
-		}
+	if join == nil {
+		return false
 	}
+	select {
+	case join <- msg:
+	default:
+	}
+	return true
 }
 
-// watchdogLoop bounds partial age and sweeps expired child leases.
+// watchdogLoop bounds partial age: a partial older than
+// DefaultRelayFlushInterval forwards incomplete.
 func (r *Relay) watchdogLoop() {
-	tick := r.flushInterval / 2
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(DefaultRelayFlushInterval / 2)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-r.stopped:
 			return
 		case <-ticker.C:
-			now := r.clock()
 			r.mu.Lock()
-			if r.partial != nil && now.Sub(r.partial.started) >= r.flushInterval {
+			if r.partial != nil && r.clock().Sub(r.partial.started) >= DefaultRelayFlushInterval {
 				r.flushLocked("watchdog")
 			}
 			r.mu.Unlock()
-			if r.cfg.HeartbeatTimeout > 0 {
-				r.mu.Lock()
-				var stale []*relayChild
-				for _, ch := range r.children {
-					if now.Sub(ch.seen()) > r.cfg.HeartbeatTimeout {
-						stale = append(stale, ch)
-					}
-				}
-				r.mu.Unlock()
-				for _, ch := range stale {
-					r.dropChild(ch)
-					_ = ch.conn.Close()
-				}
-			}
 		}
 	}
 }
 
-// handleConn reads messages from one child connection and services them on
-// this goroutine, mirroring the root's connection loop.
-func (r *Relay) handleConn(conn transport.Conn) {
-	defer conn.Close()
-	var ch *relayChild
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			if ch != nil {
-				r.dropChild(ch)
-			}
-			return
-		}
-		if ch != nil {
-			ch.touch(r.clock())
-		}
-		switch msg.Type {
-		case transport.MsgRegister, transport.MsgRejoin:
-			if msg.Relay || msg.Replica {
-				_ = conn.Send(transport.Message{
-					Type:  transport.MsgError,
-					Error: "relays accept ordinary workers only; register relays and replicas at the root",
-				})
-				return
-			}
-			ch = r.joinChild(conn, msg)
-			if ch == nil {
-				return
-			}
-
-		case transport.MsgHeartbeat:
-			// Liveness only.
-
-		case transport.MsgPush:
-			if ch == nil {
-				return
-			}
-			r.handleChildPush(ch, msg)
-
-		case transport.MsgPull:
-			if ch == nil {
-				return
-			}
-			r.handleChildPull(ch, msg)
-
-		case transport.MsgDone:
-			if ch == nil {
-				return
-			}
-			r.handleChildDone(ch)
-
-		case transport.MsgLeave:
-			if ch != nil {
-				r.dropChild(ch)
-			}
-			return
-
-		case transport.MsgClusterMap:
-			_ = conn.Send(transport.Message{
-				Type:  transport.MsgError,
-				Error: "not the aggregation root; fetch the tree layout from the root server",
-			})
-
-		case transport.MsgShutdown:
-			return
-
-		default:
-		}
-	}
+// refuseClusterMap answers a layout or map fetch that reached a relay.
+func refuseClusterMap(conn transport.Conn, _ transport.Message) {
+	_ = conn.Send(transport.Message{
+		Type:  transport.MsgError,
+		Error: "not the aggregation root; fetch the tree layout from the root server",
+	})
 }
 
-// joinChild forwards a child registration upstream and installs the session
-// once the root admits it. The child's reply is the root's own MsgRegistered
-// — codec, shard count and delta-pull grant are the root's decisions,
-// forwarded verbatim.
-func (r *Relay) joinChild(conn transport.Conn, msg transport.Message) *relayChild {
+// handleRegister forwards a child registration upstream and, once the root
+// admits it, installs the child as a worker session (superseding a previous
+// session of the same worker). The child's reply is the root's own
+// MsgRegistered — codec, shard count and delta-pull grant are the root's
+// decisions, forwarded verbatim.
+func (r *Relay) handleRegister(conn transport.Conn, _ *session, msg transport.Message) *session {
+	if msg.Relay || msg.Replica {
+		_ = conn.Send(transport.Message{
+			Type:  transport.MsgError,
+			Error: "relays accept ordinary workers only; register relays and replicas at the root",
+		})
+		return nil
+	}
 	w := msg.Worker
 	replyCh := make(chan transport.Message, 1)
 	r.mu.Lock()
@@ -649,42 +494,31 @@ func (r *Relay) joinChild(conn transport.Conn, msg transport.Message) *relayChil
 		_ = conn.Send(reply)
 		return nil
 	}
-	_, serializes := conn.(transport.SerializingSender)
-	ch := &relayChild{
-		worker:     w,
-		conn:       conn,
-		deltaPull:  reply.DeltaPull,
-		serializes: serializes,
-		lastSeen:   r.clock(),
-	}
-	r.mu.Lock()
-	old := r.children[w]
-	r.children[w] = ch
-	r.mu.Unlock()
-	if old != nil {
-		_ = old.conn.Close()
-	}
-	if err := conn.Send(reply); err != nil {
-		r.dropChild(ch)
+	ch := newSession(kindWorker, w, conn, msg.Type == transport.MsgRejoin, r.clock())
+	ch.deltaPull = reply.DeltaPull
+	r.supersede(w, ch)
+	if !r.open(ch) {
 		return nil
 	}
+	r.enqueueSession(ch, reply)
 	return ch
 }
 
-// dropChild removes a departed child. If the child had contributed to the
-// pending partial, the partial flushes first — its entry is already counted,
-// and the flush-then-leave ordering means the root processes the push before
-// the departure. Removing a non-contributor can complete the partial for the
-// survivors. The departure is forwarded upstream so the root's policy counts
-// the worker out (the root verifies the route, so a stale forward after the
-// child re-parented is harmless).
-func (r *Relay) dropChild(ch *relayChild) {
+// handleLeave ends the child's session; departed forwards the departure.
+func (r *Relay) handleLeave(ch *session, _ transport.Message) bool {
+	r.leave(ch)
+	return true
+}
+
+// departed sees a child out. If the child had contributed to the pending
+// partial, the partial flushes first — its entry is already counted, and the
+// flush-then-leave ordering means the root processes the push before the
+// departure. The departure of a non-contributor can complete the partial for
+// the survivors. The departure is forwarded upstream so the root's policy
+// counts the worker out (the root verifies the route, so a stale forward after
+// the child re-parented is harmless).
+func (r *Relay) departed(ch *session) {
 	r.mu.Lock()
-	if r.children[ch.worker] != ch {
-		r.mu.Unlock()
-		return
-	}
-	delete(r.children, ch.worker)
 	if r.partial != nil {
 		if r.partial.members[ch.worker] {
 			r.flushLocked("departure")
@@ -694,12 +528,11 @@ func (r *Relay) dropChild(ch *relayChild) {
 	}
 	r.mu.Unlock()
 	_ = r.trunk.Send(transport.Message{Type: transport.MsgLeave, Worker: ch.worker})
-	_ = ch.conn.Close()
 }
 
-// handleChildDone marks the child finished — shrinking the membership the
-// flush condition waits on — and forwards the completion upstream.
-func (r *Relay) handleChildDone(ch *relayChild) {
+// handleDone marks the child finished — shrinking the membership the flush
+// condition waits on — and forwards the completion upstream.
+func (r *Relay) handleDone(ch *session, _ transport.Message) {
 	r.mu.Lock()
 	ch.finished = true
 	r.doneCount++
@@ -710,18 +543,23 @@ func (r *Relay) handleChildDone(ch *relayChild) {
 	_ = r.trunk.Send(transport.Message{Type: transport.MsgDone, Worker: ch.worker})
 }
 
-// handleChildPush folds one child's gradients into the pending partial and
-// flushes when the window is complete. The fold copies (or adds) every value
-// into the partial's own sum, so the push's receive buffer goes back to the
-// child's connection when the handler returns.
-func (r *Relay) handleChildPush(ch *relayChild, msg transport.Message) {
+// handlePush folds one child's gradients into the pending partial and flushes
+// when the window is complete. The fold copies (or adds) every value into the
+// partial's own sum, so the push's receive buffer goes back to the child's
+// connection when the handler returns. A payload whose tensors do not match
+// the partial's — or, for a window's first push, the upstream model's — folds
+// nothing: the child gets the error, and its siblings' partial flushes intact.
+func (r *Relay) handlePush(ch *session, msg transport.Message) {
 	defer msg.Release()
+	reject := func(reason string) {
+		r.enqueueSession(ch, transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: reason})
+	}
 	// The child's decompression scratch is reused across its pushes: it is
 	// lock-step, and the decoded values are folded into the partial's own
 	// buffers before the handler returns.
 	grads, bytes, err := decodePayload(msg, r.compression, &ch.decodeScratch)
 	if err != nil {
-		_ = ch.conn.Send(transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: err.Error()})
+		reject(err.Error())
 		return
 	}
 	r.ingressBytes.Add(bytes)
@@ -732,15 +570,23 @@ func (r *Relay) handleChildPush(ch *relayChild, msg transport.Message) {
 		// ordering (and any policy counting on it) breaks.
 		r.flushLocked("duplicate")
 	}
-	if r.partial == nil {
-		r.partial = &relayPartial{
+	p := r.partial
+	fits := fitsLayout(grads, r.layout.Load())
+	if p != nil {
+		fits = sameLayout(p.sum, grads)
+	}
+	if !fits {
+		r.mu.Unlock()
+		reject("push does not match the model's tensor layout")
+		return
+	}
+	if p == nil {
+		p = &relayPartial{
 			members: make(map[int]bool),
 			minBase: msg.Version,
 			started: r.clock(),
 		}
-	}
-	p := r.partial
-	if p.sum == nil {
+		r.partial = p
 		if sameLayout(r.spareSum, grads) {
 			p.sum, r.spareSum = r.spareSum, nil
 		} else {
@@ -753,15 +599,6 @@ func (r *Relay) handleChildPush(ch *relayChild, msg transport.Message) {
 			copy(p.sum[i].Data(), g.Data())
 		}
 	} else {
-		if len(grads) != len(p.sum) {
-			r.mu.Unlock()
-			_ = ch.conn.Send(transport.Message{
-				Type:   transport.MsgError,
-				Worker: ch.worker,
-				Error:  fmt.Sprintf("push carries %d tensors, partial holds %d", len(grads), len(p.sum)),
-			})
-			return
-		}
 		for i, g := range grads {
 			p.sum[i].Add(g)
 		}
@@ -796,21 +633,32 @@ func sameLayout(a, b []*tensor.Tensor) bool {
 	return true
 }
 
+// fitsLayout reports whether grads holds one tensor of each of layout's
+// shapes; a nil layout (no pull has shown the model yet) fits anything.
+func fitsLayout(grads []*tensor.Tensor, layout *[][]int) bool {
+	if layout == nil {
+		return true
+	}
+	if len(grads) != len(*layout) {
+		return false
+	}
+	for i, g := range grads {
+		if !g.ShapeEquals((*layout)[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // completeLocked reports whether the pending partial holds a contribution
 // from every live unfinished child. Callers hold r.mu.
 func (r *Relay) completeLocked() bool {
 	if r.partial == nil || len(r.partial.members) == 0 {
 		return false
 	}
-	for w, ch := range r.children {
-		if ch.finished {
-			continue
-		}
-		if !r.partial.members[w] {
-			return false
-		}
-	}
-	return true
+	return r.sessions.every(func(ch *session) bool {
+		return ch.finished || r.partial.members[ch.worker]
+	})
 }
 
 // flushLocked forwards the pending partial upstream as one ×k-weighted push:
@@ -871,7 +719,7 @@ func (r *Relay) flushLocked(reason string) {
 	}
 }
 
-// handleChildPull refreshes the relay's upstream delta-pull cache and serves
+// handlePull refreshes the relay's upstream delta-pull cache and serves
 // the child from it, one chunk per upstream store shard — the same shape the
 // root would answer with, so the child's own delta cache gates identically.
 // The upstream refresh is itself delta-gated, so when nothing moved the hop
@@ -884,8 +732,11 @@ func (r *Relay) flushLocked(reason string) {
 // stays under pullMu, which that next Pull also needs: a serializing child
 // connection has copied the chunk to its socket by the time Send returns, so
 // it is served by reference; a reference-passing child could still be reading
-// after pullMu is gone, so behind a leasing upstream it gets a copy.
-func (r *Relay) handleChildPull(ch *relayChild, msg transport.Message) {
+// after pullMu is gone, so behind a leasing upstream it gets a copy. That is
+// why the chunks go out from this goroutine, on the connection, instead of
+// through the session's outbox like every other reply: by the time pullMu is
+// released they are on the wire or copied.
+func (r *Relay) handlePull(ch *session, msg transport.Message) {
 	r.pullMu.Lock()
 	defer r.pullMu.Unlock()
 	toWire := transport.ToWireOwned
@@ -896,6 +747,13 @@ func (r *Relay) handleChildPull(ch *relayChild, msg transport.Message) {
 	if err != nil {
 		_ = ch.conn.Send(transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: err.Error()})
 		return
+	}
+	if r.layout.Load() == nil {
+		layout := make([][]int, len(params))
+		for i, p := range params {
+			layout[i] = p.Shape()
+		}
+		r.layout.Store(&layout)
 	}
 	if !r.up.DeltaPull() || !r.up.cacheComplete() {
 		// No upstream cache to chunk from (the root refused delta pulls):

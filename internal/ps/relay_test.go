@@ -58,6 +58,11 @@ func newRelayHarness(t *testing.T, policy core.Policy, st *Store, relays, fanout
 			Parent:    root.Dial,
 			Fanout:    fanout,
 			Advertise: l.Addr(),
+			// The root's lease, when it has one, is the relay's lease on its
+			// children too, and the relay keeps its own upstream sessions alive
+			// under it.
+			HeartbeatTimeout:  opts.HeartbeatTimeout,
+			HeartbeatInterval: opts.HeartbeatTimeout / 5,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -454,5 +459,81 @@ func TestTrunkSpeaksOnlyForSlotsItRoutes(t *testing.T) {
 	// OK for a push it never made.
 	if _, v, err := direct.Pull(); err != nil || v != 0 {
 		t.Fatalf("direct worker 0's first pull: version %d, %v", v, err)
+	}
+}
+
+// TestRelayWatchdogFlushesStalledSiblingsPartial: a child that is registered
+// but not pushing (slow hardware, a late joiner) holds its sibling's partial
+// back only until the watchdog forwards it incomplete.
+func TestRelayWatchdogFlushesStalledSiblingsPartial(t *testing.T) {
+	h := newRelayHarness(t, core.MustNewASP(2), testStore(t, 4), 1, 2, Options{})
+	pusher := h.childClient(t, 0)
+	defer pusher.Close()
+	defer h.childClient(t, 1).Close() // never pushes
+
+	released := make(chan error, 1)
+	go func() { released <- pusher.PushAndWait([]*tensor.Tensor{tensor.Full(0.1, 4)}, 0, 0) }()
+	select {
+	case err := <-released:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the pusher's partial never left the relay")
+	}
+	snap := h.relays[0].Registry().Snapshot()
+	if n := snap[`dssp_relay_flushes_total{reason="watchdog"}`]; n != 1 {
+		t.Errorf("watchdog flushes = %v, want 1", n)
+	}
+	if n := snap[`dssp_relay_forwarded_pushes_total`]; n != 1 {
+		t.Errorf("forwarded partials = %v, want 1", n)
+	}
+}
+
+// TestRelayStalledChildDoesNotDelaySiblingOK: a child that pushes but never
+// reads fills its own connection and outbox with the OKs it is owed; the trunk
+// demultiplexer must keep delivering its sibling's.
+func TestRelayStalledChildDoesNotDelaySiblingOK(t *testing.T) {
+	h := newRelayHarness(t, core.MustNewASP(2), testStore(t, 4), 1, 2, Options{})
+	stalled, err := h.listeners[0].Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if err := stalled.Send(transport.Message{Type: transport.MsgRegister, Worker: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := stalled.Recv(); err != nil || ack.Type != transport.MsgRegistered {
+		t.Fatalf("registration answered %+v, %v", ack, err)
+	}
+	sibling := h.childClient(t, 1)
+	defer sibling.Close()
+
+	// More OKs than the channel transport buffers for a reader that is not
+	// reading (64): each push flushes its predecessor upstream as the child's
+	// duplicate, and the root answers every one.
+	const pushes = 70
+	grad := transport.ToWire([]*tensor.Tensor{tensor.Full(0.1, 4)})
+	for it := 0; it < pushes; it++ {
+		if err := stalled.Send(transport.Message{Type: transport.MsgPush, Worker: 0, Iteration: it, Tensors: grad}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for h.server.Pushes() < pushes-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("root applied %d of the stalled child's pushes, want %d", h.server.Pushes(), pushes-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	released := make(chan error, 1)
+	go func() { released <- sibling.PushAndWait([]*tensor.Tensor{tensor.Full(0.1, 4)}, 0, 0) }()
+	select {
+	case err := <-released:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sibling's OK is stuck behind the stalled child's")
 	}
 }

@@ -98,11 +98,14 @@ const DefaultHeartbeatTimeout = 5 * time.Second
 // round's updates are therefore all visible before any worker is released,
 // exactly as when the application ran under the lock).
 type Server struct {
+	// sessionLayer is the membership mechanics shared with the relay (accept,
+	// dispatch, the session table, writers, the lease and stop sweeps); the
+	// methods below named by tier are what the root plugs into it.
+	sessionLayer
 	cfg ServerConfig
 	// compression is cfg.Compression in normalized form, the single source
 	// of truth for what the wire speaks.
 	compression compress.Config
-	clock       func() time.Time
 	hbTimeout   time.Duration
 
 	// guard screens pushes for anomalies and evicts repeat offenders; nil
@@ -114,8 +117,6 @@ type Server struct {
 	// never leaves partial windows waiting out the watchdog.
 	fullWindow int
 
-	sessions *sessionTable
-
 	mu sync.Mutex
 	// joined records every worker slot that registered at least once.
 	joined   map[int]bool
@@ -126,6 +127,11 @@ type Server struct {
 	// the check that a frame speaks for a slot consult the route instead
 	// (carrier). A worker is either routed or directly sessioned, never both.
 	routes map[int]*session
+	// epochs counts each slot's admissions. A release is stamped with the
+	// epoch it was decided in and dies if the slot was re-admitted since: the
+	// session it is pinned to does not show a routed worker's rejoin, because
+	// the trunk outlives its children.
+	epochs []uint64
 	// departedAt records when an unfinished worker's session last ended; a
 	// worker inside the rejoin grace window (one heartbeat timeout) is
 	// treated as "coming back", not gone, by elastic completion.
@@ -135,9 +141,7 @@ type Server struct {
 	allDoneClosed bool
 	ckptErr       error
 	stopOnce      sync.Once
-	stopped       chan struct{}
 	allDone       chan struct{}
-	wg            sync.WaitGroup
 
 	// releases feeds the release sequencer: decisions enter in policyMu
 	// order (enqueued while holding it), each gated on the pipeline depth
@@ -249,14 +253,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		compression: cfg.Compression,
 		guard:       newGuard(cfg.Guard, cfg.Workers),
 		fullWindow:  agg.Window,
-		clock:       clock,
 		hbTimeout:   hbTimeout,
-		sessions:    newSessionTable(),
 		joined:      make(map[int]bool),
+		epochs:      make([]uint64, cfg.Workers),
 		finished:    make(map[int]bool),
 		departedAt:  make(map[int]time.Time),
 		routes:      make(map[int]*session),
-		stopped:     make(chan struct{}),
 		allDone:     make(chan struct{}),
 		releases:    make(chan releaseBatch, 256),
 		staleness:   metrics.NewHistogram(),
@@ -266,6 +268,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		sm:          newServerMetrics(reg),
 		tracer:      tracer,
 	}
+	s.bind(s, clock, map[transport.MessageType]func(transport.Conn, transport.Message){
+		transport.MsgClusterMap:     s.handleClusterMap,
+		transport.MsgServerAnnounce: s.handleServerAnnounce,
+		transport.MsgPromote:        s.handlePromote,
+	})
 	if cfg.Cluster.Coordinator {
 		// Metadata-only pushes carry no payload; the policy still needs
 		// EnqueueApply to assign the ticket and advance the version, so a
@@ -357,47 +364,23 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			cfg.Policy.OnLeave(core.WorkerID(w), now)
 		}
 		s.wg.Add(1)
-		go s.leaseMonitor()
+		// A departure inside the rejoin grace window defers completion; nothing
+		// else re-evaluates it once the window elapses, so the sweep does.
+		go s.leaseMonitor(hbTimeout, s.checkAllDone)
 	}
 	return s, nil
 }
 
-// Serve accepts worker connections from the listener until Stop is called or
-// the listener fails. It blocks; run it in its own goroutine when the caller
-// also drives workers.
-func (s *Server) Serve(l transport.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-s.stopped:
-				return nil
-			default:
-				return fmt.Errorf("ps: accept: %w", err)
-			}
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
-	}
-}
-
-// Stop shuts the server down: every live session ends and its connection is
-// closed — a worker blocked on a release sees the failure immediately and
+// Stop shuts the server down: every live session ends and every connection
+// is closed — a worker blocked on a release sees the failure immediately and
 // can reconnect to a successor server instead of hanging on a half-dead
-// socket — and pending work is abandoned. When checkpointing is configured a
-// final checkpoint is written before Stop returns. It is safe to call
-// multiple times.
+// socket, and a data server parked on its announce connection sees its
+// coordinator go at once — and pending work is abandoned. When checkpointing
+// is configured a final checkpoint is written before Stop returns. It is safe
+// to call multiple times.
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
-		close(s.stopped)
-		for _, sess := range s.sessions.list() {
-			sess.end()
-			_ = sess.conn.Close()
-		}
-		s.closePeers()
+		s.shutdown()
 		// Drain the apply pipeline so the final checkpoint holds every
 		// accepted update, then park the store's applier goroutines.
 		s.cfg.Store.Close()
@@ -442,94 +425,6 @@ func (s *Server) saveCheckpoint(full bool) {
 // that ever joined has either finished or departed for good (at least one
 // must have finished).
 func (s *Server) AllWorkersDone() <-chan struct{} { return s.allDone }
-
-// handleConn reads messages from one worker connection and services them on
-// this goroutine. The worker protocol is lock-step (one outstanding request
-// per worker), so handling in-line costs no pipeline depth, while requests
-// from different workers run fully in parallel.
-func (s *Server) handleConn(conn transport.Conn) {
-	defer conn.Close()
-	var sess *session
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			// A dead connection is a departure: deregister the session and
-			// tell the policy, so peers blocked on this worker are released
-			// instead of deadlocking.
-			if sess != nil {
-				s.leave(sess)
-			}
-			return
-		}
-		if sess != nil {
-			if s.sessions.get(sess.worker) != sess {
-				// The session was superseded by a new registration or evicted
-				// by the lease monitor while this request was in flight. Tell
-				// the worker to rejoin rather than leave it waiting on
-				// replies that will never come.
-				_ = conn.Send(transport.Message{
-					Type:  transport.MsgError,
-					Error: fmt.Sprintf("session for worker %d expired; rejoin", sess.worker),
-				})
-				return
-			}
-			sess.touch(s.clock())
-		}
-		switch msg.Type {
-		case transport.MsgRegister, transport.MsgRejoin:
-			if sess = s.handleRegister(conn, sess, msg); sess == nil {
-				return
-			}
-
-		case transport.MsgHeartbeat:
-			// Liveness only; touch above already refreshed the lease.
-
-		case transport.MsgPush:
-			if sess == nil {
-				return
-			}
-			s.handlePush(sess, msg)
-
-		case transport.MsgPull:
-			if sess == nil {
-				return
-			}
-			s.handlePull(sess, msg)
-
-		case transport.MsgDone:
-			if sess == nil {
-				return
-			}
-			s.handleDone(sess, msg)
-
-		case transport.MsgLeave:
-			if sess == nil || s.handleLeave(sess, msg) {
-				return
-			}
-
-		case transport.MsgClusterMap:
-			s.handleClusterMap(conn, msg)
-
-		case transport.MsgServerAnnounce:
-			// The announcing data server parks on this connection as its
-			// liveness watch; track it so Stop closes it (it never becomes a
-			// worker session, so the session sweep would miss it).
-			s.trackPeer(conn)
-			defer s.untrackPeer(conn)
-			s.handleServerAnnounce(conn, msg)
-
-		case transport.MsgPromote:
-			s.handlePromote(conn, msg)
-
-		case transport.MsgShutdown:
-			return
-
-		default:
-			// Unknown message types are ignored to keep the protocol
-			// forward-compatible.
-		}
-	}
-}
 
 // handleRegister services MsgRegister and MsgRejoin. On a fresh connection it
 // creates the session the frame asks for — a worker's (admitted into its
@@ -582,34 +477,20 @@ func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transpor
 	if kind.holdsSlot() {
 		reply, err = s.admit(key, sess, msg)
 	} else if err = s.negotiate(key, msg); err == nil {
-		s.sessions.replace(key, sess)
+		s.supersede(key, sess)
 		reply = s.registered(key, msg)
 	}
 	if err != nil {
 		return reject(err.Error())
 	}
-	// Registration racing Stop: a worker that lands on a dying server (the
-	// listener stays open for the final checkpoint write) must be turned
-	// away, or it waits forever on a writer that exited with the server.
-	// Whichever of Stop's teardown loop and this check runs second sees the
-	// session and ends it.
-	select {
-	case <-s.stopped:
-		s.sessions.drop(sess)
-		sess.end()
+	if !s.open(sess) {
 		return reject("server stopped; find its successor")
-	default:
 	}
 	if kind == kindTrunk {
 		// Publish the relay in the tree layout so workers (and re-parenting
 		// children of a dead sibling) can find it.
 		s.tree.add(sess, msg.Servers[0].Addr, msg.Servers[0].ShardHi, s.cfg.Workers)
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.writer(sess)
-	}()
 	s.enqueueSession(sess, reply)
 	return sess
 }
@@ -648,15 +529,14 @@ func (s *Server) registered(worker int, msg transport.Message) transport.Message
 // traffic rides from now on — the registering worker's own new session, or
 // the trunk forwarding a child's registration (the child gets no session of
 // its own). Either way the slot's previous carrier is superseded: a live
-// session under the slot's key (a zombie connection, or a worker that
-// reconnected or re-parented before its old link died) is ended and its
-// connection closed, so its reader unblocks and its writer exits now rather
-// than at server stop — it is already out of the table, so its death cannot
-// count the worker out of the cohort it just re-entered — and a route through
-// another trunk is overwritten or, for a direct registration, deleted (that
-// relay's eventual MsgLeave for the child no longer speaks for the slot and is
-// ignored). The policy learns of the join, and the acknowledgement for the
-// carrier to deliver is returned.
+// session under the slot's key is ended (supersede), so its death cannot count
+// the worker out of the cohort it just re-entered, and a route through another
+// trunk is overwritten or, for a direct registration, deleted (that relay's
+// eventual MsgLeave for the child no longer speaks for the slot and is
+// ignored). The slot's admit epoch advances, which voids every release still
+// waiting on its apply gate for the slot's previous tenure (sendReleases). The
+// policy learns of the join, and the acknowledgement for the carrier to
+// deliver is returned.
 func (s *Server) admit(slot int, carrier *session, msg transport.Message) (transport.Message, error) {
 	if slot < 0 || slot >= s.cfg.Workers {
 		return transport.Message{}, fmt.Errorf("worker id %d out of range [0,%d)", slot, s.cfg.Workers)
@@ -668,20 +548,16 @@ func (s *Server) admit(slot int, carrier *session, msg transport.Message) (trans
 	// slot between carriers.
 	s.mu.Lock()
 	s.joined[slot] = true
-	var old *session
+	s.epochs[slot]++
 	if carrier.kind.holdsSlot() {
-		old = s.sessions.replace(slot, carrier)
+		s.supersede(slot, carrier)
 		delete(s.routes, slot)
 	} else {
-		old = s.sessions.replace(slot, nil)
+		s.supersede(slot, nil)
 		s.routes[slot] = carrier
 		s.sm.treeChildJoins.Inc()
 	}
 	s.mu.Unlock()
-	if old != nil {
-		old.end()
-		_ = old.conn.Close()
-	}
 	// A rejoin restores the slot to the pushing cohort; re-derive the window.
 	s.shrinkWindow()
 
@@ -697,18 +573,19 @@ func (s *Server) admit(slot int, carrier *session, msg transport.Message) (trans
 }
 
 // carrier returns the session worker slot w's traffic rides — the worker's
-// own, else the trunk routing it — or nil for a slot that is absent or out of
-// range (so a negative replica or trunk key never resolves to a carrier).
-func (s *Server) carrier(w int) *session {
+// own, else the trunk routing it — with the slot's admit epoch, or nil for a
+// slot that is absent or out of range (so a negative replica or trunk key
+// never resolves to a carrier).
+func (s *Server) carrier(w int) (*session, uint64) {
 	if w < 0 || w >= s.cfg.Workers {
-		return nil
-	}
-	if sess := s.sessions.get(w); sess != nil {
-		return sess
+		return nil, 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.routes[w]
+	if sess := s.sessions.get(w); sess != nil {
+		return sess, s.epochs[w]
+	}
+	return s.routes[w], s.epochs[w]
 }
 
 // handleLeave services MsgLeave and reports whether the session ended with
@@ -741,16 +618,12 @@ func (s *Server) unroute(trunk *session, w int) bool {
 	return true
 }
 
-// leave deregisters a session (if it is still current) and takes what it
-// carried out of the cohort: a worker's own slot, every child a dead trunk
-// routed (the layout drops the relay first, so a child that refetches it
-// immediately re-parents somewhere live), nothing for a replica, which never
-// entered policy or completion accounting.
-func (s *Server) leave(sess *session) {
-	if !s.sessions.drop(sess) {
-		return
-	}
-	sess.end()
+// departed takes what a session that just left the table carried out of the
+// cohort: a worker's own slot, every child a dead trunk routed (the layout
+// drops the relay first, so a child that refetches it immediately re-parents
+// somewhere live), nothing for a replica, which never entered policy or
+// completion accounting.
+func (s *Server) departed(sess *session) {
 	var slots []int
 	switch sess.kind {
 	case kindWorker:
@@ -796,142 +669,14 @@ func (s *Server) depart(slots []int, now time.Time) {
 	s.checkAllDone()
 }
 
-// leaseMonitor evicts sessions whose lease expired: a worker that stops
-// heartbeating (hung, partitioned, SIGKILLed without the TCP stack noticing)
-// is deregistered exactly like one whose connection died.
-func (s *Server) leaseMonitor() {
-	defer s.wg.Done()
-	tick := s.hbTimeout / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-ticker.C:
-			now := s.clock()
-			for _, sess := range s.sessions.list() {
-				if now.Sub(sess.seen()) > s.hbTimeout {
-					s.leave(sess)
-					_ = sess.conn.Close()
-				}
-			}
-			// A departure inside the rejoin grace window defers completion;
-			// nothing else re-evaluates it once the window elapses, so the
-			// monitor does.
-			s.checkAllDone()
-		}
-	}
-}
-
-// writerBatchMax bounds how many queued outbox messages one write coalesces:
-// enough to cover a full multi-shard pull reply plus interleaved releases,
-// small enough that a batch's assembled frames stay cache- and
-// buffer-friendly.
-const writerBatchMax = 32
-
-// writer drains one worker's outbox onto its connection until the session
-// ends or the server stops. When several messages are queued — a chunked
-// pull reply, a barrier release landing behind one — and the connection can
-// batch (transport.BatchSender), everything waiting is sent with one
-// write/flush instead of one per message.
-func (s *Server) writer(sess *session) {
-	// On exit, release generation references stranded in the outbox: the
-	// payloads will never be serialized, and the pins would otherwise keep
-	// those buffers out of the applier's reuse pool.
-	defer func() {
-		for {
-			select {
-			case om := <-sess.outbox:
-				om.ref.release()
-			default:
-				return
-			}
-		}
-	}()
-	batcher, _ := sess.conn.(transport.BatchSender)
-	var batch []outMsg
-	var wire []transport.Message
-	for {
-		select {
-		case om := <-sess.outbox:
-			if batcher == nil {
-				err := sess.conn.Send(om.msg)
-				// Success or failure, the transport is done reading the
-				// payload once Send returns.
-				om.ref.release()
-				if err != nil {
-					return
-				}
-				continue
-			}
-			batch = append(batch[:0], om)
-			for len(batch) < writerBatchMax {
-				select {
-				case more := <-sess.outbox:
-					batch = append(batch, more)
-					continue
-				default:
-				}
-				break
-			}
-			wire = wire[:0]
-			for i := range batch {
-				wire = append(wire, batch[i].msg)
-			}
-			err := batcher.SendBatch(wire)
-			// Release the generation pins (the transport is done with the
-			// payloads whether or not the send succeeded) and drop the
-			// payload references: a pull reply's chunks alias the store's
-			// published snapshots, and a shorter next batch would otherwise
-			// pin the tail entries (up to a model's worth of old tensors)
-			// for the session's lifetime.
-			for i := range batch {
-				batch[i].ref.release()
-				batch[i] = outMsg{}
-			}
-			for i := range wire {
-				wire[i] = transport.Message{}
-			}
-			if err != nil {
-				return
-			}
-		case <-sess.gone:
-			return
-		case <-s.stopped:
-			return
-		}
-	}
-}
-
-// enqueueSession places a message on a specific session's outbox. It never
-// blocks indefinitely: a session that ends or a server that stops unblocks
-// the send.
-func (s *Server) enqueueSession(sess *session, msg transport.Message) {
-	s.enqueueSessionRef(sess, msg, nil)
-}
-
-// enqueueSessionRef is enqueueSession with a generation reference attached;
-// dropping the message (session gone, server stopped) releases it.
-func (s *Server) enqueueSessionRef(sess *session, msg transport.Message, ref *genPin) {
-	select {
-	case sess.outbox <- outMsg{msg: msg, ref: ref}:
-	case <-sess.gone:
-		ref.release()
-	case <-s.stopped:
-		ref.release()
-	}
-}
-
 // releaseTarget is one resolved delivery: the session the reply rides — the
-// worker's own for a direct worker, its relay trunk for a routed one — and
-// the worker slot the reply names (the trunk demultiplexes by it).
+// worker's own for a direct worker, its relay trunk for a routed one — the
+// worker slot the reply names (the trunk demultiplexes by it), and the slot's
+// admit epoch at decision time.
 type releaseTarget struct {
 	sess   *session
 	worker int
+	epoch  uint64
 }
 
 // releaseBatch is one release decision queued for delivery: the sessions to
@@ -996,7 +741,7 @@ func (s *Server) releaser() {
 				if e.sess.kind.multiplexes() {
 					msg.Worker = e.worker
 				}
-				s.enqueueSession(e.sess, msg)
+				s.deliver(e, msg)
 			}
 			if b.ticket > 0 {
 				s.maybeCheckpoint(b.ticket)
@@ -1035,7 +780,9 @@ func (s *Server) observerPump(bo core.BatchObserver, seen int64) {
 // leaves and rejoins while the batch waits on its apply gate can never
 // receive a stale OK on its successor session — enqueueSession drops messages
 // for ended sessions. A routed worker's OK travels on its trunk, tagged with
-// the worker it names, and the relay delivers it to the child.
+// the worker it names, and the relay delivers it to the child; the trunk does
+// not end when the child does, so there the pinned admit epoch is what kills
+// the stale reply (deliver).
 func (s *Server) resolve(targets []releaseTarget, release []core.WorkerID, now time.Time) []releaseTarget {
 	for _, id := range release {
 		w := int(id)
@@ -1043,8 +790,8 @@ func (s *Server) resolve(targets []releaseTarget, release []core.WorkerID, now t
 			s.waits.Record(w, now.Sub(at))
 			delete(s.pushedAt, w)
 		}
-		if sess := s.carrier(w); sess != nil {
-			targets = append(targets, releaseTarget{sess: sess, worker: w})
+		if sess, epoch := s.carrier(w); sess != nil {
+			targets = append(targets, releaseTarget{sess: sess, worker: w, epoch: epoch})
 		}
 	}
 	return targets
@@ -1078,9 +825,24 @@ deliver:
 				continue deliver
 			}
 		}
-		s.enqueueSession(t.sess, transport.Message{Type: transport.MsgOK, Worker: t.worker})
-		s.sm.releases.Inc()
+		if s.deliver(t, transport.Message{Type: transport.MsgOK, Worker: t.worker}) {
+			s.sm.releases.Inc()
+		}
 	}
+}
+
+// deliver queues a push's reply on the session it was resolved to, unless the
+// slot was re-admitted since: the worker the reply was for left, and whoever
+// holds the slot now — on a new session, or as a new child of the same trunk —
+// has not made that push.
+func (s *Server) deliver(t releaseTarget, msg transport.Message) bool {
+	s.mu.Lock()
+	current := s.epochs[t.worker] == t.epoch
+	s.mu.Unlock()
+	if current {
+		s.enqueueSession(t.sess, msg)
+	}
+	return current
 }
 
 // handlePush accepts a push and queues the policy's release decision. A push
@@ -1199,13 +961,15 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 	accepted, void := 0, 0
 	for i, e := range entries {
 		m := &marks[i]
-		if s.carrier(e.Worker) != sess {
+		carrier, epoch := s.carrier(e.Worker)
+		if carrier != sess {
 			m.void = true
 			void++
 			s.tracer.Abandon(m.tr, "superseded")
 			m.tr = nil
 			continue
 		}
+		m.epoch = epoch
 		decision := s.cfg.Policy.OnPush(core.WorkerID(e.Worker), now)
 		s.pushedAt[e.Worker] = now
 		targets = s.resolve(targets, decision.Release, now)
@@ -1262,7 +1026,7 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 				// or a barrier paradigm deadlocks on a single bad payload. Only
 				// the pusher learns of the failure.
 				if !m.void {
-					errs = append(errs, releaseTarget{sess: sess, worker: e.Worker})
+					errs = append(errs, releaseTarget{sess: sess, worker: e.Worker, epoch: m.epoch})
 				}
 				s.tracer.Abandon(m.tr, "error")
 				continue
@@ -1538,7 +1302,7 @@ func (s *Server) handleDone(sess *session, msg transport.Message) {
 	if sess.kind.holdsSlot() {
 		worker = sess.worker
 	}
-	if s.carrier(worker) != sess {
+	if carrier, _ := s.carrier(worker); carrier != sess {
 		return
 	}
 	s.mu.Lock()

@@ -33,6 +33,27 @@ func startElasticServer(t *testing.T, policy core.Policy, cfg ServerConfig) (*Se
 	return srv, listener
 }
 
+// overCarriers runs a session-layer test along the carrier axis: its workers
+// dial the root itself ("direct"), or a relay covering every slot
+// ("relay-child") — the same accept loop, dispatch, table, writer and lease
+// sweep, with the relay's handlers plugged in and the root's behind the trunk.
+func overCarriers(t *testing.T, test func(t *testing.T, carrier string)) {
+	for _, carrier := range []string{"direct", "relay-child"} {
+		t.Run(carrier, func(t *testing.T) { test(t, carrier) })
+	}
+}
+
+// startCarrier is startElasticServer for one arm of the carrier axis: it
+// returns the root server and the listener the arm's workers dial.
+func startCarrier(t *testing.T, carrier string, policy core.Policy, cfg ServerConfig) (*Server, *transport.ChanListener) {
+	t.Helper()
+	if carrier == "direct" {
+		return startElasticServer(t, policy, cfg)
+	}
+	h := newRelayHarness(t, policy, testStore(t, 4), 1, policy.NumWorkers(), cfg.Options)
+	return h.server, h.listeners[0]
+}
+
 // dialClient connects and registers a raw client.
 func dialClient(t *testing.T, l *transport.ChanListener, worker int) *Client {
 	t.Helper()
@@ -53,8 +74,12 @@ func dialClient(t *testing.T, l *transport.ChanListener, worker int) *Client {
 // until server stop. Now the old session ends immediately: its connection is
 // closed and the new session serves the slot.
 func TestDuplicateRegistrationSupersedesOldSession(t *testing.T) {
+	overCarriers(t, testDuplicateRegistrationSupersedesOldSession)
+}
+
+func testDuplicateRegistrationSupersedesOldSession(t *testing.T, carrier string) {
 	policy := core.MustNewASP(1)
-	_, listener := startElasticServer(t, policy, ServerConfig{})
+	_, listener := startCarrier(t, carrier, policy, ServerConfig{})
 
 	first := dialClient(t, listener, 0)
 	second := dialClient(t, listener, 0)
@@ -88,8 +113,12 @@ func TestDuplicateRegistrationSupersedesOldSession(t *testing.T) {
 // TestDisconnectReleasesBarrierPeers pins the core deadlock fix at the
 // server level: a worker that dies mid-round must not strand its BSP peers.
 func TestDisconnectReleasesBarrierPeers(t *testing.T) {
+	overCarriers(t, testDisconnectReleasesBarrierPeers)
+}
+
+func testDisconnectReleasesBarrierPeers(t *testing.T, carrier string) {
 	policy := core.MustNewBSP(2)
-	_, listener := startElasticServer(t, policy, ServerConfig{})
+	_, listener := startCarrier(t, carrier, policy, ServerConfig{})
 
 	c0 := dialClient(t, listener, 0)
 	c1 := dialClient(t, listener, 1)
@@ -120,8 +149,12 @@ func TestDisconnectReleasesBarrierPeers(t *testing.T) {
 // worker that stops heartbeating while its connection stays open is evicted
 // and its peers released.
 func TestLeaseExpiryEvictsSilentWorker(t *testing.T) {
+	overCarriers(t, testLeaseExpiryEvictsSilentWorker)
+}
+
+func testLeaseExpiryEvictsSilentWorker(t *testing.T, carrier string) {
 	policy := core.MustNewBSP(2)
-	srv, listener := startElasticServer(t, policy, ServerConfig{
+	srv, listener := startCarrier(t, carrier, policy, ServerConfig{
 		Options: Options{
 			Elastic:          true,
 			HeartbeatTimeout: 100 * time.Millisecond,
@@ -155,8 +188,12 @@ func TestLeaseExpiryEvictsSilentWorker(t *testing.T) {
 // TestHeartbeatsKeepSlowWorkerAlive is the inverse: a worker that computes
 // for longer than the lease but heartbeats on time must NOT be evicted.
 func TestHeartbeatsKeepSlowWorkerAlive(t *testing.T) {
+	overCarriers(t, testHeartbeatsKeepSlowWorkerAlive)
+}
+
+func testHeartbeatsKeepSlowWorkerAlive(t *testing.T, carrier string) {
 	policy := core.MustNewBSP(2)
-	srv, listener := startElasticServer(t, policy, ServerConfig{
+	srv, listener := startCarrier(t, carrier, policy, ServerConfig{
 		Options: Options{
 			Elastic:          true,
 			HeartbeatTimeout: 150 * time.Millisecond,
@@ -319,9 +356,11 @@ func TestGracefulLeaveNotifiesPolicy(t *testing.T) {
 // TestStaleSessionIsToldToRejoin: a request on a superseded session fails
 // fast — either with the in-band rejoin hint or because the server closed
 // the stale connection — instead of hanging on replies that will never come.
-func TestStaleSessionIsToldToRejoin(t *testing.T) {
+func TestStaleSessionIsToldToRejoin(t *testing.T) { overCarriers(t, testStaleSessionIsToldToRejoin) }
+
+func testStaleSessionIsToldToRejoin(t *testing.T, carrier string) {
 	policy := core.MustNewASP(1)
-	_, listener := startElasticServer(t, policy, ServerConfig{Options: Options{Elastic: true}})
+	_, listener := startCarrier(t, carrier, policy, ServerConfig{Options: Options{Elastic: true}})
 
 	conn1, err := listener.Dial()
 	if err != nil {

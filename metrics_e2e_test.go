@@ -323,6 +323,10 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 			t.Fatalf("worker never reached its first barrier; last scrape: %v", keys(mid))
 		}
 	}
+	// A scrape lists the registry's families before it reads their values, so
+	// the one that first saw the push may have started before the worker
+	// registered its own series; one begun after the push has them all.
+	mid = scrape(t, addr)
 	for _, series := range want {
 		if _, ok := mid[series]; !ok {
 			t.Errorf("worker series %q missing from /metrics", series)

@@ -37,9 +37,6 @@ type RelayConfig struct {
 	// HeartbeatTimeout is the child-session lease: a worker silent for
 	// longer is evicted, mirroring the root's elastic lease. 0 disables it.
 	HeartbeatTimeout time.Duration
-	// FlushInterval bounds how long a partial waits for straggling children
-	// before forwarding incomplete; 0 picks the default (50ms).
-	FlushInterval time.Duration
 	// MetricsAddr, when non-empty, starts an admin HTTP listener serving the
 	// relay's metrics (/metrics: dssp_relay_* series plus transport meters),
 	// /healthz and pprof. "127.0.0.1:0" picks a free port.
@@ -114,7 +111,6 @@ func ServeRelay(cfg RelayConfig) (*RelayServer, error) {
 		Compression:       ccfg,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		HeartbeatTimeout:  cfg.HeartbeatTimeout,
-		FlushInterval:     cfg.FlushInterval,
 		Metrics:           reg,
 	})
 	if err != nil {

@@ -26,19 +26,28 @@ race:
 # change to a site that ends a lease wants this green. The session layer the
 # root and the relay share (DESIGN.md §6) is as much a concurrency property:
 # the stale-release pin, the relay's watchdog and stalled-child tests, and the
-# relay-child arms of the session tests run the same ten times.
+# relay-child arms of the session tests run the same ten times. The lane arms
+# of the poisoning tests (a leased body is a slot of the same-host arena) ride
+# the first line; the second-to-last runs the lane's own lease tests in
+# internal/transport and the last the crash/restart run on both carriers.
 lease-stress:
 	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestCodecBufferReuseSurvivesPoisoning|TestRelayCopiesPullCacheForReferencePassingChildren|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
+	$(GO) test -race -count=10 -run 'TestLane|TestLoopbackDialUpgradesToLane|TestReleaseHookSeesBodyBeforeReuse|TestForeignPeersStayOnTCP|TestListenerCloseFreesLaneName' ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestTCPWorkerCrashRejoinAndServerRestart' .
 
 # The portable kernel path (internal/tensor's Go loops, bound where there is
 # no AVX2+FMA) on every run, not only on machines without AVX2: the purego tag
 # tests it here, and an arm64 cross-build compiles and vets what a non-amd64
-# target gets. purego is for this step, not a tuning knob.
+# target gets. purego is for this step, not a tuning knob. The darwin build
+# compiles the stub every non-Linux target gets in place of the same-host
+# lane (internal/transport/lane_other.go), so it cannot rot.
 portable:
 	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
+	GOOS=darwin $(GO) build ./...
+	GOOS=darwin $(GO) vet ./internal/transport/
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
@@ -67,13 +76,16 @@ bench-json:
 # the magnitude a converged model pushes (fp16 subnormals): a converter with
 # a magnitude-dependent slow path is 2-4x slower there and trips the pin.
 # BenchmarkTCPDensePushPull1MB is the dense wire path end to end (1 MB push +
-# 1 MB pull over loopback): a copy or a per-frame allocation coming back costs
-# it 20-50%.
+# 1 MB pull over loopback, held on TCP — the cross-host carrier): a copy or a
+# per-frame allocation coming back costs it 20-50%.
+# BenchmarkLaneDensePushPull1MB is the same round trip as same-host peers get
+# it (bodies through the shared arena): a payload falling back onto the
+# socket, or a second copy, costs it as much.
 # BenchmarkMatMul128 runs as BenchmarkMatMul128/kernel=avx2 or /kernel=go,
 # whichever kernel the machine binds; the baseline holds both (bench-baseline
 # appends a -tags purego run) and the pin, a prefix, gates the one produced.
-BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkMatMul128|BenchmarkFusedStepMomentumBatch4|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|BenchmarkCompress/fp16/scale=1e-05|BenchmarkTCPDensePushPull1MB
-BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkFusedStepMomentumBatch4,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkTCPDensePushPull1MB
+BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkMatMul128|BenchmarkFusedStepMomentumBatch4|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|BenchmarkCompress/fp16/scale=1e-05|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB
+BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkFusedStepMomentumBatch4,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB
 BENCH_GATE_TIME = 1s
 # Packages holding the pinned benchmarks: the store pipeline, the raw
 # compute kernels (blocked matmul, fused optimizer step) it is built on, and

@@ -31,7 +31,12 @@ type Conv2D struct {
 	cols, col, out, dx *tensor.Tensor
 	// Matrix headers re-pointed at one batch item of a buffer at a time.
 	colMat, outMat, gradMat *tensor.Tensor
+	// noDx: the layer is a network's first, Backward returns nil.
+	noDx bool
 }
+
+// skipInputGrad tells the layer that no one reads what Backward returns.
+func (c *Conv2D) skipInputGrad() { c.noDx = true }
 
 // NewConv2D returns a convolution layer with He-initialized weights.
 func NewConv2D(rng *rand.Rand, inC, outC, kernel, stride, pad int) *Conv2D {
@@ -205,9 +210,13 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if grad.Size() != batch*outImgSize {
 		panic(fmt.Sprintf("nn: %s got gradient shape %v for a (%d,%d,%d,%d) input", c.Name(), grad.Shape(), batch, c.inC, h, w))
 	}
-	dx := scratch(&c.dx, batch, c.inC, h, w)
-	dx.Zero() // col2im accumulates
-	dxData := dx.Data()
+	var dx *tensor.Tensor
+	var dxData []float32
+	if !c.noDx {
+		dx = scratch(&c.dx, batch, c.inC, h, w)
+		dx.Zero() // col2im accumulates
+		dxData = dx.Data()
+	}
 	gradData := grad.Data()
 	colData := c.cols.Data()
 	gb := c.gradB.Data()
@@ -225,6 +234,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				s += v
 			}
 			gb[oc] += s
+		}
+		if c.noDx {
+			continue
 		}
 		// dcol = Wᵀ · grad, then scatter back to the input gradient.
 		tensor.MatMulTransAInto(dcol, c.weight, gradMat)

@@ -21,7 +21,12 @@ type Dense struct {
 
 	lastInput *tensor.Tensor
 	y, dx     *tensor.Tensor // layer-owned buffers (scratch.go)
+	// noDx: the layer is a network's first, Backward returns nil.
+	noDx bool
 }
+
+// skipInputGrad tells the layer that no one reads what Backward returns.
+func (d *Dense) skipInputGrad() { d.noDx = true }
 
 // NewDense returns a dense layer with Xavier-initialized weights.
 func NewDense(rng *rand.Rand, in, out int) *Dense {
@@ -73,6 +78,9 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		for j := range row {
 			gb[j] += row[j]
 		}
+	}
+	if d.noDx {
+		return nil
 	}
 	return tensor.MatMulTransBInto(scratch(&d.dx, batch, d.in), grad, d.weight)
 }

@@ -69,6 +69,13 @@ type Network struct {
 // initialization happens when the individual layers are constructed.
 func NewNetwork(rng *rand.Rand, layers ...Layer) *Network {
 	n := &Network{layers: layers, loss: NewSoftmaxCrossEntropy(), rng: rng}
+	// Nothing consumes the first layer's input gradient (Backward drops it),
+	// and for Dense and Conv2D it is a product the size of the weights.
+	if len(layers) > 0 {
+		if first, ok := layers[0].(interface{ skipInputGrad() }); ok {
+			first.skipInputGrad()
+		}
+	}
 	for _, l := range layers {
 		n.params = append(n.params, l.Params()...)
 		n.grads = append(n.grads, l.Grads()...)

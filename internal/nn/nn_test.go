@@ -307,3 +307,43 @@ func TestSmallMLPLearnsLinearlySeparableData(t *testing.T) {
 		t.Fatalf("training accuracy %v, want >= 0.9", acc)
 	}
 }
+
+// TestFirstLayerSkipsInputGradient pins what NewNetwork tells its first
+// layer: a Dense or Conv2D at the front returns no input gradient — nobody
+// reads it — and accumulates bit for bit the parameter gradients of the same
+// layer deeper in a stack, where it must still produce one.
+func TestFirstLayerSkipsInputGradient(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		layer func(rng *rand.Rand) Layer
+		input []int
+	}{
+		{"dense", func(rng *rand.Rand) Layer { return NewDense(rng, 12, 5) }, []int{3, 12}},
+		{"conv", func(rng *rand.Rand) Layer { return NewConv2D(rng, 2, 4, 3, 1, 1) }, []int{3, 2, 5, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x := tensor.New(tc.input...)
+			x.RandNormal(rand.New(rand.NewSource(1)), 0, 1)
+			first := tc.layer(rand.New(rand.NewSource(2)))
+			inner := tc.layer(rand.New(rand.NewSource(2)))
+			NewNetwork(rand.New(rand.NewSource(3)), first)
+			out := first.Forward(x, true)
+			grad := tensor.New(out.Shape()...)
+			grad.RandNormal(rand.New(rand.NewSource(4)), 0, 1)
+			if dx := first.Backward(grad); dx != nil {
+				t.Errorf("a network's first layer returned an input gradient of shape %v", dx.Shape())
+			}
+			inner.Forward(x, true)
+			if dx := inner.Backward(grad); dx == nil || dx.Size() != x.Size() {
+				t.Fatalf("a layer outside the front of a network returned input gradient %v", dx)
+			}
+			for i, g := range first.Grads() {
+				for j, v := range g.Data() {
+					if w := inner.Grads()[i].Data()[j]; math.Float32bits(v) != math.Float32bits(w) {
+						t.Fatalf("gradient %d[%d] is %v without the input gradient, %v with it", i, j, v, w)
+					}
+				}
+			}
+		})
+	}
+}

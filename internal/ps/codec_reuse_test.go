@@ -26,8 +26,12 @@ func TestCodecBufferReuseSurvivesPoisoning(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tcp  bool
-	}{{"tcp", true}, {"channel", false}} {
+		// lane lets the loopback dials upgrade to the same-host lane; without
+		// it they stay on TCP, the cross-host carrier.
+		lane bool
+	}{{"tcp", true, false}, {"lane", true, true}, {"channel", false, false}} {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Cleanup(transport.SetLaneEnabled(tc.lane))
 			initial := []*tensor.Tensor{tensor.New(16, 4), tensor.New(33), tensor.New(7, 3), tensor.New(130)}
 			st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 2)
 			if err != nil {

@@ -241,20 +241,29 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 		name         string
 		topo         string
 		tcp, edgeTCP bool
+		// lane lets the loopback dials upgrade to the same-host lane, where a
+		// leased body is an arena slot; without it they stay on TCP, the
+		// cross-host carrier.
+		lane bool
 	}{
-		{"flat/tcp", "flat", true, true},
-		{"flat/channel", "flat", false, false},
-		{"group/tcp", "group", true, true},
-		{"group/channel", "group", false, false},
-		{"tree/tcp", "tree", true, true},
-		{"tree/channel", "tree", false, false},
+		{"flat/tcp", "flat", true, true, false},
+		{"flat/lane", "flat", true, true, true},
+		{"flat/channel", "flat", false, false, false},
+		{"group/tcp", "group", true, true, false},
+		{"group/lane", "group", true, true, true},
+		{"group/channel", "group", false, false, false},
+		{"tree/tcp", "tree", true, true, false},
+		{"tree/lane", "tree", true, true, true},
+		{"tree/channel", "tree", false, false, false},
 		// Children that pass references behind a relay whose upstream leases:
 		// they must be served copies of the relay's pull cache.
-		{"tree/tcp-root-channel-children", "tree", true, false},
+		{"tree/tcp-root-channel-children", "tree", true, false, false},
+		{"tree/lane-root-channel-children", "tree", true, false, true},
 	} {
 		{
 			topo, tcp := tc.topo, tc.tcp
 			t.Run(tc.name, func(t *testing.T) {
+				t.Cleanup(transport.SetLaneEnabled(tc.lane))
 				before := released.Load()
 				// Frames big enough to be leased (over 4 KB), with a slab that
 				// leaves by reference (over 16 KB) next to ones that go inline.
@@ -487,10 +496,12 @@ func TestMeteringExactWithByReferenceSlabs(t *testing.T) {
 }
 
 // startDenseTCP stands up a one-worker server holding the benchmark's wide
-// MLP (1 MB of weights in two store shards) on loopback TCP and returns a
-// registered client with matching gradients.
-func startDenseTCP(tb testing.TB) (*Client, []*tensor.Tensor) {
+// MLP (1 MB of weights in two store shards) on loopback and returns a
+// registered client with matching gradients; lane says whether the client's
+// dial may upgrade to the same-host lane or stays on TCP.
+func startDenseTCP(tb testing.TB, lane bool) (*Client, []*tensor.Tensor) {
 	tb.Helper()
+	defer transport.SetLaneEnabled(lane)()
 	model := []*tensor.Tensor{tensor.New(8192, 32), tensor.New(32), tensor.New(32, 8), tensor.New(8)}
 	st, err := NewStoreSharded(model, optimizer.NewSGD(0.001), 2)
 	if err != nil {
@@ -531,9 +542,15 @@ func startDenseTCP(tb testing.TB) (*Client, []*tensor.Tensor) {
 // client decode, everything both processes' goroutines do — allocates less
 // than 64 KB in total, so no buffer that scales with the payload is allocated
 // anywhere, and only a bounded number of small objects (message headers, wire
-// tensor lists, tensor headers).
+// tensor lists, tensor headers). The same ceiling holds on the same-host lane,
+// where the payload-sized buffers are arena slots.
 func TestDensePushPullRoundTripAllocatesNoPayload(t *testing.T) {
-	c, grads := startDenseTCP(t)
+	t.Run("tcp", func(t *testing.T) { testDensePushPullRoundTripAllocatesNoPayload(t, false) })
+	t.Run("lane", func(t *testing.T) { testDensePushPullRoundTripAllocatesNoPayload(t, true) })
+}
+
+func testDensePushPullRoundTripAllocatesNoPayload(t *testing.T, lane bool) {
+	c, grads := startDenseTCP(t, lane)
 	round := func(i int) {
 		if err := c.PushAndWait(grads, int64(i), i); err != nil {
 			t.Fatal(err)
@@ -568,10 +585,19 @@ func TestDensePushPullRoundTripAllocatesNoPayload(t *testing.T) {
 
 // BenchmarkTCPDensePushPull1MB is the flat-comm iteration without the model:
 // one worker pushing 1 MB of dense gradients and pulling 1 MB of weights over
-// loopback TCP. MB/s counts both directions' payload; B/op is where a
-// reintroduced per-frame allocation shows first.
-func BenchmarkTCPDensePushPull1MB(b *testing.B) {
-	c, grads := startDenseTCP(b)
+// loopback TCP — held on TCP, the carrier of every cross-host connection, so
+// that path cannot regress unseen behind the lane. MB/s counts both
+// directions' payload; B/op is where a reintroduced per-frame allocation
+// shows first.
+func BenchmarkTCPDensePushPull1MB(b *testing.B) { benchDensePushPull1MB(b, false) }
+
+// BenchmarkLaneDensePushPull1MB is the same round trip between same-host
+// peers, as a loopback dial finds it: payload bodies through the shared
+// arena, headers on the unix socket.
+func BenchmarkLaneDensePushPull1MB(b *testing.B) { benchDensePushPull1MB(b, true) }
+
+func benchDensePushPull1MB(b *testing.B, lane bool) {
+	c, grads := startDenseTCP(b, lane)
 	var payload int64
 	for _, g := range grads {
 		payload += int64(4 * g.Size())

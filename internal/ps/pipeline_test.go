@@ -440,8 +440,17 @@ func TestStalenessObserveOffByOneCoalesced(t *testing.T) {
 func TestPushErrorStillReleasesPeers(t *testing.T) {
 	var released atomic.Int64
 	t.Cleanup(transport.SetReleaseHook(func([]byte) { released.Add(1) }))
-	for _, carrier := range []string{"direct", "trunk", "relay-child"} {
-		t.Run(carrier, func(t *testing.T) {
+	// Every carrier runs with its loopback dials held on TCP, the cross-host
+	// transport, and again with them upgrading to the same-host lane.
+	for _, arm := range []struct {
+		carrier, wire string
+	}{
+		{"direct", "tcp"}, {"direct", "lane"}, {"trunk", "tcp"}, {"trunk", "lane"},
+		{"relay-child", "tcp"}, {"relay-child", "lane"},
+	} {
+		carrier := arm.carrier
+		t.Run(carrier+"/"+arm.wire, func(t *testing.T) {
+			t.Cleanup(transport.SetLaneEnabled(arm.wire == "lane"))
 			workers := map[string]int{"direct": 2, "trunk": 3, "relay-child": 3}[carrier]
 			st := testStore(t, 4)
 			srv, err := NewServer(ServerConfig{Workers: workers, Policy: core.MustNewBSP(workers), Store: st})

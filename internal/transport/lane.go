@@ -1,0 +1,255 @@
+package transport
+
+// The same-host payload lane: what a loopback connection does instead of
+// pushing payload bytes through the kernel twice.
+//
+// A lane connection is a binaryConn over a unix stream socket with one shared
+// arena per direction (lane_linux.go sets both up; nothing above Conn can tell).
+// The sender of a frame whose body is at least laneMinBody gathers the body
+// straight from where it lives into a free run of arena pages — that one copy
+// replaces the socket's two — and only the 12-byte header crosses the socket,
+// its two reserved bytes naming the run's first page (the slot). The receiver
+// parses the mapped slot as the body, and the message's lease is the slot:
+// Release stores zero into the slot's state word, which is all the sender
+// needs to reuse the pages.
+// Everything else — small frames, heartbeats, ordering, EOF — rides the
+// socket exactly as on TCP, and a frame that finds no free slot goes inline
+// on the socket too: the sender never waits on the arena.
+//
+// Arena layout, in lanePage units: pages [0, dataStart) hold one uint32 state
+// word per page of the arena (0 free, 1 in flight; only the word of a slot's
+// first page is used), pages [dataStart, pages) hold bodies. The sender alone
+// allocates, lowest address first, so the pages ever touched are the frames
+// in flight; the receiver alone frees. The receiver maps the whole arena; the
+// sender maps the state words and writes bodies through the file (write), so
+// a process holding both ends of a connection has every in-flight page
+// resident once, and a write the kernel cannot back with memory is an error
+// that sends the frame inline, not a fault.
+
+import (
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"unsafe"
+)
+
+const (
+	// lanePage is the arena's allocation unit, the slot marker's granularity.
+	lanePage = 4 << 10
+	// laneArenaBytes is one direction's arena: the most the 16-bit slot marker
+	// can address, and maxFrameBody. It is address space, not memory — the
+	// arena is an unlinked shared-memory file whose pages exist once touched.
+	laneArenaBytes = 1 << 16 * lanePage
+	// laneMinBody is the smallest body that travels through the arena: what
+	// refSlabMin already calls too large to be worth copying twice.
+	laneMinBody = refSlabMin
+)
+
+// laneOff keeps loopback dials from upgrading (SetLaneEnabled).
+var laneOff atomic.Bool
+
+// SetLaneEnabled switches the same-host payload lane on or off for every
+// later Dial and returns a function restoring the previous setting. With the
+// lane off a loopback dial stays on TCP, the carrier every cross-host
+// connection uses. It exists so tests can cover both carriers from one
+// machine; nothing outside tests calls it.
+func SetLaneEnabled(on bool) (restore func()) {
+	prev := laneOff.Swap(!on)
+	return func() { laneOff.Store(prev) }
+}
+
+// laneSpan is one in-flight slot as its sender remembers it.
+type laneSpan struct {
+	page, pages int
+	seq         uint64
+}
+
+// arena is one direction's shared payload buffer, from one end's side.
+type arena struct {
+	// mem is what this end has mapped, from page 0: the whole arena at the
+	// receiving end, at least the state words at the sending end. pages is
+	// the arena's size.
+	mem   []byte
+	pages int
+	// write puts a body, gathered from vec, at byte offset off (sending end).
+	write func(off int, vec [][]byte) error
+	// free gives back mem and whatever write holds once the last holder is
+	// gone; nil for an arena the garbage collector owns.
+	free func()
+	// holders counts who may still touch mem: the connection and, at the
+	// receiving end, every unreleased lease — a message outlives its
+	// connection and its peer.
+	holders atomic.Int32
+
+	// The sending end's allocator, guarded by the connection's encMu: the
+	// slots it believes in flight, ascending, and the allocation counter that
+	// lets a failed batch take its own back.
+	live []laneSpan
+	seq  uint64
+}
+
+// newArena returns one connection's view of an arena of pages pages.
+func newArena(mem []byte, pages int, write func(int, [][]byte) error, free func()) *arena {
+	a := &arena{mem: mem, pages: pages, write: write, free: free}
+	a.holders.Store(1)
+	return a
+}
+
+// laneDataStart is the first page of a pages-page arena that holds bodies,
+// past the state words.
+func laneDataStart(pages int) int { return (4*pages + lanePage - 1) / lanePage }
+
+func (a *arena) dataStart() int { return laneDataStart(a.pages) }
+
+// state is page's state word.
+func (a *arena) state(page int) *atomic.Uint32 {
+	return (*atomic.Uint32)(unsafe.Pointer(&a.mem[4*page]))
+}
+
+// drop ends one holder's use of the arena; the last one frees it.
+func (a *arena) drop() {
+	if a.holders.Add(-1) == 0 && a.free != nil {
+		a.free()
+	}
+}
+
+// alloc finds the lowest free run of pages with room for n bytes, marks it in
+// flight and returns its first page; 0 means there is none.
+func (a *arena) alloc(n int) (page int) {
+	// Forget the slots the receiver has released since the last look.
+	a.live = slices.DeleteFunc(a.live, func(s laneSpan) bool { return a.state(s.page).Load() == 0 })
+	need := (n + lanePage - 1) / lanePage
+	at, i := a.dataStart(), 0
+	for ; i < len(a.live) && a.live[i].page-at < need; i++ {
+		at = a.live[i].page + a.live[i].pages
+	}
+	if at+need > a.pages {
+		return 0
+	}
+	a.seq++
+	a.live = slices.Insert(a.live, i, laneSpan{page: at, pages: need, seq: a.seq})
+	a.state(at).Store(1)
+	return at
+}
+
+// mark reads the allocation counter, for abandon; both are no-ops on a
+// connection with no lane (a nil arena).
+func (a *arena) mark() uint64 {
+	if a == nil {
+		return 0
+	}
+	return a.seq
+}
+
+// abandon frees the slots allocated since mark: frames that were assembled
+// but will never be announced on the socket.
+func (a *arena) abandon(mark uint64) {
+	if a == nil {
+		return
+	}
+	for _, s := range a.live {
+		if s.seq > mark {
+			a.state(s.page).Store(0)
+		}
+	}
+}
+
+// slot validates a received slot marker against the arena and returns the
+// body it names. Whatever the header says, the result lies inside the data
+// pages or is an error.
+func (a *arena) slot(page, n int) ([]byte, error) {
+	if page < a.dataStart() || page >= a.pages || n < 1 || n > (a.pages-page)*lanePage {
+		return nil, fmt.Errorf("transport: lane slot %d with a %d-byte body lies outside the %d-page arena", page, n, a.pages)
+	}
+	if a.state(page).Load() == 0 {
+		return nil, fmt.Errorf("transport: lane slot %d is not in flight", page)
+	}
+	off := page * lanePage
+	return a.mem[off : off+n : off+n], nil
+}
+
+// divert moves the body of the frame just assembled at buf[start:] — its
+// inline bytes and the slabs c.refs recorded from refCount on — into a free
+// slot of the outbound arena, leaving the header alone for the socket with
+// the slot in its reserved bytes. A frame under laneMinBody, a connection
+// with no lane, an arena with no room and a write that fails leave buf as it
+// is: the frame goes inline. Caller holds encMu.
+func (c *binaryConn) divert(buf []byte, start, refCount int) []byte {
+	a := c.laneOut
+	if a == nil {
+		return buf
+	}
+	bodyLen := int(binary.LittleEndian.Uint32(buf[start+8:]))
+	if bodyLen < laneMinBody {
+		return buf
+	}
+	page := a.alloc(bodyLen)
+	if page == 0 {
+		c.meter.laneInlined()
+		return buf
+	}
+	vec := gather(c.vec[:0], buf, start+headerSize, c.refs.list[refCount:])
+	err := a.write(page*lanePage, vec)
+	clear(vec)
+	c.vec = vec[:0]
+	if err != nil {
+		a.state(page).Store(0)
+		c.meter.laneInlined()
+		return buf
+	}
+	c.refs.truncate(refCount)
+	binary.LittleEndian.PutUint16(buf[start+6:], uint16(page))
+	c.meter.laneSentFrame()
+	return buf[:start+headerSize]
+}
+
+// readSlot decodes the frame whose header named slot page of the inbound
+// arena: parseBody runs over the mapped slot and the message's lease is the
+// slot itself.
+func (fr *frameReader) readSlot(typ, version byte, page, bodyLen int) (Message, error) {
+	a := fr.arena
+	body, err := a.slot(page, bodyLen)
+	if err != nil {
+		return Message{}, err
+	}
+	fr.lastBody = bodyLane
+	m, err := parseBody(typ, version, body)
+	if err != nil {
+		a.state(page).Store(0)
+		return Message{}, err
+	}
+	m.ownedPayload = true
+	a.holders.Add(1)
+	l := &bodyLease{buf: body, arena: a, page: page}
+	// Release stays optional: a message dropped unreleased gives its slot
+	// back when it is collected, as a heap body gives back its memory.
+	runtime.SetFinalizer(l, func(l *bodyLease) {
+		if !l.done.Swap(true) {
+			l.giveBack()
+		}
+	})
+	m.lease = l
+	return m, nil
+}
+
+// closeLane ends the connection's own hold on its arenas. The socket is
+// already closed, so a Send or Recv still inside one leaves promptly and the
+// locks are free to take.
+func (c *binaryConn) closeLane() {
+	c.encMu.Lock()
+	out := c.laneOut
+	c.laneOut = nil
+	c.encMu.Unlock()
+	c.decMu.Lock()
+	in := c.fr.arena
+	c.fr.arena = nil
+	c.decMu.Unlock()
+	if out != nil {
+		out.drop()
+	}
+	if in != nil {
+		in.drop()
+	}
+}

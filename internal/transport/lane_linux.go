@@ -1,0 +1,363 @@
+//go:build linux
+
+package transport
+
+// How two same-host peers find each other and set the lane up (lane.go says
+// what the lane is). A TCP listener also binds an abstract unix socket named
+// from its bound ip:port; a dialer whose target is an address of this host
+// tries that name before TCP. Abstract names carry no permissions, so each
+// end asks SO_PEERCRED who the other is and goes on only under its own uid: a
+// foreign user can neither squat the name and be dialed, nor reach a server
+// through it. Each end then creates the arena it will send through — a sealed
+// memfd, so no holder of the descriptor can truncate the mapping under its
+// peer — keeps the descriptor to write bodies with, and passes a copy across
+// with SCM_RIGHTS for the peer to map. Any failure on the way is not
+// an error: the dialer goes to TCP as if the lane did not exist.
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"math/bits"
+	"net"
+	"os"
+	"runtime"
+	"strconv"
+	"syscall"
+	"time"
+	"unsafe"
+)
+
+const (
+	// laneHello opens the unix stream in both directions, with the sender's
+	// arena descriptor attached; its last byte versions the arena layout.
+	laneHello = "DSSPLAN\x01"
+	// laneHandshakeTimeout bounds the hello exchange, whose other end is a
+	// process on this machine.
+	laneHandshakeTimeout = 2 * time.Second
+
+	// memfd_create(2) flags and the sealing fcntl(2)s, absent from package
+	// syscall.
+	mfdCloexec      = 0x1
+	mfdAllowSealing = 0x2
+	fAddSeals       = 1033
+	fGetSeals       = 1034
+	fSealSeal       = 0x1
+	fSealShrink     = 0x2
+	fSealGrow       = 0x4
+)
+
+// memfdCreateTrap is memfd_create(2)'s syscall number, which package syscall
+// lacks on the older ports; 0 (an architecture not listed) means no lane.
+var memfdCreateTrap = map[string]uintptr{
+	"amd64": 319, "arm64": 279, "riscv64": 279, "loong64": 279, "ppc64": 360, "ppc64le": 360, "s390x": 350,
+}[runtime.GOARCH]
+
+// laneSupported: a 256 MB mapping per connection wants a 64-bit address
+// space.
+var laneSupported = bits.UintSize == 64 && memfdCreateTrap != 0
+
+// laneName is the abstract socket name (net spells the leading NUL "@") of
+// the listener reachable at TCP host:port; host "*" is every address.
+func laneName(host string, port int) string {
+	return "@dssp-lane/" + net.JoinHostPort(host, strconv.Itoa(port))
+}
+
+// listenLane binds the twin of the TCP listener bound to addr, or returns nil
+// when there is none to offer (the name is taken, the platform cannot).
+func listenLane(addr net.Addr) net.Listener {
+	tcp, ok := addr.(*net.TCPAddr)
+	if !ok || !laneSupported {
+		return nil
+	}
+	host := "*"
+	if !tcp.IP.IsUnspecified() {
+		host = tcp.IP.String()
+	}
+	l, err := net.Listen("unix", laneName(host, tcp.Port))
+	if err != nil {
+		return nil
+	}
+	return l
+}
+
+// dialLane connects to the lane of the listener at addr and returns the
+// upgraded connection, or nil when addr is not a literal address of this
+// host, nothing of ours listens there, or the handshake fails — the caller
+// then dials TCP.
+func dialLane(addr string, meter *Metrics) Conn {
+	if !laneSupported {
+		return nil
+	}
+	host, portText, err := net.SplitHostPort(addr)
+	if err != nil {
+		return nil
+	}
+	port, err := strconv.Atoi(portText)
+	if err != nil {
+		return nil
+	}
+	ip := net.ParseIP(host)
+	switch {
+	case host == "" || host == "localhost":
+		ip = net.IPv4(127, 0, 0, 1)
+	case ip == nil || !isLocalIP(ip):
+		return nil
+	}
+	for _, host := range []string{ip.String(), "*"} {
+		c, err := net.Dial("unix", laneName(host, port))
+		if err != nil {
+			continue
+		}
+		if conn := upgradeLane(c, false, meter); conn != nil {
+			return conn
+		}
+	}
+	return nil
+}
+
+// isLocalIP reports whether ip is loopback or assigned to an interface of
+// this host, so that what listens on it is in this host's abstract namespace.
+func isLocalIP(ip net.IP) bool {
+	if ip.IsLoopback() {
+		return true
+	}
+	addrs, err := net.InterfaceAddrs()
+	if err != nil {
+		return false
+	}
+	for _, a := range addrs {
+		if n, ok := a.(*net.IPNet); ok && n.IP.Equal(ip) {
+			return true
+		}
+	}
+	return false
+}
+
+// upgradeLane runs the lane handshake on a fresh unix stream and returns the
+// lane connection; on any failure it closes c and returns nil.
+func upgradeLane(c net.Conn, server bool, meter *Metrics) Conn {
+	conn, err := laneHandshake(c.(*net.UnixConn), server, laneArenaBytes)
+	if err != nil {
+		c.Close()
+		return nil
+	}
+	return conn.metered(meter)
+}
+
+// laneHandshake checks the peer's uid, swaps arenas with it and returns the
+// binaryConn that sends through the one created here and receives through
+// the peer's. arenaBytes sizes the former; the latter's size is the peer's
+// choice, validated.
+func laneHandshake(uc *net.UnixConn, server bool, arenaBytes int) (*binaryConn, error) {
+	if err := samePeerUID(uc); err != nil {
+		return nil, err
+	}
+	out, fd, err := newSendArena(arenaBytes)
+	if err != nil {
+		return nil, err
+	}
+	_ = uc.SetDeadline(time.Now().Add(laneHandshakeTimeout))
+	if _, _, err = uc.WriteMsgUnix([]byte(laneHello), syscall.UnixRights(fd), nil); err != nil {
+		out.drop()
+		return nil, fmt.Errorf("transport: lane hello: %w", err)
+	}
+	in, err := recvArena(uc)
+	if err != nil {
+		out.drop()
+		return nil, err
+	}
+	_ = uc.SetDeadline(time.Time{})
+	conn := newBinaryConn(uc, server)
+	conn.carrier, conn.laneOut, conn.fr.arena = carrierLane, out, in
+	return conn, nil
+}
+
+// laneUID is the only uid a lane peer may run under: this process's own.
+// (A variable so that a test can stand for a foreign peer.)
+var laneUID = os.Geteuid()
+
+// samePeerUID fails unless the process at the other end of uc runs under
+// laneUID.
+func samePeerUID(uc *net.UnixConn) error {
+	raw, err := uc.SyscallConn()
+	if err != nil {
+		return err
+	}
+	var cred *syscall.Ucred
+	var credErr error
+	if err := raw.Control(func(fd uintptr) {
+		cred, credErr = syscall.GetsockoptUcred(int(fd), syscall.SOL_SOCKET, syscall.SO_PEERCRED)
+	}); err != nil {
+		return err
+	}
+	if credErr != nil {
+		return fmt.Errorf("transport: lane peer credentials: %w", credErr)
+	}
+	if int(cred.Uid) != laneUID {
+		return fmt.Errorf("transport: lane peer runs under uid %d, not %d", cred.Uid, laneUID)
+	}
+	return nil
+}
+
+// newArenaFile creates the unlinked shared-memory file behind an arena: size
+// bytes, none of them allocated until touched, sealed against resizing.
+func newArenaFile(size int) (int, error) {
+	name, _ := syscall.BytePtrFromString("dssp-lane")
+	r, _, errno := syscall.Syscall(memfdCreateTrap, uintptr(unsafe.Pointer(name)), mfdCloexec|mfdAllowSealing, 0)
+	if errno != 0 {
+		return -1, fmt.Errorf("transport: memfd_create: %w", errno)
+	}
+	fd := int(r)
+	if err := syscall.Ftruncate(fd, int64(size)); err != nil {
+		syscall.Close(fd)
+		return -1, fmt.Errorf("transport: size lane arena: %w", err)
+	}
+	if _, _, errno := syscall.Syscall(syscall.SYS_FCNTL, r, fAddSeals, fSealShrink|fSealGrow|fSealSeal); errno != 0 {
+		syscall.Close(fd)
+		return -1, fmt.Errorf("transport: seal lane arena: %w", errno)
+	}
+	return fd, nil
+}
+
+// newSendArena creates an arena of size bytes for this end to send through:
+// the state words mapped, bodies written through the descriptor, which is
+// also returned for the hello to carry and stays the arena's to close.
+func newSendArena(size int) (*arena, int, error) {
+	fd, err := newArenaFile(size)
+	if err != nil {
+		return nil, -1, err
+	}
+	pages := size / lanePage
+	mem, err := mapShared(fd, laneDataStart(pages)*lanePage)
+	if err != nil {
+		syscall.Close(fd)
+		return nil, -1, err
+	}
+	var iov []syscall.Iovec // write's scratch, reused under the connection's encMu
+	write := func(off int, vec [][]byte) error {
+		iov = iov[:0]
+		for _, b := range vec {
+			if len(b) > 0 {
+				iov = append(iov, syscall.Iovec{Base: &b[0]})
+				iov[len(iov)-1].SetLen(len(b))
+			}
+		}
+		err := pwritevAll(fd, iov, off)
+		clear(iov) // pin no payload between sends
+		return err
+	}
+	free := func() {
+		_ = syscall.Munmap(mem)
+		syscall.Close(fd)
+	}
+	return newArena(mem, pages, write, free), fd, nil
+}
+
+// mapShared maps the first size bytes of fd shared and writable: the sender
+// reads state words the receiver writes, and the receiver may fold into a
+// body it leases.
+func mapShared(fd, size int) ([]byte, error) {
+	mem, err := syscall.Mmap(fd, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, fmt.Errorf("transport: map lane arena: %w", err)
+	}
+	return mem, nil
+}
+
+// iovMax is the most segments one pwritev(2) takes (IOV_MAX).
+const iovMax = 1024
+
+// pwritevAll writes iov's segments back to back at offset off of fd, all of
+// them or an error. The file is shared memory: a write neither blocks nor
+// comes up short unless the kernel has no page to back it.
+func pwritevAll(fd int, iov []syscall.Iovec, off int) error {
+	for len(iov) > 0 {
+		batch := iov[:min(len(iov), iovMax)]
+		want := 0
+		for i := range batch {
+			want += int(batch[i].Len)
+		}
+		n, _, errno := syscall.Syscall6(syscall.SYS_PWRITEV, uintptr(fd),
+			uintptr(unsafe.Pointer(&batch[0])), uintptr(len(batch)), uintptr(off), 0, 0)
+		if errno == syscall.EINTR {
+			continue
+		}
+		if errno != 0 {
+			return fmt.Errorf("transport: write lane body: %w", errno)
+		}
+		if int(n) != want {
+			return fmt.Errorf("transport: write lane body: %d of %d bytes", n, want)
+		}
+		iov, off = iov[len(batch):], off+want
+	}
+	return nil
+}
+
+// recvArena reads the peer's hello and maps the arena descriptor it carries,
+// after checking that the file is what a peer of this build would send: a
+// whole number of pages, no larger than the slot marker can address, and
+// sealed against shrinking — reading a mapped page past a shrunken file's end
+// is a SIGBUS.
+func recvArena(uc *net.UnixConn) (*arena, error) {
+	hello := make([]byte, len(laneHello))
+	oob := make([]byte, syscall.CmsgSpace(4))
+	n, oobn, _, _, err := uc.ReadMsgUnix(hello, oob)
+	if err != nil {
+		return nil, fmt.Errorf("transport: lane hello: %w", err)
+	}
+	// The descriptor rides the hello's first byte; whatever of the rest a
+	// short read left behind follows on the stream.
+	fd, fdErr := helloFD(oob[:oobn])
+	if fdErr == nil {
+		defer syscall.Close(fd)
+	}
+	if _, err := io.ReadFull(uc, hello[n:]); err != nil {
+		return nil, fmt.Errorf("transport: lane hello: %w", err)
+	}
+	if string(hello) != laneHello {
+		return nil, errors.New("transport: peer does not speak this build's lane")
+	}
+	if fdErr != nil {
+		return nil, fdErr
+	}
+	var st syscall.Stat_t
+	if err := syscall.Fstat(fd, &st); err != nil {
+		return nil, fmt.Errorf("transport: stat lane arena: %w", err)
+	}
+	seals, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), fGetSeals, 0)
+	if errno != 0 || seals&fSealShrink == 0 {
+		return nil, errors.New("transport: peer's lane arena is not sealed against shrinking")
+	}
+	if st.Size < 2*lanePage || st.Size > laneArenaBytes || st.Size%lanePage != 0 {
+		return nil, fmt.Errorf("transport: peer's lane arena has an unusable size of %d bytes", st.Size)
+	}
+	mem, err := mapShared(fd, int(st.Size))
+	if err != nil {
+		return nil, err
+	}
+	return newArena(mem, int(st.Size)/lanePage, nil, func() { _ = syscall.Munmap(mem) }), nil
+}
+
+// helloFD extracts the one descriptor a hello's control data must carry,
+// closing any others.
+func helloFD(oob []byte) (int, error) {
+	msgs, err := syscall.ParseSocketControlMessage(oob)
+	if err != nil {
+		return -1, fmt.Errorf("transport: lane hello control data: %w", err)
+	}
+	var fds []int
+	for i := range msgs {
+		got, err := syscall.ParseUnixRights(&msgs[i])
+		if err == nil {
+			fds = append(fds, got...)
+		}
+	}
+	if len(fds) != 1 {
+		for _, fd := range fds {
+			syscall.Close(fd)
+		}
+		return -1, fmt.Errorf("transport: lane hello carries %d descriptors, want 1", len(fds))
+	}
+	return fds[0], nil
+}

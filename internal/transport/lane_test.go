@@ -1,0 +1,123 @@
+package transport
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"testing"
+	"unsafe"
+
+	"dssp/internal/tensor"
+)
+
+// heapArena is an arena of pages pages in ordinary memory, for the parts of
+// the lane that do not care where the bytes live.
+func heapArena(pages int) *arena {
+	mem := make([]byte, pages*lanePage)
+	write := func(off int, vec [][]byte) error {
+		for _, b := range vec {
+			off += copy(mem[off:], b)
+		}
+		return nil
+	}
+	return newArena(mem, pages, write, nil)
+}
+
+// TestArenaAllocatesLowestFirst pins the allocator's two promises: a frame
+// goes into the lowest run of free pages that holds it, so the touched pages
+// stay at the frames in flight, and a full arena answers "no slot" instead of
+// waiting.
+func TestArenaAllocatesLowestFirst(t *testing.T) {
+	a := heapArena(16) // one page of state words, fifteen of data
+	if got := a.dataStart(); got != 1 {
+		t.Fatalf("dataStart is %d, want 1", got)
+	}
+	alloc := a.alloc
+	p1, p2, p3 := alloc(3*lanePage), alloc(lanePage+1), alloc(4*lanePage)
+	if p1 != 1 || p2 != 4 || p3 != 6 {
+		t.Fatalf("three allocations landed at pages %d, %d, %d, want 1, 4, 6", p1, p2, p3)
+	}
+	if alloc(7*lanePage) != 0 {
+		t.Fatal("an allocation larger than what is left found a slot")
+	}
+	a.state(p2).Store(0) // the receiver releases the middle slot
+	if got := alloc(3 * lanePage); got != 10 {
+		t.Fatalf("a 3-page frame landed at page %d, want 10: the 2-page hole is too small", got)
+	}
+	if got := alloc(2 * lanePage); got != p2 {
+		t.Fatalf("a 2-page frame landed at page %d, want the released hole at %d", got, p2)
+	}
+	a.state(p1).Store(0)
+	if got := alloc(lanePage); got != p1 {
+		t.Fatalf("a 1-page frame landed at page %d, want the lowest free page %d", got, p1)
+	}
+	// abandon gives back what was allocated after the mark, and only that.
+	mark := a.seq
+	p := alloc(lanePage)
+	a.abandon(mark)
+	if a.state(p).Load() != 0 || a.state(p1).Load() != 1 {
+		t.Fatal("abandon did not free exactly the slots allocated after the mark")
+	}
+}
+
+// laneFrame builds what crosses the socket for a lane frame: the header of
+// m's frame with page in its reserved bytes, and the body it announces.
+func laneFrame(t testing.TB, m Message, page int) (hdr, body []byte) {
+	frame, err := appendFrame(nil, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr = append([]byte(nil), frame[:headerSize]...)
+	binary.LittleEndian.PutUint16(hdr[6:], uint16(page))
+	return hdr, frame[headerSize:]
+}
+
+// FuzzLaneSlot drives the receive side of the lane with forged slot markers
+// and body lengths over an arena holding one honest frame. Whatever the
+// header says, readFrame returns a message or an error — never a panic — and
+// every byte a decoded message aliases lies inside the arena's data pages.
+func FuzzLaneSlot(f *testing.F) {
+	const pages, page = 32, 4
+	m := Message{Type: MsgPush, Worker: 1, Tensors: ToWireOwned([]*tensor.Tensor{tensor.Full(2, 5000)})}
+	hdr, body := laneFrame(f, m, page)
+	f.Add(uint16(page), uint32(len(body)), true) // the honest frame
+	f.Add(uint16(page), uint32(len(body)-1), true)
+	f.Add(uint16(0), uint32(len(body)), true)        // slot 0 is "inline": the body is not on the stream
+	f.Add(uint16(page), uint32(len(body)), false)    // a slot nobody announced
+	f.Add(uint16(pages-1), uint32(lanePage+1), true) // runs off the end
+	f.Add(uint16(pages), uint32(1), true)
+	f.Add(uint16(65535), uint32(maxFrameBody), true)
+	f.Fuzz(func(t *testing.T, slot uint16, length uint32, inFlight bool) {
+		a := heapArena(pages)
+		copy(a.mem[page*lanePage:], body)
+		if inFlight && int(slot) < pages {
+			a.state(int(slot)).Store(1)
+		}
+		forged := append([]byte(nil), hdr...)
+		binary.LittleEndian.PutUint16(forged[6:], slot)
+		binary.LittleEndian.PutUint32(forged[8:], length)
+		fr := newFrameReader(bufio.NewReader(bytes.NewReader(forged)))
+		fr.arena = a
+		got, err := fr.readFrame()
+		if err != nil {
+			return
+		}
+		base := uintptr(unsafe.Pointer(&a.mem[0]))
+		lo, hi := base+uintptr(a.dataStart()*lanePage), base+uintptr(len(a.mem))
+		for i, w := range got.Tensors {
+			if len(w.Data) == 0 {
+				continue
+			}
+			// A slab the decoder had to copy out (misaligned) is its own
+			// allocation; one that aliases the arena must stay in its data.
+			start := uintptr(unsafe.Pointer(&w.Data[0]))
+			if start >= base && start < hi && (start < lo || start+uintptr(4*len(w.Data)) > hi) {
+				t.Fatalf("tensor %d of a frame at slot %d, length %d lies outside the arena's data pages", i, slot, length)
+			}
+		}
+		got.Release()
+		if slot != 0 && a.state(int(slot)).Load() != 0 {
+			t.Fatalf("releasing the message did not free slot %d", slot)
+		}
+	})
+}

@@ -12,10 +12,11 @@ import (
 	"dssp/internal/tensor"
 )
 
-// leasePair returns two connected binary conns over loopback TCP, the
-// receiving one metered.
-func leasePair(t *testing.T) (send, recv *binaryConn, snapshot func() map[string]float64) {
+// leasePair returns two connected binary conns over loopback — on TCP, or
+// upgraded to the same-host lane — the receiving one metered.
+func leasePair(t *testing.T, lane bool) (send, recv *binaryConn, snapshot func() map[string]float64) {
 	t.Helper()
+	defer SetLaneEnabled(lane)()
 	reg := obs.NewRegistry()
 	l, err := ListenWireMetered("127.0.0.1:0", WireBinary, NewMetrics(reg))
 	if err != nil {
@@ -61,7 +62,7 @@ func (p *bodyPool) snapshot() (buffers, bytes int) {
 // an unreleased body is never handed out again, and the reuse/alloc counters
 // tell the two apart.
 func TestReleaseRecyclesBodyOnce(t *testing.T) {
-	send, recv, snapshot := leasePair(t)
+	send, recv, snapshot := leasePair(t, false)
 	const n = 32 << 10
 	next := func(v float32) Message {
 		t.Helper()
@@ -111,7 +112,7 @@ func TestReleaseRecyclesBodyOnce(t *testing.T) {
 // the byte cap is never retained, and many simultaneously held bodies
 // released together leave the list within both caps.
 func TestReleaseAfterCloseAndFreeListCap(t *testing.T) {
-	send, recv, _ := leasePair(t)
+	send, recv, _ := leasePair(t, false)
 	recvOne := func(n int) Message {
 		t.Helper()
 		errc := make(chan error, 1)
@@ -162,9 +163,15 @@ func TestReleaseAfterCloseAndFreeListCap(t *testing.T) {
 
 // TestReleaseHookSeesBodyBeforeReuse pins the test hook the ps-level
 // poisoning test relies on: the hook runs exactly once per released body,
-// before the buffer can be leased again, from any goroutine.
+// before the buffer can be leased again, from any goroutine — a pooled body on
+// TCP, an arena slot on the lane.
 func TestReleaseHookSeesBodyBeforeReuse(t *testing.T) {
-	send, recv, _ := leasePair(t)
+	t.Run("tcp", func(t *testing.T) { testReleaseHookSeesBodyBeforeReuse(t, false) })
+	t.Run("lane", func(t *testing.T) { testReleaseHookSeesBodyBeforeReuse(t, true) })
+}
+
+func testReleaseHookSeesBodyBeforeReuse(t *testing.T, lane bool) {
+	send, recv, _ := leasePair(t, lane)
 	var mu sync.Mutex
 	calls := 0
 	restore := SetReleaseHook(func(body []byte) {

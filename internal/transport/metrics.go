@@ -22,7 +22,19 @@ type Metrics struct {
 	// body went: a recycled leased buffer or a fresh allocation. Their ratio
 	// is the one source for "receive stopped allocating".
 	bodyReuse, bodyAlloc *obs.Counter
+	// conns counts open socket connections by carrier — the one source for
+	// which carrier a session is on. laneSent and laneRecv count the payload
+	// frames whose body crossed in the shared arena, laneInline those that
+	// qualified but found no free slot and went on the socket.
+	conns                          obs.GaugeVec
+	laneSent, laneRecv, laneInline *obs.Counter
 }
+
+// The carriers of a socket connection, as dssp_transport_conns labels them.
+const (
+	carrierTCP  = "tcp"
+	carrierLane = "lane"
+)
 
 // NewMetrics registers the transport metric families on reg and returns a
 // meter. Per-type series are pre-created for every protocol message type
@@ -32,7 +44,15 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		"Transport frames by direction and message type.", "dir", "type")
 	bytes := reg.CounterVec("dssp_transport_bytes_total",
 		"Transport payload bytes by direction and message type.", "dir", "type")
+	laneFrames := reg.CounterVec("dssp_transport_lane_frames_total",
+		"Payload frames whose body crossed in the lane's shared arena, by direction.", "dir")
 	m := &Metrics{
+		conns: reg.GaugeVec("dssp_transport_conns",
+			"Open socket connections by carrier: tcp, or the same-host shared-memory lane.", "carrier"),
+		laneSent: laneFrames.With("sent"),
+		laneRecv: laneFrames.With("recv"),
+		laneInline: reg.Counter("dssp_transport_lane_inline_total",
+			"Payload frames sent inline on a lane connection because the arena had no free slot to take them."),
 		batch: reg.Histogram("dssp_transport_batch_size",
 			"Messages coalesced per batched send.", obs.SizeBuckets),
 		bodyReuse: reg.Counter("dssp_transport_recv_body_reuse_total",
@@ -46,6 +66,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		m.sentBytes[t] = bytes.With("sent", t.String())
 		m.recvBytes[t] = bytes.With("recv", t.String())
 	}
+	m.conns.With(carrierTCP)
+	m.conns.With(carrierLane)
 	m.otherSent = frames.With("sent", "Other")
 	m.otherRecv = frames.With("recv", "Other")
 	return m
@@ -89,6 +111,35 @@ func (m *Metrics) recvBody(where int) {
 		m.bodyReuse.Inc()
 	case bodyAlloc:
 		m.bodyAlloc.Inc()
+	case bodyLane:
+		m.laneRecv.Inc()
+	}
+}
+
+// laneSentFrame records one frame whose body left through the arena, and
+// laneInlined one that qualified but found the arena full.
+func (m *Metrics) laneSentFrame() {
+	if m != nil {
+		m.laneSent.Inc()
+	}
+}
+
+func (m *Metrics) laneInlined() {
+	if m != nil {
+		m.laneInline.Inc()
+	}
+}
+
+// connOpened and connClosed track the open connections on carrier.
+func (m *Metrics) connOpened(carrier string) {
+	if m != nil {
+		m.conns.With(carrier).Add(1)
+	}
+}
+
+func (m *Metrics) connClosed(carrier string) {
+	if m != nil {
+		m.conns.With(carrier).Add(-1)
 	}
 }
 

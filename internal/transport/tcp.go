@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"sync"
 )
 
 // WireFormat names the TCP encoding. There is one — the binary frame
@@ -27,10 +28,20 @@ func ParseWireFormat(s string) (WireFormat, error) {
 	return "", fmt.Errorf("transport: unknown wire format %q (want %q)", s, WireBinary)
 }
 
-// tcpListener adapts a net.Listener to the Listener interface.
+// tcpListener is a TCP listener and, where the platform has one, its
+// same-host twin: an abstract unix socket named from the bound address, on
+// which loopback dialers upgrade themselves to the payload lane (lane.go).
+// Both feed one Accept.
 type tcpListener struct {
 	l     net.Listener
+	lane  net.Listener // nil when there is no lane to offer
 	meter *Metrics
+
+	conns chan Conn
+	errs  chan error
+	done  chan struct{}
+	once  sync.Once
+	wg    sync.WaitGroup
 }
 
 // Listen starts a TCP listener on addr (e.g. ":7070" or "127.0.0.1:0").
@@ -53,27 +64,100 @@ func ListenWireMetered(addr string, wire WireFormat, meter *Metrics) (Listener, 
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return &tcpListener{l: l, meter: meter}, nil
+	t := &tcpListener{
+		l:     l,
+		lane:  listenLane(l.Addr()),
+		meter: meter,
+		conns: make(chan Conn),
+		errs:  make(chan error, 1), // the TCP accept loop's one, final error
+		done:  make(chan struct{}),
+	}
+	t.wg.Add(1)
+	go t.acceptTCP()
+	if t.lane != nil {
+		t.wg.Add(1)
+		go t.acceptLane()
+	}
+	return t, nil
+}
+
+// acceptTCP hands every TCP connection to Accept until the listener fails or
+// closes; that error ends Accept too.
+func (t *tcpListener) acceptTCP() {
+	defer t.wg.Done()
+	for {
+		c, err := t.l.Accept()
+		if err != nil {
+			t.errs <- fmt.Errorf("transport: accept: %w", err)
+			return
+		}
+		t.deliver(newBinaryConn(c, true).metered(t.meter))
+	}
+}
+
+// acceptLane upgrades every connection to the abstract socket, each on its
+// own goroutine so that a peer stalling the handshake holds up nobody else.
+// One that fails the handshake is dropped; its dialer falls back to TCP.
+func (t *tcpListener) acceptLane() {
+	defer t.wg.Done()
+	for {
+		c, err := t.lane.Accept()
+		if err != nil {
+			return
+		}
+		t.wg.Add(1)
+		go func() {
+			defer t.wg.Done()
+			if conn := upgradeLane(c, true, t.meter); conn != nil {
+				t.deliver(conn)
+			}
+		}()
+	}
+}
+
+// deliver hands conn to the next Accept, or closes it when the listener
+// closed first.
+func (t *tcpListener) deliver(conn Conn) {
+	select {
+	case t.conns <- conn:
+	case <-t.done:
+		conn.Close()
+	}
 }
 
 // Accept implements Listener.
 func (t *tcpListener) Accept() (Conn, error) {
-	c, err := t.l.Accept()
-	if err != nil {
-		return nil, fmt.Errorf("transport: accept: %w", err)
+	select {
+	case conn := <-t.conns:
+		return conn, nil
+	case err := <-t.errs:
+		t.errs <- err // the loop is over: every later Accept fails the same way
+		return nil, err
+	case <-t.done:
+		return nil, fmt.Errorf("transport: accept: %w", net.ErrClosed)
 	}
-	conn := newBinaryConn(c, true)
-	conn.meter = t.meter
-	return conn, nil
 }
 
-// Close implements Listener.
-func (t *tcpListener) Close() error { return t.l.Close() }
+// Close implements Listener. It returns once both accept loops have ended,
+// which frees the abstract name for a restart on the same port.
+func (t *tcpListener) Close() error {
+	var err error
+	t.once.Do(func() {
+		close(t.done)
+		err = t.l.Close()
+		if t.lane != nil {
+			t.lane.Close()
+		}
+		t.wg.Wait()
+	})
+	return err
+}
 
 // Addr implements Listener.
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
-// Dial connects to a parameter server listening on addr over TCP.
+// Dial connects to a parameter server listening on addr: over TCP, or, when
+// addr is this host and the server offers it, over the same-host lane.
 func Dial(addr string) (Conn, error) {
 	return DialWireMetered(addr, WireBinary, nil)
 }
@@ -89,11 +173,14 @@ func DialWireMetered(addr string, wire WireFormat, meter *Metrics) (Conn, error)
 	if _, err := ParseWireFormat(string(wire)); err != nil {
 		return nil, err
 	}
+	if !laneOff.Load() {
+		if conn := dialLane(addr, meter); conn != nil {
+			return conn, nil
+		}
+	}
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	conn := newBinaryConn(c, false)
-	conn.meter = meter
-	return conn, nil
+	return newBinaryConn(c, false).metered(meter), nil
 }

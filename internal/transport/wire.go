@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -596,13 +597,17 @@ func (p *bodyPool) close() {
 	p.mu.Unlock()
 }
 
-// bodyLease ties a decoded message to the pooled buffer its payload aliases.
-// Copies of the message share it, so whichever copy releases first wins and
-// the rest are no-ops.
+// bodyLease ties a decoded message to the buffer its payload aliases: a
+// pooled heap buffer, or on a lane connection the arena slot the frame
+// arrived in (lane.go). Copies of the message share it, so whichever copy
+// releases first wins and the rest are no-ops.
 type bodyLease struct {
 	pool *bodyPool
 	buf  []byte
-	done atomic.Bool
+	// arena and page replace pool when buf is a lane slot.
+	arena *arena
+	page  int
+	done  atomic.Bool
 }
 
 // releaseHook, when set, sees every leased body at the moment it is
@@ -625,7 +630,19 @@ func (l *bodyLease) release() {
 	if h := releaseHook.Load(); h != nil && *h != nil {
 		(*h)(l.buf)
 	}
-	l.pool.put(l.buf)
+	l.giveBack()
+}
+
+// giveBack returns the buffer to where it came from: the connection's free
+// list, or — one atomic store in the arena header — the sending peer.
+func (l *bodyLease) giveBack() {
+	if l.arena == nil {
+		l.pool.put(l.buf)
+		return
+	}
+	runtime.SetFinalizer(l, nil)
+	l.arena.state(l.page).Store(0)
+	l.arena.drop()
 }
 
 // How readFrame obtained the last frame's body, for the receive-side reuse
@@ -634,6 +651,7 @@ const (
 	bodyScratch = iota // control message decoded in the shared scratch
 	bodyReused         // payload frame read into a recycled leased buffer
 	bodyAlloc          // payload frame read into a fresh allocation
+	bodyLane           // payload frame parsed in place in a lane slot
 )
 
 // frameReader holds the per-connection decode state reused across messages.
@@ -644,6 +662,9 @@ type frameReader struct {
 	// pool recycles the buffers of payload frames once their messages
 	// release them.
 	pool *bodyPool
+	// arena is the inbound half of a lane connection, where frames whose
+	// header names a slot have their body; nil on TCP.
+	arena *arena
 	// frames counts successfully started reads, distinguishing the very
 	// first frame (where a mismatch means a misconfigured peer, not
 	// corruption) from mid-stream failures.
@@ -683,7 +704,8 @@ func (fr *frameReader) readFrame() (Message, error) {
 	if typ == 0 {
 		return Message{}, fmt.Errorf("transport: frame carries message type 0")
 	}
-	if hdr[6] != 0 || hdr[7] != 0 {
+	slot := int(binary.LittleEndian.Uint16(hdr[6:]))
+	if slot != 0 && fr.arena == nil {
 		return Message{}, fmt.Errorf("transport: reserved header bytes % x are not zero", hdr[6:8])
 	}
 	// Validate as uint32 before converting: on a 32-bit platform a length
@@ -694,6 +716,9 @@ func (fr *frameReader) readFrame() (Message, error) {
 	}
 	bodyLen := int(declared)
 	fr.lastSize = headerSize + bodyLen
+	if slot != 0 {
+		return fr.readSlot(typ, version, slot, bodyLen)
+	}
 
 	if bodyLen <= smallBodyMax {
 		body, err := readBody(fr.br, fr.scratch[:0], bodyLen)
@@ -1015,6 +1040,10 @@ func parseTensorSection(body []byte, off int) ([]WireTensor, int, error) {
 		return nil, off, fmt.Errorf("tensor count %d cannot fit in %d remaining bytes", count, len(body)-off)
 	}
 	ts := make([]WireTensor, count)
+	// dims backs the shapes: one allocation sized for the section at the
+	// first tensor's rank (capped, so a forged count buys little), another
+	// only when the tensors that follow outgrow it.
+	var dims []int
 	for i := range ts {
 		if off >= len(body) {
 			return nil, off, errTruncatedField
@@ -1027,7 +1056,11 @@ func parseTensorSection(body []byte, off int) ([]WireTensor, int, error) {
 		if off+4*ndims+4 > len(body) {
 			return nil, off, errTruncatedField
 		}
-		shape := make([]int, ndims)
+		if len(dims) < ndims {
+			dims = make([]int, min(max(ndims, 2)*(count-i), 1024))
+		}
+		shape := dims[:ndims:ndims]
+		dims = dims[ndims:]
 		n := 1
 		for d := range shape {
 			dim := int(binary.LittleEndian.Uint32(body[off:]))
@@ -1130,7 +1163,8 @@ func parseServersSection(body []byte, off int) ([]ServerEntry, int, error) {
 
 // --- The binary Conn --------------------------------------------------------
 
-// binaryConn is a Conn over a TCP socket speaking the versioned binary frame
+// binaryConn is a Conn over a TCP socket — or, between same-host peers, the
+// lane's unix socket (lane.go) — speaking the versioned binary frame
 // protocol. Send assembles headers, tags and small slabs into a reusable
 // buffer and writes the frame with a single syscall, gathering large payload
 // slabs straight from the memory they live in (writev); Recv reuses a small
@@ -1148,6 +1182,9 @@ type binaryConn struct {
 	// meter, when non-nil, counts frames and exact on-wire bytes per
 	// message type and direction.
 	meter *Metrics
+	// carrier is what the connection runs over, carrierTCP or carrierLane.
+	carrier   string
+	closeOnce sync.Once
 
 	// encBuf holds a send's inline bytes and refs the slabs going out by
 	// reference; vec is the reused backing array of the gather list built
@@ -1159,6 +1196,9 @@ type binaryConn struct {
 	vec    [][]byte
 	bufs   net.Buffers
 	sizes  []int
+	// laneOut is the outbound half of a lane connection, where Send puts
+	// payload bodies instead of on the socket (divert); nil on TCP.
+	laneOut *arena
 
 	decMu sync.Mutex
 	fr    *frameReader
@@ -1188,14 +1228,24 @@ func retainEncBuf(buf []byte) []byte {
 	return buf[:0]
 }
 
-// newBinaryConn wraps an established socket.
+// newBinaryConn wraps an established socket, TCP until the lane's handshake
+// says otherwise.
 func newBinaryConn(c net.Conn, server bool) *binaryConn {
 	return &binaryConn{
-		conn:   c,
-		server: server,
-		refs:   frameRefs{min: refSlabMin},
-		fr:     newFrameReader(bufio.NewReaderSize(c, binaryReadBuffer)),
+		conn:    c,
+		server:  server,
+		carrier: carrierTCP,
+		refs:    frameRefs{min: refSlabMin},
+		fr:      newFrameReader(bufio.NewReaderSize(c, binaryReadBuffer)),
 	}
+}
+
+// metered attaches the listener's or dialer's meter (nil disables) and counts
+// the connection open on its carrier.
+func (c *binaryConn) metered(meter *Metrics) *binaryConn {
+	c.meter = meter
+	meter.connOpened(c.carrier)
+	return c
 }
 
 // Send implements Conn. The frame's inline bytes are assembled in a reusable
@@ -1211,7 +1261,7 @@ func (c *binaryConn) Send(m Message) error {
 		return fmt.Errorf("transport: send %v: %w", m.Type, err)
 	}
 	size := len(buf) + c.refs.bytes
-	if err := c.writeLocked(buf); err != nil {
+	if err := c.writeLocked(c.divert(buf, 0, 0)); err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Type, err)
 	}
 	c.meter.Sent(m.Type, size)
@@ -1230,14 +1280,18 @@ func (c *binaryConn) SendBatch(ms []Message) error {
 	defer c.encMu.Unlock()
 	buf := c.encBuf[:0]
 	c.sizes = c.sizes[:0]
+	laneMark := c.laneOut.mark()
 	var err error
 	for i := range ms {
-		before := len(buf) + c.refs.bytes
+		start, refCount := len(buf), len(c.refs.list)
+		before := start + c.refs.bytes
 		if buf, err = appendFrameRefs(buf, &ms[i], &c.refs); err != nil {
 			c.refs.truncate(0)
+			c.laneOut.abandon(laneMark)
 			return fmt.Errorf("transport: send %v: %w", ms[i].Type, err)
 		}
 		c.sizes = append(c.sizes, len(buf)+c.refs.bytes-before)
+		buf = c.divert(buf, start, refCount)
 	}
 	if err := c.writeLocked(buf); err != nil {
 		return fmt.Errorf("transport: send batch of %d: %w", len(ms), err)
@@ -1262,18 +1316,7 @@ func (c *binaryConn) writeLocked(buf []byte) error {
 		_, err := c.conn.Write(buf)
 		return err
 	}
-	vec := c.vec[:0]
-	prev := 0
-	for _, r := range c.refs.list {
-		if r.off > prev {
-			vec = append(vec, buf[prev:r.off])
-		}
-		vec = append(vec, r.data)
-		prev = r.off
-	}
-	if prev < len(buf) {
-		vec = append(vec, buf[prev:])
-	}
+	vec := gather(c.vec[:0], buf, 0, c.refs.list)
 	// WriteTo consumes c.bufs (a view of vec); vec keeps the backing array
 	// for the next send, its entries cleared so it pins no payload.
 	c.bufs = vec
@@ -1282,6 +1325,22 @@ func (c *binaryConn) writeLocked(buf []byte) error {
 	c.vec, c.bufs = vec[:0], nil
 	c.refs.truncate(0)
 	return err
+}
+
+// gather appends to vec, in wire order, the pieces of buf from offset from on
+// and the slabs refs splices between them.
+func gather(vec [][]byte, buf []byte, from int, refs []slabRef) [][]byte {
+	for _, r := range refs {
+		if r.off > from {
+			vec = append(vec, buf[from:r.off])
+		}
+		vec = append(vec, r.data)
+		from = r.off
+	}
+	if from < len(buf) {
+		vec = append(vec, buf[from:])
+	}
+	return vec
 }
 
 // Recv implements Conn.
@@ -1314,10 +1373,17 @@ func (c *binaryConn) Recv() (Message, error) {
 }
 
 // Close implements Conn. Body buffers released after it are dropped rather
-// than pooled.
+// than pooled; a lane slot still leased stays readable until its release.
 func (c *binaryConn) Close() error {
 	c.fr.pool.close()
-	return c.conn.Close()
+	err := c.conn.Close()
+	c.closeOnce.Do(func() {
+		c.meter.connClosed(c.carrier)
+		if c.carrier == carrierLane {
+			c.closeLane()
+		}
+	})
+	return err
 }
 
 // SerializesOnSend marks the binary transport as a SerializingSender: Send

@@ -69,7 +69,9 @@ func BenchmarkWireRoundTripTCP(b *testing.B) {
 				}
 			}
 		}()
+		restore := SetLaneEnabled(false)
 		conn, err := Dial(l.Addr())
+		restore()
 		if err != nil {
 			b.Fatal(err)
 		}

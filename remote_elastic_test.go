@@ -10,6 +10,7 @@ import (
 
 	"dssp"
 	"dssp/internal/cluster/clustertest"
+	"dssp/internal/transport"
 )
 
 // elasticServerConfig is a tiny DSSP cluster over real TCP.
@@ -51,7 +52,22 @@ func elasticWorkerConfig(addr string, id, workers int) dssp.WorkerConfig {
 // restarted (rejoining mid-run), and the server itself is killed and
 // brought back from its checkpoint while the surviving workers ride through
 // on their reconnect loops.
+//
+// It runs with the workers' loopback dials held on TCP, the cross-host
+// carrier, and again with them upgrading to the same-host lane, where the
+// restarted server must bind the abstract name its predecessor just left.
 func TestTCPWorkerCrashRejoinAndServerRestart(t *testing.T) {
+	t.Run("tcp", func(t *testing.T) {
+		t.Cleanup(transport.SetLaneEnabled(false))
+		testWorkerCrashRejoinAndServerRestart(t)
+	})
+	t.Run("lane", func(t *testing.T) {
+		t.Cleanup(transport.SetLaneEnabled(true))
+		testWorkerCrashRejoinAndServerRestart(t)
+	})
+}
+
+func testWorkerCrashRejoinAndServerRestart(t *testing.T) {
 	const workers = 2
 	addr := clustertest.FreePort(t)
 	ckptDir := t.TempDir()

@@ -36,16 +36,20 @@ lease-stress:
 	$(GO) test -race -count=10 -run 'TestLane|TestLoopbackDialUpgradesToLane|TestReleaseHookSeesBodyBeforeReuse|TestForeignPeersStayOnTCP|TestListenerCloseFreesLaneName' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestTCPWorkerCrashRejoinAndServerRestart' .
 
-# The portable kernel path (internal/tensor's Go loops, bound where there is
-# no AVX2+FMA) on every run, not only on machines without AVX2: the purego tag
-# tests it here, and an arm64 cross-build compiles and vets what a non-amd64
-# target gets. purego is for this step, not a tuning knob. The darwin build
+# The portable kernel paths (the Go loops of internal/tensor, bound where there
+# is no AVX2+FMA, and of internal/compress, bound where there is no F16C+AVX2)
+# on every run, not only on machines without those: the purego tag tests them
+# here — the codec kernels against the same bit-for-bit reference and the same
+# end-to-end hash (internal/ps) the assembly is held to — and an arm64
+# cross-build compiles and vets what a non-amd64 target gets. purego is for
+# this step, not a tuning knob. The darwin build
 # compiles the stub every non-Linux target gets in place of the same-host
 # lane (internal/transport/lane_other.go), so it cannot rot.
 portable:
-	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/
+	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/compress/
+	$(GO) test -tags purego -run 'TestCodecKernelsEndToEndPin' ./internal/ps/
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor/
+	GOARCH=arm64 $(GO) vet ./internal/cpu/ ./internal/tensor/ ./internal/compress/
 	GOOS=darwin $(GO) build ./...
 	GOOS=darwin $(GO) vet ./internal/transport/
 
@@ -81,11 +85,18 @@ bench-json:
 # BenchmarkLaneDensePushPull1MB is the same round trip as same-host peers get
 # it (bodies through the shared arena): a payload falling back onto the
 # socket, or a second copy, costs it as much.
-# BenchmarkMatMul128 runs as BenchmarkMatMul128/kernel=avx2 or /kernel=go,
-# whichever kernel the machine binds; the baseline holds both (bench-baseline
-# appends a -tags purego run) and the pin, a prefix, gates the one produced.
-BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkMatMul128|BenchmarkFusedStepMomentumBatch4|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|BenchmarkCompress/fp16/scale=1e-05|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB
-BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkFusedStepMomentumBatch4,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB
+# BenchmarkPackPullPath/fp16 and BenchmarkDecompress/fp16 are the other three
+# codec passes of a compressed iteration (server pack, and the decode both ends
+# run), at all three magnitudes.
+# BenchmarkMatMul128 runs as BenchmarkMatMul128/kernel=avx2 or /kernel=go, and
+# the three codec pins as .../kernel=f16c or /kernel=go, whichever kernel the
+# machine binds; the baseline holds both (bench-baseline appends a -tags purego
+# run) and the pin, a prefix, gates the one produced.
+# The pins whose names carry the kernel binding: bench-baseline measures these
+# a second time under -tags purego.
+BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
+BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkFusedStepMomentumBatch4|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB
+BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkFusedStepMomentumBatch4,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB
 BENCH_GATE_TIME = 1s
 # Packages holding the pinned benchmarks: the store pipeline, the raw
 # compute kernels (blocked matmul, fused optimizer step) it is built on, and
@@ -99,12 +110,12 @@ BENCH_GATE_PKGS = ./internal/ps/ ./internal/tensor/ ./internal/optimizer/ ./inte
 # gate benchmarks are then re-measured at the gate's own benchtime and
 # appended — benchjson keeps the last entry per name, so the gated numbers
 # in the baseline are like-for-like with what bench-gate measures. The last
-# run records BenchmarkMatMul128 under the Go loops as well (kernel=go), so
-# the gate has a like-for-like number on a runner without AVX2.
+# run records the kernel-named pins under the Go loops as well (kernel=go), so
+# the gate has a like-for-like number on a runner without AVX2 or F16C.
 bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchtime=10x -benchmem ./... > bench-baseline.txt
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_PKGS) >> bench-baseline.txt
-	$(GO) test -tags purego -run '^$$' -bench 'BenchmarkMatMul128' -benchtime=$(BENCH_GATE_TIME) ./internal/tensor/ >> bench-baseline.txt
+	$(GO) test -tags purego -run '^$$' -bench '$(BENCH_GATE_KERNEL_PATTERN)' -benchtime=$(BENCH_GATE_TIME) ./internal/tensor/ ./internal/compress/ >> bench-baseline.txt
 	$(GO) run ./cmd/benchjson -in bench-baseline.txt -out BENCH_baseline.json
 
 # Pinned-benchmark regression gate: re-measure the allowlisted macro

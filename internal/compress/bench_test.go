@@ -30,11 +30,20 @@ var benchScales = []float64{0.1, 1e-5, 1e-7}
 
 // benchName is the sub-benchmark name of a codec at a magnitude. The 0.1
 // case keeps the bare codec name it has always had in the BENCH_*.json record.
+// The value codecs name the kernel binding they ran on, as BenchmarkMatMul128
+// does: the assembly is 5-25x the Go loops, so a baseline recorded with F16C
+// would fail the bench gate on a runner without it. BENCH_baseline.json holds
+// an entry for each (make bench-baseline appends a -tags purego run) and the
+// gate compares whichever this machine produces.
 func benchName(cfg Config, scale float64) string {
-	if scale == 0.1 {
-		return cfg.String()
+	name := cfg.String()
+	if scale != 0.1 {
+		name = fmt.Sprintf("%s/scale=%g", cfg, scale)
 	}
-	return fmt.Sprintf("%s/scale=%g", cfg, scale)
+	if cfg.Codec == FP16 || cfg.Codec == Int8 {
+		name += "/kernel=" + Kernel()
+	}
+	return name
 }
 
 // reportPerValue adds ns/value (and allocs/op, whatever -benchmem says) to a

@@ -5,12 +5,35 @@ import (
 	"sync"
 )
 
-// Slice-at-a-time kernels of the value codecs (fp16, int8). Every loop below
-// costs the same whatever the magnitudes it is fed: a converged model pushes
-// gradients of 1e-5 to 1e-7, which is the fp16 subnormal range, and a
-// converter that branches or loops there is slower than the bytes it saves.
-// The loops are unrolled four wide over re-sliced windows, so the bounds
-// checks are paid once per window rather than once per value.
+// Slice-at-a-time kernels of the value codecs (fp16, int8), behind one seam:
+// the eight function values below. They are bound to F16C/AVX2 assembly
+// (kernels_amd64.s) on CPUs that have it, once, at package init; the Go loops
+// in this file are the portable binding (-tags purego, other architectures,
+// older CPUs) and the reference the assembly is held to, bit for bit, on
+// payload bytes and residuals alike (kernels_test.go). kernel names the
+// binding that is live — "f16c" for the assembly, "go" for the loops below —
+// for the benchmark names and /metrics.
+var (
+	encodeF16         = encodeF16Go
+	encodeF16Feedback = encodeF16FeedbackGo
+	decodeF16         = decodeF16Go
+	maxAbs            = maxAbsGo
+	addMaxAbs         = addMaxAbsGo
+	encodeQ8          = encodeQ8Go
+	encodeQ8Feedback  = encodeQ8FeedbackGo
+	decodeQ8          = decodeQ8Go
+	kernel            = "go"
+)
+
+// Kernel names the binding of the slice kernels: "f16c" or "go".
+func Kernel() string { return kernel }
+
+// Every Go loop below costs the same whatever the magnitudes it is fed: a
+// converged model pushes gradients of 1e-5 to 1e-7, which is the fp16
+// subnormal range, and a converter that branches or loops there is slower
+// than the bytes it saves. The loops are unrolled four wide over re-sliced
+// windows, so the bounds checks are paid once per window rather than once per
+// value.
 
 // halfTable returns the half→float table: one float32 per 16-bit pattern
 // (256 KB), built on first use so programs that never speak fp16 never touch
@@ -79,11 +102,11 @@ func floatToHalf(b uint32) uint32 {
 	return halfFinite(b&^absMask | min(u, halfOverflowBits))
 }
 
-// encodeF16 writes src as little-endian halfs into dst (2 bytes per value).
+// encodeF16Go writes src as little-endian halfs into dst (2 bytes per value).
 // Each window of four goes through halfFinite; one comparison per window
 // sends a window holding an overflow, an Inf or a NaN — which finite gradients
 // and weights never do — through floatToHalf instead.
-func encodeF16(dst []byte, src []float32) {
+func encodeF16Go(dst []byte, src []float32) {
 	dst = dst[:2*len(src)]
 	for len(src) >= 4 {
 		s, d := src[:4:4], dst[:8:8]
@@ -109,14 +132,14 @@ func encodeF16(dst []byte, src []float32) {
 // payload, which stay in the L1 cache from the first sweep to the last.
 const feedbackBlock = 2048
 
-// encodeF16Feedback is the fused error-feedback pass of the fp16 codec: per
+// encodeF16FeedbackGo is the fused error-feedback pass of the fp16 codec: per
 // element r += g, the sum is encoded into dst, and r keeps what the encoding
 // lost (r −= decoded). Memory is streamed once — every cache line of r, g and
 // dst is touched in one block — but the block is swept three times rather
 // than converted and looked up in one loop body: a table load hanging off the
 // end of the conversion's dependency chain exposes every L1 miss (5.3 ns per
 // value on mixed magnitudes against 3.1 ns at any magnitude this way).
-func encodeF16Feedback(dst []byte, r, g []float32) {
+func encodeF16FeedbackGo(dst []byte, r, g []float32) {
 	tab := halfTable()
 	g, dst = g[:len(r)], dst[:2*len(r)]
 	for len(r) > 0 {
@@ -125,7 +148,7 @@ func encodeF16Feedback(dst []byte, r, g []float32) {
 		for i := range rb {
 			rb[i] += gb[i]
 		}
-		encodeF16(db, rb)
+		encodeF16Go(db, rb)
 		for len(rb) >= 4 {
 			d, s := rb[:4:4], db[:8:8]
 			d[0] -= tab[uint16(s[0])|uint16(s[1])<<8]
@@ -141,8 +164,8 @@ func encodeF16Feedback(dst []byte, r, g []float32) {
 	}
 }
 
-// decodeF16 expands little-endian halfs from src into dst (exact).
-func decodeF16(dst []float32, src []byte) {
+// decodeF16Go expands little-endian halfs from src into dst (exact).
+func decodeF16Go(dst []float32, src []byte) {
 	tab := halfTable()
 	src = src[:2*len(dst)]
 	for len(dst) >= 4 {
@@ -158,8 +181,8 @@ func decodeF16(dst []float32, src []byte) {
 	}
 }
 
-// maxAbs returns the largest magnitude in data; NaN entries never win.
-func maxAbs(data []float32) float32 {
+// maxAbsGo returns the largest magnitude in data; NaN entries never win.
+func maxAbsGo(data []float32) float32 {
 	var m float32
 	for _, v := range data {
 		if a := math.Float32frombits(math.Float32bits(v) & 0x7fffffff); a > m {
@@ -169,9 +192,9 @@ func maxAbs(data []float32) float32 {
 	return m
 }
 
-// addMaxAbs is the first fused pass of the int8 error-feedback encode:
+// addMaxAbsGo is the first fused pass of the int8 error-feedback encode:
 // r += g, returning the largest magnitude of the sum.
-func addMaxAbs(r, g []float32) float32 {
+func addMaxAbsGo(r, g []float32) float32 {
 	g = g[:len(r)]
 	var m float32
 	for i := range r {
@@ -200,8 +223,8 @@ func quantize(v, scale float32) int32 {
 	return max(-127, min(127, q))
 }
 
-// encodeQ8 writes round(src/scale) as two's-complement bytes into dst.
-func encodeQ8(dst []byte, src []float32, scale float32) {
+// encodeQ8Go writes round(src/scale) as two's-complement bytes into dst.
+func encodeQ8Go(dst []byte, src []float32, scale float32) {
 	dst = dst[:len(src)]
 	for len(src) >= 4 {
 		s, d := src[:4:4], dst[:4:4]
@@ -216,9 +239,9 @@ func encodeQ8(dst []byte, src []float32, scale float32) {
 	}
 }
 
-// encodeQ8Feedback is the second fused pass of the int8 error-feedback
+// encodeQ8FeedbackGo is the second fused pass of the int8 error-feedback
 // encode: r is quantized into dst and keeps the quantization error.
-func encodeQ8Feedback(dst []byte, r []float32, scale float32) {
+func encodeQ8FeedbackGo(dst []byte, r []float32, scale float32) {
 	dst = dst[:len(r)]
 	for len(r) >= 4 {
 		rs, d := r[:4:4], dst[:4:4]
@@ -237,8 +260,8 @@ func encodeQ8Feedback(dst []byte, r []float32, scale float32) {
 	}
 }
 
-// decodeQ8 expands two's-complement bytes from src into dst, times scale.
-func decodeQ8(dst []float32, src []byte, scale float32) {
+// decodeQ8Go expands two's-complement bytes from src into dst, times scale.
+func decodeQ8Go(dst []float32, src []byte, scale float32) {
 	src = src[:len(dst)]
 	for len(dst) >= 4 {
 		d, s := dst[:4:4], src[:4:4]

@@ -108,28 +108,51 @@ func (sh *shard) viewVersioned() ([]*tensor.Tensor, int64) {
 	return g.params, v
 }
 
-// retiredGens bounds the applier's reuse pool. Two is the steady-state need:
-// with generation n current, generation n-1 may still be read by pulls that
+// retiredGens bounds a reuse pool. Two is the steady-state need: with
+// generation n current, generation n-1 may still be read by pulls that
 // grabbed it just before publication, and generation n-2 is the one whose
 // readers have drained — the reuse candidate. Anything older is either
 // escaped or pinned by an unusually slow reader; dropping it to the garbage
 // collector costs one allocation later but keeps the pool scan O(1).
 const retiredGens = 2
 
+// retirePool is the owner-side pool of superseded generations awaiting reuse:
+// the paramGens a shard's applier published (only the applier touches the
+// pool) and the packedGens of its compressed-pull cache (under packedMu).
+type retirePool[G interface{ quiescent() bool }] []G
+
+// take removes and returns a retired generation whose buffers are provably
+// quiescent; ok is false when none is.
+func (p *retirePool[G]) take() (g G, ok bool) {
+	for i, g := range *p {
+		if g.quiescent() {
+			*p = append((*p)[:i], (*p)[i+1:]...)
+			return g, true
+		}
+	}
+	return g, false
+}
+
+// retire adds a generation that was just superseded, evicting the oldest
+// entry beyond the cap.
+func (p *retirePool[G]) retire(g G) {
+	*p = append(*p, g)
+	if len(*p) > retiredGens {
+		*p = append((*p)[:0], (*p)[1:]...)
+	}
+}
+
 // takeGen returns the destination generation for the next publication:
 // a retired generation whose buffers are provably quiescent when one exists,
 // otherwise freshly allocated buffers shaped like the current parameters.
 // Only the shard's applier calls it (single goroutine), under sh.mu.
 func (sh *shard) takeGen(m *storeMetrics) *paramGen {
-	for i, g := range sh.retired {
-		if g.quiescent() {
-			sh.retired = append(sh.retired[:i], sh.retired[i+1:]...)
-			sh.reuses.Add(1)
-			if m != nil {
-				m.cloneReuse.Inc()
-			}
-			return g
+	if g, ok := sh.retired.take(); ok {
+		sh.reuses.Add(1)
+		if m != nil {
+			m.cloneReuse.Inc()
 		}
+		return g
 	}
 	params := make([]*tensor.Tensor, len(sh.gen.params))
 	for i, p := range sh.gen.params {
@@ -140,16 +163,6 @@ func (sh *shard) takeGen(m *storeMetrics) *paramGen {
 		m.cloneAlloc.Inc()
 	}
 	return &paramGen{params: params}
-}
-
-// retireGen moves the superseded generation into the reuse pool, evicting
-// the oldest entry beyond the cap. Called by the applier right after
-// publishing its successor.
-func (sh *shard) retireGen(g *paramGen) {
-	sh.retired = append(sh.retired, g)
-	if len(sh.retired) > retiredGens {
-		sh.retired = append(sh.retired[:0], sh.retired[1:]...)
-	}
 }
 
 // CloneStats returns how many copy-on-write publications recycled a retired

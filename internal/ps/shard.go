@@ -35,7 +35,7 @@ type shard struct {
 	// retired is the applier-owned pool of superseded generations awaiting
 	// reuse (paramgen.go); reuses/allocs count publication buffer fates and
 	// back Store.CloneStats.
-	retired []*paramGen
+	retired retirePool[*paramGen]
 	reuses  atomic.Int64
 	allocs  atomic.Int64
 
@@ -78,7 +78,7 @@ type shard struct {
 	// cache fill never blocks gradient application or uncompressed readers.
 	packedMu      sync.Mutex
 	packed        *packedGen
-	packedRetired []*packedGen
+	packedRetired retirePool[*packedGen]
 }
 
 // enqueue appends one push's gradient slice to the shard's apply queue with
@@ -199,7 +199,7 @@ func (sh *shard) applyBatch(batch [][]*tensor.Tensor, weights []int64, m *storeM
 	sh.gen = next
 	sh.version += total
 	sh.mu.Unlock()
-	sh.retireGen(cur)
+	sh.retired.retire(cur)
 	// Every push spans every shard, so this shard's applied counter walks
 	// the same ticket sequence the store hands out (the checkpoint restore
 	// path re-bases it); the batch covered tickets (to-total, to].

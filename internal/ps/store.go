@@ -668,20 +668,13 @@ func (sh *shard) packedDelta(have int64, bounded bool, pack func(dst []compress.
 	sh.packedMu.Lock()
 	defer sh.packedMu.Unlock()
 	if sh.packed == nil || sh.packed.version < local {
-		next := &packedGen{}
-		for i, old := range sh.packedRetired {
-			if old.quiescent() {
-				sh.packedRetired = append(sh.packedRetired[:i], sh.packedRetired[i+1:]...)
-				next = old
-				break
-			}
+		next, ok := sh.packedRetired.take()
+		if !ok {
+			next = &packedGen{}
 		}
 		next.packed, next.version = pack(next.packed, g.params), local
 		if sh.packed != nil {
-			sh.packedRetired = append(sh.packedRetired, sh.packed)
-			if len(sh.packedRetired) > retiredGens {
-				sh.packedRetired = append(sh.packedRetired[:0], sh.packedRetired[1:]...)
-			}
+			sh.packedRetired.retire(sh.packed)
 		}
 		sh.packed = next
 	}

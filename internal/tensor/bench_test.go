@@ -12,11 +12,7 @@ import (
 // entry for each name (make bench-baseline appends a -tags purego run) and
 // the gate compares whichever this machine produces.
 func BenchmarkMatMul128(b *testing.B) {
-	kernel := "go"
-	if asmKernels {
-		kernel = "avx2"
-	}
-	b.Run("kernel="+kernel, func(b *testing.B) {
+	b.Run("kernel="+Kernel(), func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		x := New(128, 128).RandNormal(rng, 0, 1)
 		y := New(128, 128).RandNormal(rng, 0, 1)

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "dssp/internal/cpu"
+
 // Implemented in kernels_amd64.s.
 
 //go:noescape
@@ -9,37 +11,6 @@ func fma4RowsAVX2(ob, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 
 //go:noescape
 func dot4AVX2(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32)
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
-// hasAVX2FMA reports whether the CPU implements AVX2 and FMA3 and the OS
-// saves the YMM registers across context switches. The module has no
-// dependencies, so this is the x/sys/cpu probe reduced to the three facts
-// the kernels need.
-func hasAVX2FMA() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	const (
-		fma     = 1 << 12 // leaf 1 ECX
-		osxsave = 1 << 27 // leaf 1 ECX
-		avx     = 1 << 28 // leaf 1 ECX
-		avx2    = 1 << 5  // leaf 7 EBX
-		ymmOS   = 0x6     // XCR0: SSE and AVX state enabled by the OS
-	)
-	_, _, ecx1, _ := cpuid(1, 0)
-	if ecx1&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&ymmOS != ymmOS {
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&avx2 != 0
-}
 
 // The fan-out thresholds follow the kernels: they price a pool wake-up in
 // flops, and the assembly does 5-7× the flops per microsecond. Measured on the
@@ -58,7 +29,7 @@ const (
 )
 
 func init() {
-	if hasAVX2FMA() {
+	if cpu.AVX2 && cpu.FMA && cpu.YMM {
 		fma4Rows, dot4, asmKernels = fma4RowsAVX2, dot4AVX2, true
 		mmParallelMinFlops, mmGrainFlops = asmParallelMinFlops, asmGrainFlops
 	}

@@ -2,32 +2,13 @@
 
 #include "textflag.h"
 
-// AVX2+FMA forms of the two matmul inner loops (matmul.go: mm4Rows, mmDot4)
-// and the CPUID/XGETBV probe that decides whether they may run. Both kernels
+// AVX2+FMA forms of the two matmul inner loops (matmul.go: mm4Rows, mmDot4);
+// internal/cpu holds the probe that decides whether they may run. Both kernels
 // walk 16 floats per main-loop pass (two YMM vectors), then at most one
 // 8-float pass, then a scalar VFMADD231SS tail, so no load or store ever
 // touches memory past the slice lengths; every vector access is unaligned
 // (VMOVUPS / memory-operand FMA). Callers guarantee len(b0..b3) >= the first
 // operand's length (matmul.go slices all five to the same width).
-
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
 
 // func fma4RowsAVX2(ob, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 //

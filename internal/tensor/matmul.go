@@ -37,6 +37,15 @@ var (
 	asmKernels bool
 )
 
+// Kernel names the binding of the matmul inner loops: "avx2" for the
+// assembly, "go" for the portable loops.
+func Kernel() string {
+	if asmKernels {
+		return "avx2"
+	}
+	return "go"
+}
+
 // mmParallelMinFlops is the size threshold (in multiply-add flops, counted
 // as 2·m·k·n) below which a product stays on the calling goroutine. Small
 // matmuls are latency-bound: the pool's wakeup cost would exceed the work.

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dssp/internal/compress"
+	"dssp/internal/tensor"
 )
 
 // scrape fetches a Prometheus /metrics endpoint and parses every
@@ -39,6 +42,12 @@ func scrape(t *testing.T, addr string) map[string]float64 {
 		samples[line[:i]] = v
 	}
 	return samples
+}
+
+// kernelSeries is the dssp_kernels_bound sample a process exposes for one
+// package: whichever binding this machine and build produce.
+func kernelSeries(pkg, kernel string) string {
+	return `dssp_kernels_bound{package="` + pkg + `",kernel="` + kernel + `"}`
 }
 
 // TestMetricsEndpointDuringTCPRun starts a 4-worker TCP training run with
@@ -180,6 +189,8 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 		"dssp_transport_batch_size_count",
 		"dssp_transport_recv_body_reuse_total",
 		"dssp_transport_recv_body_alloc_total",
+		kernelSeries("tensor", tensor.Kernel()),
+		kernelSeries("compress", compress.Kernel()),
 	}
 	for _, series := range catalog {
 		if _, ok := final[series]; !ok {
@@ -312,6 +323,8 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 		"dssp_worker_pull_seconds_count",
 		"dssp_worker_push_rtt_seconds_count",
 		"dssp_worker_iterations_total",
+		kernelSeries("tensor", tensor.Kernel()),
+		kernelSeries("compress", compress.Kernel()),
 	}
 	var mid map[string]float64
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {

@@ -87,7 +87,7 @@ func ServeRelay(cfg RelayConfig) (*RelayServer, error) {
 	if cfg.Parent == "" {
 		return nil, fmt.Errorf("dssp: relay needs a parent server address")
 	}
-	reg := obs.NewRegistry()
+	reg := newRegistry()
 	meter := transport.NewMetrics(reg)
 	listener, err := transport.ListenWireMetered(cfg.Addr, transport.WireBinary, meter)
 	if err != nil {

@@ -176,6 +176,20 @@ func (s *Server) Evaluate() (float64, error) {
 	return model.Accuracy(x, labels), nil
 }
 
+// newRegistry returns the metrics registry of one process — server, worker or
+// relay — with the one series they all share already on it: which numeric
+// kernels this process bound. It is constant for the life of the process; a
+// slow fp16 run on a CPU without F16C explains itself there.
+func newRegistry() *obs.Registry {
+	reg := obs.NewRegistry()
+	bound := reg.GaugeVec("dssp_kernels_bound",
+		"Kernel binding of each numeric package in this process (constant 1): internal/tensor's matmul loops run as avx2 or go, internal/compress's value-codec loops as f16c or go.",
+		"package", "kernel")
+	bound.With("tensor", tensor.Kernel()).Set(1)
+	bound.With("compress", compress.Kernel()).Set(1)
+	return reg
+}
+
 // Serve starts a parameter server listening on cfg.Addr and returns
 // immediately; the server runs until Stop is called or all workers finish.
 // With cfg.Cluster.Role set it starts the corresponding member of a server
@@ -195,7 +209,7 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := obs.NewRegistry()
+	reg := newRegistry()
 	pcfg := ps.ServerConfig{
 		Workers:          cfg2.Workers,
 		Options:          cfg.Options.serverOptions(),
@@ -409,7 +423,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	var reg *obs.Registry
 	var meter *transport.Metrics
 	if cfg.MetricsAddr != "" {
-		reg = obs.NewRegistry()
+		reg = newRegistry()
 		meter = transport.NewMetrics(reg)
 		admin, err := obs.ServeAdmin(cfg.MetricsAddr, reg, nil, nil)
 		if err != nil {

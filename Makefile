@@ -18,8 +18,8 @@ race:
 
 # The buffer-lease rules (DESIGN.md §6: a pushed frame's receive buffer is
 # held until the sequencer has seen its tickets applied, released on the spot
-# by every push that never reaches the store; a relay's pull cache is copied
-# for reference-passing children) are concurrency properties: one green run
+# by every push that never reaches the store; a chunk a relay has sent no
+# longer aliases its pull cache) are concurrency properties: one green run
 # proves little, so the three poisoning tests run ten times under the race
 # detector, with the two tests that count the releases of a failed and of a
 # void push (a lease that is never ended poisons nothing; it leaks). Any
@@ -27,13 +27,15 @@ race:
 # root and the relay share (DESIGN.md §6) is as much a concurrency property:
 # the stale-release pin, the relay's watchdog and stalled-child tests, and the
 # relay-child arms of the session tests run the same ten times. The lane arms
-# of the poisoning tests (a leased body is a slot of the same-host arena) ride
-# the first line; the second-to-last runs the lane's own lease tests in
-# internal/transport and the last the crash/restart run on both carriers.
+# of the poisoning tests (a leased body is a slot of the same-host arena) and
+# their channel arms (a leased body is a pooled in-process frame) ride the
+# first line; the second-to-last runs the lane's own lease tests and the
+# channel's contract test in internal/transport and the last the crash/restart
+# run on both socket carriers.
 lease-stress:
-	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestCodecBufferReuseSurvivesPoisoning|TestRelayCopiesPullCacheForReferencePassingChildren|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK' ./internal/ps/
+	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
-	$(GO) test -race -count=10 -run 'TestLane|TestLoopbackDialUpgradesToLane|TestReleaseHookSeesBodyBeforeReuse|TestForeignPeersStayOnTCP|TestListenerCloseFreesLaneName' ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestLane|TestLoopbackDialUpgradesToLane|TestReleaseHookSeesBodyBeforeReuse|TestPipeKeepsTheConnContract|TestForeignPeersStayOnTCP|TestListenerCloseFreesLaneName' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestTCPWorkerCrashRejoinAndServerRestart' .
 
 # The portable kernel paths (the Go loops of internal/tensor, bound where there

@@ -217,9 +217,9 @@ var negZero = float32(math.Copysign(0, -1))
 // never mutated and may be reused.
 //
 // The returned slice and its payloads belong to the compressor and are
-// overwritten by the next Compress: a transport that serializes inside Send
-// may be handed them directly, anything that keeps a reference (the
-// in-process channel transport) needs ClonePacked.
+// overwritten by the next Compress. A transport.Conn is done with them when
+// Send returns, so they go into a message as they are; anything that keeps
+// them past the next Compress copies.
 func (c *Compressor) Compress(grads []*tensor.Tensor) []Packed {
 	if len(c.residual) < len(grads) {
 		grown := make([]*tensor.Tensor, len(grads))
@@ -257,18 +257,6 @@ func resizePacked(ps []Packed, n int) []Packed {
 		return grown
 	}
 	return ps[:n]
-}
-
-// ClonePacked returns a deep copy of ps whose payloads alias nothing, for
-// handing a Compress or PackInto result to a holder that outlives the next
-// call. Shapes are shared: no pack function mutates one in place.
-func ClonePacked(ps []Packed) []Packed {
-	out := make([]Packed, len(ps))
-	for i, p := range ps {
-		out[i] = p
-		out[i].Payload = append([]byte(nil), p.Payload...)
-	}
-	return out
 }
 
 // Pack compresses tensors without error feedback — the stateless form used

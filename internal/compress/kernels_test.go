@@ -677,21 +677,19 @@ func TestSteadyStateCodecAllocations(t *testing.T) {
 }
 
 // TestCompressOwnsItsBuffers pins the ownership rule: the next Compress
-// overwrites the previous result in place, and ClonePacked detaches from it.
+// overwrites the previous result in place.
 func TestCompressOwnsItsBuffers(t *testing.T) {
 	c, err := NewCompressor(Config{Codec: FP16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := tensor.Full(1, 8)
-	first := c.Compress([]*tensor.Tensor{g})
-	kept := ClonePacked(first)
-	want := string(kept[0].Payload)
+	first := c.Compress([]*tensor.Tensor{tensor.Full(1, 8)})
+	want := string(first[0].Payload)
 	second := c.Compress([]*tensor.Tensor{tensor.Full(2, 8)})
 	if &first[0].Payload[0] != &second[0].Payload[0] {
 		t.Fatal("steady-state Compress did not reuse its payload buffer")
 	}
-	if string(kept[0].Payload) != want {
-		t.Fatal("ClonePacked result changed with the next Compress")
+	if string(first[0].Payload) == want {
+		t.Fatal("the second Compress left the first result's payload as it was")
 	}
 }

@@ -57,8 +57,9 @@ func benchSharded(b *testing.B) benchImpl {
 		servePull: func() int {
 			n := 0
 			for i := 0; i < st.Shards(); i++ {
-				params, _, _ := st.ViewShard(i)
+				params, gen, _, _, _, _ := st.AcquireShardDelta(i, -1)
 				n += len(transport.ToWireOwned(params))
+				gen.release()
 			}
 			return n
 		},

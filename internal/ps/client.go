@@ -37,18 +37,11 @@ type Client struct {
 	pushedBytes int64
 	pulledBytes int64
 
-	// serializes reports that conn is a transport.SerializingSender: Send is
-	// done with whatever the message aliases when it returns, so a dense push
-	// goes out straight from the caller's gradient tensors.
-	serializes bool
 	// pushWire holds the dense push path's reusable wire tensors: the model
 	// layout never changes between pushes, so the headers are recycled
-	// instead of reallocated per iteration. On a serializing connection their
-	// data aliases the caller's gradients for the duration of Send; on a
-	// reference-passing one they carry private copies, recycled too — safe
-	// because the protocol is lock-step: the OK that unblocks the next push
-	// is only sent after the server has fully decoded and applied the
-	// previous one.
+	// instead of reallocated per iteration. Their data aliases the caller's
+	// gradients for the duration of Send, which is done with whatever the
+	// message aliases when it returns (transport.Conn).
 	pushWire []transport.WireTensor
 	// pullParams is the chunk-reassembly buffer reused across Pulls.
 	pullParams []*tensor.Tensor
@@ -84,14 +77,7 @@ type Client struct {
 // NewClient wraps a connection for the given worker ID, speaking the
 // uncompressed protocol (identity codec).
 func NewClient(conn transport.Conn, worker int) *Client {
-	c := newClient(conn, worker)
-	c.cfg = compress.Config{}.Normalized()
-	return c
-}
-
-func newClient(conn transport.Conn, worker int) *Client {
-	_, serializes := conn.(transport.SerializingSender)
-	return &Client{conn: conn, worker: worker, serializes: serializes}
+	return &Client{conn: conn, worker: worker, cfg: compress.Config{}.Normalized()}
 }
 
 // NewClientCompressed wraps a connection with an explicit compression
@@ -102,9 +88,7 @@ func NewClientCompressed(conn transport.Conn, worker int, cfg compress.Config) (
 	if err := cfg.Validate(true); err != nil {
 		return nil, err
 	}
-	c := newClient(conn, worker)
-	c.cfg = cfg
-	return c, nil
+	return &Client{conn: conn, worker: worker, cfg: cfg}, nil
 }
 
 // Worker returns the worker ID this client represents.
@@ -145,8 +129,9 @@ func (c *Client) SetCluster(enabled bool) { c.cluster = enabled }
 // completion accounting, and rejects pushes from it. Call before Register.
 func (c *Client) SetReplica(enabled bool) { c.replica = enabled }
 
-// Traffic returns the approximate payload bytes this client pushed and
-// pulled so far.
+// Traffic returns the payload bytes this client pushed and pulled so far, in
+// the units of pushedBytes: the same formula on every carrier, frame overhead
+// excluded (the transport meters count whole frames, exactly).
 func (c *Client) Traffic() (pushed, pulled int64) { return c.pushedBytes, c.pulledBytes }
 
 // Instrument registers this worker's latency metrics (pull time, push
@@ -234,8 +219,8 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 // nothing.
 //
 // The returned slice is reused by the next Pull, and the tensors are on
-// lease until then: over TCP a dense chunk's tensors alias the receive buffer
-// the chunk arrived in, which goes back to the connection once the next Pull
+// lease until then: a dense chunk's tensors alias the receive buffer the
+// chunk arrived in, which goes back to the connection once the next Pull
 // has decoded the chunk superseding it; with delta pulls the tensors
 // themselves may be returned again by later Pulls (an Unchanged chunk
 // extends the lease); and with a pull codec the next Pull decodes into them
@@ -383,9 +368,12 @@ func (c *Client) chunkTensors(msg transport.Message, shards int) ([]*tensor.Tens
 
 // decodeWeights extracts the tensors of one Weights message and accounts the
 // pulled bytes. Packed chunks are unpacked straight from the message's
-// payload (its leased receive buffer, on TCP) into prev's tensors where the
-// shapes still match, and the buffer is handed back at once: nothing aliases
-// it after the decode.
+// payload (its leased receive buffer) into prev's tensors where the shapes
+// still match, and the buffer is handed back at once: nothing aliases it
+// after the decode. A dense chunk's tensors alias the message's buffer
+// instead of being copied — the zero-copy half of the pull path — so the
+// chunk is held, superseding the one held for its shard, whose lease ends
+// here.
 func (c *Client) decodeWeights(msg transport.Message, prev []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if msg.Codec != "" || len(msg.Packed) > 0 {
 		defer msg.Release()
@@ -399,20 +387,13 @@ func (c *Client) decodeWeights(msg transport.Message, prev []*tensor.Tensor) ([]
 		return compress.DecompressAllReuse(msg.Packed, prev)
 	}
 	c.pulledBytes += wireTensorBytes(msg.Tensors)
-	if msg.PayloadOwned() {
-		// The message owns its wire buffer (TCP transports), so the weights
-		// alias it instead of being copied — the zero-copy half of the
-		// binary protocol's pull path. This chunk supersedes the one held
-		// for its shard, whose lease ends here.
-		ts, err := transport.FromWireOwned(msg.Tensors)
-		if err != nil {
-			msg.Release()
-			return nil, err
-		}
-		c.holdChunk(msg)
-		return ts, nil
+	ts, err := transport.FromWireOwned(msg.Tensors)
+	if err != nil {
+		msg.Release()
+		return nil, err
 	}
-	return transport.FromWire(msg.Tensors)
+	c.holdChunk(msg)
+	return ts, nil
 }
 
 // holdChunk keeps msg — a dense chunk whose tensors were just handed out
@@ -442,10 +423,9 @@ const maxHeldChunks = 1 << 12
 // the global weights) and blocks until the server sends OK, i.e. until the
 // synchronization policy allows the worker to start its next iteration.
 // Under a lossy codec the gradients are compressed with error feedback; the
-// caller's tensors are never mutated, and never read after the call returns
-// — on a serializing connection not even after the send inside it — so the
-// caller may push its live gradient buffers and overwrite them next
-// iteration.
+// caller's tensors are never mutated, and never read after the send inside
+// the call returns, so the caller may push its live gradient buffers and
+// overwrite them next iteration.
 func (c *Client) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
 	if c.metrics == nil {
 		return c.pushAndWait(grads, baseVersion, iteration)
@@ -481,17 +461,15 @@ func (c *Client) PushAsync(grads []*tensor.Tensor, baseVersion int64, iteration 
 	}
 	if c.comp != nil {
 		msg.Codec = c.cfg.Codec
-		msg.Packed = sendablePacked(c.conn, c.comp.Compress(grads))
+		// The compressor's own buffers: Send is done with them before the
+		// next Compress overwrites them.
+		msg.Packed = c.comp.Compress(grads)
 		for _, p := range msg.Packed {
 			c.pushedBytes += int64(p.WireSize())
 		}
 	} else {
-		if c.serializes {
-			// Send reads the gradients and is done with them: no copy.
-			c.pushWire = transport.ToWireOwnedInto(c.pushWire, grads)
-		} else {
-			c.pushWire = transport.ToWireInto(c.pushWire, grads)
-		}
+		// Send reads the gradients and is done with them: no copy.
+		c.pushWire = transport.ToWireOwnedInto(c.pushWire, grads)
 		msg.Tensors = c.pushWire
 		c.pushedBytes += wireTensorBytes(msg.Tensors)
 	}
@@ -574,22 +552,6 @@ func (c *Client) recv() (transport.Message, error) {
 		return transport.Message{}, fmt.Errorf("ps: server error: %s", msg.Error)
 	}
 	return msg, nil
-}
-
-// sendablePacked returns what a Message sent on conn may carry of a
-// Compressor's result, which the compressor overwrites on its next Compress:
-// the buffers themselves for a transport that serializes inside Send
-// (transport.SerializingSender), a detached copy for one that passes
-// references (the in-process channel transport), whose receiver may
-// still be reading when the sender compresses again. A worker's own pushes
-// are lock-step — the OK that allows the next Compress follows the decode —
-// but a relay's trunk pushes pipeline, and one rule for every sender is
-// easier to keep than two.
-func sendablePacked(conn transport.Conn, packed []compress.Packed) []compress.Packed {
-	if _, serializes := conn.(transport.SerializingSender); serializes {
-		return packed
-	}
-	return compress.ClonePacked(packed)
 }
 
 // wireTensorBytes approximates the wire payload of dense tensors: 4 bytes

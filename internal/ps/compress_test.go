@@ -251,37 +251,40 @@ func TestPushErrorStillReleasesBarrierWorkers(t *testing.T) {
 	}
 }
 
-func TestPackShardCachesUntilApply(t *testing.T) {
+func TestPackedShardCachesUntilApply(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(8), tensor.New(8)}
 	st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	pack := func(ts []*tensor.Tensor) []compress.Packed {
+	pack := func(dst []compress.Packed, ts []*tensor.Tensor) []compress.Packed {
 		calls++
-		return compress.Pack(ts, compress.Config{Codec: compress.FP16})
+		return compress.PackInto(dst, ts, compress.Config{Codec: compress.FP16})
 	}
 
-	a, _, _ := st.PackShard(0, pack)
-	b, _, _ := st.PackShard(0, pack)
+	a, pinA, _, _, _, _ := st.AcquirePackedDelta(0, -1, pack)
+	b, pinB, _, _, _, _ := st.AcquirePackedDelta(0, -1, pack)
 	if calls != 1 {
-		t.Fatalf("second PackShard recompressed (calls=%d)", calls)
+		t.Fatalf("second AcquirePackedDelta recompressed (calls=%d)", calls)
 	}
 	if len(a) == 0 || len(a) != len(b) || &a[0] != &b[0] {
-		t.Fatal("second PackShard did not serve the cached packed form")
+		t.Fatal("second AcquirePackedDelta did not serve the cached packed form")
 	}
+	pinA.release()
+	pinB.release()
 
 	grads := []*tensor.Tensor{tensor.Full(1, 8), tensor.Full(1, 8)}
 	if _, err := st.Apply(grads); err != nil {
 		t.Fatal(err)
 	}
-	packed, _, version := st.PackShard(0, pack)
+	packed, pin, _, version, _, _ := st.AcquirePackedDelta(0, -1, pack)
+	defer pin.release()
 	if calls != 2 {
-		t.Fatalf("PackShard after Apply served stale cache (calls=%d)", calls)
+		t.Fatalf("AcquirePackedDelta after Apply served stale cache (calls=%d)", calls)
 	}
 	if version != 1 {
-		t.Fatalf("PackShard version = %d, want 1", version)
+		t.Fatalf("AcquirePackedDelta version = %d, want 1", version)
 	}
 	dec, err := compress.DecompressAll(packed)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dssp/internal/compress"
 	"dssp/internal/core"
 	"dssp/internal/obs"
 	"dssp/internal/optimizer"
@@ -56,7 +57,7 @@ func endpoint(t *testing.T, tcp bool, serve func(transport.Listener)) (addr stri
 // startLeaseTopology stands up topo ("flat", "group" or "tree") with its
 // servers on TCP or the channel transport; edgeTCP picks the transport of a
 // tree's relay-to-worker hop separately, so the mixed tree (socket upstream,
-// reference-passing children) is covered too.
+// in-process children) is covered too.
 func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers int, initial []*tensor.Tensor) leaseTopology {
 	t.Helper()
 	opt := func() optimizer.Optimizer { return optimizer.NewSGD(1.0) }
@@ -219,8 +220,10 @@ func poisonReleasedBodies(t *testing.T) *atomic.Int64 {
 // the receive buffers the server applies pushes out of and the relay folds
 // them out of, the ones the client's pulled weights (and the relay's upstream
 // cache) alias until superseded, and the relay's recycled sum buffers — from
-// concurrent workers over TCP and the channel transport, on a flat server, a
-// server group and an aggregation tree. Released receive buffers are
+// concurrent workers over TCP, the same-host lane and the in-process channel
+// transport, on a flat server, a server group and an aggregation tree: one
+// ownership rule (transport.Conn), asserted once over all three carriers.
+// Released receive buffers are
 // poisoned with NaN the moment they are released, so a lease that ends while
 // a reader still holds the buffer shows up as a wrong final sum (the store
 // applied poison), a torn or NaN pulled tensor (the worker read poison), or,
@@ -232,9 +235,9 @@ func poisonReleasedBodies(t *testing.T) *atomic.Int64 {
 // one site now that a worker's push and a relay's partial share the path;
 // releasing a pulled chunk in decodeWeights
 // right after FromWireOwned instead of holding it (dropping the
-// hold-until-superseded) fails every TCP case. The relay's copy-for-channel-
-// children rule needs a stalled reader to break, which
-// TestRelayCopiesPullCacheForReferencePassingChildren supplies.
+// hold-until-superseded) fails every case. That a chunk a relay has sent
+// no longer aliases its pull cache needs a stalled reader to break, which
+// TestRelaySentChunkOutlivesSupersededPullCache supplies.
 func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 	released := poisonReleasedBodies(t)
 	for _, tc := range []struct {
@@ -255,10 +258,10 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 		{"tree/tcp", "tree", true, true, false},
 		{"tree/lane", "tree", true, true, true},
 		{"tree/channel", "tree", false, false, false},
-		// Children that pass references behind a relay whose upstream leases:
-		// they must be served copies of the relay's pull cache.
-		{"tree/tcp-root-channel-children", "tree", true, false, false},
-		{"tree/lane-root-channel-children", "tree", true, false, true},
+		// In-process children behind a relay whose upstream is a socket: the
+		// chunks they hold must not alias the relay's pull cache.
+		{"tree/tcp-root-inproc-children", "tree", true, false, false},
+		{"tree/lane-root-inproc-children", "tree", true, false, true},
 	} {
 		{
 			topo, tcp := tc.topo, tc.tcp
@@ -358,10 +361,8 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 				}
 				// A tree folds pushes and shares pulls, so the count is loose:
 				// every round moves at least one leased frame per direction.
-				if n := released.Load() - before; tcp && n < 2*rounds {
+				if n := released.Load() - before; n < 2*rounds {
 					t.Errorf("only %d receive buffers were released over %d rounds of pushes and pulls: leases are not ending", n, rounds)
-				} else if !tcp && n != 0 {
-					t.Errorf("the channel transport released %d leased buffers; it has none", n)
 				}
 			})
 		}
@@ -495,32 +496,96 @@ func TestMeteringExactWithByReferenceSlabs(t *testing.T) {
 	}
 }
 
-// startDenseTCP stands up a one-worker server holding the benchmark's wide
-// MLP (1 MB of weights in two store shards) on loopback and returns a
-// registered client with matching gradients; lane says whether the client's
-// dial may upgrade to the same-host lane or stays on TCP.
-func startDenseTCP(tb testing.TB, lane bool) (*Client, []*tensor.Tensor) {
+// TestMeteringIdenticalOnEveryCarrier holds the in-process transport's meter
+// to the socket's: the same scripted exchange — register, then three rounds of
+// pull, 1 MB dense push, OK — meters the same frames and the same bytes per
+// message type and direction on the server end of a channel connection, of a
+// TCP one and of a lane one, because all three count encoded frames (header
+// and body), not estimates.
+func TestMeteringIdenticalOnEveryCarrier(t *testing.T) {
+	const rounds = 3
+	types := []string{"Register", "Registered", "Push", "OK", "Pull", "Weights"}
+	meter := func(carrier string) map[string]float64 {
+		reg := obs.NewRegistry()
+		c, grads := startDense(t, carrier, reg)
+		for r := 0; r < rounds; r++ {
+			if _, _, err := c.Pull(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.PushAndWait(grads, int64(r), r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A sender meters a frame after it is handed over, so the server's
+		// writer may still be about to count the final OK.
+		deadline := time.Now().Add(5 * time.Second)
+		for reg.Snapshot()[`dssp_transport_frames_total{dir="sent",type="OK"}`] < rounds && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		snap, got := reg.Snapshot(), make(map[string]float64)
+		for _, family := range []string{"dssp_transport_bytes_total", "dssp_transport_frames_total"} {
+			for _, dir := range []string{"sent", "recv"} {
+				for _, typ := range types {
+					name := fmt.Sprintf("%s{dir=%q,type=%q}", family, dir, typ)
+					got[name] = snap[name]
+				}
+			}
+		}
+		return got
+	}
+	want := meter("tcp")
+	if push := want[`dssp_transport_bytes_total{dir="recv",type="Push"}`]; push < rounds<<20 {
+		t.Fatalf("TCP metered %v bytes of Push frames over %d 1 MB pushes", push, rounds)
+	}
+	for _, carrier := range []string{"channel", "lane"} {
+		got := meter(carrier)
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("%s meters %s = %v, TCP meters %v", carrier, name, got[name], w)
+			}
+		}
+	}
+}
+
+// startDense stands up a one-worker server holding the benchmark's wide MLP
+// (1 MB of weights in two store shards) and returns a registered client with
+// matching gradients. carrier is "tcp" (a loopback dial held on TCP), "lane"
+// (one that may upgrade to the same-host lane) or "channel" (in process). A
+// non-nil reg receives the server's metrics and its listener's transport
+// meter.
+func startDense(tb testing.TB, carrier string, reg *obs.Registry) (*Client, []*tensor.Tensor) {
 	tb.Helper()
-	defer transport.SetLaneEnabled(lane)()
+	defer transport.SetLaneEnabled(carrier == "lane")()
+	var meter *transport.Metrics
+	if reg != nil {
+		meter = transport.NewMetrics(reg)
+	}
 	model := []*tensor.Tensor{tensor.New(8192, 32), tensor.New(32), tensor.New(32, 8), tensor.New(8)}
 	st, err := NewStoreSharded(model, optimizer.NewSGD(0.001), 2)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st})
+	srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st, Metrics: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
+	tb.Cleanup(srv.Stop)
+	var conn transport.Conn
+	if carrier == "channel" {
+		l := transport.NewChanListener()
+		l.SetMeter(meter)
+		tb.Cleanup(func() { l.Close() })
+		go func() { _ = srv.Serve(l) }()
+		conn, err = l.Dial()
+	} else {
+		var l transport.Listener
+		if l, err = transport.ListenWireMetered("127.0.0.1:0", transport.WireBinary, meter); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { l.Close() })
+		go func() { _ = srv.Serve(l) }()
+		conn, err = transport.Dial(l.Addr())
 	}
-	go func() { _ = srv.Serve(l) }()
-	tb.Cleanup(func() {
-		srv.Stop()
-		l.Close()
-	})
-	conn, err := transport.Dial(l.Addr())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -543,14 +608,16 @@ func startDenseTCP(tb testing.TB, lane bool) (*Client, []*tensor.Tensor) {
 // than 64 KB in total, so no buffer that scales with the payload is allocated
 // anywhere, and only a bounded number of small objects (message headers, wire
 // tensor lists, tensor headers). The same ceiling holds on the same-host lane,
-// where the payload-sized buffers are arena slots.
+// where the payload-sized buffers are arena slots, and in process, where they
+// are the channel transport's pooled frames.
 func TestDensePushPullRoundTripAllocatesNoPayload(t *testing.T) {
-	t.Run("tcp", func(t *testing.T) { testDensePushPullRoundTripAllocatesNoPayload(t, false) })
-	t.Run("lane", func(t *testing.T) { testDensePushPullRoundTripAllocatesNoPayload(t, true) })
+	for _, carrier := range []string{"tcp", "lane", "channel"} {
+		t.Run(carrier, func(t *testing.T) { testDensePushPullRoundTripAllocatesNoPayload(t, carrier) })
+	}
 }
 
-func testDensePushPullRoundTripAllocatesNoPayload(t *testing.T, lane bool) {
-	c, grads := startDenseTCP(t, lane)
+func testDensePushPullRoundTripAllocatesNoPayload(t *testing.T, carrier string) {
+	c, grads := startDense(t, carrier, nil)
 	round := func(i int) {
 		if err := c.PushAndWait(grads, int64(i), i); err != nil {
 			t.Fatal(err)
@@ -583,21 +650,98 @@ func testDensePushPullRoundTripAllocatesNoPayload(t *testing.T, lane bool) {
 	}
 }
 
+// TestInProcessScheduleRecyclesGenerations pins what the in-process carrier
+// gains from keeping transport.Conn's contract: a serial pull/push schedule
+// over the channel transport, dense and with fp16 on push and pull, settles
+// into the same double-buffering as over a socket — once warm, copy-on-write
+// publication allocates no generation (every one recycles a retired one), and
+// the packed-pull cache's retired generations are free for the next fill. A
+// pull that kept the generation it was served out of the pool would show as
+// one allocation per update.
+func TestInProcessScheduleRecyclesGenerations(t *testing.T) {
+	for _, cfg := range []compress.Config{{}, {Codec: compress.FP16, Pull: true}} {
+		cfg = cfg.Normalized()
+		t.Run(cfg.String(), func(t *testing.T) {
+			model := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(2048)}
+			st, err := NewStoreSharded(model, optimizer.NewSGD(0.01), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st, Options: Options{Compression: cfg}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Stop()
+			l := transport.NewChanListener()
+			defer l.Close()
+			go func() { _ = srv.Serve(l) }()
+			conn, err := l.Dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewClientCompressed(conn, 0, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Register(); err != nil {
+				t.Fatal(err)
+			}
+			grads := make([]*tensor.Tensor, len(model))
+			for i, p := range model {
+				grads[i] = tensor.Full(0.25, p.Shape()...)
+			}
+			rounds := func(from, n int) {
+				t.Helper()
+				for i := from; i < from+n; i++ {
+					_, version, err := c.Pull()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := c.PushAndWait(grads, version, i); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			const warmup, steady = 8, 40
+			rounds(0, warmup)
+			reusedWarm, allocatedWarm := st.CloneStats()
+			rounds(warmup, steady)
+			reused, allocated := st.CloneStats()
+			if allocated != allocatedWarm {
+				t.Errorf("%d generations allocated over %d steady-state rounds, want 0: pulls keep generations out of the reuse pool", allocated-allocatedWarm, steady)
+			}
+			if reused < reusedWarm+steady {
+				t.Errorf("%d generations recycled over %d steady-state rounds on %d shards, want at least one a round", reused-reusedWarm, steady, st.Shards())
+			}
+			for i, sh := range st.shards {
+				sh.packedMu.Lock()
+				for _, pg := range sh.packedRetired {
+					if !pg.quiescent() {
+						t.Errorf("shard %d: a retired packed generation is still held after its reply was sent", i)
+					}
+				}
+				sh.packedMu.Unlock()
+			}
+		})
+	}
+}
+
 // BenchmarkTCPDensePushPull1MB is the flat-comm iteration without the model:
 // one worker pushing 1 MB of dense gradients and pulling 1 MB of weights over
 // loopback TCP — held on TCP, the carrier of every cross-host connection, so
 // that path cannot regress unseen behind the lane. MB/s counts both
 // directions' payload; B/op is where a reintroduced per-frame allocation
 // shows first.
-func BenchmarkTCPDensePushPull1MB(b *testing.B) { benchDensePushPull1MB(b, false) }
+func BenchmarkTCPDensePushPull1MB(b *testing.B) { benchDensePushPull1MB(b, "tcp") }
 
 // BenchmarkLaneDensePushPull1MB is the same round trip between same-host
 // peers, as a loopback dial finds it: payload bodies through the shared
 // arena, headers on the unix socket.
-func BenchmarkLaneDensePushPull1MB(b *testing.B) { benchDensePushPull1MB(b, true) }
+func BenchmarkLaneDensePushPull1MB(b *testing.B) { benchDensePushPull1MB(b, "lane") }
 
-func benchDensePushPull1MB(b *testing.B, lane bool) {
-	c, grads := startDenseTCP(b, lane)
+func benchDensePushPull1MB(b *testing.B, carrier string) {
+	c, grads := startDense(b, carrier, nil)
 	var payload int64
 	for _, g := range grads {
 		payload += int64(4 * g.Size())
@@ -623,14 +767,15 @@ func benchDensePushPull1MB(b *testing.B, lane bool) {
 	}
 }
 
-// TestRelayCopiesPullCacheForReferencePassingChildren pins Relay.handlePull's
+// TestRelaySentChunkOutlivesSupersededPullCache pins Relay.handlePull's
 // lease rule where the soak test above cannot reach it deterministically: a
 // relay whose upstream is a socket serves its pull cache to a child on the
 // channel transport, the child sits on the message without decoding it, and
 // the cache entry is superseded — its receive buffer released, poisoned —
 // by the next upstream pull. The child's message must still read the weights
-// it was sent.
-func TestRelayCopiesPullCacheForReferencePassingChildren(t *testing.T) {
+// it was sent: Send was done with the cache's tensors when it returned, and
+// the message owns the buffer it arrived in (transport.Conn).
+func TestRelaySentChunkOutlivesSupersededPullCache(t *testing.T) {
 	poisonReleasedBodies(t)
 	initial := []*tensor.Tensor{tensor.Full(3, 4096)}
 	st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 1)

@@ -17,42 +17,34 @@ import (
 // released it, the applier reuses its buffers as the destination of the next
 // fused optimizer step, and apply allocates nothing.
 //
-// Two reader classes exist:
+// Every reader (the pull path, the compressed-pack fill, snapshots and
+// checkpoints) holds a reference for the duration of the read: acquire under
+// the shard's read lock, release when the data has been copied, packed, or
+// sent — transport.Conn's Send is done with what a message aliases when it
+// returns, on every carrier, so no reader keeps a generation for good and
+// refs reaches zero again.
 //
-//   - Bounded readers (the TCP pull path, the compressed-pack fill,
-//     snapshots and checkpoints) hold a reference for the duration of the
-//     read: acquire under the shard's read lock, release when the data has
-//     been copied, packed, or serialized. refs therefore reaches zero again.
-//
-//   - Unbounded readers (the public View accessors and the in-process
-//     channel transport, whose messages alias tensors for as long as the
-//     peer keeps them) mark the generation escaped. An escaped generation is
-//     never reused — its buffers stay immutable forever and the garbage
-//     collector reclaims them.
-//
-// Memory-model argument for reuse safety: a reference (or the escaped mark)
-// is only ever taken while the generation is the shard's current one, under
-// sh.mu.RLock. The applier retires a generation under sh.mu.Lock, which
-// orders it after every in-flight acquisition; from then on no new reference
-// can appear. Seeing refs == 0 && !escaped on a retired generation therefore
-// proves all reads of its buffers happened before (the release's atomic
-// decrement synchronizes with the applier's load), and overwriting them
-// cannot race any reader.
+// Memory-model argument for reuse safety: a reference is only ever taken
+// while the generation is the shard's current one, under sh.mu.RLock. The
+// applier retires a generation under sh.mu.Lock, which orders it after every
+// in-flight acquisition; from then on no new reference can appear. Seeing
+// refs == 0 on a retired generation therefore proves all reads of its buffers
+// happened before (the release's atomic decrement synchronizes with the
+// applier's load), and overwriting them cannot race any reader.
 type paramGen struct {
 	params []*tensor.Tensor
 	genPin
 }
 
 // genPin is the reader bookkeeping of one recyclable generation of buffers —
-// a paramGen's tensors or a packedGen's payloads: bounded readers count
-// themselves in refs, unbounded readers set escaped, and the owner rewrites
-// the buffers only once the generation is retired and quiescent.
+// a paramGen's tensors or a packedGen's payloads: readers count themselves in
+// refs, and the owner rewrites the buffers only once the generation is
+// retired and quiescent.
 type genPin struct {
-	refs    atomic.Int64
-	escaped atomic.Bool
+	refs atomic.Int64
 }
 
-// release drops one bounded-reader reference. It must be called exactly once
+// release drops one reader's reference. It must be called exactly once
 // per acquisition, after the last read of the generation's buffers; on a nil
 // pin (a message that pins nothing) it is a no-op.
 func (p *genPin) release() {
@@ -63,9 +55,9 @@ func (p *genPin) release() {
 
 // quiescent reports that no reader holds the generation or ever will, given
 // that it is retired (no longer handed out).
-func (p *genPin) quiescent() bool { return !p.escaped.Load() && p.refs.Load() == 0 }
+func (p *genPin) quiescent() bool { return p.refs.Load() == 0 }
 
-// release drops one bounded-reader reference taken by shard.acquire (or
+// release drops one reference taken by shard.acquire (or
 // Store.AcquireShardDelta); releasing a nil generation is a no-op.
 func (g *paramGen) release() {
 	if g != nil {
@@ -75,7 +67,7 @@ func (g *paramGen) release() {
 
 // packedGen is one generation of a shard's compressed-pull cache: the packed
 // form of shard version `version`, in payload buffers that the next fill
-// rewrites once every pull reply carrying them has been serialized. The
+// rewrites once every pull reply carrying them has been sent. The
 // reuse argument is paramGen's with packedMu in the place of sh.mu: a pin is
 // only taken while the generation is the shard's current one, under
 // packedMu; the fill that supersedes it retires it under the same lock; so a
@@ -87,7 +79,7 @@ type packedGen struct {
 }
 
 // acquire returns the shard's current generation and version with a
-// bounded-reader reference held; the caller must release it.
+// reference held; the caller must release it.
 func (sh *shard) acquire() (*paramGen, int64) {
 	sh.mu.RLock()
 	g, v := sh.gen, sh.version
@@ -96,24 +88,12 @@ func (sh *shard) acquire() (*paramGen, int64) {
 	return g, v
 }
 
-// viewVersioned returns the shard's currently published tensors together
-// with the shard-local version that published them. The tensors' lifetime is
-// unbounded from the store's point of view, so the generation is marked
-// escaped and its buffers are permanently retired from reuse.
-func (sh *shard) viewVersioned() ([]*tensor.Tensor, int64) {
-	sh.mu.RLock()
-	g, v := sh.gen, sh.version
-	g.escaped.Store(true)
-	sh.mu.RUnlock()
-	return g.params, v
-}
-
 // retiredGens bounds a reuse pool. Two is the steady-state need: with
 // generation n current, generation n-1 may still be read by pulls that
 // grabbed it just before publication, and generation n-2 is the one whose
-// readers have drained — the reuse candidate. Anything older is either
-// escaped or pinned by an unusually slow reader; dropping it to the garbage
-// collector costs one allocation later but keeps the pool scan O(1).
+// readers have drained — the reuse candidate. Anything older is pinned by an
+// unusually slow reader; dropping it to the garbage collector costs one
+// allocation later but keeps the pool scan O(1).
 const retiredGens = 2
 
 // retirePool is the owner-side pool of superseded generations awaiting reuse:
@@ -177,17 +157,22 @@ func (s *Store) CloneStats() (reused, allocated int64) {
 	return reused, allocated
 }
 
-// AcquireShardDelta is ViewShardDelta for bounded readers: the returned
-// tensors are valid until release is called on the returned generation, and
-// the read does not permanently exclude the underlying buffers from the
-// applier's reuse pool the way ViewShardDelta's escape semantics do. The
-// server's serializing pull path uses it so that steady-state pulls and
-// applies recycle buffers instead of allocating.
+// AcquireShardDelta returns shard i's currently published parameter tensors
+// without copying, with the global index of the first one, the store's
+// aggregate version at read time and the shard-local publication version of
+// the returned snapshot — or, when have matches that version, reports the
+// shard unchanged with a nil params slice and a nil generation, letting the
+// caller skip the payload entirely. have is the shard version from the
+// reader's previous pull; pass a negative value to always receive the
+// snapshot. The tensors are the store's copy-on-write snapshot: never mutated
+// after publication, and the CALLER MUST NOT mutate them either.
 //
-// release (paramGen.release) must be called exactly once, after the caller
-// is completely done with params — for a wire path, after the message
-// carrying them has been fully serialized. A nil generation is returned for
-// an unchanged shard; releasing nil is a no-op.
+// The tensors are valid until release (paramGen.release) is called on the
+// returned generation — exactly once, after the caller is completely done
+// with params; for a wire path, after the Send of the message carrying them
+// has returned. Until then the applier keeps the generation's buffers out of
+// its reuse pool; afterwards steady-state pulls and applies recycle buffers
+// instead of allocating. Releasing nil is a no-op.
 func (s *Store) AcquireShardDelta(i int, have int64) (params []*tensor.Tensor, gen *paramGen, base int, version, shardVersion int64, unchanged bool) {
 	version = s.version.Load()
 	base = s.ranges[i].Start

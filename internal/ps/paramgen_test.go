@@ -2,6 +2,7 @@ package ps
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestSteadyStateApplyAllocatesNoClones pins the headline property of the
-// refcounted generations: with no reader escaping buffers, a store settles
+// refcounted generations: with no reader holding buffers, a store settles
 // into double-buffering and copy-on-write publication stops allocating —
 // every publication past warm-up recycles a retired generation.
 func TestSteadyStateApplyAllocatesNoClones(t *testing.T) {
@@ -51,11 +52,12 @@ func TestSteadyStateApplyAllocatesNoClones(t *testing.T) {
 	}
 }
 
-// TestViewedGenerationIsNeverRecycled: a generation handed out through the
-// escaping view API keeps its exact contents forever, no matter how many
-// updates the store applies afterwards — the applier must not reclaim its
-// buffers as write destinations.
-func TestViewedGenerationIsNeverRecycled(t *testing.T) {
+// TestHeldGenerationIsNeverRecycled: a generation a reader acquired and has
+// not released keeps its exact contents, no matter how many updates the store
+// applies meanwhile — the applier must not reclaim its buffers as write
+// destinations — and once released it costs the applier nothing more:
+// publication goes back to recycling.
+func TestHeldGenerationIsNeverRecycled(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(8, 4), tensor.New(9)}
 	st, err := NewStoreSharded(initial, optimizer.NewSGD(0.5), 2)
 	if err != nil {
@@ -67,33 +69,40 @@ func TestViewedGenerationIsNeverRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	viewed, _, _, _, _ := st.ViewShardDelta(0, -1)
-	frozen := make([][]float32, len(viewed))
-	for i, p := range viewed {
+	held, gen, _, _, _, _ := st.AcquireShardDelta(0, -1)
+	frozen := make([][]float32, len(held))
+	for i, p := range held {
 		frozen[i] = append([]float32(nil), p.Data()...)
 	}
 
-	var ticket int64
-	for i := 0; i < 10; i++ {
-		if ticket, err = st.Apply(randomGrads(rng, shapes...)); err != nil {
-			t.Fatal(err)
+	apply := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := st.Apply(randomGrads(rng, shapes...)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if !st.WaitApplied(ticket, nil) {
-		t.Fatal("WaitApplied failed")
-	}
-	for i, p := range viewed {
+	apply(10)
+	for i, p := range held {
 		d := p.Data()
 		for j := range d {
 			if d[j] != frozen[i][j] {
-				t.Fatalf("escaped view mutated: tensor %d element %d changed from %v to %v",
+				t.Fatalf("held generation mutated: tensor %d element %d changed from %v to %v",
 					i, j, frozen[i][j], d[j])
 			}
 		}
 	}
+	gen.release()
+	apply(4)
+	_, before := st.CloneStats()
+	apply(10)
+	if _, after := st.CloneStats(); after != before {
+		t.Fatalf("publication allocated %d generations after the held one was released", after-before)
+	}
 }
 
-// TestAcquireShardDeltaReleasesUnchanged: the bounded-reader pull API must
+// TestAcquireShardDeltaReleasesUnchanged: the pull API must
 // not leak references on the Unchanged fast path, or the touched generation
 // would be pinned out of reuse forever.
 func TestAcquireShardDeltaReleasesUnchanged(t *testing.T) {
@@ -116,10 +125,11 @@ func TestAcquireShardDeltaReleasesUnchanged(t *testing.T) {
 	}
 }
 
-// TestRefcountedReuseHammer races every reader class against the applier's
-// buffer recycling: bounded acquires (the serializing pull path), snapshots,
-// packed-cache fills, and escaping views, all while applies publish and
-// retire generations as fast as they can. Run with -race, this is the proof
+// TestRefcountedReuseHammer races every reader against the applier's buffer
+// recycling: acquires (the pull path), snapshots, packed-cache fills, and
+// readers that sit on a generation across a reschedule, all while applies
+// publish and retire generations as fast as they can. Run with -race, this is
+// the proof
 // that reuse never hands a reader's buffer to the optimizer as a write
 // destination.
 func TestRefcountedReuseHammer(t *testing.T) {
@@ -171,7 +181,7 @@ func TestRefcountedReuseHammer(t *testing.T) {
 				}
 				shard := i % st.Shards()
 				switch kind % 4 {
-				case 0: // bounded acquire, read everything, release
+				case 0: // acquire, read everything, release
 					params, gen, _, _, _, unchanged := st.AcquireShardDelta(shard, -1)
 					if !unchanged {
 						for _, p := range params {
@@ -181,13 +191,13 @@ func TestRefcountedReuseHammer(t *testing.T) {
 						}
 					}
 					gen.release()
-				case 1: // deep-copy snapshot of one shard
-					params, _, _ := st.SnapshotShard(shard)
+				case 1: // deep-copy snapshot
+					params, _ := st.Snapshot()
 					for _, p := range params {
 						sink += p.Data()[0]
 					}
-				case 2: // packed-cache fill (bounded borrow inside the store)
-					packed, _, _, _, unchanged := st.PackShardDelta(shard, -1, func(ps []*tensor.Tensor) []compress.Packed {
+				case 2: // packed-cache fill (a borrow inside the store)
+					packed, pin, _, _, _, unchanged := st.AcquirePackedDelta(shard, -1, func(_ []compress.Packed, ps []*tensor.Tensor) []compress.Packed {
 						out := make([]compress.Packed, len(ps))
 						for j, p := range ps {
 							d := p.Data()
@@ -198,17 +208,20 @@ func TestRefcountedReuseHammer(t *testing.T) {
 						}
 						return out
 					})
+					pin.release()
 					if !unchanged && len(packed) == 0 {
 						t.Error("packed fill returned nothing")
 						return
 					}
-				case 3: // escaping view: buffers must stay immutable forever
-					params, _, _, _, unchanged := st.ViewShardDelta(shard, -1)
-					if !unchanged {
-						for _, p := range params {
-							sink += p.Data()[len(p.Data())-1]
-						}
+				case 3: // slow reader: buffers must stay immutable while held
+					params, gen, _, _, _, _ := st.AcquireShardDelta(shard, -1)
+					last := params[0].Data()[len(params[0].Data())-1]
+					runtime.Gosched()
+					if now := params[0].Data()[len(params[0].Data())-1]; now != last {
+						t.Errorf("a held generation changed from %v to %v", last, now)
 					}
+					gen.release()
+					sink += last
 				}
 			}
 		}(r)

@@ -435,18 +435,21 @@ func TestStalenessObserveOffByOneCoalesced(t *testing.T) {
 // relay-child arm puts a real relay in front of children {0,1} and has child
 // 1 push the right number of tensors in the wrong shape: the relay answers it
 // with one tagged error and folds nothing, child 0's partial leaves intact,
-// and child 1's departure completes the round. Every way the failed push's
-// leased receive buffer goes back exactly once.
+// and child 1's departure completes the round. Every way, and on every
+// transport — TCP, the same-host lane, the in-process channel — the failed
+// push's leased receive buffer goes back exactly once.
 func TestPushErrorStillReleasesPeers(t *testing.T) {
 	var released atomic.Int64
 	t.Cleanup(transport.SetReleaseHook(func([]byte) { released.Add(1) }))
 	// Every carrier runs with its loopback dials held on TCP, the cross-host
-	// transport, and again with them upgrading to the same-host lane.
+	// transport, again with them upgrading to the same-host lane, and in
+	// process.
 	for _, arm := range []struct {
 		carrier, wire string
 	}{
-		{"direct", "tcp"}, {"direct", "lane"}, {"trunk", "tcp"}, {"trunk", "lane"},
-		{"relay-child", "tcp"}, {"relay-child", "lane"},
+		{"direct", "tcp"}, {"direct", "lane"}, {"direct", "channel"},
+		{"trunk", "tcp"}, {"trunk", "lane"}, {"trunk", "channel"},
+		{"relay-child", "tcp"}, {"relay-child", "lane"}, {"relay-child", "channel"},
 	} {
 		carrier := arm.carrier
 		t.Run(carrier+"/"+arm.wire, func(t *testing.T) {
@@ -458,8 +461,8 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(srv.Stop)
-			// Over TCP, so the pushed frame's receive buffer is leased.
-			_, dial := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
+			tcp := arm.wire != "channel"
+			_, dial := endpoint(t, tcp, func(l transport.Listener) { _ = srv.Serve(l) })
 			connectAt := func(dial func() (transport.Conn, error), w int) *Client {
 				conn, err := dial()
 				if err != nil {
@@ -509,7 +512,7 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 				err := trunk.Send(transport.Message{
 					Type:        transport.MsgPush,
 					PushEntries: []transport.PushEntry{{Worker: 0}, {Worker: 1}},
-					Tensors:     transport.ToWire(bad),
+					Tensors:     transport.ToWireOwned(bad),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -534,7 +537,7 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(relay.Stop)
-				_, dialRelay := endpoint(t, true, func(l transport.Listener) { _ = relay.Serve(l) })
+				_, dialRelay := endpoint(t, tcp, func(l transport.Listener) { _ = relay.Serve(l) })
 				// Child 0 pulls, which shows the relay the model's layout, and
 				// its good push opens the window child 1's is judged against.
 				c0 := connectAt(dialRelay, 0)
@@ -571,7 +574,7 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 				// As many tensors as the model, so only the shape is wrong. The
 				// relay answers with one error naming child 1; the frame after it
 				// is the answer to the next request (a relay serves no maps).
-				reply := exchange(transport.Message{Type: transport.MsgPush, Worker: 1, Tensors: transport.ToWire(bad[:1])})
+				reply := exchange(transport.Message{Type: transport.MsgPush, Worker: 1, Tensors: transport.ToWireOwned(bad[:1])})
 				if reply.Type != transport.MsgError || reply.Worker != 1 {
 					t.Fatalf("child 1's misshapen push answered %+v, want an Error naming worker 1", reply)
 				}
@@ -817,7 +820,9 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 	}
 	defer st.Close()
 	cfg := compress.Config{Codec: compress.FP16}.Normalized()
-	pack := func(params []*tensor.Tensor) []compress.Packed { return compress.Pack(params, cfg) }
+	pack := func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed {
+		return compress.PackInto(dst, params, cfg)
+	}
 
 	const pushes = 200
 	var wg sync.WaitGroup
@@ -833,7 +838,7 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 					return
 				default:
 				}
-				packed, _, _, shardV, unchanged := st.PackShardDelta(shard%st.Shards(), lastV, pack)
+				packed, pin, _, _, shardV, unchanged := st.AcquirePackedDelta(shard%st.Shards(), lastV, pack)
 				if unchanged {
 					continue
 				}
@@ -842,7 +847,9 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 					return
 				}
 				lastV = shardV
-				if _, err := compress.DecompressAll(packed); err != nil {
+				_, err := compress.DecompressAll(packed)
+				pin.release()
+				if err != nil {
 					t.Errorf("cache served undecodable payload: %v", err)
 					return
 				}
@@ -865,8 +872,10 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 
 	// Quiesced: the cache must now serve the final snapshot, never anything
 	// the batched version bumps left behind.
+	final, _ := st.Snapshot()
 	for i := 0; i < st.Shards(); i++ {
-		packed, _, version, _, unchanged := st.PackShardDelta(i, -1, pack)
+		packed, pin, _, version, _, unchanged := st.AcquirePackedDelta(i, -1, pack)
+		defer pin.release()
 		if unchanged {
 			t.Fatalf("shard %d reported unchanged against have=-1", i)
 		}
@@ -877,8 +886,8 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, _ := st.SnapshotShard(i)
-		wantPacked := compress.Pack(want, cfg)
+		lo, hi := st.ShardRange(i)
+		wantPacked := compress.Pack(final[lo:hi], cfg)
 		wantRT, err := compress.DecompressAll(wantPacked)
 		if err != nil {
 			t.Fatal(err)

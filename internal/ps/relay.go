@@ -79,14 +79,6 @@ type Relay struct {
 	// is carried into the next, per hop, exactly as a worker's own
 	// compressor does per worker.
 	comp *compress.Compressor
-	// trunkSerializes and upLeases record what the two upstream connections
-	// are (transport.SerializingSender): a serializing trunk is done with a
-	// partial's sum buffers when Send returns, and a socket pull session
-	// hands its chunks' receive buffers back as they are superseded, so what
-	// aliases them must not outlive pullMu.
-	trunkSerializes bool
-	upLeases        bool
-
 	// up is the replica pull client; pullMu serializes child pulls through
 	// it (the client is single-goroutine by contract) and guards packCache.
 	up     *Client
@@ -111,8 +103,8 @@ type Relay struct {
 	pendingJoins map[int]chan transport.Message
 	partial      *relayPartial
 	doneCount    int
-	// spareSum is the last flushed partial's sum buffers, kept for the next
-	// partial once nothing upstream can still be reading them.
+	// spareSum is the last flushed partial's sum buffers, the next partial's:
+	// the trunk's Send was done with them when it returned.
 	spareSum []*tensor.Tensor
 
 	stopOnce sync.Once
@@ -248,18 +240,14 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		return nil, fmt.Errorf("ps: relay pull session: %w", err)
 	}
 
-	_, trunkSerializes := trunk.(transport.SerializingSender)
-	_, upLeases := upConn.(transport.SerializingSender)
 	r := &Relay{
-		cfg:             cfg,
-		trunk:           trunk,
-		trunkKey:        reply.Worker,
-		compression:     negotiated,
-		trunkSerializes: trunkSerializes,
-		upLeases:        upLeases,
-		up:              up,
-		reg:             reg,
-		pendingJoins:    make(map[int]chan transport.Message),
+		cfg:          cfg,
+		trunk:        trunk,
+		trunkKey:     reply.Worker,
+		compression:  negotiated,
+		up:           up,
+		reg:          reg,
+		pendingJoins: make(map[int]chan transport.Message),
 	}
 	r.bind(r, clock, map[transport.MessageType]func(transport.Conn, transport.Message){
 		transport.MsgClusterMap: refuseClusterMap,
@@ -664,11 +652,9 @@ func (r *Relay) completeLocked() bool {
 // flushLocked forwards the pending partial upstream as one ×k-weighted push:
 // the summed gradients plus the per-child PushEntries the root's policy
 // layer replays. Callers hold r.mu — the send happens under it, so partials
-// leave in completion order. Once nothing upstream can still be reading the
-// sum buffers — the compressor has packed them, or a serializing trunk's Send
-// has returned — they become the next partial's (spareSum); on a
-// reference-passing trunk the dense payload may be in flight while the next
-// partial accumulates, so there every partial keeps its own.
+// leave in completion order. When the trunk's Send returns nothing upstream
+// reads the sum buffers (or the compressor's, which the next flush
+// overwrites) again, so they become the next partial's (spareSum).
 func (r *Relay) flushLocked(reason string) {
 	p := r.partial
 	r.partial = nil
@@ -685,10 +671,9 @@ func (r *Relay) flushLocked(reason string) {
 	var bytes int64
 	if r.comp != nil {
 		msg.Codec = r.compression.Codec
-		// Trunk pushes pipeline, so only a transport that serializes inside
-		// Send (below, under r.mu) is done with the compressor's buffers
-		// before the next flush overwrites them.
-		msg.Packed = sendablePacked(r.trunk, r.comp.Compress(p.sum))
+		// Trunk pushes pipeline, but Send (below, under r.mu) is done with
+		// the compressor's buffers before the next flush overwrites them.
+		msg.Packed = r.comp.Compress(p.sum)
 		for _, pk := range msg.Packed {
 			bytes += int64(pk.WireSize())
 		}
@@ -714,9 +699,7 @@ func (r *Relay) flushLocked(reason string) {
 	if err := r.trunk.Send(msg); err != nil {
 		go r.fail(fmt.Errorf("ps: relay trunk: %w", err))
 	}
-	if r.comp != nil || r.trunkSerializes {
-		r.spareSum = p.sum
-	}
+	r.spareSum = p.sum
 }
 
 // handlePull refreshes the relay's upstream delta-pull cache and serves
@@ -726,23 +709,17 @@ func (r *Relay) flushLocked(reason string) {
 // transfers almost nothing; when it did, the relay downloads each changed
 // shard once and fans it out to every pulling child.
 //
-// Lease rules: r.up.shardCache's tensors are on Client.Pull's lease — over a
-// socket they alias receive buffers that go back to the upstream connection
-// when the next r.up.Pull supersedes their chunk. Every use of them therefore
-// stays under pullMu, which that next Pull also needs: a serializing child
-// connection has copied the chunk to its socket by the time Send returns, so
-// it is served by reference; a reference-passing child could still be reading
-// after pullMu is gone, so behind a leasing upstream it gets a copy. That is
-// why the chunks go out from this goroutine, on the connection, instead of
-// through the session's outbox like every other reply: by the time pullMu is
-// released they are on the wire or copied.
+// Lease rules: r.up.shardCache's tensors are on Client.Pull's lease — they
+// alias receive buffers that go back to the upstream connection when the next
+// r.up.Pull supersedes their chunk. Every use of them therefore stays under
+// pullMu, which that next Pull also needs, and the child connection's Send is
+// done with the chunk when it returns (transport.Conn). That is why the
+// chunks go out from this goroutine, on the connection, instead of through
+// the session's outbox like every other reply: by the time pullMu is released
+// they are encoded.
 func (r *Relay) handlePull(ch *session, msg transport.Message) {
 	r.pullMu.Lock()
 	defer r.pullMu.Unlock()
-	toWire := transport.ToWireOwned
-	if r.upLeases && !ch.serializes {
-		toWire = transport.ToWire
-	}
 	params, version, err := r.up.Pull()
 	if err != nil {
 		_ = ch.conn.Send(transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: err.Error()})
@@ -771,7 +748,7 @@ func (r *Relay) handlePull(ch *session, msg transport.Message) {
 			out.Codec = r.compression.Codec
 			out.Packed = compress.Pack(params, r.compression)
 		} else {
-			out.Tensors = toWire(params)
+			out.Tensors = transport.ToWireOwned(params)
 		}
 		_ = ch.conn.Send(out)
 		return
@@ -812,7 +789,7 @@ func (r *Relay) handlePull(ch *session, msg transport.Message) {
 			out.Codec = r.compression.Codec
 			out.Packed = r.packCache[i].packed
 		} else {
-			out.Tensors = toWire(ts)
+			out.Tensors = transport.ToWireOwned(ts)
 		}
 		if ch.conn.Send(out) != nil {
 			return

@@ -429,7 +429,7 @@ func TestTrunkSpeaksOnlyForSlotsItRoutes(t *testing.T) {
 		{
 			Type:        transport.MsgPush,
 			PushEntries: []transport.PushEntry{{Worker: 0}},
-			Tensors:     transport.ToWire([]*tensor.Tensor{tensor.Full(0.1, 2048)}),
+			Tensors:     transport.ToWireOwned([]*tensor.Tensor{tensor.Full(0.1, 2048)}),
 		},
 		{Type: transport.MsgDone, Worker: 0},
 		// The connection is served in order, so this join's acknowledgement
@@ -513,7 +513,7 @@ func TestRelayStalledChildDoesNotDelaySiblingOK(t *testing.T) {
 	// reading (64): each push flushes its predecessor upstream as the child's
 	// duplicate, and the root answers every one.
 	const pushes = 70
-	grad := transport.ToWire([]*tensor.Tensor{tensor.Full(0.1, 4)})
+	grad := transport.ToWireOwned([]*tensor.Tensor{tensor.Full(0.1, 4)})
 	for it := 0; it < pushes; it++ {
 		if err := stalled.Send(transport.Message{Type: transport.MsgPush, Worker: 0, Iteration: it, Tensors: grad}); err != nil {
 			t.Fatal(err)

@@ -1120,7 +1120,7 @@ func (s *Server) CheckpointError() error {
 // previous tensors are no longer needed; a pipelining sender passes nil and
 // gets fresh ones, valid however many payloads are in flight), after which
 // nothing aliases the message's receive buffer and its lease ends; a dense
-// push whose message owns its wire buffer is aliased rather than copied, and
+// push's tensors alias the message's receive buffer rather than copy it, and
 // the caller keeps the lease until it is done reading. Consumers only read
 // gradients, so neither reuse can leak into published weights.
 func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*tensor.Tensor) ([]*tensor.Tensor, int64, error) {
@@ -1148,22 +1148,21 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 		return grads, bytes, nil
 	case speaks.Enabled():
 		return nil, 0, fmt.Errorf("uncompressed push but this hop speaks %s", speaks)
-	case msg.PayloadOwned():
-		grads, err := transport.FromWireOwned(msg.Tensors)
-		return grads, wireTensorBytes(msg.Tensors), err
 	default:
-		grads, err := transport.FromWire(msg.Tensors)
+		grads, err := transport.FromWireOwned(msg.Tensors)
 		return grads, wireTensorBytes(msg.Tensors), err
 	}
 }
 
 // handlePull streams the current weights to a worker, one chunk per store
 // shard. Each chunk references the shard's copy-on-write snapshot — the
-// server copies nothing — and goes onto the wire as soon as the shard's
-// reference is grabbed, so pulls from different workers, and a pull
+// server copies nothing — pinned until the session's writer has sent it
+// (Send is done with the payload when it returns: transport.Conn), a bounded
+// borrow the applier's buffer reuse sees through. It is queued as soon as the
+// shard's reference is grabbed, so pulls from different workers, and a pull
 // overlapping an in-flight push on other shards, proceed concurrently. The
-// worker's wire decode reads the bytes into a buffer of its own, keeping
-// workers isolated.
+// transport's one copy lands in a buffer of the worker's own, keeping workers
+// isolated.
 //
 // With pull compression negotiated, each chunk instead carries the shard's
 // packed form from the store's per-shard cache: the quantization pass runs
@@ -1211,82 +1210,45 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 			Total:  total,
 		}
 		// ref pins the store buffers a full chunk aliases — a parameter
-		// generation, or a packed-cache generation — until the writer has
-		// serialized it; nil for every chunk that pins nothing.
+		// generation, or a packed-cache generation — until the writer's send
+		// has returned; nil for every chunk that pins nothing.
 		var ref *genPin
+		var shardV int64
+		var unchanged bool
 		if compressPull {
-			var packed []compress.Packed
-			var shardV int64
-			var unchanged bool
-			if sess.serializes {
-				// As for uncompressed chunks below: pinned until the writer's
-				// send returns, so the next cache fill can recycle the buffers.
-				packed, ref, msg.Base, msg.Version, shardV, unchanged = st.AcquirePackedDelta(i, haveV, s.packShardInto)
-			} else {
-				packed, msg.Base, msg.Version, shardV, unchanged = st.PackShardDelta(i, haveV, s.packShard)
-			}
-			if sess.deltaPull {
-				// ShardVersion is a v2 wire field scoped to negotiated
-				// sessions (PROTOCOL.md §5a): stamping it on every reply
-				// would promote the frame to protocol v2 and break v1-only
-				// peers that never asked for delta pulls.
-				msg.ShardVersion = shardV
-			}
-			if unchanged {
-				msg.Unchanged = true
-				s.sm.chunksUnchanged.Inc()
-			} else {
+			msg.Packed, ref, msg.Base, msg.Version, shardV, unchanged = st.AcquirePackedDelta(i, haveV, s.packShardInto)
+			if !unchanged {
 				msg.Codec = s.compression.Codec
-				msg.Packed = packed
-				s.sm.chunksFull.Inc()
-			}
-		} else if sess.serializes {
-			// The transport serializes payloads inside Send, so the chunk
-			// only needs the generation pinned until the writer's send
-			// returns — a bounded borrow the applier's buffer reuse can see
-			// through, instead of ViewShardDelta's permanent escape.
-			params, gen, base, version, shardV, unchanged := st.AcquireShardDelta(i, haveV)
-			msg.Base = base
-			msg.Version = version
-			if sess.deltaPull {
-				msg.ShardVersion = shardV
-			}
-			if unchanged {
-				msg.Unchanged = true
-				s.sm.chunksUnchanged.Inc()
-			} else {
-				msg.Tensors = transport.ToWireOwned(params)
-				ref = &gen.genPin
-				s.sm.chunksFull.Inc()
 			}
 		} else {
-			params, base, version, shardV, unchanged := st.ViewShardDelta(i, haveV)
-			msg.Base = base
-			msg.Version = version
-			if sess.deltaPull {
-				msg.ShardVersion = shardV
-			}
-			if unchanged {
-				msg.Unchanged = true
-				s.sm.chunksUnchanged.Inc()
-			} else {
+			var params []*tensor.Tensor
+			var gen *paramGen
+			params, gen, msg.Base, msg.Version, shardV, unchanged = st.AcquireShardDelta(i, haveV)
+			if !unchanged {
 				msg.Tensors = transport.ToWireOwned(params)
-				s.sm.chunksFull.Inc()
+				ref = &gen.genPin
 			}
+		}
+		if sess.deltaPull {
+			// ShardVersion is a v2 wire field scoped to negotiated sessions
+			// (PROTOCOL.md §5a): stamping it on every reply would promote the
+			// frame to protocol v2 and break v1-only peers that never asked
+			// for delta pulls.
+			msg.ShardVersion = shardV
+		}
+		if unchanged {
+			msg.Unchanged = true
+			s.sm.chunksUnchanged.Inc()
+		} else {
+			s.sm.chunksFull.Inc()
 		}
 		s.enqueueSessionRef(sess, msg, ref)
 	}
 }
 
-// packShard is the Store.PackShard callback compressing one shard's
-// published snapshot with the server's codec (stateless: no error feedback
-// on the pull path).
-func (s *Server) packShard(params []*tensor.Tensor) []compress.Packed {
-	return compress.Pack(params, s.compression)
-}
-
-// packShardInto is packShard for Store.AcquirePackedDelta: it packs into the
-// retired buffers the store recycles.
+// packShardInto is the Store.AcquirePackedDelta callback compressing one
+// shard's published snapshot with the server's codec (stateless: no error
+// feedback on the pull path) into the retired buffers the store recycles.
 func (s *Server) packShardInto(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed {
 	return compress.PackInto(dst, params, s.compression)
 }

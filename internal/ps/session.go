@@ -61,12 +61,7 @@ type session struct {
 	// its weight chunks may come back Unchanged. Set before the session is
 	// installed, immutable afterwards.
 	deltaPull bool
-	// serializes reports that the connection is a transport.SerializingSender:
-	// payloads are fully encoded inside Send/SendBatch, so pull replies may
-	// pin store generations with a bounded reference (released by the writer
-	// after the send) instead of escaping them from buffer reuse forever.
-	serializes bool
-	outbox     chan outMsg
+	outbox    chan outMsg
 
 	// gone is closed exactly once when the session ends — deregistered,
 	// superseded, lease-expired, or server-stopped. The writer goroutine and
@@ -106,13 +101,11 @@ type entryMark struct {
 
 // newSession builds a session for conn, not yet installed in the table.
 func newSession(kind sessionKind, key int, conn transport.Conn, rejoined bool, now time.Time) *session {
-	_, serializes := conn.(transport.SerializingSender)
 	return &session{
-		kind:       kind,
-		worker:     key,
-		conn:       conn,
-		rejoined:   rejoined,
-		serializes: serializes,
+		kind:     kind,
+		worker:   key,
+		conn:     conn,
+		rejoined: rejoined,
 		// Deep enough for a full multi-shard pull reply plus the releases
 		// landing behind it without blocking the sequencer.
 		outbox:   make(chan outMsg, 64),
@@ -135,11 +128,11 @@ func (se *session) partial(msg transport.Message) ([]transport.PushEntry, *[]*te
 }
 
 // outMsg is one queued outbound message, plus — when the payload aliases a
-// store generation's tensors or packed-cache buffers — the bounded-reader
-// reference pinning that generation. The writer releases ref once the transport has serialized the
-// message; every path that drops the message instead releases it on the
-// spot. ref is nil for control messages and for payloads that do not alias
-// store buffers.
+// store generation's tensors or packed-cache buffers — the reference pinning
+// that generation. The writer releases ref once Send has returned (the
+// transport is done with the payload: transport.Conn); every path that drops
+// the message instead releases it on the spot. ref is nil for control
+// messages and for payloads that do not alias store buffers.
 type outMsg struct {
 	msg transport.Message
 	ref *genPin

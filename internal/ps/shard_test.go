@@ -164,7 +164,9 @@ func TestStoreConcurrentApplySnapshotHammer(t *testing.T) {
 					return
 				}
 				for s := 0; s < st.Shards(); s++ {
-					if ts, _, _ := st.SnapshotShard(s); len(ts) == 0 {
+					ts, gen, _, _, _, _ := st.AcquireShardDelta(s, -1)
+					gen.release()
+					if len(ts) == 0 {
 						t.Errorf("shard %d snapshot empty", s)
 						return
 					}

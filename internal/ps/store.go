@@ -28,11 +28,11 @@ import (
 // publish copy-on-write snapshots: Apply steps the optimizer on a fresh copy
 // of the shard's tensors and publishes the copy, so the published tensors are
 // immutable from the moment they become visible. A reader therefore only
-// needs the shard lock for the instant it takes a reference (ViewShard), and
-// any number of concurrent pulls proceed without copying or blocking behind
-// gradient application; Apply updates the shards in parallel, so a single
-// push uses multiple cores on large models. The shard layout is fixed at
-// construction and immutable afterwards.
+// needs the shard lock for the instant it takes a reference
+// (AcquireShardDelta), and any number of concurrent pulls proceed without
+// copying or blocking behind gradient application; Apply updates the shards
+// in parallel, so a single push uses multiple cores on large models. The
+// shard layout is fixed at construction and immutable afterwards.
 //
 // Gradient application is pipelined: EnqueueApply assigns the push a ticket
 // (its serial position, taken from reserved) and appends its gradient slices
@@ -233,7 +233,9 @@ func (s *Store) QueueDepth() int64 {
 func (s *Store) ShardVersions() []int64 {
 	out := make([]int64, len(s.shards))
 	for i, sh := range s.shards {
-		_, out[i] = sh.viewVersioned()
+		sh.mu.RLock()
+		out[i] = sh.version
+		sh.mu.RUnlock()
 	}
 	return out
 }
@@ -566,103 +568,37 @@ func (s *Store) Snapshot() ([]*tensor.Tensor, int64) {
 	return out, version
 }
 
-// SnapshotShard returns deep copies of shard i's parameters, the global
-// tensor index of the first one, and the store's aggregate version at read
-// time.
-func (s *Store) SnapshotShard(i int) (params []*tensor.Tensor, base int, version int64) {
-	version = s.version.Load()
-	g, _ := s.shards[i].acquire()
-	params = make([]*tensor.Tensor, len(g.params))
-	for j, p := range g.params {
-		params[j] = p.Clone()
-	}
-	g.release()
-	return params, s.ranges[i].Start, version
-}
-
-// ViewShard returns shard i's currently published parameter tensors without
-// copying, with the global index of the first one and the store's aggregate
-// version at read time. The returned tensors are the store's copy-on-write
-// snapshot: they are never mutated after publication, and the CALLER MUST
-// NOT mutate them either. This is the zero-copy fast path the server's pull
-// handler streams to the wire; workers receive isolated copies because the
-// wire decode (transport.FromWire) copies the data.
-func (s *Store) ViewShard(i int) (params []*tensor.Tensor, base int, version int64) {
-	params, base, version, _, _ = s.ViewShardDelta(i, -1)
-	return params, base, version
-}
-
-// ViewShardDelta is ViewShard extended for version-gated delta pulls: it
-// additionally returns the shard-local publication version of the returned
-// snapshot, and — when have matches it — reports the shard unchanged with a
-// nil params slice, letting the caller skip the payload entirely. have is
-// the shard version from the reader's previous pull; pass a negative value
-// to always receive the snapshot.
-func (s *Store) ViewShardDelta(i int, have int64) (params []*tensor.Tensor, base int, version, shardVersion int64, unchanged bool) {
-	version = s.version.Load()
-	base = s.ranges[i].Start
-	params, shardVersion = s.shards[i].viewVersioned()
-	if have >= 0 && have == shardVersion {
-		return nil, base, version, shardVersion, true
-	}
-	return params, base, version, shardVersion, false
-}
-
-// PackShard returns shard i's published parameters in the compressed form
-// produced by pack, with the global index of the first tensor and the
-// store's aggregate version at read time. The packed form is cached per
-// shard and recomputed only after a newer snapshot is published, so
-// concurrent pulls from any number of workers share one compression pass
-// per update. Like ViewShard's tensors, the returned slice is immutable and
-// must not be modified.
+// AcquirePackedDelta returns shard i's published parameters in the compressed
+// form produced by pack, with the global index of the first tensor, the
+// store's aggregate version at read time and the shard version the served
+// form encodes — or, when have matches that version, reports the shard
+// unchanged with a nil packed slice and a nil pin (pass a negative have to
+// always receive the packed form). The packed form is cached per shard and
+// recomputed only after a newer snapshot is published, so concurrent pulls
+// from any number of workers share one compression pass per update. It is the
+// compressed twin of AcquireShardDelta: packed is immutable and valid until
+// release is called on the returned pin — exactly once, after the message
+// carrying it has been sent — and the cache fill that supersedes it may then
+// rewrite its buffers, so steady-state compressed pulls allocate nothing. pack
+// receives the retired form to recycle (nil when none is free) and returns the
+// new one; compress.PackInto has that shape.
 //
 // All callers of a store must pass an equivalent pack function: the cache is
 // keyed on the shard version only, which is exactly the pull path's shape —
 // one server, one negotiated codec.
-func (s *Store) PackShard(i int, pack func([]*tensor.Tensor) []compress.Packed) (packed []compress.Packed, base int, version int64) {
-	packed, base, version, _, _ = s.PackShardDelta(i, -1, pack)
-	return packed, base, version
-}
-
-// PackShardDelta is PackShard extended for version-gated delta pulls: it
-// additionally returns the shard version the served packed form encodes,
-// and — when have matches it — reports the shard unchanged with a nil
-// packed slice. Pass a negative have to always receive the packed form.
-//
-// The returned slice may be kept for as long as the caller likes, which
-// retires its buffers from reuse for good; AcquirePackedDelta is the bounded
-// form for readers that can say when they are done.
-func (s *Store) PackShardDelta(i int, have int64, pack func([]*tensor.Tensor) []compress.Packed) (packed []compress.Packed, base int, version, shardVersion int64, unchanged bool) {
-	version = s.version.Load()
-	packed, _, shardVersion, unchanged = s.shards[i].packedDelta(have, false, func(_ []compress.Packed, params []*tensor.Tensor) []compress.Packed {
-		return pack(params)
-	})
-	return packed, s.ranges[i].Start, version, shardVersion, unchanged
-}
-
-// AcquirePackedDelta is PackShardDelta for bounded readers, the compressed
-// twin of AcquireShardDelta: packed is valid until release is called on the
-// returned pin — exactly once, after the message carrying it has been
-// serialized — and the cache fill that supersedes it may then rewrite its
-// buffers, so steady-state compressed pulls allocate nothing. pack receives
-// the retired form to recycle (nil when none is free) and returns the new
-// one; compress.PackInto has that shape. An unchanged shard returns a nil
-// pin.
 func (s *Store) AcquirePackedDelta(i int, have int64, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin, base int, version, shardVersion int64, unchanged bool) {
 	version = s.version.Load()
-	packed, pin, shardVersion, unchanged = s.shards[i].packedDelta(have, true, pack)
+	packed, pin, shardVersion, unchanged = s.shards[i].packedDelta(have, pack)
 	return packed, pin, s.ranges[i].Start, version, shardVersion, unchanged
 }
 
 // packedDelta serves the shard's packed cache, filling it first when a newer
 // snapshot than the cached one is published: it returns the packed form and
 // the shard version it encodes, or reports that version equal to have. Unless
-// unchanged, the generation served is pinned (bounded; the pin is returned)
-// or marked escaped.
-func (sh *shard) packedDelta(have int64, bounded bool, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin, shardVersion int64, unchanged bool) {
-	// The pack read is bounded — the compressed form never aliases the
-	// parameter buffers — so it holds a reference instead of escaping the
-	// generation, keeping the buffers eligible for applier reuse.
+// unchanged, the generation served is pinned and the pin returned.
+func (sh *shard) packedDelta(have int64, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin, shardVersion int64, unchanged bool) {
+	// The compressed form never aliases the parameter buffers, so the
+	// generation is held only for the fill.
 	g, local := sh.acquire()
 	defer g.release()
 	sh.packedMu.Lock()
@@ -685,10 +621,6 @@ func (sh *shard) packedDelta(have int64, bounded bool, pack func(dst []compress.
 	pg := sh.packed
 	if have >= 0 && have == pg.version {
 		return nil, nil, pg.version, true
-	}
-	if !bounded {
-		pg.escaped.Store(true)
-		return pg.packed, nil, pg.version, false
 	}
 	pg.refs.Add(1)
 	return pg.packed, &pg.genPin, pg.version, false

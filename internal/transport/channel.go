@@ -9,14 +9,30 @@ import (
 // ErrClosed is returned by operations on a closed connection or listener.
 var ErrClosed = errors.New("transport: connection closed")
 
-// chanConn is one endpoint of an in-process connection pair.
+// chanConn is one endpoint of an in-process connection pair: the binary wire
+// minus the socket. Send encodes the message into one frame — the bytes a
+// socket would carry — in a buffer from the direction's pool and hands the
+// frame through a channel; Recv parses it in place and leases the buffer to
+// the message, whose Release hands it back to the pool for a later Send. A
+// payload is therefore copied once per direction, by Send, and the steady
+// state allocates nothing that scales with it.
 type chanConn struct {
-	send chan<- Message
-	recv <-chan Message
+	send chan<- []byte
+	recv <-chan []byte
+	// out is the pool Send takes frame buffers from and the peer's releases
+	// return them to; in is the peer's out.
+	out, in *bodyPool
 
-	// meter, when non-nil, counts frames per message type with approximate
-	// payload sizes — the channel transport moves references, not bytes.
+	// meter, when non-nil, counts frames and their encoded sizes per message
+	// type and direction.
 	meter *Metrics
+
+	// encBuf holds a send's inline bytes (header, tags, shapes) and refs the
+	// payload slabs, every one of them taken by reference so that the frame's
+	// size is known before its buffer is picked. Both guarded by encMu.
+	encMu  sync.Mutex
+	encBuf []byte
+	refs   frameRefs
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -28,10 +44,11 @@ type chanConn struct {
 // fan-out from blocking on slow readers.
 func Pipe() (Conn, Conn) {
 	const depth = 64
-	ab := make(chan Message, depth)
-	ba := make(chan Message, depth)
-	a := &chanConn{send: ab, recv: ba, closed: make(chan struct{})}
-	b := &chanConn{send: ba, recv: ab, closed: make(chan struct{})}
+	ab := make(chan []byte, depth)
+	ba := make(chan []byte, depth)
+	abPool, baPool := &bodyPool{}, &bodyPool{}
+	a := &chanConn{send: ab, recv: ba, out: abPool, in: baPool, refs: frameRefs{min: 1}, closed: make(chan struct{})}
+	b := &chanConn{send: ba, recv: ab, out: baPool, in: abPool, refs: frameRefs{min: 1}, closed: make(chan struct{})}
 	a.peer, b.peer = b, a
 	return a, b
 }
@@ -47,15 +64,46 @@ func (c *chanConn) Send(m Message) error {
 		return ErrClosed
 	default:
 	}
+	frame, err := c.encode(&m)
+	if err != nil {
+		return fmt.Errorf("transport: send %v: %w", m.Type, err)
+	}
 	select {
 	case <-c.closed:
+		c.out.put(frame)
 		return ErrClosed
 	case <-c.peer.closed:
+		c.out.put(frame)
 		return ErrClosed
-	case c.send <- m:
-		c.meter.Sent(m.Type, approxSize(&m))
+	case c.send <- frame:
+		c.meter.Sent(m.Type, len(frame))
 		return nil
 	}
+}
+
+// encode assembles m's frame, byte for byte what appendFrame produces, in a
+// pooled buffer of exactly its size.
+func (c *chanConn) encode(m *Message) ([]byte, error) {
+	c.encMu.Lock()
+	defer c.encMu.Unlock()
+	inline, err := appendFrameRefs(c.encBuf[:0], m, &c.refs)
+	if err != nil {
+		return nil, err
+	}
+	size := len(inline) + c.refs.bytes
+	frame := c.out.get(size)
+	if frame == nil {
+		frame = make([]byte, 0, size)
+	}
+	from := 0
+	for _, r := range c.refs.list {
+		frame = append(append(frame, inline[from:r.off]...), r.data...)
+		from = r.off
+	}
+	frame = append(frame, inline[from:]...)
+	c.encBuf = inline[:0]
+	c.refs.truncate(0)
+	return frame, nil
 }
 
 // Recv implements Conn.
@@ -63,24 +111,42 @@ func (c *chanConn) Recv() (Message, error) {
 	select {
 	case <-c.closed:
 		return Message{}, ErrClosed
-	case m, ok := <-c.recv:
+	case frame, ok := <-c.recv:
 		if !ok {
 			return Message{}, ErrClosed
 		}
-		c.meter.Received(m.Type, approxSize(&m))
-		return m, nil
+		return c.decode(frame)
 	case <-c.peer.closed:
 		// Drain any messages the peer sent before closing.
 		select {
-		case m, ok := <-c.recv:
+		case frame, ok := <-c.recv:
 			if ok {
-				c.meter.Received(m.Type, approxSize(&m))
-				return m, nil
+				return c.decode(frame)
 			}
 		default:
 		}
 		return Message{}, ErrClosed
 	}
+}
+
+// decode parses a frame the peer's Send assembled. As on a socket, a frame
+// with a small body yields a message that owns copies and the buffer goes
+// straight back; a payload frame is leased to its message.
+func (c *chanConn) decode(frame []byte) (Message, error) {
+	version, typ, body := frame[4], frame[5], frame[headerSize:]
+	var lease *bodyLease
+	if len(body) > smallBodyMax {
+		lease = &bodyLease{pool: c.in, buf: frame}
+	}
+	m, err := adopt(typ, version, body, lease)
+	if lease == nil {
+		c.in.put(frame)
+	}
+	if err != nil {
+		return Message{}, fmt.Errorf("transport: recv: %w", err)
+	}
+	c.meter.Received(m.Type, len(frame))
+	return m, nil
 }
 
 // Close implements Conn.

@@ -32,7 +32,6 @@ func TestV2FieldsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		got.ownedPayload = false
 		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("case %d: round trip changed the message:\n got %+v\nwant %+v", i, got, m)
 		}
@@ -47,7 +46,7 @@ func TestV1FramesStayV1(t *testing.T) {
 		{Type: MsgRegister, Worker: 1, Codec: "topk", CodecTopK: 0.1},
 		{Type: MsgPull, Worker: 2},
 		{Type: MsgWeights, Worker: 0, Shard: 1, Shards: 2, Base: 2, Total: 4, Version: 12,
-			Tensors: ToWire(smallMLPGrads(2)[2:])},
+			Tensors: ToWireOwned(smallMLPGrads(2)[2:])},
 		{Type: MsgHeartbeat, Worker: 5},
 	} {
 		frame, err := appendFrame(nil, &m)

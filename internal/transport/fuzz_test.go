@@ -32,9 +32,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Type: MsgHeartbeat, Worker: 3},
 		{Type: MsgRegister, Worker: 1, Codec: compress.TopK, CodecTopK: 0.1, CodecPull: true},
 		{Type: MsgRegistered, Worker: 1, Version: 99, Codec: compress.Int8, StoreShards: 4},
-		{Type: MsgPush, Worker: 2, Iteration: 7, Version: 41, Tensors: ToWire(smallMLPGrads(1))},
+		{Type: MsgPush, Worker: 2, Iteration: 7, Version: 41, Tensors: ToWireOwned(smallMLPGrads(1))},
 		{Type: MsgWeights, Worker: 0, Version: 12, Shard: 1, Shards: 2, Base: 2, Total: 4,
-			Tensors: ToWire(smallMLPGrads(2)[2:])},
+			Tensors: ToWireOwned(smallMLPGrads(2)[2:])},
 		{Type: MsgError, Error: "boom"},
 	}
 	comp, err := compress.NewCompressor(compress.Config{Codec: compress.TopK, TopK: 0.5})

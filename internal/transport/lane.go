@@ -215,12 +215,6 @@ func (fr *frameReader) readSlot(typ, version byte, page, bodyLen int) (Message, 
 		return Message{}, err
 	}
 	fr.lastBody = bodyLane
-	m, err := parseBody(typ, version, body)
-	if err != nil {
-		a.state(page).Store(0)
-		return Message{}, err
-	}
-	m.ownedPayload = true
 	a.holders.Add(1)
 	l := &bodyLease{buf: body, arena: a, page: page}
 	// Release stays optional: a message dropped unreleased gives its slot
@@ -230,8 +224,7 @@ func (fr *frameReader) readSlot(typ, version byte, page, bodyLen int) (Message, 
 			l.giveBack()
 		}
 	})
-	m.lease = l
-	return m, nil
+	return adopt(typ, version, body, l)
 }
 
 // closeLane ends the connection's own hold on its arenas. The socket is

@@ -73,7 +73,7 @@ func TestReleaseRecyclesBodyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !m.PayloadOwned() || m.Tensors[0].Data[0] != v || m.Tensors[0].Data[n-1] != v {
+		if m.Tensors[0].Data[0] != v || m.Tensors[0].Data[n-1] != v {
 			t.Fatalf("frame %v arrived damaged", v)
 		}
 		return m
@@ -164,14 +164,24 @@ func TestReleaseAfterCloseAndFreeListCap(t *testing.T) {
 // TestReleaseHookSeesBodyBeforeReuse pins the test hook the ps-level
 // poisoning test relies on: the hook runs exactly once per released body,
 // before the buffer can be leased again, from any goroutine — a pooled body on
-// TCP, an arena slot on the lane.
+// TCP, an arena slot on the lane, a pooled frame in process.
 func TestReleaseHookSeesBodyBeforeReuse(t *testing.T) {
-	t.Run("tcp", func(t *testing.T) { testReleaseHookSeesBodyBeforeReuse(t, false) })
-	t.Run("lane", func(t *testing.T) { testReleaseHookSeesBodyBeforeReuse(t, true) })
+	t.Run("tcp", func(t *testing.T) {
+		send, recv, _ := leasePair(t, false)
+		testReleaseHookSeesBodyBeforeReuse(t, send, recv)
+	})
+	t.Run("lane", func(t *testing.T) {
+		send, recv, _ := leasePair(t, true)
+		testReleaseHookSeesBodyBeforeReuse(t, send, recv)
+	})
+	t.Run("channel", func(t *testing.T) {
+		send, recv := Pipe()
+		t.Cleanup(func() { send.Close(); recv.Close() })
+		testReleaseHookSeesBodyBeforeReuse(t, send, recv)
+	})
 }
 
-func testReleaseHookSeesBodyBeforeReuse(t *testing.T, lane bool) {
-	send, recv, _ := leasePair(t, lane)
+func testReleaseHookSeesBodyBeforeReuse(t *testing.T, send, recv Conn) {
 	var mu sync.Mutex
 	calls := 0
 	restore := SetReleaseHook(func(body []byte) {

@@ -2,17 +2,19 @@
 // parameter-server workers and the server, and two interchangeable
 // transports for it: an in-process transport built on channels (used by
 // tests, examples and the single-process trainer) and a TCP transport (used
-// by cmd/psserver and cmd/psworker).
+// by cmd/psserver and cmd/psworker). Both obey one payload-ownership
+// contract, stated on Conn.
 //
-// On TCP the encoding is a versioned, length-delimited binary frame
-// protocol (wire.go; byte-level specification in docs/PROTOCOL.md) whose
-// tensor payloads travel as raw little-endian float32 slabs: a large slab is
-// sent straight from the tensor's memory, and decoding aliases a receive
-// buffer leased to the message (Message.Release hands it back for the next
-// frame), so a weights chunk is copied once per direction in user space and
-// costs no allocation in the steady state. A peer that is not speaking the
-// protocol at all, or speaks a version this build does not, fails fast with
-// an explicit error rather than hanging either side.
+// The encoding is a versioned, length-delimited binary frame protocol
+// (wire.go; byte-level specification in docs/PROTOCOL.md) whose tensor
+// payloads travel as raw little-endian float32 slabs: a large slab is sent
+// straight from the tensor's memory, and decoding aliases a receive buffer
+// leased to the message (Message.Release hands it back for the next frame),
+// so a weights chunk is copied once per direction in user space and costs no
+// allocation in the steady state. The in-process transport hands the same
+// frames through a channel instead of a socket. A TCP peer that is not
+// speaking the protocol at all, or speaks a version this build does not,
+// fails fast with an explicit error rather than hanging either side.
 package transport
 
 import (
@@ -248,24 +250,12 @@ type Message struct {
 	// 0x18 (protocol v4).
 	PushEntries []PushEntry
 
-	// ownedPayload marks a message whose Tensors data and Packed payloads
-	// are owned by the message alone — set by the TCP transports, whose
-	// decoders allocate (or alias a buffer leased to the message) per
-	// message. The in-process channel transport passes messages by
-	// reference, where tensor data may still alias the sender's storage
-	// (e.g. the store's copy-on-write snapshots), so it leaves the flag
-	// unset and receivers must copy before mutating.
-	ownedPayload bool
-	// lease is the pooled receive buffer the payload aliases, nil when the
-	// payload is the message's own allocation (control frames, gob, the
-	// channel transport). Copies of the message share it.
+	// lease is the pooled receive buffer a received message's payload
+	// aliases, nil when the payload is the message's own allocation (small
+	// frames) and on a message that was built rather than received. Copies of
+	// the message share it.
 	lease *bodyLease
 }
-
-// PayloadOwned reports whether the message exclusively owns its tensor data
-// and packed payloads — until Release. When true, FromWireOwned may wrap
-// them without copying; when false, use FromWire.
-func (m *Message) PayloadOwned() bool { return m.ownedPayload }
 
 // Release ends the message's lease on the receive buffer its payload aliases,
 // handing the buffer back to the connection for a later frame: Tensors data,
@@ -296,24 +286,12 @@ func (m *Message) copyPayloads() {
 	}
 }
 
-// ToWire converts tensors into their serializable form. Data slices are
-// copied so that the caller may keep mutating the originals.
-func ToWire(ts []*tensor.Tensor) []WireTensor {
-	out := make([]WireTensor, len(ts))
-	for i, t := range ts {
-		data := make([]float32, t.Size())
-		copy(data, t.Data())
-		out[i] = WireTensor{Shape: t.Shape(), Data: data}
-	}
-	return out
-}
-
 // ToWireOwned converts tensors into their serializable form without copying
 // the data: the wire tensors alias the inputs' storage. The caller must
-// guarantee the tensors are never mutated after the call — by anyone. Its
-// production use is the parameter server wrapping the store's copy-on-write
-// shard views, which are immutable from publication; receivers are isolated
-// because FromWire copies on decode.
+// guarantee the tensors stay unmodified for as long as the result is read —
+// for a message, until Send returns (Conn). Its production use is the
+// parameter server wrapping a store generation it holds pinned until its
+// writer has sent the chunk.
 func ToWireOwned(ts []*tensor.Tensor) []WireTensor {
 	out := make([]WireTensor, len(ts))
 	for i, t := range ts {
@@ -323,10 +301,10 @@ func ToWireOwned(ts []*tensor.Tensor) []WireTensor {
 }
 
 // ToWireOwnedInto is ToWireOwned reusing dst's WireTensor headers, for
-// callers that send the same parameter layout over and over through a
-// SerializingSender (the client's dense push path): the wire tensors alias
-// the inputs' storage, which must stay unmodified until Send returns and may
-// be rewritten freely afterwards. The returned slice may alias dst.
+// callers that send the same parameter layout over and over (the client's
+// dense push path): the wire tensors alias the inputs' storage, which must
+// stay unmodified until Send returns and may be rewritten freely afterwards.
+// The returned slice may alias dst.
 func ToWireOwnedInto(dst []WireTensor, ts []*tensor.Tensor) []WireTensor {
 	if cap(dst) < len(ts) {
 		dst = make([]WireTensor, len(ts))
@@ -342,50 +320,12 @@ func ToWireOwnedInto(dst []WireTensor, ts []*tensor.Tensor) []WireTensor {
 	return dst
 }
 
-// ToWireInto is ToWire reusing dst's WireTensor headers and data buffers
-// when shapes allow, for callers that send the same parameter layout over
-// and over (the client's dense push path). The returned slice may alias dst.
-// The caller must not reuse dst until the message holding it has been fully
-// processed by the receiver — guaranteed for the lock-step push protocol,
-// where the OK release only arrives after the push was decoded and applied.
-func ToWireInto(dst []WireTensor, ts []*tensor.Tensor) []WireTensor {
-	if cap(dst) < len(ts) {
-		dst = make([]WireTensor, len(ts))
-	}
-	dst = dst[:len(ts)]
-	for i, t := range ts {
-		data := dst[i].Data
-		if cap(data) < t.Size() {
-			data = make([]float32, t.Size())
-		}
-		data = data[:t.Size()]
-		copy(data, t.Data())
-		shape := dst[i].Shape
-		if !t.ShapeEquals(shape) {
-			shape = t.Shape()
-		}
-		dst[i] = WireTensor{Shape: shape, Data: data}
-	}
-	return dst
-}
-
-// FromWire converts serialized tensors back into tensor values, copying the
-// data so the results are isolated from the wire message.
-func FromWire(ws []WireTensor) ([]*tensor.Tensor, error) {
-	return fromWire(ws, false)
-}
-
-// FromWireOwned converts serialized tensors into tensor values that alias
-// the wire data without copying. It is only valid on messages whose
-// PayloadOwned reports true. The tensors share the message's lease on its
-// receive buffer: they are valid until the message is released (for good,
-// when it never is), and whoever keeps them decides when that is.
+// FromWireOwned converts a received message's serialized tensors into tensor
+// values that alias the wire data without copying. The tensors share the
+// message's lease on its receive buffer: they are valid until the message is
+// released (for good, when it never is), and whoever keeps them decides when
+// that is.
 func FromWireOwned(ws []WireTensor) ([]*tensor.Tensor, error) {
-	return fromWire(ws, true)
-}
-
-// fromWire implements FromWire and FromWireOwned.
-func fromWire(ws []WireTensor, owned bool) ([]*tensor.Tensor, error) {
 	out := make([]*tensor.Tensor, len(ws))
 	for i, w := range ws {
 		n := 1
@@ -398,11 +338,7 @@ func fromWire(ws []WireTensor, owned bool) ([]*tensor.Tensor, error) {
 		if n != len(w.Data) {
 			return nil, fmt.Errorf("transport: tensor %d has %d values for shape %v", i, len(w.Data), w.Shape)
 		}
-		if owned {
-			out[i] = tensor.FromSliceOwned(w.Data, w.Shape...)
-		} else {
-			out[i] = tensor.FromSlice(w.Data, w.Shape...)
-		}
+		out[i] = tensor.FromSliceOwned(w.Data, w.Shape...)
 	}
 	return out, nil
 }
@@ -417,23 +353,19 @@ type BatchSender interface {
 	SendBatch([]Message) error
 }
 
-// SerializingSender is an optional Conn extension marking transports whose
-// Send and SendBatch fully serialize the message payload before returning:
-// once the call returns, buffers the message aliases are never read again by
-// the transport or the peer, so the caller may recycle them. The TCP
-// transport qualifies — it hands the frame to the socket, payload slabs
-// included, synchronously. The in-process channel transport does not: it
-// hands the Message itself to the peer, which may hold the aliased tensors
-// indefinitely.
-type SerializingSender interface {
-	// SerializesOnSend is a marker method; implementations do nothing.
-	SerializesOnSend()
-}
-
 // Conn is a bidirectional, message-oriented connection between one worker
 // and the server. Send is safe for concurrent use from multiple goroutines
 // (a worker's heartbeat goroutine sends alongside the protocol goroutine);
 // Recv must not be called concurrently with itself.
+//
+// Every Conn keeps one payload-ownership contract, on a socket and in
+// process alike. Send (and BatchSender's SendBatch) has encoded the message
+// by the time it returns, successfully or not: nothing the message aliased —
+// tensor data, packed payloads, the slices holding them — is read again by
+// the transport or the peer, so the sender may rewrite or recycle it at once.
+// A message Recv returns owns its payload: Tensors data and Packed payloads
+// may alias a receive buffer leased to that message alone until Release hands
+// it back, and a message that is never released is ordinary garbage.
 type Conn interface {
 	// Send transmits one message.
 	Send(Message) error

@@ -11,8 +11,7 @@ import "dssp/internal/obs"
 //
 // Directions are from the owning process's point of view: "sent" is what
 // this side wrote, "recv" what it read. The byte counts are exact frame
-// sizes on TCP; the in-process channel transport, which moves references
-// rather than bytes, reports approximate payload sizes.
+// sizes (header and body) on every carrier, the in-process one included.
 type Metrics struct {
 	sentFrames, recvFrames [MsgPromote + 1]*obs.Counter
 	sentBytes, recvBytes   [MsgPromote + 1]*obs.Counter
@@ -149,18 +148,4 @@ func (m *Metrics) Batch(n int) {
 		return
 	}
 	m.batch.Observe(float64(n))
-}
-
-// approxSize estimates a message's payload size for transports that never
-// serialize (the in-process channel transport): tensor slabs, packed
-// payloads, and a small fixed envelope.
-func approxSize(m *Message) int {
-	n := 64
-	for i := range m.Tensors {
-		n += 4 * len(m.Tensors[i].Data)
-	}
-	for i := range m.Packed {
-		n += len(m.Packed[i].Payload)
-	}
-	return n
 }

@@ -73,10 +73,10 @@ func rawPair(t *testing.T, tcp bool) (*binaryConn, net.Conn) {
 }
 
 // TestVectoredSendIsByteIdentical pins the tentpole's wire contract: whether
-// a slab travels inline or by reference, through writev or the sequential
-// fallback, in a single Send or a batch, the peer reads exactly appendFrame's
-// bytes — so the golden frames and every cross-version pin hold on the new
-// send path too.
+// a slab travels inline or by reference, through writev, the sequential
+// fallback or an in-process channel, in a single Send or a batch, the peer
+// reads exactly appendFrame's bytes — so the golden frames and every
+// cross-version pin hold on every send path.
 func TestVectoredSendIsByteIdentical(t *testing.T) {
 	msgs := vectoredFrames(t)
 	var want []byte
@@ -152,6 +152,25 @@ func TestVectoredSendIsByteIdentical(t *testing.T) {
 			}
 		})
 	}
+	// The in-process carrier hands the same frames through a channel.
+	t.Run("channel", func(t *testing.T) {
+		a, b := Pipe()
+		defer a.Close()
+		defer b.Close()
+		var got []byte
+		for _, m := range msgs {
+			if err := a.Send(m); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, <-b.(*chanConn).recv...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("the frames a channel Send hands over differ from appendFrame's")
+		}
+		if c := a.(*chanConn); len(c.refs.list) != 0 || c.refs.bytes != 0 {
+			t.Error("a send left by-reference state on the connection")
+		}
+	})
 }
 
 func sum(xs []int) int {

@@ -32,28 +32,28 @@ func TestWireTensorRoundTrip(t *testing.T) {
 		tensor.New(3, 4).RandNormal(rng, 0, 1),
 		tensor.New(5).RandNormal(rng, 0, 1),
 	}
-	wire := ToWire(orig)
-	// Mutating the original after ToWire must not affect the wire copy.
-	orig[0].Fill(0)
-	back, err := FromWire(wire)
+	back, err := FromWireOwned(ToWireOwned(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back[0].ApproxEqual(orig[0], 0) {
-		t.Fatal("wire copy aliases the original tensor")
-	}
-	if !back[1].ApproxEqual(orig[1], 0) {
-		t.Fatal("second tensor did not round trip")
+	for i := range orig {
+		if !back[i].SameShape(orig[i]) || !back[i].ApproxEqual(orig[i], 0) {
+			t.Fatalf("tensor %d did not round trip", i)
+		}
+		// Neither direction copies: isolation is Send's job (Conn).
+		if &back[i].Data()[0] != &orig[i].Data()[0] {
+			t.Fatalf("tensor %d was copied on the way through the wire form", i)
+		}
 	}
 }
 
 func TestFromWireRejectsCorruptTensors(t *testing.T) {
 	bad := []WireTensor{{Shape: []int{2, 2}, Data: []float32{1, 2, 3}}}
-	if _, err := FromWire(bad); err == nil {
+	if _, err := FromWireOwned(bad); err == nil {
 		t.Fatal("expected error for mismatched data length")
 	}
 	bad = []WireTensor{{Shape: []int{0}, Data: nil}}
-	if _, err := FromWire(bad); err == nil {
+	if _, err := FromWireOwned(bad); err == nil {
 		t.Fatal("expected error for non-positive dimension")
 	}
 }
@@ -75,6 +75,53 @@ func TestPipeDeliversMessagesInOrder(t *testing.T) {
 		if msg.Iteration != i {
 			t.Fatalf("message %d arrived out of order: %d", i, msg.Iteration)
 		}
+	}
+}
+
+// TestPipeKeepsTheConnContract holds the in-process carrier to Conn's
+// ownership rule: Send is done with the memory a message aliases when it
+// returns, a received payload leases a frame buffer that Release hands to a
+// later Send, and a small frame's buffer goes back as soon as it is decoded.
+func TestPipeKeepsTheConnContract(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	defer b.Close()
+	exchange := func(v float32, n int) Message {
+		t.Helper()
+		grad := tensor.Full(v, n)
+		if err := a.Send(Message{Type: MsgPush, Tensors: ToWireOwned([]*tensor.Tensor{grad})}); err != nil {
+			t.Fatal(err)
+		}
+		grad.Fill(-1) // the sender's buffer is its own again
+		m, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range m.Tensors[0].Data {
+			if x != v {
+				t.Fatalf("value %d reads %v, want %v: the message aliases the sender's tensor", i, x, v)
+			}
+		}
+		return m
+	}
+	first := exchange(1, 8<<10)
+	addr := &first.Tensors[0].Data[0]
+	held := exchange(2, 8<<10)
+	if &held.Tensors[0].Data[0] == addr {
+		t.Fatal("a leased frame was handed to a second message")
+	}
+	first.Release()
+	if third := exchange(3, 8<<10); &third.Tensors[0].Data[0] != addr {
+		t.Error("the released frame was not the next send's buffer")
+	}
+	if held.Tensors[0].Data[0] != 2 {
+		t.Error("an unreleased message's payload changed under it")
+	}
+	pool := a.(*chanConn).out
+	before, _ := pool.snapshot()
+	exchange(4, 16) // under smallBodyMax: the message owns copies
+	if after, _ := pool.snapshot(); after != before+1 {
+		t.Errorf("free list went from %d to %d buffers over a small frame, want its buffer back at once", before, after)
 	}
 }
 
@@ -157,7 +204,7 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	defer l.Close()
 
 	rng := rand.New(rand.NewSource(2))
-	payload := ToWire([]*tensor.Tensor{tensor.New(4, 4).RandNormal(rng, 0, 1)})
+	payload := ToWireOwned([]*tensor.Tensor{tensor.New(4, 4).RandNormal(rng, 0, 1)})
 
 	serverDone := make(chan error, 1)
 	go func() {
@@ -191,11 +238,11 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	if reply.Type != MsgWeights || reply.Worker != 3 || reply.Version != 42 {
 		t.Fatalf("unexpected reply %+v", reply)
 	}
-	got, err := FromWire(reply.Tensors)
+	got, err := FromWireOwned(reply.Tensors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := FromWire(payload)
+	want, _ := FromWireOwned(payload)
 	if !got[0].ApproxEqual(want[0], 0) {
 		t.Fatal("tensor payload corrupted over TCP")
 	}

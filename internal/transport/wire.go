@@ -1,6 +1,8 @@
 package transport
 
-// The versioned binary wire protocol spoken on TCP connections.
+// The versioned binary wire protocol spoken on every connection: over a TCP
+// socket, over the same-host lane, and — the same frames, handed through a
+// channel — in process (channel.go).
 //
 // Every message travels as one frame: a fixed 12-byte little-endian header
 // (magic, protocol version, message type, body length) followed by a body of
@@ -536,10 +538,12 @@ func appendPackedSection(dst []byte, ps []compress.Packed, refs *frameRefs) ([]b
 
 // --- Decoding ---------------------------------------------------------------
 
-// bodyPool is a connection's free list of released body buffers. Buffers
-// leave it when readFrame leases one to a message and come back through
-// Message.Release, from whichever goroutine finished with the payload; one
-// that never comes back is garbage-collected with its message.
+// bodyPool is a connection's free list of released body buffers (one per
+// direction on an in-process connection, which leases whole frames). Buffers
+// leave it when readFrame — or a channel Send — takes one for a message and
+// come back through Message.Release, from whichever goroutine finished with
+// the payload; one that never comes back is garbage-collected with its
+// message.
 type bodyPool struct {
 	mu     sync.Mutex
 	free   [][]byte
@@ -598,9 +602,10 @@ func (p *bodyPool) close() {
 }
 
 // bodyLease ties a decoded message to the buffer its payload aliases: a
-// pooled heap buffer, or on a lane connection the arena slot the frame
-// arrived in (lane.go). Copies of the message share it, so whichever copy
-// releases first wins and the rest are no-ops.
+// pooled heap buffer (a socket's body, an in-process frame), or on a lane
+// connection the arena slot the frame arrived in (lane.go). Copies of the
+// message share it, so whichever copy releases first wins and the rest are
+// no-ops.
 type bodyLease struct {
 	pool *bodyPool
 	buf  []byte
@@ -727,17 +732,8 @@ func (fr *frameReader) readFrame() (Message, error) {
 		}
 		fr.scratch = body[:0]
 		fr.lastBody = bodyScratch
-		m, err := parseBody(typ, version, body)
-		if err != nil {
-			return Message{}, err
-		}
-		// The scratch buffer is reused by the next Recv, so any payload
-		// parsed out of it must be copied before the message escapes.
-		// Control messages carry no payload, so this never copies in the
-		// steady state.
-		m.copyPayloads()
-		m.ownedPayload = true
-		return m, nil
+		// The scratch buffer is reused by the next Recv.
+		return adopt(typ, version, body, nil)
 	}
 
 	// A payload frame gets a leased buffer. A recycled one was sized by a
@@ -755,13 +751,28 @@ func (fr *frameReader) readFrame() (Message, error) {
 		}
 		return Message{}, err
 	}
+	return adopt(typ, version, body, &bodyLease{pool: fr.pool, buf: body})
+}
+
+// adopt decodes one frame body into the message that owns it from here on —
+// the step every carrier's receive path ends in. lease says where body goes
+// back to: it ends with the message's Release, or right here when the body
+// does not parse. A nil lease means body is the caller's to reuse as soon as
+// adopt returns (a small frame), so whatever payload was parsed out of it is
+// copied; control messages carry none, so that never copies in the steady
+// state.
+func adopt(typ, version byte, body []byte, lease *bodyLease) (Message, error) {
 	m, err := parseBody(typ, version, body)
 	if err != nil {
-		fr.pool.put(body)
+		if lease != nil {
+			lease.giveBack()
+		}
 		return Message{}, err
 	}
-	m.ownedPayload = true
-	m.lease = &bodyLease{pool: fr.pool, buf: body}
+	if lease == nil {
+		m.copyPayloads()
+	}
+	m.lease = lease
 	return m, nil
 }
 
@@ -1385,11 +1396,6 @@ func (c *binaryConn) Close() error {
 	})
 	return err
 }
-
-// SerializesOnSend marks the binary transport as a SerializingSender: Send
-// and SendBatch hand the full frame — inline bytes and by-reference slabs —
-// to the kernel before returning.
-func (c *binaryConn) SerializesOnSend() {}
 
 // isConnClosed reports whether err is a connection teardown rather than a
 // parse failure.

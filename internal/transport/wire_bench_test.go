@@ -5,7 +5,7 @@ import "testing"
 // benchPush is the message the wire benchmarks move: a realistic dense push
 // (the PR 2 gradient set, ~97 KiB of float32 payload).
 func benchPush() Message {
-	return Message{Type: MsgPush, Worker: 1, Iteration: 9, Version: 17, Tensors: ToWire(testGrads(42))}
+	return Message{Type: MsgPush, Worker: 1, Iteration: 9, Version: 17, Tensors: ToWireOwned(testGrads(42))}
 }
 
 // The sub-benchmark name "binary" in the three benchmarks below dates from

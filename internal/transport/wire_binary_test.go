@@ -64,7 +64,7 @@ func TestBinaryFrameRoundTripAllFields(t *testing.T) {
 		Worker:      7,
 		Iteration:   1234,
 		Version:     1 << 40,
-		Tensors:     ToWire(testGrads(3)),
+		Tensors:     ToWireOwned(testGrads(3)),
 		Shard:       2,
 		Shards:      4,
 		Base:        5,
@@ -77,10 +77,7 @@ func TestBinaryFrameRoundTripAllFields(t *testing.T) {
 		Error:       "not actually an error",
 	}
 	got := decodeFrame(t, encodeFrame(t, sent))
-	if !got.PayloadOwned() {
-		t.Error("decoded message does not own its payload")
-	}
-	got.ownedPayload, got.lease = false, nil
+	got.lease = nil
 	if !reflect.DeepEqual(sent, got) {
 		t.Fatalf("round trip changed the message:\nsent %+v\ngot  %+v", sent, got)
 	}
@@ -92,7 +89,6 @@ func TestBinaryFrameRoundTripEveryType(t *testing.T) {
 	for ty := MsgRegister; ty <= MsgLeave; ty++ {
 		sent := Message{Type: ty, Worker: int(ty) - 2, Version: -9}
 		got := decodeFrame(t, encodeFrame(t, sent))
-		got.ownedPayload = false
 		if !reflect.DeepEqual(sent, got) {
 			t.Errorf("%v round trip: sent %+v got %+v", ty, sent, got)
 		}
@@ -125,7 +121,7 @@ func TestBinaryFramePreservesFloatBits(t *testing.T) {
 // buffer (no per-tensor data allocation), which FromWireOwned then wraps
 // without copying either.
 func TestBinaryDecodeAliasesReadBuffer(t *testing.T) {
-	frame := encodeFrame(t, Message{Type: MsgWeights, Tensors: ToWire(testGrads(11))})
+	frame := encodeFrame(t, Message{Type: MsgWeights, Tensors: ToWireOwned(testGrads(11))})
 	fr := newFrameReader(bufio.NewReader(bytes.NewReader(frame)))
 	m, err := fr.readFrame()
 	if err != nil {
@@ -157,7 +153,7 @@ func TestBinaryWireSizeReduction(t *testing.T) {
 		for _, g := range grads {
 			raw += 4 * g.Size()
 		}
-		m := Message{Type: MsgPush, Worker: 1, Iteration: 100, Version: 250, Tensors: ToWire(grads)}
+		m := Message{Type: MsgPush, Worker: 1, Iteration: 100, Version: 250, Tensors: ToWireOwned(grads)}
 		frame, ceiling := len(encodeFrame(t, m)), raw+64+32*len(grads)
 		t.Logf("%s dense push: %d payload bytes in a %d-byte frame", name, raw, frame)
 		if frame > ceiling {
@@ -171,7 +167,7 @@ func TestBinaryWireSizeReduction(t *testing.T) {
 // nothing, and decoding allocates the tensor list and one shape per tensor —
 // nothing that scales with the payload. (gob took 58 and 448 objects.)
 func TestBinaryWireAllocationReduction(t *testing.T) {
-	m := Message{Type: MsgPush, Worker: 1, Iteration: 9, Version: 17, Tensors: ToWire(testGrads(42))}
+	m := Message{Type: MsgPush, Worker: 1, Iteration: 9, Version: 17, Tensors: ToWireOwned(testGrads(42))}
 
 	var encBuf []byte
 	enc := testing.AllocsPerRun(20, func() {
@@ -235,7 +231,7 @@ func TestBinaryFrameRoundTripLargeBody(t *testing.T) {
 	for i := range data {
 		data[i] = float32(i%251) * 0.5
 	}
-	sent := Message{Type: MsgPush, Worker: 1, Tensors: ToWire([]*tensor.Tensor{big})}
+	sent := Message{Type: MsgPush, Worker: 1, Tensors: ToWireOwned([]*tensor.Tensor{big})}
 	got := decodeFrame(t, encodeFrame(t, sent))
 	if len(got.Tensors) != 1 || len(got.Tensors[0].Data) != big.Size() {
 		t.Fatalf("large push arrived as %d tensors / %d values", len(got.Tensors), len(got.Tensors[0].Data))
@@ -253,7 +249,7 @@ func TestBinaryFrameRoundTripLargeBody(t *testing.T) {
 // tensor metadata must all produce errors, never panics or giant
 // allocations.
 func TestBinaryDecodeRejectsCorruptFrames(t *testing.T) {
-	base := encodeFrame(t, Message{Type: MsgPush, Worker: 2, Tensors: ToWire(smallMLPGrads(2))})
+	base := encodeFrame(t, Message{Type: MsgPush, Worker: 2, Tensors: ToWireOwned(smallMLPGrads(2))})
 	corrupt := func(name string, mutate func(f []byte) []byte, wantSub string) {
 		f := append([]byte(nil), base...)
 		f = mutate(f)
@@ -309,20 +305,19 @@ func TestBinaryRejectsOversizedAndTruncatedCounts(t *testing.T) {
 	}
 }
 
-// TestToWireIntoReusesBuffers verifies the push path's buffer pool: a second
-// conversion with the same layout must reuse the first call's slabs.
-func TestToWireIntoReusesBuffers(t *testing.T) {
+// TestToWireOwnedIntoReusesHeaders verifies the push path's header reuse: a
+// second conversion with the same layout allocates nothing and aliases the
+// gradients rather than copying them.
+func TestToWireOwnedIntoReusesHeaders(t *testing.T) {
 	grads := smallMLPGrads(3)
-	first := ToWireInto(nil, grads)
-	ptr := &first[0].Data[0]
-	second := ToWireInto(first, grads)
-	if &second[0].Data[0] != ptr {
-		t.Error("ToWireInto reallocated an already-sized buffer")
+	wire := ToWireOwnedInto(nil, grads)
+	if &wire[0].Data[0] != &grads[0].Data()[0] {
+		t.Error("ToWireOwnedInto copied the tensor data")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		second = ToWireInto(second, grads)
+		wire = ToWireOwnedInto(wire, grads)
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state ToWireInto allocates %.0f objects/op, want 0", allocs)
+		t.Errorf("steady-state ToWireOwnedInto allocates %.0f objects/op, want 0", allocs)
 	}
 }

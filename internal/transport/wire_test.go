@@ -31,7 +31,7 @@ func testGrads(seed int64) []*tensor.Tensor {
 // must still beat dense).
 func TestCompressedPushWireReduction(t *testing.T) {
 	grads := testGrads(42)
-	dense := len(encodeFrame(t, Message{Type: MsgPush, Tensors: ToWire(grads)}))
+	dense := len(encodeFrame(t, Message{Type: MsgPush, Tensors: ToWireOwned(grads)}))
 
 	sizes := map[string]int{}
 	for _, cfg := range []compress.Config{

@@ -36,7 +36,6 @@ func TestServerGroupRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: decode: %v", want.Type, err)
 		}
-		got.ownedPayload = false
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip changed the message:\ngot  %+v\nwant %+v", got, want)
 		}

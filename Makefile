@@ -94,16 +94,21 @@ bench-json:
 # the three codec pins as .../kernel=f16c or /kernel=go, whichever kernel the
 # machine binds; the baseline holds both (bench-baseline appends a -tags purego
 # run) and the pin, a prefix, gates the one produced.
+# BenchmarkMatMulConvShapes/16x144x1024 is the widest conv product of ResNet-8
+# in its three kinds (forward, dW, dcol: the tile and dot panels each under
+# its own name) and BenchmarkResNet8IterationBatch8 one whole forward+backward
+# at the end-to-end benchmark's flat-compute shape, both named by kernel the
+# same way.
 # The pins whose names carry the kernel binding: bench-baseline measures these
 # a second time under -tags purego.
-BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
+BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkResNet8IterationBatch8|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
 BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkFusedStepMomentumBatch4|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB
-BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkFusedStepMomentumBatch4,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB
+BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB
 BENCH_GATE_TIME = 1s
 # Packages holding the pinned benchmarks: the store pipeline, the raw
-# compute kernels (blocked matmul, fused optimizer step) it is built on, and
-# the codec kernels.
-BENCH_GATE_PKGS = ./internal/ps/ ./internal/tensor/ ./internal/optimizer/ ./internal/compress/
+# compute kernels (matmul panels, fused optimizer step) it is built on, the
+# layers over them, and the codec kernels.
+BENCH_GATE_PKGS = ./internal/ps/ ./internal/tensor/ ./internal/nn/ ./internal/optimizer/ ./internal/compress/
 
 # Refresh the committed benchmark baseline (BENCH_baseline.json at the repo
 # root). A short fixed -benchtime keeps the full suite to a couple of
@@ -117,7 +122,7 @@ BENCH_GATE_PKGS = ./internal/ps/ ./internal/tensor/ ./internal/optimizer/ ./inte
 bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchtime=10x -benchmem ./... > bench-baseline.txt
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_PKGS) >> bench-baseline.txt
-	$(GO) test -tags purego -run '^$$' -bench '$(BENCH_GATE_KERNEL_PATTERN)' -benchtime=$(BENCH_GATE_TIME) ./internal/tensor/ ./internal/compress/ >> bench-baseline.txt
+	$(GO) test -tags purego -run '^$$' -bench '$(BENCH_GATE_KERNEL_PATTERN)' -benchtime=$(BENCH_GATE_TIME) ./internal/tensor/ ./internal/nn/ ./internal/compress/ >> bench-baseline.txt
 	$(GO) run ./cmd/benchjson -in bench-baseline.txt -out BENCH_baseline.json
 
 # Pinned-benchmark regression gate: re-measure the allowlisted macro
@@ -191,15 +196,16 @@ aggtree-smoke:
 	$(GO) test -run 'TestTCPRelayDeathReparentsSubtree' -count=1 -v .
 	$(GO) test -run 'TestTreeIngressReduction' -count=1 -v ./internal/trainer/
 
-# Profile real training in-process: a fixed-time run of the small-CNN
-# training benchmark with CPU and allocation profiles. Inspect with
+# Profile real training in-process: a fixed-time run of one ResNet-8
+# forward+backward at the shape the slowest end-to-end workload
+# (flat-compute) runs, with CPU and allocation profiles. Inspect with
 #   go tool pprof cpu.pprof     (then: top, web)
 #   go tool pprof -sample_index=alloc_space mem.pprof
 # For live servers, the same profiles come from the -metrics-addr
 # listener's /debug/pprof/ endpoints.
 profile:
-	$(GO) test -run '^$$' -bench 'BenchmarkRealTrainingSmallCNN' -benchtime=30s \
-		-cpuprofile cpu.pprof -memprofile mem.pprof .
+	$(GO) test -run '^$$' -bench 'BenchmarkResNet8IterationBatch8' -benchtime=30s \
+		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/nn/
 
 fmt:
 	gofmt -w .

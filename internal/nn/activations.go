@@ -2,16 +2,20 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"dssp/internal/tensor"
 )
 
-// ReLU is the rectified linear activation applied element-wise.
+// ReLU is the rectified linear activation applied element-wise: an element
+// passes, and so does its gradient, unless it is below zero (NaN and both
+// zeros pass).
 type ReLU struct {
-	mask    []bool
-	out, dx *tensor.Tensor // layer-owned buffers (scratch.go)
+	// lastInput is the training pass's input, whose signs Backward reads: a
+	// layer's input stays intact until its Backward, the rule Dense relies on
+	// for its weight gradient.
+	lastInput *tensor.Tensor
+	out, dx   *tensor.Tensor // layer-owned buffers (scratch.go)
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -19,49 +23,24 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		out := x.Clone()
-		data := out.Data()
-		for i, v := range data {
-			if v < 0 {
-				data[i] = 0
-			}
-		}
-		return out
+	var out *tensor.Tensor
+	if train {
+		r.lastInput = x
+		out = scratchLike(&r.out, x)
+	} else {
+		out = tensor.New(x.Shape()...)
 	}
-	out := scratchLike(&r.out, x)
-	// Activation signs are close to a coin flip, so a branch per element
-	// mispredicts half the time; select through the bit pattern instead
-	// (-keep is all ones or zero), which gives the branch's result exactly.
-	xd := x.Data()
-	r.mask = resized(r.mask, len(xd))
-	data, mask := out.Data()[:len(xd)], r.mask
-	for i, v := range xd {
-		var keep uint32
-		if !(v < 0) {
-			keep = 1
-		}
-		data[i] = math.Float32frombits(math.Float32bits(v) & -keep)
-		mask[i] = keep != 0
-	}
+	tensor.MaskNonNegative(out.Data(), x.Data(), x.Data())
 	return out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := scratchLike(&r.dx, grad)
-	gd := grad.Data()
-	if len(r.mask) != len(gd) {
+	if r.lastInput == nil || r.lastInput.Size() != grad.Size() {
 		panic("nn: ReLU.Backward called without a matching Forward(train=true)")
 	}
-	data, mask := out.Data()[:len(gd)], r.mask
-	for i, g := range gd {
-		var keep uint32
-		if mask[i] {
-			keep = 1
-		}
-		data[i] = math.Float32frombits(math.Float32bits(g) & -keep)
-	}
+	out := scratchLike(&r.dx, grad)
+	tensor.MaskNonNegative(out.Data(), grad.Data(), r.lastInput.Data())
 	return out
 }
 

@@ -53,6 +53,13 @@ func NewBatchNorm(channels int) *BatchNorm {
 	return bn
 }
 
+// planesOf returns the accessor of one channel plane of an NCHW buffer with
+// ch channels of area values: channel c of batch item b, the contiguous run
+// the slice kernels of internal/tensor work on.
+func planesOf(ch, area int) func(d []float32, b, c int) []float32 {
+	return func(d []float32, b, c int) []float32 { return d[(b*ch+c)*area:][:area] }
+}
+
 // Forward implements Layer.
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != bn.channels {
@@ -76,22 +83,16 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bn.lastXHat = resized(bn.lastXHat, len(xd))
 	}
 
+	plane := planesOf(ch, area)
 	for c := 0; c < ch; c++ {
 		var mean, variance float64
 		if train {
 			for b := 0; b < batch; b++ {
-				base := (b*ch + c) * area
-				for i := 0; i < area; i++ {
-					mean += float64(xd[base+i])
-				}
+				mean += tensor.SumF64(plane(xd, b, c))
 			}
 			mean /= n
 			for b := 0; b < batch; b++ {
-				base := (b*ch + c) * area
-				for i := 0; i < area; i++ {
-					d := float64(xd[base+i]) - mean
-					variance += d * d
-				}
+				variance += tensor.SumSqDevF64(plane(xd, b, c), mean)
 			}
 			variance /= n
 			bn.lastMean[c] = mean
@@ -105,14 +106,11 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		invStd := 1.0 / math.Sqrt(variance+bn.eps)
 		g, bta := float64(gamma[c]), float64(beta[c])
 		for b := 0; b < batch; b++ {
-			base := (b*ch + c) * area
-			for i := 0; i < area; i++ {
-				xh := (float64(xd[base+i]) - mean) * invStd
-				if train {
-					bn.lastXHat[base+i] = float32(xh)
-				}
-				od[base+i] = float32(g*xh + bta)
+			var xhat []float32
+			if train {
+				xhat = plane(bn.lastXHat, b, c)
 			}
+			tensor.NormalizePlane(plane(od, b, c), xhat, plane(xd, b, c), mean, invStd, g, bta)
 		}
 	}
 	return out
@@ -133,27 +131,20 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gg := bn.gradG.Data()
 	gb := bn.gradB.Data()
 
+	plane := planesOf(ch, area)
 	for c := 0; c < ch; c++ {
 		invStd := 1.0 / math.Sqrt(bn.lastVar[c]+bn.eps)
 		var sumDy, sumDyXHat float64
 		for b := 0; b < batch; b++ {
-			base := (b*ch + c) * area
-			for i := 0; i < area; i++ {
-				dy := float64(gd[base+i])
-				sumDy += dy
-				sumDyXHat += dy * float64(bn.lastXHat[base+i])
-			}
+			s, sx := tensor.SumDotF64(plane(gd, b, c), plane(bn.lastXHat, b, c))
+			sumDy += s
+			sumDyXHat += sx
 		}
 		gg[c] += float32(sumDyXHat)
 		gb[c] += float32(sumDy)
-		g := float64(gamma[c])
+		coef := float64(gamma[c]) * invStd / n
 		for b := 0; b < batch; b++ {
-			base := (b*ch + c) * area
-			for i := 0; i < area; i++ {
-				dy := float64(gd[base+i])
-				xh := float64(bn.lastXHat[base+i])
-				dxd[base+i] = float32(g * invStd / n * (n*dy - sumDy - xh*sumDyXHat))
-			}
+			tensor.NormalizeGradPlane(plane(dxd, b, c), plane(gd, b, c), plane(bn.lastXHat, b, c), coef, n, sumDy, sumDyXHat)
 		}
 	}
 	return dx

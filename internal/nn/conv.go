@@ -79,8 +79,8 @@ func (c *Conv2D) span(kOff, in, out int) (lo, hi int) {
 
 // im2col writes the (inC*k*k, outH*outW) patch matrix of one image of shape
 // (inC, h, w) into col, every element of it: each matrix row is a run of
-// image-row segments, copied whole, with zeros where the window hangs over
-// the padding.
+// image-row segments, copied whole — all of them at once where they lie end
+// to end — with zeros where the window hangs over the padding.
 func (c *Conv2D) im2col(col, img []float32, h, w int) {
 	outH, outW := c.outSize(h), c.outSize(w)
 	k, stride := c.kernel, c.stride
@@ -92,8 +92,24 @@ func (c *Conv2D) im2col(col, img []float32, h, w int) {
 			for kx := 0; kx < k; kx++ {
 				ox0, ox1 := c.span(kx, w, outW)
 				row := col[((ch*k+ky)*k+kx)*plane:][:plane]
-				if ox0 == ox1 {
+				if ox0 == ox1 || oy0 == oy1 {
 					clear(row)
+					continue
+				}
+				if stride == 1 && outW == w {
+					// Output and image rows are as long as each other, so
+					// the whole run is one stretch of the image, ky-pad rows
+					// and kx-pad columns off; the copy carries the image
+					// across each row end, over the columns that read padding.
+					lo, hi := oy0*outW+ox0, (oy1-1)*outW+ox1
+					clear(row[:lo])
+					copy(row[lo:hi], chImg[lo+(ky-c.pad)*w+kx-c.pad:])
+					clear(row[hi:])
+					for end := oy0*outW + ox1; end < hi; end += outW {
+						for i := end; i < end+outW-ox1+ox0; i++ {
+							row[i] = 0
+						}
+					}
 					continue
 				}
 				clear(row[:oy0*outW])
@@ -130,21 +146,20 @@ func (c *Conv2D) col2im(col []float32, h, w int, img []float32) {
 			oy0, oy1 := c.span(ky, h, outH)
 			for kx := 0; kx < k; kx++ {
 				ox0, ox1 := c.span(kx, w, outW)
-				if ox0 == ox1 {
+				if ox0 == ox1 || oy0 == oy1 {
 					continue
 				}
 				row := col[((ch*k+ky)*k+kx)*plane:][:plane]
+				if stride == 1 {
+					// Every segment of the run starts kx-pad to the side
+					// of its source: one block of rows, added in one call.
+					tensor.AddRows(chImg[(oy0+ky-c.pad)*w+ox0+kx-c.pad:], w, row[oy0*outW+ox0:], outW, oy1-oy0, ox1-ox0)
+					continue
+				}
 				for oy := oy0; oy < oy1; oy++ {
 					src := row[oy*outW+ox0 : oy*outW+ox1]
 					dst := chImg[(oy*stride+ky-c.pad)*w:][:w]
 					ix := ox0*stride + kx - c.pad
-					if stride == 1 {
-						dst = dst[ix : ix+len(src)]
-						for i, v := range src {
-							dst[i] += v
-						}
-						continue
-					}
 					for _, v := range src {
 						dst[ix] += v
 						ix += stride
@@ -188,10 +203,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		dst := outData[b*outImgSize : (b+1)*outImgSize]
 		tensor.MatMulInto(view2D(&c.outMat, dst, c.outC, plane), c.weight, view2D(&c.colMat, col, patch, plane))
 		for oc, bval := range bias {
-			row := dst[oc*plane : (oc+1)*plane]
-			for i := range row {
-				row[i] += bval
-			}
+			tensor.AddScalarSlice(dst[oc*plane:(oc+1)*plane], bval)
 		}
 	}
 	return out
@@ -229,11 +241,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		tensor.MatMulTransBAcc(c.gradW, gradMat, view2D(&c.colMat, colData[b*patch*plane:(b+1)*patch*plane], patch, plane))
 		// db += per-channel sums
 		for oc := 0; oc < c.outC; oc++ {
-			var s float32
-			for _, v := range gm[oc*plane : (oc+1)*plane] {
-				s += v
-			}
-			gb[oc] += s
+			gb[oc] += tensor.SumSlice(gm[oc*plane : (oc+1)*plane])
 		}
 		if c.noDx {
 			continue

@@ -55,10 +55,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	data := out.Data()
 	bias := d.bias.Data()
 	for b := 0; b < batch; b++ {
-		row := data[b*d.out : (b+1)*d.out]
-		for j := range row {
-			row[j] += bias[j]
-		}
+		tensor.AddSlice(data[b*d.out:(b+1)*d.out], bias)
 	}
 	return out
 }
@@ -74,10 +71,7 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gdata := grad.Data()
 	gb := d.gradB.Data()
 	for b := 0; b < batch; b++ {
-		row := gdata[b*d.out : (b+1)*d.out]
-		for j := range row {
-			gb[j] += row[j]
-		}
+		tensor.AddSlice(gb, gdata[b*d.out:(b+1)*d.out])
 	}
 	if d.noDx {
 		return nil

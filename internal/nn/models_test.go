@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -130,5 +131,44 @@ func TestIdenticalSeedsBuildIdenticalReplicas(t *testing.T) {
 		if !pa[i].ApproxEqual(pb[i], 0) {
 			t.Fatalf("parameter %d differs between identically seeded replicas", i)
 		}
+	}
+}
+
+// TestResNet8TwentyIterationPin trains a seeded ResNet-8 for 20 plain SGD
+// steps on one fixed batch of 8 32×32 images (flat-compute's shape) and holds
+// the loss it reaches to the value the kernels of PR 25 reached on the same
+// run: 0.699611 on their assembly, 0.699694 on their Go loops. The bindings
+// round differently — fused or separate multiply-adds, the order of the
+// matmul's and BatchNorm's sums — and 20 steps through BatchNorm and ReLU
+// grow that to about 1e-4 of loss, so every binding must land within 5e-4 of
+// the recorded value; a kernel that computed something else would not. The
+// untrained loss, where nothing has grown yet, must agree to 1e-6.
+func TestResNet8TwentyIterationPin(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	net := ResNetCIFAR(rng, 8, 10)
+	x := tensor.New(8, 3, 32, 32).RandNormal(rng, 0, 1)
+	labels := []int{3, 1, 4, 1, 5, 9, 2, 6}
+	var first, last float64
+	for it := 0; it <= 20; it++ {
+		net.ZeroGrads()
+		last, _ = net.Loss(x, labels, true)
+		if it == 0 {
+			first = last
+		}
+		net.Backward()
+		params, grads := net.Params(), net.Grads()
+		for i := range params {
+			params[i].AXPY(-0.05, grads[i])
+		}
+	}
+	t.Logf("kernel=%s: loss %.9g -> %.9g", tensor.Kernel(), first, last)
+	if math.Abs(first-2.4206893) > 1e-6 {
+		t.Errorf("untrained loss %.9g, recorded 2.4206893", first)
+	}
+	if math.Abs(last-0.699611) > 5e-4 {
+		t.Errorf("loss after 20 steps %.9g, recorded 0.699611 (tolerance 5e-4)", last)
+	}
+	if last > first/2 {
+		t.Errorf("loss went %.4g -> %.4g in 20 steps: the model no longer learns", first, last)
 	}
 }

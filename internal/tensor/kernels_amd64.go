@@ -9,28 +9,150 @@ import "dssp/internal/cpu"
 //go:noescape
 func fma4RowsAVX2(ob, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 
+// Implemented in gemm_amd64.s.
+
 //go:noescape
-func dot4AVX2(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32)
+func gemmPanelAVX2(c *float32, ldc int, a *float32, ars, aks int, b *float32, ldb, k, tiles int, acc bool)
+
+//go:noescape
+func dotPanelAVX2(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
+
+// Implemented in slices_amd64.s. Except addRowsAVX2, each takes whole windows
+// of eight floats and trusts the other operands to be at least as long as the
+// first.
+
+//go:noescape
+func addSliceAVX2(dst, src []float32)
+
+//go:noescape
+func axpySliceAVX2(alpha float32, src, dst []float32)
+
+//go:noescape
+func scaleSliceAVX2(s float32, dst []float32)
+
+//go:noescape
+func addScalarSliceAVX2(s float32, dst []float32)
+
+//go:noescape
+func sumSliceAVX2(x []float32) float32
+
+//go:noescape
+func maskNonNegAVX2(dst, val, sign []float32)
+
+//go:noescape
+func addRowsAVX2(dst []float32, dstStride int, src []float32, srcStride, rows, width int)
+
+//go:noescape
+func sumF64AVX2(x []float32) float64
+
+//go:noescape
+func sumSqDevF64AVX2(x []float32, mean float64) float64
+
+//go:noescape
+func sumDotAVX2(a, b []float32) (sumA, sumAB float64)
+
+//go:noescape
+func normalizePlaneAVX2(out, xhat, x []float32, mean, invStd, gamma, beta float64)
+
+//go:noescape
+func planeGradAVX2(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64)
+
+// The bound forms of the slice kernels: the assembly on the whole windows of
+// eight, the Go loop on the up to seven values after them. The callers have
+// cut every operand to the first one's length.
+
+func addSliceAsm(dst, src []float32) {
+	n := len(dst) &^ 7
+	addSliceAVX2(dst[:n], src)
+	addSliceGo(dst[n:], src[n:])
+}
+
+func axpySliceAsm(alpha float32, src, dst []float32) {
+	n := len(dst) &^ 7
+	axpySliceAVX2(alpha, src, dst[:n])
+	axpySliceGo(alpha, src[n:], dst[n:])
+}
+
+func scaleSliceAsm(s float32, dst []float32) {
+	n := len(dst) &^ 7
+	scaleSliceAVX2(s, dst[:n])
+	scaleSliceGo(s, dst[n:])
+}
+
+func addScalarSliceAsm(s float32, dst []float32) {
+	n := len(dst) &^ 7
+	addScalarSliceAVX2(s, dst[:n])
+	addScalarSliceGo(s, dst[n:])
+}
+
+func sumSliceAsm(x []float32) float32 {
+	n := len(x) &^ 7
+	return sumSliceAVX2(x[:n]) + sumSliceGo(x[n:])
+}
+
+func maskNonNegAsm(dst, val, sign []float32) {
+	n := len(dst) &^ 7
+	maskNonNegAVX2(dst[:n], val, sign)
+	maskNonNegGo(dst[n:], val[n:], sign[n:])
+}
+
+func sumF64Asm(x []float32) float64 {
+	n := len(x) &^ 7
+	return sumF64AVX2(x[:n]) + sumF64Go(x[n:])
+}
+
+func sumSqDevF64Asm(x []float32, mean float64) float64 {
+	n := len(x) &^ 7
+	return sumSqDevF64AVX2(x[:n], mean) + sumSqDevF64Go(x[n:], mean)
+}
+
+func sumDotAsm(a, b []float32) (sumA, sumAB float64) {
+	n := len(a) &^ 7
+	sumA, sumAB = sumDotAVX2(a[:n], b)
+	tailA, tailAB := sumDotGo(a[n:], b[n:])
+	return sumA + tailA, sumAB + tailAB
+}
+
+func normalizePlaneAsm(out, xhat, x []float32, mean, invStd, gamma, beta float64) {
+	n := len(out) &^ 7
+	normalizePlaneAVX2(out[:n], xhat, x, mean, invStd, gamma, beta)
+	normalizePlaneGo(out[n:], xhat[n:], x[n:], mean, invStd, gamma, beta)
+}
+
+func planeGradAsm(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64) {
+	w := len(dx) &^ 7
+	planeGradAVX2(dx[:w], dy, xhat, c, n, sumDy, sumDyXHat)
+	planeGradGo(dx[w:], dy[w:], xhat[w:], c, n, sumDy, sumDyXHat)
+}
 
 // The fan-out thresholds follow the kernels: they price a pool wake-up in
-// flops, and the assembly does 5-7× the flops per microsecond. Measured on the
-// reference box (2 cores, MatMulInto, serial vs forced fan-out, µs): 128³
-// (4.2 Mflop, BenchmarkMatMul128's shape) 139 vs 166; 16×144×1024 (4.7 Mflop,
-// the widest ResNet-8 conv product) 125 vs 160; 4×8192×32 (2.1 Mflop, the wide
-// MLP's dense layer) 140 vs 141; 192³ (14 Mflop) 420 vs 330; 256³ (34 Mflop)
-// 1000 vs 585; 512³ 7700 vs 3900. A wake-up costs ≈100 µs, so fan-out breaks
-// even near 0.2 ms of serial work (≈7 Mflop at the ≈33 Gflop/s reached here)
-// and pays clearly from ≈0.5 ms, the same half millisecond 1<<21 stands for
-// at the Go loops' rate. The grain keeps its ratio to the threshold; two cores
-// cannot measure it (chunks are capped at GOMAXPROCS).
+// flops, and the panels do ≈16× the flops per microsecond of the Go loops
+// (≈82 Gflop/s on the reference box, where fma4Rows and dot4 alone reached
+// ≈33). Measured there (2 cores, MatMulInto, serial vs forced fan-out into
+// two halves, µs, range over six runs): 128³ (4.2 Mflop, BenchmarkMatMul128's
+// shape) 49-51 vs 65-71; 16×144×1024 (4.7 Mflop, the widest ResNet-8 conv
+// product) 57-60 vs 60-79; 192³ (14 Mflop) 169-175 vs 175-196; 256³ (34 Mflop)
+// 402-421 vs 306-435; 384³ (113 Mflop) 1370-1450 vs 825-1420; 512³ 3400-3800
+// vs 1880-1940. 4×8192×32 (2.1 Mflop, the wide MLP's dense layer) 23-26 vs
+// 121-150: two rows a half is below the panel's four, so its halves fall back
+// to the row loops — a shape that must never fan out. A wake-up costs 20 to
+// 100 µs when the second core is awake and the whole chunk when it is not
+// (the upper ends above), so fan-out breaks even near 0.4 ms of serial work
+// and pays from ≈1 ms: 1<<26 flops is 0.8 ms at this rate, the Go loops'
+// 1<<21 0.4 ms at theirs. The grain keeps its ratio to the threshold; two
+// cores cannot measure it (chunks are capped at GOMAXPROCS).
 const (
-	asmParallelMinFlops = 1 << 24
-	asmGrainFlops       = 1 << 21
+	asmParallelMinFlops = 1 << 26
+	asmGrainFlops       = 1 << 23
 )
 
 func init() {
 	if cpu.AVX2 && cpu.FMA && cpu.YMM {
-		fma4Rows, dot4, asmKernels = fma4RowsAVX2, dot4AVX2, true
+		fma4Rows, gemmPanel, dotPanel, asmKernels = fma4RowsAVX2, gemmPanelAVX2, dotPanelAVX2, true
+		addSlice, axpySlice, scaleSlice, addScalarSlice = addSliceAsm, axpySliceAsm, scaleSliceAsm, addScalarSliceAsm
+		sumSlice, maskNonNeg, addRows = sumSliceAsm, maskNonNegAsm, addRowsAVX2
+		sumF64, sumSqDevF64, sumDot = sumF64Asm, sumSqDevF64Asm, sumDotAsm
+		normalizePlane, planeGrad = normalizePlaneAsm, planeGradAsm
 		mmParallelMinFlops, mmGrainFlops = asmParallelMinFlops, asmGrainFlops
 	}
 }

@@ -1,14 +1,17 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// The tests below hold whatever fma4Rows and dot4 are bound to (the AVX2+FMA
+// The tests below hold whatever the kernel seams are bound to (the AVX2+FMA
 // assembly where the probe passed, the Go loops under -tags purego or on
-// other hardware) to the Go loops mm4Rows and mmDot4.
+// other hardware) to the Go loops: fma4Rows to mm4Rows, the slice kernels to
+// their ...Go forms, and the register-tiled panels, which exist in assembly
+// only, to the row loops they replace.
 //
 // Tolerance. Any evaluation order of a sum of n products, with or without
 // fused multiply-adds, lands within n·u·Σ|aᵢbᵢ| of the exact value (u = 2⁻²⁴,
@@ -18,7 +21,9 @@ import (
 //	2·n·u·Σ|aᵢbᵢ| + n·2⁻¹⁴⁹
 //
 // which is the bound kernelTol returns: n = 5 for fma4Rows (four products and
-// the accumulator), n = len(a) for dot4. NaN must stay NaN and an infinity
+// the accumulator), n = k (+1 when accumulating) for dotPanel, n = len(x) for
+// the float32 sum; the float64 sums get the same bound with u = 2⁻⁵³
+// (kernelTol64). NaN must stay NaN and an infinity
 // must stay the same infinity: which of the two a lane ends in depends only
 // on which special values enter it, not on the order they are added in.
 
@@ -29,15 +34,10 @@ func kernelTol(terms int, sumAbs float64) float64 {
 }
 
 func kernelAgrees(got, want float32, tol float64) bool {
-	switch {
-	case want != want:
-		return got != got
-	case math.IsInf(float64(want), 0):
-		return got == want
-	}
-	return math.Abs(float64(got)-float64(want)) <= tol
+	return agrees64(float64(got), float64(want), tol)
 }
 
+// agrees64 is the comparison under kernelAgrees, for the float64 sums too.
 // kernelLengths covers every main-loop / 8-wide / scalar-tail combination
 // (0…67) and the off-by-ones around the widths the conv and dense layers use.
 func kernelLengths() []int {
@@ -58,7 +58,9 @@ var specials = []float32{
 	float32(math.Copysign(0, -1)), 0,
 }
 
-const canary = 0xDEADBEEF
+// canary is a NaN: a load past a slice that feeds any arithmetic poisons the
+// result, so the comparisons catch over-reads as well as stray stores.
+const canary = 0x7FDEADBE
 
 // carve returns a slice of n floats that starts off floats into its backing
 // array (so vector loads see every 4-byte alignment), filled from fill, with
@@ -133,30 +135,352 @@ func TestFMA4RowsMatchesGoReference(t *testing.T) {
 	}
 }
 
-func TestDot4MatchesGoReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for name, fill := range kernelFills(rng) {
-		for _, n := range kernelLengths() {
-			for off := 0; off < 8; off++ {
-				a, _ := carve(n, off, fill)
-				var b [4][]float32
-				for r := range b {
-					b[r], _ = carve(n, (off+r+1)%8, fill)
-				}
-				var got, want [4]float32
-				want[0], want[1], want[2], want[3] = mmDot4(a, b[0], b[1], b[2], b[3])
-				got[0], got[1], got[2], got[3] = dot4(a, b[0], b[1], b[2], b[3])
-				for r := range b {
-					var sumAbs float64
-					for kk := range a {
-						sumAbs += math.Abs(float64(a[kk]) * float64(b[r][kk]))
+// kernelTol64 is kernelTol for a sum accumulated in float64.
+func kernelTol64(terms int, sumAbs float64) float64 {
+	return 2 * float64(terms) * (1.0 / (1 << 53)) * sumAbs
+}
+
+func agrees64(got, want, tol float64) bool {
+	switch {
+	case want != want:
+		return got != got
+	case math.IsInf(want, 0):
+		return got == want
+	}
+	return math.Abs(got-want) <= tol
+}
+
+// sameFloats reports whether got and want hold the same bits, any NaN
+// standing for any other.
+func sameFloats(got, want []float32) bool {
+	for i, w := range want {
+		if g := got[i]; math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
+			return false
+		}
+	}
+	return len(got) == len(want)
+}
+
+// TestSliceKernelsBitIdenticalToGoLoops: the elementwise kernels do per
+// element exactly what their Go loops do, at every length and alignment and
+// on special values, and touch nothing outside their slices.
+func TestSliceKernelsBitIdenticalToGoLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	type kernel struct {
+		name       string
+		bound, ref func(dst, a, b []float32)
+	}
+	kernels := []kernel{
+		{"addSlice", func(d, a, _ []float32) { addSlice(d, a) }, func(d, a, _ []float32) { addSliceGo(d, a) }},
+		{"axpySlice", func(d, a, _ []float32) { axpySlice(0.37, a, d) }, func(d, a, _ []float32) { axpySliceGo(0.37, a, d) }},
+		{"scaleSlice", func(d, _, _ []float32) { scaleSlice(-1.25, d) }, func(d, _, _ []float32) { scaleSliceGo(-1.25, d) }},
+		{"addScalarSlice", func(d, _, _ []float32) { addScalarSlice(0.3, d) }, func(d, _, _ []float32) { addScalarSliceGo(0.3, d) }},
+		{"maskNonNeg", func(d, a, b []float32) { maskNonNeg(d, a, b) }, func(d, a, b []float32) { maskNonNegGo(d, a, b) }},
+		{"maskNonNeg/self", func(d, a, _ []float32) { maskNonNeg(d, a, a) }, func(d, a, _ []float32) { maskNonNegGo(d, a, a) }},
+		{"normalizePlane", func(d, a, b []float32) { normalizePlane(d, a, b, 0.25, 1.7, -0.6, 0.1) },
+			func(d, a, b []float32) { normalizePlaneGo(d, a, b, 0.25, 1.7, -0.6, 0.1) }},
+		{"normalizePlane/xhat=out", func(d, _, b []float32) { normalizePlane(d, d, b, 0.25, 1.7, -0.6, 0.1) },
+			func(d, _, b []float32) { normalizePlaneGo(d, d, b, 0.25, 1.7, -0.6, 0.1) }},
+		{"planeGrad", func(d, a, b []float32) { planeGrad(d, a, b, 0.01, 512, 3.5, -7.25) },
+			func(d, a, b []float32) { planeGradGo(d, a, b, 0.01, 512, 3.5, -7.25) }},
+	}
+	for fillName, fill := range kernelFills(rng) {
+		for _, k := range kernels {
+			for _, n := range kernelLengths() {
+				for off := 0; off < 8; off++ {
+					dst, dstBack := carve(n, off, fill)
+					a, aBack := carve(n, (off+3)%8, fill)
+					b, _ := carve(n, (off+5)%8, fill)
+					wantDst := append([]float32(nil), dst...)
+					wantA := append([]float32(nil), a...)
+					k.ref(wantDst, wantA, b)
+					k.bound(dst, a, b)
+					if !canariesIntact(dst, dstBack) || !canariesIntact(a, aBack) {
+						t.Fatalf("%s %s n=%d off=%d: wrote outside a slice", k.name, fillName, n, off)
 					}
-					if !kernelAgrees(got[r], want[r], kernelTol(n, sumAbs)) {
-						t.Fatalf("%s n=%d off=%d row %d: dot4 %g, Go reference %g",
-							name, n, off, r, got[r], want[r])
+					if !sameFloats(dst, wantDst) || !sameFloats(a, wantA) {
+						t.Fatalf("%s %s n=%d off=%d: differs from the Go loop", k.name, fillName, n, off)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestAddRowsBitIdenticalToGoLoop: a block of row segments, every width
+// (whole vectors and masked tail), both strides wider than the segment, the
+// elements between the segments untouched.
+func TestAddRowsBitIdenticalToGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for fillName, fill := range kernelFills(rng) {
+		for width := 1; width <= 41; width++ {
+			for _, rows := range []int{1, 2, 5} {
+				for off := 0; off < 8; off++ {
+					dstStride, srcStride := width+off%3, width+(off+1)%4
+					dst, dstBack := carve((rows-1)*dstStride+width, off, fill)
+					src, _ := carve((rows-1)*srcStride+width, (off+3)%8, fill)
+					want := append([]float32(nil), dst...)
+					addRowsGo(want, dstStride, src, srcStride, rows, width)
+					AddRows(dst, dstStride, src, srcStride, rows, width)
+					if !canariesIntact(dst, dstBack) {
+						t.Fatalf("%s width=%d rows=%d off=%d: wrote outside dst", fillName, width, rows, off)
+					}
+					if !sameFloats(dst, want) {
+						t.Fatalf("%s width=%d rows=%d off=%d: differs from the Go loop", fillName, width, rows, off)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSumKernelsMatchGoLoops: the reductions add the terms of the Go loops in
+// another order, so they agree within the bound for that many terms.
+func TestSumKernelsMatchGoLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for fillName, fill := range kernelFills(rng) {
+		for _, n := range kernelLengths() {
+			for off := 0; off < 8; off++ {
+				x, _ := carve(n, off, fill)
+				y, _ := carve(n, (off+3)%8, fill)
+				var absX, absDev, absXY float64
+				for i, v := range x {
+					absX += math.Abs(float64(v))
+					d := float64(v) - 0.25
+					absDev += d * d
+					absXY += math.Abs(float64(v) * float64(y[i]))
+				}
+				where := func(kernel string) string {
+					return fmt.Sprintf("%s %s n=%d off=%d", kernel, fillName, n, off)
+				}
+				if got, want := sumSlice(x), sumSliceGo(x); !kernelAgrees(got, want, kernelTol(n, absX)) {
+					t.Fatalf("%s: %g, Go loop %g", where("sumSlice"), got, want)
+				}
+				if got, want := sumF64(x), sumF64Go(x); !agrees64(got, want, kernelTol64(n, absX)) {
+					t.Fatalf("%s: %g, Go loop %g", where("sumF64"), got, want)
+				}
+				// Each squared deviation is rounded once more than it is added.
+				if got, want := sumSqDevF64(x, 0.25), sumSqDevF64Go(x, 0.25); !agrees64(got, want, kernelTol64(n+1, absDev)) {
+					t.Fatalf("%s: %g, Go loop %g", where("sumSqDevF64"), got, want)
+				}
+				gotA, gotAB := sumDot(x, y)
+				wantA, wantAB := sumDotGo(x, y)
+				if !agrees64(gotA, wantA, kernelTol64(n, absX)) || !agrees64(gotAB, wantAB, kernelTol64(n, absXY)) {
+					t.Fatalf("%s: (%g, %g), Go loop (%g, %g)", where("sumDot"), gotA, gotAB, wantA, wantAB)
+				}
+			}
+		}
+	}
+}
+
+// panelOperand lays an (r, c) matrix out with a row stride of ld floats, off
+// floats into its backing array, canary words everywhere outside the rows.
+func panelOperand(r, c, ld, off int, fill func() float32) (m, backing []float32) {
+	backing = make([]float32, off+(r-1)*ld+c+9)
+	for i := range backing {
+		backing[i] = math.Float32frombits(canary)
+	}
+	m = backing[off:][: (r-1)*ld+c : (r-1)*ld+c]
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			m[i*ld+j] = fill()
+		}
+	}
+	return m, backing
+}
+
+// outsideRowsIntact reports whether every word of backing outside the r rows
+// of c floats laid out by panelOperand still holds the canary.
+func outsideRowsIntact(backing []float32, r, c, ld, off int) bool {
+	for i, v := range backing {
+		if j := i - off; j >= 0 && j < (r-1)*ld+c && j%ld < c {
+			continue
+		}
+		if math.Float32bits(v) != canary {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGemmPanelBitIdenticalToRowKernels: a register tile builds every output
+// by the chain of operations fma4RowsAVX2 and axpySlice build between them —
+// k in order, fused while four steps remain, multiply-then-add for the k%4
+// tail — so a panel must reproduce them bit for bit, plain and transposed-A
+// strides alike, accumulating or not, and store nothing outside its tiles.
+func TestGemmPanelBitIdenticalToRowKernels(t *testing.T) {
+	if gemmPanel == nil {
+		t.Skip("the panels exist in assembly only")
+	}
+	rng := rand.New(rand.NewSource(31))
+	for fillName, fill := range kernelFills(rng) {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 16, 27, 33} {
+			for tiles := 1; tiles <= 3; tiles++ {
+				for off := 0; off < 8; off++ {
+					for _, transA := range []bool{false, true} {
+						for _, acc := range []bool{false, true} {
+							n := mmTileJ * tiles
+							ldc, ldb := n+off%3, n+(off+1)%4
+							c, cBack := panelOperand(mmTileI, n, ldc, off, fill)
+							b, _ := panelOperand(k, n, ldb, (off+3)%8, fill)
+							// a holds the four rows as (4,k) or, transposed, as (k,4).
+							ars, aks := k+off%2, 1
+							a, _ := panelOperand(mmTileI, k, ars, (off+5)%8, fill)
+							if transA {
+								ars, aks = 1, mmTileI+off%2
+								a, _ = panelOperand(k, mmTileI, aks, (off+5)%8, fill)
+							}
+							want := make([][]float32, mmTileI)
+							for r := range want {
+								row := make([]float32, n)
+								if acc {
+									copy(row, c[r*ldc:])
+								}
+								kk := 0
+								for ; kk+4 <= k; kk += 4 {
+									fma4Rows(row, b[kk*ldb:][:n], b[(kk+1)*ldb:][:n], b[(kk+2)*ldb:][:n], b[(kk+3)*ldb:][:n],
+										a[r*ars+kk*aks], a[r*ars+(kk+1)*aks], a[r*ars+(kk+2)*aks], a[r*ars+(kk+3)*aks])
+								}
+								for ; kk < k; kk++ {
+									axpySlice(a[r*ars+kk*aks], b[kk*ldb:][:n], row)
+								}
+								want[r] = row
+							}
+							gemmPanel(&c[0], ldc, &a[0], ars, aks, &b[0], ldb, k, tiles, acc)
+							where := fmt.Sprintf("%s k=%d tiles=%d off=%d transA=%v acc=%v", fillName, k, tiles, off, transA, acc)
+							if !outsideRowsIntact(cBack, mmTileI, n, ldc, off) {
+								t.Fatalf("%s: stored outside the tiles", where)
+							}
+							for r := range want {
+								if !sameFloats(c[r*ldc:][:n], want[r]) {
+									t.Fatalf("%s: row %d differs from fma4Rows + axpySlice", where, r)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDotPanelMatchesGoReference: every output of a transposed-B panel is a
+// dot product summed eight lanes apart, so it agrees with the scalar sum
+// within the bound for k terms (and the accumulator); the panel stores only
+// its rows by cols outputs, reads no operand past its k floats, and builds an
+// output with the same instructions on an edge — an odd last row, fewer than
+// four columns — as inside a whole tile, which is what lets a product be
+// split anywhere.
+func TestDotPanelMatchesGoReference(t *testing.T) {
+	if dotPanel == nil {
+		t.Skip("the panels exist in assembly only")
+	}
+	rng := rand.New(rand.NewSource(37))
+	for fillName, fill := range kernelFills(rng) {
+		for _, k := range kernelLengths() {
+			if k == 0 || k > 67 && k != 257 {
+				continue
+			}
+			off := k % 8
+			for _, rows := range []int{1, 2, 3, 4} {
+				for cols := 1; cols <= 4; cols++ {
+					for _, acc := range []bool{false, true} {
+						ldc, lda, ldb := cols+off%3, k+off%2, k+(off+1)%3
+						c, cBack := panelOperand(rows, cols, ldc, off, fill)
+						a, _ := panelOperand(rows, k, lda, (off+3)%8, fill)
+						b, _ := panelOperand(cols, k, ldb, (off+5)%8, fill)
+						before := append([]float32(nil), c...)
+						dotPanel(&c[0], ldc, &a[0], lda, rows, &b[0], ldb, cols, k, acc)
+						where := fmt.Sprintf("%s k=%d rows=%d cols=%d acc=%v", fillName, k, rows, cols, acc)
+						if !outsideRowsIntact(cBack, rows, cols, ldc, off) {
+							t.Fatalf("%s: stored outside the outputs", where)
+						}
+						for i := 0; i < rows; i++ {
+							for j := 0; j < cols; j++ {
+								var want float32
+								var sumAbs float64
+								for kk := 0; kk < k; kk++ {
+									want += a[i*lda+kk] * b[j*ldb+kk]
+									sumAbs += math.Abs(float64(a[i*lda+kk]) * float64(b[j*ldb+kk]))
+								}
+								terms := k
+								if acc {
+									want += before[i*ldc+j]
+									sumAbs += math.Abs(float64(before[i*ldc+j]))
+									terms++
+								}
+								got := c[i*ldc+j]
+								if !kernelAgrees(got, want, kernelTol(terms, sumAbs)) {
+									t.Fatalf("%s: output (%d,%d) %g, scalar sum %g", where, i, j, got, want)
+								}
+								// The same output alone: one row, one column.
+								alone := []float32{before[i*ldc+j]}
+								dotPanel(&alone[0], 1, &a[i*lda], lda, 1, &b[j*ldb], ldb, 1, k, acc)
+								if !sameFloats(alone, []float32{got}) {
+									t.Fatalf("%s: output (%d,%d) is %g in the panel, %g alone", where, i, j, got, alone[0])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulPanelsBitIdenticalToRowLoops: whole products through the panels
+// — full tiles, edge rows, edge columns, k tails — against the same products
+// with the panels unbound, which is the parent's path: bit for bit where the
+// summation order is kept (plain, transposed A), within tolerance where it is
+// not (transposed B).
+func TestMatMulPanelsBitIdenticalToRowLoops(t *testing.T) {
+	if gemmPanel == nil {
+		t.Skip("the panels exist in assembly only")
+	}
+	rng := rand.New(rand.NewSource(41))
+	for iter := 0; iter < 60; iter++ {
+		m, k, n := 1+rng.Intn(40), 1+rng.Intn(70), 1+rng.Intn(70)
+		a := New(m, k).RandNormal(rng, 0, 1)
+		at := New(k, m).RandNormal(rng, 0, 1)
+		b := New(k, n).RandNormal(rng, 0, 1)
+		bt := New(n, k).RandNormal(rng, 0, 1)
+		base := New(m, n).RandNormal(rng, 0, 1)
+		run := func() [4]*Tensor {
+			return [4]*Tensor{MatMul(a, b), MatMulTransA(at, b), MatMulTransAAcc(base.Clone(), at, b), MatMulTransBAcc(base.Clone(), a, bt)}
+		}
+		tiled := run()
+		savedGemm, savedDot := gemmPanel, dotPanel
+		gemmPanel, dotPanel = nil, nil
+		rows := run()
+		gemmPanel, dotPanel = savedGemm, savedDot
+		for p, name := range []string{"MatMul", "MatMulTransA", "MatMulTransAAcc"} {
+			if !sameFloats(tiled[p].data, rows[p].data) {
+				t.Fatalf("%s through the panels differs from the row loops at m=%d k=%d n=%d", name, m, k, n)
+			}
+		}
+		if !withinRelTol(tiled[3], rows[3], 1e-4) {
+			t.Fatalf("MatMulTransBAcc through the panel differs from the row loops at m=%d k=%d n=%d", m, k, n)
+		}
+	}
+}
+
+// TestRealShapesStaySerial: two workers already own the reference box's two
+// cores, and at the assembly's rate the largest product of a ResNet-8 or
+// wide-MLP iteration is 60 µs of work, so none of them may cross the
+// assembly's fan-out threshold. (The Go loops' threshold prices a wake-up at
+// their own rate, at which the same products are a millisecond.)
+func TestRealShapesStaySerial(t *testing.T) {
+	if !asmKernels {
+		t.Skip("holds the assembly's thresholds")
+	}
+	shapes := [][3]int{{4, 8192, 32}, {8192, 4, 32}, {4, 32, 8192}} // the wide MLP's dense layer: y, dW, dx
+	for _, s := range convShapes {
+		outC, patch, plane := s[0], s[1], s[2]
+		shapes = append(shapes, [3]int{outC, patch, plane}, [3]int{outC, plane, patch}, [3]int{patch, outC, plane})
+	}
+	for _, s := range shapes {
+		if !mmSerial(s[0], s[1], s[2]) {
+			t.Errorf("a %d×%d×%d product (%d flops) fans out at threshold %d", s[0], s[1], s[2], 2*s[0]*s[1]*s[2], mmParallelMinFlops)
 		}
 	}
 }

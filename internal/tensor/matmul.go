@@ -9,35 +9,48 @@ import "fmt"
 // pool by output-row blocks (pool.go); small matrices stay serial, so layer
 // shapes that fit in cache never pay fan-out overhead.
 //
-// The two innermost loops sit behind one seam, the function values fma4Rows
-// and dot4 below: bound to AVX2+FMA assembly (kernels_amd64.s) on CPUs that
-// have it, to the Go loops mm4Rows and mmDot4 everywhere else (other
-// architectures, older CPUs, -tags purego). Blocking, row splitting and every
-// exported signature are the same on both paths.
+// The inner loops sit behind one seam, the function values below: bound to
+// AVX2+FMA assembly on CPUs that have it (kernels_amd64.s, gemm_amd64.s), to
+// the Go loops everywhere else (other architectures, older CPUs, -tags
+// purego). Row splitting and every exported signature are the same on both
+// paths.
 //
 // Numerics: all three products accumulate several inner-dimension terms per
 // pass, which reassociates the k-sum relative to a scalar i-k-j loop, and the
 // assembly fuses each multiply-add into one rounding — results are
-// deterministic for a given shape on a given kernel path but differ from the
-// scalar reference by rounding (tolerance-bounded, see matmul_test.go). On
-// the Go path MatMulTransB keeps the scalar loop's per-output accumulation
-// order and is bit-identical to it; on the assembly path it is
-// tolerance-bounded like the other two. Gradients and activations are dense,
-// so the kernels carry no zero-skip branches: on real workloads such branches
-// are pure mispredict overhead in the innermost loop.
+// deterministic for a given shape on a given kernel path, whatever the row
+// split, but differ from the scalar reference by rounding (tolerance-bounded,
+// see matmul_test.go). On the Go path MatMulTransB keeps the scalar loop's
+// per-output accumulation order and is bit-identical to it; on the assembly
+// path it is tolerance-bounded like the other two. Gradients and activations
+// are dense, so the kernels carry no zero-skip branches: on real workloads
+// such branches are pure mispredict overhead in the innermost loop.
 
-// fma4Rows adds a0·b0 + a1·b1 + a2·b2 + a3·b3 into ob, and dot4 returns the
-// dot products of a against b0..b3. Callers pass b0..b3 sliced to exactly
-// the first operand's length: the assembly forms trust it. Rebound once, at
-// package init, when the CPU probe passes; asmKernels records that for the
-// tests.
+// fma4Rows adds a0·b0 + a1·b1 + a2·b2 + a3·b3 into ob. Callers pass b0..b3
+// sliced to exactly ob's length: the assembly form trusts it.
+//
+// gemmPanel and dotPanel are the register-tiled panels (gemm_amd64.s): a
+// mmTileI×mmTileJ block of a plain or transposed-A product, or two rows by
+// four columns of a transposed-B one, held in registers across the whole k
+// sweep. They exist in assembly only and stay nil elsewhere; mmRowRange
+// then runs the row loops alone.
+//
+// All are rebound once, at package init, when the CPU probe passes;
+// asmKernels records that for the tests.
 var (
 	fma4Rows   = mm4Rows
-	dot4       = mmDot4
+	gemmPanel  func(c *float32, ldc int, a *float32, ars, aks int, b *float32, ldb, k, tiles int, acc bool)
+	dotPanel   func(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
 	asmKernels bool
 )
 
-// Kernel names the binding of the matmul inner loops: "avx2" for the
+// The output tile gemmPanel holds in registers.
+const (
+	mmTileI = 4
+	mmTileJ = 16
+)
+
+// Kernel names the binding of the package's kernels: "avx2" for the
 // assembly, "go" for the portable loops.
 func Kernel() string {
 	if asmKernels {
@@ -52,8 +65,8 @@ func Kernel() string {
 // The value stands for about half a millisecond of work, which is what it
 // takes to amortize a wake-up, at the rate of the bound kernels: 1<<21 for
 // the Go loops (≈5 Gflop/s); the assembly's init raises it with the kernel
-// rate (kernels_amd64.go). Tests lower it to force the parallel path on small
-// shapes.
+// rate (kernels_amd64.go, with the measurements). Tests lower it to force the
+// parallel path on small shapes.
 var mmParallelMinFlops int64 = 1 << 21
 
 // SetMatMulParallelMinFlops adjusts the flop threshold below which matrix
@@ -86,16 +99,36 @@ const (
 	mmTransB               // a × bᵀ for b stored (n,k)
 )
 
-// mmRowRange computes output rows [i0,i1) of the product kind names.
+// mmRowRange computes output rows [i0,i1) of the product kind names. Where
+// the panels are bound, whole tiles go through them — four rows by every
+// whole sixteen columns for a plain or transposed-A product, which differ
+// only in a's two strides, and every row and column for a transposed-B one —
+// and the row loops take what is left.
 func mmRowRange(kind mmKind, a, b, out []float32, m, k, n, i0, i1 int, acc bool) {
-	switch kind {
-	case mmPlain:
-		mmRows(a, b, out, k, n, i0, i1, acc)
-	case mmTransA:
-		mmTransARows(a, b, out, k, m, n, i0, i1, acc)
-	case mmTransB:
-		mmTransBRows(a, b, out, k, n, i0, i1, acc)
+	if kind == mmTransB {
+		if dotPanel == nil {
+			mmTransBRows(a, b, out, k, n, i0, i1, acc)
+			return
+		}
+		for j := 0; j < n; j += 4 {
+			dotPanel(&out[i0*n+j], n, &a[i0*k], k, i1-i0, &b[j*k], k, min(4, n-j), k, acc)
+		}
+		return
 	}
+	// Element (i, kk) of the left operand is a[i*ars+kk*aks].
+	ars, aks := k, 1
+	if kind == mmTransA {
+		ars, aks = 1, m
+	}
+	if tiles := n / mmTileJ; gemmPanel != nil && tiles > 0 {
+		it := i0
+		for ; it+mmTileI <= i1; it += mmTileI {
+			gemmPanel(&out[it*n], n, &a[it*ars], ars, aks, &b[0], n, k, tiles, acc)
+		}
+		mmRows(a, ars, aks, b, out, k, n, i0, it, tiles*mmTileJ, acc)
+		i0 = it
+	}
+	mmRows(a, ars, aks, b, out, k, n, i0, i1, 0, acc)
 }
 
 // mmRun computes an (m,n) product into out: on the calling goroutine when it
@@ -103,13 +136,19 @@ func mmRowRange(kind mmKind, a, b, out []float32, m, k, n, i0, i1 int, acc bool)
 // across the shared worker pool. The closure the pool needs is built on the
 // parallel branch only, so a serial product allocates nothing.
 func mmRun(kind mmKind, a, b, out []float32, m, k, n int, acc bool) {
-	if 2*int64(m)*int64(k)*int64(n) < mmParallelMinFlops || m == 1 {
+	if mmSerial(m, k, n) {
 		mmRowRange(kind, a, b, out, m, k, n, 0, m, acc)
 		return
 	}
 	mmParallel(m, k, n, func(i0, i1 int) {
 		mmRowRange(kind, a, b, out, m, k, n, i0, i1, acc)
 	})
+}
+
+// mmSerial reports whether an (m,k)×(k,n) product stays on the calling
+// goroutine.
+func mmSerial(m, k, n int) bool {
+	return 2*int64(m)*int64(k)*int64(n) < mmParallelMinFlops || m == 1
 }
 
 // mmParallel fans rows [0, m) across the shared worker pool in blocks of at
@@ -249,77 +288,43 @@ func mm4Rows(ob, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// mmRows computes output rows [i0,i1) of a(m,k)×b(k,n). With acc the rows
-// accumulate into out; otherwise each column block is cleared first. Four
-// b-rows are streamed per pass over a column block, so the block of out
+// mmRows computes columns [j0,n) of output rows [i0,i1) of a plain or
+// transposed-A product, a's element (i, kk) at a[i*ars+kk*aks]. With acc the
+// rows accumulate into out; otherwise each column block is cleared first.
+// Four b-rows are streamed per pass over a column block, so the block of out
 // stays in L1 while each element of b is read exactly once per output row.
 // The Go form of the 4-row step runs at the scalar floating-point ceiling
 // (two FP ops per multiply-add with all bounds checks eliminated); wider
 // row/column tiles were measured slower there because their extra live
 // coefficients spill.
-func mmRows(a, b, out []float32, k, n, i0, i1 int, acc bool) {
+func mmRows(a []float32, ars, aks int, b, out []float32, k, n, i0, i1, j0 int, acc bool) {
 	for i := i0; i < i1; i++ {
-		arow := a[i*k : i*k+k]
 		orow := out[i*n : i*n+n]
-		for jb := 0; jb < n; jb += mmBlockJ {
-			je := jb + mmBlockJ
-			if je > n {
-				je = n
-			}
+		for jb := j0; jb < n; jb += mmBlockJ {
+			je := min(jb+mmBlockJ, n)
 			ob := orow[jb:je:je]
 			if !acc {
-				for j := range ob {
-					ob[j] = 0
-				}
+				clear(ob)
 			}
 			w := je - jb
+			p := i * ars
 			kk := 0
 			for ; kk+4 <= k; kk += 4 {
 				r := kk*n + jb
 				fma4Rows(ob,
 					b[r:r+w], b[r+n:r+n+w], b[r+2*n:r+2*n+w], b[r+3*n:r+3*n+w],
-					arow[kk], arow[kk+1], arow[kk+2], arow[kk+3])
+					a[p], a[p+aks], a[p+2*aks], a[p+3*aks])
+				p += 4 * aks
 			}
 			for ; kk < k; kk++ {
-				axpySlice(arow[kk], b[kk*n+jb:kk*n+jb+w], ob)
+				axpySlice(a[p], b[kk*n+jb:kk*n+jb+w], ob)
+				p += aks
 			}
 		}
 	}
 }
 
-// mmTransARows computes output rows [i0,i1) of aᵀ(m,k)×b(k,n) for a stored
-// as (k,m). Identical blocking to mmRows; the four per-pass a-loads are
-// strided down a's column i instead of along a row.
-func mmTransARows(a, b, out []float32, k, m, n, i0, i1 int, acc bool) {
-	for i := i0; i < i1; i++ {
-		orow := out[i*n : i*n+n]
-		for jb := 0; jb < n; jb += mmBlockJ {
-			je := jb + mmBlockJ
-			if je > n {
-				je = n
-			}
-			ob := orow[jb:je:je]
-			if !acc {
-				for j := range ob {
-					ob[j] = 0
-				}
-			}
-			w := je - jb
-			kk := 0
-			for ; kk+4 <= k; kk += 4 {
-				r := kk*n + jb
-				fma4Rows(ob,
-					b[r:r+w], b[r+n:r+n+w], b[r+2*n:r+2*n+w], b[r+3*n:r+3*n+w],
-					a[kk*m+i], a[(kk+1)*m+i], a[(kk+2)*m+i], a[(kk+3)*m+i])
-			}
-			for ; kk < k; kk++ {
-				axpySlice(a[kk*m+i], b[kk*n+jb:kk*n+jb+w], ob)
-			}
-		}
-	}
-}
-
-// mmDot4 is the portable dot4. The reslices pin every operand to len(arow)
+// mmDot4 returns the dot products of arow against b0..b3. The reslices pin every operand to len(arow)
 // so the compiler drops all bounds checks; the four accumulator chains are
 // independent and overlap in the pipeline. Each chain keeps the scalar
 // loop's accumulation order.
@@ -341,8 +346,8 @@ func mmDot4(arow, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 // (n,k): each output element is a dot product of two contiguous rows. Four
 // output columns are computed per pass with independent accumulators, so
 // the row of a is read once per four outputs and the four dot-product
-// chains overlap. With the Go dot4 the per-output accumulation order matches
-// the scalar loop exactly; the vector dot4 sums eight lanes apart.
+// chains overlap. The per-output accumulation order matches the scalar loop
+// exactly.
 func mmTransBRows(a, b, out []float32, k, n, i0, i1 int, acc bool) {
 	for i := i0; i < i1; i++ {
 		arow := a[i*k : i*k+k : i*k+k]
@@ -350,7 +355,7 @@ func mmTransBRows(a, b, out []float32, k, n, i0, i1 int, acc bool) {
 		j := 0
 		for ; j+4 <= n; j += 4 {
 			r := j * k
-			s0, s1, s2, s3 := dot4(arow,
+			s0, s1, s2, s3 := mmDot4(arow,
 				b[r:r+k], b[r+k:r+2*k], b[r+2*k:r+3*k], b[r+3*k:r+4*k])
 			if acc {
 				orow[j] += s0

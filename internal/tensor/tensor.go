@@ -181,11 +181,7 @@ func assertSameShape(op string, a, b *Tensor) {
 }
 
 // Zero sets every element to zero in place.
-func (t *Tensor) Zero() {
-	for i := range t.data {
-		t.data[i] = 0
-	}
-}
+func (t *Tensor) Zero() { clear(t.data) }
 
 // Fill sets every element to v in place.
 func (t *Tensor) Fill(v float32) {
@@ -232,9 +228,7 @@ func (t *Tensor) AXPY(alpha float32, o *Tensor) *Tensor {
 
 // AddScalar adds s to every element in place and returns t.
 func (t *Tensor) AddScalar(s float32) *Tensor {
-	for i := range t.data {
-		t.data[i] += s
-	}
+	addScalarSlice(s, t.data)
 	return t
 }
 

@@ -33,23 +33,27 @@ race:
 # channel's contract test in internal/transport and the last the crash/restart
 # run on both socket carriers.
 lease-stress:
-	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK' ./internal/ps/
+	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
 	$(GO) test -race -count=10 -run 'TestLane|TestLoopbackDialUpgradesToLane|TestReleaseHookSeesBodyBeforeReuse|TestPipeKeepsTheConnContract|TestForeignPeersStayOnTCP|TestListenerCloseFreesLaneName' ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
 	$(GO) test -race -count=10 -run 'TestTCPWorkerCrashRejoinAndServerRestart' .
 
 # The portable kernel paths (the Go loops of internal/tensor, bound where there
-# is no AVX2+FMA, and of internal/compress, bound where there is no F16C+AVX2)
+# is no AVX2+FMA — internal/optimizer's step runs on them — and of
+# internal/compress, bound where there is no F16C+AVX2)
 # on every run, not only on machines without those: the purego tag tests them
 # here — the codec kernels against the same bit-for-bit reference and the same
-# end-to-end hash (internal/ps) the assembly is held to — and an arm64
+# end-to-end hash (internal/ps) the assembly is held to, the worker loop
+# against the parameter hashes recorded for the Go loops — and an arm64
 # cross-build compiles and vets what a non-amd64 target gets. purego is for
 # this step, not a tuning knob. The darwin build
 # compiles the stub every non-Linux target gets in place of the same-host
 # lane (internal/transport/lane_other.go), so it cannot rot.
 portable:
-	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/compress/
+	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/optimizer/ ./internal/compress/
 	$(GO) test -tags purego -run 'TestCodecKernelsEndToEndPin' ./internal/ps/
+	$(GO) test -tags purego -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/cpu/ ./internal/tensor/ ./internal/compress/
 	GOOS=darwin $(GO) build ./...
@@ -99,16 +103,26 @@ bench-json:
 # its own name) and BenchmarkResNet8IterationBatch8 one whole forward+backward
 # at the end-to-end benchmark's flat-compute shape, both named by kernel the
 # same way.
+# BenchmarkFusedStepMomentumBatch4 and BenchmarkFusedStepPlain262k are the
+# store's optimizer step (a coalesced batch of four with momentum over 64k
+# values; one push of plain SGD over the wide MLP's 262 144, flat-comm's step)
+# and BenchmarkWorkerIteration one whole iteration of the worker loop at that
+# shape over the in-process carrier (pull, install, forward, backward, push,
+# apply, release): a payload-sized copy coming back into the loop, or the step
+# falling off its kernel, costs either 25% or more. All three are named by
+# kernel too.
 # The pins whose names carry the kernel binding: bench-baseline measures these
 # a second time under -tags purego.
-BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkResNet8IterationBatch8|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
-BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkFusedStepMomentumBatch4|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB
-BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB
+BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkResNet8IterationBatch8|BenchmarkFusedStepMomentumBatch4|BenchmarkFusedStepPlain262k|BenchmarkWorkerIteration|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
+BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB
+BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkFusedStepPlain262k,BenchmarkWorkerIteration,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB
 BENCH_GATE_TIME = 1s
 # Packages holding the pinned benchmarks: the store pipeline, the raw
 # compute kernels (matmul panels, fused optimizer step) it is built on, the
-# layers over them, and the codec kernels.
-BENCH_GATE_PKGS = ./internal/ps/ ./internal/tensor/ ./internal/nn/ ./internal/optimizer/ ./internal/compress/
+# layers over them, the codec kernels, and the worker loop.
+BENCH_GATE_PKGS = ./internal/ps/ ./internal/tensor/ ./internal/nn/ ./internal/optimizer/ ./internal/compress/ ./internal/trainer/
+# Those among them with a kernel-named pin.
+BENCH_GATE_KERNEL_PKGS = ./internal/tensor/ ./internal/nn/ ./internal/optimizer/ ./internal/compress/ ./internal/trainer/
 
 # Refresh the committed benchmark baseline (BENCH_baseline.json at the repo
 # root). A short fixed -benchtime keeps the full suite to a couple of
@@ -122,7 +136,7 @@ BENCH_GATE_PKGS = ./internal/ps/ ./internal/tensor/ ./internal/nn/ ./internal/op
 bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchtime=10x -benchmem ./... > bench-baseline.txt
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_PKGS) >> bench-baseline.txt
-	$(GO) test -tags purego -run '^$$' -bench '$(BENCH_GATE_KERNEL_PATTERN)' -benchtime=$(BENCH_GATE_TIME) ./internal/tensor/ ./internal/nn/ ./internal/compress/ >> bench-baseline.txt
+	$(GO) test -tags purego -run '^$$' -bench '$(BENCH_GATE_KERNEL_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_KERNEL_PKGS) >> bench-baseline.txt
 	$(GO) run ./cmd/benchjson -in bench-baseline.txt -out BENCH_baseline.json
 
 # Pinned-benchmark regression gate: re-measure the allowlisted macro

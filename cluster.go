@@ -272,15 +272,17 @@ func clusterSnapshot(coordAddr string) ([]*tensor.Tensor, error) {
 			return nil, fmt.Errorf("dssp: snapshot session at %s: %w", e.Addr, err)
 		}
 		params, _, err := client.Pull()
+		if err == nil && (e.TensorHi > len(out) || len(params) != e.TensorHi-e.TensorLo) {
+			err = fmt.Errorf("%d tensors for range [%d, %d)", len(params), e.TensorLo, e.TensorHi)
+		}
+		// The pulled tensors are on lease from the client, which Close ends.
+		for i := 0; err == nil && i < len(params); i++ {
+			out[e.TensorLo+i] = params[i].Clone()
+		}
 		client.Close()
 		if err != nil {
 			return nil, fmt.Errorf("dssp: snapshot pull from %s: %w", e.Addr, err)
 		}
-		if e.TensorHi > len(out) || len(params) != e.TensorHi-e.TensorLo {
-			return nil, fmt.Errorf("dssp: snapshot from %s carries %d tensors for range [%d, %d)",
-				e.Addr, len(params), e.TensorLo, e.TensorHi)
-		}
-		copy(out[e.TensorLo:e.TensorHi], params)
 	}
 	for i, p := range out {
 		if p == nil {

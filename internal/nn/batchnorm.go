@@ -130,6 +130,9 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gamma := bn.gamma.Data()
 	gg := bn.gradG.Data()
 	gb := bn.gradB.Data()
+	// Added into +0, not stored: a sum that rounds to −0 leaves +0.
+	clear(gg)
+	clear(gb)
 
 	plane := planesOf(ch, area)
 	for c := 0; c < ch; c++ {

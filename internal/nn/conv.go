@@ -232,13 +232,20 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gradData := grad.Data()
 	colData := c.cols.Data()
 	gb := c.gradB.Data()
+	clear(gb)
 	dcol := scratch(&c.col, patch, plane)
 	for b := 0; b < batch; b++ {
 		// The gradient and patch slices are only read, so alias them.
 		gm := gradData[b*outImgSize : (b+1)*outImgSize]
 		gradMat := view2D(&c.gradMat, gm, c.outC, plane)
-		// dW += grad · colᵀ, accumulated in place.
-		tensor.MatMulTransBAcc(c.gradW, gradMat, view2D(&c.colMat, colData[b*patch*plane:(b+1)*patch*plane], patch, plane))
+		colMat := view2D(&c.colMat, colData[b*patch*plane:(b+1)*patch*plane], patch, plane)
+		// dW = Σ grad · colᵀ over the batch: the first image overwrites what
+		// the last pass left, the rest accumulate in place.
+		if b == 0 {
+			tensor.MatMulTransBInto(c.gradW, gradMat, colMat)
+		} else {
+			tensor.MatMulTransBAcc(c.gradW, gradMat, colMat)
+		}
 		// db += per-channel sums
 		for oc := 0; oc < c.outC; oc++ {
 			gb[oc] += tensor.SumSlice(gm[oc*plane : (oc+1)*plane])

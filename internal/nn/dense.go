@@ -65,11 +65,12 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastInput == nil {
 		panic("nn: Dense.Backward called before Forward(train=true)")
 	}
-	// dW += xᵀ · grad, db = column sums of grad, dx = grad · Wᵀ.
-	tensor.MatMulTransAAcc(d.gradW, d.lastInput, grad)
+	// dW = xᵀ · grad, db = column sums of grad, dx = grad · Wᵀ.
+	tensor.MatMulTransAInto(d.gradW, d.lastInput, grad)
 	batch := grad.Dim(0)
 	gdata := grad.Data()
 	gb := d.gradB.Data()
+	clear(gb) // summed from +0, not from row 0: a column of −0 sums to +0
 	for b := 0; b < batch; b++ {
 		tensor.AddSlice(gb, gdata[b*d.out:(b+1)*d.out])
 	}

@@ -36,9 +36,11 @@ type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 
 	// Backward receives the gradient of the loss with respect to the layer
-	// output and returns the gradient with respect to the layer input,
-	// accumulating parameter gradients internally. It must be called after
-	// Forward with train=true.
+	// output and returns the gradient with respect to the layer input. It
+	// leaves this pass's parameter gradients in Grads, overwriting whatever
+	// the last pass left there — bit for bit what adding them into zeroed
+	// tensors would leave, the sign of a zero included. It must be called
+	// after Forward with train=true.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 
 	// Params returns the layer's trainable parameter tensors. The returned
@@ -46,7 +48,7 @@ type Layer interface {
 	// layer.
 	Params() []*tensor.Tensor
 
-	// Grads returns the accumulated gradients, aligned with Params.
+	// Grads returns the gradients of the last Backward, aligned with Params.
 	Grads() []*tensor.Tensor
 
 	// Name returns a short layer description used in error messages.
@@ -60,8 +62,13 @@ type Network struct {
 	rng    *rand.Rand
 
 	// Every layer's Params and Grads, gathered once: layers never replace
-	// their parameter tensors, only their contents.
+	// their parameter tensors, only their contents — or, between AdoptParams
+	// and DetachParams, the storage they point at.
 	params, grads []*tensor.Tensor
+	// home is the storage each parameter tensor was built on; adopted says
+	// the tensors currently point somewhere else.
+	home    [][]float32
+	adopted bool
 }
 
 // NewNetwork builds a network from the given layers. The random source is
@@ -79,6 +86,10 @@ func NewNetwork(rng *rand.Rand, layers ...Layer) *Network {
 	for _, l := range layers {
 		n.params = append(n.params, l.Params()...)
 		n.grads = append(n.grads, l.Grads()...)
+	}
+	n.home = make([][]float32, len(n.params))
+	for i, p := range n.params {
+		n.home[i] = p.Data()
 	}
 	return n
 }
@@ -107,9 +118,10 @@ func (n *Network) Loss(x *tensor.Tensor, labels []int, train bool) (float64, *te
 	return loss, logits
 }
 
-// Backward propagates the loss gradient through the whole network,
-// accumulating parameter gradients in every layer. It must follow a call to
-// Loss with train=true.
+// Backward propagates the loss gradient through the whole network, leaving
+// this pass's parameter gradients in every layer (Layer.Backward): no
+// ZeroGrads is needed between passes. It must follow a call to Loss with
+// train=true.
 func (n *Network) Backward() {
 	grad := n.loss.Backward()
 	for i := len(n.layers) - 1; i >= 0; i-- {
@@ -128,7 +140,9 @@ func (n *Network) Grads() []*tensor.Tensor {
 	return n.grads[:len(n.grads):len(n.grads)]
 }
 
-// ZeroGrads resets all accumulated gradients to zero.
+// ZeroGrads resets all gradients to zero. Backward overwrites them, so a
+// training loop has no use for it; it is for callers that read Grads before
+// any pass has run.
 func (n *Network) ZeroGrads() {
 	for _, g := range n.Grads() {
 		g.Zero()
@@ -146,18 +160,64 @@ func (n *Network) ParamCount() int {
 	return total
 }
 
-// SetParams copies the given tensors into the network's parameters. It is
-// how a worker installs the global weights pulled from the parameter server.
+// SetParams copies the given tensors into the network's own parameter
+// storage (detaching first, should anything be adopted): how an evaluator
+// installs a snapshot of the global weights in a model of its own.
 func (n *Network) SetParams(params []*tensor.Tensor) error {
-	own := n.Params()
-	if len(params) != len(own) {
-		return fmt.Errorf("nn: SetParams got %d tensors, network has %d", len(params), len(own))
+	if err := n.checkParams("SetParams", params); err != nil {
+		return err
+	}
+	n.DetachParams(false)
+	for i, p := range params {
+		copy(n.params[i].Data(), p.Data())
+	}
+	return nil
+}
+
+// AdoptParams points the network's parameters at the given tensors' storage
+// instead of copying it: how a worker installs the weights it pulled, which
+// are on lease from the parameter-server client until its next Pull. The
+// network only reads its parameters, so the storage may be read-only; whoever
+// adopts must call DetachParams before that storage stops being readable.
+func (n *Network) AdoptParams(params []*tensor.Tensor) error {
+	if err := n.checkParams("AdoptParams", params); err != nil {
+		return err
 	}
 	for i, p := range params {
-		if !own[i].SameShape(p) {
-			return fmt.Errorf("nn: SetParams tensor %d shape %v does not match %v", i, p.Shape(), own[i].Shape())
+		n.params[i].Rebind(p.Data())
+	}
+	n.adopted = true
+	return nil
+}
+
+// DetachParams points the parameters back at the network's own storage. With
+// keep the adopted values are copied there first, so the caller vouches they
+// are still readable; without, adopted storage is not touched and the
+// parameters read whatever the network's own storage last held. A no-op on a
+// network that adopted nothing.
+func (n *Network) DetachParams(keep bool) {
+	if !n.adopted {
+		return
+	}
+	for i, p := range n.params {
+		if keep {
+			copy(n.home[i], p.Data())
 		}
-		copy(own[i].Data(), p.Data())
+		p.Rebind(n.home[i])
+	}
+	n.adopted = false
+}
+
+// checkParams reports whether params matches the network's parameters in
+// count and shapes.
+func (n *Network) checkParams(op string, params []*tensor.Tensor) error {
+	if len(params) != len(n.params) {
+		return fmt.Errorf("nn: %s got %d tensors, network has %d", op, len(params), len(n.params))
+	}
+	for i, p := range params {
+		if !n.params[i].SameShape(p) {
+			return fmt.Errorf("nn: %s tensor %d shape %v does not match %v", op, i, p.Shape(), n.params[i].Shape())
+		}
 	}
 	return nil
 }

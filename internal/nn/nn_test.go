@@ -141,6 +141,84 @@ func TestNetworkSetParamsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNetworkAdoptAndDetachParams: an adopting network computes on the
+// storage it was handed, without a copy; detaching without keep never touches
+// that storage again and restores the network's own values; detaching with
+// keep carries the adopted values home; a SetParams in between lands in the
+// network's own storage, not in the adopted one.
+func TestNetworkAdoptAndDetachParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := SmallMLP(rng, 6, 8, 3)
+	b := SmallMLP(rand.New(rand.NewSource(4)), 6, 8, 3)
+	x := tensor.New(5, 6).RandNormal(rng, 0, 1)
+	labels := []int{0, 1, 2, 0, 1}
+	own := b.CloneParams()
+	lossOwn, _ := b.Loss(x, labels, true)
+
+	lent := a.CloneParams()
+	if err := b.AdoptParams(lent); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range b.Params() {
+		if &p.Data()[0] != &lent[i].Data()[0] {
+			t.Fatalf("parameter %d was copied, not adopted", i)
+		}
+	}
+	lossA, _ := a.Loss(x, labels, true)
+	if got, _ := b.Loss(x, labels, true); got != lossA {
+		t.Fatalf("adopting network computes loss %v, the lender %v", got, lossA)
+	}
+
+	// The lease ends: the lender's storage turns to poison, and a detach
+	// without keep must not read it.
+	for _, p := range lent {
+		p.Fill(float32(math.NaN()))
+	}
+	b.DetachParams(false)
+	b.DetachParams(false) // a no-op the second time
+	for i, p := range b.Params() {
+		if !sameBits(p.Data(), own[i].Data()) {
+			t.Fatalf("parameter %d after a detach without keep is not the network's own", i)
+		}
+	}
+	if got, _ := b.Loss(x, labels, true); got != lossOwn {
+		t.Fatalf("detached network computes loss %v, want its own %v", got, lossOwn)
+	}
+
+	// With keep the adopted values come home.
+	lent = a.CloneParams()
+	if err := b.AdoptParams(lent); err != nil {
+		t.Fatal(err)
+	}
+	b.DetachParams(true)
+	for i, p := range b.Params() {
+		if &p.Data()[0] == &lent[i].Data()[0] || !sameBits(p.Data(), lent[i].Data()) {
+			t.Fatalf("parameter %d after a detach with keep is not a copy of the adopted values", i)
+		}
+	}
+
+	// SetParams writes the network's own storage, never the adopted one.
+	if err := b.AdoptParams(lent); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetParams(own); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range b.Params() {
+		if !sameBits(p.Data(), own[i].Data()) || !sameBits(lent[i].Data(), a.Params()[i].Data()) {
+			t.Fatalf("SetParams on an adopting network: parameter %d landed in the wrong storage", i)
+		}
+	}
+
+	if err := b.AdoptParams(lent[:1]); err == nil {
+		t.Fatal("expected error for wrong parameter count")
+	}
+	lent[0] = tensor.New(2, 2)
+	if err := b.AdoptParams(lent); err == nil {
+		t.Fatal("expected error for wrong parameter shape")
+	}
+}
+
 func TestDropoutTrainVsEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := NewDropout(rng, 0.5)

@@ -156,15 +156,31 @@ func benchFusedInputs(paramSize, batchSize int) ([]*tensor.Tensor, []*tensor.Ten
 	return dst, src, batch
 }
 
+// The fused-step benchmarks name the bound kernel in their one sub-benchmark,
+// as tensor.BenchmarkMatMul128 does and for the same reason: the bench gate
+// pins both, under the name this machine produces.
+
 func BenchmarkFusedStepMomentumBatch4(b *testing.B) {
-	dst, src, batch := benchFusedInputs(64*1024, 4)
-	opt := NewSGDMomentum(0.05, 0.9, 1e-4)
-	opt.StepInto(dst, src, batch) // allocate velocity up front
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt.StepInto(dst, src, batch)
-	}
+	benchFusedStep(b, NewSGDMomentum(0.05, 0.9, 1e-4), 64*1024, 4)
+}
+
+// BenchmarkFusedStepPlain262k is the store's step on flat-comm: the wide
+// MLP's 262 144 parameters, one push at a time, plain SGD.
+func BenchmarkFusedStepPlain262k(b *testing.B) {
+	benchFusedStep(b, NewSGD(0.001), 256*1024, 1)
+}
+
+func benchFusedStep(b *testing.B, opt *SGD, paramSize, batchSize int) {
+	b.Run("kernel="+tensor.Kernel(), func(b *testing.B) {
+		dst, src, batch := benchFusedInputs(paramSize, batchSize)
+		opt.StepInto(dst, src, batch) // allocate velocity up front
+		b.SetBytes(int64(4 * paramSize))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opt.StepInto(dst, src, batch)
+		}
+	})
 }
 
 func BenchmarkUnfusedStepMomentumBatch4(b *testing.B) {

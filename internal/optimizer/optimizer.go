@@ -112,7 +112,9 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 
 // StepInto implements FusedStepper for SGD: one pass per parameter tensor
 // fuses the batch gradient sum, weight decay, momentum update, and parameter
-// write. See the interface for the aliasing and bit-identity contract.
+// write, in internal/tensor's SGD kernels (assembly where the CPU has it, the
+// same bits either way). See the interface for the aliasing and bit-identity
+// contract.
 func (s *SGD) StepInto(dst, src []*tensor.Tensor, batch [][]*tensor.Tensor) {
 	if len(batch) == 0 {
 		panic("optimizer: StepInto needs a non-empty batch")
@@ -152,148 +154,9 @@ func (s *SGD) StepInto(dst, src []*tensor.Tensor, batch [][]*tensor.Tensor) {
 			gs[b] = gd
 		}
 		if s.momentum > 0 {
-			fusedSGDMomentum(dd, sd, s.velocity[i], gs, lr, mu, wd)
+			tensor.SGDMomentumStep(dd, sd, s.velocity[i], gs, lr, mu, wd)
 		} else {
-			fusedSGDPlain(dd, sd, gs, lr, wd)
-		}
-	}
-}
-
-// fusedSGDMomentum applies dst = src - lr·v' with v' = mu·v + (Σgs + wd·src)
-// element-wise. The batch sum accumulates in source order, matching a
-// sequential copy+Add loop bit for bit. Specialized small-batch bodies keep
-// the common coalescing sizes branch-free in the inner loop.
-func fusedSGDMomentum(dd, sd, v []float32, gs [][]float32, lr, mu, wd float32) {
-	sd = sd[:len(dd)]
-	v = v[:len(dd)]
-	switch len(gs) {
-	case 1:
-		g0 := gs[0][:len(dd)]
-		for j := range dd {
-			g := g0[j] + wd*sd[j]
-			vj := mu*v[j] + g
-			v[j] = vj
-			dd[j] = sd[j] - lr*vj
-		}
-	case 2:
-		g0 := gs[0][:len(dd)]
-		g1 := gs[1][:len(dd)]
-		for j := range dd {
-			g := (g0[j] + g1[j]) + wd*sd[j]
-			vj := mu*v[j] + g
-			v[j] = vj
-			dd[j] = sd[j] - lr*vj
-		}
-	case 3:
-		g0 := gs[0][:len(dd)]
-		g1 := gs[1][:len(dd)]
-		g2 := gs[2][:len(dd)]
-		for j := range dd {
-			g := ((g0[j] + g1[j]) + g2[j]) + wd*sd[j]
-			vj := mu*v[j] + g
-			v[j] = vj
-			dd[j] = sd[j] - lr*vj
-		}
-	case 4:
-		g0 := gs[0][:len(dd)]
-		g1 := gs[1][:len(dd)]
-		g2 := gs[2][:len(dd)]
-		g3 := gs[3][:len(dd)]
-		for j := range dd {
-			g := (((g0[j] + g1[j]) + g2[j]) + g3[j]) + wd*sd[j]
-			vj := mu*v[j] + g
-			v[j] = vj
-			dd[j] = sd[j] - lr*vj
-		}
-	default:
-		var buf fusedStrip
-		for start := 0; start < len(dd); start += len(buf) {
-			end := start + len(buf)
-			if end > len(dd) {
-				end = len(dd)
-			}
-			sum := stripSum(&buf, gs, start, end)
-			db := dd[start:end:end]
-			sb := sd[start:end:end]
-			vb := v[start:end:end]
-			for j, gj := range sum {
-				g := gj + wd*sb[j]
-				vj := mu*vb[j] + g
-				vb[j] = vj
-				db[j] = sb[j] - lr*vj
-			}
-		}
-	}
-}
-
-// fusedStrip is the stack-resident strip buffer used to sum wide batches a
-// cache-line-friendly chunk at a time; element order within the strip sum
-// still matches a sequential copy+Add pass exactly.
-type fusedStrip [512]float32
-
-// stripSum returns buf[:end-start] holding the in-order element-wise sum of
-// gs over [start, end).
-func stripSum(buf *fusedStrip, gs [][]float32, start, end int) []float32 {
-	w := end - start
-	sum := buf[:w:w]
-	copy(sum, gs[0][start:end])
-	for _, gb := range gs[1:] {
-		g := gb[start:end:end]
-		for j, vj := range g {
-			sum[j] += vj
-		}
-	}
-	return sum
-}
-
-// fusedSGDPlain is the momentum-free variant: dst = src - lr·(Σgs + wd·src).
-func fusedSGDPlain(dd, sd []float32, gs [][]float32, lr, wd float32) {
-	sd = sd[:len(dd)]
-	switch len(gs) {
-	case 1:
-		g0 := gs[0][:len(dd)]
-		for j := range dd {
-			g := g0[j] + wd*sd[j]
-			dd[j] = sd[j] - lr*g
-		}
-	case 2:
-		g0 := gs[0][:len(dd)]
-		g1 := gs[1][:len(dd)]
-		for j := range dd {
-			g := (g0[j] + g1[j]) + wd*sd[j]
-			dd[j] = sd[j] - lr*g
-		}
-	case 3:
-		g0 := gs[0][:len(dd)]
-		g1 := gs[1][:len(dd)]
-		g2 := gs[2][:len(dd)]
-		for j := range dd {
-			g := ((g0[j] + g1[j]) + g2[j]) + wd*sd[j]
-			dd[j] = sd[j] - lr*g
-		}
-	case 4:
-		g0 := gs[0][:len(dd)]
-		g1 := gs[1][:len(dd)]
-		g2 := gs[2][:len(dd)]
-		g3 := gs[3][:len(dd)]
-		for j := range dd {
-			g := (((g0[j] + g1[j]) + g2[j]) + g3[j]) + wd*sd[j]
-			dd[j] = sd[j] - lr*g
-		}
-	default:
-		var buf fusedStrip
-		for start := 0; start < len(dd); start += len(buf) {
-			end := start + len(buf)
-			if end > len(dd) {
-				end = len(dd)
-			}
-			sum := stripSum(&buf, gs, start, end)
-			db := dd[start:end:end]
-			sb := sd[start:end:end]
-			for j, gj := range sum {
-				g := gj + wd*sb[j]
-				db[j] = sb[j] - lr*g
-			}
+			tensor.SGDStep(dd, sd, gs, lr, wd)
 		}
 	}
 }

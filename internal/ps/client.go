@@ -225,8 +225,9 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 // themselves may be returned again by later Pulls (an Unchanged chunk
 // extends the lease); and with a pull codec the next Pull decodes into them
 // in place. Callers must treat slice and tensors as read-only, valid until
-// the next Pull, and copy what they keep. Every existing caller adopts the
-// weights into its own replica immediately (Network.SetParams copies).
+// the next Pull or Close, and copy what they keep. A worker's replica reads
+// them in place for the iteration (Network.AdoptParams) and is detached
+// before the client is closed; every other caller copies at once.
 func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
 	if c.metrics == nil {
 		return c.pull()
@@ -371,9 +372,8 @@ func (c *Client) chunkTensors(msg transport.Message, shards int) ([]*tensor.Tens
 // payload (its leased receive buffer) into prev's tensors where the shapes
 // still match, and the buffer is handed back at once: nothing aliases it
 // after the decode. A dense chunk's tensors alias the message's buffer
-// instead of being copied — the zero-copy half of the pull path — so the
-// chunk is held, superseding the one held for its shard, whose lease ends
-// here.
+// instead of being copied, so the chunk is held, superseding the one held for
+// its shard, whose lease ends here.
 func (c *Client) decodeWeights(msg transport.Message, prev []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if msg.Codec != "" || len(msg.Packed) > 0 {
 		defer msg.Release()
@@ -538,8 +538,23 @@ func (c *Client) StartHeartbeats(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// Close releases the underlying connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close releases the underlying connection and ends the pull lease: the
+// tensors the last Pull handed out must not be read afterwards. The lease
+// ends here rather than whenever the garbage collector finds the client, so
+// that a reader outliving it fails the same way every time.
+func (c *Client) Close() error {
+	err := c.conn.Close()
+	c.releasePulled()
+	return err
+}
+
+// releasePulled ends the lease on every dense chunk Pull still holds.
+func (c *Client) releasePulled() {
+	for i := range c.pullHeld {
+		c.pullHeld[i].Release()
+		c.pullHeld[i] = transport.Message{}
+	}
+}
 
 // recv reads the next message, converting server-reported errors into Go
 // errors.

@@ -81,6 +81,10 @@ type ClusterClient struct {
 
 	assembled  []*tensor.Tensor
 	hbInterval time.Duration
+	// retired are the clients of data links replaced since the last Pull:
+	// their connections are closed, but the tensors that Pull handed out may
+	// alias their receive buffers, so their pull leases run until the next.
+	retired []*Client
 }
 
 // NewClusterClient connects worker to the group coordinated at coordAddr:
@@ -271,6 +275,7 @@ func closeLink(l *dataLink) {
 func (c *ClusterClient) recover(i int, cause error) error {
 	old := c.links[i].entry
 	closeLink(c.links[i])
+	c.retired = append(c.retired, c.links[i].client)
 	err := retry(c.cfg.RecoverTimeout, 5*time.Millisecond, 100*time.Millisecond, isRemote, func() error {
 		m, err := c.fetchMap()
 		if err != nil {
@@ -300,10 +305,12 @@ func (c *ClusterClient) recover(i int, cause error) error {
 // with the minimum data-server version seen — the conservative base for this
 // iteration's staleness accounting, exactly as a chunked single-server pull
 // reports the smallest chunk version. The returned slice and tensors follow
-// Client.Pull's read-only contract. A dead link recovers mid-pull; the pull
-// against its replacement re-runs for that range only (weights are
+// Client.Pull's read-only contract — valid until the next Pull or Close, a
+// link replaced in between notwithstanding. A dead link recovers mid-pull;
+// the pull against its replacement re-runs for that range only (weights are
 // idempotent reads).
 func (c *ClusterClient) Pull() ([]*tensor.Tensor, int64, error) {
+	c.releaseRetired()
 	if cap(c.assembled) < c.total {
 		c.assembled = make([]*tensor.Tensor, c.total)
 	}
@@ -465,7 +472,7 @@ func (c *ClusterClient) Codec() string {
 	return c.links[0].client.Codec()
 }
 
-// Close releases every connection.
+// Close releases every connection and ends the pull lease (Client.Close).
 func (c *ClusterClient) Close() error {
 	var err error
 	if c.coordConn != nil {
@@ -473,6 +480,18 @@ func (c *ClusterClient) Close() error {
 	}
 	for _, l := range c.links {
 		closeLink(l)
+		l.client.releasePulled()
 	}
+	c.releaseRetired()
 	return err
+}
+
+// releaseRetired ends the pull leases of the links replaced since the last
+// Pull.
+func (c *ClusterClient) releaseRetired() {
+	for i, client := range c.retired {
+		client.releasePulled()
+		c.retired[i] = nil
+	}
+	c.retired = c.retired[:0]
 }

@@ -33,6 +33,9 @@ type pusher interface {
 type leaseTopology struct {
 	connect  func(w int) (pusher, error)
 	snapshot func(t *testing.T, updates int64) ([]*tensor.Tensor, int64)
+	// replace (group only) stops data server i and promotes a fresh one,
+	// holding the initial weights, over its shard range.
+	replace func(t *testing.T, i int)
 }
 
 // endpoint starts serve on a fresh listener of the chosen transport and
@@ -148,8 +151,11 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			t.Fatal(err)
 		}
 		coordAddr := serve(coord)
-		var stores []*Store
-		for i := 0; i < servers; i++ {
+		stores := make([]*Store, servers)
+		running := make([]*Server, servers)
+		// start serves data server i's range from a fresh store and enters it
+		// in the map with an announce or a promote frame.
+		start := func(t *testing.T, i int, typ transport.MessageType) {
 			st, err := NewStoreRange(initial, opt(), globalShards, assignments[i].ShardLo, assignments[i].ShardHi)
 			if err != nil {
 				t.Fatal(err)
@@ -159,21 +165,28 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 				t.Fatal(err)
 			}
 			addr := serve(srv)
-			stores = append(stores, st)
+			stores[i], running[i] = st, srv
 			conn, err := dialAddr(coordAddr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := conn.Send(transport.Message{Type: transport.MsgServerAnnounce,
+			if err := conn.Send(transport.Message{Type: typ,
 				Servers: []transport.ServerEntry{assignments[i].Entry(addr)}}); err != nil {
 				t.Fatal(err)
 			}
 			if ack, err := conn.Recv(); err != nil || ack.Type != transport.MsgOK {
-				t.Fatalf("announce not acknowledged: %v %v", ack.Type, err)
+				t.Fatalf("%v not acknowledged: %v %v", typ, ack.Type, err)
 			}
 			conn.Close()
 		}
+		for i := 0; i < servers; i++ {
+			start(t, i, transport.MsgServerAnnounce)
+		}
 		return leaseTopology{
+			replace: func(t *testing.T, i int) {
+				running[i].Stop()
+				start(t, i, transport.MsgPromote)
+			},
 			connect: func(w int) (pusher, error) {
 				return NewClusterClient(dialAddr, coordAddr, w, ClusterClientConfig{DeltaPull: w%2 == 0})
 			},
@@ -366,6 +379,53 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestClusterPullLeaseOutlivesReplacedLink: a ClusterClient replaces a dead
+// data link inside PushAndWait, but what its last Pull handed out stays
+// readable until the next Pull (Client.Pull's contract, which the worker loop
+// trains on): the replaced link's receive buffers are neither released —
+// poison — nor, on the lane, left to finalizers that unmap the arena under
+// the reader — a fault.
+func TestClusterPullLeaseOutlivesReplacedLink(t *testing.T) {
+	poisonReleasedBodies(t)
+	for _, carrier := range []string{"tcp", "lane", "channel"} {
+		t.Run(carrier, func(t *testing.T) {
+			t.Cleanup(transport.SetLaneEnabled(carrier == "lane"))
+			initial := []*tensor.Tensor{tensor.Full(3, 96, 64), tensor.Full(3, 33), tensor.Full(3, 40, 30), tensor.Full(3, 8192)}
+			top := startLeaseTopology(t, "group", carrier != "channel", true, 1, initial)
+			c, err := top.connect(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			params, version, err := c.Pull()
+			if err != nil {
+				t.Fatal(err)
+			}
+			top.replace(t, 0)
+			grads := make([]*tensor.Tensor, len(initial))
+			for i, p := range initial {
+				grads[i] = tensor.Full(1, p.Shape()...)
+			}
+			if err := c.PushAndWait(grads, version, 0); err != nil {
+				t.Fatal(err)
+			}
+			// Whatever a finalizer would give back, it gives back now.
+			runtime.GC()
+			runtime.GC()
+			for i, p := range params {
+				for j, v := range p.Data() {
+					if v != 3 {
+						t.Fatalf("pulled tensor %d[%d] reads %v after its link was replaced, want 3", i, j, v)
+					}
+				}
+			}
+			if _, _, err := c.Pull(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -298,7 +298,9 @@ func (r *Relay) Stop() {
 	r.stopOnce.Do(func() {
 		r.shutdown()
 		_ = r.trunk.Close()
-		_ = r.up.Close()
+		// The connection, not the client: Client.Close would end the pull
+		// lease a handlePull in flight still reads under pullMu.
+		_ = r.up.conn.Close()
 	})
 }
 

@@ -3,8 +3,7 @@ package tensor
 import "math"
 
 // Slice-level numeric kernels shared by the tensor methods, the matmul
-// blocks, the layers of internal/nn and (indirectly, via the same loop
-// shapes) the fused optimizer step. Like the matmul inner loops they sit
+// blocks, the layers of internal/nn and the fused optimizer step (sgd.go). Like the matmul inner loops they sit
 // behind function values: bound to the Go loops below, and rebound at package
 // init to AVX2 assembly where the CPU probe passes (kernels_amd64.go). The
 // exported forms are for internal/nn, which has no assembly of its own.
@@ -37,6 +36,9 @@ var (
 	sumDot         = sumDotGo
 	normalizePlane = normalizePlaneGo
 	planeGrad      = planeGradGo
+	// The fused optimizer step (sgd.go).
+	sgdStep         = sgdStepGo
+	sgdMomentumStep = sgdMomentumStepGo
 )
 
 // AddSlice performs dst[i] += src[i]; src must be at least as long as dst.

@@ -57,6 +57,12 @@ func normalizePlaneAVX2(out, xhat, x []float32, mean, invStd, gamma, beta float6
 //go:noescape
 func planeGradAVX2(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64)
 
+//go:noescape
+func sgdStepAVX2(dst, src []float32, gs [][]float32, lr, wd float32)
+
+//go:noescape
+func sgdMomentumStepAVX2(dst, src, v []float32, gs [][]float32, lr, mu, wd float32)
+
 // The bound forms of the slice kernels: the assembly on the whole windows of
 // eight, the Go loop on the up to seven values after them. The callers have
 // cut every operand to the first one's length.
@@ -125,6 +131,39 @@ func planeGradAsm(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64) {
 	planeGradGo(dx[w:], dy[w:], xhat[w:], c, n, sumDy, sumDyXHat)
 }
 
+// The SGD steps take any batch size in one pass — the assembly walks the
+// batch per window, so the strip buffer of the Go loops has no counterpart —
+// and the values after the last whole window in the same order, one at a time.
+
+func sgdStepAsm(dst, src []float32, gs [][]float32, lr, wd float32) {
+	n := len(dst) &^ 7
+	sgdStepAVX2(dst[:n], src, gs, lr, wd)
+	for j := n; j < len(dst); j++ {
+		g := sgdGradSum(gs, j) + wd*src[j]
+		dst[j] = src[j] - lr*g
+	}
+}
+
+func sgdMomentumStepAsm(dst, src, v []float32, gs [][]float32, lr, mu, wd float32) {
+	n := len(dst) &^ 7
+	sgdMomentumStepAVX2(dst[:n], src, v, gs, lr, mu, wd)
+	for j := n; j < len(dst); j++ {
+		g := sgdGradSum(gs, j) + wd*src[j]
+		vj := mu*v[j] + g
+		v[j] = vj
+		dst[j] = src[j] - lr*vj
+	}
+}
+
+// sgdGradSum returns the batch's gradient sum at element j, in source order.
+func sgdGradSum(gs [][]float32, j int) float32 {
+	sum := gs[0][j]
+	for _, g := range gs[1:] {
+		sum += g[j]
+	}
+	return sum
+}
+
 // The fan-out thresholds follow the kernels: they price a pool wake-up in
 // flops, and the panels do ≈16× the flops per microsecond of the Go loops
 // (≈82 Gflop/s on the reference box, where fma4Rows and dot4 alone reached
@@ -153,6 +192,7 @@ func init() {
 		sumSlice, maskNonNeg, addRows = sumSliceAsm, maskNonNegAsm, addRowsAVX2
 		sumF64, sumSqDevF64, sumDot = sumF64Asm, sumSqDevF64Asm, sumDotAsm
 		normalizePlane, planeGrad = normalizePlaneAsm, planeGradAsm
+		sgdStep, sgdMomentumStep = sgdStepAsm, sgdMomentumStepAsm
 		mmParallelMinFlops, mmGrainFlops = asmParallelMinFlops, asmGrainFlops
 	}
 }

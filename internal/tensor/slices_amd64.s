@@ -371,3 +371,97 @@ grad_loop:
 grad_done:
 	VZEROUPPER
 	RET
+
+// The SGD step (sgd.go). GRADSUM leaves in Y0 the batch's gradient sum at
+// byte offset AX, added in source order: gs[0] (base in R10), then each later
+// header of the gs array (R8 first, R9 past the last; 24 bytes a header).
+// R11 and R12 are scratch.
+#define GRADSUM(next, done) \
+	VMOVUPS (R10)(AX*1), Y0    \
+	LEAQ    24(R8), R11        \
+next:                          \
+	CMPQ    R11, R9            \
+	JGE     done               \
+	MOVQ    (R11), R12         \
+	VADDPS  (R12)(AX*1), Y0, Y0 \
+	ADDQ    $24, R11           \
+	JMP     next               \
+done:
+
+// func sgdStepAVX2(dst, src []float32, gs [][]float32, lr, wd float32)
+//
+// dst[i] = src[i] − lr·(Σgs[b][i] + wd·src[i]), each operation rounded on its
+// own. Whole windows of eight; dst may be src.
+TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ gs_base+48(FP), R8
+	MOVQ gs_len+56(FP), R9
+	VBROADCASTSS lr+72(FP), Y14
+	VBROADCASTSS wd+76(FP), Y15
+	MOVQ (R8), R10
+	LEAQ (R9)(R9*2), R9
+	LEAQ (R8)(R9*8), R9
+	ANDQ $-8, CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  sgd_done
+
+sgd_loop:
+	GRADSUM(sgd_next, sgd_summed)
+	VMOVUPS (SI)(AX*1), Y1
+	VMULPS  Y1, Y15, Y2
+	VADDPS  Y2, Y0, Y0           // g = Σgs + wd·src
+	VMULPS  Y0, Y14, Y0
+	VSUBPS  Y0, Y1, Y1           // src − lr·g
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     sgd_loop
+
+sgd_done:
+	VZEROUPPER
+	RET
+
+// func sgdMomentumStepAVX2(dst, src, v []float32, gs [][]float32, lr, mu, wd float32)
+//
+// v[i] = mu·v[i] + (Σgs[b][i] + wd·src[i]); dst[i] = src[i] − lr·v[i].
+TEXT ·sgdMomentumStepAVX2(SB), NOSPLIT, $0-108
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ v_base+48(FP), DX
+	MOVQ gs_base+72(FP), R8
+	MOVQ gs_len+80(FP), R9
+	VBROADCASTSS lr+96(FP), Y14
+	VBROADCASTSS mu+100(FP), Y13
+	VBROADCASTSS wd+104(FP), Y15
+	MOVQ (R8), R10
+	LEAQ (R9)(R9*2), R9
+	LEAQ (R8)(R9*8), R9
+	ANDQ $-8, CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  sgdm_done
+
+sgdm_loop:
+	GRADSUM(sgdm_next, sgdm_summed)
+	VMOVUPS (SI)(AX*1), Y1
+	VMULPS  Y1, Y15, Y2
+	VADDPS  Y2, Y0, Y0           // g = Σgs + wd·src
+	VMULPS  (DX)(AX*1), Y13, Y3
+	VADDPS  Y0, Y3, Y3           // v' = mu·v + g
+	VMOVUPS Y3, (DX)(AX*1)
+	VMULPS  Y3, Y14, Y0
+	VSUBPS  Y0, Y1, Y1           // src − lr·v'
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     sgdm_loop
+
+sgdm_done:
+	VZEROUPPER
+	RET

@@ -1,0 +1,245 @@
+package trainer
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"dssp/internal/compress"
+	"dssp/internal/core"
+	"dssp/internal/data"
+	"dssp/internal/nn"
+	"dssp/internal/optimizer"
+	"dssp/internal/ps"
+	"dssp/internal/tensor"
+	"dssp/internal/transport"
+)
+
+// The worker loop on the carrier table of internal/ps's lease tests (channel,
+// TCP, lane). The replica trains on the pulled weights where they landed, so
+// the loop itself is now a reader of leased receive buffers: these tests hold
+// it to never reading one whose lease has ended, with every released buffer
+// poisoned the moment it is released, and to computing exactly what the
+// copying loop computed.
+
+// paramHash hashes the bits of params in order.
+func paramHash(params []*tensor.Tensor) uint64 {
+	h := fnv.New64a()
+	var word [4]byte
+	for _, p := range params {
+		for _, v := range p.Data() {
+			binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
+			h.Write(word[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// poisonReleasedBodies makes every released receive buffer read as NaN until
+// the next frame overwrites it, for the test's duration.
+func poisonReleasedBodies(t *testing.T) {
+	t.Helper()
+	nan := math.Float32bits(float32(math.NaN()))
+	t.Cleanup(transport.SetReleaseHook(func(body []byte) {
+		for i := 0; i+4 <= len(body); i += 4 {
+			binary.LittleEndian.PutUint32(body[i:], nan)
+		}
+	}))
+}
+
+// cutConn is a connection that dies on its cutAt-th Weights frame (0-based):
+// the frame is dropped, the connection closed and Recv fails, as when a peer
+// vanishes between two chunks of a pull.
+type cutConn struct {
+	transport.Conn
+	weights, cutAt int
+}
+
+var errCut = errors.New("connection cut by the test")
+
+func (c *cutConn) Recv() (transport.Message, error) {
+	msg, err := c.Conn.Recv()
+	if err != nil || msg.Type != transport.MsgWeights {
+		return msg, err
+	}
+	if c.weights++; c.weights-1 != c.cutAt {
+		return msg, nil
+	}
+	msg.Release()
+	_ = c.Conn.Close()
+	return transport.Message{}, errCut
+}
+
+// TestWorkerLoopLeasesSurvivePoisoning runs a seeded single-worker RunWorker
+// — a serial schedule, so every bit of it is determined — against a two-shard
+// store whose pull chunks are both big enough to be leased and to ride a lane
+// slot, on each carrier, with dense, fp16 and delta pulls, heartbeats on:
+//
+//   - the store ends on the parameter hash the copying loop of commit 006d85e
+//     reached (recorded there, per kernel binding), and the replica on the hash
+//     of the last weights pulled;
+//   - after the run — client closed, two collections — the replica reads its
+//     own memory: a parameter still aliasing a pooled frame would read poison,
+//     one aliasing a lane slot would fault on the unmapped arena;
+//   - a pull cut after the first of its two chunks (the chunk it superseded is
+//     released and poisoned by then, and the replica still points at it) and
+//     one cut before any chunk both leave the replica on its own storage when
+//     the loop reconnects, and the redone iteration changes no bit of the
+//     outcome. (Under fp16 a reconnect restarts the push codec's error
+//     feedback, in the copying loop as in this one: its cut arms have a hash of
+//     their own.)
+func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
+	poisonReleasedBodies(t)
+	const iterations, cutIteration = 12, 5
+	// What the run must end on: the store's parameter hash and the replica's,
+	// without a cut and with one.
+	type hashes struct{ store, replica, storeCut, replicaCut uint64 }
+	for _, pull := range []struct {
+		name  string
+		cfg   compress.Config
+		delta bool
+		want  map[string]hashes
+	}{
+		{"dense", compress.Config{}, false, map[string]hashes{
+			"avx2": {0xaf21b66125e99085, 0xea7b53437467aa2f, 0xaf21b66125e99085, 0xea7b53437467aa2f},
+			"go":   {0x511f4ddd1491b636, 0x8e182831c0cf1c9a, 0x511f4ddd1491b636, 0x8e182831c0cf1c9a},
+		}},
+		{"fp16", compress.Config{Codec: compress.FP16, Pull: true}, false, map[string]hashes{
+			"avx2": {0x0d4e72c73abf8960, 0x9b58d28ddeeefcc3, 0x350c0645826e14c1, 0xaee06f321312c27e},
+			"go":   {0x9a1b523d09b03e03, 0x8e18e8149ca1ca09, 0x59768d1ef8e48972, 0xdc95c92e31bff452},
+		}},
+		{"delta", compress.Config{}, true, map[string]hashes{
+			"avx2": {0xaf21b66125e99085, 0xea7b53437467aa2f, 0xaf21b66125e99085, 0xea7b53437467aa2f},
+			"go":   {0x511f4ddd1491b636, 0x8e182831c0cf1c9a, 0x511f4ddd1491b636, 0x8e182831c0cf1c9a},
+		}},
+	} {
+		for _, carrier := range []string{"channel", "tcp", "lane"} {
+			for _, fault := range []string{"none", "second-chunk", "first-chunk"} {
+				t.Run(pull.name+"/"+carrier+"/cut="+fault, func(t *testing.T) {
+					t.Cleanup(transport.SetLaneEnabled(carrier == "lane"))
+					cfg := pull.cfg.Normalized()
+
+					// 128→64→80: 32 KB and 21 KB of weights, one shard each.
+					build := func() *nn.Network { return nn.SmallMLP(rand.New(rand.NewSource(7)), 128, 64, 80) }
+					st, err := ps.NewStoreSharded(build().Params(), optimizer.NewSGDMomentum(0.05, 0.9, 1e-4), 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv, err := ps.NewServer(ps.ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st,
+						Options: ps.Options{Compression: cfg}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(srv.Stop)
+					var dial func() (transport.Conn, error)
+					if carrier == "channel" {
+						l := transport.NewChanListener()
+						t.Cleanup(func() { l.Close() })
+						go func() { _ = srv.Serve(l) }()
+						dial = l.Dial
+					} else {
+						l, err := transport.Listen("127.0.0.1:0")
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(func() { l.Close() })
+						go func() { _ = srv.Serve(l) }()
+						dial = func() (transport.Conn, error) { return transport.Dial(l.Addr()) }
+					}
+
+					// Two Weights frames a pull: the first connection dies on
+					// one of the cut iteration's, if at all.
+					cutAt := map[string]int{"none": -1, "second-chunk": 2*cutIteration + 1, "first-chunk": 2 * cutIteration}[fault]
+					dials := 0
+					route := ps.Route{
+						Dial: func(string) (transport.Conn, error) {
+							conn, err := dial()
+							if dials++; err == nil && dials == 1 {
+								conn = &cutConn{Conn: conn, cutAt: cutAt}
+							}
+							return conn, err
+						},
+						Compression: cfg, DeltaPull: pull.delta, Shards: 2,
+					}
+
+					replica := build()
+					var home []*float32
+					for _, p := range replica.Params() {
+						home = append(home, &p.Data()[0])
+					}
+					atHome := func() bool {
+						for i, p := range replica.Params() {
+							if &p.Data()[0] != home[i] {
+								return false
+							}
+						}
+						return true
+					}
+					train := data.MustSynthetic(data.SyntheticConfig{
+						Examples: 64, Classes: 80, Channels: 1, Size: 128, Noise: 0.3, Flat: true, Seed: 3,
+					})
+					batches, err := data.NewBatchIterator(train, 4, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					report, err := RunWorker(Worker{
+						Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
+							if rejoin && !atHome() {
+								t.Error("the loop reconnects with the replica still reading the lost client's pull lease")
+							}
+							return ps.Connect(route, rejoin, lastVersion)
+						},
+						Reconnect:         true,
+						HeartbeatInterval: time.Millisecond,
+						Replica:           replica,
+						Batches:           batches,
+						Iterations:        iterations,
+						CrashAt:           NoCrash,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantReconnects := 0
+					if fault != "none" {
+						wantReconnects = 1
+					}
+					if report.Iterations != iterations || report.Reconnects != wantReconnects {
+						t.Fatalf("%d iterations over %d reconnects, want %d over %d", report.Iterations, report.Reconnects, iterations, wantReconnects)
+					}
+
+					// The client is closed; let every finalizer that could
+					// give a buffer back run before the replica is read.
+					runtime.GC()
+					runtime.GC()
+					if !atHome() {
+						t.Fatal("the replica does not read its own storage after the run")
+					}
+					if runtime.GOARCH != "amd64" {
+						// Elsewhere the compiler may fuse the Go loops'
+						// multiply-adds.
+						t.Skip("the recorded parameter hashes are amd64's")
+					}
+					want := pull.want[tensor.Kernel()]
+					if fault != "none" {
+						want.store, want.replica = want.storeCut, want.replicaCut
+					}
+					if got := paramHash(replica.Params()); got != want.replica {
+						t.Errorf("replica parameter hash %#x, the copying loop left %#x (kernel=%s)", got, want.replica, tensor.Kernel())
+					}
+					if !st.WaitApplied(iterations, nil) {
+						t.Fatal("store closed before the pushes were applied")
+					}
+					params, _ := st.Snapshot()
+					if got := paramHash(params); got != want.store {
+						t.Errorf("store parameter hash %#x, the copying loop reached %#x (kernel=%s)", got, want.store, tensor.Kernel())
+					}
+				})
+			}
+		}
+	}
+}

@@ -30,7 +30,11 @@ type Worker struct {
 	// HeartbeatInterval, when positive, sends liveness heartbeats on every
 	// client Connect returns.
 	HeartbeatInterval time.Duration
-	// Replica is the worker's model; Batches its data shard.
+	// Replica is the worker's model, borrowed for the run: while it lasts the
+	// parameters read the client's pulled weights in place, and they are
+	// rebound to the replica's own storage on return — holding the last
+	// weights pulled after a run that reached Done, and whatever that storage
+	// held before otherwise. Batches is the worker's data shard.
 	Replica *nn.Network
 	Batches *data.BatchIterator
 	// Augment, when set, distorts each batch using Rng.
@@ -69,11 +73,12 @@ type WorkerReport struct {
 }
 
 // RunWorker executes the worker side of Algorithm 1: pull the global weights,
-// adopt them, compute gradients on the next mini-batch, push them and wait
-// for the release; Done after the last one. A transport error mid-iteration
-// either ends the run or, with Reconnect, is followed by a rejoin and a redo
-// of the same iteration from a fresh pull, so the gradient matches the
-// weights it updates. The report is meaningful even alongside an error.
+// adopt them where they landed, compute gradients on the next mini-batch,
+// push them and wait for the release; Done after the last one. A transport
+// error mid-iteration either ends the run or, with Reconnect, is followed by
+// a rejoin and a redo of the same iteration from a fresh pull, so the
+// gradient matches the weights it updates. The report is meaningful even
+// alongside an error.
 func RunWorker(w Worker) (report WorkerReport, err error) {
 	var client ps.WorkerClient
 	var stopHeartbeats func()
@@ -82,6 +87,10 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 	// link connects and starts heartbeats; retire folds the client's traffic
 	// into the report before discarding it, so bytes moved before a reconnect
 	// are not lost. Close without Done is how a crash looks to the server.
+	// Close also ends the pull lease the replica reads its parameters through,
+	// so retire first puts the replica back on its own storage — without
+	// reading the leased one: after a Pull that failed half-way, part of it is
+	// already gone.
 	link := func(rejoin bool) error {
 		c, err := w.Connect(rejoin, lastVersion)
 		if err != nil {
@@ -97,6 +106,7 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 		if client == nil {
 			return
 		}
+		w.Replica.DetachParams(false)
 		stopHeartbeats()
 		pushed, pulled := client.Traffic()
 		report.Pushed += pushed
@@ -149,14 +159,16 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 		params, version, err := client.Pull()
 		if err == nil {
 			lastVersion = version
-			if err := w.Replica.SetParams(params); err != nil {
+			// No copy: the tensors are on lease until the next Pull
+			// (ps.Client.Pull), and nothing reads the replica between that
+			// Pull starting and this line.
+			if err := w.Replica.AdoptParams(params); err != nil {
 				return report, err
 			}
 			x, labels := w.Batches.Next()
 			if w.Augment != nil {
 				w.Augment.Apply(w.Rng, x)
 			}
-			w.Replica.ZeroGrads()
 			report.Loss, _ = w.Replica.Loss(x, labels, true)
 			w.Replica.Backward()
 			if w.Delay > 0 {
@@ -164,7 +176,7 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 			}
 			// An honest worker pushes the replica's own gradient tensors: the
 			// client is done with them when the push returns, and the next
-			// ZeroGrads overwrites them. An adversary corrupts a private
+			// Backward overwrites them. An adversary corrupts a private
 			// clone, so the corruption never leaks into the replica, and may
 			// lie about its base version.
 			grads, claimed := w.Replica.Grads(), version
@@ -182,6 +194,9 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 		}
 		report.Iterations++
 	}
+	// The last pull's lease is still live: keep its weights, once, before a
+	// failed Done can end it.
+	w.Replica.DetachParams(true)
 	for {
 		err := client.Done()
 		if err == nil {

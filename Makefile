@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
+.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
 
 all: build
 
@@ -169,6 +169,26 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 \
 		| xargs -0 awk '/^[ \t]*$$/ {next} /^[ \t]*\/\// {next} {n++} END {print n}'
 
+# The other size of the product, the one simplicity PRs used to count by
+# hand: what a caller or an operator can name. Exported funcs, methods and
+# types in non-test Go outside bench/; flag definitions per cmd/; exported
+# fields of every struct named *Config or *Options (each an option under the
+# simplicity-review guide), per type. Line-based like loc: a declaration
+# inside a `type (...)` group or split over lines is not seen; there are none.
+surface:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 \
+		| xargs -0 cat | grep -cE '^(func (\([^)]*\) )?[A-Z]|type [A-Z])' \
+		| sed 's/^/exported funcs+methods+types  /'
+	@for d in cmd/*/; do \
+		printf 'flags  %-40s %s\n' "$$d" "$$(cat $$d*.go | grep -cE '\bflag\.[A-Z][A-Za-z0-9]*\(\"')"; \
+	done
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | sort | xargs awk ' \
+		FNR == 1 { pkg = FILENAME; sub(/^\.\//, "", pkg); if (!sub(/\/[^\/]*$$/, "", pkg)) pkg = "dssp" } \
+		/^type ([A-Z][A-Za-z0-9_]*)?(Config|Options) struct \{/ { name = pkg "." $$2; next } \
+		name != "" && /^}/ { printf "fields %-40s %d\n", name, n; total += n; name = ""; n = 0; next } \
+		name != "" && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*( |$$)/) { n += split(substr($$0, RSTART, RLENGTH), parts, ",") } \
+		END { printf "fields %-40s %d\n", "total", total }'
+
 # Run the fuzz corpus seeds as plain regression tests (no fuzzing engine):
 # exactly what CI executes so a decoder regression fails fast everywhere.
 fuzz-seeds:
@@ -235,4 +255,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt-check vet loc race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke
+ci: build fmt-check vet loc surface race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke

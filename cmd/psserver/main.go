@@ -19,10 +19,10 @@
 // -compress auto adopt whatever the server speaks; an explicitly mismatched
 // worker is rejected at registration.
 //
-// Delta pulls: -delta-pull (default on) grants version-gated delta pulls to
-// workers that request them — each pull re-sends only the parameter-store
-// shards that changed since that worker's previous pull (docs/PROTOCOL.md
-// §5a). Set -delta-pull=false to force full pulls for A/B measurement.
+// Delta pulls: a worker that requests version-gated delta pulls (psworker
+// -delta-pull, default on) is granted them — each pull re-sends only the
+// parameter-store shards that changed since that worker's previous pull
+// (docs/PROTOCOL.md §5a).
 //
 // Fault tolerance: -elastic lease-monitors worker sessions (evicting any
 // silent for -heartbeat-timeout) and accepts mid-run rejoins from workers
@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"dssp"
+	"dssp/internal/core"
 )
 
 func main() {
@@ -87,7 +88,6 @@ func main() {
 		compressName = flag.String("compress", dssp.CompressNone, "gradient codec on the wire: none, fp16, int8, topk")
 		topk         = flag.Float64("topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1)")
 		compressPull = flag.Bool("compress-pull", false, "also compress pulled weights (fp16/int8 codecs only)")
-		deltaPull    = flag.Bool("delta-pull", true, "grant version-gated delta pulls to workers that request them (send only changed shards)")
 		aggName      = flag.String("aggregator", dssp.AggregateSum, "gradient aggregation: sum, clipped, trimmed-mean, median (robust kinds tolerate Byzantine workers)")
 		clipNorm     = flag.Float64("clip-norm", 0, "per-tensor L2 cap for the clipped aggregator (required with -aggregator clipped)")
 		guard        = flag.Bool("guard", false, "screen pushes for anomalies (norm outliers, lying clocks, floods) and evict repeat offenders")
@@ -173,10 +173,9 @@ func main() {
 			HeartbeatTimeout: *hbTimeout,
 			Checkpoint:       dssp.Checkpoint{Dir: *ckptDir, Every: *ckptEvery},
 		},
-		DisableDeltaPull: !*deltaPull,
-		MetricsAddr:      *metricsAddr,
-		TraceEvery:       *traceEvery,
-		Seed:             *seed,
+		MetricsAddr: *metricsAddr,
+		TraceEvery:  *traceEvery,
+		Seed:        *seed,
 		Dataset: dssp.DatasetConfig{
 			Examples: *examples, Classes: *classes, ImageSize: *imageSize, Noise: 0.5, Seed: *seed,
 		},
@@ -219,11 +218,11 @@ func runRelay(cfg dssp.RelayConfig) error {
 }
 
 func run(cfg dssp.ServerConfig, paradigm string, staleness, rng int, enforce bool, backups int, traceDump bool) error {
-	sync, err := parseSync(paradigm, staleness, rng, enforce, backups)
+	p, err := core.ParseParadigm(paradigm)
 	if err != nil {
 		return err
 	}
-	cfg.Sync = sync
+	cfg.Sync = dssp.Sync{Paradigm: p, Staleness: staleness, Range: rng, EnforceBound: enforce, Backups: backups}
 	server, err := dssp.Serve(cfg)
 	if err != nil {
 		return err
@@ -234,7 +233,7 @@ func run(cfg dssp.ServerConfig, paradigm string, staleness, rng int, enforce boo
 		mode = "elastic"
 	}
 	fmt.Printf("parameter server listening on %s (%s, %d workers, codec %s, aggregator %s, %s)\n",
-		server.Addr(), sync.Describe(), cfg.Workers, cfg.Compression, cfg.Aggregator, mode)
+		server.Addr(), cfg.Sync.Describe(), cfg.Workers, cfg.Compression, cfg.Aggregator, mode)
 	switch cfg.Cluster.Role {
 	case dssp.RoleCoordinator:
 		fmt.Printf("cluster coordinator for %d data servers (global shards auto unless -global-shards set)\n", cfg.Cluster.Servers)
@@ -286,23 +285,4 @@ func run(cfg dssp.ServerConfig, paradigm string, staleness, rng int, enforce boo
 		fmt.Printf("warning: checkpoint write failed: %v\n", err)
 	}
 	return nil
-}
-
-func parseSync(paradigm string, staleness, rng int, enforce bool, backups int) (dssp.Sync, error) {
-	switch paradigm {
-	case "BSP":
-		return dssp.Sync{Paradigm: dssp.BSP}, nil
-	case "ASP":
-		return dssp.Sync{Paradigm: dssp.ASP}, nil
-	case "SSP":
-		return dssp.Sync{Paradigm: dssp.SSP, Staleness: staleness}, nil
-	case "DSSP":
-		return dssp.Sync{Paradigm: dssp.DSSP, Staleness: staleness, Range: rng, EnforceBound: enforce}, nil
-	case "BoundedDelay":
-		return dssp.Sync{Paradigm: dssp.BoundedDelay, Staleness: staleness}, nil
-	case "BackupBSP":
-		return dssp.Sync{Paradigm: dssp.BackupBSP, Backups: backups}, nil
-	default:
-		return dssp.Sync{}, fmt.Errorf("unknown paradigm %q", paradigm)
-	}
 }

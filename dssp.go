@@ -18,11 +18,7 @@
 // the stable public surface.
 package dssp
 
-import (
-	"fmt"
-
-	"dssp/internal/core"
-)
+import "dssp/internal/core"
 
 // Paradigm identifies a synchronization paradigm.
 type Paradigm = core.Paradigm
@@ -45,50 +41,10 @@ const (
 	BackupBSP = core.ParadigmBackupBSP
 )
 
-// Sync selects a synchronization paradigm and its parameters.
-type Sync struct {
-	// Paradigm is the synchronization scheme.
-	Paradigm Paradigm
-	// Staleness is the fixed threshold s for SSP, the lower bound sL for
-	// DSSP, and the dependency bound k for BoundedDelay.
-	Staleness int
-	// Range is rmax = sU − sL for DSSP (the paper's evaluation uses
-	// Staleness=3, Range=12, i.e. thresholds in [3, 15]).
-	Range int
-	// EnforceBound selects DSSP's strict Theorem-2 mode in which the
-	// iteration gap is hard-capped at Staleness+Range. The default (false)
-	// is the listing-faithful behaviour that reproduces the paper's
-	// measurements.
-	EnforceBound bool
-	// Backups is the number of spare workers for BackupBSP.
-	Backups int
-}
+// Sync selects a synchronization paradigm and its parameters (the paper's
+// evaluation uses Staleness=3, Range=12, i.e. DSSP thresholds in [3, 15]).
+// Its Workers field is filled in from the run's worker count.
+type Sync = core.PolicyConfig
 
 // DefaultDSSP returns the paper's DSSP configuration: sL=3, r=12.
 func DefaultDSSP() Sync { return Sync{Paradigm: DSSP, Staleness: 3, Range: 12} }
-
-// policyConfig converts the public Sync value into the internal form.
-func (s Sync) policyConfig() core.PolicyConfig {
-	return core.PolicyConfig{
-		Paradigm:     s.Paradigm,
-		Staleness:    s.Staleness,
-		Range:        s.Range,
-		EnforceBound: s.EnforceBound,
-		Backups:      s.Backups,
-	}
-}
-
-// Describe returns a short human-readable description such as
-// "DSSP sL=3 r=12".
-func (s Sync) Describe() string { return s.policyConfig().Describe() }
-
-// Validate reports whether the combination of paradigm and parameters is
-// usable with the given number of workers.
-func (s Sync) Validate(workers int) error {
-	cfg := s.policyConfig()
-	cfg.Workers = workers
-	if _, err := core.NewPolicy(cfg); err != nil {
-		return fmt.Errorf("dssp: invalid synchronization config: %w", err)
-	}
-	return nil
-}

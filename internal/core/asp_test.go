@@ -41,7 +41,7 @@ func TestASPAllowsUnboundedSpread(t *testing.T) {
 	if p.Clock(0) != 100 || p.Clock(1) != 0 {
 		t.Fatalf("unexpected clocks %d/%d", p.Clock(0), p.Clock(1))
 	}
-	if _, ok := interface{}(p).(StalenessBounder); ok {
+	if _, ok := p.StalenessBound(); ok {
 		t.Fatal("ASP must not claim a staleness bound")
 	}
 }

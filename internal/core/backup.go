@@ -141,9 +141,9 @@ func (p *BackupBSP) effectiveNeeded() int {
 	return p.needed
 }
 
-// StalenessBound implements StalenessBounder: like BSP, every aggregated
-// update is based on the weights of the previous round.
-func (p *BackupBSP) StalenessBound() int { return 0 }
+// StalenessBound implements Policy: like BSP, every aggregated update is
+// based on the weights of the previous round.
+func (p *BackupBSP) StalenessBound() (bound int, ok bool) { return 0, true }
 
 // Blocked implements Policy.
 func (p *BackupBSP) Blocked() []WorkerID { return p.waiting.List() }

@@ -175,10 +175,10 @@ func (p *BoundedDelay) mayStart(w WorkerID) bool {
 	return dep <= p.maxDone
 }
 
-// StalenessBound implements StalenessBounder: with global iterations
-// assigned round-robin, a gap of k global iterations bounds the per-worker
-// clock spread by k.
-func (p *BoundedDelay) StalenessBound() int { return p.k }
+// StalenessBound implements Policy: with global iterations assigned
+// round-robin, a gap of k global iterations bounds the per-worker clock
+// spread by k.
+func (p *BoundedDelay) StalenessBound() (bound int, ok bool) { return p.k, true }
 
 // Blocked implements Policy.
 func (p *BoundedDelay) Blocked() []WorkerID { return p.waiting.List() }

@@ -99,8 +99,10 @@ func (p *BSP) NumWorkers() int { return p.n }
 // Rounds returns the number of completed barrier rounds (supersteps).
 func (p *BSP) Rounds() int { return p.round }
 
-// StalenessBound implements StalenessBounder: BSP is SSP with s = 0.
-func (p *BSP) StalenessBound() int { return 0 }
+// StalenessBound implements Policy: a barrier keeps every worker in the same
+// round. BSP is still its own type and not SSP(0): the two release different
+// workers once membership changes (TestBSPIsNotSSPZero).
+func (p *BSP) StalenessBound() (bound int, ok bool) { return 0, true }
 
 // Name implements Policy.
 func (p *BSP) Name() string { return fmt.Sprintf("BSP(workers=%d)", p.n) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -80,9 +81,8 @@ func TestBSPKeepsClocksEqualAtEveryBarrier(t *testing.T) {
 
 func TestBSPStalenessBoundIsZero(t *testing.T) {
 	p := MustNewBSP(4)
-	var b StalenessBounder = p
-	if b.StalenessBound() != 0 {
-		t.Fatalf("BSP staleness bound = %d, want 0", b.StalenessBound())
+	if b, ok := p.StalenessBound(); !ok || b != 0 {
+		t.Fatalf("BSP staleness bound = %d, %v, want 0, true", b, ok)
 	}
 }
 
@@ -100,4 +100,56 @@ func TestBSPPanicsOnOutOfRangeWorker(t *testing.T) {
 		}
 	}()
 	p.OnPush(5, time.Now())
+}
+
+// TestBSPIsNotSSPZero records why BSP is its own barrier although both it and
+// SSP(0) report StalenessBound() = 0. With fixed membership the two release
+// the same sets (in a different order). Under churn they do not: a worker
+// that pushed, left and rejoined inside one round owes the barrier a second
+// push, while a clock rule sees it rejoin at the slowest clock and lets its
+// peers go. Folding BSP into the engine is therefore a behaviour change, not
+// a refactor.
+func TestBSPIsNotSSPZero(t *testing.T) {
+	const a, b, c = WorkerID(0), WorkerID(1), WorkerID(2)
+	push := func(w WorkerID) func(Policy) Decision {
+		return func(p Policy) Decision { return p.OnPush(w, t0) }
+	}
+	leave := func(w WorkerID) func(Policy) Decision {
+		return func(p Policy) Decision { return p.OnLeave(w, t0) }
+	}
+	join := func(w WorkerID) func(Policy) Decision {
+		return func(p Policy) Decision { return p.OnJoin(w, t0) }
+	}
+	type step struct {
+		do       func(Policy) Decision
+		bsp, ssp []WorkerID // Release, in order
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"fixed membership: same set, ascending ids vs pusher first", []step{
+			{push(a), nil, nil},
+			{push(c), nil, nil},
+			{push(b), []WorkerID{a, b, c}, []WorkerID{b, a, c}},
+		}},
+		{"churn: B pushes, leaves, rejoins; C pushes", []step{
+			{push(a), nil, nil},
+			{push(b), nil, nil},
+			{leave(b), nil, nil},
+			{join(b), nil, nil},
+			{push(c), nil, []WorkerID{c, a}}, // BSP holds A and C for B's second push
+			{push(b), []WorkerID{a, b, c}, nil},
+		}},
+	} {
+		bsp, ssp := Policy(MustNewBSP(3)), Policy(MustNewSSP(3, 0))
+		for i, s := range tc.steps {
+			if got := s.do(bsp).Release; !reflect.DeepEqual(got, s.bsp) {
+				t.Errorf("%s: step %d: BSP released %v, want %v", tc.name, i, got, s.bsp)
+			}
+			if got := s.do(ssp).Release; !reflect.DeepEqual(got, s.ssp) {
+				t.Errorf("%s: step %d: SSP(0) released %v, want %v", tc.name, i, got, s.ssp)
+			}
+		}
+	}
 }

@@ -11,6 +11,20 @@
 // the wall clock themselves, so exactly the same implementations drive the
 // real parameter server (internal/ps) and the event-driven cluster simulator
 // (internal/simulate).
+//
+// Membership semantics. Every policy coordinates a fixed capacity of worker
+// slots [0, NumWorkers), but the set of slots that currently participate in
+// synchronization is dynamic: OnLeave removes a worker from barrier and
+// staleness accounting (a crashed or drained worker must never block its
+// peers), OnJoin adds it back. A worker that pushes while marked inactive is
+// implicitly rejoined — a push is the strongest possible proof of
+// participation — so policies stay self-consistent even if a join
+// notification is lost.
+//
+// Rejoining resets the worker's progress accounting to the slowest active
+// worker's clock: a rejoining worker pulls fresh weights before computing
+// (Algorithm 1), so its first gradient is no staler than anyone else's and
+// must not drag the minimum clock down to its pre-crash value.
 package core
 
 import (
@@ -71,38 +85,14 @@ type Policy interface {
 	// NumWorkers returns the number of workers the policy coordinates.
 	NumWorkers() int
 
+	// StalenessBound returns the maximum permitted difference between any two
+	// workers' iteration counts; ok is false for a paradigm that guarantees
+	// none (ASP).
+	StalenessBound() (bound int, ok bool)
+
 	// Name returns a short human-readable paradigm name such as "BSP",
 	// "SSP(s=3)" or "DSSP(sL=3,r=12)".
 	Name() string
-}
-
-// BatchObserver is an optional Policy extension: a policy that implements it
-// is told whenever the parameter store's applied version advances, with the
-// new version and the number of pushes that just became globally visible
-// (batch >= 1; batch > 1 means several queued pushes became visible at once
-// — coalesced into shared optimizer steps, or merged because the policy was
-// busy when they landed; the batch counts always sum to the version). The
-// parameter server delivers the calls from a dedicated goroutine under the
-// same lock that serializes OnPush/OnJoin/OnLeave, so implementations need
-// no extra synchronization — and a slow observer delays only its own
-// notifications, never gradient application.
-//
-// OnPush remains the per-push logical clock: batching never changes how
-// often it is called or what Decision it may return. BatchObserver exists
-// for policies that adapt to apply-side throughput — e.g. a DSSP-style
-// controller widening its staleness window when coalescing indicates the
-// appliers are saturated — without forcing that cost on paradigms that
-// do not care.
-type BatchObserver interface {
-	OnBatchApplied(version int64, batch int)
-}
-
-// StalenessBounder is implemented by policies that guarantee a bound on the
-// difference in iteration counts between the fastest and the slowest worker.
-type StalenessBounder interface {
-	// StalenessBound returns the maximum permitted difference between any two
-	// workers' iteration counts.
-	StalenessBound() int
 }
 
 // validateWorkers reports an error when n is not a usable worker count.

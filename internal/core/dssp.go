@@ -2,17 +2,33 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
-// DSSP implements the paper's Dynamic Stale Synchronous Parallel paradigm
-// (Algorithm 1 for the server rules and Algorithm 2 for the synchronization
-// controller). The user supplies a lower staleness bound sL and a range
-// length rmax = sU - sL. A worker within sL of the slowest worker is always
-// released. When the currently fastest worker exceeds sL, the controller
-// predicts, from recent push timestamps, how many extra iterations r* in
-// [0, rmax] would minimize that worker's eventual wait, and grants them via a
-// per-worker allowance r[p] that is consumed one unit per subsequent push.
+// DSSP is the one staleness-bound engine behind three of the paper's
+// paradigms. Zhao et al. define DSSP as SSP whose threshold moves inside
+// [sL, sL+rmax] and place the others on the same axis, so the family is this
+// state machine and two numbers:
+//
+//	ASP   sL = ∞,  rmax = 0   nobody is ever more than sL ahead
+//	SSP   sL = s,  rmax = 0   the controller has nothing to grant
+//	DSSP  sL,      rmax > 0   Algorithms 1 and 2
+//
+// NewASP, NewSSP and NewDSSP differ in those numbers, in Name, and in the
+// release rule for a blocked worker (below); there is no other ASP or SSP
+// code. BSP, BoundedDelay and BackupBSP are not clock-difference rules and
+// are their own types — BSP in particular is not SSP(0) once membership
+// changes, see TestBSPIsNotSSPZero.
+//
+// The engine follows Algorithm 1 for the server rules and Algorithm 2 for
+// the synchronization controller. The user supplies a lower staleness bound
+// sL and a range length rmax = sU - sL. A worker within sL of the slowest
+// worker is always released. When the currently fastest worker exceeds sL,
+// the controller predicts, from recent push timestamps, how many extra
+// iterations r* in [0, rmax] would minimize that worker's eventual wait, and
+// grants them via a per-worker allowance r[p] that is consumed one unit per
+// subsequent push.
 //
 // Three listing ambiguities in Algorithm 1 are resolved as follows.
 //
@@ -25,8 +41,8 @@ import (
 // accumulate grants across consultations.
 //
 // Third, line 17 ("Wait until the slowest worker sends the next push
-// request(s) so that tp−tslowest ≤ sL") is read, in the default mode, as
-// "wait for the slowest worker's next push request": a blocked worker is
+// request(s) so that tp−tslowest ≤ sL") is read, in NewDSSP's default mode,
+// as "wait for the slowest worker's next push request": a blocked worker is
 // released as soon as the slowest worker makes progress, even if its lead is
 // still larger than sL. Together with repeated grants this is what lets a
 // fast worker on a heterogeneous cluster run nearly unthrottled, which is
@@ -35,8 +51,15 @@ import (
 // strict, Theorem-2-compliant reading: grants are capped and a blocked
 // worker waits until it is genuinely within sL of the slowest worker, so the
 // iteration gap never exceeds sU = sL + rmax.
+//
+// SSP is the strict rule, always: Ho et al. release a worker only when it is
+// within s of the slowest. The default reading above is a reading of DSSP's
+// listing and is not SSP even at rmax = 0 — a worker that rejoins after
+// pushing runs one bonus iteration and is then released two ahead — so
+// NewSSP and NewASP construct the engine strict.
 type DSSP struct {
 	n     int
+	name  string
 	sl    int
 	ctl   *Controller
 	clock *vectorClock
@@ -66,37 +89,70 @@ type GrantEvent struct {
 	Clock int
 }
 
+// unbounded is ASP's lower staleness bound: no clock difference exceeds it.
+const unbounded = math.MaxInt
+
 // NewDSSP returns a DSSP policy for n workers with lower staleness bound
 // sL >= 0 and range length rmax >= 0 (so the effective threshold stays within
 // [sL, sL+rmax]).
 func NewDSSP(n, sL, rmax int) (*DSSP, error) {
-	if err := validateWorkers(n); err != nil {
-		return nil, err
-	}
 	if sL < 0 {
 		return nil, fmt.Errorf("core: DSSP lower staleness bound must be >= 0, got %d", sL)
 	}
 	if rmax < 0 {
 		return nil, fmt.Errorf("core: DSSP staleness range length must be >= 0, got %d", rmax)
 	}
+	return newEngine(fmt.Sprintf("DSSP(sL=%d,r=%d)", sL, rmax), n, sL, rmax, false)
+}
+
+// NewSSP returns Stale Synchronous Parallel with a fixed, user-specified
+// staleness threshold s >= 0 (Ho et al., NeurIPS 2013) for n workers: a
+// worker that has pushed is released as long as its iteration count is no
+// more than s ahead of the slowest worker; otherwise it blocks until the
+// slowest worker catches up. It is the engine at rmax = 0.
+func NewSSP(n, s int) (*DSSP, error) {
+	if s < 0 {
+		return nil, fmt.Errorf("core: SSP staleness threshold must be >= 0, got %d", s)
+	}
+	return newEngine(fmt.Sprintf("SSP(s=%d)", s), n, s, 0, true)
+}
+
+// NewASP returns Asynchronous Parallel for n workers: a worker is released
+// immediately after its push, fast workers may run arbitrarily far ahead of
+// slow ones, and the staleness of applied gradients is unbounded. It is the
+// engine at sL = ∞, rmax = 0.
+func NewASP(n int) (*DSSP, error) {
+	return newEngine(fmt.Sprintf("ASP(workers=%d)", n), n, unbounded, 0, true)
+}
+
+func newEngine(name string, n, sL, rmax int, strict bool) (*DSSP, error) {
 	ctl, err := NewController(n, rmax)
 	if err != nil {
 		return nil, err
 	}
 	return &DSSP{
 		n:            n,
+		name:         name,
 		sl:           sL,
 		ctl:          ctl,
 		clock:        newVectorClock(n),
 		grants:       make([]int, n),
 		waiting:      newWaitSet(n),
 		blockedAtMin: make([]int, n),
+		enforceUpper: strict,
 	}, nil
 }
 
 // MustNewDSSP is like NewDSSP but panics on invalid arguments.
-func MustNewDSSP(n, sL, rmax int) *DSSP {
-	p, err := NewDSSP(n, sL, rmax)
+func MustNewDSSP(n, sL, rmax int) *DSSP { return must(NewDSSP(n, sL, rmax)) }
+
+// MustNewSSP is like NewSSP but panics on invalid arguments.
+func MustNewSSP(n, s int) *DSSP { return must(NewSSP(n, s)) }
+
+// MustNewASP is like NewASP but panics on an invalid worker count.
+func MustNewASP(n int) *DSSP { return must(NewASP(n)) }
+
+func must(p *DSSP, err error) *DSSP {
 	if err != nil {
 		panic(err)
 	}
@@ -109,9 +165,10 @@ func MustNewDSSP(n, sL, rmax int) *DSSP {
 func (p *DSSP) RecordGrants(on bool) { p.keepHistory = on }
 
 // EnforceUpperBound selects between the listing-faithful behaviour (false,
-// the default: repeated grants may let a fast worker exceed sU) and the
-// Theorem-2-compliant behaviour (true: grants are capped so the iteration
-// gap between any worker and the slowest never exceeds sU).
+// NewDSSP's default: repeated grants may let a fast worker exceed sU) and the
+// Theorem-2-compliant behaviour (true, and what NewSSP and NewASP construct:
+// grants are capped so the iteration gap between any worker and the slowest
+// never exceeds sU).
 func (p *DSSP) EnforceUpperBound(on bool) { p.enforceUpper = on }
 
 // Grants returns a copy of the recorded controller decisions.
@@ -210,6 +267,10 @@ func (p *DSSP) OnLeave(w WorkerID, _ time.Time) Decision {
 	return Decision{Release: p.drainUnblocked(noWorker)}
 }
 
+// noWorker is a sentinel WorkerID that matches no real worker, used to drain
+// the wait set without excluding anyone.
+const noWorker = WorkerID(-1)
+
 // block parks worker w until the release condition of line 17 holds.
 func (p *DSSP) block(w WorkerID) {
 	p.waiting.Add(w)
@@ -264,13 +325,18 @@ func (p *DSSP) Clock(w WorkerID) int { return p.clock.Count(w) }
 // NumWorkers implements Policy.
 func (p *DSSP) NumWorkers() int { return p.n }
 
-// StalenessBound implements StalenessBounder. The returned bound sU =
-// sL + rmax is a hard guarantee only when EnforceUpperBound(true) is set; in
-// the default listing-faithful mode it is the nominal upper end of the
-// threshold range, which repeated grants may transiently exceed.
-func (p *DSSP) StalenessBound() int { return p.sl + p.ctl.RMax() }
+// StalenessBound implements Policy: sU = sL + rmax, and no bound at all for
+// ASP. It is a hard guarantee only in the strict mode (EnforceUpperBound);
+// in NewDSSP's default listing-faithful mode it is the nominal upper end of
+// the threshold range, which repeated grants may transiently exceed.
+func (p *DSSP) StalenessBound() (bound int, ok bool) {
+	if p.sl == unbounded {
+		return 0, false
+	}
+	return p.UpperBound(), true
+}
 
-// LowerBound returns sL.
+// LowerBound returns sL (SSP's threshold s).
 func (p *DSSP) LowerBound() int { return p.sl }
 
 // UpperBound returns sU = sL + rmax.
@@ -284,6 +350,4 @@ func (p *DSSP) Controller() *Controller { return p.ctl }
 func (p *DSSP) Allowance(w WorkerID) int { return p.grants[w] }
 
 // Name implements Policy.
-func (p *DSSP) Name() string {
-	return fmt.Sprintf("DSSP(sL=%d,r=%d)", p.sl, p.ctl.RMax())
-}
+func (p *DSSP) Name() string { return p.name }

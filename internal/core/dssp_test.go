@@ -26,8 +26,8 @@ func TestNewDSSPValidation(t *testing.T) {
 
 func TestDSSPBoundsAccessors(t *testing.T) {
 	p := MustNewDSSP(4, 3, 12)
-	if p.LowerBound() != 3 || p.UpperBound() != 15 || p.StalenessBound() != 15 {
-		t.Fatalf("bounds = %d/%d/%d, want 3/15/15", p.LowerBound(), p.UpperBound(), p.StalenessBound())
+	if b, ok := p.StalenessBound(); p.LowerBound() != 3 || p.UpperBound() != 15 || b != 15 || !ok {
+		t.Fatalf("bounds = %d/%d/%d, want 3/15/15", p.LowerBound(), p.UpperBound(), b)
 	}
 	if p.Name() != "DSSP(sL=3,r=12)" {
 		t.Fatalf("unexpected name %q", p.Name())

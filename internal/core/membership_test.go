@@ -277,13 +277,3 @@ func TestLeaveIsIdempotent(t *testing.T) {
 		t.Fatalf("second leave released %v", d2.Release)
 	}
 }
-
-func TestStaticMembershipIsNoOp(t *testing.T) {
-	var m StaticMembership
-	if d := m.OnJoin(0, t0); len(d.Release) != 0 || d.Drop {
-		t.Fatalf("OnJoin = %+v", d)
-	}
-	if d := m.OnLeave(0, t0); len(d.Release) != 0 || d.Drop {
-		t.Fatalf("OnLeave = %+v", d)
-	}
-}

@@ -18,52 +18,41 @@ const (
 	ParadigmBackupBSP
 )
 
+// paradigmNames is the one table String and ParseParadigm read.
+var paradigmNames = [...]string{
+	ParadigmBSP:          "BSP",
+	ParadigmASP:          "ASP",
+	ParadigmSSP:          "SSP",
+	ParadigmDSSP:         "DSSP",
+	ParadigmBoundedDelay: "BoundedDelay",
+	ParadigmBackupBSP:    "BackupBSP",
+}
+
 // String returns the canonical short name of the paradigm.
 func (p Paradigm) String() string {
-	switch p {
-	case ParadigmBSP:
-		return "BSP"
-	case ParadigmASP:
-		return "ASP"
-	case ParadigmSSP:
-		return "SSP"
-	case ParadigmDSSP:
-		return "DSSP"
-	case ParadigmBoundedDelay:
-		return "BoundedDelay"
-	case ParadigmBackupBSP:
-		return "BackupBSP"
-	default:
-		return fmt.Sprintf("Paradigm(%d)", int(p))
+	if p >= ParadigmBSP && int(p) < len(paradigmNames) {
+		return paradigmNames[p]
 	}
+	return fmt.Sprintf("Paradigm(%d)", int(p))
 }
 
 // ParseParadigm converts a case-sensitive paradigm name (as produced by
 // String) to its Paradigm value.
 func ParseParadigm(name string) (Paradigm, error) {
-	switch name {
-	case "BSP":
-		return ParadigmBSP, nil
-	case "ASP":
-		return ParadigmASP, nil
-	case "SSP":
-		return ParadigmSSP, nil
-	case "DSSP":
-		return ParadigmDSSP, nil
-	case "BoundedDelay":
-		return ParadigmBoundedDelay, nil
-	case "BackupBSP":
-		return ParadigmBackupBSP, nil
-	default:
-		return 0, fmt.Errorf("core: unknown paradigm %q", name)
+	for p := ParadigmBSP; int(p) < len(paradigmNames); p++ {
+		if paradigmNames[p] == name {
+			return p, nil
+		}
 	}
+	return 0, fmt.Errorf("core: unknown paradigm %q", name)
 }
 
 // PolicyConfig collects the parameters needed to construct any Policy.
 type PolicyConfig struct {
 	// Paradigm selects which synchronization scheme to build.
 	Paradigm Paradigm
-	// Workers is the number of workers the policy coordinates.
+	// Workers is the number of workers the policy coordinates. The root
+	// package's entry points fill it in from the run's worker count.
 	Workers int
 	// Staleness is the fixed threshold s for SSP and the lower bound sL for
 	// DSSP. It is the dependency bound k for BoundedDelay.
@@ -102,6 +91,16 @@ func NewPolicy(cfg PolicyConfig) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown paradigm %v", cfg.Paradigm)
 	}
+}
+
+// Validate reports whether the combination of paradigm and parameters is
+// usable with the given number of workers.
+func (cfg PolicyConfig) Validate(workers int) error {
+	cfg.Workers = workers
+	if _, err := NewPolicy(cfg); err != nil {
+		return fmt.Errorf("dssp: invalid synchronization config: %w", err)
+	}
+	return nil
 }
 
 // Describe returns a human-readable description of the configuration,

@@ -143,8 +143,8 @@ func TestSSPSpreadNeverExceedsThresholdPlusOne(t *testing.T) {
 
 func TestSSPThresholdAccessors(t *testing.T) {
 	p := MustNewSSP(4, 7)
-	if p.Threshold() != 7 || p.StalenessBound() != 7 {
-		t.Fatalf("unexpected threshold accessors: %d, %d", p.Threshold(), p.StalenessBound())
+	if b, ok := p.StalenessBound(); p.LowerBound() != 7 || b != 7 || !ok {
+		t.Fatalf("unexpected threshold accessors: %d, %d, %v", p.LowerBound(), b, ok)
 	}
 	if p.Name() != "SSP(s=7)" {
 		t.Fatalf("unexpected name %q", p.Name())

@@ -207,47 +207,15 @@ func (h *Histogram) Buckets() ([]int, []int) {
 	return keys, counts
 }
 
-// Throughput tracks counts over elapsed time, e.g. parameter updates applied
-// per second (the paper's "iteration throughput").
-type Throughput struct {
-	count   int
-	elapsed time.Duration
-}
-
-// NewThroughput returns a zeroed throughput counter.
-func NewThroughput() *Throughput { return &Throughput{} }
-
-// Record adds n events observed by the given elapsed time (the largest
-// elapsed value seen is kept).
-func (t *Throughput) Record(n int, elapsed time.Duration) {
-	t.count += n
-	if elapsed > t.elapsed {
-		t.elapsed = elapsed
-	}
-}
-
-// Count returns the total number of events.
-func (t *Throughput) Count() int { return t.count }
-
-// PerSecond returns events per second of elapsed time (0 when no time has
-// passed).
-func (t *Throughput) PerSecond() float64 {
-	if t.elapsed <= 0 {
-		return 0
-	}
-	return float64(t.count) / t.elapsed.Seconds()
-}
-
 // WaitTracker accumulates per-worker waiting time (the quantity DSSP's
 // controller tries to minimize).
 type WaitTracker struct {
 	total []time.Duration
-	waits []int
 }
 
 // NewWaitTracker returns a tracker for n workers.
 func NewWaitTracker(n int) *WaitTracker {
-	return &WaitTracker{total: make([]time.Duration, n), waits: make([]int, n)}
+	return &WaitTracker{total: make([]time.Duration, n)}
 }
 
 // Record adds one waiting episode of duration d for worker w.
@@ -259,7 +227,6 @@ func (wt *WaitTracker) Record(w int, d time.Duration) {
 		d = 0
 	}
 	wt.total[w] += d
-	wt.waits[w]++
 }
 
 // Total returns worker w's accumulated waiting time.
@@ -273,6 +240,3 @@ func (wt *WaitTracker) Sum() time.Duration {
 	}
 	return s
 }
-
-// Episodes returns how many waiting episodes worker w experienced.
-func (wt *WaitTracker) Episodes(w int) int { return wt.waits[w] }

@@ -289,15 +289,6 @@ var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 // operate in (sL..sU rarely exceeds a few dozen).
 var StalenessBuckets = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64}
 
-// LinearBuckets returns n buckets starting at start, spaced by width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}
-
 // formatFloat renders a sample value the way Prometheus expects.
 func formatFloat(v float64) string {
 	switch {

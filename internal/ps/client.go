@@ -109,8 +109,8 @@ func (c *Client) ServerShards() int { return c.serverShards }
 // SetDeltaPull requests version-gated delta pulls from the server: Pull
 // sends the per-shard versions of the weights this client already holds and
 // the server skips re-sending shards that have not changed since. Call it
-// before Register; the server may refuse (older builds, DisableDeltaPull),
-// in which case pulls stay full-fat and DeltaPull reports false.
+// before Register; the server may refuse (older builds), in which case pulls
+// stay full-fat and DeltaPull reports false.
 func (c *Client) SetDeltaPull(enabled bool) { c.wantDelta = enabled }
 
 // DeltaPull reports whether version-gated delta pulls were negotiated with

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -155,25 +156,75 @@ func TestDeltaPullWithCompressedPullPath(t *testing.T) {
 }
 
 // TestDeltaPullRefusedFallsBackToFullPulls pins the negotiation downgrade: a
-// server with DisableDeltaPull answers requests without the grant and the
-// client keeps issuing full pulls that work.
+// peer that answers a delta-pull request without the grant (an older build —
+// this server always grants) gets plain pull requests carrying no versions,
+// and the client keeps issuing full pulls that work. The peer is scripted:
+// it speaks the registration and the two-chunk pull reply by hand.
 func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
-	_, st, client, _ := deltaTestCluster(t, 2, func(cfg *ServerConfig) {
-		cfg.DisableDeltaPull = true
-	}, true)
+	want := pipelineModel(31)
+	listener := transport.NewChanListener()
+	defer listener.Close()
+	const pulls = 3
+	peerErr := make(chan error, 1)
+	go func() {
+		peerErr <- func() error {
+			conn, err := listener.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			msg, err := conn.Recv()
+			if err != nil {
+				return err
+			}
+			if msg.Type != transport.MsgRegister || !msg.DeltaPull {
+				return fmt.Errorf("peer got %v (DeltaPull=%v), want a Register asking for delta pulls", msg.Type, msg.DeltaPull)
+			}
+			if err := conn.Send(transport.Message{Type: transport.MsgRegistered, StoreShards: 2}); err != nil {
+				return err
+			}
+			for i := 0; i < pulls; i++ {
+				if msg, err = conn.Recv(); err != nil {
+					return err
+				}
+				if msg.Type != transport.MsgPull || len(msg.PullVersions) != 0 {
+					return fmt.Errorf("pull %d: peer got %v with %d shard versions, want a plain Pull", i, msg.Type, len(msg.PullVersions))
+				}
+				for shard, span := range [][2]int{{0, 2}, {2, 3}} {
+					err := conn.Send(transport.Message{
+						Type: transport.MsgWeights, Shard: shard, Shards: 2, Total: len(want),
+						Base: span[0], Tensors: transport.ToWireOwned(want[span[0]:span[1]]),
+					})
+					if err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}()
+	}()
+	conn, err := listener.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(conn, 0)
+	defer client.Close()
+	client.SetDeltaPull(true)
+	if err := client.Register(); err != nil {
+		t.Fatal(err)
+	}
 	if client.DeltaPull() {
-		t.Fatal("client believes delta pulls are on against a refusing server")
+		t.Fatal("client believes delta pulls are on against a refusing peer")
 	}
 	var bytesPerPull []int64
 	var last int64
-	for i := 0; i < 3; i++ {
+	for i := 0; i < pulls; i++ {
 		params, _, err := client.Pull()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := st.Snapshot()
 		if !bytes.Equal(tensor.EncodeTensors(params), tensor.EncodeTensors(want)) {
-			t.Fatalf("pull %d diverged from the snapshot", i)
+			t.Fatalf("pull %d diverged from the peer's weights", i)
 		}
 		_, pulled := client.Traffic()
 		bytesPerPull = append(bytesPerPull, pulled-last)
@@ -181,6 +232,9 @@ func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 	}
 	if bytesPerPull[1] != bytesPerPull[0] || bytesPerPull[2] != bytesPerPull[0] {
 		t.Fatalf("refused delta negotiation still changed pull sizes: %v", bytesPerPull)
+	}
+	if err := <-peerErr; err != nil {
+		t.Fatal(err)
 	}
 }
 

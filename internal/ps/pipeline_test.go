@@ -733,79 +733,6 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 	}
 }
 
-// TestBatchObserverSeesCoalescedAdvances wires a policy implementing
-// core.BatchObserver and verifies it observes every version advance with
-// batch sizes that sum to the push count.
-func TestBatchObserverSeesCoalescedAdvances(t *testing.T) {
-	st := testStore(t, 4)
-	policy := &observingPolicy{Policy: core.MustNewASP(1)}
-	srv, err := NewServer(ServerConfig{Workers: 1, Policy: policy, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	listener := transport.NewChanListener()
-	go func() { _ = srv.Serve(listener) }()
-	defer func() {
-		srv.Stop()
-		listener.Close()
-	}()
-	conn, err := listener.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := NewClient(conn, 0)
-	if err := client.Register(); err != nil {
-		t.Fatal(err)
-	}
-	grad := []*tensor.Tensor{tensor.Full(0.1, 4)}
-	const pushes = 5
-	for i := 0; i < pushes; i++ {
-		if err := client.PushAndWait(grad, int64(i), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.WaitApplied(pushes, nil)
-	// The observer pump runs on its own goroutine; give it a moment to
-	// deliver the final advance.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		total, last := policy.observed()
-		if total == pushes && last == pushes {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("observer saw batches summing to %d at version %d, want %d/%d", total, last, pushes, pushes)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	total, last := policy.observed()
-	if total != pushes || last != pushes {
-		t.Fatalf("observer saw %d/%d, want %d/%d", total, last, pushes, pushes)
-	}
-}
-
-// observingPolicy decorates a Policy with core.BatchObserver, recording the
-// batched advances it is shown.
-type observingPolicy struct {
-	core.Policy
-	mu          sync.Mutex
-	batchTotal  int
-	lastVersion int64
-}
-
-func (p *observingPolicy) OnBatchApplied(version int64, batch int) {
-	p.mu.Lock()
-	p.batchTotal += batch
-	p.lastVersion = version
-	p.mu.Unlock()
-}
-
-func (p *observingPolicy) observed() (int, int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.batchTotal, p.lastVersion
-}
-
 // TestPackShardCacheNeverStaleUnderCoalescedApplies hammers the packed-pull
 // cache from many readers while the applier pipeline lands coalesced
 // batches, then quiesces and verifies the cache serves exactly the final

@@ -33,12 +33,6 @@ type ServerConfig struct {
 	// the trainer and the public configs expose, so field names like
 	// cfg.Compression keep working unchanged.
 	Options
-	// DisableDeltaPull refuses workers' requests for version-gated delta
-	// pulls, forcing every pull to carry full weight chunks. The zero value
-	// grants delta pulls to any worker that asks (workers that never ask are
-	// unaffected); disabling exists for A/B measurement and for debugging
-	// suspected cache-consistency issues.
-	DisableDeltaPull bool
 	// Clock supplies timestamps for the policy; nil means time.Now. The
 	// trainer injects an accelerated clock when it simulates heterogeneous
 	// hardware.
@@ -338,19 +332,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	reg.GaugeFunc("dssp_store_window",
 		"Aggregation window currently in effect (1 = per-push pipeline).",
 		func() float64 { return float64(cfg.Store.Window()) })
-	// The seam between coalesced application and the paradigms: a policy
-	// that wants to observe batched version advances gets them under
-	// policyMu, interleaved consistently with its OnPush/OnJoin/OnLeave
-	// calls, from a dedicated pump goroutine. The pump — never the store's
-	// appliers — takes policyMu, so gradient application can outrun a busy
-	// policy instead of deadlocking behind it.
-	if bo, ok := cfg.Policy.(core.BatchObserver); ok {
-		s.wg.Add(1)
-		// The observation baseline is read here, synchronously: every
-		// advance past the version the server was constructed at is
-		// delivered, even ones landing before the pump goroutine first runs.
-		go s.observerPump(bo, cfg.Store.Version())
-	}
 	s.wg.Add(1)
 	go s.releaser()
 	if cfg.Elastic {
@@ -468,10 +449,9 @@ func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transpor
 		key = -1 - int(s.replicaSeq.Add(1)-1)
 	}
 	sess = newSession(kind, key, conn, msg.Type == transport.MsgRejoin, s.clock())
-	// Delta-pull negotiation: granted whenever the worker asks and the
-	// server is not configured to refuse. Workers that never ask (v1 binary
-	// peers, -delta-pull=false) keep full pulls.
-	sess.deltaPull = msg.DeltaPull && !s.cfg.DisableDeltaPull
+	// Delta-pull negotiation: granted whenever the worker asks. Workers that
+	// never ask (v1 binary peers, psworker -delta-pull=false) keep full pulls.
+	sess.deltaPull = msg.DeltaPull
 	var reply transport.Message
 	var err error
 	if kind.holdsSlot() {
@@ -521,7 +501,7 @@ func (s *Server) registered(worker int, msg transport.Message) transport.Message
 		CodecTopK:   s.compression.TopK,
 		CodecPull:   s.compression.Pull,
 		StoreShards: s.cfg.Store.Shards(),
-		DeltaPull:   msg.DeltaPull && !s.cfg.DisableDeltaPull,
+		DeltaPull:   msg.DeltaPull,
 	}
 }
 
@@ -749,25 +729,6 @@ func (s *Server) releaser() {
 		case <-s.stopped:
 			return
 		}
-	}
-}
-
-// observerPump follows the store's applied version and reports every
-// advance to a policy implementing core.BatchObserver, under policyMu so
-// the calls interleave consistently with the policy's other hooks. Advances
-// that land while the policy is busy merge into one call whose batch is the
-// sum — the version stream stays gapless and monotone.
-func (s *Server) observerPump(bo core.BatchObserver, seen int64) {
-	defer s.wg.Done()
-	for {
-		if !s.cfg.Store.WaitApplied(seen+1, s.stopped) {
-			return // server stopped
-		}
-		v := s.cfg.Store.Version()
-		s.policyMu.Lock()
-		bo.OnBatchApplied(v, int(v-seen))
-		s.policyMu.Unlock()
-		seen = v
 	}
 }
 

@@ -206,10 +206,6 @@ func (s *Store) SetAggregator(cfg AggregatorConfig) error {
 	return nil
 }
 
-// AggregatorConfigured returns the normalized aggregator configuration in
-// effect (the zero AggregatorConfig — plain sum — unless SetAggregator ran).
-func (s *Store) AggregatorConfigured() AggregatorConfig { return s.aggCfg }
-
 // instrument installs apply-pipeline metrics and the push-lifecycle tracer.
 // Only NewServer calls it, before any push can be enqueued; either argument
 // may be nil.

@@ -30,9 +30,6 @@ func (m LinkModel) active() bool { return m.Multiplier > 1 && m.MeanBad > 0 }
 
 // Link presets for scenario matrices.
 
-// LinkCalm is a well-behaved link: no modulation.
-func LinkCalm() LinkModel { return LinkModel{} }
-
 // LinkFlapping degrades in short bursts: 10x transfer cost about a fifth of
 // the time — a congested or lossy path with retransmission storms.
 func LinkFlapping() LinkModel {

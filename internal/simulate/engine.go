@@ -22,14 +22,8 @@ type RunConfig struct {
 	// IterationsPerWorker is how many mini-batches each worker processes.
 	IterationsPerWorker int
 	// Events schedules mid-run perturbations: crashes, rejoins, delay
-	// shifts and adversary toggles (see Event). It subsumes Failures.
+	// shifts and adversary toggles (see Event).
 	Events []Event
-	// Failures schedules worker crashes during the run.
-	//
-	// Deprecated: Failures is the crash-only predecessor of Events; each
-	// entry behaves exactly like Crash(f.Worker, f.At). Both fields may be
-	// set; their events merge.
-	Failures []WorkerFailure
 	// Links assigns Markov-modulated delay models to worker links (see
 	// LinkModel and the Link* presets). Workers absent from the map have
 	// calm links.
@@ -56,16 +50,6 @@ type RunConfig struct {
 	RelayFlush time.Duration
 	// Seed drives compute-time jitter.
 	Seed int64
-}
-
-// WorkerFailure is a scheduled crash: at time At the worker stops computing,
-// its in-flight push (if any) is lost, and the policy is told it left. A
-// failure scheduled after the worker already finished is ignored.
-type WorkerFailure struct {
-	// Worker is the crashing worker's ID.
-	Worker int
-	// At is the elapsed simulated time of the crash.
-	At time.Duration
 }
 
 // UpdateEvent records one gradient update applied to the global weights.
@@ -126,15 +110,6 @@ func (r *RunResult) Throughput() float64 {
 	return float64(len(r.Updates)) / r.Finish.Seconds()
 }
 
-// TotalWait returns the summed synchronization waiting time of all workers.
-func (r *RunResult) TotalWait() time.Duration {
-	var total time.Duration
-	for _, w := range r.Waits {
-		total += w
-	}
-	return total
-}
-
 // Event kinds used by the simulator.
 type eventKind int
 
@@ -148,7 +123,7 @@ const (
 	// evPullDone fires when a released worker has finished pulling the
 	// fresh global weights.
 	evPullDone
-	// evFail fires when a worker crashes (EventCrash / RunConfig.Failures).
+	// evFail fires when a worker crashes (EventCrash).
 	evFail
 	// evRejoin fires when a crashed worker comes back (EventRejoin).
 	evRejoin
@@ -322,7 +297,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			Staleness: metrics.NewHistogram(),
 		},
 	}
-	_, sim.result.Bounded = policy.(core.StalenessBounder)
+	_, sim.result.Bounded = policy.StalenessBound()
 
 	sim.speedScale = make([]float64, workers)
 	sim.links = make([]linkState, workers)
@@ -360,12 +335,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		sim.result.Flags = make([]int, workers)
 	}
 
-	events := make([]Event, 0, len(cfg.Events)+len(cfg.Failures))
-	events = append(events, cfg.Events...)
-	for _, f := range cfg.Failures {
-		events = append(events, Crash(f.Worker, f.At))
-	}
-	for _, e := range events {
+	for _, e := range cfg.Events {
 		if err := e.validate(workers); err != nil {
 			return nil, err
 		}

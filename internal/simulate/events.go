@@ -12,9 +12,9 @@ type EventKind int
 
 const (
 	// EventCrash stops the worker: its in-flight push or pull is lost and
-	// the policy is told it left. Unlike the legacy Failures API, the
-	// worker's remaining iteration budget is preserved so a later
-	// EventRejoin can resume it.
+	// the policy is told it left. The worker's remaining iteration budget
+	// is preserved so a later EventRejoin can resume it. A crash scheduled
+	// after the worker already finished is ignored.
 	EventCrash EventKind = iota + 1
 	// EventRejoin brings a previously crashed worker back: the policy is
 	// told it joined, it pulls fresh weights and resumes its remaining

@@ -47,27 +47,6 @@ func TestRejoinResumesRemainingIterations(t *testing.T) {
 	}
 }
 
-// TestCrashWithoutRejoinMatchesLegacyFailures: Events and the deprecated
-// Failures field must describe the identical run.
-func TestCrashWithoutRejoinMatchesLegacyFailures(t *testing.T) {
-	viaEvents := eventBase()
-	viaEvents.Events = []Event{Crash(3, 120*time.Millisecond)}
-	a, err := Run(viaEvents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFailures := eventBase()
-	viaFailures.Failures = []WorkerFailure{{Worker: 3, At: 120 * time.Millisecond}}
-	b, err := Run(viaFailures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Updates) != len(b.Updates) || a.Finish != b.Finish {
-		t.Fatalf("events run (%d updates, finish %v) != failures run (%d updates, finish %v)",
-			len(a.Updates), a.Finish, len(b.Updates), b.Finish)
-	}
-}
-
 // TestDelayShiftSlowsTheRun: quartering a worker's speed mid-run must push
 // the finish time out.
 func TestDelayShiftSlowsTheRun(t *testing.T) {

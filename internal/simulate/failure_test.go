@@ -16,7 +16,7 @@ func failureRun(t *testing.T, policy core.PolicyConfig) (*RunResult, []int) {
 		Cluster:             HomogeneousCluster(4),
 		Policy:              policy,
 		IterationsPerWorker: 40,
-		Failures:            []WorkerFailure{{Worker: 3, At: 120 * time.Millisecond}},
+		Events:              []Event{Crash(3, 120*time.Millisecond)},
 		Seed:                7,
 	}
 	res, err := Run(cfg)
@@ -77,7 +77,7 @@ func TestFailureAfterFinishIsIgnored(t *testing.T) {
 		Cluster:             HomogeneousCluster(2),
 		Policy:              core.PolicyConfig{Paradigm: core.ParadigmBSP},
 		IterationsPerWorker: 3,
-		Failures:            []WorkerFailure{{Worker: 1, At: time.Hour}},
+		Events:              []Event{Crash(1, time.Hour)},
 		Seed:                1,
 	}
 	res, err := Run(cfg)
@@ -95,7 +95,7 @@ func TestFailureValidation(t *testing.T) {
 		Cluster:             HomogeneousCluster(2),
 		Policy:              core.PolicyConfig{Paradigm: core.ParadigmBSP},
 		IterationsPerWorker: 3,
-		Failures:            []WorkerFailure{{Worker: 9, At: time.Second}},
+		Events:              []Event{Crash(9, time.Second)},
 	}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("out-of-range failure worker was accepted")

@@ -42,10 +42,6 @@ type ServerConfig struct {
 	// (cfg.Compression, cfg.Elastic, ...). DeltaPull and HeartbeatInterval
 	// are worker-side knobs and ignored here.
 	Options
-	// DisableDeltaPull refuses workers' requests for version-gated delta
-	// pulls (the default grants them), forcing full weight chunks on every
-	// pull — an A/B and debugging knob.
-	DisableDeltaPull bool
 	// MetricsAddr, when non-empty, starts an admin HTTP listener on that
 	// address serving Prometheus metrics (/metrics), liveness (/healthz), a
 	// JSON status snapshot with optional push traces (/statusz?traces=1)
@@ -211,11 +207,10 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	}
 	reg := newRegistry()
 	pcfg := ps.ServerConfig{
-		Workers:          cfg2.Workers,
-		Options:          cfg.Options.serverOptions(),
-		DisableDeltaPull: cfg.DisableDeltaPull,
-		Metrics:          reg,
-		Trace:            obs.TraceConfig{Every: cfg.TraceEvery},
+		Workers: cfg2.Workers,
+		Options: cfg.Options.serverOptions(),
+		Metrics: reg,
+		Trace:   obs.TraceConfig{Every: cfg.TraceEvery},
 	}
 	// The paradigm runs where workers synchronize: the standalone server or
 	// the group's coordinator.
@@ -223,7 +218,7 @@ func Serve(cfg ServerConfig) (*Server, error) {
 		if err := cfg2.Sync.Validate(cfg2.Workers); err != nil {
 			return nil, err
 		}
-		policyCfg := cfg2.Sync.policyConfig()
+		policyCfg := cfg2.Sync
 		policyCfg.Workers = cfg2.Workers
 		if pcfg.Policy, err = core.NewPolicy(policyCfg); err != nil {
 			return nil, err

@@ -292,7 +292,7 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 		Workers:           cfg.Workers,
 		BatchSize:         cfg.BatchSize,
 		Epochs:            cfg.Epochs,
-		Policy:            cfg.Sync.policyConfig(),
+		Policy:            cfg.Sync,
 		LearningRate:      cfg.LearningRate,
 		Momentum:          cfg.Momentum,
 		WeightDecay:       cfg.WeightDecay,

@@ -137,7 +137,7 @@ func TestClusterBitIdenticalToSingleServerTCP(t *testing.T) {
 
 // TestClusterConvergesWithCompressionAndCoalescing relaxes the determinism
 // constraints — three concurrent workers (so data servers coalesce pending
-// fragments) pushing fp16-compressed gradients with delta pulls — and
+// fragments) pushing fp16-compressed gradients — and
 // asserts the group still converges to the single-server ballpark.
 func TestClusterConvergesWithCompressionAndCoalescing(t *testing.T) {
 	base := clustertest.Config{
@@ -146,7 +146,6 @@ func TestClusterConvergesWithCompressionAndCoalescing(t *testing.T) {
 		Sync:    dssp.Sync{Paradigm: dssp.DSSP, Staleness: 1, Range: 4},
 		Options: dssp.Options{
 			Compression: dssp.Compression{Codec: dssp.CompressFP16},
-			DeltaPull:   true,
 		},
 	}
 	single := clustertest.Start(t, base)
@@ -344,8 +343,8 @@ func TestClusterRejectsCrossModeClients(t *testing.T) {
 // TestServeRefusesWhatItWouldIgnore: a coordinator holds no weights, so a
 // configured guard or checkpoint directory is a validation error naming the
 // reason rather than a silently dropped request; and a checkpoint directory
-// holding only the single-file format builds before PR 15 wrote fails Serve
-// instead of starting from scratch over it.
+// holding only a format earlier builds wrote (the incremental manifest, or the
+// single file before it) fails Serve instead of starting from scratch over it.
 func TestServeRefusesWhatItWouldIgnore(t *testing.T) {
 	coord := dssp.ServerConfig{
 		Addr:    "127.0.0.1:0",
@@ -367,16 +366,18 @@ func TestServeRefusesWhatItWouldIgnore(t *testing.T) {
 		}
 	}
 
-	legacy := coord
-	legacy.Cluster = dssp.ClusterOptions{}
-	legacy.Checkpoint.Dir = t.TempDir()
-	if err := os.WriteFile(filepath.Join(legacy.Checkpoint.Dir, "store.ckpt"), []byte("gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := dssp.Serve(legacy); err == nil {
-		s.Stop()
-		t.Fatal("server started from scratch over a legacy single-file checkpoint")
-	} else if !strings.Contains(err.Error(), "legacy single-file checkpoint; no longer supported") {
-		t.Fatalf("legacy checkpoint refusal reads %q", err)
+	for _, name := range []string{"manifest.ckpt", "store.ckpt"} {
+		legacy := coord
+		legacy.Cluster = dssp.ClusterOptions{}
+		legacy.Checkpoint.Dir = t.TempDir()
+		if err := os.WriteFile(filepath.Join(legacy.Checkpoint.Dir, name), []byte("gob"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := dssp.Serve(legacy); err == nil {
+			s.Stop()
+			t.Fatalf("server started from scratch over %s", name)
+		} else if !strings.Contains(err.Error(), name+", a checkpoint format this build no longer reads") {
+			t.Fatalf("%s refusal reads %q", name, err)
+		}
 	}
 }

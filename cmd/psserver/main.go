@@ -19,15 +19,17 @@
 // -compress auto adopt whatever the server speaks; an explicitly mismatched
 // worker is rejected at registration.
 //
-// Delta pulls: a worker that requests version-gated delta pulls (psworker
-// -delta-pull, default on) is granted them — each pull re-sends only the
-// parameter-store shards that changed since that worker's previous pull
-// (docs/PROTOCOL.md §5a).
+// Delta pulls: a peer that requests version-gated delta pulls is granted
+// them — each pull re-sends only the parameter-store shards that changed
+// since that peer's previous pull (docs/PROTOCOL.md §5a). Replica sessions (a
+// relay's upstream, a backup, a coordinator's snapshot) ask; workers pull in
+// full, since every push moves every shard.
 //
 // Fault tolerance: -elastic lease-monitors worker sessions (evicting any
 // silent for -heartbeat-timeout) and accepts mid-run rejoins from workers
 // started with -reconnect; -checkpoint-dir/-checkpoint-every persist the
-// store so a restarted server resumes the run where it stopped.
+// store as one file (checkpoint.ckpt) so a restarted server resumes the run
+// where it stopped.
 //
 // Server groups: -role places this server in a multi-server group
 // (DESIGN.md §10). A coordinator (-role coordinator -cluster-servers N)

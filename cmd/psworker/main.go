@@ -14,11 +14,9 @@
 // the server or registration is rejected); -shards, when set, asserts the
 // server's parameter-store shard count and aborts on a mismatch.
 //
-// Delta pulls: -delta-pull (default on) requests version-gated delta pulls —
-// the worker echoes the per-shard versions it already holds and the server
-// re-sends only shards that changed (docs/PROTOCOL.md §5a). A server that
-// refuses downgrades the worker to full pulls; against a pre-v2 server run
-// with -delta-pull=false so the worker speaks pure v1 frames.
+// Pulls are always full: the push a worker waits on before each pull has
+// moved every shard, so a version-gated delta pull (docs/PROTOCOL.md §5a)
+// would skip nothing. A flat worker therefore speaks pure v1 frames.
 //
 // Fault tolerance: -reconnect redials and rejoins on any connection loss
 // (surviving parameter-server restarts; with -cluster the route refuses the
@@ -70,7 +68,6 @@ func main() {
 		compressName = flag.String("compress", dssp.CompressAuto, "gradient codec: auto (adopt the server's), none, fp16, int8, topk")
 		topk         = flag.Float64("topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1; must match the server)")
 		compressPull = flag.Bool("compress-pull", false, "expect compressed weight pulls (must match the server; implied by -compress auto)")
-		deltaPull    = flag.Bool("delta-pull", true, "request version-gated delta pulls (the server re-sends only changed shards; falls back to full pulls if refused)")
 		adversary    = flag.Float64("adversary", 0, "Byzantine gradient-scale factor for robustness experiments (0 or 1 = honest; e.g. -10 pushes scaled ascent)")
 		reconnect    = flag.Bool("reconnect", false, "redial and rejoin on connection loss (survives server restarts)")
 		reconnectTO  = flag.Duration("reconnect-timeout", 30*time.Second, "give up after failing to reconnect for this long")
@@ -99,7 +96,6 @@ func main() {
 		Options: dssp.Options{
 			Shards:            *shards,
 			Compression:       compression,
-			DeltaPull:         *deltaPull,
 			HeartbeatInterval: *heartbeat,
 		},
 		Adversary:        *adversary,

@@ -219,10 +219,6 @@ func TestServeAndRunWorkerOverTCP(t *testing.T) {
 				BatchSize:  16,
 				Epochs:     3,
 				Seed:       7,
-				// A mixed fleet: worker 0 requests version-gated delta pulls
-				// (v2 frames on the wire), worker 1 stays on full v1-style
-				// pulls — both must interoperate with the same server.
-				Options: Options{DeltaPull: w == 0},
 			})
 			if err != nil {
 				errs <- err

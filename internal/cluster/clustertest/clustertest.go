@@ -220,7 +220,6 @@ func (c *Cluster) WorkerConfig(id int) dssp.WorkerConfig {
 		Seed:       c.cfg.Seed,
 		Options: dssp.Options{
 			Compression: c.cfg.Options.Compression,
-			DeltaPull:   c.cfg.Options.DeltaPull,
 		},
 	}
 }

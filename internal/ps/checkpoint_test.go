@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -68,7 +69,7 @@ func assertStoresEqual(t *testing.T, a, b *Store, context string) {
 func TestCheckpointRejectsMismatchedModel(t *testing.T) {
 	dir := t.TempDir()
 	src := buildStore(t, 1, 1, 3)
-	if _, _, err := NewCheckpointer(src, dir).Save(false); err != nil {
+	if _, err := src.SaveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	other, err := NewStore([]*tensor.Tensor{tensor.New(5)}, optimizer.NewSGD(0.1))
@@ -92,8 +93,8 @@ func TestCheckpointRejectsMismatchedModel(t *testing.T) {
 	}
 }
 
-// TestRestoreCheckpointWithoutState: a checkpoint whose segments carry no
-// optimizer state (a stateless optimizer wrote it) restores into a store
+// TestRestoreCheckpointWithoutState: a checkpoint that carries no optimizer
+// state (a stateless optimizer wrote it) restores into a store
 // whose optimizer keeps some, with none, instead of panicking on the missing
 // slices — and the store steps normally afterwards.
 func TestRestoreCheckpointWithoutState(t *testing.T) {
@@ -108,7 +109,7 @@ func TestRestoreCheckpointWithoutState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := NewCheckpointer(src, dir).Save(false); err != nil {
+	if _, err := src.SaveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	dst := buildStore(t, 1, 0, 4)
@@ -122,9 +123,10 @@ func TestRestoreCheckpointWithoutState(t *testing.T) {
 }
 
 // TestRestoreMissingCheckpointFails: an empty directory is an error, and a
-// directory holding only the single-file format builds before PR 15 wrote is
-// refused by name — CheckpointExists says yes, so a server configured with it
-// fails to start instead of silently training from scratch over it.
+// directory holding only a checkpoint in a format earlier builds wrote — the
+// incremental manifest or the single file before it — is refused by name:
+// CheckpointExists says yes, so a server configured with it fails to start
+// instead of silently training from scratch over it.
 func TestRestoreMissingCheckpointFails(t *testing.T) {
 	st := buildStore(t, 1, 0, 1)
 	dir := t.TempDir()
@@ -134,33 +136,35 @@ func TestRestoreMissingCheckpointFails(t *testing.T) {
 	if err := st.RestoreCheckpointDir(dir); err == nil {
 		t.Fatal("restoring a missing checkpoint succeeded")
 	}
-	if err := os.WriteFile(filepath.Join(dir, "store.ckpt"), []byte("gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !CheckpointExists(dir) {
-		t.Fatal("a legacy checkpoint directory reports no checkpoint: a server would start from scratch over it")
-	}
-	err := st.RestoreCheckpointDir(dir)
-	if err == nil || !strings.Contains(err.Error(), "legacy single-file checkpoint; no longer supported") {
-		t.Fatalf("restore from a legacy-only directory returned %v, want the explicit refusal", err)
+	for _, name := range []string{"manifest.ckpt", "store.ckpt"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("gob"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if !CheckpointExists(dir) {
+			t.Fatalf("a directory holding %s reports no checkpoint: a server would start from scratch over it", name)
+		}
+		err := st.RestoreCheckpointDir(dir)
+		if err == nil || !strings.Contains(err.Error(), name+", a checkpoint format this build no longer reads") {
+			t.Fatalf("restore from a directory holding only %s returned %v, want the explicit refusal", name, err)
+		}
 	}
 }
 
-// TestIncrementalCheckpointRoundTrip: a manifest-format checkpoint restores
-// bit-identically, including momentum — verified by driving both stores with
-// identical gradients afterwards, which diverges if velocity was lost.
-func TestIncrementalCheckpointRoundTrip(t *testing.T) {
+// TestCheckpointRoundTrip: a checkpoint restores bit-identically, including
+// momentum — verified by driving both stores with identical gradients
+// afterwards, which diverges if velocity was lost.
+func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	src := buildStore(t, 2, 5, 11)
-	ckpt := NewCheckpointer(src, dir)
-	if _, _, err := ckpt.Save(false); err != nil {
+	if _, err := src.SaveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	dst := buildStore(t, 2, 0, 11)
 	if err := dst.RestoreCheckpointDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	assertStoresEqual(t, src, dst, "manifest restore")
+	assertStoresEqual(t, src, dst, "checkpoint restore")
 
 	rng1 := rand.New(rand.NewSource(13))
 	rng2 := rand.New(rand.NewSource(13))
@@ -172,129 +176,58 @@ func TestIncrementalCheckpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	assertStoresEqual(t, src, dst, "post-restore updates after manifest restore")
+	assertStoresEqual(t, src, dst, "post-restore updates after checkpoint restore")
 }
 
-// TestIncrementalCheckpointRestoresAcrossShardCounts: segments are keyed by
-// global tensor index, so a manifest written by a 2-shard store restores
-// into a 1-shard one and vice versa.
-func TestIncrementalCheckpointRestoresAcrossShardCounts(t *testing.T) {
+// TestCheckpointRestoresAcrossShardCounts: tensors are stored by global
+// index, so a checkpoint written by a 2-shard store restores into a 1-shard
+// one and vice versa.
+func TestCheckpointRestoresAcrossShardCounts(t *testing.T) {
 	for _, shards := range [][2]int{{2, 1}, {1, 2}} {
 		dir := t.TempDir()
 		src := buildStore(t, shards[0], 4, 17)
-		if _, _, err := NewCheckpointer(src, dir).Save(false); err != nil {
+		if _, err := src.SaveCheckpoint(dir); err != nil {
 			t.Fatal(err)
 		}
 		dst := buildStore(t, shards[1], 0, 17)
 		if err := dst.RestoreCheckpointDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		assertStoresEqual(t, src, dst, fmt.Sprintf("%d-shard manifest into %d shards", shards[0], shards[1]))
+		assertStoresEqual(t, src, dst, fmt.Sprintf("%d-shard checkpoint into %d shards", shards[0], shards[1]))
 	}
 }
 
-// TestIncrementalCheckpointSkipsCleanShards pins the incremental save's
-// defining behavior: a save with no intervening updates serializes zero
-// shard segments and writes only a manifest — a small fraction of a full
-// save — while a forced full save rewrites everything.
-func TestIncrementalCheckpointSkipsCleanShards(t *testing.T) {
+// TestCheckpointSaveFailureKeepsPreviousCheckpoint: a save that fails before
+// its rename publishes nothing — the previous checkpoint still restores, at
+// its own version, and the failed save's temp file is gone.
+func TestCheckpointSaveFailureKeepsPreviousCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	// A realistically sized model, so "manifest only" versus "weights" is a
-	// meaningful byte ratio rather than two small blobs.
-	initial := []*tensor.Tensor{tensor.New(128, 64), tensor.New(96, 32)}
-	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.1, 0.9, 1e-4), 2)
-	if err != nil {
+	src := buildStore(t, 2, 3, 19)
+	if _, err := src.SaveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(23))
-	shapes := [][]int{{128, 64}, {96, 32}}
-	for i := 0; i < 3; i++ {
-		if _, err := st.Apply(randomGrads(rng, shapes...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ckpt := NewCheckpointer(st, dir)
-
-	shards, fullBytes, err := ckpt.Save(false)
-	if err != nil {
+	saved := buildStore(t, 2, 0, 19)
+	if err := saved.RestoreCheckpointDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if shards != 2 {
-		t.Fatalf("first save wrote %d shards, want 2", shards)
+	if _, err := src.Apply(randomGrads(rand.New(rand.NewSource(23)), []int{3, 4}, []int{7})); err != nil {
+		t.Fatal(err)
 	}
 
-	// Nothing changed: the incremental save must skip every shard, and its
-	// bytes (manifest only) must be far below a full snapshot's.
-	shards, idleBytes, err := ckpt.Save(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shards != 0 {
-		t.Fatalf("idle save wrote %d shards, want 0", shards)
-	}
-	if idleBytes*20 >= fullBytes {
-		t.Fatalf("idle save wrote %d bytes, full save %d; want ≪", idleBytes, fullBytes)
-	}
-	// The skipping save still leaves a fully restorable checkpoint.
-	dst, err := NewStoreSharded([]*tensor.Tensor{tensor.New(128, 64), tensor.New(96, 32)},
-		optimizer.NewSGDMomentum(0.1, 0.9, 1e-4), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.RestoreCheckpointDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	assertStoresEqual(t, st, dst, "restore after idle save")
-
-	// full=true rewrites clean shards anyway (the Stop path).
-	shards, _, err = ckpt.Save(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shards != 2 {
-		t.Fatalf("full save wrote %d shards, want 2", shards)
-	}
-
-	// After an update every shard is dirty again (each push spans the whole
-	// model), so the next incremental save rewrites both.
-	if _, err := st.Apply(randomGrads(rng, shapes...)); err != nil {
-		t.Fatal(err)
-	}
-	shards, _, err = ckpt.Save(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shards != 2 {
-		t.Fatalf("post-update save wrote %d shards, want 2", shards)
-	}
-}
-
-// TestIncrementalCheckpointGCsStaleSegments: superseded segment files are
-// deleted once the manifest that stops referencing them is durable, so the
-// directory holds one live segment per shard plus the manifest.
-func TestIncrementalCheckpointGCsStaleSegments(t *testing.T) {
-	dir := t.TempDir()
-	st := buildStore(t, 2, 2, 31)
-	ckpt := NewCheckpointer(st, dir)
-	rng := rand.New(rand.NewSource(37))
-	for round := 0; round < 3; round++ {
-		if _, _, err := ckpt.Save(false); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Apply(randomGrads(rng, []int{3, 4}, []int{7})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 2 {
-		t.Fatalf("checkpoint dir holds %d segment files after 3 saves, want 2 (stale ones collected): %v", len(segs), segs)
+	failRename := errors.New("rename refused")
+	rename = func(string, string) error { return failRename }
+	defer func() { rename = os.Rename }()
+	if _, err := src.SaveCheckpoint(dir); !errors.Is(err, failRename) {
+		t.Fatalf("save with a failing rename returned %v, want %v", err, failRename)
 	}
 	if tmp, _ := filepath.Glob(filepath.Join(dir, ".ckpt-*")); len(tmp) != 0 {
 		t.Fatalf("temp files left behind: %v", tmp)
 	}
+	dst := buildStore(t, 1, 0, 19)
+	if err := dst.RestoreCheckpointDir(dir); err != nil {
+		t.Fatalf("previous checkpoint no longer restores: %v", err)
+	}
+	assertStoresEqual(t, saved, dst, "restore after a failed save")
 }
 
 // TestServerCheckpointsPeriodicallyAndOnStop drives checkpoints through the

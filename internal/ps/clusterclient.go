@@ -22,8 +22,6 @@ type ClusterClientConfig struct {
 	// coordinator leg always negotiates whatever the coordinator speaks —
 	// metadata pushes carry no payload worth compressing).
 	Compression compress.Config
-	// DeltaPull requests version-gated delta pulls on every data link.
-	DeltaPull bool
 	// MapTimeout bounds how long the initial map fetch retries until the
 	// coordinator serves a complete map (all shards owned). Default 10s.
 	MapTimeout time.Duration
@@ -247,7 +245,6 @@ func (c *ClusterClient) openLink(e transport.ServerEntry) (*dataLink, error) {
 		_ = conn.Close()
 		return nil, err
 	}
-	client.SetDeltaPull(c.cfg.DeltaPull)
 	client.SetCluster(true)
 	if err := client.Register(); err != nil {
 		_ = conn.Close()

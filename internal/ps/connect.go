@@ -55,8 +55,6 @@ type Route struct {
 	// Compression is the gradient codec to negotiate; compress.Auto adopts
 	// the server's.
 	Compression compress.Config
-	// DeltaPull requests version-gated delta pulls.
-	DeltaPull bool
 	// Shards, when positive, is the parameter-store shard count the worker
 	// expects (group-wide on a Group route); a mismatch fails the connect.
 	Shards int
@@ -91,7 +89,7 @@ func Connect(r Route, rejoin bool, lastVersion int64) (WorkerClient, error) {
 			return nil, ErrNoRejoin
 		}
 		c, err := NewClusterClient(r.Dial, r.Addr, r.Worker, ClusterClientConfig{
-			Compression: r.Compression, DeltaPull: r.DeltaPull, RecoverTimeout: r.Retry})
+			Compression: r.Compression, RecoverTimeout: r.Retry})
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +140,6 @@ func (r Route) register(rejoin bool, lastVersion int64) (*Client, error) {
 		return nil, err
 	}
 	client.Instrument(r.Metrics)
-	client.SetDeltaPull(r.DeltaPull)
 	if rejoin {
 		err = client.Rejoin(lastVersion)
 	} else {

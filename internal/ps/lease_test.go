@@ -188,7 +188,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 				start(t, i, transport.MsgPromote)
 			},
 			connect: func(w int) (pusher, error) {
-				return NewClusterClient(dialAddr, coordAddr, w, ClusterClientConfig{DeltaPull: w%2 == 0})
+				return NewClusterClient(dialAddr, coordAddr, w, ClusterClientConfig{})
 			},
 			snapshot: func(t *testing.T, updates int64) ([]*tensor.Tensor, int64) {
 				var all []*tensor.Tensor

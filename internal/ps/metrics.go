@@ -48,7 +48,6 @@ type serverMetrics struct {
 	ckptErrors  *obs.Counter
 	ckptFailed  *obs.Gauge
 	ckptSeconds *obs.Histogram
-	ckptShards  *obs.Counter
 	ckptBytes   *obs.Counter
 }
 
@@ -119,10 +118,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"1 when the most recent checkpoint save failed, 0 otherwise."),
 		ckptSeconds: reg.Histogram("dssp_checkpoint_seconds",
 			"Checkpoint save duration.", obs.LatencyBuckets),
-		ckptShards: reg.Counter("dssp_checkpoint_shards_written_total",
-			"Shard segments serialized by checkpoint saves; unchanged shards are skipped by incremental saves and not counted."),
 		ckptBytes: reg.Counter("dssp_checkpoint_bytes_written_total",
-			"Bytes written by checkpoint saves (segments plus manifests)."),
+			"Bytes written by checkpoint saves."),
 	}
 }
 

@@ -179,10 +179,8 @@ type Server struct {
 	ckptBusy atomic.Bool
 	// ckptMu serializes checkpoint writes: an async interval save that
 	// snapshotted older state must not land its rename after the final save
-	// from Stop. It also guards ckpt, the incremental checkpointer that
-	// remembers which shard versions the last save wrote.
+	// from Stop.
 	ckptMu sync.Mutex
-	ckpt   *Checkpointer
 }
 
 // NewServer returns a parameter server with the given configuration.
@@ -366,10 +364,7 @@ func (s *Server) Stop() {
 		// accepted update, then park the store's applier goroutines.
 		s.cfg.Store.Close()
 		if s.cfg.Checkpoint.Enabled() {
-			// Full save: a stopping server leaves every shard freshly
-			// written, so the directory restores without depending on
-			// segments from earlier processes.
-			s.saveCheckpoint(true)
+			s.saveCheckpoint()
 		}
 	})
 }
@@ -377,20 +372,14 @@ func (s *Server) Stop() {
 // saveCheckpoint writes one checkpoint, serialized against concurrent saves
 // so the directory always ends up holding the newest snapshot taken: the
 // store version only moves forward, each save snapshots at call time, and
-// the mutex forces their manifest renames into call order. Interval saves
-// are incremental — only shards that published since the last save are
-// serialized; full forces every shard out (the final save on Stop).
-func (s *Server) saveCheckpoint(full bool) {
+// the mutex forces their renames into call order.
+func (s *Server) saveCheckpoint() {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	if s.ckpt == nil {
-		s.ckpt = NewCheckpointer(s.cfg.Store, s.cfg.Checkpoint.Dir)
-	}
 	start := time.Now()
-	shards, bytes, err := s.ckpt.Save(full)
+	bytes, err := s.cfg.Store.SaveCheckpoint(s.cfg.Checkpoint.Dir)
 	s.sm.ckptSeconds.Observe(time.Since(start).Seconds())
 	s.sm.ckptTotal.Inc()
-	s.sm.ckptShards.Add(uint64(shards))
 	s.sm.ckptBytes.Add(uint64(bytes))
 	if err != nil {
 		s.sm.ckptErrors.Inc()
@@ -449,8 +438,9 @@ func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transpor
 		key = -1 - int(s.replicaSeq.Add(1)-1)
 	}
 	sess = newSession(kind, key, conn, msg.Type == transport.MsgRejoin, s.clock())
-	// Delta-pull negotiation: granted whenever the worker asks. Workers that
-	// never ask (v1 binary peers, psworker -delta-pull=false) keep full pulls.
+	// Delta-pull negotiation: granted whenever the peer asks — replica
+	// sessions do (OpenReplica). Peers that never ask (workers, v1 binary
+	// peers) keep full pulls.
 	sess.deltaPull = msg.DeltaPull
 	var reply transport.Message
 	var err error
@@ -1048,7 +1038,7 @@ func (s *Server) maybeCheckpoint(version int64) {
 	go func() {
 		defer s.wg.Done()
 		defer s.ckptBusy.Store(false)
-		s.saveCheckpoint(false)
+		s.saveCheckpoint()
 	}()
 }
 

@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"dssp/internal/core"
@@ -267,8 +268,8 @@ func Figure4(cfg ExperimentConfig) (*Figure, error) {
 // TableIRow is one row of Table I: the time a paradigm needed to reach the
 // two target accuracies on the heterogeneous cluster.
 type TableIRow struct {
-	// Label is the paradigm name.
-	Label string
+	// Paradigm is the row label.
+	Paradigm string
 	// To067 and To068 are the times to reach 0.67 and 0.68 accuracy; Reached*
 	// report whether the run ever got there ("-" in the paper).
 	To067      time.Duration
@@ -285,7 +286,7 @@ func TableI(cfg ExperimentConfig) ([]TableIRow, error) {
 	}
 	rows := make([]TableIRow, 0, len(fig.Results))
 	for _, r := range fig.Results {
-		row := TableIRow{Label: r.Label}
+		row := TableIRow{Paradigm: r.Label}
 		row.To067, row.Reached067 = r.Curve.TimeToReach(0.67)
 		row.To068, row.Reached068 = r.Curve.TimeToReach(0.68)
 		rows = append(rows, row)
@@ -302,8 +303,9 @@ type ThroughputTrend struct {
 	// HasFullyConnected mirrors the model profile.
 	HasFullyConnected bool
 	// FinishTimes maps paradigm label to simulated completion time of the
-	// full run.
+	// full run, and Order lists the labels from fastest to slowest.
 	FinishTimes map[string]time.Duration
+	Order       []string
 }
 
 // SectionVCThroughputTrends reproduces the §V-C comparison of iteration
@@ -333,7 +335,11 @@ func SectionVCThroughputTrends(cfg ExperimentConfig) ([]ThroughputTrend, error) 
 				return nil, err
 			}
 			trend.FinishTimes[p.label] = r.Finish
+			trend.Order = append(trend.Order, p.label)
 		}
+		sort.SliceStable(trend.Order, func(a, b int) bool {
+			return trend.FinishTimes[trend.Order[a]] < trend.FinishTimes[trend.Order[b]]
+		})
 		out = append(out, trend)
 	}
 	return out, nil

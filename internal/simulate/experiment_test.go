@@ -155,7 +155,7 @@ func TestTableIRowsAndOrdering(t *testing.T) {
 	}
 	byLabel := map[string]TableIRow{}
 	for _, r := range rows {
-		byLabel[r.Label] = r
+		byLabel[r.Paradigm] = r
 	}
 	dssp := byLabel["DSSP s=3 r=12"]
 	if !dssp.Reached067 {

@@ -123,7 +123,6 @@ func (cfg Config) route(net chanNet, addr string, topology ps.Topology) ps.Route
 		Addr:        addr,
 		Topology:    topology,
 		Compression: cfg.Compression,
-		DeltaPull:   cfg.DeltaPull,
 	}
 }
 

@@ -78,7 +78,7 @@ func (c *cutConn) Recv() (transport.Message, error) {
 // TestWorkerLoopLeasesSurvivePoisoning runs a seeded single-worker RunWorker
 // — a serial schedule, so every bit of it is determined — against a two-shard
 // store whose pull chunks are both big enough to be leased and to ride a lane
-// slot, on each carrier, with dense, fp16 and delta pulls, heartbeats on:
+// slot, on each carrier, with dense and fp16 pulls, heartbeats on:
 //
 //   - the store ends on the parameter hash the copying loop of commit 006d85e
 //     reached (recorded there, per kernel binding), and the replica on the hash
@@ -100,22 +100,17 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 	// without a cut and with one.
 	type hashes struct{ store, replica, storeCut, replicaCut uint64 }
 	for _, pull := range []struct {
-		name  string
-		cfg   compress.Config
-		delta bool
-		want  map[string]hashes
+		name string
+		cfg  compress.Config
+		want map[string]hashes
 	}{
-		{"dense", compress.Config{}, false, map[string]hashes{
+		{"dense", compress.Config{}, map[string]hashes{
 			"avx2": {0xaf21b66125e99085, 0xea7b53437467aa2f, 0xaf21b66125e99085, 0xea7b53437467aa2f},
 			"go":   {0x511f4ddd1491b636, 0x8e182831c0cf1c9a, 0x511f4ddd1491b636, 0x8e182831c0cf1c9a},
 		}},
-		{"fp16", compress.Config{Codec: compress.FP16, Pull: true}, false, map[string]hashes{
+		{"fp16", compress.Config{Codec: compress.FP16, Pull: true}, map[string]hashes{
 			"avx2": {0x0d4e72c73abf8960, 0x9b58d28ddeeefcc3, 0x350c0645826e14c1, 0xaee06f321312c27e},
 			"go":   {0x9a1b523d09b03e03, 0x8e18e8149ca1ca09, 0x59768d1ef8e48972, 0xdc95c92e31bff452},
-		}},
-		{"delta", compress.Config{}, true, map[string]hashes{
-			"avx2": {0xaf21b66125e99085, 0xea7b53437467aa2f, 0xaf21b66125e99085, 0xea7b53437467aa2f},
-			"go":   {0x511f4ddd1491b636, 0x8e182831c0cf1c9a, 0x511f4ddd1491b636, 0x8e182831c0cf1c9a},
 		}},
 	} {
 		for _, carrier := range []string{"channel", "tcp", "lane"} {
@@ -164,7 +159,7 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 							}
 							return conn, err
 						},
-						Compression: cfg, DeltaPull: pull.delta, Shards: 2,
+						Compression: cfg, Shards: 2,
 					}
 
 					replica := build()

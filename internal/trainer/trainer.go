@@ -80,11 +80,6 @@ type Config struct {
 	// set HeartbeatInterval or a HeartbeatTimeout comfortably above the
 	// longest iteration — an evicted honest worker fails the run.
 	ps.Options
-	// DeltaPull makes workers request version-gated delta pulls: each pull
-	// sends the per-shard versions the worker already holds and the server
-	// skips shards unchanged since, trimming pull traffic whenever a worker
-	// pulls before any new update landed.
-	DeltaPull bool
 	// HeartbeatInterval is how often each worker proves liveness; 0 sends no
 	// heartbeats (a dead connection is still detected through Recv errors).
 	HeartbeatInterval time.Duration

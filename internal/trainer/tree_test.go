@@ -58,13 +58,12 @@ func TestTreeTopologyTrainsUnderEveryParadigm(t *testing.T) {
 
 // TestTreeTopologyWithCompressionAndDeltaPull exercises the per-hop byte
 // paths together: child→relay and relay→root pushes compressed with error
-// feedback at each hop, pulls delta-gated and packed through the relay
-// cache.
+// feedback at each hop, pulls packed through the relay's cache, which its
+// replica session keeps delta-gated against the root.
 func TestTreeTopologyWithCompressionAndDeltaPull(t *testing.T) {
 	cfg := smallConfig(core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: 3})
 	cfg.Workers = 4
 	cfg.Fanout = 2
-	cfg.DeltaPull = true
 	cfg.Compression = compress.Config{Codec: compress.Int8, Pull: true}
 	res, err := Run(cfg)
 	if err != nil {

@@ -91,8 +91,7 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 				Seed:       5,
 				// Slow iterations down so the mid-run scrape lands while
 				// training is genuinely live.
-				Delay:   5 * time.Millisecond,
-				Options: Options{DeltaPull: true},
+				Delay: 5 * time.Millisecond,
 			}
 			if w == 0 {
 				cfg.MetricsAddr = "127.0.0.1:0" // one worker exposes its own admin endpoint
@@ -169,7 +168,6 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 		"dssp_checkpoint_errors_total",
 		"dssp_checkpoint_last_failed",
 		"dssp_checkpoint_seconds_count",
-		"dssp_checkpoint_shards_written_total",
 		"dssp_checkpoint_bytes_written_total",
 		"dssp_store_apply_batch_size_sum",
 		"dssp_store_apply_seconds_count",

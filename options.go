@@ -50,7 +50,7 @@ type Guard = ps.GuardConfig
 // which embed it, so cfg.Compression and friends read exactly as before the
 // consolidation. A few fields are one-sided and ignored by the other role:
 // Aggregator, Guard, Elastic, HeartbeatTimeout and Checkpoint act on the
-// server; DeltaPull and HeartbeatInterval act on workers. TrainConfig drives
+// server; HeartbeatInterval acts on workers. TrainConfig drives
 // both sides, so every field applies there.
 type Options struct {
 	// Shards is the number of independently locked parameter-store
@@ -68,10 +68,6 @@ type Options struct {
 	Aggregator Aggregator
 	// Guard enables server-side anomaly screening and eviction.
 	Guard Guard
-	// DeltaPull makes workers request version-gated delta pulls, skipping
-	// the re-download of parameter-store shards unchanged since the
-	// worker's previous pull.
-	DeltaPull bool
 	// Elastic enables worker-churn tolerance on the server: sessions are
 	// lease-monitored and a silent worker is evicted from synchronization
 	// accounting instead of stalling its peers. A dead connection always

@@ -39,8 +39,8 @@ type ServerConfig struct {
 	// Options is the shared serving surface (sharding, compression,
 	// aggregation, guard, elasticity, heartbeat timeout, checkpointing);
 	// its fields are embedded and read as they always did
-	// (cfg.Compression, cfg.Elastic, ...). DeltaPull and HeartbeatInterval
-	// are worker-side knobs and ignored here.
+	// (cfg.Compression, cfg.Elastic, ...). HeartbeatInterval is a
+	// worker-side knob and ignored here.
 	Options
 	// MetricsAddr, when non-empty, starts an admin HTTP listener on that
 	// address serving Prometheus metrics (/metrics), liveness (/healthz), a
@@ -320,9 +320,7 @@ type WorkerConfig struct {
 	// are Compression (the zero value adopts whatever the server speaks; an
 	// explicit codec must match the server's exactly), Shards (when
 	// positive, the store layout this worker expects — a mismatch aborts at
-	// registration; zero accepts any), DeltaPull (request version-gated
-	// delta pulls; ungranting servers keep pulls full) and
-	// HeartbeatInterval. The server-side fields are ignored here.
+	// registration; zero accepts any) and HeartbeatInterval. The server-side fields are ignored here.
 	Options
 	// Adversary, when not 0 or 1, makes this worker Byzantine for robustness
 	// experiments: every pushed gradient is scaled by this factor (e.g. -10
@@ -437,7 +435,6 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		Addr:        cfg.ServerAddr,
 		Worker:      cfg.WorkerID,
 		Compression: cfg.Compression.Normalized(),
-		DeltaPull:   cfg.DeltaPull,
 		Shards:      cfg.Shards,
 		Metrics:     reg,
 	}

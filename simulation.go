@@ -2,7 +2,6 @@ package dssp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -10,21 +9,10 @@ import (
 )
 
 // SimulationConfig controls how the paper's evaluation is regenerated on the
-// built-in cluster simulator.
-type SimulationConfig struct {
-	// Epochs is the number of simulated training epochs (paper: 300).
-	// Smaller values run faster; the curve shapes are unchanged.
-	Epochs int
-	// Seed drives compute-time jitter.
-	Seed int64
-	// Points is the approximate number of samples per accuracy curve.
-	Points int
-}
-
-// experimentConfig converts to the internal representation.
-func (c SimulationConfig) experimentConfig() simulate.ExperimentConfig {
-	return simulate.ExperimentConfig{Epochs: c.Epochs, Seed: c.Seed, Points: c.Points}
-}
+// built-in cluster simulator: Epochs (paper: 300; smaller values run faster
+// with the same curve shapes), Seed for compute-time jitter, and Points, the
+// approximate number of samples per accuracy curve.
+type SimulationConfig = simulate.ExperimentConfig
 
 // Curve is one accuracy-versus-time curve of a regenerated figure.
 type Curve struct {
@@ -93,7 +81,7 @@ func Figure(id string, cfg SimulationConfig) (*FigureResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("dssp: unknown figure %q (valid: %s)", id, strings.Join(FigureIDs(), ", "))
 	}
-	fig, err := run(cfg.experimentConfig())
+	fig, err := run(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -119,34 +107,12 @@ func convertFigure(fig *simulate.Figure) *FigureResult {
 
 // TableIRow is one row of the paper's Table I: time for a paradigm to reach
 // the target test accuracies on the heterogeneous cluster.
-type TableIRow struct {
-	// Paradigm is the row label.
-	Paradigm string
-	// To067 and To068 are the times to reach 0.67 and 0.68 accuracy.
-	To067, To068 time.Duration
-	// Reached067 and Reached068 report whether the targets were reached at
-	// all (the paper prints "-" otherwise).
-	Reached067, Reached068 bool
-}
+type TableIRow = simulate.TableIRow
 
 // TableI regenerates Table I (time to reach 0.67 / 0.68 test accuracy when
 // training ResNet-110 on the heterogeneous two-GPU cluster).
 func TableI(cfg SimulationConfig) ([]TableIRow, error) {
-	rows, err := simulate.TableI(cfg.experimentConfig())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TableIRow, len(rows))
-	for i, r := range rows {
-		out[i] = TableIRow{
-			Paradigm:   r.Label,
-			To067:      r.To067,
-			Reached067: r.Reached067,
-			To068:      r.To068,
-			Reached068: r.Reached068,
-		}
-	}
-	return out, nil
+	return simulate.TableI(cfg)
 }
 
 // PredictionCurve reproduces the situation of Figure 2: for a fast and a slow
@@ -160,38 +126,10 @@ func PredictionCurve(fastInterval, slowInterval time.Duration, rmax int) (waits 
 // ThroughputTrend summarizes §V-C of the paper for one model: how long each
 // paradigm needs to complete the full training run on the homogeneous
 // cluster.
-type ThroughputTrend struct {
-	// Model is the architecture name.
-	Model string
-	// HasFullyConnected reports the model category of §V-C.
-	HasFullyConnected bool
-	// FinishTimes maps paradigm label to completion time, and Order lists
-	// the labels from fastest to slowest.
-	FinishTimes map[string]time.Duration
-	Order       []string
-}
+type ThroughputTrend = simulate.ThroughputTrend
 
 // ThroughputTrends regenerates the §V-C comparison of completion times for
 // every paper model on the homogeneous cluster.
 func ThroughputTrends(cfg SimulationConfig) ([]ThroughputTrend, error) {
-	trends, err := simulate.SectionVCThroughputTrends(cfg.experimentConfig())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ThroughputTrend, len(trends))
-	for i, tr := range trends {
-		t := ThroughputTrend{
-			Model:             tr.Model,
-			HasFullyConnected: tr.HasFullyConnected,
-			FinishTimes:       tr.FinishTimes,
-		}
-		for label := range tr.FinishTimes {
-			t.Order = append(t.Order, label)
-		}
-		sort.Slice(t.Order, func(a, b int) bool {
-			return tr.FinishTimes[t.Order[a]] < tr.FinishTimes[t.Order[b]]
-		})
-		out[i] = t
-	}
-	return out, nil
+	return simulate.SectionVCThroughputTrends(cfg)
 }

@@ -301,7 +301,6 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 		Augment:           augment,
 		Shards:            cfg.Shards,
 		Options:           cfg.Options.serverOptions(),
-		DeltaPull:         cfg.DeltaPull,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		Adversaries:       cfg.Adversaries,
 		Seed:              cfg.Seed,

@@ -46,14 +46,18 @@ lease-stress:
 # here — the codec kernels against the same bit-for-bit reference and the same
 # end-to-end hash (internal/ps) the assembly is held to, the worker loop
 # against the parameter hashes recorded for the Go loops — and an arm64
-# cross-build compiles and vets what a non-amd64 target gets. purego is for
-# this step, not a tuning knob. The darwin build
+# cross-build compiles and vets what a non-amd64 target gets. The noavx512 tag
+# does the same for the AVX2 panels on a machine that binds the AVX-512 ones:
+# the tensor tests, the layer hash pins and the worker-loop hash pins run on
+# them too. purego and noavx512 are for this step, not tuning knobs. The darwin build
 # compiles the stub every non-Linux target gets in place of the same-host
 # lane (internal/transport/lane_other.go), so it cannot rot.
 portable:
 	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/optimizer/ ./internal/compress/
 	$(GO) test -tags purego -run 'TestCodecKernelsEndToEndPin' ./internal/ps/
 	$(GO) test -tags purego -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
+	$(GO) test -tags noavx512 ./internal/cpu/ ./internal/tensor/ ./internal/nn/
+	$(GO) test -tags noavx512 -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/cpu/ ./internal/tensor/ ./internal/compress/
 	GOOS=darwin $(GO) build ./...
@@ -94,10 +98,11 @@ bench-json:
 # BenchmarkPackPullPath/fp16 and BenchmarkDecompress/fp16 are the other three
 # codec passes of a compressed iteration (server pack, and the decode both ends
 # run), at all three magnitudes.
-# BenchmarkMatMul128 runs as BenchmarkMatMul128/kernel=avx2 or /kernel=go, and
-# the three codec pins as .../kernel=f16c or /kernel=go, whichever kernel the
-# machine binds; the baseline holds both (bench-baseline appends a -tags purego
-# run) and the pin, a prefix, gates the one produced.
+# BenchmarkMatMul128 runs as BenchmarkMatMul128/kernel=avx512, /kernel=avx2 or
+# /kernel=go, and the three codec pins as .../kernel=f16c or /kernel=go,
+# whichever kernel the machine binds; the baseline holds every one
+# (bench-baseline appends a -tags noavx512 and a -tags purego run) and the pin,
+# a prefix, gates the one produced.
 # BenchmarkMatMulConvShapes/16x144x1024 is the widest conv product of ResNet-8
 # in its three kinds (forward, dW, dcol: the tile and dot panels each under
 # its own name) and BenchmarkResNet8IterationBatch8 one whole forward+backward
@@ -112,7 +117,7 @@ bench-json:
 # falling off its kernel, costs either 25% or more. All three are named by
 # kernel too.
 # The pins whose names carry the kernel binding: bench-baseline measures these
-# a second time under -tags purego.
+# again under -tags noavx512 and -tags purego.
 BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkResNet8IterationBatch8|BenchmarkFusedStepMomentumBatch4|BenchmarkFusedStepPlain262k|BenchmarkWorkerIteration|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
 BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB
 BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkFusedStepPlain262k,BenchmarkWorkerIteration,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB
@@ -131,14 +136,17 @@ BENCH_GATE_KERNEL_PKGS = ./internal/tensor/ ./internal/nn/ ./internal/optimizer/
 # gate benchmarks are then re-measured at the gate's own benchtime and
 # appended — benchjson keeps the last entry per name, so the gated numbers
 # in the baseline are like-for-like with what bench-gate measures. The last
-# run records the kernel-named pins under the Go loops as well (kernel=go), so
-# the gate has a like-for-like number on a runner without AVX2 or F16C. The
+# two runs record the kernel-named pins under the AVX2 panels (kernel=avx2, on
+# a machine that binds the AVX-512 ones) and under the Go loops (kernel=go), so
+# the gate has a like-for-like number on a runner without AVX-512, AVX2 or
+# F16C. The
 # SSP and ASP policy steps cost about a hundred nanoseconds, so ten iterations
 # of them measure set-up, not the step: they are re-measured at 1s.
 bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchtime=10x -benchmem ./... > bench-baseline.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(SSP|ASP)OnPush$$' -benchtime=1s -benchmem ./internal/core/ >> bench-baseline.txt
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_PKGS) >> bench-baseline.txt
+	$(GO) test -tags noavx512 -run '^$$' -bench '$(BENCH_GATE_KERNEL_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_KERNEL_PKGS) >> bench-baseline.txt
 	$(GO) test -tags purego -run '^$$' -bench '$(BENCH_GATE_KERNEL_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_KERNEL_PKGS) >> bench-baseline.txt
 	$(GO) run ./cmd/benchjson -in bench-baseline.txt -out BENCH_baseline.json
 

@@ -7,7 +7,8 @@
 // the block re-read and re-written every four steps, the right operand
 // streamed once per output row — a panel keeps a tile of the output in YMM
 // registers across the whole k sweep and reads the right operand once per
-// four output rows. One call walks every tile of its panel.
+// four output rows. One call walks every tile of its panel. The AVX-512
+// forms at the end of the file hold the same tiles at twice the width.
 
 // ·tailMask is eight all-ones words followed by eight zero words: the 32
 // (or 16) bytes at offset 32-4r are a lane mask with the first r lanes set.
@@ -282,4 +283,287 @@ dot_store:
 
 dot_done:
 	VZEROUPPER
+	RET
+
+// AVX-512 forms of the two panels above, bound where the CPU and the OS
+// support AVX512F (kernels_amd64.go), which is all they use. Each builds every
+// output by the chain of its AVX2 twin — the same operations on the same
+// operands in the same order, only sixteen lanes at a time — so the two
+// bindings agree bit for bit; what they cannot take sixteen lanes at a time
+// (an odd last tile, rows after whole quads, fewer than four columns) they
+// hand to the AVX2 panel with a tail call, its arguments advanced in place.
+// Only Z0-Z15 are used, which VZEROUPPER clears as it does Y0-Y15.
+
+// One k-step of the 4×32 tile: two vectors of the b row, one broadcast per a
+// row, eight single-rounded multiply-adds (FMASTEP at twice the width).
+#define FMASTEP512(b0, b1) \
+	VMOVUPS      b0, Z8          \
+	VMOVUPS      b1, Z9          \
+	VBROADCASTSS (SI), Z10       \
+	VBROADCASTSS (SI)(R8*1), Z11 \
+	VBROADCASTSS (SI)(R8*2), Z12 \
+	VBROADCASTSS (SI)(R9*1), Z13 \
+	VFMADD231PS  Z8, Z10, Z0     \
+	VFMADD231PS  Z9, Z10, Z1     \
+	VFMADD231PS  Z8, Z11, Z2     \
+	VFMADD231PS  Z9, Z11, Z3     \
+	VFMADD231PS  Z8, Z12, Z4     \
+	VFMADD231PS  Z9, Z12, Z5     \
+	VFMADD231PS  Z8, Z13, Z6     \
+	VFMADD231PS  Z9, Z13, Z7     \
+	ADDQ         R10, SI
+
+// The k%4 tail step, rounding the product before the add (MULADD).
+#define MULADD512(a, b, acc) \
+	VMULPS b, a, Z14      \
+	VADDPS Z14, acc, acc
+
+// func gemmPanelAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, ldb, k, tiles int, acc bool)
+//
+// gemmPanelAVX2's contract: tiles counts 16-column tiles. Pairs of them go
+// through a 4×32 tile held in Z0-Z7; an odd last one goes to the AVX2 panel.
+TEXT ·gemmPanelAVX512(SB), NOSPLIT, $0-73
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), CX
+	SHLQ $2, CX
+	LEAQ (CX)(CX*2), BX          // 3 c rows, bytes
+	MOVQ ars+24(FP), R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9          // 3 a rows
+	MOVQ aks+32(FP), R10
+	SHLQ $2, R10
+	MOVQ b+40(FP), AX
+	MOVQ ldb+48(FP), R11
+	SHLQ $2, R11
+	LEAQ (R11)(R11*2), R12       // 3 b rows
+	CMPQ tiles+64(FP), $2
+	JLT  gemm512_odd
+
+gemm512_tile:
+	MOVQ a+16(FP), SI
+	MOVQ AX, R13                 // R13 walks b's k axis
+	CMPB acc+72(FP), $0
+	JEQ  gemm512_zero
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS (DI)(CX*1), Z2
+	VMOVUPS 64(DI)(CX*1), Z3
+	VMOVUPS (DI)(CX*2), Z4
+	VMOVUPS 64(DI)(CX*2), Z5
+	VMOVUPS (DI)(BX*1), Z6
+	VMOVUPS 64(DI)(BX*1), Z7
+	JMP  gemm512_k4
+
+gemm512_zero:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+gemm512_k4:
+	MOVQ k+56(FP), DX
+	SHRQ $2, DX
+	JZ   gemm512_ktail
+
+gemm512_k4loop:
+	FMASTEP512((R13), 64(R13))
+	FMASTEP512((R13)(R11*1), 64(R13)(R11*1))
+	FMASTEP512((R13)(R11*2), 64(R13)(R11*2))
+	FMASTEP512((R13)(R12*1), 64(R13)(R12*1))
+	LEAQ (R13)(R11*4), R13
+	DECQ DX
+	JNZ  gemm512_k4loop
+
+gemm512_ktail:
+	MOVQ k+56(FP), DX
+	ANDQ $3, DX
+	JZ   gemm512_store
+
+gemm512_ktailloop:
+	VMOVUPS      (R13), Z8
+	VMOVUPS      64(R13), Z9
+	VBROADCASTSS (SI), Z10
+	VBROADCASTSS (SI)(R8*1), Z11
+	VBROADCASTSS (SI)(R8*2), Z12
+	VBROADCASTSS (SI)(R9*1), Z13
+	MULADD512(Z10, Z8, Z0)
+	MULADD512(Z10, Z9, Z1)
+	MULADD512(Z11, Z8, Z2)
+	MULADD512(Z11, Z9, Z3)
+	MULADD512(Z12, Z8, Z4)
+	MULADD512(Z12, Z9, Z5)
+	MULADD512(Z13, Z8, Z6)
+	MULADD512(Z13, Z9, Z7)
+	ADDQ R10, SI
+	ADDQ R11, R13
+	DECQ DX
+	JNZ  gemm512_ktailloop
+
+gemm512_store:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, (DI)(CX*1)
+	VMOVUPS Z3, 64(DI)(CX*1)
+	VMOVUPS Z4, (DI)(CX*2)
+	VMOVUPS Z5, 64(DI)(CX*2)
+	VMOVUPS Z6, (DI)(BX*1)
+	VMOVUPS Z7, 64(DI)(BX*1)
+	ADDQ $128, DI
+	ADDQ $128, AX
+	SUBQ $2, tiles+64(FP)
+	CMPQ tiles+64(FP), $2
+	JGE  gemm512_tile
+	VZEROUPPER
+
+gemm512_odd:
+	CMPQ tiles+64(FP), $0
+	JEQ  gemm512_done
+	MOVQ DI, c+0(FP)
+	MOVQ AX, b+40(FP)
+	JMP  ·gemmPanelAVX2(SB)
+
+gemm512_done:
+	RET
+
+// func dotPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
+//
+// dotPanelAVX2's contract. With four columns, rows go four at a time: each
+// ZMM accumulator holds the eight-lane sums of two outputs of one a row, b
+// rows 0|1 or 2|3 in its low|high halves, against that a row broadcast into
+// both; the k%8 tail is a zeroing masked load, as VMASKMOVPS is. The halves
+// are then split and reduced by REDUCE4 exactly as the AVX2 panel reduces
+// its four accumulators of a row. Rows after the last whole quad, and any
+// call with fewer than four columns, go to the AVX2 panel.
+TEXT ·dotPanelAVX512(SB), NOSPLIT, $0-73
+	CMPQ cols+56(FP), $4
+	JLT  dot512_avx2
+	CMPQ rows+32(FP), $4
+	JLT  dot512_avx2
+	MOVQ k+64(FP), CX
+	ANDQ $7, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1                 // K1: the first k%8 lanes
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), CX
+	SHLQ $2, CX
+	LEAQ (CX)(CX*2), R10         // 3 c rows, bytes
+	MOVQ a+16(FP), R9            // R9: the quad's first a row
+	MOVQ lda+24(FP), DX
+	SHLQ $2, DX
+	LEAQ (DX)(DX*2), R13         // 3 a rows
+	MOVQ ldb+48(FP), AX
+	SHLQ $2, AX
+	LEAQ (AX)(AX*2), R11         // 3 b rows
+	MOVQ k+64(FP), R12
+	SHRQ $3, R12                 // R12: whole vectors of k
+
+dot512_quad:
+	MOVQ R9, SI                  // SI walks the a rows' k axis
+	MOVQ b+40(FP), R8            // R8 the b rows'
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ R12, BX
+	TESTQ BX, BX
+	JZ   dot512_ktail
+
+dot512_k8loop:
+	VBROADCASTF64X4 (SI), Z8
+	VBROADCASTF64X4 (SI)(DX*1), Z9
+	VBROADCASTF64X4 (SI)(DX*2), Z10
+	VBROADCASTF64X4 (SI)(R13*1), Z11
+	VMOVUPS         (R8), Y12
+	VINSERTF64X4    $1, (R8)(AX*1), Z12, Z12
+	VMOVUPS         (R8)(AX*2), Y13
+	VINSERTF64X4    $1, (R8)(R11*1), Z13, Z13
+	VFMADD231PS     Z12, Z8, Z0
+	VFMADD231PS     Z13, Z8, Z1
+	VFMADD231PS     Z12, Z9, Z2
+	VFMADD231PS     Z13, Z9, Z3
+	VFMADD231PS     Z12, Z10, Z4
+	VFMADD231PS     Z13, Z10, Z5
+	VFMADD231PS     Z12, Z11, Z6
+	VFMADD231PS     Z13, Z11, Z7
+	ADDQ            $32, SI
+	ADDQ            $32, R8
+	DECQ            BX
+	JNZ             dot512_k8loop
+
+dot512_ktail:
+	TESTQ $7, k+64(FP)
+	JZ    dot512_reduce
+	VMOVUPS.Z     (SI), K1, Z8
+	VSHUFF64X2    $0x44, Z8, Z8, Z8
+	VMOVUPS.Z     (SI)(DX*1), K1, Z9
+	VSHUFF64X2    $0x44, Z9, Z9, Z9
+	VMOVUPS.Z     (SI)(DX*2), K1, Z10
+	VSHUFF64X2    $0x44, Z10, Z10, Z10
+	VMOVUPS.Z     (SI)(R13*1), K1, Z11
+	VSHUFF64X2    $0x44, Z11, Z11, Z11
+	VMOVUPS.Z     (R8), K1, Z12
+	VMOVUPS.Z     (R8)(AX*1), K1, Z14
+	VINSERTF64X4  $1, Y14, Z12, Z12
+	VMOVUPS.Z     (R8)(AX*2), K1, Z13
+	VMOVUPS.Z     (R8)(R11*1), K1, Z15
+	VINSERTF64X4  $1, Y15, Z13, Z13
+	VFMADD231PS   Z12, Z8, Z0
+	VFMADD231PS   Z13, Z8, Z1
+	VFMADD231PS   Z12, Z9, Z2
+	VFMADD231PS   Z13, Z9, Z3
+	VFMADD231PS   Z12, Z10, Z4
+	VFMADD231PS   Z13, Z10, Z5
+	VFMADD231PS   Z12, Z11, Z6
+	VFMADD231PS   Z13, Z11, Z7
+
+dot512_reduce:
+	VEXTRACTF64X4 $1, Z0, Y8
+	VEXTRACTF64X4 $1, Z1, Y9
+	REDUCE4(Y0, Y8, Y1, Y9, X0, X10)
+	VEXTRACTF64X4 $1, Z2, Y8
+	VEXTRACTF64X4 $1, Z3, Y9
+	REDUCE4(Y2, Y8, Y3, Y9, X2, X10)
+	VEXTRACTF64X4 $1, Z4, Y8
+	VEXTRACTF64X4 $1, Z5, Y9
+	REDUCE4(Y4, Y8, Y5, Y9, X4, X10)
+	VEXTRACTF64X4 $1, Z6, Y8
+	VEXTRACTF64X4 $1, Z7, Y9
+	REDUCE4(Y6, Y8, Y7, Y9, X6, X10)
+	CMPB acc+72(FP), $0
+	JEQ  dot512_store
+	VADDPS (DI), X0, X0
+	VADDPS (DI)(CX*1), X2, X2
+	VADDPS (DI)(CX*2), X4, X4
+	VADDPS (DI)(R10*1), X6, X6
+
+dot512_store:
+	VMOVUPS X0, (DI)
+	VMOVUPS X2, (DI)(CX*1)
+	VMOVUPS X4, (DI)(CX*2)
+	VMOVUPS X6, (DI)(R10*1)
+	LEAQ (DI)(CX*4), DI
+	LEAQ (R9)(DX*4), R9
+	SUBQ $4, rows+32(FP)
+	CMPQ rows+32(FP), $4
+	JGE  dot512_quad
+	VZEROUPPER
+	CMPQ rows+32(FP), $0
+	JEQ  dot512_done
+	MOVQ DI, c+0(FP)
+	MOVQ R9, a+16(FP)
+
+dot512_avx2:
+	JMP ·dotPanelAVX2(SB)
+
+dot512_done:
 	RET

@@ -17,6 +17,12 @@ func gemmPanelAVX2(c *float32, ldc int, a *float32, ars, aks int, b *float32, ld
 //go:noescape
 func dotPanelAVX2(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
 
+//go:noescape
+func gemmPanelAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, ldb, k, tiles int, acc bool)
+
+//go:noescape
+func dotPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
+
 // Implemented in slices_amd64.s. Except addRowsAVX2, each takes whole windows
 // of eight floats and trusts the other operands to be at least as long as the
 // first.
@@ -180,6 +186,16 @@ func sgdGradSum(gs [][]float32, j int) float32 {
 // and pays from ≈1 ms: 1<<26 flops is 0.8 ms at this rate, the Go loops'
 // 1<<21 0.4 ms at theirs. The grain keeps its ratio to the threshold; two
 // cores cannot measure it (chunks are capped at GOMAXPROCS).
+//
+// The AVX-512 panels run the same products at ≈130 Gflop/s, and the same
+// constants hold for them. Measured the same way on an AVX-512 box (2 vCPU,
+// Emerald Rapids; the AVX2 panels there at ≈70 Gflop/s in brackets): 128³
+// 29-34 vs 33-41 [57-60 vs 65-78]; 16×144×1024 35-39 vs 42-45 [64-76 vs
+// 75-81]; 192³ 95-110 vs 112-125 [190-198 vs 169-208]; 256³ 227-335 vs 212-253
+// [457-484 vs 314-339]; 384³ 842-1216 vs 564-678 [1540-1748 vs 964-1149]; 512³
+// 2004-2262 vs 1366-1706; 4×8192×32 17-20 vs 150-182. Fan-out breaks even
+// near 256³ and pays by 384³, so 1<<26 — 0.5 ms at this rate — still falls
+// between the two.
 const (
 	asmParallelMinFlops = 1 << 26
 	asmGrainFlops       = 1 << 23
@@ -187,7 +203,10 @@ const (
 
 func init() {
 	if cpu.AVX2 && cpu.FMA && cpu.YMM {
-		fma4Rows, gemmPanel, dotPanel, asmKernels = fma4RowsAVX2, gemmPanelAVX2, dotPanelAVX2, true
+		fma4Rows, gemmPanel, dotPanel, kernel = fma4RowsAVX2, gemmPanelAVX2, dotPanelAVX2, "avx2"
+		if cpu.AVX512F && cpu.ZMM {
+			gemmPanel, dotPanel, kernel = gemmPanelAVX512, dotPanelAVX512, "avx512"
+		}
 		addSlice, axpySlice, scaleSlice, addScalarSlice = addSliceAsm, axpySliceAsm, scaleSliceAsm, addScalarSliceAsm
 		sumSlice, maskNonNeg, addRows = sumSliceAsm, maskNonNegAsm, addRowsAVX2
 		sumF64, sumSqDevF64, sumDot = sumF64Asm, sumSqDevF64Asm, sumDotAsm

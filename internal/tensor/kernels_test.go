@@ -8,8 +8,9 @@ import (
 )
 
 // The tests below hold whatever the kernel seams are bound to (the AVX2+FMA
-// assembly where the probe passed, the Go loops under -tags purego or on
-// other hardware) to the Go loops: fma4Rows to mm4Rows, the slice kernels to
+// assembly where the probe passed, with the panels in AVX-512 form where the
+// CPU has AVX512F as well, the Go loops under -tags purego or on other
+// hardware) to the Go loops: fma4Rows to mm4Rows, the slice kernels to
 // their ...Go forms, and the register-tiled panels, which exist in assembly
 // only, to the row loops they replace.
 //
@@ -529,7 +530,7 @@ func TestMatMulPanelsBitIdenticalToRowLoops(t *testing.T) {
 // assembly's fan-out threshold. (The Go loops' threshold prices a wake-up at
 // their own rate, at which the same products are a millisecond.)
 func TestRealShapesStaySerial(t *testing.T) {
-	if !asmKernels {
+	if kernel == "go" {
 		t.Skip("holds the assembly's thresholds")
 	}
 	shapes := [][3]int{{4, 8192, 32}, {8192, 4, 32}, {4, 32, 8192}} // the wide MLP's dense layer: y, dW, dx

@@ -33,15 +33,16 @@ import "fmt"
 // mmTileI×mmTileJ block of a plain or transposed-A product, or two rows by
 // four columns of a transposed-B one, held in registers across the whole k
 // sweep. They exist in assembly only and stay nil elsewhere; mmRowRange
-// then runs the row loops alone.
+// then runs the row loops alone. Where the CPU has AVX-512 too, the panels
+// are their AVX-512 forms, bit-identical to the AVX2 ones.
 //
-// All are rebound once, at package init, when the CPU probe passes;
-// asmKernels records that for the tests.
+// All are rebound once, at package init, when the CPU probe passes; kernel
+// names the binding that is live.
 var (
-	fma4Rows   = mm4Rows
-	gemmPanel  func(c *float32, ldc int, a *float32, ars, aks int, b *float32, ldb, k, tiles int, acc bool)
-	dotPanel   func(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
-	asmKernels bool
+	fma4Rows  = mm4Rows
+	gemmPanel func(c *float32, ldc int, a *float32, ars, aks int, b *float32, ldb, k, tiles int, acc bool)
+	dotPanel  func(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
+	kernel    = "go"
 )
 
 // The output tile gemmPanel holds in registers.
@@ -50,14 +51,10 @@ const (
 	mmTileJ = 16
 )
 
-// Kernel names the binding of the package's kernels: "avx2" for the
-// assembly, "go" for the portable loops.
-func Kernel() string {
-	if asmKernels {
-		return "avx2"
-	}
-	return "go"
-}
+// Kernel names the binding of the package's kernels: "avx512" for the
+// assembly with the AVX-512 panels, "avx2" for the assembly without them,
+// "go" for the portable loops.
+func Kernel() string { return kernel }
 
 // mmParallelMinFlops is the size threshold (in multiply-add flops, counted
 // as 2·m·k·n) below which a product stays on the calling goroutine. Small

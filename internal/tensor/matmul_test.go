@@ -134,7 +134,7 @@ func TestMatMulTransBBitIdenticalToScalarReference(t *testing.T) {
 	// accumulation order, so it must match the reference exactly, not just
 	// within tolerance. The vector dot4 sums eight lanes apart; the next test
 	// bounds it.
-	if asmKernels {
+	if kernel != "go" {
 		t.Skip("assembly dot4 reassociates the k-sum; exactness holds under -tags purego")
 	}
 	property := func(seed int64) bool {

@@ -81,8 +81,8 @@ func (c *cutConn) Recv() (transport.Message, error) {
 // slot, on each carrier, with dense and fp16 pulls, heartbeats on:
 //
 //   - the store ends on the parameter hash the copying loop of commit 006d85e
-//     reached (recorded there, per kernel binding), and the replica on the hash
-//     of the last weights pulled;
+//     reached (recorded there, per kernel binding; the AVX-512 panels reach
+//     the AVX2 hashes), and the replica on the hash of the last weights pulled;
 //   - after the run — client closed, two collections — the replica reads its
 //     own memory: a parameter still aliasing a pooled frame would read poison,
 //     one aliasing a lane slot would fault on the unmapped arena;
@@ -105,12 +105,14 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 		want map[string]hashes
 	}{
 		{"dense", compress.Config{}, map[string]hashes{
-			"avx2": {0xaf21b66125e99085, 0xea7b53437467aa2f, 0xaf21b66125e99085, 0xea7b53437467aa2f},
-			"go":   {0x511f4ddd1491b636, 0x8e182831c0cf1c9a, 0x511f4ddd1491b636, 0x8e182831c0cf1c9a},
+			"avx512": {0xaf21b66125e99085, 0xea7b53437467aa2f, 0xaf21b66125e99085, 0xea7b53437467aa2f},
+			"avx2":   {0xaf21b66125e99085, 0xea7b53437467aa2f, 0xaf21b66125e99085, 0xea7b53437467aa2f},
+			"go":     {0x511f4ddd1491b636, 0x8e182831c0cf1c9a, 0x511f4ddd1491b636, 0x8e182831c0cf1c9a},
 		}},
 		{"fp16", compress.Config{Codec: compress.FP16, Pull: true}, map[string]hashes{
-			"avx2": {0x0d4e72c73abf8960, 0x9b58d28ddeeefcc3, 0x350c0645826e14c1, 0xaee06f321312c27e},
-			"go":   {0x9a1b523d09b03e03, 0x8e18e8149ca1ca09, 0x59768d1ef8e48972, 0xdc95c92e31bff452},
+			"avx512": {0x0d4e72c73abf8960, 0x9b58d28ddeeefcc3, 0x350c0645826e14c1, 0xaee06f321312c27e},
+			"avx2":   {0x0d4e72c73abf8960, 0x9b58d28ddeeefcc3, 0x350c0645826e14c1, 0xaee06f321312c27e},
+			"go":     {0x9a1b523d09b03e03, 0x8e18e8149ca1ca09, 0x59768d1ef8e48972, 0xdc95c92e31bff452},
 		}},
 	} {
 		for _, carrier := range []string{"channel", "tcp", "lane"} {

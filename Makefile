@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
+.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check orphans fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
 
 all: build
 
@@ -206,6 +206,21 @@ surface:
 surface-check:
 	@$(MAKE) -s --no-print-directory surface | diff -u SURFACE.txt -
 
+# Packages no product code reaches: every internal/ package outside the
+# non-test dependency closure of the root package, ./cmd/... and
+# ./examples/... fails the target. A library nothing ships is deleted with its
+# tests, not kept; the one allowed entry is the test harness
+# internal/cluster/clustertest, which only tests import.
+ORPHANS_ALLOWED = dssp/internal/cluster/clustertest
+orphans:
+	@reached=$$($(GO) list -deps . ./cmd/... ./examples/... | grep '^dssp/internal/'); \
+	orphans=$$($(GO) list ./internal/... | grep -vxF -e "$$reached" -e '$(ORPHANS_ALLOWED)'); \
+	if [ -n "$$orphans" ]; then \
+		echo "internal packages no product code imports:" >&2; \
+		echo "$$orphans" >&2; \
+		exit 1; \
+	fi
+
 # Run the fuzz corpus seeds as plain regression tests (no fuzzing engine):
 # exactly what CI executes so a decoder regression fails fast everywhere.
 fuzz-seeds:
@@ -272,4 +287,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt-check vet loc surface-check race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke
+ci: build fmt-check vet loc surface-check orphans race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke

@@ -215,7 +215,7 @@ func run(model, cluster string, workers int, paradigm string, staleness, rng int
 	fmt.Printf("  updates applied     %d (%.1f/s)\n", len(result.Updates), result.Throughput())
 	fmt.Printf("  dropped updates     %d\n", result.DroppedUpdates)
 	fmt.Printf("  staleness           mean %.2f, p95 %d, max %d\n",
-		result.MeanStaleness(), result.Staleness.Quantile(0.95), result.Staleness.Max())
+		result.MeanStaleness(), result.StalenessQuantile(0.95), result.MaxStaleness())
 	for w, wait := range result.Waits {
 		fmt.Printf("  worker %d (%s) waited %s\n", w, spec.Workers[w].Name, wait.Round(time.Second))
 	}

@@ -222,7 +222,7 @@ func (c *Cell) observe(res *trainer.Result, attackers map[int]bool, workers int)
 	if res.FinalAccuracy < c.MinAccuracy {
 		c.MinAccuracy = res.FinalAccuracy
 	}
-	c.MeanDropped += float64(res.Dropped + res.Guard.DroppedPushes)
+	c.MeanDropped += float64(res.Dropped)
 	c.MeanEvictions += float64(len(res.Guard.Evicted))
 	if c.Pipeline == nil {
 		c.Pipeline = make(map[string]float64, len(res.Metrics))

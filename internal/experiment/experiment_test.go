@@ -105,6 +105,41 @@ func TestGuardDetectionRates(t *testing.T) {
 	}
 }
 
+// TestGuardRejectionsCountedOnce: the pushes the guard rejects — every
+// flagged one, the push that evicts the lying clock included — are one
+// number on every surface: the server's drops less the policy's, GuardStats,
+// the guard's dropped-push series, and a one-trial cell's mean drops, which
+// reproduces the direct run (trial 0 uses the base seed).
+func TestGuardRejectionsCountedOnce(t *testing.T) {
+	base := baseTraining()
+	base.Policy = core.PolicyConfig{Paradigm: core.ParadigmASP}
+	attack, defense := LyingClockAttack(3), GuardedDefense(SumDefense())
+
+	run := base
+	run.Adversaries = attack.adversaries()
+	run.Guard = defense.Guard
+	res, err := trainer.Run(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guarded := res.Dropped - int(res.Metrics[`dssp_push_dropped_total{reason="policy"}`])
+	if guarded < ps.DefaultMaxStrikes {
+		t.Fatalf("%d guard rejections, want at least the %d strikes that evict", guarded, ps.DefaultMaxStrikes)
+	}
+	if res.Guard.DroppedPushes != guarded || res.Metrics[`dssp_push_dropped_total{reason="guard"}`] != float64(guarded) {
+		t.Fatalf("guard rejections: %d from Dropped, %d in GuardStats, %v on /metrics; want one count",
+			guarded, res.Guard.DroppedPushes, res.Metrics[`dssp_push_dropped_total{reason="guard"}`])
+	}
+
+	report, err := Run(ScenarioConfig{Base: base, Attacks: []Attack{attack}, Defenses: []Defense{defense}, Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell := report.Cells[0]; cell.MeanDropped != float64(guarded) {
+		t.Fatalf("one-trial cell mean drops %v, want the run's %d guard rejections", cell.MeanDropped, guarded)
+	}
+}
+
 func TestMatrixValidation(t *testing.T) {
 	cfg := ScenarioConfig{
 		Base:    baseTraining(),

@@ -1,13 +1,11 @@
-// Package metrics collects the measurements reported in the paper's
-// evaluation: accuracy-versus-training-time curves (Figures 3 and 4),
-// time-to-target-accuracy (Table I), iteration throughput, worker waiting
-// time and the staleness distribution of applied updates.
+// Package metrics holds the accuracy-versus-training-time curves of the
+// paper's evaluation (Figures 3 and 4) and the time-to-target-accuracy read
+// off them (Table I). A running server's counters, staleness and waits live
+// in internal/obs; the simulator reads them off its own update log.
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -119,124 +117,4 @@ func (s *TimeSeries) Downsample(n int) *TimeSeries {
 		out.points = append(out.points, s.points[idx])
 	}
 	return out
-}
-
-// Histogram accumulates integer observations (e.g. the staleness of applied
-// updates) and reports summary statistics.
-type Histogram struct {
-	counts map[int]int
-	total  int
-	sum    int64
-	max    int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int)}
-}
-
-// Observe records one observation of v (negative values are clamped to 0).
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	h.counts[v]++
-	h.total++
-	h.sum += int64(v)
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int { return h.total }
-
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() int { return h.max }
-
-// Quantile returns the smallest value v such that at least q (0..1) of the
-// observations are <= v. It returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) int {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	need := int(math.Ceil(q * float64(h.total)))
-	if need == 0 {
-		need = 1
-	}
-	seen := 0
-	for _, k := range keys {
-		seen += h.counts[k]
-		if seen >= need {
-			return k
-		}
-	}
-	return keys[len(keys)-1]
-}
-
-// Buckets returns the observed values and their counts sorted by value.
-func (h *Histogram) Buckets() ([]int, []int) {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	counts := make([]int, len(keys))
-	for i, k := range keys {
-		counts[i] = h.counts[k]
-	}
-	return keys, counts
-}
-
-// WaitTracker accumulates per-worker waiting time (the quantity DSSP's
-// controller tries to minimize).
-type WaitTracker struct {
-	total []time.Duration
-}
-
-// NewWaitTracker returns a tracker for n workers.
-func NewWaitTracker(n int) *WaitTracker {
-	return &WaitTracker{total: make([]time.Duration, n)}
-}
-
-// Record adds one waiting episode of duration d for worker w.
-func (wt *WaitTracker) Record(w int, d time.Duration) {
-	if w < 0 || w >= len(wt.total) {
-		panic(fmt.Sprintf("metrics: worker %d out of range [0,%d)", w, len(wt.total)))
-	}
-	if d < 0 {
-		d = 0
-	}
-	wt.total[w] += d
-}
-
-// Total returns worker w's accumulated waiting time.
-func (wt *WaitTracker) Total(w int) time.Duration { return wt.total[w] }
-
-// Sum returns the total waiting time across all workers.
-func (wt *WaitTracker) Sum() time.Duration {
-	var s time.Duration
-	for _, d := range wt.total {
-		s += d
-	}
-	return s
 }

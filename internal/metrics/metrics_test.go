@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -91,59 +90,4 @@ func TestTimeSeriesDownsample(t *testing.T) {
 	if small.Downsample(10).Len() != 1 {
 		t.Fatal("downsample of short series should keep all points")
 	}
-}
-
-func TestHistogramStatistics(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-	for _, v := range []int{0, 1, 1, 2, 3, 3, 3, 10, -4} {
-		h.Observe(v)
-	}
-	if h.Count() != 9 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Max() != 10 {
-		t.Fatalf("Max = %d", h.Max())
-	}
-	wantMean := float64(0+1+1+2+3+3+3+10+0) / 9
-	if math.Abs(h.Mean()-wantMean) > 1e-9 {
-		t.Fatalf("Mean = %v, want %v", h.Mean(), wantMean)
-	}
-	if q := h.Quantile(0.5); q != 2 {
-		t.Fatalf("median = %d, want 2", q)
-	}
-	if q := h.Quantile(1.0); q != 10 {
-		t.Fatalf("q100 = %d, want 10", q)
-	}
-	values, counts := h.Buckets()
-	if len(values) != len(counts) || len(values) == 0 {
-		t.Fatal("buckets malformed")
-	}
-	if values[0] != 0 {
-		t.Fatalf("first bucket %d, want 0 (negatives clamp to 0)", values[0])
-	}
-}
-
-func TestWaitTracker(t *testing.T) {
-	wt := NewWaitTracker(2)
-	wt.Record(0, 2*time.Second)
-	wt.Record(0, 3*time.Second)
-	wt.Record(1, -time.Second) // clamped to 0
-	if wt.Total(0) != 5*time.Second {
-		t.Fatalf("Total(0) = %v", wt.Total(0))
-	}
-	if wt.Total(1) != 0 {
-		t.Fatalf("Total(1) = %v", wt.Total(1))
-	}
-	if wt.Sum() != 5*time.Second {
-		t.Fatalf("Sum = %v", wt.Sum())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range worker")
-		}
-	}()
-	wt.Record(5, time.Second)
 }

@@ -7,9 +7,9 @@
 // The registry is deliberately small: hot paths touch only atomics (no
 // locks, no allocation), and everything heavier — family lookup, label
 // resolution, exposition — happens either at construction time or at
-// scrape time. Unlike internal/metrics, which aggregates a finished run
-// post-hoc on a single goroutine, obs instruments a *running* server and
-// must tolerate concurrent writers.
+// scrape time. It is the one source of a running server's numbers: the
+// end-of-run staleness, waits and drop counts a caller reads back are the
+// series a scrape exports, safe to read while writers are still active.
 package obs
 
 import (

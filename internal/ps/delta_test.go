@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -77,7 +76,7 @@ func TestDeltaPullServesCorrectWeightsAcrossUpdates(t *testing.T) {
 			if version != wantVersion {
 				t.Fatalf("round %d rep %d: pulled version %d, want %d", round, rep, version, wantVersion)
 			}
-			if !bytes.Equal(tensor.EncodeTensors(params), tensor.EncodeTensors(want)) {
+			if !sameTensors(params, want) {
 				t.Fatalf("round %d rep %d: pulled weights diverge from the store snapshot", round, rep)
 			}
 		}
@@ -132,14 +131,17 @@ func TestDeltaPullWithCompressedPullPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		firstBytes := tensor.EncodeTensors(first)
+		firstCopy := make([]*tensor.Tensor, len(first))
+		for i, p := range first {
+			firstCopy[i] = p.Clone()
+		}
 		_, afterFirst := client.Traffic()
 		again, _, err := client.Pull()
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, afterSecond := client.Traffic()
-		if !bytes.Equal(firstBytes, tensor.EncodeTensors(again)) {
+		if !sameTensors(firstCopy, again) {
 			t.Fatalf("round %d: repeated pull of an unchanged store returned different weights", round)
 		}
 		if afterSecond != afterFirst {
@@ -223,7 +225,7 @@ func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(tensor.EncodeTensors(params), tensor.EncodeTensors(want)) {
+		if !sameTensors(params, want) {
 			t.Fatalf("pull %d diverged from the peer's weights", i)
 		}
 		_, pulled := client.Traffic()
@@ -383,7 +385,7 @@ func TestDeltaPullSurvivesRejoin(t *testing.T) {
 		t.Fatal("first pull after rejoin moved no bytes; a stale cache must have answered")
 	}
 	want, _ := st.Snapshot()
-	if !bytes.Equal(tensor.EncodeTensors(params), tensor.EncodeTensors(want)) {
+	if !sameTensors(params, want) {
 		t.Fatal("post-rejoin pull diverged from the snapshot")
 	}
 	if _, _, err := rejoined.Pull(); err != nil {

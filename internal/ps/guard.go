@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"dssp/internal/core"
-	"dssp/internal/obs"
 	"dssp/internal/tensor"
 )
 
@@ -72,7 +71,9 @@ type GuardStats struct {
 	Flags []int
 	// Evicted lists the workers the guard evicted, in eviction order.
 	Evicted []int
-	// DroppedPushes is the number of pushes rejected by the guard.
+	// DroppedPushes is the number of pushes rejected by the guard — every
+	// flagged push, the evicting one included; read from
+	// dssp_push_dropped_total{reason="guard"}.
 	DroppedPushes int
 }
 
@@ -87,17 +88,14 @@ type guardVerdict struct {
 // their connection goroutines.
 type guard struct {
 	cfg GuardConfig
-
-	// flagsC and evictC mirror flag and eviction counts onto the server's
-	// metrics registry; nil (guards built outside a server) skips them.
-	flagsC *obs.Counter
-	evictC *obs.Counter
+	// sm is the server's instrument bundle: the guard counts its flags,
+	// evictions and rejected pushes there and nowhere else.
+	sm *serverMetrics
 
 	mu      sync.Mutex
 	clock   *core.ClockMonitor
 	strikes []int
 	evicted []int
-	dropped int
 	// norms is the trailing ring of accepted push norms; median over it is
 	// the baseline the outlier check compares against. Flagged pushes are
 	// excluded so an attacker cannot drag the baseline toward its own
@@ -107,15 +105,16 @@ type guard struct {
 	sort  []float64
 }
 
-// newGuard builds the guard for a normalized configuration; nil when the
-// guard is disabled.
-func newGuard(cfg GuardConfig, workers int) *guard {
+// newGuard builds the guard for a normalized configuration, counting onto
+// sm; nil when the guard is disabled.
+func newGuard(cfg GuardConfig, workers int, sm *serverMetrics) *guard {
 	cfg = cfg.Normalized()
 	if !cfg.Enabled {
 		return nil
 	}
 	return &guard{
 		cfg:     cfg,
+		sm:      sm,
 		clock:   core.NewClockMonitor(workers, cfg.FloodSlack),
 		strikes: make([]int, workers),
 	}
@@ -155,18 +154,15 @@ func (g *guard) checkPush(worker int, claimedBase, serverVersion int64, grads []
 		}
 		return guardVerdict{}
 	}
+	// Every flagged push is rejected, the one that evicts included.
 	g.strikes[worker] += flags
-	g.dropped++
-	if g.flagsC != nil {
-		g.flagsC.Add(uint64(flags))
-	}
+	g.sm.guardFlags.Add(uint64(flags))
+	g.sm.droppedGuard.Inc()
 	v := guardVerdict{drop: true}
 	if g.strikes[worker] >= g.cfg.MaxStrikes {
 		v.evict = true
 		g.evicted = append(g.evicted, worker)
-		if g.evictC != nil {
-			g.evictC.Inc()
-		}
+		g.sm.guardEvictions.Inc()
 	}
 	return v
 }
@@ -180,7 +176,7 @@ func (g *guard) stats() GuardStats {
 	st := GuardStats{
 		Flags:         make([]int, len(g.strikes)),
 		Evicted:       append([]int(nil), g.evicted...),
-		DroppedPushes: g.dropped,
+		DroppedPushes: int(g.sm.droppedGuard.Value()),
 	}
 	copy(st.Flags, g.strikes)
 	return st

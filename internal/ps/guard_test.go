@@ -4,15 +4,21 @@ import (
 	"math"
 	"testing"
 
+	"dssp/internal/obs"
 	"dssp/internal/tensor"
 )
+
+// testGuard builds a guard counting onto a private registry.
+func testGuard(cfg GuardConfig, workers int) *guard {
+	return newGuard(cfg, workers, newServerMetrics(obs.NewRegistry(), workers))
+}
 
 func gradsOf(vals ...float32) []*tensor.Tensor {
 	return []*tensor.Tensor{tensor.FromSlice(append([]float32(nil), vals...), len(vals))}
 }
 
 func TestGuardDisabledIsNil(t *testing.T) {
-	if g := newGuard(GuardConfig{}, 4); g != nil {
+	if g := testGuard(GuardConfig{}, 4); g != nil {
 		t.Fatal("disabled guard must be nil")
 	}
 }
@@ -21,7 +27,7 @@ func TestGuardDisabledIsNil(t *testing.T) {
 // the baseline, outliers are flagged and dropped, and the third strike
 // evicts.
 func TestGuardNormOutlier(t *testing.T) {
-	g := newGuard(GuardConfig{Enabled: true}, 2)
+	g := testGuard(GuardConfig{Enabled: true}, 2)
 
 	// Build a baseline of honest norms (needs >= 4 samples).
 	for i := 0; i < 6; i++ {
@@ -60,7 +66,7 @@ func TestGuardNormOutlier(t *testing.T) {
 // norm ring, so an attacker cannot escalate its magnitude gradually by
 // dragging the median upward with accepted outliers.
 func TestGuardOutlierDoesNotPoisonBaseline(t *testing.T) {
-	g := newGuard(GuardConfig{Enabled: true, MaxStrikes: 100}, 1)
+	g := testGuard(GuardConfig{Enabled: true, MaxStrikes: 100}, 1)
 	for i := 0; i < 6; i++ {
 		g.observePull(0)
 		g.checkPush(0, 0, 0, gradsOf(1))
@@ -74,7 +80,7 @@ func TestGuardOutlierDoesNotPoisonBaseline(t *testing.T) {
 }
 
 func TestGuardLyingClock(t *testing.T) {
-	g := newGuard(GuardConfig{Enabled: true}, 1)
+	g := testGuard(GuardConfig{Enabled: true}, 1)
 	g.observePull(0)
 	// Claiming base 10 when the server has only reserved 5 is impossible.
 	if v := g.checkPush(0, 10, 5, gradsOf(1)); !v.drop {
@@ -88,7 +94,7 @@ func TestGuardLyingClock(t *testing.T) {
 }
 
 func TestGuardPushFlood(t *testing.T) {
-	g := newGuard(GuardConfig{Enabled: true, FloodSlack: 2}, 1)
+	g := testGuard(GuardConfig{Enabled: true, FloodSlack: 2}, 1)
 	g.observePull(0)
 	for i := 0; i < 2; i++ {
 		if v := g.checkPush(0, 0, 0, gradsOf(1)); v.drop {
@@ -106,7 +112,7 @@ func TestGuardPushFlood(t *testing.T) {
 }
 
 func TestGuardNaNPush(t *testing.T) {
-	g := newGuard(GuardConfig{Enabled: true}, 1)
+	g := testGuard(GuardConfig{Enabled: true}, 1)
 	g.observePull(0)
 	// NaN needs no baseline: flagged from the very first push.
 	if v := g.checkPush(0, 0, 0, gradsOf(float32(math.NaN()))); !v.drop {
@@ -120,7 +126,7 @@ func TestGuardNaNPush(t *testing.T) {
 
 // TestGuardNilGrads: a decode failure screens clocks only.
 func TestGuardNilGrads(t *testing.T) {
-	g := newGuard(GuardConfig{Enabled: true}, 1)
+	g := testGuard(GuardConfig{Enabled: true}, 1)
 	g.observePull(0)
 	if v := g.checkPush(0, 0, 0, nil); v.drop {
 		t.Fatal("nil grads with honest clock dropped")

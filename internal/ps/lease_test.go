@@ -765,9 +765,9 @@ func TestInProcessScheduleRecyclesGenerations(t *testing.T) {
 			}
 			const warmup, steady = 8, 40
 			rounds(0, warmup)
-			reusedWarm, allocatedWarm := st.CloneStats()
+			reusedWarm, allocatedWarm := cloneFates(st)
 			rounds(warmup, steady)
-			reused, allocated := st.CloneStats()
+			reused, allocated := cloneFates(st)
 			if allocated != allocatedWarm {
 				t.Errorf("%d generations allocated over %d steady-state rounds, want 0: pulls keep generations out of the reuse pool", allocated-allocatedWarm, steady)
 			}

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"strconv"
 	"time"
 
 	"dssp/internal/obs"
@@ -10,8 +11,9 @@ import (
 // gauge and histogram the push/pull/session/checkpoint paths touch,
 // resolved once at construction so the hot paths pay only atomic updates.
 // The unified counters here are the single source of truth the public
-// accessors (Pushes, Dropped, Departures, Rejoins) and the /statusz
-// snapshot read — there is no second, ad-hoc set of fields to drift from.
+// accessors (Pushes, Dropped, Staleness, Waits, Departures, Rejoins,
+// GuardStats) and the /statusz snapshot read — there is no second, ad-hoc
+// set of fields to drift from.
 type serverMetrics struct {
 	pushes        *obs.Counter
 	droppedPolicy *obs.Counter
@@ -20,7 +22,13 @@ type serverMetrics struct {
 	departures    *obs.Counter
 	rejoins       *obs.Counter
 
-	staleness   *obs.Histogram
+	staleness *obs.Histogram
+	// stalenessMax is the largest staleness observed; written under policyMu.
+	stalenessMax *obs.Gauge
+	// waits holds each worker slot's accumulated release wait in seconds,
+	// indexed by slot; written under policyMu.
+	waits []*obs.Gauge
+
 	phaseDecode *obs.Histogram
 	phaseGuard  *obs.Histogram
 	phasePolicy *obs.Histogram
@@ -51,10 +59,11 @@ type serverMetrics struct {
 	ckptBytes   *obs.Counter
 }
 
-// newServerMetrics registers the server metric families on reg. Every
-// series — including labeled children — is created here, so a scrape
-// before any traffic already shows the full catalog at zero.
-func newServerMetrics(reg *obs.Registry) *serverMetrics {
+// newServerMetrics registers the server metric families on reg for a server
+// of the given worker slots. Every series — including labeled children — is
+// created here, so a scrape before any traffic already shows the full
+// catalog at zero.
+func newServerMetrics(reg *obs.Registry, workers int) *serverMetrics {
 	dropped := reg.CounterVec("dssp_push_dropped_total",
 		"Pushes rejected without reaching the store, by reason.", "reason")
 	phase := reg.HistogramVec("dssp_push_phase_seconds",
@@ -62,6 +71,12 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		obs.LatencyBuckets, "phase")
 	chunks := reg.CounterVec("dssp_pull_shard_chunks_total",
 		"Pull reply chunks by result: full payload or delta-pull Unchanged.", "result")
+	wait := reg.GaugeVec("dssp_worker_wait_seconds",
+		"Accumulated time each worker slot waited from its push to its release.", "worker")
+	waits := make([]*obs.Gauge, workers)
+	for w := range waits {
+		waits[w] = wait.With(strconv.Itoa(w))
+	}
 	return &serverMetrics{
 		pushes: reg.Counter("dssp_push_total",
 			"Gradient pushes accepted and applied to the store."),
@@ -74,8 +89,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		rejoins: reg.Counter("dssp_rejoins_total",
 			"MsgRejoin registrations accepted."),
 		staleness: reg.Histogram("dssp_push_staleness",
-			"Iteration staleness of applied pushes (apply version minus base version minus one).",
+			"Iteration staleness of applied pushes (apply version minus base version minus one, clamped at 0).",
 			obs.StalenessBuckets),
+		stalenessMax: reg.Gauge("dssp_push_staleness_max",
+			"Largest iteration staleness of any applied push."),
+		waits:       waits,
 		phaseDecode: phase.With("decode"),
 		phaseGuard:  phase.With("guard"),
 		phasePolicy: phase.With("policy"),

@@ -128,7 +128,6 @@ func (p *retirePool[G]) retire(g G) {
 // Only the shard's applier calls it (single goroutine), under sh.mu.
 func (sh *shard) takeGen(m *storeMetrics) *paramGen {
 	if g, ok := sh.retired.take(); ok {
-		sh.reuses.Add(1)
 		if m != nil {
 			m.cloneReuse.Inc()
 		}
@@ -138,23 +137,10 @@ func (sh *shard) takeGen(m *storeMetrics) *paramGen {
 	for i, p := range sh.gen.params {
 		params[i] = tensor.New(p.Shape()...)
 	}
-	sh.allocs.Add(1)
 	if m != nil {
 		m.cloneAlloc.Inc()
 	}
 	return &paramGen{params: params}
-}
-
-// CloneStats returns how many copy-on-write publications recycled a retired
-// generation versus allocated fresh buffers, summed over shards. The
-// counters are maintained unconditionally (unlike the optional metrics
-// registry), so tests can assert the steady state allocates nothing.
-func (s *Store) CloneStats() (reused, allocated int64) {
-	for _, sh := range s.shards {
-		reused += sh.reuses.Load()
-		allocated += sh.allocs.Load()
-	}
-	return reused, allocated
 }
 
 // AcquireShardDelta returns shard i's currently published parameter tensors

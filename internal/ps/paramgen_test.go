@@ -21,6 +21,7 @@ func TestSteadyStateApplyAllocatesNoClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	meterStore(st)
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][]int{{16, 8}, {32}, {5}}
 
@@ -30,7 +31,7 @@ func TestSteadyStateApplyAllocatesNoClones(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, allocAfterWarmup := st.CloneStats()
+	_, allocAfterWarmup := cloneFates(st)
 
 	var ticket int64
 
@@ -42,7 +43,7 @@ func TestSteadyStateApplyAllocatesNoClones(t *testing.T) {
 	if !st.WaitApplied(ticket, nil) {
 		t.Fatal("WaitApplied failed")
 	}
-	reused, allocated := st.CloneStats()
+	reused, allocated := cloneFates(st)
 	if allocated != allocAfterWarmup {
 		t.Fatalf("steady-state applies allocated %d new generations (had %d after warmup); want 0 new",
 			allocated-allocAfterWarmup, allocAfterWarmup)
@@ -63,6 +64,7 @@ func TestHeldGenerationIsNeverRecycled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	meterStore(st)
 	rng := rand.New(rand.NewSource(3))
 	shapes := [][]int{{8, 4}, {9}}
 	if _, err := st.Apply(randomGrads(rng, shapes...)); err != nil {
@@ -95,9 +97,9 @@ func TestHeldGenerationIsNeverRecycled(t *testing.T) {
 	}
 	gen.release()
 	apply(4)
-	_, before := st.CloneStats()
+	_, before := cloneFates(st)
 	apply(10)
-	if _, after := st.CloneStats(); after != before {
+	if _, after := cloneFates(st); after != before {
 		t.Fatalf("publication allocated %d generations after the held one was released", after-before)
 	}
 }
@@ -138,6 +140,7 @@ func TestRefcountedReuseHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	meterStore(st)
 	shapes := [][]int{{64, 8}, {128}, {16, 3}}
 	const (
 		writers = 2
@@ -231,14 +234,16 @@ func TestRefcountedReuseHammer(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 	st.Close()
-	reused, allocated := st.CloneStats()
+	reused, allocated := cloneFates(st)
 	t.Logf("hammer: %d generations reused, %d allocated", reused, allocated)
 }
 
 // BenchmarkStoreApplySteadyState drives the full apply pipeline —
 // publication, generation recycling, fused optimizer step — on a bare store.
 // The alloc figure is the one the refcounted clones are about: steady state
-// should be dominated by the WaitApplied handshake, not parameter copies.
+// should be dominated by the WaitApplied handshake, not parameter copies
+// (TestSteadyStateApplyAllocatesNoClones pins that no generation is
+// allocated).
 func BenchmarkStoreApplySteadyState(b *testing.B) {
 	initial := []*tensor.Tensor{tensor.New(256, 128), tensor.New(256)}
 	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9, 1e-4), 2)
@@ -260,11 +265,5 @@ func BenchmarkStoreApplySteadyState(b *testing.B) {
 	}
 	if !st.WaitApplied(ticket, nil) {
 		b.Fatal("WaitApplied failed")
-	}
-	b.StopTimer()
-	reused, allocated := st.CloneStats()
-	if b.N > 8 && allocated > int64(st.Shards()*3) {
-		b.Fatalf("apply allocated %d generations over %d iterations (reused %d); steady state should recycle",
-			allocated, b.N, reused)
 	}
 }

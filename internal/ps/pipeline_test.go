@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"sync"
@@ -111,7 +110,7 @@ func TestPipelinedApplyBitIdenticalToSerialReference(t *testing.T) {
 	if version != 40 {
 		t.Fatalf("final version %d, want 40", version)
 	}
-	if !bytes.Equal(tensor.EncodeTensors(got), tensor.EncodeTensors(ref)) {
+	if !sameTensors(got, ref) {
 		t.Fatal("pipelined apply diverged bit-wise from the serial reference on a deterministic schedule")
 	}
 }
@@ -349,9 +348,8 @@ func TestStalenessObserveOffByOne(t *testing.T) {
 			if err := client.PushAndWait(grad, 0, 1); err != nil {
 				t.Fatal(err)
 			}
-			values, counts := srv.Staleness().Buckets()
-			if len(values) != 2 || values[0] != 0 || values[1] != 1 || counts[0] != 1 || counts[1] != 1 {
-				t.Fatalf("staleness buckets %v/%v, want exactly one 0 and one 1", values, counts)
+			if n, sum, max := stalenessSeries(srv); n != 2 || sum != 1 || max != 1 {
+				t.Fatalf("staleness count/sum/max %d/%v/%v, want 2/1/1: exactly one 0 and one 1", n, sum, max)
 			}
 			if carrier != "trunk" {
 				return
@@ -378,7 +376,7 @@ func TestStalenessObserveOffByOne(t *testing.T) {
 // TestStalenessObserveOffByOneCoalesced repeats the off-by-one pin with the
 // applier gated so both pushes sit in one coalesced batch: tickets are
 // assigned under the policy lock before any apply completes, so the
-// histogram must be identical to the serial path's.
+// staleness series must be identical to the serial path's.
 func TestStalenessObserveOffByOneCoalesced(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(4)}
 	gate := newGateOpt(optimizer.NewSGD(1.0))
@@ -419,10 +417,16 @@ func TestStalenessObserveOffByOneCoalesced(t *testing.T) {
 	if steps := gate.steps.Load(); steps != 2 {
 		t.Fatalf("optimizer ran %d steps, want 2 (one gated, one coalesced batch)", steps)
 	}
-	values, counts := srv.Staleness().Buckets()
-	if len(values) != 2 || values[0] != 0 || values[1] != 1 || counts[0] != 1 || counts[1] != 1 {
-		t.Fatalf("coalesced staleness buckets %v/%v, want exactly one 0 and one 1", values, counts)
+	if n, sum, max := stalenessSeries(srv); n != 2 || sum != 1 || max != 1 {
+		t.Fatalf("coalesced staleness count/sum/max %d/%v/%v, want 2/1/1: exactly one 0 and one 1", n, sum, max)
 	}
+}
+
+// stalenessSeries reads dssp_push_staleness's count and sum and
+// dssp_push_staleness_max. Staleness is clamped at 0, so two observations
+// summing to 1 with a maximum of 1 are exactly one 0 and one 1.
+func stalenessSeries(srv *Server) (n uint64, sum, max float64) {
+	return srv.sm.staleness.Count(), srv.sm.staleness.Sum(), srv.sm.stalenessMax.Value()
 }
 
 // TestPushErrorStillReleasesPeers pins the error-release interaction through
@@ -819,7 +823,7 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(tensor.EncodeTensors(got), tensor.EncodeTensors(wantRT)) {
+		if !sameTensors(got, wantRT) {
 			t.Fatalf("shard %d packed cache does not match the final published snapshot", i)
 		}
 	}

@@ -1,12 +1,15 @@
 package ps
 
 import (
+	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dssp/internal/core"
+	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
@@ -23,6 +26,40 @@ func testStore(t *testing.T, dims ...int) *Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// sameTensors reports whether a and b hold the same shapes and bit-identical
+// values, tensor by tensor.
+func sameTensors(a, b []*tensor.Tensor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameShape(a[i].Shape(), b[i].Shape()) {
+			return false
+		}
+		x, y := a[i].Data(), b[i].Data()
+		for j := range x {
+			if math.Float32bits(x[j]) != math.Float32bits(y[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// meterStore instruments a bare store on a private registry, as NewServer
+// does, so a test can read its dssp_store_clone_{reuse,alloc}_total series.
+// Call it before the first push.
+func meterStore(st *Store) {
+	st.instrument(newStoreMetrics(obs.NewRegistry()), nil)
+}
+
+// cloneFates reads the copy-on-write publication counters of an instrumented
+// store: publications that recycled a retired generation, and those that
+// allocated fresh buffers.
+func cloneFates(st *Store) (reused, allocated uint64) {
+	return st.metrics.cloneReuse.Value(), st.metrics.cloneAlloc.Value()
 }
 
 func TestNewStoreValidation(t *testing.T) {
@@ -167,8 +204,8 @@ func TestServerASPWorkersRunIndependently(t *testing.T) {
 		t.Fatalf("server counted %d pushes, want 10", srv.Pushes())
 	}
 	// All pushes used fresh weights, so staleness must be 0 throughout.
-	if srv.Staleness().Max() != 0 {
-		t.Fatalf("max staleness = %d, want 0", srv.Staleness().Max())
+	if _, max := srv.Staleness(); max != 0 {
+		t.Fatalf("max staleness = %d, want 0", max)
 	}
 }
 
@@ -231,11 +268,105 @@ func TestServerSSPTracksStalenessWithinBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if srv.Staleness().Max() < 1 {
-		t.Fatalf("expected staleness to be recorded, histogram max = %d", srv.Staleness().Max())
+	if _, max := srv.Staleness(); max < 1 {
+		t.Fatalf("expected staleness to be recorded, max = %d", max)
 	}
 	if srv.Pushes() != 4 {
 		t.Fatalf("pushes = %d, want 4", srv.Pushes())
+	}
+}
+
+// TestWaitsAccumulateAndClampAtZero: each release adds the worker's wait
+// since its push to its dssp_worker_wait_seconds slot, across rounds, and a
+// clock that stepped back between a push and its release adds nothing.
+func TestWaitsAccumulateAndClampAtZero(t *testing.T) {
+	var clock atomic.Int64 // seconds past the epoch
+	srv, err := NewServer(ServerConfig{Workers: 2, Policy: core.MustNewBSP(2), Store: testStore(t, 2),
+		Clock: func() time.Time { return time.Unix(clock.Load(), 0) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listener := transport.NewChanListener()
+	go func() { _ = srv.Serve(listener) }()
+	t.Cleanup(func() {
+		srv.Stop()
+		listener.Close()
+	})
+	clients := make([]*Client, 2)
+	for w := range clients {
+		conn, err := listener.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[w] = NewClient(conn, w)
+		if err := clients[w].Register(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grad := []*tensor.Tensor{tensor.FromSlice([]float32{1, 1}, 2)}
+	// round has worker 0 push at first and worker 1 at second (seconds): the
+	// barrier releases both at worker 1's push.
+	round := func(it int, first, second int64) {
+		t.Helper()
+		clock.Store(first)
+		done := make(chan error, 1)
+		go func() { done <- clients[0].PushAndWait(grad, 0, it) }()
+		deadline := time.Now().Add(2 * time.Second)
+		for srv.Pushes() < 2*it+1 {
+			if time.Now().After(deadline) {
+				t.Fatal("server never counted worker 0's push")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		clock.Store(second)
+		if err := clients[1].PushAndWait(grad, 0, it); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(0, 10, 5)  // the clock stepped back: worker 0 waited -5 s, counted as 0
+	round(1, 20, 23) // worker 0 waits 3 s
+	round(2, 30, 31) // and 1 s more
+	waits := srv.Waits()
+	if len(waits) != 2 || waits[0] != 4*time.Second || waits[1] != 0 {
+		t.Fatalf("waits %v, want [4s 0s]", waits)
+	}
+}
+
+// TestStalenessAndWaitsReadableMidRun reads Staleness and Waits while two
+// workers push: under -race, the registry series they read are safe to read
+// mid-run.
+func TestStalenessAndWaitsReadableMidRun(t *testing.T) {
+	srv, clients := startTestServer(t, core.MustNewSSP(2, 1), testStore(t, 2))
+	grad := []*tensor.Tensor{tensor.FromSlice([]float32{1, 1}, 2)}
+	var wg sync.WaitGroup
+	for _, c := range clients {
+		wg.Add(1)
+		go func(c *Client) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := c.PushAndWait(grad, 0, i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			if mean, max := srv.Staleness(); mean <= 0 || max < 1 || reads == 0 {
+				t.Fatalf("after %d mid-run reads: mean %v, max %d; want positive staleness", reads, mean, max)
+			}
+			return
+		default:
+			srv.Staleness()
+			srv.Waits()
+		}
 	}
 }
 

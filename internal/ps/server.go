@@ -8,7 +8,6 @@ import (
 
 	"dssp/internal/compress"
 	"dssp/internal/core"
-	"dssp/internal/metrics"
 	"dssp/internal/obs"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
@@ -155,10 +154,8 @@ type Server struct {
 	// policyMu serializes membership and push handling: the policy decision,
 	// the ticket assignment that orders the update, the metrics derived from
 	// them, and the choice of workers to release.
-	policyMu  sync.Mutex
-	staleness *metrics.Histogram
-	waits     *metrics.WaitTracker
-	pushedAt  map[int]time.Time
+	policyMu sync.Mutex
+	pushedAt map[int]time.Time
 
 	// cluster is the coordinator's live group map; replicaSeq hands out the
 	// negative session keys the kinds that hold no worker slot (replicas,
@@ -240,10 +237,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		trace.Every = DefaultTraceEvery
 	}
 	tracer := obs.NewPushTracer(trace)
+	sm := newServerMetrics(reg, cfg.Workers)
 	s := &Server{
 		cfg:         cfg,
 		compression: cfg.Compression,
-		guard:       newGuard(cfg.Guard, cfg.Workers),
+		guard:       newGuard(cfg.Guard, cfg.Workers, sm),
 		fullWindow:  agg.Window,
 		hbTimeout:   hbTimeout,
 		joined:      make(map[int]bool),
@@ -253,11 +251,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		routes:      make(map[int]*session),
 		allDone:     make(chan struct{}),
 		releases:    make(chan releaseBatch, 256),
-		staleness:   metrics.NewHistogram(),
-		waits:       metrics.NewWaitTracker(cfg.Workers),
 		pushedAt:    make(map[int]time.Time),
 		reg:         reg,
-		sm:          newServerMetrics(reg),
+		sm:          sm,
 		tracer:      tracer,
 	}
 	s.bind(s, clock, map[transport.MessageType]func(transport.Conn, transport.Message){
@@ -290,13 +286,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			})
 	}
 	// The store carries the apply-pipeline instrumentation only when serving
-	// (bare stores stay unmetered); the guard reports its flags and
-	// evictions onto the same registry.
+	// (bare stores stay unmetered).
 	cfg.Store.instrument(newStoreMetrics(reg), tracer)
-	if s.guard != nil {
-		s.guard.flagsC = s.sm.guardFlags
-		s.guard.evictC = s.sm.guardEvictions
-	}
 	// Liveness gauges are evaluated at scrape time, so they cost nothing
 	// between scrapes.
 	reg.GaugeFunc("dssp_sessions_active",
@@ -723,10 +714,12 @@ func (s *Server) releaser() {
 }
 
 // resolve turns a release decision into deliveries, appended to targets: each
-// released worker's wait is recorded and the worker resolved to the session
-// carrying it now. Callers hold policyMu, which is what makes the resolution
-// exact: membership hooks run under the same lock, so the sessions captured
-// here are precisely the ones the decision accounted for. Pinning sessions
+// released worker's wait since its push is added to its
+// dssp_worker_wait_seconds slot (a clock that stepped back adds nothing) and
+// the worker resolved to the session carrying it now. Callers hold policyMu,
+// which is what makes the resolution exact: membership hooks run under the
+// same lock, so the sessions captured here are precisely the ones the
+// decision accounted for. Pinning sessions
 // now, instead of re-resolving worker IDs at send time, means a worker that
 // leaves and rejoins while the batch waits on its apply gate can never
 // receive a stale OK on its successor session — enqueueSession drops messages
@@ -738,7 +731,9 @@ func (s *Server) resolve(targets []releaseTarget, release []core.WorkerID, now t
 	for _, id := range release {
 		w := int(id)
 		if at, ok := s.pushedAt[w]; ok {
-			s.waits.Record(w, now.Sub(at))
+			if d := now.Sub(at); d > 0 {
+				s.sm.waits[w].Add(d.Seconds())
+			}
 			delete(s.pushedAt, w)
 		}
 		if sess, epoch := s.carrier(w); sess != nil {
@@ -934,7 +929,7 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 		// deadlock on a rejected payload.
 		m.drop = true
 		if guardDrop {
-			s.sm.droppedGuard.Inc()
+			// The guard counted the rejection when it flagged the push.
 			s.tracer.Abandon(m.tr, "guard")
 		} else {
 			s.sm.droppedPolicy.Inc()
@@ -985,14 +980,17 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 			t++
 			s.sm.pushes.Inc()
 			stale := int(t - 1 - e.Version)
-			if stale < 0 && s.cfg.Cluster.Coordinator {
-				// Cluster workers report the min data-server version as their
-				// base; fragments apply before the metadata push lands, so the
-				// base can transiently run ahead of the coordinator's clock.
+			if stale < 0 {
+				// A base ahead of the push's own ticket: cluster workers report
+				// the min data-server version, and fragments apply before the
+				// metadata push lands on the coordinator; a worker that lies
+				// about its clock claims any version it likes.
 				stale = 0
 			}
-			s.staleness.Observe(stale)
 			s.sm.staleness.Observe(float64(stale))
+			if float64(stale) > s.sm.stalenessMax.Value() {
+				s.sm.stalenessMax.Set(float64(stale))
+			}
 			if tr := m.tr; tr != nil {
 				tr.Ticket = t
 				tr.Staleness = stale
@@ -1300,15 +1298,27 @@ func (s *Server) checkAllDone() {
 	s.mu.Unlock()
 }
 
-// Staleness returns the histogram of staleness values of applied updates
-// (current store version minus the version the gradient was computed from).
-// The histogram is not synchronized; read it only after the run has
-// completed (e.g. after AllWorkersDone).
-func (s *Server) Staleness() *metrics.Histogram { return s.staleness }
+// Staleness returns the mean and the largest staleness of the updates applied
+// so far (the version a push landed at, minus one, minus the version its
+// gradient was computed from; clamped at 0), read from dssp_push_staleness
+// and dssp_push_staleness_max. Safe to call mid-run; the mean is 0 before
+// the first update.
+func (s *Server) Staleness() (mean float64, max int) {
+	if n := s.sm.staleness.Count(); n > 0 {
+		mean = s.sm.staleness.Sum() / float64(n)
+	}
+	return mean, int(s.sm.stalenessMax.Value())
+}
 
-// Waits returns the per-worker waiting-time tracker. Like Staleness, read it
-// only after the run has completed.
-func (s *Server) Waits() *metrics.WaitTracker { return s.waits }
+// Waits returns each worker slot's accumulated wait from push to release,
+// read from dssp_worker_wait_seconds. Safe to call mid-run.
+func (s *Server) Waits() []time.Duration {
+	out := make([]time.Duration, len(s.sm.waits))
+	for w, g := range s.sm.waits {
+		out[w] = time.Duration(g.Value() * float64(time.Second))
+	}
+	return out
+}
 
 // Pushes returns the number of gradient updates applied.
 func (s *Server) Pushes() int { return int(s.sm.pushes.Value()) }

@@ -33,11 +33,8 @@ type shard struct {
 	version int64
 
 	// retired is the applier-owned pool of superseded generations awaiting
-	// reuse (paramgen.go); reuses/allocs count publication buffer fates and
-	// back Store.CloneStats.
+	// reuse (paramgen.go).
 	retired retirePool[*paramGen]
-	reuses  atomic.Int64
-	allocs  atomic.Int64
 
 	// agg replaces plain summation when a robust aggregator is configured
 	// (Store.SetAggregator); nil keeps the classic sum fast path. Only the

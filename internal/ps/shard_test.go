@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -112,7 +111,7 @@ func TestShardedStoreMatchesUnsharded(t *testing.T) {
 
 	p1, _ := single.Snapshot()
 	p2, _ := sharded.Snapshot()
-	if !bytes.Equal(tensor.EncodeTensors(p1), tensor.EncodeTensors(p2)) {
+	if !sameTensors(p1, p2) {
 		t.Fatal("sharded and unsharded stores produced different parameters for the same update sequence")
 	}
 }
@@ -216,7 +215,7 @@ func TestClientPullReassemblesChunkedWeights(t *testing.T) {
 		t.Fatalf("pulled version = %d, want 0", version)
 	}
 	want, _ := st.Snapshot()
-	if !bytes.Equal(tensor.EncodeTensors(pulled), tensor.EncodeTensors(want)) {
+	if !sameTensors(pulled, want) {
 		t.Fatal("chunked pull did not reassemble the store's parameters")
 	}
 
@@ -236,7 +235,7 @@ func TestClientPullReassemblesChunkedWeights(t *testing.T) {
 		t.Fatalf("pulled version = %d, want 1", version)
 	}
 	want, _ = st.Snapshot()
-	if !bytes.Equal(tensor.EncodeTensors(pulled), tensor.EncodeTensors(want)) {
+	if !sameTensors(pulled, want) {
 		t.Fatal("chunked pull after push did not match the store")
 	}
 }

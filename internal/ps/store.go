@@ -135,48 +135,16 @@ func NewStore(initial []*tensor.Tensor, opt optimizer.Optimizer) (*Store, error)
 // NewStoreSharded is NewStore with an explicit shard count. shards <= 0
 // selects the default; a count larger than the number of tensors is clamped
 // (every shard must own at least one tensor). shards == 1 reproduces the
-// classic single-partition store.
+// classic single-partition store. It is NewStoreRange over the whole
+// partition.
 func NewStoreSharded(initial []*tensor.Tensor, opt optimizer.Optimizer, shards int) (*Store, error) {
-	if len(initial) == 0 {
-		return nil, fmt.Errorf("ps: store needs at least one parameter tensor")
-	}
-	if opt == nil {
-		return nil, fmt.Errorf("ps: store needs an optimizer")
-	}
 	if shards <= 0 {
 		shards = defaultShards(len(initial))
 	}
 	if shards > len(initial) {
 		shards = len(initial)
 	}
-
-	sizes := make([]int, len(initial))
-	shapes := make([][]int, len(initial))
-	scalars := 0
-	for i, p := range initial {
-		sizes[i] = p.Size()
-		shapes[i] = p.Shape()
-		scalars += p.Size()
-	}
-	ranges := partitionBySize(sizes, shards)
-
-	st := &Store{
-		shards:  make([]*shard, shards),
-		ranges:  ranges,
-		shapes:  shapes,
-		scalars: scalars,
-		proto:   opt,
-	}
-	for i, r := range ranges {
-		params := make([]*tensor.Tensor, r.End-r.Start)
-		for j := range params {
-			params[j] = initial[r.Start+j].Clone()
-		}
-		st.shards[i] = &shard{gen: &paramGen{params: params}, opt: opt.Clone(), wake: make(chan struct{}, 1)}
-	}
-	st.window.Store(1)
-	st.aggCfg = AggregatorConfig{}.Normalized()
-	return st, nil
+	return NewStoreRange(initial, opt, shards, 0, shards)
 }
 
 // SetAggregator installs the batch-reduction strategy the per-shard appliers

@@ -72,10 +72,9 @@ func TestUpdateQualityDecreasesWithStaleness(t *testing.T) {
 
 func TestAccuracyCurveIsMonotoneAndBelowPlateau(t *testing.T) {
 	spec := testSpec()
-	run := &RunResult{Label: "x", Staleness: metrics.NewHistogram(), Bounded: true}
+	run := &RunResult{Label: "x", Bounded: true}
 	for i := 0; i < 1000; i++ {
 		run.Updates = append(run.Updates, UpdateEvent{At: time.Duration(i) * time.Second, Worker: i % 4, Staleness: i % 5})
-		run.Staleness.Observe(i % 5)
 	}
 	curve := AccuracyCurve(spec, run, 1000, 40)
 	if curve.Len() < 2 {
@@ -100,12 +99,11 @@ func TestAccuracyCurveIsMonotoneAndBelowPlateau(t *testing.T) {
 
 func TestAccuracyCurveEmptyInputs(t *testing.T) {
 	spec := testSpec()
-	empty := &RunResult{Label: "x", Staleness: metrics.NewHistogram()}
+	empty := &RunResult{Label: "x"}
 	if AccuracyCurve(spec, empty, 100, 10).Len() != 0 {
 		t.Fatal("empty run should give an empty curve")
 	}
-	run := &RunResult{Label: "x", Staleness: metrics.NewHistogram(),
-		Updates: []UpdateEvent{{At: time.Second}}}
+	run := &RunResult{Label: "x", Updates: []UpdateEvent{{At: time.Second}}}
 	if AccuracyCurve(spec, run, 0, 10).Len() != 0 {
 		t.Fatal("zero planned updates should give an empty curve")
 	}
@@ -113,14 +111,12 @@ func TestAccuracyCurveEmptyInputs(t *testing.T) {
 
 func TestFresherUpdatesConvergeFasterAtEqualThroughput(t *testing.T) {
 	spec := testSpec()
-	fresh := &RunResult{Label: "fresh", Staleness: metrics.NewHistogram(), Bounded: true}
-	stale := &RunResult{Label: "stale", Staleness: metrics.NewHistogram(), Bounded: true}
+	fresh := &RunResult{Label: "fresh", Bounded: true}
+	stale := &RunResult{Label: "stale", Bounded: true}
 	for i := 0; i < 500; i++ {
 		at := time.Duration(i) * time.Second
 		fresh.Updates = append(fresh.Updates, UpdateEvent{At: at, Staleness: 0})
-		fresh.Staleness.Observe(0)
 		stale.Updates = append(stale.Updates, UpdateEvent{At: at, Staleness: 40})
-		stale.Staleness.Observe(40)
 	}
 	// Compare progress toward a common reference (ignore plateau effects by
 	// reading mid-curve accuracy).

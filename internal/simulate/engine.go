@@ -3,11 +3,12 @@ package simulate
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"dssp/internal/core"
-	"dssp/internal/metrics"
 )
 
 // RunConfig describes one simulated training run.
@@ -73,8 +74,6 @@ type RunResult struct {
 	Finish time.Duration
 	// Waits is the total synchronization waiting time per worker.
 	Waits []time.Duration
-	// Staleness summarizes the update staleness distribution.
-	Staleness *metrics.Histogram
 	// DroppedUpdates counts pushes discarded by the policy (backup workers).
 	DroppedUpdates int
 	// GuardDropped counts pushes rejected by the anomaly guard (zero
@@ -99,8 +98,44 @@ type RunResult struct {
 	Bounded bool
 }
 
-// MeanStaleness returns the average staleness over all applied updates.
-func (r *RunResult) MeanStaleness() float64 { return r.Staleness.Mean() }
+// MeanStaleness returns the average staleness over all applied updates,
+// each clamped at 0 (0 when none was applied).
+func (r *RunResult) MeanStaleness() float64 {
+	if len(r.Updates) == 0 {
+		return 0
+	}
+	var sum int64
+	for _, u := range r.Updates {
+		sum += int64(max(u.Staleness, 0))
+	}
+	return float64(sum) / float64(len(r.Updates))
+}
+
+// MaxStaleness returns the largest staleness of any applied update (0 when
+// none was applied).
+func (r *RunResult) MaxStaleness() int {
+	m := 0
+	for _, u := range r.Updates {
+		m = max(m, u.Staleness)
+	}
+	return m
+}
+
+// StalenessQuantile returns the smallest staleness v such that at least q
+// (clamped to 0..1) of the applied updates have staleness <= v, each clamped
+// at 0; 0 when none was applied.
+func (r *RunResult) StalenessQuantile(q float64) int {
+	if len(r.Updates) == 0 {
+		return 0
+	}
+	vs := make([]int, len(r.Updates))
+	for i, u := range r.Updates {
+		vs[i] = max(u.Staleness, 0)
+	}
+	sort.Ints(vs)
+	need := int(math.Ceil(min(max(q, 0), 1) * float64(len(vs))))
+	return vs[max(need, 1)-1]
+}
 
 // Throughput returns applied updates per second of simulated time.
 func (r *RunResult) Throughput() float64 {
@@ -292,9 +327,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		finishedAt:    make([]time.Duration, workers),
 
 		result: &RunResult{
-			Label:     cfg.Policy.Describe(),
-			Waits:     make([]time.Duration, workers),
-			Staleness: metrics.NewHistogram(),
+			Label: cfg.Policy.Describe(),
+			Waits: make([]time.Duration, workers),
 		},
 	}
 	_, sim.result.Bounded = policy.StalenessBound()
@@ -527,7 +561,6 @@ func (s *simulation) onPushArrive(ev event) {
 	} else {
 		staleness := s.version - s.baseVersion[w]
 		s.version++
-		s.result.Staleness.Observe(staleness)
 		s.result.Updates = append(s.result.Updates, UpdateEvent{At: ev.at, Worker: w, Staleness: staleness})
 
 		// Server CPU cost: per-push for asynchronous paradigms, once per
@@ -643,7 +676,6 @@ func (s *simulation) onRelayArrive(ev event) {
 		} else {
 			staleness := s.version - s.baseVersion[w]
 			s.version++
-			s.result.Staleness.Observe(staleness)
 			s.result.Updates = append(s.result.Updates, UpdateEvent{At: ev.at, Worker: w, Staleness: staleness})
 			applied = true
 		}

@@ -23,6 +23,30 @@ func quickRun(t *testing.T, model ModelProfile, cluster ClusterSpec, policy core
 	return run
 }
 
+// TestStalenessStatistics: the staleness statistics read off the update log
+// clamp a negative staleness to 0, sum as integers, and take the smallest
+// value covering a q share of the updates; an empty log reads 0 throughout.
+func TestStalenessStatistics(t *testing.T) {
+	run := &RunResult{}
+	if run.MeanStaleness() != 0 || run.MaxStaleness() != 0 || run.StalenessQuantile(0.5) != 0 {
+		t.Fatal("an empty run should report zeros")
+	}
+	for _, v := range []int{0, 1, 1, 2, 3, 3, 3, 10, -4} {
+		run.Updates = append(run.Updates, UpdateEvent{Staleness: v})
+	}
+	if want := float64(0+1+1+2+3+3+3+10+0) / 9; run.MeanStaleness() != want {
+		t.Fatalf("mean %v, want %v", run.MeanStaleness(), want)
+	}
+	if run.MaxStaleness() != 10 {
+		t.Fatalf("max %d, want 10", run.MaxStaleness())
+	}
+	for q, want := range map[float64]int{-1: 0, 0: 0, 0.2: 0, 0.5: 2, 0.95: 10, 1: 10, 2: 10} {
+		if got := run.StalenessQuantile(q); got != want {
+			t.Errorf("quantile %v = %d, want %d", q, got, want)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	valid := RunConfig{
 		Model:               ModelResNet50,
@@ -85,8 +109,8 @@ func TestRunBSPStalenessStaysWithinRound(t *testing.T) {
 		core.PolicyConfig{Paradigm: core.ParadigmBSP}, 60)
 	// Within a barrier round the k-th applied update sees at most k-1 newer
 	// updates, so staleness is bounded by workers-1.
-	if run.Staleness.Max() > 3 {
-		t.Fatalf("BSP max staleness %d exceeds workers-1", run.Staleness.Max())
+	if run.MaxStaleness() > 3 {
+		t.Fatalf("BSP max staleness %d exceeds workers-1", run.MaxStaleness())
 	}
 	if !run.Bounded {
 		t.Fatal("BSP must be reported as bounded")

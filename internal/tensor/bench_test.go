@@ -82,18 +82,6 @@ func BenchmarkAXPYLargeVector(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeDecodeGradientSizedTensor(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	t := New(512, 256).RandNormal(rng, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := t.Encode(nil)
-		if _, _, err := Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // convShapes are the eight distinct shapes of ResNet-8's nine convolutions on
 // a 32×32 input (the two of the first block are alike), one image at a time,
 // as (outC, patch, plane): the forward product is (outC,patch)×(patch,plane),

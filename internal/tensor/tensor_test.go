@@ -277,96 +277,6 @@ func TestRandomInitializersProduceReasonableStatistics(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	shapes := [][]int{{1}, {7}, {3, 4}, {2, 3, 4}, {1, 2, 3, 4}}
-	for _, shape := range shapes {
-		orig := New(shape...).RandNormal(rng, 0, 2)
-		buf := orig.Encode(nil)
-		if len(buf) != orig.EncodedSize() {
-			t.Errorf("shape %v: encoded %d bytes, EncodedSize says %d", shape, len(buf), orig.EncodedSize())
-		}
-		got, rest, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("shape %v: decode error %v", shape, err)
-		}
-		if len(rest) != 0 {
-			t.Errorf("shape %v: %d trailing bytes", shape, len(rest))
-		}
-		if !got.ApproxEqual(orig, 0) {
-			t.Errorf("shape %v: round trip changed values", shape)
-		}
-	}
-}
-
-func TestDecodeRejectsCorruptInput(t *testing.T) {
-	orig := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	buf := orig.Encode(nil)
-	cases := map[string][]byte{
-		"empty":          {},
-		"truncated head": buf[:3],
-		"truncated body": buf[:len(buf)-2],
-	}
-	for name, b := range cases {
-		if _, _, err := Decode(b); err == nil {
-			t.Errorf("%s: expected decode error", name)
-		}
-	}
-	// Implausible dimension count.
-	bad := make([]byte, 4)
-	bad[0] = 200
-	if _, _, err := Decode(bad); err == nil {
-		t.Error("expected error for implausible dimension count")
-	}
-}
-
-func TestEncodeDecodeMultipleTensorsInOneBuffer(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	b := FromSlice([]float32{3, 4, 5, 6}, 2, 2)
-	buf := a.Encode(nil)
-	buf = b.Encode(buf)
-	gotA, rest, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, rest, err := Decode(rest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes", len(rest))
-	}
-	if !gotA.ApproxEqual(a, 0) || !gotB.ApproxEqual(b, 0) {
-		t.Fatal("multi-tensor round trip mismatch")
-	}
-}
-
-func TestEncodeTensorsDecodeTensorsRoundTrip(t *testing.T) {
-	orig := []*Tensor{
-		FromSlice([]float32{1, 2, 3}, 3),
-		FromSlice([]float32{4, 5, 6, 7}, 2, 2),
-		FromSlice([]float32{8}, 1),
-	}
-	got, err := DecodeTensors(EncodeTensors(orig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(orig) {
-		t.Fatalf("decoded %d tensors, want %d", len(got), len(orig))
-	}
-	for i := range orig {
-		if !got[i].ApproxEqual(orig[i], 0) {
-			t.Errorf("tensor %d round trip mismatch", i)
-		}
-	}
-	if ts, err := DecodeTensors(nil); err != nil || len(ts) != 0 {
-		t.Fatalf("DecodeTensors(nil) = %v, %v; want empty, nil", ts, err)
-	}
-	if _, err := DecodeTensors([]byte{1, 2}); err == nil {
-		t.Fatal("expected error for truncated buffer")
-	}
-}
-
 func TestPropertyMatMulDistributesOverAddition(t *testing.T) {
 	// (A+B)×C == A×C + B×C up to floating-point tolerance.
 	property := func(seed int64) bool {
@@ -380,19 +290,6 @@ func TestPropertyMatMulDistributesOverAddition(t *testing.T) {
 		return left.ApproxEqual(right, 1e-3)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyEncodeDecodeRoundTrip(t *testing.T) {
-	property := func(seed int64, d1, d2 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		shape := []int{int(d1%7) + 1, int(d2%7) + 1}
-		orig := New(shape...).RandNormal(rng, 0, 3)
-		got, rest, err := Decode(orig.Encode(nil))
-		return err == nil && len(rest) == 0 && got.ApproxEqual(orig, 0)
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -50,8 +50,8 @@ func TestRunDSSPEnforcedBoundEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	limit := (1 + 2 + 1) * cfg.Workers
-	if res.Staleness.Max() > limit {
-		t.Fatalf("max staleness %d exceeds bound-implied limit %d", res.Staleness.Max(), limit)
+	if res.MaxStaleness > limit {
+		t.Fatalf("max staleness %d exceeds bound-implied limit %d", res.MaxStaleness, limit)
 	}
 	if res.FinalAccuracy < 0.6 {
 		t.Fatalf("final accuracy %v", res.FinalAccuracy)

@@ -1,7 +1,9 @@
 package trainer
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"dssp/internal/core"
 	"dssp/internal/data"
@@ -124,6 +126,45 @@ func TestGuardEvictsLyingClock(t *testing.T) {
 	// The honest majority still converges.
 	if res.FinalAccuracy < 0.6 {
 		t.Fatalf("honest workers reached %v after eviction, want >= 0.6", res.FinalAccuracy)
+	}
+}
+
+// TestStalenessAndWaitsReadFromRegistry: the run's staleness and waits are
+// the server's registry series, not a second record of them. An unguarded
+// lying clock claims a base version far ahead of its push's ticket; its
+// staleness clamps to 0, so the mean is non-negative and the same on the
+// Result and on /metrics. A slow worker under SSP makes the others wait.
+func TestStalenessAndWaitsReadFromRegistry(t *testing.T) {
+	cfg := robustConfig(core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: 1})
+	cfg.Adversaries = map[int]Adversary{3: {LieVersion: true}}
+	cfg.WorkerDelay = []time.Duration{2 * time.Millisecond}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, count := res.Metrics["dssp_push_staleness_sum"], res.Metrics["dssp_push_staleness_count"]
+	if count != float64(res.Updates) {
+		t.Fatalf("dssp_push_staleness_count = %v, want one observation per update (%d)", count, res.Updates)
+	}
+	if res.MeanStaleness < 0 || res.MeanStaleness != sum/count {
+		t.Fatalf("mean staleness %v, /metrics says %v/%v: want one non-negative mean", res.MeanStaleness, sum, count)
+	}
+	if max := res.Metrics["dssp_push_staleness_max"]; float64(res.MaxStaleness) != max || res.MaxStaleness < 1 {
+		t.Fatalf("max staleness %d, dssp_push_staleness_max %v: want equal and positive under SSP(1)", res.MaxStaleness, max)
+	}
+	if len(res.Waits) != cfg.Workers {
+		t.Fatalf("%d wait totals for %d workers", len(res.Waits), cfg.Workers)
+	}
+	var waited time.Duration
+	for w, d := range res.Waits {
+		series := fmt.Sprintf(`dssp_worker_wait_seconds{worker="%d"}`, w)
+		if got := time.Duration(res.Metrics[series] * float64(time.Second)); d != got {
+			t.Errorf("worker %d waited %v, %s says %v", w, d, series, got)
+		}
+		waited += d
+	}
+	if waited == 0 {
+		t.Fatal("no worker waited behind a 2 ms straggler under SSP(1)")
 	}
 }
 

@@ -117,15 +117,19 @@ type Result struct {
 	Accuracy *metrics.TimeSeries
 	// Loss is the most recent training loss per evaluation point.
 	Loss *metrics.TimeSeries
-	// Staleness is the distribution of applied-update staleness.
-	Staleness *metrics.Histogram
-	// Waits is the per-worker waiting time recorded by the server.
-	Waits *metrics.WaitTracker
+	// MeanStaleness and MaxStaleness summarize the staleness of applied
+	// updates, read from the server's dssp_push_staleness and
+	// dssp_push_staleness_max.
+	MeanStaleness float64
+	MaxStaleness  int
+	// Waits is each worker's accumulated wait from push to release, read
+	// from the server's dssp_worker_wait_seconds.
+	Waits []time.Duration
 	// Updates is the number of gradient updates applied.
 	Updates int
-	// Dropped is the number of pushed updates the policy discarded — the
-	// backup-worker baseline's defining metric (straggler gradients thrown
-	// away).
+	// Dropped is the number of pushed updates rejected without reaching the
+	// store: discarded by the policy — the backup-worker baseline's defining
+	// metric (straggler gradients thrown away) — or by the anomaly guard.
 	Dropped int
 	// Crashed lists the workers that dropped out mid-run (fault injection
 	// via Config.CrashAt, a guard-evicted adversary, or a worker goroutine
@@ -316,7 +320,7 @@ poll:
 	evaluate()
 
 	result.Duration = time.Since(start)
-	result.Staleness = srv.policyServer.Staleness()
+	result.MeanStaleness, result.MaxStaleness = srv.policyServer.Staleness()
 	result.Waits = srv.policyServer.Waits()
 	result.Updates = srv.policyServer.Pushes()
 	result.Dropped = srv.policyServer.Dropped()

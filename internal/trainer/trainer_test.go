@@ -113,8 +113,8 @@ func TestRunBSPKeepsStalenessAtZero(t *testing.T) {
 	// Under BSP every worker computes against the weights produced by the
 	// previous barrier, so staleness never exceeds the number of workers - 1
 	// (updates applied within the same barrier round).
-	if res.Staleness.Max() > 2 {
-		t.Fatalf("BSP max staleness = %d, want <= workers-1", res.Staleness.Max())
+	if res.MaxStaleness > 2 {
+		t.Fatalf("BSP max staleness = %d, want <= workers-1", res.MaxStaleness)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestRunSSPRespectsStalenessBound(t *testing.T) {
 	// (s+1)*P updates stale (every other worker may contribute updates while
 	// the pushing worker is s iterations behind).
 	limit := (2 + 1) * cfg.Workers
-	if res.Staleness.Max() > limit {
-		t.Fatalf("SSP max staleness %d exceeds limit %d", res.Staleness.Max(), limit)
+	if res.MaxStaleness > limit {
+		t.Fatalf("SSP max staleness %d exceeds limit %d", res.MaxStaleness, limit)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestRunHeterogeneousDelayCreatesWaitsUnderBSP(t *testing.T) {
 	}
 	// The two fast workers must accumulate waiting time at the barrier while
 	// the slow worker computes.
-	if res.Waits.Total(0) == 0 && res.Waits.Total(1) == 0 {
+	if res.Waits[0] == 0 && res.Waits[1] == 0 {
 		t.Fatal("expected barrier waiting time for fast workers under BSP")
 	}
 }

@@ -151,6 +151,7 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 		"dssp_rejoins_total",
 		"dssp_push_staleness_sum",
 		"dssp_push_staleness_count",
+		"dssp_push_staleness_max",
 		`dssp_push_phase_seconds_sum{phase="decode"}`,
 		`dssp_push_phase_seconds_count{phase="guard"}`,
 		`dssp_push_phase_seconds_count{phase="policy"}`,
@@ -189,6 +190,9 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 		"dssp_transport_recv_body_alloc_total",
 		kernelSeries("tensor", tensor.Kernel()),
 		kernelSeries("compress", compress.Kernel()),
+	}
+	for w := 0; w < workers; w++ {
+		catalog = append(catalog, `dssp_worker_wait_seconds{worker="`+strconv.Itoa(w)+`"}`)
 	}
 	for _, series := range catalog {
 		if _, ok := final[series]; !ok {

@@ -128,8 +128,9 @@ type TrainResult struct {
 	Accuracy *metrics.TimeSeries
 	// Updates is the number of gradient updates applied by the server.
 	Updates int
-	// DroppedUpdates is the number of pushed updates the policy discarded
-	// (the backup-worker baseline's defining metric; 0 elsewhere).
+	// DroppedUpdates is the number of pushed updates the policy or the
+	// anomaly guard discarded (the backup-worker baseline's defining metric;
+	// GuardDropped counts the guard's share).
 	DroppedUpdates int
 	// Duration is the wall-clock training time.
 	Duration time.Duration
@@ -316,17 +317,14 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 		Updates:        res.Updates,
 		DroppedUpdates: res.Dropped,
 		Duration:       res.Duration,
-		MeanStaleness:  res.Staleness.Mean(),
-		MaxStaleness:   res.Staleness.Max(),
-		WorkerWaitTime: make([]time.Duration, cfg.Workers),
+		MeanStaleness:  res.MeanStaleness,
+		MaxStaleness:   res.MaxStaleness,
+		WorkerWaitTime: res.Waits,
 		PushedBytes:    res.PushedBytes,
 		PulledBytes:    res.PulledBytes,
 		GuardFlags:     res.Guard.Flags,
 		Evicted:        res.Guard.Evicted,
 		GuardDropped:   res.Guard.DroppedPushes,
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		out.WorkerWaitTime[w] = res.Waits.Total(w)
 	}
 	return out, nil
 }

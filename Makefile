@@ -29,14 +29,18 @@ race:
 # relay-child arms of the session tests run the same ten times. The lane arms
 # of the poisoning tests (a leased body is a slot of the same-host arena) and
 # their channel arms (a leased body is a pooled in-process frame) ride the
-# first line; the second-to-last runs the lane's own lease tests and the
-# channel's contract test in internal/transport and the last the crash/restart
+# first line, as do the lane push slots workers and relays compute their
+# pushes in; the third line runs the lane's own lease and push-slot tests and
+# the channel's contract test in internal/transport, the fourth the worker
+# loop (pulled weights read in place, gradients computed in the push slot),
+# the fifth Backward into adopted gradients, and the last the crash/restart
 # run on both socket carriers.
 lease-stress:
-	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK' ./internal/ps/
+	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
 	$(GO) test -race -count=10 -run 'TestLane|TestLoopbackDialUpgradesToLane|TestReleaseHookSeesBodyBeforeReuse|TestPipeKeepsTheConnContract|TestForeignPeersStayOnTCP|TestListenerCloseFreesLaneName' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
+	$(GO) test -race -count=10 -run 'TestAdoptGradsBackwardIsBitIdentical' ./internal/nn/
 	$(GO) test -race -count=10 -run 'TestTCPWorkerCrashRejoinAndServerRestart' .
 
 # The portable kernel paths (the Go loops of internal/tensor, bound where there

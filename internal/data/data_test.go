@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -334,5 +335,36 @@ func TestLoadCIFAR100FromGeneratedBinaryFile(t *testing.T) {
 func TestLoadCIFARMissingDirectoryFails(t *testing.T) {
 	if _, err := LoadCIFAR10(filepath.Join(t.TempDir(), "does-not-exist")); err == nil {
 		t.Fatal("expected error for missing directory")
+	}
+}
+
+// TestBatchIteratorReusesItsBatches: every batch of the configured size is
+// the same tensor and label slice, refilled, and so is every short last batch
+// of an epoch (a pair of its own) — each holding exactly what Dataset.Batch
+// builds for the same examples — and a warm Next allocates nothing.
+func TestBatchIteratorReusesItsBatches(t *testing.T) {
+	d := MustSynthetic(SyntheticConfig{Examples: 10, Classes: 3, Channels: 2, Size: 4, Noise: 0.5, Seed: 5})
+	it, err := NewBatchIterator(d, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]*tensor.Tensor{}
+	for i := 0; i < 9; i++ { // three epochs of 4 + 4 + 2
+		x, labels := it.Next()
+		n := len(labels)
+		want, wantLabels := d.Batch(it.order[it.cursor-n : it.cursor])
+		if !x.SameShape(want) || !reflect.DeepEqual(x.Data(), want.Data()) || !reflect.DeepEqual(labels, wantLabels) {
+			t.Fatalf("batch %d differs from Dataset.Batch of the same examples", i)
+		}
+		if prev, ok := seen[n]; ok && prev != x {
+			t.Fatalf("batch %d of %d examples is a new tensor", i, n)
+		}
+		seen[n] = x
+	}
+	if len(seen) != 2 || seen[4] == seen[2] {
+		t.Fatalf("want one tensor per batch size, got %d", len(seen))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { it.Next() }); allocs != 0 {
+		t.Errorf("a warm Next allocates %v objects", allocs)
 	}
 }

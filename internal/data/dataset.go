@@ -67,14 +67,22 @@ func (d *Dataset) Label(i int) int { return d.labels[i] }
 // a label slice. Image datasets produce NCHW tensors; flat datasets produce
 // (batch, features).
 func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
-	n := len(indices)
-	var batch *tensor.Tensor
+	batch, labels := d.newBatch(len(indices))
+	d.fillBatch(batch, labels, indices)
+	return batch, labels
+}
+
+// newBatch allocates a batch tensor and label slice for n examples.
+func (d *Dataset) newBatch(n int) (*tensor.Tensor, []int) {
 	if d.Flat {
-		batch = tensor.New(n, d.Size)
-	} else {
-		batch = tensor.New(n, d.Channels, d.Size, d.Size)
+		return tensor.New(n, d.Size), make([]int, n)
 	}
-	labels := make([]int, n)
+	return tensor.New(n, d.Channels, d.Size, d.Size), make([]int, n)
+}
+
+// fillBatch overwrites batch and labels, sized for len(indices) examples,
+// with the examples at indices.
+func (d *Dataset) fillBatch(batch *tensor.Tensor, labels, indices []int) {
 	bd := batch.Data()
 	stride := d.sampleLen()
 	for i, idx := range indices {
@@ -84,7 +92,6 @@ func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
 		copy(bd[i*stride:(i+1)*stride], d.images[idx])
 		labels[i] = d.labels[idx]
 	}
-	return batch, labels
 }
 
 // All returns a batch containing the whole dataset, useful for evaluation of

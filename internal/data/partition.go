@@ -54,6 +54,16 @@ type BatchIterator struct {
 	order     []int
 	cursor    int
 	epoch     int
+	// full and tail are what Next fills and returns: one batch tensor and
+	// label slice for the configured size, one for an epoch's short last
+	// batch.
+	full, tail reusedBatch
+}
+
+// reusedBatch is one batch shape's tensor and labels, allocated on first use.
+type reusedBatch struct {
+	x      *tensor.Tensor
+	labels []int
 }
 
 // NewBatchIterator returns an iterator over d with the given batch size.
@@ -86,7 +96,9 @@ func (it *BatchIterator) shuffle() {
 
 // Next returns the next mini-batch, wrapping around (and reshuffling) at the
 // end of each epoch. Batches at the end of an epoch may be smaller than the
-// configured batch size.
+// configured batch size. The tensor and labels are the iterator's, refilled
+// by every call: valid until the next Next, and a caller that keeps a batch
+// longer copies it (Dataset.Batch builds one of its own).
 func (it *BatchIterator) Next() (*tensor.Tensor, []int) {
 	if it.cursor >= len(it.order) {
 		it.cursor = 0
@@ -99,8 +111,15 @@ func (it *BatchIterator) Next() (*tensor.Tensor, []int) {
 	}
 	indices := it.order[it.cursor:end]
 	it.cursor = end
-	x, labels := it.dataset.Batch(indices)
-	return x, labels
+	b := &it.full
+	if len(indices) < it.batchSize {
+		b = &it.tail
+	}
+	if b.x == nil {
+		b.x, b.labels = it.dataset.newBatch(len(indices))
+	}
+	it.dataset.fillBatch(b.x, b.labels, indices)
+	return b.x, b.labels
 }
 
 // Epoch returns the number of completed passes over the dataset.

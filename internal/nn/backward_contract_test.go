@@ -143,3 +143,73 @@ func TestBatchNormGradientUnderflowsToPlusZero(t *testing.T) {
 		t.Fatalf("beta gradient = %v, want the one term %v", got, float32(-math.SmallestNonzeroFloat32))
 	}
 }
+
+// TestAdoptGradsBackwardIsBitIdentical: a network whose gradients are adopted
+// — views into one shared buffer, each at an odd 4-byte offset as a lane push
+// slot's views sit, poisoned with NaN before every pass — leaves in them, pass
+// after pass, exactly the bits its twin leaves in its own storage; a nil
+// entry keeps that gradient home; DetachGrads puts every gradient back on the
+// storage it was built on.
+func TestAdoptGradsBackwardIsBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *Network
+		in    []int
+	}{
+		{"SmallMLP", func() *Network { return SmallMLP(rand.New(rand.NewSource(5)), 300, 64, 10) }, []int{300}},
+		{"ResNet-8", func() *Network { return ResNetCIFAR(rand.New(rand.NewSource(5)), 8, 10) }, []int{3, 16, 16}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			home, adopted := tc.build(), tc.build()
+			built := make([]*float32, len(adopted.Grads()))
+			size := 0
+			for i, g := range adopted.Grads() {
+				built[i] = &g.Data()[0]
+				size += g.Size() + 1
+			}
+			backing := make([]float32, size+1)
+			views := make([]*tensor.Tensor, len(built))
+			off := 1
+			for i, g := range adopted.Grads() {
+				views[i] = tensor.FromSliceOwned(backing[off:off+g.Size()], g.Shape()...)
+				off += g.Size() + 1
+			}
+			views[1] = nil // the first layer's bias stays home
+			if err := adopted.AdoptGrads(views); err != nil {
+				t.Fatal(err)
+			}
+			for pass := int64(0); pass < 3; pass++ {
+				for i := range backing {
+					backing[i] = float32(math.NaN())
+				}
+				for _, n := range []*Network{home, adopted} {
+					rng := rand.New(rand.NewSource(60 + pass))
+					x := tensor.New(append([]int{4}, tc.in...)...).RandNormal(rng, 0, 1)
+					n.Loss(x, []int{1, 3, 5, 7}, true)
+					n.Backward()
+				}
+				for i, g := range adopted.Grads() {
+					want := &g.Data()[0] == built[i]
+					if views[i] != nil {
+						want = &g.Data()[0] == &views[i].Data()[0]
+					}
+					if !want {
+						t.Fatalf("pass %d: gradient %d is not where AdoptGrads put it", pass, i)
+					}
+					if !sameBits(g.Data(), home.Grads()[i].Data()) {
+						t.Fatalf("pass %d: gradient %d differs from Backward into the network's own storage", pass, i)
+					}
+				}
+			}
+			adopted.DetachGrads()
+			for i, g := range adopted.Grads() {
+				if &g.Data()[0] != built[i] {
+					t.Fatalf("gradient %d is not back on its own storage after DetachGrads", i)
+				}
+			}
+			if err := adopted.AdoptGrads(views[1:]); err == nil {
+				t.Fatal("AdoptGrads took one tensor fewer than the network has")
+			}
+		})
+	}
+}

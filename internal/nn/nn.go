@@ -62,13 +62,14 @@ type Network struct {
 	rng    *rand.Rand
 
 	// Every layer's Params and Grads, gathered once: layers never replace
-	// their parameter tensors, only their contents — or, between AdoptParams
-	// and DetachParams, the storage they point at.
+	// their parameter or gradient tensors, only their contents — or, between
+	// AdoptParams and DetachParams (AdoptGrads and DetachGrads), the storage
+	// they point at.
 	params, grads []*tensor.Tensor
-	// home is the storage each parameter tensor was built on; adopted says
-	// the tensors currently point somewhere else.
-	home    [][]float32
-	adopted bool
+	// home and gradHome are the storage each parameter and gradient tensor
+	// was built on; adopted and gradsAdopted say some point somewhere else.
+	home, gradHome        [][]float32
+	adopted, gradsAdopted bool
 }
 
 // NewNetwork builds a network from the given layers. The random source is
@@ -90,6 +91,10 @@ func NewNetwork(rng *rand.Rand, layers ...Layer) *Network {
 	n.home = make([][]float32, len(n.params))
 	for i, p := range n.params {
 		n.home[i] = p.Data()
+	}
+	n.gradHome = make([][]float32, len(n.grads))
+	for i, g := range n.grads {
+		n.gradHome[i] = g.Data()
 	}
 	return n
 }
@@ -164,7 +169,7 @@ func (n *Network) ParamCount() int {
 // storage (detaching first, should anything be adopted): how an evaluator
 // installs a snapshot of the global weights in a model of its own.
 func (n *Network) SetParams(params []*tensor.Tensor) error {
-	if err := n.checkParams("SetParams", params); err != nil {
+	if err := checkShapes("SetParams", n.params, params); err != nil {
 		return err
 	}
 	n.DetachParams(false)
@@ -180,7 +185,7 @@ func (n *Network) SetParams(params []*tensor.Tensor) error {
 // network only reads its parameters, so the storage may be read-only; whoever
 // adopts must call DetachParams before that storage stops being readable.
 func (n *Network) AdoptParams(params []*tensor.Tensor) error {
-	if err := n.checkParams("AdoptParams", params); err != nil {
+	if err := checkShapes("AdoptParams", n.params, params); err != nil {
 		return err
 	}
 	for i, p := range params {
@@ -208,15 +213,50 @@ func (n *Network) DetachParams(keep bool) {
 	n.adopted = false
 }
 
-// checkParams reports whether params matches the network's parameters in
-// count and shapes.
-func (n *Network) checkParams(op string, params []*tensor.Tensor) error {
-	if len(params) != len(n.params) {
-		return fmt.Errorf("nn: %s got %d tensors, network has %d", op, len(params), len(n.params))
+// AdoptGrads points the network's gradient tensors at the given tensors'
+// storage, so that Backward leaves its gradients there: how a worker computes
+// a push where the transport sends it from. A nil entry puts that gradient
+// back on the network's own storage. Backward sets every gradient without
+// reading it, so the values are bit for bit what the network's own storage
+// would have received; whoever adopts must call DetachGrads before that
+// storage stops being writable.
+func (n *Network) AdoptGrads(grads []*tensor.Tensor) error {
+	if err := checkShapes("AdoptGrads", n.grads, grads); err != nil {
+		return err
 	}
-	for i, p := range params {
-		if !n.params[i].SameShape(p) {
-			return fmt.Errorf("nn: %s tensor %d shape %v does not match %v", op, i, p.Shape(), n.params[i].Shape())
+	n.gradsAdopted = false
+	for i, g := range grads {
+		data := n.gradHome[i]
+		if g != nil {
+			data, n.gradsAdopted = g.Data(), true
+		}
+		n.grads[i].Rebind(data)
+	}
+	return nil
+}
+
+// DetachGrads points the gradients back at the network's own storage without
+// reading the adopted one, so they read whatever that storage last held. A
+// no-op on a network that adopted nothing.
+func (n *Network) DetachGrads() {
+	if !n.gradsAdopted {
+		return
+	}
+	for i, g := range n.grads {
+		g.Rebind(n.gradHome[i])
+	}
+	n.gradsAdopted = false
+}
+
+// checkShapes reports whether got matches want in count and shapes; a nil
+// entry of got matches anything.
+func checkShapes(op string, want, got []*tensor.Tensor) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("nn: %s got %d tensors, network has %d", op, len(got), len(want))
+	}
+	for i, g := range got {
+		if g != nil && !want[i].SameShape(g) {
+			return fmt.Errorf("nn: %s tensor %d shape %v does not match %v", op, i, g.Shape(), want[i].Shape())
 		}
 	}
 	return nil

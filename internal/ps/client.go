@@ -43,6 +43,8 @@ type Client struct {
 	// gradients for the duration of Send, which is done with whatever the
 	// message aliases when it returns (transport.Conn).
 	pushWire []transport.WireTensor
+	// slot is the connection's resident push slot (PushSlot).
+	slot pushSlot
 	// pullParams is the chunk-reassembly buffer reused across Pulls.
 	pullParams []*tensor.Tensor
 	// pullHeld is, per server shard, the last dense Weights chunk whose
@@ -479,6 +481,74 @@ func (c *Client) PushAsync(grads []*tensor.Tensor, baseVersion int64, iteration 
 	return nil
 }
 
+// PushSlot returns tensors shaped like grads whose storage is where the
+// values of this worker's next dense push go on the wire, when the
+// connection has such a place and it is free: gradients computed there
+// (nn.Network.AdoptGrads) are pushed by PushAndWait without a copy. nil when
+// there is none — not a same-host lane, a lossy codec, a push too small to
+// leave the socket — or while the receiver still holds the last push sent
+// from it; gradients computed anywhere else are pushed exactly as before.
+// Ask before every pass: the tensors may only be written while the slot is
+// free, and not after Close.
+func (c *Client) PushSlot(grads []*tensor.Tensor) []*tensor.Tensor {
+	if c.comp != nil {
+		return nil
+	}
+	if !c.slot.tried {
+		c.slot.place(c.conn, transport.Message{Type: transport.MsgPush, Worker: c.worker}, grads)
+	}
+	return c.slot.take(grads)
+}
+
+// pushSlot is a connection's resident push slot as a dense pusher holds it
+// (transport.BodyPlacer): tensors over the slot's views.
+type pushSlot struct {
+	placer  transport.BodyPlacer
+	views   []*tensor.Tensor
+	release func()
+	// tried: placed, refused or ended — placement is asked for once.
+	tried bool
+}
+
+// place asks conn for a slot laid out for pushes with tmpl's fields and
+// grads' shapes. The encoder omits zero fields, so the slot is placed for a
+// nonzero Iteration and Version: a push at either 0 lays its body out
+// differently and takes the copy path.
+func (s *pushSlot) place(conn transport.Conn, tmpl transport.Message, grads []*tensor.Tensor) {
+	s.tried = true
+	placer, ok := conn.(transport.BodyPlacer)
+	if !ok {
+		return
+	}
+	tmpl.Iteration, tmpl.Version, tmpl.Tensors = 1, 1, transport.ToWireOwned(grads)
+	views, release, ok := placer.PlaceBody(tmpl)
+	if !ok {
+		return
+	}
+	s.placer, s.release = placer, release
+	s.views = make([]*tensor.Tensor, len(views))
+	for i, v := range views {
+		s.views[i] = tensor.FromSliceOwned(v, grads[i].Shape()...)
+	}
+}
+
+// take returns the slot's tensors if a push of grads' shapes can be sent
+// from it now, and nil otherwise.
+func (s *pushSlot) take(grads []*tensor.Tensor) []*tensor.Tensor {
+	if s.views == nil || !sameLayout(s.views, grads) || !s.placer.SlotFree() {
+		return nil
+	}
+	return s.views
+}
+
+// end unmaps the slot for good: its tensors must not be touched afterwards.
+func (s *pushSlot) end() {
+	if s.release != nil {
+		s.release()
+	}
+	*s = pushSlot{tried: true}
+}
+
 // WaitOK blocks until the server releases the worker's outstanding push.
 // Exactly one WaitOK must follow every PushAsync.
 func (c *Client) WaitOK() error {
@@ -538,22 +608,25 @@ func (c *Client) StartHeartbeats(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// Close releases the underlying connection and ends the pull lease: the
-// tensors the last Pull handed out must not be read afterwards. The lease
-// ends here rather than whenever the garbage collector finds the client, so
-// that a reader outliving it fails the same way every time.
+// Close releases the underlying connection and ends the pull lease and the
+// push slot: the tensors the last Pull handed out must not be read
+// afterwards, nor those PushSlot handed out touched. The leases end here
+// rather than whenever the garbage collector finds the client, so that a
+// reader outliving them fails the same way every time.
 func (c *Client) Close() error {
 	err := c.conn.Close()
-	c.releasePulled()
+	c.endLeases()
 	return err
 }
 
-// releasePulled ends the lease on every dense chunk Pull still holds.
-func (c *Client) releasePulled() {
+// endLeases ends the lease on every dense chunk Pull still holds, and the
+// push slot.
+func (c *Client) endLeases() {
 	for i := range c.pullHeld {
 		c.pullHeld[i].Release()
 		c.pullHeld[i] = transport.Message{}
 	}
+	c.slot.end()
 }
 
 // recv reads the next message, converting server-reported errors into Go

@@ -81,8 +81,11 @@ type ClusterClient struct {
 	hbInterval time.Duration
 	// retired are the clients of data links replaced since the last Pull:
 	// their connections are closed, but the tensors that Pull handed out may
-	// alias their receive buffers, so their pull leases run until the next.
+	// alias their receive buffers, and the gradients being pushed their push
+	// slots, so both leases run until the next.
 	retired []*Client
+	// slots is PushSlot's result, reused.
+	slots []*tensor.Tensor
 }
 
 // NewClusterClient connects worker to the group coordinated at coordAddr:
@@ -391,6 +394,34 @@ func (c *ClusterClient) PushAndWait(grads []*tensor.Tensor, baseVersion int64, i
 	return c.coordPush(baseVersion, iteration)
 }
 
+// PushSlot is Client.PushSlot over the data links: entry i is a tensor of
+// the push slot of the link owning tensor i, nil where that link has none
+// free now; the result is nil when no link has one. It is reused by the next
+// call.
+func (c *ClusterClient) PushSlot(grads []*tensor.Tensor) []*tensor.Tensor {
+	if len(grads) != c.total {
+		return nil
+	}
+	if len(c.slots) != c.total {
+		c.slots = make([]*tensor.Tensor, c.total)
+	}
+	found := false
+	for _, l := range c.links {
+		lo, hi := l.entry.TensorLo, l.entry.TensorHi
+		views := l.client.PushSlot(grads[lo:hi])
+		if views == nil {
+			clear(c.slots[lo:hi])
+			continue
+		}
+		copy(c.slots[lo:hi], views)
+		found = true
+	}
+	if !found {
+		return nil
+	}
+	return c.slots
+}
+
 // retryFragment recovers link i and re-sends its fragment until it lands.
 func (c *ClusterClient) retryFragment(i int, grads []*tensor.Tensor, iteration int) error {
 	err := fmt.Errorf("ps: fragment push to %s failed", c.links[i].entry.Addr)
@@ -469,7 +500,8 @@ func (c *ClusterClient) Codec() string {
 	return c.links[0].client.Codec()
 }
 
-// Close releases every connection and ends the pull lease (Client.Close).
+// Close releases every connection and ends the pull lease and the push slots
+// (Client.Close).
 func (c *ClusterClient) Close() error {
 	var err error
 	if c.coordConn != nil {
@@ -477,17 +509,17 @@ func (c *ClusterClient) Close() error {
 	}
 	for _, l := range c.links {
 		closeLink(l)
-		l.client.releasePulled()
+		l.client.endLeases()
 	}
 	c.releaseRetired()
 	return err
 }
 
-// releaseRetired ends the pull leases of the links replaced since the last
-// Pull.
+// releaseRetired ends the pull leases and push slots of the links replaced
+// since the last Pull.
 func (c *ClusterClient) releaseRetired() {
 	for i, client := range c.retired {
-		client.releasePulled()
+		client.endLeases()
 		c.retired[i] = nil
 	}
 	c.retired = c.retired[:0]

@@ -22,6 +22,7 @@ import (
 // and a group worker's ClusterClient both fit.
 type pusher interface {
 	Pull() ([]*tensor.Tensor, int64, error)
+	PushSlot(grads []*tensor.Tensor) []*tensor.Tensor
 	PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error
 	Done() error
 	Close() error
@@ -36,11 +37,21 @@ type leaseTopology struct {
 	// replace (group only) stops data server i and promotes a fresh one,
 	// holding the initial weights, over its shard range.
 	replace func(t *testing.T, i int)
+	// inPlace counts the frames sent from a push slot (transport.BodyPlacer)
+	// by the workers' connections and by a relay's trunk.
+	inPlace func() (workers, trunk float64)
 }
 
 // endpoint starts serve on a fresh listener of the chosen transport and
 // returns the address and a dialer for it.
 func endpoint(t *testing.T, tcp bool, serve func(transport.Listener)) (addr string, dial func() (transport.Conn, error)) {
+	t.Helper()
+	return meteredEndpoint(t, tcp, nil, serve)
+}
+
+// meteredEndpoint is endpoint with the dialing side of every socket
+// connection counted on meter (the channel transport has no lane to count).
+func meteredEndpoint(t *testing.T, tcp bool, meter *transport.Metrics, serve func(transport.Listener)) (addr string, dial func() (transport.Conn, error)) {
 	t.Helper()
 	if tcp {
 		l, err := transport.Listen("127.0.0.1:0")
@@ -49,7 +60,9 @@ func endpoint(t *testing.T, tcp bool, serve func(transport.Listener)) (addr stri
 		}
 		t.Cleanup(func() { l.Close() })
 		go serve(l)
-		return l.Addr(), func() (transport.Conn, error) { return transport.Dial(l.Addr()) }
+		return l.Addr(), func() (transport.Conn, error) {
+			return transport.DialWireMetered(l.Addr(), transport.WireBinary, meter)
+		}
 	}
 	l := transport.NewChanListener()
 	t.Cleanup(func() { l.Close() })
@@ -72,6 +85,13 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			return st.Snapshot()
 		}
 	}
+	// The workers dial on one meter, a relay on another.
+	workerReg, trunkReg := obs.NewRegistry(), obs.NewRegistry()
+	workerMeter, trunkMeter := transport.NewMetrics(workerReg), transport.NewMetrics(trunkReg)
+	inPlace := func() (float64, float64) {
+		const series = "dssp_transport_lane_in_place_total"
+		return workerReg.Snapshot()[series], trunkReg.Snapshot()[series]
+	}
 	switch topo {
 	case "flat", "tree":
 		st, err := NewStoreSharded(initial, opt(), 2)
@@ -83,7 +103,11 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Stop)
-		_, dial := endpoint(t, tcp, func(l transport.Listener) { _ = srv.Serve(l) })
+		rootMeter := workerMeter
+		if topo == "tree" {
+			rootMeter = trunkMeter
+		}
+		_, dial := meteredEndpoint(t, tcp, rootMeter, func(l transport.Listener) { _ = srv.Serve(l) })
 		if topo == "tree" {
 			// One relay in front of every worker: child pushes fold into
 			// partials, pulls are served from the relay's upstream cache.
@@ -92,9 +116,10 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 				t.Fatal(err)
 			}
 			t.Cleanup(relay.Stop)
-			_, dial = endpoint(t, edgeTCP, func(l transport.Listener) { _ = relay.Serve(l) })
+			_, dial = meteredEndpoint(t, edgeTCP, workerMeter, func(l transport.Listener) { _ = relay.Serve(l) })
 		}
 		return leaseTopology{
+			inPlace: inPlace,
 			connect: func(w int) (pusher, error) {
 				conn, err := dial()
 				if err != nil {
@@ -133,7 +158,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 		}
 		serve := func(srv *Server) string {
 			t.Cleanup(srv.Stop)
-			addr, dial := endpoint(t, tcp, func(l transport.Listener) { _ = srv.Serve(l) })
+			addr, dial := meteredEndpoint(t, tcp, workerMeter, func(l transport.Listener) { _ = srv.Serve(l) })
 			mu.Lock()
 			dialers[addr] = dial
 			mu.Unlock()
@@ -183,6 +208,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			start(t, i, transport.MsgServerAnnounce)
 		}
 		return leaseTopology{
+			inPlace: inPlace,
 			replace: func(t *testing.T, i int) {
 				running[i].Stop()
 				start(t, i, transport.MsgPromote)
@@ -232,7 +258,9 @@ func poisonReleasedBodies(t *testing.T) *atomic.Int64 {
 // client sends from and the worker overwrites as soon as its push returns,
 // the receive buffers the server applies pushes out of and the relay folds
 // them out of, the ones the client's pulled weights (and the relay's upstream
-// cache) alias until superseded, and the relay's recycled sum buffers — from
+// cache) alias until superseded, the relay's recycled sum buffers, and the
+// lane push slots a worker computes its push in and a relay sums a partial
+// in, rewritten as soon as they read free (Client.PushSlot) — from
 // concurrent workers over TCP, the same-host lane and the in-process channel
 // transport, on a flat server, a server group and an aggregation tree: one
 // ownership rule (transport.Conn), asserted once over all three carriers.
@@ -333,15 +361,19 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 								}
 								last[i] = v
 							}
-							for _, g := range grads {
+							// Each gradient is computed in the push slot when
+							// its connection has one free, at home otherwise.
+							pushed := slotOrHome(c.PushSlot(grads), grads)
+							for _, g := range pushed {
 								g.Fill(value(w, r))
 							}
-							if err := c.PushAndWait(grads, version, r); err != nil {
+							if err := c.PushAndWait(pushed, version, r); err != nil {
 								t.Error(err)
 								return
 							}
-							// The push returned; the caller's buffers are free.
-							for _, g := range grads {
+							// The push returned; the caller's buffers are free,
+							// and so is a slot that says it is.
+							for _, g := range slotOrHome(c.PushSlot(grads), grads) {
 								g.Fill(1e6)
 							}
 						}
@@ -377,9 +409,30 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 				if n := released.Load() - before; n < 2*rounds {
 					t.Errorf("only %d receive buffers were released over %d rounds of pushes and pulls: leases are not ending", n, rounds)
 				}
+				// Whatever hop is a lane sends from its push slot: the
+				// workers' pushes, and a relay's partials.
+				fromWorkers, fromTrunk := top.inPlace()
+				if want := tc.lane && tc.edgeTCP; (fromWorkers > 0) != want {
+					t.Errorf("%v worker pushes left from a push slot, want some: %v", fromWorkers, want)
+				}
+				if want := tc.lane && topo == "tree"; (fromTrunk > 0) != want {
+					t.Errorf("%v relay partials left from the trunk's push slot, want some: %v", fromTrunk, want)
+				}
 			})
 		}
 	}
+}
+
+// slotOrHome is the tensors a push computes its gradients in: the push
+// slot's (Client.PushSlot) where there are, home's elsewhere.
+func slotOrHome(slot, home []*tensor.Tensor) []*tensor.Tensor {
+	out := append([]*tensor.Tensor(nil), home...)
+	for i, s := range slot {
+		if s != nil {
+			out[i] = s
+		}
+	}
+	return out
 }
 
 // TestClusterPullLeaseOutlivesReplacedLink: a ClusterClient replaces a dead
@@ -891,4 +944,80 @@ func TestRelaySentChunkOutlivesSupersededPullCache(t *testing.T) {
 			t.Fatalf("value %d of the chunk child 0 still holds reads %v, want 3: it aliased a receive buffer the relay has handed back", i, v)
 		}
 	}
+}
+
+// TestPushSlotWaitsForTheReceiversRelease: a receiver may answer a push
+// before it releases it (the servers here release first; the contract does
+// not ask them to), and until it does the worker's push slot is not handed
+// out again — the push computed elsewhere meanwhile is copied, and neither
+// frame is torn.
+func TestPushSlotWaitsForTheReceiversRelease(t *testing.T) {
+	t.Cleanup(transport.SetLaneEnabled(true))
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	held := make(chan transport.Message, 2)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			m, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			reply := transport.MsgOK
+			if m.Type == transport.MsgRegister {
+				reply = transport.MsgRegistered
+			} else {
+				held <- m
+			}
+			if conn.Send(transport.Message{Type: reply, Worker: m.Worker}) != nil {
+				return
+			}
+		}
+	}()
+	conn, err := transport.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(conn, 1)
+	defer c.Close()
+	if err := c.Register(); err != nil {
+		t.Fatal(err)
+	}
+	grads := []*tensor.Tensor{tensor.New(64, 128)}
+	slot := c.PushSlot(grads)
+	if slot == nil {
+		t.Fatal("a lane client has no push slot")
+	}
+	slot[0].Fill(1)
+	if err := c.PushAndWait(slot, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	first := <-held
+	if c.PushSlot(grads) != nil {
+		t.Fatal("the push slot was handed out while the receiver holds the push sent from it")
+	}
+	grads[0].Fill(2)
+	if err := c.PushAndWait(grads, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	second := <-held
+	for i, m := range []transport.Message{first, second} {
+		for _, v := range m.Tensors[0].Data {
+			if v != float32(i+1) {
+				t.Fatalf("push %d reads %v, want %d", i+1, v, i+1)
+			}
+		}
+	}
+	first.Release()
+	if c.PushSlot(grads) == nil {
+		t.Fatal("the push slot stays busy after the receiver released its push")
+	}
+	second.Release()
 }

@@ -96,9 +96,9 @@ type Relay struct {
 	// payload dictates the layout its siblings are judged by.
 	layout atomic.Pointer[[][]int]
 
-	// mu guards pendingJoins, partial, spareSum, doneCount and the children's
-	// session.finished, and orders trunk flushes (the send happens under it,
-	// so forwarded partials leave in completion order).
+	// mu guards pendingJoins, partial, spareSum, trunkSlot, doneCount and the
+	// children's session.finished, and orders trunk flushes (the send happens
+	// under it, so forwarded partials leave in completion order).
 	mu           sync.Mutex
 	pendingJoins map[int]chan transport.Message
 	partial      *relayPartial
@@ -106,6 +106,9 @@ type Relay struct {
 	// spareSum is the last flushed partial's sum buffers, the next partial's:
 	// the trunk's Send was done with them when it returned.
 	spareSum []*tensor.Tensor
+	// trunkSlot is the trunk's resident push slot: a partial that starts
+	// while it is free sums there, and its flush sends it uncopied.
+	trunkSlot pushSlot
 
 	stopOnce sync.Once
 
@@ -125,7 +128,9 @@ type packedShard struct {
 // relayPartial is the in-progress sum: the window accumulating children's
 // gradients until the flush condition fires.
 type relayPartial struct {
-	sum     []*tensor.Tensor
+	sum []*tensor.Tensor
+	// inSlot: sum is the trunk slot's, not heap buffers for spareSum.
+	inSlot  bool
 	entries []transport.PushEntry
 	members map[int]bool
 	minBase int64
@@ -301,6 +306,14 @@ func (r *Relay) Stop() {
 		// The connection, not the client: Client.Close would end the pull
 		// lease a handlePull in flight still reads under pullMu.
 		_ = r.up.conn.Close()
+		// A partial summing in the trunk slot can never be sent now; it goes
+		// with the slot, under the lock every fold takes.
+		r.mu.Lock()
+		if r.partial != nil && r.partial.inSlot {
+			r.partial = nil
+		}
+		r.trunkSlot.end()
+		r.mu.Unlock()
 	})
 }
 
@@ -577,7 +590,9 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 			started: r.clock(),
 		}
 		r.partial = p
-		if sameLayout(r.spareSum, grads) {
+		if sum := r.trunkSum(grads); sum != nil {
+			p.sum, p.inSlot = sum, true
+		} else if sameLayout(r.spareSum, grads) {
 			p.sum, r.spareSum = r.spareSum, nil
 		} else {
 			p.sum = make([]*tensor.Tensor, len(grads))
@@ -607,6 +622,22 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 		r.flushLocked("full")
 	}
 	r.mu.Unlock()
+}
+
+// trunkSum returns the trunk's push slot as a new partial's sum buffers when
+// it is free (Client.PushSlot), nil otherwise — under a trunk codec, off the
+// lane, or while the root still holds the last partial sent from it. The
+// slot has room for a full fanout's PushEntries, which follow the tensors and
+// so move no slab. Caller holds r.mu.
+func (r *Relay) trunkSum(grads []*tensor.Tensor) []*tensor.Tensor {
+	if r.comp != nil {
+		return nil
+	}
+	if !r.trunkSlot.tried {
+		r.trunkSlot.place(r.trunk, transport.Message{Type: transport.MsgPush, Worker: r.trunkKey,
+			PushEntries: make([]transport.PushEntry, r.cfg.Fanout)}, grads)
+	}
+	return r.trunkSlot.take(grads)
 }
 
 // sameLayout reports whether a holds one tensor of b's shape per tensor of b
@@ -656,7 +687,8 @@ func (r *Relay) completeLocked() bool {
 // layer replays. Callers hold r.mu — the send happens under it, so partials
 // leave in completion order. When the trunk's Send returns nothing upstream
 // reads the sum buffers (or the compressor's, which the next flush
-// overwrites) again, so they become the next partial's (spareSum).
+// overwrites) again, so heap ones become the next partial's (spareSum); the
+// trunk slot's are the root's until it releases the frame.
 func (r *Relay) flushLocked(reason string) {
 	p := r.partial
 	r.partial = nil
@@ -701,7 +733,9 @@ func (r *Relay) flushLocked(reason string) {
 	if err := r.trunk.Send(msg); err != nil {
 		go r.fail(fmt.Errorf("ps: relay trunk: %w", err))
 	}
-	r.spareSum = p.sum
+	if !p.inSlot {
+		r.spareSum = p.sum
+	}
 }
 
 // handlePull refreshes the relay's upstream delta-pull cache and serves

@@ -14,6 +14,7 @@ import (
 	"dssp/internal/core"
 	"dssp/internal/data"
 	"dssp/internal/nn"
+	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/ps"
 	"dssp/internal/tensor"
@@ -82,7 +83,9 @@ func (c *cutConn) Recv() (transport.Message, error) {
 //
 //   - the store ends on the parameter hash the copying loop of commit 006d85e
 //     reached (recorded there, per kernel binding; the AVX-512 panels reach
-//     the AVX2 hashes), and the replica on the hash of the last weights pulled;
+//     the AVX2 hashes), and the replica on the hash of the last weights pulled
+//     — on the dense lane arms with the pushes computed in the connection's
+//     push slot and sent from it uncopied, which the arm checks happened;
 //   - after the run — client closed, two collections — the replica reads its
 //     own memory: a parameter still aliasing a pooled frame would read poison,
 //     one aliasing a lane slot would fault on the unmapped arena;
@@ -133,6 +136,10 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 						t.Fatal(err)
 					}
 					t.Cleanup(srv.Stop)
+					// The worker's side of every socket connection is metered
+					// (the channel transport has no lane to count).
+					reg := obs.NewRegistry()
+					meter := transport.NewMetrics(reg)
 					var dial func() (transport.Conn, error)
 					if carrier == "channel" {
 						l := transport.NewChanListener()
@@ -146,7 +153,9 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 						}
 						t.Cleanup(func() { l.Close() })
 						go func() { _ = srv.Serve(l) }()
-						dial = func() (transport.Conn, error) { return transport.Dial(l.Addr()) }
+						dial = func() (transport.Conn, error) {
+							return transport.DialWireMetered(l.Addr(), transport.WireBinary, meter)
+						}
 					}
 
 					// Two Weights frames a pull: the first connection dies on
@@ -156,7 +165,7 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 					route := ps.Route{
 						Dial: func(string) (transport.Conn, error) {
 							conn, err := dial()
-							if dials++; err == nil && dials == 1 {
+							if dials++; err == nil && dials == 1 && cutAt >= 0 {
 								conn = &cutConn{Conn: conn, cutAt: cutAt}
 							}
 							return conn, err
@@ -164,13 +173,16 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 						Compression: cfg, Shards: 2,
 					}
 
+					// atHome: every parameter and gradient on the storage
+					// the replica was built on.
 					replica := build()
+					tensors := func() []*tensor.Tensor { return append(replica.Params(), replica.Grads()...) }
 					var home []*float32
-					for _, p := range replica.Params() {
+					for _, p := range tensors() {
 						home = append(home, &p.Data()[0])
 					}
 					atHome := func() bool {
-						for i, p := range replica.Params() {
+						for i, p := range tensors() {
 							if &p.Data()[0] != home[i] {
 								return false
 							}
@@ -187,7 +199,7 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 					report, err := RunWorker(Worker{
 						Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
 							if rejoin && !atHome() {
-								t.Error("the loop reconnects with the replica still reading the lost client's pull lease")
+								t.Error("the loop reconnects with the replica still on the lost client's pull lease or push slot")
 							}
 							return ps.Connect(route, rejoin, lastVersion)
 						},
@@ -207,6 +219,17 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 					}
 					if report.Iterations != iterations || report.Reconnects != wantReconnects {
 						t.Fatalf("%d iterations over %d reconnects, want %d over %d", report.Iterations, report.Reconnects, iterations, wantReconnects)
+					}
+					// Pushes at iteration 0 and every push through a cut
+					// connection (which hides the lane) are copied; on the
+					// dense lane arms every other one leaves in place.
+					inPlace := reg.Snapshot()["dssp_transport_lane_in_place_total"]
+					if carrier == "lane" && pull.name == "dense" {
+						if inPlace < iterations/2 {
+							t.Errorf("%v of %d pushes left from the push slot", inPlace, iterations)
+						}
+					} else if inPlace != 0 {
+						t.Errorf("%v pushes counted in place on a %s arm with %s pushes", inPlace, carrier, pull.name)
 					}
 
 					// The client is closed; let every finalizer that could

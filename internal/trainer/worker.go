@@ -9,6 +9,7 @@ import (
 	"dssp/internal/data"
 	"dssp/internal/nn"
 	"dssp/internal/ps"
+	"dssp/internal/tensor"
 )
 
 // NoCrash is the Worker.CrashAt value of a worker that runs to completion.
@@ -31,10 +32,11 @@ type Worker struct {
 	// client Connect returns.
 	HeartbeatInterval time.Duration
 	// Replica is the worker's model, borrowed for the run: while it lasts the
-	// parameters read the client's pulled weights in place, and they are
-	// rebound to the replica's own storage on return — holding the last
-	// weights pulled after a run that reached Done, and whatever that storage
-	// held before otherwise. Batches is the worker's data shard.
+	// parameters read the client's pulled weights in place and the gradients
+	// may be computed in its push slot, and both are rebound to the replica's
+	// own storage on return — the parameters holding the last weights pulled
+	// after a run that reached Done, and whatever that storage held before
+	// otherwise. Batches is the worker's data shard.
 	Replica *nn.Network
 	Batches *data.BatchIterator
 	// Augment, when set, distorts each batch using Rng.
@@ -52,6 +54,12 @@ type Worker struct {
 	// worker vanishes without a word — no Done, no Leave, like a killed
 	// process. NoCrash (any negative value) never does.
 	CrashAt int
+}
+
+// pushSlotter is a client whose dense push can be computed where it is sent
+// from: *ps.Client and *ps.ClusterClient.
+type pushSlotter interface {
+	PushSlot(grads []*tensor.Tensor) []*tensor.Tensor
 }
 
 // WorkerReport is what one worker's run came to.
@@ -87,10 +95,10 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 	// link connects and starts heartbeats; retire folds the client's traffic
 	// into the report before discarding it, so bytes moved before a reconnect
 	// are not lost. Close without Done is how a crash looks to the server.
-	// Close also ends the pull lease the replica reads its parameters through,
-	// so retire first puts the replica back on its own storage — without
-	// reading the leased one: after a Pull that failed half-way, part of it is
-	// already gone.
+	// Close also ends the pull lease the replica reads its parameters through
+	// and the push slot it may compute its gradients in, so retire first puts
+	// the replica back on its own storage — without reading the leased one:
+	// after a Pull that failed half-way, part of it is already gone.
 	link := func(rejoin bool) error {
 		c, err := w.Connect(rejoin, lastVersion)
 		if err != nil {
@@ -107,6 +115,7 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 			return
 		}
 		w.Replica.DetachParams(false)
+		w.Replica.DetachGrads()
 		stopHeartbeats()
 		pushed, pulled := client.Traffic()
 		report.Pushed += pushed
@@ -170,6 +179,20 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 				w.Augment.Apply(w.Rng, x)
 			}
 			report.Loss, _ = w.Replica.Loss(x, labels, true)
+			// The gradients land where the push is sent from when the client
+			// has such a place free now (ps.Client.PushSlot), in the
+			// replica's own storage otherwise; asked before every pass,
+			// because the place is the receiver's until it releases the last
+			// push sent from it.
+			if slots, ok := client.(pushSlotter); ok && !adversarial {
+				if views := slots.PushSlot(w.Replica.Grads()); views != nil {
+					if err := w.Replica.AdoptGrads(views); err != nil {
+						return report, err
+					}
+				} else {
+					w.Replica.DetachGrads()
+				}
+			}
 			w.Replica.Backward()
 			if w.Delay > 0 {
 				time.Sleep(w.Delay)

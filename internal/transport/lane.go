@@ -25,12 +25,21 @@ package transport
 // a process holding both ends of a connection has every in-flight page
 // resident once, and a write the kernel cannot back with memory is an error
 // that sends the frame inline, not a fault.
+//
+// One exception, placed on request (PlaceBody): the resident push slot, a run
+// of pages at the top of the arena that the allocator gives up for good, its
+// memory allocated up front and mapped writable at the sender. The caller
+// computes a push's tensors there, and a Send whose slabs already sit at
+// their body offsets in it writes only the bytes around them: the push
+// crosses user space zero times. The receiver cannot tell — the slot is a
+// slot, the header names it, Release frees it.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -75,24 +84,42 @@ type arena struct {
 	pages int
 	// write puts a body, gathered from vec, at byte offset off (sending end).
 	write func(off int, vec [][]byte) error
+	// mapPages maps pages [page, page+n) writable at the sending end, their
+	// memory allocated first so that no store into them can fault, and unmap
+	// undoes it; nil where the arena cannot (a receiving end).
+	mapPages func(page, n int) (mem []byte, unmap func(), err error)
 	// free gives back mem and whatever write holds once the last holder is
 	// gone; nil for an arena the garbage collector owns.
 	free func()
-	// holders counts who may still touch mem: the connection and, at the
-	// receiving end, every unreleased lease — a message outlives its
-	// connection and its peer.
+	// holders counts who may still touch mem: the connection, the resident
+	// push slot's mapping until its release and, at the receiving end, every
+	// unreleased lease — a message outlives its connection and its peer.
 	holders atomic.Int32
 
 	// The sending end's allocator, guarded by the connection's encMu: the
-	// slots it believes in flight, ascending, and the allocation counter that
-	// lets a failed batch take its own back.
-	live []laneSpan
-	seq  uint64
+	// slots it believes in flight, ascending, the allocation counter that
+	// lets a failed batch take its own back, the end of the pages it hands
+	// out (pages, or the push slot's first page once one is placed) and the
+	// push slot.
+	live  []laneSpan
+	seq   uint64
+	limit int
+	push  *pushSlot
+}
+
+// pushSlot is the resident push slot as its sender holds it.
+type pushSlot struct {
+	page int
+	// mem is the slot's pages as mapped at the sending end; unmap undoes that.
+	mem   []byte
+	unmap func()
+	// seq is the allocation counter when it last went in flight, for abandon.
+	seq uint64
 }
 
 // newArena returns one connection's view of an arena of pages pages.
 func newArena(mem []byte, pages int, write func(int, [][]byte) error, free func()) *arena {
-	a := &arena{mem: mem, pages: pages, write: write, free: free}
+	a := &arena{mem: mem, pages: pages, write: write, free: free, limit: pages}
 	a.holders.Store(1)
 	return a
 }
@@ -118,20 +145,78 @@ func (a *arena) drop() {
 // alloc finds the lowest free run of pages with room for n bytes, marks it in
 // flight and returns its first page; 0 means there is none.
 func (a *arena) alloc(n int) (page int) {
-	// Forget the slots the receiver has released since the last look.
-	a.live = slices.DeleteFunc(a.live, func(s laneSpan) bool { return a.state(s.page).Load() == 0 })
+	a.sweep()
 	need := (n + lanePage - 1) / lanePage
 	at, i := a.dataStart(), 0
 	for ; i < len(a.live) && a.live[i].page-at < need; i++ {
 		at = a.live[i].page + a.live[i].pages
 	}
-	if at+need > a.pages {
+	if at+need > a.limit {
 		return 0
 	}
 	a.seq++
 	a.live = slices.Insert(a.live, i, laneSpan{page: at, pages: need, seq: a.seq})
 	a.state(at).Store(1)
 	return at
+}
+
+// sweep forgets the slots the receiver has released since the last look.
+func (a *arena) sweep() {
+	a.live = slices.DeleteFunc(a.live, func(s laneSpan) bool { return a.state(s.page).Load() == 0 })
+}
+
+// place maps a resident push slot with room for an n-byte body: the lowest
+// run of pages that ends the arena, which the allocator never hands out
+// again. It reports false when the sending end cannot map pages, one is
+// placed already, or a frame still in flight occupies the run.
+func (a *arena) place(n int) bool {
+	if a.mapPages == nil || a.push != nil {
+		return false
+	}
+	need := (n + lanePage - 1) / lanePage
+	page := a.limit - need
+	a.sweep()
+	if last := len(a.live) - 1; page < a.dataStart() || last >= 0 && a.live[last].page+a.live[last].pages > page {
+		return false
+	}
+	mem, unmap, err := a.mapPages(page, need)
+	if err != nil {
+		return false
+	}
+	a.limit = page
+	a.push = &pushSlot{page: page, mem: mem, unmap: unmap}
+	a.holders.Add(1)
+	return true
+}
+
+// fill puts the body of the frame whose inline bytes run from buf[from:],
+// with refs spliced in, into the push slot and marks the slot in flight —
+// when the slot is free and every slab in refs already sits in it at its
+// body offset, so that only the inline bytes move. Nothing is written unless
+// all of that holds; it reports whether the frame went this way.
+func (a *arena) fill(buf []byte, from int, refs []slabRef, bodyLen int) bool {
+	p := a.push
+	if p == nil || len(refs) == 0 || bodyLen > len(p.mem) || a.state(p.page).Load() != 0 {
+		return false
+	}
+	off, at := 0, from
+	for _, r := range refs {
+		off += r.off - at
+		if off+len(r.data) > len(p.mem) || unsafe.SliceData(r.data) != &p.mem[off] {
+			return false
+		}
+		off, at = off+len(r.data), r.off
+	}
+	off, at = 0, from
+	for _, r := range refs {
+		off += copy(p.mem[off:], buf[at:r.off]) + len(r.data)
+		at = r.off
+	}
+	copy(p.mem[off:], buf[at:])
+	a.seq++
+	p.seq = a.seq
+	a.state(p.page).Store(1)
+	return true
 }
 
 // mark reads the allocation counter, for abandon; both are no-ops on a
@@ -154,6 +239,9 @@ func (a *arena) abandon(mark uint64) {
 			a.state(s.page).Store(0)
 		}
 	}
+	if p := a.push; p != nil && p.seq > mark {
+		a.state(p.page).Store(0)
+	}
 }
 
 // slot validates a received slot marker against the arena and returns the
@@ -173,9 +261,12 @@ func (a *arena) slot(page, n int) ([]byte, error) {
 // divert moves the body of the frame just assembled at buf[start:] — its
 // inline bytes and the slabs c.refs recorded from refCount on — into a free
 // slot of the outbound arena, leaving the header alone for the socket with
-// the slot in its reserved bytes. A frame under laneMinBody, a connection
-// with no lane, an arena with no room and a write that fails leave buf as it
-// is: the frame goes inline. Caller holds encMu.
+// the slot in its reserved bytes. A frame whose slabs already sit in the
+// free push slot goes there, only its inline bytes copied; any other takes
+// the lowest free run of pages, written with one gathered copy. A frame
+// under laneMinBody, a connection with no lane, an arena with no room and a
+// write that fails leave buf as it is: the frame goes inline. Caller holds
+// encMu.
 func (c *binaryConn) divert(buf []byte, start, refCount int) []byte {
 	a := c.laneOut
 	if a == nil {
@@ -184,6 +275,12 @@ func (c *binaryConn) divert(buf []byte, start, refCount int) []byte {
 	bodyLen := int(binary.LittleEndian.Uint32(buf[start+8:]))
 	if bodyLen < laneMinBody {
 		return buf
+	}
+	if a.fill(buf, start+headerSize, c.refs.list[refCount:], bodyLen) {
+		c.refs.truncate(refCount)
+		binary.LittleEndian.PutUint16(buf[start+6:], uint16(a.push.page))
+		c.meter.laneSentFrame(true)
+		return buf[:start+headerSize]
 	}
 	page := a.alloc(bodyLen)
 	if page == 0 {
@@ -201,8 +298,55 @@ func (c *binaryConn) divert(buf []byte, start, refCount int) []byte {
 	}
 	c.refs.truncate(refCount)
 	binary.LittleEndian.PutUint16(buf[start+6:], uint16(page))
-	c.meter.laneSentFrame()
+	c.meter.laneSentFrame(false)
 	return buf[:start+headerSize]
+}
+
+// PlaceBody implements BodyPlacer: m is encoded once, every slab taken by
+// reference, to learn where each lands in the body, and the push slot is
+// placed with room for that body.
+func (c *binaryConn) PlaceBody(m Message) (views [][]float32, release func(), ok bool) {
+	if len(m.Tensors) == 0 || len(m.Packed) > 0 || !hostLittleEndian {
+		return nil, nil, false
+	}
+	refs := frameRefs{min: 1}
+	buf, err := appendFrameRefs(nil, &m, &refs)
+	if err != nil || len(buf)+refs.bytes-headerSize < laneMinBody {
+		return nil, nil, false
+	}
+	c.encMu.Lock()
+	a := c.laneOut
+	var p *pushSlot
+	if a != nil && a.place(len(buf)+refs.bytes-headerSize) {
+		p = a.push
+	}
+	c.encMu.Unlock()
+	if p == nil {
+		return nil, nil, false
+	}
+	views = make([][]float32, len(refs.list))
+	off, at := 0, headerSize
+	for i, r := range refs.list {
+		off += r.off - at
+		views[i] = bytesFloat32(p.mem[off:off+len(r.data)], len(r.data)/4)
+		off, at = off+len(r.data), r.off
+	}
+	release = sync.OnceFunc(func() {
+		c.encMu.Lock()
+		a.push = nil // the pages stay above limit: a frame sent from them may still be leased
+		c.encMu.Unlock()
+		p.unmap()
+		a.drop()
+	})
+	return views, release, true
+}
+
+// SlotFree implements BodyPlacer.
+func (c *binaryConn) SlotFree() bool {
+	c.encMu.Lock()
+	defer c.encMu.Unlock()
+	a := c.laneOut
+	return a != nil && a.push != nil && a.state(a.push.page).Load() == 0
 }
 
 // readSlot decodes the frame whose header named slot page of the inbound

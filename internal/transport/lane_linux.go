@@ -222,7 +222,12 @@ func newArenaFile(size int) (int, error) {
 
 // newSendArena creates an arena of size bytes for this end to send through:
 // the state words mapped, bodies written through the descriptor, which is
-// also returned for the hello to carry and stays the arena's to close.
+// also returned for the hello to carry and stays the arena's to close. A
+// push slot is the one run of body pages this end maps: fallocate(2) gives
+// its pages memory before mmap(2) maps them, and the file is sealed against
+// shrinking, so a store into them cannot find a page missing — the SIGBUS
+// that keeps every other body behind the descriptor. Either call failing
+// means no slot, and the frames it would have carried are copied as ever.
 func newSendArena(size int) (*arena, int, error) {
 	fd, err := newArenaFile(size)
 	if err != nil {
@@ -251,7 +256,19 @@ func newSendArena(size int) (*arena, int, error) {
 		_ = syscall.Munmap(mem)
 		syscall.Close(fd)
 	}
-	return newArena(mem, pages, write, free), fd, nil
+	a := newArena(mem, pages, write, free)
+	a.mapPages = func(page, n int) ([]byte, func(), error) {
+		off, size := int64(page)*lanePage, n*lanePage
+		if err := syscall.Fallocate(fd, 0, off, int64(size)); err != nil {
+			return nil, nil, fmt.Errorf("transport: allocate lane push slot: %w", err)
+		}
+		slot, err := syscall.Mmap(fd, off, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+		if err != nil {
+			return nil, nil, fmt.Errorf("transport: map lane push slot: %w", err)
+		}
+		return slot, func() { _ = syscall.Munmap(slot) }, nil
+	}
+	return a, fd, nil
 }
 
 // mapShared maps the first size bytes of fd shared and writable: the sender

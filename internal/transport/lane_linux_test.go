@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dssp/internal/obs"
+	"dssp/internal/tensor"
 )
 
 // handshakePair runs the lane handshake over a fresh unix stream with arenas
@@ -439,4 +440,206 @@ func TestListenerCloseFreesLaneName(t *testing.T) {
 		}
 	}
 	l.Close()
+}
+
+// slotPush is a push whose tensor layout crosses refSlabMin twice (by
+// reference) with a small slab between them (inline), odd-sized so that
+// every slab needs padding.
+func slotPush(iteration int) Message {
+	return Message{Type: MsgPush, Worker: 3, Iteration: iteration, Version: 9, Tensors: ToWireOwned([]*tensor.Tensor{
+		tensor.Full(0, 64, 129), tensor.Full(0, 33), tensor.Full(0, 5001)})}
+}
+
+// placedPush places send's push slot for slotPush's layout and returns the
+// slot and a push whose tensors are its views, filled with v + the tensor
+// index.
+func placedPush(t *testing.T, send *binaryConn, v float32) (*pushSlot, Message, func()) {
+	t.Helper()
+	views, release, ok := send.PlaceBody(slotPush(1))
+	if !ok {
+		t.Fatal("a lane connection placed no push slot")
+	}
+	m := slotPush(7)
+	for i, view := range views {
+		for j := range view {
+			view[j] = v + float32(i)
+		}
+		m.Tensors[i].Data = view
+	}
+	return send.laneOut.push, m, release
+}
+
+// recvBody receives one frame and returns it with the body bytes it was
+// parsed from, which on the lane are the arena slot it arrived in.
+func recvBody(t *testing.T, recv *binaryConn) (Message, []byte) {
+	t.Helper()
+	m, err := recv.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.lease == nil || m.lease.arena == nil {
+		t.Fatal("a payload frame did not arrive in the arena")
+	}
+	return m, m.lease.buf
+}
+
+// wantBody is the body the copy path sends for m.
+func wantBody(t *testing.T, m Message) []byte {
+	t.Helper()
+	frame, err := appendFrame(nil, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame[headerSize:]
+}
+
+// TestLanePushSlotSendsInPlace: a push whose tensors are the push slot's
+// views leaves with only its header on the socket, arrives in the slot, and
+// decodes to the same message from the same body bytes as the copy path
+// sends; once the receiver releases it the slot carries the next one.
+func TestLanePushSlotSendsInPlace(t *testing.T) {
+	send, recv := handshakePair(t, 1024*lanePage)
+	reg := obs.NewRegistry()
+	send.meter = NewMetrics(reg)
+	slot, m, release := placedPush(t, send, 1)
+	defer release()
+	if slot.page+len(slot.mem)/lanePage != send.laneOut.pages || send.laneOut.limit != slot.page {
+		t.Fatalf("the slot spans pages [%d, %d) of %d with the allocator stopping at %d: not the arena's top, or not outside the allocator",
+			slot.page, slot.page+len(slot.mem)/lanePage, send.laneOut.pages, send.laneOut.limit)
+	}
+	if _, _, ok := send.PlaceBody(slotPush(1)); ok {
+		t.Fatal("a second PlaceBody placed a second slot")
+	}
+	for round := 1; round <= 3; round++ {
+		if !send.SlotFree() {
+			t.Fatalf("round %d: the slot is busy before anything was sent from it", round)
+		}
+		for i := range m.Tensors {
+			for j := range m.Tensors[i].Data {
+				m.Tensors[i].Data[j] = float32(round*10 + i)
+			}
+		}
+		if err := send.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		got, body := recvBody(t, recv)
+		sameFrame(t, got, m)
+		if !bytes.Equal(body, wantBody(t, m)) {
+			t.Fatalf("round %d: the body sent in place differs from the copy path's", round)
+		}
+		if got.lease.page != slot.page {
+			t.Fatalf("round %d: the frame arrived in slot %d, not the push slot %d", round, got.lease.page, slot.page)
+		}
+		if send.SlotFree() {
+			t.Fatalf("round %d: the slot reads free while the receiver holds its frame", round)
+		}
+		got.Release()
+		if want := float64(round); reg.Snapshot()["dssp_transport_lane_in_place_total"] != want {
+			t.Fatalf("round %d: %v frames counted in place, want %v", round, reg.Snapshot()["dssp_transport_lane_in_place_total"], want)
+		}
+	}
+	if got := reg.Snapshot()[`dssp_transport_lane_frames_total{dir="sent"}`]; got != 3 {
+		t.Errorf("%v frames counted through the arena, want 3", got)
+	}
+}
+
+// TestLanePushSlotFallsBackToCopy: a busy slot, a slab that is not the slot's
+// view and a frame whose Iteration is 0 (the field is omitted, so every slab
+// moves) each take the copy path — the same body bytes, in another slot —
+// and write nothing into the push slot.
+func TestLanePushSlotFallsBackToCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		alter func(m *Message)
+		busy  bool
+	}{
+		{name: "busy", busy: true},
+		{name: "misplaced", alter: func(m *Message) {
+			m.Tensors[2].Data = append([]float32(nil), m.Tensors[2].Data...)
+		}},
+		{name: "iteration-0", alter: func(m *Message) { m.Iteration = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			send, recv := handshakePair(t, 1024*lanePage)
+			reg := obs.NewRegistry()
+			send.meter = NewMetrics(reg)
+			slot, m, release := placedPush(t, send, 5)
+			defer release()
+			var held Message
+			if tc.busy {
+				if err := send.Send(m); err != nil {
+					t.Fatal(err)
+				}
+				held, _ = recvBody(t, recv)
+				defer held.Release()
+			}
+			if tc.alter != nil {
+				tc.alter(&m)
+			}
+			before := append([]byte(nil), slot.mem...)
+			inPlace := reg.Snapshot()["dssp_transport_lane_in_place_total"]
+			if err := send.Send(m); err != nil {
+				t.Fatal(err)
+			}
+			got, body := recvBody(t, recv)
+			defer got.Release()
+			sameFrame(t, got, m)
+			if !bytes.Equal(body, wantBody(t, m)) {
+				t.Fatal("the copied body differs from the frame's encoding")
+			}
+			if got.lease.page == slot.page {
+				t.Fatal("the frame arrived in the push slot")
+			}
+			if !bytes.Equal(slot.mem, before) {
+				t.Fatal("a frame that took the copy path wrote into the push slot")
+			}
+			if reg.Snapshot()["dssp_transport_lane_in_place_total"] != inPlace {
+				t.Fatal("a copied frame was counted in place")
+			}
+		})
+	}
+}
+
+// TestLanePushSlotOutlivesClose: the views stay mapped — readable and
+// writable — after both ends close, with another goroutine writing them as
+// the closes happen, until the holder's release; only that unmaps the arena.
+func TestLanePushSlotOutlivesClose(t *testing.T) {
+	send, recv := handshakePair(t, 1024*lanePage)
+	_, m, release := placedPush(t, send, 2)
+	out := send.laneOut
+	unmapped := false
+	free := out.free
+	out.free = func() { unmapped = true; free() }
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		for round := 0; round < 100; round++ {
+			for _, w := range m.Tensors {
+				for j := range w.Data {
+					w.Data[j] = float32(round)
+				}
+			}
+		}
+	}()
+	send.Close()
+	recv.Close()
+	<-written
+	if send.SlotFree() {
+		t.Error("a closed connection reports its push slot free")
+	}
+	for i, w := range m.Tensors {
+		for j, v := range w.Data {
+			if v != 99 {
+				t.Fatalf("view %d[%d] reads %v after Close, want 99", i, j, v)
+			}
+		}
+	}
+	if unmapped {
+		t.Fatal("Close unmapped the arena under placed views")
+	}
+	release()
+	if !unmapped {
+		t.Fatal("the release after Close did not unmap the arena")
+	}
+	release() // idempotent
 }

@@ -121,3 +121,30 @@ func FuzzLaneSlot(f *testing.F) {
 		}
 	})
 }
+
+// TestLanePushSlotStaysOutOfTheAllocator: the push slot is the run of pages
+// ending the arena, the allocator never hands them out again, and a frame in
+// flight up there keeps a slot from being placed over it.
+func TestLanePushSlotStaysOutOfTheAllocator(t *testing.T) {
+	a := heapArena(16) // one page of state words, fifteen of data
+	a.mapPages = func(page, n int) ([]byte, func(), error) {
+		return a.mem[page*lanePage : (page+n)*lanePage], func() {}, nil
+	}
+	big := a.alloc(14 * lanePage)
+	if a.place(2*lanePage+1) || a.push != nil {
+		t.Fatal("a slot was placed over a frame in flight")
+	}
+	a.state(big).Store(0)
+	if !a.place(2*lanePage+1) || a.push.page != 13 || a.limit != 13 {
+		t.Fatalf("the slot is not the arena's top three pages (%+v, limit %d)", a.push, a.limit)
+	}
+	if a.place(lanePage) {
+		t.Fatal("a second slot was placed")
+	}
+	if got := a.alloc(12 * lanePage); got != 1 {
+		t.Fatalf("a 12-page frame landed at page %d, want 1", got)
+	}
+	if got := a.alloc(lanePage); got != 0 {
+		t.Fatalf("a frame landed at page %d, inside the push slot", got)
+	}
+}

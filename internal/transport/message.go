@@ -353,6 +353,29 @@ type BatchSender interface {
 	SendBatch([]Message) error
 }
 
+// BodyPlacer is an optional Conn extension for senders that can say where a
+// message's tensor values will be sent from, so that they are computed there
+// instead of copied there: the same-host lane's resident push slot, a run of
+// its shared arena mapped at the sender (DESIGN.md §4b). Bytes on the wire do
+// not change; only the copy goes.
+type BodyPlacer interface {
+	// PlaceBody reserves the connection's one slot for bodies laid out like
+	// m's — the same fields present, the same tensor shapes, nothing packed —
+	// and returns, per tensor of m, the slot memory its values occupy in such
+	// a body. A later Send of a message laid out like m whose tensors' data
+	// are those views, made while SlotFree, writes the rest of the body
+	// around them and puts only the header on the socket; any other Send is
+	// unaffected. ok is false when there is no slot to give: not a lane, a
+	// body under the lane's threshold, a slot already placed, or the mapping
+	// failed. The views may be written only while SlotFree reports true, and
+	// they stay mapped — Close notwithstanding — until release, which the
+	// caller calls once when it is done with them.
+	PlaceBody(m Message) (views [][]float32, release func(), ok bool)
+	// SlotFree reports whether the receiver has released the last frame sent
+	// from the slot (false once the connection is closed).
+	SlotFree() bool
+}
+
 // Conn is a bidirectional, message-oriented connection between one worker
 // and the server. Send is safe for concurrent use from multiple goroutines
 // (a worker's heartbeat goroutine sends alongside the protocol goroutine);
@@ -363,6 +386,8 @@ type BatchSender interface {
 // by the time it returns, successfully or not: nothing the message aliased —
 // tensor data, packed payloads, the slices holding them — is read again by
 // the transport or the peer, so the sender may rewrite or recycle it at once.
+// The one exception is memory the connection itself handed out
+// (BodyPlacer), whose own rule says when it may be written.
 // A message Recv returns owns its payload: Tensors data and Packed payloads
 // may alias a receive buffer leased to that message alone until Release hands
 // it back, and a message that is never released is ordinary garbage.

@@ -23,10 +23,11 @@ type Metrics struct {
 	bodyReuse, bodyAlloc *obs.Counter
 	// conns counts open socket connections by carrier — the one source for
 	// which carrier a session is on. laneSent and laneRecv count the payload
-	// frames whose body crossed in the shared arena, laneInline those that
-	// qualified but found no free slot and went on the socket.
-	conns                          obs.GaugeVec
-	laneSent, laneRecv, laneInline *obs.Counter
+	// frames whose body crossed in the shared arena, laneInPlace those of the
+	// sent that left from the resident push slot with no copy, laneInline
+	// those that qualified but found no free slot and went on the socket.
+	conns                                       obs.GaugeVec
+	laneSent, laneRecv, laneInPlace, laneInline *obs.Counter
 }
 
 // The carriers of a socket connection, as dssp_transport_conns labels them.
@@ -50,6 +51,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Open socket connections by carrier: tcp, or the same-host shared-memory lane.", "carrier"),
 		laneSent: laneFrames.With("sent"),
 		laneRecv: laneFrames.With("recv"),
+		laneInPlace: reg.Counter("dssp_transport_lane_in_place_total",
+			"Payload frames sent from the lane's resident push slot, where the sender computed them: no copy."),
 		laneInline: reg.Counter("dssp_transport_lane_inline_total",
 			"Payload frames sent inline on a lane connection because the arena had no free slot to take them."),
 		batch: reg.Histogram("dssp_transport_batch_size",
@@ -115,11 +118,16 @@ func (m *Metrics) recvBody(where int) {
 	}
 }
 
-// laneSentFrame records one frame whose body left through the arena, and
-// laneInlined one that qualified but found the arena full.
-func (m *Metrics) laneSentFrame() {
-	if m != nil {
-		m.laneSent.Inc()
+// laneSentFrame records one frame whose body left through the arena — from
+// the push slot, uncopied, when inPlace — and laneInlined one that qualified
+// but found the arena full.
+func (m *Metrics) laneSentFrame(inPlace bool) {
+	if m == nil {
+		return
+	}
+	m.laneSent.Inc()
+	if inPlace {
+		m.laneInPlace.Inc()
 	}
 }
 

@@ -1384,7 +1384,8 @@ func (c *binaryConn) Recv() (Message, error) {
 }
 
 // Close implements Conn. Body buffers released after it are dropped rather
-// than pooled; a lane slot still leased stays readable until its release.
+// than pooled; a lane slot still leased stays readable until its release, and
+// a placed push slot stays mapped until its own (PlaceBody).
 func (c *binaryConn) Close() error {
 	c.fr.pool.close()
 	err := c.conn.Close()

@@ -188,6 +188,7 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 		"dssp_transport_batch_size_count",
 		"dssp_transport_recv_body_reuse_total",
 		"dssp_transport_recv_body_alloc_total",
+		"dssp_transport_lane_in_place_total",
 		kernelSeries("tensor", tensor.Kernel()),
 		kernelSeries("compress", compress.Kernel()),
 	}

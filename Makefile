@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check orphans fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke profile fmt fmt-check vet ci
+.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check orphans fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke profile fmt fmt-check vet ci
 
 all: build
 
@@ -266,6 +266,19 @@ aggtree-smoke:
 	$(GO) test -run 'TestTCPRelayDeathReparentsSubtree' -count=1 -v .
 	$(GO) test -run 'TestTreeIngressReduction' -count=1 -v ./internal/trainer/
 
+# Command-line smoke: the smokes above drive the library; this one builds
+# cmd/psserver and cmd/psworker and runs them as processes over loopback on
+# fixed ports — a flat 2-worker job, a coordinator with two data servers
+# (-shards 4 on every member, the group-wide count), and a root behind one
+# relay with -tree workers — failing on any non-zero exit, and checks that
+# psserver -role relay refuses a server-only flag (-guard). The binaries and
+# the per-process logs land in .cli-smoke/.
+cli-smoke:
+	mkdir -p .cli-smoke
+	$(GO) build -o .cli-smoke/psserver ./cmd/psserver
+	$(GO) build -o .cli-smoke/psworker ./cmd/psworker
+	bash scripts/cli_smoke.sh .cli-smoke
+
 # Profile real training in-process: a fixed-time run of one ResNet-8
 # forward+backward at the shape the slowest end-to-end workload
 # (flat-compute) runs, with CPU and allocation profiles. Inspect with
@@ -291,4 +304,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt-check vet loc surface-check orphans race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke bench-smoke
+ci: build fmt-check vet loc surface-check orphans race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke bench-smoke

@@ -2,8 +2,6 @@ package dssp
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"dssp/internal/optimizer"
@@ -34,9 +32,11 @@ const (
 // ClusterOptions configures a psserver's place in a server group
 // (ServerConfig.Cluster). The zero value is a standalone server. Every
 // member of one group must be started with the same model, dataset, seed,
-// Servers and GlobalShards values — the shard layout is derived
-// deterministically from them, which is what lets servers that have never
-// spoken to each other agree on byte-exact shard boundaries.
+// Servers and Options.Shards (the group-wide shard count; 0 picks two per
+// data server) — the shard layout is derived deterministically from them,
+// which is what lets servers that have never spoken to each other agree on
+// byte-exact shard boundaries. A data server started with another count
+// whose range then falls outside the coordinator's is refused at announce.
 type ClusterOptions struct {
 	// Role is RoleCoordinator, RoleData, RoleBackup, or "" for standalone.
 	Role string
@@ -46,17 +46,8 @@ type ClusterOptions struct {
 	// Servers is the number of data servers in the group (all roles).
 	Servers int
 	// Index is this server's slot in [0, Servers) — which shard range of
-	// the group layout it owns. Data and backup roles only. Alternatively
-	// set ShardLo/ShardHi explicitly (the -shard-range flag); they must
-	// match one of the layout's assignments.
+	// the group layout it owns. Data and backup roles only.
 	Index int
-	// ShardLo and ShardHi, when ShardHi > 0, select the owned shard range
-	// [ShardLo, ShardHi) explicitly instead of via Index. The range must be
-	// exactly one of the group layout's assignments.
-	ShardLo, ShardHi int
-	// GlobalShards is the group-wide store shard count; 0 picks the
-	// deterministic default (two per data server).
-	GlobalShards int
 	// Advertise is the address put in the cluster map for this server —
 	// what workers dial. Defaults to the listener's address, which is only
 	// right when it is reachable as-is (no ":7070"-style wildcard binds
@@ -98,7 +89,7 @@ func (cfg ServerConfig) validateCluster() error {
 		if c.Servers < 1 {
 			return fmt.Errorf("dssp: %s server needs the group's data-server count (Servers)", c.Role)
 		}
-		if c.ShardHi == 0 && (c.Index < 0 || c.Index >= c.Servers) {
+		if c.Index < 0 || c.Index >= c.Servers {
 			return fmt.Errorf("dssp: %s server index %d outside [0, %d)", c.Role, c.Index, c.Servers)
 		}
 		if c.Role == RoleBackup && c.Primary == "" {
@@ -111,57 +102,27 @@ func (cfg ServerConfig) validateCluster() error {
 	}
 }
 
-// ParseShardRange parses a "lo:hi" shard-range flag into its bounds.
-func ParseShardRange(s string) (lo, hi int, err error) {
-	a, b, ok := strings.Cut(s, ":")
-	if ok {
-		if lo, err = strconv.Atoi(a); err == nil {
-			hi, err = strconv.Atoi(b)
-		}
-	}
-	if !ok || err != nil || lo < 0 || hi <= lo {
-		return 0, 0, fmt.Errorf("dssp: shard range %q is not lo:hi with 0 <= lo < hi", s)
-	}
-	return lo, hi, nil
-}
-
-// assignment resolves which slice of the group layout this server owns.
-func (c ClusterOptions) assignment(layout []ps.ShardAssignment) (ps.ShardAssignment, error) {
-	if c.ShardHi > 0 {
-		for _, a := range layout {
-			if a.ShardLo == c.ShardLo && a.ShardHi == c.ShardHi {
-				return a, nil
-			}
-		}
-		var ranges []string
-		for _, a := range layout {
-			ranges = append(ranges, fmt.Sprintf("%d:%d", a.ShardLo, a.ShardHi))
-		}
-		return ps.ShardAssignment{}, fmt.Errorf(
-			"dssp: shard range %d:%d is not one of the group layout's assignments (%s)",
-			c.ShardLo, c.ShardHi, strings.Join(ranges, ", "))
-	}
-	return layout[c.Index], nil
-}
-
 // asMember completes pcfg for this server's group role, resolving which slice
-// of the group layout it owns (none, for the coordinator).
+// of the group layout — pcfg.Shards global shards over Servers data servers —
+// it owns (none, for the coordinator).
 func (c ClusterOptions) asMember(pcfg ps.ServerConfig, initial []*tensor.Tensor, opt optimizer.Optimizer) (ps.ServerConfig, ps.ShardAssignment, error) {
-	layout, globalShards, err := ps.GroupLayout(ps.TensorSizes(initial), c.GlobalShards, c.Servers)
+	layout, globalShards, err := ps.GroupLayout(ps.TensorSizes(initial), pcfg.Shards, c.Servers)
 	if err != nil {
 		return pcfg, ps.ShardAssignment{}, err
 	}
 	var own ps.ShardAssignment
 	var member *ps.ShardAssignment
 	if c.Role != RoleCoordinator {
-		if own, err = c.assignment(layout); err != nil {
-			return pcfg, own, err
-		}
+		own = layout[c.Index]
 		member = &own
 	}
 	pcfg, err = pcfg.AsGroupMember(initial, opt, globalShards, member)
 	return pcfg, own, err
 }
+
+// coordinatorDrain is how long a data server that lost its coordinator waits
+// for its own workers' last Done frames before calling the loss fatal.
+const coordinatorDrain = 200 * time.Millisecond
 
 // startClusterLoops starts a data or backup server's background protocol:
 // the announce stream that doubles as its liveness watch on the coordinator
@@ -173,6 +134,14 @@ func (s *Server) startClusterLoops(cluster ClusterOptions, entry transport.Serve
 		// Losing the coordinator is fatal by design: this server cannot make
 		// progress decisions without it (DESIGN.md §10).
 		if err := ps.Announce(transport.Dial, cluster.Coordinator, entry, s.role == RoleBackup, s.stopping); err != nil {
+			// Unless the run is over: a coordinator that saw every worker
+			// finish may stop before this server has read the Done frames
+			// the same workers sent it first (ps.ClusterClient.Done).
+			select {
+			case <-s.inner.AllWorkersDone():
+				return
+			case <-time.After(coordinatorDrain):
+			}
 			s.fail(fmt.Errorf("dssp: %s server lost the coordinator at %s: %w", s.role, cluster.Coordinator, err))
 		}
 	}()

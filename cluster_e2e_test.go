@@ -97,12 +97,14 @@ var e2eSyncs = []dssp.Sync{
 // end to end over real TCP: a deterministic schedule (one worker, so every
 // push applies serially) trained against a 2- and 3-server group produces
 // the byte-exact weights of the same schedule against a single server, under
-// each paradigm, with a stateful (momentum) optimizer.
+// each paradigm, with a stateful (momentum) optimizer. One Options.Shards
+// sizes the single server's store and the group's layout alike.
 func TestClusterBitIdenticalToSingleServerTCP(t *testing.T) {
 	base := clustertest.Config{
 		Workers:  1,
 		Epochs:   1,
 		Momentum: 0.9,
+		Options:  dssp.Options{Shards: 3},
 	}
 	for _, sync := range e2eSyncs {
 		cfg := base
@@ -123,6 +125,11 @@ func TestClusterBitIdenticalToSingleServerTCP(t *testing.T) {
 					group := clustertest.Start(t, gcfg)
 					if _, errs := group.RunWorkers(nil); errs[0] != nil {
 						t.Fatalf("cluster worker: %v", errs[0])
+					}
+					if m, err := ps.FetchClusterMap(dialBinary, group.CoordinatorAddr()); err != nil {
+						t.Fatal(err)
+					} else if m.StoreShards != cfg.Options.Shards {
+						t.Fatalf("group runs %d shards, Options.Shards is %d", m.StoreShards, cfg.Options.Shards)
 					}
 					got, gotVersion := groupWeights(t, group.CoordinatorAddr())
 					if gotVersion != wantVersion {
@@ -337,6 +344,47 @@ func TestClusterRejectsCrossModeClients(t *testing.T) {
 	// the coordinator instead of silently scoring a partial model.
 	if _, err := group.Data[0].Evaluate(); err == nil {
 		t.Fatal("data server evaluated a partial model")
+	}
+}
+
+// TestDataServerShardCountMismatchRefused: Options.Shards is the group-wide
+// count and must be the same on every member. A data server started with more
+// shards than its coordinator owns a range the coordinator's layout does not
+// reach, and the announce is refused with the shard-range error, failing the
+// data server rather than serving a slice no worker can route to.
+func TestDataServerShardCountMismatchRefused(t *testing.T) {
+	member := func(shards int, cluster dssp.ClusterOptions) dssp.ServerConfig {
+		return dssp.ServerConfig{
+			Addr:    "127.0.0.1:0",
+			Workers: 1,
+			Sync:    dssp.Sync{Paradigm: dssp.ASP},
+			Dataset: dssp.DatasetConfig{Examples: 32, Classes: 2, ImageSize: 8, Seed: 1},
+			Seed:    1,
+			Options: dssp.Options{Shards: shards},
+			Cluster: cluster,
+		}
+	}
+	coord, err := dssp.Serve(member(2, dssp.ClusterOptions{Role: dssp.RoleCoordinator, Servers: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Stop()
+	data, err := dssp.Serve(member(4, dssp.ClusterOptions{
+		Role: dssp.RoleData, Coordinator: coord.Addr(), Servers: 2, Index: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Stop()
+	select {
+	case <-data.Failed():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the coordinator accepted a data server running another shard count")
+	}
+	if err := data.FailureErr(); !strings.Contains(err.Error(), "shard range") || !strings.Contains(err.Error(), "outside [0, 2)") {
+		t.Fatalf("refusal %q is not the shard-range error", err)
+	}
+	if entries, _ := coord.ClusterMap(); len(entries) != 0 {
+		t.Fatalf("the refused data server entered the map: %+v", entries)
 	}
 }
 

@@ -34,11 +34,14 @@
 // Server groups: -role places this server in a multi-server group
 // (DESIGN.md §10). A coordinator (-role coordinator -cluster-servers N)
 // owns the paradigm policy and the cluster map; data servers (-role data
-// -peers <coordinator> -cluster-servers N -cluster-index i, or -shard-range
-// lo:hi) each own a contiguous shard range of the store; a backup
-// (-role backup -primary <data server>) replicates its primary's weights and
-// requests promotion when the primary stays dead past -replicate-grace.
-// Workers join the group with psworker -cluster -server <coordinator>.
+// -peers <coordinator> -cluster-servers N -cluster-index i) each own a
+// contiguous shard range of the store; a backup (-role backup -primary <data
+// server>) replicates its primary's weights and requests promotion when the
+// primary stays dead past -replicate-grace. In a group -shards is the
+// group-wide shard count (0 = two per data server) and must be the same on
+// every member; a data server whose range then reaches past the
+// coordinator's count is refused at announce. Workers join the group with
+// psworker -cluster -server <coordinator>.
 //
 // Aggregation tier: -role relay runs an aggregation relay (DESIGN.md §11)
 // instead of a server: it registers a trunk with the root at -parent,
@@ -47,7 +50,9 @@
 // cutting the root's ingress from O(workers) to O(workers/fanout) frames.
 // Workers join the tree with psworker -tree -server <root>; they learn
 // their relay from the root's layout and re-parent if it dies. A partial
-// stalled by a straggler is forwarded incomplete after 50ms.
+// stalled by a straggler is forwarded incomplete after 50ms. A relay refuses
+// the flags only a server acts on (-aggregator, -clip-norm, -guard, -elastic,
+// -checkpoint-*, -shards, -trace-*) by name rather than ignore them.
 //
 // Observability: -metrics-addr starts an admin HTTP listener serving
 // Prometheus /metrics, /healthz, a /statusz JSON snapshot, and
@@ -64,6 +69,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -86,7 +92,7 @@ func main() {
 		imageSize    = flag.Int("image-size", 16, "image size (or feature count for small-mlp)")
 		lr           = flag.Float64("lr", 0.1, "learning rate")
 		momentum     = flag.Float64("momentum", 0.0, "SGD momentum")
-		shards       = flag.Int("shards", 0, "parameter-store shards (0 = one per CPU)")
+		shards       = flag.Int("shards", 0, "parameter-store shards (0 = one per CPU); in a server group the group-wide count, the same on every member (0 = two per data server)")
 		compressName = flag.String("compress", dssp.CompressNone, "gradient codec on the wire: none, fp16, int8, topk")
 		topk         = flag.Float64("topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1)")
 		compressPull = flag.Bool("compress-pull", false, "also compress pulled weights (fp16/int8 codecs only)")
@@ -108,8 +114,6 @@ func main() {
 		fanout         = flag.Int("fanout", 4, "workers this relay aggregates per forwarded push (relay role)")
 		clusterServers = flag.Int("cluster-servers", 0, "number of data servers in the group (all cluster roles)")
 		clusterIndex   = flag.Int("cluster-index", 0, "this server's slot in [0, cluster-servers) — which shard range it owns")
-		shardRange     = flag.String("shard-range", "", "owned shard range as lo:hi, overriding -cluster-index (must match a layout assignment)")
-		globalShards   = flag.Int("global-shards", 0, "group-wide store shard count (0 = two per data server); must match across the group")
 		advertise      = flag.String("advertise", "", "address published in the cluster map (default: the listen address)")
 		primary        = flag.String("primary", "", "the data server this backup replicates from (backup role)")
 		replicateEvery = flag.Duration("replicate-every", 0, "backup replication poll cadence (0 = default 25ms)")
@@ -121,11 +125,19 @@ func main() {
 		// A relay left on the default codec follows the parent, like a
 		// worker's -compress auto; an explicit -compress must match exactly.
 		relayCompress := dssp.Compression{Codec: dssp.CompressAuto, TopK: *topk, Pull: *compressPull}
+		var serverOnly []string
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "compress" {
+			switch f.Name {
+			case "compress":
 				relayCompress.Codec = *compressName
+			case "aggregator", "clip-norm", "guard", "elastic", "checkpoint-dir", "checkpoint-every",
+				"shards", "trace-every", "trace-dump":
+				serverOnly = append(serverOnly, "-"+f.Name)
 			}
 		})
+		if len(serverOnly) > 0 {
+			log.Fatalf("psserver: a relay does not act on %s; set it on the root server", strings.Join(serverOnly, ", "))
+		}
 		if err := runRelay(dssp.RelayConfig{
 			Addr:              *addr,
 			Advertise:         *advertise,
@@ -146,18 +158,10 @@ func main() {
 		Coordinator:    *peers,
 		Servers:        *clusterServers,
 		Index:          *clusterIndex,
-		GlobalShards:   *globalShards,
 		Advertise:      *advertise,
 		Primary:        *primary,
 		ReplicateEvery: *replicateEvery,
 		ReplicateGrace: *replicateGrace,
-	}
-	if *shardRange != "" {
-		lo, hi, err := dssp.ParseShardRange(*shardRange)
-		if err != nil {
-			log.Fatalf("psserver: %v", err)
-		}
-		cluster.ShardLo, cluster.ShardHi = lo, hi
 	}
 
 	cfg := dssp.ServerConfig{
@@ -238,7 +242,7 @@ func run(cfg dssp.ServerConfig, paradigm string, staleness, rng int, enforce boo
 		server.Addr(), cfg.Sync.Describe(), cfg.Workers, cfg.Compression, cfg.Aggregator, mode)
 	switch cfg.Cluster.Role {
 	case dssp.RoleCoordinator:
-		fmt.Printf("cluster coordinator for %d data servers (global shards auto unless -global-shards set)\n", cfg.Cluster.Servers)
+		fmt.Printf("cluster coordinator for %d data servers\n", cfg.Cluster.Servers)
 	case dssp.RoleData:
 		fmt.Printf("cluster data server (group of %d), announcing to coordinator %s\n", cfg.Cluster.Servers, cfg.Cluster.Coordinator)
 	case dssp.RoleBackup:

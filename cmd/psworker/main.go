@@ -12,7 +12,8 @@
 // dataset; -compress/-topk/-compress-pull select the gradient codec (the
 // default "auto" adopts whatever the server speaks, anything else must match
 // the server or registration is rejected); -shards, when set, asserts the
-// server's parameter-store shard count and aborts on a mismatch.
+// server's parameter-store shard count (with -cluster, the group-wide count
+// the coordinator reports) and aborts on a mismatch.
 //
 // Pulls are always full: the push a worker waits on before each pull has
 // moved every shard, so a version-gated delta pull (docs/PROTOCOL.md §5a)
@@ -64,7 +65,7 @@ func main() {
 		batch        = flag.Int("batch", 16, "mini-batch size")
 		epochs       = flag.Int("epochs", 5, "number of epochs over this worker's shard")
 		delay        = flag.Duration("delay", 0, "artificial per-iteration delay (emulates a slower GPU)")
-		shards       = flag.Int("shards", 0, "expected parameter-store shard count on the server (0 = accept any; a mismatch aborts)")
+		shards       = flag.Int("shards", 0, "expected parameter-store shard count on the server, group-wide with -cluster (0 = accept any; a mismatch aborts)")
 		compressName = flag.String("compress", dssp.CompressAuto, "gradient codec: auto (adopt the server's), none, fp16, int8, topk")
 		topk         = flag.Float64("topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1; must match the server)")
 		compressPull = flag.Bool("compress-pull", false, "expect compressed weight pulls (must match the server; implied by -compress auto)")

@@ -43,11 +43,9 @@ type Config struct {
 	LearningRate float64
 	Momentum     float64
 	// Options is the shared serving surface (compression, aggregation,
-	// sharding, delta pulls) applied to every server in the group.
+	// sharding) applied to every server in the group; its Shards is the
+	// group-wide count (0 = the layout default of two per data server).
 	Options dssp.Options
-	// GlobalShards overrides the group-wide shard count (0 = the layout
-	// default of two per data server).
-	GlobalShards int
 	// ReplicateEvery and ReplicateGrace tune the backups; zero keeps the
 	// package defaults (25ms / 2s).
 	ReplicateEvery time.Duration
@@ -137,9 +135,8 @@ func Start(t *testing.T, cfg Config) *Cluster {
 	}
 
 	coord, err := dssp.Serve(c.serverConfig(dssp.ClusterOptions{
-		Role:         dssp.RoleCoordinator,
-		Servers:      cfg.Servers,
-		GlobalShards: cfg.GlobalShards,
+		Role:    dssp.RoleCoordinator,
+		Servers: cfg.Servers,
 	}))
 	if err != nil {
 		t.Fatalf("clustertest: coordinator: %v", err)
@@ -150,11 +147,10 @@ func Start(t *testing.T, cfg Config) *Cluster {
 
 	for i := 0; i < cfg.Servers; i++ {
 		srv, err := dssp.Serve(c.serverConfig(dssp.ClusterOptions{
-			Role:         dssp.RoleData,
-			Coordinator:  c.coordAddr,
-			Servers:      cfg.Servers,
-			Index:        i,
-			GlobalShards: cfg.GlobalShards,
+			Role:        dssp.RoleData,
+			Coordinator: c.coordAddr,
+			Servers:     cfg.Servers,
+			Index:       i,
 		}))
 		if err != nil {
 			t.Fatalf("clustertest: data server %d: %v", i, err)
@@ -169,7 +165,6 @@ func Start(t *testing.T, cfg Config) *Cluster {
 			Coordinator:    c.coordAddr,
 			Servers:        cfg.Servers,
 			Index:          i,
-			GlobalShards:   cfg.GlobalShards,
 			Primary:        c.dataAddrs[i],
 			ReplicateEvery: cfg.ReplicateEvery,
 			ReplicateGrace: cfg.ReplicateGrace,

@@ -43,6 +43,10 @@ func (a Anomaly) String() string {
 // absorbs reconnect-and-retry sequences.
 const DefaultFloodSlack = 3
 
+// DefaultMaxStrikes is how many anomaly flags evict a worker, on the real
+// server's guard and in the simulator alike.
+const DefaultMaxStrikes = 3
+
 // ClockMonitor tracks per-worker push/pull clocks and flags impossible or
 // abusive progressions. It is not synchronized: the caller serializes
 // observations per its own locking discipline (the server observes on the

@@ -123,8 +123,8 @@ func TestGuardRejectionsCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	guarded := res.Dropped - int(res.Metrics[`dssp_push_dropped_total{reason="policy"}`])
-	if guarded < ps.DefaultMaxStrikes {
-		t.Fatalf("%d guard rejections, want at least the %d strikes that evict", guarded, ps.DefaultMaxStrikes)
+	if guarded < core.DefaultMaxStrikes {
+		t.Fatalf("%d guard rejections, want at least the %d strikes that evict", guarded, core.DefaultMaxStrikes)
 	}
 	if res.Guard.DroppedPushes != guarded || res.Metrics[`dssp_push_dropped_total{reason="guard"}`] != float64(guarded) {
 		t.Fatalf("guard rejections: %d from Dropped, %d in GuardStats, %v on /metrics; want one count",

@@ -21,8 +21,8 @@ const (
 	// (NaN/Inf gradients) contribute nothing.
 	AggClipped = "clipped"
 	// AggTrimmedMean is the coordinate-wise trimmed mean over an aggregation
-	// window of pushes: per coordinate, the Trim fraction of extreme values
-	// on each side is discarded and the mean of the rest — scaled back to
+	// window of pushes: per coordinate, the DefaultTrim fraction of extreme
+	// values on each side is discarded and the mean of the rest — scaled back to
 	// sum magnitude — is applied. Non-finite coordinates are rejected before
 	// trimming.
 	AggTrimmedMean = "trimmed-mean"
@@ -32,7 +32,7 @@ const (
 	AggMedian = "median"
 )
 
-// Default parameters for AggregatorConfig's zero values.
+// Aggregation parameters.
 const (
 	// DefaultTrim is the per-side trim fraction of the trimmed-mean
 	// aggregator: a quarter off each end tolerates one attacker in a window
@@ -48,6 +48,14 @@ const (
 // AggregatorConfig selects how the per-shard appliers reduce a batch of
 // queued pushes into one optimizer step. The zero value is plain summation —
 // exactly the classic pipeline.
+//
+// Sum and clipped step once per push. The windowed robust kinds (Windowed)
+// collect a window of as many pushes as the server has workers before taking
+// a robust step: the order statistics need the honest majority in-window to
+// out-vote an attacker. Partial windows are force-published whenever a
+// release is waiting on them, so paradigms that release per push (ASP, SSP,
+// DSSP) stay live; what the window buys is that concurrent pushes are
+// aggregated robustly instead of summed.
 type AggregatorConfig struct {
 	// Kind is AggSum (""), AggClipped, AggTrimmedMean or AggMedian — at the
 	// public surface dssp.AggregateSum, AggregateClipped, AggregateTrimmedMean
@@ -56,22 +64,11 @@ type AggregatorConfig struct {
 	// ClipNorm is the per-tensor L2 cap of the clipped aggregator; it must
 	// be positive for AggClipped and is ignored elsewhere.
 	ClipNorm float64
-	// Trim is the trimmed-mean per-side trim fraction in [0, 0.5); 0 selects
-	// DefaultTrim (0.25). Ignored by the other kinds.
-	Trim float64
-	// Window is the aggregation window: how many pushes the appliers try to
-	// collect before taking a robust step. 0 lets the server pick — 1 for
-	// sum/clipped (per-push, no added latency), the worker count for the
-	// windowed robust kinds. Partial windows are force-published whenever a
-	// release is waiting on them, so paradigms that release per push (ASP,
-	// SSP, DSSP) stay live; what the window buys is that concurrent pushes
-	// are aggregated robustly instead of summed.
-	Window int
 }
 
 // Windowed reports whether the configured kind aggregates over a multi-push
-// window by default (the robust order statistics need several contributions
-// to reject outliers).
+// window (the robust order statistics need several contributions to reject
+// outliers).
 func (c AggregatorConfig) Windowed() bool {
 	return c.Kind == AggTrimmedMean || c.Kind == AggMedian
 }
@@ -80,12 +77,6 @@ func (c AggregatorConfig) Windowed() bool {
 func (c AggregatorConfig) Normalized() AggregatorConfig {
 	if c.Kind == "" {
 		c.Kind = AggSum
-	}
-	if c.Kind == AggTrimmedMean && c.Trim == 0 {
-		c.Trim = DefaultTrim
-	}
-	if c.Kind != AggTrimmedMean {
-		c.Trim = 0
 	}
 	if c.Kind != AggClipped {
 		c.ClipNorm = 0
@@ -105,29 +96,19 @@ func (c AggregatorConfig) Validate() error {
 		return fmt.Errorf("ps: unknown aggregator %q (want %s, %s, %s or %s)",
 			c.Kind, AggSum, AggClipped, AggTrimmedMean, AggMedian)
 	}
-	if c.Trim < 0 || c.Trim >= 0.5 {
-		return fmt.Errorf("ps: trim fraction %g outside [0, 0.5)", c.Trim)
-	}
-	if c.Window < 0 {
-		return fmt.Errorf("ps: aggregation window must be non-negative, got %d", c.Window)
-	}
 	return nil
 }
 
-// String renders the configuration, e.g. "trimmed-mean(0.25)/w4".
+// String renders the configuration, e.g. "trimmed-mean(0.25)".
 func (c AggregatorConfig) String() string {
 	c = c.Normalized()
-	s := c.Kind
 	switch c.Kind {
 	case AggClipped:
-		s = fmt.Sprintf("%s(%g)", c.Kind, c.ClipNorm)
+		return fmt.Sprintf("%s(%g)", c.Kind, c.ClipNorm)
 	case AggTrimmedMean:
-		s = fmt.Sprintf("%s(%g)", c.Kind, c.Trim)
+		return fmt.Sprintf("%s(%g)", c.Kind, DefaultTrim)
 	}
-	if c.Window > 0 {
-		s = fmt.Sprintf("%s/w%d", s, c.Window)
-	}
-	return s
+	return c.Kind
 }
 
 // aggregator reduces one batch of queued gradient slices into the single
@@ -151,7 +132,7 @@ func newAggregator(cfg AggregatorConfig) aggregator {
 	case AggClipped:
 		return &clippedSum{clip: cfg.ClipNorm}
 	case AggTrimmedMean:
-		return &coordinateRobust{trim: cfg.Trim}
+		return &coordinateRobust{}
 	case AggMedian:
 		return &coordinateRobust{median: true}
 	default:
@@ -212,12 +193,11 @@ func (a *clippedSum) combine(batch [][]*tensor.Tensor) []*tensor.Tensor {
 }
 
 // coordinateRobust implements the windowed order-statistic aggregators:
-// coordinate-wise trimmed mean (trim > 0) or median (median == true) over
-// the batch, scaled by the batch size so a window of k pushes has the
+// coordinate-wise trimmed mean (DefaultTrim off each side) or median (median
+// == true) over the batch, scaled by the batch size so a window of k pushes has the
 // magnitude of k pushes. Non-finite values are excluded per coordinate
 // before the statistic; a coordinate with no finite contribution yields 0.
 type coordinateRobust struct {
-	trim   float64
 	median bool
 	buf    []*tensor.Tensor
 	vals   []float64
@@ -263,7 +243,7 @@ func (a *coordinateRobust) statistic(vals []float64) float64 {
 		}
 		return (vals[m/2-1] + vals[m/2]) / 2
 	}
-	t := int(math.Ceil(a.trim * float64(m)))
+	t := int(math.Ceil(DefaultTrim * float64(m)))
 	if 2*t >= m {
 		// Too few values to trim both sides: fall back to the median, the
 		// limit of trimming everything but the middle.

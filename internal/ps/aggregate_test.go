@@ -103,12 +103,10 @@ func TestAggregatorConfigValidate(t *testing.T) {
 		{AggregatorConfig{}, true},
 		{AggregatorConfig{Kind: AggSum}, true},
 		{AggregatorConfig{Kind: AggTrimmedMean}, true},
-		{AggregatorConfig{Kind: AggMedian, Window: 4}, true},
+		{AggregatorConfig{Kind: AggMedian}, true},
 		{AggregatorConfig{Kind: AggClipped, ClipNorm: 1.5}, true},
 		{AggregatorConfig{Kind: AggClipped}, false}, // needs clip norm
 		{AggregatorConfig{Kind: "krum"}, false},     // unknown kind
-		{AggregatorConfig{Kind: AggTrimmedMean, Trim: 0.5}, false},
-		{AggregatorConfig{Kind: AggSum, Window: -1}, false},
 	}
 	for _, c := range cases {
 		err := c.cfg.Normalized().Validate()
@@ -255,7 +253,7 @@ func TestStoreWindowedAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetAggregator(AggregatorConfig{Kind: AggTrimmedMean, Window: 3}); err != nil {
+	if err := st.SetAggregator(AggregatorConfig{Kind: AggTrimmedMean}, 3); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
@@ -290,7 +288,7 @@ func TestStoreFlushPublishesPartialWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetAggregator(AggregatorConfig{Kind: AggMedian, Window: 8}); err != nil {
+	if err := st.SetAggregator(AggregatorConfig{Kind: AggMedian}, 8); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()

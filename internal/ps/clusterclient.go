@@ -16,15 +16,16 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
 
+// mapTimeout bounds how long a new ClusterClient's map fetch retries until
+// the coordinator serves a complete map (all shards owned).
+const mapTimeout = 10 * time.Second
+
 // ClusterClientConfig tunes a cluster worker's client side.
 type ClusterClientConfig struct {
 	// Compression is the gradient codec spoken with the data servers (the
 	// coordinator leg always negotiates whatever the coordinator speaks —
 	// metadata pushes carry no payload worth compressing).
 	Compression compress.Config
-	// MapTimeout bounds how long the initial map fetch retries until the
-	// coordinator serves a complete map (all shards owned). Default 10s.
-	MapTimeout time.Duration
 	// RecoverTimeout bounds how long a failed data link retries — refetching
 	// the map and redialing the (possibly promoted) owner — before the
 	// iteration fails for good. It must exceed the backups' promotion grace
@@ -96,9 +97,6 @@ type ClusterClient struct {
 func NewClusterClient(dial func(addr string) (transport.Conn, error), coordAddr string, worker int, cfg ClusterClientConfig) (*ClusterClient, error) {
 	if dial == nil {
 		return nil, fmt.Errorf("ps: cluster client needs a dialer")
-	}
-	if cfg.MapTimeout <= 0 {
-		cfg.MapTimeout = 10 * time.Second
 	}
 	if cfg.RecoverTimeout <= 0 {
 		cfg.RecoverTimeout = 15 * time.Second
@@ -225,12 +223,12 @@ func (c *ClusterClient) fetchMap() (transport.Message, error) {
 	return m, err
 }
 
-// waitForMap fetches the map until it validates complete or MapTimeout
+// waitForMap fetches the map until it validates complete or mapTimeout
 // passes. Transport failures are retried (the coordinator may still be
 // starting); an explicit server rejection ("not a cluster coordinator") is
 // permanent and returned immediately.
 func (c *ClusterClient) waitForMap() (m transport.Message, err error) {
-	err = retry(c.cfg.MapTimeout, 5*time.Millisecond, 200*time.Millisecond, isRemote, func() (err error) {
+	err = retry(mapTimeout, 5*time.Millisecond, 200*time.Millisecond, isRemote, func() (err error) {
 		m, err = c.fetchMap()
 		return err
 	})
@@ -449,13 +447,19 @@ func (c *ClusterClient) coordPush(baseVersion int64, iteration int) error {
 	return nil
 }
 
-// Done reports completion to the coordinator and every data server.
+// Done reports completion to every data server and then to the coordinator.
+// The coordinator hears last because its completion may end the group: a
+// psserver coordinator exits once every worker is done, and a data server
+// that loses it before its own workers' Done frames arrive fails.
 func (c *ClusterClient) Done() error {
-	err := c.coord.Done()
+	var err error
 	for _, l := range c.links {
 		if derr := l.client.Done(); err == nil {
 			err = derr
 		}
+	}
+	if cerr := c.coord.Done(); err == nil {
+		err = cerr
 	}
 	return err
 }

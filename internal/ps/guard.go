@@ -10,57 +10,29 @@ import (
 	"dssp/internal/tensor"
 )
 
-// Guard defaults.
+// Guard thresholds.
 const (
 	// DefaultNormFactor flags a push whose total gradient L2 norm exceeds
 	// this multiple of the trailing median push norm. Honest gradients drift
 	// in magnitude across training; an 8× jump against the recent median is
 	// an attack or a numerical blow-up, both worth rejecting.
 	DefaultNormFactor = 8.0
-	// DefaultMaxStrikes is how many flagged pushes evict a worker.
-	DefaultMaxStrikes = 3
 	// normHistory is the length of the trailing window the median push norm
 	// is computed over.
 	normHistory = 64
 )
 
 // GuardConfig enables the server-side anomaly guard: every push is screened
-// for gradient-norm outliers, impossible version claims (lying clocks) and
-// push floods. A flagged push is dropped — the policy still releases workers
-// exactly as if it were applied, so barrier paradigms never deadlock on a
-// rejected payload — and a worker accumulating MaxStrikes flags is evicted
-// through the session lease layer, exactly like a worker whose lease
-// expired. The public surface exposes it as dssp.Guard.
+// for gradient-norm outliers (DefaultNormFactor), impossible version claims
+// (lying clocks) and push floods (core.DefaultFloodSlack). A flagged push is
+// dropped — the policy still releases workers exactly as if it were applied,
+// so barrier paradigms never deadlock on a rejected payload — and a worker
+// accumulating core.DefaultMaxStrikes flags is evicted through the session
+// lease layer, exactly like a worker whose lease expired. The public surface
+// exposes it as dssp.Guard.
 type GuardConfig struct {
 	// Enabled turns the guard on. The zero value screens nothing.
 	Enabled bool
-	// NormFactor is the norm-outlier threshold relative to the trailing
-	// median push norm; 0 selects DefaultNormFactor (8). Negative disables
-	// the norm check (clock checks still run).
-	NormFactor float64
-	// MaxStrikes is how many flagged pushes evict the worker; 0 selects
-	// DefaultMaxStrikes (3).
-	MaxStrikes int
-	// FloodSlack is how many pushes per pull a worker may make before being
-	// flagged for flooding; 0 selects core.DefaultFloodSlack (3).
-	FloodSlack int
-}
-
-// Normalized maps zero values onto their explicit form.
-func (c GuardConfig) Normalized() GuardConfig {
-	if !c.Enabled {
-		return GuardConfig{}
-	}
-	if c.NormFactor == 0 {
-		c.NormFactor = DefaultNormFactor
-	}
-	if c.MaxStrikes <= 0 {
-		c.MaxStrikes = DefaultMaxStrikes
-	}
-	if c.FloodSlack <= 0 {
-		c.FloodSlack = core.DefaultFloodSlack
-	}
-	return c
 }
 
 // GuardStats is the guard's per-run accounting, the raw material for the
@@ -87,7 +59,6 @@ type guardVerdict struct {
 // goroutine-safe: pushes from different workers screen concurrently on
 // their connection goroutines.
 type guard struct {
-	cfg GuardConfig
 	// sm is the server's instrument bundle: the guard counts its flags,
 	// evictions and rejected pushes there and nowhere else.
 	sm *serverMetrics
@@ -105,17 +76,15 @@ type guard struct {
 	sort  []float64
 }
 
-// newGuard builds the guard for a normalized configuration, counting onto
-// sm; nil when the guard is disabled.
+// newGuard builds the guard, counting onto sm; nil when the guard is
+// disabled.
 func newGuard(cfg GuardConfig, workers int, sm *serverMetrics) *guard {
-	cfg = cfg.Normalized()
 	if !cfg.Enabled {
 		return nil
 	}
 	return &guard{
-		cfg:     cfg,
 		sm:      sm,
-		clock:   core.NewClockMonitor(workers, cfg.FloodSlack),
+		clock:   core.NewClockMonitor(workers, core.DefaultFloodSlack),
 		strikes: make([]int, workers),
 	}
 }
@@ -138,14 +107,11 @@ func (g *guard) checkPush(worker int, claimedBase, serverVersion int64, grads []
 	defer g.mu.Unlock()
 	flags := len(g.clock.ObservePush(core.WorkerID(worker), claimedBase, serverVersion))
 	if grads != nil {
-		switch {
-		case !normOK:
+		if !normOK {
 			// NaN/Inf gradient: always anomalous, no baseline needed.
 			flags++
-		case g.cfg.NormFactor > 0:
-			if med, ok := g.medianNorm(); ok && norm > g.cfg.NormFactor*med && norm > 0 {
-				flags++
-			}
+		} else if med, ok := g.medianNorm(); ok && norm > DefaultNormFactor*med && norm > 0 {
+			flags++
 		}
 	}
 	if flags == 0 {
@@ -159,7 +125,7 @@ func (g *guard) checkPush(worker int, claimedBase, serverVersion int64, grads []
 	g.sm.guardFlags.Add(uint64(flags))
 	g.sm.droppedGuard.Inc()
 	v := guardVerdict{drop: true}
-	if g.strikes[worker] >= g.cfg.MaxStrikes {
+	if g.strikes[worker] >= core.DefaultMaxStrikes {
 		v.evict = true
 		g.evicted = append(g.evicted, worker)
 		g.sm.guardEvictions.Inc()
@@ -224,6 +190,5 @@ func (c GuardConfig) String() string {
 	if !c.Enabled {
 		return "off"
 	}
-	c = c.Normalized()
-	return fmt.Sprintf("norm>%gx,strikes=%d,flood>%d", c.NormFactor, c.MaxStrikes, c.FloodSlack)
+	return fmt.Sprintf("norm>%gx,strikes=%d,flood>%d", DefaultNormFactor, core.DefaultMaxStrikes, core.DefaultFloodSlack)
 }

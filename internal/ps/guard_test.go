@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dssp/internal/core"
 	"dssp/internal/obs"
 	"dssp/internal/tensor"
 )
@@ -38,27 +39,27 @@ func TestGuardNormOutlier(t *testing.T) {
 	}
 
 	// An 8x-median outlier (norm ~ sqrt(2)*100 vs median sqrt(2)).
-	for strike := 1; strike <= DefaultMaxStrikes; strike++ {
+	for strike := 1; strike <= core.DefaultMaxStrikes; strike++ {
 		g.observePull(1)
 		v := g.checkPush(1, 0, 0, gradsOf(100, 100))
 		if !v.drop {
 			t.Fatalf("outlier push %d not dropped", strike)
 		}
-		wantEvict := strike == DefaultMaxStrikes
+		wantEvict := strike == core.DefaultMaxStrikes
 		if v.evict != wantEvict {
 			t.Fatalf("strike %d: evict=%v, want %v", strike, v.evict, wantEvict)
 		}
 	}
 
 	st := g.stats()
-	if st.Flags[1] != DefaultMaxStrikes || st.Flags[0] != 0 {
-		t.Fatalf("flags %v, want worker 1 = %d", st.Flags, DefaultMaxStrikes)
+	if st.Flags[1] != core.DefaultMaxStrikes || st.Flags[0] != 0 {
+		t.Fatalf("flags %v, want worker 1 = %d", st.Flags, core.DefaultMaxStrikes)
 	}
 	if len(st.Evicted) != 1 || st.Evicted[0] != 1 {
 		t.Fatalf("evicted %v, want [1]", st.Evicted)
 	}
-	if st.DroppedPushes != DefaultMaxStrikes {
-		t.Fatalf("dropped %d, want %d", st.DroppedPushes, DefaultMaxStrikes)
+	if st.DroppedPushes != core.DefaultMaxStrikes {
+		t.Fatalf("dropped %d, want %d", st.DroppedPushes, core.DefaultMaxStrikes)
 	}
 }
 
@@ -66,7 +67,7 @@ func TestGuardNormOutlier(t *testing.T) {
 // norm ring, so an attacker cannot escalate its magnitude gradually by
 // dragging the median upward with accepted outliers.
 func TestGuardOutlierDoesNotPoisonBaseline(t *testing.T) {
-	g := testGuard(GuardConfig{Enabled: true, MaxStrikes: 100}, 1)
+	g := testGuard(GuardConfig{Enabled: true}, 1)
 	for i := 0; i < 6; i++ {
 		g.observePull(0)
 		g.checkPush(0, 0, 0, gradsOf(1))
@@ -94,9 +95,9 @@ func TestGuardLyingClock(t *testing.T) {
 }
 
 func TestGuardPushFlood(t *testing.T) {
-	g := testGuard(GuardConfig{Enabled: true, FloodSlack: 2}, 1)
+	g := testGuard(GuardConfig{Enabled: true}, 1)
 	g.observePull(0)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < core.DefaultFloodSlack; i++ {
 		if v := g.checkPush(0, 0, 0, gradsOf(1)); v.drop {
 			t.Fatalf("push %d within slack dropped", i)
 		}

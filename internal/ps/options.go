@@ -7,12 +7,24 @@ import (
 	"dssp/internal/compress"
 )
 
-// Options groups the serving knobs shared by every layer that stands up a
-// parameter server — ServerConfig here, trainer.Config in-process, and the
-// public dssp configs above them. They embed this struct, so a new knob
-// (like Aggregator) is declared once and reaches every surface; Normalized
-// is the one defaulting+validation helper all of them funnel through.
+// Options is the one option set every way of standing up a parameter server
+// shares — ServerConfig here, trainer.Config in-process, and the public dssp
+// configs, where this type is dssp.Options. They embed it, so a knob is
+// declared once and reaches every surface; Normalized is the one
+// defaulting+validation helper all of them funnel through.
+//
+// Most fields act on the server. Two are read elsewhere: Shards by the code
+// that builds the store (NewServer is handed a built one), HeartbeatInterval by
+// workers. A worker in turn reads only Compression, Shards and
+// HeartbeatInterval.
 type Options struct {
+	// Shards is the number of independently locked parameter-store
+	// partitions. A standalone server's 0 picks one per CPU; in a server group
+	// it is the group-wide count, the same on every member, and 0 picks two per
+	// data server (GroupLayout). On a worker, a positive value is the count it
+	// expects the server (or group) to run — a mismatch fails the connect —
+	// and 0 accepts any.
+	Shards int
 	// Compression selects the gradient codec spoken on the wire. Workers
 	// must register with a matching configuration (or compress.Auto) or are
 	// rejected. With Compression.Pull set, weight chunks on the pull path
@@ -32,6 +44,11 @@ type Options struct {
 	// worker has finished even if some slots departed for good. Regardless
 	// of Elastic, a dead connection always notifies the policy.
 	Elastic bool
+	// HeartbeatInterval is how often a worker proves liveness; 0 sends no
+	// heartbeats (a dead connection is still detected through Recv errors).
+	// Set it on elastic runs: a worker silent past HeartbeatTimeout is
+	// evicted.
+	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is how long a session may stay silent before the
 	// lease monitor evicts it. Zero selects DefaultHeartbeatTimeout when
 	// Elastic is set.
@@ -52,7 +69,6 @@ func (o Options) Normalized() (Options, error) {
 	if err := o.Aggregator.Validate(); err != nil {
 		return o, err
 	}
-	o.Guard = o.Guard.Normalized()
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = DefaultHeartbeatTimeout
 	}

@@ -47,8 +47,6 @@ type RelayConfig struct {
 	// Metrics is the registry the relay's instrumentation lives on; nil
 	// creates a private one.
 	Metrics *obs.Registry
-	// Clock supplies timestamps; nil means time.Now.
-	Clock func() time.Time
 }
 
 // Relay is the aggregation-relay process. It speaks the ordinary worker
@@ -188,10 +186,6 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if err := comp.Validate(true); err != nil {
 		return nil, err
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -254,7 +248,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		reg:          reg,
 		pendingJoins: make(map[int]chan transport.Message),
 	}
-	r.bind(r, clock, map[transport.MessageType]func(transport.Conn, transport.Message){
+	r.bind(r, time.Now, map[transport.MessageType]func(transport.Conn, transport.Message){
 		transport.MsgClusterMap: refuseClusterMap,
 	})
 	if negotiated.Enabled() {
@@ -462,8 +456,9 @@ func refuseClusterMap(conn transport.Conn, _ transport.Message) {
 // handleRegister forwards a child registration upstream and, once the root
 // admits it, installs the child as a worker session (superseding a previous
 // session of the same worker). The child's reply is the root's own
-// MsgRegistered — codec, shard count and delta-pull grant are the root's
-// decisions, forwarded verbatim.
+// MsgRegistered — codec and shard count are the root's decisions, forwarded
+// verbatim — except that delta pulls are refused: a relay serves its
+// children full chunks (handlePull).
 func (r *Relay) handleRegister(conn transport.Conn, _ *session, msg transport.Message) *session {
 	if msg.Relay || msg.Replica {
 		_ = conn.Send(transport.Message{
@@ -498,7 +493,7 @@ func (r *Relay) handleRegister(conn transport.Conn, _ *session, msg transport.Me
 		return nil
 	}
 	ch := newSession(kindWorker, w, conn, msg.Type == transport.MsgRejoin, r.clock())
-	ch.deltaPull = reply.DeltaPull
+	reply.DeltaPull = false
 	r.supersede(w, ch)
 	if !r.open(ch) {
 		return nil
@@ -739,11 +734,12 @@ func (r *Relay) flushLocked(reason string) {
 }
 
 // handlePull refreshes the relay's upstream delta-pull cache and serves
-// the child from it, one chunk per upstream store shard — the same shape the
-// root would answer with, so the child's own delta cache gates identically.
-// The upstream refresh is itself delta-gated, so when nothing moved the hop
-// transfers almost nothing; when it did, the relay downloads each changed
-// shard once and fans it out to every pulling child.
+// the child from it in full, one chunk per upstream store shard — the same
+// shape the root would answer with. The upstream refresh is itself
+// delta-gated, so when nothing moved the hop transfers almost nothing; when it
+// did, the relay downloads each changed shard once and fans it out to every
+// pulling child. Children get no delta pulls of their own: every push moves
+// every shard, so one would skip nothing (handleRegister refuses them).
 //
 // Lease rules: r.up.shardCache's tensors are on Client.Pull's lease — they
 // alias receive buffers that go back to the upstream connection when the next
@@ -753,7 +749,7 @@ func (r *Relay) flushLocked(reason string) {
 // chunks go out from this goroutine, on the connection, instead of through
 // the session's outbox like every other reply: by the time pullMu is released
 // they are encoded.
-func (r *Relay) handlePull(ch *session, msg transport.Message) {
+func (r *Relay) handlePull(ch *session, _ transport.Message) {
 	r.pullMu.Lock()
 	defer r.pullMu.Unlock()
 	params, version, err := r.up.Pull()
@@ -768,33 +764,9 @@ func (r *Relay) handlePull(ch *session, msg transport.Message) {
 		}
 		r.layout.Store(&layout)
 	}
-	if !r.up.DeltaPull() || !r.up.cacheComplete() {
-		// No upstream cache to chunk from (the root refused delta pulls):
-		// serve the reassembled weights as one unchunked reply. Children were
-		// granted delta pulls only if the root granted them, so this path
-		// never needs per-shard versions.
-		out := transport.Message{
-			Type:    transport.MsgWeights,
-			Worker:  ch.worker,
-			Shards:  1,
-			Total:   len(params),
-			Version: version,
-		}
-		if r.compression.Pull && r.compression.Enabled() {
-			out.Codec = r.compression.Codec
-			out.Packed = compress.Pack(params, r.compression)
-		} else {
-			out.Tensors = transport.ToWireOwned(params)
-		}
-		_ = ch.conn.Send(out)
-		return
-	}
-
+	// The root grants the delta pulls its replica session asks for, so a
+	// successful Pull has filled the cache with every shard.
 	shards := len(r.up.shardCache)
-	have := msg.PullVersions
-	if !ch.deltaPull || len(have) != shards {
-		have = nil
-	}
 	compressPull := r.compression.Pull && r.compression.Enabled()
 	if compressPull && len(r.packCache) != shards {
 		r.packCache = make([]packedShard, shards)
@@ -813,12 +785,7 @@ func (r *Relay) handlePull(ch *session, msg transport.Message) {
 			Version: version,
 		}
 		base += len(ts)
-		if ch.deltaPull {
-			out.ShardVersion = shardV
-		}
-		if have != nil && have[i] == shardV {
-			out.Unchanged = true
-		} else if compressPull {
+		if compressPull {
 			if r.packCache[i].packed == nil || r.packCache[i].version != shardV {
 				r.packCache[i] = packedShard{version: shardV, packed: compress.Pack(ts, r.compression)}
 			}

@@ -303,6 +303,52 @@ func TestRelayRejectsOutOfRangeChild(t *testing.T) {
 	client.Close()
 }
 
+// TestRelayRefusesChildDeltaPulls: a child asking a relay for delta pulls is
+// told no — the relay serves every shard in full — while the relay's own
+// upstream replica session keeps its delta pulls.
+func TestRelayRefusesChildDeltaPulls(t *testing.T) {
+	st, err := NewStoreSharded(pipelineModel(31), optimizer.NewSGD(0.1), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newRelayHarness(t, core.MustNewASP(1), st, 1, 1, Options{})
+	if !h.relays[0].up.DeltaPull() {
+		t.Fatal("the relay's upstream session lost its delta pulls")
+	}
+	conn, err := h.listeners[0].Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(conn, 0)
+	defer client.Close()
+	client.SetDeltaPull(true)
+	if err := client.Register(); err != nil {
+		t.Fatal(err)
+	}
+	if client.DeltaPull() {
+		t.Fatal("the relay granted a child delta pulls")
+	}
+	// Nothing moves between the pulls: a delta-pulling child would be
+	// answered Unchanged from the second on.
+	var perPull int64
+	for i := 1; i <= 3; i++ {
+		params, _, err := client.Pull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := st.Snapshot(); !sameTensors(params, want) {
+			t.Fatalf("pull %d diverges from the store", i)
+		}
+		_, pulled := client.Traffic()
+		if i == 1 {
+			perPull = pulled
+		}
+		if pulled != int64(i)*perPull {
+			t.Fatalf("pull %d: %d bytes pulled in all, want %d full pulls of %d", i, pulled, i, perPull)
+		}
+	}
+}
+
 // TestRelayAdmissionRequiresSumAggregation checks the root rejects relay
 // trunks when the configured aggregator cannot decompose a summed partial.
 func TestRelayAdmissionRequiresSumAggregation(t *testing.T) {
@@ -311,7 +357,7 @@ func TestRelayAdmissionRequiresSumAggregation(t *testing.T) {
 		Workers: 2,
 		Policy:  core.MustNewASP(2),
 		Store:   st,
-		Options: Options{Aggregator: AggregatorConfig{Kind: AggTrimmedMean, Window: 2}},
+		Options: Options{Aggregator: AggregatorConfig{Kind: AggTrimmedMean}},
 	})
 	if err != nil {
 		t.Fatal(err)

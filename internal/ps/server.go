@@ -32,9 +32,9 @@ type ServerConfig struct {
 	// the trainer and the public configs expose, so field names like
 	// cfg.Compression keep working unchanged.
 	Options
-	// Clock supplies timestamps for the policy; nil means time.Now. The
-	// trainer injects an accelerated clock when it simulates heterogeneous
-	// hardware.
+	// Clock supplies timestamps for the policy; nil means time.Now. Only
+	// tests set it, to script the times the policy and the wait accounting
+	// see.
 	Clock func() time.Time
 	// Metrics is the registry the server's runtime instrumentation lives on
 	// (counters, gauges, histograms; see docs/METRICS.md). Nil creates a
@@ -104,10 +104,10 @@ type Server struct {
 	// guard screens pushes for anomalies and evicts repeat offenders; nil
 	// when GuardConfig.Enabled is unset.
 	guard *guard
-	// fullWindow is the configured aggregation window (0 when the classic
-	// per-push pipeline runs). As workers finish or depart for good the
-	// server shrinks the store's live window below it, so a thinning cohort
-	// never leaves partial windows waiting out the watchdog.
+	// fullWindow is a windowed robust aggregator's window, the worker count
+	// (0 when the classic per-push pipeline runs). As workers finish or depart
+	// for good the server shrinks the store's live window below it, so a
+	// thinning cohort never leaves partial windows waiting out the watchdog.
 	fullWindow int
 
 	mu sync.Mutex
@@ -211,15 +211,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 	}
 	// Install the aggregation strategy before any push can reach the store.
-	// Windowed robust kinds with no explicit window aggregate over the full
-	// cohort: the order statistics need the honest majority in-window to
-	// out-vote an attacker.
-	agg := cfg.Aggregator
-	if agg.Windowed() && agg.Window == 0 {
-		agg.Window = cfg.Workers
+	// Windowed robust kinds aggregate over the full cohort: the order
+	// statistics need the honest majority in-window to out-vote an attacker.
+	window := 0
+	if cfg.Aggregator.Windowed() {
+		window = cfg.Workers
 	}
-	if agg.Kind != AggSum || agg.Window > 1 {
-		if err := cfg.Store.SetAggregator(agg); err != nil {
+	if cfg.Aggregator.Kind != AggSum {
+		if err := cfg.Store.SetAggregator(cfg.Aggregator, window); err != nil {
 			return nil, err
 		}
 	}
@@ -242,7 +241,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:         cfg,
 		compression: cfg.Compression,
 		guard:       newGuard(cfg.Guard, cfg.Workers, sm),
-		fullWindow:  agg.Window,
+		fullWindow:  window,
 		hbTimeout:   hbTimeout,
 		joined:      make(map[int]bool),
 		epochs:      make([]uint64, cfg.Workers),

@@ -148,11 +148,13 @@ func NewStoreSharded(initial []*tensor.Tensor, opt optimizer.Optimizer, shards i
 }
 
 // SetAggregator installs the batch-reduction strategy the per-shard appliers
-// use (plain sum, norm-clipped sum, trimmed mean, coordinate median) and its
-// aggregation window. It must be called before the first push is enqueued —
-// swapping the estimator under a live pipeline would mix semantics within
-// one window — and is typically driven by ServerConfig.Aggregator.
-func (s *Store) SetAggregator(cfg AggregatorConfig) error {
+// use (plain sum, norm-clipped sum, trimmed mean, coordinate median) and the
+// aggregation window: how many pushes an applier tries to collect before
+// taking one step (below 1 means 1). It must be called before the first push
+// is enqueued — swapping the estimator under a live pipeline would mix
+// semantics within one window — and is driven by ServerConfig.Aggregator, with
+// the window worked out from the worker count.
+func (s *Store) SetAggregator(cfg AggregatorConfig, window int) error {
 	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -166,11 +168,10 @@ func (s *Store) SetAggregator(cfg AggregatorConfig) error {
 	for _, sh := range s.shards {
 		sh.agg = newAggregator(cfg)
 	}
-	window := int64(cfg.Window)
 	if window < 1 {
 		window = 1
 	}
-	s.window.Store(window)
+	s.window.Store(int64(window))
 	return nil
 }
 
@@ -343,7 +344,7 @@ func (s *Store) startAppliers() {
 	for i := range s.shards {
 		go s.applier(s.shards[i], s.stop)
 	}
-	if s.aggCfg.Window > 1 || s.aggCfg.Windowed() {
+	if s.window.Load() > 1 || s.aggCfg.Windowed() {
 		// Windowed aggregation needs a liveness net: a partial window whose
 		// remaining contributors crashed, finished, or are simply slow would
 		// otherwise hold its tickets (and any release gated on them)

@@ -248,9 +248,8 @@ type simulation struct {
 	adversary []AdversaryKind
 
 	// Guard state (nil monitor when the guard is disabled).
-	guardCfg GuardSpec
-	monitor  *core.ClockMonitor
-	strikes  []int
+	monitor *core.ClockMonitor
+	strikes []int
 
 	// Relay tier state (Fanout >= 2): worker grouping, per-relay child
 	// links, and each relay's pending partial.
@@ -362,9 +361,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			sim.partials[g].member = make(map[int]bool, cfg.Fanout)
 		}
 	}
-	sim.guardCfg = cfg.Guard.normalized()
-	if sim.guardCfg.Enabled {
-		sim.monitor = core.NewClockMonitor(workers, sim.guardCfg.FloodSlack)
+	if cfg.Guard.Enabled {
+		sim.monitor = core.NewClockMonitor(workers, core.DefaultFloodSlack)
 		sim.strikes = make([]int, workers)
 		sim.result.Flags = make([]int, workers)
 	}
@@ -542,7 +540,7 @@ func (s *simulation) onPushArrive(ev event) {
 			s.strikes[w] += flags
 			s.result.GuardDropped++
 			guardDrop = true
-			if s.strikes[w] >= s.guardCfg.MaxStrikes {
+			if s.strikes[w] >= core.DefaultMaxStrikes {
 				s.result.Evicted = append(s.result.Evicted, w)
 				s.crashWorker(w, ev.at)
 				return

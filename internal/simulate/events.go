@@ -131,29 +131,11 @@ func (a AdversaryKind) String() string {
 }
 
 // GuardSpec enables the simulated server's anomaly guard, the
-// ClockMonitor-backed counterpart of the real server's GuardConfig: flagged
-// pushes are dropped (the policy still releases workers) and a worker
-// reaching MaxStrikes flags is evicted like a crash.
+// ClockMonitor-backed counterpart of the real server's GuardConfig with the
+// same thresholds: flagged pushes are dropped (the policy still releases
+// workers) and a worker reaching core.DefaultMaxStrikes flags is evicted like
+// a crash.
 type GuardSpec struct {
 	// Enabled turns the guard on.
 	Enabled bool
-	// MaxStrikes is how many flags evict a worker; 0 selects 3.
-	MaxStrikes int
-	// FloodSlack is pushes-per-pull before a flood flag; 0 selects
-	// core.DefaultFloodSlack.
-	FloodSlack int
-}
-
-// normalized maps zero values onto their explicit form.
-func (g GuardSpec) normalized() GuardSpec {
-	if !g.Enabled {
-		return GuardSpec{}
-	}
-	if g.MaxStrikes <= 0 {
-		g.MaxStrikes = 3
-	}
-	if g.FloodSlack <= 0 {
-		g.FloodSlack = core.DefaultFloodSlack
-	}
-	return g
 }

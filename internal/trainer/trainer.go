@@ -49,14 +49,6 @@ type Config struct {
 	WorkerDelay []time.Duration
 	// Augment optionally distorts each training batch.
 	Augment data.Augmenter
-	// EvalEvery evaluates the global model every EvalEvery applied updates;
-	// 0 picks a default that yields roughly 30 evaluation points.
-	EvalEvery int
-	// Shards is the number of independently locked partitions of the
-	// parameter store; 0 picks one per CPU. More shards mean more
-	// pull/push concurrency on the server. In cluster mode (ClusterServers
-	// >= 2) it is the group-wide shard count, normalized by ps.GroupLayout.
-	Shards int
 	// ClusterServers, when >= 2, runs the parameter server as an in-process
 	// server group: that many data servers each own a contiguous shard range
 	// of the store behind a coordinator that runs the paradigm policy, and
@@ -73,16 +65,15 @@ type Config struct {
 	// worker does. Incompatible with ClusterServers >= 2, a non-sum
 	// aggregator, and the anomaly guard. 0 or 1 keeps the flat topology.
 	Fanout int
-	// Options is the server-side serving surface (compression, aggregation,
-	// guard, elasticity, heartbeat timeout, checkpointing), embedded so its
-	// fields read as they always did (cfg.Compression, cfg.Elastic, ...).
-	// Note for elastic runs: in-process workers have no reconnect loop, so
-	// set HeartbeatInterval or a HeartbeatTimeout comfortably above the
-	// longest iteration — an evicted honest worker fails the run.
+	// Options is the serving surface both sides of the run read (store
+	// shards, compression, aggregation, guard, elasticity, heartbeats,
+	// checkpointing), embedded so its fields read as cfg.Shards,
+	// cfg.Compression, ... In cluster mode (ClusterServers >= 2) Shards is the
+	// group-wide count, normalized by ps.GroupLayout. Note for elastic runs:
+	// in-process workers have no reconnect loop, so set HeartbeatInterval or a
+	// HeartbeatTimeout comfortably above the longest iteration — an evicted
+	// honest worker fails the run.
 	ps.Options
-	// HeartbeatInterval is how often each worker proves liveness; 0 sends no
-	// heartbeats (a dead connection is still detected through Recv errors).
-	HeartbeatInterval time.Duration
 	// Adversaries makes listed workers Byzantine: their honest gradients are
 	// corrupted per the Adversary before pushing. An adversary whose
 	// connection dies mid-run (guard eviction) is recorded as crashed, not
@@ -221,12 +212,10 @@ func Run(cfg Config) (*Result, error) {
 	itersPerEpoch := (shardSize + cfg.BatchSize - 1) / cfg.BatchSize
 	totalIters := itersPerEpoch * cfg.Epochs
 
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = totalIters * cfg.Workers / 30
-		if evalEvery == 0 {
-			evalEvery = 1
-		}
+	// Evaluate the global model about 30 times over the run.
+	evalEvery := totalIters * cfg.Workers / 30
+	if evalEvery == 0 {
+		evalEvery = 1
 	}
 
 	start := time.Now()

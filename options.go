@@ -1,8 +1,6 @@
 package dssp
 
 import (
-	"time"
-
 	"dssp/internal/ps"
 	"dssp/internal/trainer"
 )
@@ -47,52 +45,12 @@ type Guard = ps.GuardConfig
 
 // Options is the serving surface shared by every way of standing up a
 // cluster — TrainConfig (in-process), ServerConfig and WorkerConfig (TCP) —
-// which embed it, so cfg.Compression and friends read exactly as before the
-// consolidation. A few fields are one-sided and ignored by the other role:
-// Aggregator, Guard, Elastic, HeartbeatTimeout and Checkpoint act on the
-// server; HeartbeatInterval acts on workers. TrainConfig drives
-// both sides, so every field applies there.
-type Options struct {
-	// Shards is the number of independently locked parameter-store
-	// partitions (0 = one per CPU). Pulls from different workers read shards
-	// concurrently and gradient application parallelizes across shards. On
-	// WorkerConfig it is instead the expected server layout: positive values
-	// are checked at registration, 0 accepts any.
-	Shards int
-	// Compression selects the gradient codec on the worker↔server wire; the
-	// zero value trains uncompressed. On WorkerConfig an empty codec means
-	// "adopt whatever the server speaks".
-	Compression Compression
-	// Aggregator selects how the server reduces pushed gradients into
-	// optimizer steps; the zero value is plain summation.
-	Aggregator Aggregator
-	// Guard enables server-side anomaly screening and eviction.
-	Guard Guard
-	// Elastic enables worker-churn tolerance on the server: sessions are
-	// lease-monitored and a silent worker is evicted from synchronization
-	// accounting instead of stalling its peers. A dead connection always
-	// notifies the policy, Elastic or not.
-	Elastic bool
-	// HeartbeatInterval is how often workers prove liveness; 0 disables
-	// heartbeats. Set it on elastic runs — a worker silent past
-	// HeartbeatTimeout is evicted.
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is the server-side session lease in elastic mode; 0
-	// picks the default (5s).
-	HeartbeatTimeout time.Duration
-	// Checkpoint periodically snapshots the parameter store to disk.
-	Checkpoint Checkpoint
-}
-
-// serverOptions maps the public surface onto the ps-layer option set the
-// server consumes — the one defaulting+validation funnel for every caller.
-func (o Options) serverOptions() ps.Options {
-	return ps.Options{
-		Compression:      o.Compression,
-		Aggregator:       o.Aggregator,
-		Guard:            o.Guard,
-		Elastic:          o.Elastic,
-		HeartbeatTimeout: o.HeartbeatTimeout,
-		Checkpoint:       o.Checkpoint,
-	}
-}
+// which embed it (cfg.Compression, cfg.Shards, ...). It is ps.Options, where
+// each field is documented. A few fields are one-sided and ignored by the
+// other role: Aggregator, Guard, Elastic, HeartbeatTimeout and Checkpoint act
+// on the server, HeartbeatInterval on workers, and Shards sizes the store a
+// server builds — on a group member the group-wide count — while on a worker
+// a positive value is the count it checks at registration. On WorkerConfig
+// an empty Compression codec means "adopt whatever the server speaks".
+// TrainConfig drives both sides, so every field applies there.
+type Options = ps.Options

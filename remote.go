@@ -38,9 +38,9 @@ type ServerConfig struct {
 	WeightDecay  float64
 	// Options is the shared serving surface (sharding, compression,
 	// aggregation, guard, elasticity, heartbeat timeout, checkpointing);
-	// its fields are embedded and read as they always did
-	// (cfg.Compression, cfg.Elastic, ...). HeartbeatInterval is a
-	// worker-side knob and ignored here.
+	// its fields are embedded (cfg.Compression, cfg.Elastic, ...). In a
+	// server group Shards is the group-wide count and must be the same on
+	// every member. HeartbeatInterval is a worker-side knob and ignored here.
 	Options
 	// MetricsAddr, when non-empty, starts an admin HTTP listener on that
 	// address serving Prometheus metrics (/metrics), liveness (/healthz), a
@@ -208,7 +208,7 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	reg := newRegistry()
 	pcfg := ps.ServerConfig{
 		Workers: cfg2.Workers,
-		Options: cfg.Options.serverOptions(),
+		Options: cfg.Options,
 		Metrics: reg,
 		Trace:   obs.TraceConfig{Every: cfg.TraceEvery},
 	}
@@ -319,8 +319,9 @@ type WorkerConfig struct {
 	// Options is the shared serving surface. For a worker the acting fields
 	// are Compression (the zero value adopts whatever the server speaks; an
 	// explicit codec must match the server's exactly), Shards (when
-	// positive, the store layout this worker expects — a mismatch aborts at
-	// registration; zero accepts any) and HeartbeatInterval. The server-side fields are ignored here.
+	// positive, the store shard count this worker expects — group-wide with
+	// Cluster; a mismatch aborts at registration, zero accepts any) and
+	// HeartbeatInterval. The server-side fields are ignored here.
 	Options
 	// Adversary, when not 0 or 1, makes this worker Byzantine for robustness
 	// experiments: every pushed gradient is scaled by this factor (e.g. -10

@@ -101,9 +101,9 @@ type TrainConfig struct {
 	// Augment enables the image distortions discussed in §V-C.
 	Augment bool
 	// Options is the shared serving surface — store sharding, compression,
-	// aggregation, guard, delta pulls, elasticity, heartbeats,
-	// checkpointing. Its fields are embedded, so they read exactly as they
-	// did when they were declared here (cfg.Compression, cfg.Elastic, ...).
+	// aggregation, guard, elasticity, heartbeats, checkpointing — handed to
+	// the run as it is. Its fields are embedded (cfg.Compression,
+	// cfg.Elastic, ...).
 	Options
 	// Adversaries makes listed workers Byzantine for robustness experiments:
 	// the worker computes honest gradients, then misbehaves as configured
@@ -287,24 +287,22 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	}
 
 	res, err := trainer.Run(trainer.Config{
-		Model:             spec,
-		Train:             train,
-		Test:              test,
-		Workers:           cfg.Workers,
-		BatchSize:         cfg.BatchSize,
-		Epochs:            cfg.Epochs,
-		Policy:            cfg.Sync,
-		LearningRate:      cfg.LearningRate,
-		Momentum:          cfg.Momentum,
-		WeightDecay:       cfg.WeightDecay,
-		Schedule:          schedule,
-		WorkerDelay:       cfg.WorkerDelays,
-		Augment:           augment,
-		Shards:            cfg.Shards,
-		Options:           cfg.Options.serverOptions(),
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		Adversaries:       cfg.Adversaries,
-		Seed:              cfg.Seed,
+		Model:        spec,
+		Train:        train,
+		Test:         test,
+		Workers:      cfg.Workers,
+		BatchSize:    cfg.BatchSize,
+		Epochs:       cfg.Epochs,
+		Policy:       cfg.Sync,
+		LearningRate: cfg.LearningRate,
+		Momentum:     cfg.Momentum,
+		WeightDecay:  cfg.WeightDecay,
+		Schedule:     schedule,
+		WorkerDelay:  cfg.WorkerDelays,
+		Augment:      augment,
+		Options:      cfg.Options,
+		Adversaries:  cfg.Adversaries,
+		Seed:         cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

@@ -32,14 +32,15 @@ race:
 # first line, as do the lane push slots workers and relays compute their
 # pushes in; the third line runs the lane's own lease and push-slot tests and
 # the channel's contract test in internal/transport, the fourth the worker
-# loop (pulled weights read in place, gradients computed in the push slot),
+# loop (pulled weights read in place, gradients computed in the push slot,
+# and a group worker's rejoin, which closes the client the replica read),
 # the fifth Backward into adopted gradients, and the last the crash/restart
 # run on both socket carriers.
 lease-stress:
 	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
 	$(GO) test -race -count=10 -run 'TestLane|TestLoopbackDialUpgradesToLane|TestReleaseHookSeesBodyBeforeReuse|TestPipeKeepsTheConnContract|TestForeignPeersStayOnTCP|TestListenerCloseFreesLaneName' ./internal/transport/
-	$(GO) test -race -count=10 -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
+	$(GO) test -race -count=10 -run 'TestWorkerLoopLeasesSurvivePoisoning|TestWorkerLoopRejoinsGroup' ./internal/trainer/
 	$(GO) test -race -count=10 -run 'TestAdoptGradsBackwardIsBitIdentical' ./internal/nn/
 	$(GO) test -race -count=10 -run 'TestTCPWorkerCrashRejoinAndServerRestart' .
 
@@ -269,7 +270,8 @@ aggtree-smoke:
 # Command-line smoke: the smokes above drive the library; this one builds
 # cmd/psserver and cmd/psworker and runs them as processes over loopback on
 # fixed ports — a flat 2-worker job, a coordinator with two data servers
-# (-shards 4 on every member, the group-wide count), and a root behind one
+# (-shards 4 on every member, the group-wide count) whose workers run with
+# -reconnect -heartbeat 50ms, and a root behind one
 # relay with -tree workers — failing on any non-zero exit, and checks that
 # psserver -role relay refuses a server-only flag (-guard). The binaries and
 # the per-process logs land in .cli-smoke/.

@@ -29,9 +29,8 @@ func replicaWeights(t *testing.T, addr string) ([]*tensor.Tensor, int64) {
 	if err != nil {
 		t.Fatalf("replica dial %s: %v", addr, err)
 	}
-	client := ps.NewClient(conn, 0)
-	client.SetReplica(true)
-	if err := client.Register(); err != nil {
+	client, err := ps.OpenReplica(conn, false)
+	if err != nil {
 		t.Fatalf("replica register at %s: %v", addr, err)
 	}
 	defer client.Close()

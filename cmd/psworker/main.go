@@ -20,16 +20,16 @@
 // would skip nothing. A flat worker therefore speaks pure v1 frames.
 //
 // Fault tolerance: -reconnect redials and rejoins on any connection loss
-// (surviving parameter-server restarts; with -cluster the route refuses the
-// rejoin, see below), -heartbeat proves liveness to an -elastic server, and
-// -fail-after injects a crash for demos.
+// (surviving parameter-server restarts), -heartbeat proves liveness to an
+// -elastic server, and -fail-after injects a crash for demos.
 //
 // Server groups: -cluster makes -server the coordinator's address — the
 // worker fetches the cluster map at registration and routes gradient
 // fragments directly to each shard owner while the coordinator keeps making
 // the staleness decisions. A lost data link recovers by refetching the map
 // (which is how a backup promotion reaches the worker); a lost coordinator
-// fails the run fast.
+// connection fails the run, or with -reconnect is rejoined. A dead
+// coordinator is fatal to the group either way.
 //
 // Aggregation tier: -tree makes -server the root's address — the worker
 // fetches the tree layout and registers through the relay covering its id
@@ -71,7 +71,7 @@ func main() {
 		compressPull = flag.Bool("compress-pull", false, "expect compressed weight pulls (must match the server; implied by -compress auto)")
 		adversary    = flag.Float64("adversary", 0, "Byzantine gradient-scale factor for robustness experiments (0 or 1 = honest; e.g. -10 pushes scaled ascent)")
 		reconnect    = flag.Bool("reconnect", false, "redial and rejoin on connection loss (survives server restarts)")
-		reconnectTO  = flag.Duration("reconnect-timeout", 30*time.Second, "give up after failing to reconnect for this long")
+		reconnectTO  = flag.Duration("reconnect-timeout", 30*time.Second, "with -reconnect, how long connecting, rejoining and recovering a -cluster data link keep retrying before the worker gives up")
 		heartbeat    = flag.Duration("heartbeat", 0, "send liveness heartbeats at this interval (needed under an -elastic server; 0 = off)")
 		failAfter    = flag.Int("fail-after", 0, "fault injection for demos: crash (drop the connection) before this iteration (0 = never)")
 		metricsAddr  = flag.String("metrics-addr", "", "admin HTTP listen address serving worker-side /metrics, /healthz and pprof (empty = off)")

@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"dssp/internal/compress"
-	"dssp/internal/obs"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
 )
 
-// Client is the worker-side handle to the parameter server, implementing the
-// worker protocol of Algorithm 1: register once (negotiating the gradient
-// codec), pull the initial weights, then repeatedly push gradients, wait for
-// OK, and pull fresh weights. A Client belongs to one worker goroutine; it
-// is not safe for concurrent use.
+// Client is one registered connection to a server, a relay or a data server,
+// speaking the worker protocol of Algorithm 1 on it: register once
+// (negotiating the gradient codec), pull the initial weights, then repeatedly
+// push gradients, wait for OK, and pull fresh weights. A worker's
+// ClusterClient drives one per link; replicas and relays use it directly
+// (OpenReplica). A Client belongs to one goroutine; it is not safe for
+// concurrent use.
 type Client struct {
 	conn   transport.Conn
 	worker int
@@ -70,10 +71,6 @@ type Client struct {
 	// payload-free Unchanged chunk served from this cache.
 	shardCache    [][]*tensor.Tensor
 	shardVersions []int64
-
-	// metrics, when installed with Instrument, times the worker-observed
-	// pull and push-round-trip latencies. Nil costs one pointer test.
-	metrics *clientMetrics
 }
 
 // NewClient wraps a connection for the given worker ID, speaking the
@@ -92,9 +89,6 @@ func NewClientCompressed(conn transport.Conn, worker int, cfg compress.Config) (
 	}
 	return &Client{conn: conn, worker: worker, cfg: cfg}, nil
 }
-
-// Worker returns the worker ID this client represents.
-func (c *Client) Worker() int { return c.worker }
 
 // Compression returns the compression configuration: the requested one
 // before Register, the negotiated one after.
@@ -135,16 +129,6 @@ func (c *Client) SetReplica(enabled bool) { c.replica = enabled }
 // the units of pushedBytes: the same formula on every carrier, frame overhead
 // excluded (the transport meters count whole frames, exactly).
 func (c *Client) Traffic() (pushed, pulled int64) { return c.pushedBytes, c.pulledBytes }
-
-// Instrument registers this worker's latency metrics (pull time, push
-// round-trip time, iteration count) on reg. Call before the training loop;
-// a nil registry is ignored.
-func (c *Client) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	c.metrics = newClientMetrics(reg)
-}
 
 // Register announces the worker to the server, negotiates the gradient
 // codec, and waits for the acknowledgement. A worker whose codec conflicts
@@ -231,19 +215,6 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 // them in place for the iteration (Network.AdoptParams) and is detached
 // before the client is closed; every other caller copies at once.
 func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
-	if c.metrics == nil {
-		return c.pull()
-	}
-	start := time.Now()
-	params, version, err := c.pull()
-	if err == nil {
-		c.metrics.pullSeconds.Observe(time.Since(start).Seconds())
-	}
-	return params, version, err
-}
-
-// pull implements Pull.
-func (c *Client) pull() ([]*tensor.Tensor, int64, error) {
 	req := transport.Message{Type: transport.MsgPull, Worker: c.worker}
 	if c.deltaOn && c.cacheComplete() {
 		req.PullVersions = c.shardVersions
@@ -429,20 +400,6 @@ const maxHeldChunks = 1 << 12
 // the call returns, so the caller may push its live gradient buffers and
 // overwrite them next iteration.
 func (c *Client) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
-	if c.metrics == nil {
-		return c.pushAndWait(grads, baseVersion, iteration)
-	}
-	start := time.Now()
-	err := c.pushAndWait(grads, baseVersion, iteration)
-	if err == nil {
-		c.metrics.pushRTTSeconds.Observe(time.Since(start).Seconds())
-		c.metrics.iterations.Inc()
-	}
-	return err
-}
-
-// pushAndWait implements PushAndWait.
-func (c *Client) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
 	if err := c.PushAsync(grads, baseVersion, iteration); err != nil {
 		return err
 	}
@@ -450,10 +407,10 @@ func (c *Client) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteratio
 }
 
 // PushAsync sends the worker's gradients without waiting for the release.
-// It exists for cluster workers, which fan a fragment out to every data
+// It exists for a ClusterClient, which fans a fragment out to every data
 // server before collecting the OKs (WaitOK, once per PushAsync, in order):
 // the fragments travel in parallel while each link stays lock-step. A nil
-// or empty grads sends a metadata-only push (the coordinator leg).
+// or empty grads sends a metadata-only push (the coordinator's ticket).
 func (c *Client) PushAsync(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
 	msg := transport.Message{
 		Type:      transport.MsgPush,

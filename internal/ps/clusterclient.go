@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dssp/internal/compress"
@@ -16,67 +17,69 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
 
-// mapTimeout bounds how long a new ClusterClient's map fetch retries until
-// the coordinator serves a complete map (all shards owned).
+// mapTimeout bounds how long a Group connect's map fetch retries until the
+// coordinator serves a complete map (all shards owned).
 const mapTimeout = 10 * time.Second
 
-// ClusterClientConfig tunes a cluster worker's client side.
+// dataLinkPatience is how long a dead data-only link may take to recover
+// when Route.Retry is zero. It must exceed the backups' promotion grace, or a
+// worker gives up just before the new owner appears.
+const dataLinkPatience = 15 * time.Second
+
+// ClusterClientConfig tunes NewClusterClient.
 type ClusterClientConfig struct {
 	// Compression is the gradient codec spoken with the data servers (the
-	// coordinator leg always negotiates whatever the coordinator speaks —
-	// metadata pushes carry no payload worth compressing).
+	// coordinator's link always negotiates whatever the coordinator speaks —
+	// its pushes carry no payload worth compressing).
 	Compression compress.Config
-	// RecoverTimeout bounds how long a failed data link retries — refetching
-	// the map and redialing the (possibly promoted) owner — before the
-	// iteration fails for good. It must exceed the backups' promotion grace
-	// or a worker gives up just before the new owner appears. Default 15s.
-	RecoverTimeout time.Duration
 }
 
-// dataLink is one registered connection to a data server: the shard range it
-// serves, the protocol client on it, and the server's last pulled version
-// (the base fragment pushes claim).
-type dataLink struct {
+// link is one registered connection of a ClusterClient: the server it
+// reaches (with the shard range a data server serves), the protocol client on
+// it, and the server's last pulled version (the base a fragment push claims).
+type link struct {
 	entry   transport.ServerEntry
-	conn    transport.Conn
 	client  *Client
 	version int64
 	hbStop  func()
 }
 
-// ClusterClient is the worker-side handle to a server group (PROTOCOL.md
-// §6): it learns the shard→server map from the coordinator, pulls and pushes
-// gradient fragments against every data server, and runs the synchronization
-// protocol proper — the push that blocks until the paradigm releases the
-// worker — against the coordinator alone.
+// stop ends l's heartbeats and closes its connection. The client's leases
+// are left to whoever ends them: what the last Pull handed out, and the
+// gradients a push is computing in the push slot, may still be read.
+func (l *link) stop() error {
+	if l.hbStop != nil {
+		l.hbStop()
+	}
+	return l.client.conn.Close()
+}
+
+// ClusterClient is a worker's one client, on every route (DESIGN.md §6). It
+// holds a link per server the route resolves to; links[0] is the sync link,
+// the one whose push the synchronization policy gates. On a Group route
+// (PROTOCOL.md §5b) the sync link is the coordinator, which carries no
+// tensors, and every other link is a data server carrying its shard range's
+// fragment of each pull and push. A Flat or Tree route is the one-link case:
+// the server (or relay) is sync and data link at once, and a push is the one
+// frame carrying the whole gradient under the caller's base version.
 //
 // Like Client, a ClusterClient belongs to one worker goroutine.
 //
-// Failure handling is asymmetric by design. A dead data link recovers: the
-// client refetches the map until a dialable owner for the same shard range
-// appears (the primary back up, or its promoted backup) and retries the
+// Failures follow one rule. A dead data-only link recovers inside the
+// client: it refetches the map until a dialable owner for the same shard
+// range appears (the primary back up, or its promoted backup) and retries the
 // operation, so a data-server crash costs the worker a pause, not the run. A
-// dead coordinator does not: it is the single serialization point for
-// staleness decisions, and every coordinator-leg error fails fast to the
-// caller (DESIGN.md §10).
+// dead sync link goes to the caller, whose way back is Connect with rejoin
+// set (DESIGN.md §10).
 type ClusterClient struct {
-	dial      func(addr string) (transport.Conn, error)
-	coordAddr string
-	worker    int
-	cfg       ClusterClientConfig
+	route Route
+	links []*link
 
-	coord     *Client
-	coordConn transport.Conn
-	links     []*dataLink
-
-	mapVersion   int64
-	globalShards int
-	total        int
-
-	// lastVersion is the min data-server version of the last Pull — the base
-	// the coordinator push claims, in the same units as the coordinator's
-	// store version (both count applied global pushes).
-	lastVersion int64
+	mapVersion int64
+	// shards is the parameter-store shard count (group-wide on a Group
+	// route); total is a group's tensor count.
+	shards int
+	total  int
 
 	assembled  []*tensor.Tensor
 	hbInterval time.Duration
@@ -87,74 +90,30 @@ type ClusterClient struct {
 	retired []*Client
 	// slots is PushSlot's result, reused.
 	slots []*tensor.Tensor
+	// metrics, when the route has a registry, times the worker-observed pull
+	// and push-round-trip latencies. Nil costs one pointer test.
+	metrics *clientMetrics
 }
 
-// NewClusterClient connects worker to the group coordinated at coordAddr:
-// it fetches the cluster map (retrying until complete), registers with the
-// coordinator in cluster mode, and opens a registered link to every data
-// server. dial opens a connection to an advertised address — injectable so
-// in-process transports (tests, the trainer) and TCP share the code.
+// NewClusterClient connects worker to the group coordinated at coordAddr in
+// one attempt: Connect along a Group route with no Retry. dial opens a
+// connection to an advertised address — injectable so in-process transports
+// (tests, the trainer) and TCP share the code.
 func NewClusterClient(dial func(addr string) (transport.Conn, error), coordAddr string, worker int, cfg ClusterClientConfig) (*ClusterClient, error) {
-	if dial == nil {
-		return nil, fmt.Errorf("ps: cluster client needs a dialer")
-	}
-	if cfg.RecoverTimeout <= 0 {
-		cfg.RecoverTimeout = 15 * time.Second
-	}
-	c := &ClusterClient{dial: dial, coordAddr: coordAddr, worker: worker, cfg: cfg}
-	m, err := c.waitForMap()
+	c, err := Connect(Route{Dial: dial, Addr: coordAddr, Worker: worker, Topology: Group, Compression: cfg.Compression}, false, 0)
 	if err != nil {
 		return nil, err
 	}
-	c.adoptMapHeader(m)
-
-	conn, err := dial(coordAddr)
-	if err != nil {
-		return nil, fmt.Errorf("ps: dial coordinator %s: %w", coordAddr, err)
-	}
-	coord, err := NewClientCompressed(conn, worker, compress.Config{Codec: compress.Auto})
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	coord.SetCluster(true)
-	if err := coord.Register(); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("ps: register with coordinator: %w", err)
-	}
-	c.coord, c.coordConn = coord, conn
-
-	for _, e := range m.Servers {
-		link, err := c.openLink(e)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.links = append(c.links, link)
-	}
-	return c, nil
+	return c.(*ClusterClient), nil
 }
-
-// Worker returns the worker ID this client represents.
-func (c *ClusterClient) Worker() int { return c.worker }
 
 // MapVersion returns the version of the cluster map the client last adopted.
 func (c *ClusterClient) MapVersion() int64 { return c.mapVersion }
 
-// Servers returns the data-server entries the client currently routes to,
-// in shard order.
-func (c *ClusterClient) Servers() []transport.ServerEntry {
-	out := make([]transport.ServerEntry, len(c.links))
-	for i, l := range c.links {
-		out[i] = l.entry
-	}
-	return out
-}
-
 // adoptMapHeader records the group-wide constants a (complete) map carries.
 func (c *ClusterClient) adoptMapHeader(m transport.Message) {
 	c.mapVersion = m.MapVersion
-	c.globalShards = m.StoreShards
+	c.shards = m.StoreShards
 	c.total = m.Total
 }
 
@@ -214,9 +173,10 @@ func validateMap(m transport.Message) error {
 	return nil
 }
 
-// fetchMap is one map fetch that must come back complete.
-func (c *ClusterClient) fetchMap() (transport.Message, error) {
-	m, err := FetchClusterMap(c.dial, c.coordAddr)
+// fetchMap is one map fetch from the route's coordinator that must come back
+// complete.
+func (r Route) fetchMap() (transport.Message, error) {
+	m, err := FetchClusterMap(r.Dial, r.Addr)
 	if err == nil {
 		err = validateMap(m)
 	}
@@ -227,119 +187,149 @@ func (c *ClusterClient) fetchMap() (transport.Message, error) {
 // passes. Transport failures are retried (the coordinator may still be
 // starting); an explicit server rejection ("not a cluster coordinator") is
 // permanent and returned immediately.
-func (c *ClusterClient) waitForMap() (m transport.Message, err error) {
+func (r Route) waitForMap() (m transport.Message, err error) {
 	err = retry(mapTimeout, 5*time.Millisecond, 200*time.Millisecond, isRemote, func() (err error) {
-		m, err = c.fetchMap()
+		m, err = r.fetchMap()
 		return err
 	})
 	return m, err
 }
 
-// openLink dials one data server and registers on it.
-func (c *ClusterClient) openLink(e transport.ServerEntry) (*dataLink, error) {
-	conn, err := c.dial(e.Addr)
+// openLink dials e.Addr and registers the worker there under codec cfg: a
+// Rejoin carrying lastVersion when rejoin is set, a Register otherwise. On a
+// Group route the registration is in cluster mode. The link inherits the
+// client's heartbeats.
+func (c *ClusterClient) openLink(e transport.ServerEntry, cfg compress.Config, rejoin bool, lastVersion int64) (*link, error) {
+	conn, err := c.route.Dial(e.Addr)
 	if err != nil {
-		return nil, fmt.Errorf("ps: dial data server %s: %w", e.Addr, err)
+		return nil, fmt.Errorf("ps: dial %s: %w", e.Addr, err)
 	}
-	client, err := NewClientCompressed(conn, c.worker, c.cfg.Compression)
+	client, err := NewClientCompressed(conn, c.route.Worker, cfg)
 	if err != nil {
-		_ = conn.Close()
+		conn.Close()
 		return nil, err
 	}
-	client.SetCluster(true)
-	if err := client.Register(); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("ps: register with data server %s: %w", e.Addr, err)
+	client.SetCluster(c.route.Topology == Group)
+	if rejoin {
+		err = client.Rejoin(lastVersion)
+	} else {
+		err = client.Register()
 	}
-	link := &dataLink{entry: e, conn: conn, client: client}
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("ps: register with %s: %w", e.Addr, err)
+	}
+	l := &link{entry: e, client: client}
 	if c.hbInterval > 0 {
-		link.hbStop = client.StartHeartbeats(c.hbInterval)
+		l.hbStop = client.StartHeartbeats(c.hbInterval)
 	}
-	return link, nil
+	return l, nil
 }
 
-// closeLink tears one link down (idempotent on a nil hbStop).
-func closeLink(l *dataLink) {
-	if l.hbStop != nil {
-		l.hbStop()
-	}
-	_ = l.conn.Close()
-}
-
-// recover replaces a dead data link: it refetches the map until the entry
+// recover replaces dead data link i: it refetches the map until the entry
 // owning the same shard range is dialable again — the restarted primary, or
 // the backup a promotion routed in — and registers a fresh session there.
-// cause is returned (wrapped) if the recover window closes first.
+// cause is returned (wrapped) if the route's patience runs out first.
 func (c *ClusterClient) recover(i int, cause error) error {
-	old := c.links[i].entry
-	closeLink(c.links[i])
-	c.retired = append(c.retired, c.links[i].client)
-	err := retry(c.cfg.RecoverTimeout, 5*time.Millisecond, 100*time.Millisecond, isRemote, func() error {
-		m, err := c.fetchMap()
+	old := c.links[i]
+	old.stop()
+	c.retired = append(c.retired, old.client)
+	patience := c.route.Retry
+	if patience <= 0 {
+		patience = dataLinkPatience
+	}
+	lo, hi := old.entry.ShardLo, old.entry.ShardHi
+	err := retry(patience, 5*time.Millisecond, 100*time.Millisecond, isRemote, func() error {
+		m, err := c.route.fetchMap()
 		if err != nil {
 			return err
 		}
 		for _, e := range m.Servers {
-			if e.ShardLo != old.ShardLo || e.ShardHi != old.ShardHi {
+			if e.ShardLo != lo || e.ShardHi != hi {
 				continue
 			}
-			link, err := c.openLink(e)
+			l, err := c.openLink(e, c.route.Compression, false, 0)
 			if err == nil {
 				c.adoptMapHeader(m)
-				c.links[i] = link
+				c.links[i] = l
 			}
 			return err
 		}
-		return fmt.Errorf("ps: cluster map no longer lists shards [%d, %d)", old.ShardLo, old.ShardHi)
+		return fmt.Errorf("ps: cluster map no longer lists shards [%d, %d)", lo, hi)
 	})
 	if err != nil {
-		return fmt.Errorf("ps: data link for shards [%d, %d) did not recover: %w (cause: %v)",
-			old.ShardLo, old.ShardHi, err, cause)
+		return fmt.Errorf("ps: data link for shards [%d, %d) did not recover: %w (cause: %v)", lo, hi, err, cause)
 	}
 	return nil
 }
 
-// Pull assembles the global weights from every data server and returns them
-// with the minimum data-server version seen — the conservative base for this
-// iteration's staleness accounting, exactly as a chunked single-server pull
-// reports the smallest chunk version. The returned slice and tensors follow
-// Client.Pull's read-only contract — valid until the next Pull or Close, a
-// link replaced in between notwithstanding. A dead link recovers mid-pull;
-// the pull against its replacement re-runs for that range only (weights are
-// idempotent reads).
-func (c *ClusterClient) Pull() ([]*tensor.Tensor, int64, error) {
-	c.releaseRetired()
-	if cap(c.assembled) < c.total {
-		c.assembled = make([]*tensor.Tensor, c.total)
+// firstData is the index of the first link that carries tensors: the one
+// link of a Flat or Tree route, the first data server behind a coordinator.
+func (c *ClusterClient) firstData() int { return min(1, len(c.links)-1) }
+
+// fragment is the part of a full tensor list that link i carries: all of it
+// on a one-link route, none on a group's coordinator, the shard range's
+// tensors on a data server.
+func (c *ClusterClient) fragment(i int, ts []*tensor.Tensor) []*tensor.Tensor {
+	switch {
+	case len(c.links) == 1:
+		return ts
+	case i == 0:
+		return nil
 	}
-	out := c.assembled[:c.total]
-	version := int64(-1)
-	for i := range c.links {
+	e := c.links[i].entry
+	return ts[e.TensorLo:e.TensorHi]
+}
+
+// Pull assembles the global weights from the links that carry them and
+// returns them with the minimum version seen — the conservative base for
+// this iteration's staleness accounting, exactly as a chunked single-server
+// pull reports the smallest chunk version. The returned slice and tensors
+// follow Client.Pull's read-only contract — valid until the next Pull or
+// Close, a link replaced in between notwithstanding. A dead data-only link
+// recovers mid-pull; the pull against its replacement re-runs for that range
+// only (weights are idempotent reads).
+func (c *ClusterClient) Pull() ([]*tensor.Tensor, int64, error) {
+	if c.metrics == nil {
+		return c.pull()
+	}
+	start := time.Now()
+	params, version, err := c.pull()
+	if err == nil {
+		c.metrics.pullSeconds.Observe(time.Since(start).Seconds())
+	}
+	return params, version, err
+}
+
+// pull implements Pull.
+func (c *ClusterClient) pull() ([]*tensor.Tensor, int64, error) {
+	c.releaseRetired()
+	out, version := c.assembled[:0], int64(-1)
+	for i := c.firstData(); i < len(c.links); i++ {
 		ts, v, err := c.linkPull(i)
 		if err != nil {
 			return nil, 0, err
 		}
-		e := c.links[i].entry
-		if len(ts) != e.TensorHi-e.TensorLo {
+		if e := c.links[i].entry; i > 0 && len(ts) != e.TensorHi-e.TensorLo {
 			return nil, 0, fmt.Errorf("ps: data server %s returned %d tensors for range [%d, %d)",
 				e.Addr, len(ts), e.TensorLo, e.TensorHi)
 		}
-		copy(out[e.TensorLo:e.TensorHi], ts)
+		out = append(out, ts...)
 		c.links[i].version = v
 		if version < 0 || v < version {
 			version = v
 		}
 	}
-	c.lastVersion = version
+	c.assembled = out
 	return out, version, nil
 }
 
-// linkPull pulls one link, recovering it on failure.
+// linkPull pulls link i, recovering it on failure unless it is the sync link.
 func (c *ClusterClient) linkPull(i int) ([]*tensor.Tensor, int64, error) {
 	for {
 		ts, v, err := c.links[i].client.Pull()
-		if err == nil {
-			return ts, v, nil
+		if err == nil || i == 0 {
+			return ts, v, err
 		}
 		if rerr := c.recover(i, err); rerr != nil {
 			return nil, 0, rerr
@@ -348,76 +338,53 @@ func (c *ClusterClient) linkPull(i int) ([]*tensor.Tensor, int64, error) {
 }
 
 // PushAndWait pushes one global gradient and blocks until the paradigm
-// releases the worker. The fragments fan out to every data server first
-// (PushAsync on each link, then one WaitOK per link — an OK from a data
-// server means "fragment applied", so by the time the coordinator leg runs,
-// this iteration's bytes are visible group-wide; BSP's all-updates-visible
-// guarantee reduces to the single-server argument). The final metadata-only
-// push to the coordinator is the one the synchronization policy gates.
+// releases the worker. The fragments fan out to the data-only links first
+// (PushAsync on each, then one WaitOK each — an OK from a data server means
+// "fragment applied", so by the time the sync push goes out, this
+// iteration's bytes are visible group-wide; BSP's all-updates-visible
+// guarantee reduces to the single-server argument). The sync push, under
+// baseVersion, is the one the synchronization policy gates: a metadata-only
+// ticket to a coordinator, the whole gradient on a one-link route.
 //
 // A data-link failure recovers and re-sends that fragment; a fragment whose
 // OK was lost in the crash may therefore apply twice, the same at-least-once
-// semantics a single-server reconnect has. A coordinator failure fails fast.
+// semantics a rejoin has. A sync-link failure goes to the caller.
 func (c *ClusterClient) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
-	if len(grads) != c.total {
-		return fmt.Errorf("ps: cluster push carries %d tensors, model has %d", len(grads), c.total)
+	if c.metrics == nil {
+		return c.pushAndWait(grads, baseVersion, iteration)
 	}
-	failed := make([]bool, len(c.links))
-	anyFailed := false
-	for i, l := range c.links {
-		if err := l.client.PushAsync(grads[l.entry.TensorLo:l.entry.TensorHi], l.version, iteration); err != nil {
-			failed[i] = true
-			anyFailed = true
-		}
+	start := time.Now()
+	err := c.pushAndWait(grads, baseVersion, iteration)
+	if err == nil {
+		c.metrics.pushRTTSeconds.Observe(time.Since(start).Seconds())
+		c.metrics.iterations.Inc()
 	}
-	for i, l := range c.links {
-		if failed[i] {
-			continue
-		}
-		if err := l.client.WaitOK(); err != nil {
-			failed[i] = true
-			anyFailed = true
-		}
-	}
-	if anyFailed {
-		for i := range c.links {
-			if !failed[i] {
-				continue
-			}
-			if err := c.retryFragment(i, grads, iteration); err != nil {
-				return err
-			}
-		}
-	}
-	return c.coordPush(baseVersion, iteration)
+	return err
 }
 
-// PushSlot is Client.PushSlot over the data links: entry i is a tensor of
-// the push slot of the link owning tensor i, nil where that link has none
-// free now; the result is nil when no link has one. It is reused by the next
-// call.
-func (c *ClusterClient) PushSlot(grads []*tensor.Tensor) []*tensor.Tensor {
-	if len(grads) != c.total {
-		return nil
+// pushAndWait implements PushAndWait.
+func (c *ClusterClient) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
+	if len(c.links) > 1 && len(grads) != c.total {
+		return fmt.Errorf("ps: cluster push carries %d tensors, model has %d", len(grads), c.total)
 	}
-	if len(c.slots) != c.total {
-		c.slots = make([]*tensor.Tensor, c.total)
-	}
-	found := false
-	for _, l := range c.links {
-		lo, hi := l.entry.TensorLo, l.entry.TensorHi
-		views := l.client.PushSlot(grads[lo:hi])
-		if views == nil {
-			clear(c.slots[lo:hi])
-			continue
+	var failed []int
+	for i := 1; i < len(c.links); i++ {
+		l := c.links[i]
+		if l.client.PushAsync(c.fragment(i, grads), l.version, iteration) != nil {
+			failed = append(failed, i)
 		}
-		copy(c.slots[lo:hi], views)
-		found = true
 	}
-	if !found {
-		return nil
+	for i := 1; i < len(c.links); i++ {
+		if !slices.Contains(failed, i) && c.links[i].client.WaitOK() != nil {
+			failed = append(failed, i)
+		}
 	}
-	return c.slots
+	for _, i := range failed {
+		if err := c.retryFragment(i, grads, iteration); err != nil {
+			return err
+		}
+	}
+	return c.links[0].client.PushAndWait(c.fragment(0, grads), baseVersion, iteration)
 }
 
 // retryFragment recovers link i and re-sends its fragment until it lands.
@@ -428,8 +395,7 @@ func (c *ClusterClient) retryFragment(i int, grads []*tensor.Tensor, iteration i
 			return rerr
 		}
 		l := c.links[i]
-		err = l.client.PushAsync(grads[l.entry.TensorLo:l.entry.TensorHi], l.version, iteration)
-		if err == nil {
+		if err = l.client.PushAsync(c.fragment(i, grads), l.version, iteration); err == nil {
 			err = l.client.WaitOK()
 		}
 		if err == nil {
@@ -438,55 +404,65 @@ func (c *ClusterClient) retryFragment(i int, grads []*tensor.Tensor, iteration i
 	}
 }
 
-// coordPush runs the synchronization leg: a metadata-only push the
-// coordinator's policy gates. Coordinator errors are final.
-func (c *ClusterClient) coordPush(baseVersion int64, iteration int) error {
-	if err := c.coord.PushAndWait(nil, baseVersion, iteration); err != nil {
-		return fmt.Errorf("ps: cluster coordinator: %w", err)
+// PushSlot is Client.PushSlot over the links that carry gradients: entry i
+// is a tensor of the push slot of the link carrying tensor i, nil where that
+// link has none free now; the result is nil when no link has one. It is
+// reused by the next call.
+func (c *ClusterClient) PushSlot(grads []*tensor.Tensor) []*tensor.Tensor {
+	if len(c.links) > 1 && len(grads) != c.total {
+		return nil
 	}
-	return nil
+	if len(c.slots) != len(grads) {
+		c.slots = make([]*tensor.Tensor, len(grads))
+	}
+	found, lo := false, 0
+	for i := c.firstData(); i < len(c.links); i++ {
+		part := c.fragment(i, grads)
+		dst := c.slots[lo : lo+len(part)]
+		lo += len(part)
+		if views := c.links[i].client.PushSlot(part); views != nil {
+			copy(dst, views)
+			found = true
+		} else {
+			clear(dst)
+		}
+	}
+	if !found {
+		return nil
+	}
+	return c.slots
 }
 
-// Done reports completion to every data server and then to the coordinator.
-// The coordinator hears last because its completion may end the group: a
+// Done reports completion on every data-only link and then on the sync
+// link. A coordinator hears last because its completion may end the group: a
 // psserver coordinator exits once every worker is done, and a data server
 // that loses it before its own workers' Done frames arrive fails.
 func (c *ClusterClient) Done() error {
 	var err error
-	for _, l := range c.links {
-		if derr := l.client.Done(); err == nil {
+	for i := len(c.links) - 1; i >= 0; i-- {
+		if derr := c.links[i].client.Done(); err == nil {
 			err = derr
 		}
-	}
-	if cerr := c.coord.Done(); err == nil {
-		err = cerr
 	}
 	return err
 }
 
-// StartHeartbeats begins liveness heartbeats on the coordinator link and
-// every data link, and returns a stop function. Links recovered later
-// inherit the interval.
+// StartHeartbeats begins liveness heartbeats on every link and returns a
+// stop function. Links recovered later inherit the interval.
 func (c *ClusterClient) StartHeartbeats(interval time.Duration) (stop func()) {
 	c.hbInterval = interval
-	coordStop := c.coord.StartHeartbeats(interval)
 	for _, l := range c.links {
 		l.hbStop = l.client.StartHeartbeats(interval)
 	}
 	return func() {
-		coordStop()
 		for _, l := range c.links {
-			if l.hbStop != nil {
-				l.hbStop()
-			}
+			l.hbStop()
 		}
 	}
 }
 
-// Traffic sums the payload bytes pushed and pulled across every link,
-// coordinator included.
+// Traffic sums the payload bytes pushed and pulled across every link.
 func (c *ClusterClient) Traffic() (pushed, pulled int64) {
-	pushed, pulled = c.coord.Traffic()
 	for _, l := range c.links {
 		p, q := l.client.Traffic()
 		pushed += p
@@ -495,24 +471,19 @@ func (c *ClusterClient) Traffic() (pushed, pulled int64) {
 	return pushed, pulled
 }
 
-// Codec returns the gradient codec negotiated on the data links (useful when
-// the configuration left it on auto).
-func (c *ClusterClient) Codec() string {
-	if len(c.links) == 0 {
-		return ""
-	}
-	return c.links[0].client.Codec()
-}
+// Codec returns the gradient codec negotiated on the links that carry
+// gradients (useful when the configuration left it on auto); the last link
+// always does.
+func (c *ClusterClient) Codec() string { return c.links[len(c.links)-1].client.Codec() }
 
 // Close releases every connection and ends the pull lease and the push slots
-// (Client.Close).
+// (Client.Close). It returns the sync link's close error.
 func (c *ClusterClient) Close() error {
 	var err error
-	if c.coordConn != nil {
-		err = c.coordConn.Close()
-	}
-	for _, l := range c.links {
-		closeLink(l)
+	for i, l := range c.links {
+		if serr := l.stop(); i == 0 {
+			err = serr
+		}
 		l.client.endLeases()
 	}
 	c.releaseRetired()

@@ -13,11 +13,13 @@ import (
 
 // WorkerClient is the worker side of Algorithm 1 as a training loop sees it:
 // pull the weights, push a gradient and wait for the release, report
-// completion. *Client (one server, directly or through a relay) and
-// *ClusterClient (a server group) implement it, which is what lets one loop
-// serve every topology and lets a test drive that loop with a scripted fake.
+// completion. *ClusterClient implements it on every route, and a test drives
+// the loop with a scripted fake.
 type WorkerClient interface {
 	Pull() ([]*tensor.Tensor, int64, error)
+	// PushSlot returns tensors shaped like grads that the next push is sent
+	// from without a copy, or nil (ClusterClient.PushSlot).
+	PushSlot(grads []*tensor.Tensor) []*tensor.Tensor
 	PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error
 	Done() error
 	Close() error
@@ -30,14 +32,14 @@ type WorkerClient interface {
 type Topology int
 
 const (
-	// Flat dials the server at Route.Addr and registers there.
+	// Flat links the server at Route.Addr.
 	Flat Topology = iota
 	// Tree fetches the aggregation-tree layout from the root at Route.Addr
-	// and registers through the relay covering the worker, or at the root
-	// when none does (DESIGN.md §11).
+	// and links the relay covering the worker, or the root when none does
+	// (DESIGN.md §11).
 	Tree
 	// Group fetches the cluster map from the coordinator at Route.Addr and
-	// opens a session on it and on every data server (DESIGN.md §10).
+	// links the coordinator and every data server (DESIGN.md §10).
 	Group
 )
 
@@ -60,99 +62,106 @@ type Route struct {
 	Shards int
 	// Metrics, when set, carries the worker-side latency series.
 	Metrics *obs.Registry
-	// Retry is the route's patience. Flat and Tree: how long Connect keeps
-	// redialing through transport failures (0 = one attempt). Group: how long
-	// a dead data link may take to recover mid-run (0 = the ClusterClient
-	// default); the connect itself waits for a complete map either way.
+	// Retry is the route's one patience: how long Connect keeps retrying
+	// through transport failures, on a first connect and a rejoin alike, and
+	// how long a dead data-only link may take to recover mid-run. Zero is one
+	// connect attempt, and 15s for a data link. A Group connect also waits
+	// for a complete map either way.
 	Retry time.Duration
 }
 
-// ErrNoRejoin is Connect's answer to a rejoin on a route that cannot use
-// one. A ClusterClient recovers its data links itself, and the one loss it
-// surfaces — the coordinator, the single serialization point — is final by
-// design (DESIGN.md §10), so the caller should fail with the error that made
-// it ask.
-var ErrNoRejoin = errors.New("ps: route does not rejoin")
-
 // Connect reaches the parameter store along r and returns a registered
-// client. With rejoin set the registration is a Rejoin carrying lastVersion,
-// the last store version the worker saw. Every attempt resolves the route
-// afresh, so a Tree worker orphaned by a dead relay lands on the re-parented
-// layout. A peer that is not speaking the protocol (transport.IsWireMismatch)
-// is permanent and never retried.
+// client. With rejoin set the sync link registers with a Rejoin carrying
+// lastVersion, the last store version the worker saw; a group's data servers
+// get a fresh registration, which supersedes the session the worker held
+// there. Every attempt resolves the route afresh, so a Tree worker orphaned
+// by a dead relay lands on the re-parented layout. A peer that is not
+// speaking the protocol (transport.IsWireMismatch) or that rejects the
+// request outright (RemoteError) is never retried.
 func Connect(r Route, rejoin bool, lastVersion int64) (WorkerClient, error) {
 	if r.Dial == nil {
 		return nil, fmt.Errorf("ps: route needs a dialer")
 	}
-	if r.Topology == Group {
-		if rejoin {
-			return nil, ErrNoRejoin
-		}
-		c, err := NewClusterClient(r.Dial, r.Addr, r.Worker, ClusterClientConfig{
-			Compression: r.Compression, RecoverTimeout: r.Retry})
-		if err != nil {
-			return nil, err
-		}
-		if err := r.checkShards(c.globalShards); err != nil {
-			c.Close()
-			return nil, err
-		}
-		return c, nil
-	}
-	var client *Client
-	err := retry(r.Retry, 100*time.Millisecond, 3200*time.Millisecond, transport.IsWireMismatch, func() (err error) {
-		client, err = r.register(rejoin, lastVersion)
+	permanent := func(err error) bool { return transport.IsWireMismatch(err) || isRemote(err) }
+	var c *ClusterClient
+	err := retry(r.Retry, 100*time.Millisecond, 3200*time.Millisecond, permanent, func() (err error) {
+		c, err = r.open(rejoin, lastVersion)
 		return err
 	})
 	if err != nil {
-		if r.Retry > 0 && !transport.IsWireMismatch(err) {
+		if r.Retry > 0 && !permanent(err) {
 			err = fmt.Errorf("gave up after %v: %w", r.Retry, err)
 		}
 		return nil, err
 	}
-	return client, nil
+	return c, nil
 }
 
-// register is one Flat or Tree connect attempt.
-func (r Route) register(rejoin bool, lastVersion int64) (*Client, error) {
-	addr := r.Addr
-	if r.Topology == Tree {
+// open is one connect attempt: resolve the route, then register on the sync
+// link and on each data server the map lists.
+func (r Route) open(rejoin bool, lastVersion int64) (*ClusterClient, error) {
+	addr, m, err := r.resolve()
+	if err != nil {
+		return nil, err
+	}
+	c := &ClusterClient{route: r}
+	c.adoptMapHeader(m)
+	if r.Metrics != nil {
+		c.metrics = newClientMetrics(r.Metrics)
+	}
+	// A coordinator's link carries no gradients: it speaks whatever the
+	// coordinator does.
+	syncCodec := r.Compression
+	if len(m.Servers) > 0 {
+		syncCodec = compress.Config{Codec: compress.Auto}
+	}
+	l, err := c.openLink(transport.ServerEntry{Addr: addr}, syncCodec, rejoin, lastVersion)
+	if err != nil {
+		return nil, err
+	}
+	c.links = append(c.links, l)
+	for _, e := range m.Servers {
+		if l, err = c.openLink(e, r.Compression, false, 0); err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.links = append(c.links, l)
+	}
+	if len(m.Servers) == 0 {
+		c.shards = c.links[0].client.ServerShards()
+	}
+	if err := r.checkShards(c.shards); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// resolve turns r into the servers a worker links to: the sync link's
+// address, and on a Group route the complete cluster map whose data servers
+// the other links reach. Flat links the server at Addr, Tree the relay
+// covering the worker in the layout the root at Addr serves, or the root when
+// none does.
+func (r Route) resolve() (string, transport.Message, error) {
+	switch r.Topology {
+	case Tree:
 		conn, err := r.Dial(r.Addr)
 		if err != nil {
-			return nil, err
+			return "", transport.Message{}, err
 		}
 		layout, err := FetchTreeLayout(conn)
 		conn.Close()
 		if err != nil {
-			return nil, err
+			return "", transport.Message{}, err
 		}
 		if covering := layout.Covering(r.Worker); covering != "" {
-			addr = covering
+			return covering, transport.Message{}, nil
 		}
+	case Group:
+		m, err := r.waitForMap()
+		return r.Addr, m, err
 	}
-	conn, err := r.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	client, err := NewClientCompressed(conn, r.Worker, r.Compression)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	client.Instrument(r.Metrics)
-	if rejoin {
-		err = client.Rejoin(lastVersion)
-	} else {
-		err = client.Register()
-	}
-	if err == nil {
-		err = r.checkShards(client.ServerShards())
-	}
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	return client, nil
+	return r.Addr, transport.Message{}, nil
 }
 
 // checkShards enforces the worker's shard-count expectation, if it has one.

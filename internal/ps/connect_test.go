@@ -2,6 +2,7 @@ package ps
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -67,7 +68,7 @@ func TestConnectFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.(*Client); !ok {
+	if _, ok := c.(*ClusterClient); !ok {
 		t.Fatalf("flat route returned a %T", c)
 	}
 	pushOnce(t, c, grads, 0)
@@ -146,9 +147,10 @@ func TestConnectTree(t *testing.T) {
 	}
 }
 
-// TestConnectGroup: a group route is a ClusterClient; it refuses a rejoin
-// with ErrNoRejoin, and checks a shard expectation against the group-wide
-// count.
+// TestConnectGroup: a group route is the same ClusterClient as every other
+// route; a rejoin re-enters the coordinator as one (and the data servers as a
+// fresh registration) and trains on; and a shard expectation is checked
+// against the group-wide count.
 func TestConnectGroup(t *testing.T) {
 	initial := seededModel(3)
 	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
@@ -158,14 +160,23 @@ func TestConnectGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	if _, ok := c.(*ClusterClient); !ok {
 		t.Fatalf("group route returned a %T", c)
 	}
 	pushOnce(t, c, scheduledGrads(0, 0), 0)
+	c.Close()
 
-	if _, err := Connect(route, true, 1); !errors.Is(err, ErrNoRejoin) {
-		t.Fatalf("rejoin on a group route returned %v, want ErrNoRejoin", err)
+	rejoined, err := Connect(route, true, 1)
+	if err != nil {
+		t.Fatalf("rejoin on a group route: %v", err)
+	}
+	defer rejoined.Close()
+	pushOnce(t, rejoined, scheduledGrads(0, 1), 1)
+	if n := g.coord.Rejoins(); n != 1 {
+		t.Fatalf("coordinator counted %d rejoins after a rejoin connect, want 1", n)
+	}
+	if n := g.coord.Pushes(); n != 2 {
+		t.Fatalf("coordinator counted %d pushes, want one per connect", n)
 	}
 	route.Shards++
 	if _, err := Connect(route, false, 0); err == nil || !strings.Contains(err.Error(), "parameter-store shards") {
@@ -215,5 +226,63 @@ func TestRetry(t *testing.T) {
 		return nil
 	}); err != nil || calls != 4 {
 		t.Fatalf("success after transients: %d calls, err %v", calls, err)
+	}
+}
+
+// TestConnectFramesPerIteration pins what one iteration through Connect puts
+// on the wire, counted by the transport meter on the worker's own dials: on a
+// flat server and through a relay, one push and one pull on the one link; on
+// a group, a fragment push and a pull per data server plus the coordinator's
+// ticket push. Traffic counts each link once too: one gradient's payload
+// pushed and one model's pulled per iteration, on every route.
+func TestConnectFramesPerIteration(t *testing.T) {
+	initial := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(2048)}
+	const iters = 4
+	for _, tc := range []struct {
+		topo string
+		// want is frames per iteration by direction and type; the stores run
+		// two shards per server, each a Weights chunk of its own.
+		want map[string]float64
+	}{
+		{"flat", map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 2}},
+		{"tree", map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 2}},
+		{"group", map[string]float64{"sent Push": 3, "recv OK": 3, "sent Pull": 2, "recv Weights": 4}},
+	} {
+		t.Run(tc.topo, func(t *testing.T) {
+			top := startLeaseTopology(t, tc.topo, true, true, 1, initial)
+			c, err := Connect(top.route, false, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			grads := make([]*tensor.Tensor, len(initial))
+			var payload int64
+			for i, p := range initial {
+				grads[i] = tensor.Full(0.5, p.Shape()...)
+				payload += int64(4*p.Size() + 4*p.Dims() + 8)
+			}
+			// The connect and the first iteration are set-up; the meter's
+			// count from there on is the steady state.
+			pushOnce(t, c, grads, 0)
+			before := top.workerReg.Snapshot()
+			pushed0, pulled0 := c.Traffic()
+			for it := 1; it <= iters; it++ {
+				pushOnce(t, c, grads, it)
+			}
+			after := top.workerReg.Snapshot()
+			if pushed, pulled := c.Traffic(); pushed-pushed0 != iters*payload || pulled-pulled0 != iters*payload {
+				t.Errorf("Traffic moved %d pushed / %d pulled over %d iterations, want %d each",
+					pushed-pushed0, pulled-pulled0, iters, iters*payload)
+			}
+			for _, dir := range []string{"sent", "recv"} {
+				for _, typ := range []string{"Push", "OK", "Pull", "Weights"} {
+					series := fmt.Sprintf("dssp_transport_frames_total{dir=%q,type=%q}", dir, typ)
+					got := (after[series] - before[series]) / iters
+					if want := tc.want[dir+" "+typ]; got != want {
+						t.Errorf("%s %s frames per iteration: %v, want %v", dir, typ, got, want)
+					}
+				}
+			}
+		})
 	}
 }

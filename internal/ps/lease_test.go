@@ -40,6 +40,10 @@ type leaseTopology struct {
 	// inPlace counts the frames sent from a push slot (transport.BodyPlacer)
 	// by the workers' connections and by a relay's trunk.
 	inPlace func() (workers, trunk float64)
+	// route reaches the topology the way Connect does, over the dials
+	// connect uses; workerReg holds the meter the workers' dials count on.
+	route     Route
+	workerReg *obs.Registry
 }
 
 // endpoint starts serve on a fresh listener of the chosen transport and
@@ -107,19 +111,29 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 		if topo == "tree" {
 			rootMeter = trunkMeter
 		}
-		_, dial := meteredEndpoint(t, tcp, rootMeter, func(l transport.Listener) { _ = srv.Serve(l) })
+		_, rootDial := meteredEndpoint(t, tcp, rootMeter, func(l transport.Listener) { _ = srv.Serve(l) })
+		dial, route := rootDial, Route{Addr: "root"}
 		if topo == "tree" {
 			// One relay in front of every worker: child pushes fold into
 			// partials, pulls are served from the relay's upstream cache.
-			relay, err := NewRelay(RelayConfig{Parent: dial, Fanout: workers, Advertise: "relay"})
+			relay, err := NewRelay(RelayConfig{Parent: rootDial, Fanout: workers, Advertise: "relay"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(relay.Stop)
 			_, dial = meteredEndpoint(t, edgeTCP, workerMeter, func(l transport.Listener) { _ = relay.Serve(l) })
+			route.Topology = Tree
+		}
+		route.Dial = func(addr string) (transport.Conn, error) {
+			if addr == "relay" {
+				return dial()
+			}
+			return rootDial()
 		}
 		return leaseTopology{
-			inPlace: inPlace,
+			inPlace:   inPlace,
+			route:     route,
+			workerReg: workerReg,
 			connect: func(w int) (pusher, error) {
 				conn, err := dial()
 				if err != nil {
@@ -208,7 +222,9 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			start(t, i, transport.MsgServerAnnounce)
 		}
 		return leaseTopology{
-			inPlace: inPlace,
+			inPlace:   inPlace,
+			route:     Route{Dial: dialAddr, Addr: coordAddr, Topology: Group},
+			workerReg: workerReg,
 			replace: func(t *testing.T, i int) {
 				running[i].Stop()
 				start(t, i, transport.MsgPromote)

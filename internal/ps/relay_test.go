@@ -83,14 +83,15 @@ func (h *relayHarness) dial(addr string) (transport.Conn, error) {
 	return h.rootListener.Dial()
 }
 
-// childClient registers worker w through the relay the layout assigns it.
+// childClient registers worker w through the relay the layout assigns it and
+// returns the connection's Client: the one link of a Tree route.
 func (h *relayHarness) childClient(t *testing.T, w int) *Client {
 	t.Helper()
 	c, err := Connect(Route{Dial: h.dial, Addr: h.rootListener.Addr(), Worker: w, Topology: Tree}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.(*Client)
+	return c.(*ClusterClient).links[0].client
 }
 
 // rawTrunk registers a relay trunk by hand on a fresh connection and joins

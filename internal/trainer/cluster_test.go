@@ -1,10 +1,15 @@
 package trainer
 
 import (
+	"math/rand"
 	"testing"
+	"time"
 
 	"dssp/internal/core"
+	"dssp/internal/data"
+	"dssp/internal/nn"
 	"dssp/internal/ps"
+	"dssp/internal/transport"
 )
 
 // TestClusterModeMatchesSingleServer pins the in-process server-group
@@ -96,5 +101,70 @@ func TestGroupLayoutDefaultsAreDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("assignment %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestWorkerLoopRejoinsGroup: a group worker whose coordinator connection
+// dies mid-run — the release of one push never arrives — reconnects with
+// Reconnect set: the coordinator gets a Rejoin, the data servers a fresh
+// registration, and the interrupted iteration is redone from a fresh pull, so
+// the run finishes every iteration. The push whose release was lost had
+// already been ticketed, so the coordinator counts it twice: the
+// at-least-once redo a flat reconnect has too.
+func TestWorkerLoopRejoinsGroup(t *testing.T) {
+	const iterations, cutAt = 8, 3
+	build := func() *nn.Network { return nn.SmallMLP(rand.New(rand.NewSource(7)), 16, 8, 4) }
+	group, err := buildCluster(Config{Workers: 1, ClusterServers: 2, LearningRate: 0.05}, core.MustNewASP(1), build().Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer group.stop()
+	route, coordDials := group.route, 0
+	route.Dial = func(addr string) (transport.Conn, error) {
+		conn, err := group.route.Dial(addr)
+		// The first dial to the coordinator fetches the map, the second is
+		// the worker's session there.
+		if addr == route.Addr && err == nil {
+			if coordDials++; coordDials == 2 {
+				conn = &cutConn{Conn: conn, kind: transport.MsgOK, cutAt: cutAt}
+			}
+		}
+		return conn, err
+	}
+	train := data.MustSynthetic(data.SyntheticConfig{
+		Examples: 32, Classes: 4, Channels: 1, Size: 16, Noise: 0.3, Flat: true, Seed: 3,
+	})
+	batches, err := data.NewBatchIterator(train, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := RunWorker(Worker{
+		Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
+			return ps.Connect(route, rejoin, lastVersion)
+		},
+		Reconnect:         true,
+		HeartbeatInterval: time.Millisecond,
+		Replica:           build(),
+		Batches:           batches,
+		Iterations:        iterations,
+		CrashAt:           NoCrash,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Iterations != iterations || report.Reconnects != 1 {
+		t.Fatalf("%d iterations over %d reconnects, want %d over 1", report.Iterations, report.Reconnects, iterations)
+	}
+	coord := group.policyServer
+	if coord.Rejoins() != 1 {
+		t.Errorf("coordinator counted %d rejoins, want 1", coord.Rejoins())
+	}
+	if coord.Pushes() != iterations+1 {
+		t.Errorf("coordinator counted %d pushes, want %d: every iteration once, the cut one twice", coord.Pushes(), iterations+1)
+	}
+	select {
+	case <-coord.AllWorkersDone():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the coordinator never saw the rejoined worker finish")
 	}
 }

@@ -53,22 +53,28 @@ func poisonReleasedBodies(t *testing.T) {
 	}))
 }
 
-// cutConn is a connection that dies on its cutAt-th Weights frame (0-based):
-// the frame is dropped, the connection closed and Recv fails, as when a peer
-// vanishes between two chunks of a pull.
+// cutConn is a connection that dies on its cutAt-th received frame of type
+// kind (0-based; Weights when kind is unset): the frame is dropped, the
+// connection closed and Recv fails, as when a peer vanishes between two
+// chunks of a pull, or before its release.
 type cutConn struct {
 	transport.Conn
-	weights, cutAt int
+	kind        transport.MessageType
+	seen, cutAt int
 }
 
 var errCut = errors.New("connection cut by the test")
 
 func (c *cutConn) Recv() (transport.Message, error) {
+	kind := c.kind
+	if kind == 0 {
+		kind = transport.MsgWeights
+	}
 	msg, err := c.Conn.Recv()
-	if err != nil || msg.Type != transport.MsgWeights {
+	if err != nil || msg.Type != kind {
 		return msg, err
 	}
-	if c.weights++; c.weights-1 != c.cutAt {
+	if c.seen++; c.seen-1 != c.cutAt {
 		return msg, nil
 	}
 	msg.Release()

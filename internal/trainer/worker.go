@@ -1,7 +1,6 @@
 package trainer
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"dssp/internal/data"
 	"dssp/internal/nn"
 	"dssp/internal/ps"
-	"dssp/internal/tensor"
 )
 
 // NoCrash is the Worker.CrashAt value of a worker that runs to completion.
@@ -21,9 +19,7 @@ const NoCrash = -1
 type Worker struct {
 	// Connect returns a registered client. The first call passes
 	// (false, 0); after a lost connection, with Reconnect set, it is called
-	// with (true, the last store version the worker pulled). Returning
-	// ps.ErrNoRejoin refuses the rejoin: the run fails with the error that
-	// prompted it.
+	// with (true, the last store version the worker pulled).
 	Connect func(rejoin bool, lastVersion int64) (ps.WorkerClient, error)
 	// Reconnect makes a transport error a reason to Connect again and redo
 	// the interrupted iteration, instead of the end of the run.
@@ -54,12 +50,6 @@ type Worker struct {
 	// worker vanishes without a word — no Done, no Leave, like a killed
 	// process. NoCrash (any negative value) never does.
 	CrashAt int
-}
-
-// pushSlotter is a client whose dense push can be computed where it is sent
-// from: *ps.Client and *ps.ClusterClient.
-type pushSlotter interface {
-	PushSlot(grads []*tensor.Tensor) []*tensor.Tensor
 }
 
 // WorkerReport is what one worker's run came to.
@@ -141,9 +131,7 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 			return cause
 		}
 		retire()
-		if err := link(true); errors.Is(err, ps.ErrNoRejoin) {
-			return cause
-		} else if err != nil {
+		if err := link(true); err != nil {
 			return fmt.Errorf("reconnect: %w (after %v)", err, cause)
 		}
 		report.Reconnects++
@@ -169,8 +157,8 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 		if err == nil {
 			lastVersion = version
 			// No copy: the tensors are on lease until the next Pull
-			// (ps.Client.Pull), and nothing reads the replica between that
-			// Pull starting and this line.
+			// (ps.ClusterClient.Pull), and nothing reads the replica between
+			// that Pull starting and this line.
 			if err := w.Replica.AdoptParams(params); err != nil {
 				return report, err
 			}
@@ -180,12 +168,12 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 			}
 			report.Loss, _ = w.Replica.Loss(x, labels, true)
 			// The gradients land where the push is sent from when the client
-			// has such a place free now (ps.Client.PushSlot), in the
+			// has such a place free now (ps.ClusterClient.PushSlot), in the
 			// replica's own storage otherwise; asked before every pass,
 			// because the place is the receiver's until it releases the last
 			// push sent from it.
-			if slots, ok := client.(pushSlotter); ok && !adversarial {
-				if views := slots.PushSlot(w.Replica.Grads()); views != nil {
+			if !adversarial {
+				if views := client.PushSlot(w.Replica.Grads()); views != nil {
 					if err := w.Replica.AdoptGrads(views); err != nil {
 						return report, err
 					}

@@ -49,6 +49,10 @@ type fakeStore struct {
 
 var errInjected = errors.New("injected transport error")
 
+// errRefused is what a case's rejoin Connect fails with under mode
+// "refuses": a route that cannot be reached again, as a dead coordinator.
+var errRefused = errors.New("rejoin refused")
+
 // fakeLink is one connection's client.
 type fakeLink struct {
 	st                     *fakeStore
@@ -104,9 +108,10 @@ func (l *fakeLink) Done() error {
 	return nil
 }
 
-func (l *fakeLink) Close() error                    { l.closed = true; return nil }
-func (l *fakeLink) Traffic() (pushed, pulled int64) { return 100 * l.pushes, 7 * l.pullsOK }
-func (l *fakeLink) Codec() string                   { return fmt.Sprintf("codec-%d", l.id) }
+func (l *fakeLink) Close() error                               { l.closed = true; return nil }
+func (l *fakeLink) Traffic() (pushed, pulled int64)            { return 100 * l.pushes, 7 * l.pullsOK }
+func (l *fakeLink) Codec() string                              { return fmt.Sprintf("codec-%d", l.id) }
+func (l *fakeLink) PushSlot([]*tensor.Tensor) []*tensor.Tensor { return nil }
 func (l *fakeLink) StartHeartbeats(time.Duration) func() {
 	l.hbStarted++
 	return func() { l.hbStopped++ }
@@ -145,7 +150,7 @@ func TestWorkerLoopTable(t *testing.T) {
 							Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
 								connects = append(connects, connectArgs{rejoin, lastVersion})
 								if rejoin && mode == "refuses" {
-									return nil, ps.ErrNoRejoin
+									return nil, errRefused
 								}
 								l := &fakeLink{st: st, id: len(st.links)}
 								st.links = append(st.links, l)
@@ -176,9 +181,12 @@ func TestWorkerLoopTable(t *testing.T) {
 							if failOp != "done" {
 								wantIters = mid
 							}
-							if adversarial {
+							switch {
+							case adversarial:
 								wantCrashed = true
-							} else {
+							case mode == "refuses":
+								wantErr = errRefused
+							default:
 								wantErr = errInjected
 							}
 						case crashFires:
@@ -200,9 +208,6 @@ func TestWorkerLoopTable(t *testing.T) {
 
 						if !errors.Is(err, wantErr) {
 							t.Fatalf("error = %v, want %v", err, wantErr)
-						}
-						if errors.Is(err, ps.ErrNoRejoin) {
-							t.Errorf("a refused rejoin surfaced as %v; the loop must return the cause", err)
 						}
 						if report.Iterations != wantIters || report.Crashed != wantCrashed {
 							t.Errorf("report: %d iterations, crashed=%v; want %d, %v",

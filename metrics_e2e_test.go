@@ -277,83 +277,108 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 }
 
 // TestWorkerMetricsEndpoint scrapes a worker's own admin endpoint in the
-// middle of its run. The run is BSP over two workers and the second worker
-// only starts after the scrape, so the scraped worker is parked at the first
-// barrier — registered, one push on the wire, endpoint open — for as long as
-// the test needs: it can neither finish and close the endpoint early nor be
-// caught before it has registered.
+// middle of its run, on a flat server and on a server group: the worker-side
+// series come from the one client every route builds. The run is BSP over two
+// workers and the second worker only starts after the scrape, so the scraped
+// worker is parked at the first barrier — registered, one push on the wire,
+// endpoint open — for as long as the test needs: it can neither finish and
+// close the endpoint early nor be caught before it has registered.
 func TestWorkerMetricsEndpoint(t *testing.T) {
 	dataset := DatasetConfig{Examples: 64, Classes: 2, ImageSize: 8, Noise: 0.4, Seed: 13}
-	server, err := Serve(ServerConfig{
-		Addr:         "127.0.0.1:0",
-		Workers:      2,
-		Sync:         Sync{Paradigm: BSP},
-		Model:        ModelSmallMLP,
-		Dataset:      dataset,
-		LearningRate: 0.1,
-		Seed:         5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Stop()
+	for _, group := range []bool{false, true} {
+		name := "flat"
+		if group {
+			name = "group"
+		}
+		t.Run(name, func(t *testing.T) {
+			// serve starts one server of the job, or one member of the group.
+			serve := func(cluster ClusterOptions) *Server {
+				server, err := Serve(ServerConfig{
+					Addr:         "127.0.0.1:0",
+					Workers:      2,
+					Sync:         Sync{Paradigm: BSP},
+					Model:        ModelSmallMLP,
+					Dataset:      dataset,
+					LearningRate: 0.1,
+					Seed:         5,
+					Cluster:      cluster,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(server.Stop)
+				return server
+			}
+			var server *Server
+			if !group {
+				server = serve(ClusterOptions{})
+			} else {
+				server = serve(ClusterOptions{Role: RoleCoordinator, Servers: 2})
+				for i := 0; i < 2; i++ {
+					serve(ClusterOptions{Role: RoleData, Coordinator: server.Addr(), Servers: 2, Index: i})
+				}
+			}
 
-	done := make(chan error, 2)
-	addrs := make(chan string, 1)
-	run := func(cfg WorkerConfig) {
-		cfg.ServerAddr, cfg.Workers = server.Addr(), 2
-		cfg.Model, cfg.Dataset, cfg.BatchSize, cfg.Epochs, cfg.Seed = ModelSmallMLP, dataset, 8, 3, 5
-		_, err := RunWorker(cfg)
-		done <- err
-	}
-	go run(WorkerConfig{
-		WorkerID:    0,
-		MetricsAddr: "127.0.0.1:0",
-		OnAdminAddr: func(addr string) { addrs <- addr },
-	})
+			done := make(chan error, 2)
+			addrs := make(chan string, 1)
+			run := func(cfg WorkerConfig) {
+				cfg.ServerAddr, cfg.Workers, cfg.Cluster = server.Addr(), 2, group
+				cfg.Model, cfg.Dataset, cfg.BatchSize, cfg.Epochs, cfg.Seed = ModelSmallMLP, dataset, 8, 3, 5
+				_, err := RunWorker(cfg)
+				done <- err
+			}
+			go run(WorkerConfig{
+				WorkerID:    0,
+				MetricsAddr: "127.0.0.1:0",
+				OnAdminAddr: func(addr string) { addrs <- addr },
+			})
 
-	var addr string
-	select {
-	case addr = <-addrs:
-	case err := <-done:
-		t.Fatalf("worker exited before exposing admin endpoint: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker admin endpoint never came up")
-	}
-	// Poll until the worker has registered and pushed: from then on it waits
-	// at the barrier for worker 1, and every series below is exposed.
-	want := []string{
-		"dssp_worker_pull_seconds_count",
-		"dssp_worker_push_rtt_seconds_count",
-		"dssp_worker_iterations_total",
-		kernelSeries("tensor", tensor.Kernel()),
-		kernelSeries("compress", compress.Kernel()),
-	}
-	var mid map[string]float64
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-		mid = scrape(t, addr)
-		if mid[`dssp_transport_frames_total{dir="sent",type="Push"}`] >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never reached its first barrier; last scrape: %v", keys(mid))
-		}
-	}
-	// A scrape lists the registry's families before it reads their values, so
-	// the one that first saw the push may have started before the worker
-	// registered its own series; one begun after the push has them all.
-	mid = scrape(t, addr)
-	for _, series := range want {
-		if _, ok := mid[series]; !ok {
-			t.Errorf("worker series %q missing from /metrics", series)
-		}
-	}
+			var addr string
+			select {
+			case addr = <-addrs:
+			case err := <-done:
+				t.Fatalf("worker exited before exposing admin endpoint: %v", err)
+			case <-time.After(30 * time.Second):
+				t.Fatal("worker admin endpoint never came up")
+			}
+			// Poll until the worker has registered and pushed: from then on it
+			// waits at the barrier for worker 1, and every series below is
+			// exposed.
+			want := []string{
+				"dssp_worker_pull_seconds_count",
+				"dssp_worker_push_rtt_seconds_count",
+				"dssp_worker_iterations_total",
+				kernelSeries("tensor", tensor.Kernel()),
+				kernelSeries("compress", compress.Kernel()),
+			}
+			var mid map[string]float64
+			for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+				mid = scrape(t, addr)
+				if mid[`dssp_transport_frames_total{dir="sent",type="Push"}`] >= 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("worker never reached its first barrier; last scrape: %v", keys(mid))
+				}
+			}
+			// A scrape lists the registry's families before it reads their
+			// values, so the one that first saw the push may have started
+			// before the worker registered its own series; one begun after the
+			// push has them all.
+			mid = scrape(t, addr)
+			for _, series := range want {
+				if _, ok := mid[series]; !ok {
+					t.Errorf("worker series %q missing from /metrics", series)
+				}
+			}
 
-	go run(WorkerConfig{WorkerID: 1})
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+			go run(WorkerConfig{WorkerID: 1})
+			for i := 0; i < 2; i++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

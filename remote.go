@@ -294,7 +294,7 @@ type WorkerConfig struct {
 	// fragments directly to each shard owner while synchronization decisions
 	// stay with the coordinator. A dead data link recovers by refetching the
 	// map (which is how a backup promotion reaches the worker); a dead
-	// coordinator fails the run fast by design.
+	// coordinator link ends the run, or with Reconnect is rejoined.
 	Cluster bool
 	// Tree makes the worker join through the aggregation tier (DESIGN.md
 	// §11): it fetches the tree layout from the root at ServerAddr and dials
@@ -333,13 +333,14 @@ type WorkerConfig struct {
 	// transport error it redials the server (with backoff, for up to
 	// ReconnectTimeout), rejoins carrying the last store version it saw, and
 	// retries the interrupted iteration from a fresh pull. This is what lets
-	// a worker survive a parameter-server restart, and a Tree worker a relay
-	// death. A Cluster worker's route refuses the rejoin: its client already
-	// recovers dead data links itself, and a dead coordinator is final.
+	// a worker survive a parameter-server restart, a Tree worker a relay
+	// death, and a Cluster worker a lost coordinator connection (the
+	// coordinator gets a Rejoin, the data servers a fresh registration).
 	Reconnect bool
-	// ReconnectTimeout bounds each reconnection attempt sequence; 0 means
-	// the default 30s. With Cluster set it bounds a data link's recovery
-	// instead (0 = 15s).
+	// ReconnectTimeout is the worker's patience with Reconnect set (0 means
+	// 30s): how long connecting, rejoining and recovering a dead data link
+	// keep retrying before the run fails. Without Reconnect the worker
+	// connects once and a data link gets 15s.
 	ReconnectTimeout time.Duration
 	// FailAfter > 0 injects a fault for demos and tests: the worker drops
 	// its connection abruptly — no Done, no Leave, like a process kill —
@@ -446,7 +447,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	}
 	switch {
 	case cfg.Cluster:
-		route.Topology, route.Retry = ps.Group, cfg.ReconnectTimeout
+		route.Topology = ps.Group
 	case cfg.Tree:
 		route.Topology = ps.Tree
 	}
@@ -454,7 +455,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	// launched during the very server outage Reconnect exists to survive (a
 	// restart window, an orchestrator racing the server up) keeps dialing
 	// instead of failing on arrival.
-	if cfg.Reconnect && !cfg.Cluster {
+	if cfg.Reconnect {
 		if route.Retry = cfg.ReconnectTimeout; route.Retry <= 0 {
 			route.Retry = 30 * time.Second
 		}

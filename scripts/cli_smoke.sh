@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the two shipped binaries, psserver and psworker, end to end over
 # loopback on fixed ports: a flat 2-worker job, a coordinator with two data
-# servers (-shards 4 on every member), and a root fronted by one relay with
-# -tree workers. Every process must exit 0. It also checks that a relay
+# servers (-shards 4 on every member) and reconnecting, heartbeating group
+# workers, and a root fronted by one relay with -tree workers. Every process
+# must exit 0. It also checks that a relay
 # refuses a server-only flag (-guard) by name instead of ignoring it.
 #
 # Usage: scripts/cli_smoke.sh <dir>
@@ -63,6 +64,8 @@ start flat-w1 "$worker" -server 127.0.0.1:17170 -id 1 "${work[@]}" -delay 1ms
 finish flat
 
 # Group: a coordinator and two data servers, one group-wide -shards on all.
+# The workers run with -reconnect and heartbeats, as a deployment that rides
+# out a lost coordinator connection would.
 start group-coord "$server" -addr 127.0.0.1:17180 -role coordinator -cluster-servers 2 -workers 2 -shards 4
 ready group-coord "parameter server listening"
 for i in 0 1; do
@@ -70,7 +73,8 @@ for i in 0 1; do
 		-cluster-servers 2 -cluster-index "$i" -workers 2 -shards 4
 done
 for i in 0 1; do
-	start "group-w$i" "$worker" -cluster -server 127.0.0.1:17180 -id "$i" "${work[@]}" -shards 4
+	start "group-w$i" "$worker" -cluster -server 127.0.0.1:17180 -id "$i" "${work[@]}" -shards 4 \
+		-reconnect -heartbeat 50ms
 done
 finish group
 

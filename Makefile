@@ -89,7 +89,8 @@ bench-json:
 # 10 iterations of a 16-goroutine benchmark is setup noise, not a number
 # you can hold to 25%). Only benchmarks that repeat within a few percent on
 # an otherwise-busy machine belong here; jittery paths (e.g. BenchmarkDeltaPull,
-# whose regression risk is pinned by TestDeltaPullSkipsUnchangedShardBytes
+# the gated replica round trip, whose one-frame, zero-byte reply is pinned by
+# TestDeltaPullSkipsUnchangedShardBytes and TestRelayUpstreamPullsAreGated
 # instead) stay informational.
 # BenchmarkCompress/fp16/scale=1e-05 is the fp16 error-feedback encode at
 # the magnitude a converged model pushes (fp16 subnormals): a converter with

@@ -18,14 +18,14 @@ const (
 	// BSP/SSP/DSSP staleness decisions. It never carries model weights.
 	RoleCoordinator = "coordinator"
 	// RoleData owns a contiguous range of the global store shards: it runs
-	// its own applier pipeline, COW store and delta-pull cache for that
+	// its own applier pipeline, COW store and packed-pull cache for that
 	// slice, and announces itself to the coordinator so workers can route
 	// fragments to it.
 	RoleData = "data"
 	// RoleBackup stands by for one data server: it replicates the primary's
-	// published weights over a read-only delta-pull stream and requests
-	// promotion from the coordinator when the primary stays unreachable past
-	// the replication grace.
+	// published weights over a read-only, version-gated pull stream and
+	// requests promotion from the coordinator when the primary stays
+	// unreachable past the replication grace.
 	RoleBackup = "backup"
 )
 
@@ -236,7 +236,7 @@ func clusterSnapshot(coordAddr string) ([]*tensor.Tensor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dssp: snapshot dial %s: %w", e.Addr, err)
 		}
-		client, err := ps.OpenReplica(conn, false)
+		client, err := ps.OpenReplica(conn)
 		if err != nil {
 			return nil, fmt.Errorf("dssp: snapshot session at %s: %w", e.Addr, err)
 		}

@@ -29,7 +29,7 @@ func replicaWeights(t *testing.T, addr string) ([]*tensor.Tensor, int64) {
 	if err != nil {
 		t.Fatalf("replica dial %s: %v", addr, err)
 	}
-	client, err := ps.OpenReplica(conn, false)
+	client, err := ps.OpenReplica(conn)
 	if err != nil {
 		t.Fatalf("replica register at %s: %v", addr, err)
 	}

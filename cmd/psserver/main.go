@@ -19,11 +19,11 @@
 // -compress auto adopt whatever the server speaks; an explicitly mismatched
 // worker is rejected at registration.
 //
-// Delta pulls: a peer that requests version-gated delta pulls is granted
-// them — each pull re-sends only the parameter-store shards that changed
-// since that peer's previous pull (docs/PROTOCOL.md §5a). Replica sessions (a
-// relay's upstream, a backup, a coordinator's snapshot) ask; workers pull in
-// full, since every push moves every shard.
+// Gated pulls: a pull that names the version of the weights its sender
+// already holds is answered, while the store is still at that version, with
+// one payload-free frame (docs/PROTOCOL.md §5a). Replica sessions (a relay's
+// upstream, a backup, a coordinator's snapshot) name one; workers pull in
+// full, since every push moves the version.
 //
 // Fault tolerance: -elastic lease-monitors worker sessions (evicting any
 // silent for -heartbeat-timeout) and accepts mid-run rejoins from workers

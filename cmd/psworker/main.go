@@ -16,8 +16,9 @@
 // the coordinator reports) and aborts on a mismatch.
 //
 // Pulls are always full: the push a worker waits on before each pull has
-// moved every shard, so a version-gated delta pull (docs/PROTOCOL.md §5a)
-// would skip nothing. A flat worker therefore speaks pure v1 frames.
+// moved the store's version, so the version gate replicas pull through
+// (docs/PROTOCOL.md §5a) would skip nothing. A flat worker therefore speaks
+// pure v1 frames.
 //
 // Fault tolerance: -reconnect redials and rejoins on any connection loss
 // (surviving parameter-server restarts), -heartbeat proves liveness to an

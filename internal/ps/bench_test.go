@@ -57,7 +57,7 @@ func benchSharded(b *testing.B) benchImpl {
 		servePull: func() int {
 			n := 0
 			for i := 0; i < st.Shards(); i++ {
-				params, gen, _, _, _, _ := st.AcquireShardDelta(i, -1)
+				params, gen, _, _ := st.acquireShard(i)
 				n += len(transport.ToWireOwned(params))
 				gen.release()
 			}
@@ -239,19 +239,24 @@ func BenchmarkServerConcurrentPushPull(b *testing.B) {
 }
 
 // BenchmarkDeltaPull measures repeated pulls of an unchanged store — the
-// workload version-gated delta pulls exist for (an evaluator, a worker
-// outrunning its peers, a BSP round fanning out weights nobody updated in
-// between) — with delta pulls off and on. pulled-B/op reports the payload
-// bytes per pull; delta pulls collapse it to near zero after the first.
+// workload the version gate exists for (a relay's upstream cache between
+// pushes, a backup's idle replication poll) — by a worker, which always
+// gets the full reply ("full"), and by a replica, whose pull names the
+// version it holds and comes back as one empty Unchanged frame ("delta",
+// the gated round trip). pulled-B/op reports the payload bytes per pull.
 func BenchmarkDeltaPull(b *testing.B) {
-	for _, delta := range []bool{false, true} {
+	for _, replica := range []bool{false, true} {
 		name := "full"
-		if delta {
+		if replica {
 			name = "delta"
 		}
 		b.Run(name, func(b *testing.B) {
 			st, err := NewStoreSharded(benchModel(), optimizer.NewSGD(0.01), 0)
 			if err != nil {
+				b.Fatal(err)
+			}
+			// Version 0 never gates: move the store past it.
+			if _, err := st.Apply(benchGrads()); err != nil {
 				b.Fatal(err)
 			}
 			srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st})
@@ -269,11 +274,11 @@ func BenchmarkDeltaPull(b *testing.B) {
 				b.Fatal(err)
 			}
 			client := NewClient(conn, 0)
-			client.SetDeltaPull(delta)
+			client.SetReplica(replica)
 			if err := client.Register(); err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := client.Pull(); err != nil { // prime the cache
+			if _, _, err := client.Pull(); err != nil { // the version to name
 				b.Fatal(err)
 			}
 			_, primed := client.Traffic()

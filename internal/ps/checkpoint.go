@@ -266,9 +266,7 @@ func (s *Store) installCheckpoint(ck *checkpointData) error {
 		sh.retired = nil
 		sh.opt.LoadState(state)
 		// Bump the shard version past anything the packed-pull cache may have
-		// encoded so the next compressed pull repacks the restored weights —
-		// and so delta-pulling replicas holding pre-restore chunks re-download
-		// the shard rather than trusting a matching version number.
+		// encoded so the next compressed pull repacks the restored weights.
 		sh.version++
 		sh.mu.Unlock()
 		// Re-base the applied counter: the store-wide applied version is the

@@ -51,26 +51,24 @@ type Client struct {
 	// pullHeld is, per server shard, the last dense Weights chunk whose
 	// tensors Pull handed out aliasing the chunk's leased receive buffer. The
 	// lease ends when the chunk superseding it has been decoded — "valid
-	// until the next Pull", with an Unchanged chunk extending it — and never
-	// earlier: the caller (or the delta cache) is still reading the tensors.
+	// until the next Pull", with an Unchanged reply extending it — and never
+	// earlier: the caller is still reading the tensors.
 	pullHeld []transport.Message
 
-	// wantDelta is the worker's request for version-gated delta pulls
-	// (SetDeltaPull, before Register); deltaOn is the negotiated outcome.
-	wantDelta bool
-	deltaOn   bool
 	// cluster and replica stamp the registration with the v3 session flags:
 	// cluster-mode workers (accepted by coordinators), and read-only replica
-	// sessions (backup replication streams).
+	// sessions (backup replication streams, a relay's upstream cache).
 	cluster bool
 	replica bool
-	// shardCache and shardVersions are the delta-pull state: the decoded
-	// tensors of the last full chunk received for each server shard, and the
-	// shard-local publication version they carry. Pull echoes the versions
-	// back to the server, which answers still-matching shards with a
-	// payload-free Unchanged chunk served from this cache.
-	shardCache    [][]*tensor.Tensor
-	shardVersions []int64
+	// shardCache holds the decoded tensors of the last reply, per server
+	// shard: a packed chunk decodes into its shard's entry in place, and a
+	// relay fans the entries out to its children.
+	shardCache [][]*tensor.Tensor
+	// reply and replyVersion are what the last complete reply returned; a
+	// replica names replyVersion in its next Pull, and an Unchanged reply
+	// returns reply again. Both are dropped at registration.
+	reply        []*tensor.Tensor
+	replyVersion int64
 }
 
 // NewClient wraps a connection for the given worker ID, speaking the
@@ -90,10 +88,6 @@ func NewClientCompressed(conn transport.Conn, worker int, cfg compress.Config) (
 	return &Client{conn: conn, worker: worker, cfg: cfg}, nil
 }
 
-// Compression returns the compression configuration: the requested one
-// before Register, the negotiated one after.
-func (c *Client) Compression() compress.Config { return c.cfg }
-
 // Codec returns the gradient codec name: the requested one before Register,
 // the negotiated one after.
 func (c *Client) Codec() string { return c.cfg.Codec }
@@ -101,17 +95,6 @@ func (c *Client) Codec() string { return c.cfg.Codec }
 // ServerShards returns the server's parameter-store shard count as reported
 // at registration (0 before Register).
 func (c *Client) ServerShards() int { return c.serverShards }
-
-// SetDeltaPull requests version-gated delta pulls from the server: Pull
-// sends the per-shard versions of the weights this client already holds and
-// the server skips re-sending shards that have not changed since. Call it
-// before Register; the server may refuse (older builds), in which case pulls
-// stay full-fat and DeltaPull reports false.
-func (c *Client) SetDeltaPull(enabled bool) { c.wantDelta = enabled }
-
-// DeltaPull reports whether version-gated delta pulls were negotiated with
-// the server (always false before Register).
-func (c *Client) DeltaPull() bool { return c.deltaOn }
 
 // SetCluster marks the registration as cluster-mode (PROTOCOL.md §6): a
 // coordinator only admits workers that set it, because a classic worker
@@ -122,7 +105,8 @@ func (c *Client) SetCluster(enabled bool) { c.cluster = enabled }
 // SetReplica marks the registration as a read-only replica session — the
 // primary→backup replication stream. The server assigns a private negative
 // session key outside the worker range, keeps the session out of policy and
-// completion accounting, and rejects pushes from it. Call before Register.
+// completion accounting, and rejects pushes from it. A replica's Pull names
+// the version it already holds (see Pull). Call before Register.
 func (c *Client) SetReplica(enabled bool) { c.replica = enabled }
 
 // Traffic returns the payload bytes this client pushed and pulled so far, in
@@ -149,11 +133,9 @@ func (c *Client) Rejoin(lastVersion int64) error {
 // register implements Register and Rejoin.
 func (c *Client) register(msgType transport.MessageType, lastVersion int64) error {
 	// Any registration talks to a fresh server-side session — possibly a
-	// restarted server with different shard contents — so the delta-pull
-	// cache starts over.
-	c.deltaOn = false
-	c.shardCache = nil
-	c.shardVersions = nil
+	// restarted server with different weights at the same version — so the
+	// reply a replica would name is forgotten.
+	c.reply, c.replyVersion = nil, 0
 	err := c.conn.Send(transport.Message{
 		Type:      msgType,
 		Worker:    c.worker,
@@ -161,7 +143,6 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 		Codec:     c.cfg.Codec,
 		CodecTopK: c.cfg.TopK,
 		CodecPull: c.cfg.Pull,
-		DeltaPull: c.wantDelta,
 		Cluster:   c.cluster,
 		Replica:   c.replica,
 	})
@@ -188,7 +169,6 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 		}
 	}
 	c.serverShards = msg.StoreShards
-	c.deltaOn = c.wantDelta && msg.DeltaPull
 	return nil
 }
 
@@ -198,26 +178,26 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 // across chunks, the conservative choice for staleness accounting when a
 // gradient application lands mid-pull.
 //
-// With delta pulls negotiated (SetDeltaPull before Register), every pull
-// after the first sends the per-shard versions this client already holds;
-// the server answers unchanged shards with payload-free chunks that Pull
-// satisfies from its cache, so a pull when nothing moved transfers almost
-// nothing.
+// A replica (SetReplica) sends the version of the last complete reply it
+// holds; while the store is still at that version the server answers with
+// one payload-free Unchanged frame, and Pull returns the previous reply's
+// tensors and version again, so a pull when nothing moved transfers nothing.
+// A worker sends no version and always gets the full reply.
 //
 // The returned slice is reused by the next Pull, and the tensors are on
 // lease until then: a dense chunk's tensors alias the receive buffer the
 // chunk arrived in, which goes back to the connection once the next Pull
-// has decoded the chunk superseding it; with delta pulls the tensors
-// themselves may be returned again by later Pulls (an Unchanged chunk
-// extends the lease); and with a pull codec the next Pull decodes into them
-// in place. Callers must treat slice and tensors as read-only, valid until
-// the next Pull or Close, and copy what they keep. A worker's replica reads
-// them in place for the iteration (Network.AdoptParams) and is detached
-// before the client is closed; every other caller copies at once.
+// has decoded the chunk superseding it; an Unchanged reply returns the same
+// tensors and extends their lease; and with a pull codec the next Pull
+// decodes into them in place. Callers must treat slice and tensors as
+// read-only, valid until the next Pull or Close, and copy what they keep. A
+// worker's replica reads them in place for the iteration
+// (Network.AdoptParams) and is detached before the client is closed; every
+// other caller copies at once.
 func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
 	req := transport.Message{Type: transport.MsgPull, Worker: c.worker}
-	if c.deltaOn && c.cacheComplete() {
-		req.PullVersions = c.shardVersions
+	if c.replica {
+		req.Version = c.replyVersion
 	}
 	if err := c.conn.Send(req); err != nil {
 		return nil, 0, fmt.Errorf("ps: pull request from worker %d: %w", c.worker, err)
@@ -229,6 +209,25 @@ func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
 	if msg.Type != transport.MsgWeights {
 		return nil, 0, fmt.Errorf("ps: worker %d expected Weights, got %v", c.worker, msg.Type)
 	}
+	if msg.Unchanged {
+		if req.Version == 0 || msg.Version != req.Version {
+			return nil, 0, fmt.Errorf("ps: worker %d received Unchanged at version %d for a pull naming %d",
+				c.worker, msg.Version, req.Version)
+		}
+		return c.reply, c.replyVersion, nil
+	}
+	params, version, err := c.pullReply(msg)
+	if err != nil {
+		// A torn reply names no version a later pull could be gated on.
+		c.reply, c.replyVersion = nil, 0
+		return nil, 0, err
+	}
+	c.reply, c.replyVersion = params, version
+	return params, version, nil
+}
+
+// pullReply reassembles the full reply whose first chunk is msg.
+func (c *Client) pullReply(msg transport.Message) ([]*tensor.Tensor, int64, error) {
 	if msg.Shards <= 1 {
 		// Unchunked reply from a single-shard store.
 		params, err := c.chunkTensors(msg, 1)
@@ -291,52 +290,22 @@ func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
 	return params, version, nil
 }
 
-// cacheComplete reports whether the delta cache holds a decoded copy of
-// every server shard — the precondition for echoing versions back. A shard
-// that has never applied an update publishes version 0, which would collide
-// with the zero value of an unfilled entry; checking the tensors themselves
-// removes the ambiguity.
-func (c *Client) cacheComplete() bool {
-	if len(c.shardCache) == 0 {
-		return false
-	}
-	for _, ts := range c.shardCache {
-		if ts == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// chunkTensors extracts the tensors of one Weights chunk: from the delta
-// cache for a payload-free Unchanged chunk, or by decoding the payload
-// otherwise. A packed chunk decodes in place into the tensors the shard's
-// previous packed chunk produced, so compressed pulls allocate nothing in the
-// steady state; that is within Pull's contract, because the only tensors
-// rewritten are the ones this very chunk supersedes. The cache keeps a
-// decoded chunk when delta pulls are on (an Unchanged reply needs it) or
-// when it is packed (the next decode reuses it).
+// chunkTensors decodes one Weights chunk into its shard's shardCache entry. A
+// packed chunk decodes in place into the tensors the shard's previous packed
+// chunk produced, so compressed pulls allocate nothing in the steady state;
+// that is within Pull's contract, because the only tensors rewritten are the
+// ones this very chunk supersedes.
 func (c *Client) chunkTensors(msg transport.Message, shards int) ([]*tensor.Tensor, error) {
-	if msg.Unchanged {
-		if msg.Shard < 0 || msg.Shard >= len(c.shardCache) || c.shardCache[msg.Shard] == nil {
-			return nil, fmt.Errorf("ps: worker %d received an Unchanged chunk for shard %d it holds no copy of",
-				c.worker, msg.Shard)
-		}
-		return c.shardCache[msg.Shard], nil
-	}
-	packed := msg.Codec != "" || len(msg.Packed) > 0
-	if msg.Shard < 0 || msg.Shard >= shards || !(c.deltaOn || packed) {
+	if msg.Shard < 0 || msg.Shard >= shards {
 		return c.decodeWeights(msg, nil)
 	}
 	if len(c.shardCache) != shards {
 		c.shardCache = make([][]*tensor.Tensor, shards)
-		c.shardVersions = make([]int64, shards)
 	}
 	ts, err := c.decodeWeights(msg, c.shardCache[msg.Shard])
 	// On error the in-place decode may have stopped half way: drop the entry
-	// rather than leave a torn copy under the old version.
+	// rather than leave a torn copy.
 	c.shardCache[msg.Shard] = ts
-	c.shardVersions[msg.Shard] = msg.ShardVersion
 	return ts, err
 }
 

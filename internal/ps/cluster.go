@@ -123,17 +123,14 @@ func NewStoreRange(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShar
 
 	local := initial[tLo:tHi]
 	shapes := make([][]int, len(local))
-	scalars := 0
 	for i, p := range local {
 		shapes[i] = p.Shape()
-		scalars += p.Size()
 	}
 	st := &Store{
-		shards:  make([]*shard, shardHi-shardLo),
-		ranges:  make([]shardRange, shardHi-shardLo),
-		shapes:  shapes,
-		scalars: scalars,
-		proto:   opt,
+		shards: make([]*shard, shardHi-shardLo),
+		ranges: make([]shardRange, shardHi-shardLo),
+		shapes: shapes,
+		proto:  opt,
 	}
 	for i := range st.shards {
 		g := global[shardLo+i]
@@ -152,20 +149,19 @@ func NewStoreRange(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShar
 // Install replaces the store's published weights with params at the given
 // applied version — the landing half of the primary→backup replication
 // stream. It mirrors the checkpoint-install path (quiesce, fresh generations,
-// shard-version bump so packed/delta caches refresh) but deliberately leaves
-// the optimizer state untouched: the replication stream carries weights
-// only, so a promoted backup resumes with cold momentum (DESIGN.md §10
-// spells out the trade). params are cloned; the caller keeps ownership.
+// shard-version bump so packed caches refresh) but deliberately leaves the
+// optimizer state untouched: the replication stream carries weights only, so
+// a promoted backup resumes with cold momentum (DESIGN.md §10 spells out the
+// trade). params are cloned; the caller keeps ownership.
 //
-// version must not regress: the replicator only ever streams forward, and a
-// backwards install would violate the version monotonicity every staleness
-// bound is defined against.
+// version must be newer than the store's: the replicator only ever streams
+// forward, a backwards install would violate the version monotonicity every
+// staleness bound is defined against, and one at the same version would
+// change published weights without advancing the version a replica's gated
+// pull (Client.Pull) trusts.
 func (s *Store) Install(params []*tensor.Tensor, version int64) error {
-	if version < 0 {
-		return fmt.Errorf("ps: install version %d is negative", version)
-	}
-	if cur := s.version.Load(); version < cur {
-		return fmt.Errorf("ps: install would move version backwards from %d to %d", cur, version)
+	if cur := s.version.Load(); version <= cur {
+		return fmt.Errorf("ps: install at version %d is not newer than the store's %d", version, cur)
 	}
 	if len(params) != len(s.shapes) {
 		return fmt.Errorf("ps: install carries %d tensors, store has %d", len(params), len(s.shapes))
@@ -190,8 +186,8 @@ func (s *Store) Install(params []*tensor.Tensor, version int64) error {
 		// Drop retired generations: they alias superseded weights and must
 		// not be recycled into a future publication a reader already holds.
 		sh.retired = nil
-		// Bump the shard version so packed-pull caches and delta-pulling
-		// readers refresh rather than trusting a stale version number.
+		// Bump the shard version so the packed-pull cache refreshes rather
+		// than trusting a stale version number.
 		sh.version++
 		sh.mu.Unlock()
 		sh.applied.Store(version)

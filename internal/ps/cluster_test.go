@@ -299,11 +299,10 @@ func TestNewStoreRangeMatchesGlobalBoundaries(t *testing.T) {
 		}
 		// Every local shard boundary must be the global one, shifted.
 		for i := 0; i < st.Shards(); i++ {
-			lo, hi := st.ShardRange(i)
-			glo, ghi := full.ShardRange(a.ShardLo + i)
-			if lo+a.TensorLo != glo || hi+a.TensorLo != ghi {
+			local, global := st.ranges[i], full.ranges[a.ShardLo+i]
+			if local.Start+a.TensorLo != global.Start || local.End+a.TensorLo != global.End {
 				t.Fatalf("local shard %d spans [%d, %d), global shard %d spans [%d, %d)",
-					i, lo, hi, a.ShardLo+i, glo, ghi)
+					i, local.Start, local.End, a.ShardLo+i, global.Start, global.End)
 			}
 		}
 		st.Close()
@@ -380,9 +379,17 @@ func TestStoreInstallReplacesWeights(t *testing.T) {
 		t.Fatalf("snapshot version %d, want 42", version)
 	}
 	requireSameWeights(t, got, replacement)
-	// Installs only ever move forward.
+	// Installs only ever move forward: an install at the store's own
+	// version would change published weights under a version a replica's
+	// gated pull trusts.
 	if err := st.Install(replacement, 41); err == nil {
 		t.Error("backwards install accepted")
+	}
+	if err := st.Install(initial, 42); err == nil {
+		t.Error("install at the current version accepted")
+	}
+	if got, _ := st.Snapshot(); !sameTensors(got, replacement) {
+		t.Error("a refused install changed the published weights")
 	}
 	// Shape mismatches are rejected before anything is touched.
 	if err := st.Install(replacement[1:], 50); err == nil {
@@ -545,7 +552,6 @@ func TestReplicaSessionIsReadOnly(t *testing.T) {
 	}
 	replica := NewClient(conn, 0)
 	replica.SetReplica(true)
-	replica.SetDeltaPull(true)
 	if err := replica.Register(); err != nil {
 		t.Fatal(err)
 	}

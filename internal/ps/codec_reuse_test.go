@@ -91,7 +91,6 @@ func TestCodecBufferReuseSurvivesPoisoning(t *testing.T) {
 						return
 					}
 					defer c.Close()
-					c.SetDeltaPull(w%2 == 0)
 					if err := c.Register(); err != nil {
 						t.Error(err)
 						return
@@ -181,10 +180,10 @@ func TestCodecBufferReuseSurvivesPoisoning(t *testing.T) {
 	}
 }
 
-// TestAcquirePackedDeltaRecyclesOnlyReleasedBuffers pins the packed-cache
+// TestAcquirePackedRecyclesOnlyReleasedBuffers pins the packed-cache
 // ownership rule directly: a fill may rewrite a retired generation's payload
 // buffers only once its pin is released.
-func TestAcquirePackedDeltaRecyclesOnlyReleasedBuffers(t *testing.T) {
+func TestAcquirePackedRecyclesOnlyReleasedBuffers(t *testing.T) {
 	st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(64)}, optimizer.NewSGD(1.0), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -202,23 +201,23 @@ func TestAcquirePackedDeltaRecyclesOnlyReleasedBuffers(t *testing.T) {
 	}
 	buf := func(ps []compress.Packed) *byte { return &ps[0].Payload[0] }
 
-	held, pin, _, _, _, _ := st.AcquirePackedDelta(0, -1, into)
+	held, pin, _, _ := st.acquirePacked(0, into)
 	heldBuf, heldBytes := buf(held), string(held[0].Payload)
 	step()
-	second, pin2, _, _, _, _ := st.AcquirePackedDelta(0, -1, into)
+	second, pin2, _, _ := st.acquirePacked(0, into)
 	if buf(second) == heldBuf {
 		t.Fatal("a fill rewrote a packed generation that was still pinned")
 	}
 	pin2.release()
 	step()
-	third, pin3, _, _, _, _ := st.AcquirePackedDelta(0, -1, into)
+	third, pin3, _, _ := st.acquirePacked(0, into)
 	if buf(third) == heldBuf || string(held[0].Payload) != heldBytes {
 		t.Fatal("a fill rewrote a packed generation that was still pinned")
 	}
 	pin3.release()
 	pin.release()
 	step()
-	fourth, pin4, _, _, _, _ := st.AcquirePackedDelta(0, -1, into)
+	fourth, pin4, _, _ := st.acquirePacked(0, into)
 	if b := buf(fourth); b != heldBuf && b != buf(second) {
 		t.Fatal("a fill allocated although released generations were retired")
 	}
@@ -227,7 +226,7 @@ func TestAcquirePackedDeltaRecyclesOnlyReleasedBuffers(t *testing.T) {
 
 // TestClientPullDecodeAllocatesNothing pins the worker end of a compressed
 // pull: a packed chunk decodes in place into the tensors the shard's
-// previous chunk produced, for delta-pulling and plain sessions alike.
+// previous chunk produced, for replica and worker sessions alike.
 func TestClientPullDecodeAllocatesNothing(t *testing.T) {
 	cfg := compress.Config{Codec: compress.FP16, Pull: true}
 	rng := rand.New(rand.NewSource(1))
@@ -236,13 +235,13 @@ func TestClientPullDecodeAllocatesNothing(t *testing.T) {
 		Type: transport.MsgWeights, Codec: cfg.Codec, Packed: compress.Pack(params, cfg),
 		Shard: 1, Shards: 2, Total: 4, Base: 2,
 	}
-	for _, delta := range []bool{false, true} {
+	for _, replica := range []bool{false, true} {
 		conn, peer := transport.Pipe()
 		c, err := NewClientCompressed(conn, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.deltaOn = delta
+		c.replica = replica
 		first, err := c.chunkTensors(msg, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -254,10 +253,10 @@ func TestClientPullDecodeAllocatesNothing(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("delta=%v: a steady-state packed chunk decode allocates %v times", delta, allocs)
+			t.Errorf("replica=%v: a steady-state packed chunk decode allocates %v times", replica, allocs)
 		}
 		if !first[0].ApproxEqual(params[0], 1e-3) {
-			t.Errorf("delta=%v: in-place decode lost the weights", delta)
+			t.Errorf("replica=%v: in-place decode lost the weights", replica)
 		}
 		conn.Close()
 		peer.Close()

@@ -110,7 +110,7 @@ func TestRegisterAutoAdoptsServerCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Compression(); !got.Equal(serverCfg) {
+	if got := c.cfg; !got.Equal(serverCfg) {
 		t.Fatalf("auto client negotiated %s, want %s", got, serverCfg)
 	}
 	if c.ServerShards() != st.Shards() {
@@ -212,7 +212,7 @@ func TestCompressedPullDeliversQuantizedWeights(t *testing.T) {
 		}
 	}
 	pushed, pulled := c.Traffic()
-	dense := int64(4 * st.ParamCount())
+	dense := int64(4 * (16 + 4*4))
 	if pulled >= dense {
 		t.Fatalf("compressed pull accounted %d bytes, dense would be %d", pulled, dense)
 	}
@@ -263,13 +263,13 @@ func TestPackedShardCachesUntilApply(t *testing.T) {
 		return compress.PackInto(dst, ts, compress.Config{Codec: compress.FP16})
 	}
 
-	a, pinA, _, _, _, _ := st.AcquirePackedDelta(0, -1, pack)
-	b, pinB, _, _, _, _ := st.AcquirePackedDelta(0, -1, pack)
+	a, pinA, _, _ := st.acquirePacked(0, pack)
+	b, pinB, _, _ := st.acquirePacked(0, pack)
 	if calls != 1 {
-		t.Fatalf("second AcquirePackedDelta recompressed (calls=%d)", calls)
+		t.Fatalf("second acquirePacked recompressed (calls=%d)", calls)
 	}
 	if len(a) == 0 || len(a) != len(b) || &a[0] != &b[0] {
-		t.Fatal("second AcquirePackedDelta did not serve the cached packed form")
+		t.Fatal("second acquirePacked did not serve the cached packed form")
 	}
 	pinA.release()
 	pinB.release()
@@ -278,13 +278,13 @@ func TestPackedShardCachesUntilApply(t *testing.T) {
 	if _, err := st.Apply(grads); err != nil {
 		t.Fatal(err)
 	}
-	packed, pin, _, version, _, _ := st.AcquirePackedDelta(0, -1, pack)
+	packed, pin, _, version := st.acquirePacked(0, pack)
 	defer pin.release()
 	if calls != 2 {
-		t.Fatalf("AcquirePackedDelta after Apply served stale cache (calls=%d)", calls)
+		t.Fatalf("acquirePacked after Apply served stale cache (calls=%d)", calls)
 	}
 	if version != 1 {
-		t.Fatalf("AcquirePackedDelta version = %d, want 1", version)
+		t.Fatalf("acquirePacked version = %d, want 1", version)
 	}
 	dec, err := compress.DecompressAll(packed)
 	if err != nil {

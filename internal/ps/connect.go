@@ -177,13 +177,13 @@ func (r Route) checkShards(got int) error {
 // to completion accounting, pull-only. The codec is whatever the server
 // speaks, so a replica reads any store. It is the route of everything that
 // wants the weights without being a worker — a backup's replication stream,
-// a relay's pass-through pulls, a coordinator's evaluation snapshot. conn is
-// closed on failure.
-func OpenReplica(conn transport.Conn, deltaPull bool) (*Client, error) {
+// a relay's pass-through pulls, a coordinator's evaluation snapshot. Its
+// pulls are gated on the version it holds (Client.Pull). conn is closed on
+// failure.
+func OpenReplica(conn transport.Conn) (*Client, error) {
 	c, err := NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
 	if err == nil {
 		c.SetReplica(true)
-		c.SetDeltaPull(deltaPull)
 		err = c.Register()
 	}
 	if err != nil {

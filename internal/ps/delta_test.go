@@ -12,12 +12,19 @@ import (
 	"dssp/internal/transport"
 )
 
-// deltaTestCluster wires one server and one delta-requesting client over the
-// in-process transport.
-func deltaTestCluster(t *testing.T, shards int, serverCfg func(*ServerConfig), clientDelta bool) (*Server, *Store, *Client, *transport.ChanListener) {
+// gateCluster is one server over the in-process transport with a worker that
+// pushes and a replica whose pulls are gated on the version it holds. The
+// server end of every connection is metered on the server's registry.
+type gateCluster struct {
+	srv             *Server
+	st              *Store
+	worker, replica *Client
+	listener        *transport.ChanListener
+}
+
+func newGateCluster(t *testing.T, shards int, serverCfg func(*ServerConfig)) gateCluster {
 	t.Helper()
-	initial := pipelineModel(31)
-	st, err := NewStoreSharded(initial, optimizer.NewSGD(0.1), shards)
+	st, err := NewStoreSharded(pipelineModel(31), optimizer.NewSGD(0.1), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,49 +37,66 @@ func deltaTestCluster(t *testing.T, shards int, serverCfg func(*ServerConfig), c
 		t.Fatal(err)
 	}
 	listener := transport.NewChanListener()
+	listener.SetMeter(transport.NewMetrics(srv.Registry()))
 	go func() { _ = srv.Serve(listener) }()
 	t.Cleanup(func() {
 		srv.Stop()
 		listener.Close()
 	})
-	conn, err := listener.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var client *Client
-	if cfg.Compression.Enabled() {
-		client, err = NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
+	dial := func() transport.Conn {
+		conn, err := listener.Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
-	} else {
-		client = NewClient(conn, 0)
+		return conn
 	}
-	client.SetDeltaPull(clientDelta)
-	if err := client.Register(); err != nil {
+	worker, err := NewClientCompressed(dial(), 0, compress.Config{Codec: compress.Auto})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, st, client, listener
+	if err := worker.Register(); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := OpenReplica(dial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		worker.Close()
+		replica.Close()
+	})
+	return gateCluster{srv: srv, st: st, worker: worker, replica: replica, listener: listener}
+}
+
+// push applies one push of fresh gradients through the worker.
+func (g gateCluster) push(t *testing.T, rng *rand.Rand, iteration int) {
+	t.Helper()
+	if err := g.worker.PushAndWait(pipelineGrads(rng, pipelineModel(31)), g.st.Version(), iteration); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// served reads what the server has sent so far: Weights frames and the
+// pulls it answered with one Unchanged frame.
+func (g gateCluster) served() (weightsFrames, unchanged float64) {
+	m := g.srv.Registry().Snapshot()
+	return m[`dssp_transport_frames_total{dir="sent",type="Weights"}`], m["dssp_pull_unchanged_total"]
 }
 
 // TestDeltaPullServesCorrectWeightsAcrossUpdates interleaves pushes and
-// pulls and checks every delta pull returns exactly the store's snapshot —
-// cached unchanged shards included.
+// gated replica pulls and checks every pull returns exactly the store's
+// snapshot and version — the ones answered Unchanged included.
 func TestDeltaPullServesCorrectWeightsAcrossUpdates(t *testing.T) {
-	_, st, client, _ := deltaTestCluster(t, 3, nil, true)
-	if !client.DeltaPull() {
-		t.Fatal("server did not grant delta pulls")
-	}
+	g := newGateCluster(t, 3, nil)
 	rng := rand.New(rand.NewSource(2))
-	model := pipelineModel(31)
 	for round := 0; round < 6; round++ {
-		// Two pulls per round: the second hits the all-unchanged path.
+		// Two pulls per round: from round 1 on, the second is gated.
 		for rep := 0; rep < 2; rep++ {
-			params, version, err := client.Pull()
+			params, version, err := g.replica.Pull()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantVersion := st.Snapshot()
+			want, wantVersion := g.st.Snapshot()
 			if version != wantVersion {
 				t.Fatalf("round %d rep %d: pulled version %d, want %d", round, rep, version, wantVersion)
 			}
@@ -80,93 +104,100 @@ func TestDeltaPullServesCorrectWeightsAcrossUpdates(t *testing.T) {
 				t.Fatalf("round %d rep %d: pulled weights diverge from the store snapshot", round, rep)
 			}
 		}
-		if err := client.PushAndWait(pipelineGrads(rng, model), int64(round), round); err != nil {
-			t.Fatal(err)
-		}
+		g.push(t, rng, round)
+	}
+	if _, unchanged := g.served(); unchanged != 5 {
+		t.Fatalf("%v pulls answered Unchanged, want 5 (every second pull after the first push)", unchanged)
 	}
 }
 
-// TestDeltaPullSkipsUnchangedShardBytes pins the acceptance criterion: for
-// an unchanged-shard workload (repeated pulls with no pushes in between),
-// delta pulls move at least 2x fewer payload bytes than full pulls.
-func TestDeltaPullSkipsUnchangedShardBytes(t *testing.T) {
-	const pulls = 10
-	run := func(delta bool) int64 {
-		_, _, client, _ := deltaTestCluster(t, 3, nil, delta)
-		for i := 0; i < pulls; i++ {
-			if _, _, err := client.Pull(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_, pulled := client.Traffic()
-		return pulled
-	}
-	full := run(false)
-	deltaed := run(true)
-	if deltaed <= 0 || full <= 0 {
-		t.Fatalf("degenerate byte counts: full %d, delta %d", full, deltaed)
-	}
-	if full < 2*deltaed {
-		t.Fatalf("delta pulls moved %d bytes vs %d full — want at least a 2x reduction on an unchanged workload",
-			deltaed, full)
-	}
-	t.Logf("unchanged-shard workload over %d pulls: full %d bytes, delta %d bytes (%.1fx)",
-		pulls, full, deltaed, float64(full)/float64(deltaed))
-}
-
-// TestDeltaPullWithCompressedPullPath runs the same correctness check with
-// pull compression negotiated, so Unchanged gating rides the packed cache.
-func TestDeltaPullWithCompressedPullPath(t *testing.T) {
-	_, st, client, _ := deltaTestCluster(t, 2, func(cfg *ServerConfig) {
-		cfg.Compression = compress.Config{Codec: compress.FP16, Pull: true}
-	}, true)
-	if !client.DeltaPull() {
-		t.Fatal("server did not grant delta pulls")
-	}
+// checkGate pins the gate on g's store: a replica that pulls twice with no
+// push in between gets one Unchanged frame, no payload bytes, and the same
+// tensors and version; after a push it gets full chunks with the new values.
+// same reports whether pulled weights match the store's.
+func checkGate(t *testing.T, g gateCluster, same func(got, want []*tensor.Tensor) bool) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(6))
-	model := pipelineModel(31)
-	var lastPulled int64
-	for round := 0; round < 4; round++ {
-		first, _, err := client.Pull()
+	g.push(t, rng, 0) // version 0 never gates
+	shards := float64(g.st.Shards())
+	for round := 1; round <= 3; round++ {
+		frames0, unchanged0 := g.served()
+		first, version, err := g.replica.Pull()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want, wantVersion := g.st.Snapshot(); version != wantVersion || !same(first, want) {
+			t.Fatalf("round %d: full pull returned version %d (store %d) or other weights", round, version, wantVersion)
 		}
 		firstCopy := make([]*tensor.Tensor, len(first))
 		for i, p := range first {
 			firstCopy[i] = p.Clone()
 		}
-		_, afterFirst := client.Traffic()
-		again, _, err := client.Pull()
+		frames1, unchanged1 := g.served()
+		if frames1-frames0 != shards || unchanged1 != unchanged0 {
+			t.Fatalf("round %d: pull after a push took %v Weights frames (%v Unchanged), want %v full chunks",
+				round, frames1-frames0, unchanged1-unchanged0, shards)
+		}
+		_, pulledBefore := g.replica.Traffic()
+		again, againVersion, err := g.replica.Pull()
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, afterSecond := client.Traffic()
-		if !sameTensors(firstCopy, again) {
-			t.Fatalf("round %d: repeated pull of an unchanged store returned different weights", round)
+		frames2, unchanged2 := g.served()
+		if frames2-frames1 != 1 || unchanged2-unchanged1 != 1 {
+			t.Fatalf("round %d: pull of an unchanged store took %v Weights frames (%v Unchanged), want one Unchanged frame",
+				round, frames2-frames1, unchanged2-unchanged1)
 		}
-		if afterSecond != afterFirst {
-			t.Fatalf("round %d: unchanged compressed pull still moved %d payload bytes", round, afterSecond-afterFirst)
+		if _, pulled := g.replica.Traffic(); pulled != pulledBefore {
+			t.Fatalf("round %d: pull of an unchanged store moved %d payload bytes", round, pulled-pulledBefore)
 		}
-		lastPulled = afterSecond
-		if err := client.PushAndWait(pipelineGrads(rng, model), st.Version(), round); err != nil {
-			t.Fatal(err)
+		if againVersion != version {
+			t.Fatalf("round %d: Unchanged pull returned version %d, want %d", round, againVersion, version)
 		}
-	}
-	if lastPulled == 0 {
-		t.Fatal("no pull traffic recorded at all")
+		for i := range first {
+			if again[i] != first[i] {
+				t.Fatalf("round %d: Unchanged pull returned other tensors than the reply it stands for", round)
+			}
+		}
+		if !sameTensors(again, firstCopy) {
+			t.Fatalf("round %d: tensors changed under an Unchanged reply", round)
+		}
+		g.push(t, rng, round)
 	}
 }
 
-// TestDeltaPullRefusedFallsBackToFullPulls pins the negotiation downgrade: a
-// peer that answers a delta-pull request without the grant (an older build —
-// this server always grants) gets plain pull requests carrying no versions,
-// and the client keeps issuing full pulls that work. The peer is scripted:
-// it speaks the registration and the two-chunk pull reply by hand.
+// TestDeltaPullSkipsUnchangedShardBytes pins the gate on dense pulls.
+func TestDeltaPullSkipsUnchangedShardBytes(t *testing.T) {
+	checkGate(t, newGateCluster(t, 3, nil), sameTensors)
+}
+
+// TestDeltaPullWithCompressedPullPath pins the gate with pull compression
+// negotiated: full replies ride the packed cache, Unchanged ones nothing.
+func TestDeltaPullWithCompressedPullPath(t *testing.T) {
+	g := newGateCluster(t, 2, func(cfg *ServerConfig) {
+		cfg.Compression = compress.Config{Codec: compress.FP16, Pull: true}
+	})
+	checkGate(t, g, func(got, want []*tensor.Tensor) bool {
+		for i := range want {
+			// fp16 keeps ~3 decimal digits for values of magnitude ~1.
+			if !got[i].ApproxEqual(want[i], 2e-3) {
+				return false
+			}
+		}
+		return len(got) == len(want)
+	})
+}
+
+// TestDeltaPullRefusedFallsBackToFullPulls pins the reverse version skew: a
+// peer that ignores the version a replica names (an older build) answers
+// every pull with the full reply, and the replica keeps working with full
+// pulls. The peer is scripted: it speaks the registration and the two-chunk
+// pull reply by hand, and checks the versions named.
 func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 	want := pipelineModel(31)
 	listener := transport.NewChanListener()
 	defer listener.Close()
-	const pulls = 3
+	const pulls, version = 3, 5
 	peerErr := make(chan error, 1)
 	go func() {
 		peerErr <- func() error {
@@ -179,8 +210,8 @@ func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if msg.Type != transport.MsgRegister || !msg.DeltaPull {
-				return fmt.Errorf("peer got %v (DeltaPull=%v), want a Register asking for delta pulls", msg.Type, msg.DeltaPull)
+			if msg.Type != transport.MsgRegister || !msg.Replica || transport.FrameVersion(msg) != 3 {
+				return fmt.Errorf("peer got %+v, want a v3 replica Register", msg)
 			}
 			if err := conn.Send(transport.Message{Type: transport.MsgRegistered, StoreShards: 2}); err != nil {
 				return err
@@ -189,13 +220,17 @@ func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 				if msg, err = conn.Recv(); err != nil {
 					return err
 				}
-				if msg.Type != transport.MsgPull || len(msg.PullVersions) != 0 {
-					return fmt.Errorf("pull %d: peer got %v with %d shard versions, want a plain Pull", i, msg.Type, len(msg.PullVersions))
+				named := int64(version)
+				if i == 0 {
+					named = 0
+				}
+				if msg.Type != transport.MsgPull || msg.Version != named || transport.FrameVersion(msg) != 1 {
+					return fmt.Errorf("pull %d: peer got %v naming version %d, want a v1 Pull naming %d", i, msg.Type, msg.Version, named)
 				}
 				for shard, span := range [][2]int{{0, 2}, {2, 3}} {
 					err := conn.Send(transport.Message{
 						Type: transport.MsgWeights, Shard: shard, Shards: 2, Total: len(want),
-						Base: span[0], Tensors: transport.ToWireOwned(want[span[0]:span[1]]),
+						Base: span[0], Version: version, Tensors: transport.ToWireOwned(want[span[0]:span[1]]),
 					})
 					if err != nil {
 						return err
@@ -209,31 +244,27 @@ func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(conn, 0)
-	defer client.Close()
-	client.SetDeltaPull(true)
-	if err := client.Register(); err != nil {
+	client, err := OpenReplica(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if client.DeltaPull() {
-		t.Fatal("client believes delta pulls are on against a refusing peer")
-	}
+	defer client.Close()
 	var bytesPerPull []int64
 	var last int64
 	for i := 0; i < pulls; i++ {
-		params, _, err := client.Pull()
+		params, v, err := client.Pull()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameTensors(params, want) {
-			t.Fatalf("pull %d diverged from the peer's weights", i)
+		if v != version || !sameTensors(params, want) {
+			t.Fatalf("pull %d diverged from the peer's weights at version %d (got %d)", i, version, v)
 		}
 		_, pulled := client.Traffic()
 		bytesPerPull = append(bytesPerPull, pulled-last)
 		last = pulled
 	}
 	if bytesPerPull[1] != bytesPerPull[0] || bytesPerPull[2] != bytesPerPull[0] {
-		t.Fatalf("refused delta negotiation still changed pull sizes: %v", bytesPerPull)
+		t.Fatalf("an ungated peer's pull sizes changed: %v", bytesPerPull)
 	}
 	if err := <-peerErr; err != nil {
 		t.Fatal(err)
@@ -259,12 +290,11 @@ func recvWeightsChunks(t *testing.T, conn transport.Conn, shards int) []transpor
 }
 
 // TestNonDeltaSessionPullRepliesStayV1 pins the cross-version interop rule of
-// docs/PROTOCOL.md §5a: pull replies to a session that never negotiated
-// delta pulls must carry no v2 wire field — even after a push has moved
-// every shard's publication version — because any v2 field promotes the
-// frame to protocol version 2 and a v1-only binary decoder rejects such
-// frames outright. A second session that did negotiate shows the gate
-// discriminates per session instead of dropping ShardVersion globally.
+// docs/PROTOCOL.md §5a: a pull that names no version — every worker's — or
+// one the store has moved past is answered with full chunks that carry no v2
+// field, because any v2 field promotes the frame to protocol version 2 and a
+// v1-only binary decoder rejects such frames outright. Only a pull naming the
+// store's version gets the one v2 frame, Unchanged, whatever session sent it.
 func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -291,15 +321,12 @@ func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
 				listener.Close()
 			})
 
-			register := func(worker int, delta bool) transport.Conn {
+			register := func(worker int) transport.Conn {
 				conn, err := listener.Dial()
 				if err != nil {
 					t.Fatal(err)
 				}
-				err = conn.Send(transport.Message{
-					Type: transport.MsgRegister, Worker: worker,
-					Codec: compress.Auto, DeltaPull: delta,
-				})
+				err = conn.Send(transport.Message{Type: transport.MsgRegister, Worker: worker, Codec: compress.Auto})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -307,95 +334,87 @@ func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if reg.Type != transport.MsgRegistered || reg.DeltaPull != delta {
-					t.Fatalf("worker %d registered as %+v, want Registered with DeltaPull=%v", worker, reg, delta)
+				if reg.Type != transport.MsgRegistered || transport.FrameVersion(reg) != 1 {
+					t.Fatalf("worker %d registered as %+v, want a v1 Registered", worker, reg)
 				}
 				if reg.StoreShards != st.Shards() {
 					t.Fatalf("registration reported %d shards, store has %d", reg.StoreShards, st.Shards())
 				}
 				return conn
 			}
-			v1conn := register(0, false)
-			v2conn := register(1, true)
+			conn := register(0)
 
-			// A push moves every shard's publication version past zero — the
-			// state in which an ungated ShardVersion would leak onto the wire.
-			if _, err := st.Apply(pipelineGrads(rand.New(rand.NewSource(4)), initial)); err != nil {
-				t.Fatal(err)
-			}
-
-			if err := v1conn.Send(transport.Message{Type: transport.MsgPull, Worker: 0}); err != nil {
-				t.Fatal(err)
-			}
-			for _, msg := range recvWeightsChunks(t, v1conn, st.Shards()) {
-				if msg.ShardVersion != 0 || msg.Unchanged || len(msg.PullVersions) > 0 {
-					t.Fatalf("non-delta session's chunk for shard %d carries v2 fields: %+v", msg.Shard, msg)
-				}
-				if v := transport.FrameVersion(msg); v != 1 {
-					t.Fatalf("non-delta session's chunk for shard %d would encode as a version-%d frame; a v1-only peer rejects it", msg.Shard, v)
+			// Two pushes: the store is past version 0, which never gates, and
+			// past version 1, a version a puller may still hold.
+			for i := 0; i < 2; i++ {
+				if _, err := st.Apply(pipelineGrads(rand.New(rand.NewSource(int64(4+i))), initial)); err != nil {
+					t.Fatal(err)
 				}
 			}
+			for _, named := range []int64{0, 1} {
+				if err := conn.Send(transport.Message{Type: transport.MsgPull, Worker: 0, Version: named}); err != nil {
+					t.Fatal(err)
+				}
+				for _, msg := range recvWeightsChunks(t, conn, st.Shards()) {
+					if msg.Unchanged || msg.Version != 2 {
+						t.Fatalf("pull naming version %d: chunk for shard %d is %+v, want a full chunk at version 2", named, msg.Shard, msg)
+					}
+					if v := transport.FrameVersion(msg); v != 1 {
+						t.Fatalf("pull naming version %d: chunk for shard %d would encode as a version-%d frame; a v1-only peer rejects it", named, msg.Shard, v)
+					}
+				}
+			}
 
-			if err := v2conn.Send(transport.Message{Type: transport.MsgPull, Worker: 1}); err != nil {
+			if err := conn.Send(transport.Message{Type: transport.MsgPull, Worker: 0, Version: 2}); err != nil {
 				t.Fatal(err)
 			}
-			for _, msg := range recvWeightsChunks(t, v2conn, st.Shards()) {
-				if msg.ShardVersion == 0 {
-					t.Fatalf("negotiated session's chunk for shard %d lost its ShardVersion — delta gating has no version feed", msg.Shard)
-				}
+			msg, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg.Type != transport.MsgWeights || !msg.Unchanged || msg.Version != 2 || len(msg.Tensors)+len(msg.Packed) != 0 {
+				t.Fatalf("pull naming the store's version got %+v, want one empty Unchanged frame at version 2", msg)
+			}
+			if v := transport.FrameVersion(msg); v != 2 {
+				t.Fatalf("Unchanged frame encodes as version %d, want 2", v)
 			}
 		})
 	}
 }
 
-// TestDeltaPullSurvivesRejoin pins delta behaviour across a reconnect: a
-// rejoining worker (fresh connection, fresh session — the real reconnect
-// flow) re-negotiates the grant, its first pull is necessarily full, and
-// the cached rounds resume correctly afterwards.
+// TestDeltaPullSurvivesRejoin pins the gate across a re-registration: the
+// replica forgets the version it held — the session it talks to is new, and
+// may be a restarted server with other weights at the same version — so its
+// first pull after it is full, and the gate resumes from there.
 func TestDeltaPullSurvivesRejoin(t *testing.T) {
-	srv, st, client, listener := deltaTestCluster(t, 2, nil, true)
-	if _, _, err := client.Pull(); err != nil {
+	g := newGateCluster(t, 2, nil)
+	g.push(t, rand.New(rand.NewSource(3)), 0)
+	pulled := func() int64 {
+		t.Helper()
+		_, before := g.replica.Traffic()
+		params, _, err := g.replica.Pull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := g.st.Snapshot(); !sameTensors(params, want) {
+			t.Fatal("pull diverged from the snapshot")
+		}
+		_, after := g.replica.Traffic()
+		return after - before
+	}
+	if pulled() == 0 {
+		t.Fatal("first pull moved no bytes")
+	}
+	if n := pulled(); n != 0 {
+		t.Fatalf("gated pull moved %d bytes", n)
+	}
+	if err := g.replica.Rejoin(g.st.Version()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Pull(); err != nil { // cached round
-		t.Fatal(err)
+	if pulled() == 0 {
+		t.Fatal("first pull after rejoin moved no bytes: the replica still named the version it held before")
 	}
-	client.Close()
-
-	// Reconnect the way remote.RunWorker does: new connection, new client,
-	// MsgRejoin.
-	conn, err := listener.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejoined := NewClient(conn, 0)
-	rejoined.SetDeltaPull(true)
-	if err := rejoined.Rejoin(st.Version()); err != nil {
-		t.Fatal(err)
-	}
-	if !rejoined.DeltaPull() {
-		t.Fatal("rejoin lost the delta-pull grant")
-	}
-	params, _, err := rejoined.Pull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, afterFirst := rejoined.Traffic()
-	if afterFirst == 0 {
-		t.Fatal("first pull after rejoin moved no bytes; a stale cache must have answered")
-	}
-	want, _ := st.Snapshot()
-	if !sameTensors(params, want) {
-		t.Fatal("post-rejoin pull diverged from the snapshot")
-	}
-	if _, _, err := rejoined.Pull(); err != nil {
-		t.Fatal(err)
-	}
-	_, afterSecond := rejoined.Traffic()
-	if afterSecond != afterFirst {
-		t.Fatalf("second pull after rejoin moved %d bytes; the rebuilt cache should have answered", afterSecond-afterFirst)
-	}
-	if srv.Rejoins() != 1 {
-		t.Fatalf("server counted %d rejoins, want 1", srv.Rejoins())
+	if n := pulled(); n != 0 {
+		t.Fatalf("second pull after rejoin moved %d bytes; the gate should have answered", n)
 	}
 }

@@ -90,7 +90,6 @@ func testCodecKernelsEndToEndPin(t *testing.T, cfg compress.Config, carrier, wan
 			t.Fatal(err)
 		}
 		defer c.Close()
-		c.SetDeltaPull(w == 0)
 		if err := c.Register(); err != nil {
 			t.Fatal(err)
 		}

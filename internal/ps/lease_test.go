@@ -44,6 +44,18 @@ type leaseTopology struct {
 	// connect uses; workerReg holds the meter the workers' dials count on.
 	route     Route
 	workerReg *obs.Registry
+	// replica opens a replica session on the root, or on a group's first
+	// data server.
+	replica func() (*Client, error)
+}
+
+// openReplica opens a replica session over a connection from dial.
+func openReplica(dial func() (transport.Conn, error)) (*Client, error) {
+	conn, err := dial()
+	if err != nil {
+		return nil, err
+	}
+	return OpenReplica(conn)
 }
 
 // endpoint starts serve on a fresh listener of the chosen transport and
@@ -134,13 +146,13 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			inPlace:   inPlace,
 			route:     route,
 			workerReg: workerReg,
+			replica:   func() (*Client, error) { return openReplica(rootDial) },
 			connect: func(w int) (pusher, error) {
 				conn, err := dial()
 				if err != nil {
 					return nil, err
 				}
 				c := NewClient(conn, w)
-				c.SetDeltaPull(w%2 == 0)
 				if err := c.Register(); err != nil {
 					conn.Close()
 					return nil, err
@@ -192,6 +204,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 		coordAddr := serve(coord)
 		stores := make([]*Store, servers)
 		running := make([]*Server, servers)
+		addrs := make([]string, servers)
 		// start serves data server i's range from a fresh store and enters it
 		// in the map with an announce or a promote frame.
 		start := func(t *testing.T, i int, typ transport.MessageType) {
@@ -204,7 +217,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 				t.Fatal(err)
 			}
 			addr := serve(srv)
-			stores[i], running[i] = st, srv
+			stores[i], running[i], addrs[i] = st, srv, addr
 			conn, err := dialAddr(coordAddr)
 			if err != nil {
 				t.Fatal(err)
@@ -225,6 +238,9 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			inPlace:   inPlace,
 			route:     Route{Dial: dialAddr, Addr: coordAddr, Topology: Group},
 			workerReg: workerReg,
+			replica: func() (*Client, error) {
+				return openReplica(func() (transport.Conn, error) { return dialAddr(addrs[0]) })
+			},
 			replace: func(t *testing.T, i int) {
 				running[i].Stop()
 				start(t, i, transport.MsgPromote)
@@ -279,7 +295,10 @@ func poisonReleasedBodies(t *testing.T) *atomic.Int64 {
 // in, rewritten as soon as they read free (Client.PushSlot) — from
 // concurrent workers over TCP, the same-host lane and the in-process channel
 // transport, on a flat server, a server group and an aggregation tree: one
-// ownership rule (transport.Conn), asserted once over all three carriers.
+// ownership rule (transport.Conn), asserted once over all three carriers. A
+// replica reads beside the workers, pulling twice per turn: a second pull
+// with no push in between is answered Unchanged and returns the first's
+// tensors, whose lease it extends.
 // Released receive buffers are
 // poisoned with NaN the moment they are released, so a lease that ends while
 // a reader still holds the buffer shows up as a wrong final sum (the store
@@ -330,6 +349,8 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 				initial := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(2048)}
 				const workers, rounds = 4, 50
 				top := startLeaseTopology(t, topo, tcp, tc.edgeTCP, workers, initial)
+				stopReader := readTwicePerTurn(t, top)
+				defer stopReader()
 
 				// Small integers: their float32 sums are exact, so the final
 				// weights are known to the bit.
@@ -413,6 +434,12 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 				if version != workers*rounds {
 					t.Fatalf("final version %d, want %d", version, workers*rounds)
 				}
+				// Every push is applied: the reader's last turn is gated.
+				gated := stopReader()
+				if gated == 0 && !t.Failed() {
+					t.Error("no replica pull was answered Unchanged")
+				}
+				t.Logf("%d of the replica's second pulls were answered Unchanged", gated)
 				for i, p := range params {
 					for j, v := range p.Data() {
 						if v != want {
@@ -436,6 +463,89 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// readTwicePerTurn starts a replica of top pulling twice per turn, checking
+// what every pull returned once the next one has landed: each tensor uniform
+// (not torn, not poison) and never above its last value (lr 1 over positive
+// gradients). A second pull answered Unchanged returns the first's tensors,
+// on a lease the Unchanged reply extended; after a full one the first's
+// tensors are superseded and only the second's are read. The returned stop
+// ends the reader after one more turn and reports how many second pulls were
+// answered Unchanged; it may be called again.
+func readTwicePerTurn(t *testing.T, top leaseTopology) (stop func() (gated int)) {
+	quit := make(chan struct{})
+	done := make(chan int, 1)
+	go func() {
+		gated := 0
+		defer func() { done <- gated }()
+		r, err := top.replica()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer r.Close()
+		var last []float32
+		check := func(params []*tensor.Tensor) bool {
+			if last == nil {
+				last = make([]float32, len(params))
+			}
+			for i, p := range params {
+				v := p.Data()[0]
+				for _, x := range p.Data() {
+					if x != v {
+						t.Errorf("replica: pulled tensor %d is torn (%v and %v)", i, v, x)
+						return false
+					}
+				}
+				if v > last[i] {
+					t.Errorf("replica: tensor %d went back from %v to %v", i, last[i], v)
+					return false
+				}
+				last[i] = v
+			}
+			return true
+		}
+		for stopping := false; !stopping; {
+			select {
+			case <-quit:
+				stopping = true
+			default:
+			}
+			first, version, err := r.Pull()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_, before := r.Traffic()
+			again, againVersion, err := r.Pull()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			read := again
+			if _, after := r.Traffic(); after == before {
+				gated++
+				if againVersion != version || &again[0] != &first[0] {
+					t.Errorf("replica: an Unchanged pull returned version %d and another reply than the one at %d", againVersion, version)
+					return
+				}
+				read = first
+			}
+			if !check(read) {
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	var gated int
+	return func() int {
+		once.Do(func() {
+			close(quit)
+			gated = <-done
+		})
+		return gated
 	}
 }
 

@@ -34,10 +34,9 @@ type serverMetrics struct {
 	phasePolicy *obs.Histogram
 	releaseLag  *obs.Histogram
 
-	pulls           *obs.Counter
-	pullSeconds     *obs.Histogram
-	chunksFull      *obs.Counter
-	chunksUnchanged *obs.Counter
+	pulls         *obs.Counter
+	pullSeconds   *obs.Histogram
+	pullUnchanged *obs.Counter
 
 	guardFlags     *obs.Counter
 	guardEvictions *obs.Counter
@@ -69,8 +68,6 @@ func newServerMetrics(reg *obs.Registry, workers int) *serverMetrics {
 	phase := reg.HistogramVec("dssp_push_phase_seconds",
 		"Push-handler stage latency by phase (decode, guard, policy).",
 		obs.LatencyBuckets, "phase")
-	chunks := reg.CounterVec("dssp_pull_shard_chunks_total",
-		"Pull reply chunks by result: full payload or delta-pull Unchanged.", "result")
 	wait := reg.GaugeVec("dssp_worker_wait_seconds",
 		"Accumulated time each worker slot waited from its push to its release.", "worker")
 	waits := make([]*obs.Gauge, workers)
@@ -105,8 +102,8 @@ func newServerMetrics(reg *obs.Registry, workers int) *serverMetrics {
 		pullSeconds: reg.Histogram("dssp_pull_seconds",
 			"Pull handler latency: request arrival to last chunk enqueued.",
 			obs.LatencyBuckets),
-		chunksFull:      chunks.With("full"),
-		chunksUnchanged: chunks.With("unchanged"),
+		pullUnchanged: reg.Counter("dssp_pull_unchanged_total",
+			"Pulls answered with one payload-free Unchanged frame: the replica already held the store's version."),
 		guardFlags: reg.Counter("dssp_guard_flags_total",
 			"Anomaly flags raised by the push guard."),
 		guardEvictions: reg.Counter("dssp_guard_evictions_total",

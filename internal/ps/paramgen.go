@@ -58,7 +58,7 @@ func (p *genPin) release() {
 func (p *genPin) quiescent() bool { return p.refs.Load() == 0 }
 
 // release drops one reference taken by shard.acquire (or
-// Store.AcquireShardDelta); releasing a nil generation is a no-op.
+// Store.acquireShard); releasing a nil generation is a no-op.
 func (g *paramGen) release() {
 	if g != nil {
 		g.genPin.release()
@@ -143,15 +143,11 @@ func (sh *shard) takeGen(m *storeMetrics) *paramGen {
 	return &paramGen{params: params}
 }
 
-// AcquireShardDelta returns shard i's currently published parameter tensors
-// without copying, with the global index of the first one, the store's
-// aggregate version at read time and the shard-local publication version of
-// the returned snapshot — or, when have matches that version, reports the
-// shard unchanged with a nil params slice and a nil generation, letting the
-// caller skip the payload entirely. have is the shard version from the
-// reader's previous pull; pass a negative value to always receive the
-// snapshot. The tensors are the store's copy-on-write snapshot: never mutated
-// after publication, and the CALLER MUST NOT mutate them either.
+// acquireShard returns shard i's currently published parameter tensors
+// without copying, with the global index of the first one and the store's
+// aggregate version at read time. The tensors are the store's copy-on-write
+// snapshot: never mutated after publication, and the CALLER MUST NOT mutate
+// them either.
 //
 // The tensors are valid until release (paramGen.release) is called on the
 // returned generation — exactly once, after the caller is completely done
@@ -159,13 +155,8 @@ func (sh *shard) takeGen(m *storeMetrics) *paramGen {
 // has returned. Until then the applier keeps the generation's buffers out of
 // its reuse pool; afterwards steady-state pulls and applies recycle buffers
 // instead of allocating. Releasing nil is a no-op.
-func (s *Store) AcquireShardDelta(i int, have int64) (params []*tensor.Tensor, gen *paramGen, base int, version, shardVersion int64, unchanged bool) {
+func (s *Store) acquireShard(i int) (params []*tensor.Tensor, gen *paramGen, base int, version int64) {
 	version = s.version.Load()
-	base = s.ranges[i].Start
-	g, shardVersion := s.shards[i].acquire()
-	if have >= 0 && have == shardVersion {
-		g.release()
-		return nil, nil, base, version, shardVersion, true
-	}
-	return g.params, g, base, version, shardVersion, false
+	g, _ := s.shards[i].acquire()
+	return g.params, g, s.ranges[i].Start, version
 }

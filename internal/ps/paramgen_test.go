@@ -71,7 +71,7 @@ func TestHeldGenerationIsNeverRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	held, gen, _, _, _, _ := st.AcquireShardDelta(0, -1)
+	held, gen, _, _ := st.acquireShard(0)
 	frozen := make([][]float32, len(held))
 	for i, p := range held {
 		frozen[i] = append([]float32(nil), p.Data()...)
@@ -101,29 +101,6 @@ func TestHeldGenerationIsNeverRecycled(t *testing.T) {
 	apply(10)
 	if _, after := cloneFates(st); after != before {
 		t.Fatalf("publication allocated %d generations after the held one was released", after-before)
-	}
-}
-
-// TestAcquireShardDeltaReleasesUnchanged: the pull API must
-// not leak references on the Unchanged fast path, or the touched generation
-// would be pinned out of reuse forever.
-func TestAcquireShardDeltaReleasesUnchanged(t *testing.T) {
-	st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(4)}, optimizer.NewSGD(0.1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params, gen, _, _, shardV, unchanged := st.AcquireShardDelta(0, -1)
-	if unchanged || gen == nil || params == nil {
-		t.Fatal("first acquire must return the payload")
-	}
-	gen.release()
-	_, gen2, _, _, _, unchanged := st.AcquireShardDelta(0, shardV)
-	if !unchanged || gen2 != nil {
-		t.Fatal("acquire at the current version must report unchanged with no reference")
-	}
-	gen2.release() // nil release is a no-op
-	if n := st.shards[0].gen.refs.Load(); n != 0 {
-		t.Fatalf("current generation holds %d leaked references", n)
 	}
 }
 
@@ -185,12 +162,10 @@ func TestRefcountedReuseHammer(t *testing.T) {
 				shard := i % st.Shards()
 				switch kind % 4 {
 				case 0: // acquire, read everything, release
-					params, gen, _, _, _, unchanged := st.AcquireShardDelta(shard, -1)
-					if !unchanged {
-						for _, p := range params {
-							for _, v := range p.Data() {
-								sink += v
-							}
+					params, gen, _, _ := st.acquireShard(shard)
+					for _, p := range params {
+						for _, v := range p.Data() {
+							sink += v
 						}
 					}
 					gen.release()
@@ -200,7 +175,7 @@ func TestRefcountedReuseHammer(t *testing.T) {
 						sink += p.Data()[0]
 					}
 				case 2: // packed-cache fill (a borrow inside the store)
-					packed, pin, _, _, _, unchanged := st.AcquirePackedDelta(shard, -1, func(_ []compress.Packed, ps []*tensor.Tensor) []compress.Packed {
+					packed, pin, _, _ := st.acquirePacked(shard, func(_ []compress.Packed, ps []*tensor.Tensor) []compress.Packed {
 						out := make([]compress.Packed, len(ps))
 						for j, p := range ps {
 							d := p.Data()
@@ -212,12 +187,12 @@ func TestRefcountedReuseHammer(t *testing.T) {
 						return out
 					})
 					pin.release()
-					if !unchanged && len(packed) == 0 {
+					if len(packed) == 0 {
 						t.Error("packed fill returned nothing")
 						return
 					}
 				case 3: // slow reader: buffers must stay immutable while held
-					params, gen, _, _, _, _ := st.AcquireShardDelta(shard, -1)
+					params, gen, _, _ := st.acquireShard(shard)
 					last := params[0].Data()[len(params[0].Data())-1]
 					runtime.Gosched()
 					if now := params[0].Data()[len(params[0].Data())-1]; now != last {

@@ -740,7 +740,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 // TestPackShardCacheNeverStaleUnderCoalescedApplies hammers the packed-pull
 // cache from many readers while the applier pipeline lands coalesced
 // batches, then quiesces and verifies the cache serves exactly the final
-// published snapshot at the final shard version. Run under -race this also
+// published snapshot at the final version. Run under -race this also
 // proves the cache fill, the COW publication and the batched version bumps
 // never touch shared state unsynchronized.
 func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
@@ -762,22 +762,19 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			var lastV int64 = -1
+			var lastV int64
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				packed, pin, _, _, shardV, unchanged := st.AcquirePackedDelta(shard%st.Shards(), lastV, pack)
-				if unchanged {
-					continue
-				}
-				if shardV < lastV {
-					t.Errorf("shard version went backwards: %d after %d", shardV, lastV)
+				packed, pin, _, version := st.acquirePacked(shard%st.Shards(), pack)
+				if version < lastV {
+					t.Errorf("version went backwards: %d after %d", version, lastV)
 					return
 				}
-				lastV = shardV
+				lastV = version
 				_, err := compress.DecompressAll(packed)
 				pin.release()
 				if err != nil {
@@ -805,11 +802,8 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 	// the batched version bumps left behind.
 	final, _ := st.Snapshot()
 	for i := 0; i < st.Shards(); i++ {
-		packed, pin, _, version, _, unchanged := st.AcquirePackedDelta(i, -1, pack)
+		packed, pin, _, version := st.acquirePacked(i, pack)
 		defer pin.release()
-		if unchanged {
-			t.Fatalf("shard %d reported unchanged against have=-1", i)
-		}
 		if version != pushes {
 			t.Fatalf("shard %d packed at aggregate version %d, want %d", i, version, pushes)
 		}
@@ -817,8 +811,8 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := st.ShardRange(i)
-		wantPacked := compress.Pack(final[lo:hi], cfg)
+		r := st.ranges[i]
+		wantPacked := compress.Pack(final[r.Start:r.End], cfg)
 		wantRT, err := compress.DecompressAll(wantPacked)
 		if err != nil {
 			t.Fatal(err)

@@ -54,8 +54,8 @@ type RelayConfig struct {
 // exactly as against a root server, as worker sessions of the session layer
 // the root runs on (session.go) — and two upstream sessions: a trunk
 // (negative-key session multiplexing the children's control traffic and the
-// summed pushes) and a replica pull session feeding the delta-pull cache
-// child pulls are served from.
+// summed pushes) and a replica pull session feeding the cache child pulls are
+// served from.
 //
 // A partial flushes upstream when every live unfinished child has
 // contributed ("full"), when a contributor pushes again before the flush
@@ -78,13 +78,14 @@ type Relay struct {
 	// compressor does per worker.
 	comp *compress.Compressor
 	// up is the replica pull client; pullMu serializes child pulls through
-	// it (the client is single-goroutine by contract) and guards packCache.
+	// it (the client is single-goroutine by contract) and guards packed.
 	up     *Client
 	pullMu sync.Mutex
-	// packCache memoizes the packed form of each upstream shard by its
-	// publication version, so compressed fan-out to many children quantizes
-	// once per shard update instead of once per child pull.
-	packCache []packedShard
+	// packed memoizes the packed form of the upstream reply at version
+	// packedAt, one entry per upstream shard, so compressed fan-out to many
+	// children quantizes once per reply instead of once per child pull.
+	packed   [][]compress.Packed
+	packedAt int64
 
 	reg *obs.Registry
 	rm  *relayMetrics
@@ -115,12 +116,6 @@ type Relay struct {
 
 	ingressBytes   atomic.Int64
 	forwardedBytes atomic.Int64
-}
-
-// packedShard is one packCache entry.
-type packedShard struct {
-	version int64
-	packed  []compress.Packed
 }
 
 // relayPartial is the in-progress sum: the window accumulating children's
@@ -233,7 +228,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	}
 	// The pull session adopts the codec the trunk just negotiated with the
 	// same server.
-	up, err := OpenReplica(upConn, true)
+	up, err := OpenReplica(upConn)
 	if err != nil {
 		_ = trunk.Close()
 		return nil, fmt.Errorf("ps: relay pull session: %w", err)
@@ -456,9 +451,8 @@ func refuseClusterMap(conn transport.Conn, _ transport.Message) {
 // handleRegister forwards a child registration upstream and, once the root
 // admits it, installs the child as a worker session (superseding a previous
 // session of the same worker). The child's reply is the root's own
-// MsgRegistered — codec and shard count are the root's decisions, forwarded
-// verbatim — except that delta pulls are refused: a relay serves its
-// children full chunks (handlePull).
+// MsgRegistered — codec and shard count are the root's decisions — forwarded
+// verbatim.
 func (r *Relay) handleRegister(conn transport.Conn, _ *session, msg transport.Message) *session {
 	if msg.Relay || msg.Replica {
 		_ = conn.Send(transport.Message{
@@ -493,7 +487,6 @@ func (r *Relay) handleRegister(conn transport.Conn, _ *session, msg transport.Me
 		return nil
 	}
 	ch := newSession(kindWorker, w, conn, msg.Type == transport.MsgRejoin, r.clock())
-	reply.DeltaPull = false
 	r.supersede(w, ch)
 	if !r.open(ch) {
 		return nil
@@ -733,13 +726,13 @@ func (r *Relay) flushLocked(reason string) {
 	}
 }
 
-// handlePull refreshes the relay's upstream delta-pull cache and serves
-// the child from it in full, one chunk per upstream store shard — the same
-// shape the root would answer with. The upstream refresh is itself
-// delta-gated, so when nothing moved the hop transfers almost nothing; when it
-// did, the relay downloads each changed shard once and fans it out to every
-// pulling child. Children get no delta pulls of their own: every push moves
-// every shard, so one would skip nothing (handleRegister refuses them).
+// handlePull refreshes the relay's upstream cache and serves the child from
+// it in full, one chunk per upstream store shard — the same shape the root
+// would answer with. The upstream refresh is gated on the version the cache
+// holds, so when nothing moved the hop carries one empty frame; when it did,
+// the relay downloads the reply once and fans it out to every pulling child.
+// Children name no version, so their pulls are never gated: every push moves
+// every shard, and a worker pulls once per push.
 //
 // Lease rules: r.up.shardCache's tensors are on Client.Pull's lease — they
 // alias receive buffers that go back to the upstream connection when the next
@@ -764,17 +757,21 @@ func (r *Relay) handlePull(ch *session, _ transport.Message) {
 		}
 		r.layout.Store(&layout)
 	}
-	// The root grants the delta pulls its replica session asks for, so a
-	// successful Pull has filled the cache with every shard.
+	// A successful Pull leaves the reply it returned in the cache, one entry
+	// per upstream shard. A reply at packedAt is a correct copy at that
+	// version, so its pack is too.
 	shards := len(r.up.shardCache)
 	compressPull := r.compression.Pull && r.compression.Enabled()
-	if compressPull && len(r.packCache) != shards {
-		r.packCache = make([]packedShard, shards)
+	if compressPull && (r.packed == nil || r.packedAt != version) {
+		r.packed = make([][]compress.Packed, shards)
+		for i, ts := range r.up.shardCache {
+			r.packed[i] = compress.Pack(ts, r.compression)
+		}
+		r.packedAt = version
 	}
 	base := 0
 	for i := 0; i < shards; i++ {
 		ts := r.up.shardCache[i]
-		shardV := r.up.shardVersions[i]
 		out := transport.Message{
 			Type:    transport.MsgWeights,
 			Worker:  ch.worker,
@@ -786,11 +783,8 @@ func (r *Relay) handlePull(ch *session, _ transport.Message) {
 		}
 		base += len(ts)
 		if compressPull {
-			if r.packCache[i].packed == nil || r.packCache[i].version != shardV {
-				r.packCache[i] = packedShard{version: shardV, packed: compress.Pack(ts, r.compression)}
-			}
 			out.Codec = r.compression.Codec
-			out.Packed = r.packCache[i].packed
+			out.Packed = r.packed[i]
 		} else {
 			out.Tensors = transport.ToWireOwned(ts)
 		}

@@ -304,33 +304,30 @@ func TestRelayRejectsOutOfRangeChild(t *testing.T) {
 	client.Close()
 }
 
-// TestRelayRefusesChildDeltaPulls: a child asking a relay for delta pulls is
-// told no — the relay serves every shard in full — while the relay's own
-// upstream replica session keeps its delta pulls.
+// TestRelayRefusesChildDeltaPulls: a child's pulls through a relay are never
+// gated — it names no version, and every pull gets every shard in full —
+// while the relay's own upstream replica session is: when nothing moved, the
+// hop to the root carries one Unchanged frame and the child is served from
+// the relay's cache.
 func TestRelayRefusesChildDeltaPulls(t *testing.T) {
 	st, err := NewStoreSharded(pipelineModel(31), optimizer.NewSGD(0.1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newRelayHarness(t, core.MustNewASP(1), st, 1, 1, Options{})
-	if !h.relays[0].up.DeltaPull() {
-		t.Fatal("the relay's upstream session lost its delta pulls")
+	// Version 0 never gates.
+	if _, err := st.Apply(pipelineGrads(rand.New(rand.NewSource(1)), pipelineModel(31))); err != nil {
+		t.Fatal(err)
 	}
+	h := newRelayHarness(t, core.MustNewASP(1), st, 1, 1, Options{})
 	conn, err := h.listeners[0].Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := NewClient(conn, 0)
 	defer client.Close()
-	client.SetDeltaPull(true)
 	if err := client.Register(); err != nil {
 		t.Fatal(err)
 	}
-	if client.DeltaPull() {
-		t.Fatal("the relay granted a child delta pulls")
-	}
-	// Nothing moves between the pulls: a delta-pulling child would be
-	// answered Unchanged from the second on.
 	var perPull int64
 	for i := 1; i <= 3; i++ {
 		params, _, err := client.Pull()
@@ -347,6 +344,13 @@ func TestRelayRefusesChildDeltaPulls(t *testing.T) {
 		if pulled != int64(i)*perPull {
 			t.Fatalf("pull %d: %d bytes pulled in all, want %d full pulls of %d", i, pulled, i, perPull)
 		}
+	}
+	m := h.server.Registry().Snapshot()
+	if got := m["dssp_pull_unchanged_total"]; got != 2 {
+		t.Fatalf("the root answered %v of the relay's upstream pulls Unchanged, want 2", got)
+	}
+	if got, want := m[`dssp_transport_frames_total{dir="sent",type="Weights"}`], float64(st.Shards()+2); got != want {
+		t.Fatalf("the root sent %v Weights frames, want %v: one full reply and two single Unchanged frames", got, want)
 	}
 }
 

@@ -22,8 +22,9 @@ type ReplicatorConfig struct {
 	// Store is the backup's standby store the stream lands on (a
 	// NewStoreRange twin of the primary's).
 	Store *Store
-	// Interval is the poll cadence (default 25ms). Delta pulls make an idle
-	// poll nearly free: unchanged shards come back as payload-free chunks.
+	// Interval is the poll cadence (default 25ms). The gated pull makes an
+	// idle poll nearly free: an unchanged primary answers with one
+	// payload-free frame.
 	Interval time.Duration
 	// Grace is how long the primary may stay unreachable before the
 	// replicator declares it dead (default 2s).
@@ -37,9 +38,10 @@ type ReplicatorConfig struct {
 // (returns ErrPrimaryDead — the caller's cue to request promotion).
 //
 // The stream is a replica session on the primary: a read-only registration
-// under a negative session key, pulling on a fixed cadence with delta pulls
-// so unchanged shards cost no bytes. Each pull that advances the primary's
-// version is installed wholesale (Store.Install); what the stream does NOT
+// under a negative session key, pulling on a fixed cadence, each pull naming
+// the version it holds so that an unchanged primary costs no payload. Each
+// pull that advances the primary's version is installed wholesale
+// (Store.Install, which takes only a newer version); what the stream does NOT
 // carry — optimizer state, and exact bit-patterns under a lossy pull codec —
 // is documented in DESIGN.md §10.
 func RunReplicator(cfg ReplicatorConfig, stop <-chan struct{}) error {
@@ -80,7 +82,7 @@ func RunReplicator(cfg ReplicatorConfig, stop <-chan struct{}) error {
 		var client *Client
 		conn, err := cfg.Dial()
 		if err == nil {
-			client, err = OpenReplica(conn, true)
+			client, err = OpenReplica(conn)
 		}
 		if err != nil {
 			if time.Since(lastContact) > grace {

@@ -428,17 +428,13 @@ func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transpor
 		key = -1 - int(s.replicaSeq.Add(1)-1)
 	}
 	sess = newSession(kind, key, conn, msg.Type == transport.MsgRejoin, s.clock())
-	// Delta-pull negotiation: granted whenever the peer asks — replica
-	// sessions do (OpenReplica). Peers that never ask (workers, v1 binary
-	// peers) keep full pulls.
-	sess.deltaPull = msg.DeltaPull
 	var reply transport.Message
 	var err error
 	if kind.holdsSlot() {
 		reply, err = s.admit(key, sess, msg)
 	} else if err = s.negotiate(key, msg); err == nil {
 		s.supersede(key, sess)
-		reply = s.registered(key, msg)
+		reply = s.registered(key)
 	}
 	if err != nil {
 		return reject(err.Error())
@@ -469,10 +465,9 @@ func (s *Server) negotiate(worker int, msg transport.Message) error {
 	return nil
 }
 
-// registered builds the acknowledgement of registration msg for session key
-// or worker slot worker: the codec in force, the store's shape and version,
-// and the delta-pull grant.
-func (s *Server) registered(worker int, msg transport.Message) transport.Message {
+// registered builds the acknowledgement of a registration for session key or
+// worker slot worker: the codec in force, the store's shape and version.
+func (s *Server) registered(worker int) transport.Message {
 	return transport.Message{
 		Type:        transport.MsgRegistered,
 		Worker:      worker,
@@ -481,7 +476,6 @@ func (s *Server) registered(worker int, msg transport.Message) transport.Message
 		CodecTopK:   s.compression.TopK,
 		CodecPull:   s.compression.Pull,
 		StoreShards: s.cfg.Store.Shards(),
-		DeltaPull:   msg.DeltaPull,
 	}
 }
 
@@ -529,7 +523,7 @@ func (s *Server) admit(slot int, carrier *session, msg transport.Message) (trans
 	decision := s.cfg.Policy.OnJoin(core.WorkerID(slot), now)
 	s.queueReleases(releaseBatch{targets: s.resolve(nil, decision.Release, now), gate: s.cfg.Store.Reserved()})
 	s.policyMu.Unlock()
-	return s.registered(slot, msg), nil
+	return s.registered(slot), nil
 }
 
 // carrier returns the session worker slot w's traffic rides — the worker's
@@ -1117,14 +1111,13 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 // once per shard update, not once per pull, so fan-out to many workers
 // stays cheap.
 //
-// A session that negotiated delta pulls may send its cached per-shard
-// versions (PullVersions); shards still at the version the worker holds are
-// answered with a payload-free Unchanged chunk, so a worker that pulls when
-// little or nothing has changed re-downloads only what did. For such
-// sessions — and only such sessions, the fields being protocol-v2 — every
-// chunk carries its shard-local publication version for the worker's next
-// request; replies to un-negotiated sessions use no v2 field and stay
-// decodable by v1-only peers.
+// A pull naming the version of the weights its sender already holds (a
+// replica's; workers name none) is answered, while the store is still at that
+// version, with one payload-free Unchanged frame instead. Published weights
+// change only by applies, which advance the version (Install refuses a version
+// that is not newer, and a checkpoint is restored before serving), so the
+// sender's copy, which holds pushes 1..v on every shard, is still a correct
+// copy at v. Only a puller that named a version can get the v2 frame.
 func (s *Server) handlePull(sess *session, req transport.Message) {
 	worker := sess.worker
 	s.sm.pulls.Inc()
@@ -1135,21 +1128,17 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 		s.guard.observePull(worker)
 	}
 	st := s.cfg.Store
+	if req.Version != 0 && st.Version() == req.Version {
+		s.sm.pullUnchanged.Inc()
+		s.enqueueSession(sess, transport.Message{
+			Type: transport.MsgWeights, Worker: worker, Version: req.Version, Unchanged: true,
+		})
+		return
+	}
 	shards := st.Shards()
 	total := st.NumTensors()
 	compressPull := s.compression.Pull && s.compression.Enabled()
-	have := req.PullVersions
-	if !sess.deltaPull || len(have) != shards {
-		// Un-negotiated, first-pull, or malformed gating state: serve full
-		// chunks. A length mismatch cannot happen with a well-behaved client
-		// (the shard count is fixed per server) but must not gate wrongly.
-		have = nil
-	}
 	for i := 0; i < shards; i++ {
-		haveV := int64(-1)
-		if have != nil {
-			haveV = have[i]
-		}
 		msg := transport.Message{
 			Type:   transport.MsgWeights,
 			Worker: worker,
@@ -1157,44 +1146,25 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 			Shards: shards,
 			Total:  total,
 		}
-		// ref pins the store buffers a full chunk aliases — a parameter
+		// ref pins the store buffers the chunk aliases — a parameter
 		// generation, or a packed-cache generation — until the writer's send
-		// has returned; nil for every chunk that pins nothing.
+		// has returned.
 		var ref *genPin
-		var shardV int64
-		var unchanged bool
 		if compressPull {
-			msg.Packed, ref, msg.Base, msg.Version, shardV, unchanged = st.AcquirePackedDelta(i, haveV, s.packShardInto)
-			if !unchanged {
-				msg.Codec = s.compression.Codec
-			}
+			msg.Packed, ref, msg.Base, msg.Version = st.acquirePacked(i, s.packShardInto)
+			msg.Codec = s.compression.Codec
 		} else {
 			var params []*tensor.Tensor
 			var gen *paramGen
-			params, gen, msg.Base, msg.Version, shardV, unchanged = st.AcquireShardDelta(i, haveV)
-			if !unchanged {
-				msg.Tensors = transport.ToWireOwned(params)
-				ref = &gen.genPin
-			}
-		}
-		if sess.deltaPull {
-			// ShardVersion is a v2 wire field scoped to negotiated sessions
-			// (PROTOCOL.md §5a): stamping it on every reply would promote the
-			// frame to protocol v2 and break v1-only peers that never asked
-			// for delta pulls.
-			msg.ShardVersion = shardV
-		}
-		if unchanged {
-			msg.Unchanged = true
-			s.sm.chunksUnchanged.Inc()
-		} else {
-			s.sm.chunksFull.Inc()
+			params, gen, msg.Base, msg.Version = st.acquireShard(i)
+			msg.Tensors = transport.ToWireOwned(params)
+			ref = &gen.genPin
 		}
 		s.enqueueSessionRef(sess, msg, ref)
 	}
 }
 
-// packShardInto is the Store.AcquirePackedDelta callback compressing one
+// packShardInto is the Store.acquirePacked callback compressing one
 // shard's published snapshot with the server's codec (stateless: no error
 // feedback on the pull path) into the retired buffers the store recycles.
 func (s *Server) packShardInto(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed {
@@ -1348,10 +1318,9 @@ func (s *Server) Traces() []obs.PushTrace { return s.tracer.Traces() }
 
 // SessionStatus describes one live worker session in a Status snapshot.
 type SessionStatus struct {
-	Worker    int       `json:"worker"`
-	Rejoined  bool      `json:"rejoined"`
-	DeltaPull bool      `json:"delta_pull"`
-	LastSeen  time.Time `json:"last_seen"`
+	Worker   int       `json:"worker"`
+	Rejoined bool      `json:"rejoined"`
+	LastSeen time.Time `json:"last_seen"`
 }
 
 // ServerStatus is a point-in-time introspection snapshot of the server — the
@@ -1362,12 +1331,11 @@ type ServerStatus struct {
 	Elastic  bool `json:"elastic"`
 	Finished int  `json:"finished"`
 
-	Version       int64   `json:"version"`
-	Reserved      int64   `json:"reserved"`
-	QueueDepth    int64   `json:"queue_depth"`
-	ShardVersions []int64 `json:"shard_versions"`
-	Window        int64   `json:"window"`
-	FullWindow    int     `json:"full_window,omitempty"`
+	Version    int64 `json:"version"`
+	Reserved   int64 `json:"reserved"`
+	QueueDepth int64 `json:"queue_depth"`
+	Window     int64 `json:"window"`
+	FullWindow int   `json:"full_window,omitempty"`
 
 	Pushes     uint64 `json:"pushes"`
 	Dropped    uint64 `json:"dropped"`
@@ -1391,7 +1359,6 @@ func (s *Server) Status() ServerStatus {
 		Version:         s.cfg.Store.Version(),
 		Reserved:        s.cfg.Store.Reserved(),
 		QueueDepth:      s.cfg.Store.QueueDepth(),
-		ShardVersions:   s.cfg.Store.ShardVersions(),
 		Window:          s.cfg.Store.Window(),
 		FullWindow:      s.fullWindow,
 		Pushes:          s.sm.pushes.Value(),
@@ -1412,10 +1379,9 @@ func (s *Server) Status() ServerStatus {
 	st.Sessions = make([]SessionStatus, 0, len(sessions))
 	for _, sess := range sessions {
 		st.Sessions = append(st.Sessions, SessionStatus{
-			Worker:    sess.worker,
-			Rejoined:  sess.rejoined,
-			DeltaPull: sess.deltaPull,
-			LastSeen:  sess.seen(),
+			Worker:   sess.worker,
+			Rejoined: sess.rejoined,
+			LastSeen: sess.seen(),
 		})
 	}
 	return st

@@ -56,12 +56,7 @@ type session struct {
 	conn   transport.Conn
 	// rejoined reports whether the session re-entered via MsgRejoin.
 	rejoined bool
-	// deltaPull reports that this session negotiated version-gated delta
-	// pulls at registration: its MsgPull requests may carry PullVersions and
-	// its weight chunks may come back Unchanged. Set before the session is
-	// installed, immutable afterwards.
-	deltaPull bool
-	outbox    chan outMsg
+	outbox   chan outMsg
 
 	// gone is closed exactly once when the session ends — deregistered,
 	// superseded, lease-expired, or server-stopped. The writer goroutine and

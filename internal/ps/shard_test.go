@@ -56,9 +56,8 @@ func TestStoreShardCountClampedToTensorCount(t *testing.T) {
 	if st.NumTensors() != 2 {
 		t.Fatalf("NumTensors() = %d, want 2", st.NumTensors())
 	}
-	start, end := st.ShardRange(0)
-	if start != 0 || end == 0 {
-		t.Fatalf("ShardRange(0) = [%d,%d)", start, end)
+	if r := st.ranges[0]; r.Start != 0 || r.End == 0 {
+		t.Fatalf("shard 0 spans [%d,%d)", r.Start, r.End)
 	}
 }
 
@@ -163,7 +162,7 @@ func TestStoreConcurrentApplySnapshotHammer(t *testing.T) {
 					return
 				}
 				for s := 0; s < st.Shards(); s++ {
-					ts, gen, _, _, _, _ := st.AcquireShardDelta(s, -1)
+					ts, gen, _, _ := st.acquireShard(s)
 					gen.release()
 					if len(ts) == 0 {
 						t.Errorf("shard %d snapshot empty", s)
@@ -171,7 +170,6 @@ func TestStoreConcurrentApplySnapshotHammer(t *testing.T) {
 					}
 				}
 				_ = st.Version()
-				_ = st.ParamCount()
 				st.SetLearningRate(0.01)
 			}
 		}(r)

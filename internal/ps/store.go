@@ -29,7 +29,7 @@ import (
 // of the shard's tensors and publishes the copy, so the published tensors are
 // immutable from the moment they become visible. A reader therefore only
 // needs the shard lock for the instant it takes a reference
-// (AcquireShardDelta), and any number of concurrent pulls proceed without
+// (acquireShard), and any number of concurrent pulls proceed without
 // copying or blocking behind gradient application; Apply updates the shards
 // in parallel, so a single push uses multiple cores on large models. The
 // shard layout is fixed at construction and immutable afterwards.
@@ -61,7 +61,6 @@ type Store struct {
 	ranges  []shardRange
 	shapes  [][]int // global tensor index -> shape, immutable
 	version atomic.Int64
-	scalars int // total scalar parameter count, immutable
 
 	// reserved is the ticket counter: the number of pushes accepted into the
 	// pipeline. version <= reserved always; they are equal when the pipeline
@@ -193,18 +192,6 @@ func (s *Store) QueueDepth() int64 {
 	return d
 }
 
-// ShardVersions returns each shard's local publication version (which the
-// checkpoint restore path also bumps), for status snapshots.
-func (s *Store) ShardVersions() []int64 {
-	out := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		out[i] = sh.version
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
 // Window returns the aggregation window currently in effect.
 func (s *Store) Window() int64 { return s.window.Load() }
 
@@ -254,13 +241,6 @@ func (s *Store) Shards() int { return len(s.shards) }
 
 // NumTensors returns the number of parameter tensors across all shards.
 func (s *Store) NumTensors() int { return len(s.shapes) }
-
-// ShardRange returns the half-open global tensor index range [start, end)
-// owned by shard i.
-func (s *Store) ShardRange(i int) (start, end int) {
-	r := s.ranges[i]
-	return r.Start, r.End
-}
 
 // Apply updates the parameters with one set of gradients, blocking until the
 // update is visible on every shard, and returns the push's version — its
@@ -533,15 +513,12 @@ func (s *Store) Snapshot() ([]*tensor.Tensor, int64) {
 	return out, version
 }
 
-// AcquirePackedDelta returns shard i's published parameters in the compressed
-// form produced by pack, with the global index of the first tensor, the
-// store's aggregate version at read time and the shard version the served
-// form encodes — or, when have matches that version, reports the shard
-// unchanged with a nil packed slice and a nil pin (pass a negative have to
-// always receive the packed form). The packed form is cached per shard and
-// recomputed only after a newer snapshot is published, so concurrent pulls
-// from any number of workers share one compression pass per update. It is the
-// compressed twin of AcquireShardDelta: packed is immutable and valid until
+// acquirePacked returns shard i's published parameters in the compressed
+// form produced by pack, with the global index of the first tensor and the
+// store's aggregate version at read time. The packed form is cached per shard
+// and recomputed only after a newer snapshot is published, so concurrent
+// pulls from any number of workers share one compression pass per update. It
+// is the compressed twin of acquireShard: packed is immutable and valid until
 // release is called on the returned pin — exactly once, after the message
 // carrying it has been sent — and the cache fill that supersedes it may then
 // rewrite its buffers, so steady-state compressed pulls allocate nothing. pack
@@ -551,17 +528,16 @@ func (s *Store) Snapshot() ([]*tensor.Tensor, int64) {
 // All callers of a store must pass an equivalent pack function: the cache is
 // keyed on the shard version only, which is exactly the pull path's shape —
 // one server, one negotiated codec.
-func (s *Store) AcquirePackedDelta(i int, have int64, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin, base int, version, shardVersion int64, unchanged bool) {
+func (s *Store) acquirePacked(i int, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin, base int, version int64) {
 	version = s.version.Load()
-	packed, pin, shardVersion, unchanged = s.shards[i].packedDelta(have, pack)
-	return packed, pin, s.ranges[i].Start, version, shardVersion, unchanged
+	packed, pin = s.shards[i].acquirePacked(pack)
+	return packed, pin, s.ranges[i].Start, version
 }
 
-// packedDelta serves the shard's packed cache, filling it first when a newer
-// snapshot than the cached one is published: it returns the packed form and
-// the shard version it encodes, or reports that version equal to have. Unless
-// unchanged, the generation served is pinned and the pin returned.
-func (sh *shard) packedDelta(have int64, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin, shardVersion int64, unchanged bool) {
+// acquirePacked serves the shard's packed cache, filling it first when a newer
+// snapshot than the cached one is published, and returns the packed form
+// with the generation served pinned.
+func (sh *shard) acquirePacked(pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin) {
 	// The compressed form never aliases the parameter buffers, so the
 	// generation is held only for the fill.
 	g, local := sh.acquire()
@@ -581,14 +557,10 @@ func (sh *shard) packedDelta(have int64, pack func(dst []compress.Packed, params
 	}
 	// When another goroutine cached an even newer snapshot between our view
 	// and the lock, serve that one: pulls always get the freshest published
-	// state available. The reported shard version names the snapshot
-	// actually served, so delta gating and the payload can never disagree.
+	// state available.
 	pg := sh.packed
-	if have >= 0 && have == pg.version {
-		return nil, nil, pg.version, true
-	}
 	pg.refs.Add(1)
-	return pg.packed, &pg.genPin, pg.version, false
+	return pg.packed, &pg.genPin
 }
 
 // Version returns the number of updates applied so far.
@@ -606,10 +578,6 @@ func (s *Store) SetLearningRate(lr float64) {
 		sh.mu.Unlock()
 	}
 }
-
-// ParamCount returns the total number of scalar parameters, which determines
-// the per-iteration communication volume.
-func (s *Store) ParamCount() int { return s.scalars }
 
 // sameShape reports whether two dimension lists are identical.
 func sameShape(a, b []int) bool {

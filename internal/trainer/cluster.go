@@ -30,6 +30,8 @@ type serving struct {
 	// single server, or the cluster coordinator. Result statistics
 	// (pushes, drops, staleness, waits, guard, metrics, traces) read from it.
 	policyServer *ps.Server
+	// servers is every server of the topology, the policy server first.
+	servers []*ps.Server
 	// relays is the aggregation tier, when the topology has one.
 	relays []*ps.Relay
 	// stop tears the topology down in dependency order.
@@ -109,6 +111,7 @@ func buildStandalone(cfg Config, policy core.Policy, params []*tensor.Tensor) (*
 		version:      store.Version,
 		setLR:        store.SetLearningRate,
 		policyServer: server,
+		servers:      []*ps.Server{server},
 		stop: func() {
 			server.Stop()
 			net.close()
@@ -272,6 +275,7 @@ func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*ser
 			}
 		},
 		policyServer: servers[0],
+		servers:      servers,
 		stop:         stopAll,
 	}, nil
 }

@@ -94,10 +94,10 @@ type Config struct {
 	// Trace configures sampled push-lifecycle tracing on the server (zero =
 	// default sampling; Every < 0 disables).
 	Trace obs.TraceConfig
-	// relayHook, when set, receives the aggregation tier's relays right
-	// after the topology stands up — a test seam for reading RelayStats and
-	// injecting relay faults. Only meaningful with Fanout >= 2.
-	relayHook func([]*ps.Relay)
+	// hook, when set, receives the topology right after it stands up — a
+	// test seam for reading its servers' registries and its relays'
+	// RelayStats, and for injecting relay faults.
+	hook func(*serving)
 }
 
 // Result collects the measurements of one run.
@@ -195,8 +195,8 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer srv.stop()
-	if cfg.relayHook != nil {
-		cfg.relayHook(srv.relays)
+	if cfg.hook != nil {
+		cfg.hook(srv)
 	}
 
 	test := cfg.Test

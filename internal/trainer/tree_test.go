@@ -1,7 +1,9 @@
 package trainer
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"dssp/internal/compress"
 	"dssp/internal/core"
@@ -59,7 +61,7 @@ func TestTreeTopologyTrainsUnderEveryParadigm(t *testing.T) {
 // TestTreeTopologyWithCompressionAndDeltaPull exercises the per-hop byte
 // paths together: child→relay and relay→root pushes compressed with error
 // feedback at each hop, pulls packed through the relay's cache, which its
-// replica session keeps delta-gated against the root.
+// replica session keeps version-gated against the root.
 func TestTreeTopologyWithCompressionAndDeltaPull(t *testing.T) {
 	cfg := smallConfig(core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: 3})
 	cfg.Workers = 4
@@ -128,7 +130,7 @@ func TestTreeTrafficReconciliation(t *testing.T) {
 	cfg.Workers = 4
 	cfg.Fanout = 2
 	var relays []*ps.Relay
-	cfg.relayHook = func(rs []*ps.Relay) { relays = rs }
+	cfg.hook = func(s *serving) { relays = s.relays }
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,5 +168,84 @@ func TestTreeTrafficReconciliation(t *testing.T) {
 	}
 	if childPushes == 0 {
 		t.Error("relays saw no child pushes")
+	}
+}
+
+// TestRelayUpstreamPullsAreGated pins the traffic the version gate exists
+// for: a relay's upstream cache refreshes once per child pull, and when no
+// push landed since its last refresh the root answers with one empty
+// Unchanged frame. Across tree cells (2 workers at fanout 2, 8 at fanout 4)
+// under BSP, ASP and DSSP, at 2 and 4 shards, at least 30% of the root's
+// pulls are answered that way, each with one Weights frame in place of one
+// per shard. Workers never name a version, so flat and group runs, which
+// have no relay, answer none.
+func TestRelayUpstreamPullsAreGated(t *testing.T) {
+	paradigms := []core.PolicyConfig{
+		{Paradigm: core.ParadigmBSP},
+		{Paradigm: core.ParadigmASP},
+		{Paradigm: core.ParadigmDSSP, Staleness: 1, Range: 4},
+	}
+	run := func(t *testing.T, p core.PolicyConfig, shards int, adjust func(*Config)) ([]*ps.Server, *Result) {
+		t.Helper()
+		cfg := smallConfig(p)
+		cfg.Shards = shards
+		adjust(&cfg)
+		var servers []*ps.Server
+		cfg.hook = func(s *serving) { servers = s.servers }
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return servers, res
+	}
+	for _, p := range paradigms {
+		for _, shards := range []int{2, 4} {
+			for _, cell := range []struct{ workers, fanout int }{{2, 2}, {8, 4}} {
+				name := fmt.Sprintf("%s/shards=%d/workers=%d/fanout=%d", p.Describe(), shards, cell.workers, cell.fanout)
+				t.Run(name, func(t *testing.T) {
+					_, res := run(t, p, shards, func(cfg *Config) {
+						cfg.Workers, cfg.Fanout = cell.workers, cell.fanout
+						// An iteration takes microseconds: without a floor under
+						// it, an ASP worker can finish before its sibling joins,
+						// and a relay of one child pulls only after pushes.
+						cfg.WorkerDelay = make([]time.Duration, cell.workers)
+						for w := range cfg.WorkerDelay {
+							cfg.WorkerDelay[w] = 500 * time.Microsecond
+						}
+					})
+					pulls := res.Metrics["dssp_pull_total"]
+					unchanged := res.Metrics["dssp_pull_unchanged_total"]
+					weights := res.Metrics[`dssp_transport_frames_total{dir="sent",type="Weights"}`]
+					t.Logf("%v of %v root pulls answered Unchanged", unchanged, pulls)
+					if pulls == 0 || unchanged < 0.3*pulls {
+						t.Errorf("%v of %v root pulls answered Unchanged, want at least 30%%", unchanged, pulls)
+					}
+					if want := (pulls-unchanged)*float64(shards) + unchanged; weights != want {
+						t.Errorf("root sent %v Weights frames for %v pulls (%v Unchanged) at %d shards, want %v",
+							weights, pulls, unchanged, shards, want)
+					}
+				})
+			}
+			for _, group := range []bool{false, true} {
+				name := fmt.Sprintf("%s/shards=%d/flat", p.Describe(), shards)
+				if group {
+					name = fmt.Sprintf("%s/shards=%d/group", p.Describe(), shards)
+				}
+				t.Run(name, func(t *testing.T) {
+					servers, _ := run(t, p, shards, func(cfg *Config) {
+						cfg.Workers = 4
+						if group {
+							cfg.ClusterServers = 2
+						}
+					})
+					for i, srv := range servers {
+						m := srv.Registry().Snapshot()
+						if n := m["dssp_pull_unchanged_total"]; n != 0 {
+							t.Errorf("server %d answered %v of its %v worker pulls Unchanged, want none", i, n, m["dssp_pull_total"])
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -10,41 +10,37 @@ import (
 	"time"
 )
 
-// TestV2FieldsRoundTrip pins the delta-pull fields through the binary codec
-// and checks the frame is stamped protocol version 2.
+// TestV2FieldsRoundTrip pins the one v2 field — Unchanged, the gated pull's
+// empty reply — through the binary codec and checks the frame is stamped
+// protocol version 2.
 func TestV2FieldsRoundTrip(t *testing.T) {
-	cases := []Message{
-		{Type: MsgPull, Worker: 3, PullVersions: []int64{0, 7, 42, -1}},
-		{Type: MsgWeights, Worker: 1, Shard: 2, Shards: 4, Base: 3, Total: 9, Version: 17, ShardVersion: 5, Unchanged: true},
-		{Type: MsgRegister, Worker: 2, DeltaPull: true},
-		{Type: MsgRegistered, Worker: 2, Version: 9, StoreShards: 4, DeltaPull: true},
+	m := Message{Type: MsgWeights, Worker: -1, Version: 17, Unchanged: true}
+	frame, err := appendFrame(nil, &m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, m := range cases {
-		frame, err := appendFrame(nil, &m)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if frame[4] != 2 {
-			t.Fatalf("case %d: frame version %d, want 2", i, frame[4])
-		}
-		fr := newFrameReader(bufio.NewReader(bytes.NewReader(frame)))
-		got, err := fr.readFrame()
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("case %d: round trip changed the message:\n got %+v\nwant %+v", i, got, m)
-		}
+	if frame[4] != 2 {
+		t.Fatalf("frame version %d, want 2", frame[4])
+	}
+	fr := newFrameReader(bufio.NewReader(bytes.NewReader(frame)))
+	got, err := fr.readFrame()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("round trip changed the message:\n got %+v\nwant %+v", got, m)
 	}
 }
 
 // TestV1FramesStayV1 pins backward compatibility at the byte level: a
-// message using no delta-pull field must encode to a version-1 frame,
-// identical to what a v1-only build would emit.
+// message that is not an Unchanged reply — a replica's gated Pull included,
+// whose version rides the v1 Version field — must encode to a version-1
+// frame, identical to what a v1-only build would emit.
 func TestV1FramesStayV1(t *testing.T) {
 	for _, m := range []Message{
 		{Type: MsgRegister, Worker: 1, Codec: "topk", CodecTopK: 0.1},
 		{Type: MsgPull, Worker: 2},
+		{Type: MsgPull, Worker: -1, Version: 9},
 		{Type: MsgWeights, Worker: 0, Shard: 1, Shards: 2, Base: 2, Total: 4, Version: 12,
 			Tensors: ToWireOwned(smallMLPGrads(2)[2:])},
 		{Type: MsgHeartbeat, Worker: 5},
@@ -63,7 +59,7 @@ func TestV1FramesStayV1(t *testing.T) {
 // decode as a v2 frame must be rejected when the header claims version 1,
 // so a v1 conversation decodes under exactly the v1 rules.
 func TestV2TagInsideV1FrameRejected(t *testing.T) {
-	m := Message{Type: MsgPull, Worker: 3, PullVersions: []int64{1, 2}}
+	m := Message{Type: MsgWeights, Version: 3, Unchanged: true}
 	frame, err := appendFrame(nil, &m)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dssp/internal/compress"
@@ -61,8 +64,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Type: MsgClusterMap}, // the request form carries no fields
 		{Type: MsgServerAnnounce, Servers: []ServerEntry{{Addr: "10.0.0.3:7070", ShardHi: 2, TensorHi: 3}}, Replica: true},
 		{Type: MsgPromote, Servers: []ServerEntry{{Addr: "10.0.0.3:7070", ShardHi: 2, TensorHi: 3}}},
-		{Type: MsgRegister, Worker: 2, Cluster: true, DeltaPull: true},
-		{Type: MsgRegister, Replica: true, DeltaPull: true},
+		{Type: MsgRegister, Worker: 2, Cluster: true},
+		{Type: MsgRegister, Replica: true},
 	}
 	for i := range v3Msgs {
 		frame, err := appendFrame(nil, &v3Msgs[i])
@@ -78,6 +81,29 @@ func FuzzDecodeFrame(f *testing.F) {
 			down[4] = 2
 			f.Add(down)
 		}
+	}
+	// The gated pull's empty reply must round-trip; each tag the retired
+	// per-shard delta pull used must fail as an unknown tag, by name, in a
+	// frame of any version.
+	unchanged := Message{Type: MsgWeights, Worker: -1, Version: 7, Unchanged: true}
+	frame, err := appendFrame(nil, &unchanged)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if m, err := newFrameReader(bufio.NewReader(bytes.NewReader(frame))).readFrame(); err != nil || !reflect.DeepEqual(m, unchanged) {
+		f.Fatalf("Unchanged reply decoded to %+v, %v", m, err)
+	}
+	f.Add(frame)
+	for _, tag := range []byte{0x0F, 0x10, 0x12} {
+		retired := []byte(wireMagic)
+		retired = append(retired, wireVersion, byte(MsgPull), 0, 0)
+		retired = binary.LittleEndian.AppendUint32(retired, 9)
+		retired = append(retired, tag, 1, 0, 0, 0, 0, 0, 0, 0)
+		_, err := newFrameReader(bufio.NewReader(bytes.NewReader(retired))).readFrame()
+		if want := fmt.Sprintf("unknown field tag 0x%02x", tag); err == nil || !strings.Contains(err.Error(), want) {
+			f.Fatalf("retired tag 0x%02x decoded to error %v, want %q", tag, err, want)
+		}
+		f.Add(retired)
 	}
 	// Hostile headers: giant declared length, bad magic, future version.
 	big := []byte(wireMagic)

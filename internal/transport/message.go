@@ -159,8 +159,11 @@ type Message struct {
 	// Version is the parameter-store version: on Push it is the version the
 	// worker's gradients were computed from (for staleness accounting), on
 	// Weights it is the version of the delivered weights, on Rejoin the last
-	// version the returning worker saw, and on Registered the store's
-	// current version (so a restarted worker knows where training resumed).
+	// version the returning worker saw, on Registered the store's current
+	// version (so a restarted worker knows where training resumed), and on a
+	// replica's Pull the version of the complete reply it already holds,
+	// which the server answers with one Unchanged frame while the store is
+	// still there (0, omitted, never gates).
 	Version int64
 	// Tensors carries gradients (Push) or weights (Weights).
 	Tensors []WireTensor
@@ -193,27 +196,12 @@ type Message struct {
 	StoreShards int
 	// Error carries a description on MsgError messages.
 	Error string
-	// PullVersions, on MsgPull, carries the worker's cached per-shard
-	// publication versions for version-gated delta pulls: entry i is the
-	// ShardVersion of the last full chunk the worker decoded for store shard
-	// i. The server answers shards still at that version with an Unchanged
-	// chunk instead of re-sending the payload. Only sent after both ends
-	// negotiated DeltaPull. Binary wire tag 0x0F (protocol v2).
-	PullVersions []int64
-	// ShardVersion, on MsgWeights, is the shard-local publication version of
-	// this chunk's payload — the key the worker echoes back in PullVersions
-	// on its next pull. It is distinct from Version, the store-wide aggregate
-	// used for staleness accounting. Binary wire tag 0x10 (protocol v2).
-	ShardVersion int64
-	// Unchanged marks a MsgWeights chunk carrying no payload: the shard is
-	// still at the version the worker sent in PullVersions, so the worker
-	// reuses its cached tensors. Binary wire tag 0x11 (protocol v2).
+	// Unchanged marks a MsgWeights reply that carries no payload: the pull
+	// named the version of the weights its sender already holds (Version, on
+	// a replica's MsgPull) and the store is still at it, so the one frame
+	// with Unchanged and that Version stands for the whole reply. Binary wire
+	// tag 0x11 (protocol v2).
 	Unchanged bool
-	// DeltaPull requests (on MsgRegister/MsgRejoin) or grants (on
-	// MsgRegistered) version-gated delta pulls. Binary wire tag 0x12
-	// (protocol v2); a v1 peer can neither request nor be granted it, which
-	// is what keeps v1 interop intact.
-	DeltaPull bool
 	// Servers carries cluster-map entries: the full map on a MsgClusterMap
 	// reply, the announcer's single entry on MsgServerAnnounce and
 	// MsgPromote. Binary wire tag 0x13 (protocol v3).

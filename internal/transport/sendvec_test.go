@@ -14,8 +14,8 @@ import (
 // vectoredFrames is the message set the by-reference send path must put on
 // the wire byte for byte as appendFrame encodes it: the golden fp16 Push and
 // Weights frames (wire_golden_test.go), dense Push and Weights frames whose
-// big slabs cross refSlabMin next to small ones that stay inline, and one
-// frame per protocol version above 1 that carries a payload.
+// big slabs cross refSlabMin next to small ones that stay inline, and a
+// frame of v4, the one protocol version above 1 that carries a payload.
 func vectoredFrames(t *testing.T) []Message {
 	t.Helper()
 	comp, err := compress.NewCompressor(compress.Config{Codec: compress.FP16})
@@ -31,8 +31,8 @@ func vectoredFrames(t *testing.T) []Message {
 			Packed: compress.Pack(grads, compress.Config{Codec: compress.FP16, Pull: true})},
 		{Type: MsgPush, Worker: 1, Iteration: 9, Version: 17, Tensors: ToWireOwned(dense)},
 		{Type: MsgWeights, Worker: 1, Shard: 0, Shards: 2, Total: 8, Version: 18, Tensors: ToWireOwned(dense[:2])},
-		{Type: MsgWeights, Worker: 1, Shard: 1, Shards: 2, Base: 2, Total: 8, Version: 18, ShardVersion: 5,
-			Tensors: ToWireOwned(dense[2:])}, // v2
+		{Type: MsgWeights, Worker: 1, Shard: 1, Shards: 2, Base: 2, Total: 8, Version: 18,
+			Tensors: ToWireOwned(dense[2:])},
 		{Type: MsgWeights, Worker: 1, Shards: 1, Total: 3, Tensors: ToWireOwned(odd)}, // padding before every slab
 		{Type: MsgPush, Worker: -1, Version: 3, Iteration: 2, Tensors: ToWireOwned(dense),
 			PushEntries: []PushEntry{{Worker: 0, Version: 3, Iteration: 2}, {Worker: 1, Version: 4, Iteration: 2}}}, // v4

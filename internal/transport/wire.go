@@ -44,7 +44,7 @@ import (
 const (
 	wireMagic = "DSSP"
 	// wireVersion is the newest protocol version this build speaks; version
-	// 2 added the delta-pull fields (tags 0x0F..0x12), version 3 the
+	// 2 added the Unchanged pull reply (tag 0x11), version 3 the
 	// server-group fields (tags 0x13..0x16) and message types 13..15, and
 	// version 4 the aggregation-tree fields (tags 0x17..0x18). Every frame is
 	// stamped with the lowest version able to express it (frameVersion), so a
@@ -109,12 +109,11 @@ const (
 	tagTensors     = 0x0D // tensor section
 	tagPacked      = 0x0E // packed section
 
-	// Version-2 tags (delta pulls). A frame carrying any of these is stamped
-	// protocol version 2; decoders reject them inside a version-1 frame.
-	tagPullVersions = 0x0F // uint32 count + count × uint64 (two's-complement int64)
-	tagShardVersion = 0x10 // uint64 (two's-complement int64)
-	tagUnchanged    = 0x11 // uint8, must be 1
-	tagDeltaPull    = 0x12 // uint8, must be 1
+	// Version-2 tag (the gated pull's empty reply). A frame carrying it is
+	// stamped protocol version 2; decoders reject it inside a version-1
+	// frame. Tags 0x0F, 0x10 and 0x12 carried the retired per-shard delta
+	// pull: they decode as unknown and are never reused.
+	tagUnchanged = 0x11 // uint8, must be 1
 
 	// Version-3 tags (server groups). A frame carrying any of these — or one
 	// of the cluster message types MsgClusterMap, MsgServerAnnounce,
@@ -135,7 +134,7 @@ const (
 // any aggregation-tree field is present, 3 when any server-group field is
 // present or the type itself is a cluster message (so a pre-cluster peer
 // rejects the frame outright instead of silently ignoring an unknown type),
-// 2 when any delta-pull field is present, 1 otherwise. Encoding at the
+// 2 when it is an Unchanged pull reply, 1 otherwise. Encoding at the
 // minimum keeps frames canonical and lets a v4 build interoperate with older
 // peers for every conversation that never negotiates newer features.
 func frameVersion(m *Message) byte {
@@ -146,7 +145,7 @@ func frameVersion(m *Message) byte {
 		m.Type == MsgClusterMap || m.Type == MsgServerAnnounce || m.Type == MsgPromote {
 		return 3
 	}
-	if len(m.PullVersions) > 0 || m.ShardVersion != 0 || m.Unchanged || m.DeltaPull {
+	if m.Unchanged {
 		return 2
 	}
 	return 1
@@ -155,7 +154,7 @@ func frameVersion(m *Message) byte {
 // FrameVersion reports the binary protocol version the wire encoder would
 // stamp on m (docs/PROTOCOL.md §3): 4 when any aggregation-tree field is
 // present, 3 when any server-group field or cluster message type is present,
-// 2 when any delta-pull field is present, 1 otherwise. An older peer rejects
+// 2 for an Unchanged pull reply, 1 otherwise. An older peer rejects
 // higher-version frames, so higher layers use this to pin that messages
 // bound for un-negotiated sessions stay expressible in protocol version 1.
 func FrameVersion(m Message) byte { return frameVersion(&m) }
@@ -378,25 +377,8 @@ func appendBody(dst []byte, bodyStart int, m *Message, refs *frameRefs) ([]byte,
 			return dst, err
 		}
 	}
-	if len(m.PullVersions) > 0 {
-		if len(m.PullVersions) > maxFrameBody/8 {
-			return dst, fmt.Errorf("transport: %d pull versions exceed the frame limit", len(m.PullVersions))
-		}
-		dst = append(dst, tagPullVersions)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.PullVersions)))
-		for _, v := range m.PullVersions {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
-	}
-	if m.ShardVersion != 0 {
-		dst = append(dst, tagShardVersion)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.ShardVersion))
-	}
 	if m.Unchanged {
 		dst = append(dst, tagUnchanged, 1)
-	}
-	if m.DeltaPull {
-		dst = append(dst, tagDeltaPull, 1)
 	}
 	if len(m.Servers) > 0 {
 		if dst, err = appendServersSection(dst, m.Servers); err != nil {
@@ -839,7 +821,7 @@ func parseBody(typ, version byte, body []byte) (Message, error) {
 		if tag <= prevTag {
 			return Message{}, fmt.Errorf("transport: field tag 0x%02x out of order after 0x%02x", tag, prevTag)
 		}
-		if tag >= tagPullVersions && tag <= tagDeltaPull && version < 2 {
+		if tag == tagUnchanged && version < 2 {
 			return Message{}, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 2 but the frame is version %d",
 				MessageType(typ), tag, version)
 		}
@@ -917,29 +899,6 @@ func parseBody(typ, version byte, body []byte) (Message, error) {
 			m.Tensors, off, err = parseTensorSection(body, off)
 		case tagPacked:
 			m.Packed, off, err = parsePackedSection(body, off)
-		case tagPullVersions:
-			if off+4 > len(body) {
-				err = errTruncatedField
-			} else {
-				n := int(binary.LittleEndian.Uint32(body[off:]))
-				if n < 0 || n > (len(body)-off-4)/8 {
-					err = fmt.Errorf("transport: %d pull versions cannot fit in %d remaining bytes", n, len(body)-off-4)
-				} else {
-					off += 4
-					m.PullVersions = make([]int64, n)
-					for i := range m.PullVersions {
-						m.PullVersions[i] = int64(binary.LittleEndian.Uint64(body[off:]))
-						off += 8
-					}
-				}
-			}
-		case tagShardVersion:
-			if off+8 > len(body) {
-				err = errTruncatedField
-			} else {
-				m.ShardVersion = int64(binary.LittleEndian.Uint64(body[off:]))
-				off += 8
-			}
 		case tagUnchanged:
 			if off >= len(body) {
 				err = errTruncatedField
@@ -947,15 +906,6 @@ func parseBody(typ, version byte, body []byte) (Message, error) {
 				err = fmt.Errorf("transport: Unchanged byte is %d, want 1", body[off])
 			} else {
 				m.Unchanged = true
-				off++
-			}
-		case tagDeltaPull:
-			if off >= len(body) {
-				err = errTruncatedField
-			} else if body[off] != 1 {
-				err = fmt.Errorf("transport: DeltaPull byte is %d, want 1", body[off])
-			} else {
-				m.DeltaPull = true
 				off++
 			}
 		case tagServers:

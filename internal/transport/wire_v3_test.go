@@ -20,7 +20,7 @@ func TestServerGroupRoundTrip(t *testing.T) {
 		{Type: MsgServerAnnounce, Servers: []ServerEntry{{Addr: "a", ShardHi: 1, TensorHi: 1}}},
 		{Type: MsgServerAnnounce, Servers: []ServerEntry{{Addr: "b:1", ShardLo: 1, ShardHi: 2, TensorLo: 1, TensorHi: 2}}, Replica: true},
 		{Type: MsgPromote, Servers: []ServerEntry{{Addr: "b:1", ShardLo: 1, ShardHi: 2, TensorLo: 1, TensorHi: 2}}},
-		{Type: MsgRegister, Worker: 3, Cluster: true, DeltaPull: true},
+		{Type: MsgRegister, Worker: 3, Cluster: true},
 		{Type: MsgRegister, Replica: true},
 	}
 	for _, want := range msgs {
@@ -57,7 +57,7 @@ func TestFrameVersionStampsClusterMessages(t *testing.T) {
 		{Message{Type: MsgRegister, Cluster: true}, 3},
 		{Message{Type: MsgRegister, Replica: true}, 3},
 		{Message{Type: MsgOK, MapVersion: 2}, 3},
-		{Message{Type: MsgRegister, DeltaPull: true}, 2},
+		{Message{Type: MsgWeights, Unchanged: true}, 2},
 		{Message{Type: MsgRegister}, 1},
 		{Message{Type: MsgPush, Version: 9}, 1},
 	}

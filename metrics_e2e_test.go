@@ -158,8 +158,7 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 		"dssp_release_lag_seconds_count",
 		"dssp_pull_total",
 		"dssp_pull_seconds_count",
-		`dssp_pull_shard_chunks_total{result="full"}`,
-		`dssp_pull_shard_chunks_total{result="unchanged"}`,
+		"dssp_pull_unchanged_total",
 		"dssp_guard_flags_total",
 		"dssp_guard_evictions_total",
 		"dssp_cluster_map_requests_total",

@@ -104,15 +104,6 @@ func (c *vectorClock) Max() (WorkerID, int) {
 	return maxW, maxC
 }
 
-// Spread returns the difference between the fastest and the slowest worker's
-// counts. A policy with staleness bound s must keep Spread() <= s at the
-// moments it releases workers.
-func (c *vectorClock) Spread() int {
-	_, maxC := c.Max()
-	_, minC := c.Min()
-	return maxC - minC
-}
-
 // Len returns the number of workers tracked.
 func (c *vectorClock) Len() int { return len(c.counts) }
 

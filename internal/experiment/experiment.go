@@ -8,10 +8,10 @@
 // as text or JSON.
 //
 // A second, simulator-backed matrix (TimingMatrix) crosses synchronization
-// paradigms with hostile network scenarios (Markov-modulated flapping,
-// slow, and partitioned links plus mid-run crash/rejoin events) to measure
-// the timing side: finish time, throughput, staleness, and simulated guard
-// evictions at scales the in-process trainer cannot reach.
+// paradigms with hostile links (Markov-modulated flapping and partitioned
+// links) and the aggregation-relay tier to measure the timing side: finish
+// time, throughput, staleness and root ingress at scales the in-process
+// trainer cannot reach.
 package experiment
 
 import (
@@ -73,11 +73,6 @@ func GradScaleAttack(factor float64, workers ...int) Attack {
 	}
 }
 
-// SignFlipAttack makes the listed workers negate their gradients.
-func SignFlipAttack(workers ...int) Attack {
-	return Attack{Name: "sign-flip", Workers: workers, Adversary: trainer.Adversary{SignFlip: true}}
-}
-
 // LyingClockAttack makes the listed workers claim impossible base versions.
 func LyingClockAttack(workers ...int) Attack {
 	return Attack{Name: "lying-clock", Workers: workers, Adversary: trainer.Adversary{LieVersion: true}}
@@ -90,19 +85,6 @@ func SumDefense() Defense { return Defense{Name: "sum"} }
 // trimmed mean.
 func TrimmedMeanDefense() Defense {
 	return Defense{Name: "trimmed-mean", Aggregator: ps.AggregatorConfig{Kind: ps.AggTrimmedMean}}
-}
-
-// MedianDefense aggregates over windows with the coordinate-wise median.
-func MedianDefense() Defense {
-	return Defense{Name: "median", Aggregator: ps.AggregatorConfig{Kind: ps.AggMedian}}
-}
-
-// ClippedDefense caps per-tensor gradient norms at clip.
-func ClippedDefense(clip float64) Defense {
-	return Defense{
-		Name:       fmt.Sprintf("clipped(%g)", clip),
-		Aggregator: ps.AggregatorConfig{Kind: ps.AggClipped, ClipNorm: clip},
-	}
 }
 
 // GuardedDefense adds the anomaly guard to another defense.

@@ -11,21 +11,15 @@ import (
 // timePrecision rounds simulated durations in the text table.
 const timePrecision = time.Millisecond
 
-// NetworkScenario is one hostile-network column of the timing matrix:
-// Markov-modulated link models, scheduled events, and clock-level
-// adversaries applied to a simulated run.
+// NetworkScenario is one hostile-network column of the timing matrix: the
+// Markov-modulated link models a simulated run's workers push and pull
+// over. Crashes, adversaries and the anomaly guard are not simulated; they
+// run on the real stack (internal/trainer).
 type NetworkScenario struct {
 	// Name labels the scenario in reports.
 	Name string
 	// Links assigns delay models to worker links (see simulate.LinkModel).
 	Links map[int]simulate.LinkModel
-	// Events schedules crashes, rejoins, delay shifts and adversary
-	// toggles.
-	Events []simulate.Event
-	// Adversaries assigns initial clock-level behaviours.
-	Adversaries map[int]simulate.AdversaryKind
-	// Guard enables the simulated anomaly guard.
-	Guard simulate.GuardSpec
 }
 
 // Standard network columns.
@@ -36,11 +30,6 @@ func CalmNetwork() NetworkScenario { return NetworkScenario{Name: "calm"} }
 // FlappingNetwork degrades the listed workers' links in short 10x bursts.
 func FlappingNetwork(workers ...int) NetworkScenario {
 	return NetworkScenario{Name: "flapping", Links: linksFor(simulate.LinkFlapping(), workers)}
-}
-
-// SlowNetwork pins the listed workers behind permanently 4x-slower links.
-func SlowNetwork(workers ...int) NetworkScenario {
-	return NetworkScenario{Name: "slow", Links: linksFor(simulate.LinkSlow(), workers)}
 }
 
 // PartitionedNetwork subjects the listed workers to extended near-outages.
@@ -57,7 +46,8 @@ func linksFor(model simulate.LinkModel, workers []int) map[int]simulate.LinkMode
 }
 
 // TimingCell is one aggregated (scenario, paradigm, fanout) cell of the
-// timing matrix.
+// timing matrix: a simulated run's timing under hostile links and the relay
+// tier, averaged over trials.
 type TimingCell struct {
 	// Scenario and Paradigm name the cell's coordinates.
 	Scenario string `json:"scenario"`
@@ -71,11 +61,9 @@ type TimingCell struct {
 	Throughput float64 `json:"throughput"`
 	// MeanStaleness is the mean update staleness.
 	MeanStaleness float64 `json:"mean_staleness"`
-	// MeanDropped is the mean number of rejected updates per trial (policy
-	// drops plus guard rejections).
+	// MeanDropped is the mean number of updates the policy dropped per
+	// trial (backup workers' stragglers).
 	MeanDropped float64 `json:"mean_dropped"`
-	// MeanEvictions is the mean number of simulated guard evictions.
-	MeanEvictions float64 `json:"mean_evictions"`
 	// MeanRootFrames and MeanRootBytes are the mean push ingress the root
 	// absorbed per trial: the load the relay tier exists to cut.
 	MeanRootFrames float64 `json:"mean_root_frames"`
@@ -86,7 +74,8 @@ type TimingCell struct {
 // crossed with every network scenario.
 type TimingMatrixConfig struct {
 	// Model and Cluster describe the simulated workload; zero values pick
-	// a small default (ResNet-8-class profile on 8 heterogeneous workers).
+	// a small default (a tiny model profile on simulate.HeterogeneousCluster,
+	// one GTX1080Ti and one GTX1060 worker).
 	Model   simulate.ModelProfile
 	Cluster simulate.ClusterSpec
 	// Policies are the paradigms to sweep; empty defaults to BSP, SSP and
@@ -96,9 +85,7 @@ type TimingMatrixConfig struct {
 	// and partitioned with worker 0 affected.
 	Scenarios []NetworkScenario
 	// Fanouts are the aggregation-tier fanouts to sweep (0 = flat); empty
-	// defaults to flat only. A scenario whose guard is enabled skips
-	// fanout >= 2 cells — the real root refuses relay trunks under a
-	// guard, so those cells cannot exist.
+	// defaults to flat only.
 	Fanouts []int
 	// Iterations is each worker's iteration budget; 0 picks 60.
 	Iterations int
@@ -146,9 +133,6 @@ func TimingMatrix(cfg TimingMatrixConfig) ([]TimingCell, error) {
 	for _, sc := range cfg.Scenarios {
 		for _, pol := range cfg.Policies {
 			for _, fanout := range cfg.Fanouts {
-				if fanout >= 2 && sc.Guard.Enabled {
-					continue
-				}
 				cell := TimingCell{Scenario: sc.Name, Paradigm: pol.Describe(), Fanout: fanout}
 				for trial := 0; trial < cfg.Trials; trial++ {
 					res, err := simulate.Run(simulate.RunConfig{
@@ -156,10 +140,7 @@ func TimingMatrix(cfg TimingMatrixConfig) ([]TimingCell, error) {
 						Cluster:             cfg.Cluster,
 						Policy:              pol,
 						IterationsPerWorker: cfg.Iterations,
-						Events:              sc.Events,
 						Links:               sc.Links,
-						Adversaries:         sc.Adversaries,
-						Guard:               sc.Guard,
 						Fanout:              fanout,
 						Seed:                cfg.Seed + int64(trial)*104729,
 					})
@@ -169,8 +150,7 @@ func TimingMatrix(cfg TimingMatrixConfig) ([]TimingCell, error) {
 					cell.MeanFinish += res.Finish
 					cell.Throughput += res.Throughput()
 					cell.MeanStaleness += res.MeanStaleness()
-					cell.MeanDropped += float64(res.DroppedUpdates + res.GuardDropped)
-					cell.MeanEvictions += float64(len(res.Evicted))
+					cell.MeanDropped += float64(res.DroppedUpdates)
 					cell.MeanRootFrames += float64(res.RootIngressFrames)
 					cell.MeanRootBytes += float64(res.RootIngressBytes)
 				}
@@ -179,7 +159,6 @@ func TimingMatrix(cfg TimingMatrixConfig) ([]TimingCell, error) {
 				cell.Throughput /= n
 				cell.MeanStaleness /= n
 				cell.MeanDropped /= n
-				cell.MeanEvictions /= n
 				cell.MeanRootFrames /= n
 				cell.MeanRootBytes /= n
 				cells = append(cells, cell)

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"dssp/internal/core"
 	"dssp/internal/tensor"
 )
 
@@ -17,6 +16,12 @@ const (
 	// in magnitude across training; an 8× jump against the recent median is
 	// an attack or a numerical blow-up, both worth rejecting.
 	DefaultNormFactor = 8.0
+	// DefaultFloodSlack is how many pushes a worker may make per pull
+	// before it is flagged for flooding. Honest workers push once per pull;
+	// the slack absorbs reconnect-and-retry sequences.
+	DefaultFloodSlack = 3
+	// DefaultMaxStrikes is how many flags evict a worker.
+	DefaultMaxStrikes = 3
 	// normHistory is the length of the trailing window the median push norm
 	// is computed over.
 	normHistory = 64
@@ -24,10 +29,10 @@ const (
 
 // GuardConfig enables the server-side anomaly guard: every push is screened
 // for gradient-norm outliers (DefaultNormFactor), impossible version claims
-// (lying clocks) and push floods (core.DefaultFloodSlack). A flagged push is
+// (lying clocks) and push floods (DefaultFloodSlack). A flagged push is
 // dropped — the policy still releases workers exactly as if it were applied,
 // so barrier paradigms never deadlock on a rejected payload — and a worker
-// accumulating core.DefaultMaxStrikes flags is evicted through the session
+// accumulating DefaultMaxStrikes flags is evicted through the session
 // lease layer, exactly like a worker whose lease expired. The public surface
 // exposes it as dssp.Guard.
 type GuardConfig struct {
@@ -63,10 +68,13 @@ type guard struct {
 	// evictions and rejected pushes there and nowhere else.
 	sm *serverMetrics
 
-	mu      sync.Mutex
-	clock   *core.ClockMonitor
-	strikes []int
-	evicted []int
+	mu sync.Mutex
+	// sincePull counts each worker's pushes since its last pull: the
+	// worker protocol is pull-compute-push, so more than DefaultFloodSlack
+	// is a flood.
+	sincePull []int
+	strikes   []int
+	evicted   []int
 	// norms is the trailing ring of accepted push norms; median over it is
 	// the baseline the outlier check compares against. Flagged pushes are
 	// excluded so an attacker cannot drag the baseline toward its own
@@ -83,29 +91,39 @@ func newGuard(cfg GuardConfig, workers int, sm *serverMetrics) *guard {
 		return nil
 	}
 	return &guard{
-		sm:      sm,
-		clock:   core.NewClockMonitor(workers, core.DefaultFloodSlack),
-		strikes: make([]int, workers),
+		sm:        sm,
+		sincePull: make([]int, workers),
+		strikes:   make([]int, workers),
 	}
 }
 
-// observePull feeds a pull into the flood detector.
+// observePull resets the worker's flood count.
 func (g *guard) observePull(worker int) {
 	g.mu.Lock()
-	g.clock.ObservePull(core.WorkerID(worker))
+	g.sincePull[worker] = 0
 	g.mu.Unlock()
 }
 
 // checkPush screens one decoded push: claimedBase against the highest
-// version the server ever produced, and the gradient's total L2 norm
-// against the trailing median. grads may be nil (decode failure — already
-// an error path, nothing to screen beyond the clocks).
+// version the server ever produced, the worker's pushes since its last
+// pull against DefaultFloodSlack, and the gradient's total L2 norm against
+// the trailing median. grads may be nil (decode failure — already an error
+// path, nothing to screen beyond the clocks).
 func (g *guard) checkPush(worker int, claimedBase, serverVersion int64, grads []*tensor.Tensor) guardVerdict {
 	norm, normOK := pushNorm(grads)
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	flags := len(g.clock.ObservePush(core.WorkerID(worker), claimedBase, serverVersion))
+	flags := 0
+	if claimedBase > serverVersion {
+		// A lying clock: no worker can hold a version the server never
+		// produced. An honest race only ever makes a claim staler.
+		flags++
+	}
+	g.sincePull[worker]++
+	if g.sincePull[worker] > DefaultFloodSlack {
+		flags++
+	}
 	if grads != nil {
 		if !normOK {
 			// NaN/Inf gradient: always anomalous, no baseline needed.
@@ -125,7 +143,7 @@ func (g *guard) checkPush(worker int, claimedBase, serverVersion int64, grads []
 	g.sm.guardFlags.Add(uint64(flags))
 	g.sm.droppedGuard.Inc()
 	v := guardVerdict{drop: true}
-	if g.strikes[worker] >= core.DefaultMaxStrikes {
+	if g.strikes[worker] >= DefaultMaxStrikes {
 		v.evict = true
 		g.evicted = append(g.evicted, worker)
 		g.sm.guardEvictions.Inc()
@@ -137,8 +155,8 @@ func (g *guard) checkPush(worker int, claimedBase, serverVersion int64, grads []
 func (g *guard) stats() GuardStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	// Clock flags and norm flags both land in strikes; report strikes, the
-	// union the eviction rule acts on.
+	// Clock flags and norm flags both land in strikes, the count the
+	// eviction rule acts on.
 	st := GuardStats{
 		Flags:         make([]int, len(g.strikes)),
 		Evicted:       append([]int(nil), g.evicted...),
@@ -190,5 +208,5 @@ func (c GuardConfig) String() string {
 	if !c.Enabled {
 		return "off"
 	}
-	return fmt.Sprintf("norm>%gx,strikes=%d,flood>%d", DefaultNormFactor, core.DefaultMaxStrikes, core.DefaultFloodSlack)
+	return fmt.Sprintf("norm>%gx,strikes=%d,flood>%d", DefaultNormFactor, DefaultMaxStrikes, DefaultFloodSlack)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dssp/internal/core"
 	"dssp/internal/obs"
 	"dssp/internal/tensor"
 )
@@ -39,27 +38,27 @@ func TestGuardNormOutlier(t *testing.T) {
 	}
 
 	// An 8x-median outlier (norm ~ sqrt(2)*100 vs median sqrt(2)).
-	for strike := 1; strike <= core.DefaultMaxStrikes; strike++ {
+	for strike := 1; strike <= DefaultMaxStrikes; strike++ {
 		g.observePull(1)
 		v := g.checkPush(1, 0, 0, gradsOf(100, 100))
 		if !v.drop {
 			t.Fatalf("outlier push %d not dropped", strike)
 		}
-		wantEvict := strike == core.DefaultMaxStrikes
+		wantEvict := strike == DefaultMaxStrikes
 		if v.evict != wantEvict {
 			t.Fatalf("strike %d: evict=%v, want %v", strike, v.evict, wantEvict)
 		}
 	}
 
 	st := g.stats()
-	if st.Flags[1] != core.DefaultMaxStrikes || st.Flags[0] != 0 {
-		t.Fatalf("flags %v, want worker 1 = %d", st.Flags, core.DefaultMaxStrikes)
+	if st.Flags[1] != DefaultMaxStrikes || st.Flags[0] != 0 {
+		t.Fatalf("flags %v, want worker 1 = %d", st.Flags, DefaultMaxStrikes)
 	}
 	if len(st.Evicted) != 1 || st.Evicted[0] != 1 {
 		t.Fatalf("evicted %v, want [1]", st.Evicted)
 	}
-	if st.DroppedPushes != core.DefaultMaxStrikes {
-		t.Fatalf("dropped %d, want %d", st.DroppedPushes, core.DefaultMaxStrikes)
+	if st.DroppedPushes != DefaultMaxStrikes {
+		t.Fatalf("dropped %d, want %d", st.DroppedPushes, DefaultMaxStrikes)
 	}
 }
 
@@ -97,7 +96,7 @@ func TestGuardLyingClock(t *testing.T) {
 func TestGuardPushFlood(t *testing.T) {
 	g := testGuard(GuardConfig{Enabled: true}, 1)
 	g.observePull(0)
-	for i := 0; i < core.DefaultFloodSlack; i++ {
+	for i := 0; i < DefaultFloodSlack; i++ {
 		if v := g.checkPush(0, 0, 0, gradsOf(1)); v.drop {
 			t.Fatalf("push %d within slack dropped", i)
 		}
@@ -135,5 +134,63 @@ func TestGuardNilGrads(t *testing.T) {
 	g.observePull(0)
 	if v := g.checkPush(0, 99, 0, nil); !v.drop {
 		t.Fatal("nil grads with lying clock not dropped")
+	}
+}
+
+// TestGuardFutureVersionStrike: a claim at the reserved version is honest,
+// one past it is a lie, and the strike lands on the liar alone.
+func TestGuardFutureVersionStrike(t *testing.T) {
+	g := testGuard(GuardConfig{Enabled: true}, 2)
+	g.observePull(0)
+	if v := g.checkPush(0, 10, 10, gradsOf(1)); v.drop {
+		t.Fatalf("claim at the reserved version dropped: %+v", v)
+	}
+	g.observePull(0)
+	if v := g.checkPush(0, 11, 10, gradsOf(1)); !v.drop || v.evict {
+		t.Fatalf("claim one past the reserved version: verdict %+v, want drop and no eviction", v)
+	}
+	if st := g.stats(); st.Flags[0] != 1 || st.Flags[1] != 0 {
+		t.Fatalf("flags %v, want [1 0]", st.Flags)
+	}
+}
+
+// TestGuardFloodStrikeResetsOnPull: the (slack+1)-th push without a pull is
+// one strike, and a pull starts the count again.
+func TestGuardFloodStrikeResetsOnPull(t *testing.T) {
+	g := testGuard(GuardConfig{Enabled: true}, 1)
+	g.observePull(0)
+	for i := 0; i < DefaultFloodSlack; i++ {
+		g.checkPush(0, 0, 0, gradsOf(1))
+	}
+	if v := g.checkPush(0, 0, 0, gradsOf(1)); !v.drop {
+		t.Fatal("flood push not dropped")
+	}
+	if st := g.stats(); st.Flags[0] != 1 {
+		t.Fatalf("flags %v, want [1]", st.Flags)
+	}
+	g.observePull(0)
+	for i := 0; i < DefaultFloodSlack; i++ {
+		if v := g.checkPush(0, 0, 0, gradsOf(1)); v.drop {
+			t.Fatalf("push %d after the pull dropped", i)
+		}
+	}
+	if st := g.stats(); st.Flags[0] != 1 {
+		t.Fatalf("flags %v after the pull, want [1]", st.Flags)
+	}
+}
+
+// TestGuardLieAndFloodStrikes: one push that both lies and floods earns two
+// strikes at once.
+func TestGuardLieAndFloodStrikes(t *testing.T) {
+	g := testGuard(GuardConfig{Enabled: true}, 1)
+	g.observePull(0)
+	for i := 0; i < DefaultFloodSlack; i++ {
+		g.checkPush(0, 0, 0, gradsOf(1))
+	}
+	if v := g.checkPush(0, 100, 0, gradsOf(1)); !v.drop || v.evict {
+		t.Fatalf("verdict %+v, want drop and no eviction", v)
+	}
+	if st := g.stats(); st.Flags[0] != 2 {
+		t.Fatalf("flags %v, want [2]", st.Flags)
 	}
 }

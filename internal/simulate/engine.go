@@ -22,33 +22,18 @@ type RunConfig struct {
 	Policy core.PolicyConfig
 	// IterationsPerWorker is how many mini-batches each worker processes.
 	IterationsPerWorker int
-	// Events schedules mid-run perturbations: crashes, rejoins, delay
-	// shifts and adversary toggles (see Event).
-	Events []Event
 	// Links assigns Markov-modulated delay models to worker links (see
-	// LinkModel and the Link* presets). Workers absent from the map have
-	// calm links.
+	// LinkModel and the Link* presets). Every key must name a worker of the
+	// cluster; workers absent from the map have calm links.
 	Links map[int]LinkModel
-	// Adversaries assigns initial clock-level Byzantine behaviours to
-	// workers (toggled mid-run by EventAdversary).
-	Adversaries map[int]AdversaryKind
-	// Guard enables the simulated server's anomaly guard: flagged pushes
-	// are dropped and repeat offenders evicted, mirroring the real
-	// server's GuardConfig.
-	Guard GuardSpec
 	// Fanout, when >= 2, interposes the aggregation-relay tier (DESIGN.md
 	// §11): relay r fronts workers [r*Fanout, (r+1)*Fanout), sums their
 	// pushes into one partial and forwards a single frame to the root, so
 	// the root link carries O(workers/Fanout) frames per round instead of
 	// O(workers). Child hops ride per-relay links; only relay frames
-	// contend on the root link. 0 or 1 means flat. Mirroring the real
-	// server's relay admission, Fanout >= 2 is incompatible with Guard.
+	// contend on the root link. A relay forwards a partial incomplete once
+	// it has waited relayFlush for straggling members. 0 or 1 means flat.
 	Fanout int
-	// RelayFlush bounds how long a relay partial waits for straggling
-	// group members before forwarding incomplete, mirroring the real
-	// relay's watchdog; 0 picks the default 50ms
-	// (ps.DefaultRelayFlushInterval). Only meaningful with Fanout >= 2.
-	RelayFlush time.Duration
 	// Seed drives compute-time jitter.
 	Seed int64
 }
@@ -76,15 +61,6 @@ type RunResult struct {
 	Waits []time.Duration
 	// DroppedUpdates counts pushes discarded by the policy (backup workers).
 	DroppedUpdates int
-	// GuardDropped counts pushes rejected by the anomaly guard (zero
-	// unless RunConfig.Guard is enabled).
-	GuardDropped int
-	// Flags is the guard's per-worker anomaly count.
-	Flags []int
-	// Evicted lists workers the guard evicted, in eviction order.
-	Evicted []int
-	// Rejoins counts workers brought back by EventRejoin.
-	Rejoins int
 	// RootIngressFrames counts push frames arriving at the root: one per
 	// worker push when flat, one per forwarded relay partial under
 	// RunConfig.Fanout >= 2.
@@ -158,14 +134,6 @@ const (
 	// evPullDone fires when a released worker has finished pulling the
 	// fresh global weights.
 	evPullDone
-	// evFail fires when a worker crashes (EventCrash).
-	evFail
-	// evRejoin fires when a crashed worker comes back (EventRejoin).
-	evRejoin
-	// evDelayShift rescales a worker's compute time (EventDelayShift).
-	evDelayShift
-	// evAdversary switches a worker's adversary behaviour (EventAdversary).
-	evAdversary
 	// evRelayIngress fires when a push has fully arrived at the worker's
 	// relay (RunConfig.Fanout >= 2).
 	evRelayIngress
@@ -173,7 +141,7 @@ const (
 	// at the root.
 	evRelayArrive
 	// evRelayFlush is a relay's watchdog: it forwards a partial that has
-	// waited RelayFlush for straggling group members.
+	// waited relayFlush for straggling group members.
 	evRelayFlush
 )
 
@@ -183,13 +151,6 @@ type event struct {
 	seq    int
 	kind   eventKind
 	worker int
-	// extra marks a flood adversary's surplus pushes: they traverse the
-	// full push path but do not consume the worker's iteration budget.
-	extra bool
-	// factor carries the delay-shift multiplier.
-	factor float64
-	// adversary carries the behaviour an evAdversary event installs.
-	adversary AdversaryKind
 	// batch lists the logical pushes folded into a relay frame
 	// (evRelayArrive), in arrival order at the relay.
 	batch []int
@@ -236,25 +197,15 @@ type simulation struct {
 	baseVersion   []int
 	pushArrivedAt []time.Duration
 	waiting       []bool
-	failed        []bool
 	finishedAt    []time.Duration
 	version       int
 
-	// speedScale multiplies each worker's compute time (EventDelayShift).
-	speedScale []float64
 	// links is the per-worker Markov link state.
 	links []linkState
-	// adversary is each worker's current behaviour.
-	adversary []AdversaryKind
-
-	// Guard state (nil monitor when the guard is disabled).
-	monitor *core.ClockMonitor
-	strikes []int
 
 	// Relay tier state (Fanout >= 2): worker grouping, per-relay child
 	// links, and each relay's pending partial.
 	fanout          int
-	relayFlush      time.Duration
 	groupOf         []int
 	groups          [][]int
 	relayLinkFreeAt []time.Duration
@@ -274,8 +225,10 @@ type relayPartialSim struct {
 	gen     int
 }
 
-// defaultRelayFlush mirrors ps.DefaultRelayFlushInterval.
-const defaultRelayFlush = 50 * time.Millisecond
+// relayFlush bounds how long a relay partial waits for straggling group
+// members before forwarding incomplete; it mirrors the real relay's
+// watchdog, ps.DefaultRelayFlushInterval.
+const relayFlush = 50 * time.Millisecond
 
 // Run executes one simulated training run.
 func Run(cfg RunConfig) (*RunResult, error) {
@@ -292,11 +245,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.Fanout < 0 {
 		return nil, fmt.Errorf("simulate: fanout must be >= 0, got %d", cfg.Fanout)
 	}
-	if cfg.Fanout >= 2 && cfg.Guard.Enabled {
-		// The guard screens per-worker clocks on raw ingress; a summed
-		// partial hides them. The real root rejects relay trunks the same
-		// way (relayAdmissible).
-		return nil, fmt.Errorf("simulate: the anomaly guard cannot screen relayed partials; disable Guard or run flat")
+	for w := range cfg.Links {
+		if w < 0 || w >= workers {
+			return nil, fmt.Errorf("simulate: link model names worker %d outside [0,%d)", w, workers)
+		}
 	}
 	cfg.Policy.Workers = workers
 	policy, err := core.NewPolicy(cfg.Policy)
@@ -322,7 +274,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		baseVersion:   make([]int, workers),
 		pushArrivedAt: make([]time.Duration, workers),
 		waiting:       make([]bool, workers),
-		failed:        make([]bool, workers),
 		finishedAt:    make([]time.Duration, workers),
 
 		result: &RunResult{
@@ -332,20 +283,12 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	_, sim.result.Bounded = policy.StalenessBound()
 
-	sim.speedScale = make([]float64, workers)
 	sim.links = make([]linkState, workers)
-	sim.adversary = make([]AdversaryKind, workers)
 	for w := 0; w < workers; w++ {
-		sim.speedScale[w] = 1
 		sim.links[w] = newLinkState(cfg.Links[w])
-		sim.adversary[w] = cfg.Adversaries[w]
 	}
 	if cfg.Fanout >= 2 {
 		sim.fanout = cfg.Fanout
-		sim.relayFlush = cfg.RelayFlush
-		if sim.relayFlush <= 0 {
-			sim.relayFlush = defaultRelayFlush
-		}
 		sim.groupOf = make([]int, workers)
 		for w := 0; w < workers; w++ {
 			g := w / cfg.Fanout
@@ -359,27 +302,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		sim.partials = make([]relayPartialSim, len(sim.groups))
 		for g := range sim.partials {
 			sim.partials[g].member = make(map[int]bool, cfg.Fanout)
-		}
-	}
-	if cfg.Guard.Enabled {
-		sim.monitor = core.NewClockMonitor(workers, core.DefaultFloodSlack)
-		sim.strikes = make([]int, workers)
-		sim.result.Flags = make([]int, workers)
-	}
-
-	for _, e := range cfg.Events {
-		if err := e.validate(workers); err != nil {
-			return nil, err
-		}
-		switch e.Kind {
-		case EventCrash:
-			sim.schedule(e.At, evFail, e.Worker)
-		case EventRejoin:
-			sim.scheduleEvent(event{at: e.At, kind: evRejoin, worker: e.Worker})
-		case EventDelayShift:
-			sim.scheduleEvent(event{at: e.At, kind: evDelayShift, worker: e.Worker, factor: e.Factor})
-		case EventAdversary:
-			sim.scheduleEvent(event{at: e.At, kind: evAdversary, worker: e.Worker, adversary: e.Adversary})
 		}
 	}
 	for w := 0; w < workers; w++ {
@@ -410,7 +332,7 @@ func (s *simulation) scheduleEvent(ev event) {
 
 // computeTime samples one mini-batch duration for the given worker.
 func (s *simulation) computeTime(w int) time.Duration {
-	mean := float64(s.cfg.Model.ComputeTime) / s.cfg.Cluster.Workers[w].Speed * s.speedScale[w]
+	mean := float64(s.cfg.Model.ComputeTime) / s.cfg.Cluster.Workers[w].Speed
 	jitter := 1 + s.cfg.Cluster.ComputeJitter*s.rng.NormFloat64()
 	if jitter < 0.3 {
 		jitter = 0.3
@@ -430,18 +352,10 @@ func acquire(freeAt *time.Duration, now, cost time.Duration) time.Duration {
 	return end
 }
 
-// run drains the event queue. Events of a crashed worker are discarded —
-// its in-flight push or pull died with it — except rejoins and state
-// changes, which must survive the crash to take effect afterwards.
+// run drains the event queue.
 func (s *simulation) run() {
 	for s.queue.Len() > 0 {
 		ev := heap.Pop(s.queue).(event)
-		// Relay frames and watchdogs belong to the relay, not the worker
-		// whose id labels them: a member's crash must not discard them.
-		relayOwned := ev.kind == evRelayArrive || ev.kind == evRelayFlush
-		if s.failed[ev.worker] && !relayOwned && ev.kind != evRejoin && ev.kind != evDelayShift && ev.kind != evAdversary {
-			continue
-		}
 		switch ev.kind {
 		case evComputeDone:
 			s.onComputeDone(ev)
@@ -449,14 +363,6 @@ func (s *simulation) run() {
 			s.onPushArrive(ev)
 		case evPullDone:
 			s.onPullDone(ev)
-		case evFail:
-			s.onFail(ev)
-		case evRejoin:
-			s.onRejoin(ev)
-		case evDelayShift:
-			s.speedScale[ev.worker] = ev.factor
-		case evAdversary:
-			s.adversary[ev.worker] = ev.adversary
 		case evRelayIngress:
 			s.onRelayIngress(ev)
 		case evRelayArrive:
@@ -493,8 +399,7 @@ func (s *simulation) baseTransfer() time.Duration {
 }
 
 // onComputeDone sends the worker's gradient to the server over the shared
-// link. A flood adversary emits floodBurst copies back to back; only the
-// first consumes the worker's iteration budget.
+// link.
 func (s *simulation) onComputeDone(ev event) {
 	// Under the relay tier the push rides the relay's child link instead of
 	// contending on the root's — that contention shift is the tier's point.
@@ -505,56 +410,23 @@ func (s *simulation) onComputeDone(ev event) {
 		kind = evRelayIngress
 	}
 	arrival := acquire(link, ev.at, s.effectiveTransfer(ev.worker, ev.at))
-	s.scheduleEvent(event{at: arrival, kind: kind, worker: ev.worker})
-	if s.adversary[ev.worker] == AdversaryPushFlood {
-		for i := 1; i < floodBurst; i++ {
-			arrival = acquire(link, arrival, s.effectiveTransfer(ev.worker, arrival))
-			s.scheduleEvent(event{at: arrival, kind: kind, worker: ev.worker, extra: true})
-		}
-	}
+	s.schedule(arrival, kind, ev.worker)
 }
 
-// onPushArrive screens the push through the guard (if enabled), applies the
-// update (unless dropped), consults the policy, and starts the pull transfer
-// of every released worker. Mirroring the real server, an evicting push
-// never reaches the policy's OnPush — the worker leaves instead.
+// onPushArrive applies the update (unless the policy drops it) and starts
+// the pull transfer of every released worker.
 func (s *simulation) onPushArrive(ev event) {
 	w := ev.worker
 	s.result.RootIngressFrames++
 	s.result.RootIngressBytes += s.cfg.Model.Bytes()
-	if !ev.extra {
-		s.remaining[w]--
-		s.pushArrivedAt[w] = ev.at
-		s.waiting[w] = true
-	}
-
-	guardDrop := false
-	if s.monitor != nil {
-		claimed := int64(s.baseVersion[w])
-		if s.adversary[w] == AdversaryLyingClock {
-			claimed = int64(s.version) + lieAhead
-		}
-		flags := len(s.monitor.ObservePush(core.WorkerID(w), claimed, int64(s.version)))
-		if flags > 0 {
-			s.result.Flags[w] += flags
-			s.strikes[w] += flags
-			s.result.GuardDropped++
-			guardDrop = true
-			if s.strikes[w] >= core.DefaultMaxStrikes {
-				s.result.Evicted = append(s.result.Evicted, w)
-				s.crashWorker(w, ev.at)
-				return
-			}
-		}
-	}
+	s.remaining[w]--
+	s.pushArrivedAt[w] = ev.at
+	s.waiting[w] = true
 
 	decision := s.policy.OnPush(core.WorkerID(w), time.Unix(0, 0).Add(ev.at))
 
 	readyAt := ev.at
-	if guardDrop {
-		// Dropped by the guard; the policy's releases still flow so
-		// barrier paradigms never deadlock on a rejected payload.
-	} else if decision.Drop {
+	if decision.Drop {
 		s.result.DroppedUpdates++
 	} else {
 		staleness := s.version - s.baseVersion[w]
@@ -592,7 +464,7 @@ func (s *simulation) relayComplete(g int) bool {
 		return false
 	}
 	for _, w := range s.groups[g] {
-		if s.failed[w] || s.doneFor(w) {
+		if s.doneFor(w) {
 			continue
 		}
 		if !p.member[w] {
@@ -623,18 +495,16 @@ func (s *simulation) flushRelay(g int, at time.Duration) {
 func (s *simulation) onRelayIngress(ev event) {
 	w := ev.worker
 	g := s.groupOf[w]
-	if !ev.extra {
-		s.remaining[w]--
-		s.pushArrivedAt[w] = ev.at
-		s.waiting[w] = true
-	}
+	s.remaining[w]--
+	s.pushArrivedAt[w] = ev.at
+	s.waiting[w] = true
 	p := &s.partials[g]
 	if p.member[w] {
 		s.flushRelay(g, ev.at)
 	}
 	if len(p.entries) == 0 {
 		// First entry of a fresh partial: arm the straggler watchdog.
-		s.scheduleEvent(event{at: ev.at + s.relayFlush, kind: evRelayFlush, worker: w, gen: p.gen})
+		s.scheduleEvent(event{at: ev.at + relayFlush, kind: evRelayFlush, worker: w, gen: p.gen})
 	}
 	p.entries = append(p.entries, w)
 	p.member[w] = true
@@ -644,7 +514,7 @@ func (s *simulation) onRelayIngress(ev event) {
 }
 
 // onRelayFlush is the armed watchdog firing: if the partial it was armed for
-// is still open, straggling members have held it past RelayFlush — forward
+// is still open, straggling members have held it past relayFlush — forward
 // it incomplete, exactly like the real relay.
 func (s *simulation) onRelayFlush(ev event) {
 	g := s.groupOf[ev.worker]
@@ -662,12 +532,6 @@ func (s *simulation) onRelayArrive(ev event) {
 	applied := false
 	var release []core.WorkerID
 	for _, w := range ev.batch {
-		if s.failed[w] {
-			// The member died after contributing; its summed share cannot
-			// be subtracted, but its policy clock already left on OnLeave.
-			s.result.DroppedUpdates++
-			continue
-		}
 		decision := s.policy.OnPush(core.WorkerID(w), time.Unix(0, 0).Add(ev.at))
 		if decision.Drop {
 			s.result.DroppedUpdates++
@@ -688,59 +552,6 @@ func (s *simulation) onRelayArrive(ev event) {
 	s.releaseWorkers(release, readyAt)
 }
 
-// onFail crashes a worker: it stops computing, any queued events for it are
-// discarded by run, and the policy is told it left so that peers blocked on
-// it are re-evaluated — exactly what the real server does when a connection
-// dies or a lease expires. The worker's remaining iteration budget is
-// preserved so an EventRejoin can resume it.
-func (s *simulation) onFail(ev event) {
-	w := ev.worker
-	if s.remaining[w] <= 0 && !s.waiting[w] {
-		// Already finished; the crash is moot.
-		return
-	}
-	s.crashWorker(w, ev.at)
-}
-
-// crashWorker marks a worker dead (crash or guard eviction) and tells the
-// policy it left.
-func (s *simulation) crashWorker(w int, at time.Duration) {
-	s.failed[w] = true
-	s.waiting[w] = false
-	s.finishedAt[w] = at
-	decision := s.policy.OnLeave(core.WorkerID(w), time.Unix(0, 0).Add(at))
-	s.releaseWorkers(decision.Release, at)
-	if s.fanout >= 2 {
-		// The relay flushes on a member's departure (its share is already
-		// summed in), and a partial that was only waiting on the dead
-		// worker is now complete.
-		g := s.groupOf[w]
-		if s.partials[g].member[w] || s.relayComplete(g) {
-			s.flushRelay(g, at)
-		}
-	}
-}
-
-// onRejoin resurrects a crashed worker: the policy admits it back, it pulls
-// fresh weights and resumes its remaining iterations.
-func (s *simulation) onRejoin(ev event) {
-	w := ev.worker
-	if !s.failed[w] || s.remaining[w] <= 0 {
-		return
-	}
-	s.failed[w] = false
-	s.finishedAt[w] = 0
-	s.result.Rejoins++
-	decision := s.policy.OnJoin(core.WorkerID(w), time.Unix(0, 0).Add(ev.at))
-	s.releaseWorkers(decision.Release, ev.at)
-	if s.monitor != nil {
-		s.monitor.ObservePull(core.WorkerID(w))
-	}
-	pullDone := acquire(s.pullLink(w), ev.at, s.effectiveTransfer(w, ev.at))
-	s.baseVersion[w] = s.version
-	s.schedule(pullDone, evPullDone, w)
-}
-
 // pullLink is the link a worker's pull rides: the root's when flat, its
 // relay's child link under the aggregation tier.
 func (s *simulation) pullLink(w int) *time.Duration {
@@ -755,7 +566,7 @@ func (s *simulation) pullLink(w int) *time.Duration {
 func (s *simulation) releaseWorkers(release []core.WorkerID, readyAt time.Duration) {
 	for _, id := range release {
 		r := int(id)
-		if !s.waiting[r] || s.failed[r] {
+		if !s.waiting[r] {
 			continue
 		}
 		s.waiting[r] = false
@@ -782,9 +593,6 @@ func (s *simulation) releaseWorkers(release []core.WorkerID, readyAt time.Durati
 		}
 		// Pull the fresh weights over the shared link (the relay's child
 		// link under the tier — pulls pass through the relay's cache).
-		if s.monitor != nil {
-			s.monitor.ObservePull(core.WorkerID(r))
-		}
 		pullDone := acquire(s.pullLink(r), releaseAt, s.effectiveTransfer(r, releaseAt))
 		s.baseVersion[r] = s.version
 		s.schedule(pullDone, evPullDone, r)

@@ -60,6 +60,8 @@ func TestRunValidation(t *testing.T) {
 		func(c *RunConfig) { c.Cluster.LinkBandwidth = 0 },
 		func(c *RunConfig) { c.Cluster.ApplyRate = 0 },
 		func(c *RunConfig) { c.Policy = core.PolicyConfig{Paradigm: core.Paradigm(99)} },
+		func(c *RunConfig) { c.Links = map[int]LinkModel{2: LinkFlapping()} },
+		func(c *RunConfig) { c.Links = map[int]LinkModel{-1: LinkSlow()} },
 	}
 	for i, mutate := range cases {
 		cfg := valid
@@ -252,5 +254,39 @@ func TestGPUAndModelProfiles(t *testing.T) {
 	}
 	if HomogeneousCluster(4).NumWorkers() != 4 || HeterogeneousCluster().NumWorkers() != 2 {
 		t.Fatal("cluster sizes wrong")
+	}
+}
+
+// eventBase is a small homogeneous SSP run for link-model tests.
+func eventBase() RunConfig {
+	return RunConfig{
+		Model:               ModelProfile{Name: "tiny", Params: 1e5, ComputeTime: 10 * time.Millisecond, Layers: 4},
+		Cluster:             HomogeneousCluster(4),
+		Policy:              core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: 2},
+		IterationsPerWorker: 40,
+		Seed:                7,
+	}
+}
+
+// TestHostileLinkSlowsTheRun: a flapping or partitioned link on one worker
+// must cost simulated wall-clock versus calm links.
+func TestHostileLinkSlowsTheRun(t *testing.T) {
+	base, err := Run(eventBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, model := range map[string]LinkModel{
+		"slow":        LinkSlow(),
+		"partitioned": LinkPartitioned(),
+	} {
+		cfg := eventBase()
+		cfg.Links = map[int]LinkModel{0: model}
+		hostile, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hostile.Finish <= base.Finish {
+			t.Errorf("%s link: finish %v not later than calm baseline %v", name, hostile.Finish, base.Finish)
+		}
 	}
 }

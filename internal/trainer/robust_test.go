@@ -108,8 +108,8 @@ func TestGuardEvictsLyingClock(t *testing.T) {
 	if !foundEvicted {
 		t.Fatalf("guard evicted %v, want worker 3", res.Guard.Evicted)
 	}
-	if res.Guard.Flags[3] < core.DefaultMaxStrikes {
-		t.Fatalf("worker 3 flags = %d, want >= %d", res.Guard.Flags[3], core.DefaultMaxStrikes)
+	if res.Guard.Flags[3] < ps.DefaultMaxStrikes {
+		t.Fatalf("worker 3 flags = %d, want >= %d", res.Guard.Flags[3], ps.DefaultMaxStrikes)
 	}
 	foundCrashed := false
 	for _, w := range res.Crashed {

@@ -259,10 +259,11 @@ func (s *Store) installCheckpoint(ck *checkpointData) error {
 			}
 		}
 		sh.mu.Lock()
-		sh.gen = &paramGen{params: params}
 		// Old generations alias the replaced run's tensors; drop them rather
 		// than letting a future applier publish into pre-restore buffers a
 		// reader might still hold.
+		sh.evict(append(sh.retired, sh.gen)...)
+		sh.gen = &paramGen{params: params}
 		sh.retired = nil
 		sh.opt.LoadState(state)
 		// Bump the shard version past anything the packed-pull cache may have

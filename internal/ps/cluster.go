@@ -182,9 +182,10 @@ func (s *Store) Install(params []*tensor.Tensor, version int64) error {
 			fresh[j] = params[r.Start+j].Clone()
 		}
 		sh.mu.Lock()
-		sh.gen = &paramGen{params: fresh}
 		// Drop retired generations: they alias superseded weights and must
 		// not be recycled into a future publication a reader already holds.
+		sh.evict(append(sh.retired, sh.gen)...)
+		sh.gen = &paramGen{params: fresh}
 		sh.retired = nil
 		// Bump the shard version so the packed-pull cache refreshes rather
 		// than trusting a stale version number.

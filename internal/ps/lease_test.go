@@ -896,73 +896,90 @@ func testDensePushPullRoundTripAllocatesNoPayload(t *testing.T, carrier string) 
 // publication allocates no generation (every one recycles a retired one), and
 // the packed-pull cache's retired generations are free for the next fill. A
 // pull that kept the generation it was served out of the pool would show as
-// one allocation per update.
+// one allocation per update. Its lane arm holds the same schedule to it where
+// a dense pull reply is a reference into the server's generation region (both
+// shards are past laneMinBody), so that the worker holds the generation it
+// pulled until its next pull: the references it releases free their
+// generations in time for the applier.
 func TestInProcessScheduleRecyclesGenerations(t *testing.T) {
-	for _, cfg := range []compress.Config{{}, {Codec: compress.FP16, Pull: true}} {
-		cfg = cfg.Normalized()
-		t.Run(cfg.String(), func(t *testing.T) {
-			model := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(2048)}
-			st, err := NewStoreSharded(model, optimizer.NewSGD(0.01), 2)
-			if err != nil {
-				t.Fatal(err)
+	for _, carrier := range []string{"channel", "lane"} {
+		for _, cfg := range []compress.Config{{}, {Codec: compress.FP16, Pull: true}} {
+			cfg = cfg.Normalized()
+			name := cfg.String()
+			if carrier == "lane" {
+				name = "lane/" + name
 			}
-			srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st, Options: Options{Compression: cfg}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Stop()
-			l := transport.NewChanListener()
-			defer l.Close()
-			go func() { _ = srv.Serve(l) }()
-			conn, err := l.Dial()
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := NewClientCompressed(conn, 0, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.Register(); err != nil {
-				t.Fatal(err)
-			}
-			grads := make([]*tensor.Tensor, len(model))
-			for i, p := range model {
-				grads[i] = tensor.Full(0.25, p.Shape()...)
-			}
-			rounds := func(from, n int) {
-				t.Helper()
-				for i := from; i < from+n; i++ {
-					_, version, err := c.Pull()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := c.PushAndWait(grads, version, i); err != nil {
-						t.Fatal(err)
+			t.Run(name, func(t *testing.T) {
+				t.Cleanup(transport.SetLaneEnabled(carrier == "lane"))
+				model := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(8192)}
+				st, err := NewStoreSharded(model, optimizer.NewSGD(0.01), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st, Options: Options{Compression: cfg}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Stop()
+				_, dial := endpoint(t, carrier == "lane", func(l transport.Listener) { _ = srv.Serve(l) })
+				conn, err := dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := NewClientCompressed(conn, 0, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if err := c.Register(); err != nil {
+					t.Fatal(err)
+				}
+				grads := make([]*tensor.Tensor, len(model))
+				for i, p := range model {
+					grads[i] = tensor.Full(0.25, p.Shape()...)
+				}
+				references := 0
+				rounds := func(from, n int) {
+					t.Helper()
+					for i := from; i < from+n; i++ {
+						params, version, err := c.Pull()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !writable(params[0]) {
+							references++
+						}
+						if err := c.PushAndWait(grads, version, i); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
-			}
-			const warmup, steady = 8, 40
-			rounds(0, warmup)
-			reusedWarm, allocatedWarm := cloneFates(st)
-			rounds(warmup, steady)
-			reused, allocated := cloneFates(st)
-			if allocated != allocatedWarm {
-				t.Errorf("%d generations allocated over %d steady-state rounds, want 0: pulls keep generations out of the reuse pool", allocated-allocatedWarm, steady)
-			}
-			if reused < reusedWarm+steady {
-				t.Errorf("%d generations recycled over %d steady-state rounds on %d shards, want at least one a round", reused-reusedWarm, steady, st.Shards())
-			}
-			for i, sh := range st.shards {
-				sh.packedMu.Lock()
-				for _, pg := range sh.packedRetired {
-					if !pg.quiescent() {
-						t.Errorf("shard %d: a retired packed generation is still held after its reply was sent", i)
-					}
+				const warmup, steady = 8, 40
+				rounds(0, warmup)
+				reusedWarm, allocatedWarm := cloneFates(st)
+				references = 0
+				rounds(warmup, steady)
+				reused, allocated := cloneFates(st)
+				if allocated != allocatedWarm {
+					t.Errorf("%d generations allocated over %d steady-state rounds, want 0: pulls keep generations out of the reuse pool", allocated-allocatedWarm, steady)
 				}
-				sh.packedMu.Unlock()
-			}
-		})
+				if reused < reusedWarm+steady {
+					t.Errorf("%d generations recycled over %d steady-state rounds on %d shards, want at least one a round", reused-reusedWarm, steady, st.Shards())
+				}
+				if want := carrier == "lane" && !cfg.Pull; (references == steady) != want {
+					t.Errorf("%d of %d steady-state pulls were references into the region, want all: %v", references, steady, want)
+				}
+				for i, sh := range st.shards {
+					sh.packedMu.Lock()
+					for _, pg := range sh.packedRetired {
+						if !pg.quiescent() {
+							t.Errorf("shard %d: a retired packed generation is still held after its reply was sent", i)
+						}
+					}
+					sh.packedMu.Unlock()
+				}
+			})
+		}
 	}
 }
 

@@ -148,6 +148,7 @@ type storeMetrics struct {
 	cloneSeconds *obs.Histogram
 	cloneReuse   *obs.Counter
 	cloneAlloc   *obs.Counter
+	cloneHeap    *obs.Counter
 }
 
 // newStoreMetrics registers the store metric families on reg.
@@ -166,6 +167,8 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 			"Copy-on-write publications that recycled a retired generation's buffers instead of allocating."),
 		cloneAlloc: reg.Counter("dssp_store_clone_alloc_total",
 			"Copy-on-write publications that allocated fresh parameter buffers."),
+		cloneHeap: reg.Counter("dssp_store_clone_heap_total",
+			"Of the allocations, those on the heap instead of the shared generation region (none shared, or no room): their pulls are copied."),
 	}
 }
 

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"dssp/internal/compress"
@@ -34,6 +35,15 @@ import (
 type paramGen struct {
 	params []*tensor.Tensor
 	genPin
+	// reclaim and free are set on a generation whose buffers lie in the
+	// server's shared generation region (transport.RegionHost), where a
+	// same-host pull reply references them instead of copying them: genPin
+	// counts a reply only until its Send returns, and reclaim reports whether
+	// every reference sent has been released since (by its receiver, or by
+	// the receiver's process exiting). free gives the extent back. A heap
+	// generation has neither.
+	reclaim func() bool
+	free    func()
 }
 
 // genPin is the reader bookkeeping of one recyclable generation of buffers —
@@ -56,6 +66,25 @@ func (p *genPin) release() {
 // quiescent reports that no reader holds the generation or ever will, given
 // that it is retired (no longer handed out).
 func (p *genPin) quiescent() bool { return p.refs.Load() == 0 }
+
+// quiescent reports that no reader holds the generation or ever will, given
+// that it is retired: no reader in this process, and no reference out to
+// another. A region generation found quiescent is the caller's to rewrite at
+// once (transport.RegionHost's reclaim).
+func (g *paramGen) quiescent() bool {
+	return g.genPin.quiescent() && (g.reclaim == nil || g.reclaim())
+}
+
+// freed frees the region extent of a generation the retire pool evicted, once
+// no reader in this process holds it, and reports whether it did; the extent
+// itself goes back when the last reference into it is released too.
+func (g *paramGen) freed() bool {
+	if !g.genPin.quiescent() {
+		return false
+	}
+	g.free()
+	return true
+}
 
 // release drops one reference taken by shard.acquire (or
 // Store.acquireShard); releasing a nil generation is a no-op.
@@ -88,17 +117,20 @@ func (sh *shard) acquire() (*paramGen, int64) {
 	return g, v
 }
 
-// retiredGens bounds a reuse pool. Two is the steady-state need: with
-// generation n current, generation n-1 may still be read by pulls that
-// grabbed it just before publication, and generation n-2 is the one whose
-// readers have drained — the reuse candidate. Anything older is pinned by an
-// unusually slow reader; dropping it to the garbage collector costs one
+// retiredGens bounds a reuse pool. A generation is held by the pulls that
+// grabbed it until their replies are sent and, where a same-host reply
+// references it instead of carrying it, by every worker that pulled it
+// until that worker's next pull — and a relay's by its children's. With
+// generation n current and one worker lapping another, n-1 and n-2 may
+// still be held; n-3 is the one whose readers have drained, the reuse
+// candidate, and one more is slack for a relay's children. Anything older is
+// pinned by an unusually slow reader; dropping it (shard.evicted) costs one
 // allocation later but keeps the pool scan O(1).
-const retiredGens = 2
+const retiredGens = 4
 
 // retirePool is the owner-side pool of superseded generations awaiting reuse:
-// the paramGens a shard's applier published (only the applier touches the
-// pool) and the packedGens of its compressed-pull cache (under packedMu).
+// the paramGens a shard's applier published (under sh.mu) and the packedGens
+// of its compressed-pull cache (under packedMu).
 type retirePool[G interface{ quiescent() bool }] []G
 
 // take removes and returns a retired generation whose buffers are provably
@@ -113,34 +145,82 @@ func (p *retirePool[G]) take() (g G, ok bool) {
 	return g, false
 }
 
-// retire adds a generation that was just superseded, evicting the oldest
-// entry beyond the cap.
-func (p *retirePool[G]) retire(g G) {
+// retire adds a generation that was just superseded and returns the oldest
+// entry beyond the cap, which it evicts.
+func (p *retirePool[G]) retire(g G) (evicted G, ok bool) {
 	*p = append(*p, g)
 	if len(*p) > retiredGens {
+		evicted, ok = (*p)[0], true
 		*p = append((*p)[:0], (*p)[1:]...)
 	}
+	return evicted, ok
 }
 
 // takeGen returns the destination generation for the next publication:
 // a retired generation whose buffers are provably quiescent when one exists,
-// otherwise freshly allocated buffers shaped like the current parameters.
-// Only the shard's applier calls it (single goroutine), under sh.mu.
+// otherwise fresh buffers shaped like the current parameters — one extent of
+// the server's generation region when it has one with room, the heap
+// otherwise (counted: a pull of a heap generation is copied). Only the
+// shard's applier calls it (single goroutine), under sh.mu.
 func (sh *shard) takeGen(m *storeMetrics) *paramGen {
-	if g, ok := sh.retired.take(); ok {
+	alloc := sh.region.Load()
+	for {
+		g, ok := sh.retired.take()
+		if !ok {
+			break
+		}
+		if alloc != nil && g.free == nil {
+			// A heap generation — the store's first, or one the region had
+			// no room for — makes way for one whose pulls are references.
+			continue
+		}
 		if m != nil {
 			m.cloneReuse.Inc()
 		}
 		return g
 	}
-	params := make([]*tensor.Tensor, len(sh.gen.params))
-	for i, p := range sh.gen.params {
-		params[i] = tensor.New(p.Shape()...)
-	}
 	if m != nil {
 		m.cloneAlloc.Inc()
 	}
-	return &paramGen{params: params}
+	if g := sh.regionGen(alloc); g != nil {
+		return g
+	}
+	if m != nil {
+		m.cloneHeap.Inc()
+	}
+	return sh.heapGen()
+}
+
+// heapGen allocates a generation shaped like the current one on the heap.
+func (sh *shard) heapGen() *paramGen {
+	g := &paramGen{params: make([]*tensor.Tensor, len(sh.gen.params))}
+	for i, p := range sh.gen.params {
+		g.params[i] = tensor.New(p.Shape()...)
+	}
+	return g
+}
+
+// regionGen allocates a generation shaped like the current one in the region
+// alloc carves, or returns nil when there is none or it has no room. Caller
+// holds sh.mu.
+func (sh *shard) regionGen(alloc *regionAlloc) *paramGen {
+	if alloc == nil {
+		return nil
+	}
+	n := 0
+	for _, p := range sh.gen.params {
+		n += p.Size()
+	}
+	mem, reclaim, free := (*alloc)(n)
+	if mem == nil {
+		return nil
+	}
+	g := &paramGen{params: make([]*tensor.Tensor, len(sh.gen.params)), reclaim: reclaim, free: sync.OnceFunc(free)}
+	for i, p := range sh.gen.params {
+		g.params[i] = tensor.FromSliceOwned(mem[:p.Size():p.Size()], p.Shape()...)
+		mem = mem[p.Size():]
+	}
+	return g
 }
 
 // acquireShard returns shard i's currently published parameter tensors

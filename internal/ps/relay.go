@@ -726,6 +726,12 @@ func (r *Relay) flushLocked(reason string) {
 	}
 }
 
+// share passes the root's generation region on to the children, when the
+// pull session reached the root over the lane and the root offered one: a
+// child's pull reply then names where the weights lie in it, as the root's
+// reply to the relay did, and no body crosses the relay (handlePull).
+func (r *Relay) share(h transport.RegionHost) { h.ShareRegion(r.up.conn) }
+
 // handlePull refreshes the relay's upstream cache and serves the child from
 // it in full, one chunk per upstream store shard — the same shape the root
 // would answer with. The upstream refresh is gated on the version the cache
@@ -741,7 +747,11 @@ func (r *Relay) flushLocked(reason string) {
 // done with the chunk when it returns (transport.Conn). That is why the
 // chunks go out from this goroutine, on the connection, instead of through
 // the session's outbox like every other reply: by the time pullMu is released
-// they are encoded.
+// they are encoded. Where the root's reply was a reference into its
+// generation region and the child shares the region too (share), the Send is
+// a reference frame to the same memory, and the transport keeps the upstream
+// chunk leased until the child has released it, whatever Pull does with the
+// cache meanwhile.
 func (r *Relay) handlePull(ch *session, _ transport.Message) {
 	r.pullMu.Lock()
 	defer r.pullMu.Unlock()

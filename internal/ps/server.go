@@ -109,6 +109,10 @@ type Server struct {
 	// for good the server shrinks the store's live window below it, so a
 	// thinning cohort never leaves partial windows waiting out the watchdog.
 	fullWindow int
+	// regionOnce shares one generation region with the store (share), and
+	// shared records that it did, for Stop to take it back.
+	regionOnce sync.Once
+	shared     bool
 
 	mu sync.Mutex
 	// joined records every worker slot that registered at least once.
@@ -355,6 +359,11 @@ func (s *Server) Stop() {
 		s.cfg.Store.Close()
 		if s.cfg.Checkpoint.Enabled() {
 			s.saveCheckpoint()
+		}
+		// A share under way finishes first, and none starts after.
+		s.regionOnce.Do(func() {})
+		if s.shared {
+			s.cfg.Store.unshareRegion()
 		}
 	})
 }
@@ -1104,7 +1113,11 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 // shard's reference is grabbed, so pulls from different workers, and a pull
 // overlapping an in-flight push on other shards, proceed concurrently. The
 // transport's one copy lands in a buffer of the worker's own, keeping workers
-// isolated.
+// isolated — or, where the worker shares the server's host and the
+// generation lies in the region the server shares (share), nothing is
+// copied: the reply names the generation, the worker reads it through a
+// read-only mapping, and the region keeps it from being recycled until the
+// worker releases it (DESIGN.md §4b).
 //
 // With pull compression negotiated, each chunk instead carries the shard's
 // packed form from the store's per-shard cache: the quantization pass runs
@@ -1162,6 +1175,18 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 		}
 		s.enqueueSessionRef(sess, msg, ref)
 	}
+}
+
+// share gives the store the generation region of the first listener that
+// offers one: its next generations are allocated there, and a same-host pull
+// reply names them instead of carrying them (DESIGN.md §4b).
+func (s *Server) share(h transport.RegionHost) {
+	s.regionOnce.Do(func() {
+		if alloc := h.ShareRegion(nil); alloc != nil {
+			s.cfg.Store.shareRegion(alloc)
+			s.shared = true
+		}
+	})
 }
 
 // packShardInto is the Store.acquirePacked callback compressing one

@@ -234,6 +234,7 @@ func (t *sessionTable) list() []*session {
 //	done       count the slot finished              shrink the flush condition, forward
 //	leave      depart the slot (or a routed child)  depart the child
 //	departed   policy OnLeave, release the peers    flush what the child was in, forward Leave
+//	serve      share a new generation region        pass the root's region on
 type tier interface {
 	// handleRegister services MsgRegister/MsgRejoin on conn, whose current
 	// session is sess (nil on a fresh connection), and returns the session the
@@ -248,6 +249,9 @@ type tier interface {
 	// departed is told that sess, until now current, is out of the table and
 	// ended — its connection died, it left, or its lease expired.
 	departed(sess *session)
+	// share is handed a listener that can offer its same-host connections a
+	// generation region (transport.RegionHost), before it accepts any.
+	share(h transport.RegionHost)
 }
 
 // sessionLayer is the membership mechanics the root and a relay share: one
@@ -289,6 +293,9 @@ func (l *sessionLayer) bind(t tier, clock func() time.Time, control map[transpor
 // listener fails. It blocks; run it in its own goroutine when the caller also
 // drives workers.
 func (l *sessionLayer) Serve(ln transport.Listener) error {
+	if h, ok := ln.(transport.RegionHost); ok {
+		l.tier.share(h)
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {

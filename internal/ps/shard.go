@@ -2,6 +2,7 @@ package ps
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,9 +33,15 @@ type shard struct {
 	opt     optimizer.Optimizer
 	version int64
 
-	// retired is the applier-owned pool of superseded generations awaiting
-	// reuse (paramgen.go).
+	// retired is the pool of superseded generations awaiting reuse
+	// (paramgen.go), guarded by mu; region, once the server shares one, is
+	// where new generations are allocated (Store.shareRegion).
 	retired retirePool[*paramGen]
+	region  atomic.Pointer[regionAlloc]
+	// evicted are the region generations the pool let go of that a reader
+	// here (a reply not yet sent) still held: freed once it lets go. Guarded
+	// by mu.
+	evicted []*paramGen
 
 	// agg replaces plain summation when a robust aggregator is configured
 	// (Store.SetAggregator); nil keeps the classic sum fast path. Only the
@@ -195,8 +202,8 @@ func (sh *shard) applyBatch(batch [][]*tensor.Tensor, weights []int64, m *storeM
 	}
 	sh.gen = next
 	sh.version += total
+	sh.supersede(cur)
 	sh.mu.Unlock()
-	sh.retired.retire(cur)
 	// Every push spans every shard, so this shard's applied counter walks
 	// the same ticket sequence the store hands out (the checkpoint restore
 	// path re-bases it); the batch covered tickets (to-total, to].
@@ -208,6 +215,27 @@ func (sh *shard) applyBatch(batch [][]*tensor.Tensor, weights []int64, m *storeM
 	if tr != nil {
 		tr.Applied(to-total, to, int(total), time.Now())
 	}
+}
+
+// supersede retires cur, just replaced as the published generation, into the
+// reuse pool. Caller holds sh.mu.
+func (sh *shard) supersede(cur *paramGen) {
+	old, _ := sh.retired.retire(cur)
+	sh.evict(old)
+}
+
+// evict lets go of gens, generations the shard will not publish again — one
+// the retire pool evicted, or those a restore, an install or the serving
+// server's stop drops: each region generation among them joins the evicted
+// list, which frees its extent once no reader here holds it. Caller holds
+// sh.mu.
+func (sh *shard) evict(gens ...*paramGen) {
+	for _, g := range gens {
+		if g != nil && g.free != nil {
+			sh.evicted = append(sh.evicted, g)
+		}
+	}
+	sh.evicted = slices.DeleteFunc(sh.evicted, (*paramGen).freed)
 }
 
 // sum coalesces a batch into the shard's reused summation scratch. The

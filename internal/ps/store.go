@@ -8,6 +8,7 @@ package ps
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -561,6 +562,52 @@ func (sh *shard) acquirePacked(pack func(dst []compress.Packed, params []*tensor
 	pg := sh.packed
 	pg.refs.Add(1)
 	return pg.packed, &pg.genPin
+}
+
+// regionAlloc carves a generation out of a server's shared generation region
+// (transport.RegionHost).
+type regionAlloc = func(n int) (mem []float32, reclaim func() bool, free func())
+
+// shareRegion makes every shard allocate its generations in the region alloc
+// carves, so that same-host pulls reference them instead of copying them. The
+// current generation moves there too — the same weights at the same version —
+// so that no pull copies, from the first on; the heap one it replaces
+// retires like any superseded generation, and heap generations make way as
+// the pool is drawn on (takeGen).
+func (s *Store) shareRegion(alloc regionAlloc) {
+	for _, sh := range s.shards {
+		sh.region.Store(&alloc)
+		sh.mu.Lock()
+		if g := sh.regionGen(&alloc); g != nil {
+			for i, p := range sh.gen.params {
+				copy(g.params[i].Data(), p.Data())
+			}
+			sh.supersede(sh.gen)
+			sh.gen = g
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// unshareRegion moves the store back to the heap once the server that shared
+// a region with it has stopped: the current generation is copied out and
+// every region generation evicted (shard.evict), so that the store, which
+// outlives the server, keeps none of the region's extents.
+func (s *Store) unshareRegion() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.region.Store(nil)
+		if cur := sh.gen; cur.free != nil {
+			sh.gen = sh.heapGen()
+			for i, p := range cur.params {
+				copy(sh.gen.params[i].Data(), p.Data())
+			}
+			sh.evict(cur)
+		}
+		sh.evict(sh.retired...)
+		sh.retired = slices.DeleteFunc(sh.retired, func(g *paramGen) bool { return g.free != nil })
+		sh.mu.Unlock()
+	}
 }
 
 // Version returns the number of updates applied so far.

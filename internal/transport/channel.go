@@ -138,7 +138,7 @@ func (c *chanConn) decode(frame []byte) (Message, error) {
 	if len(body) > smallBodyMax {
 		lease = &bodyLease{pool: c.in, buf: frame}
 	}
-	m, err := adopt(typ, version, body, lease)
+	m, err := adopt(typ, version, body, lease, nil)
 	if lease == nil {
 		c.in.put(frame)
 	}

@@ -69,10 +69,13 @@ func SetLaneEnabled(on bool) (restore func()) {
 	return func() { laneOff.Store(prev) }
 }
 
-// laneSpan is one in-flight slot as its sender remembers it.
+// laneSpan is one in-flight slot as its sender remembers it; hold is set on a
+// reference slot (region.go), which is not free again until the hold has
+// ended as well.
 type laneSpan struct {
 	page, pages int
 	seq         uint64
+	hold        *refHold
 }
 
 // arena is one direction's shared payload buffer, from one end's side.
@@ -162,7 +165,9 @@ func (a *arena) alloc(n int) (page int) {
 
 // sweep forgets the slots the receiver has released since the last look.
 func (a *arena) sweep() {
-	a.live = slices.DeleteFunc(a.live, func(s laneSpan) bool { return a.state(s.page).Load() == 0 })
+	a.live = slices.DeleteFunc(a.live, func(s laneSpan) bool {
+		return a.state(s.page).Load() == 0 && (s.hold == nil || s.hold.done.Load())
+	})
 }
 
 // place maps a resident push slot with room for an n-byte body: the lowest
@@ -237,6 +242,9 @@ func (a *arena) abandon(mark uint64) {
 	for _, s := range a.live {
 		if s.seq > mark {
 			a.state(s.page).Store(0)
+			if s.hold != nil {
+				s.hold.end()
+			}
 		}
 	}
 	if p := a.push; p != nil && p.seq > mark {
@@ -258,16 +266,18 @@ func (a *arena) slot(page, n int) ([]byte, error) {
 	return a.mem[off : off+n : off+n], nil
 }
 
-// divert moves the body of the frame just assembled at buf[start:] — its
-// inline bytes and the slabs c.refs recorded from refCount on — into a free
-// slot of the outbound arena, leaving the header alone for the socket with
-// the slot in its reserved bytes. A frame whose slabs already sit in the
-// free push slot goes there, only its inline bytes copied; any other takes
-// the lowest free run of pages, written with one gathered copy. A frame
-// under laneMinBody, a connection with no lane, an arena with no room and a
-// write that fails leave buf as it is: the frame goes inline. Caller holds
-// encMu.
-func (c *binaryConn) divert(buf []byte, start, refCount int) []byte {
+// divert moves the body of the frame m just assembled at buf[start:] — its
+// inline bytes and the slabs c.refs recorded from refCount on — out of the
+// socket's way. A dense Weights reply whose tensors all lie in the region
+// this connection offered its peer becomes a reference frame (reference).
+// Otherwise the body goes into a free slot of the outbound arena, leaving the
+// header alone for the socket with the slot in its reserved bytes: a frame
+// whose slabs already sit in the free push slot goes there, only its inline
+// bytes copied; any other takes the lowest free run of pages, written with
+// one gathered copy. A frame under laneMinBody, a connection with no lane, an
+// arena with no room and a write that fails leave buf as it is: the frame
+// goes inline. Caller holds encMu.
+func (c *binaryConn) divert(buf []byte, start, refCount int, m *Message) []byte {
 	a := c.laneOut
 	if a == nil {
 		return buf
@@ -275,6 +285,9 @@ func (c *binaryConn) divert(buf []byte, start, refCount int) []byte {
 	bodyLen := int(binary.LittleEndian.Uint32(buf[start+8:]))
 	if bodyLen < laneMinBody {
 		return buf
+	}
+	if out, ok := c.reference(buf, start, refCount, bodyLen, m); ok {
+		return out
 	}
 	if a.fill(buf, start+headerSize, c.refs.list[refCount:], bodyLen) {
 		c.refs.truncate(refCount)
@@ -300,6 +313,83 @@ func (c *binaryConn) divert(buf []byte, start, refCount int) []byte {
 	binary.LittleEndian.PutUint16(buf[start+6:], uint16(page))
 	c.meter.laneSentFrame(false)
 	return buf[:start+headerSize]
+}
+
+// reference replaces the frame m just assembled at buf[start:], whose body is
+// bodyLen bytes, with the reference frame standing for it, when m is a dense
+// Weights reply whose every tensor lies in a span of the region this
+// connection offered (an owner's extent, or a lease of the connection the
+// region was passed through from): one page of the outbound arena becomes the
+// reference slot, a hold on those spans keeps them from being rewritten or
+// released until the receiver releases the slot, and only the tensor headers
+// and offsets go on the socket. Caller holds encMu.
+func (c *binaryConn) reference(buf []byte, start, refCount, bodyLen int, m *Message) ([]byte, bool) {
+	o := c.regionOut
+	if o == nil || m.Type != MsgWeights || len(m.Tensors) == 0 || len(m.Packed) > 0 {
+		return nil, false
+	}
+	ranges := c.ranges[:0]
+	for _, t := range m.Tensors {
+		off, ok := o.reg.offset(t.Data)
+		if !ok {
+			return nil, false
+		}
+		ranges = append(ranges, off, 4*len(t.Data))
+	}
+	c.ranges = ranges
+	r, a := o.reg, c.laneOut
+	r.mu.Lock()
+	r.pollLocked()
+	page := a.alloc(1)
+	var h *refHold
+	if page != 0 {
+		if h = r.holdLocked(a, page, ranges, o.src); h == nil {
+			a.state(page).Store(0)
+		}
+	}
+	r.mu.Unlock()
+	if h == nil {
+		return nil, false
+	}
+	for i := range a.live {
+		if a.live[i].page == page {
+			a.live[i].hold = h
+		}
+	}
+	out, err := appendRefFrame(buf[:start], m, page, bodyLen, ranges)
+	if err != nil {
+		a.state(page).Store(0)
+		h.end()
+		return nil, false
+	}
+	c.refs.truncate(refCount)
+	c.meter.laneSentFrame(false)
+	return out, true
+}
+
+// referenceLease is the lease of a reference frame's message: the reference
+// slot ref names in the inbound arena, validated like a body slot, and the
+// region range its tensors span, registered so that a relay passing them on
+// keeps the lease until its own receivers let go. The frame is metered at
+// the logical size it stands for.
+func (fr *frameReader) referenceLease(ref refSection) (*bodyLease, error) {
+	a := fr.arena
+	if a == nil || ref.slot < a.dataStart() || ref.slot >= a.pages {
+		return nil, fmt.Errorf("transport: reference slot %d lies outside the arena's data pages", ref.slot)
+	}
+	if a.state(ref.slot).Load() == 0 {
+		return nil, fmt.Errorf("transport: reference slot %d is not in flight", ref.slot)
+	}
+	fr.lastBody, fr.lastSize = bodyLane, headerSize+ref.logical
+	a.holders.Add(1)
+	l := &bodyLease{arena: a, page: ref.slot, reg: fr.region}
+	fr.region.leased(l, ref.off, ref.end, fr)
+	runtime.SetFinalizer(l, func(l *bodyLease) {
+		if !l.done.Swap(true) {
+			l.giveBack()
+		}
+	})
+	return l, nil
 }
 
 // PlaceBody implements BodyPlacer: m is encoded once, every slab taken by
@@ -368,25 +458,55 @@ func (fr *frameReader) readSlot(typ, version byte, page, bodyLen int) (Message, 
 			l.giveBack()
 		}
 	})
-	return adopt(typ, version, body, l)
+	return adopt(typ, version, body, l, fr)
 }
 
-// closeLane ends the connection's own hold on its arenas. The socket is
-// already closed, so a Send or Recv still inside one leaves promptly and the
-// locks are free to take.
+// lanePeer is the process at the other end of a connection that offered it a
+// region, as the references the connection sent it need to know it: they
+// outlive the connection until the peer releases them or exits (closeLane).
+// fd is a pidfd, -1 where the kernel gave none; refs counts the connection
+// and every hold it left behind.
+type lanePeer struct {
+	fd   int
+	refs atomic.Int32
+}
+
+// closeLane ends the connection's own hold on its arenas and regions. The
+// holds of the references it sent outlive it: the receiver reads them through
+// its own mapping, which the connection closing does not take away, so they
+// end when it releases them or its process exits (region.orphan) — a crashed
+// reader pins nothing, and one that lives on keeps reading the generation it
+// was sent. The socket is already closed, so a Send or Recv still inside one
+// leaves promptly and the locks are free to take.
 func (c *binaryConn) closeLane() {
 	c.encMu.Lock()
-	out := c.laneOut
-	c.laneOut = nil
+	out, offer, peer := c.laneOut, c.regionOut, c.peer
+	c.laneOut, c.regionOut, c.peer = nil, nil, nil
+	if out != nil {
+		for _, s := range out.live {
+			if s.hold != nil {
+				s.hold.orphan(peer)
+			}
+		}
+	}
 	c.encMu.Unlock()
+	if peer != nil {
+		peer.drop()
+	}
 	c.decMu.Lock()
-	in := c.fr.arena
-	c.fr.arena = nil
+	in, reg := c.fr.arena, c.fr.region
+	c.fr.arena, c.fr.region = nil, nil
 	c.decMu.Unlock()
 	if out != nil {
 		out.drop()
 	}
 	if in != nil {
 		in.drop()
+	}
+	if offer != nil {
+		offer.reg.drop()
+	}
+	if reg != nil {
+		reg.drop()
 	}
 }

@@ -11,8 +11,10 @@ package transport
 // through it. Each end then creates the arena it will send through — a sealed
 // memfd, so no holder of the descriptor can truncate the mapping under its
 // peer — keeps the descriptor to write bodies with, and passes a copy across
-// with SCM_RIGHTS for the peer to map. Any failure on the way is not
-// an error: the dialer goes to TCP as if the lane did not exist.
+// with SCM_RIGHTS for the peer to map; a listener that shares a generation
+// region (region.go) passes its descriptor beside it, for the peer to map
+// read-only. Any failure on the way is not an error: the dialer goes to TCP
+// as if the lane did not exist.
 
 import (
 	"errors"
@@ -30,8 +32,9 @@ import (
 
 const (
 	// laneHello opens the unix stream in both directions, with the sender's
-	// arena descriptor attached; its last byte versions the arena layout.
-	laneHello = "DSSPLAN\x01"
+	// arena descriptor and, from a listener sharing one, its generation
+	// region's attached; its last byte versions the layout of both.
+	laneHello = "DSSPLAN\x02"
 	// laneHandshakeTimeout bounds the hello exchange, whose other end is a
 	// process on this machine.
 	laneHandshakeTimeout = 2 * time.Second
@@ -45,6 +48,14 @@ const (
 	fSealSeal       = 0x1
 	fSealShrink     = 0x2
 	fSealGrow       = 0x4
+
+	// fallocate(2)'s hole punch, absent from package syscall.
+	fallocPunchHole = 0x1 | 0x2 // FALLOC_FL_KEEP_SIZE | FALLOC_FL_PUNCH_HOLE
+
+	// pidfd_open(2)'s syscall number, the same on every architecture, and
+	// poll(2)'s POLLIN, both absent from package syscall.
+	sysPidfdOpen = 434
+	pollIn       = 0x1
 )
 
 // memfdCreateTrap is memfd_create(2)'s syscall number, which package syscall
@@ -109,7 +120,7 @@ func dialLane(addr string, meter *Metrics) Conn {
 		if err != nil {
 			continue
 		}
-		if conn := upgradeLane(c, false, meter); conn != nil {
+		if conn := upgradeLane(c, false, meter, nil); conn != nil {
 			return conn
 		}
 	}
@@ -134,10 +145,11 @@ func isLocalIP(ip net.IP) bool {
 	return false
 }
 
-// upgradeLane runs the lane handshake on a fresh unix stream and returns the
-// lane connection; on any failure it closes c and returns nil.
-func upgradeLane(c net.Conn, server bool, meter *Metrics) Conn {
-	conn, err := laneHandshake(c.(*net.UnixConn), server, laneArenaBytes)
+// upgradeLane runs the lane handshake on a fresh unix stream, offering the
+// peer offer's region when there is one, and returns the lane connection; on
+// any failure it closes c and returns nil.
+func upgradeLane(c net.Conn, server bool, meter *Metrics, offer *regionOffer) Conn {
+	conn, err := laneHandshake(c.(*net.UnixConn), server, laneArenaBytes, offer)
 	if err != nil {
 		c.Close()
 		return nil
@@ -145,31 +157,40 @@ func upgradeLane(c net.Conn, server bool, meter *Metrics) Conn {
 	return conn.metered(meter)
 }
 
-// laneHandshake checks the peer's uid, swaps arenas with it and returns the
-// binaryConn that sends through the one created here and receives through
-// the peer's. arenaBytes sizes the former; the latter's size is the peer's
-// choice, validated.
-func laneHandshake(uc *net.UnixConn, server bool, arenaBytes int) (*binaryConn, error) {
-	if err := samePeerUID(uc); err != nil {
+// laneHandshake checks the peer's uid, swaps arenas with it — and the
+// regions each end offers — and returns the binaryConn that sends through the
+// arena created here and receives through the peer's. arenaBytes sizes the
+// former; the latter's size is the peer's choice, validated.
+func laneHandshake(uc *net.UnixConn, server bool, arenaBytes int, offer *regionOffer) (*binaryConn, error) {
+	pid, err := samePeerUID(uc)
+	if err != nil {
 		return nil, err
 	}
 	out, fd, err := newSendArena(arenaBytes)
 	if err != nil {
 		return nil, err
 	}
+	fds := []int{fd}
+	if offer != nil {
+		fds = append(fds, offer.reg.fd)
+	}
 	_ = uc.SetDeadline(time.Now().Add(laneHandshakeTimeout))
-	if _, _, err = uc.WriteMsgUnix([]byte(laneHello), syscall.UnixRights(fd), nil); err != nil {
+	if _, _, err = uc.WriteMsgUnix([]byte(laneHello), syscall.UnixRights(fds...), nil); err != nil {
 		out.drop()
 		return nil, fmt.Errorf("transport: lane hello: %w", err)
 	}
-	in, err := recvArena(uc)
+	in, reg, err := recvArena(uc)
 	if err != nil {
 		out.drop()
 		return nil, err
 	}
 	_ = uc.SetDeadline(time.Time{})
 	conn := newBinaryConn(uc, server)
-	conn.carrier, conn.laneOut, conn.fr.arena = carrierLane, out, in
+	conn.carrier, conn.laneOut, conn.fr.arena, conn.fr.region = carrierLane, out, in, reg
+	if offer != nil {
+		offer.reg.holders.Add(1)
+		conn.regionOut, conn.peer = offer, openPeer(pid)
+	}
 	return conn, nil
 }
 
@@ -178,33 +199,71 @@ func laneHandshake(uc *net.UnixConn, server bool, arenaBytes int) (*binaryConn, 
 var laneUID = os.Geteuid()
 
 // samePeerUID fails unless the process at the other end of uc runs under
-// laneUID.
-func samePeerUID(uc *net.UnixConn) error {
+// laneUID, and returns that process's pid.
+func samePeerUID(uc *net.UnixConn) (int, error) {
 	raw, err := uc.SyscallConn()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	var cred *syscall.Ucred
 	var credErr error
 	if err := raw.Control(func(fd uintptr) {
 		cred, credErr = syscall.GetsockoptUcred(int(fd), syscall.SOL_SOCKET, syscall.SO_PEERCRED)
 	}); err != nil {
-		return err
+		return 0, err
 	}
 	if credErr != nil {
-		return fmt.Errorf("transport: lane peer credentials: %w", credErr)
+		return 0, fmt.Errorf("transport: lane peer credentials: %w", credErr)
 	}
 	if int(cred.Uid) != laneUID {
-		return fmt.Errorf("transport: lane peer runs under uid %d, not %d", cred.Uid, laneUID)
+		return 0, fmt.Errorf("transport: lane peer runs under uid %d, not %d", cred.Uid, laneUID)
 	}
-	return nil
+	return int(cred.Pid), nil
 }
 
-// newArenaFile creates the unlinked shared-memory file behind an arena: size
-// bytes, none of them allocated until touched, sealed against resizing.
-func newArenaFile(size int) (int, error) {
-	name, _ := syscall.BytePtrFromString("dssp-lane")
-	r, _, errno := syscall.Syscall(memfdCreateTrap, uintptr(unsafe.Pointer(name)), mfdCloexec|mfdAllowSealing, 0)
+// openPeer returns the lane peer running as pid, watched through a pidfd
+// (pidfd_open(2)), which turns readable once the process has exited. Where
+// the kernel gives none (before Linux 5.3, a pid outside this namespace) the
+// peer is never seen to exit: its references end only when it releases them.
+func openPeer(pid int) *lanePeer {
+	p := &lanePeer{fd: -1}
+	p.refs.Store(1)
+	if pid > 0 {
+		if fd, _, errno := syscall.Syscall(sysPidfdOpen, uintptr(pid), 0, 0); errno == 0 {
+			p.fd = int(fd) // close-on-exec already
+		}
+	}
+	return p
+}
+
+// exited reports whether the peer's process has exited: its pidfd polls
+// readable.
+func (p *lanePeer) exited() bool {
+	if p.fd < 0 {
+		return false
+	}
+	fds := [1]struct {
+		fd             int32
+		events, revent int16
+	}{{fd: int32(p.fd), events: pollIn}}
+	var zero syscall.Timespec
+	n, _, errno := syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&fds[0])), 1, uintptr(unsafe.Pointer(&zero)), 0, 0, 0)
+	return errno == 0 && n == 1
+}
+
+// drop ends one holder's use of the peer's pidfd; the last one closes it.
+func (p *lanePeer) drop() {
+	if p.refs.Add(-1) == 0 && p.fd >= 0 {
+		syscall.Close(p.fd)
+	}
+}
+
+// newArenaFile creates the unlinked shared-memory file behind an arena or a
+// region, named name in /proc/<pid>/maps: size bytes, none of them allocated
+// until touched, sealed against resizing.
+func newArenaFile(name string, size int) (int, error) {
+	cname, _ := syscall.BytePtrFromString(name)
+	r, _, errno := syscall.Syscall(memfdCreateTrap, uintptr(unsafe.Pointer(cname)), mfdCloexec|mfdAllowSealing, 0)
 	if errno != 0 {
 		return -1, fmt.Errorf("transport: memfd_create: %w", errno)
 	}
@@ -229,7 +288,7 @@ func newArenaFile(size int) (int, error) {
 // that keeps every other body behind the descriptor. Either call failing
 // means no slot, and the frames it would have carried are copied as ever.
 func newSendArena(size int) (*arena, int, error) {
-	fd, err := newArenaFile(size)
+	fd, err := newArenaFile("dssp-lane", size)
 	if err != nil {
 		return nil, -1, err
 	}
@@ -269,6 +328,78 @@ func newSendArena(size int) (*arena, int, error) {
 		return slot, func() { _ = syscall.Munmap(slot) }, nil
 	}
 	return a, fd, nil
+}
+
+// newRegion creates a generation region of size bytes that this process owns
+// (region.go): mapped writable here, each extent given memory by
+// fallocate(2) before the owner's first store into it — the file is sealed
+// against shrinking, so no store can find a page missing — and its pages
+// punched out again when it is freed.
+func newRegion(size int) (*region, error) {
+	fd, err := newArenaFile("dssp-gen", size)
+	if err != nil {
+		return nil, err
+	}
+	mem, err := mapShared(fd, size)
+	if err != nil {
+		syscall.Close(fd)
+		return nil, err
+	}
+	r := &region{mem: mem, fd: fd, owner: true}
+	r.holders.Store(1)
+	r.unmap = func() {
+		_ = syscall.Munmap(mem)
+		syscall.Close(fd)
+	}
+	r.allocate = func(off, n int) error { return syscall.Fallocate(fd, 0, int64(off), int64(n)) }
+	r.punch = func(off, n int) { _ = syscall.Fallocate(fd, fallocPunchHole, int64(off), int64(n)) }
+	return r, nil
+}
+
+// receiveRegion maps the region whose descriptor a peer's hello carried, or
+// finds the mapping this process already has of it, and returns it with one
+// hold taken; it consumes fd. The checks are recvArena's: a whole number of
+// pages, no larger than a region, sealed against shrinking. The mapping is
+// read-only: a store into a pulled tensor faults.
+func receiveRegion(fd int) (*region, error) {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(fd, &st); err != nil {
+		syscall.Close(fd)
+		return nil, fmt.Errorf("transport: stat generation region: %w", err)
+	}
+	key := regionKey{dev: uint64(st.Dev), ino: st.Ino}
+	receivedRegions.Lock()
+	defer receivedRegions.Unlock()
+	if r := receivedRegions.m[key]; r != nil {
+		syscall.Close(fd)
+		r.holders.Add(1)
+		return r, nil
+	}
+	seals, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), fGetSeals, 0)
+	if errno != 0 || seals&fSealShrink == 0 {
+		syscall.Close(fd)
+		return nil, errors.New("transport: peer's generation region is not sealed against shrinking")
+	}
+	if st.Size < regionMinBytes || st.Size > regionBytes || st.Size%lanePage != 0 {
+		syscall.Close(fd)
+		return nil, fmt.Errorf("transport: peer's generation region has an unusable size of %d bytes", st.Size)
+	}
+	mem, err := syscall.Mmap(fd, 0, int(st.Size), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		syscall.Close(fd)
+		return nil, fmt.Errorf("transport: map generation region: %w", err)
+	}
+	r := &region{mem: mem, fd: fd, key: key}
+	r.holders.Store(1)
+	r.unmap = func() {
+		_ = syscall.Munmap(mem)
+		syscall.Close(fd)
+	}
+	if receivedRegions.m == nil {
+		receivedRegions.m = make(map[regionKey]*region)
+	}
+	receivedRegions.m[key] = r
+	return r, nil
 }
 
 // mapShared maps the first size bytes of fd shared and writable: the sender
@@ -315,53 +446,68 @@ func pwritevAll(fd int, iov []syscall.Iovec, off int) error {
 // after checking that the file is what a peer of this build would send: a
 // whole number of pages, no larger than the slot marker can address, and
 // sealed against shrinking — reading a mapped page past a shrunken file's end
-// is a SIGBUS.
-func recvArena(uc *net.UnixConn) (*arena, error) {
+// is a SIGBUS. A second descriptor is the generation region the peer offers
+// (receiveRegion); reg is nil when it offers none.
+func recvArena(uc *net.UnixConn) (in *arena, reg *region, err error) {
 	hello := make([]byte, len(laneHello))
-	oob := make([]byte, syscall.CmsgSpace(4))
+	oob := make([]byte, syscall.CmsgSpace(8))
 	n, oobn, _, _, err := uc.ReadMsgUnix(hello, oob)
 	if err != nil {
-		return nil, fmt.Errorf("transport: lane hello: %w", err)
+		return nil, nil, fmt.Errorf("transport: lane hello: %w", err)
 	}
-	// The descriptor rides the hello's first byte; whatever of the rest a
+	// The descriptors ride the hello's first byte; whatever of the rest a
 	// short read left behind follows on the stream.
-	fd, fdErr := helloFD(oob[:oobn])
-	if fdErr == nil {
-		defer syscall.Close(fd)
-	}
+	fds, fdErr := helloFDs(oob[:oobn])
+	defer func() {
+		for _, fd := range fds {
+			syscall.Close(fd)
+		}
+	}()
 	if _, err := io.ReadFull(uc, hello[n:]); err != nil {
-		return nil, fmt.Errorf("transport: lane hello: %w", err)
+		return nil, nil, fmt.Errorf("transport: lane hello: %w", err)
 	}
 	if string(hello) != laneHello {
-		return nil, errors.New("transport: peer does not speak this build's lane")
+		return nil, nil, errors.New("transport: peer does not speak this build's lane")
 	}
 	if fdErr != nil {
-		return nil, fdErr
+		return nil, nil, fdErr
 	}
+	fd := fds[0]
 	var st syscall.Stat_t
 	if err := syscall.Fstat(fd, &st); err != nil {
-		return nil, fmt.Errorf("transport: stat lane arena: %w", err)
+		return nil, nil, fmt.Errorf("transport: stat lane arena: %w", err)
 	}
 	seals, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), fGetSeals, 0)
 	if errno != 0 || seals&fSealShrink == 0 {
-		return nil, errors.New("transport: peer's lane arena is not sealed against shrinking")
+		return nil, nil, errors.New("transport: peer's lane arena is not sealed against shrinking")
 	}
 	if st.Size < 2*lanePage || st.Size > laneArenaBytes || st.Size%lanePage != 0 {
-		return nil, fmt.Errorf("transport: peer's lane arena has an unusable size of %d bytes", st.Size)
+		return nil, nil, fmt.Errorf("transport: peer's lane arena has an unusable size of %d bytes", st.Size)
+	}
+	if len(fds) == 2 {
+		reg, err = receiveRegion(fds[1])
+		fds = fds[:1]
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	mem, err := mapShared(fd, int(st.Size))
 	if err != nil {
-		return nil, err
+		if reg != nil {
+			reg.drop()
+		}
+		return nil, nil, err
 	}
-	return newArena(mem, int(st.Size)/lanePage, nil, func() { _ = syscall.Munmap(mem) }), nil
+	return newArena(mem, int(st.Size)/lanePage, nil, func() { _ = syscall.Munmap(mem) }), reg, nil
 }
 
-// helloFD extracts the one descriptor a hello's control data must carry,
-// closing any others.
-func helloFD(oob []byte) (int, error) {
+// helloFDs extracts the descriptors a hello's control data must carry — the
+// arena's, and a region's after it — closing all of them when their number
+// is wrong.
+func helloFDs(oob []byte) ([]int, error) {
 	msgs, err := syscall.ParseSocketControlMessage(oob)
 	if err != nil {
-		return -1, fmt.Errorf("transport: lane hello control data: %w", err)
+		return nil, fmt.Errorf("transport: lane hello control data: %w", err)
 	}
 	var fds []int
 	for i := range msgs {
@@ -370,11 +516,11 @@ func helloFD(oob []byte) (int, error) {
 			fds = append(fds, got...)
 		}
 	}
-	if len(fds) != 1 {
+	if len(fds) != 1 && len(fds) != 2 {
 		for _, fd := range fds {
 			syscall.Close(fd)
 		}
-		return -1, fmt.Errorf("transport: lane hello carries %d descriptors, want 1", len(fds))
+		return nil, fmt.Errorf("transport: lane hello carries %d descriptors, want 1 or 2", len(fds))
 	}
-	return fds[0], nil
+	return fds, nil
 }

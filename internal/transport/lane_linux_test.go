@@ -10,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"dssp/internal/obs"
 	"dssp/internal/tensor"
@@ -35,14 +36,14 @@ func handshakePair(t *testing.T, arenaBytes int) (a, b *binaryConn) {
 			accepted <- result{err: err}
 			return
 		}
-		conn, err := laneHandshake(c.(*net.UnixConn), true, arenaBytes)
+		conn, err := laneHandshake(c.(*net.UnixConn), true, arenaBytes, nil)
 		accepted <- result{conn, err}
 	}()
 	c, err := net.Dial("unix", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err = laneHandshake(c.(*net.UnixConn), false, arenaBytes)
+	a, err = laneHandshake(c.(*net.UnixConn), false, arenaBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,4 +643,107 @@ func TestLanePushSlotOutlivesClose(t *testing.T) {
 		t.Fatal("the release after Close did not unmap the arena")
 	}
 	release() // idempotent
+}
+
+// TestLaneReferenceFrames is the reference frame end to end: a listener that
+// shares a generation region offers it in every lane hello, a dense Weights
+// reply whose tensors lie in it crosses as a reference — the receiver reads
+// the sender's values through its own read-only mapping, nothing copied, and
+// both ends meter the frame at its logical size — and the extent it names is
+// not reclaimable while the reference is out: until the receiver releases
+// it, whether or not the sending connection is still open.
+//
+// Mutation-checked: ending a closed connection's holds at once lets the
+// extent be reclaimed — and rewritten — under the reference still read.
+func TestLaneReferenceFrames(t *testing.T) {
+	regS, regC := obs.NewRegistry(), obs.NewRegistry()
+	l, err := ListenWireMetered("127.0.0.1:0", WireBinary, NewMetrics(regS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	alloc := l.(RegionHost).ShareRegion(nil)
+	if alloc == nil {
+		t.Fatal("a lane listener shares no region")
+	}
+	accepted := make(chan Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := DialWireMetered(l.Addr(), WireBinary, NewMetrics(regC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := <-accepted
+	defer s.Close()
+
+	mem, reclaim, free := alloc(8192 + 33)
+	defer free()
+	big, small := tensor.FromSliceOwned(mem[:8192], 64, 128), tensor.FromSliceOwned(mem[8192:], 33)
+	for i := range mem {
+		mem[i] = float32(i)
+	}
+	reply := Message{Type: MsgWeights, Worker: 1, Version: 7, Shard: 1, Shards: 2, Base: 3, Total: 5,
+		Tensors: ToWireOwned([]*tensor.Tensor{big, small})}
+	frame, err := appendFrame(nil, &reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Send(reply); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFrame(t, got, reply)
+	if &got.Tensors[0].Data[0] == &mem[0] {
+		t.Fatal("the receiver reads the sender's writable mapping")
+	}
+	if reclaim() {
+		t.Fatal("the extent is reclaimable while a reference into it is out")
+	}
+	for name, want := range map[string]float64{
+		`dssp_transport_bytes_total{dir="recv",type="Weights"}`: float64(len(frame)),
+		`dssp_transport_lane_frames_total{dir="recv"}`:          1,
+	} {
+		if got := regC.Snapshot()[name]; got != want {
+			t.Errorf("receiver %s = %v, want %v", name, got, want)
+		}
+	}
+	if got := regS.Snapshot()[`dssp_transport_bytes_total{dir="sent",type="Weights"}`]; got != float64(len(frame)) {
+		t.Errorf("sender metered %v Weights bytes, the logical frame is %d", got, len(frame))
+	}
+	got.Release()
+	if !reclaim() {
+		t.Fatal("the extent stays pinned after the receiver released the reference")
+	}
+
+	// The sending connection closes — a lease expiry, say — while the
+	// receiver, alive, still reads the reference: the extent stays pinned,
+	// however long the sender goes on reclaiming, until the receiver lets go.
+	if err := s.Send(reply); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	for i := 0; i < 5; i++ {
+		if reclaim() {
+			t.Fatal("a closed connection's reference stopped pinning the extent while its receiver still reads it")
+		}
+		time.Sleep(2 * orphanPoll)
+	}
+	if v := kept.Tensors[1].Data[32]; v != 8192+32 {
+		t.Fatalf("an unreleased reference reads %v after its sender closed, want %v", v, 8192+32)
+	}
+	kept.Release()
+	if !reclaim() {
+		t.Fatal("the extent stays pinned after the receiver released the reference its sender's connection closed on")
+	}
 }

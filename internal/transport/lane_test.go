@@ -148,3 +148,78 @@ func TestLanePushSlotStaysOutOfTheAllocator(t *testing.T) {
 		t.Fatalf("a frame landed at page %d, inside the push slot", got)
 	}
 }
+
+// refFrame builds a Weights frame whose one tensor of n values is a
+// reference: slot and offset as given, nothing checked.
+func refFrame(slot uint16, n uint32, off uint64) []byte {
+	body := []byte{tagTensorRefs}
+	body = binary.LittleEndian.AppendUint16(body, slot)
+	body = binary.LittleEndian.AppendUint32(body, 4*n+64)
+	body = binary.LittleEndian.AppendUint32(body, 1)
+	body = append(body, 1)
+	body = binary.LittleEndian.AppendUint32(body, n)
+	body = binary.LittleEndian.AppendUint32(body, n)
+	body = binary.LittleEndian.AppendUint64(body, off)
+	frame := append([]byte(wireMagic), 1, byte(MsgWeights), 0, 0)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
+	return append(frame, body...)
+}
+
+// FuzzLaneReference drives the receive side of a reference frame with forged
+// slots, offsets and lengths, on a lane connection whose peer offered a
+// region (carrier 0), one whose peer offered none (1) and TCP (2). Whatever
+// the frame says, readFrame returns a message whose tensors lie inside the
+// region — and whose Release frees its slot — or an error, never a panic:
+// a reference outside the region, into the arena's state table, on a slot
+// not in flight, without a region or on TCP is a decode error.
+func FuzzLaneReference(f *testing.F) {
+	const pages, regionPages, slot = 16, 8, 4
+	f.Add(uint16(slot), uint32(1024), uint64(lanePage), true, uint8(0))            // the honest frame
+	f.Add(uint16(slot), uint32(1), uint64(regionPages*lanePage), true, uint8(0))   // offset past the region
+	f.Add(uint16(slot), uint32(2), uint64(regionPages*lanePage-4), true, uint8(0)) // runs off its end
+	f.Add(uint16(slot), uint32(1<<30), uint64(0), true, uint8(0))                  // a length no region holds
+	f.Add(uint16(slot), uint32(1), uint64(1<<63), true, uint8(0))                  // an offset that overflows
+	f.Add(uint16(slot), uint32(1), uint64(2), true, uint8(0))                      // misaligned
+	f.Add(uint16(0), uint32(1024), uint64(lanePage), true, uint8(0))               // a slot in the state table
+	f.Add(uint16(slot), uint32(1024), uint64(lanePage), false, uint8(0))           // a slot nobody announced
+	f.Add(uint16(pages), uint32(1024), uint64(lanePage), true, uint8(0))           // a slot past the arena
+	f.Add(uint16(slot), uint32(1024), uint64(lanePage), true, uint8(1))            // the peer offered no region
+	f.Add(uint16(slot), uint32(1024), uint64(lanePage), true, uint8(2))            // a reference on TCP
+	f.Fuzz(func(t *testing.T, slot uint16, n uint32, off uint64, inFlight bool, carrier uint8) {
+		fr := newFrameReader(bufio.NewReader(bytes.NewReader(refFrame(slot, n, off))))
+		reg := &region{mem: make([]byte, regionPages*lanePage)}
+		switch carrier % 3 {
+		case 0:
+			fr.arena, fr.region = heapArena(pages), reg
+		case 1:
+			fr.arena = heapArena(pages)
+		}
+		if fr.arena != nil && inFlight && int(slot) < pages {
+			fr.arena.state(int(slot)).Store(1)
+		}
+		got, err := fr.readFrame()
+		if err != nil {
+			if slot == 4 && n == 1024 && off == lanePage && inFlight && carrier%3 == 0 {
+				t.Fatalf("the honest reference did not decode: %v", err)
+			}
+			return
+		}
+		if carrier%3 != 0 {
+			t.Fatalf("a reference frame decoded on carrier %d, which has no region", carrier%3)
+		}
+		base := uintptr(unsafe.Pointer(&reg.mem[0]))
+		for i, w := range got.Tensors {
+			start := uintptr(unsafe.Pointer(&w.Data[0]))
+			if start < base || start+uintptr(4*len(w.Data)) > base+uintptr(len(reg.mem)) {
+				t.Fatalf("tensor %d of a reference at offset %d, %d values, lies outside the region", i, off, n)
+			}
+		}
+		if int(slot) < fr.arena.dataStart() {
+			t.Fatalf("a reference named slot %d, in the arena's state table", slot)
+		}
+		got.Release()
+		if fr.arena.state(int(slot)).Load() != 0 {
+			t.Fatalf("releasing the reference did not free slot %d", slot)
+		}
+	})
+}

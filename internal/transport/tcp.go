@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // WireFormat names the TCP encoding. There is one — the binary frame
@@ -37,6 +38,14 @@ type tcpListener struct {
 	lane  net.Listener // nil when there is no lane to offer
 	meter *Metrics
 
+	// offer is the generation region every lane handshake offers
+	// (ShareRegion), nil for none. The handshakes wait for ready — closed by
+	// ShareRegion or the first Accept — so that a peer dialing before its
+	// server is serving still gets the region.
+	offer     atomic.Pointer[regionOffer]
+	ready     chan struct{}
+	readyOnce sync.Once
+
 	conns chan Conn
 	errs  chan error
 	done  chan struct{}
@@ -68,6 +77,7 @@ func ListenWireMetered(addr string, wire WireFormat, meter *Metrics) (Listener, 
 		l:     l,
 		lane:  listenLane(l.Addr()),
 		meter: meter,
+		ready: make(chan struct{}),
 		conns: make(chan Conn),
 		errs:  make(chan error, 1), // the TCP accept loop's one, final error
 		done:  make(chan struct{}),
@@ -108,7 +118,13 @@ func (t *tcpListener) acceptLane() {
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			if conn := upgradeLane(c, true, t.meter); conn != nil {
+			select {
+			case <-t.ready:
+			case <-t.done:
+				c.Close()
+				return
+			}
+			if conn := upgradeLane(c, true, t.meter, t.offer.Load()); conn != nil {
 				t.deliver(conn)
 			}
 		}()
@@ -127,6 +143,7 @@ func (t *tcpListener) deliver(conn Conn) {
 
 // Accept implements Listener.
 func (t *tcpListener) Accept() (Conn, error) {
+	t.open()
 	select {
 	case conn := <-t.conns:
 		return conn, nil
@@ -149,8 +166,48 @@ func (t *tcpListener) Close() error {
 			t.lane.Close()
 		}
 		t.wg.Wait()
+		if o := t.offer.Swap(nil); o != nil {
+			o.reg.drop()
+		}
 	})
 	return err
+}
+
+// open lets the lane handshakes held for ShareRegion proceed.
+func (t *tcpListener) open() { t.readyOnce.Do(func() { close(t.ready) }) }
+
+// ShareRegion implements RegionHost.
+func (t *tcpListener) ShareRegion(via Conn) func(n int) ([]float32, func() bool, func()) {
+	defer t.open()
+	if t.lane == nil {
+		return nil
+	}
+	o := &regionOffer{}
+	if via == nil {
+		r, err := newRegion(regionBytes)
+		if err != nil {
+			return nil
+		}
+		o.reg = r
+	} else if bc, ok := via.(*binaryConn); ok {
+		bc.decMu.Lock()
+		if r := bc.fr.region; r != nil {
+			r.holders.Add(1)
+			o.reg, o.src = r, bc.fr
+		}
+		bc.decMu.Unlock()
+	}
+	if o.reg == nil {
+		return nil
+	}
+	if !t.offer.CompareAndSwap(nil, o) {
+		o.reg.drop()
+		return nil
+	}
+	if o.src != nil {
+		return nil
+	}
+	return o.reg.alloc
 }
 
 // Addr implements Listener.

@@ -128,6 +128,16 @@ const (
 	// protocol version 4; decoders reject them inside an older frame.
 	tagRelay       = 0x17 // uint8, must be 1
 	tagPushEntries = 0x18 // uint32 count + count × (uint32 worker + uint64 version + uint32 iteration)
+
+	// The reference section (region.go): a dense Weights reply's tensors
+	// named by where they lie in the generation region the peer offered in
+	// its lane hello, no data. It exists only on a lane connection whose peer
+	// offered a region; anywhere else it is a decode error. Its layout:
+	// uint16 reference slot, uint32 logical body length (the body the frame
+	// stands for, which the meters count), uint32 count, then per tensor the
+	// dense section's rank, dims and element count followed by a uint64
+	// byte offset into the region.
+	tagTensorRefs = 0x19
 )
 
 // frameVersion returns the lowest protocol version able to express m: 4 when
@@ -591,9 +601,13 @@ func (p *bodyPool) close() {
 type bodyLease struct {
 	pool *bodyPool
 	buf  []byte
-	// arena and page replace pool when buf is a lane slot.
+	// arena and page replace pool when buf is a lane slot. On a reference
+	// frame's message (region.go) buf is nil, page is the reference slot and
+	// span the range of the peer's region its tensors lie in.
 	arena *arena
 	page  int
+	span  *regionSpan
+	reg   *region
 	done  atomic.Bool
 }
 
@@ -621,13 +635,18 @@ func (l *bodyLease) release() {
 }
 
 // giveBack returns the buffer to where it came from: the connection's free
-// list, or — one atomic store in the arena header — the sending peer.
+// list, or — one atomic store in the arena header — the sending peer, which
+// for a reference this process passed on waits for the last receiver of it.
 func (l *bodyLease) giveBack() {
 	if l.arena == nil {
 		l.pool.put(l.buf)
 		return
 	}
 	runtime.SetFinalizer(l, nil)
+	if l.span != nil {
+		l.reg.release(l.span)
+		return
+	}
 	l.arena.state(l.page).Store(0)
 	l.arena.drop()
 }
@@ -650,8 +669,11 @@ type frameReader struct {
 	// release them.
 	pool *bodyPool
 	// arena is the inbound half of a lane connection, where frames whose
-	// header names a slot have their body; nil on TCP.
-	arena *arena
+	// header names a slot have their body; nil on TCP. region is the
+	// generation region the peer offered in its hello, which its reference
+	// frames point into; nil when it offered none.
+	arena  *arena
+	region *region
 	// frames counts successfully started reads, distinguishing the very
 	// first frame (where a mismatch means a misconfigured peer, not
 	// corruption) from mid-stream failures.
@@ -715,7 +737,7 @@ func (fr *frameReader) readFrame() (Message, error) {
 		fr.scratch = body[:0]
 		fr.lastBody = bodyScratch
 		// The scratch buffer is reused by the next Recv.
-		return adopt(typ, version, body, nil)
+		return adopt(typ, version, body, nil, fr)
 	}
 
 	// A payload frame gets a leased buffer. A recycled one was sized by a
@@ -733,7 +755,7 @@ func (fr *frameReader) readFrame() (Message, error) {
 		}
 		return Message{}, err
 	}
-	return adopt(typ, version, body, &bodyLease{pool: fr.pool, buf: body})
+	return adopt(typ, version, body, &bodyLease{pool: fr.pool, buf: body}, fr)
 }
 
 // adopt decodes one frame body into the message that owns it from here on —
@@ -743,15 +765,28 @@ func (fr *frameReader) readFrame() (Message, error) {
 // adopt returns (a small frame), so whatever payload was parsed out of it is
 // copied; control messages carry none, so that never copies in the steady
 // state.
-func adopt(typ, version byte, body []byte, lease *bodyLease) (Message, error) {
-	m, err := parseBody(typ, version, body)
-	if err != nil {
-		if lease != nil {
-			lease.giveBack()
-		}
-		return Message{}, err
+//
+// On a lane connection whose peer offered a region (fr.region) the body may
+// be a reference frame instead: its tensors are views of the region, body is
+// not aliased and goes back at once, and the message's lease is the
+// reference slot (referenceLease). fr is nil on the channel transport.
+func adopt(typ, version byte, body []byte, lease *bodyLease, fr *frameReader) (Message, error) {
+	var reg *region
+	if fr != nil {
+		reg = fr.region
 	}
-	if lease == nil {
+	m, ref, err := parseBody(typ, version, body, reg)
+	if lease != nil && (err != nil || ref.end > 0) {
+		lease.giveBack()
+	}
+	switch {
+	case err != nil:
+		return Message{}, err
+	case ref.end > 0:
+		if lease, err = fr.referenceLease(ref); err != nil {
+			return Message{}, err
+		}
+	case lease == nil:
 		m.copyPayloads()
 	}
 	m.lease = lease
@@ -811,26 +846,27 @@ func readBody(br *bufio.Reader, dst []byte, n int) ([]byte, error) {
 // WireTensor data and Packed payloads alias body. version is the frame
 // header's protocol version: tags introduced after it are rejected, so a v1
 // frame still decodes under exactly the v1 rules.
-func parseBody(typ, version byte, body []byte) (Message, error) {
+func parseBody(typ, version byte, body []byte, reg *region) (Message, refSection, error) {
 	m := Message{Type: MessageType(typ)}
+	var ref refSection
 	off := 0
 	prevTag := 0
 	for off < len(body) {
 		tag := int(body[off])
 		off++
 		if tag <= prevTag {
-			return Message{}, fmt.Errorf("transport: field tag 0x%02x out of order after 0x%02x", tag, prevTag)
+			return Message{}, ref, fmt.Errorf("transport: field tag 0x%02x out of order after 0x%02x", tag, prevTag)
 		}
 		if tag == tagUnchanged && version < 2 {
-			return Message{}, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 2 but the frame is version %d",
+			return Message{}, ref, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 2 but the frame is version %d",
 				MessageType(typ), tag, version)
 		}
 		if tag >= tagServers && tag <= tagCluster && version < 3 {
-			return Message{}, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 3 but the frame is version %d",
+			return Message{}, ref, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 3 but the frame is version %d",
 				MessageType(typ), tag, version)
 		}
 		if tag >= tagRelay && tag <= tagPushEntries && version < 4 {
-			return Message{}, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 4 but the frame is version %d",
+			return Message{}, ref, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 4 but the frame is version %d",
 				MessageType(typ), tag, version)
 		}
 		prevTag = tag
@@ -964,14 +1000,114 @@ func parseBody(typ, version byte, body []byte) (Message, error) {
 					}
 				}
 			}
+		case tagTensorRefs:
+			switch {
+			case reg == nil:
+				err = errors.New("a reference frame on a connection whose peer offered no region")
+			case m.Tensors != nil:
+				err = errors.New("tensors and references in one frame")
+			default:
+				m.Tensors, ref, off, err = parseRefSection(body, off, reg)
+			}
 		default:
 			err = fmt.Errorf("transport: unknown field tag 0x%02x in a version-%d frame", tag, version)
 		}
 		if err != nil {
-			return Message{}, fmt.Errorf("transport: decode %v frame: %w", MessageType(typ), err)
+			return Message{}, ref, fmt.Errorf("transport: decode %v frame: %w", MessageType(typ), err)
 		}
 	}
-	return m, nil
+	return m, ref, nil
+}
+
+// refSection is what a reference section says beyond its tensors: the
+// reference slot, the logical body length, and the range of the region its
+// tensors span (end 0: the frame carries no reference).
+type refSection struct {
+	slot, logical int
+	off, end      int
+}
+
+// parseRefSection decodes the reference section: each tensor's data is a view
+// of the peer's region as this process mapped it. Whatever the offsets say,
+// the views lie inside the mapping or the frame is an error.
+func parseRefSection(body []byte, off int, reg *region) ([]WireTensor, refSection, int, error) {
+	var ref refSection
+	if off+10 > len(body) {
+		return nil, ref, off, errTruncatedField
+	}
+	ref.slot = int(binary.LittleEndian.Uint16(body[off:]))
+	ref.logical = int(binary.LittleEndian.Uint32(body[off+2:]))
+	count := int(binary.LittleEndian.Uint32(body[off+6:]))
+	off += 10
+	// Minimum encoding per tensor: rank byte, element count and offset.
+	if ref.logical > maxFrameBody || count < 1 || count > (len(body)-off)/13 {
+		return nil, ref, off, fmt.Errorf("reference section of %d tensors for a %d-byte body cannot fit in %d remaining bytes", count, ref.logical, len(body)-off)
+	}
+	ts := make([]WireTensor, count)
+	dims := make([]int, 0, 2*count)
+	for i := range ts {
+		ndims := int(body[off])
+		off++
+		if ndims > maxTensorDims || off+4*ndims+12 > len(body) {
+			return nil, ref, off, fmt.Errorf("reference %d has rank %d or is truncated", i, ndims)
+		}
+		start := len(dims)
+		n := 1
+		for range ndims {
+			dim := int(binary.LittleEndian.Uint32(body[off:]))
+			off += 4
+			if dim <= 0 || n > maxFrameBody/4/dim {
+				return nil, ref, off, fmt.Errorf("reference %d dimension %d overflows the frame limit", i, dim)
+			}
+			dims = append(dims, dim)
+			n *= dim
+		}
+		if declared := int(binary.LittleEndian.Uint32(body[off:])); declared != n {
+			return nil, ref, off, fmt.Errorf("reference %d declares %d elements for %d", i, declared, n)
+		}
+		at := binary.LittleEndian.Uint64(body[off+4:])
+		off += 12
+		if at%4 != 0 || at > uint64(len(reg.mem)) || uint64(len(reg.mem))-at < uint64(4*n) {
+			return nil, ref, off, fmt.Errorf("reference %d of %d bytes at offset %d lies outside the %d-byte region", i, 4*n, at, len(reg.mem))
+		}
+		lo, hi := int(at), int(at)+4*n
+		if ref.end == 0 || lo < ref.off {
+			ref.off = lo
+		}
+		ref.end = max(ref.end, hi)
+		ts[i] = WireTensor{Shape: dims[start:len(dims):len(dims)], Data: bytesFloat32(reg.mem[lo:hi], n)}
+	}
+	return ts, ref, off, nil
+}
+
+// appendRefFrame appends the reference frame standing for m — whose logical
+// body is bodyLen bytes — to dst: m's frame without its tensors, followed by
+// the reference section naming slot and each tensor's region offset (ranges
+// holds an offset and a length per tensor; tagTensorRefs is the highest tag,
+// so it goes last). m has been encoded in full already, so its shapes are
+// known to be sound.
+func appendRefFrame(dst []byte, m *Message, slot, bodyLen int, ranges []int) ([]byte, error) {
+	start := len(dst)
+	bare := *m
+	bare.Tensors = nil
+	dst, err := appendFrame(dst, &bare)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, tagTensorRefs)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(slot))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(bodyLen))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Tensors)))
+	for i, t := range m.Tensors {
+		dst = append(dst, byte(len(t.Shape)))
+		for _, d := range t.Shape {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.Data)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(ranges[2*i]))
+	}
+	binary.LittleEndian.PutUint32(dst[start+8:], uint32(len(dst)-start-headerSize))
+	return dst, nil
 }
 
 var errTruncatedField = fmt.Errorf("field truncated")
@@ -1159,7 +1295,13 @@ type binaryConn struct {
 	sizes  []int
 	// laneOut is the outbound half of a lane connection, where Send puts
 	// payload bodies instead of on the socket (divert); nil on TCP.
-	laneOut *arena
+	// regionOut is the region it offered its peer, which reference frames
+	// point into, and peer the process it offered it to (both nil when
+	// none); ranges is reference's scratch.
+	laneOut   *arena
+	regionOut *regionOffer
+	peer      *lanePeer
+	ranges    []int
 
 	decMu sync.Mutex
 	fr    *frameReader
@@ -1222,7 +1364,7 @@ func (c *binaryConn) Send(m Message) error {
 		return fmt.Errorf("transport: send %v: %w", m.Type, err)
 	}
 	size := len(buf) + c.refs.bytes
-	if err := c.writeLocked(c.divert(buf, 0, 0)); err != nil {
+	if err := c.writeLocked(c.divert(buf, 0, 0, &m)); err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Type, err)
 	}
 	c.meter.Sent(m.Type, size)
@@ -1252,7 +1394,7 @@ func (c *binaryConn) SendBatch(ms []Message) error {
 			return fmt.Errorf("transport: send %v: %w", ms[i].Type, err)
 		}
 		c.sizes = append(c.sizes, len(buf)+c.refs.bytes-before)
-		buf = c.divert(buf, start, refCount)
+		buf = c.divert(buf, start, refCount, &ms[i])
 	}
 	if err := c.writeLocked(buf); err != nil {
 		return fmt.Errorf("transport: send batch of %d: %w", len(ms), err)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,9 +47,146 @@ func scrape(t *testing.T, addr string) map[string]float64 {
 }
 
 // kernelSeries is the dssp_kernels_bound sample a process exposes for one
-// package: whichever binding this machine and build produce.
+// package: whichever binding this machine and build produce, which the
+// catalog cannot name.
 func kernelSeries(pkg, kernel string) string {
 	return `dssp_kernels_bound{package="` + pkg + `",kernel="` + kernel + `"}`
+}
+
+// catalogEntry is one series docs/METRICS.md catalogs: its family name and,
+// when its row lists the values of each of its labels, the labeled children
+// by name — every combination, labels in the row's order.
+type catalogEntry struct {
+	family   string
+	children []string
+}
+
+// labelValues matches one label's part of a catalog row's labels cell, a
+// list of its values: `reason` = `policy`, `guard`. Several labels are such
+// parts joined by "; ".
+var labelValues = regexp.MustCompile("^`(\\w+)` = ((?:`[^`]+`(?:, )?)+)$")
+
+// labelChildren expands a labels cell into the children it names, or nil
+// when it lists no values or a part of it is not a plain list.
+func labelChildren(cell string) []string {
+	children := []string{""}
+	for _, part := range strings.Split(cell, "; ") {
+		m := labelValues.FindStringSubmatch(part)
+		if m == nil {
+			return nil
+		}
+		var next []string
+		for _, prefix := range children {
+			if prefix != "" {
+				prefix += ","
+			}
+			for _, v := range strings.Split(m[2], ", ") {
+				next = append(next, prefix+m[1]+`="`+strings.Trim(v, "`")+`"`)
+			}
+		}
+		children = next
+	}
+	return children
+}
+
+// metricsCatalog parses docs/METRICS.md into its sections' series.
+func metricsCatalog(t *testing.T) map[string][]catalogEntry {
+	t.Helper()
+	raw, err := os.ReadFile("docs/METRICS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalog := make(map[string][]catalogEntry)
+	section := ""
+	for _, line := range strings.Split(string(raw), "\n") {
+		if title, ok := strings.CutPrefix(line, "## "); ok {
+			section = title
+			continue
+		}
+		if !strings.HasPrefix(line, "| `dssp_") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 5 {
+			t.Fatalf("docs/METRICS.md: a series row with %d cells: %q", len(cells), line)
+		}
+		catalog[section] = append(catalog[section], catalogEntry{
+			family:   strings.Trim(strings.TrimSpace(cells[1]), "`"),
+			children: labelChildren(strings.TrimSpace(cells[3])),
+		})
+	}
+	return catalog
+}
+
+// exposedFamilies reads the metric families an endpoint's /metrics declares
+// (its # TYPE lines), by name, with their types.
+func exposedFamilies(t *testing.T, addr string) map[string]string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatalf("scrape %s: %v", addr, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("scrape %s: %v", addr, err)
+	}
+	families := make(map[string]string)
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families[f[2]] = f[3]
+		}
+	}
+	return families
+}
+
+// checkCatalog holds an endpoint to docs/METRICS.md both ways: every series
+// of the named sections is exposed, with each labeled child its row names
+// (samples is a scrape of the endpoint), and every dssp_ family exposed is
+// cataloged in some section.
+func checkCatalog(t *testing.T, addr string, samples map[string]float64, sections ...string) {
+	t.Helper()
+	catalog := metricsCatalog(t)
+	exposed := exposedFamilies(t, addr)
+	for _, section := range sections {
+		entries := catalog[section]
+		if len(entries) == 0 {
+			t.Fatalf("docs/METRICS.md has no section %q", section)
+		}
+		for _, e := range entries {
+			kind, ok := exposed[e.family]
+			if !ok {
+				t.Errorf("cataloged series %s (%s) missing from /metrics", e.family, section)
+				continue
+			}
+			for _, child := range e.children {
+				series := e.family + "{" + child + "}"
+				if kind == "histogram" {
+					series = e.family + "_count{" + child + "}"
+				}
+				if !has(samples, series) {
+					t.Errorf("cataloged series %s missing from /metrics", series)
+				}
+			}
+		}
+	}
+	cataloged := make(map[string]bool)
+	for _, entries := range catalog {
+		for _, e := range entries {
+			cataloged[e.family] = true
+		}
+	}
+	for family := range exposed {
+		if strings.HasPrefix(family, "dssp_") && !cataloged[family] {
+			t.Errorf("/metrics exposes %s, which docs/METRICS.md does not catalog", family)
+		}
+	}
+}
+
+// has reports whether a scrape holds series.
+func has(samples map[string]float64, series string) bool {
+	_, ok := samples[series]
+	return ok
 }
 
 // TestMetricsEndpointDuringTCPRun starts a 4-worker TCP training run with
@@ -141,62 +280,19 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 
 	final := scrape(t, server.MetricsAddr())
 	// Every cataloged server-side series (docs/METRICS.md) must be exposed,
-	// even the ones this clean run never increments.
-	catalog := []string{
-		"dssp_push_total",
-		`dssp_push_dropped_total{reason="policy"}`,
-		`dssp_push_dropped_total{reason="guard"}`,
-		"dssp_release_total",
-		"dssp_departures_total",
-		"dssp_rejoins_total",
-		"dssp_push_staleness_sum",
-		"dssp_push_staleness_count",
-		"dssp_push_staleness_max",
-		`dssp_push_phase_seconds_sum{phase="decode"}`,
-		`dssp_push_phase_seconds_count{phase="guard"}`,
-		`dssp_push_phase_seconds_count{phase="policy"}`,
-		"dssp_release_lag_seconds_count",
-		"dssp_pull_total",
-		"dssp_pull_seconds_count",
-		"dssp_pull_unchanged_total",
-		"dssp_guard_flags_total",
-		"dssp_guard_evictions_total",
-		"dssp_cluster_map_requests_total",
-		"dssp_cluster_announces_total",
-		"dssp_cluster_promotions_total",
-		"dssp_checkpoint_total",
-		"dssp_checkpoint_errors_total",
-		"dssp_checkpoint_last_failed",
-		"dssp_checkpoint_seconds_count",
-		"dssp_checkpoint_bytes_written_total",
-		"dssp_store_apply_batch_size_sum",
-		"dssp_store_apply_seconds_count",
-		"dssp_store_clone_seconds_count",
-		"dssp_store_clone_reuse_total",
-		"dssp_store_clone_alloc_total",
-		"dssp_sessions_active",
-		"dssp_workers_finished",
-		"dssp_store_version",
-		"dssp_store_reserved",
-		"dssp_store_queue_depth",
-		"dssp_store_shards",
-		"dssp_store_window",
-		`dssp_transport_frames_total{dir="recv",type="Push"}`,
-		`dssp_transport_frames_total{dir="sent",type="OK"}`,
-		`dssp_transport_bytes_total{dir="recv",type="Push"}`,
-		"dssp_transport_batch_size_count",
-		"dssp_transport_recv_body_reuse_total",
-		"dssp_transport_recv_body_alloc_total",
-		"dssp_transport_lane_in_place_total",
-		kernelSeries("tensor", tensor.Kernel()),
-		kernelSeries("compress", compress.Kernel()),
-	}
+	// even the ones this clean run never increments, and nothing exposed may
+	// be missing from the catalog.
+	checkCatalog(t, server.MetricsAddr(), final, "Process (every admin endpoint: server, relay, worker)", "Push pipeline (server)", "Pulls (server)",
+		"Sessions, guard, checkpoints (server)", "Server groups (server)", "Parameter store",
+		"Aggregation tier (root)", "Transport (server and worker sides)")
+	// The rows the catalog cannot enumerate.
+	hand := []string{kernelSeries("tensor", tensor.Kernel()), kernelSeries("compress", compress.Kernel())}
 	for w := 0; w < workers; w++ {
-		catalog = append(catalog, `dssp_worker_wait_seconds{worker="`+strconv.Itoa(w)+`"}`)
+		hand = append(hand, `dssp_worker_wait_seconds{worker="`+strconv.Itoa(w)+`"}`)
 	}
-	for _, series := range catalog {
-		if _, ok := final[series]; !ok {
-			t.Errorf("cataloged series %q missing from /metrics", series)
+	for _, series := range hand {
+		if !has(final, series) {
+			t.Errorf("series %q missing from /metrics", series)
 		}
 	}
 
@@ -341,15 +437,8 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 				t.Fatal("worker admin endpoint never came up")
 			}
 			// Poll until the worker has registered and pushed: from then on it
-			// waits at the barrier for worker 1, and every series below is
+			// waits at the barrier for worker 1, and every worker series is
 			// exposed.
-			want := []string{
-				"dssp_worker_pull_seconds_count",
-				"dssp_worker_push_rtt_seconds_count",
-				"dssp_worker_iterations_total",
-				kernelSeries("tensor", tensor.Kernel()),
-				kernelSeries("compress", compress.Kernel()),
-			}
 			var mid map[string]float64
 			for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
 				mid = scrape(t, addr)
@@ -365,8 +454,9 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 			// before the worker registered its own series; one begun after the
 			// push has them all.
 			mid = scrape(t, addr)
-			for _, series := range want {
-				if _, ok := mid[series]; !ok {
+			checkCatalog(t, addr, mid, "Process (every admin endpoint: server, relay, worker)", "Transport (server and worker sides)", "Worker")
+			for _, series := range []string{kernelSeries("tensor", tensor.Kernel()), kernelSeries("compress", compress.Kernel())} {
+				if !has(mid, series) {
 					t.Errorf("worker series %q missing from /metrics", series)
 				}
 			}

@@ -120,10 +120,6 @@ func (c ClusterOptions) asMember(pcfg ps.ServerConfig, initial []*tensor.Tensor,
 	return pcfg, own, err
 }
 
-// coordinatorDrain is how long a data server that lost its coordinator waits
-// for its own workers' last Done frames before calling the loss fatal.
-const coordinatorDrain = 200 * time.Millisecond
-
 // startClusterLoops starts a data or backup server's background protocol:
 // the announce stream that doubles as its liveness watch on the coordinator
 // and, for a backup, replication from its primary.
@@ -132,16 +128,10 @@ func (s *Server) startClusterLoops(cluster ClusterOptions, entry transport.Serve
 	go func() {
 		defer s.bg.Done()
 		// Losing the coordinator is fatal by design: this server cannot make
-		// progress decisions without it (DESIGN.md §10).
+		// progress decisions without it (DESIGN.md §10). A coordinator whose
+		// run completed says so on the stream before it stops, and Announce
+		// returns nil, whenever this server's own workers' Done frames arrive.
 		if err := ps.Announce(transport.Dial, cluster.Coordinator, entry, s.role == RoleBackup, s.stopping); err != nil {
-			// Unless the run is over: a coordinator that saw every worker
-			// finish may stop before this server has read the Done frames
-			// the same workers sent it first (ps.ClusterClient.Done).
-			select {
-			case <-s.inner.AllWorkersDone():
-				return
-			case <-time.After(coordinatorDrain):
-			}
 			s.fail(fmt.Errorf("dssp: %s server lost the coordinator at %s: %w", s.role, cluster.Coordinator, err))
 		}
 	}()

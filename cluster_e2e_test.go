@@ -286,6 +286,71 @@ func TestClusterCoordinatorDeathFailsFast(t *testing.T) {
 	}
 }
 
+// lateDone delays the Done frames sent on a connection: the worker believes
+// they left, and they reach the peer half a second later.
+type lateDone struct{ transport.Conn }
+
+func (c lateDone) Send(m transport.Message) error {
+	if m.Type != transport.MsgDone {
+		return c.Conn.Send(m)
+	}
+	go func() {
+		time.Sleep(500 * time.Millisecond)
+		_ = c.Conn.Send(m)
+	}()
+	return nil
+}
+
+// TestClusterDataServerOutlivesCompletedCoordinator pins the end-of-run
+// ordering: a coordinator that saw every worker finish tells its data servers
+// so on their announce streams before anything stops it, so a data server
+// whose own workers' Done frames arrive well after the coordinator stopped
+// still ends cleanly instead of reporting the coordinator lost.
+func TestClusterDataServerOutlivesCompletedCoordinator(t *testing.T) {
+	c := clustertest.Start(t, clustertest.Config{Servers: 1, Workers: 1})
+	coordAddr := c.CoordinatorAddr()
+	route := ps.Route{
+		Dial: func(addr string) (transport.Conn, error) {
+			conn, err := dialBinary(addr)
+			if err != nil || addr == coordAddr {
+				return conn, err
+			}
+			return lateDone{conn}, nil
+		},
+		Addr:        coordAddr,
+		Topology:    ps.Group,
+		Compression: dssp.Compression{Codec: dssp.CompressAuto},
+	}
+	worker, err := ps.Connect(route, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer worker.Close()
+	if err := worker.Done(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c.Coordinator.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the coordinator never saw the worker's Done")
+	}
+	c.KillCoordinator()
+
+	data := c.Data[0]
+	select {
+	case <-data.Done():
+	case <-data.Failed():
+		t.Fatalf("data server failed after its coordinator completed the run: %v", data.FailureErr())
+	case <-time.After(10 * time.Second):
+		t.Fatal("the data server never saw its worker's Done")
+	}
+	select {
+	case <-data.Failed():
+		t.Fatalf("data server failed after its coordinator completed the run: %v", data.FailureErr())
+	default:
+	}
+}
+
 // TestClusterSmoke is `make cluster-smoke`: a 3-data-server group over real
 // TCP trains a 4-worker DSSP run to completion, and the model assembled
 // from the shard owners must hit the accuracy floor. -count=1 in the make

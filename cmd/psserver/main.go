@@ -37,9 +37,11 @@
 // -peers <coordinator> -cluster-servers N -cluster-index i) each own a
 // contiguous shard range of the store; a backup (-role backup -primary <data
 // server>) replicates its primary's weights and requests promotion when the
-// primary stays dead past -replicate-grace. In a group -shards is the
-// group-wide shard count (0 = two per data server) and must be the same on
-// every member; a data server whose range then reaches past the
+// primary stays dead past -replicate-grace. Losing the coordinator is fatal
+// to a data server or backup, unless the coordinator finished the run: it
+// then says so on the announce connection before it exits. In a group
+// -shards is the group-wide shard count (0 = two per data server) and must be
+// the same on every member; a data server whose range then reaches past the
 // coordinator's count is refused at announce. Workers join the group with
 // psworker -cluster -server <coordinator>.
 //
@@ -50,9 +52,11 @@
 // cutting the root's ingress from O(workers) to O(workers/fanout) frames.
 // Workers join the tree with psworker -tree -server <root>; they learn
 // their relay from the root's layout and re-parent if it dies. A partial
-// stalled by a straggler is forwarded incomplete after 50ms. A relay refuses
-// the flags only a server acts on (-aggregator, -clip-norm, -guard, -elastic,
-// -checkpoint-*, -shards, -trace-*) by name rather than ignore them.
+// stalled by a straggler is forwarded incomplete after 50ms. A relay leases
+// its workers with -heartbeat-timeout and heartbeats to the root every
+// quarter of it, so a root leasing at the same timeout keeps it. A relay
+// refuses the flags only a server acts on (-aggregator, -clip-norm, -guard,
+// -elastic, -checkpoint-*, -shards, -trace-*) by name rather than ignore them.
 //
 // Observability: -metrics-addr starts an admin HTTP listener serving
 // Prometheus /metrics, /healthz, a /statusz JSON snapshot, and
@@ -139,14 +143,13 @@ func main() {
 			log.Fatalf("psserver: a relay does not act on %s; set it on the root server", strings.Join(serverOnly, ", "))
 		}
 		if err := runRelay(dssp.RelayConfig{
-			Addr:              *addr,
-			Advertise:         *advertise,
-			Parent:            *parent,
-			Fanout:            *fanout,
-			Compression:       relayCompress,
-			HeartbeatTimeout:  *hbTimeout,
-			HeartbeatInterval: *hbTimeout / 4,
-			MetricsAddr:       *metricsAddr,
+			Addr:             *addr,
+			Advertise:        *advertise,
+			Parent:           *parent,
+			Fanout:           *fanout,
+			Compression:      relayCompress,
+			HeartbeatTimeout: *hbTimeout,
+			MetricsAddr:      *metricsAddr,
 		}); err != nil {
 			log.Fatalf("psserver: %v", err)
 		}

@@ -178,7 +178,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 }
 
 func TestPushTracerLifecycle(t *testing.T) {
-	tr := NewPushTracer(TraceConfig{Every: 1, Capacity: 4})
+	tr := NewPushTracer(TraceConfig{Every: 1})
 	now := time.Now()
 
 	// An applied push: sample → track → applied → released.
@@ -211,15 +211,19 @@ func TestPushTracerLifecycle(t *testing.T) {
 	}
 
 	// Ring overflow keeps the newest capacity traces.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultTraceCapacity; i++ {
 		p := tr.Sample(0, i)
 		tr.Abandon(p, "guard")
 	}
-	if got := len(tr.Traces()); got != 4 {
-		t.Errorf("ring holds %d traces, want capacity 4", got)
+	traces = tr.Traces()
+	if got := len(traces); got != DefaultTraceCapacity {
+		t.Errorf("ring holds %d traces, want capacity %d", got, DefaultTraceCapacity)
 	}
-	if tr.Total() != 12 {
-		t.Errorf("total = %d, want 12", tr.Total())
+	if first, last := traces[0], traces[len(traces)-1]; first.Iteration != 0 || last.Iteration != DefaultTraceCapacity-1 {
+		t.Errorf("ring spans iterations %d..%d, want the newest 0..%d", first.Iteration, last.Iteration, DefaultTraceCapacity-1)
+	}
+	if tr.Total() != DefaultTraceCapacity+2 {
+		t.Errorf("total = %d, want %d", tr.Total(), DefaultTraceCapacity+2)
 	}
 }
 

@@ -6,16 +6,14 @@ import (
 	"time"
 )
 
-// TraceConfig sizes the push-lifecycle tracer. Every selects 1-in-N
-// sampling (<= 0 disables tracing, 1 traces every push); Capacity bounds
-// the completed-trace ring (0 = default 256).
+// TraceConfig configures the push-lifecycle tracer. Every selects 1-in-N
+// sampling (<= 0 disables tracing, 1 traces every push).
 type TraceConfig struct {
-	Every    int
-	Capacity int
+	Every int
 }
 
-// DefaultTraceCapacity is the completed-trace ring size when
-// TraceConfig.Capacity is zero.
+// DefaultTraceCapacity is the size of the completed-trace ring: the newest
+// this many traces are kept.
 const DefaultTraceCapacity = 256
 
 // PushTrace is one sampled push's lifecycle: wall-clock stamps at each
@@ -53,7 +51,6 @@ type PushTrace struct {
 // the applier-side stamp is one atomic load when nothing is in flight.
 type PushTracer struct {
 	every uint64
-	cap   int
 
 	n        atomic.Uint64
 	inFlight atomic.Int64
@@ -71,15 +68,10 @@ func NewPushTracer(cfg TraceConfig) *PushTracer {
 	if cfg.Every <= 0 {
 		return nil
 	}
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
 	return &PushTracer{
 		every:   uint64(cfg.Every),
-		cap:     capacity,
 		pending: make(map[int64]*PushTrace),
-		ring:    make([]PushTrace, 0, capacity),
+		ring:    make([]PushTrace, 0, DefaultTraceCapacity),
 	}
 }
 
@@ -166,12 +158,12 @@ func (t *PushTracer) Released(ticket int64, now time.Time) {
 // commitLocked appends a finished trace to the ring (caller holds t.mu).
 func (t *PushTracer) commitLocked(tr PushTrace) {
 	t.total++
-	if len(t.ring) < t.cap {
+	if len(t.ring) < DefaultTraceCapacity {
 		t.ring = append(t.ring, tr)
 		return
 	}
 	t.ring[t.next] = tr
-	t.next = (t.next + 1) % t.cap
+	t.next = (t.next + 1) % DefaultTraceCapacity
 }
 
 // Traces returns the completed traces, oldest first. Nil-safe.

@@ -60,6 +60,11 @@ type Client struct {
 	// sessions (backup replication streams, a relay's upstream cache).
 	cluster bool
 	replica bool
+	// trunk is the tree-layout entry a relay's trunk registers with
+	// ({Addr: advertised, ShardHi: fanout}), nil on every other client. A
+	// trunk adopts the session key the root assigns, and its push slot has
+	// room for a full fanout of PushEntries.
+	trunk []transport.ServerEntry
 	// shardCache holds the decoded tensors of the last reply, per server
 	// shard: a packed chunk decodes into its shard's entry in place, and a
 	// relay fans the entries out to its children.
@@ -145,6 +150,8 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 		CodecPull: c.cfg.Pull,
 		Cluster:   c.cluster,
 		Replica:   c.replica,
+		Relay:     c.trunk != nil,
+		Servers:   c.trunk,
 	})
 	if err != nil {
 		return fmt.Errorf("ps: register worker %d: %w", c.worker, err)
@@ -163,6 +170,9 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 		return fmt.Errorf("ps: worker %d negotiated codec %s but server speaks %s", c.worker, c.cfg, negotiated)
 	}
 	c.cfg = negotiated
+	if c.trunk != nil {
+		c.worker = msg.Worker
+	}
 	if c.cfg.Enabled() {
 		if c.comp, err = compress.NewCompressor(c.cfg); err != nil {
 			return fmt.Errorf("ps: worker %d: %w", c.worker, err)
@@ -381,11 +391,18 @@ func (c *Client) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteratio
 // the fragments travel in parallel while each link stays lock-step. A nil
 // or empty grads sends a metadata-only push (the coordinator's ticket).
 func (c *Client) PushAsync(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
+	return c.push(grads, baseVersion, iteration, nil)
+}
+
+// push sends one push carrying entries: none for a worker's own, the summed
+// children's for a relay trunk's partial (DESIGN.md §11).
+func (c *Client) push(grads []*tensor.Tensor, baseVersion int64, iteration int, entries []transport.PushEntry) error {
 	msg := transport.Message{
-		Type:      transport.MsgPush,
-		Worker:    c.worker,
-		Iteration: iteration,
-		Version:   baseVersion,
+		Type:        transport.MsgPush,
+		Worker:      c.worker,
+		Iteration:   iteration,
+		Version:     baseVersion,
+		PushEntries: entries,
 	}
 	if c.comp != nil {
 		msg.Codec = c.cfg.Codec
@@ -421,7 +438,13 @@ func (c *Client) PushSlot(grads []*tensor.Tensor) []*tensor.Tensor {
 		return nil
 	}
 	if !c.slot.tried {
-		c.slot.place(c.conn, transport.Message{Type: transport.MsgPush, Worker: c.worker}, grads)
+		tmpl := transport.Message{Type: transport.MsgPush, Worker: c.worker}
+		if c.trunk != nil {
+			// Room for a full fanout's entries, which follow the tensors and
+			// so move no slab.
+			tmpl.PushEntries = make([]transport.PushEntry, c.trunk[0].ShardHi)
+		}
+		c.slot.place(c.conn, tmpl, grads)
 	}
 	return c.slot.take(grads)
 }

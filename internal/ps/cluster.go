@@ -271,8 +271,9 @@ func SubmitEntry(conn transport.Conn, typ transport.MessageType, entry transport
 
 // Announce registers a data server's (or, with replica set, a backup's) map
 // entry with the coordinator and then holds the connection open as the
-// server's liveness watch on it, until stop closes (nil) or the coordinator
-// is lost (the error). Losing the coordinator is fatal by design — it is the
+// server's liveness watch on it, until stop closes or the coordinator reports
+// the run complete with a Done frame (nil), or the coordinator is lost (the
+// error). Losing the coordinator is fatal by design — it is the
 // single serialization point for staleness decisions (DESIGN.md §10) — so
 // only the first announce retries, with backoff for up to 30 s: an
 // orchestrator may start the whole group at once. An explicit rejection is
@@ -311,8 +312,12 @@ func Announce(dial func(addr string) (transport.Conn, error), coordAddr string, 
 			}
 			announced = true
 			for {
-				if _, err := conn.Recv(); err != nil {
+				msg, err := conn.Recv()
+				if err != nil {
 					return err
+				}
+				if msg.Type == transport.MsgDone {
+					return nil
 				}
 			}
 		})
@@ -323,14 +328,30 @@ func Announce(dial func(addr string) (transport.Conn, error), coordAddr string, 
 }
 
 // clusterState is the coordinator's live view of the group: the data-server
-// entries the map serves and the version workers use to detect change. (An
-// announcing data server parks on its connection as its liveness watch on this
-// coordinator; the session layer's stop sweep closes it with every other
-// connection.)
+// entries the map serves and the version workers use to detect change. An
+// announcing data server or backup parks on its connection as its liveness
+// watch on this coordinator (parked): when every worker is done the
+// coordinator sends each one Done before anything can stop it (done latches
+// that, for an announce arriving later), and the session layer's stop sweep
+// closes them with every other connection.
 type clusterState struct {
 	mu         sync.Mutex
 	entries    []transport.ServerEntry
 	mapVersion int64
+	parked     []transport.Conn
+	done       bool
+}
+
+// endAnnounces tells every parked announcer that the run is complete, so a
+// member whose coordinator stops next does not take the stop for its death.
+func (c *clusterState) endAnnounces() {
+	c.mu.Lock()
+	parked := c.parked
+	c.parked, c.done = nil, true
+	c.mu.Unlock()
+	for _, conn := range parked {
+		_ = conn.Send(transport.Message{Type: transport.MsgDone})
+	}
 }
 
 // handleClusterMap answers a worker's map request on its own connection —
@@ -414,6 +435,15 @@ func (s *Server) handleServerAnnounce(conn transport.Conn, msg transport.Message
 		s.cluster.mu.Unlock()
 	}
 	_ = conn.Send(transport.Message{Type: transport.MsgOK})
+	s.cluster.mu.Lock()
+	done := s.cluster.done
+	if !done {
+		s.cluster.parked = append(s.cluster.parked, conn)
+	}
+	s.cluster.mu.Unlock()
+	if done {
+		_ = conn.Send(transport.Message{Type: transport.MsgDone})
+	}
 }
 
 // handlePromote swaps the owner address of one shard range — the promotion a

@@ -128,7 +128,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 		if topo == "tree" {
 			// One relay in front of every worker: child pushes fold into
 			// partials, pulls are served from the relay's upstream cache.
-			relay, err := NewRelay(RelayConfig{Parent: rootDial, Fanout: workers, Advertise: "relay"})
+			relay, err := NewRelay(RelayConfig{Fanout: workers, Advertise: "relay"}, parentDial(rootDial), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1044,7 +1044,7 @@ func TestRelaySentChunkOutlivesSupersededPullCache(t *testing.T) {
 	}
 	t.Cleanup(srv.Stop)
 	_, dialRoot := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
-	relay, err := NewRelay(RelayConfig{Parent: dialRoot, Fanout: 2, Advertise: "relay"})
+	relay, err := NewRelay(RelayConfig{Fanout: 2, Advertise: "relay"}, parentDial(dialRoot), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -536,7 +536,7 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 					t.Fatalf("trunk's frame after the errors is %+v (%v), want the re-join's Registered", ack, err)
 				}
 			case "relay-child":
-				relay, err := NewRelay(RelayConfig{Parent: dial, Fanout: 2, Advertise: "relay"})
+				relay, err := NewRelay(RelayConfig{Fanout: 2, Advertise: "relay"}, parentDial(dial), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

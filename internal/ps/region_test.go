@@ -513,7 +513,7 @@ func TestRelaySentReferenceOutlivesSupersededPullCache(t *testing.T) {
 	}
 	t.Cleanup(srv.Stop)
 	_, dialRoot := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
-	relay, err := NewRelay(RelayConfig{Parent: dialRoot, Fanout: 2, Advertise: "relay"})
+	relay, err := NewRelay(RelayConfig{Fanout: 2, Advertise: "relay"}, parentDial(dialRoot), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,44 +18,54 @@ import (
 // most this long before it forwards incomplete.
 const DefaultRelayFlushInterval = 50 * time.Millisecond
 
-// RelayConfig configures an aggregation relay (DESIGN.md §11): a middle-tier
-// process that accepts ordinary worker push sessions, coordinate-wise sums
-// the gradients of up to Fanout children into one partial, and forwards a
-// single ×k-weighted push upstream carrying the children's clock metadata.
+// RelayConfig configures an aggregation relay (DESIGN.md §11; cmd/psserver
+// -role relay): a middle tier that accepts ordinary worker sessions, sums the
+// gradients of up to Fanout children coordinate-wise into one partial, and
+// forwards a single ×k-weighted push to the root carrying the children's clock
+// metadata — cutting the root's push ingress from O(workers) to
+// O(workers/fanout) frames while the paradigm still sees every logical push.
+// It is dssp.RelayConfig. Addr and MetricsAddr are read only by
+// dssp.ServeRelay, which listens and serves the admin endpoint; NewRelay is
+// handed its dialer and registry as arguments instead.
 type RelayConfig struct {
-	// Parent dials one upstream connection (to the root server). Called twice
-	// at construction: once for the trunk the control plane rides, once for
-	// the read-only replica session the pull cache refreshes through.
-	Parent func() (transport.Conn, error)
-	// Fanout is the number of children this relay covers in the root's tree
-	// layout. Must be at least 1.
-	Fanout int
-	// Advertise is the child-facing address published in the layout — what
-	// workers covered by this relay dial.
+	// Addr is the child-facing TCP listen address, e.g. ":7071".
+	Addr string
+	// Advertise is the child-facing address published in the root's tree
+	// layout — what the workers this relay covers dial. dssp.ServeRelay
+	// defaults it to the listener's own address (fine on one host; set it
+	// explicitly across machines, where ":7071" is not dialable).
 	Advertise string
-	// Compression is the codec request carried on the trunk registration;
-	// compress.Auto adopts whatever the root speaks. Children negotiate
-	// against the root's configuration exactly as if directly connected.
+	// Parent is the root server's address, dialed twice at construction: once
+	// for the trunk the children's control traffic and the partials ride, once
+	// for the replica session the pull cache refreshes through.
+	Parent string
+	// Fanout is how many workers this relay covers in the root's tree layout.
+	// Must be at least 1.
+	Fanout int
+	// Compression is the codec requested on the trunk registration; the zero
+	// value adopts whatever the root speaks (compress.Auto), and an explicit
+	// codec must match the root's exactly. Children negotiate against the
+	// root's configuration exactly as if directly connected.
 	Compression compress.Config
-	// HeartbeatInterval is the cadence of upstream liveness heartbeats
-	// (trunk and pull sessions); 0 disables them.
-	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is the child-session lease: a child silent for longer
-	// is evicted exactly as the root's lease monitor would. 0 disables child
-	// leases (connection death still evicts).
+	// is evicted exactly as the root's lease monitor would. Both upstream
+	// sessions heartbeat every HeartbeatTimeout/4, so a root leasing at the
+	// same timeout keeps them. 0 disables both (connection death still
+	// evicts).
 	HeartbeatTimeout time.Duration
-	// Metrics is the registry the relay's instrumentation lives on; nil
-	// creates a private one.
-	Metrics *obs.Registry
+	// MetricsAddr, when non-empty, starts an admin HTTP listener serving the
+	// relay's metrics (/metrics: dssp_relay_* series plus transport meters),
+	// /healthz and pprof. "127.0.0.1:0" picks a free port.
+	MetricsAddr string
 }
 
 // Relay is the aggregation-relay process. It speaks the ordinary worker
 // protocol downstream — children register, push, pull, heartbeat and leave
 // exactly as against a root server, as worker sessions of the session layer
-// the root runs on (session.go) — and two upstream sessions: a trunk
-// (negative-key session multiplexing the children's control traffic and the
-// summed pushes) and a replica pull session feeding the cache child pulls are
-// served from.
+// the root runs on (session.go) — and two upstream sessions, each an ordinary
+// Client: a trunk (negative-key session multiplexing the children's control
+// traffic and the summed pushes) and a replica pull session feeding the cache
+// child pulls are served from.
 //
 // A partial flushes upstream when every live unfinished child has
 // contributed ("full"), when a contributor pushes again before the flush
@@ -67,16 +77,16 @@ type Relay struct {
 	// sessionLayer serves the children; the methods named by tier are what a
 	// relay does with their traffic.
 	sessionLayer
-	cfg RelayConfig
 
-	trunk       transport.Conn
-	trunkKey    int
-	compression compress.Config
-	// comp is the trunk hop's error-feedback compressor (nil for the
-	// identity codec): what quantization discards from one forwarded partial
-	// is carried into the next, per hop, exactly as a worker's own
-	// compressor does per worker.
-	comp *compress.Compressor
+	// trunk is the trunk session, registered under the key the root
+	// assigned, with the codec it negotiated (the one every hop of the subtree
+	// speaks). Its pushes, push slot and pushed-byte count are r.mu's
+	// (flushLocked); the children's forwarded joins, departures and
+	// completions go out on its connection directly, and trunkLoop alone
+	// reads it. Its error-feedback compressor carries what quantization
+	// discards from one partial into the next, per hop, exactly as a
+	// worker's own does per worker.
+	trunk *Client
 	// up is the replica pull client; pullMu serializes child pulls through
 	// it (the client is single-goroutine by contract) and guards packed.
 	up     *Client
@@ -95,9 +105,10 @@ type Relay struct {
 	// payload dictates the layout its siblings are judged by.
 	layout atomic.Pointer[[][]int]
 
-	// mu guards pendingJoins, partial, spareSum, trunkSlot, doneCount and the
-	// children's session.finished, and orders trunk flushes (the send happens
-	// under it, so forwarded partials leave in completion order).
+	// mu guards pendingJoins, partial, spareSum, the trunk's pushes and push
+	// slot, doneCount and the children's session.finished, and orders trunk
+	// flushes (the send happens under it, so forwarded partials leave in
+	// completion order).
 	mu           sync.Mutex
 	pendingJoins map[int]chan transport.Message
 	partial      *relayPartial
@@ -105,17 +116,13 @@ type Relay struct {
 	// spareSum is the last flushed partial's sum buffers, the next partial's:
 	// the trunk's Send was done with them when it returned.
 	spareSum []*tensor.Tensor
-	// trunkSlot is the trunk's resident push slot: a partial that starts
-	// while it is free sums there, and its flush sends it uncopied.
-	trunkSlot pushSlot
 
 	stopOnce sync.Once
 
 	errMu sync.Mutex
 	err   error
 
-	ingressBytes   atomic.Int64
-	forwardedBytes atomic.Int64
+	ingressBytes atomic.Int64
 }
 
 // relayPartial is the in-progress sum: the window accumulating children's
@@ -164,11 +171,12 @@ func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 	}
 }
 
-// NewRelay dials the parent, registers the trunk (negotiating the codec) and
-// the replica pull session, and starts the relay's background loops. Serve
-// accepts children afterwards.
-func NewRelay(cfg RelayConfig) (*Relay, error) {
-	if cfg.Parent == nil {
+// NewRelay dials the parent with dial, registers the trunk (negotiating the
+// codec) and the replica pull session, and starts the relay's background
+// loops; its instrumentation lives on reg (nil creates a private registry).
+// Serve accepts children afterwards.
+func NewRelay(cfg RelayConfig, dial func(addr string) (transport.Conn, error), reg *obs.Registry) (*Relay, error) {
+	if dial == nil {
 		return nil, fmt.Errorf("ps: relay needs a parent dialer")
 	}
 	if cfg.Fanout < 1 {
@@ -177,51 +185,28 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Advertise == "" {
 		return nil, fmt.Errorf("ps: relay needs an advertise address for the tree layout")
 	}
-	comp := cfg.Compression.Normalized()
-	if err := comp.Validate(true); err != nil {
-		return nil, err
+	if cfg.Compression.Codec == "" {
+		// Unset means "follow the parent", exactly as it does for workers.
+		cfg.Compression.Codec = compress.Auto
 	}
-	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 
-	trunk, err := cfg.Parent()
+	conn, err := dial(cfg.Parent)
 	if err != nil {
 		return nil, fmt.Errorf("ps: relay trunk dial: %w", err)
 	}
-	err = trunk.Send(transport.Message{
-		Type:      transport.MsgRegister,
-		Relay:     true,
-		Codec:     comp.Codec,
-		CodecTopK: comp.TopK,
-		CodecPull: comp.Pull,
-		Servers:   []transport.ServerEntry{{Addr: cfg.Advertise, ShardHi: cfg.Fanout}},
-	})
+	trunk, err := NewClientCompressed(conn, 0, cfg.Compression)
+	if err == nil {
+		trunk.trunk = []transport.ServerEntry{{Addr: cfg.Advertise, ShardHi: cfg.Fanout}}
+		err = trunk.Register()
+	}
 	if err != nil {
-		_ = trunk.Close()
-		return nil, fmt.Errorf("ps: relay trunk register: %w", err)
+		_ = conn.Close()
+		return nil, fmt.Errorf("ps: relay trunk: %w", err)
 	}
-	reply, err := trunk.Recv()
-	if err != nil {
-		_ = trunk.Close()
-		return nil, fmt.Errorf("ps: relay trunk register: %w", err)
-	}
-	if reply.Type == transport.MsgError {
-		_ = trunk.Close()
-		return nil, fmt.Errorf("ps: relay rejected: %s", reply.Error)
-	}
-	if reply.Type != transport.MsgRegistered {
-		_ = trunk.Close()
-		return nil, fmt.Errorf("ps: relay expected Registered, got %v", reply.Type)
-	}
-	negotiated := compress.Config{Codec: reply.Codec, TopK: reply.CodecTopK, Pull: reply.CodecPull}.Normalized()
-	if comp.Codec != compress.Auto && !comp.Equal(negotiated) {
-		_ = trunk.Close()
-		return nil, fmt.Errorf("ps: relay negotiated codec %s but server speaks %s", comp, negotiated)
-	}
-
-	upConn, err := cfg.Parent()
+	upConn, err := dial(cfg.Parent)
 	if err != nil {
 		_ = trunk.Close()
 		return nil, fmt.Errorf("ps: relay pull dial: %w", err)
@@ -235,10 +220,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	}
 
 	r := &Relay{
-		cfg:          cfg,
 		trunk:        trunk,
-		trunkKey:     reply.Worker,
-		compression:  negotiated,
 		up:           up,
 		reg:          reg,
 		pendingJoins: make(map[int]chan transport.Message),
@@ -246,13 +228,6 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	r.bind(r, time.Now, map[transport.MessageType]func(transport.Conn, transport.Message){
 		transport.MsgClusterMap: refuseClusterMap,
 	})
-	if negotiated.Enabled() {
-		if r.comp, err = compress.NewCompressor(negotiated); err != nil {
-			_ = trunk.Close()
-			_ = up.Close()
-			return nil, err
-		}
-	}
 	r.rm = newRelayMetrics(reg, r)
 
 	r.wg.Add(2)
@@ -262,24 +237,14 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		r.wg.Add(1)
 		go r.leaseMonitor(cfg.HeartbeatTimeout, nil)
 	}
-	if cfg.HeartbeatInterval > 0 {
-		stopUp := up.StartHeartbeats(cfg.HeartbeatInterval)
+	if beat := cfg.HeartbeatTimeout / 4; beat > 0 {
+		stopTrunk, stopUp := trunk.StartHeartbeats(beat), up.StartHeartbeats(beat)
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			defer stopUp()
-			ticker := time.NewTicker(cfg.HeartbeatInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-r.stopped:
-					return
-				case <-ticker.C:
-					if r.trunk.Send(transport.Message{Type: transport.MsgHeartbeat, Worker: r.trunkKey}) != nil {
-						return
-					}
-				}
-			}
+			<-r.stopped
+			stopTrunk()
+			stopUp()
 		}()
 	}
 	return r, nil
@@ -291,9 +256,10 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 func (r *Relay) Stop() {
 	r.stopOnce.Do(func() {
 		r.shutdown()
-		_ = r.trunk.Close()
-		// The connection, not the client: Client.Close would end the pull
-		// lease a handlePull in flight still reads under pullMu.
+		// The connections, not the clients: Client.Close would end the pull
+		// lease a handlePull in flight still reads under pullMu, and the
+		// trunk's push slot under a fold.
+		_ = r.trunk.conn.Close()
 		_ = r.up.conn.Close()
 		// A partial summing in the trunk slot can never be sent now; it goes
 		// with the slot, under the lock every fold takes.
@@ -301,7 +267,7 @@ func (r *Relay) Stop() {
 		if r.partial != nil && r.partial.inSlot {
 			r.partial = nil
 		}
-		r.trunkSlot.end()
+		r.trunk.endLeases()
 		r.mu.Unlock()
 	})
 }
@@ -334,12 +300,15 @@ type RelayStats struct {
 
 // Stats snapshots the relay's live accounting.
 func (r *Relay) Stats() RelayStats {
+	r.mu.Lock()
+	forwarded, _ := r.trunk.Traffic()
+	r.mu.Unlock()
 	return RelayStats{
 		Children:        len(r.sessions.list()),
 		ChildPushes:     r.rm.childPushes.Value(),
 		IngressBytes:    r.ingressBytes.Load(),
 		ForwardedPushes: r.rm.forwarded.Value(),
-		ForwardedBytes:  r.forwardedBytes.Load(),
+		ForwardedBytes:  forwarded,
 	}
 }
 
@@ -372,7 +341,7 @@ func (r *Relay) fail(err error) {
 // children's connections close, and they re-parent via a fresh layout fetch.
 func (r *Relay) trunkLoop() {
 	for {
-		msg, err := r.trunk.Recv()
+		msg, err := r.trunk.conn.Recv()
 		if err != nil {
 			select {
 			case <-r.stopped:
@@ -469,7 +438,7 @@ func (r *Relay) handleRegister(conn transport.Conn, _ *session, msg transport.Me
 	fwd := msg
 	fwd.Tensors = nil
 	fwd.Packed = nil
-	if err := r.trunk.Send(fwd); err != nil {
+	if err := r.trunk.conn.Send(fwd); err != nil {
 		go r.fail(fmt.Errorf("ps: relay trunk: %w", err))
 		return nil
 	}
@@ -518,7 +487,7 @@ func (r *Relay) departed(ch *session) {
 		}
 	}
 	r.mu.Unlock()
-	_ = r.trunk.Send(transport.Message{Type: transport.MsgLeave, Worker: ch.worker})
+	_ = r.trunk.conn.Send(transport.Message{Type: transport.MsgLeave, Worker: ch.worker})
 }
 
 // handleDone marks the child finished — shrinking the membership the flush
@@ -531,7 +500,7 @@ func (r *Relay) handleDone(ch *session, _ transport.Message) {
 		r.flushLocked("done")
 	}
 	r.mu.Unlock()
-	_ = r.trunk.Send(transport.Message{Type: transport.MsgDone, Worker: ch.worker})
+	_ = r.trunk.conn.Send(transport.Message{Type: transport.MsgDone, Worker: ch.worker})
 }
 
 // handlePush folds one child's gradients into the pending partial and flushes
@@ -548,7 +517,7 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 	// The child's decompression scratch is reused across its pushes: it is
 	// lock-step, and the decoded values are folded into the partial's own
 	// buffers before the handler returns.
-	grads, bytes, err := decodePayload(msg, r.compression, &ch.decodeScratch)
+	grads, bytes, err := decodePayload(msg, r.trunk.cfg, &ch.decodeScratch)
 	if err != nil {
 		reject(err.Error())
 		return
@@ -578,7 +547,7 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 			started: r.clock(),
 		}
 		r.partial = p
-		if sum := r.trunkSum(grads); sum != nil {
+		if sum := r.trunk.PushSlot(grads); sum != nil {
 			p.sum, p.inSlot = sum, true
 		} else if sameLayout(r.spareSum, grads) {
 			p.sum, r.spareSum = r.spareSum, nil
@@ -610,22 +579,6 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 		r.flushLocked("full")
 	}
 	r.mu.Unlock()
-}
-
-// trunkSum returns the trunk's push slot as a new partial's sum buffers when
-// it is free (Client.PushSlot), nil otherwise — under a trunk codec, off the
-// lane, or while the root still holds the last partial sent from it. The
-// slot has room for a full fanout's PushEntries, which follow the tensors and
-// so move no slab. Caller holds r.mu.
-func (r *Relay) trunkSum(grads []*tensor.Tensor) []*tensor.Tensor {
-	if r.comp != nil {
-		return nil
-	}
-	if !r.trunkSlot.tried {
-		r.trunkSlot.place(r.trunk, transport.Message{Type: transport.MsgPush, Worker: r.trunkKey,
-			PushEntries: make([]transport.PushEntry, r.cfg.Fanout)}, grads)
-	}
-	return r.trunkSlot.take(grads)
 }
 
 // sameLayout reports whether a holds one tensor of b's shape per tensor of b
@@ -672,36 +625,17 @@ func (r *Relay) completeLocked() bool {
 
 // flushLocked forwards the pending partial upstream as one ×k-weighted push:
 // the summed gradients plus the per-child PushEntries the root's policy
-// layer replays. Callers hold r.mu — the send happens under it, so partials
-// leave in completion order. When the trunk's Send returns nothing upstream
-// reads the sum buffers (or the compressor's, which the next flush
-// overwrites) again, so heap ones become the next partial's (spareSum); the
-// trunk slot's are the root's until it releases the frame.
+// layer replays, based on the oldest version any child computed against.
+// Callers hold r.mu — the send happens under it, so partials leave in
+// completion order. When the trunk's push returns nothing upstream reads the
+// sum buffers (or the compressor's, which the next flush overwrites) again,
+// so heap ones become the next partial's (spareSum); the trunk slot's are the
+// root's until it releases the frame.
 func (r *Relay) flushLocked(reason string) {
 	p := r.partial
 	r.partial = nil
 	if p == nil || len(p.entries) == 0 {
 		return
-	}
-	msg := transport.Message{
-		Type:        transport.MsgPush,
-		Worker:      r.trunkKey,
-		Version:     p.minBase,
-		Iteration:   p.entries[0].Iteration,
-		PushEntries: p.entries,
-	}
-	var bytes int64
-	if r.comp != nil {
-		msg.Codec = r.compression.Codec
-		// Trunk pushes pipeline, but Send (below, under r.mu) is done with
-		// the compressor's buffers before the next flush overwrites them.
-		msg.Packed = r.comp.Compress(p.sum)
-		for _, pk := range msg.Packed {
-			bytes += int64(pk.WireSize())
-		}
-	} else {
-		msg.Tensors = transport.ToWireOwned(p.sum)
-		bytes = wireTensorBytes(msg.Tensors)
 	}
 	switch reason {
 	case "full":
@@ -717,8 +651,7 @@ func (r *Relay) flushLocked(reason string) {
 	}
 	r.rm.forwarded.Inc()
 	r.rm.partialDepth.Observe(float64(len(p.entries)))
-	r.forwardedBytes.Add(bytes)
-	if err := r.trunk.Send(msg); err != nil {
+	if err := r.trunk.push(p.sum, p.minBase, p.entries[0].Iteration, p.entries); err != nil {
 		go r.fail(fmt.Errorf("ps: relay trunk: %w", err))
 	}
 	if !p.inSlot {
@@ -771,11 +704,12 @@ func (r *Relay) handlePull(ch *session, _ transport.Message) {
 	// per upstream shard. A reply at packedAt is a correct copy at that
 	// version, so its pack is too.
 	shards := len(r.up.shardCache)
-	compressPull := r.compression.Pull && r.compression.Enabled()
+	codec := r.trunk.cfg
+	compressPull := codec.Pull && codec.Enabled()
 	if compressPull && (r.packed == nil || r.packedAt != version) {
 		r.packed = make([][]compress.Packed, shards)
 		for i, ts := range r.up.shardCache {
-			r.packed[i] = compress.Pack(ts, r.compression)
+			r.packed[i] = compress.Pack(ts, codec)
 		}
 		r.packedAt = version
 	}
@@ -793,7 +727,7 @@ func (r *Relay) handlePull(ch *session, _ transport.Message) {
 		}
 		base += len(ts)
 		if compressPull {
-			out.Codec = r.compression.Codec
+			out.Codec = codec.Codec
 			out.Packed = r.packed[i]
 		} else {
 			out.Tensors = transport.ToWireOwned(ts)

@@ -57,7 +57,7 @@ func benchAggTree(b *testing.B, workers, fanout int) {
 		for i := 0; i < (workers+fanout-1)/fanout; i++ {
 			l := transport.NewChanListener()
 			listeners = append(listeners, l)
-			relay, err := NewRelay(RelayConfig{Parent: root.Dial, Fanout: fanout, Advertise: l.Addr()})
+			relay, err := NewRelay(RelayConfig{Fanout: fanout, Advertise: l.Addr()}, parentDial(root.Dial), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

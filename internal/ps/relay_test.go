@@ -2,11 +2,13 @@ package ps
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dssp/internal/compress"
 	"dssp/internal/core"
 	"dssp/internal/obs"
 	"dssp/internal/optimizer"
@@ -55,15 +57,13 @@ func newRelayHarness(t *testing.T, policy core.Policy, st *Store, relays, fanout
 		l := transport.NewChanListener()
 		h.listeners = append(h.listeners, l)
 		relay, err := NewRelay(RelayConfig{
-			Parent:    root.Dial,
 			Fanout:    fanout,
 			Advertise: l.Addr(),
 			// The root's lease, when it has one, is the relay's lease on its
 			// children too, and the relay keeps its own upstream sessions alive
 			// under it.
-			HeartbeatTimeout:  opts.HeartbeatTimeout,
-			HeartbeatInterval: opts.HeartbeatTimeout / 5,
-		})
+			HeartbeatTimeout: opts.HeartbeatTimeout,
+		}, parentDial(root.Dial), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,6 +71,12 @@ func newRelayHarness(t *testing.T, policy core.Policy, st *Store, relays, fanout
 		go func(r *Relay, l *transport.ChanListener) { _ = r.Serve(l) }(relay, l)
 	}
 	return h
+}
+
+// parentDial adapts a listener's dialer to the one NewRelay takes, which is
+// handed RelayConfig.Parent.
+func parentDial(dial func() (transport.Conn, error)) func(string) (transport.Conn, error) {
+	return func(string) (transport.Conn, error) { return dial() }
 }
 
 // dial resolves an advertised address: a relay's listener, else the root.
@@ -373,7 +379,7 @@ func TestRelayAdmissionRequiresSumAggregation(t *testing.T) {
 		srv.Stop()
 		root.Close()
 	}()
-	_, err = NewRelay(RelayConfig{Parent: root.Dial, Fanout: 2, Advertise: "x"})
+	_, err = NewRelay(RelayConfig{Fanout: 2, Advertise: "x"}, parentDial(root.Dial), nil)
 	if err == nil {
 		t.Fatal("expected relay admission to fail under a robust aggregator")
 	}
@@ -586,5 +592,282 @@ func TestRelayStalledChildDoesNotDelaySiblingOK(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the sibling's OK is stuck behind the stalled child's")
+	}
+}
+
+// pinRelay starts the fanout-1 relay TestRelayTrunkFramePin drives, dialing
+// the root with dial and metering onto reg.
+func pinRelay(t *testing.T, dial func() (transport.Conn, error), reg *obs.Registry) *Relay {
+	t.Helper()
+	relay, err := NewRelay(RelayConfig{
+		Fanout:      1,
+		Advertise:   "pin-relay",
+		Compression: compress.Config{Codec: compress.Auto},
+	}, parentDial(dial), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(relay.Stop)
+	return relay
+}
+
+// TestRelayTrunkFramePin pins what a relay sends its root, frame type by
+// frame type, over a serial run: one child through a fanout-1 relay for a
+// fixed number of iterations, with the trunk on the channel carrier and on
+// the same-host lane, dense and fp16 with compressed pulls. The root's meter
+// counts every frame it receives (the trunk's, and the pulls of the relay's
+// replica session), and the relay's own meter the partials it sent from the
+// trunk's push slot without a copy.
+func TestRelayTrunkFramePin(t *testing.T) {
+	const iters = 6
+	const size = 8192 // a 32 KiB push body, past the lane's in-place threshold
+	fp16 := compress.Config{Codec: compress.FP16, Pull: true}
+	// pin is the root's receive side of the run: the trunk's and the
+	// replica's registrations and the forwarded child's, one pull per
+	// iteration from the replica, one partial per iteration of pushBytes in
+	// all, and the forwarded Done; inPlace is the relay's in-place count.
+	pin := func(pushBytes, inPlace float64) map[string]float64 {
+		return map[string]float64{
+			`dssp_transport_frames_total{dir="recv",type="Register"}`: 3,
+			`dssp_transport_bytes_total{dir="recv",type="Register"}`:  90,
+			`dssp_transport_frames_total{dir="recv",type="Pull"}`:     iters,
+			`dssp_transport_bytes_total{dir="recv",type="Pull"}`:      108,
+			`dssp_transport_frames_total{dir="recv",type="Push"}`:     iters,
+			`dssp_transport_bytes_total{dir="recv",type="Push"}`:      pushBytes,
+			`dssp_transport_frames_total{dir="recv",type="Done"}`:     1,
+			`dssp_transport_bytes_total{dir="recv",type="Done"}`:      12,
+			"dssp_transport_lane_in_place_total":                      inPlace,
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		lane  bool
+		codec compress.Config
+		want  map[string]float64
+	}{
+		{"channel/dense", false, compress.Config{}, pin(197006, 0)},
+		{"channel/fp16", false, fp16, pin(98752, 0)},
+		// The first partial is based on version 0, whose push lays its body
+		// out differently from the slot's template, and is copied.
+		{"lane/dense", true, compress.Config{}, pin(197006, iters-1)},
+		{"lane/fp16", true, fp16, pin(98752, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(size)}, optimizer.NewSGD(0.1), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewBSP(1), Store: st,
+				Options: Options{Compression: tc.codec}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Stop)
+			rootMeter := transport.NewMetrics(srv.Registry())
+			relayReg := obs.NewRegistry()
+			relayMeter := transport.NewMetrics(relayReg)
+			var root transport.Listener
+			dial := func() (transport.Conn, error) {
+				return transport.DialWireMetered(root.Addr(), transport.WireBinary, relayMeter)
+			}
+			if tc.lane {
+				if root, err = transport.ListenWireMetered("127.0.0.1:0", transport.WireBinary, rootMeter); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				l := transport.NewChanListener()
+				l.SetMeter(rootMeter)
+				root, dial = l, l.Dial
+			}
+			t.Cleanup(func() { root.Close() })
+			go func() { _ = srv.Serve(root) }()
+
+			relay := pinRelay(t, dial, relayReg)
+			children := transport.NewChanListener()
+			t.Cleanup(func() { children.Close() })
+			go func() { _ = relay.Serve(children) }()
+			conn, err := children.Dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			child, err := NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer child.Close()
+			if err := child.Register(); err != nil {
+				t.Fatal(err)
+			}
+			for it := 0; it < iters; it++ {
+				_, v, err := child.Pull()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := child.PushAndWait(testGrads(9, it, size), v, it); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := child.Done(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-srv.AllWorkersDone():
+			case <-time.After(10 * time.Second):
+				t.Fatal("the root never saw the child's Done")
+			}
+
+			got := map[string]float64{
+				"dssp_transport_lane_in_place_total": relayReg.Snapshot()["dssp_transport_lane_in_place_total"],
+			}
+			for k, v := range srv.Registry().Snapshot() {
+				if strings.HasPrefix(k, `dssp_transport_frames_total{dir="recv"`) || strings.HasPrefix(k, `dssp_transport_bytes_total{dir="recv"`) {
+					got[k] = v
+				}
+			}
+			for k, v := range tc.want {
+				if got[k] != v {
+					t.Errorf("%s = %v, want %v", k, got[k], v)
+				}
+			}
+			for k, v := range got {
+				if _, ok := tc.want[k]; !ok && v != 0 {
+					t.Errorf("unpinned %s = %v", k, v)
+				}
+			}
+		})
+	}
+}
+
+// recvFails reports whether a Recv on conn fails within five seconds — the
+// connection was closed under it — rather than delivering a frame or blocking.
+func recvFails(conn transport.Conn) bool {
+	got := make(chan error, 1)
+	go func() {
+		_, err := conn.Recv()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		return err != nil
+	case <-time.After(5 * time.Second):
+		return false
+	}
+}
+
+// TestRelayFailsWhenRootDiesMidRun: a root that goes while a child is still
+// training takes the relay down with an error, and the child's connection
+// closes so that it can re-parent instead of hanging.
+func TestRelayFailsWhenRootDiesMidRun(t *testing.T) {
+	h := newRelayHarness(t, core.MustNewASP(1), testStore(t, 4), 1, 1, Options{})
+	child := h.childClient(t, 0)
+	defer child.Close()
+	h.server.Stop()
+	relay := h.relays[0]
+	select {
+	case <-relay.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the relay outlived its root")
+	}
+	if relay.Err() == nil {
+		t.Error("a relay whose root died under an unfinished child reports no error")
+	}
+	if !recvFails(child.conn) {
+		t.Error("the child's connection stayed open after its relay stopped")
+	}
+}
+
+// TestRelayEndsCleanlyWhenRootClosesAfterRun: a root closing the trunk after
+// every child this relay served reported Done is the normal end of a run, and
+// the relay stops without an error.
+func TestRelayEndsCleanlyWhenRootClosesAfterRun(t *testing.T) {
+	h := newRelayHarness(t, core.MustNewASP(1), testStore(t, 4), 1, 1, Options{})
+	child := h.childClient(t, 0)
+	defer child.Close()
+	if err := child.Done(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-h.server.AllWorkersDone():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the root never saw the child's Done")
+	}
+	h.server.Stop()
+	relay := h.relays[0]
+	select {
+	case <-relay.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the relay outlived its root")
+	}
+	if err := relay.Err(); err != nil {
+		t.Errorf("relay stopped with %v after a completed run, want nil", err)
+	}
+}
+
+// TestRelayStopDropsTheTrunkSlotPartial: a partial summing in the trunk's
+// lane push slot when the relay stops can never be sent; Stop drops it with
+// the slot, and nothing hands the unmapped slot out afterwards.
+func TestRelayStopDropsTheTrunkSlotPartial(t *testing.T) {
+	const size = 8192 // a 32 KiB push body: the lane places a push slot for it
+	srv, err := NewServer(ServerConfig{Workers: 2, Policy: core.MustNewASP(2), Store: testStore(t, size)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	_, dialRoot := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
+	relay, err := NewRelay(RelayConfig{Fanout: 2, Advertise: "relay"}, parentDial(dialRoot), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(relay.Stop)
+	children := transport.NewChanListener()
+	t.Cleanup(func() { children.Close() })
+	go func() { _ = relay.Serve(children) }()
+	var clients []*Client
+	for w := 0; w < 2; w++ {
+		conn, err := children.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient(conn, w)
+		defer c.Close()
+		if err := c.Register(); err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+	}
+	// Child 1 never pushes, so child 0's partial waits for it in the slot.
+	if err := clients[0].PushAsync(testGrads(1, 1, size), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	inSlot := func() bool {
+		relay.mu.Lock()
+		defer relay.mu.Unlock()
+		return relay.partial != nil && relay.partial.inSlot
+	}
+	for deadline := time.Now().Add(5 * time.Second); !inSlot(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("child 0's push never started a partial in the trunk slot")
+		}
+	}
+	// The children's sessions leave the table first, as superseded ones do,
+	// so that their connections' deaths depart nobody and flush nothing: the
+	// partial is Stop's to find.
+	for _, sess := range relay.sessions.list() {
+		relay.sessions.drop(sess)
+	}
+	relay.Stop()
+	relay.mu.Lock()
+	partial, views := relay.partial, relay.trunk.slot.views
+	relay.mu.Unlock()
+	if partial != nil {
+		t.Error("Stop kept the partial summing in the ended trunk slot")
+	}
+	if views != nil {
+		t.Error("Stop left the trunk slot mapped")
+	}
+	// A late push finds the relay gone instead of the slot.
+	_ = clients[1].PushAsync(testGrads(2, 1, size), 1, 1)
+	if relay.trunk.PushSlot(testGrads(2, 1, size)) != nil {
+		t.Error("the ended trunk slot was handed out again")
 	}
 }

@@ -1284,12 +1284,17 @@ func (s *Server) checkAllDone() {
 				}
 			}
 		}
-		if complete {
-			s.allDoneClosed = true
-			close(s.allDone)
-		}
+		s.allDoneClosed = complete
 	}
 	s.mu.Unlock()
+	if complete {
+		if s.cfg.Cluster.Coordinator {
+			// Before AllWorkersDone closes: whatever stops the coordinator
+			// when it does cannot close a parked announce connection first.
+			s.cluster.endAnnounces()
+		}
+		close(s.allDone)
+	}
 }
 
 // Staleness returns the mean and the largest staleness of the updates applied

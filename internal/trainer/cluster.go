@@ -151,13 +151,12 @@ func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*servin
 	for i := 0; i < (cfg.Workers+cfg.Fanout-1)/cfg.Fanout; i++ {
 		l := base.net.listen()
 		relay, err := ps.NewRelay(ps.RelayConfig{
-			Parent:            func() (transport.Conn, error) { return base.net.dial(base.route.Addr) },
-			Fanout:            cfg.Fanout,
-			Advertise:         l.Addr(),
-			Compression:       cfg.Compression,
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			HeartbeatTimeout:  cfg.HeartbeatTimeout,
-		})
+			Parent:           base.route.Addr,
+			Fanout:           cfg.Fanout,
+			Advertise:        l.Addr(),
+			Compression:      cfg.Compression,
+			HeartbeatTimeout: cfg.HeartbeatTimeout,
+		}, base.net.dial, nil)
 		if err != nil {
 			base.stop()
 			return nil, fmt.Errorf("trainer: relay %d: %w", i, err)

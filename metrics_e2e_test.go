@@ -3,6 +3,7 @@ package dssp
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"regexp"
@@ -415,26 +416,34 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 			}
 
 			done := make(chan error, 2)
-			addrs := make(chan string, 1)
 			run := func(cfg WorkerConfig) {
 				cfg.ServerAddr, cfg.Workers, cfg.Cluster = server.Addr(), 2, group
 				cfg.Model, cfg.Dataset, cfg.BatchSize, cfg.Epochs, cfg.Seed = ModelSmallMLP, dataset, 8, 3, 5
 				_, err := RunWorker(cfg)
 				done <- err
 			}
-			go run(WorkerConfig{
-				WorkerID:    0,
-				MetricsAddr: "127.0.0.1:0",
-				OnAdminAddr: func(addr string) { addrs <- addr },
-			})
-
-			var addr string
-			select {
-			case addr = <-addrs:
-			case err := <-done:
-				t.Fatalf("worker exited before exposing admin endpoint: %v", err)
-			case <-time.After(30 * time.Second):
-				t.Fatal("worker admin endpoint never came up")
+			// The worker's admin port is reserved up front, the way
+			// clustertest.FreePort reserves a server's.
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := l.Addr().String()
+			l.Close()
+			go run(WorkerConfig{WorkerID: 0, MetricsAddr: addr})
+			for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+				if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
+					resp.Body.Close()
+					break
+				}
+				select {
+				case err := <-done:
+					t.Fatalf("worker exited before exposing admin endpoint: %v", err)
+				default:
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("worker admin endpoint never came up")
+				}
 			}
 			// Poll until the worker has registered and pushed: from then on it
 			// waits at the barrier for worker 1, and every worker series is

@@ -2,9 +2,7 @@ package dssp
 
 import (
 	"fmt"
-	"time"
 
-	"dssp/internal/compress"
 	"dssp/internal/obs"
 	"dssp/internal/ps"
 	"dssp/internal/transport"
@@ -15,33 +13,8 @@ import (
 // sums the gradients of up to Fanout workers into one partial, and forwards a
 // single ×k-weighted push to the parent server — cutting the root's push
 // ingress from O(workers) to O(workers/fanout) while the paradigm still sees
-// every logical push.
-type RelayConfig struct {
-	// Addr is the child-facing TCP listen address, e.g. ":7071".
-	Addr string
-	// Advertise is the address published in the root's tree layout — what
-	// workers dial. Empty uses the listener's own address (fine on one host;
-	// set it explicitly across machines, where ":7071" is not dialable).
-	Advertise string
-	// Parent is the root parameter server's address.
-	Parent string
-	// Fanout is how many workers this relay covers.
-	Fanout int
-	// Compression is the gradient codec spoken on both hops; the zero value
-	// adopts whatever the parent speaks. An explicit codec must match the
-	// parent's exactly.
-	Compression Compression
-	// HeartbeatInterval is how often the relay proves liveness upstream; 0
-	// disables its own heartbeats (Recv errors still detect death).
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is the child-session lease: a worker silent for
-	// longer is evicted, mirroring the root's elastic lease. 0 disables it.
-	HeartbeatTimeout time.Duration
-	// MetricsAddr, when non-empty, starts an admin HTTP listener serving the
-	// relay's metrics (/metrics: dssp_relay_* series plus transport meters),
-	// /healthz and pprof. "127.0.0.1:0" picks a free port.
-	MetricsAddr string
-}
+// every logical push. It is ps.RelayConfig, where each field is documented.
+type RelayConfig = ps.RelayConfig
 
 // RelayServer is a running TCP aggregation relay.
 type RelayServer struct {
@@ -93,26 +66,12 @@ func ServeRelay(cfg RelayConfig) (*RelayServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	advertise := cfg.Advertise
-	if advertise == "" {
-		advertise = listener.Addr()
+	if cfg.Advertise == "" {
+		cfg.Advertise = listener.Addr()
 	}
-	ccfg := cfg.Compression.Normalized()
-	if cfg.Compression.Codec == "" {
-		// Unset means "follow the parent", exactly as it does for workers.
-		ccfg.Codec = compress.Auto
-	}
-	relay, err := ps.NewRelay(ps.RelayConfig{
-		Parent: func() (transport.Conn, error) {
-			return transport.DialWireMetered(cfg.Parent, transport.WireBinary, meter)
-		},
-		Fanout:            cfg.Fanout,
-		Advertise:         advertise,
-		Compression:       ccfg,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		HeartbeatTimeout:  cfg.HeartbeatTimeout,
-		Metrics:           reg,
-	})
+	relay, err := ps.NewRelay(cfg, func(addr string) (transport.Conn, error) {
+		return transport.DialWireMetered(addr, transport.WireBinary, meter)
+	}, reg)
 	if err != nil {
 		_ = listener.Close()
 		return nil, err

@@ -352,10 +352,6 @@ type WorkerConfig struct {
 	// transport traffic), /healthz and pprof. "127.0.0.1:0" picks a free
 	// port.
 	MetricsAddr string
-	// OnAdminAddr, when set alongside MetricsAddr, is called once with the
-	// admin listener's bound address — the way to learn the port when
-	// MetricsAddr asked for ":0".
-	OnAdminAddr func(addr string)
 }
 
 // WorkerReport summarizes one worker's run.
@@ -425,9 +421,6 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 			return nil, fmt.Errorf("dssp: worker %d metrics listener: %w", cfg.WorkerID, err)
 		}
 		defer admin.Close()
-		if cfg.OnAdminAddr != nil {
-			cfg.OnAdminAddr(admin.Addr())
-		}
 	}
 
 	route := ps.Route{

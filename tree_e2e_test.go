@@ -77,11 +77,10 @@ func runTreeChurn(t *testing.T, syncCfg dssp.Sync) {
 	// under the root's elastic lease.
 	relayCfg := func() dssp.RelayConfig {
 		return dssp.RelayConfig{
-			Addr:              "127.0.0.1:0",
-			Parent:            rootAddr,
-			Fanout:            2,
-			HeartbeatInterval: 200 * time.Millisecond,
-			HeartbeatTimeout:  2 * time.Second,
+			Addr:             "127.0.0.1:0",
+			Parent:           rootAddr,
+			Fanout:           2,
+			HeartbeatTimeout: 2 * time.Second,
 		}
 	}
 	relay0, err := dssp.ServeRelay(relayCfg())

@@ -281,8 +281,9 @@ aggtree-smoke:
 # (-shards 4 on every member, the group-wide count) whose workers run with
 # -reconnect -heartbeat 50ms, and a root behind one
 # relay with -tree workers — failing on any non-zero exit, and checks that
-# psserver -role relay refuses a server-only flag (-guard). The binaries and
-# the per-process logs land in .cli-smoke/.
+# psserver -role relay refuses a server-only flag (-guard) and that
+# psserver -role coordinator refuses the guard its role does not act on. The
+# binaries and the per-process logs land in .cli-smoke/.
 cli-smoke:
 	mkdir -p .cli-smoke
 	$(GO) build -o .cli-smoke/psserver ./cmd/psserver

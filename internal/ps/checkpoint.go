@@ -201,8 +201,8 @@ func (s *Store) RestoreCheckpointDir(dir string) error {
 }
 
 // installCheckpoint validates decoded checkpoint state against the store's
-// layout and installs it: fresh generations per shard, optimizer state
-// loaded, versions re-based.
+// layout and installs it (Store.install): fresh generations per shard,
+// optimizer state loaded, versions re-based, the learning rate restored.
 func (s *Store) installCheckpoint(ck *checkpointData) error {
 	if ck.Version < 0 {
 		return fmt.Errorf("ps: checkpoint version %d is negative", ck.Version)
@@ -229,56 +229,8 @@ func (s *Store) installCheckpoint(ck *checkpointData) error {
 		}
 	}
 
-	// Quiesce the apply pipeline: any updates still queued behind the
-	// restore belong to the run being replaced, and the per-shard applied
-	// counters below must not race appliers.
-	s.Close()
-	for i, sh := range s.shards {
-		r := s.ranges[i]
-		params := make([]*tensor.Tensor, r.End-r.Start)
-		var state [][]float32
-		hasState := false
-		for j := range params {
-			g := r.Start + j
-			params[j] = tensor.FromSlice(append([]float32(nil), ck.Params[g]...), s.shapes[g]...)
-			if ck.State[g] != nil {
-				hasState = true
-			}
-		}
-		if hasState {
-			state = make([][]float32, len(params))
-			for j := range params {
-				g := r.Start + j
-				if ck.State[g] != nil {
-					state[j] = ck.State[g]
-				} else {
-					// Mixed checkpoints (some tensors stateless) restore zero
-					// state for the stateless ones to keep alignment.
-					state[j] = make([]float32, len(ck.Params[g]))
-				}
-			}
-		}
-		sh.mu.Lock()
-		// Old generations alias the replaced run's tensors; drop them rather
-		// than letting a future applier publish into pre-restore buffers a
-		// reader might still hold.
-		sh.evict(append(sh.retired, sh.gen)...)
-		sh.gen = &paramGen{params: params}
-		sh.retired = nil
-		sh.opt.LoadState(state)
-		// Bump the shard version past anything the packed-pull cache may have
-		// encoded so the next compressed pull repacks the restored weights.
-		sh.version++
-		sh.mu.Unlock()
-		// Re-base the applied counter: the store-wide applied version is the
-		// minimum over these, so all shards restart in agreement at the
-		// checkpoint's version.
-		sh.applied.Store(ck.Version)
-	}
-	s.reserved.Store(ck.Version)
-	s.version.Store(ck.Version)
-	if ck.LearningRate > 0 {
-		s.SetLearningRate(ck.LearningRate)
-	}
+	s.install(func(g int) *tensor.Tensor {
+		return tensor.FromSlice(append([]float32(nil), ck.Params[g]...), s.shapes[g]...)
+	}, ck.State, ck.Version, ck.LearningRate)
 	return nil
 }

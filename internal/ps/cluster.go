@@ -6,16 +6,16 @@ import (
 	"sync"
 	"time"
 
-	"dssp/internal/core"
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
 )
 
-// This file holds the server-group (cluster) substrate: the partition
-// arithmetic that assigns contiguous runs of global store shards to data
-// servers, the range-restricted store a data server runs, and the live
-// weight install the primary→backup replication stream lands on.
+// This file holds the server-group (cluster) substrate: the roles and the one
+// role struct, the partition arithmetic that assigns contiguous runs of
+// global store shards to data servers, the range-restricted store a data
+// server runs, the live weight install the primary→backup replication stream
+// lands on, and the coordinator's side of the group protocol.
 //
 // The cluster split keeps the paradigm semantics of conf_icdcs_ZhaoALC19
 // centralized: data servers apply gradient fragments under a local ASP
@@ -23,18 +23,94 @@ import (
 // BSP/SSP/DSSP policy over metadata-only pushes, so staleness decisions stay
 // a single serialization point no matter how many servers carry the bytes.
 
-// ShardAssignment is one data server's slice of the global layout: the
-// contiguous global store shards it owns and the global tensor indices those
-// shards cover. Both ranges are half-open [Lo, Hi).
-type ShardAssignment struct {
-	ShardLo, ShardHi   int
-	TensorLo, TensorHi int
+// Server roles (ClusterConfig.Role, the -role flag on cmd/psserver). The
+// empty string is a flat server: one store, the paradigm, every option.
+const (
+	// RoleCoordinator owns the policy layer of a server group: it serves the
+	// cluster map, accepts metadata-only pushes, and runs the real
+	// BSP/SSP/DSSP staleness decisions. It never carries model weights.
+	RoleCoordinator = "coordinator"
+	// RoleData owns a contiguous range of the global store shards: it runs
+	// its own applier pipeline, COW store and packed-pull cache for that
+	// slice, and announces itself to the coordinator so workers can route
+	// fragments to it.
+	RoleData = "data"
+	// RoleBackup stands by for one data server: it replicates the primary's
+	// published weights over a read-only, version-gated pull stream and
+	// requests promotion from the coordinator when the primary stays
+	// unreachable past the replication grace.
+	RoleBackup = "backup"
+)
+
+// ClusterConfig is a server's role (ServerConfig.Cluster; dssp.ClusterOptions
+// at the public surface). The zero value is a flat server. Every member of
+// one group must be started with the same model, seed, Servers and
+// Options.Shards (the group-wide shard count; 0 picks two per data server):
+// the shard layout is derived deterministically from them, which is what
+// lets servers that have never spoken to each other agree on byte-exact shard
+// boundaries. A data server started with another count whose range then
+// falls outside the coordinator's is refused at announce.
+type ClusterConfig struct {
+	// Role is RoleCoordinator, RoleData, RoleBackup, or "" for a flat server.
+	Role string
+	// Coordinator is the coordinator's address; required for data and
+	// backup roles (the -peers flag).
+	Coordinator string
+	// Servers is the number of data servers in the group (all roles).
+	Servers int
+	// Index is this server's slot in [0, Servers) — which shard range of
+	// the group layout it owns. Data and backup roles only.
+	Index int
+	// Advertise is the address put in the cluster map for this server —
+	// what workers dial. Defaults to the listener's address, which is only
+	// right when it is reachable as-is (no ":7070"-style wildcard binds
+	// behind NAT).
+	Advertise string
+	// Primary is the data server this backup replicates from (backup role).
+	Primary string
+	// ReplicateEvery is the backup's replication poll cadence (default 25ms).
+	ReplicateEvery time.Duration
+	// ReplicateGrace is how long the primary may stay unreachable before the
+	// backup declares it dead and requests promotion (default 2s).
+	ReplicateGrace time.Duration
 }
 
-// GroupLayout partitions globalShards contiguous, size-balanced store shards
-// over servers data servers and returns each server's assignment together
-// with the normalized shard count. sizes are the per-tensor element counts
-// of the model, in global order.
+// validate checks the role's own requirements.
+func (c ClusterConfig) validate() error {
+	switch c.Role {
+	case "":
+		return nil
+	case RoleCoordinator:
+		if c.Servers < 1 {
+			return fmt.Errorf("ps: coordinator needs the group's data-server count (Servers)")
+		}
+		return nil
+	case RoleData, RoleBackup:
+		if c.Coordinator == "" {
+			return fmt.Errorf("ps: %s server needs the coordinator's address", c.Role)
+		}
+		if c.Servers < 1 {
+			return fmt.Errorf("ps: %s server needs the group's data-server count (Servers)", c.Role)
+		}
+		if c.Index < 0 || c.Index >= c.Servers {
+			return fmt.Errorf("ps: %s server index %d outside [0, %d)", c.Role, c.Index, c.Servers)
+		}
+		if c.Role == RoleBackup && c.Primary == "" {
+			return fmt.Errorf("ps: backup server needs its primary's address")
+		}
+		return nil
+	default:
+		return fmt.Errorf("ps: unknown server role %q (want %q, %q or %q)",
+			c.Role, RoleCoordinator, RoleData, RoleBackup)
+	}
+}
+
+// groupLayout partitions globalShards contiguous, size-balanced store shards
+// over servers data servers and returns each server's map entry, without an
+// address — the contiguous global store shards it owns and the global tensor
+// indices those shards cover, both half-open [Lo, Hi) — together with the
+// normalized shard count. sizes are the per-tensor element counts of the
+// model, in global order.
 //
 // globalShards <= 0 selects a deterministic default of two shards per server
 // (machine-independent, unlike the single-server GOMAXPROCS default, because
@@ -43,7 +119,7 @@ type ShardAssignment struct {
 // NewStoreSharded(initial, opt, globalShards) would compute, which is what
 // makes an N-server group's optimizer arithmetic bit-identical to the
 // single-server store's on identical apply schedules.
-func GroupLayout(sizes []int, globalShards, servers int) ([]ShardAssignment, int, error) {
+func groupLayout(sizes []int, globalShards, servers int) ([]transport.ServerEntry, int, error) {
 	if len(sizes) == 0 {
 		return nil, 0, fmt.Errorf("ps: group layout needs at least one tensor")
 	}
@@ -70,9 +146,9 @@ func GroupLayout(sizes []int, globalShards, servers int) ([]ShardAssignment, int
 		}
 	}
 	srv := partitionBySize(shardSizes, servers)
-	out := make([]ShardAssignment, servers)
+	out := make([]transport.ServerEntry, servers)
 	for i, a := range srv {
-		out[i] = ShardAssignment{
+		out[i] = transport.ServerEntry{
 			ShardLo:  a.Start,
 			ShardHi:  a.End,
 			TensorLo: ranges[a.Start].Start,
@@ -82,30 +158,28 @@ func GroupLayout(sizes []int, globalShards, servers int) ([]ShardAssignment, int
 	return out, globalShards, nil
 }
 
-// Entry converts an assignment into its wire form at the given address.
-func (a ShardAssignment) Entry(addr string) transport.ServerEntry {
-	return transport.ServerEntry{
-		Addr:     addr,
-		ShardLo:  a.ShardLo,
-		ShardHi:  a.ShardHi,
-		TensorLo: a.TensorLo,
-		TensorHi: a.TensorHi,
+// tensorSizes returns the element count of each tensor — groupLayout's input.
+func tensorSizes(ts []*tensor.Tensor) []int {
+	sizes := make([]int, len(ts))
+	for i, t := range ts {
+		sizes[i] = t.Size()
 	}
+	return sizes
 }
 
-// NewStoreRange builds the store a data server runs: the sub-range
+// newStoreRange builds the store a data server runs: the sub-range
 // [shardLo, shardHi) of the global globalShards-way partition of initial.
 // initial is the FULL global parameter list — the store clones only the
 // tensors its shards cover, but the shard boundaries are computed over the
 // whole model, so every data server in a group (and a single-server store
 // with the same shard count) agrees on them exactly. globalShards must be
-// the normalized count GroupLayout returned.
+// the normalized count groupLayout returned.
 //
 // The resulting store is local in every externally visible way: Shards()
 // reports shardHi-shardLo, tensor indices (EnqueueApply, ShardRange, pull
 // chunk bases) are relative to the range's first tensor. Callers map local
-// to global through the ShardAssignment that produced the range.
-func NewStoreRange(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShards, shardLo, shardHi int) (*Store, error) {
+// to global through the layout entry that produced the range.
+func newStoreRange(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShards, shardLo, shardHi int) (*Store, error) {
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("ps: store needs at least one parameter tensor")
 	}
@@ -118,7 +192,7 @@ func NewStoreRange(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShar
 	if shardLo < 0 || shardHi <= shardLo || shardHi > globalShards {
 		return nil, fmt.Errorf("ps: shard range [%d, %d) outside [0, %d)", shardLo, shardHi, globalShards)
 	}
-	global := partitionBySize(TensorSizes(initial), globalShards)
+	global := partitionBySize(tensorSizes(initial), globalShards)
 	tLo, tHi := global[shardLo].Start, global[shardHi-1].End
 
 	local := initial[tLo:tHi]
@@ -148,11 +222,10 @@ func NewStoreRange(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShar
 
 // Install replaces the store's published weights with params at the given
 // applied version — the landing half of the primary→backup replication
-// stream. It mirrors the checkpoint-install path (quiesce, fresh generations,
-// shard-version bump so packed caches refresh) but deliberately leaves the
-// optimizer state untouched: the replication stream carries weights only, so
-// a promoted backup resumes with cold momentum (DESIGN.md §10 spells out the
-// trade). params are cloned; the caller keeps ownership.
+// stream, through the one install path the checkpoint restore takes too. It
+// leaves the optimizer state untouched: the replication stream carries
+// weights only, so a promoted backup resumes with cold momentum (DESIGN.md
+// §10 spells out the trade). params are cloned; the caller keeps ownership.
 //
 // version must be newer than the store's: the replicator only ever streams
 // forward, a backwards install would violate the version monotonicity every
@@ -171,88 +244,65 @@ func (s *Store) Install(params []*tensor.Tensor, version int64) error {
 			return fmt.Errorf("ps: install tensor %d has shape %v, store expects %v", i, p.Shape(), s.shapes[i])
 		}
 	}
-	// Quiesce the apply pipeline so the per-shard counters below never race
-	// an applier. A backup store receives no pushes while standing by, so
-	// this is a no-op there; it is still correct on a live store.
+	s.install(func(g int) *tensor.Tensor { return params[g].Clone() }, nil, version, 0)
+	return nil
+}
+
+// install publishes fresh(g) as tensor g at version — the one path a
+// checkpoint restore and a replication install share. The apply pipeline is
+// quiesced first, so the per-shard counters never race an applier (updates
+// still queued belong to the state being replaced). Every shard drops its old
+// generations, which alias superseded weights a reader may still hold and
+// must never be recycled into a new publication, and bumps its version so the
+// packed-pull cache repacks; the applied and reserved counters all re-base at
+// version, so the shards restart in agreement. state, when non-nil, holds one
+// optimizer state per tensor (nil for a stateless one) and is loaded; nil
+// leaves the optimizers as they are. lr > 0 sets the learning rate.
+func (s *Store) install(fresh func(g int) *tensor.Tensor, state [][]float32, version int64, lr float64) {
 	s.Close()
 	for i, sh := range s.shards {
 		r := s.ranges[i]
-		fresh := make([]*tensor.Tensor, r.End-r.Start)
-		for j := range fresh {
-			fresh[j] = params[r.Start+j].Clone()
+		params := make([]*tensor.Tensor, r.End-r.Start)
+		for j := range params {
+			params[j] = fresh(r.Start + j)
+		}
+		var shardState [][]float32
+		for j := range params {
+			if state != nil && state[r.Start+j] != nil {
+				shardState = make([][]float32, len(params))
+				break
+			}
+		}
+		for j := range shardState {
+			// A mixed state (some tensors stateless) loads zero state for the
+			// stateless ones to keep alignment.
+			if shardState[j] = state[r.Start+j]; shardState[j] == nil {
+				shardState[j] = make([]float32, params[j].Size())
+			}
 		}
 		sh.mu.Lock()
-		// Drop retired generations: they alias superseded weights and must
-		// not be recycled into a future publication a reader already holds.
 		sh.evict(append(sh.retired, sh.gen)...)
-		sh.gen = &paramGen{params: fresh}
+		sh.gen = &paramGen{params: params}
 		sh.retired = nil
-		// Bump the shard version so the packed-pull cache refreshes rather
-		// than trusting a stale version number.
+		if state != nil {
+			sh.opt.LoadState(shardState)
+		}
 		sh.version++
 		sh.mu.Unlock()
 		sh.applied.Store(version)
 	}
 	s.reserved.Store(version)
 	s.version.Store(version)
-	return nil
-}
-
-// ClusterConfig is a server's group role (ServerConfig.Cluster). The zero
-// value is a classic standalone server.
-type ClusterConfig struct {
-	// Coordinator marks this server as the group's policy owner: it serves
-	// the cluster map to workers, accepts metadata-only pushes, and runs the
-	// real BSP/SSP/DSSP policy. A coordinator's store is a placeholder — it
-	// never carries model weights.
-	Coordinator bool
-	// GlobalShards and TotalTensors describe the group-wide layout the
-	// coordinator advertises in every map reply (the normalized shard count
-	// GroupLayout returned and the model's tensor count). Required when
-	// Coordinator is set.
-	GlobalShards int
-	TotalTensors int
-}
-
-// AsGroupMember completes cfg for one member of a server group — the one
-// place that knows what a role is made of (DESIGN.md §10). With own nil the
-// server is the coordinator: it keeps cfg.Policy, the real paradigm, over a
-// one-scalar placeholder store, so the version bookkeeping the paradigm gates
-// on exists without carrying any weights. Otherwise it is the data server (or
-// standby backup) owning shards [own.ShardLo, own.ShardHi) of initial, the
-// full model: a fragment's OK means "applied locally", so its policy is a
-// local ASP that releases every push at once while the paradigm runs at the
-// coordinator. globalShards is the normalized count GroupLayout returned.
-func (cfg ServerConfig) AsGroupMember(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShards int, own *ShardAssignment) (ServerConfig, error) {
-	var err error
-	if own == nil {
-		cfg.Store, err = NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, optimizer.NewSGD(1), 1)
-		cfg.Cluster = ClusterConfig{Coordinator: true, GlobalShards: globalShards, TotalTensors: len(initial)}
-		return cfg, err
+	if lr > 0 {
+		s.SetLearningRate(lr)
 	}
-	asp, err := core.NewASP(cfg.Workers)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Policy = asp
-	cfg.Store, err = NewStoreRange(initial, opt, globalShards, own.ShardLo, own.ShardHi)
-	return cfg, err
 }
 
-// TensorSizes returns the element count of each tensor — GroupLayout's input.
-func TensorSizes(ts []*tensor.Tensor) []int {
-	sizes := make([]int, len(ts))
-	for i, t := range ts {
-		sizes[i] = t.Size()
-	}
-	return sizes
-}
-
-// SubmitEntry sends the coordinator one map entry on conn — typ is
+// submitEntry sends the coordinator one map entry on conn — typ is
 // MsgServerAnnounce (a backup's, with replica set, is acknowledged without
 // entering the map) or MsgPromote — and waits for the acknowledgement. An
 // explicit rejection comes back as *RemoteError.
-func SubmitEntry(conn transport.Conn, typ transport.MessageType, entry transport.ServerEntry, replica bool) error {
+func submitEntry(conn transport.Conn, typ transport.MessageType, entry transport.ServerEntry, replica bool) error {
 	if err := conn.Send(transport.Message{Type: typ, Servers: []transport.ServerEntry{entry}, Replica: replica}); err != nil {
 		return err
 	}
@@ -269,72 +319,18 @@ func SubmitEntry(conn transport.Conn, typ transport.MessageType, entry transport
 	return nil
 }
 
-// Announce registers a data server's (or, with replica set, a backup's) map
-// entry with the coordinator and then holds the connection open as the
-// server's liveness watch on it, until stop closes or the coordinator reports
-// the run complete with a Done frame (nil), or the coordinator is lost (the
-// error). Losing the coordinator is fatal by design — it is the
-// single serialization point for staleness decisions (DESIGN.md §10) — so
-// only the first announce retries, with backoff for up to 30 s: an
-// orchestrator may start the whole group at once. An explicit rejection is
-// final at once, and once an announce has succeeded the coordinator was
-// provably up, so any later connection loss means it died.
-func Announce(dial func(addr string) (transport.Conn, error), coordAddr string, entry transport.ServerEntry, replica bool, stop <-chan struct{}) error {
-	stopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
-	announced := false
-	err := retry(30*time.Second, 50*time.Millisecond, 1600*time.Millisecond,
-		func(err error) bool { return announced || stopped() || isRemote(err) },
-		func() error {
-			conn, err := dial(coordAddr)
-			if err != nil {
-				return err
-			}
-			defer conn.Close()
-			// Tie the connection to stop so shutdown unblocks the Recvs below.
-			done := make(chan struct{})
-			defer close(done)
-			go func() {
-				select {
-				case <-stop:
-					_ = conn.Close()
-				case <-done:
-				}
-			}()
-			if err := SubmitEntry(conn, transport.MsgServerAnnounce, entry, replica); err != nil {
-				return err
-			}
-			announced = true
-			for {
-				msg, err := conn.Recv()
-				if err != nil {
-					return err
-				}
-				if msg.Type == transport.MsgDone {
-					return nil
-				}
-			}
-		})
-	if stopped() {
-		return nil
-	}
-	return err
-}
-
 // clusterState is the coordinator's live view of the group: the data-server
 // entries the map serves and the version workers use to detect change. An
 // announcing data server or backup parks on its connection as its liveness
 // watch on this coordinator (parked): when every worker is done the
 // coordinator sends each one Done before anything can stop it (done latches
 // that, for an announce arriving later), and the session layer's stop sweep
-// closes them with every other connection.
+// closes them with every other connection. shards and tensors are the
+// group-wide layout every map reply advertises (the normalized shard count
+// groupLayout returned and the model's tensor count), set by Start.
 type clusterState struct {
+	shards, tensors int
+
 	mu         sync.Mutex
 	entries    []transport.ServerEntry
 	mapVersion int64
@@ -377,7 +373,7 @@ func (s *Server) handleClusterMap(conn transport.Conn, msg transport.Message) {
 		})
 		return
 	}
-	if !s.cfg.Cluster.Coordinator {
+	if !s.coordinator() {
 		_ = conn.Send(transport.Message{
 			Type:  transport.MsgError,
 			Error: "not a cluster coordinator",
@@ -393,8 +389,8 @@ func (s *Server) handleClusterMap(conn transport.Conn, msg transport.Message) {
 		Type:        transport.MsgClusterMap,
 		Servers:     entries,
 		MapVersion:  mapVersion,
-		StoreShards: s.cfg.Cluster.GlobalShards,
-		Total:       s.cfg.Cluster.TotalTensors,
+		StoreShards: s.cluster.shards,
+		Total:       s.cluster.tensors,
 		Version:     s.cfg.Store.Version(),
 	})
 }
@@ -405,7 +401,7 @@ func (s *Server) handleClusterMap(conn transport.Conn, msg transport.Message) {
 // range replaces the entry, which is how a restarted primary re-claims its
 // slice.
 func (s *Server) handleServerAnnounce(conn transport.Conn, msg transport.Message) {
-	if !s.cfg.Cluster.Coordinator {
+	if !s.coordinator() {
 		_ = conn.Send(transport.Message{Type: transport.MsgError, Error: "not a cluster coordinator"})
 		return
 	}
@@ -450,7 +446,7 @@ func (s *Server) handleServerAnnounce(conn transport.Conn, msg transport.Message
 // backup requests after declaring its primary dead. Workers learn the new
 // owner from their next map fetch.
 func (s *Server) handlePromote(conn transport.Conn, msg transport.Message) {
-	if !s.cfg.Cluster.Coordinator {
+	if !s.coordinator() {
 		_ = conn.Send(transport.Message{Type: transport.MsgError, Error: "not a cluster coordinator"})
 		return
 	}
@@ -493,21 +489,24 @@ func (s *Server) checkEntry(msg transport.Message) (transport.ServerEntry, error
 	if e.Addr == "" {
 		return transport.ServerEntry{}, fmt.Errorf("%v entry has no address", msg.Type)
 	}
-	if e.ShardLo < 0 || e.ShardHi <= e.ShardLo || e.ShardHi > s.cfg.Cluster.GlobalShards {
+	if e.ShardLo < 0 || e.ShardHi <= e.ShardLo || e.ShardHi > s.cluster.shards {
 		return transport.ServerEntry{}, fmt.Errorf("%v shard range [%d, %d) outside [0, %d)",
-			msg.Type, e.ShardLo, e.ShardHi, s.cfg.Cluster.GlobalShards)
+			msg.Type, e.ShardLo, e.ShardHi, s.cluster.shards)
 	}
-	if e.TensorLo < 0 || e.TensorHi <= e.TensorLo || e.TensorHi > s.cfg.Cluster.TotalTensors {
+	if e.TensorLo < 0 || e.TensorHi <= e.TensorLo || e.TensorHi > s.cluster.tensors {
 		return transport.ServerEntry{}, fmt.Errorf("%v tensor range [%d, %d) outside [0, %d)",
-			msg.Type, e.TensorLo, e.TensorHi, s.cfg.Cluster.TotalTensors)
+			msg.Type, e.TensorLo, e.TensorHi, s.cluster.tensors)
 	}
 	return e, nil
 }
 
+// coordinator reports whether this server is a group's coordinator.
+func (s *Server) coordinator() bool { return s.cfg.Cluster.Role == RoleCoordinator }
+
 // ClusterMap snapshots the coordinator's current map (nil on non-coordinator
 // servers): the entries in shard order and the map version.
 func (s *Server) ClusterMap() ([]transport.ServerEntry, int64) {
-	if !s.cfg.Cluster.Coordinator {
+	if !s.coordinator() {
 		return nil, 0
 	}
 	s.cluster.mu.Lock()

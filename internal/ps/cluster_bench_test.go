@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"dssp/internal/core"
@@ -16,87 +17,48 @@ import (
 func startBenchGroup(b *testing.B, workers, servers int) (connect func(w int) *ClusterClient, stop func()) {
 	b.Helper()
 	initial := benchModel()
-	sizes := make([]int, len(initial))
-	for i, p := range initial {
-		sizes[i] = p.Size()
-	}
-	layout, globalShards, err := GroupLayout(sizes, 0, servers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	coordStore, err := NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, optimizer.NewSGD(1), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	coord, err := NewServer(ServerConfig{
-		Workers: workers,
-		Policy:  core.MustNewASP(workers),
-		Store:   coordStore,
-		Cluster: ClusterConfig{Coordinator: true, GlobalShards: globalShards, TotalTensors: len(initial)},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	var mu sync.Mutex
 	listeners := make(map[string]*transport.ChanListener)
-	coordL := transport.NewChanListener()
-	listeners[coordL.Addr()] = coordL
 	dial := func(addr string) (transport.Conn, error) {
+		mu.Lock()
 		l := listeners[addr]
+		mu.Unlock()
 		if l == nil {
 			return nil, fmt.Errorf("no bench server at %s", addr)
 		}
 		return l.Dial()
 	}
-	go func() { _ = coord.Serve(coordL) }()
-
 	var srvs []*Server
-	var extra []*transport.ChanListener
-	for i := 0; i < servers; i++ {
-		a := layout[i]
-		st, err := NewStoreRange(initial, optimizer.NewSGDMomentum(0.01, 0.9, 1e-4), globalShards, a.ShardLo, a.ShardHi)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv, err := NewServer(ServerConfig{Workers: workers, Policy: core.MustNewASP(workers), Store: st})
-		if err != nil {
-			b.Fatal(err)
-		}
-		l := transport.NewChanListener()
-		listeners[l.Addr()] = l
-		extra = append(extra, l)
-		go func() { _ = srv.Serve(l) }()
-		srvs = append(srvs, srv)
-
-		conn, err := dial(coordL.Addr())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := conn.Send(transport.Message{
-			Type:    transport.MsgServerAnnounce,
-			Servers: []transport.ServerEntry{a.Entry(l.Addr())},
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if msg, err := conn.Recv(); err != nil || msg.Type != transport.MsgOK {
-			b.Fatalf("announce: %v %v", msg.Type, err)
+	stop = func() {
+		for _, s := range srvs {
+			s.Stop()
 		}
 	}
+	start := func(cfg ServerConfig) string {
+		l := transport.NewChanListener()
+		mu.Lock()
+		listeners[l.Addr()] = l
+		mu.Unlock()
+		srv, err := Start(cfg, initial, optimizer.NewSGDMomentum(0.01, 0.9, 1e-4), l, dial)
+		if err != nil {
+			stop()
+			b.Fatal(err)
+		}
+		srvs = append(srvs, srv)
+		return l.Addr()
+	}
+	coordAddr := start(ServerConfig{Workers: workers, Policy: core.MustNewASP(workers),
+		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: servers}})
+	for i := 0; i < servers; i++ {
+		start(ServerConfig{Workers: workers,
+			Cluster: ClusterConfig{Role: RoleData, Coordinator: coordAddr, Servers: servers, Index: i}})
+	}
 	connect = func(w int) *ClusterClient {
-		c, err := NewClusterClient(dial, coordL.Addr(), w, ClusterClientConfig{})
+		c, err := NewClusterClient(dial, coordAddr, w, ClusterClientConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return c
-	}
-	stop = func() {
-		coord.Stop()
-		for _, s := range srvs {
-			s.Stop()
-		}
-		coordL.Close()
-		for _, l := range extra {
-			l.Close()
-		}
 	}
 	return connect, stop
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dssp/internal/core"
+	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
@@ -74,11 +75,17 @@ type testGroup struct {
 	data         []*Server
 	dataAddrs    []string
 	stores       []*Store
-	assignments  []ShardAssignment
+	assignments  []transport.ServerEntry
 	globalShards int
 
 	mu        sync.Mutex
 	listeners map[string]*transport.ChanListener
+}
+
+// at is the layout entry e with its address set.
+func at(e transport.ServerEntry, addr string) transport.ServerEntry {
+	e.Addr = addr
+	return e
 }
 
 // dial resolves an advertised address to its in-process listener.
@@ -133,9 +140,10 @@ func (g *testGroup) announce(t *testing.T, typ transport.MessageType, entry tran
 	}
 }
 
-// startTestGroup stands up a group: the coordinator runs policy, every data
-// server runs its shard range of the seed model under a local ASP policy,
-// and each announces itself exactly as the public layer does.
+// startTestGroup stands up a group through Start: the coordinator runs
+// policy, every data server runs its shard range of the seed model under a
+// local ASP policy and announces itself on its stream, and the group is
+// returned once the coordinator's map is complete.
 func startTestGroup(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor) *testGroup {
 	t.Helper()
 	return startTestGroupWith(t, workers, servers, policy, initial, clusterOpt)
@@ -145,11 +153,7 @@ func startTestGroup(t *testing.T, workers, servers int, policy core.Policy, init
 // test control.
 func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor, mkOpt func() optimizer.Optimizer) *testGroup {
 	t.Helper()
-	sizes := make([]int, len(initial))
-	for i, p := range initial {
-		sizes[i] = p.Size()
-	}
-	assignments, globalShards, err := GroupLayout(sizes, 0, servers)
+	assignments, globalShards, err := groupLayout(tensorSizes(initial), 0, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,37 +163,37 @@ func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, 
 		listeners:    make(map[string]*transport.ChanListener),
 	}
 
-	coordStore, err := NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, optimizer.NewSGD(1.0), 1)
-	if err != nil {
-		t.Fatal(err)
+	start := func(cfg ServerConfig, opt optimizer.Optimizer) (*Server, string) {
+		l := transport.NewChanListener()
+		addr := g.addListener(l)
+		srv, err := Start(cfg, initial, opt, l, g.dial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		return srv, addr
 	}
-	g.coord, err = NewServer(ServerConfig{
-		Workers: workers,
-		Policy:  policy,
-		Store:   coordStore,
-		Cluster: ClusterConfig{Coordinator: true, GlobalShards: globalShards, TotalTensors: len(initial)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.coordAddr = g.serve(t, g.coord)
-
+	g.coord, g.coordAddr = start(ServerConfig{Workers: workers, Policy: policy,
+		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: servers}}, clusterOpt())
 	for i := 0; i < servers; i++ {
-		st, err := NewStoreRange(initial, mkOpt(), globalShards, assignments[i].ShardLo, assignments[i].ShardHi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := NewServer(ServerConfig{Workers: workers, Policy: core.MustNewASP(workers), Store: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := g.serve(t, srv)
+		srv, addr := start(ServerConfig{Workers: workers,
+			Cluster: ClusterConfig{Role: RoleData, Coordinator: g.coordAddr, Servers: servers, Index: i}}, mkOpt())
 		g.data = append(g.data, srv)
 		g.dataAddrs = append(g.dataAddrs, addr)
-		g.stores = append(g.stores, st)
-		g.announce(t, transport.MsgServerAnnounce, assignments[i].Entry(addr), false)
+		g.stores = append(g.stores, srv.Store())
 	}
-	return g
+	// The data servers announce themselves on their own streams.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		m, err := FetchClusterMap(g.dial, g.coordAddr)
+		if err == nil && validateMap(m) == nil {
+			return g
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("group map never completed: %v %v", err, validateMap(m))
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // referenceRun replays an apply schedule serially on a single-server store
@@ -231,7 +235,7 @@ func requireSameWeights(t *testing.T, got, want []*tensor.Tensor) {
 func TestGroupLayoutCoversModelContiguously(t *testing.T) {
 	sizes := []int{24, 4, 12, 3, 6, 2}
 	for servers := 1; servers <= 4; servers++ {
-		assignments, shards, err := GroupLayout(sizes, 0, servers)
+		assignments, shards, err := groupLayout(sizes, 0, servers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,21 +257,44 @@ func TestGroupLayoutCoversModelContiguously(t *testing.T) {
 			t.Fatalf("%d servers cover %d/%d shards, %d/%d tensors", servers, wantShard, shards, wantTensor, len(sizes))
 		}
 	}
-	if _, _, err := GroupLayout(nil, 0, 1); err == nil {
+	if _, _, err := groupLayout(nil, 0, 1); err == nil {
 		t.Error("empty model accepted")
 	}
-	if _, _, err := GroupLayout(sizes, 0, 0); err == nil {
+	if _, _, err := groupLayout(sizes, 0, 0); err == nil {
 		t.Error("zero servers accepted")
 	}
-	if _, _, err := GroupLayout(sizes, 0, len(sizes)+1); err == nil {
+	if _, _, err := groupLayout(sizes, 0, len(sizes)+1); err == nil {
 		t.Error("more servers than tensors accepted")
 	}
 	// The shard count clamps into [servers, len(sizes)].
-	if _, shards, _ := GroupLayout(sizes, 100, 2); shards != len(sizes) {
+	if _, shards, _ := groupLayout(sizes, 100, 2); shards != len(sizes) {
 		t.Errorf("oversized shard count normalized to %d, want %d", shards, len(sizes))
 	}
-	if _, shards, _ := GroupLayout(sizes, 1, 3); shards != 3 {
+	if _, shards, _ := groupLayout(sizes, 1, 3); shards != 3 {
 		t.Errorf("undersized shard count normalized to %d, want 3", shards)
+	}
+}
+
+// TestGroupLayoutDefaultsAreDeterministic guards the property the whole
+// cluster design rests on: every participant derives the identical layout
+// from (sizes, shards, servers) with no machine-dependent inputs.
+func TestGroupLayoutDefaultsAreDeterministic(t *testing.T) {
+	sizes := []int{100, 50, 200, 25, 75, 150}
+	a, na, err := groupLayout(sizes, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, nb, err := groupLayout(sizes, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if na != nb {
+		t.Fatalf("normalized shard counts differ: %d vs %d", na, nb)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("assignment %d differs: %+v vs %+v", i, a[i], b[i])
+		}
 	}
 }
 
@@ -277,7 +304,7 @@ func TestNewStoreRangeMatchesGlobalBoundaries(t *testing.T) {
 	for i, p := range initial {
 		sizes[i] = p.Size()
 	}
-	assignments, shards, err := GroupLayout(sizes, 0, 2)
+	assignments, shards, err := groupLayout(sizes, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +314,7 @@ func TestNewStoreRangeMatchesGlobalBoundaries(t *testing.T) {
 	}
 	defer full.Close()
 	for _, a := range assignments {
-		st, err := NewStoreRange(initial, clusterOpt(), shards, a.ShardLo, a.ShardHi)
+		st, err := newStoreRange(initial, clusterOpt(), shards, a.ShardLo, a.ShardHi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,10 +334,10 @@ func TestNewStoreRangeMatchesGlobalBoundaries(t *testing.T) {
 		}
 		st.Close()
 	}
-	if _, err := NewStoreRange(initial, clusterOpt(), shards, 2, 2); err == nil {
+	if _, err := newStoreRange(initial, clusterOpt(), shards, 2, 2); err == nil {
 		t.Error("empty shard range accepted")
 	}
-	if _, err := NewStoreRange(initial, clusterOpt(), shards, 0, shards+1); err == nil {
+	if _, err := newStoreRange(initial, clusterOpt(), shards, 0, shards+1); err == nil {
 		t.Error("out-of-bounds shard range accepted")
 	}
 }
@@ -321,7 +348,7 @@ func TestStoreRangeAppliesBitIdenticallyToShardedStore(t *testing.T) {
 	for i, p := range initial {
 		sizes[i] = p.Size()
 	}
-	assignments, shards, err := GroupLayout(sizes, 0, 3)
+	assignments, shards, err := groupLayout(sizes, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +359,7 @@ func TestStoreRangeAppliesBitIdenticallyToShardedStore(t *testing.T) {
 	defer full.Close()
 	var ranges []*Store
 	for _, a := range assignments {
-		st, err := NewStoreRange(initial, clusterOpt(), shards, a.ShardLo, a.ShardHi)
+		st, err := newStoreRange(initial, clusterOpt(), shards, a.ShardLo, a.ShardHi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +452,7 @@ func TestCoordinatorClusterMapLifecycle(t *testing.T) {
 	}
 
 	// A backup's replica announce is acknowledged but never enters the map.
-	g.announce(t, transport.MsgServerAnnounce, g.assignments[0].Entry("backup-addr"), true)
+	g.announce(t, transport.MsgServerAnnounce, at(g.assignments[0], "backup-addr"), true)
 	m2, err := FetchClusterMap(g.dial, g.coordAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +467,7 @@ func TestCoordinatorClusterMapLifecycle(t *testing.T) {
 	}
 
 	// Promotion swaps the owner of the shard range and bumps the version.
-	g.announce(t, transport.MsgPromote, g.assignments[0].Entry("backup-addr"), false)
+	g.announce(t, transport.MsgPromote, at(g.assignments[0], "backup-addr"), false)
 	m3, err := FetchClusterMap(g.dial, g.coordAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -513,17 +540,12 @@ func TestCoordinatorRejectsClassicWorkers(t *testing.T) {
 }
 
 func TestCoordinatorRejectsGuard(t *testing.T) {
-	coordStore, err := NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, optimizer.NewSGD(1.0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewServer(ServerConfig{
+	_, err := Start(ServerConfig{
 		Workers: 1,
 		Policy:  core.MustNewASP(1),
-		Store:   coordStore,
 		Options: Options{Guard: GuardConfig{Enabled: true}},
-		Cluster: ClusterConfig{Coordinator: true, GlobalShards: 2, TotalTensors: 2},
-	})
+		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: 2},
+	}, seededModel(24), clusterOpt(), transport.NewChanListener(), nil)
 	if err == nil || !strings.Contains(err.Error(), "guard") {
 		t.Fatalf("coordinator with guard: err = %v, want guard rejection", err)
 	}
@@ -605,12 +627,8 @@ func TestReplicatorStreamsWeightsIntoStandby(t *testing.T) {
 	stop := make(chan struct{})
 	repErr := make(chan error, 1)
 	go func() {
-		repErr <- RunReplicator(ReplicatorConfig{
-			Dial:     func() (transport.Conn, error) { return l.Dial() },
-			Store:    standby,
-			Interval: 2 * time.Millisecond,
-			Grace:    time.Second,
-		}, stop)
+		repErr <- replicate(func() (transport.Conn, error) { return l.Dial() },
+			standby, 2*time.Millisecond, time.Second, obs.NewRegistry(), stop)
 	}()
 
 	conn, err := l.Dial()
@@ -664,12 +682,8 @@ func TestReplicatorDeclaresPrimaryDead(t *testing.T) {
 	defer close(stop)
 	repErr := make(chan error, 1)
 	go func() {
-		repErr <- RunReplicator(ReplicatorConfig{
-			Dial:     func() (transport.Conn, error) { return l.Dial() },
-			Store:    standby,
-			Interval: 2 * time.Millisecond,
-			Grace:    150 * time.Millisecond,
-		}, stop)
+		repErr <- replicate(func() (transport.Conn, error) { return l.Dial() },
+			standby, 2*time.Millisecond, 150*time.Millisecond, obs.NewRegistry(), stop)
 	}()
 	// Let the stream establish, then kill the primary.
 	time.Sleep(20 * time.Millisecond)
@@ -677,8 +691,8 @@ func TestReplicatorDeclaresPrimaryDead(t *testing.T) {
 	l.Close()
 	select {
 	case err := <-repErr:
-		if !errors.Is(err, ErrPrimaryDead) {
-			t.Fatalf("replicator returned %v, want ErrPrimaryDead", err)
+		if !errors.Is(err, errPrimaryDead) {
+			t.Fatalf("replicator returned %v, want errPrimaryDead", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("replicator never declared the primary dead")
@@ -837,7 +851,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
 	a := g.assignments[0]
 
-	standby, err := NewStoreRange(initial, clusterOpt(), g.globalShards, a.ShardLo, a.ShardHi)
+	standby, err := newStoreRange(initial, clusterOpt(), g.globalShards, a.ShardLo, a.ShardHi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -846,12 +860,8 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	defer close(stop)
 	repErr := make(chan error, 1)
 	go func() {
-		repErr <- RunReplicator(ReplicatorConfig{
-			Dial:     func() (transport.Conn, error) { return g.dial(primaryAddr) },
-			Store:    standby,
-			Interval: time.Millisecond,
-			Grace:    100 * time.Millisecond,
-		}, stop)
+		repErr <- replicate(func() (transport.Conn, error) { return g.dial(primaryAddr) },
+			standby, time.Millisecond, 100*time.Millisecond, obs.NewRegistry(), stop)
 	}()
 
 	client, err := NewClusterClient(g.dial, g.coordAddr, 0, ClusterClientConfig{})
@@ -883,8 +893,8 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	g.data[0].Stop()
 	select {
 	case err := <-repErr:
-		if !errors.Is(err, ErrPrimaryDead) {
-			t.Fatalf("replicator returned %v, want ErrPrimaryDead", err)
+		if !errors.Is(err, errPrimaryDead) {
+			t.Fatalf("replicator returned %v, want errPrimaryDead", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("replicator never declared the primary dead")
@@ -896,7 +906,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := g.serve(t, promoted)
-	g.announce(t, transport.MsgPromote, a.Entry(addr), false)
+	g.announce(t, transport.MsgPromote, at(a, addr), false)
 
 	oldMap := client.MapVersion()
 	for it := firstLeg; it < firstLeg+5; it++ {
@@ -931,7 +941,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	}
 	want := make([]*tensor.Tensor, 0, len(initial))
 	for i, asg := range g.assignments {
-		ref, err := NewStoreRange(seededModel(61), clusterOpt(), g.globalShards, asg.ShardLo, asg.ShardHi)
+		ref, err := newStoreRange(seededModel(61), clusterOpt(), g.globalShards, asg.ShardLo, asg.ShardHi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -949,7 +959,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 			}
 			snap, v := ref.Snapshot()
 			ref.Close()
-			if ref, err = NewStoreRange(seededModel(61), clusterOpt(), g.globalShards, asg.ShardLo, asg.ShardHi); err != nil {
+			if ref, err = newStoreRange(seededModel(61), clusterOpt(), g.globalShards, asg.ShardLo, asg.ShardHi); err != nil {
 				t.Fatal(err)
 			}
 			if err := ref.Install(snap, v); err != nil {

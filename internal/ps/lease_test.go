@@ -163,11 +163,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 		}
 	case "group":
 		const servers = 2
-		sizes := make([]int, len(initial))
-		for i, p := range initial {
-			sizes[i] = p.Size()
-		}
-		assignments, globalShards, err := GroupLayout(sizes, 0, servers)
+		assignments, globalShards, err := groupLayout(tensorSizes(initial), 0, servers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,25 +186,22 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			mu.Unlock()
 			return addr
 		}
-		coordStore, err := NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, opt(), 1)
+		coordL := make(chan transport.Listener, 1)
+		coordAddr, coordDial := meteredEndpoint(t, tcp, workerMeter, func(l transport.Listener) { coordL <- l })
+		coord, err := Start(ServerConfig{Workers: workers, Policy: core.MustNewASP(workers),
+			Cluster: ClusterConfig{Role: RoleCoordinator, Servers: servers}}, initial, opt(), <-coordL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord, err := NewServer(ServerConfig{
-			Workers: workers, Policy: core.MustNewASP(workers), Store: coordStore,
-			Cluster: ClusterConfig{Coordinator: true, GlobalShards: globalShards, TotalTensors: len(initial)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		coordAddr := serve(coord)
+		t.Cleanup(coord.Stop)
+		dialers[coordAddr] = coordDial
 		stores := make([]*Store, servers)
 		running := make([]*Server, servers)
 		addrs := make([]string, servers)
 		// start serves data server i's range from a fresh store and enters it
 		// in the map with an announce or a promote frame.
 		start := func(t *testing.T, i int, typ transport.MessageType) {
-			st, err := NewStoreRange(initial, opt(), globalShards, assignments[i].ShardLo, assignments[i].ShardHi)
+			st, err := newStoreRange(initial, opt(), globalShards, assignments[i].ShardLo, assignments[i].ShardHi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +216,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 				t.Fatal(err)
 			}
 			if err := conn.Send(transport.Message{Type: typ,
-				Servers: []transport.ServerEntry{assignments[i].Entry(addr)}}); err != nil {
+				Servers: []transport.ServerEntry{at(assignments[i], addr)}}); err != nil {
 				t.Fatal(err)
 			}
 			if ack, err := conn.Recv(); err != nil || ack.Type != transport.MsgOK {

@@ -13,15 +13,14 @@ import (
 // declared once and reaches every surface; Normalized is the one
 // defaulting+validation helper all of them funnel through.
 //
-// Most fields act on the server. Two are read elsewhere: Shards by the code
-// that builds the store (NewServer is handed a built one), HeartbeatInterval by
-// workers. A worker in turn reads only Compression, Shards and
-// HeartbeatInterval.
+// Every field but HeartbeatInterval acts on a server — which of them acts on
+// which server role is ForRole's to say. HeartbeatInterval is read by
+// workers, which in turn read only Compression, Shards and HeartbeatInterval.
 type Options struct {
 	// Shards is the number of independently locked parameter-store
 	// partitions. A standalone server's 0 picks one per CPU; in a server group
 	// it is the group-wide count, the same on every member, and 0 picks two per
-	// data server (GroupLayout). On a worker, a positive value is the count it
+	// data server. On a worker, a positive value is the count it
 	// expects the server (or group) to run — a mismatch fails the connect —
 	// and 0 accepts any.
 	Shards int
@@ -73,4 +72,27 @@ func (o Options) Normalized() (Options, error) {
 		o.HeartbeatTimeout = DefaultHeartbeatTimeout
 	}
 	return o, nil
+}
+
+// ForRole splits o for a server in role (ClusterConfig.Role): the options that
+// server acts on, and the names of the fields set in o that it does not — the
+// one place that decides which option acts on which role. Start refuses a
+// configuration whose refusals are not empty; an in-process group gives each
+// member the first result.
+//
+// A flat server, a data server and a backup act on every server-side field. A
+// coordinator carries no weights: it acts on neither the guard, which screens
+// gradient bytes, nor checkpoints, which would hold only its placeholder.
+func (o Options) ForRole(role string) (Options, []string) {
+	var refused []string
+	if role == RoleCoordinator {
+		if o.Guard.Enabled {
+			refused = append(refused, "Guard (the anomaly guard screens gradient bytes and runs on data servers)")
+		}
+		if o.Checkpoint != (CheckpointConfig{}) {
+			refused = append(refused, "Checkpoint (a coordinator holds no weights, only a placeholder clock; configure checkpoints on the data servers)")
+		}
+		o.Guard, o.Checkpoint = GuardConfig{}, CheckpointConfig{}
+	}
+	return o, refused
 }

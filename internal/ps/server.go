@@ -46,11 +46,11 @@ type ServerConfig struct {
 	// the default 1-in-DefaultTraceEvery sampling; Every < 0 disables
 	// tracing entirely.
 	Trace obs.TraceConfig
-	// Cluster configures the server-group role (PROTOCOL.md §6). The zero
-	// value is a classic standalone server. With Coordinator set the server
-	// owns the group's policy layer: it serves the cluster map, accepts
-	// metadata-only pushes from cluster workers, and never carries weight
-	// bytes (its store is a placeholder).
+	// Cluster is the server's role (PROTOCOL.md §6), which Start stands up.
+	// The zero value is a flat server. A coordinator owns the group's policy
+	// layer: it serves the cluster map, accepts metadata-only pushes from
+	// cluster workers, and never carries weight bytes (its store is a
+	// placeholder).
 	Cluster ClusterConfig
 }
 
@@ -176,6 +176,19 @@ type Server struct {
 	// after a relay death deterministic.
 	tree treeState
 
+	// ln is the listener Start serves, closed first by Stop; restored
+	// records that Start resumed from a checkpoint.
+	ln       transport.Listener
+	restored bool
+	// failed closes when a data server or backup suffers a fatal loss
+	// (failErr says which); promoted latches a backup's completed promotion;
+	// bg counts the member loops Stop waits for.
+	failed   chan struct{}
+	failOnce sync.Once
+	failErr  error
+	promoted atomic.Bool
+	bg       sync.WaitGroup
+
 	// ckptBusy limits checkpoint saves to one in flight.
 	ckptBusy atomic.Bool
 	// ckptMu serializes checkpoint writes: an async interval save that
@@ -184,7 +197,9 @@ type Server struct {
 	ckptMu sync.Mutex
 }
 
-// NewServer returns a parameter server with the given configuration.
+// NewServer returns a parameter server over the store cfg carries, not yet
+// serving. Start stands a role up on a listener; NewServer is the flat
+// server's core, for callers (tests) that build the store themselves.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("ps: server needs a positive worker count, got %d", cfg.Workers)
@@ -201,19 +216,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	cfg.Options = opts
-	if cfg.Cluster.Coordinator {
-		if cfg.Cluster.GlobalShards <= 0 || cfg.Cluster.TotalTensors <= 0 {
-			return nil, fmt.Errorf("ps: coordinator needs the group's global shard and tensor counts, got %d/%d",
-				cfg.Cluster.GlobalShards, cfg.Cluster.TotalTensors)
-		}
-		// The guard keys its flood detector on pull cadence, and cluster
-		// workers pull from data servers, never from the coordinator — every
-		// honest worker would look like a flooder here. The guard belongs on
-		// the data servers (DESIGN.md §10).
-		if cfg.Guard.Enabled {
-			return nil, fmt.Errorf("ps: anomaly guard runs on data servers, not the coordinator")
-		}
-	}
 	// Install the aggregation strategy before any push can reach the store.
 	// Windowed robust kinds aggregate over the full cohort: the order
 	// statistics need the honest majority in-window to out-vote an attacker.
@@ -253,6 +255,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		departedAt:  make(map[int]time.Time),
 		routes:      make(map[int]*session),
 		allDone:     make(chan struct{}),
+		failed:      make(chan struct{}),
 		releases:    make(chan releaseBatch, 256),
 		pushedAt:    make(map[int]time.Time),
 		reg:         reg,
@@ -264,7 +267,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		transport.MsgServerAnnounce: s.handleServerAnnounce,
 		transport.MsgPromote:        s.handlePromote,
 	})
-	if cfg.Cluster.Coordinator {
+	if cfg.Cluster.Role == RoleCoordinator {
 		// Metadata-only pushes carry no payload; the policy still needs
 		// EnqueueApply to assign the ticket and advance the version, so a
 		// shared zero gradient matching the placeholder store stands in.
@@ -344,24 +347,31 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Stop shuts the server down: every live session ends and every connection
-// is closed — a worker blocked on a release sees the failure immediately and
-// can reconnect to a successor server instead of hanging on a half-dead
-// socket, and a data server parked on its announce connection sees its
-// coordinator go at once — and pending work is abandoned. When checkpointing
-// is configured a final checkpoint is written before Stop returns. It is safe
-// to call multiple times.
+// Stop shuts the server down: the listener Start served closes first, so
+// reconnecting workers dial a successor rather than this dying server; every
+// live session ends and every connection is closed — a worker blocked on a
+// release sees the failure immediately and can reconnect instead of hanging on
+// a half-dead socket, and a data server parked on its announce connection sees
+// its coordinator go at once; a data server's or backup's own loops stop and
+// are waited for; and pending work is abandoned. When checkpointing is
+// configured a final checkpoint is written before Stop returns. It is safe to
+// call multiple times.
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
+		// A share under way finishes first, and none starts after: the
+		// listener's region must not go while the store is moving into it.
+		s.regionOnce.Do(func() {})
+		if s.ln != nil {
+			_ = s.ln.Close()
+		}
 		s.shutdown()
+		s.bg.Wait()
 		// Drain the apply pipeline so the final checkpoint holds every
 		// accepted update, then park the store's applier goroutines.
 		s.cfg.Store.Close()
 		if s.cfg.Checkpoint.Enabled() {
 			s.saveCheckpoint()
 		}
-		// A share under way finishes first, and none starts after.
-		s.regionOnce.Do(func() {})
 		if s.shared {
 			s.cfg.Store.unshareRegion()
 		}
@@ -427,7 +437,7 @@ func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transpor
 	case msg.Replica:
 		kind = kindReplica
 	}
-	if s.cfg.Cluster.Coordinator && !msg.Cluster {
+	if s.coordinator() && !msg.Cluster {
 		// A classic worker pointed at the coordinator would train against the
 		// placeholder store — reject loudly instead of silently not learning.
 		return reject("this server is a cluster coordinator; workers must register in cluster mode (fetch the cluster map)")
@@ -860,7 +870,7 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 	decodeStart := time.Now()
 	var grads []*tensor.Tensor
 	var decodeErr error
-	if s.cfg.Cluster.Coordinator && len(msg.Tensors) == 0 && len(msg.Packed) == 0 {
+	if s.coordinator() && len(msg.Tensors) == 0 && len(msg.Packed) == 0 {
 		// Metadata-only cluster push: the bytes went to the data servers; the
 		// coordinator applies a shared zero gradient so the ticket/version
 		// machinery — and everything staleness is defined against — runs
@@ -1288,7 +1298,7 @@ func (s *Server) checkAllDone() {
 	}
 	s.mu.Unlock()
 	if complete {
-		if s.cfg.Cluster.Coordinator {
+		if s.coordinator() {
 			// Before AllWorkersDone closes: whatever stops the coordinator
 			// when it does cannot close a parked announce connection first.
 			s.cluster.endAnnounces()

@@ -135,7 +135,7 @@ func NewStore(initial []*tensor.Tensor, opt optimizer.Optimizer) (*Store, error)
 // NewStoreSharded is NewStore with an explicit shard count. shards <= 0
 // selects the default; a count larger than the number of tensors is clamped
 // (every shard must own at least one tensor). shards == 1 reproduces the
-// classic single-partition store. It is NewStoreRange over the whole
+// classic single-partition store. It is newStoreRange over the whole
 // partition.
 func NewStoreSharded(initial []*tensor.Tensor, opt optimizer.Optimizer, shards int) (*Store, error) {
 	if shards <= 0 {
@@ -144,7 +144,7 @@ func NewStoreSharded(initial []*tensor.Tensor, opt optimizer.Optimizer, shards i
 	if shards > len(initial) {
 		shards = len(initial)
 	}
-	return NewStoreRange(initial, opt, shards, 0, shards)
+	return newStoreRange(initial, opt, shards, 0, shards)
 }
 
 // SetAggregator installs the batch-reduction strategy the per-shard appliers

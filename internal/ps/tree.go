@@ -119,7 +119,7 @@ func (t *treeState) snapshot() ([]transport.ServerEntry, int64) {
 // per-push machinery cannot attribute a pre-summed partial to individual
 // workers.
 func (s *Server) relayAdmissible(msg transport.Message) error {
-	if s.cfg.Cluster.Coordinator {
+	if s.coordinator() {
 		return fmt.Errorf("relay tier runs against data-carrying servers, not a cluster coordinator")
 	}
 	if s.guard != nil {

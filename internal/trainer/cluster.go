@@ -2,8 +2,11 @@ package trainer
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"dssp/internal/core"
+	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/ps"
 	"dssp/internal/tensor"
@@ -11,31 +14,26 @@ import (
 )
 
 // serving is one way of standing the parameter-server side up — a single
-// in-process server, or a coordinator plus ClusterServers data servers. The
-// run body (worker fan-out, evaluation loop, result accounting) is identical
-// either way; only these hooks differ.
+// in-process server, a coordinator plus ClusterServers data servers, or a
+// server fronted by relays. The run body (worker fan-out, evaluation loop,
+// result accounting) is identical either way. Every server is stood up by
+// ps.Start, as psserver's are.
 type serving struct {
 	// route is how a worker reaches the topology; ps.Connect turns it, with a
 	// worker id filled in, into a registered client. net is what it dials on.
 	route ps.Route
-	net   chanNet
-	// snapshot returns the assembled global weights and their version (the
-	// minimum applied version across data servers in cluster mode).
-	snapshot func() ([]*tensor.Tensor, int64)
-	// version is the snapshot version alone, cheap enough for the eval poll.
-	version func() int64
-	// setLR applies a scheduled learning-rate change to every store.
-	setLR func(lr float64)
+	net   *chanNet
 	// policyServer is the server whose policy layer runs the paradigm — the
 	// single server, or the cluster coordinator. Result statistics
 	// (pushes, drops, staleness, waits, guard, metrics, traces) read from it.
 	policyServer *ps.Server
 	// servers is every server of the topology, the policy server first.
 	servers []*ps.Server
+	// stores hold the model in tensor order: the single server's, or each
+	// data server's range.
+	stores []*ps.Store
 	// relays is the aggregation tier, when the topology has one.
 	relays []*ps.Relay
-	// stop tears the topology down in dependency order.
-	stop func()
 }
 
 // buildServing stands up the configured topology. ClusterServers <= 1 is the
@@ -55,20 +53,88 @@ func buildServing(cfg Config, policy core.Policy, params []*tensor.Tensor) (*ser
 	return buildCluster(cfg, policy, params)
 }
 
+// snapshot returns the assembled global weights and their version: the
+// minimum applied version across the stores.
+func (s *serving) snapshot() ([]*tensor.Tensor, int64) {
+	var out []*tensor.Tensor
+	version := int64(-1)
+	for _, st := range s.stores {
+		part, v := st.Snapshot()
+		out = append(out, part...)
+		if version < 0 || v < version {
+			version = v
+		}
+	}
+	return out, version
+}
+
+// version is the snapshot version alone, cheap enough for the eval poll.
+func (s *serving) version() int64 {
+	min := s.stores[0].Version()
+	for _, st := range s.stores[1:] {
+		if v := st.Version(); v < min {
+			min = v
+		}
+	}
+	return min
+}
+
+// setLR applies a scheduled learning-rate change to every store.
+func (s *serving) setLR(lr float64) {
+	for _, st := range s.stores {
+		st.SetLearningRate(lr)
+	}
+}
+
+// failure is the first fatal loss a server of the topology reports
+// (ps.Server.Failed), which ends the run as it ends a psserver; nil if none.
+func (s *serving) failure() error {
+	for _, srv := range s.servers {
+		if err := srv.FailureErr(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stop tears the topology down in dependency order: relays, then servers,
+// then the listeners. It is safe to call more than once.
+func (s *serving) stop() {
+	for _, r := range s.relays {
+		r.Stop()
+	}
+	for _, srv := range s.servers {
+		srv.Stop()
+	}
+	s.net.close()
+}
+
 // chanNet is the channel-transport twin of TCP dialing: the topology's
-// in-process listeners, keyed by the address each advertises.
-type chanNet map[string]*transport.ChanListener
+// in-process listeners, keyed by the address each advertises. Members dial
+// on their own goroutines (a data server's announce stream) while the next
+// member is still being added, hence the lock.
+type chanNet struct {
+	mu sync.Mutex
+	ls map[string]*transport.ChanListener
+}
 
 // listen adds a listener to the net.
-func (n chanNet) listen() *transport.ChanListener {
+func (n *chanNet) listen() *transport.ChanListener {
 	l := transport.NewChanListener()
-	n[l.Addr()] = l
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.ls == nil {
+		n.ls = make(map[string]*transport.ChanListener)
+	}
+	n.ls[l.Addr()] = l
 	return l
 }
 
 // dial connects to the listener advertising addr.
-func (n chanNet) dial(addr string) (transport.Conn, error) {
-	l := n[addr]
+func (n *chanNet) dial(addr string) (transport.Conn, error) {
+	n.mu.Lock()
+	l := n.ls[addr]
+	n.mu.Unlock()
 	if l == nil {
 		return nil, fmt.Errorf("trainer: no server at %s", addr)
 	}
@@ -76,51 +142,55 @@ func (n chanNet) dial(addr string) (transport.Conn, error) {
 }
 
 // close closes every listener.
-func (n chanNet) close() {
-	for _, l := range n {
+func (n *chanNet) close() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, l := range n.ls {
 		l.Close()
 	}
 }
 
-// buildStandalone is the classic topology: one server, one sharded store.
-func buildStandalone(cfg Config, policy core.Policy, params []*tensor.Tensor) (*serving, error) {
+// start stands one server of the topology up on a fresh listener of s.net
+// through ps.Start, with the options its role acts on (ps.Options.ForRole),
+// adds it to s and returns its address. The server whose policy runs the
+// paradigm — the flat server or the coordinator — carries the run's
+// registry, tracing and transport meter; a data server keeps its own.
+func (s *serving) start(cfg Config, policy core.Policy, params []*tensor.Tensor, role ps.ClusterConfig) (string, error) {
+	opts, _ := cfg.Options.ForRole(role.Role)
+	scfg := ps.ServerConfig{Workers: cfg.Workers, Policy: policy, Options: opts, Cluster: role}
+	l := s.net.listen()
+	if role.Role != ps.RoleData {
+		if scfg.Metrics = cfg.Metrics; scfg.Metrics == nil {
+			scfg.Metrics = obs.NewRegistry()
+		}
+		scfg.Trace = cfg.Trace
+		l.SetMeter(transport.NewMetrics(scfg.Metrics))
+	}
 	opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum, cfg.WeightDecay)
-	store, err := ps.NewStoreSharded(params, opt, cfg.Shards)
+	srv, err := ps.Start(scfg, params, opt, l, s.net.dial)
+	if err != nil {
+		return "", err
+	}
+	if s.servers = append(s.servers, srv); role.Role != ps.RoleCoordinator {
+		s.stores = append(s.stores, srv.Store())
+	}
+	return l.Addr(), nil
+}
+
+// buildStandalone is the classic topology: one flat server, one sharded
+// store.
+func buildStandalone(cfg Config, policy core.Policy, params []*tensor.Tensor) (*serving, error) {
+	s := &serving{net: &chanNet{}}
+	addr, err := s.start(cfg, policy, params, ps.ClusterConfig{})
 	if err != nil {
 		return nil, err
 	}
-	server, err := ps.NewServer(ps.ServerConfig{
-		Workers: cfg.Workers,
-		Policy:  policy,
-		Store:   store,
-		Options: cfg.Options,
-		Metrics: cfg.Metrics,
-		Trace:   cfg.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	net := chanNet{}
-	listener := net.listen()
-	listener.SetMeter(transport.NewMetrics(server.Registry()))
-	go func() { _ = server.Serve(listener) }()
-	return &serving{
-		route:        cfg.route(net, listener.Addr(), ps.Flat),
-		net:          net,
-		snapshot:     store.Snapshot,
-		version:      store.Version,
-		setLR:        store.SetLearningRate,
-		policyServer: server,
-		servers:      []*ps.Server{server},
-		stop: func() {
-			server.Stop()
-			net.close()
-		},
-	}, nil
+	s.route, s.policyServer = cfg.route(s.net, addr, ps.Flat), s.servers[0]
+	return s, nil
 }
 
 // route is how cfg's workers reach a topology rooted at addr on net.
-func (cfg Config) route(net chanNet, addr string, topology ps.Topology) ps.Route {
+func (cfg Config) route(net *chanNet, addr string, topology ps.Topology) ps.Route {
 	return ps.Route{
 		Dial:        net.dial,
 		Addr:        addr,
@@ -137,144 +207,63 @@ func (cfg Config) route(net chanNet, addr string, topology ps.Topology) ps.Route
 // from the root at connect time and dial the relay covering them — the
 // single-process twin of `psserver -role relay`.
 func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*serving, error) {
-	base, err := buildStandalone(cfg, policy, params)
+	s, err := buildStandalone(cfg, policy, params)
 	if err != nil {
 		return nil, err
 	}
-	rootStop := base.stop
-	base.stop = func() {
-		for _, r := range base.relays {
-			r.Stop()
-		}
-		rootStop()
-	}
 	for i := 0; i < (cfg.Workers+cfg.Fanout-1)/cfg.Fanout; i++ {
-		l := base.net.listen()
+		l := s.net.listen()
 		relay, err := ps.NewRelay(ps.RelayConfig{
-			Parent:           base.route.Addr,
+			Parent:           s.route.Addr,
 			Fanout:           cfg.Fanout,
 			Advertise:        l.Addr(),
 			Compression:      cfg.Compression,
 			HeartbeatTimeout: cfg.HeartbeatTimeout,
-		}, base.net.dial, nil)
+		}, s.net.dial, nil)
 		if err != nil {
-			base.stop()
+			s.stop()
 			return nil, fmt.Errorf("trainer: relay %d: %w", i, err)
 		}
-		base.relays = append(base.relays, relay)
+		s.relays = append(s.relays, relay)
 		go func() { _ = relay.Serve(l) }()
 	}
-	base.route.Topology = ps.Tree
-	return base, nil
+	s.route.Topology = ps.Tree
+	return s, nil
 }
 
 // buildCluster is the server-group topology: cfg.ClusterServers data servers
 // each own a contiguous shard range of the model behind local ASP policies
 // (a fragment's OK means "applied"), and one coordinator runs the real
 // paradigm policy over metadata-only pushes — the single serialization point
-// conf_icdcs_ZhaoALC19's staleness bounds are defined against. What each role
-// is made of is ps.ServerConfig.AsGroupMember's business.
+// conf_icdcs_ZhaoALC19's staleness bounds are defined against. The data
+// servers announce themselves on the coordinator's parked stream, as
+// psserver's do. An in-process group refuses a checkpoint directory, which
+// its data servers would share.
 func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*serving, error) {
-	layout, globalShards, err := ps.GroupLayout(ps.TensorSizes(params), cfg.Shards, cfg.ClusterServers)
+	if cfg.Checkpoint != (ps.CheckpointConfig{}) {
+		return nil, fmt.Errorf("trainer: an in-process group's data servers would share one checkpoint directory")
+	}
+	s := &serving{net: &chanNet{}}
+	coordAddr, err := s.start(cfg, policy, params, ps.ClusterConfig{Role: ps.RoleCoordinator, Servers: cfg.ClusterServers})
+	for i := 0; err == nil && i < cfg.ClusterServers; i++ {
+		if _, err = s.start(cfg, nil, params, ps.ClusterConfig{
+			Role: ps.RoleData, Coordinator: coordAddr, Servers: cfg.ClusterServers, Index: i}); err != nil {
+			err = fmt.Errorf("trainer: data server %d: %w", i, err)
+		}
+	}
+	// Return once every data server is in the map, so the topology a worker
+	// meets is the one it will train against.
+	for err == nil {
+		if entries, _ := s.servers[0].ClusterMap(); len(entries) == cfg.ClusterServers {
+			break
+		}
+		err = s.failure()
+		time.Sleep(100 * time.Microsecond)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("trainer: cluster layout: %w", err)
-	}
-	opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum, cfg.WeightDecay)
-	net := chanNet{}
-	var servers []*ps.Server
-	var stores []*ps.Store
-	stopAll := func() {
-		for _, s := range servers {
-			s.Stop()
-		}
-		net.close()
-	}
-	// start stands one group member up on its own listener. Only the
-	// coordinator (own == nil) meters its transport: it is the policy server
-	// whose registry the run reports.
-	start := func(scfg ps.ServerConfig, own *ps.ShardAssignment) (string, error) {
-		scfg, err := scfg.AsGroupMember(params, opt, globalShards, own)
-		if err != nil {
-			return "", err
-		}
-		srv, err := ps.NewServer(scfg)
-		if err != nil {
-			return "", err
-		}
-		l := net.listen()
-		if own == nil {
-			l.SetMeter(transport.NewMetrics(srv.Registry()))
-		} else {
-			stores = append(stores, scfg.Store)
-		}
-		go func() { _ = srv.Serve(l) }()
-		servers = append(servers, srv)
-		return l.Addr(), nil
-	}
-	coordAddr, err := start(ps.ServerConfig{
-		Workers: cfg.Workers,
-		Policy:  policy,
-		Options: ps.Options{Elastic: cfg.Elastic, HeartbeatTimeout: cfg.HeartbeatTimeout},
-		Metrics: cfg.Metrics,
-		Trace:   cfg.Trace,
-	}, nil)
-	if err != nil {
+		s.stop()
 		return nil, err
 	}
-	for i := range layout {
-		// Data-server options: the byte-path knobs (compression, aggregation,
-		// guard) act where the gradients land. Checkpointing is deliberately
-		// dropped — per-range stores would race over one directory — and
-		// elasticity is the coordinator's call.
-		addr, err := start(ps.ServerConfig{
-			Workers: cfg.Workers,
-			Options: ps.Options{Compression: cfg.Compression, Aggregator: cfg.Aggregator, Guard: cfg.Guard},
-		}, &layout[i])
-		if err == nil {
-			var conn transport.Conn
-			if conn, err = net.dial(coordAddr); err == nil {
-				err = ps.SubmitEntry(conn, transport.MsgServerAnnounce, layout[i].Entry(addr), false)
-				conn.Close()
-			}
-		}
-		if err != nil {
-			stopAll()
-			return nil, fmt.Errorf("trainer: data server %d: %w", i, err)
-		}
-	}
-
-	minVersion := func() int64 {
-		min := stores[0].Version()
-		for _, st := range stores[1:] {
-			if v := st.Version(); v < min {
-				min = v
-			}
-		}
-		return min
-	}
-	snapshot := func() ([]*tensor.Tensor, int64) {
-		out := make([]*tensor.Tensor, 0, len(params))
-		version := int64(-1)
-		for _, st := range stores {
-			part, v := st.Snapshot()
-			out = append(out, part...)
-			if version < 0 || v < version {
-				version = v
-			}
-		}
-		return out, version
-	}
-	return &serving{
-		route:    cfg.route(net, coordAddr, ps.Group),
-		snapshot: snapshot,
-		version:  minVersion,
-		setLR: func(lr float64) {
-			for _, st := range stores {
-				st.SetLearningRate(lr)
-			}
-		},
-		policyServer: servers[0],
-		servers:      servers,
-		stop:         stopAll,
-	}, nil
+	s.route, s.policyServer = cfg.route(s.net, coordAddr, ps.Group), s.servers[0]
+	return s, nil
 }

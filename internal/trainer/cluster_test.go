@@ -81,29 +81,6 @@ func TestClusterModeRejectsBadLayout(t *testing.T) {
 	}
 }
 
-// TestGroupLayoutDefaultsAreDeterministic guards the property the whole
-// cluster design rests on: every participant derives the identical layout
-// from (sizes, shards, servers) with no machine-dependent inputs.
-func TestGroupLayoutDefaultsAreDeterministic(t *testing.T) {
-	sizes := []int{100, 50, 200, 25, 75, 150}
-	a, na, err := ps.GroupLayout(sizes, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, nb, err := ps.GroupLayout(sizes, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if na != nb {
-		t.Fatalf("normalized shard counts differ: %d vs %d", na, nb)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("assignment %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestWorkerLoopRejoinsGroup: a group worker whose coordinator connection
 // dies mid-run — the release of one push never arrives — reconnects with
 // Reconnect set: the coordinator gets a Rejoin, the data servers a fresh
@@ -166,5 +143,42 @@ func TestWorkerLoopRejoinsGroup(t *testing.T) {
 	case <-coord.AllWorkersDone():
 	case <-time.After(5 * time.Second):
 		t.Fatal("the coordinator never saw the rejoined worker finish")
+	}
+}
+
+// TestGroupDataServersRunTheirRoleOptions: an in-process group's data servers
+// act on what psserver's data servers act on. With Elastic set, a data
+// server's lease monitor evicts a session that falls silent there, as
+// `psserver -role data -elastic` does.
+func TestGroupDataServersRunTheirRoleOptions(t *testing.T) {
+	params := nn.SmallMLP(rand.New(rand.NewSource(7)), 16, 8, 4).Params()
+	group, err := buildCluster(Config{Workers: 1, ClusterServers: 2, LearningRate: 0.05,
+		Options: ps.Options{Elastic: true, HeartbeatTimeout: 50 * time.Millisecond}}, core.MustNewASP(1), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer group.stop()
+	entries, _ := group.policyServer.ClusterMap()
+	if len(entries) != 2 {
+		t.Fatalf("map lists %d data servers, want 2", len(entries))
+	}
+	conn, err := group.route.Dial(entries[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := ps.NewClient(conn, 0).Register(); err != nil {
+		t.Fatal(err)
+	}
+	departures := func() (n int) {
+		for _, s := range group.servers[1:] {
+			n += s.Departures()
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); departures() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no data server evicted the silent session")
+		}
 	}
 }

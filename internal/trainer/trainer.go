@@ -68,8 +68,10 @@ type Config struct {
 	// Options is the serving surface both sides of the run read (store
 	// shards, compression, aggregation, guard, elasticity, heartbeats,
 	// checkpointing), embedded so its fields read as cfg.Shards,
-	// cfg.Compression, ... In cluster mode (ClusterServers >= 2) Shards is the
-	// group-wide count, normalized by ps.GroupLayout. Note for elastic runs:
+	// cfg.Compression, ... Each server gets the fields its role acts on
+	// (ps.Options.ForRole), as psserver's would; an in-process group refuses
+	// Checkpoint, whose one directory its members would share. In cluster mode
+	// (ClusterServers >= 2) Shards is the group-wide count. Note for elastic runs:
 	// in-process workers have no reconnect loop, so set HeartbeatInterval or a
 	// HeartbeatTimeout comfortably above the longest iteration — an evicted
 	// honest worker fails the run.
@@ -296,6 +298,9 @@ poll:
 		case <-workersDone:
 			break poll
 		case <-ticker.C:
+			if err := srv.failure(); err != nil {
+				return nil, err
+			}
 			if srv.version()-lastEval >= int64(evalEvery) {
 				evaluate()
 			}

@@ -3,8 +3,6 @@ package dssp
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dssp/internal/compress"
@@ -65,21 +63,10 @@ type ServerConfig struct {
 type Server struct {
 	inner    *ps.Server
 	listener transport.Listener
-	store    *ps.Store
 	spec     nn.ModelSpec
 	cfg      TrainConfig
-	restored bool
-	admin    *obs.AdminServer
-
-	// Cluster state (zero/idle on standalone servers).
 	role     string
-	failed   chan struct{}
-	failOnce sync.Once
-	failErr  error
-	stopping chan struct{}
-	stopOnce sync.Once
-	bg       sync.WaitGroup
-	promoted atomic.Bool
+	admin    *obs.AdminServer
 }
 
 // Addr returns the address the server is listening on.
@@ -95,10 +82,7 @@ func (s *Server) Done() <-chan struct{} { return s.inner.AllWorkersDone() }
 // background protocol loops (announce stream, replication) and waits for
 // them to exit.
 func (s *Server) Stop() {
-	s.stopOnce.Do(func() { close(s.stopping) })
-	_ = s.listener.Close()
 	s.inner.Stop()
-	s.bg.Wait()
 	_ = s.admin.Close()
 }
 
@@ -134,10 +118,10 @@ func (s *Server) Departures() int { return s.inner.Departures() }
 
 // Version returns the parameter-store version (applied updates, including
 // any restored from a checkpoint).
-func (s *Server) Version() int64 { return s.store.Version() }
+func (s *Server) Version() int64 { return s.inner.Store().Version() }
 
 // Restored reports whether Serve resumed from an existing checkpoint.
-func (s *Server) Restored() bool { return s.restored }
+func (s *Server) Restored() bool { return s.inner.Restored() }
 
 // CheckpointError returns the most recent checkpoint write failure, if any.
 func (s *Server) CheckpointError() error { return s.inner.CheckpointError() }
@@ -157,7 +141,7 @@ func (s *Server) Evaluate() (float64, error) {
 	var params []*tensor.Tensor
 	switch s.role {
 	case "":
-		params, _ = s.store.Snapshot()
+		params, _ = s.inner.Store().Snapshot()
 	case RoleCoordinator:
 		if params, err = clusterSnapshot(s.listener.Addr()); err != nil {
 			return 0, err
@@ -189,97 +173,53 @@ func newRegistry() *obs.Registry {
 // Serve starts a parameter server listening on cfg.Addr and returns
 // immediately; the server runs until Stop is called or all workers finish.
 // With cfg.Cluster.Role set it starts the corresponding member of a server
-// group instead (DESIGN.md §10) and runs the role's background protocol
-// (announce stream, replication) until Stop.
+// group instead (DESIGN.md §10), which ps.Start stands up as it does every
+// role; Serve adds the model and dataset defaults, the TCP listener and the
+// admin endpoint.
 func Serve(cfg ServerConfig) (*Server, error) {
-	if err := cfg.validateCluster(); err != nil {
-		return nil, err
-	}
-	role := cfg.Cluster.Role
-	cfg2 := TrainConfig{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
+	tc := TrainConfig{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
 		Sync: cfg.Sync, LearningRate: cfg.LearningRate, Seed: cfg.Seed}.withDefaults()
-	if cfg2.Workers <= 0 {
+	if tc.Workers <= 0 {
 		return nil, fmt.Errorf("dssp: server needs a positive worker count")
 	}
-	spec, err := cfg2.modelSpec()
+	spec, err := tc.modelSpec()
 	if err != nil {
 		return nil, err
+	}
+	policyCfg := tc.Sync
+	policyCfg.Workers = tc.Workers
+	policy, err := core.NewPolicy(policyCfg)
+	if err != nil {
+		return nil, fmt.Errorf("dssp: invalid synchronization config: %w", err)
 	}
 	reg := newRegistry()
-	pcfg := ps.ServerConfig{
-		Workers: cfg2.Workers,
-		Options: cfg.Options,
-		Metrics: reg,
-		Trace:   obs.TraceConfig{Every: cfg.TraceEvery},
-	}
-	// The paradigm runs where workers synchronize: the standalone server or
-	// the group's coordinator.
-	if role == "" || role == RoleCoordinator {
-		if err := cfg2.Sync.Validate(cfg2.Workers); err != nil {
-			return nil, err
-		}
-		policyCfg := cfg2.Sync
-		policyCfg.Workers = cfg2.Workers
-		if pcfg.Policy, err = core.NewPolicy(policyCfg); err != nil {
-			return nil, err
-		}
-	}
-	initial := spec.Build(rand.New(rand.NewSource(cfg2.Seed))).Params()
-	opt := optimizer.NewSGDMomentum(cfg2.LearningRate, cfg.Momentum, cfg.WeightDecay)
-	var assigned ps.ShardAssignment
-	if role == "" {
-		pcfg.Store, err = ps.NewStoreSharded(initial, opt, cfg.Shards)
-	} else {
-		pcfg, assigned, err = cfg.Cluster.asMember(pcfg, initial, opt)
-	}
-	if err != nil {
-		return nil, err
-	}
-	restored := false
-	if cfg.Checkpoint.Dir != "" && ps.CheckpointExists(cfg.Checkpoint.Dir) {
-		if err := pcfg.Store.RestoreCheckpointDir(cfg.Checkpoint.Dir); err != nil {
-			return nil, fmt.Errorf("dssp: restore checkpoint: %w", err)
-		}
-		restored = true
-	}
-	inner, err := ps.NewServer(pcfg)
-	if err != nil {
-		return nil, err
-	}
 	// Every accepted connection meters its frames and bytes into the same
 	// registry the server's counters live on.
 	listener, err := transport.ListenWireMetered(cfg.Addr, transport.WireBinary, transport.NewMetrics(reg))
 	if err != nil {
 		return nil, err
 	}
-	var admin *obs.AdminServer
+	inner, err := ps.Start(ps.ServerConfig{
+		Workers: tc.Workers,
+		Policy:  policy,
+		Options: cfg.Options,
+		Metrics: reg,
+		Trace:   obs.TraceConfig{Every: cfg.TraceEvery},
+		Cluster: cfg.Cluster,
+	}, spec.Build(rand.New(rand.NewSource(tc.Seed))).Params(),
+		optimizer.NewSGDMomentum(tc.LearningRate, cfg.Momentum, cfg.WeightDecay),
+		listener, transport.Dial)
+	if err != nil {
+		_ = listener.Close()
+		return nil, err
+	}
+	s := &Server{inner: inner, listener: listener, spec: spec, cfg: tc, role: cfg.Cluster.Role}
 	if cfg.MetricsAddr != "" {
-		admin, err = obs.ServeAdmin(cfg.MetricsAddr, reg,
-			func() any { return inner.Status() }, inner.Traces)
-		if err != nil {
-			_ = listener.Close()
+		if s.admin, err = obs.ServeAdmin(cfg.MetricsAddr, reg,
+			func() any { return inner.Status() }, inner.Traces); err != nil {
+			inner.Stop()
 			return nil, fmt.Errorf("dssp: metrics listener: %w", err)
 		}
-	}
-	go func() { _ = inner.Serve(listener) }()
-	s := &Server{
-		inner:    inner,
-		listener: listener,
-		store:    pcfg.Store,
-		spec:     spec,
-		cfg:      cfg2,
-		restored: restored,
-		admin:    admin,
-		role:     role,
-		failed:   make(chan struct{}),
-		stopping: make(chan struct{}),
-	}
-	if role == RoleData || role == RoleBackup {
-		advertise := cfg.Cluster.Advertise
-		if advertise == "" {
-			advertise = listener.Addr()
-		}
-		s.startClusterLoops(cfg.Cluster, assigned.Entry(advertise))
 	}
 	return s, nil
 }

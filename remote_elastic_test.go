@@ -2,6 +2,7 @@ package dssp_test
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -201,5 +202,41 @@ func TestReconnectWorkerFailsFastOnWireMismatch(t *testing.T) {
 	}
 	if elapsed > 5*time.Second || dials.Load() != 1 {
 		t.Fatalf("wire mismatch took %v and %d dials to surface under Reconnect; must fail fast, not retry", elapsed, dials.Load())
+	}
+}
+
+// TestServeFailureLeaksNoServer: a Serve that fails on its listener — the
+// address is taken — or on its admin endpoint leaves nothing running behind
+// the error: no releaser, no lease monitor, no accept loop. Five of each on an
+// elastic server end with the goroutine count back at its baseline.
+func TestServeFailureLeaksNoServer(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	settled := func(limit int) int {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); n > limit && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return n
+	}
+	base := runtime.NumGoroutine()
+	for _, c := range []struct{ addr, metrics string }{
+		{taken.Addr().String(), ""},
+		{"127.0.0.1:0", "256.0.0.1:1"},
+	} {
+		cfg := elasticServerConfig(c.addr, "", 2)
+		cfg.MetricsAddr = c.metrics
+		for i := 0; i < 5; i++ {
+			if s, err := dssp.Serve(cfg); err == nil {
+				s.Stop()
+				t.Fatalf("Serve on %s with admin %q succeeded", c.addr, c.metrics)
+			}
+		}
+		if n := settled(base); n > base {
+			t.Fatalf("five failed Serves (addr %s, admin %q) left %d goroutines running, baseline %d", c.addr, c.metrics, n, base)
+		}
 	}
 }

@@ -3,8 +3,9 @@
 # loopback on fixed ports: a flat 2-worker job, a coordinator with two data
 # servers (-shards 4 on every member) and reconnecting, heartbeating group
 # workers, and a root fronted by one relay with -tree workers. Every process
-# must exit 0. It also checks that a relay
-# refuses a server-only flag (-guard) by name instead of ignoring it.
+# must exit 0. It also checks that a relay refuses a server-only flag
+# (-guard) by name instead of ignoring it, and that a coordinator refuses the
+# one it does not act on (-guard again: it carries no gradient bytes).
 #
 # Usage: scripts/cli_smoke.sh <dir>
 # <dir> holds psserver and psworker (make cli-smoke builds them there) and
@@ -105,3 +106,15 @@ if ! grep -q -- '-guard' "$dir/relay-guard.log"; then
 	exit 1
 fi
 echo "cli-smoke: relay refuses -guard"
+
+# A coordinator refuses an option its role does not act on.
+if "$server" -addr 127.0.0.1:17198 -role coordinator -cluster-servers 2 -workers 2 -guard >"$dir/coord-guard.log" 2>&1; then
+	echo "cli-smoke: psserver -role coordinator -guard exited 0" >&2
+	exit 1
+fi
+if ! grep -qi 'guard' "$dir/coord-guard.log"; then
+	echo "cli-smoke: the coordinator's refusal does not name the guard" >&2
+	cat "$dir/coord-guard.log" >&2
+	exit 1
+fi
+echo "cli-smoke: coordinator refuses -guard"

@@ -277,7 +277,8 @@ aggtree-smoke:
 
 # Command-line smoke: the smokes above drive the library; this one builds
 # cmd/psserver and cmd/psworker and runs them as processes over loopback on
-# fixed ports — a flat 2-worker job, a coordinator with two data servers
+# fixed ports — a flat 2-worker job on 17 examples, whose workers must report
+# the same iteration count, a coordinator with two data servers
 # (-shards 4 on every member, the group-wide count) whose workers run with
 # -reconnect -heartbeat 50ms, and a root behind one
 # relay with -tree workers — failing on any non-zero exit, and checks that

@@ -322,7 +322,7 @@ func BenchmarkParadigmComparisonRealTraining(b *testing.B) {
 				}
 			}
 			b.ReportMetric(res.FinalAccuracy, "final_acc")
-			b.ReportMetric(res.WorkerWaitTime[0].Seconds(), "fast_worker_wait_s")
+			b.ReportMetric(res.Waits[0].Seconds(), "fast_worker_wait_s")
 		})
 	}
 }

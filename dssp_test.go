@@ -1,6 +1,10 @@
 package dssp
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -104,8 +108,8 @@ func TestTrainParadigmsProduceDifferentWaitProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bspWait := bsp.WorkerWaitTime[0] + bsp.WorkerWaitTime[1]
-	aspWait := asp.WorkerWaitTime[0] + asp.WorkerWaitTime[1]
+	bspWait := bsp.Waits[0] + bsp.Waits[1]
+	aspWait := asp.Waits[0] + asp.Waits[1]
 	if bspWait <= aspWait {
 		t.Fatalf("BSP fast-worker wait %v should exceed ASP %v with a slow straggler", bspWait, aspWait)
 	}
@@ -365,5 +369,84 @@ func TestWorkerShardExpectationMismatch(t *testing.T) {
 		Options:    Options{Shards: 5}, // wrong on purpose
 	}); err == nil {
 		t.Fatal("worker accepted a shard-count mismatch it was told to assert")
+	}
+}
+
+// TestTCPAndInProcessRunTheSameIterations runs one job in process (Train)
+// and over TCP (Serve and RunWorker): on both, every worker runs Epochs
+// passes over Train.Len()/Workers examples rounded down — all of Train when
+// that share is empty — and the server applies the same number of updates.
+// An uneven split and one that leaves a worker no examples are the cases the
+// two paths used to disagree on.
+func TestTCPAndInProcessRunTheSameIterations(t *testing.T) {
+	const workers, batch = 4, 2
+	for _, tc := range []struct {
+		examples, wantIters int
+	}{
+		{10, 1}, // 10/4 = 2 examples: one batch each, not [2 2 1 1]
+		{3, 2},  // 3/4 = 0: each worker batches all 3, worker 3 included
+	} {
+		t.Run(fmt.Sprintf("examples=%d", tc.examples), func(t *testing.T) {
+			dataset := DatasetConfig{Examples: tc.examples, Classes: 2, ImageSize: 4, Noise: 0.4, Seed: 5}
+			policy := Sync{Paradigm: ASP}
+			local, err := Train(TrainConfig{Model: ModelSmallMLP, Dataset: dataset, Workers: workers,
+				BatchSize: batch, Epochs: 1, Sync: policy, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			server, err := Serve(ServerConfig{Addr: "127.0.0.1:0", Workers: workers, Sync: policy,
+				Model: ModelSmallMLP, Dataset: dataset, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Stop()
+			iters := make([]int, workers)
+			var wg sync.WaitGroup
+			for w := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rep, err := RunWorker(WorkerConfig{ServerAddr: server.Addr(), WorkerID: w, Workers: workers,
+						Model: ModelSmallMLP, Dataset: dataset, BatchSize: batch, Epochs: 1, Seed: 5})
+					if err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					iters[w] = rep.Iterations
+				}()
+			}
+			wg.Wait()
+			select {
+			case <-server.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatal("server never observed completion")
+			}
+			want := []int{tc.wantIters, tc.wantIters, tc.wantIters, tc.wantIters}
+			if !reflect.DeepEqual(iters, want) {
+				t.Errorf("TCP worker iterations %v, want %v", iters, want)
+			}
+			if local.Updates != workers*tc.wantIters || server.Updates() != local.Updates {
+				t.Errorf("updates: in process %d, over TCP %d, want %d on both",
+					local.Updates, server.Updates(), workers*tc.wantIters)
+			}
+		})
+	}
+}
+
+// TestServeAndRunWorkerRefuseNoWorkers: a server must know how many workers
+// to wait for and a worker which share of the data is its own, so neither
+// entry point defaults a missing worker count.
+func TestServeAndRunWorkerRefuseNoWorkers(t *testing.T) {
+	for _, workers := range []int{0, -1} {
+		if server, err := Serve(ServerConfig{Addr: "127.0.0.1:0", Workers: workers}); err == nil {
+			server.Stop()
+			t.Errorf("Serve with Workers %d started", workers)
+		} else if !strings.Contains(err.Error(), "worker count") {
+			t.Errorf("Serve with Workers %d: %v, want a worker-count error", workers, err)
+		}
+		if _, err := RunWorker(WorkerConfig{ServerAddr: "127.0.0.1:1", Workers: workers}); err == nil ||
+			!strings.Contains(err.Error(), "worker count") {
+			t.Errorf("RunWorker with Workers %d: %v, want a worker-count error", workers, err)
+		}
 	}
 }

@@ -59,8 +59,8 @@ func main() {
 			result.FinalAccuracy,
 			result.Duration.Round(time.Millisecond),
 			to70,
-			result.WorkerWaitTime[0].Round(time.Millisecond),
-			result.WorkerWaitTime[2].Round(time.Millisecond),
+			result.Waits[0].Round(time.Millisecond),
+			result.Waits[2].Round(time.Millisecond),
 		)
 	}
 }

@@ -205,14 +205,7 @@ func Run(cfg Config) (*Result, error) {
 	if test == nil {
 		test = cfg.Train
 	}
-	// Every worker runs the same number of iterations so that no paradigm
-	// deadlocks waiting for a worker that has already finished.
-	shardSize := cfg.Train.Len() / cfg.Workers
-	if shardSize == 0 {
-		shardSize = cfg.Train.Len()
-	}
-	itersPerEpoch := (shardSize + cfg.BatchSize - 1) / cfg.BatchSize
-	totalIters := itersPerEpoch * cfg.Epochs
+	totalIters := cfg.iterations()
 
 	// Evaluate the global model about 30 times over the run.
 	evalEvery := totalIters * cfg.Workers / 30
@@ -233,7 +226,7 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(workerID int) {
 			defer wg.Done()
-			report, err := runWorker(cfg, srv.route, workerID, totalIters)
+			report, err := runWorker(cfg, srv.route, workerID)
 			if err != nil {
 				errCh <- fmt.Errorf("worker %d: %w", workerID, err)
 				return
@@ -334,39 +327,65 @@ poll:
 	return result, nil
 }
 
-// runWorker builds worker workerID's replica and data shard from cfg and runs
-// the worker loop over route — an in-process worker never reconnects.
-func runWorker(cfg Config, route ps.Route, workerID, totalIters int) (WorkerReport, error) {
-	shard, err := data.PartitionDataset(cfg.Train, workerID, cfg.Workers)
+// iterations is how many mini-batches every worker pushes, in process and
+// over TCP alike: Epochs passes over an equal share of Train, Len()/Workers
+// examples rounded down (all of Train when that share is empty), so that no
+// paradigm waits on a worker that has already finished.
+func (c Config) iterations() int {
+	share := c.Train.Len() / c.Workers
+	if share == 0 {
+		share = c.Train.Len()
+	}
+	return (share + c.BatchSize - 1) / c.BatchSize * c.Epochs
+}
+
+// Worker builds worker id's side of the run: its partition of Train (all of
+// Train when the partition leaves it none), batches shuffled from
+// Seed+id*1009, a replica built from Seed, the run's iteration count, and the
+// delay, adversary and crash point c lists for it. Connect is the caller's:
+// how the worker reaches the store is not part of the job.
+func (c Config) Worker(id int) (Worker, error) {
+	idx, err := data.Partition(c.Train.Len(), id, c.Workers)
 	if err != nil {
-		return WorkerReport{}, err
+		return Worker{}, err
 	}
-	if shard.Len() == 0 {
-		shard = cfg.Train
+	shard := c.Train
+	if len(idx) > 0 {
+		shard = c.Train.Subset(idx)
 	}
-	iter, err := data.NewBatchIterator(shard, cfg.BatchSize, cfg.Seed+int64(workerID)*1009)
+	iter, err := data.NewBatchIterator(shard, c.BatchSize, c.Seed+int64(id)*1009)
+	if err != nil {
+		return Worker{}, err
+	}
+	w := Worker{
+		HeartbeatInterval: c.HeartbeatInterval,
+		Replica:           c.Model.Build(rand.New(rand.NewSource(c.Seed))),
+		Batches:           iter,
+		Augment:           c.Augment,
+		Rng:               rand.New(rand.NewSource(c.Seed + int64(id)*7919)),
+		Iterations:        c.iterations(),
+		Adversary:         c.Adversaries[id],
+		CrashAt:           NoCrash,
+	}
+	if id < len(c.WorkerDelay) {
+		w.Delay = c.WorkerDelay[id]
+	}
+	if at, crashes := c.CrashAt[id]; crashes {
+		w.CrashAt = at
+	}
+	return w, nil
+}
+
+// runWorker runs worker workerID of cfg over route — an in-process worker
+// never reconnects.
+func runWorker(cfg Config, route ps.Route, workerID int) (WorkerReport, error) {
+	w, err := cfg.Worker(workerID)
 	if err != nil {
 		return WorkerReport{}, err
 	}
 	route.Worker = workerID
-	w := Worker{
-		Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
-			return ps.Connect(route, rejoin, lastVersion)
-		},
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		Replica:           cfg.Model.Build(rand.New(rand.NewSource(cfg.Seed))),
-		Batches:           iter,
-		Augment:           cfg.Augment,
-		Rng:               rand.New(rand.NewSource(cfg.Seed + int64(workerID)*7919)),
-		Iterations:        totalIters,
-		Adversary:         cfg.Adversaries[workerID],
-		CrashAt:           NoCrash,
-	}
-	if workerID < len(cfg.WorkerDelay) {
-		w.Delay = cfg.WorkerDelay[workerID]
-	}
-	if at, crashes := cfg.CrashAt[workerID]; crashes {
-		w.CrashAt = at
+	w.Connect = func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
+		return ps.Connect(route, rejoin, lastVersion)
 	}
 	return RunWorker(w)
 }

@@ -7,8 +7,6 @@ import (
 
 	"dssp/internal/compress"
 	"dssp/internal/core"
-	"dssp/internal/data"
-	"dssp/internal/nn"
 	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/ps"
@@ -22,7 +20,8 @@ import (
 type ServerConfig struct {
 	// Addr is the TCP listen address, e.g. ":7070".
 	Addr string
-	// Workers is the number of workers expected to join.
+	// Workers is the number of workers expected to join; it must be
+	// positive.
 	Workers int
 	// Sync selects the synchronization paradigm.
 	Sync Sync
@@ -63,8 +62,7 @@ type ServerConfig struct {
 type Server struct {
 	inner    *ps.Server
 	listener transport.Listener
-	spec     nn.ModelSpec
-	cfg      TrainConfig
+	job      job
 	role     string
 	admin    *obs.AdminServer
 }
@@ -133,11 +131,11 @@ func (s *Server) CheckpointError() error { return s.inner.CheckpointError() }
 // replica sessions; data and backup servers hold only their shard range and
 // cannot evaluate.
 func (s *Server) Evaluate() (float64, error) {
-	_, test, err := s.cfg.buildDatasets()
+	run, err := s.job.build(true)
 	if err != nil {
 		return 0, err
 	}
-	model := s.spec.Build(rand.New(rand.NewSource(s.cfg.Seed)))
+	model := run.Model.Build(rand.New(rand.NewSource(run.Seed)))
 	var params []*tensor.Tensor
 	switch s.role {
 	case "":
@@ -152,7 +150,7 @@ func (s *Server) Evaluate() (float64, error) {
 	if err := model.SetParams(params); err != nil {
 		return 0, err
 	}
-	x, labels := test.All()
+	x, labels := run.Test.All()
 	return model.Accuracy(x, labels), nil
 }
 
@@ -174,21 +172,20 @@ func newRegistry() *obs.Registry {
 // immediately; the server runs until Stop is called or all workers finish.
 // With cfg.Cluster.Role set it starts the corresponding member of a server
 // group instead (DESIGN.md §10), which ps.Start stands up as it does every
-// role; Serve adds the model and dataset defaults, the TCP listener and the
-// admin endpoint.
+// role; Serve adds the job's model and defaults (it builds no data), the TCP
+// listener and the admin endpoint.
 func Serve(cfg ServerConfig) (*Server, error) {
-	tc := TrainConfig{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
-		Sync: cfg.Sync, LearningRate: cfg.LearningRate, Seed: cfg.Seed}.withDefaults()
-	if tc.Workers <= 0 {
-		return nil, fmt.Errorf("dssp: server needs a positive worker count")
+	if cfg.Workers <= 0 {
+		return nil, fmt.Errorf("dssp: server needs a positive worker count, got %d", cfg.Workers)
 	}
-	spec, err := tc.modelSpec()
+	j := job{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
+		Sync: cfg.Sync, LearningRate: cfg.LearningRate, Seed: cfg.Seed}
+	run, err := j.build(false)
 	if err != nil {
 		return nil, err
 	}
-	policyCfg := tc.Sync
-	policyCfg.Workers = tc.Workers
-	policy, err := core.NewPolicy(policyCfg)
+	run.Policy.Workers = run.Workers
+	policy, err := core.NewPolicy(run.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("dssp: invalid synchronization config: %w", err)
 	}
@@ -200,20 +197,20 @@ func Serve(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	inner, err := ps.Start(ps.ServerConfig{
-		Workers: tc.Workers,
+		Workers: run.Workers,
 		Policy:  policy,
 		Options: cfg.Options,
 		Metrics: reg,
 		Trace:   obs.TraceConfig{Every: cfg.TraceEvery},
 		Cluster: cfg.Cluster,
-	}, spec.Build(rand.New(rand.NewSource(tc.Seed))).Params(),
-		optimizer.NewSGDMomentum(tc.LearningRate, cfg.Momentum, cfg.WeightDecay),
+	}, run.Model.Build(rand.New(rand.NewSource(run.Seed))).Params(),
+		optimizer.NewSGDMomentum(run.LearningRate, cfg.Momentum, cfg.WeightDecay),
 		listener, transport.Dial)
 	if err != nil {
 		_ = listener.Close()
 		return nil, err
 	}
-	s := &Server{inner: inner, listener: listener, spec: spec, cfg: tc, role: cfg.Cluster.Role}
+	s := &Server{inner: inner, listener: listener, job: j, role: cfg.Cluster.Role}
 	if cfg.MetricsAddr != "" {
 		if s.admin, err = obs.ServeAdmin(cfg.MetricsAddr, reg,
 			func() any { return inner.Status() }, inner.Traces); err != nil {
@@ -245,7 +242,9 @@ type WorkerConfig struct {
 	Tree bool
 	// WorkerID is this worker's index in [0, Workers).
 	WorkerID int
-	// Workers is the total number of workers (determines the data shard).
+	// Workers is the total number of workers; it must be positive. The
+	// iteration count is Train's: Epochs passes over Examples/Workers
+	// examples, rounded down (all Examples when that is 0).
 	Workers int
 	// Model, Dataset, BatchSize, Epochs and Seed must match the server and
 	// the other workers.
@@ -323,27 +322,21 @@ type WorkerReport struct {
 // trainer.RunWorker on all three. With Reconnect set it survives server
 // restarts and transient network failures by redialing and rejoining mid-run.
 func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
-	base := TrainConfig{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
-		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed}.withDefaults()
-	if cfg.WorkerID < 0 || cfg.WorkerID >= base.Workers {
-		return nil, fmt.Errorf("dssp: worker id %d out of range [0,%d)", cfg.WorkerID, base.Workers)
+	if cfg.Workers <= 0 {
+		return nil, fmt.Errorf("dssp: worker needs a positive worker count, got %d", cfg.Workers)
+	}
+	if cfg.WorkerID < 0 || cfg.WorkerID >= cfg.Workers {
+		return nil, fmt.Errorf("dssp: worker id %d out of range [0,%d)", cfg.WorkerID, cfg.Workers)
 	}
 	if cfg.Tree && cfg.Cluster {
 		return nil, fmt.Errorf("dssp: Tree and Cluster are mutually exclusive")
 	}
-	spec, err := base.modelSpec()
+	run, err := job{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
+		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed}.build(true)
 	if err != nil {
 		return nil, err
 	}
-	train, _, err := base.buildDatasets()
-	if err != nil {
-		return nil, err
-	}
-	shard, err := data.PartitionDataset(train, cfg.WorkerID, base.Workers)
-	if err != nil {
-		return nil, err
-	}
-	iter, err := data.NewBatchIterator(shard, base.BatchSize, base.Seed+int64(cfg.WorkerID)*1009)
+	w, err := run.Worker(cfg.WorkerID)
 	if err != nil {
 		return nil, err
 	}
@@ -394,20 +387,13 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		}
 	}
 
-	itersPerEpoch := (shard.Len() + base.BatchSize - 1) / base.BatchSize
-	r, err := trainer.RunWorker(trainer.Worker{
-		Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
-			return ps.Connect(route, rejoin, lastVersion)
-		},
-		Reconnect:         cfg.Reconnect,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		Replica:           spec.Build(rand.New(rand.NewSource(base.Seed))),
-		Batches:           iter,
-		Iterations:        itersPerEpoch * base.Epochs,
-		Delay:             cfg.Delay,
-		Adversary:         Adversary{GradScale: cfg.Adversary},
-		CrashAt:           cfg.FailAfter - 1, // FailAfter is 1-based, 0 = never
-	})
+	w.Connect = func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
+		return ps.Connect(route, rejoin, lastVersion)
+	}
+	w.Reconnect, w.HeartbeatInterval, w.Delay = cfg.Reconnect, cfg.HeartbeatInterval, cfg.Delay
+	w.Adversary = Adversary{GradScale: cfg.Adversary}
+	w.CrashAt = cfg.FailAfter - 1 // FailAfter is 1-based, 0 = never
+	r, err := trainer.RunWorker(w)
 	if err != nil {
 		return nil, fmt.Errorf("dssp: worker %d: %w", cfg.WorkerID, err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"dssp/internal/compress"
 	"dssp/internal/data"
-	"dssp/internal/metrics"
 	"dssp/internal/nn"
 	"dssp/internal/optimizer"
 	"dssp/internal/ps"
@@ -38,7 +37,8 @@ const (
 type DatasetConfig struct {
 	// Examples is the number of training examples.
 	Examples int
-	// TestExamples is the number of held-out examples (default Examples/5).
+	// TestExamples is the number of held-out examples (default Examples/5,
+	// at least 1).
 	TestExamples int
 	// Classes is the number of classes.
 	Classes int
@@ -118,68 +118,49 @@ type TrainConfig struct {
 // resumes the run where it stopped.
 type Checkpoint = ps.CheckpointConfig
 
-// TrainResult reports the outcome of a local training run.
-type TrainResult struct {
-	// Paradigm is the human-readable synchronization description.
-	Paradigm string
-	// FinalAccuracy is the test accuracy of the final global model.
-	FinalAccuracy float64
-	// Accuracy is test accuracy over elapsed wall-clock time.
-	Accuracy *metrics.TimeSeries
-	// Updates is the number of gradient updates applied by the server.
-	Updates int
-	// DroppedUpdates is the number of pushed updates the policy or the
-	// anomaly guard discarded (the backup-worker baseline's defining metric;
-	// GuardDropped counts the guard's share).
-	DroppedUpdates int
-	// Duration is the wall-clock training time.
-	Duration time.Duration
-	// MeanStaleness and MaxStaleness summarize the staleness of applied
-	// updates.
-	MeanStaleness float64
-	MaxStaleness  int
-	// WorkerWaitTime is the total synchronization wait per worker.
-	WorkerWaitTime []time.Duration
-	// PushedBytes and PulledBytes approximate the gradient and weight
-	// payloads all workers moved over the wire — the number gradient
-	// compression shrinks.
-	PushedBytes int64
-	PulledBytes int64
-	// GuardFlags is the per-worker anomaly-flag count and Evicted the
-	// workers the guard expelled, when Options.Guard is enabled — the raw
-	// material for attacker-detection rates. GuardDropped counts the pushes
-	// the guard rejected.
-	GuardFlags   []int
-	Evicted      []int
-	GuardDropped int
+// TrainResult reports the outcome of a local training run: trainer.Result,
+// where each field is documented.
+type TrainResult = trainer.Result
+
+// job is the training job every entry point restates — Train from
+// TrainConfig, Serve from ServerConfig, RunWorker from WorkerConfig — and a
+// Server keeps for Evaluate. build is the one place it is defaulted and
+// turned into a model, a data split and counts.
+type job struct {
+	Model        Model
+	Dataset      DatasetConfig
+	Workers      int
+	BatchSize    int
+	Epochs       int
+	Sync         Sync
+	LearningRate float64
+	Seed         int64
 }
 
-// TimeToAccuracy returns when the run first reached the target accuracy.
-func (r *TrainResult) TimeToAccuracy(target float64) (time.Duration, bool) {
-	return r.Accuracy.TimeToReach(target)
-}
-
-// withDefaults fills unset fields with sensible values.
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Model == "" {
-		c.Model = ModelSmallMLP
+// build returns the job as a trainer.Config with unset fields defaulted: the
+// model spec, the counts, the paradigm and learning rate, and, with data, the
+// train/test split, both cut from one generated synthetic set. The rest of
+// the Config is the caller's.
+func (j job) build(withData bool) (trainer.Config, error) {
+	if j.Model == "" {
+		j.Model = ModelSmallMLP
 	}
-	if c.Workers == 0 {
-		c.Workers = 4
+	if j.Workers == 0 {
+		j.Workers = 4
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
+	if j.BatchSize == 0 {
+		j.BatchSize = 16
 	}
-	if c.Epochs == 0 {
-		c.Epochs = 5
+	if j.Epochs == 0 {
+		j.Epochs = 5
 	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 0.1
+	if j.LearningRate == 0 {
+		j.LearningRate = 0.1
 	}
-	if c.Sync.Paradigm == 0 {
-		c.Sync = DefaultDSSP()
+	if j.Sync.Paradigm == 0 {
+		j.Sync = DefaultDSSP()
 	}
-	d := &c.Dataset
+	d := &j.Dataset
 	if d.Examples == 0 {
 		d.Examples = 512
 	}
@@ -187,11 +168,12 @@ func (c TrainConfig) withDefaults() TrainConfig {
 		d.Classes = 4
 	}
 	if d.ImageSize == 0 {
-		if c.Model == ModelSmallMLP {
+		switch j.Model {
+		case ModelSmallMLP:
 			d.ImageSize = 16
-		} else if c.Model == ModelSmallCNN {
+		case ModelSmallCNN:
 			d.ImageSize = 8
-		} else {
+		default:
 			d.ImageSize = 32
 		}
 	}
@@ -199,38 +181,31 @@ func (c TrainConfig) withDefaults() TrainConfig {
 		d.Noise = 0.5
 	}
 	if d.TestExamples == 0 {
-		d.TestExamples = d.Examples / 5
+		// At least one: Train and Evaluate measure accuracy on this split.
+		d.TestExamples = max(d.Examples/5, 1)
 	}
-	return c
-}
-
-// modelSpec maps the public Model name to an architecture builder.
-func (c TrainConfig) modelSpec() (nn.ModelSpec, error) {
-	d := c.Dataset
-	switch c.Model {
+	cfg := trainer.Config{Workers: j.Workers, BatchSize: j.BatchSize, Epochs: j.Epochs,
+		Policy: j.Sync, LearningRate: j.LearningRate, Seed: j.Seed}
+	switch j.Model {
 	case ModelSmallMLP:
-		return nn.SpecSmallMLP(d.ImageSize, 32, d.Classes), nil
+		cfg.Model = nn.SpecSmallMLP(d.ImageSize, 32, d.Classes)
 	case ModelSmallCNN:
-		return nn.SpecSmallCNN(d.ImageSize, d.Classes), nil
+		cfg.Model = nn.SpecSmallCNN(d.ImageSize, d.Classes)
 	case ModelAlexNetSmall:
-		return nn.SpecDownsizedAlexNet(d.Classes), nil
+		cfg.Model = nn.SpecDownsizedAlexNet(d.Classes)
 	case ModelResNet8:
-		return nn.SpecResNet(8, d.Classes), nil
+		cfg.Model = nn.SpecResNet(8, d.Classes)
 	default:
-		return nn.ModelSpec{}, fmt.Errorf("dssp: unknown model %q", c.Model)
+		return trainer.Config{}, fmt.Errorf("dssp: unknown model %q", j.Model)
 	}
-}
-
-// buildDatasets generates the train/test split for the run.
-func (c TrainConfig) buildDatasets() (*data.Dataset, *data.Dataset, error) {
-	d := c.Dataset
-	flat := c.Model == ModelSmallMLP
-	channels := 3
-	size := d.ImageSize
-	if flat {
+	if !withData {
+		return cfg, nil
+	}
+	channels, size := 3, d.ImageSize
+	if j.Model == ModelSmallMLP {
 		channels = 1
 	}
-	if c.Model == ModelAlexNetSmall {
+	if j.Model == ModelAlexNetSmall {
 		size = 32
 	}
 	full, err := data.Synthetic(data.SyntheticConfig{
@@ -239,11 +214,11 @@ func (c TrainConfig) buildDatasets() (*data.Dataset, *data.Dataset, error) {
 		Channels: channels,
 		Size:     size,
 		Noise:    d.Noise,
-		Flat:     flat,
+		Flat:     j.Model == ModelSmallMLP,
 		Seed:     d.Seed,
 	})
 	if err != nil {
-		return nil, nil, err
+		return trainer.Config{}, err
 	}
 	trainIdx := make([]int, d.Examples)
 	for i := range trainIdx {
@@ -253,7 +228,8 @@ func (c TrainConfig) buildDatasets() (*data.Dataset, *data.Dataset, error) {
 	for i := range testIdx {
 		testIdx[i] = d.Examples + i
 	}
-	return full.Subset(trainIdx), full.Subset(testIdx), nil
+	cfg.Train, cfg.Test = full.Subset(trainIdx), full.Subset(testIdx)
+	return cfg, nil
 }
 
 // Train runs data-parallel training on an in-process cluster: Workers
@@ -261,68 +237,22 @@ func (c TrainConfig) buildDatasets() (*data.Dataset, *data.Dataset, error) {
 // dataset, exchanging gradients and weights with a parameter server governed
 // by the configured synchronization paradigm.
 func Train(cfg TrainConfig) (*TrainResult, error) {
-	cfg = cfg.withDefaults()
-	spec, err := cfg.modelSpec()
+	run, err := job{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
+		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Sync: cfg.Sync,
+		LearningRate: cfg.LearningRate, Seed: cfg.Seed}.build(true)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Sync.Validate(cfg.Workers); err != nil {
-		return nil, err
-	}
-	train, test, err := cfg.buildDatasets()
-	if err != nil {
-		return nil, err
-	}
-
-	var schedule *optimizer.StepSchedule
+	run.Momentum, run.WeightDecay = cfg.Momentum, cfg.WeightDecay
 	if len(cfg.DecayEpochs) > 0 {
-		schedule = optimizer.NewStepSchedule(cfg.LearningRate, 0.1, cfg.DecayEpochs...)
+		run.Schedule = optimizer.NewStepSchedule(run.LearningRate, 0.1, cfg.DecayEpochs...)
 	}
-	var augment data.Augmenter
 	if cfg.Augment {
-		augment = data.Pipeline{
+		run.Augment = data.Pipeline{
 			data.HorizontalFlip{P: 0.5},
 			data.GaussianNoise{StdDev: 0.05},
 		}
 	}
-
-	res, err := trainer.Run(trainer.Config{
-		Model:        spec,
-		Train:        train,
-		Test:         test,
-		Workers:      cfg.Workers,
-		BatchSize:    cfg.BatchSize,
-		Epochs:       cfg.Epochs,
-		Policy:       cfg.Sync,
-		LearningRate: cfg.LearningRate,
-		Momentum:     cfg.Momentum,
-		WeightDecay:  cfg.WeightDecay,
-		Schedule:     schedule,
-		WorkerDelay:  cfg.WorkerDelays,
-		Augment:      augment,
-		Options:      cfg.Options,
-		Adversaries:  cfg.Adversaries,
-		Seed:         cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := &TrainResult{
-		Paradigm:       res.Paradigm,
-		FinalAccuracy:  res.FinalAccuracy,
-		Accuracy:       res.Accuracy,
-		Updates:        res.Updates,
-		DroppedUpdates: res.Dropped,
-		Duration:       res.Duration,
-		MeanStaleness:  res.MeanStaleness,
-		MaxStaleness:   res.MaxStaleness,
-		WorkerWaitTime: res.Waits,
-		PushedBytes:    res.PushedBytes,
-		PulledBytes:    res.PulledBytes,
-		GuardFlags:     res.Guard.Flags,
-		Evicted:        res.Guard.Evicted,
-		GuardDropped:   res.Guard.DroppedPushes,
-	}
-	return out, nil
+	run.WorkerDelay, run.Options, run.Adversaries = cfg.WorkerDelays, cfg.Options, cfg.Adversaries
+	return trainer.Run(run)
 }

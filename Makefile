@@ -195,7 +195,8 @@ loc:
 
 # The other size of the product, the one simplicity PRs used to count by
 # hand: what a caller or an operator can name. Exported funcs, methods and
-# types in non-test Go outside bench/; flag definitions per cmd/; exported
+# types in non-test Go outside bench/; flag definitions per cmd/ (on the flag
+# package or a FlagSet, the Var and Func forms too, one per line); exported
 # fields of every struct named *Config or *Options (each an option under the
 # simplicity-review guide), per type. Line-based like loc: a declaration
 # inside a `type (...)` group or split over lines is not seen; there are none.
@@ -204,7 +205,8 @@ surface:
 		| xargs -0 cat | grep -cE '^(func (\([^)]*\) )?[A-Z]|type [A-Z])' \
 		| sed 's/^/exported funcs+methods+types  /'
 	@for d in cmd/*/; do \
-		printf 'flags  %-40s %s\n' "$$d" "$$(cat $$d*.go | grep -cE '\bflag\.[A-Z][A-Za-z0-9]*\(\"')"; \
+		printf 'flags  %-40s %s\n' "$$d" "$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + \
+			| grep -cE '\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|Uint|Uint64)\("|\.(Bool|Duration|Float64|Int|Int64|String|Text|Uint|Uint64)?Var\([^,]+, "')"; \
 	done
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | LC_ALL=C sort | xargs awk ' \
 		FNR == 1 { pkg = FILENAME; sub(/^\.\//, "", pkg); if (!sub(/\/[^\/]*$$/, "", pkg)) pkg = "dssp" } \
@@ -280,9 +282,10 @@ aggtree-smoke:
 # fixed ports — a flat 2-worker job on 17 examples, whose workers must report
 # the same iteration count, a coordinator with two data servers
 # (-shards 4 on every member, the group-wide count) whose workers run with
-# -reconnect -heartbeat 50ms, and a root behind one
+# -reconnect 30s -heartbeat 50ms, and a root behind one
 # relay with -tree workers — failing on any non-zero exit, and checks that
-# psserver -role relay refuses a server-only flag (-guard) and that
+# each psserver role refuses by name a flag it does not read (a relay -guard
+# and -workers, a coordinator -cluster-index, a flat server -parent) and that
 # psserver -role coordinator refuses the guard its role does not act on. The
 # binaries and the per-process logs land in .cli-smoke/.
 cli-smoke:

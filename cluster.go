@@ -19,8 +19,8 @@ const (
 
 // ClusterOptions places a server in a server group (ServerConfig.Cluster):
 // its role, the coordinator it announces to, the group size and its slot,
-// the address it advertises and, for a backup, its primary and replication
-// cadence. The zero value is a flat server.
+// the address it advertises and, for a backup, its primary. The zero value is
+// a flat server.
 type ClusterOptions = ps.ClusterConfig
 
 // Failed returns a channel closed when a fatal cluster condition ended this

@@ -184,12 +184,10 @@ func TestClusterConvergesWithCompressionAndCoalescing(t *testing.T) {
 // accounting is undisturbed — and training completes.
 func TestClusterFailoverPromotesBackup(t *testing.T) {
 	cfg := clustertest.Config{
-		Servers:        2,
-		Backups:        1,
-		Workers:        2,
-		Epochs:         3,
-		ReplicateEvery: 5 * time.Millisecond,
-		ReplicateGrace: 300 * time.Millisecond,
+		Servers: 2,
+		Backups: 1,
+		Workers: 2,
+		Epochs:  3,
 	}
 	c := clustertest.Start(t, cfg)
 

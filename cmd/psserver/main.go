@@ -37,7 +37,7 @@
 // -peers <coordinator> -cluster-servers N -cluster-index i) each own a
 // contiguous shard range of the store; a backup (-role backup -primary <data
 // server>) replicates its primary's weights and requests promotion when the
-// primary stays dead past -replicate-grace. Losing the coordinator is fatal
+// primary stays dead past a 2s grace. Losing the coordinator is fatal
 // to a data server or backup, unless the coordinator finished the run: it
 // then says so on the announce connection before it exits. In a group
 // -shards is the group-wide shard count (0 = two per data server) and must be
@@ -54,9 +54,28 @@
 // their relay from the root's layout and re-parent if it dies. A partial
 // stalled by a straggler is forwarded incomplete after 50ms. A relay leases
 // its workers with -heartbeat-timeout and heartbeats to the root every
-// quarter of it, so a root leasing at the same timeout keeps it. A relay
-// refuses the flags only a server acts on (-aggregator, -clip-norm, -guard,
-// -elastic, -checkpoint-*, -shards, -trace-*) by name rather than ignore them.
+// quarter of it, so a root leasing at the same timeout keeps it.
+//
+// Flags per role: -role is read first, and the rest of the command line is
+// parsed with that role's own flag set, so a flag the role does not read is
+// refused by name (psserver -role <role> -h lists the set):
+//
+//   - every role: -role, -addr, -metrics-addr, -compress, -topk,
+//     -compress-pull;
+//   - a relay and every server role: -heartbeat-timeout;
+//   - every server role (flat, coordinator, data, backup): -workers, -model,
+//     -classes, -image-size, -seed, -shards, -trace-every, -trace-dump,
+//     -aggregator, -clip-norm, -guard, -elastic, -checkpoint-dir,
+//     -checkpoint-every (the server then refuses the ones its role does not
+//     act on: a coordinator, -guard and -checkpoint-*);
+//   - a flat server and a coordinator, which run the paradigm and evaluate:
+//     -paradigm, -staleness, -range, -enforce-bound, -backups, -examples;
+//   - a flat server, data server and backup, which hold weights: -lr,
+//     -momentum;
+//   - a coordinator, data server and backup: -cluster-servers; a data server
+//     and backup: -peers, -cluster-index; those two and a relay: -advertise;
+//     a backup: -primary;
+//   - a relay: -parent, -fanout.
 //
 // Observability: -metrics-addr starts an admin HTTP listener serving
 // Prometheus /metrics, /healthz, a /statusz JSON snapshot, and
@@ -68,11 +87,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -81,118 +103,153 @@ import (
 	"dssp/internal/core"
 )
 
+// roleRelay is -role's value for an aggregation relay; the server roles are
+// dssp.RoleCoordinator, RoleData, RoleBackup and "" for a flat server.
+const roleRelay = "relay"
+
+// invocation is one parsed command line: the relay's config when -role is
+// relay (server.Cluster.Role holds it either way), else the server's.
+type invocation struct {
+	server    dssp.ServerConfig
+	relay     dssp.RelayConfig
+	traceDump bool
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":7070", "TCP listen address")
-		workers      = flag.Int("workers", 2, "number of workers expected to join")
-		paradigm     = flag.String("paradigm", "DSSP", "synchronization paradigm: BSP, ASP, SSP, DSSP, BoundedDelay, BackupBSP")
-		staleness    = flag.Int("staleness", 3, "staleness threshold (SSP) or lower bound sL (DSSP)")
-		rng          = flag.Int("range", 12, "DSSP threshold range r = sU - sL")
-		enforce      = flag.Bool("enforce-bound", false, "use DSSP's strict Theorem-2 mode")
-		backups      = flag.Int("backups", 1, "spare workers for BackupBSP")
-		model        = flag.String("model", string(dssp.ModelSmallMLP), "model: small-mlp, small-cnn, alexnet-small, resnet-8")
-		classes      = flag.Int("classes", 4, "number of classes in the synthetic dataset")
-		examples     = flag.Int("examples", 512, "number of synthetic training examples")
-		imageSize    = flag.Int("image-size", 16, "image size (or feature count for small-mlp)")
-		lr           = flag.Float64("lr", 0.1, "learning rate")
-		momentum     = flag.Float64("momentum", 0.0, "SGD momentum")
-		shards       = flag.Int("shards", 0, "parameter-store shards (0 = one per CPU); in a server group the group-wide count, the same on every member (0 = two per data server)")
-		compressName = flag.String("compress", dssp.CompressNone, "gradient codec on the wire: none, fp16, int8, topk")
-		topk         = flag.Float64("topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1)")
-		compressPull = flag.Bool("compress-pull", false, "also compress pulled weights (fp16/int8 codecs only)")
-		aggName      = flag.String("aggregator", dssp.AggregateSum, "gradient aggregation: sum, clipped, trimmed-mean, median (robust kinds tolerate Byzantine workers)")
-		clipNorm     = flag.Float64("clip-norm", 0, "per-tensor L2 cap for the clipped aggregator (required with -aggregator clipped)")
-		guard        = flag.Bool("guard", false, "screen pushes for anomalies (norm outliers, lying clocks, floods) and evict repeat offenders")
-		elastic      = flag.Bool("elastic", false, "tolerate worker churn: lease-monitor sessions, accept rejoins, finish when live workers finish")
-		hbTimeout    = flag.Duration("heartbeat-timeout", 5*time.Second, "evict a session silent for this long (elastic mode)")
-		ckptDir      = flag.String("checkpoint-dir", "", "directory for store checkpoints (restored on startup when present; empty = off)")
-		ckptEvery    = flag.Int("checkpoint-every", 0, "checkpoint every N applied updates (0 = only on shutdown)")
-		metricsAddr  = flag.String("metrics-addr", "", "admin HTTP listen address serving /metrics, /healthz, /statusz and pprof (empty = off)")
-		traceEvery   = flag.Int("trace-every", 0, "sample the push lifecycle for 1 in N pushes (0 = default 64, negative = off)")
-		traceDump    = flag.Bool("trace-dump", false, "print sampled push-lifecycle traces as JSON lines at end of run")
-		seed         = flag.Int64("seed", 1, "seed for the initial weights (must match workers)")
-
-		role           = flag.String("role", "", "role: coordinator, data, backup (server group, DESIGN.md §10), or relay (aggregation tier, DESIGN.md §11); empty = standalone server")
-		peers          = flag.String("peers", "", "coordinator address (data and backup roles)")
-		parent         = flag.String("parent", "", "root server address the relay forwards to (relay role)")
-		fanout         = flag.Int("fanout", 4, "workers this relay aggregates per forwarded push (relay role)")
-		clusterServers = flag.Int("cluster-servers", 0, "number of data servers in the group (all cluster roles)")
-		clusterIndex   = flag.Int("cluster-index", 0, "this server's slot in [0, cluster-servers) — which shard range it owns")
-		advertise      = flag.String("advertise", "", "address published in the cluster map (default: the listen address)")
-		primary        = flag.String("primary", "", "the data server this backup replicates from (backup role)")
-		replicateEvery = flag.Duration("replicate-every", 0, "backup replication poll cadence (0 = default 25ms)")
-		replicateGrace = flag.Duration("replicate-grace", 0, "how long the primary may stay unreachable before the backup requests promotion (0 = default 2s)")
-	)
-	flag.Parse()
-
-	if *role == "relay" {
-		// A relay left on the default codec follows the parent, like a
-		// worker's -compress auto; an explicit -compress must match exactly.
-		relayCompress := dssp.Compression{Codec: dssp.CompressAuto, TopK: *topk, Pull: *compressPull}
-		var serverOnly []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "compress":
-				relayCompress.Codec = *compressName
-			case "aggregator", "clip-norm", "guard", "elastic", "checkpoint-dir", "checkpoint-every",
-				"shards", "trace-every", "trace-dump":
-				serverOnly = append(serverOnly, "-"+f.Name)
-			}
-		})
-		if len(serverOnly) > 0 {
-			log.Fatalf("psserver: a relay does not act on %s; set it on the root server", strings.Join(serverOnly, ", "))
-		}
-		if err := runRelay(dssp.RelayConfig{
-			Addr:             *addr,
-			Advertise:        *advertise,
-			Parent:           *parent,
-			Fanout:           *fanout,
-			Compression:      relayCompress,
-			HeartbeatTimeout: *hbTimeout,
-			MetricsAddr:      *metricsAddr,
-		}); err != nil {
-			log.Fatalf("psserver: %v", err)
-		}
+	inv, err := parse(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
 		return
+	case err != nil:
+		os.Exit(2)
+	case inv.server.Cluster.Role == roleRelay:
+		err = runRelay(inv.relay)
+	default:
+		err = run(inv.server, inv.traceDump)
 	}
-
-	cluster := dssp.ClusterOptions{
-		Role:           *role,
-		Coordinator:    *peers,
-		Servers:        *clusterServers,
-		Index:          *clusterIndex,
-		Advertise:      *advertise,
-		Primary:        *primary,
-		ReplicateEvery: *replicateEvery,
-		ReplicateGrace: *replicateGrace,
-	}
-
-	cfg := dssp.ServerConfig{
-		Addr:         *addr,
-		Workers:      *workers,
-		Model:        dssp.Model(*model),
-		LearningRate: *lr,
-		Momentum:     *momentum,
-		Options: dssp.Options{
-			Shards:           *shards,
-			Compression:      dssp.Compression{Codec: *compressName, TopK: *topk, Pull: *compressPull},
-			Aggregator:       dssp.Aggregator{Kind: *aggName, ClipNorm: *clipNorm},
-			Guard:            dssp.Guard{Enabled: *guard},
-			Elastic:          *elastic,
-			HeartbeatTimeout: *hbTimeout,
-			Checkpoint:       dssp.Checkpoint{Dir: *ckptDir, Every: *ckptEvery},
-		},
-		MetricsAddr: *metricsAddr,
-		TraceEvery:  *traceEvery,
-		Seed:        *seed,
-		Dataset: dssp.DatasetConfig{
-			Examples: *examples, Classes: *classes, ImageSize: *imageSize, Noise: 0.5, Seed: *seed,
-		},
-		Cluster: cluster,
-	}
-	if err := run(cfg, *paradigm, *staleness, *rng, *enforce, *backups, *traceDump); err != nil {
+	if err != nil {
 		log.Fatalf("psserver: %v", err)
 	}
+}
+
+// parse reads -role from args, then parses args with that role's flag set
+// alone (roleFlags), so a flag the role does not read is refused by name.
+// Refusals are written to out.
+func parse(args []string, out io.Writer) (*invocation, error) {
+	role := roleArg(args)
+	if !slices.Contains([]string{"", dssp.RoleCoordinator, dssp.RoleData, dssp.RoleBackup, roleRelay}, role) {
+		fmt.Fprintf(out, "psserver: unknown -role %q (want coordinator, data, backup or relay; none for a flat server)\n", role)
+		return nil, fmt.Errorf("unknown role %q", role)
+	}
+	inv, fs := roleFlags(role)
+	fs.SetOutput(out)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var err error
+	if inv.server.Cluster.Role != role {
+		err = fmt.Errorf("-role must be given as a flag, not as the value of another")
+	} else if fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if err != nil {
+		fmt.Fprintf(out, "psserver: %v\n", err)
+	}
+	inv.server.Dataset.Seed = inv.server.Seed
+	return inv, err
+}
+
+// roleArg returns the value of the last -role in args, the one flag read
+// before the role's flag set exists.
+func roleArg(args []string) (role string) {
+	for i, arg := range args {
+		if name, value, inline := strings.Cut(strings.TrimLeft(arg, "-"), "="); strings.HasPrefix(arg, "-") && name == "role" {
+			if !inline && i+1 < len(args) {
+				value = args[i+1]
+			}
+			role = value
+		}
+	}
+	return role
+}
+
+// roleFlags returns role's flag set and the invocation it fills: every flag
+// the role reads, bound to the field it sets, and no other flag.
+func roleFlags(role string) (*invocation, *flag.FlagSet) {
+	name := "psserver"
+	if role != "" {
+		name += " -role " + role
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	inv := &invocation{}
+	s, r := &inv.server, &inv.relay
+	server := role != roleRelay
+	member := role == dssp.RoleData || role == dssp.RoleBackup
+
+	addr, metricsAddr, advertise, codec, hbTimeout := &s.Addr, &s.MetricsAddr, &s.Cluster.Advertise, &s.Compression, &s.HeartbeatTimeout
+	if !server {
+		addr, metricsAddr, advertise, codec, hbTimeout = &r.Addr, &r.MetricsAddr, &r.Advertise, &r.Compression, &r.HeartbeatTimeout
+		fs.StringVar(&r.Parent, "parent", "", "root server address the relay forwards to")
+		fs.IntVar(&r.Fanout, "fanout", 4, "workers this relay aggregates per forwarded push")
+	}
+	fs.StringVar(&s.Cluster.Role, "role", "", "role: coordinator, data, backup (server group, DESIGN.md §10), or relay (aggregation tier, DESIGN.md §11); empty = standalone server. Each role reads its own flags: psserver -role <role> -h lists them")
+	fs.StringVar(addr, "addr", ":7070", "TCP listen address")
+	fs.StringVar(metricsAddr, "metrics-addr", "", "admin HTTP listen address serving /metrics, /healthz, /statusz and pprof (empty = off)")
+	fs.StringVar(&codec.Codec, "compress", "", "gradient codec on the wire: none, fp16, int8, topk; a relay also takes auto, adopting its parent's (empty = none on a server, auto on a relay; a relay's explicit codec must match its parent's)")
+	fs.Float64Var(&codec.TopK, "topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1)")
+	fs.BoolVar(&codec.Pull, "compress-pull", false, "also compress pulled weights (fp16/int8 codecs only)")
+	fs.DurationVar(hbTimeout, "heartbeat-timeout", 5*time.Second, "evict a session silent for this long (on a server, in elastic mode); a relay heartbeats to its parent every quarter of it")
+	if server {
+		s.Dataset.Noise = 0.5
+		fs.IntVar(&s.Workers, "workers", 2, "number of workers expected to join")
+		fs.StringVar((*string)(&s.Model), "model", string(dssp.ModelSmallMLP), "model: small-mlp, small-cnn, alexnet-small, resnet-8")
+		fs.IntVar(&s.Dataset.Classes, "classes", 4, "number of classes in the synthetic dataset")
+		fs.IntVar(&s.Dataset.ImageSize, "image-size", 16, "image size (or feature count for small-mlp)")
+		fs.Int64Var(&s.Seed, "seed", 1, "seed for the initial weights (must match workers)")
+		fs.IntVar(&s.Shards, "shards", 0, "parameter-store shards (0 = one per CPU); in a server group the group-wide count, the same on every member (0 = two per data server)")
+		fs.IntVar(&s.TraceEvery, "trace-every", 0, "sample the push lifecycle for 1 in N pushes (0 = default 64, negative = off)")
+		fs.BoolVar(&inv.traceDump, "trace-dump", false, "print sampled push-lifecycle traces as JSON lines at end of run")
+		fs.StringVar(&s.Aggregator.Kind, "aggregator", dssp.AggregateSum, "gradient aggregation: sum, clipped, trimmed-mean, median (robust kinds tolerate Byzantine workers)")
+		fs.Float64Var(&s.Aggregator.ClipNorm, "clip-norm", 0, "per-tensor L2 cap for the clipped aggregator (required with -aggregator clipped)")
+		fs.BoolVar(&s.Guard.Enabled, "guard", false, "screen pushes for anomalies (norm outliers, lying clocks, floods) and evict repeat offenders")
+		fs.BoolVar(&s.Elastic, "elastic", false, "tolerate worker churn: lease-monitor sessions, accept rejoins, finish when live workers finish")
+		fs.StringVar(&s.Checkpoint.Dir, "checkpoint-dir", "", "directory for store checkpoints (restored on startup when present; empty = off)")
+		fs.IntVar(&s.Checkpoint.Every, "checkpoint-every", 0, "checkpoint every N applied updates (0 = only on shutdown)")
+	}
+	// The paradigm runs, and the model is evaluated, on a flat server or a
+	// coordinator; data servers and backups run a local ASP.
+	if role == "" || role == dssp.RoleCoordinator {
+		s.Sync.Paradigm = dssp.DSSP
+		fs.Func("paradigm", "synchronization paradigm: BSP, ASP, SSP, DSSP, BoundedDelay, BackupBSP (default DSSP)", func(v string) (err error) {
+			s.Sync.Paradigm, err = core.ParseParadigm(v)
+			return err
+		})
+		fs.IntVar(&s.Sync.Staleness, "staleness", 3, "staleness threshold (SSP) or lower bound sL (DSSP)")
+		fs.IntVar(&s.Sync.Range, "range", 12, "DSSP threshold range r = sU - sL")
+		fs.BoolVar(&s.Sync.EnforceBound, "enforce-bound", false, "use DSSP's strict Theorem-2 mode")
+		fs.IntVar(&s.Sync.Backups, "backups", 1, "spare workers for BackupBSP")
+		fs.IntVar(&s.Dataset.Examples, "examples", 512, "number of synthetic training examples")
+	}
+	// The weights, and the optimizer stepping them, live on every server but
+	// a coordinator, whose store is a one-scalar placeholder.
+	if server && role != dssp.RoleCoordinator {
+		fs.Float64Var(&s.LearningRate, "lr", 0.1, "learning rate")
+		fs.Float64Var(&s.Momentum, "momentum", 0, "SGD momentum")
+	}
+	if server && role != "" {
+		fs.IntVar(&s.Cluster.Servers, "cluster-servers", 0, "number of data servers in the group")
+	}
+	if member {
+		fs.StringVar(&s.Cluster.Coordinator, "peers", "", "coordinator address")
+		fs.IntVar(&s.Cluster.Index, "cluster-index", 0, "this server's slot in [0, cluster-servers) — which shard range it owns")
+	}
+	if member || !server {
+		fs.StringVar(advertise, "advertise", "", "address published in the cluster map, or by a relay in the root's tree layout (default: the listen address)")
+	}
+	if role == dssp.RoleBackup {
+		fs.StringVar(&s.Cluster.Primary, "primary", "", "the data server this backup replicates from")
+	}
+	return inv, fs
 }
 
 // runRelay runs the aggregation-relay role until interrupted or until its
@@ -226,12 +283,8 @@ func runRelay(cfg dssp.RelayConfig) error {
 	return nil
 }
 
-func run(cfg dssp.ServerConfig, paradigm string, staleness, rng int, enforce bool, backups int, traceDump bool) error {
-	p, err := core.ParseParadigm(paradigm)
-	if err != nil {
-		return err
-	}
-	cfg.Sync = dssp.Sync{Paradigm: p, Staleness: staleness, Range: rng, EnforceBound: enforce, Backups: backups}
+// run serves cfg until its workers finish, it fails, or it is interrupted.
+func run(cfg dssp.ServerConfig, traceDump bool) error {
 	server, err := dssp.Serve(cfg)
 	if err != nil {
 		return err
@@ -262,9 +315,7 @@ func run(cfg dssp.ServerConfig, paradigm string, staleness, rng int, enforce boo
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case <-server.Failed():
-		err := server.FailureErr()
-		server.Stop()
-		return err
+		return server.FailureErr()
 	case <-server.Done():
 		// One consistent snapshot feeds the whole summary.
 		st := server.Status()

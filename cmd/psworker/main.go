@@ -20,9 +20,9 @@
 // (docs/PROTOCOL.md §5a) would skip nothing. A flat worker therefore speaks
 // pure v1 frames.
 //
-// Fault tolerance: -reconnect redials and rejoins on any connection loss
-// (surviving parameter-server restarts), -heartbeat proves liveness to an
-// -elastic server, and -fail-after injects a crash for demos.
+// Fault tolerance: -reconnect 30s redials and rejoins on any connection loss
+// (surviving parameter-server restarts) for up to 30s, -heartbeat proves
+// liveness to an -elastic server, and -fail-after injects a crash for demos.
 //
 // Server groups: -cluster makes -server the coordinator's address — the
 // worker fetches the cluster map at registration and routes gradient
@@ -71,8 +71,7 @@ func main() {
 		topk         = flag.Float64("topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1; must match the server)")
 		compressPull = flag.Bool("compress-pull", false, "expect compressed weight pulls (must match the server; implied by -compress auto)")
 		adversary    = flag.Float64("adversary", 0, "Byzantine gradient-scale factor for robustness experiments (0 or 1 = honest; e.g. -10 pushes scaled ascent)")
-		reconnect    = flag.Bool("reconnect", false, "redial and rejoin on connection loss (survives server restarts)")
-		reconnectTO  = flag.Duration("reconnect-timeout", 30*time.Second, "with -reconnect, how long connecting, rejoining and recovering a -cluster data link keep retrying before the worker gives up")
+		reconnect    = flag.Duration("reconnect", 0, "redial and rejoin on connection loss (survives server restarts), retrying connecting, rejoining and recovering a -cluster data link this long before giving up, e.g. 30s (0 = connect once)")
 		heartbeat    = flag.Duration("heartbeat", 0, "send liveness heartbeats at this interval (needed under an -elastic server; 0 = off)")
 		failAfter    = flag.Int("fail-after", 0, "fault injection for demos: crash (drop the connection) before this iteration (0 = never)")
 		metricsAddr  = flag.String("metrics-addr", "", "admin HTTP listen address serving worker-side /metrics, /healthz and pprof (empty = off)")
@@ -80,7 +79,6 @@ func main() {
 	)
 	flag.Parse()
 
-	compression := dssp.Compression{Codec: *compressName, TopK: *topk, Pull: *compressPull}
 	report, err := dssp.RunWorker(dssp.WorkerConfig{
 		ServerAddr: *server,
 		Cluster:    *cluster,
@@ -97,14 +95,13 @@ func main() {
 		Delay:     *delay,
 		Options: dssp.Options{
 			Shards:            *shards,
-			Compression:       compression,
+			Compression:       dssp.Compression{Codec: *compressName, TopK: *topk, Pull: *compressPull},
 			HeartbeatInterval: *heartbeat,
 		},
-		Adversary:        *adversary,
-		MetricsAddr:      *metricsAddr,
-		Reconnect:        *reconnect,
-		ReconnectTimeout: *reconnectTO,
-		FailAfter:        *failAfter,
+		Adversary:   *adversary,
+		MetricsAddr: *metricsAddr,
+		Reconnect:   *reconnect,
+		FailAfter:   *failAfter,
 	})
 	if err != nil {
 		log.Fatalf("psworker %d: %v", *id, err)

@@ -64,18 +64,17 @@ func serverConfig(addr, ckptDir string) dssp.ServerConfig {
 
 func workerConfig(addr string, id int) dssp.WorkerConfig {
 	return dssp.WorkerConfig{
-		ServerAddr:       addr,
-		WorkerID:         id,
-		Workers:          workers,
-		Model:            dssp.ModelSmallMLP,
-		Dataset:          dataset,
-		BatchSize:        16,
-		Epochs:           10,
-		Seed:             7,
-		Delay:            25 * time.Millisecond,
-		Reconnect:        true,
-		ReconnectTimeout: 30 * time.Second,
-		Options:          dssp.Options{HeartbeatInterval: 250 * time.Millisecond},
+		ServerAddr: addr,
+		WorkerID:   id,
+		Workers:    workers,
+		Model:      dssp.ModelSmallMLP,
+		Dataset:    dataset,
+		BatchSize:  16,
+		Epochs:     10,
+		Seed:       7,
+		Delay:      25 * time.Millisecond,
+		Reconnect:  30 * time.Second,
+		Options:    dssp.Options{HeartbeatInterval: 250 * time.Millisecond},
 	}
 }
 

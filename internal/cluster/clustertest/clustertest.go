@@ -46,10 +46,6 @@ type Config struct {
 	// sharding) applied to every server in the group; its Shards is the
 	// group-wide count (0 = the layout default of two per data server).
 	Options dssp.Options
-	// ReplicateEvery and ReplicateGrace tune the backups; zero keeps the
-	// package defaults (25ms / 2s).
-	ReplicateEvery time.Duration
-	ReplicateGrace time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -161,13 +157,11 @@ func Start(t *testing.T, cfg Config) *Cluster {
 	}
 	for i := 0; i < cfg.Backups && i < cfg.Servers; i++ {
 		srv, err := dssp.Serve(c.serverConfig(dssp.ClusterOptions{
-			Role:           dssp.RoleBackup,
-			Coordinator:    c.coordAddr,
-			Servers:        cfg.Servers,
-			Index:          i,
-			Primary:        c.dataAddrs[i],
-			ReplicateEvery: cfg.ReplicateEvery,
-			ReplicateGrace: cfg.ReplicateGrace,
+			Role:        dssp.RoleBackup,
+			Coordinator: c.coordAddr,
+			Servers:     cfg.Servers,
+			Index:       i,
+			Primary:     c.dataAddrs[i],
 		}))
 		if err != nil {
 			t.Fatalf("clustertest: backup %d: %v", i, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
@@ -67,12 +66,9 @@ type ClusterConfig struct {
 	// behind NAT).
 	Advertise string
 	// Primary is the data server this backup replicates from (backup role).
+	// The backup polls it every replicateEvery and requests promotion once it
+	// stays unreachable past replicateGrace.
 	Primary string
-	// ReplicateEvery is the backup's replication poll cadence (default 25ms).
-	ReplicateEvery time.Duration
-	// ReplicateGrace is how long the primary may stay unreachable before the
-	// backup declares it dead and requests promotion (default 2s).
-	ReplicateGrace time.Duration
 }
 
 // validate checks the role's own requirements.

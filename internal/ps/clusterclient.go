@@ -26,6 +26,19 @@ const mapTimeout = 10 * time.Second
 // worker gives up just before the new owner appears.
 const dataLinkPatience = 15 * time.Second
 
+// A backup polls its primary every replicateEvery (the gated pull makes an
+// idle poll nearly free: an unchanged primary answers with one payload-free
+// frame) and requests promotion once the primary stays unreachable past
+// replicateGrace.
+const (
+	replicateEvery = 25 * time.Millisecond
+	replicateGrace = 2 * time.Second
+)
+
+// dataLinkPatience > replicateGrace, checked by the compiler: a negative
+// constant does not convert to uint64.
+const _ = uint64(dataLinkPatience - replicateGrace - 1)
+
 // ClusterClientConfig tunes NewClusterClient.
 type ClusterClientConfig struct {
 	// Compression is the gradient codec spoken with the data servers (the

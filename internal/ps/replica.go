@@ -18,10 +18,8 @@ var errPrimaryDead = errors.New("ps: replication primary is unreachable")
 // closes (returns nil) or the primary stays unreachable past grace (returns
 // errPrimaryDead — the backup's cue to request promotion). dial opens a fresh
 // connection to the primary, on start and after every connection failure;
-// interval is the poll cadence (default 25ms: the gated pull makes an idle
-// poll nearly free, an unchanged primary answering with one payload-free
-// frame) and grace defaults to 2s. reg carries the dssp_cluster_replica_*
-// series.
+// interval is the poll cadence (a backup's is replicateEvery). reg carries the
+// dssp_cluster_replica_* series.
 //
 // The stream is a replica session on the primary: a read-only registration
 // under a negative session key, pulling on a fixed cadence, each pull naming
@@ -31,12 +29,6 @@ var errPrimaryDead = errors.New("ps: replication primary is unreachable")
 // carry — optimizer state, and exact bit-patterns under a lossy pull codec —
 // is documented in DESIGN.md §10.
 func replicate(dial func() (transport.Conn, error), store *Store, interval, grace time.Duration, reg *obs.Registry, stop <-chan struct{}) error {
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	if grace <= 0 {
-		grace = 2 * time.Second
-	}
 	installs := reg.Counter("dssp_cluster_replica_installs_total",
 		"Weight snapshots installed from the primary's replication stream.")
 	unchanged := reg.Counter("dssp_cluster_replica_unchanged_total",

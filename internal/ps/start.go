@@ -181,7 +181,7 @@ func (s *Server) announce(dial func(string) (transport.Conn, error), entry trans
 func (s *Server) standBy(dial func(string) (transport.Conn, error), entry transport.ServerEntry) {
 	c := s.cfg.Cluster
 	err := replicate(func() (transport.Conn, error) { return dial(c.Primary) },
-		s.cfg.Store, c.ReplicateEvery, c.ReplicateGrace, s.reg, s.stopped)
+		s.cfg.Store, replicateEvery, replicateGrace, s.reg, s.stopped)
 	if err == nil {
 		return // Stop
 	}

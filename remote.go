@@ -268,19 +268,16 @@ type WorkerConfig struct {
 	// reported as Crashed — the expected fate under a guarded server — not
 	// as an error.
 	Adversary float64
-	// Reconnect makes the worker ride through connection failures: on any
-	// transport error it redials the server (with backoff, for up to
-	// ReconnectTimeout), rejoins carrying the last store version it saw, and
-	// retries the interrupted iteration from a fresh pull. This is what lets
-	// a worker survive a parameter-server restart, a Tree worker a relay
-	// death, and a Cluster worker a lost coordinator connection (the
-	// coordinator gets a Rejoin, the data servers a fresh registration).
-	Reconnect bool
-	// ReconnectTimeout is the worker's patience with Reconnect set (0 means
-	// 30s): how long connecting, rejoining and recovering a dead data link
-	// keep retrying before the run fails. Without Reconnect the worker
-	// connects once and a data link gets 15s.
-	ReconnectTimeout time.Duration
+	// Reconnect, when positive, makes the worker ride through connection
+	// failures: on any transport error it redials the server (with backoff,
+	// for up to Reconnect), rejoins carrying the last store version it saw,
+	// and retries the interrupted iteration from a fresh pull. The same
+	// patience covers the first connection and the recovery of a dead data
+	// link. This is what lets a worker survive a parameter-server restart, a
+	// Tree worker a relay death, and a Cluster worker a lost coordinator
+	// connection (the coordinator gets a Rejoin, the data servers a fresh
+	// registration). Zero connects once, and a data link then gets 15s.
+	Reconnect time.Duration
 	// FailAfter > 0 injects a fault for demos and tests: the worker drops
 	// its connection abruptly — no Done, no Leave, like a process kill —
 	// before starting iteration FailAfter, and RunWorker returns a report
@@ -365,6 +362,11 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		Compression: cfg.Compression.Normalized(),
 		Shards:      cfg.Shards,
 		Metrics:     reg,
+		// The patience also covers the first connection: a worker launched
+		// during the very server outage Reconnect exists to survive (a
+		// restart window, an orchestrator racing the server up) keeps
+		// dialing instead of failing on arrival.
+		Retry: cfg.Reconnect,
 	}
 	if cfg.Compression.Codec == "" {
 		// Unset means "follow the server" for workers: a fleet started with
@@ -377,20 +379,11 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	case cfg.Tree:
 		route.Topology = ps.Tree
 	}
-	// With Reconnect the patience also covers the first connection: a worker
-	// launched during the very server outage Reconnect exists to survive (a
-	// restart window, an orchestrator racing the server up) keeps dialing
-	// instead of failing on arrival.
-	if cfg.Reconnect {
-		if route.Retry = cfg.ReconnectTimeout; route.Retry <= 0 {
-			route.Retry = 30 * time.Second
-		}
-	}
 
 	w.Connect = func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
 		return ps.Connect(route, rejoin, lastVersion)
 	}
-	w.Reconnect, w.HeartbeatInterval, w.Delay = cfg.Reconnect, cfg.HeartbeatInterval, cfg.Delay
+	w.Reconnect, w.HeartbeatInterval, w.Delay = cfg.Reconnect > 0, cfg.HeartbeatInterval, cfg.Delay
 	w.Adversary = Adversary{GradScale: cfg.Adversary}
 	w.CrashAt = cfg.FailAfter - 1 // FailAfter is 1-based, 0 = never
 	r, err := trainer.RunWorker(w)

@@ -34,17 +34,16 @@ func elasticServerConfig(addr, ckptDir string, workers int) dssp.ServerConfig {
 
 func elasticWorkerConfig(addr string, id, workers int) dssp.WorkerConfig {
 	return dssp.WorkerConfig{
-		ServerAddr:       addr,
-		WorkerID:         id,
-		Workers:          workers,
-		Model:            dssp.ModelSmallMLP,
-		Dataset:          dssp.DatasetConfig{Examples: 240, Classes: 3, ImageSize: 12, Noise: 0.3, Seed: 3},
-		BatchSize:        12,
-		Epochs:           3,
-		Seed:             3,
-		Reconnect:        true,
-		ReconnectTimeout: 30 * time.Second,
-		Options:          dssp.Options{HeartbeatInterval: 200 * time.Millisecond},
+		ServerAddr: addr,
+		WorkerID:   id,
+		Workers:    workers,
+		Model:      dssp.ModelSmallMLP,
+		Dataset:    dssp.DatasetConfig{Examples: 240, Classes: 3, ImageSize: 12, Noise: 0.3, Seed: 3},
+		BatchSize:  12,
+		Epochs:     3,
+		Seed:       3,
+		Reconnect:  30 * time.Second,
+		Options:    dssp.Options{HeartbeatInterval: 200 * time.Millisecond},
 	}
 }
 
@@ -186,15 +185,14 @@ func TestReconnectWorkerFailsFastOnWireMismatch(t *testing.T) {
 
 	start := time.Now()
 	_, err = dssp.RunWorker(dssp.WorkerConfig{
-		ServerAddr:       l.Addr().String(),
-		WorkerID:         0,
-		Workers:          1,
-		Dataset:          dssp.DatasetConfig{Examples: 32, Classes: 2, ImageSize: 8, Seed: 1},
-		BatchSize:        8,
-		Epochs:           1,
-		Seed:             1,
-		Reconnect:        true,
-		ReconnectTimeout: 30 * time.Second,
+		ServerAddr: l.Addr().String(),
+		WorkerID:   0,
+		Workers:    1,
+		Dataset:    dssp.DatasetConfig{Examples: 32, Classes: 2, ImageSize: 8, Seed: 1},
+		BatchSize:  8,
+		Epochs:     1,
+		Seed:       1,
+		Reconnect:  30 * time.Second,
 	})
 	elapsed := time.Since(start)
 	if err == nil || !strings.Contains(err.Error(), "not a DSSP frame") {

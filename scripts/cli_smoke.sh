@@ -4,9 +4,12 @@
 # workers must report the same iteration count), a coordinator with two data
 # servers (-shards 4 on every member) and reconnecting, heartbeating group
 # workers, and a root fronted by one relay with -tree workers. Every process
-# must exit 0. It also checks that a relay refuses a server-only flag
-# (-guard) by name instead of ignoring it, and that a coordinator refuses the
-# one it does not act on (-guard again: it carries no gradient bytes).
+# must exit 0. It also checks that each role refuses, by name, a flag it does
+# not read (psserver parses a command line with its -role's own flag set): a
+# relay -guard and -workers, a coordinator -cluster-index, a flat server
+# -parent (a relay's flag, given without -role relay); and that a coordinator
+# refuses the option its role does not act on (-guard again: it carries no
+# gradient bytes).
 #
 # Usage: scripts/cli_smoke.sh <dir>
 # <dir> holds psserver and psworker (make cli-smoke builds them there) and
@@ -84,7 +87,7 @@ for i in 0 1; do
 done
 for i in 0 1; do
 	start "group-w$i" "$worker" -cluster -server 127.0.0.1:17180 -id "$i" "${work[@]}" -shards 4 \
-		-reconnect -heartbeat 50ms
+		-reconnect 30s -heartbeat 50ms
 done
 finish group
 
@@ -104,26 +107,29 @@ if ! grep -Eq 'for [1-9][0-9]* child pushes' "$dir/tree-relay.log"; then
 	exit 1
 fi
 
-# A relay refuses a flag only a server acts on.
-if "$server" -role relay -parent 127.0.0.1:17199 -guard >"$dir/relay-guard.log" 2>&1; then
-	echo "cli-smoke: psserver -role relay -guard exited 0" >&2
-	exit 1
-fi
-if ! grep -q -- '-guard' "$dir/relay-guard.log"; then
-	echo "cli-smoke: the relay's refusal does not name -guard" >&2
-	cat "$dir/relay-guard.log" >&2
-	exit 1
-fi
-echo "cli-smoke: relay refuses -guard"
+# refuses <name> <flag> <args...> runs psserver with args, which must exit
+# non-zero within 5s (a server that starts instead fails, not hangs) and name
+# flag in what it prints.
+refuses() {
+	local log="$dir/refuses-$1.log" flag=$2
+	shift 2
+	if timeout 5 "$server" "$@" >"$log" 2>&1; then
+		echo "cli-smoke: psserver $* exited 0" >&2
+		exit 1
+	fi
+	if ! grep -q -- "$flag" "$log"; then
+		echo "cli-smoke: psserver $* does not name $flag" >&2
+		cat "$log" >&2
+		exit 1
+	fi
+	echo "cli-smoke: psserver $* refuses $flag"
+}
+
+# Each role refuses a flag it does not read.
+refuses relay-guard -guard -role relay -parent 127.0.0.1:17199 -guard
+refuses relay-workers -workers -addr 127.0.0.1:17197 -role relay -parent 127.0.0.1:17199 -workers 8
+refuses flat-parent -parent -addr 127.0.0.1:17196 -parent 127.0.0.1:17199 -fanout 2 -workers 2
+refuses coord-index -cluster-index -addr 127.0.0.1:17195 -role coordinator -cluster-servers 2 -workers 2 -cluster-index 1
 
 # A coordinator refuses an option its role does not act on.
-if "$server" -addr 127.0.0.1:17198 -role coordinator -cluster-servers 2 -workers 2 -guard >"$dir/coord-guard.log" 2>&1; then
-	echo "cli-smoke: psserver -role coordinator -guard exited 0" >&2
-	exit 1
-fi
-if ! grep -qi 'guard' "$dir/coord-guard.log"; then
-	echo "cli-smoke: the coordinator's refusal does not name the guard" >&2
-	cat "$dir/coord-guard.log" >&2
-	exit 1
-fi
-echo "cli-smoke: coordinator refuses -guard"
+refuses coord-guard Guard -addr 127.0.0.1:17198 -role coordinator -cluster-servers 2 -workers 2 -guard

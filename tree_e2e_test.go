@@ -28,19 +28,18 @@ func treeServerConfig(addr string, sync dssp.Sync) dssp.ServerConfig {
 
 func treeWorkerConfig(rootAddr string, id int) dssp.WorkerConfig {
 	return dssp.WorkerConfig{
-		ServerAddr:       rootAddr,
-		Tree:             true,
-		WorkerID:         id,
-		Workers:          4,
-		Model:            dssp.ModelSmallMLP,
-		Dataset:          dssp.DatasetConfig{Examples: 240, Classes: 3, ImageSize: 12, Noise: 0.3, Seed: 5},
-		BatchSize:        12,
-		Epochs:           4,
-		Seed:             5,
-		Delay:            20 * time.Millisecond,
-		Reconnect:        true,
-		ReconnectTimeout: 30 * time.Second,
-		Options:          dssp.Options{HeartbeatInterval: 200 * time.Millisecond},
+		ServerAddr: rootAddr,
+		Tree:       true,
+		WorkerID:   id,
+		Workers:    4,
+		Model:      dssp.ModelSmallMLP,
+		Dataset:    dssp.DatasetConfig{Examples: 240, Classes: 3, ImageSize: 12, Noise: 0.3, Seed: 5},
+		BatchSize:  12,
+		Epochs:     4,
+		Seed:       5,
+		Delay:      20 * time.Millisecond,
+		Reconnect:  30 * time.Second,
+		Options:    dssp.Options{HeartbeatInterval: 200 * time.Millisecond},
 	}
 }
 

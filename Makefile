@@ -42,7 +42,12 @@ race:
 # the server closed keeps the generation it reads, a killed reader's
 # references pin nothing, and a relay keeps the upstream reply its children
 # still reference. A relay stopped while a partial sums in its trunk's push
-# slot drops the partial with the slot, under the lock every fold takes.
+# slot drops the partial with the slot, under the lock every fold takes. The
+# lane line also holds that a peer whose exit cannot be watched (no pidfd) is
+# offered no region. The last line runs the guard's two experiment tests
+# twenty times under the race detector: an ASP schedule decides how stale an
+# honest push is when it lands, and a guard that judged a worker's cold first
+# push against converged gradients flagged an honest worker in loaded runs.
 lease-stress:
 	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease|TestInProcessScheduleRecyclesGenerations|TestRegionFullFallsBackToCopy|TestLeaseExpiredReaderKeepsItsGeneration|TestDeadReaderPinsNothing|TestRelaySentReferenceOutlivesSupersededPullCache|TestRelayStopDropsTheTrunkSlotPartial' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
@@ -50,6 +55,7 @@ lease-stress:
 	$(GO) test -race -count=10 -run 'TestWorkerLoopLeasesSurvivePoisoning|TestWorkerLoopRejoinsGroup' ./internal/trainer/
 	$(GO) test -race -count=10 -run 'TestAdoptGradsBackwardIsBitIdentical' ./internal/nn/
 	$(GO) test -race -count=10 -run 'TestTCPWorkerCrashRejoinAndServerRestart' .
+	$(GO) test -race -count=20 -run '^TestGuard(DetectionRates|RejectionsCountedOnce)$$' ./internal/experiment/
 
 # The portable kernel paths (the Go loops of internal/tensor, bound where there
 # is no AVX2+FMA — internal/optimizer's step runs on them — and of

@@ -17,8 +17,8 @@
 //
 // Pulls are always full: the push a worker waits on before each pull has
 // moved the store's version, so the version gate replicas pull through
-// (docs/PROTOCOL.md §5a) would skip nothing. A flat worker therefore speaks
-// pure v1 frames.
+// (docs/PROTOCOL.md §5a) would skip nothing, and a worker's pull names no
+// version.
 //
 // Fault tolerance: -reconnect 30s redials and rejoins on any connection loss
 // (surviving parameter-server restarts) for up to 30s, -heartbeat proves

@@ -107,9 +107,12 @@ func TestGuardDetectionRates(t *testing.T) {
 
 // TestGuardRejectionsCountedOnce: the pushes the guard rejects — every
 // flagged one, the push that evicts the lying clock included — are one
-// number on every surface: the server's drops less the policy's, GuardStats,
-// the guard's dropped-push series, and a one-trial cell's mean drops, which
-// reproduces the direct run (trial 0 uses the base seed).
+// number on every surface: the server's drops less the policy's, GuardStats
+// and the guard's dropped-push series of a direct run, and a one-trial
+// cell's mean drops less the policy's and the guard's series of that same
+// trial. Each run is compared with itself: an ASP schedule is set by timing,
+// and the count must hold within any one run, not across two separately
+// timed ones.
 func TestGuardRejectionsCountedOnce(t *testing.T) {
 	base := baseTraining()
 	base.Policy = core.PolicyConfig{Paradigm: core.ParadigmASP}
@@ -135,8 +138,11 @@ func TestGuardRejectionsCountedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell := report.Cells[0]; cell.MeanDropped != float64(guarded) {
-		t.Fatalf("one-trial cell mean drops %v, want the run's %d guard rejections", cell.MeanDropped, guarded)
+	cell := report.Cells[0]
+	cellGuarded := cell.MeanDropped - cell.Pipeline[`dssp_push_dropped_total{reason="policy"}`]
+	if cellGuarded < ps.DefaultMaxStrikes || cellGuarded != cell.Pipeline[`dssp_push_dropped_total{reason="guard"}`] {
+		t.Fatalf("one-trial cell: %v guard rejections from mean drops, %v on its /metrics; want one count, at least %d",
+			cellGuarded, cell.Pipeline[`dssp_push_dropped_total{reason="guard"}`], ps.DefaultMaxStrikes)
 	}
 }
 

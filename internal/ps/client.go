@@ -55,7 +55,7 @@ type Client struct {
 	// earlier: the caller is still reading the tensors.
 	pullHeld []transport.Message
 
-	// cluster and replica stamp the registration with the v3 session flags:
+	// cluster and replica stamp the registration with the session flags:
 	// cluster-mode workers (accepted by coordinators), and read-only replica
 	// sessions (backup replication streams, a relay's upstream cache).
 	cluster bool

@@ -188,10 +188,9 @@ func TestDeltaPullWithCompressedPullPath(t *testing.T) {
 	})
 }
 
-// TestDeltaPullRefusedFallsBackToFullPulls pins the reverse version skew: a
-// peer that ignores the version a replica names (an older build) answers
-// every pull with the full reply, and the replica keeps working with full
-// pulls. The peer is scripted: it speaks the registration and the two-chunk
+// TestDeltaPullRefusedFallsBackToFullPulls: a peer that ignores the version
+// a replica names answers every pull with the full reply, and the replica
+// keeps working with full pulls. The peer is scripted: it speaks the registration and the two-chunk
 // pull reply by hand, and checks the versions named.
 func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 	want := pipelineModel(31)
@@ -210,8 +209,8 @@ func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if msg.Type != transport.MsgRegister || !msg.Replica || transport.FrameVersion(msg) != 3 {
-				return fmt.Errorf("peer got %+v, want a v3 replica Register", msg)
+			if msg.Type != transport.MsgRegister || !msg.Replica {
+				return fmt.Errorf("peer got %+v, want a replica Register", msg)
 			}
 			if err := conn.Send(transport.Message{Type: transport.MsgRegistered, StoreShards: 2}); err != nil {
 				return err
@@ -224,8 +223,8 @@ func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 				if i == 0 {
 					named = 0
 				}
-				if msg.Type != transport.MsgPull || msg.Version != named || transport.FrameVersion(msg) != 1 {
-					return fmt.Errorf("pull %d: peer got %v naming version %d, want a v1 Pull naming %d", i, msg.Type, msg.Version, named)
+				if msg.Type != transport.MsgPull || msg.Version != named || msg.Replica || msg.Unchanged {
+					return fmt.Errorf("pull %d: peer got %+v, want a plain Pull naming version %d", i, msg, named)
 				}
 				for shard, span := range [][2]int{{0, 2}, {2, 3}} {
 					err := conn.Send(transport.Message{
@@ -289,12 +288,12 @@ func recvWeightsChunks(t *testing.T, conn transport.Conn, shards int) []transpor
 	return chunks
 }
 
-// TestNonDeltaSessionPullRepliesStayV1 pins the cross-version interop rule of
+// TestNonDeltaSessionPullRepliesStayV1 pins the gated-pull rule of
 // docs/PROTOCOL.md §5a: a pull that names no version — every worker's — or
-// one the store has moved past is answered with full chunks that carry no v2
-// field, because any v2 field promotes the frame to protocol version 2 and a
-// v1-only binary decoder rejects such frames outright. Only a pull naming the
-// store's version gets the one v2 frame, Unchanged, whatever session sent it.
+// one the store has moved past is answered with full chunks that carry no
+// Unchanged, and a flat server's Registered carries no cluster field. Only a
+// pull naming the store's version gets the empty Unchanged reply, whatever
+// session sent it.
 func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -334,8 +333,8 @@ func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if reg.Type != transport.MsgRegistered || transport.FrameVersion(reg) != 1 {
-					t.Fatalf("worker %d registered as %+v, want a v1 Registered", worker, reg)
+				if reg.Type != transport.MsgRegistered || reg.Cluster || reg.MapVersion != 0 || len(reg.Servers) > 0 {
+					t.Fatalf("worker %d registered as %+v, want a flat server's Registered", worker, reg)
 				}
 				if reg.StoreShards != st.Shards() {
 					t.Fatalf("registration reported %d shards, store has %d", reg.StoreShards, st.Shards())
@@ -356,11 +355,8 @@ func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, msg := range recvWeightsChunks(t, conn, st.Shards()) {
-					if msg.Unchanged || msg.Version != 2 {
+					if msg.Unchanged || msg.Version != 2 || len(msg.Tensors)+len(msg.Packed) == 0 {
 						t.Fatalf("pull naming version %d: chunk for shard %d is %+v, want a full chunk at version 2", named, msg.Shard, msg)
-					}
-					if v := transport.FrameVersion(msg); v != 1 {
-						t.Fatalf("pull naming version %d: chunk for shard %d would encode as a version-%d frame; a v1-only peer rejects it", named, msg.Shard, v)
 					}
 				}
 			}
@@ -374,9 +370,6 @@ func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
 			}
 			if msg.Type != transport.MsgWeights || !msg.Unchanged || msg.Version != 2 || len(msg.Tensors)+len(msg.Packed) != 0 {
 				t.Fatalf("pull naming the store's version got %+v, want one empty Unchanged frame at version 2", msg)
-			}
-			if v := transport.FrameVersion(msg); v != 2 {
-				t.Fatalf("Unchanged frame encodes as version %d, want 2", v)
 			}
 		})
 	}

@@ -75,6 +75,10 @@ type guard struct {
 	sincePull []int
 	strikes   []int
 	evicted   []int
+	// registered and pushed mark the slots that have registered and that
+	// have pushed: a registered slot's first push is cold (checkPush).
+	registered []bool
+	pushed     []bool
 	// norms is the trailing ring of accepted push norms; median over it is
 	// the baseline the outlier check compares against. Flagged pushes are
 	// excluded so an attacker cannot drag the baseline toward its own
@@ -91,10 +95,19 @@ func newGuard(cfg GuardConfig, workers int, sm *serverMetrics) *guard {
 		return nil
 	}
 	return &guard{
-		sm:        sm,
-		sincePull: make([]int, workers),
-		strikes:   make([]int, workers),
+		sm:         sm,
+		sincePull:  make([]int, workers),
+		strikes:    make([]int, workers),
+		registered: make([]bool, workers),
+		pushed:     make([]bool, workers),
 	}
+}
+
+// observeRegister notes that the worker's slot has registered.
+func (g *guard) observeRegister(worker int) {
+	g.mu.Lock()
+	g.registered[worker] = true
+	g.mu.Unlock()
 }
 
 // observePull resets the worker's flood count.
@@ -109,6 +122,14 @@ func (g *guard) observePull(worker int) {
 // pull against DefaultFloodSlack, and the gradient's total L2 norm against
 // the trailing median. grads may be nil (decode failure — already an error
 // path, nothing to screen beyond the clocks).
+//
+// The first push a slot makes after registering is cold: its norm is not
+// judged and does not enter the baseline. That push is computed on the
+// weights the worker registered at, and under ASP its cold first pass can
+// land tens of versions late, after the others' gradients have shrunk with
+// convergence, so an honest first gradient looks like an outlier. The
+// exemption is one push per slot per run, whatever the worker claims or
+// however often it registers; a NaN/Inf or a lying clock is still flagged.
 func (g *guard) checkPush(worker int, claimedBase, serverVersion int64, grads []*tensor.Tensor) guardVerdict {
 	norm, normOK := pushNorm(grads)
 
@@ -124,16 +145,18 @@ func (g *guard) checkPush(worker int, claimedBase, serverVersion int64, grads []
 	if g.sincePull[worker] > DefaultFloodSlack {
 		flags++
 	}
+	cold := g.registered[worker] && !g.pushed[worker]
+	g.pushed[worker] = true
 	if grads != nil {
 		if !normOK {
 			// NaN/Inf gradient: always anomalous, no baseline needed.
 			flags++
-		} else if med, ok := g.medianNorm(); ok && norm > DefaultNormFactor*med && norm > 0 {
+		} else if med, ok := g.medianNorm(); ok && !cold && norm > DefaultNormFactor*med && norm > 0 {
 			flags++
 		}
 	}
 	if flags == 0 {
-		if normOK && grads != nil {
+		if normOK && grads != nil && !cold {
 			g.recordNorm(norm)
 		}
 		return guardVerdict{}

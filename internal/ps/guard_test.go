@@ -194,3 +194,69 @@ func TestGuardLieAndFloodStrikes(t *testing.T) {
 		t.Fatalf("flags %v, want [2]", st.Flags)
 	}
 }
+
+// TestGuardClaimedBaseCannotSteerBaseline: the baseline is the whole ring,
+// whatever base a push claims. A worker claiming base 0 against honest pushes
+// at a recent base, sending each magnitude three times and then raising it
+// 7×, must be flagged before any of its pushes is accepted above
+// DefaultNormFactor times the honest median.
+func TestGuardClaimedBaseCannotSteerBaseline(t *testing.T) {
+	const honestBase = 100
+	g := testGuard(GuardConfig{Enabled: true}, 2)
+	g.observeRegister(0)
+	g.observeRegister(1)
+	for i := 0; i < normHistory; i++ {
+		g.observePull(0)
+		if v := g.checkPush(0, honestBase, honestBase, gradsOf(1)); v.drop {
+			t.Fatalf("honest push %d flagged", i)
+		}
+	}
+	norm := float32(1)
+	for i := 0; i < 12; i++ {
+		g.observePull(1)
+		v := g.checkPush(1, 0, honestBase, gradsOf(norm))
+		if v.drop {
+			if st := g.stats(); st.Flags[1] != 1 || st.Flags[0] != 0 {
+				t.Fatalf("flags %v, want [0 1]", st.Flags)
+			}
+			return
+		}
+		if norm > DefaultNormFactor {
+			t.Fatalf("push %d accepted at norm %v, over %v× the honest median 1", i, norm, DefaultNormFactor)
+		}
+		if i%3 == 2 {
+			norm *= 7
+		}
+	}
+	t.Fatal("escalating worker never flagged")
+}
+
+// TestGuardColdFirstPush: a slot's first push after registering is not
+// judged by norm and does not enter the baseline; the exemption is one push
+// per slot, not one per registration.
+func TestGuardColdFirstPush(t *testing.T) {
+	g := testGuard(GuardConfig{Enabled: true}, 2)
+	g.observeRegister(0)
+	for i := 0; i < 8; i++ {
+		g.observePull(0)
+		g.checkPush(0, 20, 20, gradsOf(1))
+	}
+	g.observeRegister(1)
+	g.observePull(1)
+	ring := len(g.norms)
+	if v := g.checkPush(1, 0, 20, gradsOf(40)); v.drop {
+		t.Fatalf("cold first push flagged: %+v", v)
+	}
+	if len(g.norms) != ring {
+		t.Fatalf("%d norms in the ring after the cold push, want the %d before it", len(g.norms), ring)
+	}
+	g.observePull(1)
+	if v := g.checkPush(1, 20, 20, gradsOf(40)); !v.drop {
+		t.Fatal("second push at 40× the honest median accepted: the cold push entered the baseline or was not the only exemption")
+	}
+	g.observeRegister(1)
+	g.observePull(1)
+	if v := g.checkPush(1, 20, 20, gradsOf(40)); !v.drop {
+		t.Fatal("re-registering granted a second cold push")
+	}
+}

@@ -542,6 +542,9 @@ func (s *Server) admit(slot int, carrier *session, msg transport.Message) (trans
 	decision := s.cfg.Policy.OnJoin(core.WorkerID(slot), now)
 	s.queueReleases(releaseBatch{targets: s.resolve(nil, decision.Release, now), gate: s.cfg.Store.Reserved()})
 	s.policyMu.Unlock()
+	if s.guard != nil {
+		s.guard.observeRegister(slot)
+	}
 	return s.registered(slot), nil
 }
 
@@ -1140,7 +1143,7 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 // change only by applies, which advance the version (Install refuses a version
 // that is not newer, and a checkpoint is restored before serving), so the
 // sender's copy, which holds pushes 1..v on every shard, is still a correct
-// copy at v. Only a puller that named a version can get the v2 frame.
+// copy at v. Only a puller that named a version can get an Unchanged reply.
 func (s *Server) handlePull(sess *session, req transport.Message) {
 	worker := sess.worker
 	s.sm.pulls.Inc()

@@ -387,8 +387,8 @@ func (l *sessionLayer) handleConn(conn transport.Conn) {
 
 		default:
 			// Not session traffic: the tier's to answer on the bare
-			// connection. Types it does not know either are ignored, to keep
-			// the protocol forward-compatible.
+			// connection. A control type this tier does not serve is
+			// ignored; a type outside the protocol never got past decode.
 			if handle := l.control[msg.Type]; handle != nil {
 				handle(conn, msg)
 			}

@@ -129,16 +129,17 @@ func (c *chanConn) Recv() (Message, error) {
 	}
 }
 
-// decode parses a frame the peer's Send assembled. As on a socket, a frame
-// with a small body yields a message that owns copies and the buffer goes
-// straight back; a payload frame is leased to its message.
+// decode parses a frame the peer's Send assembled — this process's own
+// encoder, so its header needs no checking. As on a socket, a frame with a
+// small body yields a message that owns copies and the buffer goes straight
+// back; a payload frame is leased to its message.
 func (c *chanConn) decode(frame []byte) (Message, error) {
-	version, typ, body := frame[4], frame[5], frame[headerSize:]
+	typ, body := frame[5], frame[headerSize:]
 	var lease *bodyLease
 	if len(body) > smallBodyMax {
 		lease = &bodyLease{pool: c.in, buf: frame}
 	}
-	m, err := adopt(typ, version, body, lease, nil)
+	m, err := adopt(typ, body, lease, nil)
 	if lease == nil {
 		c.in.put(frame)
 	}

@@ -2,12 +2,16 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"dssp/internal/compress"
 )
 
 // recvWithin runs one Recv under a deadline: the point of the first-frame
@@ -159,5 +163,102 @@ func TestParseWireFormat(t *testing.T) {
 	}
 	if _, err := ParseWireFormat("gob"); err == nil || !strings.Contains(err.Error(), "removed in PR 15") {
 		t.Errorf("gob parsed with err %v, want an error naming its removal", err)
+	}
+}
+
+// TestOneWireVersion pins the one-version rule (docs/PROTOCOL.md §2, §6).
+// Every frame is stamped wireVersion, whatever fields it carries. A frame
+// stamped with any other version is refused as a wire mismatch on the
+// server's first Recv, on TCP and on the same-host lane, and the server
+// answers with an Error frame naming its own version. A frame whose type is
+// not a defined MessageType is a decode error.
+func TestOneWireVersion(t *testing.T) {
+	comp, err := compress.NewCompressor(compress.Config{Codec: compress.TopK, TopK: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := ServerEntry{Addr: "10.0.0.3:7070", ShardHi: 2, TensorHi: 3}
+	for _, m := range []Message{
+		{Type: MsgHeartbeat, Worker: 3},
+		{Type: MsgRegister, Worker: 1, Codec: compress.TopK, CodecTopK: 0.1, CodecPull: true},
+		{Type: MsgRegistered, Worker: 1, Version: 99, Codec: compress.Int8, StoreShards: 4},
+		{Type: MsgPush, Worker: 2, Iteration: 7, Version: 41, Tensors: ToWireOwned(smallMLPGrads(1))},
+		{Type: MsgWeights, Worker: 0, Version: 12, Shard: 1, Shards: 2, Base: 2, Total: 4,
+			Tensors: ToWireOwned(smallMLPGrads(2)[2:])},
+		{Type: MsgError, Error: "boom"},
+		{Type: MsgPush, Codec: compress.TopK, Packed: comp.Compress(smallMLPGrads(3))},
+		{Type: MsgWeights, Worker: -1, Version: 7, Unchanged: true},
+		{Type: MsgClusterMap, Version: 17, MapVersion: 3, StoreShards: 4, Total: 6, Servers: []ServerEntry{entry}},
+		{Type: MsgClusterMap},
+		{Type: MsgServerAnnounce, Servers: []ServerEntry{entry}, Replica: true},
+		{Type: MsgPromote, Servers: []ServerEntry{entry}},
+		{Type: MsgRegister, Worker: 2, Cluster: true},
+		{Type: MsgPush, Relay: true, PushEntries: []PushEntry{{Worker: 0, Version: 3, Iteration: 2}}},
+	} {
+		frame, err := appendFrame(nil, &m)
+		if err != nil {
+			t.Fatalf("%v: encode: %v", m.Type, err)
+		}
+		if frame[4] != wireVersion {
+			t.Errorf("%v frame stamped version %d, want %d", m.Type, frame[4], wireVersion)
+		}
+	}
+
+	for _, carrier := range []string{carrierTCP, carrierLane} {
+		t.Run(carrier, func(t *testing.T) {
+			defer SetLaneEnabled(carrier == carrierLane)()
+			l, err := Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			for _, version := range []byte{0, 1, 2, 3, 4, 6, 255} {
+				accepted := make(chan Conn, 1)
+				go func() {
+					if s, err := l.Accept(); err == nil {
+						accepted <- s
+					}
+				}()
+				c, err := Dial(l.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				server := <-accepted
+				if got := c.(*binaryConn).carrier; got != carrier {
+					c.Close()
+					server.Close()
+					t.Skipf("a loopback dial runs on %s here, not %s", got, carrier)
+				}
+				frame, err := appendFrame(nil, &Message{Type: MsgRegister, Worker: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				frame[4] = version
+				if _, err := c.(*binaryConn).conn.Write(frame); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := recvWithin(t, server, 5*time.Second); !errors.Is(err, ErrWireVersion) || !IsWireMismatch(err) {
+					t.Errorf("version %d: server's first Recv returned %v, want a wire version mismatch", version, err)
+				}
+				reply, err := recvWithin(t, c, 5*time.Second)
+				if err != nil || reply.Type != MsgError || !IsWireMismatch(errors.New(reply.Error)) ||
+					!strings.Contains(reply.Error, fmt.Sprintf("version %d", wireVersion)) {
+					t.Errorf("version %d: client got %+v, %v; want an Error naming version %d", version, reply, err, wireVersion)
+				}
+				c.Close()
+				server.Close()
+			}
+		})
+	}
+
+	for _, typ := range []byte{byte(MsgPromote) + 1, 255} {
+		frame, err := appendFrame(nil, &Message{Type: MsgHeartbeat, Worker: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[5] = typ
+		if m, err := newFrameReader(bufio.NewReader(bytes.NewReader(frame))).readFrame(); err == nil {
+			t.Errorf("a frame of type %d decoded to %+v", typ, m)
+		}
 	}
 }

@@ -381,15 +381,25 @@ func (fr *frameReader) referenceLease(ref refSection) (*bodyLease, error) {
 		return nil, fmt.Errorf("transport: reference slot %d is not in flight", ref.slot)
 	}
 	fr.lastBody, fr.lastSize = bodyLane, headerSize+ref.logical
-	a.holders.Add(1)
-	l := &bodyLease{arena: a, page: ref.slot, reg: fr.region}
+	l := slotLease(a, ref.slot, nil)
+	l.reg = fr.region
 	fr.region.leased(l, ref.off, ref.end, fr)
+	return l, nil
+}
+
+// slotLease is the lease of page of the inbound arena a, which body (nil for
+// a reference slot) lies in: a counts it as a holder until it ends. Release
+// stays optional: a message dropped unreleased gives its slot back when it
+// is collected, as a heap body gives back its memory.
+func slotLease(a *arena, page int, body []byte) *bodyLease {
+	a.holders.Add(1)
+	l := &bodyLease{buf: body, arena: a, page: page}
 	runtime.SetFinalizer(l, func(l *bodyLease) {
 		if !l.done.Swap(true) {
 			l.giveBack()
 		}
 	})
-	return l, nil
+	return l
 }
 
 // PlaceBody implements BodyPlacer: m is encoded once, every slab taken by
@@ -442,30 +452,19 @@ func (c *binaryConn) SlotFree() bool {
 // readSlot decodes the frame whose header named slot page of the inbound
 // arena: parseBody runs over the mapped slot and the message's lease is the
 // slot itself.
-func (fr *frameReader) readSlot(typ, version byte, page, bodyLen int) (Message, error) {
-	a := fr.arena
-	body, err := a.slot(page, bodyLen)
+func (fr *frameReader) readSlot(typ byte, page, bodyLen int) (Message, error) {
+	body, err := fr.arena.slot(page, bodyLen)
 	if err != nil {
 		return Message{}, err
 	}
 	fr.lastBody = bodyLane
-	a.holders.Add(1)
-	l := &bodyLease{buf: body, arena: a, page: page}
-	// Release stays optional: a message dropped unreleased gives its slot
-	// back when it is collected, as a heap body gives back its memory.
-	runtime.SetFinalizer(l, func(l *bodyLease) {
-		if !l.done.Swap(true) {
-			l.giveBack()
-		}
-	})
-	return adopt(typ, version, body, l, fr)
+	return adopt(typ, body, slotLease(fr.arena, page, body), fr)
 }
 
 // lanePeer is the process at the other end of a connection that offered it a
 // region, as the references the connection sent it need to know it: they
 // outlive the connection until the peer releases them or exits (closeLane).
-// fd is a pidfd, -1 where the kernel gave none; refs counts the connection
-// and every hold it left behind.
+// fd is its pidfd; refs counts the connection and every hold it left behind.
 type lanePeer struct {
 	fd   int
 	refs atomic.Int32
@@ -490,9 +489,7 @@ func (c *binaryConn) closeLane() {
 		}
 	}
 	c.encMu.Unlock()
-	if peer != nil {
-		peer.drop()
-	}
+	peer.drop()
 	c.decMu.Lock()
 	in, reg := c.fr.arena, c.fr.region
 	c.fr.arena, c.fr.region = nil, nil

@@ -160,7 +160,11 @@ func upgradeLane(c net.Conn, server bool, meter *Metrics, offer *regionOffer) Co
 // laneHandshake checks the peer's uid, swaps arenas with it — and the
 // regions each end offers — and returns the binaryConn that sends through the
 // arena created here and receives through the peer's. arenaBytes sizes the
-// former; the latter's size is the peer's choice, validated.
+// former; the latter's size is the peer's choice, validated. offer goes only
+// to a peer whose process this end can watch (openPeer): the references sent
+// into it outlive the connection until the peer releases them or exits, and
+// an exit nobody sees would pin them for good. Without a region the peer's
+// dense pulls are copied, as on TCP.
 func laneHandshake(uc *net.UnixConn, server bool, arenaBytes int, offer *regionOffer) (*binaryConn, error) {
 	pid, err := samePeerUID(uc)
 	if err != nil {
@@ -171,25 +175,30 @@ func laneHandshake(uc *net.UnixConn, server bool, arenaBytes int, offer *regionO
 		return nil, err
 	}
 	fds := []int{fd}
+	var peer *lanePeer
 	if offer != nil {
-		fds = append(fds, offer.reg.fd)
+		if peer = openPeer(pid); peer != nil {
+			fds = append(fds, offer.reg.fd)
+		}
 	}
 	_ = uc.SetDeadline(time.Now().Add(laneHandshakeTimeout))
 	if _, _, err = uc.WriteMsgUnix([]byte(laneHello), syscall.UnixRights(fds...), nil); err != nil {
 		out.drop()
+		peer.drop()
 		return nil, fmt.Errorf("transport: lane hello: %w", err)
 	}
 	in, reg, err := recvArena(uc)
 	if err != nil {
 		out.drop()
+		peer.drop()
 		return nil, err
 	}
 	_ = uc.SetDeadline(time.Time{})
 	conn := newBinaryConn(uc, server)
 	conn.carrier, conn.laneOut, conn.fr.arena, conn.fr.region = carrierLane, out, in, reg
-	if offer != nil {
+	if peer != nil {
 		offer.reg.holders.Add(1)
-		conn.regionOut, conn.peer = offer, openPeer(pid)
+		conn.regionOut, conn.peer = offer, peer
 	}
 	return conn, nil
 }
@@ -221,27 +230,32 @@ func samePeerUID(uc *net.UnixConn) (int, error) {
 	return int(cred.Pid), nil
 }
 
-// openPeer returns the lane peer running as pid, watched through a pidfd
-// (pidfd_open(2)), which turns readable once the process has exited. Where
-// the kernel gives none (before Linux 5.3, a pid outside this namespace) the
-// peer is never seen to exit: its references end only when it releases them.
-func openPeer(pid int) *lanePeer {
-	p := &lanePeer{fd: -1}
-	p.refs.Store(1)
-	if pid > 0 {
-		if fd, _, errno := syscall.Syscall(sysPidfdOpen, uintptr(pid), 0, 0); errno == 0 {
-			p.fd = int(fd) // close-on-exec already
-		}
+// pidfdOpen opens a pidfd for pid (pidfd_open(2)), close-on-exec already.
+// (A variable so that a test can stand for a kernel that gives none.)
+var pidfdOpen = func(pid int) (int, error) {
+	fd, _, errno := syscall.Syscall(sysPidfdOpen, uintptr(pid), 0, 0)
+	if errno != 0 {
+		return -1, errno
 	}
+	return int(fd), nil
+}
+
+// openPeer returns the lane peer running as pid, watched through a pidfd,
+// which turns readable once the process has exited; nil where the kernel
+// gives none (before Linux 5.3, a pid outside this namespace).
+func openPeer(pid int) *lanePeer {
+	fd, err := pidfdOpen(pid)
+	if err != nil {
+		return nil
+	}
+	p := &lanePeer{fd: fd}
+	p.refs.Store(1)
 	return p
 }
 
 // exited reports whether the peer's process has exited: its pidfd polls
 // readable.
 func (p *lanePeer) exited() bool {
-	if p.fd < 0 {
-		return false
-	}
 	fds := [1]struct {
 		fd             int32
 		events, revent int16
@@ -252,8 +266,9 @@ func (p *lanePeer) exited() bool {
 }
 
 // drop ends one holder's use of the peer's pidfd; the last one closes it.
+// A nil peer (none was opened) holds nothing.
 func (p *lanePeer) drop() {
-	if p.refs.Add(-1) == 0 && p.fd >= 0 {
+	if p != nil && p.refs.Add(-1) == 0 {
 		syscall.Close(p.fd)
 	}
 }

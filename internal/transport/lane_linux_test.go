@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -745,5 +746,67 @@ func TestLaneReferenceFrames(t *testing.T) {
 	kept.Release()
 	if !reclaim() {
 		t.Fatal("the extent stays pinned after the receiver released the reference its sender's connection closed on")
+	}
+}
+
+// TestLanePeerWithoutPidfdGetsNoRegion: where the kernel gives no pidfd for
+// the peer, the listener offers it no region — nobody would see it exit, and
+// the references a crashed reader held would pin their generations for good.
+// The connection is still a lane, and a dense reply whose tensors lie in the
+// region crosses as a copy: the extent is reclaimable while the received
+// message is still unreleased.
+func TestLanePeerWithoutPidfdGetsNoRegion(t *testing.T) {
+	// Set before the listener's accept loop runs a handshake, restored after
+	// the one handshake has been delivered through Accept.
+	open := pidfdOpen
+	pidfdOpen = func(int) (int, error) { return -1, syscall.ENOSYS }
+	defer func() { pidfdOpen = open }()
+
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	alloc := l.(RegionHost).ShareRegion(nil)
+	if alloc == nil {
+		t.Fatal("a lane listener shares no region")
+	}
+	accepted := make(chan Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := <-accepted
+	defer s.Close()
+	if got := c.(*binaryConn).carrier; got != carrierLane {
+		t.Fatalf("the dial ran on %s, want the lane", got)
+	}
+	if s.(*binaryConn).regionOut != nil || c.(*binaryConn).fr.region != nil {
+		t.Fatal("a peer without a pidfd was offered the region")
+	}
+
+	mem, reclaim, free := alloc(8192)
+	defer free()
+	for i := range mem {
+		mem[i] = float32(i)
+	}
+	reply := Message{Type: MsgWeights, Version: 7, Tensors: ToWireOwned([]*tensor.Tensor{tensor.FromSliceOwned(mem, 64, 128)})}
+	if err := s.Send(reply); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Release()
+	sameFrame(t, got, reply)
+	if !reclaim() {
+		t.Fatal("the extent is pinned by a reply that should have been copied")
 	}
 }

@@ -160,7 +160,7 @@ func refFrame(slot uint16, n uint32, off uint64) []byte {
 	body = binary.LittleEndian.AppendUint32(body, n)
 	body = binary.LittleEndian.AppendUint32(body, n)
 	body = binary.LittleEndian.AppendUint64(body, off)
-	frame := append([]byte(wireMagic), 1, byte(MsgWeights), 0, 0)
+	frame := append([]byte(wireMagic), wireVersion, byte(MsgWeights), 0, 0)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
 	return append(frame, body...)
 }

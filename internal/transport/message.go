@@ -5,7 +5,7 @@
 // by cmd/psserver and cmd/psworker). Both obey one payload-ownership
 // contract, stated on Conn.
 //
-// The encoding is a versioned, length-delimited binary frame protocol
+// The encoding is a length-delimited binary frame protocol
 // (wire.go; byte-level specification in docs/PROTOCOL.md) whose tensor
 // payloads travel as raw little-endian float32 slabs: a large slab is sent
 // straight from the tensor's memory, and decoding aliases a receive buffer
@@ -13,7 +13,7 @@
 // so a weights chunk is copied once per direction in user space and costs no
 // allocation in the steady state. The in-process transport hands the same
 // frames through a channel instead of a socket. A TCP peer that is not
-// speaking the protocol at all, or speaks a version this build does not,
+// speaking the protocol at all, or stamps a version other than this build's,
 // fails fast with an explicit error rather than hanging either side.
 package transport
 
@@ -61,19 +61,23 @@ const (
 	MsgLeave
 	// MsgClusterMap requests (worker→coordinator, no fields) or carries
 	// (coordinator→worker) the server-group cluster map: which data server
-	// owns which contiguous range of store shards. Protocol v3.
+	// owns which contiguous range of store shards.
 	MsgClusterMap
 	// MsgServerAnnounce registers a data server (or, with Replica set, a
 	// standby backup) with the coordinator: Servers[0] describes the
 	// announcer's advertised address and shard range. The coordinator keeps
 	// the connection open; its death is the announcer's signal that the
-	// coordinator is gone. Protocol v3.
+	// coordinator is gone.
 	MsgServerAnnounce
 	// MsgPromote tells the coordinator a backup is taking over a dead
 	// primary's shard range: Servers[0] is the backup's entry, which replaces
-	// the map entry covering the same shard range. Protocol v3.
+	// the map entry covering the same shard range.
 	MsgPromote
 )
+
+// defined reports whether t is one of the message types above, the only ones
+// a frame may carry.
+func (t MessageType) defined() bool { return t >= MsgRegister && t <= MsgPromote }
 
 // String returns the message type name.
 func (t MessageType) String() string {
@@ -200,27 +204,25 @@ type Message struct {
 	// named the version of the weights its sender already holds (Version, on
 	// a replica's MsgPull) and the store is still at it, so the one frame
 	// with Unchanged and that Version stands for the whole reply. Binary wire
-	// tag 0x11 (protocol v2).
+	// tag 0x11.
 	Unchanged bool
 	// Servers carries cluster-map entries: the full map on a MsgClusterMap
 	// reply, the announcer's single entry on MsgServerAnnounce and
-	// MsgPromote. Binary wire tag 0x13 (protocol v3).
+	// MsgPromote. Binary wire tag 0x13.
 	Servers []ServerEntry
 	// MapVersion is the coordinator's monotonically increasing cluster-map
 	// version, bumped on every announce and promotion; workers refetch the
 	// map until it changes when a data server stops answering. Binary wire
-	// tag 0x14 (protocol v3).
+	// tag 0x14.
 	MapVersion int64
 	// Replica marks a MsgRegister as a server-to-server replica session
 	// (pull-only, outside worker-slot accounting) and a MsgServerAnnounce as
-	// a standby backup rather than a serving primary. Binary wire tag 0x15
-	// (protocol v3).
+	// a standby backup rather than a serving primary. Binary wire tag 0x15.
 	Replica bool
 	// Cluster marks a MsgRegister as coming from a cluster-mode worker that
 	// pushes metadata-only tickets to a coordinator; a coordinator rejects
 	// registrations without it (a plain worker would otherwise train against
-	// the coordinator's placeholder store). Binary wire tag 0x16 (protocol
-	// v3).
+	// the coordinator's placeholder store). Binary wire tag 0x16.
 	Cluster bool
 	// Relay marks a MsgRegister as an aggregation-relay trunk session — a
 	// relay process that multiplexes the pushes, pulls and control messages
@@ -229,13 +231,13 @@ type Message struct {
 	// rather than the server-group shard map. On a trunk registration,
 	// Servers[0] optionally advertises the relay's child-facing address and
 	// its fanout (as ShardHi), which the root folds into the tree layout it
-	// serves to -tree workers. Binary wire tag 0x17 (protocol v4).
+	// serves to -tree workers. Binary wire tag 0x17.
 	Relay bool
 	// PushEntries, on a trunk MsgPush, carries the per-child metadata of the
 	// logical pushes summed into this aggregated gradient: one entry per
 	// child, in relay arrival order. The payload (Tensors or Packed) is the
 	// coordinate-wise sum of all listed children's gradients. Binary wire tag
-	// 0x18 (protocol v4).
+	// 0x18.
 	PushEntries []PushEntry
 
 	// lease is the pooled receive buffer a received message's payload

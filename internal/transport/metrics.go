@@ -15,7 +15,6 @@ import "dssp/internal/obs"
 type Metrics struct {
 	sentFrames, recvFrames [MsgPromote + 1]*obs.Counter
 	sentBytes, recvBytes   [MsgPromote + 1]*obs.Counter
-	otherSent, otherRecv   *obs.Counter // frames of unknown future types
 	batch                  *obs.Histogram
 	// bodyReuse and bodyAlloc count received payload frames by where their
 	// body went: a recycled leased buffer or a fresh allocation. Their ratio
@@ -70,18 +69,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 	m.conns.With(carrierTCP)
 	m.conns.With(carrierLane)
-	m.otherSent = frames.With("sent", "Other")
-	m.otherRecv = frames.With("recv", "Other")
 	return m
 }
 
 // Sent records one outbound frame of n bytes.
 func (m *Metrics) Sent(t MessageType, n int) {
 	if m == nil {
-		return
-	}
-	if t < MsgRegister || t > MsgPromote {
-		m.otherSent.Inc()
 		return
 	}
 	m.sentFrames[t].Inc()
@@ -91,10 +84,6 @@ func (m *Metrics) Sent(t MessageType, n int) {
 // Received records one inbound frame of n bytes.
 func (m *Metrics) Received(t MessageType, n int) {
 	if m == nil {
-		return
-	}
-	if t < MsgRegister || t > MsgPromote {
-		m.otherRecv.Inc()
 		return
 	}
 	m.recvFrames[t].Inc()

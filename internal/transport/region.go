@@ -298,9 +298,7 @@ func (r *region) endLocked(h *refHold) {
 		}
 	}
 	h.a.drop()
-	if h.peer != nil {
-		h.peer.drop()
-	}
+	h.peer.drop()
 }
 
 // orphan hands h, whose connection has just closed, to the region's watch:
@@ -311,7 +309,7 @@ func (h *refHold) orphan(peer *lanePeer) {
 	r := h.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h.done.Load() || peer == nil {
+	if h.done.Load() {
 		return
 	}
 	peer.refs.Add(1)

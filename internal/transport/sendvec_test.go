@@ -35,7 +35,7 @@ func vectoredFrames(t *testing.T) []Message {
 			Tensors: ToWireOwned(dense[2:])},
 		{Type: MsgWeights, Worker: 1, Shards: 1, Total: 3, Tensors: ToWireOwned(odd)}, // padding before every slab
 		{Type: MsgPush, Worker: -1, Version: 3, Iteration: 2, Tensors: ToWireOwned(dense),
-			PushEntries: []PushEntry{{Worker: 0, Version: 3, Iteration: 2}, {Worker: 1, Version: 4, Iteration: 2}}}, // v4
+			PushEntries: []PushEntry{{Worker: 0, Version: 3, Iteration: 2}, {Worker: 1, Version: 4, Iteration: 2}}}, // a relay trunk's push
 		{Type: MsgPush, Worker: 2, Codec: compress.FP16, Packed: compress.Pack(dense, compress.Config{Codec: compress.FP16})},
 		{Type: MsgOK, Worker: 2},
 	}

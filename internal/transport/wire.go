@@ -1,6 +1,6 @@
 package transport
 
-// The versioned binary wire protocol spoken on every connection: over a TCP
+// The binary wire protocol spoken on every connection: over a TCP
 // socket, over the same-host lane, and — the same frames, handed through a
 // channel — in process (channel.go).
 //
@@ -37,25 +37,20 @@ import (
 //
 //	offset size field
 //	0      4    magic "DSSP"
-//	4      1    protocol version (wireVersionMin..wireVersion)
+//	4      1    protocol version (wireVersion)
 //	5      1    message type
 //	6      2    reserved, must be zero
 //	8      4    body length, uint32 little endian
 const (
 	wireMagic = "DSSP"
-	// wireVersion is the newest protocol version this build speaks; version
-	// 2 added the Unchanged pull reply (tag 0x11), version 3 the
-	// server-group fields (tags 0x13..0x16) and message types 13..15, and
-	// version 4 the aggregation-tree fields (tags 0x17..0x18). Every frame is
-	// stamped with the lowest version able to express it (frameVersion), so a
-	// conversation that never uses v2/v3/v4 fields is byte-identical to a v1
-	// conversation — that is what keeps v1 peers interoperable with a v4
-	// server: the fields a v4 server would need v4 for are negotiation-gated
-	// (or cluster-only message types) and an older peer can never negotiate
-	// them.
-	wireVersion    = 4
-	wireVersionMin = 1
-	headerSize     = 12
+	// wireVersion is the one protocol version this build speaks: every
+	// frame is stamped with it and a frame stamped with any other is
+	// refused. Every binary that speaks the wire is built from one tree, so
+	// there is no older peer to stay compatible with; 5 is above every
+	// version an older build stamped (1-4), so such a build is refused on
+	// its first frame rather than halfway through a conversation.
+	wireVersion = 5
+	headerSize  = 12
 
 	// maxFrameBody caps the declared body length. It bounds what a decoder
 	// will ever read for one message (and, combined with chunked reads,
@@ -109,23 +104,17 @@ const (
 	tagTensors     = 0x0D // tensor section
 	tagPacked      = 0x0E // packed section
 
-	// Version-2 tag (the gated pull's empty reply). A frame carrying it is
-	// stamped protocol version 2; decoders reject it inside a version-1
-	// frame. Tags 0x0F, 0x10 and 0x12 carried the retired per-shard delta
-	// pull: they decode as unknown and are never reused.
+	// Tags 0x0F, 0x10 and 0x12 carried the retired per-shard delta pull:
+	// they decode as unknown and are never reused.
 	tagUnchanged = 0x11 // uint8, must be 1
 
-	// Version-3 tags (server groups). A frame carrying any of these — or one
-	// of the cluster message types MsgClusterMap, MsgServerAnnounce,
-	// MsgPromote — is stamped protocol version 3; decoders reject the tags
-	// inside an older frame.
+	// Server groups.
 	tagServers    = 0x13 // uint32 count + count × (uint16 addr len + bytes + 4 × uint32)
 	tagMapVersion = 0x14 // uint64 (two's-complement int64)
 	tagReplica    = 0x15 // uint8, must be 1
 	tagCluster    = 0x16 // uint8, must be 1
 
-	// Version-4 tags (aggregation trees). A frame carrying either is stamped
-	// protocol version 4; decoders reject them inside an older frame.
+	// Aggregation trees.
 	tagRelay       = 0x17 // uint8, must be 1
 	tagPushEntries = 0x18 // uint32 count + count × (uint32 worker + uint64 version + uint32 iteration)
 
@@ -140,35 +129,6 @@ const (
 	tagTensorRefs = 0x19
 )
 
-// frameVersion returns the lowest protocol version able to express m: 4 when
-// any aggregation-tree field is present, 3 when any server-group field is
-// present or the type itself is a cluster message (so a pre-cluster peer
-// rejects the frame outright instead of silently ignoring an unknown type),
-// 2 when it is an Unchanged pull reply, 1 otherwise. Encoding at the
-// minimum keeps frames canonical and lets a v4 build interoperate with older
-// peers for every conversation that never negotiates newer features.
-func frameVersion(m *Message) byte {
-	if m.Relay || len(m.PushEntries) > 0 {
-		return 4
-	}
-	if len(m.Servers) > 0 || m.MapVersion != 0 || m.Replica || m.Cluster ||
-		m.Type == MsgClusterMap || m.Type == MsgServerAnnounce || m.Type == MsgPromote {
-		return 3
-	}
-	if m.Unchanged {
-		return 2
-	}
-	return 1
-}
-
-// FrameVersion reports the binary protocol version the wire encoder would
-// stamp on m (docs/PROTOCOL.md §3): 4 when any aggregation-tree field is
-// present, 3 when any server-group field or cluster message type is present,
-// 2 for an Unchanged pull reply, 1 otherwise. An older peer rejects
-// higher-version frames, so higher layers use this to pin that messages
-// bound for un-negotiated sessions stay expressible in protocol version 1.
-func FrameVersion(m Message) byte { return frameVersion(&m) }
-
 // hostLittleEndian reports whether the running machine stores integers
 // little endian. On such hosts (every supported platform in practice) float
 // slabs are moved with a single copy / alias; a big-endian host falls back
@@ -180,16 +140,16 @@ var hostLittleEndian = func() bool {
 }()
 
 // wireMismatchToken appears in every mismatch error this package produces —
-// the local sentinels below and the Error frame a server sends a peer at
+// the local sentinels below and the Error frame a server sends a peer stamping
 // another protocol version — so IsWireMismatch can recognize the condition
 // even after the text crossed the wire as a plain string.
 const wireMismatchToken = "wire protocol mismatch"
 
 // ErrWireMismatch tags a frame that does not start with the protocol's magic
-// — the peer is not speaking DSSP at all — and ErrWireVersion one where the
-// peer speaks the binary protocol at an unsupported version. Callers fail
-// fast instead of retrying; a server answers the second with a v1 Error
-// frame, which any version can decode.
+// — the peer is not speaking DSSP at all — and ErrWireVersion one stamped
+// with a protocol version other than wireVersion. Callers fail fast instead
+// of retrying; a server answers the second with an Error frame whose header
+// names its own version (binaryConn.Recv).
 var (
 	ErrWireMismatch = errors.New("transport: " + wireMismatchToken)
 	ErrWireVersion  = errors.New("transport: " + wireMismatchToken + " (version)")
@@ -296,8 +256,8 @@ func appendFrame(dst []byte, m *Message) ([]byte, error) {
 // of dst: the frame on the wire is dst with every recorded slab spliced in at
 // its offset, byte for byte what appendFrame produces.
 func appendFrameRefs(dst []byte, m *Message, refs *frameRefs) ([]byte, error) {
-	if m.Type < 1 || m.Type > 255 {
-		return dst, fmt.Errorf("transport: message type %d outside the wire range [1,255]", m.Type)
+	if !m.Type.defined() {
+		return dst, fmt.Errorf("transport: message type %d is not a defined MessageType", m.Type)
 	}
 	start := len(dst)
 	refStart, refCount := refs.size(), 0
@@ -306,7 +266,7 @@ func appendFrameRefs(dst []byte, m *Message, refs *frameRefs) ([]byte, error) {
 	}
 	// Header placeholder; the length lands after the body is assembled.
 	dst = append(dst, wireMagic...)
-	dst = append(dst, frameVersion(m), byte(m.Type), 0, 0, 0, 0, 0, 0)
+	dst = append(dst, wireVersion, byte(m.Type), 0, 0, 0, 0, 0, 0)
 
 	// The body's offset in the spliced stream: by-reference bytes count as
 	// if they sat in dst.
@@ -704,14 +664,13 @@ func (fr *frameReader) readFrame() (Message, error) {
 	if string(hdr[:4]) != wireMagic {
 		return Message{}, fmt.Errorf("%w: not a DSSP frame (magic % x, want %q)", ErrWireMismatch, hdr[:4], wireMagic)
 	}
-	version := hdr[4]
-	if version < wireVersionMin || version > wireVersion {
-		return Message{}, fmt.Errorf("%w: peer speaks binary wire protocol version %d, this side speaks %d-%d",
-			ErrWireVersion, version, wireVersionMin, wireVersion)
+	if version := hdr[4]; version != wireVersion {
+		return Message{}, fmt.Errorf("%w: peer speaks binary wire protocol version %d, this side speaks %d",
+			ErrWireVersion, version, wireVersion)
 	}
 	typ := hdr[5]
-	if typ == 0 {
-		return Message{}, fmt.Errorf("transport: frame carries message type 0")
+	if !MessageType(typ).defined() {
+		return Message{}, fmt.Errorf("transport: frame carries unknown message type %d", typ)
 	}
 	slot := int(binary.LittleEndian.Uint16(hdr[6:]))
 	if slot != 0 && fr.arena == nil {
@@ -726,7 +685,7 @@ func (fr *frameReader) readFrame() (Message, error) {
 	bodyLen := int(declared)
 	fr.lastSize = headerSize + bodyLen
 	if slot != 0 {
-		return fr.readSlot(typ, version, slot, bodyLen)
+		return fr.readSlot(typ, slot, bodyLen)
 	}
 
 	if bodyLen <= smallBodyMax {
@@ -737,7 +696,7 @@ func (fr *frameReader) readFrame() (Message, error) {
 		fr.scratch = body[:0]
 		fr.lastBody = bodyScratch
 		// The scratch buffer is reused by the next Recv.
-		return adopt(typ, version, body, nil, fr)
+		return adopt(typ, body, nil, fr)
 	}
 
 	// A payload frame gets a leased buffer. A recycled one was sized by a
@@ -755,7 +714,7 @@ func (fr *frameReader) readFrame() (Message, error) {
 		}
 		return Message{}, err
 	}
-	return adopt(typ, version, body, &bodyLease{pool: fr.pool, buf: body}, fr)
+	return adopt(typ, body, &bodyLease{pool: fr.pool, buf: body}, fr)
 }
 
 // adopt decodes one frame body into the message that owns it from here on —
@@ -770,12 +729,12 @@ func (fr *frameReader) readFrame() (Message, error) {
 // be a reference frame instead: its tensors are views of the region, body is
 // not aliased and goes back at once, and the message's lease is the
 // reference slot (referenceLease). fr is nil on the channel transport.
-func adopt(typ, version byte, body []byte, lease *bodyLease, fr *frameReader) (Message, error) {
+func adopt(typ byte, body []byte, lease *bodyLease, fr *frameReader) (Message, error) {
 	var reg *region
 	if fr != nil {
 		reg = fr.region
 	}
-	m, ref, err := parseBody(typ, version, body, reg)
+	m, ref, err := parseBody(typ, body, reg)
 	if lease != nil && (err != nil || ref.end > 0) {
 		lease.giveBack()
 	}
@@ -843,10 +802,8 @@ func readBody(br *bufio.Reader, dst []byte, n int) ([]byte, error) {
 }
 
 // parseBody decodes the tagged fields of one frame body into a Message.
-// WireTensor data and Packed payloads alias body. version is the frame
-// header's protocol version: tags introduced after it are rejected, so a v1
-// frame still decodes under exactly the v1 rules.
-func parseBody(typ, version byte, body []byte, reg *region) (Message, refSection, error) {
+// WireTensor data and Packed payloads alias body.
+func parseBody(typ byte, body []byte, reg *region) (Message, refSection, error) {
 	m := Message{Type: MessageType(typ)}
 	var ref refSection
 	off := 0
@@ -856,18 +813,6 @@ func parseBody(typ, version byte, body []byte, reg *region) (Message, refSection
 		off++
 		if tag <= prevTag {
 			return Message{}, ref, fmt.Errorf("transport: field tag 0x%02x out of order after 0x%02x", tag, prevTag)
-		}
-		if tag == tagUnchanged && version < 2 {
-			return Message{}, ref, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 2 but the frame is version %d",
-				MessageType(typ), tag, version)
-		}
-		if tag >= tagServers && tag <= tagCluster && version < 3 {
-			return Message{}, ref, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 3 but the frame is version %d",
-				MessageType(typ), tag, version)
-		}
-		if tag >= tagRelay && tag <= tagPushEntries && version < 4 {
-			return Message{}, ref, fmt.Errorf("transport: decode %v frame: field tag 0x%02x requires protocol version 4 but the frame is version %d",
-				MessageType(typ), tag, version)
 		}
 		prevTag = tag
 		var err error
@@ -1010,7 +955,7 @@ func parseBody(typ, version byte, body []byte, reg *region) (Message, refSection
 				m.Tensors, ref, off, err = parseRefSection(body, off, reg)
 			}
 		default:
-			err = fmt.Errorf("transport: unknown field tag 0x%02x in a version-%d frame", tag, version)
+			err = fmt.Errorf("transport: unknown field tag 0x%02x", tag)
 		}
 		if err != nil {
 			return Message{}, ref, fmt.Errorf("transport: decode %v frame: %w", MessageType(typ), err)
@@ -1261,8 +1206,7 @@ func parseServersSection(body []byte, off int) ([]ServerEntry, int, error) {
 // --- The binary Conn --------------------------------------------------------
 
 // binaryConn is a Conn over a TCP socket — or, between same-host peers, the
-// lane's unix socket (lane.go) — speaking the versioned binary frame
-// protocol. Send assembles headers, tags and small slabs into a reusable
+// lane's unix socket (lane.go) — speaking the binary frame protocol. Send assembles headers, tags and small slabs into a reusable
 // buffer and writes the frame with a single syscall, gathering large payload
 // slabs straight from the memory they live in (writev); Recv reuses a small
 // buffered reader for headers and control frames, a scratch buffer for
@@ -1272,8 +1216,8 @@ func parseServersSection(body []byte, off int) ([]ServerEntry, int, error) {
 // direction allows Send and Recv from different goroutines.
 type binaryConn struct {
 	conn net.Conn
-	// server marks the accepting side, which answers a first frame at an
-	// unsupported protocol version with a v1 Error frame so the peer fails
+	// server marks the accepting side, which answers a first frame stamped
+	// with another protocol version with an Error frame so the peer fails
 	// fast instead of waiting forever for a registration reply.
 	server bool
 	// meter, when non-nil, counts frames and exact on-wire bytes per
@@ -1454,9 +1398,10 @@ func (c *binaryConn) Recv() (Message, error) {
 	m, err := c.fr.readFrame()
 	if err != nil {
 		if c.server && first && errors.Is(err, ErrWireVersion) {
-			// A binary peer at another version: answer with a v1 Error
-			// frame — the header layout is fixed across versions precisely
-			// so that a version-mismatch report stays decodable. Best effort.
+			// A binary peer stamping another version: answer with an Error
+			// frame. The peer cannot decode its body, but its own header
+			// check names our version, so both ends fail fast naming the
+			// two versions. Best effort.
 			text := fmt.Sprintf("%s: server speaks binary wire protocol version %d; %v", wireMismatchToken, wireVersion, err)
 			if frame, ferr := appendFrame(nil, &Message{Type: MsgError, Error: text}); ferr == nil {
 				c.encMu.Lock()

@@ -37,7 +37,7 @@ func BenchmarkWireDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := parseBody(frame[5], frame[4], frame[headerSize:], nil); err != nil {
+			if _, _, err := parseBody(frame[5], frame[headerSize:], nil); err != nil {
 				b.Fatal(err)
 			}
 		}

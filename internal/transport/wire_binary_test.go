@@ -179,7 +179,7 @@ func TestBinaryWireAllocationReduction(t *testing.T) {
 	})
 	frame := encodeFrame(t, m)
 	dec := testing.AllocsPerRun(20, func() {
-		if _, _, err := parseBody(frame[5], frame[4], frame[headerSize:], nil); err != nil {
+		if _, _, err := parseBody(frame[5], frame[headerSize:], nil); err != nil {
 			t.Fatal(err)
 		}
 	})

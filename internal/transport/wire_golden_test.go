@@ -61,7 +61,7 @@ func TestGoldenFP16Frames(t *testing.T) {
 }
 
 var goldenFP16Frames = map[string]string{
-	"push 1":  "445353500103000058000000010300000002070000000329000000000000000904667031360e0200000001020200000003000000000000000c000000003c00b800020200fffb662e010107000000000000000e00000000800000a880d063020000003400",
-	"push 2":  "445353500103000058000000010300000002070000000329000000000000000904667031360e0200000001020200000003000000000000000c000000003c00b800020100fffb672e010107000000000000000e00000000000100a880d063010000003400",
-	"weights": "4453535001060000670000000103000000032a0000000000000004010000000502000000060200000007040000000904667031360e0200000001020200000003000000000000000c000000003c00b800020200fffb662e010107000000000000000e00000000800000a880d063020000003400",
+	"push 1":  "445353500503000058000000010300000002070000000329000000000000000904667031360e0200000001020200000003000000000000000c000000003c00b800020200fffb662e010107000000000000000e00000000800000a880d063020000003400",
+	"push 2":  "445353500503000058000000010300000002070000000329000000000000000904667031360e0200000001020200000003000000000000000c000000003c00b800020100fffb672e010107000000000000000e00000000000100a880d063010000003400",
+	"weights": "4453535005060000670000000103000000032a0000000000000004010000000502000000060200000007040000000904667031360e0200000001020200000003000000000000000c000000003c00b800020200fffb662e010107000000000000000e00000000800000a880d063020000003400",
 }

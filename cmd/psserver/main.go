@@ -318,9 +318,11 @@ func run(cfg dssp.ServerConfig, traceDump bool) error {
 		return server.FailureErr()
 	case <-server.Done():
 		// One consistent snapshot feeds the whole summary.
+		// Dropped counts the policy's and the guard's drops; the guard's
+		// share has its own line below.
 		st := server.Status()
 		fmt.Printf("all workers finished: %d updates applied, %d straggler updates dropped, %d releases, %d departures, %d rejoins (store version %d)\n",
-			st.Pushes, st.Dropped, st.Releases, st.Departures, st.Rejoins, st.Version)
+			st.Pushes, st.Dropped-uint64(st.Guard.DroppedPushes), st.Releases, st.Departures, st.Rejoins, st.Version)
 		if st.Guard.DroppedPushes > 0 || len(st.Guard.Evicted) > 0 {
 			fmt.Printf("guard: %d pushes rejected, %d workers evicted\n", st.Guard.DroppedPushes, len(st.Guard.Evicted))
 		}

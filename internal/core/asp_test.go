@@ -64,9 +64,3 @@ func TestASPClockCountsPerWorker(t *testing.T) {
 		t.Errorf("NumWorkers = %d, want 4", p.NumWorkers())
 	}
 }
-
-func TestASPName(t *testing.T) {
-	if got := MustNewASP(2).Name(); got != "ASP(workers=2)" {
-		t.Fatalf("unexpected name %q", got)
-	}
-}

@@ -159,8 +159,3 @@ func (p *BackupBSP) Dropped() int { return p.dropped }
 
 // Rounds returns the number of completed aggregation rounds.
 func (p *BackupBSP) Rounds() int { return p.round }
-
-// Name implements Policy.
-func (p *BackupBSP) Name() string {
-	return fmt.Sprintf("BackupBSP(workers=%d,backups=%d)", p.total, p.total-p.needed)
-}

@@ -91,9 +91,3 @@ func TestBackupBSPStragglersDoNotStallProgress(t *testing.T) {
 		t.Fatalf("expected ~100 rounds despite the straggler, got %d", p.Rounds())
 	}
 }
-
-func TestBackupBSPName(t *testing.T) {
-	if got := MustNewBackupBSP(5, 2).Name(); got != "BackupBSP(workers=5,backups=2)" {
-		t.Fatalf("unexpected name %q", got)
-	}
-}

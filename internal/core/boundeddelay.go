@@ -188,6 +188,3 @@ func (p *BoundedDelay) Clock(w WorkerID) int { return p.clock.Count(w) }
 
 // NumWorkers implements Policy.
 func (p *BoundedDelay) NumWorkers() int { return p.n }
-
-// Name implements Policy.
-func (p *BoundedDelay) Name() string { return fmt.Sprintf("BoundedDelay(k=%d)", p.k) }

@@ -72,9 +72,3 @@ func TestBoundedDelayBoundsGlobalIterationGap(t *testing.T) {
 		t.Fatalf("clock spread %d exceeds bound %d", drv.maxSpread, k)
 	}
 }
-
-func TestBoundedDelayName(t *testing.T) {
-	if got := MustNewBoundedDelay(2, 5).Name(); got != "BoundedDelay(k=5)" {
-		t.Fatalf("unexpected name %q", got)
-	}
-}

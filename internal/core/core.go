@@ -4,6 +4,8 @@
 // Parallel (ASP), Stale Synchronous Parallel (SSP) and the paper's
 // contribution, Dynamic Stale Synchronous Parallel (DSSP), together with the
 // bounded-delay and backup-worker baselines discussed in its related work.
+// The first four are one staleness-bound engine at different thresholds
+// (dssp.go): BSP is SSP(0) and ASP is SSP(∞).
 //
 // Every paradigm is expressed as a Policy: a pure, single-goroutine state
 // machine that is told about push requests (with an explicit timestamp) and
@@ -24,7 +26,10 @@
 // Rejoining resets the worker's progress accounting to the slowest active
 // worker's clock: a rejoining worker pulls fresh weights before computing
 // (Algorithm 1), so its first gradient is no staler than anyone else's and
-// must not drag the minimum clock down to its pre-crash value.
+// must not drag the minimum clock down to its pre-crash value. A clock is
+// raised, never lowered, so under BSP a worker that pushed, left and
+// rejoined inside one round has already contributed that round's gradient:
+// each active worker contributes exactly one per round.
 package core
 
 import (
@@ -89,10 +94,6 @@ type Policy interface {
 	// workers' iteration counts; ok is false for a paradigm that guarantees
 	// none (ASP).
 	StalenessBound() (bound int, ok bool)
-
-	// Name returns a short human-readable paradigm name such as "BSP",
-	// "SSP(s=3)" or "DSSP(sL=3,r=12)".
-	Name() string
 }
 
 // validateWorkers reports an error when n is not a usable worker count.
@@ -109,14 +110,4 @@ func validateWorkerID(w WorkerID, n int) error {
 		return fmt.Errorf("core: worker id %d out of range [0,%d)", w, n)
 	}
 	return nil
-}
-
-// releaseAll returns the IDs 0..n-1. It is a convenience for BSP-style
-// barrier releases.
-func releaseAll(n int) []WorkerID {
-	ids := make([]WorkerID, n)
-	for i := range ids {
-		ids[i] = WorkerID(i)
-	}
-	return ids
 }

@@ -6,20 +6,20 @@ import (
 	"time"
 )
 
-// DSSP is the one staleness-bound engine behind three of the paper's
+// DSSP is the one staleness-bound engine behind four of the paper's
 // paradigms. Zhao et al. define DSSP as SSP whose threshold moves inside
 // [sL, sL+rmax] and place the others on the same axis, so the family is this
 // state machine and two numbers:
 //
+//	BSP   sL = 0,  rmax = 0   every worker waits for the slowest
 //	ASP   sL = ∞,  rmax = 0   nobody is ever more than sL ahead
 //	SSP   sL = s,  rmax = 0   the controller has nothing to grant
 //	DSSP  sL,      rmax > 0   Algorithms 1 and 2
 //
-// NewASP, NewSSP and NewDSSP differ in those numbers, in Name, and in the
-// release rule for a blocked worker (below); there is no other ASP or SSP
-// code. BSP, BoundedDelay and BackupBSP are not clock-difference rules and
-// are their own types — BSP in particular is not SSP(0) once membership
-// changes, see TestBSPIsNotSSPZero.
+// NewBSP, NewASP, NewSSP and NewDSSP differ in those numbers and in the
+// release rule for a blocked worker (below); there is no other BSP, ASP or
+// SSP code. BoundedDelay and BackupBSP are not clock-difference rules and
+// are their own types.
 //
 // The engine follows Algorithm 1 for the server rules and Algorithm 2 for
 // the synchronization controller. The user supplies a lower staleness bound
@@ -56,10 +56,9 @@ import (
 // within s of the slowest. The default reading above is a reading of DSSP's
 // listing and is not SSP even at rmax = 0 — a worker that rejoins after
 // pushing runs one bonus iteration and is then released two ahead — so
-// NewSSP and NewASP construct the engine strict.
+// NewBSP, NewSSP and NewASP construct the engine strict.
 type DSSP struct {
 	n     int
-	name  string
 	sl    int
 	ctl   *Controller
 	clock *vectorClock
@@ -102,7 +101,7 @@ func NewDSSP(n, sL, rmax int) (*DSSP, error) {
 	if rmax < 0 {
 		return nil, fmt.Errorf("core: DSSP staleness range length must be >= 0, got %d", rmax)
 	}
-	return newEngine(fmt.Sprintf("DSSP(sL=%d,r=%d)", sL, rmax), n, sL, rmax, false)
+	return newEngine(n, sL, rmax, false)
 }
 
 // NewSSP returns Stale Synchronous Parallel with a fixed, user-specified
@@ -114,7 +113,7 @@ func NewSSP(n, s int) (*DSSP, error) {
 	if s < 0 {
 		return nil, fmt.Errorf("core: SSP staleness threshold must be >= 0, got %d", s)
 	}
-	return newEngine(fmt.Sprintf("SSP(s=%d)", s), n, s, 0, true)
+	return newEngine(n, s, 0, true)
 }
 
 // NewASP returns Asynchronous Parallel for n workers: a worker is released
@@ -122,17 +121,25 @@ func NewSSP(n, s int) (*DSSP, error) {
 // slow ones, and the staleness of applied gradients is unbounded. It is the
 // engine at sL = ∞, rmax = 0.
 func NewASP(n int) (*DSSP, error) {
-	return newEngine(fmt.Sprintf("ASP(workers=%d)", n), n, unbounded, 0, true)
+	return newEngine(n, unbounded, 0, true)
 }
 
-func newEngine(name string, n, sL, rmax int, strict bool) (*DSSP, error) {
+// NewBSP returns Bulk Synchronous Parallel for n workers: a worker that has
+// pushed waits until every active worker has pushed the same number of
+// gradients, so all workers start each iteration from the same weights. It
+// is SSP(0), the engine at sL = 0, rmax = 0: each active worker contributes
+// exactly one gradient per round, and a worker that rejoins mid-round is
+// counted from the slowest active clock, so its pre-departure push does not
+// owe the round a second one.
+func NewBSP(n int) (*DSSP, error) { return newEngine(n, 0, 0, true) }
+
+func newEngine(n, sL, rmax int, strict bool) (*DSSP, error) {
 	ctl, err := NewController(n, rmax)
 	if err != nil {
 		return nil, err
 	}
 	return &DSSP{
 		n:            n,
-		name:         name,
 		sl:           sL,
 		ctl:          ctl,
 		clock:        newVectorClock(n),
@@ -152,6 +159,9 @@ func MustNewSSP(n, s int) *DSSP { return must(NewSSP(n, s)) }
 // MustNewASP is like NewASP but panics on an invalid worker count.
 func MustNewASP(n int) *DSSP { return must(NewASP(n)) }
 
+// MustNewBSP is like NewBSP but panics on an invalid worker count.
+func MustNewBSP(n int) *DSSP { return must(NewBSP(n)) }
+
 func must(p *DSSP, err error) *DSSP {
 	if err != nil {
 		panic(err)
@@ -166,9 +176,9 @@ func (p *DSSP) RecordGrants(on bool) { p.keepHistory = on }
 
 // EnforceUpperBound selects between the listing-faithful behaviour (false,
 // NewDSSP's default: repeated grants may let a fast worker exceed sU) and the
-// Theorem-2-compliant behaviour (true, and what NewSSP and NewASP construct:
-// grants are capped so the iteration gap between any worker and the slowest
-// never exceeds sU).
+// Theorem-2-compliant behaviour (true, and what NewBSP, NewSSP and NewASP
+// construct: grants are capped so the iteration gap between any worker and
+// the slowest never exceeds sU).
 func (p *DSSP) EnforceUpperBound(on bool) { p.enforceUpper = on }
 
 // Grants returns a copy of the recorded controller decisions.
@@ -342,12 +352,5 @@ func (p *DSSP) LowerBound() int { return p.sl }
 // UpperBound returns sU = sL + rmax.
 func (p *DSSP) UpperBound() int { return p.sl + p.ctl.RMax() }
 
-// Controller exposes the synchronization controller for inspection by
-// experiments (e.g. reproducing Figure 2's waiting-time curve).
-func (p *DSSP) Controller() *Controller { return p.ctl }
-
 // Allowance returns the remaining extra-iteration allowance r_w of worker w.
 func (p *DSSP) Allowance(w WorkerID) int { return p.grants[w] }
-
-// Name implements Policy.
-func (p *DSSP) Name() string { return p.name }

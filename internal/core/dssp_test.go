@@ -29,9 +29,6 @@ func TestDSSPBoundsAccessors(t *testing.T) {
 	if b, ok := p.StalenessBound(); p.LowerBound() != 3 || p.UpperBound() != 15 || b != 15 || !ok {
 		t.Fatalf("bounds = %d/%d/%d, want 3/15/15", p.LowerBound(), p.UpperBound(), b)
 	}
-	if p.Name() != "DSSP(sL=3,r=12)" {
-		t.Fatalf("unexpected name %q", p.Name())
-	}
 }
 
 func TestDSSPBehavesLikeSSPWithinLowerBound(t *testing.T) {

@@ -41,7 +41,7 @@ var equivalenceCells = []struct {
 	{"SSP(1)", func(n int) Policy { return MustNewSSP(n, 1) }, 0x05c38de10920237e, 0x5336e5d56e470ad9},
 	{"SSP(3)", func(n int) Policy { return MustNewSSP(n, 3) }, 0xb704628aa102891e, 0xcbe8843ebdd55c66},
 	{"SSP(15)", func(n int) Policy { return MustNewSSP(n, 15) }, 0x0b62da016279238b, 0xa8226a18a7adf338},
-	{"BSP", func(n int) Policy { return MustNewBSP(n) }, 0x2b2b549019454545, 0x86b2be8d93219a8e},
+	{"BSP", func(n int) Policy { return MustNewBSP(n) }, 0x09db93b25ebb70bd, 0x119ab3f4fe01efc9},
 	{"DSSP(3,12)", func(n int) Policy { return MustNewDSSP(n, 3, 12) }, 0xaab852a8b8dde3d6, 0x9ed0f871b66dcd48},
 	{"DSSP(3,12) strict", func(n int) Policy {
 		p := MustNewDSSP(n, 3, 12)

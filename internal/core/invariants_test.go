@@ -26,18 +26,21 @@ func TestPropertyNoPolicyDeadlocks(t *testing.T) {
 		s := int(staleness % 8)   // 0..7
 		r := int(staleness%5) * 2 // 0..8
 		durations := randomDurations(seed, n, 10*time.Millisecond, 5*time.Second)
-		policies := []Policy{
-			MustNewBSP(n),
-			MustNewASP(n),
-			MustNewSSP(n, s),
-			MustNewDSSP(n, s, r),
-			MustNewBoundedDelay(n, s+1),
-			MustNewBackupBSP(n, n/2),
+		policies := []struct {
+			label string
+			p     Policy
+		}{
+			{"BSP", MustNewBSP(n)},
+			{"ASP", MustNewASP(n)},
+			{"SSP", MustNewSSP(n, s)},
+			{"DSSP", MustNewDSSP(n, s, r)},
+			{"BoundedDelay", MustNewBoundedDelay(n, s+1)},
+			{"BackupBSP", MustNewBackupBSP(n, n/2)},
 		}
-		for _, p := range policies {
-			drv := newReplayDriver(p, durations)
+		for _, tc := range policies {
+			drv := newReplayDriver(tc.p, durations)
 			if !drv.run(200) {
-				t.Logf("policy %s deadlocked with durations %v", p.Name(), durations)
+				t.Logf("%s (n=%d s=%d r=%d) deadlocked with durations %v", tc.label, n, s, r, durations)
 				return false
 			}
 		}
@@ -198,12 +201,12 @@ func TestPropertyEveryReleaseIsForAKnownWorker(t *testing.T) {
 		n := int(nWorkers%6) + 2
 		s := int(staleness % 6)
 		durations := randomDurations(seed, n, 10*time.Millisecond, time.Second)
-		policies := []Policy{
-			MustNewBSP(n), MustNewASP(n), MustNewSSP(n, s), MustNewDSSP(n, s, s+2),
+		policies := map[string]Policy{
+			"BSP": MustNewBSP(n), "ASP": MustNewASP(n), "SSP": MustNewSSP(n, s), "DSSP": MustNewDSSP(n, s, s+2),
 		}
-		for _, p := range policies {
+		for label, p := range policies {
 			pushed := make([]bool, n)
-			drv := newReplayDriver(&releaseAuditor{Policy: p, pushed: pushed, t: t}, durations)
+			drv := newReplayDriver(&releaseAuditor{Policy: p, label: label, pushed: pushed, t: t}, durations)
 			if !drv.run(200) {
 				return false
 			}
@@ -218,6 +221,7 @@ func TestPropertyEveryReleaseIsForAKnownWorker(t *testing.T) {
 // releaseAuditor wraps a Policy and verifies release-set sanity on each push.
 type releaseAuditor struct {
 	Policy
+	label  string
 	pushed []bool
 	t      *testing.T
 }
@@ -228,14 +232,14 @@ func (a *releaseAuditor) OnPush(w WorkerID, now time.Time) Decision {
 	seen := make(map[WorkerID]bool, len(d.Release))
 	for _, id := range d.Release {
 		if int(id) < 0 || int(id) >= len(a.pushed) {
-			a.t.Errorf("%s released out-of-range worker %d", a.Policy.Name(), id)
+			a.t.Errorf("%s released out-of-range worker %d", a.label, id)
 		}
 		if seen[id] {
-			a.t.Errorf("%s released worker %d twice in one decision", a.Policy.Name(), id)
+			a.t.Errorf("%s released worker %d twice in one decision", a.label, id)
 		}
 		seen[id] = true
 		if !a.pushed[id] {
-			a.t.Errorf("%s released worker %d which never pushed", a.Policy.Name(), id)
+			a.t.Errorf("%s released worker %d which never pushed", a.label, id)
 		}
 	}
 	return d

@@ -31,9 +31,6 @@ func TestBSPLeaveCompletesBarrier(t *testing.T) {
 	if !got[0] || !got[1] || len(got) != 2 {
 		t.Fatalf("leave released %v, want workers 0 and 1", d.Release)
 	}
-	if p.Rounds() != 1 {
-		t.Fatalf("rounds = %d, want 1", p.Rounds())
-	}
 	// Subsequent rounds run with two workers.
 	if d := p.OnPush(0, t0); len(d.Release) != 0 {
 		t.Fatalf("premature release %v", d.Release)
@@ -245,22 +242,22 @@ func TestImplicitRejoinOnPush(t *testing.T) {
 	// A push from a worker reported departed implicitly rejoins it on every
 	// paradigm: the policies stay self-consistent even if a join notification
 	// is lost.
-	policies := []Policy{
-		MustNewBSP(2),
-		MustNewASP(2),
-		MustNewSSP(2, 1),
-		MustNewDSSP(2, 1, 2),
-		MustNewBoundedDelay(2, 2),
-		MustNewBackupBSP(2, 0),
+	policies := map[string]Policy{
+		"BSP":          MustNewBSP(2),
+		"ASP":          MustNewASP(2),
+		"SSP":          MustNewSSP(2, 1),
+		"DSSP":         MustNewDSSP(2, 1, 2),
+		"BoundedDelay": MustNewBoundedDelay(2, 2),
+		"BackupBSP":    MustNewBackupBSP(2, 0),
 	}
-	for _, p := range policies {
+	for label, p := range policies {
 		p.OnLeave(1, t0)
 		p.OnPush(1, t0) // must not panic or corrupt state
 		p.OnPush(0, t0)
 		d := p.OnPush(1, t0)
 		_ = d
 		if got := p.NumWorkers(); got != 2 {
-			t.Fatalf("%s: NumWorkers = %d", p.Name(), got)
+			t.Fatalf("%s: NumWorkers = %d", label, got)
 		}
 	}
 }

@@ -35,15 +35,16 @@ func TestParadigmStringUnknownValue(t *testing.T) {
 
 func TestNewPolicyBuildsEveryParadigm(t *testing.T) {
 	cases := []struct {
-		cfg      PolicyConfig
-		wantName string
+		cfg       PolicyConfig
+		wantBound int
+		wantOK    bool
 	}{
-		{PolicyConfig{Paradigm: ParadigmBSP, Workers: 4}, "BSP(workers=4)"},
-		{PolicyConfig{Paradigm: ParadigmASP, Workers: 4}, "ASP(workers=4)"},
-		{PolicyConfig{Paradigm: ParadigmSSP, Workers: 4, Staleness: 3}, "SSP(s=3)"},
-		{PolicyConfig{Paradigm: ParadigmDSSP, Workers: 4, Staleness: 3, Range: 12}, "DSSP(sL=3,r=12)"},
-		{PolicyConfig{Paradigm: ParadigmBoundedDelay, Workers: 4, Staleness: 5}, "BoundedDelay(k=5)"},
-		{PolicyConfig{Paradigm: ParadigmBackupBSP, Workers: 4, Backups: 1}, "BackupBSP(workers=4,backups=1)"},
+		{PolicyConfig{Paradigm: ParadigmBSP, Workers: 4}, 0, true},
+		{PolicyConfig{Paradigm: ParadigmASP, Workers: 4}, 0, false},
+		{PolicyConfig{Paradigm: ParadigmSSP, Workers: 4, Staleness: 3}, 3, true},
+		{PolicyConfig{Paradigm: ParadigmDSSP, Workers: 4, Staleness: 3, Range: 12}, 15, true},
+		{PolicyConfig{Paradigm: ParadigmBoundedDelay, Workers: 4, Staleness: 5}, 5, true},
+		{PolicyConfig{Paradigm: ParadigmBackupBSP, Workers: 4, Backups: 1}, 0, true},
 	}
 	for _, tc := range cases {
 		p, err := NewPolicy(tc.cfg)
@@ -51,8 +52,8 @@ func TestNewPolicyBuildsEveryParadigm(t *testing.T) {
 			t.Errorf("NewPolicy(%+v): %v", tc.cfg, err)
 			continue
 		}
-		if p.Name() != tc.wantName {
-			t.Errorf("NewPolicy(%+v).Name() = %q, want %q", tc.cfg, p.Name(), tc.wantName)
+		if b, ok := p.StalenessBound(); b != tc.wantBound || ok != tc.wantOK {
+			t.Errorf("NewPolicy(%+v).StalenessBound() = %d, %v, want %d, %v", tc.cfg, b, ok, tc.wantBound, tc.wantOK)
 		}
 		if p.NumWorkers() != tc.cfg.Workers {
 			t.Errorf("NewPolicy(%+v).NumWorkers() = %d, want %d", tc.cfg, p.NumWorkers(), tc.cfg.Workers)

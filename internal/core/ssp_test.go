@@ -146,9 +146,6 @@ func TestSSPThresholdAccessors(t *testing.T) {
 	if b, ok := p.StalenessBound(); p.LowerBound() != 7 || b != 7 || !ok {
 		t.Fatalf("unexpected threshold accessors: %d, %d, %v", p.LowerBound(), b, ok)
 	}
-	if p.Name() != "SSP(s=7)" {
-		t.Fatalf("unexpected name %q", p.Name())
-	}
 }
 
 // clockSpread returns the difference between the maximum and minimum worker

@@ -259,11 +259,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	sim := &simulation{
 		cfg:    cfg,
 		policy: policy,
-		// Synchronous paradigms aggregate the round's gradients into a single
-		// server-side update; asynchronous ones pay the apply and per-key
-		// cost on every push.
-		aggregated: cfg.Policy.Paradigm == core.ParadigmBSP || cfg.Policy.Paradigm == core.ParadigmBackupBSP,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		transfer: cfg.Cluster.LinkLatency +
 			time.Duration(float64(cfg.Model.Bytes())/cfg.Cluster.LinkBandwidth*float64(time.Second)),
 		applyCost: time.Duration(float64(cfg.Model.Params) / cfg.Cluster.ApplyRate * float64(time.Second)),
@@ -281,7 +277,13 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			Waits: make([]time.Duration, workers),
 		},
 	}
-	_, sim.result.Bounded = policy.StalenessBound()
+	// Synchronous paradigms (staleness bound 0: BSP, which is SSP(0), and
+	// the backup-worker baseline) aggregate the round's gradients into a
+	// single server-side update; the others pay the apply and per-key cost
+	// on every push.
+	bound, bounded := policy.StalenessBound()
+	sim.aggregated = bounded && bound == 0
+	sim.result.Bounded = bounded
 
 	sim.links = make([]linkState, workers)
 	for w := 0; w < workers; w++ {

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -116,6 +117,20 @@ func TestRunBSPStalenessStaysWithinRound(t *testing.T) {
 	}
 	if !run.Bounded {
 		t.Fatal("BSP must be reported as bounded")
+	}
+}
+
+// TestRunBSPIsSSPZero: BSP is SSP(0) in the policy engine, so the simulator
+// must cost the two identically — same updates, waits and finish time.
+func TestRunBSPIsSSPZero(t *testing.T) {
+	for _, cluster := range []ClusterSpec{HomogeneousCluster(4), HeterogeneousCluster()} {
+		bsp := quickRun(t, ModelResNet50, cluster, core.PolicyConfig{Paradigm: core.ParadigmBSP}, 60)
+		ssp := quickRun(t, ModelResNet50, cluster, core.PolicyConfig{Paradigm: core.ParadigmSSP}, 60)
+		bsp.Label = ssp.Label
+		if !reflect.DeepEqual(bsp, ssp) {
+			t.Errorf("%d workers: BSP finished at %v with %d updates, SSP(0) at %v with %d",
+				cluster.NumWorkers(), bsp.Finish, len(bsp.Updates), ssp.Finish, len(ssp.Updates))
+		}
 	}
 }
 

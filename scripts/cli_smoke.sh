@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the two shipped binaries, psserver and psworker, end to end over
-# loopback on fixed ports: a flat 2-worker job on an uneven split (both
-# workers must report the same iteration count), a coordinator with two data
+# loopback on fixed ports: a flat 2-worker BSP job on an uneven split (both
+# workers must report the same iteration count, and the server must apply
+# exactly their sum and drop nothing), a coordinator with two data
 # servers (-shards 4 on every member) and reconnecting, heartbeating group
 # workers, and a root fronted by one relay with -tree workers. Every process
 # must exit 0. It also checks that each role refuses, by name, a flag it does
@@ -61,10 +62,10 @@ finish() {
 rm -f "$dir"/*.log
 work=(-workers 2 -epochs 1)
 
-# Flat: one server, two workers, on 17 examples that 2 workers do not
+# Flat: one BSP server, two workers, on 17 examples that 2 workers do not
 # divide. Both workers must still run the same number of iterations, as
 # in-process training does: 17/2 = 8 examples each, two batches of 4.
-start flat-server "$server" -addr 127.0.0.1:17170 -workers 2 -shards 3 -examples 17
+start flat-server "$server" -addr 127.0.0.1:17170 -workers 2 -shards 3 -examples 17 -paradigm BSP
 ready flat-server "parameter server listening"
 start flat-w0 "$worker" -server 127.0.0.1:17170 -id 0 "${work[@]}" -shards 3 -examples 17 -batch 4
 start flat-w1 "$worker" -server 127.0.0.1:17170 -id 1 "${work[@]}" -delay 1ms -examples 17 -batch 4
@@ -75,6 +76,15 @@ if [ "$(iters flat-w0)" != "$(iters flat-w1)" ]; then
 	exit 1
 fi
 echo "cli-smoke: flat workers ran the same iteration count ($(iters flat-w0))"
+# BSP applies every push once and drops none.
+each=$(iters flat-w0 | grep -o '[0-9]*')
+want="all workers finished: $((2 * each)) updates applied, 0 straggler updates dropped"
+if ! grep -q "$want" "$dir/flat-server.log"; then
+	echo "cli-smoke: flat BSP server did not report '$want'" >&2
+	cat "$dir/flat-server.log" >&2
+	exit 1
+fi
+echo "cli-smoke: flat BSP server applied $((2 * each)) updates and dropped none"
 
 # Group: a coordinator and two data servers, one group-wide -shards on all.
 # The workers run with -reconnect and heartbeats, as a deployment that rides

@@ -44,10 +44,15 @@ race:
 # still reference. A relay stopped while a partial sums in its trunk's push
 # slot drops the partial with the slot, under the lock every fold takes. The
 # lane line also holds that a peer whose exit cannot be watched (no pidfd) is
-# offered no region. The last line runs the guard's two experiment tests
+# offered no region. The guard's line runs its two experiment tests
 # twenty times under the race detector: an ASP schedule decides how stale an
 # honest push is when it lands, and a guard that judged a worker's cold first
 # push against converged gradients flagged an honest worker in loaded runs.
+# The last two lines run the fp16 lane paths twenty times: a packed push
+# encoded in the push slot writes no payload byte, a packed pull is a
+# reference whose extent stays pinned while it is read, both copy on TCP and
+# for a peer without a pidfd, and a server stopped with a packed reference
+# out lets go of every packed generation in its region.
 lease-stress:
 	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease|TestInProcessScheduleRecyclesGenerations|TestRegionFullFallsBackToCopy|TestLeaseExpiredReaderKeepsItsGeneration|TestDeadReaderPinsNothing|TestRelaySentReferenceOutlivesSupersededPullCache|TestRelayStopDropsTheTrunkSlotPartial' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
@@ -56,6 +61,8 @@ lease-stress:
 	$(GO) test -race -count=10 -run 'TestAdoptGradsBackwardIsBitIdentical' ./internal/nn/
 	$(GO) test -race -count=10 -run 'TestTCPWorkerCrashRejoinAndServerRestart' .
 	$(GO) test -race -count=20 -run '^TestGuard(DetectionRates|RejectionsCountedOnce)$$' ./internal/experiment/
+	$(GO) test -race -count=20 -run '^(TestLanePackedPushSlotWritesNoPayload|TestLanePackedReferenceFrames|TestPackedPathsCopyOnTCP|TestLanePeerWithoutPidfdGetsNoRegion)$$' ./internal/transport/
+	$(GO) test -race -count=20 -run '^TestServerStopEvictsPackedGenerations$$' ./internal/ps/
 
 # The portable kernel paths (the Go loops of internal/tensor, bound where there
 # is no AVX2+FMA — internal/optimizer's step runs on them — and of
@@ -113,7 +120,11 @@ bench-json:
 # per-frame allocation coming back costs it 20-50%.
 # BenchmarkLaneDensePushPull1MB is the same round trip as same-host peers get
 # it (bodies through the shared arena): a payload falling back onto the
-# socket, or a second copy, costs it as much.
+# socket, or a second copy, costs it as much. BenchmarkLaneFP16PushPull1MB is
+# that round trip under fp16 on push and pull (flat-comm-fp16's codec): the
+# push encoded in the push slot and stepped from its payload, the pull a
+# reference to the packed generation; a copy or a decode coming back costs it
+# 15% or more.
 # BenchmarkPackPullPath/fp16 and BenchmarkDecompress/fp16 are the other three
 # codec passes of a compressed iteration (server pack, and the decode both ends
 # run), at all three magnitudes.
@@ -129,7 +140,9 @@ bench-json:
 # same way.
 # BenchmarkFusedStepMomentumBatch4 and BenchmarkFusedStepPlain262k are the
 # store's optimizer step (a coalesced batch of four with momentum over 64k
-# values; one push of plain SGD over the wide MLP's 262 144, flat-comm's step)
+# values; one push of plain SGD over the wide MLP's 262 144, flat-comm's step;
+# BenchmarkFusedStepF16Plain262k is that push as an fp16 payload, widened in
+# the step, flat-comm-fp16's)
 # and BenchmarkWorkerIteration one whole iteration of the worker loop at that
 # shape over the in-process carrier (pull, install, forward, backward, push,
 # apply, release): a payload-sized copy coming back into the loop, or the step
@@ -137,9 +150,9 @@ bench-json:
 # kernel too.
 # The pins whose names carry the kernel binding: bench-baseline measures these
 # again under -tags noavx512 and -tags purego.
-BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkResNet8IterationBatch8|BenchmarkFusedStepMomentumBatch4|BenchmarkFusedStepPlain262k|BenchmarkWorkerIteration|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
-BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB
-BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkFusedStepPlain262k,BenchmarkWorkerIteration,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB
+BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkResNet8IterationBatch8|BenchmarkFusedStepMomentumBatch4|BenchmarkFusedStepPlain262k|BenchmarkFusedStepF16Plain262k|BenchmarkWorkerIteration|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
+BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB|BenchmarkLaneFP16PushPull1MB
+BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkFusedStepPlain262k,BenchmarkWorkerIteration,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB,BenchmarkLaneFP16PushPull1MB,BenchmarkFusedStepF16Plain262k
 BENCH_GATE_TIME = 1s
 # Packages holding the pinned benchmarks: the store pipeline, the raw
 # compute kernels (matmul panels, fused optimizer step) it is built on, the

@@ -71,17 +71,34 @@ func (p Packed) AppendBinaryHeader(dst []byte) ([]byte, error) {
 // presence) but not scheme semantics; Decompress rejects payloads whose
 // length disagrees with their shape.
 func DecodeBinary(b []byte) (Packed, int, error) {
-	if len(b) < 2 {
-		return Packed{}, 0, fmt.Errorf("compress: packed header truncated (%d bytes)", len(b))
+	p, off, n, err := DecodeBinaryHeader(b)
+	if err != nil {
+		return Packed{}, 0, err
 	}
-	p := Packed{Scheme: b[0]}
+	// Compare against the remaining bytes rather than computing off+n, which
+	// could overflow int on 32-bit platforms.
+	if n > len(b)-off {
+		return Packed{}, 0, fmt.Errorf("compress: packed payload of %d bytes exceeds the %d remaining", n, len(b)-off)
+	}
+	p.Payload = b[off : off+n : off+n]
+	return p, off + n, nil
+}
+
+// DecodeBinaryHeader decodes what AppendBinaryHeader wrote at the front of b:
+// p without its Payload, the header's length, and the payload length it
+// declares (non-negative), validated as DecodeBinary validates them.
+func DecodeBinaryHeader(b []byte) (p Packed, size, payload int, err error) {
+	if len(b) < 2 {
+		return Packed{}, 0, 0, fmt.Errorf("compress: packed header truncated (%d bytes)", len(b))
+	}
+	p = Packed{Scheme: b[0]}
 	ndims := int(b[1])
 	if ndims > maxPackedDims {
-		return Packed{}, 0, fmt.Errorf("compress: packed tensor has rank %d, wire limit is %d", ndims, maxPackedDims)
+		return Packed{}, 0, 0, fmt.Errorf("compress: packed tensor has rank %d, wire limit is %d", ndims, maxPackedDims)
 	}
 	off := 2
 	if len(b) < off+4*ndims+8 {
-		return Packed{}, 0, fmt.Errorf("compress: packed tensor truncated after rank byte")
+		return Packed{}, 0, 0, fmt.Errorf("compress: packed tensor truncated after rank byte")
 	}
 	if ndims > 0 {
 		p.Shape = make([]int, ndims)
@@ -91,10 +108,10 @@ func DecodeBinary(b []byte) (Packed, int, error) {
 			// platform a huge dim would wrap int negative.
 			d := binary.LittleEndian.Uint32(b[off:])
 			if d == 0 || d > MaxPackedElements {
-				return Packed{}, 0, fmt.Errorf("compress: packed dimension %d outside [1, %d]", d, MaxPackedElements)
+				return Packed{}, 0, 0, fmt.Errorf("compress: packed dimension %d outside [1, %d]", d, MaxPackedElements)
 			}
 			if n > MaxPackedElements/int(d) {
-				return Packed{}, 0, fmt.Errorf("compress: packed shape exceeds %d elements", MaxPackedElements)
+				return Packed{}, 0, 0, fmt.Errorf("compress: packed shape exceeds %d elements", MaxPackedElements)
 			}
 			n *= int(d)
 			p.Shape[i] = int(d)
@@ -103,13 +120,9 @@ func DecodeBinary(b []byte) (Packed, int, error) {
 	}
 	p.Scale = math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
-	// Compare against the remaining bytes rather than computing off+n, which
-	// could overflow int on 32-bit platforms.
-	n := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if n < 0 || n > len(b)-off {
-		return Packed{}, 0, fmt.Errorf("compress: packed payload of %d bytes exceeds the %d remaining", n, len(b)-off)
+	n := binary.LittleEndian.Uint32(b[off:])
+	if uint64(n) > math.MaxInt32 {
+		return Packed{}, 0, 0, fmt.Errorf("compress: packed payload of %d bytes is not encodable", n)
 	}
-	p.Payload = b[off : off+n : off+n]
-	return p, off + n, nil
+	return p, off + 4, int(n), nil
 }

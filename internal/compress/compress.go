@@ -186,8 +186,10 @@ type Compressor struct {
 	cfg      Config
 	residual []*tensor.Tensor
 	// out and the value codecs' payload buffers are recycled by every
-	// Compress, so their steady state allocates nothing.
-	out []Packed
+	// Compress, so their steady state allocates nothing; into is
+	// CompressInto's, whose payloads are the caller's.
+	out  []Packed
+	into []Packed
 }
 
 // NewCompressor returns a compressor for the given (lossy) configuration.
@@ -221,13 +223,34 @@ var negZero = float32(math.Copysign(0, -1))
 // Send returns, so they go into a message as they are; anything that keeps
 // them past the next Compress copies.
 func (c *Compressor) Compress(grads []*tensor.Tensor) []Packed {
+	c.out = c.encode(c.out, grads)
+	return c.out
+}
+
+// CompressInto is Compress encoding tensor i's payload into payloads[i],
+// memory the caller provides — a transport's push slot, where the payload is
+// sent from without a copy (transport.BodyPlacer) — which must hold exactly
+// the payload's bytes: 2 per value under fp16, 1 under int8, the two codecs
+// whose payload size is known before the encode. The returned slice is
+// overwritten by the next CompressInto.
+func (c *Compressor) CompressInto(payloads [][]byte, grads []*tensor.Tensor) []Packed {
+	c.into = resizePacked(c.into, len(grads))
+	for i, p := range payloads {
+		c.into[i].Payload = p
+	}
+	c.into = c.encode(c.into, grads)
+	return c.into
+}
+
+// encode is Compress into out, whose Packed values and payload buffers it
+// recycles.
+func (c *Compressor) encode(out []Packed, grads []*tensor.Tensor) []Packed {
 	if len(c.residual) < len(grads) {
 		grown := make([]*tensor.Tensor, len(grads))
 		copy(grown, c.residual)
 		c.residual = grown
 	}
-	c.out = resizePacked(c.out, len(grads))
-	out := c.out
+	out = resizePacked(out, len(grads))
 	for i, g := range grads {
 		r := c.residual[i]
 		if r == nil || !r.SameShape(g) {

@@ -2,7 +2,8 @@ package compress
 
 import (
 	"math"
-	"sync"
+
+	"dssp/internal/tensor"
 )
 
 // Slice-at-a-time kernels of the value codecs (fp16, int8), behind one seam:
@@ -35,27 +36,10 @@ func Kernel() string { return kernel }
 // windows, so the bounds checks are paid once per window rather than once per
 // value.
 
-// halfTable returns the half→float table: one float32 per 16-bit pattern
-// (256 KB), built on first use so programs that never speak fp16 never touch
-// the pages. A table has no subnormal renormalisation loop and no branch.
-var halfTable = sync.OnceValue(func() *[1 << 16]float32 {
-	t := new([1 << 16]float32)
-	for h := uint32(0); h < 1<<15; h++ {
-		exp, mant := h>>10, h&0x3ff
-		var bits uint32
-		switch exp {
-		case 0: // zero or subnormal half: mant·2^-24, exact in float32
-			bits = math.Float32bits(float32(mant) * (1.0 / (1 << 24)))
-		case 0x1f: // Inf or NaN
-			bits = 0xff<<23 | mant<<13
-		default:
-			bits = (exp+112)<<23 | mant<<13
-		}
-		t[h] = math.Float32frombits(bits)
-		t[h|0x8000] = math.Float32frombits(bits | 1<<31)
-	}
-	return t
-})
+// halfTable is internal/tensor's half→float table (tensor.HalfTable), which
+// the fused optimizer step widens half sources through too: one float32 per
+// 16-bit pattern, built on first use.
+var halfTable = tensor.HalfTable
 
 const (
 	absMask = 0x7fffffff

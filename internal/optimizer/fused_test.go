@@ -1,9 +1,11 @@
 package optimizer
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"dssp/internal/compress"
 	"dssp/internal/tensor"
 )
 
@@ -144,6 +146,67 @@ func TestStepIntoPanicsOnMismatchedInputs(t *testing.T) {
 	}
 }
 
+// TestStepFromHalfSourcesMatchDecodeThenStep: a batch whose sets mix fp16
+// payloads (tensor.Grad.Half) with float32 gradients steps — momentum state
+// included, over several steps — exactly as decoding the payloads with the
+// codec and stepping from the float32 copies does.
+func TestStepFromHalfSourcesMatchDecodeThenStep(t *testing.T) {
+	shapes := [][]int{{7, 5}, {16}, {3, 3, 2}, {1}}
+	rng := rand.New(rand.NewSource(48))
+	cfg := compress.Config{Codec: compress.FP16}
+	params := randParams(rng, shapes)
+	half, decoded := NewSGDMomentum(0.05, 0.9, 1e-4), NewSGDMomentum(0.05, 0.9, 1e-4)
+	got, want := cloneAll(params), cloneAll(params)
+	for step := 0; step < 3; step++ {
+		batch := make([][]tensor.Grad, 3)
+		dense := make([][]*tensor.Tensor, 3)
+		for b := range batch {
+			grads := randParams(rng, shapes)
+			packed := compress.Pack(grads, cfg)
+			if dense[b] = grads; b != 1 {
+				var err error
+				if dense[b], err = compress.DecompressAll(packed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range grads {
+				g := tensor.Grad{F32: grads[i].Data()}
+				if b != 1 {
+					g = tensor.Grad{Half: packed[i].Payload}
+				}
+				batch[b] = append(batch[b], g)
+			}
+		}
+		half.StepFrom(got, got, batch)
+		decoded.StepInto(want, want, dense)
+		for i := range got {
+			if !sameBits(got[i].Data(), want[i].Data()) {
+				t.Fatalf("step %d: param %d differs from decode-then-step", step, i)
+			}
+		}
+	}
+}
+
+func cloneAll(ts []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(ts))
+	for i, t := range ts {
+		out[i] = t.Clone()
+	}
+	return out
+}
+
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func benchFusedInputs(paramSize, batchSize int) ([]*tensor.Tensor, []*tensor.Tensor, [][]*tensor.Tensor) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := [][]int{{paramSize}}
@@ -168,6 +231,25 @@ func BenchmarkFusedStepMomentumBatch4(b *testing.B) {
 // MLP's 262 144 parameters, one push at a time, plain SGD.
 func BenchmarkFusedStepPlain262k(b *testing.B) {
 	benchFusedStep(b, NewSGD(0.001), 256*1024, 1)
+}
+
+// BenchmarkFusedStepF16Plain262k is BenchmarkFusedStepPlain262k with the
+// push an fp16 payload, as the store steps flat-comm-fp16's: widened in the
+// same pass (VCVTPH2PS into the step's arithmetic), no decode.
+func BenchmarkFusedStepF16Plain262k(b *testing.B) {
+	b.Run("kernel="+tensor.Kernel(), func(b *testing.B) {
+		const paramSize = 256 * 1024
+		dst, src, batch := benchFusedInputs(paramSize, 1)
+		packed := compress.Pack(batch[0], compress.Config{Codec: compress.FP16})
+		grads := [][]tensor.Grad{{{Half: packed[0].Payload}}}
+		opt := NewSGD(0.001)
+		b.SetBytes(int64(4 * paramSize))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opt.StepFrom(dst, src, grads)
+		}
+	})
 }
 
 func benchFusedStep(b *testing.B, opt *SGD, paramSize, batchSize int) {

@@ -44,16 +44,19 @@ type Optimizer interface {
 // so each gradient value is read exactly once and no summed-gradient or
 // cloned-parameter temporary is materialized.
 //
-// StepInto reads parameters from src and writes the updated values to dst;
+// StepFrom reads parameters from src and writes the updated values to dst;
 // dst may alias src element-wise (in-place update) or be a completely
 // separate buffer (the parameter server's copy-on-write publication path).
-// batch is a non-empty sequence of aligned gradient sets. The result must be
-// bit-identical to cloning src, summing the batch in order with a running
-// element-wise accumulation (((b0+b1)+b2)+…), and calling Step on the clone
-// — the contract that lets the store switch between the fused and unfused
-// paths without changing training dynamics.
+// batch is a non-empty sequence of aligned gradient sets, each gradient read
+// from where it arrived (tensor.Grad): float32 values, or the half-precision
+// payload of an fp16 push, widened as it is read. The result must be
+// bit-identical to decoding every half source, cloning src, summing the batch
+// in order with a running element-wise accumulation (((b0+b1)+b2)+…), and
+// calling Step on the clone — the contract that lets the store switch between
+// the fused and unfused paths, and apply an fp16 push without decoding it,
+// without changing training dynamics.
 type FusedStepper interface {
-	StepInto(dst, src []*tensor.Tensor, batch [][]*tensor.Tensor)
+	StepFrom(dst, src []*tensor.Tensor, batch [][]tensor.Grad)
 }
 
 // SGD is stochastic gradient descent with optional momentum and weight
@@ -63,7 +66,7 @@ type SGD struct {
 	momentum float64
 	decay    float64
 	velocity [][]float32
-	gscratch [][]float32 // reused per-tensor gradient-slice list for StepInto
+	gscratch []tensor.Grad // reused per-tensor gradient-source list of a fused step
 }
 
 // NewSGD returns a plain SGD optimizer with the given learning rate.
@@ -110,22 +113,38 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 	}
 }
 
-// StepInto implements FusedStepper for SGD: one pass per parameter tensor
+// StepFrom implements FusedStepper for SGD: one pass per parameter tensor
 // fuses the batch gradient sum, weight decay, momentum update, and parameter
 // write, in internal/tensor's SGD kernels (assembly where the CPU has it, the
 // same bits either way). See the interface for the aliasing and bit-identity
 // contract.
-func (s *SGD) StepInto(dst, src []*tensor.Tensor, batch [][]*tensor.Tensor) {
-	if len(batch) == 0 {
-		panic("optimizer: StepInto needs a non-empty batch")
-	}
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("optimizer: %d dst tensors but %d src", len(dst), len(src)))
-	}
+func (s *SGD) StepFrom(dst, src []*tensor.Tensor, batch [][]tensor.Grad) {
 	for _, grads := range batch {
 		if len(grads) != len(src) {
 			panic(fmt.Sprintf("optimizer: %d params but %d grads", len(src), len(grads)))
 		}
+	}
+	s.step(dst, src, len(batch), func(b, i int) tensor.Grad { return batch[b][i] })
+}
+
+// StepInto is StepFrom over float32 gradient tensors.
+func (s *SGD) StepInto(dst, src []*tensor.Tensor, batch [][]*tensor.Tensor) {
+	for _, grads := range batch {
+		if len(grads) != len(src) {
+			panic(fmt.Sprintf("optimizer: %d params but %d grads", len(src), len(grads)))
+		}
+	}
+	s.step(dst, src, len(batch), func(b, i int) tensor.Grad { return tensor.Grad{F32: batch[b][i].Data()} })
+}
+
+// step is the fused step over a batch of n gradient sets, grad(b, i) being
+// set b's source for parameter i.
+func (s *SGD) step(dst, src []*tensor.Tensor, n int, grad func(b, i int) tensor.Grad) {
+	if n == 0 {
+		panic("optimizer: a fused step needs a non-empty batch")
+	}
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("optimizer: %d dst tensors but %d src", len(dst), len(src)))
 	}
 	if s.momentum > 0 && s.velocity == nil {
 		s.velocity = make([][]float32, len(src))
@@ -136,22 +155,23 @@ func (s *SGD) StepInto(dst, src []*tensor.Tensor, batch [][]*tensor.Tensor) {
 	lr := float32(s.lr)
 	mu := float32(s.momentum)
 	wd := float32(s.decay)
-	if cap(s.gscratch) < len(batch) {
-		s.gscratch = make([][]float32, len(batch))
+	if cap(s.gscratch) < n {
+		s.gscratch = make([]tensor.Grad, n)
 	}
-	gs := s.gscratch[:len(batch)]
+	gs := s.gscratch[:n]
 	for i := range src {
 		sd := src[i].Data()
 		dd := dst[i].Data()
 		if len(dd) != len(sd) {
 			panic(fmt.Sprintf("optimizer: param %d has %d values but dst has %d", i, len(sd), len(dd)))
 		}
-		for b, grads := range batch {
-			gd := grads[i].Data()
-			if len(gd) != len(sd) {
-				panic(fmt.Sprintf("optimizer: param %d has %d values but grad has %d", i, len(sd), len(gd)))
+		for b := range gs {
+			g := grad(b, i)
+			if g.Half != nil && len(g.Half) != 2*len(sd) || g.Half == nil && len(g.F32) != len(sd) {
+				panic(fmt.Sprintf("optimizer: param %d has %d values but grad %d has %d float32 and %d half bytes",
+					i, len(sd), b, len(g.F32), len(g.Half)))
 			}
-			gs[b] = gd
+			gs[b] = g
 		}
 		if s.momentum > 0 {
 			tensor.SGDMomentumStep(dd, sd, s.velocity[i], gs, lr, mu, wd)
@@ -159,6 +179,7 @@ func (s *SGD) StepInto(dst, src []*tensor.Tensor, batch [][]*tensor.Tensor) {
 			tensor.SGDStep(dd, sd, gs, lr, wd)
 		}
 	}
+	clear(gs) // drop the references to the batch's buffers
 }
 
 // Clone implements Optimizer: the clone shares hyperparameters but starts

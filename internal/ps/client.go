@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"dssp/internal/compress"
 	"dssp/internal/tensor"
@@ -406,9 +407,9 @@ func (c *Client) push(grads []*tensor.Tensor, baseVersion int64, iteration int, 
 	}
 	if c.comp != nil {
 		msg.Codec = c.cfg.Codec
-		// The compressor's own buffers: Send is done with them before the
-		// next Compress overwrites them.
-		msg.Packed = c.comp.Compress(grads)
+		// The push slot's pages or the compressor's own buffers: Send is
+		// done with either before the next push overwrites them.
+		msg.Packed = c.compress(grads)
 		for _, p := range msg.Packed {
 			c.pushedBytes += int64(p.WireSize())
 		}
@@ -424,65 +425,89 @@ func (c *Client) push(grads []*tensor.Tensor, baseVersion int64, iteration int, 
 	return nil
 }
 
+// compress encodes a packed push: into the connection's push slot when it
+// has one laid out for the push and it is free, so that Send copies no
+// payload byte, and into the compressor's own buffers otherwise — the first
+// push among them, whose layout the slot is placed for. The value codecs'
+// payload sizes follow from the shapes; top-k's do not, and a trunk's
+// partials carry entries, so neither asks for a slot.
+func (c *Client) compress(grads []*tensor.Tensor) []compress.Packed {
+	if payloads := c.slot.takePacked(len(grads)); payloads != nil {
+		return c.comp.CompressInto(payloads, grads)
+	}
+	packed := c.comp.Compress(grads)
+	if !c.slot.tried && c.cfg.Codec != compress.TopK && c.trunk == nil {
+		c.slot.place(c.conn, transport.Message{Type: transport.MsgPush, Worker: c.worker, Codec: c.cfg.Codec, Packed: packed})
+	}
+	return packed
+}
+
 // PushSlot returns tensors shaped like grads whose storage is where the
 // values of this worker's next dense push go on the wire, when the
 // connection has such a place and it is free: gradients computed there
 // (nn.Network.AdoptGrads) are pushed by PushAndWait without a copy. nil when
-// there is none — not a same-host lane, a lossy codec, a push too small to
-// leave the socket — or while the receiver still holds the last push sent
-// from it; gradients computed anywhere else are pushed exactly as before.
-// Ask before every pass: the tensors may only be written while the slot is
-// free, and not after Close.
+// there is none — not a same-host lane, a push too small to leave the socket,
+// a codec, whose push is encoded into the slot instead of computed there
+// (compress) — or while the receiver still holds the last push sent from it;
+// gradients computed anywhere else are pushed exactly as before. Ask before
+// every pass: the tensors may only be written while the slot is free, and not
+// after Close.
 func (c *Client) PushSlot(grads []*tensor.Tensor) []*tensor.Tensor {
 	if c.comp != nil {
 		return nil
 	}
 	if !c.slot.tried {
-		tmpl := transport.Message{Type: transport.MsgPush, Worker: c.worker}
+		tmpl := transport.Message{Type: transport.MsgPush, Worker: c.worker, Tensors: transport.ToWireOwned(grads)}
 		if c.trunk != nil {
 			// Room for a full fanout's entries, which follow the tensors and
 			// so move no slab.
 			tmpl.PushEntries = make([]transport.PushEntry, c.trunk[0].ShardHi)
 		}
-		c.slot.place(c.conn, tmpl, grads)
+		if c.slot.place(c.conn, tmpl) {
+			c.slot.views = make([]*tensor.Tensor, len(grads))
+			for i, p := range c.slot.slabs {
+				f := unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(p))), len(p)/4)
+				c.slot.views[i] = tensor.FromSliceOwned(f, grads[i].Shape()...)
+			}
+		}
 	}
 	return c.slot.take(grads)
 }
 
-// pushSlot is a connection's resident push slot as a dense pusher holds it
-// (transport.BodyPlacer): tensors over the slot's views.
+// pushSlot is a connection's resident push slot as a pusher holds it
+// (transport.BodyPlacer): the slot's memory per slab — a dense push's tensor
+// values, or a packed push's payloads — and, for a dense pusher, tensors over
+// it.
 type pushSlot struct {
 	placer  transport.BodyPlacer
+	slabs   [][]byte
 	views   []*tensor.Tensor
 	release func()
 	// tried: placed, refused or ended — placement is asked for once.
 	tried bool
 }
 
-// place asks conn for a slot laid out for pushes with tmpl's fields and
-// grads' shapes. The encoder omits zero fields, so the slot is placed for a
-// nonzero Iteration and Version: a push at either 0 lays its body out
+// place asks conn for a slot laid out for pushes like tmpl, and reports
+// whether it got one. The encoder omits zero fields, so the slot is placed
+// for a nonzero Iteration and Version: a push at either 0 lays its body out
 // differently and takes the copy path.
-func (s *pushSlot) place(conn transport.Conn, tmpl transport.Message, grads []*tensor.Tensor) {
+func (s *pushSlot) place(conn transport.Conn, tmpl transport.Message) bool {
 	s.tried = true
 	placer, ok := conn.(transport.BodyPlacer)
 	if !ok {
-		return
+		return false
 	}
-	tmpl.Iteration, tmpl.Version, tmpl.Tensors = 1, 1, transport.ToWireOwned(grads)
-	views, release, ok := placer.PlaceBody(tmpl)
+	tmpl.Iteration, tmpl.Version = 1, 1
+	slabs, release, ok := placer.PlaceBody(tmpl)
 	if !ok {
-		return
+		return false
 	}
-	s.placer, s.release = placer, release
-	s.views = make([]*tensor.Tensor, len(views))
-	for i, v := range views {
-		s.views[i] = tensor.FromSliceOwned(v, grads[i].Shape()...)
-	}
+	s.placer, s.slabs, s.release = placer, slabs, release
+	return true
 }
 
-// take returns the slot's tensors if a push of grads' shapes can be sent
-// from it now, and nil otherwise.
+// take returns the slot's tensors if a dense push of grads' shapes can be
+// sent from it now, and nil otherwise.
 func (s *pushSlot) take(grads []*tensor.Tensor) []*tensor.Tensor {
 	if s.views == nil || !sameLayout(s.views, grads) || !s.placer.SlotFree() {
 		return nil
@@ -490,7 +515,16 @@ func (s *pushSlot) take(grads []*tensor.Tensor) []*tensor.Tensor {
 	return s.views
 }
 
-// end unmaps the slot for good: its tensors must not be touched afterwards.
+// takePacked returns the slot's slabs, the payloads of a packed push of n
+// tensors, if one can be encoded into them now, and nil otherwise.
+func (s *pushSlot) takePacked(n int) [][]byte {
+	if s.slabs == nil || s.views != nil || len(s.slabs) != n || !s.placer.SlotFree() {
+		return nil
+	}
+	return s.slabs
+}
+
+// end unmaps the slot for good: its memory must not be touched afterwards.
 func (s *pushSlot) end() {
 	if s.release != nil {
 		s.release()

@@ -11,6 +11,7 @@ import (
 
 	"dssp/internal/compress"
 	"dssp/internal/core"
+	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
@@ -29,6 +30,12 @@ import (
 // but through compress -> frame -> decode -> apply on the push path and pack
 // -> frame -> in-place decode on the pull path, error-feedback residuals
 // carried across all of it.
+//
+// On the lane every push after the first is encoded in the connection's push
+// slot under a value codec, and every pull of the large shard is a reference
+// into the server's generation region — dense weights or, under the pull
+// codec, their packed form — which the lane arm asserts, so that a silent
+// fallback to copies cannot pass the pin.
 //
 // The gradient is an elementwise function of the pulled weights and a seeded
 // noise stream rather than a backward pass: internal/tensor's assembly matmul
@@ -76,7 +83,8 @@ func testCodecKernelsEndToEndPin(t *testing.T, cfg compress.Config, carrier, wan
 		t.Fatal(err)
 	}
 	defer srv.Stop()
-	_, dial := endpoint(t, carrier != "channel", func(l transport.Listener) { _ = srv.Serve(l) })
+	reg := obs.NewRegistry()
+	_, dial := meteredEndpoint(t, carrier != "channel", transport.NewMetrics(reg), func(l transport.Listener) { _ = srv.Serve(l) })
 
 	clients := make([]*Client, workers)
 	grads := make([][]*tensor.Tensor, workers)
@@ -116,6 +124,16 @@ func testCodecKernelsEndToEndPin(t *testing.T, cfg compress.Config, carrier, wan
 			if err := c.PushAndWait(grads[w], version, it); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+
+	if carrier == "lane" {
+		counts := reg.Snapshot()
+		if cfg.Enabled() && counts["dssp_transport_lane_in_place_total"] == 0 {
+			t.Errorf("no %s push was encoded in the push slot", cfg.Codec)
+		}
+		if counts["dssp_transport_lane_refs_total"] == 0 {
+			t.Errorf("no pull reply was a reference into the server's region")
 		}
 	}
 

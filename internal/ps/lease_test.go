@@ -739,7 +739,7 @@ func TestMeteringIdenticalOnEveryCarrier(t *testing.T) {
 	types := []string{"Register", "Registered", "Push", "OK", "Pull", "Weights"}
 	meter := func(carrier string) map[string]float64 {
 		reg := obs.NewRegistry()
-		c, grads := startDense(t, carrier, reg)
+		c, grads := startDense(t, carrier, reg, compress.Config{})
 		for r := 0; r < rounds; r++ {
 			if _, _, err := c.Pull(); err != nil {
 				t.Fatal(err)
@@ -782,10 +782,10 @@ func TestMeteringIdenticalOnEveryCarrier(t *testing.T) {
 // startDense stands up a one-worker server holding the benchmark's wide MLP
 // (1 MB of weights in two store shards) and returns a registered client with
 // matching gradients. carrier is "tcp" (a loopback dial held on TCP), "lane"
-// (one that may upgrade to the same-host lane) or "channel" (in process). A
-// non-nil reg receives the server's metrics and its listener's transport
-// meter.
-func startDense(tb testing.TB, carrier string, reg *obs.Registry) (*Client, []*tensor.Tensor) {
+// (one that may upgrade to the same-host lane) or "channel" (in process), and
+// cfg the codec both ends speak (the zero value: none). A non-nil reg
+// receives the server's metrics and its listener's transport meter.
+func startDense(tb testing.TB, carrier string, reg *obs.Registry, cfg compress.Config) (*Client, []*tensor.Tensor) {
 	tb.Helper()
 	defer transport.SetLaneEnabled(carrier == "lane")()
 	var meter *transport.Metrics
@@ -797,7 +797,8 @@ func startDense(tb testing.TB, carrier string, reg *obs.Registry) (*Client, []*t
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st, Metrics: reg})
+	srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st, Metrics: reg,
+		Options: Options{Compression: cfg}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -821,7 +822,10 @@ func startDense(tb testing.TB, carrier string, reg *obs.Registry) (*Client, []*t
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := NewClient(conn, 0)
+	c, err := NewClientCompressed(conn, 0, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	tb.Cleanup(func() { c.Close() })
 	if err := c.Register(); err != nil {
 		tb.Fatal(err)
@@ -849,7 +853,7 @@ func TestDensePushPullRoundTripAllocatesNoPayload(t *testing.T) {
 }
 
 func testDensePushPullRoundTripAllocatesNoPayload(t *testing.T, carrier string) {
-	c, grads := startDense(t, carrier, nil)
+	c, grads := startDense(t, carrier, nil, compress.Config{})
 	round := func(i int) {
 		if err := c.PushAndWait(grads, int64(i), i); err != nil {
 			t.Fatal(err)
@@ -989,8 +993,21 @@ func BenchmarkTCPDensePushPull1MB(b *testing.B) { benchDensePushPull1MB(b, "tcp"
 // arena, headers on the unix socket.
 func BenchmarkLaneDensePushPull1MB(b *testing.B) { benchDensePushPull1MB(b, "lane") }
 
+// BenchmarkLaneFP16PushPull1MB is the same round trip under fp16 on push and
+// pull, flat-comm-fp16's codec: each push encoded in the lane's push slot and
+// stepped from its payload by the store, each pull of the large shard a
+// reference to its packed generation in the server's region. MB/s counts the
+// dense payload both ways, as the dense benchmark's does.
+func BenchmarkLaneFP16PushPull1MB(b *testing.B) {
+	benchPushPull1MB(b, "lane", compress.Config{Codec: compress.FP16, Pull: true})
+}
+
 func benchDensePushPull1MB(b *testing.B, carrier string) {
-	c, grads := startDense(b, carrier, nil)
+	benchPushPull1MB(b, carrier, compress.Config{})
+}
+
+func benchPushPull1MB(b *testing.B, carrier string, cfg compress.Config) {
+	c, grads := startDense(b, carrier, nil, cfg)
 	var payload int64
 	for _, g := range grads {
 		payload += int64(4 * g.Size())

@@ -3,6 +3,7 @@ package ps
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dssp/internal/compress"
 	"dssp/internal/tensor"
@@ -35,15 +36,6 @@ import (
 type paramGen struct {
 	params []*tensor.Tensor
 	genPin
-	// reclaim and free are set on a generation whose buffers lie in the
-	// server's shared generation region (transport.RegionHost), where a
-	// same-host pull reply references them instead of copying them: genPin
-	// counts a reply only until its Send returns, and reclaim reports whether
-	// every reference sent has been released since (by its receiver, or by
-	// the receiver's process exiting). free gives the extent back. A heap
-	// generation has neither.
-	reclaim func() bool
-	free    func()
 }
 
 // genPin is the reader bookkeeping of one recyclable generation of buffers —
@@ -52,6 +44,15 @@ type paramGen struct {
 // retired and quiescent.
 type genPin struct {
 	refs atomic.Int64
+	// reclaim and free are set on a generation whose buffers lie in the
+	// server's shared generation region (transport.RegionHost), where a
+	// same-host pull reply references them instead of copying them: refs
+	// counts a reply only until its Send returns, and reclaim reports whether
+	// every reference sent has been released since (by its receiver, or by
+	// the receiver's process exiting). free gives the extent back. A heap
+	// generation has neither.
+	reclaim func() bool
+	free    func()
 }
 
 // release drops one reader's reference. It must be called exactly once
@@ -64,25 +65,21 @@ func (p *genPin) release() {
 }
 
 // quiescent reports that no reader holds the generation or ever will, given
-// that it is retired (no longer handed out).
-func (p *genPin) quiescent() bool { return p.refs.Load() == 0 }
-
-// quiescent reports that no reader holds the generation or ever will, given
-// that it is retired: no reader in this process, and no reference out to
-// another. A region generation found quiescent is the caller's to rewrite at
-// once (transport.RegionHost's reclaim).
-func (g *paramGen) quiescent() bool {
-	return g.genPin.quiescent() && (g.reclaim == nil || g.reclaim())
+// that it is retired (no longer handed out): no reader in this process, and
+// no reference out to another. A region generation found quiescent is the
+// caller's to rewrite at once (transport.RegionHost's reclaim).
+func (p *genPin) quiescent() bool {
+	return p.refs.Load() == 0 && (p.reclaim == nil || p.reclaim())
 }
 
-// freed frees the region extent of a generation the retire pool evicted, once
-// no reader in this process holds it, and reports whether it did; the extent
+// freed frees the region extent of a generation its owner let go of, once no
+// reader in this process holds it, and reports whether it did; the extent
 // itself goes back when the last reference into it is released too.
-func (g *paramGen) freed() bool {
-	if !g.genPin.quiescent() {
+func (p *genPin) freed() bool {
+	if p.refs.Load() != 0 {
 		return false
 	}
-	g.free()
+	p.free()
 	return true
 }
 
@@ -96,11 +93,13 @@ func (g *paramGen) release() {
 
 // packedGen is one generation of a shard's compressed-pull cache: the packed
 // form of shard version `version`, in payload buffers that the next fill
-// rewrites once every pull reply carrying them has been sent. The
-// reuse argument is paramGen's with packedMu in the place of sh.mu: a pin is
-// only taken while the generation is the shard's current one, under
-// packedMu; the fill that supersedes it retires it under the same lock; so a
-// retired generation that is quiescent has no reader left.
+// rewrites once every pull reply carrying them has been sent — and, where the
+// payloads lie in the server's generation region as a paramGen's tensors do,
+// once every reference to them has been released. The reuse argument is
+// paramGen's with packedMu in the place of sh.mu: a pin is only taken while
+// the generation is the shard's current one, under packedMu; the fill that
+// supersedes it retires it under the same lock; so a retired generation that
+// is quiescent has no reader left.
 type packedGen struct {
 	packed  []compress.Packed
 	version int64
@@ -215,12 +214,39 @@ func (sh *shard) regionGen(alloc *regionAlloc) *paramGen {
 	if mem == nil {
 		return nil
 	}
-	g := &paramGen{params: make([]*tensor.Tensor, len(sh.gen.params)), reclaim: reclaim, free: sync.OnceFunc(free)}
+	g := &paramGen{params: make([]*tensor.Tensor, len(sh.gen.params))}
+	g.reclaim, g.free = reclaim, sync.OnceFunc(free)
 	for i, p := range sh.gen.params {
 		g.params[i] = tensor.FromSliceOwned(mem[:p.Size():p.Size()], p.Shape()...)
 		mem = mem[p.Size():]
 	}
 	return g
+}
+
+// regionPacked moves the payloads of g, a packed generation just filled on
+// the heap, into one extent of the region alloc carves, so that a same-host
+// pull reply references them; g stays on the heap when there is no region or
+// it has no room. Later fills recycle the extent in place.
+func regionPacked(g *packedGen, alloc *regionAlloc) {
+	if alloc == nil {
+		return
+	}
+	n := 0
+	for _, p := range g.packed {
+		n += len(p.Payload)
+	}
+	mem, reclaim, free := (*alloc)((n + 3) / 4)
+	if mem == nil {
+		return
+	}
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(mem))), 4*len(mem))
+	for i, p := range g.packed {
+		size := len(p.Payload)
+		g.packed[i].Payload = buf[:size:size]
+		copy(buf, p.Payload)
+		buf = buf[size:]
+	}
+	g.reclaim, g.free = reclaim, sync.OnceFunc(free)
 }
 
 // acquireShard returns shard i's currently published parameter tensors

@@ -13,6 +13,7 @@ import (
 	"time"
 	"unsafe"
 
+	"dssp/internal/compress"
 	"dssp/internal/core"
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
@@ -567,5 +568,109 @@ func TestRelaySentReferenceOutlivesSupersededPullCache(t *testing.T) {
 		if v != 2.5 {
 			t.Fatalf("value %d of the reference child 0 holds reads %v, want 2.5: the root recycled a generation a child of the relay still reads", i, v)
 		}
+	}
+}
+
+// TestServerStopEvictsPackedGenerations: the packed generations of a pull
+// codec live in the region too, and a server stopped while a worker still
+// holds an fp16 pull reply — a reference into one of them — lets go of every
+// one, as of every parameter generation (Store.unshareRegion): the store,
+// which outlives the server, keeps none of the region's extents, the one the
+// worker reads stays live until it lets go, and then none is.
+func TestServerStopEvictsPackedGenerations(t *testing.T) {
+	cfg := compress.Config{Codec: compress.FP16, Pull: true}
+	model := laneModel()
+	st, srv, dial, lr := regionServer(t, model, 1, 0, Options{Compression: cfg})
+	conn, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClientCompressed(conn, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Register(); err != nil {
+		t.Fatal(err)
+	}
+	grads := make([]*tensor.Tensor, len(model))
+	for i, p := range model {
+		grads[i] = tensor.Full(1, p.Shape()...)
+	}
+	for it := 1; it <= retiredGens+2; it++ {
+		_, version, err := c.Pull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PushAndWait(grads, version, it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Pull by hand and keep the replies undecoded.
+	if err := conn.Send(transport.Message{Type: transport.MsgPull}); err != nil {
+		t.Fatal(err)
+	}
+	var held []transport.Message
+	for range st.Shards() {
+		msg, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, msg)
+	}
+	references := 0
+	for _, msg := range held {
+		for _, p := range msg.Packed {
+			f := unsafe.Slice((*float32)(unsafe.Pointer(&p.Payload[0])), 1)
+			if !writable(tensor.FromSliceOwned(f, 1)) {
+				references++
+			}
+		}
+	}
+	if references == 0 {
+		t.Fatal("no fp16 pull reply is a reference into the region")
+	}
+	// The replies' pins end once the writer's Sends have returned.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		pinned := false
+		for _, sh := range st.shards {
+			sh.packedMu.Lock()
+			pinned = pinned || sh.packed != nil && sh.packed.refs.Load() != 0
+			sh.packedMu.Unlock()
+		}
+		if !pinned {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the pull replies' pins did not end")
+		}
+	}
+
+	srv.Stop()
+	for i, sh := range st.shards {
+		sh.packedMu.Lock()
+		kept := sh.packed != nil && sh.packed.free != nil
+		for _, g := range sh.packedRetired {
+			kept = kept || g.free != nil
+		}
+		sh.packedMu.Unlock()
+		if kept {
+			t.Fatalf("shard %d keeps a packed generation in the region of a stopped server", i)
+		}
+	}
+	if lr.inUse() == 0 {
+		t.Fatal("the extent a held reference reads was given back")
+	}
+	for _, msg := range held {
+		msg.Release()
+	}
+	if n := lr.inUse(); n != 0 {
+		t.Fatalf("%d extents live after the server stopped and the worker let go", n)
+	}
+	// The store packs on the heap from now on.
+	if _, pin, _, _ := st.acquirePacked(0, func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed {
+		return compress.PackInto(dst, params, cfg)
+	}); pin.free != nil {
+		t.Fatal("a packed generation went to the region of a stopped server")
 	}
 }

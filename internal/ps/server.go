@@ -832,10 +832,11 @@ func (s *Server) deliver(t releaseTarget, msg transport.Message) bool {
 // a void entry's values are already in the sum, so it keeps its ticket (the
 // at-least-once DESIGN.md §11 documents).
 //
-// A dense push over TCP is applied straight out of the receive buffer msg
-// leases, so the lease travels with the tickets: the sequencer ends it when
-// the gate has passed. A push that never reaches the store — rejected,
-// dropped, failed, or void — releases it on the spot.
+// A dense push, and an fp16 one where the store steps from half sources, is
+// applied straight out of the receive buffer msg leases, so the lease travels
+// with the tickets: the sequencer ends it when the gate has passed. A push
+// that never reaches the store — rejected, dropped, failed, or void —
+// releases it on the spot.
 func (s *Server) handlePush(sess *session, msg transport.Message) {
 	reject := func(reason string) {
 		msg.Release()
@@ -872,14 +873,21 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 
 	decodeStart := time.Now()
 	var grads []*tensor.Tensor
+	var half []compress.Packed
 	var decodeErr error
-	if s.coordinator() && len(msg.Tensors) == 0 && len(msg.Packed) == 0 {
+	switch {
+	case s.coordinator() && len(msg.Tensors) == 0 && len(msg.Packed) == 0:
 		// Metadata-only cluster push: the bytes went to the data servers; the
 		// coordinator applies a shared zero gradient so the ticket/version
 		// machinery — and everything staleness is defined against — runs
 		// exactly as on a classic server.
 		grads = s.zeroGrad
-	} else {
+	case s.guard == nil && msg.Codec == compress.FP16 && s.compression.Codec == compress.FP16 && s.cfg.Store.stepsHalf():
+		// An fp16 push is stepped from its payload as it arrived, like a
+		// dense push from its tensors: nothing is decoded, and the lease
+		// travels with the tickets. The guard screens decoded gradients.
+		half = msg.Packed
+	default:
 		grads, _, decodeErr = decodePayload(msg, s.compression, scratch)
 	}
 	s.sm.phaseDecode.Observe(time.Since(decodeStart).Seconds())
@@ -963,7 +971,11 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 	var ticket, tickets int64
 	if accepted > 0 {
 		tickets = int64(accepted + void)
-		if pushErr = decodeErr; pushErr == nil {
+		switch pushErr = decodeErr; {
+		case pushErr != nil:
+		case half != nil:
+			ticket, pushErr = s.cfg.Store.enqueueHalf(half, tickets)
+		default:
 			ticket, pushErr = s.cfg.Store.EnqueueApplyWeighted(grads, tickets)
 		}
 		if pushErr != nil {

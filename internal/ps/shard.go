@@ -64,34 +64,40 @@ type shard struct {
 	// the drained-out queue slices from the previous batch, recycled so the
 	// steady state allocates no queue storage.
 	pendingMu     sync.Mutex
-	pending       [][]*tensor.Tensor
+	pending       [][]tensor.Grad
 	weights       []int64
 	pendingWeight int64
-	spare         [][]*tensor.Tensor
+	spare         [][]tensor.Grad
 	spareWeights  []int64
 	wake          chan struct{}
 
 	// sumBuf is the applier's coalescing scratch: the summed gradient slices
-	// of one batch, reused across batches. Only the applier touches it.
+	// of one batch, reused across batches; views holds, per batch entry, the
+	// tensor headers the paths that read gradients as tensors see its
+	// sources through. Only the applier touches either.
 	sumBuf []*tensor.Tensor
+	views  [][]*tensor.Tensor
 
 	// packed caches the compressed form of the published snapshot for the
 	// compressed pull path; packedRetired holds the superseded forms whose
 	// buffers the next fill recycles once their readers are done (bounded by
-	// retiredGens, like retired). Guarded by packedMu, separate from mu so a
-	// cache fill never blocks gradient application or uncompressed readers.
+	// retiredGens, like retired), and packedEvicted the region ones let go of
+	// while a reader here still held them, as evicted does. Guarded by
+	// packedMu, separate from mu so a cache fill never blocks gradient
+	// application or uncompressed readers.
 	packedMu      sync.Mutex
 	packed        *packedGen
 	packedRetired retirePool[*packedGen]
+	packedEvicted []*packedGen
 }
 
-// enqueue appends one push's gradient slice to the shard's apply queue with
+// enqueue appends one push's gradient sources to the shard's apply queue with
 // the given ticket weight (1 for an ordinary push, k for a relay partial
 // standing in for k logical pushes) and wakes the applier. The tensors must
 // stay unmodified until the push's last ticket is applied
 // (Store.WaitApplied); the server's release gating guarantees that for every
 // wire path.
-func (sh *shard) enqueue(grads []*tensor.Tensor, weight int64) {
+func (sh *shard) enqueue(grads []tensor.Grad, weight int64) {
 	sh.pendingMu.Lock()
 	sh.pending = append(sh.pending, grads)
 	sh.weights = append(sh.weights, weight)
@@ -107,7 +113,7 @@ func (sh *shard) enqueue(grads []*tensor.Tensor, weight int64) {
 // batch (nil when the queue is empty). The swapped-in slices are the previous
 // batch's storage, so two batches' worth of queue capacity is reused
 // indefinitely.
-func (sh *shard) takePending() ([][]*tensor.Tensor, []int64) {
+func (sh *shard) takePending() ([][]tensor.Grad, []int64) {
 	return sh.takeBatch(1, 0)
 }
 
@@ -118,7 +124,7 @@ func (sh *shard) takePending() ([][]*tensor.Tensor, []int64) {
 // this shard has applied — and nil otherwise, leaving the queue to keep
 // filling. window 1 reproduces the classic drain-whatever-is-there behaviour
 // exactly.
-func (sh *shard) takeBatch(window, demand int64) ([][]*tensor.Tensor, []int64) {
+func (sh *shard) takeBatch(window, demand int64) ([][]tensor.Grad, []int64) {
 	sh.pendingMu.Lock()
 	n := sh.pendingWeight
 	if n == 0 || (n < window && demand <= sh.applied.Load()) {
@@ -148,12 +154,14 @@ func (sh *shard) takeBatch(window, demand int64) ([][]*tensor.Tensor, []int64) {
 // When the shard's optimizer supports the fused step and no robust
 // aggregator is configured, the whole batch — gradient sum, weight decay,
 // momentum, parameter write — is applied in one pass straight from the
-// queued gradients into the destination buffers, with results bit-identical
-// to the legacy sum+clone+Step sequence (optimizer.FusedStepper's contract).
+// queued gradients into the destination buffers, an fp16 push's straight
+// from its payload, with results bit-identical to the legacy sum+clone+Step
+// sequence (optimizer.FusedStepper's contract). Only this path sees half
+// sources (Store.stepsHalf); the others read float32 ones as tensors.
 //
 // m and tr are the server-installed instrumentation (Store.instrument);
 // both may be nil, in which case the method takes no timestamps at all.
-func (sh *shard) applyBatch(batch [][]*tensor.Tensor, weights []int64, m *storeMetrics, tr *obs.PushTracer) {
+func (sh *shard) applyBatch(batch [][]tensor.Grad, weights []int64, m *storeMetrics, tr *obs.PushTracer) {
 	var start time.Time
 	if m != nil {
 		start = time.Now()
@@ -171,13 +179,13 @@ func (sh *shard) applyBatch(batch [][]*tensor.Tensor, weights []int64, m *storeM
 	var grads []*tensor.Tensor
 	switch {
 	case sh.agg != nil:
-		grads = sh.agg.combine(batch)
+		grads = sh.agg.combine(sh.tensors(batch))
 	case fused != nil:
 		// The fused step consumes the raw batch; no separate sum pass.
 	case len(batch) > 1:
-		grads = sh.sum(batch)
+		grads = sh.sum(sh.tensors(batch))
 	default:
-		grads = batch[0]
+		grads = sh.tensors(batch)[0]
 	}
 	sh.mu.Lock()
 	var cloneStart time.Time
@@ -191,9 +199,9 @@ func (sh *shard) applyBatch(batch [][]*tensor.Tensor, weights []int64, m *storeM
 	}
 	switch {
 	case fused != nil && grads == nil:
-		fused.StepInto(next.params, cur.params, batch)
+		fused.StepFrom(next.params, cur.params, batch)
 	case fused != nil:
-		fused.StepInto(next.params, cur.params, [][]*tensor.Tensor{grads})
+		fused.StepFrom(next.params, cur.params, [][]tensor.Grad{float32Grads(grads)})
 	default:
 		for i, p := range cur.params {
 			copy(next.params[i].Data(), p.Data())
@@ -215,6 +223,33 @@ func (sh *shard) applyBatch(batch [][]*tensor.Tensor, weights []int64, m *storeM
 	if tr != nil {
 		tr.Applied(to-total, to, int(total), time.Now())
 	}
+}
+
+// tensors views a batch of float32 sources as gradient tensors shaped like
+// the shard's parameters, through headers reused across batches.
+func (sh *shard) tensors(batch [][]tensor.Grad) [][]*tensor.Tensor {
+	for len(sh.views) < len(batch) {
+		views := make([]*tensor.Tensor, len(sh.gen.params))
+		for i, p := range sh.gen.params {
+			views[i] = tensor.New(p.Shape()...)
+		}
+		sh.views = append(sh.views, views)
+	}
+	for b, grads := range batch {
+		for i, g := range grads {
+			sh.views[b][i].Rebind(g.F32)
+		}
+	}
+	return sh.views[:len(batch)]
+}
+
+// float32Grads returns ts as float32 gradient sources.
+func float32Grads(ts []*tensor.Tensor) []tensor.Grad {
+	grads := make([]tensor.Grad, len(ts))
+	for i, t := range ts {
+		grads[i].F32 = t.Data()
+	}
+	return grads
 }
 
 // supersede retires cur, just replaced as the published generation, into the

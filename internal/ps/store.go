@@ -280,9 +280,6 @@ func (s *Store) EnqueueApply(grads []*tensor.Tensor) (int64, error) {
 // children had pushed individually, which is what keeps the ×k clock
 // advancement indistinguishable from flat pushes for staleness accounting.
 func (s *Store) EnqueueApplyWeighted(grads []*tensor.Tensor, weight int64) (int64, error) {
-	if weight < 1 {
-		return 0, fmt.Errorf("ps: push weight must be at least 1, got %d", weight)
-	}
 	if len(grads) != len(s.shapes) {
 		return 0, fmt.Errorf("ps: push carries %d tensors, store has %d", len(grads), len(s.shapes))
 	}
@@ -291,6 +288,54 @@ func (s *Store) EnqueueApplyWeighted(grads []*tensor.Tensor, weight int64) (int6
 			return 0, fmt.Errorf("ps: gradient %d shape %v does not match parameter shape %v",
 				i, g.Shape(), s.shapes[i])
 		}
+	}
+	return s.enqueue(float32Grads(grads), weight)
+}
+
+// enqueueHalf is EnqueueApplyWeighted for an fp16 push's payloads, which the
+// appliers step from as they are — Store.stepsHalf must hold — so that they
+// must stay unmodified until the last ticket is applied, like a dense push's
+// tensors.
+func (s *Store) enqueueHalf(ps []compress.Packed, weight int64) (int64, error) {
+	if len(ps) != len(s.shapes) {
+		return 0, fmt.Errorf("ps: push carries %d tensors, store has %d", len(ps), len(s.shapes))
+	}
+	grads := make([]tensor.Grad, len(ps))
+	for i, p := range ps {
+		if !sameShape(p.Shape, s.shapes[i]) {
+			return 0, fmt.Errorf("ps: gradient %d shape %v does not match parameter shape %v",
+				i, p.Shape, s.shapes[i])
+		}
+		n := 1
+		for _, d := range p.Shape {
+			n *= d
+		}
+		if p.Scheme != compress.SchemeF16 || len(p.Payload) != 2*n {
+			return 0, fmt.Errorf("ps: gradient %d is not %d half-precision values (scheme %d, %d bytes)",
+				i, n, p.Scheme, len(p.Payload))
+		}
+		grads[i].Half = p.Payload
+	}
+	return s.enqueue(grads, weight)
+}
+
+// stepsHalf reports whether the appliers step an fp16 push straight from its
+// payload (enqueueHalf): every shard's optimizer has a fused step and no
+// robust aggregator reads the batch as tensors.
+func (s *Store) stepsHalf() bool {
+	for _, sh := range s.shards {
+		if _, fused := sh.opt.(optimizer.FusedStepper); !fused || sh.agg != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// enqueue reserves weight tickets for grads, validated, and hands each
+// shard its slice of them.
+func (s *Store) enqueue(grads []tensor.Grad, weight int64) (int64, error) {
+	if weight < 1 {
+		return 0, fmt.Errorf("ps: push weight must be at least 1, got %d", weight)
 	}
 	s.applyMu.RLock()
 	for !s.running {
@@ -537,7 +582,10 @@ func (s *Store) acquirePacked(i int, pack func(dst []compress.Packed, params []*
 
 // acquirePacked serves the shard's packed cache, filling it first when a newer
 // snapshot than the cached one is published, and returns the packed form
-// with the generation served pinned.
+// with the generation served pinned. Where the server shares a generation
+// region, packed generations are allocated there as parameter generations
+// are (takeGen): a heap one makes way, and a same-host pull of the cache is a
+// reference.
 func (sh *shard) acquirePacked(pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin) {
 	// The compressed form never aliases the parameter buffers, so the
 	// generation is held only for the fill.
@@ -546,13 +594,21 @@ func (sh *shard) acquirePacked(pack func(dst []compress.Packed, params []*tensor
 	sh.packedMu.Lock()
 	defer sh.packedMu.Unlock()
 	if sh.packed == nil || sh.packed.version < local {
+		alloc := sh.region.Load()
 		next, ok := sh.packedRetired.take()
+		for ok && alloc != nil && next.free == nil {
+			next, ok = sh.packedRetired.take()
+		}
 		if !ok {
 			next = &packedGen{}
 		}
 		next.packed, next.version = pack(next.packed, g.params), local
+		if !ok {
+			regionPacked(next, alloc)
+		}
 		if sh.packed != nil {
-			sh.packedRetired.retire(sh.packed)
+			old, _ := sh.packedRetired.retire(sh.packed)
+			sh.evictPacked(old)
 		}
 		sh.packed = next
 	}
@@ -562,6 +618,17 @@ func (sh *shard) acquirePacked(pack func(dst []compress.Packed, params []*tensor
 	pg := sh.packed
 	pg.refs.Add(1)
 	return pg.packed, &pg.genPin
+}
+
+// evictPacked lets go of gens, packed generations the cache will not serve
+// again, as evict does parameter generations. Caller holds sh.packedMu.
+func (sh *shard) evictPacked(gens ...*packedGen) {
+	for _, g := range gens {
+		if g != nil && g.free != nil {
+			sh.packedEvicted = append(sh.packedEvicted, g)
+		}
+	}
+	sh.packedEvicted = slices.DeleteFunc(sh.packedEvicted, (*packedGen).freed)
 }
 
 // regionAlloc carves a generation out of a server's shared generation region
@@ -591,8 +658,9 @@ func (s *Store) shareRegion(alloc regionAlloc) {
 
 // unshareRegion moves the store back to the heap once the server that shared
 // a region with it has stopped: the current generation is copied out and
-// every region generation evicted (shard.evict), so that the store, which
-// outlives the server, keeps none of the region's extents.
+// every region generation evicted (shard.evict), packed ones included
+// (shard.evictPacked; the next fill packs on the heap), so that the store,
+// which outlives the server, keeps none of the region's extents.
 func (s *Store) unshareRegion() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -607,6 +675,14 @@ func (s *Store) unshareRegion() {
 		sh.evict(sh.retired...)
 		sh.retired = slices.DeleteFunc(sh.retired, func(g *paramGen) bool { return g.free != nil })
 		sh.mu.Unlock()
+		sh.packedMu.Lock()
+		if cur := sh.packed; cur != nil && cur.free != nil {
+			sh.packed = nil
+			sh.evictPacked(cur)
+		}
+		sh.evictPacked(sh.packedRetired...)
+		sh.packedRetired = slices.DeleteFunc(sh.packedRetired, func(g *packedGen) bool { return g.free != nil })
+		sh.packedMu.Unlock()
 	}
 }
 

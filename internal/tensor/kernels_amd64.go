@@ -64,10 +64,16 @@ func normalizePlaneAVX2(out, xhat, x []float32, mean, invStd, gamma, beta float6
 func planeGradAVX2(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64)
 
 //go:noescape
-func sgdStepAVX2(dst, src []float32, gs [][]float32, lr, wd float32)
+func sgdStepAVX2(dst, src []float32, gs []Grad, lr, wd float32)
 
 //go:noescape
-func sgdMomentumStepAVX2(dst, src, v []float32, gs [][]float32, lr, mu, wd float32)
+func sgdMomentumStepAVX2(dst, src, v []float32, gs []Grad, lr, mu, wd float32)
+
+//go:noescape
+func sgdStepHalfAVX2(dst, src []float32, gs []Grad, lr, wd float32)
+
+//go:noescape
+func sgdMomentumStepHalfAVX2(dst, src, v []float32, gs []Grad, lr, mu, wd float32)
 
 // The bound forms of the slice kernels: the assembly on the whole windows of
 // eight, the Go loop on the up to seven values after them. The callers have
@@ -140,19 +146,29 @@ func planeGradAsm(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64) {
 // The SGD steps take any batch size in one pass — the assembly walks the
 // batch per window, so the strip buffer of the Go loops has no counterpart —
 // and the values after the last whole window in the same order, one at a time.
+// A batch holding a half source takes the Half form, so the float32 one
+// tests no source's kind.
 
-func sgdStepAsm(dst, src []float32, gs [][]float32, lr, wd float32) {
+func sgdStepAsm(dst, src []float32, gs []Grad, lr, wd float32) {
 	n := len(dst) &^ 7
-	sgdStepAVX2(dst[:n], src, gs, lr, wd)
+	if f32Batch(gs) > 0 {
+		sgdStepAVX2(dst[:n], src, gs, lr, wd)
+	} else {
+		sgdStepHalfAVX2(dst[:n], src, gs, lr, wd)
+	}
 	for j := n; j < len(dst); j++ {
 		g := sgdGradSum(gs, j) + wd*src[j]
 		dst[j] = src[j] - lr*g
 	}
 }
 
-func sgdMomentumStepAsm(dst, src, v []float32, gs [][]float32, lr, mu, wd float32) {
+func sgdMomentumStepAsm(dst, src, v []float32, gs []Grad, lr, mu, wd float32) {
 	n := len(dst) &^ 7
-	sgdMomentumStepAVX2(dst[:n], src, v, gs, lr, mu, wd)
+	if f32Batch(gs) > 0 {
+		sgdMomentumStepAVX2(dst[:n], src, v, gs, lr, mu, wd)
+	} else {
+		sgdMomentumStepHalfAVX2(dst[:n], src, v, gs, lr, mu, wd)
+	}
 	for j := n; j < len(dst); j++ {
 		g := sgdGradSum(gs, j) + wd*src[j]
 		vj := mu*v[j] + g
@@ -162,10 +178,10 @@ func sgdMomentumStepAsm(dst, src, v []float32, gs [][]float32, lr, mu, wd float3
 }
 
 // sgdGradSum returns the batch's gradient sum at element j, in source order.
-func sgdGradSum(gs [][]float32, j int) float32 {
-	sum := gs[0][j]
+func sgdGradSum(gs []Grad, j int) float32 {
+	sum := gs[0].at(j)
 	for _, g := range gs[1:] {
-		sum += g[j]
+		sum += g.at(j)
 	}
 	return sum
 }

@@ -229,9 +229,9 @@ func TestSGDStepBitIdenticalToGoLoops(t *testing.T) {
 						if n > 0 && fillName == "specials" {
 							src[n/2] = float32(math.Inf(1 - 2*(off%2)))
 						}
-						gs := make([][]float32, batch)
+						gs := make([]Grad, batch)
 						for b := range gs {
-							gs[b], _ = carve(n, (off+b+1)%8, fill)
+							gs[b].F32, _ = carve(n, (off+b+1)%8, fill)
 						}
 						for _, momentum := range []bool{false, true} {
 							for _, inPlace := range []bool{false, true} {

@@ -372,26 +372,82 @@ grad_done:
 	VZEROUPPER
 	RET
 
-// The SGD step (sgd.go). GRADSUM leaves in Y0 the batch's gradient sum at
-// byte offset AX, added in source order: gs[0] (base in R10), then each later
-// header of the gs array (R8 first, R9 past the last; 24 bytes a header).
-// R11 and R12 are scratch.
+// The SGD step (sgd.go), in two forms whose arithmetic is one and the same:
+// sgdStepAVX2 and sgdMomentumStepAVX2 for a batch of float32 sources, the
+// dense push's, and their Half twins for a batch holding a half-precision one
+// (the Go binding picks). The gs array runs from R8 to R9, 48 bytes a Grad:
+// F32's slice header, then Half's.
+//
+// GRADSUM leaves in Y0 the batch's float32 gradient sum at byte offset AX,
+// added in source order. R11 and R12 are scratch.
 #define GRADSUM(next, done) \
-	VMOVUPS (R10)(AX*1), Y0    \
-	LEAQ    24(R8), R11        \
+	MOVQ    (R8), R12          \
+	VMOVUPS (R12)(AX*1), Y0    \
+	LEAQ    48(R8), R11        \
 next:                          \
 	CMPQ    R11, R9            \
 	JGE     done               \
 	MOVQ    (R11), R12         \
 	VADDPS  (R12)(AX*1), Y0, Y0 \
-	ADDQ    $24, R11           \
+	ADDQ    $48, R11           \
 	JMP     next               \
 done:
 
-// func sgdStepAVX2(dst, src []float32, gs [][]float32, lr, wd float32)
+// LOADGRAD loads into reg the eight values of the Grad at R11: from F32 at
+// byte offset AX, or widened from Half at BX = AX/2 by VCVTPH2PS, which is
+// exact. GRADSUMHALF is GRADSUM over such sources; BX, R11, R12 and Y4 are
+// scratch.
+#define LOADGRAD(reg, half, loaded) \
+	MOVQ      24(R11), R12     \
+	TESTQ     R12, R12         \
+	JNZ       half             \
+	MOVQ      (R11), R12       \
+	VMOVUPS   (R12)(AX*1), reg \
+	JMP       loaded           \
+half:                          \
+	VCVTPH2PS (R12)(BX*1), reg \
+loaded:
+
+#define GRADSUMHALF(half0, loaded0, next, half, loaded, done) \
+	MOVQ   AX, BX                \
+	SHRQ   $1, BX                \
+	MOVQ   R8, R11               \
+	LOADGRAD(Y0, half0, loaded0) \
+next:                            \
+	ADDQ   $48, R11              \
+	CMPQ   R11, R9               \
+	JGE    done                  \
+	LOADGRAD(Y4, half, loaded)   \
+	VADDPS Y4, Y0, Y0            \
+	JMP    next                  \
+done:
+
+// SGD_APPLY stores dst[i] = src[i] − lr·(Y0 + wd·src[i]) at byte offset AX,
+// each operation rounded on its own.
+#define SGD_APPLY \
+	VMOVUPS (SI)(AX*1), Y1 \
+	VMULPS  Y1, Y15, Y2    \
+	VADDPS  Y2, Y0, Y0     \
+	VMULPS  Y0, Y14, Y0    \
+	VSUBPS  Y0, Y1, Y1     \
+	VMOVUPS Y1, (DI)(AX*1)
+
+// SGDM_APPLY is SGD_APPLY with momentum: v[i] = mu·v[i] + (Y0 + wd·src[i]);
+// dst[i] = src[i] − lr·v[i].
+#define SGDM_APPLY \
+	VMOVUPS (SI)(AX*1), Y1    \
+	VMULPS  Y1, Y15, Y2       \
+	VADDPS  Y2, Y0, Y0        \
+	VMULPS  (DX)(AX*1), Y13, Y3 \
+	VADDPS  Y0, Y3, Y3        \
+	VMOVUPS Y3, (DX)(AX*1)    \
+	VMULPS  Y3, Y14, Y0       \
+	VSUBPS  Y0, Y1, Y1        \
+	VMOVUPS Y1, (DI)(AX*1)
+
+// func sgdStepAVX2(dst, src []float32, gs []Grad, lr, wd float32)
 //
-// dst[i] = src[i] − lr·(Σgs[b][i] + wd·src[i]), each operation rounded on its
-// own. Whole windows of eight; dst may be src.
+// Whole windows of eight; dst may be src.
 TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-80
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -400,9 +456,9 @@ TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-80
 	MOVQ gs_len+56(FP), R9
 	VBROADCASTSS lr+72(FP), Y14
 	VBROADCASTSS wd+76(FP), Y15
-	MOVQ (R8), R10
 	LEAQ (R9)(R9*2), R9
-	LEAQ (R8)(R9*8), R9
+	SHLQ $4, R9
+	ADDQ R8, R9
 	ANDQ $-8, CX
 	SHLQ $2, CX
 	XORQ AX, AX
@@ -411,23 +467,45 @@ TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-80
 
 sgd_loop:
 	GRADSUM(sgd_next, sgd_summed)
-	VMOVUPS (SI)(AX*1), Y1
-	VMULPS  Y1, Y15, Y2
-	VADDPS  Y2, Y0, Y0           // g = Σgs + wd·src
-	VMULPS  Y0, Y14, Y0
-	VSUBPS  Y0, Y1, Y1           // src − lr·g
-	VMOVUPS Y1, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     sgd_loop
+	SGD_APPLY
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  sgd_loop
 
 sgd_done:
 	VZEROUPPER
 	RET
 
-// func sgdMomentumStepAVX2(dst, src, v []float32, gs [][]float32, lr, mu, wd float32)
-//
-// v[i] = mu·v[i] + (Σgs[b][i] + wd·src[i]); dst[i] = src[i] − lr·v[i].
+// func sgdStepHalfAVX2(dst, src []float32, gs []Grad, lr, wd float32)
+TEXT ·sgdStepHalfAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ gs_base+48(FP), R8
+	MOVQ gs_len+56(FP), R9
+	VBROADCASTSS lr+72(FP), Y14
+	VBROADCASTSS wd+76(FP), Y15
+	LEAQ (R9)(R9*2), R9
+	SHLQ $4, R9
+	ADDQ R8, R9
+	ANDQ $-8, CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  sgdh_done
+
+sgdh_loop:
+	GRADSUMHALF(sgdh_half0, sgdh_loaded0, sgdh_next, sgdh_half, sgdh_loaded, sgdh_summed)
+	SGD_APPLY
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  sgdh_loop
+
+sgdh_done:
+	VZEROUPPER
+	RET
+
+// func sgdMomentumStepAVX2(dst, src, v []float32, gs []Grad, lr, mu, wd float32)
 TEXT ·sgdMomentumStepAVX2(SB), NOSPLIT, $0-108
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -438,9 +516,9 @@ TEXT ·sgdMomentumStepAVX2(SB), NOSPLIT, $0-108
 	VBROADCASTSS lr+96(FP), Y14
 	VBROADCASTSS mu+100(FP), Y13
 	VBROADCASTSS wd+104(FP), Y15
-	MOVQ (R8), R10
 	LEAQ (R9)(R9*2), R9
-	LEAQ (R8)(R9*8), R9
+	SHLQ $4, R9
+	ADDQ R8, R9
 	ANDQ $-8, CX
 	SHLQ $2, CX
 	XORQ AX, AX
@@ -449,19 +527,42 @@ TEXT ·sgdMomentumStepAVX2(SB), NOSPLIT, $0-108
 
 sgdm_loop:
 	GRADSUM(sgdm_next, sgdm_summed)
-	VMOVUPS (SI)(AX*1), Y1
-	VMULPS  Y1, Y15, Y2
-	VADDPS  Y2, Y0, Y0           // g = Σgs + wd·src
-	VMULPS  (DX)(AX*1), Y13, Y3
-	VADDPS  Y0, Y3, Y3           // v' = mu·v + g
-	VMOVUPS Y3, (DX)(AX*1)
-	VMULPS  Y3, Y14, Y0
-	VSUBPS  Y0, Y1, Y1           // src − lr·v'
-	VMOVUPS Y1, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     sgdm_loop
+	SGDM_APPLY
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  sgdm_loop
 
 sgdm_done:
+	VZEROUPPER
+	RET
+
+// func sgdMomentumStepHalfAVX2(dst, src, v []float32, gs []Grad, lr, mu, wd float32)
+TEXT ·sgdMomentumStepHalfAVX2(SB), NOSPLIT, $0-108
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ v_base+48(FP), DX
+	MOVQ gs_base+72(FP), R8
+	MOVQ gs_len+80(FP), R9
+	VBROADCASTSS lr+96(FP), Y14
+	VBROADCASTSS mu+100(FP), Y13
+	VBROADCASTSS wd+104(FP), Y15
+	LEAQ (R9)(R9*2), R9
+	SHLQ $4, R9
+	ADDQ R8, R9
+	ANDQ $-8, CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  sgdmh_done
+
+sgdmh_loop:
+	GRADSUMHALF(sgdmh_half0, sgdmh_loaded0, sgdmh_next, sgdmh_half, sgdmh_loaded, sgdmh_summed)
+	SGDM_APPLY
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  sgdmh_loop
+
+sgdmh_done:
 	VZEROUPPER
 	RET

@@ -226,11 +226,13 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 					if report.Iterations != iterations || report.Reconnects != wantReconnects {
 						t.Fatalf("%d iterations over %d reconnects, want %d over %d", report.Iterations, report.Reconnects, iterations, wantReconnects)
 					}
-					// Pushes at iteration 0 and every push through a cut
-					// connection (which hides the lane) are copied; on the
-					// dense lane arms every other one leaves in place.
+					// Pushes at iteration 0, the first fp16 push of a
+					// connection (its layout places the slot) and every push
+					// through a cut connection (which hides the lane) are
+					// copied; on the lane arms every other one leaves in
+					// place: computed in the push slot, or encoded there.
 					inPlace := reg.Snapshot()["dssp_transport_lane_in_place_total"]
-					if carrier == "lane" && pull.name == "dense" {
+					if carrier == "lane" {
 						if inPlace < iterations/2 {
 							t.Errorf("%v of %d pushes left from the push slot", inPlace, iterations)
 						}

@@ -105,6 +105,23 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(retired)
 	}
+	// The reference frames stand for a Weights reply only on a lane whose
+	// peer offered a region: here, with none, both are decode errors.
+	for _, m := range []Message{
+		{Type: MsgWeights, Version: 3, Shard: 1, Shards: 2, Total: 4, Tensors: ToWireOwned(smallMLPGrads(4)[:1])},
+		{Type: MsgWeights, Version: 3, Shard: 1, Shards: 2, Total: 4, Codec: compress.FP16,
+			Packed: compress.Pack(smallMLPGrads(4)[:1], compress.Config{Codec: compress.FP16})},
+	} {
+		full, err := appendFrame(nil, &m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ref, err := appendRefFrame(nil, &m, 4, len(full)-headerSize, []int{lanePage, len(full)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ref)
+	}
 	// Hostile headers: giant declared length, bad magic, future version.
 	big := []byte(wireMagic)
 	big = append(big, wireVersion, byte(MsgPush), 0, 0)

@@ -29,9 +29,10 @@ package transport
 // One exception, placed on request (PlaceBody): the resident push slot, a run
 // of pages at the top of the arena that the allocator gives up for good, its
 // memory allocated up front and mapped writable at the sender. The caller
-// computes a push's tensors there, and a Send whose slabs already sit at
-// their body offsets in it writes only the bytes around them: the push
-// crosses user space zero times. The receiver cannot tell — the slot is a
+// computes a push's tensors there — or, under a value codec, encodes their
+// packed payloads there — and a Send whose slabs already sit at their body
+// offsets in it writes only the bytes around them: the push crosses user
+// space zero times. The receiver cannot tell — the slot is a
 // slot, the header names it, Release frees it.
 
 import (
@@ -268,8 +269,9 @@ func (a *arena) slot(page, n int) ([]byte, error) {
 
 // divert moves the body of the frame m just assembled at buf[start:] — its
 // inline bytes and the slabs c.refs recorded from refCount on — out of the
-// socket's way. A dense Weights reply whose tensors all lie in the region
-// this connection offered its peer becomes a reference frame (reference).
+// socket's way. A Weights reply whose tensors, dense or packed, all lie in the
+// region this connection offered its peer becomes a reference frame
+// (reference).
 // Otherwise the body goes into a free slot of the outbound arena, leaving the
 // header alone for the socket with the slot in its reserved bytes: a frame
 // whose slabs already sit in the free push slot goes there, only its inline
@@ -316,25 +318,32 @@ func (c *binaryConn) divert(buf []byte, start, refCount int, m *Message) []byte 
 }
 
 // reference replaces the frame m just assembled at buf[start:], whose body is
-// bodyLen bytes, with the reference frame standing for it, when m is a dense
-// Weights reply whose every tensor lies in a span of the region this
-// connection offered (an owner's extent, or a lease of the connection the
-// region was passed through from): one page of the outbound arena becomes the
-// reference slot, a hold on those spans keeps them from being rewritten or
-// released until the receiver releases the slot, and only the tensor headers
-// and offsets go on the socket. Caller holds encMu.
+// bodyLen bytes, with the reference frame standing for it, when m is a
+// Weights reply whose every tensor — dense values or packed payload — lies in
+// a span of the region this connection offered (an owner's extent, or a lease
+// of the connection the region was passed through from): one page of the
+// outbound arena becomes the reference slot, a hold on those spans keeps them
+// from being rewritten or released until the receiver releases the slot, and
+// only the tensor headers and offsets go on the socket. Caller holds encMu.
 func (c *binaryConn) reference(buf []byte, start, refCount, bodyLen int, m *Message) ([]byte, bool) {
 	o := c.regionOut
-	if o == nil || m.Type != MsgWeights || len(m.Tensors) == 0 || len(m.Packed) > 0 {
+	if o == nil || m.Type != MsgWeights || (len(m.Tensors) == 0) == (len(m.Packed) == 0) {
 		return nil, false
 	}
 	ranges := c.ranges[:0]
 	for _, t := range m.Tensors {
-		off, ok := o.reg.offset(t.Data)
+		off, ok := o.reg.offset(float32Bytes(t.Data))
 		if !ok {
 			return nil, false
 		}
 		ranges = append(ranges, off, 4*len(t.Data))
+	}
+	for _, p := range m.Packed {
+		off, ok := o.reg.offset(p.Payload)
+		if !ok {
+			return nil, false
+		}
+		ranges = append(ranges, off, len(p.Payload))
 	}
 	c.ranges = ranges
 	r, a := o.reg, c.laneOut
@@ -380,7 +389,7 @@ func (fr *frameReader) referenceLease(ref refSection) (*bodyLease, error) {
 	if a.state(ref.slot).Load() == 0 {
 		return nil, fmt.Errorf("transport: reference slot %d is not in flight", ref.slot)
 	}
-	fr.lastBody, fr.lastSize = bodyLane, headerSize+ref.logical
+	fr.lastBody, fr.lastSize = bodyRef, headerSize+ref.logical
 	l := slotLease(a, ref.slot, nil)
 	l.reg = fr.region
 	fr.region.leased(l, ref.off, ref.end, fr)
@@ -405,8 +414,8 @@ func slotLease(a *arena, page int, body []byte) *bodyLease {
 // PlaceBody implements BodyPlacer: m is encoded once, every slab taken by
 // reference, to learn where each lands in the body, and the push slot is
 // placed with room for that body.
-func (c *binaryConn) PlaceBody(m Message) (views [][]float32, release func(), ok bool) {
-	if len(m.Tensors) == 0 || len(m.Packed) > 0 || !hostLittleEndian {
+func (c *binaryConn) PlaceBody(m Message) (views [][]byte, release func(), ok bool) {
+	if (len(m.Tensors) == 0) == (len(m.Packed) == 0) || !hostLittleEndian {
 		return nil, nil, false
 	}
 	refs := frameRefs{min: 1}
@@ -424,11 +433,11 @@ func (c *binaryConn) PlaceBody(m Message) (views [][]float32, release func(), ok
 	if p == nil {
 		return nil, nil, false
 	}
-	views = make([][]float32, len(refs.list))
+	views = make([][]byte, len(refs.list))
 	off, at := 0, headerSize
 	for i, r := range refs.list {
 		off += r.off - at
-		views[i] = bytesFloat32(p.mem[off:off+len(r.data)], len(r.data)/4)
+		views[i] = p.mem[off : off+len(r.data) : off+len(r.data)]
 		off, at = off+len(r.data), r.off
 	}
 	release = sync.OnceFunc(func() {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dssp/internal/compress"
 	"dssp/internal/obs"
 	"dssp/internal/tensor"
 )
@@ -463,10 +464,11 @@ func placedPush(t *testing.T, send *binaryConn, v float32) (*pushSlot, Message, 
 	}
 	m := slotPush(7)
 	for i, view := range views {
-		for j := range view {
-			view[j] = v + float32(i)
+		data := bytesFloat32(view, len(view)/4)
+		for j := range data {
+			data[j] = v + float32(i)
 		}
-		m.Tensors[i].Data = view
+		m.Tensors[i].Data = data
 	}
 	return send.laneOut.push, m, release
 }
@@ -599,6 +601,78 @@ func TestLanePushSlotFallsBackToCopy(t *testing.T) {
 				t.Fatal("a copied frame was counted in place")
 			}
 		})
+	}
+}
+
+// packedSlotPush is slotPush's layout under the fp16 codec: one payload over
+// refSlabMin (by reference) and two under it (inline).
+func packedSlotPush(iteration int) Message {
+	ps := compress.Pack([]*tensor.Tensor{tensor.Full(0, 64, 129), tensor.Full(0, 33), tensor.Full(0, 5001)},
+		compress.Config{Codec: compress.FP16})
+	return Message{Type: MsgPush, Worker: 3, Iteration: iteration, Version: 9, Codec: compress.FP16, Packed: ps}
+}
+
+// TestLanePackedPushSlotWritesNoPayload: a packed push whose payloads were
+// encoded in the push slot's views leaves with only its header on the socket
+// and not one byte through the arena's write — the bytes around the payloads
+// are copied into the mapped slot, the payloads not at all — and decodes to
+// the same message from the same body bytes as the copy path sends; a push
+// whose payload is not the slot's view is written, into another slot.
+func TestLanePackedPushSlotWritesNoPayload(t *testing.T) {
+	send, recv := handshakePair(t, 1024*lanePage)
+	reg := obs.NewRegistry()
+	send.meter = NewMetrics(reg)
+	views, release, ok := send.PlaceBody(packedSlotPush(1))
+	if !ok {
+		t.Fatal("a lane connection placed no push slot for a packed push")
+	}
+	defer release()
+	slot := send.laneOut.push
+	written := 0
+	write := send.laneOut.write
+	send.laneOut.write = func(off int, vec [][]byte) error {
+		for _, v := range vec {
+			written += len(v)
+		}
+		return write(off, vec)
+	}
+	m := packedSlotPush(7)
+	for round := 1; round <= 3; round++ {
+		if !send.SlotFree() {
+			t.Fatalf("round %d: the slot is busy before anything was sent from it", round)
+		}
+		for i, v := range views {
+			for j := range v {
+				v[j] = byte(round + i + j)
+			}
+			m.Packed[i].Payload = v
+		}
+		if err := send.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		got, body := recvBody(t, recv)
+		sameFrame(t, got, m)
+		if !bytes.Equal(body, wantBody(t, m)) {
+			t.Fatalf("round %d: the body sent in place differs from the copy path's", round)
+		}
+		if got.lease.page != slot.page || written != 0 {
+			t.Fatalf("round %d: the frame arrived in slot %d (the push slot is %d) with %d bytes written", round, got.lease.page, slot.page, written)
+		}
+		got.Release()
+	}
+	if n := reg.Snapshot()["dssp_transport_lane_in_place_total"]; n != 3 {
+		t.Fatalf("%v packed pushes counted in place, want 3", n)
+	}
+
+	m.Packed[0].Payload = append([]byte(nil), m.Packed[0].Payload...)
+	if err := send.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	got, body := recvBody(t, recv)
+	defer got.Release()
+	if got.lease.page == slot.page || written != len(body) || !bytes.Equal(body, wantBody(t, m)) {
+		t.Fatalf("a misplaced payload arrived in slot %d (the push slot is %d) with %d of its %d body bytes written",
+			got.lease.page, slot.page, written, len(body))
 	}
 }
 
@@ -749,12 +823,145 @@ func TestLaneReferenceFrames(t *testing.T) {
 	}
 }
 
+// TestLanePackedReferenceFrames: a packed Weights reply — a pull codec's —
+// whose payloads lie in the region the listener shares crosses as a
+// reference, as a dense one does: the receiver reads the payloads through its
+// own read-only mapping, both ends meter the frame at its logical size, and
+// the extent it names is not reclaimable until the receiver releases it.
+func TestLanePackedReferenceFrames(t *testing.T) {
+	regS, regC := obs.NewRegistry(), obs.NewRegistry()
+	l, err := ListenWireMetered("127.0.0.1:0", WireBinary, NewMetrics(regS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	alloc := l.(RegionHost).ShareRegion(nil)
+	if alloc == nil {
+		t.Fatal("a lane listener shares no region")
+	}
+	accepted := make(chan Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := DialWireMetered(l.Addr(), WireBinary, NewMetrics(regC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := <-accepted
+	defer s.Close()
+
+	reply, reclaim, free := packedRegionReply(t, alloc)
+	defer free()
+	frame, err := appendFrame(nil, &reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Send(reply); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFrame(t, got, reply)
+	if &got.Packed[0].Payload[0] == &reply.Packed[0].Payload[0] {
+		t.Fatal("the receiver reads the sender's writable mapping")
+	}
+	if reclaim() {
+		t.Fatal("the extent is reclaimable while a reference into it is out")
+	}
+	for name, want := range map[string]float64{
+		`dssp_transport_bytes_total{dir="recv",type="Weights"}`: float64(len(frame)),
+		`dssp_transport_lane_refs_total`:                        1,
+	} {
+		if got := regC.Snapshot()[name]; got != want {
+			t.Errorf("receiver %s = %v, want %v", name, got, want)
+		}
+	}
+	if got := regS.Snapshot()[`dssp_transport_bytes_total{dir="sent",type="Weights"}`]; got != float64(len(frame)) {
+		t.Errorf("sender metered %v Weights bytes, the logical frame is %d", got, len(frame))
+	}
+	got.Release()
+	if !reclaim() {
+		t.Fatal("the extent stays pinned after the receiver released the reference")
+	}
+}
+
+// packedRegionReply returns an fp16 Weights reply whose two payloads, over and
+// under refSlabMin, lie in one extent alloc carves, with the extent's reclaim
+// and free.
+func packedRegionReply(t *testing.T, alloc func(int) ([]float32, func() bool, func())) (Message, func() bool, func()) {
+	t.Helper()
+	ps := compress.Pack([]*tensor.Tensor{tensor.Full(0.5, 64, 256), tensor.Full(-2, 33)}, compress.Config{Codec: compress.FP16})
+	mem, reclaim, free := alloc((len(ps[0].Payload) + len(ps[1].Payload) + 3) / 4)
+	if mem == nil {
+		t.Fatal("the region has no room for a packed generation")
+	}
+	buf := float32Bytes(mem)
+	for i := range ps {
+		n := copy(buf, ps[i].Payload)
+		ps[i].Payload, buf = buf[:n:n], buf[n:]
+	}
+	return Message{Type: MsgWeights, Worker: 1, Version: 7, Shard: 1, Shards: 2, Base: 3, Total: 5,
+		Codec: compress.FP16, Packed: ps}, reclaim, free
+}
+
+// TestPackedPathsCopyOnTCP: on TCP there is no push slot to encode a packed
+// push in, and a packed reply whose payloads lie in the listener's region
+// arrives in a receive buffer of its own, the extent never pinned: both
+// paths copy.
+func TestPackedPathsCopyOnTCP(t *testing.T) {
+	defer SetLaneEnabled(false)()
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	alloc := l.(RegionHost).ShareRegion(nil)
+	if alloc == nil {
+		t.Fatal("the listener shares no region")
+	}
+	accepted := make(chan Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := <-accepted
+	defer s.Close()
+	if _, _, ok := c.(BodyPlacer).PlaceBody(packedSlotPush(1)); ok {
+		t.Fatal("a TCP connection placed a push slot")
+	}
+	reply, reclaim, free := packedRegionReply(t, alloc)
+	defer free()
+	if err := s.Send(reply); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Release()
+	sameFrame(t, got, reply)
+	if got.lease == nil || got.lease.arena != nil || !reclaim() {
+		t.Fatal("a packed reply on TCP did not arrive in a receive buffer of its own")
+	}
+}
+
 // TestLanePeerWithoutPidfdGetsNoRegion: where the kernel gives no pidfd for
 // the peer, the listener offers it no region — nobody would see it exit, and
 // the references a crashed reader held would pin their generations for good.
-// The connection is still a lane, and a dense reply whose tensors lie in the
-// region crosses as a copy: the extent is reclaimable while the received
-// message is still unreleased.
+// The connection is still a lane, and a reply whose tensors lie in the
+// region — dense, or an fp16 reply's payloads — crosses as a copy: the
+// extent is reclaimable while the received message is still unreleased.
 func TestLanePeerWithoutPidfdGetsNoRegion(t *testing.T) {
 	// Set before the listener's accept loop runs a handshake, restored after
 	// the one handshake has been delivered through Accept.
@@ -797,16 +1004,23 @@ func TestLanePeerWithoutPidfdGetsNoRegion(t *testing.T) {
 		mem[i] = float32(i)
 	}
 	reply := Message{Type: MsgWeights, Version: 7, Tensors: ToWireOwned([]*tensor.Tensor{tensor.FromSliceOwned(mem, 64, 128)})}
-	if err := s.Send(reply); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Release()
-	sameFrame(t, got, reply)
-	if !reclaim() {
-		t.Fatal("the extent is pinned by a reply that should have been copied")
+	packed, packedReclaim, packedFree := packedRegionReply(t, alloc)
+	defer packedFree()
+	for _, m := range []struct {
+		reply   Message
+		reclaim func() bool
+	}{{reply, reclaim}, {packed, packedReclaim}} {
+		if err := s.Send(m.reply); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Release()
+		sameFrame(t, got, m.reply)
+		if !m.reclaim() {
+			t.Fatalf("the extent is pinned by a %d-tensor reply that should have been copied", len(got.Tensors)+len(got.Packed))
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"dssp/internal/compress"
 	"dssp/internal/tensor"
 )
 
@@ -150,14 +151,24 @@ func TestLanePushSlotStaysOutOfTheAllocator(t *testing.T) {
 }
 
 // refFrame builds a Weights frame whose one tensor of n values is a
-// reference: slot and offset as given, nothing checked.
-func refFrame(slot uint16, n uint32, off uint64) []byte {
+// reference: slot and offset as given, nothing checked. packed makes it a
+// packed reference instead, to an fp16 payload of n bytes.
+func refFrame(slot uint16, n uint32, off uint64, packed bool) []byte {
 	body := []byte{tagTensorRefs}
+	if packed {
+		body[0] = tagPackedRefs
+	}
 	body = binary.LittleEndian.AppendUint16(body, slot)
 	body = binary.LittleEndian.AppendUint32(body, 4*n+64)
 	body = binary.LittleEndian.AppendUint32(body, 1)
-	body = append(body, 1)
-	body = binary.LittleEndian.AppendUint32(body, n)
+	if packed {
+		body = append(body, compress.SchemeF16, 1)
+		body = binary.LittleEndian.AppendUint32(body, max(n/2, 1))
+		body = binary.LittleEndian.AppendUint32(body, 0)
+	} else {
+		body = append(body, 1)
+		body = binary.LittleEndian.AppendUint32(body, n)
+	}
 	body = binary.LittleEndian.AppendUint32(body, n)
 	body = binary.LittleEndian.AppendUint64(body, off)
 	frame := append([]byte(wireMagic), wireVersion, byte(MsgWeights), 0, 0)
@@ -165,28 +176,31 @@ func refFrame(slot uint16, n uint32, off uint64) []byte {
 	return append(frame, body...)
 }
 
-// FuzzLaneReference drives the receive side of a reference frame with forged
-// slots, offsets and lengths, on a lane connection whose peer offered a
-// region (carrier 0), one whose peer offered none (1) and TCP (2). Whatever
-// the frame says, readFrame returns a message whose tensors lie inside the
-// region — and whose Release frees its slot — or an error, never a panic:
-// a reference outside the region, into the arena's state table, on a slot
-// not in flight, without a region or on TCP is a decode error.
+// FuzzLaneReference drives the receive side of a reference frame, dense or
+// packed, with forged slots, offsets and lengths, on a lane connection whose
+// peer offered a region (carrier 0), one whose peer offered none (1) and TCP
+// (2). Whatever the frame says, readFrame returns a message whose tensors or
+// payloads lie inside the region — and whose Release frees its slot — or an
+// error, never a panic: a reference outside the region, into the arena's
+// state table, on a slot not in flight, without a region or on TCP is a
+// decode error.
 func FuzzLaneReference(f *testing.F) {
 	const pages, regionPages, slot = 16, 8, 4
-	f.Add(uint16(slot), uint32(1024), uint64(lanePage), true, uint8(0))            // the honest frame
-	f.Add(uint16(slot), uint32(1), uint64(regionPages*lanePage), true, uint8(0))   // offset past the region
-	f.Add(uint16(slot), uint32(2), uint64(regionPages*lanePage-4), true, uint8(0)) // runs off its end
-	f.Add(uint16(slot), uint32(1<<30), uint64(0), true, uint8(0))                  // a length no region holds
-	f.Add(uint16(slot), uint32(1), uint64(1<<63), true, uint8(0))                  // an offset that overflows
-	f.Add(uint16(slot), uint32(1), uint64(2), true, uint8(0))                      // misaligned
-	f.Add(uint16(0), uint32(1024), uint64(lanePage), true, uint8(0))               // a slot in the state table
-	f.Add(uint16(slot), uint32(1024), uint64(lanePage), false, uint8(0))           // a slot nobody announced
-	f.Add(uint16(pages), uint32(1024), uint64(lanePage), true, uint8(0))           // a slot past the arena
-	f.Add(uint16(slot), uint32(1024), uint64(lanePage), true, uint8(1))            // the peer offered no region
-	f.Add(uint16(slot), uint32(1024), uint64(lanePage), true, uint8(2))            // a reference on TCP
-	f.Fuzz(func(t *testing.T, slot uint16, n uint32, off uint64, inFlight bool, carrier uint8) {
-		fr := newFrameReader(bufio.NewReader(bytes.NewReader(refFrame(slot, n, off))))
+	for _, packed := range []bool{false, true} {
+		f.Add(uint16(slot), uint32(1024), uint64(lanePage), true, uint8(0), packed)            // the honest frame
+		f.Add(uint16(slot), uint32(1), uint64(regionPages*lanePage), true, uint8(0), packed)   // offset past the region
+		f.Add(uint16(slot), uint32(2), uint64(regionPages*lanePage-4), true, uint8(0), packed) // runs off its end
+		f.Add(uint16(slot), uint32(1<<30), uint64(0), true, uint8(0), packed)                  // a length no region holds
+		f.Add(uint16(slot), uint32(1), uint64(1<<63), true, uint8(0), packed)                  // an offset that overflows
+		f.Add(uint16(slot), uint32(1), uint64(2), true, uint8(0), packed)                      // misaligned
+		f.Add(uint16(0), uint32(1024), uint64(lanePage), true, uint8(0), packed)               // a slot in the state table
+		f.Add(uint16(slot), uint32(1024), uint64(lanePage), false, uint8(0), packed)           // a slot nobody announced
+		f.Add(uint16(pages), uint32(1024), uint64(lanePage), true, uint8(0), packed)           // a slot past the arena
+		f.Add(uint16(slot), uint32(1024), uint64(lanePage), true, uint8(1), packed)            // the peer offered no region
+		f.Add(uint16(slot), uint32(1024), uint64(lanePage), true, uint8(2), packed)            // a reference on TCP
+	}
+	f.Fuzz(func(t *testing.T, slot uint16, n uint32, off uint64, inFlight bool, carrier uint8, packed bool) {
+		fr := newFrameReader(bufio.NewReader(bytes.NewReader(refFrame(slot, n, off, packed))))
 		reg := &region{mem: make([]byte, regionPages*lanePage)}
 		switch carrier % 3 {
 		case 0:
@@ -208,11 +222,22 @@ func FuzzLaneReference(f *testing.F) {
 			t.Fatalf("a reference frame decoded on carrier %d, which has no region", carrier%3)
 		}
 		base := uintptr(unsafe.Pointer(&reg.mem[0]))
+		inside := func(p unsafe.Pointer, size int) bool {
+			start := uintptr(p)
+			return start >= base && start+uintptr(size) <= base+uintptr(len(reg.mem))
+		}
 		for i, w := range got.Tensors {
-			start := uintptr(unsafe.Pointer(&w.Data[0]))
-			if start < base || start+uintptr(4*len(w.Data)) > base+uintptr(len(reg.mem)) {
+			if !inside(unsafe.Pointer(&w.Data[0]), 4*len(w.Data)) {
 				t.Fatalf("tensor %d of a reference at offset %d, %d values, lies outside the region", i, off, n)
 			}
+		}
+		for i, p := range got.Packed {
+			if !inside(unsafe.Pointer(&p.Payload[0]), len(p.Payload)) {
+				t.Fatalf("payload %d of a packed reference at offset %d, %d bytes, lies outside the region", i, off, n)
+			}
+		}
+		if len(got.Tensors)+len(got.Packed) != 1 {
+			t.Fatalf("a one-tensor reference decoded to %d tensors and %d payloads", len(got.Tensors), len(got.Packed))
 		}
 		if int(slot) < fr.arena.dataStart() {
 			t.Fatalf("a reference named slot %d, in the arena's state table", slot)

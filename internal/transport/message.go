@@ -344,23 +344,26 @@ type BatchSender interface {
 }
 
 // BodyPlacer is an optional Conn extension for senders that can say where a
-// message's tensor values will be sent from, so that they are computed there
+// message's payload slabs will be sent from, so that they are computed there
 // instead of copied there: the same-host lane's resident push slot, a run of
 // its shared arena mapped at the sender (DESIGN.md §4b). Bytes on the wire do
 // not change; only the copy goes.
 type BodyPlacer interface {
 	// PlaceBody reserves the connection's one slot for bodies laid out like
-	// m's — the same fields present, the same tensor shapes, nothing packed —
-	// and returns, per tensor of m, the slot memory its values occupy in such
-	// a body. A later Send of a message laid out like m whose tensors' data
-	// are those views, made while SlotFree, writes the rest of the body
-	// around them and puts only the header on the socket; any other Send is
-	// unaffected. ok is false when there is no slot to give: not a lane, a
-	// body under the lane's threshold, a slot already placed, or the mapping
-	// failed. The views may be written only while SlotFree reports true, and
-	// they stay mapped — Close notwithstanding — until release, which the
-	// caller calls once when it is done with them.
-	PlaceBody(m Message) (views [][]float32, release func(), ok bool)
+	// m's — the same fields present, the same tensor shapes, or the same
+	// packed shapes, schemes and payload lengths — and returns, per tensor of
+	// m (dense or packed, whichever m carries), the slot memory its float32
+	// values or its payload bytes occupy in such a body. A later Send of a
+	// message laid out like m whose slabs are those views, made while
+	// SlotFree, writes the rest of the body around them and puts only the
+	// header on the socket; any other Send is unaffected. ok is false when
+	// there is no slot to give: not a lane, a body under the lane's
+	// threshold, a message carrying both kinds of tensor or neither, a slot
+	// already placed, or the mapping failed. The views may be written only
+	// while SlotFree reports true, and they stay mapped — Close
+	// notwithstanding — until release, which the caller calls once when it
+	// is done with them.
+	PlaceBody(m Message) (views [][]byte, release func(), ok bool)
 	// SlotFree reports whether the receiver has released the last frame sent
 	// from the slot (false once the connection is closed).
 	SlotFree() bool

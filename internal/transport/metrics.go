@@ -23,10 +23,12 @@ type Metrics struct {
 	// conns counts open socket connections by carrier — the one source for
 	// which carrier a session is on. laneSent and laneRecv count the payload
 	// frames whose body crossed in the shared arena, laneInPlace those of the
-	// sent that left from the resident push slot with no copy, laneInline
-	// those that qualified but found no free slot and went on the socket.
-	conns                                       obs.GaugeVec
-	laneSent, laneRecv, laneInPlace, laneInline *obs.Counter
+	// sent that left from the resident push slot with no copy, laneRefs those
+	// of the received that were references into the peer's generation region,
+	// laneInline those that qualified but found no free slot and went on the
+	// socket.
+	conns                                                 obs.GaugeVec
+	laneSent, laneRecv, laneInPlace, laneRefs, laneInline *obs.Counter
 }
 
 // The carriers of a socket connection, as dssp_transport_conns labels them.
@@ -52,6 +54,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		laneRecv: laneFrames.With("recv"),
 		laneInPlace: reg.Counter("dssp_transport_lane_in_place_total",
 			"Payload frames sent from the lane's resident push slot, where the sender computed them: no copy."),
+		laneRefs: reg.Counter("dssp_transport_lane_refs_total",
+			"Payload frames received as references into the peer's generation region: read where the sender wrote them, nothing copied."),
 		laneInline: reg.Counter("dssp_transport_lane_inline_total",
 			"Payload frames sent inline on a lane connection because the arena had no free slot to take them."),
 		batch: reg.Histogram("dssp_transport_batch_size",
@@ -104,6 +108,9 @@ func (m *Metrics) recvBody(where int) {
 		m.bodyAlloc.Inc()
 	case bodyLane:
 		m.laneRecv.Inc()
+	case bodyRef:
+		m.laneRecv.Inc()
+		m.laneRefs.Inc()
 	}
 }
 

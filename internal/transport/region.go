@@ -8,12 +8,14 @@ package transport
 // When the server's listener offers a region (RegionHost), the store carves
 // its generations out of it: one sealed shared-memory file per server, mapped
 // writable there and read-only by every same-host peer it hands the
-// descriptor to in the lane hello (lane_linux.go). A dense Weights reply whose
+// descriptor to in the lane hello (lane_linux.go). A Weights reply whose
 // tensors all lie in the region the peer has mapped then leaves as a
 // reference frame: the tensor headers and each tensor's offset in the region,
-// no data (wire.go, tagTensorRefs). The receiver's tensors are views of its
-// read-only mapping, so a stray store into them faults instead of corrupting
-// the server's weights.
+// no data (wire.go, tagTensorRefs) — or, for the packed form of a pull codec,
+// which the store caches there too, the packed headers and each payload's
+// offset (tagPackedRefs). The receiver's tensors are views of its read-only
+// mapping, so a stray store into them faults instead of corrupting the
+// server's weights.
 //
 // The lease is the lane's own: a reference takes one page of the sender's
 // outbound arena as its reference slot, whose state word is 1 until the
@@ -228,13 +230,13 @@ func (r *region) alloc(n int) (mem []float32, reclaim func() bool, free func()) 
 }
 
 // offset returns where data lies in the region, or false when it does not.
-func (r *region) offset(data []float32) (int, bool) {
+func (r *region) offset(data []byte) (int, bool) {
 	if len(data) == 0 || len(r.mem) == 0 {
 		return 0, false
 	}
 	base := uintptr(unsafe.Pointer(&r.mem[0]))
 	p := uintptr(unsafe.Pointer(&data[0]))
-	if p < base || p-base > uintptr(len(r.mem)) || uintptr(len(r.mem))-(p-base) < uintptr(4*len(data)) {
+	if p < base || p-base > uintptr(len(r.mem)) || uintptr(len(r.mem))-(p-base) < uintptr(len(data)) {
 		return 0, false
 	}
 	return int(p - base), true

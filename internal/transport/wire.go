@@ -127,6 +127,13 @@ const (
 	// dense section's rank, dims and element count followed by a uint64
 	// byte offset into the region.
 	tagTensorRefs = 0x19
+	// The packed reference section: the same for a packed Weights reply (a
+	// pull codec's), whose payloads lie in the region. Its layout: uint16
+	// reference slot, uint32 logical body length, uint32 count, then per
+	// packed tensor the packed section's header (compress.AppendBinaryHeader,
+	// through the payload length) followed by a uint64 byte offset of the
+	// payload into the region.
+	tagPackedRefs = 0x1A
 )
 
 // hostLittleEndian reports whether the running machine stores integers
@@ -618,6 +625,7 @@ const (
 	bodyReused         // payload frame read into a recycled leased buffer
 	bodyAlloc          // payload frame read into a fresh allocation
 	bodyLane           // payload frame parsed in place in a lane slot
+	bodyRef            // reference frame: the payload read in the peer's region
 )
 
 // frameReader holds the per-connection decode state reused across messages.
@@ -945,14 +953,16 @@ func parseBody(typ byte, body []byte, reg *region) (Message, refSection, error) 
 					}
 				}
 			}
-		case tagTensorRefs:
+		case tagTensorRefs, tagPackedRefs:
 			switch {
 			case reg == nil:
 				err = errors.New("a reference frame on a connection whose peer offered no region")
-			case m.Tensors != nil:
+			case m.Tensors != nil || m.Packed != nil:
 				err = errors.New("tensors and references in one frame")
-			default:
+			case tag == tagTensorRefs:
 				m.Tensors, ref, off, err = parseRefSection(body, off, reg)
+			default:
+				m.Packed, ref, off, err = parsePackedRefSection(body, off, reg)
 			}
 		default:
 			err = fmt.Errorf("transport: unknown field tag 0x%02x", tag)
@@ -1025,30 +1035,82 @@ func parseRefSection(body []byte, off int, reg *region) ([]WireTensor, refSectio
 	return ts, ref, off, nil
 }
 
+// parsePackedRefSection decodes the packed reference section: each payload
+// is a view of the peer's region as this process mapped it, inside the
+// mapping or the frame is an error.
+func parsePackedRefSection(body []byte, off int, reg *region) ([]compress.Packed, refSection, int, error) {
+	var ref refSection
+	if off+10 > len(body) {
+		return nil, ref, off, errTruncatedField
+	}
+	ref.slot = int(binary.LittleEndian.Uint16(body[off:]))
+	ref.logical = int(binary.LittleEndian.Uint32(body[off+2:]))
+	count := int(binary.LittleEndian.Uint32(body[off+6:]))
+	off += 10
+	// Minimum encoding per tensor: a rank-0 header and the offset.
+	if ref.logical > maxFrameBody || count < 1 || count > (len(body)-off)/(compress.PackedBinaryMinSize+8) {
+		return nil, ref, off, fmt.Errorf("packed reference section of %d tensors for a %d-byte body cannot fit in %d remaining bytes", count, ref.logical, len(body)-off)
+	}
+	ps := make([]compress.Packed, count)
+	for i := range ps {
+		p, n, size, err := compress.DecodeBinaryHeader(body[off:])
+		if err != nil {
+			return nil, ref, off, fmt.Errorf("packed reference %d: %w", i, err)
+		}
+		off += n
+		if off+8 > len(body) {
+			return nil, ref, off, errTruncatedField
+		}
+		at := binary.LittleEndian.Uint64(body[off:])
+		off += 8
+		if size < 1 || at > uint64(len(reg.mem)) || uint64(len(reg.mem))-at < uint64(size) {
+			return nil, ref, off, fmt.Errorf("packed reference %d of %d bytes at offset %d lies outside the %d-byte region", i, size, at, len(reg.mem))
+		}
+		lo, hi := int(at), int(at)+size
+		if ref.end == 0 || lo < ref.off {
+			ref.off = lo
+		}
+		ref.end = max(ref.end, hi)
+		p.Payload = reg.mem[lo:hi:hi]
+		ps[i] = p
+	}
+	return ps, ref, off, nil
+}
+
 // appendRefFrame appends the reference frame standing for m — whose logical
-// body is bodyLen bytes — to dst: m's frame without its tensors, followed by
-// the reference section naming slot and each tensor's region offset (ranges
-// holds an offset and a length per tensor; tagTensorRefs is the highest tag,
-// so it goes last). m has been encoded in full already, so its shapes are
-// known to be sound.
+// body is bodyLen bytes — to dst: m's frame without its tensors, dense or
+// packed, followed by the reference section naming slot and each tensor's
+// region offset (ranges holds an offset and a length per tensor; the
+// reference tags are the highest, so the section goes last). m has been
+// encoded in full already, so its shapes are known to be sound.
 func appendRefFrame(dst []byte, m *Message, slot, bodyLen int, ranges []int) ([]byte, error) {
 	start := len(dst)
 	bare := *m
-	bare.Tensors = nil
+	bare.Tensors, bare.Packed = nil, nil
 	dst, err := appendFrame(dst, &bare)
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, tagTensorRefs)
+	tag, count := byte(tagTensorRefs), len(m.Tensors)
+	if len(m.Packed) > 0 {
+		tag, count = tagPackedRefs, len(m.Packed)
+	}
+	dst = append(dst, tag)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(slot))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(bodyLen))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Tensors)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
 	for i, t := range m.Tensors {
 		dst = append(dst, byte(len(t.Shape)))
 		for _, d := range t.Shape {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
 		}
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.Data)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(ranges[2*i]))
+	}
+	for i, p := range m.Packed {
+		if dst, err = p.AppendBinaryHeader(dst); err != nil {
+			return dst[:start], err
+		}
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(ranges[2*i]))
 	}
 	binary.LittleEndian.PutUint32(dst[start+8:], uint32(len(dst)-start-headerSize))

@@ -42,7 +42,10 @@ race:
 # the server closed keeps the generation it reads, a killed reader's
 # references pin nothing, and a relay keeps the upstream reply its children
 # still reference. A relay stopped while a partial sums in its trunk's push
-# slot drops the partial with the slot, under the lock every fold takes. The
+# slot drops the partial with the slot, under the lock every fold takes, and
+# one stopped while it holds a window's first push on its receive lease ends
+# that lease; the fold that sums a held push with the next pins its sum to a
+# flat server's on all three carriers. The
 # lane line also holds that a peer whose exit cannot be watched (no pidfd) is
 # offered no region. The guard's line runs its two experiment tests
 # twenty times under the race detector: an ASP schedule decides how stale an
@@ -54,7 +57,7 @@ race:
 # for a peer without a pidfd, and a server stopped with a packed reference
 # out lets go of every packed generation in its region.
 lease-stress:
-	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease|TestInProcessScheduleRecyclesGenerations|TestRegionFullFallsBackToCopy|TestLeaseExpiredReaderKeepsItsGeneration|TestDeadReaderPinsNothing|TestRelaySentReferenceOutlivesSupersededPullCache|TestRelayStopDropsTheTrunkSlotPartial' ./internal/ps/
+	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease|TestInProcessScheduleRecyclesGenerations|TestRegionFullFallsBackToCopy|TestLeaseExpiredReaderKeepsItsGeneration|TestDeadReaderPinsNothing|TestRelaySentReferenceOutlivesSupersededPullCache|TestRelayStopDropsTheTrunkSlotPartial|TestRelayStopReleasesTheHeldFirstPush|TestRelayFoldBitIdenticalToCopyThenAdd' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
 	$(GO) test -race -count=10 -run 'TestLane|TestLoopbackDialUpgradesToLane|TestReleaseHookSeesBodyBeforeReuse|TestPipeKeepsTheConnContract|TestForeignPeersStayOnTCP|TestListenerCloseFreesLaneName' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestWorkerLoopLeasesSurvivePoisoning|TestWorkerLoopRejoinsGroup' ./internal/trainer/
@@ -125,6 +128,10 @@ bench-json:
 # push encoded in the push slot and stepped from its payload, the pull a
 # reference to the packed generation; a copy or a decode coming back costs it
 # 15% or more.
+# BenchmarkRelayFoldLane1MB is one window of tree-comm's fanout-2 relay on the
+# lane (two 1 MB dense pushes folded, flushed and released): the first push
+# copied again instead of held, or the one-pass sum split back into a copy and
+# an add, costs it 30% or more.
 # BenchmarkPackPullPath/fp16 and BenchmarkDecompress/fp16 are the other three
 # codec passes of a compressed iteration (server pack, and the decode both ends
 # run), at all three magnitudes.
@@ -151,8 +158,8 @@ bench-json:
 # The pins whose names carry the kernel binding: bench-baseline measures these
 # again under -tags noavx512 and -tags purego.
 BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkResNet8IterationBatch8|BenchmarkFusedStepMomentumBatch4|BenchmarkFusedStepPlain262k|BenchmarkFusedStepF16Plain262k|BenchmarkWorkerIteration|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
-BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB|BenchmarkLaneFP16PushPull1MB
-BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkFusedStepPlain262k,BenchmarkWorkerIteration,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB,BenchmarkLaneFP16PushPull1MB,BenchmarkFusedStepF16Plain262k
+BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB|BenchmarkLaneFP16PushPull1MB|BenchmarkRelayFoldLane1MB
+BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkFusedStepPlain262k,BenchmarkWorkerIteration,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB,BenchmarkLaneFP16PushPull1MB,BenchmarkFusedStepF16Plain262k,BenchmarkRelayFoldLane1MB
 BENCH_GATE_TIME = 1s
 # Packages holding the pinned benchmarks: the store pipeline, the raw
 # compute kernels (matmul panels, fused optimizer step) it is built on, the

@@ -15,7 +15,8 @@ import (
 // DefaultRelayFlushInterval is the watchdog bound on how long a relay holds
 // a partial waiting for stragglers: a child that stalls without departing
 // (slow hardware, a late joiner mid-barrier) delays its siblings' partial at
-// most this long before it forwards incomplete.
+// most this long, counted from the push that opened it, before it forwards
+// incomplete.
 const DefaultRelayFlushInterval = 50 * time.Millisecond
 
 // RelayConfig configures an aggregation relay (DESIGN.md §11; cmd/psserver
@@ -116,6 +117,9 @@ type Relay struct {
 	// spareSum is the last flushed partial's sum buffers, the next partial's:
 	// the trunk's Send was done with them when it returned.
 	spareSum []*tensor.Tensor
+	// watchdog fires DefaultRelayFlushInterval after the newest partial
+	// opened (watchdogLoop); it is armed under mu.
+	watchdog *time.Timer
 
 	stopOnce sync.Once
 
@@ -128,13 +132,20 @@ type Relay struct {
 // relayPartial is the in-progress sum: the window accumulating children's
 // gradients until the flush condition fires.
 type relayPartial struct {
+	// sum is nil while the window holds one dense push, which stays on its
+	// receive lease in first until the next arrival sums both into sum in
+	// one pass, or a flush copies it there (sumLocked).
 	sum []*tensor.Tensor
 	// inSlot: sum is the trunk slot's, not heap buffers for spareSum.
-	inSlot  bool
-	entries []transport.PushEntry
-	members map[int]bool
-	minBase int64
-	started time.Time
+	inSlot bool
+	// first and firstGrads are the held push and its tensors, which alias
+	// first's receive buffer.
+	first      transport.Message
+	firstGrads []*tensor.Tensor
+	entries    []transport.PushEntry
+	members    map[int]bool
+	minBase    int64
+	started    time.Time
 }
 
 // relayMetrics is the relay's instrumentation bundle (docs/METRICS.md).
@@ -224,7 +235,9 @@ func NewRelay(cfg RelayConfig, dial func(addr string) (transport.Conn, error), r
 		up:           up,
 		reg:          reg,
 		pendingJoins: make(map[int]chan transport.Message),
+		watchdog:     time.NewTimer(DefaultRelayFlushInterval),
 	}
+	r.watchdog.Stop()
 	r.bind(r, time.Now, map[transport.MessageType]func(transport.Conn, transport.Message){
 		transport.MsgClusterMap: refuseClusterMap,
 	})
@@ -262,9 +275,11 @@ func (r *Relay) Stop() {
 		_ = r.trunk.conn.Close()
 		_ = r.up.conn.Close()
 		// A partial summing in the trunk slot can never be sent now; it goes
-		// with the slot, under the lock every fold takes.
+		// with the slot, under the lock every fold takes. A held first push
+		// can never be summed: its lease ends here.
 		r.mu.Lock()
-		if r.partial != nil && r.partial.inSlot {
+		if p := r.partial; p != nil && (p.inSlot || p.sum == nil) {
+			p.first.Release()
 			r.partial = nil
 		}
 		r.trunk.endLeases()
@@ -390,19 +405,24 @@ func (r *Relay) deliverJoin(msg transport.Message) bool {
 	return true
 }
 
-// watchdogLoop bounds partial age: a partial older than
-// DefaultRelayFlushInterval forwards incomplete.
+// watchdogLoop bounds partial age: a partial forwards incomplete once it is
+// DefaultRelayFlushInterval old. The timer is re-armed as each partial opens,
+// so it fires when the newest one comes of age, and a relay with no partial
+// open does not wake.
 func (r *Relay) watchdogLoop() {
-	ticker := time.NewTicker(DefaultRelayFlushInterval / 2)
-	defer ticker.Stop()
+	defer r.watchdog.Stop()
 	for {
 		select {
 		case <-r.stopped:
 			return
-		case <-ticker.C:
+		case <-r.watchdog.C:
 			r.mu.Lock()
-			if r.partial != nil && r.clock().Sub(r.partial.started) >= DefaultRelayFlushInterval {
-				r.flushLocked("watchdog")
+			if p := r.partial; p != nil {
+				if age := r.clock().Sub(p.started); age >= DefaultRelayFlushInterval {
+					r.flushLocked("watchdog")
+				} else {
+					r.watchdog.Reset(DefaultRelayFlushInterval - age)
+				}
 			}
 			r.mu.Unlock()
 		}
@@ -504,13 +524,22 @@ func (r *Relay) handleDone(ch *session, _ transport.Message) {
 }
 
 // handlePush folds one child's gradients into the pending partial and flushes
-// when the window is complete. The fold copies (or adds) every value into the
-// partial's own sum, so the push's receive buffer goes back to the child's
-// connection when the handler returns. A payload whose tensors do not match
-// the partial's — or, for a window's first push, the upstream model's — folds
-// nothing: the child gets the error, and its siblings' partial flushes intact.
+// when the window is complete. A window's first dense push is held on its
+// receive lease, not copied; the second arrival sums both into the partial's
+// own buffers in one pass and ends that lease, and later ones add in place.
+// Every other push's receive buffer goes back to the child's connection when
+// the handler returns — a packed push's decoded values live in the child's
+// scratch, which its next push reuses, so it is copied at once. A payload
+// whose tensors do not match the partial's — or, for a window's first push,
+// the upstream model's — folds nothing: the child gets the error, and its
+// siblings' partial flushes intact.
 func (r *Relay) handlePush(ch *session, msg transport.Message) {
-	defer msg.Release()
+	held := false
+	defer func() {
+		if !held {
+			msg.Release()
+		}
+	}()
 	reject := func(reason string) {
 		r.enqueueSession(ch, transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: reason})
 	}
@@ -533,34 +562,34 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 	p := r.partial
 	fits := fitsLayout(grads, r.layout.Load())
 	if p != nil {
-		fits = sameLayout(p.sum, grads)
+		folded := p.sum
+		if folded == nil {
+			folded = p.firstGrads
+		}
+		fits = sameLayout(folded, grads)
 	}
 	if !fits {
 		r.mu.Unlock()
 		reject("push does not match the model's tensor layout")
 		return
 	}
-	if p == nil {
+	switch {
+	case p == nil:
 		p = &relayPartial{
 			members: make(map[int]bool),
 			minBase: msg.Version,
 			started: r.clock(),
 		}
 		r.partial = p
-		if sum := r.trunk.PushSlot(grads); sum != nil {
-			p.sum, p.inSlot = sum, true
-		} else if sameLayout(r.spareSum, grads) {
-			p.sum, r.spareSum = r.spareSum, nil
+		r.watchdog.Reset(DefaultRelayFlushInterval)
+		if r.trunk.cfg.Enabled() {
+			r.sumLocked(p, grads)
 		} else {
-			p.sum = make([]*tensor.Tensor, len(grads))
-			for i, g := range grads {
-				p.sum[i] = tensor.New(g.Shape()...)
-			}
+			p.first, p.firstGrads, held = msg, grads, true
 		}
-		for i, g := range grads {
-			copy(p.sum[i].Data(), g.Data())
-		}
-	} else {
+	case p.sum == nil:
+		r.sumLocked(p, grads)
+	default:
 		for i, g := range grads {
 			p.sum[i].Add(g)
 		}
@@ -579,6 +608,41 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 		r.flushLocked("full")
 	}
 	r.mu.Unlock()
+}
+
+// sumLocked gives p its sum buffers — the trunk's push slot when it is free,
+// else the last flushed partial's, else fresh ones — and writes into them the
+// held first push plus grads in one pass (a copy of grads when nothing is
+// held, of the held push when grads is nil), ending the held push's lease.
+// Callers hold r.mu.
+func (r *Relay) sumLocked(p *relayPartial, grads []*tensor.Tensor) {
+	shape := grads
+	if shape == nil {
+		shape = p.firstGrads
+	}
+	if sum := r.trunk.PushSlot(shape); sum != nil {
+		p.sum, p.inSlot = sum, true
+	} else if sameLayout(r.spareSum, shape) {
+		p.sum, r.spareSum = r.spareSum, nil
+	} else {
+		p.sum = make([]*tensor.Tensor, len(shape))
+		for i, g := range shape {
+			p.sum[i] = tensor.New(g.Shape()...)
+		}
+	}
+	var pair [2]*tensor.Tensor
+	for i, sum := range p.sum {
+		srcs := pair[:0]
+		if p.firstGrads != nil {
+			srcs = append(srcs, p.firstGrads[i])
+		}
+		if grads != nil {
+			srcs = append(srcs, grads[i])
+		}
+		tensor.SumInto(sum, srcs)
+	}
+	p.first.Release()
+	p.first, p.firstGrads = transport.Message{}, nil
 }
 
 // sameLayout reports whether a holds one tensor of b's shape per tensor of b
@@ -627,15 +691,19 @@ func (r *Relay) completeLocked() bool {
 // the summed gradients plus the per-child PushEntries the root's policy
 // layer replays, based on the oldest version any child computed against.
 // Callers hold r.mu — the send happens under it, so partials leave in
-// completion order. When the trunk's push returns nothing upstream reads the
-// sum buffers (or the compressor's, which the next flush overwrites) again,
-// so heap ones become the next partial's (spareSum); the trunk slot's are the
-// root's until it releases the frame.
+// completion order. A partial still holding its first push alone copies it
+// into sum buffers first (sumLocked), ending the lease. When the trunk's push
+// returns nothing upstream reads the sum buffers (or the compressor's, which
+// the next flush overwrites) again, so heap ones become the next partial's
+// (spareSum); the trunk slot's are the root's until it releases the frame.
 func (r *Relay) flushLocked(reason string) {
 	p := r.partial
 	r.partial = nil
 	if p == nil || len(p.entries) == 0 {
 		return
+	}
+	if p.sum == nil {
+		r.sumLocked(p, nil)
 	}
 	switch reason {
 	case "full":

@@ -7,6 +7,7 @@ import (
 
 	"dssp/internal/core"
 	"dssp/internal/optimizer"
+	"dssp/internal/tensor"
 	"dssp/internal/transport"
 )
 
@@ -119,4 +120,98 @@ func benchAggTree(b *testing.B, workers, fanout int) {
 	for _, c := range clients {
 		_ = c.Close()
 	}
+}
+
+// BenchmarkRelayFoldLane1MB prices one window of tree-comm's relay on the
+// same-host lane: two children push 1 MB of dense gradients (the wide MLP's
+// layout) through a fanout-2 relay, and one op is one fold, flush and release
+// — the first push held on its receive lease, the second summed with it into
+// the trunk's push slot, the partial sent to the root from the slot and
+// applied, and both children's OKs back through the relay. The children
+// push from their own lanes' push slots, as the worker loop does.
+func BenchmarkRelayFoldLane1MB(b *testing.B) {
+	defer transport.SetLaneEnabled(true)()
+	model := []*tensor.Tensor{tensor.New(8192, 32), tensor.New(32), tensor.New(32, 8), tensor.New(8)}
+	st, err := NewStoreSharded(model, optimizer.NewSGD(0.001), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Workers: 2, Policy: core.MustNewASP(2), Store: st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Stop()
+	root, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer root.Close()
+	go func() { _ = srv.Serve(root) }()
+	relay, err := NewRelay(RelayConfig{Parent: root.Addr(), Fanout: 2, Advertise: "relay"}, transport.Dial, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer relay.Stop()
+	edge, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer edge.Close()
+	go func() { _ = relay.Serve(edge) }()
+
+	grads := make([]*tensor.Tensor, len(model))
+	for i, p := range model {
+		grads[i] = tensor.Full(0.25, p.Shape()...)
+	}
+	clients := make([]*Client, 2)
+	for w := range clients {
+		conn, err := transport.Dial(edge.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		clients[w] = NewClient(conn, w)
+		defer clients[w].Close()
+		if err := clients[w].Register(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Each child pushes in lock-step, so every window closes full: a child's
+	// next push waits on the OK its sibling's push completes.
+	run := func(from, to int) {
+		var wg sync.WaitGroup
+		for _, c := range clients {
+			wg.Add(1)
+			go func(c *Client) {
+				defer wg.Done()
+				for it := from; it < to; it++ {
+					g := grads
+					if slot := c.PushSlot(grads); slot != nil {
+						// The slot keeps what was written to it: filled once.
+						if slot[0].Data()[0] != grads[0].Data()[0] {
+							for i, s := range slot {
+								copy(s.Data(), grads[i].Data())
+							}
+						}
+						g = slot
+					}
+					// Nonzero versions and iterations: the layouts the push
+					// slots are placed for.
+					if err := c.PushAndWait(g, int64(it+1), it+1); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+	run(0, 4)
+	var payload int64
+	for _, g := range grads {
+		payload += int64(4 * g.Size())
+	}
+	b.SetBytes(2 * payload)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(4, 4+b.N)
 }

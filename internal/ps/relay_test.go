@@ -1,12 +1,15 @@
 package ps
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dssp/internal/compress"
 	"dssp/internal/core"
@@ -521,7 +524,8 @@ func TestTrunkSpeaksOnlyForSlotsItRoutes(t *testing.T) {
 
 // TestRelayWatchdogFlushesStalledSiblingsPartial: a child that is registered
 // but not pushing (slow hardware, a late joiner) holds its sibling's partial
-// back only until the watchdog forwards it incomplete.
+// back only until the watchdog forwards it incomplete — and no sooner than
+// DefaultRelayFlushInterval after the push that opened it.
 func TestRelayWatchdogFlushesStalledSiblingsPartial(t *testing.T) {
 	h := newRelayHarness(t, core.MustNewASP(2), testStore(t, 4), 1, 2, Options{})
 	pusher := h.childClient(t, 0)
@@ -529,6 +533,7 @@ func TestRelayWatchdogFlushesStalledSiblingsPartial(t *testing.T) {
 	defer h.childClient(t, 1).Close() // never pushes
 
 	released := make(chan error, 1)
+	start := time.Now()
 	go func() { released <- pusher.PushAndWait([]*tensor.Tensor{tensor.Full(0.1, 4)}, 0, 0) }()
 	select {
 	case err := <-released:
@@ -537,6 +542,9 @@ func TestRelayWatchdogFlushesStalledSiblingsPartial(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the pusher's partial never left the relay")
+	}
+	if waited := time.Since(start); waited < DefaultRelayFlushInterval {
+		t.Errorf("the stalled sibling's partial left after %v, before the %v watchdog interval", waited, DefaultRelayFlushInterval)
 	}
 	snap := h.relays[0].Registry().Snapshot()
 	if n := snap[`dssp_relay_flushes_total{reason="watchdog"}`]; n != 1 {
@@ -803,52 +811,243 @@ func TestRelayEndsCleanlyWhenRootClosesAfterRun(t *testing.T) {
 	}
 }
 
-// TestRelayStopDropsTheTrunkSlotPartial: a partial summing in the trunk's
-// lane push slot when the relay stops can never be sent; Stop drops it with
-// the slot, and nothing hands the unmapped slot out afterwards.
-func TestRelayStopDropsTheTrunkSlotPartial(t *testing.T) {
-	const size = 8192 // a 32 KiB push body: the lane places a push slot for it
+// relayChildren serves relay on the carrier endpoint picks (tcp: a socket,
+// the lane unless the test turned it off) and registers n children through
+// it, workers 0..n-1.
+func relayChildren(t *testing.T, relay *Relay, tcp bool, n int) []*Client {
+	t.Helper()
+	_, dial := endpoint(t, tcp, func(l transport.Listener) { _ = relay.Serve(l) })
+	clients := make([]*Client, n)
+	for w := range clients {
+		conn, err := dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[w] = NewClient(conn, w)
+		t.Cleanup(func() { clients[w].Close() })
+		if err := clients[w].Register(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return clients
+}
+
+// waitPartial waits until cond holds of the relay's pending partial, read
+// under the relay's lock, and fails with what after five seconds.
+func waitPartial(t *testing.T, relay *Relay, what string, cond func(*relayPartial) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		relay.mu.Lock()
+		ok := cond(relay.partial)
+		relay.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+	}
+}
+
+// held reports whether p holds its window's first push on its receive lease,
+// unsummed.
+func held(p *relayPartial) bool { return p != nil && p.sum == nil && p.firstGrads != nil }
+
+// TestRelayFoldBitIdenticalToCopyThenAdd: the relay's fold — the window's
+// first push held, the second summed with it in one pass, later ones added —
+// lands on the root bit for bit where a flat server pushed the copy-then-add
+// sum of the same gradients, with the same entries, does; at fanout 2 and 3,
+// with both of the relay's hops on the channel transport, TCP and the lane.
+// On the lane the fold's sum is written in the trunk's push slot and sent
+// from it without a copy.
+func TestRelayFoldBitIdenticalToCopyThenAdd(t *testing.T) {
+	const size = 8192 + 5 // past the lane's in-place threshold, and a tail past the eight-wide windows
+	initial := func() []*tensor.Tensor { return testGrads(3, 0, size) }
+	for _, carrier := range []string{"channel", "tcp", "lane"} {
+		for _, fanout := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/fanout=%d", carrier, fanout), func(t *testing.T) {
+				if carrier == "tcp" {
+					t.Cleanup(transport.SetLaneEnabled(false))
+				}
+				socket := carrier != "channel"
+				grads := make([][]*tensor.Tensor, fanout)
+				entries := make([]transport.PushEntry, fanout)
+				workers := make([]int, fanout)
+				for w := range grads {
+					grads[w] = testGrads(int64(11+w), 1, size)
+					entries[w] = transport.PushEntry{Worker: w, Version: 1, Iteration: 1}
+					workers[w] = w
+				}
+
+				// The tree: each child pushes once the previous one is in
+				// the window, so the fold's order is the workers'.
+				st, err := NewStoreSharded(initial(), optimizer.NewSGD(0.1), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv, err := NewServer(ServerConfig{Workers: fanout, Policy: core.MustNewASP(fanout), Store: st})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(srv.Stop)
+				relayReg := obs.NewRegistry()
+				_, dialRoot := meteredEndpoint(t, socket, transport.NewMetrics(relayReg), func(l transport.Listener) { _ = srv.Serve(l) })
+				relay, err := NewRelay(RelayConfig{Fanout: fanout, Advertise: "relay"}, parentDial(dialRoot), relayReg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(relay.Stop)
+				children := relayChildren(t, relay, socket, fanout)
+				for w, c := range children {
+					if err := c.PushAsync(grads[w], 1, 1); err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case w == 0:
+						waitPartial(t, relay, "the first push never opened a window", func(p *relayPartial) bool { return p != nil })
+						waitPartial(t, relay, "the window's first push was copied, not held", held)
+					case w < fanout-1:
+						waitPartial(t, relay, fmt.Sprintf("push %d never folded", w), func(p *relayPartial) bool {
+							return p != nil && len(p.entries) == w+1 && p.sum != nil && p.firstGrads == nil
+						})
+					}
+				}
+				for _, c := range children {
+					if err := c.WaitOK(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !st.WaitApplied(int64(fanout), nil) {
+					t.Fatal("the root never applied the partial")
+				}
+				tree, _ := st.Snapshot()
+				wantInPlace := 0.0
+				if carrier == "lane" {
+					wantInPlace = 1
+				}
+				if n := relayReg.Snapshot()["dssp_transport_lane_in_place_total"]; n != wantInPlace {
+					t.Errorf("partials sent from the trunk's push slot = %v, want %v", n, wantInPlace)
+				}
+
+				// The flat reference: the copy-then-add sum, pushed by hand
+				// as a trunk's partial carrying the same entries.
+				want := grads[0][0].Clone()
+				for _, g := range grads[1:] {
+					want.Add(g[0])
+				}
+				flatStore, err := NewStoreSharded(initial(), optimizer.NewSGD(0.1), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				flat, err := NewServer(ServerConfig{Workers: fanout, Policy: core.MustNewASP(fanout), Store: flatStore})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(flat.Stop)
+				_, dialFlat := endpoint(t, false, func(l transport.Listener) { _ = flat.Serve(l) })
+				trunk := rawTrunk(t, dialFlat, workers...)
+				if err := trunk.Send(transport.Message{
+					Type:        transport.MsgPush,
+					Version:     1,
+					Iteration:   1,
+					PushEntries: entries,
+					Tensors:     transport.ToWireOwned([]*tensor.Tensor{want}),
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !flatStore.WaitApplied(int64(fanout), nil) {
+					t.Fatal("the flat server never applied the sum")
+				}
+				ref, _ := flatStore.Snapshot()
+				for i, v := range ref[0].Data() {
+					if got := tree[0].Data()[i]; math.Float32bits(got) != math.Float32bits(v) {
+						t.Fatalf("param[%d]: tree %v, flat copy-then-add %v", i, got, v)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRelayStopReleasesTheHeldFirstPush: a window's first push, held on its
+// receive lease until a sibling's arrives, can never be summed once the relay
+// stops; Stop ends the lease and drops the partial.
+func TestRelayStopReleasesTheHeldFirstPush(t *testing.T) {
+	const size = 8192 // a 32 KiB push body: received into a leased buffer
 	srv, err := NewServer(ServerConfig{Workers: 2, Policy: core.MustNewASP(2), Store: testStore(t, size)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Stop)
-	_, dialRoot := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
+	_, dialRoot := endpoint(t, false, func(l transport.Listener) { _ = srv.Serve(l) })
 	relay, err := NewRelay(RelayConfig{Fanout: 2, Advertise: "relay"}, parentDial(dialRoot), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(relay.Stop)
-	children := transport.NewChanListener()
-	t.Cleanup(func() { children.Close() })
-	go func() { _ = relay.Serve(children) }()
-	var clients []*Client
-	for w := 0; w < 2; w++ {
-		conn, err := children.Dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewClient(conn, w)
-		defer c.Close()
-		if err := c.Register(); err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, c)
-	}
-	// Child 1 never pushes, so child 0's partial waits for it in the slot.
+	clients := relayChildren(t, relay, false, 2)
+	// Child 1 never pushes, so child 0's push waits for it, held.
 	if err := clients[0].PushAsync(testGrads(1, 1, size), 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	inSlot := func() bool {
-		relay.mu.Lock()
-		defer relay.mu.Unlock()
-		return relay.partial != nil && relay.partial.inSlot
-	}
-	for deadline := time.Now().Add(5 * time.Second); !inSlot(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("child 0's push never started a partial in the trunk slot")
+	waitPartial(t, relay, "child 0's push was never held", held)
+	relay.mu.Lock()
+	heldData := unsafe.Pointer(unsafe.SliceData(relay.partial.firstGrads[0].Data()))
+	relay.mu.Unlock()
+	var sawHeld atomic.Bool
+	t.Cleanup(transport.SetReleaseHook(func(body []byte) {
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(body)))
+		if p := uintptr(heldData); p >= start && p < start+uintptr(len(body)) {
+			sawHeld.Store(true)
 		}
+	}))
+	// The children's sessions leave the table first, as superseded ones do,
+	// so that their connections' deaths depart nobody and flush nothing: the
+	// held push is Stop's to find.
+	for _, sess := range relay.sessions.list() {
+		relay.sessions.drop(sess)
 	}
+	relay.Stop()
+	relay.mu.Lock()
+	partial := relay.partial
+	relay.mu.Unlock()
+	if !sawHeld.Load() {
+		t.Error("Stop kept the held push's receive lease")
+	}
+	if partial != nil {
+		t.Error("Stop kept the partial holding the first push")
+	}
+}
+
+// TestRelayStopDropsTheTrunkSlotPartial: a partial summing in the trunk's
+// lane push slot when the relay stops can never be sent; Stop drops it with
+// the slot, and nothing hands the unmapped slot out afterwards.
+func TestRelayStopDropsTheTrunkSlotPartial(t *testing.T) {
+	const size = 8192 // a 32 KiB push body: the lane places a push slot for it
+	srv, err := NewServer(ServerConfig{Workers: 3, Policy: core.MustNewASP(3), Store: testStore(t, size)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	_, dialRoot := endpoint(t, true, func(l transport.Listener) { _ = srv.Serve(l) })
+	relay, err := NewRelay(RelayConfig{Fanout: 3, Advertise: "relay"}, parentDial(dialRoot), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(relay.Stop)
+	clients := relayChildren(t, relay, false, 3)
+	// Children 0 and 1 push, child 2 never does, so their partial waits for
+	// it in the slot: the second push sums the held first one into it.
+	if err := clients[0].PushAsync(testGrads(1, 1, size), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	waitPartial(t, relay, "child 0's push was never held", held)
+	if err := clients[1].PushAsync(testGrads(2, 1, size), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	waitPartial(t, relay, "child 1's push never summed the partial into the trunk slot", func(p *relayPartial) bool {
+		return p != nil && p.inSlot
+	})
 	// The children's sessions leave the table first, as superseded ones do,
 	// so that their connections' deaths depart nobody and flush nothing: the
 	// partial is Stop's to find.
@@ -866,8 +1065,8 @@ func TestRelayStopDropsTheTrunkSlotPartial(t *testing.T) {
 		t.Error("Stop left the trunk slot mapped")
 	}
 	// A late push finds the relay gone instead of the slot.
-	_ = clients[1].PushAsync(testGrads(2, 1, size), 1, 1)
-	if relay.trunk.PushSlot(testGrads(2, 1, size)) != nil {
+	_ = clients[2].PushAsync(testGrads(3, 1, size), 1, 1)
+	if relay.trunk.PushSlot(testGrads(3, 1, size)) != nil {
 		t.Error("the ended trunk slot was handed out again")
 	}
 }

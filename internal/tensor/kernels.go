@@ -16,7 +16,7 @@ import "math"
 //
 // Numerics. The elementwise kernels keep exact per-element evaluation order
 // on both bindings, every multiply and add rounded on its own, so
-// Add/AXPY/Scale, the ReLU mask, the row adds of col2im and the two
+// Add/AXPY/Scale, SumInto, the ReLU mask, the row adds of col2im and the two
 // BatchNorm plane passes are bit-identical to the scalar loops they replace
 // and between the bindings. The sums (sumSlice, sumF64, sumSqDevF64, sumDot)
 // add the same terms in lane order under the assembly: any two orders of a
@@ -25,6 +25,7 @@ import "math"
 // products is confined to the matmul kernels (see matmul.go).
 var (
 	addSlice       = addSliceGo
+	sumPair        = sumPairGo
 	axpySlice      = axpySliceGo
 	scaleSlice     = scaleSliceGo
 	addScalarSlice = addScalarSliceGo
@@ -112,6 +113,25 @@ func addSliceGo(dst, src []float32) {
 	}
 	for ; i < len(dst); i++ {
 		dst[i] += src[i]
+	}
+}
+
+// sumPairGo performs dst[i] = a[i] + b[i]: addSliceGo on a copy of a, in one
+// pass.
+func sumPairGo(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		x := a[i : i+4 : i+4]
+		y := b[i : i+4 : i+4]
+		d := dst[i : i+4 : i+4]
+		d[0] = x[0] + y[0]
+		d[1] = x[1] + y[1]
+		d[2] = x[2] + y[2]
+		d[3] = x[3] + y[3]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = a[i] + b[i]
 	}
 }
 
@@ -255,9 +275,9 @@ func planeGradGo(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64) {
 // SumInto overwrites dst with the element-wise sum of srcs, accumulating in
 // source order (dst = ((srcs[0]+srcs[1])+srcs[2])+…), so the result is
 // bit-identical to copying srcs[0] and adding the rest one at a time — the
-// contract the parameter server's coalescing paths rely on. It reads each
-// source exactly once. All tensors must share dst's shape; srcs must be
-// non-empty.
+// contract the relay's fold relies on. The first two sources are summed in
+// one pass that writes dst once; each later one is added in place. All
+// tensors must share dst's shape; srcs must be non-empty.
 func SumInto(dst *Tensor, srcs []*Tensor) *Tensor {
 	if len(srcs) == 0 {
 		panic("tensor: SumInto needs at least one source")
@@ -266,21 +286,13 @@ func SumInto(dst *Tensor, srcs []*Tensor) *Tensor {
 		assertSameShape("SumInto", dst, s)
 	}
 	dd := dst.data
-	copy(dd, srcs[0].data)
-	switch len(srcs) {
-	case 1:
-	case 2:
-		addSlice(dd, srcs[1].data)
-	case 3:
-		s1 := srcs[1].data[:len(dd)]
-		s2 := srcs[2].data[:len(dd)]
-		for j := range dd {
-			dd[j] = (dd[j] + s1[j]) + s2[j]
-		}
-	default:
-		for _, s := range srcs[1:] {
-			addSlice(dd, s.data)
-		}
+	if len(srcs) == 1 {
+		copy(dd, srcs[0].data)
+		return dst
+	}
+	sumPair(dd, srcs[0].data[:len(dd)], srcs[1].data[:len(dd)])
+	for _, s := range srcs[2:] {
+		addSlice(dd, s.data[:len(dd)])
 	}
 	return dst
 }

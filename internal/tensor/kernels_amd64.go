@@ -31,6 +31,9 @@ func dotPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, 
 func addSliceAVX2(dst, src []float32)
 
 //go:noescape
+func sumPairAVX2(dst, a, b []float32)
+
+//go:noescape
 func axpySliceAVX2(alpha float32, src, dst []float32)
 
 //go:noescape
@@ -83,6 +86,12 @@ func addSliceAsm(dst, src []float32) {
 	n := len(dst) &^ 7
 	addSliceAVX2(dst[:n], src)
 	addSliceGo(dst[n:], src[n:])
+}
+
+func sumPairAsm(dst, a, b []float32) {
+	n := len(dst) &^ 7
+	sumPairAVX2(dst[:n], a, b)
+	sumPairGo(dst[n:], a[n:], b[n:])
 }
 
 func axpySliceAsm(alpha float32, src, dst []float32) {
@@ -224,6 +233,7 @@ func init() {
 			gemmPanel, dotPanel, kernel = gemmPanelAVX512, dotPanelAVX512, "avx512"
 		}
 		addSlice, axpySlice, scaleSlice, addScalarSlice = addSliceAsm, axpySliceAsm, scaleSliceAsm, addScalarSliceAsm
+		sumPair = sumPairAsm
 		sumSlice, maskNonNeg, addRows = sumSliceAsm, maskNonNegAsm, addRowsAVX2
 		sumF64, sumSqDevF64, sumDot = sumF64Asm, sumSqDevF64Asm, sumDotAsm
 		normalizePlane, planeGrad = normalizePlaneAsm, planeGradAsm

@@ -173,6 +173,7 @@ func TestSliceKernelsBitIdenticalToGoLoops(t *testing.T) {
 	}
 	kernels := []kernel{
 		{"addSlice", func(d, a, _ []float32) { addSlice(d, a) }, func(d, a, _ []float32) { addSliceGo(d, a) }},
+		{"sumPair", func(d, a, b []float32) { sumPair(d, a, b) }, func(d, a, b []float32) { sumPairGo(d, a, b) }},
 		{"axpySlice", func(d, a, _ []float32) { axpySlice(0.37, a, d) }, func(d, a, _ []float32) { axpySliceGo(0.37, a, d) }},
 		{"scaleSlice", func(d, _, _ []float32) { scaleSlice(-1.25, d) }, func(d, _, _ []float32) { scaleSliceGo(-1.25, d) }},
 		{"addScalarSlice", func(d, _, _ []float32) { addScalarSlice(0.3, d) }, func(d, _, _ []float32) { addScalarSliceGo(0.3, d) }},

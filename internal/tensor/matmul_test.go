@@ -300,24 +300,43 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
+// TestSumIntoBitIdenticalToCopyAdd: SumInto of one to five sources is bit
+// for bit what copying the first and adding the rest in order with the Go
+// loop computes, at every tail length past the eight-wide windows, on every
+// alignment and on special values (NaN, ±Inf, subnormals, −0), and writes
+// nothing outside dst.
 func TestSumIntoBitIdenticalToCopyAdd(t *testing.T) {
-	property := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		shape := []int{1 + rng.Intn(7), 1 + rng.Intn(9)}
-		count := 1 + rng.Intn(6)
-		srcs := make([]*Tensor, count)
-		for i := range srcs {
-			srcs[i] = New(shape...).RandNormal(rng, 0, 1)
+	rng := rand.New(rand.NewSource(29))
+	for fillName, fill := range kernelFills(rng) {
+		for count := 1; count <= 5; count++ {
+			for _, n := range []int{0, 64, 1024} {
+				for tail := 0; tail < 16; tail++ {
+					for off := 0; off < 8; off += 3 {
+						size := n + tail
+						if size == 0 {
+							continue // a tensor has at least one element
+						}
+						srcs := make([]*Tensor, count)
+						for i := range srcs {
+							s, _ := carve(size, (off+i+1)%8, fill)
+							srcs[i] = FromSliceOwned(s, size)
+						}
+						want := append([]float32(nil), srcs[0].data...)
+						for _, s := range srcs[1:] {
+							addSliceGo(want, s.data)
+						}
+						dst, back := carve(size, off, fill)
+						SumInto(FromSliceOwned(dst, size), srcs)
+						if !canariesIntact(dst, back) {
+							t.Fatalf("%s sources=%d len=%d off=%d: SumInto wrote outside dst", fillName, count, size, off)
+						}
+						if !sameFloats(dst, want) {
+							t.Fatalf("%s sources=%d len=%d off=%d: SumInto differs from copy-then-add", fillName, count, size, off)
+						}
+					}
+				}
+			}
 		}
-		want := srcs[0].Clone()
-		for _, s := range srcs[1:] {
-			want.Add(s)
-		}
-		got := SumInto(New(shape...), srcs)
-		return got.ApproxEqual(want, 0)
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -31,6 +31,32 @@ add_done:
 	VZEROUPPER
 	RET
 
+// func sumPairAVX2(dst, a, b []float32)
+//
+// dst[i] = a[i] + b[i]: addSliceAVX2 on a copy of a, with the copy's store
+// and reload gone.
+TEXT ·sumPairAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	SHRQ $3, CX
+	JZ   pair_done
+
+pair_loop:
+	VMOVUPS (SI), Y0
+	VADDPS  (DX), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     pair_loop
+
+pair_done:
+	VZEROUPPER
+	RET
+
 // func axpySliceAVX2(alpha float32, src, dst []float32)
 TEXT ·axpySliceAVX2(SB), NOSPLIT, $0-56
 	VBROADCASTSS alpha+0(FP), Y2

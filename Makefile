@@ -77,7 +77,8 @@ lease-stress:
 # cross-build compiles and vets what a non-amd64 target gets. The noavx512 tag
 # does the same for the AVX2 panels on a machine that binds the AVX-512 ones:
 # the tensor tests, the layer hash pins and the worker-loop hash pins run on
-# them too. purego and noavx512 are for this step, not tuning knobs. The darwin build
+# them too. Both tags run internal/nn's TestDirectConvMatchesIm2col, which
+# holds the direct 3×3 convolution to im2col on every binding. purego and noavx512 are for this step, not tuning knobs. The darwin build
 # compiles the stub every non-Linux target gets in place of the same-host
 # lane (internal/transport/lane_other.go), so it cannot rot.
 portable:
@@ -144,7 +145,10 @@ bench-json:
 # in its three kinds (forward, dW, dcol: the tile and dot panels each under
 # its own name) and BenchmarkResNet8IterationBatch8 one whole forward+backward
 # at the end-to-end benchmark's flat-compute shape, both named by kernel the
-# same way.
+# same way. BenchmarkDirectConvShapes/16x16x32x32 is the widest of the
+# stride-1 3×3 layers, which run directly on the bordered image (no patch
+# matrix): its forward, dW and dX, the offset-table panels each under its own
+# name, named by kernel the same way.
 # BenchmarkFusedStepMomentumBatch4 and BenchmarkFusedStepPlain262k are the
 # store's optimizer step (a coalesced batch of four with momentum over 64k
 # values; one push of plain SGD over the wide MLP's 262 144, flat-comm's step;
@@ -157,9 +161,9 @@ bench-json:
 # kernel too.
 # The pins whose names carry the kernel binding: bench-baseline measures these
 # again under -tags noavx512 and -tags purego.
-BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkResNet8IterationBatch8|BenchmarkFusedStepMomentumBatch4|BenchmarkFusedStepPlain262k|BenchmarkFusedStepF16Plain262k|BenchmarkWorkerIteration|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
+BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkDirectConvShapes/16x16x32x32|BenchmarkResNet8IterationBatch8|BenchmarkFusedStepMomentumBatch4|BenchmarkFusedStepPlain262k|BenchmarkFusedStepF16Plain262k|BenchmarkWorkerIteration|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
 BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB|BenchmarkLaneFP16PushPull1MB|BenchmarkRelayFoldLane1MB
-BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkFusedStepPlain262k,BenchmarkWorkerIteration,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB,BenchmarkLaneFP16PushPull1MB,BenchmarkFusedStepF16Plain262k,BenchmarkRelayFoldLane1MB
+BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkDirectConvShapes/16x16x32x32,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkFusedStepPlain262k,BenchmarkWorkerIteration,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB,BenchmarkLaneFP16PushPull1MB,BenchmarkFusedStepF16Plain262k,BenchmarkRelayFoldLane1MB
 BENCH_GATE_TIME = 1s
 # Packages holding the pinned benchmarks: the store pipeline, the raw
 # compute kernels (matmul panels, fused optimizer step) it is built on, the

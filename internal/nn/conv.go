@@ -8,13 +8,20 @@ import (
 )
 
 // Conv2D is a 2-D convolution over NCHW inputs with square kernels, constant
-// stride and zero padding, implemented with im2col + matrix multiplication.
-// Convolutional layers carry few parameters but dominate compute time, the
-// other half of the paper's compute/communication-ratio argument (§V-C).
+// stride and zero padding. Convolutional layers carry few parameters but
+// dominate compute time, the other half of the paper's
+// compute/communication-ratio argument (§V-C).
+//
+// The layer picks how it multiplies from its own geometry. A 3×3 kernel at
+// stride 1 and pad 1 — every convolution of the CIFAR models but their
+// downsampling ones — runs directly on a zero-bordered copy of each image
+// (direct.go): its patch matrix is never built. Every other geometry builds
+// the (inC·k·k, outH·outW) patch matrix with im2col and multiplies that.
 type Conv2D struct {
 	inC, outC      int
 	kernel, stride int
 	pad            int
+	direct         bool // 3×3, stride 1, pad 1: the direct path
 
 	weight *tensor.Tensor // (outC, inC*kernel*kernel)
 	bias   *tensor.Tensor // (outC)
@@ -24,15 +31,35 @@ type Conv2D struct {
 	// Input geometry of the last training forward pass; inBatch 0 before it.
 	inBatch, inH, inW int
 
-	// Layer-owned buffers (scratch.go). cols is the training pass's patch
-	// matrices, one (inC*k*k, plane) block per batch item, written by Forward
-	// and read by Backward. col is one such block: the patch matrix of an
-	// evaluation forward pass, and dcol during Backward.
-	cols, col, out, dx *tensor.Tensor
-	// Matrix headers re-pointed at one batch item of a buffer at a time.
-	colMat, outMat, gradMat *tensor.Tensor
+	// Layer-owned buffers (scratch.go). in is what Backward reads of the
+	// training pass's input, one block per batch item: the bordered image on
+	// the direct path, the patch matrix on the im2col path. train and eval are
+	// the scratch of a training and of an evaluation forward pass, so an
+	// evaluation between a training Forward and its Backward touches nothing
+	// the training pass holds. dcol is the im2col path's patch-matrix gradient;
+	// wideGrad, its row table gradRows and padDx are the direct path's
+	// (direct.go).
+	in, out, dx     *tensor.Tensor
+	train, eval     convScratch
+	dcol            *tensor.Tensor
+	wideGrad, padDx *tensor.Tensor
+	gradRows        []int
+	// Matrix header re-pointed at one batch item of the upstream gradient.
+	gradMat *tensor.Tensor
 	// noDx: the layer is a network's first, Backward returns nil.
 	noDx bool
+}
+
+// convScratch is what one kind of forward pass reuses from call to call: on
+// the direct path the bordered image of an evaluation pass, the padded-width
+// output and the patch-row offset table for the geometry it was built for;
+// on the im2col path the patch matrix of an evaluation pass and the headers
+// the products see.
+type convScratch struct {
+	pad, wide           *tensor.Tensor
+	off                 []int
+	offH, offW          int
+	col, colMat, outMat *tensor.Tensor
 }
 
 // skipInputGrad tells the layer that no one reads what Backward returns.
@@ -45,6 +72,7 @@ func NewConv2D(rng *rand.Rand, inC, outC, kernel, stride, pad int) *Conv2D {
 	}
 	c := &Conv2D{
 		inC: inC, outC: outC, kernel: kernel, stride: stride, pad: pad,
+		direct: kernel == 3 && stride == 1 && pad == 1,
 		weight: tensor.New(outC, inC*kernel*kernel),
 		bias:   tensor.New(outC),
 		gradW:  tensor.New(outC, inC*kernel*kernel),
@@ -176,21 +204,34 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s got input shape %v, want (batch,%d,h,w)", c.Name(), x.Shape(), c.inC))
 	}
 	batch, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	outH, outW := c.outSize(h), c.outSize(w)
-	plane := outH * outW
-	patch := c.inC * c.kernel * c.kernel
-	out := output(train, &c.out, batch, c.outC, outH, outW)
+	out := output(train, &c.out, batch, c.outC, c.outSize(h), c.outSize(w))
+	sc := &c.eval
+	if train {
+		c.inBatch, c.inH, c.inW = batch, h, w
+		sc = &c.train
+	}
+	if c.direct {
+		c.forwardDirect(sc, x, out, train)
+	} else {
+		c.forwardIm2col(sc, x, out, train)
+	}
+	return out
+}
 
-	// One patch matrix per batch item while training, where Backward needs
-	// them all; one reused across the batch otherwise.
+// forwardIm2col is Forward on the im2col path: one patch matrix per batch
+// item while training, where Backward needs them all; one reused across the
+// batch otherwise.
+func (c *Conv2D) forwardIm2col(sc *convScratch, x, out *tensor.Tensor, train bool) {
+	batch, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	plane := c.outSize(h) * c.outSize(w)
+	patch := c.inC * c.kernel * c.kernel
 	var colData []float32
 	colStep := 0
 	if train {
-		c.inBatch, c.inH, c.inW = batch, h, w
-		colData = scratch(&c.cols, batch, patch, plane).Data()
+		colData = scratch(&c.in, batch, patch, plane).Data()
 		colStep = patch * plane
 	} else {
-		colData = scratch(&c.col, patch, plane).Data()
+		colData = scratch(&sc.col, patch, plane).Data()
 	}
 	xData := x.Data()
 	outData := out.Data()
@@ -201,12 +242,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		col := colData[b*colStep:][:patch*plane]
 		c.im2col(col, xData[b*imgSize:(b+1)*imgSize], h, w)
 		dst := outData[b*outImgSize : (b+1)*outImgSize]
-		tensor.MatMulInto(view2D(&c.outMat, dst, c.outC, plane), c.weight, view2D(&c.colMat, col, patch, plane))
+		tensor.MatMulInto(view2D(&sc.outMat, dst, c.outC, plane), c.weight, view2D(&sc.colMat, col, patch, plane))
 		for oc, bval := range bias {
 			tensor.AddScalarSlice(dst[oc*plane:(oc+1)*plane], bval)
 		}
 	}
-	return out
 }
 
 // Backward implements Layer.
@@ -216,29 +256,44 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	batch, h, w := c.inBatch, c.inH, c.inW
 	plane := c.outSize(h) * c.outSize(w)
-	patch := c.inC * c.kernel * c.kernel
-	imgSize := c.inC * h * w
-	outImgSize := c.outC * plane
-	if grad.Size() != batch*outImgSize {
+	if grad.Size() != batch*c.outC*plane {
 		panic(fmt.Sprintf("nn: %s got gradient shape %v for a (%d,%d,%d,%d) input", c.Name(), grad.Shape(), batch, c.inC, h, w))
 	}
 	var dx *tensor.Tensor
-	var dxData []float32
 	if !c.noDx {
 		dx = scratch(&c.dx, batch, c.inC, h, w)
-		dx.Zero() // col2im accumulates
-		dxData = dx.Data()
 	}
 	gradData := grad.Data()
-	colData := c.cols.Data()
 	gb := c.gradB.Data()
 	clear(gb)
-	dcol := scratch(&c.col, patch, plane)
+	outImgSize := c.outC * plane
 	for b := 0; b < batch; b++ {
-		// The gradient and patch slices are only read, so alias them.
+		// The gradient is only read, so alias it.
 		gm := gradData[b*outImgSize : (b+1)*outImgSize]
-		gradMat := view2D(&c.gradMat, gm, c.outC, plane)
-		colMat := view2D(&c.colMat, colData[b*patch*plane:(b+1)*patch*plane], patch, plane)
+		// db += per-channel sums
+		for oc := 0; oc < c.outC; oc++ {
+			gb[oc] += tensor.SumSlice(gm[oc*plane : (oc+1)*plane])
+		}
+	}
+	if c.direct {
+		c.backwardDirect(grad, dx)
+	} else {
+		c.backwardIm2col(grad, dx)
+	}
+	return dx
+}
+
+// backwardIm2col is Backward's products on the im2col path.
+func (c *Conv2D) backwardIm2col(grad, dx *tensor.Tensor) {
+	batch, h, w := c.inBatch, c.inH, c.inW
+	plane := c.outSize(h) * c.outSize(w)
+	patch := c.inC * c.kernel * c.kernel
+	outImgSize := c.outC * plane
+	gradData := grad.Data()
+	colData := c.in.Data()
+	for b := 0; b < batch; b++ {
+		gradMat := view2D(&c.gradMat, gradData[b*outImgSize:(b+1)*outImgSize], c.outC, plane)
+		colMat := view2D(&c.train.colMat, colData[b*patch*plane:(b+1)*patch*plane], patch, plane)
 		// dW = Σ grad · colᵀ over the batch: the first image overwrites what
 		// the last pass left, the rest accumulate in place.
 		if b == 0 {
@@ -246,18 +301,29 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		} else {
 			tensor.MatMulTransBAcc(c.gradW, gradMat, colMat)
 		}
-		// db += per-channel sums
-		for oc := 0; oc < c.outC; oc++ {
-			gb[oc] += tensor.SumSlice(gm[oc*plane : (oc+1)*plane])
-		}
-		if c.noDx {
-			continue
-		}
-		// dcol = Wᵀ · grad, then scatter back to the input gradient.
+	}
+	if dx != nil {
+		c.dxIm2col(grad, dx)
+	}
+}
+
+// dxIm2col computes the input gradient image by image as dcol = Wᵀ · grad
+// scattered back by col2im.
+func (c *Conv2D) dxIm2col(grad, dx *tensor.Tensor) {
+	batch, h, w := c.inBatch, c.inH, c.inW
+	plane := c.outSize(h) * c.outSize(w)
+	patch := c.inC * c.kernel * c.kernel
+	imgSize := c.inC * h * w
+	outImgSize := c.outC * plane
+	dx.Zero() // col2im accumulates
+	dxData := dx.Data()
+	gradData := grad.Data()
+	dcol := scratch(&c.dcol, patch, plane)
+	for b := 0; b < batch; b++ {
+		gradMat := view2D(&c.gradMat, gradData[b*outImgSize:(b+1)*outImgSize], c.outC, plane)
 		tensor.MatMulTransAInto(dcol, c.weight, gradMat)
 		c.col2im(dcol.Data(), h, w, dxData[b*imgSize:(b+1)*imgSize])
 	}
-	return dx
 }
 
 // Params implements Layer.

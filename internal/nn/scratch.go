@@ -7,8 +7,17 @@ import "dssp/internal/tensor"
 // iteration allocates nothing in the layers and the memory a layer retains
 // between iterations is bounded and constant. A reused buffer holds the
 // previous iteration's values: whoever takes one overwrites all of it (or
-// zeroes it first). Evaluation passes allocate their outputs as before, so
-// they neither disturb a training pass in flight nor resize its buffers.
+// zeroes it first). Evaluation passes allocate their outputs as before, and
+// a layer that reuses scratch inside a pass keeps its evaluation scratch apart
+// from its training scratch (Conv2D's eval and train), so they neither
+// disturb a training pass in flight nor resize its buffers.
+//
+// The largest training buffer is what a Conv2D keeps of its input for
+// Backward, one block per batch item. Only the convolutions im2col still
+// serves — stride 2 or a 1×1 kernel, a ResNet's downsampling ones — keep
+// their patch matrices (inC·k·k rows of outH·outW); a 3×3 stride-1 one keeps
+// its bordered images (direct.go), inC planes of (h+3)·(w+2), about a ninth
+// of the patch matrix it does not build.
 
 // scratch returns *slot if it already has the given shape and otherwise
 // replaces it with a zeroed tensor of that shape.

@@ -124,3 +124,60 @@ func BenchmarkMatMulConvShapes(b *testing.B) {
 		}
 	}
 }
+
+// directConvShapes are the stride-1 3×3 convolutions of ResNet-8 on a 32×32
+// input as (inC, outC, size): five layers, four shapes (the two of the first
+// block are alike), each run directly on a bordered image (internal/nn's
+// direct path).
+var directConvShapes = [][3]int{{3, 16, 32}, {16, 16, 32}, {32, 32, 16}, {64, 64, 8}}
+
+// BenchmarkDirectConvShapes times the three offset-table products of every
+// direct conv shape of ResNet-8, one image at a time as the layer runs them —
+// forward (weights × the bordered image's shifted views), dW (gradient ×
+// those views as runs) and dX (nine taps of Wᵀ × the padded-width gradient
+// added onto a bordered dx) — and reports each one's rate in the im2col
+// product's flops. The names carry the bound kernel: the bench gate pins the
+// widest shape.
+func BenchmarkDirectConvShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	for _, s := range directConvShapes {
+		inC, outC, size := s[0], s[1], s[2]
+		ld, patch := size+2, inC*9
+		padPlane, wideN := (size+3)*ld, size*ld
+		pad := New(inC*padPlane).RandNormal(rng, 0, 1).Data()
+		off := make([]int, patch)
+		for kk := range off {
+			off[kk] = kk/9*padPlane + kk%9/3*ld + kk%3
+		}
+		rows := make([]int, outC)
+		for oc := range rows {
+			rows[oc] = oc * wideN
+		}
+		w := New(outC, patch).RandNormal(rng, 0, 1).Data()
+		grad := New(outC, size*size).RandNormal(rng, 0, 1)
+		wideGrad := New(outC*wideN).RandNormal(rng, 0, 1).Data()
+		wide := make([]float32, outC*wideN)
+		padDx := make([]float32, inC*padPlane)
+		dw := New(outC, patch)
+		for _, p := range []struct {
+			name string
+			run  func()
+		}{
+			{"forward", func() { MatMulOffset(wide, wideN, w, outC, patch, 1, pad, off, wideN, false) }},
+			{"dW", func() { MatMulTransBOffset(dw, grad, pad, off, size, size, ld, true) }},
+			{"dX", func() {
+				for t := 0; t < 9; t++ {
+					MatMulOffset(padDx[t/3*ld+t%3:], padPlane, w[t:], inC, 9, patch, wideGrad, rows, wideN, true)
+				}
+			}},
+		} {
+			b.Run(fmt.Sprintf("%dx%dx%dx%d/%s/kernel=%s", inC, outC, size, size, p.name, Kernel()), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p.run()
+				}
+				flops := 2 * float64(outC) * float64(patch) * float64(size*size)
+				b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "Gflop/s")
+			})
+		}
+	}
+}

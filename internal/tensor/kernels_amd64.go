@@ -23,6 +23,18 @@ func gemmPanelAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, 
 //go:noescape
 func dotPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
 
+//go:noescape
+func gemmOffPanelAVX2(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, tiles int, add bool)
+
+//go:noescape
+func dotOffPanelAVX2(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
+
+//go:noescape
+func gemmOffPanelAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, tiles int, add bool)
+
+//go:noescape
+func dotOffPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
+
 // Implemented in slices_amd64.s. Except addRowsAVX2, each takes whole windows
 // of eight floats and trusts the other operands to be at least as long as the
 // first.
@@ -229,8 +241,10 @@ const (
 func init() {
 	if cpu.AVX2 && cpu.FMA && cpu.YMM {
 		fma4Rows, gemmPanel, dotPanel, kernel = fma4RowsAVX2, gemmPanelAVX2, dotPanelAVX2, "avx2"
+		gemmOffPanel, dotOffPanel = gemmOffPanelAVX2, dotOffPanelAVX2
 		if cpu.AVX512F && cpu.ZMM {
 			gemmPanel, dotPanel, kernel = gemmPanelAVX512, dotPanelAVX512, "avx512"
+			gemmOffPanel, dotOffPanel = gemmOffPanelAVX512, dotOffPanelAVX512
 		}
 		addSlice, axpySlice, scaleSlice, addScalarSlice = addSliceAsm, axpySliceAsm, scaleSliceAsm, addScalarSliceAsm
 		sumPair = sumPairAsm

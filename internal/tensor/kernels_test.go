@@ -539,6 +539,11 @@ func TestRealShapesStaySerial(t *testing.T) {
 		outC, patch, plane := s[0], s[1], s[2]
 		shapes = append(shapes, [3]int{outC, patch, plane}, [3]int{outC, plane, patch}, [3]int{patch, outC, plane})
 	}
+	for _, s := range directConvShapes { // forward, dW and one tap of dX
+		inC, outC, size := s[0], s[1], s[2]
+		wide := size * (size + 2)
+		shapes = append(shapes, [3]int{outC, 9 * inC, wide}, [3]int{outC, size * size, 9 * inC}, [3]int{inC, outC, wide})
+	}
 	for _, s := range shapes {
 		if !mmSerial(s[0], s[1], s[2]) {
 			t.Errorf("a %d×%d×%d product (%d flops) fans out at threshold %d", s[0], s[1], s[2], 2*s[0]*s[1]*s[2], mmParallelMinFlops)

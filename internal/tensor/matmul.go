@@ -67,13 +67,14 @@ func Kernel() string { return kernel }
 var mmParallelMinFlops int64 = 1 << 21
 
 // SetMatMulParallelMinFlops adjusts the flop threshold below which matrix
-// products stay serial, returning the previous value; 0 sends every product
-// through the worker pool. It exists for tuning experiments and for tests in
-// other packages that must exercise the parallel path on small shapes. Not
+// products stay serial, and the grain of a fan-out with it, returning the
+// previous threshold; 0 sends every product of two or more rows through the
+// worker pool a row at a time. It exists for tuning experiments and for tests
+// in other packages that must exercise the parallel path on small shapes. Not
 // safe to call concurrently with running multiplications.
 func SetMatMulParallelMinFlops(flops int64) int64 {
 	prev := mmParallelMinFlops
-	mmParallelMinFlops = flops
+	mmParallelMinFlops, mmGrainFlops = flops, flops/8
 	return prev
 }
 
@@ -81,6 +82,10 @@ func SetMatMulParallelMinFlops(flops int64) int64 {
 // compute dominates its scheduling cost. An eighth of mmParallelMinFlops, and
 // rebound with it.
 var mmGrainFlops int64 = 1 << 18
+
+// mmChunkHook, when set, is called with the rows of every chunk a fanned-out
+// product runs (the tests count them: export_test.go).
+var mmChunkHook func(i0, i1 int)
 
 // mmBlockJ is the column-block width: four unrolled operand rows of a block
 // plus the output row block stay resident in L1 across the inner-dimension
@@ -154,6 +159,13 @@ func mmParallel(m, k, n int, rows func(i0, i1 int)) {
 	grain := 1
 	if perRow := 2 * int64(k) * int64(n); perRow > 0 && perRow < mmGrainFlops {
 		grain = int(mmGrainFlops / perRow)
+	}
+	if hook := mmChunkHook; hook != nil {
+		run := rows
+		rows = func(i0, i1 int) {
+			hook(i0, i1)
+			run(i0, i1)
+		}
 	}
 	parallelFor(m, grain, rows)
 }

@@ -73,16 +73,15 @@ func withinRelTol(got, want *Tensor, tol float64) bool {
 	return true
 }
 
-// forceParallelMatmul lowers the parallel threshold to zero and raises
-// GOMAXPROCS so even tiny products exercise the worker-pool path, restoring
-// both on cleanup.
+// forceParallelMatmul lowers the parallel threshold, and with it the grain,
+// to zero and raises GOMAXPROCS so even tiny products are split across the
+// worker pool, restoring both on cleanup.
 func forceParallelMatmul(t *testing.T) {
 	t.Helper()
-	prevFlops := mmParallelMinFlops
+	prevFlops := SetMatMulParallelMinFlops(0)
 	prevProcs := runtime.GOMAXPROCS(4)
-	mmParallelMinFlops = 0
 	t.Cleanup(func() {
-		mmParallelMinFlops = prevFlops
+		SetMatMulParallelMinFlops(prevFlops)
 		runtime.GOMAXPROCS(prevProcs)
 	})
 }
@@ -237,16 +236,18 @@ func TestParallelMatMulBitIdenticalToSerialKernel(t *testing.T) {
 			}
 			serial := run(a, b)
 			func() {
-				prevFlops := mmParallelMinFlops
+				prevFlops := SetMatMulParallelMinFlops(0)
 				prevProcs := runtime.GOMAXPROCS(4)
-				mmParallelMinFlops = 0
 				defer func() {
-					mmParallelMinFlops = prevFlops
+					SetMatMulParallelMinFlops(prevFlops)
 					runtime.GOMAXPROCS(prevProcs)
 				}()
-				if got := run(a, b); !got.ApproxEqual(serial, 0) {
+				chunks := countChunks(t)
+				got := run(a, b)
+				if !got.ApproxEqual(serial, 0) {
 					t.Fatalf("%s parallel result differs from serial at m=%d k=%d n=%d", p.name, m, k, n)
 				}
+				mustHaveSplit(t, chunks, m, p.name)
 			}()
 		}
 	}
@@ -259,9 +260,11 @@ func TestParallelMatMulMatchesReferenceUnderPool(t *testing.T) {
 		m, k, n := randShapes(rng)
 		a := New(m, k).RandNormal(rng, 0, 1)
 		b := New(k, n).RandNormal(rng, 0, 1)
+		chunks := countChunks(t)
 		if !withinRelTol(MatMul(a, b), refMatMul(a, b), 1e-4) {
 			t.Fatalf("parallel MatMul diverged at m=%d k=%d n=%d", m, k, n)
 		}
+		mustHaveSplit(t, chunks, m, "MatMul")
 	}
 }
 

@@ -142,13 +142,15 @@ bench-json:
 # (bench-baseline appends a -tags noavx512 and a -tags purego run) and the pin,
 # a prefix, gates the one produced.
 # BenchmarkMatMulConvShapes/16x144x1024 is the widest conv product of ResNet-8
-# in its three kinds (forward, dW, dcol: the tile and dot panels each under
-# its own name) and BenchmarkResNet8IterationBatch8 one whole forward+backward
-# at the end-to-end benchmark's flat-compute shape, both named by kernel the
-# same way. BenchmarkDirectConvShapes/16x16x32x32 is the widest of the
-# stride-1 3×3 layers, which run directly on the bordered image (no patch
-# matrix): its forward, dW and dX, the offset-table panels each under its own
-# name, named by kernel the same way.
+# in its three kinds (forward, dW, dcol: the tile and dot panels, reading a
+# dense operand through the table of its rows, each under its own name) and
+# BenchmarkResNet8IterationBatch8 one whole forward+backward at the end-to-end
+# benchmark's flat-compute shape, both named by kernel the same way.
+# BenchmarkDirectConvShapes/16x16x32x32 is the widest of the stride-1 3×3
+# layers, which run directly on the bordered image (no patch matrix): its
+# forward, dW and dX, the same two panels reading the image's shifted views
+# through an offset table, each under its own name, named by kernel the same
+# way.
 # BenchmarkFusedStepMomentumBatch4 and BenchmarkFusedStepPlain262k are the
 # store's optimizer step (a coalesced batch of four with momentum over 64k
 # values; one push of plain SGD over the wide MLP's 262 144, flat-comm's step;
@@ -218,10 +220,13 @@ bench-e2e:
 
 # Net size of the product, the number ROADMAP asks every PR to report:
 # non-blank, non-comment lines of non-test Go outside bench/ (block comments
-# are rare enough here that only // lines are discounted).
+# are rare enough here that only // lines are discounted), then the same
+# count for the assembly (*.s, whose comments are // lines too), labelled.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 \
 		| xargs -0 awk '/^[ \t]*$$/ {next} /^[ \t]*\/\// {next} {n++} END {print n}'
+	@find . -name '*.s' -not -path './bench/*' -print0 \
+		| xargs -0 awk '/^[ \t]*$$/ {next} /^[ \t]*\/\// {next} {n++} END {print "asm " n}'
 
 # The other size of the product, the one simplicity PRs used to count by
 # hand: what a caller or an operator can name. Exported funcs, methods and

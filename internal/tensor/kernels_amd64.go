@@ -9,19 +9,9 @@ import "dssp/internal/cpu"
 //go:noescape
 func fma4RowsAVX2(ob, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 
-// Implemented in gemm_amd64.s.
-
-//go:noescape
-func gemmPanelAVX2(c *float32, ldc int, a *float32, ars, aks int, b *float32, ldb, k, tiles int, acc bool)
-
-//go:noescape
-func dotPanelAVX2(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
-
-//go:noescape
-func gemmPanelAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, ldb, k, tiles int, acc bool)
-
-//go:noescape
-func dotPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
+// Implemented in gemm_amd64.s: the tile and the dot panel every matrix
+// product runs, its right operand's rows read through an offset table (a
+// dense operand's is kk·ldb), each in an AVX2 and an AVX-512 form.
 
 //go:noescape
 func gemmOffPanelAVX2(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, tiles int, add bool)
@@ -232,7 +222,9 @@ func sgdGradSum(gs []Grad, j int) float32 {
 // [457-484 vs 314-339]; 384³ 842-1216 vs 564-678 [1540-1748 vs 964-1149]; 512³
 // 2004-2262 vs 1366-1706; 4×8192×32 17-20 vs 150-182. Fan-out breaks even
 // near 256³ and pays by 384³, so 1<<26 — 0.5 ms at this rate — still falls
-// between the two.
+// between the two. Both sets time panels that read b's rows at kk·ldb
+// directly; reading them through the row table, the panels run the same
+// products at the same rates (BenchmarkMatMul128, BenchmarkMatMulConvShapes).
 const (
 	asmParallelMinFlops = 1 << 26
 	asmGrainFlops       = 1 << 23
@@ -240,11 +232,9 @@ const (
 
 func init() {
 	if cpu.AVX2 && cpu.FMA && cpu.YMM {
-		fma4Rows, gemmPanel, dotPanel, kernel = fma4RowsAVX2, gemmPanelAVX2, dotPanelAVX2, "avx2"
-		gemmOffPanel, dotOffPanel = gemmOffPanelAVX2, dotOffPanelAVX2
+		fma4Rows, gemmOffPanel, dotOffPanel, kernel = fma4RowsAVX2, gemmOffPanelAVX2, dotOffPanelAVX2, "avx2"
 		if cpu.AVX512F && cpu.ZMM {
-			gemmPanel, dotPanel, kernel = gemmPanelAVX512, dotPanelAVX512, "avx512"
-			gemmOffPanel, dotOffPanel = gemmOffPanelAVX512, dotOffPanelAVX512
+			gemmOffPanel, dotOffPanel, kernel = gemmOffPanelAVX512, dotOffPanelAVX512, "avx512"
 		}
 		addSlice, axpySlice, scaleSlice, addScalarSlice = addSliceAsm, axpySliceAsm, scaleSliceAsm, addScalarSliceAsm
 		sumPair = sumPairAsm

@@ -32,86 +32,11 @@ func sameBitsAll(got, want []float32) bool {
 	return len(got) == len(want)
 }
 
-func TestGemmPanelAVX512BitIdenticalToAVX2(t *testing.T) {
-	if kernel != "avx512" {
-		t.Skip("the AVX-512 panels are not bound on this machine")
-	}
-	rng := rand.New(rand.NewSource(43))
-	for fillName, fill := range kernelFills(rng) {
-		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 27, 33} {
-			for tiles := 1; tiles <= 5; tiles++ {
-				for off := 0; off < 8; off++ {
-					for _, transA := range []bool{false, true} {
-						for _, acc := range []bool{false, true} {
-							n := mmTileJ * tiles
-							ldc, ldb := n+off%3, n+(off+1)%4
-							c, cBack := panelOperand(mmTileI, n, ldc, off, fill)
-							want, wantBack := twinOperand(c, cBack, off)
-							b, _ := panelOperand(k, n, ldb, (off+3)%8, fill)
-							ars, aks := k+off%2, 1
-							a, _ := panelOperand(mmTileI, k, ars, (off+5)%8, fill)
-							if transA {
-								ars, aks = 1, mmTileI+off%2
-								a, _ = panelOperand(k, mmTileI, aks, (off+5)%8, fill)
-							}
-							gemmPanelAVX2(&want[0], ldc, &a[0], ars, aks, &b[0], ldb, k, tiles, acc)
-							gemmPanelAVX512(&c[0], ldc, &a[0], ars, aks, &b[0], ldb, k, tiles, acc)
-							where := fmt.Sprintf("%s k=%d tiles=%d off=%d transA=%v acc=%v", fillName, k, tiles, off, transA, acc)
-							if !outsideRowsIntact(cBack, mmTileI, n, ldc, off) {
-								t.Fatalf("%s: stored outside the tiles", where)
-							}
-							if !sameBitsAll(cBack, wantBack) {
-								t.Fatalf("%s: differs from gemmPanelAVX2", where)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestDotPanelAVX512BitIdenticalToAVX2(t *testing.T) {
-	if kernel != "avx512" {
-		t.Skip("the AVX-512 panels are not bound on this machine")
-	}
-	rng := rand.New(rand.NewSource(47))
-	ks := []int{31, 32, 33, 63, 64, 65, 257}
-	for k := 1; k <= 17; k++ {
-		ks = append(ks, k)
-	}
-	for fillName, fill := range kernelFills(rng) {
-		for _, k := range ks {
-			off := k % 8
-			for rows := 1; rows <= 9; rows++ {
-				for cols := 1; cols <= 4; cols++ {
-					for _, acc := range []bool{false, true} {
-						ldc, lda, ldb := cols+off%3, k+off%2, k+(off+1)%3
-						c, cBack := panelOperand(rows, cols, ldc, off, fill)
-						want, wantBack := twinOperand(c, cBack, off)
-						a, _ := panelOperand(rows, k, lda, (off+3)%8, fill)
-						b, _ := panelOperand(cols, k, ldb, (off+5)%8, fill)
-						dotPanelAVX2(&want[0], ldc, &a[0], lda, rows, &b[0], ldb, cols, k, acc)
-						dotPanelAVX512(&c[0], ldc, &a[0], lda, rows, &b[0], ldb, cols, k, acc)
-						where := fmt.Sprintf("%s k=%d rows=%d cols=%d acc=%v", fillName, k, rows, cols, acc)
-						if !outsideRowsIntact(cBack, rows, cols, ldc, off) {
-							t.Fatalf("%s: stored outside the outputs", where)
-						}
-						if !sameBitsAll(cBack, wantBack) {
-							t.Fatalf("%s: differs from dotPanelAVX2", where)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// The offset-table panels against their AVX2 forms, the same way: tiles in
-// fours, a pair and an odd last one, every alignment, adding or not, k
-// tails, rows at offsets that overlap and repeat; for the transposed-B form,
-// runs of every length around the eight-lane vectors, rows one to nine and
-// one to four columns.
+// The gemm panel: tiles in fours, a pair and an odd last one, every
+// alignment, adding or not, k tails, plain and transposed-A strides, rows at
+// offsets that overlap and repeat. The dot panel: runs of every length around
+// the eight-lane vectors, one run (a dense operand) or several, rows one to
+// nine and one to four columns.
 func TestGemmOffPanelAVX512BitIdenticalToAVX2(t *testing.T) {
 	if kernel != "avx512" {
 		t.Skip("the AVX-512 panels are not bound on this machine")
@@ -121,22 +46,29 @@ func TestGemmOffPanelAVX512BitIdenticalToAVX2(t *testing.T) {
 		for _, k := range []int{1, 2, 3, 4, 5, 9, 16, 27, 33} {
 			for tiles := 1; tiles <= 9; tiles++ {
 				for off := 0; off < 8; off += 3 {
-					for _, add := range []bool{false, true} {
-						n := mmTileJ * tiles
-						ldc := n + off%3
-						c, cBack := panelOperand(mmTileI, n, ldc, off, fill)
-						want, wantBack := twinOperand(c, cBack, off)
-						b, offs := offsetOperand(rng, k, n, n+40, fill)
-						ars, aks := 1, mmTileI+off%2
-						a, _ := panelOperand(k, mmTileI, aks, (off+5)%8, fill)
-						gemmOffPanelAVX2(&want[0], ldc, &a[0], ars, aks, &b[0], &offs[0], k, tiles, add)
-						gemmOffPanelAVX512(&c[0], ldc, &a[0], ars, aks, &b[0], &offs[0], k, tiles, add)
-						where := fmt.Sprintf("%s k=%d tiles=%d off=%d add=%v", fillName, k, tiles, off, add)
-						if !outsideRowsIntact(cBack, mmTileI, n, ldc, off) {
-							t.Fatalf("%s: stored outside the tiles", where)
-						}
-						if !sameBitsAll(cBack, wantBack) {
-							t.Fatalf("%s: differs from gemmOffPanelAVX2", where)
+					for _, transA := range []bool{false, true} {
+						for _, add := range []bool{false, true} {
+							n := mmTileJ * tiles
+							ldc := n + off%3
+							c, cBack := panelOperand(mmTileI, n, ldc, off, fill)
+							want, wantBack := twinOperand(c, cBack, off)
+							b, offs := offsetOperand(rng, k, n, n+40, fill)
+							// a holds the four rows as (4,k) or, transposed, as (k,4).
+							ars, aks := k+off%2, 1
+							a, _ := panelOperand(mmTileI, k, ars, (off+5)%8, fill)
+							if transA {
+								ars, aks = 1, mmTileI+off%2
+								a, _ = panelOperand(k, mmTileI, aks, (off+5)%8, fill)
+							}
+							gemmOffPanelAVX2(&want[0], ldc, &a[0], ars, aks, &b[0], &offs[0], k, tiles, add)
+							gemmOffPanelAVX512(&c[0], ldc, &a[0], ars, aks, &b[0], &offs[0], k, tiles, add)
+							where := fmt.Sprintf("%s k=%d tiles=%d off=%d transA=%v add=%v", fillName, k, tiles, off, transA, add)
+							if !outsideRowsIntact(cBack, mmTileI, n, ldc, off) {
+								t.Fatalf("%s: stored outside the tiles", where)
+							}
+							if !sameBitsAll(cBack, wantBack) {
+								t.Fatalf("%s: differs from gemmOffPanelAVX2", where)
+							}
 						}
 					}
 				}
@@ -150,8 +82,12 @@ func TestDotOffPanelAVX512BitIdenticalToAVX2(t *testing.T) {
 		t.Skip("the AVX-512 panels are not bound on this machine")
 	}
 	rng := rand.New(rand.NewSource(71))
+	ws := []int{31, 32, 33, 63, 64, 65, 257}
+	for w := 1; w <= 17; w++ {
+		ws = append(ws, w)
+	}
 	for fillName, fill := range kernelFills(rng) {
-		for _, w := range []int{1, 3, 7, 8, 9, 15, 16, 17, 32} {
+		for _, w := range ws {
 			for _, h := range []int{1, 2, 5} {
 				ldb := w + 2
 				for rows := 1; rows <= 9; rows++ {

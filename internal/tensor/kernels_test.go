@@ -22,7 +22,7 @@ import (
 //	2·n·u·Σ|aᵢbᵢ| + n·2⁻¹⁴⁹
 //
 // which is the bound kernelTol returns: n = 5 for fma4Rows (four products and
-// the accumulator), n = k (+1 when accumulating) for dotPanel, n = len(x) for
+// the accumulator), n = k (+1 when accumulating) for dotOffPanel, n = len(x) for
 // the float32 sum; the float64 sums get the same bound with u = 2⁻⁵³
 // (kernelTol64). NaN must stay NaN and an infinity
 // must stay the same infinity: which of the two a lane ends in depends only
@@ -364,57 +364,83 @@ func outsideRowsIntact(backing []float32, r, c, ld, off int) bool {
 	return true
 }
 
+// rowChain returns row r of a product as the row kernels build it: k in
+// order from +0, fma4Rows while four steps remain, axpySlice for the k%4 tail.
+// a's element (r, kk) is a[r*ars+kk*aks] and b's row kk is b[off[kk]:][:n].
+func rowChain(a []float32, r, ars, aks int, b []float32, off []int, n int) []float32 {
+	row := make([]float32, n)
+	p, kk := r*ars, 0
+	for ; kk+4 <= len(off); kk += 4 {
+		fma4Rows(row, b[off[kk]:][:n], b[off[kk+1]:][:n], b[off[kk+2]:][:n], b[off[kk+3]:][:n],
+			a[p+kk*aks], a[p+(kk+1)*aks], a[p+(kk+2)*aks], a[p+(kk+3)*aks])
+	}
+	for ; kk < len(off); kk++ {
+		axpySlice(a[p+kk*aks], b[off[kk]:][:n], row)
+	}
+	return row
+}
+
+// denseTable is the offset table of k rows at a stride of ld floats.
+func denseTable(k, ld int) []int {
+	off := make([]int, k)
+	for kk := range off {
+		off[kk] = kk * ld
+	}
+	return off
+}
+
 // TestGemmPanelBitIdenticalToRowKernels: a register tile builds every output
-// by the chain of operations fma4RowsAVX2 and axpySlice build between them —
-// k in order, fused while four steps remain, multiply-then-add for the k%4
-// tail — so a panel must reproduce them bit for bit, plain and transposed-A
-// strides alike, accumulating or not, and store nothing outside its tiles.
+// by the chain of operations fma4Rows and axpySlice build between them — k in
+// order, fused while four steps remain, multiply-then-add for the k%4 tail —
+// so the panel must reproduce them bit for bit, on a dense operand's table
+// (rows at kk·ldb, padding between them) and on a table whose rows overlap,
+// repeat and fall at every alignment, plain and transposed-A strides alike,
+// adding onto c or not, and store nothing outside its tiles.
 func TestGemmPanelBitIdenticalToRowKernels(t *testing.T) {
-	if gemmPanel == nil {
+	if gemmOffPanel == nil {
 		t.Skip("the panels exist in assembly only")
 	}
 	rng := rand.New(rand.NewSource(31))
 	for fillName, fill := range kernelFills(rng) {
 		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 16, 27, 33} {
-			for tiles := 1; tiles <= 3; tiles++ {
+			for tiles := 1; tiles <= 5; tiles++ {
 				for off := 0; off < 8; off++ {
 					for _, transA := range []bool{false, true} {
-						for _, acc := range []bool{false, true} {
-							n := mmTileJ * tiles
-							ldc, ldb := n+off%3, n+(off+1)%4
-							c, cBack := panelOperand(mmTileI, n, ldc, off, fill)
-							b, _ := panelOperand(k, n, ldb, (off+3)%8, fill)
-							// a holds the four rows as (4,k) or, transposed, as (k,4).
-							ars, aks := k+off%2, 1
-							a, _ := panelOperand(mmTileI, k, ars, (off+5)%8, fill)
-							if transA {
-								ars, aks = 1, mmTileI+off%2
-								a, _ = panelOperand(k, mmTileI, aks, (off+5)%8, fill)
-							}
-							want := make([][]float32, mmTileI)
-							for r := range want {
-								row := make([]float32, n)
-								if acc {
-									copy(row, c[r*ldc:])
+						for _, add := range []bool{false, true} {
+							for _, table := range []string{"dense", "shuffled"} {
+								n := mmTileJ * tiles
+								ldc, ldb := n+off%3, n+1+(off+1)%4
+								c, cBack := panelOperand(mmTileI, n, ldc, off, fill)
+								b, _ := panelOperand(k, n, ldb, (off+3)%8, fill)
+								offs := denseTable(k, ldb)
+								if table == "shuffled" {
+									b, offs = offsetOperand(rng, k, n, n+rng.Intn(3*n), fill)
 								}
-								kk := 0
-								for ; kk+4 <= k; kk += 4 {
-									fma4Rows(row, b[kk*ldb:][:n], b[(kk+1)*ldb:][:n], b[(kk+2)*ldb:][:n], b[(kk+3)*ldb:][:n],
-										a[r*ars+kk*aks], a[r*ars+(kk+1)*aks], a[r*ars+(kk+2)*aks], a[r*ars+(kk+3)*aks])
+								// a holds the four rows as (4,k) or, transposed, as (k,4).
+								ars, aks := k+off%2, 1
+								a, _ := panelOperand(mmTileI, k, ars, (off+5)%8, fill)
+								if transA {
+									ars, aks = 1, mmTileI+off%2
+									a, _ = panelOperand(k, mmTileI, aks, (off+5)%8, fill)
 								}
-								for ; kk < k; kk++ {
-									axpySlice(a[r*ars+kk*aks], b[kk*ldb:][:n], row)
+								want := make([][]float32, mmTileI)
+								for r := range want {
+									want[r] = rowChain(a, r, ars, aks, b, offs, n)
+									if add {
+										for j, v := range want[r] {
+											want[r][j] = c[r*ldc+j] + v
+										}
+									}
 								}
-								want[r] = row
-							}
-							gemmPanel(&c[0], ldc, &a[0], ars, aks, &b[0], ldb, k, tiles, acc)
-							where := fmt.Sprintf("%s k=%d tiles=%d off=%d transA=%v acc=%v", fillName, k, tiles, off, transA, acc)
-							if !outsideRowsIntact(cBack, mmTileI, n, ldc, off) {
-								t.Fatalf("%s: stored outside the tiles", where)
-							}
-							for r := range want {
-								if !sameFloats(c[r*ldc:][:n], want[r]) {
-									t.Fatalf("%s: row %d differs from fma4Rows + axpySlice", where, r)
+								gemmOffPanel(&c[0], ldc, &a[0], ars, aks, &b[0], &offs[0], k, tiles, add)
+								where := fmt.Sprintf("%s %s k=%d tiles=%d off=%d transA=%v add=%v", fillName, table, k, tiles, off, transA, add)
+								if !outsideRowsIntact(cBack, mmTileI, n, ldc, off) {
+									t.Fatalf("%s: stored outside the tiles", where)
+								}
+								for r := range want {
+									if !sameFloats(c[r*ldc:][:n], want[r]) {
+										t.Fatalf("%s: row %d differs from fma4Rows + axpySlice", where, r)
+									}
 								}
 							}
 						}
@@ -427,32 +453,48 @@ func TestGemmPanelBitIdenticalToRowKernels(t *testing.T) {
 
 // TestDotPanelMatchesGoReference: every output of a transposed-B panel is a
 // dot product summed eight lanes apart, so it agrees with the scalar sum
-// within the bound for k terms (and the accumulator); the panel stores only
-// its rows by cols outputs, reads no operand past its k floats, and builds an
-// output with the same instructions on an edge — an odd last row, fewer than
-// four columns — as inside a whole tile, which is what lets a product be
-// split anywhere.
+// within the bound for its terms (and the accumulator), on a dense operand's
+// one run per row (h = 1, rows at j·ldb) and on rows of several runs; the
+// panel stores only its rows by cols outputs, reads no operand past its
+// runs, and builds an output with the same instructions on an edge — an odd
+// last row, fewer than four columns — as inside a whole tile, which is what
+// lets a product be split anywhere.
 func TestDotPanelMatchesGoReference(t *testing.T) {
-	if dotPanel == nil {
+	if dotOffPanel == nil {
 		t.Skip("the panels exist in assembly only")
+	}
+	type shape struct{ w, h int }
+	var shapes []shape
+	for _, k := range kernelLengths() {
+		if k > 0 && (k <= 67 || k == 257) {
+			shapes = append(shapes, shape{k, 1})
+		}
+	}
+	for _, w := range []int{1, 7, 8, 9, 16, 17} {
+		shapes = append(shapes, shape{w, 2}, shape{w, 5})
 	}
 	rng := rand.New(rand.NewSource(37))
 	for fillName, fill := range kernelFills(rng) {
-		for _, k := range kernelLengths() {
-			if k == 0 || k > 67 && k != 257 {
-				continue
-			}
+		for _, sh := range shapes {
+			w, h := sh.w, sh.h
+			k := w * h
 			off := k % 8
 			for _, rows := range []int{1, 2, 3, 4} {
 				for cols := 1; cols <= 4; cols++ {
 					for _, acc := range []bool{false, true} {
-						ldc, lda, ldb := cols+off%3, k+off%2, k+(off+1)%3
+						ldc, lda, ldb := cols+off%3, k+off%2, w+(off+1)%3
 						c, cBack := panelOperand(rows, cols, ldc, off, fill)
 						a, _ := panelOperand(rows, k, lda, (off+3)%8, fill)
+						// One run per row: a dense (cols, k) operand; else each
+						// row h runs of w at a stride of ldb, anywhere in b.
 						b, _ := panelOperand(cols, k, ldb, (off+5)%8, fill)
+						offs := denseTable(cols, ldb)
+						if h > 1 {
+							b, offs = offsetOperand(rng, cols, (h-1)*ldb+w, (h-1)*ldb+w+rng.Intn(20), fill)
+						}
 						before := append([]float32(nil), c...)
-						dotPanel(&c[0], ldc, &a[0], lda, rows, &b[0], ldb, cols, k, acc)
-						where := fmt.Sprintf("%s k=%d rows=%d cols=%d acc=%v", fillName, k, rows, cols, acc)
+						dotOffPanel(&c[0], ldc, &a[0], lda, rows, &b[0], &offs[0], cols, w, h, ldb, acc)
+						where := fmt.Sprintf("%s w=%d h=%d rows=%d cols=%d acc=%v", fillName, w, h, rows, cols, acc)
 						if !outsideRowsIntact(cBack, rows, cols, ldc, off) {
 							t.Fatalf("%s: stored outside the outputs", where)
 						}
@@ -460,9 +502,12 @@ func TestDotPanelMatchesGoReference(t *testing.T) {
 							for j := 0; j < cols; j++ {
 								var want float32
 								var sumAbs float64
-								for kk := 0; kk < k; kk++ {
-									want += a[i*lda+kk] * b[j*ldb+kk]
-									sumAbs += math.Abs(float64(a[i*lda+kk]) * float64(b[j*ldb+kk]))
+								for y := 0; y < h; y++ {
+									for x := 0; x < w; x++ {
+										av, bv := a[i*lda+y*w+x], b[offs[j]+y*ldb+x]
+										want += av * bv
+										sumAbs += math.Abs(float64(av) * float64(bv))
+									}
 								}
 								terms := k
 								if acc {
@@ -476,7 +521,7 @@ func TestDotPanelMatchesGoReference(t *testing.T) {
 								}
 								// The same output alone: one row, one column.
 								alone := []float32{before[i*ldc+j]}
-								dotPanel(&alone[0], 1, &a[i*lda], lda, 1, &b[j*ldb], ldb, 1, k, acc)
+								dotOffPanel(&alone[0], 1, &a[i*lda], lda, 1, &b[0], &offs[j], 1, w, h, ldb, acc)
 								if !sameFloats(alone, []float32{got}) {
 									t.Fatalf("%s: output (%d,%d) is %g in the panel, %g alone", where, i, j, got, alone[0])
 								}
@@ -491,11 +536,11 @@ func TestDotPanelMatchesGoReference(t *testing.T) {
 
 // TestMatMulPanelsBitIdenticalToRowLoops: whole products through the panels
 // — full tiles, edge rows, edge columns, k tails — against the same products
-// with the panels unbound, which is the parent's path: bit for bit where the
+// with the panels unbound, the row loops alone: bit for bit where the
 // summation order is kept (plain, transposed A), within tolerance where it is
 // not (transposed B).
 func TestMatMulPanelsBitIdenticalToRowLoops(t *testing.T) {
-	if gemmPanel == nil {
+	if gemmOffPanel == nil {
 		t.Skip("the panels exist in assembly only")
 	}
 	rng := rand.New(rand.NewSource(41))
@@ -506,20 +551,20 @@ func TestMatMulPanelsBitIdenticalToRowLoops(t *testing.T) {
 		b := New(k, n).RandNormal(rng, 0, 1)
 		bt := New(n, k).RandNormal(rng, 0, 1)
 		base := New(m, n).RandNormal(rng, 0, 1)
-		run := func() [4]*Tensor {
-			return [4]*Tensor{MatMul(a, b), MatMulTransA(at, b), MatMulTransAAcc(base.Clone(), at, b), MatMulTransBAcc(base.Clone(), a, bt)}
+		run := func() [3]*Tensor {
+			return [3]*Tensor{MatMul(a, b), MatMulTransAInto(base.Clone(), at, b), MatMulTransBAcc(base.Clone(), a, bt)}
 		}
 		tiled := run()
-		savedGemm, savedDot := gemmPanel, dotPanel
-		gemmPanel, dotPanel = nil, nil
+		savedGemm, savedDot := gemmOffPanel, dotOffPanel
+		gemmOffPanel, dotOffPanel = nil, nil
 		rows := run()
-		gemmPanel, dotPanel = savedGemm, savedDot
-		for p, name := range []string{"MatMul", "MatMulTransA", "MatMulTransAAcc"} {
+		gemmOffPanel, dotOffPanel = savedGemm, savedDot
+		for p, name := range []string{"MatMul", "MatMulTransAInto"} {
 			if !sameFloats(tiled[p].data, rows[p].data) {
 				t.Fatalf("%s through the panels differs from the row loops at m=%d k=%d n=%d", name, m, k, n)
 			}
 		}
-		if !withinRelTol(tiled[3], rows[3], 1e-4) {
+		if !withinRelTol(tiled[2], rows[2], 1e-4) {
 			t.Fatalf("MatMulTransBAcc through the panel differs from the row loops at m=%d k=%d n=%d", m, k, n)
 		}
 	}

@@ -1,11 +1,17 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Matrix multiplication is the numeric hot path of both training (dense and
-// im2col'd convolution layers) and the simulator's calibration runs. The
-// kernels below are cache-blocked and 4-way unrolled over the inner
-// dimension, and large products are split across the package's shared worker
+// convolution layers) and the simulator's calibration runs. Every product runs
+// on one kernel family, the offset-table product of offset.go: the right
+// operand's row kk is read at b[off[kk]], and a dense operand is the table
+// off[kk] = kk·ldb (denseRows). The kernels are register-tiled panels over
+// the whole inner dimension with cache-blocked, 4-way unrolled row loops for
+// the edges, and large products are split across the package's shared worker
 // pool by output-row blocks (pool.go); small matrices stay serial, so layer
 // shapes that fit in cache never pay fan-out overhead.
 //
@@ -29,23 +35,24 @@ import "fmt"
 // fma4Rows adds a0·b0 + a1·b1 + a2·b2 + a3·b3 into ob. Callers pass b0..b3
 // sliced to exactly ob's length: the assembly form trusts it.
 //
-// gemmPanel and dotPanel are the register-tiled panels (gemm_amd64.s): a
-// mmTileI×mmTileJ block of a plain or transposed-A product, or two rows by
+// gemmOffPanel and dotOffPanel are the register-tiled panels (gemm_amd64.s):
+// a mmTileI×mmTileJ block of a plain or transposed-A product, or two rows by
 // four columns of a transposed-B one, held in registers across the whole k
-// sweep. They exist in assembly only and stay nil elsewhere; mmRowRange
-// then runs the row loops alone. Where the CPU has AVX-512 too, the panels
-// are their AVX-512 forms, bit-identical to the AVX2 ones.
+// sweep, the right operand's rows read through an offset table (offset.go has
+// their contracts). They exist in assembly only and stay nil elsewhere; the
+// row loops then do the whole product. Where the CPU has AVX-512 too, the
+// panels are their AVX-512 forms, bit-identical to the AVX2 ones.
 //
 // All are rebound once, at package init, when the CPU probe passes; kernel
 // names the binding that is live.
 var (
-	fma4Rows  = mm4Rows
-	gemmPanel func(c *float32, ldc int, a *float32, ars, aks int, b *float32, ldb, k, tiles int, acc bool)
-	dotPanel  func(c *float32, ldc int, a *float32, lda, rows int, b *float32, ldb, cols, k int, acc bool)
-	kernel    = "go"
+	fma4Rows     = mm4Rows
+	gemmOffPanel func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, tiles int, add bool)
+	dotOffPanel  func(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
+	kernel       = "go"
 )
 
-// The output tile gemmPanel holds in registers.
+// The output tile gemmOffPanel holds in registers.
 const (
 	mmTileI = 4
 	mmTileJ = 16
@@ -92,61 +99,6 @@ var mmChunkHook func(i0, i1 int)
 // sweep.
 const mmBlockJ = 512
 
-// mmKind selects the row kernel of a product.
-type mmKind uint8
-
-const (
-	mmPlain  mmKind = iota // a(m,k) × b(k,n)
-	mmTransA               // aᵀ × b for a stored (k,m)
-	mmTransB               // a × bᵀ for b stored (n,k)
-)
-
-// mmRowRange computes output rows [i0,i1) of the product kind names. Where
-// the panels are bound, whole tiles go through them — four rows by every
-// whole sixteen columns for a plain or transposed-A product, which differ
-// only in a's two strides, and every row and column for a transposed-B one —
-// and the row loops take what is left.
-func mmRowRange(kind mmKind, a, b, out []float32, m, k, n, i0, i1 int, acc bool) {
-	if kind == mmTransB {
-		if dotPanel == nil {
-			mmTransBRows(a, b, out, k, n, i0, i1, acc)
-			return
-		}
-		for j := 0; j < n; j += 4 {
-			dotPanel(&out[i0*n+j], n, &a[i0*k], k, i1-i0, &b[j*k], k, min(4, n-j), k, acc)
-		}
-		return
-	}
-	// Element (i, kk) of the left operand is a[i*ars+kk*aks].
-	ars, aks := k, 1
-	if kind == mmTransA {
-		ars, aks = 1, m
-	}
-	if tiles := n / mmTileJ; gemmPanel != nil && tiles > 0 {
-		it := i0
-		for ; it+mmTileI <= i1; it += mmTileI {
-			gemmPanel(&out[it*n], n, &a[it*ars], ars, aks, &b[0], n, k, tiles, acc)
-		}
-		mmRows(a, ars, aks, b, out, k, n, i0, it, tiles*mmTileJ, acc)
-		i0 = it
-	}
-	mmRows(a, ars, aks, b, out, k, n, i0, i1, 0, acc)
-}
-
-// mmRun computes an (m,n) product into out: on the calling goroutine when it
-// is too small to amortize a fan-out, otherwise split by output-row blocks
-// across the shared worker pool. The closure the pool needs is built on the
-// parallel branch only, so a serial product allocates nothing.
-func mmRun(kind mmKind, a, b, out []float32, m, k, n int, acc bool) {
-	if mmSerial(m, k, n) {
-		mmRowRange(kind, a, b, out, m, k, n, 0, m, acc)
-		return
-	}
-	mmParallel(m, k, n, func(i0, i1 int) {
-		mmRowRange(kind, a, b, out, m, k, n, i0, i1, acc)
-	})
-}
-
 // mmSerial reports whether an (m,k)×(k,n) product stays on the calling
 // goroutine.
 func mmSerial(m, k, n int) bool {
@@ -170,14 +122,37 @@ func mmParallel(m, k, n int, rows func(i0, i1 int)) {
 	parallelFor(m, grain, rows)
 }
 
+// denseTables holds the row table of every dense operand shape a product has
+// met, keyed by denseShape: built once, then shared read-only by every product
+// of that shape, so a product neither allocates nor rebuilds its table. The
+// dense entry points pass it to mmOffset and mmTransBOffset without
+// MatMulOffset's offsetsFit pass: mmShapes has checked the operands, and
+// every row of the table lies inside them.
+var denseTables sync.Map
+
+type denseShape struct{ rows, stride int }
+
+// denseRows returns the offset table of rows rows at stride floats: row r at
+// r·stride.
+func denseRows(rows, stride int) []int {
+	key := denseShape{rows, stride}
+	if off, ok := denseTables.Load(key); ok {
+		return off.([]int)
+	}
+	off := make([]int, rows)
+	for r := range off {
+		off[r] = r * stride
+	}
+	got, _ := denseTables.LoadOrStore(key, off)
+	return got.([]int)
+}
+
 // MatMul returns the matrix product a×b for two 2-D tensors of shapes (m,k)
 // and (k,n).
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := mmShapes("MatMul", a, b, false)
 	out := New(m, n)
-	// A fresh tensor is already zero, so the kernel can accumulate straight
-	// into it and skip the clear pass.
-	mmRun(mmPlain, a.data, b.data, out.data, m, k, n, true)
+	mmOffset(out.data, n, a.data, m, k, 1, b.data, denseRows(k, n), n, false)
 	return out
 }
 
@@ -187,7 +162,7 @@ func MatMul(a, b *Tensor) *Tensor {
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := mmShapes("MatMulInto", a, b, false)
 	mmCheckDst("MatMulInto", dst, m, n)
-	mmRun(mmPlain, a.data, b.data, dst.data, m, k, n, false)
+	mmOffset(dst.data, n, a.data, m, k, 1, b.data, denseRows(k, n), n, false)
 	return dst
 }
 
@@ -197,7 +172,7 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 func MatMulTransA(a, b *Tensor) *Tensor {
 	m, k, n := mmShapes("MatMulTransA", a, b, true)
 	out := New(m, n)
-	mmRun(mmTransA, a.data, b.data, out.data, m, k, n, true)
+	mmOffset(out.data, n, a.data, m, 1, m, b.data, denseRows(k, n), n, false)
 	return out
 }
 
@@ -206,17 +181,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := mmShapes("MatMulTransAInto", a, b, true)
 	mmCheckDst("MatMulTransAInto", dst, m, n)
-	mmRun(mmTransA, a.data, b.data, dst.data, m, k, n, false)
-	return dst
-}
-
-// MatMulTransAAcc accumulates aᵀ×b into dst (dst += aᵀ×b) and returns dst.
-// It fuses the gradient-accumulation pattern dst.Add(MatMulTransA(a, b))
-// into one pass with no temporary. dst must not alias a or b.
-func MatMulTransAAcc(dst, a, b *Tensor) *Tensor {
-	m, k, n := mmShapes("MatMulTransAAcc", a, b, true)
-	mmCheckDst("MatMulTransAAcc", dst, m, n)
-	mmRun(mmTransA, a.data, b.data, dst.data, m, k, n, true)
+	mmOffset(dst.data, n, a.data, m, 1, m, b.data, denseRows(k, n), n, false)
 	return dst
 }
 
@@ -225,7 +190,7 @@ func MatMulTransAAcc(dst, a, b *Tensor) *Tensor {
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, k, n := mmShapesTransB("MatMulTransB", a, b)
 	out := New(m, n)
-	mmRun(mmTransB, a.data, b.data, out.data, m, k, n, false)
+	mmTransBOffset(out.data, a.data, m, b.data, denseRows(n, k), k, 1, k, false)
 	return out
 }
 
@@ -234,7 +199,7 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := mmShapesTransB("MatMulTransBInto", a, b)
 	mmCheckDst("MatMulTransBInto", dst, m, n)
-	mmRun(mmTransB, a.data, b.data, dst.data, m, k, n, false)
+	mmTransBOffset(dst.data, a.data, m, b.data, denseRows(n, k), k, 1, k, false)
 	return dst
 }
 
@@ -243,7 +208,7 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 func MatMulTransBAcc(dst, a, b *Tensor) *Tensor {
 	m, k, n := mmShapesTransB("MatMulTransBAcc", a, b)
 	mmCheckDst("MatMulTransBAcc", dst, m, n)
-	mmRun(mmTransB, a.data, b.data, dst.data, m, k, n, true)
+	mmTransBOffset(dst.data, a.data, m, b.data, denseRows(n, k), k, 1, k, true)
 	return dst
 }
 
@@ -294,103 +259,6 @@ func mm4Rows(ob, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	b3 = b3[:len(ob)]
 	for j, v := range b0 {
 		ob[j] += a0*v + a1*b1[j] + a2*b2[j] + a3*b3[j]
-	}
-}
-
-// mmRows computes columns [j0,n) of output rows [i0,i1) of a plain or
-// transposed-A product, a's element (i, kk) at a[i*ars+kk*aks]. With acc the
-// rows accumulate into out; otherwise each column block is cleared first.
-// Four b-rows are streamed per pass over a column block, so the block of out
-// stays in L1 while each element of b is read exactly once per output row.
-// The Go form of the 4-row step runs at the scalar floating-point ceiling
-// (two FP ops per multiply-add with all bounds checks eliminated); wider
-// row/column tiles were measured slower there because their extra live
-// coefficients spill.
-func mmRows(a []float32, ars, aks int, b, out []float32, k, n, i0, i1, j0 int, acc bool) {
-	for i := i0; i < i1; i++ {
-		orow := out[i*n : i*n+n]
-		for jb := j0; jb < n; jb += mmBlockJ {
-			je := min(jb+mmBlockJ, n)
-			ob := orow[jb:je:je]
-			if !acc {
-				clear(ob)
-			}
-			w := je - jb
-			p := i * ars
-			kk := 0
-			for ; kk+4 <= k; kk += 4 {
-				r := kk*n + jb
-				fma4Rows(ob,
-					b[r:r+w], b[r+n:r+n+w], b[r+2*n:r+2*n+w], b[r+3*n:r+3*n+w],
-					a[p], a[p+aks], a[p+2*aks], a[p+3*aks])
-				p += 4 * aks
-			}
-			for ; kk < k; kk++ {
-				axpySlice(a[p], b[kk*n+jb:kk*n+jb+w], ob)
-				p += aks
-			}
-		}
-	}
-}
-
-// mmDot4 returns the dot products of arow against b0..b3. The reslices pin every operand to len(arow)
-// so the compiler drops all bounds checks; the four accumulator chains are
-// independent and overlap in the pipeline. Each chain keeps the scalar
-// loop's accumulation order.
-func mmDot4(arow, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
-	b0 = b0[:len(arow)]
-	b1 = b1[:len(arow)]
-	b2 = b2[:len(arow)]
-	b3 = b3[:len(arow)]
-	for kk, av := range arow {
-		s0 += av * b0[kk]
-		s1 += av * b1[kk]
-		s2 += av * b2[kk]
-		s3 += av * b3[kk]
-	}
-	return s0, s1, s2, s3
-}
-
-// mmTransBRows computes output rows [i0,i1) of a(m,k)×bᵀ for b stored as
-// (n,k): each output element is a dot product of two contiguous rows. Four
-// output columns are computed per pass with independent accumulators, so
-// the row of a is read once per four outputs and the four dot-product
-// chains overlap. The per-output accumulation order matches the scalar loop
-// exactly.
-func mmTransBRows(a, b, out []float32, k, n, i0, i1 int, acc bool) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : i*k+k : i*k+k]
-		orow := out[i*n : i*n+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			r := j * k
-			s0, s1, s2, s3 := mmDot4(arow,
-				b[r:r+k], b[r+k:r+2*k], b[r+2*k:r+3*k], b[r+3*k:r+4*k])
-			if acc {
-				orow[j] += s0
-				orow[j+1] += s1
-				orow[j+2] += s2
-				orow[j+3] += s3
-			} else {
-				orow[j] = s0
-				orow[j+1] = s1
-				orow[j+2] = s2
-				orow[j+3] = s3
-			}
-		}
-		for ; j < n; j++ {
-			brow := b[j*k : j*k+k]
-			var sum float32
-			brow = brow[:len(arow)]
-			for kk, av := range arow {
-				sum += av * brow[kk]
-			}
-			if acc {
-				orow[j] += sum
-			} else {
-				orow[j] = sum
-			}
-		}
 	}
 }
 

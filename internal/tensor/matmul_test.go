@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -129,12 +130,12 @@ func TestMatMulTransAMatchesScalarReference(t *testing.T) {
 }
 
 func TestMatMulTransBBitIdenticalToScalarReference(t *testing.T) {
-	// With the Go dot4, MatMulTransB keeps the scalar loop's per-output
-	// accumulation order, so it must match the reference exactly, not just
-	// within tolerance. The vector dot4 sums eight lanes apart; the next test
-	// bounds it.
+	// On the Go loops (mmTransBOffRows) MatMulTransB keeps the scalar loop's
+	// per-output accumulation order, so it must match the reference exactly,
+	// not just within tolerance. The dot panel sums eight lanes apart; the
+	// next test bounds it.
 	if kernel != "go" {
-		t.Skip("assembly dot4 reassociates the k-sum; exactness holds under -tags purego")
+		t.Skip("the dot panel reassociates the k-sum; exactness holds under -tags purego")
 	}
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -184,21 +185,53 @@ func TestMatMulAccVariantsAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 50; iter++ {
 		m, k, n := randShapes(rng)
-		at := New(k, m).RandNormal(rng, 0, 1)
-		b := New(k, n).RandNormal(rng, 0, 1)
 		a := New(m, k).RandNormal(rng, 0, 1)
 		bt := New(n, k).RandNormal(rng, 0, 1)
 		base := New(m, n).RandNormal(rng, 0, 1)
 
-		got := MatMulTransAAcc(base.Clone(), at, b)
-		want := base.Clone().Add(MatMulTransA(at, b))
-		if !withinRelTol(got, want, 1e-4) {
-			t.Fatalf("MatMulTransAAcc != dst + MatMulTransA at m=%d k=%d n=%d", m, k, n)
-		}
-		got = MatMulTransBAcc(base.Clone(), a, bt)
-		want = base.Clone().Add(MatMulTransB(a, bt))
-		if !withinRelTol(got, want, 1e-4) {
+		got := MatMulTransBAcc(base.Clone(), a, bt)
+		want := base.Clone().Add(MatMulTransB(a, bt))
+		if !sameFloats(got.data, want.data) {
 			t.Fatalf("MatMulTransBAcc != dst + MatMulTransB at m=%d k=%d n=%d", m, k, n)
+		}
+	}
+}
+
+// TestDenseProductsAllocateNothing: a dense product reads its right operand
+// through a row table built once per shape, so a serial product into a
+// destination allocates nothing, at the wide MLP's and ResNet-8's shapes.
+// The threshold is raised so every shape stays serial: a fan-out allocates
+// its closure by design.
+func TestDenseProductsAllocateNothing(t *testing.T) {
+	prev := SetMatMulParallelMinFlops(math.MaxInt64)
+	t.Cleanup(func() { SetMatMulParallelMinFlops(prev) })
+	rng := rand.New(rand.NewSource(17))
+	mk := func(r, c int) *Tensor { return New(r, c).RandNormal(rng, 0, 1) }
+	type product struct {
+		name string
+		run  func()
+	}
+	var products []product
+	{
+		dst, a, b := mk(4, 32), mk(4, 8192), mk(8192, 32)
+		products = append(products, product{"MatMulInto 4x8192x32", func() { MatMulInto(dst, a, b) }})
+	}
+	{
+		dst, a, b := mk(8192, 32), mk(4, 8192), mk(4, 32)
+		products = append(products, product{"MatMulTransAInto 8192x4x32", func() { MatMulTransAInto(dst, a, b) }})
+	}
+	{
+		dst, a, b := mk(4, 32), mk(4, 8), mk(32, 8)
+		products = append(products, product{"MatMulTransBInto 4x8x32", func() { MatMulTransBInto(dst, a, b) }})
+	}
+	for _, s := range [][3]int{{32, 144, 256}, {64, 288, 64}} { // outC, patch, plane: a conv's dW
+		dst, a, b := mk(s[0], s[1]), mk(s[0], s[2]), mk(s[1], s[2])
+		name := fmt.Sprintf("MatMulTransBAcc %dx%dx%d", s[0], s[1], s[2])
+		products = append(products, product{name, func() { MatMulTransBAcc(dst, a, b) }})
+	}
+	for _, p := range products {
+		if allocs := testing.AllocsPerRun(20, p.run); allocs != 0 {
+			t.Errorf("%s: %v allocations per product, want 0", p.name, allocs)
 		}
 	}
 }

@@ -2,33 +2,28 @@ package tensor
 
 import "fmt"
 
-// Offset-table products: matrix products whose right operand is not a dense
-// matrix but rows read in place out of a larger buffer, row r starting at
-// b[off[r]]. A stride-1 3×3 convolution reads its patch matrix this way
-// straight out of the zero-bordered image (internal/nn's Conv2D): patch row
-// (ic, ky, kx) is the bordered image shifted by ic planes, ky rows and kx
+// Offset-table products: matrix products whose right operand's rows are read
+// in place out of a larger buffer, row r starting at b[off[r]]. Every product
+// of the package runs here. A dense operand is the table of its rows at a
+// stride (matmul.go's denseRows); a stride-1 3×3 convolution reads its patch
+// matrix straight out of the zero-bordered image (internal/nn's Conv2D): patch
+// row (ic, ky, kx) is the bordered image shifted by ic planes, ky rows and kx
 // columns, so a table of 9·inC offsets stands in for the (inC·9, H·W) matrix
 // im2col would build.
 //
-// Each form builds every output by the chain of the dense product it stands
-// in for — the same operations on the same operands in the same order — so
-// where the rows it reads hold what the dense operand would, it is bit for bit
-// that product: MatMulOffset is MatMulInto's (or, through its a strides,
-// MatMulTransAInto's) chain, and MatMulTransBOffset is MatMulTransBInto's on
+// Each form builds every output by one chain whatever the table, so a product
+// of rows read in place is bit for bit the product of the same rows gathered
+// into a dense matrix: always for MatMulOffset, and for MatMulTransBOffset on
 // the Go loops, and on the panels wherever its runs are whole vectors of
 // eight (see dotOffPanel).
 //
-// gemmOffPanel is gemmPanel with b's row kk at b[off[kk]] instead of
-// b[kk*ldb], and with add set the chain, summed from +0, added onto c at the
-// store (c + Σ, what adding a separately computed product leaves) where
-// gemmPanel's acc folds c into the chain. dotOffPanel is dotPanel with b's
-// row j the h runs of w floats b[off[j]+s*ldb:], s < h, and a's row the h·w
-// floats that meet them end to end. Both exist in assembly only and stay nil
-// elsewhere; the row loops below then do the whole product.
-var (
-	gemmOffPanel func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, tiles int, add bool)
-	dotOffPanel  func(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
-)
+// gemmOffPanel computes c[r*ldc+j] for four rows r and 16·tiles columns j,
+// b's row kk at b[off[kk]]: the chain summed from +0 and, with add set, added
+// onto c at the store (c + Σ, what adding a separately computed product
+// leaves). dotOffPanel computes up to four columns of rows rows of a
+// transposed-B product, b's row j the h runs of w floats b[off[j]+s*ldb:],
+// s < h, and a's row the h·w floats that meet them end to end; with acc the
+// sums are added onto c. gemm_amd64.s has the chains.
 
 // MatMulOffset computes the (m,n) product A×B into the rows dst[i*ldc:][:n],
 // i < m. A's element (i,kk) is a[i*ars+kk*aks] and B's row kk is
@@ -43,11 +38,20 @@ func MatMulOffset(dst []float32, ldc int, a []float32, m, ars, aks int, b []floa
 		panic(fmt.Sprintf("tensor: MatMulOffset operands out of range: m=%d k=%d n=%d ldc=%d ars=%d aks=%d len(dst)=%d len(a)=%d len(b)=%d",
 			m, k, n, ldc, ars, aks, len(dst), len(a), len(b)))
 	}
-	if mmSerial(m, k, n) {
+	mmOffset(dst, ldc, a, m, ars, aks, b, off, n, add)
+}
+
+// mmOffset runs MatMulOffset on operands the caller has checked: on the
+// calling goroutine when the product is too small to amortize a fan-out,
+// otherwise split by output-row blocks across the shared worker pool. The
+// closure the pool needs is built on the parallel branch only, so a serial
+// product allocates nothing.
+func mmOffset(dst []float32, ldc int, a []float32, m, ars, aks int, b []float32, off []int, n int, add bool) {
+	if mmSerial(m, len(off), n) {
 		gemmOffRowRange(dst, ldc, a, ars, aks, b, off, n, 0, m, add)
 		return
 	}
-	mmParallel(m, k, n, func(i0, i1 int) {
+	mmParallel(m, len(off), n, func(i0, i1 int) {
 		gemmOffRowRange(dst, ldc, a, ars, aks, b, off, n, i0, i1, add)
 	})
 }
@@ -63,14 +67,19 @@ func MatMulTransBOffset(dst, a *Tensor, b []float32, off []int, w, h, ldb int, a
 		panic(fmt.Sprintf("tensor: MatMulTransBOffset operands out of range: a %v, %d rows of %d runs of %d at stride %d, len(b)=%d",
 			a.shape, n, h, w, ldb, len(b)))
 	}
-	m := a.shape[0]
-	mmCheckDst("MatMulTransBOffset", dst, m, n)
-	if mmSerial(m, w*h, n) {
-		dotOffRowRange(dst.data, a.data, b, off, w, h, ldb, 0, m, acc)
+	mmCheckDst("MatMulTransBOffset", dst, a.shape[0], n)
+	mmTransBOffset(dst.data, a.data, a.shape[0], b, off, w, h, ldb, acc)
+}
+
+// mmTransBOffset runs MatMulTransBOffset's m output rows on operands the
+// caller has checked, serial or fanned out as mmOffset decides.
+func mmTransBOffset(dst, a []float32, m int, b []float32, off []int, w, h, ldb int, acc bool) {
+	if mmSerial(m, w*h, len(off)) {
+		dotOffRowRange(dst, a, b, off, w, h, ldb, 0, m, acc)
 		return
 	}
-	mmParallel(m, w*h, n, func(i0, i1 int) {
-		dotOffRowRange(dst.data, a.data, b, off, w, h, ldb, i0, i1, acc)
+	mmParallel(m, w*h, len(off), func(i0, i1 int) {
+		dotOffRowRange(dst, a, b, off, w, h, ldb, i0, i1, acc)
 	})
 }
 
@@ -85,9 +94,10 @@ func offsetsFit(b []float32, off []int, span int) bool {
 	return true
 }
 
-// gemmOffRowRange computes output rows [i0,i1) of MatMulOffset: whole tiles
-// through the panel where it is bound, as mmRowRange does, and the row loops
-// for what is left.
+// gemmOffRowRange computes output rows [i0,i1) of MatMulOffset. Where the
+// panel is bound, whole tiles go through it — four rows by every whole sixteen
+// columns, plain and transposed-A products differing only in a's two strides —
+// and the row loops take what is left.
 func gemmOffRowRange(c []float32, ldc int, a []float32, ars, aks int, b []float32, off []int, n, i0, i1 int, add bool) {
 	if tiles := n / mmTileJ; gemmOffPanel != nil && tiles > 0 {
 		it := i0
@@ -100,10 +110,15 @@ func gemmOffRowRange(c []float32, ldc int, a []float32, ars, aks int, b []float3
 	mmOffRows(a, ars, aks, b, off, c, ldc, n, i0, i1, 0, add)
 }
 
-// mmOffRows is mmRows with b's row kk at b[off[kk]] and output row i at
-// c[i*ldc], over columns [j0,n): each column block is cleared and summed by
-// the bound fma4Rows and axpySlice, and with add set the block's previous
-// contents are added back onto the sum, each element once.
+// mmOffRows computes columns [j0,n) of output rows [i0,i1), b's row kk at
+// b[off[kk]] and output row i at c[i*ldc]: each column block is cleared and
+// summed by the bound fma4Rows and axpySlice, and with add set the block's
+// previous contents are added back onto the sum, each element once. Four
+// b-rows are streamed per pass over a column block, so the block of c stays
+// in L1 while each element of b is read once per output row. The Go form of
+// the 4-row step runs at the scalar floating-point ceiling (two FP ops per
+// multiply-add with all bounds checks eliminated); wider row/column tiles
+// were measured slower there because their extra live coefficients spill.
 func mmOffRows(a []float32, ars, aks int, b []float32, off []int, c []float32, ldc, n, i0, i1, j0 int, add bool) {
 	k := len(off)
 	var prev [mmBlockJ]float32
@@ -151,34 +166,68 @@ func dotOffRowRange(c, a, b []float32, off []int, w, h, ldb, i0, i1 int, acc boo
 	}
 }
 
-// mmTransBOffRows is mmTransBRows with b's row j read as runs: each output is
-// one chain over the runs in order, four outputs per pass, so it is the dense
-// form's scalar-order sum bit for bit.
+// mmTransBOffRows computes output rows [i0,i1) of a transposed-B product with
+// b's row j read as runs: each output is one chain over the runs in order,
+// the scalar loop's accumulation order over the runs laid end to end. Four
+// outputs are summed per pass over a run of a (mmDot4), so the run is read
+// once per four outputs and the four chains overlap.
 func mmTransBOffRows(c, a, b []float32, off []int, w, h, ldb, i0, i1 int, acc bool) {
 	n, lda := len(off), w*h
 	for i := i0; i < i1; i++ {
+		arow := a[i*lda : i*lda+lda]
 		orow := c[i*n : i*n+n]
-		for j := 0; j < n; j += 4 {
-			cols := min(4, n-j)
-			var s [4]float32
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var s0, s1, s2, s3 float32
 			for y := 0; y < h; y++ {
-				arow := a[i*lda+y*w : i*lda+y*w+w]
-				for q := 0; q < cols; q++ {
-					brow := b[off[j+q]+y*ldb:][:len(arow)]
-					sum := s[q]
-					for x, av := range arow {
-						sum += av * brow[x]
-					}
-					s[q] = sum
+				r := y * ldb
+				s0, s1, s2, s3 = mmDot4(arow[y*w:y*w+w], b[off[j]+r:], b[off[j+1]+r:], b[off[j+2]+r:], b[off[j+3]+r:],
+					s0, s1, s2, s3)
+			}
+			if acc {
+				orow[j] += s0
+				orow[j+1] += s1
+				orow[j+2] += s2
+				orow[j+3] += s3
+			} else {
+				orow[j] = s0
+				orow[j+1] = s1
+				orow[j+2] = s2
+				orow[j+3] = s3
+			}
+		}
+		for ; j < n; j++ {
+			var sum float32
+			for y := 0; y < h; y++ {
+				run := arow[y*w : y*w+w]
+				brow := b[off[j]+y*ldb:][:len(run)]
+				for x, av := range run {
+					sum += av * brow[x]
 				}
 			}
-			for q := 0; q < cols; q++ {
-				if acc {
-					orow[j+q] += s[q]
-				} else {
-					orow[j+q] = s[q]
-				}
+			if acc {
+				orow[j] += sum
+			} else {
+				orow[j] = sum
 			}
 		}
 	}
+}
+
+// mmDot4 continues the four chains s0..s3 over the dot products of arow
+// against b0..b3. The reslices pin every operand to len(arow) so the compiler
+// drops all bounds checks; the four chains are independent and overlap in the
+// pipeline, each in the scalar loop's accumulation order.
+func mmDot4(arow, b0, b1, b2, b3 []float32, s0, s1, s2, s3 float32) (float32, float32, float32, float32) {
+	b0 = b0[:len(arow)]
+	b1 = b1[:len(arow)]
+	b2 = b2[:len(arow)]
+	b3 = b3[:len(arow)]
+	for x, av := range arow {
+		s0 += av * b0[x]
+		s1 += av * b1[x]
+		s2 += av * b2[x]
+		s3 += av * b3[x]
+	}
+	return s0, s1, s2, s3
 }

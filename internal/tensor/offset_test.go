@@ -47,11 +47,11 @@ func withPanels(t *testing.T, f func(t *testing.T)) {
 	})
 }
 
-// TestMatMulOffsetBitIdenticalToDenseProduct: MatMulOffset is the product
-// MatMulInto computes on the gathered operand, bit for bit — plain and
-// transposed-A strides, whole tiles and edge rows and columns, k tails,
-// special values — with add set it is that product added onto the rows, and it
-// stores nothing between or around the rows.
+// TestMatMulOffsetBitIdenticalToDenseProduct: MatMulOffset is the dense
+// product of the gathered operand as the row kernels build it (rowChain), bit
+// for bit — plain and transposed-A strides, whole tiles and edge rows and
+// columns, k tails, special values — with add set it is that product added
+// onto the rows, and it stores nothing between or around the rows.
 func TestMatMulOffsetBitIdenticalToDenseProduct(t *testing.T) {
 	withPanels(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(53))
@@ -66,28 +66,23 @@ func TestMatMulOffsetBitIdenticalToDenseProduct(t *testing.T) {
 				ldc := n + rng.Intn(3)
 				b, off := offsetOperand(rng, k, n, n+rng.Intn(3*n+8), fill)
 				dense := gathered(b, off, n)
-				a := New(m, k)
-				ars, aks, aData := k, 1, a.data
+				ars, aks, aData := k, 1, make([]float32, m*k)
 				if transA {
-					a = New(k, m)
-					ars, aks, aData = 1, m, a.data
+					ars, aks = 1, m
 				}
 				for i := range aData {
 					aData[i] = fill()
 				}
-				want := New(m, n)
-				if transA {
-					MatMulTransAInto(want, a, dense)
-				} else {
-					MatMulInto(want, a, dense)
-				}
 				dstOff := rng.Intn(8)
 				dst, back := panelOperand(m, n, ldc, dstOff, fill)
-				if add {
-					for i := 0; i < m; i++ {
-						for j := 0; j < n; j++ {
-							want.data[i*n+j] = dst[i*ldc+j] + want.data[i*n+j]
+				want, rows := New(m, n), denseTable(k, n)
+				for i := 0; i < m; i++ {
+					row := rowChain(aData, i, ars, aks, dense.data, rows, n)
+					for j, v := range row {
+						if add {
+							v = dst[i*ldc+j] + v
 						}
+						want.data[i*n+j] = v
 					}
 				}
 				MatMulOffset(dst, ldc, aData, m, ars, aks, b, off, n, add)
@@ -109,9 +104,8 @@ func TestMatMulOffsetBitIdenticalToDenseProduct(t *testing.T) {
 // product MatMulTransBInto (MatMulTransBAcc with acc) computes on the runs
 // gathered end to end — bit for bit on the Go loops, and on the panels
 // wherever the runs are whole vectors of eight; with a ragged run the panels
-// sum its tail in the lanes a run starts in, not the lanes the dense form
-// would, so there the two agree within the bound for h·w terms (as do the
-// row loops against the dense panel, when the tests unbind the offset one).
+// sum its tail in the lanes a run starts in, not the lanes the one run of the
+// dense form would, so there the two agree within the bound for h·w terms.
 func TestMatMulTransBOffsetMatchesDenseProduct(t *testing.T) {
 	withPanels(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(59))
@@ -147,9 +141,10 @@ func TestMatMulTransBOffsetMatchesDenseProduct(t *testing.T) {
 				}
 				MatMulTransBOffset(got, a, b, off, w, h, ldb, acc)
 				where := fmt.Sprintf("%s m=%d n=%d w=%d h=%d ldb=%d acc=%v", fillName, m, n, w, h, ldb, acc)
-				// The row loops' sum is the Go loops' order; with the dense
-				// panel bound, only the offset panel sums in its lanes.
-				if dotPanel == nil || dotOffPanel != nil && w%8 == 0 {
+				// The row loops sum in the scalar order, the panel in its
+				// lanes, which are the dense form's where runs are whole
+				// vectors.
+				if dotOffPanel == nil || w%8 == 0 {
 					if !sameFloats(got.data, want.data) {
 						t.Fatalf("%s: differs from the dense product", where)
 					}

@@ -368,3 +368,15 @@ func TestBatchIteratorReusesItsBatches(t *testing.T) {
 		t.Errorf("a warm Next allocates %v objects", allocs)
 	}
 }
+
+// TestSubsetSharesExamples: a subset is a list of the parent's examples, not
+// a copy of them — a worker's shard costs its index, not its images.
+func TestSubsetSharesExamples(t *testing.T) {
+	d := MustSynthetic(SyntheticConfig{Examples: 6, Classes: 3, Channels: 2, Size: 3, Noise: 0.1, Seed: 4})
+	sub := d.Subset([]int{4, 1})
+	for i, idx := range []int{4, 1} {
+		if &sub.images[i][0] != &d.images[idx][0] || sub.Label(i) != d.Label(idx) {
+			t.Fatalf("subset example %d is not the parent's example %d", i, idx)
+		}
+	}
+}

@@ -104,15 +104,14 @@ func (d *Dataset) All() (*tensor.Tensor, []int) {
 	return d.Batch(idx)
 }
 
-// Subset returns a new dataset referencing copies of the examples at the
-// given indices.
+// Subset returns a new dataset of the examples at the given indices. It
+// shares their storage with d: an example is never written after Add.
 func (d *Dataset) Subset(indices []int) *Dataset {
 	out := NewDataset(d.Channels, d.Size, d.Classes, d.Flat)
-	for _, idx := range indices {
-		img := make([]float32, len(d.images[idx]))
-		copy(img, d.images[idx])
-		out.images = append(out.images, img)
-		out.labels = append(out.labels, d.labels[idx])
+	out.images = make([][]float32, len(indices))
+	out.labels = make([]int, len(indices))
+	for i, idx := range indices {
+		out.images[i], out.labels[i] = d.images[idx], d.labels[idx]
 	}
 	return out
 }

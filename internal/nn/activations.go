@@ -12,10 +12,10 @@ import (
 // zeros pass).
 type ReLU struct {
 	// lastInput is the training pass's input, whose signs Backward reads: a
-	// layer's input stays intact until its Backward, the rule Dense relies on
-	// for its weight gradient.
+	// network keeps a ReLU's input, as a Dense's, out of its pool (scratch.go),
+	// so it stays intact until Backward.
 	lastInput *tensor.Tensor
-	out, dx   *tensor.Tensor // layer-owned buffers (scratch.go)
+	trainBufs
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -23,13 +23,10 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	var out *tensor.Tensor
 	if train {
 		r.lastInput = x
-		out = scratchLike(&r.out, x)
-	} else {
-		out = tensor.New(x.Shape()...)
 	}
+	out := r.outputLike(train, x)
 	tensor.MaskNonNegative(out.Data(), x.Data(), x.Data())
 	return out
 }
@@ -39,7 +36,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.lastInput == nil || r.lastInput.Size() != grad.Size() {
 		panic("nn: ReLU.Backward called without a matching Forward(train=true)")
 	}
-	out := scratchLike(&r.dx, grad)
+	out := r.inputGradLike(grad)
 	tensor.MaskNonNegative(out.Data(), grad.Data(), r.lastInput.Data())
 	return out
 }
@@ -57,7 +54,7 @@ func (r *ReLU) Name() string { return "ReLU" }
 // layers can follow convolutional stages.
 type Flatten struct {
 	lastShape []int
-	out, dx   *tensor.Tensor // layer-owned buffers (scratch.go)
+	trainBufs
 }
 
 // NewFlatten returns a flatten layer.
@@ -72,7 +69,7 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			f.lastShape = append(f.lastShape, x.Dim(i))
 		}
 	}
-	out := output(train, &f.out, batch, x.Size()/batch)
+	out := f.output(train, batch, x.Size()/batch)
 	copy(out.Data(), x.Data())
 	return out
 }
@@ -82,7 +79,7 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if f.lastShape == nil {
 		panic("nn: Flatten.Backward called before Forward(train=true)")
 	}
-	dx := scratch(&f.dx, f.lastShape...)
+	dx := f.inputGrad(f.lastShape...)
 	if dx.Size() != grad.Size() {
 		panic(fmt.Sprintf("nn: Flatten got gradient shape %v for input shape %v", grad.Shape(), f.lastShape))
 	}
@@ -102,10 +99,10 @@ func (f *Flatten) Name() string { return "Flatten" }
 // Dropout zeroes a random fraction of activations during training and
 // rescales the rest, as used between the fully connected layers of AlexNet.
 type Dropout struct {
-	rate    float64
-	rng     *rand.Rand
-	mask    []float32
-	out, dx *tensor.Tensor // layer-owned buffers (scratch.go)
+	rate float64
+	rng  *rand.Rand
+	mask []float32
+	trainBufs
 }
 
 // NewDropout returns a dropout layer that drops activations with probability
@@ -122,7 +119,7 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
 		return x.Clone()
 	}
-	out := scratchLike(&d.out, x)
+	out := d.outputLike(true, x)
 	data := out.Data()
 	copy(data, x.Data())
 	if d.rate == 0 {
@@ -144,7 +141,7 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := scratchLike(&d.dx, grad)
+	out := d.inputGradLike(grad)
 	data := out.Data()
 	copy(data, grad.Data())
 	if len(d.mask) != len(data) {

@@ -30,7 +30,7 @@ type BatchNorm struct {
 	lastMean  []float64
 	lastVar   []float64
 
-	out, dx *tensor.Tensor // layer-owned buffers (scratch.go)
+	trainBufs
 }
 
 // NewBatchNorm returns a batch normalization layer over the given number of
@@ -68,7 +68,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	area := h * w
 	n := float64(batch * area)
-	out := output(train, &bn.out, batch, ch, h, w)
+	out := bn.output(train, batch, ch, h, w)
 	xd := x.Data()
 	od := out.Data()
 	gamma := bn.gamma.Data()
@@ -124,7 +124,7 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	batch, ch, h, w := bn.lastInput.Dim(0), bn.lastInput.Dim(1), bn.lastInput.Dim(2), bn.lastInput.Dim(3)
 	area := h * w
 	n := float64(batch * area)
-	dx := scratch(&bn.dx, batch, ch, h, w)
+	dx := bn.inputGrad(batch, ch, h, w)
 	dxd := dx.Data()
 	gd := grad.Data()
 	gamma := bn.gamma.Data()

@@ -31,18 +31,19 @@ type Conv2D struct {
 	// Input geometry of the last training forward pass; inBatch 0 before it.
 	inBatch, inH, inW int
 
-	// Layer-owned buffers (scratch.go). in is what Backward reads of the
-	// training pass's input, one block per batch item: the bordered image on
-	// the direct path, the patch matrix on the im2col path. train and eval are
-	// the scratch of a training and of an evaluation forward pass, so an
-	// evaluation between a training Forward and its Backward touches nothing
-	// the training pass holds. dcol is the im2col path's patch-matrix gradient;
-	// wideGrad, its row table gradRows and padDx are the direct path's
-	// (direct.go).
-	in, out, dx     *tensor.Tensor
+	// Buffers (scratch.go): trainBufs the output and the input gradient, which
+	// a Network may pool. in is what Backward reads of the training pass's
+	// input, one block per batch item: the bordered image on the direct path,
+	// the patch matrix on the im2col path. train and eval are the scratch of a
+	// training and of an evaluation forward pass, so an evaluation between a
+	// training Forward and its Backward touches nothing the training pass
+	// holds. dcol is the im2col path's patch-matrix gradient; wideGrad, its row
+	// table gradRows and padDx are the direct path's (direct.go).
+	trainBufs
+	in              buffer
 	train, eval     convScratch
-	dcol            *tensor.Tensor
-	wideGrad, padDx *tensor.Tensor
+	dcol            buffer
+	wideGrad, padDx buffer
 	gradRows        []int
 	// Matrix header re-pointed at one batch item of the upstream gradient.
 	gradMat *tensor.Tensor
@@ -56,10 +57,11 @@ type Conv2D struct {
 // on the im2col path the patch matrix of an evaluation pass and the headers
 // the products see.
 type convScratch struct {
-	pad, wide           *tensor.Tensor
-	off                 []int
-	offH, offW          int
-	col, colMat, outMat *tensor.Tensor
+	pad, wide      buffer
+	off            []int
+	offH, offW     int
+	col            buffer
+	colMat, outMat *tensor.Tensor
 }
 
 // skipInputGrad tells the layer that no one reads what Backward returns.
@@ -204,7 +206,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s got input shape %v, want (batch,%d,h,w)", c.Name(), x.Shape(), c.inC))
 	}
 	batch, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	out := output(train, &c.out, batch, c.outC, c.outSize(h), c.outSize(w))
+	out := c.output(train, batch, c.outC, c.outSize(h), c.outSize(w))
 	sc := &c.eval
 	if train {
 		c.inBatch, c.inH, c.inW = batch, h, w
@@ -228,10 +230,10 @@ func (c *Conv2D) forwardIm2col(sc *convScratch, x, out *tensor.Tensor, train boo
 	var colData []float32
 	colStep := 0
 	if train {
-		colData = scratch(&c.in, batch, patch, plane).Data()
+		colData = c.in.get(batch, patch, plane).Data()
 		colStep = patch * plane
 	} else {
-		colData = scratch(&sc.col, patch, plane).Data()
+		colData = sc.col.get(patch, plane).Data()
 	}
 	xData := x.Data()
 	outData := out.Data()
@@ -261,7 +263,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	var dx *tensor.Tensor
 	if !c.noDx {
-		dx = scratch(&c.dx, batch, c.inC, h, w)
+		dx = c.inputGrad(batch, c.inC, h, w)
 	}
 	gradData := grad.Data()
 	gb := c.gradB.Data()
@@ -290,7 +292,7 @@ func (c *Conv2D) backwardIm2col(grad, dx *tensor.Tensor) {
 	patch := c.inC * c.kernel * c.kernel
 	outImgSize := c.outC * plane
 	gradData := grad.Data()
-	colData := c.in.Data()
+	colData := c.in.data
 	for b := 0; b < batch; b++ {
 		gradMat := view2D(&c.gradMat, gradData[b*outImgSize:(b+1)*outImgSize], c.outC, plane)
 		colMat := view2D(&c.train.colMat, colData[b*patch*plane:(b+1)*patch*plane], patch, plane)
@@ -318,7 +320,7 @@ func (c *Conv2D) dxIm2col(grad, dx *tensor.Tensor) {
 	dx.Zero() // col2im accumulates
 	dxData := dx.Data()
 	gradData := grad.Data()
-	dcol := scratch(&c.dcol, patch, plane)
+	dcol := c.dcol.get(patch, plane)
 	for b := 0; b < batch; b++ {
 		gradMat := view2D(&c.gradMat, gradData[b*outImgSize:(b+1)*outImgSize], c.outC, plane)
 		tensor.MatMulTransAInto(dcol, c.weight, gradMat)

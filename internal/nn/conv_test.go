@@ -143,6 +143,9 @@ func TestConv2DSteadyStateAllocatesNothing(t *testing.T) {
 // may allocate: nothing. ResNet-8 at the flat-compute shape allocated 1480
 // objects and 40.7 MB when every layer allocated its outputs; the downsized
 // AlexNet covers the layers ResNet has none of (max pool, flatten, dropout).
+// An epoch whose shard is not a multiple of the batch ends on a short batch:
+// once both sizes have run, alternating them allocates nothing either, the
+// short batch running on a prefix of the full one's buffers (scratch.go).
 func TestModelIterationAllocations(t *testing.T) {
 	// A product that fans out allocates its closure and wait group; which
 	// products do depends on the kernel path. Keep them serial: the pin is on
@@ -166,6 +169,16 @@ func TestModelIterationAllocations(t *testing.T) {
 		step() // sizes the buffers
 		if allocs := testing.AllocsPerRun(3, step); allocs != 0 {
 			t.Errorf("steady-state %s iteration allocates %v objects, want 0", name, allocs)
+		}
+
+		tail := tensor.New(5, 3, 32, 32).RandNormal(rng, 0, 1)
+		tailStep := func() {
+			net.Loss(tail, labels[:5], true)
+			net.Backward()
+		}
+		tailStep()
+		if allocs := testing.AllocsPerRun(3, func() { step(); tailStep() }); allocs != 0 {
+			t.Errorf("%s iterations alternating batch 8 and 5 allocate %v objects a pair, want 0", name, allocs)
 		}
 	}
 }

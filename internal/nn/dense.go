@@ -20,7 +20,7 @@ type Dense struct {
 	gradB  *tensor.Tensor
 
 	lastInput *tensor.Tensor
-	y, dx     *tensor.Tensor // layer-owned buffers (scratch.go)
+	trainBufs
 	// noDx: the layer is a network's first, Backward returns nil.
 	noDx bool
 }
@@ -51,7 +51,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		d.lastInput = x
 	}
 	batch := x.Dim(0)
-	out := tensor.MatMulInto(output(train, &d.y, batch, d.out), x, d.weight)
+	out := tensor.MatMulInto(d.output(train, batch, d.out), x, d.weight)
 	data := out.Data()
 	bias := d.bias.Data()
 	for b := 0; b < batch; b++ {
@@ -77,7 +77,7 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.noDx {
 		return nil
 	}
-	return tensor.MatMulTransBInto(scratch(&d.dx, batch, d.in), grad, d.weight)
+	return tensor.MatMulTransBInto(d.inputGrad(batch, d.in), grad, d.weight)
 }
 
 // Params implements Layer.

@@ -56,7 +56,8 @@ func (c *Conv2D) offsets(sc *convScratch, h, w int) []int {
 
 // border copies the (inC, h, w) image img into the interior of the bordered
 // image pad. The border is zero from the buffer's allocation on and never
-// written: a buffer's shape fixes its geometry (scratch.go).
+// written: a buffer keeps its layout for as long as the dims after the batch
+// repeat, a smaller batch on a prefix of it (scratch.go).
 func (c *Conv2D) border(pad, img []float32, h, w int) {
 	ld, plane := w+2, (h+3)*(w+2)
 	for ch := 0; ch < c.inC; ch++ {
@@ -77,12 +78,12 @@ func (c *Conv2D) forwardDirect(sc *convScratch, x, out *tensor.Tensor, train boo
 	var padData []float32
 	padStep := 0
 	if train {
-		padData = scratch(&c.in, batch, c.inC, h+3, ld).Data()
+		padData = c.in.get(batch, c.inC, h+3, ld).Data()
 		padStep = padSize
 	} else {
-		padData = scratch(&sc.pad, c.inC, h+3, ld).Data()
+		padData = sc.pad.get(c.inC, h+3, ld).Data()
 	}
-	wide := scratch(&sc.wide, c.outC, h, ld).Data()
+	wide := sc.wide.get(c.outC, h, ld).Data()
 	off := c.offsets(sc, h, w)
 	xData, outData, weight := x.Data(), out.Data(), c.weight.Data()
 	imgSize, outImgSize := c.inC*plane, c.outC*plane
@@ -109,7 +110,7 @@ func (c *Conv2D) backwardDirect(grad, dx *tensor.Tensor) {
 	padPlane := (h + 3) * ld
 	padSize := c.inC * padPlane
 	outImgSize := c.outC * plane
-	gradData, padData := grad.Data(), c.in.Data()
+	gradData, padData := grad.Data(), c.in.data
 	off := c.offsets(&c.train, h, w)
 	for b := 0; b < batch; b++ {
 		// dW = Σ grad · colᵀ over the batch, col read out of the bordered
@@ -129,8 +130,8 @@ func (c *Conv2D) backwardDirect(grad, dx *tensor.Tensor) {
 		return
 	}
 	wideN := h * ld
-	wideGrad := scratch(&c.wideGrad, c.outC, h, ld).Data()
-	padDx := scratch(&c.padDx, c.inC, h+3, ld).Data()
+	wideGrad := c.wideGrad.get(c.outC, h, ld).Data()
+	padDx := c.padDx.get(c.inC, h+3, ld).Data()
 	if len(c.gradRows) != c.outC || c.outC > 1 && c.gradRows[1] != wideN {
 		c.gradRows = resized(c.gradRows, c.outC)
 		for oc := range c.gradRows {

@@ -107,7 +107,7 @@ func TestDirectConvMatchesIm2col(t *testing.T) {
 					// The bound for each weight gradient, from the patch
 					// matrices the reference built: batch·h·w products, a
 					// rounding each, and one per image added on.
-					cols, g := ref.in.Data(), grad.Data()
+					cols, g := ref.in.data, grad.Data()
 					plane, patch := h*w, inC*9
 					for oc := 0; oc < outC; oc++ {
 						for kk := 0; kk < patch; kk++ {

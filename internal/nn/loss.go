@@ -11,9 +11,9 @@ import (
 // cross-entropy loss over integer class labels, the standard objective for
 // the image-classification tasks in the paper.
 type SoftmaxCrossEntropy struct {
-	lastProbs  *tensor.Tensor // layer-owned, reused while the shape repeats (scratch.go)
-	lastLabels []int
-	grad       *tensor.Tensor // likewise
+	lastProbs        *tensor.Tensor // a view of probs
+	lastLabels       []int
+	probs, gradients buffer // reused (scratch.go)
 }
 
 // NewSoftmaxCrossEntropy returns a fresh loss head.
@@ -29,7 +29,8 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 	if len(labels) != batch {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), batch))
 	}
-	probs := scratch(&l.lastProbs, batch, classes)
+	probs := l.probs.get(batch, classes)
+	l.lastProbs = probs
 	ld := logits.Data()
 	pd := probs.Data()
 	var total float64
@@ -72,7 +73,7 @@ func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 		panic("nn: loss Backward called before Forward")
 	}
 	batch, classes := l.lastProbs.Dim(0), l.lastProbs.Dim(1)
-	grad := scratchLike(&l.grad, l.lastProbs)
+	grad := l.gradients.get(batch, classes)
 	gd := grad.Data()
 	copy(gd, l.lastProbs.Data())
 	inv := float32(1.0 / float64(batch))

@@ -26,8 +26,10 @@ import (
 // The tensors a training pass returns — Forward with train=true, and
 // Backward — are owned by the layer and valid until its next training
 // Forward or Backward respectively; a caller that keeps one longer clones it.
-// Inputs are only read, except that a layer may add into a gradient or
-// activation it was just handed by the layer that produced it.
+// Inside a Network, what no later pass reads comes from the network's pool
+// instead and is valid only until the call that consumes it returns
+// (scratch.go). Inputs are only read, except that a layer may add into a
+// gradient or activation it was just handed by the layer that produced it.
 type Layer interface {
 	// Forward computes the layer output for input x. When train is false the
 	// layer must behave deterministically (e.g. dropout disabled, batch norm
@@ -70,6 +72,9 @@ type Network struct {
 	// was built on; adopted and gradsAdopted say some point somewhere else.
 	home, gradHome        [][]float32
 	adopted, gradsAdopted bool
+
+	// pool holds the training buffers no later pass reads (scratch.go).
+	pool pool
 }
 
 // NewNetwork builds a network from the given layers. The random source is
@@ -84,6 +89,7 @@ func NewNetwork(rng *rand.Rand, layers ...Layer) *Network {
 			first.skipInputGrad()
 		}
 	}
+	n.planBuffers(&n.pool)
 	for _, l := range layers {
 		n.params = append(n.params, l.Params()...)
 		n.grads = append(n.grads, l.Grads()...)
@@ -97,6 +103,32 @@ func NewNetwork(rng *rand.Rand, layers ...Layer) *Network {
 		n.gradHome[i] = g.Data()
 	}
 	return n
+}
+
+// planBuffers points every layer's input gradient at p, and its training
+// output too where the next layer reads no more of it once its Forward
+// returns (scratch.go); a nil p leaves every buffer with its layer.
+func (n *Network) planBuffers(p *pool) {
+	for i, l := range n.layers {
+		if pl, ok := l.(pooler); ok {
+			var out *pool
+			if i+1 < len(n.layers) && dropsInput(n.layers[i+1]) {
+				out = p
+			}
+			pl.usePool(out, p)
+		}
+	}
+}
+
+// dropsInput reports whether l reads its training input only inside its
+// Forward: it copies what Backward needs (Conv2D, Flatten, Dropout) or keeps
+// only its shape and what it computed (BatchNorm, the pools).
+func dropsInput(l Layer) bool {
+	switch l.(type) {
+	case *Conv2D, *BatchNorm, *MaxPool2D, *GlobalAvgPool, *Flatten, *Dropout:
+		return true
+	}
+	return false
 }
 
 // Layers returns the network's layers in order.

@@ -13,7 +13,7 @@ type MaxPool2D struct {
 
 	lastShape [4]int // input shape of the last training forward pass
 	argmax    []int
-	out, dx   *tensor.Tensor // layer-owned buffers (scratch.go)
+	trainBufs
 }
 
 // NewMaxPool2D returns a max pooling layer with the given window size.
@@ -31,7 +31,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	batch, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	outH, outW := h/p.window, w/p.window
-	out := output(train, &p.out, batch, ch, outH, outW)
+	out := p.output(train, batch, ch, outH, outW)
 	if train {
 		p.lastShape = [4]int{batch, ch, h, w}
 		p.argmax = resized(p.argmax, out.Size())
@@ -72,7 +72,7 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if p.argmax == nil {
 		panic("nn: MaxPool2D.Backward called before Forward(train=true)")
 	}
-	dx := scratch(&p.dx, p.lastShape[:]...)
+	dx := p.inputGrad(p.lastShape[:]...)
 	dx.Zero() // only the argmax positions are written below
 	dxd := dx.Data()
 	gd := grad.Data()
@@ -94,8 +94,8 @@ func (p *MaxPool2D) Name() string { return fmt.Sprintf("MaxPool2D(%d)", p.window
 // GlobalAvgPool averages each channel over its spatial extent, producing a
 // (batch, channels) tensor. It is the head used by the CIFAR ResNets.
 type GlobalAvgPool struct {
-	lastShape [4]int         // input shape of the last training forward pass; zero before it
-	out, dx   *tensor.Tensor // layer-owned buffers (scratch.go)
+	lastShape [4]int // input shape of the last training forward pass; zero before it
+	trainBufs
 }
 
 // NewGlobalAvgPool returns a global average pooling layer.
@@ -110,7 +110,7 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		p.lastShape = [4]int{batch, ch, h, w}
 	}
-	out := output(train, &p.out, batch, ch)
+	out := p.output(train, batch, ch)
 	xd := x.Data()
 	od := out.Data()
 	area := float32(h * w)
@@ -133,7 +133,7 @@ func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: GlobalAvgPool.Backward called before Forward(train=true)")
 	}
 	batch, ch, h, w := p.lastShape[0], p.lastShape[1], p.lastShape[2], p.lastShape[3]
-	dx := scratch(&p.dx, p.lastShape[:]...)
+	dx := p.inputGrad(p.lastShape[:]...)
 	dxd := dx.Data()
 	gd := grad.Data()
 	area := float32(h * w)

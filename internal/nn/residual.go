@@ -78,6 +78,24 @@ func (b *ResidualBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dxMain.Add(dxShort)
 }
 
+// usePool implements pooler: out is where the block's output comes from, p
+// the network's pool. The block reads its input again for the shortcut, so
+// whoever produces it keeps it; inside, an output comes from p where a
+// convolution or BatchNorm consumes it, and so does every input gradient but
+// relu2's, which both paths read.
+func (b *ResidualBlock) usePool(out, p *pool) {
+	b.conv1.usePool(p, p)
+	b.bn1.usePool(nil, p)
+	b.relu1.usePool(p, p)
+	b.conv2.usePool(p, p)
+	b.bn2.usePool(nil, p)
+	b.relu2.usePool(out, nil)
+	if b.projConv != nil {
+		b.projConv.usePool(p, p)
+		b.projBN.usePool(nil, p)
+	}
+}
+
 // sublayers returns the block's parameterized sub-layers in a stable order.
 func (b *ResidualBlock) sublayers() []Layer {
 	out := []Layer{b.conv1, b.bn1, b.conv2, b.bn2}

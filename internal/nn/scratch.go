@@ -2,51 +2,170 @@ package nn
 
 import "dssp/internal/tensor"
 
-// Layers own the buffers their training passes write: each is sized on first
-// use and reused for as long as the shape repeats, so a steady-state
-// iteration allocates nothing in the layers and the memory a layer retains
-// between iterations is bounded and constant. A reused buffer holds the
-// previous iteration's values: whoever takes one overwrites all of it (or
-// zeroes it first). Evaluation passes allocate their outputs as before, and
-// a layer that reuses scratch inside a pass keeps its evaluation scratch apart
-// from its training scratch (Conv2D's eval and train), so they neither
-// disturb a training pass in flight nor resize its buffers.
+// The buffers of a training pass. Every tensor a training pass writes lives
+// in a buffer that is sized on first use and reused for as long as the shape
+// repeats, so a steady-state iteration allocates nothing in the layers and
+// the memory a network retains between iterations is bounded and constant.
+// A buffer is sized for the largest batch it has served: a smaller batch
+// with the same dims after the batch dimension runs on a prefix of it, so an
+// epoch's short tail batch reallocates nothing, and a buffer whose layout
+// never changes keeps whatever it never writes — the zero border of Conv2D's
+// bordered images (direct.go) — across batch sizes. A reused buffer holds the
+// previous pass's values: whoever takes one overwrites all of it (or zeroes
+// it first). Evaluation passes allocate their outputs, and a layer that
+// reuses scratch inside a pass keeps its evaluation scratch apart from its
+// training scratch (Conv2D's eval and train), so they neither disturb a
+// training pass in flight nor resize its buffers.
 //
-// The largest training buffer is what a Conv2D keeps of its input for
-// Backward, one block per batch item. Only the convolutions im2col still
-// serves — stride 2 or a 1×1 kernel, a ResNet's downsampling ones — keep
-// their patch matrices (inC·k·k rows of outH·outW); a 3×3 stride-1 one keeps
-// its bordered images (direct.go), inC planes of (h+3)·(w+2), about a ninth
-// of the patch matrix it does not build.
+// Ownership. A buffer that a later pass reads belongs to the layer that
+// writes it: the inputs a Backward reads again (ReLU's and Dense's), what a
+// layer keeps of its input (Conv2D's bordered images or patch matrices,
+// BatchNorm's xhat) and the scratch inside one call. A buffer that no later
+// pass reads comes from the network's pool, which holds two buffers per
+// activation geometry (the dims after the batch dimension) and hands them out
+// in turn, to the forward and the backward pass alike:
+//
+//	buffer                          read by                        from
+//	input gradient of a Backward    the next Backward only         pool
+//	  but ResidualBlock's relu2     the main path and the shortcut layer
+//	output consumed by BatchNorm,   the consumer's Forward only    pool
+//	  Conv2D, GlobalAvgPool,
+//	  MaxPool2D, Flatten, Dropout
+//	output consumed by ReLU, Dense  the consumer's Backward too    layer
+//	  or a ResidualBlock (its
+//	  shortcut), and the logits
+//
+// NewNetwork decides the table once from the layer kinds (planBuffers). Two
+// buffers per geometry suffice because a pooled buffer is dead once the call
+// that reads it returns, and that call takes at most one buffer of its own
+// input's geometry meanwhile — the next one in turn. ResidualBlock's
+// Backward holds its main path's input gradient across the shortcut's, which
+// is of the same geometry; its other buffers there are of the block's output
+// geometry, which differs whenever there is a projection.
 
-// scratch returns *slot if it already has the given shape and otherwise
-// replaces it with a zeroed tensor of that shape.
-func scratch(slot **tensor.Tensor, dims ...int) *tensor.Tensor {
-	if t := *slot; t != nil && t.ShapeEquals(dims) {
-		return t
-	}
-	// The copy keeps dims on the caller's stack: New's own argument escapes.
-	*slot = tensor.New(append([]int(nil), dims...)...)
-	return *slot
+// buffer is a reusable training buffer: storage sized for the largest leading
+// dimension asked of it, and the tensor headers of the shapes it serves.
+type buffer struct {
+	data []float32
+	// views are headers on prefixes of data: views[0] is the shape data was
+	// allocated for, whose dims after the first fix the layout; views[1] the
+	// last other leading dimension asked for.
+	views [2]*tensor.Tensor
 }
 
-// scratchLike is scratch with the shape of like.
-func scratchLike(slot **tensor.Tensor, like *tensor.Tensor) *tensor.Tensor {
-	if t := *slot; t != nil && t.SameShape(like) {
-		return t
+// get returns a tensor of the given dims on b's storage: the header of that
+// shape if b has one, else a new header on a prefix of the storage when the
+// dims after the first match and it is large enough, else one on new, zeroed
+// storage.
+func (b *buffer) get(dims ...int) *tensor.Tensor {
+	for _, v := range b.views {
+		if v != nil && v.ShapeEquals(dims) {
+			return v
+		}
 	}
-	*slot = tensor.New(like.Shape()...)
-	return *slot
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	slot := 1
+	if len(b.data) < n || !sameLayout(b.views[0], dims) {
+		b.data, b.views, slot = make([]float32, n), [2]*tensor.Tensor{}, 0
+	}
+	// The copy keeps dims on the caller's stack: FromSliceOwned's argument
+	// escapes.
+	b.views[slot] = tensor.FromSliceOwned(b.data[:n], append([]int(nil), dims...)...)
+	return b.views[slot]
 }
 
-// output returns the tensor a Forward pass writes: the layer-owned buffer in
-// slot when training, a fresh one when evaluating.
-func output(train bool, slot **tensor.Tensor, dims ...int) *tensor.Tensor {
+// sameLayout reports whether t has dims' rank and dims after the first.
+func sameLayout(t *tensor.Tensor, dims []int) bool {
+	if t == nil || t.Dims() != len(dims) {
+		return false
+	}
+	for i := 1; i < len(dims); i++ {
+		if t.Dim(i) != dims[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// pool is a network's shared training buffers: two per geometry — the rank
+// and the dims after the batch — taken in turn.
+type pool struct {
+	pairs []bufferPair
+}
+
+type bufferPair struct {
+	bufs [2]buffer
+	next int
+}
+
+// get returns the next buffer of dims' geometry as a tensor of those dims.
+func (p *pool) get(dims ...int) *tensor.Tensor {
+	i := 0
+	for i < len(p.pairs) && !sameLayout(p.pairs[i].bufs[0].views[0], dims) {
+		i++
+	}
+	if i == len(p.pairs) {
+		p.pairs = append(p.pairs, bufferPair{})
+	}
+	pair := &p.pairs[i]
+	b := &pair.bufs[pair.next]
+	pair.next ^= 1
+	return b.get(dims...)
+}
+
+// trainBufs are the two buffers of a layer a network may pool: the output of
+// a training Forward and the input gradient Backward returns. A nil pool
+// means the layer's own buffer.
+type trainBufs struct {
+	outPool, dxPool *pool
+	outBuf, dxBuf   buffer
+}
+
+// usePool sets where the layer takes its output and its input gradient.
+func (t *trainBufs) usePool(out, dx *pool) { t.outPool, t.dxPool = out, dx }
+
+// pooler is a layer whose buffers a network may pool.
+type pooler interface{ usePool(out, dx *pool) }
+
+// output returns the tensor a Forward pass writes: a fresh one when
+// evaluating, the training output buffer otherwise.
+func (t *trainBufs) output(train bool, dims ...int) *tensor.Tensor {
 	if !train {
-		var fresh *tensor.Tensor
-		slot = &fresh
+		return tensor.New(append([]int(nil), dims...)...)
 	}
-	return scratch(slot, dims...)
+	return take(t.outPool, &t.outBuf, dims)
+}
+
+// inputGrad returns the tensor a Backward pass returns.
+func (t *trainBufs) inputGrad(dims ...int) *tensor.Tensor { return take(t.dxPool, &t.dxBuf, dims) }
+
+// outputLike and inputGradLike are output and inputGrad in the shape of x.
+func (t *trainBufs) outputLike(train bool, x *tensor.Tensor) *tensor.Tensor {
+	var d [4]int
+	return t.output(train, dimsOf(d[:0], x)...)
+}
+
+func (t *trainBufs) inputGradLike(x *tensor.Tensor) *tensor.Tensor {
+	var d [4]int
+	return t.inputGrad(dimsOf(d[:0], x)...)
+}
+
+func take(p *pool, own *buffer, dims []int) *tensor.Tensor {
+	if p != nil {
+		return p.get(dims...)
+	}
+	return own.get(dims...)
+}
+
+// dimsOf appends x's dims to d.
+func dimsOf(d []int, x *tensor.Tensor) []int {
+	for i := 0; i < x.Dims(); i++ {
+		d = append(d, x.Dim(i))
+	}
+	return d
 }
 
 // view2D returns *slot re-pointed at data as a (rows, cols) matrix. The

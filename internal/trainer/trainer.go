@@ -339,11 +339,11 @@ func (c Config) iterations() int {
 	return (share + c.BatchSize - 1) / c.BatchSize * c.Epochs
 }
 
-// Worker builds worker id's side of the run: its partition of Train (all of
-// Train when the partition leaves it none), batches shuffled from
-// Seed+id*1009, a replica built from Seed, the run's iteration count, and the
-// delay, adversary and crash point c lists for it. Connect is the caller's:
-// how the worker reaches the store is not part of the job.
+// Worker builds worker id's side of the run: its partition of Train, on
+// Train's examples (all of Train when the partition leaves it none), batches
+// shuffled from Seed+id*1009, a replica built from Seed, the run's iteration
+// count, and the delay, adversary and crash point c lists for it. Connect is
+// the caller's: how the worker reaches the store is not part of the job.
 func (c Config) Worker(id int) (Worker, error) {
 	idx, err := data.Partition(c.Train.Len(), id, c.Workers)
 	if err != nil {

@@ -132,7 +132,7 @@ func (s *Server) CheckpointError() error { return s.inner.CheckpointError() }
 // replica sessions; data and backup servers hold only their shard range and
 // cannot evaluate.
 func (s *Server) Evaluate() (float64, error) {
-	run, err := s.job.build(true)
+	run, err := s.job.build(bothSplits)
 	if err != nil {
 		return 0, err
 	}
@@ -181,7 +181,7 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	}
 	j := job{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
 		Sync: cfg.Sync, LearningRate: cfg.LearningRate, Seed: cfg.Seed}
-	run, err := j.build(false)
+	run, err := j.build(noSplits)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +330,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		return nil, fmt.Errorf("dssp: Tree and Cluster are mutually exclusive")
 	}
 	run, err := job{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
-		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed}.build(true)
+		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed}.build(trainSplit)
 	if err != nil {
 		return nil, err
 	}

@@ -137,11 +137,22 @@ type job struct {
 	Seed         int64
 }
 
+// splits is the data build generates: none (a server), the train split (a
+// worker, which reads nothing else) or both (Train, Evaluate).
+type splits int
+
+const (
+	noSplits splits = iota
+	trainSplit
+	bothSplits
+)
+
 // build returns the job as a trainer.Config with unset fields defaulted: the
-// model spec, the counts, the paradigm and learning rate, and, with data, the
-// train/test split, both cut from one generated synthetic set. The rest of
-// the Config is the caller's.
-func (j job) build(withData bool) (trainer.Config, error) {
+// model spec, the counts, the paradigm and learning rate, and the splits
+// asked for, cut from one generated synthetic set — the train examples
+// first, so they are the same whether the test split is generated or not.
+// The rest of the Config is the caller's.
+func (j job) build(want splits) (trainer.Config, error) {
 	if j.Model == "" {
 		j.Model = ModelSmallMLP
 	}
@@ -198,7 +209,7 @@ func (j job) build(withData bool) (trainer.Config, error) {
 	default:
 		return trainer.Config{}, fmt.Errorf("dssp: unknown model %q", j.Model)
 	}
-	if !withData {
+	if want == noSplits {
 		return cfg, nil
 	}
 	channels, size := 3, d.ImageSize
@@ -208,8 +219,12 @@ func (j job) build(withData bool) (trainer.Config, error) {
 	if j.Model == ModelAlexNetSmall {
 		size = 32
 	}
+	examples := d.Examples
+	if want == bothSplits {
+		examples += d.TestExamples
+	}
 	full, err := data.Synthetic(data.SyntheticConfig{
-		Examples: d.Examples + d.TestExamples,
+		Examples: examples,
 		Classes:  d.Classes,
 		Channels: channels,
 		Size:     size,
@@ -219,6 +234,10 @@ func (j job) build(withData bool) (trainer.Config, error) {
 	})
 	if err != nil {
 		return trainer.Config{}, err
+	}
+	if want == trainSplit {
+		cfg.Train = full
+		return cfg, nil
 	}
 	trainIdx := make([]int, d.Examples)
 	for i := range trainIdx {
@@ -239,7 +258,7 @@ func (j job) build(withData bool) (trainer.Config, error) {
 func Train(cfg TrainConfig) (*TrainResult, error) {
 	run, err := job{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
 		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Sync: cfg.Sync,
-		LearningRate: cfg.LearningRate, Seed: cfg.Seed}.build(true)
+		LearningRate: cfg.LearningRate, Seed: cfg.Seed}.build(bothSplits)
 	if err != nil {
 		return nil, err
 	}

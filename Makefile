@@ -78,7 +78,9 @@ lease-stress:
 # does the same for the AVX2 panels on a machine that binds the AVX-512 ones:
 # the tensor tests, the layer hash pins and the worker-loop hash pins run on
 # them too. Both tags run internal/nn's TestDirectConvMatchesIm2col, which
-# holds the direct 3×3 convolution to im2col on every binding. purego and noavx512 are for this step, not tuning knobs. The darwin build
+# holds Conv2D's one path to patch matrices and the dense products at every
+# kernel, stride and pad it covers, on every binding. purego and noavx512 are
+# for this step, not tuning knobs. The darwin build
 # compiles the stub every non-Linux target gets in place of the same-host
 # lane (internal/transport/lane_other.go), so it cannot rot.
 portable:

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dssp/internal/tensor"
 )
 
-// refIm2col and refCol2im are the per-element loops the row-run forms
-// replaced: one bounds test per element, no assumptions about runs.
+// refIm2col and refCol2im are the patch matrix of one (inC, h, w) image and
+// its gradient's scatter back onto the image, one bounds test per element:
+// the reference Conv2D is held to (direct_test.go).
 
 func refIm2col(c *Conv2D, img []float32, h, w int) []float32 {
 	outH, outW := c.outSize(h), c.outSize(w)
@@ -76,53 +78,9 @@ func sameBits(a, b []float32) bool {
 	return true
 }
 
-// TestIm2colCol2imBitIdenticalToPerElementLoops: im2col is pure data
-// movement and col2im adds into each destination in the same order, so the
-// row-run forms must reproduce the per-element loops bit for bit — including
-// into a dirty buffer, since the patch matrices are reused across iterations.
-func TestIm2colCol2imBitIdenticalToPerElementLoops(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	sizes := [][2]int{{5, 5}, {7, 4}, {3, 9}, {8, 8}, {1, 6}, {2, 2}}
-	for _, kernel := range []int{1, 3, 5} {
-		for _, stride := range []int{1, 2} {
-			for _, pad := range []int{0, 1, 2} {
-				for _, hw := range sizes {
-					h, w := hw[0], hw[1]
-					if h+2*pad < kernel || w+2*pad < kernel {
-						continue
-					}
-					name := fmt.Sprintf("k%d/s%d/p%d/%dx%d", kernel, stride, pad, h, w)
-					c := NewConv2D(rng, 2, 3, kernel, stride, pad)
-					img := tensor.New(2, h, w).RandNormal(rng, 0, 1).Data()
-
-					want := refIm2col(c, img, h, w)
-					got := make([]float32, len(want))
-					for i := range got {
-						got[i] = float32(math.NaN()) // stale contents must all be overwritten
-					}
-					c.im2col(got, img, h, w)
-					if !sameBits(got, want) {
-						t.Fatalf("%s: im2col differs from the per-element loop", name)
-					}
-
-					col := tensor.New(len(want)).RandNormal(rng, 0, 1).Data()
-					base := tensor.New(2, h, w).RandNormal(rng, 0, 1).Data()
-					wantImg := append([]float32(nil), base...)
-					gotImg := append([]float32(nil), base...)
-					refCol2im(c, col, h, w, wantImg)
-					c.col2im(col, h, w, gotImg)
-					if !sameBits(gotImg, wantImg) {
-						t.Fatalf("%s: col2im differs from the per-element loop", name)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestConv2DSteadyStateAllocatesNothing: once its buffers are sized, a
 // training forward+backward pass of a convolution allocates nothing — not the
-// patch matrices, not the output or input gradient, not a matmul closure or a
+// bordered images, not the output or input gradient, not a matmul closure or a
 // view header.
 func TestConv2DSteadyStateAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -203,5 +161,24 @@ func TestEvalForwardLeavesTrainingPassIntact(t *testing.T) {
 		if !sameBits(g.Data(), interleaved.Grads()[i].Data()) {
 			t.Fatalf("gradient %d changed when an evaluation pass ran between Forward and Backward", i)
 		}
+	}
+}
+
+// TestConvRejectsInputSmallerThanKernel: an input that, padded, is smaller
+// than the kernel in either direction has no output position; Forward panics
+// naming the layer and the shape, as it does for a wrong channel count,
+// instead of returning a 1×1 output.
+func TestConvRejectsInputSmallerThanKernel(t *testing.T) {
+	for _, shape := range [][]int{{1, 1, 2, 2}, {1, 1, 5, 2}, {1, 1, 2, 5}} {
+		c := NewConv2D(rand.New(rand.NewSource(26)), 1, 1, 3, 2, 0)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.Name()) || !strings.Contains(msg, fmt.Sprint(shape)) {
+					t.Errorf("Forward on %v: panic %q, want one naming %s and the shape", shape, msg, c.Name())
+				}
+			}()
+			c.Forward(tensor.New(shape...), true)
+		}()
 	}
 }

@@ -9,14 +9,51 @@ import (
 	"dssp/internal/tensor"
 )
 
-// im2colTwin returns a layer with c's geometry, weights and first-layer flag
-// that runs the im2col path whatever its geometry: the reference the direct
-// path is held to.
-func im2colTwin(c *Conv2D) *Conv2D {
-	r := NewConv2D(rand.New(rand.NewSource(1)), c.inC, c.outC, c.kernel, c.stride, c.pad)
-	r.direct, r.noDx = false, c.noDx
-	copy(r.weight.Data(), c.weight.Data())
-	copy(r.bias.Data(), c.bias.Data())
+// im2colRef is what the patch-matrix convolution makes of one pass: the
+// reference Conv2D is held to.
+type im2colRef struct {
+	out, gradW, gradB, dx []float32
+	cols                  []float32 // the patch matrices, one per batch item
+}
+
+// im2colPass runs one pass of c's weights through patch matrices: each
+// image's refIm2col times the weights plus the bias, dW the dense
+// transposed-B products summed over the batch, and dX each image's Wᵀ·grad
+// scattered back by refCol2im onto a zeroed image. A nil grad runs the
+// forward product only.
+func im2colPass(c *Conv2D, x, grad *tensor.Tensor) im2colRef {
+	batch, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	plane, patch := c.outSize(h)*c.outSize(w), c.inC*c.kernel*c.kernel
+	imgSize, outImgSize := c.inC*h*w, c.outC*plane
+	r := im2colRef{gradB: make([]float32, c.outC), dx: make([]float32, batch*imgSize)}
+	var gradW *tensor.Tensor
+	for b := 0; b < batch; b++ {
+		col := tensor.FromSlice(refIm2col(c, x.Data()[b*imgSize:][:imgSize], h, w), patch, plane)
+		r.cols = append(r.cols, col.Data()...)
+		out := tensor.MatMul(c.weight, col).Data()
+		for oc, bval := range c.bias.Data() {
+			for j := range out[oc*plane : (oc+1)*plane] {
+				out[oc*plane+j] += bval
+			}
+		}
+		r.out = append(r.out, out...)
+		if grad == nil {
+			continue
+		}
+		gm := tensor.FromSlice(grad.Data()[b*outImgSize:][:outImgSize], c.outC, plane)
+		for oc := range r.gradB {
+			r.gradB[oc] += tensor.SumSlice(gm.Data()[oc*plane : (oc+1)*plane])
+		}
+		if b == 0 {
+			gradW = tensor.MatMulTransB(gm, col)
+		} else {
+			tensor.MatMulTransBAcc(gradW, gm, col)
+		}
+		refCol2im(c, tensor.MatMulTransA(c.weight, gm).Data(), h, w, r.dx[b*imgSize:][:imgSize])
+	}
+	if gradW != nil {
+		r.gradW = gradW.Data()
+	}
 	return r
 }
 
@@ -47,81 +84,100 @@ func convFill(rng *rand.Rand, t *tensor.Tensor, specials bool) *tensor.Tensor {
 	return t
 }
 
-// TestDirectConvMatchesIm2col holds the direct 3×3 path to im2col + the
-// dense panels over a grid of planes (H, W from 1 to 32, whole 16-column
-// tiles and not, rows of whole eight-lane vectors and not), channel counts
-// around the panels' four rows and sixteen columns, batches of one to three,
-// for training and evaluation forward passes, with and without the input
-// gradient, on normal values and on values mixed with NaN, ±Inf, subnormals
-// and −0 — in the input and upstream gradient, or in the weights. The
-// outputs, the bias gradient and the input gradient must be bit for bit the
-// reference's; so must the weight gradient on the Go loops and wherever W is
-// a multiple of eight, and elsewhere it must agree within the bound for
-// reassociating its sums (direct.go). make portable runs it on all three
-// kernel bindings.
+// TestDirectConvMatchesIm2col holds Conv2D to patch matrices and the dense
+// products (im2colPass) at every kernel of 1, 3 and 5, stride 1 and 2 and pad
+// 0 to 2, over a grid of planes (H, W from 1 to 32, whole 16-column tiles and
+// not, rows of whole eight-lane vectors and not; a plane smaller than the
+// kernel even padded is skipped), channel counts around the panels' four rows
+// and sixteen columns, batches of one to three, for training and evaluation
+// forward passes, with and without the input gradient, on normal values and
+// on values mixed with NaN, ±Inf, subnormals and −0 — in the input and
+// upstream gradient, or in the weights. The outputs, the bias gradient and
+// the input gradient must be bit for bit the reference's; so must the weight
+// gradient on the Go loops, wherever the output width is a multiple of eight
+// and wherever no tap shifts past its column (k ≤ s), and elsewhere it must
+// agree within the bound for reassociating its sums (direct.go). make
+// portable runs it on all three kernel bindings.
 func TestDirectConvMatchesIm2col(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	sizes := []int{1, 2, 3, 5, 8, 9, 16, 17, 32}
 	inCs, outCs := []int{1, 3, 16, 17}, []int{1, 4, 5, 16}
-	step := 0
-	for _, h := range sizes {
-		for _, w := range sizes {
-			step++
-			inC, outC := inCs[step%len(inCs)], outCs[(step/len(inCs)+step)%len(outCs)]
-			batch := 1 + step%3
-			for _, fill := range []string{"normal", "input-specials", "weight-specials"} {
-				for _, noDx := range []bool{false, true} {
-					name := fmt.Sprintf("%dx%d/%d->%d/batch=%d/%s/noDx=%v", h, w, inC, outC, batch, fill, noDx)
-					c := NewConv2D(rng, inC, outC, 3, 1, 1)
-					if !c.direct {
-						t.Fatal("a 3×3 stride-1 pad-1 convolution did not take the direct path")
-					}
-					convFill(rng, c.bias, false)
-					convFill(rng, c.weight, fill == "weight-specials")
-					c.noDx = noDx
-					ref := im2colTwin(c)
-					x := convFill(rng, tensor.New(batch, inC, h, w), fill == "input-specials")
-					grad := convFill(rng, tensor.New(batch, outC, h, w), fill == "input-specials")
-					evalX := convFill(rng, tensor.New(1+step%2, inC, h, w), fill == "input-specials")
+	var geoms [][3]int // kernel, stride, pad
+	for _, k := range []int{1, 3, 5} {
+		for _, s := range []int{1, 2} {
+			for _, p := range []int{0, 1, 2} {
+				geoms = append(geoms, [3]int{k, s, p})
+			}
+		}
+	}
+	for _, geom := range geoms {
+		k, s, p := geom[0], geom[1], geom[2]
+		step := 0
+		for _, h := range sizes {
+			for _, w := range sizes {
+				step++
+				if h+2*p < k || w+2*p < k {
+					continue
+				}
+				inC, outC := inCs[step%len(inCs)], outCs[(step/len(inCs)+step)%len(outCs)]
+				batch := 1 + step%3
+				for _, fill := range []string{"normal", "input-specials", "weight-specials"} {
+					for _, noDx := range []bool{false, true} {
+						name := fmt.Sprintf("k%d/s%d/p%d/%dx%d/%d->%d/batch=%d/%s/noDx=%v", k, s, p, h, w, inC, outC, batch, fill, noDx)
+						c := NewConv2D(rng, inC, outC, k, s, p)
+						convFill(rng, c.bias, false)
+						convFill(rng, c.weight, fill == "weight-specials")
+						c.noDx = noDx
+						outH, outW := c.outSize(h), c.outSize(w)
+						x := convFill(rng, tensor.New(batch, inC, h, w), fill == "input-specials")
+						grad := convFill(rng, tensor.New(batch, outC, outH, outW), fill == "input-specials")
+						evalX := convFill(rng, tensor.New(1+step%2, inC, h, w), fill == "input-specials")
+						ref := im2colPass(c, x, grad)
 
-					check := func(what string, got, want []float32) {
-						t.Helper()
-						if !sameOrBothNaN(got, want) {
-							t.Fatalf("%s: %s differs from the im2col path", name, what)
-						}
-					}
-					check("evaluation output", c.Forward(evalX, false).Data(), ref.Forward(evalX, false).Data())
-					check("training output", c.Forward(x, true).Data(), ref.Forward(x, true).Data())
-					dx, refDx := c.Backward(grad), ref.Backward(grad)
-					if noDx != (dx == nil) {
-						t.Fatalf("%s: Backward returned %v with noDx=%v", name, dx, noDx)
-					}
-					if dx != nil {
-						check("input gradient", dx.Data(), refDx.Data())
-					}
-					check("bias gradient", c.gradB.Data(), ref.gradB.Data())
-					if tensor.Kernel() == "go" || w%8 == 0 {
-						check("weight gradient", c.gradW.Data(), ref.gradW.Data())
-						continue
-					}
-					// The bound for each weight gradient, from the patch
-					// matrices the reference built: batch·h·w products, a
-					// rounding each, and one per image added on.
-					cols, g := ref.in.data, grad.Data()
-					plane, patch := h*w, inC*9
-					for oc := 0; oc < outC; oc++ {
-						for kk := 0; kk < patch; kk++ {
-							var sumAbs float64
-							for b := 0; b < batch; b++ {
-								for j := 0; j < plane; j++ {
-									sumAbs += math.Abs(float64(g[(b*outC+oc)*plane+j]) * float64(cols[(b*patch+kk)*plane+j]))
-								}
+						check := func(what string, got, want []float32) {
+							t.Helper()
+							if !sameOrBothNaN(got, want) {
+								t.Fatalf("%s: %s differs from the patch-matrix reference", name, what)
 							}
-							terms := batch * (plane + 1)
-							tol := 2*float64(terms)*math.Pow(2, -24)*sumAbs + float64(terms)*math.SmallestNonzeroFloat32
-							got, want := float64(c.gradW.Data()[oc*patch+kk]), float64(ref.gradW.Data()[oc*patch+kk])
-							if !(want != want && got != got || want == got || math.Abs(got-want) <= tol) {
-								t.Fatalf("%s: weight gradient (%d,%d) %g, im2col path %g (bound %g)", name, oc, kk, got, want, tol)
+						}
+						check("evaluation output", c.Forward(evalX, false).Data(), im2colPass(c, evalX, nil).out)
+						check("training output", c.Forward(x, true).Data(), ref.out)
+						dx := c.Backward(grad)
+						if noDx != (dx == nil) {
+							t.Fatalf("%s: Backward returned %v with noDx=%v", name, dx, noDx)
+						}
+						if dx != nil {
+							check("input gradient", dx.Data(), ref.dx)
+							// Into a dirty buffer, as a pooled one is.
+							for i := range dx.Data() {
+								dx.Data()[i] = float32(math.NaN())
+							}
+							check("input gradient into a dirty buffer", c.Backward(grad).Data(), ref.dx)
+						}
+						check("bias gradient", c.gradB.Data(), ref.gradB)
+						if tensor.Kernel() == "go" || outW%8 == 0 || k <= s {
+							check("weight gradient", c.gradW.Data(), ref.gradW)
+							continue
+						}
+						// The bound for each weight gradient, from the patch
+						// matrices: batch·outH·outW products, a rounding each,
+						// and one per image added on.
+						cols, g := ref.cols, grad.Data()
+						plane, patch := outH*outW, inC*k*k
+						for oc := 0; oc < outC; oc++ {
+							for kk := 0; kk < patch; kk++ {
+								var sumAbs float64
+								for b := 0; b < batch; b++ {
+									for j := 0; j < plane; j++ {
+										sumAbs += math.Abs(float64(g[(b*outC+oc)*plane+j]) * float64(cols[(b*patch+kk)*plane+j]))
+									}
+								}
+								terms := batch * (plane + 1)
+								tol := 2*float64(terms)*math.Pow(2, -24)*sumAbs + float64(terms)*math.SmallestNonzeroFloat32
+								got, want := float64(c.gradW.Data()[oc*patch+kk]), float64(ref.gradW[oc*patch+kk])
+								if !(want != want && got != got || want == got || math.Abs(got-want) <= tol) {
+									t.Fatalf("%s: weight gradient (%d,%d) %g, reference %g (bound %g)", name, oc, kk, got, want, tol)
+								}
 							}
 						}
 					}
@@ -135,13 +191,20 @@ func TestDirectConvMatchesIm2col(t *testing.T) {
 // size between a training Forward and its Backward leaves the gradients
 // bit for bit what they are without it, and a training step after it
 // allocates nothing — the evaluation pass sized its own buffers, not the
-// training pass's (scratch.go), on both paths.
+// training pass's (scratch.go) — at stride 1, stride 2 and a 1×1 stride 2.
 func TestConvEvalPassLeavesTrainingBuffersAlone(t *testing.T) {
 	prev := tensor.SetMatMulParallelMinFlops(math.MaxInt64) // a fan-out allocates its closure
 	defer tensor.SetMatMulParallelMinFlops(prev)
-	for _, stride := range []int{1, 2} {
-		t.Run(fmt.Sprintf("stride=%d", stride), func(t *testing.T) {
-			build := func() *Conv2D { return NewConv2D(rand.New(rand.NewSource(31)), 3, 5, 3, stride, 1) }
+	for _, geom := range []struct {
+		name                string
+		kernel, stride, pad int
+	}{
+		{"stride=1", 3, 1, 1}, {"stride=2", 3, 2, 1}, {"1x1-stride=2", 1, 2, 0},
+	} {
+		t.Run(geom.name, func(t *testing.T) {
+			build := func() *Conv2D {
+				return NewConv2D(rand.New(rand.NewSource(31)), 3, 5, geom.kernel, geom.stride, geom.pad)
+			}
 			rng := rand.New(rand.NewSource(32))
 			x := tensor.New(2, 3, 8, 8).RandNormal(rng, 0, 1)
 			other := tensor.New(3, 3, 6, 6).RandNormal(rng, 0, 1)
@@ -173,5 +236,38 @@ func TestConvEvalPassLeavesTrainingBuffersAlone(t *testing.T) {
 				t.Fatalf("an evaluation pass at another size and a training step allocate %v objects, the evaluation pass alone %v: the training step allocates", cycle, evalOnly)
 			}
 		})
+	}
+}
+
+// TestConvSizeChangeLeavesNoStalePixels: a layer run at one input size and
+// then at another whose buffers have the same dims gives bit for bit what a
+// fresh layer gives at the second size. 8×8 and 7×7 at stride 2 both give
+// 4×4 outputs, and where 8×8 has an image pixel 7×7 has border; 5×14 and 8×8
+// at stride 1 both compute 80 columns a plane, and where 5×14 has gradient
+// 8×8 has dropped columns. The layout change clears both (direct.go).
+func TestConvSizeChangeLeavesNoStalePixels(t *testing.T) {
+	for _, tc := range []struct {
+		stride        int
+		first, second [2]int
+	}{{2, [2]int{8, 8}, [2]int{7, 7}}, {1, [2]int{5, 14}, [2]int{8, 8}}} {
+		build := func() *Conv2D { return NewConv2D(rand.New(rand.NewSource(33)), 3, 4, 3, tc.stride, 1) }
+		rng := rand.New(rand.NewSource(34))
+		reused, fresh := build(), build()
+		var x, grad *tensor.Tensor
+		for _, hw := range [][2]int{tc.first, tc.second} {
+			x = tensor.New(2, 3, hw[0], hw[1]).RandNormal(rng, 0, 1)
+			grad = tensor.New(2, 4, reused.outSize(hw[0]), reused.outSize(hw[1])).RandNormal(rng, 0, 1)
+			reused.Forward(x, false)
+			reused.Forward(x, true)
+			reused.Backward(grad)
+		}
+		for _, train := range []bool{false, true} {
+			if !sameBits(reused.Forward(x, train).Data(), fresh.Forward(x, train).Data()) {
+				t.Fatalf("stride %d, %v after %v: Forward(train=%v) differs from a fresh layer's", tc.stride, tc.second, tc.first, train)
+			}
+		}
+		if !sameBits(reused.Backward(grad).Data(), fresh.Backward(grad).Data()) || !sameBits(reused.gradW.Data(), fresh.gradW.Data()) {
+			t.Fatalf("stride %d, %v after %v: Backward differs from a fresh layer's", tc.stride, tc.second, tc.first)
+		}
 	}
 }

@@ -19,8 +19,7 @@ import "dssp/internal/tensor"
 //
 // Ownership. A buffer that a later pass reads belongs to the layer that
 // writes it: the inputs a Backward reads again (ReLU's and Dense's), what a
-// layer keeps of its input (Conv2D's bordered images or patch matrices,
-// BatchNorm's xhat) and the scratch inside one call. A buffer that no later
+// layer keeps of its input (Conv2D's bordered images, BatchNorm's xhat) and the scratch inside one call. A buffer that no later
 // pass reads comes from the network's pool, which holds two buffers per
 // activation geometry (the dims after the batch dimension) and hands them out
 // in turn, to the forward and the backward pass alike:

@@ -16,9 +16,9 @@ import "math"
 //
 // Numerics. The elementwise kernels keep exact per-element evaluation order
 // on both bindings, every multiply and add rounded on its own, so
-// Add/AXPY/Scale, SumInto, the ReLU mask, the row adds of col2im and the two
-// BatchNorm plane passes are bit-identical to the scalar loops they replace
-// and between the bindings. The sums (sumSlice, sumF64, sumSqDevF64, sumDot)
+// Add/AXPY/Scale, SumInto, the ReLU mask and the two BatchNorm plane passes
+// are bit-identical to the scalar loops they replace and between the
+// bindings. The sums (sumSlice, sumF64, sumSqDevF64, sumDot)
 // add the same terms in lane order under the assembly: any two orders of a
 // sum of n terms differ by at most 2·n·u·Σ|xᵢ| (u = 2⁻²⁴ summing in float32,
 // 2⁻⁵³ in float64), the bound kernels_test.go holds them to. Reassociation of
@@ -31,7 +31,6 @@ var (
 	addScalarSlice = addScalarSliceGo
 	sumSlice       = sumSliceGo
 	maskNonNeg     = maskNonNegGo
-	addRows        = addRowsGo
 	sumF64         = sumF64Go
 	sumSqDevF64    = sumSqDevF64Go
 	sumDot         = sumDotGo
@@ -57,17 +56,6 @@ func SumSlice(x []float32) float32 { return sumSlice(x) }
 // least as long as dst.
 func MaskNonNegative(dst, val, sign []float32) {
 	maskNonNeg(dst, val[:len(dst)], sign[:len(dst)])
-}
-
-// AddRows performs dst[r*dstStride+i] += src[r*srcStride+i] for r in
-// [0,rows) and i in [0,width): a block of row segments added in one call,
-// each destination once.
-func AddRows(dst []float32, dstStride int, src []float32, srcStride, rows, width int) {
-	if rows <= 0 || width <= 0 {
-		return
-	}
-	// The reslices are the bounds checks the kernels do not make.
-	addRows(dst[:(rows-1)*dstStride+width], dstStride, src[:(rows-1)*srcStride+width], srcStride, rows, width)
 }
 
 // SumF64 returns the sum of x accumulated in float64.
@@ -212,16 +200,6 @@ func maskNonNegGo(dst, val, sign []float32) {
 			keep = 1
 		}
 		dst[i] = math.Float32frombits(math.Float32bits(val[i]) & -keep)
-	}
-}
-
-// addRowsGo is AddRows' loop.
-func addRowsGo(dst []float32, dstStride int, src []float32, srcStride, rows, width int) {
-	for r := 0; r < rows; r++ {
-		d := dst[r*dstStride:][:width]
-		for i, v := range src[r*srcStride:][:width] {
-			d[i] += v
-		}
 	}
 }
 

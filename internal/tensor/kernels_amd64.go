@@ -25,9 +25,8 @@ func gemmOffPanelAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float3
 //go:noescape
 func dotOffPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
 
-// Implemented in slices_amd64.s. Except addRowsAVX2, each takes whole windows
-// of eight floats and trusts the other operands to be at least as long as the
-// first.
+// Implemented in slices_amd64.s. Each takes whole windows of eight floats and
+// trusts the other operands to be at least as long as the first.
 
 //go:noescape
 func addSliceAVX2(dst, src []float32)
@@ -49,9 +48,6 @@ func sumSliceAVX2(x []float32) float32
 
 //go:noescape
 func maskNonNegAVX2(dst, val, sign []float32)
-
-//go:noescape
-func addRowsAVX2(dst []float32, dstStride int, src []float32, srcStride, rows, width int)
 
 //go:noescape
 func sumF64AVX2(x []float32) float64
@@ -238,7 +234,7 @@ func init() {
 		}
 		addSlice, axpySlice, scaleSlice, addScalarSlice = addSliceAsm, axpySliceAsm, scaleSliceAsm, addScalarSliceAsm
 		sumPair = sumPairAsm
-		sumSlice, maskNonNeg, addRows = sumSliceAsm, maskNonNegAsm, addRowsAVX2
+		sumSlice, maskNonNeg = sumSliceAsm, maskNonNegAsm
 		sumF64, sumSqDevF64, sumDot = sumF64Asm, sumSqDevF64Asm, sumDotAsm
 		normalizePlane, planeGrad = normalizePlaneAsm, planeGradAsm
 		sgdStep, sgdMomentumStep = sgdStepAsm, sgdMomentumStepAsm

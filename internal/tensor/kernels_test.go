@@ -268,33 +268,6 @@ func TestSGDStepBitIdenticalToGoLoops(t *testing.T) {
 	}
 }
 
-// TestAddRowsBitIdenticalToGoLoop: a block of row segments, every width
-// (whole vectors and masked tail), both strides wider than the segment, the
-// elements between the segments untouched.
-func TestAddRowsBitIdenticalToGoLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for fillName, fill := range kernelFills(rng) {
-		for width := 1; width <= 41; width++ {
-			for _, rows := range []int{1, 2, 5} {
-				for off := 0; off < 8; off++ {
-					dstStride, srcStride := width+off%3, width+(off+1)%4
-					dst, dstBack := carve((rows-1)*dstStride+width, off, fill)
-					src, _ := carve((rows-1)*srcStride+width, (off+3)%8, fill)
-					want := append([]float32(nil), dst...)
-					addRowsGo(want, dstStride, src, srcStride, rows, width)
-					AddRows(dst, dstStride, src, srcStride, rows, width)
-					if !canariesIntact(dst, dstBack) {
-						t.Fatalf("%s width=%d rows=%d off=%d: wrote outside dst", fillName, width, rows, off)
-					}
-					if !sameFloats(dst, want) {
-						t.Fatalf("%s width=%d rows=%d off=%d: differs from the Go loop", fillName, width, rows, off)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestSumKernelsMatchGoLoops: the reductions add the terms of the Go loops in
 // another order, so they agree within the bound for that many terms.
 func TestSumKernelsMatchGoLoops(t *testing.T) {

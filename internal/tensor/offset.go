@@ -5,11 +5,11 @@ import "fmt"
 // Offset-table products: matrix products whose right operand's rows are read
 // in place out of a larger buffer, row r starting at b[off[r]]. Every product
 // of the package runs here. A dense operand is the table of its rows at a
-// stride (matmul.go's denseRows); a stride-1 3×3 convolution reads its patch
-// matrix straight out of the zero-bordered image (internal/nn's Conv2D): patch
-// row (ic, ky, kx) is the bordered image shifted by ic planes, ky rows and kx
-// columns, so a table of 9·inC offsets stands in for the (inC·9, H·W) matrix
-// im2col would build.
+// stride (matmul.go's denseRows); a convolution reads its patch matrix
+// straight out of the zero-bordered image split into stride phases
+// (internal/nn's Conv2D): patch row (ic, ky, kx) is that image shifted to the
+// tap's phase, row and column, so a table of k·k·inC offsets stands in for
+// the (inC·k·k, outH·outW) matrix im2col would build, at every stride.
 //
 // Each form builds every output by one chain whatever the table, so a product
 // of rows read in place is bit for bit the product of the same rows gathered

@@ -2,8 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 forms of the slice kernels (kernels.go). Except addRowsAVX2, each
-// takes whole windows of eight floats — the Go bindings in kernels_amd64.go
+// AVX2 forms of the slice kernels (kernels.go). Each takes whole windows of eight floats — the Go bindings in kernels_amd64.go
 // cut the slices and run the Go loop on the up to seven values after — and
 // trusts every operand to be as long as the first, so no load or store
 // touches memory past a slice. The elementwise kernels do per element exactly
@@ -145,57 +144,6 @@ mask_loop:
 	JNZ     mask_loop
 
 mask_done:
-	VZEROUPPER
-	RET
-
-// func addRowsAVX2(dst []float32, dstStride int, src []float32, srcStride, rows, width int)
-//
-// dst[r*dstStride+i] += src[r*srcStride+i] for r in [0,rows), i in [0,width):
-// whole vectors, then the width%8 lanes left through masked moves.
-TEXT ·addRowsAVX2(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dstStride+24(FP), R8
-	SHLQ $2, R8
-	MOVQ src_base+32(FP), SI
-	MOVQ srcStride+56(FP), R9
-	SHLQ $2, R9
-	MOVQ rows+64(FP), DX
-	MOVQ width+72(FP), R10
-	MOVQ R10, BX
-	ANDQ $7, BX
-	SHLQ $2, BX
-	LEAQ ·tailMask+32(SB), AX
-	SUBQ BX, AX
-	VMOVDQU (AX), Y2             // the first width%8 lanes
-	ANDQ $-8, R10
-	SHLQ $2, R10                 // bytes of a row covered by whole vectors
-
-rows_row:
-	XORQ AX, AX
-	CMPQ AX, R10
-	JGE  rows_tail
-
-rows_loop:
-	VMOVUPS (DI)(AX*1), Y0
-	VADDPS  (SI)(AX*1), Y0, Y0
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, R10
-	JLT     rows_loop
-
-rows_tail:
-	TESTQ BX, BX
-	JZ    rows_next
-	VMASKMOVPS (DI)(AX*1), Y2, Y0
-	VMASKMOVPS (SI)(AX*1), Y2, Y1
-	VADDPS     Y1, Y0, Y0
-	VMASKMOVPS Y0, Y2, (DI)(AX*1)
-
-rows_next:
-	ADDQ R8, DI
-	ADDQ R9, SI
-	DECQ DX
-	JNZ  rows_row
 	VZEROUPPER
 	RET
 

@@ -38,8 +38,8 @@ func main() {
 		model     = flag.String("model", "resnet-110", "model: alexnet-small, resnet-50, resnet-110")
 		cluster   = flag.String("cluster", "hom", "cluster: hom (4xP100) or het (GTX1080Ti+GTX1060)")
 		workers   = flag.Int("workers", 4, "worker count for the homogeneous cluster")
-		paradigm  = flag.String("paradigm", "DSSP", "paradigm: BSP, ASP, SSP, DSSP, BoundedDelay, BackupBSP")
-		staleness = flag.Int("staleness", 3, "SSP threshold / DSSP lower bound / bounded-delay k")
+		paradigm  = flag.String("paradigm", "DSSP", "paradigm: BSP, ASP, SSP, DSSP")
+		staleness = flag.Int("staleness", 3, "SSP threshold / DSSP lower bound")
 		rng       = flag.Int("range", 12, "DSSP range r")
 		enforce   = flag.Bool("enforce-bound", false, "DSSP Theorem-2 mode")
 		epochs    = flag.Int("epochs", 100, "training epochs to simulate")
@@ -69,7 +69,7 @@ func runExperiment(paradigm string, staleness, rng int, enforce bool, trials int
 	if err != nil {
 		return err
 	}
-	policy := core.PolicyConfig{Paradigm: p, Staleness: staleness, Range: rng, EnforceBound: enforce, Backups: 1}
+	policy := core.PolicyConfig{Paradigm: p, Staleness: staleness, Range: rng, EnforceBound: enforce}
 
 	report, err := experiment.Run(experiment.ScenarioConfig{
 		Name:   fmt.Sprintf("robustness matrix (%s)", policy.Describe()),
@@ -194,7 +194,7 @@ func run(model, cluster string, workers int, paradigm string, staleness, rng int
 	if err != nil {
 		return err
 	}
-	policy := core.PolicyConfig{Paradigm: p, Staleness: staleness, Range: rng, EnforceBound: enforce, Backups: 1}
+	policy := core.PolicyConfig{Paradigm: p, Staleness: staleness, Range: rng, EnforceBound: enforce}
 
 	iters := simulate.PaperEpochIterations(epochs, spec.NumWorkers())
 	result, err := simulate.Run(simulate.RunConfig{
@@ -213,7 +213,6 @@ func run(model, cluster string, workers int, paradigm string, staleness, rng int
 		profile.Name, spec.Name, policy.Describe(), epochs, iters)
 	fmt.Printf("  completed in        %s\n", result.Finish.Round(time.Second))
 	fmt.Printf("  updates applied     %d (%.1f/s)\n", len(result.Updates), result.Throughput())
-	fmt.Printf("  dropped updates     %d\n", result.DroppedUpdates)
 	fmt.Printf("  staleness           mean %.2f, p95 %d, max %d\n",
 		result.MeanStaleness(), result.StalenessQuantile(0.95), result.MaxStaleness())
 	for w, wait := range result.Waits {

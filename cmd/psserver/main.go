@@ -69,7 +69,7 @@
 //     -checkpoint-every (the server then refuses the ones its role does not
 //     act on: a coordinator, -guard and -checkpoint-*);
 //   - a flat server and a coordinator, which run the paradigm and evaluate:
-//     -paradigm, -staleness, -range, -enforce-bound, -backups, -examples;
+//     -paradigm, -staleness, -range, -enforce-bound, -examples;
 //   - a flat server, data server and backup, which hold weights: -lr,
 //     -momentum;
 //   - a coordinator, data server and backup: -cluster-servers; a data server
@@ -220,14 +220,13 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 	// coordinator; data servers and backups run a local ASP.
 	if role == "" || role == dssp.RoleCoordinator {
 		s.Sync.Paradigm = dssp.DSSP
-		fs.Func("paradigm", "synchronization paradigm: BSP, ASP, SSP, DSSP, BoundedDelay, BackupBSP (default DSSP)", func(v string) (err error) {
+		fs.Func("paradigm", "synchronization paradigm: BSP, ASP, SSP, DSSP (default DSSP)", func(v string) (err error) {
 			s.Sync.Paradigm, err = core.ParseParadigm(v)
 			return err
 		})
 		fs.IntVar(&s.Sync.Staleness, "staleness", 3, "staleness threshold (SSP) or lower bound sL (DSSP)")
 		fs.IntVar(&s.Sync.Range, "range", 12, "DSSP threshold range r = sU - sL")
 		fs.BoolVar(&s.Sync.EnforceBound, "enforce-bound", false, "use DSSP's strict Theorem-2 mode")
-		fs.IntVar(&s.Sync.Backups, "backups", 1, "spare workers for BackupBSP")
 		fs.IntVar(&s.Dataset.Examples, "examples", 512, "number of synthetic training examples")
 	}
 	// The weights, and the optimizer stepping them, live on every server but
@@ -318,11 +317,9 @@ func run(cfg dssp.ServerConfig, traceDump bool) error {
 		return server.FailureErr()
 	case <-server.Done():
 		// One consistent snapshot feeds the whole summary.
-		// Dropped counts the policy's and the guard's drops; the guard's
-		// share has its own line below.
 		st := server.Status()
-		fmt.Printf("all workers finished: %d updates applied, %d straggler updates dropped, %d releases, %d departures, %d rejoins (store version %d)\n",
-			st.Pushes, st.Dropped-uint64(st.Guard.DroppedPushes), st.Releases, st.Departures, st.Rejoins, st.Version)
+		fmt.Printf("all workers finished: %d updates applied, %d releases, %d departures, %d rejoins (store version %d)\n",
+			st.Pushes, st.Releases, st.Departures, st.Rejoins, st.Version)
 		if st.Guard.DroppedPushes > 0 || len(st.Guard.Evicted) > 0 {
 			fmt.Printf("guard: %d pushes rejected, %d workers evicted\n", st.Guard.DroppedPushes, len(st.Guard.Evicted))
 		}

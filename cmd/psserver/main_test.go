@@ -17,7 +17,7 @@ func flat() dssp.ServerConfig {
 	return dssp.ServerConfig{
 		Addr:         ":7070",
 		Workers:      2,
-		Sync:         dssp.Sync{Paradigm: dssp.DSSP, Staleness: 3, Range: 12, Backups: 1},
+		Sync:         dssp.Sync{Paradigm: dssp.DSSP, Staleness: 3, Range: 12},
 		Model:        dssp.ModelSmallMLP,
 		Dataset:      dssp.DatasetConfig{Examples: 512, Classes: 4, ImageSize: 16, Noise: 0.5, Seed: 1},
 		LearningRate: 0.1,
@@ -66,9 +66,9 @@ func TestShippedCommandLinesParse(t *testing.T) {
 			}),
 		},
 		{
-			args: "-paradigm BackupBSP -backups 2 -seed 9 -momentum 0.9 -trace-dump",
+			args: "-paradigm SSP -staleness 2 -seed 9 -momentum 0.9 -trace-dump",
 			server: with(flat(), func(s *dssp.ServerConfig) {
-				s.Sync.Paradigm, s.Sync.Backups, s.Momentum = dssp.BackupBSP, 2, 0.9
+				s.Sync.Paradigm, s.Sync.Staleness, s.Momentum = dssp.SSP, 2, 0.9
 				s.Seed, s.Dataset.Seed = 9, 9
 			}),
 			traceDump: true,
@@ -149,6 +149,8 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 		{"-role relais -parent 127.0.0.1:7070", `unknown -role "relais"`},
 		{"-workers 2 stray -guard", `unexpected argument "stray"`},
 		{"-advertise -role=relay -parent 127.0.0.1:7070", "-role must be given as a flag"},
+		{"-workers 2 -backups 2", "not defined: -backups"},
+		{"-workers 2 -paradigm BackupBSP", `unknown paradigm "BackupBSP"`},
 	} {
 		var out bytes.Buffer
 		if _, err := parse(strings.Fields(tc.args), &out); err == nil {
@@ -165,7 +167,7 @@ func TestRoleFlagSets(t *testing.T) {
 	every := []string{"role", "addr", "metrics-addr", "compress", "topk", "compress-pull", "heartbeat-timeout"}
 	server := append(slices.Clone(every), "workers", "model", "classes", "image-size", "seed", "shards",
 		"trace-every", "trace-dump", "aggregator", "clip-norm", "guard", "elastic", "checkpoint-dir", "checkpoint-every")
-	policy := []string{"paradigm", "staleness", "range", "enforce-bound", "backups", "examples"}
+	policy := []string{"paradigm", "staleness", "range", "enforce-bound", "examples"}
 	store := []string{"lr", "momentum"}
 	group := []string{"cluster-servers", "peers", "cluster-index", "advertise"}
 	want := map[string][]string{
@@ -189,12 +191,13 @@ func TestRoleFlagSets(t *testing.T) {
 		}
 	}
 	// The 38 flags psserver had when every role parsed one set, but the two
-	// replication knobs that became constants.
-	all := strings.Fields(`addr workers paradigm staleness range enforce-bound backups model classes
+	// replication knobs that became constants and -backups, which went with
+	// the backup-worker baseline.
+	all := strings.Fields(`addr workers paradigm staleness range enforce-bound model classes
 		examples image-size lr momentum shards compress topk compress-pull aggregator clip-norm guard
 		elastic heartbeat-timeout checkpoint-dir checkpoint-every metrics-addr trace-every trace-dump seed
 		role peers parent fanout cluster-servers cluster-index advertise primary`)
-	if len(all) != 36 || len(union) != len(all) {
+	if len(all) != 35 || len(union) != len(all) {
 		t.Fatalf("the role sets hold %d flags, want %d", len(union), len(all))
 	}
 	for _, name := range all {

@@ -1,7 +1,7 @@
 // Package dssp is a Go implementation of Dynamic Stale Synchronous Parallel
 // distributed training (Zhao et al., ICDCS 2019) together with the parameter
 // server framework it runs on and the classic synchronization paradigms it is
-// compared against (BSP, ASP, SSP, bounded delay and backup-worker BSP).
+// compared against (BSP, ASP and SSP).
 //
 // The package offers three entry points:
 //
@@ -35,10 +35,6 @@ const (
 	// DSSP is the paper's Dynamic Stale Synchronous Parallel: the staleness
 	// threshold is chosen at run time from a range [sL, sL+Range].
 	DSSP = core.ParadigmDSSP
-	// BoundedDelay is the related-work baseline of Li et al. (2014).
-	BoundedDelay = core.ParadigmBoundedDelay
-	// BackupBSP is the backup-worker synchronous SGD of Chen et al. (2016).
-	BackupBSP = core.ParadigmBackupBSP
 )
 
 // Sync selects a synchronization paradigm and its parameters (the paper's

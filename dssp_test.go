@@ -21,9 +21,6 @@ func TestSyncDescribeAndValidate(t *testing.T) {
 		{Sync{Paradigm: SSP, Staleness: 3}, 4, false},
 		{Sync{Paradigm: SSP, Staleness: -1}, 4, true},
 		{Sync{Paradigm: DSSP, Staleness: 3, Range: -2}, 4, true},
-		{Sync{Paradigm: BackupBSP, Backups: 1}, 4, false},
-		{Sync{Paradigm: BackupBSP, Backups: 4}, 4, true},
-		{Sync{Paradigm: BoundedDelay, Staleness: 3}, 4, false},
 	}
 	for _, tc := range cases {
 		err := tc.sync.Validate(tc.workers)

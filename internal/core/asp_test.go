@@ -20,9 +20,6 @@ func TestASPAlwaysReleasesPusher(t *testing.T) {
 		if len(d.Release) != 1 || d.Release[0] != w {
 			t.Fatalf("push %d: expected release of worker %d, got %v", i, w, d.Release)
 		}
-		if d.Drop {
-			t.Fatalf("push %d: ASP must never drop updates", i)
-		}
 	}
 	if len(p.Blocked()) != 0 {
 		t.Fatalf("ASP must never block, got %v", p.Blocked())

@@ -33,9 +33,6 @@ func BenchmarkDSSPOnPushEnforcedBound(b *testing.B) {
 	benchPolicy(b, p)
 }
 
-func BenchmarkBoundedDelayOnPush(b *testing.B) { benchPolicy(b, MustNewBoundedDelay(8, 4)) }
-func BenchmarkBackupBSPOnPush(b *testing.B)    { benchPolicy(b, MustNewBackupBSP(8, 2)) }
-
 // BenchmarkControllerDecision measures one Algorithm-2 decision, the
 // operation the paper describes as "lightweight" enough to run on every
 // fastest-worker push.

@@ -27,10 +27,6 @@ func (c *vectorClock) Tick(w WorkerID) int {
 // Count returns worker w's current count.
 func (c *vectorClock) Count(w WorkerID) int { return c.counts[w] }
 
-// IsActive reports whether worker w currently participates in
-// synchronization.
-func (c *vectorClock) IsActive(w WorkerID) bool { return !c.gone[w] }
-
 // NumActive returns the number of active workers.
 func (c *vectorClock) NumActive() int { return c.nActive }
 
@@ -63,17 +59,6 @@ func (c *vectorClock) Join(w WorkerID) bool {
 	return true
 }
 
-// ActiveList returns the active workers in ascending order.
-func (c *vectorClock) ActiveList() []WorkerID {
-	out := make([]WorkerID, 0, c.nActive)
-	for i, g := range c.gone {
-		if !g {
-			out = append(out, WorkerID(i))
-		}
-	}
-	return out
-}
-
 // Min returns the smallest count across active workers and one worker holding
 // it. With no active workers it falls back to the all-worker minimum.
 func (c *vectorClock) Min() (WorkerID, int) {
@@ -104,9 +89,6 @@ func (c *vectorClock) Max() (WorkerID, int) {
 	return maxW, maxC
 }
 
-// Len returns the number of workers tracked.
-func (c *vectorClock) Len() int { return len(c.counts) }
-
 // Snapshot returns a copy of the per-worker counts.
 func (c *vectorClock) Snapshot() []int {
 	out := make([]int, len(c.counts))
@@ -130,9 +112,6 @@ func (s *waitSet) Add(w WorkerID) { s.blocked[w] = true }
 // Remove marks worker w as released.
 func (s *waitSet) Remove(w WorkerID) { s.blocked[w] = false }
 
-// Contains reports whether worker w is blocked.
-func (s *waitSet) Contains(w WorkerID) bool { return s.blocked[w] }
-
 // List returns the blocked workers in ascending order.
 func (s *waitSet) List() []WorkerID {
 	var out []WorkerID
@@ -142,15 +121,4 @@ func (s *waitSet) List() []WorkerID {
 		}
 	}
 	return out
-}
-
-// Len returns the number of blocked workers.
-func (s *waitSet) Len() int {
-	n := 0
-	for _, b := range s.blocked {
-		if b {
-			n++
-		}
-	}
-	return n
 }

@@ -2,10 +2,9 @@
 // "Dynamic Stale Synchronous Parallel Distributed Training for Deep Learning"
 // (Zhao et al., ICDCS 2019): Bulk Synchronous Parallel (BSP), Asynchronous
 // Parallel (ASP), Stale Synchronous Parallel (SSP) and the paper's
-// contribution, Dynamic Stale Synchronous Parallel (DSSP), together with the
-// bounded-delay and backup-worker baselines discussed in its related work.
-// The first four are one staleness-bound engine at different thresholds
-// (dssp.go): BSP is SSP(0) and ASP is SSP(∞).
+// contribution, Dynamic Stale Synchronous Parallel (DSSP). The four are one
+// staleness-bound engine at different thresholds (dssp.go): BSP is SSP(0)
+// and ASP is SSP(∞).
 //
 // Every paradigm is expressed as a Policy: a pure, single-goroutine state
 // machine that is told about push requests (with an explicit timestamp) and
@@ -48,11 +47,6 @@ type Decision struct {
 	// pushing worker may or may not be included; when it is absent it stays
 	// blocked until a later push releases it.
 	Release []WorkerID
-
-	// Drop reports that the pushed gradient should be discarded rather than
-	// applied to the global weights. Only the backup-worker BSP baseline
-	// (Chen et al.) ever sets it.
-	Drop bool
 }
 
 // Policy is a synchronization paradigm for the parameter-server framework.

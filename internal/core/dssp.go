@@ -17,9 +17,7 @@ import (
 //	DSSP  sL,      rmax > 0   Algorithms 1 and 2
 //
 // NewBSP, NewASP, NewSSP and NewDSSP differ in those numbers and in the
-// release rule for a blocked worker (below); there is no other BSP, ASP or
-// SSP code. BoundedDelay and BackupBSP are not clock-difference rules and
-// are their own types.
+// release rule for a blocked worker (below); there is no other Policy.
 //
 // The engine follows Algorithm 1 for the server rules and Algorithm 2 for
 // the synchronization controller. The user supplies a lower staleness bound

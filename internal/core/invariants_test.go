@@ -34,8 +34,6 @@ func TestPropertyNoPolicyDeadlocks(t *testing.T) {
 			{"ASP", MustNewASP(n)},
 			{"SSP", MustNewSSP(n, s)},
 			{"DSSP", MustNewDSSP(n, s, r)},
-			{"BoundedDelay", MustNewBoundedDelay(n, s+1)},
-			{"BackupBSP", MustNewBackupBSP(n, n/2)},
 		}
 		for _, tc := range policies {
 			drv := newReplayDriver(tc.p, durations)

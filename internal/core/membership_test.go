@@ -137,93 +137,6 @@ func TestDSSPLeaveForfeitsAllowance(t *testing.T) {
 	}
 }
 
-func TestBoundedDelayLeaveSkipsOrphanedIterations(t *testing.T) {
-	p := MustNewBoundedDelay(2, 1)
-	// Worker 0 completes iteration 1; its next is 3, which depends on
-	// iteration 2 — assigned to worker 1 — so with k=1 it must wait.
-	d := p.OnPush(0, t0)
-	if len(d.Release) != 0 {
-		t.Fatalf("worker 0 should wait on iteration 2: %v", d.Release)
-	}
-	// Worker 1 crashes without ever pushing. Its iterations (2, 4, 6, ...)
-	// must be skipped so worker 0's schedule keeps moving.
-	d = p.OnLeave(1, t0)
-	if got := releasedSet(d); !got[0] {
-		t.Fatalf("leave released %v, want worker 0", d.Release)
-	}
-	// Worker 0 now runs alone indefinitely.
-	for i := 0; i < 5; i++ {
-		if d := p.OnPush(0, t0); !releasedSet(d)[0] {
-			t.Fatalf("solo worker blocked at push %d: %v", i, d.Release)
-		}
-	}
-}
-
-func TestBoundedDelayRejoinResumesSchedule(t *testing.T) {
-	p := MustNewBoundedDelay(2, 2)
-	p.OnPush(0, t0)
-	p.OnLeave(1, t0)
-	p.OnPush(0, t0)
-	p.OnJoin(1, t0)
-	// The rejoined worker's next iteration must be after the completion
-	// frontier and assigned to it.
-	next := p.next[1]
-	if next <= p.maxDone {
-		t.Fatalf("rejoined schedule %d is behind the frontier %d", next, p.maxDone)
-	}
-	if (next-1)%2 != 1 {
-		t.Fatalf("iteration %d is not assigned to worker 1", next)
-	}
-	// Both workers make progress afterwards.
-	for i := 0; i < 4; i++ {
-		d0 := p.OnPush(0, t0)
-		d1 := p.OnPush(1, t0)
-		if len(d0.Release) == 0 && len(d1.Release) == 0 {
-			t.Fatalf("no progress at round %d", i)
-		}
-	}
-}
-
-func TestBackupBSPLeaveShrinksQuorum(t *testing.T) {
-	// 3 workers, 1 backup: rounds need 2 arrivals.
-	p := MustNewBackupBSP(3, 1)
-	if d := p.OnPush(0, t0); len(d.Release) != 0 {
-		t.Fatalf("premature release %v", d.Release)
-	}
-	// Workers 1 and 2 crash: only worker 0 remains, the quorum becomes 1 and
-	// the round completes on its already-arrived push.
-	p.OnLeave(1, t0)
-	d := p.OnLeave(2, t0)
-	if got := releasedSet(d); !got[0] {
-		t.Fatalf("leave released %v, want worker 0", d.Release)
-	}
-	// The lone worker keeps completing rounds by itself.
-	if d := p.OnPush(0, t0); !releasedSet(d)[0] {
-		t.Fatalf("solo round did not complete: %v", d.Release)
-	}
-	if p.Rounds() != 2 {
-		t.Fatalf("rounds = %d, want 2", p.Rounds())
-	}
-}
-
-func TestBackupBSPRejoinCountsInCurrentRound(t *testing.T) {
-	p := MustNewBackupBSP(2, 0)
-	p.OnPush(0, t0)
-	p.OnPush(1, t0) // round 0 completes
-	p.OnLeave(1, t0)
-	p.OnPush(0, t0) // round 1 completes with quorum 1
-	p.OnJoin(1, t0)
-	// The rejoined worker's next push belongs to the current round, not to a
-	// previous one — it must be aggregated, not dropped.
-	d := p.OnPush(1, t0)
-	if d.Drop {
-		t.Fatal("rejoined worker's push was dropped as a straggler")
-	}
-	if p.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", p.Dropped())
-	}
-}
-
 func TestASPLeaveJoinAreHarmless(t *testing.T) {
 	p := MustNewASP(2)
 	p.OnPush(0, t0)
@@ -243,12 +156,10 @@ func TestImplicitRejoinOnPush(t *testing.T) {
 	// paradigm: the policies stay self-consistent even if a join notification
 	// is lost.
 	policies := map[string]Policy{
-		"BSP":          MustNewBSP(2),
-		"ASP":          MustNewASP(2),
-		"SSP":          MustNewSSP(2, 1),
-		"DSSP":         MustNewDSSP(2, 1, 2),
-		"BoundedDelay": MustNewBoundedDelay(2, 2),
-		"BackupBSP":    MustNewBackupBSP(2, 0),
+		"BSP":  MustNewBSP(2),
+		"ASP":  MustNewASP(2),
+		"SSP":  MustNewSSP(2, 1),
+		"DSSP": MustNewDSSP(2, 1, 2),
 	}
 	for label, p := range policies {
 		p.OnLeave(1, t0)

@@ -7,25 +7,20 @@ import "fmt"
 type Paradigm int
 
 // Supported paradigms. BSP, ASP and SSP follow the literature; DSSP is the
-// paper's contribution; BoundedDelayParadigm and BackupBSPParadigm are the
-// related-work baselines.
+// paper's contribution.
 const (
 	ParadigmBSP Paradigm = iota + 1
 	ParadigmASP
 	ParadigmSSP
 	ParadigmDSSP
-	ParadigmBoundedDelay
-	ParadigmBackupBSP
 )
 
 // paradigmNames is the one table String and ParseParadigm read.
 var paradigmNames = [...]string{
-	ParadigmBSP:          "BSP",
-	ParadigmASP:          "ASP",
-	ParadigmSSP:          "SSP",
-	ParadigmDSSP:         "DSSP",
-	ParadigmBoundedDelay: "BoundedDelay",
-	ParadigmBackupBSP:    "BackupBSP",
+	ParadigmBSP:  "BSP",
+	ParadigmASP:  "ASP",
+	ParadigmSSP:  "SSP",
+	ParadigmDSSP: "DSSP",
 }
 
 // String returns the canonical short name of the paradigm.
@@ -55,7 +50,7 @@ type PolicyConfig struct {
 	// package's entry points fill it in from the run's worker count.
 	Workers int
 	// Staleness is the fixed threshold s for SSP and the lower bound sL for
-	// DSSP. It is the dependency bound k for BoundedDelay.
+	// DSSP.
 	Staleness int
 	// Range is rmax = sU - sL for DSSP. Ignored by other paradigms.
 	Range int
@@ -63,9 +58,6 @@ type PolicyConfig struct {
 	// iteration gap is hard-capped at sL+Range. The default (false) is the
 	// listing-faithful behaviour of Algorithm 1. Ignored by other paradigms.
 	EnforceBound bool
-	// Backups is the number of spare workers for BackupBSP. Ignored by other
-	// paradigms.
-	Backups int
 }
 
 // NewPolicy constructs the Policy described by cfg.
@@ -84,10 +76,6 @@ func NewPolicy(cfg PolicyConfig) (Policy, error) {
 		}
 		p.EnforceUpperBound(cfg.EnforceBound)
 		return p, nil
-	case ParadigmBoundedDelay:
-		return NewBoundedDelay(cfg.Workers, cfg.Staleness)
-	case ParadigmBackupBSP:
-		return NewBackupBSP(cfg.Workers, cfg.Backups)
 	default:
 		return nil, fmt.Errorf("core: unknown paradigm %v", cfg.Paradigm)
 	}
@@ -111,10 +99,6 @@ func (cfg PolicyConfig) Describe() string {
 		return fmt.Sprintf("SSP s=%d", cfg.Staleness)
 	case ParadigmDSSP:
 		return fmt.Sprintf("DSSP sL=%d r=%d", cfg.Staleness, cfg.Range)
-	case ParadigmBoundedDelay:
-		return fmt.Sprintf("BoundedDelay k=%d", cfg.Staleness)
-	case ParadigmBackupBSP:
-		return fmt.Sprintf("BackupBSP c=%d", cfg.Backups)
 	default:
 		return cfg.Paradigm.String()
 	}

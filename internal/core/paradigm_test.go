@@ -7,7 +7,6 @@ import (
 func TestParadigmStringRoundTrip(t *testing.T) {
 	paradigms := []Paradigm{
 		ParadigmBSP, ParadigmASP, ParadigmSSP, ParadigmDSSP,
-		ParadigmBoundedDelay, ParadigmBackupBSP,
 	}
 	for _, p := range paradigms {
 		got, err := ParseParadigm(p.String())
@@ -22,8 +21,10 @@ func TestParadigmStringRoundTrip(t *testing.T) {
 }
 
 func TestParseParadigmUnknown(t *testing.T) {
-	if _, err := ParseParadigm("definitely-not-a-paradigm"); err == nil {
-		t.Fatal("expected error for unknown paradigm name")
+	for _, name := range []string{"definitely-not-a-paradigm", "BoundedDelay"} {
+		if _, err := ParseParadigm(name); err == nil {
+			t.Errorf("ParseParadigm(%q): expected error for unknown paradigm name", name)
+		}
 	}
 }
 
@@ -43,8 +44,6 @@ func TestNewPolicyBuildsEveryParadigm(t *testing.T) {
 		{PolicyConfig{Paradigm: ParadigmASP, Workers: 4}, 0, false},
 		{PolicyConfig{Paradigm: ParadigmSSP, Workers: 4, Staleness: 3}, 3, true},
 		{PolicyConfig{Paradigm: ParadigmDSSP, Workers: 4, Staleness: 3, Range: 12}, 15, true},
-		{PolicyConfig{Paradigm: ParadigmBoundedDelay, Workers: 4, Staleness: 5}, 5, true},
-		{PolicyConfig{Paradigm: ParadigmBackupBSP, Workers: 4, Backups: 1}, 0, true},
 	}
 	for _, tc := range cases {
 		p, err := NewPolicy(tc.cfg)
@@ -72,7 +71,6 @@ func TestNewPolicyPropagatesConstructorErrors(t *testing.T) {
 		{Paradigm: ParadigmBSP, Workers: 0},
 		{Paradigm: ParadigmSSP, Workers: 2, Staleness: -1},
 		{Paradigm: ParadigmDSSP, Workers: 2, Staleness: -1, Range: 3},
-		{Paradigm: ParadigmBackupBSP, Workers: 2, Backups: 2},
 	}
 	for _, cfg := range bad {
 		if _, err := NewPolicy(cfg); err == nil {
@@ -90,8 +88,6 @@ func TestPolicyConfigDescribe(t *testing.T) {
 		{PolicyConfig{Paradigm: ParadigmASP}, "ASP"},
 		{PolicyConfig{Paradigm: ParadigmSSP, Staleness: 7}, "SSP s=7"},
 		{PolicyConfig{Paradigm: ParadigmDSSP, Staleness: 3, Range: 12}, "DSSP sL=3 r=12"},
-		{PolicyConfig{Paradigm: ParadigmBoundedDelay, Staleness: 4}, "BoundedDelay k=4"},
-		{PolicyConfig{Paradigm: ParadigmBackupBSP, Backups: 2}, "BackupBSP c=2"},
 	}
 	for _, tc := range cases {
 		if got := tc.cfg.Describe(); got != tc.want {

@@ -17,8 +17,8 @@ type Cell struct {
 	// cell's trials.
 	MeanAccuracy float64 `json:"mean_accuracy"`
 	MinAccuracy  float64 `json:"min_accuracy"`
-	// MeanDropped is the mean number of discarded updates per trial
-	// (policy drops plus guard rejections).
+	// MeanDropped is the mean number of pushes the guard rejected per
+	// trial.
 	MeanDropped float64 `json:"mean_dropped"`
 	// MeanEvictions is the mean number of guard evictions per trial.
 	MeanEvictions float64 `json:"mean_evictions"`

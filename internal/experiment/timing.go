@@ -61,9 +61,6 @@ type TimingCell struct {
 	Throughput float64 `json:"throughput"`
 	// MeanStaleness is the mean update staleness.
 	MeanStaleness float64 `json:"mean_staleness"`
-	// MeanDropped is the mean number of updates the policy dropped per
-	// trial (backup workers' stragglers).
-	MeanDropped float64 `json:"mean_dropped"`
 	// MeanRootFrames and MeanRootBytes are the mean push ingress the root
 	// absorbed per trial: the load the relay tier exists to cut.
 	MeanRootFrames float64 `json:"mean_root_frames"`
@@ -150,7 +147,6 @@ func TimingMatrix(cfg TimingMatrixConfig) ([]TimingCell, error) {
 					cell.MeanFinish += res.Finish
 					cell.Throughput += res.Throughput()
 					cell.MeanStaleness += res.MeanStaleness()
-					cell.MeanDropped += float64(res.DroppedUpdates)
 					cell.MeanRootFrames += float64(res.RootIngressFrames)
 					cell.MeanRootBytes += float64(res.RootIngressBytes)
 				}
@@ -158,7 +154,6 @@ func TimingMatrix(cfg TimingMatrixConfig) ([]TimingCell, error) {
 				cell.MeanFinish = time.Duration(float64(cell.MeanFinish) / n)
 				cell.Throughput /= n
 				cell.MeanStaleness /= n
-				cell.MeanDropped /= n
 				cell.MeanRootFrames /= n
 				cell.MeanRootBytes /= n
 				cells = append(cells, cell)

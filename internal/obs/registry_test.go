@@ -193,7 +193,7 @@ func TestPushTracerLifecycle(t *testing.T) {
 
 	// A dropped push never gets a ticket.
 	d := tr.Sample(1, 11)
-	tr.Abandon(d, "policy")
+	tr.Abandon(d, "guard")
 
 	traces := tr.Traces()
 	if len(traces) != 2 {
@@ -203,8 +203,8 @@ func TestPushTracerLifecycle(t *testing.T) {
 	if applied.Ticket != 5 || applied.Coalesced != 2 || applied.AppliedAt.IsZero() || applied.ReleasedAt.IsZero() {
 		t.Errorf("applied trace incomplete: %+v", applied)
 	}
-	if traces[1].Dropped != "policy" {
-		t.Errorf("dropped trace reason = %q, want policy", traces[1].Dropped)
+	if traces[1].Dropped != "guard" {
+		t.Errorf("dropped trace reason = %q, want guard", traces[1].Dropped)
 	}
 	if tr.Total() != 2 {
 		t.Errorf("total = %d, want 2", tr.Total())

@@ -34,8 +34,8 @@ type PushTrace struct {
 	// Coalesced is how many pushes the store applied in the same batch as
 	// this one (1 = applied alone).
 	Coalesced int `json:"coalesced,omitempty"`
-	// Dropped names why the push left the pipeline early ("policy",
-	// "guard"), empty for applied pushes.
+	// Dropped names why the push left the pipeline early ("guard",
+	// "superseded", "error"), empty for applied pushes.
 	Dropped string `json:"dropped,omitempty"`
 
 	ReceivedAt time.Time `json:"received_at"`
@@ -101,7 +101,7 @@ func (t *PushTracer) Track(tr *PushTrace) {
 }
 
 // Abandon finalizes a trace that left the pipeline before ticketing
-// (dropped by policy or guard), recording why.
+// (rejected by the guard, superseded or failed), recording why.
 func (t *PushTracer) Abandon(tr *PushTrace, reason string) {
 	if t == nil || tr == nil {
 		return

@@ -15,12 +15,11 @@ import (
 // GuardStats) and the /statusz snapshot read — there is no second, ad-hoc
 // set of fields to drift from.
 type serverMetrics struct {
-	pushes        *obs.Counter
-	droppedPolicy *obs.Counter
-	droppedGuard  *obs.Counter
-	releases      *obs.Counter
-	departures    *obs.Counter
-	rejoins       *obs.Counter
+	pushes       *obs.Counter
+	droppedGuard *obs.Counter
+	releases     *obs.Counter
+	departures   *obs.Counter
+	rejoins      *obs.Counter
 
 	staleness *obs.Histogram
 	// stalenessMax is the largest staleness observed; written under policyMu.
@@ -77,8 +76,7 @@ func newServerMetrics(reg *obs.Registry, workers int) *serverMetrics {
 	return &serverMetrics{
 		pushes: reg.Counter("dssp_push_total",
 			"Gradient pushes accepted and applied to the store."),
-		droppedPolicy: dropped.With("policy"),
-		droppedGuard:  dropped.With("guard"),
+		droppedGuard: dropped.With("guard"),
 		releases: reg.Counter("dssp_release_total",
 			"OK release messages delivered to workers."),
 		departures: reg.Counter("dssp_departures_total",

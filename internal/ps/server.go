@@ -942,23 +942,16 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 		decision := s.cfg.Policy.OnPush(core.WorkerID(e.Worker), now)
 		s.pushedAt[e.Worker] = now
 		targets = s.resolve(targets, decision.Release, now)
-		if !decision.Drop && !guardDrop {
-			accepted++
+		if guardDrop {
+			// The gradients never reach the store, but the policy has
+			// counted the push, so its releases still flow — a barrier
+			// paradigm must not deadlock on a rejected payload. The guard
+			// counted the rejection when it flagged the push.
+			s.tracer.Abandon(m.tr, "guard")
+			m.tr = nil
 			continue
 		}
-		// Policy-dropped (backup-worker baseline) or guard-rejected: the
-		// gradients never reach the store, but the policy has counted the
-		// push, so its releases still flow — a barrier paradigm must not
-		// deadlock on a rejected payload.
-		m.drop = true
-		if guardDrop {
-			// The guard counted the rejection when it flagged the push.
-			s.tracer.Abandon(m.tr, "guard")
-		} else {
-			s.sm.droppedPolicy.Inc()
-			s.tracer.Abandon(m.tr, "policy")
-		}
-		m.tr = nil
+		accepted++
 	}
 	if void == len(entries) {
 		s.policyMu.Unlock()
@@ -990,9 +983,6 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 		t := ticket - tickets
 		for i, e := range entries {
 			m := &marks[i]
-			if m.drop {
-				continue
-			}
 			if pushErr != nil {
 				// The policy has already counted this push and may have decided
 				// to release other workers — their releases must still go out
@@ -1347,12 +1337,9 @@ func (s *Server) Waits() []time.Duration {
 // Pushes returns the number of gradient updates applied.
 func (s *Server) Pushes() int { return int(s.sm.pushes.Value()) }
 
-// Dropped returns the number of pushed updates rejected without reaching the
-// store — dropped by the policy (the backup-worker baseline) or by the
-// anomaly guard.
-func (s *Server) Dropped() int {
-	return int(s.sm.droppedPolicy.Value() + s.sm.droppedGuard.Value())
-}
+// Dropped returns the number of pushed updates the anomaly guard rejected
+// without reaching the store.
+func (s *Server) Dropped() int { return int(s.sm.droppedGuard.Value()) }
 
 // Rejoins returns the number of MsgRejoin registrations accepted.
 func (s *Server) Rejoins() int { return int(s.sm.rejoins.Value()) }
@@ -1417,7 +1404,7 @@ func (s *Server) Status() ServerStatus {
 		Window:          s.cfg.Store.Window(),
 		FullWindow:      s.fullWindow,
 		Pushes:          s.sm.pushes.Value(),
-		Dropped:         s.sm.droppedPolicy.Value() + s.sm.droppedGuard.Value(),
+		Dropped:         s.sm.droppedGuard.Value(),
 		Releases:        s.sm.releases.Value(),
 		Departures:      s.sm.departures.Value(),
 		Rejoins:         s.sm.rejoins.Value(),

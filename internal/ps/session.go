@@ -86,12 +86,12 @@ type session struct {
 
 // entryMark is what push handling learns about one entry of a push: its
 // sampled lifecycle trace (nil for most), whether it was void (its slot no
-// longer rides this session) or dropped (by the policy or the guard), and the
-// admit epoch of the slot's tenure the push belongs to.
+// longer rides this session), and the admit epoch of the slot's tenure the
+// push belongs to.
 type entryMark struct {
-	tr         *obs.PushTrace
-	void, drop bool
-	epoch      uint64
+	tr    *obs.PushTrace
+	void  bool
+	epoch uint64
 }
 
 // newSession builds a session for conn, not yet installed in the table.

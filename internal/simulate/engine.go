@@ -59,8 +59,6 @@ type RunResult struct {
 	Finish time.Duration
 	// Waits is the total synchronization waiting time per worker.
 	Waits []time.Duration
-	// DroppedUpdates counts pushes discarded by the policy (backup workers).
-	DroppedUpdates int
 	// RootIngressFrames counts push frames arriving at the root: one per
 	// worker push when flat, one per forwarded relay partial under
 	// RunConfig.Fanout >= 2.
@@ -277,10 +275,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			Waits: make([]time.Duration, workers),
 		},
 	}
-	// Synchronous paradigms (staleness bound 0: BSP, which is SSP(0), and
-	// the backup-worker baseline) aggregate the round's gradients into a
-	// single server-side update; the others pay the apply and per-key cost
-	// on every push.
+	// Synchronous paradigms (staleness bound 0: BSP, which is SSP(0))
+	// aggregate the round's gradients into a single server-side update; the
+	// others pay the apply and per-key cost on every push.
 	bound, bounded := policy.StalenessBound()
 	sim.aggregated = bounded && bound == 0
 	sim.result.Bounded = bounded
@@ -415,8 +412,8 @@ func (s *simulation) onComputeDone(ev event) {
 	s.schedule(arrival, kind, ev.worker)
 }
 
-// onPushArrive applies the update (unless the policy drops it) and starts
-// the pull transfer of every released worker.
+// onPushArrive applies the update and starts the pull transfer of every
+// released worker.
 func (s *simulation) onPushArrive(ev event) {
 	w := ev.worker
 	s.result.RootIngressFrames++
@@ -427,27 +424,15 @@ func (s *simulation) onPushArrive(ev event) {
 
 	decision := s.policy.OnPush(core.WorkerID(w), time.Unix(0, 0).Add(ev.at))
 
-	readyAt := ev.at
-	if decision.Drop {
-		s.result.DroppedUpdates++
-	} else {
-		staleness := s.version - s.baseVersion[w]
-		s.version++
-		s.result.Updates = append(s.result.Updates, UpdateEvent{At: ev.at, Worker: w, Staleness: staleness})
+	staleness := s.version - s.baseVersion[w]
+	s.version++
+	s.result.Updates = append(s.result.Updates, UpdateEvent{At: ev.at, Worker: w, Staleness: staleness})
 
-		// Server CPU cost: per-push for asynchronous paradigms, once per
-		// barrier round for aggregating ones.
-		cost := time.Duration(0)
-		if s.aggregated {
-			if len(decision.Release) > 0 {
-				cost = s.applyCost + s.keyCost
-			}
-		} else {
-			cost = s.applyCost + s.keyCost
-		}
-		if cost > 0 {
-			readyAt = acquire(&s.cpuFreeAt, ev.at, cost)
-		}
+	// Server CPU cost: per-push for asynchronous paradigms, once per barrier
+	// round for aggregating ones.
+	readyAt := ev.at
+	if !s.aggregated || len(decision.Release) > 0 {
+		readyAt = acquire(&s.cpuFreeAt, ev.at, s.applyCost+s.keyCost)
 	}
 
 	s.releaseWorkers(decision.Release, readyAt)
@@ -531,26 +516,17 @@ func (s *simulation) onRelayFlush(ev event) {
 func (s *simulation) onRelayArrive(ev event) {
 	s.result.RootIngressFrames++
 	s.result.RootIngressBytes += s.cfg.Model.Bytes()
-	applied := false
 	var release []core.WorkerID
 	for _, w := range ev.batch {
 		decision := s.policy.OnPush(core.WorkerID(w), time.Unix(0, 0).Add(ev.at))
-		if decision.Drop {
-			s.result.DroppedUpdates++
-		} else {
-			staleness := s.version - s.baseVersion[w]
-			s.version++
-			s.result.Updates = append(s.result.Updates, UpdateEvent{At: ev.at, Worker: w, Staleness: staleness})
-			applied = true
-		}
+		staleness := s.version - s.baseVersion[w]
+		s.version++
+		s.result.Updates = append(s.result.Updates, UpdateEvent{At: ev.at, Worker: w, Staleness: staleness})
 		release = append(release, decision.Release...)
 	}
-	readyAt := ev.at
-	if applied {
-		// One weighted apply per frame, however many pushes it folds —
-		// the relay already paid the summing.
-		readyAt = acquire(&s.cpuFreeAt, ev.at, s.applyCost+s.keyCost)
-	}
+	// One weighted apply per frame, however many pushes it folds — the relay
+	// already paid the summing. A flushed partial is never empty.
+	readyAt := acquire(&s.cpuFreeAt, ev.at, s.applyCost+s.keyCost)
 	s.releaseWorkers(release, readyAt)
 }
 

@@ -32,8 +32,10 @@ func TestPaperArtefactsGolden(t *testing.T) {
 	for _, r := range fig.Results {
 		fmt.Fprintf(h, "%s %d %x %v\n", r.Label, r.Finish, math.Float64bits(r.FinalAccuracy), r.Curve.Points())
 		run := r.Run
+		// The literal 0 stands where the pin hashed a dropped-update count
+		// that no pinned paradigm ever made non-zero.
 		fmt.Fprintf(h, "%x %d %d %v %d %d %v\n", math.Float64bits(run.MeanStaleness()),
-			run.StalenessQuantile(0.5), run.StalenessQuantile(0.95), run.MaxStaleness(), run.DroppedUpdates, run.Finish, run.Waits)
+			run.StalenessQuantile(0.5), run.StalenessQuantile(0.95), run.MaxStaleness(), 0, run.Finish, run.Waits)
 		fmt.Fprintf(h, "%v\n", run.Updates)
 	}
 	trends, err := SectionVCThroughputTrends(cfg)

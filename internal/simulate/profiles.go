@@ -147,8 +147,8 @@ type ClusterSpec struct {
 	// CommOverlap is the fraction of a worker's transfer time that the
 	// framework hides behind computation when the paradigm does not impose a
 	// barrier (the paper's §V-C: asynchronous-like schemes "shift" the
-	// communication time). Barrier paradigms (BSP, backup-worker BSP) cannot
-	// overlap and pay the full transfer cost on the critical path.
+	// communication time). A barrier paradigm (BSP) cannot overlap and pays
+	// the full transfer cost on the critical path.
 	CommOverlap float64
 	// ComputeJitter is the relative standard deviation of compute times.
 	ComputeJitter float64

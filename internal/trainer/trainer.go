@@ -120,9 +120,8 @@ type Result struct {
 	Waits []time.Duration
 	// Updates is the number of gradient updates applied.
 	Updates int
-	// Dropped is the number of pushed updates rejected without reaching the
-	// store: discarded by the policy — the backup-worker baseline's defining
-	// metric (straggler gradients thrown away) — or by the anomaly guard.
+	// Dropped is the number of pushed updates the anomaly guard rejected
+	// without reaching the store.
 	Dropped int
 	// Crashed lists the workers that dropped out mid-run (fault injection
 	// via Config.CrashAt, a guard-evicted adversary, or a worker goroutine

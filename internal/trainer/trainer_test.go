@@ -134,6 +134,27 @@ func TestRunSSPRespectsStalenessBound(t *testing.T) {
 	}
 }
 
+// TestRunDSSPEnforcedBoundEndToEnd runs the Theorem-2 DSSP variant through
+// the real trainer and checks the bounded-staleness consequence: the maximum
+// observed update staleness stays within (sU+1) * workers.
+func TestRunDSSPEnforcedBoundEndToEnd(t *testing.T) {
+	cfg := smallConfig(core.PolicyConfig{
+		Paradigm: core.ParadigmDSSP, Staleness: 1, Range: 2, EnforceBound: true,
+	})
+	cfg.WorkerDelay = []time.Duration{0, 0, 5 * time.Millisecond}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := (1 + 2 + 1) * cfg.Workers
+	if res.MaxStaleness > limit {
+		t.Fatalf("max staleness %d exceeds bound-implied limit %d", res.MaxStaleness, limit)
+	}
+	if res.FinalAccuracy < 0.6 {
+		t.Fatalf("final accuracy %v", res.FinalAccuracy)
+	}
+}
+
 func TestRunHeterogeneousDelayCreatesWaitsUnderBSP(t *testing.T) {
 	cfg := smallConfig(core.PolicyConfig{Paradigm: core.ParadigmBSP})
 	cfg.Epochs = 2

@@ -103,9 +103,8 @@ func (s *Server) Traces() []obs.PushTrace { return s.inner.Traces() }
 // Updates returns the number of gradient updates applied so far.
 func (s *Server) Updates() int { return s.inner.Pushes() }
 
-// Dropped returns the number of pushed updates rejected without reaching the
-// store: those the policy discarded (the backup-worker baseline's defining
-// metric) plus those the anomaly guard rejected (Status().Guard.DroppedPushes).
+// Dropped returns the number of pushed updates the anomaly guard rejected
+// without reaching the store (Status().Guard.DroppedPushes).
 func (s *Server) Dropped() int { return s.inner.Dropped() }
 
 // Rejoins returns the number of worker rejoins accepted so far.

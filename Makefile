@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check orphans fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke profile fmt fmt-check vet ci
+.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check orphans unused fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke profile fmt fmt-check vet ci
 
 all: build
 
@@ -273,6 +273,26 @@ orphans:
 		exit 1; \
 	fi
 
+# Unexported functions nothing calls: every top-level func or method with a
+# lower-case name (main and init aside) whose name appears as a token nowhere
+# else in the non-test Go outside bench/, comment lines and trailing // comments
+# stripped, fails the target. One awk pass counts every token; a declaration
+# is the name's one sighting when nothing else names it. A token count, not a
+# type check: two unused declarations of one name (per-architecture twins)
+# hide each other, and a name that only a string spells counts as used.
+unused:
+	@unused=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | LC_ALL=C sort | xargs awk ' \
+		{ sub(/^[ \t]*\/\/.*/, ""); sub(/[ \t]\/\/.*/, "") } \
+		/^func / { d = $$0; sub(/^func (\([^)]*\) )?/, "", d); \
+			if (match(d, /^[a-z_][A-Za-z0-9_]*/)) { n = substr(d, 1, RLENGTH); if (n != "main" && n != "init") at[n] = FILENAME ":" FNR } } \
+		{ k = split($$0, tok, /[^A-Za-z0-9_]+/); for (i = 1; i <= k; i++) if (tok[i] != "") seen[tok[i]]++ } \
+		END { for (n in at) if (seen[n] == 1) print at[n] ": " n }' | LC_ALL=C sort); \
+	if [ -n "$$unused" ]; then \
+		echo "unexported functions nothing calls:" >&2; \
+		echo "$$unused" >&2; \
+		exit 1; \
+	fi
+
 # Run the fuzz corpus seeds as plain regression tests (no fuzzing engine):
 # exactly what CI executes so a decoder regression fails fast everywhere.
 fuzz-seeds:
@@ -356,4 +376,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt-check vet loc surface-check orphans race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke bench-smoke
+ci: build fmt-check vet loc surface-check orphans unused race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke bench-smoke

@@ -164,19 +164,6 @@ type Packed struct {
 // accounting, not framing.
 func (p Packed) WireSize() int { return len(p.Payload) + 4*len(p.Shape) + 8 }
 
-// schemeFor maps a codec name onto its payload scheme.
-func schemeFor(codec string) uint8 {
-	switch codec {
-	case FP16:
-		return SchemeF16
-	case Int8:
-		return SchemeQ8
-	case TopK:
-		return SchemeTopK
-	}
-	panic(fmt.Sprintf("compress: codec %q has no packed scheme", codec))
-}
-
 // Compressor is the stateful worker-side half of a codec: it compresses one
 // gradient stream and carries the error-feedback residuals of its lossy
 // codec. A Compressor therefore belongs to exactly one worker and is not

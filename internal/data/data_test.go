@@ -1,9 +1,6 @@
 package data
 
 import (
-	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -77,17 +74,6 @@ func TestSyntheticRejectsBadConfig(t *testing.T) {
 		if _, err := Synthetic(cfg); err == nil {
 			t.Errorf("config %+v: expected error", cfg)
 		}
-	}
-}
-
-func TestSyntheticCIFARShapes(t *testing.T) {
-	c10 := SyntheticCIFAR10(20, 1)
-	if c10.Classes != 10 || c10.Size != 32 || c10.Channels != 3 {
-		t.Errorf("CIFAR-10 shape wrong: %+v", c10)
-	}
-	c100 := SyntheticCIFAR100(200, 1)
-	if c100.Classes != 100 {
-		t.Errorf("CIFAR-100 classes = %d", c100.Classes)
 	}
 }
 
@@ -208,133 +194,6 @@ func TestBatchIteratorValidation(t *testing.T) {
 	empty := NewDataset(1, 4, 2, false)
 	if _, err := NewBatchIterator(empty, 2, 1); err == nil {
 		t.Error("expected error for empty dataset")
-	}
-}
-
-func TestHorizontalFlipReversesRows(t *testing.T) {
-	batch := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	rng := rand.New(rand.NewSource(1))
-	HorizontalFlip{P: 1}.Apply(rng, batch)
-	want := []float32{2, 1, 4, 3}
-	for i, v := range batch.Data() {
-		if v != want[i] {
-			t.Errorf("flip[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-}
-
-func TestGaussianNoiseChangesValuesButPreservesShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	batch := tensor.New(2, 3, 4, 4)
-	orig := batch.Clone()
-	GaussianNoise{StdDev: 0.5}.Apply(rng, batch)
-	if batch.ApproxEqual(orig, 0) {
-		t.Fatal("noise did not change the batch")
-	}
-	if !batch.SameShape(orig) {
-		t.Fatal("noise changed the shape")
-	}
-}
-
-func TestChannelDropZeroesExactlyOneChannel(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	batch := tensor.Full(1, 1, 3, 2, 2)
-	ChannelDrop{P: 1}.Apply(rng, batch)
-	zeroChannels := 0
-	for c := 0; c < 3; c++ {
-		allZero := true
-		for y := 0; y < 2; y++ {
-			for x := 0; x < 2; x++ {
-				if batch.At(0, c, y, x) != 0 {
-					allZero = false
-				}
-			}
-		}
-		if allZero {
-			zeroChannels++
-		}
-	}
-	if zeroChannels != 1 {
-		t.Fatalf("%d channels zeroed, want exactly 1", zeroChannels)
-	}
-}
-
-func TestPipelineAppliesAllStages(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	batch := tensor.Full(1, 2, 3, 4, 4)
-	orig := batch.Clone()
-	p := Pipeline{HorizontalFlip{P: 1}, GaussianNoise{StdDev: 0.1}, ChannelDrop{P: 1}}
-	p.Apply(rng, batch)
-	if batch.ApproxEqual(orig, 0) {
-		t.Fatal("pipeline did not modify the batch")
-	}
-	if p.Name() == "" {
-		t.Fatal("pipeline name empty")
-	}
-}
-
-func TestLoadCIFAR10FromGeneratedBinaryFiles(t *testing.T) {
-	// Write two tiny files in the CIFAR-10 binary format and read them back.
-	dir := t.TempDir()
-	for _, name := range []string{"data_batch_1.bin", "data_batch_2.bin", "data_batch_3.bin", "data_batch_4.bin", "data_batch_5.bin"} {
-		var buf []byte
-		for rec := 0; rec < 2; rec++ {
-			buf = append(buf, byte(rec%10))
-			for i := 0; i < cifarImageBytes; i++ {
-				buf = append(buf, byte(i%256))
-			}
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), buf, 0o600); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := LoadCIFAR10(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 10 {
-		t.Fatalf("loaded %d records, want 10", d.Len())
-	}
-	if d.Classes != 10 || d.Size != 32 || d.Channels != 3 {
-		t.Fatal("CIFAR-10 geometry wrong")
-	}
-	// Pixels must be normalized into [-1, 1].
-	x, _ := d.Batch([]int{0})
-	for _, v := range x.Data() {
-		if v < -1 || v > 1 {
-			t.Fatalf("pixel %v outside [-1,1]", v)
-		}
-	}
-}
-
-func TestLoadCIFAR100FromGeneratedBinaryFile(t *testing.T) {
-	dir := t.TempDir()
-	var buf []byte
-	for rec := 0; rec < 3; rec++ {
-		buf = append(buf, byte(rec)) // coarse label (ignored)
-		buf = append(buf, byte(90))  // fine label
-		for i := 0; i < cifarImageBytes; i++ {
-			buf = append(buf, 128)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, "train.bin"), buf, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	d, err := LoadCIFAR100(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 3 {
-		t.Fatalf("loaded %d records, want 3", d.Len())
-	}
-	if d.Label(0) != 90 {
-		t.Fatalf("fine label = %d, want 90", d.Label(0))
-	}
-}
-
-func TestLoadCIFARMissingDirectoryFails(t *testing.T) {
-	if _, err := LoadCIFAR10(filepath.Join(t.TempDir(), "does-not-exist")); err == nil {
-		t.Fatal("expected error for missing directory")
 	}
 }
 

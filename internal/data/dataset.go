@@ -1,9 +1,7 @@
 // Package data provides the datasets and data-parallel plumbing used by the
 // DSSP reproduction: synthetic CIFAR-like image-classification datasets (the
-// substitution for CIFAR-10/100, see DESIGN.md), a reader for the real CIFAR
-// binary format when the files are available, per-worker partitioning and
-// mini-batch iteration, and the image-distortion augmentations discussed in
-// the paper's §V-C.
+// substitution for CIFAR-10/100, see DESIGN.md), per-worker partitioning and
+// mini-batch iteration.
 package data
 
 import (
@@ -187,20 +185,4 @@ func MustSynthetic(cfg SyntheticConfig) *Dataset {
 		panic(err)
 	}
 	return d
-}
-
-// SyntheticCIFAR10 returns a CIFAR-10-shaped synthetic dataset (32×32×3,
-// 10 classes) with the given number of examples.
-func SyntheticCIFAR10(examples int, seed int64) *Dataset {
-	return MustSynthetic(SyntheticConfig{
-		Examples: examples, Classes: 10, Channels: 3, Size: 32, Noise: 1.0, Seed: seed,
-	})
-}
-
-// SyntheticCIFAR100 returns a CIFAR-100-shaped synthetic dataset (32×32×3,
-// 100 classes) with the given number of examples.
-func SyntheticCIFAR100(examples int, seed int64) *Dataset {
-	return MustSynthetic(SyntheticConfig{
-		Examples: examples, Classes: 100, Channels: 3, Size: 32, Noise: 1.0, Seed: seed,
-	})
 }

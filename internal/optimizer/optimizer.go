@@ -1,7 +1,7 @@
 // Package optimizer implements the stochastic-gradient-descent update rules
-// used by the paper's experiments: plain SGD and SGD with momentum, both with
-// optional weight decay, plus the step learning-rate schedule (decay ×0.1 at
-// fixed epochs) used for the ResNet runs.
+// the parameter server applies: plain SGD and SGD with momentum, the latter
+// with an optional weight-decay term. The learning rate is constant for a
+// run; a restored checkpoint sets it back to the rate it was saved at.
 package optimizer
 
 import (
@@ -225,40 +225,4 @@ func (s *SGD) Name() string {
 		return fmt.Sprintf("SGD(lr=%g,momentum=%g,wd=%g)", s.lr, s.momentum, s.decay)
 	}
 	return fmt.Sprintf("SGD(lr=%g)", s.lr)
-}
-
-// StepSchedule is a piecewise-constant learning-rate schedule: the base rate
-// is multiplied by factor at each listed epoch, as in the paper's ResNet
-// training (decay 0.1 at epochs 200 and 250).
-type StepSchedule struct {
-	base   float64
-	factor float64
-	epochs []int
-}
-
-// NewStepSchedule returns a schedule decaying base by factor at each of the
-// given epochs.
-func NewStepSchedule(base, factor float64, epochs ...int) *StepSchedule {
-	e := make([]int, len(epochs))
-	copy(e, epochs)
-	return &StepSchedule{base: base, factor: factor, epochs: e}
-}
-
-// At returns the learning rate in force at the given zero-based epoch.
-func (s *StepSchedule) At(epoch int) float64 {
-	lr := s.base
-	for _, e := range s.epochs {
-		if epoch >= e {
-			lr *= s.factor
-		}
-	}
-	return lr
-}
-
-// Apply sets the optimizer's learning rate for the given epoch and returns
-// the rate applied.
-func (s *StepSchedule) Apply(opt Optimizer, epoch int) float64 {
-	lr := s.At(epoch)
-	opt.SetLearningRate(lr)
-	return lr
 }

@@ -87,28 +87,3 @@ func TestLearningRateAccessors(t *testing.T) {
 		t.Fatal("optimizer names must not be empty")
 	}
 }
-
-func TestStepScheduleMatchesPaperResNetSetting(t *testing.T) {
-	// Paper: lr 0.05 decayed by 0.1 at epochs 200 and 250 over 300 epochs.
-	sched := NewStepSchedule(0.05, 0.1, 200, 250)
-	cases := []struct {
-		epoch int
-		want  float64
-	}{
-		{0, 0.05},
-		{199, 0.05},
-		{200, 0.005},
-		{249, 0.005},
-		{250, 0.0005},
-		{299, 0.0005},
-	}
-	for _, tc := range cases {
-		if got := sched.At(tc.epoch); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("At(%d) = %v, want %v", tc.epoch, got, tc.want)
-		}
-	}
-	opt := NewSGD(0.05)
-	if got := sched.Apply(opt, 260); math.Abs(got-0.0005) > 1e-12 || opt.LearningRate() != got {
-		t.Errorf("Apply(260) = %v, optimizer lr %v", got, opt.LearningRate())
-	}
-}

@@ -2,7 +2,6 @@ package ps
 
 import (
 	"strconv"
-	"time"
 
 	"dssp/internal/obs"
 )
@@ -190,12 +189,5 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 			obs.LatencyBuckets),
 		iterations: reg.Counter("dssp_worker_iterations_total",
 			"Training iterations completed (push round-trips)."),
-	}
-}
-
-// observe is a nil-safe duration observation helper.
-func observeSince(h *obs.Histogram, start time.Time) {
-	if h != nil {
-		h.Observe(time.Since(start).Seconds())
 	}
 }

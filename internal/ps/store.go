@@ -689,8 +689,8 @@ func (s *Store) unshareRegion() {
 // Version returns the number of updates applied so far.
 func (s *Store) Version() int64 { return s.version.Load() }
 
-// SetLearningRate adjusts the optimizer's learning rate on every shard (used
-// by learning-rate schedules during training).
+// SetLearningRate adjusts the optimizer's learning rate on every shard. Its
+// one caller outside tests is install, which restores a checkpoint's rate.
 func (s *Store) SetLearningRate(lr float64) {
 	s.protoMu.Lock()
 	s.proto.SetLearningRate(lr)

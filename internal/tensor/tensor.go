@@ -127,18 +127,6 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// Reshape returns a view-free copy of the tensor with a new shape holding the
-// same number of elements.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	out := New(shape...)
-	if len(out.data) != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elements) to %v (%d elements)",
-			t.shape, len(t.data), shape, len(out.data)))
-	}
-	copy(out.data, t.data)
-	return out
-}
-
 // At returns the element at the given multi-dimensional index.
 func (t *Tensor) At(idx ...int) float32 { return t.data[t.offset(idx)] }
 
@@ -226,12 +214,6 @@ func (t *Tensor) AXPY(alpha float32, o *Tensor) *Tensor {
 	return t
 }
 
-// AddScalar adds s to every element in place and returns t.
-func (t *Tensor) AddScalar(s float32) *Tensor {
-	addScalarSlice(s, t.data)
-	return t
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float32 {
 	var s float32
@@ -258,17 +240,6 @@ func (t *Tensor) L2Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// MaxIndex returns the flat index of the largest element.
-func (t *Tensor) MaxIndex() int {
-	best := 0
-	for i, v := range t.data {
-		if v > t.data[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // ApproxEqual reports whether t and o have the same shape and all elements
 // within tol of each other.
 func (t *Tensor) ApproxEqual(o *Tensor, tol float64) bool {
@@ -281,22 +252,6 @@ func (t *Tensor) ApproxEqual(o *Tensor, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// ClipInPlace clamps every element into [-limit, limit] and returns t. It is
-// used for gradient clipping.
-func (t *Tensor) ClipInPlace(limit float32) *Tensor {
-	if limit <= 0 {
-		return t
-	}
-	for i, v := range t.data {
-		if v > limit {
-			t.data[i] = limit
-		} else if v < -limit {
-			t.data[i] = -limit
-		}
-	}
-	return t
 }
 
 // String returns a short description of the tensor (shape and element count),

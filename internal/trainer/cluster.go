@@ -79,13 +79,6 @@ func (s *serving) version() int64 {
 	return min
 }
 
-// setLR applies a scheduled learning-rate change to every store.
-func (s *serving) setLR(lr float64) {
-	for _, st := range s.stores {
-		st.SetLearningRate(lr)
-	}
-}
-
 // failure is the first fatal loss a server of the topology reports
 // (ps.Server.Failed), which ends the run as it ends a psserver; nil if none.
 func (s *serving) failure() error {
@@ -166,7 +159,7 @@ func (s *serving) start(cfg Config, policy core.Policy, params []*tensor.Tensor,
 		scfg.Trace = cfg.Trace
 		l.SetMeter(transport.NewMetrics(scfg.Metrics))
 	}
-	opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum, cfg.WeightDecay)
+	opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum, 0)
 	srv, err := ps.Start(scfg, params, opt, l, s.net.dial)
 	if err != nil {
 		return "", err

@@ -17,7 +17,6 @@ import (
 	"dssp/internal/metrics"
 	"dssp/internal/nn"
 	"dssp/internal/obs"
-	"dssp/internal/optimizer"
 	"dssp/internal/ps"
 )
 
@@ -37,18 +36,12 @@ type Config struct {
 	Epochs int
 	// Policy selects the synchronization paradigm.
 	Policy core.PolicyConfig
-	// LearningRate, Momentum and WeightDecay configure the server-side SGD.
+	// LearningRate and Momentum configure the server-side SGD.
 	LearningRate float64
 	Momentum     float64
-	WeightDecay  float64
-	// Schedule optionally decays the learning rate by epoch; nil keeps the
-	// base rate.
-	Schedule *optimizer.StepSchedule
 	// WorkerDelay adds an artificial per-iteration delay to each worker,
 	// emulating slower GPUs; nil or missing entries mean no delay.
 	WorkerDelay []time.Duration
-	// Augment optionally distorts each training batch.
-	Augment data.Augmenter
 	// ClusterServers, when >= 2, runs the parameter server as an in-process
 	// server group: that many data servers each own a contiguous shard range
 	// of the store behind a coordinator that runs the paradigm policy, and
@@ -244,7 +237,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Evaluation loop: snapshot the store whenever enough new updates were
-	// applied, evaluate on the test set, and apply the learning-rate schedule.
+	// applied and evaluate on the test set; the learning rate stays the
+	// configured one for the whole run.
 	result := &Result{
 		Paradigm: cfg.Policy.Describe(),
 		Accuracy: metrics.NewTimeSeries(cfg.Policy.Describe()),
@@ -272,11 +266,6 @@ func Run(cfg Config) (*Result, error) {
 		result.Loss.Add(elapsed, lastLoss)
 		lossMu.Unlock()
 		lastEval = version
-		if cfg.Schedule != nil {
-			totalUpdates := int64(totalIters) * int64(cfg.Workers)
-			epoch := int(version * int64(cfg.Epochs) / max64(totalUpdates, 1))
-			srv.setLR(cfg.Schedule.At(epoch))
-		}
 	}
 
 	ticker := time.NewTicker(5 * time.Millisecond)
@@ -360,8 +349,6 @@ func (c Config) Worker(id int) (Worker, error) {
 		HeartbeatInterval: c.HeartbeatInterval,
 		Replica:           c.Model.Build(rand.New(rand.NewSource(c.Seed))),
 		Batches:           iter,
-		Augment:           c.Augment,
-		Rng:               rand.New(rand.NewSource(c.Seed + int64(id)*7919)),
 		Iterations:        c.iterations(),
 		Adversary:         c.Adversaries[id],
 		CrashAt:           NoCrash,
@@ -387,12 +374,4 @@ func runWorker(cfg Config, route ps.Route, workerID int) (WorkerReport, error) {
 		return ps.Connect(route, rejoin, lastVersion)
 	}
 	return RunWorker(w)
-}
-
-// max64 returns the larger of two int64 values.
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,7 +7,6 @@ import (
 	"dssp/internal/core"
 	"dssp/internal/data"
 	"dssp/internal/nn"
-	"dssp/internal/optimizer"
 )
 
 // smallConfig returns a configuration that trains the tiny MLP on an easy
@@ -167,19 +166,6 @@ func TestRunHeterogeneousDelayCreatesWaitsUnderBSP(t *testing.T) {
 	// the slow worker computes.
 	if res.Waits[0] == 0 && res.Waits[1] == 0 {
 		t.Fatal("expected barrier waiting time for fast workers under BSP")
-	}
-}
-
-func TestRunWithScheduleAndAugmentation(t *testing.T) {
-	cfg := smallConfig(core.PolicyConfig{Paradigm: core.ParadigmDSSP, Staleness: 1, Range: 3})
-	cfg.Schedule = optimizer.NewStepSchedule(0.1, 0.1, 4)
-	cfg.Augment = data.GaussianNoise{StdDev: 0.05}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAccuracy < 0.5 {
-		t.Fatalf("accuracy %v with schedule and augmentation", res.FinalAccuracy)
 	}
 }
 

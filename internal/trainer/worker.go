@@ -2,7 +2,6 @@ package trainer
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"dssp/internal/data"
@@ -35,9 +34,6 @@ type Worker struct {
 	// otherwise. Batches is the worker's data shard.
 	Replica *nn.Network
 	Batches *data.BatchIterator
-	// Augment, when set, distorts each batch using Rng.
-	Augment data.Augmenter
-	Rng     *rand.Rand
 	// Iterations is how many mini-batches the worker pushes before Done.
 	Iterations int
 	// Delay is slept after every backward pass, emulating a slower GPU.
@@ -163,9 +159,6 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 				return report, err
 			}
 			x, labels := w.Batches.Next()
-			if w.Augment != nil {
-				w.Augment.Apply(w.Rng, x)
-			}
 			report.Loss, _ = w.Replica.Loss(x, labels, true)
 			// The gradients land where the push is sent from when the client
 			// has such a place free now (ps.ClusterClient.PushSlot), in the

@@ -1,18 +1,6 @@
 package dssp
 
-import (
-	"dssp/internal/ps"
-	"dssp/internal/trainer"
-)
-
-// Adversary makes one worker Byzantine for robustness experiments: it still
-// computes honest gradients from its data shard, then corrupts what it tells
-// the server — scaled (GradScale), negated (SignFlip), or stamped with an
-// impossibly fresh base version (LieVersion). The zero value is honest. An
-// adversarial worker is expected to be neutralized — its updates out-voted by
-// a robust Aggregator, or the worker evicted by the Guard — so its connection
-// dying mid-run counts as a crash, not an error.
-type Adversary = trainer.Adversary
+import "dssp/internal/ps"
 
 // Aggregator names for Aggregator.Kind.
 const (

@@ -29,10 +29,9 @@ type ServerConfig struct {
 	// builds the initial global weights from them.
 	Model   Model
 	Dataset DatasetConfig
-	// LearningRate, Momentum and WeightDecay configure the server-side SGD.
+	// LearningRate and Momentum configure the server-side SGD.
 	LearningRate float64
 	Momentum     float64
-	WeightDecay  float64
 	// Options is the shared serving surface (sharding, compression,
 	// aggregation, guard, elasticity, heartbeat timeout, checkpointing);
 	// its fields are embedded (cfg.Compression, cfg.Elastic, ...). In a
@@ -204,7 +203,7 @@ func Serve(cfg ServerConfig) (*Server, error) {
 		Trace:   obs.TraceConfig{Every: cfg.TraceEvery},
 		Cluster: cfg.Cluster,
 	}, run.Model.Build(rand.New(rand.NewSource(run.Seed))).Params(),
-		optimizer.NewSGDMomentum(run.LearningRate, cfg.Momentum, cfg.WeightDecay),
+		optimizer.NewSGDMomentum(run.LearningRate, cfg.Momentum, 0),
 		listener, transport.Dial)
 	if err != nil {
 		_ = listener.Close()
@@ -384,7 +383,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		return ps.Connect(route, rejoin, lastVersion)
 	}
 	w.Reconnect, w.HeartbeatInterval, w.Delay = cfg.Reconnect > 0, cfg.HeartbeatInterval, cfg.Delay
-	w.Adversary = Adversary{GradScale: cfg.Adversary}
+	w.Adversary = trainer.Adversary{GradScale: cfg.Adversary}
 	w.CrashAt = cfg.FailAfter - 1 // FailAfter is 1-based, 0 = never
 	r, err := trainer.RunWorker(w)
 	if err != nil {

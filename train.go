@@ -7,7 +7,6 @@ import (
 	"dssp/internal/compress"
 	"dssp/internal/data"
 	"dssp/internal/nn"
-	"dssp/internal/optimizer"
 	"dssp/internal/ps"
 	"dssp/internal/trainer"
 )
@@ -88,27 +87,17 @@ type TrainConfig struct {
 	Epochs int
 	// Sync selects the synchronization paradigm.
 	Sync Sync
-	// LearningRate, Momentum, WeightDecay configure SGD on the server.
+	// LearningRate and Momentum configure SGD on the server.
 	LearningRate float64
 	Momentum     float64
-	WeightDecay  float64
-	// DecayEpochs lists epochs at which the learning rate is multiplied by
-	// 0.1 (the paper uses 200 and 250 for the ResNets).
-	DecayEpochs []int
 	// WorkerDelays adds an artificial per-iteration delay per worker to
 	// emulate heterogeneous hardware (paper §V-D) on one machine.
 	WorkerDelays []time.Duration
-	// Augment enables the image distortions discussed in §V-C.
-	Augment bool
 	// Options is the shared serving surface — store sharding, compression,
 	// aggregation, guard, elasticity, heartbeats, checkpointing — handed to
 	// the run as it is. Its fields are embedded (cfg.Compression,
 	// cfg.Elastic, ...).
 	Options
-	// Adversaries makes listed workers Byzantine for robustness experiments:
-	// the worker computes honest gradients, then misbehaves as configured
-	// before pushing. See Adversary for the available behaviours.
-	Adversaries map[int]Adversary
 	// Seed controls model initialization and batch order.
 	Seed int64
 }
@@ -262,16 +251,6 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run.Momentum, run.WeightDecay = cfg.Momentum, cfg.WeightDecay
-	if len(cfg.DecayEpochs) > 0 {
-		run.Schedule = optimizer.NewStepSchedule(run.LearningRate, 0.1, cfg.DecayEpochs...)
-	}
-	if cfg.Augment {
-		run.Augment = data.Pipeline{
-			data.HorizontalFlip{P: 0.5},
-			data.GaussianNoise{StdDev: 0.05},
-		}
-	}
-	run.WorkerDelay, run.Options, run.Adversaries = cfg.WorkerDelays, cfg.Options, cfg.Adversaries
+	run.Momentum, run.WorkerDelay, run.Options = cfg.Momentum, cfg.WorkerDelays, cfg.Options
 	return trainer.Run(run)
 }

@@ -21,6 +21,16 @@
 //
 // exits non-zero when any pinned benchmark's ns/op regressed by more than
 // 25% against the baseline; every other benchmark stays informational.
+//
+// -in takes several files, comma-separated, as the rounds of one
+// measurement: each benchmark is written with the median of every metric
+// over the rounds it appears in. make bench-gate measures the pins of the
+// baseline commit and of the working tree in alternating rounds and gates
+// the ratio of the two medians:
+//
+//	benchjson -in base-1.txt,base-2.txt,base-3.txt -out BENCH_gate_base.json
+//	benchjson -in head-1.txt,head-2.txt,head-3.txt -out BENCH_pinned.json \
+//	    -baseline BENCH_gate_base.json -threshold 0.25 -pin ...
 package main
 
 import (
@@ -32,6 +42,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -48,33 +59,41 @@ type Result struct {
 
 // Document is the file layout: context lines go test printed (goos, goarch,
 // pkg, cpu) plus the writer's nproc, gomaxprocs and go version, followed by
-// the measurements, one per benchmark name.
+// the measurements, one per benchmark name. Commit, which make
+// bench-baseline adds to BENCH_baseline.json, names the commit the recorded
+// numbers were measured at, which make bench-gate builds and measures again.
 type Document struct {
+	Commit  string            `json:"commit,omitempty"`
 	Context map[string]string `json:"context,omitempty"`
 	Results []Result          `json:"results"`
 }
 
 func main() {
-	in := flag.String("in", "", "bench output file to read (default stdin)")
+	in := flag.String("in", "", "bench output file to read, or several, comma-separated, each benchmark written with its median over them (default stdin)")
 	out := flag.String("out", "", "JSON file to write (default stdout)")
 	baseline := flag.String("baseline", "", "baseline JSON to compare ns/op against (informational unless -threshold gates it)")
 	threshold := flag.Float64("threshold", 0, "fail (exit 1) when a pinned benchmark's ns/op regresses by more than this fraction vs -baseline (e.g. 0.25 = 25%); 0 keeps the comparison informational")
 	pinned := flag.String("pin", "", "comma-separated benchmark name prefixes the -threshold gate applies to; all other benchmarks stay informational")
 	flag.Parse()
 
-	r := io.Reader(os.Stdin)
-	if *in != "" {
-		f, err := os.Open(*in)
+	var rounds []*Document
+	for _, path := range strings.Split(*in, ",") {
+		r := io.Reader(os.Stdin)
+		if path != "" {
+			f, err := os.Open(path)
+			if err != nil {
+				log.Fatalf("benchjson: %v", err)
+			}
+			defer f.Close()
+			r = f
+		}
+		doc, err := parse(r)
 		if err != nil {
 			log.Fatalf("benchjson: %v", err)
 		}
-		defer f.Close()
-		r = f
+		rounds = append(rounds, doc)
 	}
-	doc, err := parse(r)
-	if err != nil {
-		log.Fatalf("benchjson: %v", err)
-	}
+	doc := median(rounds)
 	if len(doc.Results) == 0 {
 		log.Fatal("benchjson: no benchmark lines found in input")
 	}
@@ -157,6 +176,9 @@ func compareBaseline(doc *Document, path string, threshold float64, pins []strin
 	mode := "informational"
 	if gated {
 		mode = fmt.Sprintf("threshold %.0f%% on %d pins", threshold*100, len(pins))
+	}
+	if base.Commit != "" {
+		path += " (commit " + base.Commit + ")"
 	}
 	fmt.Printf("benchjson: comparison against baseline %s (%s)\n", path, mode)
 	compared := 0
@@ -254,6 +276,56 @@ func parse(r io.Reader) (*Document, error) {
 		doc.Results = append(doc.Results, res)
 	}
 	return doc, scanner.Err()
+}
+
+// median merges the rounds of one measurement: every benchmark, in the
+// order it first appears, with the median of each metric and of the
+// iteration count over the rounds that measured it (the mean of the middle
+// two where they are even), and the first round's context.
+func median(rounds []*Document) *Document {
+	if len(rounds) == 1 {
+		return rounds[0]
+	}
+	doc := &Document{Context: rounds[0].Context}
+	index := map[string]int{}
+	var runs [][]Result
+	for _, round := range rounds {
+		for _, r := range round.Results {
+			i, seen := index[r.Name]
+			if !seen {
+				i = len(runs)
+				index[r.Name] = i
+				runs = append(runs, nil)
+			}
+			runs[i] = append(runs[i], r)
+		}
+	}
+	for _, rs := range runs {
+		values := map[string][]float64{}
+		iters := make([]float64, len(rs))
+		for j, r := range rs {
+			iters[j] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		res := Result{Name: rs[0].Name, Iterations: int64(middle(iters)), Metrics: map[string]float64{}}
+		for unit, vs := range values {
+			res.Metrics[unit] = middle(vs)
+		}
+		doc.Results = append(doc.Results, res)
+	}
+	return doc
+}
+
+// middle returns the median of vs, which it sorts.
+func middle(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseBenchLine parses one "BenchmarkX-8  20  123 ns/op  456 B/op" line.

@@ -39,6 +39,35 @@ ok  	dssp/internal/ps	1.0s
 	}
 }
 
+// TestMedianOverRounds pins how make bench-gate's rounds merge: a benchmark
+// keeps its first position across the rounds, and every metric is the median
+// of the rounds that measured it — the middle one of an odd count, the mean
+// of the middle two of an even one.
+func TestMedianOverRounds(t *testing.T) {
+	var rounds []*Document
+	for _, text := range []string{
+		"BenchmarkA-2 10 500 ns/op 64 B/op\nBenchmarkB-2 10 70 ns/op\n",
+		"BenchmarkA-2 20 900 ns/op 64 B/op\n",
+		"BenchmarkB-2 30 90 ns/op\nBenchmarkA-2 30 300 ns/op 32 B/op\n",
+	} {
+		doc, err := parse(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = append(rounds, doc)
+	}
+	doc := median(rounds)
+	if len(doc.Results) != 2 || doc.Results[0].Name != "BenchmarkA-2" || doc.Results[1].Name != "BenchmarkB-2" {
+		t.Fatalf("results = %+v, want BenchmarkA-2 then BenchmarkB-2", doc.Results)
+	}
+	if a := doc.Results[0]; a.Iterations != 20 || a.Metrics["ns/op"] != 500 || a.Metrics["B/op"] != 64 {
+		t.Fatalf("BenchmarkA-2 = %+v, want the medians 20 iterations, 500 ns/op, 64 B/op", a)
+	}
+	if b := doc.Results[1]; b.Iterations != 20 || b.Metrics["ns/op"] != 80 {
+		t.Fatalf("BenchmarkB-2 = %+v, want the mean of its two rounds' middle: 20 iterations, 80 ns/op", b)
+	}
+}
+
 // TestStampEnvironmentRecordsTheMachine pins the context keys later
 // comparisons read before trusting a ratio.
 func TestStampEnvironmentRecordsTheMachine(t *testing.T) {

@@ -11,10 +11,11 @@ import (
 // passes, and so does its gradient, unless it is below zero (NaN and both
 // zeros pass).
 type ReLU struct {
-	// lastInput is the training pass's input, whose signs Backward reads: a
-	// network keeps a ReLU's input, as a Dense's, out of its pool (scratch.go),
-	// so it stays intact until Backward.
-	lastInput *tensor.Tensor
+	// mask is the last training pass's, one bit per element, set where the
+	// element passed: all Backward reads, so the layer keeps nothing of its
+	// input and a network pools it (scratch.go). n is that pass's size.
+	mask []uint64
+	n    int
 	trainBufs
 }
 
@@ -23,21 +24,24 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	var mask []uint64
 	if train {
-		r.lastInput = x
+		r.n = x.Size()
+		r.mask = resized(r.mask, (r.n+63)/64)
+		mask = r.mask
 	}
 	out := r.outputLike(train, x)
-	tensor.MaskNonNegative(out.Data(), x.Data(), x.Data())
+	tensor.ReLUMask(out.Data(), x.Data(), mask)
 	return out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if r.lastInput == nil || r.lastInput.Size() != grad.Size() {
+	if r.n == 0 || r.n != grad.Size() {
 		panic("nn: ReLU.Backward called without a matching Forward(train=true)")
 	}
 	out := r.inputGradLike(grad)
-	tensor.MaskNonNegative(out.Data(), grad.Data(), r.lastInput.Data())
+	tensor.MaskGrad(out.Data(), grad.Data(), r.mask, 0, false)
 	return out
 }
 

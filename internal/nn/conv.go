@@ -81,7 +81,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != c.inC || x.Dim(2)+2*c.pad < c.kernel || x.Dim(3)+2*c.pad < c.kernel {
 		panic(fmt.Sprintf("nn: %s got input shape %v, want (batch,%d,h,w) with h+2·pad and w+2·pad at least %d", c.Name(), x.Shape(), c.inC, c.kernel))
 	}
-	batch, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	xData, imgSize := x.Data(), c.inC*x.Dim(2)*x.Dim(3)
+	return c.forwardFilled(x.Dim(0), x.Dim(2), x.Dim(3), train, func(g *convGeom, b int, pad []float32) {
+		c.movePhases(g, pad, xData[b*imgSize:][:imgSize], false)
+	})
+}
+
+// forwardFilled is Forward on a batch of h×w images that fill writes into
+// the bordered images itself, batch item b's into pad (direct.go), instead
+// of one copied in from a tensor.
+func (c *Conv2D) forwardFilled(batch, h, w int, train bool, fill func(g *convGeom, b int, pad []float32)) *tensor.Tensor {
 	sc := &c.eval
 	if train {
 		c.inBatch, c.inH, c.inW = batch, h, w
@@ -89,12 +98,36 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	g := c.layout(sc, h, w)
 	out := c.output(train, batch, c.outC, g.outH, g.outW)
-	c.forward(sc, x, out, train)
+	c.forward(sc, batch, out, train, fill)
 	return out
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	c.paramGrads(grad)
+	if c.noDx {
+		return nil
+	}
+	dx := c.inputGrad(c.inBatch, c.inC, c.inH, c.inW)
+	c.inputGradient(grad, dx)
+	return dx
+}
+
+// backwardInPlace is Backward writing the input gradient over grad. A
+// stride-1 convolution from inC channels to as many, whose taps read every
+// pixel, has its input's shape, and it reads each image's gradient before it
+// writes that image's input gradient.
+func (c *Conv2D) backwardInPlace(grad *tensor.Tensor) {
+	if c.stride != 1 || c.inC != c.outC || c.outSize(c.inH) != c.inH || c.outSize(c.inW) != c.inW || c.train.geom.partial {
+		panic(fmt.Sprintf("nn: %s cannot write its input gradient over its gradient", c.Name()))
+	}
+	c.paramGrads(grad)
+	c.inputGradient(grad, grad)
+}
+
+// paramGrads leaves the weight and bias gradients of the last training pass
+// for the upstream gradient grad.
+func (c *Conv2D) paramGrads(grad *tensor.Tensor) {
 	if c.inBatch == 0 {
 		panic("nn: Conv2D.Backward called before Forward(train=true)")
 	}
@@ -116,12 +149,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	c.weightGrad(grad)
-	if c.noDx {
-		return nil
-	}
-	dx := c.inputGrad(batch, c.inC, h, w)
-	c.inputGradient(grad, dx)
-	return dx
 }
 
 // Params implements Layer.

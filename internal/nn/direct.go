@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"dssp/internal/tensor"
@@ -158,21 +159,32 @@ func (c *Conv2D) movePhases(g *convGeom, bordered, img []float32, toImage bool) 
 	}
 }
 
-// forward is Forward's product: the bordered images of a training pass are
-// kept, one per batch item, for Backward; an evaluation pass reuses one.
-func (c *Conv2D) forward(sc *convScratch, x, out *tensor.Tensor, train bool) {
+// borderedRows returns where the image pixels lie in a bordered image of
+// layout g, for a stride-1 layer: one phase, each pixel at the same place in
+// its plane shifted by the border.
+func (c *Conv2D) borderedRows(g *convGeom, pad []float32) imageRows {
+	if g.phases != 1 {
+		panic(fmt.Sprintf("nn: %s has %d phases; its image rows are not a plane's", c.Name(), g.phases))
+	}
+	return imageRows{data: pad, plane: g.plane, row: g.wp, off: c.pad*g.wp + c.pad}
+}
+
+// forward is Forward's product, over batch images fill writes into the
+// bordered images: those of a training pass are kept, one per batch item,
+// for Backward; an evaluation pass reuses one.
+func (c *Conv2D) forward(sc *convScratch, batch int, out *tensor.Tensor, train bool, fill func(g *convGeom, b int, pad []float32)) {
 	g := &sc.geom
 	n, step := 1, 0
 	if train {
-		n, step = x.Dim(0), g.size
+		n, step = batch, g.size
 	}
 	padData := sc.pad.get(n, c.inC, g.phases*g.phases, g.rows, g.wp).Data()
 	wide := sc.wide.get(c.outC, g.cols).Data()
-	xData, outData, weight := x.Data(), out.Data(), c.weight.Data()
-	imgSize, outImgSize := c.inC*g.h*g.w, c.outC*g.outH*g.outW
-	for b := 0; b < x.Dim(0); b++ {
+	outData, weight := out.Data(), c.weight.Data()
+	outImgSize := c.outC * g.outH * g.outW
+	for b := 0; b < batch; b++ {
 		pad := padData[b*step:][:g.size]
-		c.movePhases(g, pad, xData[b*imgSize:][:imgSize], false)
+		fill(g, b, pad)
 		tensor.MatMulOffset(wide, g.cols, weight, c.outC, len(g.off), 1, pad, g.off, g.cols, false)
 		// Compact the plane, the bias added on the way.
 		dst := outData[b*outImgSize:][:outImgSize]

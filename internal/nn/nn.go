@@ -28,8 +28,9 @@ import (
 // Forward or Backward respectively; a caller that keeps one longer clones it.
 // Inside a Network, what no later pass reads comes from the network's pool
 // instead and is valid only until the call that consumes it returns
-// (scratch.go). Inputs are only read, except that a layer may add into a
-// gradient or activation it was just handed by the layer that produced it.
+// (scratch.go). Inputs are only read, except that a layer may add into or
+// overwrite a gradient or activation it was just handed by the layer that
+// produced it.
 type Layer interface {
 	// Forward computes the layer output for input x. When train is false the
 	// layer must behave deterministically (e.g. dropout disabled, batch norm
@@ -122,10 +123,10 @@ func (n *Network) planBuffers(p *pool) {
 
 // dropsInput reports whether l reads its training input only inside its
 // Forward: it copies what Backward needs (Conv2D, Flatten, Dropout) or keeps
-// only its shape and what it computed (BatchNorm, the pools).
+// only its shape and what it computed (BatchNorm, ReLU, the pools).
 func dropsInput(l Layer) bool {
 	switch l.(type) {
-	case *Conv2D, *BatchNorm, *MaxPool2D, *GlobalAvgPool, *Flatten, *Dropout:
+	case *Conv2D, *BatchNorm, *ReLU, *MaxPool2D, *GlobalAvgPool, *Flatten, *Dropout:
 		return true
 	}
 	return false

@@ -318,20 +318,51 @@ func TestMaxPoolForwardValues(t *testing.T) {
 }
 
 func TestReLUForwardBackward(t *testing.T) {
+	nan, negZero := float32(math.NaN()), float32(math.Copysign(0, -1))
 	r := NewReLU()
-	x := tensor.FromSlice([]float32{-1, 2, -3, 4}, 4)
+	x := tensor.FromSlice([]float32{-1, 2, -3, 4, nan, 0, negZero, -1e-45}, 8)
 	out := r.Forward(x, true)
-	want := []float32{0, 2, 0, 4}
+	// NaN and both zeros pass, each as it is; everything below zero is +0.
+	want := []float32{0, 2, 0, 4, nan, 0, negZero, 0}
 	for i, v := range out.Data() {
-		if v != want[i] {
+		if math.Float32bits(v) != math.Float32bits(want[i]) {
 			t.Errorf("relu[%d] = %v, want %v", i, v, want[i])
 		}
 	}
-	grad := r.Backward(tensor.FromSlice([]float32{10, 10, 10, 10}, 4))
-	wantGrad := []float32{0, 10, 0, 10}
+	grad := r.Backward(tensor.FromSlice([]float32{10, 10, 10, 10, 10, negZero, 10, 10}, 8))
+	wantGrad := []float32{0, 10, 0, 10, 10, negZero, 10, 0}
 	for i, v := range grad.Data() {
-		if v != wantGrad[i] {
+		if math.Float32bits(v) != math.Float32bits(wantGrad[i]) {
 			t.Errorf("relu grad[%d] = %v, want %v", i, v, wantGrad[i])
+		}
+	}
+}
+
+// TestReLUBackwardIgnoresInput: a ReLU keeps one bit per element of its
+// training pass and nothing of the input, so a network may hand its input's
+// buffer to the next layer (scratch.go): the input overwritten with NaN
+// after Forward changes no bit of Backward, and the layer retains at most
+// ⌈n/64⌉ words.
+func TestReLUBackwardIgnoresInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	for _, n := range []int{1, 63, 64, 65, 1000} {
+		x := tensor.New(n).RandNormal(rng, 0, 1)
+		x.Data()[0] = float32(math.Copysign(0, -1))
+		grad := tensor.New(n).RandNormal(rng, 0, 1)
+
+		intact := NewReLU()
+		intact.Forward(x.Clone(), true)
+		want := intact.Backward(grad).Clone()
+
+		r := NewReLU()
+		r.Forward(x, true)
+		x.Fill(float32(math.NaN()))
+		got := r.Backward(grad)
+		if !sameBits(got.Data(), want.Data()) {
+			t.Fatalf("n=%d: Backward changed when the input was overwritten after Forward", n)
+		}
+		if kept, most := 8*cap(r.mask), (n+63)/64*8; kept > most {
+			t.Fatalf("n=%d: the ReLU keeps %d bytes of mask, at most %d", n, kept, most)
 		}
 	}
 }

@@ -11,16 +11,24 @@ import (
 // ResNets: conv3x3 → BN → ReLU → conv3x3 → BN, added to a shortcut (identity,
 // or a 1x1 projection when the block changes resolution or channel count),
 // followed by a ReLU.
+//
+// Each BatchNorm runs its ReLU and the shortcut's add in its own normalise
+// pass (BatchNorm.normalizeImage): bn1 writes conv2's input straight into
+// conv2's bordered images, bn2 writes the block's output, and projBN the
+// shortcut into that output for bn2 to read in place. Backward reads the
+// upstream gradient through the ReLUs' masks and runs the main path in one
+// buffer (backward).
 type ResidualBlock struct {
 	conv1 *Conv2D
 	bn1   *BatchNorm
-	relu1 *ReLU
 	conv2 *Conv2D
 	bn2   *BatchNorm
-	relu2 *ReLU
 
 	projConv *Conv2D
 	projBN   *BatchNorm
+
+	// The block's output.
+	trainBufs
 }
 
 // NewResidualBlock builds a residual block mapping inC channels to outC
@@ -29,10 +37,8 @@ func NewResidualBlock(rng *rand.Rand, inC, outC, stride int) *ResidualBlock {
 	b := &ResidualBlock{
 		conv1: NewConv2D(rng, inC, outC, 3, stride, 1),
 		bn1:   NewBatchNorm(outC),
-		relu1: NewReLU(),
 		conv2: NewConv2D(rng, outC, outC, 3, 1, 1),
 		bn2:   NewBatchNorm(outC),
-		relu2: NewReLU(),
 	}
 	if inC != outC || stride != 1 {
 		b.projConv = NewConv2D(rng, inC, outC, 1, stride, 0)
@@ -43,53 +49,70 @@ func NewResidualBlock(rng *rand.Rand, inC, outC, stride int) *ResidualBlock {
 
 // Forward implements Layer.
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	main := b.conv1.Forward(x, train)
-	main = b.bn1.Forward(main, train)
-	main = b.relu1.Forward(main, train)
-	main = b.conv2.Forward(main, train)
-	main = b.bn2.Forward(main, train)
-
-	shortcut := x
-	if b.projConv != nil {
-		shortcut = b.projConv.Forward(x, train)
-		shortcut = b.projBN.Forward(shortcut, train)
+	h1 := b.conv1.Forward(x, train)
+	b.bn1.begin(h1, train, true)
+	h2 := b.conv2.forwardFilled(h1.Dim(0), h1.Dim(2), h1.Dim(3), train, func(g *convGeom, i int, pad []float32) {
+		b.bn1.normalizeImage(h1, i, b.conv2.borderedRows(g, pad), nil, true, train)
+	})
+	b.bn2.begin(h2, train, true)
+	var out, shortcut *tensor.Tensor
+	if b.projConv == nil {
+		out, shortcut = b.outputLike(train, h2), x
+	} else {
+		// The projection is normalised into the block's output, or, where
+		// that comes from the pool, in place: the pool's other buffer of
+		// this geometry holds h2.
+		s := b.projConv.Forward(x, train)
+		b.projBN.begin(s, train, false)
+		out = s
+		if train && b.outPool == nil {
+			out = b.outputLike(true, h2)
+		}
+		b.projBN.normalize(s, out, nil, false, train)
+		shortcut = out
 	}
-	main.Add(shortcut)
-	return b.relu2.Forward(main, train)
+	b.bn2.normalize(h2, out, shortcut, true, train)
+	return out
 }
 
 // Backward implements Layer.
+//
+// The main path's gradient lives in one buffer: bn2's input gradient, which
+// conv2, bn1 and — in an identity block, whose conv1 maps a shape to itself
+// — conv1 overwrite in place. A projection block writes that buffer over the
+// upstream gradient once projBN has read it, and takes conv1's and the
+// projection's input gradients from their layers; an identity block adds the
+// masked upstream gradient into its main path's.
 func (b *ResidualBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	grad = b.relu2.Backward(grad)
-
-	// Main path.
-	g := b.bn2.Backward(grad)
-	g = b.conv2.Backward(g)
-	g = b.relu1.Backward(g)
-	g = b.bn1.Backward(g)
-	dxMain := b.conv1.Backward(g)
-
-	// Shortcut path.
-	dxShort := grad
-	if b.projConv != nil {
-		s := b.projBN.Backward(grad)
-		dxShort = b.projConv.Backward(s)
+	mask := b.bn2.mask
+	if b.projConv == nil {
+		g := b.bn2.inputGradLike(grad)
+		b.bn2.backward(grad, g, mask)
+		b.conv2.backwardInPlace(g)
+		b.bn1.backward(g, g, b.bn1.mask)
+		b.conv1.backwardInPlace(g)
+		tensor.MaskGrad(g.Data(), grad.Data(), mask, 0, true)
+		return g
 	}
-	return dxMain.Add(dxShort)
+	s := b.projBN.inputGradLike(grad)
+	b.projBN.backward(grad, s, mask)
+	dxShort := b.projConv.Backward(s)
+	b.bn2.backward(grad, grad, mask)
+	b.conv2.backwardInPlace(grad)
+	b.bn1.backward(grad, grad, b.bn1.mask)
+	return b.conv1.Backward(grad).Add(dxShort)
 }
 
 // usePool implements pooler: out is where the block's output comes from, p
 // the network's pool. The block reads its input again for the shortcut, so
-// whoever produces it keeps it; inside, an output comes from p where a
-// convolution or BatchNorm consumes it, and so does every input gradient but
-// relu2's, which both paths read.
+// whoever produces it keeps it. Inside, the convolutions' outputs and every
+// input gradient a sub-layer takes come from p; the BatchNorms write no
+// output of their own.
 func (b *ResidualBlock) usePool(out, p *pool) {
+	b.trainBufs.usePool(out, nil)
 	b.conv1.usePool(p, p)
-	b.bn1.usePool(nil, p)
-	b.relu1.usePool(p, p)
 	b.conv2.usePool(p, p)
 	b.bn2.usePool(nil, p)
-	b.relu2.usePool(out, nil)
 	if b.projConv != nil {
 		b.projConv.usePool(p, p)
 		b.projBN.usePool(nil, p)

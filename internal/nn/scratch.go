@@ -18,29 +18,34 @@ import "dssp/internal/tensor"
 // training pass in flight nor resize its buffers.
 //
 // Ownership. A buffer that a later pass reads belongs to the layer that
-// writes it: the inputs a Backward reads again (ReLU's and Dense's), what a
-// layer keeps of its input (Conv2D's bordered images, BatchNorm's xhat) and the scratch inside one call. A buffer that no later
-// pass reads comes from the network's pool, which holds two buffers per
-// activation geometry (the dims after the batch dimension) and hands them out
-// in turn, to the forward and the backward pass alike:
+// writes it: an output its consumer reads again (Dense's input, in its
+// Backward; a ResidualBlock's, for the shortcut), what a layer keeps of its
+// input (Conv2D's bordered images, BatchNorm's x̂, ReLU's mask of one bit per
+// element) and the scratch inside one call. A buffer that no later pass
+// reads comes from the network's pool, which holds two buffers per
+// activation geometry (the dims after the batch dimension) and hands them
+// out in turn, to the forward and the backward pass alike:
 //
 //	buffer                          read by                        from
 //	input gradient of a Backward    the next Backward only         pool
-//	  but ResidualBlock's relu2     the main path and the shortcut layer
 //	output consumed by BatchNorm,   the consumer's Forward only    pool
-//	  Conv2D, GlobalAvgPool,
+//	  ReLU, Conv2D, GlobalAvgPool,
 //	  MaxPool2D, Flatten, Dropout
-//	output consumed by ReLU, Dense  the consumer's Backward too    layer
-//	  or a ResidualBlock (its
-//	  shortcut), and the logits
+//	output consumed by Dense or a   the consumer's Backward, or    layer
+//	  ResidualBlock, and the logits its Forward again (shortcut)
 //
-// NewNetwork decides the table once from the layer kinds (planBuffers). Two
+// NewNetwork decides the table once from the layer kinds (planBuffers); a
+// nil pool leaves every buffer with its layer, and
+// TestActivationPlanBitIdentical holds the two to the same bits. Two
 // buffers per geometry suffice because a pooled buffer is dead once the call
 // that reads it returns, and that call takes at most one buffer of its own
-// input's geometry meanwhile — the next one in turn. ResidualBlock's
-// Backward holds its main path's input gradient across the shortcut's, which
-// is of the same geometry; its other buffers there are of the block's output
-// geometry, which differs whenever there is a projection.
+// input's geometry meanwhile — the other one. ResidualBlock keeps to that
+// inside too: its BatchNorms write no output of their own (bn1 writes into
+// conv2's bordered images, bn2 and projBN into the block's output), and its
+// Backward runs the main path over one buffer in place, so the upstream
+// gradient, which it reads to the end, and that buffer are the two of the
+// block's output geometry (residual.go). TestTrainingScratchBudget holds
+// each model's first training iteration to the bytes this plan allocates.
 
 // buffer is a reusable training buffer: storage sized for the largest leading
 // dimension asked of it, and the tensor headers of the shapes it serves.

@@ -25,8 +25,10 @@ func gemmOffPanelAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float3
 //go:noescape
 func dotOffPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
 
-// Implemented in slices_amd64.s. Each takes whole windows of eight floats and
-// trusts the other operands to be at least as long as the first.
+// Implemented in slices_amd64.s. Each trusts the other operands to be at
+// least as long as the first. The ReLU and BatchNorm kernels run a whole
+// slice, the up to seven values after the last window of eight included;
+// the others take whole windows of eight.
 
 //go:noescape
 func addSliceAVX2(dst, src []float32)
@@ -47,7 +49,10 @@ func addScalarSliceAVX2(s float32, dst []float32)
 func sumSliceAVX2(x []float32) float32
 
 //go:noescape
-func maskNonNegAVX2(dst, val, sign []float32)
+func reluMaskAVX2(out, x []float32, mask []uint64)
+
+//go:noescape
+func maskGradAVX2(dx, dy []float32, mask []uint64, bit int, add bool)
 
 //go:noescape
 func sumF64AVX2(x []float32) float64
@@ -56,13 +61,13 @@ func sumF64AVX2(x []float32) float64
 func sumSqDevF64AVX2(x []float32, mean float64) float64
 
 //go:noescape
-func sumDotAVX2(a, b []float32) (sumA, sumAB float64)
+func sumDotAVX2(a, b []float32, mask []uint64, bit int) (sumA, sumAB float64)
 
 //go:noescape
-func normalizePlaneAVX2(out, xhat, x []float32, mean, invStd, gamma, beta float64)
+func normalizePlaneAVX2(out []float32, stride, width int, xhat, x, sc []float32, mask []uint64, bit int, relu bool, mean, invStd, gamma, beta float64)
 
 //go:noescape
-func planeGradAVX2(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64)
+func planeGradAVX2(dx, dy, xhat []float32, mask []uint64, bit int, c, n, sumDy, sumDyXHat float64)
 
 //go:noescape
 func sgdStepAVX2(dst, src []float32, gs []Grad, lr, wd float32)
@@ -115,12 +120,6 @@ func sumSliceAsm(x []float32) float32 {
 	return sumSliceAVX2(x[:n]) + sumSliceGo(x[n:])
 }
 
-func maskNonNegAsm(dst, val, sign []float32) {
-	n := len(dst) &^ 7
-	maskNonNegAVX2(dst[:n], val, sign)
-	maskNonNegGo(dst[n:], val[n:], sign[n:])
-}
-
 func sumF64Asm(x []float32) float64 {
 	n := len(x) &^ 7
 	return sumF64AVX2(x[:n]) + sumF64Go(x[n:])
@@ -129,25 +128,6 @@ func sumF64Asm(x []float32) float64 {
 func sumSqDevF64Asm(x []float32, mean float64) float64 {
 	n := len(x) &^ 7
 	return sumSqDevF64AVX2(x[:n], mean) + sumSqDevF64Go(x[n:], mean)
-}
-
-func sumDotAsm(a, b []float32) (sumA, sumAB float64) {
-	n := len(a) &^ 7
-	sumA, sumAB = sumDotAVX2(a[:n], b)
-	tailA, tailAB := sumDotGo(a[n:], b[n:])
-	return sumA + tailA, sumAB + tailAB
-}
-
-func normalizePlaneAsm(out, xhat, x []float32, mean, invStd, gamma, beta float64) {
-	n := len(out) &^ 7
-	normalizePlaneAVX2(out[:n], xhat, x, mean, invStd, gamma, beta)
-	normalizePlaneGo(out[n:], xhat[n:], x[n:], mean, invStd, gamma, beta)
-}
-
-func planeGradAsm(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64) {
-	w := len(dx) &^ 7
-	planeGradAVX2(dx[:w], dy, xhat, c, n, sumDy, sumDyXHat)
-	planeGradGo(dx[w:], dy[w:], xhat[w:], c, n, sumDy, sumDyXHat)
 }
 
 // The SGD steps take any batch size in one pass — the assembly walks the
@@ -234,9 +214,9 @@ func init() {
 		}
 		addSlice, axpySlice, scaleSlice, addScalarSlice = addSliceAsm, axpySliceAsm, scaleSliceAsm, addScalarSliceAsm
 		sumPair = sumPairAsm
-		sumSlice, maskNonNeg = sumSliceAsm, maskNonNegAsm
-		sumF64, sumSqDevF64, sumDot = sumF64Asm, sumSqDevF64Asm, sumDotAsm
-		normalizePlane, planeGrad = normalizePlaneAsm, planeGradAsm
+		sumSlice, reluMask, maskGrad = sumSliceAsm, reluMaskAVX2, maskGradAVX2
+		sumF64, sumSqDevF64, sumDot = sumF64Asm, sumSqDevF64Asm, sumDotAVX2
+		normalizePlane, planeGrad = normalizePlaneAVX2, planeGradAVX2
 		sgdStep, sgdMomentumStep = sgdStepAsm, sgdMomentumStepAsm
 		mmParallelMinFlops, mmGrainFlops = asmParallelMinFlops, asmGrainFlops
 	}

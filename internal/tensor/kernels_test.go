@@ -162,6 +162,19 @@ func sameFloats(got, want []float32) bool {
 	return len(got) == len(want)
 }
 
+// normalizeKernel runs a normalise pass, normalizePlane or its Go loop, over
+// dst in one row: x̂ into a, or, with relu, no x̂ and the ReLU over the sum
+// with dst itself as the shortcut.
+func normalizeKernel(k func(out []float32, stride, width int, xhat, x, sc []float32, mask []uint64, bit int, relu bool, mean, invStd, gamma, beta float64), relu bool) func(d, a, b []float32) {
+	return func(d, a, b []float32) {
+		if relu {
+			k(d, len(d), len(d), nil, b, d, nil, 0, true, 0.25, 1.7, -0.6, 0.1)
+			return
+		}
+		k(d, len(d), len(d), a, b, nil, nil, 0, false, 0.25, 1.7, -0.6, 0.1)
+	}
+}
+
 // TestSliceKernelsBitIdenticalToGoLoops: the elementwise kernels do per
 // element exactly what their Go loops do, at every length and alignment and
 // on special values, and touch nothing outside their slices.
@@ -177,14 +190,12 @@ func TestSliceKernelsBitIdenticalToGoLoops(t *testing.T) {
 		{"axpySlice", func(d, a, _ []float32) { axpySlice(0.37, a, d) }, func(d, a, _ []float32) { axpySliceGo(0.37, a, d) }},
 		{"scaleSlice", func(d, _, _ []float32) { scaleSlice(-1.25, d) }, func(d, _, _ []float32) { scaleSliceGo(-1.25, d) }},
 		{"addScalarSlice", func(d, _, _ []float32) { addScalarSlice(0.3, d) }, func(d, _, _ []float32) { addScalarSliceGo(0.3, d) }},
-		{"maskNonNeg", func(d, a, b []float32) { maskNonNeg(d, a, b) }, func(d, a, b []float32) { maskNonNegGo(d, a, b) }},
-		{"maskNonNeg/self", func(d, a, _ []float32) { maskNonNeg(d, a, a) }, func(d, a, _ []float32) { maskNonNegGo(d, a, a) }},
-		{"normalizePlane", func(d, a, b []float32) { normalizePlane(d, a, b, 0.25, 1.7, -0.6, 0.1) },
-			func(d, a, b []float32) { normalizePlaneGo(d, a, b, 0.25, 1.7, -0.6, 0.1) }},
-		{"normalizePlane/xhat=out", func(d, _, b []float32) { normalizePlane(d, d, b, 0.25, 1.7, -0.6, 0.1) },
-			func(d, _, b []float32) { normalizePlaneGo(d, d, b, 0.25, 1.7, -0.6, 0.1) }},
-		{"planeGrad", func(d, a, b []float32) { planeGrad(d, a, b, 0.01, 512, 3.5, -7.25) },
-			func(d, a, b []float32) { planeGradGo(d, a, b, 0.01, 512, 3.5, -7.25) }},
+		{"normalizePlane", normalizeKernel(normalizePlane, false), normalizeKernel(normalizePlaneGo, false)},
+		{"normalizePlane/relu+sc=out", normalizeKernel(normalizePlane, true), normalizeKernel(normalizePlaneGo, true)},
+		{"planeGrad", func(d, a, b []float32) { planeGrad(d, a, b, nil, 0, 0.01, 512, 3.5, -7.25) },
+			func(d, a, b []float32) { planeGradGo(d, a, b, nil, 0, 0.01, 512, 3.5, -7.25) }},
+		{"planeGrad/dy=dx", func(d, _, b []float32) { planeGrad(d, d, b, nil, 0, 0.01, 512, 3.5, -7.25) },
+			func(d, _, b []float32) { planeGradGo(d, d, b, nil, 0, 0.01, 512, 3.5, -7.25) }},
 	}
 	for fillName, fill := range kernelFills(rng) {
 		for _, k := range kernels {
@@ -297,10 +308,18 @@ func TestSumKernelsMatchGoLoops(t *testing.T) {
 				if got, want := sumSqDevF64(x, 0.25), sumSqDevF64Go(x, 0.25); !agrees64(got, want, kernelTol64(n+1, absDev)) {
 					t.Fatalf("%s: %g, Go loop %g", where("sumSqDevF64"), got, want)
 				}
-				gotA, gotAB := sumDot(x, y)
-				wantA, wantAB := sumDotGo(x, y)
+				gotA, gotAB := sumDot(x, y, nil, 0)
+				wantA, wantAB := sumDotGo(x, y, nil, 0)
 				if !agrees64(gotA, wantA, kernelTol64(n, absX)) || !agrees64(gotAB, wantAB, kernelTol64(n, absXY)) {
 					t.Fatalf("%s: (%g, %g), Go loop (%g, %g)", where("sumDot"), gotA, gotAB, wantA, wantAB)
+				}
+				// The assembly sums the values after the last whole window in
+				// index order from zero and adds them last.
+				w := n &^ 7
+				headA, headAB := sumDot(x[:w], y[:w], nil, 0)
+				tailA, tailAB := sumDotGo(x[w:], y[w:], nil, 0)
+				if Kernel() != "go" && (!sameBits64(gotA, headA+tailA) || !sameBits64(gotAB, headAB+tailAB)) {
+					t.Fatalf("%s: the tail is not summed from zero and added last", where("sumDot"))
 				}
 			}
 		}

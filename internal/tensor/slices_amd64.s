@@ -119,34 +119,6 @@ adds_done:
 	VZEROUPPER
 	RET
 
-// func maskNonNegAVX2(dst, val, sign []float32)
-//
-// dst[i] = val[i] where !(sign[i] < 0), +0 elsewhere: the compare is
-// not-less-than, true for NaN and for both zeros.
-TEXT ·maskNonNegAVX2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ val_base+24(FP), SI
-	MOVQ sign_base+48(FP), DX
-	VXORPS Y2, Y2, Y2
-	SHRQ $3, CX
-	JZ   mask_done
-
-mask_loop:
-	VMOVUPS (DX), Y0
-	VCMPPS  $0x15, Y2, Y0, Y0    // NLT_UQ: !(sign < 0)
-	VANDPS  (SI), Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	DECQ    CX
-	JNZ     mask_loop
-
-mask_done:
-	VZEROUPPER
-	RET
-
 // func sumSliceAVX2(x []float32) float32
 TEXT ·sumSliceAVX2(SB), NOSPLIT, $0-28
 	MOVQ x_base+0(FP), SI
@@ -233,114 +205,509 @@ dev_reduce:
 	VZEROUPPER
 	RET
 
-// func sumDotAVX2(a, b []float32) (sumA, sumAB float64)
+// The ReLU mask kernels. A mask is one bit per element, R10 its base and R11
+// the bit of the current element; BX is the number of elements of the
+// current window, 8 or the 1 to 7 of a run's last one.
+
+DATA lane8<>+0(SB)/4, $0
+DATA lane8<>+4(SB)/4, $1
+DATA lane8<>+8(SB)/4, $2
+DATA lane8<>+12(SB)/4, $3
+DATA lane8<>+16(SB)/4, $4
+DATA lane8<>+20(SB)/4, $5
+DATA lane8<>+24(SB)/4, $6
+DATA lane8<>+28(SB)/4, $7
+GLOBL lane8<>(SB), RODATA|NOPTR, $32
+
+DATA bit8<>+0(SB)/4, $1
+DATA bit8<>+4(SB)/4, $2
+DATA bit8<>+8(SB)/4, $4
+DATA bit8<>+12(SB)/4, $8
+DATA bit8<>+16(SB)/4, $16
+DATA bit8<>+20(SB)/4, $32
+DATA bit8<>+24(SB)/4, $64
+DATA bit8<>+28(SB)/4, $128
+GLOBL bit8<>(SB), RODATA|NOPTR, $32
+
+DATA negInf<>+0(SB)/4, $0xff800000
+GLOBL negInf<>(SB), RODATA|NOPTR, $4
+
+// TAILLANES sets Y11 to all ones in the first BX lanes and zero in the rest:
+// the lane mask of the masked loads and stores of a run's last window.
+#define TAILLANES \
+	VMOVQ        BX, X11            \
+	VPBROADCASTD X11, Y11           \
+	VPCMPGTD     lane8<>(SB), Y11, Y11
+
+// GETBITS loads into the low BX bits of AX the window's mask bits; the bits
+// above them are unspecified. A window that starts on a byte, as every one
+// does where a plane's size is a multiple of eight, is one byte load;
+// otherwise the word after R11's is read only when the window reaches into
+// it. CX, DX and R12 are scratch.
+#define GETBITS(word, done) \
+	MOVQ    R11, CX         \
+	TESTQ   $7, CX          \
+	JNZ     word            \
+	SHRQ    $3, CX          \
+	MOVBQZX (R10)(CX*1), AX \
+	JMP     done            \
+word:                       \
+	MOVQ R11, DX            \
+	SHRQ $6, DX             \
+	LEAQ (R10)(DX*8), DX    \
+	MOVQ (DX), AX           \
+	ANDQ $63, CX            \
+	SHRQ CX, AX             \
+	ADDQ BX, CX             \
+	CMPQ CX, $64            \
+	JLE  done               \
+	SUBQ BX, CX             \
+	NEGQ CX                 \
+	ADDQ $64, CX            \
+	MOVQ 8(DX), R12         \
+	SHLQ CX, R12            \
+	ORQ  R12, AX            \
+done:
+
+// EXPAND sets each float lane i of Y12 to all ones where bit i of AX is set
+// and to zero where it is not.
+#define EXPAND \
+	VMOVQ        AX, X12              \
+	VPBROADCASTD X12, Y12             \
+	VPAND        bit8<>(SB), Y12, Y12 \
+	VPCMPEQD     bit8<>(SB), Y12, Y12
+
+// PUTBITS sets the window's mask bits where the low BX bits of AX are set:
+// one byte OR where the window starts on a byte. CX, DX and R12 are scratch;
+// AX is destroyed.
+#define PUTBITS(word, done) \
+	MOVQ BX, CX            \
+	MOVQ $1, R12           \
+	SHLQ CX, R12           \
+	DECQ R12               \
+	ANDQ R12, AX           \
+	MOVQ R11, CX           \
+	TESTQ $7, CX           \
+	JNZ  word              \
+	SHRQ $3, CX            \
+	ORB  AX, (R10)(CX*1)   \
+	JMP  done              \
+word:                      \
+	MOVQ R11, DX           \
+	SHRQ $6, DX            \
+	LEAQ (R10)(DX*8), DX   \
+	ANDQ $63, CX           \
+	MOVQ AX, R12           \
+	SHLQ CX, R12           \
+	ORQ  R12, (DX)         \
+	ADDQ BX, CX            \
+	CMPQ CX, $64           \
+	JLE  done              \
+	SUBQ BX, CX            \
+	NEGQ CX                \
+	ADDQ $64, CX           \
+	SHRQ CX, AX            \
+	ORQ  AX, 8(DX)         \
+done:
+
+// func reluMaskAVX2(out, x []float32, mask []uint64)
 //
-// The sums of a[i] and of a[i]*b[i] in float64, in one pass. A product
-// of two float32 values is exact in float64, so fusing its add changes
-// nothing.
-TEXT ·sumDotAVX2(SB), NOSPLIT, $0-64
+// out[i] = x[i] where !(x[i] < 0), +0 elsewhere — the compare is
+// not-less-than, true for NaN and for both zeros — and, unless mask is nil,
+// the compare's bits into the cleared mask from bit 0: every window starts
+// on a byte.
+TEXT ·reluMaskAVX2(SB), NOSPLIT, $0-72
+	MOVQ   out_base+0(FP), DI
+	MOVQ   out_len+8(FP), R13
+	MOVQ   x_base+24(FP), SI
+	MOVQ   mask_base+48(FP), R10
+	VXORPS Y9, Y9, Y9
+	CMPQ   R13, $8
+	JLT    relu_tail
+
+relu_loop:
+	VMOVUPS (SI), Y0
+	VCMPPS  $0x15, Y9, Y0, Y10   // NLT_UQ: !(x < 0)
+	VANDPS  Y10, Y0, Y0
+	VMOVUPS Y0, (DI)
+	TESTQ   R10, R10
+	JZ      relu_next
+	VMOVMSKPS Y10, AX
+	MOVB    AX, (R10)
+	INCQ    R10
+
+relu_next:
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, R13
+	CMPQ R13, $8
+	JGE  relu_loop
+
+relu_tail:
+	TESTQ R13, R13
+	JZ    relu_done
+	MOVQ  R13, BX
+	TAILLANES
+	VMASKMOVPS (SI), Y11, Y0
+	VCMPPS     $0x15, Y9, Y0, Y10
+	VANDPS     Y10, Y0, Y0
+	VMASKMOVPS Y0, Y11, (DI)
+	TESTQ      R10, R10
+	JZ         relu_done
+	VANDPS     Y11, Y10, Y10
+	VMOVMSKPS  Y10, AX
+	MOVB       AX, (R10)
+
+relu_done:
+	VZEROUPPER
+	RET
+
+// func maskGradAVX2(dx, dy []float32, mask []uint64, bit int, add bool)
+//
+// dx[i] = dy[i] where bit+i of mask is set, +0 elsewhere; with add, dx[i] +=
+// that, dx the add's first operand as in addSliceAVX2.
+TEXT ·maskGradAVX2(SB), NOSPLIT, $0-81
+	MOVQ    dx_base+0(FP), DI
+	MOVQ    dx_len+8(FP), R13
+	MOVQ    dy_base+24(FP), SI
+	MOVQ    mask_base+48(FP), R10
+	MOVQ    bit+72(FP), R11
+	MOVBQZX add+80(FP), R9
+	MOVQ    $8, BX
+	CMPQ    R13, $8
+	JLT     mg_tail
+
+mg_loop:
+	GETBITS(mg_got_word, mg_got)
+	EXPAND
+	VANDPS  (SI), Y12, Y0
+	TESTQ   R9, R9
+	JZ      mg_store
+	VMOVUPS (DI), Y1
+	VADDPS  Y0, Y1, Y0
+
+mg_store:
+	VMOVUPS Y0, (DI)
+	ADDQ    $8, R11
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, R13
+	CMPQ    R13, $8
+	JGE     mg_loop
+
+mg_tail:
+	TESTQ R13, R13
+	JZ    mg_done
+	MOVQ  R13, BX
+	GETBITS(mg_tgot_word, mg_tgot)
+	EXPAND
+	TAILLANES
+	VMASKMOVPS (SI), Y11, Y0
+	VANDPS     Y12, Y0, Y0
+	TESTQ      R9, R9
+	JZ         mg_tstore
+	VMASKMOVPS (DI), Y11, Y1
+	VADDPS     Y0, Y1, Y0
+
+mg_tstore:
+	VMASKMOVPS Y0, Y11, (DI)
+
+mg_done:
+	VZEROUPPER
+	RET
+
+// func sumDotAVX2(a, b []float32, mask []uint64, bit int) (sumA, sumAB float64)
+//
+// The sums of a[i] and of a[i]*b[i] in float64, in one pass, a read through
+// the mask unless it is nil: whole windows of eight in four lanes to each of
+// two accumulators, then the up to seven values after them in index order
+// from zero, added last. A product of two float32 values is exact in
+// float64, so fusing its add changes nothing.
+TEXT ·sumDotAVX2(SB), NOSPLIT, $0-96
 	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DX
+	MOVQ a_len+8(FP), R13
+	MOVQ b_base+24(FP), R8
+	MOVQ mask_base+48(FP), R10
+	MOVQ bit+72(FP), R11
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	SHRQ $3, CX
-	JZ   dot64_reduce
+	MOVQ $8, BX
+	CMPQ R13, $8
+	JLT  dot64_reduce
 
 dot64_loop:
-	VCVTPS2PD   (SI), Y4
-	VCVTPS2PD   16(SI), Y5
-	VCVTPS2PD   (DX), Y6
-	VCVTPS2PD   16(DX), Y7
-	VADDPD      Y4, Y0, Y0
-	VADDPD      Y5, Y1, Y1
-	VFMADD231PD Y6, Y4, Y2
-	VFMADD231PD Y7, Y5, Y3
-	ADDQ        $32, SI
-	ADDQ        $32, DX
-	DECQ        CX
-	JNZ         dot64_loop
+	VMOVUPS (SI), Y8
+	TESTQ   R10, R10
+	JZ      dot64_read
+	GETBITS(dot64_word, dot64_got)
+	EXPAND
+	VANDPS  Y12, Y8, Y8
+
+dot64_read:
+	VEXTRACTF128 $1, Y8, X9
+	VCVTPS2PD    X8, Y4
+	VCVTPS2PD    X9, Y5
+	VCVTPS2PD    (R8), Y6
+	VCVTPS2PD    16(R8), Y7
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VFMADD231PD  Y6, Y4, Y2
+	VFMADD231PD  Y7, Y5, Y3
+	ADDQ         $8, R11
+	ADDQ         $32, SI
+	ADDQ         $32, R8
+	SUBQ         $8, R13
+	CMPQ         R13, $8
+	JGE          dot64_loop
 
 dot64_reduce:
 	VADDPD Y1, Y0, Y0
 	VADDPD Y3, Y2, Y2
 	REDUCEPD(Y0, X0, X1)
 	REDUCEPD(Y2, X2, X3)
-	VMOVSD X0, sumA+48(FP)
-	VMOVSD X2, sumAB+56(FP)
+	VXORPD X10, X10, X10
+	VXORPD X11, X11, X11
+	TESTQ  R13, R13
+	JZ     dot64_done
+	MOVQ   $-1, AX
+	TESTQ  R10, R10
+	JZ     dot64_tail
+	MOVQ   R13, BX
+	GETBITS(dot64_tgot_word, dot64_tgot)
+
+dot64_tail:
+	VMOVSS    (SI), X4
+	TESTQ     $1, AX
+	JNZ       dot64_kept
+	VXORPS    X4, X4, X4
+
+dot64_kept:
+	VCVTSS2SD X4, X4, X4
+	VADDSD    X4, X10, X10
+	VCVTSS2SD (R8), X5, X5
+	VMULSD    X5, X4, X5
+	VADDSD    X5, X11, X11
+	SHRQ      $1, AX
+	ADDQ      $4, SI
+	ADDQ      $4, R8
+	DECQ      R13
+	JNZ       dot64_tail
+
+dot64_done:
+	VADDSD X10, X0, X0
+	VADDSD X11, X2, X2
+	VMOVSD X0, sumA+80(FP)
+	VMOVSD X2, sumAB+88(FP)
 	VZEROUPPER
 	RET
 
-// func normalizePlaneAVX2(out, xhat, x []float32, mean, invStd, gamma, beta float64)
+// NORMALIZE takes the eight floats of Y0 to xh = (x-mean)*invStd in float64,
+// Y4 mean and Y5 invStd, leaving float32(xh) in Y3 and float32(gamma*xh+beta)
+// in Y1, Y6 gamma and Y7 beta, the product rounded before the add.
+#define NORMALIZE \
+	VEXTRACTF128 $1, Y0, X2     \
+	VCVTPS2PD    X0, Y1         \
+	VCVTPS2PD    X2, Y2         \
+	VSUBPD       Y4, Y1, Y1     \
+	VSUBPD       Y4, Y2, Y2     \
+	VMULPD       Y5, Y1, Y1     \
+	VMULPD       Y5, Y2, Y2     \
+	VCVTPD2PSY   Y1, X3         \
+	VCVTPD2PSY   Y2, X8         \
+	VINSERTF128  $1, X8, Y3, Y3 \
+	VMULPD       Y1, Y6, Y1     \
+	VMULPD       Y2, Y6, Y2     \
+	VADDPD       Y7, Y1, Y1     \
+	VADDPD       Y7, Y2, Y2     \
+	VCVTPD2PSY   Y1, X1         \
+	VCVTPD2PSY   Y2, X2         \
+	VINSERTF128  $1, X2, Y1, Y1
+
+// func normalizePlaneAVX2(out []float32, stride, width int, xhat, x, sc []float32, mask []uint64, bit int, relu bool, mean, invStd, gamma, beta float64)
 //
-// xh = (x[i]-mean)*invStd in float64; xhat[i] = float32(xh); out[i] =
-// float32(gamma*xh+beta), the product rounded before the add. out is stored
-// last, so xhat may be out itself.
-TEXT ·normalizePlaneAVX2(SB), NOSPLIT, $0-104
+// Row by row, width values each, row r of out at r*stride: NORMALIZE, xhat
+// stored where not nil, sc added in float32 where not nil (y the add's first
+// operand, as in addSliceAVX2), then the ReLU and its bits. Without relu the
+// compare is against -Inf, which every value passes. sc is loaded before out
+// is stored, so it may be out.
+TEXT ·normalizePlaneAVX2(SB), NOSPLIT, $0-184
 	MOVQ out_base+0(FP), DI
-	MOVQ out_len+8(FP), CX
-	MOVQ xhat_base+24(FP), DX
-	MOVQ x_base+48(FP), SI
-	VBROADCASTSD mean+72(FP), Y4
-	VBROADCASTSD invStd+80(FP), Y5
-	VBROADCASTSD gamma+88(FP), Y6
-	VBROADCASTSD beta+96(FP), Y7
-	SHRQ $2, CX                  // four floats a pass: one vector of float64
-	JZ   norm_done
+	MOVQ xhat_base+40(FP), R8
+	MOVQ x_base+64(FP), SI
+	MOVQ x_len+72(FP), R14
+	LEAQ (SI)(R14*4), R14        // the end of x
+	MOVQ sc_base+88(FP), R9
+	MOVQ mask_base+112(FP), R10
+	MOVQ bit+136(FP), R11
+	VBROADCASTSD mean+152(FP), Y4
+	VBROADCASTSD invStd+160(FP), Y5
+	VBROADCASTSD gamma+168(FP), Y6
+	VBROADCASTSD beta+176(FP), Y7
+	VXORPS Y9, Y9, Y9
+	CMPB   relu+144(FP), $0
+	JNE    norm_row
+	VBROADCASTSS negInf<>(SB), Y9
+
+norm_row:
+	MOVQ width+32(FP), R13
+	MOVQ $8, BX
+	CMPQ R13, $8
+	JLT  norm_tail
 
 norm_loop:
-	VCVTPS2PD  (SI), Y0
-	VSUBPD     Y4, Y0, Y0
-	VMULPD     Y5, Y0, Y0
-	VCVTPD2PSY Y0, X1
-	VMOVUPS    X1, (DX)
-	VMULPD     Y0, Y6, Y0
-	VADDPD     Y7, Y0, Y0
-	VCVTPD2PSY Y0, X1
-	VMOVUPS    X1, (DI)
-	ADDQ       $16, SI
-	ADDQ       $16, DX
-	ADDQ       $16, DI
-	DECQ       CX
-	JNZ        norm_loop
+	VMOVUPS (SI), Y0
+	NORMALIZE
+	TESTQ   R8, R8
+	JZ      norm_sc
+	VMOVUPS Y3, (R8)
+	ADDQ    $32, R8
 
-norm_done:
+norm_sc:
+	TESTQ  R9, R9
+	JZ     norm_relu
+	VADDPS (R9), Y1, Y1
+	ADDQ   $32, R9
+
+norm_relu:
+	VCMPPS  $0x15, Y9, Y1, Y10
+	VANDPS  Y10, Y1, Y1
+	VMOVUPS Y1, (DI)
+	TESTQ   R10, R10
+	JZ      norm_next
+	VMOVMSKPS Y10, AX
+	PUTBITS(norm_put_word, norm_put)
+
+norm_next:
+	ADDQ $8, R11
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, R13
+	CMPQ R13, $8
+	JGE  norm_loop
+
+norm_tail:
+	TESTQ R13, R13
+	JZ    norm_rowend
+	MOVQ  R13, BX
+	TAILLANES
+	VMASKMOVPS (SI), Y11, Y0
+	NORMALIZE
+	TESTQ      R8, R8
+	JZ         norm_tsc
+	VMASKMOVPS Y3, Y11, (R8)
+	LEAQ       (R8)(BX*4), R8
+
+norm_tsc:
+	TESTQ      R9, R9
+	JZ         norm_trelu
+	VMASKMOVPS (R9), Y11, Y2
+	VADDPS     Y2, Y1, Y1
+	LEAQ       (R9)(BX*4), R9
+
+norm_trelu:
+	VCMPPS     $0x15, Y9, Y1, Y10
+	VANDPS     Y10, Y1, Y1
+	VMASKMOVPS Y1, Y11, (DI)
+	TESTQ      R10, R10
+	JZ         norm_tnext
+	VMOVMSKPS  Y10, AX
+	PUTBITS(norm_tput_word, norm_tput)
+
+norm_tnext:
+	ADDQ BX, R11
+	LEAQ (SI)(BX*4), SI
+	LEAQ (DI)(BX*4), DI
+
+norm_rowend:
+	MOVQ stride+24(FP), AX
+	SUBQ width+32(FP), AX
+	LEAQ (DI)(AX*4), DI
+	CMPQ SI, R14
+	JLT  norm_row
 	VZEROUPPER
 	RET
 
-// func planeGradAVX2(dx, dy, xhat []float32, c, n, sumDy, sumDyXHat float64)
+// PLANEGRAD takes eight dy in Y0 and eight xhat in Y3 to dx = float32(c *
+// (n*dy - sumDy - xhat*sumDyXHat)) in Y1, in float64, every operation
+// rounded on its own: Y4 c, Y5 n, Y6 sumDy, Y7 sumDyXHat.
+#define PLANEGRAD \
+	VEXTRACTF128 $1, Y0, X2     \
+	VEXTRACTF128 $1, Y3, X8     \
+	VCVTPS2PD    X0, Y1         \
+	VCVTPS2PD    X2, Y2         \
+	VCVTPS2PD    X3, Y3         \
+	VCVTPS2PD    X8, Y8         \
+	VMULPD       Y1, Y5, Y1     \
+	VMULPD       Y2, Y5, Y2     \
+	VSUBPD       Y6, Y1, Y1     \
+	VSUBPD       Y6, Y2, Y2     \
+	VMULPD       Y7, Y3, Y3     \
+	VMULPD       Y7, Y8, Y8     \
+	VSUBPD       Y3, Y1, Y1     \
+	VSUBPD       Y8, Y2, Y2     \
+	VMULPD       Y1, Y4, Y1     \
+	VMULPD       Y2, Y4, Y2     \
+	VCVTPD2PSY   Y1, X1         \
+	VCVTPD2PSY   Y2, X2         \
+	VINSERTF128  $1, X2, Y1, Y1
+
+// func planeGradAVX2(dx, dy, xhat []float32, mask []uint64, bit int, c, n, sumDy, sumDyXHat float64)
 //
-// dx[i] = float32(c * (n*dy[i] - sumDy - xhat[i]*sumDyXHat)) in float64,
-// every operation rounded on its own.
-TEXT ·planeGradAVX2(SB), NOSPLIT, $0-104
+// PLANEGRAD over dx, dy read through the mask unless it is nil. dy is loaded
+// before dx is stored, so it may be dx.
+TEXT ·planeGradAVX2(SB), NOSPLIT, $0-136
 	MOVQ dx_base+0(FP), DI
-	MOVQ dx_len+8(FP), CX
+	MOVQ dx_len+8(FP), R13
 	MOVQ dy_base+24(FP), SI
-	MOVQ xhat_base+48(FP), DX
-	VBROADCASTSD c+72(FP), Y4
-	VBROADCASTSD n+80(FP), Y5
-	VBROADCASTSD sumDy+88(FP), Y6
-	VBROADCASTSD sumDyXHat+96(FP), Y7
-	SHRQ $2, CX
-	JZ   grad_done
+	MOVQ xhat_base+48(FP), R8
+	MOVQ mask_base+72(FP), R10
+	MOVQ bit+96(FP), R11
+	VBROADCASTSD c+104(FP), Y4
+	VBROADCASTSD n+112(FP), Y5
+	VBROADCASTSD sumDy+120(FP), Y6
+	VBROADCASTSD sumDyXHat+128(FP), Y7
+	MOVQ $8, BX
+	CMPQ R13, $8
+	JLT  grad_tail
 
 grad_loop:
-	VCVTPS2PD  (SI), Y0
-	VCVTPS2PD  (DX), Y1
-	VMULPD     Y0, Y5, Y0        // n*dy
-	VSUBPD     Y6, Y0, Y0        //   - sumDy
-	VMULPD     Y7, Y1, Y1        // xhat*sumDyXHat
-	VSUBPD     Y1, Y0, Y0
-	VMULPD     Y0, Y4, Y0
-	VCVTPD2PSY Y0, X1
-	VMOVUPS    X1, (DI)
-	ADDQ       $16, SI
-	ADDQ       $16, DX
-	ADDQ       $16, DI
-	DECQ       CX
-	JNZ        grad_loop
+	VMOVUPS (SI), Y0
+	TESTQ   R10, R10
+	JZ      grad_read
+	GETBITS(grad_got_word, grad_got)
+	EXPAND
+	VANDPS  Y12, Y0, Y0
+
+grad_read:
+	VMOVUPS (R8), Y3
+	PLANEGRAD
+	VMOVUPS Y1, (DI)
+	ADDQ    $8, R11
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, DI
+	SUBQ    $8, R13
+	CMPQ    R13, $8
+	JGE     grad_loop
+
+grad_tail:
+	TESTQ R13, R13
+	JZ    grad_done
+	MOVQ  R13, BX
+	TAILLANES
+	VMASKMOVPS (SI), Y11, Y0
+	TESTQ      R10, R10
+	JZ         grad_tread
+	GETBITS(grad_tgot_word, grad_tgot)
+	EXPAND
+	VANDPS     Y12, Y0, Y0
+
+grad_tread:
+	VMASKMOVPS (R8), Y11, Y3
+	PLANEGRAD
+	VMASKMOVPS Y1, Y11, (DI)
 
 grad_done:
 	VZEROUPPER

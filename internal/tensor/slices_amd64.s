@@ -277,6 +277,30 @@ done:
 	VPAND        bit8<>(SB), Y12, Y12 \
 	VPCMPEQD     bit8<>(SB), Y12, Y12
 
+DATA bit4lo<>+0(SB)/8, $1
+DATA bit4lo<>+8(SB)/8, $2
+DATA bit4lo<>+16(SB)/8, $4
+DATA bit4lo<>+24(SB)/8, $8
+GLOBL bit4lo<>(SB), RODATA|NOPTR, $32
+
+DATA bit4hi<>+0(SB)/8, $16
+DATA bit4hi<>+8(SB)/8, $32
+DATA bit4hi<>+16(SB)/8, $64
+DATA bit4hi<>+24(SB)/8, $128
+GLOBL bit4hi<>(SB), RODATA|NOPTR, $32
+
+// EXPAND64 is EXPAND for a window converted to float64: each lane i of Y12
+// (the window's first four values) and of Y13 (its last four) all ones
+// where bit i, or bit 4+i, of AX is set. Masking a float64 lane gives the
+// bits of converting the masked float32 (+0 either way).
+#define EXPAND64 \
+	VMOVQ        AX, X12                \
+	VPBROADCASTQ X12, Y12               \
+	VPAND        bit4hi<>(SB), Y12, Y13 \
+	VPCMPEQQ     bit4hi<>(SB), Y13, Y13 \
+	VPAND        bit4lo<>(SB), Y12, Y12 \
+	VPCMPEQQ     bit4lo<>(SB), Y12, Y12
+
 // PUTBITS sets the window's mask bits where the low BX bits of AX are set:
 // one byte OR where the window starts on a byte. CX, DX and R12 are scratch;
 // AX is destroyed.
@@ -438,29 +462,28 @@ TEXT ·sumDotAVX2(SB), NOSPLIT, $0-96
 	JLT  dot64_reduce
 
 dot64_loop:
-	VMOVUPS (SI), Y8
-	TESTQ   R10, R10
-	JZ      dot64_read
+	VCVTPS2PD (SI), Y4
+	VCVTPS2PD 16(SI), Y5
+	TESTQ     R10, R10
+	JZ        dot64_read
 	GETBITS(dot64_word, dot64_got)
-	EXPAND
-	VANDPS  Y12, Y8, Y8
+	EXPAND64
+	VANDPD    Y12, Y4, Y4
+	VANDPD    Y13, Y5, Y5
 
 dot64_read:
-	VEXTRACTF128 $1, Y8, X9
-	VCVTPS2PD    X8, Y4
-	VCVTPS2PD    X9, Y5
-	VCVTPS2PD    (R8), Y6
-	VCVTPS2PD    16(R8), Y7
-	VADDPD       Y4, Y0, Y0
-	VADDPD       Y5, Y1, Y1
-	VFMADD231PD  Y6, Y4, Y2
-	VFMADD231PD  Y7, Y5, Y3
-	ADDQ         $8, R11
-	ADDQ         $32, SI
-	ADDQ         $32, R8
-	SUBQ         $8, R13
-	CMPQ         R13, $8
-	JGE          dot64_loop
+	VCVTPS2PD   (R8), Y6
+	VCVTPS2PD   16(R8), Y7
+	VADDPD      Y4, Y0, Y0
+	VADDPD      Y5, Y1, Y1
+	VFMADD231PD Y6, Y4, Y2
+	VFMADD231PD Y7, Y5, Y3
+	ADDQ        $8, R11
+	ADDQ        $32, SI
+	ADDQ        $32, R8
+	SUBQ        $8, R13
+	CMPQ        R13, $8
+	JGE         dot64_loop
 
 dot64_reduce:
 	VADDPD Y1, Y0, Y0
@@ -503,27 +526,27 @@ dot64_done:
 	VZEROUPPER
 	RET
 
-// NORMALIZE takes the eight floats of Y0 to xh = (x-mean)*invStd in float64,
-// Y4 mean and Y5 invStd, leaving float32(xh) in Y3 and float32(gamma*xh+beta)
-// in Y1, Y6 gamma and Y7 beta, the product rounded before the add.
-#define NORMALIZE \
-	VEXTRACTF128 $1, Y0, X2     \
-	VCVTPS2PD    X0, Y1         \
-	VCVTPS2PD    X2, Y2         \
-	VSUBPD       Y4, Y1, Y1     \
-	VSUBPD       Y4, Y2, Y2     \
-	VMULPD       Y5, Y1, Y1     \
-	VMULPD       Y5, Y2, Y2     \
-	VCVTPD2PSY   Y1, X3         \
-	VCVTPD2PSY   Y2, X8         \
-	VINSERTF128  $1, X8, Y3, Y3 \
-	VMULPD       Y1, Y6, Y1     \
-	VMULPD       Y2, Y6, Y2     \
-	VADDPD       Y7, Y1, Y1     \
-	VADDPD       Y7, Y2, Y2     \
-	VCVTPD2PSY   Y1, X1         \
-	VCVTPD2PSY   Y2, X2         \
-	VINSERTF128  $1, X2, Y1, Y1
+// NORMALIZE takes eight floats, the first four at lo and the last four at
+// hi (memory or X registers), to xh = (x-mean)*invStd in float64, Y4 mean
+// and Y5 invStd, leaving float32(xh) in X3 (first four) and X8 (last four)
+// and float32(gamma*xh+beta) in X1 and X2, Y6 gamma and Y7 beta, the
+// product rounded before the add. A window converts straight from memory,
+// each half on its own, with no lane shuffle beside the conversions.
+#define NORMALIZE(lo, hi) \
+	VCVTPS2PD  lo, Y1     \
+	VCVTPS2PD  hi, Y2     \
+	VSUBPD     Y4, Y1, Y1 \
+	VSUBPD     Y4, Y2, Y2 \
+	VMULPD     Y5, Y1, Y1 \
+	VMULPD     Y5, Y2, Y2 \
+	VCVTPD2PSY Y1, X3     \
+	VCVTPD2PSY Y2, X8     \
+	VMULPD     Y1, Y6, Y1 \
+	VMULPD     Y2, Y6, Y2 \
+	VADDPD     Y7, Y1, Y1 \
+	VADDPD     Y7, Y2, Y2 \
+	VCVTPD2PSY Y1, X1     \
+	VCVTPD2PSY Y2, X2
 
 // func normalizePlaneAVX2(out []float32, stride, width int, xhat, x, sc []float32, mask []uint64, bit int, relu bool, mean, invStd, gamma, beta float64)
 //
@@ -557,26 +580,33 @@ norm_row:
 	JLT  norm_tail
 
 norm_loop:
-	VMOVUPS (SI), Y0
-	NORMALIZE
+	NORMALIZE((SI), 16(SI))
 	TESTQ   R8, R8
 	JZ      norm_sc
-	VMOVUPS Y3, (R8)
+	VMOVUPS X3, (R8)
+	VMOVUPS X8, 16(R8)
 	ADDQ    $32, R8
 
 norm_sc:
 	TESTQ  R9, R9
 	JZ     norm_relu
-	VADDPS (R9), Y1, Y1
+	VADDPS (R9), X1, X1
+	VADDPS 16(R9), X2, X2
 	ADDQ   $32, R9
 
 norm_relu:
-	VCMPPS  $0x15, Y9, Y1, Y10
-	VANDPS  Y10, Y1, Y1
-	VMOVUPS Y1, (DI)
+	VCMPPS  $0x15, X9, X1, X10
+	VCMPPS  $0x15, X9, X2, X13
+	VANDPS  X10, X1, X1
+	VANDPS  X13, X2, X2
+	VMOVUPS X1, (DI)
+	VMOVUPS X2, 16(DI)
 	TESTQ   R10, R10
 	JZ      norm_next
-	VMOVMSKPS Y10, AX
+	VMOVMSKPS X10, AX
+	VMOVMSKPS X13, CX
+	SHLQ    $4, CX
+	ORQ     CX, AX
 	PUTBITS(norm_put_word, norm_put)
 
 norm_next:
@@ -592,8 +622,11 @@ norm_tail:
 	JZ    norm_rowend
 	MOVQ  R13, BX
 	TAILLANES
-	VMASKMOVPS (SI), Y11, Y0
-	NORMALIZE
+	VMASKMOVPS   (SI), Y11, Y0
+	VEXTRACTF128 $1, Y0, X13
+	NORMALIZE(X0, X13)
+	VINSERTF128  $1, X8, Y3, Y3
+	VINSERTF128  $1, X2, Y1, Y1
 	TESTQ      R8, R8
 	JZ         norm_tsc
 	VMASKMOVPS Y3, Y11, (R8)
@@ -629,29 +662,23 @@ norm_rowend:
 	VZEROUPPER
 	RET
 
-// PLANEGRAD takes eight dy in Y0 and eight xhat in Y3 to dx = float32(c *
-// (n*dy - sumDy - xhat*sumDyXHat)) in Y1, in float64, every operation
-// rounded on its own: Y4 c, Y5 n, Y6 sumDy, Y7 sumDyXHat.
+// PLANEGRAD takes eight dy, in float64 in Y1 (first four) and Y2 (last
+// four), and their xhat in Y3 and Y8 to dx = float32(c * (n*dy - sumDy -
+// xhat*sumDyXHat)) in X1 and X2, every operation rounded on its own: Y4 c,
+// Y5 n, Y6 sumDy, Y7 sumDyXHat.
 #define PLANEGRAD \
-	VEXTRACTF128 $1, Y0, X2     \
-	VEXTRACTF128 $1, Y3, X8     \
-	VCVTPS2PD    X0, Y1         \
-	VCVTPS2PD    X2, Y2         \
-	VCVTPS2PD    X3, Y3         \
-	VCVTPS2PD    X8, Y8         \
-	VMULPD       Y1, Y5, Y1     \
-	VMULPD       Y2, Y5, Y2     \
-	VSUBPD       Y6, Y1, Y1     \
-	VSUBPD       Y6, Y2, Y2     \
-	VMULPD       Y7, Y3, Y3     \
-	VMULPD       Y7, Y8, Y8     \
-	VSUBPD       Y3, Y1, Y1     \
-	VSUBPD       Y8, Y2, Y2     \
-	VMULPD       Y1, Y4, Y1     \
-	VMULPD       Y2, Y4, Y2     \
-	VCVTPD2PSY   Y1, X1         \
-	VCVTPD2PSY   Y2, X2         \
-	VINSERTF128  $1, X2, Y1, Y1
+	VMULPD     Y1, Y5, Y1 \
+	VMULPD     Y2, Y5, Y2 \
+	VSUBPD     Y6, Y1, Y1 \
+	VSUBPD     Y6, Y2, Y2 \
+	VMULPD     Y7, Y3, Y3 \
+	VMULPD     Y7, Y8, Y8 \
+	VSUBPD     Y3, Y1, Y1 \
+	VSUBPD     Y8, Y2, Y2 \
+	VMULPD     Y1, Y4, Y1 \
+	VMULPD     Y2, Y4, Y2 \
+	VCVTPD2PSY Y1, X1     \
+	VCVTPD2PSY Y2, X2
 
 // func planeGradAVX2(dx, dy, xhat []float32, mask []uint64, bit int, c, n, sumDy, sumDyXHat float64)
 //
@@ -673,24 +700,28 @@ TEXT ·planeGradAVX2(SB), NOSPLIT, $0-136
 	JLT  grad_tail
 
 grad_loop:
-	VMOVUPS (SI), Y0
-	TESTQ   R10, R10
-	JZ      grad_read
-	GETBITS(grad_got_word, grad_got)
-	EXPAND
-	VANDPS  Y12, Y0, Y0
+	VCVTPS2PD (SI), Y1
+	VCVTPS2PD 16(SI), Y2
+	TESTQ     R10, R10
+	JZ        grad_read
+	GETBITS(grad_word, grad_got)
+	EXPAND64
+	VANDPD    Y12, Y1, Y1
+	VANDPD    Y13, Y2, Y2
 
 grad_read:
-	VMOVUPS (R8), Y3
+	VCVTPS2PD (R8), Y3
+	VCVTPS2PD 16(R8), Y8
 	PLANEGRAD
-	VMOVUPS Y1, (DI)
-	ADDQ    $8, R11
-	ADDQ    $32, SI
-	ADDQ    $32, R8
-	ADDQ    $32, DI
-	SUBQ    $8, R13
-	CMPQ    R13, $8
-	JGE     grad_loop
+	VMOVUPS   X1, (DI)
+	VMOVUPS   X2, 16(DI)
+	ADDQ      $8, R11
+	ADDQ      $32, SI
+	ADDQ      $32, R8
+	ADDQ      $32, DI
+	SUBQ      $8, R13
+	CMPQ      R13, $8
+	JGE       grad_loop
 
 grad_tail:
 	TESTQ R13, R13
@@ -705,9 +736,16 @@ grad_tail:
 	VANDPS     Y12, Y0, Y0
 
 grad_tread:
-	VMASKMOVPS (R8), Y11, Y3
+	VMASKMOVPS   (R8), Y11, Y3
+	VEXTRACTF128 $1, Y0, X2
+	VEXTRACTF128 $1, Y3, X8
+	VCVTPS2PD    X0, Y1
+	VCVTPS2PD    X2, Y2
+	VCVTPS2PD    X3, Y3
+	VCVTPS2PD    X8, Y8
 	PLANEGRAD
-	VMASKMOVPS Y1, Y11, (DI)
+	VINSERTF128  $1, X2, Y1, Y1
+	VMASKMOVPS   Y1, Y11, (DI)
 
 grad_done:
 	VZEROUPPER

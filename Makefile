@@ -168,10 +168,7 @@ bench-json:
 BENCH_GATE_KERNEL_PATTERN = BenchmarkMatMul128|BenchmarkMatMulConvShapes/16x144x1024|BenchmarkDirectConvShapes/16x16x32x32|BenchmarkResNet8IterationBatch8|BenchmarkFusedStepMomentumBatch4|BenchmarkFusedStepPlain262k|BenchmarkFusedStepF16Plain262k|BenchmarkWorkerIteration|BenchmarkCompress/fp16/scale=1e-05|BenchmarkPackPullPath/fp16|BenchmarkDecompress/fp16
 BENCH_GATE_PATTERN = BenchmarkStoreConcurrentPushPull/sharded|BenchmarkStoreConcurrentPull/sharded|BenchmarkStoreApplySteadyState|BenchmarkClusterPushPull|BenchmarkAggTreeIngress|$(BENCH_GATE_KERNEL_PATTERN)|BenchmarkTCPDensePushPull1MB|BenchmarkLaneDensePushPull1MB|BenchmarkLaneFP16PushPull1MB|BenchmarkRelayFoldLane1MB
 BENCH_GATE_PINS = BenchmarkStoreConcurrentPushPull/sharded,BenchmarkStoreConcurrentPull/sharded,BenchmarkStoreApplySteadyState,BenchmarkMatMul128,BenchmarkMatMulConvShapes/16x144x1024,BenchmarkDirectConvShapes/16x16x32x32,BenchmarkResNet8IterationBatch8,BenchmarkFusedStepMomentumBatch4,BenchmarkFusedStepPlain262k,BenchmarkWorkerIteration,BenchmarkClusterPushPull/servers=1,BenchmarkClusterPushPull/servers=2,BenchmarkAggTreeIngress/fanout=1,BenchmarkAggTreeIngress/fanout=4,BenchmarkCompress/fp16/scale=1e-05,BenchmarkPackPullPath/fp16,BenchmarkDecompress/fp16,BenchmarkTCPDensePushPull1MB,BenchmarkLaneDensePushPull1MB,BenchmarkLaneFP16PushPull1MB,BenchmarkFusedStepF16Plain262k,BenchmarkRelayFoldLane1MB
-BENCH_GATE_TIME = 400ms
-# Alternating rounds of each tree the gate measures every pin in: five rounds
-# of two trees at 400ms keep the gate to about five minutes on two CPUs.
-BENCH_GATE_ROUNDS = 5
+BENCH_GATE_TIME = 200ms
 # Packages holding the pinned benchmarks: the store pipeline, the raw
 # compute kernels (matmul panels, fused optimizer step) it is built on, the
 # layers over them, the codec kernels, and the worker loop.
@@ -184,29 +181,30 @@ BENCH_GATE_KERNEL_PKGS = ./internal/tensor/ ./internal/nn/ ./internal/optimizer/
 # minutes; the baseline is a trajectory record that CI compares smoke
 # numbers against informationally, not a precision measurement. The pinned
 # gate benchmarks are then re-measured at the gate's own benchtime and
-# appended — benchjson keeps the last entry per name, so the gated numbers
-# in the baseline are like-for-like with what bench-gate measures. The last
-# two runs record the kernel-named pins under the AVX2 panels (kernel=avx2, on
-# a machine that binds the AVX-512 ones) and under the Go loops (kernel=go), so
-# the gate has a like-for-like number on a runner without AVX-512, AVX2 or
+# appended — benchjson keeps the last entry per name, so the recorded numbers
+# bench-gate prints beside its medians are like-for-like. The last two runs
+# record the kernel-named pins under the AVX2 panels (kernel=avx2, on a
+# machine that binds the AVX-512 ones) and under the Go loops (kernel=go), so
+# that column has a like-for-like number on a runner without AVX-512, AVX2 or
 # F16C. The
 # SSP and ASP policy steps cost about a hundred nanoseconds, so ten iterations
 # of them measure set-up, not the step: they are re-measured at 1s. The
-# document names the commit it measured (HEAD, so run it on a clean tree):
-# the one bench-gate builds and measures against.
+# text starts with the commit it measures (HEAD, so run it on a clean tree),
+# which benchjson records in the document: the one bench-gate builds and
+# measures against.
 bench-baseline:
-	$(GO) test -run '^$$' -bench=. -benchtime=10x -benchmem ./... > bench-baseline.txt
+	echo "commit: $$(git rev-parse HEAD)" > bench-baseline.txt
+	$(GO) test -run '^$$' -bench=. -benchtime=10x -benchmem ./... >> bench-baseline.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(SSP|ASP)OnPush$$' -benchtime=1s -benchmem ./internal/core/ >> bench-baseline.txt
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_PKGS) >> bench-baseline.txt
 	$(GO) test -tags noavx512 -run '^$$' -bench '$(BENCH_GATE_KERNEL_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_KERNEL_PKGS) >> bench-baseline.txt
 	$(GO) test -tags purego -run '^$$' -bench '$(BENCH_GATE_KERNEL_PATTERN)' -benchtime=$(BENCH_GATE_TIME) $(BENCH_GATE_KERNEL_PKGS) >> bench-baseline.txt
 	$(GO) run ./cmd/benchjson -in bench-baseline.txt -out BENCH_baseline.json
-	sed -i '1a\  "commit": "'"$$(git rev-parse HEAD)"'",' BENCH_baseline.json
 
 # Pinned-benchmark regression gate (scripts/bench_gate.sh): build the test
 # binaries of BENCH_GATE_PKGS from the commit BENCH_baseline.json names
 # ("commit", exported with git archive) and from the working tree, run the
-# pins of both alternately for BENCH_GATE_ROUNDS rounds at BENCH_GATE_TIME,
+# pins of both alternately for ten rounds at BENCH_GATE_TIME,
 # and fail when any pin's median ns/op over the working tree's rounds is more
 # than 25% above its median over the baseline commit's. Both trees run on the
 # same machine in the same minutes, so the gate is green at the baseline
@@ -218,7 +216,7 @@ bench-baseline:
 # to be long-running and one-sided.
 bench-gate:
 	GO='$(GO)' PKGS='$(BENCH_GATE_PKGS)' PATTERN='$(BENCH_GATE_PATTERN)' PINS='$(BENCH_GATE_PINS)' \
-		TIME='$(BENCH_GATE_TIME)' ROUNDS='$(BENCH_GATE_ROUNDS)' bash scripts/bench_gate.sh
+		TIME='$(BENCH_GATE_TIME)' bash scripts/bench_gate.sh
 
 # The end-to-end benchmark (bench/, a Go module of its own that go build ./...
 # and go test ./... at the root do not see). bench-test builds it against the

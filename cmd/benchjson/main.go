@@ -59,9 +59,10 @@ type Result struct {
 
 // Document is the file layout: context lines go test printed (goos, goarch,
 // pkg, cpu) plus the writer's nproc, gomaxprocs and go version, followed by
-// the measurements, one per benchmark name. Commit, which make
-// bench-baseline adds to BENCH_baseline.json, names the commit the recorded
-// numbers were measured at, which make bench-gate builds and measures again.
+// the measurements, one per benchmark name. Commit is the hash of a
+// "commit: <hash>" line in the input, which make bench-baseline writes
+// first: the commit the recorded numbers were measured at, which make
+// bench-gate builds and measures again.
 type Document struct {
 	Commit  string            `json:"commit,omitempty"`
 	Context map[string]string `json:"context,omitempty"`
@@ -252,6 +253,9 @@ func parse(r io.Reader) (*Document, error) {
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for scanner.Scan() {
 		line := strings.TrimSpace(scanner.Text())
+		if v, ok := strings.CutPrefix(line, "commit:"); ok {
+			doc.Commit = strings.TrimSpace(v)
+		}
 		for _, key := range []string{"goos", "goarch", "pkg", "cpu"} {
 			if v, ok := strings.CutPrefix(line, key+":"); ok {
 				// Later packages overwrite pkg; keep the first for a stable
@@ -281,12 +285,12 @@ func parse(r io.Reader) (*Document, error) {
 // median merges the rounds of one measurement: every benchmark, in the
 // order it first appears, with the median of each metric and of the
 // iteration count over the rounds that measured it (the mean of the middle
-// two where they are even), and the first round's context.
+// two where they are even), and the first round's commit and context.
 func median(rounds []*Document) *Document {
 	if len(rounds) == 1 {
 		return rounds[0]
 	}
-	doc := &Document{Context: rounds[0].Context}
+	doc := &Document{Commit: rounds[0].Commit, Context: rounds[0].Context}
 	index := map[string]int{}
 	var runs [][]Result
 	for _, round := range rounds {

@@ -182,3 +182,26 @@ func TestParseBenchLineStillParses(t *testing.T) {
 		t.Fatalf("metrics = %v", res.Metrics)
 	}
 }
+
+// TestCommitLine pins where a document's commit comes from: the hash of a
+// "commit:" line in the input, which make bench-baseline writes first, kept
+// by the median over rounds from the first round.
+func TestCommitLine(t *testing.T) {
+	var rounds []*Document
+	for _, text := range []string{
+		"commit: 0123abc\ngoos: linux\nBenchmarkA-2 10 500 ns/op\n",
+		"BenchmarkA-2 10 700 ns/op\n",
+	} {
+		doc, err := parse(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = append(rounds, doc)
+	}
+	if rounds[0].Commit != "0123abc" || rounds[1].Commit != "" {
+		t.Fatalf("commits = %q, %q, want 0123abc and none", rounds[0].Commit, rounds[1].Commit)
+	}
+	if doc := median(rounds); doc.Commit != "0123abc" {
+		t.Fatalf("median commit = %q, want the first round's 0123abc", doc.Commit)
+	}
+}

@@ -31,10 +31,10 @@ var benchScales = []float64{0.1, 1e-5, 1e-7}
 // benchName is the sub-benchmark name of a codec at a magnitude. The 0.1
 // case keeps the bare codec name it has always had in the BENCH_*.json record.
 // The value codecs name the kernel binding they ran on, as BenchmarkMatMul128
-// does: the assembly is 5-25x the Go loops, so a baseline recorded with F16C
-// would fail the bench gate on a runner without it. BENCH_baseline.json holds
-// an entry for each (make bench-baseline appends a -tags purego run) and the
-// gate compares whichever this machine produces.
+// does: the assembly is 5-25x the Go loops, so numbers of two bindings do not
+// compare. BENCH_baseline.json holds an entry for each (make bench-baseline
+// appends a -tags purego run), so its column beside the bench gate compares
+// whichever this machine produces like for like.
 func benchName(cfg Config, scale float64) string {
 	name := cfg.String()
 	if scale != 0.1 {

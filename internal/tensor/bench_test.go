@@ -7,10 +7,10 @@ import (
 )
 
 // BenchmarkMatMul128 names the bound kernel in its one sub-benchmark: the
-// assembly is 5x the Go loops, so a baseline recorded on an AVX2 machine would
-// fail the bench gate on a runner without it. BENCH_baseline.json holds an
-// entry for each name (make bench-baseline appends a -tags purego run) and
-// the gate compares whichever this machine produces.
+// assembly is 5x the Go loops, so numbers of two bindings do not compare.
+// BENCH_baseline.json holds an entry for each name (make bench-baseline
+// appends a -tags purego run), so its column beside the bench gate compares
+// whichever this machine produces like for like.
 func BenchmarkMatMul128(b *testing.B) {
 	b.Run("kernel="+Kernel(), func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))

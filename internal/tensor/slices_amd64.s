@@ -2,9 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 forms of the slice kernels (kernels.go). Each takes whole windows of eight floats — the Go bindings in kernels_amd64.go
-// cut the slices and run the Go loop on the up to seven values after — and
-// trusts every operand to be as long as the first, so no load or store
+// AVX2 forms of the slice kernels (kernels.go). The ReLU and BatchNorm
+// kernels (reluMask, maskGrad, sumDot, normalizePlane, planeGrad) run a whole
+// slice, the up to seven values after the last window of eight through
+// VMASKMOVPS; the others take whole windows of eight, and the Go bindings in
+// kernels_amd64.go cut the slices and run the Go loop on the values after.
+// Each trusts every operand to be as long as the first, so no load or store
 // touches memory past a slice. The elementwise kernels do per element exactly
 // what the Go loops do on amd64, every multiply and add rounded on its own;
 // the sums add the same terms in another order.

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lease-stress portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check orphans unused fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke profile fmt fmt-check vet ci
+.PHONY: all build test race lease-stress lease-stress-names portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check orphans unused fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke profile fmt fmt-check vet ci
 
 all: build
 
@@ -18,7 +18,7 @@ race:
 
 # The buffer-lease rules (DESIGN.md §6: a pushed frame's receive buffer is
 # held until the sequencer has seen its tickets applied, released on the spot
-# by every push that never reaches the store; a chunk a relay has sent no
+# by every push that never reaches the store; a reply a relay has sent no
 # longer aliases its pull cache) are concurrency properties: one green run
 # proves little, so the three poisoning tests run ten times under the race
 # detector, with the two tests that count the releases of a failed and of a
@@ -57,7 +57,7 @@ race:
 # for a peer without a pidfd, and a server stopped with a packed reference
 # out lets go of every packed generation in its region.
 lease-stress:
-	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentChunkOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease|TestInProcessScheduleRecyclesGenerations|TestRegionFullFallsBackToCopy|TestLeaseExpiredReaderKeepsItsGeneration|TestDeadReaderPinsNothing|TestRelaySentReferenceOutlivesSupersededPullCache|TestRelayStopDropsTheTrunkSlotPartial|TestRelayStopReleasesTheHeldFirstPush|TestRelayFoldBitIdenticalToCopyThenAdd' ./internal/ps/
+	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentReplyOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease|TestInProcessScheduleRecyclesGenerations|TestRegionFullFallsBackToCopy|TestLeaseExpiredReaderKeepsItsGeneration|TestDeadReaderPinsNothing|TestRelaySentReferenceOutlivesSupersededPullCache|TestRelayStopDropsTheTrunkSlotPartial|TestRelayStopReleasesTheHeldFirstPush|TestRelayFoldBitIdenticalToCopyThenAdd' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
 	$(GO) test -race -count=10 -run 'TestLane|TestLoopbackDialUpgradesToLane|TestReleaseHookSeesBodyBeforeReuse|TestPipeKeepsTheConnContract|TestForeignPeersStayOnTCP|TestListenerCloseFreesLaneName' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestWorkerLoopLeasesSurvivePoisoning|TestWorkerLoopRejoinsGroup' ./internal/trainer/
@@ -66,6 +66,13 @@ lease-stress:
 	$(GO) test -race -count=20 -run '^TestGuard(DetectionRates|RejectionsCountedOnce)$$' ./internal/experiment/
 	$(GO) test -race -count=20 -run '^(TestLanePackedPushSlotWritesNoPayload|TestLanePackedReferenceFrames|TestPackedPathsCopyOnTCP|TestLanePeerWithoutPidfdGetsNoRegion)$$' ./internal/transport/
 	$(GO) test -race -count=20 -run '^TestServerStopEvictsPackedGenerations$$' ./internal/ps/
+
+# The -run lists above name tests verbatim, and a name that matches no test
+# (the test was renamed or deleted) runs nothing and passes. This fails when
+# any top-level name or prefix in them matches no test of its package
+# (go test -list; scripts/run_names.sh).
+lease-stress-names:
+	GO='$(GO)' MAKE='$(MAKE)' bash scripts/run_names.sh lease-stress
 
 # The portable kernel paths (the Go loops of internal/tensor, bound where there
 # is no AVX2+FMA — internal/optimizer's step runs on them — and of
@@ -386,4 +393,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt-check vet loc surface-check orphans unused race lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke bench-smoke
+ci: build fmt-check vet loc surface-check orphans unused race lease-stress-names lease-stress portable bench-test fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke bench-smoke

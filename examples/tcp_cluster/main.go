@@ -31,8 +31,8 @@ func main() {
 		Model:        dssp.ModelSmallMLP,
 		Dataset:      dataset,
 		LearningRate: 0.1,
-		// Four store shards: pulls stream the weights as four chunks, each
-		// sent as soon as its shard is read (0 would pick one per CPU).
+		// Four store shards, each applying pushes on its own; a pull still
+		// gets the whole model in one frame (0 would pick one shard per CPU).
 		Options: dssp.Options{Shards: 4},
 		Seed:    11,
 	})

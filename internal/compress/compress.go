@@ -1,6 +1,6 @@
 // Package compress implements the pluggable gradient codecs spoken on the
 // parameter-server wire path. A codec turns the dense float32 tensors of a
-// push (and optionally the weight chunks of a pull) into a compact binary
+// push (and optionally the weights of a pull reply) into a compact binary
 // Packed form and back:
 //
 //   - "none"  — identity; tensors travel uncompressed (the default).
@@ -69,7 +69,7 @@ type Config struct {
 	// TopK is the fraction of entries per tensor kept by the topk codec,
 	// in (0, 1]; 0 selects DefaultTopK. Ignored by the other codecs.
 	TopK float64
-	// Pull additionally compresses the weight chunks workers pull. Only the
+	// Pull additionally compresses the weights workers pull. Only the
 	// value codecs (fp16, int8) support it: weights are state, not sparse
 	// updates, so topk pulls would discard most of the model.
 	Pull bool

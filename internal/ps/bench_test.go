@@ -34,7 +34,7 @@ func benchGrads() []*tensor.Tensor {
 
 // benchImpl is the store under benchmark: apply pushes one
 // gradient set, servePull performs the work the server's pull handler does
-// for one worker (everything up to handing chunks to the outbox).
+// for one worker (everything up to handing the reply to the outbox).
 type benchImpl struct {
 	apply     func(grads []*tensor.Tensor) (int64, error)
 	servePull func() int
@@ -57,7 +57,7 @@ func benchSharded(b *testing.B) benchImpl {
 		servePull: func() int {
 			n := 0
 			for i := 0; i < st.Shards(); i++ {
-				params, gen, _, _ := st.acquireShard(i)
+				params, gen := st.acquireShard(i)
 				n += len(transport.ToWireOwned(params))
 				gen.release()
 			}
@@ -146,7 +146,7 @@ func BenchmarkStoreApply(b *testing.B) {
 }
 
 // BenchmarkServerConcurrentPull measures pull round trips through the full
-// server — registration, per-worker outboxes, chunked weight streaming —
+// server — registration, per-worker outboxes, one-frame weight replies —
 // with 1, 4 and 16 workers pulling concurrently.
 func BenchmarkServerConcurrentPull(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {

@@ -47,14 +47,12 @@ type Client struct {
 	pushWire []transport.WireTensor
 	// slot is the connection's resident push slot (PushSlot).
 	slot pushSlot
-	// pullParams is the chunk-reassembly buffer reused across Pulls.
-	pullParams []*tensor.Tensor
-	// pullHeld is, per server shard, the last dense Weights chunk whose
-	// tensors Pull handed out aliasing the chunk's leased receive buffer. The
-	// lease ends when the chunk superseding it has been decoded — "valid
-	// until the next Pull", with an Unchanged reply extending it — and never
-	// earlier: the caller is still reading the tensors.
-	pullHeld []transport.Message
+	// held is the last dense Weights reply whose tensors Pull handed out
+	// aliasing its leased receive buffer. The lease ends when the reply
+	// superseding it has been decoded — "valid until the next Pull", with an
+	// Unchanged reply extending it — and never earlier: the caller is still
+	// reading the tensors.
+	held transport.Message
 
 	// cluster and replica stamp the registration with the session flags:
 	// cluster-mode workers (accepted by coordinators), and read-only replica
@@ -66,13 +64,10 @@ type Client struct {
 	// trunk adopts the session key the root assigns, and its push slot has
 	// room for a full fanout of PushEntries.
 	trunk []transport.ServerEntry
-	// shardCache holds the decoded tensors of the last reply, per server
-	// shard: a packed chunk decodes into its shard's entry in place, and a
-	// relay fans the entries out to its children.
-	shardCache [][]*tensor.Tensor
-	// reply and replyVersion are what the last complete reply returned; a
-	// replica names replyVersion in its next Pull, and an Unchanged reply
-	// returns reply again. Both are dropped at registration.
+	// reply and replyVersion are what the last reply returned; a replica
+	// names replyVersion in its next Pull, an Unchanged reply returns reply
+	// again, and a packed reply decodes into reply's tensors in place. Both
+	// are dropped at registration.
 	reply        []*tensor.Tensor
 	replyVersion int64
 }
@@ -183,22 +178,20 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 	return nil
 }
 
-// Pull retrieves the current global weights and their version. The server
-// streams the weights as one chunk per parameter-store shard; Pull
-// reassembles them in arrival order and reports the smallest version seen
-// across chunks, the conservative choice for staleness accounting when a
-// gradient application lands mid-pull.
+// Pull retrieves the current global weights and their version: one Weights
+// frame carrying every tensor, labelled with a store version no part of it
+// is older than.
 //
-// A replica (SetReplica) sends the version of the last complete reply it
-// holds; while the store is still at that version the server answers with
-// one payload-free Unchanged frame, and Pull returns the previous reply's
-// tensors and version again, so a pull when nothing moved transfers nothing.
-// A worker sends no version and always gets the full reply.
+// A replica (SetReplica) sends the version of the last reply it holds; while
+// the store is still at that version the server answers with one
+// payload-free Unchanged frame, and Pull returns the previous reply's tensors
+// and version again, so a pull when nothing moved transfers nothing. A worker
+// sends no version and always gets the full reply.
 //
 // The returned slice is reused by the next Pull, and the tensors are on
-// lease until then: a dense chunk's tensors alias the receive buffer the
-// chunk arrived in, which goes back to the connection once the next Pull
-// has decoded the chunk superseding it; an Unchanged reply returns the same
+// lease until then: a dense reply's tensors alias the receive buffer it
+// arrived in, which goes back to the connection once the next Pull has
+// decoded the reply superseding it; an Unchanged reply returns the same
 // tensors and extends their lease; and with a pull codec the next Pull
 // decodes into them in place. Callers must treat slice and tensors as
 // read-only, valid until the next Pull or Close, and copy what they keep. A
@@ -227,107 +220,26 @@ func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
 		}
 		return c.reply, c.replyVersion, nil
 	}
-	params, version, err := c.pullReply(msg)
+	params, err := c.decodeWeights(msg)
 	if err != nil {
-		// A torn reply names no version a later pull could be gated on.
+		// A failed decode names no version a later pull could be gated on,
+		// and a packed one may have stopped half way through rewriting
+		// reply's tensors.
 		c.reply, c.replyVersion = nil, 0
 		return nil, 0, err
 	}
-	c.reply, c.replyVersion = params, version
-	return params, version, nil
+	c.reply, c.replyVersion = params, msg.Version
+	return params, msg.Version, nil
 }
 
-// pullReply reassembles the full reply whose first chunk is msg.
-func (c *Client) pullReply(msg transport.Message) ([]*tensor.Tensor, int64, error) {
-	if msg.Shards <= 1 {
-		// Unchunked reply from a single-shard store.
-		params, err := c.chunkTensors(msg, 1)
-		if err != nil {
-			return nil, 0, err
-		}
-		return params, msg.Version, nil
-	}
-
-	chunks := msg.Shards
-	total := msg.Total
-	if total <= 0 {
-		return nil, 0, fmt.Errorf("ps: worker %d received chunked weights with total %d tensors", c.worker, total)
-	}
-	if cap(c.pullParams) < total {
-		c.pullParams = make([]*tensor.Tensor, total)
-	}
-	params := c.pullParams[:total]
-	for i := range params {
-		params[i] = nil
-	}
-	version := msg.Version
-	placed := 0
-	for chunk := 0; ; chunk++ {
-		if msg.Shards != chunks || msg.Total != total {
-			return nil, 0, fmt.Errorf("ps: worker %d received inconsistent weight chunks (%d/%d shards, %d/%d tensors)",
-				c.worker, msg.Shards, chunks, msg.Total, total)
-		}
-		ts, err := c.chunkTensors(msg, chunks)
-		if err != nil {
-			return nil, 0, err
-		}
-		if msg.Base < 0 || msg.Base+len(ts) > total {
-			return nil, 0, fmt.Errorf("ps: worker %d received weight chunk [%d,%d) outside [0,%d)",
-				c.worker, msg.Base, msg.Base+len(ts), total)
-		}
-		for i, t := range ts {
-			if params[msg.Base+i] != nil {
-				return nil, 0, fmt.Errorf("ps: worker %d received tensor %d twice", c.worker, msg.Base+i)
-			}
-			params[msg.Base+i] = t
-		}
-		placed += len(ts)
-		if msg.Version < version {
-			version = msg.Version
-		}
-		if chunk == chunks-1 {
-			break
-		}
-		if msg, err = c.recv(); err != nil {
-			return nil, 0, err
-		}
-		if msg.Type != transport.MsgWeights {
-			return nil, 0, fmt.Errorf("ps: worker %d expected Weights chunk, got %v", c.worker, msg.Type)
-		}
-	}
-	if placed != total {
-		return nil, 0, fmt.Errorf("ps: worker %d reassembled %d of %d tensors", c.worker, placed, total)
-	}
-	return params, version, nil
-}
-
-// chunkTensors decodes one Weights chunk into its shard's shardCache entry. A
-// packed chunk decodes in place into the tensors the shard's previous packed
-// chunk produced, so compressed pulls allocate nothing in the steady state;
-// that is within Pull's contract, because the only tensors rewritten are the
-// ones this very chunk supersedes.
-func (c *Client) chunkTensors(msg transport.Message, shards int) ([]*tensor.Tensor, error) {
-	if msg.Shard < 0 || msg.Shard >= shards {
-		return c.decodeWeights(msg, nil)
-	}
-	if len(c.shardCache) != shards {
-		c.shardCache = make([][]*tensor.Tensor, shards)
-	}
-	ts, err := c.decodeWeights(msg, c.shardCache[msg.Shard])
-	// On error the in-place decode may have stopped half way: drop the entry
-	// rather than leave a torn copy.
-	c.shardCache[msg.Shard] = ts
-	return ts, err
-}
-
-// decodeWeights extracts the tensors of one Weights message and accounts the
-// pulled bytes. Packed chunks are unpacked straight from the message's
-// payload (its leased receive buffer) into prev's tensors where the shapes
-// still match, and the buffer is handed back at once: nothing aliases it
-// after the decode. A dense chunk's tensors alias the message's buffer
-// instead of being copied, so the chunk is held, superseding the one held for
-// its shard, whose lease ends here.
-func (c *Client) decodeWeights(msg transport.Message, prev []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// decodeWeights extracts the tensors of a Weights reply and accounts the
+// pulled bytes. A packed reply is unpacked straight from the message's
+// payload (its leased receive buffer) into the previous packed reply's
+// tensors where the shapes still match, and the buffer is handed back at
+// once: nothing aliases it after the decode. A dense reply's tensors alias
+// the message's buffer instead of being copied, so the reply is held; either
+// way the reply held before is released once the new one has decoded.
+func (c *Client) decodeWeights(msg transport.Message) ([]*tensor.Tensor, error) {
 	if msg.Codec != "" || len(msg.Packed) > 0 {
 		defer msg.Release()
 		if msg.Codec != c.cfg.Codec {
@@ -337,7 +249,17 @@ func (c *Client) decodeWeights(msg transport.Message, prev []*tensor.Tensor) ([]
 		for _, p := range msg.Packed {
 			c.pulledBytes += int64(p.WireSize())
 		}
-		return compress.DecompressAllReuse(msg.Packed, prev)
+		prev := c.reply
+		if c.held.Type != 0 {
+			// The last reply was dense: its tensors are views of a receive
+			// buffer, not this client's to write.
+			prev = nil
+		}
+		ts, err := compress.DecompressAllReuse(msg.Packed, prev)
+		if err == nil {
+			c.hold(transport.Message{})
+		}
+		return ts, err
 	}
 	c.pulledBytes += wireTensorBytes(msg.Tensors)
 	ts, err := transport.FromWireOwned(msg.Tensors)
@@ -345,32 +267,15 @@ func (c *Client) decodeWeights(msg transport.Message, prev []*tensor.Tensor) ([]
 		msg.Release()
 		return nil, err
 	}
-	c.holdChunk(msg)
+	c.hold(msg)
 	return ts, nil
 }
 
-// holdChunk keeps msg — a dense chunk whose tensors were just handed out
-// aliasing its receive buffer — as its shard's held chunk and releases the
-// one it supersedes. A chunk naming no sane shard is not tracked: its buffer
-// is left to the garbage collector, which is always safe.
-func (c *Client) holdChunk(msg transport.Message) {
-	shards := msg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if msg.Shard < 0 || msg.Shard >= shards || shards > maxHeldChunks {
-		return
-	}
-	for len(c.pullHeld) < shards {
-		c.pullHeld = append(c.pullHeld, transport.Message{})
-	}
-	c.pullHeld[msg.Shard].Release()
-	c.pullHeld[msg.Shard] = msg
+// hold makes msg the held reply, ending the lease of the one it supersedes.
+func (c *Client) hold(msg transport.Message) {
+	c.held.Release()
+	c.held = msg
 }
-
-// maxHeldChunks bounds pullHeld against a corrupt Shards field; no store has
-// anywhere near this many shards.
-const maxHeldChunks = 1 << 12
 
 // PushAndWait sends the worker's gradients (computed against baseVersion of
 // the global weights) and blocks until the server sends OK, i.e. until the
@@ -602,13 +507,10 @@ func (c *Client) Close() error {
 	return err
 }
 
-// endLeases ends the lease on every dense chunk Pull still holds, and the
-// push slot.
+// endLeases ends the lease on the dense reply Pull still holds, and the push
+// slot.
 func (c *Client) endLeases() {
-	for i := range c.pullHeld {
-		c.pullHeld[i].Release()
-		c.pullHeld[i] = transport.Message{}
-	}
+	c.hold(transport.Message{})
 	c.slot.end()
 }
 

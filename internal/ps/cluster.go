@@ -172,8 +172,8 @@ func tensorSizes(ts []*tensor.Tensor) []int {
 // the normalized count groupLayout returned.
 //
 // The resulting store is local in every externally visible way: Shards()
-// reports shardHi-shardLo, tensor indices (EnqueueApply, ShardRange, pull
-// chunk bases) are relative to the range's first tensor. Callers map local
+// reports shardHi-shardLo, tensor indices (EnqueueApply, ShardRange, the
+// tensors of a pull reply) are relative to the range's first tensor. Callers map local
 // to global through the layout entry that produced the range.
 func newStoreRange(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShards, shardLo, shardHi int) (*Store, error) {
 	if len(initial) == 0 {

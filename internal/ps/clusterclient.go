@@ -296,8 +296,8 @@ func (c *ClusterClient) fragment(i int, ts []*tensor.Tensor) []*tensor.Tensor {
 
 // Pull assembles the global weights from the links that carry them and
 // returns them with the minimum version seen — the conservative base for
-// this iteration's staleness accounting, exactly as a chunked single-server
-// pull reports the smallest chunk version. The returned slice and tensors
+// this iteration's staleness accounting, as a single server labels its reply
+// with the version read before any shard. The returned slice and tensors
 // follow Client.Pull's read-only contract — valid until the next Pull or
 // Close, a link replaced in between notwithstanding. A dead data-only link
 // recovers mid-pull; the pull against its replacement re-runs for that range

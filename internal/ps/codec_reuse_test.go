@@ -201,23 +201,23 @@ func TestAcquirePackedRecyclesOnlyReleasedBuffers(t *testing.T) {
 	}
 	buf := func(ps []compress.Packed) *byte { return &ps[0].Payload[0] }
 
-	held, pin, _, _ := st.acquirePacked(0, into)
+	held, pin := st.acquirePacked(0, into)
 	heldBuf, heldBytes := buf(held), string(held[0].Payload)
 	step()
-	second, pin2, _, _ := st.acquirePacked(0, into)
+	second, pin2 := st.acquirePacked(0, into)
 	if buf(second) == heldBuf {
 		t.Fatal("a fill rewrote a packed generation that was still pinned")
 	}
 	pin2.release()
 	step()
-	third, pin3, _, _ := st.acquirePacked(0, into)
+	third, pin3 := st.acquirePacked(0, into)
 	if buf(third) == heldBuf || string(held[0].Payload) != heldBytes {
 		t.Fatal("a fill rewrote a packed generation that was still pinned")
 	}
 	pin3.release()
 	pin.release()
 	step()
-	fourth, pin4, _, _ := st.acquirePacked(0, into)
+	fourth, pin4 := st.acquirePacked(0, into)
 	if b := buf(fourth); b != heldBuf && b != buf(second) {
 		t.Fatal("a fill allocated although released generations were retired")
 	}
@@ -225,16 +225,13 @@ func TestAcquirePackedRecyclesOnlyReleasedBuffers(t *testing.T) {
 }
 
 // TestClientPullDecodeAllocatesNothing pins the worker end of a compressed
-// pull: a packed chunk decodes in place into the tensors the shard's
-// previous chunk produced, for replica and worker sessions alike.
+// pull: a packed reply decodes in place into the tensors the previous reply
+// produced, for replica and worker sessions alike.
 func TestClientPullDecodeAllocatesNothing(t *testing.T) {
 	cfg := compress.Config{Codec: compress.FP16, Pull: true}
 	rng := rand.New(rand.NewSource(1))
 	params := []*tensor.Tensor{tensor.New(64, 32).RandNormal(rng, 0, 0.1), tensor.New(64).RandNormal(rng, 0, 0.1)}
-	msg := transport.Message{
-		Type: transport.MsgWeights, Codec: cfg.Codec, Packed: compress.Pack(params, cfg),
-		Shard: 1, Shards: 2, Total: 4, Base: 2,
-	}
+	msg := transport.Message{Type: transport.MsgWeights, Codec: cfg.Codec, Packed: compress.Pack(params, cfg)}
 	for _, replica := range []bool{false, true} {
 		conn, peer := transport.Pipe()
 		c, err := NewClientCompressed(conn, 0, cfg)
@@ -242,18 +239,19 @@ func TestClientPullDecodeAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.replica = replica
-		first, err := c.chunkTensors(msg, 2)
+		first, err := c.decodeWeights(msg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.reply = first
 		allocs := testing.AllocsPerRun(10, func() {
-			again, err := c.chunkTensors(msg, 2)
+			again, err := c.decodeWeights(msg)
 			if err != nil || again[0] != first[0] {
 				t.Fatalf("second decode did not reuse the first one's tensors (err %v)", err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("replica=%v: a steady-state packed chunk decode allocates %v times", replica, allocs)
+			t.Errorf("replica=%v: a steady-state packed reply decode allocates %v times", replica, allocs)
 		}
 		if !first[0].ApproxEqual(params[0], 1e-3) {
 			t.Errorf("replica=%v: in-place decode lost the weights", replica)

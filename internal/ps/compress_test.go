@@ -263,8 +263,8 @@ func TestPackedShardCachesUntilApply(t *testing.T) {
 		return compress.PackInto(dst, ts, compress.Config{Codec: compress.FP16})
 	}
 
-	a, pinA, _, _ := st.acquirePacked(0, pack)
-	b, pinB, _, _ := st.acquirePacked(0, pack)
+	a, pinA := st.acquirePacked(0, pack)
+	b, pinB := st.acquirePacked(0, pack)
 	if calls != 1 {
 		t.Fatalf("second acquirePacked recompressed (calls=%d)", calls)
 	}
@@ -278,13 +278,14 @@ func TestPackedShardCachesUntilApply(t *testing.T) {
 	if _, err := st.Apply(grads); err != nil {
 		t.Fatal(err)
 	}
-	packed, pin, _, version := st.acquirePacked(0, pack)
+	version := st.Version()
+	packed, pin := st.acquirePacked(0, pack)
 	defer pin.release()
 	if calls != 2 {
 		t.Fatalf("acquirePacked after Apply served stale cache (calls=%d)", calls)
 	}
 	if version != 1 {
-		t.Fatalf("acquirePacked version = %d, want 1", version)
+		t.Fatalf("store version before acquirePacked = %d, want 1", version)
 	}
 	dec, err := compress.DecompressAll(packed)
 	if err != nil {

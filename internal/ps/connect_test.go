@@ -233,20 +233,20 @@ func TestRetry(t *testing.T) {
 // on the wire, counted by the transport meter on the worker's own dials: on a
 // flat server and through a relay, one push and one pull on the one link; on
 // a group, a fragment push and a pull per data server plus the coordinator's
-// ticket push. Traffic counts each link once too: one gradient's payload
-// pushed and one model's pulled per iteration, on every route.
+// ticket push. Every pull is answered with one Weights frame, though each
+// store runs two shards. Traffic counts each link once too: one gradient's
+// payload pushed and one model's pulled per iteration, on every route.
 func TestConnectFramesPerIteration(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(2048)}
 	const iters = 4
 	for _, tc := range []struct {
 		topo string
-		// want is frames per iteration by direction and type; the stores run
-		// two shards per server, each a Weights chunk of its own.
+		// want is frames per iteration by direction and type.
 		want map[string]float64
 	}{
-		{"flat", map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 2}},
-		{"tree", map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 2}},
-		{"group", map[string]float64{"sent Push": 3, "recv OK": 3, "sent Pull": 2, "recv Weights": 4}},
+		{"flat", map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}},
+		{"tree", map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}},
+		{"group", map[string]float64{"sent Push": 3, "recv OK": 3, "sent Pull": 2, "recv Weights": 2}},
 	} {
 		t.Run(tc.topo, func(t *testing.T) {
 			top := startLeaseTopology(t, tc.topo, true, true, 1, initial)

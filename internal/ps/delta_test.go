@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dssp/internal/compress"
 	"dssp/internal/core"
@@ -76,11 +77,18 @@ func (g gateCluster) push(t *testing.T, rng *rand.Rand, iteration int) {
 	}
 }
 
-// served reads what the server has sent so far: Weights frames and the
-// pulls it answered with one Unchanged frame.
-func (g gateCluster) served() (weightsFrames, unchanged float64) {
-	m := g.srv.Registry().Snapshot()
-	return m[`dssp_transport_frames_total{dir="sent",type="Weights"}`], m["dssp_pull_unchanged_total"]
+// served reads what the server has metered so far: Weights frames sent, and
+// the pulls it answered with one Unchanged frame. A frame is metered once its
+// Send has returned, which can be after the client has read it, so served
+// first waits, up to five seconds, until at least frames are.
+func (g gateCluster) served(frames float64) (weightsFrames, unchanged float64) {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		m := g.srv.Registry().Snapshot()
+		weightsFrames, unchanged = m[`dssp_transport_frames_total{dir="sent",type="Weights"}`], m["dssp_pull_unchanged_total"]
+		if weightsFrames >= frames || time.Now().After(deadline) {
+			return weightsFrames, unchanged
+		}
+	}
 }
 
 // TestDeltaPullServesCorrectWeightsAcrossUpdates interleaves pushes and
@@ -106,22 +114,22 @@ func TestDeltaPullServesCorrectWeightsAcrossUpdates(t *testing.T) {
 		}
 		g.push(t, rng, round)
 	}
-	if _, unchanged := g.served(); unchanged != 5 {
+	if _, unchanged := g.served(0); unchanged != 5 {
 		t.Fatalf("%v pulls answered Unchanged, want 5 (every second pull after the first push)", unchanged)
 	}
 }
 
 // checkGate pins the gate on g's store: a replica that pulls twice with no
 // push in between gets one Unchanged frame, no payload bytes, and the same
-// tensors and version; after a push it gets full chunks with the new values.
+// tensors and version; after a push it gets one full Weights frame with the
+// new values, whatever the store's shard count.
 // same reports whether pulled weights match the store's.
 func checkGate(t *testing.T, g gateCluster, same func(got, want []*tensor.Tensor) bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(6))
 	g.push(t, rng, 0) // version 0 never gates
-	shards := float64(g.st.Shards())
+	frames0, unchanged0 := g.served(0)
 	for round := 1; round <= 3; round++ {
-		frames0, unchanged0 := g.served()
 		first, version, err := g.replica.Pull()
 		if err != nil {
 			t.Fatal(err)
@@ -133,17 +141,17 @@ func checkGate(t *testing.T, g gateCluster, same func(got, want []*tensor.Tensor
 		for i, p := range first {
 			firstCopy[i] = p.Clone()
 		}
-		frames1, unchanged1 := g.served()
-		if frames1-frames0 != shards || unchanged1 != unchanged0 {
-			t.Fatalf("round %d: pull after a push took %v Weights frames (%v Unchanged), want %v full chunks",
-				round, frames1-frames0, unchanged1-unchanged0, shards)
+		frames1, unchanged1 := g.served(frames0 + 1)
+		if frames1-frames0 != 1 || unchanged1 != unchanged0 {
+			t.Fatalf("round %d: pull after a push took %v Weights frames (%v Unchanged), want one full frame",
+				round, frames1-frames0, unchanged1-unchanged0)
 		}
 		_, pulledBefore := g.replica.Traffic()
 		again, againVersion, err := g.replica.Pull()
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames2, unchanged2 := g.served()
+		frames2, unchanged2 := g.served(frames1 + 1)
 		if frames2-frames1 != 1 || unchanged2-unchanged1 != 1 {
 			t.Fatalf("round %d: pull of an unchanged store took %v Weights frames (%v Unchanged), want one Unchanged frame",
 				round, frames2-frames1, unchanged2-unchanged1)
@@ -162,6 +170,7 @@ func checkGate(t *testing.T, g gateCluster, same func(got, want []*tensor.Tensor
 		if !sameTensors(again, firstCopy) {
 			t.Fatalf("round %d: tensors changed under an Unchanged reply", round)
 		}
+		frames0, unchanged0 = frames2, unchanged2
 		g.push(t, rng, round)
 	}
 }
@@ -190,8 +199,9 @@ func TestDeltaPullWithCompressedPullPath(t *testing.T) {
 
 // TestDeltaPullRefusedFallsBackToFullPulls: a peer that ignores the version
 // a replica names answers every pull with the full reply, and the replica
-// keeps working with full pulls. The peer is scripted: it speaks the registration and the two-chunk
-// pull reply by hand, and checks the versions named.
+// keeps working with full pulls. The peer is scripted: it speaks the
+// registration and the one-frame pull reply by hand, and checks the versions
+// named.
 func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 	want := pipelineModel(31)
 	listener := transport.NewChanListener()
@@ -226,14 +236,11 @@ func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 				if msg.Type != transport.MsgPull || msg.Version != named || msg.Replica || msg.Unchanged {
 					return fmt.Errorf("pull %d: peer got %+v, want a plain Pull naming version %d", i, msg, named)
 				}
-				for shard, span := range [][2]int{{0, 2}, {2, 3}} {
-					err := conn.Send(transport.Message{
-						Type: transport.MsgWeights, Shard: shard, Shards: 2, Total: len(want),
-						Base: span[0], Version: version, Tensors: transport.ToWireOwned(want[span[0]:span[1]]),
-					})
-					if err != nil {
-						return err
-					}
+				err := conn.Send(transport.Message{
+					Type: transport.MsgWeights, Version: version, Tensors: transport.ToWireOwned(want),
+				})
+				if err != nil {
+					return err
 				}
 			}
 			return nil
@@ -270,28 +277,10 @@ func TestDeltaPullRefusedFallsBackToFullPulls(t *testing.T) {
 	}
 }
 
-// recvWeightsChunks reads one chunked pull reply — exactly shards Weights
-// messages — off a raw connection.
-func recvWeightsChunks(t *testing.T, conn transport.Conn, shards int) []transport.Message {
-	t.Helper()
-	chunks := make([]transport.Message, 0, shards)
-	for i := 0; i < shards; i++ {
-		msg, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg.Type != transport.MsgWeights {
-			t.Fatalf("chunk %d: got %v, want Weights", i, msg.Type)
-		}
-		chunks = append(chunks, msg)
-	}
-	return chunks
-}
-
 // TestNonDeltaSessionPullRepliesStayV1 pins the gated-pull rule of
 // docs/PROTOCOL.md §5a: a pull that names no version — every worker's — or
-// one the store has moved past is answered with full chunks that carry no
-// Unchanged, and a flat server's Registered carries no cluster field. Only a
+// one the store has moved past is answered with one full frame that carries
+// no Unchanged, and a flat server's Registered carries no cluster field. Only a
 // pull naming the store's version gets the empty Unchanged reply, whatever
 // session sent it.
 func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
@@ -354,10 +343,12 @@ func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
 				if err := conn.Send(transport.Message{Type: transport.MsgPull, Worker: 0, Version: named}); err != nil {
 					t.Fatal(err)
 				}
-				for _, msg := range recvWeightsChunks(t, conn, st.Shards()) {
-					if msg.Unchanged || msg.Version != 2 || len(msg.Tensors)+len(msg.Packed) == 0 {
-						t.Fatalf("pull naming version %d: chunk for shard %d is %+v, want a full chunk at version 2", named, msg.Shard, msg)
-					}
+				msg, err := conn.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if msg.Type != transport.MsgWeights || msg.Unchanged || msg.Version != 2 || len(msg.Tensors)+len(msg.Packed) != len(initial) {
+					t.Fatalf("pull naming version %d: reply is %+v, want one full frame at version 2", named, msg)
 				}
 			}
 

@@ -302,11 +302,11 @@ func poisonReleasedBodies(t *testing.T) *atomic.Int64 {
 // handlePush instead of carrying it to the sequencer (dropping the
 // hold-until-applied) fails flat/tcp, group/tcp and both TCP-rooted trees —
 // one site now that a worker's push and a relay's partial share the path;
-// releasing a pulled chunk in decodeWeights
+// releasing a pulled reply in decodeWeights
 // right after FromWireOwned instead of holding it (dropping the
-// hold-until-superseded) fails every case. That a chunk a relay has sent
+// hold-until-superseded) fails every case. That a reply a relay has sent
 // no longer aliases its pull cache needs a stalled reader to break, which
-// TestRelaySentChunkOutlivesSupersededPullCache supplies.
+// TestRelaySentReplyOutlivesSupersededPullCache supplies.
 func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 	released := poisonReleasedBodies(t)
 	for _, tc := range []struct {
@@ -328,7 +328,7 @@ func TestDenseBufferLeasesSurvivePoisoning(t *testing.T) {
 		{"tree/lane", "tree", true, true, true},
 		{"tree/channel", "tree", false, false, false},
 		// In-process children behind a relay whose upstream is a socket: the
-		// chunks they hold must not alias the relay's pull cache.
+		// replies they hold must not alias the relay's pull cache.
 		{"tree/tcp-root-inproc-children", "tree", true, false, false},
 		{"tree/lane-root-inproc-children", "tree", true, false, true},
 	} {
@@ -647,7 +647,7 @@ func countingProxy(t *testing.T, target string) (addr string, up, down *atomic.I
 
 // TestMeteringExactWithByReferenceSlabs holds the transport meters and
 // Client.Traffic to what they counted before slabs left by reference: over a
-// 1 MB dense push and the chunked pull that follows, dssp_transport_bytes_total
+// 1 MB dense push and the pull that follows, dssp_transport_bytes_total
 // on both ends equals the bytes a proxy saw on the raw sockets, frame for
 // frame, and Traffic is the same payload formula as ever.
 func TestMeteringExactWithByReferenceSlabs(t *testing.T) {
@@ -839,7 +839,7 @@ func startDense(tb testing.TB, carrier string, reg *obs.Registry, cfg compress.C
 
 // TestDensePushPullRoundTripAllocatesNoPayload is the allocation ceiling of
 // the dense wire path: once warm, a 1 MB push plus the 1 MB pull that follows
-// — client encode, server decode, apply, COW publication, chunked reply,
+// — client encode, server decode, apply, COW publication, the reply,
 // client decode, everything both processes' goroutines do — allocates less
 // than 64 KB in total, so no buffer that scales with the payload is allocated
 // anywhere, and only a bounded number of small objects (message headers, wire
@@ -1033,15 +1033,15 @@ func benchPushPull1MB(b *testing.B, carrier string, cfg compress.Config) {
 	}
 }
 
-// TestRelaySentChunkOutlivesSupersededPullCache pins Relay.handlePull's
+// TestRelaySentReplyOutlivesSupersededPullCache pins Relay.handlePull's
 // lease rule where the soak test above cannot reach it deterministically: a
 // relay whose upstream is a socket serves its pull cache to a child on the
 // channel transport, the child sits on the message without decoding it, and
-// the cache entry is superseded — its receive buffer released, poisoned —
+// the cached reply is superseded — its receive buffer released, poisoned —
 // by the next upstream pull. The child's message must still read the weights
 // it was sent: Send was done with the cache's tensors when it returned, and
 // the message owns the buffer it arrived in (transport.Conn).
-func TestRelaySentChunkOutlivesSupersededPullCache(t *testing.T) {
+func TestRelaySentReplyOutlivesSupersededPullCache(t *testing.T) {
 	poisonReleasedBodies(t)
 	initial := []*tensor.Tensor{tensor.Full(3, 4096)}
 	st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 1)
@@ -1073,7 +1073,7 @@ func TestRelaySentChunkOutlivesSupersededPullCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Child 0 pulls by hand and keeps the undecoded chunk.
+	// Child 0 pulls by hand and keeps the undecoded reply.
 	if err := conns[0].Send(transport.Message{Type: transport.MsgPull, Worker: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -1094,7 +1094,7 @@ func TestRelaySentChunkOutlivesSupersededPullCache(t *testing.T) {
 	}
 	for i, v := range held.Tensors[0].Data {
 		if v != 3 {
-			t.Fatalf("value %d of the chunk child 0 still holds reads %v, want 3: it aliased a receive buffer the relay has handed back", i, v)
+			t.Fatalf("value %d of the reply child 0 still holds reads %v, want 3: it aliased a receive buffer the relay has handed back", i, v)
 		}
 	}
 }

@@ -97,7 +97,7 @@ func newServerMetrics(reg *obs.Registry, workers int) *serverMetrics {
 		pulls: reg.Counter("dssp_pull_total",
 			"Pull requests served."),
 		pullSeconds: reg.Histogram("dssp_pull_seconds",
-			"Pull handler latency: request arrival to last chunk enqueued.",
+			"Pull handler latency: request arrival to the reply enqueued.",
 			obs.LatencyBuckets),
 		pullUnchanged: reg.Counter("dssp_pull_unchanged_total",
 			"Pulls answered with one payload-free Unchanged frame: the replica already held the store's version."),

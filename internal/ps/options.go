@@ -26,8 +26,8 @@ type Options struct {
 	Shards int
 	// Compression selects the gradient codec spoken on the wire. Workers
 	// must register with a matching configuration (or compress.Auto) or are
-	// rejected. With Compression.Pull set, weight chunks on the pull path
-	// are compressed too.
+	// rejected. With Compression.Pull set, pull replies are compressed
+	// too.
 	Compression compress.Config
 	// Aggregator selects how the per-shard appliers reduce queued pushes
 	// into optimizer steps: plain sum (the default), norm-clipped sum, or

@@ -250,10 +250,8 @@ func regionPacked(g *packedGen, alloc *regionAlloc) {
 }
 
 // acquireShard returns shard i's currently published parameter tensors
-// without copying, with the global index of the first one and the store's
-// aggregate version at read time. The tensors are the store's copy-on-write
-// snapshot: never mutated after publication, and the CALLER MUST NOT mutate
-// them either.
+// without copying. The tensors are the store's copy-on-write snapshot: never
+// mutated after publication, and the CALLER MUST NOT mutate them either.
 //
 // The tensors are valid until release (paramGen.release) is called on the
 // returned generation — exactly once, after the caller is completely done
@@ -261,8 +259,7 @@ func regionPacked(g *packedGen, alloc *regionAlloc) {
 // has returned. Until then the applier keeps the generation's buffers out of
 // its reuse pool; afterwards steady-state pulls and applies recycle buffers
 // instead of allocating. Releasing nil is a no-op.
-func (s *Store) acquireShard(i int) (params []*tensor.Tensor, gen *paramGen, base int, version int64) {
-	version = s.version.Load()
+func (s *Store) acquireShard(i int) (params []*tensor.Tensor, gen *paramGen) {
 	g, _ := s.shards[i].acquire()
-	return g.params, g, s.ranges[i].Start, version
+	return g.params, g
 }

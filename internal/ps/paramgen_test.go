@@ -71,7 +71,7 @@ func TestHeldGenerationIsNeverRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	held, gen, _, _ := st.acquireShard(0)
+	held, gen := st.acquireShard(0)
 	frozen := make([][]float32, len(held))
 	for i, p := range held {
 		frozen[i] = append([]float32(nil), p.Data()...)
@@ -162,7 +162,7 @@ func TestRefcountedReuseHammer(t *testing.T) {
 				shard := i % st.Shards()
 				switch kind % 4 {
 				case 0: // acquire, read everything, release
-					params, gen, _, _ := st.acquireShard(shard)
+					params, gen := st.acquireShard(shard)
 					for _, p := range params {
 						for _, v := range p.Data() {
 							sink += v
@@ -175,7 +175,7 @@ func TestRefcountedReuseHammer(t *testing.T) {
 						sink += p.Data()[0]
 					}
 				case 2: // packed-cache fill (a borrow inside the store)
-					packed, pin, _, _ := st.acquirePacked(shard, func(_ []compress.Packed, ps []*tensor.Tensor) []compress.Packed {
+					packed, pin := st.acquirePacked(shard, func(_ []compress.Packed, ps []*tensor.Tensor) []compress.Packed {
 						out := make([]compress.Packed, len(ps))
 						for j, p := range ps {
 							d := p.Data()
@@ -192,7 +192,7 @@ func TestRefcountedReuseHammer(t *testing.T) {
 						return
 					}
 				case 3: // slow reader: buffers must stay immutable while held
-					params, gen, _, _ := st.acquireShard(shard)
+					params, gen := st.acquireShard(shard)
 					last := params[0].Data()[len(params[0].Data())-1]
 					runtime.Gosched()
 					if now := params[0].Data()[len(params[0].Data())-1]; now != last {

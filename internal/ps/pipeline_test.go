@@ -769,7 +769,8 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 					return
 				default:
 				}
-				packed, pin, _, version := st.acquirePacked(shard%st.Shards(), pack)
+				version := st.Version()
+				packed, pin := st.acquirePacked(shard%st.Shards(), pack)
 				if version < lastV {
 					t.Errorf("version went backwards: %d after %d", version, lastV)
 					return
@@ -802,7 +803,8 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 	// the batched version bumps left behind.
 	final, _ := st.Snapshot()
 	for i := 0; i < st.Shards(); i++ {
-		packed, pin, _, version := st.acquirePacked(i, pack)
+		version := st.Version()
+		packed, pin := st.acquirePacked(i, pack)
 		defer pin.release()
 		if version != pushes {
 			t.Fatalf("shard %d packed at aggregate version %d, want %d", i, version, pushes)

@@ -491,7 +491,7 @@ func allRetiredQuiescent(st *Store) bool {
 }
 
 // TestRelaySentReferenceOutlivesSupersededPullCache is
-// TestRelaySentChunkOutlivesSupersededPullCache's rule for references: with
+// TestRelaySentReplyOutlivesSupersededPullCache's rule for references: with
 // both hops on the lane, a child's pull reply names where the weights lie in
 // the root's generation region, and the child sits on it while the root
 // moves on and a sibling's pulls supersede the relay's upstream cache again
@@ -606,31 +606,25 @@ func TestServerStopEvictsPackedGenerations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Pull by hand and keep the replies undecoded.
+	// Pull by hand and keep the reply undecoded.
 	if err := conn.Send(transport.Message{Type: transport.MsgPull}); err != nil {
 		t.Fatal(err)
 	}
-	var held []transport.Message
-	for range st.Shards() {
-		msg, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, msg)
+	held, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
 	}
 	references := 0
-	for _, msg := range held {
-		for _, p := range msg.Packed {
-			f := unsafe.Slice((*float32)(unsafe.Pointer(&p.Payload[0])), 1)
-			if !writable(tensor.FromSliceOwned(f, 1)) {
-				references++
-			}
+	for _, p := range held.Packed {
+		f := unsafe.Slice((*float32)(unsafe.Pointer(&p.Payload[0])), 1)
+		if !writable(tensor.FromSliceOwned(f, 1)) {
+			references++
 		}
 	}
 	if references == 0 {
 		t.Fatal("no fp16 pull reply is a reference into the region")
 	}
-	// The replies' pins end once the writer's Sends have returned.
+	// The reply's pins end once the writer's Send has returned.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		pinned := false
 		for _, sh := range st.shards {
@@ -661,14 +655,12 @@ func TestServerStopEvictsPackedGenerations(t *testing.T) {
 	if lr.inUse() == 0 {
 		t.Fatal("the extent a held reference reads was given back")
 	}
-	for _, msg := range held {
-		msg.Release()
-	}
+	held.Release()
 	if n := lr.inUse(); n != 0 {
 		t.Fatalf("%d extents live after the server stopped and the worker let go", n)
 	}
 	// The store packs on the heap from now on.
-	if _, pin, _, _ := st.acquirePacked(0, func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed {
+	if _, pin := st.acquirePacked(0, func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed {
 		return compress.PackInto(dst, params, cfg)
 	}); pin.free != nil {
 		t.Fatal("a packed generation went to the region of a stopped server")

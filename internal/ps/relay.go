@@ -93,9 +93,9 @@ type Relay struct {
 	up     *Client
 	pullMu sync.Mutex
 	// packed memoizes the packed form of the upstream reply at version
-	// packedAt, one entry per upstream shard, so compressed fan-out to many
-	// children quantizes once per reply instead of once per child pull.
-	packed   [][]compress.Packed
+	// packedAt, so compressed fan-out to many children quantizes once per
+	// reply instead of once per child pull.
+	packed   []compress.Packed
 	packedAt int64
 
 	reg *obs.Registry
@@ -734,24 +734,24 @@ func (r *Relay) flushLocked(reason string) {
 func (r *Relay) share(h transport.RegionHost) { h.ShareRegion(r.up.conn) }
 
 // handlePull refreshes the relay's upstream cache and serves the child from
-// it in full, one chunk per upstream store shard — the same shape the root
-// would answer with. The upstream refresh is gated on the version the cache
-// holds, so when nothing moved the hop carries one empty frame; when it did,
-// the relay downloads the reply once and fans it out to every pulling child.
-// Children name no version, so their pulls are never gated: every push moves
-// every shard, and a worker pulls once per push.
+// it in full, in one Weights frame — the same shape the root would answer
+// with. The upstream refresh is gated on the version the cache holds, so
+// when nothing moved the hop carries one empty frame; when it did, the relay
+// downloads the reply once and fans it out to every pulling child. Children
+// name no version, so their pulls are never gated: every push moves every
+// shard, and a worker pulls once per push.
 //
-// Lease rules: r.up.shardCache's tensors are on Client.Pull's lease — they
-// alias receive buffers that go back to the upstream connection when the next
-// r.up.Pull supersedes their chunk. Every use of them therefore stays under
+// Lease rules: the tensors r.up.Pull returns are on its lease — they alias a
+// receive buffer that goes back to the upstream connection when the next
+// r.up.Pull supersedes the reply. Every use of them therefore stays under
 // pullMu, which that next Pull also needs, and the child connection's Send is
-// done with the chunk when it returns (transport.Conn). That is why the
-// chunks go out from this goroutine, on the connection, instead of through
-// the session's outbox like every other reply: by the time pullMu is released
-// they are encoded. Where the root's reply was a reference into its
-// generation region and the child shares the region too (share), the Send is
-// a reference frame to the same memory, and the transport keeps the upstream
-// chunk leased until the child has released it, whatever Pull does with the
+// done with the reply when it returns (transport.Conn). That is why the reply
+// goes out from this goroutine, on the connection, instead of through the
+// session's outbox like every other reply: by the time pullMu is released it
+// is encoded. Where the root's reply was a reference into its generation
+// region and the child shares the region too (share), the Send is a
+// reference frame to the same memory, and the transport keeps the upstream
+// reply leased until the child has released it, whatever Pull does with the
 // cache meanwhile.
 func (r *Relay) handlePull(ch *session, _ transport.Message) {
 	r.pullMu.Lock()
@@ -768,40 +768,16 @@ func (r *Relay) handlePull(ch *session, _ transport.Message) {
 		}
 		r.layout.Store(&layout)
 	}
-	// A successful Pull leaves the reply it returned in the cache, one entry
-	// per upstream shard. A reply at packedAt is a correct copy at that
-	// version, so its pack is too.
-	shards := len(r.up.shardCache)
-	codec := r.trunk.cfg
-	compressPull := codec.Pull && codec.Enabled()
-	if compressPull && (r.packed == nil || r.packedAt != version) {
-		r.packed = make([][]compress.Packed, shards)
-		for i, ts := range r.up.shardCache {
-			r.packed[i] = compress.Pack(ts, codec)
+	out := transport.Message{Type: transport.MsgWeights, Worker: ch.worker, Version: version}
+	if codec := r.trunk.cfg; codec.Pull && codec.Enabled() {
+		// A reply at packedAt is a correct copy at that version, so its pack
+		// is too.
+		if r.packed == nil || r.packedAt != version {
+			r.packed, r.packedAt = compress.Pack(params, codec), version
 		}
-		r.packedAt = version
+		out.Codec, out.Packed = codec.Codec, r.packed
+	} else {
+		out.Tensors = transport.ToWireOwned(params)
 	}
-	base := 0
-	for i := 0; i < shards; i++ {
-		ts := r.up.shardCache[i]
-		out := transport.Message{
-			Type:    transport.MsgWeights,
-			Worker:  ch.worker,
-			Shard:   i,
-			Shards:  shards,
-			Total:   len(params),
-			Base:    base,
-			Version: version,
-		}
-		base += len(ts)
-		if compressPull {
-			out.Codec = codec.Codec
-			out.Packed = r.packed[i]
-		} else {
-			out.Tensors = transport.ToWireOwned(ts)
-		}
-		if ch.conn.Send(out) != nil {
-			return
-		}
-	}
+	_ = ch.conn.Send(out)
 }

@@ -314,7 +314,7 @@ func TestRelayRejectsOutOfRangeChild(t *testing.T) {
 }
 
 // TestRelayRefusesChildDeltaPulls: a child's pulls through a relay are never
-// gated — it names no version, and every pull gets every shard in full —
+// gated — it names no version, and every pull gets the whole model —
 // while the relay's own upstream replica session is: when nothing moved, the
 // hop to the root carries one Unchanged frame and the child is served from
 // the relay's cache.
@@ -354,12 +354,18 @@ func TestRelayRefusesChildDeltaPulls(t *testing.T) {
 			t.Fatalf("pull %d: %d bytes pulled in all, want %d full pulls of %d", i, pulled, i, perPull)
 		}
 	}
+	// The root meters a frame once its Send has returned, which can be after
+	// the relay has read it: wait for the three the pulls were answered with.
+	weights := `dssp_transport_frames_total{dir="sent",type="Weights"}`
 	m := h.server.Registry().Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); m[weights] < 3 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		m = h.server.Registry().Snapshot()
+	}
 	if got := m["dssp_pull_unchanged_total"]; got != 2 {
 		t.Fatalf("the root answered %v of the relay's upstream pulls Unchanged, want 2", got)
 	}
-	if got, want := m[`dssp_transport_frames_total{dir="sent",type="Weights"}`], float64(st.Shards()+2); got != want {
-		t.Fatalf("the root sent %v Weights frames, want %v: one full reply and two single Unchanged frames", got, want)
+	if got := m[weights]; got != 3 {
+		t.Fatalf("the root sent %v Weights frames to the relay, want 3: one full reply frame and two Unchanged frames", got)
 	}
 }
 

@@ -1120,21 +1120,23 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 	}
 }
 
-// handlePull streams the current weights to a worker, one chunk per store
-// shard. Each chunk references the shard's copy-on-write snapshot — the
-// server copies nothing — pinned until the session's writer has sent it
-// (Send is done with the payload when it returns: transport.Conn), a bounded
-// borrow the applier's buffer reuse sees through. It is queued as soon as the
-// shard's reference is grabbed, so pulls from different workers, and a pull
-// overlapping an in-flight push on other shards, proceed concurrently. The
-// transport's one copy lands in a buffer of the worker's own, keeping workers
-// isolated — or, where the worker shares the server's host and the
-// generation lies in the region the server shares (share), nothing is
-// copied: the reply names the generation, the worker reads it through a
-// read-only mapping, and the region keeps it from being recycled until the
-// worker releases it (DESIGN.md §4b).
+// handlePull answers a pull with the current weights in one Weights frame:
+// every store shard's tensors, in global order, labelled with the store
+// version read before the first shard is, so no shard is older than the
+// label. Each shard's part references its copy-on-write snapshot — the
+// server copies nothing — pinned until the session's writer has sent the
+// reply (Send is done with the payload when it returns: transport.Conn), a
+// bounded borrow the applier's buffer reuse sees through. Taking a reference
+// holds no lock past the grab, so pulls from different workers, and a pull
+// overlapping an in-flight push, proceed concurrently. The transport's one
+// copy lands in a buffer of the worker's own, keeping workers isolated — or,
+// where the worker shares the server's host and the generations lie in the
+// region the server shares (share), nothing is copied: the reply names them,
+// the worker reads them through a read-only mapping, and the region keeps
+// them from being recycled until the worker releases the reply (DESIGN.md
+// §4b).
 //
-// With pull compression negotiated, each chunk instead carries the shard's
+// With pull compression negotiated, the reply instead carries every shard's
 // packed form from the store's per-shard cache: the quantization pass runs
 // once per shard update, not once per pull, so fan-out to many workers
 // stays cheap.
@@ -1156,40 +1158,33 @@ func (s *Server) handlePull(sess *session, req transport.Message) {
 		s.guard.observePull(worker)
 	}
 	st := s.cfg.Store
-	if req.Version != 0 && st.Version() == req.Version {
+	version := st.Version()
+	if req.Version != 0 && version == req.Version {
 		s.sm.pullUnchanged.Inc()
 		s.enqueueSession(sess, transport.Message{
 			Type: transport.MsgWeights, Worker: worker, Version: req.Version, Unchanged: true,
 		})
 		return
 	}
-	shards := st.Shards()
-	total := st.NumTensors()
-	compressPull := s.compression.Pull && s.compression.Enabled()
-	for i := 0; i < shards; i++ {
-		msg := transport.Message{
-			Type:   transport.MsgWeights,
-			Worker: worker,
-			Shard:  i,
-			Shards: shards,
-			Total:  total,
+	msg := transport.Message{Type: transport.MsgWeights, Worker: worker, Version: version}
+	held := replyPinsPool.Get().(*replyPins)
+	if s.compression.Pull && s.compression.Enabled() {
+		for i := range st.Shards() {
+			packed, pin := st.acquirePacked(i, s.packShardInto)
+			held.packed = append(held.packed, packed...)
+			held.pins = append(held.pins, pin)
 		}
-		// ref pins the store buffers the chunk aliases — a parameter
-		// generation, or a packed-cache generation — until the writer's send
-		// has returned.
-		var ref *genPin
-		if compressPull {
-			msg.Packed, ref, msg.Base, msg.Version = st.acquirePacked(i, s.packShardInto)
-			msg.Codec = s.compression.Codec
-		} else {
-			var params []*tensor.Tensor
-			var gen *paramGen
-			params, gen, msg.Base, msg.Version = st.acquireShard(i)
-			msg.Tensors = transport.ToWireOwned(params)
-			ref = &gen.genPin
+		msg.Codec, msg.Packed = s.compression.Codec, held.packed
+	} else {
+		for i := range st.Shards() {
+			params, gen := st.acquireShard(i)
+			held.params = append(held.params, params...)
+			held.pins = append(held.pins, &gen.genPin)
 		}
-		s.enqueueSessionRef(sess, msg, ref)
+		held.wire = transport.ToWireOwnedInto(held.wire, held.params)
+		msg.Tensors = held.wire
 	}
+	s.enqueueSessionRef(sess, msg, held)
 }
 
 // share gives the store the generation region of the first listener that

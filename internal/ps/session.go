@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"dssp/internal/compress"
 	"dssp/internal/obs"
 	"dssp/internal/tensor"
 	"dssp/internal/transport"
@@ -101,8 +102,8 @@ func newSession(kind sessionKind, key int, conn transport.Conn, rejoined bool, n
 		worker:   key,
 		conn:     conn,
 		rejoined: rejoined,
-		// Deep enough for a full multi-shard pull reply plus the releases
-		// landing behind it without blocking the sequencer.
+		// Deep enough for a pull reply plus the releases landing behind it
+		// without blocking the sequencer.
 		outbox:   make(chan outMsg, 64),
 		gone:     make(chan struct{}),
 		lastSeen: now,
@@ -122,15 +123,48 @@ func (se *session) partial(msg transport.Message) ([]transport.PushEntry, *[]*te
 	return se.self[:], &se.decodeScratch
 }
 
-// outMsg is one queued outbound message, plus — when the payload aliases a
-// store generation's tensors or packed-cache buffers — the reference pinning
-// that generation. The writer releases ref once Send has returned (the
-// transport is done with the payload: transport.Conn); every path that drops
-// the message instead releases it on the spot. ref is nil for control
-// messages and for payloads that do not alias store buffers.
+// outMsg is one queued outbound message, plus — for a pull reply, whose
+// payload aliases store generations' tensors or packed-cache buffers — the
+// pins holding those generations. The writer releases them once Send has
+// returned (the transport is done with the payload: transport.Conn); every
+// path that drops the message instead releases them on the spot. pins is nil
+// for every other message.
 type outMsg struct {
-	msg transport.Message
-	ref *genPin
+	msg  transport.Message
+	pins *replyPins
+}
+
+// replyPins is what a queued pull reply holds: the generation it read of
+// every store shard, pinned, and the reply's tensor headers — dense (params,
+// wire) or packed — whose data aliases them. Pooled, so that a steady-state
+// pull allocates neither.
+type replyPins struct {
+	pins   []*genPin
+	params []*tensor.Tensor
+	wire   []transport.WireTensor
+	packed []compress.Packed
+}
+
+var replyPinsPool = sync.Pool{New: func() any { return new(replyPins) }}
+
+// release unpins every generation p holds and returns p to the pool, its
+// references into them dropped; the wire headers keep their shapes for the
+// next reply (transport.ToWireOwnedInto). Releasing nil is a no-op.
+func (p *replyPins) release() {
+	if p == nil {
+		return
+	}
+	for _, g := range p.pins {
+		g.release()
+	}
+	clear(p.pins)
+	clear(p.params)
+	clear(p.packed)
+	for i := range p.wire {
+		p.wire[i].Data = nil
+	}
+	p.pins, p.params, p.packed = p.pins[:0], p.params[:0], p.packed[:0]
+	replyPinsPool.Put(p)
 }
 
 // end marks the session over, releasing its writer and any blocked enqueue.
@@ -230,7 +264,7 @@ func (t *sessionTable) list() []*session {
 //	event      root (Server)                        relay (Relay)
 //	register   admit the slot, or the trunk/replica forward upstream, await the root's answer
 //	push       ticket per entry, enqueue the apply  fold into the partial, flush when complete
-//	pull       stream the store's shards            refresh the upstream cache, serve from it
+//	pull       reply with every store shard         refresh the upstream cache, serve from it
 //	done       count the slot finished              shrink the flush condition, forward
 //	leave      depart the slot (or a routed child)  depart the child
 //	departed   policy OnLeave, release the peers    flush what the child was in, forward Leave
@@ -510,16 +544,15 @@ func (l *sessionLayer) shutdown() {
 }
 
 // writerBatchMax bounds how many queued outbox messages one write coalesces:
-// enough to cover a full multi-shard pull reply plus interleaved releases,
-// small enough that a batch's assembled frames stay cache- and
-// buffer-friendly.
+// enough to cover a pull reply plus the releases queued behind it, small
+// enough that a batch's assembled frames stay cache- and buffer-friendly.
 const writerBatchMax = 32
 
 // writer drains one worker's outbox onto its connection until the session
-// ends or the layer stops. When several messages are queued — a chunked
-// pull reply, a barrier release landing behind one — and the connection can
-// batch (transport.BatchSender), everything waiting is sent with one
-// write/flush instead of one per message.
+// ends or the layer stops. When several messages are queued — a pull reply
+// and a barrier release landing behind it, a trunk's children's releases —
+// and the connection can batch (transport.BatchSender), everything waiting is
+// sent with one write/flush instead of one per message.
 func (l *sessionLayer) writer(sess *session) {
 	// On exit, release generation references stranded in the outbox: the
 	// payloads will never be serialized, and the pins would otherwise keep
@@ -528,7 +561,7 @@ func (l *sessionLayer) writer(sess *session) {
 		for {
 			select {
 			case om := <-sess.outbox:
-				om.ref.release()
+				om.pins.release()
 			default:
 				return
 			}
@@ -544,7 +577,7 @@ func (l *sessionLayer) writer(sess *session) {
 				err := sess.conn.Send(om.msg)
 				// Success or failure, the transport is done reading the
 				// payload once Send returns.
-				om.ref.release()
+				om.pins.release()
 				if err != nil {
 					return
 				}
@@ -567,12 +600,12 @@ func (l *sessionLayer) writer(sess *session) {
 			err := batcher.SendBatch(wire)
 			// Release the generation pins (the transport is done with the
 			// payloads whether or not the send succeeded) and drop the
-			// payload references: a pull reply's chunks alias the store's
-			// published snapshots, and a shorter next batch would otherwise
-			// pin the tail entries (up to a model's worth of old tensors)
-			// for the session's lifetime.
+			// payload references: a pull reply aliases the store's published
+			// snapshots, and a shorter next batch would otherwise pin the
+			// tail entries (a model's worth of old tensors) for the
+			// session's lifetime.
 			for i := range batch {
-				batch[i].ref.release()
+				batch[i].pins.release()
 				batch[i] = outMsg{}
 			}
 			for i := range wire {
@@ -596,14 +629,14 @@ func (l *sessionLayer) enqueueSession(sess *session, msg transport.Message) {
 	l.enqueueSessionRef(sess, msg, nil)
 }
 
-// enqueueSessionRef is enqueueSession with a generation reference attached;
-// dropping the message (session gone, layer stopped) releases it.
-func (l *sessionLayer) enqueueSessionRef(sess *session, msg transport.Message, ref *genPin) {
+// enqueueSessionRef is enqueueSession with a pull reply's pins attached;
+// dropping the message (session gone, layer stopped) releases them.
+func (l *sessionLayer) enqueueSessionRef(sess *session, msg transport.Message, pins *replyPins) {
 	select {
-	case sess.outbox <- outMsg{msg: msg, ref: ref}:
+	case sess.outbox <- outMsg{msg: msg, pins: pins}:
 	case <-sess.gone:
-		ref.release()
+		pins.release()
 	case <-l.stopped:
-		ref.release()
+		pins.release()
 	}
 }

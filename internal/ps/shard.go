@@ -295,8 +295,8 @@ func (sh *shard) sum(batch [][]*tensor.Tensor) []*tensor.Tensor {
 }
 
 // shardRange is the half-open interval of global tensor indices [Start, End)
-// owned by one shard. Shards are contiguous so that a weights chunk on the
-// wire is described by a single base offset.
+// owned by one shard. Shards are contiguous, so a pull reply carries them in
+// shard order and a group's data servers split the model by index ranges.
 type shardRange struct {
 	Start, End int
 }

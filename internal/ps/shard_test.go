@@ -162,7 +162,7 @@ func TestStoreConcurrentApplySnapshotHammer(t *testing.T) {
 					return
 				}
 				for s := 0; s < st.Shards(); s++ {
-					ts, gen, _, _ := st.acquireShard(s)
+					ts, gen := st.acquireShard(s)
 					gen.release()
 					if len(ts) == 0 {
 						t.Errorf("shard %d snapshot empty", s)
@@ -184,10 +184,10 @@ func TestStoreConcurrentApplySnapshotHammer(t *testing.T) {
 	}
 }
 
-// TestClientPullReassemblesChunkedWeights pulls from a server whose store has
-// several shards and verifies the streamed chunks reassemble into exactly the
-// store's parameters, in global tensor order.
-func TestClientPullReassemblesChunkedWeights(t *testing.T) {
+// TestClientPullCarriesEveryShard pulls from a server whose store has several
+// shards and verifies the one reply carries exactly the store's parameters,
+// in global tensor order.
+func TestClientPullCarriesEveryShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	initial := []*tensor.Tensor{
 		tensor.New(9, 3).RandNormal(rng, 0, 1),
@@ -214,7 +214,7 @@ func TestClientPullReassemblesChunkedWeights(t *testing.T) {
 	}
 	want, _ := st.Snapshot()
 	if !sameTensors(pulled, want) {
-		t.Fatal("chunked pull did not reassemble the store's parameters")
+		t.Fatal("pull did not carry the store's parameters")
 	}
 
 	// After an update the pull must reflect it.
@@ -234,7 +234,7 @@ func TestClientPullReassemblesChunkedWeights(t *testing.T) {
 	}
 	want, _ = st.Snapshot()
 	if !sameTensors(pulled, want) {
-		t.Fatal("chunked pull after push did not match the store")
+		t.Fatal("pull after push did not match the store")
 	}
 }
 

@@ -560,11 +560,10 @@ func (s *Store) Snapshot() ([]*tensor.Tensor, int64) {
 }
 
 // acquirePacked returns shard i's published parameters in the compressed
-// form produced by pack, with the global index of the first tensor and the
-// store's aggregate version at read time. The packed form is cached per shard
-// and recomputed only after a newer snapshot is published, so concurrent
-// pulls from any number of workers share one compression pass per update. It
-// is the compressed twin of acquireShard: packed is immutable and valid until
+// form produced by pack. The packed form is cached per shard and recomputed
+// only after a newer snapshot is published, so concurrent pulls from any
+// number of workers share one compression pass per update. It is the
+// compressed twin of acquireShard: packed is immutable and valid until
 // release is called on the returned pin — exactly once, after the message
 // carrying it has been sent — and the cache fill that supersedes it may then
 // rewrite its buffers, so steady-state compressed pulls allocate nothing. pack
@@ -574,10 +573,8 @@ func (s *Store) Snapshot() ([]*tensor.Tensor, int64) {
 // All callers of a store must pass an equivalent pack function: the cache is
 // keyed on the shard version only, which is exactly the pull path's shape —
 // one server, one negotiated codec.
-func (s *Store) acquirePacked(i int, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin, base int, version int64) {
-	version = s.version.Load()
-	packed, pin = s.shards[i].acquirePacked(pack)
-	return packed, pin, s.ranges[i].Start, version
+func (s *Store) acquirePacked(i int, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin) {
+	return s.shards[i].acquirePacked(pack)
 }
 
 // acquirePacked serves the shard's packed cache, filling it first when a newer

@@ -55,8 +55,8 @@ func poisonReleasedBodies(t *testing.T) {
 
 // cutConn is a connection that dies on its cutAt-th received frame of type
 // kind (0-based; Weights when kind is unset): the frame is dropped, the
-// connection closed and Recv fails, as when a peer vanishes between two
-// chunks of a pull, or before its release.
+// connection closed and Recv fails, as when a peer vanishes before its pull
+// reply, or before its release.
 type cutConn struct {
 	transport.Conn
 	kind        transport.MessageType
@@ -84,8 +84,8 @@ func (c *cutConn) Recv() (transport.Message, error) {
 
 // TestWorkerLoopLeasesSurvivePoisoning runs a seeded single-worker RunWorker
 // — a serial schedule, so every bit of it is determined — against a two-shard
-// store whose pull chunks are both big enough to be leased and to ride a lane
-// slot, on each carrier, with dense and fp16 pulls, heartbeats on:
+// store whose pull reply is big enough to be leased and to ride a lane slot,
+// on each carrier, with dense and fp16 pulls, heartbeats on:
 //
 //   - the store ends on the parameter hash the copying loop of commit 006d85e
 //     reached (recorded there, per kernel binding; the AVX-512 panels reach
@@ -95,9 +95,7 @@ func (c *cutConn) Recv() (transport.Message, error) {
 //   - after the run — client closed, two collections — the replica reads its
 //     own memory: a parameter still aliasing a pooled frame would read poison,
 //     one aliasing a lane slot would fault on the unmapped arena;
-//   - a pull cut after the first of its two chunks (the chunk it superseded is
-//     released and poisoned by then, and the replica still points at it) and
-//     one cut before any chunk both leave the replica on its own storage when
+//   - a pull whose reply is cut leaves the replica on its own storage when
 //     the loop reconnects, and the redone iteration changes no bit of the
 //     outcome. (Under fp16 a reconnect restarts the push codec's error
 //     feedback, in the copying loop as in this one: its cut arms have a hash of
@@ -125,7 +123,7 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 		}},
 	} {
 		for _, carrier := range []string{"channel", "tcp", "lane"} {
-			for _, fault := range []string{"none", "second-chunk", "first-chunk"} {
+			for _, fault := range []string{"none", "pull"} {
 				t.Run(pull.name+"/"+carrier+"/cut="+fault, func(t *testing.T) {
 					t.Cleanup(transport.SetLaneEnabled(carrier == "lane"))
 					cfg := pull.cfg.Normalized()
@@ -164,9 +162,9 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 						}
 					}
 
-					// Two Weights frames a pull: the first connection dies on
-					// one of the cut iteration's, if at all.
-					cutAt := map[string]int{"none": -1, "second-chunk": 2*cutIteration + 1, "first-chunk": 2 * cutIteration}[fault]
+					// One Weights frame a pull: the first connection dies on
+					// the cut iteration's, if at all.
+					cutAt := map[string]int{"none": -1, "pull": cutIteration}[fault]
 					dials := 0
 					route := ps.Route{
 						Dial: func(string) (transport.Conn, error) {

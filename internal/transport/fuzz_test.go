@@ -36,7 +36,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Type: MsgRegister, Worker: 1, Codec: compress.TopK, CodecTopK: 0.1, CodecPull: true},
 		{Type: MsgRegistered, Worker: 1, Version: 99, Codec: compress.Int8, StoreShards: 4},
 		{Type: MsgPush, Worker: 2, Iteration: 7, Version: 41, Tensors: ToWireOwned(smallMLPGrads(1))},
-		{Type: MsgWeights, Worker: 0, Version: 12, Shard: 1, Shards: 2, Base: 2, Total: 4,
+		{Type: MsgWeights, Worker: 0, Version: 12, Total: 4,
 			Tensors: ToWireOwned(smallMLPGrads(2)[2:])},
 		{Type: MsgError, Error: "boom"},
 	}
@@ -83,8 +83,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	}
 	// The gated pull's empty reply must round-trip; each tag the retired
-	// per-shard delta pull used must fail as an unknown tag, by name, in a
-	// frame of any version.
+	// per-shard delta pull and the retired chunked pull reply used must fail
+	// as an unknown tag, by name, in a frame of any version.
 	unchanged := Message{Type: MsgWeights, Worker: -1, Version: 7, Unchanged: true}
 	frame, err := appendFrame(nil, &unchanged)
 	if err != nil {
@@ -94,7 +94,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatalf("Unchanged reply decoded to %+v, %v", m, err)
 	}
 	f.Add(frame)
-	for _, tag := range []byte{0x0F, 0x10, 0x12} {
+	for _, tag := range []byte{0x04, 0x05, 0x06, 0x0F, 0x10, 0x12} {
 		retired := []byte(wireMagic)
 		retired = append(retired, wireVersion, byte(MsgPull), 0, 0)
 		retired = binary.LittleEndian.AppendUint32(retired, 9)
@@ -108,8 +108,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	// The reference frames stand for a Weights reply only on a lane whose
 	// peer offered a region: here, with none, both are decode errors.
 	for _, m := range []Message{
-		{Type: MsgWeights, Version: 3, Shard: 1, Shards: 2, Total: 4, Tensors: ToWireOwned(smallMLPGrads(4)[:1])},
-		{Type: MsgWeights, Version: 3, Shard: 1, Shards: 2, Total: 4, Codec: compress.FP16,
+		{Type: MsgWeights, Version: 3, Total: 4, Tensors: ToWireOwned(smallMLPGrads(4)[:1])},
+		{Type: MsgWeights, Version: 3, Total: 4, Codec: compress.FP16,
 			Packed: compress.Pack(smallMLPGrads(4)[:1], compress.Config{Codec: compress.FP16})},
 	} {
 		full, err := appendFrame(nil, &m)

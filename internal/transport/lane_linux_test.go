@@ -761,7 +761,7 @@ func TestLaneReferenceFrames(t *testing.T) {
 	for i := range mem {
 		mem[i] = float32(i)
 	}
-	reply := Message{Type: MsgWeights, Worker: 1, Version: 7, Shard: 1, Shards: 2, Base: 3, Total: 5,
+	reply := Message{Type: MsgWeights, Worker: 1, Version: 7, Total: 5,
 		Tensors: ToWireOwned([]*tensor.Tensor{big, small})}
 	frame, err := appendFrame(nil, &reply)
 	if err != nil {
@@ -905,7 +905,7 @@ func packedRegionReply(t *testing.T, alloc func(int) ([]float32, func() bool, fu
 		n := copy(buf, ps[i].Payload)
 		ps[i].Payload, buf = buf[:n:n], buf[n:]
 	}
-	return Message{Type: MsgWeights, Worker: 1, Version: 7, Shard: 1, Shards: 2, Base: 3, Total: 5,
+	return Message{Type: MsgWeights, Worker: 1, Version: 7, Total: 5,
 		Codec: compress.FP16, Packed: ps}, reclaim, free
 }
 

@@ -230,7 +230,7 @@ func testReleaseHookSeesBodyBeforeReuse(t *testing.T, send, recv Conn) {
 }
 
 // TestReadBodyAllocationBounds pins readBody's two promises for fresh
-// buffers. A body just over one read chunk — the everyday 1 MB weights chunk
+// buffers. A body just over one read chunk — the everyday 1 MB weights reply
 // plus its headers — is allocated once at its full size, not as one chunk
 // followed by a full-size buffer and a copy. And a forged length still cannot
 // buy memory: with three bytes behind it, a declared quarter-gigabyte body

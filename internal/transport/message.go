@@ -10,7 +10,7 @@
 // payloads travel as raw little-endian float32 slabs: a large slab is sent
 // straight from the tensor's memory, and decoding aliases a receive buffer
 // leased to the message (Message.Release hands it back for the next frame),
-// so a weights chunk is copied once per direction in user space and costs no
+// so a weights reply is copied once per direction in user space and costs no
 // allocation in the steady state. The in-process transport hands the same
 // frames through a channel instead of a socket. A TCP peer that is not
 // speaking the protocol at all, or stamps a version other than this build's,
@@ -171,16 +171,8 @@ type Message struct {
 	Version int64
 	// Tensors carries gradients (Push) or weights (Weights).
 	Tensors []WireTensor
-	// Shard and Shards describe chunked Weights replies: a pull response is
-	// streamed as Shards messages, each carrying one parameter-store shard as
-	// soon as that shard's lock is released. Shard is this chunk's index;
-	// Shards <= 1 means the reply is a single unchunked message.
-	Shard  int
-	Shards int
-	// Base is the global index of the first tensor in this chunk and Total
-	// the model's total tensor count, letting the receiver reassemble chunks
-	// into the full parameter list.
-	Base  int
+	// Total is, on a MsgClusterMap reply, the model's total tensor count (the
+	// group layout) or, on a tree-layout reply, the run's worker count.
 	Total int
 	// Codec, CodecTopK and CodecPull negotiate the gradient codec
 	// (internal/compress): on MsgRegister they carry the worker's requested
@@ -191,8 +183,8 @@ type Message struct {
 	Codec     string
 	CodecTopK float64
 	CodecPull bool
-	// Packed carries codec-compressed tensors — gradients on MsgPush, weight
-	// chunks on MsgWeights — when a lossy codec is negotiated. Exactly one of
+	// Packed carries codec-compressed tensors — gradients on MsgPush, weights
+	// on MsgWeights — when a lossy codec is negotiated. Exactly one of
 	// Tensors and Packed is populated on those messages.
 	Packed []compress.Packed
 	// StoreShards reports the server's parameter-store shard count on
@@ -279,9 +271,9 @@ func (m *Message) copyPayloads() {
 // ToWireOwned converts tensors into their serializable form without copying
 // the data: the wire tensors alias the inputs' storage. The caller must
 // guarantee the tensors stay unmodified for as long as the result is read —
-// for a message, until Send returns (Conn). Its production use is the
-// parameter server wrapping a store generation it holds pinned until its
-// writer has sent the chunk.
+// for a message, until Send returns (Conn). Its production use is a relay
+// wrapping the upstream reply it serves a child, which it holds until that
+// Send has returned.
 func ToWireOwned(ts []*tensor.Tensor) []WireTensor {
 	out := make([]WireTensor, len(ts))
 	for i, t := range ts {
@@ -292,7 +284,7 @@ func ToWireOwned(ts []*tensor.Tensor) []WireTensor {
 
 // ToWireOwnedInto is ToWireOwned reusing dst's WireTensor headers, for
 // callers that send the same parameter layout over and over (the client's
-// dense push path): the wire tensors alias the inputs' storage, which must
+// dense push path, the server's pull replies): the wire tensors alias the inputs' storage, which must
 // stay unmodified until Send returns and may be rewritten freely afterwards.
 // The returned slice may alias dst.
 func ToWireOwnedInto(dst []WireTensor, ts []*tensor.Tensor) []WireTensor {

@@ -27,13 +27,13 @@ func vectoredFrames(t *testing.T) []Message {
 	odd := []*tensor.Tensor{tensor.Full(1, 3), tensor.Full(2, 4099), tensor.Full(3, 1)}
 	return []Message{
 		{Type: MsgPush, Worker: 3, Iteration: 7, Version: 41, Codec: compress.FP16, Packed: comp.Compress(grads)},
-		{Type: MsgWeights, Worker: 3, Shard: 1, Shards: 2, Total: 4, Base: 2, Version: 42, Codec: compress.FP16,
+		{Type: MsgWeights, Worker: 3, Total: 4, Version: 42, Codec: compress.FP16,
 			Packed: compress.Pack(grads, compress.Config{Codec: compress.FP16, Pull: true})},
 		{Type: MsgPush, Worker: 1, Iteration: 9, Version: 17, Tensors: ToWireOwned(dense)},
-		{Type: MsgWeights, Worker: 1, Shard: 0, Shards: 2, Total: 8, Version: 18, Tensors: ToWireOwned(dense[:2])},
-		{Type: MsgWeights, Worker: 1, Shard: 1, Shards: 2, Base: 2, Total: 8, Version: 18,
+		{Type: MsgWeights, Worker: 1, Total: 8, Version: 18, Tensors: ToWireOwned(dense[:2])},
+		{Type: MsgWeights, Worker: 1, Total: 8, Version: 18,
 			Tensors: ToWireOwned(dense[2:])},
-		{Type: MsgWeights, Worker: 1, Shards: 1, Total: 3, Tensors: ToWireOwned(odd)}, // padding before every slab
+		{Type: MsgWeights, Worker: 1, Total: 3, Tensors: ToWireOwned(odd)}, // padding before every slab
 		{Type: MsgPush, Worker: -1, Version: 3, Iteration: 2, Tensors: ToWireOwned(dense),
 			PushEntries: []PushEntry{{Worker: 0, Version: 3, Iteration: 2}, {Worker: 1, Version: 4, Iteration: 2}}}, // a relay trunk's push
 		{Type: MsgPush, Worker: 2, Codec: compress.FP16, Packed: compress.Pack(dense, compress.Config{Codec: compress.FP16})},

@@ -89,12 +89,12 @@ const (
 // omitted; present fields must appear in strictly ascending tag order, at
 // most once each.
 const (
-	tagWorker      = 0x01 // uint32 (two's-complement int32)
-	tagIteration   = 0x02 // uint32 (two's-complement int32)
-	tagVersion     = 0x03 // uint64 (two's-complement int64)
-	tagShard       = 0x04 // uint32 (two's-complement int32)
-	tagShards      = 0x05 // uint32 (two's-complement int32)
-	tagBase        = 0x06 // uint32 (two's-complement int32)
+	tagWorker    = 0x01 // uint32 (two's-complement int32)
+	tagIteration = 0x02 // uint32 (two's-complement int32)
+	tagVersion   = 0x03 // uint64 (two's-complement int64)
+	// Tags 0x04, 0x05 and 0x06 carried a chunked pull reply's shard index,
+	// shard count and first tensor index: they decode as unknown and are never
+	// reused.
 	tagTotal       = 0x07 // uint32 (two's-complement int32)
 	tagStoreShards = 0x08 // uint32 (two's-complement int32)
 	tagCodec       = 0x09 // uint8 length + bytes
@@ -306,15 +306,6 @@ func appendBody(dst []byte, bodyStart int, m *Message, refs *frameRefs) ([]byte,
 	if m.Version != 0 {
 		dst = append(dst, tagVersion)
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Version))
-	}
-	if dst, err = appendIntField(dst, tagShard, m.Shard, "Shard"); err != nil {
-		return dst, err
-	}
-	if dst, err = appendIntField(dst, tagShards, m.Shards, "Shards"); err != nil {
-		return dst, err
-	}
-	if dst, err = appendIntField(dst, tagBase, m.Base, "Base"); err != nil {
-		return dst, err
 	}
 	if dst, err = appendIntField(dst, tagTotal, m.Total, "Total"); err != nil {
 		return dst, err
@@ -763,7 +754,7 @@ func adopt(typ byte, body []byte, lease *bodyLease, fr *frameReader) (Message, e
 // readBody reads exactly n bytes into (a possibly grown) dst. A body of up to
 // two read chunks is allocated whole — growing it would allocate the first
 // chunk, then the full size, and copy one across, for a frame that is a
-// model's everyday weights chunk. A larger body grows in bounded chunks as
+// model's everyday weights reply. A larger body grows in bounded chunks as
 // data actually arrives, so a forged length field cannot drive a huge
 // up-front allocation: at most two chunks, or twice what arrived plus one.
 func readBody(br *bufio.Reader, dst []byte, n int) ([]byte, error) {
@@ -836,12 +827,6 @@ func parseBody(typ byte, body []byte, reg *region) (Message, refSection, error) 
 				m.Version = int64(binary.LittleEndian.Uint64(body[off:]))
 				off += 8
 			}
-		case tagShard:
-			m.Shard, off, err = parseIntField(body, off)
-		case tagShards:
-			m.Shards, off, err = parseIntField(body, off)
-		case tagBase:
-			m.Base, off, err = parseIntField(body, off)
 		case tagTotal:
 			m.Total, off, err = parseIntField(body, off)
 		case tagStoreShards:

@@ -65,9 +65,6 @@ func TestBinaryFrameRoundTripAllFields(t *testing.T) {
 		Iteration:   1234,
 		Version:     1 << 40,
 		Tensors:     ToWireOwned(testGrads(3)),
-		Shard:       2,
-		Shards:      4,
-		Base:        5,
 		Total:       16,
 		Codec:       compress.TopK,
 		CodecTopK:   0.25,

@@ -48,7 +48,7 @@ func TestGoldenFP16Frames(t *testing.T) {
 		"push 1": push(),
 		"push 2": push(),
 		"weights": frame(Message{
-			Type: MsgWeights, Worker: 3, Shard: 1, Shards: 2, Total: 4, Base: 2, Version: 42,
+			Type: MsgWeights, Worker: 3, Total: 4, Version: 42,
 			Codec:  compress.FP16,
 			Packed: compress.Pack(grads, compress.Config{Codec: compress.FP16, Pull: true}),
 		}),
@@ -63,11 +63,11 @@ func TestGoldenFP16Frames(t *testing.T) {
 // TestGoldenPackedReferenceFrame pins the bytes of the reference frame
 // standing for the golden fp16 Weights reply on a lane connection whose peer
 // mapped the server's region (tagPackedRefs): the reply's fields, then the
-// packed reference section — slot 5, the 103-byte logical body, two tensors,
+// packed reference section — slot 5, the 88-byte logical body, two tensors,
 // each its packed header and its payload's region offset.
 func TestGoldenPackedReferenceFrame(t *testing.T) {
 	m := Message{
-		Type: MsgWeights, Worker: 3, Shard: 1, Shards: 2, Total: 4, Base: 2, Version: 42,
+		Type: MsgWeights, Worker: 3, Total: 4, Version: 42,
 		Codec:  compress.FP16,
 		Packed: compress.Pack(goldenFP16Tensors(), compress.Config{Codec: compress.FP16, Pull: true}),
 	}
@@ -84,10 +84,10 @@ func TestGoldenPackedReferenceFrame(t *testing.T) {
 	}
 }
 
-const goldenPackedRefFrame = "4453535005060000630000000103000000032a0000000000000004010000000502000000060200000007040000000904667031361a0500670000000200000001020200000003000000000000000c0000000030000000000000010107000000000000000e0000000c30000000000000"
+const goldenPackedRefFrame = "4453535005060000540000000103000000032a0000000000000007040000000904667031361a0500580000000200000001020200000003000000000000000c0000000030000000000000010107000000000000000e0000000c30000000000000"
 
 var goldenFP16Frames = map[string]string{
 	"push 1":  "445353500503000058000000010300000002070000000329000000000000000904667031360e0200000001020200000003000000000000000c000000003c00b800020200fffb662e010107000000000000000e00000000800000a880d063020000003400",
 	"push 2":  "445353500503000058000000010300000002070000000329000000000000000904667031360e0200000001020200000003000000000000000c000000003c00b800020100fffb672e010107000000000000000e00000000000100a880d063010000003400",
-	"weights": "4453535005060000670000000103000000032a0000000000000004010000000502000000060200000007040000000904667031360e0200000001020200000003000000000000000c000000003c00b800020200fffb662e010107000000000000000e00000000800000a880d063020000003400",
+	"weights": "4453535005060000580000000103000000032a0000000000000007040000000904667031360e0200000001020200000003000000000000000c000000003c00b800020200fffb662e010107000000000000000e00000000800000a880d063020000003400",
 }

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -64,10 +65,43 @@ func TestSyntheticIsBalancedAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestSyntheticFromKeepsTheFullSetsExamples: a generation that keeps
+// examples [From, Examples) holds, at index i, bit for bit example From+i of
+// one generation of the whole set, label included — at the start, the
+// middle and the end of the set, for an empty range and for the whole set.
+func TestSyntheticFromKeepsTheFullSetsExamples(t *testing.T) {
+	full := SyntheticConfig{Examples: 23, Classes: 3, Channels: 2, Size: 3, Noise: 0.7, Seed: 12}
+	whole := MustSynthetic(full)
+	for _, r := range [][2]int{{0, 8}, {8, 16}, {16, 23}, {11, 11}, {0, 23}} {
+		cfg := full
+		cfg.From, cfg.Examples = r[0], r[1]
+		part, err := Synthetic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part.Len() != r[1]-r[0] {
+			t.Fatalf("[%d,%d): kept %d examples", r[0], r[1], part.Len())
+		}
+		for i := 0; i < part.Len(); i++ {
+			got, want := part.images[i], whole.images[r[0]+i]
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("[%d,%d): example %d differs from the whole set's example %d", r[0], r[1], i, r[0]+i)
+				}
+			}
+			if part.Label(i) != whole.Label(r[0]+i) {
+				t.Fatalf("[%d,%d): example %d has label %d, the whole set's %d", r[0], r[1], i, part.Label(i), whole.Label(r[0]+i))
+			}
+		}
+	}
+}
+
 func TestSyntheticRejectsBadConfig(t *testing.T) {
 	bad := []SyntheticConfig{
 		{Examples: 0, Classes: 2, Channels: 1, Size: 4},
 		{Examples: 4, Classes: 0, Channels: 1, Size: 4},
+		{Examples: 4, Classes: 2, Channels: 1, Size: 4, From: 5},
+		{Examples: 4, Classes: 2, Channels: 1, Size: 4, From: -1},
 		{Examples: 4, Classes: 2, Channels: 0, Size: 4},
 	}
 	for _, cfg := range bad {

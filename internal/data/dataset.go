@@ -127,8 +127,12 @@ func (d *Dataset) ClassCounts() []int {
 // has a random prototype image and samples are the prototype plus Gaussian
 // pixel noise. The signal-to-noise ratio controls how hard the task is.
 type SyntheticConfig struct {
-	// Examples is the total number of examples to generate.
+	// Examples is how many examples are drawn: the set's first Examples.
 	Examples int
+	// From is the first example kept. Those before it are drawn and dropped,
+	// so every kept example is bit for bit the one a generation of the whole
+	// set makes at its index; zero keeps them all.
+	From int
 	// Classes is the number of classes (10 mimics CIFAR-10, 100 CIFAR-100).
 	Classes int
 	// Channels and Size give the image geometry (3 and 32 mimic CIFAR).
@@ -142,7 +146,10 @@ type SyntheticConfig struct {
 	Seed int64
 }
 
-// Synthetic generates a dataset according to cfg.
+// Synthetic generates a dataset according to cfg: examples From to
+// Examples-1 of the set, at indices 0 to Examples-From-1. Every example's
+// noise comes off one seeded stream in index order, so the examples before
+// From are drawn to advance it and none after Examples is.
 func Synthetic(cfg SyntheticConfig) (*Dataset, error) {
 	if cfg.Examples <= 0 || cfg.Classes <= 0 {
 		return nil, fmt.Errorf("data: synthetic config needs positive examples and classes, got %d/%d",
@@ -150,6 +157,9 @@ func Synthetic(cfg SyntheticConfig) (*Dataset, error) {
 	}
 	if cfg.Channels <= 0 || cfg.Size <= 0 {
 		return nil, fmt.Errorf("data: synthetic config needs positive geometry, got %dx%d", cfg.Channels, cfg.Size)
+	}
+	if cfg.From < 0 || cfg.From > cfg.Examples {
+		return nil, fmt.Errorf("data: synthetic config keeps from example %d of %d", cfg.From, cfg.Examples)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	d := NewDataset(cfg.Channels, cfg.Size, cfg.Classes, cfg.Flat)
@@ -163,8 +173,11 @@ func Synthetic(cfg SyntheticConfig) (*Dataset, error) {
 		}
 		prototypes[c] = proto
 	}
+	for range cfg.From * sample {
+		rng.NormFloat64()
+	}
 	img := make([]float32, sample)
-	for i := 0; i < cfg.Examples; i++ {
+	for i := cfg.From; i < cfg.Examples; i++ {
 		label := i % cfg.Classes
 		proto := prototypes[label]
 		for j := range img {

@@ -12,8 +12,11 @@ import (
 
 // refIm2col and refCol2im are the patch matrix of one (inC, h, w) image and
 // its gradient's scatter back onto the image, one bounds test per element:
-// the reference Conv2D is held to (direct_test.go).
-
+// the reference Conv2D is held to (direct_test.go). Both touch only the
+// buffers of the goroutine that calls them, so -race is told to skip them:
+// instrumented, every element they move costs two checked accesses.
+//
+//go:norace
 func refIm2col(c *Conv2D, img []float32, h, w int) []float32 {
 	outH, outW := c.outSize(h), c.outSize(w)
 	k := c.kernel
@@ -41,6 +44,7 @@ func refIm2col(c *Conv2D, img []float32, h, w int) []float32 {
 	return col
 }
 
+//go:norace
 func refCol2im(c *Conv2D, col []float32, h, w int, dst []float32) {
 	outH, outW := c.outSize(h), c.outSize(w)
 	k := c.kernel

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"dssp/internal/tensor"
@@ -25,11 +26,14 @@ func im2colPass(c *Conv2D, x, grad *tensor.Tensor) im2colRef {
 	batch, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	plane, patch := c.outSize(h)*c.outSize(w), c.inC*c.kernel*c.kernel
 	imgSize, outImgSize := c.inC*h*w, c.outC*plane
-	r := im2colRef{gradB: make([]float32, c.outC), dx: make([]float32, batch*imgSize)}
+	r := im2colRef{out: make([]float32, 0, batch*outImgSize)}
+	if grad != nil {
+		r.gradB, r.dx = make([]float32, c.outC), make([]float32, batch*imgSize)
+		r.cols = make([]float32, 0, batch*patch*plane)
+	}
 	var gradW *tensor.Tensor
 	for b := 0; b < batch; b++ {
 		col := tensor.FromSlice(refIm2col(c, x.Data()[b*imgSize:][:imgSize], h, w), patch, plane)
-		r.cols = append(r.cols, col.Data()...)
 		out := tensor.MatMul(c.weight, col).Data()
 		for oc, bval := range c.bias.Data() {
 			for j := range out[oc*plane : (oc+1)*plane] {
@@ -40,6 +44,7 @@ func im2colPass(c *Conv2D, x, grad *tensor.Tensor) im2colRef {
 		if grad == nil {
 			continue
 		}
+		r.cols = append(r.cols, col.Data()...)
 		gm := tensor.FromSlice(grad.Data()[b*outImgSize:][:outImgSize], c.outC, plane)
 		for oc := range r.gradB {
 			r.gradB[oc] += tensor.SumSlice(gm.Data()[oc*plane : (oc+1)*plane])
@@ -58,12 +63,18 @@ func im2colPass(c *Conv2D, x, grad *tensor.Tensor) im2colRef {
 }
 
 // sameOrBothNaN is sameBits with any NaN equal to any other: the two paths
-// may pick different NaN payloads out of the same operands.
+// may pick different NaN payloads out of the same operands. Equal values
+// other than zeros have equal bits, so only a zero's sign is read from them.
+// Like the reference loops it reads one case's buffers, and -race skips it.
+//
+//go:norace
 func sameOrBothNaN(got, want []float32) bool {
 	for i, w := range want {
-		if g := got[i]; math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
-			return false
+		g := got[i]
+		if g == w && (g != 0 || math.Signbit(float64(g)) == math.Signbit(float64(w))) || g != g && w != w {
+			continue
 		}
+		return false
 	}
 	return len(got) == len(want)
 }
@@ -74,12 +85,13 @@ func sameOrBothNaN(got, want []float32) bool {
 func convFill(rng *rand.Rand, t *tensor.Tensor, specials bool) *tensor.Tensor {
 	odd := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
 		1e-40, -1e-41, float32(math.Copysign(0, -1)), 0}
-	for i := range t.Data() {
+	data := t.Data()
+	for i := range data {
 		v := float32(rng.NormFloat64())
 		if specials && rng.Intn(6) == 0 {
 			v = odd[rng.Intn(len(odd))]
 		}
-		t.Data()[i] = v
+		data[i] = v
 	}
 	return t
 }
@@ -99,7 +111,11 @@ func convFill(rng *rand.Rand, t *tensor.Tensor, specials bool) *tensor.Tensor {
 // agree within the bound for reassociating its sums (direct.go). make
 // portable runs it on all three kernel bindings.
 func TestDirectConvMatchesIm2col(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
+	// Every case allocates its layers, inputs and reference afresh, and under
+	// -race a collection and the reuse of what it frees cost more than the
+	// case: collect at a ninefold heap instead of a doubled one.
+	prev := debug.SetGCPercent(800)
+	t.Cleanup(func() { debug.SetGCPercent(prev) })
 	sizes := []int{1, 2, 3, 5, 8, 9, 16, 17, 32}
 	inCs, outCs := []int{1, 3, 16, 17}, []int{1, 4, 5, 16}
 	var geoms [][3]int // kernel, stride, pad
@@ -110,74 +126,94 @@ func TestDirectConvMatchesIm2col(t *testing.T) {
 			}
 		}
 	}
-	for _, geom := range geoms {
+	for gi, geom := range geoms {
 		k, s, p := geom[0], geom[1], geom[2]
-		step := 0
-		for _, h := range sizes {
-			for _, w := range sizes {
-				step++
-				if h+2*p < k || w+2*p < k {
-					continue
-				}
-				inC, outC := inCs[step%len(inCs)], outCs[(step/len(inCs)+step)%len(outCs)]
-				batch := 1 + step%3
-				for _, fill := range []string{"normal", "input-specials", "weight-specials"} {
-					for _, noDx := range []bool{false, true} {
-						name := fmt.Sprintf("k%d/s%d/p%d/%dx%d/%d->%d/batch=%d/%s/noDx=%v", k, s, p, h, w, inC, outC, batch, fill, noDx)
-						c := NewConv2D(rng, inC, outC, k, s, p)
-						convFill(rng, c.bias, false)
-						convFill(rng, c.weight, fill == "weight-specials")
-						c.noDx = noDx
-						outH, outW := c.outSize(h), c.outSize(w)
-						x := convFill(rng, tensor.New(batch, inC, h, w), fill == "input-specials")
-						grad := convFill(rng, tensor.New(batch, outC, outH, outW), fill == "input-specials")
-						evalX := convFill(rng, tensor.New(1+step%2, inC, h, w), fill == "input-specials")
-						ref := im2colPass(c, x, grad)
+		t.Run(fmt.Sprintf("k%d/s%d/p%d", k, s, p), func(t *testing.T) {
+			t.Parallel()
+			testDirectConvGeometry(t, rand.New(rand.NewSource(73+int64(gi))), k, s, p, sizes, inCs, outCs)
+		})
+	}
+}
 
-						check := func(what string, got, want []float32) {
-							t.Helper()
-							if !sameOrBothNaN(got, want) {
-								t.Fatalf("%s: %s differs from the patch-matrix reference", name, what)
+// testDirectConvGeometry runs TestDirectConvMatchesIm2col's grid of planes,
+// channel counts, batches, fills and noDx arms at one kernel, stride and pad.
+func testDirectConvGeometry(t *testing.T, rng *rand.Rand, k, s, p int, sizes, inCs, outCs []int) {
+	step := 0
+	for _, h := range sizes {
+		for _, w := range sizes {
+			step++
+			if h+2*p < k || w+2*p < k {
+				continue
+			}
+			inC, outC := inCs[step%len(inCs)], outCs[(step/len(inCs)+step)%len(outCs)]
+			batch := 1 + step%3
+			for _, fill := range []string{"normal", "input-specials", "weight-specials"} {
+				// One layer, its inputs and the reference serve both
+				// arms; the noDx arm runs a twin of the layer.
+				c := NewConv2D(rng, inC, outC, k, s, p)
+				convFill(rng, c.bias, false)
+				convFill(rng, c.weight, fill == "weight-specials")
+				outH, outW := c.outSize(h), c.outSize(w)
+				x := convFill(rng, tensor.New(batch, inC, h, w), fill == "input-specials")
+				grad := convFill(rng, tensor.New(batch, outC, outH, outW), fill == "input-specials")
+				evalX := convFill(rng, tensor.New(1+step%2, inC, h, w), fill == "input-specials")
+				ref := im2colPass(c, x, grad)
+				evalRef := im2colPass(c, evalX, nil).out
+				for _, noDx := range []bool{false, true} {
+					name := fmt.Sprintf("%dx%d/%d->%d/batch=%d/%s/noDx=%v", h, w, inC, outC, batch, fill, noDx)
+					layer := c
+					if noDx {
+						layer = NewConv2D(rng, inC, outC, k, s, p)
+						copy(layer.weight.Data(), c.weight.Data())
+						copy(layer.bias.Data(), c.bias.Data())
+						layer.noDx = true
+					}
+
+					check := func(what string, got, want []float32) {
+						t.Helper()
+						if !sameOrBothNaN(got, want) {
+							t.Fatalf("%s: %s differs from the patch-matrix reference", name, what)
+						}
+					}
+					check("evaluation output", layer.Forward(evalX, false).Data(), evalRef)
+					check("training output", layer.Forward(x, true).Data(), ref.out)
+					dx := layer.Backward(grad)
+					if noDx != (dx == nil) {
+						t.Fatalf("%s: Backward returned %v with noDx=%v", name, dx, noDx)
+					}
+					if dx != nil {
+						check("input gradient", dx.Data(), ref.dx)
+						// Into a dirty buffer, as a pooled one is.
+						dirty, nan := dx.Data(), float32(math.NaN())
+						for i := range dirty {
+							dirty[i] = nan
+						}
+						check("input gradient into a dirty buffer", layer.Backward(grad).Data(), ref.dx)
+					}
+					check("bias gradient", layer.gradB.Data(), ref.gradB)
+					if tensor.Kernel() == "go" || outW%8 == 0 || k <= s {
+						check("weight gradient", layer.gradW.Data(), ref.gradW)
+						continue
+					}
+					// The bound for each weight gradient that is not the
+					// reference's, from the patch matrices: batch·outH·outW
+					// products, a rounding each, and one per image added on.
+					cols, g := ref.cols, grad.Data()
+					plane, patch := outH*outW, inC*k*k
+					terms := batch * (plane + 1)
+					for oc := 0; oc < outC; oc++ {
+						for kk := 0; kk < patch; kk++ {
+							got, want := float64(layer.gradW.Data()[oc*patch+kk]), float64(ref.gradW[oc*patch+kk])
+							if want != want && got != got || want == got {
+								continue
 							}
-						}
-						check("evaluation output", c.Forward(evalX, false).Data(), im2colPass(c, evalX, nil).out)
-						check("training output", c.Forward(x, true).Data(), ref.out)
-						dx := c.Backward(grad)
-						if noDx != (dx == nil) {
-							t.Fatalf("%s: Backward returned %v with noDx=%v", name, dx, noDx)
-						}
-						if dx != nil {
-							check("input gradient", dx.Data(), ref.dx)
-							// Into a dirty buffer, as a pooled one is.
-							for i := range dx.Data() {
-								dx.Data()[i] = float32(math.NaN())
+							var sumAbs float64
+							for b := 0; b < batch; b++ {
+								sumAbs += absDot(g[(b*outC+oc)*plane:][:plane], cols[(b*patch+kk)*plane:][:plane])
 							}
-							check("input gradient into a dirty buffer", c.Backward(grad).Data(), ref.dx)
-						}
-						check("bias gradient", c.gradB.Data(), ref.gradB)
-						if tensor.Kernel() == "go" || outW%8 == 0 || k <= s {
-							check("weight gradient", c.gradW.Data(), ref.gradW)
-							continue
-						}
-						// The bound for each weight gradient, from the patch
-						// matrices: batch·outH·outW products, a rounding each,
-						// and one per image added on.
-						cols, g := ref.cols, grad.Data()
-						plane, patch := outH*outW, inC*k*k
-						for oc := 0; oc < outC; oc++ {
-							for kk := 0; kk < patch; kk++ {
-								var sumAbs float64
-								for b := 0; b < batch; b++ {
-									for j := 0; j < plane; j++ {
-										sumAbs += math.Abs(float64(g[(b*outC+oc)*plane+j]) * float64(cols[(b*patch+kk)*plane+j]))
-									}
-								}
-								terms := batch * (plane + 1)
-								tol := 2*float64(terms)*math.Pow(2, -24)*sumAbs + float64(terms)*math.SmallestNonzeroFloat32
-								got, want := float64(c.gradW.Data()[oc*patch+kk]), float64(ref.gradW[oc*patch+kk])
-								if !(want != want && got != got || want == got || math.Abs(got-want) <= tol) {
-									t.Fatalf("%s: weight gradient (%d,%d) %g, reference %g (bound %g)", name, oc, kk, got, want, tol)
-								}
+							tol := 2*float64(terms)*0x1p-24*sumAbs + float64(terms)*math.SmallestNonzeroFloat32
+							if !(math.Abs(got-want) <= tol) {
+								t.Fatalf("%s: weight gradient (%d,%d) %g, reference %g (bound %g)", name, oc, kk, got, want, tol)
 							}
 						}
 					}
@@ -185,6 +221,24 @@ func TestDirectConvMatchesIm2col(t *testing.T) {
 			}
 		}
 	}
+}
+
+// absDot is the sum of |a[j]·b[j]| in float64, a weight gradient's bound
+// before scaling. It reads only one case's buffers, so -race is told to skip
+// it: instrumented, its two checked reads a product made it most of the
+// test's cost.
+//
+//go:norace
+func absDot(a, b []float32) float64 {
+	var sum float64
+	for j, v := range a {
+		p := float64(v) * float64(b[j])
+		if p < 0 {
+			p = -p
+		}
+		sum += p
+	}
+	return sum
 }
 
 // TestConvEvalPassLeavesTrainingBuffersAlone: an evaluation pass at another

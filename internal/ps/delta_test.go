@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"dssp/internal/compress"
 	"dssp/internal/core"
@@ -78,17 +77,11 @@ func (g gateCluster) push(t *testing.T, rng *rand.Rand, iteration int) {
 }
 
 // served reads what the server has metered so far: Weights frames sent, and
-// the pulls it answered with one Unchanged frame. A frame is metered once its
-// Send has returned, which can be after the client has read it, so served
-// first waits, up to five seconds, until at least frames are.
-func (g gateCluster) served(frames float64) (weightsFrames, unchanged float64) {
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		m := g.srv.Registry().Snapshot()
-		weightsFrames, unchanged = m[`dssp_transport_frames_total{dir="sent",type="Weights"}`], m["dssp_pull_unchanged_total"]
-		if weightsFrames >= frames || time.Now().After(deadline) {
-			return weightsFrames, unchanged
-		}
-	}
+// the pulls it answered with one Unchanged frame. A frame is metered before
+// its reader can see it, so a pull that has returned is counted.
+func (g gateCluster) served() (weightsFrames, unchanged float64) {
+	m := g.srv.Registry().Snapshot()
+	return m[`dssp_transport_frames_total{dir="sent",type="Weights"}`], m["dssp_pull_unchanged_total"]
 }
 
 // TestDeltaPullServesCorrectWeightsAcrossUpdates interleaves pushes and
@@ -114,7 +107,7 @@ func TestDeltaPullServesCorrectWeightsAcrossUpdates(t *testing.T) {
 		}
 		g.push(t, rng, round)
 	}
-	if _, unchanged := g.served(0); unchanged != 5 {
+	if _, unchanged := g.served(); unchanged != 5 {
 		t.Fatalf("%v pulls answered Unchanged, want 5 (every second pull after the first push)", unchanged)
 	}
 }
@@ -128,7 +121,7 @@ func checkGate(t *testing.T, g gateCluster, same func(got, want []*tensor.Tensor
 	t.Helper()
 	rng := rand.New(rand.NewSource(6))
 	g.push(t, rng, 0) // version 0 never gates
-	frames0, unchanged0 := g.served(0)
+	frames0, unchanged0 := g.served()
 	for round := 1; round <= 3; round++ {
 		first, version, err := g.replica.Pull()
 		if err != nil {
@@ -141,7 +134,7 @@ func checkGate(t *testing.T, g gateCluster, same func(got, want []*tensor.Tensor
 		for i, p := range first {
 			firstCopy[i] = p.Clone()
 		}
-		frames1, unchanged1 := g.served(frames0 + 1)
+		frames1, unchanged1 := g.served()
 		if frames1-frames0 != 1 || unchanged1 != unchanged0 {
 			t.Fatalf("round %d: pull after a push took %v Weights frames (%v Unchanged), want one full frame",
 				round, frames1-frames0, unchanged1-unchanged0)
@@ -151,7 +144,7 @@ func checkGate(t *testing.T, g gateCluster, same func(got, want []*tensor.Tensor
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames2, unchanged2 := g.served(frames1 + 1)
+		frames2, unchanged2 := g.served()
 		if frames2-frames1 != 1 || unchanged2-unchanged1 != 1 {
 			t.Fatalf("round %d: pull of an unchanged store took %v Weights frames (%v Unchanged), want one Unchanged frame",
 				round, frames2-frames1, unchanged2-unchanged1)

@@ -26,6 +26,12 @@ type Config struct {
 	Model nn.ModelSpec
 	// Train is the training dataset, partitioned across workers.
 	Train *data.Dataset
+	// TrainExamples, when positive, says Train is not the whole train split
+	// but one worker's partition of a split of TrainExamples examples, cut
+	// when it was generated: Worker takes Train as that worker's shard, and
+	// the iteration count still follows the whole split. Zero: Train is the
+	// whole split.
+	TrainExamples int
 	// Test is the evaluation dataset; when nil the training set is used.
 	Test *data.Dataset
 	// Workers is the number of worker goroutines.
@@ -316,30 +322,37 @@ poll:
 }
 
 // iterations is how many mini-batches every worker pushes, in process and
-// over TCP alike: Epochs passes over an equal share of Train, Len()/Workers
-// examples rounded down (all of Train when that share is empty), so that no
-// paradigm waits on a worker that has already finished.
+// over TCP alike: Epochs passes over an equal share of the train split, its
+// examples/Workers rounded down (the whole split when that share is empty),
+// so that no paradigm waits on a worker that has already finished.
 func (c Config) iterations() int {
-	share := c.Train.Len() / c.Workers
+	examples := c.Train.Len()
+	if c.TrainExamples > 0 {
+		examples = c.TrainExamples
+	}
+	share := examples / c.Workers
 	if share == 0 {
-		share = c.Train.Len()
+		share = examples
 	}
 	return (share + c.BatchSize - 1) / c.BatchSize * c.Epochs
 }
 
 // Worker builds worker id's side of the run: its partition of Train, on
-// Train's examples (all of Train when the partition leaves it none), batches
+// Train's examples (all of Train when the partition leaves it none; Train as
+// it is when TrainExamples says it was cut already), batches
 // shuffled from Seed+id*1009, a replica built from Seed, the run's iteration
 // count, and the delay, adversary and crash point c lists for it. Connect is
 // the caller's: how the worker reaches the store is not part of the job.
 func (c Config) Worker(id int) (Worker, error) {
-	idx, err := data.Partition(c.Train.Len(), id, c.Workers)
-	if err != nil {
-		return Worker{}, err
-	}
 	shard := c.Train
-	if len(idx) > 0 {
-		shard = c.Train.Subset(idx)
+	if c.TrainExamples == 0 {
+		idx, err := data.Partition(c.Train.Len(), id, c.Workers)
+		if err != nil {
+			return Worker{}, err
+		}
+		if len(idx) > 0 {
+			shard = c.Train.Subset(idx)
+		}
 	}
 	iter, err := data.NewBatchIterator(shard, c.BatchSize, c.Seed+int64(id)*1009)
 	if err != nil {

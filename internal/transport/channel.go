@@ -68,6 +68,8 @@ func (c *chanConn) Send(m Message) error {
 	if err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Type, err)
 	}
+	// Counted before the peer can read it, like a frame on a socket.
+	c.meter.Sent(m.Type, len(frame))
 	select {
 	case <-c.closed:
 		c.out.put(frame)
@@ -76,7 +78,6 @@ func (c *chanConn) Send(m Message) error {
 		c.out.put(frame)
 		return ErrClosed
 	case c.send <- frame:
-		c.meter.Sent(m.Type, len(frame))
 		return nil
 	}
 }

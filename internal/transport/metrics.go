@@ -76,7 +76,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-// Sent records one outbound frame of n bytes.
+// Sent records one outbound frame of n bytes. Every carrier calls it before
+// the frame can reach the peer, so a frame whose write then fails stays
+// counted.
 func (m *Metrics) Sent(t MessageType, n int) {
 	if m == nil {
 		return

@@ -1354,11 +1354,12 @@ func (c *binaryConn) Send(m Message) error {
 	if err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Type, err)
 	}
-	size := len(buf) + c.refs.bytes
+	// Counted before the write, which lets the peer read it: a receiver never
+	// sees a frame its sender has not counted.
+	c.meter.Sent(m.Type, len(buf)+c.refs.bytes)
 	if err := c.writeLocked(c.divert(buf, 0, 0, &m)); err != nil {
 		return fmt.Errorf("transport: send %v: %w", m.Type, err)
 	}
-	c.meter.Sent(m.Type, size)
 	return nil
 }
 
@@ -1387,14 +1388,14 @@ func (c *binaryConn) SendBatch(ms []Message) error {
 		c.sizes = append(c.sizes, len(buf)+c.refs.bytes-before)
 		buf = c.divert(buf, start, refCount, &ms[i])
 	}
-	if err := c.writeLocked(buf); err != nil {
-		return fmt.Errorf("transport: send batch of %d: %w", len(ms), err)
-	}
 	if c.meter != nil {
 		for i := range ms {
 			c.meter.Sent(ms[i].Type, c.sizes[i])
 		}
 		c.meter.Batch(len(ms))
+	}
+	if err := c.writeLocked(buf); err != nil {
+		return fmt.Errorf("transport: send batch of %d: %w", len(ms), err)
 	}
 	return nil
 }

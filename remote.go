@@ -130,7 +130,7 @@ func (s *Server) CheckpointError() error { return s.inner.CheckpointError() }
 // replica sessions; data and backup servers hold only their shard range and
 // cannot evaluate.
 func (s *Server) Evaluate() (float64, error) {
-	run, err := s.job.build(bothSplits)
+	run, err := s.job.build(testSplit)
 	if err != nil {
 		return 0, err
 	}
@@ -328,7 +328,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		return nil, fmt.Errorf("dssp: Tree and Cluster are mutually exclusive")
 	}
 	run, err := job{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
-		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed}.build(trainSplit)
+		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed, Worker: cfg.WorkerID}.build(workerShard)
 	if err != nil {
 		return nil, err
 	}

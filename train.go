@@ -124,23 +124,27 @@ type job struct {
 	Sync         Sync
 	LearningRate float64
 	Seed         int64
+	// Worker is the worker whose shard a workerShard build generates.
+	Worker int
 }
 
-// splits is the data build generates: none (a server), the train split (a
-// worker, which reads nothing else) or both (Train, Evaluate).
+// splits is the data build generates: none (a server), Worker's partition of
+// the train split (a worker, which reads nothing else), the test split
+// (Evaluate) or both (Train).
 type splits int
 
 const (
 	noSplits splits = iota
-	trainSplit
+	workerShard
+	testSplit
 	bothSplits
 )
 
 // build returns the job as a trainer.Config with unset fields defaulted: the
-// model spec, the counts, the paradigm and learning rate, and the splits
-// asked for, cut from one generated synthetic set — the train examples
-// first, so they are the same whether the test split is generated or not.
-// The rest of the Config is the caller's.
+// model spec, the counts, the paradigm and learning rate, and the data asked
+// for, each part generated on its own as a range of one synthetic set — the
+// train examples first, then the test examples — so an example is the same
+// whatever else is generated. The rest of the Config is the caller's.
 func (j job) build(want splits) (trainer.Config, error) {
 	if j.Model == "" {
 		j.Model = ModelSmallMLP
@@ -208,35 +212,35 @@ func (j job) build(want splits) (trainer.Config, error) {
 	if j.Model == ModelAlexNetSmall {
 		size = 32
 	}
-	examples := d.Examples
-	if want == bothSplits {
-		examples += d.TestExamples
+	gen := data.SyntheticConfig{Classes: d.Classes, Channels: channels, Size: size,
+		Noise: d.Noise, Flat: j.Model == ModelSmallMLP, Seed: d.Seed}
+	generate := func(from, to int) (*data.Dataset, error) {
+		gen.From, gen.Examples = from, to
+		return data.Synthetic(gen)
 	}
-	full, err := data.Synthetic(data.SyntheticConfig{
-		Examples: examples,
-		Classes:  d.Classes,
-		Channels: channels,
-		Size:     size,
-		Noise:    d.Noise,
-		Flat:     j.Model == ModelSmallMLP,
-		Seed:     d.Seed,
-	})
+	var err error
+	switch want {
+	case workerShard:
+		var idx []int
+		if idx, err = data.Partition(d.Examples, j.Worker, j.Workers); err != nil {
+			return trainer.Config{}, err
+		}
+		from, to := 0, d.Examples // a worker with no examples trains on the whole split
+		if len(idx) > 0 {
+			from, to = idx[0], idx[len(idx)-1]+1
+		}
+		cfg.Train, err = generate(from, to)
+		cfg.TrainExamples = d.Examples
+	case testSplit:
+		cfg.Test, err = generate(d.Examples, d.Examples+d.TestExamples)
+	case bothSplits:
+		if cfg.Train, err = generate(0, d.Examples); err == nil {
+			cfg.Test, err = generate(d.Examples, d.Examples+d.TestExamples)
+		}
+	}
 	if err != nil {
 		return trainer.Config{}, err
 	}
-	if want == trainSplit {
-		cfg.Train = full
-		return cfg, nil
-	}
-	trainIdx := make([]int, d.Examples)
-	for i := range trainIdx {
-		trainIdx[i] = i
-	}
-	testIdx := make([]int, d.TestExamples)
-	for i := range testIdx {
-		testIdx[i] = d.Examples + i
-	}
-	cfg.Train, cfg.Test = full.Subset(trainIdx), full.Subset(testIdx)
 	return cfg, nil
 }
 

@@ -211,9 +211,11 @@ bench-baseline:
 # Pinned-benchmark regression gate (scripts/bench_gate.sh): build the test
 # binaries of BENCH_GATE_PKGS from the commit BENCH_baseline.json names
 # ("commit", exported with git archive) and from the working tree, run the
-# pins of both alternately for ten rounds at BENCH_GATE_TIME,
+# pins of both alternately for ten rounds at BENCH_GATE_TIME with -benchmem,
 # and fail when any pin's median ns/op over the working tree's rounds is more
-# than 25% above its median over the baseline commit's. Both trees run on the
+# than 25% above its median over the baseline commit's, or its median
+# allocs/op is above the highest the baseline commit read in any round (B/op
+# stays informational). Both trees run on the
 # same machine in the same minutes, so the gate is green at the baseline
 # commit itself; the ns/op recorded in BENCH_baseline.json are printed beside,
 # for information. The baseline commit moves only with a deliberate refresh
@@ -290,22 +292,44 @@ orphans:
 		exit 1; \
 	fi
 
-# Unexported functions nothing calls: every top-level func or method with a
-# lower-case name (main and init aside) whose name appears as a token nowhere
-# else in the non-test Go outside bench/, comment lines and trailing // comments
-# stripped, fails the target. One awk pass counts every token; a declaration
-# is the name's one sighting when nothing else names it. A token count, not a
-# type check: two unused declarations of one name (per-architecture twins)
-# hide each other, and a name that only a string spells counts as used.
+# Functions and types nothing calls. An unexported top-level func or method
+# (main and init aside) whose name appears as a token nowhere else in the
+# non-test Go outside bench/, comment lines and trailing // comments stripped,
+# fails the target. So does an exported top-level func, method or type whose
+# name no non-test Go spells beyond its declarations, bench/ counted as a
+# caller (some product names live only there); UNUSED_EXPORTED_ALLOWED lists
+# the exceptions as name=reason, and internal/cluster/clustertest, the
+# harness only tests import, is exempt whole. One awk pass counts every
+# token; a declaration is the name's one sighting when nothing else names
+# it. A token count, not a type check: two unused declarations of one
+# unexported name (per-architecture twins) hide each other, a method shares
+# its name's count with every other method of that name, a type's own
+# method receivers count as its callers, and a name that only a string
+# spells counts as used.
+# The exported exceptions: test seams a test flips (seam); constructors that
+# panic, for test fixtures (fixture); the DSSP controller's grant record and
+# bounds, kept until the controller grading decides them (pending); the
+# simulator's event heap, which container/heap calls (heap); and the tensor
+# comparisons and fill the tests of every package assert with (assert).
+UNUSED_EXPORTED_ALLOWED = SetLaneEnabled=seam SetReleaseHook=seam SetMatMulParallelMinFlops=seam \
+	MustNewDSSP=fixture MustNewSSP=fixture MustNewASP=fixture MustNewBSP=fixture \
+	Grants=pending RecordGrants=pending Allowance=pending LowerBound=pending \
+	Less=heap ApproxEqual=assert L2Norm=assert Fill=assert
 unused:
-	@unused=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | LC_ALL=C sort | xargs awk ' \
+	@unused=$$({ find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'; find ./bench -name '*.go' -not -name '*_test.go'; } \
+		| LC_ALL=C sort | xargs awk -v allowed='$(UNUSED_EXPORTED_ALLOWED)' ' \
+		BEGIN { k = split(allowed, a, /[ \t]+/); for (i = 1; i <= k; i++) { split(a[i], kv, "="); allow[kv[1]] = 1 } } \
 		{ sub(/^[ \t]*\/\/.*/, ""); sub(/[ \t]\/\/.*/, "") } \
+		FILENAME ~ /^\.\/bench\// { k = split($$0, tok, /[^A-Za-z0-9_]+/); for (i = 1; i <= k; i++) if (tok[i] != "") bseen[tok[i]]++; next } \
 		/^func / { d = $$0; sub(/^func (\([^)]*\) )?/, "", d); \
 			if (match(d, /^[a-z_][A-Za-z0-9_]*/)) { n = substr(d, 1, RLENGTH); if (n != "main" && n != "init") at[n] = FILENAME ":" FNR } } \
+		/^(func |type )/ && FILENAME !~ /^\.\/internal\/cluster\/clustertest\// { d = $$0; sub(/^(func (\([^)]*\) )?|type )/, "", d); \
+			if (match(d, /^[A-Z][A-Za-z0-9_]*/)) { n = substr(d, 1, RLENGTH); if (!(n in allow)) { xat[n] = FILENAME ":" FNR; decl[n]++ } } } \
 		{ k = split($$0, tok, /[^A-Za-z0-9_]+/); for (i = 1; i <= k; i++) if (tok[i] != "") seen[tok[i]]++ } \
-		END { for (n in at) if (seen[n] == 1) print at[n] ": " n }' | LC_ALL=C sort); \
+		END { for (n in at) if (seen[n] == 1) print at[n] ": " n; \
+			for (n in xat) if (seen[n] + bseen[n] <= decl[n]) print xat[n] ": " n " (exported)" }' | LC_ALL=C sort); \
 	if [ -n "$$unused" ]; then \
-		echo "unexported functions nothing calls:" >&2; \
+		echo "functions and types nothing calls:" >&2; \
 		echo "$$unused" >&2; \
 		exit 1; \
 	fi

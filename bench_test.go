@@ -25,10 +25,10 @@ func benchSimCfg() SimulationConfig {
 // reportFigure attaches per-curve metrics to the benchmark output.
 func reportFigure(b *testing.B, fig *FigureResult, target float64) {
 	b.Helper()
-	for _, c := range fig.Curves {
+	for _, c := range fig.Results {
 		name := sanitizeMetric(c.Label)
 		b.ReportMetric(c.FinalAccuracy, name+"_final_acc")
-		if d, ok := c.TimeToAccuracy(target); ok {
+		if d, ok := c.Curve.TimeToReach(target); ok {
 			b.ReportMetric(d.Seconds(), name+"_s_to_target")
 		}
 	}
@@ -88,9 +88,9 @@ func BenchmarkFigure3bAlexNetSSPSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	dssp, _ := fig.Curve("DSSP s=3 r=12")
+	dssp, _ := fig.Result("DSSP s=3 r=12")
 	beaten := 0
-	for _, c := range fig.Curves {
+	for _, c := range fig.Results {
 		if c.Label != dssp.Label && dssp.FinalAccuracy >= c.FinalAccuracy {
 			beaten++
 		}

@@ -20,11 +20,15 @@
 //	    -threshold 0.25 -pin BenchmarkStoreConcurrentPushPull/sharded,BenchmarkWireEncode
 //
 // exits non-zero when any pinned benchmark's ns/op regressed by more than
-// 25% against the baseline; every other benchmark stays informational.
+// 25% against the baseline, or its allocs/op rose above every baseline
+// round's (where both report it: most allocation counts repeat exactly, so
+// one more is a change, not noise); every other benchmark, and B/op, stays
+// informational.
 //
 // -in takes several files, comma-separated, as the rounds of one
 // measurement: each benchmark is written with the median of every metric
-// over the rounds it appears in. make bench-gate measures the pins of the
+// over the rounds it appears in, and the highest allocs/op of any round as
+// "max allocs/op". make bench-gate measures the pins of the
 // baseline commit and of the working tree in alternating rounds and gates
 // the ratio of the two medians:
 //
@@ -73,7 +77,7 @@ func main() {
 	in := flag.String("in", "", "bench output file to read, or several, comma-separated, each benchmark written with its median over them (default stdin)")
 	out := flag.String("out", "", "JSON file to write (default stdout)")
 	baseline := flag.String("baseline", "", "baseline JSON to compare ns/op against (informational unless -threshold gates it)")
-	threshold := flag.Float64("threshold", 0, "fail (exit 1) when a pinned benchmark's ns/op regresses by more than this fraction vs -baseline (e.g. 0.25 = 25%); 0 keeps the comparison informational")
+	threshold := flag.Float64("threshold", 0, "fail (exit 1) when a pinned benchmark's ns/op regresses by more than this fraction vs -baseline (e.g. 0.25 = 25%), or its allocs/op rises at all; 0 keeps the comparison informational")
 	pinned := flag.String("pin", "", "comma-separated benchmark name prefixes the -threshold gate applies to; all other benchmarks stay informational")
 	flag.Parse()
 
@@ -153,9 +157,11 @@ func pinnedName(name string, pins []string) bool {
 // are noisy, and the perf trajectory is a record, not a merge gate. With
 // -threshold and -pin set, the small allowlisted set of macro benchmarks is
 // gated — a pinned benchmark whose ns/op regressed by more than the
-// threshold fraction is returned for the caller to fail on, while everything
-// off the allowlist stays informational. Missing files or unknown benchmarks
-// just shrink the table.
+// threshold fraction, or whose allocs/op is above the baseline's highest
+// round ("max allocs/op"; a single-round baseline's allocs/op), is returned
+// for the caller to fail on, while everything off the allowlist
+// stays informational. Missing files or unknown benchmarks just shrink the
+// table.
 func compareBaseline(doc *Document, path string, threshold float64, pins []string) []string {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -168,9 +174,15 @@ func compareBaseline(doc *Document, path string, threshold float64, pins []strin
 		return nil
 	}
 	baseNs := make(map[string]float64, len(base.Results))
+	baseAllocs := make(map[string]float64, len(base.Results))
 	for _, r := range base.Results {
 		if ns, ok := r.Metrics["ns/op"]; ok && ns > 0 {
 			baseNs[r.Name] = ns
+		}
+		if allocs, ok := r.Metrics["max allocs/op"]; ok {
+			baseAllocs[r.Name] = allocs
+		} else if allocs, ok := r.Metrics["allocs/op"]; ok {
+			baseAllocs[r.Name] = allocs
 		}
 	}
 	gated := threshold > 0 && len(pins) > 0
@@ -201,8 +213,14 @@ func compareBaseline(doc *Document, path string, threshold float64, pins []strin
 				}
 			}
 		}
+		allocs, okAllocs := r.Metrics["allocs/op"]
+		oldAllocs, okBaseAllocs := baseAllocs[r.Name]
 		marker := ""
 		switch {
+		case pinnedHere && okAllocs && okBaseAllocs && allocs > oldAllocs:
+			marker = "  <-- ALLOCS (pinned)"
+			regressions = append(regressions, fmt.Sprintf("%s: %g allocs/op vs baseline at most %g",
+				r.Name, allocs, oldAllocs))
 		case pinnedHere && ratio > 1+threshold:
 			marker = "  <-- REGRESSION (pinned)"
 			regressions = append(regressions, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%.2fx > %.2fx allowed)",
@@ -285,7 +303,11 @@ func parse(r io.Reader) (*Document, error) {
 // median merges the rounds of one measurement: every benchmark, in the
 // order it first appears, with the median of each metric and of the
 // iteration count over the rounds that measured it (the mean of the middle
-// two where they are even), and the first round's commit and context.
+// two where they are even), the highest allocs/op of those rounds as "max
+// allocs/op", and the first round's commit and context. Most pins read one
+// allocation count in every round, so there the maximum is the median; a
+// pin whose count moves from round to round (a ResNet-8 iteration read
+// 13-22) is gated against the top of its spread instead of flaking.
 func median(rounds []*Document) *Document {
 	if len(rounds) == 1 {
 		return rounds[0]
@@ -316,6 +338,9 @@ func median(rounds []*Document) *Document {
 		res := Result{Name: rs[0].Name, Iterations: int64(middle(iters)), Metrics: map[string]float64{}}
 		for unit, vs := range values {
 			res.Metrics[unit] = middle(vs)
+		}
+		if allocs := values["allocs/op"]; len(allocs) > 0 {
+			res.Metrics["max allocs/op"] = allocs[len(allocs)-1] // middle sorted them
 		}
 		doc.Results = append(doc.Results, res)
 	}

@@ -42,13 +42,14 @@ ok  	dssp/internal/ps	1.0s
 // TestMedianOverRounds pins how make bench-gate's rounds merge: a benchmark
 // keeps its first position across the rounds, and every metric is the median
 // of the rounds that measured it — the middle one of an odd count, the mean
-// of the middle two of an even one.
+// of the middle two of an even one — and allocs/op also keeps its highest
+// round as "max allocs/op".
 func TestMedianOverRounds(t *testing.T) {
 	var rounds []*Document
 	for _, text := range []string{
-		"BenchmarkA-2 10 500 ns/op 64 B/op\nBenchmarkB-2 10 70 ns/op\n",
-		"BenchmarkA-2 20 900 ns/op 64 B/op\n",
-		"BenchmarkB-2 30 90 ns/op\nBenchmarkA-2 30 300 ns/op 32 B/op\n",
+		"BenchmarkA-2 10 500 ns/op 64 B/op 3 allocs/op\nBenchmarkB-2 10 70 ns/op\n",
+		"BenchmarkA-2 20 900 ns/op 64 B/op 5 allocs/op\n",
+		"BenchmarkB-2 30 90 ns/op\nBenchmarkA-2 30 300 ns/op 32 B/op 4 allocs/op\n",
 	} {
 		doc, err := parse(strings.NewReader(text))
 		if err != nil {
@@ -60,8 +61,12 @@ func TestMedianOverRounds(t *testing.T) {
 	if len(doc.Results) != 2 || doc.Results[0].Name != "BenchmarkA-2" || doc.Results[1].Name != "BenchmarkB-2" {
 		t.Fatalf("results = %+v, want BenchmarkA-2 then BenchmarkB-2", doc.Results)
 	}
-	if a := doc.Results[0]; a.Iterations != 20 || a.Metrics["ns/op"] != 500 || a.Metrics["B/op"] != 64 {
-		t.Fatalf("BenchmarkA-2 = %+v, want the medians 20 iterations, 500 ns/op, 64 B/op", a)
+	if a := doc.Results[0]; a.Iterations != 20 || a.Metrics["ns/op"] != 500 || a.Metrics["B/op"] != 64 ||
+		a.Metrics["allocs/op"] != 4 || a.Metrics["max allocs/op"] != 5 {
+		t.Fatalf("BenchmarkA-2 = %+v, want the medians 20 iterations, 500 ns/op, 64 B/op, 4 allocs/op and at most 5", a)
+	}
+	if _, ok := doc.Results[1].Metrics["max allocs/op"]; ok {
+		t.Fatal("BenchmarkB-2 reports no allocs/op but was given a maximum")
 	}
 	if b := doc.Results[1]; b.Iterations != 20 || b.Metrics["ns/op"] != 80 {
 		t.Fatalf("BenchmarkB-2 = %+v, want the mean of its two rounds' middle: 20 iterations, 80 ns/op", b)
@@ -133,6 +138,50 @@ func TestThresholdGateFailsPinnedRegressions(t *testing.T) {
 	}
 	if !strings.Contains(regressions[0], "BenchmarkPinned/slow-1") {
 		t.Fatalf("regression names the wrong benchmark: %s", regressions[0])
+	}
+}
+
+// TestAllocsGateFailsAnyPinnedRise pins the allocs/op half of the gate: a
+// pinned benchmark with one allocation more than its baseline fails however
+// fast it ran, an equal count passes, a count inside the spread of a
+// baseline whose rounds disagree passes and one above it fails, an unpinned
+// rise and a rise in B/op stay informational, and a side that reports no
+// allocs/op gates nothing.
+func TestAllocsGateFailsAnyPinnedRise(t *testing.T) {
+	metrics := func(ns, bytes, allocs float64) map[string]float64 {
+		return map[string]float64{"ns/op": ns, "B/op": bytes, "allocs/op": allocs}
+	}
+	baseDoc := Document{Results: []Result{
+		{Name: "BenchmarkPinned/more-1", Metrics: metrics(100, 1000, 44)},
+		{Name: "BenchmarkPinned/same-1", Metrics: metrics(100, 1000, 44)},
+		{Name: "BenchmarkPinned/nobase-1", Metrics: map[string]float64{"ns/op": 100}},
+		{Name: "BenchmarkPinned/spread-1", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 18, "max allocs/op": 22}},
+		{Name: "BenchmarkPinned/above-1", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 18, "max allocs/op": 22}},
+		{Name: "BenchmarkUnpinned/more-1", Metrics: metrics(100, 1000, 4)},
+	}}
+	blob, err := json.Marshal(baseDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(base, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc := &Document{Results: []Result{
+		{Name: "BenchmarkPinned/more-1", Metrics: metrics(90, 1000, 45)},
+		{Name: "BenchmarkPinned/same-1", Metrics: metrics(100, 9000, 44)},
+		{Name: "BenchmarkPinned/nobase-1", Metrics: metrics(100, 1000, 60)},
+		{Name: "BenchmarkPinned/spread-1", Metrics: metrics(100, 1000, 21)},
+		{Name: "BenchmarkPinned/above-1", Metrics: metrics(100, 1000, 23)},
+		{Name: "BenchmarkUnpinned/more-1", Metrics: metrics(100, 1000, 40)},
+	}}
+	regressions := compareBaseline(doc, base, 0.25, []string{"BenchmarkPinned"})
+	if len(regressions) != 2 || !strings.Contains(regressions[0], "BenchmarkPinned/more-1") ||
+		!strings.Contains(regressions[1], "BenchmarkPinned/above-1") || !strings.Contains(regressions[0], "allocs/op") {
+		t.Fatalf("regressions %v, want exactly BenchmarkPinned/more-1's and /above-1's allocs/op", regressions)
+	}
+	if got := compareBaseline(doc, base, 0, []string{"BenchmarkPinned"}); len(got) != 0 {
+		t.Fatalf("threshold 0 still gated allocs/op: %v", got)
 	}
 }
 

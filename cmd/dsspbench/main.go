@@ -12,8 +12,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"dssp"
@@ -34,19 +37,21 @@ func main() {
 	}
 }
 
+// reports lists the -exp values -exp all runs, in report order.
+func reports() []string {
+	return slices.Concat([]string{"fig2"}, dssp.FigureIDs(), []string{"table1", "trends"})
+}
+
 // run executes the selected experiment(s) and writes a textual report.
-func run(w *os.File, exp string, cfg dssp.SimulationConfig) error {
+func run(w io.Writer, exp string, cfg dssp.SimulationConfig) error {
 	switch exp {
 	case "all":
-		for _, id := range append([]string{"fig2"}, dssp.FigureIDs()...) {
+		for _, id := range reports() {
 			if err := run(w, id, cfg); err != nil {
 				return err
 			}
 		}
-		if err := run(w, "table1", cfg); err != nil {
-			return err
-		}
-		return run(w, "trends", cfg)
+		return nil
 	case "fig2":
 		return printFigure2(w)
 	case "table1":
@@ -54,36 +59,40 @@ func run(w *os.File, exp string, cfg dssp.SimulationConfig) error {
 	case "trends":
 		return printTrends(w, cfg)
 	default:
+		if !slices.Contains(dssp.FigureIDs(), strings.ToLower(exp)) {
+			return fmt.Errorf("unknown experiment %q (valid: %s, all)", exp, strings.Join(reports(), ", "))
+		}
 		return printFigure(w, exp, cfg)
 	}
 }
 
-func printFigure(w *os.File, id string, cfg dssp.SimulationConfig) error {
+func printFigure(w io.Writer, id string, cfg dssp.SimulationConfig) error {
 	fig, err := dssp.Figure(id, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\n=== %s: %s (%d epochs) ===\n", fig.ID, fig.Title, cfg.Epochs)
-	for _, c := range fig.Curves {
+	for _, c := range fig.Results {
 		fmt.Fprintf(w, "%-24s final accuracy %.4f", c.Label, c.FinalAccuracy)
 		if c.Finish > 0 {
 			fmt.Fprintf(w, ", completed in %s", c.Finish.Round(time.Second))
 		}
 		fmt.Fprintln(w)
+		points := c.Curve.Points()
 		fmt.Fprint(w, "  t(s):   ")
-		for _, ti := range c.Times {
-			fmt.Fprintf(w, "%8.0f", ti.Seconds())
+		for _, p := range points {
+			fmt.Fprintf(w, "%8.0f", p.Elapsed.Seconds())
 		}
 		fmt.Fprint(w, "\n  acc:    ")
-		for _, a := range c.Accuracies {
-			fmt.Fprintf(w, "%8.3f", a)
+		for _, p := range points {
+			fmt.Fprintf(w, "%8.3f", p.Value)
 		}
 		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func printFigure2(w *os.File) error {
+func printFigure2(w io.Writer) error {
 	// The scenario of Figure 2: the fast worker iterates in 1s, the slow one
 	// in 3.5s; the controller may allow up to 8 extra iterations.
 	waits, selected, err := dssp.PredictionCurve(time.Second, 3500*time.Millisecond, 8)
@@ -102,7 +111,7 @@ func printFigure2(w *os.File) error {
 	return nil
 }
 
-func printTableI(w *os.File, cfg dssp.SimulationConfig) error {
+func printTableI(w io.Writer, cfg dssp.SimulationConfig) error {
 	rows, err := dssp.TableI(cfg)
 	if err != nil {
 		return err
@@ -122,7 +131,7 @@ func formatTarget(d time.Duration, reached bool) string {
 	return fmt.Sprintf("%.1fs", d.Seconds())
 }
 
-func printTrends(w *os.File, cfg dssp.SimulationConfig) error {
+func printTrends(w io.Writer, cfg dssp.SimulationConfig) error {
 	trends, err := dssp.ThroughputTrends(cfg)
 	if err != nil {
 		return err

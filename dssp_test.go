@@ -118,17 +118,17 @@ func TestFigureFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.ID != "fig3a" || len(fig.Curves) != 4 {
-		t.Fatalf("unexpected figure %q with %d curves", fig.ID, len(fig.Curves))
+	if fig.ID != "fig3a" || len(fig.Results) != 4 {
+		t.Fatalf("unexpected figure %q with %d curves", fig.ID, len(fig.Results))
 	}
-	dssp, ok := fig.Curve("DSSP s=3 r=12")
-	if !ok || len(dssp.Times) != len(dssp.Accuracies) || len(dssp.Times) == 0 {
+	dssp, ok := fig.Result("DSSP s=3 r=12")
+	if !ok || dssp.Curve == nil || len(dssp.Curve.Points()) == 0 {
 		t.Fatal("DSSP curve malformed")
 	}
-	if _, ok := dssp.TimeToAccuracy(0.3); !ok {
+	if _, ok := dssp.Curve.TimeToReach(0.3); !ok {
 		t.Fatal("curve never crossed 0.3 accuracy")
 	}
-	if _, ok := fig.Curve("nope"); ok {
+	if _, ok := fig.Result("nope"); ok {
 		t.Fatal("missing curve reported as present")
 	}
 	if _, err := Figure("fig99", cfg); err == nil {

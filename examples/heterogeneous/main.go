@@ -28,7 +28,7 @@ func main() {
 	}
 	fmt.Println(fig.Title)
 	fmt.Printf("\n%-16s %-12s %-12s %-12s %-12s\n", "paradigm", "final acc", "to 0.55", "to 0.60", "to 0.65")
-	for _, curve := range fig.Curves {
+	for _, curve := range fig.Results {
 		fmt.Printf("%-16s %-12.4f %-12s %-12s %-12s\n",
 			curve.Label, curve.FinalAccuracy,
 			formatTarget(curve, 0.55), formatTarget(curve, 0.60), formatTarget(curve, 0.65))
@@ -56,7 +56,7 @@ func main() {
 }
 
 func formatTarget(c dssp.Curve, target float64) string {
-	if d, ok := c.TimeToAccuracy(target); ok {
+	if d, ok := c.Curve.TimeToReach(target); ok {
 		return d.Round(time.Second).String()
 	}
 	return "-"

@@ -26,21 +26,6 @@ const PackedBinaryMinSize = 1 + 1 + 4 + 4
 // maxPackedDims mirrors the transport layer's tensor rank limit.
 const maxPackedDims = 8
 
-// EncodedBinarySize returns the number of bytes AppendBinary will produce.
-func (p Packed) EncodedBinarySize() int {
-	return PackedBinaryMinSize + 4*len(p.Shape) + len(p.Payload)
-}
-
-// AppendBinary appends p's stable binary encoding to dst and returns the
-// extended slice.
-func (p Packed) AppendBinary(dst []byte) ([]byte, error) {
-	dst, err := p.AppendBinaryHeader(dst)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, p.Payload...), nil
-}
-
 // AppendBinaryHeader appends everything of p's encoding that precedes the
 // payload bytes — through the payload length — so a writer that can gather
 // (the transport's vectored send) may put Payload on the wire from where it
@@ -64,11 +49,11 @@ func (p Packed) AppendBinaryHeader(dst []byte) ([]byte, error) {
 
 // DecodeBinary decodes one Packed tensor from the front of b, returning it
 // and the number of bytes consumed. The returned Payload aliases b — callers
-// that outlive b must copy it (Decompress copies by construction, so the
+// that outlive b must copy it (DecompressReuse copies by construction, so the
 // usual decode-then-decompress flow never needs to).
 //
 // DecodeBinary validates structure (rank, dimension positivity, payload
-// presence) but not scheme semantics; Decompress rejects payloads whose
+// presence) but not scheme semantics; DecompressReuse rejects payloads whose
 // length disagrees with their shape.
 func DecodeBinary(b []byte) (Packed, int, error) {
 	p, off, n, err := DecodeBinaryHeader(b)

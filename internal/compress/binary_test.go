@@ -33,22 +33,32 @@ func packedSamples(t *testing.T) []Packed {
 	return out
 }
 
+// appendBinary appends p's whole encoding, header then payload, as the
+// transport writes it.
+func appendBinary(p Packed, dst []byte) ([]byte, error) {
+	dst, err := p.AppendBinaryHeader(dst)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, p.Payload...), nil
+}
+
 // TestPackedBinaryRoundTrip pins the stable binary layout: every scheme's
-// Packed form survives AppendBinary → DecodeBinary exactly, the encoded size
-// matches EncodedBinarySize, and consecutive encodings decode back from one
-// buffer.
+// Packed form survives AppendBinaryHeader + payload → DecodeBinary exactly,
+// the encoded size is the header's fixed bytes, four per dimension and the
+// payload, and consecutive encodings decode back from one buffer.
 func TestPackedBinaryRoundTrip(t *testing.T) {
 	samples := packedSamples(t)
 	var buf []byte
 	for i, p := range samples {
 		before := len(buf)
 		var err error
-		buf, err = p.AppendBinary(buf)
+		buf, err = appendBinary(p, buf)
 		if err != nil {
 			t.Fatalf("packed %d: %v", i, err)
 		}
-		if got, want := len(buf)-before, p.EncodedBinarySize(); got != want {
-			t.Errorf("packed %d encoded to %d bytes, EncodedBinarySize says %d", i, got, want)
+		if got, want := len(buf)-before, PackedBinaryMinSize+4*len(p.Shape)+len(p.Payload); got != want {
+			t.Errorf("packed %d encoded to %d bytes, want %d", i, got, want)
 		}
 	}
 	rest := buf
@@ -62,11 +72,11 @@ func TestPackedBinaryRoundTrip(t *testing.T) {
 			t.Errorf("packed %d changed in the round trip:\nwant %+v\ngot  %+v", i, want, got)
 		}
 		// The decompressed tensor must match the original's decode exactly.
-		a, err := Decompress(want)
+		a, err := DecompressReuse(want, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Decompress(got)
+		b, err := DecompressReuse(got, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +93,7 @@ func TestPackedBinaryRoundTrip(t *testing.T) {
 // payload aliases the input buffer, and Decompress still copies out of it.
 func TestPackedBinaryPayloadAliases(t *testing.T) {
 	p := packedSamples(t)[0]
-	buf, err := p.AppendBinary(nil)
+	buf, err := appendBinary(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +104,14 @@ func TestPackedBinaryPayloadAliases(t *testing.T) {
 	if len(got.Payload) > 0 && &got.Payload[0] != &buf[1+1+4*len(p.Shape)+4+4] {
 		t.Error("decoded payload does not alias the input buffer")
 	}
-	dec, err := Decompress(got)
+	dec, err := DecompressReuse(got, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range buf {
 		buf[i] = 0xaa // scribble over the wire buffer
 	}
-	dec2, err := Decompress(p)
+	dec2, err := DecompressReuse(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +124,7 @@ func TestPackedBinaryPayloadAliases(t *testing.T) {
 // forged fields: errors, never panics or count-driven allocations.
 func TestPackedBinaryRejectsCorruption(t *testing.T) {
 	p := packedSamples(t)[0]
-	buf, err := p.AppendBinary(nil)
+	buf, err := appendBinary(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +166,7 @@ func TestDecompressRejectsHostileShapes(t *testing.T) {
 		{Scheme: 99, Shape: []int{2}, Payload: make([]byte, 4)},                // unknown scheme
 	}
 	for i, p := range hostile {
-		if _, err := Decompress(p); err == nil {
+		if _, err := DecompressReuse(p, nil); err == nil {
 			t.Errorf("hostile packed %d decompressed successfully", i)
 		}
 		if _, err := DecompressReuse(p, tensor.New(2)); err == nil {
@@ -165,7 +175,7 @@ func TestDecompressRejectsHostileShapes(t *testing.T) {
 	}
 	// The wire-level decoder rejects oversized products before Decompress
 	// ever sees them.
-	big, err := Packed{Scheme: SchemeF16, Shape: []int{1 << 13, 1 << 14}, Payload: nil}.AppendBinary(nil)
+	big, err := appendBinary(Packed{Scheme: SchemeF16, Shape: []int{1 << 13, 1 << 14}, Payload: nil}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +190,7 @@ func TestDecompressRejectsHostileShapes(t *testing.T) {
 func TestPackedBinaryScaleBits(t *testing.T) {
 	for _, bits := range []uint32{0x80000000, 0x7fc00001, 0x00000001} {
 		p := Packed{Scheme: SchemeQ8, Shape: []int{1}, Scale: math.Float32frombits(bits), Payload: []byte{5}}
-		buf, err := p.AppendBinary(nil)
+		buf, err := appendBinary(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +209,7 @@ func TestPackedBinaryScaleBits(t *testing.T) {
 // fill on a dirty reused tensor.
 func TestDecompressAllReuseMatchesDecompressAll(t *testing.T) {
 	samples := packedSamples(t)
-	want, err := DecompressAll(samples)
+	want, err := DecompressAllReuse(samples, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

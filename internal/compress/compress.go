@@ -296,11 +296,6 @@ func PackInto(dst []Packed, ts []*tensor.Tensor, cfg Config) []Packed {
 	return dst
 }
 
-// Decompress reconstructs the dense tensor a Packed payload encodes.
-func Decompress(p Packed) (*tensor.Tensor, error) {
-	return DecompressReuse(p, nil)
-}
-
 // MaxPackedElements bounds the dense element count a Packed tensor may
 // declare — matching the transport layer's dense-tensor bound — so a hostile
 // shape cannot drive allocation beyond what a legal frame could carry.
@@ -360,16 +355,11 @@ func DecompressReuse(p Packed, dst *tensor.Tensor) (*tensor.Tensor, error) {
 	return dst, nil
 }
 
-// DecompressAll reconstructs a full tensor list, the inverse of
-// Compressor.Compress and Pack.
-func DecompressAll(ps []Packed) ([]*tensor.Tensor, error) {
-	return DecompressAllReuse(ps, nil)
-}
-
-// DecompressAllReuse is DecompressAll writing into scratch where shapes
-// match; it returns the (possibly re-sliced) scratch. Callers own the
-// returned tensors until their next DecompressAllReuse with the same
-// scratch.
+// DecompressAllReuse reconstructs a full tensor list, the inverse of
+// Compressor.Compress and Pack, writing into scratch where shapes match (nil
+// scratch allocates every tensor); it returns the (possibly re-sliced)
+// scratch. Callers own the returned tensors until their next
+// DecompressAllReuse with the same scratch.
 func DecompressAllReuse(ps []Packed, scratch []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if cap(scratch) < len(ps) {
 		grown := make([]*tensor.Tensor, len(ps))

@@ -107,7 +107,7 @@ func TestInt8RoundTripErrorBound(t *testing.T) {
 				maxAbs = a
 			}
 		}
-		dec, err := Decompress(Pack([]*tensor.Tensor{orig}, Config{Codec: Int8})[0])
+		dec, err := DecompressReuse(Pack([]*tensor.Tensor{orig}, Config{Codec: Int8})[0], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestInt8RoundTripErrorBound(t *testing.T) {
 }
 
 func TestInt8AllZeroTensor(t *testing.T) {
-	dec, err := Decompress(Pack([]*tensor.Tensor{tensor.New(4, 4)}, Config{Codec: Int8})[0])
+	dec, err := DecompressReuse(Pack([]*tensor.Tensor{tensor.New(4, 4)}, Config{Codec: Int8})[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTopKSelectsLargestMagnitudes(t *testing.T) {
 		if got := len(p.Payload) / 8; got != k {
 			t.Fatalf("topk(%g) of %d values kept %d entries, want %d", frac, n, got, k)
 		}
-		dec, err := Decompress(p)
+		dec, err := DecompressReuse(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestErrorFeedbackResidualInvariant(t *testing.T) {
 			g := randTensor(rng, 0.1, 23, 7)
 			sumGrads.Add(g)
 			packed := c.Compress([]*tensor.Tensor{g})
-			dec, err := Decompress(packed[0])
+			dec, err := DecompressReuse(packed[0], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestErrorFeedbackEventuallyTransmitsSmallEntries(t *testing.T) {
 	total := tensor.New(2)
 	for step := 0; step < 30; step++ {
 		g := tensor.FromSlice([]float32{1.0, 0.1}, 2)
-		dec, err := Decompress(c.Compress([]*tensor.Tensor{g})[0])
+		dec, err := DecompressReuse(c.Compress([]*tensor.Tensor{g})[0], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestTopKSurvivesNaNAndDegenerateTensors(t *testing.T) {
 		if got := len(p.Payload) / 8; got != k {
 			t.Errorf("case %d: payload carries %d pairs, want %d", i, got, k)
 		}
-		if _, err := Decompress(p); err != nil {
+		if _, err := DecompressReuse(p, nil); err != nil {
 			t.Errorf("case %d: decode failed: %v", i, err)
 		}
 	}
@@ -282,7 +282,7 @@ func TestPackIsStatelessAndNonMutating(t *testing.T) {
 		if !orig.ApproxEqual(snapshot, 0) {
 			t.Fatalf("%s: Pack mutated its input", cfg)
 		}
-		dec, err := DecompressAll(p)
+		dec, err := DecompressAllReuse(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestDecompressRejectsCorruptPayloads(t *testing.T) {
 		{Scheme: SchemeTopK, Shape: []int{1}, Payload: make([]byte, 16)},
 	}
 	for i, p := range cases {
-		if _, err := Decompress(p); err == nil {
+		if _, err := DecompressReuse(p, nil); err == nil {
 			t.Errorf("case %d: corrupt payload decoded without error", i)
 		}
 	}

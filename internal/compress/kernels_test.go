@@ -632,7 +632,7 @@ func TestErrorFeedbackConservationBitwise(t *testing.T) {
 			if string(packed.Payload) != string(want) || packed.Scale != wantScale {
 				t.Fatalf("%s step %d: payload differs from the two-pass reference", cfg, step)
 			}
-			dec, err := Decompress(packed)
+			dec, err := DecompressReuse(packed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

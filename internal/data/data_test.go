@@ -47,7 +47,10 @@ func TestSyntheticIsBalancedAndDeterministic(t *testing.T) {
 	cfg := SyntheticConfig{Examples: 40, Classes: 4, Channels: 3, Size: 6, Noise: 0.3, Seed: 9}
 	a := MustSynthetic(cfg)
 	b := MustSynthetic(cfg)
-	counts := a.ClassCounts()
+	counts := make([]int, a.Classes)
+	for _, l := range a.labels {
+		counts[l]++
+	}
 	for c, n := range counts {
 		if n != 10 {
 			t.Errorf("class %d has %d examples, want 10", c, n)
@@ -197,8 +200,8 @@ func TestBatchIteratorCoversEpochAndWrapsAround(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if it.BatchesPerEpoch() != 3 {
-		t.Fatalf("BatchesPerEpoch = %d, want 3", it.BatchesPerEpoch())
+	if n := (it.dataset.Len() + it.batchSize - 1) / it.batchSize; n != 3 {
+		t.Fatalf("batches per epoch = %d, want 3", n)
 	}
 	sizes := []int{}
 	for i := 0; i < 3; i++ {
@@ -211,12 +214,12 @@ func TestBatchIteratorCoversEpochAndWrapsAround(t *testing.T) {
 	if sizes[0]+sizes[1]+sizes[2] != 10 {
 		t.Fatalf("epoch covered %v examples, want 10", sizes)
 	}
-	if it.Epoch() != 0 {
-		t.Fatalf("epoch should still be 0, got %d", it.Epoch())
+	if it.epoch != 0 {
+		t.Fatalf("epoch should still be 0, got %d", it.epoch)
 	}
 	it.Next()
-	if it.Epoch() != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", it.Epoch())
+	if it.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", it.epoch)
 	}
 }
 

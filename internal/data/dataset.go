@@ -114,15 +114,6 @@ func (d *Dataset) Subset(indices []int) *Dataset {
 	return out
 }
 
-// ClassCounts returns how many examples each class has.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, l := range d.labels {
-		counts[l]++
-	}
-	return counts
-}
-
 // SyntheticConfig describes a synthetic classification dataset: each class
 // has a random prototype image and samples are the prototype plus Gaussian
 // pixel noise. The signal-to-noise ratio controls how hard the task is.

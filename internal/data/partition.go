@@ -121,11 +121,3 @@ func (it *BatchIterator) Next() (*tensor.Tensor, []int) {
 	it.dataset.fillBatch(b.x, b.labels, indices)
 	return b.x, b.labels
 }
-
-// Epoch returns the number of completed passes over the dataset.
-func (it *BatchIterator) Epoch() int { return it.epoch }
-
-// BatchesPerEpoch returns how many mini-batches one epoch contains.
-func (it *BatchIterator) BatchesPerEpoch() int {
-	return (it.dataset.Len() + it.batchSize - 1) / it.batchSize
-}

@@ -73,11 +73,6 @@ func GradScaleAttack(factor float64, workers ...int) Attack {
 	}
 }
 
-// LyingClockAttack makes the listed workers claim impossible base versions.
-func LyingClockAttack(workers ...int) Attack {
-	return Attack{Name: "lying-clock", Workers: workers, Adversary: trainer.Adversary{LieVersion: true}}
-}
-
 // SumDefense is the undefended baseline: plain summation, no guard.
 func SumDefense() Defense { return Defense{Name: "sum"} }
 

@@ -69,13 +69,16 @@ func TestMatrixSeparatesDefenses(t *testing.T) {
 	}
 }
 
+// lyingClock makes worker 3 claim impossible base versions.
+var lyingClock = Attack{Name: "lying-clock", Workers: []int{3}, Adversary: trainer.Adversary{LieVersion: true}}
+
 // TestGuardDetectionRates: a guarded defense against a lying-clock attack
-// must show full TPR and zero FPR, and the floor helper must see the
-// guarded cells.
+// must show full TPR and zero FPR, and every guarded cell must reach the
+// accuracy floor.
 func TestGuardDetectionRates(t *testing.T) {
 	cfg := ScenarioConfig{
 		Base:     baseTraining(),
-		Attacks:  []Attack{CleanBaseline(), LyingClockAttack(3)},
+		Attacks:  []Attack{CleanBaseline(), lyingClock},
 		Defenses: []Defense{GuardedDefense(SumDefense())},
 		Trials:   2,
 	}
@@ -101,8 +104,10 @@ func TestGuardDetectionRates(t *testing.T) {
 	if clean.TPR != 0 || clean.FPR != 0 || clean.MeanEvictions != 0 {
 		t.Fatalf("clean cell shows detections: %+v", clean)
 	}
-	if floor := report.MinAccuracyOver("", ""); floor < 0.6 {
-		t.Fatalf("accuracy floor %v across guarded cells, want >= 0.6", floor)
+	for _, c := range report.Cells {
+		if c.MeanAccuracy < 0.6 {
+			t.Fatalf("accuracy floor %v across guarded cells, want >= 0.6", c.MeanAccuracy)
+		}
 	}
 }
 
@@ -116,7 +121,7 @@ func TestGuardDetectionRates(t *testing.T) {
 func TestGuardRejectionsCountedOnce(t *testing.T) {
 	base := baseTraining()
 	base.Policy = core.PolicyConfig{Paradigm: core.ParadigmASP}
-	attack, defense := LyingClockAttack(3), GuardedDefense(SumDefense())
+	attack, defense := lyingClock, GuardedDefense(SumDefense())
 
 	run := base
 	run.Adversaries = attack.adversaries()

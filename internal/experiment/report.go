@@ -60,25 +60,6 @@ func (r *Report) Cell(attack, defense string) (Cell, bool) {
 	return Cell{}, false
 }
 
-// MinAccuracyOver reports the lowest mean accuracy across cells matching
-// the filter (empty strings match everything) — the floor a smoke gate
-// checks against.
-func (r *Report) MinAccuracyOver(attack, defense string) float64 {
-	low := 1.0
-	for _, c := range r.Cells {
-		if attack != "" && c.Attack != attack {
-			continue
-		}
-		if defense != "" && c.Defense != defense {
-			continue
-		}
-		if c.MeanAccuracy < low {
-			low = c.MeanAccuracy
-		}
-	}
-	return low
-}
-
 // JSON renders the report as indented JSON.
 func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")

@@ -37,9 +37,6 @@ func (s *TimeSeries) Add(elapsed time.Duration, value float64) {
 	s.points = append(s.points, Point{Elapsed: elapsed, Value: value})
 }
 
-// Len returns the number of samples.
-func (s *TimeSeries) Len() int { return len(s.points) }
-
 // Points returns a copy of the samples.
 func (s *TimeSeries) Points() []Point {
 	out := make([]Point, len(s.points))
@@ -53,20 +50,6 @@ func (s *TimeSeries) Last() (Point, bool) {
 		return Point{}, false
 	}
 	return s.points[len(s.points)-1], true
-}
-
-// Max returns the largest value seen and whether any samples exist.
-func (s *TimeSeries) Max() (float64, bool) {
-	if len(s.points) == 0 {
-		return 0, false
-	}
-	best := s.points[0].Value
-	for _, p := range s.points {
-		if p.Value > best {
-			best = p.Value
-		}
-	}
-	return best, true
 }
 
 // TimeToReach returns the first elapsed time at which the series reached at

@@ -13,22 +13,15 @@ func TestTimeSeriesBasics(t *testing.T) {
 	if _, ok := s.Last(); ok {
 		t.Fatal("empty series should have no last point")
 	}
-	if _, ok := s.Max(); ok {
-		t.Fatal("empty series should have no max")
-	}
 	s.Add(10*time.Second, 0.3)
 	s.Add(20*time.Second, 0.5)
 	s.Add(30*time.Second, 0.45)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.points) != 3 {
+		t.Fatalf("Len = %d", len(s.points))
 	}
 	last, ok := s.Last()
 	if !ok || last.Value != 0.45 {
 		t.Fatalf("Last = %+v,%v", last, ok)
-	}
-	max, _ := s.Max()
-	if max != 0.5 {
-		t.Fatalf("Max = %v", max)
 	}
 	pts := s.Points()
 	pts[0].Value = 99
@@ -75,19 +68,19 @@ func TestTimeSeriesDownsample(t *testing.T) {
 		s.Add(time.Duration(i)*time.Second, float64(i))
 	}
 	d := s.Downsample(5)
-	if d.Len() != 5 {
-		t.Fatalf("downsampled to %d points, want 5", d.Len())
+	if len(d.points) != 5 {
+		t.Fatalf("downsampled to %d points, want 5", len(d.points))
 	}
 	pts := d.Points()
 	if pts[0].Value != 0 || pts[4].Value != 99 {
 		t.Fatalf("downsample endpoints wrong: %+v", pts)
 	}
-	if s.Downsample(0).Len() != 0 {
+	if len(s.Downsample(0).points) != 0 {
 		t.Fatal("Downsample(0) should be empty")
 	}
 	small := NewTimeSeries("x")
 	small.Add(time.Second, 1)
-	if small.Downsample(10).Len() != 1 {
+	if len(small.Downsample(10).points) != 1 {
 		t.Fatal("downsample of short series should keep all points")
 	}
 }

@@ -295,16 +295,6 @@ func checkShapes(op string, want, got []*tensor.Tensor) error {
 	return nil
 }
 
-// CloneParams returns deep copies of the network's parameters.
-func (n *Network) CloneParams() []*tensor.Tensor {
-	params := n.Params()
-	out := make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		out[i] = p.Clone()
-	}
-	return out
-}
-
 // CloneGrads returns deep copies of the network's gradients.
 func (n *Network) CloneGrads() []*tensor.Tensor {
 	grads := n.Grads()

@@ -165,7 +165,7 @@ func TestStepFromHalfSourcesMatchDecodeThenStep(t *testing.T) {
 			packed := compress.Pack(grads, cfg)
 			if dense[b] = grads; b != 1 {
 				var err error
-				if dense[b], err = compress.DecompressAll(packed); err != nil {
+				if dense[b], err = compress.DecompressAllReuse(packed, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -171,7 +171,7 @@ func BenchmarkServerConcurrentPull(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				clients[w] = NewClient(conn, w)
+				clients[w] = newClient(conn, w)
 				if err := clients[w].Register(); err != nil {
 					b.Fatal(err)
 				}
@@ -215,7 +215,7 @@ func BenchmarkServerConcurrentPushPull(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				clients[w] = NewClient(conn, w)
+				clients[w] = newClient(conn, w)
 				if err := clients[w].Register(); err != nil {
 					b.Fatal(err)
 				}
@@ -273,7 +273,7 @@ func BenchmarkDeltaPull(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			client := NewClient(conn, 0)
+			client := newClient(conn, 0)
 			client.SetReplica(replica)
 			if err := client.Register(); err != nil {
 				b.Fatal(err)
@@ -300,7 +300,7 @@ func BenchmarkDeltaPull(b *testing.B) {
 // gradient, wait for OK, pull the weights.
 func BenchmarkPushPullRoundTrip(b *testing.B) {
 	initial := []*tensor.Tensor{tensor.New(128, 128)}
-	st, err := NewStore(initial, optimizer.NewSGD(0.01))
+	st, err := NewStoreSharded(initial, optimizer.NewSGD(0.01), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func BenchmarkPushPullRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	client := NewClient(conn, 0)
+	client := newClient(conn, 0)
 	if err := client.Register(); err != nil {
 		b.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestCheckpointRejectsMismatchedModel(t *testing.T) {
 	if _, err := src.SaveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	other, err := NewStore([]*tensor.Tensor{tensor.New(5)}, optimizer.NewSGD(0.1))
+	other, err := NewStoreSharded([]*tensor.Tensor{tensor.New(5)}, optimizer.NewSGD(0.1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCheckpointRejectsMismatchedModel(t *testing.T) {
 	}
 	// Same tensor count, different shapes: caught per tensor, before anything
 	// is installed.
-	reshaped, err := NewStore([]*tensor.Tensor{tensor.New(4, 3), tensor.New(7)}, optimizer.NewSGD(0.1))
+	reshaped, err := NewStoreSharded([]*tensor.Tensor{tensor.New(4, 3), tensor.New(7)}, optimizer.NewSGD(0.1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestCheckpointSaveFailureKeepsPreviousCheckpoint(t *testing.T) {
 // fresh store restored from the file resumes at the stopped version.
 func TestServerCheckpointsPeriodicallyAndOnStop(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore([]*tensor.Tensor{tensor.New(4)}, optimizer.NewSGD(1.0))
+	st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(4)}, optimizer.NewSGD(1.0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestServerCheckpointsPeriodicallyAndOnStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 0)
+	c := newClient(conn, 0)
 	if err := c.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestServerCheckpointsPeriodicallyAndOnStop(t *testing.T) {
 		t.Fatalf("checkpoint error: %v", err)
 	}
 
-	restored, err := NewStore([]*tensor.Tensor{tensor.New(4)}, optimizer.NewSGD(1.0))
+	restored, err := NewStoreSharded([]*tensor.Tensor{tensor.New(4)}, optimizer.NewSGD(1.0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

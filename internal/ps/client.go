@@ -72,15 +72,11 @@ type Client struct {
 	replyVersion int64
 }
 
-// NewClient wraps a connection for the given worker ID, speaking the
-// uncompressed protocol (identity codec).
-func NewClient(conn transport.Conn, worker int) *Client {
-	return &Client{conn: conn, worker: worker, cfg: compress.Config{}.Normalized()}
-}
-
-// NewClientCompressed wraps a connection with an explicit compression
-// configuration. Use compress.Auto as the codec to adopt whatever the server
-// speaks; any other codec must match the server's exactly or Register fails.
+// NewClientCompressed wraps a connection for the given worker ID with an
+// explicit compression configuration; the zero Config speaks the
+// uncompressed protocol. Use compress.Auto as the codec to adopt whatever
+// the server speaks; any other codec must match the server's exactly or
+// Register fails.
 func NewClientCompressed(conn transport.Conn, worker int, cfg compress.Config) (*Client, error) {
 	cfg = cfg.Normalized()
 	if err := cfg.Validate(true); err != nil {
@@ -454,17 +450,6 @@ func (c *Client) WaitOK() error {
 func (c *Client) Done() error {
 	if err := c.conn.Send(transport.Message{Type: transport.MsgDone, Worker: c.worker}); err != nil {
 		return fmt.Errorf("ps: done from worker %d: %w", c.worker, err)
-	}
-	return nil
-}
-
-// Leave deregisters the worker gracefully: the server removes it from
-// synchronization accounting immediately instead of waiting for the
-// connection to die or the lease to expire. The connection is unusable for
-// training afterwards; Rejoin on a fresh connection re-enters the run.
-func (c *Client) Leave() error {
-	if err := c.conn.Send(transport.Message{Type: transport.MsgLeave, Worker: c.worker}); err != nil {
-		return fmt.Errorf("ps: leave from worker %d: %w", c.worker, err)
 	}
 	return nil
 }

@@ -321,8 +321,8 @@ func TestNewStoreRangeMatchesGlobalBoundaries(t *testing.T) {
 		if st.Shards() != a.ShardHi-a.ShardLo {
 			t.Fatalf("range store has %d shards, want %d", st.Shards(), a.ShardHi-a.ShardLo)
 		}
-		if st.NumTensors() != a.TensorHi-a.TensorLo {
-			t.Fatalf("range store has %d tensors, want %d", st.NumTensors(), a.TensorHi-a.TensorLo)
+		if len(st.shapes) != a.TensorHi-a.TensorLo {
+			t.Fatalf("range store has %d tensors, want %d", len(st.shapes), a.TensorHi-a.TensorLo)
 		}
 		// Every local shard boundary must be the global one, shifted.
 		for i := 0; i < st.Shards(); i++ {
@@ -521,7 +521,7 @@ func TestCoordinatorRejectsClassicWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic := NewClient(conn, 0)
+	classic := newClient(conn, 0)
 	if err := classic.Register(); err == nil || !strings.Contains(err.Error(), "cluster") {
 		t.Fatalf("classic registration on coordinator: err = %v, want cluster-mode rejection", err)
 	}
@@ -532,7 +532,7 @@ func TestCoordinatorRejectsClassicWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	clustered := NewClient(conn2, 0)
+	clustered := newClient(conn2, 0)
 	clustered.SetCluster(true)
 	if err := clustered.Register(); err != nil {
 		t.Fatalf("cluster-mode registration rejected: %v", err)
@@ -572,7 +572,7 @@ func TestReplicaSessionIsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := NewClient(conn, 0)
+	replica := newClient(conn, 0)
 	replica.SetReplica(true)
 	if err := replica.Register(); err != nil {
 		t.Fatal(err)
@@ -591,7 +591,7 @@ func TestReplicaSessionIsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker := NewClient(wconn, 0)
+	worker := newClient(wconn, 0)
 	if err := worker.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -636,7 +636,7 @@ func TestReplicatorStreamsWeightsIntoStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	worker := NewClient(conn, 0)
+	worker := newClient(conn, 0)
 	if err := worker.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -908,7 +908,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	addr := g.serve(t, promoted)
 	g.announce(t, transport.MsgPromote, at(a, addr), false)
 
-	oldMap := client.MapVersion()
+	oldMap := client.mapVersion
 	for it := firstLeg; it < firstLeg+5; it++ {
 		_, version, err := client.Pull()
 		if err != nil {
@@ -918,8 +918,8 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if client.MapVersion() <= oldMap {
-		t.Fatalf("client never adopted the promoted map (version %d)", client.MapVersion())
+	if client.mapVersion <= oldMap {
+		t.Fatalf("client never adopted the promoted map (version %d)", client.mapVersion)
 	}
 	if promoted.Pushes() == 0 {
 		t.Fatal("promoted backup received no pushes")

@@ -120,9 +120,6 @@ func NewClusterClient(dial func(addr string) (transport.Conn, error), coordAddr 
 	return c.(*ClusterClient), nil
 }
 
-// MapVersion returns the version of the cluster map the client last adopted.
-func (c *ClusterClient) MapVersion() int64 { return c.mapVersion }
-
 // adoptMapHeader records the group-wide constants a (complete) map carries.
 func (c *ClusterClient) adoptMapHeader(m transport.Message) {
 	c.mapVersion = m.MapVersion

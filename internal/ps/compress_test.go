@@ -126,7 +126,7 @@ func TestCompressedPushAppliesWithinQuantizationError(t *testing.T) {
 	for _, codec := range []string{compress.FP16, compress.Int8, compress.TopK} {
 		t.Run(codec, func(t *testing.T) {
 			initial := []*tensor.Tensor{tensor.New(8), tensor.New(3, 5)}
-			st, err := NewStore(initial, optimizer.NewSGD(1.0))
+			st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +287,7 @@ func TestPackedShardCachesUntilApply(t *testing.T) {
 	if version != 1 {
 		t.Fatalf("store version before acquirePacked = %d, want 1", version)
 	}
-	dec, err := compress.DecompressAll(packed)
+	dec, err := compress.DecompressAllReuse(packed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

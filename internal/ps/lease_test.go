@@ -152,7 +152,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 				if err != nil {
 					return nil, err
 				}
-				c := NewClient(conn, w)
+				c := newClient(conn, w)
 				if err := c.Register(); err != nil {
 					conn.Close()
 					return nil, err
@@ -673,7 +673,7 @@ func TestMeteringExactWithByReferenceSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 0)
+	c := newClient(conn, 0)
 	defer c.Close()
 	if err := c.Register(); err != nil {
 		t.Fatal(err)
@@ -1067,7 +1067,7 @@ func TestRelaySentReplyOutlivesSupersededPullCache(t *testing.T) {
 		if conns[w], err = dialRelay(); err != nil {
 			t.Fatal(err)
 		}
-		clients[w] = NewClient(conns[w], w)
+		clients[w] = newClient(conns[w], w)
 		defer clients[w].Close()
 		if err := clients[w].Register(); err != nil {
 			t.Fatal(err)
@@ -1138,7 +1138,7 @@ func TestPushSlotWaitsForTheReceiversRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 1)
+	c := newClient(conn, 1)
 	defer c.Close()
 	if err := c.Register(); err != nil {
 		t.Fatal(err)

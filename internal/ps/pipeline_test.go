@@ -472,7 +472,7 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := NewClient(conn, w)
+				c := newClient(conn, w)
 				if err := c.Register(); err != nil {
 					t.Fatal(err)
 				}
@@ -644,7 +644,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return NewClient(conn, w)
+				return newClient(conn, w)
 			}
 			leaver, stayer := h.childClient(t, 0), direct(1)
 			if err := stayer.Register(); err != nil {
@@ -673,7 +673,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 
 			// With the release still gated, worker 0 leaves and rejoins on a
 			// fresh connection — the real reconnect flow.
-			if err := leaver.Leave(); err != nil {
+			if err := leaver.conn.Send(transport.Message{Type: transport.MsgLeave, Worker: leaver.worker}); err != nil {
 				t.Fatal(err)
 			}
 			deadline = time.Now().Add(2 * time.Second)
@@ -691,7 +691,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rejoined := NewClient(conn, 0)
+			rejoined := newClient(conn, 0)
 			if err := rejoined.Rejoin(st.Version()); err != nil {
 				t.Fatal(err)
 			}
@@ -714,7 +714,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer conn.Close()
-				if err := NewClient(conn, 7).Register(); err == nil {
+				if err := newClient(conn, 7).Register(); err == nil {
 					t.Fatal("the root admitted worker 7 of 2")
 				}
 			}
@@ -776,7 +776,7 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 					return
 				}
 				lastV = version
-				_, err := compress.DecompressAll(packed)
+				_, err := compress.DecompressAllReuse(packed, nil)
 				pin.release()
 				if err != nil {
 					t.Errorf("cache served undecodable payload: %v", err)
@@ -809,13 +809,13 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 		if version != pushes {
 			t.Fatalf("shard %d packed at aggregate version %d, want %d", i, version, pushes)
 		}
-		got, err := compress.DecompressAll(packed)
+		got, err := compress.DecompressAllReuse(packed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := st.ranges[i]
 		wantPacked := compress.Pack(final[r.Start:r.End], cfg)
-		wantRT, err := compress.DecompressAll(wantPacked)
+		wantRT, err := compress.DecompressAllReuse(wantPacked, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

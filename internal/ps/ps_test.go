@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dssp/internal/compress"
 	"dssp/internal/core"
 	"dssp/internal/obs"
 	"dssp/internal/optimizer"
@@ -15,13 +16,23 @@ import (
 	"dssp/internal/transport"
 )
 
+// newClient wraps a connection for the given worker, speaking the
+// uncompressed protocol.
+func newClient(conn transport.Conn, worker int) *Client {
+	c, err := NewClientCompressed(conn, worker, compress.Config{})
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func testStore(t *testing.T, dims ...int) *Store {
 	t.Helper()
 	if len(dims) == 0 {
 		dims = []int{4}
 	}
 	initial := []*tensor.Tensor{tensor.New(dims...)}
-	st, err := NewStore(initial, optimizer.NewSGD(1.0))
+	st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +74,10 @@ func cloneFates(st *Store) (reused, allocated uint64) {
 }
 
 func TestNewStoreValidation(t *testing.T) {
-	if _, err := NewStore(nil, optimizer.NewSGD(0.1)); err == nil {
+	if _, err := NewStoreSharded(nil, optimizer.NewSGD(0.1), 0); err == nil {
 		t.Error("expected error for empty parameter list")
 	}
-	if _, err := NewStore([]*tensor.Tensor{tensor.New(2)}, nil); err == nil {
+	if _, err := NewStoreSharded([]*tensor.Tensor{tensor.New(2)}, nil, 0); err == nil {
 		t.Error("expected error for nil optimizer")
 	}
 }
@@ -115,7 +126,7 @@ func TestStoreApplyRejectsMismatchedGradients(t *testing.T) {
 func TestStoreParamCountAndLearningRate(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(2, 3), tensor.New(5)}
 	opt := optimizer.NewSGD(0.1)
-	st, err := NewStore(initial, opt)
+	st, err := NewStoreSharded(initial, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +181,7 @@ func startTestServer(t *testing.T, policy core.Policy, st *Store) (*Server, []*C
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[w] = NewClient(conn, w)
+		clients[w] = newClient(conn, w)
 		if err := clients[w].Register(); err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +313,7 @@ func TestWaitsAccumulateAndClampAtZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[w] = NewClient(conn, w)
+		clients[w] = newClient(conn, w)
 		if err := clients[w].Register(); err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +411,7 @@ func TestServerRejectsOutOfRangeWorkerID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(conn, 9)
+	client := newClient(conn, 9)
 	if err := client.Register(); err == nil {
 		t.Fatal("expected registration error for out-of-range worker id")
 	}
@@ -427,7 +438,7 @@ func TestServerWithDSSPFullTrainingLoopConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	target := tensor.New(8).RandNormal(rng, 0, 1)
 	initial := []*tensor.Tensor{tensor.New(8)}
-	st, err := NewStore(initial, optimizer.NewSGD(0.05))
+	st, err := NewStoreSharded(initial, optimizer.NewSGD(0.05), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func TestPulledReferenceFaultsOnAStrayWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 0)
+	c := newClient(conn, 0)
 	defer c.Close()
 	if err := c.Register(); err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestRegionFullFallsBackToCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[w] = NewClient(conn, w)
+		clients[w] = newClient(conn, w)
 		defer clients[w].Close()
 		if err := clients[w].Register(); err != nil {
 			t.Fatal(err)
@@ -297,7 +297,7 @@ func TestLeaseExpiredReaderKeepsItsGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[w] = NewClient(conn, w)
+		clients[w] = newClient(conn, w)
 		defer clients[w].Close()
 		if err := clients[w].Register(); err != nil {
 			t.Fatal(err)
@@ -385,7 +385,7 @@ func TestDeadReaderPinsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 0)
+	c := newClient(conn, 0)
 	defer c.Close()
 	if err := c.Register(); err != nil {
 		t.Fatal(err)
@@ -461,7 +461,7 @@ func holdReferences(t *testing.T, addr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 1)
+	c := newClient(conn, 1)
 	if err := c.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestRelaySentReferenceOutlivesSupersededPullCache(t *testing.T) {
 		if conns[w], err = dialRelay(); err != nil {
 			t.Fatal(err)
 		}
-		clients[w] = NewClient(conns[w], w)
+		clients[w] = newClient(conns[w], w)
 		defer clients[w].Close()
 		if err := clients[w].Register(); err != nil {
 			t.Fatal(err)

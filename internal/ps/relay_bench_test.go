@@ -77,7 +77,7 @@ func benchAggTree(b *testing.B, workers, fanout int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		clients[w] = NewClient(conn, w)
+		clients[w] = newClient(conn, w)
 		if err := clients[w].Register(); err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkRelayFoldLane1MB(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		clients[w] = NewClient(conn, w)
+		clients[w] = newClient(conn, w)
 		defer clients[w].Close()
 		if err := clients[w].Register(); err != nil {
 			b.Fatal(err)

@@ -306,7 +306,7 @@ func TestRelayRejectsOutOfRangeChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(conn, 7)
+	client := newClient(conn, 7)
 	if err := client.Register(); err == nil {
 		t.Fatal("expected registration of uncovered worker 7 to fail")
 	}
@@ -332,7 +332,7 @@ func TestRelayRefusesChildDeltaPulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(conn, 0)
+	client := newClient(conn, 0)
 	defer client.Close()
 	if err := client.Register(); err != nil {
 		t.Fatal(err)
@@ -422,7 +422,7 @@ func TestRelayDeathSweepsSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewClient(rootConn, 2)
+	c2 := newClient(rootConn, 2)
 	if err := c2.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestTrunkSpeaksOnlyForSlotsItRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := NewClient(conn, 0)
+	direct := newClient(conn, 0)
 	if err := direct.Register(); err != nil { // deletes the trunk's route for slot 0
 		t.Fatal(err)
 	}
@@ -825,7 +825,7 @@ func relayChildren(t *testing.T, relay *Relay, tcp bool, n int) []*Client {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[w] = NewClient(conn, w)
+		clients[w] = newClient(conn, w)
 		t.Cleanup(func() { clients[w].Close() })
 		if err := clients[w].Register(); err != nil {
 			t.Fatal(err)

@@ -61,7 +61,7 @@ func dialClient(t *testing.T, l *transport.ChanListener, worker int) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, worker)
+	c := newClient(conn, worker)
 	if err := c.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestRejoinResumesTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1b := NewClient(conn, 1)
+	c1b := newClient(conn, 1)
 	if err := c1b.Rejoin(1); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
@@ -342,7 +342,7 @@ func TestGracefulLeaveNotifiesPolicy(t *testing.T) {
 		t.Fatalf("released before the barrier: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if err := c1.Leave(); err != nil {
+	if err := c1.conn.Send(transport.Message{Type: transport.MsgLeave, Worker: c1.worker}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-okCh; err != nil {
@@ -366,7 +366,7 @@ func testStaleSessionIsToldToRejoin(t *testing.T, carrier string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := NewClient(conn1, 0)
+	first := newClient(conn1, 0)
 	if err := first.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func testStaleSessionIsToldToRejoin(t *testing.T, carrier string) {
 // TestRegisteredCarriesStoreVersion: a (re)joining worker learns where the
 // run is, which restarted workers use to resume staleness accounting.
 func TestRegisteredCarriesStoreVersion(t *testing.T) {
-	st, err := NewStore([]*tensor.Tensor{tensor.New(4)}, optimizer.NewSGD(1.0))
+	st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(4)}, optimizer.NewSGD(1.0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

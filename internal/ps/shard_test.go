@@ -53,8 +53,8 @@ func TestStoreShardCountClampedToTensorCount(t *testing.T) {
 	if st.Shards() != 2 {
 		t.Fatalf("Shards() = %d, want 2 (clamped to tensor count)", st.Shards())
 	}
-	if st.NumTensors() != 2 {
-		t.Fatalf("NumTensors() = %d, want 2", st.NumTensors())
+	if len(st.shapes) != 2 {
+		t.Fatalf("store holds %d tensors, want 2", len(st.shapes))
 	}
 	if r := st.ranges[0]; r.Start != 0 || r.End == 0 {
 		t.Fatalf("shard 0 spans [%d,%d)", r.Start, r.End)

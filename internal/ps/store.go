@@ -125,15 +125,10 @@ type applyWaiter struct {
 	ch     chan struct{}
 }
 
-// NewStore returns a store initialized with deep copies of the given
-// parameters, updated by the given optimizer on every Apply, using the
-// default shard count (one shard per CPU, capped at the tensor count).
-func NewStore(initial []*tensor.Tensor, opt optimizer.Optimizer) (*Store, error) {
-	return NewStoreSharded(initial, opt, 0)
-}
-
-// NewStoreSharded is NewStore with an explicit shard count. shards <= 0
-// selects the default; a count larger than the number of tensors is clamped
+// NewStoreSharded returns a store initialized with deep copies of the given
+// parameters, updated by the given optimizer on every Apply, in shards
+// shards. shards <= 0 selects the default (one shard per CPU, capped at the
+// tensor count); a count larger than the number of tensors is clamped
 // (every shard must own at least one tensor). shards == 1 reproduces the
 // classic single-partition store. It is newStoreRange over the whole
 // partition.
@@ -239,9 +234,6 @@ func (s *Store) wakeAppliers() {
 
 // Shards returns the number of shards the parameters are partitioned into.
 func (s *Store) Shards() int { return len(s.shards) }
-
-// NumTensors returns the number of parameter tensors across all shards.
-func (s *Store) NumTensors() int { return len(s.shapes) }
 
 // Apply updates the parameters with one set of gradients, blocking until the
 // update is visible on every shard, and returns the push's version — its

@@ -77,8 +77,8 @@ func TestAccuracyCurveIsMonotoneAndBelowPlateau(t *testing.T) {
 		run.Updates = append(run.Updates, UpdateEvent{At: time.Duration(i) * time.Second, Worker: i % 4, Staleness: i % 5})
 	}
 	curve := AccuracyCurve(spec, run, 1000, 40)
-	if curve.Len() < 2 {
-		t.Fatalf("curve has %d points", curve.Len())
+	if len(curve.Points()) < 2 {
+		t.Fatalf("curve has %d points", len(curve.Points()))
 	}
 	pts := curve.Points()
 	plateau := spec.Plateau(run.MeanStaleness(), true)
@@ -100,11 +100,11 @@ func TestAccuracyCurveIsMonotoneAndBelowPlateau(t *testing.T) {
 func TestAccuracyCurveEmptyInputs(t *testing.T) {
 	spec := testSpec()
 	empty := &RunResult{Label: "x"}
-	if AccuracyCurve(spec, empty, 100, 10).Len() != 0 {
+	if len(AccuracyCurve(spec, empty, 100, 10).Points()) != 0 {
 		t.Fatal("empty run should give an empty curve")
 	}
 	run := &RunResult{Label: "x", Updates: []UpdateEvent{{At: time.Second}}}
-	if AccuracyCurve(spec, run, 0, 10).Len() != 0 {
+	if len(AccuracyCurve(spec, run, 0, 10).Points()) != 0 {
 		t.Fatal("zero planned updates should give an empty curve")
 	}
 }
@@ -140,15 +140,15 @@ func TestAverageSeries(t *testing.T) {
 		b.Add(time.Duration(i)*time.Second, 0.4)
 	}
 	avg := AverageSeries("avg", []*metrics.TimeSeries{a, b}, 5)
-	if avg.Name() != "avg" || avg.Len() != 5 {
-		t.Fatalf("unexpected average series %v/%d", avg.Name(), avg.Len())
+	if avg.Name() != "avg" || len(avg.Points()) != 5 {
+		t.Fatalf("unexpected average series %v/%d", avg.Name(), len(avg.Points()))
 	}
 	for _, p := range avg.Points() {
 		if p.Value < 0.299 || p.Value > 0.301 {
 			t.Fatalf("average value %v, want 0.3", p.Value)
 		}
 	}
-	if AverageSeries("empty", nil, 5).Len() != 0 {
+	if len(AverageSeries("empty", nil, 5).Points()) != 0 {
 		t.Fatal("empty input should give empty average")
 	}
 }

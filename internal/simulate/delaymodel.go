@@ -36,12 +36,6 @@ func LinkFlapping() LinkModel {
 	return LinkModel{Multiplier: 10, MeanGood: 200 * time.Millisecond, MeanBad: 50 * time.Millisecond}
 }
 
-// LinkSlow is a permanently degraded link at 4x nominal transfer cost — a
-// worker behind a thin WAN pipe.
-func LinkSlow() LinkModel {
-	return LinkModel{Multiplier: 4, MeanGood: 0, MeanBad: time.Hour}
-}
-
 // LinkPartitioned models hard outages: the link periodically becomes close
 // to unusable (40x) for extended stretches, as in a routing flap or switch
 // failure, then recovers.

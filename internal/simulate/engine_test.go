@@ -62,7 +62,7 @@ func TestRunValidation(t *testing.T) {
 		func(c *RunConfig) { c.Cluster.ApplyRate = 0 },
 		func(c *RunConfig) { c.Policy = core.PolicyConfig{Paradigm: core.Paradigm(99)} },
 		func(c *RunConfig) { c.Links = map[int]LinkModel{2: LinkFlapping()} },
-		func(c *RunConfig) { c.Links = map[int]LinkModel{-1: LinkSlow()} },
+		func(c *RunConfig) { c.Links = map[int]LinkModel{-1: {Multiplier: 4, MeanBad: time.Hour}} },
 	}
 	for i, mutate := range cases {
 		cfg := valid
@@ -277,7 +277,7 @@ func TestHostileLinkSlowsTheRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, model := range map[string]LinkModel{
-		"slow":        LinkSlow(),
+		"slow":        {Multiplier: 4, MeanBad: time.Hour},
 		"partitioned": LinkPartitioned(),
 	} {
 		cfg := eventBase()

@@ -2,7 +2,9 @@ package simulate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"dssp/internal/core"
@@ -19,11 +21,6 @@ type ExperimentConfig struct {
 	Seed int64
 	// Points is the approximate number of samples per accuracy curve.
 	Points int
-}
-
-// DefaultExperimentConfig returns the paper's settings: 300 epochs.
-func DefaultExperimentConfig() ExperimentConfig {
-	return ExperimentConfig{Epochs: 300, Seed: 1, Points: 60}
 }
 
 // withDefaults fills unset fields.
@@ -77,27 +74,14 @@ func (f *Figure) Result(label string) (ParadigmResult, bool) {
 	return ParadigmResult{}, false
 }
 
-// TimeToAccuracy returns, per curve, the first simulated time at which the
-// target accuracy was reached (Table I). Curves that never reach it are
-// omitted.
-func (f *Figure) TimeToAccuracy(target float64) map[string]time.Duration {
-	out := make(map[string]time.Duration)
-	for _, r := range f.Results {
-		if d, ok := r.Curve.TimeToReach(target); ok {
-			out[r.Label] = d
-		}
-	}
-	return out
-}
-
-// runParadigm simulates one paradigm on the given workload and converts the
-// result into a labelled accuracy curve.
-func runParadigm(model ModelProfile, cluster ClusterSpec, policy core.PolicyConfig, cfg ExperimentConfig, label string) (ParadigmResult, error) {
+// runParadigm simulates one curve's policy on the given workload and converts
+// the result into its labelled accuracy curve.
+func runParadigm(model ModelProfile, cluster ClusterSpec, c curveSpec, cfg ExperimentConfig) (ParadigmResult, error) {
 	iters := PaperEpochIterations(cfg.Epochs, cluster.NumWorkers())
 	run, err := Run(RunConfig{
 		Model:               model,
 		Cluster:             cluster,
-		Policy:              policy,
+		Policy:              c.policy,
 		IterationsPerWorker: iters,
 		Seed:                cfg.Seed,
 	})
@@ -106,162 +90,117 @@ func runParadigm(model ModelProfile, cluster ClusterSpec, policy core.PolicyConf
 	}
 	total := iters * cluster.NumWorkers()
 	curve := AccuracyCurve(model.Convergence, run, total, cfg.Points)
-	if label == "" {
-		label = policy.Describe()
-	}
-	res := ParadigmResult{Label: label, Curve: curve, Run: run, Finish: run.Finish}
+	res := ParadigmResult{Label: c.label, Curve: curve, Run: run, Finish: run.Finish}
 	if last, ok := curve.Last(); ok {
 		res.FinalAccuracy = last.Value
 	}
 	return res, nil
 }
 
-// paperDSSP returns the paper's DSSP setting: sL=3 with range r=12
-// (equivalent SSP threshold range [3, 15]).
-func paperDSSP() core.PolicyConfig {
-	return core.PolicyConfig{Paradigm: core.ParadigmDSSP, Staleness: 3, Range: 12}
+// curveSpec is one simulated curve of a figure: a legend label and the
+// policy it runs.
+type curveSpec struct {
+	label  string
+	policy core.PolicyConfig
 }
 
-// CompareParadigms regenerates a left-column figure of Figure 3: BSP, ASP,
-// DSSP(sL=3, r=12) and the average of SSP with thresholds 3..15, on the
-// given model over the given cluster.
-func CompareParadigms(id, title string, model ModelProfile, cluster ClusterSpec, cfg ExperimentConfig) (*Figure, error) {
+// The paper's paradigms as its figures label them. DSSP runs the paper's
+// setting, sL=3 with range r=12 (the SSP threshold range [3, 15]).
+var (
+	bspCurve  = curveSpec{"BSP", core.PolicyConfig{Paradigm: core.ParadigmBSP}}
+	aspCurve  = curveSpec{"ASP", core.PolicyConfig{Paradigm: core.ParadigmASP}}
+	dsspCurve = curveSpec{"DSSP s=3 r=12", core.PolicyConfig{Paradigm: core.ParadigmDSSP, Staleness: 3, Range: 12}}
+)
+
+// sspCurve is SSP at threshold s.
+func sspCurve(s int) curveSpec {
+	return curveSpec{fmt.Sprintf("SSP s=%d", s), core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: s}}
+}
+
+// sspSweep is SSP at every threshold of the paper's sweep, 3 to 15.
+func sspSweep() []curveSpec {
+	var out []curveSpec
+	for s := 3; s <= 15; s++ {
+		out = append(out, sspCurve(s))
+	}
+	return out
+}
+
+// figureSpec declares one of the paper's figures: the workload and the
+// curves drawn, in legend order. averageSSP draws one more curve last, the
+// point-wise mean of the SSP sweep's curves.
+type figureSpec struct {
+	id, title  string
+	model      ModelProfile
+	cluster    ClusterSpec
+	curves     []curveSpec
+	averageSSP bool
+}
+
+// The two columns of Figure 3: every paradigm with the average of the SSP
+// sweep on the left, DSSP against each threshold of the sweep on the right.
+var (
+	allParadigms = []curveSpec{bspCurve, aspCurve, dsspCurve}
+	sweepAndDSSP = append(sspSweep(), dsspCurve)
+)
+
+// paperFigures declares the paper's figures in paper order.
+var paperFigures = []figureSpec{
+	{"fig3a", "All paradigms, downsized AlexNet on CIFAR-10 (homogeneous)", ModelAlexNetSmall, HomogeneousCluster(4), allParadigms, true},
+	{"fig3b", "DSSP vs SSP s=3..15, downsized AlexNet on CIFAR-10 (homogeneous)", ModelAlexNetSmall, HomogeneousCluster(4), sweepAndDSSP, false},
+	{"fig3c", "All paradigms, ResNet-50 on CIFAR-100 (homogeneous)", ModelResNet50, HomogeneousCluster(4), allParadigms, true},
+	{"fig3d", "DSSP vs SSP s=3..15, ResNet-50 on CIFAR-100 (homogeneous)", ModelResNet50, HomogeneousCluster(4), sweepAndDSSP, false},
+	{"fig3e", "All paradigms, ResNet-110 on CIFAR-100 (homogeneous)", ModelResNet110, HomogeneousCluster(4), allParadigms, true},
+	{"fig3f", "DSSP vs SSP s=3..15, ResNet-110 on CIFAR-100 (homogeneous)", ModelResNet110, HomogeneousCluster(4), sweepAndDSSP, false},
+	{"fig4", "ResNet-110 on CIFAR-100, heterogeneous 2-worker cluster (GTX1060 + GTX1080Ti)", ModelResNet110, HeterogeneousCluster(),
+		[]curveSpec{bspCurve, aspCurve, sspCurve(3), sspCurve(6), sspCurve(15), dsspCurve}, false},
+}
+
+// FigureIDs lists the ids RunFigure accepts, in paper order.
+func FigureIDs() []string {
+	ids := make([]string, len(paperFigures))
+	for i, f := range paperFigures {
+		ids[i] = f.id
+	}
+	return ids
+}
+
+// RunFigure regenerates the paper's figure id (case-insensitive; FigureIDs
+// lists them) on the simulator.
+func RunFigure(id string, cfg ExperimentConfig) (*Figure, error) {
+	i := slices.IndexFunc(paperFigures, func(f figureSpec) bool { return strings.EqualFold(f.id, id) })
+	if i < 0 {
+		return nil, fmt.Errorf("simulate: unknown figure %q (valid: %s)", id, strings.Join(FigureIDs(), ", "))
+	}
+	spec := paperFigures[i]
 	cfg = cfg.withDefaults()
-	fig := &Figure{ID: id, Title: title, Model: model, Cluster: cluster, Epochs: cfg.Epochs}
-
-	bsp, err := runParadigm(model, cluster, core.PolicyConfig{Paradigm: core.ParadigmBSP}, cfg, "BSP")
-	if err != nil {
-		return nil, err
-	}
-	asp, err := runParadigm(model, cluster, core.PolicyConfig{Paradigm: core.ParadigmASP}, cfg, "ASP")
-	if err != nil {
-		return nil, err
-	}
-	dssp, err := runParadigm(model, cluster, paperDSSP(), cfg, "DSSP s=3 r=12")
-	if err != nil {
-		return nil, err
-	}
-
-	sweep, err := sspSweep(model, cluster, cfg, 3, 15)
-	if err != nil {
-		return nil, err
-	}
-	curves := make([]*metrics.TimeSeries, len(sweep))
-	for i, r := range sweep {
-		curves[i] = r.Curve
-	}
-	avg := AverageSeries("Average SSP s=3 to 15", curves, cfg.Points)
-	avgResult := ParadigmResult{Label: avg.Name(), Curve: avg}
-	if last, ok := avg.Last(); ok {
-		avgResult.FinalAccuracy = last.Value
-		avgResult.Finish = last.Elapsed
-	}
-
-	fig.Results = append(fig.Results, bsp, asp, dssp, avgResult)
-	return fig, nil
-}
-
-// sspSweep runs SSP for every threshold in [lo, hi].
-func sspSweep(model ModelProfile, cluster ClusterSpec, cfg ExperimentConfig, lo, hi int) ([]ParadigmResult, error) {
-	var out []ParadigmResult
-	for s := lo; s <= hi; s++ {
-		r, err := runParadigm(model, cluster,
-			core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: s}, cfg, fmt.Sprintf("SSP s=%d", s))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// CompareSSPSweep regenerates a right-column figure of Figure 3: DSSP against
-// each individual SSP threshold from 3 to 15.
-func CompareSSPSweep(id, title string, model ModelProfile, cluster ClusterSpec, cfg ExperimentConfig) (*Figure, error) {
-	cfg = cfg.withDefaults()
-	fig := &Figure{ID: id, Title: title, Model: model, Cluster: cluster, Epochs: cfg.Epochs}
-	sweep, err := sspSweep(model, cluster, cfg, 3, 15)
-	if err != nil {
-		return nil, err
-	}
-	fig.Results = append(fig.Results, sweep...)
-	dssp, err := runParadigm(model, cluster, paperDSSP(), cfg, "DSSP s=3 r=12")
-	if err != nil {
-		return nil, err
-	}
-	fig.Results = append(fig.Results, dssp)
-	return fig, nil
-}
-
-// Figure3a compares all paradigms on the downsized AlexNet (CIFAR-10) over
-// the homogeneous 4-worker P100 cluster.
-func Figure3a(cfg ExperimentConfig) (*Figure, error) {
-	return CompareParadigms("fig3a", "All paradigms, downsized AlexNet on CIFAR-10 (homogeneous)",
-		ModelAlexNetSmall, HomogeneousCluster(4), cfg)
-}
-
-// Figure3b compares DSSP with individual SSP thresholds on the downsized
-// AlexNet.
-func Figure3b(cfg ExperimentConfig) (*Figure, error) {
-	return CompareSSPSweep("fig3b", "DSSP vs SSP s=3..15, downsized AlexNet on CIFAR-10 (homogeneous)",
-		ModelAlexNetSmall, HomogeneousCluster(4), cfg)
-}
-
-// Figure3c compares all paradigms on ResNet-50 (CIFAR-100).
-func Figure3c(cfg ExperimentConfig) (*Figure, error) {
-	return CompareParadigms("fig3c", "All paradigms, ResNet-50 on CIFAR-100 (homogeneous)",
-		ModelResNet50, HomogeneousCluster(4), cfg)
-}
-
-// Figure3d compares DSSP with individual SSP thresholds on ResNet-50.
-func Figure3d(cfg ExperimentConfig) (*Figure, error) {
-	return CompareSSPSweep("fig3d", "DSSP vs SSP s=3..15, ResNet-50 on CIFAR-100 (homogeneous)",
-		ModelResNet50, HomogeneousCluster(4), cfg)
-}
-
-// Figure3e compares all paradigms on ResNet-110 (CIFAR-100).
-func Figure3e(cfg ExperimentConfig) (*Figure, error) {
-	return CompareParadigms("fig3e", "All paradigms, ResNet-110 on CIFAR-100 (homogeneous)",
-		ModelResNet110, HomogeneousCluster(4), cfg)
-}
-
-// Figure3f compares DSSP with individual SSP thresholds on ResNet-110.
-func Figure3f(cfg ExperimentConfig) (*Figure, error) {
-	return CompareSSPSweep("fig3f", "DSSP vs SSP s=3..15, ResNet-110 on CIFAR-100 (homogeneous)",
-		ModelResNet110, HomogeneousCluster(4), cfg)
-}
-
-// Figure4 reproduces the heterogeneous-cluster experiment: ResNet-110 on the
-// mixed GTX1060/GTX1080Ti cluster, comparing BSP, ASP, SSP s∈{3,6,15} and
-// DSSP.
-func Figure4(cfg ExperimentConfig) (*Figure, error) {
-	cfg = cfg.withDefaults()
-	model, cluster := ModelResNet110, HeterogeneousCluster()
-	fig := &Figure{
-		ID:      "fig4",
-		Title:   "ResNet-110 on CIFAR-100, heterogeneous 2-worker cluster (GTX1060 + GTX1080Ti)",
-		Model:   model,
-		Cluster: cluster,
-		Epochs:  cfg.Epochs,
-	}
-	entries := []struct {
-		label  string
-		policy core.PolicyConfig
-	}{
-		{"BSP", core.PolicyConfig{Paradigm: core.ParadigmBSP}},
-		{"ASP", core.PolicyConfig{Paradigm: core.ParadigmASP}},
-		{"SSP s=3", core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: 3}},
-		{"SSP s=6", core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: 6}},
-		{"SSP s=15", core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: 15}},
-		{"DSSP s=3 r=12", paperDSSP()},
-	}
-	for _, e := range entries {
-		r, err := runParadigm(model, cluster, e.policy, cfg, e.label)
+	fig := &Figure{ID: spec.id, Title: spec.title, Model: spec.model, Cluster: spec.cluster, Epochs: cfg.Epochs}
+	fig.Cluster.Workers = slices.Clone(spec.cluster.Workers) // the table's stays unshared
+	for _, c := range spec.curves {
+		r, err := runParadigm(spec.model, spec.cluster, c, cfg)
 		if err != nil {
 			return nil, err
 		}
 		fig.Results = append(fig.Results, r)
 	}
+	if !spec.averageSSP {
+		return fig, nil
+	}
+	var curves []*metrics.TimeSeries
+	for _, c := range sspSweep() {
+		r, err := runParadigm(spec.model, spec.cluster, c, cfg)
+		if err != nil {
+			return nil, err
+		}
+		curves = append(curves, r.Curve)
+	}
+	avg := AverageSeries("Average SSP s=3 to 15", curves, cfg.Points)
+	res := ParadigmResult{Label: avg.Name(), Curve: avg}
+	if last, ok := avg.Last(); ok {
+		res.FinalAccuracy = last.Value
+		res.Finish = last.Elapsed
+	}
+	fig.Results = append(fig.Results, res)
 	return fig, nil
 }
 
@@ -280,7 +219,7 @@ type TableIRow struct {
 
 // TableI regenerates Table I from the Figure 4 experiment.
 func TableI(cfg ExperimentConfig) ([]TableIRow, error) {
-	fig, err := Figure4(cfg)
+	fig, err := RunFigure("fig4", cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -313,15 +252,7 @@ type ThroughputTrend struct {
 func SectionVCThroughputTrends(cfg ExperimentConfig) ([]ThroughputTrend, error) {
 	cfg = cfg.withDefaults()
 	cluster := HomogeneousCluster(4)
-	paradigms := []struct {
-		label  string
-		policy core.PolicyConfig
-	}{
-		{"BSP", core.PolicyConfig{Paradigm: core.ParadigmBSP}},
-		{"ASP", core.PolicyConfig{Paradigm: core.ParadigmASP}},
-		{"SSP s=3", core.PolicyConfig{Paradigm: core.ParadigmSSP, Staleness: 3}},
-		{"DSSP s=3 r=12", paperDSSP()},
-	}
+	paradigms := []curveSpec{bspCurve, aspCurve, sspCurve(3), dsspCurve}
 	var out []ThroughputTrend
 	for _, model := range []ModelProfile{ModelAlexNetSmall, ModelResNet50, ModelResNet110} {
 		trend := ThroughputTrend{
@@ -330,7 +261,7 @@ func SectionVCThroughputTrends(cfg ExperimentConfig) ([]ThroughputTrend, error) 
 			FinishTimes:       make(map[string]time.Duration),
 		}
 		for _, p := range paradigms {
-			r, err := runParadigm(model, cluster, p.policy, cfg, p.label)
+			r, err := runParadigm(model, cluster, p, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -11,8 +11,20 @@ func shortCfg() ExperimentConfig {
 	return ExperimentConfig{Epochs: 30, Seed: 1, Points: 50}
 }
 
+// timeToAccuracy returns, per curve, the first simulated time at which the
+// target accuracy was reached; curves that never reach it are omitted.
+func timeToAccuracy(fig *Figure, target float64) map[string]time.Duration {
+	out := make(map[string]time.Duration)
+	for _, r := range fig.Results {
+		if d, ok := r.Curve.TimeToReach(target); ok {
+			out[r.Label] = d
+		}
+	}
+	return out
+}
+
 func TestFigure3aShape(t *testing.T) {
-	fig, err := Figure3a(shortCfg())
+	fig, err := RunFigure("fig3a", shortCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +47,7 @@ func TestFigure3aShape(t *testing.T) {
 	}
 	// Paper: DSSP/SSP/ASP converge much faster than BSP to mid-range
 	// accuracy; compare time to reach 0.55.
-	tt := fig.TimeToAccuracy(0.55)
+	tt := timeToAccuracy(fig, 0.55)
 	if tt["DSSP s=3 r=12"] >= tt["BSP"] {
 		t.Fatalf("DSSP should reach 0.55 before BSP: %v vs %v", tt["DSSP s=3 r=12"], tt["BSP"])
 	}
@@ -46,7 +58,7 @@ func TestFigure3aShape(t *testing.T) {
 }
 
 func TestFigure3bDSSPCompetitiveWithSSPSweep(t *testing.T) {
-	fig, err := Figure3b(shortCfg())
+	fig, err := RunFigure("fig3b", shortCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +86,7 @@ func TestFigure3bDSSPCompetitiveWithSSPSweep(t *testing.T) {
 }
 
 func TestFigure3cdResNet50Shape(t *testing.T) {
-	fig, err := Figure3c(shortCfg())
+	fig, err := RunFigure("fig3c", shortCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +103,7 @@ func TestFigure3cdResNet50Shape(t *testing.T) {
 		t.Fatalf("BSP final accuracy %v should be below DSSP %v", bsp.FinalAccuracy, dssp.FinalAccuracy)
 	}
 
-	sweep, err := Figure3d(shortCfg())
+	sweep, err := RunFigure("fig3d", shortCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +113,7 @@ func TestFigure3cdResNet50Shape(t *testing.T) {
 }
 
 func TestFigure3eResNet110Shape(t *testing.T) {
-	fig, err := Figure3e(shortCfg())
+	fig, err := RunFigure("fig3e", shortCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func TestFigure3eResNet110Shape(t *testing.T) {
 }
 
 func TestFigure4HeterogeneousShape(t *testing.T) {
-	fig, err := Figure4(ExperimentConfig{Epochs: 40, Seed: 1, Points: 60})
+	fig, err := RunFigure("fig4", ExperimentConfig{Epochs: 40, Seed: 1, Points: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +139,7 @@ func TestFigure4HeterogeneousShape(t *testing.T) {
 	// Pick a mid-range target every curve reaches and compare times: DSSP
 	// must be far faster than every SSP threshold and BSP, and close to ASP
 	// (paper Table I and Figure 4).
-	tt := fig.TimeToAccuracy(0.60)
+	tt := timeToAccuracy(fig, 0.60)
 	for _, label := range []string{"BSP", "ASP", "SSP s=3", "SSP s=6", "SSP s=15", "DSSP s=3 r=12"} {
 		if _, ok := tt[label]; !ok {
 			t.Fatalf("curve %q never reached 0.60", label)
@@ -215,10 +227,6 @@ func TestFigure2WaitsSelectsLowWaitPoint(t *testing.T) {
 }
 
 func TestExperimentConfigDefaults(t *testing.T) {
-	def := DefaultExperimentConfig()
-	if def.Epochs != 300 {
-		t.Fatalf("default epochs = %d, want 300 (paper setting)", def.Epochs)
-	}
 	filled := ExperimentConfig{}.withDefaults()
 	if filled.Epochs != 300 || filled.Points <= 0 {
 		t.Fatalf("withDefaults produced %+v", filled)

@@ -25,7 +25,7 @@ func TestPaperArtefactsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(h, "%+v\n", rows)
-	fig, err := Figure4(cfg)
+	fig, err := RunFigure("fig4", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func checkHalfStep(t *testing.T, rng *rand.Rand, where string, patterns []byte, 
 		if n == 0 {
 			continue
 		}
-		f, err := compress.Decompress(compress.Packed{Scheme: compress.SchemeF16, Shape: []int{n}, Payload: half})
+		f, err := compress.DecompressReuse(compress.Packed{Scheme: compress.SchemeF16, Shape: []int{n}, Payload: half}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -223,14 +223,6 @@ func (t *Tensor) Sum() float32 {
 	return s
 }
 
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float32 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float32(len(t.data))
-}
-
 // L2Norm returns the Euclidean norm of the flattened tensor.
 func (t *Tensor) L2Norm() float64 {
 	var s float64

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dssp/internal/compress"
 	"dssp/internal/core"
 	"dssp/internal/data"
 	"dssp/internal/nn"
@@ -167,7 +168,11 @@ func TestGroupDataServersRunTheirRoleOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := ps.NewClient(conn, 0).Register(); err != nil {
+	client, err := ps.NewClientCompressed(conn, 0, compress.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Register(); err != nil {
 		t.Fatal(err)
 	}
 	departures := func() (n int) {

@@ -75,7 +75,7 @@ func TestRunTrainsUnderEveryParadigm(t *testing.T) {
 			if res.Updates == 0 {
 				t.Fatal("no updates were applied")
 			}
-			if res.Accuracy.Len() == 0 {
+			if len(res.Accuracy.Points()) == 0 {
 				t.Fatal("no accuracy samples recorded")
 			}
 			if res.FinalAccuracy < 0.6 {

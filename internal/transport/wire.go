@@ -469,8 +469,8 @@ func appendTensorSection(dst []byte, bodyStart int, ts []WireTensor, refs *frame
 }
 
 // appendPackedSection appends the compressed-tensor section; the per-tensor
-// layout is owned by compress.Packed (AppendBinary is the header followed by
-// the payload, which refs may take).
+// layout is owned by compress.Packed (AppendBinaryHeader, then the payload,
+// which refs may take).
 func appendPackedSection(dst []byte, ps []compress.Packed, refs *frameRefs) ([]byte, error) {
 	dst = append(dst, tagPacked)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ps)))

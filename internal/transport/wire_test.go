@@ -117,11 +117,11 @@ func TestPackedMessageOverTCP(t *testing.T) {
 	if len(got.Packed) != len(grads) {
 		t.Fatalf("push carries %d packed tensors, want %d", len(got.Packed), len(grads))
 	}
-	want, err := compress.DecompressAll(sent.Packed)
+	want, err := compress.DecompressAllReuse(sent.Packed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := compress.DecompressAll(got.Packed)
+	decoded, err := compress.DecompressAllReuse(got.Packed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,14 @@
 # BENCH_baseline.json names ("commit"), exported with git archive, and the
 # working tree. Both trees' test binaries are built with the same command,
 # then every package's pins run alternately, one tree after the other, for
-# ten rounds at TIME each, and cmd/benchjson fails the gate when a pin's
-# median over the head rounds is more than 25% above its median over the
-# base rounds. The ns/op recorded in BENCH_baseline.json are printed beside
-# the head's medians, for information only.
+# ten rounds at TIME each, with -test.benchmem, and cmd/benchjson fails the
+# gate when a pin's median ns/op over the head rounds is more than 25% above
+# its median over the base rounds, or its median allocs/op is above the
+# highest of the base rounds': most pins read one allocation count in every
+# round, so there one more per call is a change, not noise (a ResNet-8
+# iteration's count moves, 13-22, and is held to the top of that spread).
+# B/op does not repeat and stays informational. The ns/op recorded in BENCH_baseline.json are printed
+# beside the head's medians, for information only.
 #
 # Run from the repository root, with the Makefile's variables in the
 # environment: GO, PKGS, PATTERN, PINS, TIME.
@@ -51,7 +55,7 @@ for r in $(seq "$rounds"); do
 		for tree in $order; do
 			src="$top"
 			[ "$tree" = base ] && src="$dir/base"
-			(cd "$src/$pkg" && "$dir/$tree-$n.test" -test.run '^$' -test.bench "$PATTERN" -test.benchtime "$TIME" -test.timeout 10m) >>"$dir/$tree-$r.txt"
+			(cd "$src/$pkg" && "$dir/$tree-$n.test" -test.run '^$' -test.bench "$PATTERN" -test.benchtime "$TIME" -test.benchmem -test.timeout 10m) >>"$dir/$tree-$r.txt"
 		done
 	done
 done

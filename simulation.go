@@ -1,8 +1,6 @@
 package dssp
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"dssp/internal/simulate"
@@ -14,95 +12,24 @@ import (
 // approximate number of samples per accuracy curve.
 type SimulationConfig = simulate.ExperimentConfig
 
-// Curve is one accuracy-versus-time curve of a regenerated figure.
-type Curve struct {
-	// Label is the legend entry (e.g. "DSSP s=3 r=12").
-	Label string
-	// Times and Accuracies are the sampled points, aligned by index.
-	Times      []time.Duration
-	Accuracies []float64
-	// FinalAccuracy is the last sampled accuracy.
-	FinalAccuracy float64
-	// Finish is the simulated time at which the run completed all epochs.
-	Finish time.Duration
-	// MeanStaleness is the average staleness of applied updates (absent for
-	// derived curves such as the averaged SSP).
-	MeanStaleness float64
-}
+// Curve is one accuracy-versus-time curve of a regenerated figure: its
+// legend Label, the sampled Curve (Points, TimeToReach), its FinalAccuracy
+// and Finish time, and the simulated Run behind it (nil for the averaged SSP
+// curve, which no single run draws).
+type Curve = simulate.ParadigmResult
 
-// TimeToAccuracy returns the first time the curve reached the target.
-func (c Curve) TimeToAccuracy(target float64) (time.Duration, bool) {
-	for i, a := range c.Accuracies {
-		if a >= target {
-			return c.Times[i], true
-		}
-	}
-	return 0, false
-}
-
-// FigureResult is a regenerated figure of the paper.
-type FigureResult struct {
-	// ID is the paper identifier: "fig2", "fig3a".."fig3f", "fig4".
-	ID string
-	// Title describes the experiment.
-	Title string
-	// Curves holds the figure's curves in legend order.
-	Curves []Curve
-}
-
-// Curve returns the curve with the given label.
-func (f *FigureResult) Curve(label string) (Curve, bool) {
-	for _, c := range f.Curves {
-		if c.Label == label {
-			return c, true
-		}
-	}
-	return Curve{}, false
-}
+// FigureResult is a regenerated figure of the paper: its ID ("fig3a".."fig3f",
+// "fig4"), Title, workload and Results, one Curve per legend entry in legend
+// order (Result looks one up by label).
+type FigureResult = simulate.Figure
 
 // FigureIDs lists the reproducible figure identifiers in paper order.
-func FigureIDs() []string {
-	return []string{"fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fig4"}
-}
+func FigureIDs() []string { return simulate.FigureIDs() }
 
 // Figure regenerates one of the paper's figures on the cluster simulator.
 // Valid identifiers are returned by FigureIDs.
 func Figure(id string, cfg SimulationConfig) (*FigureResult, error) {
-	runners := map[string]func(simulate.ExperimentConfig) (*simulate.Figure, error){
-		"fig3a": simulate.Figure3a,
-		"fig3b": simulate.Figure3b,
-		"fig3c": simulate.Figure3c,
-		"fig3d": simulate.Figure3d,
-		"fig3e": simulate.Figure3e,
-		"fig3f": simulate.Figure3f,
-		"fig4":  simulate.Figure4,
-	}
-	run, ok := runners[strings.ToLower(id)]
-	if !ok {
-		return nil, fmt.Errorf("dssp: unknown figure %q (valid: %s)", id, strings.Join(FigureIDs(), ", "))
-	}
-	fig, err := run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return convertFigure(fig), nil
-}
-
-// convertFigure maps the internal figure representation to the public one.
-func convertFigure(fig *simulate.Figure) *FigureResult {
-	out := &FigureResult{ID: fig.ID, Title: fig.Title}
-	for _, r := range fig.Results {
-		c := Curve{Label: r.Label, FinalAccuracy: r.FinalAccuracy, Finish: r.Finish}
-		for _, p := range r.Curve.Points() {
-			c.Times = append(c.Times, p.Elapsed)
-			c.Accuracies = append(c.Accuracies, p.Value)
-		}
-		if r.Run != nil {
-			c.MeanStaleness = r.Run.MeanStaleness()
-		}
-		out.Curves = append(out.Curves, c)
-	}
-	return out
+	return simulate.RunFigure(id, cfg)
 }
 
 // TableIRow is one row of the paper's Table I: time for a paradigm to reach

@@ -341,9 +341,10 @@ fuzz-seeds:
 
 # Robustness scenario-matrix smoke: the 2x2 grid (clean / 1-of-4 gradient
 # attacker x plain sum / trimmed-mean+guard) on real training, plus the
-# simulated hostile-network timing sweep. Fails when any cell expected to
-# converge drops below the accuracy floor; experiment-report.json is the CI
-# artifact.
+# simulated hostile-network timing sweep (calm, flapping and partitioned
+# links; the relay tier is not simulated, aggtree-smoke measures it on the
+# real stack). Fails when any cell expected to converge drops below the
+# accuracy floor; experiment-report.json is the CI artifact.
 experiment-smoke:
 	$(GO) run ./cmd/dsspsim -experiment -paradigm SSP -trials 2 \
 		-accuracy-floor 0.6 -out experiment-report.json
@@ -368,7 +369,8 @@ cluster-smoke:
 # behind two fanout-2 relays, one killed mid-run under BSP/SSP/DSSP — the
 # subtree must re-parent, no barrier may deadlock) plus the in-process
 # ingress-reduction pin (16 workers at fanout 4 land >=3x fewer push frames
-# and >=2x fewer bytes on the root than flat). -count=1 defeats the test
+# and >=2x fewer bytes on the root than flat, at fanout 8 fewer frames
+# still). -count=1 defeats the test
 # cache: these are end-to-end network runs, not unit results worth
 # memoizing.
 aggtree-smoke:

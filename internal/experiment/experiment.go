@@ -9,9 +9,7 @@
 //
 // A second, simulator-backed matrix (TimingMatrix) crosses synchronization
 // paradigms with hostile links (Markov-modulated flapping and partitioned
-// links) and the aggregation-relay tier to measure the timing side: finish
-// time, throughput, staleness and root ingress at scales the in-process
-// trainer cannot reach.
+// links) to measure the timing side: finish time, throughput and staleness.
 package experiment
 
 import (

@@ -10,7 +10,6 @@ import (
 	"dssp/internal/data"
 	"dssp/internal/nn"
 	"dssp/internal/ps"
-	"dssp/internal/simulate"
 	"dssp/internal/trainer"
 )
 
@@ -236,43 +235,6 @@ func TestTimingMatrixHostileNetworksCost(t *testing.T) {
 				t.Errorf("%s under %s finished at %v, not later than calm %v",
 					paradigm, hostile, finish[hostile][paradigm], calm)
 			}
-		}
-	}
-}
-
-// TestTimingMatrixFanoutCutsRootIngress sweeps the aggregation-tier fanout
-// (flat vs 4 vs 8) and checks the root's simulated push ingress falls
-// monotonically with fanout in every paradigm, while throughput survives.
-func TestTimingMatrixFanoutCutsRootIngress(t *testing.T) {
-	cells, err := TimingMatrix(TimingMatrixConfig{
-		Cluster:   simulate.HomogeneousCluster(16),
-		Scenarios: []NetworkScenario{CalmNetwork()},
-		Fanouts:   []int{0, 4, 8},
-		Seed:      5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := map[string]map[int]float64{}
-	for _, c := range cells {
-		if frames[c.Paradigm] == nil {
-			frames[c.Paradigm] = map[int]float64{}
-		}
-		frames[c.Paradigm][c.Fanout] = c.MeanRootFrames
-	}
-	if len(frames) != 3 {
-		t.Fatalf("expected 3 paradigms, got %d: %+v", len(frames), frames)
-	}
-	for paradigm, byFanout := range frames {
-		flat, f4, f8 := byFanout[0], byFanout[4], byFanout[8]
-		if flat == 0 || f4 == 0 || f8 == 0 {
-			t.Fatalf("%s: missing fanout cells: %+v", paradigm, byFanout)
-		}
-		if f4*3 > flat {
-			t.Errorf("%s: fanout-4 root frames %.0f vs flat %.0f, want >= 3x fewer", paradigm, f4, flat)
-		}
-		if f8 >= f4 {
-			t.Errorf("%s: fanout-8 root frames %.0f not below fanout-4's %.0f", paradigm, f8, f4)
 		}
 	}
 }

@@ -79,16 +79,10 @@ func (r *Report) Table() string {
 	}
 	if len(r.Timing) > 0 {
 		b.WriteString("\ntiming (simulated)\n")
-		fmt.Fprintf(&b, "%-18s %-16s %6s %12s %10s %10s %11s %11s\n",
-			"scenario", "paradigm", "fanout", "finish", "upd/s", "staleness", "root-frames", "root-MiB")
+		fmt.Fprintf(&b, "%-18s %-16s %12s %10s %10s\n", "scenario", "paradigm", "finish", "upd/s", "staleness")
 		for _, c := range r.Timing {
-			topo := "flat"
-			if c.Fanout >= 2 {
-				topo = fmt.Sprintf("%d", c.Fanout)
-			}
-			fmt.Fprintf(&b, "%-18s %-16s %6s %12s %10.1f %10.2f %11.0f %11.1f\n",
-				c.Scenario, c.Paradigm, topo, c.MeanFinish.Round(timePrecision), c.Throughput,
-				c.MeanStaleness, c.MeanRootFrames, c.MeanRootBytes/(1<<20))
+			fmt.Fprintf(&b, "%-18s %-16s %12s %10.1f %10.2f\n",
+				c.Scenario, c.Paradigm, c.MeanFinish.Round(timePrecision), c.Throughput, c.MeanStaleness)
 		}
 	}
 	return b.String()

@@ -45,61 +45,46 @@ func linksFor(model simulate.LinkModel, workers []int) map[int]simulate.LinkMode
 	return m
 }
 
-// TimingCell is one aggregated (scenario, paradigm, fanout) cell of the
-// timing matrix: a simulated run's timing under hostile links and the relay
-// tier, averaged over trials.
+// TimingCell is one aggregated (scenario, paradigm) cell of the timing
+// matrix: a simulated run's timing under hostile links, averaged over
+// trials.
 type TimingCell struct {
 	// Scenario and Paradigm name the cell's coordinates.
 	Scenario string `json:"scenario"`
 	Paradigm string `json:"paradigm"`
-	// Fanout is the aggregation-tier fanout the cell ran under; 0 is the
-	// flat topology (workers push straight to the root).
-	Fanout int `json:"fanout,omitempty"`
 	// MeanFinish is the mean simulated completion time.
 	MeanFinish time.Duration `json:"mean_finish_ns"`
 	// Throughput is the mean applied updates per simulated second.
 	Throughput float64 `json:"throughput"`
 	// MeanStaleness is the mean update staleness.
 	MeanStaleness float64 `json:"mean_staleness"`
-	// MeanRootFrames and MeanRootBytes are the mean push ingress the root
-	// absorbed per trial: the load the relay tier exists to cut.
-	MeanRootFrames float64 `json:"mean_root_frames"`
-	MeanRootBytes  float64 `json:"mean_root_bytes"`
 }
 
 // TimingMatrixConfig describes a simulator-backed sweep: every paradigm
-// crossed with every network scenario.
+// crossed with every network scenario, on timingModel and
+// simulate.HeterogeneousCluster (one GTX1080Ti and one GTX1060 worker) for
+// timingIterations iterations per worker.
 type TimingMatrixConfig struct {
-	// Model and Cluster describe the simulated workload; zero values pick
-	// a small default (a tiny model profile on simulate.HeterogeneousCluster,
-	// one GTX1080Ti and one GTX1060 worker).
-	Model   simulate.ModelProfile
-	Cluster simulate.ClusterSpec
 	// Policies are the paradigms to sweep; empty defaults to BSP, SSP and
 	// DSSP.
 	Policies []core.PolicyConfig
 	// Scenarios are the network columns; empty defaults to calm, flapping
 	// and partitioned with worker 0 affected.
 	Scenarios []NetworkScenario
-	// Fanouts are the aggregation-tier fanouts to sweep (0 = flat); empty
-	// defaults to flat only.
-	Fanouts []int
-	// Iterations is each worker's iteration budget; 0 picks 60.
-	Iterations int
 	// Trials is runs per cell; 0 means 1.
 	Trials int
 	// Seed decorrelates trials.
 	Seed int64
 }
 
+// timingModel is the small model profile every timing cell trains.
+var timingModel = simulate.ModelProfile{Name: "tiny", Params: 1e5, ComputeTime: 10 * time.Millisecond, Layers: 4}
+
+// timingIterations is each worker's iteration budget in a timing cell.
+const timingIterations = 60
+
 // withDefaults fills the sweep axes.
 func (c TimingMatrixConfig) withDefaults() TimingMatrixConfig {
-	if c.Model.Params == 0 {
-		c.Model = simulate.ModelProfile{Name: "tiny", Params: 1e5, ComputeTime: 10 * time.Millisecond, Layers: 4}
-	}
-	if c.Cluster.NumWorkers() == 0 {
-		c.Cluster = simulate.HeterogeneousCluster()
-	}
 	if len(c.Policies) == 0 {
 		c.Policies = []core.PolicyConfig{
 			{Paradigm: core.ParadigmBSP},
@@ -109,12 +94,6 @@ func (c TimingMatrixConfig) withDefaults() TimingMatrixConfig {
 	}
 	if len(c.Scenarios) == 0 {
 		c.Scenarios = []NetworkScenario{CalmNetwork(), FlappingNetwork(0), PartitionedNetwork(0)}
-	}
-	if len(c.Fanouts) == 0 {
-		c.Fanouts = []int{0}
-	}
-	if c.Iterations <= 0 {
-		c.Iterations = 60
 	}
 	if c.Trials <= 0 {
 		c.Trials = 1
@@ -129,35 +108,28 @@ func TimingMatrix(cfg TimingMatrixConfig) ([]TimingCell, error) {
 	var cells []TimingCell
 	for _, sc := range cfg.Scenarios {
 		for _, pol := range cfg.Policies {
-			for _, fanout := range cfg.Fanouts {
-				cell := TimingCell{Scenario: sc.Name, Paradigm: pol.Describe(), Fanout: fanout}
-				for trial := 0; trial < cfg.Trials; trial++ {
-					res, err := simulate.Run(simulate.RunConfig{
-						Model:               cfg.Model,
-						Cluster:             cfg.Cluster,
-						Policy:              pol,
-						IterationsPerWorker: cfg.Iterations,
-						Links:               sc.Links,
-						Fanout:              fanout,
-						Seed:                cfg.Seed + int64(trial)*104729,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("experiment: timing cell (%s, %s, fanout %d) trial %d: %w", sc.Name, cell.Paradigm, fanout, trial, err)
-					}
-					cell.MeanFinish += res.Finish
-					cell.Throughput += res.Throughput()
-					cell.MeanStaleness += res.MeanStaleness()
-					cell.MeanRootFrames += float64(res.RootIngressFrames)
-					cell.MeanRootBytes += float64(res.RootIngressBytes)
+			cell := TimingCell{Scenario: sc.Name, Paradigm: pol.Describe()}
+			for trial := 0; trial < cfg.Trials; trial++ {
+				res, err := simulate.Run(simulate.RunConfig{
+					Model:               timingModel,
+					Cluster:             simulate.HeterogeneousCluster(),
+					Policy:              pol,
+					IterationsPerWorker: timingIterations,
+					Links:               sc.Links,
+					Seed:                cfg.Seed + int64(trial)*104729,
+				})
+				if err != nil {
+					return nil, fmt.Errorf("experiment: timing cell (%s, %s) trial %d: %w", sc.Name, cell.Paradigm, trial, err)
 				}
-				n := float64(cfg.Trials)
-				cell.MeanFinish = time.Duration(float64(cell.MeanFinish) / n)
-				cell.Throughput /= n
-				cell.MeanStaleness /= n
-				cell.MeanRootFrames /= n
-				cell.MeanRootBytes /= n
-				cells = append(cells, cell)
+				cell.MeanFinish += res.Finish
+				cell.Throughput += res.Throughput()
+				cell.MeanStaleness += res.MeanStaleness()
 			}
+			n := float64(cfg.Trials)
+			cell.MeanFinish = time.Duration(float64(cell.MeanFinish) / n)
+			cell.Throughput /= n
+			cell.MeanStaleness /= n
+			cells = append(cells, cell)
 		}
 	}
 	return cells, nil

@@ -26,14 +26,6 @@ type RunConfig struct {
 	// LinkModel and the Link* presets). Every key must name a worker of the
 	// cluster; workers absent from the map have calm links.
 	Links map[int]LinkModel
-	// Fanout, when >= 2, interposes the aggregation-relay tier (DESIGN.md
-	// §11): relay r fronts workers [r*Fanout, (r+1)*Fanout), sums their
-	// pushes into one partial and forwards a single frame to the root, so
-	// the root link carries O(workers/Fanout) frames per round instead of
-	// O(workers). Child hops ride per-relay links; only relay frames
-	// contend on the root link. A relay forwards a partial incomplete once
-	// it has waited relayFlush for straggling members. 0 or 1 means flat.
-	Fanout int
 	// Seed drives compute-time jitter.
 	Seed int64
 }
@@ -59,14 +51,6 @@ type RunResult struct {
 	Finish time.Duration
 	// Waits is the total synchronization waiting time per worker.
 	Waits []time.Duration
-	// RootIngressFrames counts push frames arriving at the root: one per
-	// worker push when flat, one per forwarded relay partial under
-	// RunConfig.Fanout >= 2.
-	RootIngressFrames int
-	// RootIngressBytes is the gradient payload carried by those frames (a
-	// summed partial is one model-sized gradient regardless of how many
-	// pushes it folds).
-	RootIngressBytes int
 	// Bounded reports whether the paradigm guarantees any staleness bound
 	// (every paradigm except ASP).
 	Bounded bool
@@ -132,15 +116,6 @@ const (
 	// evPullDone fires when a released worker has finished pulling the
 	// fresh global weights.
 	evPullDone
-	// evRelayIngress fires when a push has fully arrived at the worker's
-	// relay (RunConfig.Fanout >= 2).
-	evRelayIngress
-	// evRelayArrive fires when a forwarded relay partial has fully arrived
-	// at the root.
-	evRelayArrive
-	// evRelayFlush is a relay's watchdog: it forwards a partial that has
-	// waited relayFlush for straggling group members.
-	evRelayFlush
 )
 
 // event is one entry of the simulation's time-ordered queue.
@@ -149,12 +124,6 @@ type event struct {
 	seq    int
 	kind   eventKind
 	worker int
-	// batch lists the logical pushes folded into a relay frame
-	// (evRelayArrive), in arrival order at the relay.
-	batch []int
-	// gen is the partial generation an evRelayFlush watchdog was armed
-	// for; a stale generation means the partial already flushed.
-	gen int
 }
 
 // eventQueue is a min-heap of events ordered by time then insertion order.
@@ -201,32 +170,11 @@ type simulation struct {
 	// links is the per-worker Markov link state.
 	links []linkState
 
-	// Relay tier state (Fanout >= 2): worker grouping, per-relay child
-	// links, and each relay's pending partial.
-	fanout          int
-	groupOf         []int
-	groups          [][]int
-	relayLinkFreeAt []time.Duration
-	partials        []relayPartialSim
-
 	linkFreeAt time.Duration
 	cpuFreeAt  time.Duration
 
 	result *RunResult
 }
-
-// relayPartialSim is one relay's windowed partial: the pushes summed so far
-// and a generation counter that invalidates armed watchdogs on flush.
-type relayPartialSim struct {
-	entries []int
-	member  map[int]bool
-	gen     int
-}
-
-// relayFlush bounds how long a relay partial waits for straggling group
-// members before forwarding incomplete; it mirrors the real relay's
-// watchdog, ps.DefaultRelayFlushInterval.
-const relayFlush = 50 * time.Millisecond
 
 // Run executes one simulated training run.
 func Run(cfg RunConfig) (*RunResult, error) {
@@ -239,9 +187,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	if cfg.Cluster.LinkBandwidth <= 0 || cfg.Cluster.ApplyRate <= 0 {
 		return nil, fmt.Errorf("simulate: cluster bandwidth and apply rate must be positive")
-	}
-	if cfg.Fanout < 0 {
-		return nil, fmt.Errorf("simulate: fanout must be >= 0, got %d", cfg.Fanout)
 	}
 	for w := range cfg.Links {
 		if w < 0 || w >= workers {
@@ -286,23 +231,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	for w := 0; w < workers; w++ {
 		sim.links[w] = newLinkState(cfg.Links[w])
 	}
-	if cfg.Fanout >= 2 {
-		sim.fanout = cfg.Fanout
-		sim.groupOf = make([]int, workers)
-		for w := 0; w < workers; w++ {
-			g := w / cfg.Fanout
-			sim.groupOf[w] = g
-			for g >= len(sim.groups) {
-				sim.groups = append(sim.groups, nil)
-			}
-			sim.groups[g] = append(sim.groups[g], w)
-		}
-		sim.relayLinkFreeAt = make([]time.Duration, len(sim.groups))
-		sim.partials = make([]relayPartialSim, len(sim.groups))
-		for g := range sim.partials {
-			sim.partials[g].member = make(map[int]bool, cfg.Fanout)
-		}
-	}
 	for w := 0; w < workers; w++ {
 		sim.remaining[w] = cfg.IterationsPerWorker
 		sim.schedule(sim.computeTime(w), evComputeDone, w)
@@ -319,14 +247,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 
 // schedule enqueues an event.
 func (s *simulation) schedule(at time.Duration, kind eventKind, worker int) {
-	s.scheduleEvent(event{at: at, kind: kind, worker: worker})
-}
-
-// scheduleEvent enqueues a fully specified event.
-func (s *simulation) scheduleEvent(ev event) {
-	ev.seq = s.seq
+	heap.Push(s.queue, event{at: at, seq: s.seq, kind: kind, worker: worker})
 	s.seq++
-	heap.Push(s.queue, ev)
 }
 
 // computeTime samples one mini-batch duration for the given worker.
@@ -362,12 +284,6 @@ func (s *simulation) run() {
 			s.onPushArrive(ev)
 		case evPullDone:
 			s.onPullDone(ev)
-		case evRelayIngress:
-			s.onRelayIngress(ev)
-		case evRelayArrive:
-			s.onRelayArrive(ev)
-		case evRelayFlush:
-			s.onRelayFlush(ev)
 		}
 	}
 }
@@ -377,47 +293,25 @@ func (s *simulation) run() {
 // hide CommOverlap of it behind computation, and the worker's link model
 // (if any) scales the result by its current Markov state.
 func (s *simulation) effectiveTransfer(w int, now time.Duration) time.Duration {
-	return time.Duration(float64(s.baseTransfer()) * s.links[w].multiplier(now, s.rng))
-}
-
-// baseTransfer is the overlap-adjusted transfer cost before any per-worker
-// link degradation — what a relay's trunk (a calm datacenter link) pays.
-func (s *simulation) baseTransfer() time.Duration {
 	base := s.transfer
 	if !s.aggregated {
-		overlap := s.cfg.Cluster.CommOverlap
-		if overlap < 0 {
-			overlap = 0
-		}
-		if overlap > 1 {
-			overlap = 1
-		}
+		overlap := min(max(s.cfg.Cluster.CommOverlap, 0), 1)
 		base = time.Duration(float64(s.transfer) * (1 - overlap))
 	}
-	return base
+	return time.Duration(float64(base) * s.links[w].multiplier(now, s.rng))
 }
 
 // onComputeDone sends the worker's gradient to the server over the shared
 // link.
 func (s *simulation) onComputeDone(ev event) {
-	// Under the relay tier the push rides the relay's child link instead of
-	// contending on the root's — that contention shift is the tier's point.
-	link := &s.linkFreeAt
-	kind := evPushArrive
-	if s.fanout >= 2 {
-		link = &s.relayLinkFreeAt[s.groupOf[ev.worker]]
-		kind = evRelayIngress
-	}
-	arrival := acquire(link, ev.at, s.effectiveTransfer(ev.worker, ev.at))
-	s.schedule(arrival, kind, ev.worker)
+	arrival := acquire(&s.linkFreeAt, ev.at, s.effectiveTransfer(ev.worker, ev.at))
+	s.schedule(arrival, evPushArrive, ev.worker)
 }
 
 // onPushArrive applies the update and starts the pull transfer of every
 // released worker.
 func (s *simulation) onPushArrive(ev event) {
 	w := ev.worker
-	s.result.RootIngressFrames++
-	s.result.RootIngressBytes += s.cfg.Model.Bytes()
 	s.remaining[w]--
 	s.pushArrivedAt[w] = ev.at
 	s.waiting[w] = true
@@ -436,107 +330,6 @@ func (s *simulation) onPushArrive(ev event) {
 	}
 
 	s.releaseWorkers(decision.Release, readyAt)
-}
-
-// doneFor reports whether a worker has completed its course: no iterations
-// left and no push awaiting release. A relay partial never waits on it.
-func (s *simulation) doneFor(w int) bool { return s.remaining[w] <= 0 && !s.waiting[w] }
-
-// relayComplete reports whether relay g's partial holds a contribution from
-// every group member still expected to push — the real relay's "full" flush
-// condition.
-func (s *simulation) relayComplete(g int) bool {
-	p := &s.partials[g]
-	if len(p.entries) == 0 {
-		return false
-	}
-	for _, w := range s.groups[g] {
-		if s.doneFor(w) {
-			continue
-		}
-		if !p.member[w] {
-			return false
-		}
-	}
-	return true
-}
-
-// flushRelay forwards relay g's pending partial to the root as one frame on
-// the root link, and invalidates any armed watchdog via the generation bump.
-func (s *simulation) flushRelay(g int, at time.Duration) {
-	p := &s.partials[g]
-	if len(p.entries) == 0 {
-		return
-	}
-	batch := p.entries
-	p.entries = nil
-	p.member = make(map[int]bool, s.fanout)
-	p.gen++
-	arrival := acquire(&s.linkFreeAt, at, s.baseTransfer())
-	s.scheduleEvent(event{at: arrival, kind: evRelayArrive, worker: batch[0], batch: batch})
-}
-
-// onRelayIngress folds an arrived push into its relay's partial. A duplicate
-// contribution flushes the open window first (the worker has lapped its
-// peers); a partial covering every expected member flushes immediately.
-func (s *simulation) onRelayIngress(ev event) {
-	w := ev.worker
-	g := s.groupOf[w]
-	s.remaining[w]--
-	s.pushArrivedAt[w] = ev.at
-	s.waiting[w] = true
-	p := &s.partials[g]
-	if p.member[w] {
-		s.flushRelay(g, ev.at)
-	}
-	if len(p.entries) == 0 {
-		// First entry of a fresh partial: arm the straggler watchdog.
-		s.scheduleEvent(event{at: ev.at + relayFlush, kind: evRelayFlush, worker: w, gen: p.gen})
-	}
-	p.entries = append(p.entries, w)
-	p.member[w] = true
-	if s.relayComplete(g) {
-		s.flushRelay(g, ev.at)
-	}
-}
-
-// onRelayFlush is the armed watchdog firing: if the partial it was armed for
-// is still open, straggling members have held it past relayFlush — forward
-// it incomplete, exactly like the real relay.
-func (s *simulation) onRelayFlush(ev event) {
-	g := s.groupOf[ev.worker]
-	if s.partials[g].gen == ev.gen {
-		s.flushRelay(g, ev.at)
-	}
-}
-
-// onRelayArrive processes one forwarded partial at the root: a single frame
-// of ingress whose embedded entries each reach the policy as a logical push,
-// applied as one weighted update — version advances by the batch size.
-func (s *simulation) onRelayArrive(ev event) {
-	s.result.RootIngressFrames++
-	s.result.RootIngressBytes += s.cfg.Model.Bytes()
-	var release []core.WorkerID
-	for _, w := range ev.batch {
-		decision := s.policy.OnPush(core.WorkerID(w), time.Unix(0, 0).Add(ev.at))
-		staleness := s.version - s.baseVersion[w]
-		s.version++
-		s.result.Updates = append(s.result.Updates, UpdateEvent{At: ev.at, Worker: w, Staleness: staleness})
-		release = append(release, decision.Release...)
-	}
-	// One weighted apply per frame, however many pushes it folds — the relay
-	// already paid the summing. A flushed partial is never empty.
-	readyAt := acquire(&s.cpuFreeAt, ev.at, s.applyCost+s.keyCost)
-	s.releaseWorkers(release, readyAt)
-}
-
-// pullLink is the link a worker's pull rides: the root's when flat, its
-// relay's child link under the aggregation tier.
-func (s *simulation) pullLink(w int) *time.Duration {
-	if s.fanout >= 2 {
-		return &s.relayLinkFreeAt[s.groupOf[w]]
-	}
-	return &s.linkFreeAt
 }
 
 // releaseWorkers processes a policy release list: waiting workers resume
@@ -562,16 +355,10 @@ func (s *simulation) releaseWorkers(release []core.WorkerID, readyAt time.Durati
 			s.finishedAt[r] = releaseAt
 			d := s.policy.OnLeave(core.WorkerID(r), time.Unix(0, 0).Add(releaseAt))
 			s.releaseWorkers(d.Release, releaseAt)
-			if s.fanout >= 2 && s.relayComplete(s.groupOf[r]) {
-				// Its relay no longer expects it; a partial waiting only
-				// on this worker is complete now.
-				s.flushRelay(s.groupOf[r], releaseAt)
-			}
 			continue
 		}
-		// Pull the fresh weights over the shared link (the relay's child
-		// link under the tier — pulls pass through the relay's cache).
-		pullDone := acquire(s.pullLink(r), releaseAt, s.effectiveTransfer(r, releaseAt))
+		// Pull the fresh weights over the shared link.
+		pullDone := acquire(&s.linkFreeAt, releaseAt, s.effectiveTransfer(r, releaseAt))
 		s.baseVersion[r] = s.version
 		s.schedule(pullDone, evPullDone, r)
 	}

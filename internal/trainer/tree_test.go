@@ -78,10 +78,11 @@ func TestTreeTopologyWithCompressionAndDeltaPull(t *testing.T) {
 	}
 }
 
-// TestTreeIngressReduction is the PR's headline pin: with 16 workers at
-// fanout 4 the root must receive at least 3x fewer push frames and 2x fewer
-// push ingress bytes than the flat topology, while every logical push still
-// reaches the policy layer. Frames and bytes come from the root listener's
+// TestTreeIngressReduction pins the relay tier's ingress cut: with 16
+// workers at fanout 4 the root must receive at least 3x fewer push frames
+// and 2x fewer push ingress bytes than the flat topology, a wider fanout (8)
+// fewer frames still, while every logical push still reaches the policy
+// layer at either fanout. Frames and bytes come from the root listener's
 // transport meter, the same series a /metrics scrape exports.
 func TestTreeIngressReduction(t *testing.T) {
 	run := func(fanout int) *Result {
@@ -98,13 +99,20 @@ func TestTreeIngressReduction(t *testing.T) {
 	}
 	flat := run(0)
 	tree := run(4)
+	wide := run(8)
 
 	const framesKey = `dssp_transport_frames_total{dir="recv",type="Push"}`
 	const bytesKey = `dssp_transport_bytes_total{dir="recv",type="Push"}`
-	flatFrames, treeFrames := flat.Metrics[framesKey], tree.Metrics[framesKey]
+	flatFrames, treeFrames, wideFrames := flat.Metrics[framesKey], tree.Metrics[framesKey], wide.Metrics[framesKey]
 	flatBytes, treeBytes := flat.Metrics[bytesKey], tree.Metrics[bytesKey]
-	if flatFrames == 0 || treeFrames == 0 {
-		t.Fatalf("missing transport meters: flat=%v tree=%v", flatFrames, treeFrames)
+	if flatFrames == 0 || treeFrames == 0 || wideFrames == 0 {
+		t.Fatalf("missing transport meters: flat=%v tree=%v wide=%v", flatFrames, treeFrames, wideFrames)
+	}
+	if wideFrames >= treeFrames {
+		t.Errorf("fanout-8 root push ingress %v frames, want fewer than fanout 4's %v", wideFrames, treeFrames)
+	}
+	if wide.Updates != flat.Updates {
+		t.Errorf("fanout-8 tree applied %d updates, flat %d — logical pushes lost", wide.Updates, flat.Updates)
 	}
 	if treeFrames*3 > flatFrames {
 		t.Errorf("root push ingress %v frames, want <= 1/3 of flat's %v", treeFrames, flatFrames)

@@ -83,8 +83,8 @@ lease-stress-names:
 # against the parameter hashes recorded for the Go loops — and an arm64
 # cross-build compiles and vets what a non-amd64 target gets. The noavx512 tag
 # does the same for the AVX2 panels on a machine that binds the AVX-512 ones:
-# the tensor tests, the layer hash pins and the worker-loop hash pins run on
-# them too. Both tags run internal/nn's TestDirectConvMatchesIm2col, which
+# the tensor tests, the layer hash pins, the end-to-end codec hash and the
+# worker-loop hash pins run on them too. Both tags run internal/nn's TestDirectConvMatchesIm2col, which
 # holds Conv2D's one path to patch matrices and the dense products at every
 # kernel, stride and pad it covers, on every binding. purego and noavx512 are
 # for this step, not tuning knobs. The darwin build
@@ -95,6 +95,7 @@ portable:
 	$(GO) test -tags purego -run 'TestCodecKernelsEndToEndPin' ./internal/ps/
 	$(GO) test -tags purego -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
 	$(GO) test -tags noavx512 ./internal/cpu/ ./internal/tensor/ ./internal/nn/
+	$(GO) test -tags noavx512 -run 'TestCodecKernelsEndToEndPin' ./internal/ps/
 	$(GO) test -tags noavx512 -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/cpu/ ./internal/tensor/ ./internal/compress/

@@ -17,9 +17,34 @@ func randParams(rng *rand.Rand, shapes [][]int) []*tensor.Tensor {
 	return out
 }
 
+// scalarStep is the SGD update one element at a time, each operation rounded
+// on its own: v = mu*v + g; p -= lr*v (p -= lr*g without momentum).
+func scalarStep(s *SGD, params, grads []*tensor.Tensor) {
+	if s.momentum > 0 && s.velocity == nil {
+		s.velocity = make([][]float32, len(params))
+		for i, p := range params {
+			s.velocity[i] = make([]float32, p.Size())
+		}
+	}
+	lr, mu := float32(s.lr), float32(s.momentum)
+	for i, p := range params {
+		pd, gd := p.Data(), grads[i].Data()
+		for j := range pd {
+			if s.momentum > 0 {
+				v := s.velocity[i]
+				v[j] = mu*v[j] + gd[j]
+				pd[j] -= lr * v[j]
+			} else {
+				pd[j] -= lr * gd[j]
+			}
+		}
+	}
+}
+
 // referenceApply is the unfused path the store used before the fused step:
 // clone the parameters, sum the batch in order with sequential element-wise
-// adds, and call Step on the clone. StepInto must match it bit for bit.
+// adds, and take a scalar step on the clone. StepInto must match it bit for
+// bit.
 func referenceApply(opt *SGD, params []*tensor.Tensor, batch [][]*tensor.Tensor) []*tensor.Tensor {
 	next := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
@@ -34,7 +59,7 @@ func referenceApply(opt *SGD, params []*tensor.Tensor, batch [][]*tensor.Tensor)
 			sum[i].Add(g)
 		}
 	}
-	opt.Step(next, sum)
+	scalarStep(opt, next, sum)
 	return next
 }
 
@@ -45,8 +70,7 @@ func TestStepIntoBitIdenticalToCloneSumStep(t *testing.T) {
 		mk   func() *SGD
 	}{
 		{"plain", func() *SGD { return NewSGD(0.1) }},
-		{"momentum+decay", func() *SGD { return NewSGDMomentum(0.05, 0.9, 1e-4) }},
-		{"decay-only", func() *SGD { return NewSGDMomentum(0.05, 0, 5e-4) }},
+		{"momentum", func() *SGD { return NewSGDMomentum(0.05, 0.9) }},
 	} {
 		for batchSize := 1; batchSize <= 6; batchSize++ {
 			rng := rand.New(rand.NewSource(int64(batchSize)))
@@ -103,14 +127,14 @@ func TestStepIntoInPlaceAliasing(t *testing.T) {
 	params := randParams(rng, shapes)
 	batch := [][]*tensor.Tensor{randParams(rng, shapes), randParams(rng, shapes)}
 
-	separate := NewSGDMomentum(0.1, 0.9, 1e-4)
+	separate := NewSGDMomentum(0.1, 0.9)
 	out := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		out[i] = tensor.New(p.Shape()...)
 	}
 	separate.StepInto(out, params, batch)
 
-	inPlace := NewSGDMomentum(0.1, 0.9, 1e-4)
+	inPlace := NewSGDMomentum(0.1, 0.9)
 	aliased := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		aliased[i] = p.Clone()
@@ -155,7 +179,7 @@ func TestStepFromHalfSourcesMatchDecodeThenStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	cfg := compress.Config{Codec: compress.FP16}
 	params := randParams(rng, shapes)
-	half, decoded := NewSGDMomentum(0.05, 0.9, 1e-4), NewSGDMomentum(0.05, 0.9, 1e-4)
+	half, decoded := NewSGDMomentum(0.05, 0.9), NewSGDMomentum(0.05, 0.9)
 	got, want := cloneAll(params), cloneAll(params)
 	for step := 0; step < 3; step++ {
 		batch := make([][]tensor.Grad, 3)
@@ -224,7 +248,7 @@ func benchFusedInputs(paramSize, batchSize int) ([]*tensor.Tensor, []*tensor.Ten
 // pins both, under the name this machine produces.
 
 func BenchmarkFusedStepMomentumBatch4(b *testing.B) {
-	benchFusedStep(b, NewSGDMomentum(0.05, 0.9, 1e-4), 64*1024, 4)
+	benchFusedStep(b, NewSGDMomentum(0.05, 0.9), 64*1024, 4)
 }
 
 // BenchmarkFusedStepPlain262k is the store's step on flat-comm: the wide
@@ -268,7 +292,7 @@ func benchFusedStep(b *testing.B, opt *SGD, paramSize, batchSize int) {
 func BenchmarkUnfusedStepMomentumBatch4(b *testing.B) {
 	// The clone+sum+Step sequence the fused kernel replaces, for comparison.
 	_, src, batch := benchFusedInputs(64*1024, 4)
-	opt := NewSGDMomentum(0.05, 0.9, 1e-4)
+	opt := NewSGDMomentum(0.05, 0.9)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,8 @@
-// Package optimizer implements the stochastic-gradient-descent update rules
-// the parameter server applies: plain SGD and SGD with momentum, the latter
-// with an optional weight-decay term. The learning rate is constant for a
-// run; a restored checkpoint sets it back to the rate it was saved at.
+// Package optimizer implements the one update rule the parameter server
+// applies: stochastic gradient descent, plain or with momentum, stepped
+// straight from a coalesced batch of pushes (SGD.StepFrom). The learning
+// rate is constant for a run; a restored checkpoint sets it back to the rate
+// it was saved at.
 package optimizer
 
 import (
@@ -10,114 +11,43 @@ import (
 	"dssp/internal/tensor"
 )
 
-// Optimizer applies parameter updates computed from gradients. In the
-// parameter-server architecture the optimizer lives on the server and is
-// applied to the globally shared weights whenever a worker pushes gradients.
-type Optimizer interface {
-	// Step applies one update to params given the aligned grads.
-	Step(params, grads []*tensor.Tensor)
-	// SetLearningRate changes the learning rate used by subsequent steps.
-	SetLearningRate(lr float64)
-	// LearningRate returns the current learning rate.
-	LearningRate() float64
-	// Name returns a short description of the optimizer.
-	Name() string
-	// Clone returns a fresh optimizer with the same hyperparameters and no
-	// accumulated state. The sharded parameter store gives each shard its own
-	// clone so that per-parameter state (e.g. momentum velocity) stays aligned
-	// with the shard's parameter slice.
-	Clone() Optimizer
-	// State returns a deep copy of the optimizer's accumulated per-parameter
-	// state (momentum velocity for SGD), aligned with the parameter list it
-	// has been stepping, or nil when it holds none. Checkpoints persist it so
-	// a restored server resumes with the same update dynamics.
-	State() [][]float32
-	// LoadState replaces the accumulated state with a deep copy of state
-	// (nil clears it). The next Step must see parameter tensors whose sizes
-	// match the loaded state.
-	LoadState(state [][]float32)
-}
-
-// FusedStepper is implemented by optimizers that can apply a whole coalesced
-// push batch in one fused pass per parameter tensor: gradient summation,
-// weight decay, momentum update, and the parameter write happen per element,
-// so each gradient value is read exactly once and no summed-gradient or
-// cloned-parameter temporary is materialized.
-//
-// StepFrom reads parameters from src and writes the updated values to dst;
-// dst may alias src element-wise (in-place update) or be a completely
-// separate buffer (the parameter server's copy-on-write publication path).
-// batch is a non-empty sequence of aligned gradient sets, each gradient read
-// from where it arrived (tensor.Grad): float32 values, or the half-precision
-// payload of an fp16 push, widened as it is read. The result must be
-// bit-identical to decoding every half source, cloning src, summing the batch
-// in order with a running element-wise accumulation (((b0+b1)+b2)+…), and
-// calling Step on the clone — the contract that lets the store switch between
-// the fused and unfused paths, and apply an fp16 push without decoding it,
-// without changing training dynamics.
-type FusedStepper interface {
-	StepFrom(dst, src []*tensor.Tensor, batch [][]tensor.Grad)
-}
-
-// SGD is stochastic gradient descent with optional momentum and weight
-// decay: v = mu*v + grad + wd*param; param -= lr * v.
+// SGD is stochastic gradient descent with optional momentum:
+// v = mu*v + grad; param -= lr * v (param -= lr * grad without momentum).
+// The parameter store steps the globally shared weights with it whenever a
+// worker's push is applied, one SGD per shard so that momentum velocity is
+// indexed by position within the shard.
 type SGD struct {
 	lr       float64
 	momentum float64
-	decay    float64
 	velocity [][]float32
-	gscratch []tensor.Grad // reused per-tensor gradient-source list of a fused step
+	gscratch []tensor.Grad // reused per-tensor gradient-source list of a step
 }
 
 // NewSGD returns a plain SGD optimizer with the given learning rate.
 func NewSGD(lr float64) *SGD { return &SGD{lr: lr} }
 
-// NewSGDMomentum returns an SGD optimizer with momentum and weight decay.
-func NewSGDMomentum(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{lr: lr, momentum: momentum, decay: weightDecay}
+// NewSGDMomentum returns an SGD optimizer with momentum.
+func NewSGDMomentum(lr, momentum float64) *SGD {
+	return &SGD{lr: lr, momentum: momentum}
 }
 
-// Step implements Optimizer.
-func (s *SGD) Step(params, grads []*tensor.Tensor) {
-	if len(params) != len(grads) {
-		panic(fmt.Sprintf("optimizer: %d params but %d grads", len(params), len(grads)))
-	}
-	if s.momentum > 0 && s.velocity == nil {
-		s.velocity = make([][]float32, len(params))
-		for i, p := range params {
-			s.velocity[i] = make([]float32, p.Size())
-		}
-	}
-	lr := float32(s.lr)
-	mu := float32(s.momentum)
-	wd := float32(s.decay)
-	for i, p := range params {
-		pd := p.Data()
-		gd := grads[i].Data()
-		if len(pd) != len(gd) {
-			panic(fmt.Sprintf("optimizer: param %d has %d values but grad has %d", i, len(pd), len(gd)))
-		}
-		if s.momentum > 0 {
-			v := s.velocity[i]
-			for j := range pd {
-				g := gd[j] + wd*pd[j]
-				v[j] = mu*v[j] + g
-				pd[j] -= lr * v[j]
-			}
-		} else {
-			for j := range pd {
-				g := gd[j] + wd*pd[j]
-				pd[j] -= lr * g
-			}
-		}
-	}
-}
-
-// StepFrom implements FusedStepper for SGD: one pass per parameter tensor
-// fuses the batch gradient sum, weight decay, momentum update, and parameter
-// write, in internal/tensor's SGD kernels (assembly where the CPU has it, the
-// same bits either way). See the interface for the aliasing and bit-identity
-// contract.
+// StepFrom applies a whole coalesced push batch in one fused pass per
+// parameter tensor: the gradient sum, the momentum update and the parameter
+// write happen per element, in internal/tensor's SGD kernels (assembly where
+// the CPU has it, the same bits either way), so each gradient value is read
+// exactly once and no summed-gradient or cloned-parameter temporary is
+// materialized.
+//
+// It reads parameters from src and writes the updated values to dst; dst may
+// alias src element-wise (an in-place update) or be a completely separate
+// buffer (the parameter server's copy-on-write publication path). batch is a
+// non-empty sequence of aligned gradient sets, each gradient read from where
+// it arrived (tensor.Grad): float32 values, or the half-precision payload of
+// an fp16 push, widened as it is read. The result is bit-identical to
+// decoding every half source, cloning src, summing the batch in order with a
+// running element-wise accumulation (((b0+b1)+b2)+…) and taking one scalar
+// SGD step on the clone: coalescing pushes, or applying an fp16 push without
+// decoding it, does not change training dynamics.
 func (s *SGD) StepFrom(dst, src []*tensor.Tensor, batch [][]tensor.Grad) {
 	for _, grads := range batch {
 		if len(grads) != len(src) {
@@ -154,7 +84,6 @@ func (s *SGD) step(dst, src []*tensor.Tensor, n int, grad func(b, i int) tensor.
 	}
 	lr := float32(s.lr)
 	mu := float32(s.momentum)
-	wd := float32(s.decay)
 	if cap(s.gscratch) < n {
 		s.gscratch = make([]tensor.Grad, n)
 	}
@@ -174,22 +103,24 @@ func (s *SGD) step(dst, src []*tensor.Tensor, n int, grad func(b, i int) tensor.
 			gs[b] = g
 		}
 		if s.momentum > 0 {
-			tensor.SGDMomentumStep(dd, sd, s.velocity[i], gs, lr, mu, wd)
+			tensor.SGDMomentumStep(dd, sd, s.velocity[i], gs, lr, mu)
 		} else {
-			tensor.SGDStep(dd, sd, gs, lr, wd)
+			tensor.SGDStep(dd, sd, gs, lr)
 		}
 	}
 	clear(gs) // drop the references to the batch's buffers
 }
 
-// Clone implements Optimizer: the clone shares hyperparameters but starts
-// with zero velocity.
-func (s *SGD) Clone() Optimizer {
-	return &SGD{lr: s.lr, momentum: s.momentum, decay: s.decay}
+// Clone returns a fresh optimizer with the same hyperparameters and zero
+// velocity: the sharded parameter store gives each shard its own.
+func (s *SGD) Clone() *SGD {
+	return &SGD{lr: s.lr, momentum: s.momentum}
 }
 
-// State implements Optimizer: a deep copy of the momentum velocity, nil when
-// momentum is off or no step has run yet.
+// State returns a deep copy of the momentum velocity, aligned with the
+// parameter list it has been stepping, nil when momentum is off or no step
+// has run yet. Checkpoints persist it so a restored server resumes with the
+// same update dynamics.
 func (s *SGD) State() [][]float32 {
 	if s.velocity == nil {
 		return nil
@@ -201,7 +132,9 @@ func (s *SGD) State() [][]float32 {
 	return out
 }
 
-// LoadState implements Optimizer.
+// LoadState replaces the velocity with a deep copy of state (nil clears it).
+// The next step must see parameter tensors whose sizes match the loaded
+// state.
 func (s *SGD) LoadState(state [][]float32) {
 	if state == nil {
 		s.velocity = nil
@@ -213,16 +146,8 @@ func (s *SGD) LoadState(state [][]float32) {
 	}
 }
 
-// SetLearningRate implements Optimizer.
+// SetLearningRate changes the learning rate used by subsequent steps.
 func (s *SGD) SetLearningRate(lr float64) { s.lr = lr }
 
-// LearningRate implements Optimizer.
+// LearningRate returns the current learning rate.
 func (s *SGD) LearningRate() float64 { return s.lr }
-
-// Name implements Optimizer.
-func (s *SGD) Name() string {
-	if s.momentum > 0 {
-		return fmt.Sprintf("SGD(lr=%g,momentum=%g,wd=%g)", s.lr, s.momentum, s.decay)
-	}
-	return fmt.Sprintf("SGD(lr=%g)", s.lr)
-}

@@ -48,7 +48,7 @@ type benchImpl struct {
 // global-lock store ran beside it; it stays because the bench-gate pins and
 // the committed baselines are keyed by it.
 func benchSharded(b *testing.B) benchImpl {
-	st, err := NewStoreSharded(benchModel(), optimizer.NewSGDMomentum(0.01, 0.9, 1e-4), 0)
+	st, err := NewStoreSharded(benchModel(), optimizer.NewSGDMomentum(0.01, 0.9), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func BenchmarkServerConcurrentPull(b *testing.B) {
 func BenchmarkServerConcurrentPushPull(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			st, err := NewStoreSharded(benchModel(), optimizer.NewSGDMomentum(0.01, 0.9, 1e-4), 0)
+			st, err := NewStoreSharded(benchModel(), optimizer.NewSGDMomentum(0.01, 0.9), 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -34,7 +34,7 @@ func randomGrads(rng *rand.Rand, shapes ...[]int) []*tensor.Tensor {
 func buildStore(t *testing.T, shards, steps int, seed int64) *Store {
 	t.Helper()
 	initial := []*tensor.Tensor{tensor.New(3, 4), tensor.New(7)}
-	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.1, 0.9, 0.0001), shards)
+	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.1, 0.9), shards)
 	if err != nil {
 		t.Fatal(err)
 	}

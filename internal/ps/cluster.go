@@ -175,7 +175,7 @@ func tensorSizes(ts []*tensor.Tensor) []int {
 // reports shardHi-shardLo, tensor indices (EnqueueApply, ShardRange, the
 // tensors of a pull reply) are relative to the range's first tensor. Callers map local
 // to global through the layout entry that produced the range.
-func newStoreRange(initial []*tensor.Tensor, opt optimizer.Optimizer, globalShards, shardLo, shardHi int) (*Store, error) {
+func newStoreRange(initial []*tensor.Tensor, opt *optimizer.SGD, globalShards, shardLo, shardHi int) (*Store, error) {
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("ps: store needs at least one parameter tensor")
 	}

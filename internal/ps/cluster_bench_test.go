@@ -39,7 +39,7 @@ func startBenchGroup(b *testing.B, workers, servers int) (connect func(w int) *C
 		mu.Lock()
 		listeners[l.Addr()] = l
 		mu.Unlock()
-		srv, err := Start(cfg, initial, optimizer.NewSGDMomentum(0.01, 0.9, 1e-4), l, dial)
+		srv, err := Start(cfg, initial, optimizer.NewSGDMomentum(0.01, 0.9), l, dial)
 		if err != nil {
 			stop()
 			b.Fatal(err)

@@ -64,7 +64,7 @@ func zeroGrads() []*tensor.Tensor {
 
 // clusterOpt is the optimizer most cluster tests use — momentum, so the
 // bit-identity assertions cover per-shard optimizer state, not just weights.
-func clusterOpt() optimizer.Optimizer { return optimizer.NewSGDMomentum(0.1, 0.9, 1e-4) }
+func clusterOpt() *optimizer.SGD { return optimizer.NewSGDMomentum(0.1, 0.9) }
 
 // testGroup is an in-process server group: one coordinator and N data
 // servers, each on its own ChanListener, glued together by an address-keyed
@@ -151,7 +151,7 @@ func startTestGroup(t *testing.T, workers, servers int, policy core.Policy, init
 
 // startTestGroupWith is startTestGroup with the data-server optimizer under
 // test control.
-func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor, mkOpt func() optimizer.Optimizer) *testGroup {
+func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor, mkOpt func() *optimizer.SGD) *testGroup {
 	t.Helper()
 	assignments, globalShards, err := groupLayout(tensorSizes(initial), 0, servers)
 	if err != nil {
@@ -163,7 +163,7 @@ func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, 
 		listeners:    make(map[string]*transport.ChanListener),
 	}
 
-	start := func(cfg ServerConfig, opt optimizer.Optimizer) (*Server, string) {
+	start := func(cfg ServerConfig, opt *optimizer.SGD) (*Server, string) {
 		l := transport.NewChanListener()
 		addr := g.addListener(l)
 		srv, err := Start(cfg, initial, opt, l, g.dial)
@@ -775,7 +775,7 @@ func TestClusterTrainingBitIdenticalToSingleServer(t *testing.T) {
 // bitwise no-ops, whatever the within-round apply order.
 func TestClusterBSPBitIdenticalWithConcurrentWorkers(t *testing.T) {
 	const workers, iters, servers = 3, 5, 2
-	mkSGD := func() optimizer.Optimizer { return optimizer.NewSGD(0.1) }
+	mkSGD := func() *optimizer.SGD { return optimizer.NewSGD(0.1) }
 	initial := seededModel(52)
 	g := startTestGroupWith(t, workers, servers, core.MustNewBSP(workers), initial, mkSGD)
 

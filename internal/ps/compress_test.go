@@ -298,3 +298,98 @@ func TestPackedShardCachesUntilApply(t *testing.T) {
 		}
 	}
 }
+
+// TestFP16PushUnderAggregatorMatchesDecodedApply covers the one condition
+// Store.stepsHalf still tests. Under a robust aggregator (clipped) an fp16
+// server decodes each push, and the aggregator reads the float32 copy; under
+// AggSum it steps from the half payload as it arrived. Either way the
+// weights must equal, bit for bit, those of a store with the same
+// aggregator fed the decoded tensors, and under the clip differ from a plain
+// sum's. The pushed values are fp16-exact, so the client's encoding is
+// lossless and the decoded tensors are the ones pushed.
+func TestFP16PushUnderAggregatorMatchesDecodedApply(t *testing.T) {
+	cfg := compress.Config{Codec: compress.FP16}
+	for _, agg := range []AggregatorConfig{{Kind: AggSum}, {Kind: AggClipped, ClipNorm: 0.5}} {
+		t.Run(string(agg.Kind), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(64))
+			initial := []*tensor.Tensor{tensor.New(6, 5), tensor.New(5), tensor.New(5, 3)}
+			for _, p := range initial {
+				p.RandNormal(rng, 0, 0.5)
+			}
+			st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.1, 0.9), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			ref, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.1, 0.9), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			plain, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.1, 0.9), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer plain.Close()
+			if agg.Kind != AggSum {
+				if err := ref.SetAggregator(agg, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := NewServer(ServerConfig{
+				Workers: 1,
+				Policy:  core.MustNewASP(1),
+				Store:   st,
+				Options: Options{Compression: cfg, Aggregator: agg},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := st.stepsHalf(), agg.Kind == AggSum; got != want {
+				t.Fatalf("stepsHalf() = %v, want %v", got, want)
+			}
+			listener := transport.NewChanListener()
+			go func() { _ = srv.Serve(listener) }()
+			t.Cleanup(func() {
+				srv.Stop()
+				listener.Close()
+			})
+			c, err := dialCompressed(t, listener, 0, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for it := 0; it < 5; it++ {
+				grads := make([]*tensor.Tensor, len(initial))
+				for i, p := range initial {
+					grads[i] = tensor.New(p.Shape()...).RandNormal(rng, 0, 0.3)
+				}
+				decoded, err := compress.DecompressAllReuse(compress.Pack(grads, cfg), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.PushAndWait(decoded, int64(it), it); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Apply(decoded); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := plain.Apply(decoded); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, version := st.Snapshot()
+			want, _ := ref.Snapshot()
+			summed, _ := plain.Snapshot()
+			if version != 5 {
+				t.Fatalf("store version %d, want 5", version)
+			}
+			if !sameTensors(got, want) {
+				t.Fatal("the fp16 server's weights differ from a store fed the decoded tensors")
+			}
+			// The clip must engage, or the clipped case tests nothing.
+			if equal := sameTensors(got, summed); equal != (agg.Kind == AggSum) {
+				t.Fatalf("weights equal to a plain sum's: %v, want %v", equal, !equal)
+			}
+		})
+	}
+}

@@ -92,7 +92,7 @@ func meteredEndpoint(t *testing.T, tcp bool, meter *transport.Metrics, serve fun
 // in-process children) is covered too.
 func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers int, initial []*tensor.Tensor) leaseTopology {
 	t.Helper()
-	opt := func() optimizer.Optimizer { return optimizer.NewSGD(1.0) }
+	opt := func() *optimizer.SGD { return optimizer.NewSGD(1.0) }
 	waitSnapshot := func(st *Store) func(*testing.T, int64) ([]*tensor.Tensor, int64) {
 		return func(t *testing.T, updates int64) ([]*tensor.Tensor, int64) {
 			if !st.WaitApplied(updates, nil) {

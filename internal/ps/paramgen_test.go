@@ -17,7 +17,7 @@ import (
 // every publication past warm-up recycles a retired generation.
 func TestSteadyStateApplyAllocatesNoClones(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(16, 8), tensor.New(32), tensor.New(5)}
-	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9, 1e-4), 2)
+	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestHeldGenerationIsNeverRecycled(t *testing.T) {
 // destination.
 func TestRefcountedReuseHammer(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(64, 8), tensor.New(128), tensor.New(16, 3)}
-	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.01, 0.9, 1e-4), 3)
+	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.01, 0.9), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRefcountedReuseHammer(t *testing.T) {
 // allocated).
 func BenchmarkStoreApplySteadyState(b *testing.B) {
 	initial := []*tensor.Tensor{tensor.New(256, 128), tensor.New(256)}
-	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9, 1e-4), 2)
+	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9), 2)
 	if err != nil {
 		b.Fatal(err)
 	}

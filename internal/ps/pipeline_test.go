@@ -15,45 +15,36 @@ import (
 	"dssp/internal/transport"
 )
 
-// gateOpt wraps an optimizer so a test can hold the applier inside its first
-// Step call while more pushes pile up behind it — the deterministic way to
-// force coalescing. Clones share the gate and the counters, so it only suits
-// single-shard stores.
-type gateOpt struct {
-	optimizer.Optimizer
-	entered chan struct{} // closed when the first Step begins
-	resume  chan struct{} // first Step blocks until this closes
-	once    *sync.Once
-	steps   *atomic.Int64
+// stepGate holds the applier inside its first optimizer step (stepHook)
+// while more pushes pile up behind it — the deterministic way to force
+// coalescing — and counts the steps taken. It counts every shard's, so it
+// only suits single-shard stores.
+type stepGate struct {
+	entered chan struct{} // closed when the first step begins
+	resume  chan struct{} // the first step blocks until this closes
+	steps   atomic.Int64
 }
 
-func newGateOpt(inner optimizer.Optimizer) *gateOpt {
-	return &gateOpt{
-		Optimizer: inner,
-		entered:   make(chan struct{}),
-		resume:    make(chan struct{}),
-		once:      &sync.Once{},
-		steps:     &atomic.Int64{},
+// gateSteps installs a stepGate as the package's step hook for the rest of
+// the test.
+func gateSteps(t *testing.T) *stepGate {
+	g := &stepGate{entered: make(chan struct{}), resume: make(chan struct{})}
+	var once sync.Once
+	stepHook = func() {
+		g.steps.Add(1)
+		once.Do(func() {
+			close(g.entered)
+			<-g.resume
+		})
 	}
+	t.Cleanup(func() { stepHook = nil })
+	return g
 }
 
-func (g *gateOpt) Step(params, grads []*tensor.Tensor) {
-	g.steps.Add(1)
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.resume
-	})
-	g.Optimizer.Step(params, grads)
-}
-
-func (g *gateOpt) Clone() optimizer.Optimizer {
-	return &gateOpt{
-		Optimizer: g.Optimizer.Clone(),
-		entered:   g.entered,
-		resume:    g.resume,
-		once:      g.once,
-		steps:     g.steps,
-	}
+// stepSerial takes one optimizer step over params in place from one push's
+// gradients: the serial reference the store's appliers are held to.
+func stepSerial(opt *optimizer.SGD, params, grads []*tensor.Tensor) {
+	opt.StepFrom(params, params, [][]tensor.Grad{float32Grads(grads)})
 }
 
 // pipelineModel builds a small multi-tensor parameter set with seeded values.
@@ -81,7 +72,7 @@ func pipelineGrads(rng *rand.Rand, model []*tensor.Tensor) []*tensor.Tensor {
 // The reference steps a single optimizer over cloned parameters by hand.
 func TestPipelinedApplyBitIdenticalToSerialReference(t *testing.T) {
 	initial := pipelineModel(7)
-	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9, 1e-4), len(initial))
+	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9), len(initial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +82,7 @@ func TestPipelinedApplyBitIdenticalToSerialReference(t *testing.T) {
 	for i, p := range initial {
 		ref[i] = p.Clone()
 	}
-	refOpt := optimizer.NewSGDMomentum(0.05, 0.9, 1e-4)
+	refOpt := optimizer.NewSGDMomentum(0.05, 0.9)
 
 	rng := rand.New(rand.NewSource(11))
 	for step := 0; step < 40; step++ {
@@ -103,7 +94,7 @@ func TestPipelinedApplyBitIdenticalToSerialReference(t *testing.T) {
 		if v != int64(step+1) {
 			t.Fatalf("step %d: version %d, want %d", step, v, step+1)
 		}
-		refOpt.Step(ref, grads)
+		stepSerial(refOpt, ref, grads)
 	}
 
 	got, version := st.Snapshot()
@@ -122,8 +113,8 @@ func TestPipelinedApplyBitIdenticalToSerialReference(t *testing.T) {
 // summed-gradient semantics within float tolerance.
 func TestCoalescedApplyBatchesQueuedPushes(t *testing.T) {
 	initial := pipelineModel(3)
-	gate := newGateOpt(optimizer.NewSGD(0.5))
-	st, err := NewStoreSharded(initial, gate, 1)
+	gate := gateSteps(t)
+	st, err := NewStoreSharded(initial, optimizer.NewSGD(0.5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +126,7 @@ func TestCoalescedApplyBatchesQueuedPushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-gate.entered // the applier is now stuck inside push 1's Step
+	<-gate.entered // the applier is now stuck inside push 1's step
 
 	const queued = 6
 	grads := make([][]*tensor.Tensor, queued)
@@ -174,9 +165,9 @@ func TestCoalescedApplyBatchesQueuedPushes(t *testing.T) {
 	for i, p := range initial {
 		ref[i] = p.Clone()
 	}
-	refOpt.Step(ref, first)
+	stepSerial(refOpt, ref, first)
 	for _, g := range grads {
-		refOpt.Step(ref, g)
+		stepSerial(refOpt, ref, g)
 	}
 	got, _ := st.Snapshot()
 	for i := range got {
@@ -379,15 +370,15 @@ func TestStalenessObserveOffByOne(t *testing.T) {
 // staleness series must be identical to the serial path's.
 func TestStalenessObserveOffByOneCoalesced(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(4)}
-	gate := newGateOpt(optimizer.NewSGD(1.0))
-	st, err := NewStoreSharded(initial, gate, 1)
+	gate := gateSteps(t)
+	st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, clients := startTestServer(t, core.MustNewASP(2), st)
 
 	grad := []*tensor.Tensor{tensor.Full(0.1, 4)}
-	// Worker 0's push enters the gated Step; worker 1's push queues behind
+	// Worker 0's push enters the gated step; worker 1's push queues behind
 	// it. Base versions are both 0, so the assigned tickets 1 and 2 must
 	// observe staleness 0 and 1 exactly as if applied serially.
 	push := func(c *Client, it int) chan error {
@@ -630,8 +621,8 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 	for _, carrier := range []string{"direct", "trunk", "trunk-same-relay"} {
 		t.Run(carrier, func(t *testing.T) {
 			initial := []*tensor.Tensor{tensor.New(4)}
-			gate := newGateOpt(optimizer.NewSGD(1.0))
-			st, err := NewStoreSharded(initial, gate, 1)
+			gate := gateSteps(t)
+			st, err := NewStoreSharded(initial, optimizer.NewSGD(1.0), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

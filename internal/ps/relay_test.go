@@ -186,7 +186,7 @@ func TestRelaySerialScheduleBitIdentical(t *testing.T) {
 	const size = 17
 	run := func(tree bool) []float32 {
 		init := []*tensor.Tensor{tensor.New(size)}
-		st, err := NewStoreSharded(init, optimizer.NewSGDMomentum(0.1, 0.9, 1e-4), 1)
+		st, err := NewStoreSharded(init, optimizer.NewSGDMomentum(0.1, 0.9), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,14 +23,14 @@ import (
 // Updates are not applied by the pushing goroutine: EnqueueApply appends the
 // shard's gradient slice to pending, and a persistent per-shard applier
 // goroutine (Store.applier) drains the queue. When several pushes are queued
-// the applier coalesces them — it sums the gradient slices and takes one
-// optimizer step with one copy-on-write publication, bumping version and
-// applied by the batch size so version semantics are indistinguishable from
-// applying the pushes one at a time.
+// the applier coalesces them into one optimizer step over the whole batch
+// with one copy-on-write publication, bumping version and applied by the
+// batch size so version semantics are indistinguishable from applying the
+// pushes one at a time.
 type shard struct {
 	mu      sync.RWMutex
 	gen     *paramGen
-	opt     optimizer.Optimizer
+	opt     *optimizer.SGD
 	version int64
 
 	// retired is the pool of superseded generations awaiting reuse
@@ -44,8 +44,8 @@ type shard struct {
 	evicted []*paramGen
 
 	// agg replaces plain summation when a robust aggregator is configured
-	// (Store.SetAggregator); nil keeps the classic sum fast path. Only the
-	// applier reads it after configuration.
+	// (Store.SetAggregator); nil lets the optimizer sum the batch as it
+	// steps. Only the applier reads it after configuration.
 	agg aggregator
 
 	// applied counts the pushes this shard has absorbed; the store-wide
@@ -71,12 +71,10 @@ type shard struct {
 	spareWeights  []int64
 	wake          chan struct{}
 
-	// sumBuf is the applier's coalescing scratch: the summed gradient slices
-	// of one batch, reused across batches; views holds, per batch entry, the
-	// tensor headers the paths that read gradients as tensors see its
-	// sources through. Only the applier touches either.
-	sumBuf []*tensor.Tensor
-	views  [][]*tensor.Tensor
+	// views holds, per batch entry, the tensor headers a robust aggregator
+	// sees its sources through, reused across batches. Only the applier
+	// touches it.
+	views [][]*tensor.Tensor
 
 	// packed caches the compressed form of the published snapshot for the
 	// compressed pull path; packedRetired holds the superseded forms whose
@@ -151,13 +149,13 @@ func (sh *shard) takeBatch(window, demand int64) ([][]tensor.Grad, []int64) {
 // standing in for several logical pushes) are present — so readers observe
 // the same counts as applying every logical push one at a time.
 //
-// When the shard's optimizer supports the fused step and no robust
-// aggregator is configured, the whole batch — gradient sum, weight decay,
-// momentum, parameter write — is applied in one pass straight from the
-// queued gradients into the destination buffers, an fp16 push's straight
-// from its payload, with results bit-identical to the legacy sum+clone+Step
-// sequence (optimizer.FusedStepper's contract). Only this path sees half
-// sources (Store.stepsHalf); the others read float32 ones as tensors.
+// With no robust aggregator the whole batch — gradient sum, momentum,
+// parameter write — is applied in one pass straight from the queued
+// gradients into the destination buffers, an fp16 push's straight from its
+// payload, bit-identical to summing the batch and stepping once
+// (optimizer.SGD.StepFrom). Only this path sees half sources
+// (Store.stepsHalf); an aggregator reads float32 ones as tensors, and its
+// combined gradient is stepped as a batch of one.
 //
 // m and tr are the server-installed instrumentation (Store.instrument);
 // both may be nil, in which case the method takes no timestamps at all.
@@ -171,21 +169,10 @@ func (sh *shard) applyBatch(batch [][]tensor.Grad, weights []int64, m *storeMetr
 		total += w
 	}
 	// The aggregation seam: a configured robust aggregator reduces the batch
-	// in place of the classic sum; the fused path then applies the combined
-	// gradient as a batch of one. Both paths leave the queued gradient
-	// slices untouched — the result aliases batch[0] or aggregator-owned
-	// scratch.
-	fused, _ := sh.opt.(optimizer.FusedStepper)
-	var grads []*tensor.Tensor
-	switch {
-	case sh.agg != nil:
-		grads = sh.agg.combine(sh.tensors(batch))
-	case fused != nil:
-		// The fused step consumes the raw batch; no separate sum pass.
-	case len(batch) > 1:
-		grads = sh.sum(sh.tensors(batch))
-	default:
-		grads = sh.tensors(batch)[0]
+	// in place of the optimizer's sum, leaving the queued gradient slices
+	// untouched — the result aliases batch[0] or aggregator-owned scratch.
+	if sh.agg != nil {
+		batch = [][]tensor.Grad{float32Grads(sh.agg.combine(sh.tensors(batch)))}
 	}
 	sh.mu.Lock()
 	var cloneStart time.Time
@@ -197,17 +184,10 @@ func (sh *shard) applyBatch(batch [][]tensor.Grad, weights []int64, m *storeMetr
 	if m != nil {
 		m.cloneSeconds.Observe(time.Since(cloneStart).Seconds())
 	}
-	switch {
-	case fused != nil && grads == nil:
-		fused.StepFrom(next.params, cur.params, batch)
-	case fused != nil:
-		fused.StepFrom(next.params, cur.params, [][]tensor.Grad{float32Grads(grads)})
-	default:
-		for i, p := range cur.params {
-			copy(next.params[i].Data(), p.Data())
-		}
-		sh.opt.Step(next.params, grads)
+	if stepHook != nil {
+		stepHook()
 	}
+	sh.opt.StepFrom(next.params, cur.params, batch)
 	sh.gen = next
 	sh.version += total
 	sh.supersede(cur)
@@ -224,6 +204,11 @@ func (sh *shard) applyBatch(batch [][]tensor.Grad, weights []int64, m *storeMetr
 		tr.Applied(to-total, to, int(total), time.Now())
 	}
 }
+
+// stepHook, when set, runs under the shard's write lock just before each
+// optimizer step; a variable so a test can hold an applier inside a step
+// while pushes queue behind it.
+var stepHook func()
 
 // tensors views a batch of float32 sources as gradient tensors shaped like
 // the shard's parameters, through headers reused across batches.
@@ -271,27 +256,6 @@ func (sh *shard) evict(gens ...*paramGen) {
 		}
 	}
 	sh.evicted = slices.DeleteFunc(sh.evicted, (*paramGen).freed)
-}
-
-// sum coalesces a batch into the shard's reused summation scratch. The
-// queued gradient slices themselves are read-only.
-func (sh *shard) sum(batch [][]*tensor.Tensor) []*tensor.Tensor {
-	first := batch[0]
-	if sh.sumBuf == nil {
-		sh.sumBuf = make([]*tensor.Tensor, len(first))
-		for i, g := range first {
-			sh.sumBuf[i] = tensor.New(g.Shape()...)
-		}
-	}
-	for i, g := range first {
-		copy(sh.sumBuf[i].Data(), g.Data())
-	}
-	for _, grads := range batch[1:] {
-		for i, g := range grads {
-			sh.sumBuf[i].Add(g)
-		}
-	}
-	return sh.sumBuf
 }
 
 // shardRange is the half-open interval of global tensor indices [Start, End)

@@ -74,11 +74,11 @@ func TestShardedStoreMatchesUnsharded(t *testing.T) {
 		tensor.New(6, 6).RandNormal(rng, 0, 1),
 	}
 	// Momentum + weight decay exercises per-shard optimizer state.
-	single, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9, 1e-4), 1)
+	single, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9, 1e-4), len(initial))
+	sharded, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.05, 0.9), len(initial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStoreConcurrentApplySnapshotHammer(t *testing.T) {
 	initial := []*tensor.Tensor{
 		tensor.New(32, 32), tensor.New(32), tensor.New(16, 16), tensor.New(16), tensor.New(8),
 	}
-	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.01, 0.9, 0), 4)
+	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.01, 0.9), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ import (
 //
 // Once Start returns a server, the server owns ln and Stop closes it; on an
 // error the caller keeps it.
-func Start(cfg ServerConfig, initial []*tensor.Tensor, opt optimizer.Optimizer, ln transport.Listener, dial func(string) (transport.Conn, error)) (*Server, error) {
+func Start(cfg ServerConfig, initial []*tensor.Tensor, opt *optimizer.SGD, ln transport.Listener, dial func(string) (transport.Conn, error)) (*Server, error) {
 	c := cfg.Cluster
 	if err := c.validate(); err != nil {
 		return nil, err

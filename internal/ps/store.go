@@ -108,7 +108,7 @@ type Store struct {
 	// own clones; proto is only kept so that SetLearningRate stays visible on
 	// the instance the caller handed in.
 	protoMu sync.Mutex
-	proto   optimizer.Optimizer
+	proto   *optimizer.SGD
 
 	// metrics and tracer are nil unless a Server installed them (instrument):
 	// bare stores — including the pinned hot-path benchmarks — pay one
@@ -132,7 +132,7 @@ type applyWaiter struct {
 // (every shard must own at least one tensor). shards == 1 reproduces the
 // classic single-partition store. It is newStoreRange over the whole
 // partition.
-func NewStoreSharded(initial []*tensor.Tensor, opt optimizer.Optimizer, shards int) (*Store, error) {
+func NewStoreSharded(initial []*tensor.Tensor, opt *optimizer.SGD, shards int) (*Store, error) {
 	if shards <= 0 {
 		shards = defaultShards(len(initial))
 	}
@@ -312,11 +312,10 @@ func (s *Store) enqueueHalf(ps []compress.Packed, weight int64) (int64, error) {
 }
 
 // stepsHalf reports whether the appliers step an fp16 push straight from its
-// payload (enqueueHalf): every shard's optimizer has a fused step and no
-// robust aggregator reads the batch as tensors.
+// payload (enqueueHalf): no robust aggregator reads the batch as tensors.
 func (s *Store) stepsHalf() bool {
 	for _, sh := range s.shards {
-		if _, fused := sh.opt.(optimizer.FusedStepper); !fused || sh.agg != nil {
+		if sh.agg != nil {
 			return false
 		}
 	}

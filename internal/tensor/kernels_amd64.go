@@ -70,16 +70,16 @@ func normalizePlaneAVX2(out []float32, stride, width int, xhat, x, sc []float32,
 func planeGradAVX2(dx, dy, xhat []float32, mask []uint64, bit int, c, n, sumDy, sumDyXHat float64)
 
 //go:noescape
-func sgdStepAVX2(dst, src []float32, gs []Grad, lr, wd float32)
+func sgdStepAVX2(dst, src []float32, gs []Grad, lr float32)
 
 //go:noescape
-func sgdMomentumStepAVX2(dst, src, v []float32, gs []Grad, lr, mu, wd float32)
+func sgdMomentumStepAVX2(dst, src, v []float32, gs []Grad, lr, mu float32)
 
 //go:noescape
-func sgdStepHalfAVX2(dst, src []float32, gs []Grad, lr, wd float32)
+func sgdStepHalfAVX2(dst, src []float32, gs []Grad, lr float32)
 
 //go:noescape
-func sgdMomentumStepHalfAVX2(dst, src, v []float32, gs []Grad, lr, mu, wd float32)
+func sgdMomentumStepHalfAVX2(dst, src, v []float32, gs []Grad, lr, mu float32)
 
 // The bound forms of the slice kernels: the assembly on the whole windows of
 // eight, the Go loop on the up to seven values after them. The callers have
@@ -136,29 +136,27 @@ func sumSqDevF64Asm(x []float32, mean float64) float64 {
 // A batch holding a half source takes the Half form, so the float32 one
 // tests no source's kind.
 
-func sgdStepAsm(dst, src []float32, gs []Grad, lr, wd float32) {
+func sgdStepAsm(dst, src []float32, gs []Grad, lr float32) {
 	n := len(dst) &^ 7
 	if f32Batch(gs) > 0 {
-		sgdStepAVX2(dst[:n], src, gs, lr, wd)
+		sgdStepAVX2(dst[:n], src, gs, lr)
 	} else {
-		sgdStepHalfAVX2(dst[:n], src, gs, lr, wd)
+		sgdStepHalfAVX2(dst[:n], src, gs, lr)
 	}
 	for j := n; j < len(dst); j++ {
-		g := sgdGradSum(gs, j) + wd*src[j]
-		dst[j] = src[j] - lr*g
+		dst[j] = src[j] - lr*sgdGradSum(gs, j)
 	}
 }
 
-func sgdMomentumStepAsm(dst, src, v []float32, gs []Grad, lr, mu, wd float32) {
+func sgdMomentumStepAsm(dst, src, v []float32, gs []Grad, lr, mu float32) {
 	n := len(dst) &^ 7
 	if f32Batch(gs) > 0 {
-		sgdMomentumStepAVX2(dst[:n], src, v, gs, lr, mu, wd)
+		sgdMomentumStepAVX2(dst[:n], src, v, gs, lr, mu)
 	} else {
-		sgdMomentumStepHalfAVX2(dst[:n], src, v, gs, lr, mu, wd)
+		sgdMomentumStepHalfAVX2(dst[:n], src, v, gs, lr, mu)
 	}
 	for j := n; j < len(dst); j++ {
-		g := sgdGradSum(gs, j) + wd*src[j]
-		vj := mu*v[j] + g
+		vj := mu*v[j] + sgdGradSum(gs, j)
 		v[j] = vj
 		dst[j] = src[j] - lr*vj
 	}

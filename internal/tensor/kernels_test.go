@@ -225,51 +225,48 @@ func TestSliceKernelsBitIdenticalToGoLoops(t *testing.T) {
 // multiply, add and subtract rounded on its own — for batches of one to six
 // (the Go loops' four unrolled bodies and their strip path), with momentum and
 // without, into a separate destination and in place, at every length and
-// alignment and on special values, a zero weight decay against an infinite
-// parameter (0·Inf is NaN: no shortcut) included, and touches nothing outside
-// its slices.
+// alignment and on special values, an infinite parameter included, and
+// touches nothing outside its slices.
 func TestSGDStepBitIdenticalToGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const lr, mu = 0.05, 0.9
 	for fillName, fill := range kernelFills(rng) {
-		for _, wd := range []float32{1e-4, 0} {
-			for batch := 1; batch <= 6; batch++ {
-				for _, n := range kernelLengths() {
-					for off := 0; off < 8; off++ {
-						where := fmt.Sprintf("%s wd=%g batch=%d n=%d off=%d", fillName, wd, batch, n, off)
-						src, _ := carve(n, (off+3)%8, fill)
-						if n > 0 && fillName == "specials" {
-							src[n/2] = float32(math.Inf(1 - 2*(off%2)))
-						}
-						gs := make([]Grad, batch)
-						for b := range gs {
-							gs[b].F32, _ = carve(n, (off+b+1)%8, fill)
-						}
-						for _, momentum := range []bool{false, true} {
-							for _, inPlace := range []bool{false, true} {
-								dst, dstBack := carve(n, off, fill)
-								if inPlace {
-									copy(dst, src)
-								}
-								v, vBack := carve(n, (off+5)%8, fill)
-								wantDst, wantV := make([]float32, n), append([]float32(nil), v...)
-								from := src
-								if inPlace {
-									from = dst
-								}
-								if momentum {
-									sgdMomentumStepGo(wantDst, src, wantV, gs, lr, mu, wd)
-									SGDMomentumStep(dst, from, v, gs, lr, mu, wd)
-								} else {
-									sgdStepGo(wantDst, src, gs, lr, wd)
-									SGDStep(dst, from, gs, lr, wd)
-								}
-								if !canariesIntact(dst, dstBack) || !canariesIntact(v, vBack) {
-									t.Fatalf("%s momentum=%v inPlace=%v: wrote outside a slice", where, momentum, inPlace)
-								}
-								if !sameFloats(dst, wantDst) || !sameFloats(v, wantV) {
-									t.Fatalf("%s momentum=%v inPlace=%v: differs from the Go loop", where, momentum, inPlace)
-								}
+		for batch := 1; batch <= 6; batch++ {
+			for _, n := range kernelLengths() {
+				for off := 0; off < 8; off++ {
+					where := fmt.Sprintf("%s batch=%d n=%d off=%d", fillName, batch, n, off)
+					src, _ := carve(n, (off+3)%8, fill)
+					if n > 0 && fillName == "specials" {
+						src[n/2] = float32(math.Inf(1 - 2*(off%2)))
+					}
+					gs := make([]Grad, batch)
+					for b := range gs {
+						gs[b].F32, _ = carve(n, (off+b+1)%8, fill)
+					}
+					for _, momentum := range []bool{false, true} {
+						for _, inPlace := range []bool{false, true} {
+							dst, dstBack := carve(n, off, fill)
+							if inPlace {
+								copy(dst, src)
+							}
+							v, vBack := carve(n, (off+5)%8, fill)
+							wantDst, wantV := make([]float32, n), append([]float32(nil), v...)
+							from := src
+							if inPlace {
+								from = dst
+							}
+							if momentum {
+								sgdMomentumStepGo(wantDst, src, wantV, gs, lr, mu)
+								SGDMomentumStep(dst, from, v, gs, lr, mu)
+							} else {
+								sgdStepGo(wantDst, src, gs, lr)
+								SGDStep(dst, from, gs, lr)
+							}
+							if !canariesIntact(dst, dstBack) || !canariesIntact(v, vBack) {
+								t.Fatalf("%s momentum=%v inPlace=%v: wrote outside a slice", where, momentum, inPlace)
+							}
+							if !sameFloats(dst, wantDst) || !sameFloats(v, wantV) {
+								t.Fatalf("%s momentum=%v inPlace=%v: differs from the Go loop", where, momentum, inPlace)
 							}
 						}
 					}

@@ -6,8 +6,8 @@ import (
 )
 
 // The fused SGD step of internal/optimizer, one parameter tensor at a time:
-// the batch's gradient sum, weight decay, the momentum update and the
-// parameter write in one pass, so each gradient value is read exactly once.
+// the batch's gradient sum, the momentum update and the parameter write in
+// one pass, so each gradient value is read exactly once.
 // It sits behind the same seam as the slice kernels (kernels.go): sgdStep and
 // sgdMomentumStep are bound to the Go loops below and rebound at package init
 // to AVX2 assembly where the CPU probe passes.
@@ -20,12 +20,12 @@ import (
 // quieted by the first add either way.
 //
 // Numerics. Every multiply, add and subtract is rounded on its own, in one
-// order on both bindings: g = Σgs + wd·src with the batch summed in source
-// order (((g0+g1)+g2)+…), v' = mu·v + g, dst = src − lr·g (or lr·v'). There is
-// no wd == 0 shortcut: 0·Inf is NaN on both. The bindings are bit-identical to
-// each other and to cloning src, summing the batch with sequential adds and
-// running the scalar optimizer step on the clone — the contract that lets the
-// parameter store coalesce pushes without changing training dynamics.
+// order on both bindings: g = Σgs with the batch summed in source order
+// (((g0+g1)+g2)+…), v' = mu·v + g, dst = src − lr·g (or lr·v'). The bindings
+// are bit-identical to each other and to cloning src, summing the batch with
+// sequential adds and running the scalar optimizer step on the clone — the
+// contract that lets the parameter store coalesce pushes without changing
+// training dynamics.
 
 // Grad is one gradient operand of the fused step: float32 values (F32), or
 // when Half is non-nil half-precision values, two little-endian bytes each.
@@ -35,20 +35,20 @@ type Grad struct {
 	Half []byte
 }
 
-// SGDStep stores dst[i] = src[i] − lr·(Σ_b gs[b][i] + wd·src[i]). dst may be
-// src itself (an in-place update) or disjoint from it; gs must be non-empty,
-// and src and every gs[b] at least as long as dst.
-func SGDStep(dst, src []float32, gs []Grad, lr, wd float32) {
+// SGDStep stores dst[i] = src[i] − lr·Σ_b gs[b][i]. dst may be src itself (an
+// in-place update) or disjoint from it; gs must be non-empty, and src and
+// every gs[b] at least as long as dst.
+func SGDStep(dst, src []float32, gs []Grad, lr float32) {
 	sgdCheck(dst, gs)
-	sgdStep(dst, src[:len(dst)], gs, lr, wd)
+	sgdStep(dst, src[:len(dst)], gs, lr)
 }
 
-// SGDMomentumStep is SGDStep with momentum: v[i] = mu·v[i] + (Σ_b gs[b][i] +
-// wd·src[i]), then dst[i] = src[i] − lr·v[i]. v must be at least as long as
-// dst and alias neither dst nor src.
-func SGDMomentumStep(dst, src, v []float32, gs []Grad, lr, mu, wd float32) {
+// SGDMomentumStep is SGDStep with momentum: v[i] = mu·v[i] + Σ_b gs[b][i],
+// then dst[i] = src[i] − lr·v[i]. v must be at least as long as dst and alias
+// neither dst nor src.
+func SGDMomentumStep(dst, src, v []float32, gs []Grad, lr, mu float32) {
 	sgdCheck(dst, gs)
-	sgdMomentumStep(dst, src[:len(dst)], v[:len(dst)], gs, lr, mu, wd)
+	sgdMomentumStep(dst, src[:len(dst)], v[:len(dst)], gs, lr, mu)
 }
 
 // sgdCheck makes the bounds checks the kernels do not.
@@ -142,15 +142,14 @@ func (g Grad) strip(buf *sgdStrip, start, end int) []float32 {
 
 // sgdMomentumStepGo is SGDMomentumStep's loop. Specialized small-batch
 // bodies keep the common coalescing sizes branch-free in the inner loop.
-func sgdMomentumStepGo(dd, sd, v []float32, gs []Grad, lr, mu, wd float32) {
+func sgdMomentumStepGo(dd, sd, v []float32, gs []Grad, lr, mu float32) {
 	sd = sd[:len(dd)]
 	v = v[:len(dd)]
 	switch f32Batch(gs) {
 	case 1:
 		g0 := gs[0].F32[:len(dd)]
 		for j := range dd {
-			g := g0[j] + wd*sd[j]
-			vj := mu*v[j] + g
+			vj := mu*v[j] + g0[j]
 			v[j] = vj
 			dd[j] = sd[j] - lr*vj
 		}
@@ -158,8 +157,7 @@ func sgdMomentumStepGo(dd, sd, v []float32, gs []Grad, lr, mu, wd float32) {
 		g0 := gs[0].F32[:len(dd)]
 		g1 := gs[1].F32[:len(dd)]
 		for j := range dd {
-			g := (g0[j] + g1[j]) + wd*sd[j]
-			vj := mu*v[j] + g
+			vj := mu*v[j] + (g0[j] + g1[j])
 			v[j] = vj
 			dd[j] = sd[j] - lr*vj
 		}
@@ -168,8 +166,7 @@ func sgdMomentumStepGo(dd, sd, v []float32, gs []Grad, lr, mu, wd float32) {
 		g1 := gs[1].F32[:len(dd)]
 		g2 := gs[2].F32[:len(dd)]
 		for j := range dd {
-			g := ((g0[j] + g1[j]) + g2[j]) + wd*sd[j]
-			vj := mu*v[j] + g
+			vj := mu*v[j] + ((g0[j] + g1[j]) + g2[j])
 			v[j] = vj
 			dd[j] = sd[j] - lr*vj
 		}
@@ -179,8 +176,7 @@ func sgdMomentumStepGo(dd, sd, v []float32, gs []Grad, lr, mu, wd float32) {
 		g2 := gs[2].F32[:len(dd)]
 		g3 := gs[3].F32[:len(dd)]
 		for j := range dd {
-			g := (((g0[j] + g1[j]) + g2[j]) + g3[j]) + wd*sd[j]
-			vj := mu*v[j] + g
+			vj := mu*v[j] + (((g0[j] + g1[j]) + g2[j]) + g3[j])
 			v[j] = vj
 			dd[j] = sd[j] - lr*vj
 		}
@@ -192,8 +188,7 @@ func sgdMomentumStepGo(dd, sd, v []float32, gs []Grad, lr, mu, wd float32) {
 			db := dd[start:end:end]
 			sb := sd[start:end:end]
 			vb := v[start:end:end]
-			for j, gj := range sum {
-				g := gj + wd*sb[j]
+			for j, g := range sum {
 				vj := mu*vb[j] + g
 				vb[j] = vj
 				db[j] = sb[j] - lr*vj
@@ -223,29 +218,26 @@ func stripSum(buf, half *sgdStrip, gs []Grad, start, end int) []float32 {
 }
 
 // sgdStepGo is SGDStep's loop, the momentum-free variant.
-func sgdStepGo(dd, sd []float32, gs []Grad, lr, wd float32) {
+func sgdStepGo(dd, sd []float32, gs []Grad, lr float32) {
 	sd = sd[:len(dd)]
 	switch f32Batch(gs) {
 	case 1:
 		g0 := gs[0].F32[:len(dd)]
 		for j := range dd {
-			g := g0[j] + wd*sd[j]
-			dd[j] = sd[j] - lr*g
+			dd[j] = sd[j] - lr*g0[j]
 		}
 	case 2:
 		g0 := gs[0].F32[:len(dd)]
 		g1 := gs[1].F32[:len(dd)]
 		for j := range dd {
-			g := (g0[j] + g1[j]) + wd*sd[j]
-			dd[j] = sd[j] - lr*g
+			dd[j] = sd[j] - lr*(g0[j]+g1[j])
 		}
 	case 3:
 		g0 := gs[0].F32[:len(dd)]
 		g1 := gs[1].F32[:len(dd)]
 		g2 := gs[2].F32[:len(dd)]
 		for j := range dd {
-			g := ((g0[j] + g1[j]) + g2[j]) + wd*sd[j]
-			dd[j] = sd[j] - lr*g
+			dd[j] = sd[j] - lr*((g0[j]+g1[j])+g2[j])
 		}
 	case 4:
 		g0 := gs[0].F32[:len(dd)]
@@ -253,8 +245,7 @@ func sgdStepGo(dd, sd []float32, gs []Grad, lr, wd float32) {
 		g2 := gs[2].F32[:len(dd)]
 		g3 := gs[3].F32[:len(dd)]
 		for j := range dd {
-			g := (((g0[j] + g1[j]) + g2[j]) + g3[j]) + wd*sd[j]
-			dd[j] = sd[j] - lr*g
+			dd[j] = sd[j] - lr*(((g0[j]+g1[j])+g2[j])+g3[j])
 		}
 	default:
 		var buf, half sgdStrip
@@ -263,8 +254,7 @@ func sgdStepGo(dd, sd []float32, gs []Grad, lr, wd float32) {
 			sum := stripSum(&buf, &half, gs, start, end)
 			db := dd[start:end:end]
 			sb := sd[start:end:end]
-			for j, gj := range sum {
-				g := gj + wd*sb[j]
+			for j, g := range sum {
 				db[j] = sb[j] - lr*g
 			}
 		}

@@ -39,16 +39,14 @@ func TestSGDStepHalfSourceMatchesDecodeThenStep(t *testing.T) {
 	for _, r := range runs {
 		for batch := 1; batch <= 5; batch++ {
 			for kinds := 1; kinds < 1<<batch; kinds++ { // bit b set: source b is half
-				for _, wd := range []float32{1e-4, 0} {
-					where := fmt.Sprintf("from=%#x n=%d batch=%d kinds=%0*b wd=%g", r.from, r.n, batch, batch, kinds, wd)
-					checkHalfStep(t, rng, where, patterns, r.from, r.n, batch, kinds, lr, mu, wd)
-				}
+				where := fmt.Sprintf("from=%#x n=%d batch=%d kinds=%0*b", r.from, r.n, batch, batch, kinds)
+				checkHalfStep(t, rng, where, patterns, r.from, r.n, batch, kinds, lr, mu)
 			}
 		}
 	}
 }
 
-func checkHalfStep(t *testing.T, rng *rand.Rand, where string, patterns []byte, from, n, batch, kinds int, lr, mu, wd float32) {
+func checkHalfStep(t *testing.T, rng *rand.Rand, where string, patterns []byte, from, n, batch, kinds int, lr, mu float32) {
 	t.Helper()
 	src, v := randFloats(rng, n, 1), randFloats(rng, n, 0.1)
 	gs, decoded := make([]tensor.Grad, batch), make([]tensor.Grad, batch)
@@ -79,11 +77,11 @@ func checkHalfStep(t *testing.T, rng *rand.Rand, where string, patterns []byte, 
 		got, want := make([]float32, n), make([]float32, n)
 		gotV, wantV := append([]float32(nil), v...), append([]float32(nil), v...)
 		if momentum {
-			tensor.SGDMomentumStep(got, src, gotV, gs, lr, mu, wd)
-			tensor.SGDMomentumStep(want, src, wantV, decoded, lr, mu, wd)
+			tensor.SGDMomentumStep(got, src, gotV, gs, lr, mu)
+			tensor.SGDMomentumStep(want, src, wantV, decoded, lr, mu)
 		} else {
-			tensor.SGDStep(got, src, gs, lr, wd)
-			tensor.SGDStep(want, src, decoded, lr, wd)
+			tensor.SGDStep(got, src, gs, lr)
+			tensor.SGDStep(want, src, decoded, lr)
 		}
 		for i := range got {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) || math.Float32bits(gotV[i]) != math.Float32bits(wantV[i]) {

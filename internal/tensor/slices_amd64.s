@@ -804,22 +804,18 @@ next:                            \
 	JMP    next                  \
 done:
 
-// SGD_APPLY stores dst[i] = src[i] − lr·(Y0 + wd·src[i]) at byte offset AX,
-// each operation rounded on its own.
+// SGD_APPLY stores dst[i] = src[i] − lr·Y0 at byte offset AX, each operation
+// rounded on its own.
 #define SGD_APPLY \
 	VMOVUPS (SI)(AX*1), Y1 \
-	VMULPS  Y1, Y15, Y2    \
-	VADDPS  Y2, Y0, Y0     \
 	VMULPS  Y0, Y14, Y0    \
 	VSUBPS  Y0, Y1, Y1     \
 	VMOVUPS Y1, (DI)(AX*1)
 
-// SGDM_APPLY is SGD_APPLY with momentum: v[i] = mu·v[i] + (Y0 + wd·src[i]);
+// SGDM_APPLY is SGD_APPLY with momentum: v[i] = mu·v[i] + Y0;
 // dst[i] = src[i] − lr·v[i].
 #define SGDM_APPLY \
 	VMOVUPS (SI)(AX*1), Y1    \
-	VMULPS  Y1, Y15, Y2       \
-	VADDPS  Y2, Y0, Y0        \
 	VMULPS  (DX)(AX*1), Y13, Y3 \
 	VADDPS  Y0, Y3, Y3        \
 	VMOVUPS Y3, (DX)(AX*1)    \
@@ -827,17 +823,16 @@ done:
 	VSUBPS  Y0, Y1, Y1        \
 	VMOVUPS Y1, (DI)(AX*1)
 
-// func sgdStepAVX2(dst, src []float32, gs []Grad, lr, wd float32)
+// func sgdStepAVX2(dst, src []float32, gs []Grad, lr float32)
 //
 // Whole windows of eight; dst may be src.
-TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-80
+TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-76
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
 	MOVQ gs_base+48(FP), R8
 	MOVQ gs_len+56(FP), R9
 	VBROADCASTSS lr+72(FP), Y14
-	VBROADCASTSS wd+76(FP), Y15
 	LEAQ (R9)(R9*2), R9
 	SHLQ $4, R9
 	ADDQ R8, R9
@@ -858,15 +853,14 @@ sgd_done:
 	VZEROUPPER
 	RET
 
-// func sgdStepHalfAVX2(dst, src []float32, gs []Grad, lr, wd float32)
-TEXT ·sgdStepHalfAVX2(SB), NOSPLIT, $0-80
+// func sgdStepHalfAVX2(dst, src []float32, gs []Grad, lr float32)
+TEXT ·sgdStepHalfAVX2(SB), NOSPLIT, $0-76
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
 	MOVQ gs_base+48(FP), R8
 	MOVQ gs_len+56(FP), R9
 	VBROADCASTSS lr+72(FP), Y14
-	VBROADCASTSS wd+76(FP), Y15
 	LEAQ (R9)(R9*2), R9
 	SHLQ $4, R9
 	ADDQ R8, R9
@@ -887,8 +881,8 @@ sgdh_done:
 	VZEROUPPER
 	RET
 
-// func sgdMomentumStepAVX2(dst, src, v []float32, gs []Grad, lr, mu, wd float32)
-TEXT ·sgdMomentumStepAVX2(SB), NOSPLIT, $0-108
+// func sgdMomentumStepAVX2(dst, src, v []float32, gs []Grad, lr, mu float32)
+TEXT ·sgdMomentumStepAVX2(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
@@ -897,7 +891,6 @@ TEXT ·sgdMomentumStepAVX2(SB), NOSPLIT, $0-108
 	MOVQ gs_len+80(FP), R9
 	VBROADCASTSS lr+96(FP), Y14
 	VBROADCASTSS mu+100(FP), Y13
-	VBROADCASTSS wd+104(FP), Y15
 	LEAQ (R9)(R9*2), R9
 	SHLQ $4, R9
 	ADDQ R8, R9
@@ -918,8 +911,8 @@ sgdm_done:
 	VZEROUPPER
 	RET
 
-// func sgdMomentumStepHalfAVX2(dst, src, v []float32, gs []Grad, lr, mu, wd float32)
-TEXT ·sgdMomentumStepHalfAVX2(SB), NOSPLIT, $0-108
+// func sgdMomentumStepHalfAVX2(dst, src, v []float32, gs []Grad, lr, mu float32)
+TEXT ·sgdMomentumStepHalfAVX2(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
@@ -928,7 +921,6 @@ TEXT ·sgdMomentumStepHalfAVX2(SB), NOSPLIT, $0-108
 	MOVQ gs_len+80(FP), R9
 	VBROADCASTSS lr+96(FP), Y14
 	VBROADCASTSS mu+100(FP), Y13
-	VBROADCASTSS wd+104(FP), Y15
 	LEAQ (R9)(R9*2), R9
 	SHLQ $4, R9
 	ADDQ R8, R9

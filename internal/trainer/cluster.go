@@ -159,7 +159,7 @@ func (s *serving) start(cfg Config, policy core.Policy, params []*tensor.Tensor,
 		scfg.Trace = cfg.Trace
 		l.SetMeter(transport.NewMetrics(scfg.Metrics))
 	}
-	opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum, 0)
+	opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum)
 	srv, err := ps.Start(scfg, params, opt, l, s.net.dial)
 	if err != nil {
 		return "", err

@@ -88,8 +88,9 @@ func (c *cutConn) Recv() (transport.Message, error) {
 // on each carrier, with dense and fp16 pulls, heartbeats on:
 //
 //   - the store ends on the parameter hash the copying loop of commit 006d85e
-//     reached (recorded there, per kernel binding; the AVX-512 panels reach
-//     the AVX2 hashes), and the replica on the hash of the last weights pulled
+//     reached (recorded per kernel binding at 095f7a8, the last commit with
+//     a weight-decay term, with that term 0; the AVX-512 panels reach the
+//     AVX2 hashes), and the replica on the hash of the last weights pulled
 //     — on the dense lane arms with the pushes computed in the connection's
 //     push slot and sent from it uncopied, which the arm checks happened;
 //   - after the run — client closed, two collections — the replica reads its
@@ -112,14 +113,14 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 		want map[string]hashes
 	}{
 		{"dense", compress.Config{}, map[string]hashes{
-			"avx512": {0xaf21b66125e99085, 0xea7b53437467aa2f, 0xaf21b66125e99085, 0xea7b53437467aa2f},
-			"avx2":   {0xaf21b66125e99085, 0xea7b53437467aa2f, 0xaf21b66125e99085, 0xea7b53437467aa2f},
-			"go":     {0x511f4ddd1491b636, 0x8e182831c0cf1c9a, 0x511f4ddd1491b636, 0x8e182831c0cf1c9a},
+			"avx512": {0x8f0a550fe67eef94, 0x7048bed5da8050e7, 0x8f0a550fe67eef94, 0x7048bed5da8050e7},
+			"avx2":   {0x8f0a550fe67eef94, 0x7048bed5da8050e7, 0x8f0a550fe67eef94, 0x7048bed5da8050e7},
+			"go":     {0x2d0992d7cb8721fa, 0xb2f767cc608f9595, 0x2d0992d7cb8721fa, 0xb2f767cc608f9595},
 		}},
 		{"fp16", compress.Config{Codec: compress.FP16, Pull: true}, map[string]hashes{
-			"avx512": {0x0d4e72c73abf8960, 0x9b58d28ddeeefcc3, 0x350c0645826e14c1, 0xaee06f321312c27e},
-			"avx2":   {0x0d4e72c73abf8960, 0x9b58d28ddeeefcc3, 0x350c0645826e14c1, 0xaee06f321312c27e},
-			"go":     {0x9a1b523d09b03e03, 0x8e18e8149ca1ca09, 0x59768d1ef8e48972, 0xdc95c92e31bff452},
+			"avx512": {0xc4c311e472611c8b, 0x574375937934c619, 0x883f4129deb7d04f, 0x9200c1250ac131be},
+			"avx2":   {0xc4c311e472611c8b, 0x574375937934c619, 0x883f4129deb7d04f, 0x9200c1250ac131be},
+			"go":     {0x5b73d1b1e7d1b434, 0xefcf16a7917bf7f9, 0x8035aa4da1045470, 0xf97de3290dd88c8c},
 		}},
 	} {
 		for _, carrier := range []string{"channel", "tcp", "lane"} {
@@ -130,7 +131,7 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 
 					// 128→64→80: 32 KB and 21 KB of weights, one shard each.
 					build := func() *nn.Network { return nn.SmallMLP(rand.New(rand.NewSource(7)), 128, 64, 80) }
-					st, err := ps.NewStoreSharded(build().Params(), optimizer.NewSGDMomentum(0.05, 0.9, 1e-4), 2)
+					st, err := ps.NewStoreSharded(build().Params(), optimizer.NewSGDMomentum(0.05, 0.9), 2)
 					if err != nil {
 						t.Fatal(err)
 					}

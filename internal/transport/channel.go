@@ -157,8 +157,9 @@ func (c *chanConn) Close() error {
 	return nil
 }
 
-// chanListener hands out pre-connected in-process connections.
-type chanListener struct {
+// ChanListener is an in-process Listener whose Dial method creates worker
+// connections without any networking.
+type ChanListener struct {
 	conns chan Conn
 
 	mu     sync.Mutex
@@ -171,44 +172,36 @@ type chanListener struct {
 // worker end of a new connection; the server end is returned by Accept.
 func NewChanListener() *ChanListener {
 	return &ChanListener{
-		inner: &chanListener{
-			conns: make(chan Conn, 16),
-			done:  make(chan struct{}),
-		},
+		conns: make(chan Conn, 16),
+		done:  make(chan struct{}),
 	}
-}
-
-// ChanListener is an in-process Listener whose Dial method creates worker
-// connections without any networking.
-type ChanListener struct {
-	inner *chanListener
 }
 
 // SetMeter installs a transport meter on the listener: the server end of
 // every connection created by a subsequent Dial counts its traffic into
 // meter. Call before serving; nil disables.
 func (l *ChanListener) SetMeter(m *Metrics) {
-	l.inner.mu.Lock()
-	l.inner.meter = m
-	l.inner.mu.Unlock()
+	l.mu.Lock()
+	l.meter = m
+	l.mu.Unlock()
 }
 
 // Dial creates a new in-process connection to the listener and returns the
 // worker endpoint.
 func (l *ChanListener) Dial() (Conn, error) {
-	l.inner.mu.Lock()
-	closed := l.inner.closed
-	meter := l.inner.meter
-	l.inner.mu.Unlock()
+	l.mu.Lock()
+	closed := l.closed
+	meter := l.meter
+	l.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
 	}
 	serverEnd, workerEnd := Pipe()
 	serverEnd.(*chanConn).meter = meter
 	select {
-	case l.inner.conns <- serverEnd:
+	case l.conns <- serverEnd:
 		return workerEnd, nil
-	case <-l.inner.done:
+	case <-l.done:
 		return nil, ErrClosed
 	}
 }
@@ -216,23 +209,23 @@ func (l *ChanListener) Dial() (Conn, error) {
 // Accept implements Listener.
 func (l *ChanListener) Accept() (Conn, error) {
 	select {
-	case c := <-l.inner.conns:
+	case c := <-l.conns:
 		return c, nil
-	case <-l.inner.done:
+	case <-l.done:
 		return nil, ErrClosed
 	}
 }
 
 // Close implements Listener.
 func (l *ChanListener) Close() error {
-	l.inner.mu.Lock()
-	defer l.inner.mu.Unlock()
-	if !l.inner.closed {
-		l.inner.closed = true
-		close(l.inner.done)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.closed {
+		l.closed = true
+		close(l.done)
 	}
 	return nil
 }
 
 // Addr implements Listener.
-func (l *ChanListener) Addr() string { return fmt.Sprintf("inproc://%p", l.inner) }
+func (l *ChanListener) Addr() string { return fmt.Sprintf("inproc://%p", l) }

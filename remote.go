@@ -203,7 +203,7 @@ func Serve(cfg ServerConfig) (*Server, error) {
 		Trace:   obs.TraceConfig{Every: cfg.TraceEvery},
 		Cluster: cfg.Cluster,
 	}, run.Model.Build(rand.New(rand.NewSource(run.Seed))).Params(),
-		optimizer.NewSGDMomentum(run.LearningRate, cfg.Momentum, 0),
+		optimizer.NewSGDMomentum(run.LearningRate, cfg.Momentum),
 		listener, transport.Dial)
 	if err != nil {
 		_ = listener.Close()

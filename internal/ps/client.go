@@ -70,6 +70,10 @@ type Client struct {
 	// are dropped at registration.
 	reply        []*tensor.Tensor
 	replyVersion int64
+	// prefetched says the last push asked for the next weights and was
+	// released: its Weights reply follows the OK, and the next Pull sends no
+	// request, only receives it. Dropped at registration.
+	prefetched bool
 }
 
 // NewClientCompressed wraps a connection for the given worker ID with an
@@ -132,7 +136,7 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 	// Any registration talks to a fresh server-side session — possibly a
 	// restarted server with different weights at the same version — so the
 	// reply a replica would name is forgotten.
-	c.reply, c.replyVersion = nil, 0
+	c.reply, c.replyVersion, c.prefetched = nil, 0, false
 	err := c.conn.Send(transport.Message{
 		Type:      msgType,
 		Worker:    c.worker,
@@ -182,7 +186,9 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 // the store is still at that version the server answers with one
 // payload-free Unchanged frame, and Pull returns the previous reply's tensors
 // and version again, so a pull when nothing moved transfers nothing. A worker
-// sends no version and always gets the full reply.
+// sends no version and always gets the full reply. After a push that asked
+// for a prefetch (ClusterClient.PushAndPrefetch) the reply is already on its
+// way behind the push's OK: Pull sends nothing and only receives it.
 //
 // The returned slice is reused by the next Pull, and the tensors are on
 // lease until then: a dense reply's tensors alias the receive buffer it
@@ -199,7 +205,9 @@ func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
 	if c.replica {
 		req.Version = c.replyVersion
 	}
-	if err := c.conn.Send(req); err != nil {
+	if c.prefetched {
+		c.prefetched = false
+	} else if err := c.conn.Send(req); err != nil {
 		return nil, 0, fmt.Errorf("ps: pull request from worker %d: %w", c.worker, err)
 	}
 	msg, err := c.recv()
@@ -281,10 +289,23 @@ func (c *Client) hold(msg transport.Message) {
 // the call returns, so the caller may push its live gradient buffers and
 // overwrite them next iteration.
 func (c *Client) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
-	if err := c.PushAsync(grads, baseVersion, iteration); err != nil {
+	return c.pushAndWait(grads, baseVersion, iteration, false)
+}
+
+// pushAndWait is PushAndWait whose push, with prefetch set, asks for the next
+// weights behind the OK (transport.Message.Prefetch): the next Pull only
+// receives them. Set it only on a link the next Pull goes to — a coordinator
+// would send its placeholder weights — which ClusterClient does on a Flat
+// route alone.
+func (c *Client) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int, prefetch bool) error {
+	if err := c.push(grads, baseVersion, iteration, nil, prefetch); err != nil {
 		return err
 	}
-	return c.WaitOK()
+	if err := c.WaitOK(); err != nil {
+		return err
+	}
+	c.prefetched = prefetch
+	return nil
 }
 
 // PushAsync sends the worker's gradients without waiting for the release.
@@ -293,18 +314,19 @@ func (c *Client) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteratio
 // the fragments travel in parallel while each link stays lock-step. A nil
 // or empty grads sends a metadata-only push (the coordinator's ticket).
 func (c *Client) PushAsync(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
-	return c.push(grads, baseVersion, iteration, nil)
+	return c.push(grads, baseVersion, iteration, nil, false)
 }
 
 // push sends one push carrying entries: none for a worker's own, the summed
 // children's for a relay trunk's partial (DESIGN.md §11).
-func (c *Client) push(grads []*tensor.Tensor, baseVersion int64, iteration int, entries []transport.PushEntry) error {
+func (c *Client) push(grads []*tensor.Tensor, baseVersion int64, iteration int, entries []transport.PushEntry, prefetch bool) error {
 	msg := transport.Message{
 		Type:        transport.MsgPush,
 		Worker:      c.worker,
 		Iteration:   iteration,
 		Version:     baseVersion,
 		PushEntries: entries,
+		Prefetch:    prefetch,
 	}
 	if c.comp != nil {
 		msg.Codec = c.cfg.Codec
@@ -391,14 +413,16 @@ type pushSlot struct {
 // place asks conn for a slot laid out for pushes like tmpl, and reports
 // whether it got one. The encoder omits zero fields, so the slot is placed
 // for a nonzero Iteration and Version: a push at either 0 lays its body out
-// differently and takes the copy path.
+// differently and takes the copy path. It is placed for a flagged Prefetch,
+// which follows every slab: a push with the flag and one without both fit
+// it with their slabs in place.
 func (s *pushSlot) place(conn transport.Conn, tmpl transport.Message) bool {
 	s.tried = true
 	placer, ok := conn.(transport.BodyPlacer)
 	if !ok {
 		return false
 	}
-	tmpl.Iteration, tmpl.Version = 1, 1
+	tmpl.Iteration, tmpl.Version, tmpl.Prefetch = 1, 1, true
 	slabs, release, ok := placer.PlaceBody(tmpl)
 	if !ok {
 		return false

@@ -360,11 +360,25 @@ func (c *ClusterClient) linkPull(i int) ([]*tensor.Tensor, int64, error) {
 // OK was lost in the crash may therefore apply twice, the same at-least-once
 // semantics a rejoin has. A sync-link failure goes to the caller.
 func (c *ClusterClient) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
+	return c.timedPush(grads, baseVersion, iteration, false)
+}
+
+// PushAndPrefetch is PushAndWait for a worker whose next call is Pull. On a
+// Flat route the push asks the server for the next weights behind its OK
+// (transport.Message.Prefetch), and that Pull sends nothing and only
+// receives them: one round trip an iteration instead of two. On Group and
+// Tree routes it is PushAndWait.
+func (c *ClusterClient) PushAndPrefetch(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
+	return c.timedPush(grads, baseVersion, iteration, c.route.Topology == Flat)
+}
+
+// timedPush is pushAndWait, timed when the route has a registry.
+func (c *ClusterClient) timedPush(grads []*tensor.Tensor, baseVersion int64, iteration int, prefetch bool) error {
 	if c.metrics == nil {
-		return c.pushAndWait(grads, baseVersion, iteration)
+		return c.pushAndWait(grads, baseVersion, iteration, prefetch)
 	}
 	start := time.Now()
-	err := c.pushAndWait(grads, baseVersion, iteration)
+	err := c.pushAndWait(grads, baseVersion, iteration, prefetch)
 	if err == nil {
 		c.metrics.pushRTTSeconds.Observe(time.Since(start).Seconds())
 		c.metrics.iterations.Inc()
@@ -372,8 +386,9 @@ func (c *ClusterClient) PushAndWait(grads []*tensor.Tensor, baseVersion int64, i
 	return err
 }
 
-// pushAndWait implements PushAndWait.
-func (c *ClusterClient) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
+// pushAndWait implements PushAndWait and PushAndPrefetch, whose prefetch
+// rides the sync link's push.
+func (c *ClusterClient) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int, prefetch bool) error {
 	if len(c.links) > 1 && len(grads) != c.total {
 		return fmt.Errorf("ps: cluster push carries %d tensors, model has %d", len(grads), c.total)
 	}
@@ -394,7 +409,7 @@ func (c *ClusterClient) pushAndWait(grads []*tensor.Tensor, baseVersion int64, i
 			return err
 		}
 	}
-	return c.links[0].client.PushAndWait(c.fragment(0, grads), baseVersion, iteration)
+	return c.links[0].client.pushAndWait(c.fragment(0, grads), baseVersion, iteration, prefetch)
 }
 
 // retryFragment recovers link i and re-sends its fragment until it lands.

@@ -21,6 +21,9 @@ type WorkerClient interface {
 	// from without a copy, or nil (ClusterClient.PushSlot).
 	PushSlot(grads []*tensor.Tensor) []*tensor.Tensor
 	PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error
+	// PushAndPrefetch is PushAndWait for a loop whose next call is Pull,
+	// which it may make cheaper (ClusterClient.PushAndPrefetch).
+	PushAndPrefetch(grads []*tensor.Tensor, baseVersion int64, iteration int) error
 	Done() error
 	Close() error
 	Traffic() (pushed, pulled int64)

@@ -234,21 +234,25 @@ func TestRetry(t *testing.T) {
 // flat server and through a relay, one push and one pull on the one link; on
 // a group, a fragment push and a pull per data server plus the coordinator's
 // ticket push. Every pull is answered with one Weights frame, though each
-// store runs two shards. Traffic counts each link once too: one gradient's
-// payload pushed and one model's pulled per iteration, on every route.
+// store runs two shards. A flat worker whose push prefetches sends no pull at
+// all: the Weights frame follows the OK unasked. Traffic counts each link
+// once too: one gradient's payload pushed and one model's pulled per
+// iteration, on every route.
 func TestConnectFramesPerIteration(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(2048)}
 	const iters = 4
 	for _, tc := range []struct {
-		topo string
+		name, topo string
+		prefetch   bool
 		// want is frames per iteration by direction and type.
 		want map[string]float64
 	}{
-		{"flat", map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}},
-		{"tree", map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}},
-		{"group", map[string]float64{"sent Push": 3, "recv OK": 3, "sent Pull": 2, "recv Weights": 2}},
+		{"flat", "flat", false, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}},
+		{"flat, prefetching", "flat", true, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 0, "recv Weights": 1}},
+		{"tree", "tree", false, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}},
+		{"group", "group", false, map[string]float64{"sent Push": 3, "recv OK": 3, "sent Pull": 2, "recv Weights": 2}},
 	} {
-		t.Run(tc.topo, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			top := startLeaseTopology(t, tc.topo, true, true, 1, initial)
 			c, err := Connect(top.route, false, 0)
 			if err != nil {
@@ -261,13 +265,26 @@ func TestConnectFramesPerIteration(t *testing.T) {
 				grads[i] = tensor.Full(0.5, p.Shape()...)
 				payload += int64(4*p.Size() + 4*p.Dims() + 8)
 			}
+			iterate := func(it int) {
+				if !tc.prefetch {
+					pushOnce(t, c, grads, it)
+					return
+				}
+				_, v, err := c.Pull()
+				if err == nil {
+					err = c.PushAndPrefetch(grads, v, it)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 			// The connect and the first iteration are set-up; the meter's
 			// count from there on is the steady state.
-			pushOnce(t, c, grads, 0)
+			iterate(0)
 			before := top.workerReg.Snapshot()
 			pushed0, pulled0 := c.Traffic()
 			for it := 1; it <= iters; it++ {
-				pushOnce(t, c, grads, it)
+				iterate(it)
 			}
 			after := top.workerReg.Snapshot()
 			if pushed, pulled := c.Traffic(); pushed-pushed0 != iters*payload || pulled-pulled0 != iters*payload {

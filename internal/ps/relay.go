@@ -380,11 +380,30 @@ func (r *Relay) trunkLoop() {
 				continue
 			}
 			if ch := r.sessions.get(msg.Worker); ch != nil {
+				if ch.prefetch.Swap(false) && msg.Type == transport.MsgOK {
+					r.wg.Add(1)
+					go r.prefetchRelease(ch, msg)
+					continue
+				}
 				r.enqueueSession(ch, msg)
 			}
 		default:
 			// Forward-compatible: unknown trunk traffic is ignored.
 		}
+	}
+}
+
+// prefetchRelease sends a child whose push asked for the next weights its OK
+// and, right behind it, the reply its next Pull would get — handlePull's,
+// from the upstream cache. Both go out on the child's connection from a
+// goroutine of their own, because handlePull sends under pullMu, which may
+// wait on the upstream, and trunkLoop must not. The OK skips the child's
+// outbox, which holds nothing: the child is lock-step, and received every
+// earlier reply before it pushed.
+func (r *Relay) prefetchRelease(ch *session, ok transport.Message) {
+	defer r.wg.Done()
+	if ch.conn.Send(ok) == nil {
+		r.handlePull(ch, transport.Message{})
 	}
 }
 
@@ -603,6 +622,8 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 		Iteration: msg.Iteration,
 	})
 	p.members[ch.worker] = true
+	// Before a flush can bring the release back.
+	ch.prefetch.Store(msg.Prefetch)
 	r.rm.childPushes.Inc()
 	if r.completeLocked() {
 		r.flushLocked("full")
@@ -719,7 +740,7 @@ func (r *Relay) flushLocked(reason string) {
 	}
 	r.rm.forwarded.Inc()
 	r.rm.partialDepth.Observe(float64(len(p.entries)))
-	if err := r.trunk.push(p.sum, p.minBase, p.entries[0].Iteration, p.entries); err != nil {
+	if err := r.trunk.push(p.sum, p.minBase, p.entries[0].Iteration, p.entries, false); err != nil {
 		go r.fail(fmt.Errorf("ps: relay trunk: %w", err))
 	}
 	if !p.inSlot {

@@ -157,9 +157,12 @@ type Server struct {
 
 	// policyMu serializes membership and push handling: the policy decision,
 	// the ticket assignment that orders the update, the metrics derived from
-	// them, and the choice of workers to release.
+	// them, and the choice of workers to release. prefetch holds, per slot,
+	// whether the push awaiting its release asked for the next weights with
+	// it (transport.Message.Prefetch); resolve moves it into the release.
 	policyMu sync.Mutex
 	pushedAt map[int]time.Time
+	prefetch []bool
 
 	// cluster is the coordinator's live group map; replicaSeq hands out the
 	// negative session keys the kinds that hold no worker slot (replicas,
@@ -258,6 +261,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		failed:      make(chan struct{}),
 		releases:    make(chan releaseBatch, 256),
 		pushedAt:    make(map[int]time.Time),
+		prefetch:    make([]bool, cfg.Workers),
 		reg:         reg,
 		sm:          sm,
 		tracer:      tracer,
@@ -539,6 +543,7 @@ func (s *Server) admit(slot int, carrier *session, msg transport.Message) (trans
 	if msg.Type == transport.MsgRejoin {
 		s.sm.rejoins.Inc()
 	}
+	s.prefetch[slot] = false
 	decision := s.cfg.Policy.OnJoin(core.WorkerID(slot), now)
 	s.queueReleases(releaseBatch{targets: s.resolve(nil, decision.Release, now), gate: s.cfg.Store.Reserved()})
 	s.policyMu.Unlock()
@@ -636,6 +641,7 @@ func (s *Server) depart(slots []int, now time.Time) {
 		}
 		decision := s.cfg.Policy.OnLeave(core.WorkerID(w), now)
 		delete(s.pushedAt, w)
+		s.prefetch[w] = false
 		// A departure can complete a barrier whose updates are still in the
 		// apply pipeline; its releases gate like any push's.
 		s.queueReleases(releaseBatch{targets: s.resolve(nil, decision.Release, now), gate: s.cfg.Store.Reserved()})
@@ -647,12 +653,14 @@ func (s *Server) depart(slots []int, now time.Time) {
 
 // releaseTarget is one resolved delivery: the session the reply rides — the
 // worker's own for a direct worker, its relay trunk for a routed one — the
-// worker slot the reply names (the trunk demultiplexes by it), and the slot's
-// admit epoch at decision time.
+// worker slot the reply names (the trunk demultiplexes by it), the slot's
+// admit epoch at decision time, and whether the released push asked for the
+// next weights behind its OK.
 type releaseTarget struct {
-	sess   *session
-	worker int
-	epoch  uint64
+	sess     *session
+	worker   int
+	epoch    uint64
+	prefetch bool
 }
 
 // releaseBatch is one release decision queued for delivery: the sessions to
@@ -731,7 +739,8 @@ func (s *Server) releaser() {
 // resolve turns a release decision into deliveries, appended to targets: each
 // released worker's wait since its push is added to its
 // dssp_worker_wait_seconds slot (a clock that stepped back adds nothing) and
-// the worker resolved to the session carrying it now. Callers hold policyMu,
+// the worker resolved to the session carrying it now, taking along the
+// prefetch its push asked for. Callers hold policyMu,
 // which is what makes the resolution exact: membership hooks run under the
 // same lock, so the sessions captured here are precisely the ones the
 // decision accounted for. Pinning sessions
@@ -752,8 +761,9 @@ func (s *Server) resolve(targets []releaseTarget, release []core.WorkerID, now t
 			delete(s.pushedAt, w)
 		}
 		if sess, epoch := s.carrier(w); sess != nil {
-			targets = append(targets, releaseTarget{sess: sess, worker: w, epoch: epoch})
+			targets = append(targets, releaseTarget{sess: sess, worker: w, epoch: epoch, prefetch: s.prefetch[w]})
 		}
+		s.prefetch[w] = false
 	}
 	return targets
 }
@@ -773,21 +783,27 @@ func (s *Server) queueReleases(b releaseBatch) {
 }
 
 // sendReleases delivers the batch's OK signals — the single implementation
-// of release delivery for push, join and leave decisions. The batch's error
-// carve-out is honored: a pusher whose gradients the failed push lost must
-// not receive an OK that would let it train on as if they had landed (the
-// releaser sends it the error instead). errs is at most relay-fanout long, so
-// a linear scan beats building a set.
+// of release delivery for push, join and leave decisions. A target whose push
+// asked for a prefetch gets, right behind its OK on the same session, the
+// reply its next Pull would get: handlePull's, built now, after the batch's
+// gate, so it holds every update the release accounted for. The batch's
+// error carve-out is honored: a pusher whose gradients the failed push lost
+// must not receive an OK that would let it train on as if they had landed
+// (the releaser sends it the error instead), nor weights. errs is at most
+// relay-fanout long, so a linear scan beats building a set.
 func (s *Server) sendReleases(b releaseBatch) {
 deliver:
 	for _, t := range b.targets {
 		for _, e := range b.errs {
-			if e == t {
+			if e.sess == t.sess && e.worker == t.worker && e.epoch == t.epoch {
 				continue deliver
 			}
 		}
 		if s.deliver(t, transport.Message{Type: transport.MsgOK, Worker: t.worker}) {
 			s.sm.releases.Inc()
+			if t.prefetch {
+				s.handlePull(t.sess, transport.Message{})
+			}
 		}
 	}
 }
@@ -941,6 +957,8 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 		m.epoch = epoch
 		decision := s.cfg.Policy.OnPush(core.WorkerID(e.Worker), now)
 		s.pushedAt[e.Worker] = now
+		// Only a worker's own session gets the next weights behind its OK.
+		s.prefetch[e.Worker] = msg.Prefetch && sess.kind.holdsSlot()
 		targets = s.resolve(targets, decision.Release, now)
 		if guardDrop {
 			// The gradients never reach the store, but the policy has
@@ -990,6 +1008,7 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 				// the pusher learns of the failure.
 				if !m.void {
 					errs = append(errs, releaseTarget{sess: sess, worker: e.Worker, epoch: m.epoch})
+					s.prefetch[e.Worker] = false
 				}
 				s.tracer.Abandon(m.tr, "error")
 				continue
@@ -1120,7 +1139,8 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 	}
 }
 
-// handlePull answers a pull with the current weights in one Weights frame:
+// handlePull answers a pull — or, called by the release sequencer with an
+// empty req, a push's prefetch — with the current weights in one Weights frame:
 // every store shard's tensors, in global order, labelled with the store
 // version read before the first shard is, so no shard is older than the
 // label. Each shard's part references its copy-on-write snapshot — the

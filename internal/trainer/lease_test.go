@@ -270,3 +270,84 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 		}
 	}
 }
+
+// pushFlags records the Prefetch flag of every push sent on a connection.
+type pushFlags struct {
+	transport.Conn
+	flags *[]bool
+}
+
+func (c *pushFlags) Send(m transport.Message) error {
+	if m.Type == transport.MsgPush {
+		*c.flags = append(*c.flags, m.Prefetch)
+	}
+	return c.Conn.Send(m)
+}
+
+// TestWorkerLoopPrefetchesEveryPullButTheFirst: on a flat server a run of N
+// iterations makes the server send exactly N Weights frames, counted by the
+// server end's transport meter — the first pull asked for, each later one
+// prefetched behind the release before it — and its last push, after which
+// nothing is pulled, asks for none.
+func TestWorkerLoopPrefetchesEveryPullButTheFirst(t *testing.T) {
+	const iterations = 6
+	build := func() *nn.Network { return nn.SmallMLP(rand.New(rand.NewSource(7)), 16, 8, 4) }
+	st, err := ps.NewStoreSharded(build().Params(), optimizer.NewSGD(0.05), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ps.NewServer(ps.ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	reg := obs.NewRegistry()
+	l := transport.NewChanListener()
+	l.SetMeter(transport.NewMetrics(reg))
+	t.Cleanup(func() { l.Close() })
+	go func() { _ = srv.Serve(l) }()
+
+	var flags []bool
+	route := ps.Route{Dial: func(string) (transport.Conn, error) {
+		conn, err := l.Dial()
+		if err != nil {
+			return nil, err
+		}
+		return &pushFlags{Conn: conn, flags: &flags}, nil
+	}}
+	train := data.MustSynthetic(data.SyntheticConfig{
+		Examples: 16, Classes: 4, Channels: 1, Size: 16, Noise: 0.3, Flat: true, Seed: 3,
+	})
+	batches, err := data.NewBatchIterator(train, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := RunWorker(Worker{
+		Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
+			return ps.Connect(route, rejoin, lastVersion)
+		},
+		Replica:    build(),
+		Batches:    batches,
+		Iterations: iterations,
+		CrashAt:    NoCrash,
+	})
+	if err != nil || report.Iterations != iterations {
+		t.Fatalf("%d iterations, %v", report.Iterations, err)
+	}
+	sent := reg.Snapshot()
+	if n := sent[`dssp_transport_frames_total{dir="sent",type="Weights"}`]; n != iterations {
+		t.Errorf("the server sent %v Weights frames over %d iterations, want one each", n, iterations)
+	}
+	if n := sent[`dssp_transport_frames_total{dir="recv",type="Pull"}`]; n != 1 {
+		t.Errorf("the server received %v Pull frames, want only the first iteration's", n)
+	}
+	want := []bool{true, true, true, true, true, false}
+	if len(flags) != len(want) {
+		t.Fatalf("%d pushes, want %d", len(flags), len(want))
+	}
+	for i := range want {
+		if flags[i] != want[i] {
+			t.Fatalf("push prefetch flags %v, want %v", flags, want)
+		}
+	}
+}

@@ -189,3 +189,26 @@ func TestGuardIgnoresHonestRun(t *testing.T) {
 		t.Fatalf("accuracy %v with guard enabled, want >= 0.6", res.FinalAccuracy)
 	}
 }
+
+// TestGuardSeesPrefetchedPulls: a flat worker's pulls arrive prefetched
+// behind its releases, and the guard's flood rule counts pushes since the
+// last pull, so a prefetched reply must count as the pull it replaces. Over
+// 52 honest iterations a worker — thirteen times the flood slack — a guarded
+// server strikes no one and drops nothing.
+func TestGuardSeesPrefetchedPulls(t *testing.T) {
+	cfg := robustConfig(core.PolicyConfig{Paradigm: core.ParadigmDSSP, Staleness: 1, Range: 4})
+	cfg.Epochs = 13 // 4 mini-batches an epoch per worker
+	cfg.Guard = ps.GuardConfig{Enabled: true}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Guard.Evicted) != 0 || res.Guard.DroppedPushes != 0 || res.Dropped != 0 {
+		t.Fatalf("guard evicted %v and dropped %d (%d) pushes of an honest run", res.Guard.Evicted, res.Guard.DroppedPushes, res.Dropped)
+	}
+	for w, f := range res.Guard.Flags {
+		if f != 0 {
+			t.Fatalf("honest worker %d flagged %d times", w, f)
+		}
+	}
+}

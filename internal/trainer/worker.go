@@ -68,7 +68,9 @@ type WorkerReport struct {
 
 // RunWorker executes the worker side of Algorithm 1: pull the global weights,
 // adopt them where they landed, compute gradients on the next mini-batch,
-// push them and wait for the release; Done after the last one. A transport
+// push them and wait for the release — which, on every iteration but the
+// last, brings the next weights along where the route allows it; Done after
+// the last one. A transport
 // error mid-iteration either ends the run or, with Reconnect, is followed by
 // a rejoin and a redo of the same iteration from a fresh pull, so the
 // gradient matches the weights it updates. The report is meaningful even
@@ -188,7 +190,14 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 				grads = w.Replica.CloneGrads()
 				claimed = w.Adversary.corrupt(grads, version)
 			}
-			err = client.PushAndWait(grads, claimed, it)
+			// Every push but the last is followed by a Pull, which the push
+			// may bring along (ps.ClusterClient.PushAndPrefetch); after the
+			// last, weights nobody reads would cost a model's bytes.
+			if it+1 < w.Iterations {
+				err = client.PushAndPrefetch(grads, claimed, it)
+			} else {
+				err = client.PushAndWait(grads, claimed, it)
+			}
 		}
 		if err != nil {
 			if err = lost(err); err != nil {

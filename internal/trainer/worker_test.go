@@ -100,6 +100,10 @@ func (l *fakeLink) PushAndWait(grads []*tensor.Tensor, base int64, iteration int
 	return nil
 }
 
+func (l *fakeLink) PushAndPrefetch(grads []*tensor.Tensor, base int64, iteration int) error {
+	return l.PushAndWait(grads, base, iteration)
+}
+
 func (l *fakeLink) Done() error {
 	l.record("done", -1)
 	if l.inject("done") {

@@ -231,6 +231,13 @@ type Message struct {
 	// coordinate-wise sum of all listed children's gradients. Binary wire tag
 	// 0x18.
 	PushEntries []PushEntry
+	// Prefetch, on a worker's own MsgPush, asks for the next weights with the
+	// release: the server answers with its OK and, right behind it on the
+	// same session, the Weights reply a Pull would get, so the worker's next
+	// Pull only receives. A trunk's or replica's Prefetch is ignored. Binary
+	// wire tag 0x1B; it follows every payload section, so a push slot placed
+	// for it holds a push without it at the same offsets.
+	Prefetch bool
 
 	// lease is the pooled receive buffer a received message's payload
 	// aliases, nil when the payload is the message's own allocation (small

@@ -134,6 +134,9 @@ const (
 	// through the payload length) followed by a uint64 byte offset of the
 	// payload into the region.
 	tagPackedRefs = 0x1A
+
+	// Prefetched pulls.
+	tagPrefetch = 0x1B // uint8, must be 1
 )
 
 // hostLittleEndian reports whether the running machine stores integers
@@ -383,6 +386,9 @@ func appendBody(dst []byte, bodyStart int, m *Message, refs *frameRefs) ([]byte,
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Version))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(e.Iteration)))
 		}
+	}
+	if m.Prefetch {
+		dst = append(dst, tagPrefetch, 1)
 	}
 	return dst, nil
 }
@@ -938,6 +944,15 @@ func parseBody(typ byte, body []byte, reg *region) (Message, refSection, error) 
 					}
 				}
 			}
+		case tagPrefetch:
+			if off >= len(body) {
+				err = errTruncatedField
+			} else if body[off] != 1 {
+				err = fmt.Errorf("transport: Prefetch byte is %d, want 1", body[off])
+			} else {
+				m.Prefetch = true
+				off++
+			}
 		case tagTensorRefs, tagPackedRefs:
 			switch {
 			case reg == nil:
@@ -1066,7 +1081,8 @@ func parsePackedRefSection(body []byte, off int, reg *region) ([]compress.Packed
 // body is bodyLen bytes — to dst: m's frame without its tensors, dense or
 // packed, followed by the reference section naming slot and each tensor's
 // region offset (ranges holds an offset and a length per tensor; the
-// reference tags are the highest, so the section goes last). m has been
+// reference tags are the highest a Weights reply carries, so the section goes
+// last). m has been
 // encoded in full already, so its shapes are known to be sound.
 func appendRefFrame(dst []byte, m *Message, slot, bodyLen int, ranges []int) ([]byte, error) {
 	start := len(dst)

@@ -318,3 +318,34 @@ func TestToWireOwnedIntoReusesHeaders(t *testing.T) {
 		t.Errorf("steady-state ToWireOwnedInto allocates %.0f objects/op, want 0", allocs)
 	}
 }
+
+// TestPrefetchFlag pins the push's Prefetch flag: it round-trips, its byte
+// must be 1, and it is appended after every payload section — a flagged
+// push's frame is the unflagged one's plus two body bytes at the end, so a
+// push slot placed for either holds both with every slab in place.
+func TestPrefetchFlag(t *testing.T) {
+	comp, err := compress.NewCompressor(compress.Config{Codec: compress.FP16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plain := range []Message{
+		{Type: MsgPush, Worker: 3, Iteration: 7, Version: 41, Tensors: ToWireOwned(testGrads(7))},
+		{Type: MsgPush, Worker: 3, Iteration: 7, Version: 41, Codec: compress.FP16, Packed: comp.Compress(testGrads(7))},
+	} {
+		flagged := plain
+		flagged.Prefetch = true
+		got := decodeFrame(t, encodeFrame(t, flagged))
+		got.lease = nil
+		if !reflect.DeepEqual(flagged, got) {
+			t.Fatalf("round trip changed the message:\nsent %+v\ngot  %+v", flagged, got)
+		}
+		a, b := encodeFrame(t, plain), encodeFrame(t, flagged)
+		if len(b) != len(a)+2 || !bytes.Equal(a[headerSize:], b[headerSize:len(a)]) || b[len(a)] != tagPrefetch || b[len(a)+1] != 1 {
+			t.Fatalf("the flag is not two bytes after an unchanged body:\nplain   % x\nflagged % x", a[len(a)-8:], b[len(b)-10:])
+		}
+		b[len(b)-1] = 2
+		if _, err := newFrameReader(bufio.NewReader(bytes.NewReader(b))).readFrame(); err == nil || !strings.Contains(err.Error(), "Prefetch byte") {
+			t.Fatalf("a Prefetch byte of 2 decoded: %v", err)
+		}
+	}
+}

@@ -201,15 +201,32 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 // (Network.AdoptParams) and is detached before the client is closed; every
 // other caller copies at once.
 func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
+	if err := c.requestPull(); err != nil {
+		return nil, 0, err
+	}
+	return c.receivePull()
+}
+
+// requestPull is Pull's request half: it sends the Pull frame, or nothing
+// after a push that prefetched. A ClusterClient sends every data link's
+// before it receives any reply.
+func (c *Client) requestPull() error {
+	if c.prefetched {
+		c.prefetched = false
+		return nil
+	}
 	req := transport.Message{Type: transport.MsgPull, Worker: c.worker}
 	if c.replica {
 		req.Version = c.replyVersion
 	}
-	if c.prefetched {
-		c.prefetched = false
-	} else if err := c.conn.Send(req); err != nil {
-		return nil, 0, fmt.Errorf("ps: pull request from worker %d: %w", c.worker, err)
+	if err := c.conn.Send(req); err != nil {
+		return fmt.Errorf("ps: pull request from worker %d: %w", c.worker, err)
 	}
+	return nil
+}
+
+// receivePull is Pull's receive half: exactly one follows every requestPull.
+func (c *Client) receivePull() ([]*tensor.Tensor, int64, error) {
 	msg, err := c.recv()
 	if err != nil {
 		return nil, 0, err
@@ -218,9 +235,14 @@ func (c *Client) Pull() ([]*tensor.Tensor, int64, error) {
 		return nil, 0, fmt.Errorf("ps: worker %d expected Weights, got %v", c.worker, msg.Type)
 	}
 	if msg.Unchanged {
-		if req.Version == 0 || msg.Version != req.Version {
+		// Only a replica's request names a version: the one it holds.
+		var named int64
+		if c.replica {
+			named = c.replyVersion
+		}
+		if named == 0 || msg.Version != named {
 			return nil, 0, fmt.Errorf("ps: worker %d received Unchanged at version %d for a pull naming %d",
-				c.worker, msg.Version, req.Version)
+				c.worker, msg.Version, named)
 		}
 		return c.reply, c.replyVersion, nil
 	}

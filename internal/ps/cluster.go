@@ -18,9 +18,10 @@ import (
 //
 // The cluster split keeps the paradigm semantics of conf_icdcs_ZhaoALC19
 // centralized: data servers apply gradient fragments under a local ASP
-// policy (release = "fragment applied"), while one coordinator runs the real
-// BSP/SSP/DSSP policy over metadata-only pushes, so staleness decisions stay
-// a single serialization point no matter how many servers carry the bytes.
+// policy (release = "fragment ticketed"; a pull waits for the applies), while
+// one coordinator runs the real BSP/SSP/DSSP policy over metadata-only
+// pushes, so staleness decisions stay a single serialization point no matter
+// how many servers carry the bytes.
 
 // Server roles (ClusterConfig.Role, the -role flag on cmd/psserver). The
 // empty string is a flat server: one store, the paradigm, every option.

@@ -979,3 +979,296 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	}
 	requireSameWeights(t, got, want)
 }
+
+// within waits up to five seconds for ch, failing with what otherwise.
+func within[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: nothing after 5s", what)
+		panic("unreachable")
+	}
+}
+
+// pulled is one Pull's outcome, its tensors copied off the lease.
+type pulled struct {
+	params  []*tensor.Tensor
+	version int64
+	err     error
+}
+
+// pullAsync runs c.Pull on a goroutine and delivers what it returned.
+func pullAsync(c pusher) <-chan pulled {
+	ch := make(chan pulled, 1)
+	go func() {
+		params, version, err := c.Pull()
+		out := pulled{version: version, err: err}
+		for _, p := range params {
+			out.params = append(out.params, p.Clone())
+		}
+		ch <- out
+	}()
+	return ch
+}
+
+// dataServerClient registers worker w directly with g's data server i.
+func dataServerClient(t *testing.T, g *testGroup, i, w int) *Client {
+	t.Helper()
+	conn, err := g.dial(g.dataAddrs[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClient(conn, w)
+	if err := c.Register(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestDataServerOKPrecedesApplyAndPullWaitsForIt pins a data server's half of
+// PROTOCOL.md §5b with its applier held inside the optimizer step: a
+// fragment's OK arrives while the step is held, and a Pull sent after that
+// OK is answered only once the step lands, with the fragment in the reply.
+// Receive buffers are poisoned on release and the fragment is big enough to
+// be leased, so a push lease ended by the early OK instead of at the apply
+// gate would be stepped as NaN.
+func TestDataServerOKPrecedesApplyAndPullWaitsForIt(t *testing.T) {
+	poisonReleasedBodies(t)
+	initial := []*tensor.Tensor{tensor.Full(1, 2048)}
+	g := startTestGroup(t, 1, 1, core.MustNewASP(1), initial)
+	gate := gateStoreSteps(t, g.stores[0])
+	c := dataServerClient(t, g, 0, 0)
+	grads := []*tensor.Tensor{tensor.Full(0.5, 2048)}
+
+	if err := c.PushAsync(grads, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	within(t, gate.entered, "the fragment's step never began")
+	ok := make(chan error, 1)
+	go func() { ok <- c.WaitOK() }()
+	if err := within(t, ok, "no OK while the step is held"); err != nil {
+		t.Fatal(err)
+	}
+	if v := g.stores[0].Version(); v != 0 {
+		t.Fatalf("store at version %d while its only step is held", v)
+	}
+	reply := pullAsync(c)
+	select {
+	case r := <-reply:
+		t.Fatalf("pull answered at version %d while the step was held", r.version)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate.resume)
+	r := within(t, reply, "pull unanswered after the step landed")
+	if r.err != nil || r.version != 1 {
+		t.Fatalf("pull returned version %d (%v), want 1", r.version, r.err)
+	}
+	ref, err := NewStoreSharded(initial, clusterOpt(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if _, err := ref.Apply(grads); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ref.Snapshot()
+	requireSameWeights(t, r.params, want)
+}
+
+// TestDataServerPullDemandsAWindowedApply: a data server whose store
+// aggregates windows of four pushes still answers a Pull that follows a lone
+// fragment's OK, because the pull demands the tickets it waits for. The
+// window is raised after the appliers started without a watchdog, so nothing
+// else would ever publish the partial window.
+func TestDataServerPullDemandsAWindowedApply(t *testing.T) {
+	initial := []*tensor.Tensor{tensor.Full(1, 2048)}
+	g := startTestGroup(t, 1, 1, core.MustNewASP(1), initial)
+	c := dataServerClient(t, g, 0, 0)
+	grads := []*tensor.Tensor{tensor.Full(0.5, 2048)}
+	for it := 0; it < 2; it++ {
+		if it == 1 {
+			g.stores[0].SetWindow(4)
+		}
+		ok := make(chan error, 1)
+		go func() { ok <- c.PushAndWait(grads, int64(it), it) }()
+		if err := within(t, ok, fmt.Sprintf("push %d's OK parked behind a partial window", it)); err != nil {
+			t.Fatal(err)
+		}
+		r := within(t, pullAsync(c), fmt.Sprintf("pull %d parked behind a partial window", it))
+		if r.err != nil || r.version != int64(it+1) {
+			t.Fatalf("pull %d returned version %d (%v), want %d", it, r.version, r.err, it+1)
+		}
+	}
+}
+
+// TestGroupBSPReleaseReadsEveryTicketedFragment: under BSP the coordinator
+// releases a round while data server 0 still holds one of the round's
+// fragments inside its optimizer step — an OK no longer waits for the apply
+// — and each released worker's next pull reads every fragment of the round,
+// bit-identical to the serial schedule.
+func TestGroupBSPReleaseReadsEveryTicketedFragment(t *testing.T) {
+	initial := seededModel(71)
+	g := startTestGroup(t, 2, 2, core.MustNewBSP(2), initial)
+	gate := gateStoreSteps(t, g.stores[0])
+	clients := make([]*ClusterClient, 2)
+	for w := range clients {
+		c, err := NewClusterClient(g.dial, g.coordAddr, w, ClusterClientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if _, _, err := c.Pull(); err != nil {
+			t.Fatal(err)
+		}
+		clients[w] = c
+	}
+	push := func(w int) <-chan error {
+		ch := make(chan error, 1)
+		go func() { ch <- clients[w].PushAndWait(scheduledGrads(w, 0), 0, 0) }()
+		return ch
+	}
+	// Worker 0's fragment is held in data server 0's step. Worker 1 pushes
+	// once data server 1 has applied worker 0's, so both servers apply the
+	// round in the serial order.
+	released0 := push(0)
+	within(t, gate.entered, "worker 0's fragment never reached the step")
+	deadline := time.Now().Add(5 * time.Second)
+	for g.stores[1].Version() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("data server 1 never applied worker 0's fragment")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	released1 := push(1)
+	for w, ch := range []<-chan error{released0, released1} {
+		if err := within(t, ch, fmt.Sprintf("worker %d not released while the step was held", w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := g.stores[0].Version(); v != 0 {
+		t.Fatalf("data server 0 at version %d while its first step is held", v)
+	}
+	replies := []<-chan pulled{pullAsync(clients[0]), pullAsync(clients[1])}
+	close(gate.resume)
+	want, _ := referenceRun(t, initial, g.globalShards, [][2]int{{0, 0}, {1, 0}})
+	for w, ch := range replies {
+		r := within(t, ch, fmt.Sprintf("worker %d's pull", w))
+		if r.err != nil || r.version != 2 {
+			t.Fatalf("worker %d pulled version %d (%v), want 2", w, r.version, r.err)
+		}
+		requireSameWeights(t, r.params, want)
+	}
+}
+
+// faultConn is a connection with one scripted fault: the first frame of type
+// failOn that Recv would return is dropped and the connection closed, as a
+// link dies with a reply in flight. pulls counts the Pull frames sent on
+// every faultConn of one test, by address.
+type faultConn struct {
+	transport.Conn
+	addr   string
+	failOn transport.MessageType
+	pulls  map[string]int
+	mu     *sync.Mutex
+}
+
+func (f *faultConn) Send(m transport.Message) error {
+	if m.Type == transport.MsgPull {
+		f.mu.Lock()
+		f.pulls[f.addr]++
+		f.mu.Unlock()
+	}
+	return f.Conn.Send(m)
+}
+
+func (f *faultConn) Recv() (transport.Message, error) {
+	m, err := f.Conn.Recv()
+	if err == nil && f.failOn != 0 && m.Type == f.failOn {
+		f.failOn = 0
+		m.Release()
+		f.Conn.Close()
+		return transport.Message{}, errors.New("scripted fault: link lost with a reply in flight")
+	}
+	return m, err
+}
+
+// faultDial wraps dial so that every connection counts its pulls in pulls,
+// and the first one to faulty fails its first Weights reply.
+func faultDial(dial func(string) (transport.Conn, error), faulty string) (func(string) (transport.Conn, error), map[string]int) {
+	var mu sync.Mutex
+	pulls := map[string]int{}
+	armed := true
+	return func(addr string) (transport.Conn, error) {
+		conn, err := dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		f := &faultConn{Conn: conn, addr: addr, pulls: pulls, mu: &mu}
+		mu.Lock()
+		if addr == faulty && armed {
+			f.failOn, armed = transport.MsgWeights, false
+		}
+		mu.Unlock()
+		return f, nil
+	}, pulls
+}
+
+// TestPipelinedPullRecoversOnlyTheFailedLink: a group worker sends both data
+// links' Pulls before it receives either reply. When the first link dies with
+// its reply in flight, the reply already on its way over the second link is
+// still received, and only the first link's range is pulled again, over its
+// replacement: the next push's OK is not mistaken for a Weights frame left
+// unread, and the weights are the right ones. On a one-link route the same
+// fault goes to the caller.
+func TestPipelinedPullRecoversOnlyTheFailedLink(t *testing.T) {
+	t.Run("group", func(t *testing.T) {
+		initial := seededModel(81)
+		g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
+		dial, pulls := faultDial(g.dial, g.dataAddrs[0])
+		c, err := Connect(Route{Dial: dial, Addr: g.coordAddr, Topology: Group}, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		params, version, err := c.Pull()
+		if err != nil {
+			t.Fatalf("pull across the failed link: %v", err)
+		}
+		requireSameWeights(t, params, initial)
+		if a, b := pulls[g.dataAddrs[0]], pulls[g.dataAddrs[1]]; a != 2 || b != 1 {
+			t.Fatalf("data servers got %d and %d Pulls, want 2 (the failed link, re-pulled) and 1", a, b)
+		}
+		if err := c.PushAndWait(scheduledGrads(0, 0), version, 0); err != nil {
+			t.Fatalf("push after the recovered pull: %v", err)
+		}
+		params, version, err = c.Pull()
+		if err != nil || version != 1 {
+			t.Fatalf("second pull: version %d (%v), want 1", version, err)
+		}
+		want, _ := referenceRun(t, initial, g.globalShards, [][2]int{{0, 0}})
+		requireSameWeights(t, params, want)
+	})
+	t.Run("flat", func(t *testing.T) {
+		st := testStore(t, 2048)
+		srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		l := transport.NewChanListener()
+		t.Cleanup(func() { l.Close() })
+		go func() { _ = srv.Serve(l) }()
+		dial, _ := faultDial(func(string) (transport.Conn, error) { return l.Dial() }, l.Addr())
+		c, err := Connect(Route{Dial: dial, Addr: l.Addr()}, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, _, err := c.Pull(); err == nil || !strings.Contains(err.Error(), "scripted fault") {
+			t.Fatalf("one-link pull across the fault returned %v, want the fault", err)
+		}
+	})
+}

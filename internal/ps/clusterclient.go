@@ -67,6 +67,14 @@ func (l *link) stop() error {
 	return l.client.conn.Close()
 }
 
+// linkReply is one link's part of a Pull: the tensors and version its reply
+// carried, or the error its request or reply met.
+type linkReply struct {
+	ts      []*tensor.Tensor
+	version int64
+	err     error
+}
+
 // ClusterClient is a worker's one client, on every route (DESIGN.md §6). It
 // holds a link per server the route resolves to; links[0] is the sync link,
 // the one whose push the synchronization policy gates. On a Group route
@@ -95,6 +103,7 @@ type ClusterClient struct {
 	total  int
 
 	assembled  []*tensor.Tensor
+	parts      []linkReply
 	hbInterval time.Duration
 	// retired are the clients of data links replaced since the last Pull:
 	// their connections are closed, but the tensors that Pull handed out may
@@ -294,11 +303,13 @@ func (c *ClusterClient) fragment(i int, ts []*tensor.Tensor) []*tensor.Tensor {
 // Pull assembles the global weights from the links that carry them and
 // returns them with the minimum version seen — the conservative base for
 // this iteration's staleness accounting, as a single server labels its reply
-// with the version read before any shard. The returned slice and tensors
-// follow Client.Pull's read-only contract — valid until the next Pull or
-// Close, a link replaced in between notwithstanding. A dead data-only link
-// recovers mid-pull; the pull against its replacement re-runs for that range
-// only (weights are idempotent reads).
+// with the version read before any shard. Every data link's request goes out
+// before any reply is read, so the data servers answer in parallel. The
+// returned slice and tensors follow Client.Pull's read-only contract — valid
+// until the next Pull or Close, a link replaced in between notwithstanding. A
+// dead data-only link recovers once the replies already in flight on the
+// other links are read, and the pull against its replacement re-runs for that
+// range only (weights are idempotent reads).
 func (c *ClusterClient) Pull() ([]*tensor.Tensor, int64, error) {
 	if c.metrics == nil {
 		return c.pull()
@@ -311,48 +322,56 @@ func (c *ClusterClient) Pull() ([]*tensor.Tensor, int64, error) {
 	return params, version, err
 }
 
-// pull implements Pull.
+// pull implements Pull. A failure on the sync link, the one link of a Flat or
+// Tree route, goes to the caller.
 func (c *ClusterClient) pull() ([]*tensor.Tensor, int64, error) {
 	c.releaseRetired()
+	if len(c.parts) != len(c.links) {
+		c.parts = make([]linkReply, len(c.links))
+	}
+	for i := c.firstData(); i < len(c.links); i++ {
+		c.parts[i] = linkReply{err: c.links[i].client.requestPull()}
+	}
+	for i := c.firstData(); i < len(c.links); i++ {
+		p := &c.parts[i]
+		if p.err == nil {
+			p.ts, p.version, p.err = c.links[i].client.receivePull()
+		}
+		if p.err != nil && i == 0 {
+			return nil, 0, p.err
+		}
+	}
 	out, version := c.assembled[:0], int64(-1)
 	for i := c.firstData(); i < len(c.links); i++ {
-		ts, v, err := c.linkPull(i)
-		if err != nil {
-			return nil, 0, err
+		p := &c.parts[i]
+		for p.err != nil {
+			if err := c.recover(i, p.err); err != nil {
+				return nil, 0, err
+			}
+			p.ts, p.version, p.err = c.links[i].client.Pull()
 		}
-		if e := c.links[i].entry; i > 0 && len(ts) != e.TensorHi-e.TensorLo {
+		if e := c.links[i].entry; i > 0 && len(p.ts) != e.TensorHi-e.TensorLo {
 			return nil, 0, fmt.Errorf("ps: data server %s returned %d tensors for range [%d, %d)",
-				e.Addr, len(ts), e.TensorLo, e.TensorHi)
+				e.Addr, len(p.ts), e.TensorLo, e.TensorHi)
 		}
-		out = append(out, ts...)
-		c.links[i].version = v
-		if version < 0 || v < version {
-			version = v
+		out = append(out, p.ts...)
+		c.links[i].version = p.version
+		if version < 0 || p.version < version {
+			version = p.version
 		}
+		*p = linkReply{}
 	}
 	c.assembled = out
 	return out, version, nil
 }
 
-// linkPull pulls link i, recovering it on failure unless it is the sync link.
-func (c *ClusterClient) linkPull(i int) ([]*tensor.Tensor, int64, error) {
-	for {
-		ts, v, err := c.links[i].client.Pull()
-		if err == nil || i == 0 {
-			return ts, v, err
-		}
-		if rerr := c.recover(i, err); rerr != nil {
-			return nil, 0, rerr
-		}
-	}
-}
-
 // PushAndWait pushes one global gradient and blocks until the paradigm
 // releases the worker. The fragments fan out to the data-only links first
 // (PushAsync on each, then one WaitOK each — an OK from a data server means
-// "fragment applied", so by the time the sync push goes out, this
-// iteration's bytes are visible group-wide; BSP's all-updates-visible
-// guarantee reduces to the single-server argument). The sync push, under
+// "fragment ticketed", and every later pull on that server waits for its
+// apply, so by the time the sync push goes out, this iteration's bytes are
+// in every pull that follows a release; BSP's all-updates-visible guarantee
+// reduces to the single-server argument). The sync push, under
 // baseVersion, is the one the synchronization policy gates: a metadata-only
 // ticket to a coordinator, the whole gradient on a one-link route.
 //

@@ -38,6 +38,49 @@ func (d *dialLog) take() string {
 	return out
 }
 
+// pullLog records the Pull frames a worker sends and the Weights frames it
+// receives, on every connection, in the order they happen.
+type pullLog struct {
+	mu     sync.Mutex
+	frames []string
+}
+
+func (l *pullLog) add(typ transport.MessageType) {
+	if typ == transport.MsgPull || typ == transport.MsgWeights {
+		l.mu.Lock()
+		l.frames = append(l.frames, typ.String())
+		l.mu.Unlock()
+	}
+}
+
+// take returns and clears the frames recorded so far.
+func (l *pullLog) take() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := strings.Join(l.frames, " ")
+	l.frames = nil
+	return out
+}
+
+// pullLogConn is a connection that records its Pull and Weights frames.
+type pullLogConn struct {
+	transport.Conn
+	log *pullLog
+}
+
+func (c *pullLogConn) Send(m transport.Message) error {
+	c.log.add(m.Type)
+	return c.Conn.Send(m)
+}
+
+func (c *pullLogConn) Recv() (transport.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil {
+		c.log.add(m.Type)
+	}
+	return m, err
+}
+
 // pushOnce drives one iteration through c: proof the client is registered.
 func pushOnce(t *testing.T, c WorkerClient, grads []*tensor.Tensor, it int) {
 	t.Helper()
@@ -235,25 +278,38 @@ func TestRetry(t *testing.T) {
 // a group, a fragment push and a pull per data server plus the coordinator's
 // ticket push. Every pull is answered with one Weights frame, though each
 // store runs two shards. A flat worker whose push prefetches sends no pull at
-// all: the Weights frame follows the OK unasked. Traffic counts each link
-// once too: one gradient's payload pushed and one model's pulled per
-// iteration, on every route.
+// all: the Weights frame follows the OK unasked. A group worker sends both
+// data servers' Pulls before it receives either Weights frame. Traffic counts
+// each link once too: one gradient's payload pushed and one model's pulled
+// per iteration, on every route.
 func TestConnectFramesPerIteration(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(2048)}
 	const iters = 4
 	for _, tc := range []struct {
 		name, topo string
 		prefetch   bool
-		// want is frames per iteration by direction and type.
-		want map[string]float64
+		// want is frames per iteration by direction and type; order is an
+		// iteration's Pull and Weights frames in the order the worker sent
+		// and received them.
+		want  map[string]float64
+		order string
 	}{
-		{"flat", "flat", false, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}},
-		{"flat, prefetching", "flat", true, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 0, "recv Weights": 1}},
-		{"tree", "tree", false, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}},
-		{"group", "group", false, map[string]float64{"sent Push": 3, "recv OK": 3, "sent Pull": 2, "recv Weights": 2}},
+		{"flat", "flat", false, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}, "Pull Weights"},
+		{"flat, prefetching", "flat", true, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 0, "recv Weights": 1}, "Weights"},
+		{"tree", "tree", false, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}, "Pull Weights"},
+		{"group", "group", false, map[string]float64{"sent Push": 3, "recv OK": 3, "sent Pull": 2, "recv Weights": 2}, "Pull Pull Weights Weights"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			top := startLeaseTopology(t, tc.topo, true, true, 1, initial)
+			seen := &pullLog{}
+			dial := top.route.Dial
+			top.route.Dial = func(addr string) (transport.Conn, error) {
+				conn, err := dial(addr)
+				if err != nil {
+					return nil, err
+				}
+				return &pullLogConn{Conn: conn, log: seen}, nil
+			}
 			c, err := Connect(top.route, false, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -284,7 +340,11 @@ func TestConnectFramesPerIteration(t *testing.T) {
 			before := top.workerReg.Snapshot()
 			pushed0, pulled0 := c.Traffic()
 			for it := 1; it <= iters; it++ {
+				seen.take()
 				iterate(it)
+				if got := seen.take(); got != tc.order {
+					t.Errorf("iteration %d's Pull and Weights frames went %q, want %q", it, got, tc.order)
+				}
 			}
 			after := top.workerReg.Snapshot()
 			if pushed, pulled := c.Traffic(); pushed-pushed0 != iters*payload || pulled-pulled0 != iters*payload {

@@ -205,7 +205,10 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := NewServer(ServerConfig{Workers: workers, Policy: core.MustNewASP(workers), Store: st})
+			// The data role acknowledges a fragment before applying it, so
+			// the push's lease outlives its OK (PROTOCOL.md §5b).
+			srv, err := NewServer(ServerConfig{Workers: workers, Policy: core.MustNewASP(workers), Store: st,
+				Cluster: ClusterConfig{Role: RoleData}})
 			if err != nil {
 				t.Fatal(err)
 			}

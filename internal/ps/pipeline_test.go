@@ -2,6 +2,7 @@ package ps
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,19 +26,35 @@ type stepGate struct {
 	steps   atomic.Int64
 }
 
-// gateSteps installs a stepGate as the package's step hook for the rest of
-// the test.
-func gateSteps(t *testing.T) *stepGate {
+// gateSteps installs a stepGate over every store as the package's step hook
+// for the rest of the test.
+func gateSteps(t *testing.T) *stepGate { return gateStoreSteps(t, nil) }
+
+// gateStoreSteps is gateSteps over st's shards alone (every store's when st
+// is nil): another store in the process steps freely.
+func gateStoreSteps(t *testing.T, st *Store) *stepGate {
 	g := &stepGate{entered: make(chan struct{}), resume: make(chan struct{})}
 	var once sync.Once
-	stepHook = func() {
+	stepHook = func(sh *shard) {
+		if st != nil && !slices.Contains(st.shards, sh) {
+			return
+		}
 		g.steps.Add(1)
 		once.Do(func() {
 			close(g.entered)
 			<-g.resume
 		})
 	}
-	t.Cleanup(func() { stepHook = nil })
+	t.Cleanup(func() {
+		stepHook = nil
+		// A test that failed with the step held must not leave its servers'
+		// Stop waiting on it.
+		select {
+		case <-g.resume:
+		default:
+			close(g.resume)
+		}
+	})
 	return g
 }
 

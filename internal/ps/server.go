@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -688,6 +689,17 @@ type releaseBatch struct {
 	// long the sequencer held the batch waiting on its apply gate); the zero
 	// value skips the observation.
 	queuedAt time.Time
+	// pull, on a data server, is a Pull the batch answers once its gate has
+	// passed (handlePull).
+	pull pendingPull
+}
+
+// pendingPull is one pull to answer: the session it came on, the version it
+// named (a replica's; 0 from a worker) and when it arrived.
+type pendingPull struct {
+	sess  *session
+	named int64
+	at    time.Time
 }
 
 // releaser is the release sequencer: it delivers queued release decisions in
@@ -712,6 +724,9 @@ func (s *Server) releaser() {
 			// connection's buffer free again.
 			b.pushed.Release()
 			s.sendReleases(b)
+			if b.pull.sess != nil {
+				s.answerPull(b.pull)
+			}
 			for t := b.ticket - b.tickets + 1; t <= b.ticket; t++ {
 				s.tracer.Released(t, time.Now())
 			}
@@ -769,11 +784,12 @@ func (s *Server) resolve(targets []releaseTarget, release []core.WorkerID, now t
 }
 
 // queueReleases hands a batch to the sequencer. Callers hold policyMu, which
-// is what keeps the queue in decision order and the gates monotone. A full
-// queue blocks the caller, never the sequencer; batches that would deliver
-// nothing are dropped at the door.
+// is what keeps the queue in decision order and the gates monotone; a pull's
+// batch needs no place in that order (handlePull). A full queue blocks the
+// caller, never the sequencer; batches that would deliver nothing are
+// dropped at the door.
 func (s *Server) queueReleases(b releaseBatch) {
-	if len(b.targets) == 0 && len(b.errs) == 0 && b.ticket == 0 {
+	if len(b.targets) == 0 && len(b.errs) == 0 && b.ticket == 0 && b.pull.sess == nil {
 		return
 	}
 	select {
@@ -785,8 +801,9 @@ func (s *Server) queueReleases(b releaseBatch) {
 // sendReleases delivers the batch's OK signals — the single implementation
 // of release delivery for push, join and leave decisions. A target whose push
 // asked for a prefetch gets, right behind its OK on the same session, the
-// reply its next Pull would get: handlePull's, built now, after the batch's
-// gate, so it holds every update the release accounted for. The batch's
+// reply its next Pull would get: answerPull's, built now, after the batch's
+// gate, so it holds every update the release accounted for (a data server's
+// early OKs, sent before the gate, never prefetch: handlePush). The batch's
 // error carve-out is honored: a pusher whose gradients the failed push lost
 // must not receive an OK that would let it train on as if they had landed
 // (the releaser sends it the error instead), nor weights. errs is at most
@@ -802,7 +819,7 @@ deliver:
 		if s.deliver(t, transport.Message{Type: transport.MsgOK, Worker: t.worker}) {
 			s.sm.releases.Inc()
 			if t.prefetch {
-				s.handlePull(t.sess, transport.Message{})
+				s.answerPull(pendingPull{sess: t.sess, at: time.Now()})
 			}
 		}
 	}
@@ -839,7 +856,8 @@ func (s *Server) deliver(t releaseTarget, msg transport.Message) bool {
 // tickets — the versions the pushes land at — and therefore matches the
 // serial path exactly. The release decision is queued to the sequencer gated
 // on everything reserved so far, so no released worker can outrun the
-// application of the updates its release depends on.
+// application of the updates its release depends on. A data server sends its
+// OKs at once instead, and makes its pulls wait (acksOnTicket).
 //
 // An entry whose slot no longer rides this session — the worker re-registered
 // elsewhere, or was evicted, while the payload was in flight — is void to the
@@ -1048,12 +1066,30 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 	if ticket > 0 {
 		batch.pushed = msg
 	}
+	// A data server's OK says the fragment holds its ticket, not that it is
+	// applied: its pulls wait for the applies instead (handlePull). The
+	// sequencer still ends the push's lease at the gate, and still sends a
+	// prefetching target its OK and weights.
+	var early releaseBatch
+	if s.acksOnTicket() && pushErr == nil && !slices.ContainsFunc(targets, func(t releaseTarget) bool { return t.prefetch }) {
+		early.targets, batch.targets = batch.targets, nil
+	}
 	s.queueReleases(batch)
 	s.policyMu.Unlock()
 	if ticket == 0 {
 		msg.Release()
 	}
 	s.sm.phasePolicy.Observe(time.Since(policyStart).Seconds())
+	s.sendReleases(early)
+}
+
+// acksOnTicket reports whether this server acknowledges a push once it holds
+// its ticket rather than once it is applied: a data server's, and a backup's
+// once promoted, PROTOCOL.md §5b. Every other server releases through the
+// sequencer, after the apply gate.
+func (s *Server) acksOnTicket() bool {
+	r := s.cfg.Cluster.Role
+	return r == RoleData || r == RoleBackup
 }
 
 // maybeCheckpoint writes a checkpoint when the applied version crosses the
@@ -1139,8 +1175,8 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 	}
 }
 
-// handlePull answers a pull — or, called by the release sequencer with an
-// empty req, a push's prefetch — with the current weights in one Weights frame:
+// handlePull answers a pull — as answerPull does a push's prefetch, called by
+// the release sequencer — with the current weights in one Weights frame:
 // every store shard's tensors, in global order, labelled with the store
 // version read before the first shard is, so no shard is older than the
 // label. Each shard's part references its copy-on-write snapshot — the
@@ -1168,21 +1204,39 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 // that is not newer, and a checkpoint is restored before serving), so the
 // sender's copy, which holds pushes 1..v on every shard, is still a correct
 // copy at v. Only a puller that named a version can get an Unchanged reply.
+//
+// A data server acknowledges a fragment before applying it (acksOnTicket), so
+// the sequencer answers its pulls: after a gate on every ticket reserved when
+// the pull arrived, demanded from a windowed store, and after the leases of
+// the pushes behind those tickets have ended. The pull needs no place in
+// decision order: its gate is all it waits for.
 func (s *Server) handlePull(sess *session, req transport.Message) {
-	worker := sess.worker
+	p := pendingPull{sess: sess, named: req.Version, at: time.Now()}
+	if !s.acksOnTicket() {
+		s.answerPull(p)
+		return
+	}
+	st := s.cfg.Store
+	gate := st.Reserved()
+	st.demandThrough(gate)
+	s.queueReleases(releaseBatch{gate: gate, pull: p})
+}
+
+// answerPull builds and queues the reply to p (handlePull).
+func (s *Server) answerPull(p pendingPull) {
+	sess, worker := p.sess, p.sess.worker
 	s.sm.pulls.Inc()
-	pullStart := time.Now()
-	defer func() { s.sm.pullSeconds.Observe(time.Since(pullStart).Seconds()) }()
+	defer func() { s.sm.pullSeconds.Observe(time.Since(p.at).Seconds()) }()
 	if s.guard != nil && sess.kind.holdsSlot() {
 		// Only slot holders are in the guard's per-slot clock accounting.
 		s.guard.observePull(worker)
 	}
 	st := s.cfg.Store
 	version := st.Version()
-	if req.Version != 0 && version == req.Version {
+	if p.named != 0 && version == p.named {
 		s.sm.pullUnchanged.Inc()
 		s.enqueueSession(sess, transport.Message{
-			Type: transport.MsgWeights, Worker: worker, Version: req.Version, Unchanged: true,
+			Type: transport.MsgWeights, Worker: worker, Version: p.named, Unchanged: true,
 		})
 		return
 	}

@@ -185,7 +185,7 @@ func (sh *shard) applyBatch(batch [][]tensor.Grad, weights []int64, m *storeMetr
 		m.cloneSeconds.Observe(time.Since(cloneStart).Seconds())
 	}
 	if stepHook != nil {
-		stepHook()
+		stepHook(sh)
 	}
 	sh.opt.StepFrom(next.params, cur.params, batch)
 	sh.gen = next
@@ -206,9 +206,9 @@ func (sh *shard) applyBatch(batch [][]tensor.Grad, weights []int64, m *storeMetr
 }
 
 // stepHook, when set, runs under the shard's write lock just before each
-// optimizer step; a variable so a test can hold an applier inside a step
-// while pushes queue behind it.
-var stepHook func()
+// optimizer step, given the shard; a variable so a test can hold an applier
+// inside a step while pushes queue behind it.
+var stepHook func(*shard)
 
 // tensors views a batch of float32 sources as gradient tensors shaped like
 // the shard's parameters, through headers reused across batches.

@@ -20,7 +20,7 @@ import (
 // Start validates the role, refusing by name every option set in cfg that
 // the role does not act on (Options.ForRole). It builds the role's store and,
 // for a data server or backup, its policy — a local ASP that releases every
-// fragment once applied, the paradigm running at the coordinator; a flat
+// fragment once ticketed, the paradigm running at the coordinator; a flat
 // server and a coordinator run cfg.Policy. A coordinator's store is a
 // one-scalar placeholder, so the version bookkeeping the paradigm gates on
 // exists without carrying any weights; a data server's or backup's is its

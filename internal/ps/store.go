@@ -208,14 +208,17 @@ func (s *Store) SetWindow(n int) {
 // reserved and wakes every shard. Callers that need the result visible
 // should WaitApplied on the ticket of interest afterwards; Flush itself does
 // not block.
-func (s *Store) Flush() {
-	r := s.reserved.Load()
-	if r <= s.version.Load() {
+func (s *Store) Flush() { s.demandThrough(s.reserved.Load()) }
+
+// demandThrough asks the appliers to publish through ticket: a partial
+// window holding it is stepped instead of waiting to fill. It does not block.
+func (s *Store) demandThrough(ticket int64) {
+	if ticket <= s.version.Load() {
 		return
 	}
 	for {
 		d := s.demand.Load()
-		if d >= r || s.demand.CompareAndSwap(d, r) {
+		if d >= ticket || s.demand.CompareAndSwap(d, ticket) {
 			break
 		}
 	}

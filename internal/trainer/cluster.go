@@ -226,9 +226,10 @@ func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*servin
 
 // buildCluster is the server-group topology: cfg.ClusterServers data servers
 // each own a contiguous shard range of the model behind local ASP policies
-// (a fragment's OK means "applied"), and one coordinator runs the real
-// paradigm policy over metadata-only pushes — the single serialization point
-// conf_icdcs_ZhaoALC19's staleness bounds are defined against. The data
+// (a fragment's OK means "ticketed", and a pull waits for the applies), and
+// one coordinator runs the real paradigm policy over metadata-only pushes —
+// the single serialization point conf_icdcs_ZhaoALC19's staleness bounds are
+// defined against. The data
 // servers announce themselves on the coordinator's parked stream, as
 // psserver's do. An in-process group refuses a checkpoint directory, which
 // its data servers would share.

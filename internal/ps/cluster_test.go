@@ -146,12 +146,12 @@ func (g *testGroup) announce(t *testing.T, typ transport.MessageType, entry tran
 // returned once the coordinator's map is complete.
 func startTestGroup(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor) *testGroup {
 	t.Helper()
-	return startTestGroupWith(t, workers, servers, policy, initial, clusterOpt)
+	return startTestGroupWith(t, workers, servers, policy, initial, clusterOpt, Options{})
 }
 
-// startTestGroupWith is startTestGroup with the data-server optimizer under
-// test control.
-func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor, mkOpt func() *optimizer.SGD) *testGroup {
+// startTestGroupWith is startTestGroup with the data servers' optimizer and
+// options under test control.
+func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor, mkOpt func() *optimizer.SGD, data Options) *testGroup {
 	t.Helper()
 	assignments, globalShards, err := groupLayout(tensorSizes(initial), 0, servers)
 	if err != nil {
@@ -176,7 +176,7 @@ func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, 
 	g.coord, g.coordAddr = start(ServerConfig{Workers: workers, Policy: policy,
 		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: servers}}, clusterOpt())
 	for i := 0; i < servers; i++ {
-		srv, addr := start(ServerConfig{Workers: workers,
+		srv, addr := start(ServerConfig{Workers: workers, Options: data,
 			Cluster: ClusterConfig{Role: RoleData, Coordinator: g.coordAddr, Servers: servers, Index: i}}, mkOpt())
 		g.data = append(g.data, srv)
 		g.dataAddrs = append(g.dataAddrs, addr)
@@ -777,7 +777,7 @@ func TestClusterBSPBitIdenticalWithConcurrentWorkers(t *testing.T) {
 	const workers, iters, servers = 3, 5, 2
 	mkSGD := func() *optimizer.SGD { return optimizer.NewSGD(0.1) }
 	initial := seededModel(52)
-	g := startTestGroupWith(t, workers, servers, core.MustNewBSP(workers), initial, mkSGD)
+	g := startTestGroupWith(t, workers, servers, core.MustNewBSP(workers), initial, mkSGD, Options{})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -1078,30 +1078,113 @@ func TestDataServerOKPrecedesApplyAndPullWaitsForIt(t *testing.T) {
 	requireSameWeights(t, r.params, want)
 }
 
-// TestDataServerPullDemandsAWindowedApply: a data server whose store
-// aggregates windows of four pushes still answers a Pull that follows a lone
-// fragment's OK, because the pull demands the tickets it waits for. The
-// window is raised after the appliers started without a watchdog, so nothing
-// else would ever publish the partial window.
-func TestDataServerPullDemandsAWindowedApply(t *testing.T) {
+// TestDataServerWindowedPullIsAnswered: a data server whose median
+// aggregator windows all four workers' fragments still answers a Pull that
+// follows a lone fragment's OK. The pull does not force the partial window
+// open; the store's watchdog publishes it, as it bounds every partial window,
+// and the reply holds the fragment. Receive buffers are poisoned on release,
+// so a push lease ended by the early OK instead of at the apply gate would be
+// stepped as NaN.
+func TestDataServerWindowedPullIsAnswered(t *testing.T) {
+	poisonReleasedBodies(t)
 	initial := []*tensor.Tensor{tensor.Full(1, 2048)}
-	g := startTestGroup(t, 1, 1, core.MustNewASP(1), initial)
+	g := startTestGroupWith(t, 4, 1, core.MustNewASP(4), initial, clusterOpt,
+		Options{Aggregator: AggregatorConfig{Kind: AggMedian}})
+	if w := g.stores[0].Window(); w != 4 {
+		t.Fatalf("data server's aggregation window is %d, want 4", w)
+	}
 	c := dataServerClient(t, g, 0, 0)
 	grads := []*tensor.Tensor{tensor.Full(0.5, 2048)}
-	for it := 0; it < 2; it++ {
-		if it == 1 {
-			g.stores[0].SetWindow(4)
-		}
-		ok := make(chan error, 1)
-		go func() { ok <- c.PushAndWait(grads, int64(it), it) }()
-		if err := within(t, ok, fmt.Sprintf("push %d's OK parked behind a partial window", it)); err != nil {
+	if err := c.PushAndWait(grads, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	r := within(t, pullAsync(c), "pull parked behind a partial window")
+	if r.err != nil || r.version != 1 {
+		t.Fatalf("pull returned version %d (%v), want 1", r.version, r.err)
+	}
+	ref, err := NewStoreSharded(initial, clusterOpt(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if _, err := ref.Apply(grads); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ref.Snapshot()
+	requireSameWeights(t, r.params, want)
+}
+
+// TestGroupWindowedAggregatorOutvotesAnEarlyPuller: under an ASP coordinator,
+// data servers whose median aggregator windows all three workers' fragments.
+// The attacker pushes first and pulls as soon as it is released, while its
+// fragment is still alone in the window. The pull waits for the window to
+// fill rather than stepping the attacker's fragment alone, so every data
+// server takes one step over all three fragments, and the weights the
+// attacker reads are the ones the honest majority voted for. The watchdog is
+// slowed so that only a full window publishes.
+func TestGroupWindowedAggregatorOutvotesAnEarlyPuller(t *testing.T) {
+	tick := watchdogTick
+	watchdogTick = time.Hour
+	t.Cleanup(func() { watchdogTick = tick })
+	const workers = 3
+	initial := seededModel(91)
+	agg := AggregatorConfig{Kind: AggMedian}
+	g := startTestGroupWith(t, workers, 2, core.MustNewASP(workers), initial, clusterOpt, Options{Aggregator: agg})
+	clients := make([]*ClusterClient, workers)
+	for w := range clients {
+		c, err := NewClusterClient(g.dial, g.coordAddr, w, ClusterClientConfig{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		r := within(t, pullAsync(c), fmt.Sprintf("pull %d parked behind a partial window", it))
-		if r.err != nil || r.version != int64(it+1) {
-			t.Fatalf("pull %d returned version %d (%v), want %d", it, r.version, r.err, it+1)
+		t.Cleanup(func() { c.Close() })
+		if _, _, err := c.Pull(); err != nil {
+			t.Fatal(err)
+		}
+		clients[w] = c
+	}
+	attack := scheduledGrads(0, 0)
+	for _, p := range attack {
+		p.Scale(1e6)
+	}
+	grads := [][]*tensor.Tensor{attack, scheduledGrads(1, 0), scheduledGrads(2, 0)}
+
+	if err := clients[0].PushAndWait(grads[0], 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	reply := pullAsync(clients[0])
+	select {
+	case r := <-reply:
+		t.Fatalf("the attacker's pull was answered at version %d with its fragment alone in the window", r.version)
+	case <-time.After(20 * time.Millisecond):
+	}
+	for w := 1; w < workers; w++ {
+		if err := clients[w].PushAndWait(grads[w], 0, 0); err != nil {
+			t.Fatal(err)
 		}
 	}
+	r := within(t, reply, "the attacker's pull after the window filled")
+	if r.err != nil || r.version != workers {
+		t.Fatalf("the attacker pulled version %d (%v), want %d", r.version, r.err, workers)
+	}
+
+	ref, err := NewStoreSharded(initial, clusterOpt(), g.globalShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.SetAggregator(agg, workers); err != nil {
+		t.Fatal(err)
+	}
+	for _, gr := range grads {
+		if _, err := ref.EnqueueApply(gr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !ref.WaitApplied(workers, timeoutChan(t)) {
+		t.Fatal("the reference store never stepped its window")
+	}
+	want, _ := ref.Snapshot()
+	requireSameWeights(t, r.params, want)
 }
 
 // TestGroupBSPReleaseReadsEveryTicketedFragment: under BSP the coordinator

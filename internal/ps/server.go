@@ -1207,19 +1207,18 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 //
 // A data server acknowledges a fragment before applying it (acksOnTicket), so
 // the sequencer answers its pulls: after a gate on every ticket reserved when
-// the pull arrived, demanded from a windowed store, and after the leases of
-// the pushes behind those tickets have ended. The pull needs no place in
-// decision order: its gate is all it waits for.
+// the pull arrived, and after the leases of the pushes behind those tickets
+// have ended. The pull needs no place in decision order: its gate is all it
+// waits for. It does not force a partial aggregation window open: a robust
+// window is sized to the whole cohort so that its honest majority out-votes
+// an attacker, and the window fills or the store's watchdog publishes it.
 func (s *Server) handlePull(sess *session, req transport.Message) {
 	p := pendingPull{sess: sess, named: req.Version, at: time.Now()}
 	if !s.acksOnTicket() {
 		s.answerPull(p)
 		return
 	}
-	st := s.cfg.Store
-	gate := st.Reserved()
-	st.demandThrough(gate)
-	s.queueReleases(releaseBatch{gate: gate, pull: p})
+	s.queueReleases(releaseBatch{gate: s.cfg.Store.Reserved(), pull: p})
 }
 
 // answerPull builds and queues the reply to p (handlePull).

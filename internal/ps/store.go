@@ -208,17 +208,14 @@ func (s *Store) SetWindow(n int) {
 // reserved and wakes every shard. Callers that need the result visible
 // should WaitApplied on the ticket of interest afterwards; Flush itself does
 // not block.
-func (s *Store) Flush() { s.demandThrough(s.reserved.Load()) }
-
-// demandThrough asks the appliers to publish through ticket: a partial
-// window holding it is stepped instead of waiting to fill. It does not block.
-func (s *Store) demandThrough(ticket int64) {
-	if ticket <= s.version.Load() {
+func (s *Store) Flush() {
+	r := s.reserved.Load()
+	if r <= s.version.Load() {
 		return
 	}
 	for {
 		d := s.demand.Load()
-		if d >= ticket || s.demand.CompareAndSwap(d, ticket) {
+		if d >= r || s.demand.CompareAndSwap(d, r) {
 			break
 		}
 	}
@@ -381,7 +378,7 @@ func (s *Store) startAppliers() {
 // ticks; steady-state full windows never wait for it.
 func (s *Store) watchdog(stop <-chan struct{}) {
 	defer s.applierWG.Done()
-	ticker := time.NewTicker(DefaultFlushInterval)
+	ticker := time.NewTicker(watchdogTick)
 	defer ticker.Stop()
 	last := int64(-1)
 	for {
@@ -397,6 +394,10 @@ func (s *Store) watchdog(stop <-chan struct{}) {
 		}
 	}
 }
+
+// watchdogTick is the watchdog's tick, DefaultFlushInterval; a variable so a
+// test can keep the watchdog from publishing a partial window.
+var watchdogTick = DefaultFlushInterval
 
 // applier is one shard's persistent apply loop: it drains the shard's queue
 // in batches — coalescing everything waiting into one optimizer step — and

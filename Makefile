@@ -259,8 +259,9 @@ loc:
 # types in non-test Go outside bench/; flag definitions per cmd/ (on the flag
 # package or a FlagSet, the Var and Func forms too, one per line); exported
 # fields of every struct named *Config or *Options (each an option under the
-# simplicity-review guide), per type. Line-based like loc: a declaration
-# inside a `type (...)` group or split over lines is not seen; there are none.
+# simplicity-review guide), per type; and DESIGN.md's line count, the design
+# doc being a budget too. Line-based like loc: a declaration inside a
+# `type (...)` group or split over lines is not seen; there are none.
 surface:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 \
 		| xargs -0 cat | grep -cE '^(func (\([^)]*\) )?[A-Z]|type [A-Z])' \
@@ -275,10 +276,12 @@ surface:
 		name != "" && /^}/ { printf "fields %-40s %d\n", name, n; total += n; name = ""; n = 0; next } \
 		name != "" && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*( |$$)/) { n += split(substr($$0, RSTART, RLENGTH), parts, ",") } \
 		END { printf "fields %-40s %d\n", "total", total }'
+	@printf 'lines  %-40s %s\n' DESIGN.md "$$(wc -l < DESIGN.md)"
 
 # The surface as a gate: make surface must print exactly the committed
-# SURFACE.txt, so a change that adds or removes a name, a flag or an option
-# shows it in its own diff. Refresh with make surface > SURFACE.txt.
+# SURFACE.txt, so a change that adds or removes a name, a flag or an option,
+# or grows or shrinks DESIGN.md, shows it in its own diff. Refresh with
+# make surface > SURFACE.txt.
 surface-check:
 	@$(MAKE) -s --no-print-directory surface | diff -u SURFACE.txt -
 

@@ -274,7 +274,7 @@ func BenchmarkDeltaPull(b *testing.B) {
 				b.Fatal(err)
 			}
 			client := newClient(conn, 0)
-			client.SetReplica(replica)
+			client.replica = replica
 			if err := client.Register(); err != nil {
 				b.Fatal(err)
 			}

@@ -70,10 +70,12 @@ type Client struct {
 	// are dropped at registration.
 	reply        []*tensor.Tensor
 	replyVersion int64
-	// prefetched says the last push asked for the next weights and was
-	// released: its Weights reply follows the OK, and the next Pull sends no
-	// request, only receives it. Dropped at registration.
-	prefetched bool
+	// offered says the server's Registered reply offered Prefetch on this
+	// session (transport.Message.Prefetch). prefetched says the last push
+	// asked for the next weights and was released: its Weights reply follows
+	// the OK, and the next Pull sends no request, only receives it. Dropped
+	// at registration.
+	offered, prefetched bool
 }
 
 // NewClientCompressed wraps a connection for the given worker ID with an
@@ -93,23 +95,6 @@ func NewClientCompressed(conn transport.Conn, worker int, cfg compress.Config) (
 // the negotiated one after.
 func (c *Client) Codec() string { return c.cfg.Codec }
 
-// ServerShards returns the server's parameter-store shard count as reported
-// at registration (0 before Register).
-func (c *Client) ServerShards() int { return c.serverShards }
-
-// SetCluster marks the registration as cluster-mode (PROTOCOL.md §6): a
-// coordinator only admits workers that set it, because a classic worker
-// would unknowingly train against the coordinator's placeholder store. Call
-// before Register. Plain servers ignore the flag.
-func (c *Client) SetCluster(enabled bool) { c.cluster = enabled }
-
-// SetReplica marks the registration as a read-only replica session — the
-// primary→backup replication stream. The server assigns a private negative
-// session key outside the worker range, keeps the session out of policy and
-// completion accounting, and rejects pushes from it. A replica's Pull names
-// the version it already holds (see Pull). Call before Register.
-func (c *Client) SetReplica(enabled bool) { c.replica = enabled }
-
 // Traffic returns the payload bytes this client pushed and pulled so far, in
 // the units of pushedBytes: the same formula on every carrier, frame overhead
 // excluded (the transport meters count whole frames, exactly).
@@ -123,20 +108,20 @@ func (c *Client) Register() error {
 	return c.register(transport.MsgRegister, 0)
 }
 
-// Rejoin re-registers a worker that previously crashed or lost its
+// rejoin re-registers a worker that previously crashed or lost its
 // connection, carrying the last store version it saw. The server re-enters
 // the worker into synchronization accounting (Policy.OnJoin) and replies
 // like a registration; training resumes with the next Pull.
-func (c *Client) Rejoin(lastVersion int64) error {
+func (c *Client) rejoin(lastVersion int64) error {
 	return c.register(transport.MsgRejoin, lastVersion)
 }
 
-// register implements Register and Rejoin.
+// register implements Register and rejoin.
 func (c *Client) register(msgType transport.MessageType, lastVersion int64) error {
 	// Any registration talks to a fresh server-side session — possibly a
 	// restarted server with different weights at the same version — so the
 	// reply a replica would name is forgotten.
-	c.reply, c.replyVersion, c.prefetched = nil, 0, false
+	c.reply, c.replyVersion, c.offered, c.prefetched = nil, 0, false, false
 	err := c.conn.Send(transport.Message{
 		Type:      msgType,
 		Worker:    c.worker,
@@ -174,7 +159,7 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 			return fmt.Errorf("ps: worker %d: %w", c.worker, err)
 		}
 	}
-	c.serverShards = msg.StoreShards
+	c.serverShards, c.offered = msg.StoreShards, msg.Prefetch
 	return nil
 }
 
@@ -182,13 +167,13 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 // frame carrying every tensor, labelled with a store version no part of it
 // is older than.
 //
-// A replica (SetReplica) sends the version of the last reply it holds; while
+// A replica (OpenReplica) sends the version of the last reply it holds; while
 // the store is still at that version the server answers with one
 // payload-free Unchanged frame, and Pull returns the previous reply's tensors
 // and version again, so a pull when nothing moved transfers nothing. A worker
 // sends no version and always gets the full reply. After a push that asked
-// for a prefetch (ClusterClient.PushAndPrefetch) the reply is already on its
-// way behind the push's OK: Pull sends nothing and only receives it.
+// for a prefetch (pushAndWait) the reply is already on its way behind the
+// push's OK: Pull sends nothing and only receives it.
 //
 // The returned slice is reused by the next Pull, and the tensors are on
 // lease until then: a dense reply's tensors alias the receive buffer it
@@ -314,28 +299,28 @@ func (c *Client) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteratio
 	return c.pushAndWait(grads, baseVersion, iteration, false)
 }
 
-// pushAndWait is PushAndWait whose push, with prefetch set, asks for the next
-// weights behind the OK (transport.Message.Prefetch): the next Pull only
-// receives them. Set it only on a link the next Pull goes to — a coordinator
-// would send its placeholder weights — which ClusterClient does on a Flat
-// route alone.
-func (c *Client) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int, prefetch bool) error {
+// pushAndWait is PushAndWait for a worker whose next call is Pull when next
+// is set. If registration offered Prefetch, the push then asks for the next
+// weights behind the OK (transport.Message.Prefetch), and that Pull only
+// receives them.
+func (c *Client) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int, next bool) error {
+	prefetch := next && c.offered
 	if err := c.push(grads, baseVersion, iteration, nil, prefetch); err != nil {
 		return err
 	}
-	if err := c.WaitOK(); err != nil {
+	if err := c.waitOK(); err != nil {
 		return err
 	}
 	c.prefetched = prefetch
 	return nil
 }
 
-// PushAsync sends the worker's gradients without waiting for the release.
+// pushAsync sends the worker's gradients without waiting for the release.
 // It exists for a ClusterClient, which fans a fragment out to every data
-// server before collecting the OKs (WaitOK, once per PushAsync, in order):
+// server before collecting the OKs (waitOK, once per pushAsync, in order):
 // the fragments travel in parallel while each link stays lock-step. A nil
 // or empty grads sends a metadata-only push (the coordinator's ticket).
-func (c *Client) PushAsync(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
+func (c *Client) pushAsync(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
 	return c.push(grads, baseVersion, iteration, nil, false)
 }
 
@@ -479,9 +464,9 @@ func (s *pushSlot) end() {
 	*s = pushSlot{tried: true}
 }
 
-// WaitOK blocks until the server releases the worker's outstanding push.
-// Exactly one WaitOK must follow every PushAsync.
-func (c *Client) WaitOK() error {
+// waitOK blocks until the server releases the worker's outstanding push.
+// Exactly one waitOK must follow every pushAsync.
+func (c *Client) waitOK() error {
 	reply, err := c.recv()
 	if err != nil {
 		return err

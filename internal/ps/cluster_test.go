@@ -533,7 +533,7 @@ func TestCoordinatorRejectsClassicWorkers(t *testing.T) {
 	}
 	defer conn2.Close()
 	clustered := newClient(conn2, 0)
-	clustered.SetCluster(true)
+	clustered.cluster = true
 	if err := clustered.Register(); err != nil {
 		t.Fatalf("cluster-mode registration rejected: %v", err)
 	}
@@ -573,7 +573,7 @@ func TestReplicaSessionIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	replica := newClient(conn, 0)
-	replica.SetReplica(true)
+	replica.replica = true
 	if err := replica.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -1043,12 +1043,12 @@ func TestDataServerOKPrecedesApplyAndPullWaitsForIt(t *testing.T) {
 	c := dataServerClient(t, g, 0, 0)
 	grads := []*tensor.Tensor{tensor.Full(0.5, 2048)}
 
-	if err := c.PushAsync(grads, 0, 0); err != nil {
+	if err := c.pushAsync(grads, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	within(t, gate.entered, "the fragment's step never began")
 	ok := make(chan error, 1)
-	go func() { ok <- c.WaitOK() }()
+	go func() { ok <- c.waitOK() }()
 	if err := within(t, ok, "no OK while the step is held"); err != nil {
 		t.Fatal(err)
 	}
@@ -1324,7 +1324,7 @@ func TestPipelinedPullRecoversOnlyTheFailedLink(t *testing.T) {
 		if a, b := pulls[g.dataAddrs[0]], pulls[g.dataAddrs[1]]; a != 2 || b != 1 {
 			t.Fatalf("data servers got %d and %d Pulls, want 2 (the failed link, re-pulled) and 1", a, b)
 		}
-		if err := c.PushAndWait(scheduledGrads(0, 0), version, 0); err != nil {
+		if err := c.Push(scheduledGrads(0, 0), version, 0, false); err != nil {
 			t.Fatalf("push after the recovered pull: %v", err)
 		}
 		params, version, err = c.Pull()

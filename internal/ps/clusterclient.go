@@ -228,9 +228,9 @@ func (c *ClusterClient) openLink(e transport.ServerEntry, cfg compress.Config, r
 		conn.Close()
 		return nil, err
 	}
-	client.SetCluster(c.route.Topology == Group)
+	client.cluster = c.route.Topology == Group
 	if rejoin {
-		err = client.Rejoin(lastVersion)
+		err = client.rejoin(lastVersion)
 	} else {
 		err = client.Register()
 	}
@@ -365,9 +365,9 @@ func (c *ClusterClient) pull() ([]*tensor.Tensor, int64, error) {
 	return out, version, nil
 }
 
-// PushAndWait pushes one global gradient and blocks until the paradigm
-// releases the worker. The fragments fan out to the data-only links first
-// (PushAsync on each, then one WaitOK each — an OK from a data server means
+// Push pushes one global gradient and blocks until the paradigm releases
+// the worker. The fragments fan out to the data-only links first
+// (pushAsync on each, then one waitOK each — an OK from a data server means
 // "fragment ticketed", and every later pull on that server waits for its
 // apply, so by the time the sync push goes out, this iteration's bytes are
 // in every pull that follows a release; BSP's all-updates-visible guarantee
@@ -375,29 +375,21 @@ func (c *ClusterClient) pull() ([]*tensor.Tensor, int64, error) {
 // baseVersion, is the one the synchronization policy gates: a metadata-only
 // ticket to a coordinator, the whole gradient on a one-link route.
 //
+// next says the worker's next call is Pull. Where the sync link's server
+// offered Prefetch at registration — a worker's own session on a flat server
+// — the push then asks for the next weights behind its OK, and that Pull
+// sends nothing and only receives them: one round trip an iteration instead
+// of two. Every other server offers none, and next changes nothing.
+//
 // A data-link failure recovers and re-sends that fragment; a fragment whose
 // OK was lost in the crash may therefore apply twice, the same at-least-once
 // semantics a rejoin has. A sync-link failure goes to the caller.
-func (c *ClusterClient) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
-	return c.timedPush(grads, baseVersion, iteration, false)
-}
-
-// PushAndPrefetch is PushAndWait for a worker whose next call is Pull. On a
-// Flat route the push asks the server for the next weights behind its OK
-// (transport.Message.Prefetch), and that Pull sends nothing and only
-// receives them: one round trip an iteration instead of two. On Group and
-// Tree routes it is PushAndWait.
-func (c *ClusterClient) PushAndPrefetch(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
-	return c.timedPush(grads, baseVersion, iteration, c.route.Topology == Flat)
-}
-
-// timedPush is pushAndWait, timed when the route has a registry.
-func (c *ClusterClient) timedPush(grads []*tensor.Tensor, baseVersion int64, iteration int, prefetch bool) error {
+func (c *ClusterClient) Push(grads []*tensor.Tensor, baseVersion int64, iteration int, next bool) error {
 	if c.metrics == nil {
-		return c.pushAndWait(grads, baseVersion, iteration, prefetch)
+		return c.push(grads, baseVersion, iteration, next)
 	}
 	start := time.Now()
-	err := c.pushAndWait(grads, baseVersion, iteration, prefetch)
+	err := c.push(grads, baseVersion, iteration, next)
 	if err == nil {
 		c.metrics.pushRTTSeconds.Observe(time.Since(start).Seconds())
 		c.metrics.iterations.Inc()
@@ -405,21 +397,25 @@ func (c *ClusterClient) timedPush(grads []*tensor.Tensor, baseVersion int64, ite
 	return err
 }
 
-// pushAndWait implements PushAndWait and PushAndPrefetch, whose prefetch
-// rides the sync link's push.
-func (c *ClusterClient) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int, prefetch bool) error {
+// PushAndWait is Push with next unset.
+func (c *ClusterClient) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
+	return c.Push(grads, baseVersion, iteration, false)
+}
+
+// push implements Push.
+func (c *ClusterClient) push(grads []*tensor.Tensor, baseVersion int64, iteration int, next bool) error {
 	if len(c.links) > 1 && len(grads) != c.total {
 		return fmt.Errorf("ps: cluster push carries %d tensors, model has %d", len(grads), c.total)
 	}
 	var failed []int
 	for i := 1; i < len(c.links); i++ {
 		l := c.links[i]
-		if l.client.PushAsync(c.fragment(i, grads), l.version, iteration) != nil {
+		if l.client.pushAsync(c.fragment(i, grads), l.version, iteration) != nil {
 			failed = append(failed, i)
 		}
 	}
 	for i := 1; i < len(c.links); i++ {
-		if !slices.Contains(failed, i) && c.links[i].client.WaitOK() != nil {
+		if !slices.Contains(failed, i) && c.links[i].client.waitOK() != nil {
 			failed = append(failed, i)
 		}
 	}
@@ -428,7 +424,7 @@ func (c *ClusterClient) pushAndWait(grads []*tensor.Tensor, baseVersion int64, i
 			return err
 		}
 	}
-	return c.links[0].client.pushAndWait(c.fragment(0, grads), baseVersion, iteration, prefetch)
+	return c.links[0].client.pushAndWait(c.fragment(0, grads), baseVersion, iteration, next)
 }
 
 // retryFragment recovers link i and re-sends its fragment until it lands.
@@ -439,8 +435,8 @@ func (c *ClusterClient) retryFragment(i int, grads []*tensor.Tensor, iteration i
 			return rerr
 		}
 		l := c.links[i]
-		if err = l.client.PushAsync(c.fragment(i, grads), l.version, iteration); err == nil {
-			err = l.client.WaitOK()
+		if err = l.client.pushAsync(c.fragment(i, grads), l.version, iteration); err == nil {
+			err = l.client.waitOK()
 		}
 		if err == nil {
 			return nil

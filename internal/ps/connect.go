@@ -20,10 +20,10 @@ type WorkerClient interface {
 	// PushSlot returns tensors shaped like grads that the next push is sent
 	// from without a copy, or nil (ClusterClient.PushSlot).
 	PushSlot(grads []*tensor.Tensor) []*tensor.Tensor
-	PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error
-	// PushAndPrefetch is PushAndWait for a loop whose next call is Pull,
-	// which it may make cheaper (ClusterClient.PushAndPrefetch).
-	PushAndPrefetch(grads []*tensor.Tensor, baseVersion int64, iteration int) error
+	// Push pushes a gradient and waits for the release; next says the
+	// loop's next call is Pull, which the push may bring along
+	// (ClusterClient.Push).
+	Push(grads []*tensor.Tensor, baseVersion int64, iteration int, next bool) error
 	Done() error
 	Close() error
 	Traffic() (pushed, pulled int64)
@@ -131,7 +131,7 @@ func (r Route) open(rejoin bool, lastVersion int64) (*ClusterClient, error) {
 		c.links = append(c.links, l)
 	}
 	if len(m.Servers) == 0 {
-		c.shards = c.links[0].client.ServerShards()
+		c.shards = c.links[0].client.serverShards
 	}
 	if err := r.checkShards(c.shards); err != nil {
 		c.Close()
@@ -186,7 +186,7 @@ func (r Route) checkShards(got int) error {
 func OpenReplica(conn transport.Conn) (*Client, error) {
 	c, err := NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
 	if err == nil {
-		c.SetReplica(true)
+		c.replica = true
 		err = c.Register()
 	}
 	if err != nil {

@@ -88,7 +88,7 @@ func pushOnce(t *testing.T, c WorkerClient, grads []*tensor.Tensor, it int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PushAndWait(grads, v, it); err != nil {
+	if err := c.Push(grads, v, it, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -277,30 +277,41 @@ func TestRetry(t *testing.T) {
 // flat server and through a relay, one push and one pull on the one link; on
 // a group, a fragment push and a pull per data server plus the coordinator's
 // ticket push. Every pull is answered with one Weights frame, though each
-// store runs two shards. A flat worker whose push prefetches sends no pull at
-// all: the Weights frame follows the OK unasked. A group worker sends both
-// data servers' Pulls before it receives either Weights frame. Traffic counts
-// each link once too: one gradient's payload pushed and one model's pulled
-// per iteration, on every route.
+// store runs two shards. Every row but plain flat pushes with next set, and
+// only a flat server's own session takes the offer: its worker sends no pull
+// at all, the Weights frame following the OK unasked. A relay — reached by a
+// tree route or by a flat one — and a group offer none. A group worker sends
+// both data servers' Pulls before it receives either Weights frame. Traffic
+// counts each link once too: one gradient's payload pushed and one model's
+// pulled per iteration, on every route.
 func TestConnectFramesPerIteration(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(96, 64), tensor.New(33), tensor.New(40, 30), tensor.New(2048)}
 	const iters = 4
+	twoTrips := map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}
 	for _, tc := range []struct {
 		name, topo string
-		prefetch   bool
+		// next is the pushes' WorkerClient.Push argument.
+		next bool
 		// want is frames per iteration by direction and type; order is an
 		// iteration's Pull and Weights frames in the order the worker sent
 		// and received them.
 		want  map[string]float64
 		order string
 	}{
-		{"flat", "flat", false, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}, "Pull Weights"},
+		{"flat", "flat", false, twoTrips, "Pull Weights"},
 		{"flat, prefetching", "flat", true, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 0, "recv Weights": 1}, "Weights"},
-		{"tree", "tree", false, map[string]float64{"sent Push": 1, "recv OK": 1, "sent Pull": 1, "recv Weights": 1}, "Pull Weights"},
-		{"group", "group", false, map[string]float64{"sent Push": 3, "recv OK": 3, "sent Pull": 2, "recv Weights": 2}, "Pull Pull Weights Weights"},
+		{"tree", "tree", true, twoTrips, "Pull Weights"},
+		{"flat route at a relay", "relay", true, twoTrips, "Pull Weights"},
+		{"group", "group", true, map[string]float64{"sent Push": 3, "recv OK": 3, "sent Pull": 2, "recv Weights": 2}, "Pull Pull Weights Weights"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			top := startLeaseTopology(t, tc.topo, true, true, 1, initial)
+			var top leaseTopology
+			if tc.topo == "relay" {
+				top = startLeaseTopology(t, "tree", true, true, 1, initial)
+				top.route.Topology, top.route.Addr = Flat, "relay"
+			} else {
+				top = startLeaseTopology(t, tc.topo, true, true, 1, initial)
+			}
 			seen := &pullLog{}
 			dial := top.route.Dial
 			top.route.Dial = func(addr string) (transport.Conn, error) {
@@ -322,13 +333,9 @@ func TestConnectFramesPerIteration(t *testing.T) {
 				payload += int64(4*p.Size() + 4*p.Dims() + 8)
 			}
 			iterate := func(it int) {
-				if !tc.prefetch {
-					pushOnce(t, c, grads, it)
-					return
-				}
 				_, v, err := c.Pull()
 				if err == nil {
-					err = c.PushAndPrefetch(grads, v, it)
+					err = c.Push(grads, v, it, tc.next)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -385,7 +385,7 @@ func TestDeltaPullSurvivesRejoin(t *testing.T) {
 	if n := pulled(); n != 0 {
 		t.Fatalf("gated pull moved %d bytes", n)
 	}
-	if err := g.replica.Rejoin(g.st.Version()); err != nil {
+	if err := g.replica.rejoin(g.st.Version()); err != nil {
 		t.Fatal(err)
 	}
 	if pulled() == 0 {

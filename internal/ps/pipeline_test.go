@@ -700,7 +700,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 				t.Fatal(err)
 			}
 			rejoined := newClient(conn, 0)
-			if err := rejoined.Rejoin(st.Version()); err != nil {
+			if err := rejoined.rejoin(st.Version()); err != nil {
 				t.Fatal(err)
 			}
 

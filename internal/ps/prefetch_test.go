@@ -55,7 +55,7 @@ func TestPrefetchDiesWithItsTenure(t *testing.T) {
 	}
 	waitFor(t, "the server never processed the leave", func() bool { return srv.Departures() >= 1 })
 	rejoined := direct(0)
-	if err := rejoined.Rejoin(st.Version()); err != nil {
+	if err := rejoined.rejoin(st.Version()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,75 +81,96 @@ func TestPrefetchDiesWithItsTenure(t *testing.T) {
 	}
 }
 
-// TestTrunkPrefetchIsIgnored: a relay trunk's partial asking for a prefetch
-// is answered with the OK of each entry and nothing else — a trunk's pulls go
-// through its relay's replica session, and a Weights frame on the trunk would
-// desynchronize its demultiplexer.
-func TestTrunkPrefetchIsIgnored(t *testing.T) {
+// TestOnlyAFlatWorkerIsOfferedPrefetch pins the one rule for
+// transport.Message.Prefetch: a server states the offer in its Registered
+// reply, only a worker's own session on a flat server gets it, and a flagged
+// push on any other session is refused with an Error — on a trunk, whose
+// replies its relay demultiplexes; on a relay's child, whose Registered reply
+// is the root's to the trunk, forwarded; on a data server and a coordinator,
+// neither of which holds the whole model behind the release. The offered
+// session's flagged push gets its OK and the Weights behind it.
+func TestOnlyAFlatWorkerIsOfferedPrefetch(t *testing.T) {
 	const size = 4
-	srv, err := NewServer(ServerConfig{Workers: 2, Policy: core.MustNewASP(2), Store: testStore(t, size)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Stop)
-	_, dial := endpoint(t, false, func(l transport.Listener) { _ = srv.Serve(l) })
-	trunk := rawTrunk(t, dial, 0, 1)
-	for it := 1; it <= 2; it++ {
-		if err := trunk.Send(transport.Message{
-			Type:        transport.MsgPush,
-			Version:     int64(it),
-			Iteration:   it,
-			PushEntries: []transport.PushEntry{{Worker: 0, Version: int64(it), Iteration: it}, {Worker: 1, Version: int64(it), Iteration: it}},
-			Tensors:     transport.ToWireOwned(testGrads(1, it, size)),
-			Prefetch:    true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for range 2 {
-			reply, err := trunk.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reply.Type != transport.MsgOK {
-				t.Fatalf("partial %d answered with %v, want an OK per entry and nothing else", it, reply.Type)
-			}
-			reply.Release()
-		}
-	}
-	if n := pullsServed(srv); n != 0 {
-		t.Fatalf("%v Weights replies built for a trunk's prefetch, want none", n)
-	}
-}
-
-// TestRelayServesAChildsPrefetch: a worker whose flat route reaches a relay
-// rather than a server still gets the next weights behind its OK — from the
-// relay's upstream cache — so its next Pull, which sends nothing, returns.
-func TestRelayServesAChildsPrefetch(t *testing.T) {
-	const size = 4
-	st := testStore(t, size)
-	h := newRelayHarness(t, core.MustNewASP(1), st, 1, 1, Options{})
-	c := h.childClient(t, 0)
-	t.Cleanup(func() { c.Close() })
-	done := make(chan error, 1)
-	go func() {
-		_, v, err := c.Pull()
-		for it := 0; err == nil && it < 3; it++ {
-			if err = c.pushAndWait(testGrads(1, it, size), v, it, true); err != nil {
-				break
-			}
-			if _, v, err = c.Pull(); err == nil && v != int64(it+1) {
-				t.Errorf("prefetched reply %d carries version %d, want %d", it, v, it+1)
-			}
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
+	grads := transport.ToWireOwned(testGrads(1, 1, size))
+	flat := func(t *testing.T) func() (transport.Conn, error) {
+		srv, err := NewServer(ServerConfig{Workers: 2, Policy: core.MustNewASP(2), Store: testStore(t, size)})
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a prefetching child's Pull never returned through the relay")
+		t.Cleanup(srv.Stop)
+		_, dial := endpoint(t, false, func(l transport.Listener) { _ = srv.Serve(l) })
+		return dial
+	}
+	group := func(t *testing.T, coordinator bool) func() (transport.Conn, error) {
+		g := startTestGroup(t, 1, 1, core.MustNewASP(1), []*tensor.Tensor{tensor.New(size)})
+		addr := g.dataAddrs[0]
+		if coordinator {
+			addr = g.coordAddr
+		}
+		return func() (transport.Conn, error) { return g.dial(addr) }
+	}
+	relayChild := func(t *testing.T) func() (transport.Conn, error) {
+		return newRelayHarness(t, core.MustNewASP(1), testStore(t, size), 1, 1, Options{}).listeners[0].Dial
+	}
+	worker := []transport.Message{{Type: transport.MsgRegister}}
+	trunk := append([]transport.Message{{Type: transport.MsgRegister, Relay: true,
+		Servers: []transport.ServerEntry{{Addr: "raw-trunk", ShardHi: 1}}}}, worker...)
+	push := transport.Message{Type: transport.MsgPush, Version: 1, Iteration: 1, Tensors: grads, Prefetch: true}
+	partial, ticket := push, push
+	partial.PushEntries = []transport.PushEntry{{Version: 1, Iteration: 1}}
+	ticket.Tensors = nil
+	for _, tc := range []struct {
+		name string
+		dial func(t *testing.T) func() (transport.Conn, error)
+		// joins are the registrations sent before the flagged push.
+		joins   []transport.Message
+		push    transport.Message
+		offered bool
+	}{
+		{"flat worker", flat, worker, push, true},
+		{"trunk", flat, trunk, partial, false},
+		{"relay child", relayChild, worker, push, false},
+		{"data server", func(t *testing.T) func() (transport.Conn, error) { return group(t, false) }, worker, push, false},
+		{"coordinator", func(t *testing.T) func() (transport.Conn, error) { return group(t, true) },
+			[]transport.Message{{Type: transport.MsgRegister, Cluster: true}}, ticket, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := tc.dial(t)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			recv := func() transport.Message {
+				t.Helper()
+				msg, err := conn.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg.Release()
+				return msg
+			}
+			for i, join := range tc.joins {
+				if err := conn.Send(join); err != nil {
+					t.Fatal(err)
+				}
+				if ack := recv(); ack.Type != transport.MsgRegistered || ack.Prefetch != tc.offered {
+					t.Fatalf("registration %d answered %v offering Prefetch %v, want Registered offering %v",
+						i, ack.Type, ack.Prefetch, tc.offered)
+				}
+			}
+			if err := conn.Send(tc.push); err != nil {
+				t.Fatal(err)
+			}
+			want := []transport.MessageType{transport.MsgError}
+			if tc.offered {
+				want = []transport.MessageType{transport.MsgOK, transport.MsgWeights}
+			}
+			for _, typ := range want {
+				if reply := recv(); reply.Type != typ || (typ == transport.MsgError && reply.Error != prefetchRefused) {
+					t.Fatalf("a flagged push answered %v %q, want %v", reply.Type, reply.Error, want)
+				}
+			}
+		})
 	}
 }
 

@@ -380,30 +380,11 @@ func (r *Relay) trunkLoop() {
 				continue
 			}
 			if ch := r.sessions.get(msg.Worker); ch != nil {
-				if ch.prefetch.Swap(false) && msg.Type == transport.MsgOK {
-					r.wg.Add(1)
-					go r.prefetchRelease(ch, msg)
-					continue
-				}
 				r.enqueueSession(ch, msg)
 			}
 		default:
 			// Forward-compatible: unknown trunk traffic is ignored.
 		}
-	}
-}
-
-// prefetchRelease sends a child whose push asked for the next weights its OK
-// and, right behind it, the reply its next Pull would get — handlePull's,
-// from the upstream cache. Both go out on the child's connection from a
-// goroutine of their own, because handlePull sends under pullMu, which may
-// wait on the upstream, and trunkLoop must not. The OK skips the child's
-// outbox, which holds nothing: the child is lock-step, and received every
-// earlier reply before it pushed.
-func (r *Relay) prefetchRelease(ch *session, ok transport.Message) {
-	defer r.wg.Done()
-	if ch.conn.Send(ok) == nil {
-		r.handlePull(ch, transport.Message{})
 	}
 }
 
@@ -562,6 +543,11 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 	reject := func(reason string) {
 		r.enqueueSession(ch, transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: reason})
 	}
+	if msg.Prefetch {
+		// The root's Registered reply, forwarded to the child, offered none.
+		reject(prefetchRefused)
+		return
+	}
 	// The child's decompression scratch is reused across its pushes: it is
 	// lock-step, and the decoded values are folded into the partial's own
 	// buffers before the handler returns.
@@ -622,8 +608,6 @@ func (r *Relay) handlePush(ch *session, msg transport.Message) {
 		Iteration: msg.Iteration,
 	})
 	p.members[ch.worker] = true
-	// Before a flush can bring the release back.
-	ch.prefetch.Store(msg.Prefetch)
 	r.rm.childPushes.Inc()
 	if r.completeLocked() {
 		r.flushLocked("full")

@@ -2,7 +2,6 @@ package ps
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,7 +159,8 @@ type Server struct {
 	// the ticket assignment that orders the update, the metrics derived from
 	// them, and the choice of workers to release. prefetch holds, per slot,
 	// whether the push awaiting its release asked for the next weights with
-	// it (transport.Message.Prefetch); resolve moves it into the release.
+	// it (transport.Message.Prefetch, offersPrefetch); resolve moves it into
+	// the release.
 	policyMu sync.Mutex
 	pushedAt map[int]time.Time
 	prefetch []bool
@@ -551,8 +551,24 @@ func (s *Server) admit(slot int, carrier *session, msg transport.Message) (trans
 	if s.guard != nil {
 		s.guard.observeRegister(slot)
 	}
-	return s.registered(slot), nil
+	reply := s.registered(slot)
+	reply.Prefetch = s.offersPrefetch(carrier)
+	return reply, nil
 }
+
+// offersPrefetch reports whether pushes on sess may carry
+// transport.Message.Prefetch, which its Registered reply states: only a
+// worker's own session on a flat server. Every other session — a trunk,
+// whose replies its relay demultiplexes, and any session on a coordinator or
+// data server, whose Weights are not the whole model behind the release —
+// has a flagged push refused.
+func (s *Server) offersPrefetch(sess *session) bool {
+	return sess.kind.holdsSlot() && s.cfg.Cluster.Role == ""
+}
+
+// prefetchRefused is the Error a flagged push gets on a session that was not
+// offered Prefetch, at a server or a relay.
+const prefetchRefused = "this session was not offered Prefetch"
 
 // carrier returns the session worker slot w's traffic rides — the worker's
 // own, else the trunk routing it — with the slot's admit epoch, or nil for a
@@ -802,8 +818,8 @@ func (s *Server) queueReleases(b releaseBatch) {
 // of release delivery for push, join and leave decisions. A target whose push
 // asked for a prefetch gets, right behind its OK on the same session, the
 // reply its next Pull would get: answerPull's, built now, after the batch's
-// gate, so it holds every update the release accounted for (a data server's
-// early OKs, sent before the gate, never prefetch: handlePush). The batch's
+// gate, so it holds every update the release accounted for (a data server,
+// whose OKs leave before the gate, offers none: offersPrefetch). The batch's
 // error carve-out is honored: a pusher whose gradients the failed push lost
 // must not receive an OK that would let it train on as if they had landed
 // (the releaser sends it the error instead), nor weights. errs is at most
@@ -878,6 +894,10 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 	}
 	if !sess.kind.mayPush() {
 		reject("replica sessions are read-only")
+		return
+	}
+	if msg.Prefetch && !s.offersPrefetch(sess) {
+		reject(prefetchRefused)
 		return
 	}
 	entries, scratch := sess.partial(msg)
@@ -975,8 +995,7 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 		m.epoch = epoch
 		decision := s.cfg.Policy.OnPush(core.WorkerID(e.Worker), now)
 		s.pushedAt[e.Worker] = now
-		// Only a worker's own session gets the next weights behind its OK.
-		s.prefetch[e.Worker] = msg.Prefetch && sess.kind.holdsSlot()
+		s.prefetch[e.Worker] = msg.Prefetch
 		targets = s.resolve(targets, decision.Release, now)
 		if guardDrop {
 			// The gradients never reach the store, but the policy has
@@ -1068,10 +1087,9 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 	}
 	// A data server's OK says the fragment holds its ticket, not that it is
 	// applied: its pulls wait for the applies instead (handlePull). The
-	// sequencer still ends the push's lease at the gate, and still sends a
-	// prefetching target its OK and weights.
+	// sequencer still ends the push's lease at the gate.
 	var early releaseBatch
-	if s.acksOnTicket() && pushErr == nil && !slices.ContainsFunc(targets, func(t releaseTarget) bool { return t.prefetch }) {
+	if s.acksOnTicket() && pushErr == nil {
 		early.targets, batch.targets = batch.targets, nil
 	}
 	s.queueReleases(batch)

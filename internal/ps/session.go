@@ -3,7 +3,6 @@ package ps
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dssp/internal/compress"
@@ -72,9 +71,6 @@ type session struct {
 	// finished is a relay's note that the child reported Done, guarded by
 	// Relay.mu. (The root counts completion per slot, which outlives sessions.)
 	finished bool
-	// prefetch is a relay's note that the child's push awaiting its release
-	// asked for the next weights behind the OK (Relay.prefetchRelease).
-	prefetch atomic.Bool
 
 	// The fields below are push-handling scratch, touched only by the
 	// session's connection goroutine. decodeScratch holds the gradient tensors

@@ -262,7 +262,7 @@ func TestRejoinResumesTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1b := newClient(conn, 1)
-	if err := c1b.Rejoin(1); err != nil {
+	if err := c1b.rejoin(1); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
 	go func() { okCh <- c0.PushAndWait(grad, 2, 2) }()

@@ -147,7 +147,7 @@ func (n *chanNet) close() {
 // through ps.Start, with the options its role acts on (ps.Options.ForRole),
 // adds it to s and returns its address. The server whose policy runs the
 // paradigm — the flat server or the coordinator — carries the run's
-// registry, tracing and transport meter; a data server keeps its own.
+// registry and transport meter; a data server keeps its own.
 func (s *serving) start(cfg Config, policy core.Policy, params []*tensor.Tensor, role ps.ClusterConfig) (string, error) {
 	opts, _ := cfg.Options.ForRole(role.Role)
 	scfg := ps.ServerConfig{Workers: cfg.Workers, Policy: policy, Options: opts, Cluster: role}
@@ -156,7 +156,6 @@ func (s *serving) start(cfg Config, policy core.Policy, params []*tensor.Tensor,
 		if scfg.Metrics = cfg.Metrics; scfg.Metrics == nil {
 			scfg.Metrics = obs.NewRegistry()
 		}
-		scfg.Trace = cfg.Trace
 		l.SetMeter(transport.NewMetrics(scfg.Metrics))
 	}
 	opt := optimizer.NewSGDMomentum(cfg.LearningRate, cfg.Momentum)

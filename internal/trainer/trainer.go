@@ -92,9 +92,6 @@ type Config struct {
 	// endpoint scrapes. Nil gives the server a private registry; either way
 	// Result.Metrics carries the end-of-run snapshot.
 	Metrics *obs.Registry
-	// Trace configures sampled push-lifecycle tracing on the server (zero =
-	// default sampling; Every < 0 disables).
-	Trace obs.TraceConfig
 	// hook, when set, receives the topology right after it stands up — a
 	// test seam for reading its servers' registries and its relays'
 	// RelayStats, and for injecting relay faults.
@@ -142,9 +139,6 @@ type Result struct {
 	// _count; see docs/METRICS.md) — the same numbers a /metrics scrape
 	// would have reported at that instant.
 	Metrics map[string]float64
-	// Traces is the run's sampled push-lifecycle traces, oldest first (nil
-	// when tracing was disabled).
-	Traces []obs.PushTrace
 }
 
 // TimeToAccuracy returns the elapsed time at which the run first reached the
@@ -307,7 +301,6 @@ poll:
 	result.Dropped = srv.policyServer.Dropped()
 	result.Guard = srv.policyServer.GuardStats()
 	result.Metrics = srv.policyServer.Registry().Snapshot()
-	result.Traces = srv.policyServer.Traces()
 	crashedMu.Lock()
 	result.Crashed = crashed
 	crashedMu.Unlock()

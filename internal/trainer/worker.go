@@ -191,13 +191,9 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 				claimed = w.Adversary.corrupt(grads, version)
 			}
 			// Every push but the last is followed by a Pull, which the push
-			// may bring along (ps.ClusterClient.PushAndPrefetch); after the
-			// last, weights nobody reads would cost a model's bytes.
-			if it+1 < w.Iterations {
-				err = client.PushAndPrefetch(grads, claimed, it)
-			} else {
-				err = client.PushAndWait(grads, claimed, it)
-			}
+			// may bring along (ps.ClusterClient.Push); after the last,
+			// weights nobody reads would cost a model's bytes.
+			err = client.Push(grads, claimed, it, it+1 < w.Iterations)
 		}
 		if err != nil {
 			if err = lost(err); err != nil {

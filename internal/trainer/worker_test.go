@@ -88,7 +88,7 @@ func (l *fakeLink) Pull() ([]*tensor.Tensor, int64, error) {
 	return l.st.params, 10 * l.st.pulls, nil
 }
 
-func (l *fakeLink) PushAndWait(grads []*tensor.Tensor, base int64, iteration int) error {
+func (l *fakeLink) Push(grads []*tensor.Tensor, base int64, iteration int, _ bool) error {
 	l.record("push", iteration)
 	if l.inject("push") {
 		return errInjected
@@ -98,10 +98,6 @@ func (l *fakeLink) PushAndWait(grads []*tensor.Tensor, base int64, iteration int
 	l.st.pushedLive = append(l.st.pushedLive, &grads[0].Data()[0] == &l.st.replica.Grads()[0].Data()[0])
 	l.st.claimed = append(l.st.claimed, base)
 	return nil
-}
-
-func (l *fakeLink) PushAndPrefetch(grads []*tensor.Tensor, base int64, iteration int) error {
-	return l.PushAndWait(grads, base, iteration)
 }
 
 func (l *fakeLink) Done() error {

@@ -231,12 +231,15 @@ type Message struct {
 	// coordinate-wise sum of all listed children's gradients. Binary wire tag
 	// 0x18.
 	PushEntries []PushEntry
-	// Prefetch, on a worker's own MsgPush, asks for the next weights with the
+	// Prefetch, on MsgRegistered, offers the session prefetched pulls: only
+	// a flat server offers them, and only to a worker's own session. On a
+	// MsgPush of an offered session it asks for the next weights with the
 	// release: the server answers with its OK and, right behind it on the
 	// same session, the Weights reply a Pull would get, so the worker's next
-	// Pull only receives. A trunk's or replica's Prefetch is ignored. Binary
-	// wire tag 0x1B; it follows every payload section, so a push slot placed
-	// for it holds a push without it at the same offsets.
+	// Pull only receives. A flagged push on any other session is answered
+	// with MsgError. Binary wire tag 0x1B; it follows every payload section,
+	// so a push slot placed for it holds a push without it at the same
+	// offsets.
 	Prefetch bool
 
 	// lease is the pooled receive buffer a received message's payload

@@ -250,11 +250,13 @@ func (s *Store) Install(params []*tensor.Tensor, version int64) error {
 // quiesced first, so the per-shard counters never race an applier (updates
 // still queued belong to the state being replaced). Every shard drops its old
 // generations, which alias superseded weights a reader may still hold and
-// must never be recycled into a new publication, and bumps its version so the
-// packed-pull cache repacks; the applied and reserved counters all re-base at
-// version, so the shards restart in agreement. state, when non-nil, holds one
-// optimizer state per tensor (nil for a stateless one) and is loaded; nil
-// leaves the optimizers as they are. lr > 0 sets the learning rate.
+// must never be recycled into a new publication, publishes the new one at
+// version and retires its packed-pull cache, which a restore to an older
+// version would otherwise keep serving; the applied and reserved counters all
+// re-base at version, so the shards restart in agreement. state, when
+// non-nil, holds one optimizer state per tensor (nil for a stateless one) and
+// is loaded; nil leaves the optimizers as they are. lr > 0 sets the learning
+// rate.
 func (s *Store) install(fresh func(g int) *tensor.Tensor, state [][]float32, version int64, lr float64) {
 	s.Close()
 	for i, sh := range s.shards {
@@ -279,13 +281,19 @@ func (s *Store) install(fresh func(g int) *tensor.Tensor, state [][]float32, ver
 		}
 		sh.mu.Lock()
 		sh.evict(append(sh.retired, sh.gen)...)
-		sh.gen = &paramGen{params: params}
+		sh.gen = &paramGen{params: params, genPin: genPin{version: version}}
 		sh.retired = nil
 		if state != nil {
 			sh.opt.LoadState(shardState)
 		}
-		sh.version++
 		sh.mu.Unlock()
+		sh.packedMu.Lock()
+		if sh.packed != nil {
+			old, _ := sh.packedRetired.retire(sh.packed)
+			sh.evictPacked(old)
+			sh.packed = nil
+		}
+		sh.packedMu.Unlock()
 		sh.applied.Store(version)
 	}
 	s.reserved.Store(version)

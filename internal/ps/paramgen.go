@@ -43,7 +43,11 @@ type paramGen struct {
 // refs, and the owner rewrites the buffers only once the generation is
 // retired and quiescent.
 type genPin struct {
-	refs atomic.Int64
+	// version is the applied version the generation holds: every push up to
+	// it is in these buffers. It is set before the generation is published
+	// and not changed while it is, so a reader reads it under its pin.
+	version int64
+	refs    atomic.Int64
 	// reclaim and free are set on a generation whose buffers lie in the
 	// server's shared generation region (transport.RegionHost), where a
 	// same-host pull reply references them instead of copying them: refs
@@ -92,28 +96,27 @@ func (g *paramGen) release() {
 }
 
 // packedGen is one generation of a shard's compressed-pull cache: the packed
-// form of shard version `version`, in payload buffers that the next fill
-// rewrites once every pull reply carrying them has been sent — and, where the
-// payloads lie in the server's generation region as a paramGen's tensors do,
-// once every reference to them has been released. The reuse argument is
+// form of the parameter generation at its version, in payload buffers that
+// the next fill rewrites once every pull reply carrying them has been sent —
+// and, where the payloads lie in the server's generation region as a
+// paramGen's tensors do, once every reference to them has been released. The reuse argument is
 // paramGen's with packedMu in the place of sh.mu: a pin is only taken while
 // the generation is the shard's current one, under packedMu; the fill that
 // supersedes it retires it under the same lock; so a retired generation that
 // is quiescent has no reader left.
 type packedGen struct {
-	packed  []compress.Packed
-	version int64
+	packed []compress.Packed
 	genPin
 }
 
-// acquire returns the shard's current generation and version with a
-// reference held; the caller must release it.
-func (sh *shard) acquire() (*paramGen, int64) {
+// acquire returns the shard's current generation with a reference held; the
+// caller must release it.
+func (sh *shard) acquire() *paramGen {
 	sh.mu.RLock()
-	g, v := sh.gen, sh.version
+	g := sh.gen
 	g.refs.Add(1)
 	sh.mu.RUnlock()
-	return g, v
+	return g
 }
 
 // retiredGens bounds a reuse pool. A generation is held by the pulls that
@@ -250,8 +253,10 @@ func regionPacked(g *packedGen, alloc *regionAlloc) {
 }
 
 // acquireShard returns shard i's currently published parameter tensors
-// without copying. The tensors are the store's copy-on-write snapshot: never
-// mutated after publication, and the CALLER MUST NOT mutate them either.
+// without copying, in the generation that holds them (its version is the
+// applied version they hold). The tensors are the store's copy-on-write
+// snapshot: never mutated after publication, and the CALLER MUST NOT mutate
+// them either.
 //
 // The tensors are valid until release (paramGen.release) is called on the
 // returned generation — exactly once, after the caller is completely done
@@ -260,6 +265,6 @@ func regionPacked(g *packedGen, alloc *regionAlloc) {
 // its reuse pool; afterwards steady-state pulls and applies recycle buffers
 // instead of allocating. Releasing nil is a no-op.
 func (s *Store) acquireShard(i int) (params []*tensor.Tensor, gen *paramGen) {
-	g, _ := s.shards[i].acquire()
+	g := s.shards[i].acquire()
 	return g.params, g
 }

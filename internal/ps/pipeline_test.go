@@ -832,3 +832,105 @@ func TestPackShardCacheNeverStaleUnderCoalescedApplies(t *testing.T) {
 		}
 	}
 }
+
+// TestPullLabelIsTheVersionItPins: a Weights reply is labelled with the
+// version its weights hold, the lowest among the generations it pins. Shard
+// 1's step is held while shard 0 lands the push, so the store stands at
+// version 0; a pull then pins shard 0 at version 1 and waits on shard 1,
+// which the held step locks. Once the step lands the pull pins shard 1 at
+// version 1 too: the reply holds the push on every shard and must say 1, not
+// the 0 the store stood at before the first pin. Dense and packed pulls alike.
+func TestPullLabelIsTheVersionItPins(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  compress.Config
+	}{{"dense", compress.Config{}}, {"packed", compress.Config{Codec: compress.FP16, Pull: true}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Halves and ones: exact in fp16, so both forms compare exactly.
+			initial := []*tensor.Tensor{tensor.Full(1, 8, 6), tensor.Full(1, 11), tensor.Full(1, 4, 3)}
+			grads := []*tensor.Tensor{tensor.Full(0.5, 8, 6), tensor.Full(0.5, 11), tensor.Full(0.5, 4, 3)}
+			st, err := NewStoreSharded(initial, optimizer.NewSGD(1), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			entered, resume := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			stepHook = func(sh *shard) {
+				if sh == st.shards[1] {
+					once.Do(func() {
+						close(entered)
+						<-resume
+					})
+				}
+			}
+			t.Cleanup(func() {
+				stepHook = nil
+				select {
+				case <-resume:
+				default:
+					close(resume)
+				}
+			})
+			srv, err := NewServer(ServerConfig{Workers: 2, Policy: core.MustNewASP(2), Store: st, Options: Options{Compression: tc.cfg}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := transport.NewChanListener()
+			go func() { _ = srv.Serve(l) }()
+			t.Cleanup(func() {
+				srv.Stop()
+				l.Close()
+			})
+			clients := make([]*Client, 2)
+			for w := range clients {
+				conn, err := l.Dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if clients[w], err = NewClientCompressed(conn, w, tc.cfg); err != nil {
+					t.Fatal(err)
+				}
+				if err := clients[w].Register(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if err := clients[0].pushAsync(grads, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			within(t, entered, "shard 1's step never began")
+			sh0 := st.shards[0]
+			waitFor(t, "shard 0 never applied the push", func() bool { return sh0.applied.Load() == 1 })
+			if v := st.Version(); v != 0 {
+				t.Fatalf("store at version %d with shard 1's step held, want 0", v)
+			}
+			reply := pullAsync(clients[1])
+			waitFor(t, "the pull never pinned shard 0", func() bool {
+				if tc.cfg.Pull {
+					sh0.packedMu.Lock()
+					defer sh0.packedMu.Unlock()
+					return sh0.packed != nil && sh0.packed.refs.Load() > 0
+				}
+				sh0.mu.RLock()
+				defer sh0.mu.RUnlock()
+				return sh0.gen.refs.Load() > 0
+			})
+			close(resume)
+			r := within(t, reply, "pull unanswered after the step landed")
+			if r.err != nil || r.version != 1 {
+				t.Fatalf("reply holding push 1 on every shard is labelled %d (%v), want 1", r.version, r.err)
+			}
+			ref, err := NewStoreSharded(initial, optimizer.NewSGD(1), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			if _, err := ref.Apply(grads); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := ref.Snapshot()
+			requireSameWeights(t, r.params, want)
+		})
+	}
+}

@@ -1195,9 +1195,10 @@ func decodePayload(msg transport.Message, speaks compress.Config, scratch *[]*te
 
 // handlePull answers a pull — as answerPull does a push's prefetch, called by
 // the release sequencer — with the current weights in one Weights frame:
-// every store shard's tensors, in global order, labelled with the store
-// version read before the first shard is, so no shard is older than the
-// label. Each shard's part references its copy-on-write snapshot — the
+// every store shard's tensors, in global order, labelled with the lowest
+// version among the generations the reply pins — the version every shard of
+// it holds, pushes that landed while a shard was being pinned included. Each
+// shard's part references its copy-on-write snapshot — the
 // server copies nothing — pinned until the session's writer has sent the
 // reply (Send is done with the payload when it returns: transport.Conn), a
 // bounded borrow the applier's buffer reuse sees through. Taking a reference
@@ -1257,7 +1258,7 @@ func (s *Server) answerPull(p pendingPull) {
 		})
 		return
 	}
-	msg := transport.Message{Type: transport.MsgWeights, Worker: worker, Version: version}
+	msg := transport.Message{Type: transport.MsgWeights, Worker: worker}
 	held := replyPinsPool.Get().(*replyPins)
 	if s.compression.Pull && s.compression.Enabled() {
 		for i := range st.Shards() {
@@ -1274,6 +1275,10 @@ func (s *Server) answerPull(p pendingPull) {
 		}
 		held.wire = transport.ToWireOwnedInto(held.wire, held.params)
 		msg.Tensors = held.wire
+	}
+	msg.Version = held.pins[0].version
+	for _, pin := range held.pins[1:] {
+		msg.Version = min(msg.Version, pin.version)
 	}
 	s.enqueueSessionRef(sess, msg, held)
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // shard is one independently locked partition of the model: a contiguous run
-// of parameter tensors, the optimizer state that updates them, and a version
-// counter incremented on every update applied to the shard.
+// of parameter tensors, published as generations that each record the
+// applied version they hold, and the optimizer state that updates them.
 //
 // Each shard has its own optimizer clone so that lazily allocated
 // per-parameter state (momentum velocity) is indexed by position within the
@@ -24,14 +24,13 @@ import (
 // shard's gradient slice to pending, and a persistent per-shard applier
 // goroutine (Store.applier) drains the queue. When several pushes are queued
 // the applier coalesces them into one optimizer step over the whole batch
-// with one copy-on-write publication, bumping version and applied by the
-// batch size so version semantics are indistinguishable from applying the
-// pushes one at a time.
+// with one copy-on-write publication, advancing applied — and the version the
+// published generation holds — by the batch size, so version semantics are
+// indistinguishable from applying the pushes one at a time.
 type shard struct {
-	mu      sync.RWMutex
-	gen     *paramGen
-	opt     *optimizer.SGD
-	version int64
+	mu  sync.RWMutex
+	gen *paramGen
+	opt *optimizer.SGD
 
 	// retired is the pool of superseded generations awaiting reuse
 	// (paramgen.go), guarded by mu; region, once the server shares one, is
@@ -48,11 +47,9 @@ type shard struct {
 	// steps. Only the applier reads it after configuration.
 	agg aggregator
 
-	// applied counts the pushes this shard has absorbed; the store-wide
-	// applied version is the minimum over shards. Unlike version (which the
-	// checkpoint restore path also bumps, to invalidate the packed cache) it
-	// counts exactly the pushes routed through the appliers since the last
-	// restore.
+	// applied counts the pushes this shard has absorbed, re-based by an
+	// install; the store-wide applied version is the minimum over shards.
+	// Only the applier and install write it.
 	applied atomic.Int64
 
 	// pendingMu guards pending (the queue feeding this shard's applier) and
@@ -143,11 +140,12 @@ func (sh *shard) takeBatch(window, demand int64) ([][]tensor.Grad, []int64) {
 // write lock, copy-on-write: the update is written into a destination
 // generation that is either a recycled retired generation (steady state:
 // zero allocations) or freshly allocated buffers, and published; tensors
-// already handed out to readers are never mutated. version and applied
-// advance by the batch's total ticket weight — the batch size when every
-// entry is an ordinary weight-1 push, more when relay partials (each
-// standing in for several logical pushes) are present — so readers observe
-// the same counts as applying every logical push one at a time.
+// already handed out to readers are never mutated. applied, and the version
+// the published generation holds, advance by the batch's total ticket weight
+// — the batch size when every entry is an ordinary weight-1 push, more when
+// relay partials (each standing in for several logical pushes) are present —
+// so readers observe the same counts as applying every logical push one at a
+// time.
 //
 // With no robust aggregator the whole batch — gradient sum, momentum,
 // parameter write — is applied in one pass straight from the queued
@@ -188,8 +186,8 @@ func (sh *shard) applyBatch(batch [][]tensor.Grad, weights []int64, m *storeMetr
 		stepHook(sh)
 	}
 	sh.opt.StepFrom(next.params, cur.params, batch)
+	next.version = cur.version + total
 	sh.gen = next
-	sh.version += total
 	sh.supersede(cur)
 	sh.mu.Unlock()
 	// Every push spans every shard, so this shard's applied counter walks

@@ -545,7 +545,7 @@ func (s *Store) Snapshot() ([]*tensor.Tensor, int64) {
 	out := make([]*tensor.Tensor, len(s.shapes))
 	for i, sh := range s.shards {
 		base := s.ranges[i].Start
-		g, _ := sh.acquire()
+		g := sh.acquire()
 		for j, p := range g.params {
 			out[base+j] = p.Clone()
 		}
@@ -566,8 +566,8 @@ func (s *Store) Snapshot() ([]*tensor.Tensor, int64) {
 // new one; compress.PackInto has that shape.
 //
 // All callers of a store must pass an equivalent pack function: the cache is
-// keyed on the shard version only, which is exactly the pull path's shape —
-// one server, one negotiated codec.
+// keyed on the generation's version only, which is exactly the pull path's
+// shape — one server, one negotiated codec.
 func (s *Store) acquirePacked(i int, pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin) {
 	return s.shards[i].acquirePacked(pack)
 }
@@ -581,11 +581,11 @@ func (s *Store) acquirePacked(i int, pack func(dst []compress.Packed, params []*
 func (sh *shard) acquirePacked(pack func(dst []compress.Packed, params []*tensor.Tensor) []compress.Packed) (packed []compress.Packed, pin *genPin) {
 	// The compressed form never aliases the parameter buffers, so the
 	// generation is held only for the fill.
-	g, local := sh.acquire()
+	g := sh.acquire()
 	defer g.release()
 	sh.packedMu.Lock()
 	defer sh.packedMu.Unlock()
-	if sh.packed == nil || sh.packed.version < local {
+	if sh.packed == nil || sh.packed.version < g.version {
 		alloc := sh.region.Load()
 		next, ok := sh.packedRetired.take()
 		for ok && alloc != nil && next.free == nil {
@@ -594,7 +594,7 @@ func (sh *shard) acquirePacked(pack func(dst []compress.Packed, params []*tensor
 		if !ok {
 			next = &packedGen{}
 		}
-		next.packed, next.version = pack(next.packed, g.params), local
+		next.packed, next.version = pack(next.packed, g.params), g.version
 		if !ok {
 			regionPacked(next, alloc)
 		}
@@ -641,6 +641,7 @@ func (s *Store) shareRegion(alloc regionAlloc) {
 			for i, p := range sh.gen.params {
 				copy(g.params[i].Data(), p.Data())
 			}
+			g.version = sh.gen.version
 			sh.supersede(sh.gen)
 			sh.gen = g
 		}
@@ -662,6 +663,7 @@ func (s *Store) unshareRegion() {
 			for i, p := range cur.params {
 				copy(sh.gen.params[i].Data(), p.Data())
 			}
+			sh.gen.version = cur.version
 			sh.evict(cur)
 		}
 		sh.evict(sh.retired...)

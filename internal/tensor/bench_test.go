@@ -23,6 +23,22 @@ func BenchmarkMatMul128(b *testing.B) {
 	})
 }
 
+// BenchmarkMatMulTransASmallK is the wide MLP's weight gradient at batch 4,
+// dW = xᵀ·dy, an 8192×4ᵀ·4×32 product: the small-k pass's shape where it is
+// bound (its sub-benchmark names the kernel, as BenchmarkMatMul128's does).
+func BenchmarkMatMulTransASmallK(b *testing.B) {
+	b.Run("kernel="+Kernel(), func(b *testing.B) {
+		rng := rand.New(rand.NewSource(7))
+		x := New(4, 8192).RandNormal(rng, 0, 1)
+		dy := New(4, 32).RandNormal(rng, 0, 1)
+		dW := New(8192, 32)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MatMulTransAInto(dW, x, dy)
+		}
+	})
+}
+
 func BenchmarkMatMulTransA128(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	x := New(128, 128).RandNormal(rng, 0, 1)

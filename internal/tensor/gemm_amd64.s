@@ -774,3 +774,143 @@ dotoff512_avx2:
 
 dotoff512_done:
 	RET
+
+// One step of the small-k pass: a's element for this row broadcast, then two
+// single-rounded multiply-adds against the two vectors of b's row held in
+// b0, b1 (FMASTEP512's operand order).
+#define SKFMA(a, b0, b1) \
+	VBROADCASTSS a, Z2        \
+	VFMADD231PS  b0, Z2, Z0   \
+	VFMADD231PS  b1, Z2, Z1
+
+// The k%4 tail step of the small-k pass, rounding the product before the add
+// (MULADD512's operand order).
+#define SKMUL(a, b0, b1) \
+	VBROADCASTSS a, Z2        \
+	VMULPS       b0, Z2, Z3   \
+	VADDPS       Z3, Z0, Z0   \
+	VMULPS       b1, Z2, Z4   \
+	VADDPS       Z4, Z1, Z1
+
+// Load b's row kk, its two vectors at column 0 and 16 masked to the block's
+// columns, into b0, b1. R11 walks the offset table.
+#define SKLOADB(b0, b1) \
+	MOVQ      (R11), R12           \
+	VMOVUPS.Z (AX)(R12*4), K1, b0   \
+	VMOVUPS.Z 64(AX)(R12*4), K2, b1 \
+	ADDQ      $8, R11
+
+// func gemmOffSmallKAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool)
+//
+// c[r*ldc+j] = sum over kk of a[r*ars+kk*aks] * b[off[kk]+j] for r in
+// [0,rows) and j in [0,cols), 1 <= k <= 8 and 1 <= cols <= 32: a product
+// whose inner dimension is so short that the whole k×cols block of b fits in
+// Z16-Z31 (row kk in Z16+2kk, Z17+2kk). It is loaded once, and every output
+// row is then one pass: k broadcasts of a and 2k multiply-adds into Z0-Z1,
+// stored through the column masks K1-K2 (lanes past cols are never read or
+// written). Each output is built by gemmOffPanelAVX2's chain — kk ascending
+// from +0, fused while four steps remain, multiply and add rounded apart for
+// the k%4 tail, then added onto c with add set — so the pass and the panels
+// agree bit for bit. The branches on k cost a predicted jump per row.
+TEXT ·gemmOffSmallKAVX512(SB), NOSPLIT, $0-81
+	MOVQ cols+72(FP), CX
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVW AX, K1                 // K1: columns [0,16) of the block
+	SHRQ $16, AX
+	KMOVW AX, K2                 // K2: columns [16,32)
+	MOVQ b+40(FP), AX
+	MOVQ off+48(FP), R11
+	MOVQ k+56(FP), DX
+	SKLOADB(Z16, Z17)
+	CMPQ DX, $2
+	JLT  sk_loaded
+	SKLOADB(Z18, Z19)
+	CMPQ DX, $3
+	JLT  sk_loaded
+	SKLOADB(Z20, Z21)
+	CMPQ DX, $4
+	JLT  sk_loaded
+	SKLOADB(Z22, Z23)
+	CMPQ DX, $5
+	JLT  sk_loaded
+	SKLOADB(Z24, Z25)
+	CMPQ DX, $6
+	JLT  sk_loaded
+	SKLOADB(Z26, Z27)
+	CMPQ DX, $7
+	JLT  sk_loaded
+	SKLOADB(Z28, Z29)
+	CMPQ DX, $8
+	JLT  sk_loaded
+	SKLOADB(Z30, Z31)
+
+sk_loaded:
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), CX
+	SHLQ $2, CX
+	MOVQ a+16(FP), SI
+	MOVQ ars+24(FP), R8
+	SHLQ $2, R8
+	MOVQ aks+32(FP), R10
+	SHLQ $2, R10                 // step kk of a row at (SI) + kk·R10:
+	LEAQ (R10)(R10*2), R11       // 3 steps
+	LEAQ (R10)(R10*4), R12       // 5 steps
+	LEAQ (R11)(R10*4), R13       // 7 steps
+	MOVQ rows+64(FP), BX
+	MOVBQZX add+80(FP), R9
+
+sk_row:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	CMPQ   DX, $4
+	JLT    sk_tail0
+	SKFMA((SI), Z16, Z17)
+	SKFMA((SI)(R10*1), Z18, Z19)
+	SKFMA((SI)(R10*2), Z20, Z21)
+	SKFMA((SI)(R11*1), Z22, Z23)
+	CMPQ   DX, $8
+	JLT    sk_tail4
+	SKFMA((SI)(R10*4), Z24, Z25)
+	SKFMA((SI)(R12*1), Z26, Z27)
+	SKFMA((SI)(R11*2), Z28, Z29)
+	SKFMA((SI)(R13*1), Z30, Z31)
+	JMP    sk_store
+
+sk_tail0:
+	SKMUL((SI), Z16, Z17)
+	CMPQ DX, $2
+	JLT  sk_store
+	SKMUL((SI)(R10*1), Z18, Z19)
+	CMPQ DX, $3
+	JLT  sk_store
+	SKMUL((SI)(R10*2), Z20, Z21)
+	JMP  sk_store
+
+sk_tail4:
+	CMPQ DX, $5
+	JLT  sk_store
+	SKMUL((SI)(R10*4), Z24, Z25)
+	CMPQ DX, $6
+	JLT  sk_store
+	SKMUL((SI)(R12*1), Z26, Z27)
+	CMPQ DX, $7
+	JLT  sk_store
+	SKMUL((SI)(R11*2), Z28, Z29)
+
+sk_store:
+	TESTQ R9, R9
+	JZ    sk_put
+	VADDPS (DI), Z0, K1, Z0
+	VADDPS 64(DI), Z1, K2, Z1
+
+sk_put:
+	VMOVUPS Z0, K1, (DI)
+	VMOVUPS Z1, K2, 64(DI)
+	ADDQ R8, SI
+	ADDQ CX, DI
+	DECQ BX
+	JNZ  sk_row
+	VZEROUPPER
+	RET

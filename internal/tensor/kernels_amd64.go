@@ -25,6 +25,9 @@ func gemmOffPanelAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float3
 //go:noescape
 func dotOffPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
 
+//go:noescape
+func gemmOffSmallKAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool)
+
 // Implemented in slices_amd64.s. Each trusts the other operands to be at
 // least as long as the first. The ReLU and BatchNorm kernels run a whole
 // slice, the up to seven values after the last window of eight included;
@@ -209,6 +212,7 @@ func init() {
 		fma4Rows, gemmOffPanel, dotOffPanel, kernel = fma4RowsAVX2, gemmOffPanelAVX2, dotOffPanelAVX2, "avx2"
 		if cpu.AVX512F && cpu.ZMM {
 			gemmOffPanel, dotOffPanel, kernel = gemmOffPanelAVX512, dotOffPanelAVX512, "avx512"
+			gemmOffSmallK = gemmOffSmallKAVX512
 		}
 		addSlice, axpySlice, scaleSlice, addScalarSlice = addSliceAsm, axpySliceAsm, scaleSliceAsm, addScalarSliceAsm
 		sumPair = sumPairAsm

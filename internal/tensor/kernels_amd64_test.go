@@ -16,13 +16,6 @@ import (
 // lda and ldb wider than a row, every alignment, accumulating or not, k%4 and
 // k%8 tails, and normal fills against NaN, ±Inf, subnormal and −0 operands.
 
-// twinOperand returns a copy of the matrix m laid out by panelOperand off
-// floats into backing, and the copy's backing.
-func twinOperand(m, backing []float32, off int) (twin, twinBacking []float32) {
-	twinBacking = append([]float32(nil), backing...)
-	return twinBacking[off:][:len(m):len(m)], twinBacking
-}
-
 func sameBitsAll(got, want []float32) bool {
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -34,7 +27,8 @@ func sameBitsAll(got, want []float32) bool {
 
 // The gemm panel: tiles in fours, a pair and an odd last one, every
 // alignment, adding or not, k tails, plain and transposed-A strides, rows at
-// offsets that overlap and repeat. The dot panel: runs of every length around
+// offsets that overlap and repeat; the small-k pass on the same operands
+// where k allows it. The dot panel: runs of every length around
 // the eight-lane vectors, one run (a dense operand) or several, rows one to
 // nine and one to four columns.
 func TestGemmOffPanelAVX512BitIdenticalToAVX2(t *testing.T) {
@@ -52,6 +46,7 @@ func TestGemmOffPanelAVX512BitIdenticalToAVX2(t *testing.T) {
 							ldc := n + off%3
 							c, cBack := panelOperand(mmTileI, n, ldc, off, fill)
 							want, wantBack := twinOperand(c, cBack, off)
+							small, smallBack := twinOperand(c, cBack, off)
 							b, offs := offsetOperand(rng, k, n, n+40, fill)
 							// a holds the four rows as (4,k) or, transposed, as (k,4).
 							ars, aks := k+off%2, 1
@@ -68,6 +63,15 @@ func TestGemmOffPanelAVX512BitIdenticalToAVX2(t *testing.T) {
 							}
 							if !sameBitsAll(cBack, wantBack) {
 								t.Fatalf("%s: differs from gemmOffPanelAVX2", where)
+							}
+							if k > mmSmallK {
+								continue
+							}
+							for jb := 0; jb < n; jb += mmSmallKCols {
+								gemmOffSmallKAVX512(&small[jb], ldc, &a[0], ars, aks, &b[jb], &offs[0], k, mmTileI, min(mmSmallKCols, n-jb), add)
+							}
+							if !sameBitsAll(smallBack, wantBack) {
+								t.Fatalf("%s: the small-k pass differs from gemmOffPanelAVX2", where)
 							}
 						}
 					}

@@ -339,6 +339,13 @@ func panelOperand(r, c, ld, off int, fill func() float32) (m, backing []float32)
 	return m, backing
 }
 
+// twinOperand returns a copy of the matrix m laid out by panelOperand off
+// floats into backing, and the copy's backing.
+func twinOperand(m, backing []float32, off int) (twin, twinBacking []float32) {
+	twinBacking = append([]float32(nil), backing...)
+	return twinBacking[off:][:len(m):len(m)], twinBacking
+}
+
 // outsideRowsIntact reports whether every word of backing outside the r rows
 // of c floats laid out by panelOperand still holds the canary.
 func outsideRowsIntact(backing []float32, r, c, ld, off int) bool {
@@ -544,10 +551,10 @@ func TestMatMulPanelsBitIdenticalToRowLoops(t *testing.T) {
 			return [3]*Tensor{MatMul(a, b), MatMulTransAInto(base.Clone(), at, b), MatMulTransBAcc(base.Clone(), a, bt)}
 		}
 		tiled := run()
-		savedGemm, savedDot := gemmOffPanel, dotOffPanel
-		gemmOffPanel, dotOffPanel = nil, nil
+		savedGemm, savedDot, savedSmallK := gemmOffPanel, dotOffPanel, gemmOffSmallK
+		gemmOffPanel, dotOffPanel, gemmOffSmallK = nil, nil, nil
 		rows := run()
-		gemmOffPanel, dotOffPanel = savedGemm, savedDot
+		gemmOffPanel, dotOffPanel, gemmOffSmallK = savedGemm, savedDot, savedSmallK
 		for p, name := range []string{"MatMul", "MatMulTransAInto"} {
 			if !sameFloats(tiled[p].data, rows[p].data) {
 				t.Fatalf("%s through the panels differs from the row loops at m=%d k=%d n=%d", name, m, k, n)

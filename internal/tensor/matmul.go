@@ -43,19 +43,29 @@ import (
 // row loops then do the whole product. Where the CPU has AVX-512 too, the
 // panels are their AVX-512 forms, bit-identical to the AVX2 ones.
 //
+// gemmOffSmallK is the small-k pass of a plain or transposed-A product: with
+// an inner dimension of at most mmSmallK it holds b's k×mmSmallKCols block in
+// registers and streams every output row of the block through it (offset.go
+// has its contract). It exists in AVX-512 form only, bit-identical to the
+// panels.
+//
 // All are rebound once, at package init, when the CPU probe passes; kernel
 // names the binding that is live.
 var (
-	fma4Rows     = mm4Rows
-	gemmOffPanel func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, tiles int, add bool)
-	dotOffPanel  func(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
-	kernel       = "go"
+	fma4Rows      = mm4Rows
+	gemmOffPanel  func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, tiles int, add bool)
+	dotOffPanel   func(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
+	gemmOffSmallK func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool)
+	kernel        = "go"
 )
 
-// The output tile gemmOffPanel holds in registers.
+// The output tile gemmOffPanel holds in registers, and the largest b block
+// gemmOffSmallK does.
 const (
-	mmTileI = 4
-	mmTileJ = 16
+	mmTileI      = 4
+	mmTileJ      = 16
+	mmSmallK     = 8
+	mmSmallKCols = 32
 )
 
 // Kernel names the binding of the package's kernels: "avx512" for the

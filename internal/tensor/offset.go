@@ -20,10 +20,12 @@ import "fmt"
 // gemmOffPanel computes c[r*ldc+j] for four rows r and 16·tiles columns j,
 // b's row kk at b[off[kk]]: the chain summed from +0 and, with add set, added
 // onto c at the store (c + Σ, what adding a separately computed product
-// leaves). dotOffPanel computes up to four columns of rows rows of a
-// transposed-B product, b's row j the h runs of w floats b[off[j]+s*ldb:],
-// s < h, and a's row the h·w floats that meet them end to end; with acc the
-// sums are added onto c. gemm_amd64.s has the chains.
+// leaves). gemmOffSmallK computes the same chain for rows rows and up to
+// mmSmallKCols columns j, k at most mmSmallK. dotOffPanel computes up to four
+// columns of rows rows of a transposed-B product, b's row j the h runs of w
+// floats b[off[j]+s*ldb:], s < h, and a's row the h·w floats that meet them
+// end to end; with acc the sums are added onto c. gemm_amd64.s has the
+// chains.
 
 // MatMulOffset computes the (m,n) product A×B into the rows dst[i*ldc:][:n],
 // i < m. A's element (i,kk) is a[i*ars+kk*aks] and B's row kk is
@@ -95,10 +97,18 @@ func offsetsFit(b []float32, off []int, span int) bool {
 }
 
 // gemmOffRowRange computes output rows [i0,i1) of MatMulOffset. Where the
-// panel is bound, whole tiles go through it — four rows by every whole sixteen
-// columns, plain and transposed-A products differing only in a's two strides —
-// and the row loops take what is left.
+// small-k pass is bound and k is at most mmSmallK, it takes the whole range,
+// mmSmallKCols columns a call. Otherwise, where the panel is bound, whole tiles
+// go through it — four rows by every whole sixteen columns, plain and
+// transposed-A products differing only in a's two strides — and the row loops
+// take what is left.
 func gemmOffRowRange(c []float32, ldc int, a []float32, ars, aks int, b []float32, off []int, n, i0, i1 int, add bool) {
+	if k := len(off); gemmOffSmallK != nil && k > 0 && k <= mmSmallK && i0 < i1 {
+		for jb := 0; jb < n; jb += mmSmallKCols {
+			gemmOffSmallK(&c[i0*ldc+jb], ldc, &a[i0*ars], ars, aks, &b[jb], &off[0], k, i1-i0, min(mmSmallKCols, n-jb), add)
+		}
+		return
+	}
 	if tiles := n / mmTileJ; gemmOffPanel != nil && tiles > 0 {
 		it := i0
 		for ; it+mmTileI <= i1; it += mmTileI {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -33,16 +34,17 @@ func gathered(b []float32, off []int, n int) *Tensor {
 
 // withPanels runs f with the offset panels bound as they are, and again with
 // them unbound where they are bound: the row loops alone, which take the
-// edges of every product the panels take the middle of.
+// edges of every product the panels take the middle of (the small-k pass
+// unbound too).
 func withPanels(t *testing.T, f func(t *testing.T)) {
 	t.Run("bound", f)
 	if gemmOffPanel == nil {
 		return
 	}
 	t.Run("rowloops", func(t *testing.T) {
-		savedGemm, savedDot := gemmOffPanel, dotOffPanel
-		gemmOffPanel, dotOffPanel = nil, nil
-		defer func() { gemmOffPanel, dotOffPanel = savedGemm, savedDot }()
+		savedGemm, savedDot, savedSmallK := gemmOffPanel, dotOffPanel, gemmOffSmallK
+		gemmOffPanel, dotOffPanel, gemmOffSmallK = nil, nil, nil
+		defer func() { gemmOffPanel, dotOffPanel, gemmOffSmallK = savedGemm, savedDot, savedSmallK }()
 		f(t)
 	})
 }
@@ -201,5 +203,109 @@ func TestOffsetProductsSplitAcrossThePool(t *testing.T) {
 	mustHaveSplit(t, chunks, m, "MatMulTransBOffset")
 	if !sameFloats(gotT.data, serialT.data) {
 		t.Fatal("MatMulTransBOffset split across the pool differs from the serial product")
+	}
+}
+
+// TestGemmOffSmallKBitIdenticalToRowLoops: the products the small-k pass
+// takes — k up to mmSmallK, and one past it, which it leaves to the panels —
+// at column counts around its vectors and blocks and row counts around the
+// panel's tile up to the wide MLP's 8192, run through gemmOffRowRange as
+// bound, against the row loops alone (mmOffRows): bit for bit, plain and
+// transposed-A strides, rows of b at shifted offsets, adding onto c or not,
+// and nothing stored outside the rows. On a binding without the pass the
+// same products hold the panels to the row loops. The 8192-row shapes take one
+// form each, the four in turn.
+func TestGemmOffSmallKBitIdenticalToRowLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for fillName, draw := range kernelFills(rng) {
+		// The 8192-row operands cycle through a pool of drawn values: drawing
+		// every one would cost more than the products.
+		pool := make([]float32, 4099)
+		for i := range pool {
+			pool[i] = draw()
+		}
+		next := 0
+		fill := func() float32 {
+			if next++; next == len(pool) {
+				next = 0
+			}
+			return pool[next]
+		}
+		for k := 1; k <= mmSmallK+1; k++ {
+			for _, n := range []int{1, 15, 16, 17, 32, 33, 48, 64, 80} {
+				for _, m := range []int{1, 3, 4, 5, 64, 8192} {
+					for form := range 4 {
+						if m == 8192 && form != (k+n)%4 {
+							continue
+						}
+						transA, add := form%2 == 1, form >= 2
+						pad := rng.Intn(3)
+						ldc := n + pad
+						b, off := offsetOperand(rng, k, n, n+rng.Intn(2*n+8), fill)
+						ars, aks := k+pad, 1
+						a, _ := panelOperand(m, k, ars, rng.Intn(8), fill)
+						if transA {
+							ars, aks = 1, m+pad
+							a, _ = panelOperand(k, m, aks, rng.Intn(8), fill)
+						}
+						dstOff := rng.Intn(8)
+						got, back := panelOperand(m, n, ldc, dstOff, fill)
+						want, _ := twinOperand(got, back, dstOff)
+						gemmOffRowRange(got, ldc, a, ars, aks, b, off, n, 0, m, add)
+						mmOffRows(a, ars, aks, b, off, want, ldc, n, 0, m, 0, add)
+						where := fmt.Sprintf("%s k=%d n=%d m=%d transA=%v add=%v", fillName, k, n, m, transA, add)
+						if !outsideRowsIntact(back, m, n, ldc, dstOff) {
+							t.Fatalf("%s: stored outside the rows", where)
+						}
+						for i := 0; i < m; i++ {
+							if !sameFloats(got[i*ldc:i*ldc+n], want[i*ldc:i*ldc+n]) {
+								t.Fatalf("%s: row %d differs from the row loops", where, i)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmOffSmallKDispatch: the wide MLP's weight gradient, an 8192×4ᵀ·4×32
+// product, goes whole through the small-k pass, a product of k = 9 does not
+// touch it, and a long row goes in blocks of at most mmSmallKCols columns.
+// The seam is wrapped to count the outputs it is handed (passing each call on
+// where the pass is bound), so the routing is checked on every binding.
+func TestGemmOffSmallKDispatch(t *testing.T) {
+	bound := gemmOffSmallK
+	var outputs, wide atomic.Int64 // a product that fans out calls from the pool
+	gemmOffSmallK = func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool) {
+		outputs.Add(int64(rows * cols))
+		if cols > mmSmallKCols {
+			wide.Add(1)
+		}
+		if bound != nil {
+			bound(c, ldc, a, ars, aks, b, off, k, rows, cols, add)
+		}
+	}
+	t.Cleanup(func() { gemmOffSmallK = bound })
+	for _, c := range []struct {
+		m, k, n int
+		taken   bool
+	}{
+		{8192, 4, 32, true},
+		{8192, 9, 32, false},
+		{64, 8, 80, true},
+		{64, 1, 10, true},
+	} {
+		outputs.Store(0)
+		wide.Store(0)
+		MatMulTransAInto(New(c.m, c.n), New(c.k, c.m), New(c.k, c.n))
+		want := int64(0)
+		if c.taken {
+			want = int64(c.m * c.n)
+		}
+		if outputs.Load() != want || wide.Load() != 0 {
+			t.Errorf("a %d×%dᵀ·%d×%d product sent %d outputs through the small-k pass (%d calls wider than %d columns), want %d",
+				c.m, c.k, c.k, c.n, outputs.Load(), wide.Load(), mmSmallKCols, want)
+		}
 	}
 }

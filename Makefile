@@ -88,7 +88,9 @@ lease-stress-names:
 # cross-build compiles and vets what a non-amd64 target gets. The noavx512 tag
 # does the same for the AVX2 panels on a machine that binds the AVX-512 ones:
 # the tensor tests, the layer hash pins, the end-to-end codec hash and the
-# worker-loop hash pins run on them too. Both tags run internal/nn's TestDirectConvMatchesIm2col, which
+# worker-loop hash pins run on them too, and so does the fp16 encode from a
+# gradient's factors, whose fused pass only the AVX-512 binding has (the
+# others compute the product, then encode). Both tags run internal/nn's TestDirectConvMatchesIm2col, which
 # holds Conv2D's one path to patch matrices and the dense products at every
 # kernel, stride and pad it covers, on every binding. purego and noavx512 are
 # for this step, not tuning knobs. The darwin build
@@ -99,6 +101,7 @@ portable:
 	$(GO) test -tags purego -run 'TestCodecKernelsEndToEndPin' ./internal/ps/
 	$(GO) test -tags purego -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
 	$(GO) test -tags noavx512 ./internal/cpu/ ./internal/tensor/ ./internal/nn/
+	$(GO) test -tags noavx512 -run 'TestF16FeedbackFromFactorsBitIdentical' ./internal/compress/
 	$(GO) test -tags noavx512 -run 'TestCodecKernelsEndToEndPin' ./internal/ps/
 	$(GO) test -tags noavx512 -run 'TestWorkerLoopLeasesSurvivePoisoning' ./internal/trainer/
 	GOARCH=arm64 $(GO) build ./...

@@ -210,8 +210,7 @@ var negZero = float32(math.Copysign(0, -1))
 // Send returns, so they go into a message as they are; anything that keeps
 // them past the next Compress copies.
 func (c *Compressor) Compress(grads []*tensor.Tensor) []Packed {
-	c.out = c.encode(c.out, grads)
-	return c.out
+	return c.CompressInto(nil, grads, nil)
 }
 
 // CompressInto is Compress encoding tensor i's payload into payloads[i],
@@ -219,19 +218,31 @@ func (c *Compressor) Compress(grads []*tensor.Tensor) []Packed {
 // sent from without a copy (transport.BodyPlacer) — which must hold exactly
 // the payload's bytes: 2 per value under fp16, 1 under int8, the two codecs
 // whose payload size is known before the encode. The returned slice is
-// overwritten by the next CompressInto.
-func (c *Compressor) CompressInto(payloads [][]byte, grads []*tensor.Tensor) []Packed {
+// overwritten by the next CompressInto. With payloads nil it is Compress,
+// into the compressor's own buffers.
+//
+// factors, unless nil, is aligned with grads, and an entry that is set hands
+// grads[i] on as the product of its two factors, never computed
+// (nn.Network.BackwardFactors). The fp16 encode runs the product and itself
+// in one pass where tensor.MatMulTransAF16Feedback takes it; otherwise the
+// product is computed into grads[i] and encoded from there. Either way the
+// encode is the one grads[i] holding the product would get, bit for bit.
+func (c *Compressor) CompressInto(payloads [][]byte, grads []*tensor.Tensor, factors []tensor.Factors) []Packed {
+	if payloads == nil {
+		c.out = c.encode(c.out, grads, factors)
+		return c.out
+	}
 	c.into = resizePacked(c.into, len(grads))
 	for i, p := range payloads {
 		c.into[i].Payload = p
 	}
-	c.into = c.encode(c.into, grads)
+	c.into = c.encode(c.into, grads, factors)
 	return c.into
 }
 
-// encode is Compress into out, whose Packed values and payload buffers it
+// encode is CompressInto into out, whose Packed values and payload buffers it
 // recycles.
-func (c *Compressor) encode(out []Packed, grads []*tensor.Tensor) []Packed {
+func (c *Compressor) encode(out []Packed, grads []*tensor.Tensor, factors []tensor.Factors) []Packed {
 	if len(c.residual) < len(grads) {
 		grown := make([]*tensor.Tensor, len(grads))
 		copy(grown, c.residual)
@@ -243,6 +254,12 @@ func (c *Compressor) encode(out []Packed, grads []*tensor.Tensor) []Packed {
 		if r == nil || !r.SameShape(g) {
 			r = tensor.Full(negZero, g.Shape()...)
 			c.residual[i] = r
+		}
+		if factors != nil && factors[i].A != nil {
+			if c.cfg.Codec == FP16 && packF16Product(&out[i], r, factors[i]) {
+				continue
+			}
+			tensor.MatMulTransAInto(g, factors[i].A, factors[i].B)
 		}
 		switch c.cfg.Codec {
 		case FP16:

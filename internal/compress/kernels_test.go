@@ -2,6 +2,7 @@ package compress
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -692,4 +693,109 @@ func TestCompressOwnsItsBuffers(t *testing.T) {
 	if string(first[0].Payload) == want {
 		t.Fatal("the second Compress left the first result's payload as it was")
 	}
+}
+
+// factorFill draws n values at scale with a special one time in every (when
+// every is positive).
+func factorFill(rng *rand.Rand, n int, scale float64, every int) []float32 {
+	vs := make([]float32, n)
+	for i := range vs {
+		vs[i] = float32(rng.NormFloat64() * scale)
+		if every > 0 && rng.Intn(every) == 0 {
+			vs[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+		}
+	}
+	return vs
+}
+
+// TestF16FeedbackFromFactorsBitIdentical holds the fp16 encode of a gradient
+// handed on as its factors (CompressInto's factors) to MatMulTransAInto
+// storing the product and the encode reading it back: the payload and the
+// residual left, bit for bit, and nothing written around either. k 1-8 on
+// the AVX-512 binding is tensor's fused pass, which must leave the gradient's
+// own tensor unwritten; k = 9 and every other binding take the fallback,
+// product into that tensor then encode. The columns cover a block of 32 with
+// each of its two masks partial, whole and empty, and several blocks; the
+// fills give sums in the half subnormals, sums that overflow half, and NaNs
+// (quiet and signalling, with payloads), infinities, signed zeros and float
+// subnormals among the operands and the residual. The int8 and top-k encodes
+// take the product-then-encode path on factors too.
+func TestF16FeedbackFromFactorsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(69))
+	poison := math.Float32frombits(0x7fbadbad)
+	fills := []struct {
+		name               string
+		ab, r              float64
+		specialsAB, specsR int
+	}{
+		{"normal", 1, 0.01, 0, 0},
+		{"half-subnormal", 1e-3, 1e-7, 0, 0},
+		{"half-overflow", 300, 1, 0, 0},
+		{"specials", 1, 1, 64, 6},
+	}
+	for k := 1; k <= 9; k++ {
+		fused := tensor.Kernel() == "avx512" && k <= 8
+		for _, n := range []int{1, 15, 16, 17, 31, 32, 33, 48, 64, 80} {
+			for _, m := range []int{1, 3, 4, 5, 64, 8192} {
+				for fi, f := range fills {
+					where := fmt.Sprintf("k=%d n=%d m=%d %s", k, n, m, f.name)
+					a := tensor.FromSlice(factorFill(rng, k*m, f.ab, f.specialsAB), k, m)
+					b := tensor.FromSlice(factorFill(rng, k*n, f.ab, f.specialsAB), k, n)
+					r0 := factorFill(rng, m*n, f.r, f.specsR)
+					product := tensor.MatMulTransAInto(tensor.New(m, n), a, b)
+					ref := &Compressor{cfg: Config{Codec: FP16}, residual: []*tensor.Tensor{tensor.FromSlice(slices.Clone(r0), m, n)}}
+					want := ref.Compress([]*tensor.Tensor{product})[0].Payload
+
+					off := (k + n + fi) % 8
+					rf, rIntact := carveFloats(r0, off)
+					c := &Compressor{cfg: Config{Codec: FP16}, residual: []*tensor.Tensor{tensor.FromSliceOwned(rf, m, n)}}
+					pay, payIntact := carveBytes(2*m*n, off)
+					scratch := tensor.Full(poison, m, n)
+					got := c.CompressInto([][]byte{pay}, []*tensor.Tensor{scratch}, []tensor.Factors{{A: a, B: b}})[0]
+					if &got.Payload[0] != &pay[0] || string(pay) != string(want) {
+						t.Fatalf("%s: payload differs from the product's encode", where)
+					}
+					if !sameBitsF32(rf, ref.residual[0].Data()) {
+						t.Fatalf("%s: residual differs from the product's encode", where)
+					}
+					if !rIntact() || !payIntact() {
+						t.Fatalf("%s: stored outside the residual or the payload", where)
+					}
+					wantScratch := product.Data()
+					if fused {
+						wantScratch = tensor.Full(poison, m, n).Data()
+					}
+					if !sameBitsF32(scratch.Data(), wantScratch) {
+						t.Fatalf("%s: gradient tensor holds %v values, want the fused pass=%v", where, scratch.Data()[:1], fused)
+					}
+				}
+			}
+		}
+	}
+	for _, cfg := range []Config{{Codec: Int8}, {Codec: TopK, TopK: 0.3}} {
+		a := tensor.FromSlice(factorFill(rng, 4*64, 1, 0), 4, 64)
+		b := tensor.FromSlice(factorFill(rng, 4*33, 1, 0), 4, 33)
+		product := tensor.MatMulTransAInto(tensor.New(64, 33), a, b)
+		ref, _ := NewCompressor(cfg)
+		c, _ := NewCompressor(cfg)
+		for step := 0; step < 3; step++ {
+			want := ref.Compress([]*tensor.Tensor{product})[0]
+			got := c.CompressInto(nil, []*tensor.Tensor{tensor.New(64, 33)}, []tensor.Factors{{A: a, B: b}})[0]
+			if string(got.Payload) != string(want.Payload) || got.Scale != want.Scale {
+				t.Fatalf("%s step %d: the encode from factors differs from the product's", cfg, step)
+			}
+		}
+	}
+}
+
+func sameBitsF32(got, want []float32) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -35,6 +35,14 @@ func packF16Feedback(p *Packed, r, g *tensor.Tensor) {
 	encodeF16Feedback(p.Payload, r.Data(), g.Data())
 }
 
+// packF16Product is packF16Feedback of the product f.Aᵀ×f.B, never stored
+// (tensor.MatMulTransAF16Feedback), reporting false where that pass does not
+// take f; r is then untouched.
+func packF16Product(p *Packed, r *tensor.Tensor, f tensor.Factors) bool {
+	sizePacked(p, SchemeF16, r, 2*r.Size())
+	return tensor.MatMulTransAF16Feedback(p.Payload, r, f.A, f.B)
+}
+
 // packQ8 encodes t with uniform 8-bit quantization: scale = maxAbs/127,
 // q = round-to-even(v/scale) in [-127, 127], 1 byte per value; t is
 // read-only.

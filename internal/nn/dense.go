@@ -61,12 +61,18 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor { return d.backward(grad, true) }
+
+// backward is Backward, leaving gradW unwritten unless weights is set:
+// Network.BackwardFactors hands dW on as its factors instead.
+func (d *Dense) backward(grad *tensor.Tensor, weights bool) *tensor.Tensor {
 	if d.lastInput == nil {
 		panic("nn: Dense.Backward called before Forward(train=true)")
 	}
 	// dW = xᵀ · grad, db = column sums of grad, dx = grad · Wᵀ.
-	tensor.MatMulTransAInto(d.gradW, d.lastInput, grad)
+	if weights {
+		tensor.MatMulTransAInto(d.gradW, d.lastInput, grad)
+	}
 	batch := grad.Dim(0)
 	gdata := grad.Data()
 	gb := d.gradB.Data()

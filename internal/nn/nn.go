@@ -160,9 +160,26 @@ func (n *Network) Loss(x *tensor.Tensor, labels []int, train bool) (float64, *te
 // this pass's parameter gradients in every layer (Layer.Backward): no
 // ZeroGrads is needed between passes. It must follow a call to Loss with
 // train=true.
-func (n *Network) Backward() {
+func (n *Network) Backward() { n.BackwardFactors(nil) }
+
+// BackwardFactors is Backward leaving the weight gradient of a first Dense
+// layer, Grads()[0], unmultiplied: factors, aligned with Grads, gets that
+// gradient as its two factors (tensor.Factors: the layer's input x and the
+// gradient dy at its output, dW being xᵀ·dy) and zero entries for the other
+// gradients, which Backward computes as ever; dW's own tensor is not
+// written. Only the first layer's: the last Backward of a pass, nothing
+// reuses the buffer dy is in before the next pass, so the factors stay valid
+// until the next training Forward, like Backward's results. Nil factors, or a
+// network whose first layer is not Dense, is Backward.
+func (n *Network) BackwardFactors(factors []tensor.Factors) {
+	clear(factors)
 	grad := n.loss.Backward()
 	for i := len(n.layers) - 1; i >= 0; i-- {
+		if d, ok := n.layers[i].(*Dense); ok && i == 0 && factors != nil {
+			factors[0] = tensor.Factors{A: d.lastInput, B: grad}
+			d.backward(grad, false)
+			return
+		}
 		grad = n.layers[i].Backward(grad)
 	}
 }

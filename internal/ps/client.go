@@ -296,16 +296,16 @@ func (c *Client) hold(msg transport.Message) {
 // the call returns, so the caller may push its live gradient buffers and
 // overwrite them next iteration.
 func (c *Client) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
-	return c.pushAndWait(grads, baseVersion, iteration, false)
+	return c.pushAndWait(grads, nil, baseVersion, iteration, false)
 }
 
 // pushAndWait is PushAndWait for a worker whose next call is Pull when next
 // is set. If registration offered Prefetch, the push then asks for the next
 // weights behind the OK (transport.Message.Prefetch), and that Pull only
 // receives them.
-func (c *Client) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int, next bool) error {
+func (c *Client) pushAndWait(grads []*tensor.Tensor, factors []tensor.Factors, baseVersion int64, iteration int, next bool) error {
 	prefetch := next && c.offered
-	if err := c.push(grads, baseVersion, iteration, nil, prefetch); err != nil {
+	if err := c.push(grads, factors, baseVersion, iteration, nil, prefetch); err != nil {
 		return err
 	}
 	if err := c.waitOK(); err != nil {
@@ -320,13 +320,14 @@ func (c *Client) pushAndWait(grads []*tensor.Tensor, baseVersion int64, iteratio
 // server before collecting the OKs (waitOK, once per pushAsync, in order):
 // the fragments travel in parallel while each link stays lock-step. A nil
 // or empty grads sends a metadata-only push (the coordinator's ticket).
-func (c *Client) pushAsync(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
-	return c.push(grads, baseVersion, iteration, nil, false)
+func (c *Client) pushAsync(grads []*tensor.Tensor, factors []tensor.Factors, baseVersion int64, iteration int) error {
+	return c.push(grads, factors, baseVersion, iteration, nil, false)
 }
 
 // push sends one push carrying entries: none for a worker's own, the summed
-// children's for a relay trunk's partial (DESIGN.md §11).
-func (c *Client) push(grads []*tensor.Tensor, baseVersion int64, iteration int, entries []transport.PushEntry, prefetch bool) error {
+// children's for a relay trunk's partial (DESIGN.md §11). factors is
+// ClusterClient.Push's, for an fp16 link only.
+func (c *Client) push(grads []*tensor.Tensor, factors []tensor.Factors, baseVersion int64, iteration int, entries []transport.PushEntry, prefetch bool) error {
 	msg := transport.Message{
 		Type:        transport.MsgPush,
 		Worker:      c.worker,
@@ -339,7 +340,7 @@ func (c *Client) push(grads []*tensor.Tensor, baseVersion int64, iteration int, 
 		msg.Codec = c.cfg.Codec
 		// The push slot's pages or the compressor's own buffers: Send is
 		// done with either before the next push overwrites them.
-		msg.Packed = c.compress(grads)
+		msg.Packed = c.compress(grads, factors)
 		for _, p := range msg.Packed {
 			c.pushedBytes += int64(p.WireSize())
 		}
@@ -361,11 +362,11 @@ func (c *Client) push(grads []*tensor.Tensor, baseVersion int64, iteration int, 
 // push among them, whose layout the slot is placed for. The value codecs'
 // payload sizes follow from the shapes; top-k's do not, and a trunk's
 // partials carry entries, so neither asks for a slot.
-func (c *Client) compress(grads []*tensor.Tensor) []compress.Packed {
+func (c *Client) compress(grads []*tensor.Tensor, factors []tensor.Factors) []compress.Packed {
 	if payloads := c.slot.takePacked(len(grads)); payloads != nil {
-		return c.comp.CompressInto(payloads, grads)
+		return c.comp.CompressInto(payloads, grads, factors)
 	}
-	packed := c.comp.Compress(grads)
+	packed := c.comp.CompressInto(nil, grads, factors)
 	if !c.slot.tried && c.cfg.Codec != compress.TopK && c.trunk == nil {
 		c.slot.place(c.conn, transport.Message{Type: transport.MsgPush, Worker: c.worker, Codec: c.cfg.Codec, Packed: packed})
 	}

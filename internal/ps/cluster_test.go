@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dssp/internal/compress"
 	"dssp/internal/core"
 	"dssp/internal/obs"
 	"dssp/internal/optimizer"
@@ -1043,7 +1044,7 @@ func TestDataServerOKPrecedesApplyAndPullWaitsForIt(t *testing.T) {
 	c := dataServerClient(t, g, 0, 0)
 	grads := []*tensor.Tensor{tensor.Full(0.5, 2048)}
 
-	if err := c.pushAsync(grads, 0, 0); err != nil {
+	if err := c.pushAsync(grads, nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	within(t, gate.entered, "the fragment's step never began")
@@ -1213,15 +1214,24 @@ func TestGroupBSPReleaseReadsEveryTicketedFragment(t *testing.T) {
 		go func() { ch <- clients[w].PushAndWait(scheduledGrads(w, 0), 0, 0) }()
 		return ch
 	}
-	// Worker 0's fragment is held in data server 0's step. Worker 1 pushes
-	// once data server 1 has applied worker 0's, so both servers apply the
-	// round in the serial order.
+	// Worker 0's fragment is held in one shard's step on data server 0.
+	// Worker 1 pushes once data server 1 and every other shard of data
+	// server 0 have applied worker 0's, so no shard takes both fragments as
+	// one batch and every shard applies the round in the serial order.
 	released0 := push(0)
 	within(t, gate.entered, "worker 0's fragment never reached the step")
+	othersApplied := func() bool {
+		for _, sh := range g.stores[0].shards {
+			if sh != gate.held && sh.applied.Load() < 1 {
+				return false
+			}
+		}
+		return g.stores[1].Version() >= 1
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for g.stores[1].Version() < 1 {
+	for !othersApplied() {
 		if time.Now().After(deadline) {
-			t.Fatal("data server 1 never applied worker 0's fragment")
+			t.Fatal("the unheld shards never applied worker 0's fragment")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -1324,7 +1334,7 @@ func TestPipelinedPullRecoversOnlyTheFailedLink(t *testing.T) {
 		if a, b := pulls[g.dataAddrs[0]], pulls[g.dataAddrs[1]]; a != 2 || b != 1 {
 			t.Fatalf("data servers got %d and %d Pulls, want 2 (the failed link, re-pulled) and 1", a, b)
 		}
-		if err := c.Push(scheduledGrads(0, 0), version, 0, false); err != nil {
+		if err := c.Push(scheduledGrads(0, 0), nil, version, 0, false); err != nil {
 			t.Fatalf("push after the recovered pull: %v", err)
 		}
 		params, version, err = c.Pull()
@@ -1354,4 +1364,71 @@ func TestPipelinedPullRecoversOnlyTheFailedLink(t *testing.T) {
 			t.Fatalf("one-link pull across the fault returned %v, want the fault", err)
 		}
 	})
+}
+
+// TestClusterPushFromFactorsMatchesProduct: an fp16 group push that hands
+// gradients on as their factors lands on the data servers bit for bit as the
+// push of the stored products does. The factors fragment with the tensors:
+// tensor 0's go to data server 0's compressor, the last tensor's to the last
+// server's, and a dense group's client takes none.
+func TestClusterPushFromFactorsMatchesProduct(t *testing.T) {
+	fp16 := compress.Config{Codec: compress.FP16}
+	initial := seededModel(73)
+	last := len(clusterShapes) - 2 // the last two-dimensional tensor
+	pushed := func(factored bool) []*tensor.Tensor {
+		g := startTestGroupWith(t, 1, 2, core.MustNewASP(1), initial, clusterOpt, Options{Compression: fp16})
+		c, err := NewClusterClient(g.dial, g.coordAddr, 0, ClusterClientConfig{Compression: fp16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if !c.PushFactors() {
+			t.Fatal("an fp16 group client takes no factors")
+		}
+		rng := rand.New(rand.NewSource(5))
+		for it := 0; it < 3; it++ {
+			grads := scheduledGrads(0, it)
+			factors := make([]tensor.Factors, len(grads))
+			for _, i := range []int{0, last} {
+				m, n := grads[i].Dim(0), grads[i].Dim(1)
+				ab := randomGrads(rng, []int{3, m}, []int{3, n})
+				factors[i] = tensor.Factors{A: ab[0], B: ab[1]}
+				tensor.MatMulTransAInto(grads[i], factors[i].A, factors[i].B)
+			}
+			if factored {
+				for _, i := range []int{0, last} {
+					grads[i] = tensor.New(grads[i].Shape()...)
+				}
+			} else {
+				factors = nil
+			}
+			_, v, err := c.Pull()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Push(grads, factors, v, it, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		params, _, err := c.Pull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]*tensor.Tensor, len(params))
+		for i, p := range params {
+			out[i] = p.Clone()
+		}
+		return out
+	}
+	requireSameWeights(t, pushed(true), pushed(false))
+
+	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
+	c, err := NewClusterClient(g.dial, g.coordAddr, 0, ClusterClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if c.PushFactors() {
+		t.Fatal("a dense group client takes factors")
+	}
 }

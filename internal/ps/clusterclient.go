@@ -286,12 +286,12 @@ func (c *ClusterClient) recover(i int, cause error) error {
 // link of a Flat or Tree route, the first data server behind a coordinator.
 func (c *ClusterClient) firstData() int { return min(1, len(c.links)-1) }
 
-// fragment is the part of a full tensor list that link i carries: all of it
-// on a one-link route, none on a group's coordinator, the shard range's
-// tensors on a data server.
-func (c *ClusterClient) fragment(i int, ts []*tensor.Tensor) []*tensor.Tensor {
+// fragment is the part of a full list, of tensors or of their factors, that
+// link i of c carries: all of it on a one-link route, none on a group's
+// coordinator, the shard range's entries on a data server; nil of nil.
+func fragment[T any](c *ClusterClient, i int, ts []T) []T {
 	switch {
-	case len(c.links) == 1:
+	case len(c.links) == 1 || ts == nil:
 		return ts
 	case i == 0:
 		return nil
@@ -381,15 +381,20 @@ func (c *ClusterClient) pull() ([]*tensor.Tensor, int64, error) {
 // sends nothing and only receives them: one round trip an iteration instead
 // of two. Every other server offers none, and next changes nothing.
 //
+// factors, unless nil, is aligned with grads and hands each gradient whose
+// entry is set on as the product of its two factors, which the encode
+// computes itself (compress.Compressor.CompressInto): only where PushFactors
+// said so, grads[i] then standing for the gradient's shape and storage.
+//
 // A data-link failure recovers and re-sends that fragment; a fragment whose
 // OK was lost in the crash may therefore apply twice, the same at-least-once
 // semantics a rejoin has. A sync-link failure goes to the caller.
-func (c *ClusterClient) Push(grads []*tensor.Tensor, baseVersion int64, iteration int, next bool) error {
+func (c *ClusterClient) Push(grads []*tensor.Tensor, factors []tensor.Factors, baseVersion int64, iteration int, next bool) error {
 	if c.metrics == nil {
-		return c.push(grads, baseVersion, iteration, next)
+		return c.push(grads, factors, baseVersion, iteration, next)
 	}
 	start := time.Now()
-	err := c.push(grads, baseVersion, iteration, next)
+	err := c.push(grads, factors, baseVersion, iteration, next)
 	if err == nil {
 		c.metrics.pushRTTSeconds.Observe(time.Since(start).Seconds())
 		c.metrics.iterations.Inc()
@@ -399,18 +404,18 @@ func (c *ClusterClient) Push(grads []*tensor.Tensor, baseVersion int64, iteratio
 
 // PushAndWait is Push with next unset.
 func (c *ClusterClient) PushAndWait(grads []*tensor.Tensor, baseVersion int64, iteration int) error {
-	return c.Push(grads, baseVersion, iteration, false)
+	return c.Push(grads, nil, baseVersion, iteration, false)
 }
 
 // push implements Push.
-func (c *ClusterClient) push(grads []*tensor.Tensor, baseVersion int64, iteration int, next bool) error {
+func (c *ClusterClient) push(grads []*tensor.Tensor, factors []tensor.Factors, baseVersion int64, iteration int, next bool) error {
 	if len(c.links) > 1 && len(grads) != c.total {
 		return fmt.Errorf("ps: cluster push carries %d tensors, model has %d", len(grads), c.total)
 	}
 	var failed []int
 	for i := 1; i < len(c.links); i++ {
 		l := c.links[i]
-		if l.client.pushAsync(c.fragment(i, grads), l.version, iteration) != nil {
+		if l.client.pushAsync(fragment(c, i, grads), fragment(c, i, factors), l.version, iteration) != nil {
 			failed = append(failed, i)
 		}
 	}
@@ -420,22 +425,22 @@ func (c *ClusterClient) push(grads []*tensor.Tensor, baseVersion int64, iteratio
 		}
 	}
 	for _, i := range failed {
-		if err := c.retryFragment(i, grads, iteration); err != nil {
+		if err := c.retryFragment(i, grads, factors, iteration); err != nil {
 			return err
 		}
 	}
-	return c.links[0].client.pushAndWait(c.fragment(0, grads), baseVersion, iteration, next)
+	return c.links[0].client.pushAndWait(fragment(c, 0, grads), fragment(c, 0, factors), baseVersion, iteration, next)
 }
 
 // retryFragment recovers link i and re-sends its fragment until it lands.
-func (c *ClusterClient) retryFragment(i int, grads []*tensor.Tensor, iteration int) error {
+func (c *ClusterClient) retryFragment(i int, grads []*tensor.Tensor, factors []tensor.Factors, iteration int) error {
 	err := fmt.Errorf("ps: fragment push to %s failed", c.links[i].entry.Addr)
 	for {
 		if rerr := c.recover(i, err); rerr != nil {
 			return rerr
 		}
 		l := c.links[i]
-		if err = l.client.pushAsync(c.fragment(i, grads), l.version, iteration); err == nil {
+		if err = l.client.pushAsync(fragment(c, i, grads), fragment(c, i, factors), l.version, iteration); err == nil {
 			err = l.client.waitOK()
 		}
 		if err == nil {
@@ -457,7 +462,7 @@ func (c *ClusterClient) PushSlot(grads []*tensor.Tensor) []*tensor.Tensor {
 	}
 	found, lo := false, 0
 	for i := c.firstData(); i < len(c.links); i++ {
-		part := c.fragment(i, grads)
+		part := fragment(c, i, grads)
 		dst := c.slots[lo : lo+len(part)]
 		lo += len(part)
 		if views := c.links[i].client.PushSlot(part); views != nil {
@@ -471,6 +476,19 @@ func (c *ClusterClient) PushSlot(grads []*tensor.Tensor) []*tensor.Tensor {
 		return nil
 	}
 	return c.slots
+}
+
+// PushFactors reports whether Push takes gradients as their factors: where
+// every link that carries gradients encodes them under fp16, whose encode
+// runs a product and itself in one pass (compress.Compressor.CompressInto).
+// Asked before every pass, like PushSlot.
+func (c *ClusterClient) PushFactors() bool {
+	for i := c.firstData(); i < len(c.links); i++ {
+		if c.links[i].client.cfg.Codec != compress.FP16 {
+			return false
+		}
+	}
+	return true
 }
 
 // Done reports completion on every data-only link and then on the sync

@@ -20,10 +20,14 @@ type WorkerClient interface {
 	// PushSlot returns tensors shaped like grads that the next push is sent
 	// from without a copy, or nil (ClusterClient.PushSlot).
 	PushSlot(grads []*tensor.Tensor) []*tensor.Tensor
-	// Push pushes a gradient and waits for the release; next says the
+	// PushFactors reports whether the next push takes a gradient as its two
+	// factors (ClusterClient.PushFactors).
+	PushFactors() bool
+	// Push pushes a gradient and waits for the release; factors, nil unless
+	// PushFactors said so, hands gradients on unmultiplied, and next says the
 	// loop's next call is Pull, which the push may bring along
 	// (ClusterClient.Push).
-	Push(grads []*tensor.Tensor, baseVersion int64, iteration int, next bool) error
+	Push(grads []*tensor.Tensor, factors []tensor.Factors, baseVersion int64, iteration int, next bool) error
 	Done() error
 	Close() error
 	Traffic() (pushed, pulled int64)

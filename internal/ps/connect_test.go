@@ -88,7 +88,7 @@ func pushOnce(t *testing.T, c WorkerClient, grads []*tensor.Tensor, it int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Push(grads, v, it, false); err != nil {
+	if err := c.Push(grads, nil, v, it, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -335,7 +335,7 @@ func TestConnectFramesPerIteration(t *testing.T) {
 			iterate := func(it int) {
 				_, v, err := c.Pull()
 				if err == nil {
-					err = c.Push(grads, v, it, tc.next)
+					err = c.Push(grads, nil, v, it, tc.next)
 				}
 				if err != nil {
 					t.Fatal(err)

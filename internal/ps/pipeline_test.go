@@ -18,11 +18,13 @@ import (
 
 // stepGate holds the applier inside its first optimizer step (stepHook)
 // while more pushes pile up behind it — the deterministic way to force
-// coalescing — and counts the steps taken. It counts every shard's, so it
-// only suits single-shard stores.
+// coalescing — and counts the steps taken. It holds one shard's step and
+// counts every shard's: every other step, a sibling shard's included, runs
+// while the first is held.
 type stepGate struct {
 	entered chan struct{} // closed when the first step begins
 	resume  chan struct{} // the first step blocks until this closes
+	held    *shard        // the shard whose step is held, set before entered closes
 	steps   atomic.Int64
 }
 
@@ -34,16 +36,17 @@ func gateSteps(t *testing.T) *stepGate { return gateStoreSteps(t, nil) }
 // is nil): another store in the process steps freely.
 func gateStoreSteps(t *testing.T, st *Store) *stepGate {
 	g := &stepGate{entered: make(chan struct{}), resume: make(chan struct{})}
-	var once sync.Once
+	var first atomic.Bool
 	stepHook = func(sh *shard) {
 		if st != nil && !slices.Contains(st.shards, sh) {
 			return
 		}
 		g.steps.Add(1)
-		once.Do(func() {
+		if first.CompareAndSwap(false, true) {
+			g.held = sh
 			close(g.entered)
 			<-g.resume
-		})
+		}
 	}
 	t.Cleanup(func() {
 		stepHook = nil
@@ -896,7 +899,7 @@ func TestPullLabelIsTheVersionItPins(t *testing.T) {
 				}
 			}
 
-			if err := clients[0].pushAsync(grads, 0, 0); err != nil {
+			if err := clients[0].pushAsync(grads, nil, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 			within(t, entered, "shard 1's step never began")

@@ -48,7 +48,7 @@ func TestPrefetchDiesWithItsTenure(t *testing.T) {
 	// applies.
 	go func() { stayed <- stayer.PushAndWait(grad, 0, 0) }()
 	<-gate.entered
-	go func() { left <- leaver.pushAndWait(grad, 0, 0, true) }()
+	go func() { left <- leaver.pushAndWait(grad, nil, 0, 0, true) }()
 	waitFor(t, "the server never counted the flagged push", func() bool { return srv.Pushes() >= 2 })
 	if err := leaver.conn.Send(transport.Message{Type: transport.MsgLeave, Worker: 0}); err != nil {
 		t.Fatal(err)

@@ -724,7 +724,7 @@ func (r *Relay) flushLocked(reason string) {
 	}
 	r.rm.forwarded.Inc()
 	r.rm.partialDepth.Observe(float64(len(p.entries)))
-	if err := r.trunk.push(p.sum, p.minBase, p.entries[0].Iteration, p.entries, false); err != nil {
+	if err := r.trunk.push(p.sum, nil, p.minBase, p.entries[0].Iteration, p.entries, false); err != nil {
 		go r.fail(fmt.Errorf("ps: relay trunk: %w", err))
 	}
 	if !p.inSlot {

@@ -901,7 +901,7 @@ func TestRelayFoldBitIdenticalToCopyThenAdd(t *testing.T) {
 				t.Cleanup(relay.Stop)
 				children := relayChildren(t, relay, socket, fanout)
 				for w, c := range children {
-					if err := c.pushAsync(grads[w], 1, 1); err != nil {
+					if err := c.pushAsync(grads[w], nil, 1, 1); err != nil {
 						t.Fatal(err)
 					}
 					switch {
@@ -989,7 +989,7 @@ func TestRelayStopReleasesTheHeldFirstPush(t *testing.T) {
 	t.Cleanup(relay.Stop)
 	clients := relayChildren(t, relay, false, 2)
 	// Child 1 never pushes, so child 0's push waits for it, held.
-	if err := clients[0].pushAsync(testGrads(1, 1, size), 1, 1); err != nil {
+	if err := clients[0].pushAsync(testGrads(1, 1, size), nil, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	waitPartial(t, relay, "child 0's push was never held", held)
@@ -1040,11 +1040,11 @@ func TestRelayStopDropsTheTrunkSlotPartial(t *testing.T) {
 	clients := relayChildren(t, relay, false, 3)
 	// Children 0 and 1 push, child 2 never does, so their partial waits for
 	// it in the slot: the second push sums the held first one into it.
-	if err := clients[0].pushAsync(testGrads(1, 1, size), 1, 1); err != nil {
+	if err := clients[0].pushAsync(testGrads(1, 1, size), nil, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	waitPartial(t, relay, "child 0's push was never held", held)
-	if err := clients[1].pushAsync(testGrads(2, 1, size), 1, 1); err != nil {
+	if err := clients[1].pushAsync(testGrads(2, 1, size), nil, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	waitPartial(t, relay, "child 1's push never summed the partial into the trunk slot", func(p *relayPartial) bool {
@@ -1067,7 +1067,7 @@ func TestRelayStopDropsTheTrunkSlotPartial(t *testing.T) {
 		t.Error("Stop left the trunk slot mapped")
 	}
 	// A late push finds the relay gone instead of the slot.
-	_ = clients[2].pushAsync(testGrads(3, 1, size), 1, 1)
+	_ = clients[2].pushAsync(testGrads(3, 1, size), nil, 1, 1)
 	if relay.trunk.PushSlot(testGrads(3, 1, size)) != nil {
 		t.Error("the ended trunk slot was handed out again")
 	}

@@ -800,7 +800,24 @@ dotoff512_done:
 	VMOVUPS.Z 64(AX)(R12*4), K2, b1 \
 	ADDQ      $8, R11
 
-// func gemmOffSmallKAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool)
+// The half store form of the small-k pass for the 16 columns of sum under
+// mask: s = r + sum with r read from res; NaN lanes of a copy of s rewritten
+// as sign|0x7fc00000 (Z14 the sign, Z15 that NaN); that copy's halfs stored
+// to pay; res = s − float(half).
+#define SKHALF(sum, res, pay, mask) \
+	VMOVUPS.Z   res, mask, Z5     \
+	VADDPS      sum, Z5, Z5       \
+	VCMPPS      $3, Z5, Z5, K3    \
+	VMOVAPS     Z5, Z6            \
+	VPANDD      Z14, Z5, K3, Z6   \
+	VPORD       Z15, Z6, K3, Z6   \
+	VCVTPS2PH   $0, Z6, Y7        \
+	VCVTPS2PH   $0, Z6, mask, pay \
+	VCVTPH2PS   Y7, Z8            \
+	VSUBPS      Z8, Z5, Z5        \
+	VMOVUPS     Z5, mask, res
+
+// func gemmOffSmallKAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool, half *byte)
 //
 // c[r*ldc+j] = sum over kk of a[r*ars+kk*aks] * b[off[kk]+j] for r in
 // [0,rows) and j in [0,cols), 1 <= k <= 8 and 1 <= cols <= 32: a product
@@ -812,7 +829,14 @@ dotoff512_done:
 // from +0, fused while four steps remain, multiply and add rounded apart for
 // the k%4 tail, then added onto c with add set — so the pass and the panels
 // agree bit for bit. The branches on k cost a predicted jump per row.
-TEXT ·gemmOffSmallKAVX512(SB), NOSPLIT, $0-81
+//
+// With half set the sum Σ is never stored: c is an error-feedback residual r,
+// and each output takes compress's fp16 feedback step in registers instead
+// (encodeF16FeedbackF16C's, over 16 lanes): s = r + Σ, r first so that a NaN
+// r stays that NaN; the half of s, NaN lanes rewritten as sign|0x7fc00000 as
+// CANON_NANS does, goes to half[2(r*ldc+j):] through VCVTPS2PH's masked store;
+// and c keeps s − float(half), exact. add is ignored.
+TEXT ·gemmOffSmallKAVX512(SB), NOSPLIT, $0-96
 	MOVQ cols+72(FP), CX
 	MOVQ $1, AX
 	SHLQ CX, AX
@@ -860,6 +884,13 @@ sk_loaded:
 	LEAQ (R11)(R10*4), R13       // 7 steps
 	MOVQ rows+64(FP), BX
 	MOVBQZX add+80(FP), R9
+	MOVQ half+88(FP), AX
+	MOVQ CX, R14
+	SHRQ $1, R14                 // a row of halfs, bytes
+	MOVL $0x80000000, R15
+	VPBROADCASTD R15, Z14        // float32 sign
+	MOVL $0x7fc00000, R15
+	VPBROADCASTD R15, Z15        // quiet NaN, no payload
 
 sk_row:
 	VPXORD Z0, Z0, Z0
@@ -900,6 +931,8 @@ sk_tail4:
 	SKMUL((SI)(R11*2), Z28, Z29)
 
 sk_store:
+	TESTQ AX, AX
+	JNZ   sk_half
 	TESTQ R9, R9
 	JZ    sk_put
 	VADDPS (DI), Z0, K1, Z0
@@ -908,9 +941,17 @@ sk_store:
 sk_put:
 	VMOVUPS Z0, K1, (DI)
 	VMOVUPS Z1, K2, 64(DI)
+
+sk_next:
 	ADDQ R8, SI
 	ADDQ CX, DI
 	DECQ BX
 	JNZ  sk_row
 	VZEROUPPER
 	RET
+
+sk_half:
+	SKHALF(Z0, 0(DI), 0(AX), K1)
+	SKHALF(Z1, 64(DI), 32(AX), K2)
+	ADDQ R14, AX
+	JMP  sk_next

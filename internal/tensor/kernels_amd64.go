@@ -26,7 +26,7 @@ func gemmOffPanelAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float3
 func dotOffPanelAVX512(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
 
 //go:noescape
-func gemmOffSmallKAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool)
+func gemmOffSmallKAVX512(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool, half *byte)
 
 // Implemented in slices_amd64.s. Each trusts the other operands to be at
 // least as long as the first. The ReLU and BatchNorm kernels run a whole

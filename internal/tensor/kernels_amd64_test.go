@@ -68,7 +68,7 @@ func TestGemmOffPanelAVX512BitIdenticalToAVX2(t *testing.T) {
 								continue
 							}
 							for jb := 0; jb < n; jb += mmSmallKCols {
-								gemmOffSmallKAVX512(&small[jb], ldc, &a[0], ars, aks, &b[jb], &offs[0], k, mmTileI, min(mmSmallKCols, n-jb), add)
+								gemmOffSmallKAVX512(&small[jb], ldc, &a[0], ars, aks, &b[jb], &offs[0], k, mmTileI, min(mmSmallKCols, n-jb), add, nil)
 							}
 							if !sameBitsAll(smallBack, wantBack) {
 								t.Fatalf("%s: the small-k pass differs from gemmOffPanelAVX2", where)

@@ -47,7 +47,8 @@ import (
 // an inner dimension of at most mmSmallK it holds b's k×mmSmallKCols block in
 // registers and streams every output row of the block through it (offset.go
 // has its contract). It exists in AVX-512 form only, bit-identical to the
-// panels.
+// panels. Given half, it stores no product: each output runs the fp16
+// error-feedback encode in registers instead (MatMulTransAF16Feedback).
 //
 // All are rebound once, at package init, when the CPU probe passes; kernel
 // names the binding that is live.
@@ -55,7 +56,7 @@ var (
 	fma4Rows      = mm4Rows
 	gemmOffPanel  func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, tiles int, add bool)
 	dotOffPanel   func(c *float32, ldc int, a *float32, lda, rows int, b *float32, off *int, cols, w, h, ldb int, acc bool)
-	gemmOffSmallK func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool)
+	gemmOffSmallK func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool, half *byte)
 	kernel        = "go"
 )
 
@@ -193,6 +194,51 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	mmCheckDst("MatMulTransAInto", dst, m, n)
 	mmOffset(dst.data, n, a.data, m, 1, m, b.data, denseRows(k, n), n, false)
 	return dst
+}
+
+// Factors is a matrix left as the two factors of its product Aᵀ×B, A of
+// shape (k,m) and B of shape (k,n): how a layer hands on a weight gradient
+// whose consumer computes the product itself (MatMulTransAF16Feedback). The
+// zero value stands for no factors.
+type Factors struct{ A, B *Tensor }
+
+// MatMulTransAF16Feedback runs internal/compress's fp16 error-feedback encode
+// over the product aᵀ×b without storing the product: for a of shape (k,m), b
+// of shape (k,n) and r of shape (m,n), each output s = r + (aᵀ×b)ᵢⱼ is
+// written to payload as an IEEE half, little endian, rounded to nearest even
+// (a NaN as its sign with the quiet NaN 0x7e00), and r keeps s − half,
+// exactly as MatMulTransAInto followed by that encode would leave them, bit
+// for bit. It is the small-k pass's second store form, so it runs only where
+// that pass is bound and k is at most mmSmallK; anywhere else it reports
+// false and touches nothing. payload holds 2·m·n bytes and overlaps no
+// operand.
+func MatMulTransAF16Feedback(payload []byte, r, a, b *Tensor) bool {
+	m, k, n := mmShapes("MatMulTransAF16Feedback", a, b, true)
+	if gemmOffSmallK == nil || k > mmSmallK {
+		return false
+	}
+	mmCheckDst("MatMulTransAF16Feedback", r, m, n)
+	if len(payload) != 2*m*n {
+		panic(fmt.Sprintf("tensor: MatMulTransAF16Feedback payload holds %d bytes for %d values", len(payload), m*n))
+	}
+	off := denseRows(k, n)
+	if mmSerial(m, k, n) {
+		f16FeedbackRows(payload, r.data, a.data, m, b.data, off, n, 0, m)
+		return true
+	}
+	mmParallel(m, k, n, func(i0, i1 int) {
+		f16FeedbackRows(payload, r.data, a.data, m, b.data, off, n, i0, i1)
+	})
+	return true
+}
+
+// f16FeedbackRows runs rows [i0,i1) of MatMulTransAF16Feedback, mmSmallKCols
+// columns a call, as gemmOffRowRange runs a product's.
+func f16FeedbackRows(payload []byte, r, a []float32, m int, b []float32, off []int, n, i0, i1 int) {
+	for jb := 0; jb < n; jb += mmSmallKCols {
+		o := i0*n + jb
+		gemmOffSmallK(&r[o], n, &a[i0], 1, m, &b[jb], &off[0], len(off), i1-i0, min(mmSmallKCols, n-jb), false, &payload[2*o])
+	}
 }
 
 // MatMulTransB returns a×bᵀ for a of shape (m,k) and b of shape (n,k),

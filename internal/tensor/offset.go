@@ -21,7 +21,9 @@ import "fmt"
 // b's row kk at b[off[kk]]: the chain summed from +0 and, with add set, added
 // onto c at the store (c + Σ, what adding a separately computed product
 // leaves). gemmOffSmallK computes the same chain for rows rows and up to
-// mmSmallKCols columns j, k at most mmSmallK. dotOffPanel computes up to four
+// mmSmallKCols columns j, k at most mmSmallK; with half set, c is an fp16
+// error-feedback residual the chain is folded into, and the halfs go to
+// half[2(r*ldc+j):] (MatMulTransAF16Feedback). dotOffPanel computes up to four
 // columns of rows rows of a transposed-B product, b's row j the h runs of w
 // floats b[off[j]+s*ldb:], s < h, and a's row the h·w floats that meet them
 // end to end; with acc the sums are added onto c. gemm_amd64.s has the
@@ -105,7 +107,7 @@ func offsetsFit(b []float32, off []int, span int) bool {
 func gemmOffRowRange(c []float32, ldc int, a []float32, ars, aks int, b []float32, off []int, n, i0, i1 int, add bool) {
 	if k := len(off); gemmOffSmallK != nil && k > 0 && k <= mmSmallK && i0 < i1 {
 		for jb := 0; jb < n; jb += mmSmallKCols {
-			gemmOffSmallK(&c[i0*ldc+jb], ldc, &a[i0*ars], ars, aks, &b[jb], &off[0], k, i1-i0, min(mmSmallKCols, n-jb), add)
+			gemmOffSmallK(&c[i0*ldc+jb], ldc, &a[i0*ars], ars, aks, &b[jb], &off[0], k, i1-i0, min(mmSmallKCols, n-jb), add, nil)
 		}
 		return
 	}

@@ -277,13 +277,13 @@ func TestGemmOffSmallKBitIdenticalToRowLoops(t *testing.T) {
 func TestGemmOffSmallKDispatch(t *testing.T) {
 	bound := gemmOffSmallK
 	var outputs, wide atomic.Int64 // a product that fans out calls from the pool
-	gemmOffSmallK = func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool) {
+	gemmOffSmallK = func(c *float32, ldc int, a *float32, ars, aks int, b *float32, off *int, k, rows, cols int, add bool, half *byte) {
 		outputs.Add(int64(rows * cols))
 		if cols > mmSmallKCols {
 			wide.Add(1)
 		}
 		if bound != nil {
-			bound(c, ldc, a, ars, aks, b, off, k, rows, cols, add)
+			bound(c, ldc, a, ars, aks, b, off, k, rows, cols, add, half)
 		}
 	}
 	t.Cleanup(func() { gemmOffSmallK = bound })

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -194,6 +195,14 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 						}
 						return true
 					}
+					// The first layer's weight gradient storage, poisoned: an
+					// fp16 push hands that gradient on as its factors, and
+					// where the fused encode runs, nothing writes or reads it.
+					firstDW := replica.Grads()[0].Data()
+					poison := math.Float32frombits(0x7fbadbad)
+					for i := range firstDW {
+						firstDW[i] = poison
+					}
 					train := data.MustSynthetic(data.SyntheticConfig{
 						Examples: 64, Classes: 80, Channels: 1, Size: 128, Noise: 0.3, Flat: true, Seed: 3,
 					})
@@ -245,6 +254,13 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 					runtime.GC()
 					if !atHome() {
 						t.Fatal("the replica does not read its own storage after the run")
+					}
+					if cfg.Codec == compress.FP16 {
+						untouched := !slices.ContainsFunc(firstDW, func(v float32) bool { return math.Float32bits(v) != math.Float32bits(poison) })
+						if fused := tensor.Kernel() == "avx512"; untouched != fused {
+							t.Errorf("the first layer's weight gradient storage untouched=%v after an fp16 run, want %v (kernel=%s): the fused encode ran where it is bound",
+								untouched, fused, tensor.Kernel())
+						}
 					}
 					if runtime.GOARCH != "amd64" {
 						// Elsewhere the compiler may fuse the Go loops'

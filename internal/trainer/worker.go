@@ -7,6 +7,7 @@ import (
 	"dssp/internal/data"
 	"dssp/internal/nn"
 	"dssp/internal/ps"
+	"dssp/internal/tensor"
 )
 
 // NoCrash is the Worker.CrashAt value of a worker that runs to completion.
@@ -145,6 +146,7 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 		return report, err
 	}
 
+	factors := make([]tensor.Factors, len(w.Replica.Grads()))
 	for report.Iterations < w.Iterations {
 		it := report.Iterations
 		if it == w.CrashAt {
@@ -166,8 +168,14 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 			// has such a place free now (ps.ClusterClient.PushSlot), in the
 			// replica's own storage otherwise; asked before every pass,
 			// because the place is the receiver's until it releases the last
-			// push sent from it.
+			// push sent from it. A client whose push encodes a gradient from
+			// its factors (ps.ClusterClient.PushFactors) gets the first
+			// layer's that way, never computed.
+			var pushFactors []tensor.Factors
 			if !adversarial {
+				if client.PushFactors() {
+					pushFactors = factors
+				}
 				if views := client.PushSlot(w.Replica.Grads()); views != nil {
 					if err := w.Replica.AdoptGrads(views); err != nil {
 						return report, err
@@ -176,7 +184,7 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 					w.Replica.DetachGrads()
 				}
 			}
-			w.Replica.Backward()
+			w.Replica.BackwardFactors(pushFactors)
 			if w.Delay > 0 {
 				time.Sleep(w.Delay)
 			}
@@ -193,7 +201,7 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 			// Every push but the last is followed by a Pull, which the push
 			// may bring along (ps.ClusterClient.Push); after the last,
 			// weights nobody reads would cost a model's bytes.
-			err = client.Push(grads, claimed, it, it+1 < w.Iterations)
+			err = client.Push(grads, pushFactors, claimed, it, it+1 < w.Iterations)
 		}
 		if err != nil {
 			if err = lost(err); err != nil {

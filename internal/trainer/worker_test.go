@@ -88,7 +88,7 @@ func (l *fakeLink) Pull() ([]*tensor.Tensor, int64, error) {
 	return l.st.params, 10 * l.st.pulls, nil
 }
 
-func (l *fakeLink) Push(grads []*tensor.Tensor, base int64, iteration int, _ bool) error {
+func (l *fakeLink) Push(grads []*tensor.Tensor, _ []tensor.Factors, base int64, iteration int, _ bool) error {
 	l.record("push", iteration)
 	if l.inject("push") {
 		return errInjected
@@ -112,6 +112,7 @@ func (l *fakeLink) Close() error                               { l.closed = true
 func (l *fakeLink) Traffic() (pushed, pulled int64)            { return 100 * l.pushes, 7 * l.pullsOK }
 func (l *fakeLink) Codec() string                              { return fmt.Sprintf("codec-%d", l.id) }
 func (l *fakeLink) PushSlot([]*tensor.Tensor) []*tensor.Tensor { return nil }
+func (l *fakeLink) PushFactors() bool                          { return false }
 func (l *fakeLink) StartHeartbeats(time.Duration) func() {
 	l.hbStarted++
 	return func() { l.hbStopped++ }

@@ -346,9 +346,10 @@ unused:
 	fi
 
 # Run the fuzz corpus seeds as plain regression tests (no fuzzing engine):
-# exactly what CI executes so a decoder regression fails fast everywhere.
+# exactly what CI executes so a decoder regression fails fast everywhere —
+# the wire's frame decoders and the checkpoint restore that reads its frames.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/transport/
+	$(GO) test -run 'Fuzz' ./internal/transport/ ./internal/ps/
 
 # Robustness scenario-matrix smoke: the 2x2 grid (clean / 1-of-4 gradient
 # attacker x plain sum / trimmed-mean+guard) on real training, plus the

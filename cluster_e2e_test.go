@@ -476,7 +476,7 @@ func TestServeRefusesWhatItWouldIgnore(t *testing.T) {
 		}
 	}
 
-	for _, name := range []string{"manifest.ckpt", "store.ckpt"} {
+	for _, name := range []string{"checkpoint.ckpt", "manifest.ckpt", "store.ckpt"} {
 		legacy := coord
 		legacy.Cluster = dssp.ClusterOptions{}
 		legacy.Checkpoint.Dir = t.TempDir()

@@ -28,8 +28,8 @@
 // Fault tolerance: -elastic lease-monitors worker sessions (evicting any
 // silent for -heartbeat-timeout) and accepts mid-run rejoins from workers
 // started with -reconnect; -checkpoint-dir/-checkpoint-every persist the
-// store as one file (checkpoint.ckpt) so a restarted server resumes the run
-// where it stopped.
+// store as one file (checkpoint.frames) so a restarted server resumes the run
+// where it stopped, stepping at its own -lr.
 //
 // Server groups: -role places this server in a multi-server group
 // (DESIGN.md §10). A coordinator (-role coordinator -cluster-servers N)
@@ -232,7 +232,7 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 	// The weights, and the optimizer stepping them, live on every server but
 	// a coordinator, whose store is a one-scalar placeholder.
 	if server && role != dssp.RoleCoordinator {
-		fs.Float64Var(&s.LearningRate, "lr", 0.1, "learning rate")
+		fs.Float64Var(&s.LearningRate, "lr", 0.1, "learning rate (a run restored from a checkpoint steps at this rate, not the saved run's)")
 		fs.Float64Var(&s.Momentum, "momentum", 0, "SGD momentum")
 	}
 	if server && role != "" {

@@ -1,8 +1,8 @@
 // Package optimizer implements the one update rule the parameter server
 // applies: stochastic gradient descent, plain or with momentum, stepped
 // straight from a coalesced batch of pushes (SGD.StepFrom). The learning
-// rate is constant for a run; a restored checkpoint sets it back to the rate
-// it was saved at.
+// rate is constant for a run, a restored one included: a checkpoint holds
+// weights and velocity, not the rate.
 package optimizer
 
 import (
@@ -145,9 +145,3 @@ func (s *SGD) LoadState(state [][]float32) {
 		s.velocity[i] = append([]float32(nil), v...)
 	}
 }
-
-// SetLearningRate changes the learning rate used by subsequent steps.
-func (s *SGD) SetLearningRate(lr float64) { s.lr = lr }
-
-// LearningRate returns the current learning rate.
-func (s *SGD) LearningRate() float64 { return s.lr }

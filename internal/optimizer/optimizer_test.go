@@ -73,14 +73,3 @@ func TestSGDPanicsOnMismatchedInputs(t *testing.T) {
 	}()
 	stepInPlace(opt, []*tensor.Tensor{tensor.New(2)}, nil)
 }
-
-func TestLearningRateAccessors(t *testing.T) {
-	opt := NewSGD(0.05)
-	if opt.LearningRate() != 0.05 {
-		t.Fatalf("LearningRate = %v", opt.LearningRate())
-	}
-	opt.SetLearningRate(0.001)
-	if opt.LearningRate() != 0.001 {
-		t.Fatalf("after SetLearningRate, got %v", opt.LearningRate())
-	}
-}

@@ -1,20 +1,25 @@
 package ps
 
 import (
-	"bytes"
-	"encoding/gob"
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
 	"dssp/internal/tensor"
+	"dssp/internal/transport"
 )
 
-// A checkpoint is one file, checkpointFile, in the checkpoint directory: the
-// store's published weights, optimizer state, version and learning rate, flat
-// by global tensor index so it restores into a store with any shard count. A
-// save always writes the whole model — every push spans every shard
-// (EnqueueApplyWeighted), so no shard stays clean between two saves.
+// A checkpoint is one file, checkpointFile, in the checkpoint directory, of
+// two frames of the binary wire (docs/PROTOCOL.md): a Weights frame with the
+// store's version and its published weights, and, when the optimizer keeps
+// state, a second Weights frame with the velocity of every tensor. Both are
+// by global tensor index, so a checkpoint restores into a store with any
+// shard count. A save always writes the whole model — every push spans every
+// shard (EnqueueApplyWeighted), so no shard stays clean between two saves.
 //
 // Crash safety: the file is written to a temporary name, fsynced, renamed into
 // place, and the directory entry is fsynced — the previous checkpoint stays
@@ -37,38 +42,14 @@ type CheckpointConfig struct {
 func (c CheckpointConfig) Enabled() bool { return c.Dir != "" }
 
 // checkpointFile is the checkpoint's name inside its directory.
-const checkpointFile = "checkpoint.ckpt"
+const checkpointFile = "checkpoint.frames"
 
-// olderCheckpointFiles are the formats earlier builds wrote: the incremental
-// manifest (manifest.ckpt plus seg-*.ckpt) and the single file before it.
-// Nothing reads them; they are recognized only so that a directory holding one
-// is refused by name instead of silently trained over.
-var olderCheckpointFiles = []string{"manifest.ckpt", "store.ckpt"}
-
-// CheckpointExists reports whether dir holds something a server must not
-// start from scratch over: a checkpoint, or one in an older format (which
-// RestoreCheckpointDir then refuses).
-func CheckpointExists(dir string) bool {
-	for _, name := range append([]string{checkpointFile}, olderCheckpointFiles...) {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// checkpointData is the checkpoint file's content: the published weights, the
-// per-tensor optimizer state, the aggregate version, and the learning rate in
-// force, by global tensor index.
-type checkpointData struct {
-	Version      int64
-	LearningRate float64
-	Shapes       [][]int
-	Params       [][]float32
-	// State holds the optimizer's per-parameter state by global tensor index;
-	// nil entries mean no accumulated state for that tensor.
-	State [][]float32
-}
+// olderCheckpointFiles are the formats earlier builds wrote: the gob-encoded
+// single file, the incremental manifest (manifest.ckpt plus seg-*.ckpt) and
+// the single file before it. Nothing reads them; they are recognized only so
+// that a directory holding one is refused by name instead of silently trained
+// over.
+var olderCheckpointFiles = []string{"checkpoint.ckpt", "manifest.ckpt", "store.ckpt"}
 
 // writeFileDurable atomically and durably replaces path with data: temp file
 // in the same directory, fsync, rename, fsync of the directory entry. The
@@ -133,104 +114,120 @@ func (sh *shard) checkpointView() (g *paramGen, state [][]float32) {
 	return g, state
 }
 
-// SaveCheckpoint writes the store's state into dir as one checkpoint file,
+// saveCheckpoint writes the store's state into dir as one checkpoint file,
 // replacing the previous one atomically and durably, and returns the bytes
 // written. Each shard is read at its latest publication.
-func (s *Store) SaveCheckpoint(dir string) (int64, error) {
+func (s *Store) saveCheckpoint(dir string) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("ps: checkpoint dir: %w", err)
 	}
-	ck := checkpointData{
-		Version: s.version.Load(),
-		Shapes:  s.shapes,
-		Params:  make([][]float32, len(s.shapes)),
-		State:   make([][]float32, len(s.shapes)),
-	}
-	s.protoMu.Lock()
-	ck.LearningRate = s.proto.LearningRate()
-	s.protoMu.Unlock()
+	weights := transport.Message{Type: transport.MsgWeights, Version: s.version.Load(),
+		Tensors: make([]transport.WireTensor, len(s.shapes))}
+	state := make([][]float32, len(s.shapes))
+	stateful := false
 	gens := make([]*paramGen, len(s.shards))
 	for i, sh := range s.shards {
-		g, state := sh.checkpointView()
+		g, st := sh.checkpointView()
 		gens[i] = g
+		stateful = stateful || st != nil
 		base := s.ranges[i].Start
 		for j, p := range g.params {
-			ck.Params[base+j] = p.Data()
-			if state != nil {
-				ck.State[base+j] = state[j]
+			weights.Tensors[base+j] = transport.WireTensor{Shape: s.shapes[base+j], Data: p.Data()}
+			if st != nil {
+				state[base+j] = st[j]
 			}
 		}
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&ck)
+	buf, err := transport.AppendFrame(nil, &weights)
+	if err == nil && stateful {
+		// A tensor without velocity is written as zeros: a nil velocity starts
+		// as zeros in the same kernel, so the restored steps are the same.
+		velocity := transport.Message{Type: transport.MsgWeights, Tensors: make([]transport.WireTensor, len(s.shapes))}
+		for g, v := range state {
+			if v == nil {
+				v = make([]float32, len(weights.Tensors[g].Data))
+			}
+			velocity.Tensors[g] = transport.WireTensor{Shape: s.shapes[g], Data: v}
+		}
+		buf, err = transport.AppendFrame(buf, &velocity)
+	}
 	for _, g := range gens {
 		g.release()
 	}
 	if err != nil {
 		return 0, fmt.Errorf("ps: encode checkpoint: %w", err)
 	}
-	if err := writeFileDurable(filepath.Join(dir, checkpointFile), buf.Bytes()); err != nil {
+	if err := writeFileDurable(filepath.Join(dir, checkpointFile), buf); err != nil {
 		return 0, err
 	}
-	return int64(buf.Len()), nil
+	return int64(len(buf)), nil
 }
 
-// RestoreCheckpointDir replaces the store's weights, optimizer state, version
-// and learning rate with the checkpoint in dir. The checkpoint's tensor shapes
-// must match the store's — it restores a run of the same model, not an
-// arbitrary one — but the shard count may differ from the saving server's.
-// Restore before serving traffic; it is not synchronized against concurrent
-// Apply.
-func (s *Store) RestoreCheckpointDir(dir string) error {
+// restoreCheckpoint replaces the store's weights, optimizer state and version
+// with the checkpoint in dir and reports whether there was one; a directory
+// holding a checkpoint of an older format is an error. The checkpoint's
+// tensors must be laid out as the store's (checkLayout) — it restores a run of
+// the same model, not an arbitrary one — but the shard count may differ from
+// the saving server's. The learning rate stays the one the store was built
+// with. Restore before serving traffic; it is not synchronized against
+// concurrent Apply.
+func (s *Store) restoreCheckpoint(dir string) (bool, error) {
 	f, err := os.Open(filepath.Join(dir, checkpointFile))
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		for _, name := range olderCheckpointFiles {
 			if _, serr := os.Stat(filepath.Join(dir, name)); serr == nil {
-				return fmt.Errorf("ps: %s holds %s, a checkpoint format this build no longer reads", dir, name)
+				return false, fmt.Errorf("ps: %s holds %s, a checkpoint format this build no longer reads", dir, name)
 			}
 		}
-		return fmt.Errorf("ps: open checkpoint: %w", err)
+		return false, nil
 	}
-	var ck checkpointData
-	err = gob.NewDecoder(f).Decode(&ck)
-	f.Close()
 	if err != nil {
-		return fmt.Errorf("ps: decode checkpoint: %w", err)
+		return false, fmt.Errorf("ps: open checkpoint: %w", err)
 	}
-	return s.installCheckpoint(&ck)
-}
-
-// installCheckpoint validates decoded checkpoint state against the store's
-// layout and installs it (Store.install): fresh generations per shard,
-// optimizer state loaded, versions re-based, the learning rate restored.
-func (s *Store) installCheckpoint(ck *checkpointData) error {
-	if ck.Version < 0 {
-		return fmt.Errorf("ps: checkpoint version %d is negative", ck.Version)
-	}
-	if len(ck.Params) != len(s.shapes) || len(ck.Shapes) != len(s.shapes) {
-		return fmt.Errorf("ps: checkpoint has %d tensors, store has %d", len(ck.Params), len(s.shapes))
-	}
-	if len(ck.State) != len(s.shapes) {
-		return fmt.Errorf("ps: checkpoint has state for %d tensors, store has %d", len(ck.State), len(s.shapes))
-	}
-	for i, shape := range ck.Shapes {
-		if !sameShape(shape, s.shapes[i]) {
-			return fmt.Errorf("ps: checkpoint tensor %d has shape %v, store expects %v", i, shape, s.shapes[i])
+	defer f.Close()
+	// The file is the weights frame and, when the store kept optimizer
+	// state, the velocity frame. Parsing checked every tensor's values
+	// against its shape.
+	var frames [][]*tensor.Tensor
+	var version int64
+	for br := bufio.NewReader(f); ; {
+		m, err := transport.ReadFrame(br)
+		if err == io.EOF && len(frames) > 0 {
+			break
 		}
-		want := 1
-		for _, d := range shape {
-			want *= d
+		if err != nil {
+			return false, fmt.Errorf("ps: read checkpoint: %w", err)
 		}
-		if len(ck.Params[i]) != want {
-			return fmt.Errorf("ps: checkpoint tensor %d has %d values for shape %v", i, len(ck.Params[i]), shape)
+		if m.Type != transport.MsgWeights || len(frames) == 2 {
+			return false, fmt.Errorf("ps: checkpoint frame %d is %v, want at most two Weights frames", len(frames), m.Type)
 		}
-		if st := ck.State[i]; st != nil && len(st) != want {
-			return fmt.Errorf("ps: checkpoint state %d has %d values for shape %v", i, len(st), shape)
+		ts := make([]*tensor.Tensor, len(m.Tensors))
+		for i, w := range m.Tensors {
+			ts[i] = tensor.FromSlice(w.Data, w.Shape...)
 		}
+		if err := s.checkLayout(ts); err != nil {
+			return false, fmt.Errorf("ps: checkpoint frame %d: %w", len(frames), err)
+		}
+		if len(frames) == 0 {
+			version = m.Version
+		}
+		frames = append(frames, ts)
 	}
-
-	s.install(func(g int) *tensor.Tensor {
-		return tensor.FromSlice(append([]float32(nil), ck.Params[g]...), s.shapes[g]...)
-	}, ck.State, ck.Version, ck.LearningRate)
-	return nil
+	if version < 0 {
+		return false, fmt.Errorf("ps: checkpoint version %d is negative", version)
+	}
+	s.install(frames[0], version)
+	for i, sh := range s.shards {
+		// No velocity frame clears the optimizer state.
+		var state [][]float32
+		if len(frames) == 2 {
+			for _, v := range frames[1][s.ranges[i].Start:s.ranges[i].End] {
+				state = append(state, v.Data())
+			}
+		}
+		sh.mu.Lock()
+		sh.opt.LoadState(state)
+		sh.mu.Unlock()
+	}
+	return true, nil
 }

@@ -1,6 +1,8 @@
 package ps
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -31,7 +33,7 @@ func randomGrads(rng *rand.Rand, shapes ...[]int) []*tensor.Tensor {
 
 // buildStore creates a store over two tensors with a momentum optimizer (so
 // checkpoints carry real optimizer state) and applies steps updates.
-func buildStore(t *testing.T, shards, steps int, seed int64) *Store {
+func buildStore(t testing.TB, shards, steps int, seed int64) *Store {
 	t.Helper()
 	initial := []*tensor.Tensor{tensor.New(3, 4), tensor.New(7)}
 	st, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.1, 0.9), shards)
@@ -69,14 +71,14 @@ func assertStoresEqual(t *testing.T, a, b *Store, context string) {
 func TestCheckpointRejectsMismatchedModel(t *testing.T) {
 	dir := t.TempDir()
 	src := buildStore(t, 1, 1, 3)
-	if _, err := src.SaveCheckpoint(dir); err != nil {
+	if _, err := src.saveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	other, err := NewStoreSharded([]*tensor.Tensor{tensor.New(5)}, optimizer.NewSGD(0.1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.RestoreCheckpointDir(dir); err == nil {
+	if _, err := other.restoreCheckpoint(dir); err == nil {
 		t.Fatal("restore into a different model succeeded")
 	}
 	// Same tensor count, different shapes: caught per tensor, before anything
@@ -85,7 +87,7 @@ func TestCheckpointRejectsMismatchedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reshaped.RestoreCheckpointDir(dir); err == nil || !strings.Contains(err.Error(), "shape") {
+	if _, err := reshaped.restoreCheckpoint(dir); err == nil || !strings.Contains(err.Error(), "shape") {
 		t.Fatalf("restore into reshaped tensors returned %v, want a shape error", err)
 	}
 	if v := reshaped.Version(); v != 0 {
@@ -94,9 +96,10 @@ func TestCheckpointRejectsMismatchedModel(t *testing.T) {
 }
 
 // TestRestoreCheckpointWithoutState: a checkpoint that carries no optimizer
-// state (a stateless optimizer wrote it) restores into a store
-// whose optimizer keeps some, with none, instead of panicking on the missing
-// slices — and the store steps normally afterwards.
+// state (a stateless optimizer wrote it, so the file has no velocity frame)
+// restores into a store whose optimizer has already built up velocity, and
+// clears it: the restored store's next step lands where the stateless
+// source's does.
 func TestRestoreCheckpointWithoutState(t *testing.T) {
 	dir := t.TempDir()
 	src, err := NewStoreSharded([]*tensor.Tensor{tensor.New(3, 4), tensor.New(7)}, optimizer.NewSGD(0.1), 1)
@@ -109,44 +112,76 @@ func TestRestoreCheckpointWithoutState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := src.SaveCheckpoint(dir); err != nil {
+	if _, err := src.saveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	dst := buildStore(t, 1, 0, 4)
-	if err := dst.RestoreCheckpointDir(dir); err != nil {
+	dst := buildStore(t, 1, 3, 4)
+	if _, err := dst.restoreCheckpoint(dir); err != nil {
 		t.Fatalf("restore without state: %v", err)
 	}
 	assertStoresEqual(t, src, dst, "stateless restore")
-	if _, err := dst.Apply(randomGrads(rng, []int{3, 4}, []int{7})); err != nil {
-		t.Fatalf("apply after stateless restore: %v", err)
+	grads := randomGrads(rng, []int{3, 4}, []int{7})
+	for _, st := range []*Store{src, dst} {
+		if _, err := st.Apply(grads); err != nil {
+			t.Fatalf("apply after stateless restore: %v", err)
+		}
 	}
+	assertStoresEqual(t, src, dst, "first step after a stateless restore")
 }
 
-// TestRestoreMissingCheckpointFails: an empty directory is an error, and a
-// directory holding only a checkpoint in a format earlier builds wrote — the
-// incremental manifest or the single file before it — is refused by name:
-// CheckpointExists says yes, so a server configured with it fails to start
-// instead of silently training from scratch over it.
+// TestRestoredStoreStepsAtItsOwnLearningRate: a checkpoint holds weights and
+// velocity, not the learning rate, so a server restarted with another rate
+// steps at the one it was built with — bit for bit where a store built at
+// that rate, holding the same weights and velocity, steps.
+func TestRestoredStoreStepsAtItsOwnLearningRate(t *testing.T) {
+	dir := t.TempDir()
+	src := buildStore(t, 1, 3, 29) // lr 0.1, momentum 0.9
+	if _, err := src.saveCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	initial := []*tensor.Tensor{tensor.New(3, 4), tensor.New(7)}
+	dst, err := NewStoreSharded(initial, optimizer.NewSGDMomentum(0.01, 0.9), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.restoreCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	weights, _ := src.Snapshot()
+	ref, err := NewStoreSharded(weights, optimizer.NewSGDMomentum(0.01, 0.9), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.shards[0].opt.LoadState(src.shards[0].opt.State())
+	grads := randomGrads(rand.New(rand.NewSource(31)), []int{3, 4}, []int{7})
+	for _, st := range []*Store{dst, ref} {
+		if _, err := st.Apply(grads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _ := dst.Snapshot()
+	want, _ := ref.Snapshot()
+	requireSameWeights(t, got, want)
+}
+
+// TestRestoreMissingCheckpointFails: an empty directory restores nothing, and
+// a directory holding only a checkpoint in a format earlier builds wrote — the
+// gob file, the incremental manifest or the single file before it — is
+// refused by name, so a server configured with it fails to start instead of
+// silently training from scratch over it.
 func TestRestoreMissingCheckpointFails(t *testing.T) {
 	st := buildStore(t, 1, 0, 1)
-	dir := t.TempDir()
-	if CheckpointExists(dir) {
-		t.Fatal("an empty directory reports a checkpoint")
+	if restored, err := st.restoreCheckpoint(t.TempDir()); restored || err != nil {
+		t.Fatalf("an empty directory restored %v with error %v, want nothing and no error", restored, err)
 	}
-	if err := st.RestoreCheckpointDir(dir); err == nil {
-		t.Fatal("restoring a missing checkpoint succeeded")
-	}
-	for _, name := range []string{"manifest.ckpt", "store.ckpt"} {
+	for _, name := range []string{"checkpoint.ckpt", "manifest.ckpt", "store.ckpt"} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("gob"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if !CheckpointExists(dir) {
-			t.Fatalf("a directory holding %s reports no checkpoint: a server would start from scratch over it", name)
-		}
-		err := st.RestoreCheckpointDir(dir)
-		if err == nil || !strings.Contains(err.Error(), name+", a checkpoint format this build no longer reads") {
-			t.Fatalf("restore from a directory holding only %s returned %v, want the explicit refusal", name, err)
+		restored, err := st.restoreCheckpoint(dir)
+		if restored || err == nil || !strings.Contains(err.Error(), name+", a checkpoint format this build no longer reads") {
+			t.Fatalf("restore from a directory holding only %s returned %v, %v, want the explicit refusal", name, restored, err)
 		}
 	}
 }
@@ -157,11 +192,11 @@ func TestRestoreMissingCheckpointFails(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	src := buildStore(t, 2, 5, 11)
-	if _, err := src.SaveCheckpoint(dir); err != nil {
+	if _, err := src.saveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	dst := buildStore(t, 2, 0, 11)
-	if err := dst.RestoreCheckpointDir(dir); err != nil {
+	if _, err := dst.restoreCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	assertStoresEqual(t, src, dst, "checkpoint restore")
@@ -186,11 +221,11 @@ func TestCheckpointRestoresAcrossShardCounts(t *testing.T) {
 	for _, shards := range [][2]int{{2, 1}, {1, 2}} {
 		dir := t.TempDir()
 		src := buildStore(t, shards[0], 4, 17)
-		if _, err := src.SaveCheckpoint(dir); err != nil {
+		if _, err := src.saveCheckpoint(dir); err != nil {
 			t.Fatal(err)
 		}
 		dst := buildStore(t, shards[1], 0, 17)
-		if err := dst.RestoreCheckpointDir(dir); err != nil {
+		if _, err := dst.restoreCheckpoint(dir); err != nil {
 			t.Fatal(err)
 		}
 		assertStoresEqual(t, src, dst, fmt.Sprintf("%d-shard checkpoint into %d shards", shards[0], shards[1]))
@@ -203,11 +238,11 @@ func TestCheckpointRestoresAcrossShardCounts(t *testing.T) {
 func TestCheckpointSaveFailureKeepsPreviousCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	src := buildStore(t, 2, 3, 19)
-	if _, err := src.SaveCheckpoint(dir); err != nil {
+	if _, err := src.saveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	saved := buildStore(t, 2, 0, 19)
-	if err := saved.RestoreCheckpointDir(dir); err != nil {
+	if _, err := saved.restoreCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := src.Apply(randomGrads(rand.New(rand.NewSource(23)), []int{3, 4}, []int{7})); err != nil {
@@ -217,14 +252,14 @@ func TestCheckpointSaveFailureKeepsPreviousCheckpoint(t *testing.T) {
 	failRename := errors.New("rename refused")
 	rename = func(string, string) error { return failRename }
 	defer func() { rename = os.Rename }()
-	if _, err := src.SaveCheckpoint(dir); !errors.Is(err, failRename) {
+	if _, err := src.saveCheckpoint(dir); !errors.Is(err, failRename) {
 		t.Fatalf("save with a failing rename returned %v, want %v", err, failRename)
 	}
 	if tmp, _ := filepath.Glob(filepath.Join(dir, ".ckpt-*")); len(tmp) != 0 {
 		t.Fatalf("temp files left behind: %v", tmp)
 	}
 	dst := buildStore(t, 1, 0, 19)
-	if err := dst.RestoreCheckpointDir(dir); err != nil {
+	if _, err := dst.restoreCheckpoint(dir); err != nil {
 		t.Fatalf("previous checkpoint no longer restores: %v", err)
 	}
 	assertStoresEqual(t, saved, dst, "restore after a failed save")
@@ -277,7 +312,7 @@ func TestServerCheckpointsPeriodicallyAndOnStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreCheckpointDir(dir); err != nil {
+	if _, err := restored.restoreCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	// Stop's final save captured all 5 updates.
@@ -285,4 +320,69 @@ func TestServerCheckpointsPeriodicallyAndOnStop(t *testing.T) {
 		t.Fatalf("restored version = %d, want 5", got)
 	}
 	assertStoresEqual(t, st, restored, "server checkpoint")
+}
+
+// FuzzRestoreCheckpoint writes arbitrary bytes as the checkpoint file: the
+// restore either fails, leaving the store's version and weights as they were,
+// or restores tensors laid out as the store's. It never panics.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	saved := func(st *Store) []byte {
+		dir := f.TempDir()
+		if _, err := st.saveCheckpoint(dir); err != nil {
+			f.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	withState := saved(buildStore(f, 2, 3, 37))
+	stateless, err := NewStoreSharded([]*tensor.Tensor{tensor.New(3, 4), tensor.New(7)}, optimizer.NewSGD(0.1), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withState)
+	f.Add(saved(stateless))
+	f.Add(withState[:len(withState)-5]) // the velocity frame cut short
+	weights, _ := stateless.Snapshot()
+	push, err := transport.AppendFrame(nil, &transport.Message{Type: transport.MsgPush, Tensors: transport.ToWireOwned(weights)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(push)
+	// The format earlier builds wrote under another name.
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(struct {
+		Version      int64
+		LearningRate float64
+		Params       [][]float32
+	}{3, 0.1, [][]float32{weights[0].Data(), weights[1].Data()}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old.Bytes())
+	f.Fuzz(func(t *testing.T, file []byte) {
+		st := buildStore(t, 2, 1, 41)
+		before, version := st.Snapshot()
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, checkpointFile), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := st.restoreCheckpoint(dir)
+		after, v := st.Snapshot()
+		if err != nil {
+			if restored || v != version || !sameTensors(after, before) {
+				t.Fatalf("a refused restore (%v) changed the store: restored %v, version %d -> %d", err, restored, version, v)
+			}
+			return
+		}
+		if !restored {
+			t.Fatal("a checkpoint restored without error reports nothing restored")
+		}
+		for i, p := range after {
+			if !sameShape(p.Shape(), st.shapes[i]) {
+				t.Fatalf("restored tensor %d has shape %v, store expects %v", i, p.Shape(), st.shapes[i])
+			}
+		}
+	})
 }

@@ -201,7 +201,6 @@ func newStoreRange(initial []*tensor.Tensor, opt *optimizer.SGD, globalShards, s
 		shards: make([]*shard, shardHi-shardLo),
 		ranges: make([]shardRange, shardHi-shardLo),
 		shapes: shapes,
-		proto:  opt,
 	}
 	for i := range st.shards {
 		g := global[shardLo+i]
@@ -217,8 +216,8 @@ func newStoreRange(initial []*tensor.Tensor, opt *optimizer.SGD, globalShards, s
 	return st, nil
 }
 
-// Install replaces the store's published weights with params at the given
-// applied version — the landing half of the primary→backup replication
+// installReplica replaces the store's published weights with params at the
+// given applied version — the landing half of the primary→backup replication
 // stream, through the one install path the checkpoint restore takes too. It
 // leaves the optimizer state untouched: the replication stream carries
 // weights only, so a promoted backup resumes with cold momentum (DESIGN.md
@@ -229,63 +228,54 @@ func newStoreRange(initial []*tensor.Tensor, opt *optimizer.SGD, globalShards, s
 // staleness bound is defined against, and one at the same version would
 // change published weights without advancing the version a replica's gated
 // pull (Client.Pull) trusts.
-func (s *Store) Install(params []*tensor.Tensor, version int64) error {
+func (s *Store) installReplica(params []*tensor.Tensor, version int64) error {
 	if cur := s.version.Load(); version <= cur {
 		return fmt.Errorf("ps: install at version %d is not newer than the store's %d", version, cur)
 	}
-	if len(params) != len(s.shapes) {
-		return fmt.Errorf("ps: install carries %d tensors, store has %d", len(params), len(s.shapes))
+	if err := s.checkLayout(params); err != nil {
+		return fmt.Errorf("ps: install: %w", err)
 	}
+	fresh := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
-		if !sameShape(p.Shape(), s.shapes[i]) {
-			return fmt.Errorf("ps: install tensor %d has shape %v, store expects %v", i, p.Shape(), s.shapes[i])
-		}
+		fresh[i] = p.Clone()
 	}
-	s.install(func(g int) *tensor.Tensor { return params[g].Clone() }, nil, version, 0)
+	s.install(fresh, version)
 	return nil
 }
 
-// install publishes fresh(g) as tensor g at version — the one path a
-// checkpoint restore and a replication install share. The apply pipeline is
-// quiesced first, so the per-shard counters never race an applier (updates
-// still queued belong to the state being replaced). Every shard drops its old
-// generations, which alias superseded weights a reader may still hold and
-// must never be recycled into a new publication, publishes the new one at
-// version and retires its packed-pull cache, which a restore to an older
-// version would otherwise keep serving; the applied and reserved counters all
-// re-base at version, so the shards restart in agreement. state, when
-// non-nil, holds one optimizer state per tensor (nil for a stateless one) and
-// is loaded; nil leaves the optimizers as they are. lr > 0 sets the learning
-// rate.
-func (s *Store) install(fresh func(g int) *tensor.Tensor, state [][]float32, version int64, lr float64) {
+// checkLayout refuses tensors laid out otherwise than the store's: another
+// count, or any shape that differs. A checkpoint restore and a replication
+// install both check what they install with it.
+func (s *Store) checkLayout(ts []*tensor.Tensor) error {
+	if len(ts) != len(s.shapes) {
+		return fmt.Errorf("%d tensors, store has %d", len(ts), len(s.shapes))
+	}
+	for i, t := range ts {
+		if !sameShape(t.Shape(), s.shapes[i]) {
+			return fmt.Errorf("tensor %d has shape %v, store expects %v", i, t.Shape(), s.shapes[i])
+		}
+	}
+	return nil
+}
+
+// install publishes params, which the store owns from here on, at version —
+// the one path a checkpoint restore and a replication install share. The
+// apply pipeline is quiesced first, so the per-shard counters never race an
+// applier (updates still queued belong to the state being replaced). Every
+// shard drops its old generations, which alias superseded weights a reader
+// may still hold and must never be recycled into a new publication,
+// publishes the new one at version and retires its packed-pull cache, which a
+// restore to an older version would otherwise keep serving; the applied and
+// reserved counters all re-base at version, so the shards restart in
+// agreement. The optimizers are left as they are.
+func (s *Store) install(params []*tensor.Tensor, version int64) {
 	s.Close()
 	for i, sh := range s.shards {
 		r := s.ranges[i]
-		params := make([]*tensor.Tensor, r.End-r.Start)
-		for j := range params {
-			params[j] = fresh(r.Start + j)
-		}
-		var shardState [][]float32
-		for j := range params {
-			if state != nil && state[r.Start+j] != nil {
-				shardState = make([][]float32, len(params))
-				break
-			}
-		}
-		for j := range shardState {
-			// A mixed state (some tensors stateless) loads zero state for the
-			// stateless ones to keep alignment.
-			if shardState[j] = state[r.Start+j]; shardState[j] == nil {
-				shardState[j] = make([]float32, params[j].Size())
-			}
-		}
 		sh.mu.Lock()
 		sh.evict(append(sh.retired, sh.gen)...)
-		sh.gen = &paramGen{params: params, genPin: genPin{version: version}}
+		sh.gen = &paramGen{params: params[r.Start:r.End:r.End], genPin: genPin{version: version}}
 		sh.retired = nil
-		if state != nil {
-			sh.opt.LoadState(shardState)
-		}
 		sh.mu.Unlock()
 		sh.packedMu.Lock()
 		if sh.packed != nil {
@@ -298,9 +288,6 @@ func (s *Store) install(fresh func(g int) *tensor.Tensor, state [][]float32, ver
 	}
 	s.reserved.Store(version)
 	s.version.Store(version)
-	if lr > 0 {
-		s.SetLearningRate(lr)
-	}
 }
 
 // submitEntry sends the coordinator one map entry on conn — typ is

@@ -396,7 +396,7 @@ func TestStoreInstallReplacesWeights(t *testing.T) {
 	}
 	defer st.Close()
 	replacement := seededModel(6)
-	if err := st.Install(replacement, 42); err != nil {
+	if err := st.installReplica(replacement, 42); err != nil {
 		t.Fatal(err)
 	}
 	if st.Version() != 42 || st.Reserved() != 42 {
@@ -410,17 +410,17 @@ func TestStoreInstallReplacesWeights(t *testing.T) {
 	// Installs only ever move forward: an install at the store's own
 	// version would change published weights under a version a replica's
 	// gated pull trusts.
-	if err := st.Install(replacement, 41); err == nil {
+	if err := st.installReplica(replacement, 41); err == nil {
 		t.Error("backwards install accepted")
 	}
-	if err := st.Install(initial, 42); err == nil {
+	if err := st.installReplica(initial, 42); err == nil {
 		t.Error("install at the current version accepted")
 	}
 	if got, _ := st.Snapshot(); !sameTensors(got, replacement) {
 		t.Error("a refused install changed the published weights")
 	}
 	// Shape mismatches are rejected before anything is touched.
-	if err := st.Install(replacement[1:], 50); err == nil {
+	if err := st.installReplica(replacement[1:], 50); err == nil {
 		t.Error("short install accepted")
 	}
 	// The store still applies after an install (appliers restart lazily).
@@ -931,7 +931,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	// The promotion path never used checkpoint-restore: the standby carried
 	// straight on from the replication stream. The reference mirrors that
 	// exactly — replicated shards restart with installed weights but cold
-	// momentum (Install does not carry optimizer state; DESIGN.md §10),
+	// momentum (installReplica does not carry optimizer state; DESIGN.md §10),
 	// while the surviving server's shards keep their unbroken history.
 	got, version, err := client.Pull()
 	if err != nil {
@@ -963,7 +963,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 			if ref, err = newStoreRange(seededModel(61), clusterOpt(), g.globalShards, asg.ShardLo, asg.ShardHi); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.Install(snap, v); err != nil {
+			if err := ref.installReplica(snap, v); err != nil {
 				t.Fatal(err)
 			}
 			for it := firstLeg; it < 10; it++ {

@@ -123,10 +123,9 @@ func TestStoreApplyRejectsMismatchedGradients(t *testing.T) {
 	}
 }
 
-func TestStoreParamCountAndLearningRate(t *testing.T) {
+func TestStoreParamCount(t *testing.T) {
 	initial := []*tensor.Tensor{tensor.New(2, 3), tensor.New(5)}
-	opt := optimizer.NewSGD(0.1)
-	st, err := NewStoreSharded(initial, opt, 0)
+	st, err := NewStoreSharded(initial, optimizer.NewSGD(0.1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +135,6 @@ func TestStoreParamCountAndLearningRate(t *testing.T) {
 	}
 	if scalars != 11 {
 		t.Fatalf("store holds %d scalars, want 11", scalars)
-	}
-	st.SetLearningRate(0.001)
-	if opt.LearningRate() != 0.001 {
-		t.Fatalf("learning rate not propagated: %v", opt.LearningRate())
 	}
 }
 

@@ -25,9 +25,9 @@ var errPrimaryDead = errors.New("ps: replication primary is unreachable")
 // under a negative session key, pulling on a fixed cadence, each pull naming
 // the version it holds so that an unchanged primary costs no payload. Each
 // pull that advances the primary's version is installed wholesale
-// (Store.Install, which takes only a newer version); what the stream does NOT
-// carry — optimizer state, and exact bit-patterns under a lossy pull codec —
-// is documented in DESIGN.md §10.
+// (Store.installReplica, which takes only a newer version); what the stream
+// does NOT carry — optimizer state, and exact bit-patterns under a lossy pull
+// codec — is documented in DESIGN.md §10.
 func replicate(dial func() (transport.Conn, error), store *Store, interval, grace time.Duration, reg *obs.Registry, stop <-chan struct{}) error {
 	installs := reg.Counter("dssp_cluster_replica_installs_total",
 		"Weight snapshots installed from the primary's replication stream.")
@@ -73,7 +73,7 @@ func replicate(dial func() (transport.Conn, error), store *Store, interval, grac
 			behind.Set(float64(v - installed))
 			if v == installed {
 				unchanged.Inc()
-			} else if err := store.Install(params, v); err != nil {
+			} else if err := store.installReplica(params, v); err != nil {
 				// A failed install (shape drift, version regression) is a
 				// wiring bug, not a liveness problem; surface it.
 				_ = conn.Close()

@@ -391,7 +391,7 @@ func (s *Server) saveCheckpoint() {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	start := time.Now()
-	bytes, err := s.cfg.Store.SaveCheckpoint(s.cfg.Checkpoint.Dir)
+	bytes, err := s.cfg.Store.saveCheckpoint(s.cfg.Checkpoint.Dir)
 	s.sm.ckptSeconds.Observe(time.Since(start).Seconds())
 	s.sm.ckptTotal.Inc()
 	s.sm.ckptBytes.Add(uint64(bytes))

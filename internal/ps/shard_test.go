@@ -102,10 +102,6 @@ func TestShardedStoreMatchesUnsharded(t *testing.T) {
 		if v1 != v2 {
 			t.Fatalf("step %d: versions diverge (%d vs %d)", step, v1, v2)
 		}
-		if step == 24 {
-			single.SetLearningRate(0.01)
-			sharded.SetLearningRate(0.01)
-		}
 	}
 
 	p1, _ := single.Snapshot()
@@ -170,7 +166,6 @@ func TestStoreConcurrentApplySnapshotHammer(t *testing.T) {
 					}
 				}
 				_ = st.Version()
-				st.SetLearningRate(0.01)
 			}
 		}(r)
 	}

@@ -67,11 +67,10 @@ func Start(cfg ServerConfig, initial []*tensor.Tensor, opt *optimizer.SGD, ln tr
 		return nil, err
 	}
 	restored := false
-	if cfg.Checkpoint.Dir != "" && CheckpointExists(cfg.Checkpoint.Dir) {
-		if err := cfg.Store.RestoreCheckpointDir(cfg.Checkpoint.Dir); err != nil {
+	if cfg.Checkpoint.Dir != "" {
+		if restored, err = cfg.Store.restoreCheckpoint(cfg.Checkpoint.Dir); err != nil {
 			return nil, fmt.Errorf("ps: restore checkpoint: %w", err)
 		}
-		restored = true
 	}
 	s, err := NewServer(cfg)
 	if err != nil {

@@ -104,12 +104,6 @@ type Store struct {
 	waitMu  sync.Mutex
 	waiters []applyWaiter
 
-	// proto is the optimizer the store was built from. The shards step their
-	// own clones; proto is only kept so that SetLearningRate stays visible on
-	// the instance the caller handed in.
-	protoMu sync.Mutex
-	proto   *optimizer.SGD
-
 	// metrics and tracer are nil unless a Server installed them (instrument):
 	// bare stores — including the pinned hot-path benchmarks — pay one
 	// pointer test per batch and nothing else. Both must be set before the
@@ -682,19 +676,6 @@ func (s *Store) unshareRegion() {
 
 // Version returns the number of updates applied so far.
 func (s *Store) Version() int64 { return s.version.Load() }
-
-// SetLearningRate adjusts the optimizer's learning rate on every shard. Its
-// one caller outside tests is install, which restores a checkpoint's rate.
-func (s *Store) SetLearningRate(lr float64) {
-	s.protoMu.Lock()
-	s.proto.SetLearningRate(lr)
-	s.protoMu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.opt.SetLearningRate(lr)
-		sh.mu.Unlock()
-	}
-}
 
 // sameShape reports whether two dimension lists are identical.
 func sameShape(a, b []int) bool {

@@ -262,6 +262,11 @@ func appendFrame(dst []byte, m *Message) ([]byte, error) {
 	return appendFrameRefs(dst, m, nil)
 }
 
+// AppendFrame is appendFrame for a caller outside the package that keeps
+// frames in a file (a store checkpoint): the same bytes a Send puts on the
+// wire.
+func AppendFrame(dst []byte, m *Message) ([]byte, error) { return appendFrame(dst, m) }
+
 // appendFrameRefs is appendFrame leaving the payload slabs refs accepts out
 // of dst: the frame on the wire is dst with every recorded slab spliced in at
 // its offset, byte for byte what appendFrame produces.
@@ -656,6 +661,13 @@ type frameReader struct {
 func newFrameReader(r *bufio.Reader) *frameReader {
 	return &frameReader{br: r, scratch: make([]byte, 0, smallBodyMax), pool: &bodyPool{}}
 }
+
+// ReadFrame reads and decodes one frame from r with every check a socket's
+// frames meet: magic, wire version, the body-length cap, the sections'
+// bounds. A header naming a lane slot is refused, and a reference section
+// does not parse (r has no region behind it). Frames written by AppendFrame
+// are read back one call at a time from the same r.
+func ReadFrame(r *bufio.Reader) (Message, error) { return newFrameReader(r).readFrame() }
 
 // readFrame reads and decodes one frame. The returned message owns its
 // payload: tensor data may alias a buffer that is the message's alone until

@@ -265,6 +265,7 @@ loc:
 # simplicity-review guide), per type; and DESIGN.md's line count, the design
 # doc being a budget too. Line-based like loc: a declaration inside a
 # `type (...)` group or split over lines is not seen; there are none.
+# README.md's line count follows DESIGN.md's: the README is a budget too.
 surface:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 \
 		| xargs -0 cat | grep -cE '^(func (\([^)]*\) )?[A-Z]|type [A-Z])' \
@@ -279,11 +280,11 @@ surface:
 		name != "" && /^}/ { printf "fields %-40s %d\n", name, n; total += n; name = ""; n = 0; next } \
 		name != "" && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*( |$$)/) { n += split(substr($$0, RSTART, RLENGTH), parts, ",") } \
 		END { printf "fields %-40s %d\n", "total", total }'
-	@printf 'lines  %-40s %s\n' DESIGN.md "$$(wc -l < DESIGN.md)"
+	@for f in DESIGN.md README.md; do printf 'lines  %-40s %s\n' $$f "$$(wc -l < $$f)"; done
 
 # The surface as a gate: make surface must print exactly the committed
 # SURFACE.txt, so a change that adds or removes a name, a flag or an option,
-# or grows or shrinks DESIGN.md, shows it in its own diff. Refresh with
+# or grows or shrinks DESIGN.md or README.md, shows it in its own diff. Refresh with
 # make surface > SURFACE.txt.
 surface-check:
 	@$(MAKE) -s --no-print-directory surface | diff -u SURFACE.txt -

@@ -290,13 +290,13 @@ surface-check:
 	@$(MAKE) -s --no-print-directory surface | diff -u SURFACE.txt -
 
 # Packages no product code reaches: every internal/ package outside the
-# non-test dependency closure of the root package, ./cmd/... and
-# ./examples/... fails the target. A library nothing ships is deleted with its
-# tests, not kept; the one allowed entry is the test harness
-# internal/cluster/clustertest, which only tests import.
+# non-test dependency closure of the root package and ./cmd/... fails the
+# target. A library nothing ships is deleted with its tests, not kept; the
+# one allowed entry is the test harness internal/cluster/clustertest, which
+# only tests import.
 ORPHANS_ALLOWED = dssp/internal/cluster/clustertest
 orphans:
-	@reached=$$($(GO) list -deps . ./cmd/... ./examples/... | grep '^dssp/internal/'); \
+	@reached=$$($(GO) list -deps . ./cmd/... | grep '^dssp/internal/'); \
 	orphans=$$($(GO) list ./internal/... | grep -vxF -e "$$reached" -e '$(ORPHANS_ALLOWED)'); \
 	if [ -n "$$orphans" ]; then \
 		echo "internal packages no product code imports:" >&2; \

@@ -225,7 +225,7 @@ func TestClusterFailoverPromotesBackup(t *testing.T) {
 
 	// Recovery must go through map refetch, not session churn: no rejoins,
 	// and the paradigm never dropped an update to ride out the failover.
-	if n := c.Coordinator.Rejoins(); n != 0 {
+	if n := c.Coordinator.Status().Rejoins; n != 0 {
 		t.Errorf("coordinator saw %d rejoins; failover must not re-register workers", n)
 	}
 	if n := c.Coordinator.Dropped(); n != 0 {

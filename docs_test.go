@@ -9,12 +9,15 @@ import (
 	"testing"
 )
 
-// The documents whose test names must exist and, for the first two, whose
-// numbered headings the repository's "§" references point at.
+// The documents whose numbered headings the repository's "§" references
+// point at.
 const (
 	designDoc   = "DESIGN.md"
 	protocolDoc = "docs/PROTOCOL.md"
 )
+
+// The documents whose test names and repository paths must exist.
+var checkedDocs = []string{designDoc, "README.md", protocolDoc, "docs/METRICS.md", ".claude/skills/verify/SKILL.md"}
 
 var (
 	// A test, fuzz target, benchmark or example function, as a document
@@ -31,11 +34,16 @@ var (
 	// N a number with an optional letter and dotted subsections ("4b",
 	// "5b.1"). A paper section ("§V-C") is not matched.
 	sectionRef = regexp.MustCompile("(?:(DESIGN|PROTOCOL)\\.md`?(?:\\]\\([^)]*\\))?\\)?(?:\\s|//|#)*)?§(\\d+[a-z]?(?:\\.\\d+)*)")
+	// A repository path under one of the directories documents cite,
+	// optionally "./"-prefixed, not part of a longer path or import path
+	// ("dssp/internal/ps" is a package name, checked by the compiler).
+	docPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])(?:\./)?((?:cmd|internal|examples|scripts|docs|bench)/[A-Za-z0-9_./-]*)`)
 )
 
 // TestDocsNameWhatExists keeps the documents' names true: every test
-// function DESIGN.md, README.md, docs/PROTOCOL.md and docs/METRICS.md name is
-// declared in some _test.go of the repository (bench/ included), and every
+// function and every repository path under cmd/, internal/, examples/,
+// scripts/, docs/ or bench/ that checkedDocs name is declared in some
+// _test.go of the repository (bench/ included) or exists, and every
 // "DESIGN.md §N" or "docs/PROTOCOL.md §N" reference in the repository's Go,
 // Markdown, shell, YAML and Makefile text, and every bare "§N" inside either
 // document, names a heading that document has.
@@ -95,11 +103,13 @@ func TestDocsNameWhatExists(t *testing.T) {
 		return string(b)
 	}
 
-	// (a) Test names.
-	named := 0
-	for _, doc := range []string{designDoc, "README.md", protocolDoc, "docs/METRICS.md"} {
+	// (a) Test names and repository paths. A path's trailing "/" or "..."
+	// ("./cmd/...") names the directory; a trailing "." ends a sentence.
+	named, paths := 0, 0
+	for _, doc := range checkedDocs {
+		text := read(doc)
 		seen := map[string]bool{}
-		for _, name := range docTestName.FindAllString(read(doc), -1) {
+		for _, name := range docTestName.FindAllString(text, -1) {
 			if seen[name] {
 				continue
 			}
@@ -107,6 +117,17 @@ func TestDocsNameWhatExists(t *testing.T) {
 			named++
 			if !declared[name] {
 				t.Errorf("%s names %s, which no _test.go declares", doc, name)
+			}
+		}
+		for _, m := range docPath.FindAllStringSubmatch(text, -1) {
+			path := strings.TrimRight(m[1], "./")
+			if seen[path] {
+				continue
+			}
+			seen[path] = true
+			paths++
+			if _, err := os.Stat(filepath.FromSlash(path)); err != nil {
+				t.Errorf("%s names %s, which does not exist", doc, m[1])
 			}
 		}
 	}
@@ -135,5 +156,5 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d test names, %d section references checked", named, refs)
+	t.Logf("%d test names, %d section references, %d paths checked", named, refs, paths)
 }

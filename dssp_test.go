@@ -58,7 +58,7 @@ func TestTrainQuickstartConverges(t *testing.T) {
 	if res.Paradigm != "DSSP sL=3 r=12" {
 		t.Fatalf("unexpected paradigm label %q", res.Paradigm)
 	}
-	if _, ok := res.TimeToAccuracy(0.5); !ok {
+	if _, ok := res.Accuracy.TimeToReach(0.5); !ok {
 		t.Fatal("run should have crossed 0.5 accuracy")
 	}
 }

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"math"
 	"time"
 )
 
@@ -78,26 +77,4 @@ func (s *TimeSeries) ValueAt(elapsed time.Duration) (float64, bool) {
 		}
 	}
 	return out, found
-}
-
-// Downsample returns a copy of the series keeping roughly n evenly spaced
-// samples (always including the first and last), for compact printing.
-func (s *TimeSeries) Downsample(n int) *TimeSeries {
-	out := NewTimeSeries(s.name)
-	if n <= 0 || len(s.points) == 0 {
-		return out
-	}
-	if len(s.points) <= n {
-		out.points = append(out.points, s.points...)
-		return out
-	}
-	step := float64(len(s.points)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		idx := int(math.Round(float64(i) * step))
-		if idx >= len(s.points) {
-			idx = len(s.points) - 1
-		}
-		out.points = append(out.points, s.points[idx])
-	}
-	return out
 }

@@ -61,26 +61,3 @@ func TestTimeSeriesValueAt(t *testing.T) {
 		t.Errorf("ValueAt(25s) = %v", v)
 	}
 }
-
-func TestTimeSeriesDownsample(t *testing.T) {
-	s := NewTimeSeries("acc")
-	for i := 0; i < 100; i++ {
-		s.Add(time.Duration(i)*time.Second, float64(i))
-	}
-	d := s.Downsample(5)
-	if len(d.points) != 5 {
-		t.Fatalf("downsampled to %d points, want 5", len(d.points))
-	}
-	pts := d.Points()
-	if pts[0].Value != 0 || pts[4].Value != 99 {
-		t.Fatalf("downsample endpoints wrong: %+v", pts)
-	}
-	if len(s.Downsample(0).points) != 0 {
-		t.Fatal("Downsample(0) should be empty")
-	}
-	small := NewTimeSeries("x")
-	small.Add(time.Second, 1)
-	if len(small.Downsample(10).points) != 1 {
-		t.Fatal("downsample of short series should keep all points")
-	}
-}

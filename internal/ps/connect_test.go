@@ -126,8 +126,8 @@ func TestConnectFlat(t *testing.T) {
 	}
 	defer c.Close()
 	pushOnce(t, c, grads, 1)
-	if h.server.Rejoins() != 1 {
-		t.Fatalf("server counted %d rejoins after a rejoin connect, want 1", h.server.Rejoins())
+	if h.server.Status().Rejoins != 1 {
+		t.Fatalf("server counted %d rejoins after a rejoin connect, want 1", h.server.Status().Rejoins)
 	}
 
 	route.Worker, route.Shards = 0, 3
@@ -215,7 +215,7 @@ func TestConnectGroup(t *testing.T) {
 	}
 	defer rejoined.Close()
 	pushOnce(t, rejoined, scheduledGrads(0, 1), 1)
-	if n := g.coord.Rejoins(); n != 1 {
+	if n := g.coord.Status().Rejoins; n != 1 {
 		t.Fatalf("coordinator counted %d rejoins after a rejoin connect, want 1", n)
 	}
 	if n := g.coord.Pushes(); n != 2 {

@@ -10,9 +10,8 @@ import (
 // gauge and histogram the push/pull/session/checkpoint paths touch,
 // resolved once at construction so the hot paths pay only atomic updates.
 // The unified counters here are the single source of truth the public
-// accessors (Pushes, Dropped, Staleness, Waits, Departures, Rejoins,
-// GuardStats) and the /statusz snapshot read — there is no second, ad-hoc
-// set of fields to drift from.
+// accessors (Pushes, Dropped, Staleness, Waits, GuardStats) and the /statusz
+// snapshot read — there is no second, ad-hoc set of fields to drift from.
 type serverMetrics struct {
 	pushes       *obs.Counter
 	droppedGuard *obs.Counter

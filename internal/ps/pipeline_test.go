@@ -688,7 +688,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 				t.Fatal(err)
 			}
 			deadline = time.Now().Add(2 * time.Second)
-			for srv.Departures() < 1 {
+			for srv.Status().Departures < 1 {
 				if time.Now().After(deadline) {
 					t.Fatal("server never processed the leave")
 				}

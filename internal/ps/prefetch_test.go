@@ -53,7 +53,7 @@ func TestPrefetchDiesWithItsTenure(t *testing.T) {
 	if err := leaver.conn.Send(transport.Message{Type: transport.MsgLeave, Worker: 0}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the server never processed the leave", func() bool { return srv.Departures() >= 1 })
+	waitFor(t, "the server never processed the leave", func() bool { return srv.Status().Departures >= 1 })
 	rejoined := direct(0)
 	if err := rejoined.rejoin(st.Version()); err != nil {
 		t.Fatal(err)

@@ -434,12 +434,12 @@ func TestRelayDeathSweepsSubtree(t *testing.T) {
 	// worker can then run to completion without tripping the slack bound.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if h.server.Departures() >= 2 || time.Now().After(deadline) {
+		if h.server.Status().Departures >= 2 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if d := h.server.Departures(); d < 2 {
+	if d := h.server.Status().Departures; d < 2 {
 		t.Fatalf("root recorded %d departures after relay death, want >= 2", d)
 	}
 	for it := 0; it < 8; it++ {

@@ -1432,13 +1432,6 @@ func (s *Server) Pushes() int { return int(s.sm.pushes.Value()) }
 // without reaching the store.
 func (s *Server) Dropped() int { return int(s.sm.droppedGuard.Value()) }
 
-// Rejoins returns the number of MsgRejoin registrations accepted.
-func (s *Server) Rejoins() int { return int(s.sm.rejoins.Value()) }
-
-// Departures returns the number of sessions deregistered — connection
-// failures, graceful leaves and lease evictions combined.
-func (s *Server) Departures() int { return int(s.sm.departures.Value()) }
-
 // Registry returns the metrics registry the server's instrumentation lives
 // on (the one passed via ServerConfig.Metrics, or the private one created in
 // its absence). Scrape it with obs.Registry.WriteProm or snapshot it with

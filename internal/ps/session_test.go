@@ -180,7 +180,7 @@ func testLeaseExpiryEvictsSilentWorker(t *testing.T, carrier string) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("lease monitor never evicted the silent worker")
 	}
-	if srv.Departures() == 0 {
+	if srv.Status().Departures == 0 {
 		t.Error("eviction not counted as a departure")
 	}
 }
@@ -220,7 +220,7 @@ func testHeartbeatsKeepSlowWorkerAlive(t *testing.T, carrier string) {
 	if err := <-okCh; err != nil {
 		t.Fatalf("worker 0: %v", err)
 	}
-	if got := srv.Departures(); got != 0 {
+	if got := srv.Status().Departures; got != 0 {
 		t.Fatalf("heartbeating worker was evicted (%d departures)", got)
 	}
 	if got := srv.Pushes(); got != 2 {
@@ -277,7 +277,7 @@ func TestRejoinResumesTraining(t *testing.T) {
 	if err := <-okCh; err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Rejoins(); got != 1 {
+	if got := srv.Status().Rejoins; got != 1 {
 		t.Fatalf("rejoins = %d, want 1", got)
 	}
 
@@ -348,7 +348,7 @@ func TestGracefulLeaveNotifiesPolicy(t *testing.T) {
 	if err := <-okCh; err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Departures(); got != 1 {
+	if got := srv.Status().Departures; got != 1 {
 		t.Fatalf("departures = %d, want 1", got)
 	}
 }

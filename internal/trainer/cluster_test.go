@@ -134,8 +134,8 @@ func TestWorkerLoopRejoinsGroup(t *testing.T) {
 		t.Fatalf("%d iterations over %d reconnects, want %d over 1", report.Iterations, report.Reconnects, iterations)
 	}
 	coord := group.policyServer
-	if coord.Rejoins() != 1 {
-		t.Errorf("coordinator counted %d rejoins, want 1", coord.Rejoins())
+	if coord.Status().Rejoins != 1 {
+		t.Errorf("coordinator counted %d rejoins, want 1", coord.Status().Rejoins)
 	}
 	if coord.Pushes() != iterations+1 {
 		t.Errorf("coordinator counted %d pushes, want %d: every iteration once, the cut one twice", coord.Pushes(), iterations+1)
@@ -175,9 +175,9 @@ func TestGroupDataServersRunTheirRoleOptions(t *testing.T) {
 	if err := client.Register(); err != nil {
 		t.Fatal(err)
 	}
-	departures := func() (n int) {
+	departures := func() (n uint64) {
 		for _, s := range group.servers[1:] {
-			n += s.Departures()
+			n += s.Status().Departures
 		}
 		return n
 	}

@@ -141,12 +141,6 @@ type Result struct {
 	Metrics map[string]float64
 }
 
-// TimeToAccuracy returns the elapsed time at which the run first reached the
-// target test accuracy (Table I of the paper) and whether it ever did.
-func (r *Result) TimeToAccuracy(target float64) (time.Duration, bool) {
-	return r.Accuracy.TimeToReach(target)
-}
-
 // validate checks the configuration.
 func (c Config) validate() error {
 	if c.Model.Build == nil {

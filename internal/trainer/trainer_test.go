@@ -169,19 +169,6 @@ func TestRunHeterogeneousDelayCreatesWaitsUnderBSP(t *testing.T) {
 	}
 }
 
-func TestTimeToAccuracyReflectsSeries(t *testing.T) {
-	res, err := Run(smallConfig(core.PolicyConfig{Paradigm: core.ParadigmASP}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res.TimeToAccuracy(0.5); !ok {
-		t.Fatal("expected the run to reach 0.5 accuracy")
-	}
-	if _, ok := res.TimeToAccuracy(2.0); ok {
-		t.Fatal("accuracy above 1.0 cannot be reached")
-	}
-}
-
 func TestRunSmallCNNEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CNN end-to-end training skipped in -short mode")

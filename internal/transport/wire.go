@@ -839,12 +839,7 @@ func parseBody(typ byte, body []byte, reg *region) (Message, refSection, error) 
 		case tagIteration:
 			m.Iteration, off, err = parseIntField(body, off)
 		case tagVersion:
-			if off+8 > len(body) {
-				err = errTruncatedField
-			} else {
-				m.Version = int64(binary.LittleEndian.Uint64(body[off:]))
-				off += 8
-			}
+			m.Version, off, err = parseInt64Field(body, off)
 		case tagTotal:
 			m.Total, off, err = parseIntField(body, off)
 		case tagStoreShards:
@@ -858,21 +853,11 @@ func parseBody(typ byte, body []byte, reg *region) (Message, refSection, error) 
 				off += 1 + n
 			}
 		case tagCodecTopK:
-			if off+8 > len(body) {
-				err = errTruncatedField
-			} else {
-				m.CodecTopK = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-				off += 8
-			}
+			var bits int64
+			bits, off, err = parseInt64Field(body, off)
+			m.CodecTopK = math.Float64frombits(uint64(bits))
 		case tagCodecPull:
-			if off >= len(body) {
-				err = errTruncatedField
-			} else if body[off] != 1 {
-				err = fmt.Errorf("transport: CodecPull byte is %d, want 1", body[off])
-			} else {
-				m.CodecPull = true
-				off++
-			}
+			m.CodecPull, off, err = parseFlagField(body, off, "CodecPull")
 		case tagError:
 			if off+4 > len(body) {
 				err = errTruncatedField
@@ -892,50 +877,17 @@ func parseBody(typ byte, body []byte, reg *region) (Message, refSection, error) 
 		case tagPacked:
 			m.Packed, off, err = parsePackedSection(body, off)
 		case tagUnchanged:
-			if off >= len(body) {
-				err = errTruncatedField
-			} else if body[off] != 1 {
-				err = fmt.Errorf("transport: Unchanged byte is %d, want 1", body[off])
-			} else {
-				m.Unchanged = true
-				off++
-			}
+			m.Unchanged, off, err = parseFlagField(body, off, "Unchanged")
 		case tagServers:
 			m.Servers, off, err = parseServersSection(body, off)
 		case tagMapVersion:
-			if off+8 > len(body) {
-				err = errTruncatedField
-			} else {
-				m.MapVersion = int64(binary.LittleEndian.Uint64(body[off:]))
-				off += 8
-			}
+			m.MapVersion, off, err = parseInt64Field(body, off)
 		case tagReplica:
-			if off >= len(body) {
-				err = errTruncatedField
-			} else if body[off] != 1 {
-				err = fmt.Errorf("transport: Replica byte is %d, want 1", body[off])
-			} else {
-				m.Replica = true
-				off++
-			}
+			m.Replica, off, err = parseFlagField(body, off, "Replica")
 		case tagCluster:
-			if off >= len(body) {
-				err = errTruncatedField
-			} else if body[off] != 1 {
-				err = fmt.Errorf("transport: Cluster byte is %d, want 1", body[off])
-			} else {
-				m.Cluster = true
-				off++
-			}
+			m.Cluster, off, err = parseFlagField(body, off, "Cluster")
 		case tagRelay:
-			if off >= len(body) {
-				err = errTruncatedField
-			} else if body[off] != 1 {
-				err = fmt.Errorf("transport: Relay byte is %d, want 1", body[off])
-			} else {
-				m.Relay = true
-				off++
-			}
+			m.Relay, off, err = parseFlagField(body, off, "Relay")
 		case tagPushEntries:
 			if off+4 > len(body) {
 				err = errTruncatedField
@@ -957,14 +909,7 @@ func parseBody(typ byte, body []byte, reg *region) (Message, refSection, error) 
 				}
 			}
 		case tagPrefetch:
-			if off >= len(body) {
-				err = errTruncatedField
-			} else if body[off] != 1 {
-				err = fmt.Errorf("transport: Prefetch byte is %d, want 1", body[off])
-			} else {
-				m.Prefetch = true
-				off++
-			}
+			m.Prefetch, off, err = parseFlagField(body, off, "Prefetch")
 		case tagTensorRefs, tagPackedRefs:
 			switch {
 			case reg == nil:
@@ -1138,6 +1083,26 @@ func parseIntField(body []byte, off int) (int, int, error) {
 		return 0, off, errTruncatedField
 	}
 	return int(int32(binary.LittleEndian.Uint32(body[off:]))), off + 4, nil
+}
+
+// parseInt64Field decodes an 8-byte little-endian field.
+func parseInt64Field(body []byte, off int) (int64, int, error) {
+	if off+8 > len(body) {
+		return 0, off, errTruncatedField
+	}
+	return int64(binary.LittleEndian.Uint64(body[off:])), off + 8, nil
+}
+
+// parseFlagField decodes a one-byte flag, present only when set: its one
+// encoding is 1, so any other byte is refused under the flag's name.
+func parseFlagField(body []byte, off int, name string) (bool, int, error) {
+	if off >= len(body) {
+		return false, off, errTruncatedField
+	}
+	if body[off] != 1 {
+		return false, off, fmt.Errorf("transport: %s byte is %d, want 1", name, body[off])
+	}
+	return true, off + 1, nil
 }
 
 // parseTensorSection decodes the dense-tensor section. Each tensor's data

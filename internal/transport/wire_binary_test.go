@@ -302,6 +302,37 @@ func TestBinaryRejectsOversizedAndTruncatedCounts(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsMalformedFixedFields feeds each one-byte flag and each
+// 8-byte field a bad value: a flag byte other than 1 is refused under the
+// flag's name, and a missing flag byte or a 7-byte value is refused as
+// truncated.
+func TestBinaryRejectsMalformedFixedFields(t *testing.T) {
+	flags := map[byte]string{
+		tagCodecPull: "CodecPull", tagUnchanged: "Unchanged", tagReplica: "Replica",
+		tagCluster: "Cluster", tagRelay: "Relay", tagPrefetch: "Prefetch",
+	}
+	type malformed struct {
+		name, want string
+		body       []byte
+	}
+	var cases []malformed
+	for tag, name := range flags {
+		cases = append(cases,
+			malformed{name + " byte 0", name + " byte is 0, want 1", []byte{tag, 0}},
+			malformed{name + " byte 2", name + " byte is 2, want 1", []byte{tag, 2}},
+			malformed{name + " byte missing", errTruncatedField.Error(), []byte{tag}})
+	}
+	for tag, name := range map[byte]string{tagVersion: "Version", tagCodecTopK: "CodecTopK", tagMapVersion: "MapVersion"} {
+		cases = append(cases, malformed{name + " 7 bytes", errTruncatedField.Error(), append([]byte{tag}, make([]byte, 7)...)})
+	}
+	for _, c := range cases {
+		_, _, err := parseBody(byte(MsgRegister), c.body, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestToWireOwnedIntoReusesHeaders verifies the push path's header reuse: a
 // second conversion with the same layout allocates nothing and aliases the
 // gradients rather than copying them.

@@ -106,13 +106,6 @@ func (s *Server) Updates() int { return s.inner.Pushes() }
 // without reaching the store (Status().Guard.DroppedPushes).
 func (s *Server) Dropped() int { return s.inner.Dropped() }
 
-// Rejoins returns the number of worker rejoins accepted so far.
-func (s *Server) Rejoins() int { return s.inner.Rejoins() }
-
-// Departures returns the number of worker sessions deregistered so far —
-// crashes, graceful leaves and lease evictions combined.
-func (s *Server) Departures() int { return s.inner.Departures() }
-
 // Version returns the parameter-store version (applied updates, including
 // any restored from a checkpoint).
 func (s *Server) Version() int64 { return s.inner.Store().Version() }

@@ -126,10 +126,10 @@ func runTreeChurn(t *testing.T, syncCfg dssp.Sync) {
 	if reports[2].Reconnects == 0 && reports[3].Reconnects == 0 {
 		t.Error("neither orphaned worker reconnected — the relay kill missed the run")
 	}
-	if d := server.Departures(); d < 2 {
+	if d := server.Status().Departures; d < 2 {
 		t.Errorf("root recorded %d departures, want >= 2 (the dead relay's subtree)", d)
 	}
-	if r := server.Rejoins(); r < 1 {
+	if r := server.Status().Rejoins; r < 1 {
 		t.Errorf("root recorded %d rejoins, want >= 1 (orphans re-parenting)", r)
 	}
 
@@ -158,6 +158,6 @@ func runTreeChurn(t *testing.T, syncCfg dssp.Sync) {
 		t.Errorf("final accuracy %.3f after relay churn never converged", acc)
 	} else {
 		t.Logf("%s: accuracy %.3f, updates %d, dropped %d, departures %d, rejoins %d",
-			syncCfg.Paradigm, acc, server.Updates(), server.Dropped(), server.Departures(), server.Rejoins())
+			syncCfg.Paradigm, acc, server.Updates(), server.Dropped(), server.Status().Departures, server.Status().Rejoins)
 	}
 }

@@ -17,7 +17,8 @@
 // int8, topk), -topk its keep fraction, and -compress-pull additionally
 // compresses the weights workers pull. Workers launched with their default
 // -compress auto adopt whatever the server speaks; an explicitly mismatched
-// worker is rejected at registration.
+// worker is rejected at registration. A relay has no codec of its own: it
+// adopts its root's.
 //
 // Gated pulls: a pull that names the version of the weights its sender
 // already holds is answered, while the store is still at that version, with
@@ -25,11 +26,13 @@
 // upstream, a backup, a coordinator's snapshot) name one; workers pull in
 // full, since every push moves the version.
 //
-// Fault tolerance: -elastic lease-monitors worker sessions (evicting any
-// silent for -heartbeat-timeout) and accepts mid-run rejoins from workers
-// started with -reconnect; -checkpoint-dir/-checkpoint-every persist the
-// store as one file (checkpoint.frames) so a restarted server resumes the run
-// where it stopped, stepping at its own -lr.
+// Fault tolerance: -elastic leases every session at -heartbeat-timeout —
+// each Registered reply names the lease, every client heartbeats every
+// quarter of it on its own, and a session silent for longer is evicted — and
+// accepts mid-run rejoins from workers started with -reconnect;
+// -checkpoint-dir/-checkpoint-every persist the store as one file
+// (checkpoint.frames) so a restarted server resumes the run where it stopped,
+// stepping at its own -lr.
 //
 // Server groups: -role places this server in a multi-server group
 // (DESIGN.md §10). A coordinator (-role coordinator -cluster-servers N)
@@ -52,22 +55,22 @@
 // cutting the root's ingress from O(workers) to O(workers/fanout) frames.
 // Workers join the tree with psworker -tree -server <root>; they learn
 // their relay from the root's layout and re-parent if it dies. A partial
-// stalled by a straggler is forwarded incomplete after 50ms. A relay leases
-// its workers with -heartbeat-timeout and heartbeats to the root every
-// quarter of it, so a root leasing at the same timeout keeps it.
+// stalled by a straggler is forwarded incomplete after 50ms. Codec and lease
+// are the root's: the relay's trunk adopts the root's codec, and the relay
+// leases its workers at the lease the root put the trunk under, and not at
+// all when the root leases nothing.
 //
 // Flags per role: -role is read first, and the rest of the command line is
 // parsed with that role's own flag set, so a flag the role does not read is
 // refused by name (psserver -role <role> -h lists the set):
 //
-//   - every role: -role, -addr, -metrics-addr, -compress, -topk,
-//     -compress-pull;
-//   - a relay and every server role: -heartbeat-timeout;
-//   - every server role (flat, coordinator, data, backup): -workers, -model,
-//     -classes, -image-size, -seed, -shards, -trace-every, -trace-dump,
-//     -aggregator, -clip-norm, -guard, -elastic, -checkpoint-dir,
-//     -checkpoint-every (the server then refuses the ones its role does not
-//     act on: a coordinator, -guard and -checkpoint-*);
+//   - every role: -role, -addr, -metrics-addr;
+//   - every server role (flat, coordinator, data, backup): -compress, -topk,
+//     -compress-pull, -heartbeat-timeout, -workers, -model, -classes,
+//     -image-size, -seed, -shards, -trace-every, -trace-dump, -aggregator,
+//     -clip-norm, -guard, -elastic, -checkpoint-dir, -checkpoint-every (the
+//     server then refuses the ones its role does not act on: a coordinator,
+//     -guard and -checkpoint-*);
 //   - a flat server and a coordinator, which run the paradigm and evaluate:
 //     -paradigm, -staleness, -range, -enforce-bound, -examples;
 //   - a flat server, data server and backup, which hold weights: -lr,
@@ -186,20 +189,20 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 	server := role != roleRelay
 	member := role == dssp.RoleData || role == dssp.RoleBackup
 
-	addr, metricsAddr, advertise, codec, hbTimeout := &s.Addr, &s.MetricsAddr, &s.Cluster.Advertise, &s.Compression, &s.HeartbeatTimeout
+	addr, metricsAddr, advertise := &s.Addr, &s.MetricsAddr, &s.Cluster.Advertise
 	if !server {
-		addr, metricsAddr, advertise, codec, hbTimeout = &r.Addr, &r.MetricsAddr, &r.Advertise, &r.Compression, &r.HeartbeatTimeout
+		addr, metricsAddr, advertise = &r.Addr, &r.MetricsAddr, &r.Advertise
 		fs.StringVar(&r.Parent, "parent", "", "root server address the relay forwards to")
 		fs.IntVar(&r.Fanout, "fanout", 4, "workers this relay aggregates per forwarded push")
 	}
 	fs.StringVar(&s.Cluster.Role, "role", "", "role: coordinator, data, backup (server group, DESIGN.md §10), or relay (aggregation tier, DESIGN.md §11); empty = standalone server. Each role reads its own flags: psserver -role <role> -h lists them")
 	fs.StringVar(addr, "addr", ":7070", "TCP listen address")
 	fs.StringVar(metricsAddr, "metrics-addr", "", "admin HTTP listen address serving /metrics, /healthz, /statusz and pprof (empty = off)")
-	fs.StringVar(&codec.Codec, "compress", "", "gradient codec on the wire: none, fp16, int8, topk; a relay also takes auto, adopting its parent's (empty = none on a server, auto on a relay; a relay's explicit codec must match its parent's)")
-	fs.Float64Var(&codec.TopK, "topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1)")
-	fs.BoolVar(&codec.Pull, "compress-pull", false, "also compress pulled weights (fp16/int8 codecs only)")
-	fs.DurationVar(hbTimeout, "heartbeat-timeout", 5*time.Second, "evict a session silent for this long (on a server, in elastic mode); a relay heartbeats to its parent every quarter of it")
 	if server {
+		fs.StringVar(&s.Compression.Codec, "compress", "", "gradient codec on the wire: none, fp16, int8, topk (empty = none)")
+		fs.Float64Var(&s.Compression.TopK, "topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1)")
+		fs.BoolVar(&s.Compression.Pull, "compress-pull", false, "also compress pulled weights (fp16/int8 codecs only)")
+		fs.DurationVar(&s.HeartbeatTimeout, "heartbeat-timeout", 5*time.Second, "with -elastic, the lease: every Registered reply names it, clients heartbeat every quarter of it, and a session silent for longer is evicted")
 		s.Dataset.Noise = 0.5
 		fs.IntVar(&s.Workers, "workers", 2, "number of workers expected to join")
 		fs.StringVar((*string)(&s.Model), "model", string(dssp.ModelSmallMLP), "model: small-mlp, small-cnn, alexnet-small, resnet-8")

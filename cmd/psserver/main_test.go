@@ -113,13 +113,12 @@ func TestShippedCommandLinesParse(t *testing.T) {
 		{
 			args:   "-addr 127.0.0.1:17191 -role relay -parent 127.0.0.1:17190 -fanout 2",
 			server: dssp.ServerConfig{Cluster: dssp.ClusterOptions{Role: roleRelay}},
-			relay:  dssp.RelayConfig{Addr: "127.0.0.1:17191", Parent: "127.0.0.1:17190", Fanout: 2, HeartbeatTimeout: 5 * time.Second},
+			relay:  dssp.RelayConfig{Addr: "127.0.0.1:17191", Parent: "127.0.0.1:17190", Fanout: 2},
 		},
 		{
-			args:   "-role=relay -parent=127.0.0.1:7070 -compress fp16 -advertise 10.0.0.2:7071",
+			args:   "-role=relay -parent=127.0.0.1:7070 -advertise 10.0.0.2:7071",
 			server: dssp.ServerConfig{Cluster: dssp.ClusterOptions{Role: roleRelay}},
-			relay: dssp.RelayConfig{Addr: ":7070", Advertise: "10.0.0.2:7071", Parent: "127.0.0.1:7070", Fanout: 4,
-				Compression: dssp.Compression{Codec: dssp.CompressFP16}, HeartbeatTimeout: 5 * time.Second},
+			relay:  dssp.RelayConfig{Addr: ":7070", Advertise: "10.0.0.2:7071", Parent: "127.0.0.1:7070", Fanout: 4},
 		},
 	} {
 		var out bytes.Buffer
@@ -143,6 +142,11 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 		{"-role coordinator -cluster-servers 2 -cluster-index 1 -primary 1.2.3.4:1 -fanout 3", "not defined: -cluster-index"},
 		{"-role relay -workers 8 -paradigm BSP -model resnet-8", "not defined: -workers"},
 		{"-role relay -parent 127.0.0.1:17199 -guard", "not defined: -guard"},
+		// A relay adopts its root's codec and lease.
+		{"-role=relay -parent=127.0.0.1:7070 -compress fp16 -advertise 10.0.0.2:7071", "not defined: -compress"},
+		{"-role relay -parent 127.0.0.1:7070 -topk 0.2", "not defined: -topk"},
+		{"-role relay -parent 127.0.0.1:7070 -compress-pull", "not defined: -compress-pull"},
+		{"-role relay -parent 127.0.0.1:17199 -heartbeat-timeout 200ms", "not defined: -heartbeat-timeout"},
 		{"-role data -peers 127.0.0.1:7070 -cluster-servers 2 -paradigm BSP", "not defined: -paradigm"},
 		{"-role coordinator -cluster-servers 2 -lr 0.5", "not defined: -lr"},
 		{"-role data -peers 127.0.0.1:7070 -cluster-servers 2 -primary 127.0.0.1:7101", "not defined: -primary"},
@@ -164,8 +168,8 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 // TestRoleFlagSets pins each role's flag set, and that together they are
 // every psserver flag: a flag dropped from every role fails here.
 func TestRoleFlagSets(t *testing.T) {
-	every := []string{"role", "addr", "metrics-addr", "compress", "topk", "compress-pull", "heartbeat-timeout"}
-	server := append(slices.Clone(every), "workers", "model", "classes", "image-size", "seed", "shards",
+	every := []string{"role", "addr", "metrics-addr"}
+	server := append(slices.Clone(every), "compress", "topk", "compress-pull", "heartbeat-timeout", "workers", "model", "classes", "image-size", "seed", "shards",
 		"trace-every", "trace-dump", "aggregator", "clip-norm", "guard", "elastic", "checkpoint-dir", "checkpoint-every")
 	policy := []string{"paradigm", "staleness", "range", "enforce-bound", "examples"}
 	store := []string{"lr", "momentum"}

@@ -21,8 +21,9 @@
 // version.
 //
 // Fault tolerance: -reconnect 30s redials and rejoins on any connection loss
-// (surviving parameter-server restarts) for up to 30s, -heartbeat proves
-// liveness to an -elastic server, and -fail-after injects a crash for demos.
+// (surviving parameter-server restarts) for up to 30s, and -fail-after
+// injects a crash for demos. Under an -elastic server the worker heartbeats
+// on its own, every quarter of the lease the server names at registration.
 //
 // Server groups: -cluster makes -server the coordinator's address — the
 // worker fetches the cluster map at registration and routes gradient
@@ -72,7 +73,6 @@ func main() {
 		compressPull = flag.Bool("compress-pull", false, "expect compressed weight pulls (must match the server; implied by -compress auto)")
 		adversary    = flag.Float64("adversary", 0, "Byzantine gradient-scale factor for robustness experiments (0 or 1 = honest; e.g. -10 pushes scaled ascent)")
 		reconnect    = flag.Duration("reconnect", 0, "redial and rejoin on connection loss (survives server restarts), retrying connecting, rejoining and recovering a -cluster data link this long before giving up, e.g. 30s (0 = connect once)")
-		heartbeat    = flag.Duration("heartbeat", 0, "send liveness heartbeats at this interval (needed under an -elastic server; 0 = off)")
 		failAfter    = flag.Int("fail-after", 0, "fault injection for demos: crash (drop the connection) before this iteration (0 = never)")
 		metricsAddr  = flag.String("metrics-addr", "", "admin HTTP listen address serving worker-side /metrics, /healthz and pprof (empty = off)")
 		seed         = flag.Int64("seed", 1, "seed (must match the server)")
@@ -94,9 +94,8 @@ func main() {
 		Seed:      *seed,
 		Delay:     *delay,
 		Options: dssp.Options{
-			Shards:            *shards,
-			Compression:       dssp.Compression{Codec: *compressName, TopK: *topk, Pull: *compressPull},
-			HeartbeatInterval: *heartbeat,
+			Shards:      *shards,
+			Compression: dssp.Compression{Codec: *compressName, TopK: *topk, Pull: *compressPull},
 		},
 		Adversary:   *adversary,
 		MetricsAddr: *metricsAddr,

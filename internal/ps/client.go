@@ -2,7 +2,6 @@ package ps
 
 import (
 	"fmt"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -76,6 +75,11 @@ type Client struct {
 	// the OK, and the next Pull sends no request, only receives it. Dropped
 	// at registration.
 	offered, prefetched bool
+	// lease is the lease the last Registered reply put the session under, 0
+	// for none; beats is the heartbeat goroutine keeping it (nil when none
+	// runs).
+	lease time.Duration
+	beats *heartbeats
 }
 
 // NewClientCompressed wraps a connection for the given worker ID with an
@@ -103,7 +107,9 @@ func (c *Client) Traffic() (pushed, pulled int64) { return c.pushedBytes, c.pull
 // Register announces the worker to the server, negotiates the gradient
 // codec, and waits for the acknowledgement. A worker whose codec conflicts
 // with the server's is rejected with an error; a worker registering with
-// compress.Auto adopts the server's configuration.
+// compress.Auto adopts the server's configuration. A server that leases its
+// sessions names the lease in the acknowledgement, and the client heartbeats
+// every quarter of it on its own until Close.
 func (c *Client) Register() error {
 	return c.register(transport.MsgRegister, 0)
 }
@@ -160,6 +166,10 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 		}
 	}
 	c.serverShards, c.offered = msg.StoreShards, msg.Prefetch
+	c.stopHeartbeats()
+	if c.lease = msg.Lease; c.lease > 0 {
+		c.beats = startHeartbeats(c.conn, c.worker, c.lease/4)
+	}
 	return nil
 }
 
@@ -486,40 +496,57 @@ func (c *Client) Done() error {
 	return nil
 }
 
-// StartHeartbeats begins sending liveness heartbeats every interval on a
-// background goroutine, and returns a function that stops them. Heartbeats
+// heartbeats is a registered client's heartbeat goroutine: a Heartbeat frame
+// every interval, from registration under a lease until stopped. Heartbeats
 // are one-way — the server refreshes the session lease and never replies —
 // so they interleave safely with the lock-step request/reply protocol
-// (Conn.Send is safe for concurrent use). The goroutine also exits when a
-// heartbeat send fails, which means the connection is gone and the main
-// protocol loop is about to find out.
-func (c *Client) StartHeartbeats(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
+// (Conn.Send is safe for concurrent use). A failed send ends the goroutine:
+// the connection is gone, and the protocol loop is about to find out.
+type heartbeats struct {
+	stop, done chan struct{}
+}
+
+// startHeartbeats sends worker's heartbeats on conn every interval, the
+// quarter of the lease the server's monitor sweeps at.
+func startHeartbeats(conn transport.Conn, worker int, interval time.Duration) *heartbeats {
+	h := &heartbeats{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
+		defer close(h.done)
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
 			select {
-			case <-done:
+			case <-h.stop:
 				return
 			case <-ticker.C:
-				if c.conn.Send(transport.Message{Type: transport.MsgHeartbeat, Worker: c.worker}) != nil {
+				if conn.Send(transport.Message{Type: transport.MsgHeartbeat, Worker: worker}) != nil {
 					return
 				}
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return h
 }
 
-// Close releases the underlying connection and ends the pull lease and the
-// push slot: the tensors the last Pull handed out must not be read
-// afterwards, nor those PushSlot handed out touched. The leases end here
-// rather than whenever the garbage collector finds the client, so that a
-// reader outliving them fails the same way every time.
+// stopHeartbeats ends the heartbeat goroutine, if one runs, and returns once
+// it has: no heartbeat is sent afterwards. Close calls it after closing the
+// connection, which unblocks a heartbeat caught in Send.
+func (c *Client) stopHeartbeats() {
+	if c.beats != nil {
+		close(c.beats.stop)
+		<-c.beats.done
+		c.beats = nil
+	}
+}
+
+// Close releases the underlying connection, stops the heartbeats and ends
+// the pull lease and the push slot: the tensors the last Pull handed out must
+// not be read afterwards, nor those PushSlot handed out touched. The leases
+// end here rather than whenever the garbage collector finds the client, so
+// that a reader outliving them fails the same way every time.
 func (c *Client) Close() error {
 	err := c.conn.Close()
+	c.stopHeartbeats()
 	c.endLeases()
 	return err
 }

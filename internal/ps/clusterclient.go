@@ -54,17 +54,15 @@ type link struct {
 	entry   transport.ServerEntry
 	client  *Client
 	version int64
-	hbStop  func()
 }
 
-// stop ends l's heartbeats and closes its connection. The client's leases
+// stop closes l's connection and ends its heartbeats. The client's leases
 // are left to whoever ends them: what the last Pull handed out, and the
 // gradients a push is computing in the push slot, may still be read.
 func (l *link) stop() error {
-	if l.hbStop != nil {
-		l.hbStop()
-	}
-	return l.client.conn.Close()
+	err := l.client.conn.Close()
+	l.client.stopHeartbeats()
+	return err
 }
 
 // linkReply is one link's part of a Pull: the tensors and version its reply
@@ -102,9 +100,8 @@ type ClusterClient struct {
 	shards int
 	total  int
 
-	assembled  []*tensor.Tensor
-	parts      []linkReply
-	hbInterval time.Duration
+	assembled []*tensor.Tensor
+	parts     []linkReply
 	// retired are the clients of data links replaced since the last Pull:
 	// their connections are closed, but the tensors that Pull handed out may
 	// alias their receive buffers, and the gradients being pushed their push
@@ -216,8 +213,7 @@ func (r Route) waitForMap() (m transport.Message, err error) {
 
 // openLink dials e.Addr and registers the worker there under codec cfg: a
 // Rejoin carrying lastVersion when rejoin is set, a Register otherwise. On a
-// Group route the registration is in cluster mode. The link inherits the
-// client's heartbeats.
+// Group route the registration is in cluster mode.
 func (c *ClusterClient) openLink(e transport.ServerEntry, cfg compress.Config, rejoin bool, lastVersion int64) (*link, error) {
 	conn, err := c.route.Dial(e.Addr)
 	if err != nil {
@@ -238,11 +234,7 @@ func (c *ClusterClient) openLink(e transport.ServerEntry, cfg compress.Config, r
 		conn.Close()
 		return nil, fmt.Errorf("ps: register with %s: %w", e.Addr, err)
 	}
-	l := &link{entry: e, client: client}
-	if c.hbInterval > 0 {
-		l.hbStop = client.StartHeartbeats(c.hbInterval)
-	}
-	return l, nil
+	return &link{entry: e, client: client}, nil
 }
 
 // recover replaces dead data link i: it refetches the map until the entry
@@ -503,20 +495,6 @@ func (c *ClusterClient) Done() error {
 		}
 	}
 	return err
-}
-
-// StartHeartbeats begins liveness heartbeats on every link and returns a
-// stop function. Links recovered later inherit the interval.
-func (c *ClusterClient) StartHeartbeats(interval time.Duration) (stop func()) {
-	c.hbInterval = interval
-	for _, l := range c.links {
-		l.hbStop = l.client.StartHeartbeats(interval)
-	}
-	return func() {
-		for _, l := range c.links {
-			l.hbStop()
-		}
-	}
 }
 
 // Traffic sums the payload bytes pushed and pulled across every link.

@@ -31,7 +31,6 @@ type WorkerClient interface {
 	Done() error
 	Close() error
 	Traffic() (pushed, pulled int64)
-	StartHeartbeats(interval time.Duration) (stop func())
 	Codec() string
 }
 

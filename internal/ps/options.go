@@ -13,9 +13,9 @@ import (
 // declared once and reaches every surface; Normalized is the one
 // defaulting+validation helper all of them funnel through.
 //
-// Every field but HeartbeatInterval acts on a server — which of them acts on
-// which server role is ForRole's to say. HeartbeatInterval is read by
-// workers, which in turn read only Compression, Shards and HeartbeatInterval.
+// Every field acts on a server — which of them acts on which server role is
+// ForRole's to say. Workers read only Compression and Shards; how often they
+// heartbeat is the server's to say (Elastic).
 type Options struct {
 	// Shards is the number of independently locked parameter-store
 	// partitions. A standalone server's 0 picks one per CPU; in a server group
@@ -38,19 +38,15 @@ type Options struct {
 	// outliers, impossible version claims and push floods are dropped, and
 	// repeat offenders are evicted through the session lease layer.
 	Guard GuardConfig
-	// Elastic enables lease monitoring (sessions that miss heartbeats for
-	// HeartbeatTimeout are evicted) and completes the run when every live
-	// worker has finished even if some slots departed for good. Regardless
-	// of Elastic, a dead connection always notifies the policy.
+	// Elastic enables lease monitoring and completes the run when every live
+	// worker has finished even if some slots departed for good. Every
+	// Registered reply then names the lease, HeartbeatTimeout, and the client
+	// heartbeats every quarter of it on its own; a session silent for longer
+	// is evicted. Regardless of Elastic, a dead connection always notifies
+	// the policy.
 	Elastic bool
-	// HeartbeatInterval is how often a worker proves liveness; 0 sends no
-	// heartbeats (a dead connection is still detected through Recv errors).
-	// Set it on elastic runs: a worker silent past HeartbeatTimeout is
-	// evicted.
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is how long a session may stay silent before the
-	// lease monitor evicts it. Zero selects DefaultHeartbeatTimeout when
-	// Elastic is set.
+	// HeartbeatTimeout is the lease an elastic server holds every session
+	// to. Zero selects DefaultHeartbeatTimeout.
 	HeartbeatTimeout time.Duration
 	// Checkpoint periodically snapshots the store to disk so a restarted
 	// server resumes where this one stopped.

@@ -335,6 +335,7 @@ func TestLeaseExpiredReaderKeepsItsGeneration(t *testing.T) {
 	}
 	// Worker 1 goes silent; worker 0 trains on until the server has closed
 	// worker 1's connection, and then past the retire pool.
+	clients[1].stopHeartbeats()
 	for deadline := time.Now().Add(10 * time.Second); srv.Status().Departures == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("the silent worker's lease never expired")

@@ -25,9 +25,12 @@ const DefaultRelayFlushInterval = 50 * time.Millisecond
 // forwards a single ×k-weighted push to the root carrying the children's clock
 // metadata — cutting the root's push ingress from O(workers) to
 // O(workers/fanout) frames while the paradigm still sees every logical push.
-// It is dssp.RelayConfig. Addr and MetricsAddr are read only by
-// dssp.ServeRelay, which listens and serves the admin endpoint; NewRelay is
-// handed its dialer and registry as arguments instead.
+// Codec and lease are the root's: the trunk adopts the root's codec, and the
+// relay leases its children at the lease the root put the trunk under (none
+// when the root leases nothing), so the subtree behaves exactly as if
+// directly connected. It is dssp.RelayConfig. Addr and MetricsAddr are read
+// only by dssp.ServeRelay, which listens and serves the admin endpoint;
+// NewRelay is handed its dialer and registry as arguments instead.
 type RelayConfig struct {
 	// Addr is the child-facing TCP listen address, e.g. ":7071".
 	Addr string
@@ -43,17 +46,6 @@ type RelayConfig struct {
 	// Fanout is how many workers this relay covers in the root's tree layout.
 	// Must be at least 1.
 	Fanout int
-	// Compression is the codec requested on the trunk registration; the zero
-	// value adopts whatever the root speaks (compress.Auto), and an explicit
-	// codec must match the root's exactly. Children negotiate against the
-	// root's configuration exactly as if directly connected.
-	Compression compress.Config
-	// HeartbeatTimeout is the child-session lease: a child silent for longer
-	// is evicted exactly as the root's lease monitor would. Both upstream
-	// sessions heartbeat every HeartbeatTimeout/4, so a root leasing at the
-	// same timeout keeps them. 0 disables both (connection death still
-	// evicts).
-	HeartbeatTimeout time.Duration
 	// MetricsAddr, when non-empty, starts an admin HTTP listener serving the
 	// relay's metrics (/metrics: dssp_relay_* series plus transport meters),
 	// /healthz and pprof. "127.0.0.1:0" picks a free port.
@@ -196,10 +188,6 @@ func NewRelay(cfg RelayConfig, dial func(addr string) (transport.Conn, error), r
 	if cfg.Advertise == "" {
 		return nil, fmt.Errorf("ps: relay needs an advertise address for the tree layout")
 	}
-	if cfg.Compression.Codec == "" {
-		// Unset means "follow the parent", exactly as it does for workers.
-		cfg.Compression.Codec = compress.Auto
-	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -208,7 +196,7 @@ func NewRelay(cfg RelayConfig, dial func(addr string) (transport.Conn, error), r
 	if err != nil {
 		return nil, fmt.Errorf("ps: relay trunk dial: %w", err)
 	}
-	trunk, err := NewClientCompressed(conn, 0, cfg.Compression)
+	trunk, err := NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
 	if err == nil {
 		trunk.trunk = []transport.ServerEntry{{Addr: cfg.Advertise, ShardHi: cfg.Fanout}}
 		err = trunk.Register()
@@ -246,19 +234,11 @@ func NewRelay(cfg RelayConfig, dial func(addr string) (transport.Conn, error), r
 	r.wg.Add(2)
 	go func() { defer r.wg.Done(); r.trunkLoop() }()
 	go func() { defer r.wg.Done(); r.watchdogLoop() }()
-	if cfg.HeartbeatTimeout > 0 {
+	// The children registered through the trunk are under its lease, which
+	// their forwarded Registered replies name: the relay holds them to it.
+	if trunk.lease > 0 {
 		r.wg.Add(1)
-		go r.leaseMonitor(cfg.HeartbeatTimeout, nil)
-	}
-	if beat := cfg.HeartbeatTimeout / 4; beat > 0 {
-		stopTrunk, stopUp := trunk.StartHeartbeats(beat), up.StartHeartbeats(beat)
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			<-r.stopped
-			stopTrunk()
-			stopUp()
-		}()
+		go r.leaseMonitor(trunk.lease, nil)
 	}
 	return r, nil
 }
@@ -274,6 +254,8 @@ func (r *Relay) Stop() {
 		// trunk's push slot under a fold.
 		_ = r.trunk.conn.Close()
 		_ = r.up.conn.Close()
+		r.trunk.stopHeartbeats()
+		r.up.stopHeartbeats()
 		// A partial summing in the trunk slot can never be sent now; it goes
 		// with the slot, under the lock every fold takes. A held first push
 		// can never be summed: its lease ends here.

@@ -59,13 +59,11 @@ func newRelayHarness(t *testing.T, policy core.Policy, st *Store, relays, fanout
 	for i := 0; i < relays; i++ {
 		l := transport.NewChanListener()
 		h.listeners = append(h.listeners, l)
+		// The root's lease, when it has one, is the relay's lease on its
+		// children too, and its upstream sessions heartbeat under it.
 		relay, err := NewRelay(RelayConfig{
 			Fanout:    fanout,
 			Advertise: l.Addr(),
-			// The root's lease, when it has one, is the relay's lease on its
-			// children too, and the relay keeps its own upstream sessions alive
-			// under it.
-			HeartbeatTimeout: opts.HeartbeatTimeout,
 		}, parentDial(root.Dial), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -610,9 +608,8 @@ func TestRelayStalledChildDoesNotDelaySiblingOK(t *testing.T) {
 func pinRelay(t *testing.T, dial func() (transport.Conn, error), reg *obs.Registry) *Relay {
 	t.Helper()
 	relay, err := NewRelay(RelayConfig{
-		Fanout:      1,
-		Advertise:   "pin-relay",
-		Compression: compress.Config{Codec: compress.Auto},
+		Fanout:    1,
+		Advertise: "pin-relay",
 	}, parentDial(dial), reg)
 	if err != nil {
 		t.Fatal(err)

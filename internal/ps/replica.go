@@ -66,7 +66,7 @@ func replicate(dial func() (transport.Conn, error), store *Store, interval, grac
 		for {
 			params, v, err := client.Pull()
 			if err != nil {
-				_ = conn.Close()
+				_ = client.Close()
 				break // reconnect (or give up) via the outer loop
 			}
 			lastContact = time.Now()
@@ -76,7 +76,7 @@ func replicate(dial func() (transport.Conn, error), store *Store, interval, grac
 			} else if err := store.installReplica(params, v); err != nil {
 				// A failed install (shape drift, version regression) is a
 				// wiring bug, not a liveness problem; surface it.
-				_ = conn.Close()
+				_ = client.Close()
 				return fmt.Errorf("ps: replica install at version %d: %w", v, err)
 			} else {
 				installed = v
@@ -84,7 +84,7 @@ func replicate(dial func() (transport.Conn, error), store *Store, interval, grac
 				version.Set(float64(v))
 			}
 			if !sleepOrStop(interval, stop) {
-				_ = conn.Close()
+				_ = client.Close()
 				return nil
 			}
 		}

@@ -490,9 +490,10 @@ func (s *Server) negotiate(worker int, msg transport.Message) error {
 }
 
 // registered builds the acknowledgement of a registration for session key or
-// worker slot worker: the codec in force, the store's shape and version.
+// worker slot worker: the codec in force, the store's shape and version, and
+// on an elastic server the lease its monitor holds the session to.
 func (s *Server) registered(worker int) transport.Message {
-	return transport.Message{
+	reply := transport.Message{
 		Type:        transport.MsgRegistered,
 		Worker:      worker,
 		Version:     s.cfg.Store.Version(),
@@ -501,6 +502,10 @@ func (s *Server) registered(worker int) transport.Message {
 		CodecPull:   s.compression.Pull,
 		StoreShards: s.cfg.Store.Shards(),
 	}
+	if s.cfg.Elastic {
+		reply.Lease = s.hbTimeout
+	}
+	return reply
 }
 
 // admit enters worker slot into the cohort with carrier as the session its

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,11 +163,9 @@ func testLeaseExpiryEvictsSilentWorker(t *testing.T, carrier string) {
 	})
 
 	c0 := dialClient(t, listener, 0)
-	stop0 := c0.StartHeartbeats(20 * time.Millisecond)
-	defer stop0()
 	// Worker 1 registers and then goes silent — connection open, no
 	// heartbeats, no requests: a hung process.
-	_ = dialClient(t, listener, 1)
+	dialClient(t, listener, 1).stopHeartbeats()
 
 	grad := []*tensor.Tensor{tensor.FromSlice([]float32{1, 1, 1, 1}, 4)}
 	okCh := make(chan error, 1)
@@ -186,7 +185,8 @@ func testLeaseExpiryEvictsSilentWorker(t *testing.T, carrier string) {
 }
 
 // TestHeartbeatsKeepSlowWorkerAlive is the inverse: a worker that computes
-// for longer than the lease but heartbeats on time must NOT be evicted.
+// for longer than the lease must NOT be evicted — it heartbeats on its own,
+// at the lease its Registered reply named.
 func TestHeartbeatsKeepSlowWorkerAlive(t *testing.T) {
 	overCarriers(t, testHeartbeatsKeepSlowWorkerAlive)
 }
@@ -201,11 +201,7 @@ func testHeartbeatsKeepSlowWorkerAlive(t *testing.T, carrier string) {
 	})
 
 	c0 := dialClient(t, listener, 0)
-	stop0 := c0.StartHeartbeats(30 * time.Millisecond)
-	defer stop0()
 	c1 := dialClient(t, listener, 1)
-	stop1 := c1.StartHeartbeats(30 * time.Millisecond)
-	defer stop1()
 
 	grad := []*tensor.Tensor{tensor.FromSlice([]float32{1, 1, 1, 1}, 4)}
 	okCh := make(chan error, 1)
@@ -225,6 +221,89 @@ func testHeartbeatsKeepSlowWorkerAlive(t *testing.T, carrier string) {
 	}
 	if got := srv.Pushes(); got != 2 {
 		t.Fatalf("pushes = %d, want 2", got)
+	}
+}
+
+// beatCounter is a connection that counts the heartbeats sent on it, and
+// those sent after Close.
+type beatCounter struct {
+	transport.Conn
+	mu          sync.Mutex
+	closed      bool
+	beats, late int
+}
+
+func (c *beatCounter) Send(m transport.Message) error {
+	if m.Type == transport.MsgHeartbeat {
+		c.mu.Lock()
+		if c.closed {
+			c.late++
+		} else {
+			c.beats++
+		}
+		c.mu.Unlock()
+	}
+	return c.Conn.Send(m)
+}
+
+func (c *beatCounter) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	return c.Conn.Close()
+}
+
+func (c *beatCounter) counts() (beats, late int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.beats, c.late
+}
+
+// TestCloseEndsHeartbeats: a client registered under a lease heartbeats on
+// its own, at a quarter of the lease, and Close ends the goroutine that does:
+// no heartbeat is sent after Close returns. Under a server that leases
+// nothing no goroutine starts.
+func TestCloseEndsHeartbeats(t *testing.T) {
+	_, listener := startElasticServer(t, core.MustNewASP(1), ServerConfig{
+		Options: Options{Elastic: true, HeartbeatTimeout: 40 * time.Millisecond},
+	})
+	conn, err := listener.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &beatCounter{Conn: conn}
+	c := newClient(counted, 0)
+	if err := c.Register(); err != nil {
+		t.Fatal(err)
+	}
+	if c.lease != 40*time.Millisecond {
+		t.Fatalf("registered under a %v lease, want the server's 40ms", c.lease)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if beats, _ := counted.counts(); beats >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the client sent no heartbeats under the lease")
+		}
+	}
+	beats := c.beats
+	c.Close()
+	select {
+	case <-beats.done:
+	default:
+		t.Fatal("the heartbeat goroutine outlived Close")
+	}
+	time.Sleep(50 * time.Millisecond) // five heartbeat intervals
+	if _, late := counted.counts(); late != 0 {
+		t.Fatalf("%d heartbeats sent after Close", late)
+	}
+
+	_, unleased := startElasticServer(t, core.MustNewASP(1), ServerConfig{})
+	plain := dialClient(t, unleased, 0)
+	defer plain.Close()
+	if plain.lease != 0 || plain.beats != nil {
+		t.Fatalf("a server that leases nothing left the client a %v lease and heartbeats %v", plain.lease, plain.beats)
 	}
 }
 

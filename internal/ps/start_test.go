@@ -15,8 +15,8 @@ import (
 // TestStartActsOnOrRefusesEveryOption runs every role against every
 // server-side Options field set alone: Start either stands the role up with
 // the field in force, or refuses it by name. The refusals are the coordinator's
-// Guard and Checkpoint, and nothing else. HeartbeatInterval is read by workers
-// only; a field added to Options without a row here fails the test.
+// Guard and Checkpoint, and nothing else; a field added to Options without a
+// row here fails the test.
 func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 	set := map[string]func(*Options){
 		"Shards":           func(o *Options) { o.Shards = 2 },
@@ -33,9 +33,6 @@ func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 	for _, role := range []string{"", RoleCoordinator, RoleData, RoleBackup} {
 		for i := 0; i < fields.NumField(); i++ {
 			name := fields.Field(i).Name
-			if name == "HeartbeatInterval" {
-				continue
-			}
 			t.Run("role="+role+"/"+name, func(t *testing.T) {
 				apply := set[name]
 				if apply == nil {

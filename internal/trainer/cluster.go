@@ -206,11 +206,9 @@ func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*servin
 	for i := 0; i < (cfg.Workers+cfg.Fanout-1)/cfg.Fanout; i++ {
 		l := s.net.listen()
 		relay, err := ps.NewRelay(ps.RelayConfig{
-			Parent:           s.route.Addr,
-			Fanout:           cfg.Fanout,
-			Advertise:        l.Addr(),
-			Compression:      cfg.Compression,
-			HeartbeatTimeout: cfg.HeartbeatTimeout,
+			Parent:    s.route.Addr,
+			Fanout:    cfg.Fanout,
+			Advertise: l.Addr(),
 		}, s.net.dial, nil)
 		if err != nil {
 			s.stop()

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dssp/internal/compress"
 	"dssp/internal/core"
 	"dssp/internal/data"
 	"dssp/internal/nn"
@@ -120,12 +119,11 @@ func TestWorkerLoopRejoinsGroup(t *testing.T) {
 		Connect: func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
 			return ps.Connect(route, rejoin, lastVersion)
 		},
-		Reconnect:         true,
-		HeartbeatInterval: time.Millisecond,
-		Replica:           build(),
-		Batches:           batches,
-		Iterations:        iterations,
-		CrashAt:           NoCrash,
+		Reconnect:  true,
+		Replica:    build(),
+		Batches:    batches,
+		Iterations: iterations,
+		CrashAt:    NoCrash,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +147,9 @@ func TestWorkerLoopRejoinsGroup(t *testing.T) {
 
 // TestGroupDataServersRunTheirRoleOptions: an in-process group's data servers
 // act on what psserver's data servers act on. With Elastic set, a data
-// server's lease monitor evicts a session that falls silent there, as
-// `psserver -role data -elastic` does.
+// server names its lease in the Registered reply, and its lease monitor
+// evicts a session that falls silent there, as `psserver -role data
+// -elastic` does.
 func TestGroupDataServersRunTheirRoleOptions(t *testing.T) {
 	params := nn.SmallMLP(rand.New(rand.NewSource(7)), 16, 8, 4).Params()
 	group, err := buildCluster(Config{Workers: 1, ClusterServers: 2, LearningRate: 0.05,
@@ -168,12 +167,12 @@ func TestGroupDataServersRunTheirRoleOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	client, err := ps.NewClientCompressed(conn, 0, compress.Config{})
-	if err != nil {
+	// A bare registration, not a client: nothing heartbeats under the lease.
+	if err := conn.Send(transport.Message{Type: transport.MsgRegister, Worker: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Register(); err != nil {
-		t.Fatal(err)
+	if reply, err := conn.Recv(); err != nil || reply.Type != transport.MsgRegistered || reply.Lease != 50*time.Millisecond {
+		t.Fatalf("registration answered %+v, %v; want Registered naming the 50ms lease", reply, err)
 	}
 	departures := func() (n uint64) {
 		for _, s := range group.servers[1:] {

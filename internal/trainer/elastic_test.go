@@ -101,13 +101,13 @@ func TestWorkerCrashMidRunCompletesUnderEachParadigm(t *testing.T) {
 	}
 }
 
-// TestElasticHeartbeatsEndToEnd runs a full elastic training with heartbeats
-// on: liveness traffic must not disturb the lock-step protocol or the
-// result.
+// TestElasticHeartbeatsEndToEnd runs a full elastic training under a lease
+// short enough that every worker heartbeats many times a run: liveness
+// traffic must not disturb the lock-step protocol or the result.
 func TestElasticHeartbeatsEndToEnd(t *testing.T) {
 	cfg := elasticConfig(t, core.PolicyConfig{Paradigm: core.ParadigmDSSP, Staleness: 2, Range: 4})
 	cfg.Elastic = true
-	cfg.HeartbeatInterval = 10 * time.Millisecond
+	cfg.HeartbeatTimeout = 200 * time.Millisecond
 	res := runWithDeadline(t, cfg)
 	if res.FinalAccuracy < 0.5 {
 		t.Errorf("accuracy %.3f with heartbeats", res.FinalAccuracy)
@@ -115,4 +115,37 @@ func TestElasticHeartbeatsEndToEnd(t *testing.T) {
 	if res.Updates == 0 {
 		t.Error("no updates applied")
 	}
+}
+
+// slowWorkerUnderLease is a two-worker elastic DSSP job under a 100 ms lease
+// whose worker 1 computes for 300 ms an iteration, and whose worker 0 waits
+// on it: each is silent for longer than the lease, again and again, and no
+// heartbeat is configured anywhere.
+func slowWorkerUnderLease() Config {
+	cfg := smallConfig(core.PolicyConfig{Paradigm: core.ParadigmDSSP, Staleness: 1, Range: 2})
+	cfg.Workers, cfg.BatchSize, cfg.Epochs = 2, 16, 1
+	cfg.Elastic, cfg.HeartbeatTimeout = true, 100*time.Millisecond
+	cfg.WorkerDelay = []time.Duration{0, 300 * time.Millisecond}
+	return cfg
+}
+
+// checkNobodyDeparted requires a run of cfg in which no session was evicted:
+// no departure at the policy server, no crash, every push applied.
+func checkNobodyDeparted(t *testing.T, cfg Config, res *Result) {
+	t.Helper()
+	if d := res.Metrics["dssp_departures_total"]; d != 0 || len(res.Crashed) > 0 {
+		t.Errorf("%v departures, workers %v crashed; want none", d, res.Crashed)
+	}
+	if want := cfg.Workers * cfg.iterations(); res.Updates != want {
+		t.Errorf("%d updates applied, want %d", res.Updates, want)
+	}
+}
+
+// TestElasticLeaseKeepsSlowWorker: under an elastic server a worker slower
+// than the lease stays registered through the real loop, with no setting on
+// its side — its client heartbeats at the lease its Registered reply named —
+// and both workers finish.
+func TestElasticLeaseKeepsSlowWorker(t *testing.T) {
+	cfg := slowWorkerUnderLease()
+	checkNobodyDeparted(t, cfg, runWithDeadline(t, cfg))
 }

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"dssp/internal/compress"
 	"dssp/internal/core"
@@ -217,12 +216,11 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 							}
 							return ps.Connect(route, rejoin, lastVersion)
 						},
-						Reconnect:         true,
-						HeartbeatInterval: time.Millisecond,
-						Replica:           replica,
-						Batches:           batches,
-						Iterations:        iterations,
-						CrashAt:           NoCrash,
+						Reconnect:  true,
+						Replica:    replica,
+						Batches:    batches,
+						Iterations: iterations,
+						CrashAt:    NoCrash,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -65,15 +65,12 @@ type Config struct {
 	// aggregator, and the anomaly guard. 0 or 1 keeps the flat topology.
 	Fanout int
 	// Options is the serving surface both sides of the run read (store
-	// shards, compression, aggregation, guard, elasticity, heartbeats,
+	// shards, compression, aggregation, guard, elasticity and its lease,
 	// checkpointing), embedded so its fields read as cfg.Shards,
 	// cfg.Compression, ... Each server gets the fields its role acts on
 	// (ps.Options.ForRole), as psserver's would; an in-process group refuses
 	// Checkpoint, whose one directory its members would share. In cluster mode
-	// (ClusterServers >= 2) Shards is the group-wide count. Note for elastic runs:
-	// in-process workers have no reconnect loop, so set HeartbeatInterval or a
-	// HeartbeatTimeout comfortably above the longest iteration — an evicted
-	// honest worker fails the run.
+	// (ClusterServers >= 2) Shards is the group-wide count.
 	ps.Options
 	// Adversaries makes listed workers Byzantine: their honest gradients are
 	// corrupted per the Adversary before pushing. An adversary whose
@@ -346,12 +343,11 @@ func (c Config) Worker(id int) (Worker, error) {
 		return Worker{}, err
 	}
 	w := Worker{
-		HeartbeatInterval: c.HeartbeatInterval,
-		Replica:           c.Model.Build(rand.New(rand.NewSource(c.Seed))),
-		Batches:           iter,
-		Iterations:        c.iterations(),
-		Adversary:         c.Adversaries[id],
-		CrashAt:           NoCrash,
+		Replica:    c.Model.Build(rand.New(rand.NewSource(c.Seed))),
+		Batches:    iter,
+		Iterations: c.iterations(),
+		Adversary:  c.Adversaries[id],
+		CrashAt:    NoCrash,
 	}
 	if id < len(c.WorkerDelay) {
 		w.Delay = c.WorkerDelay[id]

@@ -256,3 +256,38 @@ func TestRelayUpstreamPullsAreGated(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeLeaseIsTheRootsDecision is TestElasticLeaseKeepsSlowWorker through
+// a fanout-2 relay: the relay leases its children at the lease the root put
+// its trunk under, and its trunk and pull session heartbeat under it on their
+// own, so neither the slow worker nor the trunk is evicted. The relay is the
+// one Config.Fanout stands up, and again one stood up with nothing but its
+// place in the tree, as psserver -role relay's default flags make it.
+func TestTreeLeaseIsTheRootsDecision(t *testing.T) {
+	for _, arm := range []string{"fanout", "default-relay"} {
+		t.Run(arm, func(t *testing.T) {
+			cfg := slowWorkerUnderLease()
+			if arm == "fanout" {
+				cfg.Fanout = 2
+			} else {
+				cfg.hook = func(s *serving) {
+					l := s.net.listen()
+					relay, err := ps.NewRelay(ps.RelayConfig{Parent: s.route.Addr, Fanout: 2, Advertise: l.Addr()}, s.net.dial, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.relays = append(s.relays, relay)
+					go func() { _ = relay.Serve(l) }()
+					s.route.Topology = ps.Tree
+				}
+			}
+			res := runWithDeadline(t, cfg)
+			// A child the relay evicted would be a departure at the root, and
+			// its worker's run would fail.
+			checkNobodyDeparted(t, cfg, res)
+			if joins := res.Metrics["dssp_tree_child_joins_total"]; joins != 2 {
+				t.Errorf("%v joins through the relay, want 2", joins)
+			}
+		})
+	}
+}

@@ -24,9 +24,6 @@ type Worker struct {
 	// Reconnect makes a transport error a reason to Connect again and redo
 	// the interrupted iteration, instead of the end of the run.
 	Reconnect bool
-	// HeartbeatInterval, when positive, sends liveness heartbeats on every
-	// client Connect returns.
-	HeartbeatInterval time.Duration
 	// Replica is the worker's model, borrowed for the run: while it lasts the
 	// parameters read the client's pulled weights in place and the gradients
 	// may be computed in its push slot, and both are rebound to the replica's
@@ -78,26 +75,21 @@ type WorkerReport struct {
 // alongside an error.
 func RunWorker(w Worker) (report WorkerReport, err error) {
 	var client ps.WorkerClient
-	var stopHeartbeats func()
 	lastVersion := int64(0)
 
-	// link connects and starts heartbeats; retire folds the client's traffic
-	// into the report before discarding it, so bytes moved before a reconnect
-	// are not lost. Close without Done is how a crash looks to the server.
-	// Close also ends the pull lease the replica reads its parameters through
-	// and the push slot it may compute its gradients in, so retire first puts
-	// the replica back on its own storage — without reading the leased one:
-	// after a Pull that failed half-way, part of it is already gone.
+	// link connects; retire folds the client's traffic into the report
+	// before discarding it, so bytes moved before a reconnect are not lost.
+	// Close without Done is how a crash looks to the server. Close also ends
+	// the pull lease the replica reads its parameters through and the push
+	// slot it may compute its gradients in, so retire first puts the replica
+	// back on its own storage — without reading the leased one: after a Pull
+	// that failed half-way, part of it is already gone.
 	link := func(rejoin bool) error {
 		c, err := w.Connect(rejoin, lastVersion)
-		if err != nil {
-			return err
+		if err == nil {
+			client = c
 		}
-		client, stopHeartbeats = c, func() {}
-		if w.HeartbeatInterval > 0 {
-			stopHeartbeats = c.StartHeartbeats(w.HeartbeatInterval)
-		}
-		return nil
+		return err
 	}
 	retire := func() {
 		if client == nil {
@@ -105,7 +97,6 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 		}
 		w.Replica.DetachParams(false)
 		w.Replica.DetachGrads()
-		stopHeartbeats()
 		pushed, pulled := client.Traffic()
 		report.Pushed += pushed
 		report.Pulled += pulled

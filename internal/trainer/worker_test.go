@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"dssp/internal/data"
 	"dssp/internal/nn"
@@ -58,7 +57,6 @@ type fakeLink struct {
 	st                     *fakeStore
 	id                     int
 	pushes, pullsOK        int64
-	hbStarted, hbStopped   int
 	closed, usedAfterClose bool
 }
 
@@ -113,10 +111,6 @@ func (l *fakeLink) Traffic() (pushed, pulled int64)            { return 100 * l.
 func (l *fakeLink) Codec() string                              { return fmt.Sprintf("codec-%d", l.id) }
 func (l *fakeLink) PushSlot([]*tensor.Tensor) []*tensor.Tensor { return nil }
 func (l *fakeLink) PushFactors() bool                          { return false }
-func (l *fakeLink) StartHeartbeats(time.Duration) func() {
-	l.hbStarted++
-	return func() { l.hbStopped++ }
-}
 
 func TestWorkerLoopTable(t *testing.T) {
 	const total, mid = 4, 2
@@ -157,12 +151,11 @@ func TestWorkerLoopTable(t *testing.T) {
 								st.links = append(st.links, l)
 								return l, nil
 							},
-							Reconnect:         mode != "off",
-							HeartbeatInterval: time.Millisecond,
-							Replica:           replica,
-							Batches:           iter,
-							Iterations:        total,
-							CrashAt:           crashAt,
+							Reconnect:  mode != "off",
+							Replica:    replica,
+							Batches:    iter,
+							Iterations: total,
+							CrashAt:    crashAt,
 						}
 						if adversarial {
 							w.Adversary = Adversary{GradScale: -2, LieVersion: true}
@@ -226,16 +219,15 @@ func TestWorkerLoopTable(t *testing.T) {
 						}
 
 						// Traffic is summed across every link, codec is the last
-						// link's, and every link ended closed with its
-						// heartbeats stopped and was never used afterwards.
+						// link's, and every link ended closed and was never used
+						// afterwards.
 						var pushed, pulled int64
 						for _, l := range st.links {
 							p, q := l.Traffic()
 							pushed += p
 							pulled += q
-							if !l.closed || l.hbStarted != 1 || l.hbStopped != 1 || l.usedAfterClose {
-								t.Errorf("link %d: closed=%v heartbeats %d/%d usedAfterClose=%v",
-									l.id, l.closed, l.hbStarted, l.hbStopped, l.usedAfterClose)
+							if !l.closed || l.usedAfterClose {
+								t.Errorf("link %d: closed=%v usedAfterClose=%v", l.id, l.closed, l.usedAfterClose)
 							}
 						}
 						if report.Pushed != pushed || report.Pulled != pulled {

@@ -182,6 +182,7 @@ func TestOneWireVersion(t *testing.T) {
 		{Type: MsgHeartbeat, Worker: 3},
 		{Type: MsgRegister, Worker: 1, Codec: compress.TopK, CodecTopK: 0.1, CodecPull: true},
 		{Type: MsgRegistered, Worker: 1, Version: 99, Codec: compress.Int8, StoreShards: 4},
+		{Type: MsgRegistered, Worker: 1, Version: 99, StoreShards: 4, Lease: 5 * time.Second},
 		{Type: MsgPush, Worker: 2, Iteration: 7, Version: 41, Tensors: ToWireOwned(smallMLPGrads(1))},
 		{Type: MsgPush, Worker: 2, Iteration: 8, Version: 42, Tensors: ToWireOwned(smallMLPGrads(1)), Prefetch: true},
 		{Type: MsgWeights, Worker: 0, Version: 12, Total: 4,

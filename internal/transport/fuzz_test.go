@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dssp/internal/compress"
 )
@@ -35,6 +36,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Type: MsgHeartbeat, Worker: 3},
 		{Type: MsgRegister, Worker: 1, Codec: compress.TopK, CodecTopK: 0.1, CodecPull: true},
 		{Type: MsgRegistered, Worker: 1, Version: 99, Codec: compress.Int8, StoreShards: 4},
+		{Type: MsgRegistered, Worker: 1, Version: 99, StoreShards: 4, Lease: 200 * time.Millisecond},
 		{Type: MsgPush, Worker: 2, Iteration: 7, Version: 41, Tensors: ToWireOwned(smallMLPGrads(1))},
 		{Type: MsgWeights, Worker: 0, Version: 12, Total: 4,
 			Tensors: ToWireOwned(smallMLPGrads(2)[2:])},

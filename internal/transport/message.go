@@ -19,6 +19,7 @@ package transport
 
 import (
 	"fmt"
+	"time"
 
 	"dssp/internal/compress"
 	"dssp/internal/tensor"
@@ -49,8 +50,9 @@ const (
 	MsgShutdown
 	// MsgError carries an error description.
 	MsgError
-	// MsgHeartbeat is a one-way liveness proof from a worker; the server
-	// refreshes the worker's session lease and sends no reply.
+	// MsgHeartbeat is a one-way liveness proof from a client whose
+	// MsgRegistered named a Lease; the server refreshes the session's lease
+	// and sends no reply.
 	MsgHeartbeat
 	// MsgRejoin re-registers a previously crashed or disconnected worker.
 	// Version carries the last store version the worker saw, letting the
@@ -241,6 +243,12 @@ type Message struct {
 	// so a push slot placed for it holds a push without it at the same
 	// offsets.
 	Prefetch bool
+	// Lease, on MsgRegistered, is the lease the session is under: the server
+	// evicts a session it hears nothing from for longer, and the client
+	// heartbeats every quarter of it to stay registered. Zero: the server
+	// leases nothing and the tag is omitted. Binary wire tag 0x1C, refused
+	// unless positive.
+	Lease time.Duration
 
 	// lease is the pooled receive buffer a received message's payload
 	// aliases, nil when the payload is the message's own allocation (small
@@ -373,7 +381,7 @@ type BodyPlacer interface {
 
 // Conn is a bidirectional, message-oriented connection between one worker
 // and the server. Send is safe for concurrent use from multiple goroutines
-// (a worker's heartbeat goroutine sends alongside the protocol goroutine);
+// (a client's heartbeat goroutine sends alongside the protocol goroutine);
 // Recv must not be called concurrently with itself.
 //
 // Every Conn keeps one payload-ownership contract, on a socket and in

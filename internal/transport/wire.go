@@ -28,6 +28,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"dssp/internal/compress"
@@ -137,6 +138,9 @@ const (
 
 	// Prefetched pulls.
 	tagPrefetch = 0x1B // uint8, must be 1
+
+	// Session leases.
+	tagLease = 0x1C // uint64 (int64 nanoseconds), must be positive
 )
 
 // hostLittleEndian reports whether the running machine stores integers
@@ -394,6 +398,13 @@ func appendBody(dst []byte, bodyStart int, m *Message, refs *frameRefs) ([]byte,
 	}
 	if m.Prefetch {
 		dst = append(dst, tagPrefetch, 1)
+	}
+	if m.Lease < 0 {
+		return dst, fmt.Errorf("transport: lease %v is not positive", m.Lease)
+	}
+	if m.Lease > 0 {
+		dst = append(dst, tagLease)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Lease))
 	}
 	return dst, nil
 }
@@ -910,6 +921,12 @@ func parseBody(typ byte, body []byte, reg *region) (Message, refSection, error) 
 			}
 		case tagPrefetch:
 			m.Prefetch, off, err = parseFlagField(body, off, "Prefetch")
+		case tagLease:
+			var ns int64
+			if ns, off, err = parseInt64Field(body, off); err == nil && ns <= 0 {
+				err = fmt.Errorf("transport: Lease %d is not positive", ns)
+			}
+			m.Lease = time.Duration(ns)
 		case tagTensorRefs, tagPackedRefs:
 			switch {
 			case reg == nil:

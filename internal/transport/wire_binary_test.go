@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dssp/internal/compress"
 	"dssp/internal/tensor"
@@ -304,8 +305,9 @@ func TestBinaryRejectsOversizedAndTruncatedCounts(t *testing.T) {
 
 // TestBinaryRejectsMalformedFixedFields feeds each one-byte flag and each
 // 8-byte field a bad value: a flag byte other than 1 is refused under the
-// flag's name, and a missing flag byte or a 7-byte value is refused as
-// truncated.
+// flag's name, a lease that is not positive under Lease's, and a missing flag
+// byte or a 7-byte value is refused as truncated. The encoder refuses a
+// negative lease too, and a positive one round-trips.
 func TestBinaryRejectsMalformedFixedFields(t *testing.T) {
 	flags := map[byte]string{
 		tagCodecPull: "CodecPull", tagUnchanged: "Unchanged", tagReplica: "Replica",
@@ -322,14 +324,24 @@ func TestBinaryRejectsMalformedFixedFields(t *testing.T) {
 			malformed{name + " byte 2", name + " byte is 2, want 1", []byte{tag, 2}},
 			malformed{name + " byte missing", errTruncatedField.Error(), []byte{tag}})
 	}
-	for tag, name := range map[byte]string{tagVersion: "Version", tagCodecTopK: "CodecTopK", tagMapVersion: "MapVersion"} {
+	for tag, name := range map[byte]string{tagVersion: "Version", tagCodecTopK: "CodecTopK", tagMapVersion: "MapVersion", tagLease: "Lease"} {
 		cases = append(cases, malformed{name + " 7 bytes", errTruncatedField.Error(), append([]byte{tag}, make([]byte, 7)...)})
 	}
+	cases = append(cases,
+		malformed{"Lease 0", "Lease 0 is not positive", append([]byte{tagLease}, make([]byte, 8)...)},
+		malformed{"Lease -1", "Lease -1 is not positive", []byte{tagLease, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}})
 	for _, c := range cases {
-		_, _, err := parseBody(byte(MsgRegister), c.body, nil)
+		_, _, err := parseBody(byte(MsgRegistered), c.body, nil)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
 		}
+	}
+	if _, err := appendFrame(nil, &Message{Type: MsgRegistered, Lease: -time.Second}); err == nil || !strings.Contains(err.Error(), "lease") {
+		t.Errorf("a negative lease encoded: %v", err)
+	}
+	sent := Message{Type: MsgRegistered, Worker: 1, StoreShards: 2, Lease: 1500 * time.Millisecond}
+	if got := decodeFrame(t, encodeFrame(t, sent)); !reflect.DeepEqual(got, sent) {
+		t.Errorf("a leasing Registered decoded to %+v, want %+v", got, sent)
 	}
 }
 

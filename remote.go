@@ -33,10 +33,11 @@ type ServerConfig struct {
 	LearningRate float64
 	Momentum     float64
 	// Options is the shared serving surface (sharding, compression,
-	// aggregation, guard, elasticity, heartbeat timeout, checkpointing);
-	// its fields are embedded (cfg.Compression, cfg.Elastic, ...). In a
-	// server group Shards is the group-wide count and must be the same on
-	// every member. HeartbeatInterval is a worker-side knob and ignored here.
+	// aggregation, guard, elasticity and its lease, checkpointing); its
+	// fields are embedded (cfg.Compression, cfg.Elastic, ...). In a server
+	// group Shards is the group-wide count and must be the same on every
+	// member. An Elastic server names its lease, HeartbeatTimeout, in every
+	// Registered reply, and its clients heartbeat under it on their own.
 	Options
 	// MetricsAddr, when non-empty, starts an admin HTTP listener on that
 	// address serving Prometheus metrics (/metrics), liveness (/healthz), a
@@ -251,8 +252,9 @@ type WorkerConfig struct {
 	// are Compression (the zero value adopts whatever the server speaks; an
 	// explicit codec must match the server's exactly), Shards (when
 	// positive, the store shard count this worker expects — group-wide with
-	// Cluster; a mismatch aborts at registration, zero accepts any) and
-	// HeartbeatInterval. The server-side fields are ignored here.
+	// Cluster; a mismatch aborts at registration, zero accepts any). The
+	// server-side fields are ignored here: under an elastic server the worker
+	// heartbeats at the lease the server names.
 	Options
 	// Adversary, when not 0 or 1, makes this worker Byzantine for robustness
 	// experiments: every pushed gradient is scaled by this factor (e.g. -10
@@ -375,7 +377,7 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	w.Connect = func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
 		return ps.Connect(route, rejoin, lastVersion)
 	}
-	w.Reconnect, w.HeartbeatInterval, w.Delay = cfg.Reconnect > 0, cfg.HeartbeatInterval, cfg.Delay
+	w.Reconnect, w.Delay = cfg.Reconnect > 0, cfg.Delay
 	w.Adversary = trainer.Adversary{GradScale: cfg.Adversary}
 	w.CrashAt = cfg.FailAfter - 1 // FailAfter is 1-based, 0 = never
 	r, err := trainer.RunWorker(w)

@@ -43,7 +43,6 @@ func elasticWorkerConfig(addr string, id, workers int) dssp.WorkerConfig {
 		Epochs:     3,
 		Seed:       3,
 		Reconnect:  30 * time.Second,
-		Options:    dssp.Options{HeartbeatInterval: 200 * time.Millisecond},
 	}
 }
 

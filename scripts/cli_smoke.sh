@@ -3,14 +3,17 @@
 # loopback on fixed ports: a flat 2-worker BSP job on an uneven split (both
 # workers must report the same iteration count, and the server must apply
 # exactly their sum and drop nothing), a coordinator with two data
-# servers (-shards 4 on every member) and reconnecting, heartbeating group
-# workers, and a root fronted by one relay with -tree workers. Every process
-# must exit 0. It also checks that each role refuses, by name, a flag it does
-# not read (psserver parses a command line with its -role's own flag set): a
-# relay -guard and -workers, a coordinator -cluster-index, a flat server
-# -parent (a relay's flag, given without -role relay); and that a coordinator
-# refuses the option its role does not act on (-guard again: it carries no
-# gradient bytes).
+# servers (-shards 4 on every member) and reconnecting group workers, and a
+# root fronted by one relay with -tree workers. The group and the root lease
+# their sessions at 200ms (-elastic), and one worker of each job computes for
+# 300ms an iteration with no heartbeat flag anywhere: the coordinator and the
+# root must each end reporting 0 departures. Every process must exit 0. It
+# also checks that each role refuses, by name, a flag it does not read
+# (psserver parses a command line with its -role's own flag set): a relay
+# -guard, -workers, -compress and -heartbeat-timeout (codec and lease are the
+# root's), a coordinator -cluster-index, a flat server -parent (a relay's
+# flag, given without -role relay); and that a coordinator refuses the option
+# its role does not act on (-guard again: it carries no gradient bytes).
 #
 # Usage: scripts/cli_smoke.sh <dir>
 # <dir> holds psserver and psworker (make cli-smoke builds them there) and
@@ -86,31 +89,52 @@ if ! grep -q "$want" "$dir/flat-server.log"; then
 fi
 echo "cli-smoke: flat BSP server applied $((2 * each)) updates"
 
-# Group: a coordinator and two data servers, one group-wide -shards on all.
-# The workers run with -reconnect and heartbeats, as a deployment that rides
-# out a lost coordinator connection would.
-start group-coord "$server" -addr 127.0.0.1:17180 -role coordinator -cluster-servers 2 -workers 2 -shards 4
+# Liveness: each leasing job runs on 64 examples (two iterations a worker), at
+# a 200ms lease, with one worker silent 300ms an iteration and the other
+# waiting on it. Its clients heartbeat at the lease their Registered replies
+# name, so nobody departs.
+lease=(-elastic -heartbeat-timeout 200ms)
+small=(-examples 64)
+# departed <log> fails the smoke unless the end-of-run line reports 0
+# departures.
+departed() {
+	if ! grep -q 'all workers finished: .*, 0 departures,' "$dir/$1.log"; then
+		echo "cli-smoke: $1 did not end with 0 departures" >&2
+		cat "$dir/$1.log" >&2
+		exit 1
+	fi
+	echo "cli-smoke: $1 ended with 0 departures"
+}
+
+# Group: a coordinator and two data servers, one group-wide -shards on all,
+# every member leasing. The workers run with -reconnect, as a deployment that
+# rides out a lost coordinator connection would; worker 1 is the slow one.
+start group-coord "$server" -addr 127.0.0.1:17180 -role coordinator -cluster-servers 2 -workers 2 -shards 4 \
+	"${lease[@]}" "${small[@]}"
 ready group-coord "parameter server listening"
 for i in 0 1; do
 	start "group-data$i" "$server" -addr "127.0.0.1:1718$((i + 1))" -role data -peers 127.0.0.1:17180 \
-		-cluster-servers 2 -cluster-index "$i" -workers 2 -shards 4
+		-cluster-servers 2 -cluster-index "$i" -workers 2 -shards 4 "${lease[@]}"
 done
 for i in 0 1; do
 	start "group-w$i" "$worker" -cluster -server 127.0.0.1:17180 -id "$i" "${work[@]}" -shards 4 \
-		-reconnect 30s -heartbeat 50ms
+		-reconnect 30s "${small[@]}" -delay "$((i * 300))ms"
 done
 finish group
+departed group-coord
 
-# Tree: a root and one fanout-2 relay; the workers find the relay through
-# the root's layout.
-start tree-root "$server" -addr 127.0.0.1:17190 -workers 2
+# Tree: a leasing root and one fanout-2 relay with its default flags; the
+# workers find the relay through the root's layout, and worker 1 is the slow
+# one. The relay leases them at the root's lease.
+start tree-root "$server" -addr 127.0.0.1:17190 -workers 2 "${lease[@]}" "${small[@]}"
 ready tree-root "parameter server listening"
 start tree-relay "$server" -addr 127.0.0.1:17191 -role relay -parent 127.0.0.1:17190 -fanout 2
 ready tree-relay "aggregation relay listening"
 for i in 0 1; do
-	start "tree-w$i" "$worker" -tree -server 127.0.0.1:17190 -id "$i" "${work[@]}"
+	start "tree-w$i" "$worker" -tree -server 127.0.0.1:17190 -id "$i" "${work[@]}" "${small[@]}" -delay "$((i * 300))ms"
 done
 finish tree
+departed tree-root
 if ! grep -Eq 'for [1-9][0-9]* child pushes' "$dir/tree-relay.log"; then
 	echo "cli-smoke: the relay forwarded no child pushes" >&2
 	cat "$dir/tree-relay.log" >&2
@@ -138,6 +162,8 @@ refuses() {
 # Each role refuses a flag it does not read.
 refuses relay-guard -guard -role relay -parent 127.0.0.1:17199 -guard
 refuses relay-workers -workers -addr 127.0.0.1:17197 -role relay -parent 127.0.0.1:17199 -workers 8
+refuses relay-compress -compress -addr 127.0.0.1:17194 -role relay -parent 127.0.0.1:17199 -compress fp16
+refuses relay-lease -heartbeat-timeout -addr 127.0.0.1:17193 -role relay -parent 127.0.0.1:17199 -heartbeat-timeout 200ms
 refuses flat-parent -parent -addr 127.0.0.1:17196 -parent 127.0.0.1:17199 -fanout 2 -workers 2
 refuses coord-index -cluster-index -addr 127.0.0.1:17195 -role coordinator -cluster-servers 2 -workers 2 -cluster-index 1
 

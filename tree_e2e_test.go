@@ -39,7 +39,6 @@ func treeWorkerConfig(rootAddr string, id int) dssp.WorkerConfig {
 		Seed:       5,
 		Delay:      20 * time.Millisecond,
 		Reconnect:  30 * time.Second,
-		Options:    dssp.Options{HeartbeatInterval: 200 * time.Millisecond},
 	}
 }
 
@@ -72,14 +71,13 @@ func runTreeChurn(t *testing.T, syncCfg dssp.Sync) {
 	defer server.Stop()
 
 	// Relays register in order, so the first covers workers [0,2) and the
-	// second [2,4). Heartbeats keep the trunks alive through barrier stalls
-	// under the root's elastic lease.
+	// second [2,4). The trunks heartbeat under the root's elastic lease on
+	// their own, and hold their workers to the same lease.
 	relayCfg := func() dssp.RelayConfig {
 		return dssp.RelayConfig{
-			Addr:             "127.0.0.1:0",
-			Parent:           rootAddr,
-			Fanout:           2,
-			HeartbeatTimeout: 2 * time.Second,
+			Addr:   "127.0.0.1:0",
+			Parent: rootAddr,
+			Fanout: 2,
 		}
 	}
 	relay0, err := dssp.ServeRelay(relayCfg())

@@ -395,15 +395,17 @@ aggtree-smoke:
 # fixed ports — a flat 2-worker job on 17 examples, whose workers must report
 # the same iteration count, a coordinator with two data servers
 # (-shards 4 on every member, the group-wide count) whose workers run with
-# -reconnect 30s, and a root behind one relay with default flags and -tree
-# workers — failing on any non-zero exit. The group and the root lease at
-# 200ms (-elastic) while one worker of each job computes 300ms an iteration
-# with no heartbeat flag, and must end with 0 departures. It checks that
-# each psserver role refuses by name a flag it does not read (a relay -guard,
-# -workers, -compress and -heartbeat-timeout, a coordinator -cluster-index,
-# a flat server -parent) and that psserver -role coordinator refuses the
-# guard its role does not act on. The binaries and the per-process logs land
-# in .cli-smoke/.
+# -reconnect 30s, plus a backup for index 0 started without its primary's
+# address, whose log must name data server 0's, and a root behind one relay
+# with default flags and -tree workers — failing on any non-zero exit. The
+# group and the root lease at 200ms (-lease) while one worker of each job
+# computes 300ms an iteration with no heartbeat flag, and must end with 0
+# departures; that slow worker joins first, read off the server's
+# -metrics-addr. It checks that each psserver role refuses by name a flag it
+# does not read (a relay -guard, -workers, -compress and -lease, a backup
+# -primary, a coordinator -cluster-index, a flat server -parent) and that
+# psserver -role coordinator refuses the guard its role does not act on. The
+# binaries and the per-process logs land in .cli-smoke/.
 cli-smoke:
 	mkdir -p .cli-smoke
 	$(GO) build -o .cli-smoke/psserver ./cmd/psserver

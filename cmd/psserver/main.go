@@ -26,10 +26,11 @@
 // upstream, a backup, a coordinator's snapshot) name one; workers pull in
 // full, since every push moves the version.
 //
-// Fault tolerance: -elastic leases every session at -heartbeat-timeout —
-// each Registered reply names the lease, every client heartbeats every
-// quarter of it on its own, and a session silent for longer is evicted — and
-// accepts mid-run rejoins from workers started with -reconnect;
+// Fault tolerance: -lease d leases every session at d — each Registered
+// reply names the lease, every client heartbeats every quarter of it on its
+// own, and a session silent for longer is evicted — accepts mid-run rejoins
+// from workers started with -reconnect, and finishes when the live workers
+// do (0, the default, is fixed membership);
 // -checkpoint-dir/-checkpoint-every persist the store as one file
 // (checkpoint.frames) so a restarted server resumes the run where it stopped,
 // stepping at its own -lr.
@@ -38,8 +39,10 @@
 // (DESIGN.md §10). A coordinator (-role coordinator -cluster-servers N)
 // owns the paradigm policy and the cluster map; data servers (-role data
 // -peers <coordinator> -cluster-servers N -cluster-index i) each own a
-// contiguous shard range of the store; a backup (-role backup -primary <data
-// server>) replicates its primary's weights and requests promotion when the
+// contiguous shard range of the store; a backup (-role backup, with the
+// data server's -peers, -cluster-servers and -cluster-index) finds its
+// primary in the coordinator's cluster map — the data server owning that
+// shard range — replicates its weights and requests promotion when the
 // primary stays dead past a 2s grace. Losing the coordinator is fatal
 // to a data server or backup, unless the coordinator finished the run: it
 // then says so on the announce connection before it exits. In a group
@@ -66,18 +69,17 @@
 //
 //   - every role: -role, -addr, -metrics-addr;
 //   - every server role (flat, coordinator, data, backup): -compress, -topk,
-//     -compress-pull, -heartbeat-timeout, -workers, -model, -classes,
-//     -image-size, -seed, -shards, -trace-every, -trace-dump, -aggregator,
-//     -clip-norm, -guard, -elastic, -checkpoint-dir, -checkpoint-every (the
-//     server then refuses the ones its role does not act on: a coordinator,
-//     -guard and -checkpoint-*);
+//     -compress-pull, -lease, -workers, -model, -classes, -image-size,
+//     -seed, -shards, -trace-every, -trace-dump, -aggregator, -clip-norm,
+//     -guard, -checkpoint-dir, -checkpoint-every (the server then refuses
+//     the ones its role does not act on: a coordinator, -guard and
+//     -checkpoint-*);
 //   - a flat server and a coordinator, which run the paradigm and evaluate:
 //     -paradigm, -staleness, -range, -enforce-bound, -examples;
 //   - a flat server, data server and backup, which hold weights: -lr,
 //     -momentum;
 //   - a coordinator, data server and backup: -cluster-servers; a data server
 //     and backup: -peers, -cluster-index; those two and a relay: -advertise;
-//     a backup: -primary;
 //   - a relay: -parent, -fanout.
 //
 // Observability: -metrics-addr starts an admin HTTP listener serving
@@ -202,7 +204,7 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 		fs.StringVar(&s.Compression.Codec, "compress", "", "gradient codec on the wire: none, fp16, int8, topk (empty = none)")
 		fs.Float64Var(&s.Compression.TopK, "topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1)")
 		fs.BoolVar(&s.Compression.Pull, "compress-pull", false, "also compress pulled weights (fp16/int8 codecs only)")
-		fs.DurationVar(&s.HeartbeatTimeout, "heartbeat-timeout", 5*time.Second, "with -elastic, the lease: every Registered reply names it, clients heartbeat every quarter of it, and a session silent for longer is evicted")
+		fs.DurationVar(&s.Lease, "lease", 0, "tolerate worker churn under this lease: every Registered reply names it, clients heartbeat every quarter of it, a session silent for longer is evicted, departed workers may rejoin, and the run finishes when live workers finish (0 = fixed membership)")
 		s.Dataset.Noise = 0.5
 		fs.IntVar(&s.Workers, "workers", 2, "number of workers expected to join")
 		fs.StringVar((*string)(&s.Model), "model", string(dssp.ModelSmallMLP), "model: small-mlp, small-cnn, alexnet-small, resnet-8")
@@ -215,7 +217,6 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 		fs.StringVar(&s.Aggregator.Kind, "aggregator", dssp.AggregateSum, "gradient aggregation: sum, clipped, trimmed-mean, median (robust kinds tolerate Byzantine workers)")
 		fs.Float64Var(&s.Aggregator.ClipNorm, "clip-norm", 0, "per-tensor L2 cap for the clipped aggregator (required with -aggregator clipped)")
 		fs.BoolVar(&s.Guard.Enabled, "guard", false, "screen pushes for anomalies (norm outliers, lying clocks, floods) and evict repeat offenders")
-		fs.BoolVar(&s.Elastic, "elastic", false, "tolerate worker churn: lease-monitor sessions, accept rejoins, finish when live workers finish")
 		fs.StringVar(&s.Checkpoint.Dir, "checkpoint-dir", "", "directory for store checkpoints (restored on startup when present; empty = off)")
 		fs.IntVar(&s.Checkpoint.Every, "checkpoint-every", 0, "checkpoint every N applied updates (0 = only on shutdown)")
 	}
@@ -247,9 +248,6 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 	}
 	if member || !server {
 		fs.StringVar(advertise, "advertise", "", "address published in the cluster map, or by a relay in the root's tree layout (default: the listen address)")
-	}
-	if role == dssp.RoleBackup {
-		fs.StringVar(&s.Cluster.Primary, "primary", "", "the data server this backup replicates from")
 	}
 	return inv, fs
 }
@@ -293,8 +291,8 @@ func run(cfg dssp.ServerConfig, traceDump bool) error {
 	}
 	defer server.Stop()
 	mode := "fixed membership"
-	if cfg.Elastic {
-		mode = "elastic"
+	if cfg.Lease > 0 {
+		mode = fmt.Sprintf("elastic, lease %v", cfg.Lease)
 	}
 	fmt.Printf("parameter server listening on %s (%s, %d workers, codec %s, aggregator %s, %s)\n",
 		server.Addr(), cfg.Sync.Describe(), cfg.Workers, cfg.Compression, cfg.Aggregator, mode)
@@ -304,7 +302,14 @@ func run(cfg dssp.ServerConfig, traceDump bool) error {
 	case dssp.RoleData:
 		fmt.Printf("cluster data server (group of %d), announcing to coordinator %s\n", cfg.Cluster.Servers, cfg.Cluster.Coordinator)
 	case dssp.RoleBackup:
-		fmt.Printf("cluster backup replicating %s, promotion via coordinator %s\n", cfg.Cluster.Primary, cfg.Cluster.Coordinator)
+		// The backup finds its primary in the coordinator's cluster map.
+		for server.Status().Primary == "" && server.FailureErr() == nil {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if err := server.FailureErr(); err != nil {
+			return err
+		}
+		fmt.Printf("cluster backup replicating %s, promotion via coordinator %s\n", server.Status().Primary, cfg.Cluster.Coordinator)
 	}
 	if server.Restored() {
 		fmt.Printf("restored checkpoint from %s at version %d\n", cfg.Checkpoint.Dir, server.Version())

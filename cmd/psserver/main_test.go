@@ -22,8 +22,7 @@ func flat() dssp.ServerConfig {
 		Dataset:      dssp.DatasetConfig{Examples: 512, Classes: 4, ImageSize: 16, Noise: 0.5, Seed: 1},
 		LearningRate: 0.1,
 		Options: dssp.Options{
-			Aggregator:       dssp.Aggregator{Kind: dssp.AggregateSum},
-			HeartbeatTimeout: 5 * time.Second,
+			Aggregator: dssp.Aggregator{Kind: dssp.AggregateSum},
 		},
 		Seed: 1,
 	}
@@ -92,6 +91,12 @@ func TestShippedCommandLinesParse(t *testing.T) {
 			}),
 		},
 		{
+			args: "-addr 127.0.0.1:17180 -role coordinator -cluster-servers 2 -workers 2 -shards 4 -lease 200ms -examples 64",
+			server: with(member(dssp.ClusterOptions{Role: dssp.RoleCoordinator, Servers: 2}), func(s *dssp.ServerConfig) {
+				s.Addr, s.Shards, s.Lease, s.Dataset.Examples = "127.0.0.1:17180", 4, 200*time.Millisecond, 64
+			}),
+		},
+		{
 			// Parses: the coordinator's refusal of -guard is ps.Start's.
 			args: "-addr 127.0.0.1:17198 -role coordinator -cluster-servers 2 -workers 2 -guard",
 			server: with(member(dssp.ClusterOptions{Role: dssp.RoleCoordinator, Servers: 2}), func(s *dssp.ServerConfig) {
@@ -105,8 +110,8 @@ func TestShippedCommandLinesParse(t *testing.T) {
 			}),
 		},
 		{
-			args: "-addr :7103 -role backup -peers 127.0.0.1:7070 -cluster-servers 2 -cluster-index 0 -shards 4 -primary 127.0.0.1:7101 -workers 2",
-			server: with(member(dssp.ClusterOptions{Role: dssp.RoleBackup, Coordinator: "127.0.0.1:7070", Servers: 2, Primary: "127.0.0.1:7101"}), func(s *dssp.ServerConfig) {
+			args: "-addr :7103 -role backup -peers 127.0.0.1:7070 -cluster-servers 2 -cluster-index 0 -shards 4 -workers 2",
+			server: with(member(dssp.ClusterOptions{Role: dssp.RoleBackup, Coordinator: "127.0.0.1:7070", Servers: 2}), func(s *dssp.ServerConfig) {
 				s.Addr, s.Shards = ":7103", 4
 			}),
 		},
@@ -146,10 +151,12 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 		{"-role=relay -parent=127.0.0.1:7070 -compress fp16 -advertise 10.0.0.2:7071", "not defined: -compress"},
 		{"-role relay -parent 127.0.0.1:7070 -topk 0.2", "not defined: -topk"},
 		{"-role relay -parent 127.0.0.1:7070 -compress-pull", "not defined: -compress-pull"},
-		{"-role relay -parent 127.0.0.1:17199 -heartbeat-timeout 200ms", "not defined: -heartbeat-timeout"},
+		{"-role relay -parent 127.0.0.1:17199 -lease 200ms", "not defined: -lease"},
 		{"-role data -peers 127.0.0.1:7070 -cluster-servers 2 -paradigm BSP", "not defined: -paradigm"},
 		{"-role coordinator -cluster-servers 2 -lr 0.5", "not defined: -lr"},
 		{"-role data -peers 127.0.0.1:7070 -cluster-servers 2 -primary 127.0.0.1:7101", "not defined: -primary"},
+		// A backup reads its primary from the coordinator's cluster map.
+		{"-role backup -peers 127.0.0.1:7070 -cluster-servers 2 -primary 127.0.0.1:7101", "not defined: -primary"},
 		{"-role relais -parent 127.0.0.1:7070", `unknown -role "relais"`},
 		{"-workers 2 stray -guard", `unexpected argument "stray"`},
 		{"-advertise -role=relay -parent 127.0.0.1:7070", "-role must be given as a flag"},
@@ -169,8 +176,8 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 // every psserver flag: a flag dropped from every role fails here.
 func TestRoleFlagSets(t *testing.T) {
 	every := []string{"role", "addr", "metrics-addr"}
-	server := append(slices.Clone(every), "compress", "topk", "compress-pull", "heartbeat-timeout", "workers", "model", "classes", "image-size", "seed", "shards",
-		"trace-every", "trace-dump", "aggregator", "clip-norm", "guard", "elastic", "checkpoint-dir", "checkpoint-every")
+	server := append(slices.Clone(every), "compress", "topk", "compress-pull", "lease", "workers", "model", "classes", "image-size", "seed", "shards",
+		"trace-every", "trace-dump", "aggregator", "clip-norm", "guard", "checkpoint-dir", "checkpoint-every")
 	policy := []string{"paradigm", "staleness", "range", "enforce-bound", "examples"}
 	store := []string{"lr", "momentum"}
 	group := []string{"cluster-servers", "peers", "cluster-index", "advertise"}
@@ -178,7 +185,7 @@ func TestRoleFlagSets(t *testing.T) {
 		"":                   slices.Concat(server, policy, store),
 		dssp.RoleCoordinator: slices.Concat(server, policy, []string{"cluster-servers"}),
 		dssp.RoleData:        slices.Concat(server, store, group),
-		dssp.RoleBackup:      slices.Concat(server, store, group, []string{"primary"}),
+		dssp.RoleBackup:      slices.Concat(server, store, group),
 		roleRelay:            slices.Concat(every, []string{"advertise", "parent", "fanout"}),
 	}
 	union := map[string]bool{}
@@ -194,14 +201,13 @@ func TestRoleFlagSets(t *testing.T) {
 			t.Errorf("role %q reads %v, want %v", role, got, names)
 		}
 	}
-	// The 38 flags psserver had when every role parsed one set, but the two
-	// replication knobs that became constants and -backups, which went with
-	// the backup-worker baseline.
+	// Every psserver flag: one lease for liveness, and no -primary, since a
+	// backup finds its primary in the coordinator's cluster map.
 	all := strings.Fields(`addr workers paradigm staleness range enforce-bound model classes
 		examples image-size lr momentum shards compress topk compress-pull aggregator clip-norm guard
-		elastic heartbeat-timeout checkpoint-dir checkpoint-every metrics-addr trace-every trace-dump seed
-		role peers parent fanout cluster-servers cluster-index advertise primary`)
-	if len(all) != 35 || len(union) != len(all) {
+		lease checkpoint-dir checkpoint-every metrics-addr trace-every trace-dump seed
+		role peers parent fanout cluster-servers cluster-index advertise`)
+	if len(all) != 33 || len(union) != len(all) {
 		t.Fatalf("the role sets hold %d flags, want %d", len(union), len(all))
 	}
 	for _, name := range all {

@@ -11,9 +11,8 @@
 // -classes, -examples, -image-size and -seed describe the shared model and
 // dataset; -compress/-topk/-compress-pull select the gradient codec (the
 // default "auto" adopts whatever the server speaks, anything else must match
-// the server or registration is rejected); -shards, when set, asserts the
-// server's parameter-store shard count (with -cluster, the group-wide count
-// the coordinator reports) and aborts on a mismatch.
+// the server or registration is rejected). The store's shard count is the
+// server's alone: a pull is one frame whatever it is.
 //
 // Pulls are always full: the push a worker waits on before each pull has
 // moved the store's version, so the version gate replicas pull through
@@ -22,8 +21,9 @@
 //
 // Fault tolerance: -reconnect 30s redials and rejoins on any connection loss
 // (surviving parameter-server restarts) for up to 30s, and -fail-after
-// injects a crash for demos. Under an -elastic server the worker heartbeats
-// on its own, every quarter of the lease the server names at registration.
+// injects a crash for demos. Under a server with a -lease the worker
+// heartbeats on its own, every quarter of the lease the server names at
+// registration.
 //
 // Server groups: -cluster makes -server the coordinator's address — the
 // worker fetches the cluster map at registration and routes gradient
@@ -67,7 +67,6 @@ func main() {
 		batch        = flag.Int("batch", 16, "mini-batch size")
 		epochs       = flag.Int("epochs", 5, "number of epochs over this worker's shard")
 		delay        = flag.Duration("delay", 0, "artificial per-iteration delay (emulates a slower GPU)")
-		shards       = flag.Int("shards", 0, "expected parameter-store shard count on the server, group-wide with -cluster (0 = accept any; a mismatch aborts)")
 		compressName = flag.String("compress", dssp.CompressAuto, "gradient codec: auto (adopt the server's), none, fp16, int8, topk")
 		topk         = flag.Float64("topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1; must match the server)")
 		compressPull = flag.Bool("compress-pull", false, "expect compressed weight pulls (must match the server; implied by -compress auto)")
@@ -94,7 +93,6 @@ func main() {
 		Seed:      *seed,
 		Delay:     *delay,
 		Options: dssp.Options{
-			Shards:      *shards,
 			Compression: dssp.Compression{Codec: *compressName, TopK: *topk, Pull: *compressPull},
 		},
 		Adversary:   *adversary,

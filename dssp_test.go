@@ -337,38 +337,6 @@ func TestServeAndRunWorkerCompressedOverTCP(t *testing.T) {
 	}
 }
 
-func TestWorkerShardExpectationMismatch(t *testing.T) {
-	dataset := DatasetConfig{Examples: 64, Classes: 2, ImageSize: 8, Noise: 0.4, Seed: 3}
-	server, err := Serve(ServerConfig{
-		Addr:         "127.0.0.1:0",
-		Workers:      1,
-		Sync:         Sync{Paradigm: ASP},
-		Model:        ModelSmallMLP,
-		Dataset:      dataset,
-		LearningRate: 0.1,
-		Options:      Options{Shards: 2},
-		Seed:         3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Stop()
-
-	if _, err := RunWorker(WorkerConfig{
-		ServerAddr: server.Addr(),
-		WorkerID:   0,
-		Workers:    1,
-		Model:      ModelSmallMLP,
-		Dataset:    dataset,
-		BatchSize:  16,
-		Epochs:     1,
-		Seed:       3,
-		Options:    Options{Shards: 5}, // wrong on purpose
-	}); err == nil {
-		t.Fatal("worker accepted a shard-count mismatch it was told to assert")
-	}
-}
-
 // TestTCPAndInProcessRunTheSameIterations runs one job in process (Train)
 // and over TCP (Serve and RunWorker): on both, every worker runs Epochs
 // passes over Train.Len()/Workers examples rounded down — all of Train when

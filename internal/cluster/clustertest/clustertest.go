@@ -26,7 +26,8 @@ type Config struct {
 	// server instead of a group.
 	Servers int
 	// Backups starts one backup for each data server in [0, Backups),
-	// replicating that primary and ready to take over its shard range.
+	// which finds that primary in the coordinator's cluster map, replicates
+	// it and stands ready to take over its shard range.
 	Backups int
 	// Workers is the number of training workers the servers expect.
 	Workers int
@@ -161,13 +162,12 @@ func Start(t *testing.T, cfg Config) *Cluster {
 			Coordinator: c.coordAddr,
 			Servers:     cfg.Servers,
 			Index:       i,
-			Primary:     c.dataAddrs[i],
 		}))
 		if err != nil {
 			t.Fatalf("clustertest: backup %d: %v", i, err)
 		}
 		c.Backups = append(c.Backups, srv)
-		t.Logf("clustertest: backup %d on %s (primary %s)", i, srv.Addr(), c.dataAddrs[i])
+		t.Logf("clustertest: backup %d on %s", i, srv.Addr())
 	}
 	return c
 }

@@ -178,7 +178,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 }
 
 func TestPushTracerLifecycle(t *testing.T) {
-	tr := NewPushTracer(TraceConfig{Every: 1})
+	tr := NewPushTracer(1)
 	now := time.Now()
 
 	// An applied push: sample → track → applied → released.
@@ -228,7 +228,7 @@ func TestPushTracerLifecycle(t *testing.T) {
 }
 
 func TestPushTracerSamplingAndNil(t *testing.T) {
-	if NewPushTracer(TraceConfig{Every: -1}) != nil {
+	if NewPushTracer(-1) != nil {
 		t.Error("negative Every must disable tracing")
 	}
 	var nilTr *PushTracer
@@ -243,7 +243,7 @@ func TestPushTracerSamplingAndNil(t *testing.T) {
 		t.Error("nil tracer reported traces")
 	}
 
-	tr := NewPushTracer(TraceConfig{Every: 4})
+	tr := NewPushTracer(4)
 	sampled := 0
 	for i := 0; i < 64; i++ {
 		if p := tr.Sample(0, i); p != nil {
@@ -259,7 +259,7 @@ func TestPushTracerSamplingAndNil(t *testing.T) {
 func TestServeAdminEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("admin_test_total", "A counter.").Add(5)
-	tracer := NewPushTracer(TraceConfig{Every: 1})
+	tracer := NewPushTracer(1)
 	p := tracer.Sample(1, 2)
 	tracer.Abandon(p, "guard")
 

@@ -6,12 +6,6 @@ import (
 	"time"
 )
 
-// TraceConfig configures the push-lifecycle tracer. Every selects 1-in-N
-// sampling (<= 0 disables tracing, 1 traces every push).
-type TraceConfig struct {
-	Every int
-}
-
 // DefaultTraceCapacity is the size of the completed-trace ring: the newest
 // this many traces are kept.
 const DefaultTraceCapacity = 256
@@ -62,14 +56,15 @@ type PushTracer struct {
 	total   uint64
 }
 
-// NewPushTracer returns a tracer for the given config, or nil when
-// tracing is disabled (Every <= 0) — the nil tracer costs nothing.
-func NewPushTracer(cfg TraceConfig) *PushTracer {
-	if cfg.Every <= 0 {
+// NewPushTracer returns a tracer sampling one in every every pushes (1
+// traces every push), or nil when every <= 0 disables tracing — the nil
+// tracer costs nothing.
+func NewPushTracer(every int) *PushTracer {
+	if every <= 0 {
 		return nil
 	}
 	return &PushTracer{
-		every:   uint64(cfg.Every),
+		every:   uint64(every),
 		pending: make(map[int64]*PushTrace),
 		ring:    make([]PushTrace, 0, DefaultTraceCapacity),
 	}

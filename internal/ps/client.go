@@ -27,10 +27,6 @@ type Client struct {
 	cfg  compress.Config
 	comp *compress.Compressor
 
-	// serverShards is the server's parameter-store shard count, learned at
-	// registration.
-	serverShards int
-
 	// pushedBytes and pulledBytes approximate this client's traffic in wire
 	// payload bytes (tensor data plus small per-tensor headers; frame
 	// overhead excluded). They let callers compare codecs without packet
@@ -165,7 +161,7 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 			return fmt.Errorf("ps: worker %d: %w", c.worker, err)
 		}
 	}
-	c.serverShards, c.offered = msg.StoreShards, msg.Prefetch
+	c.offered = msg.Prefetch
 	c.stopHeartbeats()
 	if c.lease = msg.Lease; c.lease > 0 {
 		c.beats = startHeartbeats(c.conn, c.worker, c.lease/4)

@@ -35,10 +35,11 @@ const (
 	// slice, and announces itself to the coordinator so workers can route
 	// fragments to it.
 	RoleData = "data"
-	// RoleBackup stands by for one data server: it replicates the primary's
-	// published weights over a read-only, version-gated pull stream and
-	// requests promotion from the coordinator when the primary stays
-	// unreachable past the replication grace.
+	// RoleBackup stands by for one data server, the one the coordinator's
+	// cluster map names as the owner of the backup's shard range: it
+	// replicates the primary's published weights over a read-only,
+	// version-gated pull stream and requests promotion from the coordinator
+	// when the primary stays unreachable past the replication grace.
 	RoleBackup = "backup"
 )
 
@@ -59,17 +60,14 @@ type ClusterConfig struct {
 	// Servers is the number of data servers in the group (all roles).
 	Servers int
 	// Index is this server's slot in [0, Servers) — which shard range of
-	// the group layout it owns. Data and backup roles only.
+	// the group layout it owns, or for a backup stands by for. Data and
+	// backup roles only.
 	Index int
 	// Advertise is the address put in the cluster map for this server —
 	// what workers dial. Defaults to the listener's address, which is only
 	// right when it is reachable as-is (no ":7070"-style wildcard binds
 	// behind NAT).
 	Advertise string
-	// Primary is the data server this backup replicates from (backup role).
-	// The backup polls it every replicateEvery and requests promotion once it
-	// stays unreachable past replicateGrace.
-	Primary string
 }
 
 // validate checks the role's own requirements.
@@ -91,9 +89,6 @@ func (c ClusterConfig) validate() error {
 		}
 		if c.Index < 0 || c.Index >= c.Servers {
 			return fmt.Errorf("ps: %s server index %d outside [0, %d)", c.Role, c.Index, c.Servers)
-		}
-		if c.Role == RoleBackup && c.Primary == "" {
-			return fmt.Errorf("ps: backup server needs its primary's address")
 		}
 		return nil
 	default:

@@ -841,6 +841,87 @@ func TestClusterBSPBitIdenticalWithConcurrentWorkers(t *testing.T) {
 	}
 }
 
+// TestBackupFindsItsPrimaryInTheMap: a backup given only its slot, with no
+// primary address, finds the data server that owns its shard range in the
+// coordinator's cluster map, replicates that server's weights bit for bit,
+// and once that server dies is promoted into the same range. A backup the
+// map names as the owner of its own range refuses to replicate itself.
+func TestBackupFindsItsPrimaryInTheMap(t *testing.T) {
+	initial := seededModel(71)
+	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
+	startBackup := func(index int, advertise string) (*Server, string) {
+		l := transport.NewChanListener()
+		addr := g.addListener(l)
+		srv, err := Start(ServerConfig{Workers: 1, Cluster: ClusterConfig{Role: RoleBackup,
+			Coordinator: g.coordAddr, Servers: 2, Index: index, Advertise: advertise}},
+			initial, clusterOpt(), l, g.dial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		return srv, addr
+	}
+	const i = 1
+	backup, addr := startBackup(i, "")
+
+	client, err := NewClusterClient(g.dial, g.coordAddr, 0, ClusterClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for it := 0; it < 5; it++ {
+		_, version, err := client.Pull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.PushAndWait(scheduledGrads(0, it), version, it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for backup.Store().Version() < g.stores[i].Version() {
+		if time.Now().After(deadline) {
+			t.Fatalf("backup at version %d, data server %d at %d", backup.Store().Version(), i, g.stores[i].Version())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := backup.Status().Primary; got != g.dataAddrs[i] {
+		t.Fatalf("backup %d replicates %q, want data server %d at %q", i, got, i, g.dataAddrs[i])
+	}
+	got, _ := backup.Store().Snapshot()
+	want, _ := g.stores[i].Snapshot()
+	requireSameWeights(t, got, want)
+
+	self, _ := startBackup(0, g.dataAddrs[0])
+	select {
+	case <-self.Failed():
+		if err := self.FailureErr(); !strings.Contains(err.Error(), "names this backup") {
+			t.Fatalf("a backup the map names as its own primary failed with %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a backup the map names as its own primary did not refuse it")
+	}
+
+	g.data[i].Stop()
+	deadline = time.Now().Add(10 * time.Second)
+	for !backup.Promoted() {
+		if err := backup.FailureErr(); err != nil {
+			t.Fatalf("backup failed instead of promoting: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("backup never promoted after its primary died")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	m, err := FetchClusterMap(g.dial, g.coordAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Servers) != 2 || m.Servers[i] != at(g.assignments[i], addr) {
+		t.Fatalf("map after promotion %+v, want entry %d to be %+v", m.Servers, i, at(g.assignments[i], addr))
+	}
+}
+
 // TestClusterClientRecoversThroughPromotion is the ps-level failover drill:
 // a worker trains against a 2-server group while a replicator mirrors server
 // 0 into a standby store; the primary is killed, the standby declares it

@@ -95,10 +95,8 @@ type ClusterClient struct {
 	links []*link
 
 	mapVersion int64
-	// shards is the parameter-store shard count (group-wide on a Group
-	// route); total is a group's tensor count.
-	shards int
-	total  int
+	// total is a group's tensor count.
+	total int
 
 	assembled []*tensor.Tensor
 	parts     []linkReply
@@ -129,7 +127,6 @@ func NewClusterClient(dial func(addr string) (transport.Conn, error), coordAddr 
 // adoptMapHeader records the group-wide constants a (complete) map carries.
 func (c *ClusterClient) adoptMapHeader(m transport.Message) {
 	c.mapVersion = m.MapVersion
-	c.shards = m.StoreShards
 	c.total = m.Total
 }
 

@@ -113,9 +113,6 @@ func TestRegisterAutoAdoptsServerCodec(t *testing.T) {
 	if got := c.cfg; !got.Equal(serverCfg) {
 		t.Fatalf("auto client negotiated %s, want %s", got, serverCfg)
 	}
-	if c.serverShards != st.Shards() {
-		t.Fatalf("client learned %d shards, server has %d", c.serverShards, st.Shards())
-	}
 	// The adopted codec must actually be used on the wire.
 	if err := c.PushAndWait([]*tensor.Tensor{tensor.FromSlice([]float32{1, 2, 3, 4}, 4)}, 0, 0); err != nil {
 		t.Fatalf("compressed push after auto negotiation: %v", err)

@@ -63,9 +63,6 @@ type Route struct {
 	// Compression is the gradient codec to negotiate; compress.Auto adopts
 	// the server's.
 	Compression compress.Config
-	// Shards, when positive, is the parameter-store shard count the worker
-	// expects (group-wide on a Group route); a mismatch fails the connect.
-	Shards int
 	// Metrics, when set, carries the worker-side latency series.
 	Metrics *obs.Registry
 	// Retry is the route's one patience: how long Connect keeps retrying
@@ -133,13 +130,6 @@ func (r Route) open(rejoin bool, lastVersion int64) (*ClusterClient, error) {
 		}
 		c.links = append(c.links, l)
 	}
-	if len(m.Servers) == 0 {
-		c.shards = c.links[0].client.serverShards
-	}
-	if err := r.checkShards(c.shards); err != nil {
-		c.Close()
-		return nil, err
-	}
 	return c, nil
 }
 
@@ -168,14 +158,6 @@ func (r Route) resolve() (string, transport.Message, error) {
 		return r.Addr, m, err
 	}
 	return r.Addr, transport.Message{}, nil
-}
-
-// checkShards enforces the worker's shard-count expectation, if it has one.
-func (r Route) checkShards(got int) error {
-	if r.Shards > 0 && got != r.Shards {
-		return fmt.Errorf("ps: worker %d expects %d parameter-store shards, server runs %d", r.Worker, r.Shards, got)
-	}
-	return nil
 }
 
 // OpenReplica registers a read-only replica session on conn: a private

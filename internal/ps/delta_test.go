@@ -318,8 +318,8 @@ func TestNonDeltaSessionPullRepliesStayV1(t *testing.T) {
 				if reg.Type != transport.MsgRegistered || reg.Cluster || reg.MapVersion != 0 || len(reg.Servers) > 0 {
 					t.Fatalf("worker %d registered as %+v, want a flat server's Registered", worker, reg)
 				}
-				if reg.StoreShards != st.Shards() {
-					t.Fatalf("registration reported %d shards, store has %d", reg.StoreShards, st.Shards())
+				if reg.StoreShards != 0 || reg.Lease != 0 {
+					t.Fatalf("worker %d registered with %d shards and lease %v, want neither: the shard count is the server's, and it leases nothing", worker, reg.StoreShards, reg.Lease)
 				}
 				return conn
 			}

@@ -118,7 +118,7 @@ func newServerMetrics(reg *obs.Registry, workers int) *serverMetrics {
 		treeChildJoins: reg.Counter("dssp_tree_child_joins_total",
 			"Worker registrations accepted through relay trunks."),
 		treeChildLeaves: reg.Counter("dssp_tree_child_leaves_total",
-			"Worker departures forwarded by relay trunks (relay deaths sweep their children through the same counter)."),
+			"Unfinished workers' departures forwarded by relay trunks (relay deaths sweep their children through the same counter)."),
 		treeLayoutFetches: reg.Counter("dssp_tree_layout_fetches_total",
 			"Aggregation-tree layout requests served."),
 		ckptTotal: reg.Counter("dssp_checkpoint_total",

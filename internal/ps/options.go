@@ -14,15 +14,13 @@ import (
 // defaulting+validation helper all of them funnel through.
 //
 // Every field acts on a server — which of them acts on which server role is
-// ForRole's to say. Workers read only Compression and Shards; how often they
-// heartbeat is the server's to say (Elastic).
+// ForRole's to say. A worker reads only Compression; how often it heartbeats
+// is the server's to say (Lease).
 type Options struct {
 	// Shards is the number of independently locked parameter-store
 	// partitions. A standalone server's 0 picks one per CPU; in a server group
 	// it is the group-wide count, the same on every member, and 0 picks two per
-	// data server. On a worker, a positive value is the count it
-	// expects the server (or group) to run — a mismatch fails the connect —
-	// and 0 accepts any.
+	// data server.
 	Shards int
 	// Compression selects the gradient codec spoken on the wire. Workers
 	// must register with a matching configuration (or compress.Auto) or are
@@ -38,16 +36,14 @@ type Options struct {
 	// outliers, impossible version claims and push floods are dropped, and
 	// repeat offenders are evicted through the session lease layer.
 	Guard GuardConfig
-	// Elastic enables lease monitoring and completes the run when every live
-	// worker has finished even if some slots departed for good. Every
-	// Registered reply then names the lease, HeartbeatTimeout, and the client
+	// Lease, when positive, makes the server elastic: it holds every session
+	// to this lease, names it in every Registered reply, and the client
 	// heartbeats every quarter of it on its own; a session silent for longer
-	// is evicted. Regardless of Elastic, a dead connection always notifies
-	// the policy.
-	Elastic bool
-	// HeartbeatTimeout is the lease an elastic server holds every session
-	// to. Zero selects DefaultHeartbeatTimeout.
-	HeartbeatTimeout time.Duration
+	// is evicted, a departed worker may rejoin within one lease, and the run
+	// completes when every live worker has finished even if some slots
+	// departed for good. Zero is fixed membership: no lease, no eviction for
+	// silence. Either way a dead connection notifies the policy.
+	Lease time.Duration
 	// Checkpoint periodically snapshots the store to disk so a restarted
 	// server resumes where this one stopped.
 	Checkpoint CheckpointConfig
@@ -64,8 +60,8 @@ func (o Options) Normalized() (Options, error) {
 	if err := o.Aggregator.Validate(); err != nil {
 		return o, err
 	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = DefaultHeartbeatTimeout
+	if o.Lease < 0 {
+		return o, fmt.Errorf("ps: negative lease %v", o.Lease)
 	}
 	return o, nil
 }

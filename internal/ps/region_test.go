@@ -290,7 +290,7 @@ func TestRegionFullFallsBackToCopy(t *testing.T) {
 func TestLeaseExpiredReaderKeepsItsGeneration(t *testing.T) {
 	poisonReleasedBodies(t)
 	model := laneModel()
-	st, srv, dial, _ := regionServer(t, model, 2, 0, Options{Elastic: true, HeartbeatTimeout: 100 * time.Millisecond})
+	st, srv, dial, _ := regionServer(t, model, 2, 0, Options{Lease: 100 * time.Millisecond})
 	clients := make([]*Client, 2)
 	for w := range clients {
 		conn, err := dial()

@@ -37,7 +37,7 @@ func newRelayHarness(t *testing.T, policy core.Policy, st *Store, relays, fanout
 		Store:   st,
 		Options: opts,
 		// Every push traced, so tests can read routed pushes' lifecycles.
-		Trace: obs.TraceConfig{Every: 1},
+		TraceEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestRelayDeathSweepsSubtree(t *testing.T) {
 	}
 	// SSP with slack: worker 2 connects straight to the root; workers 0 and
 	// 1 ride the relay that dies.
-	h := newRelayHarness(t, core.MustNewSSP(3, 2), st, 1, 2, Options{Elastic: true})
+	h := newRelayHarness(t, core.MustNewSSP(3, 2), st, 1, 2, Options{Lease: 5 * time.Second})
 
 	c0 := h.childClient(t, 0)
 	defer c0.Close()

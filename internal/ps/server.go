@@ -17,7 +17,7 @@ import (
 type ServerConfig struct {
 	// Workers is the number of worker slots: worker IDs live in [0, Workers).
 	// All slots are expected to register for a classic fixed-membership run;
-	// with Elastic set the population may shrink and grow during the run.
+	// under a Lease the population may shrink and grow during the run.
 	Workers int
 	// Policy is the synchronization paradigm deciding when pushed workers are
 	// released (BSP, ASP, SSP, DSSP, ...). Its membership hooks
@@ -28,7 +28,7 @@ type ServerConfig struct {
 	// Store holds the global weights and applies updates.
 	Store *Store
 	// Options is the shared serving-knob surface (compression, aggregator,
-	// guard, elasticity, heartbeat, checkpointing) — the same embedded struct
+	// guard, lease, checkpointing) — the same embedded struct
 	// the trainer and the public configs expose, so field names like
 	// cfg.Compression keep working unchanged.
 	Options
@@ -42,10 +42,10 @@ type ServerConfig struct {
 	// wants to scrape or snapshot it passes its own registry (or reads
 	// Server.Registry()).
 	Metrics *obs.Registry
-	// Trace configures sampled push-lifecycle tracing. The zero value keeps
-	// the default 1-in-DefaultTraceEvery sampling; Every < 0 disables
+	// TraceEvery samples one in every TraceEvery pushes for lifecycle
+	// tracing; 0 keeps the default DefaultTraceEvery, negative disables
 	// tracing entirely.
-	Trace obs.TraceConfig
+	TraceEvery int
 	// Cluster is the server's role (PROTOCOL.md §6), which Start stands up.
 	// The zero value is a flat server. A coordinator owns the group's policy
 	// layer: it serves the cluster map, accepts metadata-only pushes from
@@ -55,12 +55,8 @@ type ServerConfig struct {
 }
 
 // DefaultTraceEvery is the push-lifecycle trace sampling period when
-// ServerConfig.Trace leaves Every at zero: one in every 64 pushes is traced.
+// ServerConfig.TraceEvery is zero: one in every 64 pushes is traced.
 const DefaultTraceEvery = 64
-
-// DefaultHeartbeatTimeout is the lease length used when an elastic server
-// does not specify one.
-const DefaultHeartbeatTimeout = 5 * time.Second
 
 // Server is the parameter server: it accepts worker connections, applies
 // pushed gradients to the store, and releases workers according to the
@@ -99,7 +95,6 @@ type Server struct {
 	// compression is cfg.Compression in normalized form, the single source
 	// of truth for what the wire speaks.
 	compression compress.Config
-	hbTimeout   time.Duration
 
 	// guard screens pushes for anomalies and evicts repeat offenders; nil
 	// when GuardConfig.Enabled is unset.
@@ -130,8 +125,8 @@ type Server struct {
 	// the trunk outlives its children.
 	epochs []uint64
 	// departedAt records when an unfinished worker's session last ended; a
-	// worker inside the rejoin grace window (one heartbeat timeout) is
-	// treated as "coming back", not gone, by elastic completion.
+	// worker inside the rejoin grace window (one lease) is treated as
+	// "coming back", not gone, by elastic completion.
 	departedAt map[int]time.Time
 	done       int
 	// allDoneClosed latches the completion broadcast.
@@ -186,7 +181,9 @@ type Server struct {
 	restored bool
 	// failed closes when a data server or backup suffers a fatal loss
 	// (failErr says which); promoted latches a backup's completed promotion;
-	// bg counts the member loops Stop waits for.
+	// bg counts the member loops Stop waits for; primary holds the address
+	// a backup found its primary at in the cluster map.
+	primary  atomic.Value
 	failed   chan struct{}
 	failOnce sync.Once
 	failErr  error
@@ -236,23 +233,21 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	hbTimeout := cfg.HeartbeatTimeout
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	trace := cfg.Trace
-	if trace.Every == 0 {
-		trace.Every = DefaultTraceEvery
+	traceEvery := cfg.TraceEvery
+	if traceEvery == 0 {
+		traceEvery = DefaultTraceEvery
 	}
-	tracer := obs.NewPushTracer(trace)
+	tracer := obs.NewPushTracer(traceEvery)
 	sm := newServerMetrics(reg, cfg.Workers)
 	s := &Server{
 		cfg:         cfg,
 		compression: cfg.Compression,
 		guard:       newGuard(cfg.Guard, cfg.Workers, sm),
 		fullWindow:  window,
-		hbTimeout:   hbTimeout,
 		joined:      make(map[int]bool),
 		epochs:      make([]uint64, cfg.Workers),
 		finished:    make(map[int]bool),
@@ -334,7 +329,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		func() float64 { return float64(cfg.Store.Window()) })
 	s.wg.Add(1)
 	go s.releaser()
-	if cfg.Elastic {
+	if cfg.Lease > 0 {
 		// An elastic server starts with an empty active set: policies assume
 		// every slot participates from construction, but here membership is
 		// what registration says it is. Without this, a restarted server
@@ -347,7 +342,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.wg.Add(1)
 		// A departure inside the rejoin grace window defers completion; nothing
 		// else re-evaluates it once the window elapses, so the sweep does.
-		go s.leaseMonitor(hbTimeout, s.checkAllDone)
+		go s.leaseMonitor(cfg.Lease, s.checkAllDone)
 	}
 	return s, nil
 }
@@ -490,22 +485,19 @@ func (s *Server) negotiate(worker int, msg transport.Message) error {
 }
 
 // registered builds the acknowledgement of a registration for session key or
-// worker slot worker: the codec in force, the store's shape and version, and
-// on an elastic server the lease its monitor holds the session to.
+// worker slot worker: the codec in force, the store's version, and on an
+// elastic server the lease its monitor holds the session to (no Lease tag
+// when it holds none).
 func (s *Server) registered(worker int) transport.Message {
-	reply := transport.Message{
-		Type:        transport.MsgRegistered,
-		Worker:      worker,
-		Version:     s.cfg.Store.Version(),
-		Codec:       s.compression.Codec,
-		CodecTopK:   s.compression.TopK,
-		CodecPull:   s.compression.Pull,
-		StoreShards: s.cfg.Store.Shards(),
+	return transport.Message{
+		Type:      transport.MsgRegistered,
+		Worker:    worker,
+		Version:   s.cfg.Store.Version(),
+		Codec:     s.compression.Codec,
+		CodecTopK: s.compression.TopK,
+		CodecPull: s.compression.Pull,
+		Lease:     s.cfg.Lease,
 	}
-	if s.cfg.Elastic {
-		reply.Lease = s.hbTimeout
-	}
-	return reply
 }
 
 // admit enters worker slot into the cohort with carrier as the session its
@@ -609,7 +601,9 @@ func (s *Server) handleLeave(sess *session, msg transport.Message) (ended bool) 
 // unroute ends trunk's carriage of slot w and reports whether it held it.
 // Check and removal are one step, which is what makes a stale forward
 // harmless: a child that already re-parented (directly or under another
-// relay) is no longer this trunk's to remove.
+// relay) is no longer this trunk's to remove. A child that has sent Done is
+// leaving in order and is not counted as a leave, the rule depart applies to
+// departures.
 func (s *Server) unroute(trunk *session, w int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -617,7 +611,9 @@ func (s *Server) unroute(trunk *session, w int) bool {
 		return false
 	}
 	delete(s.routes, w)
-	s.sm.treeChildLeaves.Inc()
+	if !s.finished[w] {
+		s.sm.treeChildLeaves.Inc()
+	}
 	return true
 }
 
@@ -1371,10 +1367,10 @@ func (s *Server) GuardStats() GuardStats {
 // completes when every slot that ever joined is finished or has departed
 // for good — a permanently gone worker must not keep the server alive —
 // provided at least one worker actually finished. "For good" means its
-// session has been gone for longer than one heartbeat timeout: a worker
-// mid-reconnect (redialing with backoff after a transient failure) must not
-// be counted out, so departures inside that grace window defer completion
-// and the lease monitor re-checks once the window elapses.
+// session has been gone for longer than one lease: a worker mid-reconnect
+// (redialing with backoff after a transient failure) must not be counted
+// out, so departures inside that grace window defer completion and the lease
+// monitor re-checks once the window elapses.
 func (s *Server) checkAllDone() {
 	complete := false
 	s.mu.Lock()
@@ -1382,14 +1378,14 @@ func (s *Server) checkAllDone() {
 		switch {
 		case s.done == s.cfg.Workers:
 			complete = true
-		case s.cfg.Elastic && s.done > 0:
+		case s.cfg.Lease > 0 && s.done > 0:
 			complete = true
 			now := s.clock()
 			for w := range s.joined {
 				if s.finished[w] {
 					continue
 				}
-				if s.sessions.get(w) != nil || s.routes[w] != nil || now.Sub(s.departedAt[w]) <= s.hbTimeout {
+				if s.sessions.get(w) != nil || s.routes[w] != nil || now.Sub(s.departedAt[w]) <= s.cfg.Lease {
 					complete = false
 					break
 				}
@@ -1461,6 +1457,9 @@ type ServerStatus struct {
 	Workers  int  `json:"workers"`
 	Elastic  bool `json:"elastic"`
 	Finished int  `json:"finished"`
+	// Primary is, on a backup, the data server it replicates, once found
+	// in the coordinator's cluster map.
+	Primary string `json:"primary,omitempty"`
 
 	Version    int64 `json:"version"`
 	Reserved   int64 `json:"reserved"`
@@ -1486,7 +1485,7 @@ type ServerStatus struct {
 func (s *Server) Status() ServerStatus {
 	st := ServerStatus{
 		Workers:         s.cfg.Workers,
-		Elastic:         s.cfg.Elastic,
+		Elastic:         s.cfg.Lease > 0,
 		Version:         s.cfg.Store.Version(),
 		Reserved:        s.cfg.Store.Reserved(),
 		QueueDepth:      s.cfg.Store.QueueDepth(),
@@ -1500,6 +1499,7 @@ func (s *Server) Status() ServerStatus {
 		Guard:           s.GuardStats(),
 		TracesCompleted: s.tracer.Total(),
 	}
+	st.Primary, _ = s.primary.Load().(string)
 	if err := s.CheckpointError(); err != nil {
 		st.CheckpointError = err.Error()
 	}

@@ -157,8 +157,7 @@ func testLeaseExpiryEvictsSilentWorker(t *testing.T, carrier string) {
 	policy := core.MustNewBSP(2)
 	srv, listener := startCarrier(t, carrier, policy, ServerConfig{
 		Options: Options{
-			Elastic:          true,
-			HeartbeatTimeout: 100 * time.Millisecond,
+			Lease: 100 * time.Millisecond,
 		},
 	})
 
@@ -195,8 +194,7 @@ func testHeartbeatsKeepSlowWorkerAlive(t *testing.T, carrier string) {
 	policy := core.MustNewBSP(2)
 	srv, listener := startCarrier(t, carrier, policy, ServerConfig{
 		Options: Options{
-			Elastic:          true,
-			HeartbeatTimeout: 150 * time.Millisecond,
+			Lease: 150 * time.Millisecond,
 		},
 	})
 
@@ -265,7 +263,7 @@ func (c *beatCounter) counts() (beats, late int) {
 // nothing no goroutine starts.
 func TestCloseEndsHeartbeats(t *testing.T) {
 	_, listener := startElasticServer(t, core.MustNewASP(1), ServerConfig{
-		Options: Options{Elastic: true, HeartbeatTimeout: 40 * time.Millisecond},
+		Options: Options{Lease: 40 * time.Millisecond},
 	})
 	conn, err := listener.Dial()
 	if err != nil {
@@ -311,7 +309,7 @@ func TestCloseEndsHeartbeats(t *testing.T) {
 // connection: the policy re-admits it and both workers finish the run.
 func TestRejoinResumesTraining(t *testing.T) {
 	policy := core.MustNewBSP(2)
-	srv, listener := startElasticServer(t, policy, ServerConfig{Options: Options{Elastic: true}})
+	srv, listener := startElasticServer(t, policy, ServerConfig{Options: Options{Lease: 5 * time.Second}})
 
 	grad := []*tensor.Tensor{tensor.FromSlice([]float32{1, 1, 1, 1}, 4)}
 	c0 := dialClient(t, listener, 0)
@@ -376,13 +374,12 @@ func TestRejoinResumesTraining(t *testing.T) {
 
 // TestElasticCompletionWithPermanentDeparture: when a worker crashes for
 // good, the elastic server completes once the survivors finish and the
-// crashed worker's rejoin grace window (one heartbeat timeout) elapses.
+// crashed worker's rejoin grace window (one lease) elapses.
 func TestElasticCompletionWithPermanentDeparture(t *testing.T) {
 	policy := core.MustNewASP(2)
 	srv, listener := startElasticServer(t, policy, ServerConfig{
 		Options: Options{
-			Elastic:          true,
-			HeartbeatTimeout: 100 * time.Millisecond,
+			Lease: 100 * time.Millisecond,
 		},
 	})
 
@@ -439,7 +436,7 @@ func TestStaleSessionIsToldToRejoin(t *testing.T) { overCarriers(t, testStaleSes
 
 func testStaleSessionIsToldToRejoin(t *testing.T, carrier string) {
 	policy := core.MustNewASP(1)
-	_, listener := startCarrier(t, carrier, policy, ServerConfig{Options: Options{Elastic: true}})
+	_, listener := startCarrier(t, carrier, policy, ServerConfig{Options: Options{Lease: 5 * time.Second}})
 
 	conn1, err := listener.Dial()
 	if err != nil {

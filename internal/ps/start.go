@@ -27,8 +27,9 @@ import (
 // shard range of the group layout. It restores the checkpoint in
 // cfg.Checkpoint.Dir when there is one, and serves ln. A data server or
 // backup then announces itself to the coordinator on the parked stream that is
-// its liveness watch of it, and a backup replicates its primary and requests
-// promotion when the primary dies; either closes Failed on a fatal loss.
+// its liveness watch of it, and a backup finds its primary in the
+// coordinator's cluster map, replicates it and requests promotion when the
+// primary dies; either closes Failed on a fatal loss.
 //
 // Once Start returns a server, the server owns ln and Stop closes it; on an
 // error the caller keeps it.
@@ -114,28 +115,24 @@ func (s *Server) runMember(dial func(string) (transport.Conn, error), entry tran
 	}
 }
 
+// memberPatience is how long a data server or backup keeps retrying its
+// first contact with the group: an orchestrator may start the whole group at
+// once, so the coordinator, or a backup's primary, may not be up yet.
+const memberPatience = 30 * time.Second
+
 // announce registers this member's map entry with the coordinator (as a
 // replica's, for a backup) and then holds the connection open as its liveness
 // watch on it, until the server stops or the coordinator reports the run
 // complete with a Done frame (nil), or the coordinator is lost (the error).
 // Losing the coordinator is fatal by design — it is the single serialization
 // point for staleness decisions (DESIGN.md §10) — so only the first announce
-// retries, with backoff for up to 30 s: an orchestrator may start the whole
-// group at once. An explicit rejection is final at once, and once an announce
-// has succeeded the coordinator was provably up, so any later connection loss
-// means it died.
+// retries, with backoff for up to memberPatience. An explicit rejection is
+// final at once, and once an announce has succeeded the coordinator was
+// provably up, so any later connection loss means it died.
 func (s *Server) announce(dial func(string) (transport.Conn, error), entry transport.ServerEntry, replica bool) error {
-	stopped := func() bool {
-		select {
-		case <-s.stopped:
-			return true
-		default:
-			return false
-		}
-	}
 	announced := false
-	err := retry(30*time.Second, 50*time.Millisecond, 1600*time.Millisecond,
-		func(err error) bool { return announced || stopped() || isRemote(err) },
+	err := retry(memberPatience, 50*time.Millisecond, 1600*time.Millisecond,
+		func(err error) bool { return announced || s.isStopped() || isRemote(err) },
 		func() error {
 			conn, err := dial(s.cfg.Cluster.Coordinator)
 			if err != nil {
@@ -166,20 +163,39 @@ func (s *Server) announce(dial func(string) (transport.Conn, error), entry trans
 				}
 			}
 		})
-	if stopped() {
+	if s.isStopped() {
 		return nil
 	}
 	return err
 }
 
-// standBy is the backup's replication driver: it streams the primary's
-// weights into the standby store and, when the primary stays dead past the
-// grace, asks the coordinator to route the primary's shard range to this
-// server. After promotion the backup IS the shard owner — it has been serving
-// the (now current) store all along.
+// isStopped reports whether Stop has begun.
+func (s *Server) isStopped() bool {
+	select {
+	case <-s.stopped:
+		return true
+	default:
+		return false
+	}
+}
+
+// standBy is the backup's replication driver: it finds its primary in the
+// coordinator's cluster map, streams the primary's weights into the standby
+// store and, when the primary stays dead past the grace, asks the coordinator
+// to route the primary's shard range to this server. After promotion the
+// backup IS the shard owner — it has been serving the (now current) store all
+// along.
 func (s *Server) standBy(dial func(string) (transport.Conn, error), entry transport.ServerEntry) {
 	c := s.cfg.Cluster
-	err := replicate(func() (transport.Conn, error) { return dial(c.Primary) },
+	primary, err := s.findPrimary(dial, entry)
+	if err != nil {
+		if !s.isStopped() {
+			s.fail(fmt.Errorf("ps: backup found no primary: %w", err))
+		}
+		return
+	}
+	s.primary.Store(primary)
+	err = replicate(func() (transport.Conn, error) { return dial(primary) },
 		s.cfg.Store, replicateEvery, replicateGrace, s.reg, s.stopped)
 	if err == nil {
 		return // Stop
@@ -199,6 +215,35 @@ func (s *Server) standBy(dial func(string) (transport.Conn, error), entry transp
 		return
 	}
 	s.promoted.Store(true)
+}
+
+// findPrimary returns the address of the data server that owns own's shard
+// range in the coordinator's cluster map. Data servers announce on their own
+// schedule, so it refetches the map until that entry appears, for up to
+// memberPatience. An entry carrying the backup's own address is refused at
+// once: a backup does not replicate itself.
+func (s *Server) findPrimary(dial func(string) (transport.Conn, error), own transport.ServerEntry) (string, error) {
+	var primary string
+	self := false
+	err := retry(memberPatience, 50*time.Millisecond, 1600*time.Millisecond,
+		func(err error) bool { return self || s.isStopped() || isRemote(err) },
+		func() error {
+			m, err := FetchClusterMap(dial, s.cfg.Cluster.Coordinator)
+			if err != nil {
+				return err
+			}
+			for _, e := range m.Servers {
+				if e.ShardLo == own.ShardLo && e.ShardHi == own.ShardHi {
+					if self = e.Addr == own.Addr; self {
+						return fmt.Errorf("the cluster map names this backup (%s) as the owner of shards [%d, %d)", e.Addr, e.ShardLo, e.ShardHi)
+					}
+					primary = e.Addr
+					return nil
+				}
+			}
+			return fmt.Errorf("no cluster-map entry owns shards [%d, %d) yet", own.ShardLo, own.ShardHi)
+		})
+	return primary, err
 }
 
 // fail records a fatal loss and closes Failed.

@@ -17,29 +17,51 @@ import (
 // the field in force, or refuses it by name. The refusals are the coordinator's
 // Guard and Checkpoint, and nothing else; a field added to Options without a
 // row here fails the test.
+//
+// Elastic and HeartbeatTimeout keep rows of their own for what the one Lease
+// field now holds: a lease makes every role elastic, and it is the timeout the
+// role announces in Registered, so each row sets a lease alone and checks the
+// role both runs it and announces it.
 func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 	set := map[string]func(*Options){
-		"Shards":           func(o *Options) { o.Shards = 2 },
-		"Compression":      func(o *Options) { o.Compression = compress.Config{Codec: compress.FP16} },
-		"Aggregator":       func(o *Options) { o.Aggregator = AggregatorConfig{Kind: AggClipped, ClipNorm: 1} },
-		"Guard":            func(o *Options) { o.Guard = GuardConfig{Enabled: true} },
-		"Elastic":          func(o *Options) { o.Elastic = true },
-		"HeartbeatTimeout": func(o *Options) { o.HeartbeatTimeout = time.Second },
-		"Checkpoint":       func(o *Options) { o.Checkpoint = CheckpointConfig{Dir: t.TempDir()} },
+		"Shards":      func(o *Options) { o.Shards = 2 },
+		"Compression": func(o *Options) { o.Compression = compress.Config{Codec: compress.FP16} },
+		"Aggregator":  func(o *Options) { o.Aggregator = AggregatorConfig{Kind: AggClipped, ClipNorm: 1} },
+		"Guard":       func(o *Options) { o.Guard = GuardConfig{Enabled: true} },
+		"Lease":       func(o *Options) { o.Lease = time.Second },
+		"Checkpoint":  func(o *Options) { o.Checkpoint = CheckpointConfig{Dir: t.TempDir()} },
 	}
+	announced := map[string]time.Duration{"Elastic": time.Second, "HeartbeatTimeout": 3 * time.Second}
 	refused := map[[2]string]bool{{RoleCoordinator, "Guard"}: true, {RoleCoordinator, "Checkpoint"}: true}
 	noPeer := func(string) (transport.Conn, error) { return nil, errors.New("no peer") }
 	fields := reflect.TypeOf(Options{})
+	names := []string{"Elastic", "HeartbeatTimeout"}
+	for i := 0; i < fields.NumField(); i++ {
+		names = append(names, fields.Field(i).Name)
+	}
 	for _, role := range []string{"", RoleCoordinator, RoleData, RoleBackup} {
-		for i := 0; i < fields.NumField(); i++ {
-			name := fields.Field(i).Name
+		for _, name := range names {
 			t.Run("role="+role+"/"+name, func(t *testing.T) {
+				if lease, ok := announced[name]; ok {
+					cfg := ServerConfig{Workers: 1, Policy: core.MustNewASP(1),
+						Cluster: ClusterConfig{Role: role, Coordinator: "coordinator", Servers: 2}}
+					cfg.Options.Lease = lease
+					srv, err := Start(cfg, seededModel(25), clusterOpt(), transport.NewChanListener(), noPeer)
+					if err != nil {
+						t.Fatalf("role %q refused a lease: %v", role, err)
+					}
+					defer srv.Stop()
+					if srv.cfg.Options.Lease != lease || srv.registered(0).Lease != lease {
+						t.Fatalf("role %q runs lease %v and announces %v, want %v", role, srv.cfg.Options.Lease, srv.registered(0).Lease, lease)
+					}
+					return
+				}
 				apply := set[name]
 				if apply == nil {
 					t.Fatalf("no row sets Options.%s", name)
 				}
 				cfg := ServerConfig{Workers: 1, Policy: core.MustNewASP(1),
-					Cluster: ClusterConfig{Role: role, Coordinator: "coordinator", Servers: 2, Primary: "primary"}}
+					Cluster: ClusterConfig{Role: role, Coordinator: "coordinator", Servers: 2}}
 				apply(&cfg.Options)
 				srv, err := Start(cfg, seededModel(25), clusterOpt(), transport.NewChanListener(), noPeer)
 				if refused[[2]string{role, name}] {
@@ -66,5 +88,14 @@ func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNegativeLeaseRefused: a lease is a positive duration or none, and
+// Normalized, which every server surface funnels through, refuses a negative
+// one by name.
+func TestNegativeLeaseRefused(t *testing.T) {
+	if _, err := (Options{Lease: -time.Second}).Normalized(); err == nil || !strings.Contains(err.Error(), "lease") {
+		t.Fatalf("a negative lease normalized with err %v", err)
 	}
 }

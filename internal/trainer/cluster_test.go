@@ -146,14 +146,14 @@ func TestWorkerLoopRejoinsGroup(t *testing.T) {
 }
 
 // TestGroupDataServersRunTheirRoleOptions: an in-process group's data servers
-// act on what psserver's data servers act on. With Elastic set, a data
+// act on what psserver's data servers act on. Under a Lease, a data
 // server names its lease in the Registered reply, and its lease monitor
 // evicts a session that falls silent there, as `psserver -role data
-// -elastic` does.
+// -lease` does.
 func TestGroupDataServersRunTheirRoleOptions(t *testing.T) {
 	params := nn.SmallMLP(rand.New(rand.NewSource(7)), 16, 8, 4).Params()
 	group, err := buildCluster(Config{Workers: 1, ClusterServers: 2, LearningRate: 0.05,
-		Options: ps.Options{Elastic: true, HeartbeatTimeout: 50 * time.Millisecond}}, core.MustNewASP(1), params)
+		Options: ps.Options{Lease: 50 * time.Millisecond}}, core.MustNewASP(1), params)
 	if err != nil {
 		t.Fatal(err)
 	}

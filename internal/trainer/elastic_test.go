@@ -106,8 +106,7 @@ func TestWorkerCrashMidRunCompletesUnderEachParadigm(t *testing.T) {
 // traffic must not disturb the lock-step protocol or the result.
 func TestElasticHeartbeatsEndToEnd(t *testing.T) {
 	cfg := elasticConfig(t, core.PolicyConfig{Paradigm: core.ParadigmDSSP, Staleness: 2, Range: 4})
-	cfg.Elastic = true
-	cfg.HeartbeatTimeout = 200 * time.Millisecond
+	cfg.Lease = 200 * time.Millisecond
 	res := runWithDeadline(t, cfg)
 	if res.FinalAccuracy < 0.5 {
 		t.Errorf("accuracy %.3f with heartbeats", res.FinalAccuracy)
@@ -124,7 +123,7 @@ func TestElasticHeartbeatsEndToEnd(t *testing.T) {
 func slowWorkerUnderLease() Config {
 	cfg := smallConfig(core.PolicyConfig{Paradigm: core.ParadigmDSSP, Staleness: 1, Range: 2})
 	cfg.Workers, cfg.BatchSize, cfg.Epochs = 2, 16, 1
-	cfg.Elastic, cfg.HeartbeatTimeout = true, 100*time.Millisecond
+	cfg.Lease = 100 * time.Millisecond
 	cfg.WorkerDelay = []time.Duration{0, 300 * time.Millisecond}
 	return cfg
 }

@@ -175,7 +175,7 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 							}
 							return conn, err
 						},
-						Compression: cfg, Shards: 2,
+						Compression: cfg,
 					}
 
 					// atHome: every parameter and gradient on the storage

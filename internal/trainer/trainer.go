@@ -65,8 +65,8 @@ type Config struct {
 	// aggregator, and the anomaly guard. 0 or 1 keeps the flat topology.
 	Fanout int
 	// Options is the serving surface both sides of the run read (store
-	// shards, compression, aggregation, guard, elasticity and its lease,
-	// checkpointing), embedded so its fields read as cfg.Shards,
+	// shards, compression, aggregation, guard, lease, checkpointing),
+	// embedded so its fields read as cfg.Shards,
 	// cfg.Compression, ... Each server gets the fields its role acts on
 	// (ps.Options.ForRole), as psserver's would; an in-process group refuses
 	// Checkpoint, whose one directory its members would share. In cluster mode

@@ -291,3 +291,30 @@ func TestTreeLeaseIsTheRootsDecision(t *testing.T) {
 		})
 	}
 }
+
+// TestTreeChildLeavesCountOnlyUnfinishedChildren: dssp_tree_child_leaves_total
+// counts a relay-routed child that left without sending Done, the rule
+// dssp_departures_total applies to a direct worker. A clean two-worker run
+// behind one fanout-2 relay reads 0; with one child killed mid-run it reads 1.
+func TestTreeChildLeavesCountOnlyUnfinishedChildren(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		crashAt map[int]int
+		want    float64
+	}{
+		{"clean", nil, 0},
+		{"crash", map[int]int{1: 3}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(core.PolicyConfig{Paradigm: core.ParadigmASP})
+			cfg.Workers, cfg.Fanout, cfg.CrashAt = 2, 2, tc.crashAt
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Metrics[`dssp_tree_child_leaves_total`]; got != tc.want {
+				t.Errorf("dssp_tree_child_leaves_total = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

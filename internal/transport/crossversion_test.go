@@ -158,11 +158,10 @@ func TestParseWireFormat(t *testing.T) {
 	if w, err := ParseWireFormat(""); err != nil || w != WireBinary {
 		t.Errorf("empty format parsed as (%q, %v), want the binary default", w, err)
 	}
-	if _, err := ParseWireFormat("protobuf"); err == nil {
-		t.Error("unknown wire format accepted")
-	}
-	if _, err := ParseWireFormat("gob"); err == nil || !strings.Contains(err.Error(), "removed in PR 15") {
-		t.Errorf("gob parsed with err %v, want an error naming its removal", err)
+	for _, name := range []string{"protobuf", "gob"} {
+		if _, err := ParseWireFormat(name); err == nil || !strings.Contains(err.Error(), string(WireBinary)) {
+			t.Errorf("%s parsed with err %v, want a refusal naming %q", name, err, WireBinary)
+		}
 	}
 }
 

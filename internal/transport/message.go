@@ -189,8 +189,8 @@ type Message struct {
 	// on MsgWeights — when a lossy codec is negotiated. Exactly one of
 	// Tensors and Packed is populated on those messages.
 	Packed []compress.Packed
-	// StoreShards reports the server's parameter-store shard count on
-	// MsgRegistered, letting workers sanity-check cluster configuration.
+	// StoreShards is the store shard count on MsgClusterMap: on a group's
+	// map the group-wide count, with which the map's coverage is checked.
 	StoreShards int
 	// Error carries a description on MsgError messages.
 	Error string

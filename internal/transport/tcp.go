@@ -17,14 +17,11 @@ type WireFormat string
 // (docs/PROTOCOL.md).
 const WireBinary WireFormat = "binary"
 
-// ParseWireFormat validates a wire format name; "" selects WireBinary. The
-// gob stream was removed in PR 15.
+// ParseWireFormat validates a wire format name; "" selects WireBinary, the
+// only one.
 func ParseWireFormat(s string) (WireFormat, error) {
-	switch WireFormat(s) {
-	case "", WireBinary:
+	if s == "" || WireFormat(s) == WireBinary {
 		return WireBinary, nil
-	case "gob":
-		return "", fmt.Errorf("transport: the gob wire format was removed in PR 15; %q is the only one", WireBinary)
 	}
 	return "", fmt.Errorf("transport: unknown wire format %q (want %q)", s, WireBinary)
 }

@@ -34,12 +34,12 @@ type Guard = ps.GuardConfig
 // Options is the serving surface shared by every way of standing up a
 // cluster — TrainConfig (in-process), ServerConfig and WorkerConfig (TCP) —
 // which embed it (cfg.Compression, cfg.Shards, ...). It is ps.Options, where
-// each field is documented. A few fields are one-sided and ignored by
-// workers: Aggregator, Guard, Elastic, HeartbeatTimeout and Checkpoint act on
-// the server — an elastic server names its lease in every Registered reply,
-// and its workers heartbeat under it on their own — and Shards sizes the
-// store a server builds — on a group member the group-wide count — while on
-// a worker a positive value is the count it checks at registration. On WorkerConfig
-// an empty Compression codec means "adopt whatever the server speaks".
-// TrainConfig drives both sides, so every field applies there.
+// each field is documented. Every field but Compression acts on the server
+// alone and is ignored by workers: Shards sizes the store a server builds (on
+// a group member, the group-wide count), Lease makes it elastic — it names
+// the lease in every Registered reply, and its workers heartbeat under it on
+// their own — and Aggregator, Guard and Checkpoint shape how it applies and
+// keeps the weights. On WorkerConfig an empty Compression codec means "adopt
+// whatever the server speaks". TrainConfig drives both sides, so every field
+// applies there.
 type Options = ps.Options

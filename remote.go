@@ -33,11 +33,11 @@ type ServerConfig struct {
 	LearningRate float64
 	Momentum     float64
 	// Options is the shared serving surface (sharding, compression,
-	// aggregation, guard, elasticity and its lease, checkpointing); its
-	// fields are embedded (cfg.Compression, cfg.Elastic, ...). In a server
-	// group Shards is the group-wide count and must be the same on every
-	// member. An Elastic server names its lease, HeartbeatTimeout, in every
-	// Registered reply, and its clients heartbeat under it on their own.
+	// aggregation, guard, lease, checkpointing); its fields are embedded
+	// (cfg.Compression, cfg.Lease, ...). In a server group Shards is the
+	// group-wide count and must be the same on every member. A server with
+	// a Lease names it in every Registered reply, and its clients heartbeat
+	// under it on their own.
 	Options
 	// MetricsAddr, when non-empty, starts an admin HTTP listener on that
 	// address serving Prometheus metrics (/metrics), liveness (/healthz), a
@@ -190,12 +190,12 @@ func Serve(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	inner, err := ps.Start(ps.ServerConfig{
-		Workers: run.Workers,
-		Policy:  policy,
-		Options: cfg.Options,
-		Metrics: reg,
-		Trace:   obs.TraceConfig{Every: cfg.TraceEvery},
-		Cluster: cfg.Cluster,
+		Workers:    run.Workers,
+		Policy:     policy,
+		Options:    cfg.Options,
+		Metrics:    reg,
+		TraceEvery: cfg.TraceEvery,
+		Cluster:    cfg.Cluster,
 	}, run.Model.Build(rand.New(rand.NewSource(run.Seed))).Params(),
 		optimizer.NewSGDMomentum(run.LearningRate, cfg.Momentum),
 		listener, transport.Dial)
@@ -248,13 +248,12 @@ type WorkerConfig struct {
 	Seed      int64
 	// Delay adds an artificial per-iteration delay to emulate a slower GPU.
 	Delay time.Duration
-	// Options is the shared serving surface. For a worker the acting fields
-	// are Compression (the zero value adopts whatever the server speaks; an
-	// explicit codec must match the server's exactly), Shards (when
-	// positive, the store shard count this worker expects — group-wide with
-	// Cluster; a mismatch aborts at registration, zero accepts any). The
-	// server-side fields are ignored here: under an elastic server the worker
-	// heartbeats at the lease the server names.
+	// Options is the shared serving surface. For a worker the one acting
+	// field is Compression (the zero value adopts whatever the server speaks;
+	// an explicit codec must match the server's exactly). The server-side
+	// fields — Shards, Lease, Aggregator, Guard, Checkpoint — are ignored
+	// here: under a server with a Lease the worker heartbeats at the lease
+	// the server names.
 	Options
 	// Adversary, when not 0 or 1, makes this worker Byzantine for robustness
 	// experiments: every pushed gradient is scaled by this factor (e.g. -10
@@ -354,7 +353,6 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		Addr:        cfg.ServerAddr,
 		Worker:      cfg.WorkerID,
 		Compression: cfg.Compression.Normalized(),
-		Shards:      cfg.Shards,
 		Metrics:     reg,
 		// The patience also covers the first connection: a worker launched
 		// during the very server outage Reconnect exists to survive (a

@@ -24,9 +24,8 @@ func elasticServerConfig(addr, ckptDir string, workers int) dssp.ServerConfig {
 		Dataset:      dssp.DatasetConfig{Examples: 240, Classes: 3, ImageSize: 12, Noise: 0.3, Seed: 3},
 		LearningRate: 0.1,
 		Options: dssp.Options{
-			Elastic:          true,
-			HeartbeatTimeout: 2 * time.Second,
-			Checkpoint:       dssp.Checkpoint{Dir: ckptDir, Every: 10},
+			Lease:      2 * time.Second,
+			Checkpoint: dssp.Checkpoint{Dir: ckptDir, Every: 10},
 		},
 		Seed: 3,
 	}

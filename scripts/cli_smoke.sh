@@ -3,17 +3,19 @@
 # loopback on fixed ports: a flat 2-worker BSP job on an uneven split (both
 # workers must report the same iteration count, and the server must apply
 # exactly their sum and drop nothing), a coordinator with two data
-# servers (-shards 4 on every member) and reconnecting group workers, and a
+# servers (-shards 4 on every member), a backup for data server 0 that finds
+# it in the coordinator's cluster map, and reconnecting group workers, and a
 # root fronted by one relay with -tree workers. The group and the root lease
-# their sessions at 200ms (-elastic), and one worker of each job computes for
+# their sessions at 200ms (-lease), and one worker of each job computes for
 # 300ms an iteration with no heartbeat flag anywhere: the coordinator and the
 # root must each end reporting 0 departures. Every process must exit 0. It
 # also checks that each role refuses, by name, a flag it does not read
 # (psserver parses a command line with its -role's own flag set): a relay
-# -guard, -workers, -compress and -heartbeat-timeout (codec and lease are the
-# root's), a coordinator -cluster-index, a flat server -parent (a relay's
-# flag, given without -role relay); and that a coordinator refuses the option
-# its role does not act on (-guard again: it carries no gradient bytes).
+# -guard, -workers, -compress and -lease (codec and lease are the root's), a
+# coordinator -cluster-index, a backup -primary (the map names its primary),
+# a flat server -parent (a relay's flag, given without -role relay); and that
+# a coordinator refuses the option its role does not act on (-guard again: it
+# carries no gradient bytes).
 #
 # Usage: scripts/cli_smoke.sh <dir>
 # <dir> holds psserver and psworker (make cli-smoke builds them there) and
@@ -70,7 +72,7 @@ work=(-workers 2 -epochs 1)
 # in-process training does: 17/2 = 8 examples each, two batches of 4.
 start flat-server "$server" -addr 127.0.0.1:17170 -workers 2 -shards 3 -examples 17 -paradigm BSP
 ready flat-server "parameter server listening"
-start flat-w0 "$worker" -server 127.0.0.1:17170 -id 0 "${work[@]}" -shards 3 -examples 17 -batch 4
+start flat-w0 "$worker" -server 127.0.0.1:17170 -id 0 "${work[@]}" -examples 17 -batch 4
 start flat-w1 "$worker" -server 127.0.0.1:17170 -id 1 "${work[@]}" -delay 1ms -examples 17 -batch 4
 finish flat
 iters() { grep -o 'finished: [0-9]* iterations' "$dir/$1.log" || echo "no iteration count"; }
@@ -93,7 +95,7 @@ echo "cli-smoke: flat BSP server applied $((2 * each)) updates"
 # a 200ms lease, with one worker silent 300ms an iteration and the other
 # waiting on it. Its clients heartbeat at the lease their Registered replies
 # name, so nobody departs.
-lease=(-elastic -heartbeat-timeout 200ms)
+lease=(-lease 200ms)
 small=(-examples 64)
 # departed <log> fails the smoke unless the end-of-run line reports 0
 # departures.
@@ -105,33 +107,62 @@ departed() {
 	fi
 	echo "cli-smoke: $1 ended with 0 departures"
 }
+# joined <name> <port> <series> waits until <series> on the admin endpoint at
+# 127.0.0.1:<port> reads at least 1. A leasing server finishes once every
+# worker that has joined is done, so the slow worker must have joined before
+# the fast one starts, or the fast one can end the run alone.
+joined() {
+	local i body
+	for i in $(seq 200); do
+		body=$( (exec 3<>"/dev/tcp/127.0.0.1/$2" && printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3 && cat <&3) 2>/dev/null || true)
+		grep -Eq "^$3 [1-9]" <<<"$body" && return 0
+		sleep 0.05
+	done
+	echo "cli-smoke: $1 never read $3 above 0" >&2
+	exit 1
+}
 
 # Group: a coordinator and two data servers, one group-wide -shards on all,
-# every member leasing. The workers run with -reconnect, as a deployment that
-# rides out a lost coordinator connection would; worker 1 is the slow one.
+# every member leasing, and a backup for index 0 that is given no address of
+# its primary: it must find data server 0 in the coordinator's cluster map.
+# The workers run with -reconnect, as a deployment that rides out a lost
+# coordinator connection would; worker 1 is the slow one, and it joins first:
+# a worker registers with the coordinator and then each data server in map
+# order, so once data server 1 holds its session every member does. A backup
+# serves no workers of its own, so it runs until it is told to stop once the
+# run is over.
 start group-coord "$server" -addr 127.0.0.1:17180 -role coordinator -cluster-servers 2 -workers 2 -shards 4 \
 	"${lease[@]}" "${small[@]}"
 ready group-coord "parameter server listening"
 for i in 0 1; do
 	start "group-data$i" "$server" -addr "127.0.0.1:1718$((i + 1))" -role data -peers 127.0.0.1:17180 \
-		-cluster-servers 2 -cluster-index "$i" -workers 2 -shards 4 "${lease[@]}"
+		-cluster-servers 2 -cluster-index "$i" -workers 2 -shards 4 "${lease[@]}" -metrics-addr "127.0.0.1:1718$((i + 4))"
 done
-for i in 0 1; do
-	start "group-w$i" "$worker" -cluster -server 127.0.0.1:17180 -id "$i" "${work[@]}" -shards 4 \
+for i in 1 0; do
+	start "group-w$i" "$worker" -cluster -server 127.0.0.1:17180 -id "$i" "${work[@]}" \
 		-reconnect 30s "${small[@]}" -delay "$((i * 300))ms"
+	[ "$i" -eq 0 ] || joined group-data1 17185 dssp_sessions_active
 done
+start group-backup0 "$server" -addr 127.0.0.1:17183 -role backup -peers 127.0.0.1:17180 \
+	-cluster-servers 2 -cluster-index 0 -workers 2 -shards 4 "${lease[@]}"
+backup=$!
+ready group-backup0 "cluster backup replicating 127.0.0.1:17181,"
+echo "cli-smoke: the backup found data server 0 (127.0.0.1:17181) in the cluster map"
+ready group-coord "all workers finished"
+kill -TERM "$backup"
 finish group
 departed group-coord
 
 # Tree: a leasing root and one fanout-2 relay with its default flags; the
 # workers find the relay through the root's layout, and worker 1 is the slow
-# one. The relay leases them at the root's lease.
-start tree-root "$server" -addr 127.0.0.1:17190 -workers 2 "${lease[@]}" "${small[@]}"
+# one, which joins first. The relay leases them at the root's lease.
+start tree-root "$server" -addr 127.0.0.1:17190 -workers 2 "${lease[@]}" "${small[@]}" -metrics-addr 127.0.0.1:17189
 ready tree-root "parameter server listening"
 start tree-relay "$server" -addr 127.0.0.1:17191 -role relay -parent 127.0.0.1:17190 -fanout 2
 ready tree-relay "aggregation relay listening"
-for i in 0 1; do
+for i in 1 0; do
 	start "tree-w$i" "$worker" -tree -server 127.0.0.1:17190 -id "$i" "${work[@]}" "${small[@]}" -delay "$((i * 300))ms"
+	[ "$i" -eq 0 ] || joined tree-root 17189 dssp_tree_routed_workers
 done
 finish tree
 departed tree-root
@@ -163,7 +194,8 @@ refuses() {
 refuses relay-guard -guard -role relay -parent 127.0.0.1:17199 -guard
 refuses relay-workers -workers -addr 127.0.0.1:17197 -role relay -parent 127.0.0.1:17199 -workers 8
 refuses relay-compress -compress -addr 127.0.0.1:17194 -role relay -parent 127.0.0.1:17199 -compress fp16
-refuses relay-lease -heartbeat-timeout -addr 127.0.0.1:17193 -role relay -parent 127.0.0.1:17199 -heartbeat-timeout 200ms
+refuses relay-lease -lease -addr 127.0.0.1:17193 -role relay -parent 127.0.0.1:17199 -lease 200ms
+refuses backup-primary -primary -addr 127.0.0.1:17192 -role backup -peers 127.0.0.1:17199 -cluster-servers 2 -primary 127.0.0.1:17181
 refuses flat-parent -parent -addr 127.0.0.1:17196 -parent 127.0.0.1:17199 -fanout 2 -workers 2
 refuses coord-index -cluster-index -addr 127.0.0.1:17195 -role coordinator -cluster-servers 2 -workers 2 -cluster-index 1
 

@@ -94,9 +94,8 @@ type TrainConfig struct {
 	// emulate heterogeneous hardware (paper §V-D) on one machine.
 	WorkerDelays []time.Duration
 	// Options is the shared serving surface — store sharding, compression,
-	// aggregation, guard, elasticity, heartbeats, checkpointing — handed to
-	// the run as it is. Its fields are embedded (cfg.Compression,
-	// cfg.Elastic, ...).
+	// aggregation, guard, lease, checkpointing — handed to the run as it
+	// is. Its fields are embedded (cfg.Compression, cfg.Lease, ...).
 	Options
 	// Seed controls model initialization and batch order.
 	Seed int64

@@ -19,8 +19,7 @@ func treeServerConfig(addr string, sync dssp.Sync) dssp.ServerConfig {
 		Dataset:      dssp.DatasetConfig{Examples: 240, Classes: 3, ImageSize: 12, Noise: 0.3, Seed: 5},
 		LearningRate: 0.1,
 		Options: dssp.Options{
-			Elastic:          true,
-			HeartbeatTimeout: 2 * time.Second,
+			Lease: 2 * time.Second,
 		},
 		Seed: 5,
 	}

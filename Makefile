@@ -352,14 +352,14 @@ unused:
 fuzz-seeds:
 	$(GO) test -run 'Fuzz' ./internal/transport/ ./internal/ps/
 
-# Robustness scenario-matrix smoke: the 2x2 grid (clean / 1-of-4 gradient
-# attacker x plain sum / trimmed-mean+guard) on real training, plus the
-# simulated hostile-network timing sweep (calm, flapping and partitioned
-# links; the relay tier is not simulated, aggtree-smoke measures it on the
-# real stack). Fails when any cell expected to converge drops below the
-# accuracy floor; experiment-report.json is the CI artifact.
+# Robustness scenario-matrix smoke, dsspsim's -exp matrix mode: the 2x2 grid
+# (clean / 1-of-4 gradient attacker x plain sum / trimmed-mean+guard) on real
+# training, plus the simulated hostile-network timing sweep (calm, flapping
+# and partitioned links; the relay tier is not simulated, aggtree-smoke
+# measures it on the real stack). Fails when any cell expected to converge
+# drops below the accuracy floor; experiment-report.json is the CI artifact.
 experiment-smoke:
-	$(GO) run ./cmd/dsspsim -experiment -paradigm SSP -trials 2 \
+	$(GO) run ./cmd/dsspsim -exp matrix -paradigm SSP -trials 2 \
 		-accuracy-floor 0.6 -out experiment-report.json
 
 # Observability smoke: a live 4-worker TCP run with the admin endpoint on,
@@ -396,7 +396,8 @@ aggtree-smoke:
 # the same iteration count, a coordinator with two data servers
 # (-shards 4 on every member, the group-wide count) whose workers run with
 # -reconnect 30s, plus a backup for index 0 started without its primary's
-# address, whose log must name data server 0's, and a root behind one relay
+# address, whose log must name data server 0's and which must exit 0 when the
+# run completes, and a root behind one relay
 # with default flags and -tree workers — failing on any non-zero exit. The
 # group and the root lease at 200ms (-lease) while one worker of each job
 # computes 300ms an iteration with no heartbeat flag, and must end with 0

@@ -239,6 +239,37 @@ func TestClusterFailoverPromotesBackup(t *testing.T) {
 	}
 }
 
+// TestClusterBackupEndsWithItsGroup: a backup serves no workers, so the
+// coordinator's report that the run is complete is its end of the run: its
+// Done closes, and once every other member stops, as psserver does at the
+// end of a run, it neither declares its primary dead after the grace nor
+// asks the stopped coordinator for promotion.
+func TestClusterBackupEndsWithItsGroup(t *testing.T) {
+	c := clustertest.Start(t, clustertest.Config{Servers: 2, Backups: 1, Workers: 2, Epochs: 1})
+	if _, errs := c.RunWorkers(nil); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("workers: %v", errs)
+	}
+	backup := c.Backups[0]
+	select {
+	case <-backup.Done():
+	case <-backup.Failed():
+		t.Fatalf("backup failed: %v", backup.FailureErr())
+	case <-time.After(10 * time.Second):
+		t.Fatal("the backup's Done never closed after the run completed")
+	}
+	c.KillCoordinator()
+	c.KillData(1)
+	c.KillData(0)
+	select {
+	case <-backup.Failed():
+		t.Fatalf("backup failed after a complete run: %v", backup.FailureErr())
+	case <-time.After(3 * time.Second): // past the 2s grace
+	}
+	if backup.Promoted() {
+		t.Fatal("backup promoted after a complete run")
+	}
+}
+
 // TestClusterCoordinatorDeathFailsFast pins the documented failure model
 // (DESIGN.md §10): the coordinator is the single serialization point,
 // so losing it ends the run quickly and loudly — workers error out and data

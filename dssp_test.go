@@ -112,84 +112,6 @@ func TestTrainParadigmsProduceDifferentWaitProfiles(t *testing.T) {
 	}
 }
 
-func TestFigureFacade(t *testing.T) {
-	cfg := SimulationConfig{Epochs: 10, Seed: 1, Points: 30}
-	fig, err := Figure("fig3a", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.ID != "fig3a" || len(fig.Results) != 4 {
-		t.Fatalf("unexpected figure %q with %d curves", fig.ID, len(fig.Results))
-	}
-	dssp, ok := fig.Result("DSSP s=3 r=12")
-	if !ok || dssp.Curve == nil || len(dssp.Curve.Points()) == 0 {
-		t.Fatal("DSSP curve malformed")
-	}
-	if _, ok := dssp.Curve.TimeToReach(0.3); !ok {
-		t.Fatal("curve never crossed 0.3 accuracy")
-	}
-	if _, ok := fig.Result("nope"); ok {
-		t.Fatal("missing curve reported as present")
-	}
-	if _, err := Figure("fig99", cfg); err == nil {
-		t.Fatal("expected error for unknown figure id")
-	}
-	if len(FigureIDs()) != 7 {
-		t.Fatalf("expected 7 figure ids, got %d", len(FigureIDs()))
-	}
-}
-
-func TestTableIFacade(t *testing.T) {
-	rows, err := TableI(SimulationConfig{Epochs: 20, Seed: 1, Points: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("expected 6 rows, got %d", len(rows))
-	}
-	labels := map[string]bool{}
-	for _, r := range rows {
-		labels[r.Paradigm] = true
-	}
-	for _, want := range []string{"BSP", "ASP", "SSP s=3", "SSP s=6", "SSP s=15", "DSSP s=3 r=12"} {
-		if !labels[want] {
-			t.Errorf("missing row %q", want)
-		}
-	}
-}
-
-func TestPredictionCurveFacade(t *testing.T) {
-	waits, selected, err := PredictionCurve(time.Second, 3500*time.Millisecond, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(waits) != 9 || selected < 0 || selected > 8 {
-		t.Fatalf("unexpected prediction curve %v / %d", waits, selected)
-	}
-}
-
-func TestThroughputTrendsFacade(t *testing.T) {
-	trends, err := ThroughputTrends(SimulationConfig{Epochs: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trends) != 3 {
-		t.Fatalf("expected 3 trends, got %d", len(trends))
-	}
-	for _, tr := range trends {
-		if len(tr.Order) != 4 {
-			t.Errorf("%s: expected 4 ordered paradigms, got %v", tr.Model, tr.Order)
-		}
-		fastest := tr.Order[0]
-		if tr.HasFullyConnected && fastest == "BSP" {
-			t.Errorf("%s: BSP should not be the fastest on an FC-heavy model", tr.Model)
-		}
-		if !tr.HasFullyConnected && fastest != "BSP" {
-			t.Errorf("%s: BSP should be the fastest on a conv-only model, got %s", tr.Model, fastest)
-		}
-	}
-}
-
 func TestServeAndRunWorkerOverTCP(t *testing.T) {
 	dataset := DatasetConfig{Examples: 96, Classes: 2, ImageSize: 8, Noise: 0.4, Seed: 9}
 	const workers = 2

@@ -11,7 +11,7 @@ import (
 // renders.
 const timingMatrixGolden = 0x9fef883a062e785f
 
-// TestTimingMatrixGolden pins dsspsim -experiment's simulator sweep bit for
+// TestTimingMatrixGolden pins dsspsim -exp matrix's simulator sweep bit for
 // bit at Seed 1, Trials 2: the default paradigms on the default
 // hostile-network matrix.
 func TestTimingMatrixGolden(t *testing.T) {

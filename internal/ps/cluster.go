@@ -348,16 +348,7 @@ func (c *clusterState) endAnnounces() {
 func (s *Server) handleClusterMap(conn transport.Conn, msg transport.Message) {
 	if msg.Relay {
 		s.sm.treeLayoutFetches.Inc()
-		entries, version := s.tree.snapshot()
-		_ = conn.Send(transport.Message{
-			Type:        transport.MsgClusterMap,
-			Relay:       true,
-			Servers:     entries,
-			MapVersion:  version,
-			StoreShards: s.cfg.Store.Shards(),
-			Total:       s.cfg.Workers,
-			Version:     s.cfg.Store.Version(),
-		})
+		_ = conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: true, Servers: s.tree.snapshot()})
 		return
 	}
 	if !s.coordinator() {

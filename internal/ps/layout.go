@@ -14,11 +14,6 @@ import (
 type TreeLayout struct {
 	// Entries is the live relay set, sorted by covered range.
 	Entries []transport.ServerEntry
-	// Version increments whenever the tree changes (relay joins or deaths),
-	// so a re-fetching client can tell a stale layout from a fresh one.
-	Version int64
-	// Workers is the configured logical worker count.
-	Workers int
 }
 
 // Covering returns the child-facing address of the relay covering the given
@@ -51,5 +46,5 @@ func FetchTreeLayout(conn transport.Conn) (TreeLayout, error) {
 	if msg.Type != transport.MsgClusterMap || !msg.Relay {
 		return TreeLayout{}, fmt.Errorf("ps: tree layout: unexpected reply %v", msg.Type)
 	}
-	return TreeLayout{Entries: msg.Servers, Version: msg.MapVersion, Workers: msg.Total}, nil
+	return TreeLayout{Entries: msg.Servers}, nil
 }

@@ -422,7 +422,7 @@ func refuseClusterMap(conn transport.Conn, _ transport.Message) {
 // handleRegister forwards a child registration upstream and, once the root
 // admits it, installs the child as a worker session (superseding a previous
 // session of the same worker). The child's reply is the root's own
-// MsgRegistered — codec and shard count are the root's decisions — forwarded
+// MsgRegistered — codec and lease are the root's decisions — forwarded
 // verbatim.
 func (r *Relay) handleRegister(conn transport.Conn, _ *session, msg transport.Message) *session {
 	if msg.Relay || msg.Replica {

@@ -148,7 +148,7 @@ func TestTreeStateAssignsContiguousRanges(t *testing.T) {
 	b := &session{}
 	ts.add(a, "relay-a", 4, 8)
 	ts.add(b, "relay-b", 4, 8)
-	entries, v1 := ts.snapshot()
+	entries := ts.snapshot()
 	if len(entries) != 2 {
 		t.Fatalf("expected 2 entries, got %d", len(entries))
 	}
@@ -159,10 +159,7 @@ func TestTreeStateAssignsContiguousRanges(t *testing.T) {
 		t.Errorf("second entry %+v, want relay-b covering [4,8)", entries[1])
 	}
 	ts.remove(a)
-	entries, v2 := ts.snapshot()
-	if v2 <= v1 {
-		t.Errorf("layout version did not advance on removal: %d -> %d", v1, v2)
-	}
+	entries = ts.snapshot()
 	total := 0
 	for _, e := range entries {
 		if e.Addr != "relay-b" {

@@ -109,9 +109,7 @@ type Server struct {
 	regionOnce sync.Once
 	shared     bool
 
-	mu sync.Mutex
-	// joined records every worker slot that registered at least once.
-	joined   map[int]bool
+	mu       sync.Mutex
 	finished map[int]bool
 	// routes maps worker slots joined through an aggregation relay to the
 	// trunk session carrying them: such workers have no session of their own,
@@ -124,9 +122,11 @@ type Server struct {
 	// session it is pinned to does not show a routed worker's rejoin, because
 	// the trunk outlives its children.
 	epochs []uint64
-	// departedAt records when an unfinished worker's session last ended; a
-	// worker inside the rejoin grace window (one lease) is treated as
-	// "coming back", not gone, by elastic completion.
+	// departedAt records when an unfinished worker's session last ended and,
+	// under a lease, stamps every slot at the server's first admission, so a
+	// slot that has not joined yet counts as absent from then on. A slot
+	// absent for no longer than one lease is treated as "coming back", not
+	// gone, by elastic completion.
 	departedAt map[int]time.Time
 	done       int
 	// allDoneClosed latches the completion broadcast.
@@ -248,7 +248,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		compression: cfg.Compression,
 		guard:       newGuard(cfg.Guard, cfg.Workers, sm),
 		fullWindow:  window,
-		joined:      make(map[int]bool),
 		epochs:      make([]uint64, cfg.Workers),
 		finished:    make(map[int]bool),
 		departedAt:  make(map[int]time.Time),
@@ -400,9 +399,10 @@ func (s *Server) saveCheckpoint() {
 }
 
 // AllWorkersDone returns a channel that is closed once training is complete:
-// every worker slot sent MsgDone, or — on an elastic server — every worker
-// that ever joined has either finished or departed for good (at least one
-// must have finished).
+// every worker slot sent MsgDone, or — on an elastic server — every slot has
+// either finished or been absent for longer than one lease (at least one
+// must have finished). A backup, which serves no workers until promoted,
+// closes it when its coordinator reports the run complete.
 func (s *Server) AllWorkersDone() <-chan struct{} { return s.allDone }
 
 // handleRegister services MsgRegister and MsgRejoin. On a fresh connection it
@@ -519,10 +519,17 @@ func (s *Server) admit(slot int, carrier *session, msg transport.Message) (trans
 	if err := s.negotiate(slot, msg); err != nil {
 		return transport.Message{}, err
 	}
+	now := s.clock()
 	// One critical section, so completion and window accounting never see the
 	// slot between carriers.
 	s.mu.Lock()
-	s.joined[slot] = true
+	if s.cfg.Lease > 0 && len(s.departedAt) == 0 {
+		// The first admission opens the run, which under a lease every slot
+		// holds: one that has not joined counts as absent from now on.
+		for w := 0; w < s.cfg.Workers; w++ {
+			s.departedAt[w] = now
+		}
+	}
 	s.epochs[slot]++
 	if carrier.kind.holdsSlot() {
 		s.supersede(slot, carrier)
@@ -536,7 +543,6 @@ func (s *Server) admit(slot int, carrier *session, msg transport.Message) (trans
 	// A rejoin restores the slot to the pushing cohort; re-derive the window.
 	s.shrinkWindow()
 
-	now := s.clock()
 	s.policyMu.Lock()
 	if msg.Type == transport.MsgRejoin {
 		s.sm.rejoins.Inc()
@@ -1339,7 +1345,7 @@ func (s *Server) shrinkWindow() {
 	}
 	gone := 0
 	s.mu.Lock()
-	for w := range s.joined {
+	for w := 0; w < s.cfg.Workers; w++ {
 		if s.finished[w] || (s.sessions.get(w) == nil && s.routes[w] == nil && !s.departedAt[w].IsZero()) {
 			gone++
 		}
@@ -1364,44 +1370,54 @@ func (s *Server) GuardStats() GuardStats {
 
 // checkAllDone closes AllWorkersDone when training is complete. The classic
 // condition is every worker slot reporting Done. An elastic server also
-// completes when every slot that ever joined is finished or has departed
-// for good — a permanently gone worker must not keep the server alive —
-// provided at least one worker actually finished. "For good" means its
-// session has been gone for longer than one lease: a worker mid-reconnect
-// (redialing with backoff after a transient failure) must not be counted
-// out, so departures inside that grace window defer completion and the lease
+// completes when every slot is finished or absent for good — a permanently
+// gone worker must not keep the server alive — provided at least one worker
+// actually finished. "For good" means absent for longer than one lease,
+// counted from the slot's last departure or, for a slot that never joined,
+// from the server's first admission: a worker mid-reconnect (redialing with
+// backoff after a transient failure) or still starting must not be counted
+// out, so absences inside that grace window defer completion and the lease
 // monitor re-checks once the window elapses.
 func (s *Server) checkAllDone() {
 	complete := false
 	s.mu.Lock()
-	if !s.allDoneClosed {
-		switch {
-		case s.done == s.cfg.Workers:
-			complete = true
-		case s.cfg.Lease > 0 && s.done > 0:
-			complete = true
-			now := s.clock()
-			for w := range s.joined {
-				if s.finished[w] {
-					continue
-				}
-				if s.sessions.get(w) != nil || s.routes[w] != nil || now.Sub(s.departedAt[w]) <= s.cfg.Lease {
-					complete = false
-					break
-				}
+	switch {
+	case s.done == s.cfg.Workers:
+		complete = true
+	case s.cfg.Lease > 0 && s.done > 0:
+		complete = true
+		now := s.clock()
+		for w := 0; w < s.cfg.Workers; w++ {
+			if s.finished[w] {
+				continue
+			}
+			if s.sessions.get(w) != nil || s.routes[w] != nil || now.Sub(s.departedAt[w]) <= s.cfg.Lease {
+				complete = false
+				break
 			}
 		}
-		s.allDoneClosed = complete
 	}
 	s.mu.Unlock()
 	if complete {
-		if s.coordinator() {
-			// Before AllWorkersDone closes: whatever stops the coordinator
-			// when it does cannot close a parked announce connection first.
-			s.cluster.endAnnounces()
-		}
-		close(s.allDone)
+		s.completeRun()
 	}
+}
+
+// completeRun closes AllWorkersDone, once. A coordinator first tells every
+// parked announcer, so whatever stops it when AllWorkersDone closes cannot
+// close a parked announce connection first.
+func (s *Server) completeRun() {
+	s.mu.Lock()
+	first := !s.allDoneClosed
+	s.allDoneClosed = true
+	s.mu.Unlock()
+	if !first {
+		return
+	}
+	if s.coordinator() {
+		s.cluster.endAnnounces()
+	}
+	close(s.allDone)
 }
 
 // Staleness returns the mean and the largest staleness of the updates applied

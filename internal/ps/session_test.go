@@ -401,6 +401,46 @@ func TestElasticCompletionWithPermanentDeparture(t *testing.T) {
 	}
 }
 
+// TestLeaseHoldsTheRunForAWorkerNotYetJoined: under a lease every slot holds
+// the run, one that has not joined yet for one lease from the server's first
+// admission, so a worker that finishes before its peer registers does not end
+// the run alone.
+func TestLeaseHoldsTheRunForAWorkerNotYetJoined(t *testing.T) {
+	srv, listener := startElasticServer(t, core.MustNewASP(2), ServerConfig{
+		Options: Options{Lease: 200 * time.Millisecond},
+	})
+	grad := []*tensor.Tensor{tensor.FromSlice([]float32{1, 1, 1, 1}, 4)}
+	c0 := dialClient(t, listener, 0)
+	for i := 0; i < 3; i++ {
+		if err := c0.PushAndWait(grad, int64(i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c0.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for srv.Status().Finished == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	c1 := dialClient(t, listener, 1) // inside the lease
+	select {
+	case <-srv.AllWorkersDone():
+		t.Fatal("the run completed while worker 1, which joined inside the lease, was still training")
+	case <-time.After(400 * time.Millisecond):
+	}
+	if err := c1.PushAndWait(grad, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Done(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-srv.AllWorkersDone():
+	case <-time.After(5 * time.Second):
+		t.Fatal("AllWorkersDone never fired after worker 1's Done")
+	}
+}
+
 // TestGracefulLeaveNotifiesPolicy: MsgLeave removes the worker like a crash
 // would, but by explicit request.
 func TestGracefulLeaveNotifiesPolicy(t *testing.T) {

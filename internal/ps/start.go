@@ -102,8 +102,14 @@ func (s *Server) runMember(dial func(string) (transport.Conn, error), entry tran
 		// progress decisions without it (DESIGN.md §10). A coordinator whose
 		// run completed says so on the stream before it stops, and announce
 		// returns nil, whenever this server's own workers' Done frames arrive.
-		if err := s.announce(dial, entry, backup); err != nil {
+		// A backup serves no workers until promoted: that Done is its end of
+		// the run.
+		err := s.announce(dial, entry, backup)
+		switch {
+		case err != nil:
 			s.fail(fmt.Errorf("ps: %s server lost the coordinator at %s: %w", c.Role, c.Coordinator, err))
+		case backup && !s.isStopped():
+			s.completeRun()
 		}
 	}()
 	if backup {
@@ -181,10 +187,10 @@ func (s *Server) isStopped() bool {
 
 // standBy is the backup's replication driver: it finds its primary in the
 // coordinator's cluster map, streams the primary's weights into the standby
-// store and, when the primary stays dead past the grace, asks the coordinator
-// to route the primary's shard range to this server. After promotion the
-// backup IS the shard owner — it has been serving the (now current) store all
-// along.
+// store and, when the primary stays dead past the grace while the run is not
+// complete, asks the coordinator to route the primary's shard range to this
+// server. After promotion the backup IS the shard owner — it has been serving
+// the (now current) store all along.
 func (s *Server) standBy(dial func(string) (transport.Conn, error), entry transport.ServerEntry) {
 	c := s.cfg.Cluster
 	primary, err := s.findPrimary(dial, entry)
@@ -203,6 +209,11 @@ func (s *Server) standBy(dial func(string) (transport.Conn, error), entry transp
 	if err != errPrimaryDead {
 		s.fail(fmt.Errorf("ps: backup replication: %w", err))
 		return
+	}
+	select {
+	case <-s.allDone:
+		return // the primary exited at the end of the run
+	default:
 	}
 	conn, err := dial(c.Coordinator)
 	if err != nil {

@@ -39,9 +39,8 @@ type treeRelay struct {
 // ranges transfer to the first surviving relay (its children re-parent at a
 // sibling), or, with no survivors, vanish (they re-parent at the root).
 type treeState struct {
-	mu      sync.Mutex
-	relays  []*treeRelay
-	version int64
+	mu     sync.Mutex
+	relays []*treeRelay
 }
 
 // add assigns the new relay the lowest worker indices not covered by any
@@ -77,7 +76,6 @@ func (t *treeState) add(sess *session, addr string, fanout, workers int) {
 		rel.ranges = append(rel.ranges, [2]int{start, end})
 	}
 	t.relays = append(t.relays, rel)
-	t.version++
 }
 
 // remove drops a dead relay from the layout, transferring its ranges to the
@@ -93,7 +91,6 @@ func (t *treeState) remove(sess *session) {
 		if len(t.relays) > 0 {
 			t.relays[0].ranges = append(t.relays[0].ranges, r.ranges...)
 		}
-		t.version++
 		return
 	}
 }
@@ -102,7 +99,7 @@ func (t *treeState) remove(sess *session) {
 // child-facing address, ShardLo/ShardHi the worker-index range [lo, hi) it
 // covers (the fields are reused; a tree-layout reply never describes store
 // shards) — sorted by range start.
-func (t *treeState) snapshot() ([]transport.ServerEntry, int64) {
+func (t *treeState) snapshot() []transport.ServerEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var entries []transport.ServerEntry
@@ -112,7 +109,7 @@ func (t *treeState) snapshot() ([]transport.ServerEntry, int64) {
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ShardLo < entries[j].ShardLo })
-	return entries, t.version
+	return entries
 }
 
 // relayAdmissible screens a trunk registration against configurations whose

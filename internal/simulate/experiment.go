@@ -55,23 +55,8 @@ type Figure struct {
 	ID string
 	// Title describes the experiment.
 	Title string
-	// Model and Cluster identify the workload.
-	Model   ModelProfile
-	Cluster ClusterSpec
-	// Epochs is the number of simulated epochs.
-	Epochs int
 	// Results holds one entry per curve, in legend order.
 	Results []ParadigmResult
-}
-
-// Result returns the named curve and whether it exists.
-func (f *Figure) Result(label string) (ParadigmResult, bool) {
-	for _, r := range f.Results {
-		if r.Label == label {
-			return r, true
-		}
-	}
-	return ParadigmResult{}, false
 }
 
 // runParadigm simulates one curve's policy on the given workload and converts
@@ -174,8 +159,7 @@ func RunFigure(id string, cfg ExperimentConfig) (*Figure, error) {
 	}
 	spec := paperFigures[i]
 	cfg = cfg.withDefaults()
-	fig := &Figure{ID: spec.id, Title: spec.title, Model: spec.model, Cluster: spec.cluster, Epochs: cfg.Epochs}
-	fig.Cluster.Workers = slices.Clone(spec.cluster.Workers) // the table's stays unshared
+	fig := &Figure{ID: spec.id, Title: spec.title}
 	for _, c := range spec.curves {
 		r, err := runParadigm(spec.model, spec.cluster, c, cfg)
 		if err != nil {

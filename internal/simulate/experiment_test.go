@@ -23,15 +23,36 @@ func timeToAccuracy(fig *Figure, target float64) map[string]time.Duration {
 	return out
 }
 
+// result returns fig's curve labelled label, failing tb when it has none.
+func result(tb testing.TB, fig *Figure, label string) ParadigmResult {
+	tb.Helper()
+	for _, r := range fig.Results {
+		if r.Label == label {
+			return r
+		}
+	}
+	tb.Fatalf("%s has no curve %q", fig.ID, label)
+	return ParadigmResult{}
+}
+
 func TestFigure3aShape(t *testing.T) {
+	if ids := FigureIDs(); len(ids) != 7 {
+		t.Fatalf("expected 7 figure ids, got %v", ids)
+	}
+	if _, err := RunFigure("fig99", shortCfg()); err == nil {
+		t.Fatal("expected error for unknown figure id")
+	}
 	fig, err := RunFigure("fig3a", shortCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsp, _ := fig.Result("BSP")
-	asp, _ := fig.Result("ASP")
-	dssp, _ := fig.Result("DSSP s=3 r=12")
-	avg, _ := fig.Result("Average SSP s=3 to 15")
+	if fig.ID != "fig3a" || len(fig.Results) != 4 {
+		t.Fatalf("unexpected figure %q with %d curves", fig.ID, len(fig.Results))
+	}
+	bsp := result(t, fig, "BSP")
+	asp := result(t, fig, "ASP")
+	dssp := result(t, fig, "DSSP s=3 r=12")
+	avg := result(t, fig, "Average SSP s=3 to 15")
 	if bsp.Curve == nil || asp.Curve == nil || dssp.Curve == nil || avg.Curve == nil {
 		t.Fatal("missing curves")
 	}
@@ -48,6 +69,9 @@ func TestFigure3aShape(t *testing.T) {
 	// Paper: DSSP/SSP/ASP converge much faster than BSP to mid-range
 	// accuracy; compare time to reach 0.55.
 	tt := timeToAccuracy(fig, 0.55)
+	if _, ok := tt["DSSP s=3 r=12"]; !ok {
+		t.Fatal("DSSP never reached 0.55")
+	}
 	if tt["DSSP s=3 r=12"] >= tt["BSP"] {
 		t.Fatalf("DSSP should reach 0.55 before BSP: %v vs %v", tt["DSSP s=3 r=12"], tt["BSP"])
 	}
@@ -65,10 +89,7 @@ func TestFigure3bDSSPCompetitiveWithSSPSweep(t *testing.T) {
 	if len(fig.Results) != 14 { // SSP s=3..15 plus DSSP
 		t.Fatalf("expected 14 curves, got %d", len(fig.Results))
 	}
-	dssp, ok := fig.Result("DSSP s=3 r=12")
-	if !ok {
-		t.Fatal("DSSP curve missing")
-	}
+	dssp := result(t, fig, "DSSP s=3 r=12")
 	// DSSP's final accuracy must be at least as high as the majority of the
 	// individual SSP thresholds (paper: higher than all but one).
 	better := 0
@@ -90,9 +111,9 @@ func TestFigure3cdResNet50Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsp, _ := fig.Result("BSP")
-	asp, _ := fig.Result("ASP")
-	dssp, _ := fig.Result("DSSP s=3 r=12")
+	bsp := result(t, fig, "BSP")
+	asp := result(t, fig, "ASP")
+	dssp := result(t, fig, "DSSP s=3 r=12")
 	// Paper: on conv-only models BSP completes 300 epochs first...
 	if bsp.Finish >= asp.Run.Finish {
 		t.Fatalf("BSP finish %v should be before ASP finish %v", bsp.Finish, asp.Run.Finish)
@@ -117,9 +138,9 @@ func TestFigure3eResNet110Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsp, _ := fig.Result("BSP")
-	dssp, _ := fig.Result("DSSP s=3 r=12")
-	avg, _ := fig.Result("Average SSP s=3 to 15")
+	bsp := result(t, fig, "BSP")
+	dssp := result(t, fig, "DSSP s=3 r=12")
+	avg := result(t, fig, "Average SSP s=3 to 15")
 	if bsp.FinalAccuracy >= dssp.FinalAccuracy {
 		t.Fatalf("BSP final accuracy %v should be below DSSP %v", bsp.FinalAccuracy, dssp.FinalAccuracy)
 	}
@@ -169,6 +190,11 @@ func TestTableIRowsAndOrdering(t *testing.T) {
 	for _, r := range rows {
 		byLabel[r.Paradigm] = r
 	}
+	for _, want := range []string{"BSP", "ASP", "SSP s=3", "SSP s=6", "SSP s=15", "DSSP s=3 r=12"} {
+		if _, ok := byLabel[want]; !ok {
+			t.Errorf("missing row %q", want)
+		}
+	}
 	dssp := byLabel["DSSP s=3 r=12"]
 	if !dssp.Reached067 {
 		t.Fatal("DSSP should reach 0.67 accuracy")
@@ -190,16 +216,26 @@ func TestSectionVCThroughputTrends(t *testing.T) {
 		t.Fatalf("expected trends for 3 models, got %d", len(trends))
 	}
 	for _, tr := range trends {
+		if len(tr.Order) != 4 {
+			t.Errorf("%s: expected 4 ordered paradigms, got %v", tr.Model, tr.Order)
+			continue
+		}
 		bsp, asp := tr.FinishTimes["BSP"], tr.FinishTimes["ASP"]
 		if tr.HasFullyConnected {
 			// FC-heavy: BSP is the slowest to complete.
 			if bsp <= asp {
 				t.Errorf("%s: BSP (%v) should be slower than ASP (%v)", tr.Model, bsp, asp)
 			}
+			if tr.Order[0] == "BSP" {
+				t.Errorf("%s: BSP should not be the fastest on an FC-heavy model", tr.Model)
+			}
 		} else {
 			// Conv-only: BSP completes first.
 			if bsp >= asp {
 				t.Errorf("%s: BSP (%v) should be faster than ASP (%v)", tr.Model, bsp, asp)
+			}
+			if tr.Order[0] != "BSP" {
+				t.Errorf("%s: BSP should be the fastest on a conv-only model, got %s", tr.Model, tr.Order[0])
 			}
 		}
 	}
@@ -230,15 +266,5 @@ func TestExperimentConfigDefaults(t *testing.T) {
 	filled := ExperimentConfig{}.withDefaults()
 	if filled.Epochs != 300 || filled.Points <= 0 {
 		t.Fatalf("withDefaults produced %+v", filled)
-	}
-}
-
-func TestFigureResultLookup(t *testing.T) {
-	fig := &Figure{Results: []ParadigmResult{{Label: "BSP"}}}
-	if _, ok := fig.Result("BSP"); !ok {
-		t.Fatal("existing label not found")
-	}
-	if _, ok := fig.Result("nope"); ok {
-		t.Fatal("missing label reported as found")
 	}
 }

@@ -173,8 +173,8 @@ type Message struct {
 	Version int64
 	// Tensors carries gradients (Push) or weights (Weights).
 	Tensors []WireTensor
-	// Total is, on a MsgClusterMap reply, the model's total tensor count (the
-	// group layout) or, on a tree-layout reply, the run's worker count.
+	// Total is, on a server-group MsgClusterMap reply, the model's total
+	// tensor count (the group layout).
 	Total int
 	// Codec, CodecTopK and CodecPull negotiate the gradient codec
 	// (internal/compress): on MsgRegister they carry the worker's requested

@@ -71,7 +71,9 @@ type Server struct {
 func (s *Server) Addr() string { return s.listener.Addr() }
 
 // Done returns a channel closed once training is complete: every worker
-// reported completion, or — on an elastic server — every live worker did.
+// reported completion, or — on an elastic server — every worker that is not
+// absent for longer than one lease did. A backup's closes when its
+// coordinator reports the run complete.
 func (s *Server) Done() <-chan struct{} { return s.inner.AllWorkersDone() }
 
 // Stop shuts the server down, writing a final checkpoint when configured.

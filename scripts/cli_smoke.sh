@@ -108,9 +108,11 @@ departed() {
 	echo "cli-smoke: $1 ended with 0 departures"
 }
 # joined <name> <port> <series> waits until <series> on the admin endpoint at
-# 127.0.0.1:<port> reads at least 1. A leasing server finishes once every
-# worker that has joined is done, so the slow worker must have joined before
-# the fast one starts, or the fast one can end the run alone.
+# 127.0.0.1:<port> reads at least 1. A leasing server holds the run for a
+# worker that has not joined for one lease from its first admission, so the
+# slow worker joins before the fast one starts: a process start slower than
+# the lease on a loaded machine cannot then leave the fast one to end the run
+# alone.
 joined() {
 	local i body
 	for i in $(seq 200); do
@@ -129,8 +131,8 @@ joined() {
 # coordinator connection would; worker 1 is the slow one, and it joins first:
 # a worker registers with the coordinator and then each data server in map
 # order, so once data server 1 holds its session every member does. A backup
-# serves no workers of its own, so it runs until it is told to stop once the
-# run is over.
+# serves no workers of its own: the coordinator's report that the run is
+# complete ends it, and it must exit 0 like every other member.
 start group-coord "$server" -addr 127.0.0.1:17180 -role coordinator -cluster-servers 2 -workers 2 -shards 4 \
 	"${lease[@]}" "${small[@]}"
 ready group-coord "parameter server listening"
@@ -145,11 +147,8 @@ for i in 1 0; do
 done
 start group-backup0 "$server" -addr 127.0.0.1:17183 -role backup -peers 127.0.0.1:17180 \
 	-cluster-servers 2 -cluster-index 0 -workers 2 -shards 4 "${lease[@]}"
-backup=$!
 ready group-backup0 "cluster backup replicating 127.0.0.1:17181,"
 echo "cli-smoke: the backup found data server 0 (127.0.0.1:17181) in the cluster map"
-ready group-coord "all workers finished"
-kill -TERM "$backup"
 finish group
 departed group-coord
 

@@ -396,8 +396,9 @@ aggtree-smoke:
 # the same iteration count, a coordinator with two data servers
 # (-shards 4 on every member, the group-wide count) whose workers run with
 # -reconnect 30s, plus a backup for index 0 started without its primary's
-# address, whose log must name data server 0's and which must exit 0 when the
-# run completes, and a root behind one relay
+# address, whose log must name data server 0's, at start and in its
+# end-of-run line with the positive store version it reached, and which must
+# exit 0 when the run completes, and a root behind one relay
 # with default flags and -tree workers — failing on any non-zero exit. The
 # group and the root lease at 200ms (-lease) while one worker of each job
 # computes 300ms an iteration with no heartbeat flag, and must end with 0

@@ -32,13 +32,6 @@ func (s *Server) Failed() <-chan struct{} { return s.inner.Failed() }
 // FailureErr returns the error that closed Failed, or nil.
 func (s *Server) FailureErr() error { return s.inner.FailureErr() }
 
-// Promoted reports whether this backup completed promotion to shard owner.
-func (s *Server) Promoted() bool { return s.inner.Promoted() }
-
-// ClusterMap returns a coordinator's current map entries and map version
-// (nil, 0 on every other role).
-func (s *Server) ClusterMap() ([]transport.ServerEntry, int64) { return s.inner.ClusterMap() }
-
 // clusterSnapshot assembles the group's full weight vector by reading every
 // data server through a read-only replica session — registration-free as far
 // as the paradigm is concerned, so evaluation never perturbs synchronization.

@@ -228,10 +228,10 @@ func TestClusterFailoverPromotesBackup(t *testing.T) {
 	if n := c.Coordinator.Status().Rejoins; n != 0 {
 		t.Errorf("coordinator saw %d rejoins; failover must not re-register workers", n)
 	}
-	if n := c.Coordinator.Dropped(); n != 0 {
+	if n := c.Coordinator.Status().Dropped; n != 0 {
 		t.Errorf("coordinator dropped %d updates during failover", n)
 	}
-	if !c.Backups[0].Promoted() {
+	if !c.Backups[0].Status().Promoted {
 		t.Error("backup does not report promotion")
 	}
 	if acc := c.Evaluate(); acc < 0.5 {
@@ -265,7 +265,7 @@ func TestClusterBackupEndsWithItsGroup(t *testing.T) {
 		t.Fatalf("backup failed after a complete run: %v", backup.FailureErr())
 	case <-time.After(3 * time.Second): // past the 2s grace
 	}
-	if backup.Promoted() {
+	if backup.Status().Promoted {
 		t.Fatal("backup promoted after a complete run")
 	}
 }
@@ -403,7 +403,7 @@ func TestClusterSmoke(t *testing.T) {
 		total += r.Iterations
 	}
 	c.WaitDone(60 * time.Second)
-	if v := c.Coordinator.Version(); v != int64(total) {
+	if v := c.Coordinator.Status().Version; v != int64(total) {
 		t.Errorf("coordinator clock %d does not match the %d pushed iterations", v, total)
 	}
 	if acc := c.Evaluate(); acc < 0.7 {
@@ -476,7 +476,7 @@ func TestDataServerShardCountMismatchRefused(t *testing.T) {
 	if err := data.FailureErr(); !strings.Contains(err.Error(), "shard range") || !strings.Contains(err.Error(), "outside [0, 2)") {
 		t.Fatalf("refusal %q is not the shard-range error", err)
 	}
-	if entries, _ := coord.ClusterMap(); len(entries) != 0 {
+	if entries := coord.Status().Map; len(entries) != 0 {
 		t.Fatalf("the refused data server entered the map: %+v", entries)
 	}
 }

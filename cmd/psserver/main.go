@@ -106,6 +106,7 @@ import (
 
 	"dssp"
 	"dssp/internal/core"
+	"dssp/internal/ps"
 )
 
 // roleRelay is -role's value for an aggregation relay; the server roles are
@@ -311,8 +312,8 @@ func run(cfg dssp.ServerConfig, traceDump bool) error {
 		}
 		fmt.Printf("cluster backup replicating %s, promotion via coordinator %s\n", server.Status().Primary, cfg.Cluster.Coordinator)
 	}
-	if server.Restored() {
-		fmt.Printf("restored checkpoint from %s at version %d\n", cfg.Checkpoint.Dir, server.Version())
+	if st := server.Status(); st.Restored {
+		fmt.Printf("restored checkpoint from %s at version %d\n", cfg.Checkpoint.Dir, st.Version)
 	}
 	if cfg.MetricsAddr != "" {
 		fmt.Printf("admin endpoint on http://%s (/metrics, /healthz, /statusz, /debug/pprof)\n", server.MetricsAddr())
@@ -326,13 +327,15 @@ func run(cfg dssp.ServerConfig, traceDump bool) error {
 	case <-server.Done():
 		// One consistent snapshot feeds the whole summary.
 		st := server.Status()
-		fmt.Printf("all workers finished: %d updates applied, %d releases, %d departures, %d rejoins (store version %d)\n",
-			st.Pushes, st.Releases, st.Departures, st.Rejoins, st.Version)
+		fmt.Println(summary(cfg.Cluster.Role, st))
 		if st.Guard.DroppedPushes > 0 || len(st.Guard.Evicted) > 0 {
 			fmt.Printf("guard: %d pushes rejected, %d workers evicted\n", st.Guard.DroppedPushes, len(st.Guard.Evicted))
 		}
-		if acc, err := server.Evaluate(); err == nil {
-			fmt.Printf("final model accuracy on held-out data: %.4f\n", acc)
+		// Only a flat server and a coordinator hold the whole model.
+		if cfg.Cluster.Role == "" || cfg.Cluster.Role == dssp.RoleCoordinator {
+			if acc, err := server.Evaluate(); err == nil {
+				fmt.Printf("final model accuracy on held-out data: %.4f\n", acc)
+			}
 		}
 	case s := <-sigs:
 		st := server.Status()
@@ -348,8 +351,24 @@ func run(cfg dssp.ServerConfig, traceDump bool) error {
 	// Stop writes the final checkpoint (with -checkpoint-every 0 it is the
 	// only one), so the failure check must come after it.
 	server.Stop()
-	if err := server.CheckpointError(); err != nil {
-		fmt.Printf("warning: checkpoint write failed: %v\n", err)
+	if err := server.Status().CheckpointError; err != "" {
+		fmt.Printf("warning: checkpoint write failed: %s\n", err)
 	}
 	return nil
+}
+
+// summary is a server role's end-of-run line. A backup serves no workers
+// of its own: its line names the primary it replicated, the store version it
+// reached and whether it took the primary's place.
+func summary(role string, st ps.ServerStatus) string {
+	switch role {
+	case dssp.RoleBackup:
+		return fmt.Sprintf("run complete: backup of %s at store version %d, promoted %t",
+			st.Primary, st.Version, st.Promoted)
+	case dssp.RoleData:
+		return fmt.Sprintf("all workers finished: %d fragments applied, %d departures, %d rejoins (store version %d)",
+			st.Pushes, st.Departures, st.Rejoins, st.Version)
+	}
+	return fmt.Sprintf("all workers finished: %d updates applied, %d releases, %d departures, %d rejoins (store version %d)",
+		st.Pushes, st.Releases, st.Departures, st.Rejoins, st.Version)
 }

@@ -3,17 +3,18 @@
 // server framework it runs on and the classic synchronization paradigms it is
 // compared against (BSP, ASP and SSP).
 //
-// The package offers three entry points:
+// The package offers two entry points:
 //
 //   - Train runs real data-parallel SGD on a single machine: worker
 //     goroutines with their own model replicas exchange gradients and weights
 //     with an in-process parameter server under the chosen paradigm.
 //   - Serve and RunWorker deploy the same parameter server and worker over
-//     TCP for multi-process or multi-machine training.
-//   - Figure and TableI regenerate the paper's evaluation on the built-in
-//     cluster simulator.
+//     TCP for multi-process or multi-machine training; ServeRelay adds the
+//     aggregation tier between them.
 //
-// The underlying building blocks (synchronization policies, tensors, neural
+// The paper's evaluation is regenerated on the built-in cluster simulator by
+// the dsspsim command (dsspsim -exp all), not through this package. The
+// underlying building blocks (synchronization policies, tensors, neural
 // network layers, the simulator) live in internal packages; this package is
 // the stable public surface.
 package dssp

@@ -268,7 +268,7 @@ func (c *Cluster) kill(s *dssp.Server) {
 func (c *Cluster) WaitPromoted(i int, timeout time.Duration) {
 	c.t.Helper()
 	deadline := time.Now().Add(timeout)
-	for !c.Backups[i].Promoted() {
+	for !c.Backups[i].Status().Promoted {
 		if time.Now().After(deadline) {
 			c.t.Fatalf("clustertest: backup %d not promoted within %v", i, timeout)
 		}

@@ -304,8 +304,8 @@ func TestServerCheckpointsPeriodicallyAndOnStop(t *testing.T) {
 	c.Close()
 	srv.Stop()
 	listener.Close()
-	if err := srv.CheckpointError(); err != nil {
-		t.Fatalf("checkpoint error: %v", err)
+	if err := srv.Status().CheckpointError; err != "" {
+		t.Fatalf("checkpoint error: %s", err)
 	}
 
 	restored, err := NewStoreSharded([]*tensor.Tensor{tensor.New(4)}, optimizer.NewSGD(1.0), 0)

@@ -480,14 +480,3 @@ func (s *Server) checkEntry(msg transport.Message) (transport.ServerEntry, error
 
 // coordinator reports whether this server is a group's coordinator.
 func (s *Server) coordinator() bool { return s.cfg.Cluster.Role == RoleCoordinator }
-
-// ClusterMap snapshots the coordinator's current map (nil on non-coordinator
-// servers): the entries in shard order and the map version.
-func (s *Server) ClusterMap() ([]transport.ServerEntry, int64) {
-	if !s.coordinator() {
-		return nil, 0
-	}
-	s.cluster.mu.Lock()
-	defer s.cluster.mu.Unlock()
-	return append([]transport.ServerEntry(nil), s.cluster.entries...), s.cluster.mapVersion
-}

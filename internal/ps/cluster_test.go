@@ -599,8 +599,8 @@ func TestReplicaSessionIsReadOnly(t *testing.T) {
 	if err := worker.PushAndWait(scheduledGrads(0, 1), 0, 0); err != nil {
 		t.Fatalf("worker push alongside replica: %v", err)
 	}
-	if srv.Pushes() != 1 {
-		t.Fatalf("server counted %d pushes, want 1", srv.Pushes())
+	if srv.Status().Pushes != 1 {
+		t.Fatalf("server counted %d pushes, want 1", srv.Status().Pushes)
 	}
 }
 
@@ -758,7 +758,7 @@ func TestClusterTrainingBitIdenticalToSingleServer(t *testing.T) {
 				}
 				// The coordinator's clock ran one tick per push — the single
 				// serialization point saw the whole schedule.
-				if v := g.coord.Pushes(); v != workers*iters {
+				if v := int(g.coord.Status().Pushes); v != workers*iters {
 					t.Fatalf("coordinator saw %d pushes, want %d", v, workers*iters)
 				}
 			})
@@ -904,7 +904,7 @@ func TestBackupFindsItsPrimaryInTheMap(t *testing.T) {
 
 	g.data[i].Stop()
 	deadline = time.Now().Add(10 * time.Second)
-	for !backup.Promoted() {
+	for !backup.Status().Promoted {
 		if err := backup.FailureErr(); err != nil {
 			t.Fatalf("backup failed instead of promoting: %v", err)
 		}
@@ -1003,11 +1003,11 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	if client.mapVersion <= oldMap {
 		t.Fatalf("client never adopted the promoted map (version %d)", client.mapVersion)
 	}
-	if promoted.Pushes() == 0 {
+	if promoted.Status().Pushes == 0 {
 		t.Fatal("promoted backup received no pushes")
 	}
-	if promoted.Dropped() != 0 {
-		t.Fatalf("promoted backup dropped %d pushes", promoted.Dropped())
+	if promoted.Status().Dropped != 0 {
+		t.Fatalf("promoted backup dropped %d pushes", promoted.Status().Dropped)
 	}
 	// The promotion path never used checkpoint-restore: the standby carried
 	// straight on from the replication stream. The reference mirrors that

@@ -211,7 +211,7 @@ func TestConnectGroup(t *testing.T) {
 	if n := g.coord.Status().Rejoins; n != 1 {
 		t.Fatalf("coordinator counted %d rejoins after a rejoin connect, want 1", n)
 	}
-	if n := g.coord.Pushes(); n != 2 {
+	if n := g.coord.Status().Pushes; n != 2 {
 		t.Fatalf("coordinator counted %d pushes, want one per connect", n)
 	}
 }

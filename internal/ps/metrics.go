@@ -9,9 +9,8 @@ import (
 // serverMetrics is the server's live instrumentation bundle: every counter,
 // gauge and histogram the push/pull/session/checkpoint paths touch,
 // resolved once at construction so the hot paths pay only atomic updates.
-// The unified counters here are the single source of truth the public
-// accessors (Pushes, Dropped, Staleness, Waits, GuardStats) and the /statusz
-// snapshot read — there is no second, ad-hoc set of fields to drift from.
+// The unified counters here are the single source of truth the Status
+// snapshot reads — there is no second, ad-hoc set of fields to drift from.
 type serverMetrics struct {
 	pushes       *obs.Counter
 	droppedGuard *obs.Counter

@@ -412,7 +412,7 @@ func TestStalenessObserveOffByOneCoalesced(t *testing.T) {
 	// The second ticket is assigned under policyMu before the release goes
 	// out; wait until the server has counted both pushes.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Pushes() < 2 {
+	for srv.Status().Pushes < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("server never counted the queued push")
 		}
@@ -498,7 +498,7 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 			good := connect(workers - 1)
 			go func() { okCh <- good.PushAndWait([]*tensor.Tensor{tensor.Full(0.1, 4)}, 0, 0) }()
 			deadline := time.Now().Add(5 * time.Second)
-			for srv.Pushes() < 1 {
+			for srv.Status().Pushes < 1 {
 				if time.Now().After(deadline) {
 					t.Fatal("server never counted the good push")
 				}
@@ -675,7 +675,7 @@ func TestStaleGatedReleaseNeverReachesSuccessorSession(t *testing.T) {
 			<-gate.entered
 			left := push(leaver)
 			deadline := time.Now().Add(2 * time.Second)
-			for srv.Pushes() < 2 {
+			for srv.Status().Pushes < 2 {
 				if time.Now().After(deadline) {
 					t.Fatal("server never counted the second push")
 				}

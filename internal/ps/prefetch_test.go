@@ -49,7 +49,7 @@ func TestPrefetchDiesWithItsTenure(t *testing.T) {
 	go func() { stayed <- stayer.PushAndWait(grad, 0, 0) }()
 	<-gate.entered
 	go func() { left <- leaver.pushAndWait(grad, nil, 0, 0, true) }()
-	waitFor(t, "the server never counted the flagged push", func() bool { return srv.Pushes() >= 2 })
+	waitFor(t, "the server never counted the flagged push", func() bool { return srv.Status().Pushes >= 2 })
 	if err := leaver.conn.Send(transport.Message{Type: transport.MsgLeave, Worker: 0}); err != nil {
 		t.Fatal(err)
 	}

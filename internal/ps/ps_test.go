@@ -210,11 +210,11 @@ func TestServerASPWorkersRunIndependently(t *testing.T) {
 	if version != 10 {
 		t.Fatalf("store version = %d, want 10", version)
 	}
-	if srv.Pushes() != 10 {
-		t.Fatalf("server counted %d pushes, want 10", srv.Pushes())
+	if srv.Status().Pushes != 10 {
+		t.Fatalf("server counted %d pushes, want 10", srv.Status().Pushes)
 	}
 	// All pushes used fresh weights, so staleness must be 0 throughout.
-	if _, max := srv.Staleness(); max != 0 {
+	if max := srv.Status().MaxStaleness; max != 0 {
 		t.Fatalf("max staleness = %d, want 0", max)
 	}
 }
@@ -278,11 +278,11 @@ func TestServerSSPTracksStalenessWithinBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, max := srv.Staleness(); max < 1 {
+	if max := srv.Status().MaxStaleness; max < 1 {
 		t.Fatalf("expected staleness to be recorded, max = %d", max)
 	}
-	if srv.Pushes() != 4 {
-		t.Fatalf("pushes = %d, want 4", srv.Pushes())
+	if srv.Status().Pushes != 4 {
+		t.Fatalf("pushes = %d, want 4", srv.Status().Pushes)
 	}
 }
 
@@ -322,7 +322,7 @@ func TestWaitsAccumulateAndClampAtZero(t *testing.T) {
 		done := make(chan error, 1)
 		go func() { done <- clients[0].PushAndWait(grad, 0, it) }()
 		deadline := time.Now().Add(2 * time.Second)
-		for srv.Pushes() < 2*it+1 {
+		for int(srv.Status().Pushes) < 2*it+1 {
 			if time.Now().After(deadline) {
 				t.Fatal("server never counted worker 0's push")
 			}
@@ -339,15 +339,15 @@ func TestWaitsAccumulateAndClampAtZero(t *testing.T) {
 	round(0, 10, 5)  // the clock stepped back: worker 0 waited -5 s, counted as 0
 	round(1, 20, 23) // worker 0 waits 3 s
 	round(2, 30, 31) // and 1 s more
-	waits := srv.Waits()
-	if len(waits) != 2 || waits[0] != 4*time.Second || waits[1] != 0 {
-		t.Fatalf("waits %v, want [4s 0s]", waits)
+	waits := srv.Status().WaitSeconds
+	if len(waits) != 2 || waits[0] != 4 || waits[1] != 0 {
+		t.Fatalf("waits %v s, want [4 0]", waits)
 	}
 }
 
-// TestStalenessAndWaitsReadableMidRun reads Staleness and Waits while two
-// workers push: under -race, the registry series they read are safe to read
-// mid-run.
+// TestStalenessAndWaitsReadableMidRun reads the staleness and waits of
+// Status while two workers push: under -race, the registry series they read
+// are safe to read mid-run.
 func TestStalenessAndWaitsReadableMidRun(t *testing.T) {
 	srv, clients := startTestServer(t, core.MustNewSSP(2, 1), testStore(t, 2))
 	grad := []*tensor.Tensor{tensor.FromSlice([]float32{1, 1}, 2)}
@@ -369,13 +369,12 @@ func TestStalenessAndWaitsReadableMidRun(t *testing.T) {
 	for reads := 0; ; reads++ {
 		select {
 		case <-done:
-			if mean, max := srv.Staleness(); mean <= 0 || max < 1 || reads == 0 {
-				t.Fatalf("after %d mid-run reads: mean %v, max %d; want positive staleness", reads, mean, max)
+			if st := srv.Status(); st.MeanStaleness <= 0 || st.MaxStaleness < 1 || reads == 0 {
+				t.Fatalf("after %d mid-run reads: mean %v, max %d; want positive staleness", reads, st.MeanStaleness, st.MaxStaleness)
 			}
 			return
 		default:
-			srv.Staleness()
-			srv.Waits()
+			srv.Status()
 		}
 	}
 }

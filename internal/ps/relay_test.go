@@ -266,7 +266,7 @@ func TestRelayAggregatesUnderBSP(t *testing.T) {
 		}
 	}
 
-	if got := h.server.Pushes(); got != workers*iters {
+	if got := int(h.server.Status().Pushes); got != workers*iters {
 		t.Errorf("policy saw %d pushes, want %d", got, workers*iters)
 	}
 	if v := st.Version(); v != int64(workers*iters) {
@@ -506,8 +506,8 @@ func TestTrunkSpeaksOnlyForSlotsItRoutes(t *testing.T) {
 	if c := policy.Clock(0); c != 0 {
 		t.Errorf("policy counted %d pushes for worker 0, want 0: the entry's carrier was not the trunk", c)
 	}
-	if srv.Pushes() != 0 || st.Version() != 0 {
-		t.Errorf("void push applied: %d pushes, store version %d", srv.Pushes(), st.Version())
+	if srv.Status().Pushes != 0 || st.Version() != 0 {
+		t.Errorf("void push applied: %d pushes, store version %d", srv.Status().Pushes, st.Version())
 	}
 	if f := srv.Status().Finished; f != 0 {
 		t.Errorf("stale Done finished %d workers, want 0", f)
@@ -582,9 +582,9 @@ func TestRelayStalledChildDoesNotDelaySiblingOK(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for h.server.Pushes() < pushes-1 {
+	for int(h.server.Status().Pushes) < pushes-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("root applied %d of the stalled child's pushes, want %d", h.server.Pushes(), pushes-1)
+			t.Fatalf("root applied %d of the stalled child's pushes, want %d", h.server.Status().Pushes, pushes-1)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -70,9 +70,10 @@ const DefaultTraceEvery = 64
 // accounting without restarting the run.
 //
 // Requests are handled on the connection goroutines themselves rather than
-// being funneled through a central run loop. Pulls touch only the store's
-// per-shard read locks, so any number of workers pull concurrently and a
-// pull streams each shard to the wire as soon as that shard is unlocked.
+// being funneled through a central run loop. A pull pins each shard's
+// current generation, holding no lock past the grab, and is answered with one
+// Weights frame sent over the pinned generations (handlePull), so any number
+// of workers pull concurrently, and a pull overlaps an in-flight push.
 //
 // The push path is a pipeline. Only the cheap, ordering-sensitive step runs
 // under policyMu: the policy decision, the ticket (version) assignment via
@@ -144,8 +145,8 @@ type Server struct {
 	// reg is the metrics registry (cfg.Metrics or a private one), sm the
 	// resolved instrument bundle, tracer the sampled push-lifecycle tracer
 	// (nil when disabled). The registry's atomics are the only counters the
-	// server keeps: the public accessors, the end-of-run summary and the
-	// /statusz snapshot all read the same series a /metrics scrape exports.
+	// server keeps: Status, which the end-of-run summary and /statusz print,
+	// reads the same series a /metrics scrape exports.
 	reg    *obs.Registry
 	sm     *serverMetrics
 	tracer *obs.PushTracer
@@ -1147,14 +1148,6 @@ func (s *Server) recordCheckpointErr(err error) {
 	s.mu.Unlock()
 }
 
-// CheckpointError returns the most recent checkpoint write failure, if any.
-// Checkpoint saves are best-effort: a failure never interrupts training.
-func (s *Server) CheckpointError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ckptErr
-}
-
 // decodePayload converts a push message's payload into gradient tensors,
 // decompressing packed payloads under speaks, the codec the hop negotiated,
 // and reports the payload's size in Client.Traffic units. A compressed push
@@ -1359,15 +1352,6 @@ func (s *Server) shrinkWindow() {
 	s.cfg.Store.Flush()
 }
 
-// GuardStats snapshots the anomaly guard's accounting (zero when the guard
-// is disabled). Safe to call at any time; typically read after the run.
-func (s *Server) GuardStats() GuardStats {
-	if s.guard == nil {
-		return GuardStats{}
-	}
-	return s.guard.stats()
-}
-
 // checkAllDone closes AllWorkersDone when training is complete. The classic
 // condition is every worker slot reporting Done. An elastic server also
 // completes when every slot is finished or absent for good — a permanently
@@ -1420,35 +1404,6 @@ func (s *Server) completeRun() {
 	close(s.allDone)
 }
 
-// Staleness returns the mean and the largest staleness of the updates applied
-// so far (the version a push landed at, minus one, minus the version its
-// gradient was computed from; clamped at 0), read from dssp_push_staleness
-// and dssp_push_staleness_max. Safe to call mid-run; the mean is 0 before
-// the first update.
-func (s *Server) Staleness() (mean float64, max int) {
-	if n := s.sm.staleness.Count(); n > 0 {
-		mean = s.sm.staleness.Sum() / float64(n)
-	}
-	return mean, int(s.sm.stalenessMax.Value())
-}
-
-// Waits returns each worker slot's accumulated wait from push to release,
-// read from dssp_worker_wait_seconds. Safe to call mid-run.
-func (s *Server) Waits() []time.Duration {
-	out := make([]time.Duration, len(s.sm.waits))
-	for w, g := range s.sm.waits {
-		out[w] = time.Duration(g.Value() * float64(time.Second))
-	}
-	return out
-}
-
-// Pushes returns the number of gradient updates applied.
-func (s *Server) Pushes() int { return int(s.sm.pushes.Value()) }
-
-// Dropped returns the number of pushed updates the anomaly guard rejected
-// without reaching the store.
-func (s *Server) Dropped() int { return int(s.sm.droppedGuard.Value()) }
-
 // Registry returns the metrics registry the server's instrumentation lives
 // on (the one passed via ServerConfig.Metrics, or the private one created in
 // its absence). Scrape it with obs.Registry.WriteProm or snapshot it with
@@ -1467,15 +1422,23 @@ type SessionStatus struct {
 }
 
 // ServerStatus is a point-in-time introspection snapshot of the server — the
-// payload /statusz serves and the single consistent source the end-of-run
-// summary prints from.
+// payload /statusz serves, and the one read path for a server's state, which
+// the end-of-run summaries and the in-process trainer's result read.
 type ServerStatus struct {
 	Workers  int  `json:"workers"`
 	Elastic  bool `json:"elastic"`
 	Finished int  `json:"finished"`
+	// Restored records that Start resumed from a checkpoint.
+	Restored bool `json:"restored"`
 	// Primary is, on a backup, the data server it replicates, once found
-	// in the coordinator's cluster map.
-	Primary string `json:"primary,omitempty"`
+	// in the coordinator's cluster map; Promoted, that the backup has taken
+	// over the primary's shard range.
+	Primary  string `json:"primary,omitempty"`
+	Promoted bool   `json:"promoted,omitempty"`
+	// Map and MapVersion are, on a coordinator, the group's cluster map: its
+	// entries in shard order and its version.
+	Map        []transport.ServerEntry `json:"map,omitempty"`
+	MapVersion int64                   `json:"map_version,omitempty"`
 
 	Version    int64 `json:"version"`
 	Reserved   int64 `json:"reserved"`
@@ -1489,19 +1452,35 @@ type ServerStatus struct {
 	Departures uint64 `json:"departures"`
 	Rejoins    uint64 `json:"rejoins"`
 
+	// MeanStaleness and MaxStaleness describe the updates applied so far
+	// (the version a push landed at, minus one, minus the version its
+	// gradient was computed from; clamped at 0): dssp_push_staleness's
+	// sum over its count (0 before the first update) and
+	// dssp_push_staleness_max.
+	MeanStaleness float64 `json:"mean_staleness"`
+	MaxStaleness  int     `json:"max_staleness"`
+	// WaitSeconds is each worker slot's accumulated wait from push to
+	// release, dssp_worker_wait_seconds.
+	WaitSeconds []float64 `json:"wait_seconds"`
+
+	// Guard is the anomaly guard's accounting, zero when it is disabled;
+	// CheckpointError, the most recent checkpoint write failure (saves are
+	// best-effort: a failure never interrupts training).
 	Guard           GuardStats      `json:"guard"`
 	CheckpointError string          `json:"checkpoint_error,omitempty"`
 	TracesCompleted uint64          `json:"traces_completed,omitempty"`
 	Sessions        []SessionStatus `json:"sessions"`
 }
 
-// Status snapshots the server's live state for /statusz and end-of-run
-// reporting. Counters come from the same registry series /metrics exports;
-// the snapshot is internally consistent per field, not atomic across fields.
+// Status snapshots the server's live state. Counters come from the same
+// registry series /metrics exports; the snapshot is internally consistent per
+// field, not atomic across fields. Safe to call at any time.
 func (s *Server) Status() ServerStatus {
 	st := ServerStatus{
 		Workers:         s.cfg.Workers,
 		Elastic:         s.cfg.Lease > 0,
+		Restored:        s.restored,
+		Promoted:        s.promoted.Load(),
 		Version:         s.cfg.Store.Version(),
 		Reserved:        s.cfg.Store.Reserved(),
 		QueueDepth:      s.cfg.Store.QueueDepth(),
@@ -1512,15 +1491,31 @@ func (s *Server) Status() ServerStatus {
 		Releases:        s.sm.releases.Value(),
 		Departures:      s.sm.departures.Value(),
 		Rejoins:         s.sm.rejoins.Value(),
-		Guard:           s.GuardStats(),
+		MaxStaleness:    int(s.sm.stalenessMax.Value()),
+		WaitSeconds:     make([]float64, len(s.sm.waits)),
 		TracesCompleted: s.tracer.Total(),
 	}
 	st.Primary, _ = s.primary.Load().(string)
-	if err := s.CheckpointError(); err != nil {
-		st.CheckpointError = err.Error()
+	if s.coordinator() {
+		s.cluster.mu.Lock()
+		st.Map = append([]transport.ServerEntry(nil), s.cluster.entries...)
+		st.MapVersion = s.cluster.mapVersion
+		s.cluster.mu.Unlock()
+	}
+	if n := s.sm.staleness.Count(); n > 0 {
+		st.MeanStaleness = s.sm.staleness.Sum() / float64(n)
+	}
+	for w, g := range s.sm.waits {
+		st.WaitSeconds[w] = g.Value()
+	}
+	if s.guard != nil {
+		st.Guard = s.guard.stats()
 	}
 	s.mu.Lock()
 	st.Finished = s.done
+	if s.ckptErr != nil {
+		st.CheckpointError = s.ckptErr.Error()
+	}
 	s.mu.Unlock()
 	sessions := s.sessions.list()
 	st.Sessions = make([]SessionStatus, 0, len(sessions))

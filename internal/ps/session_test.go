@@ -217,7 +217,7 @@ func testHeartbeatsKeepSlowWorkerAlive(t *testing.T, carrier string) {
 	if got := srv.Status().Departures; got != 0 {
 		t.Fatalf("heartbeating worker was evicted (%d departures)", got)
 	}
-	if got := srv.Pushes(); got != 2 {
+	if got := srv.Status().Pushes; got != 2 {
 		t.Fatalf("pushes = %d, want 2", got)
 	}
 }

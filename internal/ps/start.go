@@ -281,12 +281,6 @@ func (s *Server) FailureErr() error {
 	}
 }
 
-// Promoted reports whether this backup completed promotion to shard owner.
-func (s *Server) Promoted() bool { return s.promoted.Load() }
-
-// Restored reports whether Start resumed from an existing checkpoint.
-func (s *Server) Restored() bool { return s.restored }
-
 // Store returns the store the server serves: the whole model on a flat
 // server, its shard range on a data server or backup, a placeholder on a
 // coordinator.

@@ -245,7 +245,7 @@ func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*ser
 	// Return once every data server is in the map, so the topology a worker
 	// meets is the one it will train against.
 	for err == nil {
-		if entries, _ := s.servers[0].ClusterMap(); len(entries) == cfg.ClusterServers {
+		if len(s.servers[0].Status().Map) == cfg.ClusterServers {
 			break
 		}
 		err = s.failure()

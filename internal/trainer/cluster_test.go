@@ -135,8 +135,8 @@ func TestWorkerLoopRejoinsGroup(t *testing.T) {
 	if coord.Status().Rejoins != 1 {
 		t.Errorf("coordinator counted %d rejoins, want 1", coord.Status().Rejoins)
 	}
-	if coord.Pushes() != iterations+1 {
-		t.Errorf("coordinator counted %d pushes, want %d: every iteration once, the cut one twice", coord.Pushes(), iterations+1)
+	if n := int(coord.Status().Pushes); n != iterations+1 {
+		t.Errorf("coordinator counted %d pushes, want %d: every iteration once, the cut one twice", n, iterations+1)
 	}
 	select {
 	case <-coord.AllWorkersDone():
@@ -158,7 +158,7 @@ func TestGroupDataServersRunTheirRoleOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer group.stop()
-	entries, _ := group.policyServer.ClusterMap()
+	entries := group.policyServer.Status().Map
 	if len(entries) != 2 {
 		t.Fatalf("map lists %d data servers, want 2", len(entries))
 	}

@@ -220,9 +220,9 @@ func Run(cfg Config) (*Result, error) {
 				crashedMu.Unlock()
 			}
 			lossMu.Lock()
-			lastLoss = report.Loss
-			pushedBytes += report.Pushed
-			pulledBytes += report.Pulled
+			lastLoss = report.FinalLoss
+			pushedBytes += report.PushedBytes
+			pulledBytes += report.PulledBytes
 			lossMu.Unlock()
 		}(w)
 	}
@@ -286,11 +286,14 @@ poll:
 	evaluate()
 
 	result.Duration = time.Since(start)
-	result.MeanStaleness, result.MaxStaleness = srv.policyServer.Staleness()
-	result.Waits = srv.policyServer.Waits()
-	result.Updates = srv.policyServer.Pushes()
-	result.Dropped = srv.policyServer.Dropped()
-	result.Guard = srv.policyServer.GuardStats()
+	st := srv.policyServer.Status()
+	result.MeanStaleness, result.MaxStaleness = st.MeanStaleness, st.MaxStaleness
+	result.Waits = make([]time.Duration, len(st.WaitSeconds))
+	for w, sec := range st.WaitSeconds {
+		result.Waits[w] = time.Duration(sec * float64(time.Second))
+	}
+	result.Updates, result.Dropped = int(st.Pushes), int(st.Dropped)
+	result.Guard = st.Guard
 	result.Metrics = srv.policyServer.Registry().Snapshot()
 	crashedMu.Lock()
 	result.Crashed = crashed

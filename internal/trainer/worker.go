@@ -50,16 +50,17 @@ type Worker struct {
 type WorkerReport struct {
 	// Iterations is the number of mini-batches whose push was released.
 	Iterations int
-	// Loss is the last mini-batch's training loss.
-	Loss float64
+	// FinalLoss is the last mini-batch's training loss.
+	FinalLoss float64
 	// Duration is the wall-clock time from the first registration to the end.
 	Duration time.Duration
-	// Pushed and Pulled are payload bytes summed over every client the
-	// worker used, Reconnects how many it used beyond the first, and Codec
-	// what the last one negotiated.
-	Pushed, Pulled int64
-	Reconnects     int
-	Codec          string
+	// PushedBytes and PulledBytes are payload bytes summed over every client
+	// the worker used, Reconnects how many it used beyond the first (each a
+	// redial and rejoin after a lost connection), and Codec what the last
+	// one negotiated (useful when the compression was left on auto).
+	PushedBytes, PulledBytes int64
+	Reconnects               int
+	Codec                    string
 	// Crashed reports a run ended by CrashAt or by an adversary's eviction.
 	Crashed bool
 }
@@ -98,8 +99,8 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 		w.Replica.DetachParams(false)
 		w.Replica.DetachGrads()
 		pushed, pulled := client.Traffic()
-		report.Pushed += pushed
-		report.Pulled += pulled
+		report.PushedBytes += pushed
+		report.PulledBytes += pulled
 		report.Codec = client.Codec()
 		_ = client.Close()
 		client = nil
@@ -154,7 +155,7 @@ func RunWorker(w Worker) (report WorkerReport, err error) {
 				return report, err
 			}
 			x, labels := w.Batches.Next()
-			report.Loss, _ = w.Replica.Loss(x, labels, true)
+			report.FinalLoss, _ = w.Replica.Loss(x, labels, true)
 			// The gradients land where the push is sent from when the client
 			// has such a place free now (ps.ClusterClient.PushSlot), in the
 			// replica's own storage otherwise; asked before every pass,

@@ -230,9 +230,9 @@ func TestWorkerLoopTable(t *testing.T) {
 								t.Errorf("link %d: closed=%v usedAfterClose=%v", l.id, l.closed, l.usedAfterClose)
 							}
 						}
-						if report.Pushed != pushed || report.Pulled != pulled {
+						if report.PushedBytes != pushed || report.PulledBytes != pulled {
 							t.Errorf("traffic %d/%d, want the sum over %d links %d/%d",
-								report.Pushed, report.Pulled, len(st.links), pushed, pulled)
+								report.PushedBytes, report.PulledBytes, len(st.links), pushed, pulled)
 						}
 						if want := fmt.Sprintf("codec-%d", len(st.links)-1); report.Codec != want {
 							t.Errorf("codec %q, want %q", report.Codec, want)

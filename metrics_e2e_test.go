@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"dssp/internal/compress"
+	"dssp/internal/ps"
 	"dssp/internal/tensor"
 )
 
@@ -322,6 +324,24 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 		t.Error("no push bytes metered on the transport")
 	}
 
+	// The paper's numbers, staleness and each slot's wait, are the same
+	// series in the snapshot as on /metrics.
+	if n := final["dssp_push_staleness_count"]; n == 0 || st.MeanStaleness != final["dssp_push_staleness_sum"]/n {
+		t.Errorf("status mean staleness %v, /metrics %v over %v pushes",
+			st.MeanStaleness, final["dssp_push_staleness_sum"], n)
+	}
+	if got := final["dssp_push_staleness_max"]; got != float64(st.MaxStaleness) {
+		t.Errorf("dssp_push_staleness_max = %v, status says %d", got, st.MaxStaleness)
+	}
+	if len(st.WaitSeconds) != workers {
+		t.Fatalf("status has %d wait slots, want %d", len(st.WaitSeconds), workers)
+	}
+	for w, sec := range st.WaitSeconds {
+		if got := final[`dssp_worker_wait_seconds{worker="`+strconv.Itoa(w)+`"}`]; got != sec {
+			t.Errorf("dssp_worker_wait_seconds{worker=%d} = %v, status says %v", w, got, sec)
+		}
+	}
+
 	// /statusz renders the same snapshot as JSON.
 	resp, err := http.Get("http://" + server.MetricsAddr() + "/statusz?traces=1")
 	if err != nil {
@@ -329,14 +349,7 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var statusz struct {
-		Status struct {
-			Workers  int    `json:"workers"`
-			Pushes   uint64 `json:"pushes"`
-			Version  int64  `json:"version"`
-			Sessions []struct {
-				Worker int `json:"worker"`
-			} `json:"sessions"`
-		} `json:"status"`
+		Status ps.ServerStatus   `json:"status"`
 		Traces []json.RawMessage `json:"traces"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&statusz); err != nil {
@@ -348,6 +361,11 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 	if statusz.Status.Pushes != st.Pushes || statusz.Status.Version != st.Version {
 		t.Errorf("/statusz (pushes=%d version=%d) disagrees with Status() (pushes=%d version=%d)",
 			statusz.Status.Pushes, statusz.Status.Version, st.Pushes, st.Version)
+	}
+	if got := statusz.Status; got.MeanStaleness != st.MeanStaleness || got.MaxStaleness != st.MaxStaleness ||
+		!slices.Equal(got.WaitSeconds, st.WaitSeconds) {
+		t.Errorf("/statusz (staleness mean %v max %d, waits %v s) disagrees with Status() (%v, %d, %v s)",
+			got.MeanStaleness, got.MaxStaleness, got.WaitSeconds, st.MeanStaleness, st.MaxStaleness, st.WaitSeconds)
 	}
 
 	// TraceEvery=1 traces every push; completed traces must be well-formed.
@@ -370,6 +388,116 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 			t.Fatalf("trace stamps out of order: %+v", tr)
 		}
 	}
+}
+
+// statusz fetches the server snapshot a /statusz endpoint serves.
+func statusz(t *testing.T, addr string) ps.ServerStatus {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/statusz")
+	if err != nil {
+		t.Fatalf("/statusz on %s: %v", addr, err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Status ps.ServerStatus `json:"status"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("/statusz decode: %v", err)
+	}
+	return body.Status
+}
+
+// TestStatuszReportsRoleState reads /statusz on the three roles whose state
+// an operator sees only there: a flat server restored from a checkpoint
+// reports restored and the version it resumed at; a coordinator its cluster
+// map and map version; and a backup whose primary died reports promoted,
+// with the coordinator's map, one version on, naming it as the owner.
+func TestStatuszReportsRoleState(t *testing.T) {
+	dataset := DatasetConfig{Examples: 32, Classes: 2, ImageSize: 8, Seed: 1}
+	serve := func(cluster ClusterOptions, opts Options) *Server {
+		t.Helper()
+		server, err := Serve(ServerConfig{
+			Addr:         "127.0.0.1:0",
+			Workers:      1,
+			Sync:         Sync{Paradigm: ASP},
+			Dataset:      dataset,
+			LearningRate: 0.1,
+			Seed:         1,
+			Options:      opts,
+			MetricsAddr:  "127.0.0.1:0",
+			Cluster:      cluster,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(server.Stop)
+		return server
+	}
+	// eventually polls the server's /statusz until ok holds, for up to 10s.
+	eventually := func(server *Server, what string, ok func(ps.ServerStatus) bool) ps.ServerStatus {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := statusz(t, server.MetricsAddr())
+			if ok(st) {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("/statusz never showed %s: %+v", what, st)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	t.Run("restored", func(t *testing.T) {
+		opts := Options{Checkpoint: Checkpoint{Dir: t.TempDir()}}
+		first := serve(ClusterOptions{}, opts)
+		if st := statusz(t, first.MetricsAddr()); st.Restored {
+			t.Fatal("a server started on an empty checkpoint directory reports restored")
+		}
+		if _, err := RunWorker(WorkerConfig{ServerAddr: first.Addr(), Workers: 1,
+			Dataset: dataset, BatchSize: 8, Epochs: 1, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		// Stop writes the final checkpoint.
+		first.Stop()
+		version := first.Status().Version
+		if version == 0 {
+			t.Fatal("the first run applied no updates")
+		}
+		st := statusz(t, serve(ClusterOptions{}, opts).MetricsAddr())
+		if !st.Restored || st.Version != version {
+			t.Fatalf("/statusz restored=%v at version %d, want restored at %d", st.Restored, st.Version, version)
+		}
+	})
+
+	t.Run("group", func(t *testing.T) {
+		coord := serve(ClusterOptions{Role: RoleCoordinator, Servers: 1}, Options{})
+		member := ClusterOptions{Coordinator: coord.Addr(), Servers: 1}
+		member.Role = RoleData
+		data := serve(member, Options{})
+		member.Role = RoleBackup
+		backup := serve(member, Options{})
+
+		before := eventually(coord, "the data server in the map", func(st ps.ServerStatus) bool {
+			return len(st.Map) == 1
+		})
+		if before.Map[0].Addr != data.Addr() || before.MapVersion < 1 {
+			t.Fatalf("coordinator map %+v at version %d, want %s at a positive version", before.Map, before.MapVersion, data.Addr())
+		}
+		eventually(backup, "the backup's primary", func(st ps.ServerStatus) bool { return st.Primary == data.Addr() })
+		if statusz(t, backup.MetricsAddr()).Promoted {
+			t.Fatal("the backup reports promoted while its primary lives")
+		}
+
+		data.Stop()
+		eventually(backup, "the backup promoted", func(st ps.ServerStatus) bool { return st.Promoted })
+		after := statusz(t, coord.MetricsAddr())
+		if len(after.Map) != 1 || after.Map[0].Addr != backup.Addr() || after.MapVersion != before.MapVersion+1 {
+			t.Fatalf("coordinator map %+v at version %d after promotion, want %s at %d",
+				after.Map, after.MapVersion, backup.Addr(), before.MapVersion+1)
+		}
+	})
 }
 
 // TestWorkerMetricsEndpoint scrapes a worker's own admin endpoint in the

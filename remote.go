@@ -95,29 +95,22 @@ func (s *Server) MetricsAddr() string { return s.admin.Addr() }
 func (s *Server) Registry() *obs.Registry { return s.inner.Registry() }
 
 // Status snapshots the server's live state — the same payload /statusz
-// serves.
+// serves, and the one read path for it: restored or promoted, a
+// coordinator's map, the counters, the staleness and each slot's wait.
 func (s *Server) Status() ps.ServerStatus { return s.inner.Status() }
 
 // Traces returns the sampled push-lifecycle traces collected so far, oldest
 // first (nil when tracing is disabled).
 func (s *Server) Traces() []obs.PushTrace { return s.inner.Traces() }
 
-// Updates returns the number of gradient updates applied so far.
-func (s *Server) Updates() int { return s.inner.Pushes() }
+// Updates is Status().Pushes, the gradient updates applied so far. The
+// end-to-end benchmark (bench/run.go) is its one caller.
+func (s *Server) Updates() int { return int(s.inner.Status().Pushes) }
 
-// Dropped returns the number of pushed updates the anomaly guard rejected
-// without reaching the store (Status().Guard.DroppedPushes).
-func (s *Server) Dropped() int { return s.inner.Dropped() }
-
-// Version returns the parameter-store version (applied updates, including
-// any restored from a checkpoint).
-func (s *Server) Version() int64 { return s.inner.Store().Version() }
-
-// Restored reports whether Serve resumed from an existing checkpoint.
-func (s *Server) Restored() bool { return s.inner.Restored() }
-
-// CheckpointError returns the most recent checkpoint write failure, if any.
-func (s *Server) CheckpointError() error { return s.inner.CheckpointError() }
+// Dropped is Status().Dropped, the pushed updates the anomaly guard rejected
+// without reaching the store. The end-to-end benchmark (bench/run.go) is its
+// one caller.
+func (s *Server) Dropped() int { return int(s.inner.Status().Dropped) }
 
 // Evaluate measures the current global model's accuracy on the held-out
 // split of the configured dataset. It snapshots the store without stopping
@@ -285,27 +278,10 @@ type WorkerConfig struct {
 	MetricsAddr string
 }
 
-// WorkerReport summarizes one worker's run.
-type WorkerReport struct {
-	// Iterations is the number of mini-batches processed.
-	Iterations int
-	// FinalLoss is the loss of the last mini-batch.
-	FinalLoss float64
-	// Duration is the wall-clock time spent training.
-	Duration time.Duration
-	// Codec is the negotiated gradient codec (useful when Compression was
-	// left on auto).
-	Codec string
-	// PushedBytes and PulledBytes approximate this worker's wire traffic.
-	PushedBytes int64
-	PulledBytes int64
-	// Reconnects is how many times the worker redialed and rejoined after
-	// losing its connection.
-	Reconnects int
-	// Crashed reports that the run ended through FailAfter fault injection,
-	// or that an adversarial worker was evicted.
-	Crashed bool
-}
+// WorkerReport summarizes one worker's run: its iterations, final
+// mini-batch loss, duration, negotiated codec, wire traffic, reconnects and
+// whether it crashed.
+type WorkerReport = trainer.WorkerReport
 
 // RunWorker connects to a parameter server over TCP and runs the worker side
 // of Algorithm 1 until the configured number of epochs completes. How the
@@ -384,14 +360,5 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dssp: worker %d: %w", cfg.WorkerID, err)
 	}
-	return &WorkerReport{
-		Iterations:  r.Iterations,
-		FinalLoss:   r.Loss,
-		Duration:    r.Duration,
-		Codec:       r.Codec,
-		PushedBytes: r.Pushed,
-		PulledBytes: r.Pulled,
-		Reconnects:  r.Reconnects,
-		Crashed:     r.Crashed,
-	}, nil
+	return &r, nil
 }

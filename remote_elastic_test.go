@@ -118,17 +118,18 @@ func testWorkerCrashRejoinAndServerRestart(t *testing.T) {
 	server.Stop()
 	// Read after Stop: it drains pushes still in the apply pipeline into the
 	// final checkpoint, so the version just before it can be one short.
-	versionBefore := server.Version()
+	versionBefore := server.Status().Version
 	server, err = dssp.Serve(elasticServerConfig(addr, ckptDir, workers))
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	defer server.Stop()
-	if !server.Restored() {
+	st := server.Status()
+	if !st.Restored {
 		t.Fatal("restarted server did not restore the checkpoint")
 	}
-	if server.Version() == 0 || server.Version() > versionBefore {
-		t.Fatalf("restored version %d, expected in (0, %d]", server.Version(), versionBefore)
+	if st.Version == 0 || st.Version > versionBefore {
+		t.Fatalf("restored version %d, expected in (0, %d]", st.Version, versionBefore)
 	}
 
 	wg.Wait()

@@ -4,7 +4,8 @@
 # workers must report the same iteration count, and the server must apply
 # exactly their sum and drop nothing), a coordinator with two data
 # servers (-shards 4 on every member), a backup for data server 0 that finds
-# it in the coordinator's cluster map, and reconnecting group workers, and a
+# it in the coordinator's cluster map and ends naming it and the positive
+# store version it replicated, and reconnecting group workers, and a
 # root fronted by one relay with -tree workers. The group and the root lease
 # their sessions at 200ms (-lease), and one worker of each job computes for
 # 300ms an iteration with no heartbeat flag anywhere: the coordinator and the
@@ -151,6 +152,14 @@ ready group-backup0 "cluster backup replicating 127.0.0.1:17181,"
 echo "cli-smoke: the backup found data server 0 (127.0.0.1:17181) in the cluster map"
 finish group
 departed group-coord
+# The backup ends with its own line: the primary it replicated, and the store
+# version it reached, past 0.
+if ! grep -Eq 'run complete: backup of 127\.0\.0\.1:17181 at store version [1-9][0-9]*,' "$dir/group-backup0.log"; then
+	echo "cli-smoke: group-backup0 did not end naming 127.0.0.1:17181 at a positive store version" >&2
+	cat "$dir/group-backup0.log" >&2
+	exit 1
+fi
+echo "cli-smoke: group-backup0 ended naming 127.0.0.1:17181 at a positive store version"
 
 # Tree: a leasing root and one fanout-2 relay with its default flags; the
 # workers find the relay through the root's layout, and worker 1 is the slow

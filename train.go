@@ -14,9 +14,9 @@ import (
 // Model identifies one of the built-in architectures for local training.
 type Model string
 
-// Built-in models. The paper's full-size architectures are available for the
-// simulator (see Figure); the local CPU trainer offers them in reduced form
-// plus two small models that train in seconds.
+// Built-in models. The paper's full-size architectures are available to the
+// simulator (dsspsim); the local CPU trainer offers them in reduced form plus
+// two small models that train in seconds.
 const (
 	// ModelSmallMLP is a two-layer perceptron over flat features.
 	ModelSmallMLP Model = "small-mlp"

@@ -59,7 +59,10 @@ race:
 # encoded in the push slot writes no payload byte, a packed pull is a
 # reference whose extent stays pinned while it is read, both copy on TCP and
 # for a peer without a pidfd, and a server stopped with a packed reference
-# out lets go of every packed generation in its region.
+# out lets go of every packed generation in its region. The final line runs
+# a tree run whose crashed child's Leave the relay forwards after the child's
+# worker returned, twenty times under the race detector: the trainer reads its
+# result only once the root has settled every worker slot.
 lease-stress:
 	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentReplyOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease|TestInProcessScheduleRecyclesGenerations|TestRegionFullFallsBackToCopy|TestLeaseExpiredReaderKeepsItsGeneration|TestDeadReaderPinsNothing|TestRelaySentReferenceOutlivesSupersededPullCache|TestRelayStopDropsTheTrunkSlotPartial|TestRelayStopReleasesTheHeldFirstPush|TestRelayFoldBitIdenticalToCopyThenAdd|TestDataServerOKPrecedesApplyAndPullWaitsForIt|TestDataServerWindowedPullIsAnswered|TestGroupBSPReleaseReadsEveryTicketedFragment' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
@@ -70,6 +73,7 @@ lease-stress:
 	$(GO) test -race -count=20 -run '^TestGuard(DetectionRates|RejectionsCountedOnce)$$' ./internal/experiment/
 	$(GO) test -race -count=20 -run '^(TestLanePackedPushSlotWritesNoPayload|TestLanePackedReferenceFrames|TestPackedPathsCopyOnTCP|TestLanePeerWithoutPidfdGetsNoRegion)$$' ./internal/transport/
 	$(GO) test -race -count=20 -run '^TestServerStopEvictsPackedGenerations$$' ./internal/ps/
+	$(GO) test -race -count=20 -run '^TestTreeChildLeavesCountOnlyUnfinishedChildren$$' ./internal/trainer/
 
 # The -run lists above name tests verbatim, and a name that matches no test
 # (the test was renamed or deleted) runs nothing and passes. This fails when
@@ -399,7 +403,9 @@ aggtree-smoke:
 # address, whose log must name data server 0's, at start and in its
 # end-of-run line with the positive store version it reached, and which must
 # exit 0 when the run completes, and a root behind one relay
-# with default flags and -tree workers — failing on any non-zero exit. The
+# with default flags — failing on any non-zero exit. Every worker is one
+# command line with no topology flag, one pointed at a data server must fail
+# naming the coordinator, and no log may print Paradigm(0). The
 # group and the root lease at 200ms (-lease) while one worker of each job
 # computes 300ms an iteration with no heartbeat flag, and must end with 0
 # departures; that slow worker joins first, read off the server's

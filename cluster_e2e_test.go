@@ -347,7 +347,6 @@ func TestClusterDataServerOutlivesCompletedCoordinator(t *testing.T) {
 			return lateDone{conn}, nil
 		},
 		Addr:        coordAddr,
-		Topology:    ps.Group,
 		Compression: dssp.Compression{Codec: dssp.CompressAuto},
 	}
 	worker, err := ps.Connect(route, false, 0)
@@ -413,24 +412,38 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsCrossModeClients pins the version/mode-skew behavior: a
-// classic worker pointed at a coordinator, and a cluster worker pointed at a
-// classic server, both fail with explicit errors instead of hanging.
+// TestClusterRejectsCrossModeClients: a worker declares no mode, so none
+// can be crossed. The server it dials says what it is: a worker whose config
+// says it is no group member, pointed at a coordinator, trains in the group,
+// and one whose config says it is, pointed at a flat server, trains flat.
+// What is still refused is a partial model: a data server evaluates none.
 func TestClusterRejectsCrossModeClients(t *testing.T) {
 	group := clustertest.Start(t, clustertest.Config{Servers: 2, Workers: 1})
 	classicCfg := group.WorkerConfig(0)
 	classicCfg.Cluster = false
-	if _, err := dssp.RunWorker(classicCfg); err == nil {
-		t.Fatal("classic worker registered against a coordinator")
-	} else if !strings.Contains(err.Error(), "cluster") {
-		t.Fatalf("classic-vs-coordinator error %q does not mention the cluster", err)
+	if _, err := dssp.RunWorker(classicCfg); err != nil {
+		t.Fatalf("worker with Cluster unset, pointed at a coordinator: %v", err)
+	}
+	group.WaitDone(30 * time.Second)
+	if n := group.Coordinator.Status().Pushes; n == 0 {
+		t.Fatal("the coordinator ticketed no push: the worker did not train in the group")
+	}
+	for i, d := range group.Data {
+		if n := d.Status().Pushes; n == 0 {
+			t.Fatalf("data server %d applied no fragment", i)
+		}
 	}
 
 	single := clustertest.Start(t, clustertest.Config{Servers: 0, Workers: 1})
 	clusterCfg := single.WorkerConfig(0)
 	clusterCfg.Cluster = true
-	if _, err := dssp.RunWorker(clusterCfg); err == nil {
-		t.Fatal("cluster worker fetched a map from a classic server")
+	report, err := dssp.RunWorker(clusterCfg)
+	if err != nil {
+		t.Fatalf("worker with Cluster set, pointed at a flat server: %v", err)
+	}
+	single.WaitDone(30 * time.Second)
+	if n := single.Coordinator.Status().Pushes; n != uint64(report.Iterations) {
+		t.Fatalf("flat server applied %d updates for the worker's %d iterations", n, report.Iterations)
 	}
 
 	// A data server holds only its shard range: evaluation must redirect to

@@ -49,15 +49,16 @@
 // -shards is the group-wide shard count (0 = two per data server) and must be
 // the same on every member; a data server whose range then reaches past the
 // coordinator's count is refused at announce. Workers join the group with
-// psworker -cluster -server <coordinator>.
+// psworker -server <coordinator>; a data server or backup refuses a worker,
+// naming the coordinator.
 //
 // Aggregation tier: -role relay runs an aggregation relay (DESIGN.md §11)
 // instead of a server: it registers a trunk with the root at -parent,
 // accepts up to -fanout ordinary worker sessions on -addr, sums their
 // gradients coordinate-wise, and forwards one ×k-weighted push per round —
 // cutting the root's ingress from O(workers) to O(workers/fanout) frames.
-// Workers join the tree with psworker -tree -server <root>; they learn
-// their relay from the root's layout and re-parent if it dies. A partial
+// Workers join the tree with psworker -server <root>; they learn their
+// relay from the root's layout and re-parent if it dies. A partial
 // stalled by a straggler is forwarded incomplete after 50ms. Codec and lease
 // are the root's: the relay's trunk adopts the root's codec, and the relay
 // leases its workers at the lease the root put the trunk under, and not at
@@ -70,7 +71,7 @@
 //   - every role: -role, -addr, -metrics-addr;
 //   - every server role (flat, coordinator, data, backup): -compress, -topk,
 //     -compress-pull, -lease, -workers, -model, -classes, -image-size,
-//     -seed, -shards, -trace-every, -trace-dump, -aggregator, -clip-norm,
+//     -seed, -shards, -trace-every, -aggregator, -clip-norm,
 //     -guard, -checkpoint-dir, -checkpoint-every (the server then refuses
 //     the ones its role does not act on: a coordinator, -guard and
 //     -checkpoint-*);
@@ -86,12 +87,10 @@
 // Prometheus /metrics, /healthz, a /statusz JSON snapshot, and
 // net/http/pprof (docs/METRICS.md catalogs every series). -trace-every
 // samples the push lifecycle (receive → guard → apply → release) for one in
-// N pushes; -trace-dump prints the sampled traces as JSON lines at the end
-// of the run.
+// N pushes; /statusz?traces=1 returns the sampled traces.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -116,9 +115,8 @@ const roleRelay = "relay"
 // invocation is one parsed command line: the relay's config when -role is
 // relay (server.Cluster.Role holds it either way), else the server's.
 type invocation struct {
-	server    dssp.ServerConfig
-	relay     dssp.RelayConfig
-	traceDump bool
+	server dssp.ServerConfig
+	relay  dssp.RelayConfig
 }
 
 func main() {
@@ -131,7 +129,7 @@ func main() {
 	case inv.server.Cluster.Role == roleRelay:
 		err = runRelay(inv.relay)
 	default:
-		err = run(inv.server, inv.traceDump)
+		err = run(inv.server)
 	}
 	if err != nil {
 		log.Fatalf("psserver: %v", err)
@@ -214,7 +212,6 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 		fs.Int64Var(&s.Seed, "seed", 1, "seed for the initial weights (must match workers)")
 		fs.IntVar(&s.Shards, "shards", 0, "parameter-store shards (0 = one per CPU); in a server group the group-wide count, the same on every member (0 = two per data server)")
 		fs.IntVar(&s.TraceEvery, "trace-every", 0, "sample the push lifecycle for 1 in N pushes (0 = default 64, negative = off)")
-		fs.BoolVar(&inv.traceDump, "trace-dump", false, "print sampled push-lifecycle traces as JSON lines at end of run")
 		fs.StringVar(&s.Aggregator.Kind, "aggregator", dssp.AggregateSum, "gradient aggregation: sum, clipped, trimmed-mean, median (robust kinds tolerate Byzantine workers)")
 		fs.Float64Var(&s.Aggregator.ClipNorm, "clip-norm", 0, "per-tensor L2 cap for the clipped aggregator (required with -aggregator clipped)")
 		fs.BoolVar(&s.Guard.Enabled, "guard", false, "screen pushes for anomalies (norm outliers, lying clocks, floods) and evict repeat offenders")
@@ -285,7 +282,7 @@ func runRelay(cfg dssp.RelayConfig) error {
 }
 
 // run serves cfg until its workers finish, it fails, or it is interrupted.
-func run(cfg dssp.ServerConfig, traceDump bool) error {
+func run(cfg dssp.ServerConfig) error {
 	server, err := dssp.Serve(cfg)
 	if err != nil {
 		return err
@@ -295,8 +292,14 @@ func run(cfg dssp.ServerConfig, traceDump bool) error {
 	if cfg.Lease > 0 {
 		mode = fmt.Sprintf("elastic, lease %v", cfg.Lease)
 	}
+	// A data server and a backup run no paradigm of their own (a local ASP):
+	// their line names the shard range they hold.
+	holds := cfg.Sync.Describe()
+	if c := cfg.Cluster; c.Role == dssp.RoleData || c.Role == dssp.RoleBackup {
+		holds = fmt.Sprintf("shard range %d of %d", c.Index, c.Servers)
+	}
 	fmt.Printf("parameter server listening on %s (%s, %d workers, codec %s, aggregator %s, %s)\n",
-		server.Addr(), cfg.Sync.Describe(), cfg.Workers, cfg.Compression, cfg.Aggregator, mode)
+		server.Addr(), holds, cfg.Workers, cfg.Compression, cfg.Aggregator, mode)
 	switch cfg.Cluster.Role {
 	case dssp.RoleCoordinator:
 		fmt.Printf("cluster coordinator for %d data servers\n", cfg.Cluster.Servers)
@@ -340,13 +343,6 @@ func run(cfg dssp.ServerConfig, traceDump bool) error {
 	case s := <-sigs:
 		st := server.Status()
 		fmt.Printf("received %v; shutting down after %d updates (%d dropped)\n", s, st.Pushes, st.Dropped)
-	}
-	if traceDump {
-		for _, tr := range server.Traces() {
-			if line, err := json.Marshal(tr); err == nil {
-				fmt.Printf("trace: %s\n", line)
-			}
-		}
 	}
 	// Stop writes the final checkpoint (with -checkpoint-every 0 it is the
 	// only one), so the failure check must come after it.

@@ -49,10 +49,9 @@ func TestShippedCommandLinesParse(t *testing.T) {
 		return s
 	}
 	for _, tc := range []struct {
-		args      string
-		server    dssp.ServerConfig
-		relay     dssp.RelayConfig
-		traceDump bool
+		args   string
+		server dssp.ServerConfig
+		relay  dssp.RelayConfig
 	}{
 		{
 			args:   "-addr :7070 -workers 2 -paradigm DSSP -staleness 3 -range 12",
@@ -65,12 +64,11 @@ func TestShippedCommandLinesParse(t *testing.T) {
 			}),
 		},
 		{
-			args: "-paradigm SSP -staleness 2 -seed 9 -momentum 0.9 -trace-dump",
+			args: "-paradigm SSP -staleness 2 -seed 9 -momentum 0.9 -trace-every 1",
 			server: with(flat(), func(s *dssp.ServerConfig) {
 				s.Sync.Paradigm, s.Sync.Staleness, s.Momentum = dssp.SSP, 2, 0.9
-				s.Seed, s.Dataset.Seed = 9, 9
+				s.Seed, s.Dataset.Seed, s.TraceEvery = 9, 9, 1
 			}),
-			traceDump: true,
 		},
 		{
 			args: "-addr 127.0.0.1:17170 -workers 2 -shards 3 -examples 17",
@@ -132,7 +130,7 @@ func TestShippedCommandLinesParse(t *testing.T) {
 			t.Errorf("psserver %s: %v\n%s", tc.args, err, out.String())
 			continue
 		}
-		if want := (invocation{tc.server, tc.relay, tc.traceDump}); !reflect.DeepEqual(*inv, want) {
+		if want := (invocation{tc.server, tc.relay}); !reflect.DeepEqual(*inv, want) {
 			t.Errorf("psserver %s:\n got %+v\nwant %+v", tc.args, *inv, want)
 		}
 	}
@@ -161,6 +159,8 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 		{"-workers 2 stray -guard", `unexpected argument "stray"`},
 		{"-advertise -role=relay -parent 127.0.0.1:7070", "-role must be given as a flag"},
 		{"-workers 2 -backups 2", "not defined: -backups"},
+		// Sampled traces are read from /statusz?traces=1 alone.
+		{"-workers 2 -trace-dump", "not defined: -trace-dump"},
 		{"-workers 2 -paradigm BackupBSP", `unknown paradigm "BackupBSP"`},
 	} {
 		var out bytes.Buffer
@@ -177,7 +177,7 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 func TestRoleFlagSets(t *testing.T) {
 	every := []string{"role", "addr", "metrics-addr"}
 	server := append(slices.Clone(every), "compress", "topk", "compress-pull", "lease", "workers", "model", "classes", "image-size", "seed", "shards",
-		"trace-every", "trace-dump", "aggregator", "clip-norm", "guard", "checkpoint-dir", "checkpoint-every")
+		"trace-every", "aggregator", "clip-norm", "guard", "checkpoint-dir", "checkpoint-every")
 	policy := []string{"paradigm", "staleness", "range", "enforce-bound", "examples"}
 	store := []string{"lr", "momentum"}
 	group := []string{"cluster-servers", "peers", "cluster-index", "advertise"}
@@ -205,9 +205,9 @@ func TestRoleFlagSets(t *testing.T) {
 	// backup finds its primary in the coordinator's cluster map.
 	all := strings.Fields(`addr workers paradigm staleness range enforce-bound model classes
 		examples image-size lr momentum shards compress topk compress-pull aggregator clip-norm guard
-		lease checkpoint-dir checkpoint-every metrics-addr trace-every trace-dump seed
+		lease checkpoint-dir checkpoint-every metrics-addr trace-every seed
 		role peers parent fanout cluster-servers cluster-index advertise`)
-	if len(all) != 33 || len(union) != len(all) {
+	if len(all) != 32 || len(union) != len(all) {
 		t.Fatalf("the role sets hold %d flags, want %d", len(union), len(all))
 	}
 	for _, name := range all {

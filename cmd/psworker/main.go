@@ -25,19 +25,18 @@
 // heartbeats on its own, every quarter of the lease the server names at
 // registration.
 //
-// Server groups: -cluster makes -server the coordinator's address — the
-// worker fetches the cluster map at registration and routes gradient
-// fragments directly to each shard owner while the coordinator keeps making
-// the staleness decisions. A lost data link recovers by refetching the map
-// (which is how a backup promotion reaches the worker); a lost coordinator
-// connection fails the run, or with -reconnect is rejoined. A dead
-// coordinator is fatal to the group either way.
-//
-// Aggregation tier: -tree makes -server the root's address — the worker
-// fetches the tree layout and registers through the relay covering its id
-// (psserver -role relay), falling back to the root when none does. With
-// -reconnect, a worker orphaned by a dead relay re-fetches the layout and
-// re-parents instead of failing.
+// Topology: -server is whichever server the worker should reach, and the
+// worker asks it what it is before registering. A flat server or a relay
+// registers it. A tree's root names the relay covering the worker's id
+// (psserver -role relay), falling back to itself when none does; with
+// -reconnect, a worker orphaned by a dead relay asks again and re-parents
+// instead of failing. A group's coordinator hands over its cluster map: the
+// worker routes gradient fragments directly to each shard owner while the
+// coordinator keeps making the staleness decisions. A lost data link
+// recovers by refetching the map (which is how a backup promotion reaches
+// the worker); a lost coordinator connection fails the run, or with
+// -reconnect is rejoined. A dead coordinator is fatal to the group either
+// way. A data server or backup refuses the worker, naming the coordinator.
 //
 // Observability: -metrics-addr starts an admin HTTP listener serving the
 // worker-side Prometheus /metrics (pull wait, push round-trip, iteration and
@@ -55,9 +54,7 @@ import (
 
 func main() {
 	var (
-		server       = flag.String("server", "127.0.0.1:7070", "parameter server address (the coordinator with -cluster)")
-		cluster      = flag.Bool("cluster", false, "join a server group: fetch the cluster map from the coordinator at -server and route gradient fragments to each shard owner")
-		tree         = flag.Bool("tree", false, "join through the aggregation tier: fetch the tree layout from the root at -server and push via the relay covering this worker (re-fetched on every reconnect)")
+		server       = flag.String("server", "127.0.0.1:7070", "parameter server address: a flat server, a tree's root or relay, or a group's coordinator (it says which when the worker connects)")
 		id           = flag.Int("id", 0, "worker id in [0, workers)")
 		workers      = flag.Int("workers", 2, "total number of workers")
 		model        = flag.String("model", string(dssp.ModelSmallMLP), "model: small-mlp, small-cnn, alexnet-small, resnet-8 (must match the server)")
@@ -71,7 +68,7 @@ func main() {
 		topk         = flag.Float64("topk", 0, "fraction of gradient entries the topk codec keeps (0 = default 0.1; must match the server)")
 		compressPull = flag.Bool("compress-pull", false, "expect compressed weight pulls (must match the server; implied by -compress auto)")
 		adversary    = flag.Float64("adversary", 0, "Byzantine gradient-scale factor for robustness experiments (0 or 1 = honest; e.g. -10 pushes scaled ascent)")
-		reconnect    = flag.Duration("reconnect", 0, "redial and rejoin on connection loss (survives server restarts), retrying connecting, rejoining and recovering a -cluster data link this long before giving up, e.g. 30s (0 = connect once)")
+		reconnect    = flag.Duration("reconnect", 0, "redial and rejoin on connection loss (survives server restarts), retrying connecting, rejoining and recovering a group data link this long before giving up, e.g. 30s (0 = connect once)")
 		failAfter    = flag.Int("fail-after", 0, "fault injection for demos: crash (drop the connection) before this iteration (0 = never)")
 		metricsAddr  = flag.String("metrics-addr", "", "admin HTTP listen address serving worker-side /metrics, /healthz and pprof (empty = off)")
 		seed         = flag.Int64("seed", 1, "seed (must match the server)")
@@ -80,8 +77,6 @@ func main() {
 
 	report, err := dssp.RunWorker(dssp.WorkerConfig{
 		ServerAddr: *server,
-		Cluster:    *cluster,
-		Tree:       *tree,
 		WorkerID:   *id,
 		Workers:    *workers,
 		Model:      dssp.Model(*model),

@@ -195,11 +195,10 @@ func (c *Cluster) CoordinatorAddr() string { return c.coordAddr }
 func (c *Cluster) IsGroup() bool { return c.cfg.Servers > 0 }
 
 // WorkerConfig builds the worker configuration matching the cluster's
-// workload, in cluster mode when the harness runs a group.
+// workload, pointed at the coordinator, or at the standalone server.
 func (c *Cluster) WorkerConfig(id int) dssp.WorkerConfig {
 	return dssp.WorkerConfig{
 		ServerAddr: c.coordAddr,
-		Cluster:    c.IsGroup(),
 		WorkerID:   id,
 		Workers:    c.cfg.Workers,
 		Model:      c.cfg.Model,

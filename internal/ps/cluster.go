@@ -337,16 +337,18 @@ func (c *clusterState) endAnnounces() {
 	}
 }
 
-// handleClusterMap answers a worker's map request on its own connection —
-// map fetches ride dedicated connections, never a registered session's, so
-// the reply goes out directly instead of through a session outbox. A request
-// with Relay set asks for the aggregation-tree layout instead of the
-// server-group map: the relay entries and the worker-index ranges each
-// covers, which any server with a relay tier (coordinator or not) serves. A
-// non-coordinator rejects a plain map request by name: pointing a cluster
-// worker at a data server is a wiring bug worth a clear message.
+// handleClusterMap answers a map request on its own connection — map
+// fetches ride dedicated connections, never a registered session's, so the
+// reply goes out directly instead of through a session outbox. A request with
+// Relay set is the one every worker's connect sends (Route.resolve): it asks
+// the server what it is. A coordinator, which admits no relays, answers it
+// with its group map; every other server with its aggregation-tree layout,
+// the relay entries and the worker-index ranges each covers (none on a flat
+// server without relays, a data server or a backup). A non-coordinator
+// rejects a plain map request by name: pointing a map fetch at a data server
+// is a wiring bug worth a clear message.
 func (s *Server) handleClusterMap(conn transport.Conn, msg transport.Message) {
-	if msg.Relay {
+	if msg.Relay && !s.coordinator() {
 		s.sm.treeLayoutFetches.Inc()
 		_ = conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: true, Servers: s.tree.snapshot()})
 		return

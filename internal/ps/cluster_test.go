@@ -1095,7 +1095,8 @@ func pullAsync(c pusher) <-chan pulled {
 	return ch
 }
 
-// dataServerClient registers worker w directly with g's data server i.
+// dataServerClient registers worker w directly with g's data server i, in
+// cluster mode, as a group worker's data link does.
 func dataServerClient(t *testing.T, g *testGroup, i, w int) *Client {
 	t.Helper()
 	conn, err := g.dial(g.dataAddrs[i])
@@ -1103,6 +1104,7 @@ func dataServerClient(t *testing.T, g *testGroup, i, w int) *Client {
 		t.Fatal(err)
 	}
 	c := newClient(conn, w)
+	c.cluster = true
 	if err := c.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -1337,16 +1339,17 @@ func TestGroupBSPReleaseReadsEveryTicketedFragment(t *testing.T) {
 	}
 }
 
-// faultConn is a connection with one scripted fault: the first frame of type
-// failOn that Recv would return is dropped and the connection closed, as a
+// faultConn is a connection that may carry one scripted fault: while armed
+// (shared by every faultConn to one address) is set, the first Weights frame
+// Recv would return is dropped, armed cleared and the connection closed, as a
 // link dies with a reply in flight. pulls counts the Pull frames sent on
 // every faultConn of one test, by address.
 type faultConn struct {
 	transport.Conn
-	addr   string
-	failOn transport.MessageType
-	pulls  map[string]int
-	mu     *sync.Mutex
+	addr  string
+	armed *bool
+	pulls map[string]int
+	mu    *sync.Mutex
 }
 
 func (f *faultConn) Send(m transport.Message) error {
@@ -1360,8 +1363,14 @@ func (f *faultConn) Send(m transport.Message) error {
 
 func (f *faultConn) Recv() (transport.Message, error) {
 	m, err := f.Conn.Recv()
-	if err == nil && f.failOn != 0 && m.Type == f.failOn {
-		f.failOn = 0
+	if err != nil || m.Type != transport.MsgWeights || f.armed == nil {
+		return m, err
+	}
+	f.mu.Lock()
+	fire := *f.armed
+	*f.armed = false
+	f.mu.Unlock()
+	if fire {
 		m.Release()
 		f.Conn.Close()
 		return transport.Message{}, errors.New("scripted fault: link lost with a reply in flight")
@@ -1370,7 +1379,8 @@ func (f *faultConn) Recv() (transport.Message, error) {
 }
 
 // faultDial wraps dial so that every connection counts its pulls in pulls,
-// and the first one to faulty fails its first Weights reply.
+// and the first Weights reply on a connection to faulty fails (a connect's
+// layout request to faulty gets none).
 func faultDial(dial func(string) (transport.Conn, error), faulty string) (func(string) (transport.Conn, error), map[string]int) {
 	var mu sync.Mutex
 	pulls := map[string]int{}
@@ -1381,11 +1391,9 @@ func faultDial(dial func(string) (transport.Conn, error), faulty string) (func(s
 			return nil, err
 		}
 		f := &faultConn{Conn: conn, addr: addr, pulls: pulls, mu: &mu}
-		mu.Lock()
-		if addr == faulty && armed {
-			f.failOn, armed = transport.MsgWeights, false
+		if addr == faulty {
+			f.armed = &armed
 		}
-		mu.Unlock()
 		return f, nil
 	}, pulls
 }
@@ -1402,7 +1410,7 @@ func TestPipelinedPullRecoversOnlyTheFailedLink(t *testing.T) {
 		initial := seededModel(81)
 		g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
 		dial, pulls := faultDial(g.dial, g.dataAddrs[0])
-		c, err := Connect(Route{Dial: dial, Addr: g.coordAddr, Topology: Group}, false, 0)
+		c, err := Connect(Route{Dial: dial, Addr: g.coordAddr}, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,8 +17,8 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
 
-// mapTimeout bounds how long a Group connect's map fetch retries until the
-// coordinator serves a complete map (all shards owned).
+// mapTimeout bounds how long a connect to a coordinator retries its map
+// fetch until the coordinator serves a complete map (all shards owned).
 const mapTimeout = 10 * time.Second
 
 // dataLinkPatience is how long a dead data-only link may take to recover
@@ -75,12 +75,13 @@ type linkReply struct {
 
 // ClusterClient is a worker's one client, on every route (DESIGN.md §6). It
 // holds a link per server the route resolves to; links[0] is the sync link,
-// the one whose push the synchronization policy gates. On a Group route
-// (PROTOCOL.md §5b) the sync link is the coordinator, which carries no
-// tensors, and every other link is a data server carrying its shard range's
-// fragment of each pull and push. A Flat or Tree route is the one-link case:
-// the server (or relay) is sync and data link at once, and a push is the one
-// frame carrying the whole gradient under the caller's base version.
+// the one whose push the synchronization policy gates. On a route to a
+// coordinator (PROTOCOL.md §5b) the sync link is the coordinator, which
+// carries no tensors, and every other link is a data server carrying its
+// shard range's fragment of each pull and push. A route to a flat server or
+// through a relay is the one-link case: the server (or relay) is sync and
+// data link at once, and a push is the one frame carrying the whole gradient
+// under the caller's base version.
 //
 // Like Client, a ClusterClient belongs to one worker goroutine.
 //
@@ -95,7 +96,8 @@ type ClusterClient struct {
 	links []*link
 
 	mapVersion int64
-	// total is a group's tensor count.
+	// total is a group's tensor count, 0 on a one-link route: its links
+	// register in cluster mode exactly when it is set.
 	total int
 
 	assembled []*tensor.Tensor
@@ -113,11 +115,11 @@ type ClusterClient struct {
 }
 
 // NewClusterClient connects worker to the group coordinated at coordAddr in
-// one attempt: Connect along a Group route with no Retry. dial opens a
+// one attempt: Connect to coordAddr with no Retry. dial opens a
 // connection to an advertised address — injectable so in-process transports
 // (tests, the trainer) and TCP share the code.
 func NewClusterClient(dial func(addr string) (transport.Conn, error), coordAddr string, worker int, cfg ClusterClientConfig) (*ClusterClient, error) {
-	c, err := Connect(Route{Dial: dial, Addr: coordAddr, Worker: worker, Topology: Group, Compression: cfg.Compression}, false, 0)
+	c, err := Connect(Route{Dial: dial, Addr: coordAddr, Worker: worker, Compression: cfg.Compression}, false, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -140,21 +142,31 @@ func FetchClusterMap(dial func(addr string) (transport.Conn, error), addr string
 		return transport.Message{}, fmt.Errorf("ps: dial coordinator %s: %w", addr, err)
 	}
 	defer conn.Close()
-	if err := conn.Send(transport.Message{Type: transport.MsgClusterMap}); err != nil {
-		return transport.Message{}, fmt.Errorf("ps: cluster map request to %s: %w", addr, err)
-	}
-	msg, err := conn.Recv()
+	msg, err := requestMap(conn, false)
 	if err != nil {
 		return transport.Message{}, fmt.Errorf("ps: cluster map from %s: %w", addr, err)
 	}
-	switch msg.Type {
-	case transport.MsgError:
-		return transport.Message{}, fmt.Errorf("ps: cluster map from %s: %w", addr, &RemoteError{Msg: msg.Error})
-	case transport.MsgClusterMap:
-		return msg, nil
-	default:
-		return transport.Message{}, fmt.Errorf("ps: cluster map from %s: unexpected %v reply", addr, msg.Type)
+	return msg, nil
+}
+
+// requestMap sends one ClusterMap request on conn, a dedicated connection —
+// the tree-layout request (Relay set) when layout is, a plain map fetch
+// otherwise — and returns the ClusterMap reply. A refusal comes back as a
+// RemoteError.
+func requestMap(conn transport.Conn, layout bool) (transport.Message, error) {
+	if err := conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: layout}); err != nil {
+		return transport.Message{}, fmt.Errorf("request: %w", err)
 	}
+	msg, err := conn.Recv()
+	switch {
+	case err != nil:
+		return transport.Message{}, fmt.Errorf("reply: %w", err)
+	case msg.Type == transport.MsgError:
+		return transport.Message{}, &RemoteError{Msg: msg.Error}
+	case msg.Type != transport.MsgClusterMap:
+		return transport.Message{}, fmt.Errorf("unexpected %v reply", msg.Type)
+	}
+	return msg, nil
 }
 
 // validateMap checks a map reply for completeness: entries in shard order
@@ -209,8 +221,8 @@ func (r Route) waitForMap() (m transport.Message, err error) {
 }
 
 // openLink dials e.Addr and registers the worker there under codec cfg: a
-// Rejoin carrying lastVersion when rejoin is set, a Register otherwise. On a
-// Group route the registration is in cluster mode.
+// Rejoin carrying lastVersion when rejoin is set, a Register otherwise. When
+// the route resolved to a cluster map the registration is in cluster mode.
 func (c *ClusterClient) openLink(e transport.ServerEntry, cfg compress.Config, rejoin bool, lastVersion int64) (*link, error) {
 	conn, err := c.route.Dial(e.Addr)
 	if err != nil {
@@ -221,7 +233,7 @@ func (c *ClusterClient) openLink(e transport.ServerEntry, cfg compress.Config, r
 		conn.Close()
 		return nil, err
 	}
-	client.cluster = c.route.Topology == Group
+	client.cluster = c.total > 0
 	if rejoin {
 		err = client.rejoin(lastVersion)
 	} else {
@@ -272,7 +284,7 @@ func (c *ClusterClient) recover(i int, cause error) error {
 }
 
 // firstData is the index of the first link that carries tensors: the one
-// link of a Flat or Tree route, the first data server behind a coordinator.
+// link of a one-link route, the first data server behind a coordinator.
 func (c *ClusterClient) firstData() int { return min(1, len(c.links)-1) }
 
 // fragment is the part of a full list, of tensors or of their factors, that
@@ -311,8 +323,8 @@ func (c *ClusterClient) Pull() ([]*tensor.Tensor, int64, error) {
 	return params, version, err
 }
 
-// pull implements Pull. A failure on the sync link, the one link of a Flat or
-// Tree route, goes to the caller.
+// pull implements Pull. A failure on the sync link, the one link of a
+// one-link route, goes to the caller.
 func (c *ClusterClient) pull() ([]*tensor.Tensor, int64, error) {
 	c.releaseRetired()
 	if len(c.parts) != len(c.links) {

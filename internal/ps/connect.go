@@ -34,32 +34,17 @@ type WorkerClient interface {
 	Codec() string
 }
 
-// Topology is how a worker reaches the parameter store.
-type Topology int
-
-const (
-	// Flat links the server at Route.Addr.
-	Flat Topology = iota
-	// Tree fetches the aggregation-tree layout from the root at Route.Addr
-	// and links the relay covering the worker, or the root when none does
-	// (DESIGN.md §11).
-	Tree
-	// Group fetches the cluster map from the coordinator at Route.Addr and
-	// links the coordinator and every data server (DESIGN.md §10).
-	Group
-)
-
 // Route is everything Connect needs to turn a worker id into a registered
-// client. Topology is a property of the route, not of the loop that uses the
-// client.
+// client. The topology is not a part of it: the server at Addr says what it
+// is when the route is resolved.
 type Route struct {
 	// Dial opens a connection to an address — TCP in production, a table of
 	// channel listeners in-process.
 	Dial func(addr string) (transport.Conn, error)
-	// Addr is the server, the tree's root, or the group's coordinator.
-	Addr     string
-	Worker   int
-	Topology Topology
+	// Addr is the server the worker dials: a flat server, a tree's root or
+	// relay, or a group's coordinator.
+	Addr   string
+	Worker int
 	// Compression is the gradient codec to negotiate; compress.Auto adopts
 	// the server's.
 	Compression compress.Config
@@ -68,8 +53,8 @@ type Route struct {
 	// Retry is the route's one patience: how long Connect keeps retrying
 	// through transport failures, on a first connect and a rejoin alike, and
 	// how long a dead data-only link may take to recover mid-run. Zero is one
-	// connect attempt, and 15s for a data link. A Group connect also waits
-	// for a complete map either way.
+	// connect attempt, and 15s for a data link. A connect to a coordinator
+	// also waits for a complete map either way.
 	Retry time.Duration
 }
 
@@ -77,8 +62,8 @@ type Route struct {
 // client. With rejoin set the sync link registers with a Rejoin carrying
 // lastVersion, the last store version the worker saw; a group's data servers
 // get a fresh registration, which supersedes the session the worker held
-// there. Every attempt resolves the route afresh, so a Tree worker orphaned
-// by a dead relay lands on the re-parented layout. A peer that is not
+// there. Every attempt resolves the route afresh, so a worker orphaned by a
+// dead relay lands on the re-parented layout. A peer that is not
 // speaking the protocol (transport.IsWireMismatch) or that rejects the
 // request outright (RemoteError) is never retried.
 func Connect(r Route, rejoin bool, lastVersion int64) (WorkerClient, error) {
@@ -133,29 +118,33 @@ func (r Route) open(rejoin bool, lastVersion int64) (*ClusterClient, error) {
 	return c, nil
 }
 
-// resolve turns r into the servers a worker links to: the sync link's
-// address, and on a Group route the complete cluster map whose data servers
-// the other links reach. Flat links the server at Addr, Tree the relay
-// covering the worker in the layout the root at Addr serves, or the root when
-// none does.
+// resolve asks the server at r.Addr what it is, in one layout request
+// (requestMap), and turns the reply into the servers a worker links to:
+// the sync link's address, and for a coordinator the complete cluster map
+// whose data servers the other links reach. A coordinator answers with its
+// map, waited for until complete; any other server with its tree layout, in
+// which the relay covering the worker is linked, or Addr itself when none
+// covers it. A flat server is a tree with no relays, and a relay, a data
+// server or a backup answers with no relays either: a relay registers the
+// worker itself, and a data server or backup refuses it by name.
 func (r Route) resolve() (string, transport.Message, error) {
-	switch r.Topology {
-	case Tree:
-		conn, err := r.Dial(r.Addr)
-		if err != nil {
-			return "", transport.Message{}, err
+	conn, err := r.Dial(r.Addr)
+	if err != nil {
+		return "", transport.Message{}, fmt.Errorf("ps: dial %s: %w", r.Addr, err)
+	}
+	m, err := requestMap(conn, true)
+	conn.Close()
+	switch {
+	case err != nil:
+		return "", transport.Message{}, fmt.Errorf("ps: layout from %s: %w", r.Addr, err)
+	case !m.Relay:
+		if validateMap(m) != nil {
+			m, err = r.waitForMap()
 		}
-		layout, err := FetchTreeLayout(conn)
-		conn.Close()
-		if err != nil {
-			return "", transport.Message{}, err
-		}
-		if covering := layout.Covering(r.Worker); covering != "" {
-			return covering, transport.Message{}, nil
-		}
-	case Group:
-		m, err := r.waitForMap()
 		return r.Addr, m, err
+	}
+	if covering := (TreeLayout{Entries: m.Servers}).Covering(r.Worker); covering != "" {
+		return covering, transport.Message{}, nil
 	}
 	return r.Addr, transport.Message{}, nil
 }

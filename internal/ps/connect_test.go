@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,8 +94,8 @@ func pushOnce(t *testing.T, c WorkerClient, grads []*tensor.Tensor, it int) {
 	}
 }
 
-// TestConnectFlat: a flat route dials the server and registers, and a rejoin
-// registers as one.
+// TestConnectFlat: a route to a flat server asks it for its layout, then
+// dials it again and registers, and a rejoin registers as one.
 func TestConnectFlat(t *testing.T) {
 	const size = 5
 	st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(size), tensor.New(size)}, optimizer.NewSGD(0.1), 2)
@@ -115,8 +116,8 @@ func TestConnectFlat(t *testing.T) {
 	}
 	pushOnce(t, c, grads, 0)
 	c.Close()
-	if got := log.take(); got != route.Addr {
-		t.Fatalf("flat connect dialed %q, want the server once", got)
+	if got := log.take(); got != route.Addr+" "+route.Addr {
+		t.Fatalf("flat connect dialed %q, want layout fetch then the server", got)
 	}
 
 	c, err = Connect(route, true, 1)
@@ -130,7 +131,7 @@ func TestConnectFlat(t *testing.T) {
 	}
 }
 
-// TestConnectTree: a tree route fetches the layout from the root and dials
+// TestConnectTree: a route to a tree's root fetches the layout from it and dials
 // the covering relay; a worker no relay covers lands on the root; and after
 // the relay dies a rejoin re-fetches the layout and re-parents at the root.
 func TestConnectTree(t *testing.T) {
@@ -143,7 +144,7 @@ func TestConnectTree(t *testing.T) {
 	h := newRelayHarness(t, core.MustNewASP(3), st, 1, 2, Options{Lease: 5 * time.Second})
 	root, relay := h.rootListener.Addr(), h.listeners[0].Addr()
 	log := &dialLog{dial: h.dial}
-	route := Route{Dial: log.Dial, Addr: root, Topology: Tree}
+	route := Route{Dial: log.Dial, Addr: root}
 
 	covered, err := Connect(route, false, 0)
 	if err != nil {
@@ -184,13 +185,13 @@ func TestConnectTree(t *testing.T) {
 	}
 }
 
-// TestConnectGroup: a group route is the same ClusterClient as every other
-// route, and a rejoin re-enters the coordinator as one (and the data servers
+// TestConnectGroup: a route to a coordinator is the same ClusterClient as
+// every other route, and a rejoin re-enters the coordinator as one (and the data servers
 // as a fresh registration) and trains on.
 func TestConnectGroup(t *testing.T) {
 	initial := seededModel(3)
 	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
-	route := Route{Dial: g.dial, Addr: g.coordAddr, Topology: Group}
+	route := Route{Dial: g.dial, Addr: g.coordAddr}
 
 	c, err := Connect(route, false, 0)
 	if err != nil {
@@ -213,6 +214,68 @@ func TestConnectGroup(t *testing.T) {
 	}
 	if n := g.coord.Status().Pushes; n != 2 {
 		t.Fatalf("coordinator counted %d pushes, want one per connect", n)
+	}
+}
+
+// TestConnectAsksTheServerWhatItIs: a route is a bare address, whatever
+// server is behind it. Connect asks that server with one layout request and
+// links what its reply names: a flat server itself, the relay covering the
+// worker under a tree's root, a relay itself, and a coordinator together with
+// every data server of its map. A data server answers with no relays, then
+// refuses the registration by name, pointing the worker at its coordinator.
+func TestConnectAsksTheServerWhatItIs(t *testing.T) {
+	store := func() *Store {
+		st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(5)}, optimizer.NewSGD(0.1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	flat := newRelayHarness(t, core.MustNewASP(1), store(), 0, 0, Options{})
+	// One fanout-2 relay covering both workers.
+	tree := newRelayHarness(t, core.MustNewASP(2), store(), 1, 2, Options{})
+	g := startTestGroup(t, 1, 2, core.MustNewASP(1), seededModel(3))
+	flatAddr, root, relay := flat.rootListener.Addr(), tree.rootListener.Addr(), tree.listeners[0].Addr()
+	for _, tc := range []struct {
+		name   string
+		dial   func(string) (transport.Conn, error)
+		addr   string
+		worker int
+		// linked is the servers the client links, its sync link first; refused,
+		// what a refusal must say instead.
+		linked  []string
+		refused string
+	}{
+		{"flat server", flat.dial, flatAddr, 0, []string{flatAddr}, ""},
+		{"tree root", tree.dial, root, 0, []string{relay}, ""},
+		{"relay", tree.dial, relay, 1, []string{relay}, ""},
+		{"coordinator", g.dial, g.coordAddr, 0, []string{g.coordAddr, g.dataAddrs[0], g.dataAddrs[1]}, ""},
+		{"data server", g.dial, g.dataAddrs[0], 0, nil, "data server of a group; point workers at its coordinator, " + g.coordAddr},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Connect(Route{Dial: tc.dial, Addr: tc.addr, Worker: tc.worker}, false, 0)
+			if tc.refused != "" {
+				if err == nil {
+					c.Close()
+					t.Fatal("registered")
+				}
+				if !strings.Contains(err.Error(), "server error: this server is a "+tc.refused) {
+					t.Fatalf("refusal %q does not name %q", err, tc.refused)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var linked []string
+			for _, l := range c.(*ClusterClient).links {
+				linked = append(linked, l.entry.Addr)
+			}
+			if !slices.Equal(linked, tc.linked) {
+				t.Fatalf("linked %v, want %v", linked, tc.linked)
+			}
+		})
 	}
 }
 
@@ -268,8 +331,8 @@ func TestRetry(t *testing.T) {
 // ticket push. Every pull is answered with one Weights frame, though each
 // store runs two shards. Every row but plain flat pushes with next set, and
 // only a flat server's own session takes the offer: its worker sends no pull
-// at all, the Weights frame following the OK unasked. A relay — reached by a
-// tree route or by a flat one — and a group offer none. A group worker sends
+// at all, the Weights frame following the OK unasked. A relay — reached
+// through its root's layout or dialed itself — and a group offer none. A group worker sends
 // both data servers' Pulls before it receives either Weights frame. Traffic
 // counts each link once too: one gradient's payload pushed and one model's
 // pulled per iteration, on every route.
@@ -297,7 +360,7 @@ func TestConnectFramesPerIteration(t *testing.T) {
 			var top leaseTopology
 			if tc.topo == "relay" {
 				top = startLeaseTopology(t, "tree", true, true, 1, initial)
-				top.route.Topology, top.route.Addr = Flat, "relay"
+				top.route.Addr = "relay"
 			} else {
 				top = startLeaseTopology(t, tc.topo, true, true, 1, initial)
 			}

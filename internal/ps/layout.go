@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"errors"
 	"fmt"
 
 	"dssp/internal/transport"
@@ -31,20 +32,16 @@ func (l TreeLayout) Covering(worker int) string {
 
 // FetchTreeLayout asks the server at the other end of conn for the current
 // aggregation-tree layout. The conn is dedicated to this exchange; callers
-// close it afterwards. A flat topology answers with zero entries.
+// close it afterwards. A flat topology answers with zero entries, and a
+// coordinator, which runs no tree, with its cluster map: that is an error
+// here.
 func FetchTreeLayout(conn transport.Conn) (TreeLayout, error) {
-	if err := conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: true}); err != nil {
-		return TreeLayout{}, fmt.Errorf("ps: tree layout request: %w", err)
+	msg, err := requestMap(conn, true)
+	if err == nil && !msg.Relay {
+		err = errors.New("the server is a group coordinator")
 	}
-	msg, err := conn.Recv()
 	if err != nil {
-		return TreeLayout{}, fmt.Errorf("ps: tree layout reply: %w", err)
-	}
-	if msg.Type == transport.MsgError {
-		return TreeLayout{}, fmt.Errorf("ps: tree layout: %s", msg.Error)
-	}
-	if msg.Type != transport.MsgClusterMap || !msg.Relay {
-		return TreeLayout{}, fmt.Errorf("ps: tree layout: unexpected reply %v", msg.Type)
+		return TreeLayout{}, fmt.Errorf("ps: tree layout: %w", err)
 	}
 	return TreeLayout{Entries: msg.Servers}, nil
 }

@@ -134,7 +134,6 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			}
 			t.Cleanup(relay.Stop)
 			_, dial = meteredEndpoint(t, edgeTCP, workerMeter, func(l transport.Listener) { _ = relay.Serve(l) })
-			route.Topology = Tree
 		}
 		route.Dial = func(addr string) (transport.Conn, error) {
 			if addr == "relay" {
@@ -232,7 +231,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 		}
 		return leaseTopology{
 			inPlace:   inPlace,
-			route:     Route{Dial: dialAddr, Addr: coordAddr, Topology: Group},
+			route:     Route{Dial: dialAddr, Addr: coordAddr},
 			workerReg: workerReg,
 			replica: func() (*Client, error) {
 				return openReplica(func() (transport.Conn, error) { return dialAddr(addrs[0]) })

@@ -113,6 +113,7 @@ func TestOnlyAFlatWorkerIsOfferedPrefetch(t *testing.T) {
 		return newRelayHarness(t, core.MustNewASP(1), testStore(t, size), 1, 1, Options{}).listeners[0].Dial
 	}
 	worker := []transport.Message{{Type: transport.MsgRegister}}
+	member := []transport.Message{{Type: transport.MsgRegister, Cluster: true}}
 	trunk := append([]transport.Message{{Type: transport.MsgRegister, Relay: true,
 		Servers: []transport.ServerEntry{{Addr: "raw-trunk", ShardHi: 1}}}}, worker...)
 	push := transport.Message{Type: transport.MsgPush, Version: 1, Iteration: 1, Tensors: grads, Prefetch: true}
@@ -130,9 +131,8 @@ func TestOnlyAFlatWorkerIsOfferedPrefetch(t *testing.T) {
 		{"flat worker", flat, worker, push, true},
 		{"trunk", flat, trunk, partial, false},
 		{"relay child", relayChild, worker, push, false},
-		{"data server", func(t *testing.T) func() (transport.Conn, error) { return group(t, false) }, worker, push, false},
-		{"coordinator", func(t *testing.T) func() (transport.Conn, error) { return group(t, true) },
-			[]transport.Message{{Type: transport.MsgRegister, Cluster: true}}, ticket, false},
+		{"data server", func(t *testing.T) func() (transport.Conn, error) { return group(t, false) }, member, push, false},
+		{"coordinator", func(t *testing.T) func() (transport.Conn, error) { return group(t, true) }, member, ticket, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := tc.dial(t)()

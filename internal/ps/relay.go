@@ -411,8 +411,14 @@ func (r *Relay) watchdogLoop() {
 	}
 }
 
-// refuseClusterMap answers a layout or map fetch that reached a relay.
-func refuseClusterMap(conn transport.Conn, _ transport.Message) {
+// refuseClusterMap answers a map fetch that reached a relay. A layout
+// request (Relay set), the one a worker's connect sends, gets an empty
+// layout: a relay covers whoever dials it, so the worker registers here.
+func refuseClusterMap(conn transport.Conn, msg transport.Message) {
+	if msg.Relay {
+		_ = conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: true})
+		return
+	}
 	_ = conn.Send(transport.Message{
 		Type:  transport.MsgError,
 		Error: "not the aggregation root; fetch the tree layout from the root server",

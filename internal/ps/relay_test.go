@@ -94,7 +94,7 @@ func (h *relayHarness) dial(addr string) (transport.Conn, error) {
 // returns the connection's Client: the one link of a Tree route.
 func (h *relayHarness) childClient(t *testing.T, w int) *Client {
 	t.Helper()
-	c, err := Connect(Route{Dial: h.dial, Addr: h.rootListener.Addr(), Worker: w, Topology: Tree}, false, 0)
+	c, err := Connect(Route{Dial: h.dial, Addr: h.rootListener.Addr(), Worker: w}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

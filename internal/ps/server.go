@@ -438,10 +438,16 @@ func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transpor
 	case msg.Replica:
 		kind = kindReplica
 	}
-	if s.coordinator() && !msg.Cluster {
+	switch role := s.cfg.Cluster.Role; {
+	case msg.Cluster:
+	case role == RoleCoordinator:
 		// A classic worker pointed at the coordinator would train against the
 		// placeholder store — reject loudly instead of silently not learning.
 		return reject("this server is a cluster coordinator; workers must register in cluster mode (fetch the cluster map)")
+	case role != "" && kind == kindWorker:
+		// A worker that dialed a group member learned no map from it
+		// (Route.resolve): it would train one shard range alone.
+		return reject(fmt.Sprintf("this server is a %s server of a group; point workers at its coordinator, %s", role, s.cfg.Cluster.Coordinator))
 	}
 	key := msg.Worker
 	if !kind.holdsSlot() {
@@ -655,15 +661,13 @@ func (s *Server) departed(sess *session) {
 func (s *Server) depart(slots []int, now time.Time) {
 	for _, w := range slots {
 		s.mu.Lock()
-		finished := s.finished[w]
-		if !finished {
+		if !s.finished[w] {
+			// Counted before the slot settles (settledLocked).
+			s.sm.departures.Inc()
 			s.departedAt[w] = now
 		}
 		s.mu.Unlock()
 		s.policyMu.Lock()
-		if !finished {
-			s.sm.departures.Inc()
-		}
 		decision := s.cfg.Policy.OnLeave(core.WorkerID(w), now)
 		delete(s.pushedAt, w)
 		s.prefetch[w] = false
@@ -1336,13 +1340,8 @@ func (s *Server) shrinkWindow() {
 	if s.fullWindow <= 1 {
 		return
 	}
-	gone := 0
 	s.mu.Lock()
-	for w := 0; w < s.cfg.Workers; w++ {
-		if s.finished[w] || (s.sessions.get(w) == nil && s.routes[w] == nil && !s.departedAt[w].IsZero()) {
-			gone++
-		}
-	}
+	gone := s.settledLocked()
 	s.mu.Unlock()
 	w := s.fullWindow - gone
 	if w < 1 {
@@ -1350,6 +1349,23 @@ func (s *Server) shrinkWindow() {
 	}
 	s.cfg.Store.SetWindow(w)
 	s.cfg.Store.Flush()
+}
+
+// settledLocked counts the worker slots that are accounted for: finished,
+// or departed with neither a session nor a route left to carry them. Such a
+// slot pushes no more. A routed child's leave is counted
+// (dssp_tree_child_leaves_total) before its slot settles, and under fixed
+// membership so is any departure (dssp_departures_total); a lease stamps
+// every slot departed at the run's first admission, so there a slot settles
+// as soon as its carrier is gone. Caller holds s.mu.
+func (s *Server) settledLocked() int {
+	n := 0
+	for w := 0; w < s.cfg.Workers; w++ {
+		if s.finished[w] || (s.sessions.get(w) == nil && s.routes[w] == nil && !s.departedAt[w].IsZero()) {
+			n++
+		}
+	}
+	return n
 }
 
 // checkAllDone closes AllWorkersDone when training is complete. The classic
@@ -1428,6 +1444,9 @@ type ServerStatus struct {
 	Workers  int  `json:"workers"`
 	Elastic  bool `json:"elastic"`
 	Finished int  `json:"finished"`
+	// Settled counts the slots accounted for: finished, or departed with no
+	// session or route left to carry them (settledLocked).
+	Settled int `json:"settled"`
 	// Restored records that Start resumed from a checkpoint.
 	Restored bool `json:"restored"`
 	// Primary is, on a backup, the data server it replicates, once found
@@ -1512,7 +1531,7 @@ func (s *Server) Status() ServerStatus {
 		st.Guard = s.guard.stats()
 	}
 	s.mu.Lock()
-	st.Finished = s.done
+	st.Finished, st.Settled = s.done, s.settledLocked()
 	if s.ckptErr != nil {
 		st.CheckpointError = s.ckptErr.Error()
 	}

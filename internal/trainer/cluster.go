@@ -177,16 +177,16 @@ func buildStandalone(cfg Config, policy core.Policy, params []*tensor.Tensor) (*
 	if err != nil {
 		return nil, err
 	}
-	s.route, s.policyServer = cfg.route(s.net, addr, ps.Flat), s.servers[0]
+	s.route, s.policyServer = cfg.route(s.net, addr), s.servers[0]
 	return s, nil
 }
 
-// route is how cfg's workers reach a topology rooted at addr on net.
-func (cfg Config) route(net *chanNet, addr string, topology ps.Topology) ps.Route {
+// route is how cfg's workers reach the topology whose server is at addr on
+// net: the server says what it is when a worker connects.
+func (cfg Config) route(net *chanNet, addr string) ps.Route {
 	return ps.Route{
 		Dial:        net.dial,
 		Addr:        addr,
-		Topology:    topology,
 		Compression: cfg.Compression,
 	}
 }
@@ -217,7 +217,6 @@ func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*servin
 		s.relays = append(s.relays, relay)
 		go func() { _ = relay.Serve(l) }()
 	}
-	s.route.Topology = ps.Tree
 	return s, nil
 }
 
@@ -255,6 +254,6 @@ func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*ser
 		s.stop()
 		return nil, err
 	}
-	s.route, s.policyServer = cfg.route(s.net, coordAddr, ps.Group), s.servers[0]
+	s.route, s.policyServer = cfg.route(s.net, coordAddr), s.servers[0]
 	return s, nil
 }

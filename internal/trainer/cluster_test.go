@@ -167,8 +167,9 @@ func TestGroupDataServersRunTheirRoleOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A bare registration, not a client: nothing heartbeats under the lease.
-	if err := conn.Send(transport.Message{Type: transport.MsgRegister, Worker: 0}); err != nil {
+	// A bare registration, in cluster mode as a group worker's data link
+	// registers, not a client: nothing heartbeats under the lease.
+	if err := conn.Send(transport.Message{Type: transport.MsgRegister, Worker: 0, Cluster: true}); err != nil {
 		t.Fatal(err)
 	}
 	if reply, err := conn.Recv(); err != nil || reply.Type != transport.MsgRegistered || reply.Lease != 50*time.Millisecond {

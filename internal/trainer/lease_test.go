@@ -163,14 +163,15 @@ func TestWorkerLoopLeasesSurvivePoisoning(t *testing.T) {
 						}
 					}
 
-					// One Weights frame a pull: the first connection dies on
-					// the cut iteration's, if at all.
+					// One Weights frame a pull: the first link dies on the cut
+					// iteration's, if at all. A connect's first dial asks the
+					// server for its layout; its second is the link.
 					cutAt := map[string]int{"none": -1, "pull": cutIteration}[fault]
 					dials := 0
 					route := ps.Route{
 						Dial: func(string) (transport.Conn, error) {
 							conn, err := dial()
-							if dials++; err == nil && dials == 1 && cutAt >= 0 {
+							if dials++; err == nil && dials == 2 && cutAt >= 0 {
 								conn = &cutConn{Conn: conn, cutAt: cutAt}
 							}
 							return conn, err

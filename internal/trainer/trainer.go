@@ -283,6 +283,18 @@ poll:
 		return nil, err
 	default:
 	}
+	// A worker's goroutine returns once its own side is over; the server
+	// may still be taking its end in (a relay forwards a crashed child's
+	// Leave after the child returned). Nothing is read until every slot has
+	// settled.
+	for deadline := time.After(settleTimeout); srv.policyServer.Status().Settled < cfg.Workers; {
+		select {
+		case <-ticker.C:
+		case <-deadline:
+			return nil, fmt.Errorf("trainer: the server settled %d of %d worker slots within %v of the workers returning",
+				srv.policyServer.Status().Settled, cfg.Workers, settleTimeout)
+		}
+	}
 	evaluate()
 
 	result.Duration = time.Since(start)
@@ -307,6 +319,10 @@ poll:
 	}
 	return result, nil
 }
+
+// settleTimeout bounds how long Run waits, once every worker returned, for
+// the server to account for every slot.
+const settleTimeout = 10 * time.Second
 
 // iterations is how many mini-batches every worker pushes, in process and
 // over TCP alike: Epochs passes over an equal share of the train split, its

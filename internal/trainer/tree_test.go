@@ -278,7 +278,6 @@ func TestTreeLeaseIsTheRootsDecision(t *testing.T) {
 					}
 					s.relays = append(s.relays, relay)
 					go func() { _ = relay.Serve(l) }()
-					s.route.Topology = ps.Tree
 				}
 			}
 			res := runWithDeadline(t, cfg)

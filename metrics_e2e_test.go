@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dssp/internal/compress"
+	"dssp/internal/obs"
 	"dssp/internal/ps"
 	"dssp/internal/tensor"
 )
@@ -349,8 +350,8 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var statusz struct {
-		Status ps.ServerStatus   `json:"status"`
-		Traces []json.RawMessage `json:"traces"`
+		Status ps.ServerStatus `json:"status"`
+		Traces []obs.PushTrace `json:"traces"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&statusz); err != nil {
 		t.Fatalf("/statusz decode: %v", err)
@@ -369,12 +370,12 @@ func TestMetricsEndpointDuringTCPRun(t *testing.T) {
 	}
 
 	// TraceEvery=1 traces every push; completed traces must be well-formed.
-	traces := server.Traces()
+	traces := statusz.Traces
 	if len(traces) == 0 {
 		t.Fatal("no push traces recorded with TraceEvery=1")
 	}
-	if len(statusz.Traces) != len(traces) {
-		t.Errorf("/statusz returned %d traces, server holds %d", len(statusz.Traces), len(traces))
+	if held := min(statusz.Status.TracesCompleted, obs.DefaultTraceCapacity); uint64(len(traces)) != held {
+		t.Errorf("/statusz returned %d traces, server holds %d", len(traces), held)
 	}
 	for _, tr := range traces {
 		if tr.Dropped != "" {
@@ -545,7 +546,7 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 
 			done := make(chan error, 2)
 			run := func(cfg WorkerConfig) {
-				cfg.ServerAddr, cfg.Workers, cfg.Cluster = server.Addr(), 2, group
+				cfg.ServerAddr, cfg.Workers = server.Addr(), 2
 				cfg.Model, cfg.Dataset, cfg.BatchSize, cfg.Epochs, cfg.Seed = ModelSmallMLP, dataset, 8, 3, 5
 				_, err := RunWorker(cfg)
 				done <- err

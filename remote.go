@@ -99,10 +99,6 @@ func (s *Server) Registry() *obs.Registry { return s.inner.Registry() }
 // coordinator's map, the counters, the staleness and each slot's wait.
 func (s *Server) Status() ps.ServerStatus { return s.inner.Status() }
 
-// Traces returns the sampled push-lifecycle traces collected so far, oldest
-// first (nil when tracing is disabled).
-func (s *Server) Traces() []obs.PushTrace { return s.inner.Traces() }
-
 // Updates is Status().Pushes, the gradient updates applied so far. The
 // end-to-end benchmark (bench/run.go) is its one caller.
 func (s *Server) Updates() int { return int(s.inner.Status().Pushes) }
@@ -211,23 +207,23 @@ func Serve(cfg ServerConfig) (*Server, error) {
 
 // WorkerConfig configures one TCP worker process (used by cmd/psworker).
 type WorkerConfig struct {
-	// ServerAddr is the parameter server's address. With Cluster set this is
-	// the coordinator, from which the worker learns the cluster map.
+	// ServerAddr is the server the worker dials, which says at connect what
+	// it is. A flat server, or a relay, registers the worker. A tree's root
+	// names the relay covering the worker's index, which it then dials
+	// (DESIGN.md §11); every reconnect asks again, which is how a worker
+	// orphaned by a dead relay re-parents. A coordinator hands over its
+	// cluster map: the worker registers there and routes gradient fragments
+	// directly to each shard owner while synchronization decisions stay with
+	// the coordinator (DESIGN.md §10). A dead data link recovers by
+	// refetching the map (which is how a backup promotion reaches the
+	// worker); a dead coordinator link ends the run, or with Reconnect is
+	// rejoined. A data server or backup refuses the worker, naming its
+	// coordinator.
 	ServerAddr string
-	// Cluster makes the worker join a server group: it registers with the
-	// coordinator at ServerAddr, fetches the cluster map, and routes gradient
-	// fragments directly to each shard owner while synchronization decisions
-	// stay with the coordinator. A dead data link recovers by refetching the
-	// map (which is how a backup promotion reaches the worker); a dead
-	// coordinator link ends the run, or with Reconnect is rejoined.
-	Cluster bool
-	// Tree makes the worker join through the aggregation tier (DESIGN.md
-	// §11): it fetches the tree layout from the root at ServerAddr and dials
-	// the relay covering its worker index, falling back to the root when no
-	// relay does. Every reconnect attempt re-fetches the layout, which is
-	// how a worker orphaned by a dead relay re-parents. Mutually exclusive
-	// with Cluster.
-	Tree bool
+	// Cluster and Tree are read by no code outside the end-to-end
+	// benchmark (bench/), which still sets them to pick its own client; the
+	// server at ServerAddr decides the route, and RunWorker ignores both.
+	Cluster, Tree bool
 	// WorkerID is this worker's index in [0, Workers).
 	WorkerID int
 	// Workers is the total number of workers; it must be positive. The
@@ -262,8 +258,8 @@ type WorkerConfig struct {
 	// and retries the interrupted iteration from a fresh pull. The same
 	// patience covers the first connection and the recovery of a dead data
 	// link. This is what lets a worker survive a parameter-server restart, a
-	// Tree worker a relay death, and a Cluster worker a lost coordinator
-	// connection (the coordinator gets a Rejoin, the data servers a fresh
+	// worker behind a relay that relay's death, and a group's worker a lost
+	// coordinator connection (the coordinator gets a Rejoin, the data servers a fresh
 	// registration). Zero connects once, and a data link then gets 15s.
 	Reconnect time.Duration
 	// FailAfter > 0 injects a fault for demos and tests: the worker drops
@@ -286,8 +282,8 @@ type WorkerReport = trainer.WorkerReport
 // RunWorker connects to a parameter server over TCP and runs the worker side
 // of Algorithm 1 until the configured number of epochs completes. How the
 // worker reaches the store — directly, through a relay, as a member of a
-// server group — is a property of the route it connects along; the loop is
-// trainer.RunWorker on all three. With Reconnect set it survives server
+// server group — is what the server at ServerAddr says it is when the worker
+// connects; the loop is trainer.RunWorker on all three. With Reconnect set it survives server
 // restarts and transient network failures by redialing and rejoining mid-run.
 func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	if cfg.Workers <= 0 {
@@ -295,9 +291,6 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 	}
 	if cfg.WorkerID < 0 || cfg.WorkerID >= cfg.Workers {
 		return nil, fmt.Errorf("dssp: worker id %d out of range [0,%d)", cfg.WorkerID, cfg.Workers)
-	}
-	if cfg.Tree && cfg.Cluster {
-		return nil, fmt.Errorf("dssp: Tree and Cluster are mutually exclusive")
 	}
 	run, err := job{Model: cfg.Model, Dataset: cfg.Dataset, Workers: cfg.Workers,
 		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed, Worker: cfg.WorkerID}.build(workerShard)
@@ -343,13 +336,6 @@ func RunWorker(cfg WorkerConfig) (*WorkerReport, error) {
 		// default flags keeps working when the server turns compression on.
 		route.Compression.Codec = compress.Auto
 	}
-	switch {
-	case cfg.Cluster:
-		route.Topology = ps.Group
-	case cfg.Tree:
-		route.Topology = ps.Tree
-	}
-
 	w.Connect = func(rejoin bool, lastVersion int64) (ps.WorkerClient, error) {
 		return ps.Connect(route, rejoin, lastVersion)
 	}

@@ -6,7 +6,10 @@
 # servers (-shards 4 on every member), a backup for data server 0 that finds
 # it in the coordinator's cluster map and ends naming it and the positive
 # store version it replicated, and reconnecting group workers, and a
-# root fronted by one relay with -tree workers. The group and the root lease
+# root fronted by one relay. Every worker is the same command line, with no
+# topology flag: the server it dials says whether it is flat, a tree's root
+# or a coordinator, and a worker pointed at a data server must exit non-zero
+# with an error naming the coordinator. The group and the root lease
 # their sessions at 200ms (-lease), and one worker of each job computes for
 # 300ms an iteration with no heartbeat flag anywhere: the coordinator and the
 # root must each end reporting 0 departures. Every process must exit 0. It
@@ -16,7 +19,8 @@
 # coordinator -cluster-index, a backup -primary (the map names its primary),
 # a flat server -parent (a relay's flag, given without -role relay); and that
 # a coordinator refuses the option its role does not act on (-guard again: it
-# carries no gradient bytes).
+# carries no gradient bytes). No log may print Paradigm(0): a data server and
+# a backup start naming the shard range they hold, not a paradigm.
 #
 # Usage: scripts/cli_smoke.sh <dir>
 # <dir> holds psserver and psworker (make cli-smoke builds them there) and
@@ -141,8 +145,22 @@ for i in 0 1; do
 	start "group-data$i" "$server" -addr "127.0.0.1:1718$((i + 1))" -role data -peers 127.0.0.1:17180 \
 		-cluster-servers 2 -cluster-index "$i" -workers 2 -shards 4 "${lease[@]}" -metrics-addr "127.0.0.1:1718$((i + 4))"
 done
+# A worker pointed at a data server learns from its layout reply that no
+# relay covers it, and its registration is then refused, naming the
+# coordinator. It admits nobody, so the group's run is untouched.
+ready group-data0 "parameter server listening"
+if timeout 5 "$worker" -server 127.0.0.1:17181 -id 0 "${work[@]}" "${small[@]}" >"$dir/group-stray.log" 2>&1; then
+	echo "cli-smoke: a worker pointed at data server 0 exited 0" >&2
+	exit 1
+fi
+if ! grep -q "point workers at its coordinator, 127.0.0.1:17180" "$dir/group-stray.log"; then
+	echo "cli-smoke: the worker pointed at data server 0 was not told the coordinator's address" >&2
+	cat "$dir/group-stray.log" >&2
+	exit 1
+fi
+echo "cli-smoke: data server 0 refused a worker, naming the coordinator"
 for i in 1 0; do
-	start "group-w$i" "$worker" -cluster -server 127.0.0.1:17180 -id "$i" "${work[@]}" \
+	start "group-w$i" "$worker" -server 127.0.0.1:17180 -id "$i" "${work[@]}" \
 		-reconnect 30s "${small[@]}" -delay "$((i * 300))ms"
 	[ "$i" -eq 0 ] || joined group-data1 17185 dssp_sessions_active
 done
@@ -169,7 +187,7 @@ ready tree-root "parameter server listening"
 start tree-relay "$server" -addr 127.0.0.1:17191 -role relay -parent 127.0.0.1:17190 -fanout 2
 ready tree-relay "aggregation relay listening"
 for i in 1 0; do
-	start "tree-w$i" "$worker" -tree -server 127.0.0.1:17190 -id "$i" "${work[@]}" "${small[@]}" -delay "$((i * 300))ms"
+	start "tree-w$i" "$worker" -server 127.0.0.1:17190 -id "$i" "${work[@]}" "${small[@]}" -delay "$((i * 300))ms"
 	[ "$i" -eq 0 ] || joined tree-root 17189 dssp_tree_routed_workers
 done
 finish tree
@@ -209,3 +227,11 @@ refuses coord-index -cluster-index -addr 127.0.0.1:17195 -role coordinator -clus
 
 # A coordinator refuses an option its role does not act on.
 refuses coord-guard Guard -addr 127.0.0.1:17198 -role coordinator -cluster-servers 2 -workers 2 -guard
+
+# A data server and a backup run no paradigm: their start-up lines name the
+# shard range they hold instead of printing the zero paradigm.
+if grep -l 'Paradigm(0)' "$dir"/*.log; then
+	echo "cli-smoke: the logs above print Paradigm(0)" >&2
+	exit 1
+fi
+echo "cli-smoke: no log prints Paradigm(0)"

@@ -28,7 +28,6 @@ func treeServerConfig(addr string, sync dssp.Sync) dssp.ServerConfig {
 func treeWorkerConfig(rootAddr string, id int) dssp.WorkerConfig {
 	return dssp.WorkerConfig{
 		ServerAddr: rootAddr,
-		Tree:       true,
 		WorkerID:   id,
 		Workers:    4,
 		Model:      dssp.ModelSmallMLP,

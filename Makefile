@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lease-stress lease-stress-names portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check orphans unused fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke profile fmt fmt-check vet ci
+.PHONY: all build test race lease-stress lease-stress-names flake-census portable bench bench-smoke bench-json bench-baseline bench-gate bench-test bench-e2e loc surface surface-check orphans unused fuzz-seeds experiment-smoke metrics-smoke cluster-smoke aggtree-smoke cli-smoke profile fmt fmt-check vet ci
 
 all: build
 
@@ -81,6 +81,17 @@ lease-stress:
 # (go test -list; scripts/run_names.sh).
 lease-stress-names:
 	GO='$(GO)' MAKE='$(MAKE)' bash scripts/run_names.sh lease-stress
+
+# How often each tier-1 test fails, as a record rather than by accident: the
+# whole suite at -count=CENSUS_N (default 20) with -json, once alone and once
+# beside one CPU-bound sibling process the script starts and stops itself,
+# each test's runs and failures per arm written to CENSUS_OUT
+# (scripts/flake_census.sh). It changes no machine setting and is not a CI
+# step: at the default count it takes about half an hour on 2 CPUs.
+CENSUS_N ?= 20
+CENSUS_OUT ?= FLAKE_CENSUS.json
+flake-census:
+	GO='$(GO)' bash scripts/flake_census.sh $(CENSUS_N) $(CENSUS_OUT)
 
 # The portable kernel paths (the Go loops of internal/tensor, bound where there
 # is no AVX2+FMA — internal/optimizer's step runs on them — and of

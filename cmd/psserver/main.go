@@ -73,8 +73,8 @@
 //     -compress-pull, -lease, -workers, -model, -classes, -image-size,
 //     -seed, -shards, -trace-every, -aggregator, -clip-norm,
 //     -guard, -checkpoint-dir, -checkpoint-every (the server then refuses
-//     the ones its role does not act on: a coordinator, -guard and
-//     -checkpoint-*);
+//     the ones its role does not act on: a coordinator, -guard,
+//     -checkpoint-*, an -aggregator other than sum and -clip-norm);
 //   - a flat server and a coordinator, which run the paradigm and evaluate:
 //     -paradigm, -staleness, -range, -enforce-bound, -examples;
 //   - a flat server, data server and backup, which hold weights: -lr,

@@ -54,11 +54,13 @@ type Client struct {
 	// sessions (backup replication streams, a relay's upstream cache).
 	cluster bool
 	replica bool
-	// trunk is the tree-layout entry a relay's trunk registers with
-	// ({Addr: advertised, ShardHi: fanout}), nil on every other client. A
-	// trunk adopts the session key the root assigns, and its push slot has
-	// room for a full fanout of PushEntries.
-	trunk []transport.ServerEntry
+	// self is the entry a registration names its sender by (Servers), nil on
+	// most clients: a relay trunk's tree-layout entry ({Addr: advertised,
+	// ShardHi: fanout}), or on a replica a backup's own map entry, by which
+	// its primary knows the session for a backup's. A trunk (isTrunk) adopts
+	// the session key the root assigns, and its push slot has room for a full
+	// fanout of PushEntries.
+	self []transport.ServerEntry
 	// reply and replyVersion are what the last reply returned; a replica
 	// names replyVersion in its next Pull, an Unchanged reply returns reply
 	// again, and a packed reply decodes into reply's tensors in place. Both
@@ -133,8 +135,8 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 		CodecPull: c.cfg.Pull,
 		Cluster:   c.cluster,
 		Replica:   c.replica,
-		Relay:     c.trunk != nil,
-		Servers:   c.trunk,
+		Relay:     c.isTrunk(),
+		Servers:   c.self,
 	})
 	if err != nil {
 		return fmt.Errorf("ps: register worker %d: %w", c.worker, err)
@@ -153,7 +155,7 @@ func (c *Client) register(msgType transport.MessageType, lastVersion int64) erro
 		return fmt.Errorf("ps: worker %d negotiated codec %s but server speaks %s", c.worker, c.cfg, negotiated)
 	}
 	c.cfg = negotiated
-	if c.trunk != nil {
+	if c.isTrunk() {
 		c.worker = msg.Worker
 	}
 	if c.cfg.Enabled() {
@@ -373,7 +375,7 @@ func (c *Client) compress(grads []*tensor.Tensor, factors []tensor.Factors) []co
 		return c.comp.CompressInto(payloads, grads, factors)
 	}
 	packed := c.comp.CompressInto(nil, grads, factors)
-	if !c.slot.tried && c.cfg.Codec != compress.TopK && c.trunk == nil {
+	if !c.slot.tried && c.cfg.Codec != compress.TopK && !c.isTrunk() {
 		c.slot.place(c.conn, transport.Message{Type: transport.MsgPush, Worker: c.worker, Codec: c.cfg.Codec, Packed: packed})
 	}
 	return packed
@@ -395,10 +397,10 @@ func (c *Client) PushSlot(grads []*tensor.Tensor) []*tensor.Tensor {
 	}
 	if !c.slot.tried {
 		tmpl := transport.Message{Type: transport.MsgPush, Worker: c.worker, Tensors: transport.ToWireOwned(grads)}
-		if c.trunk != nil {
+		if c.isTrunk() {
 			// Room for a full fanout's entries, which follow the tensors and
 			// so move no slab.
-			tmpl.PushEntries = make([]transport.PushEntry, c.trunk[0].ShardHi)
+			tmpl.PushEntries = make([]transport.PushEntry, c.self[0].ShardHi)
 		}
 		if c.slot.place(c.conn, tmpl) {
 			c.slot.views = make([]*tensor.Tensor, len(grads))
@@ -554,15 +556,19 @@ func (c *Client) endLeases() {
 	c.slot.end()
 }
 
-// recv reads the next message, converting server-reported errors into Go
-// errors.
+// isTrunk reports whether c is a relay's trunk, which names its tree-layout
+// entry (self) where a replica names a backup's map entry.
+func (c *Client) isTrunk() bool { return c.self != nil && !c.replica }
+
+// recv reads the next message, converting a server-reported error into a
+// RemoteError: a decision, which a registration does not retry (Connect).
 func (c *Client) recv() (transport.Message, error) {
 	msg, err := c.conn.Recv()
 	if err != nil {
 		return transport.Message{}, fmt.Errorf("ps: worker %d receive: %w", c.worker, err)
 	}
 	if msg.Type == transport.MsgError {
-		return transport.Message{}, fmt.Errorf("ps: server error: %s", msg.Error)
+		return transport.Message{}, &RemoteError{Msg: "ps: server error: " + msg.Error}
 	}
 	return msg, nil
 }

@@ -339,25 +339,16 @@ func (c *clusterState) endAnnounces() {
 
 // handleClusterMap answers a map request on its own connection — map
 // fetches ride dedicated connections, never a registered session's, so the
-// reply goes out directly instead of through a session outbox. A request with
-// Relay set is the one every worker's connect sends (Route.resolve): it asks
-// the server what it is. A coordinator, which admits no relays, answers it
-// with its group map; every other server with its aggregation-tree layout,
-// the relay entries and the worker-index ranges each covers (none on a flat
-// server without relays, a data server or a backup). A non-coordinator
-// rejects a plain map request by name: pointing a map fetch at a data server
-// is a wiring bug worth a clear message.
-func (s *Server) handleClusterMap(conn transport.Conn, msg transport.Message) {
-	if msg.Relay && !s.coordinator() {
+// reply goes out directly instead of through a session outbox. There is one
+// request, which asks the server what it is (requestMap). A coordinator,
+// which admits no relays, answers it with its group map; every other server
+// with its aggregation-tree layout, the relay entries and the worker-index
+// ranges each covers (none on a flat server without relays, a data server or
+// a backup).
+func (s *Server) handleClusterMap(conn transport.Conn, _ transport.Message) {
+	if !s.coordinator() {
 		s.sm.treeLayoutFetches.Inc()
 		_ = conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: true, Servers: s.tree.snapshot()})
-		return
-	}
-	if !s.coordinator() {
-		_ = conn.Send(transport.Message{
-			Type:  transport.MsgError,
-			Error: "not a cluster coordinator",
-		})
 		return
 	}
 	s.sm.clusterMapRequests.Inc()

@@ -629,7 +629,7 @@ func TestReplicatorStreamsWeightsIntoStandby(t *testing.T) {
 	repErr := make(chan error, 1)
 	go func() {
 		repErr <- replicate(func() (transport.Conn, error) { return l.Dial() },
-			standby, 2*time.Millisecond, time.Second, obs.NewRegistry(), stop)
+			standby, 2*time.Millisecond, time.Second, obs.NewRegistry(), stop, nil, nil)
 	}()
 
 	conn, err := l.Dial()
@@ -684,7 +684,7 @@ func TestReplicatorDeclaresPrimaryDead(t *testing.T) {
 	repErr := make(chan error, 1)
 	go func() {
 		repErr <- replicate(func() (transport.Conn, error) { return l.Dial() },
-			standby, 2*time.Millisecond, 150*time.Millisecond, obs.NewRegistry(), stop)
+			standby, 2*time.Millisecond, 150*time.Millisecond, obs.NewRegistry(), stop, nil, nil)
 	}()
 	// Let the stream establish, then kill the primary.
 	time.Sleep(20 * time.Millisecond)
@@ -830,14 +830,150 @@ func TestClusterBSPBitIdenticalWithConcurrentWorkers(t *testing.T) {
 		}
 	}
 	want, _ := ref.Snapshot()
+	// A data server acknowledges a fragment once ticketed, before applying
+	// it: wait for every fragment the workers were released for.
 	var got []*tensor.Tensor
 	for _, st := range g.stores {
+		st.WaitApplied(st.Reserved(), nil)
 		part, _ := st.Snapshot()
 		got = append(got, part...)
 	}
 	requireSameWeights(t, got, want)
 	if v := g.stores[0].Version(); v != workers*iters {
 		t.Fatalf("data store version %d, want %d", v, workers*iters)
+	}
+}
+
+// TestBackupEndsAtItsPrimarysFinalVersion: a worker reports Done to its data
+// servers before its coordinator, so a data server's run ends first. Its
+// backup's run ends on the coordinator's report, with one last pull that the
+// data server waits for: the backup ends at the version its primary ended
+// at, however little time its replication stream had to catch up, and each
+// stops as soon as its run completes.
+func TestBackupEndsAtItsPrimarysFinalVersion(t *testing.T) {
+	initial := seededModel(72)
+	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
+	l := transport.NewChanListener()
+	g.addListener(l)
+	backup, err := Start(ServerConfig{Workers: 1, Cluster: ClusterConfig{Role: RoleBackup,
+		Coordinator: g.coordAddr, Servers: 2, Index: 0}}, initial, clusterOpt(), l, g.dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(backup.Stop)
+	// The backup's replica session is data server 0's only one until the
+	// worker connects.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(g.data[0].Status().Sessions) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the backup never opened its replica session")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	client, err := NewClusterClient(g.dial, g.coordAddr, 0, ClusterClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const iters = 5
+	for it := 0; it < iters; it++ {
+		_, version, err := client.Pull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.PushAndWait(scheduledGrads(0, it), version, it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.Done(); err != nil {
+		t.Fatal(err)
+	}
+	// Each server stops as soon as its run completes, as psserver does.
+	ended := make(chan string, 2)
+	for name, srv := range map[string]*Server{"data server 0": g.data[0], "the backup": backup} {
+		go func() {
+			select {
+			case <-srv.AllWorkersDone():
+				srv.Stop()
+				ended <- ""
+			case <-time.After(5 * time.Second):
+				ended <- name + " never completed its run"
+			}
+		}()
+	}
+	for range 2 {
+		if failure := <-ended; failure != "" {
+			t.Fatal(failure)
+		}
+	}
+	if b, p := backup.Status().Version, g.data[0].Status().Version; b != p || p != iters {
+		t.Fatalf("the backup ended at version %d, its primary at %d; want both %d", b, p, iters)
+	}
+}
+
+// TestBackupWithNoPrimaryEndsWithTheRun: a backup still looking for a primary
+// that never announced when the coordinator reports the run complete ends its
+// run at once, without failing, though the coordinator it would refetch the
+// map from stops with its run.
+func TestBackupWithNoPrimaryEndsWithTheRun(t *testing.T) {
+	initial := seededModel(73)
+	g := &testGroup{listeners: make(map[string]*transport.ChanListener)}
+	start := func(cfg ServerConfig) *Server {
+		l := transport.NewChanListener()
+		addr := g.addListener(l)
+		if cfg.Cluster.Role == RoleCoordinator {
+			g.coordAddr = addr
+		}
+		srv, err := Start(cfg, initial, clusterOpt(), l, g.dial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		return srv
+	}
+	coord := start(ServerConfig{Workers: 1, Policy: core.MustNewASP(1),
+		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: 2}})
+	backup := start(ServerConfig{Workers: 1, Cluster: ClusterConfig{Role: RoleBackup,
+		Coordinator: g.coordAddr, Servers: 2, Index: 0}})
+	// The Done reaches the backup on its parked announce stream.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		coord.cluster.mu.Lock()
+		parked := len(coord.cluster.parked)
+		coord.cluster.mu.Unlock()
+		if parked == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the backup never announced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	conn, err := g.dial(g.coordAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	worker := newClient(conn, 0)
+	worker.cluster = true
+	if err := worker.Register(); err != nil {
+		t.Fatal(err)
+	}
+	if err := worker.Done(); err != nil {
+		t.Fatal(err)
+	}
+	// The coordinator stops as soon as its run completes, as psserver does.
+	within(t, coord.AllWorkersDone(), "the coordinator's run completing")
+	coord.Stop()
+	select {
+	case <-backup.AllWorkersDone():
+	case <-backup.Failed():
+		t.Fatalf("the backup failed: %v", backup.FailureErr())
+	case <-time.After(5 * time.Second):
+		t.Fatal("the backup never completed its run")
+	}
+	if backup.Status().Promoted || isClosed(backup.Failed()) {
+		t.Fatalf("the backup ended promoted %v, failed %v", backup.Status().Promoted, backup.FailureErr())
 	}
 }
 
@@ -879,9 +1015,11 @@ func TestBackupFindsItsPrimaryInTheMap(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for backup.Store().Version() < g.stores[i].Version() {
+	// The primary acknowledged every fragment once ticketed: the backup
+	// catches up once it holds all of them, applied.
+	for backup.Store().Version() < g.stores[i].Reserved() {
 		if time.Now().After(deadline) {
-			t.Fatalf("backup at version %d, data server %d at %d", backup.Store().Version(), i, g.stores[i].Version())
+			t.Fatalf("backup at version %d, data server %d at %d", backup.Store().Version(), i, g.stores[i].Reserved())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -943,7 +1081,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	repErr := make(chan error, 1)
 	go func() {
 		repErr <- replicate(func() (transport.Conn, error) { return g.dial(primaryAddr) },
-			standby, time.Millisecond, 100*time.Millisecond, obs.NewRegistry(), stop)
+			standby, time.Millisecond, 100*time.Millisecond, obs.NewRegistry(), stop, nil, nil)
 	}()
 
 	client, err := NewClusterClient(g.dial, g.coordAddr, 0, ClusterClientConfig{})
@@ -961,12 +1099,13 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait for the stream to carry everything the primary applied, so the
-	// promoted weights are exact (the schedule is quiescent at the kill).
+	// Wait for the stream to carry everything the primary ticketed (it
+	// acknowledged each fragment before applying it), so the promoted weights
+	// are exact (the schedule is quiescent at the kill).
 	deadline := time.Now().Add(5 * time.Second)
-	for standby.Version() < g.stores[0].Version() {
+	for standby.Version() < g.stores[0].Reserved() {
 		if time.Now().After(deadline) {
-			t.Fatalf("standby at version %d, primary at %d", standby.Version(), g.stores[0].Version())
+			t.Fatalf("standby at version %d, primary at %d", standby.Version(), g.stores[0].Reserved())
 		}
 		time.Sleep(time.Millisecond)
 	}

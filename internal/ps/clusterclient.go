@@ -135,26 +135,31 @@ func (c *ClusterClient) adoptMapHeader(m transport.Message) {
 // FetchClusterMap asks the coordinator at addr for its current map on a
 // fresh, dedicated connection — never on a registered session, whose stream
 // interleaves asynchronous release OKs with replies. The connection is
-// closed before returning.
+// closed before returning. Any other server answers with its tree layout,
+// which comes back as a RemoteError: the map was asked of the wrong server.
 func FetchClusterMap(dial func(addr string) (transport.Conn, error), addr string) (transport.Message, error) {
 	conn, err := dial(addr)
 	if err != nil {
 		return transport.Message{}, fmt.Errorf("ps: dial coordinator %s: %w", addr, err)
 	}
 	defer conn.Close()
-	msg, err := requestMap(conn, false)
+	msg, err := requestMap(conn)
+	if err == nil && msg.Relay {
+		err = &RemoteError{Msg: "not a cluster coordinator"}
+	}
 	if err != nil {
 		return transport.Message{}, fmt.Errorf("ps: cluster map from %s: %w", addr, err)
 	}
 	return msg, nil
 }
 
-// requestMap sends one ClusterMap request on conn, a dedicated connection —
-// the tree-layout request (Relay set) when layout is, a plain map fetch
-// otherwise — and returns the ClusterMap reply. A refusal comes back as a
+// requestMap sends the one ClusterMap request on conn, a dedicated
+// connection, and returns the reply: a coordinator's cluster map, or any
+// other server's tree layout (Relay set). The request carries Relay too,
+// which a server answers alike with or without. A refusal comes back as a
 // RemoteError.
-func requestMap(conn transport.Conn, layout bool) (transport.Message, error) {
-	if err := conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: layout}); err != nil {
+func requestMap(conn transport.Conn) (transport.Message, error) {
+	if err := conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: true}); err != nil {
 		return transport.Message{}, fmt.Errorf("request: %w", err)
 	}
 	msg, err := conn.Recv()

@@ -132,7 +132,7 @@ func (r Route) resolve() (string, transport.Message, error) {
 	if err != nil {
 		return "", transport.Message{}, fmt.Errorf("ps: dial %s: %w", r.Addr, err)
 	}
-	m, err := requestMap(conn, true)
+	m, err := requestMap(conn)
 	conn.Close()
 	switch {
 	case err != nil:
@@ -157,10 +157,15 @@ func (r Route) resolve() (string, transport.Message, error) {
 // a relay's pass-through pulls, a coordinator's evaluation snapshot. Its
 // pulls are gated on the version it holds (Client.Pull). conn is closed on
 // failure.
-func OpenReplica(conn transport.Conn) (*Client, error) {
+func OpenReplica(conn transport.Conn) (*Client, error) { return openReplicaAs(conn, nil) }
+
+// openReplicaAs is OpenReplica for a session that names its sender: a backup's
+// names the backup's own map entry (self), by which its primary knows it for a
+// backup's.
+func openReplicaAs(conn transport.Conn, self []transport.ServerEntry) (*Client, error) {
 	c, err := NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
 	if err == nil {
-		c.replica = true
+		c.replica, c.self = true, self
 		err = c.Register()
 	}
 	if err != nil {

@@ -218,11 +218,12 @@ func TestConnectGroup(t *testing.T) {
 }
 
 // TestConnectAsksTheServerWhatItIs: a route is a bare address, whatever
-// server is behind it. Connect asks that server with one layout request and
+// server is behind it. Connect asks that server with one map request and
 // links what its reply names: a flat server itself, the relay covering the
 // worker under a tree's root, a relay itself, and a coordinator together with
 // every data server of its map. A data server answers with no relays, then
-// refuses the registration by name, pointing the worker at its coordinator.
+// refuses the registration by name, pointing the worker at its coordinator;
+// the refusal is a RemoteError, final under any Retry.
 func TestConnectAsksTheServerWhatItIs(t *testing.T) {
 	store := func() *Store {
 		st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(5)}, optimizer.NewSGD(0.1), 1)
@@ -253,11 +254,14 @@ func TestConnectAsksTheServerWhatItIs(t *testing.T) {
 		{"data server", g.dial, g.dataAddrs[0], 0, nil, "data server of a group; point workers at its coordinator, " + g.coordAddr},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := Connect(Route{Dial: tc.dial, Addr: tc.addr, Worker: tc.worker}, false, 0)
+			c, err := Connect(Route{Dial: tc.dial, Addr: tc.addr, Worker: tc.worker, Retry: time.Minute}, false, 0)
 			if tc.refused != "" {
 				if err == nil {
 					c.Close()
 					t.Fatal("registered")
+				}
+				if !isRemote(err) {
+					t.Fatalf("refusal %q is not a RemoteError: it would be retried", err)
 				}
 				if !strings.Contains(err.Error(), "server error: this server is a "+tc.refused) {
 					t.Fatalf("refusal %q does not name %q", err, tc.refused)

@@ -36,7 +36,7 @@ func (l TreeLayout) Covering(worker int) string {
 // coordinator, which runs no tree, with its cluster map: that is an error
 // here.
 func FetchTreeLayout(conn transport.Conn) (TreeLayout, error) {
-	msg, err := requestMap(conn, true)
+	msg, err := requestMap(conn)
 	if err == nil && !msg.Relay {
 		err = errors.New("the server is a group coordinator")
 	}

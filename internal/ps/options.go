@@ -74,17 +74,21 @@ func (o Options) Normalized() (Options, error) {
 //
 // A flat server, a data server and a backup act on every server-side field. A
 // coordinator carries no weights: it acts on neither the guard, which screens
-// gradient bytes, nor checkpoints, which would hold only its placeholder.
+// gradient bytes, nor a robust aggregator, which reduces them, nor
+// checkpoints, which would hold no tensors.
 func (o Options) ForRole(role string) (Options, []string) {
 	var refused []string
 	if role == RoleCoordinator {
 		if o.Guard.Enabled {
 			refused = append(refused, "Guard (the anomaly guard screens gradient bytes and runs on data servers)")
 		}
-		if o.Checkpoint != (CheckpointConfig{}) {
-			refused = append(refused, "Checkpoint (a coordinator holds no weights, only a placeholder clock; configure checkpoints on the data servers)")
+		if o.Aggregator.Normalized() != (AggregatorConfig{Kind: AggSum}) {
+			refused = append(refused, "Aggregator (an aggregator reduces gradient bytes and runs on data servers)")
 		}
-		o.Guard, o.Checkpoint = GuardConfig{}, CheckpointConfig{}
+		if o.Checkpoint != (CheckpointConfig{}) {
+			refused = append(refused, "Checkpoint (a coordinator holds no weights, only its clock; configure checkpoints on the data servers)")
+		}
+		o.Guard, o.Aggregator, o.Checkpoint = GuardConfig{}, AggregatorConfig{}, CheckpointConfig{}
 	}
 	return o, refused
 }

@@ -3,7 +3,6 @@ package ps
 import (
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -588,13 +587,13 @@ func TestPushErrorStillReleasesPeers(t *testing.T) {
 				}
 				// As many tensors as the model, so only the shape is wrong. The
 				// relay answers with one error naming child 1; the frame after it
-				// is the answer to the next request (a relay serves no maps).
+				// is the answer to the next request (a relay's empty layout).
 				reply := exchange(transport.Message{Type: transport.MsgPush, Worker: 1, Tensors: transport.ToWireOwned(bad[:1])})
 				if reply.Type != transport.MsgError || reply.Worker != 1 {
 					t.Fatalf("child 1's misshapen push answered %+v, want an Error naming worker 1", reply)
 				}
-				if next := exchange(transport.Message{Type: transport.MsgClusterMap}); !strings.Contains(next.Error, "not the aggregation root") {
-					t.Fatalf("the frame after the error is %+v, want the map refusal: one reply per push", next)
+				if next := exchange(transport.Message{Type: transport.MsgClusterMap}); next.Type != transport.MsgClusterMap || !next.Relay || len(next.Servers) != 0 {
+					t.Fatalf("the frame after the error is %+v, want the relay's empty layout: one reply per push", next)
 				}
 				if n := relay.Stats().ChildPushes; n != 1 {
 					t.Fatalf("relay folded %d pushes, want 1: the misshapen one folds nothing", n)

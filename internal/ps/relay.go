@@ -198,7 +198,7 @@ func NewRelay(cfg RelayConfig, dial func(addr string) (transport.Conn, error), r
 	}
 	trunk, err := NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
 	if err == nil {
-		trunk.trunk = []transport.ServerEntry{{Addr: cfg.Advertise, ShardHi: cfg.Fanout}}
+		trunk.self = []transport.ServerEntry{{Addr: cfg.Advertise, ShardHi: cfg.Fanout}}
 		err = trunk.Register()
 	}
 	if err != nil {
@@ -227,7 +227,7 @@ func NewRelay(cfg RelayConfig, dial func(addr string) (transport.Conn, error), r
 	}
 	r.watchdog.Stop()
 	r.bind(r, time.Now, map[transport.MessageType]func(transport.Conn, transport.Message){
-		transport.MsgClusterMap: refuseClusterMap,
+		transport.MsgClusterMap: emptyLayout,
 	})
 	r.rm = newRelayMetrics(reg, r)
 
@@ -411,18 +411,10 @@ func (r *Relay) watchdogLoop() {
 	}
 }
 
-// refuseClusterMap answers a map fetch that reached a relay. A layout
-// request (Relay set), the one a worker's connect sends, gets an empty
-// layout: a relay covers whoever dials it, so the worker registers here.
-func refuseClusterMap(conn transport.Conn, msg transport.Message) {
-	if msg.Relay {
-		_ = conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: true})
-		return
-	}
-	_ = conn.Send(transport.Message{
-		Type:  transport.MsgError,
-		Error: "not the aggregation root; fetch the tree layout from the root server",
-	})
+// emptyLayout answers a map request that reached a relay with an empty tree
+// layout: a relay covers whoever dials it, so a worker registers here.
+func emptyLayout(conn transport.Conn, _ transport.Message) {
+	_ = conn.Send(transport.Message{Type: transport.MsgClusterMap, Relay: true})
 }
 
 // handleRegister forwards a child registration upstream and, once the root
@@ -456,7 +448,8 @@ func (r *Relay) handleRegister(conn transport.Conn, _ *session, msg transport.Me
 	case <-r.stopped:
 		return nil
 	case <-time.After(30 * time.Second):
-		_ = conn.Send(transport.Message{Type: transport.MsgError, Error: "relay join timed out waiting on the root"})
+		// A slow root is no decision: the closed connection is one the child
+		// retries, where an Error would be final.
 		return nil
 	}
 	if reply.Type == transport.MsgError {

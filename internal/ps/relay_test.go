@@ -457,6 +457,12 @@ func TestRelayDeathSweepsSubtree(t *testing.T) {
 // void — the policy already counts worker 0 on its direct session, which has
 // pushed nothing and must not be handed an OK, a clock tick or a completion
 // for the stale forward.
+//
+// The slot then goes the rest of a full round — relay A, relay B, and direct
+// again — and after each move the old carrier is void: a trunk's entry, Done
+// and Leave for the slot, and any carrier's death (departed, called as a
+// death that lost the race with the move would call it), hand out no OK, no
+// departure and no completion. The slot settles once.
 func TestTrunkSpeaksOnlyForSlotsItRoutes(t *testing.T) {
 	var released atomic.Int64
 	t.Cleanup(transport.SetReleaseHook(func([]byte) { released.Add(1) }))
@@ -516,6 +522,78 @@ func TestTrunkSpeaksOnlyForSlotsItRoutes(t *testing.T) {
 	// OK for a push it never made.
 	if _, v, err := direct.Pull(); err != nil || v != 0 {
 		t.Fatalf("direct worker 0's first pull: version %d, %v", v, err)
+	}
+
+	// staleTrunk sends the old trunk's entry, Done and Leave for slot 0, and a
+	// pull whose Weights must be the next frame: nothing answers the three.
+	staleTrunk := func(name string, trunk transport.Conn) {
+		t.Helper()
+		for _, stale := range []transport.Message{
+			{Type: transport.MsgPush, PushEntries: []transport.PushEntry{{Worker: 0}}, Tensors: transport.ToWireOwned([]*tensor.Tensor{tensor.Full(0.1, 2048)})},
+			{Type: transport.MsgDone, Worker: 0},
+			{Type: transport.MsgLeave, Worker: 0},
+			{Type: transport.MsgPull},
+		} {
+			if err := trunk.Send(stale); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if next, err := trunk.Recv(); err != nil || next.Type != transport.MsgWeights {
+			t.Fatalf("%s's next frame is %+v (%v), want its pull's Weights: nothing answers a stale forward", name, next, err)
+		}
+	}
+	// move hands slot 0 to whatever join does, then checks that old, its
+	// previous carrier, is void.
+	move := func(name string, old *session, join func()) *session {
+		t.Helper()
+		join()
+		now, _ := srv.carrier(0)
+		if now == old || now == nil {
+			t.Fatalf("slot 0 did not move to %s", name)
+		}
+		srv.departed(old)
+		st := srv.Status()
+		if c := policy.Clock(0); c != 0 || st.Pushes != 0 || st.Finished != 0 || st.Departures != 0 || st.Settled != 0 {
+			t.Fatalf("after the move to %s: clock %d, %d pushes, %d finished, %d departures, %d settled; want all 0",
+				name, c, st.Pushes, st.Finished, st.Departures, st.Settled)
+		}
+		if n := srv.Registry().Snapshot()["dssp_tree_child_leaves_total"]; n != 0 {
+			t.Fatalf("after the move to %s: %v child leaves, want 0", name, n)
+		}
+		return now
+	}
+	carrier, _ := srv.carrier(0)
+	var relayA, relayB transport.Conn
+	carrier = move("relay A", carrier, func() { relayA = rawTrunk(t, dial, 0) })
+	if err := direct.PushAndWait([]*tensor.Tensor{tensor.Full(0.1, 2048)}, 0, 0); err == nil {
+		t.Fatal("the superseded direct session's push was answered")
+	}
+	carrier = move("relay B", carrier, func() { relayB = rawTrunk(t, dial, 0) })
+	staleTrunk("relay A", relayA)
+	again := func() {
+		conn, err := dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct = newClient(conn, 0)
+		if err := direct.Register(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	carrier = move("direct", carrier, again)
+	defer direct.Close()
+	staleTrunk("relay B", relayB)
+	if err := direct.Done(); err != nil {
+		t.Fatal(err)
+	}
+	// The connection is served in order: the pull's reply means the Done
+	// before it was handled.
+	if _, _, err := direct.Pull(); err != nil {
+		t.Fatal(err)
+	}
+	srv.leave(carrier)
+	if st := srv.Status(); st.Finished != 1 || st.Settled != 1 || st.Departures != 0 {
+		t.Fatalf("slot 0 done and gone: %d finished, %d settled, %d departures; want 1, 1, 0", st.Finished, st.Settled, st.Departures)
 	}
 }
 

@@ -27,8 +27,17 @@ var errPrimaryDead = errors.New("ps: replication primary is unreachable")
 // pull that advances the primary's version is installed wholesale
 // (Store.installReplica, which takes only a newer version); what the stream
 // does NOT carry — optimizer state, and exact bit-patterns under a lossy pull
-// codec — is documented in DESIGN.md §10.
-func replicate(dial func() (transport.Conn, error), store *Store, interval, grace time.Duration, reg *obs.Registry, stop <-chan struct{}) error {
+// codec — is documented in DESIGN.md §10. A backup's session names the
+// backup's map entry (self), so that its primary waits for it at the end of
+// the run.
+//
+// Once ended closes — the coordinator reported the run complete — the next
+// pull is the last: the primary gates it on every update it has ticketed,
+// which by then is the whole run, so the store ends at the primary's final
+// version. replicate installs it, hangs up, which is what the primary waits
+// for (Server.awaitBackups), and returns nil. A primary it cannot reach
+// once ended has closed has ended its run too, and replicate returns nil.
+func replicate(dial func() (transport.Conn, error), store *Store, interval, grace time.Duration, reg *obs.Registry, stop, ended <-chan struct{}, self []transport.ServerEntry) error {
 	installs := reg.Counter("dssp_cluster_replica_installs_total",
 		"Weight snapshots installed from the primary's replication stream.")
 	unchanged := reg.Counter("dssp_cluster_replica_unchanged_total",
@@ -51,19 +60,23 @@ func replicate(dial func() (transport.Conn, error), store *Store, interval, grac
 		var client *Client
 		conn, err := dial()
 		if err == nil {
-			client, err = OpenReplica(conn)
+			client, err = openReplicaAs(conn, self)
 		}
 		if err != nil {
+			if isClosed(ended) {
+				return nil
+			}
 			if time.Since(lastContact) > grace {
 				return errPrimaryDead
 			}
-			if !sleepOrStop(interval, stop) {
+			if !sleepOrStop(interval, stop, ended) {
 				return nil
 			}
 			continue
 		}
 		lastContact = time.Now()
 		for {
+			final := isClosed(ended)
 			params, v, err := client.Pull()
 			if err != nil {
 				_ = client.Close()
@@ -83,7 +96,7 @@ func replicate(dial func() (transport.Conn, error), store *Store, interval, grac
 				installs.Inc()
 				version.Set(float64(v))
 			}
-			if !sleepOrStop(interval, stop) {
+			if final || !sleepOrStop(interval, stop, ended) {
 				_ = client.Close()
 				return nil
 			}
@@ -94,14 +107,16 @@ func replicate(dial func() (transport.Conn, error), store *Store, interval, grac
 	}
 }
 
-// sleepOrStop waits d, returning false if stop closed first.
-func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
+// sleepOrStop waits d, or until wake closes, returning false if stop closed
+// first.
+func sleepOrStop(d time.Duration, stop, wake <-chan struct{}) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-stop:
 		return false
 	case <-t.C:
-		return true
+	case <-wake:
 	}
+	return true
 }

@@ -49,8 +49,8 @@ type ServerConfig struct {
 	// Cluster is the server's role (PROTOCOL.md §6), which Start stands up.
 	// The zero value is a flat server. A coordinator owns the group's policy
 	// layer: it serves the cluster map, accepts metadata-only pushes from
-	// cluster workers, and never carries weight bytes (its store is a
-	// placeholder).
+	// cluster workers, and never carries weight bytes (its store holds no
+	// tensors).
 	Cluster ClusterConfig
 }
 
@@ -112,12 +112,13 @@ type Server struct {
 
 	mu       sync.Mutex
 	finished map[int]bool
-	// routes maps worker slots joined through an aggregation relay to the
-	// trunk session carrying them: such workers have no session of their own,
-	// so presence checks (completion, window shrinking), release delivery and
-	// the check that a frame speaks for a slot consult the route instead
-	// (carrier). A worker is either routed or directly sessioned, never both.
-	routes map[int]*session
+	// carriers holds, per worker slot, the session its traffic rides: the
+	// worker's own, or the trunk of the relay it joined through; nil while
+	// the slot is absent. It is the one slot table: presence checks
+	// (completion, window shrinking), release delivery and the check that a
+	// frame speaks for a slot all read it (carrier), and a session's death
+	// gives back exactly the slots it still carries (release).
+	carriers []*session
 	// epochs counts each slot's admissions. A release is stamped with the
 	// epoch it was decided in and dies if the slot was re-admitted since: the
 	// session it is pinned to does not show a routed worker's rejoin, because
@@ -163,12 +164,9 @@ type Server struct {
 
 	// cluster is the coordinator's live group map; replicaSeq hands out the
 	// negative session keys the kinds that hold no worker slot (replicas,
-	// trunks) live under; zeroGrad is the shared placeholder gradient a coordinator
-	// applies for metadata-only pushes (appliers only read gradients, so
-	// sharing is safe).
+	// trunks) live under.
 	cluster    clusterState
 	replicaSeq atomic.Int64
-	zeroGrad   []*tensor.Tensor
 
 	// tree is the aggregation-tree layout advertised to workers: the child
 	// ranges each registered relay covers (tree.go). Advisory — actual routing
@@ -252,7 +250,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		epochs:      make([]uint64, cfg.Workers),
 		finished:    make(map[int]bool),
 		departedAt:  make(map[int]time.Time),
-		routes:      make(map[int]*session),
+		carriers:    make([]*session, cfg.Workers),
 		allDone:     make(chan struct{}),
 		failed:      make(chan struct{}),
 		releases:    make(chan releaseBatch, 256),
@@ -268,14 +266,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		transport.MsgPromote:        s.handlePromote,
 	})
 	if cfg.Cluster.Role == RoleCoordinator {
-		// Metadata-only pushes carry no payload; the policy still needs
-		// EnqueueApply to assign the ticket and advance the version, so a
-		// shared zero gradient matching the placeholder store stands in.
-		snap, _ := cfg.Store.Snapshot()
-		s.zeroGrad = make([]*tensor.Tensor, len(snap))
-		for i, p := range snap {
-			s.zeroGrad[i] = tensor.New(p.Shape()...)
-		}
 		reg.GaugeFunc("dssp_cluster_map_version",
 			"Coordinator cluster-map version: bumped by every announce and promotion.",
 			func() float64 {
@@ -311,7 +301,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		})
 	reg.GaugeFunc("dssp_tree_routed_workers",
 		"Worker slots currently joined through an aggregation relay.",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.routes)) })
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			n := 0
+			for _, c := range s.carriers {
+				if c != nil && c.kind.multiplexes() {
+					n++
+				}
+			}
+			return float64(n)
+		})
 	reg.GaugeFunc("dssp_store_version",
 		"Applied store version: updates visible on every shard.",
 		func() float64 { return float64(cfg.Store.Version()) })
@@ -410,7 +410,10 @@ func (s *Server) AllWorkersDone() <-chan struct{} { return s.allDone }
 // creates the session the frame asks for — a worker's (admitted into its
 // slot), a replica's or a relay trunk's (installed under a private key) —
 // starts its writer and acknowledges with the store's current version; it
-// returns nil when the registration was rejected. On an established trunk the
+// returns nil when the registration was rejected. A rejection is an Error
+// reply, which the client takes as final — except a stopping server's, which
+// closes the connection instead, so that the client retries and finds the
+// server's successor. On an established trunk the
 // frame is a child worker joining through the relay: the child is admitted
 // with the trunk as its carrier and the trunk session is returned unchanged.
 func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transport.Message) *session {
@@ -441,8 +444,8 @@ func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transpor
 	switch role := s.cfg.Cluster.Role; {
 	case msg.Cluster:
 	case role == RoleCoordinator:
-		// A classic worker pointed at the coordinator would train against the
-		// placeholder store — reject loudly instead of silently not learning.
+		// A classic worker pointed at the coordinator would train against a
+		// store of no tensors — reject loudly instead of silently not learning.
 		return reject("this server is a cluster coordinator; workers must register in cluster mode (fetch the cluster map)")
 	case role != "" && kind == kindWorker:
 		// A worker that dialed a group member learned no map from it
@@ -454,6 +457,7 @@ func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transpor
 		key = -1 - int(s.replicaSeq.Add(1)-1)
 	}
 	sess = newSession(kind, key, conn, msg.Type == transport.MsgRejoin, s.clock())
+	sess.backup = kind == kindReplica && len(msg.Servers) > 0
 	var reply transport.Message
 	var err error
 	if kind.holdsSlot() {
@@ -466,7 +470,7 @@ func (s *Server) handleRegister(conn transport.Conn, sess *session, msg transpor
 		return reject(err.Error())
 	}
 	if !s.open(sess) {
-		return reject("server stopped; find its successor")
+		return nil
 	}
 	if kind == kindTrunk {
 		// Publish the relay in the tree layout so workers (and re-parenting
@@ -511,11 +515,10 @@ func (s *Server) registered(worker int) transport.Message {
 // traffic rides from now on — the registering worker's own new session, or
 // the trunk forwarding a child's registration (the child gets no session of
 // its own). Either way the slot's previous carrier is superseded: a live
-// session under the slot's key is ended (supersede), so its death cannot count
-// the worker out of the cohort it just re-entered, and a route through another
-// trunk is overwritten or, for a direct registration, deleted (that relay's
-// eventual MsgLeave for the child no longer speaks for the slot and is
-// ignored). The slot's admit epoch advances, which voids every release still
+// session under the slot's key is ended (supersede), and whatever carried the
+// slot before is overwritten in the slot table, so neither that session's
+// death nor a relay's eventual MsgLeave for the child speaks for the slot any
+// more (release). The slot's admit epoch advances, which voids every release still
 // waiting on its apply gate for the slot's previous tenure (sendReleases). The
 // policy learns of the join, and the acknowledgement for the carrier to
 // deliver is returned.
@@ -540,12 +543,11 @@ func (s *Server) admit(slot int, carrier *session, msg transport.Message) (trans
 	s.epochs[slot]++
 	if carrier.kind.holdsSlot() {
 		s.supersede(slot, carrier)
-		delete(s.routes, slot)
 	} else {
 		s.supersede(slot, nil)
-		s.routes[slot] = carrier
 		s.sm.treeChildJoins.Inc()
 	}
+	s.carriers[slot] = carrier
 	s.mu.Unlock()
 	// A rejoin restores the slot to the pushing cohort; re-derive the window.
 	s.shrinkWindow()
@@ -581,7 +583,7 @@ func (s *Server) offersPrefetch(sess *session) bool {
 const prefetchRefused = "this session was not offered Prefetch"
 
 // carrier returns the session worker slot w's traffic rides — the worker's
-// own, else the trunk routing it — with the slot's admit epoch, or nil for a
+// own, or the trunk routing it — with the slot's admit epoch, or nil for a
 // slot that is absent or out of range (so a negative replica or trunk key
 // never resolves to a carrier).
 func (s *Server) carrier(w int) (*session, uint64) {
@@ -590,10 +592,7 @@ func (s *Server) carrier(w int) (*session, uint64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sess := s.sessions.get(w); sess != nil {
-		return sess, s.epochs[w]
-	}
-	return s.routes[w], s.epochs[w]
+	return s.carriers[w], s.epochs[w]
 }
 
 // handleLeave services MsgLeave and reports whether the session ended with
@@ -605,51 +604,43 @@ func (s *Server) handleLeave(sess *session, msg transport.Message) (ended bool) 
 		s.leave(sess)
 		return true
 	}
-	if s.unroute(sess, msg.Worker) {
-		s.depart([]int{msg.Worker}, s.clock())
+	if slots := s.release(sess, msg.Worker, msg.Worker+1); slots != nil {
+		s.depart(slots, s.clock())
 	}
 	return false
 }
 
-// unroute ends trunk's carriage of slot w and reports whether it held it.
-// Check and removal are one step, which is what makes a stale forward
-// harmless: a child that already re-parented (directly or under another
-// relay) is no longer this trunk's to remove. A child that has sent Done is
-// leaving in order and is not counted as a leave, the rule depart applies to
-// departures.
-func (s *Server) unroute(trunk *session, w int) bool {
+// release ends sess's carriage of the slots in [lo, hi) it still carries and
+// returns them, ascending, so the sweep's OnLeave order is deterministic.
+// Check and removal are one step, which is what makes a stale forward or a
+// superseded carrier's death harmless: a slot re-admitted since, directly or
+// under another relay, is no longer sess's to give back. A routed child that
+// leaves before its Done is counted as a child leave; one that has sent Done
+// is leaving in order, the rule depart applies to departures.
+func (s *Server) release(sess *session, lo, hi int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.routes[w] != trunk {
-		return false
-	}
-	delete(s.routes, w)
-	if !s.finished[w] {
-		s.sm.treeChildLeaves.Inc()
-	}
-	return true
-}
-
-// departed takes what a session that just left the table carried out of the
-// cohort: a worker's own slot, every child a dead trunk routed (the layout
-// drops the relay first, so a child that refetches it immediately re-parents
-// somewhere live), nothing for a replica, which never entered policy or
-// completion accounting.
-func (s *Server) departed(sess *session) {
 	var slots []int
-	switch sess.kind {
-	case kindWorker:
-		slots = []int{sess.worker}
-	case kindTrunk:
-		s.tree.remove(sess)
-		// Ascending, so the sweep's OnLeave order is deterministic.
-		for w := 0; w < s.cfg.Workers; w++ {
-			if s.unroute(sess, w) {
-				slots = append(slots, w)
+	for w := max(lo, 0); w < min(hi, s.cfg.Workers); w++ {
+		if s.carriers[w] == sess {
+			if sess.kind.multiplexes() && !s.finished[w] {
+				s.sm.treeChildLeaves.Inc()
 			}
+			s.carriers[w] = nil
+			slots = append(slots, w)
 		}
 	}
-	s.depart(slots, s.clock())
+	return slots
+}
+
+// departed takes the slots a session that just left the table still carries
+// out of the cohort: a worker's own, every child of a dead trunk, none for a
+// replica, which never entered policy or completion accounting. A dead relay
+// leaves the tree layout first, so a child that refetches it immediately
+// re-parents somewhere live.
+func (s *Server) departed(sess *session) {
+	s.tree.remove(sess)
+	s.depart(s.release(sess, 0, s.cfg.Workers), s.clock())
 }
 
 // depart takes slots, whose carrier just let go of them, out of the cohort:
@@ -942,12 +933,6 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 	var half []compress.Packed
 	var decodeErr error
 	switch {
-	case s.coordinator() && len(msg.Tensors) == 0 && len(msg.Packed) == 0:
-		// Metadata-only cluster push: the bytes went to the data servers; the
-		// coordinator applies a shared zero gradient so the ticket/version
-		// machinery — and everything staleness is defined against — runs
-		// exactly as on a classic server.
-		grads = s.zeroGrad
 	case s.guard == nil && msg.Codec == compress.FP16 && s.compression.Codec == compress.FP16 && s.cfg.Store.stepsHalf():
 		// An fp16 push is stepped from its payload as it arrived, like a
 		// dense push from its tensors: nothing is decoded, and the lease
@@ -1280,9 +1265,13 @@ func (s *Server) answerPull(p pendingPull) {
 		held.wire = transport.ToWireOwnedInto(held.wire, held.params)
 		msg.Tensors = held.wire
 	}
-	msg.Version = held.pins[0].version
-	for _, pin := range held.pins[1:] {
-		msg.Version = min(msg.Version, pin.version)
+	// A store of no shards pins nothing: its reply, of no tensors, is at the
+	// version read above.
+	msg.Version = version
+	for i, pin := range held.pins {
+		if i == 0 || pin.version < msg.Version {
+			msg.Version = pin.version
+		}
 	}
 	s.enqueueSessionRef(sess, msg, held)
 }
@@ -1352,7 +1341,7 @@ func (s *Server) shrinkWindow() {
 }
 
 // settledLocked counts the worker slots that are accounted for: finished,
-// or departed with neither a session nor a route left to carry them. Such a
+// or departed with no carrier left. Such a
 // slot pushes no more. A routed child's leave is counted
 // (dssp_tree_child_leaves_total) before its slot settles, and under fixed
 // membership so is any departure (dssp_departures_total); a lease stamps
@@ -1361,7 +1350,7 @@ func (s *Server) shrinkWindow() {
 func (s *Server) settledLocked() int {
 	n := 0
 	for w := 0; w < s.cfg.Workers; w++ {
-		if s.finished[w] || (s.sessions.get(w) == nil && s.routes[w] == nil && !s.departedAt[w].IsZero()) {
+		if s.finished[w] || (s.carriers[w] == nil && !s.departedAt[w].IsZero()) {
 			n++
 		}
 	}
@@ -1391,7 +1380,7 @@ func (s *Server) checkAllDone() {
 			if s.finished[w] {
 				continue
 			}
-			if s.sessions.get(w) != nil || s.routes[w] != nil || now.Sub(s.departedAt[w]) <= s.cfg.Lease {
+			if s.carriers[w] != nil || now.Sub(s.departedAt[w]) <= s.cfg.Lease {
 				complete = false
 				break
 			}
@@ -1405,7 +1394,8 @@ func (s *Server) checkAllDone() {
 
 // completeRun closes AllWorkersDone, once. A coordinator first tells every
 // parked announcer, so whatever stops it when AllWorkersDone closes cannot
-// close a parked announce connection first.
+// close a parked announce connection first. A data server first waits for its
+// backups (awaitBackups), off the caller's goroutine.
 func (s *Server) completeRun() {
 	s.mu.Lock()
 	first := !s.allDoneClosed
@@ -1417,7 +1407,34 @@ func (s *Server) completeRun() {
 	if s.coordinator() {
 		s.cluster.endAnnounces()
 	}
+	if s.cfg.Cluster.Role == RoleData {
+		go func() {
+			s.awaitBackups()
+			close(s.allDone)
+		}()
+		return
+	}
 	close(s.allDone)
+}
+
+// awaitBackups returns once every backup replicating this data server has
+// hung up (Stop ends them all), or replicateGrace has passed. A backup hangs
+// up after its last pull, which it makes once the coordinator reports the run
+// complete (replicate) — after this server's own run has ended, since a
+// worker reports Done to its data servers before its coordinator. That pull
+// is answered at this server's final version, so the backup ends where its
+// primary does.
+func (s *Server) awaitBackups() {
+	grace := time.After(replicateGrace)
+	for _, sess := range s.sessions.list() {
+		if sess.backup {
+			select {
+			case <-sess.gone:
+			case <-grace:
+				return
+			}
+		}
+	}
 }
 
 // Registry returns the metrics registry the server's instrumentation lives
@@ -1445,7 +1462,7 @@ type ServerStatus struct {
 	Elastic  bool `json:"elastic"`
 	Finished int  `json:"finished"`
 	// Settled counts the slots accounted for: finished, or departed with no
-	// session or route left to carry them (settledLocked).
+	// carrier left (settledLocked).
 	Settled int `json:"settled"`
 	// Restored records that Start resumed from a checkpoint.
 	Restored bool `json:"restored"`

@@ -21,8 +21,9 @@ import (
 //
 // A trunk (an aggregation relay's upstream session) and a replica (a backup's
 // read-only observer) live under private negative keys outside the worker
-// range, invisible to the policy, the guard and completion accounting; the
-// slots a trunk speaks for are the ones Server.routes maps to it.
+// range, invisible to the policy, the guard and completion accounting. The
+// slots a session speaks for are the ones Server.carriers gives it: a
+// worker's own, a trunk's routed children, none for a replica.
 type sessionKind uint8
 
 const (
@@ -55,9 +56,11 @@ type session struct {
 	// negative key for replicas and trunks.
 	worker int
 	conn   transport.Conn
-	// rejoined reports whether the session re-entered via MsgRejoin.
-	rejoined bool
-	outbox   chan outMsg
+	// rejoined reports whether the session re-entered via MsgRejoin; backup,
+	// that it is a backup's replica, whose registration named the backup
+	// (Servers).
+	rejoined, backup bool
+	outbox           chan outMsg
 
 	// gone is closed exactly once when the session ends — deregistered,
 	// superseded, lease-expired, or server-stopped. The writer goroutine and

@@ -297,3 +297,31 @@ func TestConcurrentPullersSeeConsistentShards(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStoreOfNoTensorsPublishesEachTicketAtOnce: the zero Store, a
+// coordinator's, has no shard and so no applier to wait for. Every enqueue,
+// of the empty gradient, is visible as soon as it is reserved, and
+// WaitApplied on its ticket returns at once.
+func TestStoreOfNoTensorsPublishesEachTicketAtOnce(t *testing.T) {
+	st := new(Store)
+	defer st.Close()
+	gone := make(chan struct{})
+	close(gone)
+	for i, weight := range []int64{1, 3, 1} {
+		ticket, err := st.EnqueueApplyWeighted(nil, weight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, r := st.Version(), st.Reserved(); v != r || ticket != r {
+			t.Fatalf("enqueue %d: ticket %d, version %d, reserved %d; want all equal", i, ticket, v, r)
+		}
+		// A cancel that has already fired: only a ticket already applied
+		// returns true.
+		if !st.WaitApplied(ticket, gone) {
+			t.Fatalf("enqueue %d: WaitApplied(%d) waited", i, ticket)
+		}
+	}
+	if _, err := st.EnqueueApply([]*tensor.Tensor{tensor.New(1)}); err == nil {
+		t.Fatal("a store of no tensors accepted a gradient of one")
+	}
+}

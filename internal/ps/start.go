@@ -21,10 +21,10 @@ import (
 // the role does not act on (Options.ForRole). It builds the role's store and,
 // for a data server or backup, its policy — a local ASP that releases every
 // fragment once ticketed, the paradigm running at the coordinator; a flat
-// server and a coordinator run cfg.Policy. A coordinator's store is a
-// one-scalar placeholder, so the version bookkeeping the paradigm gates on
-// exists without carrying any weights; a data server's or backup's is its
-// shard range of the group layout. It restores the checkpoint in
+// server and a coordinator run cfg.Policy. A coordinator's store holds no
+// tensors, so the version bookkeeping the paradigm gates on exists without
+// carrying any weights; a data server's or backup's is its shard range of the
+// group layout. It restores the checkpoint in
 // cfg.Checkpoint.Dir when there is one, and serves ln. A data server or
 // backup then announces itself to the coordinator on the parked stream that is
 // its liveness watch of it, and a backup finds its primary in the
@@ -51,9 +51,8 @@ func Start(cfg ServerConfig, initial []*tensor.Tensor, opt *optimizer.SGD, ln tr
 	case "":
 		cfg.Store, err = NewStoreSharded(initial, opt, cfg.Shards)
 	case RoleCoordinator:
-		if _, globalShards, err = groupLayout(tensorSizes(initial), cfg.Shards, c.Servers); err == nil {
-			cfg.Store, err = NewStoreSharded([]*tensor.Tensor{tensor.New(1)}, optimizer.NewSGD(1), 1)
-		}
+		_, globalShards, err = groupLayout(tensorSizes(initial), cfg.Shards, c.Servers)
+		cfg.Store = new(Store)
 	default:
 		var layout []transport.ServerEntry
 		if layout, globalShards, err = groupLayout(tensorSizes(initial), cfg.Shards, c.Servers); err != nil {
@@ -95,6 +94,7 @@ func Start(cfg ServerConfig, initial []*tensor.Tensor, opt *optimizer.SGD, ln tr
 func (s *Server) runMember(dial func(string) (transport.Conn, error), entry transport.ServerEntry) {
 	c := s.cfg.Cluster
 	backup := c.Role == RoleBackup
+	ended, replicated := make(chan struct{}), make(chan struct{})
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
@@ -102,13 +102,15 @@ func (s *Server) runMember(dial func(string) (transport.Conn, error), entry tran
 		// progress decisions without it (DESIGN.md §10). A coordinator whose
 		// run completed says so on the stream before it stops, and announce
 		// returns nil, whenever this server's own workers' Done frames arrive.
-		// A backup serves no workers until promoted: that Done is its end of
-		// the run.
+		// A backup serves no workers until promoted: that Done ends its run,
+		// once its replication has made its last pull (replicate).
 		err := s.announce(dial, entry, backup)
 		switch {
 		case err != nil:
 			s.fail(fmt.Errorf("ps: %s server lost the coordinator at %s: %w", c.Role, c.Coordinator, err))
 		case backup && !s.isStopped():
+			close(ended)
+			<-replicated
 			s.completeRun()
 		}
 	}()
@@ -116,7 +118,8 @@ func (s *Server) runMember(dial func(string) (transport.Conn, error), entry tran
 		s.bg.Add(1)
 		go func() {
 			defer s.bg.Done()
-			s.standBy(dial, entry)
+			defer close(replicated)
+			s.standBy(dial, entry, ended)
 		}()
 	}
 }
@@ -176,9 +179,12 @@ func (s *Server) announce(dial func(string) (transport.Conn, error), entry trans
 }
 
 // isStopped reports whether Stop has begun.
-func (s *Server) isStopped() bool {
+func (s *Server) isStopped() bool { return isClosed(s.stopped) }
+
+// isClosed reports whether ch has closed.
+func isClosed(ch <-chan struct{}) bool {
 	select {
-	case <-s.stopped:
+	case <-ch:
 		return true
 	default:
 		return false
@@ -190,28 +196,29 @@ func (s *Server) isStopped() bool {
 // store and, when the primary stays dead past the grace while the run is not
 // complete, asks the coordinator to route the primary's shard range to this
 // server. After promotion the backup IS the shard owner — it has been serving
-// the (now current) store all along.
-func (s *Server) standBy(dial func(string) (transport.Conn, error), entry transport.ServerEntry) {
+// the (now current) store all along. ended closes when the coordinator
+// reports the run complete, and replication then ends with its last pull.
+func (s *Server) standBy(dial func(string) (transport.Conn, error), entry transport.ServerEntry, ended <-chan struct{}) {
 	c := s.cfg.Cluster
-	primary, err := s.findPrimary(dial, entry)
+	primary, err := s.findPrimary(dial, entry, ended)
 	if err != nil {
-		if !s.isStopped() {
+		if !s.isStopped() && !isClosed(ended) {
 			s.fail(fmt.Errorf("ps: backup found no primary: %w", err))
 		}
 		return
 	}
 	s.primary.Store(primary)
 	err = replicate(func() (transport.Conn, error) { return dial(primary) },
-		s.cfg.Store, replicateEvery, replicateGrace, s.reg, s.stopped)
+		s.cfg.Store, replicateEvery, replicateGrace, s.reg, s.stopped, ended, []transport.ServerEntry{entry})
 	if err == nil {
-		return // Stop
+		return // Stop, or the run's end
 	}
 	if err != errPrimaryDead {
 		s.fail(fmt.Errorf("ps: backup replication: %w", err))
 		return
 	}
 	select {
-	case <-s.allDone:
+	case <-ended:
 		return // the primary exited at the end of the run
 	default:
 	}
@@ -231,13 +238,14 @@ func (s *Server) standBy(dial func(string) (transport.Conn, error), entry transp
 // findPrimary returns the address of the data server that owns own's shard
 // range in the coordinator's cluster map. Data servers announce on their own
 // schedule, so it refetches the map until that entry appears, for up to
-// memberPatience. An entry carrying the backup's own address is refused at
-// once: a backup does not replicate itself.
-func (s *Server) findPrimary(dial func(string) (transport.Conn, error), own transport.ServerEntry) (string, error) {
+// memberPatience, or until the run ends (ended) with no primary found. An
+// entry carrying the backup's own address is refused at once: a backup does
+// not replicate itself.
+func (s *Server) findPrimary(dial func(string) (transport.Conn, error), own transport.ServerEntry, ended <-chan struct{}) (string, error) {
 	var primary string
 	self := false
 	err := retry(memberPatience, 50*time.Millisecond, 1600*time.Millisecond,
-		func(err error) bool { return self || s.isStopped() || isRemote(err) },
+		func(err error) bool { return self || s.isStopped() || isClosed(ended) || isRemote(err) },
 		func() error {
 			m, err := FetchClusterMap(dial, s.cfg.Cluster.Coordinator)
 			if err != nil {
@@ -282,6 +290,6 @@ func (s *Server) FailureErr() error {
 }
 
 // Store returns the store the server serves: the whole model on a flat
-// server, its shard range on a data server or backup, a placeholder on a
-// coordinator.
+// server, its shard range on a data server or backup, and on a coordinator a
+// store of no tensors whose version counts the metadata pushes.
 func (s *Server) Store() *Store { return s.cfg.Store }

@@ -15,7 +15,7 @@ import (
 // TestStartActsOnOrRefusesEveryOption runs every role against every
 // server-side Options field set alone: Start either stands the role up with
 // the field in force, or refuses it by name. The refusals are the coordinator's
-// Guard and Checkpoint, and nothing else; a field added to Options without a
+// Guard, Aggregator and Checkpoint, and nothing else; a field added to Options without a
 // row here fails the test.
 //
 // Elastic and HeartbeatTimeout keep rows of their own for what the one Lease
@@ -32,7 +32,7 @@ func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 		"Checkpoint":  func(o *Options) { o.Checkpoint = CheckpointConfig{Dir: t.TempDir()} },
 	}
 	announced := map[string]time.Duration{"Elastic": time.Second, "HeartbeatTimeout": 3 * time.Second}
-	refused := map[[2]string]bool{{RoleCoordinator, "Guard"}: true, {RoleCoordinator, "Checkpoint"}: true}
+	refused := map[[2]string]bool{{RoleCoordinator, "Guard"}: true, {RoleCoordinator, "Aggregator"}: true, {RoleCoordinator, "Checkpoint"}: true}
 	noPeer := func(string) (transport.Conn, error) { return nil, errors.New("no peer") }
 	fields := reflect.TypeOf(Options{})
 	names := []string{"Elastic", "HeartbeatTimeout"}

@@ -7,7 +7,6 @@ package ps
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -57,6 +56,9 @@ import (
 // some shards only, where the serialized store would have delivered some
 // whole version. Workers that pull before computing (Algorithm 1) see
 // quiescent weights whenever no push is concurrently in flight.
+//
+// The zero Store holds no tensors: it is a coordinator's, whose version
+// counts the metadata pushes it tickets, each visible once reserved.
 type Store struct {
 	shards  []*shard
 	ranges  []shardRange
@@ -338,6 +340,11 @@ func (s *Store) enqueue(grads []tensor.Grad, weight int64) (int64, error) {
 	}
 	s.enqMu.Unlock()
 	s.applyMu.RUnlock()
+	if len(s.shards) == 0 {
+		// No applier publishes a store of no shards: with nothing to apply,
+		// the ticket is visible as soon as it is reserved.
+		s.advanceApplied()
+	}
 	return ticket, nil
 }
 
@@ -424,12 +431,13 @@ func (s *Store) applier(sh *shard, stop <-chan struct{}) {
 }
 
 // advanceApplied publishes the new applied version — the minimum over
-// shards' applied push counts — waking every waiter it satisfies. Appliers
+// shards' applied push counts, and reserved itself for a store of no shards
+// — waking every waiter it satisfies. Appliers
 // call nothing beyond this: they must never block on locks outside the
 // store, or Close's drain (and anything waiting on it) could deadlock
 // against a store client holding such a lock.
 func (s *Store) advanceApplied() {
-	min := int64(math.MaxInt64)
+	min := s.reserved.Load()
 	for _, sh := range s.shards {
 		if v := sh.applied.Load(); v < min {
 			min = v

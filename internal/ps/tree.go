@@ -33,7 +33,7 @@ type treeRelay struct {
 }
 
 // treeState is the advertised aggregation-tree layout. It is advisory — the
-// routes map follows the joins workers actually perform — but it is the
+// slot table follows the joins workers actually perform — but it is the
 // single document workers consult to pick a parent, so assignment here is
 // what makes re-parenting after a relay death deterministic: a dead relay's
 // ranges transfer to the first surviving relay (its children re-parent at a

@@ -4,12 +4,13 @@
 # workers must report the same iteration count, and the server must apply
 # exactly their sum and drop nothing), a coordinator with two data
 # servers (-shards 4 on every member), a backup for data server 0 that finds
-# it in the coordinator's cluster map and ends naming it and the positive
-# store version it replicated, and reconnecting group workers, and a
+# it in the coordinator's cluster map and ends naming it at data server 0's
+# final store version, and reconnecting group workers, and a
 # root fronted by one relay. Every worker is the same command line, with no
 # topology flag: the server it dials says whether it is flat, a tree's root
 # or a coordinator, and a worker pointed at a data server must exit non-zero
-# with an error naming the coordinator. The group and the root lease
+# on its own with an error naming the coordinator, though it would retry a
+# transport failure for 30s (-reconnect): a refusal is final. The group and the root lease
 # their sessions at 200ms (-lease), and one worker of each job computes for
 # 300ms an iteration with no heartbeat flag anywhere: the coordinator and the
 # root must each end reporting 0 departures. Every process must exit 0. It
@@ -147,10 +148,15 @@ for i in 0 1; do
 done
 # A worker pointed at a data server learns from its layout reply that no
 # relay covers it, and its registration is then refused, naming the
-# coordinator. It admits nobody, so the group's run is untouched.
+# coordinator. It admits nobody, so the group's run is untouched. The refusal
+# is final: the worker exits at once, its -reconnect budget notwithstanding,
+# and timeout's own exit status (124) would mean it kept retrying.
 ready group-data0 "parameter server listening"
-if timeout 5 "$worker" -server 127.0.0.1:17181 -id 0 "${work[@]}" "${small[@]}" >"$dir/group-stray.log" 2>&1; then
-	echo "cli-smoke: a worker pointed at data server 0 exited 0" >&2
+status=0
+timeout 10 "$worker" -server 127.0.0.1:17181 -id 0 "${work[@]}" "${small[@]}" -reconnect 30s >"$dir/group-stray.log" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+	echo "cli-smoke: a worker pointed at data server 0 with -reconnect 30s exited $status, not non-zero on its own" >&2
+	cat "$dir/group-stray.log" >&2
 	exit 1
 fi
 if ! grep -q "point workers at its coordinator, 127.0.0.1:17180" "$dir/group-stray.log"; then
@@ -171,13 +177,17 @@ echo "cli-smoke: the backup found data server 0 (127.0.0.1:17181) in the cluster
 finish group
 departed group-coord
 # The backup ends with its own line: the primary it replicated, and the store
-# version it reached, past 0.
-if ! grep -Eq 'run complete: backup of 127\.0\.0\.1:17181 at store version [1-9][0-9]*,' "$dir/group-backup0.log"; then
-	echo "cli-smoke: group-backup0 did not end naming 127.0.0.1:17181 at a positive store version" >&2
-	cat "$dir/group-backup0.log" >&2
+# version it reached, which is the one data server 0 ended at: the backup's
+# last pull follows the coordinator's report that the run is complete, and
+# data server 0 waits for it.
+final=$(grep -o 'all workers finished: .*(store version [0-9]*)' "$dir/group-data0.log" | grep -o '[0-9]*)$' | tr -d ')' || true)
+if [ -z "$final" ] || [ "$final" -eq 0 ] ||
+	! grep -q "run complete: backup of 127\.0\.0\.1:17181 at store version $final," "$dir/group-backup0.log"; then
+	echo "cli-smoke: group-backup0 did not end naming 127.0.0.1:17181 at data server 0's store version '$final'" >&2
+	cat "$dir/group-data0.log" "$dir/group-backup0.log" >&2
 	exit 1
 fi
-echo "cli-smoke: group-backup0 ended naming 127.0.0.1:17181 at a positive store version"
+echo "cli-smoke: group-backup0 ended naming 127.0.0.1:17181 at data server 0's store version $final"
 
 # Tree: a leasing root and one fanout-2 relay with its default flags; the
 # workers find the relay through the root's layout, and worker 1 is the slow

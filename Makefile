@@ -55,14 +55,18 @@ race:
 # twenty times under the race detector: an ASP schedule decides how stale an
 # honest push is when it lands, and a guard that judged a worker's cold first
 # push against converged gradients flagged an honest worker in loaded runs.
-# The last two lines run the fp16 lane paths twenty times: a packed push
+# The next two lines run the fp16 lane paths twenty times: a packed push
 # encoded in the push slot writes no payload byte, a packed pull is a
 # reference whose extent stays pinned while it is read, both copy on TCP and
 # for a peer without a pidfd, and a server stopped with a packed reference
-# out lets go of every packed generation in its region. The final line runs
-# a tree run whose crashed child's Leave the relay forwards after the child's
-# worker returned, twenty times under the race detector: the trainer reads its
-# result only once the root has settled every worker slot.
+# out lets go of every packed generation in its region. The line after them
+# runs a tree run whose crashed child's Leave the relay forwards after the
+# child's worker returned, twenty times under the race detector: the trainer
+# reads its result only once the root has settled every worker slot. The last
+# two lines run the group's failover tests ten times under the race detector,
+# one line per package: the coordinator promotes a standby when its owner's
+# announce stream ends, a reaction to the end of a stream that races the
+# run's own end, which is a concurrency property as much as a lease is.
 lease-stress:
 	$(GO) test -race -count=10 -run 'TestDenseBufferLeasesSurvivePoisoning|TestClusterPullLeaseOutlivesReplacedLink|TestCodecBufferReuseSurvivesPoisoning|TestRelaySentReplyOutlivesSupersededPullCache|TestPushErrorStillReleasesPeers|TestTrunkSpeaksOnlyForSlotsItRoutes|TestStaleGatedReleaseNeverReachesSuccessorSession|TestRelayWatchdogFlushesStalledSiblingsPartial|TestRelayStalledChildDoesNotDelaySiblingOK|TestPushSlotWaitsForTheReceiversRelease|TestInProcessScheduleRecyclesGenerations|TestRegionFullFallsBackToCopy|TestLeaseExpiredReaderKeepsItsGeneration|TestDeadReaderPinsNothing|TestRelaySentReferenceOutlivesSupersededPullCache|TestRelayStopDropsTheTrunkSlotPartial|TestRelayStopReleasesTheHeldFirstPush|TestRelayFoldBitIdenticalToCopyThenAdd|TestDataServerOKPrecedesApplyAndPullWaitsForIt|TestDataServerWindowedPullIsAnswered|TestGroupBSPReleaseReadsEveryTicketedFragment' ./internal/ps/
 	$(GO) test -race -count=10 -run '^(TestDuplicateRegistrationSupersedesOldSession|TestStaleSessionIsToldToRejoin|TestLeaseExpiryEvictsSilentWorker|TestHeartbeatsKeepSlowWorkerAlive|TestDisconnectReleasesBarrierPeers)$$/relay-child' ./internal/ps/
@@ -74,6 +78,8 @@ lease-stress:
 	$(GO) test -race -count=20 -run '^(TestLanePackedPushSlotWritesNoPayload|TestLanePackedReferenceFrames|TestPackedPathsCopyOnTCP|TestLanePeerWithoutPidfdGetsNoRegion)$$' ./internal/transport/
 	$(GO) test -race -count=20 -run '^TestServerStopEvictsPackedGenerations$$' ./internal/ps/
 	$(GO) test -race -count=20 -run '^TestTreeChildLeavesCountOnlyUnfinishedChildren$$' ./internal/trainer/
+	$(GO) test -race -count=10 -run '^(TestClusterClientRecoversThroughPromotion|TestBackupEndsAtItsPrimarysFinalVersion|TestStandbyCutOffFromALiveOwnerIsNotPromoted)$$' ./internal/ps/
+	$(GO) test -race -count=10 -run '^TestRestartedMemberStandsByThePromotedOwner$$' .
 
 # The -run lists above name tests verbatim, and a name that matches no test
 # (the test was renamed or deleted) runs nothing and passes. This fails when

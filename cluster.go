@@ -14,18 +14,17 @@ import (
 const (
 	RoleCoordinator = ps.RoleCoordinator
 	RoleData        = ps.RoleData
-	RoleBackup      = ps.RoleBackup
 )
 
 // ClusterOptions places a server in a server group (ServerConfig.Cluster):
 // its role, the coordinator it announces to, the group size and its slot,
-// the address it advertises and, for a backup, its primary. The zero value is
-// a flat server.
+// and the address it advertises. The zero value is a flat server.
 type ClusterOptions = ps.ClusterConfig
 
 // Failed returns a channel closed when a fatal cluster condition ended this
-// server's usefulness — a data server or backup losing its coordinator, or a
-// backup unable to complete promotion. Standalone servers never close it.
+// server's usefulness — a data server losing its coordinator, or a standby's
+// replication installing what its store cannot hold. Standalone servers never
+// close it.
 // FailureErr reports the cause after it closes.
 func (s *Server) Failed() <-chan struct{} { return s.inner.Failed() }
 

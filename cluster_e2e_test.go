@@ -178,8 +178,8 @@ func TestClusterConvergesWithCompressionAndCoalescing(t *testing.T) {
 }
 
 // TestClusterFailoverPromotesBackup is the failover leg of the matrix: a
-// data server dies mid-run, its backup promotes from the streamed weight
-// deltas (no checkpoint-restore involved), the workers recover through a
+// data server dies mid-run, the coordinator promotes its standby, which holds
+// the streamed weights (no checkpoint-restore involved), the workers recover through a
 // cluster-map refetch — without re-registering, so the paradigm's staleness
 // accounting is undisturbed — and training completes.
 func TestClusterFailoverPromotesBackup(t *testing.T) {
@@ -239,11 +239,10 @@ func TestClusterFailoverPromotesBackup(t *testing.T) {
 	}
 }
 
-// TestClusterBackupEndsWithItsGroup: a backup serves no workers, so the
+// TestClusterBackupEndsWithItsGroup: a standby serves no workers, so the
 // coordinator's report that the run is complete is its end of the run: its
 // Done closes, and once every other member stops, as psserver does at the
-// end of a run, it neither declares its primary dead after the grace nor
-// asks the stopped coordinator for promotion.
+// end of a run, it neither fails nor is promoted.
 func TestClusterBackupEndsWithItsGroup(t *testing.T) {
 	c := clustertest.Start(t, clustertest.Config{Servers: 2, Backups: 1, Workers: 2, Epochs: 1})
 	if _, errs := c.RunWorkers(nil); errs[0] != nil || errs[1] != nil {
@@ -263,10 +262,66 @@ func TestClusterBackupEndsWithItsGroup(t *testing.T) {
 	select {
 	case <-backup.Failed():
 		t.Fatalf("backup failed after a complete run: %v", backup.FailureErr())
-	case <-time.After(3 * time.Second): // past the 2s grace
+	case <-time.After(3 * time.Second):
 	}
 	if backup.Status().Promoted {
 		t.Fatal("backup promoted after a complete run")
+	}
+}
+
+// TestRestartedMemberStandsByThePromotedOwner: a data server that dies
+// mid-run loses its range to its standby for good. A fresh member started for
+// the same index after the promotion stands by for the promoted owner instead
+// of taking the range back: the coordinator's map names the promoted owner
+// for the rest of the run, and the fresh member ends at the owner's final
+// store version, never promoted.
+func TestRestartedMemberStandsByThePromotedOwner(t *testing.T) {
+	c := clustertest.Start(t, clustertest.Config{Servers: 2, Backups: 1, Workers: 2, Epochs: 4})
+	done := make(chan struct{})
+	var errs []error
+	go func() {
+		defer close(done)
+		_, errs = c.RunWorkers(func(id int, wcfg *dssp.WorkerConfig) {
+			wcfg.Delay = 15 * time.Millisecond
+		})
+	}()
+	time.Sleep(250 * time.Millisecond)
+	c.KillData(0)
+	c.WaitPromoted(0, 10*time.Second)
+	owner := c.Backups[0]
+	fresh := c.StartStandby(0)
+
+	// The map keeps naming the promoted owner until the run completes.
+	mapped := func() string { return c.Coordinator.Status().Map[0].Addr }
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		case <-time.After(5 * time.Millisecond):
+		}
+		if got := mapped(); got != owner.Addr() {
+			t.Fatalf("the coordinator's map names %s for range 0, want the promoted owner %s", got, owner.Addr())
+		}
+	}
+	for id, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", id, err)
+		}
+	}
+	c.WaitDone(30 * time.Second)
+	for name, srv := range map[string]*dssp.Server{"the promoted owner": owner, "the fresh member": fresh} {
+		select {
+		case <-srv.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never completed its run", name)
+		}
+	}
+	st := fresh.Status()
+	if st.Primary != owner.Addr() || st.Promoted {
+		t.Fatalf("the fresh member replicates %q, promoted %v; want %s, not promoted", st.Primary, st.Promoted, owner.Addr())
+	}
+	if want := owner.Status().Version; st.Version != want {
+		t.Fatalf("the fresh member ended at store version %d, the owner at %d", st.Version, want)
 	}
 }
 

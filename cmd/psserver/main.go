@@ -23,7 +23,7 @@
 // Gated pulls: a pull that names the version of the weights its sender
 // already holds is answered, while the store is still at that version, with
 // one payload-free frame (docs/PROTOCOL.md §5a). Replica sessions (a relay's
-// upstream, a backup, a coordinator's snapshot) name one; workers pull in
+// upstream, a standby, a coordinator's snapshot) name one; workers pull in
 // full, since every push moves the version.
 //
 // Fault tolerance: -lease d leases every session at d — each Registered
@@ -38,19 +38,18 @@
 // Server groups: -role places this server in a multi-server group
 // (DESIGN.md §10). A coordinator (-role coordinator -cluster-servers N)
 // owns the paradigm policy and the cluster map; data servers (-role data
-// -peers <coordinator> -cluster-servers N -cluster-index i) each own a
-// contiguous shard range of the store; a backup (-role backup, with the
-// data server's -peers, -cluster-servers and -cluster-index) finds its
-// primary in the coordinator's cluster map — the data server owning that
-// shard range — replicates its weights and requests promotion when the
-// primary stays dead past a 2s grace. Losing the coordinator is fatal
-// to a data server or backup, unless the coordinator finished the run: it
-// then says so on the announce connection before it exits. In a group
-// -shards is the group-wide shard count (0 = two per data server) and must be
-// the same on every member; a data server whose range then reaches past the
-// coordinator's count is refused at announce. Workers join the group with
-// psworker -server <coordinator>; a data server or backup refuses a worker,
-// naming the coordinator.
+// -peers <coordinator> -cluster-servers N -cluster-index i) each serve a
+// contiguous shard range of the store. The coordinator decides who owns a
+// range: the first data server to announce it; a later one started with the
+// same -cluster-index stands by, replicating the owner's weights, and when
+// the owner's announce connection drops mid-run the coordinator promotes the
+// longest-standing standby. Losing the coordinator is fatal to a data server,
+// unless the coordinator finished the run: it then says so on the announce
+// connection before it exits. In a group -shards is the group-wide shard
+// count (0 = two per data server) and must be the same on every member; a
+// data server whose range then reaches past the coordinator's count is
+// refused at announce. Workers join the group with psworker -server
+// <coordinator>; a data server refuses a worker, naming the coordinator.
 //
 // Aggregation tier: -role relay runs an aggregation relay (DESIGN.md §11)
 // instead of a server: it registers a trunk with the root at -parent,
@@ -69,7 +68,7 @@
 // refused by name (psserver -role <role> -h lists the set):
 //
 //   - every role: -role, -addr, -metrics-addr;
-//   - every server role (flat, coordinator, data, backup): -compress, -topk,
+//   - every server role (flat, coordinator, data): -compress, -topk,
 //     -compress-pull, -lease, -workers, -model, -classes, -image-size,
 //     -seed, -shards, -trace-every, -aggregator, -clip-norm,
 //     -guard, -checkpoint-dir, -checkpoint-every (the server then refuses
@@ -77,10 +76,9 @@
 //     -checkpoint-*, an -aggregator other than sum and -clip-norm);
 //   - a flat server and a coordinator, which run the paradigm and evaluate:
 //     -paradigm, -staleness, -range, -enforce-bound, -examples;
-//   - a flat server, data server and backup, which hold weights: -lr,
-//     -momentum;
-//   - a coordinator, data server and backup: -cluster-servers; a data server
-//     and backup: -peers, -cluster-index; those two and a relay: -advertise;
+//   - a flat server and a data server, which hold weights: -lr, -momentum;
+//   - a coordinator and a data server: -cluster-servers; a data server:
+//     -peers, -cluster-index; a data server and a relay: -advertise;
 //   - a relay: -parent, -fanout.
 //
 // Observability: -metrics-addr starts an admin HTTP listener serving
@@ -101,7 +99,6 @@ import (
 	"slices"
 	"strings"
 	"syscall"
-	"time"
 
 	"dssp"
 	"dssp/internal/core"
@@ -109,7 +106,7 @@ import (
 )
 
 // roleRelay is -role's value for an aggregation relay; the server roles are
-// dssp.RoleCoordinator, RoleData, RoleBackup and "" for a flat server.
+// dssp.RoleCoordinator, RoleData and "" for a flat server.
 const roleRelay = "relay"
 
 // invocation is one parsed command line: the relay's config when -role is
@@ -141,8 +138,8 @@ func main() {
 // Refusals are written to out.
 func parse(args []string, out io.Writer) (*invocation, error) {
 	role := roleArg(args)
-	if !slices.Contains([]string{"", dssp.RoleCoordinator, dssp.RoleData, dssp.RoleBackup, roleRelay}, role) {
-		fmt.Fprintf(out, "psserver: unknown -role %q (want coordinator, data, backup or relay; none for a flat server)\n", role)
+	if !slices.Contains([]string{"", dssp.RoleCoordinator, dssp.RoleData, roleRelay}, role) {
+		fmt.Fprintf(out, "psserver: unknown -role %q (want coordinator, data or relay; none for a flat server)\n", role)
 		return nil, fmt.Errorf("unknown role %q", role)
 	}
 	inv, fs := roleFlags(role)
@@ -188,7 +185,7 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 	inv := &invocation{}
 	s, r := &inv.server, &inv.relay
 	server := role != roleRelay
-	member := role == dssp.RoleData || role == dssp.RoleBackup
+	member := role == dssp.RoleData
 
 	addr, metricsAddr, advertise := &s.Addr, &s.MetricsAddr, &s.Cluster.Advertise
 	if !server {
@@ -196,7 +193,7 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 		fs.StringVar(&r.Parent, "parent", "", "root server address the relay forwards to")
 		fs.IntVar(&r.Fanout, "fanout", 4, "workers this relay aggregates per forwarded push")
 	}
-	fs.StringVar(&s.Cluster.Role, "role", "", "role: coordinator, data, backup (server group, DESIGN.md §10), or relay (aggregation tier, DESIGN.md §11); empty = standalone server. Each role reads its own flags: psserver -role <role> -h lists them")
+	fs.StringVar(&s.Cluster.Role, "role", "", "role: coordinator, data (server group, DESIGN.md §10), or relay (aggregation tier, DESIGN.md §11); empty = standalone server. Each role reads its own flags: psserver -role <role> -h lists them")
 	fs.StringVar(addr, "addr", ":7070", "TCP listen address")
 	fs.StringVar(metricsAddr, "metrics-addr", "", "admin HTTP listen address serving /metrics, /healthz, /statusz and pprof (empty = off)")
 	if server {
@@ -219,7 +216,7 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 		fs.IntVar(&s.Checkpoint.Every, "checkpoint-every", 0, "checkpoint every N applied updates (0 = only on shutdown)")
 	}
 	// The paradigm runs, and the model is evaluated, on a flat server or a
-	// coordinator; data servers and backups run a local ASP.
+	// coordinator; data servers run a local ASP.
 	if role == "" || role == dssp.RoleCoordinator {
 		s.Sync.Paradigm = dssp.DSSP
 		fs.Func("paradigm", "synchronization paradigm: BSP, ASP, SSP, DSSP (default DSSP)", func(v string) (err error) {
@@ -232,7 +229,7 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 		fs.IntVar(&s.Dataset.Examples, "examples", 512, "number of synthetic training examples")
 	}
 	// The weights, and the optimizer stepping them, live on every server but
-	// a coordinator, whose store is a one-scalar placeholder.
+	// a coordinator, whose store holds no tensors.
 	if server && role != dssp.RoleCoordinator {
 		fs.Float64Var(&s.LearningRate, "lr", 0.1, "learning rate (a run restored from a checkpoint steps at this rate, not the saved run's)")
 		fs.Float64Var(&s.Momentum, "momentum", 0, "SGD momentum")
@@ -292,10 +289,10 @@ func run(cfg dssp.ServerConfig) error {
 	if cfg.Lease > 0 {
 		mode = fmt.Sprintf("elastic, lease %v", cfg.Lease)
 	}
-	// A data server and a backup run no paradigm of their own (a local ASP):
-	// their line names the shard range they hold.
+	// A data server runs no paradigm of its own (a local ASP): its line names
+	// the shard range it holds.
 	holds := cfg.Sync.Describe()
-	if c := cfg.Cluster; c.Role == dssp.RoleData || c.Role == dssp.RoleBackup {
+	if c := cfg.Cluster; c.Role == dssp.RoleData {
 		holds = fmt.Sprintf("shard range %d of %d", c.Index, c.Servers)
 	}
 	fmt.Printf("parameter server listening on %s (%s, %d workers, codec %s, aggregator %s, %s)\n",
@@ -305,15 +302,6 @@ func run(cfg dssp.ServerConfig) error {
 		fmt.Printf("cluster coordinator for %d data servers\n", cfg.Cluster.Servers)
 	case dssp.RoleData:
 		fmt.Printf("cluster data server (group of %d), announcing to coordinator %s\n", cfg.Cluster.Servers, cfg.Cluster.Coordinator)
-	case dssp.RoleBackup:
-		// The backup finds its primary in the coordinator's cluster map.
-		for server.Status().Primary == "" && server.FailureErr() == nil {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if err := server.FailureErr(); err != nil {
-			return err
-		}
-		fmt.Printf("cluster backup replicating %s, promotion via coordinator %s\n", server.Status().Primary, cfg.Cluster.Coordinator)
 	}
 	if st := server.Status(); st.Restored {
 		fmt.Printf("restored checkpoint from %s at version %d\n", cfg.Checkpoint.Dir, st.Version)
@@ -353,15 +341,14 @@ func run(cfg dssp.ServerConfig) error {
 	return nil
 }
 
-// summary is a server role's end-of-run line. A backup serves no workers
-// of its own: its line names the primary it replicated, the store version it
-// reached and whether it took the primary's place.
+// summary is a server role's end-of-run line. A data server that ended as a
+// standby, never promoted, served no workers: its line names the owner it
+// replicated and the store version it reached.
 func summary(role string, st ps.ServerStatus) string {
-	switch role {
-	case dssp.RoleBackup:
-		return fmt.Sprintf("run complete: backup of %s at store version %d, promoted %t",
-			st.Primary, st.Version, st.Promoted)
-	case dssp.RoleData:
+	switch {
+	case st.Primary != "" && !st.Promoted:
+		return fmt.Sprintf("run complete: backup of %s at store version %d, promoted false", st.Primary, st.Version)
+	case role == dssp.RoleData:
 		return fmt.Sprintf("all workers finished: %d fragments applied, %d departures, %d rejoins (store version %d)",
 			st.Pushes, st.Departures, st.Rejoins, st.Version)
 	}

@@ -89,9 +89,10 @@ func TestShippedCommandLinesParse(t *testing.T) {
 			}),
 		},
 		{
-			args: "-addr 127.0.0.1:17180 -role coordinator -cluster-servers 2 -workers 2 -shards 4 -lease 200ms -examples 64",
+			args: "-addr 127.0.0.1:17180 -role coordinator -cluster-servers 2 -workers 2 -shards 4 -lease 200ms -examples 64 -metrics-addr 127.0.0.1:17186",
 			server: with(member(dssp.ClusterOptions{Role: dssp.RoleCoordinator, Servers: 2}), func(s *dssp.ServerConfig) {
 				s.Addr, s.Shards, s.Lease, s.Dataset.Examples = "127.0.0.1:17180", 4, 200*time.Millisecond, 64
+				s.MetricsAddr = "127.0.0.1:17186"
 			}),
 		},
 		{
@@ -108,9 +109,11 @@ func TestShippedCommandLinesParse(t *testing.T) {
 			}),
 		},
 		{
-			args: "-addr :7103 -role backup -peers 127.0.0.1:7070 -cluster-servers 2 -cluster-index 0 -shards 4 -workers 2",
-			server: with(member(dssp.ClusterOptions{Role: dssp.RoleBackup, Coordinator: "127.0.0.1:7070", Servers: 2}), func(s *dssp.ServerConfig) {
-				s.Addr, s.Shards = ":7103", 4
+			// A second data server for index 0: the coordinator makes it the
+			// owner's standby.
+			args: "-addr 127.0.0.1:17183 -role data -peers 127.0.0.1:17180 -cluster-servers 2 -cluster-index 0 -workers 2 -shards 4 -lease 200ms",
+			server: with(member(dssp.ClusterOptions{Role: dssp.RoleData, Coordinator: "127.0.0.1:17180", Servers: 2}), func(s *dssp.ServerConfig) {
+				s.Addr, s.Shards, s.Lease = "127.0.0.1:17183", 4, 200*time.Millisecond
 			}),
 		},
 		{
@@ -153,8 +156,8 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 		{"-role data -peers 127.0.0.1:7070 -cluster-servers 2 -paradigm BSP", "not defined: -paradigm"},
 		{"-role coordinator -cluster-servers 2 -lr 0.5", "not defined: -lr"},
 		{"-role data -peers 127.0.0.1:7070 -cluster-servers 2 -primary 127.0.0.1:7101", "not defined: -primary"},
-		// A backup reads its primary from the coordinator's cluster map.
-		{"-role backup -peers 127.0.0.1:7070 -cluster-servers 2 -primary 127.0.0.1:7101", "not defined: -primary"},
+		// A standby is a data server the coordinator names one.
+		{"-role backup -peers 127.0.0.1:7070 -cluster-servers 2", `unknown -role "backup" (want coordinator, data or relay`},
 		{"-role relais -parent 127.0.0.1:7070", `unknown -role "relais"`},
 		{"-workers 2 stray -guard", `unexpected argument "stray"`},
 		{"-advertise -role=relay -parent 127.0.0.1:7070", "-role must be given as a flag"},
@@ -185,7 +188,6 @@ func TestRoleFlagSets(t *testing.T) {
 		"":                   slices.Concat(server, policy, store),
 		dssp.RoleCoordinator: slices.Concat(server, policy, []string{"cluster-servers"}),
 		dssp.RoleData:        slices.Concat(server, store, group),
-		dssp.RoleBackup:      slices.Concat(server, store, group),
 		roleRelay:            slices.Concat(every, []string{"advertise", "parent", "fanout"}),
 	}
 	union := map[string]bool{}
@@ -201,8 +203,8 @@ func TestRoleFlagSets(t *testing.T) {
 			t.Errorf("role %q reads %v, want %v", role, got, names)
 		}
 	}
-	// Every psserver flag: one lease for liveness, and no -primary, since a
-	// backup finds its primary in the coordinator's cluster map.
+	// Every psserver flag: one lease for liveness, and no -primary, since the
+	// coordinator names a standby's owner.
 	all := strings.Fields(`addr workers paradigm staleness range enforce-bound model classes
 		examples image-size lr momentum shards compress topk compress-pull aggregator clip-norm guard
 		lease checkpoint-dir checkpoint-every metrics-addr trace-every seed

@@ -33,10 +33,10 @@
 // instead of failing. A group's coordinator hands over its cluster map: the
 // worker routes gradient fragments directly to each shard owner while the
 // coordinator keeps making the staleness decisions. A lost data link
-// recovers by refetching the map (which is how a backup promotion reaches
+// recovers by refetching the map (which is how a standby's promotion reaches
 // the worker); a lost coordinator connection fails the run, or with
 // -reconnect is rejoined. A dead coordinator is fatal to the group either
-// way. A data server or backup refuses the worker, naming the coordinator.
+// way. A data server refuses the worker, naming the coordinator.
 //
 // Observability: -metrics-addr starts an admin HTTP listener serving the
 // worker-side Prometheus /metrics (pull wait, push round-trip, iteration and

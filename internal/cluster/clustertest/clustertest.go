@@ -1,8 +1,8 @@
 // Package clustertest stands up DSSP server groups over real TCP for
-// end-to-end tests: a coordinator, N data servers, optional backups, and
+// end-to-end tests: a coordinator, N data servers, optional standbys, and
 // worker runners — with free-port allocation, lifecycle logging through the
 // test's logger, and deterministic teardown via t.Cleanup (workers first,
-// then backups, data servers and the coordinator, in that order).
+// then standbys, data servers and the coordinator, in that order).
 //
 // With Config.Servers == 0 the same harness starts a classic standalone
 // server, so a test can run the identical workload against both topologies
@@ -25,9 +25,10 @@ type Config struct {
 	// Servers is the number of data servers; 0 starts a classic standalone
 	// server instead of a group.
 	Servers int
-	// Backups starts one backup for each data server in [0, Backups),
-	// which finds that primary in the coordinator's cluster map, replicates
-	// it and stands ready to take over its shard range.
+	// Backups starts one standby for each data server in [0, Backups): a
+	// second data server for the same index, started once the first owns
+	// the range, which the coordinator therefore makes its standby — it
+	// replicates the owner and takes the range over when the owner dies.
 	Backups int
 	// Workers is the number of training workers the servers expect.
 	Workers int
@@ -88,7 +89,8 @@ type Cluster struct {
 	Coordinator *dssp.Server
 	// Data are the data servers, index-aligned with the group layout.
 	Data []*dssp.Server
-	// Backups are the backup servers; Backups[i] replicates Data[i].
+	// Backups are the standbys, in start order; Backups[i] first stands by
+	// for Data[i] (StartStandby appends more).
 	Backups []*dssp.Server
 
 	coordAddr string
@@ -112,7 +114,7 @@ func FreePort(t *testing.T) string {
 }
 
 // Start brings the whole topology up — coordinator first, then data servers
-// (which announce themselves to it), then backups — and registers teardown
+// (which announce themselves to it), then standbys — and registers teardown
 // with t.Cleanup. It fails the test on any startup error.
 func Start(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
@@ -157,19 +159,37 @@ func Start(t *testing.T, cfg Config) *Cluster {
 		t.Logf("clustertest: data server %d on %s", i, srv.Addr())
 	}
 	for i := 0; i < cfg.Backups && i < cfg.Servers; i++ {
-		srv, err := dssp.Serve(c.serverConfig(dssp.ClusterOptions{
-			Role:        dssp.RoleBackup,
-			Coordinator: c.coordAddr,
-			Servers:     cfg.Servers,
-			Index:       i,
-		}))
-		if err != nil {
-			t.Fatalf("clustertest: backup %d: %v", i, err)
-		}
-		c.Backups = append(c.Backups, srv)
-		t.Logf("clustertest: backup %d on %s", i, srv.Addr())
+		c.StartStandby(i)
 	}
 	return c
+}
+
+// StartStandby starts one more data server for index i, once the
+// coordinator's map is complete — so that the range already has its owner,
+// Data[i] or whoever took its place, and the new member stands by for it —
+// and appends it to Backups. It fails the test on a start-up error or a map
+// still incomplete after 10s.
+func (c *Cluster) StartStandby(i int) *dssp.Server {
+	c.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(c.Coordinator.Status().Map) < c.cfg.Servers {
+		if time.Now().After(deadline) {
+			c.t.Fatalf("clustertest: the coordinator's map never listed all %d data servers", c.cfg.Servers)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	srv, err := dssp.Serve(c.serverConfig(dssp.ClusterOptions{
+		Role:        dssp.RoleData,
+		Coordinator: c.coordAddr,
+		Servers:     c.cfg.Servers,
+		Index:       i,
+	}))
+	if err != nil {
+		c.t.Fatalf("clustertest: standby for index %d: %v", i, err)
+	}
+	c.Backups = append(c.Backups, srv)
+	c.t.Logf("clustertest: standby for index %d on %s", i, srv.Addr())
+	return srv
 }
 
 func (c *Cluster) serverConfig(cluster dssp.ClusterOptions) dssp.ServerConfig {
@@ -235,8 +255,9 @@ func (c *Cluster) RunWorkers(mutate func(id int, cfg *dssp.WorkerConfig)) ([]*ds
 }
 
 // KillData stops data server i abruptly, as a crash: its listener closes and
-// its sessions drop. The coordinator keeps the stale map entry until a
-// backup promotes into it.
+// its sessions drop. Its announce connection drops with them, and the
+// coordinator gives its range to the range's longest-standing standby, or
+// keeps the stale map entry until a member announces for it.
 func (c *Cluster) KillData(i int) {
 	c.t.Helper()
 	c.t.Logf("clustertest: killing data server %d (%s)", i, c.dataAddrs[i])
@@ -262,18 +283,18 @@ func (c *Cluster) kill(s *dssp.Server) {
 	}
 }
 
-// WaitPromoted blocks until backup i reports completed promotion, or fails
-// the test at the timeout.
+// WaitPromoted blocks until Backups[i] reports its promotion, or fails the
+// test at the timeout.
 func (c *Cluster) WaitPromoted(i int, timeout time.Duration) {
 	c.t.Helper()
 	deadline := time.Now().Add(timeout)
 	for !c.Backups[i].Status().Promoted {
 		if time.Now().After(deadline) {
-			c.t.Fatalf("clustertest: backup %d not promoted within %v", i, timeout)
+			c.t.Fatalf("clustertest: standby %d not promoted within %v", i, timeout)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	c.t.Logf("clustertest: backup %d promoted", i)
+	c.t.Logf("clustertest: standby %d promoted", i)
 }
 
 // WaitDone blocks until the coordinator reports the run complete, or fails

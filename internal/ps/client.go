@@ -51,13 +51,13 @@ type Client struct {
 
 	// cluster and replica stamp the registration with the session flags:
 	// cluster-mode workers (accepted by coordinators), and read-only replica
-	// sessions (backup replication streams, a relay's upstream cache).
+	// sessions (standby replication streams, a relay's upstream cache).
 	cluster bool
 	replica bool
 	// self is the entry a registration names its sender by (Servers), nil on
 	// most clients: a relay trunk's tree-layout entry ({Addr: advertised,
-	// ShardHi: fanout}), or on a replica a backup's own map entry, by which
-	// its primary knows the session for a backup's. A trunk (isTrunk) adopts
+	// ShardHi: fanout}), or on a replica a standby's own map entry, by which
+	// its owner knows the session for a standby's. A trunk (isTrunk) adopts
 	// the session key the root assigns, and its push slot has room for a full
 	// fanout of PushEntries.
 	self []transport.ServerEntry
@@ -557,7 +557,7 @@ func (c *Client) endLeases() {
 }
 
 // isTrunk reports whether c is a relay's trunk, which names its tree-layout
-// entry (self) where a replica names a backup's map entry.
+// entry (self) where a replica names a standby's map entry.
 func (c *Client) isTrunk() bool { return c.self != nil && !c.replica }
 
 // recv reads the next message, converting a server-reported error into a

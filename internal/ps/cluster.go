@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -13,7 +14,7 @@ import (
 // This file holds the server-group (cluster) substrate: the roles and the one
 // role struct, the partition arithmetic that assigns contiguous runs of
 // global store shards to data servers, the range-restricted store a data
-// server runs, the live weight install the primary→backup replication stream
+// server runs, the live weight install an owner→standby replication stream
 // lands on, and the coordinator's side of the group protocol.
 //
 // The cluster split keeps the paradigm semantics of conf_icdcs_ZhaoALC19
@@ -30,17 +31,13 @@ const (
 	// cluster map, accepts metadata-only pushes, and runs the real
 	// BSP/SSP/DSSP staleness decisions. It never carries model weights.
 	RoleCoordinator = "coordinator"
-	// RoleData owns a contiguous range of the global store shards: it runs
+	// RoleData serves a contiguous range of the global store shards: it runs
 	// its own applier pipeline, COW store and packed-pull cache for that
-	// slice, and announces itself to the coordinator so workers can route
-	// fragments to it.
+	// slice, and announces itself to the coordinator, which decides whether
+	// it owns the range — workers then route fragments to it — or stands by
+	// for the range's live owner, replicating it until the coordinator
+	// promotes it (handleServerAnnounce).
 	RoleData = "data"
-	// RoleBackup stands by for one data server, the one the coordinator's
-	// cluster map names as the owner of the backup's shard range: it
-	// replicates the primary's published weights over a read-only,
-	// version-gated pull stream and requests promotion from the coordinator
-	// when the primary stays unreachable past the replication grace.
-	RoleBackup = "backup"
 )
 
 // ClusterConfig is a server's role (ServerConfig.Cluster; dssp.ClusterOptions
@@ -52,16 +49,15 @@ const (
 // boundaries. A data server started with another count whose range then
 // falls outside the coordinator's is refused at announce.
 type ClusterConfig struct {
-	// Role is RoleCoordinator, RoleData, RoleBackup, or "" for a flat server.
+	// Role is RoleCoordinator, RoleData, or "" for a flat server.
 	Role string
-	// Coordinator is the coordinator's address; required for data and
-	// backup roles (the -peers flag).
+	// Coordinator is the coordinator's address; required for a data server
+	// (the -peers flag).
 	Coordinator string
 	// Servers is the number of data servers in the group (all roles).
 	Servers int
 	// Index is this server's slot in [0, Servers) — which shard range of
-	// the group layout it owns, or for a backup stands by for. Data and
-	// backup roles only.
+	// the group layout it serves. Data servers only.
 	Index int
 	// Advertise is the address put in the cluster map for this server —
 	// what workers dial. Defaults to the listener's address, which is only
@@ -80,7 +76,7 @@ func (c ClusterConfig) validate() error {
 			return fmt.Errorf("ps: coordinator needs the group's data-server count (Servers)")
 		}
 		return nil
-	case RoleData, RoleBackup:
+	case RoleData:
 		if c.Coordinator == "" {
 			return fmt.Errorf("ps: %s server needs the coordinator's address", c.Role)
 		}
@@ -92,8 +88,8 @@ func (c ClusterConfig) validate() error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("ps: unknown server role %q (want %q, %q or %q)",
-			c.Role, RoleCoordinator, RoleData, RoleBackup)
+		return fmt.Errorf("ps: unknown server role %q (want %q or %q)",
+			c.Role, RoleCoordinator, RoleData)
 	}
 }
 
@@ -212,10 +208,10 @@ func newStoreRange(initial []*tensor.Tensor, opt *optimizer.SGD, globalShards, s
 }
 
 // installReplica replaces the store's published weights with params at the
-// given applied version — the landing half of the primary→backup replication
+// given applied version — the landing half of the owner→standby replication
 // stream, through the one install path the checkpoint restore takes too. It
 // leaves the optimizer state untouched: the replication stream carries
-// weights only, so a promoted backup resumes with cold momentum (DESIGN.md
+// weights only, so a promoted standby resumes with cold momentum (DESIGN.md
 // §10 spells out the trade). params are cloned; the caller keeps ownership.
 //
 // version must be newer than the store's: the replicator only ever streams
@@ -285,55 +281,96 @@ func (s *Store) install(params []*tensor.Tensor, version int64) {
 	s.version.Store(version)
 }
 
-// submitEntry sends the coordinator one map entry on conn — typ is
-// MsgServerAnnounce (a backup's, with replica set, is acknowledged without
-// entering the map) or MsgPromote — and waits for the acknowledgement. An
-// explicit rejection comes back as *RemoteError.
-func submitEntry(conn transport.Conn, typ transport.MessageType, entry transport.ServerEntry, replica bool) error {
-	if err := conn.Send(transport.Message{Type: typ, Servers: []transport.ServerEntry{entry}, Replica: replica}); err != nil {
-		return err
+// submitEntry announces entry to the coordinator on conn and returns the
+// range's owner the OK reply names: entry itself when this member owns the
+// range, else the live owner it stands by for. An explicit rejection comes
+// back as *RemoteError.
+func submitEntry(conn transport.Conn, entry transport.ServerEntry) (transport.ServerEntry, error) {
+	if err := conn.Send(transport.Message{Type: transport.MsgServerAnnounce, Servers: []transport.ServerEntry{entry}}); err != nil {
+		return transport.ServerEntry{}, err
 	}
 	msg, err := conn.Recv()
-	if err != nil {
-		return err
+	switch {
+	case err != nil:
+		return transport.ServerEntry{}, err
+	case msg.Type == transport.MsgError:
+		return transport.ServerEntry{}, &RemoteError{Msg: msg.Error}
+	case msg.Type != transport.MsgOK || len(msg.Servers) != 1:
+		return transport.ServerEntry{}, fmt.Errorf("ps: unexpected %v reply to an announce", msg.Type)
 	}
-	if msg.Type == transport.MsgError {
-		return &RemoteError{Msg: msg.Error}
-	}
-	if msg.Type != transport.MsgOK {
-		return fmt.Errorf("ps: unexpected %v reply to %v", msg.Type, typ)
-	}
-	return nil
+	return msg.Servers[0], nil
 }
 
 // clusterState is the coordinator's live view of the group: the data-server
-// entries the map serves and the version workers use to detect change. An
-// announcing data server or backup parks on its connection as its liveness
-// watch on this coordinator (parked): when every worker is done the
-// coordinator sends each one Done before anything can stop it (done latches
-// that, for an announce arriving later), and the session layer's stop sweep
-// closes them with every other connection. shards and tensors are the
-// group-wide layout every map reply advertises (the normalized shard count
-// groupLayout returned and the model's tensor count), set by Start.
+// entries the map serves, the version workers use to detect change, and each
+// shard range's announce streams (ranges). A member's announce stream is each
+// side's liveness watch of the other: the coordinator decides on it who owns
+// a range (handleServerAnnounce), and when the run is complete it sends every
+// stream Done before anything can stop it (done latches that, for an
+// announce arriving later). shards and tensors are the group-wide layout
+// every map reply advertises (the normalized shard count groupLayout returned
+// and the model's tensor count), set by Start.
 type clusterState struct {
 	shards, tensors int
 
 	mu         sync.Mutex
 	entries    []transport.ServerEntry
 	mapVersion int64
-	parked     []transport.Conn
+	ranges     map[[2]int]*rangeStreams
 	done       bool
 }
 
-// endAnnounces tells every parked announcer that the run is complete, so a
-// member whose coordinator stops next does not take the stop for its death.
+// rangeStreams is one shard range's announce streams: its owner's, nil once
+// that stream ended and until a member takes the range, and its standbys', in
+// announce order.
+type rangeStreams struct {
+	owner    *memberStream
+	standbys []*memberStream
+}
+
+// memberStream is one member's announce connection and the entry it
+// announced.
+type memberStream struct {
+	conn  transport.Conn
+	entry transport.ServerEntry
+}
+
+// rangeKey is the shard range e covers, which names its rangeStreams.
+func rangeKey(e transport.ServerEntry) [2]int { return [2]int{e.ShardLo, e.ShardHi} }
+
+// send sends msg on every stream of the range, the owner's first.
+func (r *rangeStreams) send(msg transport.Message) {
+	if r.owner != nil {
+		_ = r.owner.conn.Send(msg)
+	}
+	for _, m := range r.standbys {
+		_ = m.conn.Send(msg)
+	}
+}
+
+// setEntry enters e in the map as its range's owner, replacing the range's
+// entry or adding one in shard order, and bumps the map version. Caller holds
+// mu.
+func (c *clusterState) setEntry(e transport.ServerEntry) {
+	c.mapVersion++
+	for i := range c.entries {
+		if rangeKey(c.entries[i]) == rangeKey(e) {
+			c.entries[i] = e
+			return
+		}
+	}
+	c.entries = append(c.entries, e)
+	sort.Slice(c.entries, func(i, j int) bool { return c.entries[i].ShardLo < c.entries[j].ShardLo })
+}
+
+// endAnnounces tells every announcer that the run is complete, so a member
+// whose coordinator stops next does not take the stop for its death.
 func (c *clusterState) endAnnounces() {
 	c.mu.Lock()
-	parked := c.parked
-	c.parked, c.done = nil, true
-	c.mu.Unlock()
-	for _, conn := range parked {
-		_ = conn.Send(transport.Message{Type: transport.MsgDone})
+	defer c.mu.Unlock()
+	c.done = true
+	for _, r := range c.ranges {
+		r.send(transport.Message{Type: transport.MsgDone})
 	}
 }
 
@@ -343,8 +380,8 @@ func (c *clusterState) endAnnounces() {
 // request, which asks the server what it is (requestMap). A coordinator,
 // which admits no relays, answers it with its group map; every other server
 // with its aggregation-tree layout, the relay entries and the worker-index
-// ranges each covers (none on a flat server without relays, a data server or
-// a backup).
+// ranges each covers (none on a flat server without relays or a data
+// server).
 func (s *Server) handleClusterMap(conn transport.Conn, _ transport.Message) {
 	if !s.coordinator() {
 		s.sm.treeLayoutFetches.Inc()
@@ -362,15 +399,15 @@ func (s *Server) handleClusterMap(conn transport.Conn, _ transport.Message) {
 		MapVersion:  mapVersion,
 		StoreShards: s.cluster.shards,
 		Total:       s.cluster.tensors,
-		Version:     s.cfg.Store.Version(),
 	})
 }
 
-// handleServerAnnounce records a data server's entry in the map (backups
-// announce with Replica set and are acknowledged without entering the map —
-// they become routable only through promotion). Re-announcing an owned shard
-// range replaces the entry, which is how a restarted primary re-claims its
-// slice.
+// handleServerAnnounce is the one place a shard range's owner is decided. A
+// range with no live owner goes to the announcer, whose entry enters the map;
+// an announcer at the live owner's own address is that owner restarted, and
+// its stream takes the old one's place; any other announcer stands by. The
+// OK reply names the range's owner either way. The handler then reads the
+// stream until it ends (streamEnded).
 func (s *Server) handleServerAnnounce(conn transport.Conn, msg transport.Message) {
 	if !s.coordinator() {
 		_ = conn.Send(transport.Message{Type: transport.MsgError, Error: "not a cluster coordinator"})
@@ -382,76 +419,66 @@ func (s *Server) handleServerAnnounce(conn transport.Conn, msg transport.Message
 		return
 	}
 	s.sm.clusterAnnounces.Inc()
-	if !msg.Replica {
-		s.cluster.mu.Lock()
-		replaced := false
-		for i := range s.cluster.entries {
-			if s.cluster.entries[i].ShardLo == entry.ShardLo && s.cluster.entries[i].ShardHi == entry.ShardHi {
-				s.cluster.entries[i] = entry
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			s.cluster.entries = append(s.cluster.entries, entry)
-			sort.Slice(s.cluster.entries, func(i, j int) bool {
-				return s.cluster.entries[i].ShardLo < s.cluster.entries[j].ShardLo
-			})
-		}
-		s.cluster.mapVersion++
-		s.cluster.mu.Unlock()
+	me := &memberStream{conn: conn, entry: entry}
+	c := &s.cluster
+	c.mu.Lock()
+	if c.ranges == nil {
+		c.ranges = make(map[[2]int]*rangeStreams)
 	}
-	_ = conn.Send(transport.Message{Type: transport.MsgOK})
-	s.cluster.mu.Lock()
-	done := s.cluster.done
-	if !done {
-		s.cluster.parked = append(s.cluster.parked, conn)
+	r := c.ranges[rangeKey(entry)]
+	if r == nil {
+		r = &rangeStreams{}
+		c.ranges[rangeKey(entry)] = r
 	}
-	s.cluster.mu.Unlock()
-	if done {
+	switch {
+	case r.owner == nil:
+		r.owner = me
+		c.setEntry(entry)
+	case r.owner.entry.Addr == entry.Addr:
+		r.owner = me
+	default:
+		r.standbys = append(r.standbys, me)
+	}
+	// Replies go out under mu, so a Promote or Done this stream is owed
+	// cannot overtake them.
+	_ = conn.Send(transport.Message{Type: transport.MsgOK, Servers: []transport.ServerEntry{r.owner.entry}})
+	if c.done {
 		_ = conn.Send(transport.Message{Type: transport.MsgDone})
 	}
-}
-
-// handlePromote swaps the owner address of one shard range — the promotion a
-// backup requests after declaring its primary dead. Workers learn the new
-// owner from their next map fetch.
-func (s *Server) handlePromote(conn transport.Conn, msg transport.Message) {
-	if !s.coordinator() {
-		_ = conn.Send(transport.Message{Type: transport.MsgError, Error: "not a cluster coordinator"})
-		return
-	}
-	entry, err := s.checkEntry(msg)
-	if err != nil {
-		_ = conn.Send(transport.Message{Type: transport.MsgError, Error: err.Error()})
-		return
-	}
-	s.cluster.mu.Lock()
-	promoted := false
-	for i := range s.cluster.entries {
-		if s.cluster.entries[i].ShardLo == entry.ShardLo && s.cluster.entries[i].ShardHi == entry.ShardHi {
-			s.cluster.entries[i] = entry
-			promoted = true
+	c.mu.Unlock()
+	for {
+		if _, err := conn.Recv(); err != nil {
 			break
 		}
 	}
-	if promoted {
-		s.cluster.mapVersion++
-	}
-	s.cluster.mu.Unlock()
-	if !promoted {
-		_ = conn.Send(transport.Message{
-			Type:  transport.MsgError,
-			Error: fmt.Sprintf("no cluster-map entry owns shards [%d, %d)", entry.ShardLo, entry.ShardHi),
-		})
-		return
-	}
-	s.sm.clusterPromotions.Inc()
-	_ = conn.Send(transport.Message{Type: transport.MsgOK})
+	s.streamEnded(r, me)
 }
 
-// checkEntry extracts and validates the single server entry an announce or
-// promote request must carry.
+// streamEnded drops a member's ended announce stream from its range. When it
+// was the owner's and the run is not complete, the range goes to its
+// longest-standing standby: the standby's entry replaces the owner's in the
+// map, and every standby is told the new owner on its stream (MsgPromote). A
+// range with no standby keeps its dead entry until a member announces for it.
+func (s *Server) streamEnded(r *rangeStreams, me *memberStream) {
+	c := &s.cluster
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r.owner != me {
+		r.standbys = slices.DeleteFunc(r.standbys, func(m *memberStream) bool { return m == me })
+		return
+	}
+	r.owner = nil
+	if c.done || s.isStopped() || len(r.standbys) == 0 {
+		return
+	}
+	r.owner, r.standbys = r.standbys[0], r.standbys[1:]
+	c.setEntry(r.owner.entry)
+	s.sm.clusterPromotions.Inc()
+	r.send(transport.Message{Type: transport.MsgPromote, Servers: []transport.ServerEntry{r.owner.entry}})
+}
+
+// checkEntry extracts and validates the single server entry an announce must
+// carry.
 func (s *Server) checkEntry(msg transport.Message) (transport.ServerEntry, error) {
 	if len(msg.Servers) != 1 {
 		return transport.ServerEntry{}, fmt.Errorf("%v must carry exactly one server entry, got %d", msg.Type, len(msg.Servers))

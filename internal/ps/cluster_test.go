@@ -120,24 +120,52 @@ func (g *testGroup) serve(t *testing.T, srv *Server) string {
 	return g.addListener(l)
 }
 
-// announce sends one announce (or promote) frame to the coordinator over a
-// raw connection and requires the MsgOK ack.
-func (g *testGroup) announce(t *testing.T, typ transport.MessageType, entry transport.ServerEntry, replica bool) {
+// announce announces entry to the coordinator over a raw connection and
+// returns the owner its OK reply names, with the stream, which the test
+// closes when it is done with it.
+func (g *testGroup) announce(t *testing.T, entry transport.ServerEntry) (transport.ServerEntry, transport.Conn) {
 	t.Helper()
 	conn, err := g.dial(g.coordAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := conn.Send(transport.Message{Type: typ, Servers: []transport.ServerEntry{entry}, Replica: replica}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := conn.Recv()
+	t.Cleanup(func() { conn.Close() })
+	owner, err := submitEntry(conn, entry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.Type != transport.MsgOK {
-		t.Fatalf("%v not acknowledged: %v %s", typ, msg.Type, msg.Error)
+	return owner, conn
+}
+
+// startStandby starts a data server for index i of g, whose range already
+// has its owner, on a fresh listener; the member reaches the group through
+// dial, g.dial when nil. The coordinator makes it the owner's standby.
+func (g *testGroup) startStandby(t *testing.T, i int, initial []*tensor.Tensor, dial func(string) (transport.Conn, error)) (*Server, string) {
+	t.Helper()
+	if dial == nil {
+		dial = g.dial
+	}
+	l := transport.NewChanListener()
+	addr := g.addListener(l)
+	srv, err := Start(ServerConfig{Workers: 1, Cluster: ClusterConfig{Role: RoleData,
+		Coordinator: g.coordAddr, Servers: len(g.data), Index: i}}, initial, clusterOpt(), l, dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	return srv, addr
+}
+
+// eventuallyTrue polls ok every millisecond for up to d, failing with what
+// when it never holds.
+func eventuallyTrue(t *testing.T, d time.Duration, what string, ok func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for !ok() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s within %v", what, d)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -151,10 +179,11 @@ func startTestGroup(t *testing.T, workers, servers int, policy core.Policy, init
 }
 
 // startTestGroupWith is startTestGroup with the data servers' optimizer and
-// options under test control.
+// options under test control; the coordinator lays the group out with the
+// data servers' shard count.
 func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor, mkOpt func() *optimizer.SGD, data Options) *testGroup {
 	t.Helper()
-	assignments, globalShards, err := groupLayout(tensorSizes(initial), 0, servers)
+	assignments, globalShards, err := groupLayout(tensorSizes(initial), data.Shards, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +203,7 @@ func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, 
 		t.Cleanup(srv.Stop)
 		return srv, addr
 	}
-	g.coord, g.coordAddr = start(ServerConfig{Workers: workers, Policy: policy,
+	g.coord, g.coordAddr = start(ServerConfig{Workers: workers, Policy: policy, Options: Options{Shards: data.Shards},
 		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: servers}}, clusterOpt())
 	for i := 0; i < servers; i++ {
 		srv, addr := start(ServerConfig{Workers: workers, Options: data,
@@ -452,23 +481,30 @@ func TestCoordinatorClusterMapLifecycle(t *testing.T) {
 		t.Fatalf("map version %d after two announces", baseVersion)
 	}
 
-	// A backup's replica announce is acknowledged but never enters the map.
-	g.announce(t, transport.MsgServerAnnounce, at(g.assignments[0], "backup-addr"), true)
+	// A later announcer for an owned range stands by: its reply names the
+	// live owner, and the map does not change.
+	owner, stream := g.announce(t, at(g.assignments[0], "standby-addr"))
+	if want := at(g.assignments[0], g.dataAddrs[0]); owner != want {
+		t.Fatalf("the standby was named owner %+v, want %+v", owner, want)
+	}
 	m2, err := FetchClusterMap(g.dial, g.coordAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m2.Servers) != 2 || m2.MapVersion != baseVersion {
-		t.Fatalf("replica announce changed the map: %d servers, version %d", len(m2.Servers), m2.MapVersion)
-	}
-	for _, e := range m2.Servers {
-		if e.Addr == "backup-addr" {
-			t.Fatal("replica address routed into the map")
-		}
+	if len(m2.Servers) != 2 || m2.MapVersion != baseVersion || m2.Servers[0].Addr != g.dataAddrs[0] {
+		t.Fatalf("a standby's announce changed the map: %+v at version %d", m2.Servers, m2.MapVersion)
 	}
 
-	// Promotion swaps the owner of the shard range and bumps the version.
-	g.announce(t, transport.MsgPromote, at(g.assignments[0], "backup-addr"), false)
+	// The owner's stream ends mid-run: the standby is told on its stream
+	// that it owns the range, and the map names it one version on.
+	g.data[0].Stop()
+	msg, err := stream.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Type != transport.MsgPromote || len(msg.Servers) != 1 || msg.Servers[0].Addr != "standby-addr" {
+		t.Fatalf("the standby got %v %+v, want a Promote naming it", msg.Type, msg.Servers)
+	}
 	m3, err := FetchClusterMap(g.dial, g.coordAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -476,26 +512,8 @@ func TestCoordinatorClusterMapLifecycle(t *testing.T) {
 	if m3.MapVersion != baseVersion+1 {
 		t.Fatalf("promotion left map version %d, want %d", m3.MapVersion, baseVersion+1)
 	}
-	if m3.Servers[0].Addr != "backup-addr" {
+	if m3.Servers[0].Addr != "standby-addr" {
 		t.Fatalf("promotion did not reroute: %+v", m3.Servers[0])
-	}
-
-	// Promoting a range nobody owns is an explicit error.
-	conn, err := g.dial(g.coordAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bogus := transport.ServerEntry{Addr: "x", ShardLo: 0, ShardHi: g.globalShards, TensorLo: 0, TensorHi: len(initial)}
-	if err := conn.Send(transport.Message{Type: transport.MsgPromote, Servers: []transport.ServerEntry{bogus}}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Type != transport.MsgError {
-		t.Fatalf("bogus promotion answered with %v", msg.Type)
 	}
 }
 
@@ -629,7 +647,7 @@ func TestReplicatorStreamsWeightsIntoStandby(t *testing.T) {
 	repErr := make(chan error, 1)
 	go func() {
 		repErr <- replicate(func() (transport.Conn, error) { return l.Dial() },
-			standby, 2*time.Millisecond, time.Second, obs.NewRegistry(), stop, nil, nil)
+			standby, 2*time.Millisecond, obs.NewRegistry(), stop, nil, nil)
 	}()
 
 	conn, err := l.Dial()
@@ -660,44 +678,6 @@ func TestReplicatorStreamsWeightsIntoStandby(t *testing.T) {
 	got, _ := standby.Snapshot()
 	want, _ := primary.Snapshot()
 	requireSameWeights(t, got, want)
-}
-
-func TestReplicatorDeclaresPrimaryDead(t *testing.T) {
-	initial := seededModel(42)
-	primary, err := NewStoreSharded(initial, clusterOpt(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: primary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := transport.NewChanListener()
-	go func() { _ = srv.Serve(l) }()
-
-	standby, err := NewStoreSharded(initial, clusterOpt(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	repErr := make(chan error, 1)
-	go func() {
-		repErr <- replicate(func() (transport.Conn, error) { return l.Dial() },
-			standby, 2*time.Millisecond, 150*time.Millisecond, obs.NewRegistry(), stop, nil, nil)
-	}()
-	// Let the stream establish, then kill the primary.
-	time.Sleep(20 * time.Millisecond)
-	srv.Stop()
-	l.Close()
-	select {
-	case err := <-repErr:
-		if !errors.Is(err, errPrimaryDead) {
-			t.Fatalf("replicator returned %v, want errPrimaryDead", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("replicator never declared the primary dead")
-	}
 }
 
 // TestClusterTrainingBitIdenticalToSingleServer drives a serial schedule —
@@ -846,21 +826,14 @@ func TestClusterBSPBitIdenticalWithConcurrentWorkers(t *testing.T) {
 
 // TestBackupEndsAtItsPrimarysFinalVersion: a worker reports Done to its data
 // servers before its coordinator, so a data server's run ends first. Its
-// backup's run ends on the coordinator's report, with one last pull that the
-// data server waits for: the backup ends at the version its primary ended
-// at, however little time its replication stream had to catch up, and each
-// stops as soon as its run completes.
+// standby's run ends on the coordinator's report, with one last pull that the
+// data server waits for: the standby ends at the version its owner ended at,
+// however little time its replication stream had to catch up, and each stops
+// as soon as its run completes.
 func TestBackupEndsAtItsPrimarysFinalVersion(t *testing.T) {
 	initial := seededModel(72)
 	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
-	l := transport.NewChanListener()
-	g.addListener(l)
-	backup, err := Start(ServerConfig{Workers: 1, Cluster: ClusterConfig{Role: RoleBackup,
-		Coordinator: g.coordAddr, Servers: 2, Index: 0}}, initial, clusterOpt(), l, g.dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(backup.Stop)
+	backup, _ := g.startStandby(t, 0, initial, nil)
 	// The backup's replica session is data server 0's only one until the
 	// worker connects.
 	deadline := time.Now().Add(5 * time.Second)
@@ -911,94 +884,17 @@ func TestBackupEndsAtItsPrimarysFinalVersion(t *testing.T) {
 	}
 }
 
-// TestBackupWithNoPrimaryEndsWithTheRun: a backup still looking for a primary
-// that never announced when the coordinator reports the run complete ends its
-// run at once, without failing, though the coordinator it would refetch the
-// map from stops with its run.
-func TestBackupWithNoPrimaryEndsWithTheRun(t *testing.T) {
-	initial := seededModel(73)
-	g := &testGroup{listeners: make(map[string]*transport.ChanListener)}
-	start := func(cfg ServerConfig) *Server {
-		l := transport.NewChanListener()
-		addr := g.addListener(l)
-		if cfg.Cluster.Role == RoleCoordinator {
-			g.coordAddr = addr
-		}
-		srv, err := Start(cfg, initial, clusterOpt(), l, g.dial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Stop)
-		return srv
-	}
-	coord := start(ServerConfig{Workers: 1, Policy: core.MustNewASP(1),
-		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: 2}})
-	backup := start(ServerConfig{Workers: 1, Cluster: ClusterConfig{Role: RoleBackup,
-		Coordinator: g.coordAddr, Servers: 2, Index: 0}})
-	// The Done reaches the backup on its parked announce stream.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		coord.cluster.mu.Lock()
-		parked := len(coord.cluster.parked)
-		coord.cluster.mu.Unlock()
-		if parked == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the backup never announced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	conn, err := g.dial(g.coordAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	worker := newClient(conn, 0)
-	worker.cluster = true
-	if err := worker.Register(); err != nil {
-		t.Fatal(err)
-	}
-	if err := worker.Done(); err != nil {
-		t.Fatal(err)
-	}
-	// The coordinator stops as soon as its run completes, as psserver does.
-	within(t, coord.AllWorkersDone(), "the coordinator's run completing")
-	coord.Stop()
-	select {
-	case <-backup.AllWorkersDone():
-	case <-backup.Failed():
-		t.Fatalf("the backup failed: %v", backup.FailureErr())
-	case <-time.After(5 * time.Second):
-		t.Fatal("the backup never completed its run")
-	}
-	if backup.Status().Promoted || isClosed(backup.Failed()) {
-		t.Fatalf("the backup ended promoted %v, failed %v", backup.Status().Promoted, backup.FailureErr())
-	}
-}
-
-// TestBackupFindsItsPrimaryInTheMap: a backup given only its slot, with no
-// primary address, finds the data server that owns its shard range in the
-// coordinator's cluster map, replicates that server's weights bit for bit,
-// and once that server dies is promoted into the same range. A backup the
-// map names as the owner of its own range refuses to replicate itself.
+// TestBackupFindsItsPrimaryInTheMap: a second data server for a range the
+// coordinator already gave to a live owner is told that owner, replicates its
+// weights bit for bit, and takes the range over once the owner's announce
+// stream ends. An announce at the live owner's own address is the owner
+// restarted: its stream takes the old one's place, so the old stream's end
+// promotes nobody, and only the new one's does.
 func TestBackupFindsItsPrimaryInTheMap(t *testing.T) {
 	initial := seededModel(71)
 	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
-	startBackup := func(index int, advertise string) (*Server, string) {
-		l := transport.NewChanListener()
-		addr := g.addListener(l)
-		srv, err := Start(ServerConfig{Workers: 1, Cluster: ClusterConfig{Role: RoleBackup,
-			Coordinator: g.coordAddr, Servers: 2, Index: index, Advertise: advertise}},
-			initial, clusterOpt(), l, g.dial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Stop)
-		return srv, addr
-	}
 	const i = 1
-	backup, addr := startBackup(i, "")
+	standby, addr := g.startStandby(t, i, initial, nil)
 
 	client, err := NewClusterClient(g.dial, g.coordAddr, 0, ClusterClientConfig{})
 	if err != nil {
@@ -1014,75 +910,100 @@ func TestBackupFindsItsPrimaryInTheMap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	// The primary acknowledged every fragment once ticketed: the backup
+	// The owner acknowledged every fragment once ticketed: the standby
 	// catches up once it holds all of them, applied.
-	for backup.Store().Version() < g.stores[i].Reserved() {
-		if time.Now().After(deadline) {
-			t.Fatalf("backup at version %d, data server %d at %d", backup.Store().Version(), i, g.stores[i].Reserved())
-		}
-		time.Sleep(time.Millisecond)
+	eventuallyTrue(t, 5*time.Second, "the standby caught up with its owner", func() bool {
+		return standby.Store().Version() >= g.stores[i].Reserved()
+	})
+	if got := standby.Status().Primary; got != g.dataAddrs[i] {
+		t.Fatalf("the standby replicates %q, want data server %d at %q", got, i, g.dataAddrs[i])
 	}
-	if got := backup.Status().Primary; got != g.dataAddrs[i] {
-		t.Fatalf("backup %d replicates %q, want data server %d at %q", i, got, i, g.dataAddrs[i])
-	}
-	got, _ := backup.Store().Snapshot()
+	got, _ := standby.Store().Snapshot()
 	want, _ := g.stores[i].Snapshot()
 	requireSameWeights(t, got, want)
 
-	self, _ := startBackup(0, g.dataAddrs[0])
-	select {
-	case <-self.Failed():
-		if err := self.FailureErr(); !strings.Contains(err.Error(), "names this backup") {
-			t.Fatalf("a backup the map names as its own primary failed with %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a backup the map names as its own primary did not refuse it")
+	before, err := FetchClusterMap(g.dial, g.coordAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := at(g.assignments[i], g.dataAddrs[i])
+	named, restarted := g.announce(t, owner)
+	if named != owner {
+		t.Fatalf("an announce at the owner's address was named owner %+v, want %+v", named, owner)
+	}
+	g.data[i].Stop()
+	time.Sleep(50 * time.Millisecond)
+	if m, err := FetchClusterMap(g.dial, g.coordAddr); err != nil || m.MapVersion != before.MapVersion || standby.Status().Promoted {
+		t.Fatalf("the old owner stream's end moved the map to version %d (from %d), promoted %v, err %v",
+			m.MapVersion, before.MapVersion, standby.Status().Promoted, err)
 	}
 
-	g.data[i].Stop()
-	deadline = time.Now().Add(10 * time.Second)
-	for !backup.Status().Promoted {
-		if err := backup.FailureErr(); err != nil {
-			t.Fatalf("backup failed instead of promoting: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("backup never promoted after its primary died")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	restarted.Close()
+	eventuallyTrue(t, 5*time.Second, "the standby promoted once the owner's stream ended", func() bool {
+		return standby.Status().Promoted
+	})
 	m, err := FetchClusterMap(g.dial, g.coordAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Servers) != 2 || m.Servers[i] != at(g.assignments[i], addr) {
-		t.Fatalf("map after promotion %+v, want entry %d to be %+v", m.Servers, i, at(g.assignments[i], addr))
+	if len(m.Servers) != 2 || m.Servers[i] != at(g.assignments[i], addr) || m.MapVersion != before.MapVersion+1 {
+		t.Fatalf("map after promotion %+v at version %d, want entry %d to be %+v at %d",
+			m.Servers, m.MapVersion, i, at(g.assignments[i], addr), before.MapVersion+1)
+	}
+}
+
+// TestStandbyCutOffFromALiveOwnerIsNotPromoted: a standby that cannot reach
+// its owner is not the judge of the owner's death. While the owner's announce
+// stream stays open the range stays the owner's, however long the standby's
+// dials fail; once the owner stops, the coordinator promotes the standby.
+func TestStandbyCutOffFromALiveOwnerIsNotPromoted(t *testing.T) {
+	initial := seededModel(74)
+	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
+	cut := func(addr string) (transport.Conn, error) {
+		if addr == g.dataAddrs[0] {
+			return nil, fmt.Errorf("no route to %s", addr)
+		}
+		return g.dial(addr)
+	}
+	before, err := FetchClusterMap(g.dial, g.coordAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby, addr := g.startStandby(t, 0, initial, cut)
+	eventuallyTrue(t, 5*time.Second, "the standby named its owner", func() bool {
+		return standby.Status().Primary == g.dataAddrs[0]
+	})
+	time.Sleep(5 * time.Second)
+	m, err := FetchClusterMap(g.dial, g.coordAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := standby.Status(); st.Promoted || m.MapVersion != before.MapVersion || m.Servers[0].Addr != g.dataAddrs[0] {
+		t.Fatalf("a standby cut off from a live owner: promoted %v, map %+v at version %d (was %d)",
+			st.Promoted, m.Servers, m.MapVersion, before.MapVersion)
+	}
+	if err := standby.FailureErr(); err != nil {
+		t.Fatalf("the standby failed: %v", err)
+	}
+
+	g.data[0].Stop()
+	eventuallyTrue(t, 5*time.Second, "the standby promoted once its owner stopped", func() bool {
+		return standby.Status().Promoted
+	})
+	if m, err := FetchClusterMap(g.dial, g.coordAddr); err != nil || m.Servers[0] != at(g.assignments[0], addr) {
+		t.Fatalf("map after promotion %+v (%v), want entry 0 at %s", m.Servers, err, addr)
 	}
 }
 
 // TestClusterClientRecoversThroughPromotion is the ps-level failover drill:
-// a worker trains against a 2-server group while a replicator mirrors server
-// 0 into a standby store; the primary is killed, the standby declares it
-// dead, a new server is promoted over the standby store, and the worker's
-// next operations recover through the refreshed map — without any
-// checkpoint-restore and without the run failing.
+// a worker trains against a 2-server group while a standby for server 0
+// replicates it; the owner is killed, the coordinator promotes the standby,
+// and the worker's next operations recover through the refreshed map —
+// without any checkpoint-restore and without the run failing.
 func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	initial := seededModel(61)
 	g := startTestGroup(t, 1, 2, core.MustNewASP(1), initial)
-	a := g.assignments[0]
-
-	standby, err := newStoreRange(initial, clusterOpt(), g.globalShards, a.ShardLo, a.ShardHi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primaryAddr := g.dataAddrs[0]
-	stop := make(chan struct{})
-	defer close(stop)
-	repErr := make(chan error, 1)
-	go func() {
-		repErr <- replicate(func() (transport.Conn, error) { return g.dial(primaryAddr) },
-			standby, time.Millisecond, 100*time.Millisecond, obs.NewRegistry(), stop, nil, nil)
-	}()
+	promoted, _ := g.startStandby(t, 0, initial, nil)
 
 	client, err := NewClusterClient(g.dial, g.coordAddr, 0, ClusterClientConfig{})
 	if err != nil {
@@ -1099,35 +1020,17 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait for the stream to carry everything the primary ticketed (it
+	// Wait for the stream to carry everything the owner ticketed (it
 	// acknowledged each fragment before applying it), so the promoted weights
 	// are exact (the schedule is quiescent at the kill).
-	deadline := time.Now().Add(5 * time.Second)
-	for standby.Version() < g.stores[0].Reserved() {
-		if time.Now().After(deadline) {
-			t.Fatalf("standby at version %d, primary at %d", standby.Version(), g.stores[0].Reserved())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	eventuallyTrue(t, 5*time.Second, "the standby caught up with its owner", func() bool {
+		return promoted.Store().Version() >= g.stores[0].Reserved()
+	})
 
-	// Kill the primary; the replicator must declare it dead.
+	// Kill the owner; its announce stream ends and the coordinator promotes
+	// the standby.
 	g.data[0].Stop()
-	select {
-	case err := <-repErr:
-		if !errors.Is(err, errPrimaryDead) {
-			t.Fatalf("replicator returned %v, want errPrimaryDead", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("replicator never declared the primary dead")
-	}
-
-	// Promote: serve the standby store and reroute the shard range to it.
-	promoted, err := NewServer(ServerConfig{Workers: 1, Policy: core.MustNewASP(1), Store: standby})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := g.serve(t, promoted)
-	g.announce(t, transport.MsgPromote, at(a, addr), false)
+	eventuallyTrue(t, 5*time.Second, "the standby promoted", func() bool { return promoted.Status().Promoted })
 
 	oldMap := client.mapVersion
 	for it := firstLeg; it < firstLeg+5; it++ {
@@ -1143,10 +1046,10 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 		t.Fatalf("client never adopted the promoted map (version %d)", client.mapVersion)
 	}
 	if promoted.Status().Pushes == 0 {
-		t.Fatal("promoted backup received no pushes")
+		t.Fatal("promoted standby received no pushes")
 	}
 	if promoted.Status().Dropped != 0 {
-		t.Fatalf("promoted backup dropped %d pushes", promoted.Status().Dropped)
+		t.Fatalf("promoted standby dropped %d pushes", promoted.Status().Dropped)
 	}
 	// The promotion path never used checkpoint-restore: the standby carried
 	// straight on from the replication stream. The reference mirrors that

@@ -22,22 +22,17 @@ func (e *RemoteError) Error() string { return e.Msg }
 const mapTimeout = 10 * time.Second
 
 // dataLinkPatience is how long a dead data-only link may take to recover
-// when Route.Retry is zero. It must exceed the backups' promotion grace, or a
-// worker gives up just before the new owner appears.
+// when Route.Retry is zero.
 const dataLinkPatience = 15 * time.Second
 
-// A backup polls its primary every replicateEvery (the gated pull makes an
-// idle poll nearly free: an unchanged primary answers with one payload-free
-// frame) and requests promotion once the primary stays unreachable past
-// replicateGrace.
+// A standby polls its owner every replicateEvery (the gated pull makes an
+// idle poll nearly free: an unchanged owner answers with one payload-free
+// frame); an owner whose run ended waits at most replicateGrace for its
+// standbys' last pulls (awaitBackups).
 const (
 	replicateEvery = 25 * time.Millisecond
 	replicateGrace = 2 * time.Second
 )
-
-// dataLinkPatience > replicateGrace, checked by the compiler: a negative
-// constant does not convert to uint64.
-const _ = uint64(dataLinkPatience - replicateGrace - 1)
 
 // ClusterClientConfig tunes NewClusterClient.
 type ClusterClientConfig struct {
@@ -87,7 +82,7 @@ type linkReply struct {
 //
 // Failures follow one rule. A dead data-only link recovers inside the
 // client: it refetches the map until a dialable owner for the same shard
-// range appears (the primary back up, or its promoted backup) and retries the
+// range appears (the owner back up, or its promoted standby) and retries the
 // operation, so a data-server crash costs the worker a pause, not the run. A
 // dead sync link goes to the caller, whose way back is Connect with rejoin
 // set (DESIGN.md §10).
@@ -252,8 +247,8 @@ func (c *ClusterClient) openLink(e transport.ServerEntry, cfg compress.Config, r
 }
 
 // recover replaces dead data link i: it refetches the map until the entry
-// owning the same shard range is dialable again — the restarted primary, or
-// the backup a promotion routed in — and registers a fresh session there.
+// owning the same shard range is dialable again — the restarted owner, or
+// the standby a promotion routed in — and registers a fresh session there.
 // cause is returned (wrapped) if the route's patience runs out first.
 func (c *ClusterClient) recover(i int, cause error) error {
 	old := c.links[i]

@@ -125,8 +125,8 @@ func (r Route) open(rejoin bool, lastVersion int64) (*ClusterClient, error) {
 // map, waited for until complete; any other server with its tree layout, in
 // which the relay covering the worker is linked, or Addr itself when none
 // covers it. A flat server is a tree with no relays, and a relay, a data
-// server or a backup answers with no relays either: a relay registers the
-// worker itself, and a data server or backup refuses it by name.
+// server answers with no relays either: a relay registers the worker itself,
+// and a data server refuses it by name.
 func (r Route) resolve() (string, transport.Message, error) {
 	conn, err := r.Dial(r.Addr)
 	if err != nil {
@@ -153,15 +153,15 @@ func (r Route) resolve() (string, transport.Message, error) {
 // negative session key outside the worker range, invisible to the policy and
 // to completion accounting, pull-only. The codec is whatever the server
 // speaks, so a replica reads any store. It is the route of everything that
-// wants the weights without being a worker — a backup's replication stream,
+// wants the weights without being a worker — a standby's replication stream,
 // a relay's pass-through pulls, a coordinator's evaluation snapshot. Its
 // pulls are gated on the version it holds (Client.Pull). conn is closed on
 // failure.
 func OpenReplica(conn transport.Conn) (*Client, error) { return openReplicaAs(conn, nil) }
 
-// openReplicaAs is OpenReplica for a session that names its sender: a backup's
-// names the backup's own map entry (self), by which its primary knows it for a
-// backup's.
+// openReplicaAs is OpenReplica for a session that names its sender: a
+// standby's names the standby's own map entry (self), by which its owner knows
+// it for a standby's.
 func openReplicaAs(conn transport.Conn, self []transport.ServerEntry) (*Client, error) {
 	c, err := NewClientCompressed(conn, 0, compress.Config{Codec: compress.Auto})
 	if err == nil {

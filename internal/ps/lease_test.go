@@ -198,8 +198,10 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 		running := make([]*Server, servers)
 		addrs := make([]string, servers)
 		// start serves data server i's range from a fresh store and enters it
-		// in the map with an announce or a promote frame.
-		start := func(t *testing.T, i int, typ transport.MessageType) {
+		// in the map with an announce whose stream it then closes: the range
+		// keeps the entry, with no live owner, until the next announce for
+		// it.
+		start := func(t *testing.T, i int) {
 			st, err := newStoreRange(initial, opt(), globalShards, assignments[i].ShardLo, assignments[i].ShardHi)
 			if err != nil {
 				t.Fatal(err)
@@ -217,17 +219,13 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := conn.Send(transport.Message{Type: typ,
-				Servers: []transport.ServerEntry{at(assignments[i], addr)}}); err != nil {
-				t.Fatal(err)
-			}
-			if ack, err := conn.Recv(); err != nil || ack.Type != transport.MsgOK {
-				t.Fatalf("%v not acknowledged: %v %v", typ, ack.Type, err)
+			if owner, err := submitEntry(conn, at(assignments[i], addr)); err != nil || owner.Addr != addr {
+				t.Fatalf("announce of %s: owner %q, %v", addr, owner.Addr, err)
 			}
 			conn.Close()
 		}
 		for i := 0; i < servers; i++ {
-			start(t, i, transport.MsgServerAnnounce)
+			start(t, i)
 		}
 		return leaseTopology{
 			inPlace:   inPlace,
@@ -238,7 +236,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			},
 			replace: func(t *testing.T, i int) {
 				running[i].Stop()
-				start(t, i, transport.MsgPromote)
+				start(t, i)
 			},
 			connect: func(w int) (pusher, error) {
 				return NewClusterClient(dialAddr, coordAddr, w, ClusterClientConfig{})

@@ -106,9 +106,9 @@ func newServerMetrics(reg *obs.Registry, workers int) *serverMetrics {
 		clusterMapRequests: reg.Counter("dssp_cluster_map_requests_total",
 			"Cluster-map fetches served (coordinator only; always zero elsewhere)."),
 		clusterAnnounces: reg.Counter("dssp_cluster_announces_total",
-			"Data-server and backup announcements accepted (coordinator only)."),
+			"Data-server announcements accepted, each making its sender a range's owner or a standby for it (coordinator only)."),
 		clusterPromotions: reg.Counter("dssp_cluster_promotions_total",
-			"Backup promotions applied to the cluster map (coordinator only)."),
+			"Standbys promoted to their range's owner when the owner's announce stream ended mid-run (coordinator only)."),
 		treePartials: reg.Counter("dssp_tree_partials_total",
 			"Aggregated relay partials accepted into the store (each stands in for several logical pushes)."),
 		treePartialSize: reg.Histogram("dssp_tree_partial_size",

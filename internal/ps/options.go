@@ -72,7 +72,7 @@ func (o Options) Normalized() (Options, error) {
 // configuration whose refusals are not empty; an in-process group gives each
 // member the first result.
 //
-// A flat server, a data server and a backup act on every server-side field. A
+// A flat server and a data server act on every server-side field. A
 // coordinator carries no weights: it acts on neither the guard, which screens
 // gradient bytes, nor a robust aggregator, which reduces them, nor
 // checkpoints, which would hold no tensors.

@@ -178,10 +178,10 @@ type Server struct {
 	// records that Start resumed from a checkpoint.
 	ln       transport.Listener
 	restored bool
-	// failed closes when a data server or backup suffers a fatal loss
-	// (failErr says which); promoted latches a backup's completed promotion;
+	// failed closes when a data server suffers a fatal loss (failErr says
+	// which); promoted latches a standby's promotion to its range's owner;
 	// bg counts the member loops Stop waits for; primary holds the address
-	// a backup found its primary at in the cluster map.
+	// of the owner a standby replicates, as the coordinator named it.
 	primary  atomic.Value
 	failed   chan struct{}
 	failOnce sync.Once
@@ -263,11 +263,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.bind(s, clock, map[transport.MessageType]func(transport.Conn, transport.Message){
 		transport.MsgClusterMap:     s.handleClusterMap,
 		transport.MsgServerAnnounce: s.handleServerAnnounce,
-		transport.MsgPromote:        s.handlePromote,
 	})
 	if cfg.Cluster.Role == RoleCoordinator {
 		reg.GaugeFunc("dssp_cluster_map_version",
-			"Coordinator cluster-map version: bumped by every announce and promotion.",
+			"Coordinator cluster-map version: bumped whenever a range gets a new owner.",
 			func() float64 {
 				s.cluster.mu.Lock()
 				defer s.cluster.mu.Unlock()
@@ -352,8 +351,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // live session ends and every connection is closed — a worker blocked on a
 // release sees the failure immediately and can reconnect instead of hanging on
 // a half-dead socket, and a data server parked on its announce connection sees
-// its coordinator go at once; a data server's or backup's own loops stop and
-// are waited for; and pending work is abandoned. When checkpointing is
+// its coordinator go at once; a data server's own loops stop and are waited
+// for; and pending work is abandoned. When checkpointing is
 // configured a final checkpoint is written before Stop returns. It is safe to
 // call multiple times.
 func (s *Server) Stop() {
@@ -402,8 +401,9 @@ func (s *Server) saveCheckpoint() {
 // AllWorkersDone returns a channel that is closed once training is complete:
 // every worker slot sent MsgDone, or — on an elastic server — every slot has
 // either finished or been absent for longer than one lease (at least one
-// must have finished). A backup, which serves no workers until promoted,
-// closes it when its coordinator reports the run complete.
+// must have finished). A data server that announced as a standby, which
+// serves no workers until promoted, closes it when its coordinator reports the
+// run complete.
 func (s *Server) AllWorkersDone() <-chan struct{} { return s.allDone }
 
 // handleRegister services MsgRegister and MsgRejoin. On a fresh connection it
@@ -1099,13 +1099,10 @@ func (s *Server) handlePush(sess *session, msg transport.Message) {
 }
 
 // acksOnTicket reports whether this server acknowledges a push once it holds
-// its ticket rather than once it is applied: a data server's, and a backup's
-// once promoted, PROTOCOL.md §5b. Every other server releases through the
-// sequencer, after the apply gate.
-func (s *Server) acksOnTicket() bool {
-	r := s.cfg.Cluster.Role
-	return r == RoleData || r == RoleBackup
-}
+// its ticket rather than once it is applied: a data server's, PROTOCOL.md
+// §5b. Every other server releases through the sequencer, after the apply
+// gate.
+func (s *Server) acksOnTicket() bool { return s.cfg.Cluster.Role == RoleData }
 
 // maybeCheckpoint writes a checkpoint when the applied version crosses the
 // configured interval. The save runs on its own goroutine — checkpointing
@@ -1393,9 +1390,9 @@ func (s *Server) checkAllDone() {
 }
 
 // completeRun closes AllWorkersDone, once. A coordinator first tells every
-// parked announcer, so whatever stops it when AllWorkersDone closes cannot
-// close a parked announce connection first. A data server first waits for its
-// backups (awaitBackups), off the caller's goroutine.
+// announcer, so whatever stops it when AllWorkersDone closes cannot close an
+// announce connection first. A data server first waits for its
+// standbys (awaitBackups), off the caller's goroutine.
 func (s *Server) completeRun() {
 	s.mu.Lock()
 	first := !s.allDoneClosed
@@ -1417,13 +1414,13 @@ func (s *Server) completeRun() {
 	close(s.allDone)
 }
 
-// awaitBackups returns once every backup replicating this data server has
-// hung up (Stop ends them all), or replicateGrace has passed. A backup hangs
+// awaitBackups returns once every standby replicating this data server has
+// hung up (Stop ends them all), or replicateGrace has passed. A standby hangs
 // up after its last pull, which it makes once the coordinator reports the run
 // complete (replicate) — after this server's own run has ended, since a
 // worker reports Done to its data servers before its coordinator. That pull
-// is answered at this server's final version, so the backup ends where its
-// primary does.
+// is answered at this server's final version, so the standby ends where its
+// owner does.
 func (s *Server) awaitBackups() {
 	grace := time.After(replicateGrace)
 	for _, sess := range s.sessions.list() {
@@ -1466,9 +1463,9 @@ type ServerStatus struct {
 	Settled int `json:"settled"`
 	// Restored records that Start resumed from a checkpoint.
 	Restored bool `json:"restored"`
-	// Primary is, on a backup, the data server it replicates, once found
-	// in the coordinator's cluster map; Promoted, that the backup has taken
-	// over the primary's shard range.
+	// Primary is, on a data server that announced as a standby, the owner
+	// it replicates, as the coordinator named it; Promoted, that the
+	// coordinator has since given it the range.
 	Primary  string `json:"primary,omitempty"`
 	Promoted bool   `json:"promoted,omitempty"`
 	// Map and MapVersion are, on a coordinator, the group's cluster map: its

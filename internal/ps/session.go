@@ -19,7 +19,7 @@ import (
 //	replica  none        no (read-only)       —                nobody                nothing
 //	trunk    none        one entry per child  yes              the child they name   every child it routes
 //
-// A trunk (an aggregation relay's upstream session) and a replica (a backup's
+// A trunk (an aggregation relay's upstream session) and a replica (a standby's
 // read-only observer) live under private negative keys outside the worker
 // range, invisible to the policy, the guard and completion accounting. The
 // slots a session speaks for are the ones Server.carriers gives it: a
@@ -57,7 +57,7 @@ type session struct {
 	worker int
 	conn   transport.Conn
 	// rejoined reports whether the session re-entered via MsgRejoin; backup,
-	// that it is a backup's replica, whose registration named the backup
+	// that it is a standby's replica, whose registration named the standby
 	// (Servers).
 	rejoined, backup bool
 	outbox           chan outMsg
@@ -554,8 +554,8 @@ const writerBatchMax = 32
 // writer drains one worker's outbox onto its connection until the session
 // ends or the layer stops. When several messages are queued — a pull reply
 // and a barrier release landing behind it, a trunk's children's releases —
-// and the connection can batch (transport.BatchSender), everything waiting is
-// sent with one write/flush instead of one per message.
+// everything waiting goes out in one SendBatch, on a socket one write/flush
+// instead of one per message.
 func (l *sessionLayer) writer(sess *session) {
 	// On exit, release generation references stranded in the outbox: the
 	// payloads will never be serialized, and the pins would otherwise keep
@@ -570,22 +570,11 @@ func (l *sessionLayer) writer(sess *session) {
 			}
 		}
 	}()
-	batcher, _ := sess.conn.(transport.BatchSender)
 	var batch []outMsg
 	var wire []transport.Message
 	for {
 		select {
 		case om := <-sess.outbox:
-			if batcher == nil {
-				err := sess.conn.Send(om.msg)
-				// Success or failure, the transport is done reading the
-				// payload once Send returns.
-				om.pins.release()
-				if err != nil {
-					return
-				}
-				continue
-			}
 			batch = append(batch[:0], om)
 			for len(batch) < writerBatchMax {
 				select {
@@ -600,7 +589,7 @@ func (l *sessionLayer) writer(sess *session) {
 			for i := range batch {
 				wire = append(wire, batch[i].msg)
 			}
-			err := batcher.SendBatch(wire)
+			err := sess.conn.SendBatch(wire)
 			// Release the generation pins (the transport is done with the
 			// payloads whether or not the send succeeded) and drop the
 			// payload references: a pull reply aliases the store's published

@@ -22,6 +22,11 @@ import (
 // field now holds: a lease makes every role elastic, and it is the timeout the
 // role announces in Registered, so each row sets a lease alone and checks the
 // role both runs it and announces it.
+//
+// The backup rows start a standby: a data server that announces for a range
+// that already has an owner, in a group whose data servers share its shard
+// count. Start runs the same path for it as for an owner; the row checks the
+// option is in force once the coordinator has named the standby's owner.
 func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 	set := map[string]func(*Options){
 		"Shards":      func(o *Options) { o.Shards = 2 },
@@ -39,14 +44,40 @@ func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 	for i := 0; i < fields.NumField(); i++ {
 		names = append(names, fields.Field(i).Name)
 	}
-	for _, role := range []string{"", RoleCoordinator, RoleData, RoleBackup} {
+	// start stands cfg up as the row's role: a backup row as a standby for
+	// range 0 of a running group, every other row alone.
+	start := func(t *testing.T, row string, cfg ServerConfig) (*Server, error) {
+		if row != rowBackup {
+			return Start(cfg, seededModel(25), clusterOpt(), transport.NewChanListener(), noPeer)
+		}
+		g := startTestGroupWith(t, 1, 2, core.MustNewASP(1), seededModel(25), clusterOpt, Options{Shards: cfg.Options.Shards})
+		l := transport.NewChanListener()
+		cfg.Cluster = ClusterConfig{Role: RoleData, Coordinator: g.coordAddr, Servers: 2}
+		srv, err := Start(cfg, seededModel(25), clusterOpt(), l, g.dial)
+		if err != nil {
+			return nil, err
+		}
+		g.addListener(l)
+		eventuallyTrue(t, 5*time.Second, "the coordinator named the standby's owner", func() bool {
+			if err := srv.FailureErr(); err != nil {
+				t.Fatalf("the standby failed: %v", err)
+			}
+			return srv.Status().Primary == g.dataAddrs[0]
+		})
+		return srv, nil
+	}
+	for _, row := range []string{"", RoleCoordinator, RoleData, rowBackup} {
+		role := row
+		if row == rowBackup {
+			role = RoleData
+		}
 		for _, name := range names {
-			t.Run("role="+role+"/"+name, func(t *testing.T) {
+			t.Run("role="+row+"/"+name, func(t *testing.T) {
 				if lease, ok := announced[name]; ok {
 					cfg := ServerConfig{Workers: 1, Policy: core.MustNewASP(1),
 						Cluster: ClusterConfig{Role: role, Coordinator: "coordinator", Servers: 2}}
 					cfg.Options.Lease = lease
-					srv, err := Start(cfg, seededModel(25), clusterOpt(), transport.NewChanListener(), noPeer)
+					srv, err := start(t, row, cfg)
 					if err != nil {
 						t.Fatalf("role %q refused a lease: %v", role, err)
 					}
@@ -63,7 +94,7 @@ func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 				cfg := ServerConfig{Workers: 1, Policy: core.MustNewASP(1),
 					Cluster: ClusterConfig{Role: role, Coordinator: "coordinator", Servers: 2}}
 				apply(&cfg.Options)
-				srv, err := Start(cfg, seededModel(25), clusterOpt(), transport.NewChanListener(), noPeer)
+				srv, err := start(t, row, cfg)
 				if refused[[2]string{role, name}] {
 					if err == nil {
 						srv.Stop()
@@ -90,6 +121,9 @@ func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 		}
 	}
 }
+
+// rowBackup names TestStartActsOnOrRefusesEveryOption's standby rows.
+const rowBackup = "backup"
 
 // TestNegativeLeaseRefused: a lease is a positive duration or none, and
 // Normalized, which every server surface funnels through, refuses a negative

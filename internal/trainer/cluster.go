@@ -226,7 +226,7 @@ func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*servin
 // one coordinator runs the real paradigm policy over metadata-only pushes —
 // the single serialization point conf_icdcs_ZhaoALC19's staleness bounds are
 // defined against. The data
-// servers announce themselves on the coordinator's parked stream, as
+// servers announce themselves on their streams to the coordinator, as
 // psserver's do. An in-process group refuses a checkpoint directory, which
 // its data servers would share.
 func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*serving, error) {

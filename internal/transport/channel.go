@@ -82,6 +82,21 @@ func (c *chanConn) Send(m Message) error {
 	}
 }
 
+// SendBatch implements Conn: each message goes to the peer as Send sends it,
+// in order, and the batch is metered as a socket's is.
+func (c *chanConn) SendBatch(ms []Message) error {
+	if len(ms) == 0 {
+		return nil
+	}
+	c.meter.Batch(len(ms))
+	for i := range ms {
+		if err := c.Send(ms[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // encode assembles m's frame, byte for byte what appendFrame produces, in a
 // pooled buffer of exactly its size.
 func (c *chanConn) encode(m *Message) ([]byte, error) {

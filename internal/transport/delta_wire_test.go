@@ -65,7 +65,7 @@ func TestSendBatchIssuesOneWrite(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		probe := &countingConn{}
 		conn := newBinaryConn(probe, false)
-		var bs BatchSender = conn
+		var bs Conn = conn
 		if err := bs.SendBatch(batchMessages(n)); err != nil {
 			t.Fatal(err)
 		}

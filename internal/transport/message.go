@@ -65,15 +65,15 @@ const (
 	// (coordinator→worker) the server-group cluster map: which data server
 	// owns which contiguous range of store shards.
 	MsgClusterMap
-	// MsgServerAnnounce registers a data server (or, with Replica set, a
-	// standby backup) with the coordinator: Servers[0] describes the
-	// announcer's advertised address and shard range. The coordinator keeps
-	// the connection open; its death is the announcer's signal that the
-	// coordinator is gone.
+	// MsgServerAnnounce registers a data server with the coordinator:
+	// Servers[0] describes the announcer's advertised address and shard
+	// range. The OK reply's Servers[0] is the range's owner — the announcer
+	// itself, or the live owner it now stands by for. The connection stays
+	// open as each side's liveness watch of the other.
 	MsgServerAnnounce
-	// MsgPromote tells the coordinator a backup is taking over a dead
-	// primary's shard range: Servers[0] is the backup's entry, which replaces
-	// the map entry covering the same shard range.
+	// MsgPromote tells a standby, on its announce connection, that its
+	// range has a new owner: Servers[0] is the owner's entry, the standby's
+	// own when it is the one promoted.
 	MsgPromote
 )
 
@@ -123,7 +123,7 @@ func (t MessageType) String() string {
 // workers dial and the contiguous ranges of global store shards and global
 // tensor indices it owns. Shard and tensor ranges are half-open [Lo, Hi).
 type ServerEntry struct {
-	// Addr is the address workers (and the backup's replicator) dial.
+	// Addr is the address workers (and a standby's replicator) dial.
 	Addr string
 	// ShardLo and ShardHi bound the global store shards this server owns.
 	ShardLo, ShardHi int
@@ -201,31 +201,29 @@ type Message struct {
 	// tag 0x11.
 	Unchanged bool
 	// Servers carries cluster-map entries: the full map on a MsgClusterMap
-	// reply, the announcer's single entry on MsgServerAnnounce and
-	// MsgPromote. Binary wire tag 0x13.
+	// reply, the announcer's single entry on MsgServerAnnounce, and the
+	// range owner's on its OK reply and on MsgPromote. Binary wire tag 0x13.
 	Servers []ServerEntry
 	// MapVersion is the coordinator's monotonically increasing cluster-map
-	// version, bumped on every announce and promotion; workers refetch the
-	// map until it changes when a data server stops answering. Binary wire
-	// tag 0x14.
+	// version, bumped whenever an entry is set or replaced. Binary wire tag
+	// 0x14.
 	MapVersion int64
 	// Replica marks a MsgRegister as a server-to-server replica session
-	// (pull-only, outside worker-slot accounting) and a MsgServerAnnounce as
-	// a standby backup rather than a serving primary. Binary wire tag 0x15.
+	// (pull-only, outside worker-slot accounting). Binary wire tag 0x15.
 	Replica bool
 	// Cluster marks a MsgRegister as coming from a cluster-mode worker that
 	// pushes metadata-only tickets to a coordinator; a coordinator rejects
 	// registrations without it (a plain worker would otherwise train against
-	// the coordinator's placeholder store). Binary wire tag 0x16.
+	// a coordinator's store, which holds no tensors). Binary wire tag 0x16.
 	Cluster bool
 	// Relay marks a MsgRegister as an aggregation-relay trunk session — a
 	// relay process that multiplexes the pushes, pulls and control messages
 	// of up to fanout children over one upstream connection — and a
-	// MsgClusterMap request/reply as concerning the aggregation-tree layout
-	// rather than the server-group shard map. On a trunk registration,
-	// Servers[0] optionally advertises the relay's child-facing address and
-	// its fanout (as ShardHi), which the root folds into the tree layout it
-	// serves to -tree workers. Binary wire tag 0x17.
+	// MsgClusterMap reply as an aggregation-tree layout rather than a server
+	// group's shard map (a request's Relay means nothing). On a trunk
+	// registration, Servers[0] optionally advertises the relay's child-facing
+	// address and its fanout (as ShardHi), which the root folds into the tree
+	// layout it serves to workers. Binary wire tag 0x17.
 	Relay bool
 	// PushEntries, on a trunk MsgPush, carries the per-child metadata of the
 	// logical pushes summed into this aggregated gradient: one entry per
@@ -343,16 +341,6 @@ func FromWireOwned(ws []WireTensor) ([]*tensor.Tensor, error) {
 	return out, nil
 }
 
-// BatchSender is an optional Conn extension for senders that can coalesce
-// several messages into one underlying write: the TCP transport implements
-// it by assembling every frame before touching the socket, so a
-// barrier release fanning out to many queued messages costs one syscall
-// instead of one per message. SendBatch has Send's delivery and concurrency
-// semantics; an empty batch is a no-op.
-type BatchSender interface {
-	SendBatch([]Message) error
-}
-
 // BodyPlacer is an optional Conn extension for senders that can say where a
 // message's payload slabs will be sent from, so that they are computed there
 // instead of copied there: the same-host lane's resident push slot, a run of
@@ -385,7 +373,7 @@ type BodyPlacer interface {
 // Recv must not be called concurrently with itself.
 //
 // Every Conn keeps one payload-ownership contract, on a socket and in
-// process alike. Send (and BatchSender's SendBatch) has encoded the message
+// process alike. Send (and SendBatch) has encoded the message
 // by the time it returns, successfully or not: nothing the message aliased —
 // tensor data, packed payloads, the slices holding them — is read again by
 // the transport or the peer, so the sender may rewrite or recycle it at once.
@@ -397,6 +385,12 @@ type BodyPlacer interface {
 type Conn interface {
 	// Send transmits one message.
 	Send(Message) error
+	// SendBatch transmits several messages in order, with Send's delivery
+	// and concurrency semantics; an empty batch is a no-op. A socket
+	// assembles every frame before touching it, so a barrier release fanning
+	// out to many queued messages costs one syscall instead of one per
+	// message; the in-process pipe hands the frames over one by one.
+	SendBatch([]Message) error
 	// Recv blocks until the next message arrives or the connection closes.
 	Recv() (Message, error)
 	// Close releases the connection. Pending Recv calls return an error.

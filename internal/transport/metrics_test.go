@@ -16,7 +16,6 @@ func TestSentFrameIsCountedBeforeThePeerReadsIt(t *testing.T) {
 	run := func(t *testing.T, send, recv Conn, snapshot func() map[string]float64) {
 		errs := make(chan error, 1)
 		go func() {
-			batcher, batches := send.(BatchSender)
 			for k := 0; k < frames; k++ {
 				m := Message{Type: MsgPush, Iteration: k}
 				if k%3 == 0 {
@@ -24,9 +23,9 @@ func TestSentFrameIsCountedBeforeThePeerReadsIt(t *testing.T) {
 					m.Iteration = k
 				}
 				var err error
-				if batches && k%4 == 1 && k+1 < frames {
+				if k%4 == 1 && k+1 < frames {
 					next := Message{Type: MsgPush, Iteration: k + 1}
-					err = batcher.SendBatch([]Message{m, next})
+					err = send.SendBatch([]Message{m, next})
 					k++
 				} else {
 					err = send.Send(m)

@@ -1373,7 +1373,7 @@ func (c *binaryConn) Send(m Message) error {
 	return nil
 }
 
-// SendBatch implements BatchSender: every frame is assembled back to back in
+// SendBatch implements Conn: every frame is assembled back to back in
 // the reusable buffer and the whole batch goes to the kernel in one write
 // call, so releasing a barrier's worth of queued messages costs one syscall
 // instead of one per message.

@@ -411,8 +411,10 @@ func statusz(t *testing.T, addr string) ps.ServerStatus {
 // TestStatuszReportsRoleState reads /statusz on the three roles whose state
 // an operator sees only there: a flat server restored from a checkpoint
 // reports restored and the version it resumed at; a coordinator its cluster
-// map and map version; and a backup whose primary died reports promoted,
-// with the coordinator's map, one version on, naming it as the owner.
+// map and map version; and a standby — a second data server for an owned
+// range — reports its owner as its primary and, once the owner died,
+// promoted, with the coordinator's map, one version on, naming it as the
+// owner.
 func TestStatuszReportsRoleState(t *testing.T) {
 	dataset := DatasetConfig{Examples: 32, Classes: 2, ImageSize: 8, Seed: 1}
 	serve := func(cluster ClusterOptions, opts Options) *Server {
@@ -477,8 +479,6 @@ func TestStatuszReportsRoleState(t *testing.T) {
 		member := ClusterOptions{Coordinator: coord.Addr(), Servers: 1}
 		member.Role = RoleData
 		data := serve(member, Options{})
-		member.Role = RoleBackup
-		backup := serve(member, Options{})
 
 		before := eventually(coord, "the data server in the map", func(st ps.ServerStatus) bool {
 			return len(st.Map) == 1
@@ -486,6 +486,7 @@ func TestStatuszReportsRoleState(t *testing.T) {
 		if before.Map[0].Addr != data.Addr() || before.MapVersion < 1 {
 			t.Fatalf("coordinator map %+v at version %d, want %s at a positive version", before.Map, before.MapVersion, data.Addr())
 		}
+		backup := serve(member, Options{})
 		eventually(backup, "the backup's primary", func(st ps.ServerStatus) bool { return st.Primary == data.Addr() })
 		if statusz(t, backup.MetricsAddr()).Promoted {
 			t.Fatal("the backup reports promoted while its primary lives")

@@ -52,9 +52,10 @@ type ServerConfig struct {
 	// Seed determines the initial weights; it must match the workers' seed.
 	Seed int64
 	// Cluster places this server in a multi-server group (DESIGN.md
-	// §10): a coordinator that owns the paradigm policy, data servers that
-	// own shard ranges, or a backup standing by for one data server. The
-	// zero value is a classic standalone server.
+	// §10): a coordinator that owns the paradigm policy, or a data server
+	// that owns a shard range or, when the coordinator names another owner
+	// for it, stands by for that owner. The zero value is a classic
+	// standalone server.
 	Cluster ClusterOptions
 }
 
@@ -72,8 +73,8 @@ func (s *Server) Addr() string { return s.listener.Addr() }
 
 // Done returns a channel closed once training is complete: every worker
 // reported completion, or — on an elastic server — every worker that is not
-// absent for longer than one lease did. A backup's closes when its
-// coordinator reports the run complete.
+// absent for longer than one lease did. A data server that announced as a
+// standby closes it when its coordinator reports the run complete.
 func (s *Server) Done() <-chan struct{} { return s.inner.AllWorkersDone() }
 
 // Stop shuts the server down, writing a final checkpoint when configured.
@@ -112,8 +113,8 @@ func (s *Server) Dropped() int { return int(s.inner.Status().Dropped) }
 // split of the configured dataset. It snapshots the store without stopping
 // training, so it may be called mid-run. On a cluster coordinator it
 // assembles the full weight vector from the data servers through read-only
-// replica sessions; data and backup servers hold only their shard range and
-// cannot evaluate.
+// replica sessions; data servers hold only their shard range and cannot
+// evaluate.
 func (s *Server) Evaluate() (float64, error) {
 	run, err := s.job.build(testSplit)
 	if err != nil {
@@ -215,10 +216,9 @@ type WorkerConfig struct {
 	// cluster map: the worker registers there and routes gradient fragments
 	// directly to each shard owner while synchronization decisions stay with
 	// the coordinator (DESIGN.md §10). A dead data link recovers by
-	// refetching the map (which is how a backup promotion reaches the
+	// refetching the map (which is how a standby's promotion reaches the
 	// worker); a dead coordinator link ends the run, or with Reconnect is
-	// rejoined. A data server or backup refuses the worker, naming its
-	// coordinator.
+	// rejoined. A data server refuses the worker, naming its coordinator.
 	ServerAddr string
 	// Cluster and Tree are read by no code outside the end-to-end
 	// benchmark (bench/), which still sets them to pick its own client; the

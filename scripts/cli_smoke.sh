@@ -3,8 +3,9 @@
 # loopback on fixed ports: a flat 2-worker BSP job on an uneven split (both
 # workers must report the same iteration count, and the server must apply
 # exactly their sum and drop nothing), a coordinator with two data
-# servers (-shards 4 on every member), a backup for data server 0 that finds
-# it in the coordinator's cluster map and ends naming it at data server 0's
+# servers (-shards 4 on every member), a second data server for index 0,
+# started once the coordinator's map lists data server 0, which the
+# coordinator makes its standby and which ends naming it at data server 0's
 # final store version, and reconnecting group workers, and a
 # root fronted by one relay. Every worker is the same command line, with no
 # topology flag: the server it dials says whether it is flat, a tree's root
@@ -17,11 +18,12 @@
 # also checks that each role refuses, by name, a flag it does not read
 # (psserver parses a command line with its -role's own flag set): a relay
 # -guard, -workers, -compress and -lease (codec and lease are the root's), a
-# coordinator -cluster-index, a backup -primary (the map names its primary),
-# a flat server -parent (a relay's flag, given without -role relay); and that
-# a coordinator refuses the option its role does not act on (-guard again: it
-# carries no gradient bytes). No log may print Paradigm(0): a data server and
-# a backup start naming the shard range they hold, not a paradigm.
+# coordinator -cluster-index, a flat server -parent (a relay's flag, given
+# without -role relay); that -role backup is an unknown role (a standby is a
+# data server the coordinator names one); and that a coordinator refuses the
+# option its role does not act on (-guard again: it carries no gradient
+# bytes). No log may print Paradigm(0): a data server starts naming the shard
+# range it holds, not a paradigm.
 #
 # Usage: scripts/cli_smoke.sh <dir>
 # <dir> holds psserver and psworker (make cli-smoke builds them there) and
@@ -113,6 +115,9 @@ departed() {
 	fi
 	echo "cli-smoke: $1 ended with 0 departures"
 }
+# scrape <port> <path> prints what the admin endpoint at 127.0.0.1:<port>
+# serves at <path>, or nothing.
+scrape() { (exec 3<>"/dev/tcp/127.0.0.1/$1" && printf 'GET %s HTTP/1.0\r\n\r\n' "$2" >&3 && cat <&3) 2>/dev/null || true; }
 # joined <name> <port> <series> waits until <series> on the admin endpoint at
 # 127.0.0.1:<port> reads at least 1. A leasing server holds the run for a
 # worker that has not joined for one lease from its first admission, so the
@@ -120,27 +125,38 @@ departed() {
 # the lease on a loaded machine cannot then leave the fast one to end the run
 # alone.
 joined() {
-	local i body
+	local i
 	for i in $(seq 200); do
-		body=$( (exec 3<>"/dev/tcp/127.0.0.1/$2" && printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3 && cat <&3) 2>/dev/null || true)
-		grep -Eq "^$3 [1-9]" <<<"$body" && return 0
+		grep -Eq "^$3 [1-9]" <<<"$(scrape "$2" /metrics)" && return 0
 		sleep 0.05
 	done
 	echo "cli-smoke: $1 never read $3 above 0" >&2
 	exit 1
 }
+# mapped <port> <addr> waits until the coordinator whose admin endpoint is at
+# 127.0.0.1:<port> lists <addr> in its cluster map (/statusz).
+mapped() {
+	local i
+	for i in $(seq 200); do
+		grep -Eq "\"Addr\": *\"$2\"" <<<"$(scrape "$1" /statusz)" && return 0
+		sleep 0.05
+	done
+	echo "cli-smoke: the coordinator's map never listed $2" >&2
+	exit 1
+}
 
 # Group: a coordinator and two data servers, one group-wide -shards on all,
-# every member leasing, and a backup for index 0 that is given no address of
-# its primary: it must find data server 0 in the coordinator's cluster map.
+# every member leasing, and a second data server for index 0, started once
+# the coordinator's map lists data server 0: the coordinator makes it data
+# server 0's standby.
 # The workers run with -reconnect, as a deployment that rides out a lost
 # coordinator connection would; worker 1 is the slow one, and it joins first:
 # a worker registers with the coordinator and then each data server in map
-# order, so once data server 1 holds its session every member does. A backup
+# order, so once data server 1 holds its session every member does. A standby
 # serves no workers of its own: the coordinator's report that the run is
 # complete ends it, and it must exit 0 like every other member.
 start group-coord "$server" -addr 127.0.0.1:17180 -role coordinator -cluster-servers 2 -workers 2 -shards 4 \
-	"${lease[@]}" "${small[@]}"
+	"${lease[@]}" "${small[@]}" -metrics-addr 127.0.0.1:17186
 ready group-coord "parameter server listening"
 for i in 0 1; do
 	start "group-data$i" "$server" -addr "127.0.0.1:1718$((i + 1))" -role data -peers 127.0.0.1:17180 \
@@ -170,14 +186,13 @@ for i in 1 0; do
 		-reconnect 30s "${small[@]}" -delay "$((i * 300))ms"
 	[ "$i" -eq 0 ] || joined group-data1 17185 dssp_sessions_active
 done
-start group-backup0 "$server" -addr 127.0.0.1:17183 -role backup -peers 127.0.0.1:17180 \
+mapped 17186 127.0.0.1:17181
+start group-backup0 "$server" -addr 127.0.0.1:17183 -role data -peers 127.0.0.1:17180 \
 	-cluster-servers 2 -cluster-index 0 -workers 2 -shards 4 "${lease[@]}"
-ready group-backup0 "cluster backup replicating 127.0.0.1:17181,"
-echo "cli-smoke: the backup found data server 0 (127.0.0.1:17181) in the cluster map"
 finish group
 departed group-coord
-# The backup ends with its own line: the primary it replicated, and the store
-# version it reached, which is the one data server 0 ended at: the backup's
+# The standby ends with its own line: the owner it replicated, and the store
+# version it reached, which is the one data server 0 ended at: the standby's
 # last pull follows the coordinator's report that the run is complete, and
 # data server 0 waits for it.
 final=$(grep -o 'all workers finished: .*(store version [0-9]*)' "$dir/group-data0.log" | grep -o '[0-9]*)$' | tr -d ')' || true)
@@ -231,15 +246,18 @@ refuses relay-guard -guard -role relay -parent 127.0.0.1:17199 -guard
 refuses relay-workers -workers -addr 127.0.0.1:17197 -role relay -parent 127.0.0.1:17199 -workers 8
 refuses relay-compress -compress -addr 127.0.0.1:17194 -role relay -parent 127.0.0.1:17199 -compress fp16
 refuses relay-lease -lease -addr 127.0.0.1:17193 -role relay -parent 127.0.0.1:17199 -lease 200ms
-refuses backup-primary -primary -addr 127.0.0.1:17192 -role backup -peers 127.0.0.1:17199 -cluster-servers 2 -primary 127.0.0.1:17181
 refuses flat-parent -parent -addr 127.0.0.1:17196 -parent 127.0.0.1:17199 -fanout 2 -workers 2
 refuses coord-index -cluster-index -addr 127.0.0.1:17195 -role coordinator -cluster-servers 2 -workers 2 -cluster-index 1
 
 # A coordinator refuses an option its role does not act on.
 refuses coord-guard Guard -addr 127.0.0.1:17198 -role coordinator -cluster-servers 2 -workers 2 -guard
 
-# A data server and a backup run no paradigm: their start-up lines name the
-# shard range they hold instead of printing the zero paradigm.
+# There is no backup role: a standby is a data server the coordinator names
+# one, and psserver refuses the role by name, listing the roles there are.
+refuses backup-role 'unknown -role "backup" (want coordinator, data or relay' -addr 127.0.0.1:17192 -role backup -peers 127.0.0.1:17199 -cluster-servers 2 -cluster-index 0
+
+# A data server runs no paradigm: its start-up line names the shard range it
+# holds instead of printing the zero paradigm.
 if grep -l 'Paradigm(0)' "$dir"/*.log; then
 	echo "cli-smoke: the logs above print Paradigm(0)" >&2
 	exit 1

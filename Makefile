@@ -415,11 +415,12 @@ aggtree-smoke:
 # cmd/psserver and cmd/psworker and runs them as processes over loopback on
 # fixed ports — a flat 2-worker job on 17 examples, whose workers must report
 # the same iteration count, a coordinator with two data servers
-# (-shards 4 on every member, the group-wide count) whose workers run with
-# -reconnect 30s, plus a backup for index 0 started without its primary's
-# address, whose log must name data server 0's, at start and in its
-# end-of-run line with the positive store version it reached, and which must
-# exit 0 when the run completes, and a root behind one relay
+# (-shards 4 and -cluster-servers 2 on the coordinator alone, which tells
+# each data server its range) whose workers run with -reconnect 30s, plus a
+# standby for index 0 started without its owner's address, whose log must
+# name data server 0's, at start and in its end-of-run line with the
+# positive store version it reached, and which must exit 0 when the run
+# completes, and a root behind one relay
 # with default flags — failing on any non-zero exit. Every worker is one
 # command line with no topology flag, one pointed at a data server must fail
 # naming the coordinator, and no log may print Paradigm(0). The
@@ -427,8 +428,9 @@ aggtree-smoke:
 # computes 300ms an iteration with no heartbeat flag, and must end with 0
 # departures; that slow worker joins first, read off the server's
 # -metrics-addr. It checks that each psserver role refuses by name a flag it
-# does not read (a relay -guard, -workers, -compress and -lease, a backup
-# -primary, a coordinator -cluster-index, a flat server -parent) and that
+# does not read (a relay -guard, -workers, -compress and -lease, a
+# coordinator -cluster-index, a data server -shards and -cluster-servers, a
+# flat server -parent) and that
 # psserver -role coordinator refuses the guard its role does not act on. The
 # binaries and the per-process logs land in .cli-smoke/.
 cli-smoke:

@@ -17,8 +17,9 @@ const (
 )
 
 // ClusterOptions places a server in a server group (ServerConfig.Cluster):
-// its role, the coordinator it announces to, the group size and its slot,
-// and the address it advertises. The zero value is a flat server.
+// its role, the coordinator it announces to, the group size (the
+// coordinator's; a data server ignores it), its slot, and the address it
+// advertises. The zero value is a flat server.
 type ClusterOptions = ps.ClusterConfig
 
 // Failed returns a channel closed when a fatal cluster condition ended this

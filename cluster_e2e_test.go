@@ -508,45 +508,110 @@ func TestClusterRejectsCrossModeClients(t *testing.T) {
 	}
 }
 
-// TestDataServerShardCountMismatchRefused: Options.Shards is the group-wide
-// count and must be the same on every member. A data server started with more
-// shards than its coordinator owns a range the coordinator's layout does not
-// reach, and the announce is refused with the shard-range error, failing the
-// data server rather than serving a slice no worker can route to.
-func TestDataServerShardCountMismatchRefused(t *testing.T) {
-	member := func(shards int, cluster dssp.ClusterOptions) dssp.ServerConfig {
-		return dssp.ServerConfig{
-			Addr:    "127.0.0.1:0",
-			Workers: 1,
-			Sync:    dssp.Sync{Paradigm: dssp.ASP},
-			Dataset: dssp.DatasetConfig{Examples: 32, Classes: 2, ImageSize: 8, Seed: 1},
-			Seed:    1,
-			Options: dssp.Options{Shards: shards},
-			Cluster: cluster,
+// layoutMember is one member of the group the layout tests stand up: the
+// small MLP on 16 features and 4 classes, 4 tensors, which a coordinator of
+// two data servers lays out in its default 4 shards.
+func layoutMember(t *testing.T, opts dssp.Options, cluster dssp.ClusterOptions) (*dssp.Server, error) {
+	t.Helper()
+	s, err := dssp.Serve(dssp.ServerConfig{
+		Addr:         "127.0.0.1:0",
+		Workers:      1,
+		Sync:         dssp.Sync{Paradigm: dssp.ASP},
+		Model:        dssp.ModelSmallMLP,
+		Dataset:      dssp.DatasetConfig{Examples: 32, Classes: 4, ImageSize: 16, Seed: 1},
+		LearningRate: 0.1,
+		Seed:         1,
+		Options:      opts,
+		Cluster:      cluster,
+	})
+	if err == nil {
+		t.Cleanup(s.Stop)
+	}
+	return s, err
+}
+
+// trainLayoutGroup runs one worker against the coordinator at addr to the
+// end of its run.
+func trainLayoutGroup(t *testing.T, addr string) {
+	t.Helper()
+	if _, err := dssp.RunWorker(dssp.WorkerConfig{ServerAddr: addr, Workers: 1, Model: dssp.ModelSmallMLP,
+		Dataset: dssp.DatasetConfig{Examples: 32, Classes: 4, ImageSize: 16, Seed: 1}, BatchSize: 8, Epochs: 1, Seed: 1}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+}
+
+// TestDataServerShardsRefused: the coordinator lays the group out, so a data
+// server given a shard count is refused by Serve, naming the option, and
+// never enters the map; a later correct member completes the map, and a
+// worker trains against it.
+func TestDataServerShardsRefused(t *testing.T) {
+	coord, err := layoutMember(t, dssp.Options{}, dssp.ClusterOptions{Role: dssp.RoleCoordinator, Servers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := func(opts dssp.Options) (*dssp.Server, error) {
+		return layoutMember(t, opts, dssp.ClusterOptions{Role: dssp.RoleData, Coordinator: coord.Addr(), Servers: 2, Index: 1})
+	}
+	if _, err := layoutMember(t, dssp.Options{}, dssp.ClusterOptions{Role: dssp.RoleData, Coordinator: coord.Addr(), Servers: 2, Index: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := data(dssp.Options{Shards: 3}); err == nil || !strings.Contains(err.Error(), "Shards") {
+		t.Fatalf("a data server given Shards: Serve err %v, want a refusal naming Shards", err)
+	}
+	if m := coord.Status().Map; len(m) != 1 {
+		t.Fatalf("coordinator map %+v, want data server 0 alone", m)
+	}
+	if _, err := data(dssp.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if m := coord.Status().Map; len(m) != 2 {
+		t.Fatalf("coordinator map %+v, want both data servers", m)
+	}
+	trainLayoutGroup(t, coord.Addr())
+}
+
+// TestDataServerServersIgnored: a data server reads no group size. One given
+// another Servers than its coordinator's is told the coordinator's range for
+// its index and owns it; once it stops, a correct member for the index takes
+// the same range over, the map holds the coordinator's two ranges and no
+// more, and a worker trains against it.
+func TestDataServerServersIgnored(t *testing.T) {
+	coord, err := layoutMember(t, dssp.Options{}, dssp.ClusterOptions{Role: dssp.RoleCoordinator, Servers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := func(servers, index int) *dssp.Server {
+		s, err := layoutMember(t, dssp.Options{}, dssp.ClusterOptions{Role: dssp.RoleData, Coordinator: coord.Addr(), Servers: servers, Index: index})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	data(2, 0)
+	odd := data(3, 1)
+	// mapped waits until the coordinator's map holds two entries, the second
+	// at addr, and returns it.
+	mapped := func(addr string) []transport.ServerEntry {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			m := coord.Status().Map
+			if len(m) == 2 && m[1].Addr == addr {
+				return m
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("coordinator map %+v, want two entries, the second at %s", m, addr)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	coord, err := dssp.Serve(member(2, dssp.ClusterOptions{Role: dssp.RoleCoordinator, Servers: 2}))
-	if err != nil {
-		t.Fatal(err)
+	before := mapped(odd.Addr())
+	odd.Stop()
+	late := data(2, 1)
+	after := mapped(late.Addr())
+	if after[1].Addr = odd.Addr(); after[1] != before[1] {
+		t.Fatalf("range 1 of the map was %+v and is %+v", before[1], after[1])
 	}
-	defer coord.Stop()
-	data, err := dssp.Serve(member(4, dssp.ClusterOptions{
-		Role: dssp.RoleData, Coordinator: coord.Addr(), Servers: 2, Index: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer data.Stop()
-	select {
-	case <-data.Failed():
-	case <-time.After(10 * time.Second):
-		t.Fatal("the coordinator accepted a data server running another shard count")
-	}
-	if err := data.FailureErr(); !strings.Contains(err.Error(), "shard range") || !strings.Contains(err.Error(), "outside [0, 2)") {
-		t.Fatalf("refusal %q is not the shard-range error", err)
-	}
-	if entries := coord.Status().Map; len(entries) != 0 {
-		t.Fatalf("the refused data server entered the map: %+v", entries)
-	}
+	trainLayoutGroup(t, coord.Addr())
 }
 
 // TestServeRefusesWhatItWouldIgnore: a coordinator holds no weights, so a

@@ -36,19 +36,19 @@
 // stepping at its own -lr.
 //
 // Server groups: -role places this server in a multi-server group
-// (DESIGN.md §10). A coordinator (-role coordinator -cluster-servers N)
-// owns the paradigm policy and the cluster map; data servers (-role data
-// -peers <coordinator> -cluster-servers N -cluster-index i) each serve a
-// contiguous shard range of the store. The coordinator decides who owns a
-// range: the first data server to announce it; a later one started with the
-// same -cluster-index stands by, replicating the owner's weights, and when
-// the owner's announce connection drops mid-run the coordinator promotes the
+// (DESIGN.md §10). A coordinator (-role coordinator -cluster-servers N) owns
+// the paradigm policy, the cluster map and the group's layout: from the model,
+// N and its -shards (the group-wide shard count, 0 = two per data server) it
+// derives every range. A data server (-role data -peers <coordinator>
+// -cluster-index i) names range i and is told the range in the coordinator's
+// reply; it reads no -shards or -cluster-servers, and its start-up line
+// names what it was given. The coordinator decides who owns a range: the
+// first data server to announce it; a later one started with the same
+// -cluster-index stands by, replicating the owner's weights, and when the
+// owner's announce connection drops mid-run the coordinator promotes the
 // longest-standing standby. Losing the coordinator is fatal to a data server,
 // unless the coordinator finished the run: it then says so on the announce
-// connection before it exits. In a group -shards is the group-wide shard
-// count (0 = two per data server) and must be the same on every member; a
-// data server whose range then reaches past the coordinator's count is
-// refused at announce. Workers join the group with psworker -server
+// connection before it exits. Workers join the group with psworker -server
 // <coordinator>; a data server refuses a worker, naming the coordinator.
 //
 // Aggregation tier: -role relay runs an aggregation relay (DESIGN.md §11)
@@ -70,15 +70,16 @@
 //   - every role: -role, -addr, -metrics-addr;
 //   - every server role (flat, coordinator, data): -compress, -topk,
 //     -compress-pull, -lease, -workers, -model, -classes, -image-size,
-//     -seed, -shards, -trace-every, -aggregator, -clip-norm,
+//     -seed, -trace-every, -aggregator, -clip-norm,
 //     -guard, -checkpoint-dir, -checkpoint-every (the server then refuses
 //     the ones its role does not act on: a coordinator, -guard,
 //     -checkpoint-*, an -aggregator other than sum and -clip-norm);
-//   - a flat server and a coordinator, which run the paradigm and evaluate:
-//     -paradigm, -staleness, -range, -enforce-bound, -examples;
+//   - a flat server and a coordinator, which run the paradigm, evaluate and
+//     lay the store out: -paradigm, -staleness, -range, -enforce-bound,
+//     -examples, -shards;
 //   - a flat server and a data server, which hold weights: -lr, -momentum;
-//   - a coordinator and a data server: -cluster-servers; a data server:
-//     -peers, -cluster-index; a data server and a relay: -advertise;
+//   - a coordinator: -cluster-servers; a data server: -peers,
+//     -cluster-index; a data server and a relay: -advertise;
 //   - a relay: -parent, -fanout.
 //
 // Observability: -metrics-addr starts an admin HTTP listener serving
@@ -207,7 +208,6 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 		fs.IntVar(&s.Dataset.Classes, "classes", 4, "number of classes in the synthetic dataset")
 		fs.IntVar(&s.Dataset.ImageSize, "image-size", 16, "image size (or feature count for small-mlp)")
 		fs.Int64Var(&s.Seed, "seed", 1, "seed for the initial weights (must match workers)")
-		fs.IntVar(&s.Shards, "shards", 0, "parameter-store shards (0 = one per CPU); in a server group the group-wide count, the same on every member (0 = two per data server)")
 		fs.IntVar(&s.TraceEvery, "trace-every", 0, "sample the push lifecycle for 1 in N pushes (0 = default 64, negative = off)")
 		fs.StringVar(&s.Aggregator.Kind, "aggregator", dssp.AggregateSum, "gradient aggregation: sum, clipped, trimmed-mean, median (robust kinds tolerate Byzantine workers)")
 		fs.Float64Var(&s.Aggregator.ClipNorm, "clip-norm", 0, "per-tensor L2 cap for the clipped aggregator (required with -aggregator clipped)")
@@ -234,12 +234,16 @@ func roleFlags(role string) (*invocation, *flag.FlagSet) {
 		fs.Float64Var(&s.LearningRate, "lr", 0.1, "learning rate (a run restored from a checkpoint steps at this rate, not the saved run's)")
 		fs.Float64Var(&s.Momentum, "momentum", 0, "SGD momentum")
 	}
-	if server && role != "" {
+	// The coordinator lays a group out; a data server is told its range.
+	if server && !member {
+		fs.IntVar(&s.Shards, "shards", 0, "parameter-store shards (0 = one per CPU); a coordinator's is the group-wide count (0 = two per data server)")
+	}
+	if role == dssp.RoleCoordinator {
 		fs.IntVar(&s.Cluster.Servers, "cluster-servers", 0, "number of data servers in the group")
 	}
 	if member {
 		fs.StringVar(&s.Cluster.Coordinator, "peers", "", "coordinator address")
-		fs.IntVar(&s.Cluster.Index, "cluster-index", 0, "this server's slot in [0, cluster-servers) — which shard range it owns")
+		fs.IntVar(&s.Cluster.Index, "cluster-index", 0, "which range of the coordinator's layout this server serves, from 0")
 	}
 	if member || !server {
 		fs.StringVar(advertise, "advertise", "", "address published in the cluster map, or by a relay in the root's tree layout (default: the listen address)")
@@ -290,20 +294,21 @@ func run(cfg dssp.ServerConfig) error {
 		mode = fmt.Sprintf("elastic, lease %v", cfg.Lease)
 	}
 	// A data server runs no paradigm of its own (a local ASP): its line names
-	// the shard range it holds.
+	// the range the coordinator gave it.
+	st := server.Status()
 	holds := cfg.Sync.Describe()
-	if c := cfg.Cluster; c.Role == dssp.RoleData {
-		holds = fmt.Sprintf("shard range %d of %d", c.Index, c.Servers)
+	if e := st.Entry; e.Addr != "" {
+		holds = fmt.Sprintf("shards [%d, %d), tensors [%d, %d)", e.ShardLo, e.ShardHi, e.TensorLo, e.TensorHi)
 	}
 	fmt.Printf("parameter server listening on %s (%s, %d workers, codec %s, aggregator %s, %s)\n",
 		server.Addr(), holds, cfg.Workers, cfg.Compression, cfg.Aggregator, mode)
-	switch cfg.Cluster.Role {
-	case dssp.RoleCoordinator:
+	switch {
+	case cfg.Cluster.Role == dssp.RoleCoordinator:
 		fmt.Printf("cluster coordinator for %d data servers\n", cfg.Cluster.Servers)
-	case dssp.RoleData:
-		fmt.Printf("cluster data server (group of %d), announcing to coordinator %s\n", cfg.Cluster.Servers, cfg.Cluster.Coordinator)
+	case st.Primary != "":
+		fmt.Printf("cluster data server standing by for %s\n", st.Primary)
 	}
-	if st := server.Status(); st.Restored {
+	if st.Restored {
 		fmt.Printf("restored checkpoint from %s at version %d\n", cfg.Checkpoint.Dir, st.Version)
 	}
 	if cfg.MetricsAddr != "" {

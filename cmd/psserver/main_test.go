@@ -103,17 +103,17 @@ func TestShippedCommandLinesParse(t *testing.T) {
 			}),
 		},
 		{
-			args: "-addr 127.0.0.1:17181 -role data -peers 127.0.0.1:17180 -cluster-servers 2 -cluster-index 1 -workers 2 -shards 4",
-			server: with(member(dssp.ClusterOptions{Role: dssp.RoleData, Coordinator: "127.0.0.1:17180", Servers: 2, Index: 1}), func(s *dssp.ServerConfig) {
-				s.Addr, s.Shards = "127.0.0.1:17181", 4
+			args: "-addr 127.0.0.1:17181 -role data -peers 127.0.0.1:17180 -cluster-index 1 -workers 2",
+			server: with(member(dssp.ClusterOptions{Role: dssp.RoleData, Coordinator: "127.0.0.1:17180", Index: 1}), func(s *dssp.ServerConfig) {
+				s.Addr = "127.0.0.1:17181"
 			}),
 		},
 		{
 			// A second data server for index 0: the coordinator makes it the
 			// owner's standby.
-			args: "-addr 127.0.0.1:17183 -role data -peers 127.0.0.1:17180 -cluster-servers 2 -cluster-index 0 -workers 2 -shards 4 -lease 200ms",
-			server: with(member(dssp.ClusterOptions{Role: dssp.RoleData, Coordinator: "127.0.0.1:17180", Servers: 2}), func(s *dssp.ServerConfig) {
-				s.Addr, s.Shards, s.Lease = "127.0.0.1:17183", 4, 200*time.Millisecond
+			args: "-addr 127.0.0.1:17183 -role data -peers 127.0.0.1:17180 -cluster-index 0 -workers 2 -lease 200ms",
+			server: with(member(dssp.ClusterOptions{Role: dssp.RoleData, Coordinator: "127.0.0.1:17180"}), func(s *dssp.ServerConfig) {
+				s.Addr, s.Lease = "127.0.0.1:17183", 200*time.Millisecond
 			}),
 		},
 		{
@@ -153,9 +153,13 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 		{"-role relay -parent 127.0.0.1:7070 -topk 0.2", "not defined: -topk"},
 		{"-role relay -parent 127.0.0.1:7070 -compress-pull", "not defined: -compress-pull"},
 		{"-role relay -parent 127.0.0.1:17199 -lease 200ms", "not defined: -lease"},
-		{"-role data -peers 127.0.0.1:7070 -cluster-servers 2 -paradigm BSP", "not defined: -paradigm"},
+		{"-role data -peers 127.0.0.1:7070 -paradigm BSP", "not defined: -paradigm"},
 		{"-role coordinator -cluster-servers 2 -lr 0.5", "not defined: -lr"},
-		{"-role data -peers 127.0.0.1:7070 -cluster-servers 2 -primary 127.0.0.1:7101", "not defined: -primary"},
+		{"-role data -peers 127.0.0.1:7070 -primary 127.0.0.1:7101", "not defined: -primary"},
+		// The coordinator lays the group out and tells a data server its
+		// range.
+		{"-role data -peers 127.0.0.1:7070 -shards 4", "not defined: -shards"},
+		{"-role data -peers 127.0.0.1:7070 -cluster-servers 2", "not defined: -cluster-servers"},
 		// A standby is a data server the coordinator names one.
 		{"-role backup -peers 127.0.0.1:7070 -cluster-servers 2", `unknown -role "backup" (want coordinator, data or relay`},
 		{"-role relais -parent 127.0.0.1:7070", `unknown -role "relais"`},
@@ -179,15 +183,17 @@ func TestRoleRefusesFlagsItDoesNotRead(t *testing.T) {
 // every psserver flag: a flag dropped from every role fails here.
 func TestRoleFlagSets(t *testing.T) {
 	every := []string{"role", "addr", "metrics-addr"}
-	server := append(slices.Clone(every), "compress", "topk", "compress-pull", "lease", "workers", "model", "classes", "image-size", "seed", "shards",
+	server := append(slices.Clone(every), "compress", "topk", "compress-pull", "lease", "workers", "model", "classes", "image-size", "seed",
 		"trace-every", "aggregator", "clip-norm", "guard", "checkpoint-dir", "checkpoint-every")
-	policy := []string{"paradigm", "staleness", "range", "enforce-bound", "examples"}
+	// A flat server and a coordinator run the paradigm and lay the store
+	// out; a data server is told its range.
+	policy := []string{"paradigm", "staleness", "range", "enforce-bound", "examples", "shards"}
 	store := []string{"lr", "momentum"}
-	group := []string{"cluster-servers", "peers", "cluster-index", "advertise"}
+	member := []string{"peers", "cluster-index", "advertise"}
 	want := map[string][]string{
 		"":                   slices.Concat(server, policy, store),
 		dssp.RoleCoordinator: slices.Concat(server, policy, []string{"cluster-servers"}),
-		dssp.RoleData:        slices.Concat(server, store, group),
+		dssp.RoleData:        slices.Concat(server, store, member),
 		roleRelay:            slices.Concat(every, []string{"advertise", "parent", "fanout"}),
 	}
 	union := map[string]bool{}

@@ -46,7 +46,8 @@ type Config struct {
 	Momentum     float64
 	// Options is the shared serving surface (compression, aggregation,
 	// sharding) applied to every server in the group; its Shards is the
-	// group-wide count (0 = the layout default of two per data server).
+	// coordinator's, the group-wide count (0 = the layout default of two per
+	// data server), which the data servers are told.
 	Options dssp.Options
 }
 
@@ -145,12 +146,7 @@ func Start(t *testing.T, cfg Config) *Cluster {
 	t.Logf("clustertest: coordinator on %s (%d data servers)", coord.Addr(), cfg.Servers)
 
 	for i := 0; i < cfg.Servers; i++ {
-		srv, err := dssp.Serve(c.serverConfig(dssp.ClusterOptions{
-			Role:        dssp.RoleData,
-			Coordinator: c.coordAddr,
-			Servers:     cfg.Servers,
-			Index:       i,
-		}))
+		srv, err := dssp.Serve(c.dataConfig(i))
 		if err != nil {
 			t.Fatalf("clustertest: data server %d: %v", i, err)
 		}
@@ -164,32 +160,26 @@ func Start(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
-// StartStandby starts one more data server for index i, once the
-// coordinator's map is complete — so that the range already has its owner,
-// Data[i] or whoever took its place, and the new member stands by for it —
-// and appends it to Backups. It fails the test on a start-up error or a map
-// still incomplete after 10s.
+// StartStandby starts one more data server for index i — whose range has its
+// owner, Data[i] or whoever took its place, so the new member stands by for
+// it — and appends it to Backups. It fails the test on a start-up error.
 func (c *Cluster) StartStandby(i int) *dssp.Server {
 	c.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(c.Coordinator.Status().Map) < c.cfg.Servers {
-		if time.Now().After(deadline) {
-			c.t.Fatalf("clustertest: the coordinator's map never listed all %d data servers", c.cfg.Servers)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	srv, err := dssp.Serve(c.serverConfig(dssp.ClusterOptions{
-		Role:        dssp.RoleData,
-		Coordinator: c.coordAddr,
-		Servers:     c.cfg.Servers,
-		Index:       i,
-	}))
+	srv, err := dssp.Serve(c.dataConfig(i))
 	if err != nil {
 		c.t.Fatalf("clustertest: standby for index %d: %v", i, err)
 	}
 	c.Backups = append(c.Backups, srv)
 	c.t.Logf("clustertest: standby for index %d on %s", i, srv.Addr())
 	return srv
+}
+
+// dataConfig is the configuration of a data server for range i. A data
+// server is told its range by the coordinator, so it carries no shard count.
+func (c *Cluster) dataConfig(i int) dssp.ServerConfig {
+	cfg := c.serverConfig(dssp.ClusterOptions{Role: dssp.RoleData, Coordinator: c.coordAddr, Index: i})
+	cfg.Shards = 0
+	return cfg
 }
 
 func (c *Cluster) serverConfig(cluster dssp.ClusterOptions) dssp.ServerConfig {

@@ -41,23 +41,25 @@ const (
 )
 
 // ClusterConfig is a server's role (ServerConfig.Cluster; dssp.ClusterOptions
-// at the public surface). The zero value is a flat server. Every member of
-// one group must be started with the same model, seed, Servers and
-// Options.Shards (the group-wide shard count; 0 picks two per data server):
-// the shard layout is derived deterministically from them, which is what
-// lets servers that have never spoken to each other agree on byte-exact shard
-// boundaries. A data server started with another count whose range then
-// falls outside the coordinator's is refused at announce.
+// at the public surface). The zero value is a flat server. The coordinator
+// lays the group out, the one place that does: from the model, Servers and
+// Options.Shards (the group-wide shard count; 0 picks two per data server) it
+// derives every range's byte-exact shard and tensor boundaries. A data server
+// names the range it wants by Index and is told the range in the
+// coordinator's reply; it reads neither Servers nor a shard count, and a data
+// server whose model is not the coordinator's fails Start.
 type ClusterConfig struct {
 	// Role is RoleCoordinator, RoleData, or "" for a flat server.
 	Role string
 	// Coordinator is the coordinator's address; required for a data server
 	// (the -peers flag).
 	Coordinator string
-	// Servers is the number of data servers in the group (all roles).
+	// Servers is the number of data servers in the group. The coordinator's
+	// alone: a data server ignores it.
 	Servers int
-	// Index is this server's slot in [0, Servers) — which shard range of
-	// the group layout it serves. Data servers only.
+	// Index is this server's slot in the coordinator's [0, Servers) — which
+	// range of the group layout it serves. Data servers only; the coordinator
+	// refuses an index outside its layout.
 	Index int
 	// Advertise is the address put in the cluster map for this server —
 	// what workers dial. Defaults to the listener's address, which is only
@@ -80,11 +82,8 @@ func (c ClusterConfig) validate() error {
 		if c.Coordinator == "" {
 			return fmt.Errorf("ps: %s server needs the coordinator's address", c.Role)
 		}
-		if c.Servers < 1 {
-			return fmt.Errorf("ps: %s server needs the group's data-server count (Servers)", c.Role)
-		}
-		if c.Index < 0 || c.Index >= c.Servers {
-			return fmt.Errorf("ps: %s server index %d outside [0, %d)", c.Role, c.Index, c.Servers)
+		if c.Index < 0 {
+			return fmt.Errorf("ps: %s server index %d is negative", c.Role, c.Index)
 		}
 		return nil
 	default:
@@ -155,19 +154,22 @@ func tensorSizes(ts []*tensor.Tensor) []int {
 	return sizes
 }
 
-// newStoreRange builds the store a data server runs: the sub-range
-// [shardLo, shardHi) of the global globalShards-way partition of initial.
-// initial is the FULL global parameter list — the store clones only the
-// tensors its shards cover, but the shard boundaries are computed over the
-// whole model, so every data server in a group (and a single-server store
-// with the same shard count) agrees on them exactly. globalShards must be
-// the normalized count groupLayout returned.
+// newStoreRange builds the store a data server runs: the range e of the
+// group layout, the sub-range [e.ShardLo, e.ShardHi) of the global
+// globalShards-way partition of initial. initial is the FULL global parameter
+// list — the store clones only the tensors its shards cover, but the shard
+// boundaries are computed over the whole model, so every data server in a
+// group (and a single-server store with the same shard count) agrees on them
+// exactly. globalShards must be the normalized count groupLayout returned. A
+// model whose partition puts the range on other tensors than e's
+// [TensorLo, TensorHi) is not the one the layout was made from, and is
+// refused.
 //
 // The resulting store is local in every externally visible way: Shards()
-// reports shardHi-shardLo, tensor indices (EnqueueApply, ShardRange, the
-// tensors of a pull reply) are relative to the range's first tensor. Callers map local
-// to global through the layout entry that produced the range.
-func newStoreRange(initial []*tensor.Tensor, opt *optimizer.SGD, globalShards, shardLo, shardHi int) (*Store, error) {
+// reports ShardHi-ShardLo, tensor indices (EnqueueApply, ShardRange, the
+// tensors of a pull reply) are relative to the range's first tensor. Callers
+// map local to global through e.
+func newStoreRange(initial []*tensor.Tensor, opt *optimizer.SGD, globalShards int, e transport.ServerEntry) (*Store, error) {
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("ps: store needs at least one parameter tensor")
 	}
@@ -177,11 +179,16 @@ func newStoreRange(initial []*tensor.Tensor, opt *optimizer.SGD, globalShards, s
 	if globalShards < 1 || globalShards > len(initial) {
 		return nil, fmt.Errorf("ps: global shard count %d outside [1, %d]", globalShards, len(initial))
 	}
+	shardLo, shardHi := e.ShardLo, e.ShardHi
 	if shardLo < 0 || shardHi <= shardLo || shardHi > globalShards {
 		return nil, fmt.Errorf("ps: shard range [%d, %d) outside [0, %d)", shardLo, shardHi, globalShards)
 	}
 	global := partitionBySize(tensorSizes(initial), globalShards)
 	tLo, tHi := global[shardLo].Start, global[shardHi-1].End
+	if tLo != e.TensorLo || tHi != e.TensorHi {
+		return nil, fmt.Errorf("ps: the model puts shards [%d, %d) on tensors [%d, %d), the layout on [%d, %d)",
+			shardLo, shardHi, tLo, tHi, e.TensorLo, e.TensorHi)
+	}
 
 	local := initial[tLo:tHi]
 	shapes := make([][]int, len(local))
@@ -281,62 +288,65 @@ func (s *Store) install(params []*tensor.Tensor, version int64) {
 	s.version.Store(version)
 }
 
-// submitEntry announces entry to the coordinator on conn and returns the
-// range's owner the OK reply names: entry itself when this member owns the
-// range, else the live owner it stands by for. An explicit rejection comes
+// announceRange asks the coordinator on conn for range index of its layout,
+// served at addr, and returns its OK reply: Servers[0] is the range's owner —
+// the range at addr when this member owns it, else at the live owner's
+// address it stands by for — and StoreShards and Total are the group's shard
+// and tensor counts. The announce names the index in Worker and carries an
+// entry with the address alone (PROTOCOL.md §5b). An explicit rejection comes
 // back as *RemoteError.
-func submitEntry(conn transport.Conn, entry transport.ServerEntry) (transport.ServerEntry, error) {
-	if err := conn.Send(transport.Message{Type: transport.MsgServerAnnounce, Servers: []transport.ServerEntry{entry}}); err != nil {
-		return transport.ServerEntry{}, err
+func announceRange(conn transport.Conn, index int, addr string) (transport.Message, error) {
+	if err := conn.Send(transport.Message{Type: transport.MsgServerAnnounce, Worker: index,
+		Servers: []transport.ServerEntry{{Addr: addr}}}); err != nil {
+		return transport.Message{}, err
 	}
 	msg, err := conn.Recv()
 	switch {
 	case err != nil:
-		return transport.ServerEntry{}, err
+		return transport.Message{}, err
 	case msg.Type == transport.MsgError:
-		return transport.ServerEntry{}, &RemoteError{Msg: msg.Error}
+		return transport.Message{}, &RemoteError{Msg: msg.Error}
 	case msg.Type != transport.MsgOK || len(msg.Servers) != 1:
-		return transport.ServerEntry{}, fmt.Errorf("ps: unexpected %v reply to an announce", msg.Type)
+		return transport.Message{}, fmt.Errorf("ps: unexpected %v reply to an announce", msg.Type)
 	}
-	return msg.Servers[0], nil
+	return msg, nil
 }
 
-// clusterState is the coordinator's live view of the group: the data-server
-// entries the map serves, the version workers use to detect change, and each
-// shard range's announce streams (ranges). A member's announce stream is each
-// side's liveness watch of the other: the coordinator decides on it who owns
-// a range (handleServerAnnounce), and when the run is complete it sends every
-// stream Done before anything can stop it (done latches that, for an
-// announce arriving later). shards and tensors are the group-wide layout
-// every map reply advertises (the normalized shard count groupLayout returned
-// and the model's tensor count), set by Start.
+// clusterState is the coordinator's live view of the group: the layout Start
+// computed, the entries the map serves, the version workers use to detect
+// change, and each range's announce streams, index-aligned with the layout.
+// A member's announce stream is each side's liveness watch of the other: the
+// coordinator decides on it who owns a range (handleServerAnnounce), and when
+// the run is complete it sends every stream Done before anything can stop it
+// (done latches that, for an announce arriving later). shards and tensors are
+// the group-wide counts every map reply and announce reply advertises (the
+// normalized shard count groupLayout returned and the model's tensor count).
+// Start sets layout, shards, tensors and ranges before the server serves.
 type clusterState struct {
+	layout          []transport.ServerEntry
 	shards, tensors int
 
 	mu         sync.Mutex
 	entries    []transport.ServerEntry
 	mapVersion int64
-	ranges     map[[2]int]*rangeStreams
+	ranges     []rangeStreams
 	done       bool
 }
 
-// rangeStreams is one shard range's announce streams: its owner's, nil once
-// that stream ended and until a member takes the range, and its standbys', in
+// rangeStreams is one range's announce streams: its owner's, nil once that
+// stream ended and until a member takes the range, and its standbys', in
 // announce order.
 type rangeStreams struct {
 	owner    *memberStream
 	standbys []*memberStream
 }
 
-// memberStream is one member's announce connection and the entry it
-// announced.
+// memberStream is one member's announce connection and its entry: the
+// range's layout entry at the member's address.
 type memberStream struct {
 	conn  transport.Conn
 	entry transport.ServerEntry
 }
-
-// rangeKey is the shard range e covers, which names its rangeStreams.
-func rangeKey(e transport.ServerEntry) [2]int { return [2]int{e.ShardLo, e.ShardHi} }
 
 // send sends msg on every stream of the range, the owner's first.
 func (r *rangeStreams) send(msg transport.Message) {
@@ -348,13 +358,13 @@ func (r *rangeStreams) send(msg transport.Message) {
 	}
 }
 
-// setEntry enters e in the map as its range's owner, replacing the range's
-// entry or adding one in shard order, and bumps the map version. Caller holds
-// mu.
+// setEntry enters e, a layout entry at its owner's address, in the map,
+// replacing the range's entry or adding one in shard order, and bumps the map
+// version. Caller holds mu.
 func (c *clusterState) setEntry(e transport.ServerEntry) {
 	c.mapVersion++
 	for i := range c.entries {
-		if rangeKey(c.entries[i]) == rangeKey(e) {
+		if c.entries[i].ShardLo == e.ShardLo {
 			c.entries[i] = e
 			return
 		}
@@ -369,8 +379,8 @@ func (c *clusterState) endAnnounces() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.done = true
-	for _, r := range c.ranges {
-		r.send(transport.Message{Type: transport.MsgDone})
+	for i := range c.ranges {
+		c.ranges[i].send(transport.Message{Type: transport.MsgDone})
 	}
 }
 
@@ -402,12 +412,14 @@ func (s *Server) handleClusterMap(conn transport.Conn, _ transport.Message) {
 	})
 }
 
-// handleServerAnnounce is the one place a shard range's owner is decided. A
-// range with no live owner goes to the announcer, whose entry enters the map;
-// an announcer at the live owner's own address is that owner restarted, and
-// its stream takes the old one's place; any other announcer stands by. The
-// OK reply names the range's owner either way. The handler then reads the
-// stream until it ends (streamEnded).
+// handleServerAnnounce is the one place a range's owner is decided, and
+// every entry it acts on is one of the coordinator's layout, at the
+// announcer's address. A range with no live owner goes to the announcer,
+// whose entry enters the map; an announcer at the live owner's own address is
+// that owner restarted, and its stream takes the old one's place; any other
+// announcer stands by. The OK reply names the range's owner either way, with
+// the group's shard and tensor counts the member builds its store from. The
+// handler then reads the stream until it ends (streamEnded).
 func (s *Server) handleServerAnnounce(conn transport.Conn, msg transport.Message) {
 	if !s.coordinator() {
 		_ = conn.Send(transport.Message{Type: transport.MsgError, Error: "not a cluster coordinator"})
@@ -422,14 +434,7 @@ func (s *Server) handleServerAnnounce(conn transport.Conn, msg transport.Message
 	me := &memberStream{conn: conn, entry: entry}
 	c := &s.cluster
 	c.mu.Lock()
-	if c.ranges == nil {
-		c.ranges = make(map[[2]int]*rangeStreams)
-	}
-	r := c.ranges[rangeKey(entry)]
-	if r == nil {
-		r = &rangeStreams{}
-		c.ranges[rangeKey(entry)] = r
-	}
+	r := &c.ranges[msg.Worker]
 	switch {
 	case r.owner == nil:
 		r.owner = me
@@ -441,7 +446,8 @@ func (s *Server) handleServerAnnounce(conn transport.Conn, msg transport.Message
 	}
 	// Replies go out under mu, so a Promote or Done this stream is owed
 	// cannot overtake them.
-	_ = conn.Send(transport.Message{Type: transport.MsgOK, Servers: []transport.ServerEntry{r.owner.entry}})
+	_ = conn.Send(transport.Message{Type: transport.MsgOK, Servers: []transport.ServerEntry{r.owner.entry},
+		StoreShards: c.shards, Total: c.tensors})
 	if c.done {
 		_ = conn.Send(transport.Message{Type: transport.MsgDone})
 	}
@@ -477,24 +483,22 @@ func (s *Server) streamEnded(r *rangeStreams, me *memberStream) {
 	r.send(transport.Message{Type: transport.MsgPromote, Servers: []transport.ServerEntry{r.owner.entry}})
 }
 
-// checkEntry extracts and validates the single server entry an announce must
-// carry.
+// checkEntry returns the layout entry an announce asks for, at the
+// announcer's address: the announce must carry exactly one entry, with an
+// address, and name a range index (in Worker) of the layout.
 func (s *Server) checkEntry(msg transport.Message) (transport.ServerEntry, error) {
 	if len(msg.Servers) != 1 {
 		return transport.ServerEntry{}, fmt.Errorf("%v must carry exactly one server entry, got %d", msg.Type, len(msg.Servers))
 	}
-	e := msg.Servers[0]
-	if e.Addr == "" {
+	if msg.Servers[0].Addr == "" {
 		return transport.ServerEntry{}, fmt.Errorf("%v entry has no address", msg.Type)
 	}
-	if e.ShardLo < 0 || e.ShardHi <= e.ShardLo || e.ShardHi > s.cluster.shards {
-		return transport.ServerEntry{}, fmt.Errorf("%v shard range [%d, %d) outside [0, %d)",
-			msg.Type, e.ShardLo, e.ShardHi, s.cluster.shards)
+	if msg.Worker < 0 || msg.Worker >= len(s.cluster.layout) {
+		return transport.ServerEntry{}, fmt.Errorf("%v range index %d outside the coordinator's [0, %d)",
+			msg.Type, msg.Worker, len(s.cluster.layout))
 	}
-	if e.TensorLo < 0 || e.TensorHi <= e.TensorLo || e.TensorHi > s.cluster.tensors {
-		return transport.ServerEntry{}, fmt.Errorf("%v tensor range [%d, %d) outside [0, %d)",
-			msg.Type, e.TensorLo, e.TensorHi, s.cluster.tensors)
-	}
+	e := s.cluster.layout[msg.Worker]
+	e.Addr = msg.Servers[0].Addr
 	return e, nil
 }
 

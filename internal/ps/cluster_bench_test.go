@@ -51,7 +51,7 @@ func startBenchGroup(b *testing.B, workers, servers int) (connect func(w int) *C
 		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: servers}})
 	for i := 0; i < servers; i++ {
 		start(ServerConfig{Workers: workers,
-			Cluster: ClusterConfig{Role: RoleData, Coordinator: coordAddr, Servers: servers, Index: i}})
+			Cluster: ClusterConfig{Role: RoleData, Coordinator: coordAddr, Index: i}})
 	}
 	connect = func(w int) *ClusterClient {
 		c, err := NewClusterClient(dial, coordAddr, w, ClusterClientConfig{})

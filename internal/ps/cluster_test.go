@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,21 +121,21 @@ func (g *testGroup) serve(t *testing.T, srv *Server) string {
 	return g.addListener(l)
 }
 
-// announce announces entry to the coordinator over a raw connection and
-// returns the owner its OK reply names, with the stream, which the test
-// closes when it is done with it.
-func (g *testGroup) announce(t *testing.T, entry transport.ServerEntry) (transport.ServerEntry, transport.Conn) {
+// announce announces range i at addr to the coordinator over a raw
+// connection and returns the owner its OK reply names, with the stream, which
+// the test closes when it is done with it.
+func (g *testGroup) announce(t *testing.T, i int, addr string) (transport.ServerEntry, transport.Conn) {
 	t.Helper()
 	conn, err := g.dial(g.coordAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	owner, err := submitEntry(conn, entry)
+	reply, err := announceRange(conn, i, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return owner, conn
+	return reply.Servers[0], conn
 }
 
 // startStandby starts a data server for index i of g, whose range already
@@ -148,7 +149,7 @@ func (g *testGroup) startStandby(t *testing.T, i int, initial []*tensor.Tensor, 
 	l := transport.NewChanListener()
 	addr := g.addListener(l)
 	srv, err := Start(ServerConfig{Workers: 1, Cluster: ClusterConfig{Role: RoleData,
-		Coordinator: g.coordAddr, Servers: len(g.data), Index: i}}, initial, clusterOpt(), l, dial)
+		Coordinator: g.coordAddr, Index: i}}, initial, clusterOpt(), l, dial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,20 +171,36 @@ func eventuallyTrue(t *testing.T, d time.Duration, what string, ok func() bool) 
 }
 
 // startTestGroup stands up a group through Start: the coordinator runs
-// policy, every data server runs its shard range of the seed model under a
-// local ASP policy and announces itself on its stream, and the group is
-// returned once the coordinator's map is complete.
+// policy, and every data server runs its shard range of the seed model under
+// a local ASP policy, each started once the one before it has announced
+// itself, so the coordinator's map is complete when it returns.
 func startTestGroup(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor) *testGroup {
 	t.Helper()
 	return startTestGroupWith(t, workers, servers, policy, initial, clusterOpt, Options{})
 }
 
 // startTestGroupWith is startTestGroup with the data servers' optimizer and
-// options under test control; the coordinator lays the group out with the
-// data servers' shard count.
-func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor, mkOpt func() *optimizer.SGD, data Options) *testGroup {
+// options under test control. opts' Shards goes to the coordinator alone,
+// which lays the group out; the rest goes to the data servers.
+func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor, mkOpt func() *optimizer.SGD, opts Options) *testGroup {
 	t.Helper()
-	assignments, globalShards, err := groupLayout(tensorSizes(initial), data.Shards, servers)
+	g := startCoordinator(t, workers, servers, policy, initial, opts.Shards)
+	opts.Shards = 0
+	for i := 0; i < servers; i++ {
+		srv, addr := g.start(t, ServerConfig{Workers: workers, Options: opts,
+			Cluster: ClusterConfig{Role: RoleData, Coordinator: g.coordAddr, Index: i}}, initial, mkOpt())
+		g.data = append(g.data, srv)
+		g.dataAddrs = append(g.dataAddrs, addr)
+		g.stores = append(g.stores, srv.Store())
+	}
+	return g
+}
+
+// startCoordinator stands up the coordinator of a group of servers data
+// servers that lays initial out in shards store shards, and no data server.
+func startCoordinator(t *testing.T, workers, servers int, policy core.Policy, initial []*tensor.Tensor, shards int) *testGroup {
+	t.Helper()
+	assignments, globalShards, err := groupLayout(tensorSizes(initial), shards, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,38 +209,23 @@ func startTestGroupWith(t *testing.T, workers, servers int, policy core.Policy, 
 		globalShards: globalShards,
 		listeners:    make(map[string]*transport.ChanListener),
 	}
+	g.coord, g.coordAddr = g.start(t, ServerConfig{Workers: workers, Policy: policy, Options: Options{Shards: shards},
+		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: servers}}, initial, clusterOpt())
+	return g
+}
 
-	start := func(cfg ServerConfig, opt *optimizer.SGD) (*Server, string) {
-		l := transport.NewChanListener()
-		addr := g.addListener(l)
-		srv, err := Start(cfg, initial, opt, l, g.dial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Stop)
-		return srv, addr
+// start stands cfg up through Start on a fresh listener of g and returns the
+// server with its address.
+func (g *testGroup) start(t *testing.T, cfg ServerConfig, initial []*tensor.Tensor, opt *optimizer.SGD) (*Server, string) {
+	t.Helper()
+	l := transport.NewChanListener()
+	addr := g.addListener(l)
+	srv, err := Start(cfg, initial, opt, l, g.dial)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.coord, g.coordAddr = start(ServerConfig{Workers: workers, Policy: policy, Options: Options{Shards: data.Shards},
-		Cluster: ClusterConfig{Role: RoleCoordinator, Servers: servers}}, clusterOpt())
-	for i := 0; i < servers; i++ {
-		srv, addr := start(ServerConfig{Workers: workers, Options: data,
-			Cluster: ClusterConfig{Role: RoleData, Coordinator: g.coordAddr, Servers: servers, Index: i}}, mkOpt())
-		g.data = append(g.data, srv)
-		g.dataAddrs = append(g.dataAddrs, addr)
-		g.stores = append(g.stores, srv.Store())
-	}
-	// The data servers announce themselves on their own streams.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m, err := FetchClusterMap(g.dial, g.coordAddr)
-		if err == nil && validateMap(m) == nil {
-			return g
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("group map never completed: %v %v", err, validateMap(m))
-		}
-		time.Sleep(time.Millisecond)
-	}
+	t.Cleanup(srv.Stop)
+	return srv, addr
 }
 
 // referenceRun replays an apply schedule serially on a single-server store
@@ -344,7 +346,7 @@ func TestNewStoreRangeMatchesGlobalBoundaries(t *testing.T) {
 	}
 	defer full.Close()
 	for _, a := range assignments {
-		st, err := newStoreRange(initial, clusterOpt(), shards, a.ShardLo, a.ShardHi)
+		st, err := newStoreRange(initial, clusterOpt(), shards, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,11 +366,18 @@ func TestNewStoreRangeMatchesGlobalBoundaries(t *testing.T) {
 		}
 		st.Close()
 	}
-	if _, err := newStoreRange(initial, clusterOpt(), shards, 2, 2); err == nil {
+	if _, err := newStoreRange(initial, clusterOpt(), shards, transport.ServerEntry{ShardLo: 2, ShardHi: 2}); err == nil {
 		t.Error("empty shard range accepted")
 	}
-	if _, err := newStoreRange(initial, clusterOpt(), shards, 0, shards+1); err == nil {
+	if _, err := newStoreRange(initial, clusterOpt(), shards, transport.ServerEntry{ShardHi: shards + 1}); err == nil {
 		t.Error("out-of-bounds shard range accepted")
+	}
+	// A range the model's partition puts on other tensors than the layout
+	// says is another model's.
+	moved := assignments[1]
+	moved.TensorLo++
+	if _, err := newStoreRange(initial, clusterOpt(), shards, moved); err == nil || !strings.Contains(err.Error(), "tensors") {
+		t.Errorf("a range on other tensors than the model's partition: err %v", err)
 	}
 }
 
@@ -389,7 +398,7 @@ func TestStoreRangeAppliesBitIdenticallyToShardedStore(t *testing.T) {
 	defer full.Close()
 	var ranges []*Store
 	for _, a := range assignments {
-		st, err := newStoreRange(initial, clusterOpt(), shards, a.ShardLo, a.ShardHi)
+		st, err := newStoreRange(initial, clusterOpt(), shards, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +492,7 @@ func TestCoordinatorClusterMapLifecycle(t *testing.T) {
 
 	// A later announcer for an owned range stands by: its reply names the
 	// live owner, and the map does not change.
-	owner, stream := g.announce(t, at(g.assignments[0], "standby-addr"))
+	owner, stream := g.announce(t, 0, "standby-addr")
 	if want := at(g.assignments[0], g.dataAddrs[0]); owner != want {
 		t.Fatalf("the standby was named owner %+v, want %+v", owner, want)
 	}
@@ -514,6 +523,68 @@ func TestCoordinatorClusterMapLifecycle(t *testing.T) {
 	}
 	if m3.Servers[0].Addr != "standby-addr" {
 		t.Fatalf("promotion did not reroute: %+v", m3.Servers[0])
+	}
+}
+
+// TestDataServerStartMeetsTheCoordinatorsLayout: the coordinator's layout is
+// the only one. An announce naming a range index outside it is refused by
+// name, and the refusal is final: Start dials the coordinator once and
+// returns its error. A member whose model has another tensor count than the
+// coordinator's fails Start by name; the range it was given has no live owner
+// then, and the next member to announce it takes it.
+func TestDataServerStartMeetsTheCoordinatorsLayout(t *testing.T) {
+	initial := seededModel(26)
+	g := startCoordinator(t, 1, 2, core.MustNewASP(1), initial, 0)
+	var dials atomic.Int32
+	counted := func(addr string) (transport.Conn, error) {
+		dials.Add(1)
+		return g.dial(addr)
+	}
+	start := func(index int, model []*tensor.Tensor) (*Server, string, error) {
+		l := transport.NewChanListener()
+		addr := g.addListener(l)
+		srv, err := Start(ServerConfig{Workers: 1, Cluster: ClusterConfig{Role: RoleData, Coordinator: g.coordAddr, Index: index}},
+			model, clusterOpt(), l, counted)
+		if err == nil {
+			t.Cleanup(srv.Stop)
+		}
+		return srv, addr, err
+	}
+
+	if _, _, err := start(2, initial); !isRemote(err) || !strings.Contains(err.Error(), "range index 2") {
+		t.Fatalf("an announce for range 2 of 2: err %v, want a refusal naming the index", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("a refused announce dialed the coordinator %d times, want 1", n)
+	}
+	conn, err := g.dial(g.coordAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := announceRange(conn, -1, "negative"); !isRemote(err) || !strings.Contains(err.Error(), "range index -1") {
+		t.Fatalf("an announce for range -1: err %v, want a refusal naming the index", err)
+	}
+
+	if _, _, err := start(0, initial[:5]); err == nil || !strings.Contains(err.Error(), "5 tensors, the coordinator's 6") {
+		t.Fatalf("a member with a 5-tensor model: err %v, want a refusal naming both tensor counts", err)
+	}
+	eventuallyTrue(t, 5*time.Second, "the coordinator saw the failed member's stream end", func() bool {
+		c := &g.coord.cluster
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.ranges[0].owner == nil
+	})
+	srv, addr, err := start(0, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Status(); st.Primary != "" || st.Entry != at(g.assignments[0], addr) {
+		t.Fatalf("the next member for range 0 stands by for %q with entry %+v, want the owner at %+v",
+			st.Primary, st.Entry, at(g.assignments[0], addr))
+	}
+	if m := g.coord.Status().Map; len(m) != 1 || m[0] != at(g.assignments[0], addr) {
+		t.Fatalf("coordinator map %+v, want range 0 at %s alone", m, addr)
 	}
 }
 
@@ -927,7 +998,7 @@ func TestBackupFindsItsPrimaryInTheMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner := at(g.assignments[i], g.dataAddrs[i])
-	named, restarted := g.announce(t, owner)
+	named, restarted := g.announce(t, i, g.dataAddrs[i])
 	if named != owner {
 		t.Fatalf("an announce at the owner's address was named owner %+v, want %+v", named, owner)
 	}
@@ -1065,7 +1136,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 	}
 	want := make([]*tensor.Tensor, 0, len(initial))
 	for i, asg := range g.assignments {
-		ref, err := newStoreRange(seededModel(61), clusterOpt(), g.globalShards, asg.ShardLo, asg.ShardHi)
+		ref, err := newStoreRange(seededModel(61), clusterOpt(), g.globalShards, asg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1083,7 +1154,7 @@ func TestClusterClientRecoversThroughPromotion(t *testing.T) {
 			}
 			snap, v := ref.Snapshot()
 			ref.Close()
-			if ref, err = newStoreRange(seededModel(61), clusterOpt(), g.globalShards, asg.ShardLo, asg.ShardHi); err != nil {
+			if ref, err = newStoreRange(seededModel(61), clusterOpt(), g.globalShards, asg); err != nil {
 				t.Fatal(err)
 			}
 			if err := ref.installReplica(snap, v); err != nil {

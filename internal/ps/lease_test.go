@@ -202,7 +202,7 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 		// keeps the entry, with no live owner, until the next announce for
 		// it.
 		start := func(t *testing.T, i int) {
-			st, err := newStoreRange(initial, opt(), globalShards, assignments[i].ShardLo, assignments[i].ShardHi)
+			st, err := newStoreRange(initial, opt(), globalShards, assignments[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,8 +219,8 @@ func startLeaseTopology(t *testing.T, topo string, tcp, edgeTCP bool, workers in
 			if err != nil {
 				t.Fatal(err)
 			}
-			if owner, err := submitEntry(conn, at(assignments[i], addr)); err != nil || owner.Addr != addr {
-				t.Fatalf("announce of %s: owner %q, %v", addr, owner.Addr, err)
+			if reply, err := announceRange(conn, i, addr); err != nil || reply.Servers[0] != at(assignments[i], addr) {
+				t.Fatalf("announce of %s: reply %+v, %v", addr, reply.Servers, err)
 			}
 			conn.Close()
 		}

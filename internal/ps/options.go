@@ -18,9 +18,9 @@ import (
 // is the server's to say (Lease).
 type Options struct {
 	// Shards is the number of independently locked parameter-store
-	// partitions. A standalone server's 0 picks one per CPU; in a server group
-	// it is the group-wide count, the same on every member, and 0 picks two per
-	// data server.
+	// partitions. A standalone server's 0 picks one per CPU; a coordinator's is
+	// its group's count, and 0 picks two per data server. A data server is told
+	// its range's shards by the coordinator and refuses it.
 	Shards int
 	// Compression selects the gradient codec spoken on the wire. Workers
 	// must register with a matching configuration (or compress.Auto) or are
@@ -72,12 +72,17 @@ func (o Options) Normalized() (Options, error) {
 // configuration whose refusals are not empty; an in-process group gives each
 // member the first result.
 //
-// A flat server and a data server act on every server-side field. A
-// coordinator carries no weights: it acts on neither the guard, which screens
-// gradient bytes, nor a robust aggregator, which reduces them, nor
-// checkpoints, which would hold no tensors.
+// A flat server acts on every server-side field. A data server acts on every
+// field but Shards: the coordinator lays the group out and tells a data
+// server its range. A coordinator carries no weights: it acts on neither the
+// guard, which screens gradient bytes, nor a robust aggregator, which reduces
+// them, nor checkpoints, which would hold no tensors.
 func (o Options) ForRole(role string) (Options, []string) {
 	var refused []string
+	if role == RoleData && o.Shards != 0 {
+		refused = append(refused, "Shards (the coordinator lays the group out and tells a data server its range)")
+		o.Shards = 0
+	}
 	if role == RoleCoordinator {
 		if o.Guard.Enabled {
 			refused = append(refused, "Guard (the anomaly guard screens gradient bytes and runs on data servers)")

@@ -725,7 +725,8 @@ func (r *Relay) share(h transport.RegionHost) { h.ShareRegion(r.up.conn) }
 // when nothing moved the hop carries one empty frame; when it did, the relay
 // downloads the reply once and fans it out to every pulling child. Children
 // name no version, so their pulls are never gated: every push moves every
-// shard, and a worker pulls once per push.
+// shard, and a worker pulls once per push. A pull the upstream session fails
+// fails the relay.
 //
 // Lease rules: the tensors r.up.Pull returns are on its lease — they alias a
 // receive buffer that goes back to the upstream connection when the next
@@ -744,7 +745,12 @@ func (r *Relay) handlePull(ch *session, _ transport.Message) {
 	defer r.pullMu.Unlock()
 	params, version, err := r.up.Pull()
 	if err != nil {
-		_ = ch.conn.Send(transport.Message{Type: transport.MsgError, Worker: ch.worker, Error: err.Error()})
+		// Every pull of the subtree rides this one session, so a failed one
+		// fails the relay, as a trunk receive error does: its children's
+		// connections close and they re-parent through the root's layout.
+		if !isClosed(r.stopped) {
+			go r.fail(fmt.Errorf("ps: relay pull session: %w", err))
+		}
 		return
 	}
 	if r.layout.Load() == nil {

@@ -385,6 +385,37 @@ func TestRelayAdmissionRequiresSumAggregation(t *testing.T) {
 	}
 }
 
+// TestRelayPullSessionLossFailsTheRelay: every child pull rides the relay's
+// one upstream pull session. When that session's connection dies, the relay
+// fails, as on a lost trunk — its children's connections close, and they
+// re-parent through the root's layout — instead of answering each pull with
+// an error while it keeps serving.
+func TestRelayPullSessionLossFailsTheRelay(t *testing.T) {
+	st, err := NewStoreSharded([]*tensor.Tensor{tensor.New(5)}, optimizer.NewSGD(0.1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newRelayHarness(t, core.MustNewASP(1), st, 1, 1, Options{})
+	c := h.childClient(t, 0)
+	defer c.Close()
+	if _, _, err := c.Pull(); err != nil {
+		t.Fatal(err)
+	}
+	relay := h.relays[0]
+	_ = relay.up.conn.Close()
+	if _, _, err := c.Pull(); err == nil {
+		t.Fatal("a pull through a relay whose pull session died succeeded")
+	}
+	select {
+	case <-relay.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the relay kept serving after its pull session died")
+	}
+	if err := relay.Err(); err == nil || !strings.Contains(err.Error(), "pull session") {
+		t.Fatalf("relay ended with %v, want the pull session's loss", err)
+	}
+}
+
 // TestRelayDeathSweepsSubtree kills a relay mid-run and checks the root
 // notices: the trunk's children are swept as departures so a BSP-style
 // barrier cannot deadlock on them, and the surviving direct worker finishes.

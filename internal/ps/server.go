@@ -175,9 +175,11 @@ type Server struct {
 	tree treeState
 
 	// ln is the listener Start serves, closed first by Stop; restored
-	// records that Start resumed from a checkpoint.
+	// records that Start resumed from a checkpoint; entry is a data server's
+	// range of the coordinator's layout, at its own address.
 	ln       transport.Listener
 	restored bool
+	entry    transport.ServerEntry
 	// failed closes when a data server suffers a fatal loss (failErr says
 	// which); promoted latches a standby's promotion to its range's owner;
 	// bg counts the member loops Stop waits for; primary holds the address
@@ -1468,6 +1470,10 @@ type ServerStatus struct {
 	// coordinator has since given it the range.
 	Primary  string `json:"primary,omitempty"`
 	Promoted bool   `json:"promoted,omitempty"`
+	// Entry is, on a data server, its range as the coordinator's announce
+	// reply gave it, at its own address: the shards and tensors it owns, or,
+	// while it stands by, those of the owner it replicates.
+	Entry transport.ServerEntry `json:"entry,omitzero"`
 	// Map and MapVersion are, on a coordinator, the group's cluster map: its
 	// entries in shard order and its version.
 	Map        []transport.ServerEntry `json:"map,omitempty"`
@@ -1514,6 +1520,7 @@ func (s *Server) Status() ServerStatus {
 		Elastic:         s.cfg.Lease > 0,
 		Restored:        s.restored,
 		Promoted:        s.promoted.Load(),
+		Entry:           s.entry,
 		Version:         s.cfg.Store.Version(),
 		Reserved:        s.cfg.Store.Reserved(),
 		QueueDepth:      s.cfg.Store.QueueDepth(),

@@ -21,18 +21,20 @@ import (
 // the role does not act on (Options.ForRole). It builds the role's store and,
 // for a data server, its policy — a local ASP that releases every fragment
 // once ticketed, the paradigm running at the coordinator; a flat server and a
-// coordinator run cfg.Policy. A coordinator's store holds no tensors, so the
-// version bookkeeping the paradigm gates on exists without carrying any
-// weights; a data server's is its shard range of the group layout. It
-// restores the checkpoint in cfg.Checkpoint.Dir when there is one, and serves
-// ln. A data server then announces itself to the coordinator on the stream
-// that is its liveness watch of it, and owns its range or stands by for the
-// range's owner as the coordinator says (runMember); it closes Failed on a
-// fatal loss.
+// coordinator run cfg.Policy. A coordinator lays the group out (groupLayout)
+// and its store holds no tensors, so the version bookkeeping the paradigm
+// gates on exists without carrying any weights. A data server first
+// announces itself to the coordinator, naming its range by index, on the
+// stream that is its liveness watch of it (joinGroup): the reply is the range
+// and who owns it, and its store is that range of initial, which must be the
+// coordinator's model. It restores the checkpoint in cfg.Checkpoint.Dir when
+// there is one, and serves ln. A data server then owns its range or stands by
+// for the range's owner as the coordinator says on the stream (runMember); it
+// closes Failed on a fatal loss.
 //
 // Once Start returns a server, the server owns ln and Stop closes it; on an
 // error the caller keeps it.
-func Start(cfg ServerConfig, initial []*tensor.Tensor, opt *optimizer.SGD, ln transport.Listener, dial func(string) (transport.Conn, error)) (*Server, error) {
+func Start(cfg ServerConfig, initial []*tensor.Tensor, opt *optimizer.SGD, ln transport.Listener, dial func(string) (transport.Conn, error)) (_ *Server, err error) {
 	c := cfg.Cluster
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -42,24 +44,40 @@ func Start(cfg ServerConfig, initial []*tensor.Tensor, opt *optimizer.SGD, ln tr
 		return nil, fmt.Errorf("ps: role %q does not act on %s", c.Role, strings.Join(refused, "; "))
 	}
 	var (
-		own          transport.ServerEntry
+		layout       []transport.ServerEntry
 		globalShards int
-		err          error
+		stream       transport.Conn
+		owner, own   transport.ServerEntry
 	)
 	switch c.Role {
 	case "":
 		cfg.Store, err = NewStoreSharded(initial, opt, cfg.Shards)
 	case RoleCoordinator:
-		_, globalShards, err = groupLayout(tensorSizes(initial), cfg.Shards, c.Servers)
+		layout, globalShards, err = groupLayout(tensorSizes(initial), cfg.Shards, c.Servers)
 		cfg.Store = new(Store)
 	default:
-		var layout []transport.ServerEntry
-		if layout, globalShards, err = groupLayout(tensorSizes(initial), cfg.Shards, c.Servers); err != nil {
+		addr := c.Advertise
+		if addr == "" {
+			addr = ln.Addr()
+		}
+		var reply transport.Message
+		if stream, reply, err = joinGroup(c, dial, addr); err != nil {
 			return nil, err
 		}
-		own = layout[c.Index]
+		// A failed start drops the stream, as a member that died would.
+		defer func() {
+			if err != nil {
+				_ = stream.Close()
+			}
+		}()
+		owner = reply.Servers[0]
+		own = owner
+		own.Addr = addr
+		if len(initial) != reply.Total {
+			return nil, fmt.Errorf("ps: the model has %d tensors, the coordinator's %d", len(initial), reply.Total)
+		}
 		if cfg.Policy, err = core.NewASP(cfg.Workers); err == nil {
-			cfg.Store, err = newStoreRange(initial, opt, globalShards, own.ShardLo, own.ShardHi)
+			cfg.Store, err = newStoreRange(initial, opt, reply.StoreShards, owner)
 		}
 	}
 	if err != nil {
@@ -75,34 +93,17 @@ func Start(cfg ServerConfig, initial []*tensor.Tensor, opt *optimizer.SGD, ln tr
 	if err != nil {
 		return nil, err
 	}
-	s.ln, s.restored = ln, restored
-	s.cluster.shards, s.cluster.tensors = globalShards, len(initial)
+	s.ln, s.restored, s.entry = ln, restored, own
+	s.cluster.layout, s.cluster.shards, s.cluster.tensors = layout, globalShards, len(initial)
+	s.cluster.ranges = make([]rangeStreams, len(layout))
+	if owner.Addr != own.Addr {
+		s.primary.Store(owner.Addr)
+	}
 	go func() { _ = s.Serve(ln) }()
-	if c.Role == RoleData {
-		if own.Addr = c.Advertise; own.Addr == "" {
-			own.Addr = ln.Addr()
-		}
-		s.runMember(dial, own)
+	if stream != nil {
+		s.runMember(stream, dial, own, owner)
 	}
 	return s, nil
-}
-
-// runMember starts a data server's background protocol: the announce stream
-// that is its liveness watch of the coordinator and on which the coordinator
-// says who owns its range (follow).
-func (s *Server) runMember(dial func(string) (transport.Conn, error), entry transport.ServerEntry) {
-	c := s.cfg.Cluster
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		// Losing the coordinator is fatal by design: this server cannot make
-		// progress decisions without it (DESIGN.md §10). A coordinator whose
-		// run completed says so on the stream before it stops, and announce
-		// returns nil.
-		if err := s.announce(dial, entry); err != nil {
-			s.fail(fmt.Errorf("ps: %s server lost the coordinator at %s: %w", c.Role, c.Coordinator, err))
-		}
-	}()
 }
 
 // memberPatience is how long a data server keeps retrying its first contact
@@ -110,46 +111,51 @@ func (s *Server) runMember(dial func(string) (transport.Conn, error), entry tran
 // the coordinator may not be up yet.
 const memberPatience = 30 * time.Second
 
-// announce registers this member's map entry with the coordinator and then
-// follows the stream, its liveness watch of the coordinator, until the server
-// stops or the coordinator reports the run complete with a Done frame (nil),
-// or the coordinator is lost (the error). Losing the coordinator is fatal by
-// design — it is the single serialization point for staleness decisions
-// (DESIGN.md §10) — so only the first announce retries, with backoff for up
-// to memberPatience. An explicit rejection is final at once, and once an
-// announce has succeeded the coordinator was provably up, so any later
-// connection loss means it died.
-func (s *Server) announce(dial func(string) (transport.Conn, error), entry transport.ServerEntry) error {
-	announced := false
-	err := retry(memberPatience, 50*time.Millisecond, 1600*time.Millisecond,
-		func(err error) bool { return announced || s.isStopped() || isRemote(err) },
-		func() error {
-			conn, err := dial(s.cfg.Cluster.Coordinator)
-			if err != nil {
-				return err
-			}
-			defer conn.Close()
-			// Tie the connection to Stop so shutdown unblocks the Recvs below.
-			done := make(chan struct{})
-			defer close(done)
-			go func() {
-				select {
-				case <-s.stopped:
-					_ = conn.Close()
-				case <-done:
-				}
-			}()
-			owner, err := submitEntry(conn, entry)
-			if err != nil {
-				return err
-			}
-			announced = true
-			return s.follow(conn, dial, entry, owner)
-		})
-	if s.isStopped() {
-		return nil
+// joinGroup announces a data server, served at addr, to c's coordinator as
+// range c.Index and returns the announce stream with the coordinator's OK
+// reply (announceRange). Only this first contact retries, with backoff for up
+// to memberPatience; an explicit rejection is final at once.
+func joinGroup(c ClusterConfig, dial func(string) (transport.Conn, error), addr string) (conn transport.Conn, reply transport.Message, err error) {
+	err = retry(memberPatience, 50*time.Millisecond, 1600*time.Millisecond, isRemote, func() (err error) {
+		if conn, err = dial(c.Coordinator); err != nil {
+			return err
+		}
+		if reply, err = announceRange(conn, c.Index, addr); err != nil {
+			_ = conn.Close()
+		}
+		return err
+	})
+	if err != nil {
+		return nil, reply, fmt.Errorf("ps: data server could not announce range %d to the coordinator at %s: %w", c.Index, c.Coordinator, err)
 	}
-	return err
+	return conn, reply, nil
+}
+
+// runMember follows a data server's announce stream conn, its liveness watch
+// of the coordinator, on which the coordinator says who owns its range
+// (follow). Losing the coordinator is fatal by design: it is the single
+// serialization point for staleness decisions, and this server cannot make
+// progress decisions without it (DESIGN.md §10). A coordinator whose run
+// completed says so on the stream before it stops, and follow returns nil.
+func (s *Server) runMember(conn transport.Conn, dial func(string) (transport.Conn, error), own, owner transport.ServerEntry) {
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		// Tie the stream to Stop so shutdown unblocks its Recvs.
+		done := make(chan struct{})
+		defer close(done)
+		go func() {
+			select {
+			case <-s.stopped:
+			case <-done:
+			}
+			_ = conn.Close()
+		}()
+		if err := s.follow(conn, dial, own, owner); err != nil && !s.isStopped() {
+			c := s.cfg.Cluster
+			s.fail(fmt.Errorf("ps: %s server lost the coordinator at %s: %w", c.Role, c.Coordinator, err))
+		}
+	}()
 }
 
 // follow acts on the coordinator's word on the announce stream conn, whose

@@ -14,19 +14,21 @@ import (
 
 // TestStartActsOnOrRefusesEveryOption runs every role against every
 // server-side Options field set alone: Start either stands the role up with
-// the field in force, or refuses it by name. The refusals are the coordinator's
-// Guard, Aggregator and Checkpoint, and nothing else; a field added to Options without a
-// row here fails the test.
+// the field in force, or refuses it by name. The refusals are the
+// coordinator's Guard, Aggregator and Checkpoint and a data server's Shards,
+// and nothing else; a field added to Options without a row here fails the
+// test.
 //
 // Elastic and HeartbeatTimeout keep rows of their own for what the one Lease
 // field now holds: a lease makes every role elastic, and it is the timeout the
 // role announces in Registered, so each row sets a lease alone and checks the
 // role both runs it and announces it.
 //
-// The backup rows start a standby: a data server that announces for a range
-// that already has an owner, in a group whose data servers share its shard
-// count. Start runs the same path for it as for an owner; the row checks the
-// option is in force once the coordinator has named the standby's owner.
+// A data server's rows announce range 0 to a coordinator whose range 0 has no
+// owner. The backup rows start a standby: a data server that announces for a
+// range that already has an owner. Start runs the same path for it as for an
+// owner; the row checks the option is in force once the coordinator has named
+// the standby's owner.
 func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 	set := map[string]func(*Options){
 		"Shards":      func(o *Options) { o.Shards = 2 },
@@ -37,27 +39,34 @@ func TestStartActsOnOrRefusesEveryOption(t *testing.T) {
 		"Checkpoint":  func(o *Options) { o.Checkpoint = CheckpointConfig{Dir: t.TempDir()} },
 	}
 	announced := map[string]time.Duration{"Elastic": time.Second, "HeartbeatTimeout": 3 * time.Second}
-	refused := map[[2]string]bool{{RoleCoordinator, "Guard"}: true, {RoleCoordinator, "Aggregator"}: true, {RoleCoordinator, "Checkpoint"}: true}
+	refused := map[[2]string]bool{{RoleCoordinator, "Guard"}: true, {RoleCoordinator, "Aggregator"}: true,
+		{RoleCoordinator, "Checkpoint"}: true, {RoleData, "Shards"}: true}
 	noPeer := func(string) (transport.Conn, error) { return nil, errors.New("no peer") }
 	fields := reflect.TypeOf(Options{})
 	names := []string{"Elastic", "HeartbeatTimeout"}
 	for i := 0; i < fields.NumField(); i++ {
 		names = append(names, fields.Field(i).Name)
 	}
-	// start stands cfg up as the row's role: a backup row as a standby for
-	// range 0 of a running group, every other row alone.
+	// start stands cfg up as the row's role: a data server as the owner of
+	// range 0 of a group, a backup row as a standby for it, every other row
+	// alone.
 	start := func(t *testing.T, row string, cfg ServerConfig) (*Server, error) {
-		if row != rowBackup {
+		if cfg.Cluster.Role != RoleData {
 			return Start(cfg, seededModel(25), clusterOpt(), transport.NewChanListener(), noPeer)
 		}
-		g := startTestGroupWith(t, 1, 2, core.MustNewASP(1), seededModel(25), clusterOpt, Options{Shards: cfg.Options.Shards})
-		l := transport.NewChanListener()
-		cfg.Cluster = ClusterConfig{Role: RoleData, Coordinator: g.coordAddr, Servers: 2}
-		srv, err := Start(cfg, seededModel(25), clusterOpt(), l, g.dial)
-		if err != nil {
-			return nil, err
+		var g *testGroup
+		if row == rowBackup {
+			g = startTestGroup(t, 1, 2, core.MustNewASP(1), seededModel(25))
+		} else {
+			g = startCoordinator(t, 1, 2, core.MustNewASP(1), seededModel(25), 0)
 		}
+		l := transport.NewChanListener()
 		g.addListener(l)
+		cfg.Cluster = ClusterConfig{Role: RoleData, Coordinator: g.coordAddr}
+		srv, err := Start(cfg, seededModel(25), clusterOpt(), l, g.dial)
+		if err != nil || row != rowBackup {
+			return srv, err
+		}
 		eventuallyTrue(t, 5*time.Second, "the coordinator named the standby's owner", func() bool {
 			if err := srv.FailureErr(); err != nil {
 				t.Fatalf("the standby failed: %v", err)

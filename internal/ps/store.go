@@ -16,6 +16,7 @@ import (
 	"dssp/internal/obs"
 	"dssp/internal/optimizer"
 	"dssp/internal/tensor"
+	"dssp/internal/transport"
 )
 
 // Store holds the globally shared model parameters ("the weights of the
@@ -135,7 +136,7 @@ func NewStoreSharded(initial []*tensor.Tensor, opt *optimizer.SGD, shards int) (
 	if shards > len(initial) {
 		shards = len(initial)
 	}
-	return newStoreRange(initial, opt, shards, 0, shards)
+	return newStoreRange(initial, opt, shards, transport.ServerEntry{ShardHi: shards, TensorHi: len(initial)})
 }
 
 // SetAggregator installs the batch-reduction strategy the per-shard appliers

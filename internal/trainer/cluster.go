@@ -3,7 +3,6 @@ package trainer
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dssp/internal/core"
 	"dssp/internal/obs"
@@ -225,9 +224,9 @@ func buildTree(cfg Config, policy core.Policy, params []*tensor.Tensor) (*servin
 // (a fragment's OK means "ticketed", and a pull waits for the applies), and
 // one coordinator runs the real paradigm policy over metadata-only pushes —
 // the single serialization point conf_icdcs_ZhaoALC19's staleness bounds are
-// defined against. The data
-// servers announce themselves on their streams to the coordinator, as
-// psserver's do. An in-process group refuses a checkpoint directory, which
+// defined against. Each data server is started once the one before it has
+// announced itself to the coordinator, as psserver's do, so the map is
+// complete when it returns. An in-process group refuses a checkpoint directory, which
 // its data servers would share.
 func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*serving, error) {
 	if cfg.Checkpoint != (ps.CheckpointConfig{}) {
@@ -236,19 +235,9 @@ func buildCluster(cfg Config, policy core.Policy, params []*tensor.Tensor) (*ser
 	s := &serving{net: &chanNet{}}
 	coordAddr, err := s.start(cfg, policy, params, ps.ClusterConfig{Role: ps.RoleCoordinator, Servers: cfg.ClusterServers})
 	for i := 0; err == nil && i < cfg.ClusterServers; i++ {
-		if _, err = s.start(cfg, nil, params, ps.ClusterConfig{
-			Role: ps.RoleData, Coordinator: coordAddr, Servers: cfg.ClusterServers, Index: i}); err != nil {
+		if _, err = s.start(cfg, nil, params, ps.ClusterConfig{Role: ps.RoleData, Coordinator: coordAddr, Index: i}); err != nil {
 			err = fmt.Errorf("trainer: data server %d: %w", i, err)
 		}
-	}
-	// Return once every data server is in the map, so the topology a worker
-	// meets is the one it will train against.
-	for err == nil {
-		if len(s.servers[0].Status().Map) == cfg.ClusterServers {
-			break
-		}
-		err = s.failure()
-		time.Sleep(100 * time.Microsecond)
 	}
 	if err != nil {
 		s.stop()

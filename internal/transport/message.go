@@ -66,10 +66,12 @@ const (
 	// owns which contiguous range of store shards.
 	MsgClusterMap
 	// MsgServerAnnounce registers a data server with the coordinator:
-	// Servers[0] describes the announcer's advertised address and shard
-	// range. The OK reply's Servers[0] is the range's owner — the announcer
-	// itself, or the live owner it now stands by for. The connection stays
-	// open as each side's liveness watch of the other.
+	// Worker is the index of the range it wants in the coordinator's layout,
+	// and Servers[0] holds its advertised address alone. The OK reply's
+	// Servers[0] is the range's owner entry — at the announcer's address, or
+	// at the live owner's it now stands by for — with StoreShards and Total
+	// the group's shard and tensor counts. The connection stays open as each
+	// side's liveness watch of the other.
 	MsgServerAnnounce
 	// MsgPromote tells a standby, on its announce connection, that its
 	// range has a new owner: Servers[0] is the owner's entry, the standby's
@@ -158,7 +160,8 @@ type PushEntry struct {
 type Message struct {
 	// Type identifies the message purpose.
 	Type MessageType
-	// Worker is the sender's worker ID (0-based) on worker→server messages.
+	// Worker is the sender's worker ID (0-based) on worker→server messages,
+	// and on MsgServerAnnounce the index of the range the data server wants.
 	Worker int
 	// Iteration is the worker's local iteration number on Push messages.
 	Iteration int
@@ -173,8 +176,8 @@ type Message struct {
 	Version int64
 	// Tensors carries gradients (Push) or weights (Weights).
 	Tensors []WireTensor
-	// Total is, on a server-group MsgClusterMap reply, the model's total
-	// tensor count (the group layout).
+	// Total is, on a server-group MsgClusterMap reply and on the OK to a
+	// MsgServerAnnounce, the model's total tensor count (the group layout).
 	Total int
 	// Codec, CodecTopK and CodecPull negotiate the gradient codec
 	// (internal/compress): on MsgRegister they carry the worker's requested
@@ -190,7 +193,8 @@ type Message struct {
 	// Tensors and Packed is populated on those messages.
 	Packed []compress.Packed
 	// StoreShards is the store shard count on MsgClusterMap: on a group's
-	// map the group-wide count, with which the map's coverage is checked.
+	// map the group-wide count, with which the map's coverage is checked. The
+	// OK to a MsgServerAnnounce carries the same count.
 	StoreShards int
 	// Error carries a description on MsgError messages.
 	Error string
@@ -201,7 +205,7 @@ type Message struct {
 	// tag 0x11.
 	Unchanged bool
 	// Servers carries cluster-map entries: the full map on a MsgClusterMap
-	// reply, the announcer's single entry on MsgServerAnnounce, and the
+	// reply, the announcer's address on MsgServerAnnounce, and the
 	// range owner's on its OK reply and on MsgPromote. Binary wire tag 0x13.
 	Servers []ServerEntry
 	// MapVersion is the coordinator's monotonically increasing cluster-map

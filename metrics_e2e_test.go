@@ -476,7 +476,7 @@ func TestStatuszReportsRoleState(t *testing.T) {
 
 	t.Run("group", func(t *testing.T) {
 		coord := serve(ClusterOptions{Role: RoleCoordinator, Servers: 1}, Options{})
-		member := ClusterOptions{Coordinator: coord.Addr(), Servers: 1}
+		member := ClusterOptions{Coordinator: coord.Addr()}
 		member.Role = RoleData
 		data := serve(member, Options{})
 
@@ -541,7 +541,7 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 			} else {
 				server = serve(ClusterOptions{Role: RoleCoordinator, Servers: 2})
 				for i := 0; i < 2; i++ {
-					serve(ClusterOptions{Role: RoleData, Coordinator: server.Addr(), Servers: 2, Index: i})
+					serve(ClusterOptions{Role: RoleData, Coordinator: server.Addr(), Index: i})
 				}
 			}
 

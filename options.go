@@ -36,7 +36,8 @@ type Guard = ps.GuardConfig
 // which embed it (cfg.Compression, cfg.Shards, ...). It is ps.Options, where
 // each field is documented. Every field but Compression acts on the server
 // alone and is ignored by workers: Shards sizes the store a server builds (on
-// a group member, the group-wide count), Lease makes it elastic — it names
+// a coordinator, the group-wide count; a data server refuses it), Lease
+// makes it elastic — it names
 // the lease in every Registered reply, and its workers heartbeat under it on
 // their own — and Aggregator, Guard and Checkpoint shape how it applies and
 // keeps the weights. On WorkerConfig an empty Compression codec means "adopt

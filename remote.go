@@ -35,9 +35,9 @@ type ServerConfig struct {
 	// Options is the shared serving surface (sharding, compression,
 	// aggregation, guard, lease, checkpointing); its fields are embedded
 	// (cfg.Compression, cfg.Lease, ...). In a server group Shards is the
-	// group-wide count and must be the same on every member. A server with
-	// a Lease names it in every Registered reply, and its clients heartbeat
-	// under it on their own.
+	// coordinator's, the group-wide count, and a data server refuses it. A
+	// server with a Lease names it in every Registered reply, and its
+	// clients heartbeat under it on their own.
 	Options
 	// MetricsAddr, when non-empty, starts an admin HTTP listener on that
 	// address serving Prometheus metrics (/metrics), liveness (/healthz), a

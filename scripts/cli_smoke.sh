@@ -3,10 +3,12 @@
 # loopback on fixed ports: a flat 2-worker BSP job on an uneven split (both
 # workers must report the same iteration count, and the server must apply
 # exactly their sum and drop nothing), a coordinator with two data
-# servers (-shards 4 on every member), a second data server for index 0,
-# started once the coordinator's map lists data server 0, which the
-# coordinator makes its standby and which ends naming it at data server 0's
-# final store version, and reconnecting group workers, and a
+# servers (-shards 4 and -cluster-servers 2 on the coordinator alone, which
+# lays the group out and tells each data server its range), a second data
+# server for index 0, started once data server 0 has announced itself, which
+# the coordinator makes its standby and which names it at start and ends
+# naming it at data server 0's final store version, and reconnecting group
+# workers, and a
 # root fronted by one relay. Every worker is the same command line, with no
 # topology flag: the server it dials says whether it is flat, a tree's root
 # or a coordinator, and a worker pointed at a data server must exit non-zero
@@ -18,12 +20,13 @@
 # also checks that each role refuses, by name, a flag it does not read
 # (psserver parses a command line with its -role's own flag set): a relay
 # -guard, -workers, -compress and -lease (codec and lease are the root's), a
-# coordinator -cluster-index, a flat server -parent (a relay's flag, given
-# without -role relay); that -role backup is an unknown role (a standby is a
+# coordinator -cluster-index, a data server -shards and -cluster-servers (the
+# coordinator's), a flat server -parent (a relay's flag, given without -role
+# relay); that -role backup is an unknown role (a standby is a
 # data server the coordinator names one); and that a coordinator refuses the
 # option its role does not act on (-guard again: it carries no gradient
 # bytes). No log may print Paradigm(0): a data server starts naming the shard
-# range it holds, not a paradigm.
+# and tensor range the coordinator gave it, not a paradigm.
 #
 # Usage: scripts/cli_smoke.sh <dir>
 # <dir> holds psserver and psworker (make cli-smoke builds them there) and
@@ -133,22 +136,11 @@ joined() {
 	echo "cli-smoke: $1 never read $3 above 0" >&2
 	exit 1
 }
-# mapped <port> <addr> waits until the coordinator whose admin endpoint is at
-# 127.0.0.1:<port> lists <addr> in its cluster map (/statusz).
-mapped() {
-	local i
-	for i in $(seq 200); do
-		grep -Eq "\"Addr\": *\"$2\"" <<<"$(scrape "$1" /statusz)" && return 0
-		sleep 0.05
-	done
-	echo "cli-smoke: the coordinator's map never listed $2" >&2
-	exit 1
-}
-
-# Group: a coordinator and two data servers, one group-wide -shards on all,
-# every member leasing, and a second data server for index 0, started once
-# the coordinator's map lists data server 0: the coordinator makes it data
-# server 0's standby.
+# Group: a coordinator and two data servers, every member leasing, and a
+# second data server for index 0. The coordinator alone reads the group-wide
+# -shards and -cluster-servers: a data server's start-up line follows its
+# announce and names the range the coordinator gave it, so once data server 0
+# has logged it, the second one for index 0 is made its standby.
 # The workers run with -reconnect, as a deployment that rides out a lost
 # coordinator connection would; worker 1 is the slow one, and it joins first:
 # a worker registers with the coordinator and then each data server in map
@@ -160,7 +152,7 @@ start group-coord "$server" -addr 127.0.0.1:17180 -role coordinator -cluster-ser
 ready group-coord "parameter server listening"
 for i in 0 1; do
 	start "group-data$i" "$server" -addr "127.0.0.1:1718$((i + 1))" -role data -peers 127.0.0.1:17180 \
-		-cluster-servers 2 -cluster-index "$i" -workers 2 -shards 4 "${lease[@]}" -metrics-addr "127.0.0.1:1718$((i + 4))"
+		-cluster-index "$i" -workers 2 "${lease[@]}" -metrics-addr "127.0.0.1:1718$((i + 4))"
 done
 # A worker pointed at a data server learns from its layout reply that no
 # relay covers it, and its registration is then refused, naming the
@@ -186,9 +178,10 @@ for i in 1 0; do
 		-reconnect 30s "${small[@]}" -delay "$((i * 300))ms"
 	[ "$i" -eq 0 ] || joined group-data1 17185 dssp_sessions_active
 done
-mapped 17186 127.0.0.1:17181
 start group-backup0 "$server" -addr 127.0.0.1:17183 -role data -peers 127.0.0.1:17180 \
-	-cluster-servers 2 -cluster-index 0 -workers 2 -shards 4 "${lease[@]}"
+	-cluster-index 0 -workers 2 "${lease[@]}"
+ready group-backup0 "standing by for 127.0.0.1:17181$"
+echo "cli-smoke: group-backup0 started standing by for 127.0.0.1:17181"
 finish group
 departed group-coord
 # The standby ends with its own line: the owner it replicated, and the store
@@ -248,6 +241,8 @@ refuses relay-compress -compress -addr 127.0.0.1:17194 -role relay -parent 127.0
 refuses relay-lease -lease -addr 127.0.0.1:17193 -role relay -parent 127.0.0.1:17199 -lease 200ms
 refuses flat-parent -parent -addr 127.0.0.1:17196 -parent 127.0.0.1:17199 -fanout 2 -workers 2
 refuses coord-index -cluster-index -addr 127.0.0.1:17195 -role coordinator -cluster-servers 2 -workers 2 -cluster-index 1
+refuses data-shards -shards -addr 127.0.0.1:17188 -role data -peers 127.0.0.1:17199 -shards 4
+refuses data-servers -cluster-servers -addr 127.0.0.1:17187 -role data -peers 127.0.0.1:17199 -cluster-servers 2
 
 # A coordinator refuses an option its role does not act on.
 refuses coord-guard Guard -addr 127.0.0.1:17198 -role coordinator -cluster-servers 2 -workers 2 -guard
